@@ -9,12 +9,14 @@
 # sweep (optimized round path bit-exact with the seed path and never slower)
 # under the race detector, and runs the CI-sized multi-device sharding sweep
 # (near-linear scaling, bit-exact results, work stealing under a mid-batch
-# device kill) under the race detector.
+# device kill) under the race detector, and runs the repository benchmark at
+# its smoke sizing twice on one seed, failing if the two sets' modelled
+# metrics differ in any digit.
 
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: build test vet lint race fuzz bench-smoke soak-smoke scale-smoke round-smoke devset-smoke check resilience devfault soak scale round devset
+.PHONY: build test vet lint race fuzz bench-smoke benchmark-smoke soak-smoke scale-smoke round-smoke devset-smoke check resilience devfault soak scale round devset
 
 build:
 	$(GO) build ./...
@@ -48,17 +50,40 @@ race:
 # (contiguous, complete, non-overlapping for any item count and device
 # exclusion set), and the chunk reassembler's untrusted-input invariants
 # (out-of-range indices, flip-flopping totals, oversized declarations must
-# all reject typed, never panic).
+# all reject typed, never panic), and the mpint arithmetic kernels
+# differentially against math/big and against the 32-bit-limb CIOS the
+# 64-bit host kernel replaced (seed corpus on the limb boundaries).
 fuzz:
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzSplitShards -fuzztime 10s
 	$(GO) test ./internal/flnet -run '^$$' -fuzz FuzzReassembler -fuzztime 10s
+	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzMontMul$$' -fuzztime 10s
+	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzModExp$$' -fuzztime 10s
+	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzDivMod$$' -fuzztime 10s
+	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzGCDModInverse$$' -fuzztime 10s
+	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzBytesRoundTrip$$' -fuzztime 10s
 
 # One iteration of every benchmark in the HE hot-path packages: catches
 # benchmarks that no longer compile or crash without paying for real timing
-# runs.
+# runs. -benchmem puts allocs/op in the CI log, so allocation drift in the
+# mpint/paillier hot paths is visible next to the AllocsPerRun ceilings.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/mpint ./internal/ghe ./internal/paillier
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/mpint ./internal/ghe ./internal/paillier
+
+# The repository benchmark (benchmark/README.md) at its seconds-not-minutes
+# sizing, two full sets on one seed, with -check: a modelled metric
+# (step_sim_s, wire_bytes_per_step, loss_bias) that differs at all between
+# the sets, a failed step or a crash fails the target — the modelled clock
+# and the codec are deterministic in the seed, whatever the host arithmetic
+# does. -check also holds the host-clock metrics to their bounds, which at
+# this sizing are a few milliseconds of set-up and swing past 25% run to
+# run on unchanged code; those lines are printed and not gated on.
+benchmark-smoke:
+	@out=$$($(GO) run ./benchmark -smoke -repeat 2 -check 2>&1); status=$$?; \
+	printf '%s\n' "$$out" | grep -E ' (step_sim_s|wire_bytes_per_step) min |^benchmark:'; \
+	[ $$status -eq 0 ] && exit 0; \
+	printf '%s\n' "$$out" | grep -q '^benchmark: ' || { printf '%s\n' "$$out"; exit 1; }; \
+	if printf '%s\n' "$$out" | sed -n 's/^benchmark: //p' | tr ';' '\n' | grep -qv 'sets disagree by more than'; then exit 1; fi
 
 # The CI-sized chaos soak (DESIGN.md §11): seeded network chaos + device
 # faults + coordinator kills with journal recovery + client churn, every
@@ -85,7 +110,7 @@ round-smoke:
 devset-smoke:
 	$(GO) test -race -run TestDevsetSmoke -timeout 300s -count 1 ./internal/bench
 
-check: build vet test race fuzz bench-smoke soak-smoke scale-smoke round-smoke devset-smoke
+check: build vet test race fuzz bench-smoke benchmark-smoke soak-smoke scale-smoke round-smoke devset-smoke
 
 # Demonstrate graceful degradation under a straggler (see DESIGN.md §6).
 resilience:

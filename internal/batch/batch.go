@@ -100,8 +100,8 @@ func (p *Packer) Pack(vals []uint64) ([]mpint.Nat, error) {
 		if end > len(vals) {
 			end = len(vals)
 		}
-		// Assemble limb-by-limb: accumulate 32-bit words from slot bits.
-		words := make([]mpint.Word, (p.slots*int(slotBits)+31)/32)
+		// Assemble limb-by-limb: accumulate host words from slot bits.
+		words := make([]mpint.Word, p.words())
 		for s := base; s < end; s++ {
 			v := vals[s]
 			if v > maxV {
@@ -115,20 +115,19 @@ func (p *Packer) Pack(vals []uint64) ([]mpint.Nat, error) {
 	return out, nil
 }
 
-// orBits ORs the low 64 bits of v into the word array starting at bitPos.
+// words is the host-word length of one packed plaintext's slot region.
+func (p *Packer) words() int {
+	return (p.slots*int(p.q.SlotBits()) + mpint.WordBits - 1) / mpint.WordBits
+}
+
+// orBits ORs the low 64 bits of v into the word array starting at bitPos; a
+// slot that straddles a word boundary spills into the next word.
 func orBits(words []mpint.Word, bitPos uint, v uint64) {
-	w, off := bitPos/32, bitPos%32
-	words[w] |= mpint.Word(v << off)
-	if off != 0 || v>>32 != 0 {
-		rest := v >> (32 - off)
-		if off == 0 {
-			rest = v >> 32
-		}
-		if rest != 0 && int(w+1) < len(words) {
-			words[w+1] |= mpint.Word(rest)
-			if hi := rest >> 32; hi != 0 && int(w+2) < len(words) {
-				words[w+2] |= mpint.Word(hi)
-			}
+	w, off := bitPos/mpint.WordBits, bitPos%mpint.WordBits
+	words[w] |= v << off
+	if off != 0 {
+		if rest := v >> (mpint.WordBits - off); rest != 0 && int(w+1) < len(words) {
+			words[w+1] |= rest
 		}
 	}
 }
@@ -147,7 +146,7 @@ func (p *Packer) Unpack(packed []mpint.Nat, count int) ([]uint64, error) {
 	mask := uint64(1)<<slotBits - 1
 	out := make([]uint64, 0, count)
 	for pi, pt := range packed {
-		words := pt.Words((p.slots*int(slotBits) + 31) / 32)
+		words := pt.Words(p.words())
 		slotsHere := p.slots
 		if remaining := count - pi*p.slots; remaining < slotsHere {
 			slotsHere = remaining
@@ -159,19 +158,16 @@ func (p *Packer) Unpack(packed []mpint.Nat, count int) ([]uint64, error) {
 	return out, nil
 }
 
-// extractBits reads `width` (≤ 64) bits starting at bitPos.
+// extractBits reads `width` (≤ 64) bits starting at bitPos, from at most two
+// words.
 func extractBits(words []mpint.Word, bitPos, width uint) uint64 {
-	w, off := bitPos/32, bitPos%32
+	w, off := bitPos/mpint.WordBits, bitPos%mpint.WordBits
 	var v uint64
 	if int(w) < len(words) {
-		v = uint64(words[w]) >> off
+		v = words[w] >> off
 	}
-	for shift := 32 - off; shift < width; shift += 32 {
-		w++
-		if int(w) >= len(words) {
-			break
-		}
-		v |= uint64(words[w]) << shift
+	if off+width > mpint.WordBits && int(w+1) < len(words) {
+		v |= words[w+1] << (mpint.WordBits - off)
 	}
 	return v & (uint64(1)<<width - 1)
 }

@@ -1,0 +1,66 @@
+package fl
+
+import (
+	"fmt"
+	"math"
+	"testing"
+)
+
+// simFields renders the fields of a CostSnapshot that come from the cost
+// model and the wire — everything except the three host-clock fields
+// (HEWall, OtherWall, EncodeWall).
+func simFields(s CostSnapshot) string {
+	return fmt.Sprintf("HESim=%d HEOps=%d Instances=%d CommSim=%d CommBytes=%d CommMsgs=%d RetryMsgs=%d "+
+		"EncodeSim=%d EncodeVals=%d CompSim=%d PipeSeqSim=%d PipeSim=%d PipeChunks=%d LateChunks=%d LateBytes=%d "+
+		"Ciphertexts=%d Plainvals=%d",
+		s.HESim, s.HEOps, s.Instances, s.CommSim, s.CommBytes, s.CommMsgs, s.RetryMsgs,
+		s.EncodeSim, s.EncodeVals, s.CompSim, s.PipeSeqSim, s.PipeSim, s.PipeChunks, s.LateChunks, s.LateBytes,
+		s.Ciphertexts, s.Plainvals)
+}
+
+// TestSimInvariantUnderHostKernel is the hardware-simulation rule — a change
+// to the simulator's own speed leaves every simulated statistic identical —
+// made a test: the modelled fields of CostSnapshot and the bytes on the wire
+// of one seeded 256-bit SystemFLBooster round, flat and cohort-tree, equal
+// constants recorded on the 32-bit-limb parent of the 64-bit-limb mpint
+// rewrite. The host kernel produces the bits; ghe/cost.go prices the
+// modelled device, and the two must stay decoupled.
+func TestSimInvariantUnderHostKernel(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		parties int
+		cohort  CohortPolicy
+		dim     int
+		want    string
+	}{
+		{name: "flat", parties: 4, dim: 200,
+			want: "HESim=316765 HEOps=232 Instances=1087 CommSim=187326662 CommBytes=16099 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 CompSim=0 PipeSeqSim=0 PipeSim=0 PipeChunks=0 LateChunks=0 LateBytes=0 Ciphertexts=116 Plainvals=800"},
+		{name: "cohort-tree", parties: 64, cohort: CohortPolicy{Size: 16, Fanout: 4, MaxInflight: 8}, dim: 24,
+			want: "HESim=1148905 HEOps=128 Instances=468 CommSim=458133319 CommBytes=11720 CommMsgs=38 RetryMsgs=0 EncodeSim=13440 EncodeVals=384 CompSim=0 PipeSeqSim=0 PipeSim=0 PipeChunks=0 LateChunks=0 LateBytes=0 Ciphertexts=64 Plainvals=384"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewProfile(SystemFLBooster, 256, tc.parties)
+			p.Seed = 13
+			p.Cohort = tc.cohort
+			ctx, err := NewContext(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fed := NewFederation(ctx)
+			defer fed.Close()
+			grads := make([][]float64, tc.parties)
+			for c := range grads {
+				grads[c] = make([]float64, tc.dim)
+				for i := range grads[c] {
+					grads[c][i] = 0.3 * math.Sin(float64(c*tc.dim+i+1))
+				}
+			}
+			if _, _, err := fed.SecureAggregateReport(grads); err != nil {
+				t.Fatal(err)
+			}
+			if got := simFields(ctx.Costs.Snapshot()); got != tc.want {
+				t.Errorf("sim fields moved:\n got  %s\n want %s", got, tc.want)
+			}
+		})
+	}
+}

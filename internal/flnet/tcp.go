@@ -203,13 +203,15 @@ func (c *TCPClient) Close() error {
 
 // ---- framing ---------------------------------------------------------
 
+// writeFrame sends the length header and the body as one write (a single
+// writev on a TCP connection, which holds the connection's write lock
+// throughout). The hub relays every sender on its own goroutine, so two
+// frames bound for one destination must not interleave header and body.
 func writeFrame(w io.Writer, b []byte) error {
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(b)
+	bufs := net.Buffers{hdr[:], b}
+	_, err := bufs.WriteTo(w)
 	return err
 }
 

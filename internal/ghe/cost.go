@@ -9,7 +9,12 @@ package ghe
 import "flbooster/internal/mpint"
 
 // Cost model: kernel word-op counts charged to the simulated device clock
-// (the β_gpu term of Eq. 10). One "word op" is a 32-bit multiply-add.
+// (the β_gpu term of Eq. 10). One "word op" is a 32-bit multiply-add, and
+// every k below is a modulus size in 32-bit words — mpint.Mont.Limbs(), the
+// paper's w = 32 FRNS. This is the modelled device's unit and has nothing to
+// do with the host: mpint computes the actual bits on 64-bit limbs, and a
+// faster or slower host kernel must leave every number derived here
+// unchanged (fl.TestSimInvariantUnderHostKernel).
 
 // montMulWordOps approximates the CIOS inner-loop work for a k-limb modulus:
 // k iterations, each with two k-limb multiply-accumulate passes.

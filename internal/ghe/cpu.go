@@ -95,7 +95,7 @@ func (*CPUEngine) ModMulVec(a, b []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error
 	}
 	out := make([]mpint.Nat, len(a))
 	for i := range a {
-		out[i] = m.FromMont(m.Mul(m.ToMont(a[i]), m.ToMont(b[i])))
+		out[i] = modMul(m, a[i], b[i])
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package ghe
 
 import (
+	"math/big"
 	"testing"
 
 	"flbooster/internal/gpu"
@@ -184,14 +185,28 @@ func TestVectorAPIErrors(t *testing.T) {
 	}
 }
 
+// parMontWant is the oracle for ParMont: a·b·R⁻¹ mod n by math/big, at the
+// kernel's own radix R = 2^(32·s) for an s-word modulus. (The host
+// mpint.Mont runs at R = 2^(64·⌈s/2⌉), the same value only for even s.)
+func parMontWant(a, b, n mpint.Nat, s int) mpint.Nat {
+	toBig := func(x mpint.Nat) *big.Int { return new(big.Int).SetBytes(x.Bytes()) }
+	bn := toBig(n)
+	rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), uint(32*s)), bn)
+	z := new(big.Int).Mul(toBig(a), toBig(b))
+	return mpint.FromBytes(z.Mul(z, rInv).Mod(z, bn).Bytes())
+}
+
 func TestParMontMatchesSerialCIOS(t *testing.T) {
 	dev := gpu.MustNew(gpu.SmallTestDevice(), true)
 	r := mpint.NewRNG(6)
-	for _, threads := range []int{1, 2, 4, 8} {
-		n := r.RandBits(256) // 8 limbs
+	for _, tc := range []struct{ bits, threads int }{
+		{256, 1}, {256, 2}, {256, 4}, {256, 8}, // 8 words
+		{96, 1}, {96, 3}, {160, 5}, {150, 1}, // odd word counts: 3, 3, 5, 5
+	} {
+		n := r.RandBits(tc.bits)
 		n[0] |= 1
 		m := mpint.NewMont(n)
-		pm, err := NewParMont(dev, m, threads)
+		pm, err := NewParMont(dev, m, tc.threads)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,9 +221,13 @@ func TestParMontMatchesSerialCIOS(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range a {
-			want := m.Mul(a[i], b[i])
+			want := parMontWant(a[i], b[i], n, m.Limbs())
 			if mpint.Cmp(got[i], want) != 0 {
-				t.Fatalf("T=%d: parallel CIOS[%d] = %s, want %s", threads, i, got[i], want)
+				t.Fatalf("%d bits, T=%d: parallel CIOS[%d] = %s, want %s", tc.bits, tc.threads, i, got[i], want)
+			}
+			// At an even word count the radix is the host kernel's too.
+			if m.Limbs()%2 == 0 && mpint.Cmp(got[i], m.Mul(a[i], b[i])) != 0 {
+				t.Fatalf("%d bits, T=%d: parallel CIOS[%d] differs from the host kernel", tc.bits, tc.threads, i)
 			}
 		}
 	}
@@ -229,7 +248,7 @@ func TestParMontSingle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mpint.Cmp(got, m.Mul(a, b)) != 0 {
+	if mpint.Cmp(got, parMontWant(a, b, n, 4)) != 0 {
 		t.Fatal("MulOne mismatch")
 	}
 }
@@ -253,7 +272,7 @@ func TestParMontExercisesFinalSubtraction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mpint.Cmp(got, m.Mul(a, nm1)) != 0 {
+		if mpint.Cmp(got, parMontWant(a, nm1, n, 4)) != 0 {
 			t.Fatalf("near-modulus case %d mismatch", i)
 		}
 	}

@@ -14,20 +14,25 @@ import (
 // via shared memory at block barriers — the "inter-thread communication" of
 // §IV-A1 — and the conditional final subtraction runs after the last shift.
 //
-// This path exists for fidelity (it is differentially tested against the
-// serial CIOS in mpint); the throughput-oriented vector kernels in engine.go
+// The kernel computes on the paper's w = 32 words, whatever the host limb
+// width: operands and modulus arrive through mpint's explicit 32-bit views,
+// s is the modulus size in 32-bit words, and the Montgomery radix is
+// R = 2^(32·s) — which is the host mpint.Mont's radix only when s is even.
+//
+// This path exists for fidelity (it is differentially tested against
+// math/big at that radix); the throughput-oriented vector kernels in engine.go
 // instead parallelize across independent ciphertexts, which is how both the
 // paper's system and this reproduction spend nearly all device time.
 type ParMont struct {
 	dev     *gpu.Device
 	mont    *mpint.Mont
 	threads int
-	s       int // limbs per operand
-	x       int // limbs per thread
+	s       int // 32-bit words per operand
+	x       int // 32-bit words per thread
 }
 
 // NewParMont prepares a parallel context for the modulus behind m, with T
-// threads per multiplication. T must divide the limb count of the modulus.
+// threads per multiplication. T must divide the modulus size in 32-bit words.
 func NewParMont(dev *gpu.Device, m *mpint.Mont, threads int) (*ParMont, error) {
 	s := m.Limbs()
 	if threads <= 0 || s%threads != 0 {
@@ -49,9 +54,9 @@ const (
 	tOff = 0
 )
 
-// MulVec computes a[i]*b[i]*R⁻¹ mod n for each pair, one cooperative block
-// per pair. Inputs must be < n and in Montgomery form (as with mpint.Mont's
-// Mul). Use MulOne to run a single multiplication.
+// MulVec computes a[i]*b[i]*R⁻¹ mod n with R = 2^(32·s) for each pair, one
+// cooperative block per pair. Inputs must be < n. Use MulOne to run a single
+// multiplication.
 func (p *ParMont) MulVec(a, b []mpint.Nat) ([]mpint.Nat, error) {
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("ghe: ParMont.MulVec length mismatch %d vs %d", len(a), len(b))
@@ -61,15 +66,15 @@ func (p *ParMont) MulVec(a, b []mpint.Nat) ([]mpint.Nat, error) {
 	miOff := carryOff + T
 	sharedWords := miOff + 2
 
-	n := p.mont.N().Words(s)
-	n0inv := p.mont.N0Inv()
+	n := p.mont.N().Words32(s)
+	n0inv := p.mont.N0Inv32()
 	out := make([]mpint.Nat, len(a))
 
-	aw := make([][]mpint.Word, len(a))
-	bw := make([][]mpint.Word, len(b))
+	aw := make([][]uint32, len(a))
+	bw := make([][]uint32, len(b))
 	for i := range a {
-		aw[i] = a[i].Words(s)
-		bw[i] = b[i].Words(s)
+		aw[i] = a[i].Words32(s)
+		bw[i] = b[i].Words32(s)
 	}
 
 	err := p.dev.LaunchCooperative("parmont_cios", len(a), T, sharedWords, func(tc *gpu.ThreadCtx) {
@@ -144,10 +149,10 @@ func (p *ParMont) MulVec(a, b []mpint.Nat) ([]mpint.Nat, error) {
 
 		// Final conditional subtraction (thread 0; once per multiplication).
 		if tc.Thread == 0 {
-			z := mpint.FromWords(t[:s])
+			z := mpint.FromWords32(t[:s])
 			if t[s] != 0 || mpint.Cmp(z, p.mont.N()) >= 0 {
 				zw := subModWords(t[:s], n)
-				out[item] = mpint.FromWords(zw)
+				out[item] = mpint.FromWords32(zw)
 			} else {
 				out[item] = z
 			}

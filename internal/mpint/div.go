@@ -13,11 +13,9 @@ func DivMod(x, y Nat) (q, r Nat) {
 		return nil, x.Clone()
 	}
 	if len(y) == 1 {
-		q, rw := divModWord(x, y[0])
-		if rw == 0 {
-			return q, nil
-		}
-		return q, Nat{rw}
+		q = x.Clone()
+		rw := divWordInPlace(q, y[0])
+		return trim(q), FromUint64(rw)
 	}
 	return divKnuth(x, y)
 }
@@ -28,16 +26,22 @@ func Div(x, y Nat) Nat { q, _ := DivMod(x, y); return q }
 // Mod returns x mod y.
 func Mod(x, y Nat) Nat { _, r := DivMod(x, y); return r }
 
-// divModWord divides x by a single limb.
-func divModWord(x Nat, w Word) (Nat, Word) {
-	q := make(Nat, len(x))
-	var r uint64
+// divWordInPlace replaces x by x / w and returns x mod w.
+func divWordInPlace(x []Word, w Word) Word {
+	var r Word
 	for i := len(x) - 1; i >= 0; i-- {
-		cur := r<<WordBits | uint64(x[i])
-		q[i] = Word(cur / uint64(w))
-		r = cur % uint64(w)
+		x[i], r = bits.Div64(r, x[i], w)
 	}
-	return trim(q), Word(r)
+	return r
+}
+
+// modWord returns x mod w without forming the quotient.
+func modWord(x Nat, w Word) Word {
+	var r Word
+	for i := len(x) - 1; i >= 0; i-- {
+		_, r = bits.Div64(r, x[i], w)
+	}
+	return r
 }
 
 // divKnuth implements Knuth TAOCP vol. 2, Algorithm 4.3.1 D for len(y) ≥ 2
@@ -45,92 +49,134 @@ func divModWord(x Nat, w Word) (Nat, Word) {
 // each quotient limb is estimated from the top two limbs of the running
 // remainder and the top limb of the divisor, then corrected at most twice.
 func divKnuth(x, y Nat) (Nat, Nat) {
-	// D1: normalize.
-	shift := uint(bits.LeadingZeros32(y[len(y)-1]))
-	yn := Lsh(y, shift)
-	xn := Lsh(x, shift)
-	n := len(yn)
-	// Ensure the dividend has an explicit extra high limb.
-	u := make(Nat, len(xn)+1)
-	copy(u, xn)
-	m := len(u) - n - 1 // number of quotient limbs minus one
+	n := len(y)
+	// D1: normalize into one buffer: the dividend with an explicit extra high
+	// limb, then the divisor.
+	shift := uint(bits.LeadingZeros64(y[n-1]))
+	buf := make(Nat, len(x)+1+n)
+	u, v := buf[:len(x)+1], buf[len(x)+1:]
+	if shift == 0 {
+		copy(u, x)
+		copy(v, y)
+	} else {
+		u[len(x)] = lshInto(u[:len(x)], x, shift)
+		lshInto(v, y, shift)
+	}
+	m := len(x) - n // number of quotient limbs minus one
 
 	q := make(Nat, m+1)
-	vTop := uint64(yn[n-1])
-	vNext := uint64(yn[n-2])
+	vTop, vNext := v[n-1], v[n-2]
 
 	// D2..D7: loop over quotient digits from most significant down.
 	for j := m; j >= 0; j-- {
-		// D3: estimate qhat from the top two limbs of u[j..j+n].
-		u2 := uint64(u[j+n])<<WordBits | uint64(u[j+n-1])
-		qhat := u2 / vTop
-		rhat := u2 % vTop
-		if qhat > 0xFFFFFFFF {
-			qhat = 0xFFFFFFFF
-			rhat = u2 - qhat*vTop
+		// D3: estimate qhat from the top two limbs of u[j..j+n]. The running
+		// remainder is below v·B, so u[j+n] ≤ vTop; equality would overflow
+		// the one-limb quotient, and qhat saturates instead.
+		qhat := ^Word(0)
+		if uTop := u[j+n]; uTop != vTop {
+			var rhat Word
+			qhat, rhat = bits.Div64(uTop, u[j+n-1], vTop)
+			// Correct while qhat·vNext > rhat·B + u[j+n-2]; once rhat
+			// overflows a limb the right side is out of reach.
+			hi, lo := bits.Mul64(qhat, vNext)
+			for hi > rhat || (hi == rhat && lo > u[j+n-2]) {
+				qhat--
+				prev := rhat
+				rhat += vTop
+				if rhat < prev {
+					break
+				}
+				hi, lo = bits.Mul64(qhat, vNext)
+			}
 		}
-		for rhat <= 0xFFFFFFFF && qhat*vNext > rhat<<WordBits|uint64(u[j+n-2]) {
-			qhat--
-			rhat += vTop
-		}
-		// D4: multiply and subtract u[j..j+n] -= qhat * yn.
-		var borrow, mulCarry uint64
+		// D4: multiply and subtract u[j..j+n] -= qhat * v.
+		var borrow, mulCarry Word
 		for i := 0; i < n; i++ {
-			p := qhat*uint64(yn[i]) + mulCarry
-			mulCarry = p >> WordBits
-			d := uint64(u[j+i]) - (p & 0xFFFFFFFF) - borrow
-			u[j+i] = Word(d)
-			borrow = (d >> 32) & 1
+			hi, lo := bits.Mul64(qhat, v[i])
+			lo, c := bits.Add64(lo, mulCarry, 0)
+			mulCarry = hi + c
+			u[j+i], borrow = bits.Sub64(u[j+i], lo, borrow)
 		}
-		d := uint64(u[j+n]) - mulCarry - borrow
-		u[j+n] = Word(d)
-		borrow = (d >> 32) & 1
+		u[j+n], borrow = bits.Sub64(u[j+n], mulCarry, borrow)
 
-		// D5/D6: if we subtracted one time too many, add yn back.
+		// D5/D6: if we subtracted one time too many, add v back.
 		if borrow != 0 {
 			qhat--
-			var carry uint64
-			for i := 0; i < n; i++ {
-				s := uint64(u[j+i]) + uint64(yn[i]) + carry
-				u[j+i] = Word(s)
-				carry = s >> WordBits
-			}
-			u[j+n] = Word(uint64(u[j+n]) + carry)
+			u[j+n] += addInto(u[j:j+n], u[j:j+n], v)
 		}
-		q[j] = Word(qhat)
+		q[j] = qhat
 	}
-	// D8: denormalize the remainder.
-	r := Rsh(trim(u[:n]), shift)
-	return trim(q), r
+	// D8: denormalize the remainder in place; it aliases only buf.
+	r := u[:n]
+	if shift != 0 {
+		rshInto(r, r, shift)
+	}
+	return trim(q), trim(r)
 }
 
 // GCD returns the greatest common divisor of x and y (binary GCD).
 func GCD(x, y Nat) Nat {
-	x, y = trim(x).Clone(), trim(y).Clone()
+	x, y = trim(x), trim(y)
 	if len(x) == 0 {
-		return y
+		return y.Clone()
 	}
 	if len(y) == 0 {
-		return x
+		return x.Clone()
 	}
-	sx := x.TrailingZeroBits()
-	sy := y.TrailingZeroBits()
+	return gcdInPlace(x.Clone(), y.Clone())
+}
+
+// gcdInPlace is the binary GCD on two owned, trimmed, non-zero buffers: the
+// subtract-and-shift loop runs in the operands' own limbs, and the result is
+// one of the two buffers, re-extended up to its capacity. gcd(x, y)·2^shift
+// divides both inputs, so shifting the common power of two back in never
+// outgrows the buffer the odd part ended up in.
+func gcdInPlace(x, y Nat) Nat {
+	sx, sy := x.TrailingZeroBits(), y.TrailingZeroBits()
 	shift := sx
 	if sy < shift {
 		shift = sy
 	}
-	x = Rsh(x, sx)
-	y = Rsh(y, sy)
+	x, y = rshInPlace(x, sx), rshInPlace(y, sy)
 	for {
+		// Both odd. Keep x ≤ y, replace y by the odd part of y − x.
 		if Cmp(x, y) > 0 {
 			x, y = y, x
 		}
-		y = Sub(y, x)
-		if y.IsZero() {
-			return Lsh(x, shift)
+		subInto(y, y, x)
+		y = trim(y)
+		if len(y) == 0 {
+			break
 		}
-		y = Rsh(y, y.TrailingZeroBits())
+		y = rshInPlace(y, y.TrailingZeroBits())
 	}
+	// x << shift, within x's own backing array.
+	words, b := int(shift/WordBits), shift%WordBits
+	z := x[:(x.BitLen()+int(shift)+WordBits-1)/WordBits]
+	copy(z[words:], x)
+	for i := words + len(x); i < len(z); i++ {
+		z[i] = 0
+	}
+	for i := 0; i < words; i++ {
+		z[i] = 0
+	}
+	if b != 0 {
+		lshInto(z[words:], z[words:], b)
+	}
+	return z
+}
+
+// rshInPlace shifts trimmed x right by s bits within its own limbs and
+// returns the trimmed result (a prefix of x).
+func rshInPlace(x Nat, s uint) Nat {
+	words := int(s / WordBits)
+	if words > 0 {
+		x = x[:copy(x, x[words:])]
+	}
+	if b := s % WordBits; b != 0 {
+		rshInto(x, x, b)
+	}
+	return trim(x)
 }
 
 // LCM returns the least common multiple of x and y.

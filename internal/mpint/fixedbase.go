@@ -25,7 +25,7 @@ type FixedBaseTable struct {
 	h       int // comb height (rows)
 	cols    int // ⌈maxExpBits/h⌉ columns = squarings per evaluation
 	maxBits int
-	tbl     []Nat // 2^h entries, Montgomery form; tbl[0] = R mod n
+	tbl     []Nat // 2^h entries of exactly k limbs, Montgomery form; tbl[0] = R mod n
 }
 
 // ClampFixedBaseHeight bounds a comb height to [1, 8] and to the exponent
@@ -100,30 +100,27 @@ func NewFixedBaseTable(m *Mont, base Nat, maxExpBits, h int) *FixedBaseTable {
 	sc := m.getScratch()
 	defer m.putScratch(sc)
 	// Row generators g[i] = base^(2^(i·cols)) in Montgomery form: each row
-	// squares the previous one cols times.
+	// squares the previous one cols times, in place in its own buffer.
 	g := make([]Nat, h)
-	g[0] = m.mulInto(make(Nat, m.k), t.base, m.rr, sc)
-	bufs := [2]Nat{make(Nat, m.k), make(Nat, m.k)}
+	g[0] = m.mulInto(make(Nat, m.k), t.base, m.rr, sc)[:m.k]
 	for i := 1; i < h; i++ {
-		cur := g[i-1]
-		which := 0
+		g[i] = make(Nat, m.k)
+		copy(g[i], g[i-1])
 		for s := 0; s < cols; s++ {
-			cur = m.mulInto(bufs[which], cur, cur, sc)
-			which ^= 1
+			m.mulInto(g[i], g[i], g[i], sc)
 		}
-		g[i] = cur.Clone()
 	}
 	// tbl[j] = ∏_{i : bit_i(j)=1} g[i], built by peeling the lowest set bit so
 	// each entry costs at most one multiply.
 	tbl := make([]Nat, 1<<h)
-	tbl[0] = m.one.Clone()
+	tbl[0] = m.one.Words(m.k)
 	for j := 1; j < len(tbl); j++ {
 		low := j & -j
 		i := bits.TrailingZeros(uint(low))
 		if j == low {
 			tbl[j] = g[i]
 		} else {
-			tbl[j] = m.mulInto(make(Nat, m.k), tbl[j^low], g[i], sc)
+			tbl[j] = m.mulInto(make(Nat, m.k), tbl[j^low], g[i], sc)[:m.k]
 		}
 	}
 	t.tbl = tbl
@@ -163,13 +160,12 @@ func (t *FixedBaseTable) Exp(e Nat) Nat {
 	m := t.m
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	bufs := [2]Nat{make(Nat, m.k), make(Nat, m.k)}
-	var acc Nat // nil until the first non-zero column seeds it
-	which := 0
+	sc.grow(m.k)
+	acc := sc.buf(m.k, 0)
+	seeded := false // acc holds nothing until the first non-zero column
 	for col := t.cols - 1; col >= 0; col-- {
-		if acc != nil {
-			acc = m.mulInto(bufs[which], acc, acc, sc)
-			which ^= 1
+		if seeded {
+			m.mulInto(acc, acc, acc, sc)
 		}
 		idx := 0
 		for i := 0; i < t.h; i++ {
@@ -180,16 +176,16 @@ func (t *FixedBaseTable) Exp(e Nat) Nat {
 		if idx == 0 {
 			continue
 		}
-		if acc == nil {
-			acc = t.tbl[idx]
+		if seeded {
+			m.mulInto(acc, acc, t.tbl[idx], sc)
 		} else {
-			acc = m.mulInto(bufs[which], acc, t.tbl[idx], sc)
-			which ^= 1
+			copy(acc, t.tbl[idx])
+			seeded = true
 		}
 	}
-	if acc == nil {
+	if !seeded {
 		return One()
 	}
-	// Fresh allocation out of Montgomery form (must not alias the buffers).
+	// Fresh allocation out of Montgomery form (must not alias the scratch).
 	return m.mulInto(make(Nat, m.k), acc, One(), sc)
 }

@@ -1,6 +1,7 @@
 package mpint
 
 import (
+	"bytes"
 	"math/big"
 	"testing"
 )
@@ -84,4 +85,270 @@ func TestModExpCrossCheckLargeSweep(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Differential fuzz targets. Every arithmetic kernel is checked against
+// math/big, and the Montgomery kernel also against the 32-bit-limb CIOS it
+// replaced (oracle32_test.go). Operands arrive as big-endian bytes; the seed
+// corpus sits on the limb boundaries where carry and trim logic is most
+// fragile.
+
+// boundaryOperands returns seed operands at the limb boundaries of both the
+// host (64-bit) and the modelled (32-bit) word: widths one under, at and one
+// over 32/64/128 bits and at odd 32-bit word counts, each as all-ones limbs,
+// as the top bit alone, and as an odd mid-range pattern.
+func boundaryOperands() [][]byte {
+	var out [][]byte
+	for _, bits := range []int{31, 32, 33, 63, 64, 65, 95, 96, 97, 127, 128, 129, 160, 224} {
+		ones := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(bits)), big.NewInt(1))
+		top := new(big.Int).Lsh(big.NewInt(1), uint(bits-1))
+		mid := new(big.Int).Or(top, new(big.Int).Rsh(ones, uint(bits/2)))
+		out = append(out, ones.Bytes(), top.Bytes(), mid.Or(mid, big.NewInt(1)).Bytes())
+	}
+	return out
+}
+
+// zeroMiddleLimb is an odd 192-bit modulus whose middle 64-bit limb (and so
+// two of its six 32-bit words) is zero.
+var zeroMiddleLimb = append(append([]byte{0x80, 0, 0, 0, 0, 0, 0, 1}, make([]byte, 8)...), 0xFF, 0, 0, 0, 0, 0, 0, 0x0D)
+
+// fuzzModulus turns fuzz bytes into an odd modulus ≥ 3, or nil.
+func fuzzModulus(nb []byte) Nat {
+	if len(nb) > 160 {
+		nb = nb[:160]
+	}
+	n := FromBytes(nb)
+	if len(n) == 0 {
+		return nil
+	}
+	n[0] |= 1
+	if n.IsOne() {
+		return nil
+	}
+	return n
+}
+
+func FuzzMontMul(f *testing.F) {
+	ops := boundaryOperands()
+	for i, nb := range ops {
+		f.Add(nb, ops[(i+1)%len(ops)], ops[(i+5)%len(ops)])
+		f.Add(nb, nb, []byte{1}) // a ≡ 0 after the low bit is forced; b = 1
+	}
+	f.Add(zeroMiddleLimb, boundaryOperands()[30], boundaryOperands()[33])
+	f.Fuzz(func(t *testing.T, nb, ab, bb []byte) {
+		n := fuzzModulus(nb)
+		if n == nil {
+			return
+		}
+		bn := toBig(n)
+		m, old := NewMont(n), newMont32(n)
+		nm1 := SubWord(n, 1)
+		a, b := Mod(FromBytes(ab), n), Mod(FromBytes(bb), n)
+		rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), uint(64*len(n))), bn)
+		for _, pair := range [][2]Nat{{a, b}, {a, a}, {nm1, nm1}, {nm1, One()}, {a, nm1}} {
+			x, y := pair[0], pair[1]
+			want := new(big.Int).Mul(toBig(x), toBig(y))
+			want.Mod(want, bn)
+			// Radix-independent: through Montgomery form and back.
+			got := m.FromMont(m.Mul(m.ToMont(x), m.ToMont(y)))
+			if toBig(got).Cmp(want) != 0 {
+				t.Fatalf("%s·%s mod %s = %s, math/big says %s", x, y, n, got, want)
+			}
+			if o := old.modMul(x, y); Cmp(got, o) != 0 {
+				t.Fatalf("%s·%s mod %s = %s, 32-bit CIOS says %s", x, y, n, got, o)
+			}
+			// The raw kernel: x·y·R⁻¹ at the host radix R = 2^(64k).
+			raw := m.Mul(x, y)
+			wantRaw := new(big.Int).Mul(toBig(x), toBig(y))
+			wantRaw.Mul(wantRaw, rInv).Mod(wantRaw, bn)
+			if toBig(raw).Cmp(wantRaw) != 0 {
+				t.Fatalf("Mul(%s, %s) mod %s = %s, want %s", x, y, n, raw, wantRaw)
+			}
+			// An even 32-bit word count makes the old radix the same one.
+			if m.Limbs()%2 == 0 {
+				if o := old.montMul(x, y); Cmp(raw, o) != 0 {
+					t.Fatalf("Mul(%s, %s) mod %s = %s, 32-bit CIOS says %s", x, y, n, raw, o)
+				}
+			}
+			// In place: the destination aliasing an operand.
+			sc := m.getScratch()
+			dst := make(Nat, m.k)
+			copy(dst, x)
+			if in := m.mulInto(dst, dst, y, sc); Cmp(in, raw) != 0 {
+				t.Fatalf("in-place Mul(%s, %s) mod %s = %s, want %s", x, y, n, in, raw)
+			}
+			m.putScratch(sc)
+		}
+	})
+}
+
+func FuzzModExp(f *testing.F) {
+	ops := boundaryOperands()
+	for i, nb := range ops {
+		f.Add(nb, ops[(i+2)%len(ops)], ops[(i+7)%len(ops)])
+	}
+	f.Add(zeroMiddleLimb, []byte{2}, zeroMiddleLimb)
+	f.Add([]byte{0x10, 0x01}, []byte{0xFF}, []byte{0}) // exponent 0
+	f.Add([]byte{0x10, 0x01}, []byte{0xFF}, []byte{1}) // exponent 1
+	f.Fuzz(func(t *testing.T, nb, baseb, eb []byte) {
+		if len(eb) > 48 {
+			eb = eb[:48]
+		}
+		base, e := FromBytes(baseb), FromBytes(eb)
+		if len(base) > 40 {
+			base = base[:40]
+		}
+		// Any modulus ≥ 1, even ones included, through the package entry point.
+		if nAny := FromBytes(nb); !nAny.IsZero() && len(nb) <= 160 {
+			want := new(big.Int).Exp(toBig(base), toBig(e), toBig(nAny))
+			if got := ModExp(base, e, nAny); toBig(got).Cmp(want) != 0 {
+				t.Fatalf("ModExp(%s, %s, %s) = %s, want %s", base, e, nAny, got, want)
+			}
+		}
+		n := fuzzModulus(nb)
+		if n == nil {
+			return
+		}
+		m := NewMont(n)
+		want := new(big.Int).Exp(toBig(base), toBig(e), toBig(n))
+		got := m.Exp(base, e)
+		if toBig(got).Cmp(want) != 0 {
+			t.Fatalf("%s^%s mod %s = %s, math/big says %s", base, e, n, got, want)
+		}
+		if o := newMont32(n).exp(Mod(base, n), e); Cmp(got, o) != 0 {
+			t.Fatalf("%s^%s mod %s = %s, 32-bit CIOS says %s", base, e, n, got, o)
+		}
+		for w := uint(1); w <= 6; w++ {
+			if gw := m.ExpWindow(base, e, w); Cmp(gw, got) != 0 {
+				t.Fatalf("%s^%s mod %s at window %d = %s, want %s", base, e, n, w, gw, got)
+			}
+		}
+	})
+}
+
+func FuzzDivMod(f *testing.F) {
+	ops := boundaryOperands()
+	for i, xb := range ops {
+		f.Add(append(append([]byte{}, xb...), ops[(i+3)%len(ops)]...), ops[(i+1)%len(ops)])
+		f.Add(xb, xb)
+	}
+	f.Add(bytes.Repeat([]byte{0xFF}, 1000), bytes.Repeat([]byte{0xFF}, 600)) // Karatsuba-sized
+	f.Add(append([]byte{0x80}, make([]byte, 31)...), []byte{0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, xb, yb []byte) {
+		if len(xb) > 1024 || len(yb) > 1024 {
+			return
+		}
+		x, y := FromBytes(xb), FromBytes(yb)
+		bx, by := toBig(x), toBig(y)
+		if p := Mul(x, y); toBig(p).Cmp(new(big.Int).Mul(bx, by)) != 0 {
+			t.Fatalf("%s·%s = %s", x, y, p)
+		}
+		if s := Add(x, y); toBig(s).Cmp(new(big.Int).Add(bx, by)) != 0 {
+			t.Fatalf("%s+%s = %s", x, y, s)
+		}
+		if d, sign := CmpSub(x, y); sign != bx.Cmp(by) || toBig(d).Cmp(new(big.Int).Abs(new(big.Int).Sub(bx, by))) != 0 {
+			t.Fatalf("|%s−%s| = %s, sign %d", x, y, d, sign)
+		}
+		if y.IsZero() {
+			return
+		}
+		q, r := DivMod(x, y)
+		wq, wr := new(big.Int).QuoRem(bx, by, new(big.Int))
+		if toBig(q).Cmp(wq) != 0 || toBig(r).Cmp(wr) != 0 {
+			t.Fatalf("%s / %s = %s rem %s, want %s rem %s", x, y, q, r, wq, wr)
+		}
+		if len(q) != len(trim(q)) || len(r) != len(trim(r)) {
+			t.Fatalf("%s / %s: untrimmed quotient or remainder", x, y)
+		}
+	})
+}
+
+func FuzzGCDModInverse(f *testing.F) {
+	ops := boundaryOperands()
+	for i, xb := range ops {
+		f.Add(xb, ops[(i+4)%len(ops)])
+		f.Add(append(append([]byte{}, xb...), 0, 0, 0, 0, 0, 0, 0, 0, 0), append(append([]byte{}, xb...), 0, 0, 0)) // shared powers of two
+	}
+	f.Add([]byte{1}, zeroMiddleLimb)
+	f.Add([]byte{0}, []byte{7})
+	f.Fuzz(func(t *testing.T, xb, yb []byte) {
+		if len(xb) > 256 || len(yb) > 256 {
+			return
+		}
+		x, y := FromBytes(xb), FromBytes(yb)
+		bx, by := toBig(x), toBig(y)
+		g := GCD(x, y)
+		if want := new(big.Int).GCD(nil, nil, bx, by); toBig(g).Cmp(want) != 0 {
+			t.Fatalf("gcd(%s, %s) = %s, want %s", x, y, g, want)
+		}
+		if len(g) != len(trim(g)) {
+			t.Fatalf("gcd(%s, %s) untrimmed", x, y)
+		}
+		if toBig(x).Cmp(bx) != 0 || toBig(y).Cmp(by) != 0 {
+			t.Fatal("GCD clobbered an input")
+		}
+		inv, ok := ModInverse(x, y)
+		want := new(big.Int)
+		if by.Cmp(big.NewInt(1)) > 0 {
+			want = want.ModInverse(bx, by)
+		} else {
+			want = nil
+		}
+		if ok != (want != nil) {
+			t.Fatalf("ModInverse(%s, %s) ok=%v, math/big has inverse: %v", x, y, ok, want != nil)
+		}
+		if ok && toBig(inv).Cmp(want) != 0 {
+			t.Fatalf("ModInverse(%s, %s) = %s, want %s", x, y, inv, want)
+		}
+	})
+}
+
+func FuzzBytesRoundTrip(f *testing.F) {
+	for _, b := range boundaryOperands() {
+		f.Add(b)
+		f.Add(append([]byte{0, 0, 0}, b...)) // leading zero bytes
+	}
+	f.Add([]byte{})
+	f.Add(zeroMiddleLimb)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) > 512 {
+			return
+		}
+		x := FromBytes(b)
+		want := new(big.Int).SetBytes(b)
+		// Compare limb by limb, not through Bytes: Σ x[i]·2^(64i).
+		viaLimbs := new(big.Int)
+		for i := len(x) - 1; i >= 0; i-- {
+			viaLimbs.Lsh(viaLimbs, WordBits).Or(viaLimbs, new(big.Int).SetUint64(x[i]))
+		}
+		if viaLimbs.Cmp(want) != 0 || len(x) != len(trim(x)) {
+			t.Fatalf("FromBytes(%x) = %v", b, []Word(x))
+		}
+		if got := x.Bytes(); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("Bytes = %x, want %x", got, want.Bytes())
+		}
+		if got := x.AppendBytes([]byte{0xAB}); got[0] != 0xAB || !bytes.Equal(got[1:], want.Bytes()) {
+			t.Fatalf("AppendBytes = %x", got)
+		}
+		wide := make([]byte, len(b)+3)
+		for i := range wide {
+			wide[i] = 0xEE
+		}
+		if got := x.FillBytes(wide); !bytes.Equal(got, want.FillBytes(make([]byte, len(wide)))) {
+			t.Fatalf("FillBytes = %x", got)
+		}
+		if x.BitLen() != want.BitLen() {
+			t.Fatalf("BitLen = %d, want %d", x.BitLen(), want.BitLen())
+		}
+		n32 := (x.BitLen() + 31) / 32
+		if back := FromWords32(x.Words32(n32 + 1)); Cmp(back, x) != 0 {
+			t.Fatalf("Words32 round trip of %s = %s", x, back)
+		}
+		if s := x.String(); s != want.String() {
+			t.Fatalf("String = %s, want %s", s, want)
+		}
+		if back, err := ParseDecimal(want.String()); err != nil || Cmp(back, x) != 0 {
+			t.Fatalf("ParseDecimal(%s) = %s, %v", want, back, err)
+		}
+	})
 }

@@ -2,20 +2,20 @@ package mpint
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
 // Mont is a Montgomery multiplication context for a fixed odd modulus n.
-// It precomputes n' = -n⁻¹ mod 2³² (the per-word inverse used by CIOS,
+// It precomputes n' = -n⁻¹ mod 2⁶⁴ (the per-word inverse used by CIOS,
 // Algorithm 1 in the paper) and R² mod n for conversion into Montgomery
-// form, where R = 2^(32·k) and k = len(n) in limbs.
+// form, where R = 2^(64·k) and k = len(n) in host limbs.
 type Mont struct {
-	n      Nat    // the modulus, trimmed
-	k      int    // limb count of n; R = 2^(32k)
-	n0inv  Word   // -n[0]⁻¹ mod 2³²
-	rr     Nat    // R² mod n
-	one    Nat    // R mod n (the Montgomery form of 1)
-	nWords []Word // n padded to exactly k limbs
+	n     Nat  // the modulus, trimmed: exactly k limbs
+	k     int  // host limb count of n; R = 2^(64k)
+	n0inv Word // -n[0]⁻¹ mod 2⁶⁴
+	rr    Nat  // R² mod n
+	one   Nat  // R mod n (the Montgomery form of 1)
 
 	scratch sync.Pool // *mulScratch, reused across multiply chains
 }
@@ -28,7 +28,7 @@ func NewMont(n Nat) *Mont {
 		panic("mpint: Montgomery modulus must be odd and >= 3")
 	}
 	k := len(n)
-	m := &Mont{n: n.Clone(), k: k, nWords: n.Words(k)}
+	m := &Mont{n: n.Clone(), k: k}
 	m.n0inv = negInvWord(n[0])
 	// R mod n and R² mod n via plain division (setup cost only).
 	r := Lsh(One(), uint(k*WordBits))
@@ -37,11 +37,11 @@ func NewMont(n Nat) *Mont {
 	return m
 }
 
-// negInvWord returns -w⁻¹ mod 2³² for odd w using Newton iteration:
+// negInvWord returns -w⁻¹ mod 2⁶⁴ for odd w using Newton iteration:
 // each step doubles the number of correct low bits.
 func negInvWord(w Word) Word {
 	inv := w // 2^3 correct bits to start (w·w ≡ 1 mod 8 for odd w)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 5; i++ {
 		inv *= 2 - w*inv
 	}
 	return -inv
@@ -50,11 +50,16 @@ func negInvWord(w Word) Word {
 // N returns the modulus.
 func (m *Mont) N() Nat { return m.n }
 
-// Limbs returns the limb count k of the modulus (R = 2^(32k)).
-func (m *Mont) Limbs() int { return m.k }
+// Limbs returns the size of the modulus in the cost model's unit: 32-bit
+// words, ⌈bitlen/32⌉ — the paper's w = 32 FRNS. ghe/cost.go's word-op
+// counts, natBytes' transfer sizes, regsForLimbs and ParMont's thread
+// geometry are all written in this unit; it says nothing about the host
+// limbs the multiply below runs on.
+func (m *Mont) Limbs() int { return (m.n.BitLen() + 31) / 32 }
 
-// N0Inv returns -n⁻¹ mod 2³², the CIOS per-word constant.
-func (m *Mont) N0Inv() Word { return m.n0inv }
+// N0Inv32 returns -n⁻¹ mod 2³², the per-word constant of a CIOS over 32-bit
+// words (ghe.ParMont); it is the low half of the host kernel's 64-bit n'.
+func (m *Mont) N0Inv32() uint32 { return uint32(m.n0inv) }
 
 // RR returns R² mod n.
 func (m *Mont) RR() Nat { return m.rr }
@@ -68,13 +73,15 @@ func (m *Mont) FromMont(x Nat) Nat { return m.Mul(x, One()) }
 // MontOne returns the Montgomery form of 1 (R mod n).
 func (m *Mont) MontOne() Nat { return m.one.Clone() }
 
-// mulScratch holds the working buffers of one CIOS multiplication — the
-// uint64 accumulator and the zero-padded operand copies — so a multiply
-// chain (an exponentiation, a comb evaluation) reuses one buffer set instead
-// of allocating three slices per Mul.
+// mulScratch holds the working buffers of a multiply chain (an
+// exponentiation, a comb evaluation): the CIOS accumulator, staging for
+// operands shorter than the modulus, and a slab the chain carves its table
+// and its in-place accumulator from — so a chain allocates only its result.
 type mulScratch struct {
-	t      []uint64
-	aw, bw []Word
+	t      []Word // 2k: k+1 of them for a multiply, all for a squaring
+	aw, bw []Word // k each
+	slab   []Word
+	ops    []int16 // backing for the schedule Exp compiles and drops
 }
 
 // getScratch returns a scratch buffer set sized for this modulus, drawing
@@ -84,26 +91,39 @@ func (m *Mont) getScratch() *mulScratch {
 	if sc, ok := m.scratch.Get().(*mulScratch); ok {
 		return sc
 	}
-	return &mulScratch{
-		t:  make([]uint64, m.k+2),
-		aw: make([]Word, m.k),
-		bw: make([]Word, m.k),
-	}
+	k := m.k
+	buf := make([]Word, 4*k)
+	return &mulScratch{t: buf[: 2*k : 2*k], aw: buf[2*k : 3*k : 3*k], bw: buf[3*k:]}
 }
 
 func (m *Mont) putScratch(sc *mulScratch) { m.scratch.Put(sc) }
 
-// padInto copies trimmed x into dst, zero-filling the tail. It panics when x
-// needs more limbs than dst holds (operands must be < n).
-func padInto(dst []Word, x Nat) {
+// grow makes the slab hold at least `limbs` limbs.
+func (sc *mulScratch) grow(limbs int) {
+	if len(sc.slab) < limbs {
+		sc.slab = make([]Word, limbs)
+	}
+}
+
+// buf returns the i-th k-limb buffer of the slab, its capacity clipped so a
+// result written there can never run into its neighbour.
+func (sc *mulScratch) buf(k, i int) Nat { return sc.slab[i*k : (i+1)*k : (i+1)*k] }
+
+// operand returns x as exactly k limbs: x itself when it already is, else a
+// zero-padded copy in buf. It panics when x ≥ 2^(64k) (operands must be < n).
+func (m *Mont) operand(x Nat, buf []Word) []Word {
+	if len(x) == m.k {
+		return x
+	}
 	x = trim(x)
-	if len(x) > len(dst) {
-		panic(fmt.Sprintf("mpint: operand needs %d limbs, scratch has %d", len(x), len(dst)))
+	if len(x) > m.k {
+		panic(fmt.Sprintf("mpint: operand needs %d limbs, modulus has %d", len(x), m.k))
 	}
-	n := copy(dst, x)
-	for i := n; i < len(dst); i++ {
-		dst[i] = 0
+	n := copy(buf, x)
+	for i := n; i < len(buf); i++ {
+		buf[i] = 0
 	}
+	return buf
 }
 
 // Mul returns a·b·R⁻¹ mod n using the CIOS (coarsely integrated operand
@@ -116,61 +136,125 @@ func (m *Mont) Mul(a, b Nat) Nat {
 	return z
 }
 
+// sqrMinLimbs is the modulus size from which a squaring runs as a half-size
+// product plus a separate reduction instead of a general multiply: below it
+// the extra passes cost more than the ~k²/2 limb products they save.
+const sqrMinLimbs = 16
+
 // mulInto is Mul writing its result into dst (which must hold at least k
-// limbs) through caller-provided scratch. Both operands are staged into the
-// scratch copies first, so dst may alias a or b. The returned Nat is dst
-// trimmed to canonical form.
+// limbs) through caller-provided scratch. The product accumulates in the
+// scratch and lands in dst only after the last read of an operand, so dst
+// may alias a or b. The returned Nat is dst trimmed to canonical form.
 func (m *Mont) mulInto(dst Nat, a, b Nat, sc *mulScratch) Nat {
 	k := m.k
-	padInto(sc.aw, a)
-	padInto(sc.bw, b)
-	aw, bw, t := sc.aw, sc.bw, sc.t
-	for i := range t {
-		t[i] = 0 // t[k+1] never exceeds 1 during the scan
-	}
-	for i := 0; i < k; i++ {
-		// t += a * b[i]
-		var carry uint64
-		bi := uint64(bw[i])
-		for j := 0; j < k; j++ {
-			s := t[j] + uint64(aw[j])*bi + carry
-			t[j] = s & 0xFFFFFFFF
-			carry = s >> WordBits
-		}
-		s := t[k] + carry
-		t[k] = s & 0xFFFFFFFF
-		t[k+1] += s >> WordBits
-
-		// mi = t[0] * n' mod 2³²; t += mi * n; t >>= 32
-		mi := uint64(Word(t[0]) * m.n0inv)
-		s = t[0] + mi*uint64(m.nWords[0])
-		carry = s >> WordBits
-		for j := 1; j < k; j++ {
-			s = t[j] + mi*uint64(m.nWords[j]) + carry
-			t[j-1] = s & 0xFFFFFFFF
-			carry = s >> WordBits
-		}
-		s = t[k] + carry
-		t[k-1] = s & 0xFFFFFFFF
-		t[k] = t[k+1] + s>>WordBits
-		t[k+1] = 0
-	}
-	// Final conditional subtraction.
 	z := dst[:k]
+	aw := m.operand(a, sc.aw)
+	if k >= sqrMinLimbs && len(a) > 0 && len(b) == len(a) && &a[0] == &b[0] {
+		m.sqrCIOS(z, aw, sc.t)
+		return trim(z)
+	}
+	bw := m.operand(b, sc.bw)
+	n, n0inv, t := m.n[:k], m.n0inv, sc.t[:k+1]
+	aw, bw = aw[:k], bw[:k]
+	for i := range t {
+		t[i] = 0
+	}
+	// t stays below 2n across iterations, so it fits k limbs plus t[k] ≤ 1.
+	// The row loops here and in sqrCIOS spell out mul.go's addMulVW: at 32–64
+	// limbs the call per row costs about a tenth of the multiply.
 	for i := 0; i < k; i++ {
-		z[i] = Word(t[i])
-	}
-	if t[k] != 0 || Cmp(z, m.n) >= 0 {
-		// z may exceed n by less than n (t[k] ≤ 1), so one subtraction with
-		// the implicit 2^(32k) bit suffices.
-		var borrow uint64
-		for i := 0; i < k; i++ {
-			d := uint64(z[i]) - uint64(m.nWords[i]) - borrow
-			z[i] = Word(d)
-			borrow = (d >> 32) & 1
+		// t += a · b[i]
+		bi := bw[i]
+		var c Word
+		for j := 0; j < k; j++ {
+			hi, lo := bits.Mul64(aw[j], bi)
+			lo, cc := bits.Add64(lo, t[j], 0)
+			hi += cc
+			t[j], cc = bits.Add64(lo, c, 0)
+			c = hi + cc
 		}
+		tk, top := bits.Add64(t[k], c, 0)
+
+		// mi = t[0] · n' mod 2⁶⁴; t += mi · n; t >>= 64
+		mi := t[0] * n0inv
+		hi, lo := bits.Mul64(mi, n[0])
+		_, cc := bits.Add64(lo, t[0], 0)
+		c = hi + cc
+		for j := 1; j < k; j++ {
+			hi, lo := bits.Mul64(mi, n[j])
+			lo, cc := bits.Add64(lo, t[j], 0)
+			hi += cc
+			t[j-1], cc = bits.Add64(lo, c, 0)
+			c = hi + cc
+		}
+		t[k-1], cc = bits.Add64(tk, c, 0)
+		t[k] = top + cc
 	}
+	m.reduceOnce(z, t[:k], t[k])
 	return trim(z)
+}
+
+// sqrCIOS sets z = a²·R⁻¹ mod n for a k-limb a: the off-diagonal limb
+// products once, doubled, plus the diagonal, then k reduction rows — about
+// 3k²/2 limb products where the general multiply does 2k². t holds 2k
+// limbs; z may alias a.
+func (m *Mont) sqrCIOS(z, a, t []Word) {
+	k := m.k
+	a, t = a[:k], t[:2*k]
+	for i := range t {
+		t[i] = 0
+	}
+	// t = Σ_{i<j} a[i]·a[j]·B^(i+j)
+	for i := 0; i < k-1; i++ {
+		ai := a[i]
+		row, aj := t[2*i+1:i+k], a[i+1:]
+		aj = aj[:len(row)]
+		var c Word
+		for j := range row {
+			hi, lo := bits.Mul64(aj[j], ai)
+			lo, cc := bits.Add64(lo, row[j], 0)
+			hi += cc
+			row[j], cc = bits.Add64(lo, c, 0)
+			c = hi + cc
+		}
+		t[i+k] = c
+	}
+	// t = 2t + Σ a[i]²·B^(2i)
+	var carry, top Word
+	for i := 0; i < k; i++ {
+		hi, lo := bits.Mul64(a[i], a[i])
+		lo2 := t[2*i]<<1 | top
+		hi2 := t[2*i+1]<<1 | t[2*i]>>63
+		top = t[2*i+1] >> 63
+		var cc Word
+		t[2*i], cc = bits.Add64(lo2, lo, carry)
+		t[2*i+1], carry = bits.Add64(hi2, hi, cc)
+	}
+	// Row i clears limb i: t += (t[i]·n' mod 2⁶⁴)·n·B^i.
+	n := m.n[:k]
+	var over Word
+	for i := 0; i < k; i++ {
+		row := t[i : i+k]
+		mi := row[0] * m.n0inv
+		var c Word
+		for j := range row {
+			hi, lo := bits.Mul64(mi, n[j])
+			lo, cc := bits.Add64(lo, row[j], 0)
+			hi += cc
+			row[j], cc = bits.Add64(lo, c, 0)
+			c = hi + cc
+		}
+		t[i+k], over = bits.Add64(t[i+k], c, over)
+	}
+	m.reduceOnce(z, t[k:2*k], over)
+}
+
+// reduceOnce sets z = t + over·2^(64k) − n when that is non-negative, else
+// z = t: the final conditional subtraction, for a value known to be < 2n.
+func (m *Mont) reduceOnce(z, t []Word, over Word) {
+	if subInto(z, t, m.n) != 0 && over == 0 {
+		copy(z, t)
+	}
 }
 
 // expWindowBits chooses the sliding-window width for an exponent of the
@@ -219,26 +303,37 @@ type ExpSchedule struct {
 // w ∈ [1, 12]. The width is clamped to e's bit length; e == 0 and e == 1
 // compile to empty schedules that require no odd-power table at all.
 func CompileExp(e Nat, w uint) *ExpSchedule {
+	s := new(ExpSchedule)
+	s.compile(e, w, nil)
+	return s
+}
+
+// compile fills s with the schedule of e at width w, building the op
+// sequence in ops' backing array when it is large enough.
+func (s *ExpSchedule) compile(e Nat, w uint, ops []int16) {
 	if w < 1 || w > 12 {
 		panic("mpint: CompileExp width out of range")
 	}
 	bits := e.BitLen()
-	s := &ExpSchedule{w: w, bits: bits}
+	*s = ExpSchedule{w: w, bits: bits}
 	switch bits {
 	case 0:
 		s.isZero = true
 		s.w = 1
-		return s
+		return
 	case 1:
 		s.isOne = true
 		s.w = 1
-		return s
+		return
 	}
 	if int(w) > bits {
 		w = uint(bits)
 		s.w = w
 	}
-	s.ops = make([]int16, 0, bits+bits/int(w)+1)
+	if need := bits + bits/int(w) + 1; cap(ops) < need {
+		ops = make([]int16, 0, need)
+	}
+	s.ops = ops[:0]
 	i := bits - 1
 	for i >= 0 {
 		if e.Bit(i) == 0 {
@@ -266,7 +361,6 @@ func CompileExp(e Nat, w uint) *ExpSchedule {
 		s.ops = append(s.ops, int16(idx))
 		i = j - 1
 	}
-	return s
 }
 
 // CompileExpAuto recodes e at the window width Exp itself would pick.
@@ -297,57 +391,89 @@ func (s *ExpSchedule) Ops() int { return len(s.ops) }
 // roughly log₂(e)·(1 + 1/w) plus 2^(w−1) table entries. The window width is
 // chosen from the exponent size; ExpWindow fixes it explicitly.
 func (m *Mont) Exp(base, e Nat) Nat {
-	return m.ExpSched(base, CompileExpAuto(e))
+	return m.ExpWindow(base, e, expWindowBits(e.BitLen()))
 }
 
 // ExpWindow is Exp with a caller-chosen window width w ∈ [1, 12] — exposed
-// for the window-size ablation benchmark.
+// for the window-size ablation benchmark. The schedule it compiles lives
+// and dies in the pooled scratch, so the call allocates only its result.
 func (m *Mont) ExpWindow(base, e Nat, w uint) Nat {
 	if w < 1 || w > 12 {
 		panic("mpint: ExpWindow width out of range")
 	}
-	return m.ExpSched(base, CompileExp(e, w))
+	sc := m.getScratch()
+	defer m.putScratch(sc)
+	var s ExpSchedule
+	s.compile(e, w, sc.ops)
+	if s.ops != nil {
+		sc.ops = s.ops // keep the grown backing for the next call
+	}
+	return m.runSched(base, &s, sc)
 }
 
 // ExpSched executes a compiled schedule against one base: base^e mod n where
-// s = CompileExp(e, ·). The multiply chain runs through two ping-pong
-// accumulator buffers and one pooled scratch, so an exponentiation costs a
-// handful of allocations (the table) instead of three per multiply.
+// s = CompileExp(e, ·). The odd-power table and the accumulator the chain
+// multiplies in place come out of one slab in the pooled scratch, so an
+// exponentiation allocates only its result.
 func (m *Mont) ExpSched(base Nat, s *ExpSchedule) Nat {
-	base = Mod(base, m.n)
+	sc := m.getScratch()
+	defer m.putScratch(sc)
+	return m.runSched(base, s, sc)
+}
+
+// runSched is ExpSched on caller-held scratch.
+func (m *Mont) runSched(base Nat, s *ExpSchedule, sc *mulScratch) Nat {
+	if Cmp(base, m.n) >= 0 {
+		base = Mod(base, m.n)
+	}
 	if s.isZero {
 		return One()
 	}
 	if s.isOne {
-		return base
-	}
-	sc := m.getScratch()
-	defer m.putScratch(sc)
-	// Odd powers base^1, base^3, ..., in Montgomery form, up to the highest
-	// index the schedule references.
-	bm := m.mulInto(make(Nat, m.k), base, m.rr, sc)
-	tbl := make([]Nat, s.maxIdx+1)
-	tbl[0] = bm
-	if s.maxIdx > 0 {
-		b2 := m.mulInto(make(Nat, m.k), bm, bm, sc)
-		for i := 1; i <= s.maxIdx; i++ {
-			tbl[i] = m.mulInto(make(Nat, m.k), tbl[i-1], b2, sc)
-		}
-	}
-	bufs := [2]Nat{make(Nat, m.k), make(Nat, m.k)}
-	cur := m.one
-	which := 0
-	for _, op := range s.ops {
-		x := cur
-		if op != opSquare {
-			x = tbl[op]
-		}
-		cur = m.mulInto(bufs[which], cur, x, sc)
-		which ^= 1
+		return trim(base).Clone()
 	}
 	// Fresh allocation out of Montgomery form: the result must not alias the
-	// ping-pong buffers.
-	return m.mulInto(make(Nat, m.k), cur, One(), sc)
+	// scratch the next chain will reuse.
+	return m.mulInto(make(Nat, m.k), m.expMont(base, s, sc), One(), sc)
+}
+
+// expMont runs the schedule's multiply chain for base < n and an exponent
+// ≥ 1, returning base^e in Montgomery form as k limbs inside sc's slab —
+// valid until the scratch next runs a chain.
+func (m *Mont) expMont(base Nat, s *ExpSchedule, sc *mulScratch) Nat {
+	k := m.k
+	sc.grow((s.maxIdx + 2) * k)
+	acc := sc.buf(k, 0)
+	if s.isOne {
+		m.mulInto(acc, base, m.rr, sc)
+		return acc
+	}
+	// Odd powers base^1, base^3, ..., in Montgomery form, up to the highest
+	// index the schedule references; entry i sits in slab buffer i+1.
+	tbl := func(i int) Nat { return sc.buf(k, i+1) }
+	m.mulInto(tbl(0), base, m.rr, sc)
+	if s.maxIdx > 0 {
+		b2 := acc
+		m.mulInto(b2, tbl(0), tbl(0), sc)
+		for i := 1; i <= s.maxIdx; i++ {
+			m.mulInto(tbl(i), tbl(i-1), b2, sc)
+		}
+	}
+	// A schedule opens by squaring an accumulator that still holds 1 and then
+	// multiplying in a table entry; start from that entry instead.
+	first := 0
+	for s.ops[first] == opSquare {
+		first++
+	}
+	copy(acc, tbl(int(s.ops[first])))
+	for _, op := range s.ops[first+1:] {
+		x := acc
+		if op != opSquare {
+			x = tbl(int(op))
+		}
+		m.mulInto(acc, acc, x, sc)
+	}
+	return acc
 }
 
 // ModExp returns base^e mod n for any modulus n ≥ 1. Odd moduli use

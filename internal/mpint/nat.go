@@ -1,29 +1,37 @@
 // Package mpint implements arbitrary-precision unsigned integer arithmetic
-// from scratch on 32-bit limbs.
+// from scratch on 64-bit limbs.
 //
-// The representation mirrors the paper's FRNS ("radix-based multi-precision
-// number system"): an integer is a little-endian vector of w-bit words with
-// w = 32, so that one simulated GPU thread can own a contiguous run of words
-// (see internal/ghe for the limb-parallel kernels built on top).
+// An integer is a little-endian vector of machine words, the paper's FRNS
+// ("radix-based multi-precision number system"). The paper fixes w = 32
+// because one simulated GPU thread owns a contiguous run of 32-bit words;
+// that is a property of the *modelled* kernel, and it lives where the model
+// does: internal/ghe/cost.go counts 32-bit word-ops, Mont.Limbs reports the
+// modulus size in 32-bit words, and the limb-parallel fidelity kernel
+// (ghe.ParMont, Algorithm 2) reads its operands through the explicit 32-bit
+// views Words32/FromWords32. The host arithmetic that produces the bits runs
+// on the machine's own 64-bit words (math/bits.Mul64/Add64/Div64), which
+// changes how long an experiment takes and nothing it reports.
 //
 // The package provides the full arithmetic substrate required by Paillier
 // and RSA: addition, subtraction, multiplication (schoolbook and Karatsuba),
 // Knuth Algorithm-D division, Montgomery multiplication (the CIOS method of
 // Algorithm 1 in the paper), sliding-window modular exponentiation, binary
-// extended-GCD modular inverse, and Miller–Rabin prime generation.
+// GCD, extended-Euclid modular inverse, and Miller–Rabin prime generation.
 //
 // math/big is deliberately not used anywhere in this package; the test suite
 // uses it only as a differential oracle.
 package mpint
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
-// Word is a single limb. The paper's FRNS uses the machine word size; we fix
-// w = 32 so that every carry chain fits in a uint64 intermediate.
-type Word = uint32
+// Word is a single limb: the host's 64-bit machine word.
+type Word = uint64
 
 // WordBits is the number of bits per limb.
-const WordBits = 32
+const WordBits = 64
 
 // Nat is an unsigned multi-precision integer stored as little-endian limbs.
 // The canonical form has no trailing zero limbs; the zero value (nil) is 0.
@@ -51,24 +59,16 @@ func FromUint64(v uint64) Nat {
 	if v == 0 {
 		return nil
 	}
-	if v <= 0xFFFFFFFF {
-		return Nat{Word(v)}
-	}
-	return Nat{Word(v), Word(v >> 32)}
+	return Nat{v}
 }
 
 // Uint64 returns the low 64 bits of x and whether x fits in a uint64.
 func (x Nat) Uint64() (v uint64, ok bool) {
-	switch len(x) {
-	case 0:
+	x = trim(x)
+	if len(x) == 0 {
 		return 0, true
-	case 1:
-		return uint64(x[0]), true
-	case 2:
-		return uint64(x[0]) | uint64(x[1])<<32, true
-	default:
-		return uint64(x[0]) | uint64(x[1])<<32, false
 	}
+	return x[0], len(x) == 1
 }
 
 // IsZero reports whether x == 0.
@@ -99,13 +99,7 @@ func (x Nat) BitLen() int {
 	if len(t) == 0 {
 		return 0
 	}
-	top := t[len(t)-1]
-	n := (len(t) - 1) * WordBits
-	for top != 0 {
-		n++
-		top >>= 1
-	}
-	return n
+	return (len(t)-1)*WordBits + bits.Len64(t[len(t)-1])
 }
 
 // Bit returns bit i of x (0 or 1). Bits beyond BitLen are 0.
@@ -140,38 +134,66 @@ func Cmp(x, y Nat) int {
 	return 0
 }
 
+// addInto sets z = x + y for len(x) ≥ len(y) and len(z) ≥ len(x), returning
+// the carry out of limb len(x)-1. z may alias x or y.
+func addInto(z, x, y []Word) Word {
+	var c uint64
+	for i := range y {
+		z[i], c = bits.Add64(x[i], y[i], c)
+	}
+	for i := len(y); i < len(x); i++ {
+		z[i], c = bits.Add64(x[i], 0, c)
+	}
+	return c
+}
+
+// subInto sets z = x − y for len(x) ≥ len(y) and len(z) ≥ len(x), returning
+// the borrow out of limb len(x)-1 (1 when y > x, z then holding the
+// two's-complement wraparound). z may alias x or y.
+func subInto(z, x, y []Word) Word {
+	var b uint64
+	for i := range y {
+		z[i], b = bits.Sub64(x[i], y[i], b)
+	}
+	for i := len(y); i < len(x); i++ {
+		z[i], b = bits.Sub64(x[i], 0, b)
+	}
+	return b
+}
+
 // Add returns x + y.
 func Add(x, y Nat) Nat {
 	if len(x) < len(y) {
 		x, y = y, x
 	}
 	z := make(Nat, len(x)+1)
-	var carry uint64
-	for i := 0; i < len(y); i++ {
-		s := uint64(x[i]) + uint64(y[i]) + carry
-		z[i] = Word(s)
-		carry = s >> WordBits
-	}
-	for i := len(y); i < len(x); i++ {
-		s := uint64(x[i]) + carry
-		z[i] = Word(s)
-		carry = s >> WordBits
-	}
-	z[len(x)] = Word(carry)
+	z[len(x)] = addInto(z, x, y)
 	return trim(z)
 }
 
 // AddWord returns x + w.
-func AddWord(x Nat, w Word) Nat { return Add(x, Nat{w}) }
+func AddWord(x Nat, w Word) Nat {
+	z := make(Nat, len(x)+1)
+	c := w
+	for i, xi := range x {
+		z[i], c = bits.Add64(xi, c, 0)
+	}
+	z[len(x)] = c
+	return trim(z)
+}
 
 // Sub returns x - y. It panics if y > x; unsigned arithmetic has no
 // representation for negative values (use CmpSub when the sign is unknown).
 func Sub(x, y Nat) Nat {
-	d, borrow := subBorrow(x, y)
-	if borrow != 0 {
+	x, y = trim(x), trim(y)
+	if len(y) > len(x) {
 		panic("mpint: Sub underflow")
 	}
-	return d
+	z := make(Nat, len(x))
+	if subInto(z, x, y) != 0 {
+		panic("mpint: Sub underflow")
+	}
+	return trim(z)
 }
 
 // CmpSub returns |x-y| together with the sign of x-y (-1, 0, +1).
@@ -186,33 +208,41 @@ func CmpSub(x, y Nat) (diff Nat, sign int) {
 	}
 }
 
-// subBorrow computes x - y, returning the difference and the final borrow
-// (1 when y > x, in which case diff is the two's-complement wraparound).
-func subBorrow(x, y Nat) (Nat, Word) {
-	x, y = trim(x), trim(y)
-	n := len(x)
-	if len(y) > n {
-		n = len(y)
+// SubWord returns x - w, panicking on underflow.
+func SubWord(x Nat, w Word) Nat {
+	x = trim(x)
+	z := make(Nat, len(x))
+	b := w
+	for i, xi := range x {
+		z[i], b = bits.Sub64(xi, b, 0)
 	}
-	z := make(Nat, n)
-	var borrow uint64
-	for i := 0; i < n; i++ {
-		var xi, yi uint64
-		if i < len(x) {
-			xi = uint64(x[i])
-		}
-		if i < len(y) {
-			yi = uint64(y[i])
-		}
-		d := xi - yi - borrow
-		z[i] = Word(d)
-		borrow = (d >> 32) & 1 // d went negative iff bit 32.. set after wrap
+	if b != 0 {
+		panic("mpint: Sub underflow")
 	}
-	return trim(z), Word(borrow)
+	return trim(z)
 }
 
-// SubWord returns x - w, panicking on underflow.
-func SubWord(x Nat, w Word) Nat { return Sub(x, Nat{w}) }
+// lshInto sets z = x << s for 0 < s < WordBits and len(z) == len(x), returning
+// the bits shifted out of the top limb. z may alias x.
+func lshInto(z, x []Word, s uint) Word {
+	var carry Word
+	for i, xi := range x {
+		z[i] = xi<<s | carry
+		carry = xi >> (WordBits - s)
+	}
+	return carry
+}
+
+// rshInto sets z = x >> s for 0 < s < WordBits and len(z) == len(x). z may
+// alias x.
+func rshInto(z, x []Word, s uint) {
+	for i := 0; i < len(x)-1; i++ {
+		z[i] = x[i]>>s | x[i+1]<<(WordBits-s)
+	}
+	if n := len(x); n > 0 {
+		z[n-1] = x[n-1] >> s
+	}
+}
 
 // Lsh returns x << s.
 func Lsh(x Nat, s uint) Nat {
@@ -221,18 +251,12 @@ func Lsh(x Nat, s uint) Nat {
 		return x.Clone()
 	}
 	words := int(s / WordBits)
-	bits := s % WordBits
 	z := make(Nat, len(x)+words+1)
-	if bits == 0 {
+	if b := s % WordBits; b == 0 {
 		copy(z[words:], x)
-		return trim(z)
+	} else {
+		z[words+len(x)] = lshInto(z[words:words+len(x)], x, b)
 	}
-	var carry Word
-	for i, xi := range x {
-		z[words+i] = xi<<bits | carry
-		carry = Word(uint64(xi) >> (WordBits - bits))
-	}
-	z[words+len(x)] = carry
 	return trim(z)
 }
 
@@ -240,22 +264,14 @@ func Lsh(x Nat, s uint) Nat {
 func Rsh(x Nat, s uint) Nat {
 	x = trim(x)
 	words := int(s / WordBits)
-	if len(x) == 0 || words >= len(x) {
+	if words >= len(x) {
 		return nil
 	}
-	bits := s % WordBits
 	z := make(Nat, len(x)-words)
-	if bits == 0 {
+	if b := s % WordBits; b == 0 {
 		copy(z, x[words:])
-		return trim(z)
-	}
-	for i := 0; i < len(z); i++ {
-		lo := x[words+i] >> bits
-		var hi Word
-		if words+i+1 < len(x) {
-			hi = x[words+i+1] << (WordBits - bits)
-		}
-		z[i] = lo | hi
+	} else {
+		rshInto(z, x[words:], b)
 	}
 	return trim(z)
 }
@@ -263,24 +279,20 @@ func Rsh(x Nat, s uint) Nat {
 // TrailingZeroBits returns the number of consecutive zero bits starting at
 // bit 0. TrailingZeroBits(0) == 0 by convention.
 func (x Nat) TrailingZeroBits() uint {
-	x = trim(x)
-	if len(x) == 0 {
-		return 0
-	}
-	var n uint
 	for i, w := range x {
-		if w == 0 {
-			continue
+		if w != 0 {
+			return uint(i*WordBits + bits.TrailingZeros64(w))
 		}
-		n = uint(i) * WordBits
-		for w&1 == 0 {
-			n++
-			w >>= 1
-		}
-		return n
 	}
 	return 0
 }
+
+// decimalChunk is the largest power of ten in a limb, and decimalDigits its
+// exponent: decimal I/O moves this many digits per pass over the limbs.
+const (
+	decimalChunk  = 10_000_000_000_000_000_000
+	decimalDigits = 19
+)
 
 // String formats x in decimal.
 func (x Nat) String() string {
@@ -288,26 +300,21 @@ func (x Nat) String() string {
 	if len(x) == 0 {
 		return "0"
 	}
-	// Repeatedly divide by 1e9 and emit 9-digit chunks.
-	const chunk = 1_000_000_000
+	// Repeatedly divide by 10¹⁹ in place, filling 19-digit groups from the
+	// low end of the buffer's tail.
 	rem := x.Clone()
-	var groups []uint32
-	for !rem.IsZero() {
-		var r uint64
-		q := make(Nat, len(rem))
-		for i := len(rem) - 1; i >= 0; i-- {
-			cur := r<<WordBits | uint64(rem[i])
-			q[i] = Word(cur / chunk)
-			r = cur % chunk
+	buf := make([]byte, (len(x)*WordBits*31/100)+decimalDigits+1) // ≥ bitlen·log10(2) digits
+	at := len(buf)
+	for len(rem) > 0 {
+		r := divWordInPlace(rem, decimalChunk)
+		rem = trim(rem)
+		for d := 0; d < decimalDigits && (r != 0 || len(rem) > 0); d++ {
+			at--
+			buf[at] = byte('0' + r%10)
+			r /= 10
 		}
-		groups = append(groups, uint32(r))
-		rem = trim(q)
 	}
-	s := fmt.Sprintf("%d", groups[len(groups)-1])
-	for i := len(groups) - 2; i >= 0; i-- {
-		s += fmt.Sprintf("%09d", groups[i])
-	}
-	return s
+	return string(buf[at:])
 }
 
 // ParseDecimal parses a base-10 string into a Nat.
@@ -316,13 +323,12 @@ func ParseDecimal(s string) (Nat, error) {
 		return nil, fmt.Errorf("mpint: empty decimal string")
 	}
 	var z Nat
-	for i := 0; i < len(s); i += 9 {
-		end := i + 9
+	for i := 0; i < len(s); i += decimalDigits {
+		end := i + decimalDigits
 		if end > len(s) {
 			end = len(s)
 		}
-		var chunk uint64
-		var pow uint64 = 1
+		var chunk, pow uint64 = 0, 1
 		for _, c := range s[i:end] {
 			if c < '0' || c > '9' {
 				return nil, fmt.Errorf("mpint: invalid digit %q", c)
@@ -330,7 +336,7 @@ func ParseDecimal(s string) (Nat, error) {
 			chunk = chunk*10 + uint64(c-'0')
 			pow *= 10
 		}
-		z = Add(mulWord(z, Word(pow)), FromUint64(chunk))
+		z = AddWord(mulWord(z, pow), chunk)
 	}
 	return z, nil
 }
@@ -349,30 +355,25 @@ func (x Nat) AppendBytes(dst []byte) []byte {
 	if len(x) == 0 {
 		return dst
 	}
-	switch top := x[len(x)-1]; {
-	case top >= 1<<24:
-		dst = append(dst, byte(top>>24), byte(top>>16), byte(top>>8), byte(top))
-	case top >= 1<<16:
-		dst = append(dst, byte(top>>16), byte(top>>8), byte(top))
-	case top >= 1<<8:
-		dst = append(dst, byte(top>>8), byte(top))
-	default:
-		dst = append(dst, byte(top))
+	top := x[len(x)-1]
+	for shift := (bits.Len64(top) - 1) &^ 7; shift >= 0; shift -= 8 {
+		dst = append(dst, byte(top>>uint(shift)))
 	}
 	for i := len(x) - 2; i >= 0; i-- {
 		w := x[i]
-		dst = append(dst, byte(w>>24), byte(w>>16), byte(w>>8), byte(w))
+		dst = append(dst, byte(w>>56), byte(w>>48), byte(w>>40), byte(w>>32),
+			byte(w>>24), byte(w>>16), byte(w>>8), byte(w))
 	}
 	return dst
 }
 
 // FromBytes parses a big-endian byte slice into a Nat.
 func FromBytes(b []byte) Nat {
-	z := make(Nat, (len(b)+3)/4)
-	for i := 0; i < len(b); i++ {
+	z := make(Nat, (len(b)+7)/8)
+	for i, c := range b {
 		// byte i from the big end contributes to bit position 8*(len-1-i)
 		shift := uint(8 * (len(b) - 1 - i))
-		z[shift/32] |= Word(b[i]) << (shift % 32)
+		z[shift/WordBits] |= Word(c) << (shift % WordBits)
 	}
 	return trim(z)
 }
@@ -380,20 +381,20 @@ func FromBytes(b []byte) Nat {
 // FillBytes writes x into buf as a fixed-width big-endian value, zero-padded
 // on the left. It panics if x does not fit.
 func (x Nat) FillBytes(buf []byte) []byte {
-	b := x.Bytes()
-	if len(b) > len(buf) {
+	n := (x.BitLen() + 7) / 8
+	if n > len(buf) {
 		panic("mpint: FillBytes buffer too small")
 	}
-	for i := range buf[:len(buf)-len(b)] {
+	pad := len(buf) - n
+	for i := range buf[:pad] {
 		buf[i] = 0
 	}
-	copy(buf[len(buf)-len(b):], b)
+	x.AppendBytes(buf[pad:pad])
 	return buf
 }
 
 // Words returns the little-endian limbs of x padded (or truncated, panicking
-// if information would be lost) to exactly n limbs. This is the layout the
-// GPU kernels operate on.
+// if information would be lost) to exactly n limbs.
 func (x Nat) Words(n int) []Word {
 	x = trim(x)
 	if len(x) > n {
@@ -408,5 +409,31 @@ func (x Nat) Words(n int) []Word {
 func FromWords(w []Word) Nat {
 	z := make(Nat, len(w))
 	copy(z, w)
+	return trim(z)
+}
+
+// Words32 returns x as exactly n little-endian 32-bit words, panicking if x
+// needs more. This is the layout of the modelled device — the unit
+// Mont.Limbs and internal/ghe/cost.go count in — and what the limb-parallel
+// fidelity kernel (ghe.ParMont) computes on.
+func (x Nat) Words32(n int) []uint32 {
+	if need := (x.BitLen() + 31) / 32; need > n {
+		panic(fmt.Sprintf("mpint: value needs %d 32-bit words, requested %d", need, n))
+	}
+	w := make([]uint32, n)
+	for i := range w {
+		if i/2 < len(x) {
+			w[i] = uint32(x[i/2] >> (32 * uint(i%2)))
+		}
+	}
+	return w
+}
+
+// FromWords32 builds a Nat from little-endian 32-bit words.
+func FromWords32(w []uint32) Nat {
+	z := make(Nat, (len(w)+1)/2)
+	for i, wi := range w {
+		z[i/2] |= Word(wi) << (32 * uint(i%2))
+	}
 	return trim(z)
 }

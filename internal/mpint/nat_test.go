@@ -294,21 +294,66 @@ func TestModInverseEdges(t *testing.T) {
 	}
 }
 
+// TestKaratsubaShapes covers what the random sweeps rarely reach: operands
+// at and just past the threshold, several recursion levels deep, lopsided
+// enough to outgrow the sized scratch, and made of all-ones limbs (the
+// largest carries the middle term can produce).
+func TestKaratsubaShapes(t *testing.T) {
+	r := NewRNG(23)
+	ones := func(limbs int) Nat {
+		x := make(Nat, limbs)
+		for i := range x {
+			x[i] = ^Word(0)
+		}
+		return x
+	}
+	for _, shape := range [][2]int{{64, 64}, {65, 64}, {127, 128}, {129, 129}, {300, 300}, {700, 70}, {1000, 130}} {
+		for _, pair := range [][2]Nat{
+			{r.RandBits(shape[0] * WordBits), r.RandBits(shape[1]*WordBits - 3)},
+			{ones(shape[0]), ones(shape[1])},
+		} {
+			x, y := pair[0], pair[1]
+			want := new(big.Int).Mul(toBig(x), toBig(y))
+			if got := mulKaratsuba(x, y); toBig(got).Cmp(want) != 0 {
+				t.Fatalf("mulKaratsuba diverges at %d×%d limbs", shape[0], shape[1])
+			}
+			if got := Mul(y, x); toBig(got).Cmp(want) != 0 {
+				t.Fatalf("Mul diverges at %d×%d limbs", shape[1], shape[0])
+			}
+		}
+	}
+}
+
 func TestWordsRoundTrip(t *testing.T) {
-	x := FromUint64(0x1122334455667788)
+	x := Add(Lsh(FromUint64(0x99), 64), FromUint64(0x1122334455667788))
 	w := x.Words(4)
-	if len(w) != 4 || w[0] != 0x55667788 || w[1] != 0x11223344 || w[2] != 0 {
+	if len(w) != 4 || w[0] != 0x1122334455667788 || w[1] != 0x99 || w[2] != 0 {
 		t.Fatalf("Words = %x", w)
 	}
 	if Cmp(FromWords(w), x) != 0 {
 		t.Fatal("FromWords round trip failed")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Words should panic when truncating")
-		}
-	}()
-	x.Words(1)
+	// The 32-bit view is the modelled device's layout: low half first.
+	w32 := x.Words32(5)
+	if len(w32) != 5 || w32[0] != 0x55667788 || w32[1] != 0x11223344 || w32[2] != 0x99 || w32[3] != 0 {
+		t.Fatalf("Words32 = %x", w32)
+	}
+	if Cmp(FromWords32(w32), x) != 0 || Cmp(FromWords32(w32[:3]), x) != 0 {
+		t.Fatal("FromWords32 round trip failed")
+	}
+	for name, truncate := range map[string]func(){
+		"Words":   func() { x.Words(1) },
+		"Words32": func() { x.Words32(2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s should panic when truncating", name)
+				}
+			}()
+			truncate()
+		}()
+	}
 }
 
 // Property tests on algebraic invariants.

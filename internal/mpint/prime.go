@@ -30,30 +30,37 @@ func IsPrime(n Nat, rng *RNG) bool {
 		return false
 	}
 	for _, p := range smallPrimes[1:] {
-		if _, r := divModWord(n, p); r == 0 {
-			return Cmp(n, Nat{p}) == 0
+		if modWord(n, p) == 0 {
+			return len(n) == 1 && n[0] == p
 		}
 	}
 	// Write n-1 = d·2^s with d odd.
 	nm1 := SubWord(n, 1)
 	s := nm1.TrailingZeroBits()
 	d := Rsh(nm1, s)
+	nm3 := SubWord(n, 3)
 	mont := NewMont(n)
+	// The witness loop compares in Montgomery form: 1 ↦ R mod n and
+	// n−1 ↦ n − (R mod n), so the squaring chain never leaves it.
+	one, minusOne := mont.one, Sub(n, mont.one)
+	sched := CompileExpAuto(d)
+	sc := mont.getScratch()
+	defer mont.putScratch(sc)
 	for round := 0; round < millerRabinRounds; round++ {
 		// Uniform base in [2, n-2].
-		a := AddWord(rng.RandBelow(SubWord(n, 3)), 2)
-		x := mont.Exp(a, d)
-		if x.IsOne() || Cmp(x, nm1) == 0 {
+		a := AddWord(rng.RandBelow(nm3), 2)
+		x := mont.expMont(a, sched, sc) // a^d in Montgomery form, k limbs
+		if Cmp(x, one) == 0 || Cmp(x, minusOne) == 0 {
 			continue
 		}
 		composite := true
 		for i := uint(1); i < s; i++ {
-			x = Mod(Mul(x, x), n)
-			if Cmp(x, nm1) == 0 {
+			mont.mulInto(x, x, x, sc)
+			if Cmp(x, minusOne) == 0 {
 				composite = false
 				break
 			}
-			if x.IsOne() {
+			if Cmp(x, one) == 0 {
 				return false
 			}
 		}

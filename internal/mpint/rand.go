@@ -54,8 +54,14 @@ func (r *RNG) Uint64() uint64 {
 	return res
 }
 
-// Word returns a random limb.
-func (r *RNG) Word() Word { return Word(r.Uint64()) }
+// Word returns a random limb: two successive draws, 32 bits each, low half
+// first. Seeded streams were defined when a limb was one 32-bit draw, and
+// every key, nonce and ciphertext in the repo hangs off them, so the stream
+// keeps spending one draw per 32 bits whatever the host limb width.
+func (r *RNG) Word() Word {
+	lo := uint32(r.Uint64())
+	return Word(lo) | Word(uint32(r.Uint64()))<<32
+}
 
 // Float64 returns a uniform float in [0, 1).
 func (r *RNG) Float64() float64 {
@@ -131,21 +137,31 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
+// fillBits overwrites z (⌈bits/64⌉ limbs) with ⌈bits/32⌉ successive 32-bit
+// draws, low word first, and clears everything above bit `bits`.
+func (r *RNG) fillBits(z Nat, bits int) {
+	words32 := (bits + 31) / 32
+	for i := 0; i < words32/2; i++ {
+		z[i] = r.Word()
+	}
+	if words32%2 == 1 {
+		z[words32/2] = Word(uint32(r.Uint64()))
+	}
+	if top := uint(bits % WordBits); top != 0 {
+		z[len(z)-1] &= 1<<top - 1
+	}
+}
+
 // RandBits returns a uniform Nat with exactly `bits` significant bits
 // (the top bit is forced to 1). bits must be positive.
 func (r *RNG) RandBits(bits int) Nat {
 	if bits <= 0 {
 		panic("mpint: RandBits non-positive width")
 	}
-	limbs := (bits + WordBits - 1) / WordBits
-	z := make(Nat, limbs)
-	for i := range z {
-		z[i] = r.Word()
-	}
-	top := uint((bits-1)%WordBits + 1)
-	z[limbs-1] &= Word(1<<top) - 1
-	z[limbs-1] |= 1 << (top - 1)
-	return trim(z)
+	z := make(Nat, (bits+WordBits-1)/WordBits)
+	r.fillBits(z, bits)
+	z[len(z)-1] |= 1 << uint((bits-1)%WordBits)
+	return z
 }
 
 // RandBelow returns a uniform Nat in [0, n) by rejection sampling.
@@ -154,32 +170,46 @@ func (r *RNG) RandBelow(n Nat) Nat {
 	if len(n) == 0 {
 		panic("mpint: RandBelow zero bound")
 	}
+	z := make(Nat, len(n))
+	r.randBelowInto(z, n)
+	return trim(z)
+}
+
+// randBelowInto is RandBelow for trimmed n ≠ 0, drawing into z (len(n)
+// limbs) and redrawing into the same limbs on every rejection.
+func (r *RNG) randBelowInto(z, n Nat) {
 	bits := n.BitLen()
-	limbs := (bits + WordBits - 1) / WordBits
-	topMask := Word(1<<uint((bits-1)%WordBits+1)) - 1
 	for {
-		z := make(Nat, limbs)
-		for i := range z {
-			z[i] = r.Word()
-		}
-		z[limbs-1] &= topMask
-		z = trim(z)
+		r.fillBits(z, bits)
 		if Cmp(z, n) < 0 {
-			return z
+			return
 		}
 	}
 }
 
 // RandCoprime returns a uniform Nat in [1, n) that is coprime with n —
-// the r parameter of Paillier encryption.
+// the r parameter of Paillier encryption. The candidate and the two working
+// copies of the coprimality check are allocated once and reused across
+// rejections.
 func (r *RNG) RandCoprime(n Nat) Nat {
+	n = trim(n)
+	if len(n) == 0 {
+		panic("mpint: RandBelow zero bound")
+	}
+	k := len(n)
+	z := make(Nat, k)
+	work := make(Nat, 2*k)
 	for {
-		z := r.RandBelow(n)
-		if z.IsZero() {
+		r.randBelowInto(z, n)
+		c := trim(z)
+		if len(c) == 0 {
 			continue
 		}
-		if GCD(z, n).IsOne() {
-			return z
+		a, b := work[:len(c):k], work[k:]
+		copy(a, c)
+		copy(b, n)
+		if gcdInPlace(a, b).IsOne() {
+			return c
 		}
 	}
 }

@@ -1,0 +1,62 @@
+//go:build !race
+
+// Under the race detector sync.Pool drops a quarter of its Puts on purpose, so
+// the pooled Montgomery scratch is re-allocated at random and allocation
+// counts stop meaning anything; these pins run in the plain test pass.
+
+package paillier
+
+import (
+	"testing"
+
+	"flbooster/internal/ghe"
+	"flbooster/internal/gpu"
+	"flbooster/internal/mpint"
+)
+
+// TestAllocCeilingsPerCiphertext pins the heap allocations of the GPU
+// backend's batch paths at a production-size key, per ciphertext. The counts
+// do not depend on the machine; seed 2 is simply a quick 2048-bit prime
+// search.
+func TestAllocCeilingsPerCiphertext(t *testing.T) {
+	sk, err := GenerateKey(mpint.NewRNG(2), 2048)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk := &sk.PublicKey
+	// One host worker: AllocsPerRun counts the whole process, and a second
+	// worker's scheduling allocations are not the batch's.
+	cfg := gpu.RTX3090()
+	cfg.HostWorkers = 1
+	be := MustGPUBackend(ghe.MustEngine(gpu.MustNew(cfg, true)))
+	const width = 4
+	r := mpint.NewRNG(3)
+	pts := make([]mpint.Nat, width)
+	for i := range pts {
+		pts[i] = r.RandBelow(pk.N)
+	}
+	cts, err := be.EncryptVec(pk, pts, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		max  float64
+		fn   func() error
+	}{
+		{"EncryptVec", 40, func() error { _, err := be.EncryptVec(pk, pts, 11); return err }},
+		{"DecryptVec", 40, func() error { _, err := be.DecryptVec(sk, cts); return err }},
+		{"AddVec", 10, func() error { _, err := be.AddVec(pk, cts, cts); return err }},
+	} {
+		got := testing.AllocsPerRun(3, func() {
+			if err := tc.fn(); err != nil {
+				t.Fatal(err)
+			}
+		}) / width
+		if got > tc.max {
+			t.Errorf("%s: %.1f allocs per ciphertext, ceiling %.0f", tc.name, got, tc.max)
+		} else {
+			t.Logf("%s: %.1f allocs per ciphertext (ceiling %.0f)", tc.name, got, tc.max)
+		}
+	}
+}

@@ -206,6 +206,10 @@ func (sk *PrivateKey) expN2(base, e mpint.Nat) mpint.Nat {
 // GPowM computes gᵐ mod n², using the (1 + m·n) shortcut when g = n+1.
 func (pk *PublicKey) GPowM(m mpint.Nat) mpint.Nat {
 	if pk.plusOne {
+		if mpint.Cmp(m, pk.N) < 0 {
+			// A plaintext: 1 + m·n ≤ 1 + (n−1)·n < n², nothing to reduce.
+			return mpint.AddWord(mpint.Mul(m, pk.N), 1)
+		}
 		return mpint.ModAdd(mpint.One(), mpint.Mod(mpint.Mul(m, pk.N), pk.N2), pk.N2)
 	}
 	return pk.montN2.Exp(pk.G, m)
