@@ -16,7 +16,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: build test vet lint race fuzz bench-smoke benchmark-smoke soak-smoke scale-smoke round-smoke devset-smoke check resilience devfault soak scale round devset
+.PHONY: build test vet lint race fuzz bench-smoke benchmark-smoke bench-fresh soak-smoke scale-smoke round-smoke devset-smoke check resilience devfault soak scale round devset
 
 build:
 	$(GO) build ./...
@@ -40,10 +40,12 @@ lint: vet
 	$(STATICCHECK) ./...
 
 # The chaos/quorum suites and the device fault/watchdog/failover paths
-# exercise goroutines, deadlines, and shared counters; they must stay clean
-# under -race and finish with time to spare.
+# exercise goroutines, deadlines, and shared counters, and flserver runs the
+# shared fl.Aggregation code across real TCP connections (hub, server and
+# client goroutines in one process); they must stay clean under -race and
+# finish with time to spare.
 race:
-	$(GO) test -race -timeout 300s ./internal/flnet/... ./internal/fl/... ./internal/gpu/... ./internal/ghe/...
+	$(GO) test -race -timeout 300s ./internal/flnet/... ./internal/fl/... ./internal/gpu/... ./internal/ghe/... ./cmd/flserver/...
 
 # Short fuzz passes: device-config validation (corpus under
 # internal/gpu/testdata/fuzz), the shard splitter's partition invariants
@@ -51,8 +53,7 @@ race:
 # exclusion set), and the chunk reassembler's untrusted-input invariants
 # (out-of-range indices, flip-flopping totals, oversized declarations must
 # all reject typed, never panic), and the mpint arithmetic kernels
-# differentially against math/big and against the 32-bit-limb CIOS the
-# 64-bit host kernel replaced (seed corpus on the limb boundaries).
+# differentially against math/big (seed corpus on the limb boundaries).
 fuzz:
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzSplitShards -fuzztime 10s
@@ -85,6 +86,12 @@ benchmark-smoke:
 	printf '%s\n' "$$out" | grep -q '^benchmark: ' || { printf '%s\n' "$$out"; exit 1; }; \
 	if printf '%s\n' "$$out" | sed -n 's/^benchmark: //p' | tr ';' '\n' | grep -qv 'sets disagree by more than'; then exit 1; fi
 
+# The freshness guard for committed numbers: re-runs the scale sweep's two
+# small sizes and the whole byz sweep (about a second) and fails if any
+# non-wall field differs from the committed BENCH_scale.json / BENCH_byz.json.
+bench-fresh:
+	$(GO) test -run TestCommittedBenchFresh -count 1 ./internal/bench
+
 # The CI-sized chaos soak (DESIGN.md §11): seeded network chaos + device
 # faults + coordinator kills with journal recovery + client churn, every
 # completed round checked against the plaintext oracle, all under -race.
@@ -110,7 +117,7 @@ round-smoke:
 devset-smoke:
 	$(GO) test -race -run TestDevsetSmoke -timeout 300s -count 1 ./internal/bench
 
-check: build vet test race fuzz bench-smoke benchmark-smoke soak-smoke scale-smoke round-smoke devset-smoke
+check: build vet test race fuzz bench-smoke benchmark-smoke bench-fresh soak-smoke scale-smoke round-smoke devset-smoke
 
 # Demonstrate graceful degradation under a straggler (see DESIGN.md §6).
 resilience:

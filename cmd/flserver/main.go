@@ -86,7 +86,6 @@ import (
 	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
 	"flbooster/internal/obs"
-	"flbooster/internal/paillier"
 )
 
 // demoRound stamps every message of the single demo round so late traffic
@@ -245,18 +244,15 @@ func writeObs(o *obs.Obs, path string) error {
 }
 
 // demoContext builds the shared HE context all demo parties derive from the
-// seed. A positive chunk streams encryption through the chunked
-// double-buffered pipeline, and devices ≥ 1 shards vector HE ops across a
-// simulated device set; the ciphertexts are bit-exact either way. With
-// an observability bundle the context traces and meters under the party's
-// label (demo mode passes one bundle to every in-process party).
-func demoContext(keyBits, clients, chunk, pool, devices int, seed uint64, o *obs.Obs, label string) (*fl.Context, error) {
+// seed; tune sets the party's own knobs on the profile (chunking, the nonce
+// pool, the device set, the defense and tree policies its fl.Aggregation
+// reads). With an observability bundle the context traces and meters under
+// the party's label (demo mode passes one bundle to every in-process party).
+func demoContext(keyBits, clients int, seed uint64, o *obs.Obs, label string, tune func(*fl.Profile)) (*fl.Context, error) {
 	p := fl.NewProfile(fl.SystemFLBooster, keyBits, clients)
 	p.Seed = seed
 	p.Device = gpu.RTX3090()
-	p.Chunk = chunk
-	p.NoncePool = pool
-	p.Devices = devices
+	tune(&p)
 	ctx, err := fl.NewContext(p)
 	if err != nil {
 		return nil, err
@@ -305,11 +301,15 @@ type serverOpts struct {
 }
 
 func runServer(opts serverOpts) error {
-	// The server only aggregates and decrypts whole batches, so it never
-	// needs the streamed path or the encrypt-side nonce pool — chunk and
-	// pool 0 regardless of the client flags. The device set does apply: the
-	// aggregate-and-decrypt path shards like any other vector HE op.
-	ctx, err := demoContext(opts.keyBits, opts.clients, 0, 0, opts.devices, opts.seed, opts.o, fl.ServerName)
+	// The server only aggregates whole batches, so it never needs the
+	// streamed path or the encrypt-side nonce pool, whatever the client
+	// flags. The device set does apply: the aggregate path shards like any
+	// other vector HE op.
+	ctx, err := demoContext(opts.keyBits, opts.clients, opts.seed, opts.o, fl.ServerName, func(p *fl.Profile) {
+		p.Devices = opts.devices
+		p.Defense.Groups = opts.groups
+		p.Cohort.Fanout = opts.fanout
+	})
 	if err != nil {
 		return err
 	}
@@ -374,12 +374,15 @@ func runServer(opts serverOpts) error {
 	}
 	defer conn.Close()
 
-	// The broadcast kind is a pure function of the (restart-stable) -groups
-	// flag, so a resumed journaled aggregate replays under the same kind.
-	kind := "agg"
-	if opts.groups > 1 {
-		kind = flnet.KindGroupAgg
-	}
+	// The same aggregation object the in-process round runtime drives: with
+	// -fanout each arriving upload folds into its (per-group) tree at once and
+	// its buffer is dropped, so the server's live ciphertexts are bounded by
+	// the tree depth; without it uploads are held and the contributors dealt
+	// into the -groups seeded groups at seal time. The broadcast kind is a
+	// pure function of the (restart-stable) -groups flag, so a resumed
+	// journaled aggregate replays under the same kind.
+	agg := ctx.NewAggregation(demoRound, cohort)
+	kind := agg.Kind()
 
 	if resumePt != nil && resumePt.Phase == fl.PhaseBroadcast {
 		// The aggregate survived the crash (digest-checked by Replay):
@@ -430,38 +433,10 @@ func runServer(opts serverOpts) error {
 		deadlineC = tm.C
 	}
 
-	// With -fanout each arriving upload is folded into the aggregation
-	// tree(s) immediately and its buffer dropped — batches then records only
-	// who contributed (nil values) and the server's live ciphertexts are
-	// bounded by the tree depth, not the cohort size. Group mode assigns the
-	// cohort into seeded groups up front and gives each group its own tree.
-	var tree *fl.AggTree
-	var groupTrees []*fl.AggTree
-	var groupCounts []int
-	groupOf := map[string]int{}
-	if opts.fanout >= 2 {
-		if opts.groups > 1 {
-			assignment := fl.AssignGroups(cohort, opts.groups, opts.seed, demoRound)
-			groupTrees = make([]*fl.AggTree, len(assignment))
-			groupCounts = make([]int, len(assignment))
-			for g, members := range assignment {
-				if groupTrees[g], err = ctx.NewAggTree(opts.fanout); err != nil {
-					return err
-				}
-				for _, m := range members {
-					groupOf[m] = g
-				}
-			}
-		} else if tree, err = ctx.NewAggTree(opts.fanout); err != nil {
-			return err
-		}
-	}
-
-	batches := make(map[string][]paillier.Ciphertext, len(cohort))
-	order := make([]string, 0, len(cohort))
+	got := make(map[string]bool, len(cohort))
 	draining := false
 gather:
-	for len(batches) < len(cohort) {
+	for len(got) < len(cohort) {
 		select {
 		case d := <-msgs:
 			if d.err != nil {
@@ -476,36 +451,20 @@ gather:
 				fmt.Printf("discarding upload from %s: not sampled this round\n", msg.From)
 				continue
 			}
-			if _, dup := batches[msg.From]; dup {
+			if got[msg.From] {
 				fmt.Printf("discarding duplicate upload from %s\n", msg.From)
 				continue
 			}
-			nats, err := flnet.DecodeNats(msg.Payload)
+			cts, err := fl.DecodeCiphertexts(msg.Payload)
 			if err != nil {
 				return err
 			}
-			cts := make([]paillier.Ciphertext, len(nats))
-			for j, n := range nats {
-				cts[j] = paillier.Ciphertext{C: n}
+			width := len(cts)
+			if err := agg.Add(msg.From, cts); err != nil {
+				return err
 			}
-			switch {
-			case tree != nil:
-				if err := tree.Add(cts); err != nil {
-					return err
-				}
-				batches[msg.From] = nil
-			case groupTrees != nil:
-				g := groupOf[msg.From]
-				if err := groupTrees[g].Add(cts); err != nil {
-					return err
-				}
-				groupCounts[g]++
-				batches[msg.From] = nil
-			default:
-				batches[msg.From] = cts
-			}
-			order = append(order, msg.From)
-			fmt.Printf("received %d ciphertexts from %s (%d/%d)\n", len(cts), msg.From, len(batches), len(cohort))
+			got[msg.From] = true
+			fmt.Printf("received %d ciphertexts from %s (%d/%d)\n", width, msg.From, len(got), len(cohort))
 		case <-deadlineC:
 			break gather // deadline elapsed with the code below deciding quorum
 		case <-opts.stop:
@@ -513,11 +472,11 @@ gather:
 			break gather
 		}
 	}
-	if draining && len(batches) < quorum {
+	if draining && len(got) < quorum {
 		// Graceful drain below quorum: journal the abandoned round and exit
 		// zero — a restart with -resume re-runs the round from the top.
 		fmt.Printf("drain signal with %d/%d uploads (quorum %d): abandoning the round\n",
-			len(batches), len(cohort), quorum)
+			len(got), len(cohort), quorum)
 		if jr != nil {
 			rec := fl.JournalRecord{
 				Kind: fl.EventDrained, Round: demoRound, Attempt: attempt,
@@ -529,105 +488,34 @@ gather:
 		}
 		return nil
 	}
-	if len(batches) < quorum {
-		return fmt.Errorf("gather deadline with %d/%d uploads, below quorum %d", len(batches), len(cohort), quorum)
+	if len(got) < quorum {
+		return fmt.Errorf("gather deadline with %d/%d uploads, below quorum %d", len(got), len(cohort), quorum)
 	}
 	if draining {
 		fmt.Println("drain signal with quorum met: finishing the round before exit")
 	}
+	// The contributors in canonical (cohort) order, whatever order their
+	// packets landed in: the seeded group partition is a function of this
+	// list, so it must not depend on TCP arrival order.
+	included := make([]string, 0, len(got))
 	for _, name := range cohort {
-		if _, ok := batches[name]; !ok {
+		if got[name] {
+			included = append(included, name)
+		} else {
 			fmt.Printf("dropping straggler %s (missed the gather deadline)\n", name)
 		}
 	}
-
-	var raw []byte
-	switch {
-	case groupTrees != nil:
-		// Tree × defense: each group's tree already holds its members' sum.
-		// A group emptied by dropped stragglers is skipped rather than
-		// framed at size zero (the decryptors divide by the group size).
-		sizes := make([]int, 0, len(groupTrees))
-		blobs := make([][]byte, 0, len(groupTrees))
-		for g, gt := range groupTrees {
-			if groupCounts[g] == 0 {
-				continue
-			}
-			root, err := gt.Root()
-			if err != nil {
-				return err
-			}
-			nats := make([]mpint.Nat, len(root))
-			for i, c := range root {
-				nats[i] = c.C
-			}
-			sizes = append(sizes, groupCounts[g])
-			blobs = append(blobs, flnet.EncodeNats(nats))
-		}
-		if raw, err = flnet.EncodeGroupAgg(sizes, blobs); err != nil {
-			return err
-		}
-		fmt.Printf("tree group-wise aggregation: %d uploads across %d groups %v\n", len(order), len(sizes), sizes)
-	case tree != nil:
-		root, err := tree.Root()
-		if err != nil {
-			return err
-		}
-		nats := make([]mpint.Nat, len(root))
-		for i, c := range root {
-			nats[i] = c.C
-		}
-		raw = flnet.EncodeNats(nats)
-		stats := tree.Stats()
-		fmt.Printf("tree aggregation: %d uploads folded at depth %d (peak %d live ciphertexts)\n",
-			len(order), stats.Depth, stats.PeakLiveCts)
-	case opts.groups > 1:
-		// Group-wise aggregation: the contributors are dealt into seeded
-		// groups (same pure assignment the clients can re-derive), each group
-		// HE-summed on its own, and the per-group sums framed together so the
-		// decryptors can robust-combine the group means.
-		assignment := fl.AssignGroups(order, opts.groups, opts.seed, demoRound)
-		sizes := make([]int, len(assignment))
-		blobs := make([][]byte, len(assignment))
-		for g, members := range assignment {
-			grouped := make([][]paillier.Ciphertext, len(members))
-			for i, name := range members {
-				grouped[i] = batches[name]
-			}
-			agg, err := ctx.AggregateCiphertexts(grouped)
-			if err != nil {
-				return err
-			}
-			nats := make([]mpint.Nat, len(agg))
-			for i, c := range agg {
-				nats[i] = c.C
-			}
-			sizes[g] = len(members)
-			blobs[g] = flnet.EncodeNats(nats)
-		}
-		if raw, err = flnet.EncodeGroupAgg(sizes, blobs); err != nil {
-			return err
-		}
-		fmt.Printf("group-wise aggregation: %d uploads dealt into %d groups %v\n", len(order), len(sizes), sizes)
-	default:
-		ordered := make([][]paillier.Ciphertext, 0, len(order))
-		for _, name := range order {
-			ordered = append(ordered, batches[name])
-		}
-		agg, err := ctx.AggregateCiphertexts(ordered)
-		if err != nil {
-			return err
-		}
-		nats := make([]mpint.Nat, len(agg))
-		for i, c := range agg {
-			nats[i] = c.C
-		}
-		raw = flnet.EncodeNats(nats)
+	raw, err := agg.Seal(included)
+	if err != nil {
+		return err
 	}
+	ts := agg.TreeStats()
+	fmt.Printf("aggregated %d uploads: %d HE folds at tree depth %d, peak %d live ciphertexts\n",
+		len(included), ts.Folds, ts.Depth, agg.PeakLiveCts())
 	if jr != nil {
 		rec := fl.JournalRecord{
 			Kind: fl.EventAggregated, Round: demoRound, Attempt: attempt,
-			Members: order, Digest: fl.PayloadDigest(raw), Payload: raw,
+			Members: included, Digest: fl.PayloadDigest(raw), Payload: raw,
 		}
 		if err := jr.Append(rec); err != nil {
 			return err
@@ -636,7 +524,7 @@ gather:
 	if opts.failpoint == "aggregate" {
 		return fmt.Errorf("failpoint %q: crashing after the aggregate was journaled", opts.failpoint)
 	}
-	return broadcastAggregate(conn, jr, attempt, kind, order, raw, opts.clients)
+	return broadcastAggregate(conn, jr, attempt, kind, included, raw, opts.clients)
 }
 
 // broadcastAggregate prefixes the encoded aggregate with the contributor
@@ -719,7 +607,10 @@ func inCohort(name string, clients, cohort int, seed uint64) bool {
 func runClient(opts clientOpts) error {
 	name := fl.ClientName(opts.id)
 	clients := opts.clients
-	ctx, err := demoContext(opts.keyBits, clients, opts.chunk, opts.pool, opts.devices, opts.seed, opts.o, name)
+	ctx, err := demoContext(opts.keyBits, clients, opts.seed, opts.o, name, func(p *fl.Profile) {
+		p.Chunk, p.NoncePool, p.Devices = opts.chunk, opts.pool, opts.devices
+		p.Defense = opts.defense
+	})
 	if err != nil {
 		return err
 	}
@@ -749,15 +640,11 @@ func runClient(opts clientOpts) error {
 		if err != nil {
 			return err
 		}
-		nats := make([]mpint.Nat, len(cts))
-		for i, c := range cts {
-			nats[i] = c.C
-		}
 		if opts.delay > 0 {
 			fmt.Printf("%s straggling for %v before upload\n", name, opts.delay)
 			time.Sleep(opts.delay)
 		}
-		if err := conn.Send(flnet.Message{From: name, To: fl.ServerName, Kind: "grads", Round: demoRound, Payload: flnet.EncodeNats(nats)}); err != nil {
+		if err := conn.Send(flnet.Message{From: name, To: fl.ServerName, Kind: "grads", Round: demoRound, Payload: fl.EncodeCiphertexts(cts)}); err != nil {
 			return err
 		}
 		fmt.Printf("%s sent %d ciphertexts (%d gradients)\n", name, len(cts), len(vals))
@@ -767,12 +654,12 @@ func runClient(opts clientOpts) error {
 	if err != nil {
 		return err
 	}
-	wantKind := "agg"
-	if opts.defense.Enabled() {
-		wantKind = flnet.KindGroupAgg
-	}
-	if msg.Kind != wantKind {
-		return fmt.Errorf("%s: aggregate kind %q, want %q (server and clients must agree on -groups)", name, msg.Kind, wantKind)
+	// The decrypt half of the aggregation object the server sealed with. A
+	// remote client learns only K from the wire, not who contributed, so it
+	// opens the frame on coverage alone (no partition cross-check).
+	agg := ctx.NewAggregation(demoRound, nil)
+	if msg.Kind != agg.Kind() {
+		return fmt.Errorf("%s: aggregate kind %q, want %q (server and clients must agree on -groups)", name, msg.Kind, agg.Kind())
 	}
 	if len(msg.Payload) < 4 {
 		return fmt.Errorf("%s: aggregate payload too short", name)
@@ -781,82 +668,21 @@ func runClient(opts clientOpts) error {
 	if k < 1 || k > clients {
 		return fmt.Errorf("%s: implausible contributor count %d", name, k)
 	}
-	if opts.defense.Enabled() {
-		return decryptGrouped(ctx, name, msg.Payload[4:], len(opts.vals), k, clients, opts.defense)
-	}
-	aggNats, err := flnet.DecodeNats(msg.Payload[4:])
-	if err != nil {
-		return err
-	}
-	aggCts := make([]paillier.Ciphertext, len(aggNats))
-	for i, n := range aggNats {
-		aggCts[i] = paillier.Ciphertext{C: n}
-	}
-	sums, err := ctx.DecryptAggregated(aggCts, len(opts.vals), k)
-	if err != nil {
-		return err
-	}
-	if k < clients {
-		// Quorum aggregate: rescale the K-party sum to a full-federation
-		// estimate, mirroring internal/fl's round runtime.
-		scale := float64(clients) / float64(k)
-		for i := range sums {
-			sums[i] *= scale
-		}
-		fmt.Printf("%s decrypted %d-of-%d aggregate (scaled x%.2f): %v\n", name, k, clients, scale, sums)
-		return nil
-	}
-	fmt.Printf("%s decrypted aggregate: %v\n", name, sums)
-	return nil
-}
-
-// decryptGrouped decodes a grouped aggregate, decrypts each group's sum at
-// its own contributor count, reduces the sums to group means, and
-// robust-combines them — the same defended-decrypt path internal/fl runs,
-// over the demo's TCP framing. The result is scaled back to a
-// full-federation sum like the plain path.
-func decryptGrouped(ctx *fl.Context, name string, raw []byte, dim, k, clients int, policy fl.DefensePolicy) error {
-	sizes, blobs, err := flnet.DecodeGroupAgg(raw)
+	sums, defense, err := agg.Open(msg.Payload[4:], len(opts.vals), k, nil)
 	if err != nil {
 		return fmt.Errorf("%s: %w", name, err)
 	}
-	total := 0
-	groups := make([]fl.GroupUpdate, len(blobs))
-	for g, blob := range blobs {
-		gnats, err := flnet.DecodeNats(blob)
-		if err != nil {
-			return fmt.Errorf("%s: group %d: %w", name, g, err)
-		}
-		cts := make([]paillier.Ciphertext, len(gnats))
-		for i, n := range gnats {
-			cts[i] = paillier.Ciphertext{C: n}
-		}
-		mean, err := ctx.DecryptAggregated(cts, dim, sizes[g])
-		if err != nil {
-			return fmt.Errorf("%s: group %d: %w", name, g, err)
-		}
-		for i := range mean {
-			mean[i] /= float64(sizes[g])
-		}
-		groups[g] = fl.GroupUpdate{Mean: mean, Size: sizes[g]}
-		total += sizes[g]
+	switch {
+	case defense != nil:
+		fmt.Printf("%s decrypted defended aggregate (%s over %d groups, %d coords trimmed, %d clipped, %d dropped): %v\n",
+			name, defense.Combiner, defense.Groups, defense.Stats.TrimmedCoords, defense.Stats.Clipped, defense.Stats.GroupsDropped, sums)
+	case k < clients:
+		// Quorum aggregate: Open rescaled the K-party sum to a full-federation
+		// estimate, like internal/fl's round runtime.
+		fmt.Printf("%s decrypted %d-of-%d aggregate (scaled x%.2f): %v\n", name, k, clients, float64(clients)/float64(k), sums)
+	default:
+		fmt.Printf("%s decrypted aggregate: %v\n", name, sums)
 	}
-	if total != k {
-		return fmt.Errorf("%s: group sizes sum to %d, header says %d contributors", name, total, k)
-	}
-	agg, err := policy.NewAggregator()
-	if err != nil {
-		return err
-	}
-	combined, stats, err := agg.Combine(groups)
-	if err != nil {
-		return fmt.Errorf("%s: %w", name, err)
-	}
-	for i := range combined {
-		combined[i] *= float64(clients)
-	}
-	fmt.Printf("%s decrypted defended aggregate (%s over %d groups, %d coords trimmed, %d clipped, %d dropped): %v\n",
-		name, agg.Name(), len(groups), stats.TrimmedCoords, stats.Clipped, stats.GroupsDropped, combined)
 	return nil
 }
 

@@ -172,6 +172,61 @@ func TestServerGroupedCrashResumeBroadcast(t *testing.T) {
 	}
 }
 
+func TestDefendedGroupsIgnoreArrivalOrder(t *testing.T) {
+	// The seeded group partition must be a function of who contributed, not
+	// of whose packet reached the server first: delay a different client in
+	// each run and demand the same journaled grouped aggregate. The payload
+	// is the per-group HE sums, so equal digests mean equal membership.
+	vals := [][]float64{{0.1, 0.2}, {-0.05, 0.25}, {0.3, -0.1}, {0.15, 0.05}, {-0.2, 0.1}}
+	policy := fl.DefensePolicy{Groups: 2}
+	digests := map[int]uint64{}
+	for _, straggler := range []int{0, 2, 4} {
+		hub, err := flnet.NewTCPHub("127.0.0.1:0", flnet.GigabitEthernet())
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal := filepath.Join(t.TempDir(), "round.journal")
+		errs := make(chan error, len(vals)+1)
+		go func() {
+			errs <- runServer(serverOpts{
+				addr: hub.Addr(), clients: len(vals), keyBits: 128, seed: 9,
+				groups: policy.Groups, journal: journal,
+			})
+		}()
+		for i := range vals {
+			delay := time.Duration(0)
+			if i == straggler {
+				delay = 200 * time.Millisecond
+			}
+			go func(id int, delay time.Duration) {
+				errs <- runClient(clientOpts{
+					addr: hub.Addr(), id: id, clients: len(vals), keyBits: 128, seed: 9,
+					vals: vals[id], delay: delay, defense: policy,
+				})
+			}(i, delay)
+		}
+		for i := 0; i < len(vals)+1; i++ {
+			select {
+			case err := <-errs:
+				if err != nil {
+					t.Fatalf("straggler %d: %v", straggler, err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatalf("straggler %d: defended round hung", straggler)
+			}
+		}
+		hub.Close()
+		state := replayJournal(t, journal)
+		if state.Completed != 1 || state.Digests[demoRound] == 0 {
+			t.Fatalf("straggler %d: journal replayed wrong: %+v", straggler, state)
+		}
+		digests[straggler] = state.Digests[demoRound]
+	}
+	if digests[0] != digests[2] || digests[0] != digests[4] {
+		t.Fatalf("grouped aggregate depends on upload arrival order: digests %#x", digests)
+	}
+}
+
 // replayJournal loads and replays a server journal file for assertions.
 func replayJournal(t *testing.T, path string) fl.RecoveryState {
 	t.Helper()

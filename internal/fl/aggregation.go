@@ -1,0 +1,327 @@
+package fl
+
+import (
+	"errors"
+	"fmt"
+
+	"flbooster/internal/flnet"
+	"flbooster/internal/paillier"
+)
+
+// Aggregation is the one place that decides how a round's uploads become
+// the broadcast payload and how a payload becomes the decrypted estimate:
+// seeded groups × one AggTree per group × the wire framing. An undefended
+// round is one group; a flat round is a tree of unbounded fan-out. The
+// in-process round runtime and cmd/flserver both drive this object, so the
+// simulator and the deployment aggregate and decrypt through the same code.
+//
+// One policy bit, derived from Cohort.Fanout, survives inside it. A
+// buffered round (Fanout == 0) holds completed uploads until Seal, partitions
+// the included set, and only then feeds the trees; a streamed round
+// (Fanout ≥ 2) partitions the scheduled cohort up front — a streaming fold
+// cannot wait for the final included set — and folds each upload the moment
+// it is delivered, so a client dropped mid-round leaves its group one
+// contribution lighter instead of reshaping the partition. With zero drops
+// the two partitions are the same list, which keeps the modes bit-exact on
+// clean rounds.
+type Aggregation struct {
+	ctx    *Context
+	round  uint64
+	cohort []string // the round's scheduled clients, canonical order
+
+	groupOf map[string]int                   // member → planted group (nil with one group)
+	trees   []*AggTree                       // one per planted group, built on its first fold
+	held    map[string][]paillier.Ciphertext // buffered rounds: uploads awaiting Seal
+
+	stats TreeStats // merged over the sealed groups
+	peak  int64
+
+	// span brackets the robust-combine step so the round runtime can give it
+	// an anatomy row of its own; nil runs it bare.
+	span func(phase string, fn func() error) error
+}
+
+// frameError marks an aggregate copy that failed to parse or contradicts the
+// seeded assignment: the copy is bad, not the round, so a decryptor drops it
+// and tries the next one. Every other Open error is fatal to the round.
+type frameError struct{ error }
+
+func (e *frameError) Unwrap() error { return e.error }
+
+// NewAggregation builds the aggregation of one round over its scheduled
+// cohort (canonical order), under the context's Defense policy, Cohort.Fanout
+// and Seed.
+func (c *Context) NewAggregation(round uint64, cohort []string) *Aggregation {
+	a := &Aggregation{ctx: c, round: round, cohort: cohort}
+	if a.streamed() {
+		a.plant(cohort)
+	} else {
+		a.held = make(map[string][]paillier.Ciphertext, len(cohort))
+	}
+	return a
+}
+
+func (a *Aggregation) streamed() bool { return a.ctx.Profile.Cohort.Tree() }
+func (a *Aggregation) defended() bool { return a.ctx.Profile.Defense.Enabled() }
+
+// Kind is the message kind the sealed payload travels under: a bare
+// ciphertext vector as "agg", a grouped frame as flnet.KindGroupAgg.
+func (a *Aggregation) Kind() string {
+	if a.defended() {
+		return flnet.KindGroupAgg
+	}
+	return "agg"
+}
+
+// groups deals base into the round's seeded groups — one group when the
+// round is undefended.
+func (a *Aggregation) groups(base []string) [][]string {
+	if !a.defended() {
+		return [][]string{base}
+	}
+	p := a.ctx.Profile
+	return AssignGroups(base, p.Defense.Groups, p.Seed, a.round)
+}
+
+// plant fixes the partition the trees aggregate over.
+func (a *Aggregation) plant(base []string) {
+	groups := a.groups(base)
+	a.trees = make([]*AggTree, len(groups))
+	if len(groups) == 1 {
+		return
+	}
+	a.groupOf = make(map[string]int, len(base))
+	for g, members := range groups {
+		for _, name := range members {
+			a.groupOf[name] = g
+		}
+	}
+}
+
+// members re-derives the partition the aggregator built, restricted to the
+// clients that contributed and with emptied groups dropped. It is a pure
+// function of journaled state — the included members plus the resampled
+// cohort, which broadcast-phase recovery cross-checks — so every decryptor,
+// crash-recovered ones included, reaches the identical partition.
+func (a *Aggregation) members(included []string) [][]string {
+	if !a.defended() {
+		return [][]string{included}
+	}
+	if !a.streamed() {
+		return a.groups(included)
+	}
+	in := make(map[string]bool, len(included))
+	for _, name := range included {
+		in[name] = true
+	}
+	var members [][]string
+	for _, group := range a.groups(a.cohort) {
+		var kept []string
+		for _, name := range group {
+			if in[name] {
+				kept = append(kept, name)
+			}
+		}
+		if len(kept) > 0 {
+			members = append(members, kept)
+		}
+	}
+	return members
+}
+
+// Add delivers one cohort member's completed upload and takes ownership of
+// cts. A streamed round folds it into its group's tree at once; a buffered
+// round holds it until Seal. Fold order is arrival order, not canonical
+// order — HE addition is commutative and the backend deterministic, so the
+// roots are byte-identical regardless.
+func (a *Aggregation) Add(name string, cts []paillier.Ciphertext) error {
+	if !a.streamed() {
+		a.held[name] = cts
+		return nil
+	}
+	return a.fold(name, cts)
+}
+
+func (a *Aggregation) fold(name string, cts []paillier.Ciphertext) error {
+	g := a.groupOf[name]
+	if a.trees[g] == nil {
+		tree, err := a.ctx.NewAggTree(a.ctx.Profile.Cohort.Fanout)
+		if err != nil {
+			return err
+		}
+		a.trees[g] = tree
+	}
+	if err := a.trees[g].Add(cts); err != nil {
+		return err
+	}
+	// The level accumulator copied or summed the batch: the slice is dead.
+	ReleaseCiphertexts(cts)
+	return nil
+}
+
+// Seal closes the round over the clients whose uploads were delivered
+// (canonical order) and returns the broadcast payload: each non-empty
+// group's tree flushed to its root, framed as a bare ciphertext vector when
+// undefended and as EncodeGroupAgg with the group sizes — the round's group
+// metadata — when defended. A group every member of which dropped ships no
+// aggregate (the decryptors divide by the group size).
+func (a *Aggregation) Seal(included []string) ([]byte, error) {
+	if !a.streamed() {
+		// The buffered round holds every delivered batch live at once — the
+		// O(K·width) baseline the streamed tree exists to beat.
+		a.plant(included)
+		for _, name := range included {
+			cts := a.held[name]
+			delete(a.held, name)
+			a.peak += int64(len(cts))
+			if err := a.fold(name, cts); err != nil {
+				return nil, err
+			}
+		}
+	}
+	counts := make([]int, len(a.trees))
+	for _, name := range included {
+		counts[a.groupOf[name]]++
+	}
+	var sizes []int
+	var blobs [][]byte
+	for g, tree := range a.trees {
+		if counts[g] == 0 {
+			continue
+		}
+		root, err := tree.Root()
+		if err != nil {
+			return nil, err
+		}
+		sizes = append(sizes, counts[g])
+		blobs = append(blobs, EncodeCiphertexts(root))
+		a.stats.merge(tree.Stats())
+	}
+	if len(blobs) == 0 {
+		return nil, fmt.Errorf("fl: no uploads to aggregate")
+	}
+	if a.stats.PeakLiveCts > a.peak {
+		a.peak = a.stats.PeakLiveCts
+	}
+	if !a.defended() {
+		return blobs[0], nil
+	}
+	a.ctx.metricAdd("defense_groups", int64(len(sizes)))
+	return flnet.EncodeGroupAgg(sizes, blobs)
+}
+
+// TreeStats returns the sealed trees' anatomy, merged across groups.
+func (a *Aggregation) TreeStats() TreeStats { return a.stats }
+
+// PeakLiveCts is the aggregator's high-water count of simultaneously live
+// ciphertexts: every held batch for a buffered round, the trees'
+// fanout·depth-bounded peak for a streamed one.
+func (a *Aggregation) PeakLiveCts() int64 { return a.peak }
+
+// Open is Seal's inverse at a decrypting client: it decrypts each group's
+// sum at its own contributor count — only group sums are ever decrypted —
+// and returns the full-federation estimate of `count` gradient values from
+// an aggregate of k contributions. An undefended aggregate is scaled by
+// Parties/k; a defended one reduces the sums to group means, robust-combines
+// them (a pure function of the decrypted groups, so every client reaches the
+// identical result) and scales the combined per-client mean by Parties,
+// returning the round's DefenseReport alongside.
+//
+// A decryptor that knows who contributed passes included: it re-derives the
+// seeded partition and rejects a frame whose group metadata contradicts it,
+// so a corrupted frame cannot silently reshape the groups. A remote one that
+// only learns k from the wire passes nil and checks coverage alone.
+func (a *Aggregation) Open(payload []byte, count, k int, included []string) ([]float64, *DefenseReport, error) {
+	ctx := a.ctx
+	sizes, blobs := []int{k}, [][]byte{payload}
+	if a.defended() {
+		var err error
+		if sizes, blobs, err = flnet.DecodeGroupAgg(payload); err != nil {
+			return nil, nil, &frameError{err}
+		}
+	}
+	var members [][]string
+	if included != nil {
+		members = a.members(included)
+		if len(members) != len(sizes) {
+			return nil, nil, &frameError{fmt.Errorf("fl: frame carries %d groups, assignment says %d", len(sizes), len(members))}
+		}
+		for g, m := range members {
+			if len(m) != sizes[g] {
+				return nil, nil, &frameError{fmt.Errorf("fl: group %d carries %d contributors, assignment says %d", g, sizes[g], len(m))}
+			}
+		}
+	}
+	covered := 0
+	for _, size := range sizes {
+		covered += size
+	}
+	if covered != k {
+		return nil, nil, &frameError{fmt.Errorf("fl: groups cover %d clients, round included %d", covered, k)}
+	}
+	groups := make([]GroupUpdate, len(blobs))
+	for g, blob := range blobs {
+		cts, err := DecodeCiphertexts(blob)
+		if err != nil {
+			return nil, nil, &frameError{fmt.Errorf("group %d: %w", g, err)}
+		}
+		sum, err := ctx.DecryptAggregated(cts, count, sizes[g])
+		if err != nil {
+			return nil, nil, fmt.Errorf("group %d: %w", g, err)
+		}
+		ReleaseCiphertexts(cts)
+		groups[g] = GroupUpdate{Mean: sum, Size: sizes[g]}
+	}
+	parties := float64(ctx.Profile.Parties)
+	if !a.defended() {
+		sums := groups[0].Mean
+		if k < ctx.Profile.Parties {
+			scale := parties / float64(k)
+			for i := range sums {
+				sums[i] *= scale
+			}
+		}
+		return sums, nil, nil
+	}
+	for _, gu := range groups {
+		for i := range gu.Mean {
+			gu.Mean[i] /= float64(gu.Size)
+		}
+	}
+	agg, err := ctx.Profile.Defense.NewAggregator()
+	if err != nil {
+		return nil, nil, err
+	}
+	var combined []float64
+	var stats CombineStats
+	combine := func() error {
+		var cerr error
+		combined, stats, cerr = agg.Combine(groups)
+		return cerr
+	}
+	if a.span != nil {
+		err = a.span("combine", combine)
+	} else {
+		err = combine()
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	for i := range combined {
+		combined[i] *= parties
+	}
+	return combined, &DefenseReport{
+		Combiner:     agg.Name(),
+		Groups:       len(groups),
+		GroupSizes:   sizes,
+		GroupMembers: members,
+		Stats:        stats,
+	}, nil
+}
+
+// isFrameError reports whether err rejects one aggregate copy rather than
+// the round.
+func isFrameError(err error) bool {
+	var fe *frameError
+	return errors.As(err, &fe)
+}

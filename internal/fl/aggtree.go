@@ -18,6 +18,9 @@ import (
 // root is bit-identical to the flat left-fold over the same batches
 // regardless of fold order or association.
 //
+// A fan-out of 0 is unbounded: one level that never fills, i.e. the flat
+// left-fold — how a buffered (Cohort.Fanout == 0) round aggregates.
+//
 // The tree is pure structure: the cost model plugs in through the fold and
 // forward hooks (Context.NewAggTree charges HE time per fold and frames +
 // charges each forwarded partial as interior-link traffic).
@@ -68,8 +71,8 @@ type TreeStats struct {
 func NewAggTree(fanout int, newAcc func() (*paillier.Accumulator, error),
 	fold func(acc *paillier.Accumulator, cts []paillier.Ciphertext) (time.Duration, error),
 	forward func(level int, cts []paillier.Ciphertext)) (*AggTree, error) {
-	if fanout < 2 {
-		return nil, fmt.Errorf("fl: aggregation fan-out %d must be ≥ 2", fanout)
+	if fanout < 0 || fanout == 1 {
+		return nil, fmt.Errorf("fl: aggregation fan-out %d must be ≥ 2 (or 0 for unbounded)", fanout)
 	}
 	if newAcc == nil || fold == nil {
 		return nil, fmt.Errorf("fl: NewAggTree needs accumulator and fold hooks")
@@ -117,7 +120,7 @@ func (t *AggTree) addAt(level int, cts []paillier.Ciphertext) error {
 	} else {
 		t.folds++
 	}
-	if lv.kids < t.fanout {
+	if t.fanout == 0 || lv.kids < t.fanout {
 		return nil
 	}
 	return t.emit(level)

@@ -53,7 +53,7 @@ func TestAggTreeRootMatchesFlatFold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(encodeCiphertexts(root), encodeCiphertexts(flat)) {
+		if !bytes.Equal(EncodeCiphertexts(root), EncodeCiphertexts(flat)) {
 			t.Fatalf("%d leaves: tree root diverged from the flat fold", leaves)
 		}
 		st := tree.Stats()

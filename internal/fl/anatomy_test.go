@@ -186,7 +186,9 @@ func TestTotalSimOverlappedClamp(t *testing.T) {
 // the round's send sequence so some runs lose a client mid-chunked-upload
 // under the overlapped wave scheduler. Every completed round must keep the
 // overlapped total inside [0, TotalSim] — the dropped client's sequential
-// charges stay, only completed uploads earn overlap credit.
+// charges stay, only completed uploads earn overlap credit — and must end
+// with no live reassembler: the chunks a client got onto the wire before its
+// send failed belong to no wave and may not be buffered past the round.
 func TestDropMidPipelineOverlappedSane(t *testing.T) {
 	const dim = 8
 	grads := testGrads(4, dim)
@@ -203,17 +205,25 @@ func TestDropMidPipelineOverlappedSane(t *testing.T) {
 		faulty := flnet.NewFaultyTransport(fed.Transport)
 		faulty.FailSendAt = failAt
 		fed.Transport = faulty
-		_, rep, err := fed.SecureAggregateReport(grads)
+		// Drive the round state directly (SecureAggregateReport minus the
+		// journal) so its buffers can be inspected once the round is over.
+		fed.round++
+		st := newRoundState(fed, p.Round, dim, fed.roster.Active(), 1, nil)
+		_, err = st.run(grads)
 		fed.Close()
 		if err != nil {
 			continue // below quorum or server-side failure: typed and fine
 		}
-		if rep.Degraded() {
+		if st.report().Degraded() {
 			degraded++
 		}
 		cs := ctx.Costs.Snapshot()
 		if ov := cs.TotalSimOverlapped(); ov < 0 || ov > cs.TotalSim() {
 			t.Fatalf("failAt=%d: overlapped total %v outside [0, %v]", failAt, ov, cs.TotalSim())
+		}
+		if len(st.pending) != 0 || st.reasmBytes != 0 {
+			t.Fatalf("failAt=%d: round ended with %d live reassemblers holding %d bytes",
+				failAt, len(st.pending), st.reasmBytes)
 		}
 	}
 	if degraded == 0 {

@@ -3,21 +3,63 @@ package fl
 import (
 	"sync"
 
+	"flbooster/internal/flnet"
 	"flbooster/internal/mpint"
 	"flbooster/internal/paillier"
 )
 
-// wireArena pools the flat round path's per-round scratch: the nat slices
-// the wire codec builds, the decoded per-client ciphertext batches, and the
-// batch-of-batches the plain aggregate folds over. Only provably-dead
-// scratch is pooled — message payload bytes are never reused, because the
-// transport may hold a delivered payload beyond the round — so pooling
-// changes allocation counts, never results.
+// wireArena pools the round path's codec scratch: the nat slices the wire
+// codec builds and the decoded per-client ciphertext batches. Only
+// provably-dead scratch is pooled — message payload bytes are never reused,
+// because the transport may hold a delivered payload beyond the round — so
+// pooling changes allocation counts, never results.
 type wireArena struct {
-	nats    sync.Pool // *[]mpint.Nat
-	cts     sync.Pool // *[]paillier.Ciphertext
-	batches sync.Pool // *[][]paillier.Ciphertext
+	nats sync.Pool // *[]mpint.Nat
+	cts  sync.Pool // *[]paillier.Ciphertext
 }
+
+// arena is shared by every federation and aggregation in the process; the
+// pools are safe for concurrent use.
+var arena wireArena
+
+// EncodeCiphertexts frames a ciphertext batch for the wire (flnet.EncodeNats
+// framing). The returned payload is always fresh bytes.
+func EncodeCiphertexts(cts []paillier.Ciphertext) []byte {
+	nats := arena.getNats(len(cts))
+	for _, c := range cts {
+		nats = append(nats, c.C)
+	}
+	payload := flnet.EncodeNats(nats)
+	arena.putNats(nats)
+	return payload
+}
+
+// DecodeCiphertexts parses a batch framed by EncodeCiphertexts into a pooled
+// slice; whoever retires the batch may hand it back with ReleaseCiphertexts.
+func DecodeCiphertexts(b []byte) ([]paillier.Ciphertext, error) {
+	return appendCiphertexts(nil, b)
+}
+
+// appendCiphertexts decodes one framed batch onto dst (a pooled slice when
+// dst is nil) — how a chunked upload's bodies concatenate into one batch.
+func appendCiphertexts(dst []paillier.Ciphertext, b []byte) ([]paillier.Ciphertext, error) {
+	nats, err := flnet.DecodeNatsInto(arena.getNats(0), b)
+	if err != nil {
+		return nil, err
+	}
+	if dst == nil {
+		dst = arena.getCts(len(nats))
+	}
+	for _, n := range nats {
+		dst = append(dst, paillier.Ciphertext{C: n})
+	}
+	arena.putNats(nats)
+	return dst, nil
+}
+
+// ReleaseCiphertexts returns a dead batch to the pool. The caller must hold
+// the only reference to the slice (the values it carried may live on).
+func ReleaseCiphertexts(cts []paillier.Ciphertext) { arena.putCts(cts) }
 
 func (a *wireArena) getNats(n int) []mpint.Nat {
 	if p, _ := a.nats.Get().(*[]mpint.Nat); p != nil && cap(*p) >= n {
@@ -47,19 +89,4 @@ func (a *wireArena) putCts(s []paillier.Ciphertext) {
 	}
 	s = s[:0]
 	a.cts.Put(&s)
-}
-
-func (a *wireArena) getBatches(n int) [][]paillier.Ciphertext {
-	if p, _ := a.batches.Get().(*[][]paillier.Ciphertext); p != nil && cap(*p) >= n {
-		return (*p)[:0]
-	}
-	return make([][]paillier.Ciphertext, 0, n)
-}
-
-func (a *wireArena) putBatches(s [][]paillier.Ciphertext) {
-	for i := range s {
-		s[i] = nil
-	}
-	s = s[:0]
-	a.batches.Put(&s)
 }

@@ -4,18 +4,10 @@ import (
 	"bytes"
 	"testing"
 
+	"flbooster/internal/flnet"
 	"flbooster/internal/mpint"
 	"flbooster/internal/paillier"
 )
-
-func arenaFed(t *testing.T) *Federation {
-	t.Helper()
-	ctx, err := NewContext(testProfile(SystemFATE))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewFederation(ctx)
-}
 
 func arenaCts(n int) []paillier.Ciphertext {
 	rng := mpint.NewRNG(31)
@@ -27,18 +19,20 @@ func arenaCts(n int) []paillier.Ciphertext {
 }
 
 // TestArenaCodecRoundtrip: the arena-backed codec is byte- and value-exact
-// with the plain codec, including across pool reuse cycles.
+// with the plain flnet framing, including across pool reuse cycles.
 func TestArenaCodecRoundtrip(t *testing.T) {
-	f := arenaFed(t)
-	defer f.Close()
 	cts := arenaCts(9)
-	want := encodeCiphertexts(cts)
+	nats := make([]mpint.Nat, len(cts))
+	for i, c := range cts {
+		nats[i] = c.C
+	}
+	want := flnet.EncodeNats(nats)
 	for cycle := 0; cycle < 3; cycle++ {
-		got := f.encodeCts(cts)
+		got := EncodeCiphertexts(cts)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("cycle %d: arena encoding differs from plain codec", cycle)
 		}
-		dec, err := f.decodeCts(got)
+		dec, err := DecodeCiphertexts(got)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,31 +44,29 @@ func TestArenaCodecRoundtrip(t *testing.T) {
 				t.Fatalf("cycle %d: ciphertext %d corrupted by pooling", cycle, i)
 			}
 		}
-		f.arena.putCts(dec)
+		ReleaseCiphertexts(dec)
 	}
 }
 
-// TestArenaCodecAllocs is the allocation regression guard for the flat round
+// TestArenaCodecAllocs is the allocation regression guard for the round
 // path's codec primitives: with a warm arena, encoding a batch costs exactly
 // the payload buffer, and decoding costs only the per-value nat parses.
 func TestArenaCodecAllocs(t *testing.T) {
-	f := arenaFed(t)
-	defer f.Close()
 	const n = 16
 	cts := arenaCts(n)
-	payload := f.encodeCts(cts) // warm the nat pool
+	payload := EncodeCiphertexts(cts) // warm the nat pool
 
 	if got := testing.AllocsPerRun(100, func() {
-		f.encodeCts(cts)
+		EncodeCiphertexts(cts)
 	}); got > 2 {
 		t.Errorf("warm arena encode: %.1f allocs per batch, want <= 2", got)
 	}
 	if got := testing.AllocsPerRun(100, func() {
-		dec, err := f.decodeCts(payload)
+		dec, err := DecodeCiphertexts(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f.arena.putCts(dec)
+		ReleaseCiphertexts(dec)
 	}); got > n+2 {
 		t.Errorf("warm arena decode: %.1f allocs per batch, want <= %d", got, n+2)
 	}

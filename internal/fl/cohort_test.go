@@ -50,11 +50,13 @@ func runEpochDigests(t *testing.T, p Profile, rounds int) ([][]float64, map[uint
 	return sums, state.Digests, reps
 }
 
-// TestTreeRoundBitExactWithFlat is the refactor's acceptance bar: for the
-// same profile and seed, a hierarchical round must journal byte-identical
-// aggregates and decrypt bit-identical sums to the flat protocol — plain,
-// chunk-streamed, and defended (grouped robust aggregation composed with
-// tree levels) alike.
+// TestTreeRoundBitExactWithFlat is the round runtime's acceptance bar: for
+// the same profile and seed, every delivery topology — a streamed tree, a
+// tree whose fan-out covers the whole cohort, a buffered round admitted in
+// bounded waves — with the upload overlap scheduler on or off must journal
+// byte-identical aggregates and decrypt bit-identical sums to the flat
+// single-wave protocol — plain, chunk-streamed, and defended (grouped robust
+// aggregation composed with tree levels) alike.
 func TestTreeRoundBitExactWithFlat(t *testing.T) {
 	const rounds = 3
 	cases := []struct {
@@ -70,32 +72,48 @@ func TestTreeRoundBitExactWithFlat(t *testing.T) {
 		}},
 		{"sampled", func(p *Profile) { p.Cohort.Size = 6 }},
 	}
+	topologies := []struct {
+		name                string
+		fanout, maxInflight int
+		overlap             bool
+	}{
+		{"tree", 3, 4, false},
+		{"tree-overlap", 3, 4, true},
+		{"tree-fanout-covers-cohort", 16, 0, false},
+		{"flat-overlap", 0, 0, true},
+		{"flat-window1", 0, 1, false},
+		{"flat-window3", 0, 3, false},
+		{"flat-window3-overlap", 0, 3, true},
+	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			flatP := cohortProfile(SystemFLBooster)
 			c.prep(&flatP)
-			treeP := flatP
-			treeP.Cohort.Fanout = 3
-			treeP.Cohort.MaxInflight = 4
-			// In the sampled case both runs share Cohort.Size — only the
-			// aggregation topology differs between them.
 			flatSums, flatDigests, flatReps := runEpochDigests(t, flatP, rounds)
-			treeSums, treeDigests, treeReps := runEpochDigests(t, treeP, rounds)
-			for r := 0; r < rounds; r++ {
-				if !sameBits(flatSums[r], treeSums[r]) {
-					t.Fatalf("round %d sums diverged\nflat %v\ntree %v", r+1, flatSums[r], treeSums[r])
-				}
-				if flatDigests[uint64(r+1)] != treeDigests[uint64(r+1)] {
-					t.Fatalf("round %d journaled digests diverged: %#x vs %#x",
-						r+1, flatDigests[uint64(r+1)], treeDigests[uint64(r+1)])
-				}
-				if !sameMembers(flatReps[r].Included, treeReps[r].Included) {
-					t.Fatalf("round %d included sets diverged: %v vs %v",
-						r+1, flatReps[r].Included, treeReps[r].Included)
-				}
-				if treeReps[r].Tree == nil || flatReps[r].Tree != nil {
-					t.Fatalf("round %d tree stats on the wrong mode", r+1)
+			for _, topo := range topologies {
+				// Every run shares the case's Cohort.Size — only the delivery
+				// topology and the upload schedule differ from the reference.
+				p := flatP
+				p.Cohort.Fanout = topo.fanout
+				p.Cohort.MaxInflight = topo.maxInflight
+				p.Overlap.Enabled = topo.overlap
+				sums, digests, reps := runEpochDigests(t, p, rounds)
+				for r := 0; r < rounds; r++ {
+					if !sameBits(flatSums[r], sums[r]) {
+						t.Fatalf("%s round %d sums diverged\nflat %v\ngot  %v", topo.name, r+1, flatSums[r], sums[r])
+					}
+					if flatDigests[uint64(r+1)] != digests[uint64(r+1)] {
+						t.Fatalf("%s round %d journaled digests diverged: %#x vs %#x",
+							topo.name, r+1, flatDigests[uint64(r+1)], digests[uint64(r+1)])
+					}
+					if !sameMembers(flatReps[r].Included, reps[r].Included) {
+						t.Fatalf("%s round %d included sets diverged: %v vs %v",
+							topo.name, r+1, flatReps[r].Included, reps[r].Included)
+					}
+					if (reps[r].Tree != nil) != (topo.fanout > 0) || flatReps[r].Tree != nil {
+						t.Fatalf("%s round %d tree stats on the wrong mode", topo.name, r+1)
+					}
 				}
 			}
 		})

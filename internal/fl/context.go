@@ -593,52 +593,15 @@ func (c *Context) AggregateCiphertexts(batches [][]paillier.Ciphertext) ([]paill
 	return acc, nil
 }
 
-// AggregateGrouped homomorphically sums each group's per-party ciphertext
-// batches through an independent paillier.Accumulator — one aggregation
-// context per secure-aggregation group, so group sub-aggregates never mix.
-// Every fold is charged to the HE component exactly like the single-group
-// AggregateCiphertexts path.
-func (c *Context) AggregateGrouped(groups [][][]paillier.Ciphertext) ([][]paillier.Ciphertext, error) {
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("fl: no groups to aggregate")
-	}
-	out := make([][]paillier.Ciphertext, len(groups))
-	for g, batches := range groups {
-		acc, err := paillier.NewAccumulator(&c.Key.PublicKey, c.Backend)
-		if err != nil {
-			return nil, err
-		}
-		for i, cts := range batches {
-			if acc.Batches() == 0 {
-				if err := acc.Add(cts); err != nil {
-					return nil, fmt.Errorf("fl: group %d batch %d: %w", g, i, err)
-				}
-				continue
-			}
-			base := c.simBase()
-			start := time.Now()
-			if err := acc.Add(cts); err != nil {
-				return nil, fmt.Errorf("fl: group %d batch %d: %w", g, i, err)
-			}
-			wall := time.Since(start)
-			c.Costs.AddHE(wall, c.simSince(base, wall), int64(len(cts)), int64(len(cts)))
-		}
-		sum, err := acc.Sum()
-		if err != nil {
-			return nil, fmt.Errorf("fl: group %d: %w", g, err)
-		}
-		out[g] = sum
-	}
-	return out, nil
-}
-
 // NewAggTree builds a hierarchical aggregation tree over this context's key
 // and backend, with the cost model wired in: every fold into a non-empty
 // level accumulator is charged to the HE component exactly like the flat
 // AggregateCiphertexts path (the first child of a level is adopted by copy,
-// not HE-added — mirroring AggregateGrouped), and every partial forwarded up
-// a level is framed (flnet partial-aggregate framing) and charged to the
-// communication component as interior-link traffic.
+// not HE-added), and every partial forwarded up a level is framed (flnet
+// partial-aggregate framing) and charged to the communication component as
+// interior-link traffic. An unbounded tree (fanout 0) lives at the
+// coordinator, so its root has no link to cross: it forwards and charges
+// nothing.
 func (c *Context) NewAggTree(fanout int) (*AggTree, error) {
 	newAcc := func() (*paillier.Accumulator, error) {
 		return paillier.NewAccumulator(&c.Key.PublicKey, c.Backend)
@@ -658,9 +621,12 @@ func (c *Context) NewAggTree(fanout int) (*AggTree, error) {
 		return sim, nil
 	}
 	forward := func(level int, cts []paillier.Ciphertext) {
-		payload := flnet.EncodePartialAgg(uint32(level), encodeCiphertexts(cts))
+		payload := flnet.EncodePartialAgg(uint32(level), EncodeCiphertexts(cts))
 		c.RecordTransfer(int64(len(payload)))
 		c.metricAdd("tree_partials", 1)
+	}
+	if fanout == 0 {
+		forward = nil
 	}
 	return NewAggTree(fanout, newAcc, fold, forward)
 }

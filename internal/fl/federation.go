@@ -8,7 +8,6 @@ import (
 
 	"flbooster/internal/flnet"
 	"flbooster/internal/gpu"
-	"flbooster/internal/mpint"
 	"flbooster/internal/obs"
 	"flbooster/internal/paillier"
 )
@@ -38,10 +37,6 @@ type Federation struct {
 	roster      *Roster
 	nextAttempt uint32
 	resume      *ResumePoint
-
-	// arena pools the flat round path's codec scratch and gathered batches
-	// across rounds; results are unchanged, only steady-state allocations.
-	arena wireArena
 }
 
 // ClientName returns the canonical name of client i.
@@ -320,7 +315,9 @@ func (f *Federation) Close() error { return f.Transport.Close() }
 
 // ---- round state machine -------------------------------------------------
 
-// roundState carries one SecureAggregate execution through its four phases.
+// roundState carries one SecureAggregate execution through its phases:
+// contribute (admission waves of upload + gather) → aggregate → broadcast →
+// decrypt.
 type roundState struct {
 	f      *Federation
 	id     uint64
@@ -335,22 +332,16 @@ type roundState struct {
 	send    func(flnet.Message) error
 	retrier *flnet.RetryTransport // nil when MaxRetries is 0
 
-	uploaded    []string                         // clients whose upload send succeeded
-	batches     map[string][]paillier.Ciphertext // gathered uploads by client (flat mode)
-	pending     map[string]*flnet.Reassembler    // chunked uploads being reassembled
-	included    []string                         // aggregation order
-	reached     []string                         // clients the broadcast reached
-	dropped     map[string]RoundPhase            // dropped client -> losing phase
+	uploaded    []string                      // clients whose upload send succeeded
+	pending     map[string]*flnet.Reassembler // chunked uploads being reassembled
+	resolved    map[string]bool               // cohort members delivered to agg or cut off
+	included    []string                      // clients delivered to agg, canonical order once contribute ends
+	reached     []string                      // clients the broadcast reached
+	dropped     map[string]RoundPhase         // dropped client -> losing phase
 	stale, dups int
 
-	// Tree-mode state: uploads stream straight into the (per-group)
-	// aggregation trees instead of accumulating in st.batches, and resolved
-	// tracks which cohort members have been folded or cut off.
-	tree       *AggTree
-	groupTrees []*AggTree
-	groupOf    map[string]int
-	resolved   map[string]bool
-	treeStats  *TreeStats
+	agg       *Aggregation // uploads → payload → estimate
+	treeStats *TreeStats   // a streamed round's hierarchy anatomy
 
 	reasmBytes int64 // live chunk-buffer bytes across pending reassemblers
 	peakLive   int64 // high-water simultaneously-live aggregate-path ciphertexts
@@ -375,27 +366,29 @@ type anatFrame struct {
 	child PhaseCost // closed nested phases, deducted from this frame's row
 }
 
-// defended reports whether this round runs group-wise robust aggregation.
-func (st *roundState) defended() bool { return st.f.Ctx.Profile.Defense.Enabled() }
-
-// treeMode reports whether this round aggregates through a hierarchy.
-func (st *roundState) treeMode() bool { return st.f.Ctx.Profile.Cohort.Tree() }
+// streamed is the round's one delivery policy bit (see Aggregation): with
+// Cohort.Fanout ≥ 2 completed uploads fold into the aggregation trees on
+// arrival; with Fanout == 0 they are buffered and folded at aggregate time —
+// the baseline the tree is measured against.
+func (st *roundState) streamed() bool { return st.f.Ctx.Profile.Cohort.Tree() }
 
 func newRoundState(f *Federation, policy RoundPolicy, count int, active []string, attempt uint32, resume *ResumePoint) *roundState {
 	st := &roundState{
-		f:       f,
-		id:      f.round,
-		policy:  policy,
-		quorum:  policy.EffectiveQuorum(len(active)),
-		count:   count,
-		active:  active,
-		attempt: attempt,
-		resume:  resume,
-		batches: make(map[string][]paillier.Ciphertext),
-		pending: make(map[string]*flnet.Reassembler),
-		dropped: make(map[string]RoundPhase),
-		anat:    &RoundAnatomy{Round: f.round},
+		f:        f,
+		id:       f.round,
+		policy:   policy,
+		quorum:   policy.EffectiveQuorum(len(active)),
+		count:    count,
+		active:   active,
+		attempt:  attempt,
+		resume:   resume,
+		pending:  make(map[string]*flnet.Reassembler),
+		resolved: make(map[string]bool, len(active)),
+		dropped:  make(map[string]RoundPhase),
+		agg:      f.Ctx.NewAggregation(f.round, active),
+		anat:     &RoundAnatomy{Round: f.round},
 	}
+	st.agg.span = st.phaseSpan
 	st.send = f.Transport.Send
 	if policy.MaxRetries > 0 {
 		st.retrier = flnet.NewRetryTransport(f.Transport, flnet.RetryPolicy{
@@ -483,21 +476,8 @@ func (st *roundState) run(grads [][]float64) ([]float64, error) {
 		if err := st.restoreAggregate(); err != nil {
 			return nil, err
 		}
-	} else if st.treeMode() {
-		// Hierarchical rounds stream: upload and gather merge into one
-		// contribute phase whose admission waves fold completed uploads
-		// straight into the aggregation tree and release their buffers.
-		if err := st.phaseSpan("contribute", func() error { return st.contribute(grads) }); err != nil {
-			return nil, err
-		}
-		if err := st.phaseSpan("aggregate", st.aggregate); err != nil {
-			return nil, err
-		}
 	} else {
-		if err := st.phaseSpan("upload", func() error { return st.upload(grads) }); err != nil {
-			return nil, err
-		}
-		if err := st.phaseSpan("gather", st.gather); err != nil {
+		if err := st.contribute(grads); err != nil {
 			return nil, err
 		}
 		if err := st.phaseSpan("aggregate", st.aggregate); err != nil {
@@ -570,77 +550,53 @@ func (st *roundState) clientGrads(i int, grads [][]float64) []float64 {
 	return st.f.adversary.Apply(st.id, i, grads[i])
 }
 
-// upload: every client encrypts and sends to the server. A send that still
-// fails after the retry policy drops the client (within the quorum budget);
-// a local encryption fault is not a network fault and aborts the round.
-// With a positive Profile.Chunk each client uploads through the streamed
-// pipeline: chunk i is on the wire while chunk i+1 is still encrypting.
-func (st *roundState) upload(grads [][]float64) error { return st.uploadWave(st.active, grads) }
-
-// uploadWave runs the upload send loop for one slice of the cohort — the
-// whole cohort in flat mode, one bounded admission wave in tree mode.
-// Clients encrypt in cohort order either way, so the nonce-stream cursor
-// advances identically in both modes and across crash-recovered re-runs.
-// Per-party model compute (Profile.Overlap.CompSimPerValue) is charged
-// before each client's encryption; with Overlap.Enabled the wave instead
-// runs through the overlap scheduler, which charges the identical work but
-// credits the wave at its measured critical path.
+// uploadWave runs the upload send loop for one admission wave. Clients
+// encrypt in cohort order, so the nonce-stream cursor advances identically
+// whatever the wave size and across crash-recovered re-runs. A send that
+// still fails after the retry policy drops the client (within the quorum
+// budget); a local encryption fault is not a network fault and aborts the
+// round.
+//
+// Each upload's HE and wire costs are scheduled on an encrypt and a send
+// stream whose critical path becomes one AddPipeline record — the overlap
+// credit TotalSimOverlapped swaps for the uploads' sequential sum. Without
+// Profile.Overlap the stream pair is per client: chunk i is on the wire
+// while chunk i+1 still encrypts, and a whole-batch (Chunk == 0) upload has
+// nothing to overlap and records nothing. With Overlap.Enabled the pair is
+// shared by the wave and each party's model compute + encode runs on a lane
+// of its own that gates its first chunk: client i+1's compute runs while
+// client i's batch encrypts and client i-1's is on the wire. The per-party
+// compute (Overlap.CompSimPerValue) is charged identically either way.
+// Dropped clients keep their sequential charges and earn no credit.
 func (st *roundState) uploadWave(wave []string, grads [][]float64) error {
 	ctx := st.f.Ctx
-	if ctx.Profile.Overlap.Enabled {
-		return st.uploadWaveOverlapped(wave, grads)
+	overlap := ctx.Profile.Overlap.Enabled
+	pipelined := overlap || ctx.Profile.Chunk > 0
+	sendUpload := st.sendChunks
+	if ctx.Profile.Chunk == 0 {
+		sendUpload = st.sendBatch
 	}
-	for _, name := range wave {
-		i, err := ClientIndex(name)
-		if err != nil {
-			return st.fail(PhaseUpload, name, err)
-		}
-		g := st.clientGrads(i, grads)
-		if comp := ctx.Profile.Overlap.compSim(len(g)); comp > 0 {
-			ctx.Costs.AddComp(comp)
-		}
-		if ctx.Profile.Chunk > 0 {
-			if err := st.uploadClientChunked(i, g); err != nil {
-				return err
+	var enc, wire *gpu.Stream
+	var seq time.Duration
+	var units int64
+	// settle closes the open stream pair into one pipeline record.
+	settle := func() {
+		if enc != nil && units > 0 {
+			span := enc.Clock()
+			if w := wire.Clock(); w > span {
+				span = w
 			}
-			continue
-		}
-		cts, err := ctx.EncryptGradients(g)
-		if err != nil {
-			return fmt.Errorf("fl: client %d encrypt: %w", i, err)
-		}
-		msg := flnet.Message{
-			From: name, To: ServerName, Kind: "grads", Round: st.id,
-			Payload: st.f.encodeCts(cts),
-		}
-		if err := st.send(msg); err != nil {
-			if rerr := st.drop(PhaseUpload, name, err); rerr != nil {
-				return rerr
+			// A client dropped mid-upload leaves chunks it already scheduled on
+			// shared streams without earning credit, so the measured span can
+			// exceed the credited sequential sum. Clamp: overlap credit must
+			// never make the wave slower than its sequential accounting.
+			if span > seq {
+				span = seq
 			}
-			continue
+			ctx.Costs.AddPipeline(seq, span, units)
 		}
-		st.uploaded = append(st.uploaded, name)
-		ctx.RecordTransfer(msg.WireSize())
+		enc, wire, seq, units = nil, nil, 0, 0
 	}
-	return nil
-}
-
-// uploadWaveOverlapped schedules one wave's uploads across shared encrypt
-// and send streams, with each party's model compute + encode on a lane of
-// its own: client i+1's compute runs while client i's batch encrypts and
-// client i-1's is on the wire. Every cost is charged exactly as on the
-// sequential path — the scheduler only adds one wave-level AddPipeline
-// record whose critical path replaces the completed uploads' sequential sum
-// in TotalSimOverlapped. Dropped clients are excluded from both the
-// sequential credit and the stream events, so their charges stay
-// conservative (sequential), matching the chunked-upload convention.
-func (st *roundState) uploadWaveOverlapped(wave []string, grads [][]float64) error {
-	ctx := st.f.Ctx
-	enc := gpu.NewStream("encrypt")
-	wire := gpu.NewStream("send")
-	var waveSeq time.Duration
-	var waveChunks int64
-	completed := 0
 	for _, name := range wave {
 		i, err := ClientIndex(name)
 		if err != nil {
@@ -651,62 +607,61 @@ func (st *roundState) uploadWaveOverlapped(wave []string, grads [][]float64) err
 		if comp > 0 {
 			ctx.Costs.AddComp(comp)
 		}
-		lane := comp + encodeSim(len(g))
-		compEv := gpu.NewStream("comp." + name).Schedule(lane)
-		if ctx.Profile.Chunk > 0 {
-			seqSim, chunks, ok, err := st.streamClientChunks(i, g, enc, wire, compEv)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			waveSeq += lane + seqSim
-			waveChunks += chunks
-			completed++
-			continue
+		if pipelined && enc == nil {
+			enc, wire = gpu.NewStream("encrypt"), gpu.NewStream("send")
 		}
-		heBefore := ctx.Costs.Snapshot().HESim
-		cts, err := ctx.EncryptGradients(g)
+		var lane time.Duration
+		var gate []gpu.Event
+		if overlap {
+			lane = comp + encodeSim(len(g))
+			gate = []gpu.Event{gpu.NewStream("comp." + name).Schedule(lane)}
+		}
+		seqSim, n, ok, err := sendUpload(i, g, enc, wire, gate...)
 		if err != nil {
-			return fmt.Errorf("fl: client %d encrypt: %w", i, err)
+			return err
 		}
-		he := ctx.Costs.Snapshot().HESim - heBefore
-		msg := flnet.Message{
-			From: name, To: ServerName, Kind: "grads", Round: st.id,
-			Payload: st.f.encodeCts(cts),
+		if ok {
+			seq += lane + seqSim
+			units += n
 		}
-		if err := st.send(msg); err != nil {
-			if rerr := st.drop(PhaseUpload, name, err); rerr != nil {
-				return rerr
-			}
-			continue
+		if !overlap {
+			settle()
 		}
-		st.uploaded = append(st.uploaded, name)
-		ctx.RecordTransfer(msg.WireSize())
-		comm := ctx.Link.TransferTime(msg.WireSize())
-		ev := enc.Schedule(he, compEv) // encrypt once the party's compute is done
-		wire.Schedule(comm, ev)        // then the batch hits the wire
-		waveSeq += lane + he + comm
-		waveChunks++ // a whole-batch upload is one unit on the streams
-		completed++
 	}
-	if completed > 0 {
-		span := enc.Clock()
-		if w := wire.Clock(); w > span {
-			span = w
-		}
-		// A client dropped mid-upload leaves chunks it already scheduled on
-		// the shared streams, but its charges stay sequential (it earns no
-		// credit), so the measured span can exceed the credited sequential
-		// sum. Clamp: overlap credit must never make the wave slower than its
-		// sequential accounting.
-		if span > waveSeq {
-			span = waveSeq
-		}
-		ctx.Costs.AddPipeline(waveSeq, span, waveChunks)
-	}
+	settle()
 	return nil
+}
+
+// sendBatch is the whole-batch (Profile.Chunk == 0) upload of one client:
+// one "grads" frame, one unit on the streams. enc and wire are nil when the
+// wave records no pipeline. Returns like sendChunks.
+func (st *roundState) sendBatch(i int, grads []float64, enc, wire *gpu.Stream, after ...gpu.Event) (seqSim time.Duration, units int64, ok bool, err error) {
+	ctx := st.f.Ctx
+	name := ClientName(i)
+	heBefore := ctx.Costs.Snapshot().HESim
+	cts, err := ctx.EncryptGradients(grads)
+	if err != nil {
+		return 0, 0, false, fmt.Errorf("fl: client %d encrypt: %w", i, err)
+	}
+	he := ctx.Costs.Snapshot().HESim - heBefore
+	msg := flnet.Message{
+		From: name, To: ServerName, Kind: "grads", Round: st.id,
+		Payload: EncodeCiphertexts(cts),
+	}
+	if err := st.send(msg); err != nil {
+		if rerr := st.drop(PhaseUpload, name, err); rerr != nil {
+			return 0, 0, false, rerr
+		}
+		return 0, 0, false, nil
+	}
+	st.uploaded = append(st.uploaded, name)
+	ctx.RecordTransfer(msg.WireSize())
+	comm := ctx.Link.TransferTime(msg.WireSize())
+	if enc != nil {
+		ev := enc.Schedule(he, after...) // encrypt once the party's compute is done
+		wire.Schedule(comm, ev)          // then the batch hits the wire
+	}
+	return he + comm, 1, true, nil
 }
 
 // gradChunk is one encrypted chunk handed from the encrypting producer to
@@ -721,35 +676,17 @@ type gradChunk struct {
 // chunks (the client was dropped); it is not a round failure.
 var errUploadAborted = errors.New("fl: chunked upload aborted")
 
-// uploadClientChunked runs one client's chunked upload on a private stream
-// pair — the sequential-wave accounting, one AddPipeline record per client.
-func (st *roundState) uploadClientChunked(i int, grads []float64) error {
-	ctx := st.f.Ctx
-	enc := gpu.NewStream("encrypt")
-	wire := gpu.NewStream("send")
-	seqSim, chunks, ok, err := st.streamClientChunks(i, grads, enc, wire)
-	if err != nil || !ok {
-		return err
-	}
-	span := enc.Clock()
-	if w := wire.Clock(); w > span {
-		span = w
-	}
-	ctx.Costs.AddPipeline(seqSim, span, chunks)
-	return nil
-}
-
-// streamClientChunks runs one client's upload as a bounded producer/
-// consumer pipeline: a goroutine encrypts chunks through the streamed HE
-// session and a two-chunk channel feeds the wire, so the send of chunk i
-// overlaps the encryption of chunk i+1. The chunks' HE and wire costs are
-// scheduled onto the caller's encrypt and send streams (the first chunk
-// waits on `after` — the party's model-compute lane under the overlap
-// scheduler). Returns the sequential sum, the chunk count, and whether the
-// upload completed; a dropped client (failed send, within the quorum
-// budget) returns ok=false with its costs left at their sequential charge —
-// the overlapped accounting only credits completed uploads.
-func (st *roundState) streamClientChunks(i int, grads []float64, enc, wire *gpu.Stream, after ...gpu.Event) (seqSim time.Duration, chunks int64, ok bool, err error) {
+// sendChunks runs one client's chunked (Profile.Chunk > 0) upload as a
+// bounded producer/consumer pipeline: a goroutine encrypts chunks through
+// the streamed HE session and a two-chunk channel feeds the wire, so the
+// send of chunk i overlaps the encryption of chunk i+1. The chunks' HE and
+// wire costs are scheduled onto the caller's encrypt and send streams (the
+// first chunk waits on `after` — the party's model-compute lane under the
+// overlap scheduler). Returns the sequential sum, the chunk count, and
+// whether the upload completed; a dropped client (failed send, within the
+// quorum budget) returns ok=false with its costs left at their sequential
+// charge — the overlapped accounting only credits completed uploads.
+func (st *roundState) sendChunks(i int, grads []float64, enc, wire *gpu.Stream, after ...gpu.Event) (seqSim time.Duration, chunks int64, ok bool, err error) {
 	ctx := st.f.Ctx
 	name := ClientName(i)
 	chunkPts := ctx.Profile.Chunk
@@ -790,7 +727,7 @@ func (st *roundState) streamClientChunks(i int, grads []float64, enc, wire *gpu.
 		}
 		msg := flnet.Message{
 			From: name, To: ServerName, Kind: "gradc", Round: st.id,
-			Payload: flnet.EncodeChunk(uint32(chk.index), uint32(total), st.f.encodeCts(chk.cts)),
+			Payload: flnet.EncodeChunk(uint32(chk.index), uint32(total), EncodeCiphertexts(chk.cts)),
 		}
 		if err := st.send(msg); err != nil {
 			sendErr = err
@@ -822,76 +759,6 @@ func (st *roundState) streamClientChunks(i int, grads []float64, enc, wire *gpu.
 	}
 	st.uploaded = append(st.uploaded, name)
 	return seqSim, chunks, true, nil
-}
-
-// gather: the server collects uploads for the current round. Messages from
-// earlier rounds are stale artifacts of stragglers and are discarded, as are
-// duplicates. With a deadline, the server proceeds once the quorum holds at
-// expiry; without one it waits for every successful uploader.
-func (st *roundState) gather() error {
-	deadline := st.phaseDeadline()
-	for len(st.batches) < len(st.uploaded) {
-		msg, err := st.recv(ServerName, deadline)
-		if err != nil {
-			if flnet.IsTimeout(err) {
-				if len(st.batches) >= st.quorum {
-					// Quorum reached: proceed without the stragglers. Their
-					// half-received chunk buffers are dead weight — release
-					// them and charge the wasted traffic as late arrivals.
-					st.releasePending(true)
-					break
-				}
-				return st.fail(PhaseGather, "", fmt.Errorf(
-					"deadline with %d/%d uploads (quorum %d): %w",
-					len(st.batches), len(st.uploaded), st.quorum, err))
-			}
-			// A hard receive failure at the server is not a straggler.
-			return st.fail(PhaseGather, "", err)
-		}
-		if msg.Kind == flnet.KindResume {
-			// A churned client probing for readmission mid-round: answer the
-			// handshake without letting it into the in-flight round.
-			st.answerResume(msg)
-			continue
-		}
-		if msg.Round != st.id || (msg.Kind != "grads" && msg.Kind != "gradc") {
-			st.stale++
-			continue
-		}
-		if _, done := st.batches[msg.From]; done {
-			st.dups++
-			continue
-		}
-		switch msg.Kind {
-		case "grads":
-			cts, err := st.f.decodeCts(msg.Payload)
-			if err != nil {
-				return st.fail(PhaseGather, msg.From, fmt.Errorf("server decode: %w", err))
-			}
-			st.batches[msg.From] = cts
-		case "gradc":
-			cts, err := st.acceptChunk(msg)
-			if err != nil {
-				return err
-			}
-			if cts != nil {
-				st.batches[msg.From] = cts
-			}
-		}
-	}
-	// Anyone who uploaded but never arrived was lost in transit.
-	for _, name := range st.uploaded {
-		if _, ok := st.batches[name]; ok {
-			st.included = append(st.included, name)
-		} else if rerr := st.drop(PhaseGather, name, fmt.Errorf("upload missed the phase deadline")); rerr != nil {
-			return rerr
-		}
-	}
-	if len(st.included) < st.quorum {
-		return st.fail(PhaseGather, "", fmt.Errorf("%d/%d uploads below quorum %d",
-			len(st.included), len(st.active), st.quorum))
-	}
-	return nil
 }
 
 // answerResume replies to one session-resume probe. Only a token that
@@ -967,11 +834,9 @@ func (st *roundState) acceptChunk(msg flnet.Message) ([]paillier.Ciphertext, err
 	}
 	var all []paillier.Ciphertext
 	for k, b := range bodies {
-		cts, err := decodeCiphertexts(b)
-		if err != nil {
+		if all, err = appendCiphertexts(all, b); err != nil {
 			return nil, st.fail(PhaseGather, msg.From, fmt.Errorf("server decode chunk %d: %w", k, err))
 		}
-		all = append(all, cts...)
 	}
 	st.trackReasm(-asm.Release())
 	delete(st.pending, msg.From)
@@ -988,10 +853,10 @@ func (st *roundState) trackReasm(delta int64) {
 	}
 }
 
-// releaseUpload frees one client's half-received chunk buffers. When charge
-// is set the released chunks and bytes are charged to the late-arrival
-// counters — traffic that was paid for on the wire but never aggregated.
-func (st *roundState) releaseUpload(name string, charge bool) {
+// releaseUpload frees one client's half-received chunk buffers and charges
+// the released chunks and bytes to the late-arrival counters — traffic that
+// was paid for on the wire but never aggregated.
+func (st *roundState) releaseUpload(name string) {
 	asm := st.pending[name]
 	if asm == nil {
 		return
@@ -1000,68 +865,38 @@ func (st *roundState) releaseUpload(name string, charge bool) {
 	freed := asm.Release()
 	st.trackReasm(-freed)
 	delete(st.pending, name)
-	if charge {
-		st.f.Ctx.Costs.AddLate(chunks, freed)
-		st.f.Ctx.metricAdd("late_uploads", 1)
+	st.f.Ctx.Costs.AddLate(chunks, freed)
+	st.f.Ctx.metricAdd("late_uploads", 1)
+}
+
+// releasePending frees every in-flight reassembler — the end-of-contribute
+// sweep that keeps chunk buffers from outliving the round.
+func (st *roundState) releasePending() {
+	for name := range st.pending {
+		st.releaseUpload(name)
 	}
 }
 
-// releasePending frees every in-flight reassembler — the late-arrival
-// cutoff for stragglers whose round has moved on without them.
-func (st *roundState) releasePending(charge bool) {
-	for _, name := range st.uploaded {
-		st.releaseUpload(name, charge)
-	}
-}
-
-// ---- hierarchical (tree-mode) contribution -------------------------------
-
-// initTrees builds this round's aggregation tree(s). A defended tree round
-// partitions the scheduled cohort — not the final included set, which a
-// streaming fold cannot wait for — so a client dropped mid-wave simply
-// leaves its group's tree one contribution lighter rather than reshaping
-// the partition. With zero drops the cohort partition and the flat path's
-// included-set partition are the same list, which is what keeps the two
-// modes bit-exact on clean rounds.
-func (st *roundState) initTrees() error {
-	ctx := st.f.Ctx
-	fanout := ctx.Profile.Cohort.Fanout
-	st.resolved = make(map[string]bool, len(st.active))
-	if !st.defended() {
-		tree, err := ctx.NewAggTree(fanout)
-		if err != nil {
-			return st.fail(PhaseGather, "", err)
-		}
-		st.tree = tree
-		return nil
-	}
-	groups := AssignGroups(st.active, ctx.Profile.Defense.Groups, ctx.Profile.Seed, st.id)
-	st.groupTrees = make([]*AggTree, len(groups))
-	st.groupOf = make(map[string]int, len(st.active))
-	for g, members := range groups {
-		tree, err := ctx.NewAggTree(fanout)
-		if err != nil {
-			return st.fail(PhaseGather, "", err)
-		}
-		st.groupTrees[g] = tree
-		for _, name := range members {
-			st.groupOf[name] = g
-		}
-	}
-	return nil
-}
-
-// contribute is the tree round's merged upload+gather phase: the cohort is
-// admitted in bounded waves of MaxInflight clients, each completed upload is
-// folded straight into its aggregation tree and its buffers released, and
-// anything still unresolved when a wave's deadline expires is cut off and
-// charged as late traffic. Coordinator memory is therefore bounded by the
-// admission window plus the tree's fanout·depth live set — never by the
-// cohort size.
+// contribute runs the round's upload and gather as admission waves of
+// Cohort.MaxInflight clients (0 admits the whole cohort as one wave): each
+// wave uploads, then the server drains it, delivering every completed
+// upload to the aggregation and cutting off whatever is still unresolved
+// when the wave's deadline expires. Quorum is judged once, over the whole
+// cohort, after the last wave. A streamed round's waves fold into the
+// aggregation trees on arrival, so coordinator memory is bounded by the
+// admission window plus the trees' fanout·depth live set and the waves
+// report as one "contribute" anatomy row; a buffered round's waves report
+// as "upload" and "gather" rows.
 func (st *roundState) contribute(grads [][]float64) error {
-	if err := st.initTrees(); err != nil {
-		return err
+	if st.streamed() {
+		bare := func(_ string, fn func() error) error { return fn() }
+		return st.phaseSpan("contribute", func() error { return st.admitWaves(grads, bare) })
 	}
+	return st.admitWaves(grads, st.phaseSpan)
+}
+
+// admitWaves is contribute's wave loop; span brackets each wave's halves.
+func (st *roundState) admitWaves(grads [][]float64, span func(string, func() error) error) error {
 	window := st.f.Ctx.Profile.Cohort.MaxInflight
 	if window <= 0 || window > len(st.active) {
 		window = len(st.active)
@@ -1071,16 +906,18 @@ func (st *roundState) contribute(grads [][]float64) error {
 		if end > len(st.active) {
 			end = len(st.active)
 		}
-		if err := st.uploadWave(st.active[base:end], grads); err != nil {
+		wave := st.active[base:end]
+		if err := span("upload", func() error { return st.uploadWave(wave, grads) }); err != nil {
 			return err
 		}
-		if err := st.gatherWave(); err != nil {
+		if err := span("gather", st.gatherWave); err != nil {
 			return err
 		}
 	}
-	// Every wave either folded or cut off its members; anything left pending
-	// here is a protocol bug, but release defensively so buffers never leak.
-	st.releasePending(true)
+	// Every wave either delivered or cut off its members; anything left
+	// pending here is a protocol bug, but release defensively so buffers
+	// never leak.
+	st.releasePending()
 	st.sortIncluded()
 	if len(st.included) < st.quorum {
 		return st.fail(PhaseGather, "", fmt.Errorf("%d/%d uploads below quorum %d",
@@ -1090,11 +927,11 @@ func (st *roundState) contribute(grads [][]float64) error {
 }
 
 // gatherWave drains the current admission wave: it waits for every uploader
-// not yet resolved, folding each completed batch into the tree the moment
-// it reassembles. A wave deadline that expires cuts the stragglers off —
-// their buffers are released and their traffic charged as late — instead of
-// failing the round outright; quorum is judged once, over the whole cohort,
-// at the end of contribute.
+// not yet resolved, delivering each batch to the aggregation the moment it
+// completes. Messages from earlier rounds are stale artifacts of stragglers
+// and are discarded, as are duplicates. A wave deadline that expires cuts
+// the stragglers off — their buffers are released and their traffic charged
+// as late — and fails the round only through the drop budget.
 func (st *roundState) gatherWave() error {
 	deadline := st.phaseDeadline()
 	waiting := make(map[string]bool)
@@ -1125,11 +962,11 @@ func (st *roundState) gatherWave() error {
 		}
 		switch msg.Kind {
 		case "grads":
-			cts, err := decodeCiphertexts(msg.Payload)
+			cts, err := DecodeCiphertexts(msg.Payload)
 			if err != nil {
 				return st.fail(PhaseGather, msg.From, fmt.Errorf("server decode: %w", err))
 			}
-			if err := st.foldContribution(msg.From, cts); err != nil {
+			if err := st.deliver(msg.From, cts); err != nil {
 				return err
 			}
 			delete(waiting, msg.From)
@@ -1139,7 +976,7 @@ func (st *roundState) gatherWave() error {
 				return err
 			}
 			if cts != nil {
-				if err := st.foldContribution(msg.From, cts); err != nil {
+				if err := st.deliver(msg.From, cts); err != nil {
 					return err
 				}
 				delete(waiting, msg.From)
@@ -1149,18 +986,11 @@ func (st *roundState) gatherWave() error {
 	return nil
 }
 
-// foldContribution streams one client's completed upload into its
-// aggregation tree and marks the client included. In cohort order the fold
-// sequence matches arrival order, not canonical order — HE addition is
-// commutative and the backend deterministic, so the root is byte-identical
-// regardless; included is re-sorted to canonical order before it is
-// journaled.
-func (st *roundState) foldContribution(name string, cts []paillier.Ciphertext) error {
-	tree := st.tree
-	if st.defended() {
-		tree = st.groupTrees[st.groupOf[name]]
-	}
-	if err := tree.Add(cts); err != nil {
+// deliver hands one client's completed upload to the aggregation and marks
+// the client included — in arrival order; included is re-sorted to canonical
+// order before it is journaled.
+func (st *roundState) deliver(name string, cts []paillier.Ciphertext) error {
+	if err := st.agg.Add(name, cts); err != nil {
 		return st.fail(PhaseGather, name, err)
 	}
 	st.resolved[name] = true
@@ -1170,15 +1000,15 @@ func (st *roundState) foldContribution(name string, cts []paillier.Ciphertext) e
 
 // cutoff resolves every still-waiting member of the current wave as late:
 // buffers released, traffic charged, client dropped (within the quorum
-// budget). The wave moves on; the cohort-wide quorum check happens at the
-// end of contribute.
+// budget). The wave moves on; the cohort-wide quorum check happens after the
+// last wave.
 func (st *roundState) cutoff(waiting map[string]bool, cause error) error {
 	for _, name := range st.uploaded {
 		if !waiting[name] {
 			continue
 		}
 		st.resolved[name] = true
-		st.releaseUpload(name, true)
+		st.releaseUpload(name)
 		if rerr := st.drop(PhaseGather, name, fmt.Errorf("upload missed the wave cutoff: %w", cause)); rerr != nil {
 			return rerr
 		}
@@ -1186,10 +1016,9 @@ func (st *roundState) cutoff(waiting map[string]bool, cause error) error {
 	return nil
 }
 
-// sortIncluded restores the canonical cohort order: tree folds happen in
-// arrival order, but the journal, the report, and the grouped decryptors
-// all speak canonical order, and the flat path's byte-identical journal
-// records depend on it.
+// sortIncluded restores the canonical cohort order: uploads are delivered
+// in arrival order, but the journal, the report, and the group partition
+// all speak canonical order.
 func (st *roundState) sortIncluded() {
 	pos := make(map[string]int, len(st.active))
 	for i, name := range st.active {
@@ -1209,28 +1038,20 @@ func (st *roundState) observeLivePeak(n int64) {
 	st.f.Ctx.metricMax("live_cts_peak", n)
 }
 
-// aggregate homomorphically sums the gathered batches in upload order and
-// journals the result — the mid-round safe point. Once the aggregated
-// record is durable, a coordinator crash no longer costs the gathered
-// uploads: recovery resumes at the broadcast boundary with this payload.
-// A defended round sums each seeded group through its own aggregation
-// context instead and frames the G sub-aggregates (with their group sizes —
-// the round's group metadata) into one grouped payload, journaled the same
-// way, so crash recovery replays defended rounds unchanged.
+// aggregate seals the aggregation over the included clients and journals
+// the payload — the mid-round safe point. Once the aggregated record is
+// durable, a coordinator crash no longer costs the gathered uploads:
+// recovery resumes at the broadcast boundary with this payload, plain and
+// grouped frames alike.
 func (st *roundState) aggregate() error {
-	var err error
-	switch {
-	case st.treeMode() && st.defended():
-		err = st.aggregateGroupedTree()
-	case st.treeMode():
-		err = st.aggregateTree()
-	case st.defended():
-		err = st.aggregateGrouped()
-	default:
-		err = st.aggregatePlain()
-	}
+	payload, err := st.agg.Seal(st.included)
 	if err != nil {
-		return err
+		return st.fail(PhaseGather, "", err)
+	}
+	st.aggPayload = payload
+	st.observeLivePeak(st.agg.PeakLiveCts())
+	if st.streamed() {
+		st.finishTree(st.agg.TreeStats())
 	}
 	st.aggDigest = PayloadDigest(st.aggPayload)
 	return st.f.journalAppend(JournalRecord{
@@ -1240,92 +1061,10 @@ func (st *roundState) aggregate() error {
 	})
 }
 
-// aggregatePlain is the undefended single-aggregate sum.
-func (st *roundState) aggregatePlain() error {
-	a := &st.f.arena
-	batches := a.getBatches(len(st.included))
-	live := int64(0)
-	for _, name := range st.included {
-		batches = append(batches, st.batches[name])
-		live += int64(len(st.batches[name]))
-	}
-	// The flat path holds every gathered batch live at once — the O(K·width)
-	// baseline the tree refactor exists to beat.
-	st.observeLivePeak(live)
-	agg, err := st.f.Ctx.AggregateCiphertexts(batches)
-	if err != nil {
-		a.putBatches(batches)
-		return st.fail(PhaseGather, "", err)
-	}
-	st.aggPayload = st.f.encodeCts(agg)
-	// Once the aggregate is framed the gathered batches are dead — but only
-	// when the sum is a fresh slice: a single-batch aggregate aliases
-	// batches[0], which must stay out of the pool.
-	if len(batches) > 1 {
-		for _, name := range st.included {
-			a.putCts(st.batches[name])
-			delete(st.batches, name)
-		}
-		a.putCts(agg)
-	}
-	a.putBatches(batches)
-	return nil
-}
-
-// aggregateTree flushes the streamed aggregation tree to its root — the
-// single partial every interior level has been folding toward — and frames
-// it exactly like the flat path's aggregate, so broadcast, decrypt, journal
-// replay, and digests are mode-blind.
-func (st *roundState) aggregateTree() error {
-	root, err := st.tree.Root()
-	if err != nil {
-		return st.fail(PhaseGather, "", err)
-	}
-	st.aggPayload = st.f.encodeCts(root)
-	st.finishTree(st.tree.Stats())
-	return nil
-}
-
-// aggregateGroupedTree flushes one tree per non-empty defense group and
-// frames the G roots as a grouped payload, identical in shape to the flat
-// defended path. Group sizes count the clients actually folded (the
-// included set), so the decryptors' coverage cross-check still holds on
-// degraded rounds.
-func (st *roundState) aggregateGroupedTree() error {
-	counts := make([]int, len(st.groupTrees))
-	for _, name := range st.included {
-		counts[st.groupOf[name]]++
-	}
-	var sizes []int
-	var blobs [][]byte
-	var merged TreeStats
-	for g, tree := range st.groupTrees {
-		if counts[g] == 0 {
-			continue // every member dropped: no aggregate to ship for this group
-		}
-		root, err := tree.Root()
-		if err != nil {
-			return st.fail(PhaseGather, "", err)
-		}
-		sizes = append(sizes, counts[g])
-		blobs = append(blobs, st.f.encodeCts(root))
-		merged.merge(tree.Stats())
-	}
-	payload, err := flnet.EncodeGroupAgg(sizes, blobs)
-	if err != nil {
-		return st.fail(PhaseGather, "", err)
-	}
-	st.aggPayload = payload
-	st.f.Ctx.metricAdd("defense_groups", int64(len(sizes)))
-	st.finishTree(merged)
-	return nil
-}
-
-// finishTree publishes one tree round's statistics: the report fields, the
-// high-water gauges, and the per-level span breakdown.
+// finishTree publishes a streamed round's hierarchy statistics: the report
+// field, the gauges, and the per-level span breakdown.
 func (st *roundState) finishTree(stats TreeStats) {
 	st.treeStats = &stats
-	st.observeLivePeak(stats.PeakLiveCts)
 	st.f.Ctx.metricAdd("tree_folds", stats.Folds)
 	st.f.Ctx.metricMax("tree_depth", int64(stats.Depth))
 	st.treeSpans(stats)
@@ -1358,42 +1097,6 @@ func (st *roundState) treeSpans(stats TreeStats) {
 	}
 }
 
-// aggregateGrouped partitions the reporting clients into the policy's seeded
-// groups and HE-sums each group independently. Only the G group sums ever
-// reach a decryptor — individual updates stay hidden inside their group's
-// secure aggregate.
-func (st *roundState) aggregateGrouped() error {
-	policy := st.f.Ctx.Profile.Defense
-	groups := AssignGroups(st.included, policy.Groups, st.f.Ctx.Profile.Seed, st.id)
-	grouped := make([][][]paillier.Ciphertext, len(groups))
-	sizes := make([]int, len(groups))
-	live := int64(0)
-	for g, members := range groups {
-		sizes[g] = len(members)
-		grouped[g] = make([][]paillier.Ciphertext, 0, len(members))
-		for _, name := range members {
-			grouped[g] = append(grouped[g], st.batches[name])
-			live += int64(len(st.batches[name]))
-		}
-	}
-	st.observeLivePeak(live)
-	sums, err := st.f.Ctx.AggregateGrouped(grouped)
-	if err != nil {
-		return st.fail(PhaseGather, "", err)
-	}
-	blobs := make([][]byte, len(sums))
-	for g, cts := range sums {
-		blobs[g] = st.f.encodeCts(cts)
-	}
-	payload, err := flnet.EncodeGroupAgg(sizes, blobs)
-	if err != nil {
-		return st.fail(PhaseGather, "", err)
-	}
-	st.aggPayload = payload
-	st.f.Ctx.metricAdd("defense_groups", int64(len(groups)))
-	return nil
-}
-
 // restoreAggregate rehydrates the round from a journaled aggregate after a
 // crash: uploads and aggregation already happened in the lost attempt, so
 // the round verifies the payload against its digest and resumes at the
@@ -1411,16 +1114,12 @@ func (st *roundState) restoreAggregate() error {
 	return nil
 }
 
-// broadcast: the server returns the aggregate to every included client.
-// Defended rounds broadcast under the grouped kind so decryptors parse the
-// grouped frame; the resumed path inherits the kind from the (unchanged)
-// profile, matching the journaled payload's framing.
+// broadcast: the server returns the aggregate to every included client under
+// the aggregation's message kind; the resumed path inherits the kind from
+// the (unchanged) profile, matching the journaled payload's framing.
 func (st *roundState) broadcast() error {
 	payload := st.aggPayload
-	kind := "agg"
-	if st.defended() {
-		kind = flnet.KindGroupAgg
-	}
+	kind := st.agg.Kind()
 	for _, name := range st.included {
 		msg := flnet.Message{From: ServerName, To: name, Kind: kind, Round: st.id, Payload: payload}
 		if err := st.send(msg); err != nil {
@@ -1439,19 +1138,17 @@ func (st *roundState) broadcast() error {
 }
 
 // decrypt: each reached client consumes its aggregate copy; the first valid
-// copy is decrypted once (all clients hold the private key in the Fig. 2
+// copy is opened once (all clients hold the private key in the Fig. 2
 // layout, so one decryption keeps host time proportional without changing
-// the protocol's traffic). A quorum aggregate of K of N clients is scaled by
-// N/K so callers keep seeing a full-federation estimate.
+// the protocol's traffic). A copy that fails to parse or contradicts the
+// seeded assignment is dropped and the next one tried; decryption and
+// combiner failures are fatal to the round.
 func (st *roundState) decrypt() ([]float64, error) {
 	// The deadline bounds waiting for traffic only: every copy is drained
 	// before any HE decryption runs, so slow local compute can never expire
 	// the clock on a client whose message already arrived.
 	deadline := st.phaseDeadline()
-	wantKind := "agg"
-	if st.defended() {
-		wantKind = flnet.KindGroupAgg
-	}
+	wantKind := st.agg.Kind()
 	copies := make([]flnet.Message, 0, len(st.reached))
 	for _, name := range st.reached {
 		for {
@@ -1470,205 +1167,19 @@ func (st *roundState) decrypt() ([]float64, error) {
 			break
 		}
 	}
-	var result []float64
 	for _, msg := range copies {
-		if result != nil {
-			break
-		}
-		if st.defended() {
-			sums, derr, ferr := st.decryptGroupedCopy(msg)
-			if ferr != nil {
-				return nil, st.fail(PhaseDecrypt, msg.To, ferr)
-			}
-			if derr != nil {
-				if rerr := st.drop(PhaseDecrypt, msg.To, derr); rerr != nil {
-					return nil, rerr
-				}
-				continue
-			}
-			result = sums
-			continue
-		}
-		cts, err := decodeCiphertexts(msg.Payload)
-		if err != nil {
+		result, defense, err := st.agg.Open(msg.Payload, st.count, len(st.included), st.included)
+		if isFrameError(err) {
 			if rerr := st.drop(PhaseDecrypt, msg.To, err); rerr != nil {
 				return nil, rerr
 			}
 			continue
 		}
-		k := len(st.included)
-		sums, err := st.f.Ctx.DecryptAggregated(cts, st.count, k)
 		if err != nil {
 			return nil, st.fail(PhaseDecrypt, msg.To, err)
 		}
-		if p := st.f.Ctx.Profile.Parties; k < p {
-			scale := float64(p) / float64(k)
-			for i := range sums {
-				sums[i] *= scale
-			}
-		}
-		result = sums
+		st.defense = defense
+		return result, nil
 	}
-	if result == nil {
-		return nil, st.fail(PhaseDecrypt, "", fmt.Errorf("no client obtained the aggregate"))
-	}
-	return result, nil
-}
-
-// deriveGroups re-derives the defended round's group partition the way the
-// aggregator built it: a flat round partitions the included set, a tree
-// round partitions the scheduled cohort (the fold could not wait for the
-// final included set) and then intersects each group with the clients that
-// actually contributed, dropping groups that emptied out. Both are pure
-// functions of journaled state — included members plus the resampled
-// cohort, which broadcast-phase recovery cross-checks — so crash-recovered
-// decryptors reach the identical partition.
-func (st *roundState) deriveGroups() [][]string {
-	ctx := st.f.Ctx
-	policy := ctx.Profile.Defense
-	if !st.treeMode() {
-		return AssignGroups(st.included, policy.Groups, ctx.Profile.Seed, st.id)
-	}
-	in := make(map[string]bool, len(st.included))
-	for _, name := range st.included {
-		in[name] = true
-	}
-	var members [][]string
-	for _, group := range AssignGroups(st.active, policy.Groups, ctx.Profile.Seed, st.id) {
-		var kept []string
-		for _, name := range group {
-			if in[name] {
-				kept = append(kept, name)
-			}
-		}
-		if len(kept) > 0 {
-			members = append(members, kept)
-		}
-	}
-	return members
-}
-
-// decryptGroupedCopy decrypts one grouped-aggregate copy — only the G group
-// sums are ever decrypted — and runs the robust combiner over the group
-// means. The combiner is a pure function of the decrypted groups, so every
-// decrypting client reaches the identical defended result. A payload that
-// fails to parse or contradicts the seeded assignment returns a non-nil
-// decode error (the copy is dropped, the next one is tried); decryption and
-// combiner failures are fatal to the round.
-func (st *roundState) decryptGroupedCopy(msg flnet.Message) (result []float64, decodeErr, fatalErr error) {
-	ctx := st.f.Ctx
-	policy := ctx.Profile.Defense
-	sizes, blobs, err := flnet.DecodeGroupAgg(msg.Payload)
-	if err != nil {
-		return nil, err, nil
-	}
-	// Every decryptor re-derives the seeded partition — a pure function of
-	// journaled round state — and checks the frame's group metadata against
-	// it, so a corrupted frame cannot silently reshape the groups.
-	members := st.deriveGroups()
-	if len(members) != len(sizes) {
-		return nil, fmt.Errorf("fl: frame carries %d groups, assignment says %d", len(sizes), len(members)), nil
-	}
-	covered := 0
-	for g, m := range members {
-		if len(m) != sizes[g] {
-			return nil, fmt.Errorf("fl: group %d carries %d contributors, assignment says %d", g, sizes[g], len(m)), nil
-		}
-		covered += sizes[g]
-	}
-	if covered != len(st.included) {
-		return nil, fmt.Errorf("fl: groups cover %d clients, round included %d", covered, len(st.included)), nil
-	}
-	groups := make([]GroupUpdate, len(blobs))
-	for g, blob := range blobs {
-		cts, err := decodeCiphertexts(blob)
-		if err != nil {
-			return nil, fmt.Errorf("group %d: %w", g, err), nil
-		}
-		sum, err := ctx.DecryptAggregated(cts, st.count, sizes[g])
-		if err != nil {
-			return nil, nil, fmt.Errorf("group %d: %w", g, err)
-		}
-		for i := range sum {
-			sum[i] /= float64(sizes[g])
-		}
-		groups[g] = GroupUpdate{Mean: sum, Size: sizes[g]}
-	}
-	agg, err := policy.NewAggregator()
-	if err != nil {
-		return nil, nil, err
-	}
-	var combined []float64
-	var stats CombineStats
-	if err := st.phaseSpan("combine", func() error {
-		var cerr error
-		combined, stats, cerr = agg.Combine(groups)
-		return cerr
-	}); err != nil {
-		return nil, nil, err
-	}
-	// The robust combine estimates the per-client mean update; scale it to
-	// the full-federation sum estimate the protocol has always returned
-	// (identical to the plain path's N/K-scaled sum under FedAvg).
-	for i := range combined {
-		combined[i] *= float64(ctx.Profile.Parties)
-	}
-	st.defense = &DefenseReport{
-		Combiner:     agg.Name(),
-		Groups:       len(groups),
-		GroupSizes:   sizes,
-		GroupMembers: members,
-		Stats:        stats,
-	}
-	return combined, nil, nil
-}
-
-// encodeCiphertexts frames a ciphertext batch for the wire.
-func encodeCiphertexts(cts []paillier.Ciphertext) []byte {
-	nats := make([]mpint.Nat, len(cts))
-	for i, c := range cts {
-		nats[i] = c.C
-	}
-	return flnet.EncodeNats(nats)
-}
-
-// encodeCts is encodeCiphertexts through the federation's wire arena: the
-// nat scratch is pooled, the returned payload is always fresh bytes (the
-// transport may hold a delivered payload beyond the round).
-func (f *Federation) encodeCts(cts []paillier.Ciphertext) []byte {
-	nats := f.arena.getNats(len(cts))
-	for _, c := range cts {
-		nats = append(nats, c.C)
-	}
-	payload := flnet.EncodeNats(nats)
-	f.arena.putNats(nats)
-	return payload
-}
-
-// decodeCts parses a batch into an arena-pooled ciphertext slice; the slice
-// returns to the pool once the round's aggregate retires it.
-func (f *Federation) decodeCts(b []byte) ([]paillier.Ciphertext, error) {
-	nats, err := flnet.DecodeNatsInto(f.arena.getNats(0), b)
-	if err != nil {
-		return nil, err
-	}
-	cts := f.arena.getCts(len(nats))
-	for _, n := range nats {
-		cts = append(cts, paillier.Ciphertext{C: n})
-	}
-	f.arena.putNats(nats)
-	return cts, nil
-}
-
-// decodeCiphertexts parses a batch framed by encodeCiphertexts.
-func decodeCiphertexts(b []byte) ([]paillier.Ciphertext, error) {
-	nats, err := flnet.DecodeNats(b)
-	if err != nil {
-		return nil, err
-	}
-	cts := make([]paillier.Ciphertext, len(nats))
-	for i, n := range nats {
-		cts[i] = paillier.Ciphertext{C: n}
-	}
-	return cts, nil
+	return nil, st.fail(PhaseDecrypt, "", fmt.Errorf("no client obtained the aggregate"))
 }

@@ -17,22 +17,23 @@ import (
 
 // CohortPolicy configures cross-device scale: how many clients a round
 // schedules out of the active population, how the cohort's uploads are
-// aggregated, and how many uploads may be in flight at once. The zero value
-// keeps the flat all-parties round, byte-identical to the pre-cohort
-// protocol.
+// aggregated, and how many uploads may be in flight at once. Every value
+// runs the same round path; the zero value is the flat all-parties round,
+// byte-identical to the pre-cohort protocol.
 type CohortPolicy struct {
 	// Size is K, the number of clients sampled per round; 0 (or a value at
 	// or above the active roster size) schedules every active client.
 	Size int
 	// Fanout, when ≥ 2, aggregates the cohort through a hierarchical tree of
-	// that fan-out: interior nodes HE-sum their children and forward one
-	// partial, so coordinator live-set memory is bounded by the tree depth
-	// instead of the cohort size. 0 keeps the flat left-fold aggregation.
+	// that fan-out, folding each upload on arrival: interior nodes HE-sum
+	// their children and forward one partial, so coordinator live-set memory
+	// is bounded by the tree depth instead of the cohort size. 0 is the
+	// unbounded fan-out: uploads are buffered and left-folded at aggregate
+	// time — the baseline the tree is measured against (see Aggregation).
 	Fanout int
-	// MaxInflight bounds how many client uploads the tree round admits at
-	// once (backpressure): the next wave is not asked to upload until the
-	// current wave resolved. 0 admits the whole cohort at once. Ignored by
-	// flat rounds, whose upload phase is already sequential.
+	// MaxInflight bounds how many client uploads a round admits at once
+	// (backpressure): the next wave is not asked to upload until the current
+	// wave resolved. 0 admits the whole cohort as one wave.
 	MaxInflight int
 }
 

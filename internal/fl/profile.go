@@ -69,7 +69,7 @@ type Profile struct {
 	// Chunk is the streamed-pipeline chunk size in plaintexts per chunk:
 	// when positive, encryption runs chunked through the device streams and
 	// uploads overlap the next chunk's compute (§V-B / Fig. 4, actually
-	// executed). Zero keeps the whole-batch sequential path.
+	// executed). Zero uploads each batch whole, as one "grads" frame.
 	Chunk int
 	// NoncePool, when positive on a GPU profile, precomputes that many
 	// Paillier rⁿ noise terms offline (charged as device precompute time,
@@ -92,20 +92,21 @@ type Profile struct {
 	Byz AdversaryConfig
 	// Defense arms group-wise robust aggregation: clients are partitioned
 	// into seeded groups, HE-summed per group, and only the group sums are
-	// decrypted and robustly combined. The zero value keeps the plain
-	// single-aggregate round, byte-identical to the pre-defense protocol.
+	// decrypted and robustly combined. The zero value is the one-group round:
+	// a single aggregate, byte-identical to the pre-defense protocol.
 	Defense DefensePolicy
 	// Cohort configures cross-device scale: per-round seeded cohort sampling
 	// (Size clients scheduled out of the Parties population), hierarchical
 	// fan-out-bounded tree aggregation with streaming partial folds, and
-	// bounded in-flight uploads. The zero value keeps the flat all-parties
-	// round, byte-identical to the pre-cohort protocol.
+	// bounded in-flight uploads. The zero value is the flat all-parties
+	// round — one admission wave, unbounded fan-out — byte-identical to the
+	// pre-cohort protocol.
 	Cohort CohortPolicy
 	// Overlap configures the round runtime's compute/upload overlap: modelled
 	// per-party model computation scheduled on a lane of its own so the wave's
 	// encrypt and send streams can run other parties' uploads underneath it.
-	// The zero value charges no model compute and keeps per-party uploads on
-	// their own stream pairs (the pre-overlap accounting).
+	// The zero value charges no model compute and gives each party's upload
+	// its own stream pair (the pre-overlap accounting).
 	Overlap OverlapPolicy
 	// ClassicKey generates the Paillier key with a random generator g instead
 	// of the g = n+1 shortcut, making the encrypt-side g^m term a full modular

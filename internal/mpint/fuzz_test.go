@@ -88,10 +88,8 @@ func TestModExpCrossCheckLargeSweep(t *testing.T) {
 }
 
 // Differential fuzz targets. Every arithmetic kernel is checked against
-// math/big, and the Montgomery kernel also against the 32-bit-limb CIOS it
-// replaced (oracle32_test.go). Operands arrive as big-endian bytes; the seed
-// corpus sits on the limb boundaries where carry and trim logic is most
-// fragile.
+// math/big. Operands arrive as big-endian bytes; the seed corpus sits on the
+// limb boundaries where carry and trim logic is most fragile.
 
 // boundaryOperands returns seed operands at the limb boundaries of both the
 // host (64-bit) and the modelled (32-bit) word: widths one under, at and one
@@ -141,7 +139,7 @@ func FuzzMontMul(f *testing.F) {
 			return
 		}
 		bn := toBig(n)
-		m, old := NewMont(n), newMont32(n)
+		m := NewMont(n)
 		nm1 := SubWord(n, 1)
 		a, b := Mod(FromBytes(ab), n), Mod(FromBytes(bb), n)
 		rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), uint(64*len(n))), bn)
@@ -154,21 +152,12 @@ func FuzzMontMul(f *testing.F) {
 			if toBig(got).Cmp(want) != 0 {
 				t.Fatalf("%s·%s mod %s = %s, math/big says %s", x, y, n, got, want)
 			}
-			if o := old.modMul(x, y); Cmp(got, o) != 0 {
-				t.Fatalf("%s·%s mod %s = %s, 32-bit CIOS says %s", x, y, n, got, o)
-			}
 			// The raw kernel: x·y·R⁻¹ at the host radix R = 2^(64k).
 			raw := m.Mul(x, y)
 			wantRaw := new(big.Int).Mul(toBig(x), toBig(y))
 			wantRaw.Mul(wantRaw, rInv).Mod(wantRaw, bn)
 			if toBig(raw).Cmp(wantRaw) != 0 {
 				t.Fatalf("Mul(%s, %s) mod %s = %s, want %s", x, y, n, raw, wantRaw)
-			}
-			// An even 32-bit word count makes the old radix the same one.
-			if m.Limbs()%2 == 0 {
-				if o := old.montMul(x, y); Cmp(raw, o) != 0 {
-					t.Fatalf("Mul(%s, %s) mod %s = %s, 32-bit CIOS says %s", x, y, n, raw, o)
-				}
 			}
 			// In place: the destination aliasing an operand.
 			sc := m.getScratch()
@@ -214,9 +203,6 @@ func FuzzModExp(f *testing.F) {
 		got := m.Exp(base, e)
 		if toBig(got).Cmp(want) != 0 {
 			t.Fatalf("%s^%s mod %s = %s, math/big says %s", base, e, n, got, want)
-		}
-		if o := newMont32(n).exp(Mod(base, n), e); Cmp(got, o) != 0 {
-			t.Fatalf("%s^%s mod %s = %s, 32-bit CIOS says %s", base, e, n, got, o)
 		}
 		for w := uint(1); w <= 6; w++ {
 			if gw := m.ExpWindow(base, e, w); Cmp(gw, got) != 0 {
