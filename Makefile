@@ -53,7 +53,9 @@ race:
 # exclusion set), and the chunk reassembler's untrusted-input invariants
 # (out-of-range indices, flip-flopping totals, oversized declarations must
 # all reject typed, never panic), and the mpint arithmetic kernels
-# differentially against math/big (seed corpus on the limb boundaries).
+# differentially against math/big (seed corpus on the limb boundaries) —
+# the factorised x^(pq) mod (pq)² plan and the scratch division under it
+# included.
 fuzz:
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzSplitShards -fuzztime 10s
@@ -63,6 +65,8 @@ fuzz:
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzDivMod$$' -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzGCDModInverse$$' -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzBytesRoundTrip$$' -fuzztime 10s
+	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzPowCRT$$' -fuzztime 10s
+	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzDivInto$$' -fuzztime 10s
 
 # One iteration of every benchmark in the HE hot-path packages: catches
 # benchmarks that no longer compile or crash without paying for real timing
@@ -138,7 +142,7 @@ scale:
 	$(GO) run ./cmd/flbench scale
 
 # The round-anatomy sweep at production keys; regenerates BENCH_round.json
-# and enforces the ≥1.15x end-to-end plain-round speedup floor.
+# and enforces the ≥1.05x end-to-end plain-round speedup floor.
 round:
 	$(GO) run ./cmd/flbench -keys 2048 round
 

@@ -636,7 +636,8 @@ func runClient(opts clientOpts) error {
 			vals = adv.Apply(demoRound, opts.id, vals)
 		}
 
-		cts, err := ctx.EncryptGradients(vals)
+		// A Fig. 2 client owns the key it encrypts under.
+		cts, err := ctx.EncryptGradientsAs(ctx.Key.Holder(), vals)
 		if err != nil {
 			return err
 		}

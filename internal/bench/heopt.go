@@ -179,7 +179,9 @@ func (r *Runner) heoptFixedBase(w io.Writer, report *heoptReport) error {
 			TableEntries: eng.TableStats().Entries,
 		}
 		fb.Sweep = append(fb.Sweep, row)
-		if row.HostSpeedup > fb.Best.HostSpeedup {
+		// Picked on the modelled clock, which is deterministic: on host time
+		// heights 7 and 8 trade places between runs of unchanged code.
+		if row.SimSpeedup > fb.Best.SimSpeedup {
 			fb.Best = row
 		}
 		fmt.Fprintf(w, "%8d %14s %14s %8.2fx %8.2fx %8d\n",

@@ -176,10 +176,15 @@ func (c *Context) PrefillNonces(count int) (time.Duration, error) {
 // batch) and top up to min(Profile.NoncePool, pts) noise terms. Without this
 // every batch after the NewContext prefill silently ran unpooled — the pool
 // only warms one seed, and nextSeed advances per batch. Called by both
-// encrypt paths just before they consume the seed; a no-op without a pool.
-func (c *Context) armPool(pts int) error {
+// encrypt paths just before they consume the seed, with the key handle the
+// batch encrypts under, so the refill runs the way that party computes rⁿ;
+// a no-op without a pool.
+func (c *Context) armPool(pk *paillier.PublicKey, pts int) error {
 	if c.Pool == nil || pts <= 0 {
 		return nil
+	}
+	if err := c.Pool.Use(pk); err != nil {
+		return err
 	}
 	want := c.Profile.NoncePool
 	if pts < want {
@@ -461,6 +466,15 @@ func (c *Context) PlaintextCount(n int) int {
 // stream and is returned. An empty gradient vector emits one empty chunk so
 // protocol consumers still see the upload.
 func (c *Context) EncryptGradientsStream(grads []float64, emit func(index int, cts []paillier.Ciphertext, heSim time.Duration) error) error {
+	return c.EncryptGradientsStreamAs(&c.Key.PublicKey, grads, emit)
+}
+
+// EncryptGradientsStreamAs is EncryptGradientsStream under a caller-chosen
+// handle of the context's key, as EncryptGradientsAs is of EncryptGradients.
+func (c *Context) EncryptGradientsStreamAs(pk *paillier.PublicKey, grads []float64, emit func(index int, cts []paillier.Ciphertext, heSim time.Duration) error) error {
+	if err := c.checkHandle(pk); err != nil {
+		return err
+	}
 	sb, ok := c.Backend.(paillier.StreamBackend)
 	if !ok {
 		return fmt.Errorf("fl: backend %s does not support streamed encryption", c.Backend.Name())
@@ -480,10 +494,10 @@ func (c *Context) EncryptGradientsStream(grads []float64, emit func(index int, c
 	if c.Packer != nil {
 		slots = c.Packer.Slots()
 	}
-	if err := c.armPool(totalPts); err != nil {
+	if err := c.armPool(pk, totalPts); err != nil {
 		return err
 	}
-	sess, err := sb.BeginEncrypt(&c.Key.PublicKey, c.nextSeed())
+	sess, err := sb.BeginEncrypt(pk, c.nextSeed())
 	if err != nil {
 		return err
 	}
@@ -537,10 +551,24 @@ func (c *Context) EncryptGradientsStream(grads []float64, emit func(index int, c
 // component; the plainval/ciphertext counts feed the compression ratio.
 // With a positive Profile.Chunk the phase runs through the streamed,
 // device-pipelined path and returns the concatenated (bit-exact) result.
+//
+// The encrypting party is anyone who knows the public key — a vertical
+// model's host encrypting under the arbiter's key. A party that owns the key
+// calls EncryptGradientsAs with its holder handle instead.
 func (c *Context) EncryptGradients(grads []float64) ([]paillier.Ciphertext, error) {
+	return c.EncryptGradientsAs(&c.Key.PublicKey, grads)
+}
+
+// EncryptGradientsAs is EncryptGradients under a caller-chosen handle of the
+// context's key: &Key.PublicKey for a party that was only given the public
+// key, Key.Holder() for the key's owner — every client of the Fig. 2
+// protocol — whose rⁿ terms then go through the factorisation. The
+// ciphertexts are the same bytes either way; the handle decides what the
+// encryption costs, on both clocks.
+func (c *Context) EncryptGradientsAs(pk *paillier.PublicKey, grads []float64) ([]paillier.Ciphertext, error) {
 	if c.Profile.Chunk > 0 {
 		var out []paillier.Ciphertext
-		if err := c.EncryptGradientsStream(grads, func(_ int, cts []paillier.Ciphertext, _ time.Duration) error {
+		if err := c.EncryptGradientsStreamAs(pk, grads, func(_ int, cts []paillier.Ciphertext, _ time.Duration) error {
 			out = append(out, cts...)
 			return nil
 		}); err != nil {
@@ -548,18 +576,21 @@ func (c *Context) EncryptGradients(grads []float64) ([]paillier.Ciphertext, erro
 		}
 		return out, nil
 	}
+	if err := c.checkHandle(pk); err != nil {
+		return nil, err
+	}
 	encStart := time.Now()
 	pts, err := c.EncodePlaintexts(grads)
 	if err != nil {
 		return nil, err
 	}
 	c.Costs.AddEncode(time.Since(encStart), encodeSim(len(grads)), int64(len(grads)))
-	if err := c.armPool(len(pts)); err != nil {
+	if err := c.armPool(pk, len(pts)); err != nil {
 		return nil, err
 	}
 	base := c.simBase()
 	start := time.Now()
-	cts, err := c.Backend.EncryptVec(&c.Key.PublicKey, pts, c.nextSeed())
+	cts, err := c.Backend.EncryptVec(pk, pts, c.nextSeed())
 	if err != nil {
 		return nil, err
 	}
@@ -567,6 +598,15 @@ func (c *Context) EncryptGradients(grads []float64) ([]paillier.Ciphertext, erro
 	c.Costs.AddHE(wall, c.simSince(base, wall), int64(len(cts)), int64(len(grads)))
 	c.Costs.AddCompression(int64(len(grads)), int64(len(cts)))
 	return cts, nil
+}
+
+// checkHandle rejects a key handle that is not one of the context's own key:
+// ciphertexts under any other key would aggregate and decrypt to noise.
+func (c *Context) checkHandle(pk *paillier.PublicKey) error {
+	if pk == nil || mpint.Cmp(pk.N, c.Key.N) != 0 {
+		return fmt.Errorf("fl: encryption key is not a handle of the context's key")
+	}
+	return nil
 }
 
 // AggregateCiphertexts homomorphically sums per-party ciphertext batches

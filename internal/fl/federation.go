@@ -28,6 +28,11 @@ type Federation struct {
 	round      uint64
 	lastReport RoundReport
 	adversary  *Adversary // nil unless Profile.Byz arms the injector
+	// clientKey is the handle clients encrypt their uploads under. Every
+	// client holds the private key in the Fig. 2 layout, so it is the
+	// holder's (Key.Holder()); tests point it at the bare public key to hold
+	// the two bit-identical.
+	clientKey *paillier.PublicKey
 
 	// Durability and churn state: the (optional) write-ahead journal, the
 	// epoch this coordinator serves, the live-client roster, and the resume
@@ -63,6 +68,7 @@ func NewFederation(ctx *Context) *Federation {
 		parties:   names,
 		roster:    NewRoster(names[:len(names)-1]),
 		adversary: adv,
+		clientKey: ctx.Key.Holder(),
 	}
 }
 
@@ -639,7 +645,7 @@ func (st *roundState) sendBatch(i int, grads []float64, enc, wire *gpu.Stream, a
 	ctx := st.f.Ctx
 	name := ClientName(i)
 	heBefore := ctx.Costs.Snapshot().HESim
-	cts, err := ctx.EncryptGradients(grads)
+	cts, err := ctx.EncryptGradientsAs(st.f.clientKey, grads)
 	if err != nil {
 		return 0, 0, false, fmt.Errorf("fl: client %d encrypt: %w", i, err)
 	}
@@ -700,7 +706,7 @@ func (st *roundState) sendChunks(i int, grads []float64, enc, wire *gpu.Stream, 
 	errc := make(chan error, 1)
 	go func() {
 		defer close(ch)
-		errc <- ctx.EncryptGradientsStream(grads, func(index int, cts []paillier.Ciphertext, heSim time.Duration) error {
+		errc <- ctx.EncryptGradientsStreamAs(st.f.clientKey, grads, func(index int, cts []paillier.Ciphertext, heSim time.Duration) error {
 			select {
 			case ch <- gradChunk{index: index, cts: cts, heSim: heSim}:
 				return nil

@@ -305,6 +305,24 @@ func (c *CheckedEngine) ModExpVec(bases []mpint.Nat, exp mpint.Nat, m *mpint.Mon
 	return out, nil
 }
 
+// PowNVec implements VectorEngine. Verification recomputes sampled elements
+// through the n² sliding window — the path a party without the factorisation
+// runs, which shares no stage, schedule or constant with the fused kernel, so
+// a fault in any leg of it (a wrong residue mod p² recombines into a valid
+// but wrong element of Z*ₙ²) cannot also corrupt the check.
+func (c *CheckedEngine) PowNVec(xs []mpint.Nat, crt *mpint.CRT, m *mpint.Mont) ([]mpint.Nat, error) {
+	var out []mpint.Nat
+	err := c.execute("pow_n_crt_vec", len(xs),
+		func() (err error) { out, err = c.eng.PowNVec(xs, crt, m); return },
+		func() (err error) { out, err = c.host.PowNVec(xs, crt, m); return },
+		func(i int) mpint.Nat { return m.Exp(xs[i], crt.N()) },
+		func(i int) mpint.Nat { return out[i] })
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // ModExpVarVec implements VectorEngine.
 func (c *CheckedEngine) ModExpVarVec(bases, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
 	var out []mpint.Nat

@@ -27,6 +27,8 @@ func TestCPUEngineParityWithDevice(t *testing.T) {
 	bases := randVec(r, 20, n)
 	exps := randVec(r, 20, n)
 	exp := r.RandBits(80)
+	crt, n2 := testCRT(t, r, 96)
+	xs := randVec(r, 20, crt.N())
 
 	type pair struct {
 		name     string
@@ -36,6 +38,12 @@ func TestCPUEngineParityWithDevice(t *testing.T) {
 		{"ModExpVec",
 			func() ([]mpint.Nat, error) { return eng.ModExpVec(bases, exp, m) },
 			func() ([]mpint.Nat, error) { return host.ModExpVec(bases, exp, m) }},
+		{"PowNVec",
+			func() ([]mpint.Nat, error) { return eng.PowNVec(xs, crt, n2) },
+			func() ([]mpint.Nat, error) { return host.PowNVec(xs, crt, n2) }},
+		{"PowNVec vs the n² window",
+			func() ([]mpint.Nat, error) { return eng.PowNVec(xs, crt, n2) },
+			func() ([]mpint.Nat, error) { return host.ModExpVec(xs, crt.N(), n2) }},
 		{"ModExpVarVec",
 			func() ([]mpint.Nat, error) { return eng.ModExpVarVec(bases, exps, m) },
 			func() ([]mpint.Nat, error) { return host.ModExpVarVec(bases, exps, m) }},

@@ -30,6 +30,25 @@ func modExpWordOps(k, expBits int) int64 {
 	return int64(float64(expBits)*1.2) * montMulWordOps(k)
 }
 
+// powNWordOps is the per-item cost of the fused holder-side kernel
+// x ↦ xⁿ mod n² (mpint.CRT.PowN): its four half-width exponentiations — mod p,
+// p², q, q², each priced like any other sliding window — plus the glue
+// between them: the two input reductions x mod p and x mod q (≈ kp·kq
+// multiply-subtracts each), the two residues leaving Montgomery form, and
+// Garner's step over p², q² (both prime-square results out of Montgomery
+// form, the (q²)⁻¹ product mod p², and the plain q²·h product). At a
+// 2048-bit key the stages are 2·1228·(2112 + 8320) ≈ 25.6 M word-ops and the
+// glue 35 k, against modExpWordOps(128, 2048) = 81.1 M for the n² window.
+func powNWordOps(st [4]mpint.CRTStage) int64 {
+	kp, kp2, kq, kq2 := st[0].Limbs, st[1].Limbs, st[2].Limbs, st[3].Limbs
+	ops := int64(2*kp*kq) + montMulWordOps(kp) + montMulWordOps(kq) +
+		2*montMulWordOps(kp2) + montMulWordOps(kq2) + int64(kp2*kq2)
+	for _, s := range st {
+		ops += modExpWordOps(s.Limbs, s.ExpBits)
+	}
+	return ops
+}
+
 // fixedBaseExpWordOps is the per-item cost of one Lim–Lee comb evaluation at
 // height h: ⌈expBits/h⌉ squarings plus at most as many table multiplies —
 // the reduced multiply count the precomputed table buys over the ~1.2·expBits

@@ -15,6 +15,10 @@ import (
 type VectorEngine interface {
 	// ModExpVec computes bases[i]^exp mod m.N() for every i.
 	ModExpVec(bases []mpint.Nat, exp mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error)
+	// PowNVec computes xs[i]^n mod n² for every i through the factorisation
+	// crt compiles — what ModExpVec(xs, crt.N(), m) computes, for a caller
+	// that owns the key; m is the context mod n².
+	PowNVec(xs []mpint.Nat, crt *mpint.CRT, m *mpint.Mont) ([]mpint.Nat, error)
 	// ModExpVarVec computes bases[i]^exps[i] mod m.N() for every i.
 	ModExpVarVec(bases, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error)
 	// FixedBaseExpVec computes base^exps[i] mod m.N() for every i.
@@ -49,6 +53,15 @@ func (*CPUEngine) ModExpVec(bases []mpint.Nat, exp mpint.Nat, m *mpint.Mont) ([]
 	sched := mpint.CompileExpAuto(exp)
 	for i := range bases {
 		out[i] = m.ExpSched(bases[i], sched)
+	}
+	return out, nil
+}
+
+// PowNVec implements VectorEngine.
+func (*CPUEngine) PowNVec(xs []mpint.Nat, crt *mpint.CRT, _ *mpint.Mont) ([]mpint.Nat, error) {
+	out := make([]mpint.Nat, len(xs))
+	for i := range xs {
+		out[i] = crt.PowN(xs[i])
 	}
 	return out, nil
 }

@@ -102,6 +102,36 @@ func (e *Engine) ModExpVec(bases []mpint.Nat, exp mpint.Nat, m *mpint.Mont) ([]m
 	return out, nil
 }
 
+// PowNVec computes xs[i]^n mod n² for every i through the factorisation of
+// n = p·q that crt compiles — the rⁿ noise terms of a key holder's
+// encryptions — as one fused kernel: per lane two half-width exponentiations
+// per prime and Garner's recombination (mpint.CRT.PowN), bit-identical with
+// ModExpVec(xs, n, m) at under a third of its word-ops and half its register
+// width. m is the context mod n², the width of the results. Transfers are
+// charged at the operands' true widths: the bases are residues mod n, half as
+// wide as the results, and the key's two exponent pairs and Garner constant
+// ride along as ModExpVec's shared exponent does.
+func (e *Engine) PowNVec(xs []mpint.Nat, crt *mpint.CRT, m *mpint.Mont) ([]mpint.Nat, error) {
+	st := crt.Stages()
+	kn := (crt.N().BitLen() + 31) / 32
+	e.dev.CopyToDevice(natBytes(len(xs), kn) + natBytes(1, 2*st[0].Limbs+2*st[2].Limbs+st[1].Limbs))
+	out := make([]mpint.Nat, len(xs))
+	kern := gpu.Kernel{
+		Name:          "pow_n_crt_vec",
+		Items:         len(xs),
+		RegsPerThread: regsForLimbs(max(st[1].Limbs, st[3].Limbs)), // the widest stage
+		WordOps:       powNWordOps(st),
+		Poison:        poisonOut(out),
+	}
+	if _, err := e.dev.Launch(kern, func(i int) {
+		out[i] = crt.PowN(xs[i])
+	}); err != nil {
+		return nil, fmt.Errorf("ghe: PowNVec: %w", err)
+	}
+	e.dev.CopyFromDevice(natBytes(len(xs), m.Limbs()))
+	return out, nil
+}
+
 // ModExpVarVec computes bases[i]^exps[i] mod m.N() for every i. bases and
 // exps must have equal length.
 func (e *Engine) ModExpVarVec(bases, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {

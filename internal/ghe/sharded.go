@@ -181,6 +181,17 @@ func (s *ShardedEngine) ModExpVec(bases []mpint.Nat, exp mpint.Nat, m *mpint.Mon
 		})
 }
 
+// PowNVec implements VectorEngine.
+func (s *ShardedEngine) PowNVec(xs []mpint.Nat, crt *mpint.CRT, m *mpint.Mont) ([]mpint.Nat, error) {
+	return s.run("pow_n_crt_vec", len(xs), int64((crt.N().BitLen()+31)/32)*4,
+		func(sub *CheckedEngine, sh gpu.Shard) ([]mpint.Nat, error) {
+			return sub.PowNVec(xs[sh.Lo:sh.Hi], crt, m)
+		},
+		func(sh gpu.Shard) ([]mpint.Nat, error) {
+			return s.host.PowNVec(xs[sh.Lo:sh.Hi], crt, m)
+		})
+}
+
 // ModExpVarVec implements VectorEngine.
 func (s *ShardedEngine) ModExpVarVec(bases, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
 	if len(bases) != len(exps) {

@@ -39,6 +39,7 @@ func TestShardedMatchesSequentialEveryOp(t *testing.T) {
 	r := mpint.NewRNG(5)
 	nmod := r.RandPrime(128)
 	m := mpint.NewMont(nmod)
+	crt, n2 := testCRT(t, r, 128)
 	seq := testEngine(t)
 
 	for _, d := range []int{1, 2, 4, 8} {
@@ -62,6 +63,17 @@ func TestShardedMatchesSequentialEveryOp(t *testing.T) {
 				t.Fatalf("D=%d n=%d ModExpVec: %v", d, n, err)
 			}
 			sameVec(t, "mod_exp_vec", got, want)
+
+			xs := randVec(rr, n, crt.N())
+			want, err = seq.ModExpVec(xs, crt.N(), n2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err = sh.PowNVec(xs, crt, n2)
+			if err != nil {
+				t.Fatalf("D=%d n=%d PowNVec: %v", d, n, err)
+			}
+			sameVec(t, "pow_n_crt_vec", got, want)
 
 			want, err = seq.ModExpVarVec(bases, exps, m)
 			if err != nil {

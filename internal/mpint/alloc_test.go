@@ -15,9 +15,9 @@ func TestAllocCeilings(t *testing.T) {
 	n := randOdd(r, 2048)
 	m := NewMont(n)
 	base, e := r.RandBelow(n), r.RandBits(2048)
-	x, y := r.RandBits(2048), r.RandBits(1900)
+	x, y, wide := r.RandBits(2048), r.RandBits(1900), r.RandBits(4000)
 	sched := CompileExpAuto(e)
-	m.Exp(base, e) // fill the scratch pool
+	m.Exp(wide, e) // fill the scratch pool
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -26,6 +26,8 @@ func TestAllocCeilings(t *testing.T) {
 		// The result; the schedule is compiled into the pooled scratch.
 		{"Mont.Exp", 1, func() { m.Exp(base, e) }},
 		{"Mont.ExpSched", 1, func() { m.ExpSched(base, sched) }},
+		// A base above the modulus is reduced in the scratch.
+		{"Mont.Exp (base ≥ n)", 1, func() { m.Exp(wide, e) }},
 		{"Mont.Mul", 1, func() { m.Mul(base, base) }},
 		// The two working copies; the result is one of them.
 		{"GCD", 2, func() { GCD(x, y) }},
@@ -37,6 +39,35 @@ func TestAllocCeilings(t *testing.T) {
 			t.Errorf("%s: %.1f allocs per call, ceiling %.0f", tc.name, got, tc.max)
 		} else {
 			t.Logf("%s: %.1f allocs per call (ceiling %.0f)", tc.name, got, tc.max)
+		}
+	}
+}
+
+// TestCRTAllocCeilings pins the factorised operations at their result alone,
+// at every key shape from one-limb primes up: the chain of four
+// exponentiations, two reductions and the Garner step runs on pooled scratch.
+func TestCRTAllocCeilings(t *testing.T) {
+	for _, bits := range []int{128, 512, 1024, 2048} {
+		r := NewRNG(uint64(0xA110C + bits))
+		p, q := r.RandPrime(bits/2), r.RandPrime(bits/2)
+		c, err := NewCRT(p, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := r.RandCoprime(c.N())
+		xp, xq := AddWord(Mul(r.RandBelow(p), p), 1), AddWord(Mul(r.RandBelow(q), q), 1)
+		hp, hq := c.P().ToMont(r.RandBelow(p)), c.Q().ToMont(r.RandBelow(q))
+		c.PowN(x) // fill the scratch pool
+		for _, tc := range []struct {
+			name string
+			fn   func()
+		}{
+			{"PowN", func() { c.PowN(x) }},
+			{"LogCombine", func() { c.LogCombine(xp, xq, hp, hq) }},
+		} {
+			if got := testing.AllocsPerRun(20, tc.fn); got > 1 {
+				t.Errorf("%d-bit %s: %.1f allocs per call, ceiling 1", bits, tc.name, got)
+			}
 		}
 	}
 }

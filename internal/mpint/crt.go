@@ -1,0 +1,229 @@
+package mpint
+
+import (
+	"fmt"
+	"sync"
+)
+
+// CRT is the arithmetic of a two-prime modulus n = p·q compiled for a party
+// that knows the factors — a Paillier key holder. Everything here is
+// arithmetic mod n or n² done in the prime and prime-square components and
+// recombined with Garner's formula, on operands of half the width:
+//
+//   - PowN: x ↦ xⁿ mod n², the noise term of an encryption. For x ∈ Z*ₙ the
+//     value xⁿ mod p² lies in the subgroup of order p−1, so x mod p alone
+//     fixes it: with b = (x mod p)^(q mod (p−1)) mod p, xⁿ ≡ bᵖ (mod p²),
+//     because n ≡ q (mod p−1) gives x^q ≡ b (mod p), and u ≡ v (mod p)
+//     implies uᵖ ≡ vᵖ (mod p²). Per prime that is a half-width exponent over
+//     the prime and another over its square, against one full-width exponent
+//     over n². The identity also holds when p divides x (both sides are 0).
+//   - Exp: x ↦ xᵉ mod n² for any e, the decryption-side split.
+//   - LogCombine: the host tail of a reduced-exponent Paillier decryption.
+//
+// The Montgomery contexts, the four PowN schedules and the Garner constants
+// are built once per key; a compiled CRT is immutable and safe for
+// concurrent use. Every operation runs its chain on pooled scratch and
+// allocates only its result. Nothing here is constant-time.
+type CRT struct {
+	n       Nat
+	p, q    crtPrime
+	low, sq garner // over (p, q) and over (p², q²)
+
+	scratch sync.Pool // *crtScratch
+}
+
+// crtPrime is one prime s of the pair with the other prime o.
+type crtPrime struct {
+	m1, m2 *Mont       // mod s and mod s²
+	e1, e2 ExpSchedule // o mod (s−1), and s: the two exponents of PowN
+}
+
+// garner recombines residues modulo two coprime moduli a and b:
+// x = xb + b·((xa − xb)·b⁻¹ mod a).
+type garner struct {
+	a    *Mont // context of the first modulus
+	b    Nat   // the second modulus
+	bInv Nat   // b⁻¹ mod a in a's Montgomery form, so the product is one mulInto
+}
+
+// crtScratch is the working set of one operation: a multiply-chain scratch
+// per context (taken from the contexts' pools once and kept) and one buffer
+// for divisions and staged operands.
+type crtScratch struct {
+	p1, p2, q1, q2 *mulScratch
+	work           []Word
+}
+
+// NewCRT compiles the arithmetic of n = p·q for distinct odd primes p and q.
+// Primality is the caller's business (PowN is simply a different map on
+// composites); what is checked is what the arithmetic itself needs.
+func NewCRT(p, q Nat) (*CRT, error) {
+	p, q = trim(p).Clone(), trim(q).Clone()
+	for _, s := range []Nat{p, q} {
+		if s.IsEven() || (len(s) == 1 && s[0] < 3) {
+			return nil, fmt.Errorf("mpint: CRT factor %s is not an odd prime", s)
+		}
+	}
+	c := &CRT{n: Mul(p, q)}
+	c.p = newCRTPrime(p, q)
+	c.q = newCRTPrime(q, p)
+	var okLow, okSq bool
+	c.low, okLow = newGarner(c.p.m1, q)
+	c.sq, okSq = newGarner(c.p.m2, c.q.m2.n)
+	if !okLow || !okSq {
+		return nil, fmt.Errorf("mpint: CRT factors are not coprime")
+	}
+	if c.p.e1.isZero || c.q.e1.isZero {
+		// (s−1) | o: impossible for odd primes, and x⁰ is not x^o mod s at s | x.
+		return nil, fmt.Errorf("mpint: CRT factors are not distinct odd primes")
+	}
+	return c, nil
+}
+
+func newCRTPrime(s, o Nat) crtPrime {
+	pr := crtPrime{m1: NewMont(s), m2: NewMont(Mul(s, s))}
+	e1 := Mod(o, SubWord(s, 1))
+	pr.e1.compile(e1, expWindowBits(e1.BitLen()), nil)
+	pr.e2.compile(s, expWindowBits(s.BitLen()), nil)
+	return pr
+}
+
+func newGarner(a *Mont, b Nat) (garner, bool) {
+	inv, ok := ModInverse(b, a.n)
+	if !ok {
+		return garner{}, false
+	}
+	return garner{a: a, b: b, bInv: a.ToMont(inv)}, true
+}
+
+// N returns the modulus n = p·q.
+func (c *CRT) N() Nat { return c.n }
+
+// P and Q return the Montgomery contexts mod p and mod q; P2 and Q2 the ones
+// mod p² and mod q² (the moduli of a reduced-exponent decryption's kernels).
+func (c *CRT) P() *Mont  { return c.p.m1 }
+func (c *CRT) Q() *Mont  { return c.q.m1 }
+func (c *CRT) P2() *Mont { return c.p.m2 }
+func (c *CRT) Q2() *Mont { return c.q.m2 }
+
+// CRTStage describes one exponentiation of the PowN chain in the cost
+// model's units: the modulus size in 32-bit words (Mont.Limbs) and the
+// exponent length in bits.
+type CRTStage struct{ Limbs, ExpBits int }
+
+// Stages returns PowN's four exponentiations in execution order: mod p,
+// mod p², mod q, mod q².
+func (c *CRT) Stages() [4]CRTStage {
+	st := func(m *Mont, s *ExpSchedule) CRTStage { return CRTStage{m.Limbs(), s.bits} }
+	return [4]CRTStage{
+		st(c.p.m1, &c.p.e1), st(c.p.m2, &c.p.e2),
+		st(c.q.m1, &c.q.e1), st(c.q.m2, &c.q.e2),
+	}
+}
+
+func (c *CRT) getScratch() *crtScratch {
+	if sc, ok := c.scratch.Get().(*crtScratch); ok {
+		return sc
+	}
+	return &crtScratch{
+		p1: c.p.m1.getScratch(), p2: c.p.m2.getScratch(),
+		q1: c.q.m1.getScratch(), q2: c.q.m2.getScratch(),
+	}
+}
+
+// words returns the work buffer grown to at least n limbs.
+func (sc *crtScratch) words(n int) []Word {
+	if len(sc.work) < n {
+		sc.work = make([]Word, n)
+	}
+	return sc.work
+}
+
+// PowN returns xⁿ mod n² — bit for bit what a Montgomery context mod n²
+// computes as Exp(x, n), in under a third of the limb products.
+func (c *CRT) PowN(x Nat) Nat {
+	sc := c.getScratch()
+	defer c.scratch.Put(sc)
+	x = trim(x)
+	// One division buffer serves x mod p, x mod q and Garner's yq mod p².
+	work := sc.words(max(len(x), c.q.m2.k) + max(c.p.m2.k, c.q.m1.k) + 1)
+	yp := c.p.powN(x, sc.p1, sc.p2, work)
+	yq := c.q.powN(x, sc.q1, sc.q2, work)
+	return c.sq.combine(yp, trim(yq), sc.p2, work)
+}
+
+// powN returns x^(s·o) mod s² as m2.k limbs inside sc2's slab, valid until
+// sc2 next runs a chain: (x mod s)^(o mod (s−1)) mod s, then that to the s
+// mod s². div holds len(x)+m1.k+1 limbs.
+func (pr *crtPrime) powN(x Nat, sc1, sc2 *mulScratch, div []Word) Nat {
+	_, r := divInto(nil, div, x, pr.m1.n)
+	b := pr.m1.expMont(r, &pr.e1, sc1)
+	pr.m1.mulInto(b, b, One(), sc1) // out of Montgomery form, in place
+	y := pr.m2.expMont(b, &pr.e2, sc2)
+	pr.m2.mulInto(y, y, One(), sc2)
+	return y
+}
+
+// combine returns the x < a·b with x ≡ xa (mod a) and x ≡ xb (mod b), for
+// xb < b — the caller's one allocation. xa is a.k limbs holding a value < a
+// and is clobbered; sc is a's scratch; div holds len(xb)+a.k+1 limbs.
+func (g *garner) combine(xa []Word, xb Nat, sc *mulScratch, div []Word) Nat {
+	_, t := divInto(nil, div, xb, g.a.n)
+	if subInto(xa, xa, t) != 0 {
+		addInto(xa, xa, g.a.n) // wrapped below zero: the carry out cancels the borrow
+	}
+	h := g.a.mulInto(xa, xa, g.bInv, sc) // (xa − xb)·b⁻¹ mod a
+	if len(h) == 0 {
+		return xb.Clone()
+	}
+	z := make(Nat, len(g.b)+len(h))
+	schoolbookInto(z, g.b, h)
+	addInto(z, z, xb) // xb + b·h < b·(h+1): no carry out
+	return trim(z)
+}
+
+// Exp returns xᵉ mod n² through p² and q².
+func (c *CRT) Exp(x, e Nat) Nat {
+	xp, xq := c.p.m2.Exp(x, e), c.q.m2.Exp(x, e)
+	sc := c.getScratch()
+	defer c.scratch.Put(sc)
+	k := c.p.m2.k
+	sc.p2.grow(k)
+	xa := sc.p2.buf(k, 0) // combine clobbers its first residue: stage a copy
+	clear(xa[copy(xa, xp):])
+	return c.sq.combine(xa, xq, sc.p2, sc.words(len(xq)+k+1))
+}
+
+// LogCombine is the host tail of a reduced-exponent Paillier decryption: it
+// returns the m < n with m ≡ L_p(xp)·hp (mod p) and m ≡ L_q(xq)·hq (mod q),
+// where L_s(x) = (x−1)/s. xp < p² and xq < q² are the ciphertext raised to
+// p−1 and q−1 (so xp ≡ 1 mod p on a valid ciphertext; on anything else the
+// quotient is the floor and the result meaningless), and hp, hq are the
+// key's constants in Montgomery form (P().ToMont, Q().ToMont), which makes
+// each h-multiply a single Montgomery product.
+func (c *CRT) LogCombine(xp, xq, hp, hq Nat) Nat {
+	sc := c.getScratch()
+	defer c.scratch.Put(sc)
+	xp, xq = trim(xp), trim(xq)
+	work := sc.words(3*max(len(xp), len(xq), c.q.m1.k) + max(c.p.m1.k, c.q.m1.k) + 1)
+	mp := c.p.logMul(xp, hp, sc.p1, work)
+	mq := c.q.logMul(xq, hq, sc.q1, work)
+	return c.low.combine(mp, trim(mq), sc.p1, work)
+}
+
+// logMul returns floor((x−1)/s)·h mod s as m1.k limbs in sc's slab, for
+// x < s² and h in Montgomery form. work holds 3·len(x)+m1.k+1 limbs: x−1,
+// the quotient, and the division's own buffer.
+func (pr *crtPrime) logMul(x, h Nat, sc *mulScratch, work []Word) []Word {
+	sc.grow(pr.m1.k)
+	out := sc.buf(pr.m1.k, 0)
+	if len(x) == 0 {
+		clear(out)
+		return out
+	}
+	t, q := work[:len(x)], work[len(x):2*len(x)]
+	subInto(t, x, One())
+	l, _ := divInto(q, work[2*len(x):], t, pr.m1.n)
+	pr.m1.mulInto(out, l, h, sc)
+	return out
+}

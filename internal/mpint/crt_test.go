@@ -1,0 +1,167 @@
+package mpint
+
+import (
+	"math/big"
+	"testing"
+)
+
+// checkCRT compares every CRT operation on (p, q) against math/big for the
+// given x; p and q must be distinct odd primes.
+func checkCRT(t *testing.T, c *CRT, p, q, x Nat) {
+	t.Helper()
+	bp, bq := toBig(p), toBig(q)
+	n := new(big.Int).Mul(bp, bq)
+	n2 := new(big.Int).Mul(n, n)
+	want := new(big.Int).Exp(toBig(x), n, n2)
+	got := c.PowN(x)
+	if toBig(got).Cmp(want) != 0 {
+		t.Fatalf("PowN(%s) with p=%s q=%s = %s, math/big says %s", x, p, q, got, want)
+	}
+	if len(got) != len(trim(got)) {
+		t.Fatalf("PowN(%s) with p=%s q=%s: untrimmed result", x, p, q)
+	}
+	// Exp with an exponent that is not n, through the same Garner step.
+	e := SubWord(p, 1)
+	if got, want := c.Exp(x, e), new(big.Int).Exp(toBig(x), toBig(e), n2); toBig(got).Cmp(want) != 0 {
+		t.Fatalf("Exp(%s, %s) with p=%s q=%s = %s, math/big says %s", x, e, p, q, got, want)
+	}
+	// LogCombine on a proper pair: xs = 1 + ls·s has L_s(xs) = ls.
+	one := big.NewInt(1)
+	lp, lq := new(big.Int).Mod(toBig(x), bp), new(big.Int).Mod(want, bq)
+	hp, hq := new(big.Int).Add(new(big.Int).Rsh(bp, 1), one), new(big.Int).Sub(bq, one)
+	xp := new(big.Int).Add(one, new(big.Int).Mul(lp, bp))
+	xq := new(big.Int).Add(one, new(big.Int).Mul(lq, bq))
+	m := c.LogCombine(fromBig(xp), fromBig(xq), c.P().ToMont(fromBig(hp)), c.Q().ToMont(fromBig(hq)))
+	mp := new(big.Int).Mod(new(big.Int).Mul(lp, hp), bp)
+	mq := new(big.Int).Mod(new(big.Int).Mul(lq, hq), bq)
+	bm := toBig(m)
+	if bm.Cmp(n) >= 0 || new(big.Int).Mod(bm, bp).Cmp(mp) != 0 || new(big.Int).Mod(bm, bq).Cmp(mq) != 0 {
+		t.Fatalf("LogCombine with p=%s q=%s lp=%s lq=%s = %s, want ≡ %s mod p, ≡ %s mod q", p, q, lp, lq, m, mp, mq)
+	}
+}
+
+// TestCRTMatchesWindow holds PowN equal to the n² window path — the
+// Montgomery context every non-holder uses — at the Paillier key shapes,
+// one-limb primes (a 128-bit key) included, over seeded nonces.
+func TestCRTMatchesWindow(t *testing.T) {
+	for _, bits := range []int{64, 128, 256, 512, 1024} {
+		r := NewRNG(uint64(0xC27 + bits))
+		for key := 0; key < 3; key++ {
+			p, q := r.RandSafePrimePair(bits / 2)
+			c, err := NewCRT(p, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := Mul(p, q)
+			m := NewMont(Mul(n, n))
+			if Cmp(c.N(), n) != 0 {
+				t.Fatalf("N() = %s, want %s", c.N(), n)
+			}
+			for i := 0; i < 20; i++ {
+				x := r.RandCoprime(n)
+				if got, want := c.PowN(x), m.Exp(x, n); Cmp(got, want) != 0 {
+					t.Fatalf("%d-bit key %d: PowN(%s) = %s, n² window says %s", bits, key, x, got, want)
+				}
+			}
+			checkCRT(t, c, p, q, r.RandCoprime(n))
+		}
+	}
+}
+
+// TestCRTEdgeOperands covers the operands a nonce never is: 0, 1, multiples
+// of a prime, values at and above n and n², and primes of unequal length in
+// both orders (so Garner's reduction sees q² > 3p² and p² > 3q²).
+func TestCRTEdgeOperands(t *testing.T) {
+	r := NewRNG(0xED6E)
+	for _, shape := range [][2]int{{16, 96}, {96, 16}, {64, 65}, {130, 64}, {32, 32}} {
+		p, q := r.RandPrime(shape[0]), r.RandPrime(shape[1])
+		if Cmp(p, q) == 0 {
+			continue
+		}
+		c, err := NewCRT(p, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := Mul(p, q)
+		n2 := Mul(n, n)
+		for _, x := range []Nat{
+			nil, One(), FromUint64(2), p, q, Mul(p, FromUint64(3)), AddWord(p, 2), AddWord(Mul(q, p), 5),
+			SubWord(n, 1), n, SubWord(n2, 1), n2, AddWord(Lsh(n2, 70), 7), r.RandBits(700),
+		} {
+			checkCRT(t, c, p, q, x)
+		}
+	}
+}
+
+func TestNewCRTRejects(t *testing.T) {
+	for _, pq := range [][2]uint64{{7, 7}, {8, 7}, {7, 1}, {0, 5}, {15, 5}, {2, 3}} {
+		if _, err := NewCRT(FromUint64(pq[0]), FromUint64(pq[1])); err == nil {
+			t.Errorf("NewCRT(%d, %d) accepted", pq[0], pq[1])
+		}
+	}
+	if _, err := NewCRT(FromUint64(3), FromUint64(5)); err != nil {
+		t.Errorf("NewCRT(3, 5): %v", err)
+	}
+}
+
+// TestCRTConcurrent runs one compiled CRT from several goroutines at once;
+// under -race it is the check that the pooled scratch is never shared.
+func TestCRTConcurrent(t *testing.T) {
+	r := NewRNG(0xC0C)
+	p, q := r.RandSafePrimePair(128)
+	c, err := NewCRT(p, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := Mul(p, q)
+	m := NewMont(Mul(n, n))
+	xs := make([]Nat, 64)
+	want := make([]Nat, len(xs))
+	for i := range xs {
+		xs[i] = r.RandCoprime(n)
+		want[i] = m.Exp(xs[i], n)
+	}
+	done := make(chan int, 4)
+	for g := 0; g < 4; g++ {
+		go func(g int) {
+			bad := 0
+			for i := g; i < len(xs); i += 4 {
+				if Cmp(c.PowN(xs[i]), want[i]) != 0 {
+					bad++
+				}
+			}
+			done <- bad
+		}(g)
+	}
+	for g := 0; g < 4; g++ {
+		if bad := <-done; bad != 0 {
+			t.Errorf("%d concurrent PowN results differ from the window path", bad)
+		}
+	}
+}
+
+func BenchmarkPowN(b *testing.B) {
+	for _, bits := range []int{128, 1024, 2048} {
+		r := NewRNG(uint64(bits))
+		p, q := r.RandPrime(bits/2), r.RandPrime(bits/2)
+		c, err := NewCRT(p, q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := Mul(p, q)
+		m := NewMont(Mul(n, n))
+		x := r.RandCoprime(n)
+		b.Run("crt/"+FromUint64(uint64(bits)).String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.PowN(x)
+			}
+		})
+		b.Run("window/"+FromUint64(uint64(bits)).String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.Exp(x, n)
+			}
+		})
+	}
+}

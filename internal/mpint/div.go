@@ -17,7 +17,7 @@ func DivMod(x, y Nat) (q, r Nat) {
 		rw := divWordInPlace(q, y[0])
 		return trim(q), FromUint64(rw)
 	}
-	return divKnuth(x, y)
+	return divInto(make(Nat, len(x)-len(y)+1), make(Nat, len(x)+len(y)+1), x, y)
 }
 
 // Div returns x / y.
@@ -44,27 +44,46 @@ func modWord(x Nat, w Word) Word {
 	return r
 }
 
-// divKnuth implements Knuth TAOCP vol. 2, Algorithm 4.3.1 D for len(y) ≥ 2
-// and x ≥ y. The divisor is normalized so its top limb has its high bit set;
-// each quotient limb is estimated from the top two limbs of the running
-// remainder and the top limb of the divisor, then corrected at most twice.
-func divKnuth(x, y Nat) (Nat, Nat) {
+// divInto is DivMod on caller-provided limbs, for y ≠ 0: the remainder comes
+// back as a prefix of buf (at least len(x)+len(y)+1 limbs) and the quotient
+// as a prefix of q (at least len(x)−len(y)+1 limbs when x ≥ y). A nil q asks
+// for the remainder alone — modWord's idea at full width: the quotient digits
+// are estimated and used, never stored. Neither buffer may alias an operand.
+//
+// The multi-limb case is Knuth TAOCP vol. 2, Algorithm 4.3.1 D. The divisor
+// is normalized so its top limb has its high bit set; each quotient limb is
+// estimated from the top two limbs of the running remainder and the top limb
+// of the divisor, then corrected at most twice.
+func divInto(q, buf []Word, x, y Nat) (quo, rem Nat) {
+	x, y = trim(x), trim(y)
 	n := len(y)
-	// D1: normalize into one buffer: the dividend with an explicit extra high
-	// limb, then the divisor.
+	switch {
+	case Cmp(x, y) < 0:
+		return nil, buf[:copy(buf, x)]
+	case n == 1 && q == nil:
+		buf[0] = modWord(x, y[0])
+		return nil, trim(buf[:1])
+	case n == 1:
+		q = q[:copy(q, x)]
+		buf[0] = divWordInPlace(q, y[0])
+		return trim(q), trim(buf[:1])
+	}
+	// D1: normalize into buf: the dividend with an explicit extra high limb,
+	// then the divisor.
 	shift := uint(bits.LeadingZeros64(y[n-1]))
-	buf := make(Nat, len(x)+1+n)
-	u, v := buf[:len(x)+1], buf[len(x)+1:]
+	u, v := buf[:len(x)+1], buf[len(x)+1:len(x)+1+n]
 	if shift == 0 {
 		copy(u, x)
+		u[len(x)] = 0
 		copy(v, y)
 	} else {
 		u[len(x)] = lshInto(u[:len(x)], x, shift)
 		lshInto(v, y, shift)
 	}
 	m := len(x) - n // number of quotient limbs minus one
-
-	q := make(Nat, m+1)
+	if q != nil {
+		q = q[:m+1]
+	}
 	vTop, vNext := v[n-1], v[n-2]
 
 	// D2..D7: loop over quotient digits from most significant down.
@@ -104,7 +123,9 @@ func divKnuth(x, y Nat) (Nat, Nat) {
 			qhat--
 			u[j+n] += addInto(u[j:j+n], u[j:j+n], v)
 		}
-		q[j] = qhat
+		if q != nil {
+			q[j] = qhat
+		}
 	}
 	// D8: denormalize the remainder in place; it aliases only buf.
 	r := u[:n]

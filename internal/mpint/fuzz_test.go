@@ -338,3 +338,99 @@ func FuzzBytesRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// fuzzPrime turns fuzz bytes into the largest odd prime at or below their
+// value (3 when there is none), capped at 40 bytes so the search stays fast.
+func fuzzPrime(b []byte) Nat {
+	if len(b) > 40 {
+		b = b[:40]
+	}
+	v := new(big.Int).SetBytes(b)
+	v.SetBit(v, 0, 1)
+	for two := big.NewInt(2); v.Cmp(two) > 0; v.Sub(v, two) {
+		if v.ProbablyPrime(20) {
+			return fromBig(v)
+		}
+	}
+	return FromUint64(3)
+}
+
+// FuzzPowCRT checks the factorised x ↦ x^(pq) mod (pq)² — and Exp and
+// LogCombine, which share its Garner step — against math/big. The primes are
+// the largest ones at or below the fuzzed values, so the seed corpus puts
+// them on the limb boundaries (one-limb primes, the 128-bit-key shape,
+// included) and pairs primes of unequal length in both orders; every x is
+// also tried as a multiple of p plus a small residue and as a multiple of q.
+func FuzzPowCRT(f *testing.F) {
+	ops := boundaryOperands()
+	for i, pb := range ops {
+		f.Add(pb, ops[(i+1)%len(ops)], ops[(i+9)%len(ops)])
+		f.Add(pb, ops[(i+20)%len(ops)], []byte{byte(i)}) // unequal lengths, both orders over the corpus
+	}
+	f.Add([]byte{3}, []byte{5}, []byte{0})
+	f.Add([]byte{0xFF, 0xFF}, bytes.Repeat([]byte{0xFF}, 40), bytes.Repeat([]byte{0xAB}, 90)) // q² > 3p², x > n²
+	f.Add(bytes.Repeat([]byte{0xFF}, 40), []byte{0xFF, 0xFF}, []byte{1})                      // p² > 3q²
+	f.Fuzz(func(t *testing.T, pb, qb, xb []byte) {
+		if len(xb) > 200 {
+			xb = xb[:200]
+		}
+		p, q := fuzzPrime(pb), fuzzPrime(qb)
+		c, err := NewCRT(p, q)
+		if Cmp(p, q) == 0 {
+			if err == nil {
+				t.Fatalf("NewCRT(%s, %s) accepted equal primes", p, q)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("NewCRT(%s, %s): %v", p, q, err)
+		}
+		x := FromBytes(xb)
+		small := FromUint64(modWord(x, 7))
+		for _, v := range []Nat{x, Add(Mul(p, x), small), Mul(q, AddWord(x, 1))} {
+			checkCRT(t, c, p, q, v)
+		}
+	})
+}
+
+// FuzzDivInto checks the scratch division — remainder only, and with the
+// quotient — against DivMod and math/big, on buffers that arrive dirty.
+func FuzzDivInto(f *testing.F) {
+	ops := boundaryOperands()
+	for i, xb := range ops {
+		f.Add(append(append([]byte{}, xb...), ops[(i+3)%len(ops)]...), ops[(i+1)%len(ops)])
+		f.Add(xb, xb)
+		f.Add(ops[(i+1)%len(ops)], append(append([]byte{}, xb...), 1)) // x < y
+	}
+	f.Add(bytes.Repeat([]byte{0xFF}, 512), bytes.Repeat([]byte{0xFF}, 128))
+	f.Add(append([]byte{0x80}, make([]byte, 31)...), []byte{0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, xb, yb []byte) {
+		if len(xb) > 1024 || len(yb) > 1024 {
+			return
+		}
+		x, y := FromBytes(xb), FromBytes(yb)
+		if y.IsZero() {
+			return
+		}
+		dirty := func(n int) []Word {
+			buf := make([]Word, n)
+			for i := range buf {
+				buf[i] = ^Word(0) - Word(i)
+			}
+			return buf
+		}
+		wq, wr := DivMod(x, y)
+		bq, br := new(big.Int).QuoRem(toBig(x), toBig(y), new(big.Int))
+		if toBig(wq).Cmp(bq) != 0 || toBig(wr).Cmp(br) != 0 {
+			t.Fatalf("DivMod(%s, %s) = %s rem %s, math/big says %s rem %s", x, y, wq, wr, bq, br)
+		}
+		q, r := divInto(nil, dirty(len(x)+len(y)+1), x, y)
+		if q != nil || Cmp(r, wr) != 0 || len(r) != len(trim(r)) {
+			t.Fatalf("remainder-only %s mod %s = %s (quotient %v), want %s", x, y, r, q, wr)
+		}
+		q, r = divInto(dirty(len(x)+1), dirty(len(x)+len(y)+1), x, y)
+		if Cmp(q, wq) != 0 || Cmp(r, wr) != 0 || len(q) != len(trim(q)) || len(r) != len(trim(r)) {
+			t.Fatalf("scratch %s / %s = %s rem %s, want %s rem %s", x, y, q, r, wq, wr)
+		}
+	})
+}

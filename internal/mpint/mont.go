@@ -81,6 +81,7 @@ type mulScratch struct {
 	t      []Word // 2k: k+1 of them for a multiply, all for a squaring
 	aw, bw []Word // k each
 	slab   []Word
+	div    []Word  // division buffer for a base that arrives ≥ n
 	ops    []int16 // backing for the schedule Exp compiles and drops
 }
 
@@ -421,10 +422,14 @@ func (m *Mont) ExpSched(base Nat, s *ExpSchedule) Nat {
 	return m.runSched(base, s, sc)
 }
 
-// runSched is ExpSched on caller-held scratch.
+// runSched is ExpSched on caller-held scratch. A base ≥ n (a ciphertext mod
+// n² raised mod p²) is reduced into the scratch, remainder only.
 func (m *Mont) runSched(base Nat, s *ExpSchedule, sc *mulScratch) Nat {
 	if Cmp(base, m.n) >= 0 {
-		base = Mod(base, m.n)
+		if need := len(base) + m.k + 1; len(sc.div) < need {
+			sc.div = make([]Word, need)
+		}
+		_, base = divInto(nil, sc.div, base, m.n)
 	}
 	if s.isZero {
 		return One()

@@ -16,7 +16,8 @@
 // and RSA: addition, subtraction, multiplication (schoolbook and Karatsuba),
 // Knuth Algorithm-D division, Montgomery multiplication (the CIOS method of
 // Algorithm 1 in the paper), sliding-window modular exponentiation, binary
-// GCD, extended-Euclid modular inverse, and Miller–Rabin prime generation.
+// GCD, extended-Euclid modular inverse, Miller–Rabin prime generation, and
+// the arithmetic a holder of a factorisation n = p·q does through it (CRT).
 //
 // math/big is deliberately not used anywhere in this package; the test suite
 // uses it only as a differential oracle.

@@ -173,7 +173,7 @@ func (g *GPUBackend) nonceTerms(pk *PublicKey, base, count int, seed uint64) ([]
 	if err != nil {
 		return nil, fmt.Errorf("paillier: gpu nonces at %d: %w", at, err)
 	}
-	rn, err := g.Engine.ModExpVec(rs, pk.N, pk.MontN2())
+	rn, err := pk.nonceTermVec(g.Engine, rs)
 	if err != nil {
 		return nil, fmt.Errorf("paillier: gpu r^n at %d: %w", at, err)
 	}
@@ -254,7 +254,8 @@ func (g *GPUBackend) RerandomizeVec(pk *PublicKey, cs []Ciphertext, seed uint64)
 // DecryptVec implements Backend with the reduced-exponent CRT split: two
 // shared-exponent kernels over the half-size moduli p² and q² (exponents
 // p−1 and q−1, half the bits of λ, on operands with half the limbs), then
-// the cheap L(·)·h and Garner recombination per element on the host.
+// the cheap L(·)·h and Garner recombination per element on the host, on
+// pooled scratch (one allocation per plaintext).
 func (g *GPUBackend) DecryptVec(sk *PrivateKey, cs []Ciphertext) ([]mpint.Nat, error) {
 	bases := make([]mpint.Nat, len(cs))
 	for i, c := range cs {
@@ -263,19 +264,17 @@ func (g *GPUBackend) DecryptVec(sk *PrivateKey, cs []Ciphertext) ([]mpint.Nat, e
 		}
 		bases[i] = c.C
 	}
-	xp, err := g.Engine.ModExpVec(bases, sk.pm1, sk.montP2)
+	xp, err := g.Engine.ModExpVec(bases, sk.pm1, sk.crt.P2())
 	if err != nil {
 		return nil, fmt.Errorf("paillier: gpu DecryptVec c^(p-1): %w", err)
 	}
-	xq, err := g.Engine.ModExpVec(bases, sk.qm1, sk.montQ2)
+	xq, err := g.Engine.ModExpVec(bases, sk.qm1, sk.crt.Q2())
 	if err != nil {
 		return nil, fmt.Errorf("paillier: gpu DecryptVec c^(q-1): %w", err)
 	}
 	out := make([]mpint.Nat, len(cs))
 	for i := range cs {
-		mp := mpint.ModMul(lHalf(xp[i], sk.P), sk.hp, sk.P)
-		mq := mpint.ModMul(lHalf(xq[i], sk.Q), sk.hq, sk.Q)
-		out[i] = sk.garner(mp, mq)
+		out[i] = sk.crt.LogCombine(xp[i], xq[i], sk.hp, sk.hq)
 	}
 	return out, nil
 }

@@ -1,0 +1,135 @@
+package paillier
+
+import (
+	"testing"
+
+	"flbooster/internal/ghe"
+	"flbooster/internal/mpint"
+)
+
+// TestHolderHandleSameBits: at every key size the suite uses, and under the
+// classic generator too, the owner's handle produces what the shareable key
+// produces — the rⁿ term itself against the n² window, a ciphertext under a
+// chosen nonce, a rerandomization under one RNG stream — and decrypts back.
+func TestHolderHandleSameBits(t *testing.T) {
+	keys := map[string]*PrivateKey{}
+	for _, bits := range []int{128, 256, 512, 1024} {
+		keys[mpint.FromUint64(uint64(bits)).String()] = keyOfSize(t, bits)
+	}
+	classic, err := GenerateKeyClassic(mpint.NewRNG(44), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys["classic"] = classic
+	for name, sk := range keys {
+		pk, own := &sk.PublicKey, sk.Holder()
+		if pk.own != nil || own.own == nil {
+			t.Fatalf("%s: the factorisation sits on the wrong handle", name)
+		}
+		rng := mpint.NewRNG(7)
+		for i := 0; i < 20; i++ {
+			r, m := rng.RandCoprime(sk.N), rng.RandBelow(sk.N)
+			want := pk.MontN2().Exp(r, sk.N)
+			if got := own.nonceTerm(r); mpint.Cmp(got, want) != 0 {
+				t.Fatalf("%s: holder r^n = %s, n² window says %s", name, got, want)
+			}
+			if got := pk.nonceTerm(r); mpint.Cmp(got, want) != 0 {
+				t.Fatalf("%s: public r^n = %s, n² window says %s", name, got, want)
+			}
+			a, errA := pk.EncryptWithNonce(m, r)
+			b, errB := own.EncryptWithNonce(m, r)
+			if errA != nil || errB != nil || mpint.Cmp(a.C, b.C) != 0 {
+				t.Fatalf("%s: ciphertexts differ between handles (%v, %v)", name, errA, errB)
+			}
+			ra, rb := pk.Rerandomize(a, mpint.NewRNG(uint64(i))), own.Rerandomize(a, mpint.NewRNG(uint64(i)))
+			if mpint.Cmp(ra.C, rb.C) != 0 {
+				t.Fatalf("%s: rerandomizations differ between handles", name)
+			}
+			if got, err := sk.Decrypt(rb); err != nil || mpint.Cmp(got, m) != 0 {
+				t.Fatalf("%s: holder ciphertext decrypts to %s (%v), want %s", name, got, err, m)
+			}
+		}
+	}
+}
+
+// TestHolderHandleStaysPrivate: nothing that leaves the process carries the
+// factorisation — the marshalled public key of either handle is the same
+// bytes and loads without it — and a reloaded private key has its own.
+func TestHolderHandleStaysPrivate(t *testing.T) {
+	sk := testKey(t)
+	pub, err := sk.PublicKey.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := sk.Holder().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(pub) != string(own) {
+		t.Fatal("the two handles marshal differently")
+	}
+	back, err := UnmarshalPublicKey(own)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.own != nil {
+		t.Fatal("an unmarshalled public key carries a factorisation")
+	}
+	raw, err := sk.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk2, err := UnmarshalPrivateKey(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := mpint.NewRNG(3).RandCoprime(sk.N)
+	if mpint.Cmp(sk2.Holder().nonceTerm(r), sk.PublicKey.nonceTerm(r)) != 0 {
+		t.Fatal("a reloaded key's holder handle computes a different r^n")
+	}
+}
+
+// TestPoolUse: a pool follows the handle of its own key it is told to use,
+// keeps what it has, and refuses another key.
+func TestPoolUse(t *testing.T) {
+	sk := keyOfSize(t, 512)
+	ms := plaintexts(8, sk.N)
+	const seed = 31
+	eng := ghe.NewCPUEngine()
+	want, err := MustGPUBackend(eng).EncryptVec(&sk.PublicKey, ms, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewNoncePool(&sk.PublicKey, eng, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pool.Prefill(3); err != nil {
+		t.Fatal(err)
+	}
+	if err := pool.Use(sk.Holder()); err != nil {
+		t.Fatal(err)
+	}
+	if pool.Ready() != 3 {
+		t.Fatalf("Use dropped ready terms: %d left", pool.Ready())
+	}
+	if _, err := pool.Prefill(len(ms)); err != nil { // the rest through the factorisation
+		t.Fatal(err)
+	}
+	b := MustGPUBackend(eng)
+	b.Pool = pool
+	got, err := b.EncryptVec(sk.Holder(), ms, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameCiphertexts(t, "mixed refill", got, want)
+	if st := pool.Stats(); st.Hits != int64(len(ms)) {
+		t.Errorf("hits = %d, want %d", st.Hits, len(ms))
+	}
+	if err := pool.Use(&testKey(t).PublicKey); err == nil {
+		t.Error("Use accepted another key")
+	}
+	if err := pool.Use(nil); err == nil {
+		t.Error("Use accepted nil")
+	}
+}

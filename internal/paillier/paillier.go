@@ -8,13 +8,16 @@
 // Key generation defaults to g = n+1, which makes gᵐ a single modular
 // multiplication (1 + m·n mod n²) without changing the scheme's semantics;
 // GenerateKeyClassic draws a random g ∈ Z*_{n²} as the paper states it, and
-// every operation works with either form. Decryption uses the CRT split
-// over p² and q² — the standard 4× speedup.
+// every operation works with either form. Whoever holds the factorisation
+// works through it (mpint.CRT): decryption splits over p² and q² — the
+// standard 4× speedup — and so does the key holder's own encryption
+// (PrivateKey.Holder), whose rⁿ term costs under a third of the public one.
 package paillier
 
 import (
 	"fmt"
 
+	"flbooster/internal/ghe"
 	"flbooster/internal/mpint"
 )
 
@@ -26,6 +29,12 @@ type PublicKey struct {
 
 	montN2  *mpint.Mont // Montgomery context mod n²
 	plusOne bool        // g == n+1 fast path
+
+	// own is the key's factorisation, set only on the handle
+	// PrivateKey.Holder returns: it is how nonceTerm and nonceTermVec know
+	// the encrypting party owns the key. The shareable key — the one embedded
+	// in PrivateKey, the one UnmarshalPublicKey builds — never carries it.
+	own *mpint.CRT
 }
 
 // PrivateKey extends the public key with the trapdoor.
@@ -35,21 +44,29 @@ type PrivateKey struct {
 	Lambda mpint.Nat // λ = lcm(p−1, q−1)
 	Mu     mpint.Nat // μ = L(g^λ mod n²)⁻¹ mod n
 
-	// CRT acceleration for c^λ mod n².
-	p2, q2     mpint.Nat
-	montP2     *mpint.Mont
-	montQ2     *mpint.Mont
-	q2InvModP2 mpint.Nat // (q²)⁻¹ mod p²
+	// crt is the arithmetic through the factorisation: the contexts mod p,
+	// q, p², q² and Garner's constants over both pairs.
+	crt *mpint.CRT
 
 	// Reduced-exponent CRT decryption (§III-B optimisation): instead of one
 	// full-λ exponentiation per prime square, decrypt with exponent p−1
 	// (resp. q−1) — half the bits of λ — and fold the L(g^λ)⁻¹ correction
 	// into per-prime constants hp = L_p(g^{p−1} mod p²)⁻¹ mod p. The halves
-	// recombine over p and q with Garner's formula.
+	// recombine over p and q with Garner's formula (crt.LogCombine).
 	pm1, qm1 mpint.Nat // p−1, q−1: the reduced decryption exponents
-	hp, hq   mpint.Nat // L_p(g^{p−1})⁻¹ mod p, L_q(g^{q−1})⁻¹ mod q
-	qInvModP mpint.Nat // q⁻¹ mod p
+	hp, hq   mpint.Nat // L_p(g^{p−1})⁻¹ mod p, L_q(g^{q−1})⁻¹ mod q, in Montgomery form
+
+	holder *PublicKey // the public key plus crt: what Holder returns
 }
+
+// Holder returns the public-key handle of the party that owns sk. It is the
+// same key as &sk.PublicKey — same ciphertext for the same plaintext and
+// nonce, byte for byte — but encryptions and rerandomizations under it
+// compute rⁿ mod n² through the factorisation (mpint.CRT.PowN, the fused
+// ghe.VectorEngine.PowNVec kernel). Pass it wherever the encrypting party is
+// the key's owner (the Fig. 2 clients); never share it — it carries the
+// private key. &sk.PublicKey stays the one to hand to anybody else.
+func (sk *PrivateKey) Holder() *PublicKey { return sk.holder }
 
 // Ciphertext is a Paillier ciphertext: an element of Z*_{n²}.
 type Ciphertext struct {
@@ -135,26 +152,18 @@ func newKey(p, q, g mpint.Nat) (*PrivateKey, error) {
 		pk.G = g
 	}
 
-	sk := &PrivateKey{
-		PublicKey: pk,
-		P:         p, Q: q,
-		Lambda: lambda,
-		p2:     mpint.Mul(p, p),
-		q2:     mpint.Mul(q, q),
+	crt, err := mpint.NewCRT(p, q)
+	if err != nil {
+		return nil, fmt.Errorf("paillier: %w", err)
 	}
-	sk.montP2 = mpint.NewMont(sk.p2)
-	sk.montQ2 = mpint.NewMont(sk.q2)
-	inv, ok := mpint.ModInverse(sk.q2, sk.p2)
-	if !ok {
-		return nil, fmt.Errorf("paillier: q² not invertible mod p²")
-	}
-	sk.q2InvModP2 = inv
+	sk := &PrivateKey{PublicKey: pk, P: p, Q: q, Lambda: lambda, crt: crt}
+	holder := pk
+	holder.own = crt
+	sk.holder = &holder
 
 	// μ = L(g^λ mod n²)⁻¹ mod n; with g = n+1, g^λ mod n² = 1 + λn, so
 	// L = λ mod n and μ = λ⁻¹ mod n.
-	gl := sk.expN2(pk.G, lambda)
-	l := pk.lFunc(gl)
-	mu, ok := mpint.ModInverse(l, n)
+	mu, ok := mpint.ModInverse(pk.lFunc(crt.Exp(pk.G, lambda)), n)
 	if !ok {
 		return nil, fmt.Errorf("paillier: L(g^λ) not invertible mod n (bad g)")
 	}
@@ -165,19 +174,15 @@ func newKey(p, q, g mpint.Nat) (*PrivateKey, error) {
 	// g (it fails exactly when L(g^λ) is not invertible mod n, which the μ
 	// computation above already rejected), but we check and redraw anyway.
 	sk.pm1, sk.qm1 = pm1, qm1
-	hp, ok := mpint.ModInverse(lHalf(sk.montP2.Exp(pk.G, pm1), p), p)
+	hp, ok := mpint.ModInverse(lHalf(crt.P2().Exp(pk.G, pm1), p), p)
 	if !ok {
 		return nil, fmt.Errorf("paillier: L_p(g^(p-1)) not invertible mod p (bad g)")
 	}
-	hq, ok := mpint.ModInverse(lHalf(sk.montQ2.Exp(pk.G, qm1), q), q)
+	hq, ok := mpint.ModInverse(lHalf(crt.Q2().Exp(pk.G, qm1), q), q)
 	if !ok {
 		return nil, fmt.Errorf("paillier: L_q(g^(q-1)) not invertible mod q (bad g)")
 	}
-	qInv, ok := mpint.ModInverse(mpint.Mod(q, p), p)
-	if !ok {
-		return nil, fmt.Errorf("paillier: q not invertible mod p")
-	}
-	sk.hp, sk.hq, sk.qInvModP = hp, hq, qInv
+	sk.hp, sk.hq = crt.P().ToMont(hp), crt.Q().ToMont(hq)
 	return sk, nil
 }
 
@@ -192,15 +197,27 @@ func (pk *PublicKey) lFunc(x mpint.Nat) mpint.Nat {
 	return mpint.Div(mpint.Sub(x, mpint.One()), pk.N)
 }
 
-// expN2 computes base^e mod n² via the CRT split when the private key is
-// available: x ≡ base^e mod p², mod q² recombined with Garner's formula.
-func (sk *PrivateKey) expN2(base, e mpint.Nat) mpint.Nat {
-	xp := sk.montP2.Exp(base, e)
-	xq := sk.montQ2.Exp(base, e)
-	// x = xq + q²·((xp − xq)·(q²)⁻¹ mod p²)
-	diff := mpint.ModSub(xp, mpint.Mod(xq, sk.p2), sk.p2)
-	h := mpint.ModMul(diff, sk.q2InvModP2, sk.p2)
-	return mpint.Add(xq, mpint.Mul(sk.q2, h))
+// nonceTerm returns rⁿ mod n², the noise term of an encryption or
+// rerandomization under nonce r. It and nonceTermVec are the only places the
+// term is computed and the only places that ask who is encrypting: a handle
+// that carries the factorisation (PrivateKey.Holder) takes the half-width
+// route through p² and q², any other key the n² window. Both produce the
+// same element of Z*ₙ², so nothing downstream can tell them apart.
+func (pk *PublicKey) nonceTerm(r mpint.Nat) mpint.Nat {
+	if pk.own != nil {
+		return pk.own.PowN(r)
+	}
+	return pk.montN2.Exp(r, pk.N)
+}
+
+// nonceTermVec is nonceTerm for a batch on a vector engine: the fused
+// factorised kernel for the key's holder, the shared-exponent n² kernel for
+// everybody else.
+func (pk *PublicKey) nonceTermVec(eng ghe.VectorEngine, rs []mpint.Nat) ([]mpint.Nat, error) {
+	if pk.own != nil {
+		return eng.PowNVec(rs, pk.own, pk.montN2)
+	}
+	return eng.ModExpVec(rs, pk.N, pk.montN2)
 }
 
 // GPowM computes gᵐ mod n², using the (1 + m·n) shortcut when g = n+1.
@@ -232,9 +249,7 @@ func (pk *PublicKey) EncryptWithNonce(m, r mpint.Nat) (Ciphertext, error) {
 	if mpint.Cmp(m, pk.N) >= 0 {
 		return Ciphertext{}, fmt.Errorf("paillier: plaintext exceeds modulus")
 	}
-	gm := pk.GPowM(m)
-	rn := pk.montN2.Exp(r, pk.N)
-	return Ciphertext{C: mpint.ModMul(gm, rn, pk.N2)}, nil
+	return Ciphertext{C: mpint.ModMul(pk.GPowM(m), pk.nonceTerm(r), pk.N2)}, nil
 }
 
 // Decrypt recovers the plaintext with the reduced-exponent CRT path:
@@ -248,9 +263,8 @@ func (sk *PrivateKey) Decrypt(c Ciphertext) (mpint.Nat, error) {
 	if c.C.IsZero() || mpint.Cmp(c.C, sk.N2) >= 0 {
 		return nil, fmt.Errorf("paillier: ciphertext out of range")
 	}
-	mp := sk.halfDecrypt(c.C, sk.montP2, sk.pm1, sk.hp, sk.P)
-	mq := sk.halfDecrypt(c.C, sk.montQ2, sk.qm1, sk.hq, sk.Q)
-	return sk.garner(mp, mq), nil
+	xp, xq := sk.crt.P2().Exp(c.C, sk.pm1), sk.crt.Q2().Exp(c.C, sk.qm1)
+	return sk.crt.LogCombine(xp, xq, sk.hp, sk.hq), nil
 }
 
 // DecryptClassic recovers the plaintext via the textbook full-λ route:
@@ -260,22 +274,8 @@ func (sk *PrivateKey) DecryptClassic(c Ciphertext) (mpint.Nat, error) {
 	if c.C.IsZero() || mpint.Cmp(c.C, sk.N2) >= 0 {
 		return nil, fmt.Errorf("paillier: ciphertext out of range")
 	}
-	cl := sk.expN2(c.C, sk.Lambda)
+	cl := sk.crt.Exp(c.C, sk.Lambda)
 	return mpint.ModMul(sk.lFunc(cl), sk.Mu, sk.N), nil
-}
-
-// halfDecrypt computes L_prime(c^{prime−1} mod prime²)·h mod prime — one
-// prime's share of the reduced-exponent decryption.
-func (sk *PrivateKey) halfDecrypt(c mpint.Nat, m *mpint.Mont, em1, h, prime mpint.Nat) mpint.Nat {
-	return mpint.ModMul(lHalf(m.Exp(c, em1), prime), h, prime)
-}
-
-// garner recombines the per-prime plaintext shares into m mod n:
-// m = m_q + q·((m_p − m_q)·q⁻¹ mod p).
-func (sk *PrivateKey) garner(mp, mq mpint.Nat) mpint.Nat {
-	diff := mpint.ModSub(mp, mpint.Mod(mq, sk.P), sk.P)
-	h := mpint.ModMul(diff, sk.qInvModP, sk.P)
-	return mpint.Add(mq, mpint.Mul(sk.Q, h))
 }
 
 // Add computes the homomorphic addition E(m₁+m₂) = E(m₁)·E(m₂) mod n²
@@ -297,7 +297,5 @@ func (pk *PublicKey) MulPlain(c Ciphertext, k mpint.Nat) Ciphertext {
 // Rerandomize multiplies by a fresh encryption of zero, unlinking the
 // ciphertext from its origin without changing the plaintext.
 func (pk *PublicKey) Rerandomize(c Ciphertext, rng *mpint.RNG) Ciphertext {
-	r := rng.RandCoprime(pk.N)
-	rn := pk.montN2.Exp(r, pk.N)
-	return Ciphertext{C: mpint.ModMul(c.C, rn, pk.N2)}
+	return Ciphertext{C: mpint.ModMul(c.C, pk.nonceTerm(rng.RandCoprime(pk.N)), pk.N2)}
 }

@@ -90,6 +90,20 @@ func (p *NoncePool) Stats() PoolStats {
 	return p.stats
 }
 
+// Use names the handle later refills compute rⁿ through — the pool's own key
+// as another party holds it (PrivateKey.Holder for the owner, the bare public
+// key for anybody else). Ready pairs stay valid: every handle of one key
+// yields the same terms. A different key is an error.
+func (p *NoncePool) Use(pk *PublicKey) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if pk == nil || mpint.Cmp(pk.N, p.pk.N) != 0 {
+		return fmt.Errorf("paillier: NoncePool.Use needs a handle of the pool's own key")
+	}
+	p.pk = pk
+	return nil
+}
+
 // Reseed discards every precomputed pair and retargets the pool at a new
 // stream: seed's global index 0 onward. Call before Prefill when the next
 // encryption batch will run under a different seed.
@@ -156,7 +170,7 @@ func (p *NoncePool) Prefill(count int) (time.Duration, error) {
 		if err != nil {
 			return refillErr(fmt.Errorf("paillier: pool refill nonces at %d: %w", base, err))
 		}
-		rns, err := p.eng.ModExpVec(rs, p.pk.N, p.pk.MontN2())
+		rns, err := p.pk.nonceTermVec(p.eng, rs)
 		if err != nil {
 			return refillErr(fmt.Errorf("paillier: pool refill r^n at %d: %w", base, err))
 		}

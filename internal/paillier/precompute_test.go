@@ -218,23 +218,30 @@ func TestPooledEncryptBitExact(t *testing.T) {
 					t.Fatalf("element %d: EncryptVec diverges from EncryptWithNonce", i)
 				}
 			}
-			pool, err := NewNoncePool(&sk.PublicKey, se, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := pool.Prefill(len(ms)); err != nil {
-				t.Fatal(err)
-			}
-			pooled := MustGPUBackend(eng)
-			pooled.Pool = pool
-			got, err := pooled.EncryptVec(&sk.PublicKey, ms, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameCiphertexts(t, name+" pooled", got, want)
-			st := pool.Stats()
-			if st.Hits != int64(len(ms)) || st.Misses != 0 {
-				t.Errorf("pool stats after full hit: %+v", st)
+			for _, h := range handles(sk) {
+				unpooled, err := plain.EncryptVec(h.pk, ms, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameCiphertexts(t, name+" "+h.name, unpooled, want)
+				pool, err := NewNoncePool(h.pk, se, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := pool.Prefill(len(ms)); err != nil {
+					t.Fatal(err)
+				}
+				pooled := MustGPUBackend(eng)
+				pooled.Pool = pool
+				got, err := pooled.EncryptVec(h.pk, ms, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameCiphertexts(t, name+" "+h.name+" pooled", got, want)
+				st := pool.Stats()
+				if st.Hits != int64(len(ms)) || st.Misses != 0 {
+					t.Errorf("pool stats after full hit: %+v", st)
+				}
 			}
 		})
 	}
@@ -252,34 +259,38 @@ func TestPooledEncryptPartialServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewNoncePool(&sk.PublicKey, eng, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Chunk = 4
-	if _, err := pool.Prefill(5); err != nil {
-		t.Fatal(err)
-	}
-	b := MustGPUBackend(eng)
-	b.Pool = pool
-	got, err := b.EncryptVec(&sk.PublicKey, ms, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCiphertexts(t, "partial serve", got, want)
-	st := pool.Stats()
-	if st.Hits != 5 || st.Misses != 7 {
-		t.Errorf("hits/misses = %d/%d, want 5/7", st.Hits, st.Misses)
-	}
-	// A second batch under the same seed restarts at stream position 0,
-	// which the drained pool cannot serve — full miss, still bit-exact.
-	again, err := b.EncryptVec(&sk.PublicKey, ms, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCiphertexts(t, "drained pool", again, want)
-	if st := pool.Stats(); st.Misses != 7+int64(len(ms)) {
-		t.Errorf("drained pool misses = %d, want %d", st.Misses, 7+len(ms))
+	for _, h := range handles(sk) {
+		// The pool refills as anybody would; the batch's inline remainder is
+		// computed under the caller's handle. Either mix is the same stream.
+		pool, err := NewNoncePool(&sk.PublicKey, eng, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Chunk = 4
+		if _, err := pool.Prefill(5); err != nil {
+			t.Fatal(err)
+		}
+		b := MustGPUBackend(eng)
+		b.Pool = pool
+		got, err := b.EncryptVec(h.pk, ms, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCiphertexts(t, h.name+" partial serve", got, want)
+		st := pool.Stats()
+		if st.Hits != 5 || st.Misses != 7 {
+			t.Errorf("hits/misses = %d/%d, want 5/7", st.Hits, st.Misses)
+		}
+		// A second batch under the same seed restarts at stream position 0,
+		// which the drained pool cannot serve — full miss, still bit-exact.
+		again, err := b.EncryptVec(h.pk, ms, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCiphertexts(t, h.name+" drained pool", again, want)
+		if st := pool.Stats(); st.Misses != 7+int64(len(ms)) {
+			t.Errorf("drained pool misses = %d, want %d", st.Misses, 7+len(ms))
+		}
 	}
 }
 
@@ -294,19 +305,21 @@ func TestPooledSessionBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewNoncePool(&sk.PublicKey, eng, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.Prefill(len(ms)); err != nil {
-		t.Fatal(err)
-	}
-	b := MustGPUBackend(eng)
-	b.Pool = pool
-	got, _ := streamEncrypt(t, b, &sk.PublicKey, ms, seed, 3)
-	sameCiphertexts(t, "pooled session", got, want)
-	if st := pool.Stats(); st.Hits != int64(len(ms)) {
-		t.Errorf("session hits = %d, want %d", st.Hits, len(ms))
+	for _, h := range handles(sk) {
+		pool, err := NewNoncePool(h.pk, eng, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pool.Prefill(len(ms)); err != nil {
+			t.Fatal(err)
+		}
+		b := MustGPUBackend(eng)
+		b.Pool = pool
+		got, _ := streamEncrypt(t, b, h.pk, ms, seed, 3)
+		sameCiphertexts(t, h.name+" pooled session", got, want)
+		if st := pool.Stats(); st.Hits != int64(len(ms)) {
+			t.Errorf("session hits = %d, want %d", st.Hits, len(ms))
+		}
 	}
 }
 
@@ -323,30 +336,32 @@ func TestPoolFaultRetryKeepsIndicesAligned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev := gpu.MustNew(gpu.SmallTestDevice(), true)
-	dev.SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 9, AbortProb: 0.3}))
-	dev.SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 1 << 30, FailAfter: 1 << 30})
-	checked, err := ghe.NewCheckedEngine(ghe.MustEngine(dev), ghe.CheckedConfig{MaxRetries: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := NewNoncePool(&sk.PublicKey, checked, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Chunk = 3
-	if _, err := pool.Prefill(len(ms)); err != nil {
-		t.Fatal(err)
-	}
-	b := MustGPUBackend(checked)
-	b.Pool = pool
-	got, err := b.EncryptVec(&sk.PublicKey, ms, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCiphertexts(t, "faulty refill", got, want)
-	if checked.Stats().Retries == 0 {
-		t.Skip("injector never fired during refill at this seed")
+	for _, h := range handles(sk) {
+		dev := gpu.MustNew(gpu.SmallTestDevice(), true)
+		dev.SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 9, AbortProb: 0.3}))
+		dev.SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 1 << 30, FailAfter: 1 << 30})
+		checked, err := ghe.NewCheckedEngine(ghe.MustEngine(dev), ghe.CheckedConfig{MaxRetries: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool, err := NewNoncePool(h.pk, checked, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Chunk = 3
+		if _, err := pool.Prefill(len(ms)); err != nil {
+			t.Fatal(err)
+		}
+		b := MustGPUBackend(checked)
+		b.Pool = pool
+		got, err := b.EncryptVec(h.pk, ms, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCiphertexts(t, h.name+" faulty refill", got, want)
+		if checked.Stats().Retries == 0 {
+			t.Skip("injector never fired during refill at this seed")
+		}
 	}
 }
 

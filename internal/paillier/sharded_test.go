@@ -71,6 +71,11 @@ func TestShardedBackendBitExact(t *testing.T) {
 
 	for _, d := range []int{1, 2, 4, 8} {
 		b, _ := shardedBackend(t, d)
+		own, err := b.EncryptVec(sk.Holder(), ms, 42)
+		if err != nil {
+			t.Fatalf("D=%d holder EncryptVec: %v", d, err)
+		}
+		sameCts(t, "holder encrypt", own, wantCts)
 		cts, err := b.EncryptVec(pk, ms, 42)
 		if err != nil {
 			t.Fatalf("D=%d EncryptVec: %v", d, err)
@@ -112,34 +117,36 @@ func TestShardedBackendPooledNoncesBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b, eng := shardedBackend(t, 4)
-	pool, err := NewNoncePool(pk, eng, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool.Chunk = 5 // uneven chunks stress the global-index stitching
-	moved, err := pool.Prefill(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved <= 0 {
-		t.Fatal("sharded prefill should reclassify accrued set time")
-	}
-	if got := eng.Set().SimTime(); got != 0 {
-		t.Fatalf("online set clock after prefill = %v, want 0", got)
-	}
-	if st := eng.Set().Stats(); st.SimPrecomputeTime != moved {
-		t.Fatalf("set precompute %v, want %v", st.SimPrecomputeTime, moved)
-	}
+	for _, h := range handles(sk) {
+		b, eng := shardedBackend(t, 4)
+		pool, err := NewNoncePool(h.pk, eng, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool.Chunk = 5 // uneven chunks stress the global-index stitching
+		moved, err := pool.Prefill(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if moved <= 0 {
+			t.Fatal("sharded prefill should reclassify accrued set time")
+		}
+		if got := eng.Set().SimTime(); got != 0 {
+			t.Fatalf("online set clock after prefill = %v, want 0", got)
+		}
+		if st := eng.Set().Stats(); st.SimPrecomputeTime != moved {
+			t.Fatalf("set precompute %v, want %v", st.SimPrecomputeTime, moved)
+		}
 
-	b.Pool = pool
-	got, err := b.EncryptVec(pk, ms, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCts(t, "pooled encrypt", got, want)
-	if st := pool.Stats(); st.Hits != int64(n) {
-		t.Fatalf("pool hits = %d, want %d (stats %+v)", st.Hits, n, st)
+		b.Pool = pool
+		got, err := b.EncryptVec(h.pk, ms, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCts(t, h.name+" pooled encrypt", got, want)
+		if st := pool.Stats(); st.Hits != int64(n) {
+			t.Fatalf("pool hits = %d, want %d (stats %+v)", st.Hits, n, st)
+		}
 	}
 }
 
@@ -160,27 +167,29 @@ func TestShardedSessionSeqCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := b.BeginEncrypt(pk, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	var got []Ciphertext
-	for lo := 0; lo < n; lo += 5 {
-		hi := lo + 5
-		if hi > n {
-			hi = n
-		}
-		cts, seq, err := sess.Next(ms[lo:hi])
+	for _, h := range handles(sk) {
+		sess, err := b.BeginEncrypt(h.pk, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if seq <= 0 {
-			t.Fatalf("chunk [%d,%d) reported no modelled cost", lo, hi)
+		var got []Ciphertext
+		for lo := 0; lo < n; lo += 5 {
+			hi := lo + 5
+			if hi > n {
+				hi = n
+			}
+			cts, seq, err := sess.Next(ms[lo:hi])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq <= 0 {
+				t.Fatalf("chunk [%d,%d) reported no modelled cost", lo, hi)
+			}
+			got = append(got, cts...)
 		}
-		got = append(got, cts...)
+		sess.Close()
+		sameCts(t, h.name+" session", got, want)
 	}
-	sameCts(t, "session", got, want)
 }
 
 // TestShardedBackendMidBatchKill: killing one of four devices mid-encrypt
@@ -199,22 +208,27 @@ func TestShardedBackendMidBatchKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, eng := shardedBackend(t, 4)
-	// The kill lands mid-batch: the first launches succeed, then device 1
-	// aborts everything from its third launch on.
-	eng.Set().Device(1).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 2, KillAtLaunch: 3}))
-	got, err := b.EncryptVec(pk, ms, 13)
-	if err != nil {
-		t.Fatalf("EncryptVec under mid-batch kill: %v", err)
-	}
-	sameCts(t, "encrypt under kill", got, want)
-	dec, err := b.DecryptVec(sk, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range dec {
-		if mpint.Cmp(dec[i], ms[i]) != 0 {
-			t.Fatalf("decrypt[%d] mismatch after kill", i)
+	for _, h := range handles(sk) {
+		b, eng := shardedBackend(t, 4)
+		// The kill lands mid-batch: the first launches succeed, then device 1
+		// aborts everything from its third launch on.
+		eng.Set().Device(1).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 2, KillAtLaunch: 3}))
+		got, err := b.EncryptVec(h.pk, ms, 13)
+		if err != nil {
+			t.Fatalf("%s EncryptVec under mid-batch kill: %v", h.name, err)
+		}
+		sameCts(t, h.name+" encrypt under kill", got, want)
+		if eng.Set().Stats().Steals == 0 {
+			t.Fatalf("%s: the kill stole no shard", h.name)
+		}
+		dec, err := b.DecryptVec(sk, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range dec {
+			if mpint.Cmp(dec[i], ms[i]) != 0 {
+				t.Fatalf("decrypt[%d] mismatch after kill", i)
+			}
 		}
 	}
 }

@@ -47,6 +47,20 @@ func sameCiphertexts(t *testing.T, label string, a, b []Ciphertext) {
 	}
 }
 
+// handle is one way a party holds sk's public key.
+type handle struct {
+	name string
+	pk   *PublicKey
+}
+
+// handles returns both: the shareable key anybody encrypts under (the n²
+// window) and the owner's handle (the factorised kernel). The bit-exactness
+// tables take their reference under the first and run the path under test
+// under each, so every one of them also holds holder ≡ public.
+func handles(sk *PrivateKey) []handle {
+	return []handle{{"public", &sk.PublicKey}, {"holder", sk.Holder()}}
+}
+
 func plaintexts(n int, mod mpint.Nat) []mpint.Nat {
 	rng := mpint.NewRNG(2024)
 	ms := make([]mpint.Nat, n)
@@ -67,11 +81,18 @@ func TestStreamEncryptBitExactCPU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, chunk := range []int{1, 4, 8, 21, 64} {
-		got, sim := streamEncrypt(t, CPUBackend{}, pk, ms, seed, chunk)
-		sameCiphertexts(t, "cpu", want, got)
-		if sim != 0 {
-			t.Fatalf("cpu session reported sim time %v", sim)
+	for _, h := range handles(sk) {
+		whole, err := CPUBackend{}.EncryptVec(h.pk, ms, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCiphertexts(t, "cpu "+h.name, want, whole)
+		for _, chunk := range []int{1, 4, 8, 21, 64} {
+			got, sim := streamEncrypt(t, CPUBackend{}, h.pk, ms, seed, chunk)
+			sameCiphertexts(t, "cpu "+h.name, want, got)
+			if sim != 0 {
+				t.Fatalf("cpu session reported sim time %v", sim)
+			}
 		}
 	}
 }
@@ -96,36 +117,38 @@ func TestStreamEncryptBitExactGPU(t *testing.T) {
 		t.Fatalf("whole-batch path must not register stream ops")
 	}
 
-	dev2 := gpu.MustNew(gpu.SmallTestDevice(), true)
-	b2 := MustGPUBackend(ghe.MustEngine(dev2))
-	got, sim := streamEncrypt(t, b2, pk, ms, seed, 8)
-	sameCiphertexts(t, "gpu", want, got)
-	if sim <= 0 {
-		t.Fatalf("device session reported no sim cost")
-	}
-	st := dev2.Stats()
-	if st.StreamOps != 1 || st.StreamChunks != 3 {
-		t.Fatalf("stream counters ops=%d chunks=%d, want 1 and 3", st.StreamOps, st.StreamChunks)
-	}
-	if st.SimStreamTime <= 0 || st.SimStreamTime > st.SimStreamSeqTime {
-		t.Fatalf("overlap %v outside (0, %v]", st.SimStreamTime, st.SimStreamSeqTime)
-	}
-	if ov := st.SimTimeOverlapped(); ov > st.SimTime() {
-		t.Fatalf("overlapped total %v exceeds sequential %v", ov, st.SimTime())
-	}
-	// The session's reported per-chunk costs are the device's sequential
-	// accrual for the streamed work.
-	if sim != st.SimStreamSeqTime {
-		t.Fatalf("session sim sum %v != device stream seq %v", sim, st.SimStreamSeqTime)
-	}
-	// Decrypts round-trip.
-	dec, err := b2.DecryptVec(sk, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ms {
-		if mpint.Cmp(dec[i], ms[i]) != 0 {
-			t.Fatalf("roundtrip %d differs", i)
+	for _, h := range handles(sk) {
+		dev2 := gpu.MustNew(gpu.SmallTestDevice(), true)
+		b2 := MustGPUBackend(ghe.MustEngine(dev2))
+		got, sim := streamEncrypt(t, b2, h.pk, ms, seed, 8)
+		sameCiphertexts(t, "gpu "+h.name, want, got)
+		if sim <= 0 {
+			t.Fatalf("device session reported no sim cost")
+		}
+		st := dev2.Stats()
+		if st.StreamOps != 1 || st.StreamChunks != 3 {
+			t.Fatalf("stream counters ops=%d chunks=%d, want 1 and 3", st.StreamOps, st.StreamChunks)
+		}
+		if st.SimStreamTime <= 0 || st.SimStreamTime > st.SimStreamSeqTime {
+			t.Fatalf("overlap %v outside (0, %v]", st.SimStreamTime, st.SimStreamSeqTime)
+		}
+		if ov := st.SimTimeOverlapped(); ov > st.SimTime() {
+			t.Fatalf("overlapped total %v exceeds sequential %v", ov, st.SimTime())
+		}
+		// The session's reported per-chunk costs are the device's sequential
+		// accrual for the streamed work.
+		if sim != st.SimStreamSeqTime {
+			t.Fatalf("session sim sum %v != device stream seq %v", sim, st.SimStreamSeqTime)
+		}
+		// Decrypts round-trip.
+		dec, err := b2.DecryptVec(sk, got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ms {
+			if mpint.Cmp(dec[i], ms[i]) != 0 {
+				t.Fatalf("roundtrip %d differs", i)
+			}
 		}
 	}
 }
@@ -145,15 +168,17 @@ func TestStreamEncryptCheckedRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dev := gpu.MustNew(gpu.SmallTestDevice(), true)
-	dev.SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 11, CorruptProb: 0.3}))
-	dev.SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 1, FailAfter: 1 << 30})
-	ce := ghe.MustCheckedEngine(ghe.MustEngine(dev), ghe.CheckedConfig{MaxRetries: 8, VerifyFraction: 1})
-	got, _ := streamEncrypt(t, MustGPUBackend(ce), pk, ms, seed, 6)
-	sameCiphertexts(t, "checked-retry", want, got)
-	st := ce.Stats()
-	if st.VerifyFailures == 0 || st.Retries == 0 {
-		t.Fatalf("expected mid-stream corruption retries, got %+v", st)
+	for _, h := range handles(sk) {
+		dev := gpu.MustNew(gpu.SmallTestDevice(), true)
+		dev.SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 11, CorruptProb: 0.3}))
+		dev.SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 1, FailAfter: 1 << 30})
+		ce := ghe.MustCheckedEngine(ghe.MustEngine(dev), ghe.CheckedConfig{MaxRetries: 8, VerifyFraction: 1})
+		got, _ := streamEncrypt(t, MustGPUBackend(ce), h.pk, ms, seed, 6)
+		sameCiphertexts(t, "checked-retry "+h.name, want, got)
+		st := ce.Stats()
+		if st.VerifyFailures == 0 || st.Retries == 0 {
+			t.Fatalf("%s: expected mid-stream corruption retries, got %+v", h.name, st)
+		}
 	}
 }
 
@@ -172,15 +197,17 @@ func TestStreamEncryptCheckedFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dev := gpu.MustNew(gpu.SmallTestDevice(), true)
-	// Kill after the first chunk's kernels so the stream breaks mid-flight.
-	dev.SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 4}))
-	ce := ghe.MustCheckedEngine(ghe.MustEngine(dev), ghe.CheckedConfig{MaxRetries: 2, VerifyFraction: 1})
-	got, _ := streamEncrypt(t, MustGPUBackend(ce), pk, ms, seed, 6)
-	sameCiphertexts(t, "checked-failover", want, got)
-	st := ce.Stats()
-	if !st.FellBack {
-		t.Fatalf("expected permanent failover, got %+v", st)
+	for _, h := range handles(sk) {
+		dev := gpu.MustNew(gpu.SmallTestDevice(), true)
+		// Kill after the first chunk's kernels so the stream breaks mid-flight.
+		dev.SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 4}))
+		ce := ghe.MustCheckedEngine(ghe.MustEngine(dev), ghe.CheckedConfig{MaxRetries: 2, VerifyFraction: 1})
+		got, _ := streamEncrypt(t, MustGPUBackend(ce), h.pk, ms, seed, 6)
+		sameCiphertexts(t, "checked-failover "+h.name, want, got)
+		st := ce.Stats()
+		if !st.FellBack {
+			t.Fatalf("%s: expected permanent failover, got %+v", h.name, st)
+		}
 	}
 }
 
@@ -196,10 +223,12 @@ func TestStreamEncryptHostEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, sim := streamEncrypt(t, b, pk, ms, seed, 3)
-	sameCiphertexts(t, "host-engine", want, got)
-	if sim != 0 {
-		t.Fatalf("host engine session reported sim time %v", sim)
+	for _, h := range handles(sk) {
+		got, sim := streamEncrypt(t, b, h.pk, ms, seed, 3)
+		sameCiphertexts(t, "host-engine "+h.name, want, got)
+		if sim != 0 {
+			t.Fatalf("host engine session reported sim time %v", sim)
+		}
 	}
 }
 
