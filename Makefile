@@ -142,7 +142,7 @@ scale:
 	$(GO) run ./cmd/flbench scale
 
 # The round-anatomy sweep at production keys; regenerates BENCH_round.json
-# and enforces the ≥1.05x end-to-end plain-round speedup floor.
+# and enforces the ≥1.15x end-to-end plain-round speedup floor.
 round:
 	$(GO) run ./cmd/flbench -keys 2048 round
 

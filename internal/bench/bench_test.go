@@ -143,29 +143,45 @@ func TestHeadlineOrderingHolds(t *testing.T) {
 }
 
 func TestAblationOrderingHolds(t *testing.T) {
-	// Table V shape: the full system beats both ablations. The w/o-GHE leg
-	// sets the CPU's host wall time against the GPU's modelled time, and at a
-	// 128-bit key the modelled device is launch-bound (≈600 µs an epoch at any
-	// key size) while the host needs about as long: the holder-side
-	// encryption of PR 15 made it a coin flip. 512 bits is the smallest key
-	// with a real margin (≈4 ms of host time against ≈0.6 ms).
+	// Table V shape: the full system beats both ablations.
+	//
+	// The w/o-GHE leg sets two clocks against each other — a CPU profile's HE
+	// time is host wall time, the GPU profile's is modelled device time — and
+	// at the micro config's 128-bit key the modelled device is launch-bound
+	// (601 µs an epoch, whatever the key) while this box's host needed
+	// 710–1020 µs for the same epoch before PR 15 and needs 575–680 µs since
+	// its clients encrypt through the factorisation. Which side of 601 µs the
+	// host lands on is now a property of the box, so at 128 bits that
+	// ordering is logged, not asserted (it failed 19 runs in 60), and it is
+	// asserted at 512 bits, the smallest key where the host (≈4 ms) is clear
+	// of the launch floor. The w/o-BC ordering is modelled traffic on both
+	// sides and holds at either size.
 	r, err := NewRunner(microConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	times := map[fl.System]float64{}
-	for _, sys := range []fl.System{fl.SystemFLBooster, fl.SystemNoGHE, fl.SystemNoBC} {
-		res, err := r.runEpochs("Homo LR", sys, 512, datasets.RCV1Spec, 1)
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		keyBits   int
+		assertGHE bool
+	}{{128, false}, {512, true}} {
+		times := map[fl.System]float64{}
+		for _, sys := range []fl.System{fl.SystemFLBooster, fl.SystemNoGHE, fl.SystemNoBC} {
+			res, err := r.runEpochs("Homo LR", sys, tc.keyBits, datasets.RCV1Spec, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			times[sys] = res.Costs.TotalSim().Seconds()
 		}
-		times[sys] = res.Costs.TotalSim().Seconds()
-	}
-	if times[fl.SystemFLBooster] >= times[fl.SystemNoGHE] {
-		t.Fatalf("removing GPU HE should slow the system: %v", times)
-	}
-	if times[fl.SystemFLBooster] >= times[fl.SystemNoBC] {
-		t.Fatalf("removing batch compression should slow the system: %v", times)
+		switch {
+		case times[fl.SystemFLBooster] < times[fl.SystemNoGHE]:
+		case tc.assertGHE:
+			t.Fatalf("k=%d: removing GPU HE should slow the system: %v", tc.keyBits, times)
+		default:
+			t.Logf("k=%d: host HE undercut the launch-bound device: %v", tc.keyBits, times)
+		}
+		if times[fl.SystemFLBooster] >= times[fl.SystemNoBC] {
+			t.Fatalf("k=%d: removing batch compression should slow the system: %v", tc.keyBits, times)
+		}
 	}
 }
 

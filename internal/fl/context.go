@@ -183,9 +183,6 @@ func (c *Context) armPool(pk *paillier.PublicKey, pts int) error {
 	if c.Pool == nil || pts <= 0 {
 		return nil
 	}
-	if err := c.Pool.Use(pk); err != nil {
-		return err
-	}
 	want := c.Profile.NoncePool
 	if pts < want {
 		want = pts
@@ -193,7 +190,7 @@ func (c *Context) armPool(pk *paillier.PublicKey, pts int) error {
 	if c.Pool.Seed() != c.peekSeed() {
 		c.Pool.Reseed(c.peekSeed())
 	}
-	_, err := c.Pool.Prefill(want)
+	_, err := c.Pool.PrefillAs(pk, want)
 	return err
 }
 
@@ -456,7 +453,8 @@ func (c *Context) PlaintextCount(n int) int {
 	return n
 }
 
-// EncryptGradientsStream runs the client-side encryption phase chunked:
+// EncryptGradientsStreamAs runs the client-side encryption phase chunked,
+// under a caller-chosen handle of the context's key (as EncryptGradientsAs):
 // the gradient vector is quantized once, then packed and encrypted
 // Profile.Chunk plaintexts at a time through the backend's streaming
 // session. Chunk boundaries align to plaintext groups, and the nonce stream
@@ -465,12 +463,6 @@ func (c *Context) PlaintextCount(n int) int {
 // chunk in order with its sequential HE sim cost; an emit error stops the
 // stream and is returned. An empty gradient vector emits one empty chunk so
 // protocol consumers still see the upload.
-func (c *Context) EncryptGradientsStream(grads []float64, emit func(index int, cts []paillier.Ciphertext, heSim time.Duration) error) error {
-	return c.EncryptGradientsStreamAs(&c.Key.PublicKey, grads, emit)
-}
-
-// EncryptGradientsStreamAs is EncryptGradientsStream under a caller-chosen
-// handle of the context's key, as EncryptGradientsAs is of EncryptGradients.
 func (c *Context) EncryptGradientsStreamAs(pk *paillier.PublicKey, grads []float64, emit func(index int, cts []paillier.Ciphertext, heSim time.Duration) error) error {
 	if err := c.checkHandle(pk); err != nil {
 		return err

@@ -164,7 +164,7 @@ func TestEncryptGradientsStreamMatchesWholeBatch(t *testing.T) {
 		var got []paillier.Ciphertext
 		var indices []int
 		var simTotal time.Duration
-		err = ctx.EncryptGradientsStream(grads, func(index int, cts []paillier.Ciphertext, heSim time.Duration) error {
+		err = ctx.EncryptGradientsStreamAs(&ctx.Key.PublicKey, grads, func(index int, cts []paillier.Ciphertext, heSim time.Duration) error {
 			indices = append(indices, index)
 			got = append(got, cts...)
 			simTotal += heSim
@@ -202,7 +202,7 @@ func TestEncryptGradientsStreamEmptyVector(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	err = ctx.EncryptGradientsStream(nil, func(index int, cts []paillier.Ciphertext, _ time.Duration) error {
+	err = ctx.EncryptGradientsStreamAs(&ctx.Key.PublicKey, nil, func(index int, cts []paillier.Ciphertext, _ time.Duration) error {
 		calls++
 		if index != 0 || len(cts) != 0 {
 			t.Fatalf("empty vector emitted chunk %d with %d ciphertexts", index, len(cts))

@@ -89,9 +89,9 @@ func TestHolderHandleStaysPrivate(t *testing.T) {
 	}
 }
 
-// TestPoolUse: a pool follows the handle of its own key it is told to use,
-// keeps what it has, and refuses another key.
-func TestPoolUse(t *testing.T) {
+// TestPoolPrefillAs: a pool refills through whichever handle of its own key
+// the caller passes, mixes the pairs freely, and refuses another key.
+func TestPoolPrefillAs(t *testing.T) {
 	sk := keyOfSize(t, 512)
 	ms := plaintexts(8, sk.N)
 	const seed = 31
@@ -107,14 +107,11 @@ func TestPoolUse(t *testing.T) {
 	if _, err := pool.Prefill(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := pool.Use(sk.Holder()); err != nil {
+	if _, err := pool.PrefillAs(sk.Holder(), len(ms)); err != nil { // the rest through the factorisation
 		t.Fatal(err)
 	}
-	if pool.Ready() != 3 {
-		t.Fatalf("Use dropped ready terms: %d left", pool.Ready())
-	}
-	if _, err := pool.Prefill(len(ms)); err != nil { // the rest through the factorisation
-		t.Fatal(err)
+	if pool.Ready() != len(ms) {
+		t.Fatalf("ready = %d, want %d", pool.Ready(), len(ms))
 	}
 	b := MustGPUBackend(eng)
 	b.Pool = pool
@@ -126,10 +123,10 @@ func TestPoolUse(t *testing.T) {
 	if st := pool.Stats(); st.Hits != int64(len(ms)) {
 		t.Errorf("hits = %d, want %d", st.Hits, len(ms))
 	}
-	if err := pool.Use(&testKey(t).PublicKey); err == nil {
-		t.Error("Use accepted another key")
+	if _, err := pool.PrefillAs(&testKey(t).PublicKey, 1); err == nil {
+		t.Error("PrefillAs accepted another key")
 	}
-	if err := pool.Use(nil); err == nil {
-		t.Error("Use accepted nil")
+	if _, err := pool.PrefillAs(nil, 1); err == nil {
+		t.Error("PrefillAs accepted nil")
 	}
 }

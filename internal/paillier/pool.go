@@ -90,20 +90,6 @@ func (p *NoncePool) Stats() PoolStats {
 	return p.stats
 }
 
-// Use names the handle later refills compute rⁿ through — the pool's own key
-// as another party holds it (PrivateKey.Holder for the owner, the bare public
-// key for anybody else). Ready pairs stay valid: every handle of one key
-// yields the same terms. A different key is an error.
-func (p *NoncePool) Use(pk *PublicKey) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if pk == nil || mpint.Cmp(pk.N, p.pk.N) != 0 {
-		return fmt.Errorf("paillier: NoncePool.Use needs a handle of the pool's own key")
-	}
-	p.pk = pk
-	return nil
-}
-
 // Reseed discards every precomputed pair and retargets the pool at a new
 // stream: seed's global index 0 onward. Call before Prefill when the next
 // encryption batch will run under a different seed.
@@ -126,6 +112,18 @@ func (p *NoncePool) Reseed(seed uint64) {
 // rⁿ-exponentiation succeed, so a mid-chunk fault retry inside a checked
 // engine can never desynchronize the pool against the global stream cursor.
 func (p *NoncePool) Prefill(count int) (time.Duration, error) {
+	return p.PrefillAs(p.pk, count)
+}
+
+// PrefillAs is Prefill with rⁿ computed the way pk's party computes it — pk
+// is a handle of the pool's own key, PrivateKey.Holder for the owner or the
+// bare public key for anybody else. Every handle of one key yields the same
+// terms, so pairs refilled under different handles mix freely; a handle of
+// another key is an error.
+func (p *NoncePool) PrefillAs(pk *PublicKey, count int) (time.Duration, error) {
+	if pk == nil || mpint.Cmp(pk.N, p.pk.N) != 0 {
+		return 0, fmt.Errorf("paillier: pool refill needs a handle of the pool's own key")
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	need := count - len(p.rns)
@@ -166,11 +164,11 @@ func (p *NoncePool) Prefill(count int) (time.Duration, error) {
 			pipe.Begin()
 		}
 		base := p.head + len(p.rns)
-		rs, err := p.eng.RandCoprimeRange(base, n, p.pk.N, p.seed)
+		rs, err := p.eng.RandCoprimeRange(base, n, pk.N, p.seed)
 		if err != nil {
 			return refillErr(fmt.Errorf("paillier: pool refill nonces at %d: %w", base, err))
 		}
-		rns, err := p.pk.nonceTermVec(p.eng, rs)
+		rns, err := pk.nonceTermVec(p.eng, rs)
 		if err != nil {
 			return refillErr(fmt.Errorf("paillier: pool refill r^n at %d: %w", base, err))
 		}
