@@ -55,11 +55,14 @@ race:
 # all reject typed, never panic), and the mpint arithmetic kernels
 # differentially against math/big (seed corpus on the limb boundaries) —
 # the factorised x^(pq) mod (pq)² plan and the scratch division under it
-# included.
+# included — and the decryptor side of the vertical return path (any
+# plaintexts against any declared value count and slot width reject typed
+# or split exactly, with the result the only allocation).
 fuzz:
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzSplitShards -fuzztime 10s
 	$(GO) test ./internal/flnet -run '^$$' -fuzz FuzzReassembler -fuzztime 10s
+	$(GO) test ./internal/fl -run '^$$' -fuzz FuzzSplitSlots -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzMontMul$$' -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzModExp$$' -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzDivMod$$' -fuzztime 10s

@@ -612,14 +612,10 @@ func (c *Context) AggregateCiphertexts(batches [][]paillier.Ciphertext) ([]paill
 		if len(batches[i]) != len(acc) {
 			return nil, fmt.Errorf("fl: batch %d has %d ciphertexts, want %d", i, len(batches[i]), len(acc))
 		}
-		base := c.simBase()
-		start := time.Now()
-		sum, err := c.Backend.AddVec(&c.Key.PublicKey, acc, batches[i])
+		sum, err := c.addCiphertexts(acc, batches[i])
 		if err != nil {
 			return nil, err
 		}
-		wall := time.Since(start)
-		c.Costs.AddHE(wall, c.simSince(base, wall), int64(len(acc)), int64(len(acc)))
 		acc = sum
 	}
 	return acc, nil

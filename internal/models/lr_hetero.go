@@ -22,12 +22,14 @@ import (
 //     compression), forwarding the encrypted sum to the arbiter, which
 //     decrypts and returns the plaintext scores to the guest;
 //  3. the guest computes exact residuals d = σ(z) − y, encrypts them one
-//     ciphertext per sample (per-sample flow, never packed), and broadcasts
-//     E(d) to the hosts;
-//  4. every party accumulates its encrypted gradient ∑ᵢ E(dᵢ)^{x̃ᵢⱼ} with
+//     ciphertext per sample (the per-sample broadcast, never packed), and
+//     sends E(d) to the hosts;
+//  4. every host accumulates its encrypted gradient ∑ᵢ E(dᵢ)^{x̃ᵢⱼ} with
 //     fixed-point feature values x̃, sign-split so negative features stay in
-//     the unsigned domain;
-//  5. the arbiter decrypts the per-feature sums, each party removes the
+//     the unsigned domain; the guest, who holds d in plaintext, computes its
+//     own slice directly;
+//  5. the per-feature sums return to the arbiter (the return path — packed
+//     under batch compression, fl.Context.OpenSums), each host removes the
 //     quantization shift with its locally known correction term ∑ᵢ x̃ᵢⱼ and
 //     applies the SGD step.
 type HeteroLR struct {
@@ -215,15 +217,15 @@ func (m *HeteroLR) trainBatch(lo, hi int) error {
 		}
 	}
 
-	// Steps 4–5: per-party homomorphic gradient, arbiter decryption, update.
-	for p := 0; p < parties; p++ {
-		if err := m.partyGradientStep(p, lo, hi, encD); err != nil {
+	// Steps 4–5: the hosts' homomorphic gradients through the arbiter; the
+	// guest's gradient and bias step from the plaintext residuals it holds.
+	for p := 1; p < parties; p++ {
+		if err := m.hostGradientStep(p, lo, hi, encD); err != nil {
 			return fmt.Errorf("models: party %d gradient: %w", p, err)
 		}
 	}
-
-	// Guest bias update from the plaintext residuals it already holds.
 	m.ctx.TrackOther(func() {
+		m.plainGradientStep(0, lo, hi, d)
 		m.biasStep(d, n)
 	})
 	return nil
@@ -240,95 +242,43 @@ func (m *HeteroLR) biasStep(d []float64, n int) {
 	m.Bias = params[0]
 }
 
-// partyGradientStep runs steps 4–5 for one party: encrypted weighted sums
-// per feature, arbiter round trip, shift correction, SGD update.
-func (m *HeteroLR) partyGradientStep(p, lo, hi int, encD []paillier.Ciphertext) error {
+// plainGradientStep applies party p's SGD step from plaintext residuals: the
+// oracle's step for every party, and the guest's under every profile.
+func (m *HeteroLR) plainGradientStep(p, lo, hi int, d []float64) {
 	part := m.parts[p]
 	n := hi - lo
-	dim := part.NumFeatures
-
-	// Gather per-feature weighted terms, sign-split.
-	type accum struct {
-		pos, neg   []int    // sample offsets
-		posW, negW []uint64 // fixed-point |x|
-		posX, negX float64  // correction sums Σx̃
+	grads := make([]float64, part.NumFeatures)
+	for i := lo; i < hi; i++ {
+		part.Examples[i].Features.AddScaledInto(grads, d[i-lo]/float64(n))
 	}
-	accums := make([]accum, dim)
+	for j := range grads {
+		grads[j] += m.opts.L2 * m.W[p][j]
+	}
+	m.opts2[p].Step(m.W[p], grads)
+}
+
+// hostGradientStep runs steps 4–5 for one host: encrypted weighted sums per
+// feature, arbiter round trip, shift correction, SGD update.
+func (m *HeteroLR) hostGradientStep(p, lo, hi int, encD []paillier.Ciphertext) error {
+	part := m.parts[p]
+	splits := make([]signSplit, part.NumFeatures)
 	for i := lo; i < hi; i++ {
 		fv := part.Examples[i].Features
 		for k, j := range fv.Idx {
-			x := fv.Val[k]
-			fp := uint64(absFloat(x)*m.fixedPoint + 0.5)
-			if fp == 0 {
-				continue
-			}
-			a := &accums[j]
-			if x > 0 {
-				a.pos = append(a.pos, i-lo)
-				a.posW = append(a.posW, fp)
-				a.posX += float64(fp)
-			} else {
-				a.neg = append(a.neg, i-lo)
-				a.negW = append(a.negW, fp)
-				a.negX += float64(fp)
-			}
-		}
-	}
-
-	// Homomorphic weighted sums. Collect ciphertexts for the arbiter.
-	var cts []paillier.Ciphertext
-	type pending struct {
-		feature int
-		neg     bool
-		corr    float64
-	}
-	var meta []pending
-	for j := 0; j < dim; j++ {
-		a := &accums[j]
-		if len(a.pos) > 0 {
-			ct, err := m.weightedSum(encD, a.pos, a.posW)
-			if err != nil {
+			if err := splits[j].add(i-lo, fv.Val[k], m.fixedPoint); err != nil {
 				return err
 			}
-			cts = append(cts, ct)
-			meta = append(meta, pending{feature: j, corr: a.posX})
-		}
-		if len(a.neg) > 0 {
-			ct, err := m.weightedSum(encD, a.neg, a.negW)
-			if err != nil {
-				return err
-			}
-			cts = append(cts, ct)
-			meta = append(meta, pending{feature: j, neg: true, corr: a.negX})
 		}
 	}
-
-	grads := make([]float64, dim)
-	if len(cts) > 0 {
-		if err := m.send(hostName(p), arbiterName, "grad-sums", ciphertextBytes(m.ctx, len(cts))); err != nil {
-			return err
-		}
-		raws, err := m.ctx.DecryptRaw(cts)
-		if err != nil {
-			return err
-		}
-		if err := m.send(arbiterName, hostName(p), "grad-plain", int64(8*len(raws))); err != nil {
-			return err
-		}
-		// Decode: Σ dᵢ·x̃ᵢⱼ = (2α/M)·S − α·Σx̃ (per sign), then /(F·n).
-		alpha := m.ctx.Quant.Alpha()
-		mq := float64(uint64(1)<<m.ctx.Quant.RBits() - 1)
-		for k, raw := range raws {
-			v := (2*alpha/mq)*float64(raw) - alpha*meta[k].corr
-			if meta[k].neg {
-				v = -v
-			}
-			grads[meta[k].feature] += v
-		}
-		scale := 1 / (m.fixedPoint * float64(n))
-		for j := range grads {
-			grads[j] *= scale
-		}
+	route := fl.ReturnRoute{Net: m.net, Party: hostName(p), Decryptor: arbiterName, Kind: "grad-sums", ReplyKind: "grad-plain"}
+	sums, err := openWeightedSums(m.ctx, route, encD, splits)
+	if err != nil {
+		return err
+	}
+	grads := make([]float64, part.NumFeatures)
+	scale := 1 / (m.fixedPoint * float64(hi-lo))
+	for j, v := range sums {
+		grads[j] = v * scale
 	}
 	m.ctx.TrackOther(func() {
 		for j := range grads {
@@ -337,16 +287,6 @@ func (m *HeteroLR) partyGradientStep(p, lo, hi int, encD []paillier.Ciphertext) 
 		m.opts2[p].Step(m.W[p], grads)
 	})
 	return nil
-}
-
-// weightedSum selects sample offsets from encD and runs the homomorphic
-// multiply-accumulate.
-func (m *HeteroLR) weightedSum(encD []paillier.Ciphertext, idx []int, w []uint64) (paillier.Ciphertext, error) {
-	sel := make([]paillier.Ciphertext, len(idx))
-	for k, i := range idx {
-		sel[k] = encD[i]
-	}
-	return m.ctx.WeightedSum(sel, w)
 }
 
 // trainBatchPlain is the oracle: exact vertical SGD without encryption.
@@ -360,15 +300,8 @@ func (m *HeteroLR) trainBatchPlain(lo, hi int) error {
 		}
 	}
 	d := m.residuals(z, lo)
-	for p, part := range m.parts {
-		grads := make([]float64, part.NumFeatures)
-		for i := lo; i < hi; i++ {
-			part.Examples[i].Features.AddScaledInto(grads, d[i-lo]/float64(n))
-		}
-		for j := range grads {
-			grads[j] += m.opts.L2 * m.W[p][j]
-		}
-		m.opts2[p].Step(m.W[p], grads)
+	for p := range m.parts {
+		m.plainGradientStep(p, lo, hi, d)
 	}
 	m.biasStep(d, n)
 	return nil
@@ -377,15 +310,7 @@ func (m *HeteroLR) trainBatchPlain(lo, hi int) error {
 // send routes a protocol message through the transport, charging the
 // context's communication component.
 func (m *HeteroLR) send(from, to, kind string, payloadBytes int64) error {
-	msg := flnet.Message{From: from, To: to, Kind: kind, Payload: make([]byte, payloadBytes)}
-	if err := m.net.Send(msg); err != nil {
-		return err
-	}
-	if _, err := m.net.Recv(to); err != nil {
-		return err
-	}
-	m.ctx.RecordTransfer(msg.WireSize())
-	return nil
+	return m.ctx.Send(m.net, from, to, kind, payloadBytes)
 }
 
 // Close releases the transport.
@@ -398,10 +323,3 @@ func (m *HeteroLR) Close() error {
 
 // ciphertextBytes is the wire size of n ciphertexts under ctx's key.
 func ciphertextBytes(ctx *fl.Context, n int) int64 { return ctx.CiphertextWireBytes(n) }
-
-func absFloat(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}

@@ -7,7 +7,7 @@
 //     (labels + features), hosts (features only), and an arbiter holding the
 //     Paillier key, following FATE's protocol shape: encrypted partial-score
 //     aggregation, per-sample encrypted residuals, homomorphic gradient
-//     accumulation, arbiter decryption.
+//     accumulation on the hosts, arbiter decryption of the packed sums.
 //   - Hetero SBT: SecureBoost gradient-boosted decision trees — guest
 //     encrypts per-sample gradient/hessian pairs, hosts build encrypted
 //     split histograms, guest decrypts and selects splits.

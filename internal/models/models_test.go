@@ -32,7 +32,14 @@ func denseData(t testing.TB, n, features int) *datasets.Dataset {
 
 func testCtx(t testing.TB, sys fl.System) *fl.Context {
 	t.Helper()
-	p := fl.NewProfile(sys, 128, 4)
+	return testCtxKey(t, sys, 128)
+}
+
+// testCtxKey is testCtx at a chosen key size: 256 bits and up give the
+// vertical return path more than one slot.
+func testCtxKey(t testing.TB, sys fl.System, keyBits int) *fl.Context {
+	t.Helper()
+	p := fl.NewProfile(sys, keyBits, 4)
 	p.Device = gpu.SmallTestDevice()
 	p.RBits = 14
 	ctx, err := fl.NewContext(p)

@@ -24,7 +24,9 @@ import (
 // Forward activations are an *aggregatable* flow (batch-compressible);
 // backward per-sample hidden deltas E(δ) travel one ciphertext per value and
 // drive the hosts' homomorphic weight-gradient accumulation, mirroring the
-// Hetero LR gradient step per hidden unit.
+// Hetero LR gradient step per hidden unit; the per-(unit, feature) sums go
+// back to the arbiter on the return path (fl.Context.OpenSums), packed under
+// batch compression.
 type HeteroNN struct {
 	opts  Options
 	ctx   *fl.Context // nil in plaintext-oracle mode
@@ -335,83 +337,21 @@ func (m *HeteroNN) guestBottomUpdate(deltas []float64, lo, hi int) {
 func (m *HeteroNN) hostBottomUpdate(p int, encD []paillier.Ciphertext, lo, hi int) error {
 	part := m.parts[p]
 	dim := part.NumFeatures
-
-	var cts []paillier.Ciphertext
-	type pending struct {
-		unit, feature int
-		neg           bool
-		corr          float64
-	}
-	var meta []pending
-	for u := 0; u < m.Hidden; u++ {
-		type acc struct {
-			pos, neg   []int
-			posW, negW []uint64
-			posX, negX float64
-		}
-		accums := make([]acc, dim)
-		for i := lo; i < hi; i++ {
-			fv := part.Examples[i].Features
-			for k, j := range fv.Idx {
-				x := fv.Val[k]
-				fp := uint64(absFloat(x)*m.fixedPoint + 0.5)
-				if fp == 0 {
-					continue
-				}
-				a := &accums[j]
-				if x > 0 {
-					a.pos = append(a.pos, (i-lo)*m.Hidden+u)
-					a.posW = append(a.posW, fp)
-					a.posX += float64(fp)
-				} else {
-					a.neg = append(a.neg, (i-lo)*m.Hidden+u)
-					a.negW = append(a.negW, fp)
-					a.negX += float64(fp)
-				}
-			}
-		}
-		for j := 0; j < dim; j++ {
-			a := &accums[j]
-			if len(a.pos) > 0 {
-				ct, err := m.weightedSum(encD, a.pos, a.posW)
-				if err != nil {
+	splits := make([]signSplit, m.Hidden*dim) // row-major by unit, like W[p]
+	for i := lo; i < hi; i++ {
+		fv := part.Examples[i].Features
+		for k, j := range fv.Idx {
+			for u := 0; u < m.Hidden; u++ {
+				if err := splits[u*dim+int(j)].add((i-lo)*m.Hidden+u, fv.Val[k], m.fixedPoint); err != nil {
 					return err
 				}
-				cts = append(cts, ct)
-				meta = append(meta, pending{unit: u, feature: j, corr: a.posX})
-			}
-			if len(a.neg) > 0 {
-				ct, err := m.weightedSum(encD, a.neg, a.negW)
-				if err != nil {
-					return err
-				}
-				cts = append(cts, ct)
-				meta = append(meta, pending{unit: u, feature: j, neg: true, corr: a.negX})
 			}
 		}
 	}
-	if len(cts) == 0 {
-		return nil
-	}
-	if err := m.send(hostName(p), arbiterName, "nn-grad", ciphertextBytes(m.ctx, len(cts))); err != nil {
+	route := fl.ReturnRoute{Net: m.net, Party: hostName(p), Decryptor: arbiterName, Kind: "nn-grad", ReplyKind: "nn-grad-plain"}
+	grads, err := openWeightedSums(m.ctx, route, encD, splits)
+	if err != nil || grads == nil {
 		return err
-	}
-	raws, err := m.ctx.DecryptRaw(cts)
-	if err != nil {
-		return err
-	}
-	if err := m.send(arbiterName, hostName(p), "nn-grad-plain", int64(8*len(raws))); err != nil {
-		return err
-	}
-	grads := make([]float64, m.Hidden*dim)
-	alpha := m.ctx.Quant.Alpha()
-	mq := float64(uint64(1)<<m.ctx.Quant.RBits() - 1)
-	for k, raw := range raws {
-		v := (2*alpha/mq)*float64(raw) - alpha*meta[k].corr
-		if meta[k].neg {
-			v = -v
-		}
-		grads[meta[k].unit*dim+meta[k].feature] += v
 	}
 	scale := 1 / m.fixedPoint
 	m.ctx.TrackOther(func() {
@@ -421,15 +361,6 @@ func (m *HeteroNN) hostBottomUpdate(p int, encD []paillier.Ciphertext, lo, hi in
 		m.optW[p].Step(m.W[p], grads)
 	})
 	return nil
-}
-
-// weightedSum mirrors HeteroLR.weightedSum.
-func (m *HeteroNN) weightedSum(encD []paillier.Ciphertext, idx []int, w []uint64) (paillier.Ciphertext, error) {
-	sel := make([]paillier.Ciphertext, len(idx))
-	for k, i := range idx {
-		sel[k] = encD[i]
-	}
-	return m.ctx.WeightedSum(sel, w)
 }
 
 // trainBatchPlain is the oracle backward pass (identical math, no HE).
@@ -469,15 +400,7 @@ func (m *HeteroNN) trainBatchPlain(lo, hi int) {
 
 // send routes a protocol message, charging communication.
 func (m *HeteroNN) send(from, to, kind string, payloadBytes int64) error {
-	msg := flnet.Message{From: from, To: to, Kind: kind, Payload: make([]byte, payloadBytes)}
-	if err := m.net.Send(msg); err != nil {
-		return err
-	}
-	if _, err := m.net.Recv(to); err != nil {
-		return err
-	}
-	m.ctx.RecordTransfer(msg.WireSize())
-	return nil
+	return m.ctx.Send(m.net, from, to, kind, payloadBytes)
 }
 
 // Close releases the transport.

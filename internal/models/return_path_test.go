@@ -1,0 +1,125 @@
+package models
+
+import (
+	"testing"
+
+	"flbooster/internal/datasets"
+	"flbooster/internal/fl"
+	"flbooster/internal/flnet"
+)
+
+// returnKeyBits is a key wide enough for three return-path slots.
+const returnKeyBits = 256
+
+// TestHeteroLossIdenticalAcrossProfiles: compression and the HE substrate may
+// change bytes and time, never the model. Every plaintext the vertical
+// protocols open is an exact integer sum, so three epochs under the full
+// system, without batch compression and on the serial CPU baseline must end
+// at the same loss to the last bit.
+func TestHeteroLossIdenticalAcrossProfiles(t *testing.T) {
+	build := map[string]func(ctx *fl.Context, ds *datasets.Dataset) (Model, error){
+		"Hetero LR":  func(ctx *fl.Context, ds *datasets.Dataset) (Model, error) { return NewHeteroLR(ctx, ds, testOpts()) },
+		"Hetero NN":  func(ctx *fl.Context, ds *datasets.Dataset) (Model, error) { return NewHeteroNN(ctx, ds, 3, testOpts()) },
+		"Hetero SBT": func(ctx *fl.Context, ds *datasets.Dataset) (Model, error) { return NewHeteroSBT(ctx, ds, testOpts()) },
+	}
+	for name, newModel := range build {
+		ds := denseData(t, 64, 8)
+		losses := map[fl.System]float64{}
+		for _, sys := range []fl.System{fl.SystemFLBooster, fl.SystemNoBC, fl.SystemFATE} {
+			m, err := newModel(testCtxKey(t, sys, returnKeyBits), ds)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e := 0; e < 3; e++ {
+				if losses[sys], err = m.TrainEpoch(); err != nil {
+					t.Fatalf("%s on %s, epoch %d: %v", name, sys, e, err)
+				}
+			}
+			m.(interface{ Close() error }).Close()
+		}
+		if a, b, c := losses[fl.SystemFLBooster], losses[fl.SystemNoBC], losses[fl.SystemFATE]; a != b || a != c {
+			t.Errorf("%s loss after three epochs: FLBooster %v, w/o BC %v, FATE %v", name, a, b, c)
+		}
+	}
+}
+
+// TestHeteroLRWireBudget pins Hetero LR's traffic per epoch from the protocol
+// description, not from a recorded number: per minibatch of n rows, P−1 score
+// uploads and one aggregate of PlaintextCount(n) ciphertexts, 8n bytes of
+// plaintext scores, P−1 residual broadcasts of n ciphertexts, and per host
+// one return-path request of ⌈2·dim/slots⌉ ciphertexts (plus the 4-byte
+// count when packed) answered by 8 bytes a sum. The guest sends no gradient
+// at all. If the return path stops packing, or the guest goes back through
+// the arbiter, the byte or message count moves.
+func TestHeteroLRWireBudget(t *testing.T) {
+	ds := denseData(t, 48, 8)
+	opts := testOpts()
+	opts.BatchSize = 16
+	var perEpoch [2]int64
+	for i, sys := range []fl.System{fl.SystemFLBooster, fl.SystemNoBC} {
+		ctx := testCtxKey(t, sys, returnKeyBits)
+		m, err := NewHeteroLR(ctx, ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		slots := ctx.ReturnSlots()
+		if want := map[fl.System]int{fl.SystemFLBooster: 3, fl.SystemNoBC: 1}[sys]; slots != want {
+			t.Fatalf("%s: %d return slots at 256 bits, want %d", sys, slots, want)
+		}
+		parties := len(m.parts)
+		header := func(from, to, kind string) int64 {
+			return flnet.Message{From: from, To: to, Kind: kind}.WireSize()
+		}
+		var msgs, bytes int64
+		for _, r := range ds.Batches(opts.BatchSize) {
+			n := r[1] - r[0]
+			scoreCts := ctx.PlaintextCount(n)
+			for p := 1; p < parties; p++ {
+				bytes += header(hostName(p), hostName(0), "scores") + ctx.CiphertextWireBytes(scoreCts)
+				bytes += header(hostName(0), hostName(p), "residuals") + ctx.CiphertextWireBytes(n)
+				// Dense features: both signs of every feature appear in every
+				// batch (checked below), so a host returns 2·dim sums.
+				sums := 2 * m.parts[p].NumFeatures
+				request := ctx.CiphertextWireBytes((sums + slots - 1) / slots)
+				if slots > 1 {
+					request += 4
+				}
+				bytes += header(hostName(p), arbiterName, "grad-sums") + request
+				bytes += header(arbiterName, hostName(p), "grad-plain") + int64(8*sums)
+				msgs += 4
+			}
+			bytes += header(hostName(0), arbiterName, "score-agg") + ctx.CiphertextWireBytes(scoreCts)
+			bytes += header(arbiterName, hostName(0), "scores-plain") + int64(8*n)
+			msgs += 2
+			for p := 1; p < parties; p++ {
+				for j := 0; j < m.parts[p].NumFeatures; j++ {
+					var pos, neg bool
+					for _, ex := range m.parts[p].Examples[r[0]:r[1]] {
+						for k, idx := range ex.Features.Idx {
+							if int(idx) == j {
+								pos = pos || ex.Features.Val[k] > 0
+								neg = neg || ex.Features.Val[k] < 0
+							}
+						}
+					}
+					if !pos || !neg {
+						t.Fatalf("batch %v, party %d, feature %d lacks a sign: the dataset does not fill the budget's 2·dim sums", r, p, j)
+					}
+				}
+			}
+		}
+		if _, err := m.TrainEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		c := ctx.Costs.Snapshot()
+		if c.CommMsgs != msgs || c.CommBytes != bytes {
+			t.Fatalf("%s: epoch sent %d messages / %d bytes, the protocol budgets %d / %d",
+				sys, c.CommMsgs, c.CommBytes, msgs, bytes)
+		}
+		perEpoch[i] = c.CommBytes
+	}
+	if perEpoch[0] >= perEpoch[1] {
+		t.Fatalf("packed epoch %d B is not below the unpacked %d B", perEpoch[0], perEpoch[1])
+	}
+}

@@ -22,6 +22,9 @@ import (
 // h in the low slot), halving ciphertext counts and HE operations on every
 // flow while keeping subset-sum aggregation valid — multi-sample packing is
 // impossible here because histogram bins select arbitrary sample subsets.
+// The finished per-bin sums are another matter: a host's histogram returns
+// to the guest on the return path (fl.Context.OpenSums), which packs one
+// 64-bit pair per slot.
 type HeteroSBT struct {
 	opts  Options
 	ctx   *fl.Context // nil in plaintext-oracle mode
@@ -217,6 +220,16 @@ func (m *HeteroSBT) decodeGH(raw []uint64, cnt int) (gSum, hSum float64) {
 	return m.dequantGHSum(raw[0], cnt), m.dequantGHSum(raw[1], cnt)
 }
 
+// ghSumBounds is the largest value each ciphertext of a cnt-sample histogram
+// sum can hold, in decodeGH's layout; headBits keeps it under 2^62.
+func (m *HeteroSBT) ghSumBounds(cnt int) []uint64 {
+	comp := uint64(cnt) * m.ghMax()
+	if m.ctx.Packer != nil {
+		return []uint64{comp<<m.slotWidth() | comp}
+	}
+	return []uint64{comp, comp}
+}
+
 // --- training ---------------------------------------------------------------
 
 // TrainEpoch implements Model: one boosting round grows one tree on the full
@@ -348,8 +361,9 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 			}
 		} else {
 			// Host-side encrypted histograms: one homomorphic subset sum
-			// per non-empty bin, sent to the guest for decryption.
+			// per non-empty bin, opened by the guest over the return path.
 			var histCts []paillier.Ciphertext
+			var histBounds []uint64
 			var histIdx []int
 			for b, list := range bins {
 				cnts[b] = len(list)
@@ -386,15 +400,15 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 					sums = []paillier.Ciphertext{gSum, hSum}
 				}
 				histCts = append(histCts, sums...)
+				histBounds = append(histBounds, m.ghSumBounds(len(list))...)
 				histIdx = append(histIdx, b)
 			}
 			if len(histCts) == 0 {
 				continue
 			}
-			if err := m.send(hostName(p), hostName(0), "hist", ciphertextBytes(m.ctx, len(histCts))); err != nil {
-				return best, err
-			}
-			raws, err := m.ctx.DecryptRaw(histCts)
+			// The guest holds the key and keeps the values: no reply.
+			route := fl.ReturnRoute{Net: m.net, Party: hostName(p), Decryptor: hostName(0), Kind: "hist"}
+			raws, err := m.ctx.OpenSums(route, histCts, histBounds)
 			if err != nil {
 				return best, err
 			}
@@ -551,15 +565,7 @@ func (m *HeteroSBT) send(from, to, kind string, payloadBytes int64) error {
 	if m.net == nil {
 		return nil
 	}
-	msg := flnet.Message{From: from, To: to, Kind: kind, Payload: make([]byte, payloadBytes)}
-	if err := m.net.Send(msg); err != nil {
-		return err
-	}
-	if _, err := m.net.Recv(to); err != nil {
-		return err
-	}
-	m.ctx.RecordTransfer(msg.WireSize())
-	return nil
+	return m.ctx.Send(m.net, from, to, kind, payloadBytes)
 }
 
 // Close releases the transport.
