@@ -5,18 +5,16 @@
 # HE-stack benchmark once so benchmark code cannot bit-rot, runs the
 # CI-sized multi-fault chaos soak under the race detector, runs the small-N
 # cross-device scale sweep (flat vs tree bit-exactness and the coordinator
-# memory bound) under the race detector, runs the CI-sized round-anatomy
-# sweep (optimized round path bit-exact with the seed path and never slower)
-# under the race detector, and runs the CI-sized multi-device sharding sweep
-# (near-linear scaling, bit-exact results, work stealing under a mid-batch
-# device kill) under the race detector, and runs the repository benchmark at
-# its smoke sizing twice on one seed, failing if the two sets' modelled
-# metrics differ in any digit.
+# memory bound) under the race detector, runs the CI-sized multi-device
+# sharding sweep (near-linear scaling, bit-exact results, work stealing under
+# a mid-batch device kill) under the race detector, and runs the repository
+# benchmark at its smoke sizing twice on one seed, failing if the two sets'
+# modelled metrics differ in any digit.
 
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: build test vet lint race fuzz bench-smoke benchmark-smoke bench-fresh soak-smoke scale-smoke round-smoke devset-smoke check resilience devfault soak scale round devset
+.PHONY: build test vet lint race fuzz bench-smoke benchmark-smoke bench-fresh soak-smoke scale-smoke devset-smoke check resilience devfault soak scale devset
 
 build:
 	$(GO) build ./...
@@ -50,9 +48,11 @@ race:
 # Short fuzz passes: device-config validation (corpus under
 # internal/gpu/testdata/fuzz), the shard splitter's partition invariants
 # (contiguous, complete, non-overlapping for any item count and device
-# exclusion set), and the chunk reassembler's untrusted-input invariants
+# exclusion set), the chunk reassembler's untrusted-input invariants
 # (out-of-range indices, flip-flopping totals, oversized declarations must
-# all reject typed, never panic), and the mpint arithmetic kernels
+# all reject typed, never panic), the nat-batch decoder every ciphertext
+# frame passes through (any bytes reject, or decode to at most len/4 values
+# that round-trip), and the mpint arithmetic kernels
 # differentially against math/big (seed corpus on the limb boundaries) —
 # the factorised x^(pq) mod (pq)² plan and the scratch division under it
 # included — and the decryptor side of the vertical return path (any
@@ -62,6 +62,7 @@ fuzz:
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzSplitShards -fuzztime 10s
 	$(GO) test ./internal/flnet -run '^$$' -fuzz FuzzReassembler -fuzztime 10s
+	$(GO) test ./internal/flnet -run '^$$' -fuzz FuzzDecodeNats -fuzztime 10s
 	$(GO) test ./internal/fl -run '^$$' -fuzz FuzzSplitSlots -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzMontMul$$' -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzModExp$$' -fuzztime 10s
@@ -111,20 +112,13 @@ soak-smoke:
 scale-smoke:
 	$(GO) test -race -run TestScaleSmoke -timeout 300s -count 1 ./internal/bench
 
-# The round-anatomy sweep at CI-affordable key sizes (DESIGN.md §14): the
-# optimized round path (nonce-pool rearm + wave overlap) must stay bit-exact
-# with the seed path across plain/chunked/defended/tree/classic rounds and
-# crash recovery, and must never be slower.
-round-smoke:
-	$(GO) test -race -run TestRoundSmoke -timeout 300s -count 1 ./internal/bench
-
 # The multi-device sharding sweep at CI size (DESIGN.md §15): D ∈ {1, 2}
 # with bit-exact rows, a real speedup at D=2, and a mid-batch device kill
 # that steals the dead device's shards without diverging.
 devset-smoke:
 	$(GO) test -race -run TestDevsetSmoke -timeout 300s -count 1 ./internal/bench
 
-check: build vet test race fuzz bench-smoke benchmark-smoke bench-fresh soak-smoke scale-smoke round-smoke devset-smoke
+check: build vet test race fuzz bench-smoke benchmark-smoke bench-fresh soak-smoke scale-smoke devset-smoke
 
 # Demonstrate graceful degradation under a straggler (see DESIGN.md §6).
 resilience:
@@ -143,11 +137,6 @@ soak:
 # The full 10²→10⁵ cross-device client sweep; regenerates BENCH_scale.json.
 scale:
 	$(GO) run ./cmd/flbench scale
-
-# The round-anatomy sweep at production keys; regenerates BENCH_round.json
-# and enforces the ≥1.15x end-to-end plain-round speedup floor.
-round:
-	$(GO) run ./cmd/flbench -keys 2048 round
 
 # The multi-device sharding sweep at production keys; regenerates
 # BENCH_devset.json and enforces the ≥0.75·D near-linear scaling gate plus

@@ -7,7 +7,7 @@
 //	flbench [flags] <experiment>...
 //
 // Experiments: fig1 table3 table4 fig6 table5 fig7 table6 fig8 table7
-// ablation resilience devfault pipeline heopt byz scale round devset soak all
+// ablation resilience devfault pipeline heopt byz scale devset soak all
 //
 // Flags:
 //
@@ -105,7 +105,7 @@ func run(args []string) error {
 
 	exps := fs.Args()
 	if len(exps) == 0 {
-		return fmt.Errorf("no experiment named; choose from table2 fig1 table3 table4 fig6 table5 fig7 table6 fig8 table7 ablation resilience devfault pipeline heopt byz scale round devset soak all")
+		return fmt.Errorf("no experiment named; choose from table2 fig1 table3 table4 fig6 table5 fig7 table6 fig8 table7 ablation resilience devfault pipeline heopt byz scale devset soak all")
 	}
 	r, err := bench.NewRunner(cfg)
 	if err != nil {
@@ -150,13 +150,9 @@ func run(args []string) error {
 			// The cross-device sweep sizes its own client counts (10²→10⁵);
 			// -parties keeps meaning the cross-silo party count elsewhere.
 			err = r.Scale(os.Stdout, nil)
-		case "round":
-			// The round-anatomy experiment runs at the sweep's largest key:
-			// the speedup floor is defined at production (≥2048-bit) keys.
-			err = r.Round(os.Stdout)
 		case "devset":
 			// The multi-device sweep picks its own device counts (1→8, plus
-			// -devices when set); like round it runs at the largest key size.
+			// -devices when set) and runs at the sweep's largest key size.
 			err = r.Devset(os.Stdout, nil)
 		case "soak":
 			err = r.Soak(os.Stdout)

@@ -35,11 +35,14 @@ type flagConfig struct {
 	quorum  int
 	groups  int
 	devices int
+	chunk   int
+	bits    int
 }
 
-// validate rejects inconsistent flag combinations — a quorum above the
-// sampled cohort, more defense groups than sampled uploads, a fan-out no
-// tree can have — with a typed ConfigError naming the offending flag.
+// validate rejects out-of-range values and inconsistent flag combinations —
+// a quorum above the sampled cohort, more defense groups than sampled
+// uploads, a fan-out no tree can have, a chunk or key size fl.NewContext
+// would refuse — with a typed ConfigError naming the offending flag.
 func (c flagConfig) validate() error {
 	if c.clients < 1 {
 		return badFlag("clients", "need at least 1 client, have %d", c.clients)
@@ -64,6 +67,12 @@ func (c flagConfig) validate() error {
 	}
 	if c.devices > gpu.MaxDevices {
 		return badFlag("devices", "device count %d exceeds the %d-device set limit", c.devices, gpu.MaxDevices)
+	}
+	if c.chunk < 0 {
+		return badFlag("chunk", "pipeline chunk size cannot be negative, have %d", c.chunk)
+	}
+	if c.bits < 32 { // the floor fl.Profile.Validate enforces
+		return badFlag("bits", "key size must be at least 32 bits, have %d", c.bits)
 	}
 	// Quorum and groups are judged against the uploads a round can actually
 	// gather: the sampled cohort when -cohort is set, everyone otherwise.

@@ -428,6 +428,8 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"server", "-clients", "8", "-cohort", "2", "-groups", "3"}, "groups"},
 		{[]string{"server", "-devices", "-1"}, "devices"},
 		{[]string{"demo", "-devices", "65"}, "devices"},
+		{[]string{"demo", "-chunk", "-1"}, "chunk"},
+		{[]string{"demo", "-bits", "16"}, "bits"},
 	}
 	for _, tc := range cases {
 		err := run(tc.args, nil)

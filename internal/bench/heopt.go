@@ -17,10 +17,9 @@ import (
 const heoptJSON = "BENCH_heopt.json"
 
 // heoptFixedBaseItems is the vector length for the comb-height sweep;
-// heoptPoolItems the encryption batch for the pool-depth sweep.
+// heoptDecryptIters the ciphertexts each decryption path is averaged over.
 const (
 	heoptFixedBaseItems = 48
-	heoptPoolItems      = 32
 	heoptDecryptIters   = 6
 )
 
@@ -64,49 +63,24 @@ type heoptDecryptRow struct {
 	SimSpeedup   float64 `json:"sim_speedup"`
 }
 
-// heoptPoolRow is one nonce-pool depth measurement.
-type heoptPoolRow struct {
-	Depth int `json:"depth"`
-	// OnlineSimNs is the device time EncryptVec left on the online clock;
-	// PrecomputeSimNs the refill work reclassified off it.
-	OnlineSimNs     int64 `json:"online_sim_ns"`
-	PrecomputeSimNs int64 `json:"precompute_sim_ns"`
-	Hits            int64 `json:"hits"`
-	Misses          int64 `json:"misses"`
-	// OnlineSpeedup is depth-0 online time over this depth's online time.
-	OnlineSpeedup float64 `json:"online_speedup"`
-}
-
-// heoptPool is the nonce-pool section of the report.
-type heoptPool struct {
-	KeyBits int            `json:"key_bits"`
-	Items   int            `json:"items"`
-	Sweep   []heoptPoolRow `json:"sweep"`
-}
-
 // heoptReport is the BENCH_heopt.json schema.
 type heoptReport struct {
 	KeyBits   []int             `json:"key_bits"`
 	FixedBase heoptFixedBase    `json:"fixed_base"`
 	Decrypt   []heoptDecryptRow `json:"decrypt"`
-	Pool      heoptPool         `json:"pool"`
 }
 
-// HEOpt measures the three precomputation paths of the HE stack: the
-// Lim–Lee fixed-base comb against the replicated-base kernel (height
-// sweep), reduced-exponent CRT decryption against the full-λ classic path
-// (per key size), and the offline nonce pool against inline nonce
-// generation (depth sweep). Host wall time and simulated device time are
-// reported side by side; results go to w and BENCH_heopt.json.
+// HEOpt measures the two precomputation paths of the HE stack: the Lim–Lee
+// fixed-base comb against the replicated-base kernel (height sweep) and
+// reduced-exponent CRT decryption against the full-λ classic path (per key
+// size). Host wall time and simulated device time are reported side by side;
+// results go to w and BENCH_heopt.json.
 func (r *Runner) HEOpt(w io.Writer) error {
 	report := heoptReport{KeyBits: r.cfg.KeyBits}
 	if err := r.heoptFixedBase(w, &report); err != nil {
 		return err
 	}
 	if err := r.heoptDecrypt(w, &report); err != nil {
-		return err
-	}
-	if err := r.heoptPool(w, &report); err != nil {
 		return err
 	}
 	blob, err := json.MarshalIndent(report, "", "  ")
@@ -263,71 +237,5 @@ func (r *Runner) heoptDecrypt(w io.Writer, report *heoptReport) error {
 			keyBits, fmtDur(classicHost), fmtDur(reducedHost), row.HostSpeedup,
 			fmtDur(classicSim), fmtDur(reducedSim), row.SimSpeedup)
 	}
-	return nil
-}
-
-// heoptPool sweeps the nonce-pool depth on one EncryptVec batch at the
-// largest configured key, reporting how much device time each prefill depth
-// moves from the online clock to the precompute clock.
-func (r *Runner) heoptPool(w io.Writer, report *heoptReport) error {
-	keyBits := r.cfg.KeyBits[len(r.cfg.KeyBits)-1]
-	header(w, fmt.Sprintf("HEOpt — nonce pool depth sweep: %d-item EncryptVec, %d-bit key", heoptPoolItems, keyBits))
-	sk, err := paillier.GenerateKey(mpint.NewRNG(r.cfg.Seed+uint64(keyBits)), keyBits)
-	if err != nil {
-		return err
-	}
-	rng := mpint.NewRNG(r.cfg.Seed + 92)
-	ms := make([]mpint.Nat, heoptPoolItems)
-	for i := range ms {
-		ms[i] = rng.RandBelow(sk.N)
-	}
-	const seed = 9090
-	ps := heoptPool{KeyBits: keyBits, Items: heoptPoolItems}
-	fmt.Fprintf(w, "%8s %14s %14s %6s %6s %9s\n", "Depth", "OnlineSim", "PrecompSim", "Hits", "Miss", "Speedup")
-	var coldOnline time.Duration
-	for _, depth := range []int{0, heoptPoolItems / 2, heoptPoolItems, 2 * heoptPoolItems} {
-		eng, err := ghe.NewEngine(gpu.MustNew(r.cfg.Device, true))
-		if err != nil {
-			return err
-		}
-		b := paillier.MustGPUBackend(eng)
-		var hits, misses int64
-		if depth > 0 {
-			pool, err := paillier.NewNoncePool(&sk.PublicKey, eng, seed)
-			if err != nil {
-				return err
-			}
-			if _, err := pool.Prefill(depth); err != nil {
-				return err
-			}
-			b.Pool = pool
-		}
-		if _, err := b.EncryptVec(&sk.PublicKey, ms, seed); err != nil {
-			return err
-		}
-		if b.Pool != nil {
-			hits, misses = b.Pool.Stats().Hits, b.Pool.Stats().Misses
-		} else {
-			misses = int64(len(ms))
-		}
-		st := eng.Device().Stats()
-		row := heoptPoolRow{
-			Depth:           depth,
-			OnlineSimNs:     int64(st.SimTime()),
-			PrecomputeSimNs: int64(st.SimPrecomputeTime),
-			Hits:            hits,
-			Misses:          misses,
-		}
-		if depth == 0 {
-			coldOnline = st.SimTime()
-			row.OnlineSpeedup = 1
-		} else if st.SimTime() > 0 {
-			row.OnlineSpeedup = float64(coldOnline) / float64(st.SimTime())
-		}
-		ps.Sweep = append(ps.Sweep, row)
-		fmt.Fprintf(w, "%8d %14s %14s %6d %6d %8.2fx\n",
-			depth, fmtDur(st.SimTime()), fmtDur(st.SimPrecomputeTime), hits, misses, row.OnlineSpeedup)
-	}
-	report.Pool = ps
 	return nil
 }

@@ -19,7 +19,6 @@ type PhaseCost struct {
 	EncodeSimNs int64  `json:"encode_sim_ns"`
 	HESimNs     int64  `json:"he_sim_ns"`
 	CommSimNs   int64  `json:"comm_sim_ns"`
-	CompSimNs   int64  `json:"comp_sim_ns"`
 	PipeSeqNs   int64  `json:"pipe_seq_ns"`
 	PipeNs      int64  `json:"pipe_ns"`
 	HEOps       int64  `json:"he_ops"`
@@ -28,7 +27,7 @@ type PhaseCost struct {
 
 // TotalSimNs is the phase's sequential sim-time: every component summed.
 func (p PhaseCost) TotalSimNs() int64 {
-	return p.EncodeSimNs + p.HESimNs + p.CommSimNs + p.CompSimNs
+	return p.EncodeSimNs + p.HESimNs + p.CommSimNs
 }
 
 // OverlappedSimNs swaps the phase's sequential pipeline portion for its
@@ -46,7 +45,6 @@ func (p PhaseCost) add(q PhaseCost) PhaseCost {
 	p.EncodeSimNs += q.EncodeSimNs
 	p.HESimNs += q.HESimNs
 	p.CommSimNs += q.CommSimNs
-	p.CompSimNs += q.CompSimNs
 	p.PipeSeqNs += q.PipeSeqNs
 	p.PipeNs += q.PipeNs
 	p.HEOps += q.HEOps
@@ -60,7 +58,6 @@ func (p PhaseCost) sub(q PhaseCost) PhaseCost {
 	p.EncodeSimNs -= q.EncodeSimNs
 	p.HESimNs -= q.HESimNs
 	p.CommSimNs -= q.CommSimNs
-	p.CompSimNs -= q.CompSimNs
 	p.PipeSeqNs -= q.PipeSeqNs
 	p.PipeNs -= q.PipeNs
 	p.HEOps -= q.HEOps
@@ -74,7 +71,6 @@ func phaseDelta(before, after CostSnapshot) PhaseCost {
 		EncodeSimNs: int64(after.EncodeSim - before.EncodeSim),
 		HESimNs:     int64(after.HESim - before.HESim),
 		CommSimNs:   int64(after.CommSim - before.CommSim),
-		CompSimNs:   int64(after.CompSim - before.CompSim),
 		PipeSeqNs:   int64(after.PipeSeqSim - before.PipeSeqSim),
 		PipeNs:      int64(after.PipeSim - before.PipeSim),
 		HEOps:       after.HEOps - before.HEOps,
@@ -128,13 +124,13 @@ func (a *RoundAnatomy) Dominant() string {
 func (a *RoundAnatomy) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "round %d per-phase cost anatomy (sim time)\n", a.Round)
-	fmt.Fprintf(&b, "%-11s %12s %12s %12s %12s %12s %12s %12s\n",
-		"phase", "encode", "he", "comm", "comp", "pipe-seq", "pipe", "overlapped")
+	fmt.Fprintf(&b, "%-11s %12s %12s %12s %12s %12s %12s\n",
+		"phase", "encode", "he", "comm", "pipe-seq", "pipe", "overlapped")
 	row := func(p PhaseCost) {
-		fmt.Fprintf(&b, "%-11s %12s %12s %12s %12s %12s %12s %12s\n",
+		fmt.Fprintf(&b, "%-11s %12s %12s %12s %12s %12s %12s\n",
 			p.Phase,
 			time.Duration(p.EncodeSimNs), time.Duration(p.HESimNs),
-			time.Duration(p.CommSimNs), time.Duration(p.CompSimNs),
+			time.Duration(p.CommSimNs),
 			time.Duration(p.PipeSeqNs), time.Duration(p.PipeNs),
 			time.Duration(p.OverlappedSimNs()))
 	}

@@ -7,16 +7,6 @@ import (
 	"flbooster/internal/flnet"
 )
 
-// optimizedProfile is the full round-path optimization bundle: chunked
-// streaming, a nonce pool sized to the batch, and compute/upload overlap.
-func optimizedProfile(sys System, dim int) Profile {
-	p := testProfile(sys)
-	p.Chunk = 4
-	p.NoncePool = dim
-	p.Overlap = OverlapPolicy{Enabled: true, CompSimPerValue: 200 * time.Nanosecond}
-	return p
-}
-
 // TestRoundAnatomyDeterministic pins the anatomy's contract: two same-seed
 // rounds render byte-identical tables, and the phase rows sum to the round's
 // whole-run cost delta — the same reconciliation discipline ReconcileObs
@@ -25,7 +15,8 @@ func TestRoundAnatomyDeterministic(t *testing.T) {
 	const dim = 24
 	grads := testGrads(4, dim)
 	run := func() (string, PhaseCost, PhaseCost) {
-		p := optimizedProfile(SystemHAFLO, dim)
+		p := testProfile(SystemHAFLO)
+		p.Chunk = 4
 		p.Observe = true
 		ctx, err := NewContext(p)
 		if err != nil {
@@ -57,7 +48,7 @@ func TestRoundAnatomyDeterministic(t *testing.T) {
 	if total != whole {
 		t.Fatalf("phase rows sum to %+v, whole-round delta is %+v", total, whole)
 	}
-	if total.HESimNs == 0 || total.CommSimNs == 0 || total.EncodeSimNs == 0 || total.CompSimNs == 0 {
+	if total.HESimNs == 0 || total.CommSimNs == 0 || total.EncodeSimNs == 0 || total.PipeNs == 0 {
 		t.Fatalf("anatomy missing a cost component: %+v", total)
 	}
 }
@@ -89,46 +80,6 @@ func TestRoundAnatomyNestedCombine(t *testing.T) {
 	}
 }
 
-// TestPoolRearmAcrossRounds is the regression for the silently-cold pool:
-// before the per-batch rearm, only the first batch after NewContext found
-// warm nonces and every later round ran unpooled. Round 2 must pop from the
-// pool (hits grow) without a single miss.
-func TestPoolRearmAcrossRounds(t *testing.T) {
-	const dim = 16
-	p := testProfile(SystemHAFLO)
-	p.NoncePool = dim
-	p.Observe = true
-	ctx, err := NewContext(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed := NewFederation(ctx)
-	defer fed.Close()
-	grads := testGrads(4, dim)
-
-	hits := func() (int64, int64) {
-		ctx.PublishMetrics()
-		reg := ctx.Obs.Metrics()
-		pre := "pool." + ctx.ObsLabel() + "."
-		return reg.Counter(pre + "hits"), reg.Counter(pre + "misses")
-	}
-
-	if _, err := fed.SecureAggregate(grads); err != nil {
-		t.Fatal(err)
-	}
-	h1, m1 := hits()
-	if h1 == 0 || m1 != 0 {
-		t.Fatalf("round 1: pool hits %d / misses %d, want warm pops", h1, m1)
-	}
-	if _, err := fed.SecureAggregate(grads); err != nil {
-		t.Fatal(err)
-	}
-	h2, m2 := hits()
-	if h2 <= h1 || m2 != 0 {
-		t.Fatalf("round 2 ran unpooled: hits %d→%d, misses %d", h1, h2, m2)
-	}
-}
-
 // TestSharesDenominator pins both Shares variants: sequential runs divide by
 // TotalSim, streamed runs (PipeChunks > 0) by TotalSimOverlapped so the
 // fractions sum against the headline those runs report.
@@ -136,9 +87,8 @@ func TestSharesDenominator(t *testing.T) {
 	seq := &Costs{}
 	seq.AddHE(0, 100, 1, 1)
 	seq.AddComm(300, 10)
-	seq.AddOther(40)
+	seq.AddOther(60)
 	seq.AddEncode(0, 40, 4)
-	seq.AddComp(20)
 	s := seq.Snapshot()
 	if got, want := s.TotalSim(), 500*time.Nanosecond; got != want {
 		t.Fatalf("TotalSim = %v, want %v", got, want)
@@ -154,9 +104,8 @@ func TestSharesDenominator(t *testing.T) {
 	ov := &Costs{}
 	ov.AddHE(0, 100, 1, 1)
 	ov.AddComm(300, 10)
-	ov.AddOther(40)
+	ov.AddOther(60)
 	ov.AddEncode(0, 40, 4)
-	ov.AddComp(20)
 	ov.AddPipeline(200, 100, 2)
 	s = ov.Snapshot()
 	if got, want := s.TotalSimOverlapped(), 400*time.Nanosecond; got != want {
@@ -183,18 +132,18 @@ func TestTotalSimOverlappedClamp(t *testing.T) {
 }
 
 // TestDropMidPipelineOverlappedSane sweeps an injected send failure across
-// the round's send sequence so some runs lose a client mid-chunked-upload
-// under the overlapped wave scheduler. Every completed round must keep the
-// overlapped total inside [0, TotalSim] — the dropped client's sequential
-// charges stay, only completed uploads earn overlap credit — and must end
-// with no live reassembler: the chunks a client got onto the wire before its
-// send failed belong to no wave and may not be buffered past the round.
+// the round's send sequence so some runs lose a client mid-chunked-upload.
+// Every completed round must keep the overlapped total inside [0, TotalSim]
+// — the dropped client's sequential charges stay, only completed uploads
+// earn overlap credit — and must end with no live reassembler: the chunks a
+// client got onto the wire before its send failed belong to no wave and may
+// not be buffered past the round.
 func TestDropMidPipelineOverlappedSane(t *testing.T) {
 	const dim = 8
 	grads := testGrads(4, dim)
 	degraded := 0
 	for failAt := int64(1); failAt <= 20; failAt++ {
-		p := optimizedProfile(SystemHAFLO, dim)
+		p := testProfile(SystemHAFLO)
 		p.Chunk = 2
 		p.Round = RoundPolicy{Quorum: 3, PhaseTimeout: 200 * time.Millisecond}
 		ctx, err := NewContext(p)

@@ -53,10 +53,10 @@ func runEpochDigests(t *testing.T, p Profile, rounds int) ([][]float64, map[uint
 // TestTreeRoundBitExactWithFlat is the round runtime's acceptance bar: for
 // the same profile and seed, every delivery topology — a streamed tree, a
 // tree whose fan-out covers the whole cohort, a buffered round admitted in
-// bounded waves — with the upload overlap scheduler on or off must journal
-// byte-identical aggregates and decrypt bit-identical sums to the flat
-// single-wave protocol — plain, chunk-streamed, and defended (grouped robust
-// aggregation composed with tree levels) alike.
+// bounded waves — must journal byte-identical aggregates and decrypt
+// bit-identical sums to the flat single-wave protocol — plain,
+// chunk-streamed, and defended (grouped robust aggregation composed with
+// tree levels) alike.
 func TestTreeRoundBitExactWithFlat(t *testing.T) {
 	const rounds = 3
 	cases := []struct {
@@ -75,15 +75,11 @@ func TestTreeRoundBitExactWithFlat(t *testing.T) {
 	topologies := []struct {
 		name                string
 		fanout, maxInflight int
-		overlap             bool
 	}{
-		{"tree", 3, 4, false},
-		{"tree-overlap", 3, 4, true},
-		{"tree-fanout-covers-cohort", 16, 0, false},
-		{"flat-overlap", 0, 0, true},
-		{"flat-window1", 0, 1, false},
-		{"flat-window3", 0, 3, false},
-		{"flat-window3-overlap", 0, 3, true},
+		{"tree", 3, 4},
+		{"tree-fanout-covers-cohort", 16, 0},
+		{"flat-window1", 0, 1},
+		{"flat-window3", 0, 3},
 	}
 	for _, c := range cases {
 		c := c
@@ -93,11 +89,10 @@ func TestTreeRoundBitExactWithFlat(t *testing.T) {
 			flatSums, flatDigests, flatReps := runEpochDigests(t, flatP, rounds)
 			for _, topo := range topologies {
 				// Every run shares the case's Cohort.Size — only the delivery
-				// topology and the upload schedule differ from the reference.
+				// topology and the admission window differ from the reference.
 				p := flatP
 				p.Cohort.Fanout = topo.fanout
 				p.Cohort.MaxInflight = topo.maxInflight
-				p.Overlap.Enabled = topo.overlap
 				sums, digests, reps := runEpochDigests(t, p, rounds)
 				for r := 0; r < rounds; r++ {
 					if !sameBits(flatSums[r], sums[r]) {

@@ -25,12 +25,11 @@ type Context struct {
 	Key     *paillier.PrivateKey
 	Backend paillier.Backend
 	Quant   *quant.Quantizer
-	Packer  *batch.Packer       // nil when batch compression is off
-	Device  *gpu.Device         // nil on CPU profiles and device-set profiles
-	DevSet  *gpu.DeviceSet      // non-nil when Profile.Devices >= 1: the sharded fleet
-	Checked *ghe.CheckedEngine  // nil on CPU and device-set profiles; the resilient GPU-HE path
-	Sharded *ghe.ShardedEngine  // non-nil when DevSet is: the sharded vector engine
-	Pool    *paillier.NoncePool // nil unless Profile.NoncePool > 0 on a GPU profile
+	Packer  *batch.Packer      // nil when batch compression is off
+	Device  *gpu.Device        // nil on CPU profiles and device-set profiles
+	DevSet  *gpu.DeviceSet     // non-nil when Profile.Devices >= 1: the sharded fleet
+	Checked *ghe.CheckedEngine // nil on CPU and device-set profiles; the resilient GPU-HE path
+	Sharded *ghe.ShardedEngine // non-nil when DevSet is: the sharded vector engine
 	Link    flnet.Link
 	Costs   *Costs
 	// Obs is the observability bundle (span recorder + metrics registry)
@@ -120,14 +119,7 @@ func NewContext(p Profile) (*Context, error) {
 	} else {
 		ctx.Backend = paillier.CPUBackend{}
 	}
-	keyGen := paillier.GenerateKey
-	if p.ClassicKey {
-		// A classic random generator g makes the g^m term a full modular
-		// exponentiation — the configuration where fixed-base precomputation
-		// has something to accelerate on the encrypt path.
-		keyGen = paillier.GenerateKeyClassic
-	}
-	key, err := keyGen(mpint.NewRNG(p.Seed), p.KeyBits)
+	key, err := paillier.GenerateKey(mpint.NewRNG(p.Seed), p.KeyBits)
 	if err != nil {
 		return nil, fmt.Errorf("fl: key generation: %w", err)
 	}
@@ -135,63 +127,7 @@ func NewContext(p Profile) (*Context, error) {
 	if p.Observe {
 		ctx.AttachObs(obs.New(p.Seed), string(p.System))
 	}
-	if p.UseGPU && p.NoncePool > 0 {
-		var eng ghe.StreamEngine = ctx.Checked
-		if ctx.Sharded != nil {
-			eng = ctx.Sharded
-		}
-		pool, err := paillier.NewNoncePool(&key.PublicKey, eng, 0)
-		if err != nil {
-			return nil, err
-		}
-		if p.Chunk > 0 {
-			pool.Chunk = p.Chunk
-		}
-		ctx.Pool = pool
-		ctx.Backend.(*paillier.GPUBackend).Pool = pool
-		if _, err := ctx.PrefillNonces(p.NoncePool); err != nil {
-			return nil, fmt.Errorf("fl: nonce prefill: %w", err)
-		}
-	}
 	return ctx, nil
-}
-
-// PrefillNonces retargets the nonce pool at the seed the next HE batch will
-// draw and precomputes count rⁿ noise terms offline through the device
-// pipeline, charged as SimPrecomputeTime rather than online sim-time — the
-// "idle between rounds" work of the precompute layer. NewContext calls it
-// once so the first encryption batch starts warm; callers may re-arm it
-// between rounds. Returns the reclassified precompute time; a no-op without
-// a pool.
-func (c *Context) PrefillNonces(count int) (time.Duration, error) {
-	if c.Pool == nil || count <= 0 {
-		return 0, nil
-	}
-	c.Pool.Reseed(c.peekSeed())
-	return c.Pool.Prefill(count)
-}
-
-// armPool re-arms the nonce pool for the HE batch about to run: retarget at
-// the seed the batch will draw (the pool drops stale pairs from the previous
-// batch) and top up to min(Profile.NoncePool, pts) noise terms. Without this
-// every batch after the NewContext prefill silently ran unpooled — the pool
-// only warms one seed, and nextSeed advances per batch. Called by both
-// encrypt paths just before they consume the seed, with the key handle the
-// batch encrypts under, so the refill runs the way that party computes rⁿ;
-// a no-op without a pool.
-func (c *Context) armPool(pk *paillier.PublicKey, pts int) error {
-	if c.Pool == nil || pts <= 0 {
-		return nil
-	}
-	want := c.Profile.NoncePool
-	if pts < want {
-		want = pts
-	}
-	if c.Pool.Seed() != c.peekSeed() {
-		c.Pool.Reseed(c.peekSeed())
-	}
-	_, err := c.Pool.PrefillAs(pk, want)
-	return err
 }
 
 // sanitizeLabel makes a label safe as a metric-name and trace-party segment.
@@ -244,18 +180,6 @@ func (c *Context) PublishMetrics() {
 	if c.Sharded != nil {
 		c.Sharded.PublishMetrics(reg, "ghe."+c.obsPrefix)
 	}
-	if c.Pool != nil {
-		// "pool." sits outside the reconciled "fl.<label>" cost-mirror set:
-		// pool traffic is substrate bookkeeping, not a protocol cost.
-		st := c.Pool.Stats()
-		pre := "pool." + c.obsPrefix + "."
-		reg.Set(pre+"hits", st.Hits)
-		reg.Set(pre+"misses", st.Misses)
-		reg.Set(pre+"refills", st.Refills)
-		reg.Set(pre+"precomputed", st.Precomputed)
-		reg.Set(pre+"refill_sim_ns", int64(st.RefillSim))
-		reg.SetGauge(pre+"ready", float64(c.Pool.Ready()))
-	}
 }
 
 // ReconcileObs asserts the metrics registry's mirrored cost counters equal
@@ -289,7 +213,6 @@ func (c *Context) ReconcileObs() error {
 		{"ciphertexts", s.Ciphertexts},
 		{"encode_sim_ns", int64(s.EncodeSim)},
 		{"encode_vals", s.EncodeVals},
-		{"comp_sim_ns", int64(s.CompSim)},
 	}
 	for _, ck := range checks {
 		if got := reg.Counter(pre + ck.name); got != ck.want {
@@ -313,7 +236,7 @@ func (c *Context) reconcileDevSet(reg *obs.Registry) error {
 	additive := []string{
 		"launches", "threads", "warps", "bytes_h2d", "bytes_d2h",
 		"sim_transfer_ns", "sim_compute_ns", "sim_fault_ns",
-		"sim_precompute_ns", "launch_failures", "watchdog_trips",
+		"launch_failures", "watchdog_trips",
 	}
 	for _, name := range additive {
 		var sum int64
@@ -327,13 +250,12 @@ func (c *Context) reconcileDevSet(reg *obs.Registry) error {
 	return nil
 }
 
-// SimCost returns the context's sim cost clock: modelled HE, wire, encode,
-// and model-compute time accrued so far. Round phases are stamped on this
-// clock, so spans from the cost-model path line up with the device and
-// pipeline spans.
+// SimCost returns the context's sim cost clock: modelled HE, wire and encode
+// time accrued so far. Round phases are stamped on this clock, so spans from
+// the cost-model path line up with the device and pipeline spans.
 func (c *Context) SimCost() time.Duration {
 	s := c.Costs.Snapshot()
-	return s.HESim + s.CommSim + s.EncodeSim + s.CompSim
+	return s.HESim + s.CommSim + s.EncodeSim
 }
 
 // metricAdd bumps one protocol counter under the context's "fl.<label>."
@@ -363,25 +285,13 @@ func (c *Context) metricMax(name string, v int64) {
 func (c *Context) SeedCursor() uint64 { return c.seed }
 
 // RestoreSeedCursor rewinds (or fast-forwards) the nonce-stream cursor to a
-// journaled position and re-arms the nonce pool, if any, at the batch the
-// cursor implies.
-func (c *Context) RestoreSeedCursor(cursor uint64) {
-	c.seed = cursor
-	if c.Pool != nil {
-		c.Pool.Reseed(c.peekSeed())
-	}
-}
+// journaled position.
+func (c *Context) RestoreSeedCursor(cursor uint64) { c.seed = cursor }
 
 // nextSeed derives a fresh nonce-stream seed per HE batch.
 func (c *Context) nextSeed() uint64 {
-	c.seed = c.peekSeed()
+	c.seed = c.seed*6364136223846793005 + 1442695040888963407
 	return c.seed
-}
-
-// peekSeed returns the seed nextSeed will hand the next HE batch without
-// consuming it, so the pool can warm exactly that batch's nonce stream.
-func (c *Context) peekSeed() uint64 {
-	return c.seed*6364136223846793005 + 1442695040888963407
 }
 
 // simDelta reads the device's modelled time before/after a batch. For CPU
@@ -486,9 +396,6 @@ func (c *Context) EncryptGradientsStreamAs(pk *paillier.PublicKey, grads []float
 	if c.Packer != nil {
 		slots = c.Packer.Slots()
 	}
-	if err := c.armPool(pk, totalPts); err != nil {
-		return err
-	}
 	sess, err := sb.BeginEncrypt(pk, c.nextSeed())
 	if err != nil {
 		return err
@@ -577,9 +484,6 @@ func (c *Context) EncryptGradientsAs(pk *paillier.PublicKey, grads []float64) ([
 		return nil, err
 	}
 	c.Costs.AddEncode(time.Since(encStart), encodeSim(len(grads)), int64(len(grads)))
-	if err := c.armPool(pk, len(pts)); err != nil {
-		return nil, err
-	}
 	base := c.simBase()
 	start := time.Now()
 	cts, err := c.Backend.EncryptVec(pk, pts, c.nextSeed())

@@ -45,11 +45,6 @@ type CostSnapshot struct {
 	EncodeSim  time.Duration
 	EncodeVals int64
 
-	// CompSim is modelled per-party model computation (forward/backward
-	// passes) charged by the round runtime. Unlike OtherWall it is a sim-time
-	// quantity, so the round anatomy stays deterministic across runs.
-	CompSim time.Duration
-
 	// PipeSeqSim and PipeSim are the streamed-pipeline view of the phases
 	// that ran chunked: the sequential sum of their HE and wire time (already
 	// included in HESim/CommSim above) and the measured critical path of the
@@ -101,7 +96,7 @@ var costMirrorNames = []string{
 	"pipe_chunks", "pipe_seq_ns", "pipe_ns",
 	"late_chunks", "late_bytes",
 	"plainvals", "ciphertexts",
-	"encode_sim_ns", "encode_vals", "comp_sim_ns",
+	"encode_sim_ns", "encode_vals",
 }
 
 // Observe mirrors future cost deltas into reg as counters named
@@ -207,15 +202,6 @@ func (c *Costs) AddEncode(wall, sim time.Duration, vals int64) {
 	c.mirror("encode_vals", vals)
 }
 
-// AddComp accounts modelled per-party model computation scheduled by the
-// round runtime.
-func (c *Costs) AddComp(sim time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.CompSim += sim
-	c.mirror("comp_sim_ns", int64(sim))
-}
-
 // AddCompression accounts a packing step: plainvals in, ciphertexts out.
 func (c *Costs) AddCompression(plainvals, ciphertexts int64) {
 	c.mu.Lock()
@@ -252,7 +238,7 @@ func (c *Costs) TotalSim() time.Duration { return c.Snapshot().TotalSim() }
 
 // TotalSim is the modelled end-to-end time of the snapshot.
 func (s CostSnapshot) TotalSim() time.Duration {
-	return s.HESim + s.CommSim + s.OtherWall + s.EncodeSim + s.CompSim
+	return s.HESim + s.CommSim + s.OtherWall + s.EncodeSim
 }
 
 // TotalSimOverlapped is the modelled end-to-end time with the streamed
@@ -279,7 +265,7 @@ func (c *Costs) TotalWall() time.Duration { return c.Snapshot().TotalWall() }
 
 // TotalWall is the measured end-to-end host time plus modelled wire time.
 func (s CostSnapshot) TotalWall() time.Duration {
-	return s.HEWall + s.CommSim + s.OtherWall + s.EncodeWall + s.CompSim
+	return s.HEWall + s.CommSim + s.OtherWall + s.EncodeWall
 }
 
 // Shares returns the fractions (other, HE, comm) of TotalSim — the rows of
@@ -287,7 +273,7 @@ func (s CostSnapshot) TotalWall() time.Duration {
 func (c *Costs) Shares() (other, he, comm float64) { return c.Snapshot().Shares() }
 
 // Shares returns the fractions (other, HE, comm) of the run's end-to-end
-// time. The "other" share folds in encode and model compute alongside
+// time. The "other" share folds in encode alongside
 // OtherWall. On runs with streamed phases (PipeChunks > 0) the denominator
 // is TotalSimOverlapped — the headline those runs report — so the shares sum
 // against the number printed next to them; sequential runs divide by
@@ -302,7 +288,7 @@ func (s CostSnapshot) Shares() (other, he, comm float64) {
 		return 0, 0, 0
 	}
 	t := float64(total)
-	return float64(s.OtherWall+s.EncodeSim+s.CompSim) / t, float64(s.HESim) / t, float64(s.CommSim) / t
+	return float64(s.OtherWall+s.EncodeSim) / t, float64(s.HESim) / t, float64(s.CommSim) / t
 }
 
 // Throughput returns HE instances per second of modelled HE time — the

@@ -35,8 +35,8 @@ func refEpoch(t *testing.T, rounds int, grads [][][]float64) [][]float64 {
 
 // TestShardedBitExactWithSequential is the fl-layer acceptance property: a
 // secure-aggregation epoch over a D-device sharded context produces results
-// bit-identical to the single-device run, for every D, with pooled nonces,
-// with a device killed mid-epoch, and across a coordinator crash/recovery.
+// bit-identical to the single-device run, for every D, with a device killed
+// mid-epoch, and across a coordinator crash/recovery.
 func TestShardedBitExactWithSequential(t *testing.T) {
 	// 64 gradient values per party span several packed plaintexts, so every
 	// HE batch really shards across the fleet (one plaintext would collapse
@@ -85,22 +85,6 @@ func TestShardedBitExactWithSequential(t *testing.T) {
 			}
 			if err := ctx.ReconcileObs(); err != nil {
 				t.Fatal(err)
-			}
-		})
-
-		t.Run(fmt.Sprintf("D=%d/pooled-nonce", d), func(t *testing.T) {
-			p := devsetProfile(d)
-			p.NoncePool = 8
-			ctx, err := NewContext(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkRef(t, runEpoch(t, ctx))
-			if st := ctx.Pool.Stats(); st.Hits == 0 || st.RefillSim <= 0 {
-				t.Fatalf("pool never served sharded encryptions: %+v", st)
-			}
-			if st := ctx.DevSet.Stats(); st.SimPrecomputeTime <= 0 {
-				t.Fatalf("prefill charged no set precompute time: %+v", st)
 			}
 		})
 

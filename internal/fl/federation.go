@@ -562,112 +562,46 @@ func (st *roundState) clientGrads(i int, grads [][]float64) []float64 {
 // still fails after the retry policy drops the client (within the quorum
 // budget); a local encryption fault is not a network fault and aborts the
 // round.
-//
-// Each upload's HE and wire costs are scheduled on an encrypt and a send
-// stream whose critical path becomes one AddPipeline record — the overlap
-// credit TotalSimOverlapped swaps for the uploads' sequential sum. Without
-// Profile.Overlap the stream pair is per client: chunk i is on the wire
-// while chunk i+1 still encrypts, and a whole-batch (Chunk == 0) upload has
-// nothing to overlap and records nothing. With Overlap.Enabled the pair is
-// shared by the wave and each party's model compute + encode runs on a lane
-// of its own that gates its first chunk: client i+1's compute runs while
-// client i's batch encrypts and client i-1's is on the wire. The per-party
-// compute (Overlap.CompSimPerValue) is charged identically either way.
-// Dropped clients keep their sequential charges and earn no credit.
 func (st *roundState) uploadWave(wave []string, grads [][]float64) error {
-	ctx := st.f.Ctx
-	overlap := ctx.Profile.Overlap.Enabled
-	pipelined := overlap || ctx.Profile.Chunk > 0
 	sendUpload := st.sendChunks
-	if ctx.Profile.Chunk == 0 {
+	if st.f.Ctx.Profile.Chunk == 0 {
 		sendUpload = st.sendBatch
-	}
-	var enc, wire *gpu.Stream
-	var seq time.Duration
-	var units int64
-	// settle closes the open stream pair into one pipeline record.
-	settle := func() {
-		if enc != nil && units > 0 {
-			span := enc.Clock()
-			if w := wire.Clock(); w > span {
-				span = w
-			}
-			// A client dropped mid-upload leaves chunks it already scheduled on
-			// shared streams without earning credit, so the measured span can
-			// exceed the credited sequential sum. Clamp: overlap credit must
-			// never make the wave slower than its sequential accounting.
-			if span > seq {
-				span = seq
-			}
-			ctx.Costs.AddPipeline(seq, span, units)
-		}
-		enc, wire, seq, units = nil, nil, 0, 0
 	}
 	for _, name := range wave {
 		i, err := ClientIndex(name)
 		if err != nil {
 			return st.fail(PhaseUpload, name, err)
 		}
-		g := st.clientGrads(i, grads)
-		comp := ctx.Profile.Overlap.compSim(len(g))
-		if comp > 0 {
-			ctx.Costs.AddComp(comp)
-		}
-		if pipelined && enc == nil {
-			enc, wire = gpu.NewStream("encrypt"), gpu.NewStream("send")
-		}
-		var lane time.Duration
-		var gate []gpu.Event
-		if overlap {
-			lane = comp + encodeSim(len(g))
-			gate = []gpu.Event{gpu.NewStream("comp." + name).Schedule(lane)}
-		}
-		seqSim, n, ok, err := sendUpload(i, g, enc, wire, gate...)
-		if err != nil {
+		if err := sendUpload(i, st.clientGrads(i, grads)); err != nil {
 			return err
 		}
-		if ok {
-			seq += lane + seqSim
-			units += n
-		}
-		if !overlap {
-			settle()
-		}
 	}
-	settle()
 	return nil
 }
 
 // sendBatch is the whole-batch (Profile.Chunk == 0) upload of one client:
-// one "grads" frame, one unit on the streams. enc and wire are nil when the
-// wave records no pipeline. Returns like sendChunks.
-func (st *roundState) sendBatch(i int, grads []float64, enc, wire *gpu.Stream, after ...gpu.Event) (seqSim time.Duration, units int64, ok bool, err error) {
+// one "grads" frame, nothing to overlap, no pipeline record. A dropped
+// client (failed send, within the quorum budget) returns nil.
+func (st *roundState) sendBatch(i int, grads []float64) error {
 	ctx := st.f.Ctx
 	name := ClientName(i)
-	heBefore := ctx.Costs.Snapshot().HESim
 	cts, err := ctx.EncryptGradientsAs(st.f.clientKey, grads)
 	if err != nil {
-		return 0, 0, false, fmt.Errorf("fl: client %d encrypt: %w", i, err)
+		return fmt.Errorf("fl: client %d encrypt: %w", i, err)
 	}
-	he := ctx.Costs.Snapshot().HESim - heBefore
 	msg := flnet.Message{
 		From: name, To: ServerName, Kind: "grads", Round: st.id,
 		Payload: EncodeCiphertexts(cts),
 	}
 	if err := st.send(msg); err != nil {
 		if rerr := st.drop(PhaseUpload, name, err); rerr != nil {
-			return 0, 0, false, rerr
+			return rerr
 		}
-		return 0, 0, false, nil
+		return nil
 	}
 	st.uploaded = append(st.uploaded, name)
 	ctx.RecordTransfer(msg.WireSize())
-	comm := ctx.Link.TransferTime(msg.WireSize())
-	if enc != nil {
-		ev := enc.Schedule(he, after...) // encrypt once the party's compute is done
-		wire.Schedule(comm, ev)          // then the batch hits the wire
-	}
-	return he + comm, 1, true, nil
+	return nil
 }
 
 // gradChunk is one encrypted chunk handed from the encrypting producer to
@@ -686,13 +620,13 @@ var errUploadAborted = errors.New("fl: chunked upload aborted")
 // bounded producer/consumer pipeline: a goroutine encrypts chunks through
 // the streamed HE session and a two-chunk channel feeds the wire, so the
 // send of chunk i overlaps the encryption of chunk i+1. The chunks' HE and
-// wire costs are scheduled onto the caller's encrypt and send streams (the
-// first chunk waits on `after` — the party's model-compute lane under the
-// overlap scheduler). Returns the sequential sum, the chunk count, and
-// whether the upload completed; a dropped client (failed send, within the
-// quorum budget) returns ok=false with its costs left at their sequential
-// charge — the overlapped accounting only credits completed uploads.
-func (st *roundState) sendChunks(i int, grads []float64, enc, wire *gpu.Stream, after ...gpu.Event) (seqSim time.Duration, chunks int64, ok bool, err error) {
+// wire costs are scheduled onto an encrypt and a send stream, whose critical
+// path becomes one AddPipeline record — the overlap credit
+// TotalSimOverlapped swaps for the upload's sequential sum. A dropped client
+// (failed send, within the quorum budget) returns nil with its costs left at
+// their sequential charge: the overlapped accounting only credits completed
+// uploads.
+func (st *roundState) sendChunks(i int, grads []float64) error {
 	ctx := st.f.Ctx
 	name := ClientName(i)
 	chunkPts := ctx.Profile.Chunk
@@ -718,19 +652,15 @@ func (st *roundState) sendChunks(i int, grads []float64, enc, wire *gpu.Stream, 
 
 	rec := ctx.Obs.Recorder()
 	origin := ctx.SimCost() // anchor stream-relative chunk spans on the cost clock
+	enc, wire := gpu.NewStream("encrypt"), gpu.NewStream("send")
+	var seqSim time.Duration
+	var chunks int64
 	var sendErr error
-	first := true
 	for chk := range ch {
 		if sendErr != nil {
 			continue // drain the producer after a failed send
 		}
-		var ev gpu.Event
-		if first {
-			ev = enc.Schedule(chk.heSim, after...)
-			first = false
-		} else {
-			ev = enc.Schedule(chk.heSim)
-		}
+		ev := enc.Schedule(chk.heSim)
 		msg := flnet.Message{
 			From: name, To: ServerName, Kind: "gradc", Round: st.id,
 			Payload: flnet.EncodeChunk(uint32(chk.index), uint32(total), EncodeCiphertexts(chk.cts)),
@@ -755,16 +685,19 @@ func (st *roundState) sendChunks(i int, grads []float64, enc, wire *gpu.Stream, 
 		ctx.RecordTransfer(msg.WireSize())
 	}
 	if err := <-errc; err != nil && !errors.Is(err, errUploadAborted) {
-		return 0, 0, false, fmt.Errorf("fl: client %d encrypt: %w", i, err)
+		return fmt.Errorf("fl: client %d encrypt: %w", i, err)
 	}
 	if sendErr != nil {
 		if rerr := st.drop(PhaseUpload, name, sendErr); rerr != nil {
-			return 0, 0, false, rerr
+			return rerr
 		}
-		return 0, 0, false, nil
+		return nil
 	}
 	st.uploaded = append(st.uploaded, name)
-	return seqSim, chunks, true, nil
+	// Every chunk went out after it was encrypted, so the send stream's clock
+	// is the upload's critical path.
+	ctx.Costs.AddPipeline(seqSim, wire.Clock(), chunks)
+	return nil
 }
 
 // answerResume replies to one session-resume probe. Only a token that

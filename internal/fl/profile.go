@@ -8,7 +8,6 @@ package fl
 
 import (
 	"fmt"
-	"time"
 
 	"flbooster/internal/ghe"
 	"flbooster/internal/gpu"
@@ -71,12 +70,6 @@ type Profile struct {
 	// uploads overlap the next chunk's compute (§V-B / Fig. 4, actually
 	// executed). Zero uploads each batch whole, as one "grads" frame.
 	Chunk int
-	// NoncePool, when positive on a GPU profile, precomputes that many
-	// Paillier rⁿ noise terms offline (charged as device precompute time,
-	// not online sim-time) so the next encryption batch pops ready noise.
-	// Results are bit-exact with the unpooled path; zero disables the pool.
-	// Ignored on CPU profiles.
-	NoncePool int
 	// Round governs fault tolerance of federation rounds: quorum, phase
 	// deadlines, and send retries. The zero value is the strict protocol
 	// (all parties required, no deadline, no retransmission).
@@ -102,39 +95,11 @@ type Profile struct {
 	// round — one admission wave, unbounded fan-out — byte-identical to the
 	// pre-cohort protocol.
 	Cohort CohortPolicy
-	// Overlap configures the round runtime's compute/upload overlap: modelled
-	// per-party model computation scheduled on a lane of its own so the wave's
-	// encrypt and send streams can run other parties' uploads underneath it.
-	// The zero value charges no model compute and gives each party's upload
-	// its own stream pair (the pre-overlap accounting).
-	Overlap OverlapPolicy
-	// ClassicKey generates the Paillier key with a random generator g instead
-	// of the g = n+1 shortcut, making the encrypt-side g^m term a full modular
-	// exponentiation — the configuration fixed-base precomputation targets.
-	// Ciphertexts under either generator decrypt identically.
-	ClassicKey bool
 	// Observe attaches a sim-time span recorder and metrics registry to the
 	// context at construction (seeded from Seed), so rounds emit traces and
 	// the cost counters mirror into metrics. Off by default: the nil
 	// recorder/registry path is zero-cost.
 	Observe bool
-}
-
-// OverlapPolicy models per-party computation and its overlap with the
-// upload phase. CompSimPerValue is the modelled forward/backward cost of one
-// gradient value; with Enabled the round runtime schedules that compute on a
-// per-party lane and overlaps the cohort's encrypt+send underneath it,
-// charging the wave at its measured critical path. With CompSimPerValue set
-// but Enabled false the same compute is charged sequentially — the baseline
-// the overlap is measured against, so both paths price the same work.
-type OverlapPolicy struct {
-	Enabled         bool
-	CompSimPerValue time.Duration
-}
-
-// compSim returns the modelled model-compute cost of n gradient values.
-func (o OverlapPolicy) compSim(n int) time.Duration {
-	return time.Duration(n) * o.CompSimPerValue
 }
 
 // FaultPolicy is the device-side counterpart of RoundPolicy: what faults to
@@ -204,14 +169,10 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("fl: gradient bound must be positive")
 	case p.Chunk < 0:
 		return fmt.Errorf("fl: negative pipeline chunk size %d", p.Chunk)
-	case p.NoncePool < 0:
-		return fmt.Errorf("fl: negative nonce pool depth %d", p.NoncePool)
 	case p.Devices < 0:
 		return fmt.Errorf("fl: negative device count %d", p.Devices)
 	case p.Devices > gpu.MaxDevices:
 		return fmt.Errorf("fl: device count %d exceeds %d", p.Devices, gpu.MaxDevices)
-	case p.Overlap.CompSimPerValue < 0:
-		return fmt.Errorf("fl: negative model-compute cost %v per value", p.Overlap.CompSimPerValue)
 	}
 	if err := p.Round.Validate(p.Parties); err != nil {
 		return err

@@ -348,6 +348,53 @@ func TestDecodeNatsBoundsCountHeader(t *testing.T) {
 	}
 }
 
+// FuzzDecodeNats throws arbitrary bytes at the nat-batch decoder every
+// upload, partial and aggregate passes through (fl.DecodeCiphertexts). It
+// never panics; a reject is an error carrying no values; an accept holds at
+// most len(b)/4 values — the count header cannot buy more slice than the
+// body pays for — that survive an encode/decode round trip; and decoding
+// into a reused scratch slice yields the same values without growing the
+// scratch past that bound.
+func FuzzDecodeNats(f *testing.F) {
+	f.Add(EncodeNats([]mpint.Nat{mpint.FromUint64(1), nil, mpint.FromUint64(1 << 40)}))
+	sameNats := func(a, b []mpint.Nat) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if mpint.Cmp(a[i], b[i]) != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		out, err := DecodeNats(b)
+		if err != nil {
+			if out != nil {
+				t.Fatalf("reject (%v) still returned %d values", err, len(out))
+			}
+			return
+		}
+		bound := len(b) / 4
+		if len(out) > bound || cap(out) > bound {
+			t.Fatalf("%d-byte frame decoded to len %d cap %d, bound %d", len(b), len(out), cap(out), bound)
+		}
+		again, err := DecodeNats(EncodeNats(out))
+		if err != nil || !sameNats(again, out) {
+			t.Fatalf("re-encoded batch decodes to %v (%v), want %v", again, err, out)
+		}
+		scratch := make([]mpint.Nat, 1, 2)
+		reused, err := DecodeNatsInto(scratch, b)
+		if err != nil || !sameNats(reused, out) {
+			t.Fatalf("decode into scratch gave %v (%v), want %v", reused, err, out)
+		}
+		if cap(reused) > max(cap(scratch), bound) {
+			t.Fatalf("cap-%d scratch grew to cap %d, bound %d", cap(scratch), cap(reused), bound)
+		}
+	})
+}
+
 func TestDecodeFloatsBoundsCountHeader(t *testing.T) {
 	// n = 2^29 makes 8*n wrap to 0 in uint32 arithmetic; the old check
 	// passed and then allocated 4 GiB. Must now fail.

@@ -17,14 +17,6 @@ type SimClock interface {
 	SimNow() time.Duration
 }
 
-// OfflineEngine is an engine whose accrued cost can be reclassified as
-// offline precompute (nonce-pool refills). BeginOffline marks the clocks;
-// the returned func moves everything accrued since the mark into the
-// precompute bill and returns the duration moved.
-type OfflineEngine interface {
-	BeginOffline() func() time.Duration
-}
-
 // ShardedEngine runs every vector HE op across a gpu.DeviceSet: the op
 // splits into contiguous shards, each shard executes on its member device
 // under the per-device checked discipline (retry + spot-verification, no
@@ -42,10 +34,9 @@ type ShardedEngine struct {
 
 // The sharded substrate is a drop-in streamed engine.
 var (
-	_ VectorEngine  = (*ShardedEngine)(nil)
-	_ StreamEngine  = (*ShardedEngine)(nil)
-	_ SimClock      = (*ShardedEngine)(nil)
-	_ OfflineEngine = (*ShardedEngine)(nil)
+	_ VectorEngine = (*ShardedEngine)(nil)
+	_ StreamEngine = (*ShardedEngine)(nil)
+	_ SimClock     = (*ShardedEngine)(nil)
 )
 
 // NewShardedEngine wraps a device set. Each member device gets its own
@@ -87,9 +78,6 @@ func (s *ShardedEngine) StreamDevice() *gpu.Device { return nil }
 
 // SimNow implements SimClock: the set's merged online clock.
 func (s *ShardedEngine) SimNow() time.Duration { return s.set.SimTime() }
-
-// BeginOffline implements OfflineEngine by bracketing the whole set.
-func (s *ShardedEngine) BeginOffline() func() time.Duration { return s.set.BeginOffline() }
 
 // Stats aggregates the checked-layer counters across the member engines.
 func (s *ShardedEngine) Stats() CheckedStats {
@@ -235,8 +223,8 @@ func (s *ShardedEngine) ModMulVec(a, b []mpint.Nat, m *mpint.Mont) ([]mpint.Nat,
 
 // RandCoprimeVec implements VectorEngine. The stream stays keyed by global
 // item index: shard [Lo, Hi) draws positions [Lo, Hi) of the (seed, m)
-// stream no matter which device serves it, so pooled nonces are bit-exact
-// across every D and every fault schedule.
+// stream no matter which device serves it, so nonces are bit-exact across
+// every D and every fault schedule.
 func (s *ShardedEngine) RandCoprimeVec(n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
 	return s.RandCoprimeRange(0, n, m, seed)
 }

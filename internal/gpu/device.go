@@ -33,23 +33,17 @@ type Device struct {
 
 // Stats aggregates device activity.
 type Stats struct {
-	KernelLaunches  int64
-	ThreadsExecuted int64
-	WarpsExecuted   int64
-	BytesHostToDev  int64
-	BytesDevToHost  int64
-	SimTransferTime time.Duration // modelled PCIe time (Eq. 10 transfer term)
-	SimComputeTime  time.Duration // modelled kernel time (Eq. 10 compute term)
-	SimFaultTime    time.Duration // modelled time lost to faults: watchdog windows, retry backoff, degraded host execution
-	// SimPrecomputeTime holds device work reclassified as offline
-	// precomputation (nonce-pool refills run during idle sim-time). It is
-	// excluded from SimTime(): the online clock only pays for work the
-	// critical path actually waits on, while the precompute bill stays
-	// visible here.
-	SimPrecomputeTime time.Duration
-	WallKernelTime    time.Duration // real host time spent in kernel bodies
-	UtilizationSum    float64       // Σ occupancy per launch, for averaging
-	UtilizationCount  int64
+	KernelLaunches   int64
+	ThreadsExecuted  int64
+	WarpsExecuted    int64
+	BytesHostToDev   int64
+	BytesDevToHost   int64
+	SimTransferTime  time.Duration // modelled PCIe time (Eq. 10 transfer term)
+	SimComputeTime   time.Duration // modelled kernel time (Eq. 10 compute term)
+	SimFaultTime     time.Duration // modelled time lost to faults: watchdog windows, retry backoff, degraded host execution
+	WallKernelTime   time.Duration // real host time spent in kernel bodies
+	UtilizationSum   float64       // Σ occupancy per launch, for averaging
+	UtilizationCount int64
 
 	// Stream-pipeline observability: ops executed as chunked streams
 	// (Pipeline) report their measured critical path in SimStreamTime and
@@ -210,7 +204,6 @@ func publishDeviceStats(reg *obs.Registry, prefix string, s Stats) {
 	reg.Set(prefix+".sim_transfer_ns", int64(s.SimTransferTime))
 	reg.Set(prefix+".sim_compute_ns", int64(s.SimComputeTime))
 	reg.Set(prefix+".sim_fault_ns", int64(s.SimFaultTime))
-	reg.Set(prefix+".sim_precompute_ns", int64(s.SimPrecomputeTime))
 	reg.Set(prefix+".stream_chunks", s.StreamChunks)
 	reg.Set(prefix+".stream_ops", s.StreamOps)
 	reg.Set(prefix+".sim_stream_ns", int64(s.SimStreamTime))
@@ -273,38 +266,6 @@ func (d *Device) ReportFailure(kernel string, kind FaultKind) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.recordFailureLocked(kind)
-}
-
-// ReclassifyPrecompute moves every modelled cost the device accrued since
-// `mark` (a Stats snapshot taken before the work) out of the online clock
-// and into SimPrecomputeTime, returning the overlapped duration moved. This
-// is how offline work — nonce-pool refills driven through the ordinary
-// kernel/copy/pipeline paths — is billed to idle sim-time instead of the
-// round's critical path: the work still happened (bytes, launches, and spans
-// remain), but its clock contribution is reclassified. The caller must
-// bracket the work single-threadedly; concurrent online work between mark
-// and the call would be reclassified with it.
-func (d *Device) ReclassifyPrecompute(mark Stats) time.Duration {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	dT := d.stats.SimTransferTime - mark.SimTransferTime
-	dC := d.stats.SimComputeTime - mark.SimComputeTime
-	dF := d.stats.SimFaultTime - mark.SimFaultTime
-	dSS := d.stats.SimStreamSeqTime - mark.SimStreamSeqTime
-	dS := d.stats.SimStreamTime - mark.SimStreamTime
-	// The overlapped view of the bracketed work: sequential stages, minus the
-	// chunks that were streamed, plus their measured critical path.
-	moved := dT + dC + dF - dSS + dS
-	if moved < 0 {
-		moved = 0
-	}
-	d.stats.SimTransferTime = mark.SimTransferTime
-	d.stats.SimComputeTime = mark.SimComputeTime
-	d.stats.SimFaultTime = mark.SimFaultTime
-	d.stats.SimStreamSeqTime = mark.SimStreamSeqTime
-	d.stats.SimStreamTime = mark.SimStreamTime
-	d.stats.SimPrecomputeTime += moved
-	return moved
 }
 
 // ChargeFaultTime adds externally incurred fault cost — retry backoff and

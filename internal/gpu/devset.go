@@ -83,9 +83,6 @@ type SetStats struct {
 	// HostSim is the wall time of host-fallback shards, charged to the
 	// set's clock (degraded-mode cost, like CheckedEngine fallback).
 	HostSim time.Duration
-	// SimPrecomputeTime holds set work reclassified as offline precompute
-	// (nonce-pool refills) by BeginOffline.
-	SimPrecomputeTime time.Duration
 }
 
 // DeviceSet is a fleet of simulated devices behind a shard scheduler.
@@ -221,38 +218,6 @@ func (s *DeviceSet) AvgUtilization() float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// BeginOffline marks the set's clocks ahead of offline work (nonce-pool
-// prefill). The returned func reclassifies everything accrued since — on
-// every member device and on the set's merged clocks — into precompute
-// time, returning the parallel-view duration moved. The caller must bracket
-// the work single-threadedly, like Device.ReclassifyPrecompute.
-func (s *DeviceSet) BeginOffline() func() time.Duration {
-	marks := make([]Stats, len(s.devs))
-	for i, d := range s.devs {
-		marks[i] = d.Stats()
-	}
-	s.mu.Lock()
-	mark := s.stats
-	s.mu.Unlock()
-	return func() time.Duration {
-		for i, d := range s.devs {
-			d.ReclassifyPrecompute(marks[i])
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		moved := (s.stats.SimParallelTime - mark.SimParallelTime) + (s.stats.HostSim - mark.HostSim)
-		if moved < 0 {
-			moved = 0
-		}
-		s.stats.SimParallelTime = mark.SimParallelTime
-		s.stats.SimSequentialTime = mark.SimSequentialTime
-		s.stats.HostSim = mark.HostSim
-		s.stats.RebalanceSim = mark.RebalanceSim
-		s.stats.SimPrecomputeTime += moved
-		return moved
-	}
 }
 
 // ShardOp is one sharded vector operation.
@@ -477,7 +442,6 @@ func (s *DeviceSet) PublishMetrics(reg *obs.Registry, prefix string) {
 	reg.Set(prefix+".devset_parallel_ns", int64(st.SimParallelTime))
 	reg.Set(prefix+".devset_sequential_ns", int64(st.SimSequentialTime))
 	reg.Set(prefix+".devset_host_sim_ns", int64(st.HostSim))
-	reg.Set(prefix+".devset_precompute_ns", int64(st.SimPrecomputeTime))
 }
 
 // StatsSum aggregates the member devices' counters: additive fields sum,
@@ -496,7 +460,6 @@ func (s *DeviceSet) StatsSum() Stats {
 		agg.SimTransferTime += st.SimTransferTime
 		agg.SimComputeTime += st.SimComputeTime
 		agg.SimFaultTime += st.SimFaultTime
-		agg.SimPrecomputeTime += st.SimPrecomputeTime
 		agg.WallKernelTime += st.WallKernelTime
 		agg.UtilizationSum += st.UtilizationSum
 		agg.UtilizationCount += st.UtilizationCount

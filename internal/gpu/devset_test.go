@@ -388,37 +388,6 @@ func TestDeviceSetP2PMigrationCharged(t *testing.T) {
 	}
 }
 
-func TestDeviceSetBeginOffline(t *testing.T) {
-	const n = 32
-	in := seqInput(n)
-	s := testSet(t, 2)
-	finish := s.BeginOffline()
-	out := make([]int64, n)
-	if err := s.Run(doubleOp(s, in, out)); err != nil {
-		t.Fatal(err)
-	}
-	if s.SimTime() <= 0 {
-		t.Fatal("online clock should have accrued before reclassification")
-	}
-	moved := finish()
-	if moved <= 0 {
-		t.Fatal("reclassification should move accrued time")
-	}
-	if got := s.SimTime(); got != 0 {
-		t.Fatalf("online clock after reclassification = %v, want 0", got)
-	}
-	st := s.Stats()
-	if st.SimPrecomputeTime != moved {
-		t.Fatalf("set precompute %v, want %v", st.SimPrecomputeTime, moved)
-	}
-	for i := 0; i < 2; i++ {
-		ds := s.Device(i).Stats()
-		if ds.SimTime() != 0 || ds.SimPrecomputeTime <= 0 {
-			t.Fatalf("dev%d not reclassified: %+v", i, ds)
-		}
-	}
-}
-
 func TestDeviceSetResetStatsPreservesHealth(t *testing.T) {
 	s := testSet(t, 2)
 	s.Device(1).SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 1, KillAtLaunch: 1}))

@@ -22,10 +22,6 @@ type Backend interface {
 	AddVec(pk *PublicKey, a, b []Ciphertext) ([]Ciphertext, error)
 	// MulPlainVec raises each ciphertext to the matching plaintext scalar.
 	MulPlainVec(pk *PublicKey, cs []Ciphertext, ks []mpint.Nat) ([]Ciphertext, error)
-	// RerandomizeVec multiplies each ciphertext by a fresh encryption of
-	// zero drawn from the seed's nonce stream, unlinking ciphertexts from
-	// their origin without changing plaintexts.
-	RerandomizeVec(pk *PublicKey, cs []Ciphertext, seed uint64) ([]Ciphertext, error)
 }
 
 // CPUBackend performs every HE operation serially on the host, as FATE's
@@ -86,16 +82,6 @@ func (CPUBackend) MulPlainVec(pk *PublicKey, cs []Ciphertext, ks []mpint.Nat) ([
 	return out, nil
 }
 
-// RerandomizeVec implements Backend with the sequential host RNG stream.
-func (CPUBackend) RerandomizeVec(pk *PublicKey, cs []Ciphertext, seed uint64) ([]Ciphertext, error) {
-	rng := mpint.NewRNG(seed)
-	out := make([]Ciphertext, len(cs))
-	for i, c := range cs {
-		out[i] = pk.Rerandomize(c, rng)
-	}
-	return out, nil
-}
-
 // GPUBackend lowers batched operations onto the GPU-HE engine, following the
 // pipeline of Fig. 4: convert, copy to device, compute in parallel, copy
 // back. The engine is any ghe.VectorEngine — the raw device engine, the
@@ -103,12 +89,6 @@ func (CPUBackend) RerandomizeVec(pk *PublicKey, cs []Ciphertext, seed uint64) ([
 // so the backend degrades between substrates without code changes.
 type GPUBackend struct {
 	Engine ghe.VectorEngine
-	// Pool optionally serves precomputed rⁿ noise terms to EncryptVec,
-	// RerandomizeVec, and streamed encryption sessions. Because the pool
-	// draws from the same global-index nonce stream the engine defines,
-	// attaching it never changes results — only how much exponentiation
-	// work remains on the online path. Nil disables pooling.
-	Pool *NoncePool
 }
 
 // NewGPUBackend wraps a GPU-HE vector engine. Typed nils (e.g. a nil
@@ -145,42 +125,29 @@ func MustGPUBackend(e ghe.VectorEngine) *GPUBackend {
 func (g *GPUBackend) Name() string { return "gpu-he" }
 
 // nonceTerms returns the rⁿ mod n² noise terms for global nonce-stream
-// positions [base, base+count) under seed. Ready terms pop from the
-// attached pool — a hit skips the online exponentiation entirely — and the
-// remainder is drawn and exponentiated through the engine from the same
-// stream positions, so results are identical with or without a pool.
+// positions [base, base+count) under seed, drawn and exponentiated through
+// the engine.
 func (g *GPUBackend) nonceTerms(pk *PublicKey, base, count int, seed uint64) ([]mpint.Nat, error) {
 	if count == 0 {
 		return nil, nil
 	}
-	var ready []mpint.Nat
-	if g.Pool != nil {
-		ready = g.Pool.take(pk, seed, base, count)
-		if len(ready) == count {
-			return ready, nil
-		}
-	}
-	at, need := base+len(ready), count-len(ready)
 	var rs []mpint.Nat
 	var err error
 	if se, ok := g.Engine.(ghe.StreamEngine); ok {
-		rs, err = se.RandCoprimeRange(at, need, pk.N, seed)
-	} else if at == 0 {
-		rs, err = g.Engine.RandCoprimeVec(need, pk.N, seed)
+		rs, err = se.RandCoprimeRange(base, count, pk.N, seed)
+	} else if base == 0 {
+		rs, err = g.Engine.RandCoprimeVec(count, pk.N, seed)
 	} else {
-		return nil, fmt.Errorf("paillier: engine %T cannot draw nonces at stream offset %d", g.Engine, at)
+		return nil, fmt.Errorf("paillier: engine %T cannot draw nonces at stream offset %d", g.Engine, base)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("paillier: gpu nonces at %d: %w", at, err)
+		return nil, fmt.Errorf("paillier: gpu nonces at %d: %w", base, err)
 	}
 	rn, err := pk.nonceTermVec(g.Engine, rs)
 	if err != nil {
-		return nil, fmt.Errorf("paillier: gpu r^n at %d: %w", at, err)
+		return nil, fmt.Errorf("paillier: gpu r^n at %d: %w", base, err)
 	}
-	if len(ready) == 0 {
-		return rn, nil
-	}
-	return append(ready, rn...), nil
+	return rn, nil
 }
 
 // gPowMVec computes the gᵐ term for a batch. Under the g = n+1 shortcut
@@ -202,8 +169,8 @@ func (g *GPUBackend) gPowMVec(pk *PublicKey, ms []mpint.Nat) ([]mpint.Nat, error
 
 // EncryptVec implements Backend. gᵐ uses the n+1 shortcut on the host (two
 // word-level ops per element; a fixed-base kernel for classic generators)
-// while the expensive rⁿ modexp batch comes from the nonce pool or runs as
-// one device kernel, then a hom-mul kernel combines them.
+// while the expensive rⁿ modexp batch runs as one device kernel, then a
+// hom-mul kernel combines them.
 func (g *GPUBackend) EncryptVec(pk *PublicKey, ms []mpint.Nat, seed uint64) ([]Ciphertext, error) {
 	for i, m := range ms {
 		if mpint.Cmp(m, pk.N) >= 0 {
@@ -223,28 +190,6 @@ func (g *GPUBackend) EncryptVec(pk *PublicKey, ms []mpint.Nat, seed uint64) ([]C
 		return nil, fmt.Errorf("paillier: gpu EncryptVec combine: %w", err)
 	}
 	out := make([]Ciphertext, len(ms))
-	for i := range prod {
-		out[i] = Ciphertext{C: prod[i]}
-	}
-	return out, nil
-}
-
-// RerandomizeVec implements Backend: each ciphertext is multiplied by a
-// ready (or freshly computed) rⁿ noise term in one hom-mul kernel.
-func (g *GPUBackend) RerandomizeVec(pk *PublicKey, cs []Ciphertext, seed uint64) ([]Ciphertext, error) {
-	rn, err := g.nonceTerms(pk, 0, len(cs), seed)
-	if err != nil {
-		return nil, fmt.Errorf("paillier: gpu RerandomizeVec: %w", err)
-	}
-	cv := make([]mpint.Nat, len(cs))
-	for i := range cs {
-		cv[i] = cs[i].C
-	}
-	prod, err := g.Engine.ModMulVec(cv, rn, pk.MontN2())
-	if err != nil {
-		return nil, fmt.Errorf("paillier: gpu RerandomizeVec combine: %w", err)
-	}
-	out := make([]Ciphertext, len(cs))
 	for i := range prod {
 		out[i] = Ciphertext{C: prod[i]}
 	}

@@ -3,7 +3,6 @@ package paillier
 import (
 	"testing"
 
-	"flbooster/internal/ghe"
 	"flbooster/internal/mpint"
 )
 
@@ -86,47 +85,5 @@ func TestHolderHandleStaysPrivate(t *testing.T) {
 	r := mpint.NewRNG(3).RandCoprime(sk.N)
 	if mpint.Cmp(sk2.Holder().nonceTerm(r), sk.PublicKey.nonceTerm(r)) != 0 {
 		t.Fatal("a reloaded key's holder handle computes a different r^n")
-	}
-}
-
-// TestPoolPrefillAs: a pool refills through whichever handle of its own key
-// the caller passes, mixes the pairs freely, and refuses another key.
-func TestPoolPrefillAs(t *testing.T) {
-	sk := keyOfSize(t, 512)
-	ms := plaintexts(8, sk.N)
-	const seed = 31
-	eng := ghe.NewCPUEngine()
-	want, err := MustGPUBackend(eng).EncryptVec(&sk.PublicKey, ms, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, err := NewNoncePool(&sk.PublicKey, eng, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.Prefill(3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pool.PrefillAs(sk.Holder(), len(ms)); err != nil { // the rest through the factorisation
-		t.Fatal(err)
-	}
-	if pool.Ready() != len(ms) {
-		t.Fatalf("ready = %d, want %d", pool.Ready(), len(ms))
-	}
-	b := MustGPUBackend(eng)
-	b.Pool = pool
-	got, err := b.EncryptVec(sk.Holder(), ms, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCiphertexts(t, "mixed refill", got, want)
-	if st := pool.Stats(); st.Hits != int64(len(ms)) {
-		t.Errorf("hits = %d, want %d", st.Hits, len(ms))
-	}
-	if _, err := pool.PrefillAs(&testKey(t).PublicKey, 1); err == nil {
-		t.Error("PrefillAs accepted another key")
-	}
-	if _, err := pool.PrefillAs(nil, 1); err == nil {
-		t.Error("PrefillAs accepted nil")
 	}
 }

@@ -99,57 +99,6 @@ func TestShardedBackendBitExact(t *testing.T) {
 	}
 }
 
-// TestShardedBackendPooledNoncesBitExact: a prefilled pool over the sharded
-// engine serves the same global-index stream, so pooled encryption equals
-// unpooled encryption equals the single-device reference.
-func TestShardedBackendPooledNoncesBitExact(t *testing.T) {
-	sk := testKey(t)
-	pk := &sk.PublicKey
-	rng := mpint.NewRNG(22)
-	const n = 17
-	ms := make([]mpint.Nat, n)
-	for i := range ms {
-		ms[i] = rng.RandBelow(pk.N)
-	}
-	ref := singleBackend(t)
-	want, err := ref.EncryptVec(pk, ms, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, h := range handles(sk) {
-		b, eng := shardedBackend(t, 4)
-		pool, err := NewNoncePool(h.pk, eng, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pool.Chunk = 5 // uneven chunks stress the global-index stitching
-		moved, err := pool.Prefill(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if moved <= 0 {
-			t.Fatal("sharded prefill should reclassify accrued set time")
-		}
-		if got := eng.Set().SimTime(); got != 0 {
-			t.Fatalf("online set clock after prefill = %v, want 0", got)
-		}
-		if st := eng.Set().Stats(); st.SimPrecomputeTime != moved {
-			t.Fatalf("set precompute %v, want %v", st.SimPrecomputeTime, moved)
-		}
-
-		b.Pool = pool
-		got, err := b.EncryptVec(h.pk, ms, 99)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameCts(t, h.name+" pooled encrypt", got, want)
-		if st := pool.Stats(); st.Hits != int64(n) {
-			t.Fatalf("pool hits = %d, want %d (stats %+v)", st.Hits, n, st)
-		}
-	}
-}
-
 // TestShardedSessionSeqCost: chunked sessions over a sharded engine have no
 // single-device pipeline, but each chunk still reports a modelled cost from
 // the set's merged clock — and stays bit-exact with the whole-batch path.

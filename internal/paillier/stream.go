@@ -112,9 +112,8 @@ type gpuEncryptSession struct {
 }
 
 // Next implements EncryptSession: the same chunk shape as EncryptVec
-// (nonce terms from the pool or the two online kernels, then the hom-mul
-// combine) with nonce positions offset by the session's global base,
-// bracketed as one pipeline chunk.
+// (the two nonce kernels, then the hom-mul combine) with nonce positions
+// offset by the session's global base, bracketed as one pipeline chunk.
 func (s *gpuEncryptSession) Next(ms []mpint.Nat) ([]Ciphertext, time.Duration, error) {
 	for i, m := range ms {
 		if mpint.Cmp(m, s.pk.N) >= 0 {
