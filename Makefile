@@ -1,5 +1,6 @@
 # Developer entry points. `make check` is the pre-commit gate: it builds
-# everything, vets, runs the full test suite, re-runs the concurrency-
+# everything (and cross-builds it for arm64, where mpint has no assembly),
+# vets, runs the full test suite, re-runs the concurrency-
 # sensitive packages (transport + round runtime + device fault layer) under
 # the race detector, smoke-runs the fuzz targets, compiles-and-runs every
 # HE-stack benchmark once so benchmark code cannot bit-rot, runs the
@@ -16,8 +17,13 @@ STATICCHECK ?= staticcheck
 
 .PHONY: build test vet lint race fuzz bench-smoke benchmark-smoke bench-fresh soak-smoke scale-smoke devset-smoke check resilience devfault soak scale devset
 
+# mpint's row kernel has an assembly body on amd64 only; cross-building for
+# arm64 (the standard library cross-compiles offline) keeps the generic file
+# and its tests compiling on an amd64-only CI.
 build:
 	$(GO) build ./...
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/mpint
 
 # -shuffle=on randomizes test order within each package so tests that only
 # pass because of accidental ordering are flushed out instead of fossilized.
@@ -55,7 +61,12 @@ race:
 # that round-trip), and the mpint arithmetic kernels
 # differentially against math/big (seed corpus on the limb boundaries) —
 # the factorised x^(pq) mod (pq)² plan and the scratch division under it
-# included — and the decryptor side of the vertical return path (any
+# included, the Montgomery targets under every body of the addMulVW row
+# kernel, and the row itself (FuzzAddMulVW: assembly bodies against the Go
+# loop against math/big at every unroll tail, guard limbs intact) — the
+# Paillier key decoders (FuzzUnmarshalKeys: any bytes reject with a nil key
+# or decode to a key that re-encodes to the same components, never a panic)
+# — and the decryptor side of the vertical return path (any
 # plaintexts against any declared value count and slot width reject typed
 # or split exactly, with the result the only allocation).
 fuzz:
@@ -71,6 +82,8 @@ fuzz:
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzBytesRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzPowCRT$$' -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzDivInto$$' -fuzztime 10s
+	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzAddMulVW$$' -fuzztime 10s
+	$(GO) test ./internal/paillier -run '^$$' -fuzz FuzzUnmarshalKeys -fuzztime 10s
 
 # One iteration of every benchmark in the HE hot-path packages: catches
 # benchmarks that no longer compile or crash without paying for real timing

@@ -71,8 +71,8 @@ func (c flagConfig) validate() error {
 	if c.chunk < 0 {
 		return badFlag("chunk", "pipeline chunk size cannot be negative, have %d", c.chunk)
 	}
-	if c.bits < 32 { // the floor fl.Profile.Validate enforces
-		return badFlag("bits", "key size must be at least 32 bits, have %d", c.bits)
+	if c.bits < 32 || c.bits%2 != 0 { // what fl.Profile.Validate enforces
+		return badFlag("bits", "key size must be an even number of bits, at least 32, have %d", c.bits)
 	}
 	// Quorum and groups are judged against the uploads a round can actually
 	// gather: the sampled cohort when -cohort is set, everyone otherwise.

@@ -49,7 +49,7 @@
 //
 // Out-of-range and inconsistent flags (quorum above the sampled cohort, more
 // groups than sampled uploads, a fan-out of 1, a negative -chunk, a -bits
-// below 32) fail at startup with a typed ConfigError naming the flag, not
+// below 32 or odd) fail at startup with a typed ConfigError naming the flag, not
 // mid-round.
 //
 // Durability (see DESIGN.md, "Durable epochs"):

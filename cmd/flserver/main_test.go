@@ -430,6 +430,7 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"demo", "-devices", "65"}, "devices"},
 		{[]string{"demo", "-chunk", "-1"}, "chunk"},
 		{[]string{"demo", "-bits", "16"}, "bits"},
+		{[]string{"demo", "-bits", "33"}, "bits"}, // odd: key generation would never finish
 	}
 	for _, tc := range cases {
 		err := run(tc.args, nil)

@@ -153,9 +153,10 @@ func TestAblationOrderingHolds(t *testing.T) {
 	// its clients encrypt through the factorisation. Which side of 601 µs the
 	// host lands on is now a property of the box, so at 128 bits that
 	// ordering is logged, not asserted (it failed 19 runs in 60), and it is
-	// asserted at 512 bits, the smallest key where the host (≈4 ms) is clear
-	// of the launch floor. The w/o-BC ordering is modelled traffic on both
-	// sides and holds at either size.
+	// asserted at 512 bits, the smallest key where the host (≈4 ms on Go
+	// rows; never under 2.6 ms in 50 runs on PR 18's assembly rows, n² being
+	// 16 limbs there) is clear of the launch floor. The w/o-BC ordering is
+	// modelled traffic on both sides and holds at either size.
 	r, err := NewRunner(microConfig())
 	if err != nil {
 		t.Fatal(err)

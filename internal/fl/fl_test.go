@@ -44,6 +44,11 @@ func TestProfileValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("tiny key should fail")
 	}
+	bad = NewProfile(SystemFATE, 1024, 4)
+	bad.KeyBits = 33
+	if err := bad.Validate(); err == nil {
+		t.Error("odd key size should fail: no two 16-bit primes make a 33-bit n")
+	}
 	bad = NewProfile(SystemFATE, 1024, 0)
 	if err := bad.Validate(); err == nil {
 		t.Error("zero parties should fail")

@@ -161,6 +161,9 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("fl: unknown system %q", p.System)
 	case p.KeyBits < 32:
 		return fmt.Errorf("fl: key size %d too small", p.KeyBits)
+	case p.KeyBits%2 != 0:
+		// paillier.GenerateKey multiplies two KeyBits/2-bit primes.
+		return fmt.Errorf("fl: key size %d is odd", p.KeyBits)
 	case p.Parties < 1:
 		return fmt.Errorf("fl: need at least one party, got %d", p.Parties)
 	case p.RBits < 2:

@@ -18,9 +18,11 @@ func benchMulAlgo(b *testing.B, bits int, fn func(x, y Nat) Nat) {
 func BenchmarkMulSchoolbook1024(b *testing.B) { benchMulAlgo(b, 1024, mulSchoolbook) }
 func BenchmarkMulSchoolbook2048(b *testing.B) { benchMulAlgo(b, 2048, mulSchoolbook) }
 func BenchmarkMulSchoolbook4096(b *testing.B) { benchMulAlgo(b, 4096, mulSchoolbook) }
+func BenchmarkMulSchoolbook8192(b *testing.B) { benchMulAlgo(b, 8192, mulSchoolbook) }
 func BenchmarkMulKaratsuba1024(b *testing.B)  { benchMulAlgo(b, 1024, mulKaratsuba) }
 func BenchmarkMulKaratsuba2048(b *testing.B)  { benchMulAlgo(b, 2048, mulKaratsuba) }
 func BenchmarkMulKaratsuba4096(b *testing.B)  { benchMulAlgo(b, 4096, mulKaratsuba) }
+func BenchmarkMulKaratsuba8192(b *testing.B)  { benchMulAlgo(b, 8192, mulKaratsuba) }
 
 func BenchmarkExpWindow1(b *testing.B) { benchExpWindow(b, 1) }
 func BenchmarkExpWindow3(b *testing.B) { benchExpWindow(b, 3) }

@@ -35,11 +35,13 @@ func TestAllocCeilings(t *testing.T) {
 		{"RandCoprime", 2, func() { r.RandCoprime(n) }},
 		{"RandBelow", 1, func() { r.RandBelow(n) }},
 	} {
-		if got := testing.AllocsPerRun(20, tc.fn); got > tc.max {
-			t.Errorf("%s: %.1f allocs per call, ceiling %.0f", tc.name, got, tc.max)
-		} else {
-			t.Logf("%s: %.1f allocs per call (ceiling %.0f)", tc.name, got, tc.max)
-		}
+		forEachBody(t, func() {
+			if got := testing.AllocsPerRun(20, tc.fn); got > tc.max {
+				t.Errorf("%s: %.1f allocs per call, ceiling %.0f", tc.name, got, tc.max)
+			} else {
+				t.Logf("%s: %.1f allocs per call (ceiling %.0f)", tc.name, got, tc.max)
+			}
+		})
 	}
 }
 
@@ -65,9 +67,11 @@ func TestCRTAllocCeilings(t *testing.T) {
 			{"PowN", func() { c.PowN(x) }},
 			{"LogCombine", func() { c.LogCombine(xp, xq, hp, hq) }},
 		} {
-			if got := testing.AllocsPerRun(20, tc.fn); got > 1 {
-				t.Errorf("%d-bit %s: %.1f allocs per call, ceiling 1", bits, tc.name, got)
-			}
+			forEachBody(t, func() {
+				if got := testing.AllocsPerRun(20, tc.fn); got > 1 {
+					t.Errorf("%d-bit %s: %.1f allocs per call, ceiling 1", bits, tc.name, got)
+				}
+			})
 		}
 	}
 }

@@ -164,22 +164,30 @@ func FuzzFixedBaseExp(f *testing.F) {
 	f.Add([]byte{2}, []byte{10}, uint8(4))
 	f.Add([]byte{0xff, 0xff}, []byte{1}, uint8(1))
 	f.Add([]byte{7}, []byte{0}, uint8(8))
+	// A three-limb modulus on the spelled-out rows and a nine-limb one on
+	// addMulVW's, each under every body of the kernel.
 	r := NewRNG(0xC0F)
-	n := r.RandBits(160)
-	n[0] |= 1
-	m := NewMont(n)
-	bn := toBig(n)
+	var monts []*Mont
+	for _, bits := range []int{160, 64*rowKernelMin + 40} {
+		n := r.RandBits(bits)
+		n[0] |= 1
+		monts = append(monts, NewMont(n))
+	}
 	f.Fuzz(func(t *testing.T, baseB, expB []byte, h uint8) {
 		if len(baseB) > 64 || len(expB) > 24 {
 			return // keep the modular reduction and comb bounded
 		}
 		base := FromBytes(baseB)
 		e := FromBytes(expB)
-		tbl := NewFixedBaseTable(m, base, 192, int(h%10))
-		want := new(big.Int).Exp(toBig(Mod(base, n)), toBig(e), bn)
-		if got := tbl.Exp(e); toBig(got).Cmp(want) != 0 {
-			t.Fatalf("comb(%x^%x mod n) = %s, want %s", baseB, expB, got, want)
-		}
+		forEachBody(t, func() {
+			for _, m := range monts {
+				tbl := NewFixedBaseTable(m, base, 192, int(h%10))
+				want := new(big.Int).Exp(toBig(Mod(base, m.N())), toBig(e), toBig(m.N()))
+				if got := tbl.Exp(e); toBig(got).Cmp(want) != 0 {
+					t.Fatalf("comb(%x^%x mod %s) = %s, want %s", baseB, expB, m.N(), got, want)
+				}
+			}
+		})
 	})
 }
 

@@ -110,10 +110,21 @@ func boundaryOperands() [][]byte {
 // two of its six 32-bit words) is zero.
 var zeroMiddleLimb = append(append([]byte{0x80, 0, 0, 0, 0, 0, 0, 1}, make([]byte, 8)...), 0xFF, 0, 0, 0, 0, 0, 0, 0x0D)
 
+// kernelLimbs are the modulus sizes the Montgomery targets seed above the
+// boundary operands: the first size whose rows go through addMulVW, one limb
+// past it (a row that is all tail after one unrolled block), and the same
+// pair at the squaring threshold.
+var kernelLimbs = []int{rowKernelMin, rowKernelMin + 1, sqrMinLimbs, sqrMinLimbs + 1}
+
+// fuzzModulusBytes caps a fuzzed modulus two limbs past the squaring
+// threshold, so every multiply path — spelled-out rows, mulCIOS, sqrCIOS — is
+// within the fuzzer's reach.
+const fuzzModulusBytes = 8 * (sqrMinLimbs + 2)
+
 // fuzzModulus turns fuzz bytes into an odd modulus ≥ 3, or nil.
 func fuzzModulus(nb []byte) Nat {
-	if len(nb) > 160 {
-		nb = nb[:160]
+	if len(nb) > fuzzModulusBytes {
+		nb = nb[:fuzzModulusBytes]
 	}
 	n := FromBytes(nb)
 	if len(n) == 0 {
@@ -126,6 +137,13 @@ func fuzzModulus(nb []byte) Nat {
 	return n
 }
 
+// underEachBody turns a three-operand fuzz function into one that runs it
+// under every addMulVW body, so the Montgomery targets hold each body to the
+// same corpus.
+func underEachBody(fn func(t *testing.T, a, b, c []byte)) func(*testing.T, []byte, []byte, []byte) {
+	return func(t *testing.T, a, b, c []byte) { forEachBody(t, func() { fn(t, a, b, c) }) }
+}
+
 func FuzzMontMul(f *testing.F) {
 	ops := boundaryOperands()
 	for i, nb := range ops {
@@ -133,7 +151,10 @@ func FuzzMontMul(f *testing.F) {
 		f.Add(nb, nb, []byte{1}) // a ≡ 0 after the low bit is forced; b = 1
 	}
 	f.Add(zeroMiddleLimb, boundaryOperands()[30], boundaryOperands()[33])
-	f.Fuzz(func(t *testing.T, nb, ab, bb []byte) {
+	for _, limbs := range kernelLimbs {
+		f.Add(bytes.Repeat([]byte{0xFF}, 8*limbs), bytes.Repeat([]byte{0xFE}, 8*limbs), bytes.Repeat([]byte{0xA5}, 8*limbs-1))
+	}
+	f.Fuzz(underEachBody(func(t *testing.T, nb, ab, bb []byte) {
 		n := fuzzModulus(nb)
 		if n == nil {
 			return
@@ -168,7 +189,7 @@ func FuzzMontMul(f *testing.F) {
 			}
 			m.putScratch(sc)
 		}
-	})
+	}))
 }
 
 func FuzzModExp(f *testing.F) {
@@ -179,7 +200,10 @@ func FuzzModExp(f *testing.F) {
 	f.Add(zeroMiddleLimb, []byte{2}, zeroMiddleLimb)
 	f.Add([]byte{0x10, 0x01}, []byte{0xFF}, []byte{0}) // exponent 0
 	f.Add([]byte{0x10, 0x01}, []byte{0xFF}, []byte{1}) // exponent 1
-	f.Fuzz(func(t *testing.T, nb, baseb, eb []byte) {
+	for _, limbs := range kernelLimbs {
+		f.Add(bytes.Repeat([]byte{0xFF}, 8*limbs), bytes.Repeat([]byte{0xFE}, 8*limbs), bytes.Repeat([]byte{0xA5}, 9))
+	}
+	f.Fuzz(underEachBody(func(t *testing.T, nb, baseb, eb []byte) {
 		if len(eb) > 48 {
 			eb = eb[:48]
 		}
@@ -209,7 +233,7 @@ func FuzzModExp(f *testing.F) {
 				t.Fatalf("%s^%s mod %s at window %d = %s, want %s", base, e, n, w, gw, got)
 			}
 		}
-	})
+	}))
 }
 
 func FuzzDivMod(f *testing.F) {
@@ -218,7 +242,7 @@ func FuzzDivMod(f *testing.F) {
 		f.Add(append(append([]byte{}, xb...), ops[(i+3)%len(ops)]...), ops[(i+1)%len(ops)])
 		f.Add(xb, xb)
 	}
-	f.Add(bytes.Repeat([]byte{0xFF}, 1000), bytes.Repeat([]byte{0xFF}, 600)) // Karatsuba-sized
+	f.Add(bytes.Repeat([]byte{0xFF}, 1000), bytes.Repeat([]byte{0xFF}, 8*karatsubaThreshold+40)) // Karatsuba-sized
 	f.Add(append([]byte{0x80}, make([]byte, 31)...), []byte{0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, xb, yb []byte) {
 		if len(xb) > 1024 || len(yb) > 1024 {
@@ -370,7 +394,7 @@ func FuzzPowCRT(f *testing.F) {
 	f.Add([]byte{3}, []byte{5}, []byte{0})
 	f.Add([]byte{0xFF, 0xFF}, bytes.Repeat([]byte{0xFF}, 40), bytes.Repeat([]byte{0xAB}, 90)) // q² > 3p², x > n²
 	f.Add(bytes.Repeat([]byte{0xFF}, 40), []byte{0xFF, 0xFF}, []byte{1})                      // p² > 3q²
-	f.Fuzz(func(t *testing.T, pb, qb, xb []byte) {
+	f.Fuzz(underEachBody(func(t *testing.T, pb, qb, xb []byte) {
 		if len(xb) > 200 {
 			xb = xb[:200]
 		}
@@ -390,7 +414,7 @@ func FuzzPowCRT(f *testing.F) {
 		for _, v := range []Nat{x, Add(Mul(p, x), small), Mul(q, AddWord(x, 1))} {
 			checkCRT(t, c, p, q, v)
 		}
-	})
+	}))
 }
 
 // FuzzDivInto checks the scratch division — remainder only, and with the

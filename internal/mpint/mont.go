@@ -137,10 +137,25 @@ func (m *Mont) Mul(a, b Nat) Nat {
 	return z
 }
 
+// rowKernelMin is the modulus size, in limbs, from which a multiply runs its
+// rows through addMulVW (mulCIOS: a call per row, the assembly body on amd64)
+// and below which mulInto spells the rows out in Go. A call costs about 5 ns,
+// ten limbs of the row itself (BenchmarkAddMulVW: 9/14/23/41 ns at 8/16/32/64
+// limbs, 6.5 ns at 4 where the Go loop is as fast), so the kernel loses at 4
+// and 6 limbs (87 against 61 ns and 181 against 130 ns a multiply), wins from
+// 8 (145 against 197 ns) and is at 2× from 12 (310 against 630 ns);
+// BenchmarkIsPrime512, whose modulus is 8 limbs, reads 1.79 against 2.71 ms.
+const rowKernelMin = 8
+
 // sqrMinLimbs is the modulus size from which a squaring runs as a half-size
 // product plus a separate reduction instead of a general multiply: below it
-// the extra passes cost more than the ~k²/2 limb products they save.
-const sqrMinLimbs = 16
+// the doubling pass and the short off-diagonal rows — every length from k−1
+// down to 1, so most end in up to seven limbs of the kernel's one-limb tail —
+// cost more than the ~k²/2 limb products they save. On the kernel's rows the
+// saving is thinner than it was on the Go rows, where the constant stood at
+// 16: a squaring loses to mulCIOS by 6% at 16 limbs (397 against 375 ns) and
+// 2% at 20, leads by 4% at 24 (768 against 799 ns), 10% at 32 and 19% at 64.
+const sqrMinLimbs = 24
 
 // mulInto is Mul writing its result into dst (which must hold at least k
 // limbs) through caller-provided scratch. The product accumulates in the
@@ -155,14 +170,17 @@ func (m *Mont) mulInto(dst Nat, a, b Nat, sc *mulScratch) Nat {
 		return trim(z)
 	}
 	bw := m.operand(b, sc.bw)
+	if k >= rowKernelMin {
+		m.mulCIOS(z, aw, bw, sc.t)
+		return trim(z)
+	}
 	n, n0inv, t := m.n[:k], m.n0inv, sc.t[:k+1]
 	aw, bw = aw[:k], bw[:k]
 	for i := range t {
 		t[i] = 0
 	}
-	// t stays below 2n across iterations, so it fits k limbs plus t[k] ≤ 1.
-	// The row loops here and in sqrCIOS spell out mul.go's addMulVW: at 32–64
-	// limbs the call per row costs about a tenth of the multiply.
+	// t stays below 2n across iterations, so it fits k limbs plus t[k] ≤ 1,
+	// shifted down a limb per row.
 	for i := 0; i < k; i++ {
 		// t += a · b[i]
 		bi := bw[i]
@@ -195,30 +213,38 @@ func (m *Mont) mulInto(dst Nat, a, b Nat, sc *mulScratch) Nat {
 	return trim(z)
 }
 
+// mulCIOS sets z = a·b·R⁻¹ mod n for k-limb a and b over the 2k-limb
+// accumulator t, without shifting it: row i adds a·b[i] and then the multiple
+// of n that clears limb i, both into t[i:i+k], and the two carry limbs meet
+// in t[i+k]. z may alias a or b.
+func (m *Mont) mulCIOS(z, a, b, t []Word) {
+	k := m.k
+	a, b, n, t := a[:k], b[:k], m.n[:k], t[:2*k]
+	for i := range t[:k] {
+		t[i] = 0
+	}
+	var over Word
+	for i := 0; i < k; i++ {
+		row := t[i : i+k]
+		c := addMulVW(row, a, b[i])
+		t[i+k], over = bits.Add64(c, addMulVW(row, n, row[0]*m.n0inv), over)
+	}
+	m.reduceOnce(z, t[k:], over)
+}
+
 // sqrCIOS sets z = a²·R⁻¹ mod n for a k-limb a: the off-diagonal limb
 // products once, doubled, plus the diagonal, then k reduction rows — about
 // 3k²/2 limb products where the general multiply does 2k². t holds 2k
 // limbs; z may alias a.
 func (m *Mont) sqrCIOS(z, a, t []Word) {
 	k := m.k
-	a, t = a[:k], t[:2*k]
+	a, n, t := a[:k], m.n[:k], t[:2*k]
 	for i := range t {
 		t[i] = 0
 	}
 	// t = Σ_{i<j} a[i]·a[j]·B^(i+j)
 	for i := 0; i < k-1; i++ {
-		ai := a[i]
-		row, aj := t[2*i+1:i+k], a[i+1:]
-		aj = aj[:len(row)]
-		var c Word
-		for j := range row {
-			hi, lo := bits.Mul64(aj[j], ai)
-			lo, cc := bits.Add64(lo, row[j], 0)
-			hi += cc
-			row[j], cc = bits.Add64(lo, c, 0)
-			c = hi + cc
-		}
-		t[i+k] = c
+		t[i+k] = addMulVW(t[2*i+1:i+k], a[i+1:], a[i])
 	}
 	// t = 2t + Σ a[i]²·B^(2i)
 	var carry, top Word
@@ -232,22 +258,12 @@ func (m *Mont) sqrCIOS(z, a, t []Word) {
 		t[2*i+1], carry = bits.Add64(hi2, hi, cc)
 	}
 	// Row i clears limb i: t += (t[i]·n' mod 2⁶⁴)·n·B^i.
-	n := m.n[:k]
 	var over Word
 	for i := 0; i < k; i++ {
 		row := t[i : i+k]
-		mi := row[0] * m.n0inv
-		var c Word
-		for j := range row {
-			hi, lo := bits.Mul64(mi, n[j])
-			lo, cc := bits.Add64(lo, row[j], 0)
-			hi += cc
-			row[j], cc = bits.Add64(lo, c, 0)
-			c = hi + cc
-		}
-		t[i+k], over = bits.Add64(t[i+k], c, over)
+		t[i+k], over = bits.Add64(t[i+k], addMulVW(row, n, row[0]*m.n0inv), over)
 	}
-	m.reduceOnce(z, t[k:2*k], over)
+	m.reduceOnce(z, t[k:], over)
 }
 
 // reduceOnce sets z = t + over·2^(64k) − n when that is non-negative, else

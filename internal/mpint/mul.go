@@ -3,11 +3,17 @@ package mpint
 import "math/bits"
 
 // karatsubaThreshold is the limb count from which multiplication switches
-// from schoolbook to Karatsuba: 64 limbs = 4096 bits, where on 64-bit limbs
-// the three half-size products draw level with the add/subtract passes they
-// cost (BenchmarkMulSchoolbook4096/BenchmarkMulKaratsuba4096); at 48 limbs
-// schoolbook is still a fifth faster, at 128 Karatsuba a quarter.
-const karatsubaThreshold = 64
+// from schoolbook to Karatsuba. The add/subtract passes Karatsuba pays are Go
+// loops and the rows it saves are addMulVW's, so the crossover sits higher
+// than the 64 limbs it had on Go rows. Two sweeps with the threshold set to
+// the operand size, so that Karatsuba splits exactly once (best of seven
+// alternating runs each, the box a third slower during the second): one split
+// over plain schoolbook reads 1.07× and 1.25× the time at 64 limbs (3.36
+// against 3.15 µs), 1.15× and 1.14× at 80, 0.99× and 1.10× at 96, 0.96× and
+// 0.97× at 112 (8.9 against 9.2 µs), 0.87× and 0.91× at 128 (10.5 against
+// 12.1 µs). BenchmarkMulSchoolbook8192/BenchmarkMulKaratsuba8192 are the
+// 128-limb pair.
+const karatsubaThreshold = 112
 
 // Mul returns x * y.
 func Mul(x, y Nat) Nat {
@@ -33,8 +39,11 @@ func mulAddVWW(z, x []Word, w, c Word) Word {
 	return c
 }
 
-// addMulVW sets z += x·w for len(z) == len(x), returning the carry-out limb.
-func addMulVW(z, x []Word, w Word) Word {
+// addMulVWGo sets z += x·w for len(z) == len(x), returning the carry-out
+// limb: addMulVW as a Go loop. It is the row on every host but amd64 and the
+// reference the assembly bodies are fuzzed against; Mont.mulInto spells the
+// same loop out for moduli too short to be worth a call per row.
+func addMulVWGo(z, x []Word, w Word) Word {
 	var c Word
 	for i, xi := range x {
 		hi, lo := bits.Mul64(xi, w)

@@ -148,10 +148,10 @@ func TestMulDifferential(t *testing.T) {
 func TestMulKaratsubaLarge(t *testing.T) {
 	r := NewRNG(5)
 	for i := 0; i < 40; i++ {
-		// Force the Karatsuba path (> 32 limbs = 1024 bits), including
-		// lopsided operand sizes.
-		x := r.RandBits(2048 + r.Intn(2048))
-		y := r.RandBits(1100 + r.Intn(4096))
+		// Force the Karatsuba path (both operands at or past the threshold),
+		// including lopsided operand sizes.
+		x := r.RandBits(karatsubaThreshold*WordBits + r.Intn(2048))
+		y := r.RandBits(karatsubaThreshold*WordBits + r.Intn(8192))
 		got := Mul(x, y)
 		want := new(big.Int).Mul(toBig(x), toBig(y))
 		if toBig(got).Cmp(want) != 0 {
@@ -307,7 +307,8 @@ func TestKaratsubaShapes(t *testing.T) {
 		}
 		return x
 	}
-	for _, shape := range [][2]int{{64, 64}, {65, 64}, {127, 128}, {129, 129}, {300, 300}, {700, 70}, {1000, 130}} {
+	const th = karatsubaThreshold
+	for _, shape := range [][2]int{{th, th}, {th + 1, th}, {2*th - 1, 2 * th}, {2*th + 1, 2*th + 1}, {4*th + 44, 4*th + 44}, {700, th + 6}, {1000, 2*th + 2}} {
 		for _, pair := range [][2]Nat{
 			{r.RandBits(shape[0] * WordBits), r.RandBits(shape[1]*WordBits - 3)},
 			{ones(shape[0]), ones(shape[1])},

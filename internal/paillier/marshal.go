@@ -61,7 +61,14 @@ func UnmarshalPublicKey(data []byte) (*PublicKey, error) {
 	if n.BitLen() < 16 {
 		return nil, fmt.Errorf("paillier: implausibly small modulus")
 	}
-	pk := &PublicKey{N: n, G: g, N2: mpint.Mul(n, n)}
+	if n.IsEven() {
+		return nil, fmt.Errorf("paillier: even modulus in public key")
+	}
+	n2 := mpint.Mul(n, n)
+	if g.IsZero() || mpint.Cmp(g, n2) >= 0 {
+		return nil, fmt.Errorf("paillier: generator outside [1, n²) in public key")
+	}
+	pk := &PublicKey{N: n, G: g, N2: n2}
 	pk.montN2 = mpint.NewMont(pk.N2)
 	pk.plusOne = mpint.Cmp(g, mpint.AddWord(n, 1)) == 0
 	return pk, nil

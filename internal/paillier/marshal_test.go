@@ -125,3 +125,46 @@ func TestUnmarshalErrors(t *testing.T) {
 		t.Error("public encoding accepted as private key")
 	}
 }
+
+// FuzzUnmarshalKeys feeds arbitrary bytes to both key decoders. Neither may
+// panic; a reject is an error with a nil key; an accepted key survives
+// marshal → unmarshal with the same components (the bytes themselves need
+// not: leading zeros in a value decode and re-encode without them).
+func FuzzUnmarshalKeys(f *testing.F) {
+	sk, err := GenerateKey(mpint.NewRNG(11), 64)
+	if err != nil {
+		f.Fatal(err)
+	}
+	pub, _ := sk.PublicKey.MarshalBinary()
+	priv, _ := sk.MarshalBinary()
+	f.Add(pub)
+	f.Add(priv)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			return // rebuilding a key's contexts is cubic in its length
+		}
+		if pk, err := UnmarshalPublicKey(data); err != nil {
+			if pk != nil {
+				t.Fatalf("public reject (%v) still returned a key", err)
+			}
+		} else {
+			enc, _ := pk.MarshalBinary()
+			again, err := UnmarshalPublicKey(enc)
+			if err != nil || mpint.Cmp(again.N, pk.N) != 0 || mpint.Cmp(again.G, pk.G) != 0 {
+				t.Fatalf("public key n=%s g=%s re-decodes to %+v (%v)", pk.N, pk.G, again, err)
+			}
+		}
+		if sk, err := UnmarshalPrivateKey(data); err != nil {
+			if sk != nil {
+				t.Fatalf("private reject (%v) still returned a key", err)
+			}
+		} else {
+			enc, _ := sk.MarshalBinary()
+			again, err := UnmarshalPrivateKey(enc)
+			if err != nil || mpint.Cmp(again.P, sk.P) != 0 || mpint.Cmp(again.Q, sk.Q) != 0 ||
+				mpint.Cmp(again.N, sk.N) != 0 || mpint.Cmp(again.G, sk.G) != 0 {
+				t.Fatalf("private key p=%s q=%s g=%s re-decodes to %+v (%v)", sk.P, sk.Q, sk.G, again, err)
+			}
+		}
+	})
+}

@@ -87,8 +87,8 @@ func (pk *PublicKey) MontN2() *mpint.Mont { return pk.montN2 }
 // g = n+1 construction. rng supplies the primes (use mpint.NewCryptoRNG for
 // real deployments; seeded RNGs keep experiments reproducible).
 func GenerateKey(rng *mpint.RNG, bits int) (*PrivateKey, error) {
-	if bits < 16 {
-		return nil, fmt.Errorf("paillier: key size %d too small", bits)
+	if err := checkKeyBits(bits); err != nil {
+		return nil, err
 	}
 	for {
 		p, q := rng.RandSafePrimePair(bits / 2)
@@ -103,11 +103,24 @@ func GenerateKey(rng *mpint.RNG, bits int) (*PrivateKey, error) {
 	}
 }
 
+// checkKeyBits rejects the sizes the generators cannot produce: too small to
+// hold a plaintext, or odd — two ⌊bits/2⌋-bit primes never multiply to an
+// odd-length n, and the redraw loop would spin forever looking for one.
+func checkKeyBits(bits int) error {
+	if bits < 16 {
+		return fmt.Errorf("paillier: key size %d too small", bits)
+	}
+	if bits%2 != 0 {
+		return fmt.Errorf("paillier: key size %d is odd; n is the product of two %d-bit primes", bits, bits/2)
+	}
+	return nil
+}
+
 // GenerateKeyClassic creates a key pair with a random g ∈ Z*_{n²} satisfying
 // gcd(L(g^λ mod n²), n) = 1 — the textbook construction from §III-B.
 func GenerateKeyClassic(rng *mpint.RNG, bits int) (*PrivateKey, error) {
-	if bits < 16 {
-		return nil, fmt.Errorf("paillier: key size %d too small", bits)
+	if err := checkKeyBits(bits); err != nil {
+		return nil, err
 	}
 	for {
 		p, q := rng.RandSafePrimePair(bits / 2)
@@ -135,8 +148,19 @@ func newKey(p, q, g mpint.Nat) (*PrivateKey, error) {
 	if mpint.Cmp(p, q) == 0 {
 		return nil, fmt.Errorf("paillier: p and q must differ")
 	}
+	// First, because NewCRT vets the factors (odd, ≥ 3, coprime) and every
+	// context below is built on a product of them.
+	crt, err := mpint.NewCRT(p, q)
+	if err != nil {
+		return nil, fmt.Errorf("paillier: %w", err)
+	}
 	n := mpint.Mul(p, q)
 	n2 := mpint.Mul(n, n)
+	// g must be a unit mod n²: L(g^λ) below subtracts 1 from a power of g,
+	// which is 0 when g shares a factor with n.
+	if g != nil && (mpint.Cmp(g, n2) >= 0 || !mpint.GCD(g, n).IsOne()) {
+		return nil, fmt.Errorf("paillier: g is not in Z*_{n²}")
+	}
 	pm1 := mpint.SubWord(p, 1)
 	qm1 := mpint.SubWord(q, 1)
 	if !mpint.GCD(n, mpint.Mul(pm1, qm1)).IsOne() {
@@ -152,10 +176,6 @@ func newKey(p, q, g mpint.Nat) (*PrivateKey, error) {
 		pk.G = g
 	}
 
-	crt, err := mpint.NewCRT(p, q)
-	if err != nil {
-		return nil, fmt.Errorf("paillier: %w", err)
-	}
 	sk := &PrivateKey{PublicKey: pk, P: p, Q: q, Lambda: lambda, crt: crt}
 	holder := pk
 	holder.own = crt

@@ -40,6 +40,12 @@ func TestGenerateKeyRejectsTinySize(t *testing.T) {
 	if _, err := GenerateKey(mpint.NewRNG(1), 8); err == nil {
 		t.Fatal("8-bit key should be rejected")
 	}
+	// An odd size used to spin forever: two 16-bit primes never make 33 bits.
+	for name, gen := range map[string]func(*mpint.RNG, int) (*PrivateKey, error){"GenerateKey": GenerateKey, "GenerateKeyClassic": GenerateKeyClassic} {
+		if sk, err := gen(mpint.NewRNG(1), 33); err == nil || sk != nil {
+			t.Fatalf("%s(33 bits) = %v, %v; want an error", name, sk, err)
+		}
+	}
 }
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {

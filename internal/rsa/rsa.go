@@ -53,6 +53,11 @@ func GenerateKey(rng *mpint.RNG, bits int) (*PrivateKey, error) {
 	if bits < 16 {
 		return nil, fmt.Errorf("rsa: key size %d too small", bits)
 	}
+	if bits%2 != 0 {
+		// Two ⌊bits/2⌋-bit primes never multiply to an odd-length n; the
+		// redraw loop below would not end.
+		return nil, fmt.Errorf("rsa: key size %d is odd; n is the product of two %d-bit primes", bits, bits/2)
+	}
 	for {
 		p, q := rng.RandSafePrimePair(bits / 2)
 		sk, err := NewKeyFromPrimes(p, q)

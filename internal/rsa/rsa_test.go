@@ -34,6 +34,10 @@ func TestGenerateKeyRejectsTinySize(t *testing.T) {
 	if _, err := GenerateKey(mpint.NewRNG(1), 8); err == nil {
 		t.Fatal("tiny key should be rejected")
 	}
+	// An odd size used to spin forever: two 16-bit primes never make 33 bits.
+	if sk, err := GenerateKey(mpint.NewRNG(1), 33); err == nil || sk != nil {
+		t.Fatalf("GenerateKey(33 bits) = %v, %v; want an error", sk, err)
+	}
 }
 
 func TestEncryptDecryptRoundTrip(t *testing.T) {
