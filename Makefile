@@ -54,26 +54,32 @@ race:
 # Short fuzz passes: device-config validation (corpus under
 # internal/gpu/testdata/fuzz), the shard splitter's partition invariants
 # (contiguous, complete, non-overlapping for any item count and device
-# exclusion set), the chunk reassembler's untrusted-input invariants
-# (out-of-range indices, flip-flopping totals, oversized declarations must
-# all reject typed, never panic), the nat-batch decoder every ciphertext
-# frame passes through (any bytes reject, or decode to at most len/4 values
-# that round-trip), and the mpint arithmetic kernels
-# differentially against math/big (seed corpus on the limb boundaries) —
-# the factorised x^(pq) mod (pq)² plan and the scratch division under it
-# included, the Montgomery targets under every body of the addMulVW row
-# kernel, and the row itself (FuzzAddMulVW: assembly bodies against the Go
-# loop against math/big at every unroll tail, guard limbs intact) — the
-# Paillier key decoders (FuzzUnmarshalKeys: any bytes reject with a nil key
-# or decode to a key that re-encodes to the same components, never a panic)
-# — and the decryptor side of the vertical return path (any
-# plaintexts against any declared value count and slot width reject typed
-# or split exactly, with the result the only allocation).
+# exclusion set), the untrusted-input decoders of the wire (corpora under
+# internal/flnet/testdata/fuzz) — the TCP receive path (FuzzReadFrame: any
+# bytes reject or re-frame to what was consumed, and a hostile length header
+# allocates what arrived, not what it declared), the nat-batch decoder every
+# ciphertext frame passes through (any bytes reject, or decode to at most
+# len/4 values that round-trip), and the two aggregate-path frames
+# (FuzzDecodeGroupAgg, FuzzDecodePartialAgg: reject typed with nil outputs or
+# re-encode to the same bytes, allocation bounded by the frame's length) — and
+# the mpint arithmetic kernels differentially against math/big (seed corpus on
+# the limb boundaries) — the factorised x^(pq) mod (pq)² plan and the scratch
+# division under it included, the fixed-base comb table, the Montgomery
+# targets under every body of the addMulVW row kernel, and the row itself
+# (FuzzAddMulVW: assembly bodies against the Go loop against math/big at every
+# unroll tail, guard limbs intact) — the Paillier key decoders
+# (FuzzUnmarshalKeys: any bytes reject with a nil key or decode to a key that
+# re-encodes to the same components, never a panic) — and the decryptor side
+# of the vertical return path (any plaintexts against any declared value count
+# and slot width reject typed or split exactly, with the result the only
+# allocation).
 fuzz:
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzSplitShards -fuzztime 10s
-	$(GO) test ./internal/flnet -run '^$$' -fuzz FuzzReassembler -fuzztime 10s
+	$(GO) test ./internal/flnet -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s
 	$(GO) test ./internal/flnet -run '^$$' -fuzz FuzzDecodeNats -fuzztime 10s
+	$(GO) test ./internal/flnet -run '^$$' -fuzz FuzzDecodeGroupAgg -fuzztime 10s
+	$(GO) test ./internal/flnet -run '^$$' -fuzz FuzzDecodePartialAgg -fuzztime 10s
 	$(GO) test ./internal/fl -run '^$$' -fuzz FuzzSplitSlots -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzMontMul$$' -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzModExp$$' -fuzztime 10s
@@ -82,6 +88,7 @@ fuzz:
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzBytesRoundTrip$$' -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzPowCRT$$' -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzDivInto$$' -fuzztime 10s
+	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzFixedBaseExp$$' -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzAddMulVW$$' -fuzztime 10s
 	$(GO) test ./internal/paillier -run '^$$' -fuzz FuzzUnmarshalKeys -fuzztime 10s
 

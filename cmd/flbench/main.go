@@ -17,7 +17,6 @@
 //	-epochs n     epochs for convergence experiments    (default 4)
 //	-batch n      SGD minibatch size                    (default 64)
 //	-seed n       PRNG seed for workloads, chaos, and fault injection (default 1)
-//	-chunk n      streamed-pipeline chunk size in plaintexts (default 0 = sequential)
 //	-devices n    shard vector HE ops across n simulated devices
 //	              (default 0 = classic single-device engine)
 //	-trace file   write a Chrome trace-event JSON of the run's sim-time spans
@@ -55,7 +54,6 @@ func run(args []string) error {
 	epochs := fs.Int("epochs", 0, "epochs for convergence experiments")
 	batch := fs.Int("batch", 0, "SGD minibatch size")
 	seed := fs.Uint64("seed", 1, "PRNG seed for workloads, chaos, and fault injection")
-	chunk := fs.Int("chunk", 0, "streamed-pipeline chunk size in plaintexts (0 = sequential)")
 	devices := fs.Int("devices", 0, "shard vector HE ops across this many simulated devices (0 = single device)")
 	trace := fs.String("trace", "", "write Chrome trace-event JSON of sim-time spans to this file")
 	metrics := fs.String("metrics", "", "write the metrics registry as text to this file (\"-\" = stdout)")
@@ -94,9 +92,6 @@ func run(args []string) error {
 	// layer, and the device fault injector, so a -seed value reproduces a
 	// resilience run exactly (same faults, same retries, same fallbacks).
 	cfg.Seed = *seed
-	// A positive -chunk streams every upload through the chunked
-	// encrypt→send pipeline; the aggregates stay bit-exact either way.
-	cfg.Chunk = *chunk
 	// A -devices value of 1 or more routes every vector HE op through a
 	// gpu.DeviceSet shard scheduler; out-of-range values fail Validate with
 	// a typed bench.ConfigError naming the field.

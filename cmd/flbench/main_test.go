@@ -15,6 +15,9 @@ func TestRunFlagAndArgErrors(t *testing.T) {
 	if err := run([]string{"-scale", "5", "fig7"}); err == nil {
 		t.Fatal("out-of-range scale should fail")
 	}
+	if err := run([]string{"-chunk", "2", "table3"}); err == nil {
+		t.Fatal("the retired -chunk flag should fail as unknown")
+	}
 }
 
 func TestRunFig7Micro(t *testing.T) {

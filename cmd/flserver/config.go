@@ -35,14 +35,13 @@ type flagConfig struct {
 	quorum  int
 	groups  int
 	devices int
-	chunk   int
 	bits    int
 }
 
 // validate rejects out-of-range values and inconsistent flag combinations —
 // a quorum above the sampled cohort, more defense groups than sampled
-// uploads, a fan-out no tree can have, a chunk or key size fl.NewContext
-// would refuse — with a typed ConfigError naming the offending flag.
+// uploads, a fan-out no tree can have, a key size fl.NewContext would
+// refuse — with a typed ConfigError naming the offending flag.
 func (c flagConfig) validate() error {
 	if c.clients < 1 {
 		return badFlag("clients", "need at least 1 client, have %d", c.clients)
@@ -67,9 +66,6 @@ func (c flagConfig) validate() error {
 	}
 	if c.devices > gpu.MaxDevices {
 		return badFlag("devices", "device count %d exceeds the %d-device set limit", c.devices, gpu.MaxDevices)
-	}
-	if c.chunk < 0 {
-		return badFlag("chunk", "pipeline chunk size cannot be negative, have %d", c.chunk)
 	}
 	if c.bits < 32 || c.bits%2 != 0 { // what fl.Profile.Validate enforces
 		return badFlag("bits", "key size must be an even number of bits, at least 32, have %d", c.bits)

@@ -17,8 +17,6 @@
 //	              still missing at expiry instead of stalling
 //	-straggle d   client delays its upload by d (in demo mode: client 0),
 //	              simulating a slow participant
-//	-chunk n      streamed-pipeline chunk size in plaintexts: clients encrypt
-//	              through the chunked double-buffered pipeline (0 = sequential)
 //	-devices n    every party shards its vector HE ops across n simulated
 //	              devices with work stealing under device faults; results
 //	              are bit-exact with the single-device engine (0 = off)
@@ -48,9 +46,8 @@
 //	              tree depth instead of the cohort size (0 = flat)
 //
 // Out-of-range and inconsistent flags (quorum above the sampled cohort, more
-// groups than sampled uploads, a fan-out of 1, a negative -chunk, a -bits
-// below 32 or odd) fail at startup with a typed ConfigError naming the flag, not
-// mid-round.
+// groups than sampled uploads, a fan-out of 1, a -bits below 32 or odd) fail
+// at startup with a typed ConfigError naming the flag, not mid-round.
 //
 // Durability (see DESIGN.md, "Durable epochs"):
 //
@@ -126,7 +123,6 @@ func run(args []string, stop <-chan struct{}) error {
 	quorum := fs.Int("quorum", 0, "uploads needed to proceed (0 = all clients)")
 	timeout := fs.Duration("timeout", 0, "gather deadline (0 = wait forever)")
 	straggle := fs.Duration("straggle", 0, "delay this client's upload (demo: client 0)")
-	chunk := fs.Int("chunk", 0, "streamed-pipeline chunk size in plaintexts (0 = sequential)")
 	devices := fs.Int("devices", 0, "shard vector HE ops across this many simulated devices (0 = single device)")
 	trace := fs.String("trace", "", "write Chrome trace-event JSON of sim-time spans to this file on exit")
 	journal := fs.String("journal", "", "server: write-ahead round journal file (empty = no journal)")
@@ -143,7 +139,7 @@ func run(args []string, stop <-chan struct{}) error {
 	if err := (flagConfig{
 		cmd: cmd, clients: *clients, id: *id, dim: *dim,
 		cohort: *cohort, fanout: *fanout, quorum: *quorum, groups: *groups,
-		devices: *devices, chunk: *chunk, bits: *keyBits,
+		devices: *devices, bits: *keyBits,
 	}).validate(); err != nil {
 		return err
 	}
@@ -196,16 +192,14 @@ func run(args []string, stop <-chan struct{}) error {
 		}
 		err = runClient(clientOpts{
 			addr: *addr, id: *id, clients: *clients, keyBits: *keyBits,
-			chunk: *chunk, devices: *devices,
-			seed: *seed, vals: vals, delay: *straggle,
+			devices: *devices, seed: *seed, vals: vals, delay: *straggle,
 			cohort: *cohort, byz: attack, defense: policy, o: o,
 		})
 
 	case "demo":
 		err = runDemo(demoOpts{
-			clients: *clients, dim: *dim, keyBits: *keyBits, chunk: *chunk,
-			devices: *devices,
-			seed:    *seed, quorum: *quorum, timeout: *timeout, straggle: *straggle,
+			clients: *clients, dim: *dim, keyBits: *keyBits, devices: *devices,
+			seed: *seed, quorum: *quorum, timeout: *timeout, straggle: *straggle,
 			cohort: *cohort, fanout: *fanout,
 			byz: attack, defense: policy, stop: stop, o: o,
 		})
@@ -241,10 +235,10 @@ func writeObs(o *obs.Obs, path string) error {
 }
 
 // demoContext builds the shared HE context all demo parties derive from the
-// seed; tune sets the party's own knobs on the profile (chunking, the device
-// set, the defense and tree policies its fl.Aggregation reads). With an
-// observability bundle the context traces and meters under the party's
-// label (demo mode passes one bundle to every in-process party).
+// seed; tune sets the party's own knobs on the profile (the device set, the
+// defense and tree policies its fl.Aggregation reads). With an observability
+// bundle the context traces and meters under the party's label (demo mode
+// passes one bundle to every in-process party).
 func demoContext(keyBits, clients int, seed uint64, o *obs.Obs, label string, tune func(*fl.Profile)) (*fl.Context, error) {
 	p := fl.NewProfile(fl.SystemFLBooster, keyBits, clients)
 	p.Seed = seed
@@ -298,9 +292,8 @@ type serverOpts struct {
 }
 
 func runServer(opts serverOpts) error {
-	// The server only aggregates whole batches, so it never needs the
-	// streamed path, whatever the client flags. The device set does apply:
-	// the aggregate path shards like any other vector HE op.
+	// The device set applies to the server too: the aggregate path shards
+	// like any other vector HE op.
 	ctx, err := demoContext(opts.keyBits, opts.clients, opts.seed, opts.o, fl.ServerName, func(p *fl.Profile) {
 		p.Devices = opts.devices
 		p.Defense.Groups = opts.groups
@@ -557,7 +550,6 @@ type clientOpts struct {
 	id      int
 	clients int
 	keyBits int
-	chunk   int
 	// devices ≥ 1 shards the client's encrypt path across a simulated
 	// device set; 0 keeps the single-device engine.
 	devices int
@@ -601,7 +593,7 @@ func runClient(opts clientOpts) error {
 	name := fl.ClientName(opts.id)
 	clients := opts.clients
 	ctx, err := demoContext(opts.keyBits, clients, opts.seed, opts.o, name, func(p *fl.Profile) {
-		p.Chunk, p.Devices = opts.chunk, opts.devices
+		p.Devices = opts.devices
 		p.Defense = opts.defense
 	})
 	if err != nil {
@@ -685,7 +677,6 @@ type demoOpts struct {
 	clients  int
 	dim      int
 	keyBits  int
-	chunk    int
 	devices  int
 	seed     uint64
 	quorum   int
@@ -741,8 +732,7 @@ func runDemo(opts demoOpts) error {
 		go func(id int, vals []float64, delay time.Duration) {
 			errs <- runClient(clientOpts{
 				addr: hub.Addr(), id: id, clients: clients, keyBits: opts.keyBits,
-				chunk: opts.chunk, devices: opts.devices,
-				seed: opts.seed, vals: vals, delay: delay,
+				devices: opts.devices, seed: opts.seed, vals: vals, delay: delay,
 				cohort: opts.cohort, byz: opts.byz, defense: opts.defense, o: opts.o,
 			})
 		}(c, vals, delay)

@@ -32,11 +32,10 @@ func TestParseFloats(t *testing.T) {
 }
 
 func TestDemoEndToEnd(t *testing.T) {
-	// Full hub + server + clients over loopback TCP with a small key, with
-	// clients encrypting through the streamed pipeline (chunk 2), sharing
+	// Full hub + server + clients over loopback TCP with a small key, sharing
 	// one observability bundle across the in-process parties.
 	o := obs.New(9)
-	if err := runDemo(demoOpts{clients: 3, dim: 4, keyBits: 128, chunk: 2, seed: 9, o: o}); err != nil {
+	if err := runDemo(demoOpts{clients: 3, dim: 4, keyBits: 128, seed: 9, o: o}); err != nil {
 		t.Fatal(err)
 	}
 	if o.Recorder().Len() == 0 {
@@ -428,7 +427,6 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"server", "-clients", "8", "-cohort", "2", "-groups", "3"}, "groups"},
 		{[]string{"server", "-devices", "-1"}, "devices"},
 		{[]string{"demo", "-devices", "65"}, "devices"},
-		{[]string{"demo", "-chunk", "-1"}, "chunk"},
 		{[]string{"demo", "-bits", "16"}, "bits"},
 		{[]string{"demo", "-bits", "33"}, "bits"}, // odd: key generation would never finish
 	}
@@ -442,6 +440,11 @@ func TestFlagValidation(t *testing.T) {
 		if ce.Flag != tc.flag {
 			t.Errorf("run(%v) flagged -%s (%s), want -%s", tc.args, ce.Flag, ce.Reason, tc.flag)
 		}
+	}
+	// The retired -chunk flag is not a ConfigError: it no longer parses.
+	if err := run([]string{"demo", "-chunk", "2"}, nil); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined: -chunk") {
+		t.Errorf("run(demo -chunk 2) = %v, want an unknown-flag error", err)
 	}
 	// A consistent combination must pass validation and fail later on the
 	// unreachable address instead, proving the checks are not over-eager.

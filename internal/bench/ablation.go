@@ -53,34 +53,42 @@ func (r *Runner) ablationResourceManager(w io.Writer) error {
 
 // ablationPipeline measures the modelled gain from overlapping PCIe
 // transfers with kernels (§V / Fig. 4) on an encryption workload: the same
-// batches streamed chunk-by-chunk through the double-buffered pipeline
-// versus run back-to-back.
+// batches streamed chunk-by-chunk through the device's double-buffered
+// pipeline versus run back-to-back.
 func (r *Runner) ablationPipeline(w io.Writer) error {
 	header(w, "Ablation B — pipelined processing: sequential vs overlapped stages")
 	fmt.Fprintf(w, "%6s %8s %6s %14s %14s %9s\n", "Key", "Batch", "Chunk", "Sequential", "Pipelined", "Gain")
-	chunk := r.cfg.Chunk
-	if chunk <= 0 {
-		chunk = 8 // plaintexts per chunk when the CLI left streaming off
-	}
+	const chunk = 8 // plaintexts per pipeline chunk
 	for _, keyBits := range r.cfg.KeyBits {
 		ctx, err := r.context(fl.SystemFLBooster, keyBits)
 		if err != nil {
 			return err
 		}
-		saved := ctx.Profile.Chunk
-		ctx.Profile.Chunk = chunk
 		grads := make([]float64, 512)
 		for i := range grads {
 			grads[i] = 0.01 * float64(i%13)
 		}
+		pts, err := ctx.EncodePlaintexts(grads)
+		if err != nil {
+			return err
+		}
 		// Several batches so the pipeline has something to overlap.
 		for b := 0; b < 8; b++ {
-			if _, err := ctx.EncryptGradients(grads); err != nil {
-				ctx.Profile.Chunk = saved
-				return err
+			pipe := ctx.Device.NewPipeline(2)
+			for base := 0; base < len(pts); base += chunk {
+				end := base + chunk
+				if end > len(pts) {
+					end = len(pts)
+				}
+				pipe.Begin()
+				_, encErr := ctx.Backend.EncryptVec(&ctx.Key.PublicKey, pts[base:end], r.cfg.Seed+uint64(b))
+				pipe.End()
+				if encErr != nil {
+					return encErr
+				}
 			}
+			pipe.Close()
 		}
-		ctx.Profile.Chunk = saved
 		st := ctx.Device.Stats()
 		seq, pipe := st.SimTime(), st.SimTimeOverlapped()
 		gain := 1.0

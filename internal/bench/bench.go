@@ -41,9 +41,6 @@ type Config struct {
 	Device gpu.Config
 	// NNHidden is the Hetero NN interactive-layer width.
 	NNHidden int
-	// Chunk is the streamed-pipeline chunk size in plaintexts per upload
-	// chunk for every HE context (0 keeps the whole-batch sequential path).
-	Chunk int
 	// Devices is the simulated device count per GPU context: values of 1 or
 	// more shard every vector HE op across a gpu.DeviceSet of that many
 	// devices; 0 keeps the classic single-device engine.
@@ -96,8 +93,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("bench: batch size must be positive")
 	case c.NNHidden < 1:
 		return fmt.Errorf("bench: NN hidden width must be positive")
-	case c.Chunk < 0:
-		return fmt.Errorf("bench: pipeline chunk size must be non-negative, got %d", c.Chunk)
 	case c.Devices < 0:
 		return &ConfigError{Field: "devices", Reason: fmt.Sprintf("device count must be non-negative, got %d", c.Devices)}
 	case c.Devices > gpu.MaxDevices:
@@ -209,7 +204,6 @@ func (r *Runner) context(sys fl.System, keyBits int) (*fl.Context, error) {
 	p := fl.NewProfile(sys, keyBits, r.cfg.Parties)
 	p.Device = r.cfg.Device
 	p.Seed = r.cfg.Seed
-	p.Chunk = r.cfg.Chunk
 	p.Devices = r.cfg.Devices
 	ctx, err := fl.NewContext(p)
 	if err != nil {

@@ -112,7 +112,7 @@ func (r *Runner) scaleRound(clients, fanout int) ([]float64, scaleRow, error) {
 		Mode:          mode,
 		PeakLiveCts:   rep.PeakLiveCts,
 		PeakPerClient: float64(rep.PeakLiveCts) / float64(clients),
-		CritPathSimNs: int64(cs.TotalSimOverlapped()),
+		CritPathSimNs: int64(cs.TotalSim()),
 		CommBytes:     cs.CommBytes,
 		WallNs:        int64(time.Since(start)),
 	}

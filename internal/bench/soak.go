@@ -35,9 +35,6 @@ type SoakConfig struct {
 	KeyBits int    `json:"key_bits"`
 	// Dim is the gradient dimension per client.
 	Dim int `json:"dim"`
-	// Chunk > 0 uploads through the streamed chunked pipeline (exercising
-	// reassembly dedup under duplication).
-	Chunk int `json:"chunk"`
 	// Quorum and PhaseTimeout shape the round policy (quorum < parties is
 	// what lets chaos drop traffic without failing every round).
 	Quorum       int           `json:"quorum"`
@@ -75,7 +72,6 @@ func DefaultSoakConfig(seed uint64, rounds, parties, keyBits int) SoakConfig {
 		Parties:       parties,
 		KeyBits:       keyBits,
 		Dim:           8,
-		Chunk:         2,
 		Quorum:        parties - 1,
 		PhaseTimeout:  200 * time.Millisecond,
 		DropProb:      0.06,
@@ -206,7 +202,6 @@ func RunSoak(cfg SoakConfig) (SoakSummary, error) {
 	profile.Seed = cfg.Seed
 	profile.Device = gpu.SmallTestDevice()
 	profile.RBits = 14
-	profile.Chunk = cfg.Chunk
 	profile.Round = fl.RoundPolicy{
 		Quorum:       cfg.Quorum,
 		PhaseTimeout: cfg.PhaseTimeout,

@@ -10,43 +10,30 @@ import (
 // sim-time each cost component accrued while the phase ran, plus the
 // operation and byte counts behind them. Only modelled (sim) quantities
 // appear — wall times vary run to run, and the anatomy's contract is that
-// the same seed produces a byte-identical table. Pipeline columns carry the
-// phase's share of the streamed-overlap accounting: PipeSeqNs is the
-// sequential sum already included in the component columns, PipeNs the
-// measured critical path that replaces it under overlap.
+// the same seed produces a byte-identical table.
 type PhaseCost struct {
 	Phase       string `json:"phase"`
 	EncodeSimNs int64  `json:"encode_sim_ns"`
 	HESimNs     int64  `json:"he_sim_ns"`
 	CommSimNs   int64  `json:"comm_sim_ns"`
-	PipeSeqNs   int64  `json:"pipe_seq_ns"`
-	PipeNs      int64  `json:"pipe_ns"`
 	HEOps       int64  `json:"he_ops"`
 	CommBytes   int64  `json:"comm_bytes"`
 }
 
-// TotalSimNs is the phase's sequential sim-time: every component summed.
+// TotalSimNs is the phase's sim-time: every component summed.
 func (p PhaseCost) TotalSimNs() int64 {
 	return p.EncodeSimNs + p.HESimNs + p.CommSimNs
 }
 
-// OverlappedSimNs swaps the phase's sequential pipeline portion for its
-// measured critical path, clamped at zero like CostSnapshot.
-func (p PhaseCost) OverlappedSimNs() int64 {
-	t := p.TotalSimNs() - p.PipeSeqNs + p.PipeNs
-	if t < 0 {
-		return 0
-	}
-	return t
-}
+// The same value as TotalSimNs: a phase has no overlap to credit. The name
+// exists only because benchmark/layers.go reads the per-phase rows under it.
+func (p PhaseCost) OverlappedSimNs() int64 { return p.TotalSimNs() }
 
 // add accumulates q's components into p (phase name untouched).
 func (p PhaseCost) add(q PhaseCost) PhaseCost {
 	p.EncodeSimNs += q.EncodeSimNs
 	p.HESimNs += q.HESimNs
 	p.CommSimNs += q.CommSimNs
-	p.PipeSeqNs += q.PipeSeqNs
-	p.PipeNs += q.PipeNs
 	p.HEOps += q.HEOps
 	p.CommBytes += q.CommBytes
 	return p
@@ -58,8 +45,6 @@ func (p PhaseCost) sub(q PhaseCost) PhaseCost {
 	p.EncodeSimNs -= q.EncodeSimNs
 	p.HESimNs -= q.HESimNs
 	p.CommSimNs -= q.CommSimNs
-	p.PipeSeqNs -= q.PipeSeqNs
-	p.PipeNs -= q.PipeNs
 	p.HEOps -= q.HEOps
 	p.CommBytes -= q.CommBytes
 	return p
@@ -71,8 +56,6 @@ func phaseDelta(before, after CostSnapshot) PhaseCost {
 		EncodeSimNs: int64(after.EncodeSim - before.EncodeSim),
 		HESimNs:     int64(after.HESim - before.HESim),
 		CommSimNs:   int64(after.CommSim - before.CommSim),
-		PipeSeqNs:   int64(after.PipeSeqSim - before.PipeSeqSim),
-		PipeNs:      int64(after.PipeSim - before.PipeSim),
 		HEOps:       after.HEOps - before.HEOps,
 		CommBytes:   after.CommBytes - before.CommBytes,
 	}
@@ -98,20 +81,16 @@ func (a *RoundAnatomy) Total() PhaseCost {
 	return t
 }
 
-// TotalSimNs is the round's sequential sim-time across all phases.
+// TotalSimNs is the round's sim-time across all phases.
 func (a *RoundAnatomy) TotalSimNs() int64 { return a.Total().TotalSimNs() }
 
-// OverlappedSimNs is the round's sim-time with streamed phases at their
-// measured critical path.
-func (a *RoundAnatomy) OverlappedSimNs() int64 { return a.Total().OverlappedSimNs() }
-
-// Dominant names the phase with the largest overlapped sim-time — the term
+// Dominant names the phase with the largest sim-time — the term
 // an optimization pass should attack first. Ties break toward the earlier
 // row, so the answer is deterministic.
 func (a *RoundAnatomy) Dominant() string {
 	best, at := int64(-1), ""
 	for _, p := range a.Phases {
-		if t := p.OverlappedSimNs(); t > best {
+		if t := p.TotalSimNs(); t > best {
 			best, at = t, p.Phase
 		}
 	}
@@ -124,15 +103,12 @@ func (a *RoundAnatomy) Dominant() string {
 func (a *RoundAnatomy) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "round %d per-phase cost anatomy (sim time)\n", a.Round)
-	fmt.Fprintf(&b, "%-11s %12s %12s %12s %12s %12s %12s\n",
-		"phase", "encode", "he", "comm", "pipe-seq", "pipe", "overlapped")
+	fmt.Fprintf(&b, "%-11s %12s %12s %12s\n", "phase", "encode", "he", "comm")
 	row := func(p PhaseCost) {
-		fmt.Fprintf(&b, "%-11s %12s %12s %12s %12s %12s %12s\n",
+		fmt.Fprintf(&b, "%-11s %12s %12s %12s\n",
 			p.Phase,
 			time.Duration(p.EncodeSimNs), time.Duration(p.HESimNs),
-			time.Duration(p.CommSimNs),
-			time.Duration(p.PipeSeqNs), time.Duration(p.PipeNs),
-			time.Duration(p.OverlappedSimNs()))
+			time.Duration(p.CommSimNs))
 	}
 	for _, p := range a.Phases {
 		row(p)

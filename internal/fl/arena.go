@@ -37,24 +37,16 @@ func EncodeCiphertexts(cts []paillier.Ciphertext) []byte {
 // DecodeCiphertexts parses a batch framed by EncodeCiphertexts into a pooled
 // slice; whoever retires the batch may hand it back with ReleaseCiphertexts.
 func DecodeCiphertexts(b []byte) ([]paillier.Ciphertext, error) {
-	return appendCiphertexts(nil, b)
-}
-
-// appendCiphertexts decodes one framed batch onto dst (a pooled slice when
-// dst is nil) — how a chunked upload's bodies concatenate into one batch.
-func appendCiphertexts(dst []paillier.Ciphertext, b []byte) ([]paillier.Ciphertext, error) {
 	nats, err := flnet.DecodeNatsInto(arena.getNats(0), b)
 	if err != nil {
 		return nil, err
 	}
-	if dst == nil {
-		dst = arena.getCts(len(nats))
-	}
+	cts := arena.getCts(len(nats))
 	for _, n := range nats {
-		dst = append(dst, paillier.Ciphertext{C: n})
+		cts = append(cts, paillier.Ciphertext{C: n})
 	}
 	arena.putNats(nats)
-	return dst, nil
+	return cts, nil
 }
 
 // ReleaseCiphertexts returns a dead batch to the pool. The caller must hold

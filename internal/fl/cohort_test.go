@@ -8,8 +8,8 @@ import (
 	"flbooster/internal/gpu"
 )
 
-// cohortProfile returns a 9-party test profile; mutate Cohort/Defense/Chunk
-// per case.
+// cohortProfile returns a 9-party test profile; mutate Cohort/Defense per
+// case.
 func cohortProfile(sys System) Profile {
 	p := NewProfile(sys, 128, 9)
 	p.Device = gpu.SmallTestDevice()
@@ -54,9 +54,8 @@ func runEpochDigests(t *testing.T, p Profile, rounds int) ([][]float64, map[uint
 // the same profile and seed, every delivery topology — a streamed tree, a
 // tree whose fan-out covers the whole cohort, a buffered round admitted in
 // bounded waves — must journal byte-identical aggregates and decrypt
-// bit-identical sums to the flat single-wave protocol — plain,
-// chunk-streamed, and defended (grouped robust aggregation composed with
-// tree levels) alike.
+// bit-identical sums to the flat single-wave protocol — plain and defended
+// (grouped robust aggregation composed with tree levels) alike.
 func TestTreeRoundBitExactWithFlat(t *testing.T) {
 	const rounds = 3
 	cases := []struct {
@@ -64,11 +63,9 @@ func TestTreeRoundBitExactWithFlat(t *testing.T) {
 		prep func(*Profile)
 	}{
 		{"plain", func(p *Profile) {}},
-		{"chunked", func(p *Profile) { p.Chunk = 2 }},
 		{"defended", func(p *Profile) { p.Defense = DefensePolicy{Groups: 3} }},
-		{"defended-chunked", func(p *Profile) {
+		{"defended-median", func(p *Profile) {
 			p.Defense = DefensePolicy{Groups: 3, Combiner: CombineMedian}
-			p.Chunk = 2
 		}},
 		{"sampled", func(p *Profile) { p.Cohort.Size = 6 }},
 	}
@@ -190,28 +187,26 @@ func TestSampledCohortSchedulesSubset(t *testing.T) {
 	}
 }
 
-// lastChunkDropper silently discards the final chunk of the victim's upload,
-// leaving a half-received reassembly buffered at the server.
-type lastChunkDropper struct {
+// uploadDropper silently discards the victim's upload frame, so the server
+// never hears from a client whose send succeeded.
+type uploadDropper struct {
 	flnet.Transport
 	victim string
 }
 
-func (d *lastChunkDropper) Send(msg flnet.Message) error {
-	if msg.From == d.victim && msg.Kind == "gradc" {
-		if idx, total, _, err := flnet.DecodeChunk(msg.Payload); err == nil && idx == total-1 {
-			return nil // vanishes on the wire
-		}
+func (d *uploadDropper) Send(msg flnet.Message) error {
+	if msg.From == d.victim && msg.Kind == "grads" {
+		return nil // vanishes on the wire
 	}
 	return d.Transport.Send(msg)
 }
 
 // TestTreeRoundSurvivesDroppedUpload: a client whose upload is silently
-// dropped mid-wave is cut off at the wave deadline, charged as late, and
-// the quorum round completes with the scaled estimate — the tree-mode
-// mirror of the flat straggler test.
+// dropped mid-wave is cut off at the wave deadline and the quorum round
+// completes with the scaled estimate over a tree that folded one
+// contribution fewer — the tree-mode mirror of the flat straggler test.
 func TestTreeRoundSurvivesDroppedUpload(t *testing.T) {
-	p := cohortProfile(SystemFATE) // no batching: dim 2 at Chunk 1 = 2 chunks
+	p := cohortProfile(SystemFATE)
 	p.Cohort = CohortPolicy{Fanout: 3, MaxInflight: 4}
 	p.Round = RoundPolicy{
 		Quorum:       8,
@@ -219,14 +214,13 @@ func TestTreeRoundSurvivesDroppedUpload(t *testing.T) {
 		MaxRetries:   1,
 		Backoff:      time.Millisecond,
 	}
-	p.Chunk = 1 // chunked uploads, so the cutoff releases a real half-buffer
 	ctx, err := NewContext(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fed := NewFederation(ctx)
 	defer fed.Close()
-	fed.Transport = &lastChunkDropper{Transport: fed.Transport, victim: ClientName(2)}
+	fed.Transport = &uploadDropper{Transport: fed.Transport, victim: ClientName(2)}
 
 	grads := make([][]float64, p.Parties)
 	for i := range grads {
@@ -242,15 +236,14 @@ func TestTreeRoundSurvivesDroppedUpload(t *testing.T) {
 	if phase, ok := rep.Dropped[ClientName(2)]; !ok || phase != PhaseGather {
 		t.Fatalf("dropped %v, want client2 lost in gather", rep.Dropped)
 	}
+	if rep.Tree == nil || rep.Tree.Leaves != p.Parties-1 {
+		t.Fatalf("tree stats %+v, want %d leaves folded", rep.Tree, p.Parties-1)
+	}
 	bound := float64(p.Parties) * rep.Scale * ctx.Quant.MaxError()
 	want := []float64{0.1 * float64(p.Parties), -0.2 * float64(p.Parties)}
 	for i := range want {
 		if d := sum[i] - want[i]; d > bound || d < -bound {
 			t.Fatalf("sum[%d] = %v, want %v ± %v", i, sum[i], want[i], bound)
 		}
-	}
-	late := ctx.Costs.Snapshot()
-	if late.LateChunks == 0 || late.LateBytes == 0 {
-		t.Fatalf("cutoff did not charge late traffic: %+v", late)
 	}
 }

@@ -204,11 +204,6 @@ func (c *Context) ReconcileObs() error {
 		{"comm_bytes", s.CommBytes},
 		{"comm_sim_ns", int64(s.CommSim)},
 		{"retry_msgs", s.RetryMsgs},
-		{"pipe_chunks", s.PipeChunks},
-		{"pipe_seq_ns", int64(s.PipeSeqSim)},
-		{"pipe_ns", int64(s.PipeSim)},
-		{"late_chunks", s.LateChunks},
-		{"late_bytes", s.LateBytes},
 		{"plainvals", s.Plainvals},
 		{"ciphertexts", s.Ciphertexts},
 		{"encode_sim_ns", int64(s.EncodeSim)},
@@ -363,93 +358,9 @@ func (c *Context) PlaintextCount(n int) int {
 	return n
 }
 
-// EncryptGradientsStreamAs runs the client-side encryption phase chunked,
-// under a caller-chosen handle of the context's key (as EncryptGradientsAs):
-// the gradient vector is quantized once, then packed and encrypted
-// Profile.Chunk plaintexts at a time through the backend's streaming
-// session. Chunk boundaries align to plaintext groups, and the nonce stream
-// is indexed by global position, so the concatenated ciphertexts are
-// bit-exact with the whole-batch EncryptGradients path. emit receives each
-// chunk in order with its sequential HE sim cost; an emit error stops the
-// stream and is returned. An empty gradient vector emits one empty chunk so
-// protocol consumers still see the upload.
-func (c *Context) EncryptGradientsStreamAs(pk *paillier.PublicKey, grads []float64, emit func(index int, cts []paillier.Ciphertext, heSim time.Duration) error) error {
-	if err := c.checkHandle(pk); err != nil {
-		return err
-	}
-	sb, ok := c.Backend.(paillier.StreamBackend)
-	if !ok {
-		return fmt.Errorf("fl: backend %s does not support streamed encryption", c.Backend.Name())
-	}
-	totalPts := c.PlaintextCount(len(grads))
-	chunk := c.Profile.Chunk
-	if chunk <= 0 || chunk > totalPts {
-		chunk = totalPts
-	}
-	if totalPts == 0 {
-		return emit(0, nil, 0)
-	}
-	encStart := time.Now()
-	vals := c.Quant.QuantizeVec(grads)
-	c.Costs.AddEncode(time.Since(encStart), encodeSim(len(grads)), int64(len(grads)))
-	slots := 1
-	if c.Packer != nil {
-		slots = c.Packer.Slots()
-	}
-	sess, err := sb.BeginEncrypt(pk, c.nextSeed())
-	if err != nil {
-		return err
-	}
-	defer sess.Close()
-	var totalCts int64
-	for index, base := 0, 0; base < totalPts; index, base = index+1, base+chunk {
-		endPt := base + chunk
-		if endPt > totalPts {
-			endPt = totalPts
-		}
-		lo, hi := base*slots, endPt*slots
-		if hi > len(vals) {
-			hi = len(vals)
-		}
-		var pts []mpint.Nat
-		if c.Packer != nil {
-			// Pack works in independent groups of `slots` values, so packing
-			// an aligned sub-slice reproduces the whole-batch plaintexts.
-			pts, err = c.Packer.Pack(vals[lo:hi])
-			if err != nil {
-				return err
-			}
-		} else {
-			pts = make([]mpint.Nat, hi-lo)
-			for i, v := range vals[lo:hi] {
-				pts[i] = mpint.FromUint64(v)
-			}
-		}
-		start := time.Now()
-		cts, seqSim, err := sess.Next(pts)
-		if err != nil {
-			return err
-		}
-		wall := time.Since(start)
-		heSim := seqSim
-		if c.Device == nil && c.DevSet == nil {
-			heSim = wall
-		}
-		c.Costs.AddHE(wall, heSim, int64(len(cts)), int64(hi-lo))
-		totalCts += int64(len(cts))
-		if err := emit(index, cts, heSim); err != nil {
-			return err
-		}
-	}
-	c.Costs.AddCompression(int64(len(grads)), totalCts)
-	return nil
-}
-
 // EncryptGradients runs the full client-side encryption phase (steps ①–④ of
 // Fig. 4): encode, quantize, pack, encrypt. Costs are charged to the HE
 // component; the plainval/ciphertext counts feed the compression ratio.
-// With a positive Profile.Chunk the phase runs through the streamed,
-// device-pipelined path and returns the concatenated (bit-exact) result.
 //
 // The encrypting party is anyone who knows the public key — a vertical
 // model's host encrypting under the arbiter's key. A party that owns the key
@@ -465,16 +376,6 @@ func (c *Context) EncryptGradients(grads []float64) ([]paillier.Ciphertext, erro
 // ciphertexts are the same bytes either way; the handle decides what the
 // encryption costs, on both clocks.
 func (c *Context) EncryptGradientsAs(pk *paillier.PublicKey, grads []float64) ([]paillier.Ciphertext, error) {
-	if c.Profile.Chunk > 0 {
-		var out []paillier.Ciphertext
-		if err := c.EncryptGradientsStreamAs(pk, grads, func(_ int, cts []paillier.Ciphertext, _ time.Duration) error {
-			out = append(out, cts...)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
 	if err := c.checkHandle(pk); err != nil {
 		return nil, err
 	}

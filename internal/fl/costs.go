@@ -45,23 +45,6 @@ type CostSnapshot struct {
 	EncodeSim  time.Duration
 	EncodeVals int64
 
-	// PipeSeqSim and PipeSim are the streamed-pipeline view of the phases
-	// that ran chunked: the sequential sum of their HE and wire time (already
-	// included in HESim/CommSim above) and the measured critical path of the
-	// same chunks overlapped across the encrypt and send streams. PipeChunks
-	// counts the chunks scheduled.
-	PipeSeqSim time.Duration
-	PipeSim    time.Duration
-	PipeChunks int64
-
-	// LateChunks and LateBytes count chunked-upload traffic the late-arrival
-	// cutoff discarded: chunks that were received and buffered (their wire
-	// time and bytes already charged to Comm at send) but whose upload never
-	// completed before the deadline, so the buffers were released
-	// unaggregated.
-	LateChunks int64
-	LateBytes  int64
-
 	// Ciphertexts counts ciphertexts produced (the compression denominator).
 	Ciphertexts int64
 	// Plainvals counts plaintext values before packing (the numerator).
@@ -93,8 +76,6 @@ type Costs struct {
 var costMirrorNames = []string{
 	"he_ops", "instances", "he_sim_ns",
 	"comm_msgs", "comm_bytes", "comm_sim_ns", "retry_msgs",
-	"pipe_chunks", "pipe_seq_ns", "pipe_ns",
-	"late_chunks", "late_bytes",
 	"plainvals", "ciphertexts",
 	"encode_sim_ns", "encode_vals",
 }
@@ -157,32 +138,6 @@ func (c *Costs) AddRetry(sim time.Duration, bytes int64) {
 	c.mirror("retry_msgs", 1)
 }
 
-// AddPipeline accounts one streamed upload: seq is the sequential sum of
-// the chunks' HE + wire time, overlapped their measured critical path.
-func (c *Costs) AddPipeline(seq, overlapped time.Duration, chunks int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.PipeSeqSim += seq
-	c.s.PipeSim += overlapped
-	c.s.PipeChunks += chunks
-	c.mirror("pipe_seq_ns", int64(seq))
-	c.mirror("pipe_ns", int64(overlapped))
-	c.mirror("pipe_chunks", chunks)
-}
-
-// AddLate accounts one late-arrival cutoff: chunks received from an upload
-// that never completed, released unaggregated. Their wire time and bytes
-// were already charged to Comm at send time; these counters record how much
-// of that traffic was wasted.
-func (c *Costs) AddLate(chunks, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.s.LateChunks += chunks
-	c.s.LateBytes += bytes
-	c.mirror("late_chunks", chunks)
-	c.mirror("late_bytes", bytes)
-}
-
 // AddOther accounts model-computation time.
 func (c *Costs) AddOther(wall time.Duration) {
 	c.mu.Lock()
@@ -241,24 +196,9 @@ func (s CostSnapshot) TotalSim() time.Duration {
 	return s.HESim + s.CommSim + s.OtherWall + s.EncodeSim
 }
 
-// TotalSimOverlapped is the modelled end-to-end time with the streamed
-// phases at their measured critical path instead of their sequential sum:
-// the sequential pipeline portion is swapped for the overlapped one. With
-// no streamed phases it equals TotalSim.
-func (c *Costs) TotalSimOverlapped() time.Duration { return c.Snapshot().TotalSimOverlapped() }
-
-// TotalSimOverlapped is the overlapped end-to-end time of the snapshot.
-// Clamped at zero: a client dropped mid-pipeline keeps its sequential charge
-// (the overlap accounting only credits completed uploads), so on a round
-// where nearly everything was both streamed and dropped the subtraction can
-// otherwise go negative.
-func (s CostSnapshot) TotalSimOverlapped() time.Duration {
-	t := s.TotalSim() - s.PipeSeqSim + s.PipeSim
-	if t < 0 {
-		return 0
-	}
-	return t
-}
+// The same value as TotalSim: the round has no overlap to credit. The name
+// exists only because benchmark/measure.go reads the modelled step under it.
+func (s CostSnapshot) TotalSimOverlapped() time.Duration { return s.TotalSim() }
 
 // TotalWall is the measured end-to-end host time plus modelled wire time.
 func (c *Costs) TotalWall() time.Duration { return c.Snapshot().TotalWall() }
@@ -272,18 +212,10 @@ func (s CostSnapshot) TotalWall() time.Duration {
 // Table VI.
 func (c *Costs) Shares() (other, he, comm float64) { return c.Snapshot().Shares() }
 
-// Shares returns the fractions (other, HE, comm) of the run's end-to-end
-// time. The "other" share folds in encode alongside
-// OtherWall. On runs with streamed phases (PipeChunks > 0) the denominator
-// is TotalSimOverlapped — the headline those runs report — so the shares sum
-// against the number printed next to them; sequential runs divide by
-// TotalSim as before. (On overlapped runs the fractions sum above 1: the
-// overlap hides part of the sequential cost inside the critical path.)
+// Shares returns the fractions (other, HE, comm) of TotalSim. The "other"
+// share folds in encode alongside OtherWall.
 func (s CostSnapshot) Shares() (other, he, comm float64) {
 	total := s.TotalSim()
-	if s.PipeChunks > 0 {
-		total = s.TotalSimOverlapped()
-	}
 	if total <= 0 {
 		return 0, 0, 0
 	}

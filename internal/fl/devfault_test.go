@@ -10,7 +10,7 @@ import (
 // TestSecureAggregateSurvivesDeviceDeath kills the GPU after its first
 // kernel launch: the round must still complete through the CPU fallback with
 // an aggregate identical to a healthy run, and the fault report must show
-// the failover.
+// the failover. A second leg corrupts results instead of killing the device.
 func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 	grads := [][]float64{
 		{0.1, -0.2, 0.3}, {0.05, 0.1, -0.1}, {-0.2, 0.2, 0.0}, {0.4, -0.1, 0.05},
@@ -59,6 +59,20 @@ func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 	}
 	if rep.SimFaultTime <= 0 {
 		t.Fatal("degraded-mode time not charged to the modelled clock")
+	}
+
+	// A device that silently corrupts results instead of dying: with every
+	// item verified, the checked layer retries the bad batches and the
+	// aggregate is still the healthy run's, bit for bit.
+	corrupted, ctx := runOnce(FaultPolicy{
+		Inject: gpu.FaultConfig{Seed: 7, CorruptProb: 0.1},
+		Check:  ghe.CheckedConfig{MaxRetries: 8, VerifyFraction: 1},
+	})
+	if !sameBits(corrupted, clean) {
+		t.Fatalf("aggregate %v under corruption retries, want %v (bit-exact)", corrupted, clean)
+	}
+	if rep := ctx.FaultReport(); rep.Checked.VerifyFailures == 0 {
+		t.Fatalf("expected verification to catch injected corruption, got %+v", rep.Checked)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"flbooster/internal/flnet"
-	"flbooster/internal/gpu"
 	"flbooster/internal/obs"
 	"flbooster/internal/paillier"
 )
@@ -338,19 +337,17 @@ type roundState struct {
 	send    func(flnet.Message) error
 	retrier *flnet.RetryTransport // nil when MaxRetries is 0
 
-	uploaded    []string                      // clients whose upload send succeeded
-	pending     map[string]*flnet.Reassembler // chunked uploads being reassembled
-	resolved    map[string]bool               // cohort members delivered to agg or cut off
-	included    []string                      // clients delivered to agg, canonical order once contribute ends
-	reached     []string                      // clients the broadcast reached
-	dropped     map[string]RoundPhase         // dropped client -> losing phase
+	uploaded    []string              // clients whose upload send succeeded
+	resolved    map[string]bool       // cohort members delivered to agg or cut off
+	included    []string              // clients delivered to agg, canonical order once contribute ends
+	reached     []string              // clients the broadcast reached
+	dropped     map[string]RoundPhase // dropped client -> losing phase
 	stale, dups int
 
 	agg       *Aggregation // uploads → payload → estimate
 	treeStats *TreeStats   // a streamed round's hierarchy anatomy
 
-	reasmBytes int64 // live chunk-buffer bytes across pending reassemblers
-	peakLive   int64 // high-water simultaneously-live aggregate-path ciphertexts
+	peakLive int64 // high-water simultaneously-live aggregate-path ciphertexts
 
 	aggPayload []byte // the encoded aggregate, journaled before broadcast
 	aggDigest  uint64
@@ -388,7 +385,6 @@ func newRoundState(f *Federation, policy RoundPolicy, count int, active []string
 		active:   active,
 		attempt:  attempt,
 		resume:   resume,
-		pending:  make(map[string]*flnet.Reassembler),
 		resolved: make(map[string]bool, len(active)),
 		dropped:  make(map[string]RoundPhase),
 		agg:      f.Ctx.NewAggregation(f.round, active),
@@ -563,25 +559,21 @@ func (st *roundState) clientGrads(i int, grads [][]float64) []float64 {
 // budget); a local encryption fault is not a network fault and aborts the
 // round.
 func (st *roundState) uploadWave(wave []string, grads [][]float64) error {
-	sendUpload := st.sendChunks
-	if st.f.Ctx.Profile.Chunk == 0 {
-		sendUpload = st.sendBatch
-	}
 	for _, name := range wave {
 		i, err := ClientIndex(name)
 		if err != nil {
 			return st.fail(PhaseUpload, name, err)
 		}
-		if err := sendUpload(i, st.clientGrads(i, grads)); err != nil {
+		if err := st.sendBatch(i, st.clientGrads(i, grads)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sendBatch is the whole-batch (Profile.Chunk == 0) upload of one client:
-// one "grads" frame, nothing to overlap, no pipeline record. A dropped
-// client (failed send, within the quorum budget) returns nil.
+// sendBatch is one client's upload: its whole encrypted batch in one "grads"
+// frame. A dropped client (failed send, within the quorum budget) returns
+// nil.
 func (st *roundState) sendBatch(i int, grads []float64) error {
 	ctx := st.f.Ctx
 	name := ClientName(i)
@@ -601,102 +593,6 @@ func (st *roundState) sendBatch(i int, grads []float64) error {
 	}
 	st.uploaded = append(st.uploaded, name)
 	ctx.RecordTransfer(msg.WireSize())
-	return nil
-}
-
-// gradChunk is one encrypted chunk handed from the encrypting producer to
-// the sending consumer.
-type gradChunk struct {
-	index int
-	cts   []paillier.Ciphertext
-	heSim time.Duration
-}
-
-// errUploadAborted signals the producer that the consumer stopped taking
-// chunks (the client was dropped); it is not a round failure.
-var errUploadAborted = errors.New("fl: chunked upload aborted")
-
-// sendChunks runs one client's chunked (Profile.Chunk > 0) upload as a
-// bounded producer/consumer pipeline: a goroutine encrypts chunks through
-// the streamed HE session and a two-chunk channel feeds the wire, so the
-// send of chunk i overlaps the encryption of chunk i+1. The chunks' HE and
-// wire costs are scheduled onto an encrypt and a send stream, whose critical
-// path becomes one AddPipeline record — the overlap credit
-// TotalSimOverlapped swaps for the upload's sequential sum. A dropped client
-// (failed send, within the quorum budget) returns nil with its costs left at
-// their sequential charge: the overlapped accounting only credits completed
-// uploads.
-func (st *roundState) sendChunks(i int, grads []float64) error {
-	ctx := st.f.Ctx
-	name := ClientName(i)
-	chunkPts := ctx.Profile.Chunk
-	total := (ctx.PlaintextCount(len(grads)) + chunkPts - 1) / chunkPts
-	if total == 0 {
-		total = 1 // an empty vector still uploads one empty chunk
-	}
-
-	ch := make(chan gradChunk, 2) // the bounded double buffer between compute and wire
-	stop := make(chan struct{})
-	errc := make(chan error, 1)
-	go func() {
-		defer close(ch)
-		errc <- ctx.EncryptGradientsStreamAs(st.f.clientKey, grads, func(index int, cts []paillier.Ciphertext, heSim time.Duration) error {
-			select {
-			case ch <- gradChunk{index: index, cts: cts, heSim: heSim}:
-				return nil
-			case <-stop:
-				return errUploadAborted
-			}
-		})
-	}()
-
-	rec := ctx.Obs.Recorder()
-	origin := ctx.SimCost() // anchor stream-relative chunk spans on the cost clock
-	enc, wire := gpu.NewStream("encrypt"), gpu.NewStream("send")
-	var seqSim time.Duration
-	var chunks int64
-	var sendErr error
-	for chk := range ch {
-		if sendErr != nil {
-			continue // drain the producer after a failed send
-		}
-		ev := enc.Schedule(chk.heSim)
-		msg := flnet.Message{
-			From: name, To: ServerName, Kind: "gradc", Round: st.id,
-			Payload: flnet.EncodeChunk(uint32(chk.index), uint32(total), EncodeCiphertexts(chk.cts)),
-		}
-		if err := st.send(msg); err != nil {
-			sendErr = err
-			close(stop)
-			continue
-		}
-		comm := ctx.Link.TransferTime(msg.WireSize())
-		sent := wire.Schedule(comm, ev) // the chunk hits the wire once it is encrypted
-		if rec != nil {
-			phase := fmt.Sprintf("round%d.chunk%d", st.id, chk.index)
-			party := ctx.obsPrefix + "." + name
-			rec.Record(obs.Span{Phase: phase, Party: party, Lane: "fl.encrypt",
-				Start: origin + ev.At - chk.heSim, Dur: chk.heSim})
-			rec.Record(obs.Span{Phase: phase, Party: party, Lane: "fl.send",
-				Start: origin + sent.At - comm, Dur: comm})
-		}
-		seqSim += chk.heSim + comm
-		chunks++
-		ctx.RecordTransfer(msg.WireSize())
-	}
-	if err := <-errc; err != nil && !errors.Is(err, errUploadAborted) {
-		return fmt.Errorf("fl: client %d encrypt: %w", i, err)
-	}
-	if sendErr != nil {
-		if rerr := st.drop(PhaseUpload, name, sendErr); rerr != nil {
-			return rerr
-		}
-		return nil
-	}
-	st.uploaded = append(st.uploaded, name)
-	// Every chunk went out after it was encrypted, so the send stream's clock
-	// is the upload's critical path.
-	ctx.Costs.AddPipeline(seqSim, wire.Clock(), chunks)
 	return nil
 }
 
@@ -723,96 +619,6 @@ func (st *roundState) answerResume(msg flnet.Message) {
 		ctx.metricAdd("rejoin_resumes", 1)
 	} else {
 		ctx.metricAdd("rejoin_waits", 1)
-	}
-}
-
-// acceptChunk folds one "gradc" message into the sender's reassembler; when
-// the last chunk lands, the batch is decoded in chunk order, the chunk
-// buffers are released (the reassembled payload's usefulness ends at
-// decode), and the decoded ciphertexts are returned — nil while the upload
-// is still incomplete. The reassembler's invariants turn transport chaos
-// into typed outcomes: an exact duplicate (retransmission, ChaosTransport
-// duplication) is counted and dropped, while a conflicting rewrite, an
-// out-of-range index, or a changed total poisons the upload and fails the
-// round — never a silent overwrite. Buffered bytes are tracked across all
-// in-flight reassemblers as the reassembly_bytes_peak high-water metric.
-func (st *roundState) acceptChunk(msg flnet.Message) ([]paillier.Ciphertext, error) {
-	index, total, body, err := flnet.DecodeChunk(msg.Payload)
-	if err != nil {
-		st.f.Ctx.metricAdd("chunk_rejects", 1)
-		return nil, st.fail(PhaseGather, msg.From, fmt.Errorf("server decode: %w", err))
-	}
-	asm := st.pending[msg.From]
-	if asm == nil {
-		asm, err = flnet.NewReassembler(total)
-		if err != nil {
-			st.f.Ctx.metricAdd("chunk_rejects", 1)
-			return nil, st.fail(PhaseGather, msg.From, fmt.Errorf("server reassembly: %w", err))
-		}
-		st.pending[msg.From] = asm
-	}
-	before := asm.Bytes()
-	done, err := asm.Accept(index, total, body)
-	st.trackReasm(asm.Bytes() - before)
-	if err != nil {
-		var ce *flnet.ChunkError
-		if errors.As(err, &ce) && ce.Ignorable() {
-			st.dups++
-			st.f.Ctx.metricAdd("chunk_dup_rejects", 1)
-			return nil, nil
-		}
-		st.f.Ctx.metricAdd("chunk_rejects", 1)
-		return nil, st.fail(PhaseGather, msg.From, fmt.Errorf("server reassembly: %w", err))
-	}
-	if !done {
-		return nil, nil
-	}
-	bodies, err := asm.Assemble()
-	if err != nil {
-		return nil, st.fail(PhaseGather, msg.From, err)
-	}
-	var all []paillier.Ciphertext
-	for k, b := range bodies {
-		if all, err = appendCiphertexts(all, b); err != nil {
-			return nil, st.fail(PhaseGather, msg.From, fmt.Errorf("server decode chunk %d: %w", k, err))
-		}
-	}
-	st.trackReasm(-asm.Release())
-	delete(st.pending, msg.From)
-	st.f.Ctx.metricAdd("chunks_reassembled", int64(asm.Total()))
-	return all, nil
-}
-
-// trackReasm adjusts the live reassembly-byte total and maintains its
-// high-water metric.
-func (st *roundState) trackReasm(delta int64) {
-	st.reasmBytes += delta
-	if delta > 0 {
-		st.f.Ctx.metricMax("reassembly_bytes_peak", st.reasmBytes)
-	}
-}
-
-// releaseUpload frees one client's half-received chunk buffers and charges
-// the released chunks and bytes to the late-arrival counters — traffic that
-// was paid for on the wire but never aggregated.
-func (st *roundState) releaseUpload(name string) {
-	asm := st.pending[name]
-	if asm == nil {
-		return
-	}
-	chunks := int64(asm.Received())
-	freed := asm.Release()
-	st.trackReasm(-freed)
-	delete(st.pending, name)
-	st.f.Ctx.Costs.AddLate(chunks, freed)
-	st.f.Ctx.metricAdd("late_uploads", 1)
-}
-
-// releasePending frees every in-flight reassembler — the end-of-contribute
-// sweep that keeps chunk buffers from outliving the round.
-func (st *roundState) releasePending() {
-	for name := range st.pending {
-		st.releaseUpload(name)
 	}
 }
 
@@ -853,10 +659,6 @@ func (st *roundState) admitWaves(grads [][]float64, span func(string, func() err
 			return err
 		}
 	}
-	// Every wave either delivered or cut off its members; anything left
-	// pending here is a protocol bug, but release defensively so buffers
-	// never leak.
-	st.releasePending()
 	st.sortIncluded()
 	if len(st.included) < st.quorum {
 		return st.fail(PhaseGather, "", fmt.Errorf("%d/%d uploads below quorum %d",
@@ -867,10 +669,9 @@ func (st *roundState) admitWaves(grads [][]float64, span func(string, func() err
 
 // gatherWave drains the current admission wave: it waits for every uploader
 // not yet resolved, delivering each batch to the aggregation the moment it
-// completes. Messages from earlier rounds are stale artifacts of stragglers
+// arrives. Messages from earlier rounds are stale artifacts of stragglers
 // and are discarded, as are duplicates. A wave deadline that expires cuts
-// the stragglers off — their buffers are released and their traffic charged
-// as late — and fails the round only through the drop budget.
+// the stragglers off and fails the round only through the drop budget.
 func (st *roundState) gatherWave() error {
 	deadline := st.phaseDeadline()
 	waiting := make(map[string]bool)
@@ -891,7 +692,7 @@ func (st *roundState) gatherWave() error {
 			st.answerResume(msg)
 			continue
 		}
-		if msg.Round != st.id || (msg.Kind != "grads" && msg.Kind != "gradc") {
+		if msg.Round != st.id || msg.Kind != "grads" {
 			st.stale++
 			continue
 		}
@@ -899,28 +700,14 @@ func (st *roundState) gatherWave() error {
 			st.dups++
 			continue
 		}
-		switch msg.Kind {
-		case "grads":
-			cts, err := DecodeCiphertexts(msg.Payload)
-			if err != nil {
-				return st.fail(PhaseGather, msg.From, fmt.Errorf("server decode: %w", err))
-			}
-			if err := st.deliver(msg.From, cts); err != nil {
-				return err
-			}
-			delete(waiting, msg.From)
-		case "gradc":
-			cts, err := st.acceptChunk(msg)
-			if err != nil {
-				return err
-			}
-			if cts != nil {
-				if err := st.deliver(msg.From, cts); err != nil {
-					return err
-				}
-				delete(waiting, msg.From)
-			}
+		cts, err := DecodeCiphertexts(msg.Payload)
+		if err != nil {
+			return st.fail(PhaseGather, msg.From, fmt.Errorf("server decode: %w", err))
 		}
+		if err := st.deliver(msg.From, cts); err != nil {
+			return err
+		}
+		delete(waiting, msg.From)
 	}
 	return nil
 }
@@ -938,16 +725,14 @@ func (st *roundState) deliver(name string, cts []paillier.Ciphertext) error {
 }
 
 // cutoff resolves every still-waiting member of the current wave as late:
-// buffers released, traffic charged, client dropped (within the quorum
-// budget). The wave moves on; the cohort-wide quorum check happens after the
-// last wave.
+// the client is dropped (within the quorum budget). The wave moves on; the
+// cohort-wide quorum check happens after the last wave.
 func (st *roundState) cutoff(waiting map[string]bool, cause error) error {
 	for _, name := range st.uploaded {
 		if !waiting[name] {
 			continue
 		}
 		st.resolved[name] = true
-		st.releaseUpload(name)
 		if rerr := st.drop(PhaseGather, name, fmt.Errorf("upload missed the wave cutoff: %w", cause)); rerr != nil {
 			return rerr
 		}

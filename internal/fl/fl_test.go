@@ -16,6 +16,37 @@ func testProfile(sys System) Profile {
 	return p
 }
 
+func testGrads(parties, count int) [][]float64 {
+	grads := make([][]float64, parties)
+	for i := range grads {
+		grads[i] = make([]float64, count)
+		for j := range grads[i] {
+			grads[i][j] = 0.001 * float64((i*31+j*7)%997) * float64(1-2*(j%2))
+		}
+	}
+	return grads
+}
+
+// runRound executes `rounds` SecureAggregate rounds over a fresh context and
+// returns the final aggregate, the context, and the report.
+func runRound(t *testing.T, p Profile, grads [][]float64, rounds int) ([]float64, *Context, RoundReport) {
+	t.Helper()
+	ctx, err := NewContext(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed := NewFederation(ctx)
+	defer fed.Close()
+	var agg []float64
+	var rep RoundReport
+	for r := 0; r < rounds; r++ {
+		if agg, rep, err = fed.SecureAggregateReport(grads); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+	}
+	return agg, ctx, rep
+}
+
 func TestProfileToggles(t *testing.T) {
 	cases := []struct {
 		sys                    System

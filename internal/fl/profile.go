@@ -65,11 +65,6 @@ type Profile struct {
 	Devices int
 	// Seed drives every random choice for reproducibility.
 	Seed uint64
-	// Chunk is the streamed-pipeline chunk size in plaintexts per chunk:
-	// when positive, encryption runs chunked through the device streams and
-	// uploads overlap the next chunk's compute (§V-B / Fig. 4, actually
-	// executed). Zero uploads each batch whole, as one "grads" frame.
-	Chunk int
 	// Round governs fault tolerance of federation rounds: quorum, phase
 	// deadlines, and send retries. The zero value is the strict protocol
 	// (all parties required, no deadline, no retransmission).
@@ -170,8 +165,6 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("fl: r = %d too small", p.RBits)
 	case p.GradBound <= 0:
 		return fmt.Errorf("fl: gradient bound must be positive")
-	case p.Chunk < 0:
-		return fmt.Errorf("fl: negative pipeline chunk size %d", p.Chunk)
 	case p.Devices < 0:
 		return fmt.Errorf("fl: negative device count %d", p.Devices)
 	case p.Devices > gpu.MaxDevices:

@@ -176,7 +176,6 @@ func TestCoordinatorCrashRecoveryBitExact(t *testing.T) {
 func TestRecoveryDigestsMatchUninterruptedJournal(t *testing.T) {
 	const rounds, crashRound = 4, 2
 	profile := testProfile(SystemFLBooster)
-	profile.Chunk = 2 // exercise the chunked upload path under recovery too
 	grads := epochGrads(rounds, profile.Parties, 6)
 
 	runEpoch := func(store JournalStore, crash bool) map[uint64]uint64 {

@@ -11,11 +11,9 @@ import (
 // (HEWall, OtherWall, EncodeWall).
 func simFields(s CostSnapshot) string {
 	return fmt.Sprintf("HESim=%d HEOps=%d Instances=%d CommSim=%d CommBytes=%d CommMsgs=%d RetryMsgs=%d "+
-		"EncodeSim=%d EncodeVals=%d PipeSeqSim=%d PipeSim=%d PipeChunks=%d LateChunks=%d LateBytes=%d "+
-		"Ciphertexts=%d Plainvals=%d",
+		"EncodeSim=%d EncodeVals=%d Ciphertexts=%d Plainvals=%d",
 		s.HESim, s.HEOps, s.Instances, s.CommSim, s.CommBytes, s.CommMsgs, s.RetryMsgs,
-		s.EncodeSim, s.EncodeVals, s.PipeSeqSim, s.PipeSim, s.PipeChunks, s.LateChunks, s.LateBytes,
-		s.Ciphertexts, s.Plainvals)
+		s.EncodeSim, s.EncodeVals, s.Ciphertexts, s.Plainvals)
 }
 
 // TestSimInvariantUnderHostKernel is the hardware-simulation rule — a change
@@ -42,9 +40,9 @@ func TestSimInvariantUnderHostKernel(t *testing.T) {
 		want    string
 	}{
 		{name: "flat", parties: 4, dim: 200,
-			want: "HESim=307957 HEOps=232 Instances=1087 CommSim=187326662 CommBytes=16099 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 PipeSeqSim=0 PipeSim=0 PipeChunks=0 LateChunks=0 LateBytes=0 Ciphertexts=116 Plainvals=800"},
+			want: "HESim=307957 HEOps=232 Instances=1087 CommSim=187326662 CommBytes=16099 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 Ciphertexts=116 Plainvals=800"},
 		{name: "cohort-tree", parties: 64, cohort: CohortPolicy{Size: 16, Fanout: 4, MaxInflight: 8}, dim: 24,
-			want: "HESim=1144073 HEOps=128 Instances=468 CommSim=458133319 CommBytes=11720 CommMsgs=38 RetryMsgs=0 EncodeSim=13440 EncodeVals=384 PipeSeqSim=0 PipeSim=0 PipeChunks=0 LateChunks=0 LateBytes=0 Ciphertexts=64 Plainvals=384"},
+			want: "HESim=1144073 HEOps=128 Instances=468 CommSim=458133319 CommBytes=11720 CommMsgs=38 RetryMsgs=0 EncodeSim=13440 EncodeVals=384 Ciphertexts=64 Plainvals=384"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewProfile(SystemFLBooster, 256, tc.parties)

@@ -29,8 +29,7 @@ func EncodePartialAgg(level uint32, body []byte) []byte {
 
 // DecodePartialAgg parses a frame built by EncodePartialAgg. The header is
 // untrusted: a level beyond MaxTreeLevel is corrupt. The returned body is a
-// copy, for the same reason DecodeChunk copies — partials outlive the
-// transport's reusable receive buffer.
+// copy: partials outlive the transport's reusable receive buffer.
 func DecodePartialAgg(b []byte) (level uint32, body []byte, err error) {
 	if len(b) < 4 {
 		return 0, nil, fmt.Errorf("flnet: partial-aggregate truncated header (%d bytes)", len(b))

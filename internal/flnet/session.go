@@ -8,7 +8,7 @@ import (
 // Session-resume handshake for client churn: a client that dropped off and
 // came back announces where it believes the protocol is (epoch, round,
 // attempt), and the coordinator either lets it resume the in-flight round —
-// only when the token matches exactly, so its retransmitted chunks dedup
+// only when the token matches exactly, so a retransmitted upload dedups
 // idempotently — or tells it to wait for the next round boundary. A stale
 // client can therefore never inject traffic into a round it did not start.
 
@@ -26,7 +26,7 @@ const (
 
 // SessionToken pins a client's protocol position: which epoch and round it
 // is part of, and which attempt of that round (a crash-recovered round is
-// re-run with a bumped attempt, invalidating pre-crash chunks).
+// re-run with a bumped attempt, invalidating pre-crash uploads).
 type SessionToken struct {
 	Epoch   uint64
 	Round   uint64

@@ -215,21 +215,49 @@ func writeFrame(w io.Writer, b []byte) error {
 	return err
 }
 
+// maxFrame is the largest frame body readFrame accepts. Whole-batch uploads
+// are legitimately large (a 10⁷-parameter model at 2,048 bits is an 82 MB
+// frame), so the defence against a hostile header is frameAllocStep, not a
+// lower cap.
+const maxFrame = 1 << 30
+
+// frameAllocStep bounds how far readFrame's buffer runs ahead of the body
+// bytes that have actually arrived: the length header is four untrusted
+// bytes, and a peer that declares a gigabyte and stalls must cost the hub
+// this much, not what it declared.
+const frameAllocStep = 64 << 10
+
+// readFrame reads one length-prefixed frame. Frames up to frameAllocStep are
+// read into an exact buffer; a longer one starts there and doubles only once
+// everything allocated so far has arrived, so memory stays within a constant
+// factor of the bytes the peer really sent.
 func readFrame(r io.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	const maxFrame = 1 << 30
-	if n > maxFrame {
-		return nil, fmt.Errorf("flnet: frame of %d bytes exceeds limit", n)
+	declared := binary.LittleEndian.Uint32(hdr[:])
+	if declared > maxFrame {
+		return nil, fmt.Errorf("flnet: frame of %d bytes exceeds limit", declared)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	n := int(declared)
+	buf := make([]byte, min(n, frameAllocStep))
+	for got := 0; ; {
+		m, err := io.ReadFull(r, buf[got:])
+		got += m
+		if err != nil {
+			if err == io.EOF && got > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		if got == n {
+			return buf, nil
+		}
+		grown := make([]byte, min(n, 2*got))
+		copy(grown, buf)
+		buf = grown
 	}
-	return buf, nil
 }
 
 func encodeMessage(m Message) []byte {

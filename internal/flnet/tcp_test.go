@@ -1,8 +1,10 @@
 package flnet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -165,5 +167,84 @@ func TestTCPRoundStampSurvivesTheWire(t *testing.T) {
 	}
 	if msg.Round != 1<<40+3 {
 		t.Fatalf("round stamp corrupted: %d", msg.Round)
+	}
+}
+
+// allocatedBy returns the heap bytes fn allocated (cumulative, so a buffer
+// that was freed again still counts).
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestReadFrameAllocatesWhatArrives: the length header is four untrusted
+// bytes. A peer that declares a frame just under the 1 GiB cap and then goes
+// away — at once, or after 100 KiB of body — must cost what it sent, not
+// what it declared.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	hdr := []byte{0xff, 0xff, 0xff, 0x3f}
+	for name, sent := range map[string][]byte{
+		"header-then-eof": hdr,
+		"100KiB-then-eof": append(append([]byte(nil), hdr...), make([]byte, 100<<10)...),
+	} {
+		var frame []byte
+		var err error
+		grew := allocatedBy(func() { frame, err = readFrame(bytes.NewReader(sent)) })
+		if err == nil || frame != nil {
+			t.Fatalf("%s: readFrame = %d bytes, %v; want an error", name, len(frame), err)
+		}
+		if grew >= 1<<20 {
+			t.Fatalf("%s: readFrame allocated %d bytes for %d received", name, grew, len(sent))
+		}
+	}
+	if _, err := readFrame(bytes.NewReader([]byte{0, 0, 0, 0x40, 1})); err == nil {
+		t.Fatal("a frame past the limit must be rejected")
+	}
+}
+
+// TestLargeFrameRoundTrips: a well-formed frame far past the first
+// allocation step still arrives whole, through the framing alone and through
+// the hub over loopback TCP (where it arrives in many partial reads).
+func TestLargeFrameRoundTrips(t *testing.T) {
+	body := make([]byte, 3<<20)
+	for i := range body {
+		body[i] = byte(i*31 + i>>11)
+	}
+	var wire bytes.Buffer
+	if err := writeFrame(&wire, body); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readFrame(&wire)
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("readFrame returned %d bytes, %v; want the %d written", len(got), err, len(body))
+	}
+
+	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	a, err := DialHub(hub.Addr(), "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := DialHub(hub.Addr(), "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := a.Send(Message{From: "a", To: "b", Kind: "grads", Round: 7, Payload: body}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := b.RecvTimeout("b", 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg.Kind != "grads" || msg.Round != 7 || !bytes.Equal(msg.Payload, body) {
+		t.Fatalf("3 MiB payload corrupted in flight: kind %q round %d, %d bytes", msg.Kind, msg.Round, len(msg.Payload))
 	}
 }

@@ -370,15 +370,22 @@ func (c *CheckedEngine) ModMulVec(a, b []mpint.Nat, m *mpint.Mont) ([]mpint.Nat,
 	return out, nil
 }
 
-// RandCoprimeVec implements VectorEngine. The per-item streams are
-// deterministic in (seed, index), so verification and fallback reproduce
-// the device's exact values.
+// RandCoprimeVec implements VectorEngine.
 func (c *CheckedEngine) RandCoprimeVec(n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
+	return c.RandCoprimeRange(0, n, m, seed)
+}
+
+// RandCoprimeRange generates items [base, base+n) of the RandCoprimeVec(m,
+// seed) stream under the checked discipline. The per-item streams are
+// deterministic in (seed, global position), so verification recomputes
+// sampled items at their positions and a range the device cannot produce
+// fails over to the host with the exact same values.
+func (c *CheckedEngine) RandCoprimeRange(base, n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
 	var out []mpint.Nat
 	err := c.execute("rand_coprime_vec", n,
-		func() (err error) { out, err = c.eng.RandCoprimeVec(n, m, seed); return },
-		func() (err error) { out, err = c.host.RandCoprimeVec(n, m, seed); return },
-		func(i int) mpint.Nat { return randCoprimeAt(seed, i, m) },
+		func() (err error) { out, err = c.eng.RandCoprimeRange(base, n, m, seed); return },
+		func() (err error) { out, err = c.host.RandCoprimeRange(base, n, m, seed); return },
+		func(i int) mpint.Nat { return randCoprimeAt(seed, base+i, m) },
 		func(i int) mpint.Nat { return out[i] })
 	if err != nil {
 		return nil, err

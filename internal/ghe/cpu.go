@@ -115,13 +115,22 @@ func (*CPUEngine) ModMulVec(a, b []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error
 
 // RandCoprimeVec implements VectorEngine with the device kernel's exact
 // per-item stream derivation.
-func (*CPUEngine) RandCoprimeVec(n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
+func (c *CPUEngine) RandCoprimeVec(n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
+	return c.RandCoprimeRange(0, n, m, seed)
+}
+
+// RandCoprimeRange generates items [base, base+n) of the RandCoprimeVec(m,
+// seed) stream, as the device kernel does.
+func (*CPUEngine) RandCoprimeRange(base, n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
+	if base < 0 {
+		return nil, fmt.Errorf("ghe: RandCoprimeRange negative base %d", base)
+	}
 	if m.IsZero() || m.IsOne() {
-		return nil, fmt.Errorf("ghe: RandCoprimeVec modulus must be > 1")
+		return nil, fmt.Errorf("ghe: RandCoprimeRange modulus must be > 1")
 	}
 	out := make([]mpint.Nat, n)
 	for i := range out {
-		out[i] = randCoprimeAt(seed, i, m)
+		out[i] = randCoprimeAt(seed, base+i, m)
 	}
 	return out, nil
 }

@@ -51,8 +51,19 @@ func (e *Engine) RandVec(n, bits int, seed uint64) ([]mpint.Nat, error) {
 // RandCoprimeVec generates n values uniform in [1, m) and coprime with m —
 // the r parameters of a batch of Paillier encryptions.
 func (e *Engine) RandCoprimeVec(n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
+	return e.RandCoprimeRange(0, n, m, seed)
+}
+
+// RandCoprimeRange generates items [base, base+n) of the RandCoprimeVec(m,
+// seed) stream: each thread's generator is keyed by its global stream
+// position, so a sharded batch draws the values the whole batch would have
+// at those positions whatever the shard boundaries.
+func (e *Engine) RandCoprimeRange(base, n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
+	if base < 0 {
+		return nil, fmt.Errorf("ghe: RandCoprimeRange negative base %d", base)
+	}
 	if m.IsZero() || m.IsOne() {
-		return nil, fmt.Errorf("ghe: RandCoprimeVec modulus must be > 1")
+		return nil, fmt.Errorf("ghe: RandCoprimeRange modulus must be > 1")
 	}
 	out := make([]mpint.Nat, n)
 	kern := gpu.Kernel{
@@ -63,9 +74,9 @@ func (e *Engine) RandCoprimeVec(n int, m mpint.Nat, seed uint64) ([]mpint.Nat, e
 		Poison:        poisonOut(out),
 	}
 	if _, err := e.dev.Launch(kern, func(i int) {
-		out[i] = randCoprimeAt(seed, i, m)
+		out[i] = randCoprimeAt(seed, base+i, m)
 	}); err != nil {
-		return nil, fmt.Errorf("ghe: RandCoprimeVec: %w", err)
+		return nil, fmt.Errorf("ghe: RandCoprimeRange: %w", err)
 	}
 	e.dev.CopyFromDevice(natBytes(n, (m.BitLen()+31)/32))
 	return out, nil

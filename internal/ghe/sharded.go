@@ -2,20 +2,11 @@ package ghe
 
 import (
 	"fmt"
-	"time"
 
 	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
 	"flbooster/internal/obs"
 )
-
-// SimClock is an engine exposing a modelled online clock. A DeviceSet-backed
-// engine has no single *gpu.Device for callers to read timings from; they
-// read SimNow deltas instead.
-type SimClock interface {
-	// SimNow returns the engine's current modelled online time.
-	SimNow() time.Duration
-}
 
 // ShardedEngine runs every vector HE op across a gpu.DeviceSet: the op
 // splits into contiguous shards, each shard executes on its member device
@@ -32,12 +23,8 @@ type ShardedEngine struct {
 	host *CPUEngine
 }
 
-// The sharded substrate is a drop-in streamed engine.
-var (
-	_ VectorEngine = (*ShardedEngine)(nil)
-	_ StreamEngine = (*ShardedEngine)(nil)
-	_ SimClock     = (*ShardedEngine)(nil)
-)
+// The sharded substrate is a drop-in engine.
+var _ VectorEngine = (*ShardedEngine)(nil)
 
 // NewShardedEngine wraps a device set. Each member device gets its own
 // CheckedEngine with the given policy, forced into NoHostFallback mode so a
@@ -69,15 +56,6 @@ func (s *ShardedEngine) Set() *gpu.DeviceSet { return s.set }
 
 // Sub exposes member device i's checked engine (tests and fault reports).
 func (s *ShardedEngine) Sub(i int) *CheckedEngine { return s.subs[i] }
-
-// StreamDevice implements StreamEngine. A sharded engine spans devices, so
-// there is no single device for a caller-driven pipeline; callers skip
-// per-chunk overlap scheduling and read the set's merged clock instead
-// (SimNow), while each member device still pipelines internally.
-func (s *ShardedEngine) StreamDevice() *gpu.Device { return nil }
-
-// SimNow implements SimClock: the set's merged online clock.
-func (s *ShardedEngine) SimNow() time.Duration { return s.set.SimTime() }
 
 // Stats aggregates the checked-layer counters across the member engines.
 func (s *ShardedEngine) Stats() CheckedStats {
@@ -229,9 +207,9 @@ func (s *ShardedEngine) RandCoprimeVec(n int, m mpint.Nat, seed uint64) ([]mpint
 	return s.RandCoprimeRange(0, n, m, seed)
 }
 
-// RandCoprimeRange implements StreamEngine with the same global-position
-// keying: shard [Lo, Hi) of a range at `base` covers stream positions
-// [base+Lo, base+Hi).
+// RandCoprimeRange draws a sub-range of the stream with the same
+// global-position keying: shard [Lo, Hi) of a range at `base` covers stream
+// positions [base+Lo, base+Hi).
 func (s *ShardedEngine) RandCoprimeRange(base, n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
 	if base < 0 {
 		return nil, fmt.Errorf("ghe: RandCoprimeRange negative base %d", base)

@@ -7,8 +7,33 @@ import (
 	"flbooster/internal/mpint"
 )
 
+// rangeEngine is what the nonce-stream tests need of a substrate: the
+// whole-batch draw and the positional one the sharded engine calls per shard.
+type rangeEngine interface {
+	RandCoprimeVec(n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error)
+	RandCoprimeRange(base, n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error)
+}
+
+// sameAsVec asserts RandCoprimeVec(n) == RandCoprimeRange(0, n) == want on e.
+func sameAsVec(t *testing.T, name string, e rangeEngine, want []mpint.Nat, m mpint.Nat, seed uint64) {
+	t.Helper()
+	vec, err := e.RandCoprimeVec(len(want), m, seed)
+	if err != nil {
+		t.Fatalf("%s RandCoprimeVec: %v", name, err)
+	}
+	whole, err := e.RandCoprimeRange(0, len(want), m, seed)
+	if err != nil {
+		t.Fatalf("%s RandCoprimeRange(0, %d): %v", name, len(want), err)
+	}
+	for i := range want {
+		if mpint.Cmp(vec[i], want[i]) != 0 || mpint.Cmp(whole[i], want[i]) != 0 {
+			t.Fatalf("%s: item %d of RandCoprimeVec / RandCoprimeRange(0, n) differs from the reference", name, i)
+		}
+	}
+}
+
 // chunkedCoprime concatenates RandCoprimeRange chunks of the given size.
-func chunkedCoprime(t *testing.T, e StreamEngine, n, chunk int, m mpint.Nat, seed uint64) []mpint.Nat {
+func chunkedCoprime(t *testing.T, e rangeEngine, n, chunk int, m mpint.Nat, seed uint64) []mpint.Nat {
 	t.Helper()
 	var out []mpint.Nat
 	for base := 0; base < n; base += chunk {
@@ -31,7 +56,7 @@ func TestRandCoprimeRangeBitExact(t *testing.T) {
 	r := mpint.NewRNG(41)
 	n := r.RandPrime(96)
 	const items, seed = 23, 1234
-	engines := map[string]StreamEngine{
+	engines := map[string]rangeEngine{
 		"gpu":     testEngine(t),
 		"checked": checkedEngine(t, gpu.FaultConfig{}, CheckedConfig{VerifyFraction: 1}),
 		"cpu":     NewCPUEngine(),
@@ -41,15 +66,7 @@ func TestRandCoprimeRangeBitExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, e := range engines {
-		seq, err := e.RandCoprimeVec(items, n, seed)
-		if err != nil {
-			t.Fatalf("%s sequential: %v", name, err)
-		}
-		for i := range want {
-			if mpint.Cmp(seq[i], want[i]) != 0 {
-				t.Fatalf("%s sequential[%d] differs from reference", name, i)
-			}
-		}
+		sameAsVec(t, name, e, want, n, seed)
 		for _, chunk := range []int{1, 4, 7, 23, 64} {
 			got := chunkedCoprime(t, e, items, chunk, n, seed)
 			for i := range want {
@@ -82,6 +99,7 @@ func TestRandCoprimeRangeSurvivesRetry(t *testing.T) {
 			t.Fatalf("item %d differs after chunk retries", i)
 		}
 	}
+	sameAsVec(t, "checked under corruption", c, want, n, seed)
 	st := c.Stats()
 	if st.Retries == 0 && st.FallbackOps == 0 {
 		t.Fatalf("expected the corrupting device to force retries or host serves, got %+v", st)
@@ -110,26 +128,13 @@ func TestRandCoprimeRangeSurvivesFailover(t *testing.T) {
 			t.Fatalf("item %d differs across device failover", i)
 		}
 	}
+	sameAsVec(t, "checked after failover", c, want, n, seed)
 	st := c.Stats()
 	if !st.FellBack || st.FallbackOps == 0 {
 		t.Fatalf("expected permanent failover mid-stream, got %+v", st)
 	}
 	if c.Device().Health() != gpu.DeviceFailed {
 		t.Fatalf("device health = %s, want failed", c.Device().Health())
-	}
-}
-
-func TestStreamDevice(t *testing.T) {
-	eng := testEngine(t)
-	if eng.StreamDevice() == nil {
-		t.Fatal("device engine must expose its stream device")
-	}
-	c := checkedEngine(t, gpu.FaultConfig{}, CheckedConfig{})
-	if c.StreamDevice() == nil {
-		t.Fatal("checked engine must expose its stream device")
-	}
-	if NewCPUEngine().StreamDevice() != nil {
-		t.Fatal("host engine must report no stream device")
 	}
 }
 
@@ -148,5 +153,12 @@ func TestRandCoprimeRangeRejectsBadArgs(t *testing.T) {
 	}
 	if _, err := host.RandCoprimeRange(0, 4, mpint.One(), 1); err == nil {
 		t.Fatal("host: modulus 1 accepted")
+	}
+	// RandCoprimeVec is RandCoprimeRange(0, n): the same rejects.
+	for name, e := range map[string]rangeEngine{"gpu": eng, "cpu": host,
+		"checked": checkedEngine(t, gpu.FaultConfig{}, CheckedConfig{})} {
+		if _, err := e.RandCoprimeVec(4, mpint.One(), 1); err == nil {
+			t.Fatalf("%s: RandCoprimeVec accepted modulus 1", name)
+		}
 	}
 }

@@ -173,10 +173,6 @@ func (s *DeviceSet) SimTime() time.Duration {
 	return s.stats.SimParallelTime + s.stats.HostSim
 }
 
-// SimNow implements the ghe.SimClock shape without the import: the current
-// reading of the set's online clock.
-func (s *DeviceSet) SimNow() time.Duration { return s.SimTime() }
-
 // ResetStats zeroes the set counters and every member device's counters.
 // Health states survive, exactly as on a single device.
 func (s *DeviceSet) ResetStats() {

@@ -20,7 +20,7 @@ type Span struct {
 	// Party is the owning actor: a client or server name, a device label.
 	Party string
 	// Lane is the execution lane within the party: "gpu.kernel", "gpu.h2d",
-	// "fl.encrypt", "fl.send", "fl.round", ...
+	// "pipe.compute", "fl.round", "fl.tree", ...
 	Lane string
 	// Device identifies which member of a multi-device set emitted the span
 	// ("dev0"…). Empty for single-device and non-device spans.

@@ -124,28 +124,19 @@ func MustGPUBackend(e ghe.VectorEngine) *GPUBackend {
 // Name implements Backend.
 func (g *GPUBackend) Name() string { return "gpu-he" }
 
-// nonceTerms returns the rⁿ mod n² noise terms for global nonce-stream
-// positions [base, base+count) under seed, drawn and exponentiated through
-// the engine.
-func (g *GPUBackend) nonceTerms(pk *PublicKey, base, count int, seed uint64) ([]mpint.Nat, error) {
+// nonceTerms returns the rⁿ mod n² noise terms of a count-element batch under
+// seed, drawn and exponentiated through the engine.
+func (g *GPUBackend) nonceTerms(pk *PublicKey, count int, seed uint64) ([]mpint.Nat, error) {
 	if count == 0 {
 		return nil, nil
 	}
-	var rs []mpint.Nat
-	var err error
-	if se, ok := g.Engine.(ghe.StreamEngine); ok {
-		rs, err = se.RandCoprimeRange(base, count, pk.N, seed)
-	} else if base == 0 {
-		rs, err = g.Engine.RandCoprimeVec(count, pk.N, seed)
-	} else {
-		return nil, fmt.Errorf("paillier: engine %T cannot draw nonces at stream offset %d", g.Engine, base)
-	}
+	rs, err := g.Engine.RandCoprimeVec(count, pk.N, seed)
 	if err != nil {
-		return nil, fmt.Errorf("paillier: gpu nonces at %d: %w", base, err)
+		return nil, fmt.Errorf("paillier: gpu nonces: %w", err)
 	}
 	rn, err := pk.nonceTermVec(g.Engine, rs)
 	if err != nil {
-		return nil, fmt.Errorf("paillier: gpu r^n at %d: %w", base, err)
+		return nil, fmt.Errorf("paillier: gpu r^n: %w", err)
 	}
 	return rn, nil
 }
@@ -177,7 +168,7 @@ func (g *GPUBackend) EncryptVec(pk *PublicKey, ms []mpint.Nat, seed uint64) ([]C
 			return nil, fmt.Errorf("paillier: gpu EncryptVec[%d]: plaintext exceeds modulus", i)
 		}
 	}
-	rn, err := g.nonceTerms(pk, 0, len(ms), seed)
+	rn, err := g.nonceTerms(pk, len(ms), seed)
 	if err != nil {
 		return nil, fmt.Errorf("paillier: gpu EncryptVec: %w", err)
 	}

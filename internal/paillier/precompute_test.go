@@ -44,6 +44,29 @@ func vectorEngines(t testing.TB) map[string]ghe.VectorEngine {
 	}
 }
 
+// handle is one way a party holds sk's public key.
+type handle struct {
+	name string
+	pk   *PublicKey
+}
+
+// handles returns both: the shareable key anybody encrypts under (the n²
+// window) and the owner's handle (the factorised kernel). The bit-exactness
+// tables take their reference under the first and run the path under test
+// under each, so every one of them also holds holder ≡ public.
+func handles(sk *PrivateKey) []handle {
+	return []handle{{"public", &sk.PublicKey}, {"holder", sk.Holder()}}
+}
+
+func plaintexts(n int, mod mpint.Nat) []mpint.Nat {
+	rng := mpint.NewRNG(2024)
+	ms := make([]mpint.Nat, n)
+	for i := range ms {
+		ms[i] = rng.RandBelow(mod)
+	}
+	return ms
+}
+
 // TestDecryptReducedMatchesClassic: the reduced-exponent CRT path and the
 // full-λ textbook path must agree bit-for-bit on every valid ciphertext,
 // across the paper's key sizes, and both must invert Encrypt.
@@ -202,7 +225,6 @@ func TestEncryptVecMatchesScalarOnEngineStream(t *testing.T) {
 	const seed = 4242
 	for name, eng := range vectorEngines(t) {
 		t.Run(name, func(t *testing.T) {
-			se := eng.(ghe.StreamEngine)
 			b := MustGPUBackend(eng)
 			for _, sk := range []*PrivateKey{keyOfSize(t, 512), classic} {
 				ms := plaintexts(12, sk.N)
@@ -210,7 +232,7 @@ func TestEncryptVecMatchesScalarOnEngineStream(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rs, err := se.RandCoprimeRange(0, len(ms), sk.N, seed)
+				rs, err := eng.RandCoprimeVec(len(ms), sk.N, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -228,7 +250,7 @@ func TestEncryptVecMatchesScalarOnEngineStream(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					sameCiphertexts(t, name+" "+h.name, got, want)
+					sameCts(t, name+" "+h.name, got, want)
 				}
 			}
 		})

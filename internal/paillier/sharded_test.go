@@ -99,48 +99,6 @@ func TestShardedBackendBitExact(t *testing.T) {
 	}
 }
 
-// TestShardedSessionSeqCost: chunked sessions over a sharded engine have no
-// single-device pipeline, but each chunk still reports a modelled cost from
-// the set's merged clock — and stays bit-exact with the whole-batch path.
-func TestShardedSessionSeqCost(t *testing.T) {
-	sk := testKey(t)
-	pk := &sk.PublicKey
-	rng := mpint.NewRNG(23)
-	const n = 12
-	ms := make([]mpint.Nat, n)
-	for i := range ms {
-		ms[i] = rng.RandBelow(pk.N)
-	}
-	b, _ := shardedBackend(t, 2)
-	want, err := b.EncryptVec(pk, ms, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range handles(sk) {
-		sess, err := b.BeginEncrypt(h.pk, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got []Ciphertext
-		for lo := 0; lo < n; lo += 5 {
-			hi := lo + 5
-			if hi > n {
-				hi = n
-			}
-			cts, seq, err := sess.Next(ms[lo:hi])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq <= 0 {
-				t.Fatalf("chunk [%d,%d) reported no modelled cost", lo, hi)
-			}
-			got = append(got, cts...)
-		}
-		sess.Close()
-		sameCts(t, h.name+" session", got, want)
-	}
-}
-
 // TestShardedBackendMidBatchKill: killing one of four devices mid-encrypt
 // leaves the ciphertexts bit-exact with the healthy reference.
 func TestShardedBackendMidBatchKill(t *testing.T) {
