@@ -69,10 +69,14 @@ race:
 # (FuzzAddMulVW: assembly bodies against the Go loop against math/big at every
 # unroll tail, guard limbs intact) — the Paillier key decoders
 # (FuzzUnmarshalKeys: any bytes reject with a nil key or decode to a key that
-# re-encodes to the same components, never a panic) — and the decryptor side
+# re-encodes to the same components, never a panic) — the decryptor side
 # of the vertical return path (any plaintexts against any declared value count
 # and slot width reject typed or split exactly, with the result the only
-# allocation).
+# allocation) — and the whole GPU-HE engine layer (FuzzVecOps, corpus under
+# internal/ghe/testdata/fuzz: for fuzzed moduli, operands and exponents every
+# vector op's lane equals its independent verify path equals math/big, and
+# the checked executor over 1 and 3 devices, one killed mid-batch, returns
+# the bare engine's vector).
 fuzz:
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzSplitShards -fuzztime 10s
@@ -91,6 +95,7 @@ fuzz:
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzFixedBaseExp$$' -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzAddMulVW$$' -fuzztime 10s
 	$(GO) test ./internal/paillier -run '^$$' -fuzz FuzzUnmarshalKeys -fuzztime 10s
+	$(GO) test ./internal/ghe -run '^$$' -fuzz FuzzVecOps -fuzztime 10s
 
 # One iteration of every benchmark in the HE hot-path packages: catches
 # benchmarks that no longer compile or crash without paying for real timing
@@ -134,7 +139,9 @@ scale-smoke:
 
 # The multi-device sharding sweep at CI size (DESIGN.md §15): D ∈ {1, 2}
 # with bit-exact rows, a real speedup at D=2, and a mid-batch device kill
-# that steals the dead device's shards without diverging.
+# that steals the dead device's shards without diverging. D = 1 is also the
+# path every GPU profile takes by default, so its row is the reference, not
+# a special case.
 devset-smoke:
 	$(GO) test -race -run TestDevsetSmoke -timeout 300s -count 1 ./internal/bench
 

@@ -18,7 +18,7 @@
 //	-batch n      SGD minibatch size                    (default 64)
 //	-seed n       PRNG seed for workloads, chaos, and fault injection (default 1)
 //	-devices n    shard vector HE ops across n simulated devices
-//	              (default 0 = classic single-device engine)
+//	              (default 0; 0 and 1 are the same one-device set)
 //	-trace file   write a Chrome trace-event JSON of the run's sim-time spans
 //	              (load in Perfetto / chrome://tracing)
 //	-metrics file write the metrics registry as text ("-" = stdout)
@@ -54,7 +54,7 @@ func run(args []string) error {
 	epochs := fs.Int("epochs", 0, "epochs for convergence experiments")
 	batch := fs.Int("batch", 0, "SGD minibatch size")
 	seed := fs.Uint64("seed", 1, "PRNG seed for workloads, chaos, and fault injection")
-	devices := fs.Int("devices", 0, "shard vector HE ops across this many simulated devices (0 = single device)")
+	devices := fs.Int("devices", 0, "shard vector HE ops across this many simulated devices (0 and 1: one device)")
 	trace := fs.String("trace", "", "write Chrome trace-event JSON of sim-time spans to this file")
 	metrics := fs.String("metrics", "", "write the metrics registry as text to this file (\"-\" = stdout)")
 	paper := fs.Bool("paper", false, "use the paper's full-scale parameters")
@@ -92,9 +92,9 @@ func run(args []string) error {
 	// layer, and the device fault injector, so a -seed value reproduces a
 	// resilience run exactly (same faults, same retries, same fallbacks).
 	cfg.Seed = *seed
-	// A -devices value of 1 or more routes every vector HE op through a
-	// gpu.DeviceSet shard scheduler; out-of-range values fail Validate with
-	// a typed bench.ConfigError naming the field.
+	// -devices sizes the gpu.DeviceSet every GPU context shards its vector HE
+	// ops across (0 and 1 both mean one device); out-of-range values fail
+	// Validate with a typed bench.ConfigError naming the field.
 	cfg.Devices = *devices
 	cfg.Observe = *trace != "" || *metrics != ""
 

@@ -19,7 +19,8 @@
 //	              simulating a slow participant
 //	-devices n    every party shards its vector HE ops across n simulated
 //	              devices with work stealing under device faults; results
-//	              are bit-exact with the single-device engine (0 = off)
+//	              are bit-exact at every n (0 and 1 are the same one-device
+//	              set)
 //	-trace file   write a Chrome trace-event JSON of the party's sim-time
 //	              spans on exit, plus a metrics text dump to stdout (demo
 //	              mode shares one trace across the in-process parties)
@@ -123,7 +124,7 @@ func run(args []string, stop <-chan struct{}) error {
 	quorum := fs.Int("quorum", 0, "uploads needed to proceed (0 = all clients)")
 	timeout := fs.Duration("timeout", 0, "gather deadline (0 = wait forever)")
 	straggle := fs.Duration("straggle", 0, "delay this client's upload (demo: client 0)")
-	devices := fs.Int("devices", 0, "shard vector HE ops across this many simulated devices (0 = single device)")
+	devices := fs.Int("devices", 0, "shard vector HE ops across this many simulated devices (0 and 1: one device)")
 	trace := fs.String("trace", "", "write Chrome trace-event JSON of sim-time spans to this file on exit")
 	journal := fs.String("journal", "", "server: write-ahead round journal file (empty = no journal)")
 	resume := fs.Bool("resume", false, "server: replay -journal and resume from the last safe boundary")
@@ -274,8 +275,9 @@ type serverOpts struct {
 	// are bounded by the tree depth, not the cohort size.
 	cohort int
 	fanout int
-	// devices ≥ 1 shards the server's aggregate-and-decrypt vector ops
-	// across a simulated device set; 0 keeps the single-device engine.
+	// devices sizes the simulated device set the server's
+	// aggregate-and-decrypt vector ops are sharded across; 0 and 1 are the
+	// same one-device set.
 	devices int
 	// journal appends round state to this write-ahead file; resume replays
 	// it on startup and picks the round up from the last safe boundary.
@@ -550,8 +552,8 @@ type clientOpts struct {
 	id      int
 	clients int
 	keyBits int
-	// devices ≥ 1 shards the client's encrypt path across a simulated
-	// device set; 0 keeps the single-device engine.
+	// devices sizes the simulated device set the client's encrypt path is
+	// sharded across; 0 and 1 are the same one-device set.
 	devices int
 	seed    uint64
 	vals    []float64

@@ -41,9 +41,9 @@ type Config struct {
 	Device gpu.Config
 	// NNHidden is the Hetero NN interactive-layer width.
 	NNHidden int
-	// Devices is the simulated device count per GPU context: values of 1 or
-	// more shard every vector HE op across a gpu.DeviceSet of that many
-	// devices; 0 keeps the classic single-device engine.
+	// Devices is the simulated device count per GPU context: every vector HE
+	// op is sharded across a gpu.DeviceSet of that many devices. 0 and 1 are
+	// the same one-device set.
 	Devices int
 	// Observe attaches one observability bundle (sim-time span recorder +
 	// metrics registry, seeded from Seed) to every context the runner builds,
@@ -193,24 +193,31 @@ func (r *Runner) context(sys fl.System, keyBits int) (*fl.Context, error) {
 	k := ctxKey{sys, keyBits}
 	if ctx, ok := r.ctxs[k]; ok {
 		ctx.Costs.Reset()
-		if ctx.Device != nil {
-			ctx.Device.ResetStats()
-		}
 		if ctx.DevSet != nil {
 			ctx.DevSet.ResetStats()
 		}
 		return ctx, nil
 	}
+	ctx, err := r.newContext(sys, keyBits, r.cfg.Devices, fmt.Sprintf("%s-%d", sys, keyBits))
+	if err != nil {
+		return nil, err
+	}
+	r.ctxs[k] = ctx
+	return ctx, nil
+}
+
+// newContext builds an uncached HE context over the given device count and
+// attaches it to the shared observability bundle under label.
+func (r *Runner) newContext(sys fl.System, keyBits, devices int, label string) (*fl.Context, error) {
 	p := fl.NewProfile(sys, keyBits, r.cfg.Parties)
 	p.Device = r.cfg.Device
 	p.Seed = r.cfg.Seed
-	p.Devices = r.cfg.Devices
+	p.Devices = devices
 	ctx, err := fl.NewContext(p)
 	if err != nil {
 		return nil, fmt.Errorf("bench: context %s/%d: %w", sys, keyBits, err)
 	}
-	r.attachObs(ctx, fmt.Sprintf("%s-%d", sys, keyBits))
-	r.ctxs[k] = ctx
+	r.attachObs(ctx, label)
 	return ctx, nil
 }
 

@@ -43,6 +43,8 @@ func (r *Runner) DeviceFaults(w io.Writer) error {
 		}
 	}
 
+	// One device whatever Config.Devices says: the kill point is calibrated
+	// from that device's launch count, and the killed run must end on the host.
 	newCtx := func(pol fl.FaultPolicy) (*fl.Context, error) {
 		p := fl.NewProfile(fl.SystemFLBooster, keyBits, parties)
 		p.Seed = r.cfg.Seed

@@ -111,7 +111,7 @@ func (r *Runner) devsetRun(sk *paillier.PrivateKey, ms []mpint.Nat, d int, kill 
 			Seed: r.cfg.Seed, KillAtLaunch: devsetKillAt,
 		}))
 	}
-	eng, err := ghe.NewShardedEngine(set, check)
+	eng, err := ghe.NewCheckedEngine(set, check)
 	if err != nil {
 		return devsetOut{}, gpu.SetStats{}, err
 	}

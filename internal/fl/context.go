@@ -17,19 +17,23 @@ import (
 
 // Context is one acceleration configuration instantiated: the Paillier key,
 // the HE backend the profile selects, the encoding-quantization and batch-
-// compression layers, the (possibly nil) GPU device, the link model, and the
-// cost tracker every operation reports into. It implements the pipelined
+// compression layers, the device set of a GPU profile, the link model, and
+// the cost tracker every operation reports into. It implements the pipelined
 // processing of Fig. 4.
 type Context struct {
 	Profile Profile
 	Key     *paillier.PrivateKey
 	Backend paillier.Backend
 	Quant   *quant.Quantizer
-	Packer  *batch.Packer      // nil when batch compression is off
-	Device  *gpu.Device        // nil on CPU profiles and device-set profiles
-	DevSet  *gpu.DeviceSet     // non-nil when Profile.Devices >= 1: the sharded fleet
-	Checked *ghe.CheckedEngine // nil on CPU and device-set profiles; the resilient GPU-HE path
-	Sharded *ghe.ShardedEngine // non-nil when DevSet is: the sharded vector engine
+	Packer  *batch.Packer // nil when batch compression is off
+	// DevSet is the GPU profile's device fleet (one member unless
+	// Profile.Devices asks for more) and Checked the engine that runs every
+	// vector HE op over it; both are nil on CPU profiles. Device is DevSet's
+	// member 0, kept with Checked because the frozen benchmark/ reads them
+	// (probes.go, measure.go).
+	DevSet  *gpu.DeviceSet
+	Checked *ghe.CheckedEngine
+	Device  *gpu.Device
 	Link    flnet.Link
 	Costs   *Costs
 	// Obs is the observability bundle (span recorder + metrics registry)
@@ -64,8 +68,8 @@ func NewContext(p Profile) (*Context, error) {
 		}
 		ctx.Packer = pk
 	}
-	if p.UseGPU && p.Devices >= 1 {
-		set, err := gpu.NewDeviceSet(p.Device, p.FineRM, p.Devices)
+	if p.UseGPU {
+		set, err := gpu.NewDeviceSet(p.Device, p.FineRM, max(p.Devices, 1))
 		if err != nil {
 			return nil, err
 		}
@@ -79,33 +83,11 @@ func NewContext(p Profile) (*Context, error) {
 				set.Device(i).SetFaultInjector(gpu.NewFaultInjector(cfg))
 			}
 		}
-		sharded, err := ghe.NewShardedEngine(set, p.Faults.Check)
-		if err != nil {
-			return nil, err
-		}
-		backend, err := paillier.NewGPUBackend(sharded)
-		if err != nil {
-			return nil, err
-		}
-		ctx.DevSet = set
-		ctx.Sharded = sharded
-		ctx.Backend = backend
-	} else if p.UseGPU {
-		dev, err := gpu.New(p.Device, p.FineRM)
-		if err != nil {
-			return nil, err
-		}
-		if p.Faults.Inject.Enabled() {
-			dev.SetFaultInjector(gpu.NewFaultInjector(p.Faults.Inject))
-		}
-		eng, err := ghe.NewEngine(dev)
-		if err != nil {
-			return nil, err
-		}
 		// All GPU profiles run through the checked engine: launch failures
-		// retry with backoff, sampled results are verified, and a Failed
-		// device transparently fails over to bit-exact host execution.
-		checked, err := ghe.NewCheckedEngine(eng, p.Faults.Check)
+		// retry with backoff, sampled results are verified, a faulted member's
+		// shards go to its peers, and a fleet with no member left fails over to
+		// bit-exact host execution.
+		checked, err := ghe.NewCheckedEngine(set, p.Faults.Check)
 		if err != nil {
 			return nil, err
 		}
@@ -113,8 +95,7 @@ func NewContext(p Profile) (*Context, error) {
 		if err != nil {
 			return nil, err
 		}
-		ctx.Device = dev
-		ctx.Checked = checked
+		ctx.DevSet, ctx.Checked, ctx.Device = set, checked, set.Device(0)
 		ctx.Backend = backend
 	} else {
 		ctx.Backend = paillier.CPUBackend{}
@@ -148,9 +129,6 @@ func (c *Context) AttachObs(o *obs.Obs, label string) {
 	c.Obs = o
 	c.obsPrefix = label
 	c.Costs.Observe(o.Metrics(), "fl."+label)
-	if c.Device != nil {
-		c.Device.SetRecorder(o.Recorder(), label+".gpu")
-	}
 	if c.DevSet != nil {
 		c.DevSet.SetRecorder(o.Recorder(), label+".gpu")
 	}
@@ -164,22 +142,12 @@ func (c *Context) ObsLabel() string { return c.obsPrefix }
 // engine — into the attached registry as absolute counters/gauges under
 // "gpu.<label>" and "ghe.<label>". No-op without an attached bundle.
 func (c *Context) PublishMetrics() {
-	if c.Obs == nil {
+	if c.Obs == nil || c.DevSet == nil {
 		return
 	}
 	reg := c.Obs.Metrics()
-	if c.Device != nil {
-		c.Device.PublishMetrics(reg, "gpu."+c.obsPrefix)
-	}
-	if c.DevSet != nil {
-		c.DevSet.PublishMetrics(reg, "gpu."+c.obsPrefix)
-	}
-	if c.Checked != nil {
-		c.Checked.PublishMetrics(reg, "ghe."+c.obsPrefix)
-	}
-	if c.Sharded != nil {
-		c.Sharded.PublishMetrics(reg, "ghe."+c.obsPrefix)
-	}
+	c.DevSet.PublishMetrics(reg, "gpu."+c.obsPrefix)
+	c.Checked.PublishMetrics(reg, "ghe."+c.obsPrefix)
 }
 
 // ReconcileObs asserts the metrics registry's mirrored cost counters equal
@@ -220,8 +188,7 @@ func (c *Context) ReconcileObs() error {
 // reconcileDevSet asserts the published per-device metric rows sum to the
 // device set's aggregate row for every additive counter — the invariant that
 // sharded dispatch never loses or double-counts device work. Publishes first
-// so the rows reflect current stats; a no-op on single-device and CPU
-// profiles.
+// so the rows reflect current stats; a no-op on CPU profiles.
 func (c *Context) reconcileDevSet(reg *obs.Registry) error {
 	if c.DevSet == nil {
 		return nil
@@ -292,20 +259,14 @@ func (c *Context) nextSeed() uint64 {
 // simDelta reads the device's modelled time before/after a batch. For CPU
 // profiles the modelled time equals the measured wall time.
 func (c *Context) simBase() time.Duration {
-	switch {
-	case c.Device != nil:
-		return c.Device.Stats().SimTime()
-	case c.DevSet != nil:
+	if c.DevSet != nil {
 		return c.DevSet.SimTime()
 	}
 	return 0
 }
 
 func (c *Context) simSince(base time.Duration, wall time.Duration) time.Duration {
-	switch {
-	case c.Device != nil:
-		return c.Device.Stats().SimTime() - base
-	case c.DevSet != nil:
+	if c.DevSet != nil {
 		return c.DevSet.SimTime() - base
 	}
 	return wall
@@ -513,10 +474,7 @@ func (c *Context) TrackOther(fn func()) {
 // Utilization reports the device's average SM utilization (0 for CPU
 // profiles) — the Fig. 6 reading.
 func (c *Context) Utilization() float64 {
-	switch {
-	case c.Device != nil:
-		return c.Device.Stats().AvgUtilization()
-	case c.DevSet != nil:
+	if c.DevSet != nil {
 		return c.DevSet.AvgUtilization()
 	}
 	return 0
@@ -540,49 +498,32 @@ type FaultReport struct {
 	Checked ghe.CheckedStats
 }
 
-// FaultReport returns the current fault/resilience counters. Multi-device
-// profiles report fleet-wide sums: the worst member health, every member's
-// injector decisions, and the sharded engine's checked-layer view.
+// FaultReport returns the current fault/resilience counters, summed over the
+// fleet: the worst member health, every member's injector decisions, the
+// checked engine's view, and in SimFaultTime the host time of the shards no
+// member was left to serve beside the members' own fault time.
 func (c *Context) FaultReport() FaultReport {
-	if c.DevSet != nil {
-		ds := c.DevSet.StatsSum()
-		rep := FaultReport{
-			Health:         ds.Health,
-			LaunchFailures: ds.LaunchFailures,
-			WatchdogTrips:  ds.WatchdogTrips,
-			SimFaultTime:   ds.SimFaultTime,
-		}
-		for i := 0; i < c.DevSet.Size(); i++ {
-			if fi := c.DevSet.Device(i).Injector(); fi != nil {
-				fs := fi.Stats()
-				rep.Injected.Launches += fs.Launches
-				rep.Injected.Aborts += fs.Aborts
-				rep.Injected.Corruptions += fs.Corruptions
-				rep.Injected.Stalls += fs.Stalls
-				rep.Injected.OOMs += fs.OOMs
-				rep.Injected.Kills += fs.Kills
-			}
-		}
-		if c.Sharded != nil {
-			rep.Checked = c.Sharded.Stats()
-		}
-		return rep
-	}
-	if c.Device == nil {
+	if c.DevSet == nil {
 		return FaultReport{Health: gpu.DeviceHealthy}
 	}
-	ds := c.Device.Stats()
+	ds := c.DevSet.StatsSum()
 	rep := FaultReport{
 		Health:         ds.Health,
 		LaunchFailures: ds.LaunchFailures,
 		WatchdogTrips:  ds.WatchdogTrips,
-		SimFaultTime:   ds.SimFaultTime,
+		SimFaultTime:   ds.SimFaultTime + c.DevSet.Stats().HostSim,
+		Checked:        c.Checked.Stats(),
 	}
-	if fi := c.Device.Injector(); fi != nil {
-		rep.Injected = fi.Stats()
-	}
-	if c.Checked != nil {
-		rep.Checked = c.Checked.Stats()
+	for _, dev := range c.DevSet.Devices() {
+		if fi := dev.Injector(); fi != nil {
+			fs := fi.Stats()
+			rep.Injected.Launches += fs.Launches
+			rep.Injected.Aborts += fs.Aborts
+			rep.Injected.Corruptions += fs.Corruptions
+			rep.Injected.Stalls += fs.Stalls
+			rep.Injected.OOMs += fs.OOMs
+			rep.Injected.Kills += fs.Kills
+		}
 	}
 	return rep
 }

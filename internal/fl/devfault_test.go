@@ -1,78 +1,87 @@
 package fl
 
 import (
+	"fmt"
 	"testing"
 
 	"flbooster/internal/ghe"
 	"flbooster/internal/gpu"
 )
 
-// TestSecureAggregateSurvivesDeviceDeath kills the GPU after its first
-// kernel launch: the round must still complete through the CPU fallback with
-// an aggregate identical to a healthy run, and the fault report must show
-// the failover. A second leg corrupts results instead of killing the device.
+// TestSecureAggregateSurvivesDeviceDeath kills every device of the fleet
+// after its first kernel launch, at each device count a profile can ask for
+// (0 and 1 are the same one-device set): the round must still complete
+// through the host loop with an aggregate identical to a healthy run, and the
+// fault report must show the failover. A second leg corrupts results instead
+// of killing the devices.
 func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 	grads := [][]float64{
 		{0.1, -0.2, 0.3}, {0.05, 0.1, -0.1}, {-0.2, 0.2, 0.0}, {0.4, -0.1, 0.05},
 	}
-	runOnce := func(pol FaultPolicy) ([]float64, *Context) {
-		t.Helper()
-		p := testProfile(SystemFLBooster)
-		p.Faults = pol
-		ctx, err := NewContext(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fed := NewFederation(ctx)
-		defer fed.Close()
-		var agg []float64
-		for round := 0; round < 2; round++ {
-			if agg, err = fed.SecureAggregate(grads); err != nil {
-				t.Fatalf("round %d: %v", round, err)
+	for _, devices := range []int{0, 1, 2} {
+		t.Run(fmt.Sprintf("Devices=%d", devices), func(t *testing.T) {
+			runOnce := func(pol FaultPolicy) ([]float64, *Context) {
+				t.Helper()
+				p := testProfile(SystemFLBooster)
+				p.Devices = devices
+				p.Faults = pol
+				ctx, err := NewContext(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fed := NewFederation(ctx)
+				defer fed.Close()
+				var agg []float64
+				for round := 0; round < 2; round++ {
+					if agg, err = fed.SecureAggregate(grads); err != nil {
+						t.Fatalf("round %d: %v", round, err)
+					}
+				}
+				return agg, ctx
 			}
-		}
-		return agg, ctx
-	}
 
-	clean, _ := runOnce(FaultPolicy{})
-	killed, ctx := runOnce(FaultPolicy{
-		Inject: gpu.FaultConfig{Seed: 1, KillAtLaunch: 2},
-	})
+			clean, _ := runOnce(FaultPolicy{})
+			killed, ctx := runOnce(FaultPolicy{
+				Inject: gpu.FaultConfig{Seed: 1, KillAtLaunch: 2},
+			})
 
-	if len(killed) != len(clean) {
-		t.Fatalf("aggregate length %d, want %d", len(killed), len(clean))
-	}
-	for i := range clean {
-		if killed[i] != clean[i] {
-			t.Fatalf("aggregate[%d] = %v after failover, want %v (bit-exact)", i, killed[i], clean[i])
-		}
-	}
-	rep := ctx.FaultReport()
-	if rep.Health != gpu.DeviceFailed {
-		t.Fatalf("device health %s, want failed", rep.Health)
-	}
-	if !rep.Checked.FellBack || rep.Checked.FallbackOps == 0 {
-		t.Fatalf("failover not recorded: %+v", rep.Checked)
-	}
-	if rep.Injected.Kills == 0 || rep.LaunchFailures == 0 {
-		t.Fatalf("fault counters empty: %+v", rep)
-	}
-	if rep.SimFaultTime <= 0 {
-		t.Fatal("degraded-mode time not charged to the modelled clock")
-	}
+			if len(killed) != len(clean) {
+				t.Fatalf("aggregate length %d, want %d", len(killed), len(clean))
+			}
+			for i := range clean {
+				if killed[i] != clean[i] {
+					t.Fatalf("aggregate[%d] = %v after failover, want %v (bit-exact)", i, killed[i], clean[i])
+				}
+			}
+			rep := ctx.FaultReport()
+			if rep.Health != gpu.DeviceFailed {
+				t.Fatalf("device health %s, want failed", rep.Health)
+			}
+			if !rep.Checked.FellBack || rep.Checked.FallbackOps == 0 || rep.Checked.FallbackWall <= 0 {
+				t.Fatalf("failover not recorded: %+v", rep.Checked)
+			}
+			if rep.Injected.Kills == 0 || rep.LaunchFailures == 0 {
+				t.Fatalf("fault counters empty: %+v", rep)
+			}
+			if rep.SimFaultTime < rep.Checked.FallbackWall {
+				t.Fatalf("degraded-mode time not charged to the modelled clock: fault time %v, host wall %v",
+					rep.SimFaultTime, rep.Checked.FallbackWall)
+			}
 
-	// A device that silently corrupts results instead of dying: with every
-	// item verified, the checked layer retries the bad batches and the
-	// aggregate is still the healthy run's, bit for bit.
-	corrupted, ctx := runOnce(FaultPolicy{
-		Inject: gpu.FaultConfig{Seed: 7, CorruptProb: 0.1},
-		Check:  ghe.CheckedConfig{MaxRetries: 8, VerifyFraction: 1},
-	})
-	if !sameBits(corrupted, clean) {
-		t.Fatalf("aggregate %v under corruption retries, want %v (bit-exact)", corrupted, clean)
-	}
-	if rep := ctx.FaultReport(); rep.Checked.VerifyFailures == 0 {
-		t.Fatalf("expected verification to catch injected corruption, got %+v", rep.Checked)
+			// A device that silently corrupts results instead of dying: with every
+			// item verified, the checked layer retries the bad batches and the
+			// aggregate is still the healthy run's, bit for bit.
+			corrupted, ctx := runOnce(FaultPolicy{
+				Inject: gpu.FaultConfig{Seed: 7, CorruptProb: 0.1},
+				Check:  ghe.CheckedConfig{MaxRetries: 8, VerifyFraction: 1},
+			})
+			if !sameBits(corrupted, clean) {
+				t.Fatalf("aggregate %v under corruption retries, want %v (bit-exact)", corrupted, clean)
+			}
+			if rep := ctx.FaultReport(); rep.Checked.VerifyFailures == 0 {
+				t.Fatalf("expected verification to catch injected corruption, got %+v", rep.Checked)
+			}
+		})
 	}
 }
 

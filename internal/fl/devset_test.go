@@ -76,7 +76,7 @@ func TestShardedBitExactWithSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ctx.DevSet == nil || ctx.DevSet.Size() != d || ctx.Device != nil {
+			if ctx.DevSet == nil || ctx.DevSet.Size() != d || ctx.Device != ctx.DevSet.Device(0) || ctx.Checked.Set() != ctx.DevSet {
 				t.Fatalf("context wiring: DevSet %v Device %v", ctx.DevSet, ctx.Device)
 			}
 			checkRef(t, runEpoch(t, ctx))

@@ -97,7 +97,7 @@ func TestNewContextPerSystem(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sys, err)
 		}
-		if (ctx.Device != nil || ctx.DevSet != nil) != ctx.Profile.UseGPU {
+		if (ctx.DevSet != nil) != ctx.Profile.UseGPU || (ctx.Device != nil) != ctx.Profile.UseGPU || (ctx.Checked != nil) != ctx.Profile.UseGPU {
 			t.Errorf("%s: device presence mismatch", sys)
 		}
 		if (ctx.Packer != nil) != ctx.Profile.UseBatch {

@@ -1,8 +1,13 @@
 package fl
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"flbooster/internal/ghe"
+	"flbooster/internal/gpu"
 )
 
 // obsGrads builds a small deterministic workload for observability tests.
@@ -120,5 +125,104 @@ func TestUnobservedContextIsInert(t *testing.T) {
 	ctx.PublishMetrics()
 	if err := ctx.ReconcileObs(); err != nil {
 		t.Fatalf("unobserved reconcile: %v", err)
+	}
+}
+
+// TestPublishedEngineMetricNames pins the "ghe.<label>.*" and "gpu.<label>.*"
+// name sets a GPU context publishes, at one device and at two: the aggregate
+// rows a single-device dashboard reads are there at every device count, the
+// host ledger exists only in aggregate, and every additive ".dev<i>" row sums
+// to its aggregate — for the device counters that is what ReconcileObs
+// checks, on every GPU profile.
+func TestPublishedEngineMetricNames(t *testing.T) {
+	gpuRow := []string{
+		"launches", "threads", "warps", "bytes_h2d", "bytes_d2h",
+		"sim_transfer_ns", "sim_compute_ns", "sim_fault_ns",
+		"stream_chunks", "stream_ops", "sim_stream_ns", "sim_stream_seq_ns",
+		"launch_failures", "watchdog_trips",
+		"fault_aborts", "fault_corruptions", "fault_stalls", "fault_ooms",
+		"avg_utilization", "health",
+	}
+	gpuSet := []string{
+		"devset_devices", "devset_ops", "devset_shards", "devset_steals", "devset_host_shards",
+		"devset_rebalance_ns", "devset_parallel_ns", "devset_sequential_ns", "devset_host_sim_ns",
+	}
+	gheShare := []string{
+		"launch_faults", "retries", "verify_samples", "verify_failures", "backoff_sim_ns",
+		"table_builds", "table_entries", "table_ops",
+	}
+	gheHost := []string{"ops", "fallback_ops", "fallback_wall_ns"}
+
+	for _, d := range []int{1, 2} {
+		t.Run(fmt.Sprintf("D=%d", d), func(t *testing.T) {
+			p := devsetProfile(d)
+			p.Observe = true
+			// Transient aborts under full verification, so the rows that must
+			// sum are not all zero.
+			p.Faults = FaultPolicy{
+				Inject: gpu.FaultConfig{Seed: 5, AbortProb: 0.2},
+				Check:  ghe.CheckedConfig{MaxRetries: 8, VerifyFraction: 1},
+			}
+			ctx, err := NewContext(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fed := NewFederation(ctx)
+			defer fed.Close()
+			if _, err := fed.SecureAggregate(epochGrads(1, p.Parties, 64)[0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := ctx.ReconcileObs(); err != nil {
+				t.Fatal(err)
+			}
+
+			want := map[string]bool{}
+			for _, n := range append(gpuRow, gpuSet...) {
+				want["gpu.FLBooster."+n] = true
+			}
+			for _, n := range append(append(gheShare, gheHost...), "fell_back") {
+				want["ghe.FLBooster."+n] = true
+			}
+			for i := 0; i < d; i++ {
+				for _, n := range gpuRow {
+					want[fmt.Sprintf("gpu.FLBooster.dev%d.%s", i, n)] = true
+				}
+				for _, n := range append(gheShare, "fell_back") {
+					want[fmt.Sprintf("ghe.FLBooster.dev%d.%s", i, n)] = true
+				}
+			}
+			var dump bytes.Buffer
+			if err := ctx.Obs.Metrics().WriteText(&dump); err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range strings.Split(strings.TrimSpace(dump.String()), "\n") {
+				name := strings.Fields(line)[1]
+				if !strings.HasPrefix(name, "gpu.") && !strings.HasPrefix(name, "ghe.") {
+					continue
+				}
+				if !want[name] {
+					t.Errorf("unexpected metric %s", name)
+				}
+				delete(want, name)
+			}
+			for name := range want {
+				t.Errorf("missing metric %s", name)
+			}
+
+			reg := ctx.Obs.Metrics()
+			for _, n := range gheShare {
+				var sum int64
+				for i := 0; i < d; i++ {
+					sum += reg.Counter(fmt.Sprintf("ghe.FLBooster.dev%d.%s", i, n))
+				}
+				if agg := reg.Counter("ghe.FLBooster." + n); agg != sum {
+					t.Errorf("ghe.FLBooster.%s = %d, per-device rows sum to %d", n, agg, sum)
+				}
+			}
+			if reg.Counter("ghe.FLBooster.ops") == 0 || reg.Counter("ghe.FLBooster.launch_faults") == 0 ||
+				reg.Counter("ghe.FLBooster.verify_samples") == 0 {
+				t.Error("the round left the engine rows empty")
+			}
+		})
 	}
 }

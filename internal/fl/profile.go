@@ -57,11 +57,11 @@ type Profile struct {
 	FineRM bool
 	// Device is the GPU model for GPU profiles.
 	Device gpu.Config
-	// Devices is the simulated device count for GPU profiles: values of 1 or
-	// more build a gpu.DeviceSet of that many Device-configured members and
-	// shard every vector HE op across them (work stealing under faults, merged
-	// max-over-devices clock). Zero keeps the classic single-device engine.
-	// Ignored on CPU profiles.
+	// Devices is the simulated device count for GPU profiles: every GPU
+	// context runs over a gpu.DeviceSet of that many Device-configured members
+	// and shards every vector HE op across them (work stealing under faults,
+	// merged max-over-devices clock). 0 and 1 both mean one device. Ignored on
+	// CPU profiles.
 	Devices int
 	// Seed drives every random choice for reproducibility.
 	Seed uint64

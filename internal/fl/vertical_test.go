@@ -152,9 +152,10 @@ func TestWeightedSum(t *testing.T) {
 }
 
 // returnWirings builds one context per HE substrate the return path runs on:
-// the serial CPU backend, the raw single-device engine, the checked engine
-// every single-device GPU profile uses, and a sharded two-device fleet — all
-// with batch compression on, so OpenSums packs.
+// the serial CPU backend, the bare one-attempt engine on one device, the
+// checked engine every GPU profile uses over its default one-device set, and
+// the same over a two-device fleet — all with batch compression on, so
+// OpenSums packs.
 func returnWirings(t *testing.T, keyBits int) map[string]*Context {
 	t.Helper()
 	build := func(sys System, devices int) *Context {

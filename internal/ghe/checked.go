@@ -21,8 +21,8 @@ const verifyPrime = 4294967291
 // CheckedConfig parameterizes a CheckedEngine. The zero value gets sane
 // defaults: 3 retries, 1ms base backoff capped at 64ms, verification off.
 type CheckedConfig struct {
-	// MaxRetries bounds re-executions of one vector op after device faults
-	// or verification misses. Zero means the default of 3.
+	// MaxRetries bounds re-executions of one shard on one device after device
+	// faults or verification misses. Zero means the default of 3.
 	MaxRetries int
 	// Backoff is the base retry delay; attempt k waits Backoff<<k, capped at
 	// BackoffCap. The wait is charged to the device's modelled clock
@@ -33,17 +33,11 @@ type CheckedConfig struct {
 	// BackoffCap caps the exponential backoff.
 	BackoffCap time.Duration
 	// VerifyFraction is the fraction of result elements spot-verified per
-	// op by host residue recomputation, in [0, 1]. Zero disables
+	// launch by host residue recomputation, in [0, 1]. Zero disables
 	// verification — corrupted kernels then go undetected.
 	VerifyFraction float64
 	// VerifySeed drives the sampling of verified indices.
 	VerifySeed uint64
-	// NoHostFallback disables the CPU fallback entirely: an op that exhausts
-	// its retry budget, or hits a Failed device, surfaces its typed
-	// *gpu.KernelError instead of being served by the host. This is the mode
-	// a DeviceSet member runs in — the shard scheduler owns failover, and a
-	// per-device silent fallback would hide the fault from it.
-	NoHostFallback bool
 }
 
 // withDefaults fills unset fields.
@@ -73,82 +67,142 @@ type CheckedStats struct {
 	// corruptions they caught.
 	VerifySamples  int64
 	VerifyFailures int64
-	// FallbackOps counts operations served by the host engine; FallbackWall
-	// is the host time they took (degraded-mode cost, recorded separately).
+	// FallbackOps counts the item ranges the host loop served once no device
+	// was left — a whole op on a dead fleet, one range per stranded shard when
+	// the last device died under it; FallbackWall is the host time they took
+	// (degraded-mode cost, recorded separately).
 	FallbackOps  int64
 	FallbackWall time.Duration
-	// BackoffSim is the simulated retry backoff charged to the device clock.
+	// BackoffSim is the simulated retry backoff charged to the device clocks.
 	BackoffSim time.Duration
-	// FellBack reports the permanent failover latch: the device reached
-	// Failed and every subsequent op runs on the host.
+	// FellBack reports permanent failover: a member device reached Failed and
+	// its share of every later op goes to its peers, or to the host with none.
 	FellBack bool
 }
 
-// CheckedEngine wraps a device Engine with the execution discipline a
-// production GPU-HE deployment needs (DESIGN.md §7): typed launch failures
-// are retried with capped exponential backoff, successful kernels are
-// spot-verified by host residue checks, a device the health machine
-// declares Failed is transparently replaced by the bit-exact CPUEngine, and
-// every fault, retry, and fallback is counted.
+// add accumulates a member's share into the aggregate.
+func (s *CheckedStats) add(m CheckedStats) {
+	s.LaunchFaults += m.LaunchFaults
+	s.Retries += m.Retries
+	s.VerifySamples += m.VerifySamples
+	s.VerifyFailures += m.VerifyFailures
+	s.BackoffSim += m.BackoffSim
+	s.FellBack = s.FellBack || m.FellBack
+}
+
+// CheckedEngine is the one executor of the GPU-HE layer (DESIGN.md §7, §15):
+// it runs every vector op over a gpu.DeviceSet of D ≥ 1 members with the
+// execution discipline a production deployment needs. The op splits into
+// contiguous shards, one per healthy member; each member launches its shard
+// (the bare Engine's single attempt), spot-verifies the result by host
+// residue checks, and retries typed launch failures and verification misses
+// with capped exponential backoff. A member that cannot serve a shard
+// surfaces its typed *gpu.KernelError to the set's scheduler, never a silent
+// host result: the scheduler excludes it and re-queues its work onto the
+// healthy peers, and only when none is left does the bit-exact host loop
+// serve what remains. Every fault, retry and fallback is counted.
+//
+// Bit-exactness with the bare Engine holds by construction: a shard is the
+// op's own descriptor over a sub-range, so every element is computed by the
+// same lane at the same index of the one output vector and nonce streams stay
+// keyed by global item position; no schedule — mid-batch device death and
+// work stealing included — can change a single output bit.
 type CheckedEngine struct {
-	dev  *gpu.Device
-	eng  *Engine
-	host *CPUEngine
-	cfg  CheckedConfig
+	vecAPI
+	set     *gpu.DeviceSet
+	members []*member
+	cfg     CheckedConfig
+
+	// One op is in flight at a time — the set serialises ops anyway, one op
+	// owning every member clock — so the op being served is engine state and
+	// the scheduler's two callbacks are bound once, in sched, not per op.
+	flight sync.Mutex
+	op     vecOp
+	sched  gpu.ShardOp
+
+	mu    sync.Mutex
+	stats CheckedStats // Ops and the host ledger; the rest lives on the members
+}
+
+// member is one device of the set under the checked discipline: its bare
+// engine, its own verification sampler (so a member's samples do not depend
+// on its peers' traffic) and its share of the counters.
+type member struct {
+	eng *Engine
 
 	mu    sync.Mutex
 	rng   *mpint.RNG
 	stats CheckedStats
 }
 
-// NewCheckedEngine wraps e with the given policy.
-func NewCheckedEngine(e *Engine, cfg CheckedConfig) (*CheckedEngine, error) {
-	if e == nil {
-		return nil, fmt.Errorf("ghe: NewCheckedEngine needs an engine")
+// NewCheckedEngine builds the executor over a device set.
+func NewCheckedEngine(set *gpu.DeviceSet, cfg CheckedConfig) (*CheckedEngine, error) {
+	if set == nil {
+		return nil, fmt.Errorf("ghe: NewCheckedEngine needs a device set")
 	}
-	cfg = cfg.withDefaults()
-	return &CheckedEngine{
-		dev:  e.Device(),
-		eng:  e,
-		host: NewCPUEngine(),
-		cfg:  cfg,
-		rng:  mpint.NewRNG(cfg.VerifySeed),
-	}, nil
+	c := &CheckedEngine{set: set, cfg: cfg.withDefaults(), members: make([]*member, set.Size())}
+	c.vecAPI = vecAPI{c.schedule}
+	c.sched = gpu.ShardOp{Run: c.onMember, Host: c.onHost}
+	for i := range c.members {
+		eng, err := NewEngine(set.Device(i))
+		if err != nil {
+			return nil, err
+		}
+		c.members[i] = &member{eng: eng, rng: mpint.NewRNG(cfg.VerifySeed)}
+	}
+	return c, nil
 }
 
-// MustCheckedEngine is NewCheckedEngine for known-good arguments; it panics
-// on error. Intended for tests.
-func MustCheckedEngine(e *Engine, cfg CheckedConfig) *CheckedEngine {
-	c, err := NewCheckedEngine(e, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
+// Set exposes the device set the engine schedules over.
+func (c *CheckedEngine) Set() *gpu.DeviceSet { return c.set }
 
-// Device exposes the wrapped device.
-func (c *CheckedEngine) Device() *gpu.Device { return c.dev }
-
-// Stats returns a snapshot of the checked-layer counters.
+// Stats returns a snapshot of the counters, summed over the members.
 func (c *CheckedEngine) Stats() CheckedStats {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	agg := c.stats
+	c.mu.Unlock()
+	for _, mb := range c.members {
+		agg.add(mb.snapshot())
+	}
+	return agg
+}
+
+// snapshot returns the member's counters, with FellBack read off its device.
+func (mb *member) snapshot() CheckedStats {
+	mb.mu.Lock()
+	defer mb.mu.Unlock()
+	s := mb.stats
+	s.FellBack = mb.eng.dev.Health() == gpu.DeviceFailed
+	return s
 }
 
 // PublishMetrics snapshots the checked-layer counters into a metrics
-// registry under the given prefix (DESIGN.md §9).
+// registry (DESIGN.md §9): ops issued, the host ledger and every member
+// counter summed under prefix, each member's share under prefix+".dev<i>".
 func (c *CheckedEngine) PublishMetrics(reg *obs.Registry, prefix string) {
-	s := c.Stats()
-	reg.Set(prefix+".ops", s.Ops)
+	agg := c.Stats()
+	reg.Set(prefix+".ops", agg.Ops)
+	reg.Set(prefix+".fallback_ops", agg.FallbackOps)
+	reg.Set(prefix+".fallback_wall_ns", int64(agg.FallbackWall))
+	var tables TableStats
+	for i, mb := range c.members {
+		ts := mb.eng.TableStats()
+		tables.Builds += ts.Builds
+		tables.Entries += ts.Entries
+		tables.Ops += ts.Ops
+		publishShare(reg, fmt.Sprintf("%s.dev%d", prefix, i), mb.snapshot(), ts)
+	}
+	publishShare(reg, prefix, agg, tables)
+}
+
+// publishShare writes the counters a member keeps — and the aggregate sums —
+// under one prefix.
+func publishShare(reg *obs.Registry, prefix string, s CheckedStats, ts TableStats) {
 	reg.Set(prefix+".launch_faults", s.LaunchFaults)
 	reg.Set(prefix+".retries", s.Retries)
 	reg.Set(prefix+".verify_samples", s.VerifySamples)
 	reg.Set(prefix+".verify_failures", s.VerifyFailures)
-	reg.Set(prefix+".fallback_ops", s.FallbackOps)
-	reg.Set(prefix+".fallback_wall_ns", int64(s.FallbackWall))
 	reg.Set(prefix+".backoff_sim_ns", int64(s.BackoffSim))
-	ts := c.eng.TableStats()
 	reg.Set(prefix+".table_builds", ts.Builds)
 	reg.Set(prefix+".table_entries", ts.Entries)
 	reg.Set(prefix+".table_ops", ts.Ops)
@@ -159,97 +213,93 @@ func (c *CheckedEngine) PublishMetrics(reg *obs.Registry, prefix string) {
 	reg.SetGauge(prefix+".fell_back", fell)
 }
 
-// execute runs one vector op of n result elements under the checked
-// discipline. gpuOp and hostOp run the op on the respective substrate;
-// expect recomputes element i on the host for verification; got reads
-// element i of the current attempt's result.
-func (c *CheckedEngine) execute(op string, n int, gpuOp, hostOp func() error, expect, got func(i int) mpint.Nat) error {
+// schedule hands one op to the set's scheduler: members serve its shards under
+// the checked discipline, the host loop serves what no member could.
+func (c *CheckedEngine) schedule(op vecOp) error {
+	c.flight.Lock()
+	defer c.flight.Unlock()
 	c.mu.Lock()
 	c.stats.Ops++
-	fellBack := c.stats.FellBack
 	c.mu.Unlock()
-	if fellBack {
-		if c.cfg.NoHostFallback {
-			return &gpu.KernelError{Kind: gpu.FaultDeviceFailed, Kernel: op}
-		}
-		return c.runHost(hostOp)
-	}
-	var lastKerr *gpu.KernelError
-	for attempt := 0; ; attempt++ {
-		err := gpuOp()
-		if err != nil {
-			// Only typed device failures are retryable; anything else is a
-			// caller error (length mismatch, bad modulus) and surfaces as-is.
-			var kerr *gpu.KernelError
-			if !errors.As(err, &kerr) {
-				return err
-			}
-			lastKerr = kerr
-			c.mu.Lock()
-			c.stats.LaunchFaults++
-			c.mu.Unlock()
-		} else if c.spotCheck(n, expect, got) {
-			return nil
-		} else {
-			// The kernel reported success with corrupted contents: feed the
-			// detection back into the device health machine and retry.
-			c.dev.ReportFailure(op, gpu.FaultCorrupt)
-			lastKerr = &gpu.KernelError{Kind: gpu.FaultCorrupt, Kernel: op}
-		}
-		if c.dev.Health() == gpu.DeviceFailed {
-			c.mu.Lock()
-			c.stats.FellBack = true
-			c.mu.Unlock()
-			if c.cfg.NoHostFallback {
-				return lastKerr
-			}
-			return c.runHost(hostOp)
-		}
-		if attempt >= c.cfg.MaxRetries {
-			// Retry budget spent without the device being declared dead: serve
-			// this op from the host but keep the device in rotation — unless
-			// failover belongs to the layer above.
-			if c.cfg.NoHostFallback {
-				return lastKerr
-			}
-			return c.runHost(hostOp)
-		}
-		backoff := c.cfg.Backoff << uint(attempt)
-		if backoff > c.cfg.BackoffCap {
-			backoff = c.cfg.BackoffCap
-		}
-		c.dev.ChargeFaultTime(backoff)
-		c.mu.Lock()
-		c.stats.Retries++
-		c.stats.BackoffSim += backoff
-		c.mu.Unlock()
-	}
+	c.op = op
+	c.sched.Name, c.sched.Items = op.name(), len(op.result())
+	// A stolen shard's staged input, shared operands amortised.
+	c.sched.BytesPerItem = op.h2d() / int64(c.sched.Items)
+	err := c.set.Run(c.sched)
+	c.op = nil
+	return err
 }
 
-// runHost executes the op on the host engine, charging the wall time to the
-// device's modelled clock so degraded rounds report their true cost.
-func (c *CheckedEngine) runHost(hostOp func() error) error {
+// onMember serves one shard of the op in flight on member dev.
+func (c *CheckedEngine) onMember(dev int, sh gpu.Shard) error {
+	return c.members[dev].serve(shardOf(c.op, sh), &c.cfg)
+}
+
+// onHost serves one range of the op in flight with the host loop and enters
+// it in the host ledger.
+func (c *CheckedEngine) onHost(sh gpu.Shard) error {
 	start := time.Now()
-	err := hostOp()
-	wall := time.Since(start)
-	c.dev.ChargeFaultTime(wall)
+	err := runOnHost(shardOf(c.op, sh))
 	c.mu.Lock()
 	c.stats.FallbackOps++
-	c.stats.FallbackWall += wall
+	c.stats.FallbackWall += time.Since(start)
 	c.mu.Unlock()
 	return err
 }
 
-// spotCheck verifies ceil(VerifyFraction·n) sampled elements by residue
-// comparison against a host recomputation. Indices are sampled without
-// replacement, so the checked count matches the documented fraction and
-// VerifyFraction=1 deterministically checks every element. It reports
+// serve runs one shard on the member's device until an attempt both launches
+// and verifies. Only typed device failures are retried; anything else is a
+// caller error and surfaces as-is. When the device is declared Failed, or
+// the retry budget is spent without that, the last typed fault goes back to
+// the scheduler, which owns failover.
+func (mb *member) serve(op vecOp, cfg *CheckedConfig) error {
+	dev := mb.eng.dev
+	var last *gpu.KernelError
+	for attempt := 0; ; attempt++ {
+		if err := mb.eng.launch(op); err != nil {
+			var kerr *gpu.KernelError
+			if !errors.As(err, &kerr) {
+				return err
+			}
+			last = kerr
+			mb.mu.Lock()
+			mb.stats.LaunchFaults++
+			mb.mu.Unlock()
+		} else if mb.spotCheck(op, cfg.VerifyFraction) {
+			return nil
+		} else {
+			// The kernel reported success with corrupted contents: feed the
+			// detection back into the device health machine and retry.
+			dev.ReportFailure(op.name(), gpu.FaultCorrupt)
+			last = &gpu.KernelError{Kind: gpu.FaultCorrupt, Kernel: op.name()}
+		}
+		if dev.Health() == gpu.DeviceFailed || attempt >= cfg.MaxRetries {
+			return last
+		}
+		backoff := cfg.Backoff << uint(attempt)
+		if backoff > cfg.BackoffCap {
+			backoff = cfg.BackoffCap
+		}
+		dev.ChargeFaultTime(backoff)
+		mb.mu.Lock()
+		mb.stats.Retries++
+		mb.stats.BackoffSim += backoff
+		mb.mu.Unlock()
+	}
+}
+
+// spotCheck verifies ceil(frac·n) sampled elements of the shard by residue
+// comparison against the op's independent recomputation. Indices are sampled
+// without replacement, so the checked count matches the documented fraction
+// and a fraction of 1 deterministically checks every element. It reports
 // whether the result passed (vacuously true with verification off).
-func (c *CheckedEngine) spotCheck(n int, expect, got func(i int) mpint.Nat) bool {
-	if c.cfg.VerifyFraction <= 0 || n == 0 || expect == nil {
+func (mb *member) spotCheck(op vecOp, frac float64) bool {
+	if frac <= 0 {
 		return true
 	}
-	samples := int(float64(n)*c.cfg.VerifyFraction + 0.999999)
+	out := op.result()
+	n := len(out)
+	samples := int(float64(n)*frac + 0.999999)
 	if samples < 1 {
 		samples = 1
 	}
@@ -257,14 +307,15 @@ func (c *CheckedEngine) spotCheck(n int, expect, got func(i int) mpint.Nat) bool
 		samples = n
 	}
 	p := mpint.FromUint64(verifyPrime)
-	for _, i := range c.sampleIndices(n, samples) {
-		c.mu.Lock()
-		c.stats.VerifySamples++
-		c.mu.Unlock()
-		if mpint.Cmp(mpint.Mod(got(i), p), mpint.Mod(expect(i), p)) != 0 {
-			c.mu.Lock()
-			c.stats.VerifyFailures++
-			c.mu.Unlock()
+	for _, i := range mb.sampleIndices(n, samples) {
+		ok := mpint.Cmp(mpint.Mod(out[i], p), mpint.Mod(op.verify(i), p)) == 0
+		mb.mu.Lock()
+		mb.stats.VerifySamples++
+		if !ok {
+			mb.stats.VerifyFailures++
+		}
+		mb.mu.Unlock()
+		if !ok {
 			return false
 		}
 	}
@@ -274,7 +325,7 @@ func (c *CheckedEngine) spotCheck(n int, expect, got func(i int) mpint.Nat) bool
 // sampleIndices picks `samples` distinct indices in [0, n). A full scan
 // consumes no random draws; a partial one is a partial Fisher–Yates
 // shuffle, so no index is checked twice within one attempt.
-func (c *CheckedEngine) sampleIndices(n, samples int) []int {
+func (mb *member) sampleIndices(n, samples int) []int {
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
@@ -282,113 +333,11 @@ func (c *CheckedEngine) sampleIndices(n, samples int) []int {
 	if samples >= n {
 		return idx
 	}
-	c.mu.Lock()
+	mb.mu.Lock()
 	for s := 0; s < samples; s++ {
-		j := s + c.rng.Intn(n-s)
+		j := s + mb.rng.Intn(n-s)
 		idx[s], idx[j] = idx[j], idx[s]
 	}
-	c.mu.Unlock()
+	mb.mu.Unlock()
 	return idx[:samples]
-}
-
-// ModExpVec implements VectorEngine.
-func (c *CheckedEngine) ModExpVec(bases []mpint.Nat, exp mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
-	var out []mpint.Nat
-	err := c.execute("mod_exp_vec", len(bases),
-		func() (err error) { out, err = c.eng.ModExpVec(bases, exp, m); return },
-		func() (err error) { out, err = c.host.ModExpVec(bases, exp, m); return },
-		func(i int) mpint.Nat { return m.Exp(bases[i], exp) },
-		func(i int) mpint.Nat { return out[i] })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PowNVec implements VectorEngine. Verification recomputes sampled elements
-// through the n² sliding window — the path a party without the factorisation
-// runs, which shares no stage, schedule or constant with the fused kernel, so
-// a fault in any leg of it (a wrong residue mod p² recombines into a valid
-// but wrong element of Z*ₙ²) cannot also corrupt the check.
-func (c *CheckedEngine) PowNVec(xs []mpint.Nat, crt *mpint.CRT, m *mpint.Mont) ([]mpint.Nat, error) {
-	var out []mpint.Nat
-	err := c.execute("pow_n_crt_vec", len(xs),
-		func() (err error) { out, err = c.eng.PowNVec(xs, crt, m); return },
-		func() (err error) { out, err = c.host.PowNVec(xs, crt, m); return },
-		func(i int) mpint.Nat { return m.Exp(xs[i], crt.N()) },
-		func(i int) mpint.Nat { return out[i] })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ModExpVarVec implements VectorEngine.
-func (c *CheckedEngine) ModExpVarVec(bases, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
-	var out []mpint.Nat
-	err := c.execute("mod_exp_var_vec", len(bases),
-		func() (err error) { out, err = c.eng.ModExpVarVec(bases, exps, m); return },
-		func() (err error) { out, err = c.host.ModExpVarVec(bases, exps, m); return },
-		func(i int) mpint.Nat { return m.Exp(bases[i], exps[i]) },
-		func(i int) mpint.Nat { return out[i] })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// FixedBaseExpVec implements VectorEngine. Verification recomputes sampled
-// elements through the generic sliding window — a path independent of the
-// comb table, so a corrupted table entry (which would skew every element it
-// feeds) cannot also corrupt the check.
-func (c *CheckedEngine) FixedBaseExpVec(base mpint.Nat, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
-	var out []mpint.Nat
-	err := c.execute("fixed_base_exp_vec", len(exps),
-		func() (err error) { out, err = c.eng.FixedBaseExpVec(base, exps, m); return },
-		func() (err error) { out, err = c.host.FixedBaseExpVec(base, exps, m); return },
-		func(i int) mpint.Nat { return m.Exp(base, exps[i]) },
-		func(i int) mpint.Nat { return out[i] })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// ModMulVec implements VectorEngine. Verification recomputes sampled
-// elements through the plain (non-Montgomery) path, so a systematic kernel
-// error cannot also corrupt the check.
-func (c *CheckedEngine) ModMulVec(a, b []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
-	var out []mpint.Nat
-	err := c.execute("mod_mul_vec", len(a),
-		func() (err error) { out, err = c.eng.ModMulVec(a, b, m); return },
-		func() (err error) { out, err = c.host.ModMulVec(a, b, m); return },
-		func(i int) mpint.Nat { return mpint.ModMul(a[i], b[i], m.N()) },
-		func(i int) mpint.Nat { return out[i] })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// RandCoprimeVec implements VectorEngine.
-func (c *CheckedEngine) RandCoprimeVec(n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
-	return c.RandCoprimeRange(0, n, m, seed)
-}
-
-// RandCoprimeRange generates items [base, base+n) of the RandCoprimeVec(m,
-// seed) stream under the checked discipline. The per-item streams are
-// deterministic in (seed, global position), so verification recomputes
-// sampled items at their positions and a range the device cannot produce
-// fails over to the host with the exact same values.
-func (c *CheckedEngine) RandCoprimeRange(base, n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
-	var out []mpint.Nat
-	err := c.execute("rand_coprime_vec", n,
-		func() (err error) { out, err = c.eng.RandCoprimeRange(base, n, m, seed); return },
-		func() (err error) { out, err = c.host.RandCoprimeRange(base, n, m, seed); return },
-		func(i int) mpint.Nat { return randCoprimeAt(seed, base+i, m) },
-		func(i int) mpint.Nat { return out[i] })
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

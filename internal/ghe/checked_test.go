@@ -7,15 +7,29 @@ import (
 	"flbooster/internal/mpint"
 )
 
-// checkedEngine builds a CheckedEngine over a fresh small device with the
+// checkedSet builds a CheckedEngine over a fresh set of d small devices.
+func checkedSet(t testing.TB, d int, cfg CheckedConfig) *CheckedEngine {
+	t.Helper()
+	set, err := gpu.NewDeviceSet(gpu.SmallTestDevice(), true, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCheckedEngine(set, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// checkedEngine builds a CheckedEngine over one fresh small device with the
 // given fault injection and checking policy.
 func checkedEngine(t testing.TB, inject gpu.FaultConfig, cfg CheckedConfig) *CheckedEngine {
 	t.Helper()
-	dev := gpu.MustNew(gpu.SmallTestDevice(), true)
+	c := checkedSet(t, 1, cfg)
 	if inject.Enabled() {
-		dev.SetFaultInjector(gpu.NewFaultInjector(inject))
+		c.Set().Device(0).SetFaultInjector(gpu.NewFaultInjector(inject))
 	}
-	return MustCheckedEngine(MustEngine(dev), cfg)
+	return c
 }
 
 func TestCPUEngineParityWithDevice(t *testing.T) {
@@ -80,7 +94,7 @@ func TestCheckedRetriesTransientAborts(t *testing.T) {
 		gpu.FaultConfig{Seed: 5, AbortProb: 0.4},
 		CheckedConfig{MaxRetries: 8})
 	// Keep the device from latching Failed so the retry path is exercised.
-	c.Device().SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 1, FailAfter: 1 << 30})
+	c.Set().Device(0).SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 1, FailAfter: 1 << 30})
 	r := mpint.NewRNG(8)
 	n := r.RandPrime(96)
 	m := mpint.NewMont(n)
@@ -102,7 +116,7 @@ func TestCheckedRetriesTransientAborts(t *testing.T) {
 	if st.LaunchFaults == 0 || st.Retries == 0 || st.BackoffSim == 0 {
 		t.Fatalf("expected observed faults and retries: %+v", st)
 	}
-	if c.Device().Stats().SimFaultTime < st.BackoffSim {
+	if c.Set().Device(0).Stats().SimFaultTime < st.BackoffSim {
 		t.Fatal("retry backoff not charged to the device clock")
 	}
 }
@@ -143,10 +157,10 @@ func TestCheckedCatchesCorruption(t *testing.T) {
 	if st.FellBack {
 		t.Fatalf("corruption alone must not latch permanent failover: %+v", st)
 	}
-	if h := c.Device().Health(); h == gpu.DeviceFailed {
+	if h := c.Set().Device(0).Health(); h == gpu.DeviceFailed {
 		t.Fatal("silent corruption should not latch the device Failed")
 	}
-	if c.Device().Stats().FaultCorruptions == 0 {
+	if c.Set().Device(0).Stats().FaultCorruptions == 0 {
 		t.Fatal("detected corruptions were not fed back into the device counters")
 	}
 }
@@ -161,7 +175,7 @@ func TestCheckedFullVerificationNeverMissesCorruption(t *testing.T) {
 		gpu.FaultConfig{Seed: 17, CorruptProb: 0.5},
 		CheckedConfig{VerifyFraction: 1, VerifySeed: 17, MaxRetries: 8})
 	// Keep the device in rotation so every op keeps exercising the GPU path.
-	c.Device().SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 1, FailAfter: 1 << 30})
+	c.Set().Device(0).SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 1, FailAfter: 1 << 30})
 	r := mpint.NewRNG(18)
 	n := r.RandPrime(96)
 	m := mpint.NewMont(n)
@@ -191,7 +205,7 @@ func TestSampleIndicesWithoutReplacement(t *testing.T) {
 	for _, tc := range []struct{ n, samples int }{
 		{1, 1}, {8, 3}, {16, 8}, {16, 15}, {9, 9}, {5, 7},
 	} {
-		idx := c.sampleIndices(tc.n, tc.samples)
+		idx := c.members[0].sampleIndices(tc.n, tc.samples)
 		wantLen := tc.samples
 		if wantLen > tc.n {
 			wantLen = tc.n
@@ -253,7 +267,7 @@ func TestCheckedFailoverBitExact(t *testing.T) {
 	if !st.FellBack || st.FallbackOps == 0 || st.FallbackWall <= 0 {
 		t.Fatalf("failover latch not recorded: %+v", st)
 	}
-	if h := c.Device().Health(); h != gpu.DeviceFailed {
+	if h := c.Set().Device(0).Health(); h != gpu.DeviceFailed {
 		t.Fatalf("killed device health %s, want failed", h)
 	}
 }
@@ -305,7 +319,7 @@ func TestCheckedPassesThroughCallerErrors(t *testing.T) {
 
 func TestCheckedConstructor(t *testing.T) {
 	if _, err := NewCheckedEngine(nil, CheckedConfig{}); err == nil {
-		t.Fatal("nil engine must be rejected")
+		t.Fatal("nil device set must be rejected")
 	}
 	if _, err := NewEngine(nil); err == nil {
 		t.Fatal("nil device must be rejected")

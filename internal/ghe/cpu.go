@@ -8,10 +8,10 @@ import (
 
 // VectorEngine is the vector interface of the GPU-HE layer as consumed by
 // the Paillier backend: batched modular exponentiation, modular
-// multiplication, and nonce generation. Engine (device), CheckedEngine
-// (device + verification + retry + failover), and CPUEngine (pure host)
-// all implement it, so callers degrade between substrates without code
-// changes.
+// multiplication, and nonce generation. Engine (one device, one attempt),
+// CheckedEngine (a device set + verification + retry + stealing + failover),
+// and CPUEngine (pure host) all implement it, so callers degrade between
+// substrates without code changes.
 type VectorEngine interface {
 	// ModExpVec computes bases[i]^exp mod m.N() for every i.
 	ModExpVec(bases []mpint.Nat, exp mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error)
@@ -29,108 +29,98 @@ type VectorEngine interface {
 	RandCoprimeVec(n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error)
 }
 
-// Engine, CheckedEngine, and CPUEngine must stay interchangeable.
-var (
-	_ VectorEngine = (*Engine)(nil)
-	_ VectorEngine = (*CheckedEngine)(nil)
-	_ VectorEngine = (*CPUEngine)(nil)
-)
+// vecAPI is the VectorEngine methods and RandCoprimeRange, written once for
+// the three engines that embed it (which is what keeps them interchangeable):
+// each method checks its operands, states the op as a descriptor (ops.go) and
+// hands it to exec, the one thing the embedding engines differ in. An empty
+// vector is no op at all: nothing is launched or charged.
+type vecAPI struct {
+	exec func(op vecOp) error
+}
 
-// CPUEngine executes the vector interface serially on the host — the
-// degraded-mode substrate a CheckedEngine fails over to when its device
-// dies. Every method runs exactly the arithmetic of the matching device
-// kernel (same mpint routines, same per-item stream derivation), so
-// fallback results are bit-exact with healthy device results.
-type CPUEngine struct{}
+var _ VectorEngine = vecAPI{}
 
-// NewCPUEngine returns the host engine.
-func NewCPUEngine() *CPUEngine { return &CPUEngine{} }
-
-// ModExpVec implements VectorEngine. The shared exponent's window schedule
-// is recoded once, exactly like the device kernel.
-func (*CPUEngine) ModExpVec(bases []mpint.Nat, exp mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
-	out := make([]mpint.Nat, len(bases))
-	sched := mpint.CompileExpAuto(exp)
-	for i := range bases {
-		out[i] = m.ExpSched(bases[i], sched)
+func (v vecAPI) run(op vecOp) ([]mpint.Nat, error) {
+	if len(op.result()) == 0 {
+		return nil, nil
 	}
-	return out, nil
+	if err := v.exec(op); err != nil {
+		return nil, err
+	}
+	return op.result(), nil
+}
+
+// ModExpVec implements VectorEngine.
+func (v vecAPI) ModExpVec(bases []mpint.Nat, exp mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
+	return v.run(&modExpOp{newModVec(len(bases), m), bases, exp, mpint.CompileExpAuto(exp)})
 }
 
 // PowNVec implements VectorEngine.
-func (*CPUEngine) PowNVec(xs []mpint.Nat, crt *mpint.CRT, _ *mpint.Mont) ([]mpint.Nat, error) {
-	out := make([]mpint.Nat, len(xs))
-	for i := range xs {
-		out[i] = crt.PowN(xs[i])
-	}
-	return out, nil
+func (v vecAPI) PowNVec(xs []mpint.Nat, crt *mpint.CRT, m *mpint.Mont) ([]mpint.Nat, error) {
+	return v.run(&powNOp{newModVec(len(xs), m), xs, crt})
 }
 
-// ModExpVarVec implements VectorEngine.
-func (*CPUEngine) ModExpVarVec(bases, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
+// ModExpVarVec implements VectorEngine. bases and exps must have equal
+// length.
+func (v vecAPI) ModExpVarVec(bases, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
 	if len(bases) != len(exps) {
 		return nil, fmt.Errorf("ghe: ModExpVarVec length mismatch %d vs %d", len(bases), len(exps))
 	}
-	out := make([]mpint.Nat, len(bases))
-	for i := range bases {
-		out[i] = m.Exp(bases[i], exps[i])
-	}
-	return out, nil
+	return v.run(&modExpVarOp{newModVec(len(bases), m), bases, exps})
 }
 
-// FixedBaseExpVec implements VectorEngine through the same Lim–Lee comb the
-// device kernel uses (same auto-height heuristic, same table), without
-// replicating the base across the vector. Results stay bit-exact with the
-// device path and with plain per-element Exp.
-func (c *CPUEngine) FixedBaseExpVec(base mpint.Nat, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
-	if len(exps) == 0 {
-		return nil, nil
-	}
-	maxExpBits := 1
-	for _, x := range exps {
-		if b := x.BitLen(); b > maxExpBits {
-			maxExpBits = b
-		}
-	}
-	h := mpint.ChooseFixedBaseHeight(maxExpBits, len(exps))
-	tbl := mpint.NewFixedBaseTable(m, base, maxExpBits, h)
-	out := make([]mpint.Nat, len(exps))
-	for i := range exps {
-		out[i] = tbl.Exp(exps[i])
-	}
-	return out, nil
+// FixedBaseExpVec implements VectorEngine, at the comb height that minimizes
+// total multiplies for the batch.
+func (v vecAPI) FixedBaseExpVec(base mpint.Nat, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
+	return v.run(&fixedBaseOp{newModVec(len(exps), m), base, exps, 0, nil})
 }
 
-// ModMulVec implements VectorEngine.
-func (*CPUEngine) ModMulVec(a, b []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
+// ModMulVec implements VectorEngine. a and b must have equal length.
+func (v vecAPI) ModMulVec(a, b []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("ghe: ModMulVec length mismatch %d vs %d", len(a), len(b))
 	}
-	out := make([]mpint.Nat, len(a))
-	for i := range a {
-		out[i] = modMul(m, a[i], b[i])
-	}
-	return out, nil
+	return v.run(&modMulOp{newModVec(len(a), m), a, b})
 }
 
-// RandCoprimeVec implements VectorEngine with the device kernel's exact
-// per-item stream derivation.
-func (c *CPUEngine) RandCoprimeVec(n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
-	return c.RandCoprimeRange(0, n, m, seed)
+// RandCoprimeVec implements VectorEngine — the r parameters of a batch of
+// Paillier encryptions.
+func (v vecAPI) RandCoprimeVec(n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
+	return v.RandCoprimeRange(0, n, m, seed)
 }
 
 // RandCoprimeRange generates items [base, base+n) of the RandCoprimeVec(m,
-// seed) stream, as the device kernel does.
-func (*CPUEngine) RandCoprimeRange(base, n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
+// seed) stream: any chunking of the stream, on any engine and under any
+// fault schedule, draws the values the whole batch would have at those
+// positions.
+func (v vecAPI) RandCoprimeRange(base, n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
 	if base < 0 {
 		return nil, fmt.Errorf("ghe: RandCoprimeRange negative base %d", base)
 	}
 	if m.IsZero() || m.IsOne() {
 		return nil, fmt.Errorf("ghe: RandCoprimeRange modulus must be > 1")
 	}
-	out := make([]mpint.Nat, n)
-	for i := range out {
-		out[i] = randCoprimeAt(seed, base+i, m)
+	return v.run(&randCoprimeOp{outVec{make([]mpint.Nat, n)}, m, seed, base})
+}
+
+// CPUEngine executes the vector interface serially on the host — the
+// reference the device paths are checked against, and the loop a
+// CheckedEngine serves an op with once no device is left. It runs the very
+// lane bodies a device kernel runs (same mpint routines, same per-item stream
+// derivation), so host results are bit-exact with healthy device results.
+type CPUEngine struct{ vecAPI }
+
+// NewCPUEngine returns the host engine.
+func NewCPUEngine() *CPUEngine { return &CPUEngine{vecAPI{runOnHost}} }
+
+// runOnHost executes an op on the host: its set-up stage without a launch,
+// then every lane in order.
+func runOnHost(op vecOp) error {
+	if _, err := op.setup(nil); err != nil {
+		return err
 	}
-	return out, nil
+	for i := range op.result() {
+		op.lane(i)
+	}
+	return nil
 }

@@ -100,7 +100,7 @@ func TestCheckedFixedBaseCatchesCorruption(t *testing.T) {
 	c := checkedEngine(t,
 		gpu.FaultConfig{Seed: 11, CorruptProb: 0.5},
 		CheckedConfig{MaxRetries: 12, VerifyFraction: 1})
-	c.Device().SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 2, FailAfter: 1 << 30})
+	c.Set().Device(0).SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 2, FailAfter: 1 << 30})
 	r := mpint.NewRNG(0xFD)
 	n := r.RandPrime(96)
 	m := mpint.NewMont(n)

@@ -1,0 +1,162 @@
+package ghe
+
+import (
+	"bytes"
+	"math/big"
+	"testing"
+
+	"flbooster/internal/gpu"
+	"flbooster/internal/mpint"
+)
+
+// fuzzOperands is the seed corpus mpint's differential targets sit on: widths
+// one under, at and one over the limb boundaries of both the host (64-bit)
+// and the modelled (32-bit) word, each as all-ones limbs, as the top bit
+// alone, and as an odd mid-range pattern.
+func fuzzOperands() [][]byte {
+	var out [][]byte
+	for _, bits := range []int{31, 32, 33, 63, 64, 65, 95, 96, 97, 127, 128, 129, 160, 224} {
+		ones := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(bits)), big.NewInt(1))
+		top := new(big.Int).Lsh(big.NewInt(1), uint(bits-1))
+		mid := new(big.Int).Or(top, new(big.Int).Rsh(ones, uint(bits/2)))
+		out = append(out, ones.Bytes(), top.Bytes(), mid.Or(mid, big.NewInt(1)).Bytes())
+	}
+	return out
+}
+
+func toBig(x mpint.Nat) *big.Int { return new(big.Int).SetBytes(x.Bytes()) }
+
+// fuzzVecCase is one op over fuzzed operands: a constructor (every run needs
+// its own output vector) and what math/big says element i is — nil for the
+// nonce op, whose values have no closed form.
+type fuzzVecCase struct {
+	mk   func() vecOp
+	want func(i int) *big.Int
+}
+
+// FuzzVecOps is the differential target of the whole engine layer. For a
+// fuzzed odd modulus of 1–40 of the device's 32-bit limbs, fuzzed operands
+// and exponents, and a fuzzed fault schedule, every op's descriptor is held to
+// three agreements: each lane equals the op's own verify path equals
+// math/big; the bare Engine returns the vector the host loop does; and the
+// checked executor over 1 and 3 devices, one of them killed mid-batch, returns
+// that vector too.
+func FuzzVecOps(f *testing.F) {
+	ops := fuzzOperands()
+	for i, nb := range ops {
+		f.Add(nb, ops[(i+2)%len(ops)], ops[(i+7)%len(ops)], uint64(i)*0x9E3779B97F4A7C15)
+	}
+	f.Add([]byte{0x10, 0x01}, []byte{0xFF}, []byte{0}, uint64(1))                                                     // exponent 0
+	f.Add([]byte{3}, []byte{2}, []byte{1}, uint64(2))                                                                 // the smallest modulus
+	f.Add(bytes.Repeat([]byte{0xFF}, 160), bytes.Repeat([]byte{0xFE}, 160), bytes.Repeat([]byte{0xA5}, 9), uint64(3)) // 40 limbs
+	f.Fuzz(func(t *testing.T, nb, ab, eb []byte, seed uint64) {
+		if len(nb) > 160 {
+			nb = nb[:160]
+		}
+		if len(eb) > 32 {
+			eb = eb[:32]
+		}
+		n := mpint.FromBytes(nb)
+		if len(n) == 0 {
+			return
+		}
+		n[0] |= 1
+		if n.IsOne() {
+			return
+		}
+		m := mpint.NewMont(n)
+		r := mpint.NewRNG(seed)
+		items := 3 + int(seed%5)
+		a, b, exps := make([]mpint.Nat, items), make([]mpint.Nat, items), make([]mpint.Nat, items)
+		a[0], exps[0] = mpint.Mod(mpint.FromBytes(ab), n), mpint.FromBytes(eb)
+		b[0] = mpint.SubWord(n, 1)
+		for i := 1; i < items; i++ {
+			a[i], b[i] = r.RandBelow(n), r.RandBelow(n)
+			exps[i] = r.RandBits(1 + r.Intn(exps[0].BitLen()+1))
+		}
+		exps[items-1] = mpint.Zero()
+		// A key small enough to find primes for on every input, its two factors
+		// of unequal length, and residues mod n = p·q for the fused kernel.
+		p, q := r.RandPrime(12+int(seed>>8%52)), r.RandPrime(12+int(seed>>16%52))
+		if mpint.Cmp(p, q) == 0 {
+			return
+		}
+		crt, err := mpint.NewCRT(p, q)
+		if err != nil {
+			t.Fatalf("NewCRT(%s, %s): %v", p, q, err)
+		}
+		n2 := mpint.NewMont(mpint.Mul(crt.N(), crt.N()))
+		xs := make([]mpint.Nat, items)
+		for i := range xs {
+			xs[i] = mpint.Mod(mpint.Add(a[i], mpint.FromUint64(uint64(i))), crt.N())
+		}
+		pos := int(seed >> 24 % 1000)
+
+		bn, bN := toBig(n), toBig(crt.N())
+		bN2 := new(big.Int).Mul(bN, bN)
+		cases := map[string]fuzzVecCase{
+			"mod_exp_vec": {
+				func() vecOp { return &modExpOp{newModVec(items, m), a, exps[0], mpint.CompileExpAuto(exps[0])} },
+				func(i int) *big.Int { return new(big.Int).Exp(toBig(a[i]), toBig(exps[0]), bn) }},
+			"pow_n_crt_vec": {
+				func() vecOp { return &powNOp{newModVec(items, n2), xs, crt} },
+				func(i int) *big.Int { return new(big.Int).Exp(toBig(xs[i]), bN, bN2) }},
+			"mod_exp_var_vec": {
+				func() vecOp { return &modExpVarOp{newModVec(items, m), a, exps} },
+				func(i int) *big.Int { return new(big.Int).Exp(toBig(a[i]), toBig(exps[i]), bn) }},
+			"fixed_base_exp_vec": {
+				func() vecOp { return &fixedBaseOp{newModVec(items, m), a[0], exps, int(seed >> 32 % 10), nil} },
+				func(i int) *big.Int { return new(big.Int).Exp(toBig(a[0]), toBig(exps[i]), bn) }},
+			"mod_mul_vec": {
+				func() vecOp { return &modMulOp{newModVec(items, m), a, b} },
+				func(i int) *big.Int { v := new(big.Int).Mul(toBig(a[i]), toBig(b[i])); return v.Mod(v, bn) }},
+			"rand_coprime_vec": {
+				func() vecOp { return &randCoprimeOp{outVec{make([]mpint.Nat, items)}, n, seed, pos} }, nil},
+		}
+		for name, c := range cases {
+			ref := c.mk()
+			if name != ref.name() {
+				t.Fatalf("case %s built a %s", name, ref.name())
+			}
+			if err := runOnHost(ref); err != nil {
+				t.Fatalf("%s on the host: %v", name, err)
+			}
+			for i, got := range ref.result() {
+				if v := ref.verify(i); mpint.Cmp(got, v) != 0 {
+					t.Fatalf("%s[%d] mod %s: lane %s, verify path %s", name, i, n, got, v)
+				}
+				if c.want != nil {
+					if w := c.want(i); toBig(got).Cmp(w) != 0 {
+						t.Fatalf("%s[%d] mod %s = %s, math/big says %s", name, i, n, got, w)
+					}
+				} else if g := toBig(got); g.Sign() <= 0 || g.Cmp(bn) >= 0 || new(big.Int).GCD(nil, nil, g, bn).Cmp(big.NewInt(1)) != 0 {
+					t.Fatalf("%s[%d] = %s is not a unit mod %s", name, i, got, n)
+				}
+			}
+			same := func(engine string, got []mpint.Nat, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s on %s: %v", name, engine, err)
+				}
+				for i, w := range ref.result() {
+					if mpint.Cmp(got[i], w) != 0 {
+						t.Fatalf("%s[%d] mod %s on %s = %s, the host loop says %s", name, i, n, engine, got[i], w)
+					}
+				}
+			}
+			bare, err := testEngine(t).run(c.mk())
+			same("the bare engine", bare, err)
+			for _, d := range []int{1, 3} {
+				chk := checkedSet(t, d, CheckedConfig{VerifyFraction: 0.5, VerifySeed: seed})
+				chk.Set().Device(int(seed >> 40 % uint64(d))).SetFaultInjector(
+					gpu.NewFaultInjector(gpu.FaultConfig{Seed: seed, KillAtLaunch: 1 + int64(seed>>48%3)}))
+				// Two ops, so a kill at the second or third launch lands with
+				// the fleet warm and, at D = 3, with peers to steal for it.
+				for round := 0; round < 2; round++ {
+					got, err := chk.run(c.mk())
+					same("the executor", got, err)
+				}
+			}
+		}
+	})
+}

@@ -1,0 +1,281 @@
+package ghe
+
+import (
+	"fmt"
+
+	"flbooster/internal/gpu"
+	"flbooster/internal/mpint"
+)
+
+// vecOp is one vector op with its operands: everything an engine needs to
+// run it, stated once. Engine launches it on a device, CPUEngine loops it on
+// the host, CheckedEngine shards, verifies, retries and fails it over, and
+// none of them knows which op it holds — a new op is one type in this file.
+type vecOp interface {
+	// name is the kernel name: what spans, errors and fault reports call it.
+	name() string
+	// kernel prices the op's launch on a device of the given warp size:
+	// register width, word-ops per item (the Eq. 10 compute term, in the
+	// modelled device's 32-bit words whatever the host multiplies with) and
+	// divergent lanes. The engine fills in the name, the item count and the
+	// poison hook.
+	kernel(warp int) gpu.Kernel
+	// h2d and d2h are the bytes one launch moves up and down, at the operands'
+	// true widths.
+	h2d() int64
+	d2h() int64
+	// setup runs the op's own preliminary stage, if it has one, ahead of the
+	// kernel — as a launch and an upload on dev, or directly on the host when
+	// dev is nil — and returns the table entries it built.
+	setup(dev *gpu.Device) (entries int, err error)
+	// lane computes element i into result()[i]; poison flips its low bit,
+	// the injected silent corruption only verification can catch.
+	lane(i int)
+	poison(i int)
+	// verify recomputes element i by arithmetic that shares nothing with
+	// lane, so one fault cannot corrupt both the result and its check.
+	verify(i int) mpint.Nat
+	// result is the output vector, one element per item, written in place.
+	result() []mpint.Nat
+	// slice is the op over items [lo, hi): the same arithmetic on the same
+	// elements at the same stream positions, writing result()[lo:hi].
+	slice(lo, hi int) vecOp
+}
+
+// shardOf is op restricted to sh. The shard that covers the op is the op.
+func shardOf(op vecOp, sh gpu.Shard) vecOp {
+	if sh.Len() == len(op.result()) {
+		return op
+	}
+	return op.slice(sh.Lo, sh.Hi)
+}
+
+// natBytes is the device-transfer size of a vector of k-limb values.
+func natBytes(n, k int) int64 { return int64(n) * int64(k) * 4 }
+
+// limbs32 is x's width in the modelled device's 32-bit words.
+func limbs32(x mpint.Nat) int { return (x.BitLen() + 31) / 32 }
+
+// maxBits is the widest element's bit length, at least 1.
+func maxBits(xs []mpint.Nat) int {
+	bits := 1
+	for _, x := range xs {
+		bits = max(bits, x.BitLen())
+	}
+	return bits
+}
+
+// outVec is the result vector every op embeds, with no set-up stage unless
+// the op declares one. A poisoned item keeps its limb layout, so an undetected
+// corruption stays a silent wrong value instead of crashing downstream
+// consumers.
+type outVec struct{ out []mpint.Nat }
+
+func (v outVec) result() []mpint.Nat            { return v.out }
+func (v outVec) setup(*gpu.Device) (int, error) { return 0, nil }
+
+func (v outVec) poison(i int) {
+	if v.out[i].Bit(0) == 0 {
+		v.out[i] = mpint.Add(v.out[i], mpint.One())
+	} else {
+		v.out[i] = mpint.Sub(v.out[i], mpint.One())
+	}
+}
+
+// modVec is what the five ops with residues mod m for results share: the
+// download width and a kernel as wide as the modulus.
+type modVec struct {
+	outVec
+	m *mpint.Mont
+}
+
+func newModVec(n int, m *mpint.Mont) modVec { return modVec{outVec{make([]mpint.Nat, n)}, m} }
+
+func (v modVec) sub(lo, hi int) modVec { return modVec{outVec{v.out[lo:hi]}, v.m} }
+func (v modVec) d2h() int64            { return natBytes(len(v.out), v.m.Limbs()) }
+func (v modVec) kern(wordOps int64) gpu.Kernel {
+	return gpu.Kernel{RegsPerThread: regsForLimbs(v.m.Limbs()), WordOps: wordOps}
+}
+
+// modExpOp is bases[i]^exp mod m. The exponent is shared by every element:
+// its window schedule is recoded once on the host and replayed per lane,
+// instead of rescanning the exponent bits in every thread. Verification
+// rescans them.
+type modExpOp struct {
+	modVec
+	bases []mpint.Nat
+	exp   mpint.Nat
+	sched *mpint.ExpSchedule
+}
+
+func (o *modExpOp) name() string { return "mod_exp_vec" }
+func (o *modExpOp) kernel(int) gpu.Kernel {
+	return o.kern(modExpWordOps(o.m.Limbs(), o.exp.BitLen()))
+}
+func (o *modExpOp) h2d() int64             { return natBytes(len(o.bases)+1, o.m.Limbs()) }
+func (o *modExpOp) lane(i int)             { o.out[i] = o.m.ExpSched(o.bases[i], o.sched) }
+func (o *modExpOp) verify(i int) mpint.Nat { return o.m.Exp(o.bases[i], o.exp) }
+func (o *modExpOp) slice(lo, hi int) vecOp {
+	return &modExpOp{o.sub(lo, hi), o.bases[lo:hi], o.exp, o.sched}
+}
+
+// powNOp is xs[i]^n mod n² through the factorisation of n = p·q that crt
+// compiles — the rⁿ noise terms of a key holder's encryptions — as one fused
+// kernel: per lane two half-width exponentiations per prime and Garner's
+// recombination (mpint.CRT.PowN), bit-identical with modExpOp{xs, n} at under
+// a third of its word-ops and half its register width. m is the context mod
+// n², the width of the results. The bases are residues mod n, half as wide
+// as the results, and the key's two exponent pairs and Garner constant ride
+// along as modExpOp's shared exponent does. Verification runs the n² sliding
+// window — the path a party without the factorisation runs, which shares no
+// stage, schedule or constant with the fused kernel, so a fault in any leg of
+// it (a wrong residue mod p² recombines into a valid but wrong element of
+// Z*ₙ²) cannot also corrupt the check.
+type powNOp struct {
+	modVec
+	xs  []mpint.Nat
+	crt *mpint.CRT
+}
+
+func (o *powNOp) name() string { return "pow_n_crt_vec" }
+func (o *powNOp) kernel(int) gpu.Kernel {
+	st := o.crt.Stages()
+	return gpu.Kernel{
+		RegsPerThread: regsForLimbs(max(st[1].Limbs, st[3].Limbs)), // the widest stage
+		WordOps:       powNWordOps(st),
+	}
+}
+func (o *powNOp) h2d() int64 {
+	st := o.crt.Stages()
+	return natBytes(len(o.xs), limbs32(o.crt.N())) + natBytes(1, 2*st[0].Limbs+2*st[2].Limbs+st[1].Limbs)
+}
+func (o *powNOp) lane(i int)             { o.out[i] = o.crt.PowN(o.xs[i]) }
+func (o *powNOp) verify(i int) mpint.Nat { return o.m.Exp(o.xs[i], o.crt.N()) }
+func (o *powNOp) slice(lo, hi int) vecOp { return &powNOp{o.sub(lo, hi), o.xs[lo:hi], o.crt} }
+
+// modExpVarOp is bases[i]^exps[i] mod m, priced at the widest exponent of
+// the launch. Variable exponents make warp lanes take different window paths.
+type modExpVarOp struct {
+	modVec
+	bases, exps []mpint.Nat
+}
+
+func (o *modExpVarOp) name() string { return "mod_exp_var_vec" }
+func (o *modExpVarOp) kernel(warp int) gpu.Kernel {
+	k := o.kern(modExpWordOps(o.m.Limbs(), maxBits(o.exps)))
+	k.DivergentLanes = warp / 2
+	return k
+}
+func (o *modExpVarOp) h2d() int64             { return 2 * natBytes(len(o.bases), o.m.Limbs()) }
+func (o *modExpVarOp) lane(i int)             { o.out[i] = o.m.Exp(o.bases[i], o.exps[i]) }
+func (o *modExpVarOp) verify(i int) mpint.Nat { return o.m.Exp(o.bases[i], o.exps[i]) }
+func (o *modExpVarOp) slice(lo, hi int) vecOp {
+	return &modExpVarOp{o.sub(lo, hi), o.bases[lo:hi], o.exps[lo:hi]}
+}
+
+// fixedBaseOp is base^exps[i] mod m — fixed-generator commitments. Unlike
+// modExpVarOp the base is shared: its set-up stage precomputes a Lim–Lee comb
+// table at the height that minimizes total multiplies for the launch and
+// ships it to the device, and every element then costs ~⌈bits/h⌉ multiplies
+// instead of ~1.2·bits (internal/mpint/fixedbase.go, DESIGN.md §10). Each
+// shard builds its own table for its own exponents — results are canonical
+// residues either way, so a shard boundary cannot change a bit. Verification
+// runs the generic sliding window, a path independent of the comb, so a
+// corrupted table entry (which would skew every element it feeds) cannot also
+// corrupt the check.
+type fixedBaseOp struct {
+	modVec
+	base mpint.Nat
+	exps []mpint.Nat
+	h    int                   // the caller's comb height; ≤ 0 auto-picks
+	tbl  *mpint.FixedBaseTable // built by setup, for this launch's exponents
+}
+
+func (o *fixedBaseOp) name() string { return "fixed_base_exp_vec" }
+
+// comb is the widest exponent of the launch and the comb height for it.
+func (o *fixedBaseOp) comb() (bits, h int) {
+	bits, h = maxBits(o.exps), o.h
+	if h <= 0 {
+		h = mpint.ChooseFixedBaseHeight(bits, len(o.exps))
+	}
+	return bits, mpint.ClampFixedBaseHeight(h, bits)
+}
+
+func (o *fixedBaseOp) kernel(warp int) gpu.Kernel {
+	bits, h := o.comb()
+	k := o.kern(fixedBaseExpWordOps(o.m.Limbs(), bits, h))
+	// Different exponents select different comb columns per lane.
+	k.DivergentLanes = warp / 2
+	return k
+}
+
+// setup builds the table as a one-item launch so its reduced-but-real cost
+// lands on the simulated clock (and in the trace as a fixed_base_table span),
+// amortized across the whole vector; the finished table ships to the device
+// once, 2^h entries of k limbs.
+func (o *fixedBaseOp) setup(dev *gpu.Device) (int, error) {
+	bits, h := o.comb()
+	build := func(int) { o.tbl = mpint.NewFixedBaseTable(o.m, o.base, bits, h) }
+	if dev == nil {
+		build(0)
+		return o.tbl.Entries(), nil
+	}
+	kern := o.kern(fixedBaseTableWordOps(o.m.Limbs(), bits, h))
+	kern.Name, kern.Items = "fixed_base_table", 1
+	if _, err := dev.Launch(kern, build); err != nil {
+		return 0, fmt.Errorf("table build: %w", err)
+	}
+	dev.CopyToDevice(natBytes(o.tbl.Entries(), o.m.Limbs()))
+	return o.tbl.Entries(), nil
+}
+func (o *fixedBaseOp) h2d() int64             { return natBytes(len(o.exps)+1, o.m.Limbs()) }
+func (o *fixedBaseOp) lane(i int)             { o.out[i] = o.tbl.Exp(o.exps[i]) }
+func (o *fixedBaseOp) verify(i int) mpint.Nat { return o.m.Exp(o.base, o.exps[i]) }
+func (o *fixedBaseOp) slice(lo, hi int) vecOp {
+	return &fixedBaseOp{o.sub(lo, hi), o.base, o.exps[lo:hi], o.h, nil}
+}
+
+// modMulOp is a[i]·b[i] mod m in two Montgomery multiplies, (a·R)·b·R⁻¹:
+// only one operand needs to be in Montgomery form for the product to come
+// out of it. The charge prices the modelled device kernel — two
+// to-Montgomery conversions plus the multiply, as the paper's pipeline runs
+// it — and stays at three multiplies whatever the host does. Verification
+// takes the plain (non-Montgomery) path, so a systematic kernel error cannot
+// also corrupt the check.
+type modMulOp struct {
+	modVec
+	a, b []mpint.Nat
+}
+
+func (o *modMulOp) name() string           { return "mod_mul_vec" }
+func (o *modMulOp) kernel(int) gpu.Kernel  { return o.kern(3 * montMulWordOps(o.m.Limbs())) }
+func (o *modMulOp) h2d() int64             { return 2 * natBytes(len(o.a), o.m.Limbs()) }
+func (o *modMulOp) lane(i int)             { o.out[i] = o.m.Mul(o.m.ToMont(o.a[i]), o.b[i]) }
+func (o *modMulOp) verify(i int) mpint.Nat { return mpint.ModMul(o.a[i], o.b[i], o.m.N()) }
+func (o *modMulOp) slice(lo, hi int) vecOp { return &modMulOp{o.sub(lo, hi), o.a[lo:hi], o.b[lo:hi]} }
+
+// randCoprimeOp is items [pos, pos+n) of the (seed, mod) nonce stream: values
+// uniform in [1, mod) and coprime with it, the r of a batch of Paillier
+// encryptions. Each lane's generator is keyed by its global stream position,
+// one per thread as the paper assigns them, so a shard draws the values the
+// whole batch would have at those positions whichever device serves it, and
+// verification redraws a sampled position from scratch. Nothing is uploaded.
+type randCoprimeOp struct {
+	outVec
+	mod  mpint.Nat
+	seed uint64
+	pos  int
+}
+
+func (o *randCoprimeOp) name() string { return "rand_coprime_vec" }
+func (o *randCoprimeOp) kernel(int) gpu.Kernel {
+	return gpu.Kernel{RegsPerThread: 24, WordOps: int64(4 * limbs32(o.mod))}
+}
+func (o *randCoprimeOp) h2d() int64             { return 0 }
+func (o *randCoprimeOp) d2h() int64             { return natBytes(len(o.out), limbs32(o.mod)) }
+func (o *randCoprimeOp) lane(i int)             { o.out[i] = randCoprimeAt(o.seed, o.pos+i, o.mod) }
+func (o *randCoprimeOp) verify(i int) mpint.Nat { return randCoprimeAt(o.seed, o.pos+i, o.mod) }
+func (o *randCoprimeOp) slice(lo, hi int) vecOp {
+	return &randCoprimeOp{outVec{o.out[lo:hi]}, o.mod, o.seed, o.pos + lo}
+}

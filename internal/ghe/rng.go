@@ -8,11 +8,10 @@ import (
 	"flbooster/internal/mpint"
 )
 
-// Per-item stream derivation, shared by the device kernels, the host
-// fallback engine, and the CheckedEngine's verifier: each item owns an RNG
-// seeded from (seed, item index), so results are reproducible,
-// order-independent across the worker pool, and bit-exact between the
-// device and host paths.
+// Per-item stream derivation, shared by the nonce op's lane (on a device or
+// on the host) and its verifier: each item owns an RNG seeded from (seed,
+// item index), so results are reproducible, order-independent across the
+// worker pool, and bit-exact between the device and host paths.
 
 // randBitsAt is item i of a RandVec(bits, seed) stream.
 func randBitsAt(seed uint64, i, bits int) mpint.Nat {
@@ -37,7 +36,7 @@ func (e *Engine) RandVec(n, bits int, seed uint64) ([]mpint.Nat, error) {
 		Items:         n,
 		RegsPerThread: 16,
 		WordOps:       int64((bits + 31) / 32),
-		Poison:        poisonOut(out),
+		Poison:        outVec{out}.poison,
 	}
 	if _, err := e.dev.Launch(kern, func(i int) {
 		out[i] = randBitsAt(seed, i, bits)
@@ -45,40 +44,6 @@ func (e *Engine) RandVec(n, bits int, seed uint64) ([]mpint.Nat, error) {
 		return nil, fmt.Errorf("ghe: RandVec: %w", err)
 	}
 	e.dev.CopyFromDevice(natBytes(n, (bits+31)/32))
-	return out, nil
-}
-
-// RandCoprimeVec generates n values uniform in [1, m) and coprime with m —
-// the r parameters of a batch of Paillier encryptions.
-func (e *Engine) RandCoprimeVec(n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
-	return e.RandCoprimeRange(0, n, m, seed)
-}
-
-// RandCoprimeRange generates items [base, base+n) of the RandCoprimeVec(m,
-// seed) stream: each thread's generator is keyed by its global stream
-// position, so a sharded batch draws the values the whole batch would have
-// at those positions whatever the shard boundaries.
-func (e *Engine) RandCoprimeRange(base, n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
-	if base < 0 {
-		return nil, fmt.Errorf("ghe: RandCoprimeRange negative base %d", base)
-	}
-	if m.IsZero() || m.IsOne() {
-		return nil, fmt.Errorf("ghe: RandCoprimeRange modulus must be > 1")
-	}
-	out := make([]mpint.Nat, n)
-	kern := gpu.Kernel{
-		Name:          "rand_coprime_vec",
-		Items:         n,
-		RegsPerThread: 24,
-		WordOps:       int64(4 * ((m.BitLen() + 31) / 32)),
-		Poison:        poisonOut(out),
-	}
-	if _, err := e.dev.Launch(kern, func(i int) {
-		out[i] = randCoprimeAt(seed, base+i, m)
-	}); err != nil {
-		return nil, fmt.Errorf("ghe: RandCoprimeRange: %w", err)
-	}
-	e.dev.CopyFromDevice(natBytes(n, (m.BitLen()+31)/32))
 	return out, nil
 }
 

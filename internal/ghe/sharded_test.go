@@ -1,23 +1,18 @@
 package ghe
 
 import (
+	"sync"
 	"testing"
 
 	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
 )
 
-func testShardedEngine(t testing.TB, d int) *ShardedEngine {
+// testExecutor is the executor over d devices with a fifth of every
+// shard verified.
+func testExecutor(t testing.TB, d int) *CheckedEngine {
 	t.Helper()
-	set, err := gpu.NewDeviceSet(gpu.SmallTestDevice(), true, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := NewShardedEngine(set, CheckedConfig{VerifyFraction: 0.2, VerifySeed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return checkedSet(t, d, CheckedConfig{VerifyFraction: 0.2, VerifySeed: 11})
 }
 
 func sameVec(t *testing.T, tag string, got, want []mpint.Nat) {
@@ -44,7 +39,7 @@ func TestShardedMatchesSequentialEveryOp(t *testing.T) {
 
 	for _, d := range []int{1, 2, 4, 8} {
 		for _, n := range []int{1, 3, 37} {
-			sh := testShardedEngine(t, d)
+			sh := testExecutor(t, d)
 			rr := mpint.NewRNG(9)
 			bases := randVec(rr, n, nmod)
 			exps := make([]mpint.Nat, n)
@@ -146,7 +141,7 @@ func TestShardedMidBatchKill(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sh := testShardedEngine(t, 4)
+	sh := testExecutor(t, 4)
 	// Short backoff keeps the test fast; the scheduler's correctness must not
 	// depend on the retry budget's timing.
 	sh.Set().Device(2).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 3, KillAtLaunch: 1}))
@@ -160,8 +155,22 @@ func TestShardedMidBatchKill(t *testing.T) {
 	if st.Steals == 0 {
 		t.Fatalf("expected stolen shards, set stats %+v", st)
 	}
-	if cs := sh.Stats(); cs.LaunchFaults == 0 {
+	cs := sh.Stats()
+	if cs.LaunchFaults == 0 || !cs.FellBack {
 		t.Fatalf("checked layer should have observed the faults: %+v", cs)
+	}
+	// The scheduler owns failover: the dead member's shard went to its peers,
+	// not to the host, and served directly the member surfaces a typed fault —
+	// never a silent host result.
+	if cs.FallbackOps != 0 || st.HostShards != 0 {
+		t.Fatalf("a member served its shard from the host: %+v, set %+v", cs, st)
+	}
+	sh.op = &modExpOp{newModVec(4, m), bases[:4], exp, mpint.CompileExpAuto(exp)}
+	if err := sh.onMember(2, gpu.Shard{Hi: 4}); !gpu.IsKernelError(err) {
+		t.Fatalf("dead member returned %v, want a typed *gpu.KernelError", err)
+	}
+	if cs := sh.Stats(); cs.FallbackOps != 0 {
+		t.Fatalf("the member path must never serve from the host: %+v", cs)
 	}
 	// Subsequent ops skip the dead device entirely and still match.
 	got2, err := sh.ModExpVec(bases, exp, m)
@@ -181,7 +190,7 @@ func TestShardedAllDevicesDeadFallsBackToHost(t *testing.T) {
 	bases := randVec(r, n, nmod)
 	exp := r.RandBits(64)
 
-	sh := testShardedEngine(t, 2)
+	sh := testExecutor(t, 2)
 	for i := 0; i < 2; i++ {
 		sh.Set().Device(i).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: uint64(i + 1), KillAtLaunch: 1}))
 	}
@@ -199,28 +208,43 @@ func TestShardedAllDevicesDeadFallsBackToHost(t *testing.T) {
 	}
 }
 
-// TestCheckedNoHostFallbackSurfacesTypedError: the scheduler-facing mode
-// must surface typed kernel errors instead of silently serving from the CPU.
-func TestCheckedNoHostFallbackSurfacesTypedError(t *testing.T) {
-	dev := gpu.MustNew(gpu.SmallTestDevice(), true)
-	dev.SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 1}))
-	c := MustCheckedEngine(MustEngine(dev), CheckedConfig{NoHostFallback: true})
+// TestShardedConcurrentCallers: the executor keeps the op in flight as engine
+// state, so callers on several goroutines must serialise on it and each get
+// its own op's vector back.
+func TestShardedConcurrentCallers(t *testing.T) {
 	r := mpint.NewRNG(8)
 	nmod := r.RandPrime(96)
 	m := mpint.NewMont(nmod)
-	_, err := c.ModExpVec(randVec(r, 4, nmod), r.RandBits(32), m)
-	if err == nil {
-		t.Fatal("dead device with NoHostFallback must error")
+	seq := testEngine(t)
+	sh := testExecutor(t, 3)
+	const callers = 8
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		a, b := randVec(r, 5+g, nmod), randVec(r, 5+g, nmod)
+		want, err := seq.ModMulVec(a, b, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				got, err := sh.ModMulVec(a, b, m)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range want {
+					if mpint.Cmp(got[i], want[i]) != 0 {
+						t.Errorf("caller with %d items: element %d is another op's", len(a), i)
+						return
+					}
+				}
+			}
+		}()
 	}
-	if !gpu.IsKernelError(err) {
-		t.Fatalf("want typed *gpu.KernelError, got %v", err)
-	}
-	if st := c.Stats(); st.FallbackOps != 0 {
-		t.Fatalf("NoHostFallback must never serve from the host: %+v", st)
-	}
-	// The fellBack latch also surfaces typed, without touching the host.
-	_, err = c.ModExpVec(randVec(r, 4, nmod), r.RandBits(32), m)
-	if !gpu.IsKernelError(err) {
-		t.Fatalf("latched failure must stay typed, got %v", err)
+	wg.Wait()
+	if st := sh.Stats(); st.Ops != callers*20 {
+		t.Fatalf("%d ops counted, want %d", st.Ops, callers*20)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // rangeEngine is what the nonce-stream tests need of a substrate: the
-// whole-batch draw and the positional one the sharded engine calls per shard.
+// whole-batch draw and the positional one.
 type rangeEngine interface {
 	RandCoprimeVec(n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error)
 	RandCoprimeRange(base, n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error)
@@ -85,7 +85,7 @@ func TestRandCoprimeRangeSurvivesRetry(t *testing.T) {
 	c := checkedEngine(t,
 		gpu.FaultConfig{Seed: 3, CorruptProb: 0.5},
 		CheckedConfig{MaxRetries: 8, VerifyFraction: 1})
-	c.Device().SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 1, FailAfter: 1 << 30})
+	c.Set().Device(0).SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 1, FailAfter: 1 << 30})
 	r := mpint.NewRNG(42)
 	n := r.RandPrime(96)
 	const items, seed = 32, 777
@@ -133,8 +133,8 @@ func TestRandCoprimeRangeSurvivesFailover(t *testing.T) {
 	if !st.FellBack || st.FallbackOps == 0 {
 		t.Fatalf("expected permanent failover mid-stream, got %+v", st)
 	}
-	if c.Device().Health() != gpu.DeviceFailed {
-		t.Fatalf("device health = %s, want failed", c.Device().Health())
+	if c.Set().Device(0).Health() != gpu.DeviceFailed {
+		t.Fatalf("device health = %s, want failed", c.Set().Device(0).Health())
 	}
 }
 

@@ -43,16 +43,23 @@ func SplitShards(n, parts int) []Shard {
 		parts = n
 	}
 	out := make([]Shard, parts)
-	lo := 0
 	for i := range out {
-		size := n / parts
-		if i < n%parts {
-			size++
-		}
-		out[i] = Shard{Lo: lo, Hi: lo + size}
-		lo += size
+		out[i] = Shard{Hi: n}.piece(parts, i)
 	}
 	return out
+}
+
+// piece returns piece j of the shard cut into `parts` contiguous near-equal
+// pieces, the first Len()%parts of them one item longer. parts is in
+// [1, Len()] and j in [0, parts).
+func (s Shard) piece(parts, j int) Shard {
+	q, r := s.Len()/parts, s.Len()%parts
+	lo := s.Lo + j*q + min(j, r)
+	hi := lo + q
+	if j < r {
+		hi++
+	}
+	return Shard{Lo: lo, Hi: hi}
 }
 
 // SetStats aggregates the scheduler's activity. Per-device kernel/copy/fault
@@ -81,7 +88,7 @@ type SetStats struct {
 	// measured scaling efficiency.
 	SimSequentialTime time.Duration
 	// HostSim is the wall time of host-fallback shards, charged to the
-	// set's clock (degraded-mode cost, like CheckedEngine fallback).
+	// set's clock (degraded-mode cost).
 	HostSim time.Duration
 }
 
@@ -92,12 +99,29 @@ type DeviceSet struct {
 	mu    sync.Mutex
 	stats SetStats
 
+	// Scheduler scratch, owned by the one op that holds mu: the devices it
+	// may still use, the item ranges still to run, and each device's share of
+	// the current wave, indexed by device.
+	elig    []int
+	pending []Shard
+	wave    []devWave
+
 	// Peer-to-peer topology: when a rate is configured, a stolen shard's
 	// input migrates over the modelled device interconnect (charged to the
 	// stealing device); with the zero value migration repays only the H2D
 	// re-upload its rerun performs.
 	p2pLatencySec  float64
 	p2pBytesPerSec float64
+}
+
+// devWave is one device's share of a wave: the shards queued on it and its
+// clock before them; then, written by the one goroutine serving the device,
+// how many shards it finished and the error that stopped it short.
+type devWave struct {
+	shards []Shard
+	base   time.Duration
+	done   int
+	err    error
 }
 
 // NewDeviceSet builds n devices from one configuration. Each device gets its
@@ -120,7 +144,7 @@ func NewDeviceSet(cfg Config, fineRM bool, n int) (*DeviceSet, error) {
 		d.SetDeviceLabel(fmt.Sprintf("dev%d", i))
 		devs[i] = d
 	}
-	return &DeviceSet{devs: devs}, nil
+	return &DeviceSet{devs: devs, wave: make([]devWave, n)}, nil
 }
 
 // Size returns the device count.
@@ -235,18 +259,12 @@ type ShardOp struct {
 	Host func(sh Shard) error
 }
 
-// devOutcome is one device's result for a wave: the shards it could not
-// finish (typed failures re-queue them) or a fatal non-device error.
-type devOutcome struct {
-	failed []Shard
-	fatal  error
-}
-
 // Run executes op across the set: split into one shard per eligible device,
-// run the wave in parallel (each device walks its shards in order on its
-// own goroutine), then re-queue anything a faulted device left behind onto
-// the remaining devices — subdivided, so stolen work is itself parallel —
-// until the op completes, falling back to the host when no device remains.
+// run the wave in parallel (each device walks its shards in order; a wave of
+// several devices gives each its own goroutine, a wave of one runs on the
+// caller's), then re-queue anything a faulted device left behind onto the
+// remaining devices — subdivided, so stolen work is itself parallel — until
+// the op completes, falling back to the host when no device remains.
 //
 // Accounting merges the per-device clocks into a measured parallel span:
 // each wave contributes the maximum modelled-time delta across its
@@ -266,133 +284,116 @@ func (s *DeviceSet) Run(op ShardOp) error {
 	if op.Items <= 0 {
 		return nil
 	}
-
-	excluded := make([]bool, len(s.devs))
-	eligible := func() []int {
-		var ids []int
-		for i, d := range s.devs {
-			if !excluded[i] && d.Health() != DeviceFailed {
-				ids = append(ids, i)
-			}
-		}
-		return ids
+	s.elig = s.elig[:0]
+	for i := range s.devs {
+		s.wave[i].err = nil
+		s.elig = append(s.elig, i)
 	}
-
-	// assignment maps device → its queued shards for the current wave.
-	assignment := make(map[int][]Shard)
-	elig := eligible()
-	pending := []Shard{{Lo: 0, Hi: op.Items}}
+	s.pending = append(s.pending[:0], Shard{Hi: op.Items})
 	var lastErr error
 
-	for wave := 0; ; wave++ {
+	for wave := 0; len(s.pending) > 0; wave++ {
+		// A device that failed a shard during this op is excluded from its
+		// rework, so a flaky-but-alive device cannot reabsorb work it keeps
+		// failing; a Failed one is excluded from the start.
+		kept := s.elig[:0]
+		for _, dev := range s.elig {
+			if s.wave[dev].err == nil && s.devs[dev].Health() != DeviceFailed {
+				kept = append(kept, dev)
+			}
+		}
+		s.elig = kept
+		if len(s.elig) == 0 {
+			return s.runHostLocked(op, s.pending, lastErr)
+		}
 		// Distribute the pending ranges: each splits across every eligible
 		// device, so wave 0 is the even initial split and rework waves spread
 		// a dead device's remainder instead of serializing it on one peer.
-		if len(elig) == 0 {
-			return s.runHostLocked(op, pending, lastErr)
-		}
-		migration := make(map[int]time.Duration)
-		for _, rng := range pending {
-			pieces := SplitShards(rng.Len(), len(elig))
-			for j, p := range pieces {
-				dev := elig[j%len(elig)]
-				sh := Shard{Lo: rng.Lo + p.Lo, Hi: rng.Lo + p.Hi}
-				assignment[dev] = append(assignment[dev], sh)
+		// Piece j goes to eligible device j, so the wave's devices are a
+		// prefix of elig.
+		busy := s.elig[:0]
+		for _, rng := range s.pending {
+			parts := min(len(s.elig), rng.Len())
+			busy = s.elig[:max(len(busy), parts)]
+			for j := 0; j < parts; j++ {
+				sh, dev := rng.piece(parts, j), s.devs[s.elig[j]]
+				w := &s.wave[s.elig[j]]
+				if len(w.shards) == 0 {
+					w.base = dev.Stats().SimTimeOverlapped()
+				}
+				w.shards = append(w.shards, sh)
 				s.stats.Shards++
 				if wave > 0 {
 					s.stats.Steals++
 					// The faulted device's staged input migrates to the stealer
-					// over the interconnect; charged inside the wave below so
+					// over the interconnect; charged after the base reading so
 					// the merged span includes it.
-					migration[dev] += s.p2pTimeLocked(int64(sh.Len()) * op.BytesPerItem)
+					dev.ChargeFaultTime(s.p2pTimeLocked(int64(sh.Len()) * op.BytesPerItem))
 				}
 			}
 		}
-		pending = pending[:0]
+		s.pending = s.pending[:0]
 
-		// One wave: every assigned device runs its shards in order on its own
-		// goroutine; per-device clocks advance independently.
-		base := make(map[int]time.Duration, len(assignment))
-		for dev := range assignment {
-			base[dev] = s.devs[dev].Stats().SimTimeOverlapped()
+		// One wave: per-device clocks advance independently.
+		if len(busy) == 1 {
+			s.serve(op.Run, busy[0])
+		} else {
+			run := op.Run
+			var wg sync.WaitGroup
+			for _, dev := range busy {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					s.serve(run, dev)
+				}()
+			}
+			wg.Wait()
 		}
-		for dev, dur := range migration {
-			s.devs[dev].ChargeFaultTime(dur)
-		}
-		outcomes := make(map[int]*devOutcome, len(assignment))
-		var wg sync.WaitGroup
-		var omu sync.Mutex
-		for dev, shards := range assignment {
-			wg.Add(1)
-			go func(dev int, shards []Shard) {
-				defer wg.Done()
-				out := &devOutcome{}
-				for k, sh := range shards {
-					if err := op.Run(dev, sh); err != nil {
-						if !IsKernelError(err) {
-							out.fatal = err
-						} else {
-							out.failed = append([]Shard{}, shards[k:]...)
-							out.fatal = nil
-							omu.Lock()
-							outcomes[dev] = out
-							omu.Unlock()
-							return
-						}
-						omu.Lock()
-						outcomes[dev] = out
-						omu.Unlock()
-						return
-					}
-				}
-				omu.Lock()
-				outcomes[dev] = out
-				omu.Unlock()
-			}(dev, shards)
-		}
-		wg.Wait()
 
 		// Merge the wave's clocks: parallel span is the slowest device's
 		// delta, never the sum — an idle device charges nothing.
 		var span, seq time.Duration
-		for dev := range assignment {
-			delta := s.devs[dev].Stats().SimTimeOverlapped() - base[dev]
-			if delta < 0 {
-				delta = 0
-			}
+		var fatal error
+		for _, dev := range busy {
+			w := &s.wave[dev]
+			delta := max(s.devs[dev].Stats().SimTimeOverlapped()-w.base, 0)
 			seq += delta
-			if delta > span {
-				span = delta
+			span = max(span, delta)
+			switch {
+			case w.err == nil:
+			case !IsKernelError(w.err):
+				if fatal == nil {
+					fatal = fmt.Errorf("gpu: sharded %s on dev%d: %w", op.Name, dev, w.err)
+				}
+			default:
+				s.pending = append(s.pending, w.shards[w.done:]...)
+				if lastErr == nil {
+					lastErr = fmt.Errorf("gpu: sharded %s: dev%d faulted", op.Name, dev)
+				}
 			}
+			w.shards = w.shards[:0]
 		}
 		s.stats.SimParallelTime += span
 		s.stats.SimSequentialTime += seq
 		if wave > 0 {
 			s.stats.RebalanceSim += span
 		}
+		if fatal != nil {
+			return fatal
+		}
+	}
+	return nil
+}
 
-		for dev := range assignment {
-			delete(assignment, dev)
+// serve walks dev's queue for the current wave in order and stops at the
+// first shard that fails: a typed *KernelError re-queues the rest, any other
+// error aborts the op.
+func (s *DeviceSet) serve(run func(devID int, sh Shard) error, dev int) {
+	w := &s.wave[dev]
+	for w.done = 0; w.done < len(w.shards); w.done++ {
+		if w.err = run(dev, w.shards[w.done]); w.err != nil {
+			return
 		}
-		for dev, out := range outcomes {
-			if out.fatal != nil {
-				return fmt.Errorf("gpu: sharded %s on dev%d: %w", op.Name, dev, out.fatal)
-			}
-			if len(out.failed) > 0 {
-				// This device failed a shard during this op: exclude it from
-				// the rework so a flaky-but-alive device cannot reabsorb work
-				// it keeps failing.
-				excluded[dev] = true
-				pending = append(pending, out.failed...)
-				if lastErr == nil {
-					lastErr = fmt.Errorf("gpu: sharded %s: dev%d faulted", op.Name, dev)
-				}
-			}
-		}
-		if len(pending) == 0 {
-			return nil
-		}
-		elig = eligible()
 	}
 }
 

@@ -22,8 +22,8 @@ type Span struct {
 	// Lane is the execution lane within the party: "gpu.kernel", "gpu.h2d",
 	// "pipe.compute", "fl.round", "fl.tree", ...
 	Lane string
-	// Device identifies which member of a multi-device set emitted the span
-	// ("dev0"…). Empty for single-device and non-device spans.
+	// Device identifies which member of a device set emitted the span
+	// ("dev0"…). Empty for a standalone device's spans and non-device spans.
 	Device string
 	// Start and Dur locate the span on the simulated clock. Wall time never
 	// appears here — that is what keeps same-seed traces byte-identical.

@@ -85,8 +85,9 @@ func (CPUBackend) MulPlainVec(pk *PublicKey, cs []Ciphertext, ks []mpint.Nat) ([
 // GPUBackend lowers batched operations onto the GPU-HE engine, following the
 // pipeline of Fig. 4: convert, copy to device, compute in parallel, copy
 // back. The engine is any ghe.VectorEngine — the raw device engine, the
-// checked wrapper with retry/verify/fallback, or the pure-host fallback —
-// so the backend degrades between substrates without code changes.
+// checked executor over a device set (retry/verify/steal/fallback), or the
+// pure-host engine — so the backend degrades between substrates without code
+// changes.
 type GPUBackend struct {
 	Engine ghe.VectorEngine
 }

@@ -32,8 +32,11 @@ func keyOfSize(t testing.TB, bits int) *PrivateKey {
 func vectorEngines(t testing.TB) map[string]ghe.VectorEngine {
 	t.Helper()
 	eng := ghe.MustEngine(gpu.MustNew(gpu.SmallTestDevice(), true))
-	ceng := ghe.MustEngine(gpu.MustNew(gpu.SmallTestDevice(), true))
-	checked, err := ghe.NewCheckedEngine(ceng, ghe.CheckedConfig{})
+	set, err := gpu.NewDeviceSet(gpu.SmallTestDevice(), true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked, err := ghe.NewCheckedEngine(set, ghe.CheckedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

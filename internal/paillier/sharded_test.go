@@ -8,14 +8,15 @@ import (
 	"flbooster/internal/mpint"
 )
 
-// shardedBackend builds a GPUBackend over a D-device sharded engine.
-func shardedBackend(t testing.TB, d int) (*GPUBackend, *ghe.ShardedEngine) {
+// shardedBackend builds a GPUBackend over the checked engine of a D-device
+// set.
+func shardedBackend(t testing.TB, d int) (*GPUBackend, *ghe.CheckedEngine) {
 	t.Helper()
 	set, err := gpu.NewDeviceSet(gpu.SmallTestDevice(), true, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := ghe.NewShardedEngine(set, ghe.CheckedConfig{VerifyFraction: 0.1, VerifySeed: 5})
+	eng, err := ghe.NewCheckedEngine(set, ghe.CheckedConfig{VerifyFraction: 0.1, VerifySeed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
