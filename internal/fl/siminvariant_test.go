@@ -31,21 +31,29 @@ func simFields(s CostSnapshot) string {
 // lowered HESim from 316765 to 307957 (flat) and from 1148905 to 1144073
 // (cohort-tree) and left every other field, every count and every wire byte
 // where the 32-bit-limb parent had them.
+//
+// The 256-bit legs run on 2- to 8-limb operands, under every threshold of the
+// host kernels; the 1,024-bit flat leg (16-limb p², 32-limb n²) was recorded
+// on the scalar rows, before the radix-2⁵² chain kernel (mpint's amm52) took
+// over exponentiations at that size, and holds under it.
 func TestSimInvariantUnderHostKernel(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
+		bits    int
 		parties int
 		cohort  CohortPolicy
 		dim     int
 		want    string
 	}{
-		{name: "flat", parties: 4, dim: 200,
+		{name: "flat", bits: 256, parties: 4, dim: 200,
 			want: "HESim=307957 HEOps=232 Instances=1087 CommSim=187326662 CommBytes=16099 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 Ciphertexts=116 Plainvals=800"},
-		{name: "cohort-tree", parties: 64, cohort: CohortPolicy{Size: 16, Fanout: 4, MaxInflight: 8}, dim: 24,
+		{name: "cohort-tree", bits: 256, parties: 64, cohort: CohortPolicy{Size: 16, Fanout: 4, MaxInflight: 8}, dim: 24,
 			want: "HESim=1144073 HEOps=128 Instances=468 CommSim=458133319 CommBytes=11720 CommMsgs=38 RetryMsgs=0 EncodeSim=13440 EncodeVals=384 Ciphertexts=64 Plainvals=384"},
+		{name: "flat-1024", bits: 1024, parties: 4, dim: 200,
+			want: "HESim=403194 HEOps=56 Instances=1021 CommSim=179253332 CommBytes=14888 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 Ciphertexts=28 Plainvals=800"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := NewProfile(SystemFLBooster, 256, tc.parties)
+			p := NewProfile(SystemFLBooster, tc.bits, tc.parties)
 			p.Seed = 13
 			p.Cohort = tc.cohort
 			ctx, err := NewContext(p)
