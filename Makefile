@@ -17,9 +17,9 @@ STATICCHECK ?= staticcheck
 
 .PHONY: build test vet lint race fuzz bench-smoke benchmark-smoke bench-fresh soak-smoke scale-smoke devset-smoke check resilience devfault soak scale devset
 
-# mpint's row kernel has an assembly body on amd64 only; cross-building for
-# arm64 (the standard library cross-compiles offline) keeps the generic file
-# and its tests compiling on an amd64-only CI.
+# mpint's kernels (the addMulVW row, the amm52 digit chain) are assembly on
+# amd64 only; cross-building for arm64 (the standard library cross-compiles
+# offline) keeps the generic file and its tests compiling on an amd64-only CI.
 build:
 	$(GO) build ./...
 	GOARCH=arm64 $(GO) build ./...
@@ -65,9 +65,15 @@ race:
 # the mpint arithmetic kernels differentially against math/big (seed corpus on
 # the limb boundaries) — the factorised x^(pq) mod (pq)² plan and the scratch
 # division under it included, the fixed-base comb table, the Montgomery
-# targets under every body of the addMulVW row kernel, and the row itself
+# targets under every body the host has (mulq, adx, and ifma52+adx where the
+# CPU and the OS allow: exponentiation chains on 52-bit digits), the row itself
 # (FuzzAddMulVW: assembly bodies against the Go loop against math/big at every
-# unroll tail, guard limbs intact) — the Paillier key decoders
+# unroll tail, guard limbs intact) and the digit chain's kernel itself
+# (FuzzAMM52, corpus under internal/mpint/testdata/fuzz: a·b·2^(−52d) mod n
+# below 2n, every digit normalised, nothing written outside the destination,
+# the destination aliasing either operand, at every digit count from 1 to 208
+# and every load alignment; skipped with a logged line on a CPU without
+# AVX-512 IFMA) — the Paillier key decoders
 # (FuzzUnmarshalKeys: any bytes reject with a nil key or decode to a key that
 # re-encodes to the same components, never a panic) — the decryptor side
 # of the vertical return path (any plaintexts against any declared value count
@@ -94,6 +100,7 @@ fuzz:
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzDivInto$$' -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzFixedBaseExp$$' -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzAddMulVW$$' -fuzztime 10s
+	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzAMM52$$' -fuzztime 10s
 	$(GO) test ./internal/paillier -run '^$$' -fuzz FuzzUnmarshalKeys -fuzztime 10s
 	$(GO) test ./internal/ghe -run '^$$' -fuzz FuzzVecOps -fuzztime 10s
 

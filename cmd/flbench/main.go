@@ -37,6 +37,7 @@ import (
 	"strings"
 
 	"flbooster/internal/bench"
+	"flbooster/internal/mpint"
 )
 
 func main() {
@@ -106,6 +107,9 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	// Which kernels produced the host-clock columns of what follows; the
+	// modelled columns do not depend on them.
+	fmt.Printf("host arithmetic: %s\n\n", mpint.KernelName())
 	for _, e := range exps {
 		var err error
 		switch e {

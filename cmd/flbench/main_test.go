@@ -5,6 +5,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"flbooster/internal/mpint"
 )
 
 func TestRunFlagAndArgErrors(t *testing.T) {
@@ -58,6 +60,16 @@ func runCaptured(t *testing.T, args ...string) string {
 		t.Fatalf("flbench %s: %v", strings.Join(args, " "), runErr)
 	}
 	return text
+}
+
+// TestHeaderNamesHostKernels: a host-clock figure is only comparable with
+// another produced by the same arithmetic kernels, so the first line of every
+// run says which ones this host selected.
+func TestHeaderNamesHostKernels(t *testing.T) {
+	text := runCaptured(t, "-keys", "128", "table2")
+	if want := "host arithmetic: " + mpint.KernelName() + "\n"; !strings.HasPrefix(text, want) {
+		t.Fatalf("output starts %q, want %q", strings.SplitN(text, "\n", 2)[0], want)
+	}
 }
 
 // TestAblationAtEveryDeviceCount: Ablation B reads one device's stream clock,

@@ -390,7 +390,7 @@ func runServer(opts serverOpts) error {
 			return err
 		}
 	}
-	fmt.Printf("server up: %d-bit key, waiting for %d clients (quorum %d)\n", opts.keyBits, len(cohort), quorum)
+	fmt.Printf("server up: %d-bit key, host arithmetic %s, waiting for %d clients (quorum %d)\n", opts.keyBits, mpint.KernelName(), len(cohort), quorum)
 
 	// A receiver goroutine turns the blocking Recv into a channel so the
 	// gather can select on the deadline and the drain signal without a

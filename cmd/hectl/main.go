@@ -134,6 +134,7 @@ func run(args []string) error {
 		}
 		decDur := time.Since(start)
 		st := plat.Device().Stats()
+		fmt.Printf("host arithmetic   : %s\n", mpint.KernelName())
 		fmt.Printf("batch             : %d values at %d-bit keys\n", *n, *bits)
 		fmt.Printf("encrypt wall      : %v (%.0f/s)\n", encDur, float64(*n)/encDur.Seconds())
 		fmt.Printf("decrypt wall      : %v (%.0f/s)\n", decDur, float64(*n)/decDur.Seconds())

@@ -1,6 +1,9 @@
 package mpint
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Ablation benchmarks for the arithmetic design choices DESIGN.md §4 calls
 // out: the Karatsuba threshold and the multiplication algorithms behind it.
@@ -38,6 +41,33 @@ func benchExpWindow(b *testing.B, w uint) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.ExpWindow(base, e, w)
+	}
+}
+
+// BenchmarkExpKernels is the measurement ifmaMinLimbs rests on: one whole
+// exponentiation (chain, and the way into and out of whichever representation
+// it runs in) under every body this host has, at the exponent shapes the HE
+// stack uses — half-width (a CRT leg), full-width (encryption under a bare
+// public key) and 30 bits (a ciphertext-scalar product).
+func BenchmarkExpKernels(b *testing.B) {
+	r := NewRNG(73)
+	for _, limbs := range []int{8, 12, 16, 24, 32, 48, 64} {
+		n := randOdd(r, 64*limbs)
+		base := r.RandBelow(n)
+		for _, e := range []struct {
+			name string
+			bits int
+		}{{"half", 32 * limbs}, {"full", 64 * limbs}, {"30bit", 30}} {
+			exp := r.RandBits(e.bits)
+			eachAddMulBody(func(body string) {
+				m := NewMont(n)
+				b.Run(fmt.Sprintf("%d/%s/%s", limbs, e.name, body), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						m.Exp(base, exp)
+					}
+				})
+			})
+		}
 	}
 }
 

@@ -69,22 +69,39 @@ done:
 	MOVQ R8, carry+56(FP)
 	RET
 
-// func cpuHasADX() bool
+// func cpuProbe() (ecx1, ebx7, xcr0 uint32)
 //
-// CPUID leaf 7, sub-leaf 0: EBX bit 8 is BMI2 (MULX), bit 19 is ADX (ADCX,
-// ADOX). Both work on general registers, so no OS support bit is involved.
-TEXT ·cpuHasADX(SB), NOSPLIT, $0-1
-	MOVB  $0, ret+0(FP)
-	XORL  AX, AX
+// The raw words selectBodies decides over, zero where the CPU cannot be asked:
+// CPUID leaf 1 ECX (bit 27 OSXSAVE), leaf 7 sub-leaf 0 EBX (BMI2, ADX,
+// AVX512F, AVX512IFMA), and XCR0 — which state components the OS saves —
+// through XGETBV, which only exists where OSXSAVE is set.
+TEXT ·cpuProbe(SB), NOSPLIT, $0-12
+	MOVL $0, ecx1+0(FP)
+	MOVL $0, ebx7+4(FP)
+	MOVL $0, xcr0+8(FP)
+	XORL AX, AX
 	CPUID
-	CMPL  AX, $7
-	JLT   nope
-	MOVL  $7, AX
-	XORL  CX, CX
+	MOVL AX, R8               // highest basic leaf
+	CMPL R8, $1
+	JLT  done
+	MOVL $1, AX
+	XORL CX, CX
 	CPUID
-	ANDL  $0x80100, BX
-	CMPL  BX, $0x80100
-	SETEQ ret+0(FP)
+	MOVL CX, R9
+	MOVL CX, ecx1+0(FP)
+	CMPL R8, $7
+	JLT  xcr
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	MOVL BX, ebx7+4(FP)
 
-nope:
+xcr:
+	BTL  $27, R9              // OSXSAVE: XGETBV is there to be asked
+	JCC  done
+	XORL CX, CX
+	XGETBV
+	MOVL AX, xcr0+8(FP)
+
+done:
 	RET

@@ -2,6 +2,14 @@
 
 package mpint
 
+// Only amd64 has assembly: everywhere else the Go loop is the row, and no
+// chain leaves the 64-bit limbs.
+const useIFMA = false
+
+// KernelName says which bodies this host's arithmetic runs on.
+func KernelName() string { return "go" }
+
 // addMulVW sets z += x·w over len(x) limbs and returns the carry-out limb.
-// Only amd64 has an assembly row; everywhere else the Go loop is the row.
 func addMulVW(z, x []Word, w Word) Word { return addMulVWGo(z, x, w) }
+
+func amm52(z, a, b, n []Word, d int, k0 Word) { panic("mpint: amm52 without IFMA") }

@@ -2,6 +2,7 @@
 
 package mpint
 
-func addMulBodyName() string { return "go" }
-
-func eachAddMulBody(fn func(body string)) { fn(addMulBodyName()) }
+func eachAddMulBody(fn func(body string)) (skipped []string) {
+	fn(KernelName())
+	return nil
+}

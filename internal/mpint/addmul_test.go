@@ -3,24 +3,31 @@ package mpint
 import (
 	"encoding/binary"
 	"math/big"
+	"sync"
 	"testing"
 )
 
-// forEachBody runs fn once under every addMulVW body this host can execute
-// (eachAddMulBody: both CPUID bodies on amd64, the Go loop elsewhere) and
-// names the body when fn fails. The differential suites call it so a kernel
-// is held to the same corpora whichever body a box would have picked.
+// forEachBody runs fn once under every kernel body this host can execute
+// (eachAddMulBody: mulq, adx and ifma52+adx as far as CPUID goes on amd64, the
+// Go loop elsewhere) and names the body when fn fails. The differential suites
+// call it so a kernel is held to the same corpora whichever body a box would
+// have picked; what the host cannot run is logged once, not failed.
 func forEachBody(t *testing.T, fn func()) {
 	t.Helper()
-	eachAddMulBody(func(body string) {
+	skipped := eachAddMulBody(func(body string) {
 		defer func() {
 			if t.Failed() {
-				t.Logf("addMulVW body: %s", body)
+				t.Logf("kernel body: %s", body)
 			}
 		}()
 		fn()
 	})
+	if len(skipped) > 0 {
+		logSkipped.Do(func() { t.Logf("this CPU cannot run, so no suite here covers: %v", skipped) })
+	}
 }
+
+var logSkipped sync.Once
 
 // limbsFrom reads n limbs out of data from byte offset off, wrapping around;
 // no data reads as zero limbs.
@@ -81,7 +88,7 @@ func checkAddMulVW(t *testing.T, z, x []Word, w Word, lead int) {
 // tails, on all-zero, all-one and random limbs and the three multipliers a
 // carry chain is most likely to get wrong, and says which body this CPU runs.
 func TestAddMulVW(t *testing.T) {
-	t.Logf("addMulVW body selected on this host: %s", addMulBodyName())
+	t.Logf("body selected on this host: %s", KernelName())
 	r := NewRNG(0xADD)
 	for n := 0; n <= 130; n++ {
 		random := r.RandBits(64 * (2*n + 1)).Bytes()

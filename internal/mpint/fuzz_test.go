@@ -3,6 +3,7 @@ package mpint
 import (
 	"bytes"
 	"math/big"
+	"slices"
 	"testing"
 )
 
@@ -65,24 +66,80 @@ func TestMixedOpsDifferential(t *testing.T) {
 }
 
 // TestModExpCrossCheckLargeSweep sweeps modulus widths around word
-// boundaries where limb logic is most fragile.
+// boundaries where limb logic is most fragile — the 64-bit limb's and, from
+// ifmaMinLimbs up, the 52-bit digit's: bit lengths 0, 1, 50 and 51 mod 52
+// (whole digits, one bit into a digit, and the two lengths whose two spare
+// bits under R₅₂ = 2^(52d) spill into a new digit) and digit counts of 8j and
+// 8j+1 (a full top register, and one lane of the next), under every body.
 func TestModExpCrossCheckLargeSweep(t *testing.T) {
 	r := NewRNG(0xBEEF)
-	for _, bits := range []int{33, 63, 64, 65, 95, 96, 97, 127, 128, 129, 255, 257} {
+	for _, bits := range []int{33, 63, 64, 65, 95, 96, 97, 127, 128, 129, 255, 257,
+		466, 467, 468, 469, // 9·52: the first digit counts past ifmaMinLimbs−1 limbs
+		518, 519, 520, 521, // 10·52
+		778, 779, 780, 781, 830, 831, 832, 833, // d = 15|16 (two full registers), 16|17
+		1246, 1247, 1248, 1249, // d = 24|25
+		2078, 2079, 2080, 2081, // d = 40|41
+	} {
 		n := r.RandBits(bits)
 		n[0] |= 1
 		if n.IsOne() {
 			continue
 		}
-		m := NewMont(n)
-		for i := 0; i < 10; i++ {
-			base := r.RandBelow(n)
-			e := r.RandBits(1 + r.Intn(bits))
-			got := m.Exp(base, e)
-			want := new(big.Int).Exp(toBig(base), toBig(e), toBig(n))
-			if toBig(got).Cmp(want) != 0 {
-				t.Fatalf("bits=%d: Exp mismatch", bits)
+		forEachBody(t, func() {
+			m := NewMont(n)
+			for i := 0; i < 6; i++ {
+				base := r.RandBelow(n)
+				e := r.RandBits(1 + r.Intn(min(bits, 300)))
+				got := m.Exp(base, e)
+				want := new(big.Int).Exp(toBig(base), toBig(e), toBig(n))
+				if toBig(got).Cmp(want) != 0 {
+					t.Fatalf("bits=%d: Exp mismatch", bits)
+				}
 			}
+		})
+	}
+}
+
+// TestChainEdgeOperands runs the operands a chain is most likely to get wrong
+// through every entry into one — Exp, ExpSched on a precompiled schedule, and
+// the in-package runSched that takes a base at or above the modulus — under
+// every body: bases 0, 1, n−1, n, n+1 and 2n+3, exponents 0, 1, 2, 3 and
+// 2¹³⁰−1 (all ones), on random moduli either side of ifmaMinLimbs and on moduli of
+// all-ones limbs, which leave R₅₂ the fewest spare bits a limb count can
+// (n = 2^(64k)−1 against 2^(52d) ≥ 4n) and make every digit of n the largest.
+func TestChainEdgeOperands(t *testing.T) {
+	r := NewRNG(0xED6E)
+	for _, limbs := range kernelLimbs {
+		allOnes := make(Nat, limbs)
+		for i := range allOnes {
+			allOnes[i] = ^Word(0)
+		}
+		for _, n := range []Nat{randOdd(r, 64*limbs), allOnes, AddWord(Lsh(One(), uint(64*limbs-1)), 1)} {
+			bn := toBig(n)
+			bases := []Nat{Zero(), One(), SubWord(n, 1), n, AddWord(n, 1), AddWord(Lsh(n, 1), 3), r.RandBelow(n)}
+			exps := []Nat{Zero(), One(), FromUint64(2), FromUint64(3), SubWord(Lsh(One(), 130), 1)}
+			forEachBody(t, func() {
+				m := NewMont(n)
+				for _, e := range exps {
+					sched := CompileExpAuto(e)
+					for _, base := range bases {
+						want := new(big.Int).Exp(toBig(base), toBig(e), bn)
+						sc := m.getScratch()
+						viaSched := m.runSched(base, sched, sc)
+						m.putScratch(sc)
+						for name, got := range map[string]Nat{"Exp": m.Exp(base, e), "runSched": viaSched} {
+							if toBig(got).Cmp(want) != 0 || len(got) != len(trim(got)) {
+								t.Fatalf("%d limbs: %s(%s, %s) mod %s = %s, want %s", limbs, name, base, e, n, got, want)
+							}
+						}
+						if Cmp(base, n) < 0 {
+							if got := m.ExpSched(base, sched); toBig(got).Cmp(want) != 0 {
+								t.Fatalf("%d limbs: ExpSched(%s, %s) mod %s = %s, want %s", limbs, base, e, n, got, want)
+							}
+						}
+					}
+				}
+			})
 		}
 	}
 }
@@ -111,15 +168,22 @@ func boundaryOperands() [][]byte {
 var zeroMiddleLimb = append(append([]byte{0x80, 0, 0, 0, 0, 0, 0, 1}, make([]byte, 8)...), 0xFF, 0, 0, 0, 0, 0, 0, 0x0D)
 
 // kernelLimbs are the modulus sizes the Montgomery targets seed above the
-// boundary operands: the first size whose rows go through addMulVW, one limb
-// past it (a row that is all tail after one unrolled block), and the same
-// pair at the squaring threshold.
-var kernelLimbs = []int{rowKernelMin, rowKernelMin + 1, sqrMinLimbs, sqrMinLimbs + 1}
+// boundary operands: either side of the size whose rows go through addMulVW
+// and whose chains go through amm52 (one threshold today, two constants), one
+// limb past it (a row that is all tail after one unrolled block), the same
+// pair at the squaring threshold, and the sizes of a 2,048-bit key's p² and n²
+// with the limb past the first (41 digits: one lane of a sixth register).
+var kernelLimbs = distinct(ifmaMinLimbs-1, ifmaMinLimbs, ifmaMinLimbs+1, rowKernelMin, rowKernelMin+1, sqrMinLimbs, sqrMinLimbs+1, 32, 33, 64)
 
-// fuzzModulusBytes caps a fuzzed modulus two limbs past the squaring
-// threshold, so every multiply path — spelled-out rows, mulCIOS, sqrCIOS — is
-// within the fuzzer's reach.
-const fuzzModulusBytes = 8 * (sqrMinLimbs + 2)
+func distinct(v ...int) []int {
+	slices.Sort(v)
+	return slices.Compact(v)
+}
+
+// fuzzModulusBytes caps a fuzzed modulus two limbs past the largest seed, so
+// every multiply path — spelled-out rows, mulCIOS, sqrCIOS, and amm52 from two
+// registers of digits to ten — is within the fuzzer's reach.
+const fuzzModulusBytes = 8 * (64 + 2)
 
 // fuzzModulus turns fuzz bytes into an odd modulus ≥ 3, or nil.
 func fuzzModulus(nb []byte) Nat {

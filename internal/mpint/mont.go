@@ -18,6 +18,7 @@ type Mont struct {
 	one   Nat  // R mod n (the Montgomery form of 1)
 
 	scratch sync.Pool // *mulScratch, reused across multiply chains
+	c52     chain52   // the radix-2⁵² side, where chains run on it (mont52.go)
 }
 
 // NewMont builds a context for odd modulus n ≥ 3. It panics on even or
@@ -460,8 +461,13 @@ func (m *Mont) runSched(base Nat, s *ExpSchedule, sc *mulScratch) Nat {
 
 // expMont runs the schedule's multiply chain for base < n and an exponent
 // ≥ 1, returning base^e in Montgomery form as k limbs inside sc's slab —
-// valid until the scratch next runs a chain.
+// valid until the scratch next runs a chain. Where the host and the modulus
+// allow, the chain itself runs on 52-bit digits (expMont52); what comes back
+// is the same k limbs either way.
 func (m *Mont) expMont(base Nat, s *ExpSchedule, sc *mulScratch) Nat {
+	if f := m.ifma(); f != nil && !s.isOne {
+		return m.expMont52(f, base, s, sc)
+	}
 	k := m.k
 	sc.grow((s.maxIdx + 2) * k)
 	acc := sc.buf(k, 0)

@@ -172,6 +172,27 @@ func benchMontMul(b *testing.B, bits int) {
 	}
 }
 
+// BenchmarkNewMont prices a context: what NewMont builds for every modulus,
+// and (+digits) what the first exponentiation chain adds, once, on a host
+// whose chains run on 52-bit digits.
+func BenchmarkNewMont(b *testing.B) {
+	for _, limbs := range []int{8, 16, 32, 64} {
+		n := randOdd(NewRNG(42), 64*limbs)
+		b.Run(FromUint64(uint64(limbs)).String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewMont(n)
+			}
+		})
+		b.Run(FromUint64(uint64(limbs)).String()+"+digits", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				NewMont(n).ifma()
+			}
+		})
+	}
+}
+
 func BenchmarkModExp1024(b *testing.B) { benchModExp(b, 1024) }
 func BenchmarkModExp2048(b *testing.B) { benchModExp(b, 2048) }
 
