@@ -1,0 +1,117 @@
+package models
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
+	"testing"
+
+	"flbooster/internal/fl"
+	"flbooster/internal/mpint"
+	"flbooster/internal/paillier"
+)
+
+// openedHasher wraps a context's backend and hashes every ciphertext the key
+// holder is asked to open, in order: the score aggregates and everything the
+// return path (fl.Context.OpenSums) carries — without batch compression the
+// very ciphertexts OpenSums was handed, with it their packed image, which is a
+// deterministic function of them. It embeds the interface, as the benchmark's
+// traced backend does, so every other operation runs the wrapped backend's
+// path.
+type openedHasher struct {
+	paillier.Backend
+	h hash.Hash
+	n int
+}
+
+func (b *openedHasher) DecryptVec(sk *paillier.PrivateKey, cs []paillier.Ciphertext) ([]mpint.Nat, error) {
+	var size [4]byte
+	for _, c := range cs {
+		raw := c.C.Bytes()
+		binary.BigEndian.PutUint32(size[:], uint32(len(raw)))
+		b.h.Write(size[:])
+		b.h.Write(raw)
+	}
+	b.n += len(cs)
+	return b.Backend.DecryptVec(sk, cs)
+}
+
+// verticalGolden is one vertical model trained for two epochs (two trees)
+// under one profile: the loss bits after each epoch, the traffic, and the
+// fingerprint of every ciphertext opened on the way.
+type verticalGolden struct {
+	model  string
+	sys    fl.System
+	loss   [2]uint64
+	bytes  int64
+	msgs   int64
+	opened int
+	hash   string
+}
+
+// verticalGoldens were recorded on the arithmetic that lowered every
+// homomorphic weighted sum to MulPlainVec plus a tree of AddVec launches, one
+// sum at a time. Results of the homomorphic operations are canonical residues,
+// so any other schedule of the same products must reproduce every row: the
+// same losses to the last bit, the same messages, the same ciphertexts in
+// front of the key holder.
+var verticalGoldens = []verticalGolden{
+	{"Hetero LR", fl.SystemFLBooster, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f7}, 34780, 56, 36, "44c6b50eb6b7cc3d4b65772c869078f5"},
+	{"Hetero LR", fl.SystemHAFLO, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f7}, 67916, 56, 176, "2a07eff2103be9b4f49276de4b7f6fe2"},
+	{"Hetero NN", fl.SystemFLBooster, [2]uint64{0x3fe51d8135d8e391, 0x3fe3b7a91a69060c}, 95736, 56, 76, "1ef67a002ed456e69cb3d5b05694d254"},
+	{"Hetero NN", fl.SystemHAFLO, [2]uint64{0x3fe51d8135d8e391, 0x3fe3b7a91a69060c}, 199048, 56, 528, "56c03306cf837fcd459186f30b4bbf24"},
+	{"Hetero SBT", fl.SystemFLBooster, [2]uint64{0x3fe1c109591d82ef, 0x3fddaa5913612c52}, 47563, 101, 218, "5f2eb35667f83ee8571543d98e8e914c"},
+	{"Hetero SBT", fl.SystemHAFLO, [2]uint64{0x3fe1c109591d82ef, 0x3fddaa5913612c52}, 137259, 101, 1158, "362fa9090bf20b2510b83d81d7fa250f"},
+}
+
+// TestVerticalGoldens holds the three vertical models to the recorded rows at
+// 256-bit keys, where the packed profile's return path has three slots.
+func TestVerticalGoldens(t *testing.T) {
+	for _, want := range verticalGoldens {
+		if got := runVerticalGolden(t, want.model, want.sys); got != want {
+			t.Errorf("%s on %s:\n got %#v\nwant %#v", want.model, want.sys, got, want)
+		}
+	}
+}
+
+// runVerticalGolden trains one model for two epochs under one profile and
+// returns the row it produced.
+func runVerticalGolden(t *testing.T, model string, sys fl.System) verticalGolden {
+	t.Helper()
+	ctx := testCtxKey(t, sys, returnKeyBits)
+	rec := &openedHasher{Backend: ctx.Backend, h: sha256.New()}
+	ctx.Backend = rec
+	ds := denseData(t, 64, 8)
+	var (
+		m   Model
+		err error
+	)
+	switch model {
+	case "Hetero LR":
+		m, err = NewHeteroLR(ctx, ds, testOpts())
+	case "Hetero NN":
+		m, err = NewHeteroNN(ctx, ds, 3, testOpts())
+	case "Hetero SBT":
+		m, err = NewHeteroSBT(ctx, ds, testOpts())
+	default:
+		t.Fatalf("no model %q", model)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.(interface{ Close() error }).Close()
+	got := verticalGolden{model: model, sys: sys}
+	for e := range got.loss {
+		loss, err := m.TrainEpoch()
+		if err != nil {
+			t.Fatalf("%s on %s, epoch %d: %v", model, sys, e, err)
+		}
+		got.loss[e] = math.Float64bits(loss)
+	}
+	c := ctx.Costs.Snapshot()
+	got.bytes, got.msgs = c.CommBytes, c.CommMsgs
+	got.opened, got.hash = rec.n, hex.EncodeToString(rec.h.Sum(nil)[:16])
+	return got
+}
