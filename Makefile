@@ -73,7 +73,11 @@ race:
 # below 2n, every digit normalised, nothing written outside the destination,
 # the destination aliasing either operand, at every digit count from 1 to 208
 # and every load alignment; skipped with a logged line on a CPU without
-# AVX-512 IFMA) — the Paillier key decoders
+# AVX-512 IFMA) and the shared-table multi-exponentiation under the vertical
+# models' weighted sums (FuzzMultiExp, corpus beside FuzzAMM52's: 0–40 bases
+# at, under and over the modulus, 0–12 sums with repeated and unordered
+# indices, weights 0, 1, 2⁶⁴−1 and fuzzed, every body) — the Paillier key
+# decoders
 # (FuzzUnmarshalKeys: any bytes reject with a nil key or decode to a key that
 # re-encodes to the same components, never a panic) — the decryptor side
 # of the vertical return path (any plaintexts against any declared value count
@@ -81,8 +85,9 @@ race:
 # allocation) — and the whole GPU-HE engine layer (FuzzVecOps, corpus under
 # internal/ghe/testdata/fuzz: for fuzzed moduli, operands and exponents every
 # vector op's lane equals its independent verify path equals math/big, and
-# the checked executor over 1 and 3 devices, one killed mid-batch, returns
-# the bare engine's vector).
+# a poisoned lane never passes full verification, and the checked executor
+# over 1, 2 and 3 devices, one killed mid-batch, returns the bare engine's
+# vector).
 fuzz:
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s
 	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzSplitShards -fuzztime 10s
@@ -101,6 +106,7 @@ fuzz:
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzFixedBaseExp$$' -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzAddMulVW$$' -fuzztime 10s
 	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzAMM52$$' -fuzztime 10s
+	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzMultiExp$$' -fuzztime 10s
 	$(GO) test ./internal/paillier -run '^$$' -fuzz FuzzUnmarshalKeys -fuzztime 10s
 	$(GO) test ./internal/ghe -run '^$$' -fuzz FuzzVecOps -fuzztime 10s
 

@@ -42,6 +42,7 @@ type Context struct {
 	Obs       *obs.Obs
 	obsPrefix string
 	seed      uint64
+	zeros     []byte // grow-only payload of Send's modelled messages
 }
 
 // NewContext builds a context from a profile, generating a fresh key pair

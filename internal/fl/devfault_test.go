@@ -6,6 +6,7 @@ import (
 
 	"flbooster/internal/ghe"
 	"flbooster/internal/gpu"
+	"flbooster/internal/mpint"
 )
 
 // TestSecureAggregateSurvivesDeviceDeath kills every device of the fleet
@@ -82,6 +83,72 @@ func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 				t.Fatalf("expected verification to catch injected corruption, got %+v", rep.Checked)
 			}
 		})
+	}
+}
+
+// TestWeightedSumsSurviveDeviceFaults runs the vertical models' operator
+// through the executor's whole discipline: a fleet that dies at the kernel's
+// own launches fails over to the host loop, a fleet that corrupts lanes is
+// caught by the term-by-term check and retried, and either way the sums are
+// the healthy run's ciphertexts bit for bit, with the fault report showing
+// what happened.
+func TestWeightedSumsSurviveDeviceFaults(t *testing.T) {
+	for _, devices := range []int{1, 2} {
+		runOnce := func(pol FaultPolicy) ([]mpint.Nat, *Context) {
+			t.Helper()
+			p := testProfile(SystemFLBooster)
+			p.Devices = devices
+			p.Faults = pol
+			ctx, err := NewContext(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cts, err := ctx.EncryptValuesUnpacked([]float64{0.5, -0.25, 0.125, 0.75, -0.5, 0.3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out []mpint.Nat
+			for round := 0; round < 3; round++ {
+				sums, err := ctx.WeightedSums(cts, [][]mpint.Term{
+					{{Index: 0, Weight: 700}, {Index: 1, Weight: 3}, {Index: 5, Weight: 1}},
+					{{Index: 2, Weight: 1}, {Index: 3, Weight: 1}, {Index: 4, Weight: 1}},
+					{{Index: 5, Weight: 1023}, {Index: 0, Weight: 512}},
+					{{Index: 1, Weight: 9}},
+				})
+				if err != nil {
+					t.Fatalf("Devices=%d round %d: %v", devices, round, err)
+				}
+				for _, c := range sums {
+					out = append(out, c.C)
+				}
+			}
+			return out, ctx
+		}
+		same := func(tag string, got, want []mpint.Nat) {
+			t.Helper()
+			for i := range want {
+				if mpint.Cmp(got[i], want[i]) != 0 {
+					t.Fatalf("Devices=%d %s: sum %d differs from the healthy run", devices, tag, i)
+				}
+			}
+		}
+		clean, _ := runOnce(FaultPolicy{})
+		// The encryption takes a device's first three launches; the fourth is
+		// the first table build or, on the second device of two, its lanes.
+		killed, ctx := runOnce(FaultPolicy{Inject: gpu.FaultConfig{Seed: 1, KillAtLaunch: 4}})
+		same("after failover", killed, clean)
+		rep := ctx.FaultReport()
+		if rep.Health != gpu.DeviceFailed || !rep.Checked.FellBack || rep.Checked.FallbackOps == 0 || rep.Injected.Kills == 0 {
+			t.Fatalf("Devices=%d: failover not recorded: %+v", devices, rep)
+		}
+		corrupted, ctx := runOnce(FaultPolicy{
+			Inject: gpu.FaultConfig{Seed: 3, CorruptProb: 0.4},
+			Check:  ghe.CheckedConfig{MaxRetries: 12, VerifyFraction: 1},
+		})
+		same("under corruption", corrupted, clean)
+		if rep := ctx.FaultReport(); rep.Checked.VerifyFailures == 0 || rep.Checked.Retries == 0 {
+			t.Fatalf("Devices=%d: expected verification to catch injected corruption, got %+v", devices, rep.Checked)
+		}
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 //   - the *per-sample broadcast* (residuals, deltas, gradient/hessian terms)
 //     that feeds per-sample homomorphic multiply-accumulate on the hosts and
 //     therefore stays one value per ciphertext under every profile:
-//     EncryptValuesUnpacked, WeightedSum, ReduceSum;
+//     EncryptValuesUnpacked, WeightedSums;
 //   - the *return path*: the final per-feature (or per-bin) sums a party
 //     sends to the key holder to be opened. Nobody computes on those again,
 //     each is at most 64 bits wide inside a KeyBits−1-bit plaintext, and so
@@ -128,7 +128,7 @@ func (c *Context) ReturnSlots() int {
 	return max(1, (c.Key.N.BitLen()-1)/returnSlotBits)
 }
 
-// SumBound is the largest value a WeightedSum over quantized ciphertexts can
+// SumBound is the largest value a weighted sum over quantized ciphertexts can
 // hold when its weights total weightSum: weightSum·(2^r−1). It is what the
 // vertical gradient step passes to OpenSums, and ErrSumBound when the
 // product does not fit a slot.
@@ -250,7 +250,13 @@ var slotShift = mpint.Nat{0, 1}
 // Send routes one protocol message of payloadBytes through net and charges
 // it to the communication component.
 func (c *Context) Send(net flnet.Transport, from, to, kind string, payloadBytes int64) error {
-	msg := flnet.Message{From: from, To: to, Kind: kind, Payload: make([]byte, payloadBytes)}
+	// The modelled messages are weighed, never read: every one is a slice of
+	// the same zero bytes. The transport copies nothing, and the receiver is
+	// the Recv below, so the slice is dropped before the next Send reuses it.
+	if int64(len(c.zeros)) < payloadBytes {
+		c.zeros = make([]byte, payloadBytes)
+	}
+	msg := flnet.Message{From: from, To: to, Kind: kind, Payload: c.zeros[:payloadBytes]}
 	if err := net.Send(msg); err != nil {
 		return err
 	}
@@ -274,16 +280,6 @@ func (c *Context) addCiphertexts(a, b []paillier.Ciphertext) ([]paillier.Ciphert
 	return sums, nil
 }
 
-// EncryptZero returns a fresh encryption of zero (the neutral accumulator
-// for homomorphic sums).
-func (c *Context) EncryptZero() (paillier.Ciphertext, error) {
-	cts, err := c.EncryptNats([]mpint.Nat{mpint.Zero()}, 1)
-	if err != nil {
-		return paillier.Ciphertext{}, err
-	}
-	return cts[0], nil
-}
-
 // EncryptNats encrypts caller-prepared plaintexts, charging `instances`
 // logical values to the throughput counter (callers that pack several
 // values per plaintext pass the packed value count).
@@ -299,59 +295,59 @@ func (c *Context) EncryptNats(pts []mpint.Nat, instances int64) ([]paillier.Ciph
 	return cts, nil
 }
 
-// ReduceSum homomorphically folds a batch into a single ciphertext by
-// pairwise tree reduction, using the vectorized AddVec kernel at every
-// level so the GPU profiles keep their parallelism.
-func (c *Context) ReduceSum(cts []paillier.Ciphertext) (paillier.Ciphertext, error) {
-	if len(cts) == 0 {
-		return paillier.Ciphertext{}, fmt.Errorf("fl: ReduceSum of empty batch")
+// WeightedSums computes k sparse non-negative-integer combinations of one
+// ciphertext vector, out[j] = E(Σ t.Weight·plain(cts[t.Index])) over the terms
+// t of sums[j]: the homomorphic multiply-accumulate at the heart of the
+// vertical gradient and histogram steps, every sum of a host's minibatch (or
+// of a tree node's feature) in one charged HE batch — one kernel launch on the
+// GPU profiles, the serial product-and-add loop on the CPU ones. Zero weights
+// are no terms. The batch is charged once, with one HE operation and one
+// instance a non-zero term: a ciphertext-scalar product.
+//
+// A sum without a non-zero term comes back as a fresh encryption of zero, so
+// an empty sum on the wire looks like any other; those are encrypted together
+// after the batch and draw one nonce seed, which no sum the models build
+// reaches (they skip empty sides and empty bins). A term that refers outside
+// cts rejects with mpint.ErrTermIndex before anything is launched, encrypted
+// or charged; no sums are no work.
+func (c *Context) WeightedSums(cts []paillier.Ciphertext, sums [][]mpint.Term) ([]paillier.Ciphertext, error) {
+	if err := mpint.CheckTerms(len(cts), sums); err != nil {
+		return nil, fmt.Errorf("fl: WeightedSums: %w", err)
 	}
-	work := make([]paillier.Ciphertext, len(cts))
-	copy(work, cts)
-	for len(work) > 1 {
-		half := len(work) / 2
-		sums, err := c.addCiphertexts(work[:half], work[half:2*half])
+	var terms int64
+	var empty []int
+	for j, sum := range sums {
+		before := terms
+		for _, t := range sum {
+			if t.Weight != 0 {
+				terms++
+			}
+		}
+		if terms == before {
+			empty = append(empty, j)
+		}
+	}
+	var out []paillier.Ciphertext
+	if terms > 0 {
+		base := c.simBase()
+		start := time.Now()
+		var err error
+		if out, err = c.Backend.WeightedSumVec(&c.Key.PublicKey, cts, sums); err != nil {
+			return nil, err
+		}
+		wall := time.Since(start)
+		c.Costs.AddHE(wall, c.simSince(base, wall), terms, terms)
+	} else {
+		out = make([]paillier.Ciphertext, len(sums))
+	}
+	if len(empty) > 0 {
+		zeros, err := c.EncryptNats(make([]mpint.Nat, len(empty)), int64(len(empty)))
 		if err != nil {
-			return paillier.Ciphertext{}, err
+			return nil, err
 		}
-		if len(work)%2 == 1 {
-			sums = append(sums, work[len(work)-1])
-		}
-		work = sums
-	}
-	return work[0], nil
-}
-
-// WeightedSum computes E(Σ scalars[i]·plain(cts[i])) for non-negative
-// integer scalars: the homomorphic multiply-accumulate at the heart of the
-// vertical gradient/histogram steps. Zero scalars are skipped.
-func (c *Context) WeightedSum(cts []paillier.Ciphertext, scalars []uint64) (paillier.Ciphertext, error) {
-	if len(cts) != len(scalars) {
-		return paillier.Ciphertext{}, fmt.Errorf("fl: WeightedSum length mismatch %d vs %d", len(cts), len(scalars))
-	}
-	sel := make([]paillier.Ciphertext, 0, len(cts))
-	exps := make([]mpint.Nat, 0, len(cts))
-	ones := make([]paillier.Ciphertext, 0, len(cts))
-	for i, s := range scalars {
-		switch s {
-		case 0:
-		case 1:
-			ones = append(ones, cts[i])
-		default:
-			sel = append(sel, cts[i])
-			exps = append(exps, mpint.FromUint64(s))
+		for i, j := range empty {
+			out[j] = zeros[i]
 		}
 	}
-	terms := ones
-	if len(sel) > 0 {
-		pows, err := c.MulPlainCiphertexts(sel, exps)
-		if err != nil {
-			return paillier.Ciphertext{}, err
-		}
-		terms = append(terms, pows...)
-	}
-	if len(terms) == 0 {
-		return c.EncryptZero()
-	}
-	return c.ReduceSum(terms)
+	return out, nil
 }

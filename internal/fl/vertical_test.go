@@ -52,102 +52,157 @@ func TestDecryptRawOverflowDetected(t *testing.T) {
 	}
 }
 
-func TestEncryptZero(t *testing.T) {
-	ctx, err := NewContext(testProfile(SystemFATE))
+// sumsFixture encrypts 1..n under sys, one value a ciphertext, and returns what
+// a test of WeightedSums reads before and after a call: the HE-operation and
+// instance counters, the nonce-seed cursor, and the device's launch count (0 on
+// a CPU profile).
+func sumsFixture(t *testing.T, sys System, n int) (*Context, []paillier.Ciphertext, func() [4]int64) {
+	t.Helper()
+	ctx, err := NewContext(testProfile(sys))
 	if err != nil {
 		t.Fatal(err)
 	}
-	z, err := ctx.EncryptZero()
-	if err != nil {
-		t.Fatal(err)
-	}
-	raws, err := ctx.DecryptRaw([]paillier.Ciphertext{z})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raws[0] != 0 {
-		t.Fatalf("E(0) decrypted to %d", raws[0])
-	}
-}
-
-func TestReduceSum(t *testing.T) {
-	ctx, err := NewContext(testProfile(SystemFLBooster))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sum 1..9 homomorphically.
-	pts := make([]mpint.Nat, 9)
+	pts := make([]mpint.Nat, n)
 	for i := range pts {
 		pts[i] = mpint.FromUint64(uint64(i + 1))
 	}
-	cts, err := ctx.EncryptNats(pts, int64(len(pts)))
+	cts, err := ctx.EncryptNats(pts, int64(n))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := ctx.ReduceSum(cts)
-	if err != nil {
-		t.Fatal(err)
+	read := func() [4]int64 {
+		c := ctx.Costs.Snapshot()
+		var launches int64
+		if ctx.Device != nil {
+			launches = ctx.Device.Stats().KernelLaunches
+		}
+		return [4]int64{c.HEOps, c.Instances, int64(ctx.SeedCursor()), launches}
 	}
-	raws, err := ctx.DecryptRaw([]paillier.Ciphertext{sum})
-	if err != nil {
-		t.Fatal(err)
+	return ctx, cts, read
+}
+
+func unitTerms(idx ...int) []mpint.Term {
+	out := make([]mpint.Term, len(idx))
+	for k, i := range idx {
+		out[k] = mpint.Term{Index: i, Weight: 1}
 	}
-	if raws[0] != 45 {
-		t.Fatalf("ReduceSum = %d, want 45", raws[0])
-	}
-	if _, err := ctx.ReduceSum(nil); err == nil {
-		t.Fatal("empty reduce should fail")
-	}
-	// Single element passes through.
-	one, err := ctx.ReduceSum(cts[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	raws, err = ctx.DecryptRaw([]paillier.Ciphertext{one})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raws[0] != 1 {
-		t.Fatalf("single-element reduce = %d", raws[0])
+	return out
+}
+
+// TestReduceSum: unit weights turn WeightedSums into the subset sums of a
+// histogram — every bin of a node-feature in one batch, charged once, with no
+// nonce drawn — on the serial backend and on the kernel.
+func TestReduceSum(t *testing.T) {
+	for _, sys := range []System{SystemFATE, SystemFLBooster} {
+		ctx, cts, read := sumsFixture(t, sys, 9)
+		before := read()
+		// 1..9 in one bin; a single element; a partition into three bins.
+		sums := [][]mpint.Term{
+			unitTerms(0, 1, 2, 3, 4, 5, 6, 7, 8),
+			unitTerms(0),
+			unitTerms(8, 0, 4), unitTerms(1, 2, 3), unitTerms(7, 6, 5),
+		}
+		out, err := ctx.WeightedSums(cts, sums)
+		if err != nil {
+			t.Fatalf("%s: %v", sys, err)
+		}
+		after := read()
+		// 9 + 1 + 3 + 3 + 3 ciphertext-scalar products, one batch: the table
+		// launch and the kernel launch on a GPU profile, and no seed drawn.
+		want := [4]int64{before[0] + 19, before[1] + 19, before[2], before[3]}
+		if ctx.Device != nil {
+			want[3] += 2
+		}
+		if after != want {
+			t.Errorf("%s: ops, instances, seed cursor, launches went %v → %v, want %v", sys, before, after, want)
+		}
+		raws, err := ctx.DecryptRaw(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, want := range []uint64{45, 1, 15, 9, 21} {
+			if raws[j] != want {
+				t.Errorf("%s: sum %d opened to %d, want %d", sys, j, raws[j], want)
+			}
+		}
+		// No sums are no work: nothing comes back, nothing is charged.
+		before = read()
+		none, err := ctx.WeightedSums(cts, nil)
+		if err != nil || len(none) != 0 || read() != before {
+			t.Errorf("%s: no sums returned %d ciphertexts, error %v, counters %v → %v", sys, len(none), err, before, read())
+		}
 	}
 }
 
+// TestWeightedSum: integer weights, the zero ones skipped; a sum with nothing
+// left is a fresh encryption of zero, drawn after the batch; a term outside the
+// vector rejects typed before anything is launched, encrypted or charged.
 func TestWeightedSum(t *testing.T) {
-	ctx, err := NewContext(testProfile(SystemFATE))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := []mpint.Nat{mpint.FromUint64(3), mpint.FromUint64(5), mpint.FromUint64(7), mpint.FromUint64(11)}
-	cts, err := ctx.EncryptNats(pts, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2*3 + 0*5 + 1*7 + 10*11 = 123
-	sum, err := ctx.WeightedSum(cts, []uint64{2, 0, 1, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	raws, err := ctx.DecryptRaw([]paillier.Ciphertext{sum})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raws[0] != 123 {
-		t.Fatalf("WeightedSum = %d, want 123", raws[0])
-	}
-	// All-zero scalars produce E(0).
-	zero, err := ctx.WeightedSum(cts, []uint64{0, 0, 0, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	raws, err = ctx.DecryptRaw([]paillier.Ciphertext{zero})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raws[0] != 0 {
-		t.Fatalf("zero-weight sum = %d", raws[0])
-	}
-	if _, err := ctx.WeightedSum(cts, []uint64{1}); err == nil {
-		t.Fatal("length mismatch should fail")
+	for _, sys := range []System{SystemFATE, SystemFLBooster} {
+		ctx, cts, read := sumsFixture(t, sys, 4)
+		before := read()
+		// 2·1 + 0·2 + 1·3 + 10·4 = 45, and the same index twice: 3·2 + 5·2 = 16.
+		out, err := ctx.WeightedSums(cts, [][]mpint.Term{
+			{{Index: 0, Weight: 2}, {Index: 1, Weight: 0}, {Index: 2, Weight: 1}, {Index: 3, Weight: 10}},
+			{{Index: 1, Weight: 3}, {Index: 1, Weight: 5}},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", sys, err)
+		}
+		after := read()
+		if after[0] != before[0]+5 || after[1] != before[1]+5 || after[2] != before[2] {
+			t.Errorf("%s: ops, instances, seed cursor went %v → %v, want 5 products and no seed", sys, before, after)
+		}
+		raws, err := ctx.DecryptRaw(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if raws[0] != 45 || raws[1] != 16 {
+			t.Errorf("%s: sums opened to %v, want [45 16]", sys, raws)
+		}
+
+		// All-zero and empty sums beside a real one: each a fresh E(0), not the
+		// trivial ciphertext 1 and not each other, from one seed drawn after
+		// the batch.
+		before = read()
+		out, err = ctx.WeightedSums(cts, [][]mpint.Term{
+			{{Index: 0, Weight: 0}, {Index: 3, Weight: 0}},
+			unitTerms(1, 2),
+			nil,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", sys, err)
+		}
+		if raws, err = ctx.DecryptRaw(out); err != nil || raws[0] != 0 || raws[1] != 5 || raws[2] != 0 {
+			t.Errorf("%s: sums opened to %v (%v), want [0 5 0]", sys, raws, err)
+		}
+		if out[0].C.IsOne() || out[2].C.IsOne() || mpint.Cmp(out[0].C, out[2].C) == 0 {
+			t.Errorf("%s: empty sums are not fresh encryptions of zero", sys)
+		}
+		cursor := ctx.SeedCursor()
+		ctx.RestoreSeedCursor(uint64(before[2]))
+		if ctx.nextSeed(); ctx.SeedCursor() != cursor {
+			t.Errorf("%s: two empty sums moved the seed cursor by other than one draw", sys)
+		}
+
+		// Out of range, either side, in any sum — even under a zero weight.
+		before = read()
+		for _, sums := range [][][]mpint.Term{
+			{unitTerms(0), {{Index: 4, Weight: 2}}},
+			{{{Index: -1, Weight: 1}}},
+			{nil, {{Index: 9, Weight: 0}}},
+		} {
+			out, err := ctx.WeightedSums(cts, sums)
+			if !errors.Is(err, mpint.ErrTermIndex) || out != nil {
+				t.Errorf("%s: sums %v returned %d ciphertexts, error %v, want ErrTermIndex", sys, sums, len(out), err)
+			}
+		}
+		if _, err := ctx.WeightedSums(nil, [][]mpint.Term{unitTerms(0)}); !errors.Is(err, mpint.ErrTermIndex) {
+			t.Errorf("%s: a term over no ciphertexts: error %v, want ErrTermIndex", sys, err)
+		}
+		if after := read(); after != before {
+			t.Errorf("%s: rejected sums moved ops, instances, seed cursor, launches %v → %v", sys, before, after)
+		}
 	}
 }
 

@@ -14,10 +14,11 @@ import (
 	"flbooster/internal/mpint"
 )
 
-// TestModMulVecAllocCeiling pins ModMulVec at two heap allocations per
-// element — the Montgomery form of one operand and the product — on the
-// device engine and the host engine. The per-element count is the slope
-// between two widths, which leaves out the per-launch constant.
+// TestModMulVecAllocCeiling pins ModMulVec at one heap allocation per
+// element — the product; the Montgomery form of one operand stays in the
+// pooled scratch — on the device engine and the host engine. The per-element
+// count is the slope between two widths, which leaves out the per-launch
+// constant.
 func TestModMulVecAllocCeiling(t *testing.T) {
 	r := mpint.NewRNG(77)
 	n := r.RandBits(2048)
@@ -37,8 +38,53 @@ func TestModMulVecAllocCeiling(t *testing.T) {
 				}
 			})
 		}
-		if per := (allocs(128) - allocs(64)) / 64; per > 2 {
-			t.Errorf("%s ModMulVec: %.2f allocs per element, ceiling 2", name, per)
+		if per := (allocs(128) - allocs(64)) / 64; per > 1 {
+			t.Errorf("%s ModMulVec: %.2f allocs per element, ceiling 1", name, per)
+		}
+	}
+}
+
+// TestMultiExpVecAllocCeiling pins a weighted-sum launch at one heap allocation
+// a sum — its residue — plus a constant that does not grow with the launch:
+// the table comes out of the context's pool and goes back, and the lanes walk
+// on pooled scratch. The tree of MulPlainVec and AddVec launches it replaces
+// allocated about three values a term.
+func TestMultiExpVecAllocCeiling(t *testing.T) {
+	r := mpint.NewRNG(79)
+	n := r.RandBits(2048)
+	n[0] |= 1
+	m := mpint.NewMont(n)
+	bases := randVec(r, 32, n)
+	sums := weightedSums(r, len(bases), 16, 10)
+	cfg := gpu.RTX3090()
+	cfg.HostWorkers = 1 // AllocsPerRun counts the whole process
+	set, err := gpu.NewDeviceSet(cfg, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked, err := NewCheckedEngine(set, CheckedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, eng := range map[string]VectorEngine{
+		"device":   MustEngine(gpu.MustNew(cfg, true)),
+		"executor": checked,
+		"host":     NewCPUEngine(),
+	} {
+		allocs := func(width int) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := eng.MultiExpVec(bases, sums[:width], m); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		wide, narrow := allocs(16), allocs(8)
+		t.Logf("%s MultiExpVec: %.0f allocs at 16 sums, %.0f at 8", name, wide, narrow)
+		if per := (wide - narrow) / 8; per > 1 {
+			t.Errorf("%s MultiExpVec: %.2f allocs per sum, ceiling 1", name, per)
+		}
+		if narrow > 8+8 {
+			t.Errorf("%s MultiExpVec: %.0f allocs for 8 sums, ceiling 8 + 8 a launch", name, narrow)
 		}
 	}
 }

@@ -23,6 +23,9 @@ type VectorEngine interface {
 	ModExpVarVec(bases, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error)
 	// FixedBaseExpVec computes base^exps[i] mod m.N() for every i.
 	FixedBaseExpVec(base mpint.Nat, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error)
+	// MultiExpVec computes Π bases[t.Index]^t.Weight mod m.N() over the terms
+	// t of sums[i], for every i: weighted sums of one ciphertext vector.
+	MultiExpVec(bases []mpint.Nat, sums [][]mpint.Term, m *mpint.Mont) ([]mpint.Nat, error)
 	// ModMulVec computes a[i]*b[i] mod m.N() for every i.
 	ModMulVec(a, b []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error)
 	// RandCoprimeVec generates n values uniform in [1, m) coprime with m.
@@ -73,6 +76,21 @@ func (v vecAPI) ModExpVarVec(bases, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Na
 // total multiplies for the batch.
 func (v vecAPI) FixedBaseExpVec(base mpint.Nat, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
 	return v.run(&fixedBaseOp{newModVec(len(exps), m), base, exps, 0, nil})
+}
+
+// MultiExpVec implements VectorEngine. Zero weights are no terms, and a sum
+// without a term is 1; a term that refers outside bases rejects with
+// mpint.ErrTermIndex before anything is launched.
+func (v vecAPI) MultiExpVec(bases []mpint.Nat, sums [][]mpint.Term, m *mpint.Mont) ([]mpint.Nat, error) {
+	op, err := newMultiExpOp(newModVec(len(sums), m), bases, sums)
+	if err != nil {
+		return nil, fmt.Errorf("ghe: MultiExpVec: %w", err)
+	}
+	out, err := v.run(op)
+	if err == nil {
+		op.release()
+	}
+	return out, err
 }
 
 // ModMulVec implements VectorEngine. a and b must have equal length.

@@ -21,15 +21,16 @@ type Engine struct {
 	table TableStats
 }
 
-// TableStats counts the engine's fixed-base precomputation activity — the
-// comb tables built for FixedBaseExpVec launches and the elements they
-// served (DESIGN.md §10).
+// TableStats counts the engine's shared-table precomputation activity: the
+// comb tables built for FixedBaseExpVec launches (DESIGN.md §10), the odd-power
+// tables built for MultiExpVec launches (§17), and the elements they served.
 type TableStats struct {
-	// Builds is the number of comb tables constructed (one per launch).
+	// Builds is the number of tables constructed (one per launch).
 	Builds int64
-	// Entries is the total 2^h table entries built and shipped to the device.
+	// Entries is the total table entries built: 2^h a comb, 2^(w−1) a
+	// referenced base a multi-exponentiation.
 	Entries int64
-	// Ops is the number of elements evaluated through a comb table.
+	// Ops is the number of elements evaluated through a table.
 	Ops int64
 }
 
@@ -56,7 +57,7 @@ func MustEngine(dev *gpu.Device) *Engine {
 // Device exposes the underlying device (for stats and utilization readings).
 func (e *Engine) Device() *gpu.Device { return e.dev }
 
-// TableStats returns a snapshot of the fixed-base table counters.
+// TableStats returns a snapshot of the shared-table counters.
 func (e *Engine) TableStats() TableStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()

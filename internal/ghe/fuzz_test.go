@@ -38,9 +38,10 @@ type fuzzVecCase struct {
 // fuzzed odd modulus of 1–40 of the device's 32-bit limbs, fuzzed operands
 // and exponents, and a fuzzed fault schedule, every op's descriptor is held to
 // three agreements: each lane equals the op's own verify path equals
-// math/big; the bare Engine returns the vector the host loop does; and the
-// checked executor over 1 and 3 devices, one of them killed mid-batch, returns
-// that vector too.
+// math/big, and a poisoned lane fails full verification; the bare Engine
+// returns the vector the host loop does; and the checked executor over 1, 2
+// and 3 devices, one of them killed at its first, second or third launch,
+// returns that vector too.
 func FuzzVecOps(f *testing.F) {
 	ops := fuzzOperands()
 	for i, nb := range ops {
@@ -91,6 +92,19 @@ func FuzzVecOps(f *testing.F) {
 			xs[i] = mpint.Mod(mpint.Add(a[i], mpint.FromUint64(uint64(i))), crt.N())
 		}
 		pos := int(seed >> 24 % 1000)
+		// Weighted sums over a: indices drawn with repeats and in any order,
+		// weights the low limb of a fuzzed exponent (the last is zero), one sum
+		// left empty.
+		sums := make([][]mpint.Term, items)
+		for j := range sums[1:] {
+			for c := r.Intn(items + 3); c > 0; c-- {
+				tm := mpint.Term{Index: r.Intn(items)}
+				if e := exps[r.Intn(items)]; len(e) > 0 {
+					tm.Weight = e[0]
+				}
+				sums[j+1] = append(sums[j+1], tm)
+			}
+		}
 
 		bn, bN := toBig(n), toBig(crt.N())
 		bN2 := new(big.Int).Mul(bN, bN)
@@ -107,6 +121,22 @@ func FuzzVecOps(f *testing.F) {
 			"fixed_base_exp_vec": {
 				func() vecOp { return &fixedBaseOp{newModVec(items, m), a[0], exps, int(seed >> 32 % 10), nil} },
 				func(i int) *big.Int { return new(big.Int).Exp(toBig(a[0]), toBig(exps[i]), bn) }},
+			"multi_exp_vec": {
+				func() vecOp {
+					op, err := newMultiExpOp(newModVec(items, m), a, sums)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return op
+				},
+				func(i int) *big.Int {
+					prod := big.NewInt(1)
+					for _, tm := range sums[i] {
+						prod.Mul(prod, new(big.Int).Exp(toBig(a[tm.Index]), new(big.Int).SetUint64(tm.Weight), bn))
+						prod.Mod(prod, bn)
+					}
+					return prod.Mod(prod, bn)
+				}},
 			"mod_mul_vec": {
 				func() vecOp { return &modMulOp{newModVec(items, m), a, b} },
 				func(i int) *big.Int { v := new(big.Int).Mul(toBig(a[i]), toBig(b[i])); return v.Mod(v, bn) }},
@@ -133,6 +163,13 @@ func FuzzVecOps(f *testing.F) {
 					t.Fatalf("%s[%d] = %s is not a unit mod %s", name, i, got, n)
 				}
 			}
+			// A poisoned lane never passes full verification.
+			bad := int(seed >> 56 % uint64(items))
+			ref.poison(bad)
+			if (&member{rng: mpint.NewRNG(seed)}).spotCheck(ref, 1) {
+				t.Fatalf("%s[%d] mod %s: poisoned to %s and verified", name, bad, n, ref.result()[bad])
+			}
+			ref.poison(bad)
 			same := func(engine string, got []mpint.Nat, err error) {
 				t.Helper()
 				if err != nil {
@@ -146,7 +183,7 @@ func FuzzVecOps(f *testing.F) {
 			}
 			bare, err := testEngine(t).run(c.mk())
 			same("the bare engine", bare, err)
-			for _, d := range []int{1, 3} {
+			for _, d := range []int{1, 2, 3} {
 				chk := checkedSet(t, d, CheckedConfig{VerifyFraction: 0.5, VerifySeed: seed})
 				chk.Set().Device(int(seed >> 40 % uint64(d))).SetFaultInjector(
 					gpu.NewFaultInjector(gpu.FaultConfig{Seed: seed, KillAtLaunch: 1 + int64(seed>>48%3)}))

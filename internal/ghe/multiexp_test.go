@@ -1,0 +1,217 @@
+package ghe
+
+import (
+	"errors"
+	"strings"
+	"testing"
+
+	"flbooster/internal/gpu"
+	"flbooster/internal/mpint"
+	"flbooster/internal/obs"
+)
+
+// weightedSums builds `sums` dense combinations of n bases with weights of up
+// to `bits` bits, the first and last weight of every sum forced to 0 and 1.
+func weightedSums(r *mpint.RNG, n, sums, bits int) [][]mpint.Term {
+	out := make([][]mpint.Term, sums)
+	for j := range out {
+		for i := 0; i < n; i++ {
+			out[j] = append(out[j], mpint.Term{Index: i, Weight: r.RandBits(bits)[0]})
+		}
+		out[j][0].Weight, out[j][n-1].Weight = 0, 1
+	}
+	return out
+}
+
+// multiExpOracle is what the kernel replaces, term by term: an exponentiation
+// a term and a product to fold each in.
+func multiExpOracle(m *mpint.Mont, bases []mpint.Nat, sums [][]mpint.Term) []mpint.Nat {
+	out := make([]mpint.Nat, len(sums))
+	for j, sum := range sums {
+		out[j] = mpint.One()
+		for _, t := range sum {
+			out[j] = mpint.ModMul(out[j], m.Exp(bases[t.Index], mpint.FromUint64(t.Weight)), m.N())
+		}
+	}
+	return out
+}
+
+// TestMultiExpVecEveryEngine: the kernel equals the term-by-term oracle on the
+// bare engine, the host loop and the executor over 1, 2 and 3 devices with
+// every lane verified; the launch shows up under its two kernel names in the
+// trace and its table in the engine's table counters.
+func TestMultiExpVecEveryEngine(t *testing.T) {
+	r := mpint.NewRNG(0x3E)
+	n := r.RandPrime(192)
+	m := mpint.NewMont(n)
+	bases := randVec(r, 12, n)
+	sums := append(weightedSums(r, len(bases), 7, 10), nil, []mpint.Term{{Index: 3, Weight: 0}})
+	want := multiExpOracle(m, bases, sums)
+
+	eng := testEngine(t)
+	rec := obs.NewRecorder(1)
+	eng.Device().SetRecorder(rec, "test.gpu")
+	got, err := eng.MultiExpVec(bases, sums, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameVec(t, "bare engine", got, want)
+	names := map[string]int{}
+	for _, s := range rec.Spans() {
+		names[s.Phase]++
+	}
+	if names["multi_exp_table"] != 1 || names["multi_exp_vec"] != 1 {
+		t.Errorf("trace spans %v, want one multi_exp_table and one multi_exp_vec", names)
+	}
+	// Base 0 carries a zero weight in every sum and gets no row; the other 11
+	// under 10-bit weights over 7·11 terms run at width 3, four odd powers each.
+	if ts := eng.TableStats(); ts.Builds != 1 || ts.Entries != 11*4 || ts.Ops != int64(len(sums)) {
+		t.Errorf("table stats %+v, want 1 build of 44 entries serving %d sums", ts, len(sums))
+	}
+	if st := eng.Device().Stats(); st.KernelLaunches != 2 {
+		t.Errorf("%d kernel launches, want the table and the lanes", st.KernelLaunches)
+	}
+
+	got, err = NewCPUEngine().MultiExpVec(bases, sums, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameVec(t, "host loop", got, want)
+	for _, d := range []int{1, 2, 3} {
+		chk := checkedSet(t, d, CheckedConfig{VerifyFraction: 1})
+		got, err := chk.MultiExpVec(bases, sums, m)
+		if err != nil {
+			t.Fatalf("D=%d: %v", d, err)
+		}
+		sameVec(t, "executor", got, want)
+		if st := chk.Stats(); st.VerifySamples != int64(len(sums)) || st.VerifyFailures != 0 {
+			t.Errorf("D=%d: %d lanes verified, %d failed, want %d and 0", d, st.VerifySamples, st.VerifyFailures, len(sums))
+		}
+	}
+
+	// No sums: no launch, nothing charged.
+	before := eng.Device().Stats()
+	if got, err := eng.MultiExpVec(bases, nil, m); err != nil || got != nil {
+		t.Errorf("no sums: %d results, error %v", len(got), err)
+	}
+	if after := eng.Device().Stats(); after.KernelLaunches != before.KernelLaunches || after.BytesHostToDev != before.BytesHostToDev {
+		t.Error("no sums still reached the device")
+	}
+}
+
+// TestMultiExpVecRejectsBeforeUpload: a term outside the base vector is a
+// typed error, and nothing has been copied or launched when it surfaces.
+func TestMultiExpVecRejectsBeforeUpload(t *testing.T) {
+	m := mpint.NewMont(mpint.FromUint64(1000003))
+	bases := []mpint.Nat{mpint.FromUint64(2), mpint.FromUint64(3)}
+	chk := checkedSet(t, 1, CheckedConfig{})
+	for _, sums := range [][][]mpint.Term{
+		{{{Index: 0, Weight: 1}}, {{Index: 2, Weight: 1}}},
+		{{{Index: -1, Weight: 5}}},
+	} {
+		got, err := chk.MultiExpVec(bases, sums, m)
+		if !errors.Is(err, mpint.ErrTermIndex) || got != nil {
+			t.Errorf("sums %v: %d results, error %v, want ErrTermIndex", sums, len(got), err)
+		}
+	}
+	if st := chk.Set().Device(0).Stats(); st.KernelLaunches != 0 || st.BytesHostToDev != 0 || chk.Stats().Ops != 0 {
+		t.Errorf("rejected sums reached the device: %+v", st)
+	}
+}
+
+// TestMultiExpVecCheaperThanTheTree holds the modelled device to the point of
+// the operator, at the shape of a Hetero LR host-batch: one launch and its
+// table against a MulPlainVec and a log-depth tree of products per sum — fewer
+// launches, fewer bytes either way, less modelled time.
+func TestMultiExpVecCheaperThanTheTree(t *testing.T) {
+	r := mpint.NewRNG(0x7EE)
+	n := r.RandBits(2048)
+	n[0] |= 1
+	m := mpint.NewMont(n)
+	bases := randVec(r, 32, n)
+	sums := weightedSums(r, len(bases), 8, 10)
+
+	kernel := MustEngine(gpu.MustNew(gpu.RTX3090(), true))
+	got, err := kernel.MultiExpVec(bases, sums, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := MustEngine(gpu.MustNew(gpu.RTX3090(), true))
+	for j, sum := range sums {
+		var sel, exps []mpint.Nat
+		for _, tm := range sum {
+			if tm.Weight != 0 {
+				sel, exps = append(sel, bases[tm.Index]), append(exps, mpint.FromUint64(tm.Weight))
+			}
+		}
+		work, err := tree.ModExpVarVec(sel, exps, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for len(work) > 1 {
+			half := len(work) / 2
+			folded, err := tree.ModMulVec(work[:half], work[half:2*half], m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			work = append(folded, work[2*half:]...)
+		}
+		if mpint.Cmp(work[0], got[j]) != 0 {
+			t.Fatalf("sum %d: the kernel and the tree disagree", j)
+		}
+	}
+	k, tr := kernel.Device().Stats(), tree.Device().Stats()
+	t.Logf("kernel: %d launches, %d B up, %d B down, %v compute, %v transfer; tree: %d launches, %d B up, %d B down, %v compute, %v transfer",
+		k.KernelLaunches, k.BytesHostToDev, k.BytesDevToHost, k.SimComputeTime, k.SimTransferTime,
+		tr.KernelLaunches, tr.BytesHostToDev, tr.BytesDevToHost, tr.SimComputeTime, tr.SimTransferTime)
+	if k.KernelLaunches != 2 || tr.KernelLaunches < 40 {
+		t.Errorf("launches: kernel %d, tree %d, want 2 against 40 or more", k.KernelLaunches, tr.KernelLaunches)
+	}
+	if 3*k.BytesHostToDev > tr.BytesHostToDev || 3*k.BytesDevToHost > tr.BytesDevToHost {
+		t.Errorf("bytes: kernel %d up / %d down, tree %d / %d, want a third or less", k.BytesHostToDev, k.BytesDevToHost, tr.BytesHostToDev, tr.BytesDevToHost)
+	}
+	if 2*k.SimTime() > tr.SimTime() || 2*k.SimComputeTime > tr.SimComputeTime {
+		t.Errorf("modelled time: kernel %v (%v compute), tree %v (%v compute), want half or less", k.SimTime(), k.SimComputeTime, tr.SimTime(), tr.SimComputeTime)
+	}
+}
+
+// TestCheckedMultiExpCatchesCorruption: a silently corrupted lane never gets
+// past full verification — the check recomputes every term by plain
+// exponentiation, sharing no table with the lanes — and the retry, which
+// builds a table of its own, heals it. A dead device names the kernel in its
+// typed error and in the fault counters.
+func TestCheckedMultiExpCatchesCorruption(t *testing.T) {
+	c := checkedEngine(t,
+		gpu.FaultConfig{Seed: 5, CorruptProb: 0.5},
+		CheckedConfig{MaxRetries: 12, VerifyFraction: 1})
+	c.Set().Device(0).SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 2, FailAfter: 1 << 30})
+	r := mpint.NewRNG(0xC0)
+	n := r.RandPrime(160)
+	m := mpint.NewMont(n)
+	bases := randVec(r, 9, n)
+	sums := weightedSums(r, len(bases), 6, 12)
+	want := multiExpOracle(m, bases, sums)
+	for round := 0; round < 4; round++ {
+		got, err := c.MultiExpVec(bases, sums, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameVec(t, "under corruption", got, want)
+	}
+	if st := c.Stats(); st.VerifyFailures == 0 || st.Retries == 0 {
+		t.Errorf("injector never corrupted a launch at this seed: %+v", st)
+	}
+
+	dead := MustEngine(gpu.MustNew(gpu.SmallTestDevice(), true))
+	dead.Device().SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 2}))
+	_, err := dead.MultiExpVec(bases, sums, m)
+	var kerr *gpu.KernelError
+	if !errors.As(err, &kerr) || kerr.Kernel != "multi_exp_vec" || !strings.Contains(err.Error(), "multi_exp_vec") {
+		t.Errorf("a device killed at the lanes' launch returned %v, want a KernelError naming multi_exp_vec", err)
+	}
+	dead = MustEngine(gpu.MustNew(gpu.SmallTestDevice(), true))
+	dead.Device().SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 1}))
+	if _, err = dead.MultiExpVec(bases, sums, m); !errors.As(err, &kerr) || kerr.Kernel != "multi_exp_table" {
+		t.Errorf("a device killed at the table's launch returned %v, want a KernelError naming multi_exp_table", err)
+	}
+}

@@ -82,7 +82,7 @@ func (v outVec) poison(i int) {
 	}
 }
 
-// modVec is what the five ops with residues mod m for results share: the
+// modVec is what the six ops with residues mod m for results share: the
 // download width and a kernel as wide as the modulus.
 type modVec struct {
 	outVec
@@ -236,6 +236,123 @@ func (o *fixedBaseOp) slice(lo, hi int) vecOp {
 	return &fixedBaseOp{o.sub(lo, hi), o.base, o.exps[lo:hi], o.h, nil}
 }
 
+// multiExpOp is Π bases[t.Index]^t.Weight mod m over the terms t of sums[i]:
+// the weighted sums of one ciphertext vector a vertical model's host computes
+// every minibatch, as one kernel. The sums share their bases, so the set-up
+// stage builds one table for the launch — every base a sum refers to into
+// Montgomery form and, past unit weights, its odd powers — and every lane
+// then walks its own weights over it with a single accumulator (interleaved
+// sliding windows, internal/mpint/multiexp.go, DESIGN.md §17): a squaring a
+// bit position and a table multiply a window, where an exponentiation a term
+// and a product to fold each pair pay ≈1.2 multiplies a bit and two a fold,
+// per term. The plan — which bases, which window width — is made when the op
+// is stated, from the launch's shape alone; a shard plans and builds its own
+// table for its own sums, and results are canonical residues either way, so
+// neither the width nor a shard boundary can change a bit. Verification takes
+// every term through the plain exponentiation and folds with the plain
+// product: no table, no shared schedule, a context of its own, so a corrupted
+// table entry (which would skew every sum it feeds) cannot also corrupt the
+// check.
+type multiExpOp struct {
+	modVec
+	bases []mpint.Nat
+	sums  [][]mpint.Term
+	tbl   *mpint.MultiExpTable // planned over sums; setup builds its rows
+	// attempts counts the set-up stages run. Past the first, lanes of a failed
+	// attempt may still be running behind a watchdog trip (gpu.Device.Launch
+	// returns without them), so a retry never rewrites the table they read and
+	// release never recycles one.
+	attempts int
+}
+
+// newMultiExpOp states the op over sums, rejecting a term that refers outside
+// bases (mpint.ErrTermIndex) before anything is uploaded.
+func newMultiExpOp(out modVec, bases []mpint.Nat, sums [][]mpint.Term) (*multiExpOp, error) {
+	tbl, err := out.m.NewMultiExpTable(bases, sums)
+	if err != nil {
+		return nil, err
+	}
+	return &multiExpOp{modVec: out, bases: bases, sums: sums, tbl: tbl}, nil
+}
+
+// replan is a fresh table over sums, a sub-range of the op's own: the indices
+// were checked when the op was stated.
+func (o *multiExpOp) replan(sums [][]mpint.Term) *mpint.MultiExpTable {
+	tbl, err := o.m.NewMultiExpTable(o.bases, sums)
+	if err != nil {
+		panic(err)
+	}
+	return tbl
+}
+
+func (o *multiExpOp) name() string { return "multi_exp_vec" }
+
+// kernel prices a lane at the widest sum of the launch, as every variable-
+// length kernel is priced at its widest element.
+func (o *multiExpOp) kernel(warp int) gpu.Kernel {
+	var widest int64
+	for _, sum := range o.sums {
+		widest = max(widest, o.tbl.LaneMuls(sum))
+	}
+	k := o.kern(widest * montMulWordOps(o.m.Limbs()))
+	// Different weights put different windows at each bit position per lane.
+	k.DivergentLanes = warp / 2
+	return k
+}
+
+// setup builds the table as its own launch, one item a referenced base, so
+// its cost lands on the simulated clock (and in the trace as a
+// multi_exp_table span) once for the launch however many sums share it. The
+// table is built on the device from the bases h2d uploads; nothing more is
+// shipped. A retry builds a table of its own and swaps it in complete.
+func (o *multiExpOp) setup(dev *gpu.Device) (int, error) {
+	tbl := o.tbl
+	if o.attempts++; o.attempts > 1 {
+		tbl = o.replan(o.sums)
+	}
+	rows := tbl.Rows()
+	if dev == nil {
+		for r := 0; r < rows; r++ {
+			tbl.BuildRow(r)
+		}
+	} else {
+		kern := o.kern(tbl.RowMuls() * montMulWordOps(o.m.Limbs()))
+		kern.Name, kern.Items = "multi_exp_table", rows
+		if _, err := dev.Launch(kern, tbl.BuildRow); err != nil {
+			return 0, fmt.Errorf("table build: %w", err)
+		}
+	}
+	o.tbl = tbl
+	return tbl.Entries(), nil
+}
+
+// release hands the table back to its context's pool when no lane can still
+// be reading it: after a launch that succeeded at its first attempt, or that
+// went to the op's shards and never touched it.
+func (o *multiExpOp) release() {
+	if o.attempts <= 1 {
+		o.tbl.Release()
+	}
+}
+
+// h2d is every referenced base once and the sparse weights: a 4-byte index
+// and an 8-byte weight a non-zero term.
+func (o *multiExpOp) h2d() int64 {
+	return natBytes(o.tbl.Rows(), o.m.Limbs()) + 12*int64(o.tbl.Terms())
+}
+func (o *multiExpOp) lane(i int) { o.out[i] = o.tbl.Eval(o.sums[i]) }
+func (o *multiExpOp) verify(i int) mpint.Nat {
+	n, prod := o.m.N(), mpint.One()
+	for _, t := range o.sums[i] {
+		prod = mpint.ModMul(prod, mpint.ModExp(o.bases[t.Index], mpint.FromUint64(t.Weight), n), n)
+	}
+	return prod
+}
+func (o *multiExpOp) slice(lo, hi int) vecOp {
+	sums := o.sums[lo:hi]
+	return &multiExpOp{modVec: o.sub(lo, hi), bases: o.bases, sums: sums, tbl: o.replan(sums)}
+}
+
 // modMulOp is a[i]·b[i] mod m in two Montgomery multiplies, (a·R)·b·R⁻¹:
 // only one operand needs to be in Montgomery form for the product to come
 // out of it. The charge prices the modelled device kernel — two
@@ -251,7 +368,7 @@ type modMulOp struct {
 func (o *modMulOp) name() string           { return "mod_mul_vec" }
 func (o *modMulOp) kernel(int) gpu.Kernel  { return o.kern(3 * montMulWordOps(o.m.Limbs())) }
 func (o *modMulOp) h2d() int64             { return 2 * natBytes(len(o.a), o.m.Limbs()) }
-func (o *modMulOp) lane(i int)             { o.out[i] = o.m.Mul(o.m.ToMont(o.a[i]), o.b[i]) }
+func (o *modMulOp) lane(i int)             { o.out[i] = o.m.ModMul(o.a[i], o.b[i]) }
 func (o *modMulOp) verify(i int) mpint.Nat { return mpint.ModMul(o.a[i], o.b[i], o.m.N()) }
 func (o *modMulOp) slice(lo, hi int) vecOp { return &modMulOp{o.sub(lo, hi), o.a[lo:hi], o.b[lo:hi]} }
 

@@ -100,6 +100,18 @@ func TestShardedMatchesSequentialEveryOp(t *testing.T) {
 			}
 			sameVec(t, "mod_mul_vec", got, want)
 
+			// n sums over the n bases: a shard plans and builds its own table.
+			sums := weightedSums(rr, n, n, 20)
+			want, err = seq.MultiExpVec(bases, sums, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err = sh.MultiExpVec(bases, sums, m)
+			if err != nil {
+				t.Fatalf("D=%d n=%d MultiExpVec: %v", d, n, err)
+			}
+			sameVec(t, "multi_exp_vec", got, want)
+
 			want, err = seq.RandCoprimeVec(n, nmod, 77)
 			if err != nil {
 				t.Fatal(err)

@@ -199,13 +199,22 @@ func (m *HeteroSBT) encryptGH(g, h []float64) ([]paillier.Ciphertext, error) {
 	return cts, nil
 }
 
-// ghAt returns the ciphertext(s) holding sample i's pair under the current
-// packing: one ct when packed, (g_ct, h_ct) when not.
-func (m *HeteroSBT) ghRefs(cts []paillier.Ciphertext, n, i int) []paillier.Ciphertext {
-	if m.ctx.Packer != nil {
-		return cts[i : i+1]
+// ghSums states the subset sum of one histogram bin over the encrypted
+// gradient vector of n samples, as unit-weight terms: one sum over the packed
+// pairs, or the g sum and the h sum apart (sample i's g at i, its h at n+i).
+func (m *HeteroSBT) ghSums(n int, samples []int) [][]mpint.Term {
+	gs := make([]mpint.Term, len(samples))
+	for k, s := range samples {
+		gs[k] = mpint.Term{Index: s, Weight: 1}
 	}
-	return []paillier.Ciphertext{cts[i], cts[n+i]}
+	if m.ctx.Packer != nil {
+		return [][]mpint.Term{gs}
+	}
+	hs := make([]mpint.Term, len(samples))
+	for k, s := range samples {
+		hs[k] = mpint.Term{Index: n + s, Weight: 1}
+	}
+	return [][]mpint.Term{gs, hs}
 }
 
 // decodeGH splits a decrypted histogram sum into (G, H) for cnt samples.
@@ -360,9 +369,11 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 				gBins[b], hBins[b] = sumGH(list, g, h)
 			}
 		} else {
-			// Host-side encrypted histograms: one homomorphic subset sum
-			// per non-empty bin, opened by the guest over the return path.
-			var histCts []paillier.Ciphertext
+			// Host-side encrypted histograms: one homomorphic subset sum per
+			// non-empty bin (two without packing, g and h apart), all of the
+			// feature's bins in one batch, opened by the guest over the
+			// return path.
+			var histSums [][]mpint.Term
 			var histBounds []uint64
 			var histIdx []int
 			for b, list := range bins {
@@ -370,41 +381,16 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 				if len(list) == 0 {
 					continue
 				}
-				sel := make([]paillier.Ciphertext, 0, len(list)*2)
-				for _, s := range list {
-					sel = append(sel, m.ghRefs(cts, n, s)...)
-				}
-				var sums []paillier.Ciphertext
-				if m.ctx.Packer != nil {
-					sum, err := m.ctx.ReduceSum(sel)
-					if err != nil {
-						return best, err
-					}
-					sums = []paillier.Ciphertext{sum}
-				} else {
-					gh := len(sel) / 2
-					gs := make([]paillier.Ciphertext, 0, gh)
-					hs := make([]paillier.Ciphertext, 0, gh)
-					for k := 0; k < len(sel); k += 2 {
-						gs = append(gs, sel[k])
-						hs = append(hs, sel[k+1])
-					}
-					gSum, err := m.ctx.ReduceSum(gs)
-					if err != nil {
-						return best, err
-					}
-					hSum, err := m.ctx.ReduceSum(hs)
-					if err != nil {
-						return best, err
-					}
-					sums = []paillier.Ciphertext{gSum, hSum}
-				}
-				histCts = append(histCts, sums...)
+				histSums = append(histSums, m.ghSums(n, list)...)
 				histBounds = append(histBounds, m.ghSumBounds(len(list))...)
 				histIdx = append(histIdx, b)
 			}
-			if len(histCts) == 0 {
+			if len(histSums) == 0 {
 				continue
+			}
+			histCts, err := m.ctx.WeightedSums(cts, histSums)
+			if err != nil {
+				return best, err
 			}
 			// The guest holds the key and keeps the values: no reply.
 			route := fl.ReturnRoute{Net: m.net, Party: hostName(p), Decryptor: hostName(0), Kind: "hist"}

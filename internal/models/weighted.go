@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"flbooster/internal/fl"
+	"flbooster/internal/mpint"
 	"flbooster/internal/paillier"
 )
 
@@ -13,8 +14,9 @@ import (
 // split by the sign of the feature value so every exponent stays in the
 // unsigned domain: side 0 takes the positive features, side 1 the negative.
 type signSplit [2]struct {
-	at []int    // offsets into the per-sample ciphertexts
-	w  []uint64 // fixed-point |x|
+	// terms pair an offset into the per-sample ciphertexts with the
+	// fixed-point |x| it is weighted by.
+	terms []mpint.Term
 	// sum is Σx̃, exact: the party's shift-correction term and, through
 	// fl.SumBound, the proof that the encrypted sum fits its return slot.
 	sum uint64
@@ -36,18 +38,18 @@ func (s *signSplit) add(at int, x, scale float64) error {
 	if carry != 0 {
 		return fmt.Errorf("%w: fixed-point feature weights total more than 64 bits", fl.ErrSumBound)
 	}
-	side.at = append(side.at, at)
-	side.w = append(side.w, fp)
+	side.terms = append(side.terms, mpint.Term{Index: at, Weight: fp})
 	side.sum = sum
 	return nil
 }
 
 // openWeightedSums is the host side of the vertical gradient step (Hetero LR
-// steps 4–5, Hetero NN per hidden unit): one homomorphic multiply-accumulate
-// over the encrypted per-sample values encD for every non-empty side of
-// every split, the return path through the key holder, and the decode
-// Σ dᵢ·x̃ᵢ = (2α/M)·S − α·Σx̃ per side. It returns each split's signed total
-// in fixed-point units, or nil when no split had a term to send.
+// steps 4–5, Hetero NN per hidden unit): the homomorphic multiply-accumulate
+// over the encrypted per-sample values encD for every non-empty side of every
+// split — all of them in one fl.Context.WeightedSums batch — the return path
+// through the key holder, and the decode Σ dᵢ·x̃ᵢ = (2α/M)·S − α·Σx̃ per side.
+// It returns each split's signed total in fixed-point units, or nil when no
+// split had a term to send.
 func openWeightedSums(ctx *fl.Context, route fl.ReturnRoute, encD []paillier.Ciphertext, splits []signSplit) ([]float64, error) {
 	type pending struct {
 		split int
@@ -55,35 +57,31 @@ func openWeightedSums(ctx *fl.Context, route fl.ReturnRoute, encD []paillier.Cip
 		corr  float64
 	}
 	var (
-		cts    []paillier.Ciphertext
+		sums   [][]mpint.Term
 		bounds []uint64
 		meta   []pending
 	)
 	for k := range splits {
 		for sign := range splits[k] {
 			side := &splits[k][sign]
-			if len(side.at) == 0 {
+			if len(side.terms) == 0 {
 				continue
 			}
 			bound, err := ctx.SumBound(side.sum)
 			if err != nil {
 				return nil, err
 			}
-			sel := make([]paillier.Ciphertext, len(side.at))
-			for i, at := range side.at {
-				sel[i] = encD[at]
-			}
-			ct, err := ctx.WeightedSum(sel, side.w)
-			if err != nil {
-				return nil, err
-			}
-			cts = append(cts, ct)
+			sums = append(sums, side.terms)
 			bounds = append(bounds, bound)
 			meta = append(meta, pending{split: k, neg: sign == 1, corr: float64(side.sum)})
 		}
 	}
-	if len(cts) == 0 {
+	if len(sums) == 0 {
 		return nil, nil
+	}
+	cts, err := ctx.WeightedSums(encD, sums)
+	if err != nil {
+		return nil, err
 	}
 	raws, err := ctx.OpenSums(route, cts, bounds)
 	if err != nil {

@@ -29,6 +29,8 @@ func TestAllocCeilings(t *testing.T) {
 		// A base above the modulus is reduced in the scratch.
 		{"Mont.Exp (base ≥ n)", 1, func() { m.Exp(wide, e) }},
 		{"Mont.Mul", 1, func() { m.Mul(base, base) }},
+		// The Montgomery form of the first operand stays in the scratch.
+		{"Mont.ModMul", 1, func() { m.ModMul(base, base) }},
 		// The two working copies; the result is one of them.
 		{"GCD", 2, func() { GCD(x, y) }},
 		// The candidate, and one slab for the coprimality check's working pair.
@@ -74,4 +76,51 @@ func TestCRTAllocCeilings(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestMultiExpAllocCeilings pins a multi-exponentiation launch at its results:
+// the table comes out of the context's pool and goes back, a row is built and
+// a product walked on pooled scratch, so planning and building allocate
+// nothing once the pools are warm and a product allocates its residue alone.
+func TestMultiExpAllocCeilings(t *testing.T) {
+	r := NewRNG(0xA110C5)
+	n := randOdd(r, 2048)
+	bases := make([]Nat, 32)
+	for i := range bases {
+		bases[i] = r.RandBelow(n)
+	}
+	bases[7] = Add(bases[7], n) // reduced in the scratch
+	sums := make([][]Term, 8)
+	for j := range sums {
+		for i := range bases {
+			sums[j] = append(sums[j], Term{i, uint64(r.Intn(1 << 10))})
+		}
+	}
+	forEachBody(t, func() {
+		m := NewMont(n)
+		launch := func(eval bool) func() {
+			return func() {
+				tbl, err := m.NewMultiExpTable(bases, sums)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := 0; r < tbl.Rows(); r++ {
+					tbl.BuildRow(r)
+				}
+				for _, sum := range sums {
+					if tbl.LaneMuls(sum); eval {
+						tbl.Eval(sum)
+					}
+				}
+				tbl.Release()
+			}
+		}
+		launch(true)() // fill the pools
+		if got := testing.AllocsPerRun(20, launch(false)); got > 0 {
+			t.Errorf("plan + table + pricing: %.1f allocs per launch, ceiling 0", got)
+		}
+		if got, max := testing.AllocsPerRun(20, launch(true)), float64(len(sums)); got > max {
+			t.Errorf("launch of %d products: %.1f allocs, ceiling %.0f", len(sums), got, max)
+		}
+	})
 }

@@ -237,6 +237,10 @@ func FuzzMontMul(f *testing.F) {
 			if toBig(got).Cmp(want) != 0 {
 				t.Fatalf("%s·%s mod %s = %s, math/big says %s", x, y, n, got, want)
 			}
+			// The same product with one operand in Montgomery form, on scratch.
+			if got := m.ModMul(x, y); toBig(got).Cmp(want) != 0 || len(got) != len(trim(got)) {
+				t.Fatalf("ModMul(%s, %s) mod %s = %s, math/big says %s", x, y, n, got, want)
+			}
 			// The raw kernel: x·y·R⁻¹ at the host radix R = 2^(64k).
 			raw := m.Mul(x, y)
 			wantRaw := new(big.Int).Mul(toBig(x), toBig(y))

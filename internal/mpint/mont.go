@@ -18,6 +18,7 @@ type Mont struct {
 	one   Nat  // R mod n (the Montgomery form of 1)
 
 	scratch sync.Pool // *mulScratch, reused across multiply chains
+	tables  sync.Pool // *MultiExpTable, reused across launches (multiexp.go)
 	c52     chain52   // the radix-2⁵² side, where chains run on it (mont52.go)
 }
 
@@ -82,8 +83,9 @@ type mulScratch struct {
 	t      []Word // 2k: k+1 of them for a multiply, all for a squaring
 	aw, bw []Word // k each
 	slab   []Word
-	div    []Word  // division buffer for a base that arrives ≥ n
-	ops    []int16 // backing for the schedule Exp compiles and drops
+	div    []Word   // division buffer for a base that arrives ≥ n
+	ops    []int16  // backing for the schedule Exp compiles and drops
+	win    []uint32 // a multi-exponentiation lane's windows, bucketed by bit position
 }
 
 // getScratch returns a scratch buffer set sized for this modulus, drawing
@@ -134,6 +136,18 @@ func (m *Mont) operand(x Nat, buf []Word) []Word {
 func (m *Mont) Mul(a, b Nat) Nat {
 	sc := m.getScratch()
 	z := m.mulInto(make(Nat, m.k), a, b, sc)
+	m.putScratch(sc)
+	return z
+}
+
+// ModMul returns a·b mod n for a, b < n in two Montgomery multiplies,
+// (a·R)·b·R⁻¹ — only one operand has to be in Montgomery form for the product
+// to come out of it. The intermediate lives in the pooled scratch: the call
+// allocates its result and nothing else.
+func (m *Mont) ModMul(a, b Nat) Nat {
+	sc := m.getScratch()
+	sc.grow(m.k)
+	z := m.mulInto(make(Nat, m.k), m.mulInto(sc.buf(m.k, 0), a, m.rr, sc), b, sc)
 	m.putScratch(sc)
 	return z
 }
@@ -443,10 +457,7 @@ func (m *Mont) ExpSched(base Nat, s *ExpSchedule) Nat {
 // n² raised mod p²) is reduced into the scratch, remainder only.
 func (m *Mont) runSched(base Nat, s *ExpSchedule, sc *mulScratch) Nat {
 	if Cmp(base, m.n) >= 0 {
-		if need := len(base) + m.k + 1; len(sc.div) < need {
-			sc.div = make([]Word, need)
-		}
-		_, base = divInto(nil, sc.div, base, m.n)
+		base = m.reduce(base, sc)
 	}
 	if s.isZero {
 		return One()
@@ -457,6 +468,16 @@ func (m *Mont) runSched(base Nat, s *ExpSchedule, sc *mulScratch) Nat {
 	// Fresh allocation out of Montgomery form: the result must not alias the
 	// scratch the next chain will reuse.
 	return m.mulInto(make(Nat, m.k), m.expMont(base, s, sc), One(), sc)
+}
+
+// reduce returns base mod n for a base that arrives ≥ n, remainder only, in
+// sc's division buffer — valid until the scratch next reduces one.
+func (m *Mont) reduce(base Nat, sc *mulScratch) Nat {
+	if need := len(base) + m.k + 1; len(sc.div) < need {
+		sc.div = make([]Word, need)
+	}
+	_, r := divInto(nil, sc.div, base, m.n)
+	return r
 }
 
 // expMont runs the schedule's multiply chain for base < n and an exponent

@@ -22,6 +22,14 @@ type Backend interface {
 	AddVec(pk *PublicKey, a, b []Ciphertext) ([]Ciphertext, error)
 	// MulPlainVec raises each ciphertext to the matching plaintext scalar.
 	MulPlainVec(pk *PublicKey, cs []Ciphertext, ks []mpint.Nat) ([]Ciphertext, error)
+	// WeightedSumVec computes, for every sum, the homomorphic weighted sum
+	// E(Σ t.Weight·mᵢ) = Π cs[t.Index]^t.Weight mod n² over its terms t, mᵢ
+	// being the plaintext of cs[t.Index]: k sparse non-negative-integer
+	// combinations of one ciphertext vector — the host side of a vertical
+	// model's gradient or histogram step. Zero weights are no terms, and a sum
+	// without a term is the ciphertext 1, the encryption of zero under nonce 1.
+	// A term that refers outside cs rejects with mpint.ErrTermIndex.
+	WeightedSumVec(pk *PublicKey, cs []Ciphertext, sums [][]mpint.Term) ([]Ciphertext, error)
 }
 
 // CPUBackend performs every HE operation serially on the host, as FATE's
@@ -78,6 +86,35 @@ func (CPUBackend) MulPlainVec(pk *PublicKey, cs []Ciphertext, ks []mpint.Nat) ([
 	out := make([]Ciphertext, len(cs))
 	for i := range cs {
 		out[i] = pk.MulPlain(cs[i], ks[i])
+	}
+	return out, nil
+}
+
+// WeightedSumVec implements Backend the way FATE computes a weighted sum: one
+// ciphertext-scalar product and one homomorphic addition a term, in order. It
+// is also the oracle the GPU backend's kernel is tested against.
+func (CPUBackend) WeightedSumVec(pk *PublicKey, cs []Ciphertext, sums [][]mpint.Term) ([]Ciphertext, error) {
+	if err := mpint.CheckTerms(len(cs), sums); err != nil {
+		return nil, fmt.Errorf("paillier: WeightedSumVec: %w", err)
+	}
+	out := make([]Ciphertext, len(sums))
+	for j, sum := range sums {
+		acc, empty := Ciphertext{C: mpint.One()}, true
+		for _, t := range sum {
+			if t.Weight == 0 {
+				continue
+			}
+			term := cs[t.Index]
+			if t.Weight != 1 {
+				term = pk.MulPlain(term, mpint.FromUint64(t.Weight))
+			}
+			if empty {
+				acc, empty = term, false
+			} else {
+				acc = pk.Add(acc, term)
+			}
+		}
+		out[j] = acc
 	}
 	return out, nil
 }
@@ -253,6 +290,24 @@ func (g *GPUBackend) MulPlainVec(pk *PublicKey, cs []Ciphertext, ks []mpint.Nat)
 	out := make([]Ciphertext, len(cs))
 	for i := range pow {
 		out[i] = Ciphertext{C: pow[i]}
+	}
+	return out, nil
+}
+
+// WeightedSumVec implements Backend as one shared-table multi-exponentiation
+// kernel: every sum of the call in a single launch.
+func (g *GPUBackend) WeightedSumVec(pk *PublicKey, cs []Ciphertext, sums [][]mpint.Term) ([]Ciphertext, error) {
+	bases := make([]mpint.Nat, len(cs))
+	for i, c := range cs {
+		bases[i] = c.C
+	}
+	prods, err := g.Engine.MultiExpVec(bases, sums, pk.MontN2())
+	if err != nil {
+		return nil, fmt.Errorf("paillier: gpu WeightedSumVec: %w", err)
+	}
+	out := make([]Ciphertext, len(sums))
+	for i := range prods {
+		out[i] = Ciphertext{C: prods[i]}
 	}
 	return out, nil
 }
