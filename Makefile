@@ -44,71 +44,28 @@ lint: vet
 	$(STATICCHECK) ./...
 
 # The chaos/quorum suites and the device fault/watchdog/failover paths
-# exercise goroutines, deadlines, and shared counters, and flserver runs the
+# exercise goroutines, deadlines, and shared counters — the Table-I platform
+# in core runs on the same executor — and flserver runs the
 # shared fl.Aggregation code across real TCP connections (hub, server and
 # client goroutines in one process); they must stay clean under -race and
 # finish with time to spare.
 race:
-	$(GO) test -race -timeout 300s ./internal/flnet/... ./internal/fl/... ./internal/gpu/... ./internal/ghe/... ./cmd/flserver/...
+	$(GO) test -race -timeout 300s ./internal/flnet/... ./internal/fl/... ./internal/gpu/... ./internal/ghe/... ./internal/core/... ./cmd/flserver/...
 
-# Short fuzz passes: device-config validation (corpus under
-# internal/gpu/testdata/fuzz), the shard splitter's partition invariants
-# (contiguous, complete, non-overlapping for any item count and device
-# exclusion set), the untrusted-input decoders of the wire (corpora under
-# internal/flnet/testdata/fuzz) — the TCP receive path (FuzzReadFrame: any
-# bytes reject or re-frame to what was consumed, and a hostile length header
-# allocates what arrived, not what it declared), the nat-batch decoder every
-# ciphertext frame passes through (any bytes reject, or decode to at most
-# len/4 values that round-trip), and the two aggregate-path frames
-# (FuzzDecodeGroupAgg, FuzzDecodePartialAgg: reject typed with nil outputs or
-# re-encode to the same bytes, allocation bounded by the frame's length) — and
-# the mpint arithmetic kernels differentially against math/big (seed corpus on
-# the limb boundaries) — the factorised x^(pq) mod (pq)² plan and the scratch
-# division under it included, the fixed-base comb table, the Montgomery
-# targets under every body the host has (mulq, adx, and ifma52+adx where the
-# CPU and the OS allow: exponentiation chains on 52-bit digits), the row itself
-# (FuzzAddMulVW: assembly bodies against the Go loop against math/big at every
-# unroll tail, guard limbs intact) and the digit chain's kernel itself
-# (FuzzAMM52, corpus under internal/mpint/testdata/fuzz: a·b·2^(−52d) mod n
-# below 2n, every digit normalised, nothing written outside the destination,
-# the destination aliasing either operand, at every digit count from 1 to 208
-# and every load alignment; skipped with a logged line on a CPU without
-# AVX-512 IFMA) and the shared-table multi-exponentiation under the vertical
-# models' weighted sums (FuzzMultiExp, corpus beside FuzzAMM52's: 0–40 bases
-# at, under and over the modulus, 0–12 sums with repeated and unordered
-# indices, weights 0, 1, 2⁶⁴−1 and fuzzed, every body) — the Paillier key
-# decoders
-# (FuzzUnmarshalKeys: any bytes reject with a nil key or decode to a key that
-# re-encodes to the same components, never a panic) — the decryptor side
-# of the vertical return path (any plaintexts against any declared value count
-# and slot width reject typed or split exactly, with the result the only
-# allocation) — and the whole GPU-HE engine layer (FuzzVecOps, corpus under
-# internal/ghe/testdata/fuzz: for fuzzed moduli, operands and exponents every
-# vector op's lane equals its independent verify path equals math/big, and
-# a poisoned lane never passes full verification, and the checked executor
-# over 1, 2 and 3 devices, one killed mid-batch, returns the bare engine's
-# vector).
+# Short fuzz passes over every fuzz target the module has, 10 s each: for each
+# package `go list ./...` reports, every name `go test -list '^Fuzz'` prints,
+# anchored so FuzzDiv cannot also select FuzzDivInto. Nothing here names a
+# target, so adding or deleting one needs no edit; 19 exist today (10 in mpint
+# against math/big, four wire decoders in flnet, two in gpu, and one each on
+# fl's return-path splitter, paillier's key decoders and ghe's engine layer),
+# each with its corpus under its package's testdata/fuzz.
 fuzz:
-	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzConfigValidate -fuzztime 10s
-	$(GO) test ./internal/gpu -run '^$$' -fuzz FuzzSplitShards -fuzztime 10s
-	$(GO) test ./internal/flnet -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s
-	$(GO) test ./internal/flnet -run '^$$' -fuzz FuzzDecodeNats -fuzztime 10s
-	$(GO) test ./internal/flnet -run '^$$' -fuzz FuzzDecodeGroupAgg -fuzztime 10s
-	$(GO) test ./internal/flnet -run '^$$' -fuzz FuzzDecodePartialAgg -fuzztime 10s
-	$(GO) test ./internal/fl -run '^$$' -fuzz FuzzSplitSlots -fuzztime 10s
-	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzMontMul$$' -fuzztime 10s
-	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzModExp$$' -fuzztime 10s
-	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzDivMod$$' -fuzztime 10s
-	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzGCDModInverse$$' -fuzztime 10s
-	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzBytesRoundTrip$$' -fuzztime 10s
-	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzPowCRT$$' -fuzztime 10s
-	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzDivInto$$' -fuzztime 10s
-	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzFixedBaseExp$$' -fuzztime 10s
-	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzAddMulVW$$' -fuzztime 10s
-	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzAMM52$$' -fuzztime 10s
-	$(GO) test ./internal/mpint -run '^$$' -fuzz '^FuzzMultiExp$$' -fuzztime 10s
-	$(GO) test ./internal/paillier -run '^$$' -fuzz FuzzUnmarshalKeys -fuzztime 10s
-	$(GO) test ./internal/ghe -run '^$$' -fuzz FuzzVecOps -fuzztime 10s
+	@for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test $$pkg -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s || exit 1; \
+		done; \
+	done
 
 # One iteration of every benchmark in the HE hot-path packages: catches
 # benchmarks that no longer compile or crash without paying for real timing

@@ -7,7 +7,7 @@
 //	flbench [flags] <experiment>...
 //
 // Experiments: fig1 table3 table4 fig6 table5 fig7 table6 fig8 table7
-// ablation resilience devfault pipeline heopt byz scale devset soak all
+// ablation resilience devfault pipeline byz scale devset soak all
 //
 // Flags:
 //
@@ -101,7 +101,7 @@ func run(args []string) error {
 
 	exps := fs.Args()
 	if len(exps) == 0 {
-		return fmt.Errorf("no experiment named; choose from table2 fig1 table3 table4 fig6 table5 fig7 table6 fig8 table7 ablation resilience devfault pipeline heopt byz scale devset soak all")
+		return fmt.Errorf("no experiment named; choose from table2 fig1 table3 table4 fig6 table5 fig7 table6 fig8 table7 ablation resilience devfault pipeline byz scale devset soak all")
 	}
 	r, err := bench.NewRunner(cfg)
 	if err != nil {
@@ -141,8 +141,6 @@ func run(args []string) error {
 			err = r.DeviceFaults(os.Stdout)
 		case "pipeline":
 			err = r.Pipeline(os.Stdout)
-		case "heopt":
-			err = r.HEOpt(os.Stdout)
 		case "byz":
 			err = r.Byz(os.Stdout)
 		case "scale":

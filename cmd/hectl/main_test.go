@@ -1,10 +1,65 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"os"
+	"strconv"
+	"strings"
+	"testing"
+)
 
 func TestRunKeygen(t *testing.T) {
 	if err := run([]string{"keygen", "-bits", "128", "-seed", "7"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stdout is what run prints for args.
+func stdout(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	err = run(args)
+	os.Stdout = saved
+	w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestKeygenIsAFunctionOfTheSeed: -seed fixes the generated key (it used to
+// depend on which device thread found a prime first), the key has the size
+// -bits asks for (n used to come out a bit short on about half the seeds), and
+// a size no key can have is an error, not a key of another size.
+func TestKeygenIsAFunctionOfTheSeed(t *testing.T) {
+	first := stdout(t, "keygen", "-bits", "256", "-seed", "7")
+	if !strings.Contains(first, "key size : 256 bits\nn        : ") {
+		t.Fatalf("keygen -bits 256 printed:\n%s", first)
+	}
+	if again := stdout(t, "keygen", "-bits", "256", "-seed", "7"); again != first {
+		t.Fatalf("keygen -bits 256 -seed 7 printed two keys:\n%s\n%s", first, again)
+	}
+	if other := stdout(t, "keygen", "-bits", "256", "-seed", "8"); other == first {
+		t.Fatal("seeds 7 and 8 generated one key")
+	}
+	for seed := 1; seed <= 8; seed++ {
+		if out := stdout(t, "keygen", "-bits", "128", "-seed", strconv.Itoa(seed)); !strings.HasPrefix(out, "key size : 128 bits\n") {
+			t.Fatalf("keygen -bits 128 -seed %d printed:\n%s", seed, out)
+		}
+	}
+	for _, bits := range []string{"129", "14"} {
+		if err := run([]string{"keygen", "-bits", bits, "-seed", "1"}); err == nil {
+			t.Errorf("keygen -bits %s should fail", bits)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"flbooster/internal/core"
 	"flbooster/internal/ghe"
 	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
@@ -100,25 +101,20 @@ func (o devsetOut) equal(ref devsetOut) bool {
 // returns the results with the set's statistics. With kill set, device 1 is
 // armed to die mid-encrypt.
 func (r *Runner) devsetRun(sk *paillier.PrivateKey, ms []mpint.Nat, d int, kill bool) (devsetOut, gpu.SetStats, error) {
-	set, err := gpu.NewDeviceSet(r.cfg.Device, true, d)
-	if err != nil {
-		return devsetOut{}, gpu.SetStats{}, err
-	}
 	check := ghe.CheckedConfig{}
 	if kill {
 		check.Backoff = devsetBackoff
-		set.Device(1).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{
+	}
+	st, err := core.NewStack(r.cfg.Device, true, d, gpu.FaultConfig{}, check)
+	if err != nil {
+		return devsetOut{}, gpu.SetStats{}, err
+	}
+	if kill {
+		st.DevSet.Device(1).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{
 			Seed: r.cfg.Seed, KillAtLaunch: devsetKillAt,
 		}))
 	}
-	eng, err := ghe.NewCheckedEngine(set, check)
-	if err != nil {
-		return devsetOut{}, gpu.SetStats{}, err
-	}
-	backend, err := paillier.NewGPUBackend(eng)
-	if err != nil {
-		return devsetOut{}, gpu.SetStats{}, err
-	}
+	backend := st.Backend
 	pk := &sk.PublicKey
 	cts, err := backend.EncryptVec(pk, ms, r.cfg.Seed)
 	if err != nil {
@@ -134,7 +130,7 @@ func (r *Runner) devsetRun(sk *paillier.PrivateKey, ms []mpint.Nat, d int, kill 
 	if err != nil {
 		return devsetOut{}, gpu.SetStats{}, fmt.Errorf("bench: devset D=%d decrypt: %w", d, err)
 	}
-	return devsetOut{cts: sum, dec: dec}, set.Stats(), nil
+	return devsetOut{cts: sum, dec: dec}, st.DevSet.Stats(), nil
 }
 
 // Devset sweeps the simulated device count over the encrypt-heavy workload

@@ -1,9 +1,10 @@
-// Package core is FLBooster's platform layer: it assembles the GPU-HE
-// engine, encoding-quantization, batch compression, and the cryptosystems
-// into the user-facing API surface of Table I — vectorized multi-precision
-// arithmetic (add/sub/mul/div/mod), modular operations (mod_inv, mod_mul,
-// mod_pow), and the Paillier/RSA operation families — plus the acceleration
-// profiles the experiments compare.
+// Package core is FLBooster's platform layer. It is the one constructor of the
+// HE stack — device set, checked executor, Paillier backend (NewStack) — which
+// the federation's contexts (fl.NewContext) and the Table-I platform below are
+// both built on, and it assembles that stack and the cryptosystems into the
+// user-facing API surface of Table I: vectorized multi-precision arithmetic
+// (add/sub/mul/div/mod), modular operations (mod_inv, mod_mul, mod_pow), and
+// the Paillier/RSA operation families.
 package core
 
 import (
@@ -16,11 +17,47 @@ import (
 	"flbooster/internal/rsa"
 )
 
-// Platform is one FLBooster instance bound to a (simulated) GPU.
+// Stack is the GPU-HE stack of one party: a fleet of simulated devices, the
+// executor that runs every vector op over it (launch → spot-check →
+// retry/backoff → exclude-and-steal → host, DESIGN.md §7, §15), and the
+// Paillier backend lowered onto that executor.
+type Stack struct {
+	DevSet  *gpu.DeviceSet
+	Checked *ghe.CheckedEngine
+	Backend *paillier.GPUBackend
+}
+
+// NewStack stands the stack up over `devices` members of one configuration.
+// With injection enabled each member gets its own injector, seeded apart from
+// its peers', so a fault pattern does not kill the whole fleet in lockstep.
+func NewStack(cfg gpu.Config, fineRM bool, devices int, inject gpu.FaultConfig, check ghe.CheckedConfig) (*Stack, error) {
+	set, err := gpu.NewDeviceSet(cfg, fineRM, devices)
+	if err != nil {
+		return nil, err
+	}
+	if inject.Enabled() {
+		for i := 0; i < set.Size(); i++ {
+			member := inject
+			member.Seed += uint64(i) * 0x9e3779b97f4a7c15
+			set.Device(i).SetFaultInjector(gpu.NewFaultInjector(member))
+		}
+	}
+	checked, err := ghe.NewCheckedEngine(set, check)
+	if err != nil {
+		return nil, err
+	}
+	backend, err := paillier.NewGPUBackend(checked)
+	if err != nil {
+		return nil, err
+	}
+	return &Stack{DevSet: set, Checked: checked, Backend: backend}, nil
+}
+
+// Platform is one FLBooster instance bound to a (simulated) GPU: the stack at
+// one device, no injected faults and the default checking policy, plus the
+// seed stream its keys and nonces are drawn from.
 type Platform struct {
-	dev *gpu.Device
-	eng *ghe.Engine
-	pb  *paillier.GPUBackend
+	st  *Stack
 	rng *mpint.RNG
 }
 
@@ -28,19 +65,11 @@ type Platform struct {
 // fine-grained resource manager. seed drives key generation and nonces;
 // use a crypto-quality seed in production.
 func New(cfg gpu.Config, seed uint64) (*Platform, error) {
-	dev, err := gpu.New(cfg, true)
+	st, err := NewStack(cfg, true, 1, gpu.FaultConfig{}, ghe.CheckedConfig{})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	eng, err := ghe.NewEngine(dev)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	pb, err := paillier.NewGPUBackend(eng)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	return &Platform{dev: dev, eng: eng, pb: pb, rng: mpint.NewRNG(seed)}, nil
+	return &Platform{st: st, rng: mpint.NewRNG(seed)}, nil
 }
 
 // Default creates a platform modelling the paper's RTX 3090 testbed.
@@ -53,36 +82,33 @@ func Default(seed uint64) *Platform {
 }
 
 // Device exposes the underlying device for stats and utilization readings.
-func (p *Platform) Device() *gpu.Device { return p.dev }
-
-// Engine exposes the GPU-HE engine.
-func (p *Platform) Engine() *ghe.Engine { return p.eng }
+func (p *Platform) Device() *gpu.Device { return p.st.DevSet.Device(0) }
 
 // --- Table I: fundamental vector arithmetic --------------------------------
 
 // Add computes values1[i] + values2[i] on the device.
 func (p *Platform) Add(values1, values2 []mpint.Nat) ([]mpint.Nat, error) {
-	return p.eng.AddVec(values1, values2)
+	return p.st.Checked.AddVec(values1, values2)
 }
 
 // Sub computes values1[i] − values2[i] on the device.
 func (p *Platform) Sub(values1, values2 []mpint.Nat) ([]mpint.Nat, error) {
-	return p.eng.SubVec(values1, values2)
+	return p.st.Checked.SubVec(values1, values2)
 }
 
 // Mul computes values1[i] · values2[i] on the device.
 func (p *Platform) Mul(values1, values2 []mpint.Nat) ([]mpint.Nat, error) {
-	return p.eng.MulVec(values1, values2)
+	return p.st.Checked.MulVec(values1, values2)
 }
 
 // Div computes values1[i] / values2[i] on the device.
 func (p *Platform) Div(values1, values2 []mpint.Nat) ([]mpint.Nat, error) {
-	return p.eng.DivVec(values1, values2)
+	return p.st.Checked.DivVec(values1, values2)
 }
 
 // Mod computes x[i] mod n on the device.
 func (p *Platform) Mod(x []mpint.Nat, n mpint.Nat) ([]mpint.Nat, error) {
-	return p.eng.ModVec(x, n)
+	return p.st.Checked.ModVec(x, n)
 }
 
 // --- Table I: modular operations --------------------------------------------
@@ -106,7 +132,7 @@ func (p *Platform) ModMul(values1, values2 []mpint.Nat, n mpint.Nat) ([]mpint.Na
 	if n.IsZero() || n.IsEven() {
 		return nil, fmt.Errorf("core: ModMul needs an odd modulus")
 	}
-	return p.eng.ModMulVec(values1, values2, mpint.NewMont(n))
+	return p.st.Checked.ModMulVec(values1, values2, mpint.NewMont(n))
 }
 
 // ModPow computes x[i]^e mod n via the device's sliding-window kernel;
@@ -115,46 +141,64 @@ func (p *Platform) ModPow(x []mpint.Nat, e, n mpint.Nat) ([]mpint.Nat, error) {
 	if n.IsZero() || n.IsEven() {
 		return nil, fmt.Errorf("core: ModPow needs an odd modulus")
 	}
-	return p.eng.ModExpVec(x, e, mpint.NewMont(n))
+	return p.st.Checked.ModExpVec(x, e, mpint.NewMont(n))
 }
 
 // --- Table I: Paillier family ------------------------------------------------
 
-// PaillierKeyGen generates a Paillier key pair of the given size, with the
-// primes searched on the device.
+// PaillierKeyGen generates a Paillier key pair with an n of exactly `bits`
+// bits, its primes searched on the device. The key is a function of the
+// platform's seed; sizes paillier.GenerateKey rejects reject here the same.
 func (p *Platform) PaillierKeyGen(bits int) (*paillier.PrivateKey, error) {
-	pr, q, err := p.eng.GeneratePrimePair(bits/2, p.rng.Uint64())
-	if err != nil {
-		return nil, fmt.Errorf("core: PaillierKeyGen: %w", err)
+	if err := paillier.CheckKeyBits(bits); err != nil {
+		return nil, err
 	}
-	return paillier.NewKeyFromPrimes(pr, q)
+	for {
+		pr, q, err := p.st.Checked.GeneratePrimePair(bits/2, p.rng.Uint64())
+		if err != nil {
+			return nil, fmt.Errorf("core: PaillierKeyGen: %w", err)
+		}
+		// Redraw, as the host generator does, until the pair makes a key and its
+		// n is as long as asked.
+		if sk, err := paillier.NewKeyFromPrimes(pr, q); err == nil && sk.N.BitLen() == bits {
+			return sk, nil
+		}
+	}
 }
 
 // PaillierEncrypt encrypts a batch of plaintexts on the device.
 func (p *Platform) PaillierEncrypt(pub *paillier.PublicKey, plaintexts []mpint.Nat) ([]paillier.Ciphertext, error) {
-	return p.pb.EncryptVec(pub, plaintexts, p.rng.Uint64())
+	return p.st.Backend.EncryptVec(pub, plaintexts, p.rng.Uint64())
 }
 
 // PaillierDecrypt decrypts a batch of ciphertexts on the device.
 func (p *Platform) PaillierDecrypt(priv *paillier.PrivateKey, cts []paillier.Ciphertext) ([]mpint.Nat, error) {
-	return p.pb.DecryptVec(priv, cts)
+	return p.st.Backend.DecryptVec(priv, cts)
 }
 
 // PaillierAdd computes the homomorphic addition of two ciphertext batches.
 func (p *Platform) PaillierAdd(pub *paillier.PublicKey, a, b []paillier.Ciphertext) ([]paillier.Ciphertext, error) {
-	return p.pb.AddVec(pub, a, b)
+	return p.st.Backend.AddVec(pub, a, b)
 }
 
 // --- Table I: RSA family ------------------------------------------------------
 
-// RSAKeyGen generates an RSA key pair of the given size with device-searched
-// primes.
+// RSAKeyGen generates an RSA key pair with an n of exactly `bits` bits, its
+// primes searched on the device; sizes rsa.GenerateKey rejects reject here
+// the same.
 func (p *Platform) RSAKeyGen(bits int) (*rsa.PrivateKey, error) {
-	pr, q, err := p.eng.GeneratePrimePair(bits/2, p.rng.Uint64())
-	if err != nil {
-		return nil, fmt.Errorf("core: RSAKeyGen: %w", err)
+	if err := rsa.CheckKeyBits(bits); err != nil {
+		return nil, err
 	}
-	return rsa.NewKeyFromPrimes(pr, q)
+	for {
+		pr, q, err := p.st.Checked.GeneratePrimePair(bits/2, p.rng.Uint64())
+		if err != nil {
+			return nil, fmt.Errorf("core: RSAKeyGen: %w", err)
+		}
+		if sk, err := rsa.NewKeyFromPrimes(pr, q); err == nil && sk.N.BitLen() == bits {
+			return sk, nil
+		}
+	}
 }
 
 // RSAEncrypt encrypts a plaintext batch (one modexp kernel).
@@ -164,7 +208,7 @@ func (p *Platform) RSAEncrypt(pub *rsa.PublicKey, plaintexts []mpint.Nat) ([]rsa
 			return nil, fmt.Errorf("core: RSAEncrypt element %d exceeds modulus", i)
 		}
 	}
-	pows, err := p.eng.ModExpVec(plaintexts, pub.E, pub.Mont())
+	pows, err := p.st.Checked.ModExpVec(plaintexts, pub.E, pub.Mont())
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +229,7 @@ func (p *Platform) RSADecrypt(priv *rsa.PrivateKey, cts []rsa.Ciphertext) ([]mpi
 		}
 		bases[i] = c.C
 	}
-	return p.eng.ModExpVec(bases, priv.D, priv.Mont())
+	return p.st.Checked.ModExpVec(bases, priv.D, priv.Mont())
 }
 
 // RSAMul computes the multiplicative homomorphism over two batches.
@@ -198,7 +242,7 @@ func (p *Platform) RSAMul(pub *rsa.PublicKey, a, b []rsa.Ciphertext) ([]rsa.Ciph
 	for i := range a {
 		av[i], bv[i] = a[i].C, b[i].C
 	}
-	prods, err := p.eng.ModMulVec(av, bv, pub.Mont())
+	prods, err := p.st.Checked.ModMulVec(av, bv, pub.Mont())
 	if err != nil {
 		return nil, err
 	}

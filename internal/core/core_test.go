@@ -3,8 +3,10 @@ package core
 import (
 	"testing"
 
+	"flbooster/internal/ghe"
 	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
+	"flbooster/internal/paillier"
 	"flbooster/internal/rsa"
 )
 
@@ -15,6 +17,36 @@ func testPlatform(t testing.TB) *Platform {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// platformOn is a seed-7 platform over a stack of the caller's shape.
+func platformOn(t testing.TB, devices int, inject gpu.FaultConfig, check ghe.CheckedConfig) *Platform {
+	t.Helper()
+	st, err := NewStack(gpu.SmallTestDevice(), true, devices, inject, check)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Platform{st: st, rng: mpint.NewRNG(7)}
+}
+
+// forEachPlatform runs the suite's Table-I tests over the shapes the executor
+// gives a platform: the one device New builds, two devices sharing every op,
+// and one device killed at its first launch, whose every op the host loop
+// serves.
+func forEachPlatform(t *testing.T, f func(t *testing.T, p *Platform)) {
+	for name, p := range map[string]*Platform{
+		"D=1":    testPlatform(t),
+		"D=2":    platformOn(t, 2, gpu.FaultConfig{}, ghe.CheckedConfig{}),
+		"killed": platformOn(t, 1, gpu.FaultConfig{Seed: 1, KillAtLaunch: 1}, ghe.CheckedConfig{}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			f(t, p)
+			st := p.st.Checked.Stats()
+			if killed := name == "killed"; killed != st.FellBack || killed != (st.FallbackOps > 0) {
+				t.Fatalf("host-loop ledger %+v on platform %s", st, name)
+			}
+		})
+	}
 }
 
 func natVec(vals ...uint64) []mpint.Nat {
@@ -34,8 +66,9 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestVectorArithmetic(t *testing.T) {
-	p := testPlatform(t)
+func TestVectorArithmetic(t *testing.T) { forEachPlatform(t, testVectorArithmetic) }
+
+func testVectorArithmetic(t *testing.T, p *Platform) {
 	a := natVec(10, 20, 300)
 	b := natVec(3, 5, 7)
 
@@ -79,8 +112,9 @@ func TestVectorArithmetic(t *testing.T) {
 	}
 }
 
-func TestModularOps(t *testing.T) {
-	p := testPlatform(t)
+func TestModularOps(t *testing.T) { forEachPlatform(t, testModularOps) }
+
+func testModularOps(t *testing.T, p *Platform) {
 	n := mpint.FromUint64(1000003) // prime, odd
 
 	inv, err := p.ModInv(natVec(2, 3, 999), n)
@@ -122,8 +156,9 @@ func TestModularOps(t *testing.T) {
 	}
 }
 
-func TestPaillierFamily(t *testing.T) {
-	p := testPlatform(t)
+func TestPaillierFamily(t *testing.T) { forEachPlatform(t, testPaillierFamily) }
+
+func testPaillierFamily(t *testing.T, p *Platform) {
 	sk, err := p.PaillierKeyGen(128)
 	if err != nil {
 		t.Fatal(err)
@@ -158,8 +193,9 @@ func TestPaillierFamily(t *testing.T) {
 	}
 }
 
-func TestRSAFamily(t *testing.T) {
-	p := testPlatform(t)
+func TestRSAFamily(t *testing.T) { forEachPlatform(t, testRSAFamily) }
+
+func testRSAFamily(t *testing.T, p *Platform) {
 	sk, err := p.RSAKeyGen(128)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +247,189 @@ func TestDeviceAccounting(t *testing.T) {
 	if p.Device().Stats().KernelLaunches == 0 {
 		t.Fatal("platform calls should launch kernels")
 	}
-	if p.Engine() == nil {
-		t.Fatal("engine accessor broken")
+}
+
+func sameVec(t *testing.T, tag string, got, want []mpint.Nat) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", tag, len(got), len(want))
+	}
+	for i := range got {
+		if mpint.Cmp(got[i], want[i]) != 0 {
+			t.Fatalf("%s[%d] = %s, the host loop says %s", tag, i, got[i], want[i])
+		}
+	}
+}
+
+// TestTableIMatchesHostLoop: on every platform shape each vector op of Table I
+// returns what ghe.CPUEngine computes for the same operands — sharded over two
+// devices or served by the host after the device died included.
+func TestTableIMatchesHostLoop(t *testing.T) {
+	forEachPlatform(t, func(t *testing.T, p *Platform) {
+		host := ghe.NewCPUEngine()
+		r := mpint.NewRNG(11)
+		n := r.RandPrime(96)
+		m := mpint.NewMont(n)
+		a, b := make([]mpint.Nat, 9), make([]mpint.Nat, 9)
+		for i := range a {
+			a[i], b[i] = r.RandBits(150), mpint.AddWord(r.RandBelow(mpint.SubWord(n, 1)), 1) // b in [1, n)
+		}
+		e := r.RandBits(80)
+		for _, op := range []struct {
+			name      string
+			got, want func() ([]mpint.Nat, error)
+		}{
+			{"Add", func() ([]mpint.Nat, error) { return p.Add(a, b) }, func() ([]mpint.Nat, error) { return host.AddVec(a, b) }},
+			{"Sub", func() ([]mpint.Nat, error) { return p.Sub(a, b) }, func() ([]mpint.Nat, error) { return host.SubVec(a, b) }},
+			{"Mul", func() ([]mpint.Nat, error) { return p.Mul(a, b) }, func() ([]mpint.Nat, error) { return host.MulVec(a, b) }},
+			{"Div", func() ([]mpint.Nat, error) { return p.Div(a, b) }, func() ([]mpint.Nat, error) { return host.DivVec(a, b) }},
+			{"Mod", func() ([]mpint.Nat, error) { return p.Mod(a, n) }, func() ([]mpint.Nat, error) { return host.ModVec(a, n) }},
+			{"ModMul", func() ([]mpint.Nat, error) { return p.ModMul(b, b, n) }, func() ([]mpint.Nat, error) { return host.ModMulVec(b, b, m) }},
+			{"ModPow", func() ([]mpint.Nat, error) { return p.ModPow(a, e, n) }, func() ([]mpint.Nat, error) { return host.ModExpVec(a, e, m) }},
+		} {
+			got, err := op.got()
+			if err != nil {
+				t.Fatalf("%s: %v", op.name, err)
+			}
+			want, err := op.want()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameVec(t, op.name, got, want)
+		}
+		// Operand errors reject before the executor sees an op.
+		ops := p.st.Checked.Stats().Ops
+		if _, err := p.Add(a, b[:3]); err == nil {
+			t.Error("Add length mismatch should fail")
+		}
+		if _, err := p.Sub(b, a); err == nil {
+			t.Error("Sub underflow should fail")
+		}
+		if _, err := p.Div(a, make([]mpint.Nat, len(a))); err == nil {
+			t.Error("Div by zero should fail")
+		}
+		if _, err := p.Mod(a, mpint.Zero()); err == nil {
+			t.Error("Mod by zero should fail")
+		}
+		if got := p.st.Checked.Stats().Ops; got != ops {
+			t.Errorf("rejected operands reached the executor: %d ops, had %d", got, ops)
+		}
+	})
+}
+
+// TestKeyGenIsAFunctionOfTheSeed: a device-generated key depends on the
+// platform's seed and nothing else — not on how many devices searched, not on
+// one of them dying mid-search — and two platforms on one seed generate the
+// same sequence of keys. (Before the prime search was a descriptor the key was
+// whichever racing searcher finished first.)
+func TestKeyGenIsAFunctionOfTheSeed(t *testing.T) {
+	ref := testPlatform(t)
+	want, err := ref.PaillierKeyGen(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRSA, err := ref.RSAKeyGen(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dying := platformOn(t, 3, gpu.FaultConfig{}, ghe.CheckedConfig{})
+	dying.st.DevSet.Device(1).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 2}))
+	for name, p := range map[string]*Platform{
+		"D=1 again":            testPlatform(t),
+		"D=2":                  platformOn(t, 2, gpu.FaultConfig{}, ghe.CheckedConfig{}),
+		"D=3, member 1 killed": dying,
+		"killed":               platformOn(t, 1, gpu.FaultConfig{Seed: 1, KillAtLaunch: 1}, ghe.CheckedConfig{}),
+	} {
+		sk, err := p.PaillierKeyGen(128)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if mpint.Cmp(sk.P, want.P) != 0 || mpint.Cmp(sk.Q, want.Q) != 0 {
+			t.Errorf("%s: Paillier (p, q) = (%s, %s), the reference platform drew (%s, %s)", name, sk.P, sk.Q, want.P, want.Q)
+		}
+		rk, err := p.RSAKeyGen(128)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if mpint.Cmp(rk.P, wantRSA.P) != 0 || mpint.Cmp(rk.Q, wantRSA.Q) != 0 {
+			t.Errorf("%s: RSA (p, q) = (%s, %s), the reference platform drew (%s, %s)", name, rk.P, rk.Q, wantRSA.P, wantRSA.Q)
+		}
+	}
+	if st := dying.st.DevSet.Stats(); st.Steals == 0 {
+		t.Errorf("member 1 died without its candidates being stolen: %+v", st)
+	}
+}
+
+// TestKeyGenSizes: a generated key has the size asked for — n used to come out
+// a bit short about half the time — and the sizes the host generators reject
+// reject here with their error.
+func TestKeyGenSizes(t *testing.T) {
+	for _, bits := range []int{64, 128} {
+		for seed := uint64(1); seed <= 32; seed++ {
+			p, err := New(gpu.SmallTestDevice(), seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sk, err := p.PaillierKeyGen(bits)
+			if err != nil || sk.KeyBits() != bits {
+				t.Fatalf("seed %d: Paillier key of %d bits (%v), want %d", seed, sk.KeyBits(), err, bits)
+			}
+			rk, err := p.RSAKeyGen(bits)
+			if err != nil || rk.KeyBits() != bits {
+				t.Fatalf("seed %d: RSA key of %d bits (%v), want %d", seed, rk.KeyBits(), err, bits)
+			}
+		}
+	}
+	p := testPlatform(t)
+	for _, bits := range []int{129, 14} {
+		if sk, err := p.PaillierKeyGen(bits); sk != nil || err == nil || err.Error() != paillier.CheckKeyBits(bits).Error() {
+			t.Errorf("PaillierKeyGen(%d) = %v, %v; want paillier's own rejection", bits, sk, err)
+		}
+		if sk, err := p.RSAKeyGen(bits); sk != nil || err == nil || err.Error() != rsa.CheckKeyBits(bits).Error() {
+			t.Errorf("RSAKeyGen(%d) = %v, %v; want rsa's own rejection", bits, sk, err)
+		}
+	}
+	if p.Device().Stats().KernelLaunches != 0 {
+		t.Error("a rejected key size launched a search")
+	}
+}
+
+// TestTableIUnderCorruption: with every element verified, a platform whose
+// device silently corrupts half its launches still returns the host loop's
+// vectors and the reference platform's key — the corrupted arithmetic and
+// prime-test lanes are caught and retried like any other op's.
+func TestTableIUnderCorruption(t *testing.T) {
+	p := platformOn(t, 1, gpu.FaultConfig{Seed: 5, CorruptProb: 0.5},
+		ghe.CheckedConfig{VerifyFraction: 1, VerifySeed: 5, MaxRetries: 12})
+	p.st.DevSet.SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 1, FailAfter: 1 << 30})
+	host := ghe.NewCPUEngine()
+	r := mpint.NewRNG(13)
+	for round := 0; round < 6; round++ {
+		a, b := []mpint.Nat{r.RandBits(200), r.RandBits(64), r.RandBits(130)}, []mpint.Nat{r.RandBits(90), r.RandBits(64), r.RandBits(7)}
+		got, err := p.Mul(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := host.MulVec(a, b)
+		sameVec(t, "Mul under corruption", got, want)
+		if got, err = p.Div(a, b); err != nil {
+			t.Fatal(err)
+		}
+		want, _ = host.DivVec(a, b)
+		sameVec(t, "Div under corruption", got, want)
+	}
+	sk, err := p.PaillierKeyGen(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := testPlatform(t).PaillierKeyGen(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mpint.Cmp(sk.N, want.N) != 0 {
+		t.Fatalf("key under corruption has n = %s, the clean platform drew %s", sk.N, want.N)
+	}
+	if st := p.st.Checked.Stats(); st.VerifyFailures == 0 || st.Retries == 0 || st.FallbackOps != 0 {
+		t.Fatalf("corrupted launches should be caught and retried on the device: %+v", st)
 	}
 }

@@ -214,7 +214,7 @@ func (t *AggTree) Stats() TreeStats {
 // merge folds another tree's stats in (defended rounds run one tree per
 // group): depth is the maximum, peaks are summed — the groups' partials are
 // live simultaneously, so the sum is the coordinator's conservative
-// simultaneous-live bound — and per-level times add elementwise.
+// simultaneous-live bound — and per-level times add level by level.
 func (s *TreeStats) merge(o TreeStats) {
 	if s.Fanout == 0 {
 		s.Fanout = o.Fanout

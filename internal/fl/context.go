@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"flbooster/internal/batch"
+	"flbooster/internal/core"
 	"flbooster/internal/flnet"
 	"flbooster/internal/ghe"
 	"flbooster/internal/gpu"
@@ -70,34 +71,16 @@ func NewContext(p Profile) (*Context, error) {
 		ctx.Packer = pk
 	}
 	if p.UseGPU {
-		set, err := gpu.NewDeviceSet(p.Device, p.FineRM, max(p.Devices, 1))
-		if err != nil {
-			return nil, err
-		}
-		if p.Faults.Inject.Enabled() {
-			// Each member fails independently: derive a distinct injector seed
-			// per device so a profile-driven fault pattern does not kill the
-			// whole fleet in lockstep.
-			for i := 0; i < set.Size(); i++ {
-				cfg := p.Faults.Inject
-				cfg.Seed += uint64(i) * 0x9e3779b97f4a7c15
-				set.Device(i).SetFaultInjector(gpu.NewFaultInjector(cfg))
-			}
-		}
-		// All GPU profiles run through the checked engine: launch failures
+		// All GPU profiles run through the one stack core builds: launch failures
 		// retry with backoff, sampled results are verified, a faulted member's
 		// shards go to its peers, and a fleet with no member left fails over to
 		// bit-exact host execution.
-		checked, err := ghe.NewCheckedEngine(set, p.Faults.Check)
+		st, err := core.NewStack(p.Device, p.FineRM, max(p.Devices, 1), p.Faults.Inject, p.Faults.Check)
 		if err != nil {
 			return nil, err
 		}
-		backend, err := paillier.NewGPUBackend(checked)
-		if err != nil {
-			return nil, err
-		}
-		ctx.DevSet, ctx.Checked, ctx.Device = set, checked, set.Device(0)
-		ctx.Backend = backend
+		ctx.DevSet, ctx.Checked, ctx.Device = st.DevSet, st.Checked, st.DevSet.Device(0)
+		ctx.Backend = st.Backend
 	} else {
 		ctx.Backend = paillier.CPUBackend{}
 	}

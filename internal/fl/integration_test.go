@@ -9,10 +9,12 @@ import (
 )
 
 // TestSecureAggregationOverTCP runs the Fig. 2 round over real TCP
-// connections through a hub: clients encrypt and upload in goroutines, the
-// server aggregates homomorphically and broadcasts, a client decrypts. This
-// exercises the full stack — quantization, packing, Paillier, codec, net —
-// end to end over the loopback.
+// connections through a hub: clients upload in goroutines, the server
+// aggregates homomorphically and broadcasts, a client decrypts. This exercises
+// the full stack — quantization, packing, Paillier, codec, net — end to end
+// over the loopback. A Context is one party's (its nonce cursor is not
+// synchronised; flserver gives every client its own), so the three uploads
+// are encrypted before the goroutines that send them start.
 func TestSecureAggregationOverTCP(t *testing.T) {
 	const parties = 3
 	const dim = 6
@@ -90,6 +92,10 @@ func TestSecureAggregationOverTCP(t *testing.T) {
 	results := make(chan []float64, parties)
 	clientErrs := make(chan error, parties)
 	for c := 0; c < parties; c++ {
+		cts, err := ctx.EncryptGradients(grads[c])
+		if err != nil {
+			t.Fatal(err)
+		}
 		go func(c int) {
 			err := func() error {
 				name := ClientName(c)
@@ -98,10 +104,6 @@ func TestSecureAggregationOverTCP(t *testing.T) {
 					return err
 				}
 				defer conn.Close()
-				cts, err := ctx.EncryptGradients(grads[c])
-				if err != nil {
-					return err
-				}
 				nats := make([]mpint.Nat, len(cts))
 				for i, ct := range cts {
 					nats[i] = ct.C

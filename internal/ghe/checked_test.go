@@ -1,6 +1,7 @@
 package ghe
 
 import (
+	"fmt"
 	"testing"
 
 	"flbooster/internal/gpu"
@@ -61,15 +62,24 @@ func TestCPUEngineParityWithDevice(t *testing.T) {
 		{"ModExpVarVec",
 			func() ([]mpint.Nat, error) { return eng.ModExpVarVec(bases, exps, m) },
 			func() ([]mpint.Nat, error) { return host.ModExpVarVec(bases, exps, m) }},
-		{"FixedBaseExpVec",
-			func() ([]mpint.Nat, error) { return eng.FixedBaseExpVec(bases[0], exps, m) },
-			func() ([]mpint.Nat, error) { return host.FixedBaseExpVec(bases[0], exps, m) }},
 		{"ModMulVec",
 			func() ([]mpint.Nat, error) { return eng.ModMulVec(bases, exps, m) },
 			func() ([]mpint.Nat, error) { return host.ModMulVec(bases, exps, m) }},
 		{"RandCoprimeVec",
 			func() ([]mpint.Nat, error) { return eng.RandCoprimeVec(20, n, 99) },
 			func() ([]mpint.Nat, error) { return host.RandCoprimeVec(20, n, 99) }},
+		{"AddVec",
+			func() ([]mpint.Nat, error) { return eng.AddVec(bases, xs) },
+			func() ([]mpint.Nat, error) { return host.AddVec(bases, xs) }},
+		{"MulVec",
+			func() ([]mpint.Nat, error) { return eng.MulVec(bases, xs) },
+			func() ([]mpint.Nat, error) { return host.MulVec(bases, xs) }},
+		{"ModVec",
+			func() ([]mpint.Nat, error) { return eng.ModVec(xs, n) },
+			func() ([]mpint.Nat, error) { return host.ModVec(xs, n) }},
+		{"GeneratePrime",
+			func() ([]mpint.Nat, error) { p, err := eng.GeneratePrime(48, 99); return []mpint.Nat{p}, err },
+			func() ([]mpint.Nat, error) { p, err := host.GeneratePrime(48, 99); return []mpint.Nat{p}, err }},
 	} {
 		dv, err := p.dev()
 		if err != nil {
@@ -323,5 +333,121 @@ func TestCheckedConstructor(t *testing.T) {
 	}
 	if _, err := NewEngine(nil); err == nil {
 		t.Fatal("nil device must be rejected")
+	}
+}
+
+// TestGeneratePrimeIsAFunctionOfTheSeed: the prime search returns the first
+// prime of its candidate stream whatever runs it — ten calls in a row, the
+// host loop, the executor over 1, 2 and 3 devices, and over 3 with member 1
+// killed mid-search — so a generated key depends on the seed and nothing else.
+// (The search it replaces returned whichever racing searcher finished first.)
+func TestGeneratePrimeIsAFunctionOfTheSeed(t *testing.T) {
+	const bits, seed = 64, 7
+	wantP, wantQ, err := NewCPUEngine().GeneratePrimePair(bits, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mpint.Cmp(wantP, wantQ) == 0 || wantP.BitLen() != bits || wantQ.BitLen() != bits {
+		t.Fatalf("pair %s, %s: want two distinct %d-bit primes", wantP, wantQ, bits)
+	}
+	// The winner is the lowest stream position that holds a prime.
+	for i := 0; ; i++ {
+		if p := primeAt(seed, i, bits); !p.IsZero() {
+			if mpint.Cmp(p, wantP) != 0 {
+				t.Fatalf("GeneratePrime returned %s, the stream's first prime is %s at position %d", wantP, p, i)
+			}
+			break
+		}
+	}
+	engines := map[string]interface {
+		GeneratePrimePair(bits int, seed uint64) (p, q mpint.Nat, err error)
+	}{"bare": testEngine(t), "host": NewCPUEngine()}
+	for _, d := range []int{1, 2, 3} {
+		engines[fmt.Sprintf("D=%d", d)] = checkedSet(t, d, CheckedConfig{VerifyFraction: 0.25, VerifySeed: 3})
+	}
+	killed := checkedSet(t, 3, CheckedConfig{})
+	killed.Set().Device(1).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 2}))
+	engines["D=3, member 1 killed"] = killed
+	for name, eng := range engines {
+		for call := 0; call < 10; call++ {
+			p, q, err := eng.GeneratePrimePair(bits, seed)
+			if err != nil {
+				t.Fatalf("%s call %d: %v", name, call, err)
+			}
+			if mpint.Cmp(p, wantP) != 0 || mpint.Cmp(q, wantQ) != 0 {
+				t.Fatalf("%s call %d: (%s, %s), the host loop says (%s, %s)", name, call, p, q, wantP, wantQ)
+			}
+		}
+	}
+	if st := killed.Stats(); !st.FellBack || st.LaunchFaults == 0 {
+		t.Fatalf("member 1 was never killed: %+v", st)
+	}
+	if st := killed.Set().Stats(); st.Steals == 0 {
+		t.Fatalf("the dead member's candidates were not stolen: %+v", st)
+	}
+}
+
+// TestCheckedTableIUnderCorruption: Table I's arithmetic ops and the prime search
+// run under the executor's discipline like every other op — with every element
+// verified, launches silently corrupted half the time are caught and retried,
+// and what comes back is the host loop's vector.
+func TestCheckedTableIUnderCorruption(t *testing.T) {
+	c := checkedEngine(t,
+		gpu.FaultConfig{Seed: 23, CorruptProb: 0.5},
+		CheckedConfig{VerifyFraction: 1, VerifySeed: 23, MaxRetries: 12})
+	c.Set().Device(0).SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 1, FailAfter: 1 << 30})
+	host := NewCPUEngine()
+	r := mpint.NewRNG(24)
+	a, b := randVec(r, 16, r.RandBits(160)), randVec(r, 16, r.RandBits(96))
+	for round := 0; round < 8; round++ {
+		want, _ := host.MulVec(a, b)
+		got, err := c.MulVec(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameVec(t, "mul_vec under corruption", got, want)
+		wantP, _ := host.GeneratePrime(40, uint64(round))
+		gotP, err := c.GeneratePrime(40, uint64(round))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mpint.Cmp(gotP, wantP) != 0 {
+			t.Fatalf("seed %d: prime %s under corruption, the host loop says %s", round, gotP, wantP)
+		}
+	}
+	if st := c.Stats(); st.VerifyFailures == 0 || st.Retries == 0 || st.FallbackOps != 0 {
+		t.Fatalf("corrupted launches should be caught and retried on the device: %+v", st)
+	}
+}
+
+// TestPoisonedPrimeLaneNeverVerifies: full verification rejects a window in
+// which a composite's verdict was flipped (it would be accepted as a prime
+// ahead of the real one) and one in which the first prime's was (the search
+// would pass over it), so at VerifyFraction = 1 neither reaches the host's scan.
+func TestPoisonedPrimeLaneNeverVerifies(t *testing.T) {
+	op := &primeOp{outVec{make([]mpint.Nat, primeWindow)}, 64, 7, 0}
+	if err := runOnHost(op); err != nil {
+		t.Fatal(err)
+	}
+	first := -1
+	for i, p := range op.out {
+		if !p.IsZero() {
+			first = i
+			break
+		}
+	}
+	if first < 1 {
+		t.Fatalf("first prime at position %d: the test wants a composite ahead of it", first)
+	}
+	mb := &member{rng: mpint.NewRNG(1)}
+	if !mb.spotCheck(op, 1) {
+		t.Fatal("a clean window failed verification")
+	}
+	for _, lane := range []int{0, first} {
+		op.poison(lane)
+		if mb.spotCheck(op, 1) {
+			t.Fatalf("lane %d poisoned to %s and verified", lane, op.out[lane])
+		}
+		op.poison(lane)
 	}
 }

@@ -49,27 +49,6 @@ func powNWordOps(st [4]mpint.CRTStage) int64 {
 	return ops
 }
 
-// fixedBaseExpWordOps is the per-item cost of one Lim–Lee comb evaluation at
-// height h: ⌈expBits/h⌉ squarings plus at most as many table multiplies —
-// the reduced multiply count the precomputed table buys over the ~1.2·expBits
-// multiplies of the sliding window.
-func fixedBaseExpWordOps(k, expBits, h int) int64 {
-	if expBits < 1 {
-		expBits = 1
-	}
-	return mpint.FixedBaseExpMuls(expBits, h) * montMulWordOps(k)
-}
-
-// fixedBaseTableWordOps is the one-off cost of building the comb table:
-// (h−1)·⌈expBits/h⌉ squarings plus 2^h−h−1 products, amortized across the
-// whole vector by charging it as a single-item launch.
-func fixedBaseTableWordOps(k, expBits, h int) int64 {
-	if expBits < 1 {
-		expBits = 1
-	}
-	return mpint.FixedBaseBuildMuls(expBits, h) * montMulWordOps(k)
-}
-
 // regsForLimbs models a kernel's per-thread register demand as a function of
 // operand size: the working set of CIOS holds the accumulator row plus
 // pointers and carries. Larger keys need more registers, which is what

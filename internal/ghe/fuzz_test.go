@@ -2,6 +2,7 @@ package ghe
 
 import (
 	"bytes"
+	"errors"
 	"math/big"
 	"testing"
 
@@ -41,7 +42,9 @@ type fuzzVecCase struct {
 // math/big, and a poisoned lane fails full verification; the bare Engine
 // returns the vector the host loop does; and the checked executor over 1, 2
 // and 3 devices, one of them killed at its first, second or third launch,
-// returns that vector too.
+// returns that vector too — a shard is bit-exact with the unsharded op. Table
+// I's operand errors (length mismatch, underflow, zero divisor) reject typed
+// with nothing launched or uploaded.
 func FuzzVecOps(f *testing.F) {
 	ops := fuzzOperands()
 	for i, nb := range ops {
@@ -106,6 +109,27 @@ func FuzzVecOps(f *testing.F) {
 			}
 		}
 
+		// Table I's operands: no b[i] is zero, and over[i] = a[i]·b[i] + a[i] + b[i]
+		// is at least both and as wide as the two together. The prime search
+		// tests 8- to 64-bit candidates.
+		over := make([]mpint.Nat, items)
+		for i := range over {
+			if b[i].IsZero() {
+				b[i] = mpint.One()
+			}
+			over[i] = mpint.Add(mpint.Mul(a[i], b[i]), mpint.Add(a[i], b[i]))
+		}
+		primeBits := 8 + int(seed>>32%57)
+		elem := func(kind *elemKind, x, y []mpint.Nat) func() vecOp {
+			return func() vecOp {
+				op, err := newElemOp(kind, x, y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return op
+			}
+		}
+
 		bn, bN := toBig(n), toBig(crt.N())
 		bN2 := new(big.Int).Mul(bN, bN)
 		cases := map[string]fuzzVecCase{
@@ -118,9 +142,6 @@ func FuzzVecOps(f *testing.F) {
 			"mod_exp_var_vec": {
 				func() vecOp { return &modExpVarOp{newModVec(items, m), a, exps} },
 				func(i int) *big.Int { return new(big.Int).Exp(toBig(a[i]), toBig(exps[i]), bn) }},
-			"fixed_base_exp_vec": {
-				func() vecOp { return &fixedBaseOp{newModVec(items, m), a[0], exps, int(seed >> 32 % 10), nil} },
-				func(i int) *big.Int { return new(big.Int).Exp(toBig(a[0]), toBig(exps[i]), bn) }},
 			"multi_exp_vec": {
 				func() vecOp {
 					op, err := newMultiExpOp(newModVec(items, m), a, sums)
@@ -142,6 +163,21 @@ func FuzzVecOps(f *testing.F) {
 				func(i int) *big.Int { v := new(big.Int).Mul(toBig(a[i]), toBig(b[i])); return v.Mod(v, bn) }},
 			"rand_coprime_vec": {
 				func() vecOp { return &randCoprimeOp{outVec{make([]mpint.Nat, items)}, n, seed, pos} }, nil},
+			"add_vec": {elem(elemAdd, a, exps), func(i int) *big.Int { return new(big.Int).Add(toBig(a[i]), toBig(exps[i])) }},
+			"sub_vec": {elem(elemSub, over, a), func(i int) *big.Int { return new(big.Int).Sub(toBig(over[i]), toBig(a[i])) }},
+			"mul_vec": {elem(elemMul, a, exps), func(i int) *big.Int { return new(big.Int).Mul(toBig(a[i]), toBig(exps[i])) }},
+			"div_vec": {elem(elemDiv, over, b), func(i int) *big.Int { return new(big.Int).Quo(toBig(over[i]), toBig(b[i])) }},
+			"mod_vec": {elem(elemMod, over, []mpint.Nat{n}), func(i int) *big.Int { return new(big.Int).Mod(toBig(over[i]), bn) }},
+			"prime_test_vec": {
+				func() vecOp { return &primeOp{outVec{make([]mpint.Nat, items)}, primeBits, seed, pos} },
+				func(i int) *big.Int {
+					cand := mpint.NewRNG(seed ^ (uint64(pos+i)+1)*0xBF58476D1CE4E5B9).RandBits(primeBits)
+					cand[0] |= 1
+					if c := toBig(cand); c.ProbablyPrime(20) {
+						return c
+					}
+					return new(big.Int)
+				}},
 		}
 		for name, c := range cases {
 			ref := c.mk()
@@ -195,5 +231,29 @@ func FuzzVecOps(f *testing.F) {
 				}
 			}
 		}
+
+		eng := testEngine(t)
+		short := a[:items-1]
+		for name, c := range map[string]struct {
+			err  error
+			want error
+		}{
+			"AddVec":       {second(eng.AddVec(a, short)), ErrLength},
+			"SubVec":       {second(eng.SubVec(a, over[:1])), ErrLength},
+			"MulVec":       {second(eng.MulVec(short, a)), ErrLength},
+			"DivVec":       {second(eng.DivVec(a, short)), ErrLength},
+			"SubVec under": {second(eng.SubVec(append(short[:items-1:items-1], mpint.Zero()), b)), ErrUnderflow},
+			"DivVec by 0":  {second(eng.DivVec(a, append(b[:items-1:items-1], mpint.Zero()))), ErrZeroDivisor},
+			"ModVec by 0":  {second(eng.ModVec(a, mpint.Zero())), ErrZeroDivisor},
+		} {
+			if !errors.Is(c.err, c.want) {
+				t.Fatalf("%s: error %v, want %v", name, c.err, c.want)
+			}
+		}
+		if st := eng.Device().Stats(); st.KernelLaunches != 0 || st.BytesHostToDev != 0 {
+			t.Fatalf("operand errors reached the device: %d launches, %d bytes up", st.KernelLaunches, st.BytesHostToDev)
+		}
 	})
 }
+
+func second(_ []mpint.Nat, err error) error { return err }

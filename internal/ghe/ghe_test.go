@@ -67,28 +67,6 @@ func TestModExpVarVec(t *testing.T) {
 	}
 }
 
-func TestFixedBaseExpVec(t *testing.T) {
-	e := testEngine(t)
-	r := mpint.NewRNG(3)
-	n := r.RandPrime(96)
-	m := mpint.NewMont(n)
-	base := r.RandBelow(n)
-	exps := []mpint.Nat{mpint.Zero(), mpint.One(), r.RandBits(64)}
-	got, err := e.FixedBaseExpVec(base, exps, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got[0].IsOne() {
-		t.Errorf("base^0 = %s", got[0])
-	}
-	if mpint.Cmp(got[1], mpint.Mod(base, n)) != 0 {
-		t.Errorf("base^1 mismatch")
-	}
-	if mpint.Cmp(got[2], m.Exp(base, exps[2])) != 0 {
-		t.Errorf("base^e mismatch")
-	}
-}
-
 func TestModMulVec(t *testing.T) {
 	e := testEngine(t)
 	r := mpint.NewRNG(4)
@@ -293,29 +271,6 @@ func TestParMontGeometryErrors(t *testing.T) {
 	}
 	if _, err := pm.MulVec([]mpint.Nat{mpint.One()}, nil); err == nil {
 		t.Fatal("length mismatch should fail")
-	}
-}
-
-func TestRandVecDeterministicAndSized(t *testing.T) {
-	e := testEngine(t)
-	v1, err := e.RandVec(20, 64, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := e.RandVec(20, 64, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range v1 {
-		if v1[i].BitLen() != 64 {
-			t.Fatalf("RandVec[%d] has %d bits", i, v1[i].BitLen())
-		}
-		if mpint.Cmp(v1[i], v2[i]) != 0 {
-			t.Fatal("RandVec not deterministic for equal seeds")
-		}
-	}
-	if _, err := e.RandVec(1, 0, 1); err == nil {
-		t.Fatal("zero width should fail")
 	}
 }
 

@@ -82,7 +82,7 @@ func (v outVec) poison(i int) {
 	}
 }
 
-// modVec is what the six ops with residues mod m for results share: the
+// modVec is what the five ops with residues mod m for results share: the
 // download width and a kernel as wide as the modulus.
 type modVec struct {
 	outVec
@@ -171,69 +171,6 @@ func (o *modExpVarOp) lane(i int)             { o.out[i] = o.m.Exp(o.bases[i], o
 func (o *modExpVarOp) verify(i int) mpint.Nat { return o.m.Exp(o.bases[i], o.exps[i]) }
 func (o *modExpVarOp) slice(lo, hi int) vecOp {
 	return &modExpVarOp{o.sub(lo, hi), o.bases[lo:hi], o.exps[lo:hi]}
-}
-
-// fixedBaseOp is base^exps[i] mod m — fixed-generator commitments. Unlike
-// modExpVarOp the base is shared: its set-up stage precomputes a Lim–Lee comb
-// table at the height that minimizes total multiplies for the launch and
-// ships it to the device, and every element then costs ~⌈bits/h⌉ multiplies
-// instead of ~1.2·bits (internal/mpint/fixedbase.go, DESIGN.md §10). Each
-// shard builds its own table for its own exponents — results are canonical
-// residues either way, so a shard boundary cannot change a bit. Verification
-// runs the generic sliding window, a path independent of the comb, so a
-// corrupted table entry (which would skew every element it feeds) cannot also
-// corrupt the check.
-type fixedBaseOp struct {
-	modVec
-	base mpint.Nat
-	exps []mpint.Nat
-	h    int                   // the caller's comb height; ≤ 0 auto-picks
-	tbl  *mpint.FixedBaseTable // built by setup, for this launch's exponents
-}
-
-func (o *fixedBaseOp) name() string { return "fixed_base_exp_vec" }
-
-// comb is the widest exponent of the launch and the comb height for it.
-func (o *fixedBaseOp) comb() (bits, h int) {
-	bits, h = maxBits(o.exps), o.h
-	if h <= 0 {
-		h = mpint.ChooseFixedBaseHeight(bits, len(o.exps))
-	}
-	return bits, mpint.ClampFixedBaseHeight(h, bits)
-}
-
-func (o *fixedBaseOp) kernel(warp int) gpu.Kernel {
-	bits, h := o.comb()
-	k := o.kern(fixedBaseExpWordOps(o.m.Limbs(), bits, h))
-	// Different exponents select different comb columns per lane.
-	k.DivergentLanes = warp / 2
-	return k
-}
-
-// setup builds the table as a one-item launch so its reduced-but-real cost
-// lands on the simulated clock (and in the trace as a fixed_base_table span),
-// amortized across the whole vector; the finished table ships to the device
-// once, 2^h entries of k limbs.
-func (o *fixedBaseOp) setup(dev *gpu.Device) (int, error) {
-	bits, h := o.comb()
-	build := func(int) { o.tbl = mpint.NewFixedBaseTable(o.m, o.base, bits, h) }
-	if dev == nil {
-		build(0)
-		return o.tbl.Entries(), nil
-	}
-	kern := o.kern(fixedBaseTableWordOps(o.m.Limbs(), bits, h))
-	kern.Name, kern.Items = "fixed_base_table", 1
-	if _, err := dev.Launch(kern, build); err != nil {
-		return 0, fmt.Errorf("table build: %w", err)
-	}
-	dev.CopyToDevice(natBytes(o.tbl.Entries(), o.m.Limbs()))
-	return o.tbl.Entries(), nil
-}
-func (o *fixedBaseOp) h2d() int64             { return natBytes(len(o.exps)+1, o.m.Limbs()) }
-func (o *fixedBaseOp) lane(i int)             { o.out[i] = o.tbl.Exp(o.exps[i]) }
-func (o *fixedBaseOp) verify(i int) mpint.Nat { return o.m.Exp(o.base, o.exps[i]) }
-func (o *fixedBaseOp) slice(lo, hi int) vecOp {
-	return &fixedBaseOp{o.sub(lo, hi), o.base, o.exps[lo:hi], o.h, nil}
 }
 
 // multiExpOp is Π bases[t.Index]^t.Weight mod m over the terms t of sums[i]:
@@ -395,4 +332,122 @@ func (o *randCoprimeOp) lane(i int)             { o.out[i] = randCoprimeAt(o.see
 func (o *randCoprimeOp) verify(i int) mpint.Nat { return randCoprimeAt(o.seed, o.pos+i, o.mod) }
 func (o *randCoprimeOp) slice(lo, hi int) vecOp {
 	return &randCoprimeOp{outVec{o.out[lo:hi]}, o.mod, o.seed, o.pos + lo}
+}
+
+// elemKind is one of Table I's five arithmetic ops: its kernel name, the
+// rejection an operand pair can earn before anything is launched, and the mpint
+// call a lane makes. shared marks a second operand that is one value for the
+// whole vector (mod_vec's modulus) instead of one an item.
+type elemKind struct {
+	name   string
+	shared bool
+	check  func(a, b mpint.Nat) error
+	fn     func(a, b mpint.Nat) mpint.Nat
+}
+
+var (
+	elemAdd = &elemKind{name: "add_vec", fn: mpint.Add}
+	elemSub = &elemKind{name: "sub_vec", fn: mpint.Sub, check: func(a, b mpint.Nat) error {
+		if mpint.Cmp(a, b) < 0 {
+			return ErrUnderflow
+		}
+		return nil
+	}}
+	elemMul = &elemKind{name: "mul_vec", fn: mpint.Mul}
+	elemDiv = &elemKind{name: "div_vec", fn: mpint.Div, check: func(_, b mpint.Nat) error {
+		if b.IsZero() {
+			return ErrZeroDivisor
+		}
+		return nil
+	}}
+	// The one modulus is checked by ModVec, whether or not there are items.
+	elemMod = &elemKind{name: "mod_vec", fn: mpint.Mod, shared: true}
+)
+
+// elemOp is a[i] ∘ b[i] over the naturals for one elemKind — Table I's add,
+// sub, mul, div and mod. A lane is a single mpint call and a linear pass over
+// its operands, so the kernel is as wide as the widest operand of the op and a
+// shard keeps that width: every item moves at one size whichever device serves
+// it. There is no schedule, table or context for a check to share with the
+// lane; verification recomputes the element on the host, which is what catches
+// a result corrupted after the device computed it.
+type elemOp struct {
+	outVec
+	kind  *elemKind
+	a, b  []mpint.Nat // b is one value when kind.shared
+	limbs int
+}
+
+// newElemOp states the op, rejecting a length mismatch, an underflow or a zero
+// divisor typed before anything is uploaded.
+func newElemOp(kind *elemKind, a, b []mpint.Nat) (*elemOp, error) {
+	if !kind.shared && len(a) != len(b) {
+		return nil, fmt.Errorf("%w %d vs %d", ErrLength, len(a), len(b))
+	}
+	o := &elemOp{outVec{make([]mpint.Nat, len(a))}, kind, a, b, 1}
+	for i, x := range a {
+		y := o.second(i)
+		if kind.check != nil {
+			if err := kind.check(x, y); err != nil {
+				return nil, fmt.Errorf("%w at index %d", err, i)
+			}
+		}
+		o.limbs = max(o.limbs, limbs32(x), limbs32(y))
+	}
+	return o, nil
+}
+
+func (o *elemOp) second(i int) mpint.Nat {
+	if o.kind.shared {
+		return o.b[0]
+	}
+	return o.b[i]
+}
+
+func (o *elemOp) name() string { return o.kind.name }
+func (o *elemOp) kernel(int) gpu.Kernel {
+	return gpu.Kernel{RegsPerThread: regsForLimbs(o.limbs), WordOps: int64(o.limbs + 1)}
+}
+func (o *elemOp) h2d() int64             { return natBytes(len(o.a)+len(o.b), o.limbs) }
+func (o *elemOp) d2h() int64             { return natBytes(len(o.out), o.limbs) }
+func (o *elemOp) lane(i int)             { o.out[i] = o.kind.fn(o.a[i], o.second(i)) }
+func (o *elemOp) verify(i int) mpint.Nat { return o.kind.fn(o.a[i], o.second(i)) }
+func (o *elemOp) slice(lo, hi int) vecOp {
+	b := o.b
+	if !o.kind.shared {
+		b = b[lo:hi]
+	}
+	return &elemOp{outVec{o.out[lo:hi]}, o.kind, o.a[lo:hi], b, o.limbs}
+}
+
+// primeOp is items [pos, pos+n) of the (seed, bits) prime-candidate stream put
+// to the test — the key-generation search of §IV-A3, one Miller–Rabin searcher
+// a thread: result i is the candidate at stream position pos+i when it is a
+// probable prime and zero when it is composite. Each lane's generator is keyed
+// by its global stream position and draws first the candidate, then the
+// witnesses it is tested with, so a verdict depends on the seed and the
+// position alone — not on the window, the shard, the device or the attempt
+// that reached it — and verification redraws a sampled position from scratch.
+// Nothing is uploaded. A lane is priced at one witness round, the work of
+// nearly every candidate that survives trial division; the lane that holds a
+// prime runs the whole witness count, which is the divergence the kernel
+// declares.
+type primeOp struct {
+	outVec
+	bits int
+	seed uint64
+	pos  int
+}
+
+func (o *primeOp) name() string { return "prime_test_vec" }
+func (o *primeOp) kernel(warp int) gpu.Kernel {
+	k := (o.bits + 31) / 32
+	return gpu.Kernel{RegsPerThread: regsForLimbs(k), WordOps: modExpWordOps(k, o.bits), DivergentLanes: warp - 1}
+}
+func (o *primeOp) h2d() int64             { return 0 }
+func (o *primeOp) d2h() int64             { return natBytes(len(o.out), (o.bits+31)/32) }
+func (o *primeOp) lane(i int)             { o.out[i] = primeAt(o.seed, o.pos+i, o.bits) }
+func (o *primeOp) verify(i int) mpint.Nat { return primeAt(o.seed, o.pos+i, o.bits) }
+func (o *primeOp) slice(lo, hi int) vecOp {
+	return &primeOp{outVec{o.out[lo:hi]}, o.bits, o.seed, o.pos + lo}
 }

@@ -80,16 +80,6 @@ func TestShardedMatchesSequentialEveryOp(t *testing.T) {
 			}
 			sameVec(t, "mod_exp_var_vec", got, want)
 
-			want, err = seq.FixedBaseExpVec(bases[0], exps, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err = sh.FixedBaseExpVec(bases[0], exps, m)
-			if err != nil {
-				t.Fatalf("D=%d n=%d FixedBaseExpVec: %v", d, n, err)
-			}
-			sameVec(t, "fixed_base_exp_vec", got, want)
-
 			want, err = seq.ModMulVec(bases, b2, m)
 			if err != nil {
 				t.Fatal(err)
@@ -111,6 +101,38 @@ func TestShardedMatchesSequentialEveryOp(t *testing.T) {
 				t.Fatalf("D=%d n=%d MultiExpVec: %v", d, n, err)
 			}
 			sameVec(t, "multi_exp_vec", got, want)
+
+			// Table I's arithmetic ops, per-item and shared second operand, and
+			// n candidates of a prime search from a non-zero stream position.
+			want, err = seq.MulVec(bases, exps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err = sh.MulVec(bases, exps)
+			if err != nil {
+				t.Fatalf("D=%d n=%d MulVec: %v", d, n, err)
+			}
+			sameVec(t, "mul_vec", got, want)
+
+			want, err = seq.ModVec(xs, nmod)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err = sh.ModVec(xs, nmod)
+			if err != nil {
+				t.Fatalf("D=%d n=%d ModVec: %v", d, n, err)
+			}
+			sameVec(t, "mod_vec", got, want)
+
+			want, err = seq.run(&primeOp{outVec{make([]mpint.Nat, n)}, 40, 77, 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err = sh.run(&primeOp{outVec{make([]mpint.Nat, n)}, 40, 77, 5})
+			if err != nil {
+				t.Fatalf("D=%d n=%d prime window: %v", d, n, err)
+			}
+			sameVec(t, "prime_test_vec", got, want)
 
 			want, err = seq.RandCoprimeVec(n, nmod, 77)
 			if err != nil {

@@ -17,7 +17,6 @@ import (
 //     implies uᵖ ≡ vᵖ (mod p²). Per prime that is a half-width exponent over
 //     the prime and another over its square, against one full-width exponent
 //     over n². The identity also holds when p divides x (both sides are 0).
-//   - Exp: x ↦ xᵉ mod n² for any e, the decryption-side split.
 //   - LogCombine: the host tail of a reduced-exponent Paillier decryption.
 //
 // The Montgomery contexts, the four PowN schedules and the Garner constants
@@ -180,18 +179,6 @@ func (g *garner) combine(xa []Word, xb Nat, sc *mulScratch, div []Word) Nat {
 	schoolbookInto(z, g.b, h)
 	addInto(z, z, xb) // xb + b·h < b·(h+1): no carry out
 	return trim(z)
-}
-
-// Exp returns xᵉ mod n² through p² and q².
-func (c *CRT) Exp(x, e Nat) Nat {
-	xp, xq := c.p.m2.Exp(x, e), c.q.m2.Exp(x, e)
-	sc := c.getScratch()
-	defer c.scratch.Put(sc)
-	k := c.p.m2.k
-	sc.p2.grow(k)
-	xa := sc.p2.buf(k, 0) // combine clobbers its first residue: stage a copy
-	clear(xa[copy(xa, xp):])
-	return c.sq.combine(xa, xq, sc.p2, sc.words(len(xq)+k+1))
 }
 
 // LogCombine is the host tail of a reduced-exponent Paillier decryption: it

@@ -20,11 +20,6 @@ func checkCRT(t *testing.T, c *CRT, p, q, x Nat) {
 	if len(got) != len(trim(got)) {
 		t.Fatalf("PowN(%s) with p=%s q=%s: untrimmed result", x, p, q)
 	}
-	// Exp with an exponent that is not n, through the same Garner step.
-	e := SubWord(p, 1)
-	if got, want := c.Exp(x, e), new(big.Int).Exp(toBig(x), toBig(e), n2); toBig(got).Cmp(want) != 0 {
-		t.Fatalf("Exp(%s, %s) with p=%s q=%s = %s, math/big says %s", x, e, p, q, got, want)
-	}
 	// LogCombine on a proper pair: xs = 1 + ls·s has L_s(xs) = ls.
 	one := big.NewInt(1)
 	lp, lq := new(big.Int).Mod(toBig(x), bp), new(big.Int).Mod(want, bq)

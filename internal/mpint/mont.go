@@ -76,7 +76,7 @@ func (m *Mont) FromMont(x Nat) Nat { return m.Mul(x, One()) }
 func (m *Mont) MontOne() Nat { return m.one.Clone() }
 
 // mulScratch holds the working buffers of a multiply chain (an
-// exponentiation, a comb evaluation): the CIOS accumulator, staging for
+// exponentiation, a multi-exponentiation lane): the CIOS accumulator, staging for
 // operands shorter than the modulus, and a slab the chain carves its table
 // and its in-place accumulator from — so a chain allocates only its result.
 type mulScratch struct {

@@ -208,3 +208,59 @@ func benchModExp(b *testing.B, bits int) {
 		m.Exp(base, e)
 	}
 }
+
+// TestCompileExpTrivial pins the no-table guarantee: exponents 0 and 1 compile
+// to empty schedules, and the width clamps to the exponent bit length.
+func TestCompileExpTrivial(t *testing.T) {
+	for _, e := range []Nat{Zero(), One()} {
+		s := CompileExp(e, 8)
+		if s.TableSize() != 0 || s.Ops() != 0 {
+			t.Errorf("CompileExp(%s): table=%d ops=%d, want empty schedule", e, s.TableSize(), s.Ops())
+		}
+	}
+	if s := CompileExp(FromUint64(3), 12); s.WindowBits() != 2 {
+		t.Errorf("2-bit exponent at width 12 should clamp to 2, got %d", s.WindowBits())
+	}
+	if s := CompileExpAuto(FromUint64(1)); s.TableSize() != 0 {
+		t.Errorf("auto-compiled exponent 1 should build no table")
+	}
+}
+
+// TestExpSchedSharedAcrossBases is the vector-op usage pattern: one compiled
+// schedule reused for many bases must equal per-base Exp.
+func TestExpSchedSharedAcrossBases(t *testing.T) {
+	r := NewRNG(0xC0D)
+	n := r.RandBits(256)
+	n[0] |= 1
+	m := NewMont(n)
+	e := r.RandBits(230)
+	s := CompileExpAuto(e)
+	for i := 0; i < 16; i++ {
+		base := r.RandBelow(n)
+		want := m.Exp(base, e)
+		if got := m.ExpSched(base, s); Cmp(got, want) != 0 {
+			t.Fatalf("shared schedule diverges on base %d", i)
+		}
+	}
+}
+
+// TestExpTinyExponents pins Exp against math/big on the exponents the window
+// clamping exists for, across widths.
+func TestExpTinyExponents(t *testing.T) {
+	r := NewRNG(0xC0E)
+	n := r.RandBits(128)
+	n[0] |= 1
+	m := NewMont(n)
+	bn := toBig(n)
+	base := r.RandBelow(n)
+	bb := toBig(base)
+	for _, ev := range []uint64{0, 1, 2, 3, 4, 5, 7, 8, 255, 256, 65537} {
+		e := FromUint64(ev)
+		want := new(big.Int).Exp(bb, toBig(e), bn)
+		for w := uint(1); w <= 12; w++ {
+			if got := m.ExpWindow(base, e, w); toBig(got).Cmp(want) != 0 {
+				t.Fatalf("ExpWindow(e=%d, w=%d) = %s, want %s", ev, w, got, want)
+			}
+		}
+	}
+}

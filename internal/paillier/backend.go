@@ -179,27 +179,9 @@ func (g *GPUBackend) nonceTerms(pk *PublicKey, count int, seed uint64) ([]mpint.
 	return rn, nil
 }
 
-// gPowMVec computes the gᵐ term for a batch. Under the g = n+1 shortcut
-// each term is two word-level host ops. A classic generator makes every
-// term a full n-bit-exponent modexp — but the base is fixed across the
-// batch, so it runs as one fixed-base comb kernel (device-modelled, one
-// shared precomputed table) instead of a host loop of independent Exp
-// calls. Results are identical either way.
-func (g *GPUBackend) gPowMVec(pk *PublicKey, ms []mpint.Nat) ([]mpint.Nat, error) {
-	if pk.plusOne {
-		gm := make([]mpint.Nat, len(ms))
-		for i, m := range ms {
-			gm[i] = pk.GPowM(m)
-		}
-		return gm, nil
-	}
-	return g.Engine.FixedBaseExpVec(pk.G, ms, pk.MontN2())
-}
-
-// EncryptVec implements Backend. gᵐ uses the n+1 shortcut on the host (two
-// word-level ops per element; a fixed-base kernel for classic generators)
-// while the expensive rⁿ modexp batch runs as one device kernel, then a
-// hom-mul kernel combines them.
+// EncryptVec implements Backend. gᵐ = 1 + m·n is two word-level ops an element
+// on the host, while the expensive rⁿ modexp batch runs as one device kernel,
+// then a hom-mul kernel combines them.
 func (g *GPUBackend) EncryptVec(pk *PublicKey, ms []mpint.Nat, seed uint64) ([]Ciphertext, error) {
 	for i, m := range ms {
 		if mpint.Cmp(m, pk.N) >= 0 {
@@ -210,9 +192,9 @@ func (g *GPUBackend) EncryptVec(pk *PublicKey, ms []mpint.Nat, seed uint64) ([]C
 	if err != nil {
 		return nil, fmt.Errorf("paillier: gpu EncryptVec: %w", err)
 	}
-	gm, err := g.gPowMVec(pk, ms)
-	if err != nil {
-		return nil, fmt.Errorf("paillier: gpu EncryptVec g^m: %w", err)
+	gm := make([]mpint.Nat, len(ms))
+	for i, m := range ms {
+		gm[i] = pk.GPowM(m)
 	}
 	prod, err := g.Engine.ModMulVec(gm, rn, pk.MontN2())
 	if err != nil {

@@ -6,20 +6,14 @@ import (
 	"flbooster/internal/mpint"
 )
 
-// TestHolderHandleSameBits: at every key size the suite uses, and under the
-// classic generator too, the owner's handle produces what the shareable key
-// produces — the rⁿ term itself against the n² window, a ciphertext under a
+// TestHolderHandleSameBits: at every key size the suite uses the owner's
+// handle produces what the shareable key produces — the rⁿ term itself against the n² window, a ciphertext under a
 // chosen nonce, a rerandomization under one RNG stream — and decrypts back.
 func TestHolderHandleSameBits(t *testing.T) {
 	keys := map[string]*PrivateKey{}
 	for _, bits := range []int{128, 256, 512, 1024} {
 		keys[mpint.FromUint64(uint64(bits)).String()] = keyOfSize(t, bits)
 	}
-	classic, err := GenerateKeyClassic(mpint.NewRNG(44), 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys["classic"] = classic
 	for name, sk := range keys {
 		pk, own := &sk.PublicKey, sk.Holder()
 		if pk.own != nil || own.own == nil {

@@ -42,7 +42,11 @@ func (pk *PublicKey) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalPublicKey decodes a public key and rebuilds its cached contexts.
+// UnmarshalPublicKey decodes a public key and rebuilds its cached contexts. A
+// generator other than n+1 rejects with ErrGenerator: it is the only one the
+// code encrypts under, and without the factorisation no other g can be
+// checked to have the order that makes it a generator at all (g = 1 turns
+// every "encryption" into rⁿ, carrying no plaintext).
 func UnmarshalPublicKey(data []byte) (*PublicKey, error) {
 	if len(data) < 1 || data[0] != publicKeyMagic {
 		return nil, fmt.Errorf("paillier: not a public key encoding")
@@ -64,14 +68,11 @@ func UnmarshalPublicKey(data []byte) (*PublicKey, error) {
 	if n.IsEven() {
 		return nil, fmt.Errorf("paillier: even modulus in public key")
 	}
-	n2 := mpint.Mul(n, n)
-	if g.IsZero() || mpint.Cmp(g, n2) >= 0 {
-		return nil, fmt.Errorf("paillier: generator outside [1, n²) in public key")
+	if mpint.Cmp(g, mpint.AddWord(n, 1)) != 0 {
+		return nil, ErrGenerator
 	}
-	pk := &PublicKey{N: n, G: g, N2: n2}
-	pk.montN2 = mpint.NewMont(pk.N2)
-	pk.plusOne = mpint.Cmp(g, mpint.AddWord(n, 1)) == 0
-	return pk, nil
+	n2 := mpint.Mul(n, n)
+	return &PublicKey{N: n, G: g, N2: n2, montN2: mpint.NewMont(n2)}, nil
 }
 
 // MarshalBinary encodes the private key (p, q, g); every derived component
@@ -84,8 +85,8 @@ func (sk *PrivateKey) MarshalBinary() ([]byte, error) {
 	return buf, nil
 }
 
-// UnmarshalPrivateKey decodes a private key and re-derives λ, μ, and the
-// CRT precomputation.
+// UnmarshalPrivateKey decodes a private key and re-derives λ and the CRT
+// precomputation; like the public decoder it accepts g = n+1 only.
 func UnmarshalPrivateKey(data []byte) (*PrivateKey, error) {
 	if len(data) < 1 || data[0] != privateKeyMagic {
 		return nil, fmt.Errorf("paillier: not a private key encoding")
@@ -105,11 +106,10 @@ func UnmarshalPrivateKey(data []byte) (*PrivateKey, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("paillier: %d trailing bytes in private key", len(rest))
 	}
-	n := mpint.Mul(p, q)
-	if mpint.Cmp(g, mpint.AddWord(n, 1)) == 0 {
-		g = nil // let newKey select the n+1 fast path
+	if mpint.Cmp(g, mpint.AddWord(mpint.Mul(p, q), 1)) != 0 {
+		return nil, ErrGenerator
 	}
-	sk, err := newKey(p, q, g)
+	sk, err := NewKeyFromPrimes(p, q)
 	if err != nil {
 		return nil, fmt.Errorf("paillier: decoded key invalid: %w", err)
 	}

@@ -1,6 +1,7 @@
 package paillier
 
 import (
+	"errors"
 	"testing"
 
 	"flbooster/internal/mpint"
@@ -18,9 +19,6 @@ func TestPublicKeyRoundTrip(t *testing.T) {
 	}
 	if mpint.Cmp(pk.N, sk.N) != 0 || mpint.Cmp(pk.G, sk.G) != 0 {
 		t.Fatal("components diverged")
-	}
-	if !pk.plusOne {
-		t.Fatal("n+1 fast path not restored")
 	}
 	// The decoded key must encrypt values the original key decrypts.
 	rng := mpint.NewRNG(1)
@@ -48,7 +46,7 @@ func TestPrivateKeyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mpint.Cmp(sk2.Lambda, sk.Lambda) != 0 || mpint.Cmp(sk2.Mu, sk.Mu) != 0 {
+	if mpint.Cmp(sk2.Lambda, sk.Lambda) != 0 {
 		t.Fatal("derived components diverged after re-derivation")
 	}
 	rng := mpint.NewRNG(2)
@@ -66,34 +64,38 @@ func TestPrivateKeyRoundTrip(t *testing.T) {
 	}
 }
 
-func TestClassicKeyMarshalRoundTrip(t *testing.T) {
-	sk, err := GenerateKeyClassic(mpint.NewRNG(3), 128)
-	if err != nil {
-		t.Fatal(err)
+// TestUnmarshalRejectsOtherGenerators: both decoders take g = n+1 and nothing
+// else — not g = 1 (every "encryption" under it is rⁿ and carries no
+// plaintext), not a neighbour of n+1, not the top of the range, not a
+// generator of the right order that the code simply cannot encrypt under —
+// typed, with a nil key.
+func TestUnmarshalRejectsOtherGenerators(t *testing.T) {
+	sk := testKey(t)
+	for name, g := range map[string]mpint.Nat{
+		"1":    mpint.One(),
+		"n":    sk.N,
+		"n+2":  mpint.AddWord(sk.N, 2),
+		"n²−1": mpint.SubWord(sk.N2, 1),
+		"2n+1": mpint.AddWord(mpint.Add(sk.N, sk.N), 1), // order n, as n+1 has: a valid textbook g
+	} {
+		pub := appendNat(appendNat([]byte{publicKeyMagic}, sk.N), g)
+		if pk, err := UnmarshalPublicKey(pub); !errors.Is(err, ErrGenerator) || pk != nil {
+			t.Errorf("public key with g = %s: (%v, %v), want ErrGenerator", name, pk, err)
+		}
+		priv := appendNat(appendNat(appendNat([]byte{privateKeyMagic}, sk.P), sk.Q), g)
+		if sk2, err := UnmarshalPrivateKey(priv); !errors.Is(err, ErrGenerator) || sk2 != nil {
+			t.Errorf("private key with g = %s: (%v, %v), want ErrGenerator", name, sk2, err)
+		}
 	}
-	data, err := sk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	// What the random-g key generator (seed 3, 64 bits) marshalled to at commit
+	// 70d9887, the last to have one (g of order a multiple of n): both decoders
+	// took these then. They are in FuzzUnmarshalKeys' corpus too.
+	const g = "\x10\x00\x00\x00\x92\xc6\x82\x70\x83\x33\xd2\x91\x7b\xf8\x29\xe8\xd1\x99\xe2\x7d"
+	if pk, err := UnmarshalPublicKey([]byte("P\x08\x00\x00\x00\xc2\x1f\x8c\x86\xd5\xca\x0b\x2b" + g)); !errors.Is(err, ErrGenerator) || pk != nil {
+		t.Errorf("recorded classic public key: (%v, %v), want ErrGenerator", pk, err)
 	}
-	sk2, err := UnmarshalPrivateKey(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sk2.plusOne {
-		t.Fatal("classic g must not restore as n+1")
-	}
-	rng := mpint.NewRNG(4)
-	m := mpint.FromUint64(55)
-	c, err := sk2.Encrypt(m, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sk.Decrypt(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mpint.Cmp(got, m) != 0 {
-		t.Fatal("classic-key round trip failed")
+	if sk2, err := UnmarshalPrivateKey([]byte("S\x04\x00\x00\x00\xe2\xfa\xff\x3f\x04\x00\x00\x00\xda\xf1\x25\x15" + g)); !errors.Is(err, ErrGenerator) || sk2 != nil {
+		t.Errorf("recorded classic private key: (%v, %v), want ErrGenerator", sk2, err)
 	}
 }
 
@@ -127,9 +129,9 @@ func TestUnmarshalErrors(t *testing.T) {
 }
 
 // FuzzUnmarshalKeys feeds arbitrary bytes to both key decoders. Neither may
-// panic; a reject is an error with a nil key; an accepted key survives
-// marshal → unmarshal with the same components (the bytes themselves need
-// not: leading zeros in a value decode and re-encode without them).
+// panic; a reject is an error with a nil key; an accepted key has g = n+1 and
+// survives marshal → unmarshal with the same components (the bytes themselves
+// need not: leading zeros in a value decode and re-encode without them).
 func FuzzUnmarshalKeys(f *testing.F) {
 	sk, err := GenerateKey(mpint.NewRNG(11), 64)
 	if err != nil {
@@ -148,6 +150,9 @@ func FuzzUnmarshalKeys(f *testing.F) {
 				t.Fatalf("public reject (%v) still returned a key", err)
 			}
 		} else {
+			if mpint.Cmp(pk.G, mpint.AddWord(pk.N, 1)) != 0 {
+				t.Fatalf("public key accepted with n=%s g=%s", pk.N, pk.G)
+			}
 			enc, _ := pk.MarshalBinary()
 			again, err := UnmarshalPublicKey(enc)
 			if err != nil || mpint.Cmp(again.N, pk.N) != 0 || mpint.Cmp(again.G, pk.G) != 0 {
@@ -159,6 +164,9 @@ func FuzzUnmarshalKeys(f *testing.F) {
 				t.Fatalf("private reject (%v) still returned a key", err)
 			}
 		} else {
+			if mpint.Cmp(sk.G, mpint.AddWord(sk.N, 1)) != 0 {
+				t.Fatalf("private key accepted with n=%s g=%s", sk.N, sk.G)
+			}
 			enc, _ := sk.MarshalBinary()
 			again, err := UnmarshalPrivateKey(enc)
 			if err != nil || mpint.Cmp(again.P, sk.P) != 0 || mpint.Cmp(again.Q, sk.Q) != 0 ||

@@ -5,30 +5,33 @@
 // D(c) = L(c^λ mod n²) / L(g^λ mod n²) mod n with L(x) = (x−1)/n; and the
 // additive homomorphism E(m₁)·E(m₂) = E(m₁+m₂).
 //
-// Key generation defaults to g = n+1, which makes gᵐ a single modular
-// multiplication (1 + m·n mod n²) without changing the scheme's semantics;
-// GenerateKeyClassic draws a random g ∈ Z*_{n²} as the paper states it, and
-// every operation works with either form. Whoever holds the factorisation
-// works through it (mpint.CRT): decryption splits over p² and q² — the
-// standard 4× speedup — and so does the key holder's own encryption
-// (PrivateKey.Holder), whose rⁿ term costs under a third of the public one.
+// The generator is always g = n+1, which makes gᵐ a single multiplication
+// (1 + m·n mod n²) without changing the scheme's semantics; it is the only
+// generator a key can be generated with or decoded under (ErrGenerator).
+// Whoever holds the factorisation works through it (mpint.CRT): decryption
+// splits over p² and q² — the standard 4× speedup — and so does the key
+// holder's own encryption (PrivateKey.Holder), whose rⁿ term costs under a
+// third of the public one.
 package paillier
 
 import (
+	"errors"
 	"fmt"
 
 	"flbooster/internal/ghe"
 	"flbooster/internal/mpint"
 )
 
+// ErrGenerator rejects an encoded key whose generator is not n+1.
+var ErrGenerator = errors.New("paillier: generator is not n+1")
+
 // PublicKey holds (g, n) plus cached values every operation needs.
 type PublicKey struct {
 	N  mpint.Nat // modulus n = p·q
-	G  mpint.Nat // generator g
+	G  mpint.Nat // generator g = n+1
 	N2 mpint.Nat // n²
 
-	montN2  *mpint.Mont // Montgomery context mod n²
-	plusOne bool        // g == n+1 fast path
+	montN2 *mpint.Mont // Montgomery context mod n²
 
 	// own is the key's factorisation, set only on the handle
 	// PrivateKey.Holder returns: it is how nonceTerm and nonceTermVec know
@@ -42,17 +45,17 @@ type PrivateKey struct {
 	PublicKey
 	P, Q   mpint.Nat // the prime factors
 	Lambda mpint.Nat // λ = lcm(p−1, q−1)
-	Mu     mpint.Nat // μ = L(g^λ mod n²)⁻¹ mod n
 
 	// crt is the arithmetic through the factorisation: the contexts mod p,
 	// q, p², q² and Garner's constants over both pairs.
 	crt *mpint.CRT
 
 	// Reduced-exponent CRT decryption (§III-B optimisation): instead of one
-	// full-λ exponentiation per prime square, decrypt with exponent p−1
-	// (resp. q−1) — half the bits of λ — and fold the L(g^λ)⁻¹ correction
-	// into per-prime constants hp = L_p(g^{p−1} mod p²)⁻¹ mod p. The halves
-	// recombine over p and q with Garner's formula (crt.LogCombine).
+	// full-λ exponentiation over n², decrypt with exponent p−1 (resp. q−1) —
+	// half the bits of λ — over p² (resp. q²), and fold the L(g^λ)⁻¹
+	// correction into per-prime constants hp = L_p(g^{p−1} mod p²)⁻¹ mod p.
+	// The halves recombine over p and q with Garner's formula
+	// (crt.LogCombine).
 	pm1, qm1 mpint.Nat // p−1, q−1: the reduced decryption exponents
 	hp, hq   mpint.Nat // L_p(g^{p−1})⁻¹ mod p, L_q(g^{q−1})⁻¹ mod q, in Montgomery form
 
@@ -83,16 +86,16 @@ func (pk *PublicKey) CiphertextBytes() int { return (pk.N2.BitLen() + 7) / 8 }
 // MontN2 exposes the n² Montgomery context for the vectorized GPU backend.
 func (pk *PublicKey) MontN2() *mpint.Mont { return pk.montN2 }
 
-// GenerateKey creates a key pair with an n of exactly `bits` bits, using the
-// g = n+1 construction. rng supplies the primes (use mpint.NewCryptoRNG for
-// real deployments; seeded RNGs keep experiments reproducible).
+// GenerateKey creates a key pair with an n of exactly `bits` bits. rng
+// supplies the primes (use mpint.NewCryptoRNG for real deployments; seeded
+// RNGs keep experiments reproducible).
 func GenerateKey(rng *mpint.RNG, bits int) (*PrivateKey, error) {
-	if err := checkKeyBits(bits); err != nil {
+	if err := CheckKeyBits(bits); err != nil {
 		return nil, err
 	}
 	for {
 		p, q := rng.RandSafePrimePair(bits / 2)
-		sk, err := newKey(p, q, nil)
+		sk, err := NewKeyFromPrimes(p, q)
 		if err != nil {
 			continue // e.g. gcd(pq, (p-1)(q-1)) ≠ 1; redraw
 		}
@@ -103,10 +106,10 @@ func GenerateKey(rng *mpint.RNG, bits int) (*PrivateKey, error) {
 	}
 }
 
-// checkKeyBits rejects the sizes the generators cannot produce: too small to
-// hold a plaintext, or odd — two ⌊bits/2⌋-bit primes never multiply to an
-// odd-length n, and the redraw loop would spin forever looking for one.
-func checkKeyBits(bits int) error {
+// CheckKeyBits rejects the sizes no generator can produce: too small to hold a
+// plaintext, or odd — two ⌊bits/2⌋-bit primes never multiply to an odd-length
+// n, and a redraw loop would spin forever looking for one.
+func CheckKeyBits(bits int) error {
 	if bits < 16 {
 		return fmt.Errorf("paillier: key size %d too small", bits)
 	}
@@ -116,35 +119,10 @@ func checkKeyBits(bits int) error {
 	return nil
 }
 
-// GenerateKeyClassic creates a key pair with a random g ∈ Z*_{n²} satisfying
-// gcd(L(g^λ mod n²), n) = 1 — the textbook construction from §III-B.
-func GenerateKeyClassic(rng *mpint.RNG, bits int) (*PrivateKey, error) {
-	if err := checkKeyBits(bits); err != nil {
-		return nil, err
-	}
-	for {
-		p, q := rng.RandSafePrimePair(bits / 2)
-		n := mpint.Mul(p, q)
-		if n.BitLen() != bits {
-			continue
-		}
-		n2 := mpint.Mul(n, n)
-		g := rng.RandCoprime(n2)
-		sk, err := newKey(p, q, g)
-		if err != nil {
-			continue
-		}
-		return sk, nil
-	}
-}
-
 // NewKeyFromPrimes assembles a key pair from externally generated primes —
-// the path the GPU key generator (ghe.GeneratePrimePair) feeds.
+// the path the device key generator (ghe's GeneratePrimePair) and the private
+// key decoder feed.
 func NewKeyFromPrimes(p, q mpint.Nat) (*PrivateKey, error) {
-	return newKey(p, q, nil)
-}
-
-func newKey(p, q, g mpint.Nat) (*PrivateKey, error) {
 	if mpint.Cmp(p, q) == 0 {
 		return nil, fmt.Errorf("paillier: p and q must differ")
 	}
@@ -156,51 +134,27 @@ func newKey(p, q, g mpint.Nat) (*PrivateKey, error) {
 	}
 	n := mpint.Mul(p, q)
 	n2 := mpint.Mul(n, n)
-	// g must be a unit mod n²: L(g^λ) below subtracts 1 from a power of g,
-	// which is 0 when g shares a factor with n.
-	if g != nil && (mpint.Cmp(g, n2) >= 0 || !mpint.GCD(g, n).IsOne()) {
-		return nil, fmt.Errorf("paillier: g is not in Z*_{n²}")
-	}
 	pm1 := mpint.SubWord(p, 1)
 	qm1 := mpint.SubWord(q, 1)
+	// With g = n+1, g^λ = 1 + λn mod n² and L(g^λ) = λ mod n, which this makes
+	// invertible: the key decrypts.
 	if !mpint.GCD(n, mpint.Mul(pm1, qm1)).IsOne() {
 		return nil, fmt.Errorf("paillier: gcd(n, φ(n)) must be 1")
 	}
-	lambda := mpint.LCM(pm1, qm1)
 
-	pk := PublicKey{N: n, N2: n2, montN2: mpint.NewMont(n2)}
-	if g == nil {
-		pk.G = mpint.AddWord(n, 1)
-		pk.plusOne = true
-	} else {
-		pk.G = g
-	}
-
-	sk := &PrivateKey{PublicKey: pk, P: p, Q: q, Lambda: lambda, crt: crt}
+	pk := PublicKey{N: n, G: mpint.AddWord(n, 1), N2: n2, montN2: mpint.NewMont(n2)}
+	sk := &PrivateKey{PublicKey: pk, P: p, Q: q, Lambda: mpint.LCM(pm1, qm1), crt: crt, pm1: pm1, qm1: qm1}
 	holder := pk
 	holder.own = crt
 	sk.holder = &holder
 
-	// μ = L(g^λ mod n²)⁻¹ mod n; with g = n+1, g^λ mod n² = 1 + λn, so
-	// L = λ mod n and μ = λ⁻¹ mod n.
-	mu, ok := mpint.ModInverse(pk.lFunc(crt.Exp(pk.G, lambda)), n)
-	if !ok {
-		return nil, fmt.Errorf("paillier: L(g^λ) not invertible mod n (bad g)")
-	}
-	sk.Mu = mu
-
-	// Reduced-exponent constants. g^{p−1} mod p² ≡ 1 mod p by Fermat, so
-	// L_p applies; invertibility of the result mod p holds for every valid
-	// g (it fails exactly when L(g^λ) is not invertible mod n, which the μ
-	// computation above already rejected), but we check and redraw anyway.
-	sk.pm1, sk.qm1 = pm1, qm1
-	hp, ok := mpint.ModInverse(lHalf(crt.P2().Exp(pk.G, pm1), p), p)
-	if !ok {
-		return nil, fmt.Errorf("paillier: L_p(g^(p-1)) not invertible mod p (bad g)")
-	}
-	hq, ok := mpint.ModInverse(lHalf(crt.Q2().Exp(pk.G, qm1), q), q)
-	if !ok {
-		return nil, fmt.Errorf("paillier: L_q(g^(q-1)) not invertible mod q (bad g)")
+	// Reduced-exponent constants. g^{p−1} mod p² ≡ 1 mod p by Fermat, so L_p
+	// applies and its value, (p−1)·q mod p, is a unit. A decoded key's factors
+	// need not be prime, so the inverses are checked all the same.
+	hp, okP := mpint.ModInverse(lHalf(crt.P2().Exp(pk.G, pm1), p), p)
+	hq, okQ := mpint.ModInverse(lHalf(crt.Q2().Exp(pk.G, qm1), q), q)
+	if !okP || !okQ {
+		return nil, fmt.Errorf("paillier: L(g^(s−1)) not invertible mod a factor s")
 	}
 	sk.hp, sk.hq = crt.P().ToMont(hp), crt.Q().ToMont(hq)
 	return sk, nil
@@ -210,11 +164,6 @@ func newKey(p, q, g mpint.Nat) (*PrivateKey, error) {
 // is already reduced mod p.
 func lHalf(x, p mpint.Nat) mpint.Nat {
 	return mpint.Div(mpint.Sub(x, mpint.One()), p)
-}
-
-// lFunc computes L(x) = (x−1)/n.
-func (pk *PublicKey) lFunc(x mpint.Nat) mpint.Nat {
-	return mpint.Div(mpint.Sub(x, mpint.One()), pk.N)
 }
 
 // nonceTerm returns rⁿ mod n², the noise term of an encryption or
@@ -240,16 +189,13 @@ func (pk *PublicKey) nonceTermVec(eng ghe.VectorEngine, rs []mpint.Nat) ([]mpint
 	return eng.ModExpVec(rs, pk.N, pk.montN2)
 }
 
-// GPowM computes gᵐ mod n², using the (1 + m·n) shortcut when g = n+1.
+// GPowM computes gᵐ mod n² as 1 + m·n, which is what (n+1)ᵐ is mod n².
 func (pk *PublicKey) GPowM(m mpint.Nat) mpint.Nat {
-	if pk.plusOne {
-		if mpint.Cmp(m, pk.N) < 0 {
-			// A plaintext: 1 + m·n ≤ 1 + (n−1)·n < n², nothing to reduce.
-			return mpint.AddWord(mpint.Mul(m, pk.N), 1)
-		}
-		return mpint.ModAdd(mpint.One(), mpint.Mod(mpint.Mul(m, pk.N), pk.N2), pk.N2)
+	if mpint.Cmp(m, pk.N) < 0 {
+		// A plaintext: 1 + m·n ≤ 1 + (n−1)·n < n², nothing to reduce.
+		return mpint.AddWord(mpint.Mul(m, pk.N), 1)
 	}
-	return pk.montN2.Exp(pk.G, m)
+	return mpint.ModAdd(mpint.One(), mpint.Mod(mpint.Mul(m, pk.N), pk.N2), pk.N2)
 }
 
 // Encrypt encrypts a plaintext m < n with fresh randomness from rng:
@@ -276,26 +222,14 @@ func (pk *PublicKey) EncryptWithNonce(m, r mpint.Nat) (Ciphertext, error) {
 // m_p = L_p(c^{p−1} mod p²)·hp mod p and m_q likewise, recombined with
 // Garner's formula m = m_q + q·((m_p − m_q)·q⁻¹ mod p). The exponents are
 // half the bits of λ, so each prime-square exponentiation does roughly half
-// the Montgomery multiplies of the classic D(c) = L(c^λ mod n²)·μ mod n —
-// which DecryptClassic still provides, bit-exact with this path on every
-// valid ciphertext.
+// the Montgomery multiplies of the textbook D(c) = L(c^λ mod n²)·μ mod n, the
+// oracle the tests hold this path to bit for bit.
 func (sk *PrivateKey) Decrypt(c Ciphertext) (mpint.Nat, error) {
 	if c.C.IsZero() || mpint.Cmp(c.C, sk.N2) >= 0 {
 		return nil, fmt.Errorf("paillier: ciphertext out of range")
 	}
 	xp, xq := sk.crt.P2().Exp(c.C, sk.pm1), sk.crt.Q2().Exp(c.C, sk.qm1)
 	return sk.crt.LogCombine(xp, xq, sk.hp, sk.hq), nil
-}
-
-// DecryptClassic recovers the plaintext via the textbook full-λ route:
-// D(c) = L(c^λ mod n²)·μ mod n (Eq. 4), with the n² exponentiation CRT-split
-// over p² and q². Kept as the differential-testing reference for Decrypt.
-func (sk *PrivateKey) DecryptClassic(c Ciphertext) (mpint.Nat, error) {
-	if c.C.IsZero() || mpint.Cmp(c.C, sk.N2) >= 0 {
-		return nil, fmt.Errorf("paillier: ciphertext out of range")
-	}
-	cl := sk.crt.Exp(c.C, sk.Lambda)
-	return mpint.ModMul(sk.lFunc(cl), sk.Mu, sk.N), nil
 }
 
 // Add computes the homomorphic addition E(m₁+m₂) = E(m₁)·E(m₂) mod n²

@@ -41,10 +41,8 @@ func TestGenerateKeyRejectsTinySize(t *testing.T) {
 		t.Fatal("8-bit key should be rejected")
 	}
 	// An odd size used to spin forever: two 16-bit primes never make 33 bits.
-	for name, gen := range map[string]func(*mpint.RNG, int) (*PrivateKey, error){"GenerateKey": GenerateKey, "GenerateKeyClassic": GenerateKeyClassic} {
-		if sk, err := gen(mpint.NewRNG(1), 33); err == nil || sk != nil {
-			t.Fatalf("%s(33 bits) = %v, %v; want an error", name, sk, err)
-		}
+	if sk, err := GenerateKey(mpint.NewRNG(1), 33); err == nil || sk != nil {
+		t.Fatalf("GenerateKey(33 bits) = %v, %v; want an error", sk, err)
 	}
 }
 
@@ -153,31 +151,6 @@ func TestEncryptionIsProbabilistic(t *testing.T) {
 	c2, _ := sk.Encrypt(m, rng)
 	if mpint.Cmp(c1.C, c2.C) == 0 {
 		t.Fatal("two encryptions of the same plaintext should differ")
-	}
-}
-
-func TestClassicKeyG(t *testing.T) {
-	sk, err := GenerateKeyClassic(mpint.NewRNG(8), 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sk.plusOne {
-		t.Fatal("classic key should not use the n+1 fast path")
-	}
-	rng := mpint.NewRNG(9)
-	for i := 0; i < 10; i++ {
-		m := rng.RandBelow(sk.N)
-		c, err := sk.Encrypt(m, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := sk.Decrypt(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mpint.Cmp(got, m) != 0 {
-			t.Fatal("classic-g round trip failed")
-		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package paillier
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -70,6 +71,22 @@ func plaintexts(n int, mod mpint.Nat) []mpint.Nat {
 	return ms
 }
 
+// DecryptClassic is the oracle Decrypt is held to: the textbook
+// D(c) = L(c^λ mod n²)·μ mod n of Eq. 4, with L(x) = (x−1)/n and
+// μ = L(g^λ mod n²)⁻¹ mod n, as one full-λ exponentiation over n² — no
+// factorisation, no half-width exponent, no constant the key precomputed.
+func (sk *PrivateKey) DecryptClassic(c Ciphertext) (mpint.Nat, error) {
+	if c.C.IsZero() || mpint.Cmp(c.C, sk.N2) >= 0 {
+		return nil, fmt.Errorf("paillier: ciphertext out of range")
+	}
+	l := func(x mpint.Nat) mpint.Nat { return mpint.Div(mpint.Sub(x, mpint.One()), sk.N) }
+	mu, ok := mpint.ModInverse(l(sk.montN2.Exp(sk.G, sk.Lambda)), sk.N)
+	if !ok {
+		return nil, fmt.Errorf("paillier: L(g^λ) not invertible mod n")
+	}
+	return mpint.ModMul(l(sk.montN2.Exp(c.C, sk.Lambda)), mu, sk.N), nil
+}
+
 // TestDecryptReducedMatchesClassic: the reduced-exponent CRT path and the
 // full-λ textbook path must agree bit-for-bit on every valid ciphertext,
 // across the paper's key sizes, and both must invert Encrypt.
@@ -97,28 +114,6 @@ func TestDecryptReducedMatchesClassic(t *testing.T) {
 			if mpint.Cmp(reduced, m) != 0 {
 				t.Fatalf("%d bits: decrypt did not invert encrypt", bits)
 			}
-		}
-	}
-}
-
-// TestDecryptReducedClassicG: the hp/hq constants must also work for a
-// random g ∈ Z*_{n²} (no n+1 shortcut anywhere in the derivation).
-func TestDecryptReducedClassicG(t *testing.T) {
-	sk, err := GenerateKeyClassic(mpint.NewRNG(31), 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := mpint.NewRNG(32)
-	for i := 0; i < 10; i++ {
-		m := rng.RandBelow(sk.N)
-		c, err := sk.Encrypt(m, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reduced, _ := sk.Decrypt(c)
-		classic, _ := sk.DecryptClassic(c)
-		if mpint.Cmp(reduced, classic) != 0 || mpint.Cmp(reduced, m) != 0 {
-			t.Fatal("classic-g reduced decrypt diverges")
 		}
 	}
 }
@@ -184,52 +179,50 @@ func TestDecryptVecReducedAcrossEngines(t *testing.T) {
 }
 
 // TestDecryptVecReducedCheaperSim pins the cost-model direction: two
-// half-size-modulus kernels with half-length exponents must charge less
-// simulated compute than the one full-λ kernel over n² they replace.
+// half-size-modulus kernels with half-length exponents charge less simulated
+// compute than the one full-λ kernel over n² they replace, and at the paper's
+// 2,048 bits less modelled time altogether. At 512 bits the second launch and
+// its transfers outweigh the compute saved (the crossover sits between 512 and
+// 1,024 bits), which the test logs rather than hides.
 func TestDecryptVecReducedCheaperSim(t *testing.T) {
-	sk := keyOfSize(t, 512)
-	ms := plaintexts(16, sk.N)
-	reduced := ghe.MustEngine(gpu.MustNew(gpu.SmallTestDevice(), true))
-	b := MustGPUBackend(reduced)
-	cs, err := b.EncryptVec(&sk.PublicKey, ms, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encryptCompute := reduced.Device().Stats().SimComputeTime
-	if _, err := b.DecryptVec(sk, cs); err != nil {
-		t.Fatal(err)
-	}
-	reducedCompute := reduced.Device().Stats().SimComputeTime - encryptCompute
-
-	classic := ghe.MustEngine(gpu.MustNew(gpu.SmallTestDevice(), true))
-	bases := make([]mpint.Nat, len(cs))
-	for i := range cs {
-		bases[i] = cs[i].C
-	}
-	if _, err := classic.ModExpVec(bases, sk.Lambda, sk.MontN2()); err != nil {
-		t.Fatal(err)
-	}
-	classicCompute := classic.Device().Stats().SimComputeTime
-	if reducedCompute >= classicCompute {
-		t.Errorf("reduced CRT sim compute %v should undercut full-λ %v", reducedCompute, classicCompute)
+	for _, bits := range []int{512, 2048} {
+		sk := keyOfSize(t, bits)
+		cs, err := CPUBackend{}.EncryptVec(sk.Holder(), plaintexts(6, sk.N), 77)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reduced := ghe.MustEngine(gpu.MustNew(gpu.RTX3090(), true))
+		if _, err := MustGPUBackend(reduced).DecryptVec(sk, cs); err != nil {
+			t.Fatal(err)
+		}
+		classic := ghe.MustEngine(gpu.MustNew(gpu.RTX3090(), true))
+		bases := make([]mpint.Nat, len(cs))
+		for i := range cs {
+			bases[i] = cs[i].C
+		}
+		if _, err := classic.ModExpVec(bases, sk.Lambda, sk.MontN2()); err != nil {
+			t.Fatal(err)
+		}
+		rs, cl := reduced.Device().Stats(), classic.Device().Stats()
+		t.Logf("%d bits: reduced %v compute / %v in all, full-λ %v / %v", bits, rs.SimComputeTime, rs.SimTime(), cl.SimComputeTime, cl.SimTime())
+		if rs.SimComputeTime >= cl.SimComputeTime {
+			t.Errorf("%d bits: reduced CRT sim compute %v should undercut full-λ %v", bits, rs.SimComputeTime, cl.SimComputeTime)
+		}
+		if bits == 2048 && rs.SimTime() >= cl.SimTime() {
+			t.Errorf("%d bits: reduced CRT modelled time %v should undercut full-λ %v", bits, rs.SimTime(), cl.SimTime())
+		}
 	}
 }
 
 // TestEncryptVecMatchesScalarOnEngineStream: EncryptVec must return exactly
 // the ciphertexts of per-element EncryptWithNonce over the engine's nonce
-// stream, under either handle of the key — on all three engines, for the
-// g = n+1 shortcut and for a classic generator (whose gᵐ runs as the
-// fixed-base comb kernel).
+// stream, under either handle of the key — on all three engines.
 func TestEncryptVecMatchesScalarOnEngineStream(t *testing.T) {
-	classic, err := GenerateKeyClassic(mpint.NewRNG(45), 256)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const seed = 4242
 	for name, eng := range vectorEngines(t) {
 		t.Run(name, func(t *testing.T) {
 			b := MustGPUBackend(eng)
-			for _, sk := range []*PrivateKey{keyOfSize(t, 512), classic} {
+			for _, sk := range []*PrivateKey{keyOfSize(t, 512), keyOfSize(t, 256)} {
 				ms := plaintexts(12, sk.N)
 				want, err := b.EncryptVec(&sk.PublicKey, ms, seed)
 				if err != nil {

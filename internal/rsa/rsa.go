@@ -50,13 +50,8 @@ func (pk *PublicKey) Mont() *mpint.Mont { return pk.mont }
 // GenerateKey creates an RSA key pair with an n of exactly `bits` bits and
 // e = 65537.
 func GenerateKey(rng *mpint.RNG, bits int) (*PrivateKey, error) {
-	if bits < 16 {
-		return nil, fmt.Errorf("rsa: key size %d too small", bits)
-	}
-	if bits%2 != 0 {
-		// Two ⌊bits/2⌋-bit primes never multiply to an odd-length n; the
-		// redraw loop below would not end.
-		return nil, fmt.Errorf("rsa: key size %d is odd; n is the product of two %d-bit primes", bits, bits/2)
+	if err := CheckKeyBits(bits); err != nil {
+		return nil, err
 	}
 	for {
 		p, q := rng.RandSafePrimePair(bits / 2)
@@ -69,6 +64,19 @@ func GenerateKey(rng *mpint.RNG, bits int) (*PrivateKey, error) {
 		}
 		return sk, nil
 	}
+}
+
+// CheckKeyBits rejects the sizes no generator can produce: too small, or odd —
+// two ⌊bits/2⌋-bit primes never multiply to an odd-length n, and a redraw loop
+// would not end.
+func CheckKeyBits(bits int) error {
+	if bits < 16 {
+		return fmt.Errorf("rsa: key size %d too small", bits)
+	}
+	if bits%2 != 0 {
+		return fmt.Errorf("rsa: key size %d is odd; n is the product of two %d-bit primes", bits, bits/2)
+	}
+	return nil
 }
 
 // NewKeyFromPrimes assembles a key from externally generated primes (e.g.
@@ -128,22 +136,4 @@ func (sk *PrivateKey) Decrypt(c Ciphertext) (mpint.Nat, error) {
 // E(m₁)·E(m₂) mod n = E(m₁·m₂ mod n).
 func (pk *PublicKey) Mul(a, b Ciphertext) Ciphertext {
 	return Ciphertext{C: mpint.ModMul(a.C, b.C, pk.N)}
-}
-
-// Sign produces the textbook signature s = mᵈ mod n (used by the blind
-// set-intersection handshake in vertical FL alignment).
-func (sk *PrivateKey) Sign(m mpint.Nat) (mpint.Nat, error) {
-	if mpint.Cmp(m, sk.N) >= 0 {
-		return nil, fmt.Errorf("rsa: message out of range")
-	}
-	c, err := sk.Decrypt(Ciphertext{C: m})
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Verify checks a textbook signature: sᵉ mod n == m.
-func (pk *PublicKey) Verify(m, s mpint.Nat) bool {
-	return mpint.Cmp(pk.mont.Exp(s, pk.E), mpint.Mod(m, pk.N)) == 0
 }

@@ -92,25 +92,6 @@ func TestMultiplicativeHomomorphism(t *testing.T) {
 	}
 }
 
-func TestSignVerify(t *testing.T) {
-	sk := testKey(t)
-	rng := mpint.NewRNG(3)
-	m := rng.RandBelow(sk.N)
-	s, err := sk.Sign(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sk.Verify(m, s) {
-		t.Fatal("valid signature rejected")
-	}
-	if sk.Verify(mpint.AddWord(m, 1), s) {
-		t.Fatal("forged message accepted")
-	}
-	if _, err := sk.Sign(sk.N); err == nil {
-		t.Fatal("oversized message should fail to sign")
-	}
-}
-
 func TestNewKeyFromPrimesValidation(t *testing.T) {
 	r := mpint.NewRNG(4)
 	p := r.RandPrime(64)
@@ -120,8 +101,8 @@ func TestNewKeyFromPrimesValidation(t *testing.T) {
 }
 
 func TestDeterministicEncryption(t *testing.T) {
-	// Textbook RSA is deterministic — a property the PSI handshake relies
-	// on; pin it down so nobody "fixes" it with padding.
+	// Textbook RSA is deterministic — what its multiplicative homomorphism
+	// needs; pin it down so nobody "fixes" it with padding.
 	sk := testKey(t)
 	m := mpint.FromUint64(424242)
 	c1, _ := sk.Encrypt(m)
