@@ -90,27 +90,20 @@ func (p *Packer) PlaintextSpaceUtilization(n int) float64 {
 
 // Pack lays out quantized values into plaintexts, slot 0 at the least
 // significant position (Eq. 9 read right-to-left). Values must fit in r
-// bits; a violation is a programming error upstream and is reported.
+// bits; a violation is a programming error upstream and is reported. Each
+// plaintext is assembled in the limbs it is returned in.
 func (p *Packer) Pack(vals []uint64) ([]mpint.Nat, error) {
-	maxV := uint64(1)<<p.q.RBits() - 1
-	slotBits := uint(p.q.SlotBits())
+	maxV, slotBits := uint64(1)<<p.q.RBits()-1, p.q.SlotBits()
 	out := make([]mpint.Nat, 0, p.NumPlaintexts(len(vals)))
 	for base := 0; base < len(vals); base += p.slots {
-		end := base + p.slots
-		if end > len(vals) {
-			end = len(vals)
-		}
-		// Assemble limb-by-limb: accumulate host words from slot bits.
-		words := make([]mpint.Word, p.words())
-		for s := base; s < end; s++ {
-			v := vals[s]
+		words := make(mpint.Nat, p.words())
+		for s, v := range vals[base:min(base+p.slots, len(vals))] {
 			if v > maxV {
-				return nil, fmt.Errorf("batch: value %d at index %d exceeds %d-bit slot", v, s, p.q.RBits())
+				return nil, fmt.Errorf("batch: value %d at index %d exceeds %d-bit slot", v, base+s, p.q.RBits())
 			}
-			bitPos := uint(s-base) * slotBits
-			orBits(words, bitPos, v)
+			orBits(words, uint(s)*slotBits, v)
 		}
-		out = append(out, mpint.FromWords(words))
+		out = append(out, mpint.TakeWords(words))
 	}
 	return out, nil
 }
@@ -173,9 +166,24 @@ func extractBits(words []mpint.Word, bitPos, width uint) uint64 {
 }
 
 // EncodeGradients is the full client-side path: quantize a float gradient
-// vector and pack it into plaintexts ready for encryption.
+// vector and pack it into plaintexts ready for encryption — Pack(QuantizeVec(
+// grads)) limb for limb, in one pass: each value goes from the quantizer
+// straight into its slot, so the quantized vector never exists.
 func (p *Packer) EncodeGradients(grads []float64) ([]mpint.Nat, error) {
-	return p.Pack(p.q.QuantizeVec(grads))
+	maxV, slotBits := uint64(1)<<p.q.RBits()-1, p.q.SlotBits()
+	out := make([]mpint.Nat, 0, p.NumPlaintexts(len(grads)))
+	for base := 0; base < len(grads); base += p.slots {
+		words := make(mpint.Nat, p.words())
+		for s, g := range grads[base:min(base+p.slots, len(grads))] {
+			v := p.q.Quantize(g)
+			if v > maxV {
+				return nil, fmt.Errorf("batch: value %d at index %d exceeds %d-bit slot", v, base+s, p.q.RBits())
+			}
+			orBits(words, uint(s)*slotBits, v)
+		}
+		out = append(out, mpint.TakeWords(words))
+	}
+	return out, nil
 }
 
 // DecodeAggregated is the full server→client path after decryption: unpack

@@ -88,3 +88,70 @@ func TestPropertyPackedAdditionIsSlotwise(t *testing.T) {
 		}
 	}
 }
+
+// TestPropertyEncodeGradientsIsPackOfQuantizeVec: the one-pass client path is
+// Pack(QuantizeVec(g)) limb for limb — over random lengths (empty, one short of
+// a plaintext, exactly one, one over), values inside the bound, on it, beyond
+// it (clamped) and half a step either side of a rounding edge, and every quantization width a profile or a
+// benchmark configures (30: the default; 16: cohort_tree_128 and the scale
+// sweep; 14: the soak), at the key sizes those run on.
+func TestPropertyEncodeGradientsIsPackOfQuantizeVec(t *testing.T) {
+	for _, g := range []struct {
+		rBits            uint
+		parties, keyBits int
+	}{{30, 4, 2048}, {30, 4, 1024}, {30, 4, 256}, {16, 2048, 128}, {16, 100, 256}, {14, 8, 256}, {52, 2, 512}, {2, 1, 128}} {
+		q := quant.MustNew(0.5, g.rBits, g.parties)
+		p := MustNew(q, g.keyBits)
+		rng := mpint.NewRNG(uint64(g.rBits)<<16 | uint64(g.keyBits))
+		edge := []float64{0, 0.5, -0.5, 0.5000001, -0.5000001, 7, -7, q.Step() / 2, -q.Step() / 2, 0.5 - q.Step()/2}
+		for _, n := range []int{0, 1, p.Slots() - 1, p.Slots(), p.Slots() + 1, 3*p.Slots() + 2, 1 + rng.Intn(500)} {
+			grads := make([]float64, n)
+			for i := range grads {
+				if grads[i] = 1.2 * (rng.Float64() - 0.5); rng.Intn(4) == 0 {
+					grads[i] = edge[rng.Intn(len(edge))]
+				}
+			}
+			got, err := p.EncodeGradients(grads)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := p.Pack(q.QuantizeVec(grads))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) || len(got) != p.NumPlaintexts(n) {
+				t.Fatalf("r=%d k=%d n=%d: %d plaintexts, Pack gives %d", g.rBits, g.keyBits, n, len(got), len(want))
+			}
+			for i := range want {
+				if len(got[i]) != len(want[i]) || mpint.Cmp(got[i], want[i]) != 0 {
+					t.Fatalf("r=%d k=%d n=%d: plaintext %d = %v, Pack(QuantizeVec) = %v", g.rBits, g.keyBits, n, i, got[i], want[i])
+				}
+				if l := len(got[i]); l > 0 && got[i][l-1] == 0 {
+					t.Fatalf("r=%d k=%d n=%d: plaintext %d is not in canonical form", g.rBits, g.keyBits, n, i)
+				}
+			}
+		}
+	}
+}
+
+// TestEncodeAllocCeiling pins both packing paths at the plaintexts they return
+// and the slice that holds them: no quantized vector, no staging limbs.
+func TestEncodeAllocCeiling(t *testing.T) {
+	q := quant.MustNew(0.5, 30, 4)
+	p := MustNew(q, 2048)
+	grads := make([]float64, 2048)
+	rng := mpint.NewRNG(9)
+	for i := range grads {
+		grads[i] = rng.Float64() - 0.5
+	}
+	vals := q.QuantizeVec(grads)
+	ceiling := float64(p.NumPlaintexts(len(grads)) + 1)
+	for name, fn := range map[string]func(){
+		"EncodeGradients": func() { p.EncodeGradients(grads) },
+		"Pack":            func() { p.Pack(vals) },
+	} {
+		if got := testing.AllocsPerRun(20, fn); got > ceiling {
+			t.Errorf("%s: %.0f allocations for %.0f plaintexts and their slice", name, got, ceiling-1)
+		}
+	}
+}

@@ -25,8 +25,10 @@ const (
 	devsetItems = 256
 	devsetFolds = 2
 	// devsetKillAt is the death leg's launch ordinal: device 1 aborts every
-	// launch from its fifth on, landing mid-encrypt.
-	devsetKillAt = 5
+	// launch from its third on — the second fold, with the encryption (one
+	// launch) and the first fold behind it and the decryption still to come. It
+	// was the fifth, the same fold, when an encryption took three launches.
+	devsetKillAt = 3
 	// devsetBackoff keeps the death leg's modelled retry delay small against
 	// kernel cost, so the lost-throughput bound measures rebalancing, not an
 	// arbitrary penalty box.

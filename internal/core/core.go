@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"flbooster/internal/ghe"
 	"flbooster/internal/gpu"
@@ -127,16 +128,37 @@ func (p *Platform) ModInv(x []mpint.Nat, n mpint.Nat) ([]mpint.Nat, error) {
 }
 
 // ModMul computes values1[i] · values2[i] mod n via the device's Montgomery
-// kernel; n must be odd.
+// kernel; n must be odd. Any naturals are accepted: an operand at or above n is
+// reduced mod n on the host before the op is stated — the kernel multiplies
+// residues, and uploads them at the width of n.
 func (p *Platform) ModMul(values1, values2 []mpint.Nat, n mpint.Nat) ([]mpint.Nat, error) {
 	if n.IsZero() || n.IsEven() {
 		return nil, fmt.Errorf("core: ModMul needs an odd modulus")
 	}
-	return p.st.Checked.ModMulVec(values1, values2, mpint.NewMont(n))
+	return p.st.Checked.ModMulVec(residues(values1, n), residues(values2, n), mpint.NewMont(n))
+}
+
+// residues is xs with every element at or above n reduced mod n — xs itself
+// when none is.
+func residues(xs []mpint.Nat, n mpint.Nat) []mpint.Nat {
+	var reduced []mpint.Nat
+	for i, x := range xs {
+		if mpint.Cmp(x, n) >= 0 {
+			if reduced == nil {
+				reduced = slices.Clone(xs)
+			}
+			reduced[i] = mpint.Mod(x, n)
+		}
+	}
+	if reduced != nil {
+		return reduced
+	}
+	return xs
 }
 
 // ModPow computes x[i]^e mod n via the device's sliding-window kernel;
-// n must be odd.
+// n must be odd. Any naturals are accepted, as for ModMul: a base at or above
+// n is reduced mod n, here inside the kernel's lane.
 func (p *Platform) ModPow(x []mpint.Nat, e, n mpint.Nat) ([]mpint.Nat, error) {
 	if n.IsZero() || n.IsEven() {
 		return nil, fmt.Errorf("core: ModPow needs an odd modulus")

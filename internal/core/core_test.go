@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/big"
 	"testing"
 
 	"flbooster/internal/ghe"
@@ -154,6 +155,47 @@ func testModularOps(t *testing.T, p *Platform) {
 	if _, err := p.ModPow(natVec(1), mpint.One(), mpint.FromUint64(4)); err == nil {
 		t.Fatal("even modulus should fail")
 	}
+}
+
+// TestModMulReducesWideOperands: ModMul takes any naturals, as ModPow does. An
+// operand wider than n (2¹²⁶ against a one-limb modulus took the process down
+// inside a kernel goroutine), one in [n, 2^(64k)) — as wide as n, not below it —
+// and n itself all multiply as their residues, on every platform shape, equal
+// to math/big; the caller's vectors are left as they were.
+func TestModMulReducesWideOperands(t *testing.T) {
+	forEachPlatform(t, func(t *testing.T, p *Platform) {
+		for _, n := range []mpint.Nat{mpint.FromUint64(1000003), mpint.AddWord(mpint.Lsh(mpint.One(), 100), 277)} {
+			wide := mpint.Lsh(mpint.One(), 126)
+			inLimb := mpint.Add(n, mpint.FromUint64(5)) // n ≤ x < 2^(64k)
+			a := []mpint.Nat{wide, mpint.FromUint64(5), inLimb, n, mpint.FromUint64(7), mpint.Mul(wide, wide)}
+			b := []mpint.Nat{mpint.FromUint64(5), wide, inLimb, mpint.FromUint64(9), mpint.FromUint64(11), inLimb}
+			keep := wide.Clone()
+			got, err := p.ModMul(a, b, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bn := new(big.Int).SetBytes(n.Bytes())
+			for i := range a {
+				want := new(big.Int).Mul(new(big.Int).SetBytes(a[i].Bytes()), new(big.Int).SetBytes(b[i].Bytes()))
+				if want.Mod(want, bn); new(big.Int).SetBytes(got[i].Bytes()).Cmp(want) != 0 {
+					t.Fatalf("ModMul[%d] mod %s = %s, math/big says %s", i, n, got[i], want)
+				}
+			}
+			if mpint.Cmp(a[0], keep) != 0 || mpint.Cmp(b[1], keep) != 0 {
+				t.Fatal("ModMul rewrote its caller's operands")
+			}
+			pw, err := p.ModPow(a, mpint.FromUint64(3), n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range a {
+				want := new(big.Int).Exp(new(big.Int).SetBytes(a[i].Bytes()), big.NewInt(3), bn)
+				if new(big.Int).SetBytes(pw[i].Bytes()).Cmp(want) != 0 {
+					t.Fatalf("ModPow[%d] mod %s = %s, math/big says %s", i, n, pw[i], want)
+				}
+			}
+		}
+	})
 }
 
 func TestPaillierFamily(t *testing.T) { forEachPlatform(t, testPaillierFamily) }

@@ -260,15 +260,19 @@ func (c *Context) simSince(base time.Duration, wall time.Duration) time.Duration
 // quantized (Encoding-Quantization layer); packed n-per-plaintext when batch
 // compression is on, one-per-plaintext otherwise.
 func (c *Context) EncodePlaintexts(grads []float64) ([]mpint.Nat, error) {
-	vals := c.Quant.QuantizeVec(grads)
 	if c.Packer != nil {
-		return c.Packer.Pack(vals)
+		return c.Packer.EncodeGradients(grads)
 	}
+	return c.quantizeNats(grads), nil
+}
+
+// quantizeNats quantizes one value a plaintext.
+func (c *Context) quantizeNats(vals []float64) []mpint.Nat {
 	out := make([]mpint.Nat, len(vals))
 	for i, v := range vals {
-		out[i] = mpint.FromUint64(v)
+		out[i] = mpint.FromUint64(c.Quant.Quantize(v))
 	}
-	return out, nil
+	return out
 }
 
 // DecodeAggregates inverts EncodePlaintexts for aggregated sums over
@@ -330,6 +334,19 @@ func (c *Context) EncryptGradientsAs(pk *paillier.PublicKey, grads []float64) ([
 		return nil, err
 	}
 	c.Costs.AddEncode(time.Since(encStart), encodeSim(len(grads)), int64(len(grads)))
+	cts, err := c.encrypt(pk, pts, int64(len(grads)))
+	if err != nil {
+		return nil, err
+	}
+	c.Costs.AddCompression(int64(len(grads)), int64(len(cts)))
+	return cts, nil
+}
+
+// encrypt is one charged encryption batch under a handle of the context's
+// key, on the next nonce seed: the backend's EncryptVec between two readings
+// of the modelled clock, entered in the HE component with `instances` logical
+// values on the throughput counter.
+func (c *Context) encrypt(pk *paillier.PublicKey, pts []mpint.Nat, instances int64) ([]paillier.Ciphertext, error) {
 	base := c.simBase()
 	start := time.Now()
 	cts, err := c.Backend.EncryptVec(pk, pts, c.nextSeed())
@@ -337,8 +354,7 @@ func (c *Context) EncryptGradientsAs(pk *paillier.PublicKey, grads []float64) ([
 		return nil, err
 	}
 	wall := time.Since(start)
-	c.Costs.AddHE(wall, c.simSince(base, wall), int64(len(cts)), int64(len(grads)))
-	c.Costs.AddCompression(int64(len(grads)), int64(len(cts)))
+	c.Costs.AddHE(wall, c.simSince(base, wall), int64(len(cts)), instances)
 	return cts, nil
 }
 

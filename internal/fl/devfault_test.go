@@ -42,6 +42,9 @@ func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 			}
 
 			clean, _ := runOnce(FaultPolicy{})
+			// A member's second launch is the second client's encryption (it was
+			// the first client's rⁿ kernel when a batch took three): the round is
+			// under way, the device warm, and three clients are still to encrypt.
 			killed, ctx := runOnce(FaultPolicy{
 				Inject: gpu.FaultConfig{Seed: 1, KillAtLaunch: 2},
 			})
@@ -133,9 +136,10 @@ func TestWeightedSumsSurviveDeviceFaults(t *testing.T) {
 			}
 		}
 		clean, _ := runOnce(FaultPolicy{})
-		// The encryption takes a device's first three launches; the fourth is
-		// the first table build or, on the second device of two, its lanes.
-		killed, ctx := runOnce(FaultPolicy{Inject: gpu.FaultConfig{Seed: 1, KillAtLaunch: 4}})
+		// The encryption is a device's first launch (its first three, and the
+		// kill its fourth, when a batch took three); the second is its first
+		// table build.
+		killed, ctx := runOnce(FaultPolicy{Inject: gpu.FaultConfig{Seed: 1, KillAtLaunch: 2}})
 		same("after failover", killed, clean)
 		rep := ctx.FaultReport()
 		if rep.Health != gpu.DeviceFailed || !rep.Checked.FellBack || rep.Checked.FallbackOps == 0 || rep.Injected.Kills == 0 {

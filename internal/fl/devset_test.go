@@ -93,9 +93,11 @@ func TestShardedBitExactWithSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Kill one device a few launches into the first round's encrypts:
-			// every shard it still holds must migrate (or, at D=1, fall back to
-			// the host) without changing a single result bit.
+			// Kill one device a few launches into the first round's encrypts — its
+			// third launch is the third client's batch (it was the first client's
+			// combine when a batch took three): every shard it still holds must
+			// migrate (or, at D=1, fall back to the host) without changing a
+			// single result bit.
 			kill := d - 1
 			if kill > 1 {
 				kill = 1

@@ -158,9 +158,10 @@ func TestPublishedEngineMetricNames(t *testing.T) {
 			p := devsetProfile(d)
 			p.Observe = true
 			// Transient aborts under full verification, so the rows that must
-			// sum are not all zero.
+			// sum are not all zero: at one launch an encryption a round is a
+			// dozen launches, and two in five aborting leaves none of them empty.
 			p.Faults = FaultPolicy{
-				Inject: gpu.FaultConfig{Seed: 5, AbortProb: 0.2},
+				Inject: gpu.FaultConfig{Seed: 5, AbortProb: 0.4},
 				Check:  ghe.CheckedConfig{MaxRetries: 8, VerifyFraction: 1},
 			}
 			ctx, err := NewContext(p)

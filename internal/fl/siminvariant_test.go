@@ -30,7 +30,15 @@ func simFields(s CostSnapshot) string {
 // factorised kernel (ghe.powNWordOps, narrower registers and uploads), which
 // lowered HESim from 316765 to 307957 (flat) and from 1148905 to 1144073
 // (cohort-tree) and left every other field, every count and every wire byte
-// where the 32-bit-limb parent had them.
+// where the 32-bit-limb parent had them. PR 24 made a batch's encryption one
+// kernel (ghe's encrypt_vec: nonce, rⁿ and the multiply by gᵐ in one lane, for
+// a holder through p² and q² with nothing at the width of n²), so the round's
+// encryptions launch once instead of three times, copy the plaintexts up and
+// the ciphertexts down and nothing in between, and drop the combine's three
+// n²-wide multiplies: HESim 307957 → 186793 (flat), 1144073 → 663497
+// (cohort-tree) and 403194 → 281322 (flat-1024) — mostly the 10 µs copy
+// latencies of the two launches that went — and again every other field, every
+// count and every wire byte stayed.
 //
 // The 256-bit legs run on 2- to 8-limb operands, under every threshold of the
 // host kernels; the 1,024-bit flat leg (16-limb p², 32-limb n²) was recorded
@@ -46,11 +54,11 @@ func TestSimInvariantUnderHostKernel(t *testing.T) {
 		want    string
 	}{
 		{name: "flat", bits: 256, parties: 4, dim: 200,
-			want: "HESim=307957 HEOps=232 Instances=1087 CommSim=187326662 CommBytes=16099 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 Ciphertexts=116 Plainvals=800"},
+			want: "HESim=186793 HEOps=232 Instances=1087 CommSim=187326662 CommBytes=16099 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 Ciphertexts=116 Plainvals=800"},
 		{name: "cohort-tree", bits: 256, parties: 64, cohort: CohortPolicy{Size: 16, Fanout: 4, MaxInflight: 8}, dim: 24,
-			want: "HESim=1144073 HEOps=128 Instances=468 CommSim=458133319 CommBytes=11720 CommMsgs=38 RetryMsgs=0 EncodeSim=13440 EncodeVals=384 Ciphertexts=64 Plainvals=384"},
+			want: "HESim=663497 HEOps=128 Instances=468 CommSim=458133319 CommBytes=11720 CommMsgs=38 RetryMsgs=0 EncodeSim=13440 EncodeVals=384 Ciphertexts=64 Plainvals=384"},
 		{name: "flat-1024", bits: 1024, parties: 4, dim: 200,
-			want: "HESim=403194 HEOps=56 Instances=1021 CommSim=179253332 CommBytes=14888 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 Ciphertexts=28 Plainvals=800"},
+			want: "HESim=281322 HEOps=56 Instances=1021 CommSim=179253332 CommBytes=14888 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 Ciphertexts=28 Plainvals=800"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewProfile(SystemFLBooster, tc.bits, tc.parties)

@@ -52,19 +52,10 @@ const returnSlotBits = 64
 // EncryptValuesUnpacked encrypts one quantized value per ciphertext
 // regardless of the batch-compression setting.
 func (c *Context) EncryptValuesUnpacked(vals []float64) ([]paillier.Ciphertext, error) {
-	qs := c.Quant.QuantizeVec(vals)
-	pts := make([]mpint.Nat, len(qs))
-	for i, q := range qs {
-		pts[i] = mpint.FromUint64(q)
-	}
-	base := c.simBase()
-	start := time.Now()
-	cts, err := c.Backend.EncryptVec(&c.Key.PublicKey, pts, c.nextSeed())
+	cts, err := c.encrypt(&c.Key.PublicKey, c.quantizeNats(vals), int64(len(vals)))
 	if err != nil {
 		return nil, err
 	}
-	wall := time.Since(start)
-	c.Costs.AddHE(wall, c.simSince(base, wall), int64(len(cts)), int64(len(vals)))
 	c.Costs.AddCompression(int64(len(vals)), int64(len(cts)))
 	return cts, nil
 }
@@ -284,15 +275,7 @@ func (c *Context) addCiphertexts(a, b []paillier.Ciphertext) ([]paillier.Ciphert
 // logical values to the throughput counter (callers that pack several
 // values per plaintext pass the packed value count).
 func (c *Context) EncryptNats(pts []mpint.Nat, instances int64) ([]paillier.Ciphertext, error) {
-	base := c.simBase()
-	start := time.Now()
-	cts, err := c.Backend.EncryptVec(&c.Key.PublicKey, pts, c.nextSeed())
-	if err != nil {
-		return nil, err
-	}
-	wall := time.Since(start)
-	c.Costs.AddHE(wall, c.simSince(base, wall), int64(len(cts)), instances)
-	return cts, nil
+	return c.encrypt(&c.Key.PublicKey, pts, instances)
 }
 
 // WeightedSums computes k sparse non-negative-integer combinations of one

@@ -93,8 +93,9 @@ func TestMultiExpVecAllocCeiling(t *testing.T) {
 // the launch it schedules: a small op on a one-device set — the default
 // wiring of every GPU profile — may make at most two more allocations and
 // 64 more bytes than the same op on the bare Engine. The bound comes from
-// the repository benchmark: cohort_tree_128 runs 2,049 launches a step and
-// allows alloc_mb_per_step 5%, about 58 B an op. Scheduler bookkeeping
+// the repository benchmark: cohort_tree_128 runs 1,025 launches a step and
+// allows alloc_mb_per_step 5%, about 71 B an op (2,049 launches and 58 B
+// before an encryption was one launch). Scheduler bookkeeping
 // rebuilt per op (maps, a goroutine and a WaitGroup for a one-device wave, a
 // second output vector copied shard by shard) costs 17 allocations and 784 B.
 func TestCheckedOverheadOverBareEngine(t *testing.T) {

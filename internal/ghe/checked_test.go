@@ -53,21 +53,21 @@ func TestCPUEngineParityWithDevice(t *testing.T) {
 		{"ModExpVec",
 			func() ([]mpint.Nat, error) { return eng.ModExpVec(bases, exp, m) },
 			func() ([]mpint.Nat, error) { return host.ModExpVec(bases, exp, m) }},
-		{"PowNVec",
-			func() ([]mpint.Nat, error) { return eng.PowNVec(xs, crt, n2) },
-			func() ([]mpint.Nat, error) { return host.PowNVec(xs, crt, n2) }},
-		{"PowNVec vs the n² window",
-			func() ([]mpint.Nat, error) { return eng.PowNVec(xs, crt, n2) },
-			func() ([]mpint.Nat, error) { return host.ModExpVec(xs, crt.N(), n2) }},
+		{"EncryptVec (holder)",
+			func() ([]mpint.Nat, error) { return eng.EncryptVec(xs, encKey(crt, n2, true), 99) },
+			func() ([]mpint.Nat, error) { return host.EncryptVec(xs, encKey(crt, n2, true), 99) }},
+		{"EncryptVec (holder) vs the n² window",
+			func() ([]mpint.Nat, error) { return eng.EncryptVec(xs, encKey(crt, n2, true), 99) },
+			func() ([]mpint.Nat, error) { return host.EncryptVec(xs, encKey(crt, n2, false), 99) }},
+		{"EncryptVec (public) vs the textbook expression",
+			func() ([]mpint.Nat, error) { return eng.EncryptVec(xs, encKey(crt, n2, false), 99) },
+			func() ([]mpint.Nat, error) { return textbookEncrypt(xs, crt.N(), 99), nil }},
 		{"ModExpVarVec",
 			func() ([]mpint.Nat, error) { return eng.ModExpVarVec(bases, exps, m) },
 			func() ([]mpint.Nat, error) { return host.ModExpVarVec(bases, exps, m) }},
 		{"ModMulVec",
 			func() ([]mpint.Nat, error) { return eng.ModMulVec(bases, exps, m) },
 			func() ([]mpint.Nat, error) { return host.ModMulVec(bases, exps, m) }},
-		{"RandCoprimeVec",
-			func() ([]mpint.Nat, error) { return eng.RandCoprimeVec(20, n, 99) },
-			func() ([]mpint.Nat, error) { return host.RandCoprimeVec(20, n, 99) }},
 		{"AddVec",
 			func() ([]mpint.Nat, error) { return eng.AddVec(bases, xs) },
 			func() ([]mpint.Nat, error) { return host.AddVec(bases, xs) }},
@@ -257,11 +257,13 @@ func TestCheckedFailoverBitExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRnd, err := clean.RandCoprimeVec(16, n, 77)
+	crt, n2 := testCRT(t, r, 96)
+	ms := randVec(r, 16, crt.N())
+	wantEnc, err := clean.EncryptVec(ms, encKey(crt, n2, true), 77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRnd, err := c.RandCoprimeVec(16, n, 77)
+	gotEnc, err := c.EncryptVec(ms, encKey(crt, n2, true), 77)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +271,8 @@ func TestCheckedFailoverBitExact(t *testing.T) {
 		if mpint.Cmp(gotExp[i], wantExp[i]) != 0 {
 			t.Fatalf("ModExpVec[%d] fallback not bit-exact", i)
 		}
-		if mpint.Cmp(gotRnd[i], wantRnd[i]) != 0 {
-			t.Fatalf("RandCoprimeVec[%d] fallback not bit-exact", i)
+		if mpint.Cmp(gotEnc[i], wantEnc[i]) != 0 {
+			t.Fatalf("EncryptVec[%d] fallback not bit-exact", i)
 		}
 	}
 	st := c.Stats()

@@ -12,21 +12,18 @@ var (
 	ErrLength      = errors.New("length mismatch")
 	ErrUnderflow   = errors.New("subtraction underflow")
 	ErrZeroDivisor = errors.New("zero divisor")
+	ErrPlaintext   = errors.New("plaintext not below the modulus")
 )
 
 // VectorEngine is the vector interface of the GPU-HE layer as consumed by
 // the Paillier backend: batched modular exponentiation, modular
-// multiplication, and nonce generation. Engine (one device, one attempt),
+// multiplication, and encryption. Engine (one device, one attempt),
 // CheckedEngine (a device set + verification + retry + stealing + failover),
 // and CPUEngine (pure host) all implement it, so callers degrade between
 // substrates without code changes.
 type VectorEngine interface {
 	// ModExpVec computes bases[i]^exp mod m.N() for every i.
 	ModExpVec(bases []mpint.Nat, exp mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error)
-	// PowNVec computes xs[i]^n mod n² for every i through the factorisation
-	// crt compiles — what ModExpVec(xs, crt.N(), m) computes, for a caller
-	// that owns the key; m is the context mod n².
-	PowNVec(xs []mpint.Nat, crt *mpint.CRT, m *mpint.Mont) ([]mpint.Nat, error)
 	// ModExpVarVec computes bases[i]^exps[i] mod m.N() for every i.
 	ModExpVarVec(bases, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error)
 	// MultiExpVec computes Π bases[t.Index]^t.Weight mod m.N() over the terms
@@ -34,12 +31,24 @@ type VectorEngine interface {
 	MultiExpVec(bases []mpint.Nat, sums [][]mpint.Term, m *mpint.Mont) ([]mpint.Nat, error)
 	// ModMulVec computes a[i]*b[i] mod m.N() for every i.
 	ModMulVec(a, b []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error)
-	// RandCoprimeVec generates n values uniform in [1, m) coprime with m.
-	RandCoprimeVec(n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error)
+	// EncryptVec computes the Paillier ciphertext (1 + ms[i]·n)·rᵢⁿ mod n² for
+	// every i, rᵢ = RandCoprimeAt(seed, i, n), in one launch. A plaintext that
+	// is not below n rejects with ErrPlaintext.
+	EncryptVec(ms []mpint.Nat, key EncryptKey, seed uint64) ([]mpint.Nat, error)
 }
 
-// vecAPI is the VectorEngine methods, RandCoprimeRange, Table I's arithmetic
-// ops and the prime search, written once for the three engines that embed it
+// EncryptKey is a Paillier key under g = n+1 as EncryptVec needs it: what any
+// party has of it, and the factorisation where the caller owns the key — the
+// same ciphertexts at under a third of the work.
+type EncryptKey struct {
+	N     mpint.Nat
+	N2    *mpint.Mont        // the context mod n²
+	Sched *mpint.ExpSchedule // n compiled: the exponent every lane of the n² window shares
+	CRT   *mpint.CRT         // the factorisation of n; nil unless the caller owns the key
+}
+
+// vecAPI is the VectorEngine methods, Table I's arithmetic ops and the prime
+// search, written once for the three engines that embed it
 // (which is what keeps them interchangeable): each method checks its operands,
 // states the op as a descriptor (ops.go) and hands it to exec, the one thing
 // the embedding engines differ in. An empty vector is no op at all: nothing is
@@ -63,11 +72,6 @@ func (v vecAPI) run(op vecOp) ([]mpint.Nat, error) {
 // ModExpVec implements VectorEngine.
 func (v vecAPI) ModExpVec(bases []mpint.Nat, exp mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
 	return v.run(&modExpOp{newModVec(len(bases), m), bases, exp, mpint.CompileExpAuto(exp)})
-}
-
-// PowNVec implements VectorEngine.
-func (v vecAPI) PowNVec(xs []mpint.Nat, crt *mpint.CRT, m *mpint.Mont) ([]mpint.Nat, error) {
-	return v.run(&powNOp{newModVec(len(xs), m), xs, crt})
 }
 
 // ModExpVarVec implements VectorEngine. bases and exps must have equal
@@ -102,24 +106,13 @@ func (v vecAPI) ModMulVec(a, b []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) 
 	return v.run(&modMulOp{newModVec(len(a), m), a, b})
 }
 
-// RandCoprimeVec implements VectorEngine — the r parameters of a batch of
-// Paillier encryptions.
-func (v vecAPI) RandCoprimeVec(n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
-	return v.RandCoprimeRange(0, n, m, seed)
-}
-
-// RandCoprimeRange generates items [base, base+n) of the RandCoprimeVec(m,
-// seed) stream: any chunking of the stream, on any engine and under any
-// fault schedule, draws the values the whole batch would have at those
-// positions.
-func (v vecAPI) RandCoprimeRange(base, n int, m mpint.Nat, seed uint64) ([]mpint.Nat, error) {
-	if base < 0 {
-		return nil, fmt.Errorf("ghe: RandCoprimeRange negative base %d", base)
+// EncryptVec implements VectorEngine.
+func (v vecAPI) EncryptVec(ms []mpint.Nat, key EncryptKey, seed uint64) ([]mpint.Nat, error) {
+	op, err := newEncryptOp(ms, key, seed)
+	if err != nil {
+		return nil, fmt.Errorf("ghe: EncryptVec: %w", err)
 	}
-	if m.IsZero() || m.IsOne() {
-		return nil, fmt.Errorf("ghe: RandCoprimeRange modulus must be > 1")
-	}
-	return v.run(&randCoprimeOp{outVec{make([]mpint.Nat, n)}, m, seed, base})
+	return v.run(op)
 }
 
 // elem runs one of Table I's five arithmetic ops.

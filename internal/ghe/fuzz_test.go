@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/big"
+	"strings"
 	"testing"
 
 	"flbooster/internal/gpu"
@@ -28,8 +29,7 @@ func fuzzOperands() [][]byte {
 func toBig(x mpint.Nat) *big.Int { return new(big.Int).SetBytes(x.Bytes()) }
 
 // fuzzVecCase is one op over fuzzed operands: a constructor (every run needs
-// its own output vector) and what math/big says element i is — nil for the
-// nonce op, whose values have no closed form.
+// its own output vector) and what math/big says element i is.
 type fuzzVecCase struct {
 	mk   func() vecOp
 	want func(i int) *big.Int
@@ -42,9 +42,11 @@ type fuzzVecCase struct {
 // math/big, and a poisoned lane fails full verification; the bare Engine
 // returns the vector the host loop does; and the checked executor over 1, 2
 // and 3 devices, one of them killed at its first, second or third launch,
-// returns that vector too — a shard is bit-exact with the unsharded op. Table
-// I's operand errors (length mismatch, underflow, zero divisor) reject typed
-// with nothing launched or uploaded.
+// returns that vector too — a shard is bit-exact with the unsharded op, which
+// for encrypt_vec (a case a handle kind) is also what holds any split of a
+// batch to the nonces the whole batch draws. Operand errors (length mismatch,
+// underflow, zero divisor, a plaintext at or above n) reject typed with nothing
+// launched or uploaded.
 func FuzzVecOps(f *testing.F) {
 	ops := fuzzOperands()
 	for i, nb := range ops {
@@ -80,7 +82,8 @@ func FuzzVecOps(f *testing.F) {
 		}
 		exps[items-1] = mpint.Zero()
 		// A key small enough to find primes for on every input, its two factors
-		// of unequal length, and residues mod n = p·q for the fused kernel.
+		// of unequal length, and plaintexts below n = p·q for encrypt_vec: the
+		// fuzzed operand, 0 and n−1 among them.
 		p, q := r.RandPrime(12+int(seed>>8%52)), r.RandPrime(12+int(seed>>16%52))
 		if mpint.Cmp(p, q) == 0 {
 			return
@@ -94,6 +97,7 @@ func FuzzVecOps(f *testing.F) {
 		for i := range xs {
 			xs[i] = mpint.Mod(mpint.Add(a[i], mpint.FromUint64(uint64(i))), crt.N())
 		}
+		xs[1], xs[2] = mpint.Zero(), mpint.SubWord(crt.N(), 1)
 		pos := int(seed >> 24 % 1000)
 		// Weighted sums over a: indices drawn with repeats and in any order,
 		// weights the low limb of a fuzzed exponent (the last is zero), one sum
@@ -132,13 +136,30 @@ func FuzzVecOps(f *testing.F) {
 
 		bn, bN := toBig(n), toBig(crt.N())
 		bN2 := new(big.Int).Mul(bN, bN)
+		// The batch under test is the tail of a longer one, so its lanes sit at
+		// stream positions pos and up.
+		batch := append(make([]mpint.Nat, pos), xs...)
+		encrypt := func(holder bool) fuzzVecCase {
+			return fuzzVecCase{
+				func() vecOp {
+					op, err := newEncryptOp(batch, encKey(crt, n2, holder), seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return op.slice(pos, pos+items)
+				},
+				func(i int) *big.Int {
+					c := new(big.Int).Mul(toBig(xs[i]), bN)
+					c.Mul(c.Add(c, big.NewInt(1)), new(big.Int).Exp(toBig(RandCoprimeAt(seed, pos+i, crt.N())), bN, bN2))
+					return c.Mod(c, bN2)
+				}}
+		}
 		cases := map[string]fuzzVecCase{
 			"mod_exp_vec": {
 				func() vecOp { return &modExpOp{newModVec(items, m), a, exps[0], mpint.CompileExpAuto(exps[0])} },
 				func(i int) *big.Int { return new(big.Int).Exp(toBig(a[i]), toBig(exps[0]), bn) }},
-			"pow_n_crt_vec": {
-				func() vecOp { return &powNOp{newModVec(items, n2), xs, crt} },
-				func(i int) *big.Int { return new(big.Int).Exp(toBig(xs[i]), bN, bN2) }},
+			"encrypt_vec holder": encrypt(true),
+			"encrypt_vec public": encrypt(false),
 			"mod_exp_var_vec": {
 				func() vecOp { return &modExpVarOp{newModVec(items, m), a, exps} },
 				func(i int) *big.Int { return new(big.Int).Exp(toBig(a[i]), toBig(exps[i]), bn) }},
@@ -161,8 +182,6 @@ func FuzzVecOps(f *testing.F) {
 			"mod_mul_vec": {
 				func() vecOp { return &modMulOp{newModVec(items, m), a, b} },
 				func(i int) *big.Int { v := new(big.Int).Mul(toBig(a[i]), toBig(b[i])); return v.Mod(v, bn) }},
-			"rand_coprime_vec": {
-				func() vecOp { return &randCoprimeOp{outVec{make([]mpint.Nat, items)}, n, seed, pos} }, nil},
 			"add_vec": {elem(elemAdd, a, exps), func(i int) *big.Int { return new(big.Int).Add(toBig(a[i]), toBig(exps[i])) }},
 			"sub_vec": {elem(elemSub, over, a), func(i int) *big.Int { return new(big.Int).Sub(toBig(over[i]), toBig(a[i])) }},
 			"mul_vec": {elem(elemMul, a, exps), func(i int) *big.Int { return new(big.Int).Mul(toBig(a[i]), toBig(exps[i])) }},
@@ -181,7 +200,7 @@ func FuzzVecOps(f *testing.F) {
 		}
 		for name, c := range cases {
 			ref := c.mk()
-			if name != ref.name() {
+			if !strings.HasPrefix(name, ref.name()) {
 				t.Fatalf("case %s built a %s", name, ref.name())
 			}
 			if err := runOnHost(ref); err != nil {
@@ -191,12 +210,8 @@ func FuzzVecOps(f *testing.F) {
 				if v := ref.verify(i); mpint.Cmp(got, v) != 0 {
 					t.Fatalf("%s[%d] mod %s: lane %s, verify path %s", name, i, n, got, v)
 				}
-				if c.want != nil {
-					if w := c.want(i); toBig(got).Cmp(w) != 0 {
-						t.Fatalf("%s[%d] mod %s = %s, math/big says %s", name, i, n, got, w)
-					}
-				} else if g := toBig(got); g.Sign() <= 0 || g.Cmp(bn) >= 0 || new(big.Int).GCD(nil, nil, g, bn).Cmp(big.NewInt(1)) != 0 {
-					t.Fatalf("%s[%d] = %s is not a unit mod %s", name, i, got, n)
+				if w := c.want(i); toBig(got).Cmp(w) != 0 {
+					t.Fatalf("%s[%d] mod %s = %s, math/big says %s", name, i, n, got, w)
 				}
 			}
 			// A poisoned lane never passes full verification.
@@ -238,13 +253,15 @@ func FuzzVecOps(f *testing.F) {
 			err  error
 			want error
 		}{
-			"AddVec":       {second(eng.AddVec(a, short)), ErrLength},
-			"SubVec":       {second(eng.SubVec(a, over[:1])), ErrLength},
-			"MulVec":       {second(eng.MulVec(short, a)), ErrLength},
-			"DivVec":       {second(eng.DivVec(a, short)), ErrLength},
-			"SubVec under": {second(eng.SubVec(append(short[:items-1:items-1], mpint.Zero()), b)), ErrUnderflow},
-			"DivVec by 0":  {second(eng.DivVec(a, append(b[:items-1:items-1], mpint.Zero()))), ErrZeroDivisor},
-			"ModVec by 0":  {second(eng.ModVec(a, mpint.Zero())), ErrZeroDivisor},
+			"AddVec":                 {second(eng.AddVec(a, short)), ErrLength},
+			"SubVec":                 {second(eng.SubVec(a, over[:1])), ErrLength},
+			"MulVec":                 {second(eng.MulVec(short, a)), ErrLength},
+			"DivVec":                 {second(eng.DivVec(a, short)), ErrLength},
+			"SubVec under":           {second(eng.SubVec(append(short[:items-1:items-1], mpint.Zero()), b)), ErrUnderflow},
+			"DivVec by 0":            {second(eng.DivVec(a, append(b[:items-1:items-1], mpint.Zero()))), ErrZeroDivisor},
+			"ModVec by 0":            {second(eng.ModVec(a, mpint.Zero())), ErrZeroDivisor},
+			"EncryptVec ≥ n, holder": {second(eng.EncryptVec(append(xs[:items-1:items-1], crt.N()), encKey(crt, n2, true), seed)), ErrPlaintext},
+			"EncryptVec ≥ n, public": {second(eng.EncryptVec(append(xs[:items-1:items-1], mpint.Add(crt.N(), a[0])), encKey(crt, n2, false), seed)), ErrPlaintext},
 		} {
 			if !errors.Is(c.err, c.want) {
 				t.Fatalf("%s: error %v, want %v", name, c.err, c.want)

@@ -274,20 +274,24 @@ func TestParMontGeometryErrors(t *testing.T) {
 	}
 }
 
-func TestRandCoprimeVec(t *testing.T) {
-	e := testEngine(t)
-	m := mpint.FromUint64(2 * 3 * 5 * 7 * 11)
-	v, err := e.RandCoprimeVec(50, m, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range v {
-		if !mpint.GCD(x, m).IsOne() {
-			t.Fatalf("element %d not coprime", i)
+// TestRandCoprimeAt: the nonce stream's values are units — in [1, n), coprime
+// with n, over a modulus most candidates share a factor with — a pure function
+// of (seed, position), and distinct from one position to the next.
+func TestRandCoprimeAt(t *testing.T) {
+	n := mpint.FromUint64(2 * 3 * 5 * 7 * 11)
+	seen := map[string]bool{}
+	for i := 0; i < 50; i++ {
+		x := RandCoprimeAt(7, i, n)
+		if x.IsZero() || mpint.Cmp(x, n) >= 0 || !mpint.GCD(x, n).IsOne() {
+			t.Fatalf("item %d = %s is not a unit mod %s", i, x, n)
 		}
+		if mpint.Cmp(x, RandCoprimeAt(7, i, n)) != 0 {
+			t.Fatalf("item %d differs between two calls", i)
+		}
+		seen[x.String()] = true
 	}
-	if _, err := e.RandCoprimeVec(1, mpint.One(), 1); err == nil {
-		t.Fatal("modulus 1 should fail")
+	if len(seen) < 40 {
+		t.Fatalf("50 positions drew %d distinct nonces among the 480 units", len(seen))
 	}
 }
 

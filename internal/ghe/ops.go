@@ -119,40 +119,6 @@ func (o *modExpOp) slice(lo, hi int) vecOp {
 	return &modExpOp{o.sub(lo, hi), o.bases[lo:hi], o.exp, o.sched}
 }
 
-// powNOp is xs[i]^n mod n² through the factorisation of n = p·q that crt
-// compiles — the rⁿ noise terms of a key holder's encryptions — as one fused
-// kernel: per lane two half-width exponentiations per prime and Garner's
-// recombination (mpint.CRT.PowN), bit-identical with modExpOp{xs, n} at under
-// a third of its word-ops and half its register width. m is the context mod
-// n², the width of the results. The bases are residues mod n, half as wide
-// as the results, and the key's two exponent pairs and Garner constant ride
-// along as modExpOp's shared exponent does. Verification runs the n² sliding
-// window — the path a party without the factorisation runs, which shares no
-// stage, schedule or constant with the fused kernel, so a fault in any leg of
-// it (a wrong residue mod p² recombines into a valid but wrong element of
-// Z*ₙ²) cannot also corrupt the check.
-type powNOp struct {
-	modVec
-	xs  []mpint.Nat
-	crt *mpint.CRT
-}
-
-func (o *powNOp) name() string { return "pow_n_crt_vec" }
-func (o *powNOp) kernel(int) gpu.Kernel {
-	st := o.crt.Stages()
-	return gpu.Kernel{
-		RegsPerThread: regsForLimbs(max(st[1].Limbs, st[3].Limbs)), // the widest stage
-		WordOps:       powNWordOps(st),
-	}
-}
-func (o *powNOp) h2d() int64 {
-	st := o.crt.Stages()
-	return natBytes(len(o.xs), limbs32(o.crt.N())) + natBytes(1, 2*st[0].Limbs+2*st[2].Limbs+st[1].Limbs)
-}
-func (o *powNOp) lane(i int)             { o.out[i] = o.crt.PowN(o.xs[i]) }
-func (o *powNOp) verify(i int) mpint.Nat { return o.m.Exp(o.xs[i], o.crt.N()) }
-func (o *powNOp) slice(lo, hi int) vecOp { return &powNOp{o.sub(lo, hi), o.xs[lo:hi], o.crt} }
-
 // modExpVarOp is bases[i]^exps[i] mod m, priced at the widest exponent of
 // the launch. Variable exponents make warp lanes take different window paths.
 type modExpVarOp struct {
@@ -309,29 +275,104 @@ func (o *modMulOp) lane(i int)             { o.out[i] = o.m.ModMul(o.a[i], o.b[i
 func (o *modMulOp) verify(i int) mpint.Nat { return mpint.ModMul(o.a[i], o.b[i], o.m.N()) }
 func (o *modMulOp) slice(lo, hi int) vecOp { return &modMulOp{o.sub(lo, hi), o.a[lo:hi], o.b[lo:hi]} }
 
-// randCoprimeOp is items [pos, pos+n) of the (seed, mod) nonce stream: values
-// uniform in [1, mod) and coprime with it, the r of a batch of Paillier
-// encryptions. Each lane's generator is keyed by its global stream position,
-// one per thread as the paper assigns them, so a shard draws the values the
-// whole batch would have at those positions whichever device serves it, and
-// verification redraws a sampled position from scratch. Nothing is uploaded.
-type randCoprimeOp struct {
-	outVec
-	mod  mpint.Nat
-	seed uint64
-	pos  int
+// encryptOp is the Paillier encryption E(ms[i]) = gᵐ·rⁿ mod n² under g = n+1,
+// for items [pos, pos+n) of the (seed, n) nonce stream, as one kernel: the lane
+// draws its nonce, raises it to n and multiplies gᵐ = 1 + m·n in, and the
+// ciphertext is the only thing it hands back — r, rⁿ and gᵐ never leave the
+// thread (on the host: never leave pooled scratch). Each lane's generator is
+// keyed by its global stream position, one per thread as the paper assigns
+// them, so a shard encrypts under the nonces the whole batch would have drawn
+// at those positions whichever device serves it; the draw is RandCoprime's —
+// uniform in [1, n) by rejection, checked coprime with n by a gcd.
+//
+// Who encrypts decides the arithmetic, not the result. With the factorisation
+// (key.CRT), which only the key's holder has, the whole ciphertext goes
+// through p² and q² and one Garner step (mpint.CRT.EncryptDraw): four
+// half-width exponentiations, gᵐ as one half-width product a prime folded into
+// the step that leaves Montgomery form, nothing ever as wide as n². Without
+// it the lane is the n² window on the schedule of n the key compiled once,
+// and one multiply by gᵐ on the way out of Montgomery form
+// (mpint.Mont.EncryptNDraw). Both are the canonical residue.
+//
+// Verification takes the textbook route: the nonce redrawn from scratch on
+// the heap, rⁿ by a plain exponentiation on a context of its own, 1 + m·n and
+// the product by plain multiplies and a division — no factorisation, no
+// schedule, no scratch and no Montgomery constant shared with the lane, so a
+// fault in any leg of it (a wrong residue mod p² recombines into a valid but
+// wrong element of Z*ₙ²) cannot also corrupt the check.
+//
+// A lane's scratch is its own for the length of the call: it is taken from
+// the key's pool when the lane starts and handed back when it returns, and the
+// op holds none. Lanes of an attempt a watchdog gave up on may still be running
+// when a retry starts (gpu.Device.Launch returns without them), but each works
+// in the scratch it took and writes only its own element of the output, with
+// the value any attempt writes there — no retry can read what a straggler is
+// still writing, because lanes read nothing but the op's operands.
+type encryptOp struct {
+	modVec // m is key.N2, the width of the ciphertexts
+	ms     []mpint.Nat
+	key    EncryptKey
+	seed   uint64
+	pos    int
 }
 
-func (o *randCoprimeOp) name() string { return "rand_coprime_vec" }
-func (o *randCoprimeOp) kernel(int) gpu.Kernel {
-	return gpu.Kernel{RegsPerThread: 24, WordOps: int64(4 * limbs32(o.mod))}
+// newEncryptOp states the op, rejecting a plaintext that is not below n
+// (ErrPlaintext) before anything is uploaded.
+func newEncryptOp(ms []mpint.Nat, key EncryptKey, seed uint64) (*encryptOp, error) {
+	for i, pt := range ms {
+		if mpint.Cmp(pt, key.N) >= 0 {
+			return nil, fmt.Errorf("%w at index %d", ErrPlaintext, i)
+		}
+	}
+	return &encryptOp{modVec: newModVec(len(ms), key.N2), ms: ms, key: key, seed: seed}, nil
 }
-func (o *randCoprimeOp) h2d() int64             { return 0 }
-func (o *randCoprimeOp) d2h() int64             { return natBytes(len(o.out), limbs32(o.mod)) }
-func (o *randCoprimeOp) lane(i int)             { o.out[i] = randCoprimeAt(o.seed, o.pos+i, o.mod) }
-func (o *randCoprimeOp) verify(i int) mpint.Nat { return randCoprimeAt(o.seed, o.pos+i, o.mod) }
-func (o *randCoprimeOp) slice(lo, hi int) vecOp {
-	return &randCoprimeOp{outVec{o.out[lo:hi]}, o.mod, o.seed, o.pos + lo}
+
+func (o *encryptOp) name() string { return "encrypt_vec" }
+
+// kernel is as wide as the lane's widest stage: p² or q² for the holder, n²
+// for anybody else.
+func (o *encryptOp) kernel(int) gpu.Kernel {
+	n := o.key.N
+	if o.key.CRT == nil {
+		return o.kern(encryptWordOps(limbs32(n), o.m.Limbs(), n.BitLen()))
+	}
+	st := o.key.CRT.Stages()
+	return gpu.Kernel{
+		RegsPerThread: regsForLimbs(max(st[1].Limbs, st[3].Limbs)),
+		WordOps:       encryptCRTWordOps(limbs32(n), st),
+	}
+}
+
+// h2d is the plaintexts at the width of n and the key's constants once: n
+// itself (exponent and factor of gᵐ) for the window; the two exponent pairs,
+// n mod p² and mod q², and the Garner constant for the factorisation.
+func (o *encryptOp) h2d() int64 {
+	kn := limbs32(o.key.N)
+	consts := kn
+	if o.key.CRT != nil {
+		st := o.key.CRT.Stages()
+		consts = 2*st[0].Limbs + 2*st[2].Limbs + 2*st[1].Limbs + st[3].Limbs
+	}
+	return natBytes(len(o.ms), kn) + natBytes(1, consts)
+}
+
+func (o *encryptOp) lane(i int) {
+	rng := nonceRNG(o.seed, o.pos+i)
+	if o.key.CRT != nil {
+		o.out[i] = o.key.CRT.EncryptDraw(o.ms[i], rng)
+	} else {
+		o.out[i] = o.m.EncryptNDraw(o.ms[i], o.key.N, o.key.Sched, rng)
+	}
+}
+
+func (o *encryptOp) verify(i int) mpint.Nat {
+	n, n2 := o.key.N, o.m.N()
+	rn := mpint.ModExp(RandCoprimeAt(o.seed, o.pos+i, n), n, n2)
+	return mpint.ModMul(mpint.AddWord(mpint.Mul(o.ms[i], n), 1), rn, n2)
+}
+
+func (o *encryptOp) slice(lo, hi int) vecOp {
+	return &encryptOp{o.sub(lo, hi), o.ms[lo:hi], o.key, o.seed, o.pos + lo}
 }
 
 // elemKind is one of Table I's five arithmetic ops: its kernel name, the

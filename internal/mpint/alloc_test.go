@@ -49,7 +49,10 @@ func TestAllocCeilings(t *testing.T) {
 
 // TestCRTAllocCeilings pins the factorised operations at their result alone,
 // at every key shape from one-limb primes up: the chain of four
-// exponentiations, two reductions and the Garner step runs on pooled scratch.
+// exponentiations, two reductions and the Garner step runs on pooled scratch —
+// and so do a whole encryption's gᵐ and, when it draws one, its nonce (the
+// generator a lane seeds for it stays on the stack), through the factorisation
+// and through the n² window alike.
 func TestCRTAllocCeilings(t *testing.T) {
 	for _, bits := range []int{128, 512, 1024, 2048} {
 		r := NewRNG(uint64(0xA110C + bits))
@@ -61,6 +64,7 @@ func TestCRTAllocCeilings(t *testing.T) {
 		x := r.RandCoprime(c.N())
 		xp, xq := AddWord(Mul(r.RandBelow(p), p), 1), AddWord(Mul(r.RandBelow(q), q), 1)
 		hp, hq := c.P().ToMont(r.RandBelow(p)), c.Q().ToMont(r.RandBelow(q))
+		n2, sched := NewMont(Mul(c.N(), c.N())), CompileExpAuto(c.N())
 		c.PowN(x) // fill the scratch pool
 		for _, tc := range []struct {
 			name string
@@ -68,6 +72,10 @@ func TestCRTAllocCeilings(t *testing.T) {
 		}{
 			{"PowN", func() { c.PowN(x) }},
 			{"LogCombine", func() { c.LogCombine(xp, xq, hp, hq) }},
+			{"Encrypt", func() { c.Encrypt(x, x) }},
+			{"EncryptDraw", func() { c.EncryptDraw(x, NewRNG(7)) }},
+			{"EncryptN", func() { n2.EncryptN(x, x, c.N(), sched) }},
+			{"EncryptNDraw", func() { n2.EncryptNDraw(x, c.N(), sched, NewRNG(7)) }},
 		} {
 			forEachBody(t, func() {
 				if got := testing.AllocsPerRun(20, tc.fn); got > 1 {

@@ -17,6 +17,14 @@ import (
 //     implies uᵖ ≡ vᵖ (mod p²). Per prime that is a half-width exponent over
 //     the prime and another over its square, against one full-width exponent
 //     over n². The identity also holds when p divides x (both sides are 0).
+//   - Encrypt: (m, x) ↦ (1 + m·n)·xⁿ mod n², a whole Paillier encryption under
+//     g = n+1. The ciphertext splits like its noise term, c mod p² =
+//     (1 + (m·n mod p²))·(xⁿ mod p²): PowN's chain leaves xⁿ mod p² in
+//     Montgomery form, and the multiply that would take it out of that form
+//     takes it out through g_p = 1 + (m·n mod p²) instead — a Montgomery-form
+//     operand times a plain one is plain — so gᵐ costs one half-width product
+//     a prime (m by n's Montgomery form mod p²) and the n²-wide multiply of
+//     the textbook expression never happens.
 //   - LogCombine: the host tail of a reduced-exponent Paillier decryption.
 //
 // The Montgomery contexts, the four PowN schedules and the Garner constants
@@ -35,6 +43,7 @@ type CRT struct {
 type crtPrime struct {
 	m1, m2 *Mont       // mod s and mod s²
 	e1, e2 ExpSchedule // o mod (s−1), and s: the two exponents of PowN
+	nm     Nat         // n mod s² in m2's Montgomery form: m ↦ m·n mod s² is one mulInto
 }
 
 // garner recombines residues modulo two coprime moduli a and b:
@@ -84,6 +93,7 @@ func newCRTPrime(s, o Nat) crtPrime {
 	e1 := Mod(o, SubWord(s, 1))
 	pr.e1.compile(e1, expWindowBits(e1.BitLen()), nil)
 	pr.e2.compile(s, expWindowBits(s.BitLen()), nil)
+	pr.nm = pr.m2.ToMont(Mod(Mul(s, o), pr.m2.n))
 	return pr
 }
 
@@ -146,21 +156,79 @@ func (c *CRT) PowN(x Nat) Nat {
 	x = trim(x)
 	// One division buffer serves x mod p, x mod q and Garner's yq mod p².
 	work := sc.words(max(len(x), c.q.m2.k) + max(c.p.m2.k, c.q.m1.k) + 1)
-	yp := c.p.powN(x, sc.p1, sc.p2, work)
-	yq := c.q.powN(x, sc.q1, sc.q2, work)
+	yp := c.p.powN(x, One(), sc.p1, sc.p2, work)
+	yq := c.q.powN(x, One(), sc.q1, sc.q2, work)
 	return c.sq.combine(yp, trim(yq), sc.p2, work)
 }
 
-// powN returns x^(s·o) mod s² as m2.k limbs inside sc2's slab, valid until
+// powN returns g·x^(s·o) mod s² as m2.k limbs inside sc2's slab, valid until
 // sc2 next runs a chain: (x mod s)^(o mod (s−1)) mod s, then that to the s
-// mod s². div holds len(x)+m1.k+1 limbs.
-func (pr *crtPrime) powN(x Nat, sc1, sc2 *mulScratch, div []Word) Nat {
+// mod s², which the chain leaves in Montgomery form, and one multiply by the
+// plain residue g on the way out of it — One() for the bare power. div holds
+// len(x)+m1.k+1 limbs, and g lives outside it.
+func (pr *crtPrime) powN(x, g Nat, sc1, sc2 *mulScratch, div []Word) Nat {
 	_, r := divInto(nil, div, x, pr.m1.n)
 	b := pr.m1.expMont(r, &pr.e1, sc1)
 	pr.m1.mulInto(b, b, One(), sc1) // out of Montgomery form, in place
 	y := pr.m2.expMont(b, &pr.e2, sc2)
-	pr.m2.mulInto(y, y, One(), sc2)
+	pr.m2.mulInto(y, y, g, sc2)
 	return y
+}
+
+// gPowM returns 1 + (m·n mod s²) in g's first m2.k limbs: m reduced mod s²
+// (it is below n, which is above the smaller prime's square) and one
+// Montgomery product by n's Montgomery form. s divides n, so m·n mod s² is a
+// multiple of s and the 1 added to it can neither carry out nor reach s².
+// div holds len(m)+m2.k+1 limbs.
+func (pr *crtPrime) gPowM(m Nat, sc2 *mulScratch, g, div []Word) Nat {
+	g = g[:pr.m2.k]
+	_, mr := divInto(nil, div, m, pr.m2.n)
+	pr.m2.mulInto(g, mr, pr.nm, sc2)
+	addInto(g, g, One())
+	return g
+}
+
+// encWords is the work buffer of one encryption past the nonce: g, then the
+// division buffer that serves m mod s², x mod s and Garner's cq mod p² in
+// turn. n is no longer than the wider square, so the two working copies of a
+// nonce draw fit in it with room to spare.
+func (c *CRT) encWords(m, x Nat) int {
+	k2 := max(c.p.m2.k, c.q.m2.k)
+	return k2 + max(len(m), len(x), c.q.m2.k) + k2 + 1
+}
+
+// Encrypt returns (1 + m·n)·xⁿ mod n² — the Paillier ciphertext of m under
+// g = n+1 and nonce x, bit for bit the textbook ModMul(1 + m·n, xⁿ mod n², n²)
+// — whole through the factorisation, allocating the ciphertext and nothing
+// else.
+func (c *CRT) Encrypt(m, x Nat) Nat {
+	sc := c.getScratch()
+	defer c.scratch.Put(sc)
+	m, x = trim(m), trim(x)
+	return c.encrypt(m, x, sc, sc.words(c.encWords(m, x)))
+}
+
+// EncryptDraw is Encrypt under the nonce rng.RandCoprime(N()) would return —
+// the same draws, rejections and coprimality check — drawn into the pooled
+// scratch instead of the heap.
+func (c *CRT) EncryptDraw(m Nat, rng *RNG) Nat {
+	sc := c.getScratch()
+	defer c.scratch.Put(sc)
+	m = trim(m)
+	k := len(c.n)
+	work := sc.words(k + c.encWords(m, nil))
+	x := rng.randCoprimeInto(work[:k], work[k:3*k], c.n)
+	return c.encrypt(m, x, sc, work[k:])
+}
+
+// encrypt is Encrypt for trimmed operands on held scratch; work holds
+// encWords limbs and does not overlap x.
+func (c *CRT) encrypt(m, x Nat, sc *crtScratch, work []Word) Nat {
+	kg := max(c.p.m2.k, c.q.m2.k)
+	g, div := work[:kg], work[kg:]
+	cp := c.p.powN(x, c.p.gPowM(m, sc.p2, g, div), sc.p1, sc.p2, div)
+	cq := c.q.powN(x, c.q.gPowM(m, sc.q2, g, div), sc.q1, sc.q2, div)
+	return c.sq.combine(cp, trim(cq), sc.p2, div)
 }
 
 // combine returns the x < a·b with x ≡ xa (mod a) and x ≡ xb (mod b), for

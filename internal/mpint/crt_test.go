@@ -20,8 +20,28 @@ func checkCRT(t *testing.T, c *CRT, p, q, x Nat) {
 	if len(got) != len(trim(got)) {
 		t.Fatalf("PowN(%s) with p=%s q=%s: untrimmed result", x, p, q)
 	}
-	// LogCombine on a proper pair: xs = 1 + ls·s has L_s(xs) = ls.
+	// Encrypt: the whole ciphertext against the textbook expression, for the
+	// plaintexts at both ends of the range, one in the middle, and x itself
+	// unreduced (a plaintext never is; the arithmetic must not care) — and the
+	// same nonce through the n² window, the route of a party without the
+	// factorisation.
 	one := big.NewInt(1)
+	mn2 := NewMont(fromBig(n2))
+	sched := CompileExpAuto(c.N())
+	for _, m := range []*big.Int{new(big.Int), new(big.Int).Sub(n, one), new(big.Int).Mod(want, n), toBig(x)} {
+		ct := new(big.Int).Mul(m, n)
+		ct.Mod(ct.Mul(ct.Add(ct, one), want), n2)
+		if got := c.Encrypt(fromBig(m), x); toBig(got).Cmp(ct) != 0 || len(got) != len(trim(got)) {
+			t.Fatalf("Encrypt(%s, %s) with p=%s q=%s = %s, math/big says %s", m, x, p, q, got, ct)
+		}
+		if m.Cmp(n) >= 0 {
+			continue
+		}
+		if got := mn2.EncryptN(fromBig(m), x, c.N(), sched); toBig(got).Cmp(ct) != 0 || len(got) != len(trim(got)) {
+			t.Fatalf("EncryptN(%s, %s) mod (%s·%s)² = %s, math/big says %s", m, x, p, q, got, ct)
+		}
+	}
+	// LogCombine on a proper pair: xs = 1 + ls·s has L_s(xs) = ls.
 	lp, lq := new(big.Int).Mod(toBig(x), bp), new(big.Int).Mod(want, bq)
 	hp, hq := new(big.Int).Add(new(big.Int).Rsh(bp, 1), one), new(big.Int).Sub(bq, one)
 	xp := new(big.Int).Add(one, new(big.Int).Mul(lp, bp))
@@ -61,6 +81,41 @@ func TestCRTMatchesWindow(t *testing.T) {
 			checkCRT(t, c, p, q, r.RandCoprime(n))
 		}
 	}
+}
+
+// TestEncryptDrawsTheRandCoprimeNonce: the two routines that draw their nonce
+// into pooled scratch encrypt under exactly the nonce RNG.RandCoprime returns
+// for the same generator state, leave the generator where RandCoprime leaves
+// it, and agree with each other — holder ≡ public — at every key shape, the
+// ones whose nonce draw rejects candidates (a top limb mostly empty) included.
+func TestEncryptDrawsTheRandCoprimeNonce(t *testing.T) {
+	forEachBody(t, func() {
+		for _, bits := range []int{32, 66, 128, 130, 256, 512, 1024} {
+			r := NewRNG(uint64(0xD2A + bits))
+			p, q := r.RandSafePrimePair(bits / 2)
+			c, err := NewCRT(p, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := c.N()
+			m2, sched := NewMont(Mul(n, n)), CompileExpAuto(n)
+			for i := 0; i < 24; i++ {
+				msg, seed := r.RandBelow(n), r.Uint64()
+				ref := NewRNG(seed)
+				want := ModMul(AddWord(Mul(msg, n), 1), ModExp(ref.RandCoprime(n), n, m2.N()), m2.N())
+				own, pub := NewRNG(seed), NewRNG(seed)
+				if got := c.EncryptDraw(msg, own); Cmp(got, want) != 0 {
+					t.Fatalf("%d bits: EncryptDraw(%s) = %s, textbook under RandCoprime's nonce says %s", bits, msg, got, want)
+				}
+				if got := m2.EncryptNDraw(msg, n, sched, pub); Cmp(got, want) != 0 {
+					t.Fatalf("%d bits: EncryptNDraw(%s) = %s, textbook under RandCoprime's nonce says %s", bits, msg, got, want)
+				}
+				if next := ref.Uint64(); own.Uint64() != next || pub.Uint64() != next {
+					t.Fatalf("%d bits: a scratch draw left its generator somewhere RandCoprime does not", bits)
+				}
+			}
+		}
+	})
 }
 
 // TestCRTEdgeOperands covers the operands a nonce never is: 0, 1, multiples
@@ -124,13 +179,17 @@ func TestCRTConcurrent(t *testing.T) {
 				if Cmp(c.PowN(xs[i]), want[i]) != 0 {
 					bad++
 				}
+				// xs[i] doubles as the plaintext: 1 + x·n times the same xⁿ.
+				if Cmp(c.Encrypt(xs[i], xs[i]), m.ModMul(AddWord(Mul(xs[i], n), 1), want[i])) != 0 {
+					bad++
+				}
 			}
 			done <- bad
 		}(g)
 	}
 	for g := 0; g < 4; g++ {
 		if bad := <-done; bad != 0 {
-			t.Errorf("%d concurrent PowN results differ from the window path", bad)
+			t.Errorf("%d concurrent PowN / Encrypt results differ from the window path", bad)
 		}
 	}
 }

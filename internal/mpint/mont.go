@@ -109,6 +109,13 @@ func (sc *mulScratch) grow(limbs int) {
 	}
 }
 
+// growDiv makes the division buffer hold at least `limbs` limbs.
+func (sc *mulScratch) growDiv(limbs int) {
+	if len(sc.div) < limbs {
+		sc.div = make([]Word, limbs)
+	}
+}
+
 // buf returns the i-th k-limb buffer of the slab, its capacity clipped so a
 // result written there can never run into its neighbour.
 func (sc *mulScratch) buf(k, i int) Nat { return sc.slab[i*k : (i+1)*k : (i+1)*k] }
@@ -473,11 +480,52 @@ func (m *Mont) runSched(base Nat, s *ExpSchedule, sc *mulScratch) Nat {
 // reduce returns base mod n for a base that arrives ≥ n, remainder only, in
 // sc's division buffer — valid until the scratch next reduces one.
 func (m *Mont) reduce(base Nat, sc *mulScratch) Nat {
-	if need := len(base) + m.k + 1; len(sc.div) < need {
-		sc.div = make([]Word, need)
-	}
+	sc.growDiv(len(base) + m.k + 1)
 	_, r := divInto(nil, sc.div, base, m.n)
 	return r
+}
+
+// EncryptN returns (1 + msg·n)·xⁿ mod n² on the context mod n² — the Paillier
+// ciphertext of msg < n under g = n+1 and nonce x, for a party that knows only
+// n — with s the compiled schedule of n ≥ 2: the window over n², left in
+// Montgomery form in the scratch, and one multiply by the plain gᵐ = 1 + msg·n
+// on the way out of it. The call allocates the ciphertext and nothing else.
+func (m *Mont) EncryptN(msg, x, n Nat, s *ExpSchedule) Nat {
+	sc := m.getScratch()
+	defer m.putScratch(sc)
+	if Cmp(x, m.n) >= 0 {
+		x = m.reduce(x, sc)
+	}
+	return m.encryptN(trim(msg), x, trim(n), s, sc)
+}
+
+// EncryptNDraw is EncryptN under the nonce rng.RandCoprime(n) would return —
+// the same draws, rejections and coprimality check — drawn into the pooled
+// scratch instead of the heap.
+func (m *Mont) EncryptNDraw(msg, n Nat, s *ExpSchedule, rng *RNG) Nat {
+	sc := m.getScratch()
+	defer m.putScratch(sc)
+	n = trim(n)
+	k := len(n)
+	sc.growDiv(3 * k)
+	x := rng.randCoprimeInto(sc.div[:k], sc.div[k:3*k], n)
+	return m.encryptN(trim(msg), x, n, s, sc)
+}
+
+// encryptN is EncryptN for trimmed operands, x < n², on held scratch. The
+// chain has taken x into the slab before gᵐ is written, so x may live in the
+// division buffer gᵐ is about to take.
+func (m *Mont) encryptN(msg, x, n Nat, s *ExpSchedule, sc *mulScratch) Nat {
+	acc := m.expMont(x, s, sc)
+	sc.growDiv(len(n) + len(msg))
+	g := sc.div[:len(n)+len(msg)]
+	if len(msg) == 0 {
+		clear(g)
+	} else {
+		schoolbookInto(g, n, msg)
+	}
+	addInto(g, g, One()) // msg ≤ n−1: 1 + msg·n < n², no carry out
+	return m.mulInto(make(Nat, m.k), acc, g, sc)
 }
 
 // expMont runs the schedule's multiply chain for base < n and an exponent

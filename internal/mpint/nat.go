@@ -413,6 +413,10 @@ func FromWords(w []Word) Nat {
 	return trim(z)
 }
 
+// TakeWords is FromWords without the copy: w becomes the limbs of the result,
+// and the caller must not write to it again.
+func TakeWords(w []Word) Nat { return trim(w) }
+
 // Words32 returns x as exactly n little-endian 32-bit words, panicking if x
 // needs more. This is the layout of the modelled device — the unit
 // Mont.Limbs and internal/ghe/cost.go count in — and what the limb-parallel

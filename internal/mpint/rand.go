@@ -196,16 +196,22 @@ func (r *RNG) RandCoprime(n Nat) Nat {
 	if len(n) == 0 {
 		panic("mpint: RandBelow zero bound")
 	}
+	return r.randCoprimeInto(make(Nat, len(n)), make(Nat, 2*len(n)), n)
+}
+
+// randCoprimeInto is RandCoprime for trimmed n ≠ 0 on caller-held limbs — the
+// same draws, the same rejections, the same check: the candidate is drawn into
+// z (len(n) limbs), redrawn there on every rejection, and comes back trimmed;
+// work (2·len(n) limbs) holds the two working copies the binary GCD consumes.
+func (r *RNG) randCoprimeInto(z, work, n Nat) Nat {
 	k := len(n)
-	z := make(Nat, k)
-	work := make(Nat, 2*k)
 	for {
 		r.randBelowInto(z, n)
 		c := trim(z)
 		if len(c) == 0 {
 			continue
 		}
-		a, b := work[:len(c):k], work[k:]
+		a, b := work[:len(c):k], work[k:2*k]
 		copy(a, c)
 		copy(b, n)
 		if gcdInPlace(a, b).IsOne() {

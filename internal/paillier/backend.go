@@ -162,47 +162,18 @@ func MustGPUBackend(e ghe.VectorEngine) *GPUBackend {
 // Name implements Backend.
 func (g *GPUBackend) Name() string { return "gpu-he" }
 
-// nonceTerms returns the rⁿ mod n² noise terms of a count-element batch under
-// seed, drawn and exponentiated through the engine.
-func (g *GPUBackend) nonceTerms(pk *PublicKey, count int, seed uint64) ([]mpint.Nat, error) {
-	if count == 0 {
-		return nil, nil
-	}
-	rs, err := g.Engine.RandCoprimeVec(count, pk.N, seed)
-	if err != nil {
-		return nil, fmt.Errorf("paillier: gpu nonces: %w", err)
-	}
-	rn, err := pk.nonceTermVec(g.Engine, rs)
-	if err != nil {
-		return nil, fmt.Errorf("paillier: gpu r^n: %w", err)
-	}
-	return rn, nil
-}
-
-// EncryptVec implements Backend. gᵐ = 1 + m·n is two word-level ops an element
-// on the host, while the expensive rⁿ modexp batch runs as one device kernel,
-// then a hom-mul kernel combines them.
+// EncryptVec implements Backend as a single kernel: every lane draws its
+// nonce, raises it to n and multiplies gᵐ in, through the factorisation when
+// pk is the holder's handle. Only the plaintexts go up and only the
+// ciphertexts come back.
 func (g *GPUBackend) EncryptVec(pk *PublicKey, ms []mpint.Nat, seed uint64) ([]Ciphertext, error) {
-	for i, m := range ms {
-		if mpint.Cmp(m, pk.N) >= 0 {
-			return nil, fmt.Errorf("paillier: gpu EncryptVec[%d]: plaintext exceeds modulus", i)
-		}
-	}
-	rn, err := g.nonceTerms(pk, len(ms), seed)
+	cs, err := g.Engine.EncryptVec(ms, ghe.EncryptKey{N: pk.N, N2: pk.montN2, Sched: pk.nSched, CRT: pk.own}, seed)
 	if err != nil {
 		return nil, fmt.Errorf("paillier: gpu EncryptVec: %w", err)
 	}
-	gm := make([]mpint.Nat, len(ms))
-	for i, m := range ms {
-		gm[i] = pk.GPowM(m)
-	}
-	prod, err := g.Engine.ModMulVec(gm, rn, pk.MontN2())
-	if err != nil {
-		return nil, fmt.Errorf("paillier: gpu EncryptVec combine: %w", err)
-	}
 	out := make([]Ciphertext, len(ms))
-	for i := range prod {
-		out[i] = Ciphertext{C: prod[i]}
+	for i := range cs {
+		out[i] = Ciphertext{C: cs[i]}
 	}
 	return out, nil
 }

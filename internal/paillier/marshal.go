@@ -71,8 +71,8 @@ func UnmarshalPublicKey(data []byte) (*PublicKey, error) {
 	if mpint.Cmp(g, mpint.AddWord(n, 1)) != 0 {
 		return nil, ErrGenerator
 	}
-	n2 := mpint.Mul(n, n)
-	return &PublicKey{N: n, G: g, N2: n2, montN2: mpint.NewMont(n2)}, nil
+	pk := newPublicKey(n)
+	return &pk, nil
 }
 
 // MarshalBinary encodes the private key (p, q, g); every derived component

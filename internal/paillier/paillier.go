@@ -10,15 +10,14 @@
 // generator a key can be generated with or decoded under (ErrGenerator).
 // Whoever holds the factorisation works through it (mpint.CRT): decryption
 // splits over p² and q² — the standard 4× speedup — and so does the key
-// holder's own encryption (PrivateKey.Holder), whose rⁿ term costs under a
-// third of the public one.
+// holder's own encryption (PrivateKey.Holder), the whole ciphertext, at under
+// a third of the public one's work.
 package paillier
 
 import (
 	"errors"
 	"fmt"
 
-	"flbooster/internal/ghe"
 	"flbooster/internal/mpint"
 )
 
@@ -31,13 +30,20 @@ type PublicKey struct {
 	G  mpint.Nat // generator g = n+1
 	N2 mpint.Nat // n²
 
-	montN2 *mpint.Mont // Montgomery context mod n²
+	montN2 *mpint.Mont        // Montgomery context mod n²
+	nSched *mpint.ExpSchedule // n compiled: the exponent of every rⁿ over n²
 
 	// own is the key's factorisation, set only on the handle
-	// PrivateKey.Holder returns: it is how nonceTerm and nonceTermVec know
-	// the encrypting party owns the key. The shareable key — the one embedded
-	// in PrivateKey, the one UnmarshalPublicKey builds — never carries it.
+	// PrivateKey.Holder returns: it is how an encryption knows the encrypting
+	// party owns the key. The shareable key — the one embedded in PrivateKey,
+	// the one UnmarshalPublicKey builds — never carries it.
 	own *mpint.CRT
+}
+
+// newPublicKey builds the shareable key of modulus n with its cached values.
+func newPublicKey(n mpint.Nat) PublicKey {
+	n2 := mpint.Mul(n, n)
+	return PublicKey{N: n, G: mpint.AddWord(n, 1), N2: n2, montN2: mpint.NewMont(n2), nSched: mpint.CompileExpAuto(n)}
 }
 
 // PrivateKey extends the public key with the trapdoor.
@@ -64,9 +70,9 @@ type PrivateKey struct {
 
 // Holder returns the public-key handle of the party that owns sk. It is the
 // same key as &sk.PublicKey — same ciphertext for the same plaintext and
-// nonce, byte for byte — but encryptions and rerandomizations under it
-// compute rⁿ mod n² through the factorisation (mpint.CRT.PowN, the fused
-// ghe.VectorEngine.PowNVec kernel). Pass it wherever the encrypting party is
+// nonce, byte for byte — but encryptions and rerandomizations under it go
+// through the factorisation (mpint.CRT.Encrypt and PowN, the holder's lane of
+// the ghe.VectorEngine.EncryptVec kernel). Pass it wherever the encrypting party is
 // the key's owner (the Fig. 2 clients); never share it — it carries the
 // private key. &sk.PublicKey stays the one to hand to anybody else.
 func (sk *PrivateKey) Holder() *PublicKey { return sk.holder }
@@ -133,7 +139,6 @@ func NewKeyFromPrimes(p, q mpint.Nat) (*PrivateKey, error) {
 		return nil, fmt.Errorf("paillier: %w", err)
 	}
 	n := mpint.Mul(p, q)
-	n2 := mpint.Mul(n, n)
 	pm1 := mpint.SubWord(p, 1)
 	qm1 := mpint.SubWord(q, 1)
 	// With g = n+1, g^λ = 1 + λn mod n² and L(g^λ) = λ mod n, which this makes
@@ -142,7 +147,7 @@ func NewKeyFromPrimes(p, q mpint.Nat) (*PrivateKey, error) {
 		return nil, fmt.Errorf("paillier: gcd(n, φ(n)) must be 1")
 	}
 
-	pk := PublicKey{N: n, G: mpint.AddWord(n, 1), N2: n2, montN2: mpint.NewMont(n2)}
+	pk := newPublicKey(n)
 	sk := &PrivateKey{PublicKey: pk, P: p, Q: q, Lambda: mpint.LCM(pm1, qm1), crt: crt, pm1: pm1, qm1: qm1}
 	holder := pk
 	holder.own = crt
@@ -166,27 +171,16 @@ func lHalf(x, p mpint.Nat) mpint.Nat {
 	return mpint.Div(mpint.Sub(x, mpint.One()), p)
 }
 
-// nonceTerm returns rⁿ mod n², the noise term of an encryption or
-// rerandomization under nonce r. It and nonceTermVec are the only places the
-// term is computed and the only places that ask who is encrypting: a handle
-// that carries the factorisation (PrivateKey.Holder) takes the half-width
-// route through p² and q², any other key the n² window. Both produce the
-// same element of Z*ₙ², so nothing downstream can tell them apart.
+// nonceTerm returns rⁿ mod n², the noise term of a rerandomization under
+// nonce r. Like EncryptWithNonce it asks who is encrypting: a handle that
+// carries the factorisation (PrivateKey.Holder) takes the half-width route
+// through p² and q², any other key the n² window. Both produce the same
+// element of Z*ₙ², so nothing downstream can tell them apart.
 func (pk *PublicKey) nonceTerm(r mpint.Nat) mpint.Nat {
 	if pk.own != nil {
 		return pk.own.PowN(r)
 	}
-	return pk.montN2.Exp(r, pk.N)
-}
-
-// nonceTermVec is nonceTerm for a batch on a vector engine: the fused
-// factorised kernel for the key's holder, the shared-exponent n² kernel for
-// everybody else.
-func (pk *PublicKey) nonceTermVec(eng ghe.VectorEngine, rs []mpint.Nat) ([]mpint.Nat, error) {
-	if pk.own != nil {
-		return eng.PowNVec(rs, pk.own, pk.montN2)
-	}
-	return eng.ModExpVec(rs, pk.N, pk.montN2)
+	return pk.montN2.ExpSched(r, pk.nSched)
 }
 
 // GPowM computes gᵐ mod n² as 1 + m·n, which is what (n+1)ᵐ is mod n².
@@ -209,13 +203,19 @@ func (pk *PublicKey) Encrypt(m mpint.Nat, rng *mpint.RNG) (Ciphertext, error) {
 	return pk.EncryptWithNonce(m, r)
 }
 
-// EncryptWithNonce encrypts with a caller-chosen nonce r (for deterministic
-// tests and for the GPU backend, which draws nonces on-device).
+// EncryptWithNonce encrypts with a caller-chosen nonce r: one call of the
+// routine a lane of the GPU backend's kernel runs for the same kind of handle
+// — through the factorisation for the key's holder, over the n² window for
+// anybody else — so the two cannot drift apart. The textbook expression
+// ModMul(gᵐ, rⁿ mod n², n²) is what the tests hold both to.
 func (pk *PublicKey) EncryptWithNonce(m, r mpint.Nat) (Ciphertext, error) {
 	if mpint.Cmp(m, pk.N) >= 0 {
 		return Ciphertext{}, fmt.Errorf("paillier: plaintext exceeds modulus")
 	}
-	return Ciphertext{C: mpint.ModMul(pk.GPowM(m), pk.nonceTerm(r), pk.N2)}, nil
+	if pk.own != nil {
+		return Ciphertext{C: pk.own.Encrypt(m, r)}, nil
+	}
+	return Ciphertext{C: pk.montN2.EncryptN(m, r, pk.N, pk.nSched)}, nil
 }
 
 // Decrypt recovers the plaintext with the reduced-exponent CRT path:

@@ -2,6 +2,7 @@ package paillier
 
 import (
 	"fmt"
+	"math/big"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -228,12 +229,8 @@ func TestEncryptVecMatchesScalarOnEngineStream(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rs, err := eng.RandCoprimeVec(len(ms), sk.N, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
 				for i := range ms {
-					c, err := sk.EncryptWithNonce(ms[i], rs[i])
+					c, err := sk.EncryptWithNonce(ms[i], ghe.RandCoprimeAt(seed, i, sk.N))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -247,6 +244,95 @@ func TestEncryptVecMatchesScalarOnEngineStream(t *testing.T) {
 						t.Fatal(err)
 					}
 					sameCts(t, name+" "+h.name, got, want)
+				}
+			}
+		})
+	}
+}
+
+// textbookCiphertext is Eq. 3 spelt out over math/big — gᵐ = (n+1)ᵐ by a full
+// exponentiation, not the 1 + m·n shortcut — for a given nonce: the oracle every
+// encryption path is held to.
+func textbookCiphertext(pk *PublicKey, m, r mpint.Nat) mpint.Nat {
+	toBig := func(x mpint.Nat) *big.Int { return new(big.Int).SetBytes(x.Bytes()) }
+	n2 := toBig(pk.N2)
+	c := new(big.Int).Exp(toBig(pk.G), toBig(m), n2)
+	c.Mul(c, new(big.Int).Exp(toBig(r), toBig(pk.N), n2))
+	return mpint.FromBytes(c.Mod(c, n2).Bytes())
+}
+
+// TestEncryptSameBitsEverywhere: at 128, 256, 1,024 and 2,048 bits a batch's
+// ciphertexts are the textbook expression under the stream's nonces whoever
+// computes them — the fused kernel on the bare engine, on the executor over 1,
+// 2 and 3 devices and on the host loop, under the public handle and the
+// holder's — and the serial CPU backend, which draws its nonces from one
+// generator in order, is the same expression under those, under either handle.
+func TestEncryptSameBitsEverywhere(t *testing.T) {
+	const seed = 31337
+	engines := map[string]ghe.VectorEngine{
+		"bare": ghe.MustEngine(gpu.MustNew(gpu.RTX3090(), true)),
+		"host": ghe.NewCPUEngine(),
+	}
+	for d := 1; d <= 3; d++ {
+		set, err := gpu.NewDeviceSet(gpu.RTX3090(), true, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := ghe.NewCheckedEngine(set, ghe.CheckedConfig{VerifyFraction: 0.25, VerifySeed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines[fmt.Sprintf("executor D=%d", d)] = eng
+	}
+	for _, bits := range []int{128, 256, 1024, 2048} {
+		sk := keyOfSize(t, bits)
+		ms := append(plaintexts(7, sk.N), nil, mpint.SubWord(sk.N, 1))
+		want, serial := make([]Ciphertext, len(ms)), make([]Ciphertext, len(ms))
+		rng := mpint.NewRNG(seed)
+		for i, m := range ms {
+			want[i].C = textbookCiphertext(&sk.PublicKey, m, ghe.RandCoprimeAt(seed, i, sk.N))
+			serial[i].C = textbookCiphertext(&sk.PublicKey, m, rng.RandCoprime(sk.N))
+		}
+		for _, h := range handles(sk) {
+			for name, eng := range engines {
+				got, err := MustGPUBackend(eng).EncryptVec(h.pk, ms, seed)
+				if err != nil {
+					t.Fatalf("%d bits, %s, %s handle: %v", bits, name, h.name, err)
+				}
+				sameCts(t, fmt.Sprintf("%d bits, %s, %s handle", bits, name, h.name), got, want)
+			}
+			got, err := CPUBackend{}.EncryptVec(h.pk, ms, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameCts(t, fmt.Sprintf("%d bits, serial backend, %s handle", bits, h.name), got, serial)
+		}
+	}
+}
+
+// BenchmarkEncryptVec is one party's batch on the benchmark's headline
+// workload — 33 packed plaintexts under a 2,048-bit key — through the stack a
+// GPU profile runs (the executor over one modelled RTX 3090), under the
+// holder's handle (what the round's clients encrypt with) and the public one.
+// With -benchmem its B/op and allocs/op are the op's share of
+// alloc_mb_per_step: a 512-byte ciphertext and one allocation each.
+func BenchmarkEncryptVec(b *testing.B) {
+	sk := keyOfSize(b, 2048)
+	set, err := gpu.NewDeviceSet(gpu.RTX3090(), true, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng, err := ghe.NewCheckedEngine(set, ghe.CheckedConfig{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	be, pts := MustGPUBackend(eng), plaintexts(33, sk.N)
+	for _, h := range handles(sk) {
+		b.Run(h.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := be.EncryptVec(h.pk, pts, uint64(i)); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

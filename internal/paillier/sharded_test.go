@@ -118,9 +118,10 @@ func TestShardedBackendMidBatchKill(t *testing.T) {
 	}
 	for _, h := range handles(sk) {
 		b, eng := shardedBackend(t, 4)
-		// The kill lands mid-batch: the first launches succeed, then device 1
-		// aborts everything from its third launch on.
-		eng.Set().Device(1).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 2, KillAtLaunch: 3}))
+		// The kill lands mid-batch: encryption is one launch a device, so device
+		// 1's share of the batch dies at its first launch (its third, when a
+		// batch was three) while its peers' shares land, and they steal it.
+		eng.Set().Device(1).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 2, KillAtLaunch: 1}))
 		got, err := b.EncryptVec(h.pk, ms, 13)
 		if err != nil {
 			t.Fatalf("%s EncryptVec under mid-batch kill: %v", h.name, err)
