@@ -15,7 +15,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: build test vet lint race fuzz bench-smoke benchmark-smoke bench-fresh soak-smoke scale-smoke devset-smoke check resilience devfault soak scale devset
+.PHONY: build test vet lint loc race fuzz bench-smoke benchmark-smoke bench-fresh soak-smoke scale-smoke devset-smoke check resilience devfault soak scale devset
 
 # mpint's kernels (the addMulVW row, the amm52 digit chain) are assembly on
 # amd64 only; cross-building for arm64 (the standard library cross-compiles
@@ -43,21 +43,31 @@ lint: vet
 		exit 1; }
 	$(STATICCHECK) ./...
 
+# The per-package table of non-test Go lines that are neither blank nor a
+# whole-line // comment — the size criterion the simplicity PRs are held to,
+# as one command for builder and reviewer (CHANGES.md quotes it per PR).
+loc:
+	@for dir in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		ls $$dir/*.go | grep -v '_test\.go$$' | xargs awk -v pkg=".$${dir#$(CURDIR)}" \
+			'{ s = $$0; sub(/^[ \t]+/, "", s) } s == "" || s ~ /^\/\// { next } { n++ } END { printf "%6d  %s\n", n, pkg }'; \
+	done | awk '{ t += $$1; print } END { printf "%6d  total\n", t }'
+
 # The chaos/quorum suites and the device fault/watchdog/failover paths
 # exercise goroutines, deadlines, and shared counters — the Table-I platform
-# in core runs on the same executor — and flserver runs the
-# shared fl.Aggregation code across real TCP connections (hub, server and
-# client goroutines in one process); they must stay clean under -race and
-# finish with time to spare.
+# in core runs on the same executor — and flserver hosts fl's Coordinator
+# and Client across real TCP connections (hub, server and client goroutines
+# in one process), as fl's own transport matrix does; they must stay clean
+# under -race and finish with time to spare.
 race:
 	$(GO) test -race -timeout 300s ./internal/flnet/... ./internal/fl/... ./internal/gpu/... ./internal/ghe/... ./internal/core/... ./cmd/flserver/...
 
 # Short fuzz passes over every fuzz target the module has, 10 s each: for each
 # package `go list ./...` reports, every name `go test -list '^Fuzz'` prints,
 # anchored so FuzzDiv cannot also select FuzzDivInto. Nothing here names a
-# target, so adding or deleting one needs no edit; 19 exist today (10 in mpint
-# against math/big, four wire decoders in flnet, two in gpu, and one each on
-# fl's return-path splitter, paillier's key decoders and ghe's engine layer),
+# target, so adding or deleting one needs no edit; 20 exist today (10 in mpint
+# against math/big, four wire decoders in flnet, two in gpu, two in fl — the
+# return-path splitter and the aggregate frame every client opens — and one
+# each on paillier's key decoders and ghe's engine layer),
 # each with its corpus under its package's testdata/fuzz.
 fuzz:
 	@for pkg in $$($(GO) list ./...); do \

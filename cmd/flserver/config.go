@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 
+	"flbooster/internal/fl"
 	"flbooster/internal/gpu"
 )
 
@@ -23,33 +24,20 @@ func badFlag(flag, format string, args ...interface{}) *ConfigError {
 	return &ConfigError{Flag: flag, Reason: fmt.Sprintf(format, args...)}
 }
 
-// flagConfig is the cross-flag view validated at startup; run fills it from
-// the parsed flag set before any command dispatches.
-type flagConfig struct {
-	cmd     string
-	clients int
-	id      int
-	dim     int
-	cohort  int
-	fanout  int
-	quorum  int
-	groups  int
-	devices int
-	bits    int
-}
-
 // validate rejects out-of-range values and inconsistent flag combinations —
 // a quorum above the sampled cohort, more defense groups than sampled
 // uploads, a fan-out no tree can have, a key size fl.NewContext would
-// refuse — with a typed ConfigError naming the offending flag.
-func (c flagConfig) validate() error {
+// refuse — with a typed ConfigError naming the offending flag, and the
+// defense and adversary policies all parties must agree on with fl's own
+// errors. run calls it before any command dispatches.
+func (c opts) validate(cmd string) error {
 	if c.clients < 1 {
 		return badFlag("clients", "need at least 1 client, have %d", c.clients)
 	}
-	if c.cmd == "client" && (c.id < 0 || c.id >= c.clients) {
+	if cmd == "client" && (c.id < 0 || c.id >= c.clients) {
 		return badFlag("id", "client id %d outside [0, %d)", c.id, c.clients)
 	}
-	if c.cmd == "demo" && c.dim < 1 {
+	if cmd == "demo" && c.dim < 1 {
 		return badFlag("dim", "gradient dimension must be at least 1, have %d", c.dim)
 	}
 	if c.cohort < 0 {
@@ -67,8 +55,8 @@ func (c flagConfig) validate() error {
 	if c.devices > gpu.MaxDevices {
 		return badFlag("devices", "device count %d exceeds the %d-device set limit", c.devices, gpu.MaxDevices)
 	}
-	if c.bits < 32 || c.bits%2 != 0 { // what fl.Profile.Validate enforces
-		return badFlag("bits", "key size must be an even number of bits, at least 32, have %d", c.bits)
+	if c.keyBits < 32 || c.keyBits%2 != 0 { // what fl.Profile.Validate enforces
+		return badFlag("bits", "key size must be an even number of bits, at least 32, have %d", c.keyBits)
 	}
 	// Quorum and groups are judged against the uploads a round can actually
 	// gather: the sampled cohort when -cohort is set, everyone otherwise.
@@ -82,8 +70,20 @@ func (c flagConfig) validate() error {
 	if c.quorum > sampled {
 		return badFlag("quorum", "quorum %d exceeds the sampled cohort of %d uploads", c.quorum, sampled)
 	}
-	if c.groups > sampled {
-		return badFlag("groups", "%d groups exceed the sampled cohort of %d uploads", c.groups, sampled)
+	if c.defense.Groups > sampled {
+		return badFlag("groups", "%d groups exceed the sampled cohort of %d uploads", c.defense.Groups, sampled)
 	}
-	return nil
+	if err := c.defense.Validate(); err != nil {
+		return err
+	}
+	return c.adversary().Validate(c.clients)
+}
+
+// adversary is the seeded demo adversary -byz arms: one compromised client,
+// picked by the shared seed so every party agrees on who it is.
+func (c opts) adversary() fl.AdversaryConfig {
+	if c.byz == fl.AttackNone {
+		return fl.AdversaryConfig{}
+	}
+	return fl.AdversaryConfig{Seed: c.seed ^ 0xad3, Kind: c.byz, Count: 1}
 }

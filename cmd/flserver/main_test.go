@@ -2,8 +2,12 @@ package main
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -35,7 +39,7 @@ func TestDemoEndToEnd(t *testing.T) {
 	// Full hub + server + clients over loopback TCP with a small key, sharing
 	// one observability bundle across the in-process parties.
 	o := obs.New(9)
-	if err := runDemo(demoOpts{clients: 3, dim: 4, keyBits: 128, seed: 9, o: o}); err != nil {
+	if err := runDemo(opts{clients: 3, dim: 4, keyBits: 128, seed: 9, o: o}); err != nil {
 		t.Fatal(err)
 	}
 	if o.Recorder().Len() == 0 {
@@ -50,7 +54,7 @@ func TestDemoMultiDeviceRound(t *testing.T) {
 	// Every party shards its vector HE ops across a 2-device set; the round
 	// must complete over real loopback TCP exactly like the single-device
 	// demo (bit-exactness of the sharded engine is pinned in fl's tests).
-	if err := runDemo(demoOpts{clients: 3, dim: 4, keyBits: 128, devices: 2, seed: 9}); err != nil {
+	if err := runDemo(opts{clients: 3, dim: 4, keyBits: 128, devices: 2, seed: 9}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -61,7 +65,7 @@ func TestDemoQuorumSurvivesStraggler(t *testing.T) {
 	// of stalling on the missing upload.
 	done := make(chan error, 1)
 	go func() {
-		done <- runDemo(demoOpts{
+		done <- runDemo(opts{
 			clients: 4, dim: 4, keyBits: 128, seed: 9,
 			quorum: 3, timeout: 250 * time.Millisecond, straggle: 900 * time.Millisecond,
 		})
@@ -82,7 +86,7 @@ func TestDemoQuorumBelowThresholdFails(t *testing.T) {
 	// demo path only delays client 0, so demand a full quorum of 2.
 	done := make(chan error, 1)
 	go func() {
-		done <- runDemo(demoOpts{
+		done <- runDemo(opts{
 			clients: 2, dim: 2, keyBits: 128, seed: 9,
 			quorum: 2, timeout: time.Nanosecond, straggle: 500 * time.Millisecond,
 		})
@@ -103,7 +107,7 @@ func TestDemoDefendedRound(t *testing.T) {
 	// every client decrypts and robust-combines the grouped aggregate.
 	done := make(chan error, 1)
 	go func() {
-		done <- runDemo(demoOpts{
+		done <- runDemo(opts{
 			clients: 4, dim: 4, keyBits: 128, seed: 9,
 			byz:     fl.AttackScale,
 			defense: fl.DefensePolicy{Groups: 2, Combiner: fl.CombineMedian},
@@ -135,23 +139,23 @@ func TestServerGroupedCrashResumeBroadcast(t *testing.T) {
 	clientErr := make(chan error, len(vals))
 	for i := range vals {
 		go func(id int) {
-			clientErr <- runClient(clientOpts{
+			clientErr <- runClient(opts{
 				addr: hub.Addr(), id: id, clients: len(vals), keyBits: 128, seed: 9,
 				vals: vals[id], defense: policy,
 			})
 		}(i)
 	}
 
-	err = runServer(serverOpts{
+	err = runServer(opts{
 		addr: hub.Addr(), clients: len(vals), keyBits: 128, seed: 9,
-		groups: policy.Groups, journal: journal, failpoint: "aggregate",
+		defense: policy, journal: journal, failpoint: "aggregate",
 	})
 	if err == nil || !strings.Contains(err.Error(), "failpoint") {
 		t.Fatalf("failpoint run returned %v", err)
 	}
-	if err := runServer(serverOpts{
+	if err := runServer(opts{
 		addr: hub.Addr(), clients: len(vals), keyBits: 128, seed: 9,
-		groups: policy.Groups, journal: journal, resume: true,
+		defense: policy, journal: journal, resume: true,
 	}); err != nil {
 		t.Fatalf("resume run failed: %v", err)
 	}
@@ -187,9 +191,9 @@ func TestDefendedGroupsIgnoreArrivalOrder(t *testing.T) {
 		journal := filepath.Join(t.TempDir(), "round.journal")
 		errs := make(chan error, len(vals)+1)
 		go func() {
-			errs <- runServer(serverOpts{
+			errs <- runServer(opts{
 				addr: hub.Addr(), clients: len(vals), keyBits: 128, seed: 9,
-				groups: policy.Groups, journal: journal,
+				defense: policy, journal: journal,
 			})
 		}()
 		for i := range vals {
@@ -198,9 +202,9 @@ func TestDefendedGroupsIgnoreArrivalOrder(t *testing.T) {
 				delay = 200 * time.Millisecond
 			}
 			go func(id int, delay time.Duration) {
-				errs <- runClient(clientOpts{
+				errs <- runClient(opts{
 					addr: hub.Addr(), id: id, clients: len(vals), keyBits: 128, seed: 9,
-					vals: vals[id], delay: delay, defense: policy,
+					vals: vals[id], straggle: delay, defense: policy,
 				})
 			}(i, delay)
 		}
@@ -259,7 +263,7 @@ func TestServerGracefulDrainAborts(t *testing.T) {
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- runServer(serverOpts{
+		done <- runServer(opts{
 			addr: hub.Addr(), clients: 2, keyBits: 128, seed: 9,
 			journal: journal, stop: stop,
 		})
@@ -292,14 +296,14 @@ func TestServerDrainFinishesWithQuorum(t *testing.T) {
 	stop := make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		done <- runServer(serverOpts{
+		done <- runServer(opts{
 			addr: hub.Addr(), clients: 2, keyBits: 128, seed: 9,
 			quorum: 1, journal: journal, stop: stop,
 		})
 	}()
 	clientErr := make(chan error, 1)
 	go func() {
-		clientErr <- runClient(clientOpts{
+		clientErr <- runClient(opts{
 			addr: hub.Addr(), id: 0, clients: 2, keyBits: 128, seed: 9,
 			vals: []float64{0.5, -0.25},
 		})
@@ -357,14 +361,14 @@ func TestServerCrashResumeBroadcast(t *testing.T) {
 	clientErr := make(chan error, 2)
 	for i := range vals {
 		go func(id int) {
-			clientErr <- runClient(clientOpts{
+			clientErr <- runClient(opts{
 				addr: hub.Addr(), id: id, clients: 2, keyBits: 128, seed: 9,
 				vals: vals[id],
 			})
 		}(i)
 	}
 
-	err = runServer(serverOpts{
+	err = runServer(opts{
 		addr: hub.Addr(), clients: 2, keyBits: 128, seed: 9,
 		journal: journal, failpoint: "aggregate",
 	})
@@ -376,7 +380,7 @@ func TestServerCrashResumeBroadcast(t *testing.T) {
 		t.Fatalf("crash left no broadcast resume point: %+v", mid)
 	}
 
-	if err := runServer(serverOpts{
+	if err := runServer(opts{
 		addr: hub.Addr(), clients: 2, keyBits: 128, seed: 9,
 		journal: journal, resume: true,
 	}); err != nil {
@@ -398,7 +402,7 @@ func TestServerCrashResumeBroadcast(t *testing.T) {
 	}
 
 	// Third incarnation: round already done, exit zero without dialing.
-	if err := runServer(serverOpts{
+	if err := runServer(opts{
 		addr: "0.0.0.0:1", clients: 2, keyBits: 128, seed: 9,
 		journal: journal, resume: true,
 	}); err != nil {
@@ -462,7 +466,7 @@ func TestDemoSampledTreeRound(t *testing.T) {
 	// still terminate on the broadcast.
 	done := make(chan error, 1)
 	go func() {
-		done <- runDemo(demoOpts{clients: 5, dim: 4, keyBits: 128, seed: 9, cohort: 3, fanout: 2})
+		done <- runDemo(opts{clients: 5, dim: 4, keyBits: 128, seed: 9, cohort: 3, fanout: 2})
 	}()
 	select {
 	case err := <-done:
@@ -479,7 +483,7 @@ func TestDemoDefendedTreeRound(t *testing.T) {
 	// at the server, grouped robust decrypt at the clients.
 	done := make(chan error, 1)
 	go func() {
-		done <- runDemo(demoOpts{
+		done <- runDemo(opts{
 			clients: 4, dim: 4, keyBits: 128, seed: 9, fanout: 2,
 			defense: fl.DefensePolicy{Groups: 2, Combiner: fl.CombineMedian},
 		})
@@ -509,5 +513,217 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"client", "-values", "1", "-byz", "nope"}, nil); err == nil {
 		t.Fatal("unknown -byz attack should fail")
+	}
+}
+
+// tcpRound runs the server and one client process-equivalent per vector over
+// a fresh hub and returns what each client decrypted. serve lets a test run
+// the server role its own way (crash it, resume it) and decide when the
+// clients start; nil starts them and runs the server once.
+func tcpRound(t *testing.T, o opts, vals [][]float64, serve func(o opts, startClients func()) error) [][]float64 {
+	t.Helper()
+	hub, err := flnet.NewTCPHub("127.0.0.1:0", flnet.GigabitEthernet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	o.addr, o.clients = hub.Addr(), len(vals)
+	sums := make([][]float64, len(vals))
+	errs := make(chan error, len(vals)+1)
+	var once sync.Once
+	startClients := func() {
+		once.Do(func() {
+			for i := range vals {
+				party := o
+				party.id, party.vals = i, vals[i]
+				go func() {
+					var err error
+					if sums[party.id], err = clientRound(party); err != nil {
+						err = fmt.Errorf("client%d: %w", party.id, err)
+					}
+					errs <- err
+				}()
+			}
+		})
+	}
+	if serve == nil {
+		serve = func(o opts, startClients func()) error {
+			startClients()
+			return runServer(o)
+		}
+	}
+	go func() {
+		err := serve(o, startClients)
+		if err != nil {
+			err = fmt.Errorf("server: %w", err)
+		}
+		errs <- err
+	}()
+	for i := 0; i < len(vals)+1; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(60 * time.Second):
+			t.Fatal("round over TCP hung")
+		}
+	}
+	return sums
+}
+
+// serverUp waits until the server process journaling to path has written its
+// n-th record. The server dials the hub before it journals its round-start,
+// and the hub registers connections in the order they were made, so clients
+// started after this are routed to that server and to no earlier incarnation
+// (the hub does not queue for a party whose connection has ended).
+func serverUp(path string, n int) error {
+	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if blob, err := os.ReadFile(path); err == nil && strings.Count(string(blob), "\n") >= n {
+			return nil
+		}
+	}
+	return fmt.Errorf("journal %s never reached %d records", path, n)
+}
+
+// inProcessRound is the same round on fl.Federation: same flags, same profile,
+// same vectors, every party in one process on one SimTransport.
+func inProcessRound(t *testing.T, o opts, vals [][]float64) []float64 {
+	t.Helper()
+	o.clients = len(vals)
+	ctx, err := o.context("in-process")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed := fl.NewFederation(ctx)
+	defer fed.Close()
+	sum, err := fed.SecureAggregate(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+var sweepVals = [][]float64{{0.1, 0.2, -0.3}, {-0.05, 0.25, 0.1}, {0.3, -0.1, 0.2}, {0.15, 0.05, -0.25}}
+
+// TestTCPRoundEqualsInProcessRound: the multi-process round and fl.Federation
+// run the same two machines, so on the same seed every client over TCP
+// decrypts exactly the vector the in-process round returns — equality, not a
+// tolerance: the nonces differ (each process has its own cursor), the
+// plaintext sums do not.
+func TestTCPRoundEqualsInProcessRound(t *testing.T) {
+	for name, o := range map[string]opts{
+		"plain":         {keyBits: 128, seed: 9},
+		"sampled-tree":  {keyBits: 128, seed: 9, cohort: 3, fanout: 2},
+		"defended":      {keyBits: 128, seed: 9, byz: fl.AttackScale, defense: fl.DefensePolicy{Groups: 2, Combiner: fl.CombineMedian}},
+		"defended-tree": {keyBits: 128, seed: 9, fanout: 2, defense: fl.DefensePolicy{Groups: 2}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			want := inProcessRound(t, o, sweepVals)
+			for id, got := range tcpRound(t, o, sweepVals, nil) {
+				if !sameBits(got, want) {
+					t.Fatalf("client%d over TCP decrypted %v, the in-process round %v", id, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestClientSkipsStaleAggregate: a leftover aggregate frame of an earlier
+// round is already waiting at client 0 when the round starts. The client used
+// to take the first frame it received for the aggregate; it now skips what is
+// not this round's and decrypts what everyone else does.
+func TestClientSkipsStaleAggregate(t *testing.T) {
+	o := opts{keyBits: 128, seed: 9}
+	want := inProcessRound(t, o, sweepVals)
+	o.journal = filepath.Join(t.TempDir(), "round.journal")
+	got := tcpRound(t, o, sweepVals, func(o opts, startClients func()) error {
+		conn, err := flnet.DialHub(o.addr, fl.ServerName)
+		if err != nil {
+			return err
+		}
+		// Queued at the hub until client0 dials, so it is the first frame
+		// client0 receives. Its K is plausible and its body is not ciphertexts.
+		err = conn.Send(flnet.Message{From: fl.ServerName, To: fl.ClientName(0), Kind: "agg", Round: 0,
+			Payload: []byte{4, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 7}})
+		conn.Close()
+		if err != nil {
+			return err
+		}
+		done := make(chan error, 1)
+		go func() { done <- runServer(o) }()
+		if err := serverUp(o.journal, 1); err != nil {
+			return err
+		}
+		startClients()
+		return <-done
+	})
+	for id, sums := range got {
+		if !sameBits(sums, want) {
+			t.Fatalf("client%d decrypted %v, want %v", id, sums, want)
+		}
+	}
+}
+
+// TestServerFailpointSweep kills the TCP-hosted coordinator right after each
+// journal boundary a crash can land on — round-start durable and nothing
+// gathered, aggregate durable and nothing broadcast — plain and defended,
+// flat and through a fan-out-2 tree, restarts it with -resume, and demands
+// what every client decrypts be bit-identical to an uninterrupted run.
+func TestServerFailpointSweep(t *testing.T) {
+	for _, boundary := range []fl.EventKind{fl.EventRoundStart, fl.EventAggregated} {
+		for _, groups := range []int{0, 2} {
+			for _, fanout := range []int{0, 2} {
+				name := fmt.Sprintf("%s/groups%d/fanout%d", boundary, groups, fanout)
+				t.Run(name, func(t *testing.T) {
+					o := opts{keyBits: 128, seed: 9, fanout: fanout, defense: fl.DefensePolicy{Groups: groups}}
+					want := inProcessRound(t, o, sweepVals)
+					o.journal = filepath.Join(t.TempDir(), "round.journal")
+					got := tcpRound(t, o, sweepVals, func(o opts, startClients func()) error {
+						crash, resumed := o, o
+						crash.failpoint, resumed.resume = string(boundary), true
+						// The aggregate boundary needs the uploads: the clients
+						// start with the doomed server and are still waiting for
+						// the broadcast when the resumed one sends it. A server
+						// that dies at round-start has gathered nothing, and
+						// the clients of this test start once its successor is up.
+						if boundary == fl.EventAggregated {
+							startClients()
+						}
+						if err := runServer(crash); !errors.Is(err, fl.ErrCoordinatorCrash) {
+							return fmt.Errorf("failpoint run returned %v", err)
+						}
+						done := make(chan error, 1)
+						go func() { done <- runServer(resumed) }()
+						if err := serverUp(o.journal, 2); err != nil {
+							return err
+						}
+						startClients()
+						return <-done
+					})
+					for id, sums := range got {
+						if !sameBits(sums, want) {
+							t.Fatalf("client%d decrypted %v after recovery, an uninterrupted round %v", id, sums, want)
+						}
+					}
+					state := replayJournal(t, o.journal)
+					if state.Completed != 1 || state.Resume != nil || state.Failed != 0 {
+						t.Fatalf("recovered journal replayed wrong: %+v", state)
+					}
+				})
+			}
+		}
 	}
 }

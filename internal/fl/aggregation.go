@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -12,8 +13,9 @@ import (
 // the broadcast payload and how a payload becomes the decrypted estimate:
 // seeded groups × one AggTree per group × the wire framing. An undefended
 // round is one group; a flat round is a tree of unbounded fan-out. The
-// in-process round runtime and cmd/flserver both drive this object, so the
-// simulator and the deployment aggregate and decrypt through the same code.
+// Coordinator seals with it and the Client opens with it, whichever host runs
+// them, so the simulator and the deployment aggregate and decrypt through the
+// same code.
 //
 // One policy bit, derived from Cohort.Fanout, survives inside it. A
 // buffered round (Fanout == 0) holds completed uploads until Seal, partitions
@@ -33,8 +35,11 @@ type Aggregation struct {
 	trees   []*AggTree                       // one per planted group, built on its first fold
 	held    map[string][]paillier.Ciphertext // buffered rounds: uploads awaiting Seal
 
-	stats TreeStats // merged over the sealed groups
-	peak  int64
+	stats TreeStats // the sealed trees' anatomy, merged across groups
+	// peak is the aggregator's high-water count of simultaneously live
+	// ciphertexts: every held batch for a buffered round, the trees'
+	// fanout·depth-bounded peak for a streamed one.
+	peak int64
 
 	// span brackets the robust-combine step so the round runtime can give it
 	// an anatomy row of its own; nil runs it bare.
@@ -52,22 +57,17 @@ func (e *frameError) Unwrap() error { return e.error }
 // cohort (canonical order), under the context's Defense policy, Cohort.Fanout
 // and Seed.
 func (c *Context) NewAggregation(round uint64, cohort []string) *Aggregation {
-	a := &Aggregation{ctx: c, round: round, cohort: cohort}
-	if a.streamed() {
-		a.plant(cohort)
-	} else {
-		a.held = make(map[string][]paillier.Ciphertext, len(cohort))
-	}
-	return a
+	return &Aggregation{ctx: c, round: round, cohort: cohort}
 }
 
 func (a *Aggregation) streamed() bool { return a.ctx.Profile.Cohort.Tree() }
 func (a *Aggregation) defended() bool { return a.ctx.Profile.Defense.Enabled() }
 
-// Kind is the message kind the sealed payload travels under: a bare
-// ciphertext vector as "agg", a grouped frame as flnet.KindGroupAgg.
-func (a *Aggregation) Kind() string {
-	if a.defended() {
+// AggregateKind is the message kind an aggregate frame travels under: a bare
+// ciphertext vector as "agg", a grouped frame as flnet.KindGroupAgg. Both
+// start with the contributor count K (see Aggregation.Seal).
+func (c *Context) AggregateKind() string {
+	if c.Profile.Defense.Enabled() {
 		return flnet.KindGroupAgg
 	}
 	return "agg"
@@ -136,8 +136,14 @@ func (a *Aggregation) members(included []string) [][]string {
 // roots are byte-identical regardless.
 func (a *Aggregation) Add(name string, cts []paillier.Ciphertext) error {
 	if !a.streamed() {
+		if a.held == nil {
+			a.held = make(map[string][]paillier.Ciphertext, len(a.cohort))
+		}
 		a.held[name] = cts
 		return nil
+	}
+	if a.trees == nil {
+		a.plant(a.cohort)
 	}
 	return a.fold(name, cts)
 }
@@ -160,11 +166,12 @@ func (a *Aggregation) fold(name string, cts []paillier.Ciphertext) error {
 }
 
 // Seal closes the round over the clients whose uploads were delivered
-// (canonical order) and returns the broadcast payload: each non-empty
-// group's tree flushed to its root, framed as a bare ciphertext vector when
-// undefended and as EncodeGroupAgg with the group sizes — the round's group
-// metadata — when defended. A group every member of which dropped ships no
-// aggregate (the decryptors divide by the group size).
+// (canonical order) and returns the aggregate frame every recipient is sent:
+// the contributor count K as a little-endian uint32, then the sealed payload
+// (framePayload) — each non-empty group's tree flushed to its root, a bare
+// ciphertext vector when undefended and EncodeGroupAgg with the group sizes,
+// the round's group metadata, when defended. A group every member of which
+// dropped ships no aggregate (the decryptors divide by the group size).
 func (a *Aggregation) Seal(included []string) ([]byte, error) {
 	if !a.streamed() {
 		// The buffered round holds every delivered batch live at once — the
@@ -184,7 +191,7 @@ func (a *Aggregation) Seal(included []string) ([]byte, error) {
 		counts[a.groupOf[name]]++
 	}
 	var sizes []int
-	var blobs [][]byte
+	var roots [][]paillier.Ciphertext
 	for g, tree := range a.trees {
 		if counts[g] == 0 {
 			continue
@@ -194,61 +201,85 @@ func (a *Aggregation) Seal(included []string) ([]byte, error) {
 			return nil, err
 		}
 		sizes = append(sizes, counts[g])
-		blobs = append(blobs, EncodeCiphertexts(root))
+		roots = append(roots, root)
 		a.stats.merge(tree.Stats())
 	}
-	if len(blobs) == 0 {
+	if len(roots) == 0 {
 		return nil, fmt.Errorf("fl: no uploads to aggregate")
 	}
 	if a.stats.PeakLiveCts > a.peak {
 		a.peak = a.stats.PeakLiveCts
 	}
 	if !a.defended() {
-		return blobs[0], nil
+		room := 4 + int(a.ctx.CiphertextWireBytes(len(roots[0])))
+		return appendCiphertexts(newAggFrame(len(included), room), roots[0]), nil
 	}
 	a.ctx.metricAdd("defense_groups", int64(len(sizes)))
-	return flnet.EncodeGroupAgg(sizes, blobs)
+	blobs := make([][]byte, len(roots))
+	for g, root := range roots {
+		blobs[g] = EncodeCiphertexts(root)
+	}
+	return flnet.AppendGroupAgg(newAggFrame(len(included), 0), sizes, blobs)
 }
 
-// TreeStats returns the sealed trees' anatomy, merged across groups.
-func (a *Aggregation) TreeStats() TreeStats { return a.stats }
+// newAggFrame starts an aggregate frame: the K prefix, with room for a
+// payload of the given size behind it. The one place K is written — Seal's
+// frames and the frame a resumed coordinator rebuilds around its journaled
+// payload both start here.
+func newAggFrame(k, room int) []byte {
+	return binary.LittleEndian.AppendUint32(make([]byte, 0, 4+room), uint32(k))
+}
 
-// PeakLiveCts is the aggregator's high-water count of simultaneously live
-// ciphertexts: every held batch for a buffered round, the trees'
-// fanout·depth-bounded peak for a streamed one.
-func (a *Aggregation) PeakLiveCts() int64 { return a.peak }
+// framePayload is the sealed payload of an aggregate frame: what the journal
+// holds and digests. K is not part of it — on replay it is len(Members).
+func framePayload(frame []byte) []byte { return frame[4:] }
 
-// Open is Seal's inverse at a decrypting client: it decrypts each group's
-// sum at its own contributor count — only group sums are ever decrypted —
-// and returns the full-federation estimate of `count` gradient values from
-// an aggregate of k contributions. An undefended aggregate is scaled by
-// Parties/k; a defended one reduces the sums to group means, robust-combines
-// them (a pure function of the decrypted groups, so every client reaches the
-// identical result) and scales the combined per-client mean by Parties,
-// returning the round's DefenseReport alongside.
+// Open is Seal's inverse at a decrypting client: it reads K off the frame,
+// decrypts each group's sum at its own contributor count — only group sums
+// are ever decrypted — and returns the full-federation estimate of `count`
+// gradient values with K. An undefended aggregate is scaled by Parties/K; a
+// defended one reduces the sums to group means, robust-combines them (a pure
+// function of the decrypted groups, so every client reaches the identical
+// result) and scales the combined per-client mean by Parties, returning the
+// round's DefenseReport alongside.
 //
-// A decryptor that knows who contributed passes included: it re-derives the
-// seeded partition and rejects a frame whose group metadata contradicts it,
-// so a corrupted frame cannot silently reshape the groups. A remote one that
-// only learns k from the wire passes nil and checks coverage alone.
-func (a *Aggregation) Open(payload []byte, count, k int, included []string) ([]float64, *DefenseReport, error) {
+// Everything is checked before anything is decrypted: K must lie in
+// [1, Parties] and the groups must cover exactly K clients. A decryptor that
+// knows who contributed passes included: it re-derives the seeded partition
+// and rejects a frame whose K or group metadata contradicts it, so a
+// corrupted frame cannot silently reshape the groups. A remote one that only
+// has the frame passes nil and checks coverage alone.
+func (a *Aggregation) Open(frame []byte, count int, included []string) ([]float64, int, *DefenseReport, error) {
 	ctx := a.ctx
-	sizes, blobs := []int{k}, [][]byte{payload}
+	reject := func(format string, args ...any) ([]float64, int, *DefenseReport, error) {
+		return nil, 0, nil, &frameError{fmt.Errorf(format, args...)}
+	}
+	if len(frame) < 4 {
+		return reject("fl: aggregate frame of %d bytes has no contributor count", len(frame))
+	}
+	k := int(binary.LittleEndian.Uint32(frame))
+	if k < 1 || k > ctx.Profile.Parties {
+		return reject("fl: aggregate frame claims %d contributors of %d parties", k, ctx.Profile.Parties)
+	}
+	sizes, blobs := []int{k}, [][]byte{framePayload(frame)}
 	if a.defended() {
 		var err error
-		if sizes, blobs, err = flnet.DecodeGroupAgg(payload); err != nil {
-			return nil, nil, &frameError{err}
+		if sizes, blobs, err = flnet.DecodeGroupAgg(framePayload(frame)); err != nil {
+			return reject("%w", err)
 		}
 	}
 	var members [][]string
 	if included != nil {
+		if len(included) != k {
+			return reject("fl: frame claims %d contributors, round included %d", k, len(included))
+		}
 		members = a.members(included)
 		if len(members) != len(sizes) {
-			return nil, nil, &frameError{fmt.Errorf("fl: frame carries %d groups, assignment says %d", len(sizes), len(members))}
+			return reject("fl: frame carries %d groups, assignment says %d", len(sizes), len(members))
 		}
 		for g, m := range members {
 			if len(m) != sizes[g] {
-				return nil, nil, &frameError{fmt.Errorf("fl: group %d carries %d contributors, assignment says %d", g, sizes[g], len(m))}
+				return reject("fl: group %d carries %d contributors, assignment says %d", g, sizes[g], len(m))
 			}
 		}
 	}
@@ -257,17 +288,17 @@ func (a *Aggregation) Open(payload []byte, count, k int, included []string) ([]f
 		covered += size
 	}
 	if covered != k {
-		return nil, nil, &frameError{fmt.Errorf("fl: groups cover %d clients, round included %d", covered, k)}
+		return reject("fl: groups cover %d clients, frame claims %d", covered, k)
 	}
 	groups := make([]GroupUpdate, len(blobs))
 	for g, blob := range blobs {
 		cts, err := DecodeCiphertexts(blob)
 		if err != nil {
-			return nil, nil, &frameError{fmt.Errorf("group %d: %w", g, err)}
+			return reject("group %d: %w", g, err)
 		}
 		sum, err := ctx.DecryptAggregated(cts, count, sizes[g])
 		if err != nil {
-			return nil, nil, fmt.Errorf("group %d: %w", g, err)
+			return nil, 0, nil, fmt.Errorf("group %d: %w", g, err)
 		}
 		ReleaseCiphertexts(cts)
 		groups[g] = GroupUpdate{Mean: sum, Size: sizes[g]}
@@ -281,7 +312,7 @@ func (a *Aggregation) Open(payload []byte, count, k int, included []string) ([]f
 				sums[i] *= scale
 			}
 		}
-		return sums, nil, nil
+		return sums, k, nil, nil
 	}
 	for _, gu := range groups {
 		for i := range gu.Mean {
@@ -290,7 +321,7 @@ func (a *Aggregation) Open(payload []byte, count, k int, included []string) ([]f
 	}
 	agg, err := ctx.Profile.Defense.NewAggregator()
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
 	var combined []float64
 	var stats CombineStats
@@ -305,12 +336,12 @@ func (a *Aggregation) Open(payload []byte, count, k int, included []string) ([]f
 		err = combine()
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, nil, err
 	}
 	for i := range combined {
 		combined[i] *= parties
 	}
-	return combined, &DefenseReport{
+	return combined, k, &DefenseReport{
 		Combiner:     agg.Name(),
 		Groups:       len(groups),
 		GroupSizes:   sizes,

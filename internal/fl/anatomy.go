@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"time"
+
+	"flbooster/internal/obs"
 )
 
 // PhaseCost is one protocol phase's slice of a round's cost anatomy: the
@@ -116,4 +118,61 @@ func (a *RoundAnatomy) Table() string {
 	row(a.Total())
 	fmt.Fprintf(&b, "dominant phase: %s\n", a.Dominant())
 	return b.String()
+}
+
+// phaseRecorder collects one round's anatomy: Span brackets every phase with
+// a cost snapshot frame; the stack handles nesting (combine inside decrypt)
+// by deducting a closed child's delta from its parent's row.
+type phaseRecorder struct {
+	ctx    *Context
+	anat   *RoundAnatomy
+	frames []anatFrame
+}
+
+// anatFrame is one open phase on the anatomy stack.
+type anatFrame struct {
+	name  string
+	start CostSnapshot
+	child PhaseCost // closed nested phases, deducted from this frame's row
+}
+
+// Span runs one protocol phase, collects its cost delta into the round's
+// anatomy, and — with a recorder attached — also records it as a span on the
+// context's sim cost clock, so every round leaves a phase-by-phase trace.
+// Anatomy collection is unconditional: it reads only the cost accumulator,
+// which is always live.
+func (r *phaseRecorder) Span(phase string, fn func() error) error {
+	ctx := r.ctx
+	start := ctx.SimCost()
+	r.frames = append(r.frames, anatFrame{name: phase, start: ctx.Costs.Snapshot()})
+	err := fn()
+	r.closeFrame()
+	if rec := ctx.Obs.Recorder(); rec != nil {
+		rec.Record(obs.Span{
+			Phase: fmt.Sprintf("round%d.%s", r.anat.Round, phase),
+			Party: ctx.obsPrefix + ".fl",
+			Lane:  "fl.round",
+			Start: start,
+			Dur:   ctx.SimCost() - start,
+		})
+	}
+	return err
+}
+
+// closeFrame pops the innermost phase frame: its cost delta minus any
+// nested phases' deltas becomes the phase's anatomy row, and the full delta
+// rolls up into the parent frame so the parent's own row excludes it.
+// Rows therefore land in frame-closing order (children before parents) and
+// sum exactly to the round's whole-run cost delta.
+func (r *phaseRecorder) closeFrame() {
+	n := len(r.frames) - 1
+	fr := r.frames[n]
+	r.frames = r.frames[:n]
+	delta := phaseDelta(fr.start, r.ctx.Costs.Snapshot())
+	row := delta.sub(fr.child)
+	row.Phase = fr.name
+	r.anat.Phases = append(r.anat.Phases, row)
+	if n > 0 {
+		r.frames[n-1].child = r.frames[n-1].child.add(delta)
+	}
 }

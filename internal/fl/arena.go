@@ -34,6 +34,17 @@ func EncodeCiphertexts(cts []paillier.Ciphertext) []byte {
 	return payload
 }
 
+// appendCiphertexts appends the EncodeCiphertexts framing of cts to dst.
+func appendCiphertexts(dst []byte, cts []paillier.Ciphertext) []byte {
+	nats := arena.getNats(len(cts))
+	for _, c := range cts {
+		nats = append(nats, c.C)
+	}
+	dst = flnet.AppendNats(dst, nats)
+	arena.putNats(nats)
+	return dst
+}
+
 // DecodeCiphertexts parses a batch framed by EncodeCiphertexts into a pooled
 // slice; whoever retires the batch may hand it back with ReleaseCiphertexts.
 func DecodeCiphertexts(b []byte) ([]paillier.Ciphertext, error) {

@@ -2,6 +2,7 @@ package fl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,14 +32,7 @@ func NewRoster(names []string) *Roster {
 }
 
 // known reports whether name is a roster member at all.
-func (r *Roster) known(name string) bool {
-	for _, n := range r.order {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
+func (r *Roster) known(name string) bool { return slices.Contains(r.order, name) }
 
 // Leave marks a client departed, effective immediately for future rounds.
 func (r *Roster) Leave(name string) error {

@@ -1,0 +1,155 @@
+package fl
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"time"
+
+	"flbooster/internal/flnet"
+	"flbooster/internal/paillier"
+)
+
+// Schedule is what every party of a round agrees on without a message: the
+// round's ID, the live roster and the cohort scheduled to upload — a pure
+// function of (profile, roster, round), so the coordinator, each client, a
+// crash-recovered re-run over the journal-restored roster and any oracle all
+// derive the identical one.
+type Schedule struct {
+	Round  uint64
+	Roster []string // the live clients, canonical order
+	Cohort []string // the clients that upload, canonical order: Roster unless sampling narrowed it
+}
+
+// Schedule derives round's schedule over the live roster.
+func (p Profile) Schedule(roster []string, round uint64) Schedule {
+	s := Schedule{Round: round, Roster: roster, Cohort: roster}
+	if p.Cohort.Sampling() && p.Cohort.Size < len(roster) {
+		s.Cohort = SampleCohort(roster, p.Cohort.Size, p.Seed, round)
+	}
+	return s
+}
+
+// Sampled reports whether cohort sampling narrowed the roster.
+func (s Schedule) Sampled() bool { return len(s.Cohort) < len(s.Roster) }
+
+// Scheduled reports whether the named client uploads this round.
+func (s Schedule) Scheduled(name string) bool { return slices.Contains(s.Cohort, name) }
+
+// ClientName returns the canonical name of client i.
+func ClientName(i int) string { return fmt.Sprintf("client%d", i) }
+
+// ClientNames returns the canonical names of clients 0..n-1: the roster of a
+// federation nobody has left.
+func ClientNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = ClientName(i)
+	}
+	return names
+}
+
+// ErrNotSent marks an Upload whose frame was encrypted but could not be
+// sent: a network fault, which a host with a quorum budget may absorb — a
+// local encryption fault is not, and aborts the round.
+var ErrNotSent = errors.New("fl: upload not sent")
+
+// Client is the client half of the Fig. 2 round. It knows the coordinator
+// only as frames on a flnet.Transport: it uploads one "grads" frame, later
+// receives the aggregate frame, reads K off it and opens it. The in-process
+// Federation hosts one per party on a shared Context; cmd/flserver's client
+// role hosts one on its own.
+type Client struct {
+	Ctx   *Context
+	Index int
+	Name  string
+	// Key is the handle the client encrypts under. Every client holds the
+	// private key in the Fig. 2 layout, so it is the holder's (Key.Holder());
+	// tests point it at the bare public key to hold the two bit-identical.
+	Key *paillier.PublicKey
+	// Adversary is the armed Byzantine injector (nil when all-honest): a
+	// compromised client's vector is rewritten by the attack model before
+	// quantization and encryption, exactly where a real malicious participant
+	// would poison its update.
+	Adversary *Adversary
+}
+
+// NewClient builds client i of ctx's federation, armed per Profile.Byz.
+func NewClient(ctx *Context, i int) *Client {
+	// Profile.Validate (run by NewContext) already vetted the adversary
+	// config, so construction cannot fail here; a disabled config yields the
+	// nil (honest) injector.
+	adv, _ := NewAdversary(ctx.Profile.Byz, ctx.Profile.Parties)
+	return &Client{Ctx: ctx, Index: i, Name: ClientName(i), Key: ctx.Key.Holder(), Adversary: adv}
+}
+
+// Upload is the client's first half of a round: apply the armed adversary,
+// encrypt the whole batch under the key handle and send it as one "grads"
+// frame. It returns the ciphertext count. A send that failed wraps
+// ErrNotSent.
+func (c *Client) Upload(tr flnet.Transport, round uint64, grads []float64) (int, error) {
+	if c.Adversary.IsMalicious(c.Index) {
+		c.Ctx.metricAdd("byz_attacks", 1)
+	}
+	cts, err := c.Ctx.EncryptGradientsAs(c.Key, c.Adversary.Apply(round, c.Index, grads))
+	if err != nil {
+		return 0, fmt.Errorf("fl: client %d encrypt: %w", c.Index, err)
+	}
+	msg := flnet.Message{
+		From: c.Name, To: ServerName, Kind: "grads", Round: round,
+		Payload: EncodeCiphertexts(cts),
+	}
+	if err := tr.Send(msg); err != nil {
+		return 0, fmt.Errorf("%w: %w", ErrNotSent, err)
+	}
+	c.Ctx.RecordTransfer(msg.WireSize())
+	return len(cts), nil
+}
+
+// Receive waits (until deadline; zero waits forever) for round's aggregate
+// frame and returns it with the number of frames it discarded on the way:
+// leftovers of earlier rounds, duplicates of them, other kinds. The first
+// frame to arrive is not taken for the aggregate.
+func (c *Client) Receive(tr flnet.Transport, round uint64, deadline time.Time) (frame []byte, stale int, err error) {
+	kind := c.Ctx.AggregateKind()
+	for {
+		msg, err := recvBy(tr, c.Name, deadline)
+		if err != nil {
+			return nil, stale, err
+		}
+		if msg.Round == round && msg.Kind == kind {
+			return msg.Payload, stale, nil
+		}
+		stale++
+	}
+}
+
+// ErrBadAggregate marks an aggregate frame that parsed but did not decrypt
+// and combine to a valid estimate: a ciphertext out of range, a slot past its
+// bound, the wrong number of plaintexts. Unlike a frame that fails to parse
+// (another copy may be good) it is fatal to the round.
+var ErrBadAggregate = errors.New("fl: aggregate does not open")
+
+// Open decrypts an aggregate frame into the full-federation estimate of count
+// gradient values (Aggregation.Open: K is read off the frame and checked
+// before anything is decrypted). contributors is who the coordinator sealed,
+// when the host knows — the in-process Federation does, and the frame's group
+// metadata is then cross-checked against the seeded partition of exactly
+// those clients. A TCP client cannot have that check: the wire tells it K,
+// not who, so it passes nil and opens on coverage alone. Every reject is
+// typed: a frame error, or ErrBadAggregate.
+func (c *Client) Open(frame []byte, sched Schedule, count int, contributors []string) ([]float64, int, *DefenseReport, error) {
+	return c.open(frame, sched, count, contributors, nil)
+}
+
+// open is Open for a host that keeps a round anatomy: span brackets the
+// robust-combine step so it gets a row of its own; nil runs it bare.
+func (c *Client) open(frame []byte, sched Schedule, count int, contributors []string, span func(string, func() error) error) ([]float64, int, *DefenseReport, error) {
+	agg := c.Ctx.NewAggregation(sched.Round, sched.Cohort)
+	agg.span = span
+	sums, k, defense, err := agg.Open(frame, count, contributors)
+	if err != nil && !isFrameError(err) {
+		err = fmt.Errorf("%w: %w", ErrBadAggregate, err)
+	}
+	return sums, k, defense, err
+}

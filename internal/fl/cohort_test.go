@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -99,7 +100,7 @@ func TestTreeRoundBitExactWithFlat(t *testing.T) {
 						t.Fatalf("%s round %d journaled digests diverged: %#x vs %#x",
 							topo.name, r+1, flatDigests[uint64(r+1)], digests[uint64(r+1)])
 					}
-					if !sameMembers(flatReps[r].Included, reps[r].Included) {
+					if !slices.Equal(flatReps[r].Included, reps[r].Included) {
 						t.Fatalf("%s round %d included sets diverged: %v vs %v",
 							topo.name, r+1, flatReps[r].Included, reps[r].Included)
 					}
@@ -181,7 +182,7 @@ func TestSampledCohortSchedulesSubset(t *testing.T) {
 		}
 		if r == 0 {
 			firstCohort = rep.Included
-		} else if sameMembers(firstCohort, rep.Included) {
+		} else if slices.Equal(firstCohort, rep.Included) {
 			t.Log("rounds 1 and 2 drew the same cohort (possible but unlikely)")
 		}
 	}

@@ -1,0 +1,533 @@
+package fl
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"sort"
+	"time"
+
+	"flbooster/internal/flnet"
+	"flbooster/internal/obs"
+)
+
+// Coordinator is the server half of the Fig. 2 round. It knows its clients
+// only as frames on a flnet.Transport: it gathers "grads" uploads, seals them
+// into one aggregate frame, journals it and sends it back. It owns the
+// Aggregation, the drop budget and the typed RoundErrors, the stale /
+// duplicate / not-scheduled discards, the resume-probe replies, the send
+// retries, the journal records and their order, and the broadcast-boundary
+// resume. What differs between the hosts that run it — the in-process
+// Federation, cmd/flserver over TCP — arrives as an argument: which uploads
+// to expect, who receives the broadcast, the drain signal.
+//
+// Across rounds it carries the durability state: the (optional) write-ahead
+// journal, the epoch it serves, and the resume position a crash recovery
+// parked for the next round.
+type Coordinator struct {
+	ctx         *Context
+	journal     *Journal
+	epoch       uint64
+	round       uint64 // the most recently begun round
+	nextAttempt uint32
+	resume      *ResumePoint
+}
+
+// ServerName is the coordinator's party name on every transport.
+const ServerName = "server"
+
+// ErrDrained is the cause of a round its coordinator abandoned below quorum
+// because the host's drain signal fired during the gather. Finish journals
+// it as EventDrained, not as a failure: a restarted coordinator re-runs the
+// round from the top.
+var ErrDrained = errors.New("fl: coordinator drained")
+
+// drainPoll is how long a gather waits between looks at the drain signal.
+const drainPoll = 20 * time.Millisecond
+
+// NewCoordinator builds a coordinator on ctx with no journal, at round 0.
+func NewCoordinator(ctx *Context) *Coordinator { return &Coordinator{ctx: ctx} }
+
+// AttachJournal wires a write-ahead journal in: every round transition is
+// appended durably before the round acts on it. A nil journal detaches.
+func (c *Coordinator) AttachJournal(j *Journal) { c.journal = j }
+
+// Journal returns the attached journal (nil when durability is off).
+func (c *Coordinator) Journal() *Journal { return c.journal }
+
+// journalAppend stamps the epoch onto rec and appends it durably; a no-op
+// without an attached journal. The returned error is fatal to the round —
+// a transition that cannot be made durable must not be acted on.
+func (c *Coordinator) journalAppend(rec JournalRecord) error {
+	if c.journal == nil {
+		return nil
+	}
+	rec.Epoch = c.epoch
+	if err := c.journal.Append(rec); err != nil {
+		return err
+	}
+	c.ctx.metricAdd("journal_records", 1)
+	c.ctx.metricMax("journal_round", int64(rec.Round))
+	return nil
+}
+
+// Round is one round at the coordinator: begin → gather until every expected
+// upload is in, the deadline passes or a drain arrives → aggregate (seal and
+// journal) → broadcast → finish.
+type Round struct {
+	c       *Coordinator
+	sched   Schedule
+	quorum  int
+	attempt uint32 // execution count across coordinator restarts
+
+	tr      flnet.Transport       // sends retry per the policy, receives pass through
+	retrier *flnet.RetryTransport // nil when MaxRetries is 0
+
+	included    []string              // clients delivered to agg, canonical order once gathered
+	dropped     map[string]RoundPhase // dropped client -> losing phase
+	stale, dups int
+	drained     bool // the drain signal cut a gather short
+
+	agg       *Aggregation
+	treeStats *TreeStats // a streamed round's hierarchy anatomy
+	peakLive  int64      // high-water simultaneously-live aggregate-path ciphertexts
+	defense   *DefenseReport
+
+	frame   []byte // K ‖ sealed payload, built once and shared by every recipient
+	digest  uint64
+	resumed bool // round replayed a journaled aggregate
+
+	phaseRecorder
+}
+
+// Begin opens round sched.Round over tr. It consumes a parked recovery
+// position, cross-checks the cohort against the journaled one, and makes the
+// round-start record durable before anyone encrypts: its cursor is the
+// position a recovered coordinator rewinds to when it must re-run this round
+// from scratch. A nil Round means nothing was journaled; a Round with an
+// error is a round that cannot run (no quorum among the scheduled, a
+// journaled aggregate that fails its digest) and goes straight to Finish.
+func (c *Coordinator) Begin(sched Schedule, tr flnet.Transport) (*Round, error) {
+	ctx := c.ctx
+	c.round = sched.Round
+	attempt, resume := max(c.nextAttempt, 1), c.resume
+	c.nextAttempt, c.resume = 0, nil
+	if resume != nil && resume.Round != sched.Round {
+		resume = nil
+	}
+	// The sample is a pure function of (roster, seed, round), and the roster
+	// itself is journaled, so a crash-recovered re-run draws the identical
+	// cohort — cross-checked against the journaled one here.
+	var sampled []string
+	if sched.Sampled() {
+		sampled = sched.Cohort
+		ctx.metricAdd("cohorts_sampled", 1)
+	}
+	if resume != nil && resume.Cohort != nil && !slices.Equal(resume.Cohort, sched.Cohort) {
+		return nil, fmt.Errorf(
+			"fl: recovered round %d resamples a different cohort (journal has %d members, got %d)",
+			sched.Round, len(resume.Cohort), len(sched.Cohort))
+	}
+	if err := c.journalAppend(JournalRecord{
+		Kind: EventRoundStart, Round: sched.Round, Attempt: attempt,
+		Cursor: ctx.SeedCursor(), Members: sched.Roster, Cohort: sampled,
+	}); err != nil {
+		return nil, err
+	}
+
+	policy := ctx.Profile.Round
+	rd := &Round{
+		c:             c,
+		sched:         sched,
+		quorum:        policy.EffectiveQuorum(len(sched.Cohort)),
+		attempt:       attempt,
+		tr:            tr,
+		dropped:       make(map[string]RoundPhase),
+		agg:           ctx.NewAggregation(sched.Round, sched.Cohort),
+		phaseRecorder: phaseRecorder{ctx: ctx, anat: &RoundAnatomy{Round: sched.Round}},
+	}
+	if policy.MaxRetries > 0 {
+		rd.retrier = flnet.NewRetryTransport(tr, flnet.RetryPolicy{
+			MaxRetries: policy.MaxRetries,
+			Backoff:    policy.Backoff,
+			Seed:       ctx.Profile.Seed ^ sched.Round,
+		})
+		// Retransmissions are real wire traffic: charge each re-attempt to
+		// the communication component so the cost model stays honest.
+		rd.retrier.OnRetry = func(msg flnet.Message, attempt int, err error) {
+			ctx.Costs.AddRetry(ctx.Link.TransferTime(msg.WireSize()), msg.WireSize())
+		}
+		rd.tr = rd.retrier
+	}
+	switch {
+	case len(sched.Cohort) == 0:
+		return rd, rd.Fail(PhaseAdmit, "", fmt.Errorf("no active clients"))
+	case policy.Quorum > 0 && len(sched.Cohort) < policy.Quorum:
+		return rd, rd.Fail(PhaseAdmit, "", fmt.Errorf(
+			"%d active clients below quorum %d", len(sched.Cohort), policy.Quorum))
+	case resume != nil && resume.Phase == PhaseBroadcast:
+		// The crashed attempt already gathered and aggregated: verify the
+		// journaled payload against its digest and resume at the broadcast
+		// boundary. K is not journaled — it is the member count.
+		if PayloadDigest(resume.Payload) != resume.Digest {
+			return rd, rd.Fail(PhaseBroadcast, "", fmt.Errorf("journaled aggregate fails its digest"))
+		}
+		rd.included = append([]string(nil), resume.Included...)
+		rd.frame = append(newAggFrame(len(resume.Included), len(resume.Payload)), resume.Payload...)
+		rd.digest = resume.Digest
+		rd.resumed = true
+		ctx.metricAdd("rounds_resumed", 1)
+	}
+	return rd, nil
+}
+
+// Schedule is what the round's parties agreed on without a message.
+func (rd *Round) Schedule() Schedule { return rd.sched }
+
+// Transport is the transport the round sends on: the one Begin was given,
+// behind the policy's send retries. A host that also runs clients hands it
+// to them, so one retry budget and one retry count cover the round.
+func (rd *Round) Transport() flnet.Transport { return rd.tr }
+
+// Resumed reports whether Begin rehydrated a journaled aggregate: the round
+// skips the gather and goes straight to Broadcast.
+func (rd *Round) Resumed() bool { return rd.resumed }
+
+// Included lists the clients whose uploads the aggregate holds — canonical
+// order once Aggregate ran. The one party that knows it is the coordinator;
+// a host that also decrypts feeds it to Client.Open's partition cross-check.
+func (rd *Round) Included() []string { return rd.included }
+
+// Frame is the aggregate frame the round broadcasts: K ‖ sealed payload.
+func (rd *Round) Frame() []byte { return rd.frame }
+
+// Observe folds what the host's clients saw on their side of the wire into
+// the round's report: stale frames they discarded and the defended round's
+// group anatomy.
+func (rd *Round) Observe(stale int, defense *DefenseReport) {
+	rd.stale += stale
+	rd.defense = defense
+}
+
+// Report describes how the round went so far.
+func (rd *Round) Report() RoundReport {
+	rep := RoundReport{
+		Round:       rd.sched.Round,
+		Included:    rd.included,
+		Dropped:     rd.dropped,
+		Stale:       rd.stale,
+		Duplicates:  rd.dups,
+		Scale:       1,
+		Attempt:     rd.attempt,
+		Resumed:     rd.resumed,
+		Defense:     rd.defense,
+		CohortSize:  len(rd.sched.Cohort),
+		PeakLiveCts: rd.peakLive,
+		Tree:        rd.treeStats,
+		Anatomy:     rd.anat,
+	}
+	if rd.retrier != nil {
+		rep.Retries = rd.retrier.Retries()
+	}
+	if n := len(rd.included); n > 0 {
+		rep.Scale = float64(rd.c.ctx.Profile.Parties) / float64(n)
+	}
+	return rep
+}
+
+// Drop records a lost client and enforces the quorum budget: once more than
+// cohort-quorum clients are gone, the round fails with a typed error naming
+// the phase and party that exhausted the budget.
+func (rd *Round) Drop(phase RoundPhase, party string, cause error) *RoundError {
+	if _, ok := rd.dropped[party]; !ok {
+		rd.dropped[party] = phase
+	}
+	if len(rd.dropped) > len(rd.sched.Cohort)-rd.quorum {
+		return rd.Fail(phase, party, cause)
+	}
+	return nil
+}
+
+// Fail builds the round's typed error for a failure outside the budget.
+func (rd *Round) Fail(phase RoundPhase, party string, cause error) *RoundError {
+	return &RoundError{Round: rd.sched.Round, Phase: phase, Party: party, Err: cause}
+}
+
+// phaseDeadline starts a deadline clock for one phase (zero: no deadline).
+func (rp RoundPolicy) phaseDeadline() time.Time {
+	if rp.PhaseTimeout <= 0 {
+		return time.Time{}
+	}
+	return time.Now().Add(rp.PhaseTimeout)
+}
+
+// recvBy performs one transport receive honouring a phase deadline.
+func recvBy(tr flnet.Transport, party string, deadline time.Time) (flnet.Message, error) {
+	if deadline.IsZero() {
+		return tr.Recv(party)
+	}
+	remaining := time.Until(deadline)
+	if remaining <= 0 {
+		return flnet.Message{}, fmt.Errorf("%w: party %q (phase deadline elapsed)", flnet.ErrTimeout, party)
+	}
+	return tr.RecvTimeout(party, remaining)
+}
+
+// recv is the gather's one wait: the next frame, the deadline, or — looked at
+// every drainPoll when the host passed one — the drain signal. A drain takes
+// effect once the queue has been idle for one poll, so what had already
+// arrived still counts toward the quorum.
+func (rd *Round) recv(deadline time.Time, stop <-chan struct{}) (flnet.Message, error) {
+	for {
+		draining := false
+		select {
+		case <-stop:
+			draining = true
+		default:
+		}
+		until, final := deadline, true
+		if poll := time.Now().Add(drainPoll); stop != nil && (deadline.IsZero() || poll.Before(deadline)) {
+			until, final = poll, false
+		}
+		msg, err := recvBy(rd.tr, ServerName, until)
+		if final || !flnet.IsTimeout(err) {
+			return msg, err
+		}
+		if draining {
+			return flnet.Message{}, ErrDrained
+		}
+	}
+}
+
+// Gather waits for the uploads the host says to expect — the wave's clients
+// whose send succeeded in-process, the whole cohort over TCP; a client is
+// expected in one Gather a round — delivering
+// each batch to the aggregation the moment it arrives. Frames of other
+// rounds or kinds are stale artifacts of stragglers and are discarded, as are
+// duplicates and uploads from anyone not expected. An upload that does not
+// decode drops its sender, not the round. A deadline that expires, or a
+// drain signal on stop, cuts the stragglers off; the round then fails only
+// through the drop budget or, in Aggregate, the quorum.
+func (rd *Round) Gather(expect []string, stop <-chan struct{}) error {
+	deadline := rd.c.ctx.Profile.Round.phaseDeadline()
+	waiting := make(map[string]bool, len(expect))
+	for _, name := range expect {
+		waiting[name] = true
+	}
+	for len(waiting) > 0 {
+		msg, err := rd.recv(deadline, stop)
+		if err != nil {
+			drained := errors.Is(err, ErrDrained)
+			if !flnet.IsTimeout(err) && !drained {
+				return rd.Fail(PhaseGather, "", err)
+			}
+			rd.drained = rd.drained || drained
+			// Every still-waiting member of the wave is late: dropped, within
+			// the budget. The cohort-wide quorum is judged in Aggregate.
+			for _, name := range expect {
+				if !waiting[name] {
+					continue
+				}
+				if rerr := rd.Drop(PhaseGather, name, fmt.Errorf("upload missed the wave cutoff: %w", err)); rerr != nil {
+					return rerr
+				}
+			}
+			return nil
+		}
+		switch {
+		case msg.Kind == flnet.KindResume:
+			rd.answerResume(msg)
+			continue
+		case msg.Round != rd.sched.Round || msg.Kind != "grads":
+			rd.stale++
+			continue
+		case !waiting[msg.From]:
+			rd.dups++
+			continue
+		}
+		delete(waiting, msg.From)
+		cts, err := DecodeCiphertexts(msg.Payload)
+		if err != nil {
+			if rerr := rd.Drop(PhaseGather, msg.From, fmt.Errorf("server decode: %w", err)); rerr != nil {
+				return rerr
+			}
+			continue
+		}
+		// Delivered in arrival order; Aggregate restores the canonical one.
+		if err := rd.agg.Add(msg.From, cts); err != nil {
+			return rd.Fail(PhaseGather, msg.From, err)
+		}
+		rd.included = append(rd.included, msg.From)
+	}
+	return nil
+}
+
+// answerResume replies to one session-resume probe. Only a token that
+// matches the in-flight (epoch, round, attempt) exactly may keep uploading
+// into this round; anything else — a stale round, a pre-crash attempt, a
+// foreign epoch — is told the next round boundary it may join. Either way
+// the in-flight round's state is untouched.
+func (rd *Round) answerResume(msg flnet.Message) {
+	ctx, id := rd.c.ctx, rd.sched.Round
+	decision := flnet.AdmissionDecision{
+		Kind:  flnet.KindResumeWait,
+		Token: flnet.SessionToken{Epoch: rd.c.epoch, Round: id + 1, Attempt: 1},
+	}
+	if tok, err := flnet.DecodeSessionToken(msg.Payload); err == nil {
+		adm := flnet.Admission{Current: flnet.SessionToken{Epoch: rd.c.epoch, Round: id, Attempt: rd.attempt}}
+		decision = adm.Decide(tok)
+	}
+	reply := flnet.Message{From: ServerName, To: msg.From, Kind: decision.Kind, Round: id, Payload: decision.Token.Encode()}
+	if err := rd.tr.Send(reply); err == nil {
+		ctx.RecordTransfer(reply.WireSize())
+	}
+	if decision.Kind == flnet.KindResumeOK {
+		ctx.metricAdd("rejoin_resumes", 1)
+	} else {
+		ctx.metricAdd("rejoin_waits", 1)
+	}
+}
+
+// Aggregate judges the quorum over the whole cohort, seals the aggregation
+// over the included clients and journals the payload — the mid-round safe
+// point. Once the aggregated record is durable, a coordinator crash no longer
+// costs the gathered uploads: recovery resumes at the broadcast boundary with
+// this payload, plain and grouped frames alike.
+func (rd *Round) Aggregate() error {
+	// Uploads were delivered in arrival order, but the journal, the report,
+	// and the group partition all speak canonical order.
+	pos := make(map[string]int, len(rd.sched.Cohort))
+	for i, name := range rd.sched.Cohort {
+		pos[name] = i
+	}
+	sort.Slice(rd.included, func(i, j int) bool { return pos[rd.included[i]] < pos[rd.included[j]] })
+	if len(rd.included) < rd.quorum {
+		cause := fmt.Errorf("%d/%d uploads below quorum %d", len(rd.included), len(rd.sched.Cohort), rd.quorum)
+		if rd.drained {
+			cause = fmt.Errorf("%w: %v", ErrDrained, cause)
+		}
+		return rd.Fail(PhaseGather, "", cause)
+	}
+	return rd.Span("aggregate", func() error {
+		ctx := rd.c.ctx
+		frame, err := rd.agg.Seal(rd.included)
+		if err != nil {
+			return rd.Fail(PhaseGather, "", err)
+		}
+		rd.frame = frame
+		rd.peakLive = rd.agg.peak
+		ctx.metricMax("live_cts_peak", rd.peakLive)
+		if ctx.Profile.Cohort.Tree() {
+			rd.finishTree(rd.agg.stats)
+		}
+		rd.digest = PayloadDigest(framePayload(frame))
+		return rd.c.journalAppend(JournalRecord{
+			Kind: EventAggregated, Round: rd.sched.Round, Attempt: rd.attempt,
+			Cursor: ctx.SeedCursor(), Members: rd.included,
+			Digest: rd.digest, Payload: framePayload(frame),
+		})
+	})
+}
+
+// finishTree publishes a streamed round's hierarchy statistics: the report
+// field, the gauges, and the tree's per-level HE time as stacked spans ending
+// at the current sim-cost clock, so traces show where the hierarchy spent its
+// fold time level by level.
+func (rd *Round) finishTree(stats TreeStats) {
+	ctx := rd.c.ctx
+	rd.treeStats = &stats
+	ctx.metricAdd("tree_folds", stats.Folds)
+	ctx.metricMax("tree_depth", int64(stats.Depth))
+	rec := ctx.Obs.Recorder()
+	if rec == nil {
+		return
+	}
+	var total time.Duration
+	for _, ns := range stats.LevelSimNs {
+		total += time.Duration(ns)
+	}
+	start := ctx.SimCost() - total
+	for l, ns := range stats.LevelSimNs {
+		d := time.Duration(ns)
+		rec.Record(obs.Span{
+			Phase: fmt.Sprintf("round%d.tree.level%d", rd.sched.Round, l),
+			Party: ctx.obsPrefix + ".fl",
+			Lane:  "fl.tree",
+			Start: start,
+			Dur:   d,
+		})
+		start += d
+	}
+}
+
+// Broadcast returns the aggregate frame to the recipients the host names —
+// the included clients in-process, every registered client over TCP so that
+// stragglers and unscheduled processes still terminate — under the
+// aggregation's message kind (a resumed round inherits the kind from the
+// unchanged profile, matching the journaled payload's framing). It reports
+// whom the frame reached; a failed send drops the recipient within the
+// budget.
+func (rd *Round) Broadcast(recipients []string) (reached []string, err error) {
+	err = rd.Span("broadcast", func() error {
+		kind := rd.c.ctx.AggregateKind()
+		for _, name := range recipients {
+			msg := flnet.Message{From: ServerName, To: name, Kind: kind, Round: rd.sched.Round, Payload: rd.frame}
+			if err := rd.tr.Send(msg); err != nil {
+				if rerr := rd.Drop(PhaseBroadcast, name, err); rerr != nil {
+					return rerr
+				}
+				continue
+			}
+			reached = append(reached, name)
+			rd.c.ctx.RecordTransfer(msg.WireSize())
+		}
+		if len(reached) == 0 {
+			return rd.Fail(PhaseBroadcast, "", fmt.Errorf("aggregate reached no client"))
+		}
+		return nil
+	})
+	return reached, err
+}
+
+// Serve is the coordinator's whole round for a host with nothing to
+// interleave: one wave of the whole cohort, then the broadcast.
+func (rd *Round) Serve(recipients []string, stop <-chan struct{}) error {
+	if !rd.resumed {
+		if err := rd.Span("gather", func() error { return rd.Gather(rd.sched.Cohort, stop) }); err != nil {
+			return err
+		}
+		if err := rd.Aggregate(); err != nil {
+			return err
+		}
+	}
+	_, err := rd.Broadcast(recipients)
+	return err
+}
+
+// Finish closes the round in the journal with the outcome the host reached —
+// the coordinator's own error, or one from the host's side of the round —
+// and hands that outcome back (or the journal's error, if the record could
+// not be made durable). A simulated coordinator crash means the process died
+// at a durable boundary: nothing after that boundary, a round-failed record
+// included, can have been written.
+func (rd *Round) Finish(err error) error {
+	rec := JournalRecord{Round: rd.sched.Round, Attempt: rd.attempt, Cursor: rd.c.ctx.SeedCursor()}
+	var re *RoundError
+	switch {
+	case err == nil:
+		rec.Kind, rec.Members, rec.Digest = EventRoundDone, rd.included, rd.digest
+	case errors.Is(err, ErrCoordinatorCrash):
+		return err
+	case errors.Is(err, ErrDrained):
+		rec.Kind, rec.Phase, rec.Reason = EventDrained, PhaseGather, "drained below quorum"
+	default:
+		rec.Kind, rec.Reason = EventRoundFailed, err.Error()
+		if errors.As(err, &re) {
+			rec.Phase, rec.Party = re.Phase, re.Party
+		}
+	}
+	if jerr := rd.c.journalAppend(rec); jerr != nil {
+		return jerr
+	}
+	return err
+}

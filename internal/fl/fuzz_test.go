@@ -1,0 +1,184 @@
+package fl
+
+import (
+	"encoding/binary"
+	"errors"
+	"runtime"
+	"sync"
+	"testing"
+
+	"flbooster/internal/flnet"
+)
+
+// openShape is one configuration FuzzOpenAggregate opens frames under: a
+// client on its own 128-bit context, the schedule and dimension of the round
+// its seed frames come from, and those frames.
+type openShape struct {
+	name   string
+	client *Client
+	sched  Schedule
+	frames [][]byte
+}
+
+const openFuzzDim = 10
+
+var (
+	openShapesOnce sync.Once
+	openShapesList []openShape
+)
+
+// openShapes builds the four shapes — plain and grouped, flat and tree — and
+// takes each one's seed frames off the wire of two real first rounds (a full
+// one and one a client's upload was dropped from, so K < parties).
+func openShapes(tb testing.TB) []openShape {
+	openShapesOnce.Do(func() {
+		for _, sh := range []struct {
+			name   string
+			groups int
+			fanout int
+		}{{"plain-flat", 0, 0}, {"plain-tree", 0, 2}, {"grouped-flat", 2, 0}, {"grouped-tree", 2, 2}} {
+			p := quorumProfile(SystemFLBooster)
+			p.Seed = 41
+			p.Defense.Groups = sh.groups
+			p.Cohort.Fanout = sh.fanout
+			shape := openShape{name: sh.name, sched: p.Schedule(ClientNames(p.Parties), 1)}
+			for _, drop := range []bool{false, true} {
+				ctx, err := NewContext(p)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				fed := NewFederation(ctx)
+				log := &wireLog{Transport: fed.Transport}
+				ft := flnet.NewFaultyTransport(log)
+				if drop {
+					ft.DropFrom, ft.DropKind = ClientName(3), "grads"
+				}
+				fed.Transport = ft
+				if _, _, err := fed.SecureAggregateReport(testGrads(p.Parties, openFuzzDim)); err != nil {
+					tb.Fatal(err)
+				}
+				for _, msg := range log.sent {
+					if msg.Kind == ctx.AggregateKind() && msg.To == ClientName(0) {
+						shape.frames = append(shape.frames, msg.Payload)
+					}
+				}
+				shape.client = fed.clients[ClientName(0)]
+				fed.Close()
+			}
+			if len(shape.frames) != 2 {
+				tb.Fatalf("%s: %d aggregate frames on the wire, want 2", sh.name, len(shape.frames))
+			}
+			openShapesList = append(openShapesList, shape)
+		}
+	})
+	return openShapesList
+}
+
+// FuzzOpenAggregate feeds arbitrary bytes to the one function every client
+// parses its aggregate frame with — Client.Open: the K prefix, DecodeGroupAgg
+// on grouped shapes, DecodeCiphertexts, Aggregation.Open's coverage and
+// partition checks, the decryption and the combiner. It must never panic;
+// every reject is typed (a frame error, or ErrBadAggregate once the frame
+// parsed); a K outside [1, parties] is a frame error raised before anything
+// is decrypted; an accepted frame yields exactly the round's dimension at the
+// K the frame carries; and the allocation is bounded by the input's length.
+// The seed corpus (real frames and their truncations) is under
+// testdata/fuzz/FuzzOpenAggregate.
+func FuzzOpenAggregate(f *testing.F) {
+	for s, sh := range openShapes(f) {
+		for _, frame := range sh.frames {
+			for _, known := range []bool{false, true} {
+				f.Add(frame, uint8(s), known)
+				f.Add(frame[:len(frame)/2], uint8(s), known)
+				f.Add(frame[:5], uint8(s), known)
+			}
+		}
+	}
+	f.Add([]byte{}, uint8(0), false)
+	f.Add([]byte{0, 0, 0, 0}, uint8(1), false)
+	f.Add([]byte{5, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 7}, uint8(0), true)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(2), false)
+	f.Fuzz(func(t *testing.T, frame []byte, shape uint8, known bool) {
+		shapes := openShapes(t)
+		sh := shapes[int(shape)%len(shapes)]
+		ctx := sh.client.Ctx
+		parties := ctx.Profile.Parties
+		var contributors []string
+		if known {
+			contributors = sh.sched.Cohort
+		}
+		heBefore := ctx.Costs.Snapshot().HEOps
+		var sums []float64
+		var k int
+		var err error
+		grew := allocatedBy(func() { sums, k, _, err = sh.client.Open(frame, sh.sched, openFuzzDim, contributors) })
+		if bound := uint64(openAllocPerByte*len(frame) + openAllocSlack); grew > bound {
+			t.Fatalf("%s: Open allocated %d bytes on a %d-byte frame (bound %d)", sh.name, grew, len(frame), bound)
+		}
+		claimed := -1
+		if len(frame) >= 4 {
+			claimed = int(binary.LittleEndian.Uint32(frame))
+		}
+		if claimed < 1 || claimed > parties {
+			if !isFrameError(err) {
+				t.Fatalf("%s: K = %d of %d parties: want a frame error, got %v", sh.name, claimed, parties, err)
+			}
+			if ctx.Costs.Snapshot().HEOps != heBefore {
+				t.Fatalf("%s: K = %d of %d parties was rejected only after something was decrypted", sh.name, claimed, parties)
+			}
+		}
+		if err != nil {
+			if !isFrameError(err) && !errors.Is(err, ErrBadAggregate) {
+				t.Fatalf("%s: untyped reject: %v", sh.name, err)
+			}
+			if sums != nil {
+				t.Fatalf("%s: reject (%v) still returned %d values", sh.name, err, len(sums))
+			}
+			return
+		}
+		if k != claimed || len(sums) != openFuzzDim {
+			t.Fatalf("%s: accepted frame claiming K = %d opened to %d values at K = %d", sh.name, claimed, len(sums), k)
+		}
+	})
+}
+
+// An accepted frame pays for its decryption: at 128 bits a ciphertext is at
+// most 36 bytes of frame and decrypts in a few kilobytes of scratch. The
+// slack covers what a frame of any length costs (the aggregation object, the
+// combiner, size-class rounding) and whatever the test binary's other
+// goroutines allocate between the two MemStats readings.
+const (
+	openAllocPerByte = 512
+	openAllocSlack   = 128 << 10
+)
+
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestOpenAggregateSeedFrames opens each shape's real frames outside the
+// fuzzer: whole frames are accepted with and without the contributor list,
+// the K they carry is the round's, and every truncation is a typed reject.
+func TestOpenAggregateSeedFrames(t *testing.T) {
+	for _, sh := range openShapes(t) {
+		for i, frame := range sh.frames {
+			wantK := sh.client.Ctx.Profile.Parties - i // the second round lost one upload
+			contributors := sh.sched.Cohort[:wantK]
+			for _, who := range [][]string{nil, contributors} {
+				sums, k, _, err := sh.client.Open(frame, sh.sched, openFuzzDim, who)
+				if err != nil || k != wantK || len(sums) != openFuzzDim {
+					t.Fatalf("%s frame %d: opened to %d values at K = %d (%v), want %d at %d", sh.name, i, len(sums), k, err, openFuzzDim, wantK)
+				}
+			}
+			for cut := 0; cut < len(frame); cut++ {
+				if _, _, _, err := sh.client.Open(frame[:cut], sh.sched, openFuzzDim, nil); !isFrameError(err) && !errors.Is(err, ErrBadAggregate) {
+					t.Fatalf("%s frame %d cut to %d bytes: %v, want a typed reject", sh.name, i, cut, err)
+				}
+			}
+		}
+	}
+}

@@ -35,11 +35,13 @@ func holderRound(t *testing.T, p Profile, grads [][]float64, public bool) ([]fln
 	}
 	fed := NewFederation(ctx)
 	defer fed.Close()
-	if fed.clientKey != ctx.Key.Holder() {
-		t.Fatal("Fig. 2 clients should encrypt under the key holder's handle")
-	}
-	if public {
-		fed.clientKey = &ctx.Key.PublicKey
+	for _, cl := range fed.clients {
+		if cl.Key != ctx.Key.Holder() {
+			t.Fatal("Fig. 2 clients should encrypt under the key holder's handle")
+		}
+		if public {
+			cl.Key = &ctx.Key.PublicKey
+		}
 	}
 	log := &wireLog{Transport: fed.Transport}
 	fed.Transport = log

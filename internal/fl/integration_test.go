@@ -1,31 +1,25 @@
 package fl
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"flbooster/internal/flnet"
-	"flbooster/internal/mpint"
-	"flbooster/internal/paillier"
 )
 
-// TestSecureAggregationOverTCP runs the Fig. 2 round over real TCP
-// connections through a hub: clients upload in goroutines, the server
-// aggregates homomorphically and broadcasts, a client decrypts. This exercises
-// the full stack — quantization, packing, Paillier, codec, net — end to end
-// over the loopback. A Context is one party's (its nonce cursor is not
-// synchronised; flserver gives every client its own), so the three uploads
-// are encrypted before the goroutines that send them start.
+// TestSecureAggregationOverTCP runs the Fig. 2 round as a deployment does:
+// one Coordinator and one Client a party, each in its own goroutine with its
+// own Context (its own nonce cursor, as flserver's processes have) and its
+// own TCP connection to the hub — the two machines fl.Federation hosts
+// in-process, exchanging nothing but frames. This exercises the full stack —
+// quantization, packing, Paillier, codec, net — end to end over the loopback.
 func TestSecureAggregationOverTCP(t *testing.T) {
 	const parties = 3
 	const dim = 6
 
 	p := NewProfile(SystemFLBooster, 128, parties)
 	p.RBits = 14
-	ctx, err := NewContext(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	hub, err := flnet.NewTCPHub("127.0.0.1:0", flnet.GigabitEthernet())
 	if err != nil {
 		t.Fatal(err)
@@ -42,116 +36,83 @@ func TestSecureAggregationOverTCP(t *testing.T) {
 			want[i] += grads[c][i]
 		}
 	}
+	names := ClientNames(parties)
 
-	// Server goroutine.
-	serverDone := make(chan error, 1)
+	errs := make(chan error, parties+1)
 	go func() {
-		serverDone <- func() error {
+		errs <- func() error {
+			ctx, err := NewContext(p)
+			if err != nil {
+				return err
+			}
 			conn, err := flnet.DialHub(hub.Addr(), ServerName)
 			if err != nil {
 				return err
 			}
 			defer conn.Close()
-			batches := make([][]paillier.Ciphertext, 0, parties)
-			for i := 0; i < parties; i++ {
-				msg, err := conn.Recv(ServerName)
-				if err != nil {
-					return err
-				}
-				nats, err := flnet.DecodeNats(msg.Payload)
-				if err != nil {
-					return err
-				}
-				cts := make([]paillier.Ciphertext, len(nats))
-				for j, n := range nats {
-					cts[j] = paillier.Ciphertext{C: n}
-				}
-				batches = append(batches, cts)
-			}
-			agg, err := ctx.AggregateCiphertexts(batches)
-			if err != nil {
+			rd, err := NewCoordinator(ctx).Begin(ctx.Profile.Schedule(names, 1), conn)
+			if rd == nil {
 				return err
 			}
-			aggNats := make([]mpint.Nat, len(agg))
-			for i, c := range agg {
-				aggNats[i] = c.C
+			if err == nil {
+				err = rd.Serve(names, nil)
 			}
-			payload := flnet.EncodeNats(aggNats)
-			for i := 0; i < parties; i++ {
-				if err := conn.Send(flnet.Message{
-					From: ServerName, To: ClientName(i), Kind: "agg", Payload: payload,
-				}); err != nil {
-					return err
-				}
-			}
-			return nil
+			return rd.Finish(err)
 		}()
 	}()
 
-	// Client goroutines.
-	results := make(chan []float64, parties)
-	clientErrs := make(chan error, parties)
+	var mu sync.Mutex
+	var results [][]float64
+	var bound float64
 	for c := 0; c < parties; c++ {
-		cts, err := ctx.EncryptGradients(grads[c])
-		if err != nil {
-			t.Fatal(err)
-		}
 		go func(c int) {
-			err := func() error {
-				name := ClientName(c)
-				conn, err := flnet.DialHub(hub.Addr(), name)
+			errs <- func() error {
+				ctx, err := NewContext(p)
+				if err != nil {
+					return err
+				}
+				cl := NewClient(ctx, c)
+				conn, err := flnet.DialHub(hub.Addr(), cl.Name)
 				if err != nil {
 					return err
 				}
 				defer conn.Close()
-				nats := make([]mpint.Nat, len(cts))
-				for i, ct := range cts {
-					nats[i] = ct.C
-				}
-				if err := conn.Send(flnet.Message{
-					From: name, To: ServerName, Kind: "grads", Payload: flnet.EncodeNats(nats),
-				}); err != nil {
+				if _, err := cl.Upload(conn, 1, grads[c]); err != nil {
 					return err
 				}
-				msg, err := conn.Recv(name)
+				frame, _, err := cl.Receive(conn, 1, time.Time{})
 				if err != nil {
 					return err
 				}
-				aggNats, err := flnet.DecodeNats(msg.Payload)
+				sums, k, _, err := cl.Open(frame, ctx.Profile.Schedule(names, 1), dim, nil)
 				if err != nil {
 					return err
 				}
-				aggCts := make([]paillier.Ciphertext, len(aggNats))
-				for i, n := range aggNats {
-					aggCts[i] = paillier.Ciphertext{C: n}
+				if k != parties {
+					t.Errorf("%s read K = %d off the frame, want %d", cl.Name, k, parties)
 				}
-				sums, err := ctx.DecryptAggregated(aggCts, dim, parties)
-				if err != nil {
-					return err
-				}
-				results <- sums
+				mu.Lock()
+				results = append(results, sums)
+				bound = float64(parties) * ctx.Quant.MaxError()
+				mu.Unlock()
 				return nil
 			}()
-			clientErrs <- err
 		}(c)
 	}
-
-	for i := 0; i < parties; i++ {
-		if err := <-clientErrs; err != nil {
+	for i := 0; i < parties+1; i++ {
+		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := <-serverDone; err != nil {
-		t.Fatal(err)
-	}
 
-	bound := float64(parties) * ctx.Quant.MaxError()
-	for i := 0; i < parties; i++ {
-		sums := <-results
+	for i, sums := range results {
 		for j := range want {
 			if d := sums[j] - want[j]; d > bound || d < -bound {
 				t.Fatalf("client copy %d: sum[%d] = %v, want %v ± %v", i, j, sums[j], want[j], bound)
 			}
+		}
+		if !sameBits(sums, results[0]) {
+			t.Fatalf("client copies differ: %v vs %v", sums, results[0])
 		}
 	}
 	bytes, msgs, _ := hub.Meter().Snapshot()

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -361,7 +362,7 @@ func TestCrashRecoveryReplaysSampledCohort(t *testing.T) {
 			if len(cohort) != profile.Cohort.Size {
 				t.Fatalf("journaled cohort %v, want size %d", cohort, profile.Cohort.Size)
 			}
-			if !sameMembers(cohort, cohorts[0]) {
+			if !slices.Equal(cohort, cohorts[0]) {
 				t.Fatalf("attempts sampled different cohorts: %v vs %v", cohort, cohorts[0])
 			}
 		}

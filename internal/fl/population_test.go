@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -20,7 +21,7 @@ func TestSampleCohortDeterministicSubset(t *testing.T) {
 	active := testRoster(10)
 	a := SampleCohort(active, 4, 7, 3)
 	b := SampleCohort(active, 4, 7, 3)
-	if !sameMembers(a, b) {
+	if !slices.Equal(a, b) {
 		t.Fatalf("same inputs sampled different cohorts: %v vs %v", a, b)
 	}
 	if len(a) != 4 {
@@ -55,7 +56,7 @@ func TestSampleCohortVariesAcrossRoundsAndSeeds(t *testing.T) {
 	if len(distinct) < 8 {
 		t.Fatalf("16 rounds drew only %d distinct cohorts", len(distinct))
 	}
-	if sameMembers(SampleCohort(active, 5, 1, 1), SampleCohort(active, 5, 2, 1)) {
+	if slices.Equal(SampleCohort(active, 5, 1, 1), SampleCohort(active, 5, 2, 1)) {
 		// Two specific seeds colliding is possible in principle but this pair
 		// is fixed, so a collision here means the seed is being ignored.
 		t.Fatal("seed does not influence the sample")
@@ -68,7 +69,7 @@ func TestSampleCohortDegenerateSizes(t *testing.T) {
 	active := testRoster(5)
 	for _, k := range []int{0, -1, 5, 9} {
 		got := SampleCohort(active, k, 3, 1)
-		if !sameMembers(got, active) {
+		if !slices.Equal(got, active) {
 			t.Fatalf("k=%d: got %v, want the full roster", k, got)
 		}
 		got[0] = "mutated"

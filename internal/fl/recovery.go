@@ -13,6 +13,22 @@ package fl
 // coordinator's — key generation is deterministic, so the keys match. The
 // journal stays attached for the recovered epoch's appends.
 func Recover(ctx *Context, store JournalStore) (*Federation, *RecoveryState, error) {
+	c, state, err := RecoverCoordinator(ctx, store)
+	if err != nil {
+		return nil, nil, err
+	}
+	f := NewFederation(ctx)
+	f.coord = c
+	if state.Members != nil {
+		f.roster.Restore(state.Members)
+	}
+	return f, state, nil
+}
+
+// RecoverCoordinator is Recover without the in-process host around it: the
+// journal replayed into a Coordinator on ctx, for a host — cmd/flserver's
+// server role — that keeps its own roster.
+func RecoverCoordinator(ctx *Context, store JournalStore) (*Coordinator, *RecoveryState, error) {
 	j, err := NewJournal(store)
 	if err != nil {
 		return nil, nil, err
@@ -25,23 +41,20 @@ func Recover(ctx *Context, store JournalStore) (*Federation, *RecoveryState, err
 	if err != nil {
 		return nil, nil, err
 	}
-	f := NewFederation(ctx)
-	f.journal = j
-	f.epoch = state.Epoch
-	if state.Members != nil {
-		f.roster.Restore(state.Members)
-	}
+	c := NewCoordinator(ctx)
+	c.journal = j
+	c.epoch = state.Epoch
 	if rp := state.Resume; rp != nil {
-		f.round = rp.Round - 1
-		f.nextAttempt = rp.Attempt + 1
-		f.resume = rp
+		c.round = rp.Round - 1
+		c.nextAttempt = rp.Attempt + 1
+		c.resume = rp
 		ctx.RestoreSeedCursor(rp.Cursor)
 	} else {
-		f.round = state.LastRound
+		c.round = state.LastRound
 		if state.Records > 0 {
 			ctx.RestoreSeedCursor(state.Cursor)
 		}
 	}
 	ctx.metricAdd("recoveries", 1)
-	return f, &state, nil
+	return c, &state, nil
 }

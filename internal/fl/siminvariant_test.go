@@ -40,6 +40,14 @@ func simFields(s CostSnapshot) string {
 // latencies of the two launches that went — and again every other field, every
 // count and every wire byte stayed.
 //
+// The other thing is a change to the protocol's frames, stated to the byte:
+// PR 25 put the contributor count K in front of every aggregate frame (the
+// frame cmd/flserver always sent; see Aggregation.Seal), 4 bytes a broadcast
+// — CommBytes 16099 → 16115 and 14888 → 14904 on the flat legs' 4
+// broadcasts, 11720 → 11784 on the cohort-tree leg's 16 — and CommSim by
+// exactly those bytes through the link model (+106668, +426669, +106664 ns).
+// Every HE field, every count and every message count stayed.
+//
 // The 256-bit legs run on 2- to 8-limb operands, under every threshold of the
 // host kernels; the 1,024-bit flat leg (16-limb p², 32-limb n²) was recorded
 // on the scalar rows, before the radix-2⁵² chain kernel (mpint's amm52) took
@@ -54,11 +62,11 @@ func TestSimInvariantUnderHostKernel(t *testing.T) {
 		want    string
 	}{
 		{name: "flat", bits: 256, parties: 4, dim: 200,
-			want: "HESim=186793 HEOps=232 Instances=1087 CommSim=187326662 CommBytes=16099 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 Ciphertexts=116 Plainvals=800"},
+			want: "HESim=186793 HEOps=232 Instances=1087 CommSim=187433330 CommBytes=16115 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 Ciphertexts=116 Plainvals=800"},
 		{name: "cohort-tree", bits: 256, parties: 64, cohort: CohortPolicy{Size: 16, Fanout: 4, MaxInflight: 8}, dim: 24,
-			want: "HESim=663497 HEOps=128 Instances=468 CommSim=458133319 CommBytes=11720 CommMsgs=38 RetryMsgs=0 EncodeSim=13440 EncodeVals=384 Ciphertexts=64 Plainvals=384"},
+			want: "HESim=663497 HEOps=128 Instances=468 CommSim=458559988 CommBytes=11784 CommMsgs=38 RetryMsgs=0 EncodeSim=13440 EncodeVals=384 Ciphertexts=64 Plainvals=384"},
 		{name: "flat-1024", bits: 1024, parties: 4, dim: 200,
-			want: "HESim=281322 HEOps=56 Instances=1021 CommSim=179253332 CommBytes=14888 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 Ciphertexts=28 Plainvals=800"},
+			want: "HESim=281322 HEOps=56 Instances=1021 CommSim=179359996 CommBytes=14904 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 Ciphertexts=28 Plainvals=800"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewProfile(SystemFLBooster, tc.bits, tc.parties)

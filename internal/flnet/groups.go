@@ -25,6 +25,11 @@ const MaxAggGroups = 1 << 16
 // EncodeGroupAgg frames per-group aggregate blobs with their contributor
 // counts. Layout: u32 G, then G×(u32 size, u32 blobLen), then the blobs.
 func EncodeGroupAgg(sizes []int, blobs [][]byte) ([]byte, error) {
+	return AppendGroupAgg(nil, sizes, blobs)
+}
+
+// AppendGroupAgg appends the EncodeGroupAgg framing to dst, growing it once.
+func AppendGroupAgg(dst []byte, sizes []int, blobs [][]byte) ([]byte, error) {
 	if len(sizes) == 0 || len(sizes) != len(blobs) {
 		return nil, fmt.Errorf("flnet: group frame with %d sizes for %d blobs", len(sizes), len(blobs))
 	}
@@ -35,7 +40,7 @@ func EncodeGroupAgg(sizes []int, blobs [][]byte) ([]byte, error) {
 	for _, b := range blobs {
 		total += len(b)
 	}
-	buf := make([]byte, 0, total)
+	buf := append(make([]byte, 0, len(dst)+total), dst...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(sizes)))
 	for g, size := range sizes {
 		if size < 1 {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -15,8 +16,9 @@ import (
 // over the net package end to end (cmd/flserver and the integration tests);
 // benches use SimTransport for deterministic timing.
 type TCPHub struct {
-	ln    net.Listener
-	meter *Meter
+	ln      net.Listener
+	meter   *Meter
+	spoofed atomic.Int64 // frames dropped for claiming another party's name
 
 	mu      sync.Mutex
 	conns   map[string]net.Conn
@@ -48,6 +50,10 @@ func (h *TCPHub) Addr() string { return h.ln.Addr().String() }
 
 // Meter exposes the hub-side traffic meter.
 func (h *TCPHub) Meter() *Meter { return h.meter }
+
+// Spoofed counts the frames routeLoop dropped because their From was not the
+// name their connection said hello with.
+func (h *TCPHub) Spoofed() int64 { return h.spoofed.Load() }
 
 func (h *TCPHub) acceptLoop() {
 	defer h.wg.Done()
@@ -93,6 +99,14 @@ func (h *TCPHub) routeLoop(name string, conn net.Conn) {
 		if err != nil {
 			continue
 		}
+		// A connection speaks for the name it registered with and no other:
+		// relaying a forged From would let any client upload as another and
+		// have the honest upload discarded as the duplicate. (A second hello
+		// under a registered name is out of scope: the demo has no PKI.)
+		if msg.From != name {
+			h.spoofed.Add(1)
+			continue
+		}
 		h.meter.Record(msg.WireSize())
 		h.mu.Lock()
 		dst, ok := h.conns[msg.To]
@@ -130,10 +144,16 @@ func (h *TCPHub) Close() error {
 }
 
 // TCPClient is one party's connection to a hub; it implements Transport for
-// that single party (Recv must be called with the party's own name).
+// that single party (Recv must be called with the party's own name). A reader
+// goroutine takes whole frames off the connection, so a receive deadline that
+// expires mid-frame loses nothing: the next Recv returns the completed frame.
 type TCPClient struct {
 	name string
 	conn net.Conn
+
+	frames  chan []byte   // whole frames from readLoop; closed when it exits
+	readErr error         // why readLoop exited; set before frames is closed
+	done    chan struct{} // closed by Close
 
 	mu     sync.Mutex // serializes writes
 	closed bool
@@ -149,7 +169,25 @@ func DialHub(addr, party string) (*TCPClient, error) {
 		conn.Close()
 		return nil, fmt.Errorf("flnet: hello: %w", err)
 	}
-	return &TCPClient{name: party, conn: conn}, nil
+	c := &TCPClient{name: party, conn: conn, frames: make(chan []byte), done: make(chan struct{})}
+	go c.readLoop()
+	return c, nil
+}
+
+func (c *TCPClient) readLoop() {
+	defer close(c.frames)
+	for {
+		frame, err := readFrame(c.conn)
+		if err != nil {
+			c.readErr = err
+			return
+		}
+		select {
+		case c.frames <- frame:
+		case <-c.done:
+			return
+		}
+	}
 }
 
 // Send implements Transport.
@@ -167,30 +205,30 @@ func (c *TCPClient) Recv(party string) (Message, error) {
 	return c.RecvTimeout(party, 0)
 }
 
-// RecvTimeout implements Transport via a read deadline on the connection.
-// A deadline expiry mid-frame leaves the stream desynchronized, so treat a
-// timeout as fatal for this connection's round (dial a fresh one to rejoin).
+// RecvTimeout implements Transport: it waits for the reader's next whole
+// frame, the deadline or the connection's end, whichever comes first.
 func (c *TCPClient) RecvTimeout(party string, d time.Duration) (Message, error) {
 	if party != c.name {
 		return Message{}, fmt.Errorf("flnet: client %q cannot receive for %q", c.name, party)
 	}
+	var timeout <-chan time.Time
 	if d > 0 {
-		if err := c.conn.SetReadDeadline(time.Now().Add(d)); err != nil {
-			return Message{}, fmt.Errorf("flnet: set deadline: %w", err)
-		}
-		defer c.conn.SetReadDeadline(time.Time{})
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		timeout = timer.C
 	}
-	frame, err := readFrame(c.conn)
-	if err != nil {
-		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			return Message{}, fmt.Errorf("%w: party %q (%v)", ErrTimeout, party, err)
+	select {
+	case frame, ok := <-c.frames:
+		if !ok {
+			return Message{}, fmt.Errorf("flnet: recv: %w", c.readErr)
 		}
-		return Message{}, fmt.Errorf("flnet: recv: %w", err)
+		return decodeMessage(frame)
+	case <-timeout:
+		return Message{}, fmt.Errorf("%w: party %q", ErrTimeout, party)
 	}
-	return decodeMessage(frame)
 }
 
-// Close implements Transport.
+// Close implements Transport and reaps the reader goroutine.
 func (c *TCPClient) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -198,7 +236,11 @@ func (c *TCPClient) Close() error {
 		return fmt.Errorf("flnet: client already closed")
 	}
 	c.closed = true
-	return c.conn.Close()
+	close(c.done)
+	err := c.conn.Close()
+	for range c.frames { // until readLoop has exited
+	}
+	return err
 }
 
 // ---- framing ---------------------------------------------------------

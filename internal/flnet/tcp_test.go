@@ -248,3 +248,143 @@ func TestLargeFrameRoundTrips(t *testing.T) {
 		t.Fatalf("3 MiB payload corrupted in flight: kind %q round %d, %d bytes", msg.Kind, msg.Round, len(msg.Payload))
 	}
 }
+
+// TestRecvTimeoutMidFrameKeepsTheStream is the slow-loris case: the peer
+// writes half a frame, the receiver's deadline expires, the peer writes the
+// rest — and the next Recv returns the whole message. (Before the reader
+// goroutine moved into TCPClient a read deadline fired inside readFrame and
+// the bytes already consumed were lost: the stream was desynchronised.)
+func TestRecvTimeoutMidFrameKeepsTheStream(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	want := Message{From: "peer", To: "rx", Kind: "grads", Round: 7, Payload: bytes.Repeat([]byte{0xAB}, 300)}
+	firstHalf, rest := make(chan struct{}), make(chan struct{})
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		readFrame(conn) // consume the hello
+		body := encodeMessage(want)
+		var hdr [4]byte
+		binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
+		conn.Write(hdr[:])
+		conn.Write(body[:len(body)/2])
+		close(firstHalf)
+		<-rest
+		conn.Write(body[len(body)/2:])
+		time.Sleep(time.Second) // keep the connection open while the receiver reads
+	}()
+	c, err := DialHub(ln.Addr().String(), "rx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	<-firstHalf
+	if _, err := c.RecvTimeout("rx", 20*time.Millisecond); !IsTimeout(err) {
+		t.Fatalf("half a frame within the deadline: want a timeout, got %v", err)
+	}
+	close(rest)
+	got, err := c.RecvTimeout("rx", 5*time.Second)
+	if err != nil {
+		t.Fatalf("the completed frame was lost with the timeout: %v", err)
+	}
+	if got.From != want.From || got.Kind != want.Kind || got.Round != want.Round || !bytes.Equal(got.Payload, want.Payload) {
+		t.Fatalf("stream desynchronised after a mid-frame timeout: got %+v", got)
+	}
+}
+
+// TestDialTimeoutCloseLeavesNoGoroutine: Close reaps the reader goroutine,
+// whether it was blocked in a read or holding a frame nobody received.
+func TestDialTimeoutCloseLeavesNoGoroutine(t *testing.T) {
+	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	sender, err := DialHub(hub.Addr(), "sender")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sender.Close()
+	cycle := func(i int) {
+		c, err := DialHub(hub.Addr(), "cycler")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i%2 == 1 { // leave a frame parked in the reader, unreceived
+			if err := sender.Send(Message{From: "sender", To: "cycler", Kind: "x"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := c.RecvTimeout("cycler", time.Millisecond); err != nil && !IsTimeout(err) {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle(0) // warm up whatever the runtime starts lazily
+	settle := func() int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 100; i++ {
+			time.Sleep(10 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				break
+			}
+			n = m
+		}
+		return n
+	}
+	before := settle()
+	for i := 0; i < 100; i++ {
+		cycle(i)
+	}
+	if after := settle(); after > before {
+		t.Fatalf("%d goroutines before 100 dial/timeout/close cycles, %d after", before, after)
+	}
+}
+
+// TestHubDropsSpoofedFrom: a connection speaks for the name it said hello
+// with; a frame claiming another From is dropped and counted, not relayed.
+func TestHubDropsSpoofedFrom(t *testing.T) {
+	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	mallory, err := DialHub(hub.Addr(), "mallory")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mallory.Close()
+	server, err := DialHub(hub.Addr(), "server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	if err := mallory.Send(Message{From: "alice", To: "server", Kind: "grads", Payload: []byte("forged")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := mallory.Send(Message{From: "mallory", To: "server", Kind: "grads", Payload: []byte("own")}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := server.RecvTimeout("server", 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.From != "mallory" || string(got.Payload) != "own" {
+		t.Fatalf("hub relayed %q from %q: the forged frame got through", got.Payload, got.From)
+	}
+	if n := hub.Spoofed(); n != 1 {
+		t.Fatalf("hub counted %d spoofed frames, want 1", n)
+	}
+	if _, msgs, _ := hub.Meter().Snapshot(); msgs != 1 {
+		t.Fatalf("hub metered %d messages, want the honest one only", msgs)
+	}
+}
