@@ -8,6 +8,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 
@@ -127,13 +128,21 @@ func (p *Platform) ModInv(x []mpint.Nat, n mpint.Nat) ([]mpint.Nat, error) {
 	return out, nil
 }
 
+// ErrModulus rejects a modulus the Montgomery kernels of ModMul and ModPow have
+// no context for: zero, even, or 1. The last is odd and not zero, and the only
+// answer mod 1 is 0, but it is rejected with the others, before anything is
+// stated: the zero vector would be the one result these two return without
+// running their kernel — a case of its own on every engine — for a modulus no
+// protocol produces and a caller almost certainly did not mean.
+var ErrModulus = errors.New("modulus must be odd and at least 3")
+
 // ModMul computes values1[i] · values2[i] mod n via the device's Montgomery
 // kernel; n must be odd. Any naturals are accepted: an operand at or above n is
 // reduced mod n on the host before the op is stated — the kernel multiplies
 // residues, and uploads them at the width of n.
 func (p *Platform) ModMul(values1, values2 []mpint.Nat, n mpint.Nat) ([]mpint.Nat, error) {
-	if n.IsZero() || n.IsEven() {
-		return nil, fmt.Errorf("core: ModMul needs an odd modulus")
+	if n.IsEven() || n.IsOne() {
+		return nil, fmt.Errorf("core: ModMul: %w", ErrModulus)
 	}
 	return p.st.Checked.ModMulVec(residues(values1, n), residues(values2, n), mpint.NewMont(n))
 }
@@ -160,8 +169,8 @@ func residues(xs []mpint.Nat, n mpint.Nat) []mpint.Nat {
 // n must be odd. Any naturals are accepted, as for ModMul: a base at or above
 // n is reduced mod n, here inside the kernel's lane.
 func (p *Platform) ModPow(x []mpint.Nat, e, n mpint.Nat) ([]mpint.Nat, error) {
-	if n.IsZero() || n.IsEven() {
-		return nil, fmt.Errorf("core: ModPow needs an odd modulus")
+	if n.IsEven() || n.IsOne() {
+		return nil, fmt.Errorf("core: ModPow: %w", ErrModulus)
 	}
 	return p.st.Checked.ModExpVec(x, e, mpint.NewMont(n))
 }

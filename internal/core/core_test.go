@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/big"
 	"testing"
 
@@ -154,6 +155,25 @@ func testModularOps(t *testing.T, p *Platform) {
 	}
 	if _, err := p.ModPow(natVec(1), mpint.One(), mpint.FromUint64(4)); err == nil {
 		t.Fatal("even modulus should fail")
+	}
+}
+
+// TestModulusOne: 1 passed the "odd, not zero" check of ModMul and ModPow and
+// took the process down in mpint.NewMont ("Montgomery modulus must be odd and
+// >= 3"). It rejects typed, with zero and the even moduli, before anything is
+// stated or launched.
+func TestModulusOne(t *testing.T) {
+	p := Default(1)
+	for _, n := range []mpint.Nat{mpint.One(), {1, 0}, mpint.Zero(), mpint.FromUint64(8)} {
+		if _, err := p.ModPow(natVec(5), mpint.FromUint64(3), n); !errors.Is(err, ErrModulus) {
+			t.Errorf("ModPow mod %s: error %v, want ErrModulus", n, err)
+		}
+		if _, err := p.ModMul(natVec(5), natVec(7), n); !errors.Is(err, ErrModulus) {
+			t.Errorf("ModMul mod %s: error %v, want ErrModulus", n, err)
+		}
+	}
+	if st := p.Device().Stats(); st.KernelLaunches != 0 || st.BytesHostToDev != 0 {
+		t.Fatalf("a rejected modulus reached the device: %d launches, %d bytes up", st.KernelLaunches, st.BytesHostToDev)
 	}
 }
 

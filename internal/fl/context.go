@@ -439,20 +439,6 @@ func (c *Context) DecryptAggregated(cts []paillier.Ciphertext, count, parties in
 	return c.DecodeAggregates(pts, count, parties)
 }
 
-// MulPlainCiphertexts multiplies each ciphertext by a plaintext scalar — the
-// E(g)·x step vertical models use. Scalars are quantized values.
-func (c *Context) MulPlainCiphertexts(cts []paillier.Ciphertext, scalars []mpint.Nat) ([]paillier.Ciphertext, error) {
-	base := c.simBase()
-	start := time.Now()
-	out, err := c.Backend.MulPlainVec(&c.Key.PublicKey, cts, scalars)
-	if err != nil {
-		return nil, err
-	}
-	wall := time.Since(start)
-	c.Costs.AddHE(wall, c.simSince(base, wall), int64(len(cts)), int64(len(cts)))
-	return out, nil
-}
-
 // CiphertextWireBytes is the encoded size of a ciphertext batch on the wire.
 func (c *Context) CiphertextWireBytes(n int) int64 {
 	return int64(n) * (int64(c.Key.CiphertextBytes()) + 4)

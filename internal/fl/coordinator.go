@@ -84,6 +84,7 @@ type Round struct {
 	retrier *flnet.RetryTransport // nil when MaxRetries is 0
 
 	included    []string              // clients delivered to agg, canonical order once gathered
+	waiting     map[string]bool       // Gather's wave: who has yet to upload; cleared a wave
 	dropped     map[string]RoundPhase // dropped client -> losing phase
 	stale, dups int
 	drained     bool // the drain signal cut a gather short
@@ -143,6 +144,8 @@ func (c *Coordinator) Begin(sched Schedule, tr flnet.Transport) (*Round, error) 
 		attempt:       attempt,
 		tr:            tr,
 		dropped:       make(map[string]RoundPhase),
+		included:      make([]string, 0, len(sched.Cohort)),
+		waiting:       make(map[string]bool),
 		agg:           ctx.NewAggregation(sched.Round, sched.Cohort),
 		phaseRecorder: phaseRecorder{ctx: ctx, anat: &RoundAnatomy{Round: sched.Round}},
 	}
@@ -310,7 +313,8 @@ func (rd *Round) recv(deadline time.Time, stop <-chan struct{}) (flnet.Message, 
 // through the drop budget or, in Aggregate, the quorum.
 func (rd *Round) Gather(expect []string, stop <-chan struct{}) error {
 	deadline := rd.c.ctx.Profile.Round.phaseDeadline()
-	waiting := make(map[string]bool, len(expect))
+	waiting := rd.waiting
+	clear(waiting)
 	for _, name := range expect {
 		waiting[name] = true
 	}

@@ -2,7 +2,7 @@ package fl
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"flbooster/internal/mpint"
 )
@@ -76,19 +76,22 @@ func SampleCohort(active []string, k int, seed, round uint64) []string {
 	if k <= 0 || k >= len(active) {
 		return append([]string(nil), active...)
 	}
-	pos := make(map[string]int, len(active))
-	for i, m := range active {
-		pos[m] = i
+	// Partial Fisher–Yates over roster positions: the first k slots of the
+	// shuffle are a uniform k-subset without paying for the full permutation,
+	// and positions sort back into roster order without a name → position map.
+	pool := make([]int32, len(active))
+	for i := range pool {
+		pool[i] = int32(i)
 	}
-	// Partial Fisher–Yates: the first k slots of the shuffle are a uniform
-	// k-subset without paying for the full permutation.
-	pool := append([]string(nil), active...)
 	rng := mpint.NewRNG(seed ^ round*0x9E3779B97F4A7C15 ^ cohortSeedSalt)
 	for i := 0; i < k; i++ {
 		j := i + rng.Intn(len(pool)-i)
 		pool[i], pool[j] = pool[j], pool[i]
 	}
-	cohort := pool[:k]
-	sort.Slice(cohort, func(a, b int) bool { return pos[cohort[a]] < pos[cohort[b]] })
+	slices.Sort(pool[:k])
+	cohort := make([]string, k)
+	for i, p := range pool[:k] {
+		cohort[i] = active[p]
+	}
 	return cohort
 }

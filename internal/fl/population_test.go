@@ -2,8 +2,11 @@ package fl
 
 import (
 	"slices"
+	"sort"
 	"strings"
 	"testing"
+
+	"flbooster/internal/mpint"
 )
 
 func testRoster(n int) []string {
@@ -77,6 +80,56 @@ func TestSampleCohortDegenerateSizes(t *testing.T) {
 			t.Fatal("sample aliases the roster slice")
 		}
 		active[0] = ClientName(0)
+	}
+}
+
+// sampleCohortByName is the sampler as it shuffled names — a copy of the
+// roster under the same draws, sorted back through a name → position map —
+// kept as the oracle of the one that shuffles positions.
+func sampleCohortByName(active []string, k int, seed, round uint64) []string {
+	if k <= 0 || k >= len(active) {
+		return append([]string(nil), active...)
+	}
+	pos := make(map[string]int, len(active))
+	for i, m := range active {
+		pos[m] = i
+	}
+	pool := append([]string(nil), active...)
+	rng := mpint.NewRNG(seed ^ round*0x9E3779B97F4A7C15 ^ cohortSeedSalt)
+	for i := 0; i < k; i++ {
+		j := i + rng.Intn(len(pool)-i)
+		pool[i], pool[j] = pool[j], pool[i]
+	}
+	cohort := pool[:k]
+	sort.Slice(cohort, func(a, b int) bool { return pos[cohort[a]] < pos[cohort[b]] })
+	return cohort
+}
+
+// TestSampleCohortEqualsTheNameShuffle: the cohort is the one the sampler drew
+// while it shuffled names, member for member, over 1,200 (n, k, seed, round)
+// tuples — k = 1, k = n−1, k ≥ n and k ≤ 0 among them, rosters of 1 to 2,048 —
+// so every journaled cohort replays and every golden round keeps its members.
+func TestSampleCohortEqualsTheNameShuffle(t *testing.T) {
+	r := mpint.NewRNG(0xC0407)
+	tuples := 0
+	for _, n := range []int{1, 2, 3, 7, 64, 257, 2048} {
+		active := testRoster(n)
+		ks := []int{-1, 0, 1, n - 1, n, n + 3}
+		for len(ks) < 12 {
+			ks = append(ks, 1+r.Intn(n))
+		}
+		for _, k := range ks {
+			for draw := 0; draw < 15; draw++ {
+				seed, round := r.Uint64(), r.Uint64()%1000
+				if got, want := SampleCohort(active, k, seed, round), sampleCohortByName(active, k, seed, round); !slices.Equal(got, want) {
+					t.Fatalf("n=%d k=%d seed=%d round=%d:\n got %v\nwant %v", n, k, seed, round, got, want)
+				}
+				tuples++
+			}
+		}
+	}
+	if tuples < 1000 {
+		t.Fatalf("only %d tuples compared", tuples)
 	}
 }
 

@@ -149,9 +149,9 @@ type ReturnRoute struct {
 // route.Decryptor — the same []uint64, bit for bit, that DecryptRaw returns.
 //
 // With batch compression on, the party first packs ReturnSlots sums into
-// each ciphertext (acc ← acc^(2^64)·c, Horner from the top slot down, every
-// partially filled ciphertext advancing in the same MulPlainVec/AddVec
-// launch), so ⌈k/slots⌉ ciphertexts and a 4-byte value count cross the wire
+// each ciphertext (acc ← acc^(2^64)·c, Horner from the top slot down, a pack a
+// lane of one ShiftPackVec launch), so ⌈k/slots⌉ ciphertexts and a 4-byte
+// value count cross the wire
 // and the decryptor decrypts once per packed ciphertext. Without it the
 // request is the k ciphertexts themselves.
 //
@@ -198,45 +198,26 @@ func (c *Context) OpenSums(route ReturnRoute, cts []paillier.Ciphertext, bounds 
 }
 
 // packSums shifts cts into slots-per-ciphertext layout: packed ciphertext g
-// holds cts[g·slots+j] in slot j. Only the last ciphertext can be partly
-// filled, so at slot j the ciphertexts already started are a prefix of the
-// ones that have a value there; the prefix is shifted and added in one launch
-// each, the rest start from their top value.
+// holds cts[g·slots+j] in slot j, only the last partly filled — one charged HE
+// batch, one kernel launch on the GPU profiles. It is charged as the Horner
+// chain it is: a ciphertext-scalar product and a homomorphic addition for
+// every sum past the first of its pack.
 func (c *Context) packSums(cts []paillier.Ciphertext, slots int) ([]paillier.Ciphertext, error) {
 	if slots == 1 || len(cts) == 1 {
 		return cts, nil
 	}
-	groups := (len(cts) + slots - 1) / slots
-	shift := make([]mpint.Nat, groups)
-	for g := range shift {
-		shift[g] = slotShift
+	base := c.simBase()
+	start := time.Now()
+	packed, err := c.Backend.ShiftPackVec(&c.Key.PublicKey, cts, slots, returnSlotBits)
+	if err != nil {
+		return nil, err
 	}
-	acc := make([]paillier.Ciphertext, 0, groups)
-	next := make([]paillier.Ciphertext, 0, groups)
-	for j := min(slots, len(cts)) - 1; j >= 0; j-- {
-		have := (len(cts) - j + slots - 1) / slots
-		next = next[:0]
-		for g := 0; g < have; g++ {
-			next = append(next, cts[g*slots+j])
-		}
-		if started := len(acc); started > 0 {
-			shifted, err := c.MulPlainCiphertexts(acc, shift[:started])
-			if err != nil {
-				return nil, err
-			}
-			if acc, err = c.addCiphertexts(shifted, next[:started]); err != nil {
-				return nil, err
-			}
-		}
-		acc = append(acc, next[len(acc):]...)
-	}
-	c.Costs.AddCompression(int64(len(cts)), int64(len(acc)))
-	return acc, nil
+	wall := time.Since(start)
+	steps := 2 * int64(len(cts)-len(packed))
+	c.Costs.AddHE(wall, c.simSince(base, wall), steps, steps)
+	c.Costs.AddCompression(int64(len(cts)), int64(len(packed)))
+	return packed, nil
 }
-
-// slotShift is 2^64, the plaintext scalar that moves a packed ciphertext up
-// one return-path slot.
-var slotShift = mpint.Nat{0, 1}
 
 // Send routes one protocol message of payloadBytes through net and charges
 // it to the communication component.

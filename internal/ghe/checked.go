@@ -141,7 +141,7 @@ func NewCheckedEngine(set *gpu.DeviceSet, cfg CheckedConfig) (*CheckedEngine, er
 		return nil, fmt.Errorf("ghe: NewCheckedEngine needs a device set")
 	}
 	c := &CheckedEngine{set: set, cfg: cfg.withDefaults(), members: make([]*member, set.Size())}
-	c.vecAPI = vecAPI{c.schedule}
+	c.vecAPI = vecAPI{c.schedule, new(sync.Pool), set.Device(0).Config().KernelDeadline == 0}
 	c.sched = gpu.ShardOp{Run: c.onMember, Host: c.onHost}
 	for i := range c.members {
 		eng, err := NewEngine(set.Device(i))

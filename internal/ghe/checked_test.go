@@ -3,6 +3,7 @@ package ghe
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
@@ -446,10 +447,106 @@ func TestPoisonedPrimeLaneNeverVerifies(t *testing.T) {
 		t.Fatal("a clean window failed verification")
 	}
 	for _, lane := range []int{0, first} {
-		op.poison(lane)
+		op.Poison(lane)
 		if mb.spotCheck(op, 1) {
 			t.Fatalf("lane %d poisoned to %s and verified", lane, op.out[lane])
 		}
-		op.poison(lane)
+		op.Poison(lane)
+	}
+}
+
+// testDecKey is a Paillier key of the given size as decrypt_crt_vec takes it,
+// with its factorisation.
+func testDecKey(t testing.TB, r *mpint.RNG, bits int) (DecryptKey, *mpint.CRT) {
+	t.Helper()
+	for {
+		p, q := r.RandPrime(bits/2), r.RandPrime(bits/2)
+		if mpint.Cmp(p, q) == 0 {
+			continue
+		}
+		crt, err := mpint.NewCRT(p, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if key, ok := decKey(crt, p, q); ok {
+			return key, crt
+		}
+	}
+}
+
+// TestFusedDescriptorsUnderCorruption: with half of all launches silently
+// corrupted and every element verified, a poisoned plaintext out of
+// decrypt_crt_vec and a poisoned pack out of shift_pack_vec are caught by their
+// textbook recomputation, retried, and come back bit-exact — 40 ops each, the
+// device kept in rotation so every op keeps going through it.
+func TestFusedDescriptorsUnderCorruption(t *testing.T) {
+	r := mpint.NewRNG(0xF05ED)
+	key, crt := testDecKey(t, r, 256)
+	n := crt.N()
+	n2 := mpint.NewMont(mpint.Mul(n, n))
+	pts := randVec(r, 11, n)
+	cts := make([]mpint.Nat, len(pts))
+	for i, pt := range pts {
+		cts[i] = crt.Encrypt(pt, r.RandCoprime(n))
+	}
+	const slots, slotBits = 3, 64
+	packs := (len(cts) + slots - 1) / slots // the last holds two of three
+	wantPacks, err := NewCPUEngine().ShiftPackVec(cts, slots, slotBits, n2)
+	if err != nil || len(wantPacks) != packs {
+		t.Fatalf("%d packs, error %v", len(wantPacks), err)
+	}
+
+	c := checkedEngine(t,
+		gpu.FaultConfig{Seed: 23, CorruptProb: 0.5},
+		CheckedConfig{VerifyFraction: 1, VerifySeed: 23, MaxRetries: 12})
+	c.Set().Device(0).SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 1, FailAfter: 1 << 30})
+	for op := 0; op < 40; op++ {
+		opened, err := c.DecryptVec(cts, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed, err := c.ShiftPackVec(cts, slots, slotBits, n2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameVec(t, "decrypt_crt_vec under corruption", opened, pts)
+		sameVec(t, "shift_pack_vec under corruption", packed, wantPacks)
+	}
+	st := c.Stats()
+	if st.VerifyFailures == 0 || st.Retries == 0 || st.FallbackOps != 0 {
+		t.Fatalf("want corruptions caught and retried on the device, none served by the host: %+v", st)
+	}
+}
+
+// TestFramesAreNotPooledUnderAWatchdog: a frame goes back to its engine's pool
+// only where a launch cannot return ahead of its lanes. Over a device with a
+// launch watchdog a released frame is never handed out again and keeps what
+// it staged — an abandoned attempt's lanes may still be reading it.
+func TestFramesAreNotPooledUnderAWatchdog(t *testing.T) {
+	cfg := gpu.SmallTestDevice()
+	cfg.KernelDeadline = time.Second
+	set, err := gpu.NewDeviceSet(cfg, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	armed, err := NewCheckedEngine(set, CheckedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, eng := range map[string]VectorEngine{"executor": armed, "device": MustEngine(set.Device(0))} {
+		seen := map[*Frame]bool{}
+		for i := 0; i < 50; i++ {
+			f := eng.Frame(4)
+			if seen[f] {
+				t.Fatalf("%s: a released frame came back under a watchdog", name)
+			}
+			seen[f] = true
+			v := f.Vec(4)
+			v[0] = mpint.One()
+			f.Release()
+			if !v[0].IsOne() {
+				t.Fatalf("%s: Release cleared a frame that is not pooled", name)
+			}
+		}
 	}
 }

@@ -80,6 +80,27 @@ func encryptCRTWordOps(kn int, st [4]mpint.CRTStage) int64 {
 	return ops
 }
 
+// decryptCRTWordOps is the per-item cost of decrypt_crt_vec
+// (mpint.CRT.Decrypt) for a key of kn words: a prime s, the reduction of the
+// ciphertext — 2·kn words — mod s² (a multiply-subtract over the square's words
+// for every word the ciphertext is longer than it, and one more), the window
+// over s² under the exponent s−1 (as long as s, the stage's own exponent), the
+// multiply that leaves Montgomery form, the division of L_s (the square's words
+// by the prime's) and the Montgomery product by h; then Garner's step over
+// (p, q): a reduction, a product mod p and the plain q·h. At a 2048-bit key the
+// two windows are 2·1228·8320 ≈ 20.4 M word-ops — what the two mod_exp_vec
+// launches this replaces charged — and the rest 40 k, which used to run on the
+// host, unpriced.
+func decryptCRTWordOps(kn int, st [4]mpint.CRTStage) int64 {
+	ops := int64(2*st[0].Limbs*st[2].Limbs) + montMulWordOps(st[0].Limbs)
+	for i := 0; i < 4; i += 2 {
+		k1, k2 := st[i].Limbs, st[i+1].Limbs
+		ops += int64((max(2*kn-k2, 0)+1)*k2) + modExpWordOps(k2, st[i+1].ExpBits) +
+			montMulWordOps(k2) + int64(k1*k2) + montMulWordOps(k1)
+	}
+	return ops
+}
+
 // regsForLimbs models a kernel's per-thread register demand as a function of
 // operand size: the working set of CIOS holds the accumulator row plus
 // pointers and carries. Larger keys need more registers, which is what

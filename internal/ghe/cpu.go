@@ -3,6 +3,7 @@ package ghe
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"flbooster/internal/mpint"
 )
@@ -15,26 +16,15 @@ var (
 	ErrPlaintext   = errors.New("plaintext not below the modulus")
 )
 
-// VectorEngine is the vector interface of the GPU-HE layer as consumed by
-// the Paillier backend: batched modular exponentiation, modular
-// multiplication, and encryption. Engine (one device, one attempt),
-// CheckedEngine (a device set + verification + retry + stealing + failover),
-// and CPUEngine (pure host) all implement it, so callers degrade between
-// substrates without code changes.
+// VectorEngine is the GPU-HE layer as the Paillier backend consumes it: the
+// source of the frames its six operations run in. Engine (one device, one
+// attempt), CheckedEngine (a device set + verification + retry + stealing +
+// failover), and CPUEngine (pure host) all implement it, so callers degrade
+// between substrates without code changes.
 type VectorEngine interface {
-	// ModExpVec computes bases[i]^exp mod m.N() for every i.
-	ModExpVec(bases []mpint.Nat, exp mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error)
-	// ModExpVarVec computes bases[i]^exps[i] mod m.N() for every i.
-	ModExpVarVec(bases, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error)
-	// MultiExpVec computes Π bases[t.Index]^t.Weight mod m.N() over the terms
-	// t of sums[i], for every i: weighted sums of one ciphertext vector.
-	MultiExpVec(bases []mpint.Nat, sums [][]mpint.Term, m *mpint.Mont) ([]mpint.Nat, error)
-	// ModMulVec computes a[i]*b[i] mod m.N() for every i.
-	ModMulVec(a, b []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error)
-	// EncryptVec computes the Paillier ciphertext (1 + ms[i]·n)·rᵢⁿ mod n² for
-	// every i, rᵢ = RandCoprimeAt(seed, i, n), in one launch. A plaintext that
-	// is not below n rejects with ErrPlaintext.
-	EncryptVec(ms []mpint.Nat, key EncryptKey, seed uint64) ([]mpint.Nat, error)
+	// Frame returns the working set of one call, with staging for n values:
+	// the operand views the caller carves and the results of its op.
+	Frame(n int) *Frame
 }
 
 // EncryptKey is a Paillier key under g = n+1 as EncryptVec needs it: what any
@@ -47,18 +37,148 @@ type EncryptKey struct {
 	CRT   *mpint.CRT         // the factorisation of n; nil unless the caller owns the key
 }
 
-// vecAPI is the VectorEngine methods, Table I's arithmetic ops and the prime
-// search, written once for the three engines that embed it
-// (which is what keeps them interchangeable): each method checks its operands,
-// states the op as a descriptor (ops.go) and hands it to exec, the one thing
-// the embedding engines differ in. An empty vector is no op at all: nothing is
-// launched or charged.
+// DecryptKey is a Paillier private key under g = n+1 as DecryptVec needs it:
+// the factorisation with the two reduced-exponent constants the lane works
+// through, and the textbook trapdoor verification recomputes a sample with.
+type DecryptKey struct {
+	CRT        *mpint.CRT
+	HP, HQ     mpint.Nat // L_s(g^(s−1) mod s²)⁻¹ mod s for s = p, q, in Montgomery form
+	Lambda, Mu mpint.Nat // λ = lcm(p−1, q−1) and μ = L(g^λ mod n²)⁻¹ mod n
+}
+
+// Frame is the working set of one backend call, all of it dead at Release:
+// Fig. 4's convert step — the []Nat views of the call's ciphertext operands
+// (Vec) and the results of the op it runs, staged until the backend has copied
+// them out — and the op's descriptor, one of each kind, so stating an op
+// allocates nothing. One of the six methods below runs the op; what it returns
+// is carved from the frame, and an op over no items is no op at all.
+//
+// Frames are pooled — unless the engine's devices arm a launch watchdog: a
+// launch it gives up on returns with lanes still running, and they read their
+// descriptor and operands and write their results whenever they get there, so
+// under a watchdog every call works in memory of its own.
+type Frame struct {
+	v     vecAPI
+	slots []mpint.Nat // staging, carved up to cap
+	used  int
+
+	expVar modExpVarOp
+	multi  multiExpOp
+	mul    modMulOp
+	enc    encryptOp
+	dec    decryptOp
+	pack   shiftPackOp
+}
+
+// Vec carves the frame's next n staging values, all nil.
+func (f *Frame) Vec(n int) []mpint.Nat {
+	f.used += n
+	return f.slots[f.used-n : f.used : f.used]
+}
+
+// Release ends the call: nothing of the frame may be used after it.
+func (f *Frame) Release() {
+	if f.v.pooled {
+		clear(f.slots[:f.used]) // a pooled frame must not pin a batch's limbs
+		*f = Frame{v: f.v, slots: f.slots}
+		f.v.frames.Put(f)
+	}
+}
+
+// ModExpVarVec computes bases[i]^exps[i] mod m.N() for every i. bases and exps
+// must have equal length.
+func (f *Frame) ModExpVarVec(bases, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
+	if len(bases) != len(exps) {
+		return nil, fmt.Errorf("ghe: ModExpVarVec %w %d vs %d", ErrLength, len(bases), len(exps))
+	}
+	f.expVar = modExpVarOp{modVec{outVec{f.Vec(len(bases))}, m}, bases, exps}
+	return f.v.run(&f.expVar)
+}
+
+// MultiExpVec computes Π bases[t.Index]^t.Weight mod m.N() over the terms t of
+// sums[i], for every i: weighted sums of one ciphertext vector. Zero weights
+// are no terms, and a sum without a term is 1; a term that refers outside bases
+// rejects with mpint.ErrTermIndex before anything is launched.
+func (f *Frame) MultiExpVec(bases []mpint.Nat, sums [][]mpint.Term, m *mpint.Mont) ([]mpint.Nat, error) {
+	tbl, err := m.NewMultiExpTable(bases, sums)
+	if err != nil {
+		return nil, fmt.Errorf("ghe: MultiExpVec: %w", err)
+	}
+	f.multi = multiExpOp{modVec: modVec{outVec{f.Vec(len(sums))}, m}, bases: bases, sums: sums, tbl: tbl}
+	out, err := f.v.run(&f.multi)
+	if err == nil {
+		f.multi.release()
+	}
+	return out, err
+}
+
+// ModMulVec computes a[i]*b[i] mod m.N() for every i. a and b must have equal
+// length.
+func (f *Frame) ModMulVec(a, b []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
+	if len(a) != len(b) {
+		return nil, fmt.Errorf("ghe: ModMulVec %w %d vs %d", ErrLength, len(a), len(b))
+	}
+	f.mul = modMulOp{modVec{outVec{f.Vec(len(a))}, m}, a, b}
+	return f.v.run(&f.mul)
+}
+
+// EncryptVec computes the Paillier ciphertext (1 + ms[i]·n)·rᵢⁿ mod n² for
+// every i, rᵢ = RandCoprimeAt(seed, i, n), in one launch. A plaintext that is
+// not below n rejects with ErrPlaintext before anything is uploaded.
+func (f *Frame) EncryptVec(ms []mpint.Nat, key EncryptKey, seed uint64) (_ []mpint.Nat, err error) {
+	if f.enc, err = newEncryptOp(f.Vec(len(ms)), ms, key, seed); err != nil {
+		return nil, fmt.Errorf("ghe: EncryptVec: %w", err)
+	}
+	return f.v.run(&f.enc)
+}
+
+// DecryptVec computes the Paillier plaintext of every cs[i] < n², through the
+// factorisation, in one launch.
+func (f *Frame) DecryptVec(cs []mpint.Nat, key DecryptKey) ([]mpint.Nat, error) {
+	f.dec = decryptOp{outVec{f.Vec(len(cs))}, cs, key}
+	return f.v.run(&f.dec)
+}
+
+// ShiftPackVec computes Π cs[i·slots+j]^(2^(slotBits·j)) mod m.N() over the
+// j < slots that cs has a value for: ciphertext i of the ⌈len(cs)/slots⌉ it
+// returns packs the plaintexts of its group into slotBits-wide slots, the
+// first lowest.
+func (f *Frame) ShiftPackVec(cs []mpint.Nat, slots, slotBits int, m *mpint.Mont) ([]mpint.Nat, error) {
+	if slots < 1 || slotBits < 1 {
+		return nil, fmt.Errorf("ghe: ShiftPackVec needs slots and slot bits of at least 1, got %d and %d", slots, slotBits)
+	}
+	shift := mpint.CompileExpAuto(mpint.Lsh(mpint.One(), uint(slotBits)))
+	f.pack = shiftPackOp{modVec{outVec{f.Vec((len(cs) + slots - 1) / slots)}, m}, cs, slots, slotBits, shift}
+	return f.v.run(&f.pack)
+}
+
+// vecAPI is what the three engines share, which is what keeps them
+// interchangeable: the frames the backend's ops run in, Table I's arithmetic
+// ops and the prime search. Each method checks its operands, states the op as
+// a descriptor (ops.go) and hands it to exec, the one thing the embedding
+// engines differ in. An empty vector is no op at all: nothing is launched or
+// charged.
 type vecAPI struct {
-	exec func(op vecOp) error
+	exec   func(op vecOp) error
+	frames *sync.Pool // of *Frame
+	pooled bool       // whether Release fills it: not under a launch watchdog
 }
 
 var _ VectorEngine = vecAPI{}
 
+// Frame implements VectorEngine.
+func (v vecAPI) Frame(n int) *Frame {
+	f, _ := v.frames.Get().(*Frame)
+	if f == nil {
+		f = &Frame{v: v}
+	}
+	if cap(f.slots) < n {
+		f.slots = make([]mpint.Nat, n)
+	}
+	return f
+}
+
+// run executes op and returns its result vector.
 func (v vecAPI) run(op vecOp) ([]mpint.Nat, error) {
 	if len(op.result()) == 0 {
 		return nil, nil
@@ -69,50 +189,17 @@ func (v vecAPI) run(op vecOp) ([]mpint.Nat, error) {
 	return op.result(), nil
 }
 
-// ModExpVec implements VectorEngine.
+// ModExpVec computes bases[i]^exp mod m.N() for every i.
 func (v vecAPI) ModExpVec(bases []mpint.Nat, exp mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
 	return v.run(&modExpOp{newModVec(len(bases), m), bases, exp, mpint.CompileExpAuto(exp)})
 }
 
-// ModExpVarVec implements VectorEngine. bases and exps must have equal
-// length.
-func (v vecAPI) ModExpVarVec(bases, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
-	if len(bases) != len(exps) {
-		return nil, fmt.Errorf("ghe: ModExpVarVec %w %d vs %d", ErrLength, len(bases), len(exps))
-	}
-	return v.run(&modExpVarOp{newModVec(len(bases), m), bases, exps})
-}
-
-// MultiExpVec implements VectorEngine. Zero weights are no terms, and a sum
-// without a term is 1; a term that refers outside bases rejects with
-// mpint.ErrTermIndex before anything is launched.
-func (v vecAPI) MultiExpVec(bases []mpint.Nat, sums [][]mpint.Term, m *mpint.Mont) ([]mpint.Nat, error) {
-	op, err := newMultiExpOp(newModVec(len(sums), m), bases, sums)
-	if err != nil {
-		return nil, fmt.Errorf("ghe: MultiExpVec: %w", err)
-	}
-	out, err := v.run(op)
-	if err == nil {
-		op.release()
-	}
-	return out, err
-}
-
-// ModMulVec implements VectorEngine. a and b must have equal length.
+// ModMulVec is Frame.ModMulVec into a vector of its own, the caller's to keep.
 func (v vecAPI) ModMulVec(a, b []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) {
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("ghe: ModMulVec %w %d vs %d", ErrLength, len(a), len(b))
 	}
 	return v.run(&modMulOp{newModVec(len(a), m), a, b})
-}
-
-// EncryptVec implements VectorEngine.
-func (v vecAPI) EncryptVec(ms []mpint.Nat, key EncryptKey, seed uint64) ([]mpint.Nat, error) {
-	op, err := newEncryptOp(ms, key, seed)
-	if err != nil {
-		return nil, fmt.Errorf("ghe: EncryptVec: %w", err)
-	}
-	return v.run(op)
 }
 
 // elem runs one of Table I's five arithmetic ops.
@@ -202,7 +289,7 @@ func (v vecAPI) GeneratePrimePair(bits int, seed uint64) (p, q mpint.Nat, err er
 type CPUEngine struct{ vecAPI }
 
 // NewCPUEngine returns the host engine.
-func NewCPUEngine() *CPUEngine { return &CPUEngine{vecAPI{runOnHost}} }
+func NewCPUEngine() *CPUEngine { return &CPUEngine{vecAPI{runOnHost, new(sync.Pool), true}} }
 
 // runOnHost executes an op on the host: its set-up stage without a launch,
 // then every lane in order.
@@ -211,7 +298,7 @@ func runOnHost(op vecOp) error {
 		return err
 	}
 	for i := range op.result() {
-		op.lane(i)
+		op.Lane(i)
 	}
 	return nil
 }

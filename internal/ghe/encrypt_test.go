@@ -72,8 +72,8 @@ func threeLaunches(t *testing.T, dev *gpu.Device, items int, crt *mpint.CRT, n2 
 		if l.up > 0 {
 			dev.CopyToDevice(l.up)
 		}
-		l.kern.Items = items
-		if _, err := dev.Launch(l.kern, func(int) {}); err != nil {
+		l.kern.Items, l.kern.Body = items, gpu.LaneFunc(func(int) {})
+		if _, err := dev.Launch(l.kern); err != nil {
 			t.Fatal(err)
 		}
 		dev.CopyFromDevice(l.down)
@@ -119,7 +119,7 @@ func TestEncryptVecOneLaunchUnderThree(t *testing.T) {
 			}
 		}
 		st := crt.Stages()
-		op, err := newEncryptOp(ms, encKey(crt, n2, true), seed)
+		op, err := newEncryptOp(make([]mpint.Nat, len(ms)), ms, encKey(crt, n2, true), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,10 +166,11 @@ func TestCheckedEncryptCatchesCorruption(t *testing.T) {
 	ms := randVec(r, 12, crt.N())
 	want := textbookEncrypt(ms, crt.N(), 5)
 
-	op, err := newEncryptOp(ms, encKey(crt, n2, true), 5)
+	stated, err := newEncryptOp(make([]mpint.Nat, len(ms)), ms, encKey(crt, n2, true), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
+	op := &stated
 	if err := runOnHost(op); err != nil {
 		t.Fatal(err)
 	}

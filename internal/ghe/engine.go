@@ -38,7 +38,7 @@ func NewEngine(dev *gpu.Device) (*Engine, error) {
 		return nil, fmt.Errorf("ghe: NewEngine needs a device")
 	}
 	e := &Engine{dev: dev}
-	e.vecAPI = vecAPI{e.launch}
+	e.vecAPI = vecAPI{e.launch, new(sync.Pool), dev.Config().KernelDeadline == 0}
 	return e, nil
 }
 
@@ -74,8 +74,8 @@ func (e *Engine) launch(op vecOp) error {
 		return fmt.Errorf("ghe: %s: %w", op.name(), err)
 	}
 	kern := op.kernel(e.dev.Config().WarpSize)
-	kern.Name, kern.Items, kern.Poison = op.name(), len(op.result()), op.poison
-	if _, err := e.dev.Launch(kern, op.lane); err != nil {
+	kern.Name, kern.Items, kern.Body = op.name(), len(op.result()), op
+	if _, err := e.dev.Launch(kern); err != nil {
 		return fmt.Errorf("ghe: %s: %w", op.name(), err)
 	}
 	e.dev.CopyFromDevice(op.d2h())

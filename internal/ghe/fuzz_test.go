@@ -28,6 +28,26 @@ func fuzzOperands() [][]byte {
 
 func toBig(x mpint.Nat) *big.Int { return new(big.Int).SetBytes(x.Bytes()) }
 
+// decKey is the decryption key of n = p·q under g = n+1 as paillier builds it:
+// the reduced-exponent constants L_s((n+1)^(s−1) mod s²)⁻¹ mod s in Montgomery
+// form, and the textbook trapdoor (λ, μ). It is not ok when the pair makes no
+// key: a prime dividing the other's predecessor, so that gcd(n, φ(n)) ≠ 1.
+func decKey(crt *mpint.CRT, p, q mpint.Nat) (DecryptKey, bool) {
+	n, pm1, qm1 := crt.N(), mpint.SubWord(p, 1), mpint.SubWord(q, 1)
+	h := func(s, sm1 mpint.Nat) (mpint.Nat, bool) {
+		x := mpint.ModExp(mpint.AddWord(n, 1), sm1, mpint.Mul(s, s))
+		return mpint.ModInverse(mpint.Div(mpint.SubWord(x, 1), s), s)
+	}
+	hp, okP := h(p, pm1)
+	hq, okQ := h(q, qm1)
+	lambda := mpint.LCM(pm1, qm1)
+	mu, okMu := mpint.ModInverse(mpint.Mod(lambda, n), n)
+	if !okP || !okQ || !okMu {
+		return DecryptKey{}, false
+	}
+	return DecryptKey{CRT: crt, HP: crt.P().ToMont(hp), HQ: crt.Q().ToMont(hq), Lambda: lambda, Mu: mu}, true
+}
+
 // fuzzVecCase is one op over fuzzed operands: a constructor (every run needs
 // its own output vector) and what math/big says element i is.
 type fuzzVecCase struct {
@@ -44,7 +64,12 @@ type fuzzVecCase struct {
 // and 3 devices, one of them killed at its first, second or third launch,
 // returns that vector too — a shard is bit-exact with the unsharded op, which
 // for encrypt_vec (a case a handle kind) is also what holds any split of a
-// batch to the nonces the whole batch draws. Operand errors (length mismatch,
+// batch to the nonces the whole batch draws. decrypt_crt_vec opens the holder's
+// encryptions of the fuzzed plaintexts, the ciphertext 1 among them, against
+// math/big's L(c^λ mod n²)·μ mod n — which is the plaintext — and
+// shift_pack_vec packs the fuzzed residues 1 to 5 to a pack under a 1- to
+// 70-bit shift, the last pack short on most seeds, against math/big's
+// Π cⱼ^(2^(b·j)). Operand errors (length mismatch,
 // underflow, zero divisor, a plaintext at or above n) reject typed with nothing
 // launched or uploaded.
 func FuzzVecOps(f *testing.F) {
@@ -55,6 +80,7 @@ func FuzzVecOps(f *testing.F) {
 	f.Add([]byte{0x10, 0x01}, []byte{0xFF}, []byte{0}, uint64(1))                                                     // exponent 0
 	f.Add([]byte{3}, []byte{2}, []byte{1}, uint64(2))                                                                 // the smallest modulus
 	f.Add(bytes.Repeat([]byte{0xFF}, 160), bytes.Repeat([]byte{0xFE}, 160), bytes.Repeat([]byte{0xA5}, 9), uint64(3)) // 40 limbs
+	f.Add([]byte{1}, []byte{5}, []byte{3}, uint64(4))                                                                 // the modulus 1: no context, so no op to state
 	f.Fuzz(func(t *testing.T, nb, ab, eb []byte, seed uint64) {
 		if len(nb) > 160 {
 			nb = nb[:160]
@@ -68,6 +94,8 @@ func FuzzVecOps(f *testing.F) {
 		}
 		n[0] |= 1
 		if n.IsOne() {
+			// No Montgomery context exists mod 1, so no op can be stated over it:
+			// core.Platform rejects the modulus typed (core.TestModulusOne).
 			return
 		}
 		m := mpint.NewMont(n)
@@ -142,7 +170,7 @@ func FuzzVecOps(f *testing.F) {
 		encrypt := func(holder bool) fuzzVecCase {
 			return fuzzVecCase{
 				func() vecOp {
-					op, err := newEncryptOp(batch, encKey(crt, n2, holder), seed)
+					op, err := newEncryptOp(make([]mpint.Nat, len(batch)), batch, encKey(crt, n2, holder), seed)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -154,7 +182,29 @@ func FuzzVecOps(f *testing.F) {
 					return c.Mod(c, bN2)
 				}}
 		}
+		// Packs of 1 to 5 residues under a 1- to 70-bit shift, the last pack up
+		// to slots−1 short.
+		slots, shiftBits := 1+int(seed>>12%5), 1+int(seed>>20%70)
+		packed := make([]mpint.Nat, items*slots-int(seed>>4%uint64(slots)))
+		for i := range packed {
+			packed[i] = a[i%items]
+			if i/items%2 == 1 {
+				packed[i] = b[i%items]
+			}
+		}
 		cases := map[string]fuzzVecCase{
+			"shift_pack_vec": {
+				func() vecOp {
+					return &shiftPackOp{newModVec(items, m), packed, slots, shiftBits, mpint.CompileExpAuto(mpint.Lsh(mpint.One(), uint(shiftBits)))}
+				},
+				func(i int) *big.Int {
+					prod, e := big.NewInt(1), big.NewInt(1)
+					for _, c := range packed[i*slots : min((i+1)*slots, len(packed))] {
+						prod.Mul(prod, new(big.Int).Exp(toBig(c), e, bn)).Mod(prod, bn)
+						e.Lsh(e, uint(shiftBits))
+					}
+					return prod
+				}},
 			"mod_exp_vec": {
 				func() vecOp { return &modExpOp{newModVec(items, m), a, exps[0], mpint.CompileExpAuto(exps[0])} },
 				func(i int) *big.Int { return new(big.Int).Exp(toBig(a[i]), toBig(exps[0]), bn) }},
@@ -165,11 +215,11 @@ func FuzzVecOps(f *testing.F) {
 				func(i int) *big.Int { return new(big.Int).Exp(toBig(a[i]), toBig(exps[i]), bn) }},
 			"multi_exp_vec": {
 				func() vecOp {
-					op, err := newMultiExpOp(newModVec(items, m), a, sums)
+					tbl, err := m.NewMultiExpTable(a, sums)
 					if err != nil {
 						t.Fatal(err)
 					}
-					return op
+					return &multiExpOp{modVec: newModVec(items, m), bases: a, sums: sums, tbl: tbl}
 				},
 				func(i int) *big.Int {
 					prod := big.NewInt(1)
@@ -198,6 +248,27 @@ func FuzzVecOps(f *testing.F) {
 					return new(big.Int)
 				}},
 		}
+		if key, ok := decKey(crt, p, q); ok {
+			// The holder's encryptions of xs at stream positions 0 and up, and
+			// the ciphertext 1: an encryption of zero under the nonce 1.
+			cts := make([]mpint.Nat, items)
+			for i := range cts {
+				cts[i] = crt.Encrypt(xs[i], RandCoprimeAt(seed, i, crt.N()))
+			}
+			opened := append(xs[:items-1:items-1], mpint.Zero())
+			cts[items-1] = mpint.One()
+			lambda, mu := toBig(key.Lambda), toBig(key.Mu)
+			cases["decrypt_crt_vec"] = fuzzVecCase{
+				func() vecOp { return &decryptOp{outVec{make([]mpint.Nat, items)}, cts, key} },
+				func(i int) *big.Int {
+					l := new(big.Int).Exp(toBig(cts[i]), lambda, bN2)
+					l.Mod(l.Mul(l.Quo(l.Sub(l, big.NewInt(1)), bN), mu), bN)
+					if l.Cmp(toBig(opened[i])) != 0 {
+						t.Fatalf("math/big opens E(%s) under n = %s to %s", opened[i], crt.N(), l)
+					}
+					return l
+				}}
+		}
 		for name, c := range cases {
 			ref := c.mk()
 			if !strings.HasPrefix(name, ref.name()) {
@@ -216,11 +287,11 @@ func FuzzVecOps(f *testing.F) {
 			}
 			// A poisoned lane never passes full verification.
 			bad := int(seed >> 56 % uint64(items))
-			ref.poison(bad)
+			ref.Poison(bad)
 			if (&member{rng: mpint.NewRNG(seed)}).spotCheck(ref, 1) {
 				t.Fatalf("%s[%d] mod %s: poisoned to %s and verified", name, bad, n, ref.result()[bad])
 			}
-			ref.poison(bad)
+			ref.Poison(bad)
 			same := func(engine string, got []mpint.Nat, err error) {
 				t.Helper()
 				if err != nil {

@@ -18,7 +18,7 @@ type vecOp interface {
 	// register width, word-ops per item (the Eq. 10 compute term, in the
 	// modelled device's 32-bit words whatever the host multiplies with) and
 	// divergent lanes. The engine fills in the name, the item count and the
-	// poison hook.
+	// body.
 	kernel(warp int) gpu.Kernel
 	// h2d and d2h are the bytes one launch moves up and down, at the operands'
 	// true widths.
@@ -28,10 +28,11 @@ type vecOp interface {
 	// kernel — as a launch and an upload on dev, or directly on the host when
 	// dev is nil — and returns the table entries it built.
 	setup(dev *gpu.Device) (entries int, err error)
-	// lane computes element i into result()[i]; poison flips its low bit,
-	// the injected silent corruption only verification can catch.
-	lane(i int)
-	poison(i int)
+	// Lane computes element i into result()[i]; Poison flips its low bit, the
+	// injected silent corruption only verification can catch. The descriptor
+	// is the launch's body (gpu.Body, gpu.Poisoner) as it stands.
+	Lane(i int)
+	Poison(i int)
 	// verify recomputes element i by arithmetic that shares nothing with
 	// lane, so one fault cannot corrupt both the result and its check.
 	verify(i int) mpint.Nat
@@ -74,7 +75,7 @@ type outVec struct{ out []mpint.Nat }
 func (v outVec) result() []mpint.Nat            { return v.out }
 func (v outVec) setup(*gpu.Device) (int, error) { return 0, nil }
 
-func (v outVec) poison(i int) {
+func (v outVec) Poison(i int) {
 	if v.out[i].Bit(0) == 0 {
 		v.out[i] = mpint.Add(v.out[i], mpint.One())
 	} else {
@@ -82,7 +83,7 @@ func (v outVec) poison(i int) {
 	}
 }
 
-// modVec is what the five ops with residues mod m for results share: the
+// modVec is what the six ops with residues mod m for results share: the
 // download width and a kernel as wide as the modulus.
 type modVec struct {
 	outVec
@@ -113,7 +114,7 @@ func (o *modExpOp) kernel(int) gpu.Kernel {
 	return o.kern(modExpWordOps(o.m.Limbs(), o.exp.BitLen()))
 }
 func (o *modExpOp) h2d() int64             { return natBytes(len(o.bases)+1, o.m.Limbs()) }
-func (o *modExpOp) lane(i int)             { o.out[i] = o.m.ExpSched(o.bases[i], o.sched) }
+func (o *modExpOp) Lane(i int)             { o.out[i] = o.m.ExpSched(o.bases[i], o.sched) }
 func (o *modExpOp) verify(i int) mpint.Nat { return o.m.Exp(o.bases[i], o.exp) }
 func (o *modExpOp) slice(lo, hi int) vecOp {
 	return &modExpOp{o.sub(lo, hi), o.bases[lo:hi], o.exp, o.sched}
@@ -133,7 +134,7 @@ func (o *modExpVarOp) kernel(warp int) gpu.Kernel {
 	return k
 }
 func (o *modExpVarOp) h2d() int64             { return 2 * natBytes(len(o.bases), o.m.Limbs()) }
-func (o *modExpVarOp) lane(i int)             { o.out[i] = o.m.Exp(o.bases[i], o.exps[i]) }
+func (o *modExpVarOp) Lane(i int)             { o.out[i] = o.m.Exp(o.bases[i], o.exps[i]) }
 func (o *modExpVarOp) verify(i int) mpint.Nat { return o.m.Exp(o.bases[i], o.exps[i]) }
 func (o *modExpVarOp) slice(lo, hi int) vecOp {
 	return &modExpVarOp{o.sub(lo, hi), o.bases[lo:hi], o.exps[lo:hi]}
@@ -166,16 +167,6 @@ type multiExpOp struct {
 	// returns without them), so a retry never rewrites the table they read and
 	// release never recycles one.
 	attempts int
-}
-
-// newMultiExpOp states the op over sums, rejecting a term that refers outside
-// bases (mpint.ErrTermIndex) before anything is uploaded.
-func newMultiExpOp(out modVec, bases []mpint.Nat, sums [][]mpint.Term) (*multiExpOp, error) {
-	tbl, err := out.m.NewMultiExpTable(bases, sums)
-	if err != nil {
-		return nil, err
-	}
-	return &multiExpOp{modVec: out, bases: bases, sums: sums, tbl: tbl}, nil
 }
 
 // replan is a fresh table over sums, a sub-range of the op's own: the indices
@@ -220,8 +211,8 @@ func (o *multiExpOp) setup(dev *gpu.Device) (int, error) {
 		}
 	} else {
 		kern := o.kern(tbl.RowMuls() * montMulWordOps(o.m.Limbs()))
-		kern.Name, kern.Items = "multi_exp_table", rows
-		if _, err := dev.Launch(kern, tbl.BuildRow); err != nil {
+		kern.Name, kern.Items, kern.Body = "multi_exp_table", rows, gpu.LaneFunc(tbl.BuildRow)
+		if _, err := dev.Launch(kern); err != nil {
 			return 0, fmt.Errorf("table build: %w", err)
 		}
 	}
@@ -243,7 +234,7 @@ func (o *multiExpOp) release() {
 func (o *multiExpOp) h2d() int64 {
 	return natBytes(o.tbl.Rows(), o.m.Limbs()) + 12*int64(o.tbl.Terms())
 }
-func (o *multiExpOp) lane(i int) { o.out[i] = o.tbl.Eval(o.sums[i]) }
+func (o *multiExpOp) Lane(i int) { o.out[i] = o.tbl.Eval(o.sums[i]) }
 func (o *multiExpOp) verify(i int) mpint.Nat {
 	n, prod := o.m.N(), mpint.One()
 	for _, t := range o.sums[i] {
@@ -271,7 +262,7 @@ type modMulOp struct {
 func (o *modMulOp) name() string           { return "mod_mul_vec" }
 func (o *modMulOp) kernel(int) gpu.Kernel  { return o.kern(3 * montMulWordOps(o.m.Limbs())) }
 func (o *modMulOp) h2d() int64             { return 2 * natBytes(len(o.a), o.m.Limbs()) }
-func (o *modMulOp) lane(i int)             { o.out[i] = o.m.ModMul(o.a[i], o.b[i]) }
+func (o *modMulOp) Lane(i int)             { o.out[i] = o.m.ModMul(o.a[i], o.b[i]) }
 func (o *modMulOp) verify(i int) mpint.Nat { return mpint.ModMul(o.a[i], o.b[i], o.m.N()) }
 func (o *modMulOp) slice(lo, hi int) vecOp { return &modMulOp{o.sub(lo, hi), o.a[lo:hi], o.b[lo:hi]} }
 
@@ -316,15 +307,15 @@ type encryptOp struct {
 	pos    int
 }
 
-// newEncryptOp states the op, rejecting a plaintext that is not below n
-// (ErrPlaintext) before anything is uploaded.
-func newEncryptOp(ms []mpint.Nat, key EncryptKey, seed uint64) (*encryptOp, error) {
+// newEncryptOp states the op over dst, one result a plaintext, rejecting a
+// plaintext that is not below n (ErrPlaintext) before anything is uploaded.
+func newEncryptOp(dst, ms []mpint.Nat, key EncryptKey, seed uint64) (encryptOp, error) {
 	for i, pt := range ms {
 		if mpint.Cmp(pt, key.N) >= 0 {
-			return nil, fmt.Errorf("%w at index %d", ErrPlaintext, i)
+			return encryptOp{}, fmt.Errorf("%w at index %d", ErrPlaintext, i)
 		}
 	}
-	return &encryptOp{modVec: newModVec(len(ms), key.N2), ms: ms, key: key, seed: seed}, nil
+	return encryptOp{modVec: modVec{outVec{dst}, key.N2}, ms: ms, key: key, seed: seed}, nil
 }
 
 func (o *encryptOp) name() string { return "encrypt_vec" }
@@ -356,7 +347,7 @@ func (o *encryptOp) h2d() int64 {
 	return natBytes(len(o.ms), kn) + natBytes(1, consts)
 }
 
-func (o *encryptOp) lane(i int) {
+func (o *encryptOp) Lane(i int) {
 	rng := nonceRNG(o.seed, o.pos+i)
 	if o.key.CRT != nil {
 		o.out[i] = o.key.CRT.EncryptDraw(o.ms[i], rng)
@@ -373,6 +364,104 @@ func (o *encryptOp) verify(i int) mpint.Nat {
 
 func (o *encryptOp) slice(lo, hi int) vecOp {
 	return &encryptOp{o.sub(lo, hi), o.ms[lo:hi], o.key, o.seed, o.pos + lo}
+}
+
+// decryptOp is the Paillier decryption of cs[i] under g = n+1, as one kernel:
+// the lane raises the ciphertext to p−1 mod p² and to q−1 mod q², takes L of
+// both, multiplies the key's constants in and recombines over (p, q), all on
+// the key's pooled scratch (mpint.CRT.Decrypt, the routine PrivateKey.Decrypt
+// runs) — the plaintext is the only thing it hands back, so nothing half-width
+// crosses PCIe and nothing is left for the host to finish. The ciphertexts go
+// up at their own width, n²; the plaintexts come down at n's.
+//
+// Verification is the textbook decryption, L(c^λ mod n²)·μ mod n by a plain
+// exponentiation on a context of its own, a division and a plain product: no
+// factorisation, no compiled schedule and no scratch shared with the lane, so a
+// fault in either half (a wrong residue mod p recombines into a valid but wrong
+// plaintext below n) cannot also corrupt the check. A lane holds its scratch
+// for the length of its call and reads nothing but its operand, as an
+// encryption's does.
+type decryptOp struct {
+	outVec
+	cs  []mpint.Nat
+	key DecryptKey
+}
+
+func (o *decryptOp) name() string { return "decrypt_crt_vec" }
+
+// kernel is as wide as the wider of p² and q².
+func (o *decryptOp) kernel(int) gpu.Kernel {
+	st := o.key.CRT.Stages()
+	return gpu.Kernel{RegsPerThread: regsForLimbs(max(st[1].Limbs, st[3].Limbs)), WordOps: decryptCRTWordOps(limbs32(o.key.CRT.N()), st)}
+}
+
+// h2d is the ciphertexts at the width of n² and the key's constants once: the
+// exponent and the h of each prime, and the Garner constant.
+func (o *decryptOp) h2d() int64 {
+	st := o.key.CRT.Stages()
+	return natBytes(len(o.cs), 2*limbs32(o.key.CRT.N())) + natBytes(1, 3*st[0].Limbs+2*st[2].Limbs)
+}
+func (o *decryptOp) d2h() int64 { return natBytes(len(o.out), limbs32(o.key.CRT.N())) }
+func (o *decryptOp) Lane(i int) { o.out[i] = o.key.CRT.Decrypt(o.cs[i], o.key.HP, o.key.HQ) }
+func (o *decryptOp) verify(i int) mpint.Nat {
+	n := o.key.CRT.N()
+	x := mpint.ModExp(o.cs[i], o.key.Lambda, mpint.Mul(n, n))
+	if x.IsZero() { // a multiple of n: no ciphertext, and 0 by the lane's floor too
+		return nil
+	}
+	return mpint.ModMul(mpint.Div(mpint.SubWord(x, 1), n), o.key.Mu, n)
+}
+func (o *decryptOp) slice(lo, hi int) vecOp {
+	return &decryptOp{outVec{o.out[lo:hi]}, o.cs[lo:hi], o.key}
+}
+
+// shiftPackOp is Π cs[i·slots+j]^(shiftʲ) mod m over the j the pack has a value
+// for, shift = 2^slotBits: pack i of the result holds the plaintexts of its
+// ciphertexts in slotBits-wide slots, cs[i·slots] lowest — the return path of
+// the vertical protocols (fl.Context.OpenSums) — as one kernel. A lane runs its
+// pack's whole Horner chain, acc ← acc^shift·next from the top slot down, on
+// pooled scratch (mpint.Mont.ShiftPack): the shift's schedule is compiled once
+// for the launch, and what a launch a slot (a mod_exp_var_vec and a
+// mod_mul_vec, both vectors down and up again in between) moved across PCIe
+// 2·(slots−1) times stays in the thread. Only the last pack can be short.
+//
+// Verification raises every ciphertext of the pack to its own power of the
+// shift by the plain exponentiation and folds with the plain product: no
+// chain, no schedule, a context of its own.
+type shiftPackOp struct {
+	modVec
+	cs          []mpint.Nat
+	slots, bits int                // values a pack; width of a slot
+	sched       *mpint.ExpSchedule // 2^bits compiled: the shift every Horner step raises to
+}
+
+func (o *shiftPackOp) name() string { return "shift_pack_vec" }
+
+// pack is the ciphertexts of pack i.
+func (o *shiftPackOp) pack(i int) []mpint.Nat {
+	return o.cs[i*o.slots : min((i+1)*o.slots, len(o.cs))]
+}
+
+// kernel prices a lane at the fullest pack of the launch, its first: a Horner
+// step a value past the first, each the window over the shift — its one set
+// bit the top one — and the multiply that folds the next value in and leaves
+// Montgomery form. Every lane walks the one schedule, so nothing diverges: a
+// short last pack leaves its lane idle while the others finish.
+func (o *shiftPackOp) kernel(int) gpu.Kernel {
+	step := modExpWordOps(o.m.Limbs(), o.bits+1) + montMulWordOps(o.m.Limbs())
+	return o.kern(int64(len(o.pack(0))-1) * step)
+}
+func (o *shiftPackOp) h2d() int64 { return natBytes(len(o.cs)+1, o.m.Limbs()) }
+func (o *shiftPackOp) Lane(i int) { o.out[i] = o.m.ShiftPack(o.pack(i), o.sched) }
+func (o *shiftPackOp) verify(i int) mpint.Nat {
+	n, prod := o.m.N(), mpint.One()
+	for j, c := range o.pack(i) {
+		prod = mpint.ModMul(prod, mpint.ModExp(c, mpint.Lsh(mpint.One(), uint(j*o.bits)), n), n)
+	}
+	return prod
+}
+func (o *shiftPackOp) slice(lo, hi int) vecOp {
+	return &shiftPackOp{o.sub(lo, hi), o.cs[lo*o.slots : min(hi*o.slots, len(o.cs))], o.slots, o.bits, o.sched}
 }
 
 // elemKind is one of Table I's five arithmetic ops: its kernel name, the
@@ -451,7 +540,7 @@ func (o *elemOp) kernel(int) gpu.Kernel {
 }
 func (o *elemOp) h2d() int64             { return natBytes(len(o.a)+len(o.b), o.limbs) }
 func (o *elemOp) d2h() int64             { return natBytes(len(o.out), o.limbs) }
-func (o *elemOp) lane(i int)             { o.out[i] = o.kind.fn(o.a[i], o.second(i)) }
+func (o *elemOp) Lane(i int)             { o.out[i] = o.kind.fn(o.a[i], o.second(i)) }
 func (o *elemOp) verify(i int) mpint.Nat { return o.kind.fn(o.a[i], o.second(i)) }
 func (o *elemOp) slice(lo, hi int) vecOp {
 	b := o.b
@@ -487,7 +576,7 @@ func (o *primeOp) kernel(warp int) gpu.Kernel {
 }
 func (o *primeOp) h2d() int64             { return 0 }
 func (o *primeOp) d2h() int64             { return natBytes(len(o.out), (o.bits+31)/32) }
-func (o *primeOp) lane(i int)             { o.out[i] = primeAt(o.seed, o.pos+i, o.bits) }
+func (o *primeOp) Lane(i int)             { o.out[i] = primeAt(o.seed, o.pos+i, o.bits) }
 func (o *primeOp) verify(i int) mpint.Nat { return primeAt(o.seed, o.pos+i, o.bits) }
 func (o *primeOp) slice(lo, hi int) vecOp {
 	return &primeOp{outVec{o.out[lo:hi]}, o.bits, o.seed, o.pos + lo}

@@ -122,9 +122,9 @@ func doubleOp(s *DeviceSet, in, out []int64) ShardOp {
 			dev := s.Device(devID)
 			dev.CopyToDevice(int64(sh.Len()) * 8)
 			k := Kernel{Name: "double", Items: sh.Len(), RegsPerThread: 16, WordOps: 4}
-			if _, err := dev.Launch(k, func(i int) {
+			if _, err := dev.Launch(k.over(func(i int) {
 				out[sh.Lo+i] = in[sh.Lo+i] * 2
-			}); err != nil {
+			})); err != nil {
 				return err
 			}
 			dev.CopyFromDevice(int64(sh.Len()) * 8)
@@ -321,7 +321,7 @@ func TestSetPipelineNoIdleDoubleCharge(t *testing.T) {
 				pipe.Begin()
 				dev.CopyToDevice(int64(hi-lo) * 8)
 				k := Kernel{Name: "piped", Items: hi - lo, RegsPerThread: 16, WordOps: 64}
-				if _, err := dev.Launch(k, func(int) {}); err != nil {
+				if _, err := dev.Launch(k.over(func(int) {})); err != nil {
 					pipe.Close()
 					return err
 				}

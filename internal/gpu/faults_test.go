@@ -7,6 +7,25 @@ import (
 	"time"
 )
 
+// poisonable is a test body whose results an injected corruption can reach.
+type poisonable struct {
+	LaneFunc
+	poison func(int)
+}
+
+func (p poisonable) Poison(item int) { p.poison(item) }
+
+// over is k with fn for its lanes, keeping the poison hook k's body has.
+func (k Kernel) over(fn func(int)) Kernel {
+	if p, ok := k.Body.(poisonable); ok {
+		p.LaneFunc = fn
+		k.Body = p
+	} else {
+		k.Body = LaneFunc(fn)
+	}
+	return k
+}
+
 // noopKernel is a small poisonable launch for fault tests.
 func noopKernel(items int) (Kernel, func(int)) {
 	out := make([]int, items)
@@ -15,7 +34,7 @@ func noopKernel(items int) (Kernel, func(int)) {
 		Items:         items,
 		RegsPerThread: 16,
 		WordOps:       4,
-		Poison:        func(item int) { out[item]++ },
+		Body:          poisonable{poison: func(item int) { out[item]++ }},
 	}
 	return k, func(i int) { out[i] = i }
 }
@@ -36,7 +55,7 @@ func faultRun(t *testing.T, seed uint64) (FaultStats, Stats) {
 	}))
 	for i := 0; i < 200; i++ {
 		k, fn := noopKernel(8)
-		_, _ = d.Launch(k, fn)
+		_, _ = d.Launch(k.over(fn))
 	}
 	return d.Injector().Stats(), d.Stats()
 }
@@ -68,7 +87,7 @@ func TestAbortFault(t *testing.T) {
 	d := MustNew(SmallTestDevice(), true)
 	d.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 1, AbortProb: 1}))
 	k, fn := noopKernel(4)
-	_, err := d.Launch(k, fn)
+	_, err := d.Launch(k.over(fn))
 	var kerr *KernelError
 	if !errors.As(err, &kerr) || kerr.Kind != FaultAbort {
 		t.Fatalf("want abort KernelError, got %v", err)
@@ -91,7 +110,7 @@ func TestWatchdogCancelsInjectedStall(t *testing.T) {
 	d := MustNew(cfg, true)
 	d.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 1, StallProb: 1, StallFor: time.Minute}))
 	k, fn := noopKernel(4)
-	_, err := d.Launch(k, fn)
+	_, err := d.Launch(k.over(fn))
 	var kerr *KernelError
 	if !errors.As(err, &kerr) || kerr.Kind != FaultStall {
 		t.Fatalf("want stall KernelError, got %v", err)
@@ -114,7 +133,7 @@ func TestWatchdogCancelsHungKernel(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	k := Kernel{Name: "hung", Items: 1, RegsPerThread: 16}
-	_, err := d.Launch(k, func(int) { <-release })
+	_, err := d.Launch(k.over(func(int) { <-release }))
 	var kerr *KernelError
 	if !errors.As(err, &kerr) || kerr.Kind != FaultStall {
 		t.Fatalf("want stall KernelError for hung kernel, got %v", err)
@@ -134,10 +153,10 @@ func TestWatchdogCancelStopsKernelBody(t *testing.T) {
 	const items = 512
 	var executed atomic.Int64
 	k := Kernel{Name: "slow", Items: items, RegsPerThread: 16}
-	_, err := d.Launch(k, func(int) {
+	_, err := d.Launch(k.over(func(int) {
 		executed.Add(1)
 		time.Sleep(time.Millisecond)
-	})
+	}))
 	var kerr *KernelError
 	if !errors.As(err, &kerr) || kerr.Kind != FaultStall {
 		t.Fatalf("want stall KernelError for slow kernel, got %v", err)
@@ -163,7 +182,7 @@ func TestStallWithoutWatchdog(t *testing.T) {
 	d := MustNew(SmallTestDevice(), true)
 	d.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 1, StallProb: 1, StallFor: 5 * time.Millisecond}))
 	k, fn := noopKernel(4)
-	if _, err := d.Launch(k, fn); err != nil {
+	if _, err := d.Launch(k.over(fn)); err != nil {
 		t.Fatalf("stall without watchdog should complete, got %v", err)
 	}
 	if st := d.Stats(); st.KernelLaunches != 1 || st.WatchdogTrips != 0 {
@@ -183,7 +202,7 @@ func TestOOMFaultLeavesMemoryTable(t *testing.T) {
 	freeBefore, usedBefore := rm.FreeBytes(), rm.MemoryInUse()
 	d.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 1, OOMProb: 1}))
 	k, fn := noopKernel(4)
-	_, err = d.Launch(k, fn)
+	_, err = d.Launch(k.over(fn))
 	var kerr *KernelError
 	if !errors.As(err, &kerr) || kerr.Kind != FaultOOM {
 		t.Fatalf("want oom KernelError, got %v", err)
@@ -204,8 +223,8 @@ func TestCorruptFaultPoisonsSilently(t *testing.T) {
 	d.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 1, CorruptProb: 1}))
 	out := make([]int, 8)
 	k := Kernel{Name: "poisonable", Items: len(out), RegsPerThread: 16,
-		Poison: func(item int) { out[item] = -1 }}
-	if _, err := d.Launch(k, func(i int) { out[i] = i }); err != nil {
+		Body: poisonable{poison: func(item int) { out[item] = -1 }}}
+	if _, err := d.Launch(k.over(func(i int) { out[i] = i })); err != nil {
 		t.Fatalf("corrupt fault must report success, got %v", err)
 	}
 	poisoned := 0
@@ -224,10 +243,10 @@ func TestCorruptFaultPoisonsSilently(t *testing.T) {
 		t.Fatalf("silent corruption must not be observed by the device: %+v", st)
 	}
 
-	// No Poison hook → the corruption cannot be modelled silently and the
+	// No Poisoner → the corruption cannot be modelled silently and the
 	// launch fails visibly instead.
 	k2 := Kernel{Name: "unpoisonable", Items: 4, RegsPerThread: 16}
-	_, err := d.Launch(k2, func(int) {})
+	_, err := d.Launch(k2.over(func(int) {}))
 	var kerr *KernelError
 	if !errors.As(err, &kerr) || kerr.Kind != FaultCorrupt {
 		t.Fatalf("want visible corrupt KernelError, got %v", err)
@@ -246,7 +265,7 @@ func TestHealthMachine(t *testing.T) {
 	}
 	// A successful launch recovers a Degraded device.
 	k, fn := noopKernel(4)
-	if _, err := d.Launch(k, fn); err != nil {
+	if _, err := d.Launch(k.over(fn)); err != nil {
 		t.Fatal(err)
 	}
 	if d.Health() != DeviceHealthy {
@@ -260,7 +279,7 @@ func TestHealthMachine(t *testing.T) {
 		t.Fatalf("after three failures: %s, want failed", d.Health())
 	}
 	// A Failed device refuses launches with a typed error…
-	_, err := d.Launch(k, fn)
+	_, err := d.Launch(k.over(fn))
 	var kerr *KernelError
 	if !errors.As(err, &kerr) || kerr.Kind != FaultDeviceFailed {
 		t.Fatalf("failed device must refuse launches, got %v", err)
@@ -287,5 +306,56 @@ func TestConfigValidateFaultFields(t *testing.T) {
 	cfg.HostWorkers = -1
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative HostWorkers must not validate")
+	}
+}
+
+// TestStragglersNeverSeeARecycledLaunchState: a launch the watchdog gives up
+// on returns with its workers still holding the launch state, so the state may
+// go back to the pool only when the last of them lets go. 200 launches are
+// abandoned on a device with a 1 ms watchdog — 100 under an injected stall,
+// whose workers wake when the launch is cancelled, 100 over lanes that hang
+// until the test releases them — and 200 clean launches then run on a second
+// device (the pool is shared; no watchdog, so a loaded box cannot trip one),
+// the hung lanes released halfway through. Were an abandoned launch's state
+// pooled by its launcher, a clean launch would take it while stragglers still
+// hold it: they would run the clean launch's items a second time and count
+// its workers down early, and the race detector would see both.
+func TestStragglersNeverSeeARecycledLaunchState(t *testing.T) {
+	cfg := SmallTestDevice()
+	clean := MustNew(cfg, true)
+	cfg.KernelDeadline = time.Millisecond
+	armed := MustNew(cfg, true)
+	armed.SetHealthPolicy(HealthPolicy{DegradeAfter: 1 << 20, FailAfter: 1 << 20})
+	release := make(chan struct{})
+	hung := Kernel{Name: "hung", Items: cfg.HostWorkers, RegsPerThread: 16, WordOps: 4}.over(func(int) { <-release })
+	abandon := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			var kerr *KernelError
+			if _, err := armed.Launch(hung); !errors.As(err, &kerr) || kerr.Kind != FaultStall {
+				t.Fatalf("abandoned launch %d: want a stall KernelError, got %v", i, err)
+			}
+		}
+	}
+	armed.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 1, StallProb: 1, StallFor: time.Minute}))
+	abandon(100)
+	armed.SetFaultInjector(nil)
+	abandon(100)
+
+	const items = 64
+	var ran [items]atomic.Int32
+	k := Kernel{Name: "clean", Items: items, RegsPerThread: 16, WordOps: 4}.over(func(i int) { ran[i].Add(1) })
+	for launch := int32(1); launch <= 200; launch++ {
+		if launch == 100 {
+			close(release)
+		}
+		if _, err := clean.Launch(k); err != nil {
+			t.Fatal(err)
+		}
+		for i := range ran {
+			if got := ran[i].Load(); got != launch {
+				t.Fatalf("clean launch %d returned with item %d run %d times", launch, i, got)
+			}
+		}
 	}
 }

@@ -59,7 +59,7 @@ func FuzzConfigValidate(f *testing.F) {
 		k := Kernel{Name: "fuzz_kernel", Items: n,
 			RegsPerThread: regsPerThread % 512, SharedPerBlock: sharedPerBlock % (1 << 16), WordOps: 3}
 		var ran int64
-		_, err = d.Launch(k, func(int) { atomic.AddInt64(&ran, 1) })
+		_, err = d.Launch(k.over(func(int) { atomic.AddInt64(&ran, 1) }))
 		if err == nil && n > 0 && atomic.LoadInt64(&ran) != int64(n) {
 			t.Fatalf("launch of %d items ran %d bodies", n, ran)
 		}

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -32,8 +33,8 @@ func TestLaunchRunsEveryItem(t *testing.T) {
 	d := MustNew(SmallTestDevice(), true)
 	const n = 1000
 	var hits [n]int32
-	occ, err := d.Launch(Kernel{Name: "touch", Items: n, RegsPerThread: 32, WordOps: 10},
-		func(i int) { atomic.AddInt32(&hits[i], 1) })
+	occ, err := d.Launch(Kernel{Name: "touch", Items: n, RegsPerThread: 32, WordOps: 10}.over(
+		func(i int) { atomic.AddInt32(&hits[i], 1) }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +57,14 @@ func TestLaunchRunsEveryItem(t *testing.T) {
 
 func TestLaunchZeroItems(t *testing.T) {
 	d := MustNew(SmallTestDevice(), true)
-	if _, err := d.Launch(Kernel{Name: "empty"}, func(int) { t.Fatal("should not run") }); err != nil {
+	if _, err := d.Launch(Kernel{Name: "empty"}.over(func(int) { t.Fatal("should not run") })); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestLaunchRejectsExcessRegisters(t *testing.T) {
 	d := MustNew(SmallTestDevice(), true)
-	_, err := d.Launch(Kernel{Name: "fat", Items: 1, RegsPerThread: 10000}, func(int) {})
+	_, err := d.Launch(Kernel{Name: "fat", Items: 1, RegsPerThread: 10000}.over(func(int) {}))
 	if err == nil {
 		t.Fatal("register demand over the per-thread cap should fail")
 	}
@@ -281,13 +282,20 @@ func TestPropertyOccupancyBounded(t *testing.T) {
 	}
 }
 
-func BenchmarkLaunchOverhead(b *testing.B) {
+// BenchmarkLaunch is what a launch costs beyond its lanes: an empty body over
+// 1, 4 and 64 items — one chunk, on the launching goroutine, then a chunk a
+// host worker. -benchmem reads 0 B/op on every row.
+func BenchmarkLaunch(b *testing.B) {
 	d := MustNew(RTX3090(), true)
-	k := Kernel{Name: "noop", Items: 1024, RegsPerThread: 32, WordOps: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Launch(k, func(int) {}); err != nil {
-			b.Fatal(err)
-		}
+	for _, items := range []int{1, 4, 64} {
+		k := Kernel{Name: "noop", Items: items, RegsPerThread: 32, WordOps: 1}.over(func(int) {})
+		b.Run(fmt.Sprintf("items=%d", items), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := d.Launch(k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -133,7 +133,7 @@ func TestPipelineEndMeasuresDevice(t *testing.T) {
 		before := dev.Stats()
 		p.Begin()
 		dev.CopyToDevice(1 << 16)
-		if _, err := dev.Launch(Kernel{Name: "busy", Items: 64, WordOps: 1 << 16}, func(int) {}); err != nil {
+		if _, err := dev.Launch(Kernel{Name: "busy", Items: 64, WordOps: 1 << 16}.over(func(int) {})); err != nil {
 			t.Fatal(err)
 		}
 		dev.CopyFromDevice(1 << 15)

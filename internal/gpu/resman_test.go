@@ -11,9 +11,9 @@ import (
 
 func TestLaunchZeroItemsNotCounted(t *testing.T) {
 	d := MustNew(SmallTestDevice(), true)
-	occ, err := d.Launch(Kernel{Name: "empty", Items: 0, RegsPerThread: 16}, func(int) {
+	occ, err := d.Launch(Kernel{Name: "empty", Items: 0, RegsPerThread: 16}.over(func(int) {
 		t.Fatal("kernel body must not run for zero items")
-	})
+	}))
 	if err != nil || occ != 0 {
 		t.Fatalf("zero-item launch: occ %v, err %v", occ, err)
 	}
@@ -24,7 +24,7 @@ func TestLaunchZeroItemsNotCounted(t *testing.T) {
 
 func TestLaunchNegativeItems(t *testing.T) {
 	d := MustNew(SmallTestDevice(), true)
-	if _, err := d.Launch(Kernel{Name: "neg", Items: -1}, func(int) {}); err == nil {
+	if _, err := d.Launch(Kernel{Name: "neg", Items: -1}.over(func(int) {})); err == nil {
 		t.Fatal("negative item count must fail")
 	}
 }
@@ -33,7 +33,7 @@ func TestLaunchRegsExceedHardwareCap(t *testing.T) {
 	cfg := SmallTestDevice()
 	d := MustNew(cfg, true)
 	k := Kernel{Name: "greedy", Items: 4, RegsPerThread: cfg.MaxRegistersPerThread + 1}
-	_, err := d.Launch(k, func(int) {})
+	_, err := d.Launch(k.over(func(int) {}))
 	if err == nil || !strings.Contains(err.Error(), "regs/thread") {
 		t.Fatalf("over-cap register demand must fail with the cap error, got %v", err)
 	}

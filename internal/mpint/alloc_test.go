@@ -52,7 +52,8 @@ func TestAllocCeilings(t *testing.T) {
 // exponentiations, two reductions and the Garner step runs on pooled scratch —
 // and so do a whole encryption's gᵐ and, when it draws one, its nonce (the
 // generator a lane seeds for it stays on the stack), through the factorisation
-// and through the n² window alike.
+// and through the n² window alike; a whole decryption, both half-width powers
+// included; and a Horner chain of shifts over n².
 func TestCRTAllocCeilings(t *testing.T) {
 	for _, bits := range []int{128, 512, 1024, 2048} {
 		r := NewRNG(uint64(0xA110C + bits))
@@ -62,16 +63,16 @@ func TestCRTAllocCeilings(t *testing.T) {
 			t.Fatal(err)
 		}
 		x := r.RandCoprime(c.N())
-		xp, xq := AddWord(Mul(r.RandBelow(p), p), 1), AddWord(Mul(r.RandBelow(q), q), 1)
 		hp, hq := c.P().ToMont(r.RandBelow(p)), c.Q().ToMont(r.RandBelow(q))
-		n2, sched := NewMont(Mul(c.N(), c.N())), CompileExpAuto(c.N())
+		n2, sched, shift := NewMont(Mul(c.N(), c.N())), CompileExpAuto(c.N()), CompileExpAuto(Nat{0, 1})
 		c.PowN(x) // fill the scratch pool
 		for _, tc := range []struct {
 			name string
 			fn   func()
 		}{
 			{"PowN", func() { c.PowN(x) }},
-			{"LogCombine", func() { c.LogCombine(xp, xq, hp, hq) }},
+			{"Decrypt", func() { c.Decrypt(n2.N(), hp, hq) }}, // an operand past both squares, reduced in the scratch
+			{"ShiftPack", func() { n2.ShiftPack([]Nat{x, n2.N(), x, x}, shift) }},
 			{"Encrypt", func() { c.Encrypt(x, x) }},
 			{"EncryptDraw", func() { c.EncryptDraw(x, NewRNG(7)) }},
 			{"EncryptN", func() { n2.EncryptN(x, x, c.N(), sched) }},

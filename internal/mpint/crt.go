@@ -25,11 +25,14 @@ import (
 //     operand times a plain one is plain — so gᵐ costs one half-width product
 //     a prime (m by n's Montgomery form mod p²) and the n²-wide multiply of
 //     the textbook expression never happens.
-//   - LogCombine: the host tail of a reduced-exponent Paillier decryption.
+//   - Decrypt: c ↦ the m < n with m ≡ L_s(c^(s−1) mod s²)·h_s (mod s) for both
+//     primes s, L_s(x) = (x−1)/s — a reduced-exponent Paillier decryption,
+//     whole: the two half-width exponentiations, L, the h-multiplies and Garner
+//     over (p, q), with nothing but the plaintext leaving the scratch.
 //
-// The Montgomery contexts, the four PowN schedules and the Garner constants
-// are built once per key; a compiled CRT is immutable and safe for
-// concurrent use. Every operation runs its chain on pooled scratch and
+// The Montgomery contexts, the four PowN schedules, the two of Decrypt and the
+// Garner constants are built once per key; a compiled CRT is immutable and
+// safe for concurrent use. Every operation runs its chain on pooled scratch and
 // allocates only its result. Nothing here is constant-time.
 type CRT struct {
 	n       Nat
@@ -43,6 +46,7 @@ type CRT struct {
 type crtPrime struct {
 	m1, m2 *Mont       // mod s and mod s²
 	e1, e2 ExpSchedule // o mod (s−1), and s: the two exponents of PowN
+	d      ExpSchedule // s−1: the exponent of Decrypt over s²
 	nm     Nat         // n mod s² in m2's Montgomery form: m ↦ m·n mod s² is one mulInto
 }
 
@@ -93,6 +97,7 @@ func newCRTPrime(s, o Nat) crtPrime {
 	e1 := Mod(o, SubWord(s, 1))
 	pr.e1.compile(e1, expWindowBits(e1.BitLen()), nil)
 	pr.e2.compile(s, expWindowBits(s.BitLen()), nil)
+	pr.d.compile(SubWord(s, 1), expWindowBits(s.BitLen()), nil) // s is odd: s−1 is as long
 	pr.nm = pr.m2.ToMont(Mod(Mul(s, o), pr.m2.n))
 	return pr
 }
@@ -249,21 +254,31 @@ func (g *garner) combine(xa []Word, xb Nat, sc *mulScratch, div []Word) Nat {
 	return trim(z)
 }
 
-// LogCombine is the host tail of a reduced-exponent Paillier decryption: it
-// returns the m < n with m ≡ L_p(xp)·hp (mod p) and m ≡ L_q(xq)·hq (mod q),
-// where L_s(x) = (x−1)/s. xp < p² and xq < q² are the ciphertext raised to
-// p−1 and q−1 (so xp ≡ 1 mod p on a valid ciphertext; on anything else the
-// quotient is the floor and the result meaningless), and hp, hq are the
-// key's constants in Montgomery form (P().ToMont, Q().ToMont), which makes
-// each h-multiply a single Montgomery product.
-func (c *CRT) LogCombine(xp, xq, hp, hq Nat) Nat {
+// Decrypt is a reduced-exponent Paillier decryption of x < n²: it returns the
+// m < n with m ≡ L_p(x^(p−1) mod p²)·hp (mod p) and m ≡ L_q(x^(q−1) mod q²)·hq
+// (mod q), where L_s(y) = (y−1)/s. hp and hq are the key's constants in
+// Montgomery form (P().ToMont, Q().ToMont), which makes each h-multiply a
+// single Montgomery product. On a valid ciphertext x^(s−1) ≡ 1 mod s; on
+// anything else the quotient is the floor and the result meaningless. The
+// call allocates the plaintext and nothing else.
+func (c *CRT) Decrypt(x, hp, hq Nat) Nat {
 	sc := c.getScratch()
 	defer c.scratch.Put(sc)
-	xp, xq = trim(xp), trim(xq)
-	work := sc.words(3*max(len(xp), len(xq), c.q.m1.k) + max(c.p.m1.k, c.q.m1.k) + 1)
-	mp := c.p.logMul(xp, hp, sc.p1, work)
-	mq := c.q.logMul(xq, hq, sc.q1, work)
+	x = trim(x)
+	k2 := max(c.p.m2.k, c.q.m2.k)
+	work := sc.words(max(len(x)+k2, 3*k2+max(c.p.m1.k, c.q.m1.k)) + 1)
+	mp := c.p.logPow(x, hp, sc.p1, sc.p2, work)
+	mq := c.q.logPow(x, hq, sc.q1, sc.q2, work)
 	return c.low.combine(mp, trim(mq), sc.p1, work)
+}
+
+// logPow returns L_s(x^(s−1) mod s²)·h mod s as m1.k limbs in sc1's slab: x
+// reduced mod s², the chain on sc2, out of Montgomery form in place, and
+// logMul. work holds max(len(x)+m2.k, 3·m2.k+m1.k)+1 limbs.
+func (pr *crtPrime) logPow(x, h Nat, sc1, sc2 *mulScratch, work []Word) []Word {
+	_, r := divInto(nil, work, x, pr.m2.n)
+	y := pr.m2.expMont(r, &pr.d, sc2)
+	return pr.logMul(pr.m2.mulInto(y, y, One(), sc2), h, sc1, work)
 }
 
 // logMul returns floor((x−1)/s)·h mod s as m1.k limbs in sc's slab, for

@@ -447,8 +447,8 @@ func fuzzPrime(b []byte) Nat {
 	return FromUint64(3)
 }
 
-// FuzzPowCRT checks the factorised x ↦ x^(pq) mod (pq)² — and Exp and
-// LogCombine, which share its Garner step — against math/big. The primes are
+// FuzzPowCRT checks the factorised x ↦ x^(pq) mod (pq)² — and Encrypt and
+// Decrypt, which share its chains and its Garner step — against math/big. The primes are
 // the largest ones at or below the fuzzed values, so the seed corpus puts
 // them on the limb boundaries (one-limb primes, the 128-bit-key shape,
 // included) and pairs primes of unequal length in both orders; every x is

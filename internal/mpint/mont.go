@@ -460,12 +460,9 @@ func (m *Mont) ExpSched(base Nat, s *ExpSchedule) Nat {
 	return m.runSched(base, s, sc)
 }
 
-// runSched is ExpSched on caller-held scratch. A base ≥ n (a ciphertext mod
-// n² raised mod p²) is reduced into the scratch, remainder only.
+// runSched is ExpSched on caller-held scratch.
 func (m *Mont) runSched(base Nat, s *ExpSchedule, sc *mulScratch) Nat {
-	if Cmp(base, m.n) >= 0 {
-		base = m.reduce(base, sc)
-	}
+	base = m.reduce(base, sc)
 	if s.isZero {
 		return One()
 	}
@@ -477,9 +474,13 @@ func (m *Mont) runSched(base Nat, s *ExpSchedule, sc *mulScratch) Nat {
 	return m.mulInto(make(Nat, m.k), m.expMont(base, s, sc), One(), sc)
 }
 
-// reduce returns base mod n for a base that arrives ≥ n, remainder only, in
-// sc's division buffer — valid until the scratch next reduces one.
+// reduce returns base mod n: base itself when it is below n, else (a ciphertext
+// mod n² raised mod p²) the remainder alone, in sc's division buffer — valid
+// until the scratch next reduces one.
 func (m *Mont) reduce(base Nat, sc *mulScratch) Nat {
+	if Cmp(base, m.n) < 0 {
+		return base
+	}
 	sc.growDiv(len(base) + m.k + 1)
 	_, r := divInto(nil, sc.div, base, m.n)
 	return r
@@ -493,10 +494,7 @@ func (m *Mont) reduce(base Nat, sc *mulScratch) Nat {
 func (m *Mont) EncryptN(msg, x, n Nat, s *ExpSchedule) Nat {
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	if Cmp(x, m.n) >= 0 {
-		x = m.reduce(x, sc)
-	}
-	return m.encryptN(trim(msg), x, trim(n), s, sc)
+	return m.encryptN(trim(msg), m.reduce(x, sc), trim(n), s, sc)
 }
 
 // EncryptNDraw is EncryptN under the nonce rng.RandCoprime(n) would return —
@@ -526,6 +524,23 @@ func (m *Mont) encryptN(msg, x, n Nat, s *ExpSchedule, sc *mulScratch) Nat {
 	}
 	addInto(g, g, One()) // msg ≤ n−1: 1 + msg·n < n², no carry out
 	return m.mulInto(make(Nat, m.k), acc, g, sc)
+}
+
+// ShiftPack returns Π xs[j]^(eʲ) mod n for the exponent e ≥ 2 that s compiles,
+// by Horner's rule from the last value down: acc ← accᵉ·xs[j]. Each step is one
+// chain — it leaves accᵉ in Montgomery form in the scratch — and one multiply
+// by the plain xs[j], which takes the product out of that form into the result,
+// the call's one allocation. With e = 2ᵇ and xs ciphertexts it is the packing
+// of their plaintexts into b-bit slots, xs[0] in the lowest. xs is not empty.
+func (m *Mont) ShiftPack(xs []Nat, s *ExpSchedule) Nat {
+	sc := m.getScratch()
+	defer m.putScratch(sc)
+	z := make(Nat, m.k)
+	acc := Nat(z[:copy(z, m.reduce(xs[len(xs)-1], sc))])
+	for j := len(xs) - 2; j >= 0; j-- {
+		acc = m.mulInto(z, m.expMont(acc, s, sc), m.reduce(xs[j], sc), sc)
+	}
+	return trim(acc)
 }
 
 // expMont runs the schedule's multiply chain for base < n and an exponent

@@ -264,3 +264,36 @@ func TestExpTinyExponents(t *testing.T) {
 		}
 	}
 }
+
+// TestShiftPackDifferential holds the Horner chain to Π xs[j]^(2^(b·j)) mod n
+// by math/big, on the rows and on the digits: one- to forty-limb moduli, one to
+// five values a pack, shifts of 1, 64 and 65 bits, and among the values zero,
+// n−1, one at n (reduced to zero) and one past it.
+func TestShiftPackDifferential(t *testing.T) {
+	forEachBody(t, func() {
+		r := NewRNG(0x5817)
+		for _, bits := range []int{17, 64, 65, 256, 511, 512, 1024, 2560} {
+			n := randOdd(r, bits)
+			m, bn := NewMont(n), toBig(n)
+			for _, shift := range []uint{1, 64, 65} {
+				e := Lsh(One(), shift)
+				s := CompileExpAuto(e)
+				for count := 1; count <= 5; count++ {
+					xs := make([]Nat, count)
+					for j := range xs {
+						xs[j] = r.RandBelow(n)
+					}
+					xs[0] = []Nat{Zero(), SubWord(n, 1), n, Add(n, xs[0]), xs[0]}[count-1]
+					want, w := big.NewInt(1), big.NewInt(1)
+					for _, x := range xs {
+						want.Mul(want, new(big.Int).Exp(toBig(x), w, bn)).Mod(want, bn)
+						w.Mul(w, toBig(e))
+					}
+					if got := m.ShiftPack(xs, s); toBig(got).Cmp(want) != 0 || len(got) != len(trim(got)) {
+						t.Fatalf("%d-bit modulus, %d values, shift %d: ShiftPack = %s, math/big says %s", bits, count, shift, got, want)
+					}
+				}
+			}
+		}
+	})
+}

@@ -207,10 +207,7 @@ func (t *MultiExpTable) BuildRow(r int) {
 	m := t.m
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	base := t.bases[t.refs[r]]
-	if Cmp(base, m.n) >= 0 {
-		base = m.reduce(base, sc)
-	}
+	base := m.reduce(t.bases[t.refs[r]], sc)
 	first, tmp := t.entry(r*t.entries), t.acc(sc)
 	if f := t.f; f != nil {
 		toDigits(tmp, trim(base))

@@ -50,24 +50,24 @@ func TestAllocCeilingsPerCiphertext(t *testing.T) {
 		max  float64
 		fn   func() error
 	}{
-		// Measured 2.5, 2.5, 7.0 and 3.0 at this width (one, one, two and one
-		// launches' fixed allocations spread over four ciphertexts). An
-		// encryption is one launch and allocates its ciphertext alone — nonce,
-		// rⁿ and gᵐ live in the key's pooled scratch, the schedule of n with
-		// the key (they were 10.8 and 10.2 when a batch was three launches with
-		// two vectors in between; ceiling 12) — so its ceiling is the
-		// measurement plus one, under either handle. The others
-		// are theirs plus two, rounded down: decryption is the two half-width
-		// powers and the plaintext per ciphertext; a homomorphic addition is
-		// its product — the operand's Montgomery form stays in the pooled
-		// scratch.
-		{"EncryptVec", 3.5, func() error { _, err := be.EncryptVec(pk, pts, 11); return err }},
-		{"EncryptVec (holder)", 3.5, func() error { _, err := be.EncryptVec(sk.Holder(), pts, 11); return err }},
-		{"DecryptVec", 9, func() error { _, err := be.DecryptVec(sk, cts); return err }},
-		{"AddVec", 5, func() error { _, err := be.AddVec(pk, cts, cts); return err }},
+		// Measured 1.25 each at this width: a value an element and the batch
+		// the caller keeps, over four ciphertexts. Operand views, the kernel's
+		// destination and the op's descriptor are a pooled frame, and a launch
+		// allocates nothing. An encryption allocates its ciphertext alone —
+		// nonce, rⁿ and gᵐ live in the key's pooled scratch, the schedule of n
+		// with the key — and a decryption its plaintext alone: both half-width
+		// powers, L and Garner on the key's scratch, one launch (ceiling 9 when
+		// it was two launches whose powers came back to the host; 12 for an
+		// encryption of three launches). A homomorphic addition is its product
+		// — the operand's Montgomery form stays in the pooled scratch (ceiling
+		// 5 while three operand and result vectors rode along).
+		{"EncryptVec", 2, func() error { _, err := be.EncryptVec(pk, pts, 11); return err }},
+		{"EncryptVec (holder)", 2, func() error { _, err := be.EncryptVec(sk.Holder(), pts, 11); return err }},
+		{"DecryptVec", 2.5, func() error { _, err := be.DecryptVec(sk, cts); return err }},
+		{"AddVec", 2, func() error { _, err := be.AddVec(pk, cts, cts); return err }},
 		// Four sums over the four ciphertexts: a residue a sum, and the
-		// launch's constant (measured 3.2 a sum at this width).
-		{"WeightedSumVec", 5, func() error { _, err := be.WeightedSumVec(pk, cts, sums); return err }},
+		// launch's constant (measured 1.5 a sum at this width).
+		{"WeightedSumVec", 2.5, func() error { _, err := be.WeightedSumVec(pk, cts, sums); return err }},
 	} {
 		got := testing.AllocsPerRun(3, func() {
 			if err := tc.fn(); err != nil {
@@ -83,9 +83,9 @@ func TestAllocCeilingsPerCiphertext(t *testing.T) {
 }
 
 // TestEncryptVecAllocSlope pins an encryption at one heap allocation — the
-// ciphertext — under either handle, on the bare engine, the executor over one
-// device and the host loop: the slope between two widths, which leaves out
-// the per-launch constant.
+// ciphertext — under either handle, and a decryption at one — the plaintext —
+// on the bare engine, the executor over one device and the host loop: the
+// slope between two widths, which leaves out the per-launch constant.
 func TestEncryptVecAllocSlope(t *testing.T) {
 	sk := keyOfSize(t, 1024)
 	cfg := gpu.RTX3090()
@@ -118,6 +118,22 @@ func TestEncryptVecAllocSlope(t *testing.T) {
 			if per := (wide - narrow) / 64; per > 1 {
 				t.Errorf("%s, %s handle: %.2f allocs per ciphertext, ceiling 1", name, h.name, per)
 			}
+		}
+		cts, err := be.EncryptVec(sk.Holder(), pts, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decrypt := func(width int) float64 {
+			return testing.AllocsPerRun(2, func() {
+				if _, err := be.DecryptVec(sk, cts[:width]); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		wide, narrow := decrypt(128), decrypt(64)
+		t.Logf("%s: %.0f allocs at 128 decryptions, %.0f at 64", name, wide, narrow)
+		if per := (wide - narrow) / 64; per > 1 {
+			t.Errorf("%s: %.2f allocs per decryption, ceiling 1", name, per)
 		}
 	}
 }

@@ -30,6 +30,12 @@ type Backend interface {
 	// without a term is the ciphertext 1, the encryption of zero under nonce 1.
 	// A term that refers outside cs rejects with mpint.ErrTermIndex.
 	WeightedSumVec(pk *PublicKey, cs []Ciphertext, sums [][]mpint.Term) ([]Ciphertext, error)
+	// ShiftPackVec packs the plaintexts of cs, slots to a ciphertext, into
+	// slotBits-wide slots: out[i] = E(Σⱼ m[i·slots+j]·2^(slotBits·j)) =
+	// Π cs[i·slots+j]^(2^(slotBits·j)) mod n² over the j < slots that cs has a
+	// value for — ⌈len(cs)/slots⌉ ciphertexts, only the last of which can be
+	// short. Keeping a plaintext inside its slot is the caller's business.
+	ShiftPackVec(pk *PublicKey, cs []Ciphertext, slots, slotBits int) ([]Ciphertext, error)
 }
 
 // CPUBackend performs every HE operation serially on the host, as FATE's
@@ -119,6 +125,25 @@ func (CPUBackend) WeightedSumVec(pk *PublicKey, cs []Ciphertext, sums [][]mpint.
 	return out, nil
 }
 
+// ShiftPackVec implements Backend by Horner's rule from each pack's top slot
+// down, one ciphertext-scalar product and one homomorphic addition a step.
+func (CPUBackend) ShiftPackVec(pk *PublicKey, cs []Ciphertext, slots, slotBits int) ([]Ciphertext, error) {
+	if slots < 1 || slotBits < 1 {
+		return nil, fmt.Errorf("paillier: ShiftPackVec needs slots and slot bits of at least 1, got %d and %d", slots, slotBits)
+	}
+	shift := mpint.Lsh(mpint.One(), uint(slotBits))
+	out := make([]Ciphertext, (len(cs)+slots-1)/slots)
+	for i := range out {
+		pack := cs[i*slots : min((i+1)*slots, len(cs))]
+		acc := pack[len(pack)-1]
+		for j := len(pack) - 2; j >= 0; j-- {
+			acc = pk.Add(pk.MulPlain(acc, shift), pack[j])
+		}
+		out[i] = acc
+	}
+	return out, nil
+}
+
 // GPUBackend lowers batched operations onto the GPU-HE engine, following the
 // pipeline of Fig. 4: convert, copy to device, compute in parallel, copy
 // back. The engine is any ghe.VectorEngine — the raw device engine, the
@@ -162,48 +187,65 @@ func MustGPUBackend(e ghe.VectorEngine) *GPUBackend {
 // Name implements Backend.
 func (g *GPUBackend) Name() string { return "gpu-he" }
 
+// kernel runs one op of the engine in a frame of its own, with staging for
+// the op's results and its ciphertext operands, which run carves and fills
+// (view) as it states the op. What comes back is Fig. 4's convert step on the
+// way down: the results, staged in the frame, as the batch the caller keeps —
+// the one vector a call allocates.
+func (g *GPUBackend) kernel(name string, staging int, run func(f *ghe.Frame) ([]mpint.Nat, error)) ([]Ciphertext, error) {
+	f := g.Engine.Frame(staging)
+	defer f.Release()
+	dst, err := run(f)
+	if err != nil {
+		return nil, fmt.Errorf("paillier: gpu %s: %w", name, err)
+	}
+	out := make([]Ciphertext, len(dst))
+	for i, c := range dst {
+		out[i] = Ciphertext{C: c}
+	}
+	return out, nil
+}
+
+// view is cs as the []Nat a kernel reads, carved out of f: the convert step on
+// the way up.
+func view(f *ghe.Frame, cs []Ciphertext) []mpint.Nat {
+	v := f.Vec(len(cs))
+	for i, c := range cs {
+		v[i] = c.C
+	}
+	return v
+}
+
 // EncryptVec implements Backend as a single kernel: every lane draws its
 // nonce, raises it to n and multiplies gᵐ in, through the factorisation when
 // pk is the holder's handle. Only the plaintexts go up and only the
 // ciphertexts come back.
 func (g *GPUBackend) EncryptVec(pk *PublicKey, ms []mpint.Nat, seed uint64) ([]Ciphertext, error) {
-	cs, err := g.Engine.EncryptVec(ms, ghe.EncryptKey{N: pk.N, N2: pk.montN2, Sched: pk.nSched, CRT: pk.own}, seed)
-	if err != nil {
-		return nil, fmt.Errorf("paillier: gpu EncryptVec: %w", err)
-	}
-	out := make([]Ciphertext, len(ms))
-	for i := range cs {
-		out[i] = Ciphertext{C: cs[i]}
-	}
-	return out, nil
+	key := ghe.EncryptKey{N: pk.N, N2: pk.montN2, Sched: pk.nSched, CRT: pk.own}
+	return g.kernel("EncryptVec", len(ms), func(f *ghe.Frame) ([]mpint.Nat, error) {
+		return f.EncryptVec(ms, key, seed)
+	})
 }
 
-// DecryptVec implements Backend with the reduced-exponent CRT split: two
-// shared-exponent kernels over the half-size moduli p² and q² (exponents
-// p−1 and q−1, half the bits of λ, on operands with half the limbs), then
-// the cheap L(·)·h and Garner recombination per element on the host, on
-// pooled scratch (one allocation per plaintext).
+// DecryptVec implements Backend as a single kernel through the factorisation:
+// a lane raises its ciphertext to p−1 over p² and to q−1 over q² — exponents
+// half the bits of λ, on operands with half the limbs — takes L, multiplies
+// the key's constants in and recombines, and hands back the plaintext alone
+// (one allocation a plaintext).
 func (g *GPUBackend) DecryptVec(sk *PrivateKey, cs []Ciphertext) ([]mpint.Nat, error) {
-	bases := make([]mpint.Nat, len(cs))
 	for i, c := range cs {
 		if c.C.IsZero() || mpint.Cmp(c.C, sk.N2) >= 0 {
 			return nil, fmt.Errorf("paillier: gpu DecryptVec[%d]: ciphertext out of range", i)
 		}
-		bases[i] = c.C
 	}
-	xp, err := g.Engine.ModExpVec(bases, sk.pm1, sk.crt.P2())
+	f := g.Engine.Frame(2 * len(cs))
+	defer f.Release()
+	key := ghe.DecryptKey{CRT: sk.crt, HP: sk.hp, HQ: sk.hq, Lambda: sk.Lambda, Mu: sk.mu}
+	pts, err := f.DecryptVec(view(f, cs), key)
 	if err != nil {
-		return nil, fmt.Errorf("paillier: gpu DecryptVec c^(p-1): %w", err)
+		return nil, fmt.Errorf("paillier: gpu DecryptVec: %w", err)
 	}
-	xq, err := g.Engine.ModExpVec(bases, sk.qm1, sk.crt.Q2())
-	if err != nil {
-		return nil, fmt.Errorf("paillier: gpu DecryptVec c^(q-1): %w", err)
-	}
-	out := make([]mpint.Nat, len(cs))
-	for i := range cs {
-		out[i] = sk.crt.LogCombine(xp[i], xq[i], sk.hp, sk.hq)
-	}
-	return out, nil
+	return append(make([]mpint.Nat, 0, len(cs)), pts...), nil
 }
 
 // AddVec implements Backend as a single modular-multiplication kernel.
@@ -211,20 +253,9 @@ func (g *GPUBackend) AddVec(pk *PublicKey, a, b []Ciphertext) ([]Ciphertext, err
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("paillier: AddVec length mismatch %d vs %d", len(a), len(b))
 	}
-	av := make([]mpint.Nat, len(a))
-	bv := make([]mpint.Nat, len(b))
-	for i := range a {
-		av[i], bv[i] = a[i].C, b[i].C
-	}
-	prod, err := g.Engine.ModMulVec(av, bv, pk.MontN2())
-	if err != nil {
-		return nil, fmt.Errorf("paillier: gpu AddVec: %w", err)
-	}
-	out := make([]Ciphertext, len(a))
-	for i := range prod {
-		out[i] = Ciphertext{C: prod[i]}
-	}
-	return out, nil
+	return g.kernel("AddVec", 3*len(a), func(f *ghe.Frame) ([]mpint.Nat, error) {
+		return f.ModMulVec(view(f, a), view(f, b), pk.MontN2())
+	})
 }
 
 // MulPlainVec implements Backend as a variable-exponent modexp kernel.
@@ -232,35 +263,23 @@ func (g *GPUBackend) MulPlainVec(pk *PublicKey, cs []Ciphertext, ks []mpint.Nat)
 	if len(cs) != len(ks) {
 		return nil, fmt.Errorf("paillier: MulPlainVec length mismatch %d vs %d", len(cs), len(ks))
 	}
-	bases := make([]mpint.Nat, len(cs))
-	for i, c := range cs {
-		bases[i] = c.C
-	}
-	pow, err := g.Engine.ModExpVarVec(bases, ks, pk.MontN2())
-	if err != nil {
-		return nil, fmt.Errorf("paillier: gpu MulPlainVec: %w", err)
-	}
-	out := make([]Ciphertext, len(cs))
-	for i := range pow {
-		out[i] = Ciphertext{C: pow[i]}
-	}
-	return out, nil
+	return g.kernel("MulPlainVec", 2*len(cs), func(f *ghe.Frame) ([]mpint.Nat, error) {
+		return f.ModExpVarVec(view(f, cs), ks, pk.MontN2())
+	})
 }
 
 // WeightedSumVec implements Backend as one shared-table multi-exponentiation
 // kernel: every sum of the call in a single launch.
 func (g *GPUBackend) WeightedSumVec(pk *PublicKey, cs []Ciphertext, sums [][]mpint.Term) ([]Ciphertext, error) {
-	bases := make([]mpint.Nat, len(cs))
-	for i, c := range cs {
-		bases[i] = c.C
-	}
-	prods, err := g.Engine.MultiExpVec(bases, sums, pk.MontN2())
-	if err != nil {
-		return nil, fmt.Errorf("paillier: gpu WeightedSumVec: %w", err)
-	}
-	out := make([]Ciphertext, len(sums))
-	for i := range prods {
-		out[i] = Ciphertext{C: prods[i]}
-	}
-	return out, nil
+	return g.kernel("WeightedSumVec", len(cs)+len(sums), func(f *ghe.Frame) ([]mpint.Nat, error) {
+		return f.MultiExpVec(view(f, cs), sums, pk.MontN2())
+	})
+}
+
+// ShiftPackVec implements Backend as one kernel: a lane a packed ciphertext
+// runs its pack's whole Horner chain.
+func (g *GPUBackend) ShiftPackVec(pk *PublicKey, cs []Ciphertext, slots, slotBits int) ([]Ciphertext, error) {
+	return g.kernel("ShiftPackVec", 2*len(cs), func(f *ghe.Frame) ([]mpint.Nat, error) {
+		return f.ShiftPackVec(view(f, cs), slots, slotBits, pk.MontN2())
+	})
 }

@@ -60,10 +60,10 @@ type PrivateKey struct {
 	// full-λ exponentiation over n², decrypt with exponent p−1 (resp. q−1) —
 	// half the bits of λ — over p² (resp. q²), and fold the L(g^λ)⁻¹
 	// correction into per-prime constants hp = L_p(g^{p−1} mod p²)⁻¹ mod p.
-	// The halves recombine over p and q with Garner's formula
-	// (crt.LogCombine).
-	pm1, qm1 mpint.Nat // p−1, q−1: the reduced decryption exponents
-	hp, hq   mpint.Nat // L_p(g^{p−1})⁻¹ mod p, L_q(g^{q−1})⁻¹ mod q, in Montgomery form
+	// The halves recombine over p and q with Garner's formula (crt.Decrypt,
+	// whose two exponents are compiled with the key).
+	hp, hq mpint.Nat // L_p(g^{p−1})⁻¹ mod p, L_q(g^{q−1})⁻¹ mod q, in Montgomery form
+	mu     mpint.Nat // μ = L(g^λ mod n²)⁻¹ = λ⁻¹ mod n: the textbook decryption the device path is spot-verified by
 
 	holder *PublicKey // the public key plus crt: what Holder returns
 }
@@ -148,7 +148,9 @@ func NewKeyFromPrimes(p, q mpint.Nat) (*PrivateKey, error) {
 	}
 
 	pk := newPublicKey(n)
-	sk := &PrivateKey{PublicKey: pk, P: p, Q: q, Lambda: mpint.LCM(pm1, qm1), crt: crt, pm1: pm1, qm1: qm1}
+	sk := &PrivateKey{PublicKey: pk, P: p, Q: q, Lambda: mpint.LCM(pm1, qm1), crt: crt}
+	// gcd(n, λ) divides gcd(n, φ(n)) = 1.
+	sk.mu, _ = mpint.ModInverse(mpint.Mod(sk.Lambda, n), n)
 	holder := pk
 	holder.own = crt
 	sk.holder = &holder
@@ -218,7 +220,8 @@ func (pk *PublicKey) EncryptWithNonce(m, r mpint.Nat) (Ciphertext, error) {
 	return Ciphertext{C: pk.montN2.EncryptN(m, r, pk.N, pk.nSched)}, nil
 }
 
-// Decrypt recovers the plaintext with the reduced-exponent CRT path:
+// Decrypt recovers the plaintext with the reduced-exponent CRT path — one
+// call of the routine a lane of the GPU backend's kernel runs —
 // m_p = L_p(c^{p−1} mod p²)·hp mod p and m_q likewise, recombined with
 // Garner's formula m = m_q + q·((m_p − m_q)·q⁻¹ mod p). The exponents are
 // half the bits of λ, so each prime-square exponentiation does roughly half
@@ -228,8 +231,7 @@ func (sk *PrivateKey) Decrypt(c Ciphertext) (mpint.Nat, error) {
 	if c.C.IsZero() || mpint.Cmp(c.C, sk.N2) >= 0 {
 		return nil, fmt.Errorf("paillier: ciphertext out of range")
 	}
-	xp, xq := sk.crt.P2().Exp(c.C, sk.pm1), sk.crt.Q2().Exp(c.C, sk.qm1)
-	return sk.crt.LogCombine(xp, xq, sk.hp, sk.hq), nil
+	return sk.crt.Decrypt(c.C, sk.hp, sk.hq), nil
 }
 
 // Add computes the homomorphic addition E(m₁+m₂) = E(m₁)·E(m₂) mod n²
