@@ -64,10 +64,11 @@ race:
 # Short fuzz passes over every fuzz target the module has, 10 s each: for each
 # package `go list ./...` reports, every name `go test -list '^Fuzz'` prints,
 # anchored so FuzzDiv cannot also select FuzzDivInto. Nothing here names a
-# target, so adding or deleting one needs no edit; 20 exist today (10 in mpint
-# against math/big, four wire decoders in flnet, two in gpu, two in fl — the
-# return-path splitter and the aggregate frame every client opens — and one
-# each on paillier's key decoders and ghe's engine layer),
+# target, so adding or deleting one needs no edit; 21 exist today (10 in mpint
+# against math/big, four wire decoders in flnet, two in gpu, three in fl — the
+# return-path splitter, the aggregate frame every client opens and the journal
+# a restarted coordinator replays — and one each on paillier's key decoders
+# and ghe's engine layer),
 # each with its corpus under its package's testdata/fuzz.
 fuzz:
 	@for pkg in $$($(GO) list ./...); do \

@@ -55,6 +55,29 @@ func NewStack(cfg gpu.Config, fineRM bool, devices int, inject gpu.FaultConfig, 
 	return &Stack{DevSet: set, Checked: checked, Backend: backend}, nil
 }
 
+// GenerateKey generates a party's Paillier key on the stack — the prime
+// walk's Miller–Rabin rounds launched on the executor a window at a time — as
+// set-up rather than as work: the members' fault injectors sit the search out,
+// and every counter the set and the executor keep is zeroed after it. A
+// context built on the stack therefore starts from the device, executor and
+// fault readings a host-generated key left, and an injected fault schedule —
+// a seeded stream of dice, a launch to die at — meets the launches it did.
+func (s *Stack) GenerateKey(rng *mpint.RNG, bits int) (*paillier.PrivateKey, error) {
+	devs := s.DevSet.Devices()
+	injectors := make([]*gpu.FaultInjector, len(devs))
+	for i, d := range devs {
+		injectors[i] = d.Injector()
+		d.SetFaultInjector(nil)
+	}
+	sk, err := s.Backend.GenerateKey(rng, bits)
+	for i, d := range devs {
+		d.SetFaultInjector(injectors[i])
+	}
+	s.DevSet.ResetStats()
+	s.Checked.ResetStats()
+	return sk, err
+}
+
 // Platform is one FLBooster instance bound to a (simulated) GPU: the stack at
 // one device, no injected faults and the default checking policy, plus the
 // seed stream its keys and nonces are drawn from.
@@ -178,23 +201,18 @@ func (p *Platform) ModPow(x []mpint.Nat, e, n mpint.Nat) ([]mpint.Nat, error) {
 // --- Table I: Paillier family ------------------------------------------------
 
 // PaillierKeyGen generates a Paillier key pair with an n of exactly `bits`
-// bits, its primes searched on the device. The key is a function of the
-// platform's seed; sizes paillier.GenerateKey rejects reject here the same.
+// bits, its prime walk's Miller–Rabin rounds launched on the device a window at
+// a time. The key is paillier.GenerateKey's on the platform's seed stream;
+// sizes paillier.GenerateKey rejects reject here the same.
 func (p *Platform) PaillierKeyGen(bits int) (*paillier.PrivateKey, error) {
 	if err := paillier.CheckKeyBits(bits); err != nil {
 		return nil, err
 	}
-	for {
-		pr, q, err := p.st.Checked.GeneratePrimePair(bits/2, p.rng.Uint64())
-		if err != nil {
-			return nil, fmt.Errorf("core: PaillierKeyGen: %w", err)
-		}
-		// Redraw, as the host generator does, until the pair makes a key and its
-		// n is as long as asked.
-		if sk, err := paillier.NewKeyFromPrimes(pr, q); err == nil && sk.N.BitLen() == bits {
-			return sk, nil
-		}
+	sk, err := p.st.Backend.GenerateKey(p.rng, bits)
+	if err != nil {
+		return nil, fmt.Errorf("core: PaillierKeyGen: %w", err)
 	}
+	return sk, nil
 }
 
 // PaillierEncrypt encrypts a batch of plaintexts on the device.
@@ -215,21 +233,17 @@ func (p *Platform) PaillierAdd(pub *paillier.PublicKey, a, b []paillier.Cipherte
 // --- Table I: RSA family ------------------------------------------------------
 
 // RSAKeyGen generates an RSA key pair with an n of exactly `bits` bits, its
-// primes searched on the device; sizes rsa.GenerateKey rejects reject here
-// the same.
+// primes walked as PaillierKeyGen's are: rsa.GenerateKey's key on the
+// platform's seed stream. Sizes rsa.GenerateKey rejects reject here the same.
 func (p *Platform) RSAKeyGen(bits int) (*rsa.PrivateKey, error) {
 	if err := rsa.CheckKeyBits(bits); err != nil {
 		return nil, err
 	}
-	for {
-		pr, q, err := p.st.Checked.GeneratePrimePair(bits/2, p.rng.Uint64())
-		if err != nil {
-			return nil, fmt.Errorf("core: RSAKeyGen: %w", err)
-		}
-		if sk, err := rsa.NewKeyFromPrimes(pr, q); err == nil && sk.N.BitLen() == bits {
-			return sk, nil
-		}
+	sk, err := rsa.GenerateKeyWith(p.st.Checked.PrimeSearch(), p.rng, bits)
+	if err != nil {
+		return nil, fmt.Errorf("core: RSAKeyGen: %w", err)
 	}
+	return sk, nil
 }
 
 // RSAEncrypt encrypts a plaintext batch (one modexp kernel).

@@ -70,6 +70,7 @@ func NewContext(p Profile) (*Context, error) {
 		}
 		ctx.Packer = pk
 	}
+	var keygen func(*mpint.RNG, int) (*paillier.PrivateKey, error)
 	if p.UseGPU {
 		// All GPU profiles run through the one stack core builds: launch failures
 		// retry with backoff, sampled results are verified, a faulted member's
@@ -81,14 +82,16 @@ func NewContext(p Profile) (*Context, error) {
 		}
 		ctx.DevSet, ctx.Checked, ctx.Device = st.DevSet, st.Checked, st.DevSet.Device(0)
 		ctx.Backend = st.Backend
+		keygen = st.GenerateKey
 	} else {
 		ctx.Backend = paillier.CPUBackend{}
+		keygen = ctx.Backend.GenerateKey
 	}
-	key, err := paillier.GenerateKey(mpint.NewRNG(p.Seed), p.KeyBits)
-	if err != nil {
+	// One seeded walk whichever runs its rounds: every profile of a seed has
+	// the same key.
+	if ctx.Key, err = keygen(mpint.NewRNG(p.Seed), p.KeyBits); err != nil {
 		return nil, fmt.Errorf("fl: key generation: %w", err)
 	}
-	ctx.Key = key
 	if p.Observe {
 		ctx.AttachObs(obs.New(p.Seed), string(p.System))
 	}

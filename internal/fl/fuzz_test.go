@@ -1,8 +1,12 @@
 package fl
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -182,3 +186,142 @@ func TestOpenAggregateSeedFrames(t *testing.T) {
 		}
 	}
 }
+
+// journalSeeds is what FuzzJournalReplay starts from: the journal file of a
+// real two-round epoch whose coordinator crashed once its second aggregate
+// was durable, that file torn mid-record and with its first byte corrupted,
+// and journals that break each rule of Replay's grammar.
+func journalSeeds(tb testing.TB) [][]byte {
+	path := filepath.Join(tb.TempDir(), "epoch.wal")
+	store, err := OpenFileStore(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	j, err := NewJournal(store)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	j.Fail = func(rec JournalRecord) error {
+		if rec.Kind == EventAggregated && rec.Round == 2 {
+			return ErrCoordinatorCrash
+		}
+		return nil
+	}
+	p := quorumProfile(SystemFLBooster)
+	ctx, err := NewContext(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fed := NewFederation(ctx)
+	fed.AttachJournal(j)
+	for round := 1; round <= 2; round++ {
+		if _, err := fed.SecureAggregate(testGrads(p.Parties, 4)); err != nil && !errors.Is(err, ErrCoordinatorCrash) {
+			tb.Fatal(err)
+		}
+	}
+	fed.Close()
+	store.Close()
+	real, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if st, err := Replay(mustLoad(tb, path)); err != nil || st.Completed != 1 || st.Resume == nil || st.Resume.Phase != PhaseBroadcast {
+		tb.Fatalf("the crashed epoch's journal replays to %+v (%v): want one round done and the second resuming at broadcast", st, err)
+	}
+	corrupt := bytes.Clone(real)
+	corrupt[0] = '#'
+	lines := func(recs ...JournalRecord) []byte {
+		var b []byte
+		for _, rec := range recs {
+			line, err := json.Marshal(rec)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			b = append(append(b, line...), '\n')
+		}
+		return b
+	}
+	payload := []byte("aggregate")
+	return [][]byte{
+		real, real[:len(real)/2], corrupt, {}, []byte("null\n{}\n"),
+		lines(JournalRecord{Seq: 2, Kind: EventRoundStart, Round: 1}),
+		lines(JournalRecord{Seq: 1, Kind: EventRoundStart, Round: 1}, JournalRecord{Seq: 2, Kind: EventRoundStart, Round: 2}),
+		lines(JournalRecord{Seq: 1, Kind: EventRoundStart, Round: 1}, JournalRecord{Seq: 2, Kind: EventAggregated, Round: 1, Digest: PayloadDigest(payload) ^ 1, Payload: payload}),
+		lines(JournalRecord{Seq: 1, Kind: EventRoundDone, Round: 1}),
+		lines(JournalRecord{Seq: 1, Kind: "round-paused", Round: 1}),
+		lines(JournalRecord{Seq: 1, Kind: EventRoundStart, Round: 1}, JournalRecord{Seq: 2, Kind: EventDrained, Round: 1, Cursor: 4}),
+	}
+}
+
+func mustLoad(tb testing.TB, path string) []JournalRecord {
+	store, err := OpenFileStore(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer store.Close()
+	recs, err := store.Load()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return recs
+}
+
+// FuzzJournalReplay feeds arbitrary bytes, as a journal file, to what a
+// restarted coordinator reads its journal with — FileStore.Load, then Replay.
+// It must never panic; every reject is ErrJournalCorrupt; an accepted journal
+// replays to a state that accounts for every record, resuming at upload or at
+// broadcast when a round is open; and the allocation is bounded by the
+// input's length. The seed corpus (a real crashed epoch's journal, its torn
+// and corrupted copies, and one journal a grammar rule) is under
+// testdata/fuzz/FuzzJournalReplay.
+func FuzzJournalReplay(f *testing.F) {
+	for _, seed := range journalSeeds(f) {
+		f.Add(seed)
+	}
+	// One file a worker, rewritten an input at a time: a directory an input
+	// would make every execution, and so the minimising of every new input,
+	// several times slower.
+	path := filepath.Join(f.TempDir(), "epoch.wal")
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		if err := os.WriteFile(path, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		store, err := OpenFileStore(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		var recs []JournalRecord
+		var st RecoveryState
+		grew := allocatedBy(func() {
+			if recs, err = store.Load(); err == nil {
+				st, err = Replay(recs)
+			}
+		})
+		if bound := uint64(journalAllocPerByte*len(blob) + journalAllocSlack); grew > bound {
+			t.Fatalf("Load and Replay allocated %d bytes on a %d-byte journal (bound %d)", grew, len(blob), bound)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrJournalCorrupt) {
+				t.Fatalf("untyped reject: %v", err)
+			}
+			return
+		}
+		if st.Records != len(recs) || st.Completed+st.Failed+st.Drained > len(recs) || len(st.Digests) > st.Completed {
+			t.Fatalf("%d records replayed to %+v", len(recs), st)
+		}
+		if rp := st.Resume; rp != nil && rp.Phase != PhaseUpload && rp.Phase != PhaseBroadcast {
+			t.Fatalf("open round %d resumes at phase %q", rp.Round, rp.Phase)
+		}
+	})
+}
+
+// A journal line decodes into a record of about 200 bytes, and the shortest
+// line that does ("{}") is three bytes of file; the per-line decoder state and
+// the record slice's doubling come to a few hundred more. The slack covers the
+// file read's and the scanner's fixed buffers and whatever the test binary's
+// other goroutines allocate between the two MemStats readings.
+const (
+	journalAllocPerByte = 512
+	journalAllocSlack   = 128 << 10
+)

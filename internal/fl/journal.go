@@ -129,8 +129,8 @@ func (s *MemStore) Close() error { return nil }
 // FileStore is the file-backed JournalStore: one JSON record per line,
 // fsynced per append (write-ahead semantics — the record is on disk before
 // the round acts on it). Load tolerates a torn final line, the artifact of
-// dying mid-append, by discarding it; corruption anywhere earlier is an
-// error, not something to guess around.
+// dying mid-append, by discarding it; corruption anywhere earlier is
+// ErrJournalCorrupt, not something to guess around.
 type FileStore struct {
 	mu   sync.Mutex
 	path string
@@ -218,7 +218,7 @@ func (s *FileStore) Load() ([]JournalRecord, error) {
 		}
 		var rec JournalRecord
 		if err := json.Unmarshal(line, &rec); err != nil {
-			parseErr = fmt.Errorf("fl: journal line %d: %w", lines, err)
+			parseErr = corrupt("line %d: %v", lines, err)
 			continue
 		}
 		if parseErr != nil {
@@ -229,7 +229,7 @@ func (s *FileStore) Load() ([]JournalRecord, error) {
 		recs = append(recs, rec)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fl: scan journal: %w", err)
+		return nil, corrupt("%v", err)
 	}
 	// A trailing unparsable line (or a file not ending in '\n') is the torn
 	// final append of a crash mid-write: everything before it is intact.
@@ -246,6 +246,15 @@ func (s *FileStore) Close() error {
 	err := s.f.Close()
 	s.f = nil
 	return err
+}
+
+// ErrJournalCorrupt is what every journal that is not a journal to resume from
+// is rejected with: a line that does not decode ahead of one that does, or a
+// record sequence Replay's grammar refuses.
+var ErrJournalCorrupt = errors.New("fl: corrupt journal")
+
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrJournalCorrupt}, args...)...)
 }
 
 // ErrCoordinatorCrash is the sentinel a Journal.Fail hook returns to
@@ -349,9 +358,9 @@ type RecoveryState struct {
 
 // Replay folds a journal into the state a restarted coordinator needs. It
 // validates the record grammar (contiguous sequence numbers, transitions
-// only on the open round, digest-checked aggregates) and fails loudly on
-// violations — a journal that does not parse cleanly is not a journal to
-// resume from.
+// only on the open round, digest-checked aggregates) and rejects a violation
+// with ErrJournalCorrupt — a journal that does not parse cleanly is not a
+// journal to resume from.
 func Replay(recs []JournalRecord) (RecoveryState, error) {
 	st := RecoveryState{Records: len(recs), Digests: make(map[uint64]uint64)}
 	var open *JournalRecord // the round-start of the currently open round
@@ -359,27 +368,27 @@ func Replay(recs []JournalRecord) (RecoveryState, error) {
 	for i := range recs {
 		rec := recs[i]
 		if rec.Seq != uint64(i)+1 {
-			return st, fmt.Errorf("fl: journal record %d has seq %d", i, rec.Seq)
+			return st, corrupt("record %d has seq %d", i, rec.Seq)
 		}
 		switch rec.Kind {
 		case EventRoundStart:
 			if open != nil && open.Round != rec.Round {
-				return st, fmt.Errorf("fl: round %d started while round %d still open", rec.Round, open.Round)
+				return st, corrupt("round %d started while round %d still open", rec.Round, open.Round)
 			}
 			open, agg = &recs[i], nil
 			st.Epoch = rec.Epoch
 			st.Members = rec.Members
 		case EventAggregated:
 			if open == nil || open.Round != rec.Round {
-				return st, fmt.Errorf("fl: aggregate record for round %d without an open round-start", rec.Round)
+				return st, corrupt("aggregate record for round %d without an open round-start", rec.Round)
 			}
 			if PayloadDigest(rec.Payload) != rec.Digest {
-				return st, fmt.Errorf("fl: round %d aggregate record fails its digest", rec.Round)
+				return st, corrupt("round %d aggregate record fails its digest", rec.Round)
 			}
 			agg = &recs[i]
 		case EventRoundDone:
 			if open == nil || open.Round != rec.Round {
-				return st, fmt.Errorf("fl: round-done for round %d without an open round-start", rec.Round)
+				return st, corrupt("round-done for round %d without an open round-start", rec.Round)
 			}
 			st.Completed++
 			st.Digests[rec.Round] = rec.Digest
@@ -387,7 +396,7 @@ func Replay(recs []JournalRecord) (RecoveryState, error) {
 			open, agg = nil, nil
 		case EventRoundFailed:
 			if open == nil || open.Round != rec.Round {
-				return st, fmt.Errorf("fl: round-failed for round %d without an open round-start", rec.Round)
+				return st, corrupt("round-failed for round %d without an open round-start", rec.Round)
 			}
 			st.Failed++
 			st.LastRound, st.Cursor = rec.Round, rec.Cursor
@@ -399,7 +408,7 @@ func Replay(recs []JournalRecord) (RecoveryState, error) {
 			st.Drained++
 			st.LastRound, st.Cursor = rec.Round, rec.Cursor
 		default:
-			return st, fmt.Errorf("fl: unknown journal event %q", rec.Kind)
+			return st, corrupt("unknown event %q", rec.Kind)
 		}
 	}
 	if open != nil {

@@ -141,7 +141,11 @@ func NewCheckedEngine(set *gpu.DeviceSet, cfg CheckedConfig) (*CheckedEngine, er
 		return nil, fmt.Errorf("ghe: NewCheckedEngine needs a device set")
 	}
 	c := &CheckedEngine{set: set, cfg: cfg.withDefaults(), members: make([]*member, set.Size())}
-	c.vecAPI = vecAPI{c.schedule, new(sync.Pool), set.Device(0).Config().KernelDeadline == 0}
+	workers := 0
+	for _, d := range set.Devices() {
+		workers += d.Workers()
+	}
+	c.vecAPI = vecAPI{c.schedule, new(sync.Pool), set.Device(0).Config().KernelDeadline == 0, roundWindow(workers)}
 	c.sched = gpu.ShardOp{Run: c.onMember, Host: c.onHost}
 	for i := range c.members {
 		eng, err := NewEngine(set.Device(i))
@@ -165,6 +169,19 @@ func (c *CheckedEngine) Stats() CheckedStats {
 		agg.add(mb.snapshot())
 	}
 	return agg
+}
+
+// ResetStats zeroes the counters and restarts every member's verification
+// sampler, so what runs next is sampled and counted as on a fresh engine.
+func (c *CheckedEngine) ResetStats() {
+	c.mu.Lock()
+	c.stats = CheckedStats{}
+	c.mu.Unlock()
+	for _, mb := range c.members {
+		mb.mu.Lock()
+		mb.stats, mb.rng = CheckedStats{}, mpint.NewRNG(c.cfg.VerifySeed)
+		mb.mu.Unlock()
+	}
 }
 
 // snapshot returns the member's counters, with FellBack read off its device.

@@ -45,6 +45,7 @@ func TestCPUEngineParityWithDevice(t *testing.T) {
 	exp := r.RandBits(80)
 	crt, n2 := testCRT(t, r, 96)
 	xs := randVec(r, 20, crt.N())
+	cands, wits := mrOperands(r, 20, 96)
 
 	type pair struct {
 		name     string
@@ -78,9 +79,21 @@ func TestCPUEngineParityWithDevice(t *testing.T) {
 		{"ModVec",
 			func() ([]mpint.Nat, error) { return eng.ModVec(xs, n) },
 			func() ([]mpint.Nat, error) { return host.ModVec(xs, n) }},
-		{"GeneratePrime",
-			func() ([]mpint.Nat, error) { p, err := eng.GeneratePrime(48, 99); return []mpint.Nat{p}, err },
-			func() ([]mpint.Nat, error) { p, err := host.GeneratePrime(48, 99); return []mpint.Nat{p}, err }},
+		{"MillerRabinVec",
+			func() ([]mpint.Nat, error) { return eng.Frame(len(wits)).MillerRabinVec(cands, wits) },
+			func() ([]mpint.Nat, error) { return host.Frame(len(wits)).MillerRabinVec(cands, wits) }},
+		{"MillerRabinVec, one candidate",
+			func() ([]mpint.Nat, error) { return eng.Frame(len(wits)).MillerRabinVec(cands[:1], wits) },
+			func() ([]mpint.Nat, error) { return host.Frame(len(wits)).MillerRabinVec(cands[:1], wits) }},
+		{"PrimeSearch",
+			func() ([]mpint.Nat, error) {
+				p, err := eng.PrimeSearch().Prime(mpint.NewRNG(99), 48)
+				return []mpint.Nat{p}, err
+			},
+			func() ([]mpint.Nat, error) {
+				p, err := host.PrimeSearch().Prime(mpint.NewRNG(99), 48)
+				return []mpint.Nat{p}, err
+			}},
 	} {
 		dv, err := p.dev()
 		if err != nil {
@@ -339,32 +352,22 @@ func TestCheckedConstructor(t *testing.T) {
 	}
 }
 
-// TestGeneratePrimeIsAFunctionOfTheSeed: the prime search returns the first
-// prime of its candidate stream whatever runs it — ten calls in a row, the
-// host loop, the executor over 1, 2 and 3 devices, and over 3 with member 1
-// killed mid-search — so a generated key depends on the seed and nothing else.
-// (The search it replaces returned whichever racing searcher finished first.)
+// TestGeneratePrimeIsAFunctionOfTheSeed: the prime search is the seeded walk
+// whatever runs its rounds — ten calls in a row, the host loop, the bare
+// engine, the executor over 1, 2 and 3 devices, and over 3 with member 1 killed
+// mid-search: the pair and the generator's state after it are the host walk's,
+// so a generated key depends on the seed and nothing else.
 func TestGeneratePrimeIsAFunctionOfTheSeed(t *testing.T) {
 	const bits, seed = 64, 7
-	wantP, wantQ, err := NewCPUEngine().GeneratePrimePair(bits, seed)
+	want := mpint.NewRNG(seed)
+	wantP, wantQ, err := mpint.HostSearch.Pair(want, bits)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mpint.Cmp(wantP, wantQ) == 0 || wantP.BitLen() != bits || wantQ.BitLen() != bits {
 		t.Fatalf("pair %s, %s: want two distinct %d-bit primes", wantP, wantQ, bits)
 	}
-	// The winner is the lowest stream position that holds a prime.
-	for i := 0; ; i++ {
-		if p := primeAt(seed, i, bits); !p.IsZero() {
-			if mpint.Cmp(p, wantP) != 0 {
-				t.Fatalf("GeneratePrime returned %s, the stream's first prime is %s at position %d", wantP, p, i)
-			}
-			break
-		}
-	}
-	engines := map[string]interface {
-		GeneratePrimePair(bits int, seed uint64) (p, q mpint.Nat, err error)
-	}{"bare": testEngine(t), "host": NewCPUEngine()}
+	engines := map[string]VectorEngine{"bare": testEngine(t), "host": NewCPUEngine()}
 	for _, d := range []int{1, 2, 3} {
 		engines[fmt.Sprintf("D=%d", d)] = checkedSet(t, d, CheckedConfig{VerifyFraction: 0.25, VerifySeed: 3})
 	}
@@ -373,11 +376,12 @@ func TestGeneratePrimeIsAFunctionOfTheSeed(t *testing.T) {
 	engines["D=3, member 1 killed"] = killed
 	for name, eng := range engines {
 		for call := 0; call < 10; call++ {
-			p, q, err := eng.GeneratePrimePair(bits, seed)
+			r := mpint.NewRNG(seed)
+			p, q, err := eng.PrimeSearch().Pair(r, bits)
 			if err != nil {
 				t.Fatalf("%s call %d: %v", name, call, err)
 			}
-			if mpint.Cmp(p, wantP) != 0 || mpint.Cmp(q, wantQ) != 0 {
+			if mpint.Cmp(p, wantP) != 0 || mpint.Cmp(q, wantQ) != 0 || *r != *want {
 				t.Fatalf("%s call %d: (%s, %s), the host loop says (%s, %s)", name, call, p, q, wantP, wantQ)
 			}
 		}
@@ -386,14 +390,15 @@ func TestGeneratePrimeIsAFunctionOfTheSeed(t *testing.T) {
 		t.Fatalf("member 1 was never killed: %+v", st)
 	}
 	if st := killed.Set().Stats(); st.Steals == 0 {
-		t.Fatalf("the dead member's candidates were not stolen: %+v", st)
+		t.Fatalf("the dead member's rounds were not stolen: %+v", st)
 	}
 }
 
 // TestCheckedTableIUnderCorruption: Table I's arithmetic ops and the prime search
 // run under the executor's discipline like every other op — with every element
-// verified, launches silently corrupted half the time are caught and retried,
-// and what comes back is the host loop's vector.
+// verified, launches silently corrupted half the time are caught and retried
+// (a flipped Miller–Rabin verdict among them), and what comes back is the host
+// loop's vector and the host walk's prime.
 func TestCheckedTableIUnderCorruption(t *testing.T) {
 	c := checkedEngine(t,
 		gpu.FaultConfig{Seed: 23, CorruptProb: 0.5},
@@ -409,8 +414,8 @@ func TestCheckedTableIUnderCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameVec(t, "mul_vec under corruption", got, want)
-		wantP, _ := host.GeneratePrime(40, uint64(round))
-		gotP, err := c.GeneratePrime(40, uint64(round))
+		wantP, _ := mpint.HostSearch.Prime(mpint.NewRNG(uint64(round)), 40)
+		gotP, err := c.PrimeSearch().Prime(mpint.NewRNG(uint64(round)), 40)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,35 +428,40 @@ func TestCheckedTableIUnderCorruption(t *testing.T) {
 	}
 }
 
-// TestPoisonedPrimeLaneNeverVerifies: full verification rejects a window in
-// which a composite's verdict was flipped (it would be accepted as a prime
-// ahead of the real one) and one in which the first prime's was (the search
-// would pass over it), so at VerifyFraction = 1 neither reaches the host's scan.
+// TestPoisonedPrimeLaneNeverVerifies: full verification rejects a window of
+// round-0 verdicts in which a composite's was flipped (the walk would take it
+// for a survivor, and a later flip for a prime) and one in which a prime's was
+// (the walk would pass over the prime), in a window of many candidates and in
+// one of a candidate's later rounds, so at VerifyFraction = 1 neither reaches
+// the walk.
 func TestPoisonedPrimeLaneNeverVerifies(t *testing.T) {
-	op := &primeOp{outVec{make([]mpint.Nat, primeWindow)}, 64, 7, 0}
-	if err := runOnHost(op); err != nil {
-		t.Fatal(err)
-	}
-	first := -1
-	for i, p := range op.out {
-		if !p.IsZero() {
-			first = i
-			break
+	r := mpint.NewRNG(7)
+	prime := r.RandPrime(64)
+	composite := mpint.Mul(r.RandPrime(32), r.RandPrime(32))
+	ns := []mpint.Nat{composite, prime, mpint.AddWord(composite, 2), prime}
+	as := []mpint.Nat{mpint.FromUint64(2), mpint.FromUint64(3), mpint.FromUint64(5), mpint.SubWord(prime, 2)}
+	for name, cands := range map[string][]mpint.Nat{"window": ns, "one candidate": ns[1:2]} {
+		op, err := newMillerRabinOp(make([]mpint.Nat, len(as)), cands, as)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if first < 1 {
-		t.Fatalf("first prime at position %d: the test wants a composite ahead of it", first)
-	}
-	mb := &member{rng: mpint.NewRNG(1)}
-	if !mb.spotCheck(op, 1) {
-		t.Fatal("a clean window failed verification")
-	}
-	for _, lane := range []int{0, first} {
-		op.Poison(lane)
-		if mb.spotCheck(op, 1) {
-			t.Fatalf("lane %d poisoned to %s and verified", lane, op.out[lane])
+		if err := runOnHost(&op); err != nil {
+			t.Fatal(err)
 		}
-		op.Poison(lane)
+		mb := &member{rng: mpint.NewRNG(1)}
+		if !mb.spotCheck(&op, 1) {
+			t.Fatalf("%s: a clean window failed verification", name)
+		}
+		for lane := range as {
+			op.Poison(lane)
+			if mb.spotCheck(&op, 1) {
+				t.Fatalf("%s: lane %d poisoned to %s and verified", name, lane, op.out[lane])
+			}
+			op.Poison(lane)
+		}
+		if name == "window" && (!op.out[1].IsOne() || !op.out[0].IsZero()) {
+			t.Fatalf("verdicts %v: want the prime to pass and the composite to fail", op.out)
+		}
 	}
 }
 

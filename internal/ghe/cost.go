@@ -30,6 +30,11 @@ func modExpWordOps(k, expBits int) int64 {
 	return int64(float64(expBits)*1.2) * montMulWordOps(k)
 }
 
+// montSetupWordOps is building the Montgomery context of a k-word modulus and
+// the schedule of an exponent as long: R² mod n by long division, (k+1)·k
+// multiply-subtracts, and a word-op a word for the recoding.
+func montSetupWordOps(k int) int64 { return int64((k + 2) * k) }
+
 // powNWordOps is the per-item cost of x ↦ xⁿ mod n² through the
 // factorisation (mpint.CRT.PowN), the chain a holder's encrypt_vec lane is
 // built on: its four half-width exponentiations — mod p,

@@ -14,10 +14,12 @@ var (
 	ErrUnderflow   = errors.New("subtraction underflow")
 	ErrZeroDivisor = errors.New("zero divisor")
 	ErrPlaintext   = errors.New("plaintext not below the modulus")
+	ErrWitness     = errors.New("Miller–Rabin candidate or base out of range")
 )
 
 // VectorEngine is the GPU-HE layer as the Paillier backend consumes it: the
-// source of the frames its six operations run in. Engine (one device, one
+// source of the frames its seven operations run in, and the prime search its
+// key generation walks. Engine (one device, one
 // attempt), CheckedEngine (a device set + verification + retry + stealing +
 // failover), and CPUEngine (pure host) all implement it, so callers degrade
 // between substrates without code changes.
@@ -25,6 +27,9 @@ type VectorEngine interface {
 	// Frame returns the working set of one call, with staging for n values:
 	// the operand views the caller carves and the results of its op.
 	Frame(n int) *Frame
+	// PrimeSearch is the key-generation walk with its Miller–Rabin rounds
+	// tested on the engine, a window a launch.
+	PrimeSearch() mpint.PrimeSearch
 }
 
 // EncryptKey is a Paillier key under g = n+1 as EncryptVec needs it: what any
@@ -50,7 +55,7 @@ type DecryptKey struct {
 // Fig. 4's convert step — the []Nat views of the call's ciphertext operands
 // (Vec) and the results of the op it runs, staged until the backend has copied
 // them out — and the op's descriptor, one of each kind, so stating an op
-// allocates nothing. One of the six methods below runs the op; what it returns
+// allocates nothing. One of the seven methods below runs the op; what it returns
 // is carved from the frame, and an op over no items is no op at all.
 //
 // Frames are pooled — unless the engine's devices arm a launch watchdog: a
@@ -68,6 +73,7 @@ type Frame struct {
 	enc    encryptOp
 	dec    decryptOp
 	pack   shiftPackOp
+	mr     millerRabinOp
 }
 
 // Vec carves the frame's next n staging values, all nil.
@@ -152,6 +158,18 @@ func (f *Frame) ShiftPackVec(cs []mpint.Nat, slots, slotBits int, m *mpint.Mont)
 	return f.v.run(&f.pack)
 }
 
+// MillerRabinVec runs one Miller–Rabin round a lane: result i is 1 when ns[i]
+// — ns[0] for every i when ns holds one — survives the round to base as[i], 0
+// when the base witnesses it composite. A candidate must be odd and at least 5
+// and a base in [2, n−2]; anything else rejects with ErrWitness, and a length
+// mismatch with ErrLength, before anything is uploaded.
+func (f *Frame) MillerRabinVec(ns, as []mpint.Nat) (_ []mpint.Nat, err error) {
+	if f.mr, err = newMillerRabinOp(f.Vec(len(as)), ns, as); err != nil {
+		return nil, fmt.Errorf("ghe: MillerRabinVec: %w", err)
+	}
+	return f.v.run(&f.mr)
+}
+
 // vecAPI is what the three engines share, which is what keeps them
 // interchangeable: the frames the backend's ops run in, Table I's arithmetic
 // ops and the prime search. Each method checks its operands, states the op as
@@ -162,6 +180,7 @@ type vecAPI struct {
 	exec   func(op vecOp) error
 	frames *sync.Pool // of *Frame
 	pooled bool       // whether Release fills it: not under a launch watchdog
+	window int        // Miller–Rabin rounds a key-generation launch tests
 }
 
 var _ VectorEngine = vecAPI{}
@@ -176,6 +195,37 @@ func (v vecAPI) Frame(n int) *Frame {
 		f.slots = make([]mpint.Nat, n)
 	}
 	return f
+}
+
+// roundWindow is the key-generation window for an engine whose devices run
+// `workers` host goroutines between them: four rounds a worker. A window of w
+// rounds computes its lanes past the first survivor that passes round 0 for
+// nothing, about w/2 exponentiations a prime, and pays a launch a window. On the
+// two-core reference box (paillier's BenchmarkGenerateKey: 1,024- and 2,048-bit
+// keys, seeds 1 and 2, six interleaved passes) one, two, four and eight a
+// worker ran 1.49×, 1.54×, 1.54× and 1.51× the host loop's speed, geometric
+// mean over the four keys — flat from one up, so the window is sized for the
+// ≥ 8 independent chains a multi-buffer kernel wants (ROADMAP item 6).
+func roundWindow(workers int) int { return 4 * workers }
+
+// PrimeSearch implements VectorEngine: the walk whose rounds are
+// miller_rabin_vec launches.
+func (v vecAPI) PrimeSearch() mpint.PrimeSearch {
+	return mpint.PrimeSearch{Window: v.window, Run: v.millerRabin}
+}
+
+// millerRabin is a mpint.RoundRunner over one launch.
+func (v vecAPI) millerRabin(ns, as []mpint.Nat, passed []bool) error {
+	f := v.Frame(len(as))
+	defer f.Release()
+	out, err := f.MillerRabinVec(ns, as)
+	if err != nil {
+		return err
+	}
+	for i, x := range out {
+		passed[i] = x.IsOne()
+	}
+	return nil
 }
 
 // run executes op and returns its result vector.
@@ -233,54 +283,6 @@ func (v vecAPI) ModVec(a []mpint.Nat, n mpint.Nat) ([]mpint.Nat, error) {
 	return v.elem(elemMod, a, []mpint.Nat{n})
 }
 
-// primeWindow is how many candidates of the stream one launch tests. Primes
-// are w·ln 2 / 2 odd w-bit candidates apart on average — 22 at a 128-bit key's
-// prime width, 177 at a 1,024-bit key's, 355 at a 2,048-bit key's — so a launch
-// finds its prime at once at test sizes and in three to six windows at
-// deployed ones, and the lanes spent past the first prime stay a fraction of
-// the search. The window sets what a search costs, never what it finds.
-const primeWindow = 64
-
-// GeneratePrime returns the first probable prime of the (seed, bits) candidate
-// stream, exactly bits wide — the key-generation path of §IV-A3. The stream is
-// tested a window a launch, in order, and the lowest position that holds a
-// prime wins, so the result is a function of the seed: the same on any engine,
-// over any number of devices and under any fault schedule.
-func (v vecAPI) GeneratePrime(bits int, seed uint64) (mpint.Nat, error) {
-	if bits < 4 {
-		return nil, fmt.Errorf("ghe: GeneratePrime width %d too small", bits)
-	}
-	for pos := 0; ; pos += primeWindow {
-		verdicts, err := v.run(&primeOp{outVec{make([]mpint.Nat, primeWindow)}, bits, seed, pos})
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range verdicts {
-			if !p.IsZero() {
-				return p, nil
-			}
-		}
-	}
-}
-
-// GeneratePrimePair returns two distinct primes of the given width, each the
-// first of a stream of its own.
-func (v vecAPI) GeneratePrimePair(bits int, seed uint64) (p, q mpint.Nat, err error) {
-	p, err = v.GeneratePrime(bits, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := uint64(1); ; i++ {
-		q, err = v.GeneratePrime(bits, seed+i*0x94D049BB133111EB)
-		if err != nil {
-			return nil, nil, err
-		}
-		if mpint.Cmp(p, q) != 0 {
-			return p, q, nil
-		}
-	}
-}
-
 // CPUEngine executes the vector interface serially on the host — the
 // reference the device paths are checked against, and the loop a
 // CheckedEngine serves an op with once no device is left. It runs the very
@@ -289,7 +291,7 @@ func (v vecAPI) GeneratePrimePair(bits int, seed uint64) (p, q mpint.Nat, err er
 type CPUEngine struct{ vecAPI }
 
 // NewCPUEngine returns the host engine.
-func NewCPUEngine() *CPUEngine { return &CPUEngine{vecAPI{runOnHost, new(sync.Pool), true}} }
+func NewCPUEngine() *CPUEngine { return &CPUEngine{vecAPI{runOnHost, new(sync.Pool), true, 1}} }
 
 // runOnHost executes an op on the host: its set-up stage without a launch,
 // then every lane in order.

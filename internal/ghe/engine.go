@@ -38,7 +38,7 @@ func NewEngine(dev *gpu.Device) (*Engine, error) {
 		return nil, fmt.Errorf("ghe: NewEngine needs a device")
 	}
 	e := &Engine{dev: dev}
-	e.vecAPI = vecAPI{e.launch, new(sync.Pool), dev.Config().KernelDeadline == 0}
+	e.vecAPI = vecAPI{e.launch, new(sync.Pool), dev.Config().KernelDeadline == 0, roundWindow(dev.Workers())}
 	return e, nil
 }
 

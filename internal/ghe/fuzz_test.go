@@ -69,9 +69,12 @@ type fuzzVecCase struct {
 // math/big's L(c^λ mod n²)·μ mod n — which is the plaintext — and
 // shift_pack_vec packs the fuzzed residues 1 to 5 to a pack under a 1- to
 // 70-bit shift, the last pack short on most seeds, against math/big's
-// Π cⱼ^(2^(b·j)). Operand errors (length mismatch,
-// underflow, zero divisor, a plaintext at or above n) reject typed with nothing
-// launched or uploaded.
+// Π cⱼ^(2^(b·j)); miller_rabin_vec runs a round on the fuzzed modulus, alone
+// and beside candidates of each lane's own, to the fuzzed base, 2 and n − 2
+// among others, against math/big's Exp and squaring chain. Operand errors
+// (length mismatch, underflow, zero divisor, a plaintext at or above n, a
+// Miller–Rabin base out of range) reject typed with nothing launched or
+// uploaded.
 func FuzzVecOps(f *testing.F) {
 	ops := fuzzOperands()
 	for i, nb := range ops {
@@ -142,8 +145,7 @@ func FuzzVecOps(f *testing.F) {
 		}
 
 		// Table I's operands: no b[i] is zero, and over[i] = a[i]·b[i] + a[i] + b[i]
-		// is at least both and as wide as the two together. The prime search
-		// tests 8- to 64-bit candidates.
+		// is at least both and as wide as the two together.
 		over := make([]mpint.Nat, items)
 		for i := range over {
 			if b[i].IsZero() {
@@ -151,7 +153,6 @@ func FuzzVecOps(f *testing.F) {
 			}
 			over[i] = mpint.Add(mpint.Mul(a[i], b[i]), mpint.Add(a[i], b[i]))
 		}
-		primeBits := 8 + int(seed>>32%57)
 		elem := func(kind *elemKind, x, y []mpint.Nat) func() vecOp {
 			return func() vecOp {
 				op, err := newElemOp(kind, x, y)
@@ -237,16 +238,42 @@ func FuzzVecOps(f *testing.F) {
 			"mul_vec": {elem(elemMul, a, exps), func(i int) *big.Int { return new(big.Int).Mul(toBig(a[i]), toBig(exps[i])) }},
 			"div_vec": {elem(elemDiv, over, b), func(i int) *big.Int { return new(big.Int).Quo(toBig(over[i]), toBig(b[i])) }},
 			"mod_vec": {elem(elemMod, over, []mpint.Nat{n}), func(i int) *big.Int { return new(big.Int).Mod(toBig(over[i]), bn) }},
-			"prime_test_vec": {
-				func() vecOp { return &primeOp{outVec{make([]mpint.Nat, items)}, primeBits, seed, pos} },
-				func(i int) *big.Int {
-					cand := mpint.NewRNG(seed ^ (uint64(pos+i)+1)*0xBF58476D1CE4E5B9).RandBits(primeBits)
-					cand[0] |= 1
-					if c := toBig(cand); c.ProbablyPrime(20) {
-						return c
+		}
+		if mpint.Cmp(n, mpint.FromUint64(5)) >= 0 {
+			// Miller–Rabin rounds on the fuzzed modulus as the candidate of every
+			// lane, and on it beside odd candidates 2·a[i] + 5 one a lane; a lane's
+			// base is the fuzzed operand's residue for lane 0, 2 for lane 1, n − 2
+			// for lane 2 and a draw in [2, n−2] past them.
+			own := make([]mpint.Nat, items)
+			for i := range own {
+				own[i] = mpint.AddWord(mpint.Lsh(a[i], 1), 5)
+			}
+			own[0] = n
+			for name, cands := range map[string][]mpint.Nat{"miller_rabin_vec one candidate": {n}, "miller_rabin_vec": own} {
+				bases := make([]mpint.Nat, items)
+				for i := range bases {
+					c := cands[min(i, len(cands)-1)]
+					switch i {
+					case 0:
+						bases[i] = mpint.AddWord(mpint.Mod(mpint.FromBytes(ab), mpint.SubWord(c, 3)), 2)
+					case 1:
+						bases[i] = mpint.FromUint64(2)
+					case 2:
+						bases[i] = mpint.SubWord(c, 2)
+					default:
+						bases[i] = mpint.AddWord(r.RandBelow(mpint.SubWord(c, 3)), 2)
 					}
-					return new(big.Int)
-				}},
+				}
+				cases[name] = fuzzVecCase{
+					func() vecOp {
+						op, err := newMillerRabinOp(make([]mpint.Nat, items), cands, bases)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return &op
+					},
+					func(i int) *big.Int { return bigRound(toBig(cands[min(i, len(cands)-1)]), toBig(bases[i])) }}
+			}
 		}
 		if key, ok := decKey(crt, p, q); ok {
 			// The holder's encryptions of xs at stream positions 0 and up, and
@@ -333,6 +360,7 @@ func FuzzVecOps(f *testing.F) {
 			"ModVec by 0":            {second(eng.ModVec(a, mpint.Zero())), ErrZeroDivisor},
 			"EncryptVec ≥ n, holder": {second(eng.EncryptVec(append(xs[:items-1:items-1], crt.N()), encKey(crt, n2, true), seed)), ErrPlaintext},
 			"EncryptVec ≥ n, public": {second(eng.EncryptVec(append(xs[:items-1:items-1], mpint.Add(crt.N(), a[0])), encKey(crt, n2, false), seed)), ErrPlaintext},
+			"MillerRabinVec base n":  {second(eng.Frame(1).MillerRabinVec([]mpint.Nat{crt.N()}, []mpint.Nat{crt.N()})), ErrWitness},
 		} {
 			if !errors.Is(c.err, c.want) {
 				t.Fatalf("%s: error %v, want %v", name, c.err, c.want)
@@ -345,3 +373,21 @@ func FuzzVecOps(f *testing.F) {
 }
 
 func second(_ []mpint.Nat, err error) error { return err }
+
+// bigRound is math/big's Miller–Rabin round on n to base a: 1 when n survives
+// it, 0 when a witnesses n composite.
+func bigRound(n, a *big.Int) *big.Int {
+	one := big.NewInt(1)
+	nm1 := new(big.Int).Sub(n, one)
+	s := nm1.TrailingZeroBits()
+	x := new(big.Int).Exp(a, new(big.Int).Rsh(nm1, s), n)
+	for i := uint(0); ; i++ {
+		switch {
+		case x.Cmp(nm1) == 0 || (i == 0 && x.Cmp(one) == 0):
+			return one
+		case i+1 >= s || x.Cmp(one) == 0:
+			return new(big.Int)
+		}
+		x.Mul(x, x).Mod(x, n)
+	}
+}

@@ -296,8 +296,8 @@ func TestRandCoprimeAt(t *testing.T) {
 }
 
 func TestGeneratePrimePair(t *testing.T) {
-	e := testEngine(t)
-	p, q, err := e.GeneratePrimePair(64, 11)
+	e := testEngine(t).PrimeSearch()
+	p, q, err := e.Pair(mpint.NewRNG(11), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestGeneratePrimePair(t *testing.T) {
 	if p.BitLen() != 64 || q.BitLen() != 64 {
 		t.Fatalf("widths %d, %d", p.BitLen(), q.BitLen())
 	}
-	if _, err := e.GeneratePrime(2, 1); err == nil {
+	if _, err := e.Prime(mpint.NewRNG(1), 2); err == nil {
 		t.Fatal("tiny width should fail")
 	}
 }

@@ -550,34 +550,125 @@ func (o *elemOp) slice(lo, hi int) vecOp {
 	return &elemOp{outVec{o.out[lo:hi]}, o.kind, o.a[lo:hi], b, o.limbs}
 }
 
-// primeOp is items [pos, pos+n) of the (seed, bits) prime-candidate stream put
-// to the test — the key-generation search of §IV-A3, one Miller–Rabin searcher
-// a thread: result i is the candidate at stream position pos+i when it is a
-// probable prime and zero when it is composite. Each lane's generator is keyed
-// by its global stream position and draws first the candidate, then the
-// witnesses it is tested with, so a verdict depends on the seed and the
-// position alone — not on the window, the shard, the device or the attempt
-// that reached it — and verification redraws a sampled position from scratch.
-// Nothing is uploaded. A lane is priced at one witness round, the work of
-// nearly every candidate that survives trial division; the lane that holds a
-// prime runs the whole witness count, which is the divergence the kernel
-// declares.
-type primeOp struct {
+// millerRabinOp is one Miller–Rabin round a lane on (ns[i], as[i]) — ns[0] for
+// every lane when the launch tests one candidate — the key-generation search of
+// §IV-A3, one test a thread: result i is 1 when the candidate survives the round
+// to base as[i] and 0 when the base witnesses it composite. The walk that asks
+// for the rounds (mpint.PrimeSearch) launches two shapes: round 0 of a window of
+// survivors, where each lane builds its own candidate's Montgomery context and
+// schedule of d (n − 1 = d·2^s), and rounds 1–19 of the one survivor that
+// passed, where a set-up stage builds them once for every lane. Verification
+// recomputes the round by square-and-multiply with plain products: no
+// Montgomery form, no schedule, nothing shared with the lane.
+type millerRabinOp struct {
 	outVec
-	bits int
-	seed uint64
-	pos  int
+	ns, as []mpint.Nat
+	limbs  int              // the widest candidate's, in the device's words
+	test   *mpint.PrimeTest // ns[0] made ready, when the lanes share it; set up per shard
 }
 
-func (o *primeOp) name() string { return "prime_test_vec" }
-func (o *primeOp) kernel(warp int) gpu.Kernel {
-	k := (o.bits + 31) / 32
-	return gpu.Kernel{RegsPerThread: regsForLimbs(k), WordOps: modExpWordOps(k, o.bits), DivergentLanes: warp - 1}
+// newMillerRabinOp states the op over dst, rejecting a length mismatch and a
+// candidate or a base out of range (ErrWitness) before anything is uploaded.
+func newMillerRabinOp(dst, ns, as []mpint.Nat) (millerRabinOp, error) {
+	if len(ns) != 1 && len(ns) != len(as) {
+		return millerRabinOp{}, fmt.Errorf("%w: %d candidates for %d bases", ErrLength, len(ns), len(as))
+	}
+	o := millerRabinOp{outVec: outVec{dst}, ns: ns, as: as, limbs: 1}
+	for i, a := range as {
+		n := o.candidate(i)
+		if n.IsEven() || mpint.Cmp(n, mpint.FromUint64(5)) < 0 || a.BitLen() < 2 || mpint.Cmp(a, mpint.SubWord(n, 2)) > 0 {
+			return millerRabinOp{}, fmt.Errorf("%w at index %d", ErrWitness, i)
+		}
+		o.limbs = max(o.limbs, limbs32(n))
+	}
+	return o, nil
 }
-func (o *primeOp) h2d() int64             { return 0 }
-func (o *primeOp) d2h() int64             { return natBytes(len(o.out), (o.bits+31)/32) }
-func (o *primeOp) Lane(i int)             { o.out[i] = primeAt(o.seed, o.pos+i, o.bits) }
-func (o *primeOp) verify(i int) mpint.Nat { return primeAt(o.seed, o.pos+i, o.bits) }
-func (o *primeOp) slice(lo, hi int) vecOp {
-	return &primeOp{outVec{o.out[lo:hi]}, o.bits, o.seed, o.pos + lo}
+
+func (o *millerRabinOp) candidate(i int) mpint.Nat { return o.ns[min(i, len(o.ns)-1)] }
+func (o *millerRabinOp) shared() bool              { return len(o.ns) == 1 }
+
+func (o *millerRabinOp) name() string { return "miller_rabin_vec" }
+
+// kernel prices a lane at a round over the widest candidate — the window over
+// d and the squarings after it, about a squaring a bit of n — plus, where the
+// lanes test candidates of their own, building the candidate's context: those
+// lanes walk different schedules, the divergence a variable exponent declares.
+func (o *millerRabinOp) kernel(warp int) gpu.Kernel {
+	k := gpu.Kernel{RegsPerThread: regsForLimbs(o.limbs), WordOps: modExpWordOps(o.limbs, 32*o.limbs)}
+	if !o.shared() {
+		k.WordOps += montSetupWordOps(o.limbs)
+		k.DivergentLanes = warp / 2
+	}
+	return k
+}
+
+// setup builds the shared candidate's test as its own one-item launch, so the
+// context and the schedule land on the simulated clock once for the launch. A
+// retry reuses a test its attempt's stage built: it is read-only.
+func (o *millerRabinOp) setup(dev *gpu.Device) (int, error) {
+	if !o.shared() || o.test != nil {
+		return 0, nil
+	}
+	build := func(int) { o.test = mpint.NewPrimeTest(o.ns[0]) }
+	if dev == nil {
+		build(0)
+		return 0, nil
+	}
+	kern := gpu.Kernel{Name: "miller_rabin_setup", Items: 1, RegsPerThread: regsForLimbs(o.limbs),
+		WordOps: montSetupWordOps(o.limbs), Body: gpu.LaneFunc(build)}
+	if _, err := dev.Launch(kern); err != nil {
+		return 0, fmt.Errorf("set-up: %w", err)
+	}
+	return 0, nil
+}
+
+// h2d is the bases and the candidates, the shared one once.
+func (o *millerRabinOp) h2d() int64 { return natBytes(len(o.as)+len(o.ns), o.limbs) }
+func (o *millerRabinOp) d2h() int64 { return natBytes(len(o.out), 1) }
+
+func (o *millerRabinOp) Lane(i int) {
+	t := o.test
+	if t == nil {
+		t = mpint.NewPrimeTest(o.ns[i])
+	}
+	o.out[i] = verdict(t.Round(o.as[i]))
+}
+
+func (o *millerRabinOp) verify(i int) mpint.Nat {
+	n, a := o.candidate(i), o.as[i]
+	nm1 := mpint.SubWord(n, 1)
+	s := nm1.TrailingZeroBits()
+	d := mpint.Rsh(nm1, s)
+	x := mpint.One()
+	for b := d.BitLen() - 1; b >= 0; b-- {
+		x = mpint.ModMul(x, x, n)
+		if d.Bit(b) == 1 {
+			x = mpint.ModMul(x, a, n)
+		}
+	}
+	if x.IsOne() || mpint.Cmp(x, nm1) == 0 {
+		return verdict(true)
+	}
+	for j := uint(1); j < s && !x.IsOne(); j++ {
+		if x = mpint.ModMul(x, x, n); mpint.Cmp(x, nm1) == 0 {
+			return verdict(true)
+		}
+	}
+	return verdict(false)
+}
+
+func (o *millerRabinOp) slice(lo, hi int) vecOp {
+	ns := o.ns
+	if !o.shared() {
+		ns = ns[lo:hi]
+	}
+	return &millerRabinOp{outVec: outVec{o.out[lo:hi]}, ns: ns, as: o.as[lo:hi], limbs: o.limbs}
+}
+
+// verdict is a round's result element: 1 when the candidate survived it.
+func verdict(passed bool) mpint.Nat {
+	if passed {
+		return mpint.One()
+	}
+	return mpint.Zero()
 }

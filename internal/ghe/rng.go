@@ -21,17 +21,3 @@ func nonceRNG(seed uint64, i int) *mpint.RNG {
 func RandCoprimeAt(seed uint64, i int, n mpint.Nat) mpint.Nat {
 	return nonceRNG(seed, i).RandCoprime(n)
 }
-
-// primeAt is item i of a GeneratePrime(bits, seed) stream put to the test: the
-// item's generator draws an odd candidate of exactly bits bits and then the
-// Miller–Rabin witnesses that try it. The candidate comes back if it is a
-// probable prime, zero if it is composite.
-func primeAt(seed uint64, i, bits int) mpint.Nat {
-	rng := mpint.NewRNG(seed ^ (uint64(i)+1)*0xBF58476D1CE4E5B9)
-	cand := rng.RandBits(bits)
-	cand[0] |= 1
-	if !mpint.IsPrime(cand, rng) {
-		return mpint.Zero()
-	}
-	return cand
-}

@@ -104,7 +104,7 @@ func TestShardedMatchesSequentialEveryOp(t *testing.T) {
 			sameVec(t, "multi_exp_vec", got, want)
 
 			// Table I's arithmetic ops, per-item and shared second operand, and
-			// n candidates of a prime search from a non-zero stream position.
+			// Miller–Rabin rounds over n candidates and over one.
 			want, err = seq.MulVec(bases, exps)
 			if err != nil {
 				t.Fatal(err)
@@ -125,15 +125,18 @@ func TestShardedMatchesSequentialEveryOp(t *testing.T) {
 			}
 			sameVec(t, "mod_vec", got, want)
 
-			want, err = seq.run(&primeOp{outVec{make([]mpint.Nat, n)}, 40, 77, 5})
-			if err != nil {
-				t.Fatal(err)
+			cands, wits := mrOperands(r, n, 40)
+			for _, cs := range [][]mpint.Nat{cands, cands[:1]} {
+				want, err = seq.Frame(n).MillerRabinVec(cs, wits)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err = sh.Frame(n).MillerRabinVec(cs, wits)
+				if err != nil {
+					t.Fatalf("D=%d n=%d MillerRabinVec over %d candidates: %v", d, n, len(cs), err)
+				}
+				sameVec(t, "miller_rabin_vec", got, want)
 			}
-			got, err = sh.run(&primeOp{outVec{make([]mpint.Nat, n)}, 40, 77, 5})
-			if err != nil {
-				t.Fatalf("D=%d n=%d prime window: %v", d, n, err)
-			}
-			sameVec(t, "prime_test_vec", got, want)
 		}
 	}
 }

@@ -127,6 +127,9 @@ func MustNew(cfg Config, fineRM bool) *Device {
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 
+// Workers returns how many host goroutines run the device's kernel lanes.
+func (d *Device) Workers() int { return d.workers }
+
 // RM returns the device's resource manager.
 func (d *Device) RM() *ResourceManager { return d.rm }
 

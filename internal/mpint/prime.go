@@ -1,5 +1,7 @@
 package mpint
 
+import "fmt"
+
 // smallPrimes covers trial division before the Miller–Rabin rounds; the
 // product-of-residues trick is unnecessary at the key sizes we target.
 var smallPrimes = []Word{
@@ -14,10 +16,13 @@ var smallPrimes = []Word{
 // structure of random search.
 const millerRabinRounds = 20
 
+// walkSteps is how many candidates the prime walk takes from one start
+// before it draws a fresh one.
+const walkSteps = 512
+
 // IsPrime reports whether n is (probably) prime, using trial division by
 // small primes followed by Miller–Rabin with rounds random bases drawn from
-// rng. This is the generator the paper runs per GPU thread during key
-// generation.
+// rng — the test one step of the key-generation walk applies.
 func IsPrime(n Nat, rng *RNG) bool {
 	n = trim(n)
 	if len(n) == 0 {
@@ -29,70 +34,249 @@ func IsPrime(n Nat, rng *RNG) bool {
 	if n.IsEven() {
 		return false
 	}
-	for _, p := range smallPrimes[1:] {
-		if modWord(n, p) == 0 {
-			return len(n) == 1 && n[0] == p
-		}
+	if decided, prime := trialDivision(n); decided {
+		return prime
 	}
-	// Write n-1 = d·2^s with d odd.
-	nm1 := SubWord(n, 1)
-	s := nm1.TrailingZeroBits()
-	d := Rsh(nm1, s)
-	nm3 := SubWord(n, 3)
-	mont := NewMont(n)
-	// The witness loop compares in Montgomery form: 1 ↦ R mod n and
-	// n−1 ↦ n − (R mod n), so the squaring chain never leaves it.
-	one, minusOne := mont.one, Sub(n, mont.one)
-	sched := CompileExpAuto(d)
-	sc := mont.getScratch()
-	defer mont.putScratch(sc)
+	t := NewPrimeTest(n)
 	for round := 0; round < millerRabinRounds; round++ {
-		// Uniform base in [2, n-2].
-		a := AddWord(rng.RandBelow(nm3), 2)
-		x := mont.expMont(a, sched, sc) // a^d in Montgomery form, k limbs
-		if Cmp(x, one) == 0 || Cmp(x, minusOne) == 0 {
-			continue
-		}
-		composite := true
-		for i := uint(1); i < s; i++ {
-			mont.mulInto(x, x, x, sc)
-			if Cmp(x, minusOne) == 0 {
-				composite = false
-				break
-			}
-			if Cmp(x, one) == 0 {
-				return false
-			}
-		}
-		if composite {
+		if !t.Round(drawBase(rng, n)) {
 			return false
 		}
 	}
 	return true
 }
 
-// RandPrime returns a random prime with exactly bits significant bits.
-// The low bit is forced to 1 and candidates advance by 2 until a probable
-// prime is found, mirroring the per-thread search the paper describes.
-func (r *RNG) RandPrime(bits int) Nat {
-	if bits < 4 {
-		panic("mpint: RandPrime width too small")
-	}
-	for {
-		cand := r.RandBits(bits)
-		cand[0] |= 1
-		// Walk odd candidates; restart with fresh randomness if the walk
-		// drifts past the requested bit length.
-		for attempt := 0; attempt < 512; attempt++ {
-			if cand.BitLen() != bits {
-				break
-			}
-			if IsPrime(cand, r) {
-				return cand
-			}
-			cand = AddWord(cand, 2)
+// trialDivision decides an odd n > 3 by the small primes when one divides it:
+// decided reports whether one did, prime whether n is that prime.
+func trialDivision(n Nat) (decided, prime bool) {
+	for _, p := range smallPrimes[1:] {
+		if modWord(n, p) == 0 {
+			return true, len(n) == 1 && n[0] == p
 		}
 	}
+	return false, false
+}
+
+// drawBase draws a round's base for n from rng: uniform in [2, n−2].
+func drawBase(rng *RNG, n Nat) Nat { return AddWord(rng.RandBelow(SubWord(n, 3)), 2) }
+
+// PrimeTest is an odd candidate n ≥ 5 made ready for Miller–Rabin rounds:
+// n − 1 = d·2^s with d odd, n's Montgomery context and d compiled. Rounds
+// share nothing but the test, so any number may run on one concurrently.
+type PrimeTest struct {
+	mont     *Mont
+	sched    *ExpSchedule
+	s        uint
+	minusOne Nat // n − 1 in Montgomery form: n − (R mod n)
+}
+
+// NewPrimeTest prepares n, odd and at least 5, for its rounds.
+func NewPrimeTest(n Nat) *PrimeTest {
+	nm1 := SubWord(n, 1)
+	s := nm1.TrailingZeroBits()
+	m := NewMont(n)
+	return &PrimeTest{mont: m, sched: CompileExpAuto(Rsh(nm1, s)), s: s, minusOne: Sub(m.n, m.one)}
+}
+
+// Round runs one round to base a in [2, n−2] and reports whether n survives
+// it: a^d ≡ ±1, or a square of it reaches −1 before it reaches 1. The chain
+// stays in Montgomery form, where 1 is R mod n.
+func (t *PrimeTest) Round(a Nat) bool {
+	m := t.mont
+	sc := m.getScratch()
+	defer m.putScratch(sc)
+	x := m.expMont(a, t.sched, sc) // a^d in Montgomery form, k limbs
+	if Cmp(x, m.one) == 0 || Cmp(x, t.minusOne) == 0 {
+		return true
+	}
+	for i := uint(1); i < t.s; i++ {
+		m.mulInto(x, x, x, sc)
+		if Cmp(x, t.minusOne) == 0 {
+			return true
+		}
+		if Cmp(x, m.one) == 0 {
+			return false
+		}
+	}
+	return false
+}
+
+// RoundRunner runs a batch of Miller–Rabin rounds: passed[i] reports whether
+// candidate ns[i] — ns[0] for every i when ns holds one — survives the round
+// to base as[i]. An error ends the search that asked for the batch.
+type RoundRunner func(ns, as []Nat, passed []bool) error
+
+// HostRounds is the host loop: the rounds one after the other on the calling
+// goroutine.
+func HostRounds(ns, as []Nat, passed []bool) error {
+	var t *PrimeTest
+	for i, a := range as {
+		if t == nil || len(ns) > 1 {
+			t = NewPrimeTest(ns[i])
+		}
+		passed[i] = t.Round(a)
+	}
+	return nil
+}
+
+// PrimeSearch is the seeded walk every key in the repository is drawn by,
+// with its Miller–Rabin rounds tested Window at a time by Run.
+//
+// The walk: an odd start of exactly bits bits from RandBits, then +2 a step,
+// restarting from a fresh draw after walkSteps steps or when a step carries
+// past bits; trial division by the small primes, then millerRabinRounds
+// rounds whose bases the same generator draws, the first failing round ending
+// the candidate. Run serially, one exponentiation at a time, the walk is a
+// chain — every round's base is drawn after the previous round's verdict.
+//
+// The window breaks the chain without moving a draw. Prime collects the next
+// Window trial-division survivors, drawing each one's round-0 base in walk
+// order and keeping the generator's 32-byte state and the walk's position
+// after each draw, and runs their round 0 as one batch. Were every verdict a
+// failure the serial walk would have made exactly those draws, so it goes on
+// from there. Otherwise the first survivor in order that passed is where the
+// serial walk stopped drawing round-0 bases: Prime rewinds to its snapshot,
+// draws its rounds 1–19 with a snapshot after each, and runs them as one more
+// batch. A prime leaves the generator after its last base, as serially; at the
+// first failing round Prime rewinds to that round's snapshot, which is where
+// the serial walk moved on, and resumes the walk. Every exponentiation that
+// steered the serial walk is computed, a composite consumes exactly the bases
+// it did, and the primes and the generator's state after them are the serial
+// walk's for any window and any runner that computes the rounds. Window 1 on
+// HostRounds is the serial walk itself: RandPrime.
+type PrimeSearch struct {
+	Window int
+	Run    RoundRunner
+}
+
+// HostSearch is the walk a round at a time on the host loop.
+var HostSearch = PrimeSearch{Window: 1, Run: HostRounds}
+
+// walk is the prime search's candidate sequence.
+type walk struct {
+	rng     *RNG
+	bits    int
+	cand    Nat // the next candidate; nil before the first start
+	attempt int // candidates taken since the last start
+}
+
+// walkMark is where the walk and its generator stood: enough to rewind both.
+type walkMark struct {
+	rng     RNG
+	cand    Nat
+	attempt int
+}
+
+func (w *walk) mark() walkMark    { return walkMark{*w.rng, w.cand, w.attempt} }
+func (w *walk) rewind(m walkMark) { *w.rng, w.cand, w.attempt = m.rng, m.cand, m.attempt }
+
+// next takes candidates until one that trial division does not reject: a
+// survivor the rounds must decide, or — sure — a small prime it proves.
+func (w *walk) next() (c Nat, sure bool) {
+	for {
+		if w.cand == nil || w.attempt == walkSteps || w.cand.BitLen() != w.bits {
+			w.cand = w.rng.RandBits(w.bits)
+			w.cand[0] |= 1
+			w.attempt = 0
+		}
+		c, w.cand = w.cand, AddWord(w.cand, 2)
+		w.attempt++
+		if decided, prime := trialDivision(c); !decided || prime {
+			return c, decided
+		}
+	}
+}
+
+// Prime returns the walk's next prime of exactly bits bits, drawn from r.
+func (s PrimeSearch) Prime(r *RNG, bits int) (Nat, error) {
+	if bits < 4 {
+		return nil, fmt.Errorf("mpint: prime width %d too small", bits)
+	}
+	window := max(s.Window, 1)
+	w := walk{rng: r, bits: bits}
+	ns, as := make([]Nat, 0, window), make([]Nat, 0, window)
+	marks := make([]walkMark, 0, window)
+	passed := make([]bool, max(window, millerRabinRounds-1))
+	bases, after := make([]Nat, millerRabinRounds-1), make([]RNG, millerRabinRounds-1)
+	for {
+		ns, as, marks = ns[:0], as[:0], marks[:0]
+		var sure Nat
+		for len(ns) < window && sure == nil {
+			c, proved := w.next()
+			if proved {
+				sure = c
+				continue
+			}
+			ns, as = append(ns, c), append(as, drawBase(r, c))
+			marks = append(marks, w.mark())
+		}
+		k, err := s.first(ns, as, passed, true)
+		if err != nil {
+			return nil, err
+		}
+		if k < 0 {
+			if sure != nil {
+				return sure, nil
+			}
+			continue
+		}
+		w.rewind(marks[k])
+		n := ns[k]
+		for i := range bases {
+			bases[i] = drawBase(r, n)
+			after[i] = *r
+		}
+		j, err := s.first(ns[k:k+1], bases, passed, false)
+		if err != nil {
+			return nil, err
+		}
+		if j < 0 {
+			return n, nil
+		}
+		*r = after[j]
+	}
+}
+
+// first runs the rounds (ns, as) and returns the index of the first whose
+// verdict is want, -1 when none is.
+func (s PrimeSearch) first(ns, as []Nat, passed []bool, want bool) (int, error) {
+	if len(as) == 0 {
+		return -1, nil
+	}
+	passed = passed[:len(as)]
+	if err := s.Run(ns, as, passed); err != nil {
+		return -1, err
+	}
+	for i, v := range passed {
+		if v == want {
+			return i, nil
+		}
+	}
+	return -1, nil
+}
+
+// Pair returns two distinct primes of the given width, drawn from r one after
+// the other — redrawing q while it equals p — as Paillier and RSA moduli take
+// them.
+func (s PrimeSearch) Pair(r *RNG, bits int) (p, q Nat, err error) {
+	if p, err = s.Prime(r, bits); err != nil {
+		return nil, nil, err
+	}
+	for {
+		if q, err = s.Prime(r, bits); err != nil || Cmp(p, q) != 0 {
+			return p, q, err
+		}
+	}
+}
+
+// RandPrime returns a random prime with exactly bits significant bits: the
+// walk on the host loop. It panics when bits < 4.
+func (r *RNG) RandPrime(bits int) Nat {
+	p, err := HostSearch.Prime(r, bits)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // RandSafePrimePair returns distinct primes p, q of the given bit width with
@@ -100,11 +284,9 @@ func (r *RNG) RandPrime(bits int) Nat {
 // safe for the cryptosystems' requirements — distinct, full-width — not
 // Sophie-Germain safe primes, which key sizes in the benchmarks don't need.)
 func (r *RNG) RandSafePrimePair(bits int) (p, q Nat) {
-	p = r.RandPrime(bits)
-	for {
-		q = r.RandPrime(bits)
-		if Cmp(p, q) != 0 {
-			return p, q
-		}
+	p, q, err := HostSearch.Pair(r, bits)
+	if err != nil {
+		panic(err)
 	}
+	return p, q
 }

@@ -36,6 +36,11 @@ type Backend interface {
 	// value for — ⌈len(cs)/slots⌉ ciphertexts, only the last of which can be
 	// short. Keeping a plaintext inside its slot is the caller's business.
 	ShiftPackVec(pk *PublicKey, cs []Ciphertext, slots, slotBits int) ([]Ciphertext, error)
+	// GenerateKey generates a key pair with an n of exactly bits bits from
+	// rng: the walk of mpint.PrimeSearch, whose primes and whose generator
+	// state after them are the same whoever runs its Miller–Rabin rounds, so
+	// every backend draws GenerateKey's key.
+	GenerateKey(rng *mpint.RNG, bits int) (*PrivateKey, error)
 }
 
 // CPUBackend performs every HE operation serially on the host, as FATE's
@@ -44,6 +49,12 @@ type CPUBackend struct{}
 
 // Name implements Backend.
 func (CPUBackend) Name() string { return "cpu-serial" }
+
+// GenerateKey implements Backend with the rounds on the host loop, one after
+// the other.
+func (CPUBackend) GenerateKey(rng *mpint.RNG, bits int) (*PrivateKey, error) {
+	return generateKey(mpint.HostSearch, rng, bits)
+}
 
 // EncryptVec implements Backend.
 func (CPUBackend) EncryptVec(pk *PublicKey, ms []mpint.Nat, seed uint64) ([]Ciphertext, error) {
@@ -214,6 +225,12 @@ func view(f *ghe.Frame, cs []Ciphertext) []mpint.Nat {
 		v[i] = c.C
 	}
 	return v
+}
+
+// GenerateKey implements Backend with the rounds as miller_rabin_vec launches
+// on the engine, a window of them a launch.
+func (g *GPUBackend) GenerateKey(rng *mpint.RNG, bits int) (*PrivateKey, error) {
+	return generateKey(g.Engine.PrimeSearch(), rng, bits)
 }
 
 // EncryptVec implements Backend as a single kernel: every lane draws its

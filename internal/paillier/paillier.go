@@ -94,21 +94,31 @@ func (pk *PublicKey) MontN2() *mpint.Mont { return pk.montN2 }
 
 // GenerateKey creates a key pair with an n of exactly `bits` bits. rng
 // supplies the primes (use mpint.NewCryptoRNG for real deployments; seeded
-// RNGs keep experiments reproducible).
+// RNGs keep experiments reproducible). It is the host loop's walk,
+// CPUBackend.GenerateKey; GPUBackend.GenerateKey draws the same key.
 func GenerateKey(rng *mpint.RNG, bits int) (*PrivateKey, error) {
+	return generateKey(mpint.HostSearch, rng, bits)
+}
+
+// generateKey draws prime pairs from rng with search until one makes a key
+// whose n has exactly bits bits. A pair whose product is short is passed over
+// before the key is assembled; no draw depends on the assembly, so that changes
+// no key.
+func generateKey(search mpint.PrimeSearch, rng *mpint.RNG, bits int) (*PrivateKey, error) {
 	if err := CheckKeyBits(bits); err != nil {
 		return nil, err
 	}
 	for {
-		p, q := rng.RandSafePrimePair(bits / 2)
-		sk, err := NewKeyFromPrimes(p, q)
+		p, q, err := search.Pair(rng, bits/2)
 		if err != nil {
-			continue // e.g. gcd(pq, (p-1)(q-1)) ≠ 1; redraw
+			return nil, fmt.Errorf("paillier: prime search: %w", err)
 		}
-		if sk.N.BitLen() != bits {
+		if mpint.Mul(p, q).BitLen() != bits {
 			continue
 		}
-		return sk, nil
+		if sk, err := NewKeyFromPrimes(p, q); err == nil {
+			return sk, nil
+		} // else e.g. gcd(pq, (p-1)(q-1)) ≠ 1; redraw
 	}
 }
 
@@ -125,9 +135,8 @@ func CheckKeyBits(bits int) error {
 	return nil
 }
 
-// NewKeyFromPrimes assembles a key pair from externally generated primes —
-// the path the device key generator (ghe's GeneratePrimePair) and the private
-// key decoder feed.
+// NewKeyFromPrimes assembles a key pair from primes — the path key generation
+// and the private key decoder feed.
 func NewKeyFromPrimes(p, q mpint.Nat) (*PrivateKey, error) {
 	if mpint.Cmp(p, q) == 0 {
 		return nil, fmt.Errorf("paillier: p and q must differ")
@@ -155,11 +164,13 @@ func NewKeyFromPrimes(p, q mpint.Nat) (*PrivateKey, error) {
 	holder.own = crt
 	sk.holder = &holder
 
-	// Reduced-exponent constants. g^{p−1} mod p² ≡ 1 mod p by Fermat, so L_p
-	// applies and its value, (p−1)·q mod p, is a unit. A decoded key's factors
-	// need not be prime, so the inverses are checked all the same.
-	hp, okP := mpint.ModInverse(lHalf(crt.P2().Exp(pk.G, pm1), p), p)
-	hq, okQ := mpint.ModInverse(lHalf(crt.Q2().Exp(pk.G, qm1), q), q)
+	// Reduced-exponent constants, in closed form: (1+n)^(s−1) ≡ 1 + (s−1)·n
+	// mod s² for any factor s — every binomial term past the linear one carries
+	// n² — so L_s(g^(s−1) mod s²) = (s−1)·(n/s) mod s, with no exponentiation.
+	// A decoded key's factors need not be prime, so the inverses are checked
+	// all the same.
+	hp, okP := mpint.ModInverse(lFactor(p, q), p)
+	hq, okQ := mpint.ModInverse(lFactor(q, p), q)
 	if !okP || !okQ {
 		return nil, fmt.Errorf("paillier: L(g^(s−1)) not invertible mod a factor s")
 	}
@@ -167,11 +178,8 @@ func NewKeyFromPrimes(p, q mpint.Nat) (*PrivateKey, error) {
 	return sk, nil
 }
 
-// lHalf computes L_p(x) = (x−1)/p for x < p² with x ≡ 1 mod p; the quotient
-// is already reduced mod p.
-func lHalf(x, p mpint.Nat) mpint.Nat {
-	return mpint.Div(mpint.Sub(x, mpint.One()), p)
-}
+// lFactor is L_s(g^(s−1) mod s²) for the factor s of n = s·t: (s−1)·t mod s.
+func lFactor(s, t mpint.Nat) mpint.Nat { return mpint.ModMul(mpint.SubWord(s, 1), t, s) }
 
 // nonceTerm returns rⁿ mod n², the noise term of a rerandomization under
 // nonce r. Like EncryptWithNonce it asks who is encrypting: a handle that

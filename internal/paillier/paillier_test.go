@@ -254,7 +254,7 @@ func TestBackendErrorPaths(t *testing.T) {
 
 func TestGPUKeyFromDevicePrimes(t *testing.T) {
 	eng := ghe.MustEngine(gpu.MustNew(gpu.SmallTestDevice(), true))
-	p, q, err := eng.GeneratePrimePair(64, 123)
+	p, q, err := eng.PrimeSearch().Pair(mpint.NewRNG(123), 64)
 	if err != nil {
 		t.Fatal(err)
 	}

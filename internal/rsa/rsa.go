@@ -48,21 +48,28 @@ func (pk *PublicKey) KeyBits() int { return pk.N.BitLen() }
 func (pk *PublicKey) Mont() *mpint.Mont { return pk.mont }
 
 // GenerateKey creates an RSA key pair with an n of exactly `bits` bits and
-// e = 65537.
+// e = 65537, its primes walked on the host loop.
 func GenerateKey(rng *mpint.RNG, bits int) (*PrivateKey, error) {
+	return GenerateKeyWith(mpint.HostSearch, rng, bits)
+}
+
+// GenerateKeyWith is GenerateKey with the prime walk's Miller–Rabin rounds run
+// by search — the same key whoever runs them.
+func GenerateKeyWith(search mpint.PrimeSearch, rng *mpint.RNG, bits int) (*PrivateKey, error) {
 	if err := CheckKeyBits(bits); err != nil {
 		return nil, err
 	}
 	for {
-		p, q := rng.RandSafePrimePair(bits / 2)
-		sk, err := NewKeyFromPrimes(p, q)
+		p, q, err := search.Pair(rng, bits/2)
 		if err != nil {
-			continue // e not invertible mod φ(n); redraw
+			return nil, fmt.Errorf("rsa: prime search: %w", err)
 		}
-		if sk.N.BitLen() != bits {
+		if mpint.Mul(p, q).BitLen() != bits {
 			continue
 		}
-		return sk, nil
+		if sk, err := NewKeyFromPrimes(p, q); err == nil {
+			return sk, nil
+		} // else e not invertible mod φ(n); redraw
 	}
 }
 
@@ -79,8 +86,7 @@ func CheckKeyBits(bits int) error {
 	return nil
 }
 
-// NewKeyFromPrimes assembles a key from externally generated primes (e.g.
-// the GPU prime generator).
+// NewKeyFromPrimes assembles a key from two primes.
 func NewKeyFromPrimes(p, q mpint.Nat) (*PrivateKey, error) {
 	if mpint.Cmp(p, q) == 0 {
 		return nil, fmt.Errorf("rsa: p and q must differ")
