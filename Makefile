@@ -1,21 +1,17 @@
 # Developer entry points. `make check` is the pre-commit gate: it builds
 # everything (and cross-builds it for arm64, where mpint has no assembly),
-# vets, runs the full test suite, re-runs the concurrency-
-# sensitive packages (transport + round runtime + device fault layer) under
-# the race detector, smoke-runs the fuzz targets, compiles-and-runs every
-# HE-stack benchmark once so benchmark code cannot bit-rot, runs the
-# CI-sized multi-fault chaos soak under the race detector, runs the small-N
-# cross-device scale sweep (flat vs tree bit-exactness and the coordinator
-# memory bound) under the race detector, runs the CI-sized multi-device
-# sharding sweep (near-linear scaling, bit-exact results, work stealing under
-# a mid-batch device kill) under the race detector, and runs the repository
-# benchmark at its smoke sizing twice on one seed, failing if the two sets'
-# modelled metrics differ in any digit.
+# vets, runs the full test suite, re-runs the concurrency-sensitive packages
+# (transport + round runtime + device fault layer) under the race detector,
+# smoke-runs the fuzz targets, compiles-and-runs every HE-stack benchmark
+# once so benchmark code cannot bit-rot, runs the repository benchmark at its
+# smoke sizing twice on one seed, failing if the two sets' modelled metrics
+# differ in any digit, and runs the CI-sized multi-fault chaos soak under the
+# race detector.
 
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: build test vet lint loc race fuzz bench-smoke benchmark-smoke bench-fresh soak-smoke scale-smoke devset-smoke check resilience devfault soak scale devset
+.PHONY: build test vet lint loc race fuzz bench-smoke benchmark-smoke soak-smoke check
 
 # mpint's kernels (the addMulVW row, the amm52 digit chain) are assembly on
 # amd64 only; cross-building for arm64 (the standard library cross-compiles
@@ -101,54 +97,12 @@ benchmark-smoke:
 	printf '%s\n' "$$out" | grep -q '^benchmark: ' || { printf '%s\n' "$$out"; exit 1; }; \
 	if printf '%s\n' "$$out" | sed -n 's/^benchmark: //p' | tr ';' '\n' | grep -qv 'sets disagree by more than'; then exit 1; fi
 
-# The freshness guard for committed numbers: re-runs the scale sweep's two
-# small sizes and the whole byz sweep (about a second) and fails if any
-# non-wall field differs from the committed BENCH_scale.json / BENCH_byz.json.
-bench-fresh:
-	$(GO) test -run TestCommittedBenchFresh -count 1 ./internal/bench
-
 # The CI-sized chaos soak (DESIGN.md §11): seeded network chaos + device
-# faults + coordinator kills with journal recovery + client churn, every
-# completed round checked against the plaintext oracle, all under -race.
+# faults + coordinator kills with journal recovery + client churn + a
+# rotating adversary under the defense, every completed round checked
+# against the plaintext oracle, run twice on one seed whose two summaries
+# must be equal, all under -race.
 soak-smoke:
 	$(GO) test -race -run TestSoakSmoke -timeout 300s -count 1 ./internal/fl
 
-# The cross-device scale sweep at CI-affordable client counts (DESIGN.md
-# §13): tree rounds must decrypt bit-identically to flat and the
-# coordinator's live-ciphertext peak must stay bounded by fanout·depth.
-scale-smoke:
-	$(GO) test -race -run TestScaleSmoke -timeout 300s -count 1 ./internal/bench
-
-# The multi-device sharding sweep at CI size (DESIGN.md §15): D ∈ {1, 2}
-# with bit-exact rows, a real speedup at D=2, and a mid-batch device kill
-# that steals the dead device's shards without diverging. D = 1 is also the
-# path every GPU profile takes by default, so its row is the reference, not
-# a special case.
-devset-smoke:
-	$(GO) test -race -run TestDevsetSmoke -timeout 300s -count 1 ./internal/bench
-
-check: build vet test race fuzz bench-smoke benchmark-smoke bench-fresh soak-smoke scale-smoke devset-smoke
-
-# Demonstrate graceful degradation under a straggler (see DESIGN.md §6).
-resilience:
-	$(GO) run ./cmd/flbench -keys 1024 -epochs 4 resilience
-
-# Demonstrate resilient GPU-HE execution: transient faults retried and
-# verified, a mid-round device kill failing over bit-exact (DESIGN.md §7).
-devfault:
-	$(GO) run ./cmd/flbench -keys 1024 -epochs 4 devfault
-
-# The full 60-round multi-fault chaos soak; regenerates BENCH_soak.json
-# (run from the repo root so the summary lands next to its siblings).
-soak:
-	$(GO) run ./cmd/flbench soak
-
-# The full 10²→10⁵ cross-device client sweep; regenerates BENCH_scale.json.
-scale:
-	$(GO) run ./cmd/flbench scale
-
-# The multi-device sharding sweep at production keys; regenerates
-# BENCH_devset.json and enforces the ≥0.75·D near-linear scaling gate plus
-# the 1-of-D death leg's bit-exactness and throughput bound.
-devset:
-	$(GO) run ./cmd/flbench -keys 2048 devset
+check: build vet test race fuzz bench-smoke benchmark-smoke soak-smoke

@@ -6,19 +6,17 @@
 //
 //	flbench [flags] <experiment>...
 //
-// Experiments: fig1 table3 table4 fig6 table5 fig7 table6 fig8 table7
-// ablation resilience devfault pipeline byz scale devset soak all
+// Experiments: table2 fig1 table3 table4 fig6 table5 fig7 table6 fig8 table7
+// ablation all
 //
 // Flags:
 //
-//	-scale f      dataset scale factor in (0, 1]        (default 0.0008)
-//	-keys list    comma-separated key sizes in bits     (default 256,512,1024)
+//	-scale f      dataset scale factor in (0, 1]        (default 0.0004)
+//	-keys list    comma-separated key sizes in bits     (default 256,512)
 //	-parties n    number of federated participants      (default 4)
-//	-epochs n     epochs for convergence experiments    (default 4)
+//	-epochs n     epochs for convergence experiments    (default 3)
 //	-batch n      SGD minibatch size                    (default 64)
-//	-seed n       PRNG seed for workloads, chaos, and fault injection (default 1)
-//	-devices n    shard vector HE ops across n simulated devices
-//	              (default 0; 0 and 1 are the same one-device set)
+//	-seed n       PRNG seed for workloads and keys      (default 1)
 //	-trace file   write a Chrome trace-event JSON of the run's sim-time spans
 //	              (load in Perfetto / chrome://tracing)
 //	-metrics file write the metrics registry as text ("-" = stdout)
@@ -54,8 +52,7 @@ func run(args []string) error {
 	parties := fs.Int("parties", 0, "number of federated participants")
 	epochs := fs.Int("epochs", 0, "epochs for convergence experiments")
 	batch := fs.Int("batch", 0, "SGD minibatch size")
-	seed := fs.Uint64("seed", 1, "PRNG seed for workloads, chaos, and fault injection")
-	devices := fs.Int("devices", 0, "shard vector HE ops across this many simulated devices (0 and 1: one device)")
+	seed := fs.Uint64("seed", 1, "PRNG seed for workloads and keys")
 	trace := fs.String("trace", "", "write Chrome trace-event JSON of sim-time spans to this file")
 	metrics := fs.String("metrics", "", "write the metrics registry as text to this file (\"-\" = stdout)")
 	paper := fs.Bool("paper", false, "use the paper's full-scale parameters")
@@ -89,19 +86,12 @@ func run(args []string) error {
 	if *batch > 0 {
 		cfg.BatchSize = *batch
 	}
-	// The seed threads through every workload generator, the network chaos
-	// layer, and the device fault injector, so a -seed value reproduces a
-	// resilience run exactly (same faults, same retries, same fallbacks).
 	cfg.Seed = *seed
-	// -devices sizes the gpu.DeviceSet every GPU context shards its vector HE
-	// ops across (0 and 1 both mean one device); out-of-range values fail
-	// Validate with a typed bench.ConfigError naming the field.
-	cfg.Devices = *devices
 	cfg.Observe = *trace != "" || *metrics != ""
 
 	exps := fs.Args()
 	if len(exps) == 0 {
-		return fmt.Errorf("no experiment named; choose from table2 fig1 table3 table4 fig6 table5 fig7 table6 fig8 table7 ablation resilience devfault pipeline byz scale devset soak all")
+		return fmt.Errorf("no experiment named; choose from table2 fig1 table3 table4 fig6 table5 fig7 table6 fig8 table7 ablation all")
 	}
 	r, err := bench.NewRunner(cfg)
 	if err != nil {
@@ -135,24 +125,6 @@ func run(args []string) error {
 			err = r.Table7(os.Stdout)
 		case "ablation":
 			err = r.Ablation(os.Stdout)
-		case "resilience":
-			err = r.Resilience(os.Stdout)
-		case "devfault":
-			err = r.DeviceFaults(os.Stdout)
-		case "pipeline":
-			err = r.Pipeline(os.Stdout)
-		case "byz":
-			err = r.Byz(os.Stdout)
-		case "scale":
-			// The cross-device sweep sizes its own client counts (10²→10⁵);
-			// -parties keeps meaning the cross-silo party count elsewhere.
-			err = r.Scale(os.Stdout, nil)
-		case "devset":
-			// The multi-device sweep picks its own device counts (1→8, plus
-			// -devices when set) and runs at the sweep's largest key size.
-			err = r.Devset(os.Stdout, nil)
-		case "soak":
-			err = r.Soak(os.Stdout)
 		case "all":
 			err = r.All(os.Stdout)
 		default:

@@ -25,6 +25,12 @@ func TestRunFlagAndArgErrors(t *testing.T) {
 	if err := run([]string{"-chunk", "2", "table3"}); err == nil {
 		t.Fatal("the retired -chunk flag should fail as unknown")
 	}
+	if err := run([]string{"-devices", "2", "table2"}); err == nil {
+		t.Fatal("the retired -devices flag should fail as unknown")
+	}
+	if err := run([]string{"soak"}); err == nil {
+		t.Fatal("a retired side experiment should fail as unknown")
+	}
 }
 
 func TestRunFig7Micro(t *testing.T) {
@@ -69,29 +75,5 @@ func TestHeaderNamesHostKernels(t *testing.T) {
 	text := runCaptured(t, "-keys", "128", "table2")
 	if want := "host arithmetic: " + mpint.KernelName() + "\n"; !strings.HasPrefix(text, want) {
 		t.Fatalf("output starts %q, want %q", strings.SplitN(text, "\n", 2)[0], want)
-	}
-}
-
-// TestAblationAtEveryDeviceCount: Ablation B reads one device's stream clock,
-// so it runs on a one-device context whatever -devices says and prints the
-// same block at every value. (-devices 1 used to dereference the nil
-// Context.Device of a device-set context and panic.)
-func TestAblationAtEveryDeviceCount(t *testing.T) {
-	block := func(devices string) string {
-		text := runCaptured(t, "-keys", "128", "-epochs", "1", "-devices", devices, "ablation")
-		from, to := strings.Index(text, "Ablation B"), strings.Index(text, "Ablation C")
-		if from < 0 || to < from {
-			t.Fatalf("-devices %s: no Ablation B block in\n%s", devices, text)
-		}
-		return text[from:to]
-	}
-	want := block("0")
-	if !strings.Contains(want, "128") || !strings.Contains(want, "x\n") {
-		t.Fatalf("Ablation B printed no row:\n%s", want)
-	}
-	for _, devices := range []string{"1", "2"} {
-		if got := block(devices); got != want {
-			t.Errorf("-devices %s prints\n%s\nwant the -devices 0 block\n%s", devices, got, want)
-		}
 	}
 }

@@ -60,10 +60,9 @@ func (r *Runner) ablationPipeline(w io.Writer) error {
 	fmt.Fprintf(w, "%6s %8s %6s %14s %14s %9s\n", "Key", "Batch", "Chunk", "Sequential", "Pipelined", "Gain")
 	const chunk = 8 // plaintexts per pipeline chunk
 	for _, keyBits := range r.cfg.KeyBits {
-		// The stream pipeline belongs to one device and the table reads that
-		// device's two clocks, so the experiment runs on a one-device context
-		// of its own whatever Config.Devices says.
-		ctx, err := r.newContext(fl.SystemFLBooster, keyBits, 1, fmt.Sprintf("ablationB-%d", keyBits))
+		// The table reads the two clocks of one device's stream pipeline, so
+		// the experiment runs on a context of its own.
+		ctx, err := r.newContext(fl.SystemFLBooster, keyBits, fmt.Sprintf("ablationB-%d", keyBits))
 		if err != nil {
 			return err
 		}

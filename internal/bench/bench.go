@@ -41,10 +41,6 @@ type Config struct {
 	Device gpu.Config
 	// NNHidden is the Hetero NN interactive-layer width.
 	NNHidden int
-	// Devices is the simulated device count per GPU context: every vector HE
-	// op is sharded across a gpu.DeviceSet of that many devices. 0 and 1 are
-	// the same one-device set.
-	Devices int
 	// Observe attaches one observability bundle (sim-time span recorder +
 	// metrics registry, seeded from Seed) to every context the runner builds,
 	// so experiments emit traces and metrics reconcilable against their
@@ -93,22 +89,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("bench: batch size must be positive")
 	case c.NNHidden < 1:
 		return fmt.Errorf("bench: NN hidden width must be positive")
-	case c.Devices < 0:
-		return &ConfigError{Field: "devices", Reason: fmt.Sprintf("device count must be non-negative, got %d", c.Devices)}
-	case c.Devices > gpu.MaxDevices:
-		return &ConfigError{Field: "devices", Reason: fmt.Sprintf("device count %d exceeds %d", c.Devices, gpu.MaxDevices)}
 	}
 	return nil
 }
-
-// ConfigError reports a benchmark configuration a run rejects up front,
-// naming the offending field so CLI frontends can map it back to a flag.
-type ConfigError struct {
-	Field  string
-	Reason string
-}
-
-func (e *ConfigError) Error() string { return fmt.Sprintf("bench: invalid %s: %s", e.Field, e.Reason) }
 
 // ModelNames lists the benchmark models in the paper's order.
 func ModelNames() []string {
@@ -198,7 +181,7 @@ func (r *Runner) context(sys fl.System, keyBits int) (*fl.Context, error) {
 		}
 		return ctx, nil
 	}
-	ctx, err := r.newContext(sys, keyBits, r.cfg.Devices, fmt.Sprintf("%s-%d", sys, keyBits))
+	ctx, err := r.newContext(sys, keyBits, fmt.Sprintf("%s-%d", sys, keyBits))
 	if err != nil {
 		return nil, err
 	}
@@ -206,13 +189,12 @@ func (r *Runner) context(sys fl.System, keyBits int) (*fl.Context, error) {
 	return ctx, nil
 }
 
-// newContext builds an uncached HE context over the given device count and
-// attaches it to the shared observability bundle under label.
-func (r *Runner) newContext(sys fl.System, keyBits, devices int, label string) (*fl.Context, error) {
+// newContext builds an uncached HE context and attaches it to the shared
+// observability bundle under label.
+func (r *Runner) newContext(sys fl.System, keyBits int, label string) (*fl.Context, error) {
 	p := fl.NewProfile(sys, keyBits, r.cfg.Parties)
 	p.Device = r.cfg.Device
 	p.Seed = r.cfg.Seed
-	p.Devices = devices
 	ctx, err := fl.NewContext(p)
 	if err != nil {
 		return nil, fmt.Errorf("bench: context %s/%d: %w", sys, keyBits, err)

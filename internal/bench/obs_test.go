@@ -3,30 +3,16 @@ package bench
 import (
 	"bytes"
 	"io"
-	"os"
 	"testing"
 )
 
-// TestPipelineTraceDeterministicAndReconciled: the pipeline experiment with
-// observation on must (a) leave the metrics mirror in exact agreement with
-// every context's CostSnapshot and (b) emit a byte-identical trace on a
-// same-seed rerun — spans carry only sim-time quantities, so two runs of
-// the same workload may not differ.
+// TestPipelineTraceDeterministicAndReconciled: a paper experiment (Fig. 6,
+// which runs every model on both GPU profiles) with observation on must (a)
+// leave the metrics mirror in exact agreement with every context's
+// CostSnapshot and (b) emit a byte-identical trace on a same-seed rerun —
+// spans carry only sim-time quantities, so two runs of the same workload may
+// not differ.
 func TestPipelineTraceDeterministicAndReconciled(t *testing.T) {
-	// Pipeline writes BENCH_pipeline.json into the cwd; run in a temp dir.
-	old, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := os.Chdir(old); err != nil {
-			t.Fatal(err)
-		}
-	}()
-
 	run := func() []byte {
 		cfg := microConfig()
 		cfg.Observe = true
@@ -34,14 +20,14 @@ func TestPipelineTraceDeterministicAndReconciled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := r.Pipeline(io.Discard); err != nil {
+		if err := r.Fig6(io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		if err := r.ReconcileObs(); err != nil {
 			t.Fatalf("metrics/cost reconciliation: %v", err)
 		}
 		if r.Obs().Recorder().Len() == 0 {
-			t.Fatal("pipeline experiment recorded no spans")
+			t.Fatal("Fig. 6 recorded no spans")
 		}
 		var buf bytes.Buffer
 		if err := r.Obs().Recorder().WriteTrace(&buf); err != nil {

@@ -5,6 +5,8 @@ import (
 	"math"
 	"path/filepath"
 	"testing"
+
+	"flbooster/internal/mpint"
 )
 
 // byzProfile is a CPU profile of six parties with a boosted (scale-10)
@@ -59,52 +61,89 @@ func honestOracle(t *testing.T, p Profile, grads [][]float64) []float64 {
 	return sum
 }
 
+// byzCorrelatedGrads draws honest gradients with the correlated shape of
+// real FL updates: one shared descent direction in [-0.25, 0.25) plus ±0.02
+// per-client jitter, so the group means form a tight honest cluster for a
+// combiner to defend.
+func byzCorrelatedGrads(seed uint64, parties, dim int) [][]float64 {
+	rng := mpint.NewRNG(seed ^ 0xb52a)
+	base := make([]float64, dim)
+	for i := range base {
+		base[i] = 0.5*rng.Float64() - 0.25
+	}
+	out := make([][]float64, parties)
+	for c := range out {
+		g := make([]float64, dim)
+		for i := range g {
+			g[i] = base[i] + 0.02*(2*rng.Float64()-1)
+		}
+		out[c] = g
+	}
+	return out
+}
+
 // TestDefendedRoundSuppressesScalingAdversary is the tentpole end-to-end:
-// one boosted client poisons an undefended aggregate; the trimmed-mean
-// group defense pulls the result back near the honest oracle.
+// boosted clients poison an undefended aggregate; the trimmed-mean group
+// defense pulls the result back near the honest oracle, at least minRatio
+// times closer.
 func TestDefendedRoundSuppressesScalingAdversary(t *testing.T) {
-	p := byzProfile()
-	grads := byzGrads(p.Parties, 4)
-	honest := honestOracle(t, p, grads)
+	// The robustness headline: 10 parties, 20% scaling adversaries boosting
+	// ×25, 5 groups trimmed 2 a side (both adversaries tolerated even when
+	// grouped apart), GradBound 8 so the boosted uploads are never clamped.
+	headline := NewProfile(SystemFATE, 128, 10)
+	headline.Seed = 1
+	headline.GradBound = 8
+	headline.Byz = AdversaryConfig{Seed: 1 ^ 0x1b2c, Kind: AttackScale, Fraction: 0.2, Factor: 25}
 
-	run := func(defense DefensePolicy) ([]float64, RoundReport) {
-		t.Helper()
-		prof := p
-		prof.Defense = defense
-		ctx, err := NewContext(prof)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fed := NewFederation(ctx)
-		defer fed.Close()
-		sum, rep, err := fed.SecureAggregateReport(grads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sum, rep
-	}
+	for _, tc := range []struct {
+		name     string
+		p        Profile
+		grads    [][]float64
+		defense  DefensePolicy
+		minRatio float64
+	}{
+		{"one boosted client", byzProfile(), byzGrads(6, 4), DefensePolicy{Groups: 3, Combiner: CombineTrimmedMean}, 3},
+		{"two of ten boosted x25", headline, byzCorrelatedGrads(1, 10, 16), DefensePolicy{Groups: 5, Combiner: CombineTrimmedMean, Trim: 2}, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			honest := honestOracle(t, tc.p, tc.grads)
+			run := func(defense DefensePolicy) ([]float64, RoundReport) {
+				t.Helper()
+				prof := tc.p
+				prof.Defense = defense
+				ctx, err := NewContext(prof)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fed := NewFederation(ctx)
+				defer fed.Close()
+				sum, rep, err := fed.SecureAggregateReport(tc.grads)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sum, rep
+			}
 
-	attacked, rep := run(DefensePolicy{})
-	if rep.Defense != nil {
-		t.Fatal("undefended round should not carry a defense report")
-	}
-	defended, drep := run(DefensePolicy{Groups: 3, Combiner: CombineTrimmedMean})
-	if drep.Defense == nil {
-		t.Fatal("defended round must carry a defense report")
-	}
-	if drep.Defense.Combiner != string(CombineTrimmedMean) || drep.Defense.Groups != 3 {
-		t.Fatalf("defense report = %+v", drep.Defense)
-	}
-	if got := len(drep.Defense.GroupMembers); got != 3 {
-		t.Fatalf("report lists %d groups' members, want 3", got)
-	}
+			attacked, rep := run(DefensePolicy{})
+			if rep.Defense != nil {
+				t.Fatal("undefended round should not carry a defense report")
+			}
+			defended, drep := run(tc.defense)
+			if drep.Defense == nil {
+				t.Fatal("defended round must carry a defense report")
+			}
+			if drep.Defense.Combiner != string(CombineTrimmedMean) || drep.Defense.Groups != tc.defense.Groups {
+				t.Fatalf("defense report = %+v", drep.Defense)
+			}
+			if got := len(drep.Defense.GroupMembers); got != tc.defense.Groups {
+				t.Fatalf("report lists %d groups' members, want %d", got, tc.defense.Groups)
+			}
 
-	dAtt, dDef := l2diff(attacked, honest), l2diff(defended, honest)
-	if dAtt <= dDef {
-		t.Fatalf("defense did not help: attacked dev %v ≤ defended dev %v", dAtt, dDef)
-	}
-	if dAtt < 3*dDef {
-		t.Fatalf("defense too weak: attacked dev %v, defended dev %v", dAtt, dDef)
+			dAtt, dDef := l2diff(attacked, honest), l2diff(defended, honest)
+			if dAtt < tc.minRatio*dDef {
+				t.Fatalf("defense too weak: attacked dev %v, defended dev %v, want ≥ %gx closer", dAtt, dDef, tc.minRatio)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -12,9 +13,10 @@ import (
 // TestSecureAggregateSurvivesDeviceDeath kills every device of the fleet
 // after its first kernel launch, at each device count a profile can ask for
 // (0 and 1 are the same one-device set): the round must still complete
-// through the host loop with an aggregate identical to a healthy run, and the
-// fault report must show the failover. A second leg corrupts results instead
-// of killing the devices.
+// through the host loop with an aggregate identical to a healthy run, the
+// fault report must show the failover, and the next encryption must be the
+// healthy run's ciphertexts byte for byte. A second leg corrupts results
+// instead of killing the devices.
 func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 	grads := [][]float64{
 		{0.1, -0.2, 0.3}, {0.05, 0.1, -0.1}, {-0.2, 0.2, 0.0}, {0.4, -0.1, 0.05},
@@ -41,7 +43,7 @@ func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 				return agg, ctx
 			}
 
-			clean, _ := runOnce(FaultPolicy{})
+			clean, cleanCtx := runOnce(FaultPolicy{})
 			// A member's second launch is the second client's encryption (it was
 			// the first client's rⁿ kernel when a batch took three): the round is
 			// under way, the device warm, and three clients are still to encrypt.
@@ -71,6 +73,27 @@ func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 				t.Fatalf("degraded-mode time not charged to the modelled clock: fault time %v, host wall %v",
 					rep.SimFaultTime, rep.Checked.FallbackWall)
 			}
+			// Both contexts have drawn the same nonce streams, so one more
+			// encryption — the host loop's on the dead fleet — is the healthy
+			// device's, byte for byte.
+			t.Run("PostFailoverCiphertexts", func(t *testing.T) {
+				want, err := cleanCtx.EncryptGradients(grads[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := ctx.EncryptGradients(grads[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("post-failover encryption gave %d ciphertexts, want %d", len(got), len(want))
+				}
+				for i := range want {
+					if !bytes.Equal(got[i].C.Bytes(), want[i].C.Bytes()) {
+						t.Fatalf("post-failover ciphertext %d differs from the healthy device's", i)
+					}
+				}
+			})
 
 			// A device that silently corrupts results instead of dying: with every
 			// item verified, the checked layer retries the bad batches and the

@@ -113,7 +113,11 @@ func testSet(t *testing.T, d int) *DeviceSet {
 
 // doubleOp builds a sharded op computing out[i] = in[i]*2 through the real
 // device kernel path (H2D, launch, D2H) so clocks and fault injection engage.
-func doubleOp(s *DeviceSet, in, out []int64) ShardOp {
+// At four word-ops an item its modelled time is launch and copy latency.
+func doubleOp(s *DeviceSet, in, out []int64) ShardOp { return costedDoubleOp(s, in, out, 4) }
+
+// costedDoubleOp is doubleOp charging wordOps word-ops an item.
+func costedDoubleOp(s *DeviceSet, in, out []int64, wordOps int64) ShardOp {
 	return ShardOp{
 		Name:         "double",
 		Items:        len(in),
@@ -121,7 +125,7 @@ func doubleOp(s *DeviceSet, in, out []int64) ShardOp {
 		Run: func(devID int, sh Shard) error {
 			dev := s.Device(devID)
 			dev.CopyToDevice(int64(sh.Len()) * 8)
-			k := Kernel{Name: "double", Items: sh.Len(), RegsPerThread: 16, WordOps: 4}
+			k := Kernel{Name: "double", Items: sh.Len(), RegsPerThread: 16, WordOps: wordOps}
 			if _, err := dev.Launch(k.over(func(i int) {
 				out[sh.Lo+i] = in[sh.Lo+i] * 2
 			})); err != nil {
@@ -209,18 +213,27 @@ func TestDeviceSetParallelSpeedup(t *testing.T) {
 	}
 }
 
+// TestDeviceSetWorkStealingOnKill kills one of D = 4 devices at its first
+// launch: the survivors must steal its shard, split, and the op must stay
+// bit-exact and lose less than 1.5/D of a healthy run's throughput. The op is
+// compute-bound, as an HE lane is (2¹⁶ word-ops an item); at doubleOp's four
+// the whole op is latency, and any second wave costs about half of it.
 func TestDeviceSetWorkStealingOnKill(t *testing.T) {
-	const n = 64
+	const n, d, wordOps = 64, 4, 1 << 16
 	in := seqInput(n)
 	want := make([]int64, n)
 	for i := range want {
 		want[i] = in[i] * 2
 	}
-	s := testSet(t, 4)
+	healthy := testSet(t, d)
+	if err := healthy.Run(costedDoubleOp(healthy, in, make([]int64, n), wordOps)); err != nil {
+		t.Fatal(err)
+	}
+	s := testSet(t, d)
 	// Device 1 dies at its first launch: every attempt aborts.
 	s.Device(1).SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 7, KillAtLaunch: 1}))
 	out := make([]int64, n)
-	if err := s.Run(doubleOp(s, in, out)); err != nil {
+	if err := s.Run(costedDoubleOp(s, in, out, wordOps)); err != nil {
 		t.Fatalf("Run with dead device: %v", err)
 	}
 	for i := range out {
@@ -238,6 +251,13 @@ func TestDeviceSetWorkStealingOnKill(t *testing.T) {
 	if st.HostShards != 0 {
 		t.Fatalf("healthy peers should absorb the work, not the host: %+v", st)
 	}
+	t.Run("ThroughputBound", func(t *testing.T) {
+		lost := 1 - float64(healthy.Stats().SimParallelTime)/float64(st.SimParallelTime)
+		if bound := 1.5 / d; lost >= bound {
+			t.Fatalf("the kill lost %.3f of the healthy throughput, bound %.3f (healthy %v, killed %v)",
+				lost, bound, healthy.Stats().SimParallelTime, st.SimParallelTime)
+		}
+	})
 	// The dead device recorded its failed launch.
 	if s.Device(1).Stats().FaultAborts == 0 {
 		t.Fatal("device 1 should have recorded the abort")
