@@ -1,7 +1,8 @@
 # Developer entry points. `make check` is the pre-commit gate: it builds
 # everything (and cross-builds it for arm64, where mpint has no assembly),
 # vets, runs the full test suite, re-runs the concurrency-sensitive packages
-# (transport + round runtime + device fault layer) under the race detector,
+# (transport + round runtime + device fault layer + the pooled arithmetic
+# under them) under the race detector,
 # smoke-runs the fuzz targets, compiles-and-runs every HE-stack benchmark
 # once so benchmark code cannot bit-rot, runs the repository benchmark at its
 # smoke sizing twice on one seed, failing if the two sets' modelled metrics
@@ -50,22 +51,25 @@ loc:
 
 # The chaos/quorum suites and the device fault/watchdog/failover paths
 # exercise goroutines, deadlines, and shared counters — the Table-I platform
-# in core runs on the same executor — and flserver hosts fl's Coordinator
+# in core runs on the same executor, and ghe's watchdog test lets abandoned
+# lanes straggle behind their retry — and flserver hosts fl's Coordinator
 # and Client across real TCP connections (hub, server and client goroutines
-# in one process), as fl's own transport matrix does; they must stay clean
-# under -race and finish with time to spare.
+# in one process), as fl's own transport matrix does. mpint's lane-group
+# scratch and paillier's keys are pooled across the executor's workers (about
+# 21 s and 5 s of this target on the two-core reference box). All of it must
+# stay clean under -race and finish with time to spare.
 race:
-	$(GO) test -race -timeout 300s ./internal/flnet/... ./internal/fl/... ./internal/gpu/... ./internal/ghe/... ./internal/core/... ./cmd/flserver/...
+	$(GO) test -race -timeout 300s ./internal/flnet/... ./internal/fl/... ./internal/gpu/... ./internal/ghe/... ./internal/core/... ./internal/mpint/... ./internal/paillier/... ./cmd/flserver/...
 
 # Short fuzz passes over every fuzz target the module has, 10 s each: for each
 # package `go list ./...` reports, every name `go test -list '^Fuzz'` prints,
 # anchored so FuzzDiv cannot also select FuzzDivInto. Nothing here names a
-# target, so adding or deleting one needs no edit; 21 exist today (10 in mpint
-# against math/big, four wire decoders in flnet, two in gpu, three in fl — the
-# return-path splitter, the aggregate frame every client opens and the journal
-# a restarted coordinator replays — and one each on paillier's key decoders
-# and ghe's engine layer),
-# each with its corpus under its package's testdata/fuzz.
+# target, so adding or deleting one needs no edit; 24 exist today (11 in mpint
+# against math/big, the eight-lane kernel's among them; six wire decoders in
+# flnet; two in gpu; three in fl — the return-path splitter, the aggregate
+# frame every client opens and the journal a restarted coordinator replays —
+# and one each on paillier's key decoders and ghe's engine layer), each with
+# its corpus under its package's testdata/fuzz.
 fuzz:
 	@for pkg in $$($(GO) list ./...); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \

@@ -23,6 +23,10 @@ import (
 // one with IsTimeout.
 var ErrTimeout = errors.New("flnet: receive timed out")
 
+// ErrMalformed is what DecodeFloats and DecodeSessionToken reject a payload
+// with: every reject of theirs wraps it, whatever was wrong with the bytes.
+var ErrMalformed = errors.New("flnet: malformed payload")
+
 // IsTimeout reports whether err is a receive-deadline expiry.
 func IsTimeout(err error) bool { return errors.Is(err, ErrTimeout) }
 
@@ -372,17 +376,18 @@ func EncodeFloats(v []float64) []byte {
 	return buf
 }
 
-// DecodeFloats parses a vector framed by EncodeFloats.
+// DecodeFloats parses a vector framed by EncodeFloats; anything else rejects
+// with ErrMalformed.
 func DecodeFloats(b []byte) ([]float64, error) {
 	if len(b) < 4 {
-		return nil, fmt.Errorf("flnet: float batch truncated header")
+		return nil, fmt.Errorf("%w: float batch truncated header", ErrMalformed)
 	}
 	n := binary.LittleEndian.Uint32(b)
 	b = b[4:]
 	// Compare in uint64 so a count near 2^32 cannot wrap 8*n past the body
 	// length and trigger a multi-GB allocation below.
 	if uint64(len(b)) != 8*uint64(n) {
-		return nil, fmt.Errorf("flnet: float batch length %d, want %d", len(b), 8*uint64(n))
+		return nil, fmt.Errorf("%w: float batch length %d, want %d", ErrMalformed, len(b), 8*uint64(n))
 	}
 	out := make([]float64, n)
 	for i := range out {

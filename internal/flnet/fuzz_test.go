@@ -2,6 +2,8 @@ package flnet
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"testing"
 )
 
@@ -117,6 +119,56 @@ func FuzzDecodePartialAgg(f *testing.F) {
 		}
 		if again := EncodePartialAgg(level, body); !bytes.Equal(again, b) {
 			t.Fatalf("accepted frame re-encodes to %x, want %x", again, b)
+		}
+	})
+}
+
+// FuzzDecodeFloats: any bytes either reject with ErrMalformed and a nil
+// vector, or decode to a vector that EncodeFloats turns back into the same
+// bytes — NaN payloads and negative zero included, since the codec moves bits,
+// not values; never a panic, and the vector is the only allocation, eight
+// bytes a value the body really has, whatever the count header declares.
+func FuzzDecodeFloats(f *testing.F) {
+	f.Add(EncodeFloats([]float64{0.25, -1.5, math.Inf(1)}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var v []float64
+		var err error
+		grew := allocatedBy(func() { v, err = DecodeFloats(b) })
+		if bound := uint64(2*len(b) + fuzzAllocSlack); grew > bound {
+			t.Fatalf("DecodeFloats allocated %d bytes on a %d-byte payload (bound %d)", grew, len(b), bound)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) || v != nil {
+				t.Fatalf("reject %v (ErrMalformed: %v) still returned %d values", err, errors.Is(err, ErrMalformed), len(v))
+			}
+			return
+		}
+		if again := EncodeFloats(v); !bytes.Equal(again, b) {
+			t.Fatalf("accepted payload re-encodes to %x, want %x", again, b)
+		}
+	})
+}
+
+// FuzzDecodeSessionToken: any bytes either reject with ErrMalformed and the
+// zero token, or decode to a token that Encode turns back into the same bytes;
+// never a panic, and nothing allocated — the token is a value.
+func FuzzDecodeSessionToken(f *testing.F) {
+	f.Add(SessionToken{Epoch: 3, Round: 41, Attempt: 2}.Encode())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		var tok SessionToken
+		var err error
+		grew := allocatedBy(func() { tok, err = DecodeSessionToken(b) })
+		if bound := uint64(len(b) + fuzzAllocSlack); grew > bound {
+			t.Fatalf("DecodeSessionToken allocated %d bytes on a %d-byte payload (bound %d)", grew, len(b), bound)
+		}
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) || tok != (SessionToken{}) {
+				t.Fatalf("reject %v (ErrMalformed: %v) still returned %+v", err, errors.Is(err, ErrMalformed), tok)
+			}
+			return
+		}
+		if again := tok.Encode(); !bytes.Equal(again, b) {
+			t.Fatalf("accepted payload re-encodes to %x, want %x", again, b)
 		}
 	})
 }

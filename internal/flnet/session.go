@@ -45,10 +45,11 @@ func (t SessionToken) Encode() []byte {
 	return buf
 }
 
-// DecodeSessionToken parses a frame built by Encode.
+// DecodeSessionToken parses a frame built by Encode; anything else rejects
+// with ErrMalformed.
 func DecodeSessionToken(b []byte) (SessionToken, error) {
 	if len(b) != tokenWireBytes {
-		return SessionToken{}, fmt.Errorf("flnet: session token of %d bytes, want %d", len(b), tokenWireBytes)
+		return SessionToken{}, fmt.Errorf("%w: session token of %d bytes, want %d", ErrMalformed, len(b), tokenWireBytes)
 	}
 	return SessionToken{
 		Epoch:   binary.LittleEndian.Uint64(b),

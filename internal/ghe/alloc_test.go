@@ -149,3 +149,85 @@ func TestCheckedOverheadOverBareEngine(t *testing.T) {
 			allocs, bytes, bareAllocs, bareBytes)
 	}
 }
+
+// TestGroupedLaunchAllocCeiling pins launches whose lanes run eight at a time
+// on the multi-buffer kernel — a shared-modulus exponentiation, a key holder's
+// encryption and decryption, a candidate's later Miller–Rabin rounds, all at
+// 1,024 bits, where a full group of 20- or 40-digit chains walks — at their
+// results: the transposed operands, the tables and the kernel's scratch come
+// from a pool every worker shares, so a launch of sixteen items, two groups,
+// allocates one value an item more than a launch of eight, and beside its
+// results at most the launch's own constant — the descriptor, the vector and
+// the compiled schedule of an op stated outside a frame; the candidate a
+// launch of rounds sets up (its Montgomery context, its digit constants in one
+// lane and in eight, its schedule).
+func TestGroupedLaunchAllocCeiling(t *testing.T) {
+	r := mpint.NewRNG(80)
+	crt, n2 := testCRT(t, r, 1024)
+	key, ok := decKey(crt, crt.P().N(), crt.Q().N())
+	if !ok {
+		t.Fatal("the test key has no decryption constants")
+	}
+	m := crt.P2() // 1,024 bits: 20 digits
+	bases, exp := randVec(r, 16, m.N()), r.RandBits(512)
+	ms := randVec(r, 16, crt.N())
+	cts := textbookEncrypt(ms, crt.N(), 5)
+	cand := r.RandPrime(512)
+	as := make([]mpint.Nat, 16)
+	for i := range as {
+		as[i] = mpint.AddWord(r.RandBelow(mpint.SubWord(cand, 3)), 2)
+	}
+	holder := encKey(crt, n2, true)
+	cfg := gpu.RTX3090()
+	cfg.HostWorkers = 1 // AllocsPerRun counts the whole process
+	set, err := gpu.NewDeviceSet(cfg, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked, err := NewCheckedEngine(set, CheckedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, eng := range map[string]vecEngine{"device": MustEngine(gpu.MustNew(cfg, true)), "executor": checked} {
+		framed := func(w int, op func(f *Frame) ([]mpint.Nat, error)) func() {
+			return func() {
+				f := eng.Frame(w)
+				defer f.Release()
+				if _, err := op(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, tc := range []struct {
+			op     string
+			launch func(w int) func()
+			fixed  float64
+		}{
+			{"mod_exp_vec", func(w int) func() {
+				return func() {
+					if _, err := eng.ModExpVec(bases[:w], exp, m); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}, 4},
+			{"encrypt_vec", func(w int) func() {
+				return framed(w, func(f *Frame) ([]mpint.Nat, error) { return f.EncryptVec(ms[:w], holder, 5) })
+			}, 0},
+			{"decrypt_crt_vec", func(w int) func() {
+				return framed(w, func(f *Frame) ([]mpint.Nat, error) { return f.DecryptVec(cts[:w], key) })
+			}, 0},
+			{"miller_rabin_vec", func(w int) func() {
+				return framed(w, func(f *Frame) ([]mpint.Nat, error) { return f.MillerRabinVec([]mpint.Nat{cand}, as[:w]) })
+			}, 64},
+		} {
+			eight, sixteen := testing.AllocsPerRun(5, tc.launch(8)), testing.AllocsPerRun(5, tc.launch(16))
+			t.Logf("%s %s: %.0f allocs at 8 items, %.0f at 16", name, tc.op, eight, sixteen)
+			if per := (sixteen - eight) / 8; per > 1 {
+				t.Errorf("%s %s: %.2f allocs an item, ceiling 1", name, tc.op, per)
+			}
+			if sixteen > 16+tc.fixed {
+				t.Errorf("%s %s: %.0f allocs for 16 items, ceiling 16 + %.0f", name, tc.op, sixteen, tc.fixed)
+			}
+		}
+	}
+}

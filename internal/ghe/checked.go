@@ -269,11 +269,24 @@ func (c *CheckedEngine) onHost(sh gpu.Shard) error {
 // caller error and surfaces as-is. When the device is declared Failed, or
 // the retry budget is spent without that, the last typed fault goes back to
 // the scheduler, which owns failover.
+//
+// Under a launch watchdog an attempt can be given up with its lanes still
+// running, and they go on writing its result vector after the retry, the host
+// loop or the caller has taken over the shard's elements. So there every
+// attempt writes a vector of its own, copied into the shard's only once the
+// attempt has come back whole and verified: a straggler writes nothing anyone
+// else reads or writes.
 func (mb *member) serve(op vecOp, cfg *CheckedConfig) error {
 	dev := mb.eng.dev
+	own := dev.Config().KernelDeadline > 0
 	var last *gpu.KernelError
 	for attempt := 0; ; attempt++ {
-		if err := mb.eng.launch(op); err != nil {
+		run := op
+		if own {
+			n := len(op.result())
+			run = op.slice(0, n, make([]mpint.Nat, n))
+		}
+		if err := mb.eng.launch(run); err != nil {
 			var kerr *gpu.KernelError
 			if !errors.As(err, &kerr) {
 				return err
@@ -282,7 +295,8 @@ func (mb *member) serve(op vecOp, cfg *CheckedConfig) error {
 			mb.mu.Lock()
 			mb.stats.LaunchFaults++
 			mb.mu.Unlock()
-		} else if mb.spotCheck(op, cfg.VerifyFraction) {
+		} else if mb.spotCheck(run, cfg.VerifyFraction) {
+			copy(op.result(), run.result())
 			return nil
 		} else {
 			// The kernel reported success with corrupted contents: feed the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
 )
 
@@ -198,15 +199,17 @@ func (v vecAPI) Frame(n int) *Frame {
 }
 
 // roundWindow is the key-generation window for an engine whose devices run
-// `workers` host goroutines between them: four rounds a worker. A window of w
-// rounds computes its lanes past the first survivor that passes round 0 for
-// nothing, about w/2 exponentiations a prime, and pays a launch a window. On the
-// two-core reference box (paillier's BenchmarkGenerateKey: 1,024- and 2,048-bit
-// keys, seeds 1 and 2, six interleaved passes) one, two, four and eight a
-// worker ran 1.49×, 1.54×, 1.54× and 1.51× the host loop's speed, geometric
-// mean over the four keys — flat from one up, so the window is sized for the
-// ≥ 8 independent chains a multi-buffer kernel wants (ROADMAP item 6).
-func roundWindow(workers int) int { return 4 * workers }
+// `workers` host goroutines between them: a lane group (gpu.LaneGroup) a
+// worker, so that each worker's chunk of round 0 is one full group on the
+// multi-buffer kernel — eight candidates, each lane its own modulus. A window
+// of w rounds computes its lanes past the first survivor that passes round 0
+// for nothing, about w/2 exponentiations a prime, and pays a launch a window.
+// On one chain a lane (paillier's BenchmarkGenerateKey on the two-core
+// reference box: 1,024- and 2,048-bit keys, seeds 1 and 2) one, two, four and
+// eight a worker ran 1.49×, 1.54×, 1.54× and 1.51× the host loop's speed:
+// flat, so the window is the group's to size. The walk is the serial walk at
+// any window (mpint.PrimeSearch).
+func roundWindow(workers int) int { return gpu.LaneGroup * workers }
 
 // PrimeSearch implements VectorEngine: the walk whose rounds are
 // miller_rabin_vec launches.
@@ -294,13 +297,14 @@ type CPUEngine struct{ vecAPI }
 func NewCPUEngine() *CPUEngine { return &CPUEngine{vecAPI{runOnHost, new(sync.Pool), true, 1}} }
 
 // runOnHost executes an op on the host: its set-up stage without a launch,
-// then every lane in order.
+// then every lane in order, one item at a time — the serial reference, and
+// the host clock behind the CPU profiles' columns.
 func runOnHost(op vecOp) error {
 	if _, err := op.setup(nil); err != nil {
 		return err
 	}
 	for i := range op.result() {
-		op.Lane(i)
+		op.Lanes(i, i+1)
 	}
 	return nil
 }

@@ -175,7 +175,7 @@ func FuzzVecOps(f *testing.F) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					return op.slice(pos, pos+items)
+					return op.slice(pos, pos+items, op.result()[pos:pos+items])
 				},
 				func(i int) *big.Int {
 					c := new(big.Int).Mul(toBig(xs[i]), bN)

@@ -125,12 +125,12 @@ func TestExecutorWalkIsTheHostWalk(t *testing.T) {
 	}
 }
 
-// TestRoundWindowFollowsTheWorkers: a launch tests four rounds a host worker
-// of the engine's devices, and the host engine one at a time.
+// TestRoundWindowFollowsTheWorkers: a launch tests a lane group of rounds a
+// host worker of the engine's devices, and the host engine one at a time.
 func TestRoundWindowFollowsTheWorkers(t *testing.T) {
 	for d := 1; d <= 3; d++ {
 		c := checkedSet(t, d, CheckedConfig{})
-		if w, want := c.PrimeSearch().Window, 4*d*gpu.SmallTestDevice().HostWorkers; w != want {
+		if w, want := c.PrimeSearch().Window, gpu.LaneGroup*d*gpu.SmallTestDevice().HostWorkers; w != want {
 			t.Errorf("D=%d: window %d, want %d", d, w, want)
 		}
 	}

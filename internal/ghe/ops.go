@@ -28,10 +28,11 @@ type vecOp interface {
 	// kernel — as a launch and an upload on dev, or directly on the host when
 	// dev is nil — and returns the table entries it built.
 	setup(dev *gpu.Device) (entries int, err error)
-	// Lane computes element i into result()[i]; Poison flips its low bit, the
-	// injected silent corruption only verification can catch. The descriptor
-	// is the launch's body (gpu.Body, gpu.Poisoner) as it stands.
-	Lane(i int)
+	// Lanes computes elements [lo, hi) into result()[lo:hi], a lane group
+	// (gpu.LaneGroup) at most; Poison flips element i's low bit, the injected
+	// silent corruption only verification can catch. The descriptor is the
+	// launch's body (gpu.Body, gpu.Poisoner) as it stands.
+	Lanes(lo, hi int)
 	Poison(i int)
 	// verify recomputes element i by arithmetic that shares nothing with
 	// lane, so one fault cannot corrupt both the result and its check.
@@ -39,8 +40,10 @@ type vecOp interface {
 	// result is the output vector, one element per item, written in place.
 	result() []mpint.Nat
 	// slice is the op over items [lo, hi): the same arithmetic on the same
-	// elements at the same stream positions, writing result()[lo:hi].
-	slice(lo, hi int) vecOp
+	// elements at the same stream positions, writing out (hi − lo elements) —
+	// result()[lo:hi] for a shard, a vector of its own for an attempt a
+	// watchdog may abandon (checked.go).
+	slice(lo, hi int, out []mpint.Nat) vecOp
 }
 
 // shardOf is op restricted to sh. The shard that covers the op is the op.
@@ -48,7 +51,7 @@ func shardOf(op vecOp, sh gpu.Shard) vecOp {
 	if sh.Len() == len(op.result()) {
 		return op
 	}
-	return op.slice(sh.Lo, sh.Hi)
+	return op.slice(sh.Lo, sh.Hi, op.result()[sh.Lo:sh.Hi])
 }
 
 // natBytes is the device-transfer size of a vector of k-limb values.
@@ -92,15 +95,16 @@ type modVec struct {
 
 func newModVec(n int, m *mpint.Mont) modVec { return modVec{outVec{make([]mpint.Nat, n)}, m} }
 
-func (v modVec) sub(lo, hi int) modVec { return modVec{outVec{v.out[lo:hi]}, v.m} }
-func (v modVec) d2h() int64            { return natBytes(len(v.out), v.m.Limbs()) }
+func (v modVec) into(out []mpint.Nat) modVec { return modVec{outVec{out}, v.m} }
+func (v modVec) d2h() int64                  { return natBytes(len(v.out), v.m.Limbs()) }
 func (v modVec) kern(wordOps int64) gpu.Kernel {
 	return gpu.Kernel{RegsPerThread: regsForLimbs(v.m.Limbs()), WordOps: wordOps}
 }
 
 // modExpOp is bases[i]^exp mod m. The exponent is shared by every element:
 // its window schedule is recoded once on the host and replayed per lane,
-// instead of rescanning the exponent bits in every thread. Verification
+// instead of rescanning the exponent bits in every thread — on the host, by a
+// lane group's eight chains at once (mpint.Mont.ExpSchedVec). Verification
 // rescans them.
 type modExpOp struct {
 	modVec
@@ -114,10 +118,10 @@ func (o *modExpOp) kernel(int) gpu.Kernel {
 	return o.kern(modExpWordOps(o.m.Limbs(), o.exp.BitLen()))
 }
 func (o *modExpOp) h2d() int64             { return natBytes(len(o.bases)+1, o.m.Limbs()) }
-func (o *modExpOp) Lane(i int)             { o.out[i] = o.m.ExpSched(o.bases[i], o.sched) }
+func (o *modExpOp) Lanes(lo, hi int)       { o.m.ExpSchedVec(o.out[lo:hi], o.bases[lo:hi], o.sched) }
 func (o *modExpOp) verify(i int) mpint.Nat { return o.m.Exp(o.bases[i], o.exp) }
-func (o *modExpOp) slice(lo, hi int) vecOp {
-	return &modExpOp{o.sub(lo, hi), o.bases[lo:hi], o.exp, o.sched}
+func (o *modExpOp) slice(lo, hi int, out []mpint.Nat) vecOp {
+	return &modExpOp{o.into(out), o.bases[lo:hi], o.exp, o.sched}
 }
 
 // modExpVarOp is bases[i]^exps[i] mod m, priced at the widest exponent of
@@ -133,11 +137,15 @@ func (o *modExpVarOp) kernel(warp int) gpu.Kernel {
 	k.DivergentLanes = warp / 2
 	return k
 }
-func (o *modExpVarOp) h2d() int64             { return 2 * natBytes(len(o.bases), o.m.Limbs()) }
-func (o *modExpVarOp) Lane(i int)             { o.out[i] = o.m.Exp(o.bases[i], o.exps[i]) }
+func (o *modExpVarOp) h2d() int64 { return 2 * natBytes(len(o.bases), o.m.Limbs()) }
+func (o *modExpVarOp) Lanes(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		o.out[i] = o.m.Exp(o.bases[i], o.exps[i])
+	}
+}
 func (o *modExpVarOp) verify(i int) mpint.Nat { return o.m.Exp(o.bases[i], o.exps[i]) }
-func (o *modExpVarOp) slice(lo, hi int) vecOp {
-	return &modExpVarOp{o.sub(lo, hi), o.bases[lo:hi], o.exps[lo:hi]}
+func (o *modExpVarOp) slice(lo, hi int, out []mpint.Nat) vecOp {
+	return &modExpVarOp{o.into(out), o.bases[lo:hi], o.exps[lo:hi]}
 }
 
 // multiExpOp is Π bases[t.Index]^t.Weight mod m over the terms t of sums[i]:
@@ -234,7 +242,11 @@ func (o *multiExpOp) release() {
 func (o *multiExpOp) h2d() int64 {
 	return natBytes(o.tbl.Rows(), o.m.Limbs()) + 12*int64(o.tbl.Terms())
 }
-func (o *multiExpOp) Lane(i int) { o.out[i] = o.tbl.Eval(o.sums[i]) }
+func (o *multiExpOp) Lanes(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		o.out[i] = o.tbl.Eval(o.sums[i])
+	}
+}
 func (o *multiExpOp) verify(i int) mpint.Nat {
 	n, prod := o.m.N(), mpint.One()
 	for _, t := range o.sums[i] {
@@ -242,9 +254,9 @@ func (o *multiExpOp) verify(i int) mpint.Nat {
 	}
 	return prod
 }
-func (o *multiExpOp) slice(lo, hi int) vecOp {
+func (o *multiExpOp) slice(lo, hi int, out []mpint.Nat) vecOp {
 	sums := o.sums[lo:hi]
-	return &multiExpOp{modVec: o.sub(lo, hi), bases: o.bases, sums: sums, tbl: o.replan(sums)}
+	return &multiExpOp{modVec: o.into(out), bases: o.bases, sums: sums, tbl: o.replan(sums)}
 }
 
 // modMulOp is a[i]·b[i] mod m in two Montgomery multiplies, (a·R)·b·R⁻¹:
@@ -259,12 +271,18 @@ type modMulOp struct {
 	a, b []mpint.Nat
 }
 
-func (o *modMulOp) name() string           { return "mod_mul_vec" }
-func (o *modMulOp) kernel(int) gpu.Kernel  { return o.kern(3 * montMulWordOps(o.m.Limbs())) }
-func (o *modMulOp) h2d() int64             { return 2 * natBytes(len(o.a), o.m.Limbs()) }
-func (o *modMulOp) Lane(i int)             { o.out[i] = o.m.ModMul(o.a[i], o.b[i]) }
+func (o *modMulOp) name() string          { return "mod_mul_vec" }
+func (o *modMulOp) kernel(int) gpu.Kernel { return o.kern(3 * montMulWordOps(o.m.Limbs())) }
+func (o *modMulOp) h2d() int64            { return 2 * natBytes(len(o.a), o.m.Limbs()) }
+func (o *modMulOp) Lanes(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		o.out[i] = o.m.ModMul(o.a[i], o.b[i])
+	}
+}
 func (o *modMulOp) verify(i int) mpint.Nat { return mpint.ModMul(o.a[i], o.b[i], o.m.N()) }
-func (o *modMulOp) slice(lo, hi int) vecOp { return &modMulOp{o.sub(lo, hi), o.a[lo:hi], o.b[lo:hi]} }
+func (o *modMulOp) slice(lo, hi int, out []mpint.Nat) vecOp {
+	return &modMulOp{o.into(out), o.a[lo:hi], o.b[lo:hi]}
+}
 
 // encryptOp is the Paillier encryption E(ms[i]) = gᵐ·rⁿ mod n² under g = n+1,
 // for items [pos, pos+n) of the (seed, n) nonce stream, as one kernel: the lane
@@ -278,9 +296,10 @@ func (o *modMulOp) slice(lo, hi int) vecOp { return &modMulOp{o.sub(lo, hi), o.a
 //
 // Who encrypts decides the arithmetic, not the result. With the factorisation
 // (key.CRT), which only the key's holder has, the whole ciphertext goes
-// through p² and q² and one Garner step (mpint.CRT.EncryptDraw): four
-// half-width exponentiations, gᵐ as one half-width product a prime folded into
-// the step that leaves Montgomery form, nothing ever as wide as n². Without
+// through p² and q² and one Garner step (mpint.CRT.EncryptDraw; a lane
+// group's at once, CRT.EncryptDrawVec): four half-width exponentiations, gᵐ
+// as one half-width product a prime folded into the step that leaves
+// Montgomery form, nothing ever as wide as n². Without
 // it the lane is the n² window on the schedule of n the key compiled once,
 // and one multiply by gᵐ on the way out of Montgomery form
 // (mpint.Mont.EncryptNDraw). Both are the canonical residue.
@@ -292,13 +311,12 @@ func (o *modMulOp) slice(lo, hi int) vecOp { return &modMulOp{o.sub(lo, hi), o.a
 // fault in any leg of it (a wrong residue mod p² recombines into a valid but
 // wrong element of Z*ₙ²) cannot also corrupt the check.
 //
-// A lane's scratch is its own for the length of the call: it is taken from
-// the key's pool when the lane starts and handed back when it returns, and the
-// op holds none. Lanes of an attempt a watchdog gave up on may still be running
-// when a retry starts (gpu.Device.Launch returns without them), but each works
-// in the scratch it took and writes only its own element of the output, with
-// the value any attempt writes there — no retry can read what a straggler is
-// still writing, because lanes read nothing but the op's operands.
+// A lane group's scratch is its own for the length of the call: it is taken
+// from the key's pool when the group starts and handed back when it returns,
+// and the op holds none. Lanes of an attempt a watchdog gave up on may still
+// be running when a retry starts (gpu.Device.Launch returns without them), but
+// they work in the scratch they took and write the attempt's own result vector
+// (member.serve); lanes read nothing but the op's operands.
 type encryptOp struct {
 	modVec // m is key.N2, the width of the ciphertexts
 	ms     []mpint.Nat
@@ -347,12 +365,19 @@ func (o *encryptOp) h2d() int64 {
 	return natBytes(len(o.ms), kn) + natBytes(1, consts)
 }
 
-func (o *encryptOp) Lane(i int) {
-	rng := nonceRNG(o.seed, o.pos+i)
+func (o *encryptOp) Lanes(lo, hi int) {
+	var gens [gpu.LaneGroup]mpint.RNG // on the stack, as one lane's was
+	var rngs [gpu.LaneGroup]*mpint.RNG
+	for i := lo; i < hi; i++ {
+		gens[i-lo] = *nonceRNG(o.seed, o.pos+i)
+		rngs[i-lo] = &gens[i-lo]
+	}
 	if o.key.CRT != nil {
-		o.out[i] = o.key.CRT.EncryptDraw(o.ms[i], rng)
-	} else {
-		o.out[i] = o.m.EncryptNDraw(o.ms[i], o.key.N, o.key.Sched, rng)
+		o.key.CRT.EncryptDrawVec(o.out[lo:hi], o.ms[lo:hi], rngs[:hi-lo])
+		return
+	}
+	for i := lo; i < hi; i++ {
+		o.out[i] = o.m.EncryptNDraw(o.ms[i], o.key.N, o.key.Sched, rngs[i-lo])
 	}
 }
 
@@ -362,8 +387,8 @@ func (o *encryptOp) verify(i int) mpint.Nat {
 	return mpint.ModMul(mpint.AddWord(mpint.Mul(o.ms[i], n), 1), rn, n2)
 }
 
-func (o *encryptOp) slice(lo, hi int) vecOp {
-	return &encryptOp{o.sub(lo, hi), o.ms[lo:hi], o.key, o.seed, o.pos + lo}
+func (o *encryptOp) slice(lo, hi int, out []mpint.Nat) vecOp {
+	return &encryptOp{o.into(out), o.ms[lo:hi], o.key, o.seed, o.pos + lo}
 }
 
 // decryptOp is the Paillier decryption of cs[i] under g = n+1, as one kernel:
@@ -402,7 +427,9 @@ func (o *decryptOp) h2d() int64 {
 	return natBytes(len(o.cs), 2*limbs32(o.key.CRT.N())) + natBytes(1, 3*st[0].Limbs+2*st[2].Limbs)
 }
 func (o *decryptOp) d2h() int64 { return natBytes(len(o.out), limbs32(o.key.CRT.N())) }
-func (o *decryptOp) Lane(i int) { o.out[i] = o.key.CRT.Decrypt(o.cs[i], o.key.HP, o.key.HQ) }
+func (o *decryptOp) Lanes(lo, hi int) {
+	o.key.CRT.DecryptVec(o.out[lo:hi], o.cs[lo:hi], o.key.HP, o.key.HQ)
+}
 func (o *decryptOp) verify(i int) mpint.Nat {
 	n := o.key.CRT.N()
 	x := mpint.ModExp(o.cs[i], o.key.Lambda, mpint.Mul(n, n))
@@ -411,8 +438,8 @@ func (o *decryptOp) verify(i int) mpint.Nat {
 	}
 	return mpint.ModMul(mpint.Div(mpint.SubWord(x, 1), n), o.key.Mu, n)
 }
-func (o *decryptOp) slice(lo, hi int) vecOp {
-	return &decryptOp{outVec{o.out[lo:hi]}, o.cs[lo:hi], o.key}
+func (o *decryptOp) slice(lo, hi int, out []mpint.Nat) vecOp {
+	return &decryptOp{outVec{out}, o.cs[lo:hi], o.key}
 }
 
 // shiftPackOp is Π cs[i·slots+j]^(shiftʲ) mod m over the j the pack has a value
@@ -452,7 +479,11 @@ func (o *shiftPackOp) kernel(int) gpu.Kernel {
 	return o.kern(int64(len(o.pack(0))-1) * step)
 }
 func (o *shiftPackOp) h2d() int64 { return natBytes(len(o.cs)+1, o.m.Limbs()) }
-func (o *shiftPackOp) Lane(i int) { o.out[i] = o.m.ShiftPack(o.pack(i), o.sched) }
+func (o *shiftPackOp) Lanes(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		o.out[i] = o.m.ShiftPack(o.pack(i), o.sched)
+	}
+}
 func (o *shiftPackOp) verify(i int) mpint.Nat {
 	n, prod := o.m.N(), mpint.One()
 	for j, c := range o.pack(i) {
@@ -460,8 +491,8 @@ func (o *shiftPackOp) verify(i int) mpint.Nat {
 	}
 	return prod
 }
-func (o *shiftPackOp) slice(lo, hi int) vecOp {
-	return &shiftPackOp{o.sub(lo, hi), o.cs[lo*o.slots : min(hi*o.slots, len(o.cs))], o.slots, o.bits, o.sched}
+func (o *shiftPackOp) slice(lo, hi int, out []mpint.Nat) vecOp {
+	return &shiftPackOp{o.into(out), o.cs[lo*o.slots : min(hi*o.slots, len(o.cs))], o.slots, o.bits, o.sched}
 }
 
 // elemKind is one of Table I's five arithmetic ops: its kernel name, the
@@ -538,16 +569,20 @@ func (o *elemOp) name() string { return o.kind.name }
 func (o *elemOp) kernel(int) gpu.Kernel {
 	return gpu.Kernel{RegsPerThread: regsForLimbs(o.limbs), WordOps: int64(o.limbs + 1)}
 }
-func (o *elemOp) h2d() int64             { return natBytes(len(o.a)+len(o.b), o.limbs) }
-func (o *elemOp) d2h() int64             { return natBytes(len(o.out), o.limbs) }
-func (o *elemOp) Lane(i int)             { o.out[i] = o.kind.fn(o.a[i], o.second(i)) }
+func (o *elemOp) h2d() int64 { return natBytes(len(o.a)+len(o.b), o.limbs) }
+func (o *elemOp) d2h() int64 { return natBytes(len(o.out), o.limbs) }
+func (o *elemOp) Lanes(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		o.out[i] = o.kind.fn(o.a[i], o.second(i))
+	}
+}
 func (o *elemOp) verify(i int) mpint.Nat { return o.kind.fn(o.a[i], o.second(i)) }
-func (o *elemOp) slice(lo, hi int) vecOp {
+func (o *elemOp) slice(lo, hi int, out []mpint.Nat) vecOp {
 	b := o.b
 	if !o.kind.shared {
 		b = b[lo:hi]
 	}
-	return &elemOp{outVec{o.out[lo:hi]}, o.kind, o.a[lo:hi], b, o.limbs}
+	return &elemOp{outVec{out}, o.kind, o.a[lo:hi], b, o.limbs}
 }
 
 // millerRabinOp is one Miller–Rabin round a lane on (ns[i], as[i]) — ns[0] for
@@ -574,12 +609,20 @@ func newMillerRabinOp(dst, ns, as []mpint.Nat) (millerRabinOp, error) {
 		return millerRabinOp{}, fmt.Errorf("%w: %d candidates for %d bases", ErrLength, len(ns), len(as))
 	}
 	o := millerRabinOp{outVec: outVec{dst}, ns: ns, as: as, limbs: 1}
+	five := mpint.FromUint64(5)
+	var top mpint.Nat // the largest base the candidate takes: n − 2
 	for i, a := range as {
-		n := o.candidate(i)
-		if n.IsEven() || mpint.Cmp(n, mpint.FromUint64(5)) < 0 || a.BitLen() < 2 || mpint.Cmp(a, mpint.SubWord(n, 2)) > 0 {
+		if i < len(ns) { // a candidate not checked yet
+			n := ns[i]
+			if n.IsEven() || mpint.Cmp(n, five) < 0 {
+				return millerRabinOp{}, fmt.Errorf("%w at index %d", ErrWitness, i)
+			}
+			top = mpint.SubWord(n, 2)
+			o.limbs = max(o.limbs, limbs32(n))
+		}
+		if a.BitLen() < 2 || mpint.Cmp(a, top) > 0 {
 			return millerRabinOp{}, fmt.Errorf("%w at index %d", ErrWitness, i)
 		}
-		o.limbs = max(o.limbs, limbs32(n))
 	}
 	return o, nil
 }
@@ -626,12 +669,18 @@ func (o *millerRabinOp) setup(dev *gpu.Device) (int, error) {
 func (o *millerRabinOp) h2d() int64 { return natBytes(len(o.as)+len(o.ns), o.limbs) }
 func (o *millerRabinOp) d2h() int64 { return natBytes(len(o.out), 1) }
 
-func (o *millerRabinOp) Lane(i int) {
-	t := o.test
-	if t == nil {
-		t = mpint.NewPrimeTest(o.ns[i])
+func (o *millerRabinOp) Lanes(lo, hi int) {
+	var ts [gpu.LaneGroup]*mpint.PrimeTest
+	var passed [gpu.LaneGroup]bool
+	for i := lo; i < hi; i++ {
+		if ts[i-lo] = o.test; o.test == nil {
+			ts[i-lo] = mpint.NewPrimeTest(o.ns[i])
+		}
 	}
-	o.out[i] = verdict(t.Round(o.as[i]))
+	mpint.Rounds(ts[:hi-lo], o.as[lo:hi], passed[:hi-lo])
+	for i := lo; i < hi; i++ {
+		o.out[i] = verdict(passed[i-lo])
+	}
 }
 
 func (o *millerRabinOp) verify(i int) mpint.Nat {
@@ -657,12 +706,12 @@ func (o *millerRabinOp) verify(i int) mpint.Nat {
 	return verdict(false)
 }
 
-func (o *millerRabinOp) slice(lo, hi int) vecOp {
+func (o *millerRabinOp) slice(lo, hi int, out []mpint.Nat) vecOp {
 	ns := o.ns
 	if !o.shared() {
 		ns = ns[lo:hi]
 	}
-	return &millerRabinOp{outVec: outVec{o.out[lo:hi]}, ns: ns, as: o.as[lo:hi], limbs: o.limbs}
+	return &millerRabinOp{outVec: outVec{out}, ns: ns, as: o.as[lo:hi], limbs: o.limbs}
 }
 
 // verdict is a round's result element: 1 when the candidate survived it.

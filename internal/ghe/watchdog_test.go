@@ -1,13 +1,3 @@
-//go:build !race
-
-// An attempt the watchdog abandons and the retry behind it write the same
-// elements of the op's result, unsynchronised — each the one canonical value,
-// which is what the descriptor contract (ops.go) rests on, and a write–write
-// race by the letter of the memory model all the same. The race detector
-// reports it in any test that lets real lanes straggle, so this one runs in the
-// plain pass; the rule it guards is pinned structurally, under both passes, by
-// TestFramesAreNotPooledUnderAWatchdog.
-
 package ghe
 
 import (
@@ -25,9 +15,12 @@ import (
 // frame op — 2,048-bit exponentiations, every device attempt abandoned
 // mid-lane at a 1 ms deadline, the host loop serving the result — each followed
 // by eight quick ones staged while the slow op's stragglers are still running.
-// Every result is held to the host's. (That a straggler's frame is never the
-// quick op's is TestFramesAreNotPooledUnderAWatchdog's to pin; a stray write
-// has to land in a 100 µs window to show here.)
+// Every result is held to the host's. Each abandoned attempt wrote a vector of
+// its own (member.serve), so under the race detector this is also the check
+// that no straggler writes an element its retry, the host loop or the caller
+// touches. (That a straggler's frame is never the quick op's is
+// TestFramesAreNotPooledUnderAWatchdog's to pin; a stray write has to land in a
+// 100 µs window to show here.)
 func TestWatchdogStragglersNeverWriteIntoALaterCall(t *testing.T) {
 	cfg := gpu.SmallTestDevice()
 	cfg.KernelDeadline = time.Millisecond

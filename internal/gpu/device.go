@@ -345,11 +345,17 @@ func (d *Device) transferTime(n int64) time.Duration {
 	return time.Duration(sec * float64(time.Second))
 }
 
-// Body is the work of one launch: Lane computes item i. A body that can also
-// model a silent corruption implements Poisoner.
+// Body is the work of one launch: Lanes computes items [lo, hi), a lane group
+// of at most LaneGroup items — the unit a host kernel that runs independent
+// items side by side in one register fills (internal/mpint's amm52x8). A body
+// that can also model a silent corruption implements Poisoner.
 type Body interface {
-	Lane(item int)
+	Lanes(lo, hi int)
 }
+
+// LaneGroup is the most items a Body computes a call: the eight 64-bit lanes
+// of a ZMM register.
+const LaneGroup = 8
 
 // Poisoner is a Body whose results an attached FaultInjector can corrupt
 // after the kernel ran (the transient bit-flip model): Poison perturbs one
@@ -360,11 +366,15 @@ type Poisoner interface {
 	Poison(item int)
 }
 
-// LaneFunc is a function as a Body.
+// LaneFunc is a function of one item as a Body.
 type LaneFunc func(item int)
 
-// Lane implements Body.
-func (f LaneFunc) Lane(item int) { f(item) }
+// Lanes implements Body, an item at a time.
+func (f LaneFunc) Lanes(lo, hi int) {
+	for i := lo; i < hi; i++ {
+		f(i)
+	}
+}
 
 // Kernel describes one launch.
 type Kernel struct {
@@ -389,7 +399,7 @@ type Kernel struct {
 	Body Body
 }
 
-// Launch executes k.Body.Lane(i) for every item i of the kernel,
+// Launch executes k.Body.Lanes over every item of the kernel,
 // distributing items across the host worker pool, and charges the simulated
 // clock with the Eq. 10 compute term. It is the data-parallel path used for
 // "one thread block per ciphertext" kernels. It returns the launch's modelled
@@ -593,18 +603,19 @@ func (st *launchState) start(n int) {
 	}
 }
 
-// runChunk claims a chunk and runs its items. A closed cancel channel (the
-// launch watchdog tripping) stops it at its next item boundary, so a
-// cancelled launch does not keep burning host CPU behind the caller's retry.
+// runChunk claims a chunk and runs its items a lane group at a time. A closed
+// cancel channel (the launch watchdog tripping) stops it at its next group
+// boundary, so a cancelled launch does not keep burning host CPU behind the
+// caller's retry.
 func (st *launchState) runChunk() {
 	lo := (int(st.next.Add(1)) - 1) * st.chunk
-	for i, hi := lo, min(lo+st.chunk, st.items); i < hi; i++ {
+	for i, hi := lo, min(lo+st.chunk, st.items); i < hi; i += LaneGroup {
 		select {
 		case <-st.cancel: // nil, and never ready, when no watchdog is armed
 			return
 		default:
 		}
-		st.body.Lane(i)
+		st.body.Lanes(i, min(i+LaneGroup, hi))
 	}
 }
 

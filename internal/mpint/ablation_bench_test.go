@@ -44,16 +44,26 @@ func benchExpWindow(b *testing.B, w uint) {
 	}
 }
 
-// BenchmarkExpKernels is the measurement ifmaMinLimbs rests on: one whole
-// exponentiation (chain, and the way into and out of whichever representation
-// it runs in) under every body this host has, at the exponent shapes the HE
-// stack uses — half-width (a CRT leg), full-width (encryption under a bare
-// public key) and 30 bits (a ciphertext-scalar product).
+// BenchmarkExpKernels is the measurement ifmaMinLimbs and groupMinLanes rest
+// on: one whole exponentiation (chain, and the way into and out of whichever
+// representation it runs in) under every body this host has, at the exponent
+// shapes the HE stack uses — half-width (a CRT leg), full-width (encryption
+// under a bare public key) and 30 bits (a ciphertext-scalar product) — and,
+// where the host has IFMA, a full lane group of eight such chains on amm52x8
+// (ExpSchedVec: the transposition in and out of the group is timed with it).
+// Every row reports ns/chain: 8, 16, 32 and 64 limbs are 10, 20, 40 and 79
+// digits.
 func BenchmarkExpKernels(b *testing.B) {
 	r := NewRNG(73)
+	perChain := func(b *testing.B, chains int) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chains), "ns/chain")
+	}
 	for _, limbs := range []int{8, 12, 16, 24, 32, 48, 64} {
 		n := randOdd(r, 64*limbs)
-		base := r.RandBelow(n)
+		bases := make([]Nat, groupLanes)
+		for i := range bases {
+			bases[i] = r.RandBelow(n)
+		}
 		for _, e := range []struct {
 			name string
 			bits int
@@ -63,10 +73,22 @@ func BenchmarkExpKernels(b *testing.B) {
 				m := NewMont(n)
 				b.Run(fmt.Sprintf("%d/%s/%s", limbs, e.name, body), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						m.Exp(base, exp)
+						m.Exp(bases[0], exp)
 					}
+					perChain(b, 1)
 				})
 			})
+			if useIFMA {
+				m, s, out := NewMont(n), CompileExpAuto(exp), make([]Nat, groupLanes)
+				b.Run(fmt.Sprintf("%d/%s/amm52x8", limbs, e.name), func(b *testing.B) {
+					walking(true, func() {
+						for i := 0; i < b.N; i++ {
+							m.ExpSchedVec(out, bases, s)
+						}
+					})
+					perChain(b, groupLanes)
+				})
+			}
 		}
 	}
 }

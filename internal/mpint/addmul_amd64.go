@@ -63,3 +63,10 @@ func addMulVW(z, x []Word, w Word) (carry Word)
 //
 //go:noescape
 func amm52(z, a, b, n []Word, d int, k0 Word)
+
+// amm52x8 is amm52 eight lanes wide: eight independent multiplies on
+// operands transposed into rows of eight digits (amm52x8_amd64.s;
+// mont52x8.go owns the layout and every precondition).
+//
+//go:noescape
+func amm52x8(z, a, b, n, t []Word, k0 *[8]Word, d int)

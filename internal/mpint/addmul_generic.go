@@ -13,3 +13,5 @@ func KernelName() string { return "go" }
 func addMulVW(z, x []Word, w Word) Word { return addMulVWGo(z, x, w) }
 
 func amm52(z, a, b, n []Word, d int, k0 Word) { panic("mpint: amm52 without IFMA") }
+
+func amm52x8(z, a, b, n, t []Word, k0 *[8]Word, d int) { panic("mpint: amm52x8 without IFMA") }

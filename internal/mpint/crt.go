@@ -153,31 +153,86 @@ func (sc *crtScratch) words(n int) []Word {
 	return sc.work
 }
 
+// crtGroup is one call on up to eight operands, a lane each, every lane on
+// crtScratch of its own for the length of the call: the values its stages
+// hand each other, lane by lane, and the scratch of the stage's contexts, the
+// form a group walk (expMontVec) takes them in. A call of one operand is a
+// group of one, so a lane computes the same thing alone or beside seven
+// others; a group runs each of its exponentiations as one walk.
+type crtGroup struct {
+	n        int
+	sc       [groupLanes]*crtScratch
+	x, m, gm [groupLanes]Nat    // the operand; the plaintext; gᵐ's share mod s²
+	div      [groupLanes][]Word // the lane's division buffer
+	a, b     [groupLanes]Nat    // stage values
+	s1, s2   [groupLanes]*mulScratch
+}
+
+func (c *CRT) open(g *crtGroup, n int) {
+	g.n = n
+	for l := range n {
+		g.sc[l] = c.getScratch()
+	}
+}
+
+func (c *CRT) close(g *crtGroup) {
+	for _, sc := range g.sc[:g.n] {
+		c.scratch.Put(sc)
+	}
+}
+
+// use points the stage scratch at p's contexts, or at q's.
+func (g *crtGroup) use(p bool) {
+	for l, sc := range g.sc[:g.n] {
+		if p {
+			g.s1[l], g.s2[l] = sc.p1, sc.p2
+		} else {
+			g.s1[l], g.s2[l] = sc.q1, sc.q2
+		}
+	}
+}
+
 // PowN returns xⁿ mod n² — bit for bit what a Montgomery context mod n²
 // computes as Exp(x, n), in under a third of the limb products.
 func (c *CRT) PowN(x Nat) Nat {
-	sc := c.getScratch()
-	defer c.scratch.Put(sc)
+	var g crtGroup
+	c.open(&g, 1)
+	defer c.close(&g)
 	x = trim(x)
 	// One division buffer serves x mod p, x mod q and Garner's yq mod p².
-	work := sc.words(max(len(x), c.q.m2.k) + max(c.p.m2.k, c.q.m1.k) + 1)
-	yp := c.p.powN(x, One(), sc.p1, sc.p2, work)
-	yq := c.q.powN(x, One(), sc.q1, sc.q2, work)
-	return c.sq.combine(yp, trim(yq), sc.p2, work)
+	work := g.sc[0].words(max(len(x), c.q.m2.k) + max(c.p.m2.k, c.q.m1.k) + 1)
+	g.x[0], g.div[0] = x, work
+	g.use(true)
+	c.p.powN(&g)
+	yp := g.a[0]
+	g.use(false)
+	c.q.powN(&g)
+	return c.sq.combine(yp, trim(g.a[0]), g.sc[0].p2, work)
 }
 
-// powN returns g·x^(s·o) mod s² as m2.k limbs inside sc2's slab, valid until
-// sc2 next runs a chain: (x mod s)^(o mod (s−1)) mod s, then that to the s
-// mod s², which the chain leaves in Montgomery form, and one multiply by the
-// plain residue g on the way out of it — One() for the bare power. div holds
-// len(x)+m1.k+1 limbs, and g lives outside it.
-func (pr *crtPrime) powN(x, g Nat, sc1, sc2 *mulScratch, div []Word) Nat {
-	_, r := divInto(nil, div, x, pr.m1.n)
-	b := pr.m1.expMont(r, &pr.e1, sc1)
-	pr.m1.mulInto(b, b, One(), sc1) // out of Montgomery form, in place
-	y := pr.m2.expMont(b, &pr.e2, sc2)
-	pr.m2.mulInto(y, y, g, sc2)
-	return y
+// powN sets g.a[l] = gm·x^(s·o) mod s² in every lane, as m2.k limbs in the
+// lane's s2 slab, valid until that scratch next runs a chain: (x mod s)^(o
+// mod (s−1)) mod s, out of Montgomery form, that to the s mod s², which the
+// chain leaves in Montgomery form, and one multiply by the plain residue gm on
+// the way out of it — nil for the bare power. div holds len(x)+m1.k+1 limbs,
+// and gm lives outside it.
+func (pr *crtPrime) powN(g *crtGroup) {
+	n := g.n
+	for l := range n {
+		_, g.a[l] = divInto(nil, g.div[l], g.x[l], pr.m1.n)
+	}
+	pr.m1.expMontVec(g.b[:n], g.a[:n], &pr.e1, g.s1[:n])
+	for l := range n {
+		pr.m1.mulInto(g.b[l], g.b[l], One(), g.s1[l]) // out of Montgomery form, in place
+	}
+	pr.m2.expMontVec(g.a[:n], g.b[:n], &pr.e2, g.s2[:n])
+	for l := range n {
+		if g.gm[l] == nil {
+			pr.m2.mulInto(g.a[l], g.a[l], One(), g.s2[l])
+		} else {
+			pr.m2.mulInto(g.a[l], g.a[l], g.gm[l], g.s2[l])
+		}
+	}
 }
 
 // gPowM returns 1 + (m·n mod s²) in g's first m2.k limbs: m reduced mod s²
@@ -207,33 +262,66 @@ func (c *CRT) encWords(m, x Nat) int {
 // — whole through the factorisation, allocating the ciphertext and nothing
 // else.
 func (c *CRT) Encrypt(m, x Nat) Nat {
-	sc := c.getScratch()
-	defer c.scratch.Put(sc)
-	m, x = trim(m), trim(x)
-	return c.encrypt(m, x, sc, sc.words(c.encWords(m, x)))
+	var g crtGroup
+	c.open(&g, 1)
+	defer c.close(&g)
+	g.m[0], g.x[0] = trim(m), trim(x)
+	g.div[0] = g.sc[0].words(c.encWords(g.m[0], g.x[0]))
+	var out [1]Nat
+	c.encrypt(out[:], &g)
+	return out[0]
 }
 
 // EncryptDraw is Encrypt under the nonce rng.RandCoprime(N()) would return —
 // the same draws, rejections and coprimality check — drawn into the pooled
 // scratch instead of the heap.
 func (c *CRT) EncryptDraw(m Nat, rng *RNG) Nat {
-	sc := c.getScratch()
-	defer c.scratch.Put(sc)
-	m = trim(m)
-	k := len(c.n)
-	work := sc.words(k + c.encWords(m, nil))
-	x := rng.randCoprimeInto(work[:k], work[k:3*k], c.n)
-	return c.encrypt(m, x, sc, work[k:])
+	var out [1]Nat
+	c.EncryptDrawVec(out[:], []Nat{m}, []*RNG{rng})
+	return out[0]
 }
 
-// encrypt is Encrypt for trimmed operands on held scratch; work holds
-// encWords limbs and does not overlap x.
-func (c *CRT) encrypt(m, x Nat, sc *crtScratch, work []Word) Nat {
+// EncryptDrawVec sets out[i] = EncryptDraw(ms[i], rngs[i]) for every i: the
+// nonces drawn lane by lane, and each group of eight's exponentiations run as
+// one walk a stage.
+func (c *CRT) EncryptDrawVec(out, ms []Nat, rngs []*RNG) {
+	k := len(c.n)
+	for lo := 0; lo < len(ms); lo += groupLanes {
+		var g crtGroup
+		c.open(&g, min(groupLanes, len(ms)-lo))
+		for l := range g.n {
+			m := trim(ms[lo+l])
+			w := g.sc[l].words(k + c.encWords(m, nil))
+			g.m[l], g.x[l], g.div[l] = m, rngs[lo+l].randCoprimeInto(w[:k], w[k:3*k], c.n), w[k:]
+		}
+		c.encrypt(out[lo:lo+g.n], &g)
+		c.close(&g)
+	}
+}
+
+// encrypt is Encrypt for the group's trimmed plaintexts and nonces; g.div[l]
+// holds encWords limbs — gᵐ's share, then the division buffer — and does not
+// overlap the lane's nonce.
+func (c *CRT) encrypt(out []Nat, g *crtGroup) {
 	kg := max(c.p.m2.k, c.q.m2.k)
-	g, div := work[:kg], work[kg:]
-	cp := c.p.powN(x, c.p.gPowM(m, sc.p2, g, div), sc.p1, sc.p2, div)
-	cq := c.q.powN(x, c.q.gPowM(m, sc.q2, g, div), sc.q1, sc.q2, div)
-	return c.sq.combine(cp, trim(cq), sc.p2, div)
+	var gm [groupLanes][]Word
+	for l := range g.n {
+		gm[l], g.div[l] = g.div[l][:kg], g.div[l][kg:]
+	}
+	var cp [groupLanes]Nat
+	for i, pr := range [2]*crtPrime{&c.p, &c.q} {
+		g.use(i == 0)
+		for l := range g.n {
+			g.gm[l] = pr.gPowM(g.m[l], g.s2[l], gm[l], g.div[l])
+		}
+		pr.powN(g)
+		if i == 0 {
+			cp = g.a
+		}
+	}
+	for l := range out {
+		out[l] = c.sq.combine(cp[l], trim(g.a[l]), g.sc[l].p2, g.div[l])
+	}
 }
 
 // combine returns the x < a·b with x ≡ xa (mod a) and x ≡ xb (mod b), for
@@ -262,23 +350,49 @@ func (g *garner) combine(xa []Word, xb Nat, sc *mulScratch, div []Word) Nat {
 // anything else the quotient is the floor and the result meaningless. The
 // call allocates the plaintext and nothing else.
 func (c *CRT) Decrypt(x, hp, hq Nat) Nat {
-	sc := c.getScratch()
-	defer c.scratch.Put(sc)
-	x = trim(x)
-	k2 := max(c.p.m2.k, c.q.m2.k)
-	work := sc.words(max(len(x)+k2, 3*k2+max(c.p.m1.k, c.q.m1.k)) + 1)
-	mp := c.p.logPow(x, hp, sc.p1, sc.p2, work)
-	mq := c.q.logPow(x, hq, sc.q1, sc.q2, work)
-	return c.low.combine(mp, trim(mq), sc.p1, work)
+	var out [1]Nat
+	c.DecryptVec(out[:], []Nat{x}, hp, hq)
+	return out[0]
 }
 
-// logPow returns L_s(x^(s−1) mod s²)·h mod s as m1.k limbs in sc1's slab: x
-// reduced mod s², the chain on sc2, out of Montgomery form in place, and
-// logMul. work holds max(len(x)+m2.k, 3·m2.k+m1.k)+1 limbs.
-func (pr *crtPrime) logPow(x, h Nat, sc1, sc2 *mulScratch, work []Word) []Word {
-	_, r := divInto(nil, work, x, pr.m2.n)
-	y := pr.m2.expMont(r, &pr.d, sc2)
-	return pr.logMul(pr.m2.mulInto(y, y, One(), sc2), h, sc1, work)
+// DecryptVec sets out[i] = Decrypt(xs[i], hp, hq) for every i, each group of
+// eight's exponentiations run as one walk a prime.
+func (c *CRT) DecryptVec(out, xs []Nat, hp, hq Nat) {
+	k2 := max(c.p.m2.k, c.q.m2.k)
+	for lo := 0; lo < len(xs); lo += groupLanes {
+		var g crtGroup
+		c.open(&g, min(groupLanes, len(xs)-lo))
+		for l := range g.n {
+			x := trim(xs[lo+l])
+			g.x[l], g.div[l] = x, g.sc[l].words(max(len(x)+k2, 3*k2+max(c.p.m1.k, c.q.m1.k))+1)
+		}
+		c.decrypt(out[lo:lo+g.n], &g, hp, hq)
+		c.close(&g)
+	}
+}
+
+// decrypt is Decrypt over the group's trimmed operands: per prime s, x
+// reduced mod s², the chain, out of Montgomery form in place, and logMul; then
+// Garner. div holds max(len(x)+m2.k, 3·m2.k+m1.k)+1 limbs.
+func (c *CRT) decrypt(out []Nat, g *crtGroup, hp, hq Nat) {
+	n := g.n
+	var mp [groupLanes][]Word
+	for i, pr := range [2]*crtPrime{&c.p, &c.q} {
+		g.use(i == 0)
+		for l := range n {
+			_, g.a[l] = divInto(nil, g.div[l], g.x[l], pr.m2.n)
+		}
+		pr.m2.expMontVec(g.b[:n], g.a[:n], &pr.d, g.s2[:n])
+		for l := range n {
+			y := pr.m2.mulInto(g.b[l], g.b[l], One(), g.s2[l])
+			if i == 0 {
+				mp[l] = pr.logMul(y, hp, g.s1[l], g.div[l])
+			} else {
+				mq := pr.logMul(y, hq, g.s1[l], g.div[l])
+				out[l] = c.low.combine(mp[l], trim(mq), g.sc[l].p1, g.div[l])
+			}
+		}
+	}
 }
 
 // logMul returns floor((x−1)/s)·h mod s as m1.k limbs in sc's slab, for

@@ -460,6 +460,32 @@ func (m *Mont) ExpSched(base Nat, s *ExpSchedule) Nat {
 	return m.runSched(base, s, sc)
 }
 
+// ExpSchedVec sets out[i] = ExpSched(bases[i], s) for every i, running each
+// group of eight's chains as one walk on amm52x8 where the host and the
+// group's fill allow (mont52x8.go).
+func (m *Mont) ExpSchedVec(out, bases []Nat, s *ExpSchedule) {
+	if s.isZero || s.isOne {
+		for i, b := range bases {
+			out[i] = m.ExpSched(b, s)
+		}
+		return
+	}
+	for lo := 0; lo < len(bases); lo += groupLanes {
+		n := min(groupLanes, len(bases)-lo)
+		var scs [groupLanes]*mulScratch
+		var xs [groupLanes]Nat
+		for l := range n {
+			scs[l] = m.getScratch()
+			xs[l] = m.reduce(bases[lo+l], scs[l])
+		}
+		m.expMontVec(xs[:n], xs[:n], s, scs[:n])
+		for l := range n {
+			out[lo+l] = m.mulInto(make(Nat, m.k), xs[l], One(), scs[l])
+			m.putScratch(scs[l])
+		}
+	}
+}
+
 // runSched is ExpSched on caller-held scratch.
 func (m *Mont) runSched(base Nat, s *ExpSchedule, sc *mulScratch) Nat {
 	base = m.reduce(base, sc)

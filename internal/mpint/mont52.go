@@ -51,10 +51,13 @@ type mont52 struct {
 }
 
 // chain52 is the lazily built mont52 of a Mont: built by the first chain, so
-// a context that only multiplies never pays for it.
+// a context that only multiplies never pays for it; and its eight-lane copy
+// (mont52x8.go), built by the first lane group.
 type chain52 struct {
-	once sync.Once
-	f    *mont52
+	once  sync.Once
+	f     *mont52
+	once8 sync.Once
+	l8    *lanes52
 }
 
 // ifma returns the context's radix-2⁵² side, nil where its chains stay on the
@@ -77,7 +80,7 @@ func (c *chain52) get(m *Mont) *mont52 {
 		}
 		buf := align64(make([]Word, 3*lanes+7))
 		f := &mont52{d: d, k0: m.n0inv & digitMask, n: buf[:lanes], rr: buf[lanes : 2*lanes], r: buf[2*lanes : 3*lanes]}
-		toDigits(f.n, m.n)
+		toDigits(f.n, m.n, 1)
 		// R₅₂² = R₆₄²·2^(2s) mod n with s = 52d − 64k: where s ≥ 0 (every modulus
 		// whose top limb has a dozen bits or more) that is the R₆₄² the context
 		// holds shifted up and a division with a two-limb quotient, a tenth of
@@ -87,8 +90,8 @@ func (c *chain52) get(m *Mont) *mont52 {
 		if s := digitBits*d - WordBits*m.k; s >= 0 {
 			x, up = m.rr, 2*s
 		}
-		toDigits(f.rr, Mod(Lsh(x, uint(up)), m.n))
-		toDigits(f.r, m.one)
+		toDigits(f.rr, Mod(Lsh(x, uint(up)), m.n), 1)
+		toDigits(f.r, m.one, 1)
 		c.f = f
 	})
 	return c.f
@@ -101,9 +104,11 @@ func align64(buf []Word) []Word {
 	return buf[-uintptr(unsafe.Pointer(unsafe.SliceData(buf)))&63/8:]
 }
 
-// toDigits writes x as len(dst) 52-bit digits; x must fit them.
-func toDigits(dst, x []Word) {
-	for j := range dst {
+// toDigits writes x as 52-bit digits into dst[0], dst[stride], dst[2·stride],
+// … to the end of dst — stride 1 for a chain's own vectors, 8 for one lane of
+// a transposed group (mont52x8.go); x must fit them.
+func toDigits(dst, x []Word, stride int) {
+	for j, at := 0, 0; at < len(dst); j, at = j+1, at+stride {
 		i, s := j*digitBits/WordBits, uint(j*digitBits%WordBits)
 		var v Word
 		if i < len(x) {
@@ -112,15 +117,16 @@ func toDigits(dst, x []Word) {
 				v |= x[i+1] << (WordBits - s)
 			}
 		}
-		dst[j] = v & digitMask
+		dst[at] = v & digitMask
 	}
 }
 
-// fromDigits writes the value of the normalised digits x into the limbs z,
-// which must be able to hold it.
-func fromDigits(z, x []Word) {
+// fromDigits writes the value of the normalised digits x[0], x[stride], … to
+// the end of x into the limbs z, which must be able to hold it.
+func fromDigits(z, x []Word, stride int) {
 	clear(z)
-	for j, v := range x {
+	for j, at := 0, 0; at < len(x); j, at = j+1, at+stride {
+		v := x[at]
 		if v == 0 {
 			continue
 		}
@@ -147,7 +153,7 @@ func (m *Mont) expMont52(f *mont52, base Nat, s *ExpSchedule, sc *mulScratch) Na
 	tbl := func(i int) []Word { return buf(i + 1) }
 	mul := func(dst, a, b []Word) { amm52(dst, a, b, f.n, f.d, f.k0) }
 	acc := buf(0)
-	toDigits(acc, base)
+	toDigits(acc, base, 1)
 	mul(tbl(0), acc, f.rr)
 	if s.maxIdx > 0 {
 		b2 := acc
@@ -171,7 +177,7 @@ func (m *Mont) expMont52(f *mont52, base Nat, s *ExpSchedule, sc *mulScratch) Na
 	mul(acc, acc, f.r)
 	out := slab[(s.maxIdx+2)*lanes:]
 	z, t := out[:k:k], out[k:2*k+1]
-	fromDigits(t, acc)
+	fromDigits(t, acc, 1)
 	m.reduceOnce(z, t[:k], t[k])
 	return z
 }

@@ -41,14 +41,14 @@ func TestChainCeiling(t *testing.T) {
 
 // TestDigitsRoundTrip checks the two conversions against each other and
 // against the digit arithmetic spelled out, at every alignment of a digit
-// within a limb.
+// within a limb, and in every lane of a transposed group.
 func TestDigitsRoundTrip(t *testing.T) {
 	r := NewRNG(0xD161)
 	for bits := 1; bits <= 64*21; bits += 13 {
 		x := r.RandBits(bits)
 		lanes := (bits + digitBits - 1) / digitBits
 		d := make([]Word, lanes+2)
-		toDigits(d, x)
+		toDigits(d, x, 1)
 		v := toBig(x)
 		for j, got := range d {
 			want := new(big.Int).Rsh(v, uint(digitBits*j))
@@ -60,8 +60,20 @@ func TestDigitsRoundTrip(t *testing.T) {
 		for i := range z {
 			z[i] = ^Word(0) // fromDigits overwrites, it does not accumulate
 		}
-		if fromDigits(z, d); Cmp(z, x) != 0 {
+		if fromDigits(z, d, 1); Cmp(z, x) != 0 {
 			t.Fatalf("%d bits: round trip %s → %s", bits, x, Nat(z))
+		}
+		group := make([]Word, groupLanes*len(d))
+		for l := range groupLanes {
+			toDigits(group[l:], x, groupLanes)
+			for j, want := range d {
+				if got := group[groupLanes*j+l]; got != want {
+					t.Fatalf("%d bits, lane %d: digit %d = %#x, want %#x", bits, l, j, got, want)
+				}
+			}
+			if fromDigits(z, group[l:], groupLanes); Cmp(z, x) != 0 {
+				t.Fatalf("%d bits, lane %d: round trip %s → %s", bits, l, x, Nat(z))
+			}
 		}
 	}
 }

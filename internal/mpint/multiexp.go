@@ -210,7 +210,7 @@ func (t *MultiExpTable) BuildRow(r int) {
 	base := m.reduce(t.bases[t.refs[r]], sc)
 	first, tmp := t.entry(r*t.entries), t.acc(sc)
 	if f := t.f; f != nil {
-		toDigits(tmp, trim(base))
+		toDigits(tmp, trim(base), 1)
 		t.mul(first, tmp, f.rr, sc)
 	} else {
 		t.mul(first, base, m.rr, sc)
@@ -315,7 +315,7 @@ func (t *MultiExpTable) Eval(sum []Term) Nat {
 	// acc·R₅₂⁻¹ is the product itself, below 2n like every digit product.
 	t.mul(acc, acc, t.one, sc)
 	lo := sc.t[:m.k+1]
-	fromDigits(lo, acc)
+	fromDigits(lo, acc, 1)
 	m.reduceOnce(z, lo[:m.k], lo[m.k])
 	return trim(z)
 }

@@ -1,6 +1,9 @@
 package mpint
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // smallPrimes covers trial division before the Miller–Rabin rounds; the
 // product-of-residues trick is unnecessary at the key sizes we target.
@@ -65,9 +68,15 @@ func drawBase(rng *RNG, n Nat) Nat { return AddWord(rng.RandBelow(SubWord(n, 3))
 // share nothing but the test, so any number may run on one concurrently.
 type PrimeTest struct {
 	mont     *Mont
-	sched    *ExpSchedule
+	d        Nat // the odd part of n − 1
 	s        uint
 	minusOne Nat // n − 1 in Montgomery form: n − (R mod n)
+
+	// d's sliding-window schedule, compiled by the first round that walks it:
+	// a candidate in a group of candidates walks fixed windows of d instead,
+	// and most candidates run that one round.
+	once  sync.Once
+	sched *ExpSchedule
 }
 
 // NewPrimeTest prepares n, odd and at least 5, for its rounds.
@@ -75,17 +84,27 @@ func NewPrimeTest(n Nat) *PrimeTest {
 	nm1 := SubWord(n, 1)
 	s := nm1.TrailingZeroBits()
 	m := NewMont(n)
-	return &PrimeTest{mont: m, sched: CompileExpAuto(Rsh(nm1, s)), s: s, minusOne: Sub(m.n, m.one)}
+	return &PrimeTest{mont: m, d: Rsh(nm1, s), s: s, minusOne: Sub(m.n, m.one)}
+}
+
+func (t *PrimeTest) schedule() *ExpSchedule {
+	t.once.Do(func() { t.sched = CompileExpAuto(t.d) })
+	return t.sched
 }
 
 // Round runs one round to base a in [2, n−2] and reports whether n survives
-// it: a^d ≡ ±1, or a square of it reaches −1 before it reaches 1. The chain
-// stays in Montgomery form, where 1 is R mod n.
+// it: a^d ≡ ±1, or a square of it reaches −1 before it reaches 1.
 func (t *PrimeTest) Round(a Nat) bool {
 	m := t.mont
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	x := m.expMont(a, t.sched, sc) // a^d in Montgomery form, k limbs
+	return t.decide(m.expMont(a, t.schedule(), sc), sc)
+}
+
+// decide finishes a round from x = a^d in Montgomery form, k limbs it squares
+// in place; the chain stays in that form, where 1 is R mod n.
+func (t *PrimeTest) decide(x Nat, sc *mulScratch) bool {
+	m := t.mont
 	if Cmp(x, m.one) == 0 || Cmp(x, t.minusOne) == 0 {
 		return true
 	}
@@ -99,6 +118,75 @@ func (t *PrimeTest) Round(a Nat) bool {
 		}
 	}
 	return false
+}
+
+// Rounds runs one round a lane: passed[i] reports whether ts[i]'s candidate
+// survives the round to base as[i], Round's verdict. Each group of eight runs
+// its exponentiations as one walk on amm52x8 where the host and the group's
+// fill allow (mont52x8.go): lanes that share one test share its schedule;
+// lanes with tests of their own, all of one digit count, walk fixed windows
+// of their own exponents.
+func Rounds(ts []*PrimeTest, as []Nat, passed []bool) {
+	for lo := 0; lo < len(as); lo += groupLanes {
+		hi := min(lo+groupLanes, len(as))
+		roundGroup(ts[lo:hi], as[lo:hi], passed[lo:hi])
+	}
+}
+
+func roundGroup(ts []*PrimeTest, as []Nat, passed []bool) {
+	var scs [groupLanes]*mulScratch
+	var xs [groupLanes]Nat
+	n, shared := len(ts), true
+	for l, t := range ts {
+		scs[l] = t.mont.getScratch()
+		shared = shared && t == ts[0]
+	}
+	if shared {
+		ts[0].mont.expMontVec(xs[:n], as, ts[0].schedule(), scs[:n])
+	} else {
+		expMontLanes(xs[:n], ts, as, scs[:n])
+	}
+	for l, t := range ts {
+		passed[l] = t.decide(xs[l], scs[l])
+		t.mont.putScratch(scs[l])
+	}
+}
+
+// expMontLanes sets xs[i] to ts[i]'s expMont of as[i] for up to eight tests of
+// different candidates: one walkFixed over each lane's own modulus and
+// exponent where every lane has a radix-2⁵² side of one digit count and the
+// group is full enough, else a chain at a time.
+func expMontLanes(xs []Nat, ts []*PrimeTest, as []Nat, scs []*mulScratch) {
+	n, bits := len(ts), 0
+	f := ts[0].mont.ifma()
+	for _, t := range ts {
+		if g := t.mont.ifma(); f == nil || g == nil || g.d != f.d {
+			f = nil
+		}
+		bits = max(bits, t.d.BitLen())
+	}
+	if f == nil || !walkGroup(f.d, n) {
+		for l, t := range ts {
+			xs[l] = t.mont.expMont(as[l], t.schedule(), scs[l])
+		}
+		return
+	}
+	w := groupLanes * f.d
+	g := getGroup((1<<fixedWindowBits(bits) + 7) * w)
+	g.L.carve(f.d, g.take(3*w))
+	acc := g.take(w)
+	var es [groupLanes]Nat
+	for l := range groupLanes {
+		t := ts[min(l, n-1)] // a short group pads with its last lane
+		g.L.set(l, t.mont.ifma())
+		toDigits(acc[l:], as[min(l, n-1)], groupLanes)
+		es[l] = t.d
+	}
+	g.L.walkFixed(acc, &es, bits, g)
+	for l, t := range ts {
+		xs[l] = t.mont.leave(acc, l, scs[l])
+	}
+	groupScratches.Put(g)
 }
 
 // RoundRunner runs a batch of Miller–Rabin rounds: passed[i] reports whether

@@ -199,3 +199,47 @@ func TestPrimeTestRoundMatchesBig(t *testing.T) {
 		}
 	})
 }
+
+// BenchmarkRounds times a Miller–Rabin round a candidate at the widths key
+// generation tests — a 1,024-bit key's primes and a 2,048-bit key's — one at
+// a time (Round) and eight a walk (Rounds) in the two shapes the walk asks
+// for: round 0 of eight candidates, each lane its own modulus and exponent
+// (own), and rounds 1–19 of one (shared). ns/round is per candidate-round;
+// the tests are built outside the timing.
+func BenchmarkRounds(b *testing.B) {
+	r := NewRNG(74)
+	for _, bits := range []int{512, 1024} {
+		ts, as := make([]*PrimeTest, groupLanes), make([]Nat, groupLanes)
+		for i := range ts {
+			ts[i] = NewPrimeTest(randOdd(r, bits))
+			as[i] = drawBase(r, ts[i].mont.n)
+		}
+		shared := make([]*PrimeTest, groupLanes)
+		for i := range shared {
+			shared[i] = ts[0]
+		}
+		passed := make([]bool, groupLanes)
+		perRound := func(b *testing.B, rounds int) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rounds), "ns/round")
+		}
+		b.Run(fmt.Sprintf("%d/one-at-a-time", bits), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ts[i%groupLanes].Round(as[i%groupLanes])
+			}
+			perRound(b, 1)
+		})
+		for _, shape := range []struct {
+			name string
+			ts   []*PrimeTest
+		}{{"own", ts}, {"shared", shared}} {
+			b.Run(fmt.Sprintf("%d/%s/amm52x8", bits, shape.name), func(b *testing.B) {
+				walking(true, func() {
+					for i := 0; i < b.N; i++ {
+						Rounds(shape.ts, as, passed)
+					}
+				})
+				perRound(b, groupLanes)
+			})
+		}
+	}
+}

@@ -142,14 +142,16 @@ func TestReducedConstantsClosedForm(t *testing.T) {
 // BenchmarkGenerateKey times a seeded key end to end — the walk, then the
 // key's assembly — with the walk's rounds on the host loop and a window a
 // launch on the executor (one modelled RTX 3090, the fl.Context stack), at
-// the benchmark's key sizes and its set-up clock's reference seeds.
+// the benchmark's key sizes, on its set-up clock's reference seeds (1 and 2)
+// and four more: a key's time swings several-fold with how far its seed's
+// walk goes, so a change to the rounds is read over six walks, not two.
 func BenchmarkGenerateKey(b *testing.B) {
 	keygens := []struct {
 		name   string
 		keygen func(*mpint.RNG, int) (*PrivateKey, error)
 	}{{"host", GenerateKey}, {"executor", executorBackend(b).GenerateKey}}
 	for _, bits := range []int{1024, 2048} {
-		for _, seed := range []uint64{1, 2} {
+		for _, seed := range []uint64{1, 2, 3, 4, 5, 6} {
 			for _, kg := range keygens {
 				b.Run(fmt.Sprintf("%d/seed%d/%s", bits, seed, kg.name), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
