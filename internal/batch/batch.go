@@ -170,10 +170,18 @@ func extractBits(words []mpint.Word, bitPos, width uint) uint64 {
 // grads)) limb for limb, in one pass: each value goes from the quantizer
 // straight into its slot, so the quantized vector never exists.
 func (p *Packer) EncodeGradients(grads []float64) ([]mpint.Nat, error) {
+	return p.EncodeGradientsInto(make([]mpint.Nat, 0, p.NumPlaintexts(len(grads))), grads)
+}
+
+// EncodeGradientsInto is EncodeGradients appending into dst[:0]: plaintext i
+// is packed into the limbs dst's capacity holds at index i where they are long
+// enough (mpint.Reuse), so a caller that owns a dead batch's values allocates
+// none. Those values are clobbered.
+func (p *Packer) EncodeGradientsInto(dst []mpint.Nat, grads []float64) ([]mpint.Nat, error) {
 	maxV, slotBits := uint64(1)<<p.q.RBits()-1, p.q.SlotBits()
-	out := make([]mpint.Nat, 0, p.NumPlaintexts(len(grads)))
+	out := dst[:0]
 	for base := 0; base < len(grads); base += p.slots {
-		words := make(mpint.Nat, p.words())
+		words := mpint.Reuse(mpint.Spare(out), p.words())
 		for s, g := range grads[base:min(base+p.slots, len(grads))] {
 			v := p.q.Quantize(g)
 			if v > maxV {

@@ -210,14 +210,18 @@ func (a *Aggregation) Seal(included []string) ([]byte, error) {
 	if a.stats.PeakLiveCts > a.peak {
 		a.peak = a.stats.PeakLiveCts
 	}
+	// Each root dies framed: the frame is bytes of its own.
 	if !a.defended() {
 		room := 4 + int(a.ctx.CiphertextWireBytes(len(roots[0])))
-		return appendCiphertexts(newAggFrame(len(included), room), roots[0]), nil
+		frame := appendCiphertexts(newAggFrame(len(included), room), roots[0])
+		ReleaseCiphertexts(roots[0])
+		return frame, nil
 	}
 	a.ctx.metricAdd("defense_groups", int64(len(sizes)))
 	blobs := make([][]byte, len(roots))
 	for g, root := range roots {
 		blobs[g] = EncodeCiphertexts(root)
+		ReleaseCiphertexts(root)
 	}
 	return flnet.AppendGroupAgg(newAggFrame(len(included), 0), sizes, blobs)
 }

@@ -67,7 +67,9 @@ type TreeStats struct {
 
 // NewAggTree builds an empty aggregation tree. newAcc constructs one level's
 // aggregation context, fold merges a batch into it (returning the modelled
-// HE time), and forward (optional) observes each partial leaving a level.
+// HE time) — copying or summing it, never keeping it: a partial folded up a
+// level is released — and forward (optional) observes each partial leaving a
+// level.
 func NewAggTree(fanout int, newAcc func() (*paillier.Accumulator, error),
 	fold func(acc *paillier.Accumulator, cts []paillier.Ciphertext) (time.Duration, error),
 	forward func(level int, cts []paillier.Ciphertext)) (*AggTree, error) {
@@ -126,14 +128,18 @@ func (t *AggTree) addAt(level int, cts []paillier.Ciphertext) error {
 	return t.emit(level)
 }
 
-// emit flushes one level's partial up a level (or hands it to Root's carry
-// via the recursion's caller when this is the flush path).
+// emit flushes one level's partial up a level. The level above copied or
+// summed it, so it dies there.
 func (t *AggTree) emit(level int) error {
 	partial, err := t.flush(level)
 	if err != nil {
 		return err
 	}
-	return t.addAt(level+1, partial)
+	if err := t.addAt(level+1, partial); err != nil {
+		return err
+	}
+	paillier.ReleaseBatch(partial)
+	return nil
 }
 
 // flush takes a level's partial, resets the level, and accounts the forward.
@@ -154,7 +160,8 @@ func (t *AggTree) flush(level int) ([]paillier.Ciphertext, error) {
 
 // Root flushes every partially filled level bottom-up and returns the tree's
 // homomorphic sum. The final partial's forward is the root reaching the
-// coordinator. The tree is spent afterwards.
+// coordinator. The tree is spent afterwards, and the root, an accumulator's
+// batch, is the caller's to release.
 func (t *AggTree) Root() ([]paillier.Ciphertext, error) {
 	var carry []paillier.Ciphertext
 	for level := 0; level < len(t.levels); level++ {
@@ -172,6 +179,7 @@ func (t *AggTree) Root() ([]paillier.Ciphertext, error) {
 			}
 			t.levelSim[level] += sim
 			t.folds++
+			paillier.ReleaseBatch(carry)
 		}
 		partial, err := t.flush(level)
 		if err != nil {

@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"flbooster/internal/flnet"
@@ -8,14 +9,19 @@ import (
 	"flbooster/internal/paillier"
 )
 
-// wireArena pools the round path's codec scratch: the nat slices the wire
-// codec builds and the decoded per-client ciphertext batches. Only
-// provably-dead scratch is pooled — message payload bytes are never reused,
-// because the transport may hold a delivered payload beyond the round — so
-// pooling changes allocation counts, never results.
+// wireArena pools what the round path allocates a round and drops inside it
+// (DESIGN §15). Ciphertext batches go to paillier's pool (ReleaseCiphertexts);
+// the arena holds the two kinds of []Nat the round builds:
+//   - nats: the wire codec's scratch views, whose values alias live
+//     ciphertexts and are dropped on the way back, never reused;
+//   - plain: plaintext batches, the encoded gradients and the decrypted
+//     aggregate, their values' limbs kept (zeroed) for the next encoding.
+//
+// Message payload bytes are never pooled: the transport may hold a delivered
+// payload beyond the round.
 type wireArena struct {
-	nats sync.Pool // *[]mpint.Nat
-	cts  sync.Pool // *[]paillier.Ciphertext
+	nats  sync.Pool // *[]mpint.Nat
+	plain sync.Pool // *[]mpint.Nat
 }
 
 // arena is shared by every federation and aggregation in the process; the
@@ -45,24 +51,60 @@ func appendCiphertexts(dst []byte, cts []paillier.Ciphertext) []byte {
 	return dst
 }
 
-// DecodeCiphertexts parses a batch framed by EncodeCiphertexts into a pooled
-// slice; whoever retires the batch may hand it back with ReleaseCiphertexts.
+// DecodeCiphertexts parses a batch framed by EncodeCiphertexts into a batch
+// drawn from paillier's pool, each value into a dead one's limbs; whoever
+// retires the batch hands it back with ReleaseCiphertexts.
 func DecodeCiphertexts(b []byte) ([]paillier.Ciphertext, error) {
-	nats, err := flnet.DecodeNatsInto(arena.getNats(0), b)
+	n := 0
+	if len(b) >= 4 {
+		// A size hint only: DecodeNatsInto checks the count it reads.
+		n = min(int(binary.LittleEndian.Uint32(b)), len(b)/4)
+	}
+	cts := paillier.DrawBatch(n)
+	scratch := arena.getNats(n)[:n]
+	for i, c := range cts {
+		scratch[i] = c.C
+	}
+	nats, err := flnet.DecodeNatsInto(scratch, b)
+	if err == nil {
+		for i, x := range nats { // a valid count is the hint
+			cts[i].C = x
+		}
+	}
+	arena.putNats(scratch)
 	if err != nil {
+		paillier.ReleaseBatch(cts)
 		return nil, err
 	}
-	cts := arena.getCts(len(nats))
-	for _, n := range nats {
-		cts = append(cts, paillier.Ciphertext{C: n})
-	}
-	arena.putNats(nats)
 	return cts, nil
 }
 
-// ReleaseCiphertexts returns a dead batch to the pool. The caller must hold
-// the only reference to the slice (the values it carried may live on).
-func ReleaseCiphertexts(cts []paillier.Ciphertext) { arena.putCts(cts) }
+// ReleaseCiphertexts hands a dead batch back to paillier's pool
+// (paillier.ReleaseBatch): its values' limbs are zeroed and written by the
+// next batch drawn. The caller must hold the only reference to the batch and
+// to every value in it.
+func ReleaseCiphertexts(cts []paillier.Ciphertext) { paillier.ReleaseBatch(cts) }
+
+// putPlain takes back a dead plaintext batch, its values' limbs zeroed and
+// kept for the next encoding.
+func (a *wireArena) putPlain(pts []mpint.Nat) {
+	full := pts[:cap(pts)]
+	for i, x := range full {
+		clear(x[:cap(x)])
+		full[i] = x[:0]
+	}
+	pts = pts[:0]
+	a.plain.Put(&pts)
+}
+
+// getPlain returns an empty plaintext batch with room for n, dead values'
+// limbs behind it where the arena has some (mpint.Spare).
+func (a *wireArena) getPlain(n int) []mpint.Nat {
+	if p, _ := a.plain.Get().(*[]mpint.Nat); p != nil && cap(*p) >= n {
+		return (*p)[:0]
+	}
+	return make([]mpint.Nat, 0, n)
+}
 
 func (a *wireArena) getNats(n int) []mpint.Nat {
 	if p, _ := a.nats.Get().(*[]mpint.Nat); p != nil && cap(*p) >= n {
@@ -71,25 +113,11 @@ func (a *wireArena) getNats(n int) []mpint.Nat {
 	return make([]mpint.Nat, 0, n)
 }
 
+// putNats drops every view the scratch held, up to its capacity: a decode
+// writes into the values its scratch's capacity holds, which must never be a
+// live ciphertext.
 func (a *wireArena) putNats(s []mpint.Nat) {
-	for i := range s {
-		s[i] = nil
-	}
+	clear(s[:cap(s)])
 	s = s[:0]
 	a.nats.Put(&s)
-}
-
-func (a *wireArena) getCts(n int) []paillier.Ciphertext {
-	if p, _ := a.cts.Get().(*[]paillier.Ciphertext); p != nil && cap(*p) >= n {
-		return (*p)[:0]
-	}
-	return make([]paillier.Ciphertext, 0, n)
-}
-
-func (a *wireArena) putCts(s []paillier.Ciphertext) {
-	for i := range s {
-		s[i] = paillier.Ciphertext{}
-	}
-	s = s[:0]
-	a.cts.Put(&s)
 }

@@ -47,27 +47,3 @@ func TestArenaCodecRoundtrip(t *testing.T) {
 		ReleaseCiphertexts(dec)
 	}
 }
-
-// TestArenaCodecAllocs is the allocation regression guard for the round
-// path's codec primitives: with a warm arena, encoding a batch costs exactly
-// the payload buffer, and decoding costs only the per-value nat parses.
-func TestArenaCodecAllocs(t *testing.T) {
-	const n = 16
-	cts := arenaCts(n)
-	payload := EncodeCiphertexts(cts) // warm the nat pool
-
-	if got := testing.AllocsPerRun(100, func() {
-		EncodeCiphertexts(cts)
-	}); got > 2 {
-		t.Errorf("warm arena encode: %.1f allocs per batch, want <= 2", got)
-	}
-	if got := testing.AllocsPerRun(100, func() {
-		dec, err := DecodeCiphertexts(payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ReleaseCiphertexts(dec)
-	}); got > n+2 {
-		t.Errorf("warm arena decode: %.1f allocs per batch, want <= %d", got, n+2)
-	}
-}

@@ -99,11 +99,13 @@ func (c *Client) Upload(tr flnet.Transport, round uint64, grads []float64) (int,
 		From: c.Name, To: ServerName, Kind: "grads", Round: round,
 		Payload: EncodeCiphertexts(cts),
 	}
+	width := len(cts)
+	ReleaseCiphertexts(cts) // framed: the payload is bytes of its own
 	if err := tr.Send(msg); err != nil {
 		return 0, fmt.Errorf("%w: %w", ErrNotSent, err)
 	}
 	c.Ctx.RecordTransfer(msg.WireSize())
-	return len(cts), nil
+	return width, nil
 }
 
 // Receive waits (until deadline; zero waits forever) for round's aggregate

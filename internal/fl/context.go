@@ -261,10 +261,11 @@ func (c *Context) simSince(base time.Duration, wall time.Duration) time.Duration
 
 // EncodePlaintexts converts a gradient vector into HE plaintexts: always
 // quantized (Encoding-Quantization layer); packed n-per-plaintext when batch
-// compression is on, one-per-plaintext otherwise.
+// compression is on, one-per-plaintext otherwise. Packed plaintexts are
+// written into the limbs of a dead plaintext batch where the arena has one.
 func (c *Context) EncodePlaintexts(grads []float64) ([]mpint.Nat, error) {
 	if c.Packer != nil {
-		return c.Packer.EncodeGradients(grads)
+		return c.Packer.EncodeGradientsInto(arena.getPlain(c.Packer.NumPlaintexts(len(grads))), grads)
 	}
 	return c.quantizeNats(grads), nil
 }
@@ -341,6 +342,7 @@ func (c *Context) EncryptGradientsAs(pk *paillier.PublicKey, grads []float64) ([
 	if err != nil {
 		return nil, err
 	}
+	arena.putPlain(pts)
 	c.Costs.AddCompression(int64(len(grads)), int64(len(cts)))
 	return cts, nil
 }
@@ -384,6 +386,9 @@ func (c *Context) AggregateCiphertexts(batches [][]paillier.Ciphertext) ([]paill
 		sum, err := c.addCiphertexts(acc, batches[i])
 		if err != nil {
 			return nil, err
+		}
+		if i > 1 { // a running sum of this fold's own, not the caller's batch
+			ReleaseCiphertexts(acc)
 		}
 		acc = sum
 	}
@@ -439,7 +444,9 @@ func (c *Context) DecryptAggregated(cts []paillier.Ciphertext, count, parties in
 	}
 	wall := time.Since(start)
 	c.Costs.AddHE(wall, c.simSince(base, wall), int64(len(cts)), int64(count))
-	return c.DecodeAggregates(pts, count, parties)
+	vals, err := c.DecodeAggregates(pts, count, parties)
+	arena.putPlain(pts)
+	return vals, err
 }
 
 // CiphertextWireBytes is the encoded size of a ciphertext batch on the wire.

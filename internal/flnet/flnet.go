@@ -330,8 +330,11 @@ func DecodeNats(b []byte) ([]mpint.Nat, error) {
 
 // DecodeNatsInto parses a batch framed by EncodeNats, appending into
 // dst[:0] — callers with a pooled scratch slice skip the output allocation.
-// The parsed values are freshly allocated either way; only the slice header
-// array is reused.
+// Value i is parsed into the limbs dst's capacity holds at index i where they
+// are long enough (mpint.SetBytes), into fresh limbs where they are not or the
+// slot is nil, so a caller that owns a dead batch's values allocates nothing
+// more. Those values are clobbered: dst's capacity must hold no value anybody
+// still reads.
 func DecodeNatsInto(dst []mpint.Nat, b []byte) ([]mpint.Nat, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("flnet: nat batch truncated header")
@@ -357,7 +360,7 @@ func DecodeNatsInto(dst []mpint.Nat, b []byte) ([]mpint.Nat, error) {
 		if uint32(len(b)) < l {
 			return nil, fmt.Errorf("flnet: nat %d truncated body (%d < %d)", i, len(b), l)
 		}
-		out = append(out, mpint.FromBytes(b[:l]))
+		out = append(out, mpint.SetBytes(mpint.Spare(out), b[:l]))
 		b = b[l:]
 	}
 	if len(b) != 0 {

@@ -1,6 +1,7 @@
 package flnet
 
 import (
+	"encoding/binary"
 	"sync"
 	"testing"
 	"time"
@@ -391,6 +392,47 @@ func FuzzDecodeNats(f *testing.F) {
 		}
 		if cap(reused) > max(cap(scratch), bound) {
 			t.Fatalf("cap-%d scratch grew to cap %d, bound %d", cap(scratch), cap(reused), bound)
+		}
+
+		// Into a dead batch's values: one slot more than the frame has, each 0–3
+		// limbs carved from one array with its capacity clipped, behind a guard
+		// word. A value goes into its slot's limbs when they hold it and into
+		// limbs of its own when they do not; either way nothing is written
+		// outside the slot it was given, nor into the spare slot.
+		const guard = mpint.Word(0xdeadbeefcafef00d)
+		slab := make([]mpint.Word, 1+3*(len(out)+1))
+		for i := range slab {
+			slab[i] = guard
+		}
+		slots, regions := make([]mpint.Nat, len(out)+1), make([][]mpint.Word, len(out)+1)
+		at := 0
+		for i := range slots {
+			slots[i], regions[i] = slab[at:at:at+i%4], slab[at:at+i%4]
+			at += i % 4
+		}
+		dead, err := DecodeNatsInto(slots[:0], b)
+		if err != nil || !sameNats(dead, out) {
+			t.Fatalf("decode into a dead batch gave %v (%v), want %v", dead, err, out)
+		}
+		body := b[4:]
+		for i, region := range regions {
+			fits := false
+			if i < len(dead) {
+				l := binary.LittleEndian.Uint32(body)
+				need := (int(l) + 7) / 8
+				body = body[4+l:]
+				if fits = need > 0 && need <= len(region); fits && &dead[i][:1][0] != &region[0] {
+					t.Fatalf("value %d (%d limbs) did not go into its %d-limb slot", i, need, len(region))
+				}
+			}
+			for j, w := range region {
+				if written := fits && (j < len(dead[i]) || w == 0); !written && w != guard {
+					t.Fatalf("limb %d of slot %d (cap %d) overwritten: %#x", j, i, len(region), w)
+				}
+			}
+		}
+		if slab[len(slab)-1] != guard {
+			t.Fatal("a decode wrote past the last slot")
 		}
 	})
 }

@@ -21,11 +21,17 @@ type TCPHub struct {
 	spoofed atomic.Int64 // frames dropped for claiming another party's name
 
 	mu      sync.Mutex
-	conns   map[string]net.Conn
-	pending map[string][][]byte // frames for parties that have not dialed yet
+	conns   map[string]net.Conn   // the registered connection of each name
+	open    map[net.Conn]struct{} // every connection not yet closed, said hello or not
+	pending map[string][][]byte   // frames for parties with no live connection
 	closed  bool
 	wg      sync.WaitGroup
 }
+
+// helloTimeout bounds how long a new connection may take to say its name. The
+// hello is read on the connection's own goroutine, so a peer that dials and
+// never speaks delays nobody else's registration; this only reaps it.
+const helloTimeout = 10 * time.Second
 
 // NewTCPHub listens on addr (e.g. "127.0.0.1:0") and routes messages among
 // `parties` expected participants.
@@ -38,6 +44,7 @@ func NewTCPHub(addr string, link Link) (*TCPHub, error) {
 		ln:      ln,
 		meter:   NewMeter(link),
 		conns:   make(map[string]net.Conn),
+		open:    make(map[net.Conn]struct{}),
 		pending: make(map[string][][]byte),
 	}
 	h.wg.Add(1)
@@ -62,34 +69,66 @@ func (h *TCPHub) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		// First frame on a connection is the party name.
-		hello, err := readFrame(conn)
-		if err != nil {
-			conn.Close()
-			continue
-		}
-		name := string(hello)
 		h.mu.Lock()
 		if h.closed {
 			h.mu.Unlock()
 			conn.Close()
 			return
 		}
-		h.conns[name] = conn
-		// Deliver anything queued while the party was still dialing.
-		queued := h.pending[name]
-		delete(h.pending, name)
-		h.mu.Unlock()
-		for _, frame := range queued {
-			writeFrame(conn, frame)
-		}
+		h.open[conn] = struct{}{}
 		h.wg.Add(1)
-		go h.routeLoop(name, conn)
+		h.mu.Unlock()
+		go h.serve(conn)
 	}
 }
 
-func (h *TCPHub) routeLoop(name string, conn net.Conn) {
+// serve reads the connection's hello — its first frame, the party name —
+// under helloTimeout, registers it under that name, delivers what was queued
+// for the name, and routes its frames until it ends. A second hello under a
+// registered name takes the name over.
+func (h *TCPHub) serve(conn net.Conn) {
 	defer h.wg.Done()
+	defer h.forget(conn)
+	conn.SetReadDeadline(time.Now().Add(helloTimeout))
+	hello, err := readFrame(conn)
+	if err != nil {
+		return
+	}
+	conn.SetReadDeadline(time.Time{})
+	name := string(hello)
+	h.mu.Lock()
+	if h.closed {
+		h.mu.Unlock()
+		return
+	}
+	h.conns[name] = conn
+	// Deliver anything queued while the party had no connection.
+	queued := h.pending[name]
+	delete(h.pending, name)
+	h.mu.Unlock()
+	for _, frame := range queued {
+		writeFrame(conn, frame)
+	}
+	h.routeLoop(name, conn)
+}
+
+// forget closes a connection that ended and drops it from the hub. The name
+// is released only if it is still this connection's, so a party that has
+// already re-dialled keeps its new one; frames for a name with no connection
+// queue in pending until the party dials again.
+func (h *TCPHub) forget(conn net.Conn) {
+	conn.Close()
+	h.mu.Lock()
+	delete(h.open, conn)
+	for name, c := range h.conns {
+		if c == conn {
+			delete(h.conns, name)
+		}
+	}
+	h.mu.Unlock()
+}
+
+func (h *TCPHub) routeLoop(name string, conn net.Conn) {
 	for {
 		frame, err := readFrame(conn)
 		if err != nil {
@@ -111,8 +150,9 @@ func (h *TCPHub) routeLoop(name string, conn net.Conn) {
 		h.mu.Lock()
 		dst, ok := h.conns[msg.To]
 		if !ok {
-			// The destination has not completed its hello yet (clients race
-			// the server at startup); queue until it registers.
+			// The destination has no live connection: it has not completed its
+			// hello yet (clients race the server at startup), or its last one
+			// ended. Queue until it registers.
 			h.pending[msg.To] = append(h.pending[msg.To], frame)
 		}
 		h.mu.Unlock()
@@ -130,8 +170,8 @@ func (h *TCPHub) Close() error {
 		return fmt.Errorf("flnet: hub already closed")
 	}
 	h.closed = true
-	conns := make([]net.Conn, 0, len(h.conns))
-	for _, c := range h.conns {
+	conns := make([]net.Conn, 0, len(h.open))
+	for c := range h.open {
 		conns = append(conns, c)
 	}
 	h.mu.Unlock()

@@ -388,3 +388,169 @@ func TestHubDropsSpoofedFrom(t *testing.T) {
 		t.Fatalf("hub metered %d messages, want the honest one only", msgs)
 	}
 }
+
+// TestHubSilentDialerDelaysNobody: a peer that dials and never says hello
+// holds only its own connection's goroutine, so a party that dials after it
+// registers and receives at once, and Close reaps the silent connection's
+// goroutine instead of waiting out its hello deadline.
+func TestHubSilentDialerDelaysNobody(t *testing.T) {
+	settle := func() int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 100; i++ {
+			time.Sleep(10 * time.Millisecond)
+			if m := runtime.NumGoroutine(); m == n {
+				break
+			} else {
+				n = m
+			}
+		}
+		return n
+	}
+	before := settle()
+	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent, err := net.Dial("tcp", hub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	server, err := DialHub(hub.Addr(), "server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	client, err := DialHub(hub.Addr(), "client0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.Send(Message{From: "client0", To: "server", Kind: "grads", Payload: []byte("up")}); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	got, err := server.RecvTimeout("server", helloTimeout/2)
+	if err != nil || string(got.Payload) != "up" {
+		t.Fatalf("registration behind a silent dialer: %+v, %v after %v", got, err, time.Since(start))
+	}
+	closed := time.Now()
+	if err := hub.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(closed); d > helloTimeout/2 {
+		t.Fatalf("Close waited %v on a connection that never said hello", d)
+	}
+	server.Close()
+	client.Close()
+	silent.Close()
+	if after := settle(); after > before {
+		t.Fatalf("%d goroutines before the hub, %d after its Close", before, after)
+	}
+}
+
+// TestHubQueuesForACrashedParty: when a party's connection ends the hub
+// forgets it, so a frame sent to it while it is gone waits in the queue and
+// is delivered, exactly once, when it dials again — not written to the dead
+// socket and lost.
+func TestHubQueuesForACrashedParty(t *testing.T) {
+	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	server, err := DialHub(hub.Addr(), "server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	registered := func(name string) bool {
+		hub.mu.Lock()
+		defer hub.mu.Unlock()
+		_, ok := hub.conns[name]
+		return ok
+	}
+	waitFor := func(what string, cond func() bool) {
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	crashed, err := DialHub(hub.Addr(), "client0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor("client0 to register", func() bool { return registered("client0") })
+	crashed.Close()
+	waitFor("the hub to forget client0", func() bool { return !registered("client0") })
+
+	if err := server.Send(Message{From: "server", To: "client0", Kind: "agg", Round: 7, Payload: []byte("sum")}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the frame to queue", func() bool {
+		hub.mu.Lock()
+		defer hub.mu.Unlock()
+		return len(hub.pending["client0"]) == 1
+	})
+	back, err := DialHub(hub.Addr(), "client0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer back.Close()
+	got, err := back.RecvTimeout("client0", 5*time.Second)
+	if err != nil || got.Round != 7 || string(got.Payload) != "sum" {
+		t.Fatalf("re-dialled party got %+v, %v; want the frame queued while it was gone", got, err)
+	}
+	if extra, err := back.RecvTimeout("client0", 50*time.Millisecond); !IsTimeout(err) {
+		t.Fatalf("frame delivered twice: %+v, %v", extra, err)
+	}
+}
+
+// TestHubSecondHelloKeepsTheName: a party that re-dials before the hub has
+// seen its old connection end keeps the name when the old one does end.
+func TestHubSecondHelloKeepsTheName(t *testing.T) {
+	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	server, err := DialHub(hub.Addr(), "server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	conn := func() net.Conn {
+		hub.mu.Lock()
+		defer hub.mu.Unlock()
+		return hub.conns["client0"]
+	}
+	old, err := DialHub(hub.Addr(), "client0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); conn() == nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("client0 never registered")
+		}
+	}
+	first := conn()
+	fresh, err := DialHub(hub.Addr(), "client0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	for deadline := time.Now().Add(5 * time.Second); conn() == first; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second hello never took the name")
+		}
+	}
+	old.Close()
+	time.Sleep(50 * time.Millisecond) // the old connection's end reaches the hub
+	if err := server.Send(Message{From: "server", To: "client0", Kind: "agg", Payload: []byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fresh.RecvTimeout("client0", 5*time.Second); err != nil || string(got.Payload) != "x" {
+		t.Fatalf("the re-dialled connection lost its name when the old one ended: %+v, %v", got, err)
+	}
+}

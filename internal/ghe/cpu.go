@@ -67,6 +67,7 @@ type Frame struct {
 	v     vecAPI
 	slots []mpint.Nat // staging, carved up to cap
 	used  int
+	into  []mpint.Nat // the next op's result vector, when Into handed one in
 
 	expVar modExpVarOp
 	multi  multiExpOp
@@ -81,6 +82,31 @@ type Frame struct {
 func (f *Frame) Vec(n int) []mpint.Nat {
 	f.used += n
 	return f.slots[f.used-n : f.used : f.used]
+}
+
+// Into has the frame's next op write its len(dst) results into dst instead
+// of a vector carved from staging. Lane i writes result i into the limbs
+// dst[i] holds where its arithmetic has a form that writes in place (the
+// modular product, the holder's encryption, the decryption) and they are long
+// enough, and replaces dst[i] otherwise: a caller that hands in a dead batch's
+// values gets its results without allocating limbs. Under a launch watchdog
+// the values are dropped first, so lanes write fresh limbs and an abandoned
+// attempt's stragglers never write limbs the caller reads again.
+func (f *Frame) Into(dst []mpint.Nat) {
+	if !f.v.pooled {
+		clear(dst)
+	}
+	f.into = dst
+}
+
+// result is the next op's result vector of n values: what Into handed in,
+// else staging.
+func (f *Frame) result(n int) []mpint.Nat {
+	out := f.into
+	if f.into = nil; len(out) != n {
+		return f.Vec(n)
+	}
+	return out
 }
 
 // Release ends the call: nothing of the frame may be used after it.
@@ -98,7 +124,7 @@ func (f *Frame) ModExpVarVec(bases, exps []mpint.Nat, m *mpint.Mont) ([]mpint.Na
 	if len(bases) != len(exps) {
 		return nil, fmt.Errorf("ghe: ModExpVarVec %w %d vs %d", ErrLength, len(bases), len(exps))
 	}
-	f.expVar = modExpVarOp{modVec{outVec{f.Vec(len(bases))}, m}, bases, exps}
+	f.expVar = modExpVarOp{modVec{outVec{f.result(len(bases))}, m}, bases, exps}
 	return f.v.run(&f.expVar)
 }
 
@@ -111,7 +137,7 @@ func (f *Frame) MultiExpVec(bases []mpint.Nat, sums [][]mpint.Term, m *mpint.Mon
 	if err != nil {
 		return nil, fmt.Errorf("ghe: MultiExpVec: %w", err)
 	}
-	f.multi = multiExpOp{modVec: modVec{outVec{f.Vec(len(sums))}, m}, bases: bases, sums: sums, tbl: tbl}
+	f.multi = multiExpOp{modVec: modVec{outVec{f.result(len(sums))}, m}, bases: bases, sums: sums, tbl: tbl}
 	out, err := f.v.run(&f.multi)
 	if err == nil {
 		f.multi.release()
@@ -125,7 +151,7 @@ func (f *Frame) ModMulVec(a, b []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) 
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("ghe: ModMulVec %w %d vs %d", ErrLength, len(a), len(b))
 	}
-	f.mul = modMulOp{modVec{outVec{f.Vec(len(a))}, m}, a, b}
+	f.mul = modMulOp{modVec{outVec{f.result(len(a))}, m}, a, b}
 	return f.v.run(&f.mul)
 }
 
@@ -133,7 +159,7 @@ func (f *Frame) ModMulVec(a, b []mpint.Nat, m *mpint.Mont) ([]mpint.Nat, error) 
 // every i, rᵢ = RandCoprimeAt(seed, i, n), in one launch. A plaintext that is
 // not below n rejects with ErrPlaintext before anything is uploaded.
 func (f *Frame) EncryptVec(ms []mpint.Nat, key EncryptKey, seed uint64) (_ []mpint.Nat, err error) {
-	if f.enc, err = newEncryptOp(f.Vec(len(ms)), ms, key, seed); err != nil {
+	if f.enc, err = newEncryptOp(f.result(len(ms)), ms, key, seed); err != nil {
 		return nil, fmt.Errorf("ghe: EncryptVec: %w", err)
 	}
 	return f.v.run(&f.enc)
@@ -142,7 +168,7 @@ func (f *Frame) EncryptVec(ms []mpint.Nat, key EncryptKey, seed uint64) (_ []mpi
 // DecryptVec computes the Paillier plaintext of every cs[i] < n², through the
 // factorisation, in one launch.
 func (f *Frame) DecryptVec(cs []mpint.Nat, key DecryptKey) ([]mpint.Nat, error) {
-	f.dec = decryptOp{outVec{f.Vec(len(cs))}, cs, key}
+	f.dec = decryptOp{outVec{f.result(len(cs))}, cs, key}
 	return f.v.run(&f.dec)
 }
 
@@ -155,7 +181,7 @@ func (f *Frame) ShiftPackVec(cs []mpint.Nat, slots, slotBits int, m *mpint.Mont)
 		return nil, fmt.Errorf("ghe: ShiftPackVec needs slots and slot bits of at least 1, got %d and %d", slots, slotBits)
 	}
 	shift := mpint.CompileExpAuto(mpint.Lsh(mpint.One(), uint(slotBits)))
-	f.pack = shiftPackOp{modVec{outVec{f.Vec((len(cs) + slots - 1) / slots)}, m}, cs, slots, slotBits, shift}
+	f.pack = shiftPackOp{modVec{outVec{f.result((len(cs) + slots - 1) / slots)}, m}, cs, slots, slotBits, shift}
 	return f.v.run(&f.pack)
 }
 
@@ -165,7 +191,7 @@ func (f *Frame) ShiftPackVec(cs []mpint.Nat, slots, slotBits int, m *mpint.Mont)
 // and a base in [2, n−2]; anything else rejects with ErrWitness, and a length
 // mismatch with ErrLength, before anything is uploaded.
 func (f *Frame) MillerRabinVec(ns, as []mpint.Nat) (_ []mpint.Nat, err error) {
-	if f.mr, err = newMillerRabinOp(f.Vec(len(as)), ns, as); err != nil {
+	if f.mr, err = newMillerRabinOp(f.result(len(as)), ns, as); err != nil {
 		return nil, fmt.Errorf("ghe: MillerRabinVec: %w", err)
 	}
 	return f.v.run(&f.mr)

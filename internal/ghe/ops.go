@@ -276,7 +276,7 @@ func (o *modMulOp) kernel(int) gpu.Kernel { return o.kern(3 * montMulWordOps(o.m
 func (o *modMulOp) h2d() int64            { return 2 * natBytes(len(o.a), o.m.Limbs()) }
 func (o *modMulOp) Lanes(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		o.out[i] = o.m.ModMul(o.a[i], o.b[i])
+		o.out[i] = o.m.ModMulInto(o.out[i], o.a[i], o.b[i])
 	}
 }
 func (o *modMulOp) verify(i int) mpint.Nat { return mpint.ModMul(o.a[i], o.b[i], o.m.N()) }

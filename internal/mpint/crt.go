@@ -207,7 +207,7 @@ func (c *CRT) PowN(x Nat) Nat {
 	yp := g.a[0]
 	g.use(false)
 	c.q.powN(&g)
-	return c.sq.combine(yp, trim(g.a[0]), g.sc[0].p2, work)
+	return c.sq.combine(nil, yp, trim(g.a[0]), g.sc[0].p2, work)
 }
 
 // powN sets g.a[l] = gm·x^(s·o) mod s² in every lane, as m2.k limbs in the
@@ -283,7 +283,9 @@ func (c *CRT) EncryptDraw(m Nat, rng *RNG) Nat {
 
 // EncryptDrawVec sets out[i] = EncryptDraw(ms[i], rngs[i]) for every i: the
 // nonces drawn lane by lane, and each group of eight's exponentiations run as
-// one walk a stage.
+// one walk a stage. A ciphertext is written into the limbs out[i] already has
+// where they hold it, so a caller that hands in a dead batch's values
+// allocates nothing; out must not share limbs with ms.
 func (c *CRT) EncryptDrawVec(out, ms []Nat, rngs []*RNG) {
 	k := len(c.n)
 	for lo := 0; lo < len(ms); lo += groupLanes {
@@ -320,23 +322,24 @@ func (c *CRT) encrypt(out []Nat, g *crtGroup) {
 		}
 	}
 	for l := range out {
-		out[l] = c.sq.combine(cp[l], trim(g.a[l]), g.sc[l].p2, g.div[l])
+		out[l] = c.sq.combine(out[l], cp[l], trim(g.a[l]), g.sc[l].p2, g.div[l])
 	}
 }
 
 // combine returns the x < a·b with x ≡ xa (mod a) and x ≡ xb (mod b), for
-// xb < b — the caller's one allocation. xa is a.k limbs holding a value < a
-// and is clobbered; sc is a's scratch; div holds len(xb)+a.k+1 limbs.
-func (g *garner) combine(xa []Word, xb Nat, sc *mulScratch, div []Word) Nat {
+// xb < b, in dst's limbs where they hold it (resize) — the caller's one
+// allocation where they do not. xa is a.k limbs holding a value < a and is
+// clobbered; sc is a's scratch; div holds len(xb)+a.k+1 limbs.
+func (g *garner) combine(dst Nat, xa []Word, xb Nat, sc *mulScratch, div []Word) Nat {
 	_, t := divInto(nil, div, xb, g.a.n)
 	if subInto(xa, xa, t) != 0 {
 		addInto(xa, xa, g.a.n) // wrapped below zero: the carry out cancels the borrow
 	}
 	h := g.a.mulInto(xa, xa, g.bInv, sc) // (xa − xb)·b⁻¹ mod a
 	if len(h) == 0 {
-		return xb.Clone()
+		return append(dst[:0], xb...)
 	}
-	z := make(Nat, len(g.b)+len(h))
+	z := resize(dst, len(g.b)+len(h))
 	schoolbookInto(z, g.b, h)
 	addInto(z, z, xb) // xb + b·h < b·(h+1): no carry out
 	return trim(z)
@@ -356,7 +359,8 @@ func (c *CRT) Decrypt(x, hp, hq Nat) Nat {
 }
 
 // DecryptVec sets out[i] = Decrypt(xs[i], hp, hq) for every i, each group of
-// eight's exponentiations run as one walk a prime.
+// eight's exponentiations run as one walk a prime, writing into out[i]'s limbs
+// as EncryptDrawVec does; out must not share limbs with xs.
 func (c *CRT) DecryptVec(out, xs []Nat, hp, hq Nat) {
 	k2 := max(c.p.m2.k, c.q.m2.k)
 	for lo := 0; lo < len(xs); lo += groupLanes {
@@ -389,7 +393,7 @@ func (c *CRT) decrypt(out []Nat, g *crtGroup, hp, hq Nat) {
 				mp[l] = pr.logMul(y, hp, g.s1[l], g.div[l])
 			} else {
 				mq := pr.logMul(y, hq, g.s1[l], g.div[l])
-				out[l] = c.low.combine(mp[l], trim(mq), g.sc[l].p1, g.div[l])
+				out[l] = c.low.combine(out[l], mp[l], trim(mq), g.sc[l].p1, g.div[l])
 			}
 		}
 	}

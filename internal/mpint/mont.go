@@ -151,10 +151,15 @@ func (m *Mont) Mul(a, b Nat) Nat {
 // (a·R)·b·R⁻¹ — only one operand has to be in Montgomery form for the product
 // to come out of it. The intermediate lives in the pooled scratch: the call
 // allocates its result and nothing else.
-func (m *Mont) ModMul(a, b Nat) Nat {
+func (m *Mont) ModMul(a, b Nat) Nat { return m.ModMulInto(nil, a, b) }
+
+// ModMulInto is ModMul writing the product into dst's limbs where they hold
+// k of them — no allocation at all then — and into fresh ones where they do
+// not. dst is clobbered; it may not share limbs with a or b.
+func (m *Mont) ModMulInto(dst, a, b Nat) Nat {
 	sc := m.getScratch()
 	sc.grow(m.k)
-	z := m.mulInto(make(Nat, m.k), m.mulInto(sc.buf(m.k, 0), a, m.rr, sc), b, sc)
+	z := m.mulInto(resize(dst, m.k), m.mulInto(sc.buf(m.k, 0), a, m.rr, sc), b, sc)
 	m.putScratch(sc)
 	return z
 }

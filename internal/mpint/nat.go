@@ -369,8 +369,14 @@ func (x Nat) AppendBytes(dst []byte) []byte {
 }
 
 // FromBytes parses a big-endian byte slice into a Nat.
-func FromBytes(b []byte) Nat {
-	z := make(Nat, (len(b)+7)/8)
+func FromBytes(b []byte) Nat { return SetBytes(nil, b) }
+
+// SetBytes is FromBytes into z's limbs: the value is parsed into them where
+// their capacity holds it, into fresh ones where it does not, and z is
+// clobbered either way. Writes stay inside z's capacity, so limbs carved from
+// one array with clipped capacities never spill into a neighbour.
+func SetBytes(z Nat, b []byte) Nat {
+	z = Reuse(z, (len(b)+7)/8)
 	for i, c := range b {
 		// byte i from the big end contributes to bit position 8*(len-1-i)
 		shift := uint(8 * (len(b) - 1 - i))
@@ -392,6 +398,33 @@ func (x Nat) FillBytes(buf []byte) []byte {
 	}
 	x.AppendBytes(buf[pad:pad])
 	return buf
+}
+
+// Reuse returns n zero limbs: z's own when its capacity holds n, fresh ones
+// otherwise. It is how the owner of a dead value writes the next value into
+// its limbs instead of dropping them for the collector.
+func Reuse(z Nat, n int) Nat {
+	z = resize(z, n)
+	clear(z)
+	return z
+}
+
+// Spare returns the value dst's capacity holds just past its length — the
+// limbs an appending Into form writes its next value into (SetBytes, Reuse)
+// — or nil when dst is full.
+func Spare(dst []Nat) Nat {
+	if len(dst) == cap(dst) {
+		return nil
+	}
+	return dst[:len(dst)+1][len(dst)]
+}
+
+// resize is Reuse without the zeroing: the limbs hold whatever they held.
+func resize(z Nat, n int) Nat {
+	if z == nil || cap(z) < n {
+		return make(Nat, n)
+	}
+	return z[:n]
 }
 
 // Words returns the little-endian limbs of x padded (or truncated, panicking

@@ -137,3 +137,58 @@ func TestEncryptVecAllocSlope(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledBatchesAllocateNoLimbs: a batch released to the pool is what the
+// next one is written into. A holder's encryption and a homomorphic addition
+// whose result batch follows a released one of its width allocate no value —
+// only the pool's slice bookkeeping, a constant a call — and an accumulator
+// folding batch after batch alternates between two pooled sums, so its folds
+// allocate no ciphertext either.
+func TestPooledBatchesAllocateNoLimbs(t *testing.T) {
+	sk := keyOfSize(t, 1024)
+	cfg := gpu.RTX3090()
+	cfg.HostWorkers = 1 // AllocsPerRun counts the whole process
+	be := MustGPUBackend(ghe.MustEngine(gpu.MustNew(cfg, true)))
+	const width = 32
+	pts := plaintexts(width, sk.N)
+	cts, err := be.EncryptVec(sk.Holder(), pts, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := NewAccumulator(&sk.PublicKey, be)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 3 { // the first adopts a copy, the next two fill the pool
+		if err := acc.Add(cts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		fn   func() error
+	}{
+		{"EncryptVec (holder)", func() error {
+			out, err := be.EncryptVec(sk.Holder(), pts, 11)
+			ReleaseBatch(out)
+			return err
+		}},
+		{"AddVec", func() error {
+			out, err := be.AddVec(&sk.PublicKey, cts, cts)
+			ReleaseBatch(out)
+			return err
+		}},
+		{"Accumulator.Add", func() error { return acc.Add(cts) }},
+	} {
+		got := testing.AllocsPerRun(5, func() {
+			if err := tc.fn(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > 2 {
+			t.Errorf("%s: %.1f allocs a batch of %d, want <= 2", tc.name, got, width)
+		} else {
+			t.Logf("%s: %.1f allocs a batch of %d", tc.name, got, width)
+		}
+	}
+}

@@ -198,19 +198,23 @@ func MustGPUBackend(e ghe.VectorEngine) *GPUBackend {
 // Name implements Backend.
 func (g *GPUBackend) Name() string { return "gpu-he" }
 
-// kernel runs one op of the engine in a frame of its own, with staging for
-// the op's results and its ciphertext operands, which run carves and fills
-// (view) as it states the op. What comes back is Fig. 4's convert step on the
-// way down: the results, staged in the frame, as the batch the caller keeps —
-// the one vector a call allocates.
-func (g *GPUBackend) kernel(name string, staging int, run func(f *ghe.Frame) ([]mpint.Nat, error)) ([]Ciphertext, error) {
+// kernel runs one op of n results in a frame of its own, with staging for the
+// op's results and its ciphertext operands, which run carves and fills (view)
+// as it states the op. The results land in a batch drawn from the pool
+// (DrawBatch), its values handed to the frame (ghe.Frame.Into) so the lanes
+// write into a dead batch's limbs; what comes back is Fig. 4's convert step
+// on the way down, that batch, the caller's to keep or release. A failed op's
+// batch is dropped, not released: a lane it abandoned may still hold its
+// limbs.
+func (g *GPUBackend) kernel(name string, n, staging int, run func(f *ghe.Frame) ([]mpint.Nat, error)) ([]Ciphertext, error) {
 	f := g.Engine.Frame(staging)
 	defer f.Release()
+	out := DrawBatch(n)
+	f.Into(view(f, out))
 	dst, err := run(f)
 	if err != nil {
 		return nil, fmt.Errorf("paillier: gpu %s: %w", name, err)
 	}
-	out := make([]Ciphertext, len(dst))
 	for i, c := range dst {
 		out[i] = Ciphertext{C: c}
 	}
@@ -239,7 +243,7 @@ func (g *GPUBackend) GenerateKey(rng *mpint.RNG, bits int) (*PrivateKey, error) 
 // ciphertexts come back.
 func (g *GPUBackend) EncryptVec(pk *PublicKey, ms []mpint.Nat, seed uint64) ([]Ciphertext, error) {
 	key := ghe.EncryptKey{N: pk.N, N2: pk.montN2, Sched: pk.nSched, CRT: pk.own}
-	return g.kernel("EncryptVec", len(ms), func(f *ghe.Frame) ([]mpint.Nat, error) {
+	return g.kernel("EncryptVec", len(ms), len(ms), func(f *ghe.Frame) ([]mpint.Nat, error) {
 		return f.EncryptVec(ms, key, seed)
 	})
 }
@@ -247,8 +251,9 @@ func (g *GPUBackend) EncryptVec(pk *PublicKey, ms []mpint.Nat, seed uint64) ([]C
 // DecryptVec implements Backend as a single kernel through the factorisation:
 // a lane raises its ciphertext to p−1 over p² and to q−1 over q² — exponents
 // half the bits of λ, on operands with half the limbs — takes L, multiplies
-// the key's constants in and recombines, and hands back the plaintext alone
-// (one allocation a plaintext).
+// the key's constants in and recombines, and hands back the plaintext alone,
+// into the limbs of a batch drawn from the pool as kernel's results are (one
+// allocation a plaintext where the pool had none).
 func (g *GPUBackend) DecryptVec(sk *PrivateKey, cs []Ciphertext) ([]mpint.Nat, error) {
 	for i, c := range cs {
 		if c.C.IsZero() || mpint.Cmp(c.C, sk.N2) >= 0 {
@@ -257,12 +262,17 @@ func (g *GPUBackend) DecryptVec(sk *PrivateKey, cs []Ciphertext) ([]mpint.Nat, e
 	}
 	f := g.Engine.Frame(2 * len(cs))
 	defer f.Release()
+	limbs := DrawBatch(len(cs))
+	f.Into(view(f, limbs))
 	key := ghe.DecryptKey{CRT: sk.crt, HP: sk.hp, HQ: sk.hq, Lambda: sk.Lambda, Mu: sk.mu}
 	pts, err := f.DecryptVec(view(f, cs), key)
 	if err != nil {
 		return nil, fmt.Errorf("paillier: gpu DecryptVec: %w", err)
 	}
-	return append(make([]mpint.Nat, 0, len(cs)), pts...), nil
+	out := append(make([]mpint.Nat, 0, len(cs)), pts...)
+	clear(limbs) // the limbs are the plaintexts': only the slice goes back
+	ReleaseBatch(limbs)
+	return out, nil
 }
 
 // AddVec implements Backend as a single modular-multiplication kernel.
@@ -270,7 +280,7 @@ func (g *GPUBackend) AddVec(pk *PublicKey, a, b []Ciphertext) ([]Ciphertext, err
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("paillier: AddVec length mismatch %d vs %d", len(a), len(b))
 	}
-	return g.kernel("AddVec", 3*len(a), func(f *ghe.Frame) ([]mpint.Nat, error) {
+	return g.kernel("AddVec", len(a), 3*len(a), func(f *ghe.Frame) ([]mpint.Nat, error) {
 		return f.ModMulVec(view(f, a), view(f, b), pk.MontN2())
 	})
 }
@@ -280,7 +290,7 @@ func (g *GPUBackend) MulPlainVec(pk *PublicKey, cs []Ciphertext, ks []mpint.Nat)
 	if len(cs) != len(ks) {
 		return nil, fmt.Errorf("paillier: MulPlainVec length mismatch %d vs %d", len(cs), len(ks))
 	}
-	return g.kernel("MulPlainVec", 2*len(cs), func(f *ghe.Frame) ([]mpint.Nat, error) {
+	return g.kernel("MulPlainVec", len(cs), 2*len(cs), func(f *ghe.Frame) ([]mpint.Nat, error) {
 		return f.ModExpVarVec(view(f, cs), ks, pk.MontN2())
 	})
 }
@@ -288,7 +298,7 @@ func (g *GPUBackend) MulPlainVec(pk *PublicKey, cs []Ciphertext, ks []mpint.Nat)
 // WeightedSumVec implements Backend as one shared-table multi-exponentiation
 // kernel: every sum of the call in a single launch.
 func (g *GPUBackend) WeightedSumVec(pk *PublicKey, cs []Ciphertext, sums [][]mpint.Term) ([]Ciphertext, error) {
-	return g.kernel("WeightedSumVec", len(cs)+len(sums), func(f *ghe.Frame) ([]mpint.Nat, error) {
+	return g.kernel("WeightedSumVec", len(sums), len(cs)+len(sums), func(f *ghe.Frame) ([]mpint.Nat, error) {
 		return f.MultiExpVec(view(f, cs), sums, pk.MontN2())
 	})
 }
@@ -296,7 +306,11 @@ func (g *GPUBackend) WeightedSumVec(pk *PublicKey, cs []Ciphertext, sums [][]mpi
 // ShiftPackVec implements Backend as one kernel: a lane a packed ciphertext
 // runs its pack's whole Horner chain.
 func (g *GPUBackend) ShiftPackVec(pk *PublicKey, cs []Ciphertext, slots, slotBits int) ([]Ciphertext, error) {
-	return g.kernel("ShiftPackVec", 2*len(cs), func(f *ghe.Frame) ([]mpint.Nat, error) {
+	packs := 0
+	if slots > 0 { // else the frame rejects the op
+		packs = (len(cs) + slots - 1) / slots
+	}
+	return g.kernel("ShiftPackVec", packs, 2*len(cs), func(f *ghe.Frame) ([]mpint.Nat, error) {
 		return f.ShiftPackVec(view(f, cs), slots, slotBits, pk.MontN2())
 	})
 }

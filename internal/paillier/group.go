@@ -7,6 +7,12 @@ import "fmt"
 // secure-aggregation group, so group-wise robust aggregation can sum each
 // group's clients independently without ever mixing sub-aggregates. The
 // first batch fixes the vector length; later batches must match it.
+//
+// The running sum is the accumulator's own batch, drawn from the pool: the
+// first batch is adopted by copying its limbs, never by aliasing them, and
+// each fold releases the sum it replaces (ReleaseBatch), so a long fold
+// alternates between two pooled batches. The batches Add is given stay their
+// caller's.
 type Accumulator struct {
 	pk      *PublicKey
 	backend Backend
@@ -31,7 +37,10 @@ func (a *Accumulator) Add(cts []Ciphertext) error {
 		return fmt.Errorf("paillier: accumulate an empty batch")
 	}
 	if a.sum == nil {
-		a.sum = append([]Ciphertext(nil), cts...)
+		a.sum = DrawBatch(len(cts))
+		for i, c := range cts {
+			a.sum[i].C = append(a.sum[i].C, c.C...)
+		}
 		a.batches = 1
 		return nil
 	}
@@ -42,6 +51,7 @@ func (a *Accumulator) Add(cts []Ciphertext) error {
 	if err != nil {
 		return err
 	}
+	ReleaseBatch(a.sum)
 	a.sum = sum
 	a.batches++
 	return nil
@@ -50,9 +60,10 @@ func (a *Accumulator) Add(cts []Ciphertext) error {
 // Batches returns how many client batches were folded in.
 func (a *Accumulator) Batches() int { return a.batches }
 
-// Sum returns the group's homomorphic sum. It fails on an empty context —
-// an empty group has no aggregate, and returning one silently would let a
-// grouping bug masquerade as a zero update.
+// Sum returns the group's homomorphic sum, the accumulator's batch until the
+// next Add releases it. It fails on an empty context — an empty group has no
+// aggregate, and returning one silently would let a grouping bug masquerade
+// as a zero update.
 func (a *Accumulator) Sum() ([]Ciphertext, error) {
 	if a.sum == nil {
 		return nil, fmt.Errorf("paillier: sum of an empty accumulator")
