@@ -56,18 +56,20 @@ loc:
 # and Client across real TCP connections (hub, server and client goroutines
 # in one process), as fl's own transport matrix does. mpint's lane-group
 # scratch and paillier's keys are pooled across the executor's workers (about
-# 21 s and 5 s of this target on the two-core reference box). All of it must
-# stay clean under -race and finish with time to spare.
+# 21 s and 5 s of this target on the two-core reference box), and the vertical
+# models' batches recycle through paillier's pool from one launch to the next.
+# All of it must stay clean under -race and finish with time to spare.
 race:
-	$(GO) test -race -timeout 300s ./internal/flnet/... ./internal/fl/... ./internal/gpu/... ./internal/ghe/... ./internal/core/... ./internal/mpint/... ./internal/paillier/... ./cmd/flserver/...
+	$(GO) test -race -timeout 300s ./internal/flnet/... ./internal/fl/... ./internal/gpu/... ./internal/ghe/... ./internal/core/... ./internal/mpint/... ./internal/paillier/... ./internal/models/... ./cmd/flserver/...
 
 # Short fuzz passes over every fuzz target the module has, 10 s each: for each
 # package `go list ./...` reports, every name `go test -list '^Fuzz'` prints,
 # anchored so FuzzDiv cannot also select FuzzDivInto. Nothing here names a
-# target, so adding or deleting one needs no edit; 24 exist today (11 in mpint
-# against math/big, the eight-lane kernel's among them; six wire decoders in
-# flnet; two in gpu; three in fl — the return-path splitter, the aggregate
-# frame every client opens and the journal a restarted coordinator replays —
+# target, so adding or deleting one needs no edit; 26 exist today (13 in mpint
+# against math/big, the eight-lane kernel's and the Euclid walk's among them;
+# six wire decoders in flnet; two in gpu; three in fl — the return-path
+# splitter, the aggregate frame every client opens and the journal a restarted
+# coordinator replays —
 # and one each on paillier's key decoders and ghe's engine layer), each with
 # its corpus under its package's testdata/fuzz.
 fuzz:

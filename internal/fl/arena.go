@@ -2,11 +2,11 @@ package fl
 
 import (
 	"encoding/binary"
-	"sync"
 
 	"flbooster/internal/flnet"
 	"flbooster/internal/mpint"
 	"flbooster/internal/paillier"
+	"flbooster/internal/pool"
 )
 
 // wireArena pools what the round path allocates a round and drops inside it
@@ -20,8 +20,7 @@ import (
 // Message payload bytes are never pooled: the transport may hold a delivered
 // payload beyond the round.
 type wireArena struct {
-	nats  sync.Pool // *[]mpint.Nat
-	plain sync.Pool // *[]mpint.Nat
+	nats, plain pool.Slices[mpint.Nat]
 }
 
 // arena is shared by every federation and aggregation in the process; the
@@ -61,7 +60,7 @@ func DecodeCiphertexts(b []byte) ([]paillier.Ciphertext, error) {
 		n = min(int(binary.LittleEndian.Uint32(b)), len(b)/4)
 	}
 	cts := paillier.DrawBatch(n)
-	scratch := arena.getNats(n)[:n]
+	scratch := arena.nats.Get(n)
 	for i, c := range cts {
 		scratch[i] = c.C
 	}
@@ -93,31 +92,20 @@ func (a *wireArena) putPlain(pts []mpint.Nat) {
 		clear(x[:cap(x)])
 		full[i] = x[:0]
 	}
-	pts = pts[:0]
-	a.plain.Put(&pts)
+	a.plain.Put(pts)
 }
 
 // getPlain returns an empty plaintext batch with room for n, dead values'
 // limbs behind it where the arena has some (mpint.Spare).
-func (a *wireArena) getPlain(n int) []mpint.Nat {
-	if p, _ := a.plain.Get().(*[]mpint.Nat); p != nil && cap(*p) >= n {
-		return (*p)[:0]
-	}
-	return make([]mpint.Nat, 0, n)
-}
+func (a *wireArena) getPlain(n int) []mpint.Nat { return a.plain.Get(n)[:0] }
 
-func (a *wireArena) getNats(n int) []mpint.Nat {
-	if p, _ := a.nats.Get().(*[]mpint.Nat); p != nil && cap(*p) >= n {
-		return (*p)[:0]
-	}
-	return make([]mpint.Nat, 0, n)
-}
+// getNats returns an empty view scratch with room for n.
+func (a *wireArena) getNats(n int) []mpint.Nat { return a.nats.Get(n)[:0] }
 
 // putNats drops every view the scratch held, up to its capacity: a decode
 // writes into the values its scratch's capacity holds, which must never be a
 // live ciphertext.
 func (a *wireArena) putNats(s []mpint.Nat) {
 	clear(s[:cap(s)])
-	s = s[:0]
-	a.nats.Put(&s)
+	a.nats.Put(s)
 }

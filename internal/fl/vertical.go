@@ -152,8 +152,9 @@ type ReturnRoute struct {
 // each ciphertext (acc ← acc^(2^64)·c, Horner from the top slot down, a pack a
 // lane of one ShiftPackVec launch), so ⌈k/slots⌉ ciphertexts and a 4-byte
 // value count cross the wire
-// and the decryptor decrypts once per packed ciphertext. Without it the
-// request is the k ciphertexts themselves.
+// and the decryptor decrypts once per packed ciphertext, after which the packed
+// batch goes back to the pool. Without it the request is the k ciphertexts
+// themselves. cts stay the caller's either way.
 //
 // bounds[i] is the exact upper bound the party can prove for sum i. A bound
 // is a uint64, which is what makes the packing carry-safe: no sum can reach
@@ -183,6 +184,9 @@ func (c *Context) OpenSums(route ReturnRoute, cts []paillier.Ciphertext, bounds 
 	vals, err := c.decryptSlots(packed, len(cts), slots)
 	if err != nil {
 		return nil, err
+	}
+	if len(packed) != len(cts) { // a batch of packSums' own, dead once decrypted
+		ReleaseCiphertexts(packed)
 	}
 	if route.ReplyKind != "" {
 		if err := c.Send(route.Net, route.Decryptor, route.Party, route.ReplyKind, int64(8*len(vals))); err != nil {

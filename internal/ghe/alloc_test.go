@@ -151,9 +151,11 @@ func TestCheckedOverheadOverBareEngine(t *testing.T) {
 }
 
 // TestGroupedLaunchAllocCeiling pins launches whose lanes run eight at a time
-// on the multi-buffer kernel — a shared-modulus exponentiation, a key holder's
-// encryption and decryption, a candidate's later Miller–Rabin rounds, all at
-// 1,024 bits, where a full group of 20- or 40-digit chains walks — at their
+// on the multi-buffer kernel — a shared-modulus exponentiation, an encryption
+// under either handle (the holder's through the factorisation, anyone else's
+// as the n² window, its nonce drawn and checked in the lane's scratch), a
+// decryption, a candidate's later Miller–Rabin rounds, all at 1,024 bits,
+// where a full group of 20- or 40-digit chains walks — at their
 // results: the transposed operands, the tables and the kernel's scratch come
 // from a pool every worker shares, so a launch of sixteen items, two groups,
 // allocates one value an item more than a launch of eight, and beside its
@@ -177,7 +179,7 @@ func TestGroupedLaunchAllocCeiling(t *testing.T) {
 	for i := range as {
 		as[i] = mpint.AddWord(r.RandBelow(mpint.SubWord(cand, 3)), 2)
 	}
-	holder := encKey(crt, n2, true)
+	holder, public := encKey(crt, n2, true), encKey(crt, n2, false)
 	cfg := gpu.RTX3090()
 	cfg.HostWorkers = 1 // AllocsPerRun counts the whole process
 	set, err := gpu.NewDeviceSet(cfg, true, 1)
@@ -212,6 +214,9 @@ func TestGroupedLaunchAllocCeiling(t *testing.T) {
 			}, 4},
 			{"encrypt_vec", func(w int) func() {
 				return framed(w, func(f *Frame) ([]mpint.Nat, error) { return f.EncryptVec(ms[:w], holder, 5) })
+			}, 0},
+			{"encrypt_vec (public)", func(w int) func() {
+				return framed(w, func(f *Frame) ([]mpint.Nat, error) { return f.EncryptVec(ms[:w], public, 5) })
 			}, 0},
 			{"decrypt_crt_vec", func(w int) func() {
 				return framed(w, func(f *Frame) ([]mpint.Nat, error) { return f.DecryptVec(cts[:w], key) })

@@ -87,8 +87,9 @@ func (f *Frame) Vec(n int) []mpint.Nat {
 // Into has the frame's next op write its len(dst) results into dst instead
 // of a vector carved from staging. Lane i writes result i into the limbs
 // dst[i] holds where its arithmetic has a form that writes in place (the
-// modular product, the holder's encryption, the decryption) and they are long
-// enough, and replaces dst[i] otherwise: a caller that hands in a dead batch's
+// modular product, the encryption under either handle, the decryption, the
+// weighted sum, the packing) and they are long enough, and replaces dst[i]
+// otherwise: a caller that hands in a dead batch's
 // values gets its results without allocating limbs. Under a launch watchdog
 // the values are dropped first, so lanes write fresh limbs and an abandoned
 // attempt's stragglers never write limbs the caller reads again.

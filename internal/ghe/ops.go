@@ -244,7 +244,7 @@ func (o *multiExpOp) h2d() int64 {
 }
 func (o *multiExpOp) Lanes(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		o.out[i] = o.tbl.Eval(o.sums[i])
+		o.out[i] = o.tbl.Eval(o.out[i], o.sums[i])
 	}
 }
 func (o *multiExpOp) verify(i int) mpint.Nat {
@@ -302,7 +302,9 @@ func (o *modMulOp) slice(lo, hi int, out []mpint.Nat) vecOp {
 // Montgomery form, nothing ever as wide as n². Without
 // it the lane is the n² window on the schedule of n the key compiled once,
 // and one multiply by gᵐ on the way out of Montgomery form
-// (mpint.Mont.EncryptNDraw). Both are the canonical residue.
+// (mpint.Mont.EncryptNDraw; a lane group's eight windows as one walk,
+// Mont.EncryptNDrawVec). Both are the canonical residue, written into the
+// limbs the result vector hands in.
 //
 // Verification takes the textbook route: the nonce redrawn from scratch on
 // the heap, rⁿ by a plain exponentiation on a context of its own, 1 + m·n and
@@ -376,9 +378,7 @@ func (o *encryptOp) Lanes(lo, hi int) {
 		o.key.CRT.EncryptDrawVec(o.out[lo:hi], o.ms[lo:hi], rngs[:hi-lo])
 		return
 	}
-	for i := lo; i < hi; i++ {
-		o.out[i] = o.m.EncryptNDraw(o.ms[i], o.key.N, o.key.Sched, rngs[i-lo])
-	}
+	o.m.EncryptNDrawVec(o.out[lo:hi], o.ms[lo:hi], o.key.N, o.key.Sched, rngs[:hi-lo])
 }
 
 func (o *encryptOp) verify(i int) mpint.Nat {
@@ -481,7 +481,7 @@ func (o *shiftPackOp) kernel(int) gpu.Kernel {
 func (o *shiftPackOp) h2d() int64 { return natBytes(len(o.cs)+1, o.m.Limbs()) }
 func (o *shiftPackOp) Lanes(lo, hi int) {
 	for i := lo; i < hi; i++ {
-		o.out[i] = o.m.ShiftPack(o.pack(i), o.sched)
+		o.out[i] = o.m.ShiftPack(o.out[i], o.pack(i), o.sched)
 	}
 }
 func (o *shiftPackOp) verify(i int) mpint.Nat {

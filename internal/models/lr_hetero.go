@@ -47,6 +47,9 @@ type HeteroLR struct {
 
 	opts2 []Optimizer // per-party weight optimizers
 	optB  Optimizer   // guest bias optimizer
+	// weighted is each party's homomorphic gradient step, kept across
+	// minibatches (only the hosts', p ≥ 1, are used).
+	weighted []weightedSums
 
 	// zScale bounds partial scores into the quantizer's interval.
 	zScale float64
@@ -84,6 +87,7 @@ func NewHeteroLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroLR
 	}
 	off := 0
 	m.opts2 = make([]Optimizer, parties)
+	m.weighted = make([]weightedSums, parties)
 	m.optB = newOptimizer(opts)
 	for p, part := range parts {
 		m.W[p] = make([]float64, part.NumFeatures)
@@ -186,7 +190,7 @@ func (m *HeteroLR) trainBatch(lo, hi int) error {
 		}
 		batches[p] = cts
 	}
-	agg, err := m.ctx.AggregateCiphertexts(batches)
+	agg, err := aggregate(m.ctx, batches)
 	if err != nil {
 		return err
 	}
@@ -197,6 +201,7 @@ func (m *HeteroLR) trainBatch(lo, hi int) error {
 	if err != nil {
 		return err
 	}
+	fl.ReleaseCiphertexts(agg)
 	for i := range zsum {
 		zsum[i] *= m.zScale
 	}
@@ -224,6 +229,7 @@ func (m *HeteroLR) trainBatch(lo, hi int) error {
 			return fmt.Errorf("models: party %d gradient: %w", p, err)
 		}
 	}
+	fl.ReleaseCiphertexts(encD)
 	m.ctx.TrackOther(func() {
 		m.plainGradientStep(0, lo, hi, d)
 		m.biasStep(d, n)
@@ -261,7 +267,8 @@ func (m *HeteroLR) plainGradientStep(p, lo, hi int, d []float64) {
 // feature, arbiter round trip, shift correction, SGD update.
 func (m *HeteroLR) hostGradientStep(p, lo, hi int, encD []paillier.Ciphertext) error {
 	part := m.parts[p]
-	splits := make([]signSplit, part.NumFeatures)
+	ws := &m.weighted[p]
+	splits := ws.reset(part.NumFeatures)
 	for i := lo; i < hi; i++ {
 		fv := part.Examples[i].Features
 		for k, j := range fv.Idx {
@@ -271,7 +278,7 @@ func (m *HeteroLR) hostGradientStep(p, lo, hi int, encD []paillier.Ciphertext) e
 		}
 	}
 	route := fl.ReturnRoute{Net: m.net, Party: hostName(p), Decryptor: arbiterName, Kind: "grad-sums", ReplyKind: "grad-plain"}
-	sums, err := openWeightedSums(m.ctx, route, encD, splits)
+	sums, err := ws.open(m.ctx, route, encD)
 	if err != nil {
 		return err
 	}

@@ -48,6 +48,9 @@ type HeteroNN struct {
 
 	optW   []Optimizer // per-party bottom-tower optimizers
 	optTop Optimizer   // guest head: [Top..., HiddenBias..., TopBias]
+	// weighted is each host's homomorphic gradient step, kept across
+	// minibatches.
+	weighted []weightedSums
 }
 
 // NewHeteroNN partitions ds vertically and initializes a two-tower network
@@ -82,6 +85,7 @@ func NewHeteroNN(ctx *fl.Context, ds *datasets.Dataset, hidden int, opts Options
 	rng := mpint.NewRNG(opts.Seed ^ 0xA5A5)
 	m.optW = make([]Optimizer, parties)
 	m.optTop = newOptimizer(opts)
+	m.weighted = make([]weightedSums, parties)
 	for p, part := range parts {
 		m.W[p] = make([]float64, hidden*part.NumFeatures)
 		for i := range m.W[p] {
@@ -206,7 +210,7 @@ func (m *HeteroNN) trainBatch(lo, hi int) error {
 		}
 		batches[p] = cts
 	}
-	agg, err := m.ctx.AggregateCiphertexts(batches)
+	agg, err := aggregate(m.ctx, batches)
 	if err != nil {
 		return err
 	}
@@ -217,6 +221,7 @@ func (m *HeteroNN) trainBatch(lo, hi int) error {
 	if err != nil {
 		return err
 	}
+	fl.ReleaseCiphertexts(agg)
 	if err := m.send(arbiterName, hostName(0), "act-plain", int64(8*len(z))); err != nil {
 		return err
 	}
@@ -258,6 +263,7 @@ func (m *HeteroNN) trainBatch(lo, hi int) error {
 			return fmt.Errorf("models: party %d bottom update: %w", p, err)
 		}
 	}
+	fl.ReleaseCiphertexts(encD)
 	return nil
 }
 
@@ -337,7 +343,8 @@ func (m *HeteroNN) guestBottomUpdate(deltas []float64, lo, hi int) {
 func (m *HeteroNN) hostBottomUpdate(p int, encD []paillier.Ciphertext, lo, hi int) error {
 	part := m.parts[p]
 	dim := part.NumFeatures
-	splits := make([]signSplit, m.Hidden*dim) // row-major by unit, like W[p]
+	ws := &m.weighted[p]
+	splits := ws.reset(m.Hidden * dim) // row-major by unit, like W[p]
 	for i := lo; i < hi; i++ {
 		fv := part.Examples[i].Features
 		for k, j := range fv.Idx {
@@ -349,7 +356,7 @@ func (m *HeteroNN) hostBottomUpdate(p int, encD []paillier.Ciphertext, lo, hi in
 		}
 	}
 	route := fl.ReturnRoute{Net: m.net, Party: hostName(p), Decryptor: arbiterName, Kind: "nn-grad", ReplyKind: "nn-grad-plain"}
-	grads, err := openWeightedSums(m.ctx, route, encD, splits)
+	grads, err := ws.open(m.ctx, route, encD)
 	if err != nil || grads == nil {
 		return err
 	}

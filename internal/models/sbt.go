@@ -402,6 +402,7 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 			for k, b := range histIdx {
 				gBins[b], hBins[b] = m.decodeGH(raws[k*per:(k+1)*per], cnts[b])
 			}
+			fl.ReleaseCiphertexts(histCts)
 		}
 
 		// Scan split points left-to-right (zeros/missing stay left of bin 0

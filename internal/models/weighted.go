@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"flbooster/internal/fl"
 	"flbooster/internal/mpint"
@@ -43,27 +44,50 @@ func (s *signSplit) add(at int, x, scale float64) error {
 	return nil
 }
 
-// openWeightedSums is the host side of the vertical gradient step (Hetero LR
-// steps 4–5, Hetero NN per hidden unit): the homomorphic multiply-accumulate
-// over the encrypted per-sample values encD for every non-empty side of every
-// split — all of them in one fl.Context.WeightedSums batch — the return path
-// through the key holder, and the decode Σ dᵢ·x̃ᵢ = (2α/M)·S − α·Σx̃ per side.
-// It returns each split's signed total in fixed-point units, or nil when no
-// split had a term to send.
-func openWeightedSums(ctx *fl.Context, route fl.ReturnRoute, encD []paillier.Ciphertext, splits []signSplit) ([]float64, error) {
-	type pending struct {
-		split int
-		neg   bool
-		corr  float64
+// weightedSums is one host's homomorphic gradient step (Hetero LR steps 4–5,
+// Hetero NN per hidden unit), kept by its model across minibatches: the
+// splits a minibatch's terms are gathered in and the batch they are opened as
+// are emptied and refilled, their backing arrays reused, a minibatch at a time.
+type weightedSums struct {
+	splits []signSplit
+	sums   [][]mpint.Term
+	bounds []uint64
+	meta   []pendingSum
+	out    []float64
+}
+
+// pendingSum is where an opened sum goes: its split, its side, and the
+// shift correction Σx̃ of that side.
+type pendingSum struct {
+	split int
+	neg   bool
+	corr  float64
+}
+
+// reset empties the step for a minibatch of n splits and returns them.
+func (w *weightedSums) reset(n int) []signSplit {
+	w.splits = slices.Grow(w.splits[:0], n)[:n]
+	for i := range w.splits {
+		for side := range w.splits[i] {
+			w.splits[i][side].terms, w.splits[i][side].sum = w.splits[i][side].terms[:0], 0
+		}
 	}
-	var (
-		sums   [][]mpint.Term
-		bounds []uint64
-		meta   []pending
-	)
-	for k := range splits {
-		for sign := range splits[k] {
-			side := &splits[k][sign]
+	return w.splits
+}
+
+// open is the host side of the step over the splits reset handed out: the
+// homomorphic multiply-accumulate over the encrypted per-sample values encD
+// for every non-empty side of every split — all of them in one
+// fl.Context.WeightedSums batch — the return path through the key holder,
+// and the decode Σ dᵢ·x̃ᵢ = (2α/M)·S − α·Σx̃ per side. It returns each split's
+// signed total in fixed-point units, valid until the next reset, or nil when
+// no split had a term to send. The sum ciphertexts die here and go back to
+// the pool.
+func (w *weightedSums) open(ctx *fl.Context, route fl.ReturnRoute, encD []paillier.Ciphertext) ([]float64, error) {
+	w.sums, w.bounds, w.meta = w.sums[:0], w.bounds[:0], w.meta[:0]
+	for k := range w.splits {
+		for sign := range w.splits[k] {
+			side := &w.splits[k][sign]
 			if len(side.terms) == 0 {
 				continue
 			}
@@ -71,31 +95,47 @@ func openWeightedSums(ctx *fl.Context, route fl.ReturnRoute, encD []paillier.Cip
 			if err != nil {
 				return nil, err
 			}
-			sums = append(sums, side.terms)
-			bounds = append(bounds, bound)
-			meta = append(meta, pending{split: k, neg: sign == 1, corr: float64(side.sum)})
+			w.sums = append(w.sums, side.terms)
+			w.bounds = append(w.bounds, bound)
+			w.meta = append(w.meta, pendingSum{split: k, neg: sign == 1, corr: float64(side.sum)})
 		}
 	}
-	if len(sums) == 0 {
+	if len(w.sums) == 0 {
 		return nil, nil
 	}
-	cts, err := ctx.WeightedSums(encD, sums)
+	cts, err := ctx.WeightedSums(encD, w.sums)
 	if err != nil {
 		return nil, err
 	}
-	raws, err := ctx.OpenSums(route, cts, bounds)
+	raws, err := ctx.OpenSums(route, cts, w.bounds)
 	if err != nil {
 		return nil, err
 	}
+	fl.ReleaseCiphertexts(cts)
 	alpha := ctx.Quant.Alpha()
 	mq := float64(uint64(1)<<ctx.Quant.RBits() - 1)
-	out := make([]float64, len(splits))
+	w.out = slices.Grow(w.out[:0], len(w.splits))[:len(w.splits)]
+	clear(w.out)
 	for k, raw := range raws {
-		v := (2*alpha/mq)*float64(raw) - alpha*meta[k].corr
-		if meta[k].neg {
+		v := (2*alpha/mq)*float64(raw) - alpha*w.meta[k].corr
+		if w.meta[k].neg {
 			v = -v
 		}
-		out[meta[k].split] += v
+		w.out[w.meta[k].split] += v
 	}
-	return out, nil
+	return w.out, nil
+}
+
+// aggregate is fl.Context.AggregateCiphertexts over the parties' batches,
+// which die once folded: each goes back to the pool, unless it is the
+// aggregate itself (a lone party's), which dies with its decryption.
+func aggregate(ctx *fl.Context, batches [][]paillier.Ciphertext) ([]paillier.Ciphertext, error) {
+	agg, err := ctx.AggregateCiphertexts(batches)
+	if err != nil || len(batches) == 1 {
+		return agg, err
+	}
+	for _, b := range batches {
+		fl.ReleaseCiphertexts(b)
+	}
+	return agg, nil
 }

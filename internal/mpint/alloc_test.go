@@ -72,7 +72,7 @@ func TestCRTAllocCeilings(t *testing.T) {
 		}{
 			{"PowN", func() { c.PowN(x) }},
 			{"Decrypt", func() { c.Decrypt(n2.N(), hp, hq) }}, // an operand past both squares, reduced in the scratch
-			{"ShiftPack", func() { n2.ShiftPack([]Nat{x, n2.N(), x, x}, shift) }},
+			{"ShiftPack", func() { n2.ShiftPack(nil, []Nat{x, n2.N(), x, x}, shift) }},
 			{"Encrypt", func() { c.Encrypt(x, x) }},
 			{"EncryptDraw", func() { c.EncryptDraw(x, NewRNG(7)) }},
 			{"EncryptN", func() { n2.EncryptN(x, x, c.N(), sched) }},
@@ -118,7 +118,7 @@ func TestMultiExpAllocCeilings(t *testing.T) {
 				}
 				for _, sum := range sums {
 					if tbl.LaneMuls(sum); eval {
-						tbl.Eval(sum)
+						tbl.Eval(nil, sum)
 					}
 				}
 				tbl.Release()

@@ -250,8 +250,8 @@ func (pr *crtPrime) gPowM(m Nat, sc2 *mulScratch, g, div []Word) Nat {
 
 // encWords is the work buffer of one encryption past the nonce: g, then the
 // division buffer that serves m mod s², x mod s and Garner's cq mod p² in
-// turn. n is no longer than the wider square, so the two working copies of a
-// nonce draw fit in it with room to spare.
+// turn. A nonce drawn in place checks coprimality in the same limbs before any
+// of that starts (EncryptDrawVec sizes for both).
 func (c *CRT) encWords(m, x Nat) int {
 	k2 := max(c.p.m2.k, c.q.m2.k)
 	return k2 + max(len(m), len(x), c.q.m2.k) + k2 + 1
@@ -293,8 +293,8 @@ func (c *CRT) EncryptDrawVec(out, ms []Nat, rngs []*RNG) {
 		c.open(&g, min(groupLanes, len(ms)-lo))
 		for l := range g.n {
 			m := trim(ms[lo+l])
-			w := g.sc[l].words(k + c.encWords(m, nil))
-			g.m[l], g.x[l], g.div[l] = m, rngs[lo+l].randCoprimeInto(w[:k], w[k:3*k], c.n), w[k:]
+			w := g.sc[l].words(k + max(c.encWords(m, nil), gcdWords(k)))
+			g.m[l], g.x[l], g.div[l] = m, rngs[lo+l].randCoprimeInto(w[:k], w[k:], c.n), w[k:]
 		}
 		c.encrypt(out[lo:lo+g.n], &g)
 		c.close(&g)

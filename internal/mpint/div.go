@@ -135,69 +135,225 @@ func divInto(q, buf []Word, x, y Nat) (quo, rem Nat) {
 	return trim(q), trim(r)
 }
 
-// GCD returns the greatest common divisor of x and y (binary GCD).
+// GCD returns the greatest common divisor of x and y.
 func GCD(x, y Nat) Nat {
 	x, y = trim(x), trim(y)
-	if len(x) == 0 {
-		return y.Clone()
+	if Cmp(x, y) < 0 {
+		x, y = y, x
 	}
 	if len(y) == 0 {
 		return x.Clone()
 	}
-	return gcdInPlace(x.Clone(), y.Clone())
+	return gcdInto(x, y, make([]Word, gcdWords(len(x)))).Clone()
 }
 
-// gcdInPlace is the binary GCD on two owned, trimmed, non-zero buffers: the
-// subtract-and-shift loop runs in the operands' own limbs, and the result is
-// one of the two buffers, re-extended up to its capacity. gcd(x, y)·2^shift
-// divides both inputs, so shifting the common power of two back in never
-// outgrows the buffer the odd part ended up in.
-func gcdInPlace(x, y Nat) Nat {
-	sx, sy := x.TrailingZeroBits(), y.TrailingZeroBits()
-	shift := sx
-	if sy < shift {
-		shift = sy
-	}
-	x, y = rshInPlace(x, sx), rshInPlace(y, sy)
-	for {
-		// Both odd. Keep x ≤ y, replace y by the odd part of y − x.
-		if Cmp(x, y) > 0 {
-			x, y = y, x
-		}
-		subInto(y, y, x)
-		y = trim(y)
-		if len(y) == 0 {
-			break
-		}
-		y = rshInPlace(y, y.TrailingZeroBits())
-	}
-	// x << shift, within x's own backing array.
-	words, b := int(shift/WordBits), shift%WordBits
-	z := x[:(x.BitLen()+int(shift)+WordBits-1)/WordBits]
-	copy(z[words:], x)
-	for i := words + len(x); i < len(z); i++ {
-		z[i] = 0
-	}
-	for i := 0; i < words; i++ {
-		z[i] = 0
-	}
-	if b != 0 {
-		lshInto(z[words:], z[words:], b)
-	}
-	return z
+// gcdWords is the work gcdInto needs for operands of up to k limbs: the pair,
+// and a division step's buffer.
+func gcdWords(k int) int { return 4*k + 1 }
+
+// gcdInto returns gcd(x, y) for trimmed x ≥ y ≥ 1 as limbs of work, which
+// holds gcdWords(len(x)) limbs and aliases neither operand.
+func gcdInto(x, y Nat, work []Word) Nat {
+	k := len(x)
+	e := euclid{a: work[:k:k], b: work[k : 2*k : 2*k], div: work[2*k : 4*k+1]}
+	e.load(x, y)
+	e.run()
+	return e.a[:e.la]
 }
 
-// rshInPlace shifts trimmed x right by s bits within its own limbs and
-// returns the trimmed result (a prefix of x).
-func rshInPlace(x Nat, s uint) Nat {
-	words := int(s / WordBits)
-	if words > 0 {
-		x = x[:copy(x, x[words:])]
+// euclid is one walk of Euclid's algorithm on caller-held limbs, Lehmer's
+// way: the leading word of the pair simulates as many quotient steps as that
+// word decides (lehmerSimulate, Collins' condition), and one pass over the
+// whole pair applies them all (cosequence), so a pass retires about a word of
+// the pair where the binary GCD retires a bit; a division step runs only where
+// the leading words decide nothing (a quotient as wide as a word, or operands
+// of different lengths). The pair (a, b), a ≥ b, sits in buffers of equal
+// length, each zero above its significant limbs (la, lb).
+//
+// For an inverse (ua != nil) the walk also carries, in buffers of their own,
+// the magnitudes of the coefficients ua, ub with a ≡ ua·x and b ≡ ub·x modulo
+// the other operand. Their signs alternate, so only ua's is kept (neg): every
+// quotient step flips it, and the magnitudes of a step's combination add.
+type euclid struct {
+	a, b   []Word
+	la, lb int
+	div    []Word // a division step's buffer: la+lb+1 limbs
+
+	ua, ub []Word // coefficient magnitudes, one limb above the modulus'
+	lu     int    // significant limbs of the longer coefficient
+	neg    bool   // ua < 0
+	q, t   []Word // a division step's quotient, and its product with ub
+}
+
+// load sets the pair to trimmed x ≥ y.
+func (e *euclid) load(x, y Nat) {
+	copy(e.a, x)
+	clear(e.a[len(x):])
+	copy(e.b, y)
+	clear(e.b[len(y):])
+	e.la, e.lb = len(x), len(y)
+}
+
+// run walks the pair down to (gcd, 0), leaving the gcd in a.
+func (e *euclid) run() {
+	for e.lb > 1 {
+		u0, u1, v0, v1, even := lehmerSimulate(e.a[:e.la], e.b[:e.lb])
+		if v0 == 0 {
+			e.step()
+			continue
+		}
+		n := e.la
+		cosequence(e.a[:n], e.b[:n], u0, u1, v0, v1, even)
+		e.la, e.lb = len(trim(e.a[:n])), len(trim(e.b[:n]))
+		if e.ua != nil {
+			e.combine(u0, u1, v0, v1)
+			e.neg = e.neg != !even
+		}
 	}
-	if b := s % WordBits; b != 0 {
-		rshInto(x, x, b)
+	if e.lb == 0 {
+		return
 	}
-	return trim(x)
+	if e.la > 1 {
+		e.step()
+		if e.lb == 0 {
+			return
+		}
+	}
+	// Both are single words.
+	a, b := e.a[0], e.b[0]
+	if e.ua == nil {
+		a = gcdWord(a, b)
+	} else {
+		u0, v0, u1, v1, even := Word(1), Word(0), Word(0), Word(1), true
+		for b != 0 {
+			q, r := a/b, a%b
+			a, b = b, r
+			u0, u1 = u1, u0+q*u1
+			v0, v1 = v1, v0+q*v1
+			even = !even
+		}
+		e.combine(u0, 0, v0, 0)
+		e.neg = e.neg != !even
+	}
+	e.a[0], e.b[0], e.lb = a, 0, 0
+}
+
+// gcdWord is gcd(a, b) for a ≥ b ≥ 1 by the binary GCD, which on one word is
+// a shift and a subtraction a bit where a remainder is a hardware division.
+func gcdWord(a, b Word) Word {
+	shift := bits.TrailingZeros64(a | b)
+	a >>= bits.TrailingZeros64(a)
+	for b != 0 {
+		b >>= bits.TrailingZeros64(b)
+		if a > b {
+			a, b = b, a
+		}
+		b -= a
+	}
+	return a << shift
+}
+
+// step is one division step: (a, b) ← (b, a mod b), and for an inverse
+// (ua, ub) ← (ub, ua + ⌊a/b⌋·ub).
+func (e *euclid) step() {
+	var q []Word
+	if e.ua != nil {
+		q = e.q
+	}
+	quo, r := divInto(q, e.div, e.a[:e.la], e.b[:e.lb])
+	// a is spent: it takes the remainder and becomes b.
+	copy(e.a, r)
+	clear(e.a[len(r):e.la])
+	e.a, e.b, e.la, e.lb = e.b, e.a, e.lb, len(r)
+	if e.ua == nil {
+		return
+	}
+	// a ≥ b makes the quotient at least 1, and ub starts at 1 and only grows.
+	ub := trim(e.ub[:e.lu])
+	t := e.t[:len(quo)+len(ub)]
+	schoolbookInto(t, quo, ub)
+	t = trim(t)
+	n := max(e.lu, len(t)) + 1 // the sum is the next coefficient, below the modulus
+	addInto(e.ua[:n], e.ua[:n], t)
+	e.ua, e.ub = e.ub, e.ua
+	e.lu = max(len(trim(e.ua)), len(trim(e.ub)))
+	e.neg = !e.neg
+}
+
+// combine sets the coefficient magnitudes to (u0·ua + v0·ub, u1·ua + v1·ub),
+// in place, limb i of both from limb i of both.
+func (e *euclid) combine(u0, u1, v0, v1 Word) {
+	n := e.lu + 1
+	ua, ub := e.ua[:n], e.ub[:n]
+	var c0, c1, c2, c3, s0, s1 Word
+	for i := range ua {
+		x, y := ua[i], ub[i]
+		a0, a1, a2, a3 := mulAddWW(u0, x, &c0), mulAddWW(v0, y, &c1), mulAddWW(u1, x, &c2), mulAddWW(v1, y, &c3)
+		ua[i], s0 = bits.Add64(a0, a1, s0)
+		ub[i], s1 = bits.Add64(a2, a3, s1)
+	}
+	e.lu = max(len(trim(ua)), len(trim(ub)))
+}
+
+// mulAddWW returns the low limb of x·y + *c and leaves the high limb in *c.
+func mulAddWW(x, y Word, c *Word) Word {
+	hi, lo := bits.Mul64(x, y)
+	lo, cc := bits.Add64(lo, *c, 0)
+	*c = hi + cc
+	return lo
+}
+
+// cosequence applies the j quotient steps lehmerSimulate found to the whole
+// pair, in place over len(a) limbs (b zero above its value): (a, b) ←
+// (u0·a − v0·b, v1·b − u1·a) when j is even, the negations of both
+// differences when it is odd. Limb i of both results is formed from limb i of
+// both operands, so neither needs a copy; both results are non-negative and
+// no larger than a.
+func cosequence(a, b []Word, u0, u1, v0, v1 Word, even bool) {
+	var c0, c1, c2, c3, b0, b1 Word
+	for i := range a {
+		x, y := a[i], b[i]
+		p0, q0, p1, q1 := mulAddWW(u0, x, &c0), mulAddWW(v0, y, &c1), mulAddWW(u1, x, &c2), mulAddWW(v1, y, &c3)
+		if even {
+			a[i], b0 = bits.Sub64(p0, q0, b0)
+			b[i], b1 = bits.Sub64(q1, p1, b1)
+		} else {
+			a[i], b0 = bits.Sub64(q0, p0, b0)
+			b[i], b1 = bits.Sub64(p1, q1, b1)
+		}
+	}
+}
+
+// lehmerSimulate runs Euclid's quotient steps on the leading word of a and
+// the bits of b aligned with it, for trimmed a ≥ b of at least two limbs, as
+// long as Collins' condition guarantees each quotient is the one the full
+// pair would produce. It returns the cosequence magnitudes of the steps it
+// took, (a, b) ← ±(u0·a − v0·b, v1·b − u1·a) (cosequence), and whether
+// their number is even; v0 = 0 when it could take none.
+func lehmerSimulate(a, b []Word) (u0, u1, v0, v1 Word, even bool) {
+	n, m := len(a), len(b)
+	h := uint(bits.LeadingZeros64(a[n-1]))
+	a1 := a[n-1]<<h | a[n-2]>>(WordBits-h)
+	var a2 Word
+	switch n - m {
+	case 0:
+		a2 = b[n-1]<<h | b[n-2]>>(WordBits-h)
+	case 1:
+		a2 = b[n-2] >> (WordBits - h)
+	}
+	// The loop's first pass takes no step of its own, so the cosequence it
+	// returns lags the one it tests by a step.
+	var u2, v2 Word
+	u0, u1, u2 = 0, 1, 0
+	v0, v1, v2 = 0, 0, 1
+	for a2 >= v2 && a1-a2 >= v1+v2 {
+		q, r := a1/a2, a1%a2
+		a1, a2 = a2, r
+		u0, u1, u2 = u1, u2, u1+q*u2
+		v0, v1, v2 = v1, v2, v1+q*v2
+		even = !even
+	}
+	return u0, u1, v0, v1, even
 }
 
 // LCM returns the least common multiple of x and y.
@@ -209,49 +365,37 @@ func LCM(x, y Nat) Nat {
 }
 
 // ModInverse returns x⁻¹ mod n and true when gcd(x, n) == 1, or nil and
-// false otherwise. It uses the extended Euclidean algorithm with signed
-// bookkeeping carried in (value, sign) pairs since Nat is unsigned.
+// false otherwise: GCD's walk from (n, x mod n), carrying the coefficient of
+// x, in one allocation of working limbs beside the result.
 func ModInverse(x, n Nat) (Nat, bool) {
 	x, n = trim(x), trim(n)
 	if len(n) == 0 || n.IsOne() {
 		return nil, false
 	}
-	x = Mod(x, n)
-	if x.IsZero() {
+	k := len(n)
+	// The pair, the two coefficients, a quotient, its product with one, and a
+	// division buffer that also takes x's first reduction.
+	w := make([]Word, 7*k+5+max(len(x), k)+k+1)
+	take := func(n int) []Word {
+		s := w[:n:n]
+		w = w[n:]
+		return s
+	}
+	e := euclid{a: take(k), b: take(k), ua: take(k + 1), ub: take(k + 1), q: take(k + 1), t: take(2*k + 2)}
+	e.div = w
+	_, xr := divInto(nil, e.div, x, n)
+	if len(xr) == 0 {
 		return nil, false
 	}
-	// Invariants: r0 = s0*x mod n, r1 = s1*x mod n, with signs g0, g1.
-	r0, r1 := n.Clone(), x.Clone()
-	s0, s1 := Zero(), One()
-	g0, g1 := 1, 1
-	for !r1.IsZero() {
-		q, r := DivMod(r0, r1)
-		r0, r1 = r1, r
-		// ns = s0 - q*s1 with explicit sign tracking (sign 0 means value 0).
-		qs1 := Mul(q, s1)
-		var ns Nat
-		var ng int
-		switch {
-		case s0.IsZero():
-			ns, ng = qs1, -g1
-		case qs1.IsZero():
-			ns, ng = s0, g0
-		case g0 == g1:
-			d, sign := CmpSub(s0, qs1)
-			ns, ng = d, sign*g0
-		default:
-			ns, ng = Add(s0, qs1), g0
-		}
-		if ns.IsZero() {
-			ng = 0
-		}
-		s0, s1, g0, g1 = s1, ns, g1, ng
-	}
-	if !r0.IsOne() {
+	e.load(n, xr)
+	e.ub[0], e.lu, e.neg = 1, 1, true // n = 0·x, x = 1·x
+	e.run()
+	if e.la != 1 || e.a[0] != 1 {
 		return nil, false
 	}
-	if g0 < 0 {
-		return Sub(n, Mod(s0, n)), true
+	inv := trim(e.ua)
+	if e.neg {
+		return Sub(n, inv), true
 	}
-	return Mod(s0, n), true
+	return inv.Clone(), true
 }

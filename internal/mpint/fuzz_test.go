@@ -381,6 +381,116 @@ func FuzzGCDModInverse(f *testing.F) {
 	})
 }
 
+// euclidSeeds are operand pairs that steer Lehmer's walk down each of its
+// branches: consecutive Fibonacci numbers (every quotient 1, so the leading
+// words' simulation runs longest and Collins' condition stops it at its edge),
+// a pair whose lengths differ by more than a limb (a division step with a wide
+// quotient), a pair one limb apart, equal values, a pair sharing a large power
+// of two, and pairs that reach the one-word tail at once.
+func euclidSeeds() [][2][]byte {
+	fa, fb := big.NewInt(1), big.NewInt(1)
+	var fibs [][2][]byte
+	for i := 2; i < 400; i++ {
+		fa, fb = fb, new(big.Int).Add(fa, fb)
+		if i%90 == 0 {
+			fibs = append(fibs, [2][]byte{fb.Bytes(), fa.Bytes()})
+		}
+	}
+	long := new(big.Int).Lsh(big.NewInt(0x1234567), 700)
+	long.Add(long, big.NewInt(99))
+	return append(fibs,
+		[2][]byte{long.Bytes(), {0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03}},
+		[2][]byte{long.Bytes(), new(big.Int).Rsh(long, 64+7).Bytes()},
+		[2][]byte{boundaryOperands()[30], boundaryOperands()[30]},
+		[2][]byte{new(big.Int).Lsh(long, 300).Bytes(), new(big.Int).Lsh(big.NewInt(3), 320).Bytes()},
+		[2][]byte{{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, {0x02}},
+		[2][]byte{zeroMiddleLimb, {0x07}},
+	)
+}
+
+// FuzzGCD holds the in-place gcd the nonce draw runs (gcdInto) to math/big:
+// the value, the coprimality decision a nonce is accepted or redrawn on, its
+// operands left as they were, and not a word written outside the work buffer
+// it is given — exactly gcdWords limbs, fenced by guard words on both sides.
+func FuzzGCD(f *testing.F) {
+	for _, s := range euclidSeeds() {
+		f.Add(s[0], s[1])
+	}
+	ops := boundaryOperands()
+	for i, xb := range ops {
+		f.Add(xb, ops[(i+7)%len(ops)])
+	}
+	f.Fuzz(func(t *testing.T, xb, yb []byte) {
+		if len(xb) > 512 || len(yb) > 512 {
+			return
+		}
+		x, y := FromBytes(xb), FromBytes(yb)
+		if Cmp(x, y) < 0 {
+			x, y = y, x
+		}
+		if len(y) == 0 {
+			return
+		}
+		bx, by := toBig(x), toBig(y)
+		const guard = 0x6A6A6A6A6A6A6A6A
+		fence := make([]Word, gcdWords(len(x))+2)
+		for i := range fence {
+			fence[i] = guard
+		}
+		work := fence[1 : len(fence)-1 : len(fence)-1]
+		g := gcdInto(x, y, work)
+		want := new(big.Int).GCD(nil, nil, bx, by)
+		if toBig(g).Cmp(want) != 0 || len(g) != len(trim(g)) {
+			t.Fatalf("gcd(%s, %s) = %s, want %s", x, y, g, want)
+		}
+		if g.IsOne() != (want.Cmp(big.NewInt(1)) == 0) {
+			t.Fatalf("gcd(%s, %s): coprimality decided %v", x, y, g.IsOne())
+		}
+		if fence[0] != guard || fence[len(fence)-1] != guard {
+			t.Fatalf("gcd(%s, %s) wrote outside its work", x, y)
+		}
+		if toBig(x).Cmp(bx) != 0 || toBig(y).Cmp(by) != 0 {
+			t.Fatal("gcd clobbered an operand")
+		}
+	})
+}
+
+// FuzzModInverse holds ModInverse to math/big on moduli of any parity and
+// operands of any size against them — past the modulus, zero, one — with the
+// Euclid seeds that exercise its division steps, where the coefficient takes a
+// multi-limb quotient, and its one-word tail: the inverse or its absence, a
+// canonical residue below n, and both operands left as they were.
+func FuzzModInverse(f *testing.F) {
+	for _, s := range euclidSeeds() {
+		f.Add(s[1], s[0])
+		f.Add(s[0], s[1])
+	}
+	f.Add([]byte{0}, []byte{9})
+	f.Add([]byte{1}, []byte{1})
+	f.Add([]byte{5, 0, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{2})
+	f.Fuzz(func(t *testing.T, xb, nb []byte) {
+		if len(xb) > 512 || len(nb) > 512 {
+			return
+		}
+		x, n := FromBytes(xb), FromBytes(nb)
+		bx, bn := toBig(x), toBig(n)
+		inv, ok := ModInverse(x, n)
+		var want *big.Int
+		if bn.Cmp(big.NewInt(1)) > 0 {
+			want = new(big.Int).ModInverse(bx, bn)
+		}
+		if ok != (want != nil) {
+			t.Fatalf("ModInverse(%s, %s) ok=%v, math/big has an inverse: %v", x, n, ok, want != nil)
+		}
+		if ok && (toBig(inv).Cmp(want) != 0 || len(inv) != len(trim(inv))) {
+			t.Fatalf("ModInverse(%s, %s) = %s, want %s", x, n, inv, want)
+		}
+		if toBig(x).Cmp(bx) != 0 || toBig(n).Cmp(bn) != 0 {
+			t.Fatal("ModInverse clobbered an operand")
+		}
+	})
+}
+
 func FuzzBytesRoundTrip(f *testing.F) {
 	for _, b := range boundaryOperands() {
 		f.Add(b)

@@ -32,7 +32,8 @@ func groupFills(bits int) []int {
 // its own modulus and exponent, on fixed windows), and where the lanes' digit
 // counts differ (a chain at a time); EncryptDrawVec is EncryptDraw, nonce
 // draws and the generators after them included, and DecryptVec is Decrypt,
-// through a factorisation whose squares are the modulus width.
+// through a factorisation whose squares are the modulus width; and
+// EncryptNDrawVec is EncryptNDraw over an n² of the modulus width.
 func TestGroupsAreTheirLanes(t *testing.T) {
 	if !useIFMA {
 		t.Skip("this CPU has no AVX-512 IFMA: every group runs its lanes one at a time")
@@ -65,6 +66,7 @@ func TestGroupsAreTheirLanes(t *testing.T) {
 			}
 			checkRounds(t, r, bits)
 			checkCRTGroups(t, r, bits)
+			checkEncryptNGroups(t, r, bits)
 		})
 	}
 }
@@ -159,6 +161,46 @@ func checkCRTGroups(t *testing.T, r *RNG, bits int) {
 			if Cmp(pts[i], want[i]) != 0 {
 				t.Fatalf("DecryptVec, fill %d, lane %d: %s, Decrypt says %s", fill, i, pts[i], want[i])
 			}
+		}
+	}
+}
+
+// checkEncryptNGroups holds EncryptNDrawVec — a party without the
+// factorisation, its lanes' rⁿ walking n's schedule over n² together — to
+// EncryptNDraw at every fill, over an n² of bits bits: the ciphertexts, the
+// generators after the nonce draws, and the limbs a dead value hands in, which
+// the ciphertext is written into. Plaintexts 0 and n−1 ride in lanes 0 and 1.
+func checkEncryptNGroups(t *testing.T, r *RNG, bits int) {
+	t.Helper()
+	n := randOdd(r, bits/2)
+	m, s := NewMont(Mul(n, n)), CompileExpAuto(n)
+	for _, fill := range groupFills(bits) {
+		ms, seeds := make([]Nat, fill), make([]uint64, fill)
+		group, alone := make([]*RNG, fill), make([]*RNG, fill)
+		for i := range ms {
+			ms[i], seeds[i] = r.RandBelow(n), r.Uint64()
+			group[i], alone[i] = NewRNG(seeds[i]), NewRNG(seeds[i])
+		}
+		ms[0] = nil
+		if fill > 1 {
+			ms[1] = SubWord(n, 1)
+		}
+		cts, want := make([]Nat, fill), make([]Nat, fill)
+		dead := make(Nat, m.k)
+		cts[fill-1] = dead
+		walking(true, func() { m.EncryptNDrawVec(cts, ms, n, s, group) })
+		walking(false, func() {
+			for i := range ms {
+				want[i] = m.EncryptNDraw(ms[i], n, s, alone[i])
+			}
+		})
+		for i := range ms {
+			if Cmp(cts[i], want[i]) != 0 || *group[i] != *alone[i] {
+				t.Fatalf("EncryptNDrawVec, fill %d, lane %d: %s, EncryptNDraw says %s (generators equal: %v)", fill, i, cts[i], want[i], *group[i] == *alone[i])
+			}
+		}
+		if &cts[fill-1][:1][0] != &dead[0] {
+			t.Fatalf("EncryptNDrawVec, fill %d: the last ciphertext was not written into the limbs handed in", fill)
 		}
 	}
 }

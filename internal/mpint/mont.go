@@ -525,27 +525,50 @@ func (m *Mont) reduce(base Nat, sc *mulScratch) Nat {
 func (m *Mont) EncryptN(msg, x, n Nat, s *ExpSchedule) Nat {
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	return m.encryptN(trim(msg), m.reduce(x, sc), trim(n), s, sc)
+	return m.timesG(nil, trim(msg), m.expMont(m.reduce(x, sc), s, sc), trim(n), sc)
 }
 
 // EncryptNDraw is EncryptN under the nonce rng.RandCoprime(n) would return —
 // the same draws, rejections and coprimality check — drawn into the pooled
 // scratch instead of the heap.
 func (m *Mont) EncryptNDraw(msg, n Nat, s *ExpSchedule, rng *RNG) Nat {
-	sc := m.getScratch()
-	defer m.putScratch(sc)
-	n = trim(n)
-	k := len(n)
-	sc.growDiv(3 * k)
-	x := rng.randCoprimeInto(sc.div[:k], sc.div[k:3*k], n)
-	return m.encryptN(trim(msg), x, n, s, sc)
+	var out [1]Nat
+	m.EncryptNDrawVec(out[:], []Nat{msg}, n, s, []*RNG{rng})
+	return out[0]
 }
 
-// encryptN is EncryptN for trimmed operands, x < n², on held scratch. The
-// chain has taken x into the slab before gᵐ is written, so x may live in the
-// division buffer gᵐ is about to take.
-func (m *Mont) encryptN(msg, x, n Nat, s *ExpSchedule, sc *mulScratch) Nat {
-	acc := m.expMont(x, s, sc)
+// EncryptNDrawVec sets out[i] = EncryptNDraw(ms[i], n, s, rngs[i]) for every
+// i: the nonces drawn lane by lane into each lane's scratch, and each group of
+// eight's rⁿ run as one walk of s (expMontVec). A ciphertext is written into
+// the limbs out[i] already has where they hold it, as CRT.EncryptDrawVec
+// does; out must not share limbs with ms.
+func (m *Mont) EncryptNDrawVec(out, ms []Nat, n Nat, s *ExpSchedule, rngs []*RNG) {
+	n = trim(n)
+	k := len(n)
+	for lo := 0; lo < len(ms); lo += groupLanes {
+		g := min(groupLanes, len(ms)-lo)
+		var scs [groupLanes]*mulScratch
+		var xs [groupLanes]Nat
+		for l := range g {
+			sc := m.getScratch()
+			sc.growDiv(k + gcdWords(k))
+			scs[l], xs[l] = sc, rngs[lo+l].randCoprimeInto(sc.div[:k], sc.div[k:], n)
+		}
+		// Each chain takes its nonce into its slab before gᵐ takes the division
+		// buffer the nonce was drawn in.
+		m.expMontVec(xs[:g], xs[:g], s, scs[:g])
+		for l := range g {
+			out[lo+l] = m.timesG(out[lo+l], trim(ms[lo+l]), xs[l], n, scs[l])
+			m.putScratch(scs[l])
+		}
+	}
+}
+
+// timesG returns acc·(1 + msg·n) mod n² for acc in Montgomery form — rⁿ as the
+// chain leaves it in sc's slab — and trimmed msg < n: the multiply that leaves
+// Montgomery form, by the plain gᵐ, written into dst's limbs where they hold
+// it (resize).
+func (m *Mont) timesG(dst, msg, acc, n Nat, sc *mulScratch) Nat {
 	sc.growDiv(len(n) + len(msg))
 	g := sc.div[:len(n)+len(msg)]
 	if len(msg) == 0 {
@@ -554,19 +577,21 @@ func (m *Mont) encryptN(msg, x, n Nat, s *ExpSchedule, sc *mulScratch) Nat {
 		schoolbookInto(g, n, msg)
 	}
 	addInto(g, g, One()) // msg ≤ n−1: 1 + msg·n < n², no carry out
-	return m.mulInto(make(Nat, m.k), acc, g, sc)
+	return m.mulInto(resize(dst, m.k), acc, g, sc)
 }
 
 // ShiftPack returns Π xs[j]^(eʲ) mod n for the exponent e ≥ 2 that s compiles,
 // by Horner's rule from the last value down: acc ← accᵉ·xs[j]. Each step is one
 // chain — it leaves accᵉ in Montgomery form in the scratch — and one multiply
-// by the plain xs[j], which takes the product out of that form into the result,
-// the call's one allocation. With e = 2ᵇ and xs ciphertexts it is the packing
-// of their plaintexts into b-bit slots, xs[0] in the lowest. xs is not empty.
-func (m *Mont) ShiftPack(xs []Nat, s *ExpSchedule) Nat {
+// by the plain xs[j], which takes the product out of that form into the result:
+// dst's limbs where they hold it (resize), else the call's one allocation; dst
+// must not share limbs with xs. With e = 2ᵇ and xs ciphertexts it is the
+// packing of their plaintexts into b-bit slots, xs[0] in the lowest. xs is not
+// empty.
+func (m *Mont) ShiftPack(dst Nat, xs []Nat, s *ExpSchedule) Nat {
 	sc := m.getScratch()
 	defer m.putScratch(sc)
-	z := make(Nat, m.k)
+	z := resize(dst, m.k)
 	acc := Nat(z[:copy(z, m.reduce(xs[len(xs)-1], sc))])
 	for j := len(xs) - 2; j >= 0; j-- {
 		acc = m.mulInto(z, m.expMont(acc, s, sc), m.reduce(xs[j], sc), sc)

@@ -289,7 +289,7 @@ func TestShiftPackDifferential(t *testing.T) {
 						want.Mul(want, new(big.Int).Exp(toBig(x), w, bn)).Mod(want, bn)
 						w.Mul(w, toBig(e))
 					}
-					if got := m.ShiftPack(xs, s); toBig(got).Cmp(want) != 0 || len(got) != len(trim(got)) {
+					if got := m.ShiftPack(nil, xs, s); toBig(got).Cmp(want) != 0 || len(got) != len(trim(got)) {
 						t.Fatalf("%d-bit modulus, %d values, shift %d: ShiftPack = %s, math/big says %s", bits, count, shift, got, want)
 					}
 				}

@@ -260,9 +260,10 @@ func (t *MultiExpTable) LaneMuls(sum []Term) int64 {
 // built: 1 for a sum without a non-zero term. The windows of all its terms are
 // bucketed by bit position, and one accumulator walks the positions top-down —
 // squared once a position, multiplied by the table entry of every window that
-// sits there. Buckets and accumulator live in the pooled scratch: the call
-// allocates its result and nothing else.
-func (t *MultiExpTable) Eval(sum []Term) Nat {
+// sits there. Buckets and accumulator live in the pooled scratch, and the
+// product is written into dst's limbs where they hold it (resize): the call
+// allocates its result where they do not, and nothing else.
+func (t *MultiExpTable) Eval(dst Nat, sum []Term) Nat {
 	m := t.m
 	sc := m.getScratch()
 	defer m.putScratch(sc)
@@ -276,7 +277,9 @@ func (t *MultiExpTable) Eval(sum []Term) Nat {
 		n++
 	})
 	if n == 0 {
-		return One()
+		z := resize(dst, 1)
+		z[0] = 1
+		return z
 	}
 	off := int32(0)
 	for p := WordBits - 1; p >= 0; p-- {
@@ -306,9 +309,8 @@ func (t *MultiExpTable) Eval(sum []Term) Nat {
 		}
 	}
 
-	// Out of Montgomery form into a fresh allocation: the result must not
-	// alias the scratch the next lane will reuse.
-	z := make(Nat, m.k)
+	// Out of Montgomery form, out of the scratch the next lane will reuse.
+	z := resize(dst, m.k)
 	if t.f == nil {
 		return m.mulInto(z, acc, One(), sc)
 	}

@@ -21,7 +21,7 @@ func multiExp(t testing.TB, m *Mont, bases []Nat, sums [][]Term) []Nat {
 	}
 	out := make([]Nat, len(sums))
 	for j, sum := range sums {
-		out[j] = tbl.Eval(sum)
+		out[j] = tbl.Eval(nil, sum)
 	}
 	return out
 }

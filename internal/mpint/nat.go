@@ -15,8 +15,8 @@
 // The package provides the full arithmetic substrate required by Paillier
 // and RSA: addition, subtraction, multiplication (schoolbook and Karatsuba),
 // Knuth Algorithm-D division, Montgomery multiplication (the CIOS method of
-// Algorithm 1 in the paper), sliding-window modular exponentiation, binary
-// GCD, extended-Euclid modular inverse, Miller–Rabin prime generation, and
+// Algorithm 1 in the paper), sliding-window modular exponentiation, Lehmer's
+// GCD and the modular inverse on the same walk, Miller–Rabin prime generation, and
 // the arithmetic a holder of a factorisation n = p·q does through it (CRT).
 //
 // math/big is deliberately not used anywhere in this package; the test suite

@@ -2,6 +2,7 @@ package mpint
 
 import (
 	"bytes"
+	"fmt"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -398,4 +399,34 @@ func TestPropertyDivModIdentity(t *testing.T) {
 
 func quickConfig(r *RNG) *quick.Config {
 	return &quick.Config{MaxCount: 200}
+}
+
+// BenchmarkRandCoprime is a public-key encryption's nonce draw, its
+// coprimality check (the Euclid walk) the bulk of it, at a 128-bit key's two
+// limbs, a 256-bit key's four, and the 1,024- and 2,048-bit keys' 16 and 32.
+func BenchmarkRandCoprime(b *testing.B) {
+	for _, bits := range []int{128, 256, 1024, 2048} {
+		r := NewRNG(uint64(bits))
+		n := randOdd(r, bits)
+		b.Run(fmt.Sprint(bits), func(b *testing.B) {
+			for b.Loop() {
+				r.RandCoprime(n)
+			}
+		})
+	}
+}
+
+// BenchmarkModInverse is the Euclid walk carrying a coefficient: a key's μ,
+// its h constants and its Garner constants are one each.
+func BenchmarkModInverse(b *testing.B) {
+	for _, bits := range []int{128, 1024, 2048} {
+		r := NewRNG(uint64(bits))
+		n := randOdd(r, bits)
+		x := r.RandBelow(n)
+		b.Run(fmt.Sprint(bits), func(b *testing.B) {
+			for b.Loop() {
+				ModInverse(x, n)
+			}
+		})
+	}
 }

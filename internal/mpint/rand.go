@@ -196,25 +196,18 @@ func (r *RNG) RandCoprime(n Nat) Nat {
 	if len(n) == 0 {
 		panic("mpint: RandBelow zero bound")
 	}
-	return r.randCoprimeInto(make(Nat, len(n)), make(Nat, 2*len(n)), n)
+	return r.randCoprimeInto(make(Nat, len(n)), make(Nat, gcdWords(len(n))), n)
 }
 
 // randCoprimeInto is RandCoprime for trimmed n ≠ 0 on caller-held limbs — the
 // same draws, the same rejections, the same check: the candidate is drawn into
 // z (len(n) limbs), redrawn there on every rejection, and comes back trimmed;
-// work (2·len(n) limbs) holds the two working copies the binary GCD consumes.
+// work (gcdWords(len(n)) limbs) is the coprimality check's.
 func (r *RNG) randCoprimeInto(z, work, n Nat) Nat {
-	k := len(n)
 	for {
 		r.randBelowInto(z, n)
 		c := trim(z)
-		if len(c) == 0 {
-			continue
-		}
-		a, b := work[:len(c):k], work[k:2*k]
-		copy(a, c)
-		copy(b, n)
-		if gcdInPlace(a, b).IsOne() {
+		if len(c) > 0 && gcdInto(n, c, work).IsOne() {
 			return c
 		}
 	}

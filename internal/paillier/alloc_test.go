@@ -192,3 +192,43 @@ func TestPooledBatchesAllocateNoLimbs(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchPoolIsClassedByWidth: the pool hands a draw a dead batch of its own
+// width. A 32-wide draw made after a 32-wide release and then the release of
+// four 2-wide batches — a vertical step's residual batch after its score
+// batches — gets the 32-wide batch, every value with limbs behind it; one pool
+// for every width handed it the last 2-wide batch, thirty values short.
+func TestBatchPoolIsClassedByWidth(t *testing.T) {
+	wide := DrawBatch(32)
+	for i := range wide {
+		wide[i].C = append(wide[i].C, make(mpint.Nat, 16)...)
+	}
+	ReleaseBatch(wide)
+	var narrow [4][]Ciphertext // live together, as a step's party batches are
+	for b := range narrow {
+		narrow[b] = DrawBatch(2)
+		for i := range narrow[b] {
+			narrow[b][i].C = append(narrow[b][i].C, 1)
+		}
+	}
+	for b := len(narrow) - 1; b >= 0; b-- { // last drawn, first released
+		ReleaseBatch(narrow[b])
+	}
+	for i, c := range DrawBatch(32) {
+		if cap(c.C) < 16 {
+			t.Fatalf("value %d of a 32-wide draw after 2-wide releases has %d limbs behind it, want 16", i, cap(c.C))
+		}
+	}
+}
+
+// TestReleaseAllocatesNothing: a warm draw-and-release cycle allocates
+// nothing — the header the pool keeps a batch behind is recycled, not boxed
+// afresh at every release.
+func TestReleaseAllocatesNothing(t *testing.T) {
+	for _, n := range []int{1, 2, 33} {
+		ReleaseBatch(DrawBatch(n))
+		if got := testing.AllocsPerRun(100, func() { ReleaseBatch(DrawBatch(n)) }); got != 0 {
+			t.Errorf("draw and release of %d: %.1f allocs, want 0", n, got)
+		}
+	}
+}

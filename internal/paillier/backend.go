@@ -11,6 +11,8 @@ import (
 // Backend executes batched Paillier operations. The CPU backend runs every
 // element serially (the FATE baseline); the GPU backend launches the
 // vectorized kernels of internal/ghe (the HAFLO / FLBooster configurations).
+// No result shares limbs with an operand, so a caller may release a result
+// batch (ReleaseBatch) while its operands live on, and the other way round.
 type Backend interface {
 	// Name identifies the backend in experiment reports.
 	Name() string
@@ -127,6 +129,9 @@ func (CPUBackend) WeightedSumVec(pk *PublicKey, cs []Ciphertext, sums [][]mpint.
 			}
 			if empty {
 				acc, empty = term, false
+				if t.Weight == 1 { // a result never shares its operand's limbs
+					acc.C = acc.C.Clone()
+				}
 			} else {
 				acc = pk.Add(acc, term)
 			}
@@ -146,7 +151,7 @@ func (CPUBackend) ShiftPackVec(pk *PublicKey, cs []Ciphertext, slots, slotBits i
 	out := make([]Ciphertext, (len(cs)+slots-1)/slots)
 	for i := range out {
 		pack := cs[i*slots : min((i+1)*slots, len(cs))]
-		acc := pack[len(pack)-1]
+		acc := Ciphertext{C: pack[len(pack)-1].C.Clone()} // a lone value's pack must not share its limbs
 		for j := len(pack) - 2; j >= 0; j-- {
 			acc = pk.Add(pk.MulPlain(acc, shift), pack[j])
 		}
