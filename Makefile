@@ -12,7 +12,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: build test vet lint loc race fuzz bench-smoke benchmark-smoke soak-smoke check
+.PHONY: build test vet lint loc reach race fuzz bench-smoke benchmark-smoke soak-smoke check
 
 # mpint's kernels (the addMulVW row, the amm52 digit chain) are assembly on
 # amd64 only; cross-building for arm64 (the standard library cross-compiles
@@ -49,6 +49,18 @@ loc:
 			'{ s = $$0; sub(/^[ \t]+/, "", s) } s == "" || s ~ /^\/\// { next } { n++ } END { printf "%6d  %s\n", n, pkg }'; \
 	done | awk '{ t += $$1; print } END { printf "%6d  total\n", t }'
 
+# Which code any command, example or the benchmark enters: builds the four
+# commands and five examples with -cover -coverpkg=./..., runs them over a
+# fixed matrix (every flbench experiment at 128-bit keys, the benchmark at
+# smoke sizing traced and untraced and one full-size pass, every hectl
+# command, a flserver demo per -defense combiner and -byz attack plus cohort,
+# fan-out, devices and quorum runs, a loopback hub with a server that crashes
+# at its failpoint and resumes, every example) and prints the share of
+# statements reached, the per-package shares and the functions never entered.
+# A matrix command that fails fails the target; the share does not gate.
+reach:
+	@sh scripts/reach.sh
+
 # The chaos/quorum suites and the device fault/watchdog/failover paths
 # exercise goroutines, deadlines, and shared counters — the Table-I platform
 # in core runs on the same executor, and ghe's watchdog test lets abandoned
@@ -65,9 +77,9 @@ race:
 # Short fuzz passes over every fuzz target the module has, 10 s each: for each
 # package `go list ./...` reports, every name `go test -list '^Fuzz'` prints,
 # anchored so FuzzDiv cannot also select FuzzDivInto. Nothing here names a
-# target, so adding or deleting one needs no edit; 26 exist today (13 in mpint
+# target, so adding or deleting one needs no edit; 24 exist today (13 in mpint
 # against math/big, the eight-lane kernel's and the Euclid walk's among them;
-# six wire decoders in flnet; two in gpu; three in fl — the return-path
+# four wire decoders in flnet; two in gpu; three in fl — the return-path
 # splitter, the aggregate frame every client opens and the journal a restarted
 # coordinator replays —
 # and one each on paillier's key decoders and ghe's engine layer), each with

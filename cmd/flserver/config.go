@@ -24,12 +24,25 @@ func badFlag(flag, format string, args ...interface{}) *ConfigError {
 	return &ConfigError{Flag: flag, Reason: fmt.Sprintf(format, args...)}
 }
 
+// failpoints maps each -failpoint value to the journal record it fires on:
+// every kind the journal writes, and "aggregate", the older spelling of
+// "aggregated".
+var failpoints = map[string]fl.EventKind{
+	string(fl.EventRoundStart):  fl.EventRoundStart,
+	string(fl.EventAggregated):  fl.EventAggregated,
+	"aggregate":                 fl.EventAggregated,
+	string(fl.EventRoundDone):   fl.EventRoundDone,
+	string(fl.EventRoundFailed): fl.EventRoundFailed,
+	string(fl.EventDrained):     fl.EventDrained,
+}
+
 // validate rejects out-of-range values and inconsistent flag combinations —
 // a quorum above the sampled cohort, more defense groups than sampled
 // uploads, a fan-out no tree can have, a key size fl.NewContext would
-// refuse — with a typed ConfigError naming the offending flag, and the
-// defense and adversary policies all parties must agree on with fl's own
-// errors. run calls it before any command dispatches.
+// refuse, a failpoint or resume with no journal to act on, a failpoint that
+// names no journal record — with a typed ConfigError naming the offending
+// flag, and the defense and adversary policies all parties must agree on
+// with fl's own errors. run calls it before any command dispatches.
 func (c opts) validate(cmd string) error {
 	if c.clients < 1 {
 		return badFlag("clients", "need at least 1 client, have %d", c.clients)
@@ -49,14 +62,17 @@ func (c opts) validate(cmd string) error {
 	if c.fanout < 0 || c.fanout == 1 {
 		return badFlag("fanout", "aggregation fan-out must be at least 2 (or 0 for flat), have %d", c.fanout)
 	}
-	if c.devices < 0 {
-		return badFlag("devices", "device count cannot be negative, have %d", c.devices)
-	}
-	if c.devices > gpu.MaxDevices {
-		return badFlag("devices", "device count %d exceeds the %d-device set limit", c.devices, gpu.MaxDevices)
+	if c.devices < 0 || c.devices > gpu.MaxDevices {
+		return badFlag("devices", "device count must be in [0, %d], the device set limit, have %d", gpu.MaxDevices, c.devices)
 	}
 	if c.keyBits < 32 || c.keyBits%2 != 0 { // what fl.Profile.Validate enforces
 		return badFlag("bits", "key size must be an even number of bits, at least 32, have %d", c.keyBits)
+	}
+	if _, ok := failpoints[c.failpoint]; c.failpoint != "" && (!ok || c.journal == "") {
+		return badFlag("failpoint", "want a journal record (round-start, aggregated, round-done, round-failed, drained) and a -journal to write it to, have %q and -journal %q", c.failpoint, c.journal)
+	}
+	if c.resume && c.journal == "" {
+		return badFlag("resume", "resuming replays the -journal, and none is set")
 	}
 	// Quorum and groups are judged against the uploads a round can actually
 	// gather: the sampled cohort when -cohort is set, everyone otherwise.
@@ -64,11 +80,8 @@ func (c opts) validate(cmd string) error {
 	if c.cohort > 0 {
 		sampled = c.cohort
 	}
-	if c.quorum < 0 {
-		return badFlag("quorum", "quorum cannot be negative, have %d", c.quorum)
-	}
-	if c.quorum > sampled {
-		return badFlag("quorum", "quorum %d exceeds the sampled cohort of %d uploads", c.quorum, sampled)
+	if c.quorum < 0 || c.quorum > sampled {
+		return badFlag("quorum", "quorum must be in [0, %d], the sampled cohort, have %d", sampled, c.quorum)
 	}
 	if c.defense.Groups > sampled {
 		return badFlag("groups", "%d groups exceed the sampled cohort of %d uploads", c.defense.Groups, sampled)

@@ -47,8 +47,10 @@
 //	              tree depth instead of the cohort size (0 = flat)
 //
 // Out-of-range and inconsistent flags (quorum above the sampled cohort, more
-// groups than sampled uploads, a fan-out of 1, a -bits below 32 or odd) fail
-// at startup with a typed ConfigError naming the flag, not mid-round.
+// groups than sampled uploads, a fan-out of 1, a -bits below 32 or odd, a
+// -failpoint or -resume without -journal, a -failpoint that names no journal
+// record) fail at startup with a typed ConfigError naming the flag, not
+// mid-round.
 //
 // Durability (see DESIGN.md, "Durable epochs"):
 //
@@ -57,7 +59,7 @@
 //	              from the last safe boundary (or exit 0 if already done)
 //	-failpoint s  server: crash right after the named journal record is durable
 //	              (testing only): round-start, aggregated (also spelled
-//	              aggregate), round-done
+//	              aggregate), round-done, round-failed, drained
 //
 // The first SIGINT/SIGTERM starts a graceful drain: a server with quorum
 // met finishes the round; below quorum it journals the abandoned round and
@@ -211,10 +213,7 @@ func run(args []string, stop <-chan struct{}) error {
 			return herr
 		}
 		fmt.Println("hub listening on", hub.Addr())
-		if stop == nil {
-			select {} // route until killed
-		}
-		<-stop // route until the drain signal, then close cleanly
+		<-stop // route until the drain signal, then close cleanly; a nil stop routes until killed
 		return hub.Close()
 	case "server":
 		err = runServer(o)
@@ -314,7 +313,7 @@ func runServer(o opts) error {
 			}
 			coord.AttachJournal(jr)
 		}
-		if kind := failpointKind(o.failpoint); kind != "" {
+		if kind, ok := failpoints[o.failpoint]; ok {
 			coord.Journal().Fail = func(rec fl.JournalRecord) error {
 				if rec.Kind != kind {
 					return nil
@@ -371,15 +370,6 @@ func runServer(o opts) error {
 	}
 	fmt.Printf("aggregated %d/%d uploads and broadcast the %d-byte aggregate\n", len(rep.Included), o.clients, len(rd.Frame()))
 	return nil
-}
-
-// failpointKind maps -failpoint to the journal event it fires on;
-// "aggregate" is the older spelling of "aggregated".
-func failpointKind(s string) fl.EventKind {
-	if s == "aggregate" {
-		return fl.EventAggregated
-	}
-	return fl.EventKind(s)
 }
 
 func runClient(o opts) error {

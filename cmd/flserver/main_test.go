@@ -432,7 +432,11 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"server", "-devices", "-1"}, "devices"},
 		{[]string{"demo", "-devices", "65"}, "devices"},
 		{[]string{"demo", "-bits", "16"}, "bits"},
-		{[]string{"demo", "-bits", "33"}, "bits"}, // odd: key generation would never finish
+		{[]string{"demo", "-bits", "33"}, "bits"},                                     // odd: key generation would never finish
+		{[]string{"server", "-failpoint", "aggregated"}, "failpoint"},                 // no journal: the round would run clean
+		{[]string{"server", "-resume"}, "resume"},                                     // no journal: the round would start fresh
+		{[]string{"server", "-failpoint", "bogus", "-journal", "x.wal"}, "failpoint"}, // no such record: the crash would never fire
+		{[]string{"demo", "-failpoint", "round-start"}, "failpoint"},                  // demo hosts the server role too
 	}
 	for _, tc := range cases {
 		err := run(tc.args, nil)

@@ -6,9 +6,6 @@
 // boundaries, and — since the top slot's guard bits are the integer's most
 // significant bits — a packed plaintext is always < 2^(k−b) < n, so it never
 // exceeds the Paillier modulus.
-//
-// The compression ratio (Eq. 11) and plaintext-space utilization (Eq. 12)
-// formulas are exposed for the Fig. 7 experiment.
 package batch
 
 import (
@@ -20,9 +17,8 @@ import (
 
 // Packer packs quantized values into multi-precision plaintexts.
 type Packer struct {
-	q       *quant.Quantizer
-	keyBits int
-	slots   int // values per plaintext: ⌊k/(r+b)⌋
+	q     *quant.Quantizer
+	slots int // values per plaintext: ⌊k/(r+b)⌋
 }
 
 // New builds a packer for a key of keyBits bits over the given quantizer.
@@ -44,23 +40,11 @@ func New(q *quant.Quantizer, keyBits int) (*Packer, error) {
 	if slots < 1 {
 		return nil, fmt.Errorf("batch: key of %d bits cannot hold one %d-bit slot", keyBits, slotBits)
 	}
-	return &Packer{q: q, keyBits: keyBits, slots: slots}, nil
-}
-
-// MustNew is New for known-good parameters.
-func MustNew(q *quant.Quantizer, keyBits int) *Packer {
-	p, err := New(q, keyBits)
-	if err != nil {
-		panic(err)
-	}
-	return p
+	return &Packer{q: q, slots: slots}, nil
 }
 
 // Slots returns n, the number of values per plaintext.
 func (p *Packer) Slots() int { return p.slots }
-
-// Quantizer returns the underlying quantizer.
-func (p *Packer) Quantizer() *quant.Quantizer { return p.q }
 
 // NumPlaintexts returns how many plaintexts carry n values (⌈n/slots⌉).
 func (p *Packer) NumPlaintexts(n int) int {
@@ -68,24 +52,6 @@ func (p *Packer) NumPlaintexts(n int) int {
 		return 0
 	}
 	return (n + p.slots - 1) / p.slots
-}
-
-// CompressionRatio is Eq. 11/13: the factor by which batching reduces both
-// ciphertext count and HE-operation count for a payload of n values.
-func (p *Packer) CompressionRatio(n int) float64 {
-	if n <= 0 {
-		return 1
-	}
-	return float64(n) / float64(p.NumPlaintexts(n))
-}
-
-// PlaintextSpaceUtilization is Eq. 12: the fraction of the key's plaintext
-// bits carrying data for a payload of n values.
-func (p *Packer) PlaintextSpaceUtilization(n int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	return float64(n) * float64(p.q.SlotBits()) / (float64(p.keyBits) * float64(p.NumPlaintexts(n)))
 }
 
 // Pack lays out quantized values into plaintexts, slot 0 at the least
@@ -165,18 +131,14 @@ func extractBits(words []mpint.Word, bitPos, width uint) uint64 {
 	return v & (uint64(1)<<width - 1)
 }
 
-// EncodeGradients is the full client-side path: quantize a float gradient
-// vector and pack it into plaintexts ready for encryption — Pack(QuantizeVec(
-// grads)) limb for limb, in one pass: each value goes from the quantizer
-// straight into its slot, so the quantized vector never exists.
-func (p *Packer) EncodeGradients(grads []float64) ([]mpint.Nat, error) {
-	return p.EncodeGradientsInto(make([]mpint.Nat, 0, p.NumPlaintexts(len(grads))), grads)
-}
-
-// EncodeGradientsInto is EncodeGradients appending into dst[:0]: plaintext i
-// is packed into the limbs dst's capacity holds at index i where they are long
-// enough (mpint.Reuse), so a caller that owns a dead batch's values allocates
-// none. Those values are clobbered.
+// EncodeGradientsInto is the full client-side path: quantize a float
+// gradient vector and pack it into plaintexts ready for encryption —
+// Pack(QuantizeVec(grads)) limb for limb, in one pass: each value goes from
+// the quantizer straight into its slot, so the quantized vector never exists.
+// It appends into dst[:0]: plaintext i is packed into the limbs dst's
+// capacity holds at index i where they are long enough (mpint.Reuse), so a
+// caller that owns a dead batch's values allocates none. Those values are
+// clobbered.
 func (p *Packer) EncodeGradientsInto(dst []mpint.Nat, grads []float64) ([]mpint.Nat, error) {
 	maxV, slotBits := uint64(1)<<p.q.RBits()-1, p.q.SlotBits()
 	out := dst[:0]

@@ -8,9 +8,18 @@ import (
 	"flbooster/internal/quant"
 )
 
+// mustNew is New for the parameters a test knows are good.
+func mustNew(q *quant.Quantizer, keyBits int) *Packer {
+	p, err := New(q, keyBits)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func testPacker(t testing.TB, rBits uint, parties, keyBits int) *Packer {
 	t.Helper()
-	return MustNew(quant.MustNew(1, rBits, parties), keyBits)
+	return mustNew(quant.MustNew(1, rBits, parties), keyBits)
 }
 
 func TestSlotsMatchEq9(t *testing.T) {
@@ -19,14 +28,14 @@ func TestSlotsMatchEq9(t *testing.T) {
 	// safety bound costs when r+b divides k exactly (see New).
 	q := quant.MustNew(1, 30, 4) // r=30, b=2 ⇒ 32-bit slots
 	for _, c := range []struct{ key, want int }{{1024, 31}, {2048, 63}, {4096, 127}} {
-		p := MustNew(q, c.key)
+		p := mustNew(q, c.key)
 		if p.Slots() != c.want {
 			t.Errorf("Slots(k=%d) = %d, want %d", c.key, p.Slots(), c.want)
 		}
 	}
 	// With a non-divisor slot width, the paper formula is already safe.
 	q2 := quant.MustNew(1, 28, 4) // 30-bit slots
-	if p := MustNew(q2, 1024); p.Slots() != 1024/30 {
+	if p := mustNew(q2, 1024); p.Slots() != 1024/30 {
 		t.Errorf("non-divisor Slots = %d, want %d", p.Slots(), 1024/30)
 	}
 }
@@ -134,36 +143,16 @@ func TestPackedValueBelowModulusBound(t *testing.T) {
 	}
 }
 
-func TestCompressionRatioFormulas(t *testing.T) {
-	p := testPacker(t, 30, 4, 1024) // 31 slots
-	if got := p.CompressionRatio(31 * 100); got != 31 {
-		t.Errorf("CompressionRatio = %v, want 31", got)
-	}
-	if got := p.CompressionRatio(1); got != 1 {
-		t.Errorf("CompressionRatio(1) = %v, want 1", got)
-	}
-	if got := p.CompressionRatio(0); got != 1 {
-		t.Errorf("CompressionRatio(0) = %v", got)
-	}
-	// PSU ≤ 1 always; near-1 at full plaintexts (992 of 1024 bits carried).
-	if got := p.PlaintextSpaceUtilization(31 * 100); got < 0.9 || got > 1 {
-		t.Errorf("PSU at full packing = %v", got)
-	}
-	if got := p.PlaintextSpaceUtilization(1); got <= 0 || got > 1 {
-		t.Errorf("PSU(1) = %v out of range", got)
-	}
-}
-
 func TestHomomorphicAggregationThroughPacking(t *testing.T) {
 	// The core §IV-C claim: pack, encrypt, homomorphically add p ciphertexts,
 	// decrypt, unpack — slot sums are exact, guard bits absorb the carries.
 	const parties = 4
 	q := quant.MustNew(1, 14, parties)
-	sk, err := paillier.GenerateKey(mpint.NewRNG(77), 128)
+	sk, err := paillier.CPUBackend{}.GenerateKey(mpint.NewRNG(77), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := MustNew(q, sk.KeyBits())
+	p := mustNew(q, sk.KeyBits())
 	r := mpint.NewRNG(2)
 	rng := mpint.NewRNG(3)
 
@@ -217,10 +206,10 @@ func TestHomomorphicAggregationThroughPacking(t *testing.T) {
 func TestEncodeDecodeGradients(t *testing.T) {
 	const parties = 2
 	q := quant.MustNew(0.5, 20, parties)
-	p := MustNew(q, 512)
+	p := mustNew(q, 512)
 	grads := []float64{-0.5, -0.25, 0, 0.125, 0.49, 0.0001, -0.3}
 
-	packed, err := p.EncodeGradients(grads)
+	packed, err := p.EncodeGradientsInto(nil, grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +240,7 @@ func TestSlotBoundaryBitPatterns(t *testing.T) {
 	// paths: every slot boundary lands at a different bit offset.
 	for _, r := range []uint{7, 13, 17, 23, 29, 37, 45} {
 		q := quant.MustNew(1, r, 3) // b=2
-		p := MustNew(q, 512)
+		p := mustNew(q, 512)
 		n := p.Slots() * 3
 		vals := make([]uint64, n)
 		rng := mpint.NewRNG(uint64(r))

@@ -52,7 +52,7 @@ func TestPropertyPackUnpackIdentity(t *testing.T) {
 // guard bits — the algebraic fact batch compression rests on.
 func TestPropertyPackedAdditionIsSlotwise(t *testing.T) {
 	q := quant.MustNew(1, 12, 8) // b = 3 guard bits: up to 8 addends
-	p := MustNew(q, 256)
+	p := mustNew(q, 256)
 	rng := mpint.NewRNG(2)
 	for trial := 0; trial < 100; trial++ {
 		n := int(rng.Uint64()%60) + 1
@@ -101,7 +101,7 @@ func TestPropertyEncodeGradientsIsPackOfQuantizeVec(t *testing.T) {
 		parties, keyBits int
 	}{{30, 4, 2048}, {30, 4, 1024}, {30, 4, 256}, {16, 2048, 128}, {16, 100, 256}, {14, 8, 256}, {52, 2, 512}, {2, 1, 128}} {
 		q := quant.MustNew(0.5, g.rBits, g.parties)
-		p := MustNew(q, g.keyBits)
+		p := mustNew(q, g.keyBits)
 		rng := mpint.NewRNG(uint64(g.rBits)<<16 | uint64(g.keyBits))
 		edge := []float64{0, 0.5, -0.5, 0.5000001, -0.5000001, 7, -7, q.Step() / 2, -q.Step() / 2, 0.5 - q.Step()/2}
 		for _, n := range []int{0, 1, p.Slots() - 1, p.Slots(), p.Slots() + 1, 3*p.Slots() + 2, 1 + rng.Intn(500)} {
@@ -111,7 +111,7 @@ func TestPropertyEncodeGradientsIsPackOfQuantizeVec(t *testing.T) {
 					grads[i] = edge[rng.Intn(len(edge))]
 				}
 			}
-			got, err := p.EncodeGradients(grads)
+			got, err := p.EncodeGradientsInto(nil, grads)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +138,7 @@ func TestPropertyEncodeGradientsIsPackOfQuantizeVec(t *testing.T) {
 // and the slice that holds them: no quantized vector, no staging limbs.
 func TestEncodeAllocCeiling(t *testing.T) {
 	q := quant.MustNew(0.5, 30, 4)
-	p := MustNew(q, 2048)
+	p := mustNew(q, 2048)
 	grads := make([]float64, 2048)
 	rng := mpint.NewRNG(9)
 	for i := range grads {
@@ -147,7 +147,7 @@ func TestEncodeAllocCeiling(t *testing.T) {
 	vals := q.QuantizeVec(grads)
 	ceiling := float64(p.NumPlaintexts(len(grads)) + 1)
 	for name, fn := range map[string]func(){
-		"EncodeGradients": func() { p.EncodeGradients(grads) },
+		"EncodeGradients": func() { p.EncodeGradientsInto(make([]mpint.Nat, 0, p.NumPlaintexts(len(grads))), grads) },
 		"Pack":            func() { p.Pack(vals) },
 	} {
 		if got := testing.AllocsPerRun(20, fn); got > ceiling {

@@ -400,19 +400,3 @@ func (d *Dataset) Batches(batchSize int) [][2]int {
 	}
 	return out
 }
-
-// SplitTrainTest cuts the dataset into a training prefix and test suffix by
-// fraction (e.g. 0.8 keeps 80% for training). The generators already shuffle
-// implicitly (instances are i.i.d.), so a prefix split is unbiased.
-func SplitTrainTest(d *Dataset, trainFrac float64) (train, test *Dataset, err error) {
-	if trainFrac <= 0 || trainFrac >= 1 {
-		return nil, nil, fmt.Errorf("datasets: train fraction must be in (0, 1), got %v", trainFrac)
-	}
-	cut := int(float64(d.Len()) * trainFrac)
-	if cut < 1 || cut >= d.Len() {
-		return nil, nil, fmt.Errorf("datasets: split of %d instances at %v leaves an empty side", d.Len(), trainFrac)
-	}
-	train = &Dataset{Name: d.Name + "/train", NumFeatures: d.NumFeatures, Examples: d.Examples[:cut]}
-	test = &Dataset{Name: d.Name + "/test", NumFeatures: d.NumFeatures, Examples: d.Examples[cut:]}
-	return train, test, nil
-}

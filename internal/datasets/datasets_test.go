@@ -258,25 +258,3 @@ func BenchmarkGenerateRCV1Scaled(b *testing.B) {
 		}
 	}
 }
-
-func TestSplitTrainTest(t *testing.T) {
-	ds, _ := Generate(SyntheticSpec.Scaled(0.001), 8)
-	train, test, err := SplitTrainTest(ds, 0.75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if train.Len()+test.Len() != ds.Len() {
-		t.Fatalf("split lost instances: %d + %d != %d", train.Len(), test.Len(), ds.Len())
-	}
-	if train.Len() != int(0.75*float64(ds.Len())) {
-		t.Fatalf("train size %d", train.Len())
-	}
-	if train.NumFeatures != ds.NumFeatures || test.NumFeatures != ds.NumFeatures {
-		t.Fatal("split changed the feature space")
-	}
-	for _, bad := range []float64{0, 1, -0.5, 2} {
-		if _, _, err := SplitTrainTest(ds, bad); err == nil {
-			t.Errorf("fraction %v should fail", bad)
-		}
-	}
-}

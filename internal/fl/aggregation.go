@@ -169,7 +169,7 @@ func (a *Aggregation) fold(name string, cts []paillier.Ciphertext) error {
 // (canonical order) and returns the aggregate frame every recipient is sent:
 // the contributor count K as a little-endian uint32, then the sealed payload
 // (framePayload) — each non-empty group's tree flushed to its root, a bare
-// ciphertext vector when undefended and EncodeGroupAgg with the group sizes,
+// ciphertext vector when undefended and AppendGroupAgg with the group sizes,
 // the round's group metadata, when defended. A group every member of which
 // dropped ships no aggregate (the decryptors divide by the group size).
 func (a *Aggregation) Seal(included []string) ([]byte, error) {

@@ -193,13 +193,6 @@ func (t *AggTree) Root() ([]paillier.Ciphertext, error) {
 	return carry, nil
 }
 
-// LiveCts returns the ciphertexts currently held across the level
-// accumulators.
-func (t *AggTree) LiveCts() int64 { return t.live }
-
-// Leaves returns how many client batches were folded in.
-func (t *AggTree) Leaves() int { return t.leaves }
-
 // Stats returns the tree's aggregation anatomy.
 func (t *AggTree) Stats() TreeStats {
 	st := TreeStats{

@@ -83,7 +83,7 @@ func TestAggTreePeakBoundedByFanoutDepth(t *testing.T) {
 		if err := tree.Add(b); err != nil {
 			t.Fatal(err)
 		}
-		if live := tree.LiveCts(); live > int64((tree.Stats().Depth+1)*wctx) {
+		if live := tree.live; live > int64((tree.Stats().Depth+1)*wctx) {
 			t.Fatalf("live %d exceeds the level bound", live)
 		}
 	}

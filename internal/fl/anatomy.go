@@ -2,8 +2,6 @@ package fl
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"flbooster/internal/obs"
 )
@@ -12,7 +10,7 @@ import (
 // sim-time each cost component accrued while the phase ran, plus the
 // operation and byte counts behind them. Only modelled (sim) quantities
 // appear — wall times vary run to run, and the anatomy's contract is that
-// the same seed produces a byte-identical table.
+// the same seed produces identical rows.
 type PhaseCost struct {
 	Phase       string `json:"phase"`
 	EncodeSimNs int64  `json:"encode_sim_ns"`
@@ -74,18 +72,6 @@ type RoundAnatomy struct {
 	Phases []PhaseCost `json:"phases"`
 }
 
-// Total sums every phase's components into one row named "total".
-func (a *RoundAnatomy) Total() PhaseCost {
-	t := PhaseCost{Phase: "total"}
-	for _, p := range a.Phases {
-		t = t.add(p)
-	}
-	return t
-}
-
-// TotalSimNs is the round's sim-time across all phases.
-func (a *RoundAnatomy) TotalSimNs() int64 { return a.Total().TotalSimNs() }
-
 // Dominant names the phase with the largest sim-time — the term
 // an optimization pass should attack first. Ties break toward the earlier
 // row, so the answer is deterministic.
@@ -97,27 +83,6 @@ func (a *RoundAnatomy) Dominant() string {
 		}
 	}
 	return at
-}
-
-// Table renders the anatomy as a fixed-width text table. Every column is a
-// deterministic sim quantity, so two same-seed rounds render byte-identical
-// tables.
-func (a *RoundAnatomy) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "round %d per-phase cost anatomy (sim time)\n", a.Round)
-	fmt.Fprintf(&b, "%-11s %12s %12s %12s\n", "phase", "encode", "he", "comm")
-	row := func(p PhaseCost) {
-		fmt.Fprintf(&b, "%-11s %12s %12s %12s\n",
-			p.Phase,
-			time.Duration(p.EncodeSimNs), time.Duration(p.HESimNs),
-			time.Duration(p.CommSimNs))
-	}
-	for _, p := range a.Phases {
-		row(p)
-	}
-	row(a.Total())
-	fmt.Fprintf(&b, "dominant phase: %s\n", a.Dominant())
-	return b.String()
 }
 
 // phaseRecorder collects one round's anatomy: Span brackets every phase with

@@ -319,7 +319,7 @@ func TestDefenseObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := ctx.Obs.Metrics()
-	pre := "fl." + ctx.ObsLabel() + "."
+	pre := "fl." + ctx.obsPrefix + "."
 	if got := reg.Counter(pre + "byz_attacks"); got != 1 {
 		t.Errorf("byz_attacks = %d, want 1", got)
 	}

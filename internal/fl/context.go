@@ -121,10 +121,6 @@ func (c *Context) AttachObs(o *obs.Obs, label string) {
 	}
 }
 
-// ObsLabel returns the sanitized label AttachObs installed ("" when
-// unattached).
-func (c *Context) ObsLabel() string { return c.obsPrefix }
-
 // PublishMetrics pulls the current layer statistics — device, checked
 // engine — into the attached registry as absolute counters/gauges under
 // "gpu.<label>" and "ghe.<label>". No-op without an attached bundle.

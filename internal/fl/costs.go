@@ -205,20 +205,8 @@ func (s CostSnapshot) TotalSim() time.Duration {
 // exists only because benchmark/measure.go reads the modelled step under it.
 func (s CostSnapshot) TotalSimOverlapped() time.Duration { return s.TotalSim() }
 
-// TotalWall is the measured end-to-end host time plus modelled wire time.
-func (c *Costs) TotalWall() time.Duration { return c.Snapshot().TotalWall() }
-
-// TotalWall is the measured end-to-end host time plus modelled wire time.
-func (s CostSnapshot) TotalWall() time.Duration {
-	return s.HEWall + s.CommSim + s.OtherWall + s.EncodeWall
-}
-
 // Shares returns the fractions (other, HE, comm) of TotalSim — the rows of
-// Table VI.
-func (c *Costs) Shares() (other, he, comm float64) { return c.Snapshot().Shares() }
-
-// Shares returns the fractions (other, HE, comm) of TotalSim. The "other"
-// share folds in encode alongside OtherWall.
+// Table VI. The "other" share folds in encode alongside OtherWall.
 func (s CostSnapshot) Shares() (other, he, comm float64) {
 	total := s.TotalSim()
 	if total <= 0 {
@@ -230,18 +218,12 @@ func (s CostSnapshot) Shares() (other, he, comm float64) {
 
 // Throughput returns HE instances per second of modelled HE time — the
 // cells of Table IV.
-func (c *Costs) Throughput() float64 { return c.Snapshot().Throughput() }
-
-// Throughput returns HE instances per second of modelled HE time.
 func (s CostSnapshot) Throughput() float64 {
 	if s.HESim <= 0 {
 		return 0
 	}
 	return float64(s.Instances) / s.HESim.Seconds()
 }
-
-// CompressionRatio returns plaintext values per ciphertext — Fig. 7.
-func (c *Costs) CompressionRatio() float64 { return c.Snapshot().CompressionRatio() }
 
 // CompressionRatio returns plaintext values per ciphertext — Fig. 7.
 func (s CostSnapshot) CompressionRatio() float64 {

@@ -24,12 +24,11 @@ type Federation struct {
 	Ctx       *Context
 	Transport flnet.Transport
 
-	coord      *Coordinator
-	clients    map[string]*Client
-	roster     *Roster
-	adversary  *Adversary // nil unless Profile.Byz arms the injector
-	lastReport RoundReport
-	sent       []string // scratch: the current wave's successful uploaders
+	coord     *Coordinator
+	clients   map[string]*Client
+	roster    *Roster
+	adversary *Adversary // nil unless Profile.Byz arms the injector
+	sent      []string   // scratch: the current wave's successful uploaders
 }
 
 // NewFederation builds a federation over the context's party count with an
@@ -59,12 +58,6 @@ func (f *Federation) Adversary() *Adversary { return f.adversary }
 
 // Round returns the ID of the most recently started round.
 func (f *Federation) Round() uint64 { return f.coord.round }
-
-// LastReport returns the report of the most recently completed round.
-func (f *Federation) LastReport() RoundReport { return f.lastReport }
-
-// Epoch returns the epoch this coordinator serves (0 unless recovered).
-func (f *Federation) Epoch() uint64 { return f.coord.epoch }
 
 // AttachJournal wires a write-ahead journal into the coordinator: every
 // round transition is appended durably before the round acts on it, making
@@ -141,13 +134,13 @@ func (f *Federation) SecureAggregateReport(grads [][]float64) ([]float64, RoundR
 		result, err = f.run(rd, grads)
 	}
 	err = rd.Finish(err)
-	f.lastReport = rd.Report()
-	f.lastReport.Admitted = admitted
-	f.observeRound(f.lastReport, err)
+	rep := rd.Report()
+	rep.Admitted = admitted
+	f.observeRound(rep, err)
 	if err != nil {
-		return nil, f.lastReport, err
+		return nil, rep, err
 	}
-	return result, f.lastReport, nil
+	return result, rep, nil
 }
 
 // observeRound publishes one completed round's protocol counters into the

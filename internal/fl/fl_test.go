@@ -160,10 +160,10 @@ func TestBatchCompressionReducesCiphertexts(t *testing.T) {
 	if len(ctsYes) >= len(ctsNo)/4 {
 		t.Fatalf("batching should cut ciphertexts sharply: %d vs %d", len(ctsYes), len(ctsNo))
 	}
-	if r := withBC.Costs.CompressionRatio(); r < 4 {
+	if r := withBC.Costs.Snapshot().CompressionRatio(); r < 4 {
 		t.Fatalf("compression ratio %v too small", r)
 	}
-	if r := noBC.Costs.CompressionRatio(); r != 1 {
+	if r := noBC.Costs.Snapshot().CompressionRatio(); r != 1 {
 		t.Fatalf("uncompressed ratio %v, want 1", r)
 	}
 }
@@ -275,21 +275,18 @@ func TestCostsShares(t *testing.T) {
 	c.AddHE(50, 100, 10, 10)
 	c.AddComm(300, 1234)
 	c.AddOther(100)
-	o, h, m := c.Shares()
+	o, h, m := c.Snapshot().Shares()
 	if o < 0.19 || o > 0.21 || h < 0.19 || h > 0.21 || m < 0.59 || m > 0.61 {
 		t.Fatalf("shares = %v/%v/%v", o, h, m)
 	}
 	if c.TotalSim() != 500 {
 		t.Fatalf("TotalSim = %v", c.TotalSim())
 	}
-	if c.TotalWall() != 450 {
-		t.Fatalf("TotalWall = %v", c.TotalWall())
-	}
 	empty := &Costs{}
-	if o, h, m := empty.Shares(); o != 0 || h != 0 || m != 0 {
+	if o, h, m := empty.Snapshot().Shares(); o != 0 || h != 0 || m != 0 {
 		t.Fatal("empty shares should be zero")
 	}
-	if empty.Throughput() != 0 {
+	if empty.Snapshot().Throughput() != 0 {
 		t.Fatal("empty throughput should be zero")
 	}
 	c.Reset()

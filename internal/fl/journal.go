@@ -174,9 +174,6 @@ func OpenFileStore(path string) (*FileStore, error) {
 	return &FileStore{path: path, f: f}, nil
 }
 
-// Path returns the backing file path.
-func (s *FileStore) Path() string { return s.path }
-
 // Append implements JournalStore.
 func (s *FileStore) Append(rec JournalRecord) error {
 	blob, err := json.Marshal(rec)

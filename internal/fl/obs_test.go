@@ -33,8 +33,8 @@ func TestObservedRoundReconciles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Obs == nil || ctx.ObsLabel() != "FATE" {
-		t.Fatalf("Observe profile did not attach a bundle (label %q)", ctx.ObsLabel())
+	if ctx.Obs == nil || ctx.obsPrefix != "FATE" {
+		t.Fatalf("Observe profile did not attach a bundle (label %q)", ctx.obsPrefix)
 	}
 	fed := NewFederation(ctx)
 	defer fed.Close()

@@ -10,7 +10,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -23,8 +22,8 @@ import (
 // one with IsTimeout.
 var ErrTimeout = errors.New("flnet: receive timed out")
 
-// ErrMalformed is what DecodeFloats and DecodeSessionToken reject a payload
-// with: every reject of theirs wraps it, whatever was wrong with the bytes.
+// ErrMalformed is what DecodeSessionToken rejects a payload with: every
+// reject of its wraps it, whatever was wrong with the bytes.
 var ErrMalformed = errors.New("flnet: malformed payload")
 
 // IsTimeout reports whether err is a receive-deadline expiry.
@@ -97,13 +96,6 @@ func (m *Meter) Snapshot() (int64, int64, time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.txBytes, m.messages, m.simTime
-}
-
-// Reset zeroes the meter.
-func (m *Meter) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.txBytes, m.messages, m.simTime = 0, 0, 0
 }
 
 // Publish sets the meter's totals as absolute counters in reg under prefix
@@ -323,11 +315,6 @@ func AppendNats(dst []byte, v []mpint.Nat) []byte {
 	return dst
 }
 
-// DecodeNats parses a batch framed by EncodeNats.
-func DecodeNats(b []byte) ([]mpint.Nat, error) {
-	return DecodeNatsInto(nil, b)
-}
-
 // DecodeNatsInto parses a batch framed by EncodeNats, appending into
 // dst[:0] — callers with a pooled scratch slice skip the output allocation.
 // Value i is parsed into the limbs dst's capacity holds at index i where they
@@ -365,36 +352,6 @@ func DecodeNatsInto(dst []mpint.Nat, b []byte) ([]mpint.Nat, error) {
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("flnet: %d trailing bytes after nat batch", len(b))
-	}
-	return out, nil
-}
-
-// EncodeFloats frames a float64 vector (IEEE-754 bits, little endian).
-func EncodeFloats(v []float64) []byte {
-	buf := make([]byte, 0, 4+8*len(v))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v)))
-	for _, f := range v {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
-	}
-	return buf
-}
-
-// DecodeFloats parses a vector framed by EncodeFloats; anything else rejects
-// with ErrMalformed.
-func DecodeFloats(b []byte) ([]float64, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("%w: float batch truncated header", ErrMalformed)
-	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	// Compare in uint64 so a count near 2^32 cannot wrap 8*n past the body
-	// length and trigger a multi-GB allocation below.
-	if uint64(len(b)) != 8*uint64(n) {
-		return nil, fmt.Errorf("%w: float batch length %d, want %d", ErrMalformed, len(b), 8*uint64(n))
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out, nil
 }

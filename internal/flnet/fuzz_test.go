@@ -3,7 +3,6 @@ package flnet
 import (
 	"bytes"
 	"errors"
-	"math"
 	"testing"
 )
 
@@ -61,12 +60,12 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // FuzzDecodeGroupAgg: any bytes either reject with an error and nil outputs,
-// or decode to groups that EncodeGroupAgg turns back into the same bytes;
+// or decode to groups that AppendGroupAgg turns back into the same bytes;
 // never a panic, and never more allocation than the input pays for — the
 // blobs are copies of input bytes and the directory (sizes, lengths, blob
 // headers) is 40 bytes per group the frame really has room for.
 func FuzzDecodeGroupAgg(f *testing.F) {
-	valid, err := EncodeGroupAgg([]int{3, 1}, [][]byte{[]byte("first-group"), nil})
+	valid, err := AppendGroupAgg(nil, []int{3, 1}, [][]byte{[]byte("first-group"), nil})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -88,63 +87,9 @@ func FuzzDecodeGroupAgg(f *testing.F) {
 		if len(sizes) != len(blobs) || 4+8*len(sizes) > len(b) {
 			t.Fatalf("%d-byte frame decoded to %d sizes, %d blobs", len(b), len(sizes), len(blobs))
 		}
-		again, err := EncodeGroupAgg(sizes, blobs)
+		again, err := AppendGroupAgg(nil, sizes, blobs)
 		if err != nil || !bytes.Equal(again, b) {
 			t.Fatalf("accepted frame re-encodes to %x (%v), want %x", again, err, b)
-		}
-	})
-}
-
-// FuzzDecodePartialAgg: any bytes either reject with an error and nil body,
-// or decode to a (level, body) that EncodePartialAgg turns back into the
-// same bytes; never a panic, and the body copy is the only allocation.
-func FuzzDecodePartialAgg(f *testing.F) {
-	f.Add(EncodePartialAgg(2, []byte("partial-sum")))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		var level uint32
-		var body []byte
-		var err error
-		grew := allocatedBy(func() { level, body, err = DecodePartialAgg(b) })
-		if bound := uint64(2*len(b) + fuzzAllocSlack); grew > bound {
-			t.Fatalf("DecodePartialAgg allocated %d bytes on a %d-byte frame (bound %d)", grew, len(b), bound)
-		}
-		if err != nil {
-			if level != 0 || body != nil {
-				t.Fatalf("reject (%v) still returned level %d, %d body bytes", err, level, len(body))
-			}
-			return
-		}
-		if level > MaxTreeLevel {
-			t.Fatalf("accepted level %d above MaxTreeLevel", level)
-		}
-		if again := EncodePartialAgg(level, body); !bytes.Equal(again, b) {
-			t.Fatalf("accepted frame re-encodes to %x, want %x", again, b)
-		}
-	})
-}
-
-// FuzzDecodeFloats: any bytes either reject with ErrMalformed and a nil
-// vector, or decode to a vector that EncodeFloats turns back into the same
-// bytes — NaN payloads and negative zero included, since the codec moves bits,
-// not values; never a panic, and the vector is the only allocation, eight
-// bytes a value the body really has, whatever the count header declares.
-func FuzzDecodeFloats(f *testing.F) {
-	f.Add(EncodeFloats([]float64{0.25, -1.5, math.Inf(1)}))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		var v []float64
-		var err error
-		grew := allocatedBy(func() { v, err = DecodeFloats(b) })
-		if bound := uint64(2*len(b) + fuzzAllocSlack); grew > bound {
-			t.Fatalf("DecodeFloats allocated %d bytes on a %d-byte payload (bound %d)", grew, len(b), bound)
-		}
-		if err != nil {
-			if !errors.Is(err, ErrMalformed) || v != nil {
-				t.Fatalf("reject %v (ErrMalformed: %v) still returned %d values", err, errors.Is(err, ErrMalformed), len(v))
-			}
-			return
-		}
-		if again := EncodeFloats(v); !bytes.Equal(again, b) {
-			t.Fatalf("accepted payload re-encodes to %x, want %x", again, b)
 		}
 	})
 }

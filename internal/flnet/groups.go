@@ -22,13 +22,9 @@ const KindGroupAgg = "gagg"
 // integer.
 const MaxAggGroups = 1 << 16
 
-// EncodeGroupAgg frames per-group aggregate blobs with their contributor
-// counts. Layout: u32 G, then G×(u32 size, u32 blobLen), then the blobs.
-func EncodeGroupAgg(sizes []int, blobs [][]byte) ([]byte, error) {
-	return AppendGroupAgg(nil, sizes, blobs)
-}
-
-// AppendGroupAgg appends the EncodeGroupAgg framing to dst, growing it once.
+// AppendGroupAgg appends to dst the frame of per-group aggregate blobs with
+// their contributor counts, growing it once. Layout: u32 G, then
+// G×(u32 size, u32 blobLen), then the blobs.
 func AppendGroupAgg(dst []byte, sizes []int, blobs [][]byte) ([]byte, error) {
 	if len(sizes) == 0 || len(sizes) != len(blobs) {
 		return nil, fmt.Errorf("flnet: group frame with %d sizes for %d blobs", len(sizes), len(blobs))
@@ -55,7 +51,7 @@ func AppendGroupAgg(dst []byte, sizes []int, blobs [][]byte) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeGroupAgg parses a frame built by EncodeGroupAgg. The header is
+// DecodeGroupAgg parses a frame built by AppendGroupAgg. The header is
 // untrusted: group counts, contributor counts, and blob lengths are all
 // validated against the frame's actual size before anything is allocated
 // from them. Returned blobs are copies — safe to hold after the transport

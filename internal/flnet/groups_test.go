@@ -8,7 +8,7 @@ import (
 func TestGroupAggRoundtrip(t *testing.T) {
 	sizes := []int{3, 2, 4}
 	blobs := [][]byte{{1, 2, 3}, {}, {9, 8}}
-	frame, err := EncodeGroupAgg(sizes, blobs)
+	frame, err := AppendGroupAgg(nil, sizes, blobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,26 +37,26 @@ func TestGroupAggRoundtrip(t *testing.T) {
 }
 
 func TestEncodeGroupAggRejects(t *testing.T) {
-	if _, err := EncodeGroupAgg(nil, nil); err == nil {
+	if _, err := AppendGroupAgg(nil, nil, nil); err == nil {
 		t.Error("empty frame should fail")
 	}
-	if _, err := EncodeGroupAgg([]int{1, 2}, [][]byte{{1}}); err == nil {
+	if _, err := AppendGroupAgg(nil, []int{1, 2}, [][]byte{{1}}); err == nil {
 		t.Error("size/blob count mismatch should fail")
 	}
-	if _, err := EncodeGroupAgg([]int{0}, [][]byte{{1}}); err == nil {
+	if _, err := AppendGroupAgg(nil, []int{0}, [][]byte{{1}}); err == nil {
 		t.Error("zero-contributor group should fail")
 	}
 	big := make([]int, MaxAggGroups+1)
 	for i := range big {
 		big[i] = 1
 	}
-	if _, err := EncodeGroupAgg(big, make([][]byte, len(big))); err == nil {
+	if _, err := AppendGroupAgg(nil, big, make([][]byte, len(big))); err == nil {
 		t.Error("over-bound group count should fail")
 	}
 }
 
 func TestDecodeGroupAggRejectsMalformed(t *testing.T) {
-	good, err := EncodeGroupAgg([]int{2, 1}, [][]byte{{1, 2}, {3}})
+	good, err := AppendGroupAgg(nil, []int{2, 1}, [][]byte{{1, 2}, {3}})
 	if err != nil {
 		t.Fatal(err)
 	}

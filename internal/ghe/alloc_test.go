@@ -170,7 +170,7 @@ func TestGroupedLaunchAllocCeiling(t *testing.T) {
 	if !ok {
 		t.Fatal("the test key has no decryption constants")
 	}
-	m := crt.P2() // 1,024 bits: 20 digits
+	m := mpint.NewMont(mpint.Mul(crt.P().N(), crt.P().N())) // p², 1,024 bits: 20 digits
 	bases, exp := randVec(r, 16, m.N()), r.RandBits(512)
 	ms := randVec(r, 16, crt.N())
 	cts := textbookEncrypt(ms, crt.N(), 5)

@@ -240,8 +240,6 @@ func (c *CheckedEngine) schedule(op vecOp) error {
 	c.mu.Unlock()
 	c.op = op
 	c.sched.Name, c.sched.Items = op.name(), len(op.result())
-	// A stolen shard's staged input, shared operands amortised.
-	c.sched.BytesPerItem = op.h2d() / int64(c.sched.Items)
 	err := c.set.Run(c.sched)
 	c.op = nil
 	return err

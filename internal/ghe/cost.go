@@ -36,8 +36,8 @@ func modExpWordOps(k, expBits int) int64 {
 func montSetupWordOps(k int) int64 { return int64((k + 2) * k) }
 
 // powNWordOps is the per-item cost of x ↦ xⁿ mod n² through the
-// factorisation (mpint.CRT.PowN), the chain a holder's encrypt_vec lane is
-// built on: its four half-width exponentiations — mod p,
+// factorisation (mpint.CRT's noise-term chain), the chain a holder's
+// encrypt_vec lane is built on: its four half-width exponentiations — mod p,
 // p², q, q², each priced like any other sliding window — plus the glue
 // between them: the two input reductions x mod p and x mod q (≈ kp·kq
 // multiply-subtracts each), the two residues leaving Montgomery form, and
@@ -69,12 +69,12 @@ func encryptWordOps(kn, k, nBits int) int64 {
 }
 
 // encryptCRTWordOps is the per-item cost of encrypt_vec for the key's holder
-// (mpint.CRT.EncryptDraw): the nonce draw and powNWordOps' chain — whose two
-// ways out of Montgomery form are now the multiplies by g_p and g_q, the same
-// count — plus, a prime, the reduction of the plaintext mod the prime's square
-// (a multiply-subtract over the square's words for every word the plaintext is
-// longer than it, and one more) and the Montgomery product that takes it to
-// m·n. At a 2048-bit key that is 256 + 25.6 M + 16.8 k word-ops, against the
+// (a lane of mpint.CRT.EncryptDrawVec): the nonce draw and powNWordOps' chain
+// — whose two ways out of Montgomery form are now the multiplies by g_p and
+// g_q, the same count — plus, a prime, the reduction of the plaintext mod the
+// prime's square (a multiply-subtract over the square's words for every word
+// the plaintext is longer than it, and one more) and the Montgomery product
+// that takes it to m·n. At a 2048-bit key that is 256 + 25.6 M + 16.8 k word-ops, against the
 // 256 + 25.6 M + 99.1 k of the three launches it replaces, whose combine ran
 // three multiplies at the width of n².
 func encryptCRTWordOps(kn int, st [4]mpint.CRTStage) int64 {

@@ -179,7 +179,7 @@ func TestCheckedEncryptCatchesCorruption(t *testing.T) {
 	if !mb.spotCheck(op, 1) {
 		t.Fatal("a clean batch failed full verification")
 	}
-	q2 := crt.Q2().N()
+	q2 := mpint.Mul(crt.Q().N(), crt.Q().N())
 	leg := mpint.Mod(mpint.Add(op.out[7], mpint.Mul(q2, mpint.FromUint64(3))), n2.N())
 	if mpint.Cmp(mpint.Mod(leg, q2), mpint.Mod(op.out[7], q2)) != 0 || !mpint.GCD(leg, n2.N()).IsOne() {
 		t.Fatal("the corrupted ciphertext should keep its residue mod q² and stay a unit")

@@ -296,14 +296,13 @@ func (o *modMulOp) slice(lo, hi int, out []mpint.Nat) vecOp {
 //
 // Who encrypts decides the arithmetic, not the result. With the factorisation
 // (key.CRT), which only the key's holder has, the whole ciphertext goes
-// through p² and q² and one Garner step (mpint.CRT.EncryptDraw; a lane
-// group's at once, CRT.EncryptDrawVec): four half-width exponentiations, gᵐ
+// through p² and q² and one Garner step (mpint.CRT.EncryptDrawVec, a lane
+// group's at once): four half-width exponentiations, gᵐ
 // as one half-width product a prime folded into the step that leaves
 // Montgomery form, nothing ever as wide as n². Without
 // it the lane is the n² window on the schedule of n the key compiled once,
 // and one multiply by gᵐ on the way out of Montgomery form
-// (mpint.Mont.EncryptNDraw; a lane group's eight windows as one walk,
-// Mont.EncryptNDrawVec). Both are the canonical residue, written into the
+// (mpint.Mont.EncryptNDrawVec, a lane group's eight windows as one walk). Both are the canonical residue, written into the
 // limbs the result vector hands in.
 //
 // Verification takes the textbook route: the nonce redrawn from scratch on

@@ -1,6 +1,6 @@
 // Package gpu implements a software model of a CUDA-class GPU: stream
 // multiprocessors (SMs) executing warps of threads in blocks, a resource
-// manager for block sizes, device memory, and registers, and a calibrated
+// manager for block sizes and branch divergence, and a calibrated
 // cost model for host↔device transfers and kernel execution.
 //
 // The paper runs its HE kernels on an NVIDIA RTX 3090. No GPU is available
@@ -35,8 +35,6 @@ type Config struct {
 	MaxRegistersPerThread int
 	// SharedMemPerSM is per-SM shared memory in bytes.
 	SharedMemPerSM int
-	// GlobalMemBytes is total device memory.
-	GlobalMemBytes int64
 	// TransferBytesPerSec models the PCIe link (β_transfer⁻¹ in Eq. 10).
 	TransferBytesPerSec float64
 	// TransferLatencySec is the fixed per-transfer launch cost.
@@ -75,8 +73,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gpu: config needs RegistersPerSM > 0")
 	case c.SharedMemPerSM <= 0:
 		return fmt.Errorf("gpu: config needs SharedMemPerSM > 0")
-	case c.GlobalMemBytes <= 0:
-		return fmt.Errorf("gpu: config needs GlobalMemBytes > 0")
 	case c.TransferBytesPerSec <= 0:
 		return fmt.Errorf("gpu: config needs TransferBytesPerSec > 0")
 	case c.WordOpsPerSec <= 0:
@@ -88,9 +84,6 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// MaxResidentThreads is the device-wide thread bound (T_max in Eq. 10).
-func (c Config) MaxResidentThreads() int { return c.SMs * c.MaxThreadsPerSM }
 
 // RTX3090 returns the configuration of the paper's evaluation GPU
 // (82 SMs, 128 threads/warp-scheduler slots, 24 GB, PCIe 4.0 x16).
@@ -104,7 +97,6 @@ func RTX3090() Config {
 		RegistersPerSM:        65536,
 		MaxRegistersPerThread: 255,
 		SharedMemPerSM:        100 << 10,
-		GlobalMemBytes:        24 << 30,
 		TransferBytesPerSec:   24e9, // ~PCIe 4.0 x16 effective
 		TransferLatencySec:    10e-6,
 		WordOpsPerSec:         18e9, // per-SM 32-bit IMAD throughput
@@ -122,7 +114,6 @@ func SmallTestDevice() Config {
 		RegistersPerSM:        4096,
 		MaxRegistersPerThread: 128,
 		SharedMemPerSM:        16 << 10,
-		GlobalMemBytes:        1 << 20,
 		TransferBytesPerSec:   1e9,
 		TransferLatencySec:    1e-6,
 		WordOpsPerSec:         1e9,

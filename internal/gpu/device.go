@@ -130,9 +130,6 @@ func (d *Device) Config() Config { return d.cfg }
 // Workers returns how many host goroutines run the device's kernel lanes.
 func (d *Device) Workers() int { return d.workers }
 
-// RM returns the device's resource manager.
-func (d *Device) RM() *ResourceManager { return d.rm }
-
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() Stats {
 	d.mu.Lock()
@@ -441,20 +438,11 @@ func (d *Device) Launch(k Kernel) (float64, error) {
 	}
 
 	switch fault {
-	case FaultAbort:
-		d.failLaunch(FaultAbort)
-		return 0, &KernelError{Kind: FaultAbort, Kernel: k.Name, Attempt: attempt}
-	case FaultOOM:
-		// The failure surfaces from the real memory table: the fault inflates
-		// the launch's scratch demand past the free bytes, and the allocator
-		// rejects it without touching the table's accounting.
-		want := d.rm.FreeBytes() + 1 + int64(k.Items)*4
-		if buf, err := d.rm.Alloc(want); err != nil {
-			d.failLaunch(FaultOOM)
-			return 0, &KernelError{Kind: FaultOOM, Kernel: k.Name, Attempt: attempt}
-		} else {
-			_ = buf.Free()
-		}
+	case FaultAbort, FaultOOM:
+		// Both fail before the body runs: an abort yields no results, an OOM
+		// is a working set the device cannot hold.
+		d.failLaunch(fault)
+		return 0, &KernelError{Kind: fault, Kernel: k.Name, Attempt: attempt}
 	case FaultCorrupt:
 		if _, ok := k.Body.(Poisoner); !ok {
 			// Nothing to poison — the corruption is visible as a hard fault.

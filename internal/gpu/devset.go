@@ -16,8 +16,8 @@ import (
 // never the sum, so a device idling while its peers finish is not charged.
 // When the fault layer degrades or kills a device mid-batch, its unfinished
 // shards are re-queued onto the healthy devices (work stealing), subdivided
-// so the rework is itself parallel, and the migration is charged to the
-// cost model.
+// so the rework is itself parallel; the rework's launches and copies are
+// charged to the cost model like any others.
 
 // MaxDevices bounds the device count a set accepts — a sanity rail for the
 // CLI flags, not a simulator limit.
@@ -30,24 +30,6 @@ type Shard struct {
 
 // Len returns the shard's item count.
 func (s Shard) Len() int { return s.Hi - s.Lo }
-
-// SplitShards splits n items into at most `parts` contiguous, near-equal,
-// non-empty shards covering [0, n) exactly. Fewer than `parts` shards come
-// back when n < parts (never a zero-length shard); n ≤ 0 or parts ≤ 0 yields
-// nil.
-func SplitShards(n, parts int) []Shard {
-	if n <= 0 || parts <= 0 {
-		return nil
-	}
-	if parts > n {
-		parts = n
-	}
-	out := make([]Shard, parts)
-	for i := range out {
-		out[i] = Shard{Hi: n}.piece(parts, i)
-	}
-	return out
-}
 
 // piece returns piece j of the shard cut into `parts` contiguous near-equal
 // pieces, the first Len()%parts of them one item longer. parts is in
@@ -105,13 +87,6 @@ type DeviceSet struct {
 	elig    []int
 	pending []Shard
 	wave    []devWave
-
-	// Peer-to-peer topology: when a rate is configured, a stolen shard's
-	// input migrates over the modelled device interconnect (charged to the
-	// stealing device); with the zero value migration repays only the H2D
-	// re-upload its rerun performs.
-	p2pLatencySec  float64
-	p2pBytesPerSec float64
 }
 
 // devWave is one device's share of a wave: the shards queued on it and its
@@ -155,31 +130,6 @@ func (s *DeviceSet) Device(i int) *Device { return s.devs[i] }
 
 // Devices returns the member devices (shared slice; do not mutate).
 func (s *DeviceSet) Devices() []*Device { return s.devs }
-
-// SetP2P configures the peer-to-peer interconnect used to price shard
-// migration (NVLink-style: per-transfer latency plus bytes/sec). Zero rates
-// disable the charge.
-func (s *DeviceSet) SetP2P(latencySec, bytesPerSec float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.p2pLatencySec = latencySec
-	s.p2pBytesPerSec = bytesPerSec
-}
-
-// P2PTransferTime models moving n bytes between two member devices.
-func (s *DeviceSet) P2PTransferTime(n int64) time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.p2pTimeLocked(n)
-}
-
-func (s *DeviceSet) p2pTimeLocked(n int64) time.Duration {
-	if s.p2pBytesPerSec <= 0 {
-		return 0
-	}
-	sec := s.p2pLatencySec + float64(n)/s.p2pBytesPerSec
-	return time.Duration(sec * float64(time.Second))
-}
 
 // Stats returns a snapshot of the set counters.
 func (s *DeviceSet) Stats() SetStats {
@@ -246,9 +196,6 @@ type ShardOp struct {
 	Name string
 	// Items is the total item count to cover.
 	Items int
-	// BytesPerItem sizes a shard's input for migration pricing over the
-	// peer-to-peer topology; zero skips the charge.
-	BytesPerItem int64
 	// Run executes one shard on member device devID, writing results for
 	// exactly [sh.Lo, sh.Hi). It must be safe to call concurrently for
 	// disjoint shards on distinct devices. A typed *KernelError re-queues
@@ -270,8 +217,8 @@ type ShardOp struct {
 // each wave contributes the maximum modelled-time delta across its
 // participants (overlapped view, so per-device stream pipelines keep their
 // credit) to SimParallelTime and the sum of deltas to SimSequentialTime.
-// Rework waves additionally accrue RebalanceSim; migrated shards pay the
-// peer-to-peer transfer of their input when a P2P rate is configured.
+// Rework waves additionally accrue RebalanceSim; a stolen shard pays for
+// its migration through the H2D copy its rerun makes.
 //
 // Bit-exactness: shards are contiguous item ranges and Run writes only its
 // own range, so any schedule — including mid-batch death and rework — yields
@@ -325,10 +272,6 @@ func (s *DeviceSet) Run(op ShardOp) error {
 				s.stats.Shards++
 				if wave > 0 {
 					s.stats.Steals++
-					// The faulted device's staged input migrates to the stealer
-					// over the interconnect; charged after the base reading so
-					// the merged span includes it.
-					dev.ChargeFaultTime(s.p2pTimeLocked(int64(sh.Len()) * op.BytesPerItem))
 				}
 			}
 		}

@@ -7,96 +7,72 @@ import (
 	"time"
 )
 
-// checkShardCover fails unless shards tile [0, n) exactly with contiguous,
-// non-empty ranges.
-func checkShardCover(t *testing.T, shards []Shard, n int) {
-	t.Helper()
-	lo := 0
-	for i, sh := range shards {
-		if sh.Lo != lo {
-			t.Fatalf("shard %d starts at %d, want %d", i, sh.Lo, lo)
-		}
-		if sh.Len() <= 0 {
-			t.Fatalf("shard %d is empty: %+v", i, sh)
-		}
-		lo = sh.Hi
+// pieces cuts sh into parts pieces the way the scheduler spreads a pending
+// range across its eligible devices.
+func pieces(sh Shard, parts int) []Shard {
+	out := make([]Shard, parts)
+	for j := range out {
+		out[j] = sh.piece(parts, j)
 	}
-	if lo != n {
-		t.Fatalf("shards cover [0,%d), want [0,%d)", lo, n)
-	}
+	return out
 }
 
+// TestSplitShards: a range cut into parts pieces, 1 ≤ parts ≤ its length, is
+// tiled exactly by contiguous, non-empty, near-equal pieces — wave 0's even
+// split from 0 and a rework wave's split of a dead device's remainder alike.
 func TestSplitShards(t *testing.T) {
-	cases := []struct{ n, parts, want int }{
-		{0, 4, 0},
-		{-3, 4, 0},
-		{10, 0, 0},
-		{10, -1, 0},
-		{10, 1, 1},
-		{10, 3, 3},
-		{10, 10, 10},
-		{3, 8, 3}, // parts > n collapses to n singleton shards
-		{1, 1, 1},
-		{97, 8, 8},
+	cases := []struct{ lo, n, parts int }{
+		{0, 10, 1},
+		{0, 10, 3},
+		{0, 10, 10},
+		{0, 3, 3}, // as many devices as items: singleton shards
+		{0, 1, 1},
+		{0, 97, 8},
+		{40, 57, 4}, // a rework range that does not start at 0
 	}
 	for _, c := range cases {
-		shards := SplitShards(c.n, c.parts)
-		if len(shards) != c.want {
-			t.Fatalf("SplitShards(%d,%d) = %d shards, want %d", c.n, c.parts, len(shards), c.want)
+		shards := pieces(Shard{Lo: c.lo, Hi: c.lo + c.n}, c.parts)
+		at := c.lo
+		shortest, longest := shards[0].Len(), shards[0].Len()
+		for i, sh := range shards {
+			if sh.Lo != at || sh.Len() <= 0 {
+				t.Fatalf("%+v: shard %d = %+v breaks contiguity at %d", c, i, sh, at)
+			}
+			at = sh.Hi
+			shortest, longest = min(shortest, sh.Len()), max(longest, sh.Len())
 		}
-		if c.want > 0 {
-			checkShardCover(t, shards, c.n)
-			// Near-equal: sizes differ by at most one.
-			min, max := shards[0].Len(), shards[0].Len()
-			for _, sh := range shards {
-				if sh.Len() < min {
-					min = sh.Len()
-				}
-				if sh.Len() > max {
-					max = sh.Len()
-				}
-			}
-			if max-min > 1 {
-				t.Fatalf("SplitShards(%d,%d) sizes span [%d,%d], want near-equal", c.n, c.parts, min, max)
-			}
+		if at != c.lo+c.n {
+			t.Fatalf("%+v: shards end at %d, want %d", c, at, c.lo+c.n)
+		}
+		if longest-shortest > 1 {
+			t.Fatalf("%+v: sizes span [%d,%d], want near-equal", c, shortest, longest)
 		}
 	}
 }
 
 func FuzzSplitShards(f *testing.F) {
-	f.Add(0, 0)
-	f.Add(1, 1)
-	f.Add(100, 7)
-	f.Add(3, 64)
-	f.Add(-5, 3)
-	f.Add(1<<20, 64)
-	f.Fuzz(func(t *testing.T, n, parts int) {
-		if n > 1<<22 || parts > 1<<22 {
-			t.Skip("cap work per input")
-		}
-		shards := SplitShards(n, parts)
-		if n <= 0 || parts <= 0 {
-			if shards != nil {
-				t.Fatalf("SplitShards(%d,%d) = %v, want nil", n, parts, shards)
+	f.Add(0, 0, 0)
+	f.Add(0, 1, 1)
+	f.Add(0, 100, 7)
+	f.Add(5, 3, 64)
+	f.Add(-5, 3, 2)
+	f.Add(0, 1<<20, 64)
+	f.Fuzz(func(t *testing.T, lo, n, parts int) {
+		// Fold the inputs into what the scheduler cuts: a range of at least one
+		// item anywhere in a batch, into one piece per eligible device — never
+		// more pieces than items.
+		fold := func(x, m int) int { return (x%m + m) % m }
+		lo, n = fold(lo, 1<<22), 1+fold(n, 1<<22)
+		parts = min(1+fold(parts, MaxDevices), n)
+		at := lo
+		for i, sh := range pieces(Shard{Lo: lo, Hi: lo + n}, parts) {
+			if sh.Lo != at || sh.Len() < n/parts || sh.Len() > n/parts+1 {
+				t.Fatalf("piece %d of [%d,%d) in %d = %+v: not contiguous and near-equal at %d", i, lo, lo+n, parts, sh, at)
 			}
-			return
+			at = sh.Hi
 		}
-		want := parts
-		if want > n {
-			want = n
-		}
-		if len(shards) != want {
-			t.Fatalf("SplitShards(%d,%d) = %d shards, want %d", n, parts, len(shards), want)
-		}
-		lo := 0
-		for i, sh := range shards {
-			if sh.Lo != lo || sh.Len() <= 0 {
-				t.Fatalf("shard %d = %+v breaks contiguity at %d", i, sh, lo)
-			}
-			lo = sh.Hi
-		}
-		if lo != n {
-			t.Fatalf("shards cover [0,%d), want [0,%d)", lo, n)
+		if at != lo+n {
+			t.Fatalf("pieces of [%d,%d) end at %d", lo, lo+n, at)
 		}
 	})
 }
@@ -119,9 +95,8 @@ func doubleOp(s *DeviceSet, in, out []int64) ShardOp { return costedDoubleOp(s, 
 // costedDoubleOp is doubleOp charging wordOps word-ops an item.
 func costedDoubleOp(s *DeviceSet, in, out []int64, wordOps int64) ShardOp {
 	return ShardOp{
-		Name:         "double",
-		Items:        len(in),
-		BytesPerItem: 8,
+		Name:  "double",
+		Items: len(in),
 		Run: func(devID int, sh Shard) error {
 			dev := s.Device(devID)
 			dev.CopyToDevice(int64(sh.Len()) * 8)
@@ -380,31 +355,6 @@ func TestSetPipelineNoIdleDoubleCharge(t *testing.T) {
 		if ds.SimStreamTime >= ds.SimStreamSeqTime {
 			t.Fatalf("dev%d streamed span %v not below sequential %v", i, ds.SimStreamTime, ds.SimStreamSeqTime)
 		}
-	}
-}
-
-func TestDeviceSetP2PMigrationCharged(t *testing.T) {
-	const n = 64
-	in := seqInput(n)
-	run := func(p2p bool) SetStats {
-		s := testSet(t, 4)
-		if p2p {
-			s.SetP2P(5e-6, 25e9)
-		}
-		s.Device(1).SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 7, KillAtLaunch: 1}))
-		out := make([]int64, n)
-		if err := s.Run(doubleOp(s, in, out)); err != nil {
-			t.Fatal(err)
-		}
-		return s.Stats()
-	}
-	without := run(false)
-	with := run(true)
-	if with.Steals != without.Steals {
-		t.Fatalf("steals differ with topology: %d vs %d", with.Steals, without.Steals)
-	}
-	if with.RebalanceSim <= without.RebalanceSim {
-		t.Fatalf("p2p migration must add modelled cost: %v vs %v", with.RebalanceSim, without.RebalanceSim)
 	}
 }
 

@@ -29,8 +29,8 @@ const (
 	FaultCorrupt FaultKind = "corrupt"
 	// FaultStall is a kernel that hangs past the watchdog deadline.
 	FaultStall FaultKind = "stall"
-	// FaultOOM is a launch whose working set cannot be satisfied from the
-	// resource manager's device memory table.
+	// FaultOOM is a launch whose working set the device cannot hold: like an
+	// abort, it fails before the kernel runs.
 	FaultOOM FaultKind = "oom"
 	// FaultDeviceFailed reports a launch refused because the device health
 	// machine has reached the Failed state.
@@ -117,9 +117,7 @@ type FaultConfig struct {
 	// StallProb is the probability a launch hangs (until the watchdog
 	// cancels it, or for StallFor when no watchdog is armed).
 	StallProb float64
-	// OOMProb is the probability a launch's scratch demand is inflated past
-	// the free device memory, so the allocation fails from the resource
-	// manager's real memory table.
+	// OOMProb is the probability a launch fails for want of device memory.
 	OOMProb float64
 	// KillAtLaunch, when positive, permanently kills the device starting at
 	// that 1-based launch ordinal: every launch from then on aborts, which

@@ -190,29 +190,31 @@ func TestStallWithoutWatchdog(t *testing.T) {
 	}
 }
 
-// TestOOMFaultLeavesMemoryTable: the injected OOM must surface from the real
-// allocator without corrupting the memory accounting.
-func TestOOMFaultLeavesMemoryTable(t *testing.T) {
+// TestOOMFaultFailsLaunch: an injected OOM fails the launch before its body
+// runs, with a typed FaultOOM, and drives the health machine as an abort does.
+func TestOOMFaultFailsLaunch(t *testing.T) {
 	d := MustNew(SmallTestDevice(), true)
-	rm := d.RM()
-	held, err := rm.Alloc(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	freeBefore, usedBefore := rm.FreeBytes(), rm.MemoryInUse()
 	d.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 1, OOMProb: 1}))
-	k, fn := noopKernel(4)
-	_, err = d.Launch(k.over(fn))
+	ran := false
+	k, _ := noopKernel(4)
+	_, err := d.Launch(k.over(func(int) { ran = true }))
 	var kerr *KernelError
 	if !errors.As(err, &kerr) || kerr.Kind != FaultOOM {
 		t.Fatalf("want oom KernelError, got %v", err)
 	}
-	if rm.FreeBytes() != freeBefore || rm.MemoryInUse() != usedBefore {
-		t.Fatalf("OOM fault disturbed the memory table: free %d→%d, used %d→%d",
-			freeBefore, rm.FreeBytes(), usedBefore, rm.MemoryInUse())
+	if kerr.Kernel != "test_kernel" || kerr.Attempt != 1 || ran {
+		t.Fatalf("bad error metadata or the body ran: %+v, ran %v", kerr, ran)
 	}
-	if err := held.Free(); err != nil {
-		t.Fatal(err)
+	st := d.Stats()
+	if st.LaunchFailures != 1 || st.FaultOOMs != 1 || st.KernelLaunches != 0 || st.Health != DeviceDegraded {
+		t.Fatalf("oom accounting wrong: %+v", st)
+	}
+	// Three in a row latch Failed, as three aborts do.
+	for i := 0; i < 2; i++ {
+		d.Launch(k.over(func(int) {}))
+	}
+	if d.Health() != DeviceFailed {
+		t.Fatalf("after three OOMs: %s, want failed", d.Health())
 	}
 }
 

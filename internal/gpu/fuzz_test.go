@@ -14,11 +14,11 @@ func FuzzConfigValidate(f *testing.F) {
 	small := SmallTestDevice()
 	f.Add(small.SMs, small.WarpSize, small.MaxThreadsPerSM, small.MaxWarpsPerSM,
 		small.RegistersPerSM, small.MaxRegistersPerThread, small.SharedMemPerSM,
-		small.GlobalMemBytes, int64(0), 64, 16, 0, 8)
-	f.Add(0, 0, 0, 0, 0, 0, 0, int64(0), int64(-1), -1, -1, -1, -1)
-	f.Add(1, 1, 1, 1, 1, 1, 1, int64(1), int64(1), 1, 1, 1, 1)
+		int64(0), 64, 16, 0, 8)
+	f.Add(0, 0, 0, 0, 0, 0, 0, int64(-1), -1, -1, -1, -1)
+	f.Add(1, 1, 1, 1, 1, 1, 1, int64(1), 1, 1, 1, 1)
 	f.Fuzz(func(t *testing.T, sms, warp, threadsPerSM, warpsPerSM, regsPerSM,
-		maxRegs, sharedPerSM int, gmem, deadlineNs int64,
+		maxRegs, sharedPerSM int, deadlineNs int64,
 		blockSize, regsPerThread, sharedPerBlock, items int) {
 		cfg := Config{
 			Name:                  "fuzz",
@@ -29,7 +29,6 @@ func FuzzConfigValidate(f *testing.F) {
 			RegistersPerSM:        regsPerSM,
 			MaxRegistersPerThread: maxRegs,
 			SharedMemPerSM:        sharedPerSM,
-			GlobalMemBytes:        gmem,
 			TransferBytesPerSec:   1e9,
 			TransferLatencySec:    1e-6,
 			WordOpsPerSec:         1e9,
@@ -42,7 +41,7 @@ func FuzzConfigValidate(f *testing.F) {
 		if err != nil {
 			t.Fatalf("validated config rejected by New: %v", err)
 		}
-		rm := d.RM()
+		rm := d.rm
 		occ := rm.Occupancy(blockSize, regsPerThread, sharedPerBlock)
 		if occ < 0 || occ > 1 {
 			t.Fatalf("occupancy %v out of [0,1] for block=%d regs=%d shared=%d",

@@ -1,56 +1,21 @@
 package gpu
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
-
-// ResourceManager implements the paper's GPU resource manager (§IV-A2): it
-// keeps a table of common block sizes and picks the one that maximizes SM
-// occupancy for a kernel's register and shared-memory demands, tracks device
-// memory through an address-marked allocation table so buffers are reused
-// instead of re-allocated, accounts the register file, and decides how
-// divergent branches execute (combined per warp vs. split, which doubles
-// register pressure).
+// ResourceManager implements the paper's GPU resource manager (§IV-A2) as far
+// as the modelled clock needs it: it keeps a table of common block sizes and
+// picks the one that maximizes SM occupancy for a kernel's register and
+// shared-memory demands, and decides how divergent branches execute
+// (combined per warp vs. split, which doubles register pressure). The paper's
+// address-marked memory table has no counterpart: no launch here allocates
+// device memory, so there is nothing to reuse. A manager is immutable after
+// NewResourceManager and safe for concurrent launches.
 type ResourceManager struct {
-	cfg Config
-
-	mu         sync.Mutex
-	blockSizes []int       // the "common block sizes" table
-	regions    []memRegion // device memory table, sorted by addr
-	nextAddr   int64       // high-water mark for fresh regions
-	regsInUse  int         // registers currently reserved across SMs
+	cfg        Config
+	blockSizes []int // the "common block sizes" table
 
 	// Policy switches: Fine is the paper's manager; coarse allocation (fixed
 	// block size, no branch combining) models HAFLO's simpler scheme.
 	Fine           bool
 	FixedBlockSize int // used when !Fine
-
-	stats RMStats
-}
-
-// RMStats exposes resource-manager counters for the utilization experiments.
-type RMStats struct {
-	Allocs        int64 // fresh region creations
-	Reuses        int64 // allocations satisfied from the table
-	Frees         int64
-	BranchCombine int64 // divergent branches executed as a whole warp
-	BranchSplit   int64 // divergent branches that split the warp
-}
-
-// memRegion is one entry in the device memory table.
-type memRegion struct {
-	addr     int64
-	size     int64
-	occupied bool
-}
-
-// Buffer is a device allocation handle.
-type Buffer struct {
-	Addr int64
-	Size int64
-	rm   *ResourceManager
 }
 
 // NewResourceManager builds a manager for the device config. fine selects
@@ -63,13 +28,6 @@ func NewResourceManager(cfg Config, fine bool) *ResourceManager {
 		Fine:           fine,
 		FixedBlockSize: 1024,
 	}
-}
-
-// Stats returns a snapshot of the manager's counters.
-func (rm *ResourceManager) Stats() RMStats {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	return rm.stats
 }
 
 // Occupancy computes the fraction of an SM's thread slots a kernel with the
@@ -136,115 +94,6 @@ func (rm *ResourceManager) PickBlockSize(tasks, regsPerThread, sharedPerBlock in
 	return best
 }
 
-// Alloc reserves a device buffer of the given size, reusing a free region of
-// sufficient size from the memory table when one exists (the paper's
-// "marks the allocated GPU memory addresses to reduce memory allocation
-// costs"). It fails when device memory is exhausted.
-func (rm *ResourceManager) Alloc(size int64) (Buffer, error) {
-	if size <= 0 {
-		return Buffer{}, fmt.Errorf("gpu: Alloc size must be positive, got %d", size)
-	}
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	// First fit over free regions: smallest free region that fits.
-	bestIdx := -1
-	for i, r := range rm.regions {
-		if !r.occupied && r.size >= size {
-			if bestIdx < 0 || r.size < rm.regions[bestIdx].size {
-				bestIdx = i
-			}
-		}
-	}
-	if bestIdx >= 0 {
-		rm.regions[bestIdx].occupied = true
-		rm.stats.Reuses++
-		return Buffer{Addr: rm.regions[bestIdx].addr, Size: rm.regions[bestIdx].size, rm: rm}, nil
-	}
-	if rm.nextAddr+size > rm.cfg.GlobalMemBytes {
-		return Buffer{}, fmt.Errorf("gpu: out of device memory (%d requested, %d free)",
-			size, rm.cfg.GlobalMemBytes-rm.nextAddr)
-	}
-	buf := Buffer{Addr: rm.nextAddr, Size: size, rm: rm}
-	rm.regions = append(rm.regions, memRegion{addr: buf.Addr, size: size, occupied: true})
-	sort.Slice(rm.regions, func(i, j int) bool { return rm.regions[i].addr < rm.regions[j].addr })
-	rm.nextAddr += size
-	rm.stats.Allocs++
-	return buf, nil
-}
-
-// Free marks the buffer's region available for reuse. Double frees are
-// reported as errors rather than corrupting the table.
-func (b Buffer) Free() error {
-	if b.rm == nil {
-		return fmt.Errorf("gpu: Free of zero Buffer")
-	}
-	b.rm.mu.Lock()
-	defer b.rm.mu.Unlock()
-	for i := range b.rm.regions {
-		if b.rm.regions[i].addr == b.Addr {
-			if !b.rm.regions[i].occupied {
-				return fmt.Errorf("gpu: double free at addr %d", b.Addr)
-			}
-			b.rm.regions[i].occupied = false
-			b.rm.stats.Frees++
-			return nil
-		}
-	}
-	return fmt.Errorf("gpu: Free of unknown addr %d", b.Addr)
-}
-
-// FreeBytes returns the device memory an allocation could still claim:
-// untouched space above the high-water mark plus every free region in the
-// table.
-func (rm *ResourceManager) FreeBytes() int64 {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	free := rm.cfg.GlobalMemBytes - rm.nextAddr
-	for _, r := range rm.regions {
-		if !r.occupied {
-			free += r.size
-		}
-	}
-	return free
-}
-
-// MemoryInUse returns the number of occupied bytes in the memory table.
-func (rm *ResourceManager) MemoryInUse() int64 {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	var used int64
-	for _, r := range rm.regions {
-		if r.occupied {
-			used += r.size
-		}
-	}
-	return used
-}
-
-// AcquireRegisters reserves n registers across the device's register files,
-// reporting false when the kernel would not fit. Callers release with
-// ReleaseRegisters.
-func (rm *ResourceManager) AcquireRegisters(n int) bool {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	total := rm.cfg.RegistersPerSM * rm.cfg.SMs
-	if rm.regsInUse+n > total {
-		return false
-	}
-	rm.regsInUse += n
-	return true
-}
-
-// ReleaseRegisters returns registers to the pool.
-func (rm *ResourceManager) ReleaseRegisters(n int) {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
-	rm.regsInUse -= n
-	if rm.regsInUse < 0 {
-		rm.regsInUse = 0
-	}
-}
-
 // BranchCost models a divergent branch taken by divergentLanes of a warp.
 // The fine policy combines the branch (whole warp executes both sides:
 // cost factor 2, no extra registers). The coarse policy splits the warp,
@@ -253,16 +102,12 @@ func (rm *ResourceManager) ReleaseRegisters(n int) {
 // number of registers". It returns the execution cost multiplier and the
 // register multiplier.
 func (rm *ResourceManager) BranchCost(divergentLanes int) (execFactor, regFactor float64) {
-	rm.mu.Lock()
-	defer rm.mu.Unlock()
 	if divergentLanes <= 0 {
 		return 1, 1
 	}
 	if rm.Fine {
-		rm.stats.BranchCombine++
 		return 2, 1
 	}
-	rm.stats.BranchSplit++
 	groups := 2.0
 	if divergentLanes > rm.cfg.WarpSize/2 {
 		groups = 4.0

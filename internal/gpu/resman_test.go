@@ -75,66 +75,3 @@ func TestPickBlockSizeBounds(t *testing.T) {
 		t.Fatalf("coarse block size %d, want SM clamp %d", bs, cfg.MaxThreadsPerSM)
 	}
 }
-
-// TestAllocExhaustion: exhausting the memory table is an error that leaves
-// the accounting untouched; freeing restores allocatability via reuse.
-func TestAllocExhaustion(t *testing.T) {
-	cfg := SmallTestDevice() // 1 MiB of device memory
-	rm := NewResourceManager(cfg, true)
-	total := cfg.GlobalMemBytes
-	buf, err := rm.Alloc(total)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rm.FreeBytes() != 0 || rm.MemoryInUse() != total {
-		t.Fatalf("accounting after full alloc: free %d, used %d", rm.FreeBytes(), rm.MemoryInUse())
-	}
-	statsBefore := rm.Stats()
-	if _, err := rm.Alloc(1); err == nil {
-		t.Fatal("alloc from an exhausted table must fail")
-	}
-	if rm.FreeBytes() != 0 || rm.MemoryInUse() != total || rm.Stats() != statsBefore {
-		t.Fatalf("failed alloc disturbed accounting: free %d, used %d", rm.FreeBytes(), rm.MemoryInUse())
-	}
-	if err := buf.Free(); err != nil {
-		t.Fatal(err)
-	}
-	if rm.FreeBytes() != total || rm.MemoryInUse() != 0 {
-		t.Fatalf("accounting after free: free %d, used %d", rm.FreeBytes(), rm.MemoryInUse())
-	}
-	// The freed region is reused, not re-allocated.
-	if _, err := rm.Alloc(total / 2); err != nil {
-		t.Fatal(err)
-	}
-	if st := rm.Stats(); st.Reuses != 1 {
-		t.Fatalf("want one reuse, got %+v", st)
-	}
-	// Invalid sizes are rejected outright.
-	if _, err := rm.Alloc(0); err == nil {
-		t.Fatal("zero-size alloc must fail")
-	}
-	if _, err := rm.Alloc(-5); err == nil {
-		t.Fatal("negative alloc must fail")
-	}
-}
-
-func TestAcquireRegistersBounds(t *testing.T) {
-	cfg := SmallTestDevice()
-	rm := NewResourceManager(cfg, true)
-	total := cfg.RegistersPerSM * cfg.SMs
-	if !rm.AcquireRegisters(total) {
-		t.Fatal("acquiring the whole register file must succeed")
-	}
-	if rm.AcquireRegisters(1) {
-		t.Fatal("over-acquiring registers must fail")
-	}
-	rm.ReleaseRegisters(total)
-	if !rm.AcquireRegisters(1) {
-		t.Fatal("registers not returned after release")
-	}
-	// Releasing more than acquired clamps at zero rather than going negative.
-	rm.ReleaseRegisters(1 << 30)
-	if !rm.AcquireRegisters(total) {
-		t.Fatal("clamped release corrupted the register pool")
-	}
-}

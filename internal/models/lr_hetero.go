@@ -45,8 +45,8 @@ type HeteroLR struct {
 	// Bias is the guest-held intercept.
 	Bias float64
 
-	opts2 []Optimizer // per-party weight optimizers
-	optB  Optimizer   // guest bias optimizer
+	opts2 []*Adam // per-party weight optimizers
+	optB  *Adam   // guest bias optimizer
 	// weighted is each party's homomorphic gradient step, kept across
 	// minibatches (only the hosts', p ≥ 1, are used).
 	weighted []weightedSums
@@ -86,14 +86,14 @@ func NewHeteroLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroLR
 		fixedPoint: 128,
 	}
 	off := 0
-	m.opts2 = make([]Optimizer, parties)
+	m.opts2 = make([]*Adam, parties)
 	m.weighted = make([]weightedSums, parties)
-	m.optB = newOptimizer(opts)
+	m.optB = NewAdam(opts.LearningRate)
 	for p, part := range parts {
 		m.W[p] = make([]float64, part.NumFeatures)
 		m.offsets[p] = off
 		off += part.NumFeatures
-		m.opts2[p] = newOptimizer(opts)
+		m.opts2[p] = NewAdam(opts.LearningRate)
 	}
 	if ctx != nil {
 		names := make([]string, 0, parties+1)
@@ -107,8 +107,6 @@ func NewHeteroLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroLR
 }
 
 // Name implements Model.
-func (m *HeteroLR) Name() string { return "Hetero LR" }
-
 // fullWeights concatenates per-party slices into the original feature order.
 func (m *HeteroLR) fullWeights() []float64 {
 	w := make([]float64, m.full.NumFeatures)

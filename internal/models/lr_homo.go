@@ -22,7 +22,7 @@ type HomoLR struct {
 	// Bias is the shared intercept.
 	Bias float64
 
-	opt Optimizer
+	opt *Adam
 }
 
 // NewHomoLR partitions ds horizontally across the context's parties and
@@ -47,13 +47,11 @@ func NewHomoLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HomoLR, er
 		parts:   parts,
 		full:    ds,
 		Weights: make([]float64, ds.NumFeatures),
-		opt:     newOptimizer(opts),
+		opt:     NewAdam(opts.LearningRate),
 	}, nil
 }
 
 // Name implements Model.
-func (m *HomoLR) Name() string { return "Homo LR" }
-
 // Loss implements Model.
 func (m *HomoLR) Loss() float64 { return logisticLoss(m.Weights, m.Bias, m.full) }
 

@@ -30,8 +30,6 @@ import (
 
 // Model is a trainable federated model.
 type Model interface {
-	// Name identifies the model (matching the paper's tables).
-	Name() string
 	// TrainEpoch runs one epoch over the federated data and returns the
 	// global training loss after the epoch.
 	TrainEpoch() (float64, error)
@@ -41,7 +39,7 @@ type Model interface {
 
 // Options configures training shared by all models.
 type Options struct {
-	// LearningRate for SGD/Adam-style updates.
+	// LearningRate is Adam's base step size.
 	LearningRate float64
 	// L2 is the ridge penalty coefficient (paper default 0.01).
 	L2 float64
@@ -49,8 +47,6 @@ type Options struct {
 	BatchSize int
 	// Seed drives initialization.
 	Seed uint64
-	// UseSGD selects plain SGD instead of the paper's default Adam.
-	UseSGD bool
 	// Parties sets the federation topology in plaintext-oracle mode (nil
 	// context), so oracle and encrypted runs see identical partitions; with
 	// a context the profile's party count always wins. Zero means 1.

@@ -139,17 +139,6 @@ func TestHomoLREncryptedMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestHomoLRName(t *testing.T) {
-	ds := testData(t, 20, 8)
-	m, _ := NewHomoLR(nil, ds, testOpts())
-	if m.Name() != "Homo LR" {
-		t.Fatal("name drifted from the paper's tables")
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestHomoLRRejectsBadOptions(t *testing.T) {
 	ds := testData(t, 20, 8)
 	if _, err := NewHomoLR(nil, ds, Options{}); err == nil {

@@ -46,8 +46,8 @@ type HeteroNN struct {
 	actScale   float64 // activation normalization for the quantizer
 	fixedPoint float64 // feature fixed-point scale (as in HeteroLR)
 
-	optW   []Optimizer // per-party bottom-tower optimizers
-	optTop Optimizer   // guest head: [Top..., HiddenBias..., TopBias]
+	optW   []*Adam // per-party bottom-tower optimizers
+	optTop *Adam   // guest head: [Top..., HiddenBias..., TopBias]
 	// weighted is each host's homomorphic gradient step, kept across
 	// minibatches.
 	weighted []weightedSums
@@ -83,15 +83,15 @@ func NewHeteroNN(ctx *fl.Context, ds *datasets.Dataset, hidden int, opts Options
 		fixedPoint: 128,
 	}
 	rng := mpint.NewRNG(opts.Seed ^ 0xA5A5)
-	m.optW = make([]Optimizer, parties)
-	m.optTop = newOptimizer(opts)
+	m.optW = make([]*Adam, parties)
+	m.optTop = NewAdam(opts.LearningRate)
 	m.weighted = make([]weightedSums, parties)
 	for p, part := range parts {
 		m.W[p] = make([]float64, hidden*part.NumFeatures)
 		for i := range m.W[p] {
 			m.W[p][i] = rng.NormFloat64() * 0.05
 		}
-		m.optW[p] = newOptimizer(opts)
+		m.optW[p] = NewAdam(opts.LearningRate)
 	}
 	for i := range m.Top {
 		m.Top[i] = rng.NormFloat64() * 0.3
@@ -108,8 +108,6 @@ func NewHeteroNN(ctx *fl.Context, ds *datasets.Dataset, hidden int, opts Options
 }
 
 // Name implements Model.
-func (m *HeteroNN) Name() string { return "Hetero NN" }
-
 // bottomForward computes party p's activations for rows [lo, hi):
 // a[i][u] = Σ_j W_p[u,j]·x_ij, flattened sample-major.
 func (m *HeteroNN) bottomForward(p, lo, hi int) []float64 {

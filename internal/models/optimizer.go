@@ -2,34 +2,9 @@ package models
 
 import "flbooster/internal/datasets"
 
-// Optimizer applies a gradient step to a parameter vector. The paper's
-// experiments train every model with Adam (§VI-B, "Adam optimizer is used
-// to train the models"); plain SGD remains available for ablations.
-type Optimizer interface {
-	// Step updates params in place from grads (same length).
-	Step(params, grads []float64)
-	// Reset clears accumulated state (between cross-validation folds etc.).
-	Reset()
-}
-
-// SGD is fixed-learning-rate stochastic gradient descent.
-type SGD struct {
-	// LR is the learning rate.
-	LR float64
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params, grads []float64) {
-	for i := range params {
-		params[i] -= s.LR * grads[i]
-	}
-}
-
-// Reset implements Optimizer.
-func (s *SGD) Reset() {}
-
-// Adam implements Kingma & Ba's optimizer with bias correction — the
-// paper's training configuration.
+// Adam implements Kingma & Ba's optimizer with bias correction: the paper's
+// experiments train every model with it (§VI-B, "Adam optimizer is used to
+// train the models").
 type Adam struct {
 	// LR is the base step size.
 	LR float64
@@ -47,7 +22,7 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step implements Optimizer.
+// Step updates params in place from grads (same length).
 func (a *Adam) Step(params, grads []float64) {
 	if len(a.m) != len(params) {
 		a.m = make([]float64, len(params))
@@ -65,11 +40,6 @@ func (a *Adam) Step(params, grads []float64) {
 		a.v[i] = a.Beta2*a.v[i] + (1-a.Beta2)*g*g
 		params[i] -= step * a.m[i] / (sqrtF(a.v[i]) + a.Eps)
 	}
-}
-
-// Reset implements Optimizer.
-func (a *Adam) Reset() {
-	a.m, a.v, a.t = nil, nil, 0
 }
 
 // powInt computes bᵗ for small positive t.
@@ -92,12 +62,4 @@ func sqrtF(x float64) float64 {
 		g = 0.5 * (g + x/g)
 	}
 	return g
-}
-
-// newOptimizer builds the optimizer the options request.
-func newOptimizer(o Options) Optimizer {
-	if o.UseSGD {
-		return &SGD{LR: o.LearningRate}
-	}
-	return NewAdam(o.LearningRate)
 }

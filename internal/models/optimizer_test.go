@@ -2,16 +2,6 @@ package models
 
 import "testing"
 
-func TestSGDStep(t *testing.T) {
-	opt := &SGD{LR: 0.1}
-	params := []float64{1, 2}
-	opt.Step(params, []float64{10, -10})
-	if params[0] != 0 || params[1] != 3 {
-		t.Fatalf("SGD step = %v", params)
-	}
-	opt.Reset() // no-op, must not panic
-}
-
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize f(x) = (x−3)², starting far away; Adam must close the gap.
 	opt := NewAdam(0.1)
@@ -38,18 +28,6 @@ func TestAdamBiasCorrectionFirstStep(t *testing.T) {
 	}
 }
 
-func TestAdamResetClearsState(t *testing.T) {
-	opt := NewAdam(0.1)
-	x := []float64{0}
-	opt.Step(x, []float64{1})
-	opt.Reset()
-	y := []float64{0}
-	opt.Step(y, []float64{1})
-	if x[0] != y[0] {
-		t.Fatalf("post-reset step %v differs from fresh step %v", y[0], x[0])
-	}
-}
-
 func TestAdamReinitializesOnDimensionChange(t *testing.T) {
 	opt := NewAdam(0.1)
 	opt.Step([]float64{0}, []float64{1})
@@ -69,16 +47,5 @@ func TestSqrtF(t *testing.T) {
 		if d := got*got - x; d > 1e-9*(x+1) || d < -1e-9*(x+1) {
 			t.Fatalf("sqrtF(%v) = %v", x, got)
 		}
-	}
-}
-
-func TestNewOptimizerSelection(t *testing.T) {
-	o := DefaultOptions()
-	if _, ok := newOptimizer(o).(*Adam); !ok {
-		t.Fatal("default should be Adam (the paper's setting)")
-	}
-	o.UseSGD = true
-	if _, ok := newOptimizer(o).(*SGD); !ok {
-		t.Fatal("UseSGD should select SGD")
 	}
 }

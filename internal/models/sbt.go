@@ -119,8 +119,6 @@ func ceilLog2U(n int) uint {
 }
 
 // Name implements Model.
-func (m *HeteroSBT) Name() string { return "Hetero SBT" }
-
 // Loss implements Model: mean log-loss of the current ensemble margins.
 func (m *HeteroSBT) Loss() float64 {
 	var loss float64

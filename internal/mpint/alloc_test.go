@@ -30,7 +30,7 @@ func TestAllocCeilings(t *testing.T) {
 		{"Mont.Exp (base ≥ n)", 1, func() { m.Exp(wide, e) }},
 		{"Mont.Mul", 1, func() { m.Mul(base, base) }},
 		// The Montgomery form of the first operand stays in the scratch.
-		{"Mont.ModMul", 1, func() { m.ModMul(base, base) }},
+		{"Mont.ModMulInto", 1, func() { m.ModMulInto(nil, base, base) }},
 		// The two working copies; the result is one of them.
 		{"GCD", 2, func() { GCD(x, y) }},
 		// The candidate, and one slab for the coprimality check's working pair.
@@ -65,18 +65,18 @@ func TestCRTAllocCeilings(t *testing.T) {
 		x := r.RandCoprime(c.N())
 		hp, hq := c.P().ToMont(r.RandBelow(p)), c.Q().ToMont(r.RandBelow(q))
 		n2, sched, shift := NewMont(Mul(c.N(), c.N())), CompileExpAuto(c.N()), CompileExpAuto(Nat{0, 1})
-		c.PowN(x) // fill the scratch pool
+		c.Encrypt(x, x) // fill the scratch pool
+		out := make([]Nat, 1)
 		for _, tc := range []struct {
 			name string
 			fn   func()
 		}{
-			{"PowN", func() { c.PowN(x) }},
 			{"Decrypt", func() { c.Decrypt(n2.N(), hp, hq) }}, // an operand past both squares, reduced in the scratch
 			{"ShiftPack", func() { n2.ShiftPack(nil, []Nat{x, n2.N(), x, x}, shift) }},
 			{"Encrypt", func() { c.Encrypt(x, x) }},
-			{"EncryptDraw", func() { c.EncryptDraw(x, NewRNG(7)) }},
+			{"EncryptDrawVec", func() { out[0] = nil; c.EncryptDrawVec(out, []Nat{x}, []*RNG{NewRNG(7)}) }},
 			{"EncryptN", func() { n2.EncryptN(x, x, c.N(), sched) }},
-			{"EncryptNDraw", func() { n2.EncryptNDraw(x, c.N(), sched, NewRNG(7)) }},
+			{"EncryptNDrawVec", func() { out[0] = nil; n2.EncryptNDrawVec(out, []Nat{x}, c.N(), sched, []*RNG{NewRNG(7)}) }},
 		} {
 			forEachBody(t, func() {
 				if got := testing.AllocsPerRun(20, tc.fn); got > 1 {

@@ -10,16 +10,16 @@ import (
 // arithmetic mod n or n² done in the prime and prime-square components and
 // recombined with Garner's formula, on operands of half the width:
 //
-//   - PowN: x ↦ xⁿ mod n², the noise term of an encryption. For x ∈ Z*ₙ the
-//     value xⁿ mod p² lies in the subgroup of order p−1, so x mod p alone
-//     fixes it: with b = (x mod p)^(q mod (p−1)) mod p, xⁿ ≡ bᵖ (mod p²),
-//     because n ≡ q (mod p−1) gives x^q ≡ b (mod p), and u ≡ v (mod p)
-//     implies uᵖ ≡ vᵖ (mod p²). Per prime that is a half-width exponent over
-//     the prime and another over its square, against one full-width exponent
-//     over n². The identity also holds when p divides x (both sides are 0).
 //   - Encrypt: (m, x) ↦ (1 + m·n)·xⁿ mod n², a whole Paillier encryption under
-//     g = n+1. The ciphertext splits like its noise term, c mod p² =
-//     (1 + (m·n mod p²))·(xⁿ mod p²): PowN's chain leaves xⁿ mod p² in
+//     g = n+1. Its noise term xⁿ mod n² comes from half-width chains: for
+//     x ∈ Z*ₙ the value xⁿ mod p² lies in the subgroup of order p−1, so x mod
+//     p alone fixes it: with b = (x mod p)^(q mod (p−1)) mod p, xⁿ ≡ bᵖ
+//     (mod p²), because n ≡ q (mod p−1) gives x^q ≡ b (mod p), and u ≡ v
+//     (mod p) implies uᵖ ≡ vᵖ (mod p²). Per prime that is a half-width
+//     exponent over the prime and another over its square, against one
+//     full-width exponent over n². The identity also holds when p divides x
+//     (both sides are 0). The ciphertext splits like its noise term, c mod p²
+//     = (1 + (m·n mod p²))·(xⁿ mod p²): the chain leaves xⁿ mod p² in
 //     Montgomery form, and the multiply that would take it out of that form
 //     takes it out through g_p = 1 + (m·n mod p²) instead — a Montgomery-form
 //     operand times a plain one is plain — so gᵐ costs one half-width product
@@ -30,7 +30,7 @@ import (
 //     whole: the two half-width exponentiations, L, the h-multiplies and Garner
 //     over (p, q), with nothing but the plaintext leaving the scratch.
 //
-// The Montgomery contexts, the four PowN schedules, the two of Decrypt and the
+// The Montgomery contexts, the four noise-term schedules, the two of Decrypt and the
 // Garner constants are built once per key; a compiled CRT is immutable and
 // safe for concurrent use. Every operation runs its chain on pooled scratch and
 // allocates only its result. Nothing here is constant-time.
@@ -45,7 +45,7 @@ type CRT struct {
 // crtPrime is one prime s of the pair with the other prime o.
 type crtPrime struct {
 	m1, m2 *Mont       // mod s and mod s²
-	e1, e2 ExpSchedule // o mod (s−1), and s: the two exponents of PowN
+	e1, e2 ExpSchedule // o mod (s−1), and s: the two exponents of the noise term
 	d      ExpSchedule // s−1: the exponent of Decrypt over s²
 	nm     Nat         // n mod s² in m2's Montgomery form: m ↦ m·n mod s² is one mulInto
 }
@@ -67,8 +67,8 @@ type crtScratch struct {
 }
 
 // NewCRT compiles the arithmetic of n = p·q for distinct odd primes p and q.
-// Primality is the caller's business (PowN is simply a different map on
-// composites); what is checked is what the arithmetic itself needs.
+// Primality is the caller's business (the noise term is simply a different
+// map on composites); what is checked is what the arithmetic itself needs.
 func NewCRT(p, q Nat) (*CRT, error) {
 	p, q = trim(p).Clone(), trim(q).Clone()
 	for _, s := range []Nat{p, q} {
@@ -113,20 +113,17 @@ func newGarner(a *Mont, b Nat) (garner, bool) {
 // N returns the modulus n = p·q.
 func (c *CRT) N() Nat { return c.n }
 
-// P and Q return the Montgomery contexts mod p and mod q; P2 and Q2 the ones
-// mod p² and mod q² (the moduli of a reduced-exponent decryption's kernels).
-func (c *CRT) P() *Mont  { return c.p.m1 }
-func (c *CRT) Q() *Mont  { return c.q.m1 }
-func (c *CRT) P2() *Mont { return c.p.m2 }
-func (c *CRT) Q2() *Mont { return c.q.m2 }
+// P and Q return the Montgomery contexts mod p and mod q.
+func (c *CRT) P() *Mont { return c.p.m1 }
+func (c *CRT) Q() *Mont { return c.q.m1 }
 
-// CRTStage describes one exponentiation of the PowN chain in the cost
+// CRTStage describes one exponentiation of the noise-term chain in the cost
 // model's units: the modulus size in 32-bit words (Mont.Limbs) and the
 // exponent length in bits.
 type CRTStage struct{ Limbs, ExpBits int }
 
-// Stages returns PowN's four exponentiations in execution order: mod p,
-// mod p², mod q, mod q².
+// Stages returns the noise term's four exponentiations in execution order:
+// mod p, mod p², mod q, mod q².
 func (c *CRT) Stages() [4]CRTStage {
 	st := func(m *Mont, s *ExpSchedule) CRTStage { return CRTStage{m.Limbs(), s.bits} }
 	return [4]CRTStage{
@@ -192,30 +189,11 @@ func (g *crtGroup) use(p bool) {
 	}
 }
 
-// PowN returns xⁿ mod n² — bit for bit what a Montgomery context mod n²
-// computes as Exp(x, n), in under a third of the limb products.
-func (c *CRT) PowN(x Nat) Nat {
-	var g crtGroup
-	c.open(&g, 1)
-	defer c.close(&g)
-	x = trim(x)
-	// One division buffer serves x mod p, x mod q and Garner's yq mod p².
-	work := g.sc[0].words(max(len(x), c.q.m2.k) + max(c.p.m2.k, c.q.m1.k) + 1)
-	g.x[0], g.div[0] = x, work
-	g.use(true)
-	c.p.powN(&g)
-	yp := g.a[0]
-	g.use(false)
-	c.q.powN(&g)
-	return c.sq.combine(nil, yp, trim(g.a[0]), g.sc[0].p2, work)
-}
-
 // powN sets g.a[l] = gm·x^(s·o) mod s² in every lane, as m2.k limbs in the
 // lane's s2 slab, valid until that scratch next runs a chain: (x mod s)^(o
 // mod (s−1)) mod s, out of Montgomery form, that to the s mod s², which the
 // chain leaves in Montgomery form, and one multiply by the plain residue gm on
-// the way out of it — nil for the bare power. div holds len(x)+m1.k+1 limbs,
-// and gm lives outside it.
+// the way out of it. div holds len(x)+m1.k+1 limbs, and gm lives outside it.
 func (pr *crtPrime) powN(g *crtGroup) {
 	n := g.n
 	for l := range n {
@@ -227,11 +205,7 @@ func (pr *crtPrime) powN(g *crtGroup) {
 	}
 	pr.m2.expMontVec(g.a[:n], g.b[:n], &pr.e2, g.s2[:n])
 	for l := range n {
-		if g.gm[l] == nil {
-			pr.m2.mulInto(g.a[l], g.a[l], One(), g.s2[l])
-		} else {
-			pr.m2.mulInto(g.a[l], g.a[l], g.gm[l], g.s2[l])
-		}
+		pr.m2.mulInto(g.a[l], g.a[l], g.gm[l], g.s2[l])
 	}
 }
 
@@ -272,18 +246,11 @@ func (c *CRT) Encrypt(m, x Nat) Nat {
 	return out[0]
 }
 
-// EncryptDraw is Encrypt under the nonce rng.RandCoprime(N()) would return —
-// the same draws, rejections and coprimality check — drawn into the pooled
-// scratch instead of the heap.
-func (c *CRT) EncryptDraw(m Nat, rng *RNG) Nat {
-	var out [1]Nat
-	c.EncryptDrawVec(out[:], []Nat{m}, []*RNG{rng})
-	return out[0]
-}
-
-// EncryptDrawVec sets out[i] = EncryptDraw(ms[i], rngs[i]) for every i: the
-// nonces drawn lane by lane, and each group of eight's exponentiations run as
-// one walk a stage. A ciphertext is written into the limbs out[i] already has
+// EncryptDrawVec sets out[i] = Encrypt(ms[i], r) for every i, r the nonce
+// rngs[i].RandCoprime(N()) would return — the same draws, rejections and
+// coprimality check — drawn lane by lane into the pooled scratch instead of
+// the heap, and each group of eight's exponentiations run as one walk a
+// stage. A ciphertext is written into the limbs out[i] already has
 // where they hold it, so a caller that hands in a dead batch's values
 // allocates nothing; out must not share limbs with ms.
 func (c *CRT) EncryptDrawVec(out, ms []Nat, rngs []*RNG) {

@@ -13,18 +13,11 @@ func checkCRT(t *testing.T, c *CRT, p, q, x Nat) {
 	n := new(big.Int).Mul(bp, bq)
 	n2 := new(big.Int).Mul(n, n)
 	want := new(big.Int).Exp(toBig(x), n, n2)
-	got := c.PowN(x)
-	if toBig(got).Cmp(want) != 0 {
-		t.Fatalf("PowN(%s) with p=%s q=%s = %s, math/big says %s", x, p, q, got, want)
-	}
-	if len(got) != len(trim(got)) {
-		t.Fatalf("PowN(%s) with p=%s q=%s: untrimmed result", x, p, q)
-	}
 	// Encrypt: the whole ciphertext against the textbook expression, for the
-	// plaintexts at both ends of the range, one in the middle, and x itself
-	// unreduced (a plaintext never is; the arithmetic must not care) — and the
-	// same nonce through the n² window, the route of a party without the
-	// factorisation.
+	// plaintexts at both ends of the range — 0, whose ciphertext is the noise
+	// term xⁿ mod n² alone — one in the middle, and x itself unreduced (a
+	// plaintext never is; the arithmetic must not care) — and the same nonce
+	// through the n² window, the route of a party without the factorisation.
 	one := big.NewInt(1)
 	mn2 := NewMont(fromBig(n2))
 	sched := CompileExpAuto(c.N())
@@ -59,9 +52,10 @@ func checkCRT(t *testing.T, c *CRT, p, q, x Nat) {
 	}
 }
 
-// TestCRTMatchesWindow holds PowN equal to the n² window path — the
-// Montgomery context every non-holder uses — at the Paillier key shapes,
-// one-limb primes (a 128-bit key) included, over seeded nonces.
+// TestCRTMatchesWindow holds the factorised noise term — the encryption of 0,
+// xⁿ mod n² — equal to the n² window path, the Montgomery context every
+// non-holder uses, at the Paillier key shapes, one-limb primes (a 128-bit
+// key) included, over seeded nonces.
 func TestCRTMatchesWindow(t *testing.T) {
 	for _, bits := range []int{64, 128, 256, 512, 1024} {
 		r := NewRNG(uint64(0xC27 + bits))
@@ -78,8 +72,8 @@ func TestCRTMatchesWindow(t *testing.T) {
 			}
 			for i := 0; i < 20; i++ {
 				x := r.RandCoprime(n)
-				if got, want := c.PowN(x), m.Exp(x, n); Cmp(got, want) != 0 {
-					t.Fatalf("%d-bit key %d: PowN(%s) = %s, n² window says %s", bits, key, x, got, want)
+				if got, want := c.Encrypt(nil, x), m.Exp(x, n); Cmp(got, want) != 0 {
+					t.Fatalf("%d-bit key %d: Encrypt(0, %s) = %s, n² window says %s", bits, key, x, got, want)
 				}
 			}
 			checkCRT(t, c, p, q, r.RandCoprime(n))
@@ -92,6 +86,7 @@ func TestCRTMatchesWindow(t *testing.T) {
 // for the same generator state, leave the generator where RandCoprime leaves
 // it, and agree with each other — holder ≡ public — at every key shape, the
 // ones whose nonce draw rejects candidates (a top limb mostly empty) included.
+// Each call is a group of one lane; group_test.go runs the fuller groups.
 func TestEncryptDrawsTheRandCoprimeNonce(t *testing.T) {
 	forEachBody(t, func() {
 		for _, bits := range []int{32, 66, 128, 130, 256, 512, 1024} {
@@ -108,11 +103,12 @@ func TestEncryptDrawsTheRandCoprimeNonce(t *testing.T) {
 				ref := NewRNG(seed)
 				want := ModMul(AddWord(Mul(msg, n), 1), ModExp(ref.RandCoprime(n), n, m2.N()), m2.N())
 				own, pub := NewRNG(seed), NewRNG(seed)
-				if got := c.EncryptDraw(msg, own); Cmp(got, want) != 0 {
-					t.Fatalf("%d bits: EncryptDraw(%s) = %s, textbook under RandCoprime's nonce says %s", bits, msg, got, want)
+				got := make([]Nat, 1)
+				if c.EncryptDrawVec(got, []Nat{msg}, []*RNG{own}); Cmp(got[0], want) != 0 {
+					t.Fatalf("%d bits: EncryptDrawVec(%s) = %s, textbook under RandCoprime's nonce says %s", bits, msg, got[0], want)
 				}
-				if got := m2.EncryptNDraw(msg, n, sched, pub); Cmp(got, want) != 0 {
-					t.Fatalf("%d bits: EncryptNDraw(%s) = %s, textbook under RandCoprime's nonce says %s", bits, msg, got, want)
+				if m2.EncryptNDrawVec(got, []Nat{msg}, n, sched, []*RNG{pub}); Cmp(got[0], want) != 0 {
+					t.Fatalf("%d bits: EncryptNDrawVec(%s) = %s, textbook under RandCoprime's nonce says %s", bits, msg, got[0], want)
 				}
 				if next := ref.Uint64(); own.Uint64() != next || pub.Uint64() != next {
 					t.Fatalf("%d bits: a scratch draw left its generator somewhere RandCoprime does not", bits)
@@ -180,11 +176,11 @@ func TestCRTConcurrent(t *testing.T) {
 		go func(g int) {
 			bad := 0
 			for i := g; i < len(xs); i += 4 {
-				if Cmp(c.PowN(xs[i]), want[i]) != 0 {
+				if Cmp(c.Encrypt(nil, xs[i]), want[i]) != 0 {
 					bad++
 				}
 				// xs[i] doubles as the plaintext: 1 + x·n times the same xⁿ.
-				if Cmp(c.Encrypt(xs[i], xs[i]), m.ModMul(AddWord(Mul(xs[i], n), 1), want[i])) != 0 {
+				if Cmp(c.Encrypt(xs[i], xs[i]), m.ModMulInto(nil, AddWord(Mul(xs[i], n), 1), want[i])) != 0 {
 					bad++
 				}
 			}
@@ -193,12 +189,14 @@ func TestCRTConcurrent(t *testing.T) {
 	}
 	for g := 0; g < 4; g++ {
 		if bad := <-done; bad != 0 {
-			t.Errorf("%d concurrent PowN / Encrypt results differ from the window path", bad)
+			t.Errorf("%d concurrent Encrypt results differ from the window path", bad)
 		}
 	}
 }
 
-func BenchmarkPowN(b *testing.B) {
+// BenchmarkNoiseTerm prices xⁿ mod n², the encryption of 0, through the
+// factorisation against the n² window.
+func BenchmarkNoiseTerm(b *testing.B) {
 	for _, bits := range []int{128, 1024, 2048} {
 		r := NewRNG(uint64(bits))
 		p, q := r.RandPrime(bits/2), r.RandPrime(bits/2)
@@ -212,7 +210,7 @@ func BenchmarkPowN(b *testing.B) {
 		b.Run("crt/"+FromUint64(uint64(bits)).String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c.PowN(x)
+				c.Encrypt(nil, x)
 			}
 		})
 		b.Run("window/"+FromUint64(uint64(bits)).String(), func(b *testing.B) {

@@ -141,12 +141,12 @@ func checkCRTGroups(t *testing.T, r *RNG, bits int) {
 		walking(true, func() { c.EncryptDrawVec(cts, ms, group) })
 		walking(false, func() {
 			for i := range ms {
-				want[i] = c.EncryptDraw(ms[i], alone[i])
+				c.EncryptDrawVec(want[i:i+1], ms[i:i+1], alone[i:i+1]) // a group of one
 			}
 		})
 		for i := range ms {
 			if Cmp(cts[i], want[i]) != 0 || *group[i] != *alone[i] {
-				t.Fatalf("EncryptDrawVec, fill %d, lane %d: %s, EncryptDraw says %s (generators equal: %v)", fill, i, cts[i], want[i], *group[i] == *alone[i])
+				t.Fatalf("EncryptDrawVec, fill %d, lane %d: %s, a lane alone says %s (generators equal: %v)", fill, i, cts[i], want[i], *group[i] == *alone[i])
 			}
 		}
 		cts[0] = Add(cts[0], Mul(c.N(), c.N())) // reduced first
@@ -167,7 +167,7 @@ func checkCRTGroups(t *testing.T, r *RNG, bits int) {
 
 // checkEncryptNGroups holds EncryptNDrawVec — a party without the
 // factorisation, its lanes' rⁿ walking n's schedule over n² together — to
-// EncryptNDraw at every fill, over an n² of bits bits: the ciphertexts, the
+// each lane run as a group of one at every fill, over an n² of bits bits: the ciphertexts, the
 // generators after the nonce draws, and the limbs a dead value hands in, which
 // the ciphertext is written into. Plaintexts 0 and n−1 ride in lanes 0 and 1.
 func checkEncryptNGroups(t *testing.T, r *RNG, bits int) {
@@ -191,12 +191,12 @@ func checkEncryptNGroups(t *testing.T, r *RNG, bits int) {
 		walking(true, func() { m.EncryptNDrawVec(cts, ms, n, s, group) })
 		walking(false, func() {
 			for i := range ms {
-				want[i] = m.EncryptNDraw(ms[i], n, s, alone[i])
+				m.EncryptNDrawVec(want[i:i+1], ms[i:i+1], n, s, alone[i:i+1])
 			}
 		})
 		for i := range ms {
 			if Cmp(cts[i], want[i]) != 0 || *group[i] != *alone[i] {
-				t.Fatalf("EncryptNDrawVec, fill %d, lane %d: %s, EncryptNDraw says %s (generators equal: %v)", fill, i, cts[i], want[i], *group[i] == *alone[i])
+				t.Fatalf("EncryptNDrawVec, fill %d, lane %d: %s, a lane alone says %s (generators equal: %v)", fill, i, cts[i], want[i], *group[i] == *alone[i])
 			}
 		}
 		if &cts[fill-1][:1][0] != &dead[0] {

@@ -63,17 +63,11 @@ func (m *Mont) Limbs() int { return (m.n.BitLen() + 31) / 32 }
 // words (ghe.ParMont); it is the low half of the host kernel's 64-bit n'.
 func (m *Mont) N0Inv32() uint32 { return uint32(m.n0inv) }
 
-// RR returns R² mod n.
-func (m *Mont) RR() Nat { return m.rr }
-
 // ToMont converts x (< n) into Montgomery form: x·R mod n.
 func (m *Mont) ToMont(x Nat) Nat { return m.Mul(x, m.rr) }
 
 // FromMont converts out of Montgomery form: x·R⁻¹ mod n.
 func (m *Mont) FromMont(x Nat) Nat { return m.Mul(x, One()) }
-
-// MontOne returns the Montgomery form of 1 (R mod n).
-func (m *Mont) MontOne() Nat { return m.one.Clone() }
 
 // mulScratch holds the working buffers of a multiply chain (an
 // exponentiation, a multi-exponentiation lane): the CIOS accumulator, staging for
@@ -147,15 +141,12 @@ func (m *Mont) Mul(a, b Nat) Nat {
 	return z
 }
 
-// ModMul returns a·b mod n for a, b < n in two Montgomery multiplies,
+// ModMulInto returns a·b mod n for a, b < n in two Montgomery multiplies,
 // (a·R)·b·R⁻¹ — only one operand has to be in Montgomery form for the product
-// to come out of it. The intermediate lives in the pooled scratch: the call
-// allocates its result and nothing else.
-func (m *Mont) ModMul(a, b Nat) Nat { return m.ModMulInto(nil, a, b) }
-
-// ModMulInto is ModMul writing the product into dst's limbs where they hold
-// k of them — no allocation at all then — and into fresh ones where they do
-// not. dst is clobbered; it may not share limbs with a or b.
+// to come out of it — writing the product into dst's limbs where they hold k
+// of them (no allocation at all then) and into fresh ones where they do not.
+// The intermediate lives in the pooled scratch. dst is clobbered; it may not
+// share limbs with a or b.
 func (m *Mont) ModMulInto(dst, a, b Nat) Nat {
 	sc := m.getScratch()
 	sc.grow(m.k)
@@ -410,25 +401,6 @@ func (s *ExpSchedule) compile(e Nat, w uint, ops []int16) {
 // CompileExpAuto recodes e at the window width Exp itself would pick.
 func CompileExpAuto(e Nat) *ExpSchedule { return CompileExp(e, expWindowBits(e.BitLen())) }
 
-// WindowBits returns the schedule's effective window width (clamped to the
-// exponent bit length).
-func (s *ExpSchedule) WindowBits() uint { return s.w }
-
-// ExpBits returns the bit length of the compiled exponent.
-func (s *ExpSchedule) ExpBits() int { return s.bits }
-
-// TableSize returns how many odd-power table entries one execution needs —
-// zero for the trivial exponents 0 and 1, which build no table.
-func (s *ExpSchedule) TableSize() int {
-	if s.isZero || s.isOne {
-		return 0
-	}
-	return s.maxIdx + 1
-}
-
-// Ops returns the length of the square/multiply sequence.
-func (s *ExpSchedule) Ops() int { return len(s.ops) }
-
 // Exp returns base^e mod n using left-to-right sliding-window exponentiation
 // over Montgomery multiplication — the paper's "extension of the sliding
 // window exponential method", reducing the multiply count from e to
@@ -528,18 +500,10 @@ func (m *Mont) EncryptN(msg, x, n Nat, s *ExpSchedule) Nat {
 	return m.timesG(nil, trim(msg), m.expMont(m.reduce(x, sc), s, sc), trim(n), sc)
 }
 
-// EncryptNDraw is EncryptN under the nonce rng.RandCoprime(n) would return —
-// the same draws, rejections and coprimality check — drawn into the pooled
-// scratch instead of the heap.
-func (m *Mont) EncryptNDraw(msg, n Nat, s *ExpSchedule, rng *RNG) Nat {
-	var out [1]Nat
-	m.EncryptNDrawVec(out[:], []Nat{msg}, n, s, []*RNG{rng})
-	return out[0]
-}
-
-// EncryptNDrawVec sets out[i] = EncryptNDraw(ms[i], n, s, rngs[i]) for every
-// i: the nonces drawn lane by lane into each lane's scratch, and each group of
-// eight's rⁿ run as one walk of s (expMontVec). A ciphertext is written into
+// EncryptNDrawVec sets out[i] = EncryptN(ms[i], r, n, s) for every i, r the
+// nonce rngs[i].RandCoprime(n) would return — the same draws, rejections and
+// coprimality check — drawn lane by lane into each lane's scratch instead of
+// the heap, and each group of eight's rⁿ run as one walk of s (expMontVec). A ciphertext is written into
 // the limbs out[i] already has where they hold it, as CRT.EncryptDrawVec
 // does; out must not share limbs with ms.
 func (m *Mont) EncryptNDrawVec(out, ms []Nat, n Nat, s *ExpSchedule, rngs []*RNG) {

@@ -52,8 +52,8 @@ func TestMontRoundTrip(t *testing.T) {
 
 func TestMontOne(t *testing.T) {
 	m := NewMont(FromUint64(1000003))
-	if got := m.FromMont(m.MontOne()); !got.IsOne() {
-		t.Fatalf("FromMont(MontOne) = %s", got)
+	if got := m.FromMont(m.one); !got.IsOne() {
+		t.Fatalf("FromMont of the Montgomery one = %s", got)
 	}
 }
 
@@ -214,14 +214,14 @@ func benchModExp(b *testing.B, bits int) {
 func TestCompileExpTrivial(t *testing.T) {
 	for _, e := range []Nat{Zero(), One()} {
 		s := CompileExp(e, 8)
-		if s.TableSize() != 0 || s.Ops() != 0 {
-			t.Errorf("CompileExp(%s): table=%d ops=%d, want empty schedule", e, s.TableSize(), s.Ops())
+		if !(s.isZero || s.isOne) || len(s.ops) != 0 {
+			t.Errorf("CompileExp(%s): trivial %v, ops=%d, want empty schedule", e, s.isZero || s.isOne, len(s.ops))
 		}
 	}
-	if s := CompileExp(FromUint64(3), 12); s.WindowBits() != 2 {
-		t.Errorf("2-bit exponent at width 12 should clamp to 2, got %d", s.WindowBits())
+	if s := CompileExp(FromUint64(3), 12); s.w != 2 {
+		t.Errorf("2-bit exponent at width 12 should clamp to 2, got %d", s.w)
 	}
-	if s := CompileExpAuto(FromUint64(1)); s.TableSize() != 0 {
+	if s := CompileExpAuto(FromUint64(1)); !s.isOne {
 		t.Errorf("auto-compiled exponent 1 should build no table")
 	}
 }

@@ -135,6 +135,3 @@ func karatsubaInto(z, x, y, scratch []Word) {
 	mid = trim(mid)
 	addInto(z[h:], z[h:], mid)
 }
-
-// Sqr returns x².
-func Sqr(x Nat) Nat { return Mul(x, x) }

@@ -385,21 +385,6 @@ func SetBytes(z Nat, b []byte) Nat {
 	return trim(z)
 }
 
-// FillBytes writes x into buf as a fixed-width big-endian value, zero-padded
-// on the left. It panics if x does not fit.
-func (x Nat) FillBytes(buf []byte) []byte {
-	n := (x.BitLen() + 7) / 8
-	if n > len(buf) {
-		panic("mpint: FillBytes buffer too small")
-	}
-	pad := len(buf) - n
-	for i := range buf[:pad] {
-		buf[i] = 0
-	}
-	x.AppendBytes(buf[pad:pad])
-	return buf
-}
-
 // Reuse returns n zero limbs: z's own when its capacity holds n, fresh ones
 // otherwise. It is how the owner of a dead value writes the next value into
 // its limbs instead of dropping them for the collector.

@@ -54,21 +54,6 @@ func TestBytesRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFillBytes(t *testing.T) {
-	x := FromUint64(0xDEADBEEF)
-	buf := x.FillBytes(make([]byte, 8))
-	want := []byte{0, 0, 0, 0, 0xDE, 0xAD, 0xBE, 0xEF}
-	if !bytes.Equal(buf, want) {
-		t.Fatalf("FillBytes = %x, want %x", buf, want)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("FillBytes should panic when the value does not fit")
-		}
-	}()
-	x.FillBytes(make([]byte, 3))
-}
-
 func TestDecimalRoundTrip(t *testing.T) {
 	r := NewRNG(2)
 	for i := 0; i < 200; i++ {

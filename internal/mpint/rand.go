@@ -1,15 +1,9 @@
 package mpint
 
-import (
-	"crypto/rand"
-	"encoding/binary"
-)
-
 // RNG produces random multi-precision integers. It is the host-side analogue
 // of the per-thread generators the paper assigns to each warp: a small-state
 // xoshiro256** generator seeded via splitmix64, deterministic for
-// reproducible experiments. NewCryptoRNG seeds from crypto/rand for real key
-// generation.
+// reproducible experiments.
 type RNG struct {
 	s [4]uint64
 }
@@ -26,17 +20,6 @@ func NewRNG(seed uint64) *RNG {
 		r.s[i] = z ^ (z >> 31)
 	}
 	return r
-}
-
-// NewCryptoRNG returns a generator seeded from the operating system's
-// entropy source. The stream itself is still xoshiro256**; use it for
-// demo/test key generation, not as a CSPRNG replacement for production HSMs.
-func NewCryptoRNG() *RNG {
-	var buf [8]byte
-	if _, err := rand.Read(buf[:]); err != nil {
-		panic("mpint: crypto/rand unavailable: " + err.Error())
-	}
-	return NewRNG(binary.LittleEndian.Uint64(buf[:]))
 }
 
 func rotl(x uint64, k uint) uint64 { return x<<k | x>>(64-k) }

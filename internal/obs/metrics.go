@@ -82,27 +82,6 @@ func (g *Registry) Counter(name string) int64 {
 	return g.counters[name]
 }
 
-// Gauge reads a gauge (0 when absent or g is nil).
-func (g *Registry) Gauge(name string) float64 {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.gauges[name]
-}
-
-// Reset clears every counter and gauge.
-func (g *Registry) Reset() {
-	if g == nil {
-		return
-	}
-	g.mu.Lock()
-	g.counters = make(map[string]int64)
-	g.gauges = make(map[string]float64)
-	g.mu.Unlock()
-}
-
 // WriteText dumps the registry as sorted "counter <name> <value>" /
 // "gauge <name> <value>" lines — the flbench/flserver metrics dump format.
 func (g *Registry) WriteText(w io.Writer) error {

@@ -39,12 +39,3 @@ func (o *Obs) Metrics() *Registry {
 	}
 	return o.reg
 }
-
-// Reset clears both the recorded spans and the registry.
-func (o *Obs) Reset() {
-	if o == nil {
-		return
-	}
-	o.rec.Reset()
-	o.reg.Reset()
-}

@@ -77,16 +77,6 @@ func (r *Recorder) Len() int {
 	return len(r.spans)
 }
 
-// Reset discards every recorded span.
-func (r *Recorder) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.spans = nil
-	r.mu.Unlock()
-}
-
 // Spans returns a copy of the recorded spans in canonical order: sorted by
 // (Start, Party, Lane, Phase, Dur). Producers on different goroutines may
 // append in any interleaving; the canonical order is what makes same-seed

@@ -19,7 +19,7 @@ import (
 // do not depend on the machine; seed 2 is simply a quick 2048-bit prime
 // search.
 func TestAllocCeilingsPerCiphertext(t *testing.T) {
-	sk, err := GenerateKey(mpint.NewRNG(2), 2048)
+	sk, err := CPUBackend{}.GenerateKey(mpint.NewRNG(2), 2048)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,6 @@ import (
 // No result shares limbs with an operand, so a caller may release a result
 // batch (ReleaseBatch) while its operands live on, and the other way round.
 type Backend interface {
-	// Name identifies the backend in experiment reports.
-	Name() string
 	// EncryptVec encrypts every plaintext under pk.
 	EncryptVec(pk *PublicKey, ms []mpint.Nat, seed uint64) ([]Ciphertext, error)
 	// DecryptVec decrypts every ciphertext under sk.
@@ -48,9 +46,6 @@ type Backend interface {
 // CPUBackend performs every HE operation serially on the host, as FATE's
 // Python/CPU implementation does.
 type CPUBackend struct{}
-
-// Name implements Backend.
-func (CPUBackend) Name() string { return "cpu-serial" }
 
 // GenerateKey implements Backend with the rounds on the host loop, one after
 // the other.
@@ -199,9 +194,6 @@ func MustGPUBackend(e ghe.VectorEngine) *GPUBackend {
 	}
 	return g
 }
-
-// Name implements Backend.
-func (g *GPUBackend) Name() string { return "gpu-he" }
 
 // kernel runs one op of n results in a frame of its own, with staging for the
 // op's results and its ciphertext operands, which run carves and fills (view)

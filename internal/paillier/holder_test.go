@@ -7,8 +7,9 @@ import (
 )
 
 // TestHolderHandleSameBits: at every key size the suite uses the owner's
-// handle produces what the shareable key produces — the rⁿ term itself against the n² window, a ciphertext under a
-// chosen nonce, a rerandomization under one RNG stream — and decrypts back.
+// handle produces what the shareable key produces — the rⁿ term itself (the
+// encryption of 0) against the n² window, a ciphertext under a chosen nonce —
+// and decrypts back.
 func TestHolderHandleSameBits(t *testing.T) {
 	keys := map[string]*PrivateKey{}
 	for _, bits := range []int{128, 256, 512, 1024} {
@@ -23,22 +24,18 @@ func TestHolderHandleSameBits(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			r, m := rng.RandCoprime(sk.N), rng.RandBelow(sk.N)
 			want := pk.MontN2().Exp(r, sk.N)
-			if got := own.nonceTerm(r); mpint.Cmp(got, want) != 0 {
-				t.Fatalf("%s: holder r^n = %s, n² window says %s", name, got, want)
+			if got, _ := own.EncryptWithNonce(nil, r); mpint.Cmp(got.C, want) != 0 {
+				t.Fatalf("%s: holder r^n = %s, n² window says %s", name, got.C, want)
 			}
-			if got := pk.nonceTerm(r); mpint.Cmp(got, want) != 0 {
-				t.Fatalf("%s: public r^n = %s, n² window says %s", name, got, want)
+			if got, _ := pk.EncryptWithNonce(nil, r); mpint.Cmp(got.C, want) != 0 {
+				t.Fatalf("%s: public r^n = %s, n² window says %s", name, got.C, want)
 			}
 			a, errA := pk.EncryptWithNonce(m, r)
 			b, errB := own.EncryptWithNonce(m, r)
 			if errA != nil || errB != nil || mpint.Cmp(a.C, b.C) != 0 {
 				t.Fatalf("%s: ciphertexts differ between handles (%v, %v)", name, errA, errB)
 			}
-			ra, rb := pk.Rerandomize(a, mpint.NewRNG(uint64(i))), own.Rerandomize(a, mpint.NewRNG(uint64(i)))
-			if mpint.Cmp(ra.C, rb.C) != 0 {
-				t.Fatalf("%s: rerandomizations differ between handles", name)
-			}
-			if got, err := sk.Decrypt(rb); err != nil || mpint.Cmp(got, m) != 0 {
+			if got, err := sk.Decrypt(b); err != nil || mpint.Cmp(got, m) != 0 {
 				t.Fatalf("%s: holder ciphertext decrypts to %s (%v), want %s", name, got, err, m)
 			}
 		}
@@ -77,7 +74,9 @@ func TestHolderHandleStaysPrivate(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := mpint.NewRNG(3).RandCoprime(sk.N)
-	if mpint.Cmp(sk2.Holder().nonceTerm(r), sk.PublicKey.nonceTerm(r)) != 0 {
+	reloaded, _ := sk2.Holder().EncryptWithNonce(nil, r)
+	public, _ := sk.PublicKey.EncryptWithNonce(nil, r)
+	if mpint.Cmp(reloaded.C, public.C) != 0 {
 		t.Fatal("a reloaded key's holder handle computes a different r^n")
 	}
 }

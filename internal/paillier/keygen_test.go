@@ -55,8 +55,8 @@ func executorBackend(tb testing.TB) *GPUBackend {
 // walk's rounds run on the host loop or a window a launch on the executor.
 func TestGenerateKeyDigests(t *testing.T) {
 	keygens := map[string]func(*mpint.RNG, int) (*PrivateKey, error){
-		"GenerateKey": GenerateKey,
-		"executor":    executorBackend(t).GenerateKey,
+		"host":     CPUBackend{}.GenerateKey,
+		"executor": executorBackend(t).GenerateKey,
 	}
 	for _, seed := range []uint64{1, 2, 7} {
 		for _, bits := range []int{128, 256, 1024, 2048} {
@@ -91,7 +91,7 @@ func lByExp(s, t mpint.Nat) mpint.Nat {
 func TestReducedConstantsClosedForm(t *testing.T) {
 	r := mpint.NewRNG(29)
 	for i := 0; i < 240; i++ {
-		sk, err := GenerateKey(r, 32+2*(i%48))
+		sk, err := CPUBackend{}.GenerateKey(r, 32+2*(i%48))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func BenchmarkGenerateKey(b *testing.B) {
 	keygens := []struct {
 		name   string
 		keygen func(*mpint.RNG, int) (*PrivateKey, error)
-	}{{"host", GenerateKey}, {"executor", executorBackend(b).GenerateKey}}
+	}{{"host", CPUBackend{}.GenerateKey}, {"executor", executorBackend(b).GenerateKey}}
 	for _, bits := range []int{1024, 2048} {
 		for _, seed := range []uint64{1, 2, 3, 4, 5, 6} {
 			for _, kg := range keygens {

@@ -133,7 +133,7 @@ func TestUnmarshalErrors(t *testing.T) {
 // survives marshal → unmarshal with the same components (the bytes themselves
 // need not: leading zeros in a value decode and re-encode without them).
 func FuzzUnmarshalKeys(f *testing.F) {
-	sk, err := GenerateKey(mpint.NewRNG(11), 64)
+	sk, err := CPUBackend{}.GenerateKey(mpint.NewRNG(11), 64)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -70,9 +70,9 @@ type PrivateKey struct {
 
 // Holder returns the public-key handle of the party that owns sk. It is the
 // same key as &sk.PublicKey — same ciphertext for the same plaintext and
-// nonce, byte for byte — but encryptions and rerandomizations under it go
-// through the factorisation (mpint.CRT.Encrypt and PowN, the holder's lane of
-// the ghe.VectorEngine.EncryptVec kernel). Pass it wherever the encrypting party is
+// nonce, byte for byte — but encryptions under it go through the
+// factorisation (mpint.CRT.Encrypt, the holder's lane of the
+// ghe.VectorEngine.EncryptVec kernel). Pass it wherever the encrypting party is
 // the key's owner (the Fig. 2 clients); never share it — it carries the
 // private key. &sk.PublicKey stays the one to hand to anybody else.
 func (sk *PrivateKey) Holder() *PublicKey { return sk.holder }
@@ -91,14 +91,6 @@ func (pk *PublicKey) CiphertextBytes() int { return (pk.N2.BitLen() + 7) / 8 }
 
 // MontN2 exposes the n² Montgomery context for the vectorized GPU backend.
 func (pk *PublicKey) MontN2() *mpint.Mont { return pk.montN2 }
-
-// GenerateKey creates a key pair with an n of exactly `bits` bits. rng
-// supplies the primes (use mpint.NewCryptoRNG for real deployments; seeded
-// RNGs keep experiments reproducible). It is the host loop's walk,
-// CPUBackend.GenerateKey; GPUBackend.GenerateKey draws the same key.
-func GenerateKey(rng *mpint.RNG, bits int) (*PrivateKey, error) {
-	return generateKey(mpint.HostSearch, rng, bits)
-}
 
 // generateKey draws prime pairs from rng with search until one makes a key
 // whose n has exactly bits bits. A pair whose product is short is passed over
@@ -181,27 +173,6 @@ func NewKeyFromPrimes(p, q mpint.Nat) (*PrivateKey, error) {
 // lFactor is L_s(g^(s−1) mod s²) for the factor s of n = s·t: (s−1)·t mod s.
 func lFactor(s, t mpint.Nat) mpint.Nat { return mpint.ModMul(mpint.SubWord(s, 1), t, s) }
 
-// nonceTerm returns rⁿ mod n², the noise term of a rerandomization under
-// nonce r. Like EncryptWithNonce it asks who is encrypting: a handle that
-// carries the factorisation (PrivateKey.Holder) takes the half-width route
-// through p² and q², any other key the n² window. Both produce the same
-// element of Z*ₙ², so nothing downstream can tell them apart.
-func (pk *PublicKey) nonceTerm(r mpint.Nat) mpint.Nat {
-	if pk.own != nil {
-		return pk.own.PowN(r)
-	}
-	return pk.montN2.ExpSched(r, pk.nSched)
-}
-
-// GPowM computes gᵐ mod n² as 1 + m·n, which is what (n+1)ᵐ is mod n².
-func (pk *PublicKey) GPowM(m mpint.Nat) mpint.Nat {
-	if mpint.Cmp(m, pk.N) < 0 {
-		// A plaintext: 1 + m·n ≤ 1 + (n−1)·n < n², nothing to reduce.
-		return mpint.AddWord(mpint.Mul(m, pk.N), 1)
-	}
-	return mpint.ModAdd(mpint.One(), mpint.Mod(mpint.Mul(m, pk.N), pk.N2), pk.N2)
-}
-
 // Encrypt encrypts a plaintext m < n with fresh randomness from rng:
 // E(m) = gᵐ·rⁿ mod n² (Eq. 3).
 func (pk *PublicKey) Encrypt(m mpint.Nat, rng *mpint.RNG) (Ciphertext, error) {
@@ -248,18 +219,7 @@ func (pk *PublicKey) Add(a, b Ciphertext) Ciphertext {
 	return Ciphertext{C: mpint.ModMul(a.C, b.C, pk.N2)}
 }
 
-// AddPlain computes E(m + k) from E(m) and a plaintext k: E(m)·gᵏ mod n².
-func (pk *PublicKey) AddPlain(c Ciphertext, k mpint.Nat) Ciphertext {
-	return Ciphertext{C: mpint.ModMul(c.C, pk.GPowM(k), pk.N2)}
-}
-
 // MulPlain computes E(k·m) from E(m) and a plaintext scalar k: E(m)ᵏ mod n².
 func (pk *PublicKey) MulPlain(c Ciphertext, k mpint.Nat) Ciphertext {
 	return Ciphertext{C: pk.montN2.Exp(c.C, k)}
-}
-
-// Rerandomize multiplies by a fresh encryption of zero, unlinking the
-// ciphertext from its origin without changing the plaintext.
-func (pk *PublicKey) Rerandomize(c Ciphertext, rng *mpint.RNG) Ciphertext {
-	return Ciphertext{C: mpint.ModMul(c.C, pk.nonceTerm(rng.RandCoprime(pk.N)), pk.N2)}
 }

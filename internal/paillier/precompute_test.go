@@ -21,7 +21,7 @@ func keyOfSize(t testing.TB, bits int) *PrivateKey {
 	if sk, ok := keyCache.Load(bits); ok {
 		return sk.(*PrivateKey)
 	}
-	sk, err := GenerateKey(mpint.NewRNG(uint64(bits)), bits)
+	sk, err := CPUBackend{}.GenerateKey(mpint.NewRNG(uint64(bits)), bits)
 	if err != nil {
 		t.Fatal(err)
 	}

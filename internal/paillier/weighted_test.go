@@ -81,7 +81,7 @@ func histSums(r *mpint.RNG, samples, bins int) [][]mpint.Term {
 // serial loop and the old MulPlainVec + AddVec tree on either backend produce
 // the same ciphertexts, which open to Σ w·m mod n.
 func TestWeightedSumVecBackendsAgree(t *testing.T) {
-	sk, err := GenerateKey(mpint.NewRNG(31), 512)
+	sk, err := CPUBackend{}.GenerateKey(mpint.NewRNG(31), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestWeightedSumVecBackendsAgree(t *testing.T) {
 // weights). The bases are random residues mod n², which time like ciphertexts.
 func BenchmarkWeightedSums(b *testing.B) {
 	for _, bits := range []int{1024, 2048} {
-		sk, err := GenerateKey(mpint.NewRNG(2), bits)
+		sk, err := CPUBackend{}.GenerateKey(mpint.NewRNG(2), bits)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -78,14 +78,8 @@ func (q *Quantizer) Alpha() float64 { return q.alpha }
 // RBits returns r, the data bits per value.
 func (q *Quantizer) RBits() uint { return q.rBits }
 
-// BBits returns b, the overflow-guard bits per value.
-func (q *Quantizer) BBits() uint { return q.bBits }
-
 // SlotBits returns r+b, the total width of one packed slot (Eq. 8).
 func (q *Quantizer) SlotBits() uint { return q.rBits + q.bBits }
-
-// Participants returns p.
-func (q *Quantizer) Participants() int { return q.participants }
 
 // Step returns the quantization step 2α/(2^r − 1); the worst-case error of
 // one value is Step()/2.

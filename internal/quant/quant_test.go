@@ -30,8 +30,8 @@ func TestOverflowBits(t *testing.T) {
 	}{{1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {64, 6}, {65, 7}, {1024, 10}}
 	for _, c := range cases {
 		q := MustNew(1, 20, c.p)
-		if q.BBits() != c.want {
-			t.Errorf("BBits(p=%d) = %d, want %d", c.p, q.BBits(), c.want)
+		if q.bBits != c.want {
+			t.Errorf("guard bits (p=%d) = %d, want %d", c.p, q.bBits, c.want)
 		}
 		if q.SlotBits() != 20+c.want {
 			t.Errorf("SlotBits(p=%d) = %d", c.p, q.SlotBits())
