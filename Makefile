@@ -70,9 +70,10 @@ reach:
 # scratch and paillier's keys are pooled across the executor's workers (about
 # 21 s and 5 s of this target on the two-core reference box), and the vertical
 # models' batches recycle through paillier's pool from one launch to the next.
+# Every round goroutine writes obs's span recorder and metrics registry.
 # All of it must stay clean under -race and finish with time to spare.
 race:
-	$(GO) test -race -timeout 300s ./internal/flnet/... ./internal/fl/... ./internal/gpu/... ./internal/ghe/... ./internal/core/... ./internal/mpint/... ./internal/paillier/... ./internal/models/... ./cmd/flserver/...
+	$(GO) test -race -timeout 300s ./internal/obs/... ./internal/flnet/... ./internal/fl/... ./internal/gpu/... ./internal/ghe/... ./internal/core/... ./internal/mpint/... ./internal/paillier/... ./internal/models/... ./cmd/flserver/...
 
 # Short fuzz passes over every fuzz target the module has, 10 s each: for each
 # package `go list ./...` reports, every name `go test -list '^Fuzz'` prints,

@@ -43,8 +43,7 @@ type Config struct {
 	NNHidden int
 	// Observe attaches one observability bundle (sim-time span recorder +
 	// metrics registry, seeded from Seed) to every context the runner builds,
-	// so experiments emit traces and metrics reconcilable against their
-	// CostSnapshots.
+	// so experiments emit traces and publish metrics.
 	Observe bool
 }
 
@@ -106,7 +105,7 @@ type Runner struct {
 	ctxs map[ctxKey]*fl.Context
 
 	obs     *obs.Obs      // shared observability bundle (nil unless cfg.Observe)
-	obsCtxs []*fl.Context // every context attached to obs, for reconciliation
+	obsCtxs []*fl.Context // every context attached to obs, for PublishMetrics
 }
 
 type ctxKey struct {
@@ -135,7 +134,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 func (r *Runner) Obs() *obs.Obs { return r.obs }
 
 // attachObs wires a context into the shared bundle under a unique label and
-// registers it for reconciliation. No-op when observation is off.
+// registers it for PublishMetrics. No-op when observation is off.
 func (r *Runner) attachObs(ctx *fl.Context, label string) {
 	if r.obs == nil {
 		return
@@ -144,17 +143,12 @@ func (r *Runner) attachObs(ctx *fl.Context, label string) {
 	r.obsCtxs = append(r.obsCtxs, ctx)
 }
 
-// ReconcileObs publishes every attached context's layer metrics and asserts
-// the mirrored cost counters equal each context's CostSnapshot — the
-// invariant checked after every experiment. Nil when observation is off.
-func (r *Runner) ReconcileObs() error {
+// PublishMetrics writes every attached context's current statistics into the
+// shared registry. No-op when observation is off.
+func (r *Runner) PublishMetrics() {
 	for _, ctx := range r.obsCtxs {
 		ctx.PublishMetrics()
-		if err := ctx.ReconcileObs(); err != nil {
-			return err
-		}
 	}
-	return nil
 }
 
 // dataset returns the (cached) scaled dataset by spec name.
@@ -171,13 +165,15 @@ func (r *Runner) dataset(spec datasets.Spec) (*datasets.Dataset, error) {
 }
 
 // context returns a (cached) HE context for a system at a key size, with
-// costs reset for the caller's experiment.
+// every counter it publishes — costs, device set, executor — reset for the
+// caller's experiment.
 func (r *Runner) context(sys fl.System, keyBits int) (*fl.Context, error) {
 	k := ctxKey{sys, keyBits}
 	if ctx, ok := r.ctxs[k]; ok {
 		ctx.Costs.Reset()
 		if ctx.DevSet != nil {
 			ctx.DevSet.ResetStats()
+			ctx.Checked.ResetStats()
 		}
 		return ctx, nil
 	}

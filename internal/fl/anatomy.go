@@ -65,8 +65,7 @@ func phaseDelta(before, after CostSnapshot) PhaseCost {
 // phase spent what, in deterministic sim-time. Phases appear in
 // frame-closing order, so a nested phase (combine inside decrypt) precedes
 // its parent and every row reports only its own cost — the rows sum to the
-// round's whole-run cost delta, the same reconciliation discipline
-// Context.ReconcileObs enforces for the metrics mirror.
+// round's whole-run cost delta.
 type RoundAnatomy struct {
 	Round  uint64      `json:"round"`
 	Phases []PhaseCost `json:"phases"`

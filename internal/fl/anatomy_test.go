@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"flbooster/internal/obs"
 )
 
 // anatomyTotal sums every phase row of a into one row named "total".
@@ -17,18 +19,17 @@ func anatomyTotal(a *RoundAnatomy) PhaseCost {
 
 // TestRoundAnatomyDeterministic pins the anatomy's contract: two same-seed
 // rounds report identical phase rows, and the rows sum to the round's
-// whole-run cost delta — the same reconciliation discipline ReconcileObs
-// enforces for the metrics mirror.
+// whole-run cost delta.
 func TestRoundAnatomyDeterministic(t *testing.T) {
 	const dim = 24
 	grads := testGrads(4, dim)
 	run := func() ([]PhaseCost, PhaseCost, PhaseCost) {
 		p := testProfile(SystemHAFLO)
-		p.Observe = true
 		ctx, err := NewContext(p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ctx.AttachObs(obs.New(p.Seed), "")
 		fed := NewFederation(ctx)
 		defer fed.Close()
 		before := ctx.Costs.Snapshot()
@@ -38,9 +39,6 @@ func TestRoundAnatomyDeterministic(t *testing.T) {
 		}
 		if rep.Anatomy == nil || len(rep.Anatomy.Phases) == 0 {
 			t.Fatalf("round report carries no anatomy: %+v", rep)
-		}
-		if err := ctx.ReconcileObs(); err != nil {
-			t.Fatal(err)
 		}
 		whole := phaseDelta(before, ctx.Costs.Snapshot())
 		return rep.Anatomy.Phases, anatomyTotal(rep.Anatomy), whole

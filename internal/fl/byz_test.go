@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"flbooster/internal/mpint"
+	"flbooster/internal/obs"
 )
 
 // byzProfile is a CPU profile of six parties with a boosted (scale-10)
@@ -308,11 +309,11 @@ func TestDefendedCrashRecoveryBitExact(t *testing.T) {
 func TestDefenseObservability(t *testing.T) {
 	p := byzProfile()
 	p.Defense = DefensePolicy{Groups: 3}
-	p.Observe = true
 	ctx, err := NewContext(p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx.AttachObs(obs.New(p.Seed), "")
 	fed := NewFederation(ctx)
 	defer fed.Close()
 	if _, _, err := fed.SecureAggregateReport(byzGrads(p.Parties, 3)); err != nil {

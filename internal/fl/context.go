@@ -38,8 +38,8 @@ type Context struct {
 	Link    flnet.Link
 	Costs   *Costs
 	// Obs is the observability bundle (span recorder + metrics registry)
-	// attached via AttachObs or Profile.Observe; nil means tracing/metrics
-	// are off and every instrumentation call is a no-op.
+	// attached via AttachObs; nil means tracing/metrics are off and every
+	// instrumentation call is a no-op.
 	Obs       *obs.Obs
 	obsPrefix string
 	seed      uint64
@@ -92,9 +92,6 @@ func NewContext(p Profile) (*Context, error) {
 	if ctx.Key, err = keygen(mpint.NewRNG(p.Seed), p.KeyBits); err != nil {
 		return nil, fmt.Errorf("fl: key generation: %w", err)
 	}
-	if p.Observe {
-		ctx.AttachObs(obs.New(p.Seed), string(p.System))
-	}
 	return ctx, nil
 }
 
@@ -104,10 +101,10 @@ func sanitizeLabel(label string) string {
 }
 
 // AttachObs wires the observability bundle into the context and its layers:
-// the cost accumulator mirrors counters into o's registry under
-// "fl.<label>", and the device (if any) records sim-time spans under the
-// party "<label>.gpu". A nil bundle detaches. Labels distinguish contexts
-// sharing one bundle; an empty label falls back to the profile's system.
+// PublishMetrics writes into o's registry under "<layer>.<label>", and the
+// device set (if any) records sim-time spans under the party "<label>.gpu".
+// A nil bundle detaches. Labels distinguish contexts sharing one bundle; an
+// empty label falls back to the profile's system.
 func (c *Context) AttachObs(o *obs.Obs, label string) {
 	if label == "" {
 		label = string(c.Profile.System)
@@ -115,97 +112,39 @@ func (c *Context) AttachObs(o *obs.Obs, label string) {
 	label = sanitizeLabel(label)
 	c.Obs = o
 	c.obsPrefix = label
-	c.Costs.Observe(o.Metrics(), "fl."+label)
 	if c.DevSet != nil {
 		c.DevSet.SetRecorder(o.Recorder(), label+".gpu")
 	}
 }
 
-// PublishMetrics pulls the current layer statistics — device, checked
-// engine — into the attached registry as absolute counters/gauges under
-// "gpu.<label>" and "ghe.<label>". No-op without an attached bundle.
+// PublishMetrics pulls the current statistics into the attached registry as
+// absolute counters and gauges: the cost snapshot under "fl.<label>" on every
+// profile, the device set and the checked engine under "gpu.<label>" and
+// "ghe.<label>" on a GPU profile. No-op without an attached bundle.
 func (c *Context) PublishMetrics() {
-	if c.Obs == nil || c.DevSet == nil {
+	if c.Obs == nil {
 		return
 	}
 	reg := c.Obs.Metrics()
+	c.Costs.Snapshot().publish(reg, "fl."+c.obsPrefix)
+	if c.DevSet == nil {
+		return
+	}
 	c.DevSet.PublishMetrics(reg, "gpu."+c.obsPrefix)
 	c.Checked.PublishMetrics(reg, "ghe."+c.obsPrefix)
 }
 
-// ReconcileObs asserts the metrics registry's mirrored cost counters equal
-// the CostSnapshot — the invariant that event-time metric publication and
-// the accumulator never drift. Call at a quiescent point (no round in
-// flight). Returns nil when unattached.
-func (c *Context) ReconcileObs() error {
-	if c.Obs == nil {
-		return nil
-	}
-	reg := c.Obs.Metrics()
-	s := c.Costs.Snapshot()
-	pre := "fl." + c.obsPrefix + "."
-	checks := []struct {
-		name string
-		want int64
-	}{
-		{"he_ops", s.HEOps},
-		{"instances", s.Instances},
-		{"he_sim_ns", int64(s.HESim)},
-		{"comm_msgs", s.CommMsgs},
-		{"comm_bytes", s.CommBytes},
-		{"comm_sim_ns", int64(s.CommSim)},
-		{"retry_msgs", s.RetryMsgs},
-		{"plainvals", s.Plainvals},
-		{"ciphertexts", s.Ciphertexts},
-		{"encode_sim_ns", int64(s.EncodeSim)},
-		{"encode_vals", s.EncodeVals},
-	}
-	for _, ck := range checks {
-		if got := reg.Counter(pre + ck.name); got != ck.want {
-			return fmt.Errorf("fl: metrics/cost drift: %s%s = %d, snapshot says %d", pre, ck.name, got, ck.want)
-		}
-	}
-	return c.reconcileDevSet(reg)
-}
-
-// reconcileDevSet asserts the published per-device metric rows sum to the
-// device set's aggregate row for every additive counter — the invariant that
-// sharded dispatch never loses or double-counts device work. Publishes first
-// so the rows reflect current stats; a no-op on CPU profiles.
-func (c *Context) reconcileDevSet(reg *obs.Registry) error {
-	if c.DevSet == nil {
-		return nil
-	}
-	c.PublishMetrics()
-	pre := "gpu." + c.obsPrefix
-	additive := []string{
-		"launches", "threads", "warps", "bytes_h2d", "bytes_d2h",
-		"sim_transfer_ns", "sim_compute_ns", "sim_fault_ns",
-		"launch_failures", "watchdog_trips",
-	}
-	for _, name := range additive {
-		var sum int64
-		for i := 0; i < c.DevSet.Size(); i++ {
-			sum += reg.Counter(fmt.Sprintf("%s.dev%d.%s", pre, i, name))
-		}
-		if agg := reg.Counter(pre + "." + name); agg != sum {
-			return fmt.Errorf("fl: device-set drift: %s.%s = %d, per-device rows sum to %d", pre, name, agg, sum)
-		}
-	}
-	return nil
-}
-
 // SimCost returns the context's sim cost clock: modelled HE, wire and encode
 // time accrued so far. Round phases are stamped on this clock, so spans from
-// the cost-model path line up with the device and pipeline spans.
+// the cost-model path line up with the device spans.
 func (c *Context) SimCost() time.Duration {
 	s := c.Costs.Snapshot()
 	return s.HESim + s.CommSim + s.EncodeSim
 }
 
 // metricAdd bumps one protocol counter under the context's "fl.<label>."
-// prefix; a no-op without an attached bundle. These counters sit outside
-// the cost-mirror set, so they survive Costs.Reset and are not reconciled.
+// prefix; a no-op without an attached bundle. Protocol counters have no
+// other owner, so they are pushed as they happen and survive Costs.Reset.
 func (c *Context) metricAdd(name string, delta int64) {
 	if c.Obs == nil || delta == 0 {
 		return
@@ -214,8 +153,7 @@ func (c *Context) metricAdd(name string, delta int64) {
 }
 
 // metricMax raises one high-water counter under the context's "fl.<label>."
-// prefix; a no-op without an attached bundle. Like metricAdd these sit
-// outside the reconciled cost-mirror set.
+// prefix; a no-op without an attached bundle, pushed like metricAdd's.
 func (c *Context) metricMax(name string, v int64) {
 	if c.Obs == nil {
 		return

@@ -65,41 +65,11 @@ const encodeSimPerValue = 35 * time.Nanosecond
 // encodeSim returns the modelled encode cost of n gradient values.
 func encodeSim(n int) time.Duration { return time.Duration(n) * encodeSimPerValue }
 
-// Costs is the concurrency-safe accumulator behind CostSnapshot. When
-// Observe attaches a metrics registry, every Add also mirrors its counter
-// deltas into the registry at event time, so the registry view and the
-// snapshot can be reconciled after a run (Context.ReconcileObs).
+// Costs is the concurrency-safe accumulator behind CostSnapshot.
+// Context.PublishMetrics reads its snapshot into the metrics registry.
 type Costs struct {
-	mu     sync.Mutex
-	s      CostSnapshot
-	reg    *obs.Registry
-	prefix string
-}
-
-// costMirrorNames are the registry counter names (relative to the prefix)
-// that mirror CostSnapshot; Reset zeroes exactly this set.
-var costMirrorNames = []string{
-	"he_ops", "instances", "he_sim_ns",
-	"comm_msgs", "comm_bytes", "comm_sim_ns", "retry_msgs",
-	"plainvals", "ciphertexts",
-	"encode_sim_ns", "encode_vals",
-}
-
-// Observe mirrors future cost deltas into reg as counters named
-// <prefix>.<name>. A nil registry detaches.
-func (c *Costs) Observe(reg *obs.Registry, prefix string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.reg = reg
-	c.prefix = prefix
-}
-
-// mirror adds one counter delta under the attached prefix; callers hold c.mu.
-func (c *Costs) mirror(name string, delta int64) {
-	if c.reg == nil || delta == 0 {
-		return
-	}
-	c.reg.Add(c.prefix+"."+name, delta)
+	mu sync.Mutex
+	s  CostSnapshot
 }
 
 // AddHE accounts one HE batch.
@@ -110,9 +80,6 @@ func (c *Costs) AddHE(wall, sim time.Duration, ops, instances int64) {
 	c.s.HESim += sim
 	c.s.HEOps += ops
 	c.s.Instances += instances
-	c.mirror("he_sim_ns", int64(sim))
-	c.mirror("he_ops", ops)
-	c.mirror("instances", instances)
 }
 
 // AddComm accounts one transfer.
@@ -122,9 +89,6 @@ func (c *Costs) AddComm(sim time.Duration, bytes int64) {
 	c.s.CommSim += sim
 	c.s.CommBytes += bytes
 	c.s.CommMsgs++
-	c.mirror("comm_sim_ns", int64(sim))
-	c.mirror("comm_bytes", bytes)
-	c.mirror("comm_msgs", 1)
 }
 
 // AddRetry accounts one retransmission attempt: the wasted bytes and wire
@@ -137,10 +101,6 @@ func (c *Costs) AddRetry(sim time.Duration, bytes int64) {
 	c.s.CommBytes += bytes
 	c.s.CommMsgs++
 	c.s.RetryMsgs++
-	c.mirror("comm_sim_ns", int64(sim))
-	c.mirror("comm_bytes", bytes)
-	c.mirror("comm_msgs", 1)
-	c.mirror("retry_msgs", 1)
 }
 
 // AddOther accounts model-computation time.
@@ -158,8 +118,6 @@ func (c *Costs) AddEncode(wall, sim time.Duration, vals int64) {
 	c.s.EncodeWall += wall
 	c.s.EncodeSim += sim
 	c.s.EncodeVals += vals
-	c.mirror("encode_sim_ns", int64(sim))
-	c.mirror("encode_vals", vals)
 }
 
 // AddCompression accounts a packing step: plainvals in, ciphertexts out.
@@ -168,8 +126,6 @@ func (c *Costs) AddCompression(plainvals, ciphertexts int64) {
 	defer c.mu.Unlock()
 	c.s.Plainvals += plainvals
 	c.s.Ciphertexts += ciphertexts
-	c.mirror("plainvals", plainvals)
-	c.mirror("ciphertexts", ciphertexts)
 }
 
 // Snapshot returns a copy safe to read.
@@ -179,17 +135,27 @@ func (c *Costs) Snapshot() CostSnapshot {
 	return c.s
 }
 
-// Reset zeroes every counter, including the mirrored registry counters so
-// the reconciliation invariant survives a reset.
+// Reset zeroes every counter.
 func (c *Costs) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.s = CostSnapshot{}
-	if c.reg != nil {
-		for _, name := range costMirrorNames {
-			c.reg.Set(c.prefix+"."+name, 0)
-		}
-	}
+}
+
+// publish writes the snapshot under prefix as absolute counters: every
+// field but the three host-clock walls.
+func (s CostSnapshot) publish(reg *obs.Registry, prefix string) {
+	reg.Set(prefix+".he_ops", s.HEOps)
+	reg.Set(prefix+".instances", s.Instances)
+	reg.Set(prefix+".he_sim_ns", int64(s.HESim))
+	reg.Set(prefix+".comm_msgs", s.CommMsgs)
+	reg.Set(prefix+".comm_bytes", s.CommBytes)
+	reg.Set(prefix+".comm_sim_ns", int64(s.CommSim))
+	reg.Set(prefix+".retry_msgs", s.RetryMsgs)
+	reg.Set(prefix+".plainvals", s.Plainvals)
+	reg.Set(prefix+".ciphertexts", s.Ciphertexts)
+	reg.Set(prefix+".encode_sim_ns", int64(s.EncodeSim))
+	reg.Set(prefix+".encode_vals", s.EncodeVals)
 }
 
 // TotalSim is the modelled end-to-end time: device-scale HE + wire time +

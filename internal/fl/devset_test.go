@@ -70,9 +70,7 @@ func TestShardedBitExactWithSequential(t *testing.T) {
 
 	for _, d := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("D=%d/plain", d), func(t *testing.T) {
-			p := devsetProfile(d)
-			p.Observe = true // exercise per-device metric reconciliation too
-			ctx, err := NewContext(p)
+			ctx, err := NewContext(devsetProfile(d))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,9 +80,6 @@ func TestShardedBitExactWithSequential(t *testing.T) {
 			checkRef(t, runEpoch(t, ctx))
 			if st := ctx.DevSet.Stats(); st.Shards == 0 || st.SimParallelTime <= 0 {
 				t.Fatalf("epoch ran without sharded dispatch: %+v", st)
-			}
-			if err := ctx.ReconcileObs(); err != nil {
-				t.Fatal(err)
 			}
 		})
 

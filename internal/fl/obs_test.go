@@ -8,6 +8,7 @@ import (
 
 	"flbooster/internal/ghe"
 	"flbooster/internal/gpu"
+	"flbooster/internal/obs"
 )
 
 // obsGrads builds a small deterministic workload for observability tests.
@@ -22,30 +23,45 @@ func obsGrads(parties, dim int) [][]float64 {
 	return grads
 }
 
-// TestObservedRoundReconciles: a profile with Observe runs a round, emits
-// phase spans, mirrors its cost counters into the registry, and reconciles
-// exactly against the CostSnapshot. A tampered counter must be caught.
-func TestObservedRoundReconciles(t *testing.T) {
-	p := NewProfile(SystemFATE, 128, 3)
-	p.Seed = 7
-	p.Observe = true
+// observedContext builds a context for p with a bundle of its own attached
+// under the profile's system label.
+func observedContext(t *testing.T, p Profile) *Context {
+	t.Helper()
 	ctx, err := NewContext(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ctx.Obs == nil || ctx.obsPrefix != "FATE" {
-		t.Fatalf("Observe profile did not attach a bundle (label %q)", ctx.obsPrefix)
+	ctx.AttachObs(obs.New(p.Seed), "")
+	return ctx
+}
+
+// costRows is the test's own reading of which "fl.<label>." counter holds
+// which CostSnapshot field.
+func costRows(s CostSnapshot) map[string]int64 {
+	return map[string]int64{
+		"he_ops": s.HEOps, "instances": s.Instances, "he_sim_ns": int64(s.HESim),
+		"comm_msgs": s.CommMsgs, "comm_bytes": s.CommBytes, "comm_sim_ns": int64(s.CommSim),
+		"retry_msgs": s.RetryMsgs, "plainvals": s.Plainvals, "ciphertexts": s.Ciphertexts,
+		"encode_sim_ns": int64(s.EncodeSim), "encode_vals": s.EncodeVals,
+	}
+}
+
+// TestObservedRoundReconciles: a round on a context with a bundle attached
+// emits its five phase spans, pushes its protocol and transport counters, and
+// after PublishMetrics the registry's cost counters read the CostSnapshot.
+func TestObservedRoundReconciles(t *testing.T) {
+	p := NewProfile(SystemFATE, 128, 3)
+	p.Seed = 7
+	ctx := observedContext(t, p)
+	if ctx.obsPrefix != "FATE" {
+		t.Fatalf("empty label did not fall back to the system (label %q)", ctx.obsPrefix)
 	}
 	fed := NewFederation(ctx)
 	defer fed.Close()
 	if _, err := fed.SecureAggregate(obsGrads(3, 8)); err != nil {
 		t.Fatal(err)
 	}
-
 	ctx.PublishMetrics()
-	if err := ctx.ReconcileObs(); err != nil {
-		t.Fatalf("metrics drifted from the cost snapshot: %v", err)
-	}
 
 	spans := ctx.Obs.Recorder().Spans()
 	if len(spans) == 0 {
@@ -68,45 +84,49 @@ func TestObservedRoundReconciles(t *testing.T) {
 	if reg.Counter("net.FATE.msgs") == 0 {
 		t.Fatal("transport meter was not published")
 	}
-
-	reg.Add("fl.FATE.he_ops", 1)
-	if err := ctx.ReconcileObs(); err == nil {
-		t.Fatal("tampered counter must fail reconciliation")
-	} else if !strings.Contains(err.Error(), "he_ops") {
-		t.Fatalf("drift error does not name the counter: %v", err)
+	if got, want := reg.Counter("fl.FATE.he_ops"), ctx.Costs.Snapshot().HEOps; got != want || got == 0 {
+		t.Fatalf("published he_ops = %d, snapshot says %d", got, want)
 	}
 }
 
-// TestCostsResetZeroesMirroredCounters: resetting the accumulator must also
-// zero the mirrored registry counters or the next run could never reconcile.
-func TestCostsResetZeroesMirroredCounters(t *testing.T) {
-	p := NewProfile(SystemFATE, 128, 2)
-	p.Seed = 11
-	p.Observe = true
-	ctx, err := NewContext(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed := NewFederation(ctx)
-	defer fed.Close()
-	if _, err := fed.SecureAggregate(obsGrads(2, 4)); err != nil {
-		t.Fatal(err)
-	}
-	reg := ctx.Obs.Metrics()
-	if reg.Counter("fl.FATE.he_ops") == 0 {
-		t.Fatal("round mirrored no HE ops")
-	}
-	ctx.Costs.Reset()
-	if got := reg.Counter("fl.FATE.he_ops"); got != 0 {
-		t.Fatalf("he_ops survived Costs.Reset: %d", got)
-	}
-	if err := ctx.ReconcileObs(); err != nil {
-		t.Fatalf("post-reset reconciliation failed: %v", err)
+// TestCostsResetZeroesPublishedCounters: on a CPU and a GPU profile, every
+// published "fl.<label>." cost counter equals its CostSnapshot field after
+// PublishMetrics, and reads 0 after Costs.Reset and a second publish.
+func TestCostsResetZeroesPublishedCounters(t *testing.T) {
+	for _, sys := range []System{SystemFATE, SystemFLBooster} {
+		t.Run(string(sys), func(t *testing.T) {
+			p := testProfile(sys)
+			p.Seed = 11
+			ctx := observedContext(t, p)
+			fed := NewFederation(ctx)
+			defer fed.Close()
+			if _, err := fed.SecureAggregate(obsGrads(p.Parties, 4)); err != nil {
+				t.Fatal(err)
+			}
+			reg := ctx.Obs.Metrics()
+			check := func(when string, want map[string]int64) {
+				t.Helper()
+				for name, v := range want {
+					if got := reg.Counter("fl." + ctx.obsPrefix + "." + name); got != v {
+						t.Errorf("%s: fl.%s.%s = %d, want %d", when, ctx.obsPrefix, name, got, v)
+					}
+				}
+			}
+			ctx.PublishMetrics()
+			rows := costRows(ctx.Costs.Snapshot())
+			if rows["he_ops"] == 0 || rows["comm_bytes"] == 0 {
+				t.Fatalf("the round charged no costs: %v", rows)
+			}
+			check("after the round", rows)
+			ctx.Costs.Reset()
+			ctx.PublishMetrics()
+			check("after Reset", costRows(CostSnapshot{}))
+		})
 	}
 }
 
-// TestUnobservedContextIsInert: without Observe, every observability entry
-// point is a cheap no-op and reconciliation trivially passes.
+// TestUnobservedContextIsInert: without a bundle, every observability entry
+// point is a cheap no-op.
 func TestUnobservedContextIsInert(t *testing.T) {
 	p := NewProfile(SystemFATE, 128, 2)
 	p.Seed = 3
@@ -115,7 +135,7 @@ func TestUnobservedContextIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ctx.Obs != nil {
-		t.Fatal("bundle attached without Observe")
+		t.Fatal("bundle attached by NewContext")
 	}
 	fed := NewFederation(ctx)
 	defer fed.Close()
@@ -123,26 +143,21 @@ func TestUnobservedContextIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx.PublishMetrics()
-	if err := ctx.ReconcileObs(); err != nil {
-		t.Fatalf("unobserved reconcile: %v", err)
-	}
 }
 
 // TestPublishedEngineMetricNames pins the "ghe.<label>.*" and "gpu.<label>.*"
 // name sets a GPU context publishes, at one device and at two: the aggregate
 // rows a single-device dashboard reads are there at every device count, the
 // host ledger exists only in aggregate, and every additive ".dev<i>" row sums
-// to its aggregate — for the device counters that is what ReconcileObs
-// checks, on every GPU profile.
+// to its aggregate.
 func TestPublishedEngineMetricNames(t *testing.T) {
-	gpuRow := []string{
+	gpuAdditive := []string{
 		"launches", "threads", "warps", "bytes_h2d", "bytes_d2h",
 		"sim_transfer_ns", "sim_compute_ns", "sim_fault_ns",
-		"stream_chunks", "stream_ops", "sim_stream_ns", "sim_stream_seq_ns",
 		"launch_failures", "watchdog_trips",
 		"fault_aborts", "fault_corruptions", "fault_stalls", "fault_ooms",
-		"avg_utilization", "health",
 	}
+	gpuRow := append([]string{"avg_utilization", "health"}, gpuAdditive...)
 	gpuSet := []string{
 		"devset_devices", "devset_ops", "devset_shards", "devset_steals", "devset_host_shards",
 		"devset_rebalance_ns", "devset_parallel_ns", "devset_sequential_ns", "devset_host_sim_ns",
@@ -156,7 +171,6 @@ func TestPublishedEngineMetricNames(t *testing.T) {
 	for _, d := range []int{1, 2} {
 		t.Run(fmt.Sprintf("D=%d", d), func(t *testing.T) {
 			p := devsetProfile(d)
-			p.Observe = true
 			// Transient aborts under full verification, so the rows that must
 			// sum are not all zero: at one launch an encryption a round is a
 			// dozen launches, and two in five aborting leaves none of them empty.
@@ -164,18 +178,13 @@ func TestPublishedEngineMetricNames(t *testing.T) {
 				Inject: gpu.FaultConfig{Seed: 5, AbortProb: 0.4},
 				Check:  ghe.CheckedConfig{MaxRetries: 8, VerifyFraction: 1},
 			}
-			ctx, err := NewContext(p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			ctx := observedContext(t, p)
 			fed := NewFederation(ctx)
 			defer fed.Close()
 			if _, err := fed.SecureAggregate(epochGrads(1, p.Parties, 64)[0]); err != nil {
 				t.Fatal(err)
 			}
-			if err := ctx.ReconcileObs(); err != nil {
-				t.Fatal(err)
-			}
+			ctx.PublishMetrics()
 
 			want := map[string]bool{}
 			for _, n := range append(gpuRow, gpuSet...) {
@@ -211,6 +220,15 @@ func TestPublishedEngineMetricNames(t *testing.T) {
 			}
 
 			reg := ctx.Obs.Metrics()
+			for _, n := range gpuAdditive {
+				var sum int64
+				for i := 0; i < d; i++ {
+					sum += reg.Counter(fmt.Sprintf("gpu.FLBooster.dev%d.%s", i, n))
+				}
+				if agg := reg.Counter("gpu.FLBooster." + n); agg != sum {
+					t.Errorf("gpu.FLBooster.%s = %d, per-device rows sum to %d", n, agg, sum)
+				}
+			}
 			for _, n := range gheShare {
 				var sum int64
 				for i := 0; i < d; i++ {
@@ -221,7 +239,8 @@ func TestPublishedEngineMetricNames(t *testing.T) {
 				}
 			}
 			if reg.Counter("ghe.FLBooster.ops") == 0 || reg.Counter("ghe.FLBooster.launch_faults") == 0 ||
-				reg.Counter("ghe.FLBooster.verify_samples") == 0 {
+				reg.Counter("ghe.FLBooster.verify_samples") == 0 ||
+				reg.Counter("gpu.FLBooster.launches") == 0 || reg.Counter("gpu.FLBooster.launch_failures") == 0 {
 				t.Error("the round left the engine rows empty")
 			}
 		})

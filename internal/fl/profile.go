@@ -90,11 +90,6 @@ type Profile struct {
 	// round — one admission wave, unbounded fan-out — byte-identical to the
 	// pre-cohort protocol.
 	Cohort CohortPolicy
-	// Observe attaches a sim-time span recorder and metrics registry to the
-	// context at construction (seeded from Seed), so rounds emit traces and
-	// the cost counters mirror into metrics. Off by default: the nil
-	// recorder/registry path is zero-cost.
-	Observe bool
 }
 
 // FaultPolicy is the device-side counterpart of RoundPolicy: what faults to

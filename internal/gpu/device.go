@@ -46,16 +46,6 @@ type Stats struct {
 	UtilizationSum   float64       // Σ occupancy per launch, for averaging
 	UtilizationCount int64
 
-	// Stream-pipeline observability: ops executed as chunked streams
-	// (Pipeline) report their measured critical path in SimStreamTime and
-	// the sequential cost of the same chunks in SimStreamSeqTime, so the
-	// overlap gain is (SimStreamSeqTime - SimStreamTime) of real schedule,
-	// not a closed-form estimate.
-	SimStreamTime    time.Duration
-	SimStreamSeqTime time.Duration
-	StreamChunks     int64
-	StreamOps        int64
-
 	// Fault/health observability (DESIGN.md §7). Per-kind counters record
 	// *observed* failures: silent corruptions appear only once detected and
 	// reported back via ReportFailure.
@@ -74,15 +64,6 @@ type Stats struct {
 // time lost to faults — degraded runs report their true cost.
 func (s Stats) SimTime() time.Duration {
 	return s.SimTransferTime + s.SimComputeTime + s.SimFaultTime
-}
-
-// SimTimeOverlapped is the modelled device time with stream overlap: ops
-// executed as chunked pipelines contribute their measured critical path
-// (SimStreamTime) in place of their sequential stage sum, while everything
-// that ran whole-batch keeps its sequential cost. It never exceeds
-// SimTime(), and equals it when nothing was streamed.
-func (s Stats) SimTimeOverlapped() time.Duration {
-	return s.SimTime() - s.SimStreamSeqTime + s.SimStreamTime
 }
 
 // AvgUtilization is the mean SM utilization across launches, in [0,1].
@@ -164,20 +145,6 @@ func (d *Device) SetDeviceLabel(id string) {
 	d.devID = id
 }
 
-// DeviceLabel returns the device's set label, empty for a standalone device.
-func (d *Device) DeviceLabel() string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.devID
-}
-
-// obsRecorder returns the attached recorder and party label.
-func (d *Device) obsRecorder() (*obs.Recorder, string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.rec, d.recParty
-}
-
 // recordLocked emits one span on the device's sim timeline. Callers hold
 // d.mu; zero-duration spans are skipped to keep traces readable.
 func (d *Device) recordLocked(phase, lane string, start, dur time.Duration) {
@@ -188,8 +155,8 @@ func (d *Device) recordLocked(phase, lane string, start, dur time.Duration) {
 }
 
 // PublishMetrics snapshots the device counters into a metrics registry
-// under the given prefix — launches, bytes, fault/watchdog events, stream
-// clocks, the DESIGN.md §9 pull-publishing contract.
+// under the given prefix — launches, bytes, sim clocks, fault/watchdog
+// events, the DESIGN.md §9 pull-publishing contract.
 func (d *Device) PublishMetrics(reg *obs.Registry, prefix string) {
 	publishDeviceStats(reg, prefix, d.Stats())
 }
@@ -205,10 +172,6 @@ func publishDeviceStats(reg *obs.Registry, prefix string, s Stats) {
 	reg.Set(prefix+".sim_transfer_ns", int64(s.SimTransferTime))
 	reg.Set(prefix+".sim_compute_ns", int64(s.SimComputeTime))
 	reg.Set(prefix+".sim_fault_ns", int64(s.SimFaultTime))
-	reg.Set(prefix+".stream_chunks", s.StreamChunks)
-	reg.Set(prefix+".stream_ops", s.StreamOps)
-	reg.Set(prefix+".sim_stream_ns", int64(s.SimStreamTime))
-	reg.Set(prefix+".sim_stream_seq_ns", int64(s.SimStreamSeqTime))
 	reg.Set(prefix+".launch_failures", s.LaunchFailures)
 	reg.Set(prefix+".watchdog_trips", s.WatchdogTrips)
 	reg.Set(prefix+".fault_aborts", s.FaultAborts)

@@ -9,11 +9,11 @@ import (
 )
 
 // Multi-device sharding (DESIGN.md §15): a DeviceSet is D simulated devices
-// — each with its own clock, fault injector, health machine, and stream
-// pair — behind a shard scheduler. Vector HE ops split into contiguous
-// shards, dispatch across the devices, and merge their per-device sim
-// clocks into one measured parallel span: the max over devices per wave,
-// never the sum, so a device idling while its peers finish is not charged.
+// — each with its own clock, fault injector, and health machine — behind a
+// shard scheduler. Vector HE ops split into contiguous shards, dispatch
+// across the devices, and merge their per-device sim clocks into one
+// measured parallel span: the max over devices per wave, never the sum, so a
+// device idling while its peers finish is not charged.
 // When the fault layer degrades or kills a device mid-batch, its unfinished
 // shards are re-queued onto the healthy devices (work stealing), subdivided
 // so the rework is itself parallel; the rework's launches and copies are
@@ -62,8 +62,7 @@ type SetStats struct {
 	// parallel span — the price of migration, included in SimParallelTime.
 	RebalanceSim time.Duration
 	// SimParallelTime is the measured parallel span: per wave, the maximum
-	// modelled-time delta across the participating devices (overlapped view,
-	// so device pipelines keep their stream credit).
+	// modelled-time delta across the participating devices.
 	SimParallelTime time.Duration
 	// SimSequentialTime is the same work priced sequentially — the sum of
 	// every device's delta. SimParallelTime / SimSequentialTime is the
@@ -215,8 +214,7 @@ type ShardOp struct {
 //
 // Accounting merges the per-device clocks into a measured parallel span:
 // each wave contributes the maximum modelled-time delta across its
-// participants (overlapped view, so per-device stream pipelines keep their
-// credit) to SimParallelTime and the sum of deltas to SimSequentialTime.
+// participants to SimParallelTime and the sum of deltas to SimSequentialTime.
 // Rework waves additionally accrue RebalanceSim; a stolen shard pays for
 // its migration through the H2D copy its rerun makes.
 //
@@ -266,7 +264,7 @@ func (s *DeviceSet) Run(op ShardOp) error {
 				sh, dev := rng.piece(parts, j), s.devs[s.elig[j]]
 				w := &s.wave[s.elig[j]]
 				if len(w.shards) == 0 {
-					w.base = dev.Stats().SimTimeOverlapped()
+					w.base = dev.Stats().SimTime()
 				}
 				w.shards = append(w.shards, sh)
 				s.stats.Shards++
@@ -299,7 +297,7 @@ func (s *DeviceSet) Run(op ShardOp) error {
 		var fatal error
 		for _, dev := range busy {
 			w := &s.wave[dev]
-			delta := max(s.devs[dev].Stats().SimTimeOverlapped()-w.base, 0)
+			delta := max(s.devs[dev].Stats().SimTime()-w.base, 0)
 			seq += delta
 			span = max(span, delta)
 			switch {
@@ -365,7 +363,7 @@ func (s *DeviceSet) runHostLocked(op ShardOp, pending []Shard, lastErr error) er
 // counters under prefix (sums over members, so the single-device dashboards
 // keep working), per-device rows under prefix+".dev<i>", and the scheduler
 // counters (devset_shards, devset_steals, devset_rebalance_ns, the merged
-// clocks) — the per-device observability ReconcileObs cross-checks.
+// clocks).
 func (s *DeviceSet) PublishMetrics(reg *obs.Registry, prefix string) {
 	agg := s.StatsSum()
 	publishDeviceStats(reg, prefix, agg)
@@ -403,10 +401,6 @@ func (s *DeviceSet) StatsSum() Stats {
 		agg.WallKernelTime += st.WallKernelTime
 		agg.UtilizationSum += st.UtilizationSum
 		agg.UtilizationCount += st.UtilizationCount
-		agg.SimStreamTime += st.SimStreamTime
-		agg.SimStreamSeqTime += st.SimStreamSeqTime
-		agg.StreamChunks += st.StreamChunks
-		agg.StreamOps += st.StreamOps
 		agg.LaunchFailures += st.LaunchFailures
 		agg.WatchdogTrips += st.WatchdogTrips
 		agg.FaultAborts += st.FaultAborts

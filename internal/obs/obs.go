@@ -6,11 +6,12 @@
 // when observability is disabled.
 //
 // Spans carry *simulated* time only (the device cost model, the link model,
-// the stream schedules), never host wall time, so two same-seed runs of a
-// GPU-profile experiment produce byte-identical trace exports. The metrics
-// registry doubles as the reconciliation substrate: the fl cost accumulator
-// mirrors every counter it aggregates, and fl.Context.ReconcileObs asserts
-// the mirror equals the CostSnapshot after a run (DESIGN.md §9).
+// the round's phase clock), never host wall time, so two same-seed runs of a
+// GPU-profile experiment produce byte-identical trace exports. Every counter
+// in the registry has one writer: a layer that keeps its own statistics
+// (device set, checked engine, transport meter, fl cost accumulator) is
+// pulled into it with Set when its owner publishes, and the round's protocol
+// counters, which nothing else keeps, are pushed as they happen (DESIGN.md §9).
 package obs
 
 // Obs bundles one run's span recorder and metrics registry.

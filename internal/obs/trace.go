@@ -11,16 +11,16 @@ import (
 )
 
 // Span is one interval on the simulated clock: a kernel launch, a PCIe copy,
-// a pipeline chunk stage, a round phase. Party maps to a trace process,
-// Lane to a thread within it, so Perfetto renders each party's stream lanes
-// stacked under one heading.
+// a fault charge, a round phase. Party maps to a trace process, Lane to a
+// thread within it, so Perfetto renders each party's lanes stacked under one
+// heading.
 type Span struct {
-	// Phase names what ran (kernel name, "round3.upload", "chunk7").
+	// Phase names what ran (kernel name, "h2d_copy", "round3.upload").
 	Phase string
 	// Party is the owning actor: a client or server name, a device label.
 	Party string
 	// Lane is the execution lane within the party: "gpu.kernel", "gpu.h2d",
-	// "pipe.compute", "fl.round", "fl.tree", ...
+	// "gpu.fault", "fl.round", "fl.tree", ...
 	Lane string
 	// Device identifies which member of a device set emitted the span
 	// ("dev0"…). Empty for a standalone device's spans and non-device spans.
