@@ -578,9 +578,9 @@ func tcpRound(t *testing.T, o opts, vals [][]float64, serve func(o opts, startCl
 
 // serverUp waits until the server process journaling to path has written its
 // n-th record. The server dials the hub before it journals its round-start,
-// so clients started after this are routed to that server and to no earlier
-// incarnation: the hub forgets a connection when it ends, and queues frames
-// for a name with no connection until its hello registers.
+// and DialHub returns once the hub has registered the name, so clients
+// started after this are routed to that server and to no earlier incarnation:
+// the hub refuses a hello read late from an earlier connection.
 func serverUp(path string, n int) error {
 	for deadline := time.Now().Add(30 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
 		if blob, err := os.ReadFile(path); err == nil && strings.Count(string(blob), "\n") >= n {

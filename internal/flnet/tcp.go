@@ -20,12 +20,14 @@ type TCPHub struct {
 	meter   *Meter
 	spoofed atomic.Int64 // frames dropped for claiming another party's name
 
-	mu      sync.Mutex
-	conns   map[string]net.Conn   // the registered connection of each name
-	open    map[net.Conn]struct{} // every connection not yet closed, said hello or not
-	pending map[string][][]byte   // frames for parties with no live connection
-	closed  bool
-	wg      sync.WaitGroup
+	mu       sync.Mutex
+	conns    map[string]net.Conn   // the registered connection of each name
+	open     map[net.Conn]struct{} // every connection not yet closed, said hello or not
+	pending  map[string][][]byte   // frames for parties with no live connection
+	accepted uint64                // connections accepted so far
+	newest   map[string]uint64     // the latest-accepted connection a name has registered
+	closed   bool
+	wg       sync.WaitGroup
 }
 
 // helloTimeout bounds how long a new connection may take to say its name. The
@@ -46,6 +48,7 @@ func NewTCPHub(addr string, link Link) (*TCPHub, error) {
 		conns:   make(map[string]net.Conn),
 		open:    make(map[net.Conn]struct{}),
 		pending: make(map[string][][]byte),
+		newest:  make(map[string]uint64),
 	}
 	h.wg.Add(1)
 	go h.acceptLoop()
@@ -76,17 +79,23 @@ func (h *TCPHub) acceptLoop() {
 			return
 		}
 		h.open[conn] = struct{}{}
+		h.accepted++
+		seq := h.accepted
 		h.wg.Add(1)
 		h.mu.Unlock()
-		go h.serve(conn)
+		go h.serve(conn, seq)
 	}
 }
 
 // serve reads the connection's hello — its first frame, the party name —
-// under helloTimeout, registers it under that name, delivers what was queued
-// for the name, and routes its frames until it ends. A second hello under a
-// registered name takes the name over.
-func (h *TCPHub) serve(conn net.Conn) {
+// under helloTimeout, registers it under that name, acknowledges it with an
+// empty frame, delivers what was queued for the name, and routes its frames
+// until it ends. A hello from a connection accepted after the name's holder
+// takes the name over; one from a connection accepted before it (a crashed
+// incarnation whose hello the hub reads only after its successor's) is
+// refused and the connection closed: hellos are read on goroutines of their
+// own, in no particular order, so the accept order decides.
+func (h *TCPHub) serve(conn net.Conn, seq uint64) {
 	defer h.wg.Done()
 	defer h.forget(conn)
 	conn.SetReadDeadline(time.Now().Add(helloTimeout))
@@ -97,11 +106,15 @@ func (h *TCPHub) serve(conn net.Conn) {
 	conn.SetReadDeadline(time.Time{})
 	name := string(hello)
 	h.mu.Lock()
-	if h.closed {
+	if h.closed || seq < h.newest[name] {
 		h.mu.Unlock()
 		return
 	}
-	h.conns[name] = conn
+	h.conns[name], h.newest[name] = conn, seq
+	// The ack goes out before the lock is released, so no routeLoop can write
+	// to the connection ahead of it: it is the first frame the party reads.
+	// Four bytes into a fresh connection's empty send buffer do not block.
+	writeFrame(conn, nil)
 	// Deliver anything queued while the party had no connection.
 	queued := h.pending[name]
 	delete(h.pending, name)
@@ -199,19 +212,38 @@ type TCPClient struct {
 	closed bool
 }
 
-// DialHub connects a named party to a hub.
+// DialHub connects a named party to a hub and returns once the hub has
+// registered the name, so every frame sent to the name from then on reaches
+// this connection.
 func DialHub(addr, party string) (*TCPClient, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("flnet: dial hub: %w", err)
 	}
-	if err := writeFrame(conn, []byte(party)); err != nil {
+	if err := hello(conn, party); err != nil {
 		conn.Close()
-		return nil, fmt.Errorf("flnet: hello: %w", err)
+		return nil, err
 	}
 	c := &TCPClient{name: party, conn: conn, frames: make(chan []byte), done: make(chan struct{})}
 	go c.readLoop()
 	return c, nil
+}
+
+// hello says the party's name and waits, up to helloTimeout, for the hub's
+// empty acknowledgement frame.
+func hello(conn net.Conn, party string) error {
+	if err := writeFrame(conn, []byte(party)); err != nil {
+		return fmt.Errorf("flnet: hello: %w", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(helloTimeout))
+	ack, err := readFrame(conn)
+	if err != nil {
+		return fmt.Errorf("flnet: hello not acknowledged: %w", err)
+	}
+	if len(ack) != 0 {
+		return fmt.Errorf("flnet: hello acknowledged with a %d-byte frame", len(ack))
+	}
+	return conn.SetReadDeadline(time.Time{})
 }
 
 func (c *TCPClient) readLoop() {

@@ -56,7 +56,8 @@ func TestTCPClientPeerDisconnectMidFrame(t *testing.T) {
 		if err != nil {
 			return
 		}
-		readFrame(conn) // consume the hello
+		readFrame(conn)       // consume the hello
+		writeFrame(conn, nil) // and acknowledge it
 		var hdr [4]byte
 		binary.LittleEndian.PutUint32(hdr[:], 100)
 		conn.Write(hdr[:])
@@ -268,7 +269,8 @@ func TestRecvTimeoutMidFrameKeepsTheStream(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		readFrame(conn) // consume the hello
+		readFrame(conn)       // consume the hello
+		writeFrame(conn, nil) // and acknowledge it
 		body := encodeMessage(want)
 		var hdr [4]byte
 		binary.LittleEndian.PutUint32(hdr[:], uint32(len(body)))
@@ -552,5 +554,57 @@ func TestHubSecondHelloKeepsTheName(t *testing.T) {
 	}
 	if got, err := fresh.RecvTimeout("client0", 5*time.Second); err != nil || string(got.Payload) != "x" {
 		t.Fatalf("the re-dialled connection lost its name when the old one ended: %+v, %v", got, err)
+	}
+}
+
+// TestHubRefusesAStaleHello is the crash-and-resume schedule of the TCP
+// failpoint sweep under load: a server's connection is accepted, the process
+// dies, its successor dials and registers, and only then does the hub read
+// the first connection's hello. Were that hello to take the name, its end
+// would drop the name, and the uploads would queue for a server that never
+// says hello again. DialHub returns with the name registered, and the hub
+// refuses a hello from a connection accepted before the name's holder.
+func TestHubRefusesAStaleHello(t *testing.T) {
+	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	crashed, err := net.Dial("tcp", hub.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer crashed.Close()
+	resumed, err := DialHub(hub.Addr(), "server")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	hub.mu.Lock()
+	holder := hub.conns["server"]
+	hub.mu.Unlock()
+	if holder == nil || holder.RemoteAddr().String() != resumed.conn.LocalAddr().String() {
+		t.Fatal("DialHub returned before the hub registered its connection")
+	}
+
+	if err := writeFrame(crashed, []byte("server")); err != nil {
+		t.Fatal(err)
+	}
+	crashed.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if frame, err := readFrame(crashed); err == nil {
+		t.Fatalf("the hub answered a stale hello with a %d-byte frame", len(frame))
+	}
+	crashed.Close()
+
+	client, err := DialHub(hub.Addr(), "client0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.Send(Message{From: "client0", To: "server", Kind: "grads", Round: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := resumed.RecvTimeout("server", 5*time.Second); err != nil || got.From != "client0" {
+		t.Fatalf("the registered server lost its name to a stale hello: %+v, %v", got, err)
 	}
 }

@@ -44,13 +44,15 @@ func benchExpWindow(b *testing.B, w uint) {
 	}
 }
 
-// BenchmarkExpKernels is the measurement ifmaMinLimbs and groupMinLanes rest
-// on: one whole exponentiation (chain, and the way into and out of whichever
-// representation it runs in) under every body this host has, at the exponent
-// shapes the HE stack uses — half-width (a CRT leg), full-width (encryption
-// under a bare public key) and 30 bits (a ciphertext-scalar product) — and,
-// where the host has IFMA, a full lane group of eight such chains on amm52x8
-// (ExpSchedVec: the transposition in and out of the group is timed with it).
+// BenchmarkExpKernels is the measurement regMaxLimbs, ifmaMinLimbs and
+// groupMinLanes rest on: one whole exponentiation (chain, and the way into and
+// out of whichever representation it runs in) under every body this host has,
+// at the exponent shapes the HE stack uses — half-width (a CRT leg),
+// full-width (encryption under a bare public key) and 30 bits (a
+// ciphertext-scalar product) — and, where the host has IFMA, a full lane group
+// of eight such chains on amm52x8 (ExpSchedVec: the transposition in and out
+// of the group is timed with it). Under rowKernelMin limbs no assembly body
+// applies, so those widths run the Go rows and, up to regMaxLimbs, mul1/mul2.
 // Every row reports ns/chain: 8, 16, 32 and 64 limbs are 10, 20, 40 and 79
 // digits.
 func BenchmarkExpKernels(b *testing.B) {
@@ -58,7 +60,19 @@ func BenchmarkExpKernels(b *testing.B) {
 	perChain := func(b *testing.B, chains int) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*chains), "ns/chain")
 	}
-	for _, limbs := range []int{8, 12, 16, 24, 32, 48, 64} {
+	for _, limbs := range []int{1, 2, 3, 4, 8, 12, 16, 24, 32, 48, 64} {
+		bodies := func(fn func(body string)) { eachAddMulBody(fn) }
+		if limbs < rowKernelMin {
+			bodies = func(fn func(body string)) {
+				defer func(regs bool) { useRegs = regs }(useRegs)
+				useRegs = false
+				fn("rows")
+				if limbs <= regMaxLimbs {
+					useRegs = true
+					fn("regs")
+				}
+			}
+		}
 		n := randOdd(r, 64*limbs)
 		bases := make([]Nat, groupLanes)
 		for i := range bases {
@@ -69,7 +83,7 @@ func BenchmarkExpKernels(b *testing.B) {
 			bits int
 		}{{"half", 32 * limbs}, {"full", 64 * limbs}, {"30bit", 30}} {
 			exp := r.RandBits(e.bits)
-			eachAddMulBody(func(body string) {
+			bodies(func(body string) {
 				m := NewMont(n)
 				b.Run(fmt.Sprintf("%d/%s/%s", limbs, e.name, body), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
@@ -78,7 +92,7 @@ func BenchmarkExpKernels(b *testing.B) {
 					perChain(b, 1)
 				})
 			})
-			if useIFMA {
+			if useIFMA && limbs >= ifmaMinLimbs {
 				m, s, out := NewMont(n), CompileExpAuto(exp), make([]Nat, groupLanes)
 				b.Run(fmt.Sprintf("%d/%s/amm52x8", limbs, e.name), func(b *testing.B) {
 					walking(true, func() {

@@ -9,19 +9,25 @@ import (
 
 // forEachBody runs fn once under every kernel body this host can execute
 // (eachAddMulBody: mulq, adx and ifma52+adx as far as CPUID goes on amd64, the
-// Go loop elsewhere) and names the body when fn fails. The differential suites
-// call it so a kernel is held to the same corpora whichever body a box would
-// have picked; what the host cannot run is logged once, not failed.
+// Go loop elsewhere), then once more with one- and two-limb moduli on the rows
+// instead of mul1/mul2 (useRegs), and names the body when fn fails. The
+// differential suites call it so a kernel is held to the same corpora
+// whichever body a box would have picked; what the host cannot run is logged
+// once, not failed.
 func forEachBody(t *testing.T, fn func()) {
 	t.Helper()
-	skipped := eachAddMulBody(func(body string) {
+	run := func(body string) {
 		defer func() {
 			if t.Failed() {
 				t.Logf("kernel body: %s", body)
 			}
 		}()
 		fn()
-	})
+	}
+	skipped := eachAddMulBody(run)
+	defer func(regs bool) { useRegs = regs }(useRegs)
+	useRegs = false
+	run(KernelName() + " without mul1/mul2")
 	if len(skipped) > 0 {
 		logSkipped.Do(func() { t.Logf("this CPU cannot run, so no suite here covers: %v", skipped) })
 	}

@@ -168,12 +168,13 @@ func boundaryOperands() [][]byte {
 var zeroMiddleLimb = append(append([]byte{0x80, 0, 0, 0, 0, 0, 0, 1}, make([]byte, 8)...), 0xFF, 0, 0, 0, 0, 0, 0, 0x0D)
 
 // kernelLimbs are the modulus sizes the Montgomery targets seed above the
-// boundary operands: either side of the size whose rows go through addMulVW
-// and whose chains go through amm52 (one threshold today, two constants), one
-// limb past it (a row that is all tail after one unrolled block), the same
-// pair at the squaring threshold, and the sizes of a 2,048-bit key's p² and n²
-// with the limb past the first (41 digits: one lane of a sixth register).
-var kernelLimbs = distinct(ifmaMinLimbs-1, ifmaMinLimbs, ifmaMinLimbs+1, rowKernelMin, rowKernelMin+1, sqrMinLimbs, sqrMinLimbs+1, 32, 33, 64)
+// boundary operands: every size up to one past the widest that runs on
+// mul1/mul2, either side of the size whose rows go through addMulVW and whose
+// chains go through amm52 (one threshold today, two constants), one limb past
+// it (a row that is all tail after one unrolled block), the same pair at the
+// squaring threshold, and the sizes of a 2,048-bit key's p² and n² with the
+// limb past the first (41 digits: one lane of a sixth register).
+var kernelLimbs = distinct(1, regMaxLimbs, regMaxLimbs+1, ifmaMinLimbs-1, ifmaMinLimbs, ifmaMinLimbs+1, rowKernelMin, rowKernelMin+1, sqrMinLimbs, sqrMinLimbs+1, 32, 33, 64)
 
 func distinct(v ...int) []int {
 	slices.Sort(v)

@@ -178,9 +178,14 @@ const sqrMinLimbs = 24
 // mulInto is Mul writing its result into dst (which must hold at least k
 // limbs) through caller-provided scratch. The product accumulates in the
 // scratch and lands in dst only after the last read of an operand, so dst
-// may alias a or b. The returned Nat is dst trimmed to canonical form.
+// may alias a or b. The returned Nat is dst trimmed to canonical form. A
+// modulus of regMaxLimbs limbs or fewer takes mul1/mul2 instead, with the
+// operands in registers.
 func (m *Mont) mulInto(dst Nat, a, b Nat, sc *mulScratch) Nat {
 	k := m.k
+	if k <= regMaxLimbs && useRegs && len(a) <= k && len(b) <= k {
+		return m.mulRegs(dst, a, b)
+	}
 	z := dst[:k]
 	aw := m.operand(a, sc.aw)
 	if k >= sqrMinLimbs && len(a) > 0 && len(b) == len(a) && &a[0] == &b[0] {
@@ -566,11 +571,15 @@ func (m *Mont) ShiftPack(dst Nat, xs []Nat, s *ExpSchedule) Nat {
 // expMont runs the schedule's multiply chain for base < n and an exponent
 // ≥ 1, returning base^e in Montgomery form as k limbs inside sc's slab —
 // valid until the scratch next runs a chain. Where the host and the modulus
-// allow, the chain itself runs on 52-bit digits (expMont52); what comes back
-// is the same k limbs either way.
+// allow, the chain itself runs on 52-bit digits (expMont52), and on a modulus
+// of one or two limbs in registers (expMontRegs); what comes back is the same
+// k limbs every way.
 func (m *Mont) expMont(base Nat, s *ExpSchedule, sc *mulScratch) Nat {
 	if f := m.ifma(); f != nil && !s.isOne {
 		return m.expMont52(f, base, s, sc)
+	}
+	if m.k <= regMaxLimbs && useRegs {
+		return m.expMontRegs(base, s, sc)
 	}
 	k := m.k
 	sc.grow((s.maxIdx + 2) * k)

@@ -28,8 +28,8 @@ const (
 	// 56.4 → 20.9, 19.1 → 10.0 µs) — it is the smallest modulus a deployed key
 	// produces (a 1,024-bit key's primes, BenchmarkIsPrime512 2.22 → 1.02 ms).
 	// Under it are 128- to 448-bit test moduli, most of them short of amm52's
-	// two-register minimum, and the benchmark's 128-bit workload, which keeps
-	// the rows measured end to end (ROADMAP, Parked).
+	// two-register minimum, and the 128-bit key's, whose one- and two-limb
+	// moduli run on mul1/mul2 (regMaxLimbs).
 	ifmaMinLimbs = 8
 
 	// maxLanes52 is the widest operand amm52 takes: its accumulator is
