@@ -1,0 +1,304 @@
+package fl
+
+import (
+	"errors"
+	"math"
+	"math/big"
+	"testing"
+
+	"flbooster/internal/flnet"
+	"flbooster/internal/mpint"
+)
+
+// toBig is x as a math/big integer, the oracle's arithmetic.
+func toBig(x mpint.Nat) *big.Int { return new(big.Int).SetBytes(x.Bytes()) }
+
+// slotOf is bits [k·width, (k+1)·width) of x.
+func slotOf(x *big.Int, k, width int) *big.Int {
+	v := new(big.Int).Rsh(x, uint(k*width))
+	return v.And(v, new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(width)), big.NewInt(1)))
+}
+
+// TestBroadcastCarrySafety: with every residual at 2^r−1, every row's weight
+// at the most SumBound admits for a sum over the whole batch and every mask at
+// 2^(64+λ)−1, the packed residual plaintexts, each inner sum, the convolution
+// T and its masked image hold in every W-bit slot exactly its integer sum —
+// so nothing carried — with the target below 2^64, and every plaintext, a
+// return ciphertext's whole pack of blocks included, below 2^(KeyBits−1) ≤ n.
+// It runs over keys of 256–2,048 bits, r of 2–30, batches of 1–64 rows and
+// every stride the rule picks for 1–64 features on one or two hosts.
+func TestBroadcastCarrySafety(t *testing.T) {
+	keys := []int{256, 384, 512, 768, 1024, 1536, 2048}
+	if testing.Short() {
+		keys = []int{512, 1024, 2048}
+	}
+	for _, keyBits := range keys {
+		plainBits := keyBits - 1
+		for rows := 1; rows <= 64; rows++ {
+			picked := map[int]bool{}
+			for f := 1; f <= 64; f++ {
+				for _, sums := range [][]int{{2 * f}, {2 * f, 2 * (65 - f)}} {
+					s := broadcastStride(plainBits, true, rows, sums)
+					if s < 1 || s > maxStride(plainBits, true) {
+						t.Fatalf("%d bits, %d rows, sums %v: the rule picked stride %d", keyBits, rows, sums, s)
+					}
+					picked[s] = true
+				}
+			}
+			for s := range picked {
+				l, err := newReturnLayout(plainBits, s, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := 2; r <= 30; r++ {
+					checkCarry(t, l, plainBits, rows, r)
+				}
+			}
+		}
+	}
+}
+
+// checkCarry is TestBroadcastCarrySafety's check of one layout, batch size
+// and residual width.
+func checkCarry(t *testing.T, l returnLayout, plainBits, rows, r int) {
+	t.Helper()
+	s, w := l.stride, BroadcastSlotBits
+	if s == 1 {
+		w = returnSlotBits
+	}
+	fail := func(what string, args ...any) {
+		t.Helper()
+		t.Fatalf("%d-bit plaintexts, stride %d, %d rows, r = %d: "+what, append([]any{plainBits, s, rows, r}, args...)...)
+	}
+	qMax := uint64(1)<<r - 1
+	weight := math.MaxUint64 / (qMax * uint64(rows))
+	pts := packBroadcast(nil, rows, s, func(int) uint64 { return qMax })
+	if len(pts) != (rows+s-1)/s {
+		fail("%d broadcast plaintexts", len(pts))
+	}
+	for g, pt := range pts {
+		d := toBig(pt)
+		if d.BitLen() > (s-1)*w+r {
+			fail("residual plaintext %d is %d bits", g, d.BitLen())
+		}
+		for k := range s {
+			want := uint64(0)
+			if g*s+k < rows {
+				want = qMax
+			}
+			if got := slotOf(d, k, w); !got.IsUint64() || got.Uint64() != want {
+				fail("residual plaintext %d slot %d holds %v, want %d", g, k, got, want)
+			}
+		}
+	}
+	// exact[m] is slot m of T as an integer: the pairs (l, k) with
+	// k − l = m − (s−1), each over the g where rows g·s+l and g·s+k exist.
+	exact := make([]*big.Int, 2*s-1)
+	for m := range exact {
+		exact[m] = new(big.Int)
+	}
+	conv := new(big.Int)
+	for lane := range s {
+		inner := new(big.Int)
+		for g, pt := range pts {
+			if g*s+lane < rows {
+				inner.Add(inner, new(big.Int).Mul(new(big.Int).SetUint64(weight), toBig(pt)))
+			}
+		}
+		if inner.BitLen() > (s-1)*w+returnSlotBits {
+			fail("inner sum %d is %d bits", lane, inner.BitLen())
+		}
+		for k := range s {
+			var pairs uint64
+			for g := range pts {
+				if g*s+lane < rows && g*s+k < rows {
+					pairs++
+				}
+			}
+			want := new(big.Int).SetUint64(weight * qMax * pairs)
+			if got := slotOf(inner, k, w); got.Cmp(want) != 0 {
+				fail("inner sum %d slot %d holds %v, want %v", lane, k, got, want)
+			}
+			exact[k+s-1-lane].Add(exact[k+s-1-lane], want)
+		}
+		conv.Add(conv, inner.Lsh(inner, uint((s-1-lane)*w)))
+	}
+	masked := new(big.Int).Set(conv)
+	if s > 1 {
+		masked.Add(masked, toBig(crossMask(nil, s, func() uint64 { return math.MaxUint64 })))
+	}
+	rho := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), returnSlotBits+maskBits), big.NewInt(1))
+	for m, want := range exact {
+		if got := slotOf(conv, m, w); got.Cmp(want) != 0 || !want.IsUint64() {
+			fail("T's slot %d holds %v, want %v below 2^64", m, got, want)
+		}
+		if m != s-1 {
+			want = new(big.Int).Add(want, rho)
+		}
+		if got := slotOf(masked, m, w); got.Cmp(want) != 0 {
+			fail("masked slot %d holds %v, want %v", m, got, want)
+		}
+	}
+	target := weight * qMax * uint64(rows)
+	if exact[s-1].Uint64() != target || masked.BitLen() > l.blockBits() {
+		fail("target %v (want %d), masked image %d bits in a %d-bit block", exact[s-1], target, masked.BitLen(), l.blockBits())
+	}
+	// A return ciphertext's whole pack: per masked images, one a block.
+	pack := new(big.Int)
+	for b := range l.per {
+		pack.Add(pack, new(big.Int).Lsh(masked, uint(b*l.blockBits())))
+	}
+	if pack.BitLen() > plainBits {
+		fail("a pack of %d blocks is %d bits", l.per, pack.BitLen())
+	}
+	vals, err := splitSlots([]mpint.Nat{mpint.FromBytes(pack.Bytes())}, l.per, l)
+	if err != nil {
+		fail("the pack does not split: %v", err)
+	}
+	for b, v := range vals {
+		if v != target {
+			fail("block %d opens to %d, want %d", b, v, target)
+		}
+	}
+}
+
+// TestBroadcastSumsOpenTheUnpackedSums: at every stride the key admits, on
+// every HE substrate, encrypting a broadcast, summing it and opening the sums
+// yields the integers Σ x·q(v) the unpacked protocol opens — residuals at the
+// quantizer's edges and in between, weights up to 20 bits, a sum whose terms
+// all sit in one lane of the convolution and a sum with no term at all — over
+// the messages the layout budgets; the inner sums draw no nonce and a strided
+// return draws one seed, its masks'.
+func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
+	keys := []int{512, 1024}
+	if testing.Short() {
+		keys = keys[:1]
+	}
+	for _, keyBits := range keys {
+		for name, ctx := range returnWirings(t, keyBits) {
+			rng := mpint.NewRNG(uint64(keyBits))
+			const rows = 23
+			alpha := ctx.Quant.Alpha()
+			vals := make([]float64, rows)
+			for i := range vals {
+				vals[i] = (2*rng.Float64() - 1) * alpha
+			}
+			vals[0], vals[1], vals[2] = alpha, -alpha, 0
+			var sums [][]mpint.Term
+			for j := 0; j < 6; j++ {
+				var terms []mpint.Term
+				for i := range rows {
+					if rng.Uint64()%3 != 0 {
+						terms = append(terms, mpint.Term{Index: i, Weight: rng.Uint64() % (1 << 20)})
+					}
+				}
+				sums = append(sums, terms)
+			}
+			sums = append(sums, []mpint.Term{{Index: 0, Weight: 9}, {Index: 10, Weight: 1 << 19}}, nil)
+			want := make([]uint64, len(sums))
+			bounds := make([]uint64, len(sums))
+			for j, sum := range sums {
+				var total uint64
+				for _, tm := range sum {
+					want[j] += tm.Weight * ctx.Quant.Quantize(vals[tm.Index])
+					total += tm.Weight
+				}
+				var err error
+				if bounds[j], err = ctx.SumBound(total); err != nil {
+					t.Fatal(err)
+				}
+			}
+			net := flnet.NewSimTransport(ctx.Link, "host", "arbiter")
+			route := ReturnRoute{Net: net, Party: "host", Decryptor: "arbiter", Kind: "sums", ReplyKind: "plain"}
+			for s := 1; s <= maxStride(ctx.Key.N.BitLen()-1, true); s++ {
+				encD, err := ctx.EncryptBroadcast(vals, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(encD) != (rows+s-1)/s {
+					t.Fatalf("%s/%d bits/s = %d: %d broadcast ciphertexts", name, keyBits, s, len(encD))
+				}
+				cts, err := ctx.BroadcastSums(encD, sums, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := ctx.Costs.Snapshot()
+				got, err := ctx.OpenBroadcastSums(route, cts, bounds, s)
+				if err != nil {
+					t.Fatalf("%s/%d bits/s = %d: %v", name, keyBits, s, err)
+				}
+				for j := range want {
+					if got[j] != want[j] {
+						t.Fatalf("%s/%d bits/s = %d: sum %d opened to %d, want %d", name, keyBits, s, j, got[j], want[j])
+					}
+				}
+				l, _ := ctx.layout(s)
+				request := flnet.Message{From: "host", To: "arbiter", Kind: "sums"}.WireSize() +
+					ctx.CiphertextWireBytes((len(sums)+l.per-1)/l.per)
+				if l.per > 1 {
+					request += 4
+				}
+				if s > 1 {
+					request += 4
+				}
+				reply := flnet.Message{From: "arbiter", To: "host", Kind: "plain"}.WireSize() + int64(8*len(sums))
+				after := ctx.Costs.Snapshot()
+				if msgs, bytes := after.CommMsgs-before.CommMsgs, after.CommBytes-before.CommBytes; msgs != 2 || bytes != request+reply {
+					t.Fatalf("%s/%d bits/s = %d: %d messages of %d bytes, want 2 of %d", name, keyBits, s, msgs, bytes, request+reply)
+				}
+				ReleaseCiphertexts(cts)
+				ReleaseCiphertexts(encD)
+			}
+			net.Close()
+		}
+	}
+}
+
+// TestBroadcastSeeds pins which strides draw nonce seeds where: the inner
+// sums none — an empty inner sum is the identity, not a fresh zero — and the
+// return one (its masks') above s = 1, none at it.
+func TestBroadcastSeeds(t *testing.T) {
+	p := testProfile(SystemFLBooster)
+	p.KeyBits = 1024
+	ctx, err := NewContext(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := flnet.NewSimTransport(ctx.Link, "host", "arbiter")
+	defer net.Close()
+	route := ReturnRoute{Net: net, Party: "host", Decryptor: "arbiter", Kind: "sums"}
+	vals := []float64{0.1, -0.2, 0.3, -0.4, 0.5, 0.6, -0.7, 0.8, 0.9}
+	// Every term in lane 0 of stride 3: two of the three inner sums are empty.
+	sums := [][]mpint.Term{{{Index: 0, Weight: 2}, {Index: 3, Weight: 5}, {Index: 6, Weight: 7}}}
+	for _, s := range []int{1, 3} {
+		encD, err := ctx.EncryptBroadcast(vals, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		draws := func(fn func()) int {
+			start := ctx.SeedCursor()
+			fn()
+			n := 0
+			for probe := start; probe != ctx.SeedCursor() && n < 8; n++ {
+				probe = probe*6364136223846793005 + 1442695040888963407
+			}
+			return n
+		}
+		var cts = encD
+		if n := draws(func() { cts, err = ctx.BroadcastSums(encD, sums, s) }); err != nil || n != 0 {
+			t.Fatalf("s = %d: the sums drew %d seeds (%v)", s, n, err)
+		}
+		var got []uint64
+		want := map[int]int{1: 0, 3: 1}[s]
+		if n := draws(func() { got, err = ctx.OpenBroadcastSums(route, cts, []uint64{1 << 40}, s) }); err != nil || n != want {
+			t.Fatalf("s = %d: the return drew %d seeds, want %d (%v)", s, n, want, err)
+		}
+		q := ctx.Quant.Quantize
+		if w := 2*q(vals[0]) + 5*q(vals[3]) + 7*q(vals[6]); got[0] != w {
+			t.Fatalf("s = %d: opened %d, want %d", s, got[0], w)
+		}
+	}
+	if _, err := ctx.EncryptBroadcast(vals, 6); !errors.Is(err, ErrSlotCorrupt) {
+		t.Fatalf("a stride 1,024-bit plaintexts cannot hold: %v, want ErrSlotCorrupt", err)
+	}
+}

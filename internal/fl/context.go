@@ -44,6 +44,10 @@ type Context struct {
 	obsPrefix string
 	seed      uint64
 	zeros     []byte // grow-only payload of Send's modelled messages
+	// inner and mask are a packed broadcast's scratch, reused from batch to
+	// batch: BroadcastSums' inner sums and maskCrossTerms' mask plaintext.
+	inner [][]mpint.Term
+	mask  mpint.Nat
 }
 
 // NewContext builds a context from a profile, generating a fresh key pair

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"flbooster/internal/flnet"
@@ -18,21 +19,25 @@ import (
 //     compression packs because downstream use is slot-wise addition:
 //     EncryptGradients / DecryptAggregated;
 //   - the *per-sample broadcast* (residuals, deltas, gradient/hessian terms)
-//     that feeds per-sample homomorphic multiply-accumulate on the hosts and
-//     therefore stays one value per ciphertext under every profile:
-//     EncryptValuesUnpacked, WeightedSums;
+//     that feeds per-sample homomorphic multiply-accumulate on the hosts:
+//     EncryptBroadcast, BroadcastSums. At stride s = 1 it is one value a
+//     ciphertext (EncryptValuesUnpacked, WeightedSums), which is what every
+//     profile without batch compression and every model but Hetero LR sends;
+//     with it, Hetero LR packs s residuals a plaintext at the public slot
+//     stride W (BroadcastStride);
 //   - the *return path*: the final per-feature (or per-bin) sums a party
 //     sends to the key holder to be opened. Nobody computes on those again,
-//     each is at most 64 bits wide inside a KeyBits−1-bit plaintext, and so
-//     under batch compression OpenSums shifts them homomorphically into the
-//     64-bit slots of ⌈k/slots⌉ ciphertexts before they touch the wire.
+//     so under batch compression OpenBroadcastSums shifts them
+//     homomorphically into the slots of fewer ciphertexts before they touch
+//     the wire (OpenSums at s = 1).
 //
-// The broadcast is not packed here. Packing several residuals into one
-// plaintext turns the hosts' E(d)^x̃ into a convolution: the slot the host
-// wants holds Σᵢ dᵢ·x̃ᵢⱼ, every other slot holds cross-terms of its features
-// with other samples' residuals, which the arbiter would read unless each
-// is masked, and every sample-feature pair costs a slot stride of exponent
-// bits (64) where it costs the fixed-point width (about 10) today.
+// A packed broadcast turns a host's E(D)^x̃ into a convolution. Plaintext g is
+// D_g = Σₖ q(d_{gs+k})·2^(kW); for each sum the host raises every D_g to the
+// weight of each of its s rows, S_l = Π_g E(D_g)^x̃_{gs+l}, and shift-packs
+// T = Σ_l S_l·2^((s−1−l)W). Slot s−1 of T's 2s−1 holds exactly the sum the
+// unpacked protocol opens, Σᵢ q(dᵢ)·x̃ᵢ; every other slot is a cross-term of
+// the host's weights against other rows' residuals, bounded like the sum by
+// SumBound < 2^64, and masked before the key holder sees it.
 
 // ErrSumBound reports a return-path sum whose upper bound does not fit a
 // 64-bit slot: packing it could carry into its neighbour, so nothing is
@@ -40,19 +45,135 @@ import (
 var ErrSumBound = errors.New("fl: return-path sum bound exceeds its 64-bit slot")
 
 // ErrSlotCorrupt reports a decrypted return-path plaintext that contradicts
-// its declared layout: bits beyond the declared slots, a plaintext count
-// that does not match the declared value count, or a value above the bound
-// its sender proved for it.
+// its declared layout: bits beyond the declared blocks, a target slot at or
+// above 2^64, a plaintext count that does not match the declared value count,
+// a stride the key cannot hold, or a value above the bound its sender proved
+// for it.
 var ErrSlotCorrupt = errors.New("fl: return-path slot corruption")
 
-// returnSlotBits is the width of one return-path slot: the uint64 DecryptRaw
-// has always required every raw sum to fit.
-const returnSlotBits = 64
+const (
+	// returnSlotBits is the width of one return-path value: the uint64
+	// DecryptRaw has always required every raw sum to fit.
+	returnSlotBits = 64
+	// maskBits is λ, the statistical masking parameter of a packed
+	// broadcast's return: every cross-term slot the key holder opens is
+	// within 2^−λ of uniform.
+	maskBits = 40
+	// BroadcastSlotBits is W, the slot stride of a packed broadcast and of
+	// its convolution: a cross-term below 2^64 plus a mask below 2^(64+λ)
+	// stays below 2^W, so no slot carries into the next.
+	BroadcastSlotBits = returnSlotBits + maskBits + 1
+)
+
+// returnLayout is how one return-path request lays its values out: stride is
+// the broadcast's s and per the values a ciphertext. At s = 1 a value's block
+// is the value's 64 bits; above it, the (2s−1)·W bits of a masked
+// convolution, the value in slot s−1.
+type returnLayout struct{ stride, per int }
+
+// newReturnLayout is the layout of stride s in plaintexts of plainBits bits
+// (KeyBits−1: anything below 2^plainBits is below n). At s = 1 a ciphertext
+// carries one value without batch compression and as many 64-bit slots as
+// fit with it (15 at 1,024 bits, 31 at 2,048); above, as many blocks of
+// 2s−1 W-bit slots as fit. A stride outside [1, maxStride] rejects with
+// ErrSlotCorrupt.
+func newReturnLayout(plainBits, stride int, packed bool) (returnLayout, error) {
+	switch {
+	case stride < 1 || stride > maxStride(plainBits, packed):
+		return returnLayout{}, fmt.Errorf("%w: a stride of %d in %d-bit plaintexts (batch compression %t)",
+			ErrSlotCorrupt, stride, plainBits, packed)
+	case stride > 1:
+		l := returnLayout{stride: stride}
+		l.per = plainBits / l.blockBits()
+		return l, nil
+	case packed:
+		return returnLayout{1, max(1, plainBits/returnSlotBits)}, nil
+	}
+	return returnLayout{1, 1}, nil
+}
+
+// maxStride is the widest stride plainBits-bit plaintexts hold: the most s
+// with (2s−1)·W ≤ plainBits under batch compression, 1 without it or when
+// not even three slots fit.
+func maxStride(plainBits int, packed bool) int {
+	if !packed {
+		return 1
+	}
+	return max(1, (plainBits/BroadcastSlotBits+1)/2)
+}
+
+// blockBits is the width of one value's block.
+func (l returnLayout) blockBits() int {
+	if l.stride == 1 {
+		return returnSlotBits
+	}
+	return (2*l.stride - 1) * BroadcastSlotBits
+}
+
+// valueAt is the bit offset of the value inside its block: slot s−1.
+func (l returnLayout) valueAt() int { return (l.stride - 1) * BroadcastSlotBits }
+
+// layout is newReturnLayout under the context's key and profile.
+func (c *Context) layout(stride int) (returnLayout, error) {
+	return newReturnLayout(c.plainBits(), stride, c.Packer != nil)
+}
+
+// plainBits is KeyBits−1: n ≥ 2^(KeyBits−1), so every plaintext below
+// 2^plainBits is below n.
+func (c *Context) plainBits() int { return c.Key.N.BitLen() - 1 }
+
+// ReturnSlots is how many sums one return-path ciphertext of the unpacked
+// broadcast (s = 1) carries.
+func (c *Context) ReturnSlots() int {
+	l, _ := c.layout(1)
+	return l.per
+}
+
+// BroadcastStride is s for one minibatch: how many of its rows one broadcast
+// plaintext carries, when host p returns sums[p] sums (2 × its feature count,
+// public protocol metadata). It is the stride the key admits that minimises
+// the batch's wire ciphertexts, Σₚ ⌈rows/s⌉ + ⌈sums[p]/per(s)⌉, the smaller
+// on a tie: 1 without batch compression and under keys with no room for
+// three W-bit slots (256 bits and below).
+func (c *Context) BroadcastStride(rows int, sums []int) int {
+	return broadcastStride(c.plainBits(), c.Packer != nil, rows, sums)
+}
+
+// broadcastStride is BroadcastStride's rule in plainBits-bit plaintexts.
+func broadcastStride(plainBits int, packed bool, rows int, sums []int) int {
+	best, fewest := 1, -1
+	for s := 1; s <= maxStride(plainBits, packed); s++ {
+		l, _ := newReturnLayout(plainBits, s, packed)
+		cts := 0
+		for _, k := range sums {
+			cts += (rows+s-1)/s + (k+l.per-1)/l.per
+		}
+		if fewest < 0 || cts < fewest {
+			best, fewest = s, cts
+		}
+	}
+	return best
+}
 
 // EncryptValuesUnpacked encrypts one quantized value per ciphertext
-// regardless of the batch-compression setting.
+// regardless of the batch-compression setting: EncryptBroadcast at s = 1.
 func (c *Context) EncryptValuesUnpacked(vals []float64) ([]paillier.Ciphertext, error) {
-	cts, err := c.encrypt(&c.Key.PublicKey, c.quantizeNats(vals), int64(len(vals)))
+	return c.EncryptBroadcast(vals, 1)
+}
+
+// EncryptBroadcast encrypts a per-sample broadcast s values a plaintext:
+// plaintext g is Σₖ q(vals[g·s+k])·2^(k·W), each value quantized on its own,
+// and the ⌈len(vals)/s⌉ plaintexts are one charged public-key batch. The
+// plaintexts are written into the limbs of a dead plaintext batch and handed
+// back once encrypted.
+func (c *Context) EncryptBroadcast(vals []float64, s int) ([]paillier.Ciphertext, error) {
+	if _, err := c.layout(s); err != nil {
+		return nil, err
+	}
+	pts := packBroadcast(arena.getPlain((len(vals)+s-1)/s), len(vals), s,
+		func(i int) uint64 { return c.Quant.Quantize(vals[i]) })
+	cts, err := c.encrypt(&c.Key.PublicKey, pts, int64(len(vals)))
+	arena.putPlain(pts)
 	if err != nil {
 		return nil, err
 	}
@@ -60,16 +181,53 @@ func (c *Context) EncryptValuesUnpacked(vals []float64) ([]paillier.Ciphertext, 
 	return cts, nil
 }
 
+// packBroadcast appends to pts, into the limbs behind it (mpint.Spare), the
+// plaintexts of a stride-s broadcast of n values: plaintext g is
+// Σₖ q(g·s+k)·2^(k·W).
+func packBroadcast(pts []mpint.Nat, n, s int, q func(i int) uint64) []mpint.Nat {
+	for g := 0; g*s < n; g++ {
+		k := min(s, n-g*s)
+		pt := mpint.Reuse(mpint.Spare(pts), ((k-1)*BroadcastSlotBits+returnSlotBits+63)/64)
+		for j := range k {
+			orField(pt, j*BroadcastSlotBits, q(g*s+j))
+		}
+		pts = append(pts, mpint.TakeWords(pt))
+	}
+	return pts
+}
+
+// orField ors v into z at bit offset off; z must have the limbs.
+func orField(z mpint.Nat, off int, v uint64) {
+	w, sh := off/64, uint(off%64)
+	z[w] |= v << sh
+	if sh != 0 && v>>(64-sh) != 0 {
+		z[w+1] |= v >> (64 - sh)
+	}
+}
+
+// field returns bits [off, off+64) of x.
+func field(x mpint.Nat, off int) uint64 {
+	w, sh := off/64, uint(off%64)
+	var v uint64
+	if w < len(x) {
+		v = x[w] >> sh
+	}
+	if sh != 0 && w+1 < len(x) {
+		v |= x[w+1] << (64 - sh)
+	}
+	return v
+}
+
 // DecryptRaw decrypts ciphertexts to raw unsigned plaintext values (no
 // dequantization), one value per ciphertext — the return path with a single
 // slot, and the reference OpenSums is tested against.
 func (c *Context) DecryptRaw(cts []paillier.Ciphertext) ([]uint64, error) {
-	return c.decryptSlots(cts, len(cts), 1)
+	return c.decryptSlots(cts, len(cts), returnLayout{1, 1})
 }
 
-// decryptSlots decrypts a return-path request declared to carry count values,
-// slots to a ciphertext, and splits the plaintexts back into the values.
-func (c *Context) decryptSlots(cts []paillier.Ciphertext, count, slots int) ([]uint64, error) {
+// decryptSlots decrypts a return-path request declared to carry count values
+// in layout l and splits the plaintexts back into the values.
+func (c *Context) decryptSlots(cts []paillier.Ciphertext, count int, l returnLayout) ([]uint64, error) {
 	base := c.simBase()
 	start := time.Now()
 	pts, err := c.Backend.DecryptVec(c.Key, cts)
@@ -78,51 +236,53 @@ func (c *Context) decryptSlots(cts []paillier.Ciphertext, count, slots int) ([]u
 	}
 	wall := time.Since(start)
 	c.Costs.AddHE(wall, c.simSince(base, wall), int64(len(cts)), int64(count))
-	return splitSlots(pts, count, slots)
+	vals, err := splitSlots(pts, count, l)
+	paillier.ReleasePlaintexts(pts)
+	return vals, err
 }
 
 // splitSlots is the decryptor side of the return path: pts are the decrypted
-// plaintexts of a request that declared count values packed slots to a
-// plaintext, value j of plaintext g in bits [64j, 64j+64). Both the
-// plaintexts and the declared count come from another party, so a count the
-// plaintexts cannot carry and any bit above the declared slots reject with
-// ErrSlotCorrupt before or instead of a result, and the only allocation is
-// the count values a matching request really holds.
-func splitSlots(pts []mpint.Nat, count, slots int) ([]uint64, error) {
-	if slots < 1 || count < 0 {
-		return nil, fmt.Errorf("%w: %d values in %d-slot plaintexts", ErrSlotCorrupt, count, slots)
+// plaintexts of a request that declared count values in layout l, value b of
+// plaintext g in the 64 bits at l.valueAt() of block b. Both the plaintexts
+// and the declared count and stride come from another party, so a count the
+// plaintexts cannot carry, any bit above the declared blocks and, under a
+// packed broadcast, any bit at or above 2^64 in a target slot reject with
+// ErrSlotCorrupt before or instead of a result; the masked slots around a
+// target are not read. The only allocation is the count values a matching
+// request really holds.
+func splitSlots(pts []mpint.Nat, count int, l returnLayout) ([]uint64, error) {
+	if l.stride < 1 || l.per < 1 || count < 0 {
+		return nil, fmt.Errorf("%w: %d values at stride %d, %d a plaintext", ErrSlotCorrupt, count, l.stride, l.per)
 	}
-	if want := count/slots + min(count%slots, 1); want != len(pts) {
-		return nil, fmt.Errorf("%w: %d values declared, %d-slot plaintexts received %d, want %d",
-			ErrSlotCorrupt, count, slots, len(pts), want)
+	if want := count/l.per + min(count%l.per, 1); want != len(pts) {
+		return nil, fmt.Errorf("%w: %d values declared, %d-value plaintexts received %d, want %d",
+			ErrSlotCorrupt, count, l.per, len(pts), want)
 	}
 	out := make([]uint64, count)
+	block, at := l.blockBits(), l.valueAt()
 	for g, pt := range pts {
-		vals := out[g*slots : min((g+1)*slots, count)]
-		if pt.BitLen() > returnSlotBits*len(vals) {
-			return nil, fmt.Errorf("%w: plaintext %d is %d bits wide, its %d declared slots hold %d",
-				ErrSlotCorrupt, g, pt.BitLen(), len(vals), returnSlotBits*len(vals))
+		vals := out[g*l.per : min((g+1)*l.per, count)]
+		if pt.BitLen() > block*len(vals) {
+			return nil, fmt.Errorf("%w: plaintext %d is %d bits wide, its %d declared blocks hold %d",
+				ErrSlotCorrupt, g, pt.BitLen(), len(vals), block*len(vals))
 		}
-		copy(vals, pt)
+		for b := range vals {
+			off := b*block + at
+			vals[b] = field(pt, off)
+			if l.stride > 1 && field(pt, off+returnSlotBits)&(1<<(BroadcastSlotBits-returnSlotBits)-1) != 0 {
+				return nil, fmt.Errorf("%w: plaintext %d, value %d reaches 2^64 in its target slot", ErrSlotCorrupt, g, b)
+			}
+		}
 	}
 	return out, nil
-}
-
-// ReturnSlots is how many sums one return-path ciphertext carries: one
-// without batch compression, and with it as many 64-bit slots as fit under
-// the modulus (n ≥ 2^(KeyBits−1), so 64·slots ≤ KeyBits−1 keeps every packed
-// plaintext below n: 15 at 1,024 bits, 31 at 2,048).
-func (c *Context) ReturnSlots() int {
-	if c.Packer == nil {
-		return 1
-	}
-	return max(1, (c.Key.N.BitLen()-1)/returnSlotBits)
 }
 
 // SumBound is the largest value a weighted sum over quantized ciphertexts can
 // hold when its weights total weightSum: weightSum·(2^r−1). It is what the
 // vertical gradient step passes to OpenSums, and ErrSumBound when the
-// product does not fit a slot.
+// product does not fit a slot. Under a packed broadcast it bounds every slot
+// of the convolution too: each of a slot's terms pairs one of the sum's
+// weights with one residual.
 func (c *Context) SumBound(weightSum uint64) (uint64, error) {
 	maxQ := uint64(1)<<c.Quant.RBits() - 1
 	hi, lo := bits.Mul64(weightSum, maxQ)
@@ -144,49 +304,74 @@ type ReturnRoute struct {
 	Kind, ReplyKind string
 }
 
-// OpenSums is the return path of the vertical protocols: route.Party holds
-// the final sum ciphertexts cts and gets their plaintexts opened by
-// route.Decryptor — the same []uint64, bit for bit, that DecryptRaw returns.
+// OpenSums is the return path of sums over an unpacked broadcast:
+// OpenBroadcastSums at s = 1.
+func (c *Context) OpenSums(route ReturnRoute, cts []paillier.Ciphertext, bounds []uint64) ([]uint64, error) {
+	return c.OpenBroadcastSums(route, cts, bounds, 1)
+}
+
+// OpenBroadcastSums is the return path of the vertical protocols: route.Party
+// holds the final sum ciphertexts cts that BroadcastSums built over a stride-s
+// broadcast, and gets their plaintexts opened by route.Decryptor — at s = 1
+// the same []uint64, bit for bit, that DecryptRaw returns, and at any s the
+// same values the unpacked protocol opens.
 //
-// With batch compression on, the party first packs ReturnSlots sums into
-// each ciphertext (acc ← acc^(2^64)·c, Horner from the top slot down, a pack a
-// lane of one ShiftPackVec launch), so ⌈k/slots⌉ ciphertexts and a 4-byte
-// value count cross the wire
-// and the decryptor decrypts once per packed ciphertext, after which the packed
-// batch goes back to the pool. Without it the request is the k ciphertexts
-// themselves. cts stay the caller's either way.
+// At s > 1 the party first masks the cross-terms of every sum
+// (maskCrossTerms). With batch compression on it then packs the layout's per
+// values into each ciphertext (acc ← acc^(2^bits)·c, Horner from the top
+// block down, a pack a lane of one ShiftPackVec launch), so ⌈k/per⌉
+// ciphertexts cross the wire, with a 4-byte value count when a ciphertext
+// carries more than one and a 4-byte stride when s > 1; the decryptor derives
+// the blocks from the stride and its key, and decrypts once per ciphertext.
+// The batches built here go back to the pool once decrypted; cts stay the
+// caller's.
 //
 // bounds[i] is the exact upper bound the party can prove for sum i. A bound
 // is a uint64, which is what makes the packing carry-safe: no sum can reach
-// into its neighbour's slot. Bounds stay with the party — the slot width is
+// into its neighbour's slot. Bounds stay with the party — the slot widths are
 // public and fixed — and an opened value above its bound rejects with
 // ErrSlotCorrupt. Callers derive bounds with overflow-checked arithmetic
 // (SumBound) and fail with ErrSumBound before anything is packed.
-func (c *Context) OpenSums(route ReturnRoute, cts []paillier.Ciphertext, bounds []uint64) ([]uint64, error) {
+func (c *Context) OpenBroadcastSums(route ReturnRoute, cts []paillier.Ciphertext, bounds []uint64, s int) ([]uint64, error) {
 	if len(bounds) != len(cts) {
 		return nil, fmt.Errorf("%w: %d sums with %d bounds", ErrSumBound, len(cts), len(bounds))
 	}
 	if len(cts) == 0 {
 		return nil, nil
 	}
-	slots := c.ReturnSlots()
-	packed, err := c.packSums(cts, slots)
+	l, err := c.layout(s)
+	if err != nil {
+		return nil, err
+	}
+	req := cts
+	if s > 1 {
+		if req, err = c.maskCrossTerms(cts, s); err != nil {
+			return nil, err
+		}
+	}
+	packed, err := c.packSums(req, l)
 	if err != nil {
 		return nil, err
 	}
 	request := c.CiphertextWireBytes(len(packed))
-	if slots > 1 {
-		request += 4 // the value count; one slot a ciphertext implies it
+	if l.per > 1 {
+		request += 4 // the value count; one value a ciphertext implies it
+	}
+	if s > 1 {
+		request += 4 // the stride
 	}
 	if err := c.Send(route.Net, route.Party, route.Decryptor, route.Kind, request); err != nil {
 		return nil, err
 	}
-	vals, err := c.decryptSlots(packed, len(cts), slots)
+	vals, err := c.decryptSlots(packed, len(cts), l)
 	if err != nil {
 		return nil, err
 	}
-	if len(packed) != len(cts) { // a batch of packSums' own, dead once decrypted
+	if len(packed) != len(req) { // batches of this call's own, dead once decrypted
 		ReleaseCiphertexts(packed)
+	}
+	if s > 1 {
+		ReleaseCiphertexts(req)
 	}
 	if route.ReplyKind != "" {
 		if err := c.Send(route.Net, route.Decryptor, route.Party, route.ReplyKind, int64(8*len(vals))); err != nil {
@@ -201,25 +386,69 @@ func (c *Context) OpenSums(route ReturnRoute, cts []paillier.Ciphertext, bounds 
 	return vals, nil
 }
 
-// packSums shifts cts into slots-per-ciphertext layout: packed ciphertext g
-// holds cts[g·slots+j] in slot j, only the last partly filled — one charged HE
-// batch, one kernel launch on the GPU profiles. It is charged as the Horner
-// chain it is: a ciphertext-scalar product and a homomorphic addition for
-// every sum past the first of its pack.
-func (c *Context) packSums(cts []paillier.Ciphertext, slots int) ([]paillier.Ciphertext, error) {
-	if slots == 1 || len(cts) == 1 {
+// maskCrossTerms multiplies every ciphertext of a stride-s return by the
+// trivial encryption 1 + M·n of a mask M = Σ_{k≠s−1} ρₖ·2^(k·W) of its own,
+// each ρₖ uniform below 2^(64+λ), every mask drawn from one seed: one AddVec
+// and no exponentiation. Slot k ≠ s−1 opens to its cross-term plus ρₖ, within
+// 2^−λ of uniform and below 2^W, so it never carries; slot s−1 is untouched,
+// and every masked plaintext stays below 2^((2s−1)W) < n. The trivial
+// encryptions carry no nonce and need none: the product is opened only by the
+// key holder, and the sum it masks already carries its terms' nonces.
+func (c *Context) maskCrossTerms(cts []paillier.Ciphertext, s int) ([]paillier.Ciphertext, error) {
+	rng := mpint.NewRNG(c.nextSeed())
+	masks := paillier.DrawBatch(len(cts))
+	for i := range masks {
+		c.mask = crossMask(c.mask, s, rng.Word)
+		// A ciphertext's width of limbs, so that the batch goes back to the
+		// pool as wide as the ones it is drawn with.
+		masks[i].C = mpint.MulAddWordInto(mpint.Reuse(masks[i].C, len(c.Key.N2)), c.mask, c.Key.N, 1)
+	}
+	masked, err := c.addCiphertexts(cts, masks)
+	ReleaseCiphertexts(masks)
+	return masked, err
+}
+
+// crossMask writes into z's limbs where they hold it the mask plaintext
+// M = Σ_{k≠s−1} ρₖ·2^(k·W) of a stride-s return, each ρₖ two draws: 64 low
+// bits and λ high ones.
+func crossMask(z mpint.Nat, s int, draw func() uint64) mpint.Nat {
+	z = mpint.Reuse(z, ((2*s-1)*BroadcastSlotBits+63)/64)
+	for k := range 2*s - 1 {
+		if k != s-1 {
+			orField(z, k*BroadcastSlotBits, draw())
+			orField(z, k*BroadcastSlotBits+returnSlotBits, draw()&(1<<maskBits-1))
+		}
+	}
+	return z
+}
+
+// packSums shifts cts into the layout's per values a ciphertext: packed
+// ciphertext g holds cts[g·per+j] in block j, only the last partly filled.
+func (c *Context) packSums(cts []paillier.Ciphertext, l returnLayout) ([]paillier.Ciphertext, error) {
+	if l.per == 1 || len(cts) == 1 {
 		return cts, nil
 	}
+	packed, err := c.shiftPack(cts, l.per, l.blockBits())
+	if err != nil {
+		return nil, err
+	}
+	c.Costs.AddCompression(int64(len(cts)), int64(len(packed)))
+	return packed, nil
+}
+
+// shiftPack is one charged ShiftPackVec batch — one kernel launch on the GPU
+// profiles — charged as the Horner chain it is: a ciphertext-scalar product
+// and a homomorphic addition for every ciphertext past the first of its pack.
+func (c *Context) shiftPack(cts []paillier.Ciphertext, slots, slotBits int) ([]paillier.Ciphertext, error) {
 	base := c.simBase()
 	start := time.Now()
-	packed, err := c.Backend.ShiftPackVec(&c.Key.PublicKey, cts, slots, returnSlotBits)
+	packed, err := c.Backend.ShiftPackVec(&c.Key.PublicKey, cts, slots, slotBits)
 	if err != nil {
 		return nil, err
 	}
 	wall := time.Since(start)
 	steps := 2 * int64(len(cts)-len(packed))
 	c.Costs.AddHE(wall, c.simSince(base, wall), steps, steps)
-	c.Costs.AddCompression(int64(len(cts)), int64(len(packed)))
 	return packed, nil
 }
 
@@ -264,23 +493,39 @@ func (c *Context) EncryptNats(pts []mpint.Nat, instances int64) ([]paillier.Ciph
 }
 
 // WeightedSums computes k sparse non-negative-integer combinations of one
-// ciphertext vector, out[j] = E(Σ t.Weight·plain(cts[t.Index])) over the terms
-// t of sums[j]: the homomorphic multiply-accumulate at the heart of the
+// ciphertext vector: BroadcastSums over an unpacked broadcast (s = 1), where
+// a term's index is a ciphertext's.
+func (c *Context) WeightedSums(cts []paillier.Ciphertext, sums [][]mpint.Term) ([]paillier.Ciphertext, error) {
+	return c.BroadcastSums(cts, sums, 1)
+}
+
+// BroadcastSums computes k sparse non-negative-integer combinations of the
+// values a stride-s broadcast cts carries: out[j] encrypts Σ t.Weight·v[t.Index]
+// over the terms t of sums[j], t.Index being a value's position in the
+// broadcast — the homomorphic multiply-accumulate at the heart of the
 // vertical gradient and histogram steps, every sum of a host's minibatch (or
-// of a tree node's feature) in one charged HE batch — one kernel launch on the
+// of a tree node's feature) in one charged HE batch: one kernel launch on the
 // GPU profiles, the serial product-and-add loop on the CPU ones. Zero weights
 // are no terms. The batch is charged once, with one HE operation and one
 // instance a non-zero term: a ciphertext-scalar product.
+//
+// At s > 1 the batch computes the s inner sums of every sum, over the
+// ciphertexts, and one ShiftPackVec launch folds them into the convolution T
+// whose slot s−1 holds the sum (see the top of this file); an empty inner sum
+// is the ciphertext 1 and folds in as the identity.
 //
 // A sum without a non-zero term comes back as a fresh encryption of zero, so
 // an empty sum on the wire looks like any other; those are encrypted together
 // after the batch and draw one nonce seed, which no sum the models build
 // reaches (they skip empty sides and empty bins). A term that refers outside
-// cts rejects with mpint.ErrTermIndex before anything is launched, encrypted
-// or charged; no sums are no work.
-func (c *Context) WeightedSums(cts []paillier.Ciphertext, sums [][]mpint.Term) ([]paillier.Ciphertext, error) {
-	if err := mpint.CheckTerms(len(cts), sums); err != nil {
-		return nil, fmt.Errorf("fl: WeightedSums: %w", err)
+// the broadcast rejects with mpint.ErrTermIndex before anything is launched,
+// encrypted or charged; no sums are no work.
+func (c *Context) BroadcastSums(cts []paillier.Ciphertext, sums [][]mpint.Term, s int) ([]paillier.Ciphertext, error) {
+	if _, err := c.layout(s); err != nil {
+		return nil, err
+	}
+	if err := mpint.CheckTerms(len(cts)*s, sums); err != nil {
+		return nil, fmt.Errorf("fl: BroadcastSums: %w", err)
 	}
 	var terms int64
 	var empty []int
@@ -297,14 +542,26 @@ func (c *Context) WeightedSums(cts []paillier.Ciphertext, sums [][]mpint.Term) (
 	}
 	var out []paillier.Ciphertext
 	if terms > 0 {
+		inner := sums
+		if s > 1 {
+			inner = c.innerSums(sums, s)
+		}
 		base := c.simBase()
 		start := time.Now()
 		var err error
-		if out, err = c.Backend.WeightedSumVec(&c.Key.PublicKey, cts, sums); err != nil {
+		if out, err = c.Backend.WeightedSumVec(&c.Key.PublicKey, cts, inner); err != nil {
 			return nil, err
 		}
 		wall := time.Since(start)
 		c.Costs.AddHE(wall, c.simSince(base, wall), terms, terms)
+		if s > 1 {
+			conv, err := c.shiftPack(out, s, BroadcastSlotBits)
+			if err != nil {
+				return nil, err
+			}
+			ReleaseCiphertexts(out)
+			out = conv
+		}
 	} else {
 		out = make([]paillier.Ciphertext, len(sums))
 	}
@@ -318,4 +575,23 @@ func (c *Context) WeightedSums(cts []paillier.Ciphertext, sums [][]mpint.Term) (
 		}
 	}
 	return out, nil
+}
+
+// innerSums splits sums over a stride-s broadcast into the k·s sums over its
+// ciphertexts: term (i, x) of sum j becomes term (⌊i/s⌋, x) of j's inner sum
+// S_l, l = i mod s, and j's inner sums are laid out S_{s−1} … S_0, the order
+// ShiftPackVec's Horner puts S_l in slot s−1−l. The lists are the context's,
+// reused from call to call.
+func (c *Context) innerSums(sums [][]mpint.Term, s int) [][]mpint.Term {
+	c.inner = slices.Grow(c.inner[:0], len(sums)*s)[:len(sums)*s]
+	for i := range c.inner {
+		c.inner[i] = c.inner[i][:0]
+	}
+	for j, sum := range sums {
+		for _, t := range sum {
+			at := j*s + s - 1 - t.Index%s
+			c.inner[at] = append(c.inner[at], mpint.Term{Index: t.Index / s, Weight: t.Weight})
+		}
+	}
+	return c.inner
 }

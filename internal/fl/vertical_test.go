@@ -425,30 +425,36 @@ func TestOpenSumsRejectsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.decryptSlots(wide, 2, ctx.ReturnSlots()); !errors.Is(err, ErrSlotCorrupt) {
+	if _, err := ctx.decryptSlots(wide, 2, returnLayout{1, ctx.ReturnSlots()}); !errors.Is(err, ErrSlotCorrupt) {
 		t.Fatalf("stray bit above the declared slots: got %v, want ErrSlotCorrupt", err)
 	}
-	if got, err := ctx.decryptSlots(wide, 3, ctx.ReturnSlots()); err != nil || got[2] != 1 {
+	if got, err := ctx.decryptSlots(wide, 3, returnLayout{1, ctx.ReturnSlots()}); err != nil || got[2] != 1 {
 		t.Fatalf("three declared slots hold the same plaintext: %v, %v", got, err)
 	}
-	if _, err := ctx.decryptSlots(wide, 4, ctx.ReturnSlots()); !errors.Is(err, ErrSlotCorrupt) {
+	if _, err := ctx.decryptSlots(wide, 4, returnLayout{1, ctx.ReturnSlots()}); !errors.Is(err, ErrSlotCorrupt) {
 		t.Fatalf("count needing two plaintexts against one: got %v, want ErrSlotCorrupt", err)
 	}
 }
 
 // FuzzSplitSlots drives the decryptor side of the return path with any
-// plaintexts against any declared count and slot width: it must reject with
-// ErrSlotCorrupt or return exactly the declared number of values that
-// re-pack to the input, and never allocate for a count the plaintexts cannot
-// carry. The seed corpus is under testdata/fuzz/FuzzSplitSlots.
+// plaintexts against any declared count and stride, under a packed key of any
+// width up to 65,535 bits (which fixes the values a plaintext carries): it
+// must reject with ErrSlotCorrupt — a stride the key cannot hold included —
+// or return exactly the declared number of values, each the 64 bits at its
+// block's target slot with the rest of that slot clear and nothing above the
+// declared blocks (at stride 1 they re-pack to the input), and never allocate
+// for a count the plaintexts cannot carry. The seed corpus is under
+// testdata/fuzz/FuzzSplitSlots.
 func FuzzSplitSlots(f *testing.F) {
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 2}, uint8(1), 2, 15)
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(1), 1, 1)
-	f.Add([]byte{}, uint8(0), 0, 15)
-	f.Add([]byte{7}, uint8(3), 31, 15)
-	f.Add([]byte{7}, uint8(1), math.MaxInt, 15)
-	f.Add([]byte{7}, uint8(1), -1, 0)
-	f.Fuzz(func(t *testing.T, data []byte, nPts uint8, count, slots int) {
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 2}, uint8(1), 2, 1, uint16(1024))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(1), 1, 1, uint16(128))
+	f.Add([]byte{}, uint8(0), 0, 1, uint16(1024))
+	f.Add([]byte{7}, uint8(3), 31, 1, uint16(1024))
+	f.Add([]byte{7}, uint8(1), math.MaxInt, 1, uint16(1024))
+	f.Add([]byte{7}, uint8(1), -1, 0, uint16(1024))
+	f.Add([]byte{7}, uint8(1), 1, 5, uint16(1024))
+	f.Add([]byte{7}, uint8(1), 1, math.MaxInt, uint16(2048))
+	f.Fuzz(func(t *testing.T, data []byte, nPts uint8, count, stride int, keyBits uint16) {
 		// data is cut into nPts big-endian plaintexts of equal length.
 		pts := make([]mpint.Nat, nPts)
 		if nPts > 0 {
@@ -457,20 +463,38 @@ func FuzzSplitSlots(f *testing.F) {
 				pts[i] = mpint.FromBytes(data[i*each : (i+1)*each])
 			}
 		}
-		got, err := splitSlots(pts, count, slots)
+		l, err := newReturnLayout(int(keyBits)-1, stride, true)
+		var got []uint64
+		if err == nil {
+			got, err = splitSlots(pts, count, l)
+		}
 		if err != nil {
 			if !errors.Is(err, ErrSlotCorrupt) {
 				t.Fatalf("untyped reject: %v", err)
 			}
 			return
 		}
-		if len(got) != count || cap(got) != count || count > len(pts)*slots {
-			t.Fatalf("%d values (cap %d) from %d plaintexts of %d slots, declared %d", len(got), cap(got), len(pts), slots, count)
+		if len(got) != count || cap(got) != count || count > len(pts)*l.per {
+			t.Fatalf("%d values (cap %d) from %d plaintexts of %d values, declared %d", len(got), cap(got), len(pts), l.per, count)
 		}
+		block := l.blockBits()
 		for g, pt := range pts {
-			vals := got[g*slots : min((g+1)*slots, count)]
-			if mpint.Cmp(mpint.FromWords(vals), pt) != 0 {
-				t.Fatalf("plaintext %d does not re-pack from its values", g)
+			vals := got[g*l.per : min((g+1)*l.per, count)]
+			if l.stride == 1 {
+				if mpint.Cmp(mpint.FromWords(vals), pt) != 0 {
+					t.Fatalf("plaintext %d does not re-pack from its values", g)
+				}
+				continue
+			}
+			if pt.BitLen() > block*len(vals) {
+				t.Fatalf("plaintext %d: %d bits accepted in %d blocks of %d", g, pt.BitLen(), len(vals), block)
+			}
+			for b, v := range vals {
+				target := mpint.Rsh(pt, uint(b*block+l.valueAt()))
+				lo, _ := target.Uint64()
+				if rest := mpint.Rsh(target, returnSlotBits); v != lo || !rest.IsZero() && rest.TrailingZeroBits() < BroadcastSlotBits-returnSlotBits {
+					t.Fatalf("plaintext %d, value %d: %d accepted from a target slot holding %v", g, b, v, target)
+				}
 			}
 		}
 	})

@@ -66,21 +66,41 @@ var verticalGoldens = []verticalGolden{
 	{"Hetero SBT", fl.SystemHAFLO, [2]uint64{0x3fe1c109591d82ef, 0x3fddaa5913612c52}, 137259, 101, 1158, "362fa9090bf20b2510b83d81d7fa250f"},
 }
 
+// packedGoldens are Hetero LR at 1,024 bits, where the packed profile's
+// minibatches of 32 rows broadcast s = 5 residuals a ciphertext
+// (fl.Context.BroadcastStride) and HAFLO's, without batch compression, one.
+// The losses are the unpacked protocol's to the bit: every opened sum is the
+// same integer.
+var packedGoldens = []verticalGolden{
+	{"Hetero LR", fl.SystemFLBooster, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f7}, 42252, 56, 52, "9d40da6f92ebe28a2579cf6a2a7d4349"},
+	{"Hetero LR", fl.SystemHAFLO, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f7}, 249164, 56, 176, "841119d6785eead97e9309299765e2a1"},
+}
+
 // TestVerticalGoldens holds the three vertical models to the recorded rows at
-// 256-bit keys, where the packed profile's return path has three slots.
+// 256-bit keys, where the packed profile's return path has three slots and
+// the broadcast no room for a second residual, and Hetero LR to its rows at
+// 1,024 bits.
 func TestVerticalGoldens(t *testing.T) {
 	for _, want := range verticalGoldens {
-		if got := runVerticalGolden(t, want.model, want.sys); got != want {
+		if got := runVerticalGolden(t, want.model, want.sys, returnKeyBits); got != want {
 			t.Errorf("%s on %s:\n got %#v\nwant %#v", want.model, want.sys, got, want)
+		}
+	}
+	if s := testCtxKey(t, fl.SystemFLBooster, returnKeyBits).BroadcastStride(32, []int{4, 4, 4}); s != 1 {
+		t.Errorf("the packed profile broadcasts %d residuals a ciphertext at %d bits, want 1", s, returnKeyBits)
+	}
+	for _, want := range packedGoldens {
+		if got := runVerticalGolden(t, want.model, want.sys, 1024); got != want {
+			t.Errorf("%s on %s at 1,024 bits:\n got %#v\nwant %#v", want.model, want.sys, got, want)
 		}
 	}
 }
 
-// runVerticalGolden trains one model for two epochs under one profile and
-// returns the row it produced.
-func runVerticalGolden(t *testing.T, model string, sys fl.System) verticalGolden {
+// runVerticalGolden trains one model for two epochs under one profile at a
+// key size and returns the row it produced.
+func runVerticalGolden(t *testing.T, model string, sys fl.System, keyBits int) verticalGolden {
 	t.Helper()
-	ctx := testCtxKey(t, sys, returnKeyBits)
+	ctx := testCtxKey(t, sys, keyBits)
 	rec := &openedHasher{Backend: ctx.Backend, h: sha256.New()}
 	ctx.Backend = rec
 	ds := denseData(t, 64, 8)

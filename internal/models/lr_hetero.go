@@ -21,17 +21,19 @@ import (
 //     homomorphically (an *aggregatable* flow — packed under batch
 //     compression), forwarding the encrypted sum to the arbiter, which
 //     decrypts and returns the plaintext scores to the guest;
-//  3. the guest computes exact residuals d = σ(z) − y, encrypts them one
-//     ciphertext per sample (the per-sample broadcast, never packed), and
-//     sends E(d) to the hosts;
+//  3. the guest computes exact residuals d = σ(z) − y, encrypts them s to a
+//     ciphertext (the per-sample broadcast; s = 1 without batch compression,
+//     with it the stride fl.Context.BroadcastStride picks from the batch's
+//     public shape) and sends E(d) to the hosts;
 //  4. every host accumulates its encrypted gradient ∑ᵢ E(dᵢ)^{x̃ᵢⱼ} with
 //     fixed-point feature values x̃, sign-split so negative features stay in
-//     the unsigned domain; the guest, who holds d in plaintext, computes its
-//     own slice directly;
-//  5. the per-feature sums return to the arbiter (the return path — packed
-//     under batch compression, fl.Context.OpenSums), each host removes the
-//     quantization shift with its locally known correction term ∑ᵢ x̃ᵢⱼ and
-//     applies the SGD step.
+//     the unsigned domain — at s > 1 the convolution whose target slot holds
+//     that sum (fl.Context.BroadcastSums); the guest, who holds d in
+//     plaintext, computes its own slice directly;
+//  5. the per-feature sums return to the arbiter (the return path — masked
+//     and packed under batch compression, fl.Context.OpenBroadcastSums), each
+//     host removes the quantization shift with its locally known correction
+//     term ∑ᵢ x̃ᵢⱼ and applies the SGD step.
 type HeteroLR struct {
 	opts  Options
 	ctx   *fl.Context // nil in plaintext-oracle mode
@@ -50,6 +52,9 @@ type HeteroLR struct {
 	// weighted is each party's homomorphic gradient step, kept across
 	// minibatches (only the hosts', p ≥ 1, are used).
 	weighted []weightedSums
+	// hostSums is the sums each host returns a minibatch at most, 2 × its
+	// feature count: the public shape BroadcastStride reads.
+	hostSums []int
 
 	// zScale bounds partial scores into the quantizer's interval.
 	zScale float64
@@ -94,6 +99,9 @@ func NewHeteroLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroLR
 		m.offsets[p] = off
 		off += part.NumFeatures
 		m.opts2[p] = NewAdam(opts.LearningRate)
+		if p > 0 {
+			m.hostSums = append(m.hostSums, 2*part.NumFeatures)
+		}
 	}
 	if ctx != nil {
 		names := make([]string, 0, parties+1)
@@ -207,10 +215,11 @@ func (m *HeteroLR) trainBatch(lo, hi int) error {
 		return err
 	}
 
-	// Step 3: guest residuals, encrypted per sample.
+	// Step 3: guest residuals, encrypted s a ciphertext.
 	var d []float64
 	m.ctx.TrackOther(func() { d = m.residuals(zsum, lo) })
-	encD, err := m.ctx.EncryptValuesUnpacked(d)
+	s := m.ctx.BroadcastStride(n, m.hostSums)
+	encD, err := m.ctx.EncryptBroadcast(d, s)
 	if err != nil {
 		return err
 	}
@@ -223,7 +232,7 @@ func (m *HeteroLR) trainBatch(lo, hi int) error {
 	// Steps 4–5: the hosts' homomorphic gradients through the arbiter; the
 	// guest's gradient and bias step from the plaintext residuals it holds.
 	for p := 1; p < parties; p++ {
-		if err := m.hostGradientStep(p, lo, hi, encD); err != nil {
+		if err := m.hostGradientStep(p, lo, hi, encD, s); err != nil {
 			return fmt.Errorf("models: party %d gradient: %w", p, err)
 		}
 	}
@@ -261,9 +270,10 @@ func (m *HeteroLR) plainGradientStep(p, lo, hi int, d []float64) {
 	m.opts2[p].Step(m.W[p], grads)
 }
 
-// hostGradientStep runs steps 4–5 for one host: encrypted weighted sums per
-// feature, arbiter round trip, shift correction, SGD update.
-func (m *HeteroLR) hostGradientStep(p, lo, hi int, encD []paillier.Ciphertext) error {
+// hostGradientStep runs steps 4–5 for one host over the stride-s broadcast
+// encD: encrypted weighted sums per feature, arbiter round trip, shift
+// correction, SGD update.
+func (m *HeteroLR) hostGradientStep(p, lo, hi int, encD []paillier.Ciphertext, s int) error {
 	part := m.parts[p]
 	ws := &m.weighted[p]
 	splits := ws.reset(part.NumFeatures)
@@ -276,7 +286,7 @@ func (m *HeteroLR) hostGradientStep(p, lo, hi int, encD []paillier.Ciphertext) e
 		}
 	}
 	route := fl.ReturnRoute{Net: m.net, Party: hostName(p), Decryptor: arbiterName, Kind: "grad-sums", ReplyKind: "grad-plain"}
-	sums, err := ws.open(m.ctx, route, encD)
+	sums, err := ws.open(m.ctx, route, encD, s)
 	if err != nil {
 		return err
 	}

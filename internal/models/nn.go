@@ -354,7 +354,7 @@ func (m *HeteroNN) hostBottomUpdate(p int, encD []paillier.Ciphertext, lo, hi in
 		}
 	}
 	route := fl.ReturnRoute{Net: m.net, Party: hostName(p), Decryptor: arbiterName, Kind: "nn-grad", ReplyKind: "nn-grad-plain"}
-	grads, err := ws.open(m.ctx, route, encD)
+	grads, err := ws.open(m.ctx, route, encD, 1)
 	if err != nil || grads == nil {
 		return err
 	}

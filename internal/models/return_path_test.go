@@ -15,7 +15,8 @@ const returnKeyBits = 256
 // change bytes and time, never the model. Every plaintext the vertical
 // protocols open is an exact integer sum, so three epochs under the full
 // system, without batch compression and on the serial CPU baseline must end
-// at the same loss to the last bit.
+// at the same loss to the last bit — at 256 bits, and for Hetero LR at 1,024
+// too, where the full system packs five residuals a broadcast ciphertext.
 func TestHeteroLossIdenticalAcrossProfiles(t *testing.T) {
 	build := map[string]func(ctx *fl.Context, ds *datasets.Dataset) (Model, error){
 		"Hetero LR":  func(ctx *fl.Context, ds *datasets.Dataset) (Model, error) { return NewHeteroLR(ctx, ds, testOpts()) },
@@ -23,51 +24,74 @@ func TestHeteroLossIdenticalAcrossProfiles(t *testing.T) {
 		"Hetero SBT": func(ctx *fl.Context, ds *datasets.Dataset) (Model, error) { return NewHeteroSBT(ctx, ds, testOpts()) },
 	}
 	for name, newModel := range build {
-		ds := denseData(t, 64, 8)
-		losses := map[fl.System]float64{}
-		for _, sys := range []fl.System{fl.SystemFLBooster, fl.SystemNoBC, fl.SystemFATE} {
-			m, err := newModel(testCtxKey(t, sys, returnKeyBits), ds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for e := 0; e < 3; e++ {
-				if losses[sys], err = m.TrainEpoch(); err != nil {
-					t.Fatalf("%s on %s, epoch %d: %v", name, sys, e, err)
-				}
-			}
-			m.(interface{ Close() error }).Close()
+		keys := []int{returnKeyBits}
+		if name == "Hetero LR" {
+			keys = append(keys, 1024)
 		}
-		if a, b, c := losses[fl.SystemFLBooster], losses[fl.SystemNoBC], losses[fl.SystemFATE]; a != b || a != c {
-			t.Errorf("%s loss after three epochs: FLBooster %v, w/o BC %v, FATE %v", name, a, b, c)
+		for _, keyBits := range keys {
+			ds := denseData(t, 64, 8)
+			losses := map[fl.System]float64{}
+			for _, sys := range []fl.System{fl.SystemFLBooster, fl.SystemNoBC, fl.SystemFATE} {
+				ctx := testCtxKey(t, sys, keyBits)
+				m, err := newModel(ctx, ds)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s := ctx.BroadcastStride(32, []int{4, 4, 4}); keyBits == 1024 && sys == fl.SystemFLBooster && s != 5 {
+					t.Fatalf("%s at 1,024 bits broadcasts %d residuals a ciphertext, want 5", sys, s)
+				}
+				for e := 0; e < 3; e++ {
+					if losses[sys], err = m.TrainEpoch(); err != nil {
+						t.Fatalf("%s on %s at %d bits, epoch %d: %v", name, sys, keyBits, e, err)
+					}
+				}
+				m.(interface{ Close() error }).Close()
+			}
+			if a, b, c := losses[fl.SystemFLBooster], losses[fl.SystemNoBC], losses[fl.SystemFATE]; a != b || a != c {
+				t.Errorf("%s loss after three epochs at %d bits: FLBooster %v, w/o BC %v, FATE %v", name, keyBits, a, b, c)
+			}
 		}
 	}
 }
 
 // TestHeteroLRWireBudget pins Hetero LR's traffic per epoch from the protocol
-// description, not from a recorded number: per minibatch of n rows, P−1 score
+// description, not from a recorded number: per minibatch of n rows, with s
+// the stride the rule picks from (n, 2·dim per host, the key), P−1 score
 // uploads and one aggregate of PlaintextCount(n) ciphertexts, 8n bytes of
-// plaintext scores, P−1 residual broadcasts of n ciphertexts, and per host
-// one return-path request of ⌈2·dim/slots⌉ ciphertexts (plus the 4-byte
-// count when packed) answered by 8 bytes a sum. The guest sends no gradient
-// at all. If the return path stops packing, or the guest goes back through
-// the arbiter, the byte or message count moves.
+// plaintext scores, P−1 residual broadcasts of ⌈n/s⌉ ciphertexts, and per
+// host one return-path request of ⌈2·dim/per⌉ ciphertexts — per the 64-bit
+// slots that fit at s = 1, the blocks of 2s−1 W-bit slots above — plus the
+// 4-byte count when per > 1 and the 4-byte stride when s > 1, answered by 8
+// bytes a sum. The guest sends no gradient at all. If the broadcast or the
+// return path stops packing, or the guest goes back through the arbiter, the
+// byte or message count moves.
 func TestHeteroLRWireBudget(t *testing.T) {
+	for _, keyBits := range []int{returnKeyBits, 1024} {
+		wireBudget(t, keyBits)
+	}
+}
+
+func wireBudget(t *testing.T, keyBits int) {
 	ds := denseData(t, 48, 8)
 	opts := testOpts()
 	opts.BatchSize = 16
 	var perEpoch [2]int64
 	for i, sys := range []fl.System{fl.SystemFLBooster, fl.SystemNoBC} {
-		ctx := testCtxKey(t, sys, returnKeyBits)
+		ctx := testCtxKey(t, sys, keyBits)
 		m, err := NewHeteroLR(ctx, ds, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		slots := ctx.ReturnSlots()
-		if want := map[fl.System]int{fl.SystemFLBooster: 3, fl.SystemNoBC: 1}[sys]; slots != want {
-			t.Fatalf("%s: %d return slots at 256 bits, want %d", sys, slots, want)
+		plainBits := keyBits - 1
+		if want := map[fl.System]int{fl.SystemFLBooster: plainBits / 64, fl.SystemNoBC: 1}[sys]; ctx.ReturnSlots() != want {
+			t.Fatalf("%s: %d return slots at %d bits, want %d", sys, ctx.ReturnSlots(), keyBits, want)
 		}
 		parties := len(m.parts)
+		hostSums := make([]int, 0, parties-1)
+		for p := 1; p < parties; p++ {
+			hostSums = append(hostSums, 2*m.parts[p].NumFeatures)
+		}
 		header := func(from, to, kind string) int64 {
 			return flnet.Message{From: from, To: to, Kind: kind}.WireSize()
 		}
@@ -75,14 +99,27 @@ func TestHeteroLRWireBudget(t *testing.T) {
 		for _, r := range ds.Batches(opts.BatchSize) {
 			n := r[1] - r[0]
 			scoreCts := ctx.PlaintextCount(n)
+			s := ctx.BroadcastStride(n, hostSums)
+			per := ctx.ReturnSlots()
+			if s > 1 {
+				per = plainBits / ((2*s - 1) * fl.BroadcastSlotBits)
+			}
+			// 16 rows, 4 sums a host: 3·(16 + 1) ciphertexts at s = 1, 3·(4 + 4)
+			// at s = 4, the rule's pick where three 105-bit slots fit.
+			if want := map[bool]int{false: 1, true: 4}[keyBits == 1024 && sys == fl.SystemFLBooster]; s != want {
+				t.Fatalf("%s at %d bits: stride %d, want %d", sys, keyBits, s, want)
+			}
 			for p := 1; p < parties; p++ {
 				bytes += header(hostName(p), hostName(0), "scores") + ctx.CiphertextWireBytes(scoreCts)
-				bytes += header(hostName(0), hostName(p), "residuals") + ctx.CiphertextWireBytes(n)
+				bytes += header(hostName(0), hostName(p), "residuals") + ctx.CiphertextWireBytes((n+s-1)/s)
 				// Dense features: both signs of every feature appear in every
 				// batch (checked below), so a host returns 2·dim sums.
 				sums := 2 * m.parts[p].NumFeatures
-				request := ctx.CiphertextWireBytes((sums + slots - 1) / slots)
-				if slots > 1 {
+				request := ctx.CiphertextWireBytes((sums + per - 1) / per)
+				if per > 1 {
+					request += 4
+				}
+				if s > 1 {
 					request += 4
 				}
 				bytes += header(hostName(p), arbiterName, "grad-sums") + request
@@ -114,12 +151,12 @@ func TestHeteroLRWireBudget(t *testing.T) {
 		}
 		c := ctx.Costs.Snapshot()
 		if c.CommMsgs != msgs || c.CommBytes != bytes {
-			t.Fatalf("%s: epoch sent %d messages / %d bytes, the protocol budgets %d / %d",
-				sys, c.CommMsgs, c.CommBytes, msgs, bytes)
+			t.Fatalf("%s at %d bits: epoch sent %d messages / %d bytes, the protocol budgets %d / %d",
+				sys, keyBits, c.CommMsgs, c.CommBytes, msgs, bytes)
 		}
 		perEpoch[i] = c.CommBytes
 	}
 	if perEpoch[0] >= perEpoch[1] {
-		t.Fatalf("packed epoch %d B is not below the unpacked %d B", perEpoch[0], perEpoch[1])
+		t.Fatalf("%d bits: packed epoch %d B is not below the unpacked %d B", keyBits, perEpoch[0], perEpoch[1])
 	}
 }

@@ -76,14 +76,14 @@ func (w *weightedSums) reset(n int) []signSplit {
 }
 
 // open is the host side of the step over the splits reset handed out: the
-// homomorphic multiply-accumulate over the encrypted per-sample values encD
-// for every non-empty side of every split — all of them in one
-// fl.Context.WeightedSums batch — the return path through the key holder,
-// and the decode Σ dᵢ·x̃ᵢ = (2α/M)·S − α·Σx̃ per side. It returns each split's
-// signed total in fixed-point units, valid until the next reset, or nil when
-// no split had a term to send. The sum ciphertexts die here and go back to
-// the pool.
-func (w *weightedSums) open(ctx *fl.Context, route fl.ReturnRoute, encD []paillier.Ciphertext) ([]float64, error) {
+// homomorphic multiply-accumulate over the per-sample values the stride-s
+// broadcast encD carries for every non-empty side of every split — all of
+// them in one fl.Context.BroadcastSums batch — the return path through the
+// key holder, and the decode Σ dᵢ·x̃ᵢ = (2α/M)·S − α·Σx̃ per side. It returns
+// each split's signed total in fixed-point units, valid until the next reset,
+// or nil when no split had a term to send. The sum ciphertexts die here and
+// go back to the pool.
+func (w *weightedSums) open(ctx *fl.Context, route fl.ReturnRoute, encD []paillier.Ciphertext, s int) ([]float64, error) {
 	w.sums, w.bounds, w.meta = w.sums[:0], w.bounds[:0], w.meta[:0]
 	for k := range w.splits {
 		for sign := range w.splits[k] {
@@ -103,11 +103,11 @@ func (w *weightedSums) open(ctx *fl.Context, route fl.ReturnRoute, encD []pailli
 	if len(w.sums) == 0 {
 		return nil, nil
 	}
-	cts, err := ctx.WeightedSums(encD, w.sums)
+	cts, err := ctx.BroadcastSums(encD, w.sums, s)
 	if err != nil {
 		return nil, err
 	}
-	raws, err := ctx.OpenSums(route, cts, w.bounds)
+	raws, err := ctx.OpenBroadcastSums(route, cts, w.bounds, s)
 	if err != nil {
 		return nil, err
 	}

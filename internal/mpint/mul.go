@@ -75,6 +75,22 @@ func schoolbookInto(z, x, y []Word) {
 	}
 }
 
+// MulAddWordInto returns x·y + w, written into z's limbs where their capacity
+// holds it (Reuse) and into fresh ones where it does not; z must alias neither
+// operand.
+func MulAddWordInto(z, x, y Nat, w Word) Nat {
+	x, y = trim(x), trim(y)
+	if len(x) == 0 || len(y) == 0 {
+		z = Reuse(z, 1)
+		z[0] = w
+		return trim(z)
+	}
+	z = Reuse(z, len(x)+len(y))
+	schoolbookInto(z, x, y)
+	addInto(z, z, []Word{w}) // x·y + w < 2^(64·len(z)): no carry out
+	return trim(z)
+}
+
 // mulSchoolbook is the O(n·m) product.
 func mulSchoolbook(x, y Nat) Nat {
 	z := make(Nat, len(x)+len(y))

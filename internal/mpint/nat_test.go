@@ -131,6 +131,34 @@ func TestMulDifferential(t *testing.T) {
 	}
 }
 
+// TestMulAddWordInto: x·y + w against math/big, into limbs too short, long
+// enough and dirty, with zero operands and a carry-in that ripples.
+func TestMulAddWordInto(t *testing.T) {
+	r := NewRNG(11)
+	for i := 0; i < 400; i++ {
+		x, y, w := randNat(r, 700), randNat(r, 700), r.Word()
+		switch i % 5 {
+		case 0:
+			x = nil
+		case 1:
+			w = ^Word(0)
+		}
+		z := make(Nat, r.Intn(30))
+		for j := range z {
+			z[j] = r.Word()
+		}
+		got := MulAddWordInto(z, x, y, w)
+		want := new(big.Int).Mul(toBig(x), toBig(y))
+		want.Add(want, new(big.Int).SetUint64(w))
+		if toBig(got).Cmp(want) != 0 || Cmp(got, trim(got)) != 0 || len(got) != len(trim(got)) {
+			t.Fatalf("MulAddWordInto(%s, %s, %d) = %s, want %s", x, y, w, got, want)
+		}
+		if cap(z) >= max(1, len(x)+len(y)) && len(got) > 0 && &got[0] != &z[:1][0] {
+			t.Fatalf("%d limbs of capacity held the product, fresh ones were taken", cap(z))
+		}
+	}
+}
+
 func TestMulKaratsubaLarge(t *testing.T) {
 	r := NewRNG(5)
 	for i := 0; i < 40; i++ {

@@ -1,6 +1,9 @@
 package paillier
 
-import "flbooster/internal/pool"
+import (
+	"flbooster/internal/mpint"
+	"flbooster/internal/pool"
+)
 
 // batches pools dead ciphertext batches, each value's limbs kept behind its
 // empty Nat: the one pool a round's batches are drawn from and handed back to
@@ -28,4 +31,18 @@ func ReleaseBatch(cts []Ciphertext) {
 		full[i].C = c[:0]
 	}
 	batches.Put(cts)
+}
+
+// ReleasePlaintexts hands the limbs of dead plaintexts back to the pool — the
+// limbs a DecryptVec takes out of it — behind the values of a batch of their
+// count, each value keeping the wider of its own limbs and the plaintext's.
+// Nothing may read or keep any of pts afterwards.
+func ReleasePlaintexts(pts []mpint.Nat) {
+	b := DrawBatch(len(pts))
+	for i, x := range pts {
+		if cap(x) > cap(b[i].C) {
+			b[i].C = x
+		}
+	}
+	ReleaseBatch(b)
 }
