@@ -96,6 +96,69 @@ func TestVerticalGoldens(t *testing.T) {
 	}
 }
 
+// oracleGolden is one plaintext oracle (nil context) trained for three epochs
+// on a party count: the loss bits after each epoch.
+type oracleGolden struct {
+	model   string
+	parties int
+	loss    [3]uint64
+}
+
+// oracleGoldens pin the oracles every convergence bias divides by
+// (models.loss_bias, Table VII). They are what the encrypted protocols are
+// measured against, so a refactor of the protocol skeleton must leave every
+// bit of them where it was.
+var oracleGoldens = []oracleGolden{
+	{"Homo LR", 4, [3]uint64{0x3fe39dccbedb0439, 0x3fe1bcfb6c388d81, 0x3fe0509fb1517e85}},
+	{"Homo LR", 1, [3]uint64{0x3fe1c9c6260c9b40, 0x3fde3ef3c1f1ea60, 0x3fdad7b9e1e302f5}},
+	{"Hetero LR", 4, [3]uint64{0x3fe1c9c6260c9b40, 0x3fde3ef3c1f1ea60, 0x3fdad7b9e1e302f5}},
+	{"Hetero LR", 1, [3]uint64{0x3fe1c9c6260c9b40, 0x3fde3ef3c1f1ea60, 0x3fdad7b9e1e302f5}},
+	{"Hetero NN", 4, [3]uint64{0x3fe51db95e5ff26e, 0x3fe3b682e51721fb, 0x3fe2170d1f488750}},
+	{"Hetero NN", 1, [3]uint64{0x3fe546161ffb7175, 0x3fe3e997b2268108, 0x3fe24d45415a3a59}},
+	{"Hetero SBT", 4, [3]uint64{0x3fe1c109591d82ef, 0x3fddaa5913612c52, 0x3fd9a691eaaed9bd}},
+	{"Hetero SBT", 1, [3]uint64{0x3fe1c109591d82ef, 0x3fddaa5913612c52, 0x3fd9a691eaaed9bd}},
+}
+
+// TestOracleGoldens holds the four plaintext oracles to their recorded loss
+// bits at 4 parties and at 1.
+func TestOracleGoldens(t *testing.T) {
+	for _, want := range oracleGoldens {
+		ds := denseData(t, 64, 8)
+		opts := testOpts()
+		opts.Parties = want.parties
+		var (
+			m   Model
+			err error
+		)
+		switch want.model {
+		case "Homo LR":
+			m, err = NewHomoLR(nil, ds, opts)
+		case "Hetero LR":
+			m, err = NewHeteroLR(nil, ds, opts)
+		case "Hetero NN":
+			m, err = NewHeteroNN(nil, ds, 3, opts)
+		case "Hetero SBT":
+			m, err = NewHeteroSBT(nil, ds, opts)
+		default:
+			t.Fatalf("no model %q", want.model)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := oracleGolden{model: want.model, parties: want.parties}
+		for e := range got.loss {
+			loss, err := m.TrainEpoch()
+			if err != nil {
+				t.Fatalf("%s oracle at %d parties, epoch %d: %v", want.model, want.parties, e, err)
+			}
+			got.loss[e] = math.Float64bits(loss)
+		}
+		if got != want {
+			t.Errorf("%s oracle at %d parties:\n got %#v\nwant %#v", want.model, want.parties, got, want)
+		}
+	}
+}
+
 // runVerticalGolden trains one model for two epochs under one profile at a
 // key size and returns the row it produced.
 func runVerticalGolden(t *testing.T, model string, sys fl.System, keyBits int) verticalGolden {
