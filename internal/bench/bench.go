@@ -199,16 +199,9 @@ func (r *Runner) newContext(sys fl.System, keyBits int, label string) (*fl.Conte
 	return ctx, nil
 }
 
-// trainable is the per-model handle the harness drives.
-type trainable interface {
-	TrainEpoch() (float64, error)
-	Loss() float64
-	Close() error
-}
-
 // buildModel constructs a benchmark model by its paper name. ctx may be nil
 // for the plaintext oracle.
-func (r *Runner) buildModel(name string, ctx *fl.Context, ds *datasets.Dataset) (trainable, error) {
+func (r *Runner) buildModel(name string, ctx *fl.Context, ds *datasets.Dataset) (models.Model, error) {
 	opts := models.DefaultOptions()
 	opts.BatchSize = r.cfg.BatchSize
 	opts.Seed = r.cfg.Seed

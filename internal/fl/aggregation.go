@@ -160,7 +160,7 @@ func (a *Aggregation) fold(name string, cts []paillier.Ciphertext) error {
 	if err := a.trees[g].Add(cts); err != nil {
 		return err
 	}
-	// The level accumulator copied or summed the batch: the slice is dead.
+	// The tree's level copied or summed the batch: the slice is dead.
 	ReleaseCiphertexts(cts)
 	return nil
 }

@@ -4,46 +4,47 @@ import (
 	"fmt"
 	"time"
 
+	"flbooster/internal/flnet"
 	"flbooster/internal/paillier"
 )
 
 // AggTree is the hierarchical aggregation abstraction behind cross-device
-// rounds: cohort uploads are folded leaf-by-leaf into fan-out-bounded
-// levels of paillier.Accumulator contexts. When a level has absorbed
-// `fanout` children it emits one partial (its homomorphic sum), forwards it
-// up a level, and resets — so at any instant each level holds at most one
-// running partial and the coordinator's live ciphertext set is bounded by
-// fanout·depth, not by the cohort size. Homomorphic addition is commutative
-// and associative and the backend's AddVec is deterministic, so the tree's
-// root is bit-identical to the flat left-fold over the same batches
-// regardless of fold order or association.
+// rounds: cohort uploads are folded leaf-by-leaf into fan-out-bounded levels,
+// each holding its running sum as a pooled ciphertext batch. When a level has
+// absorbed `fanout` children it emits one partial (its homomorphic sum),
+// forwards it up a level, and resets — so at any instant each level holds at
+// most one running partial and the coordinator's live ciphertext set is
+// bounded by fanout·depth, not by the cohort size. Homomorphic addition is
+// commutative and associative and the backend's AddVec is deterministic, so
+// the tree's root is bit-identical to the flat left-fold over the same
+// batches regardless of fold order or association.
 //
 // A fan-out of 0 is unbounded: one level that never fills, i.e. the flat
 // left-fold — how a buffered (Cohort.Fanout == 0) round aggregates.
 //
-// The tree is pure structure: the cost model plugs in through the fold and
-// forward hooks (Context.NewAggTree charges HE time per fold and frames +
-// charges each forwarded partial as interior-link traffic).
+// Every fold into a non-empty level is one charged homomorphic addition on
+// the context (Context.addCiphertexts, the flat AggregateCiphertexts path's);
+// every partial forwarded up a level of a bounded tree is framed and charged
+// as interior-link traffic.
 type AggTree struct {
-	fanout  int
-	newAcc  func() (*paillier.Accumulator, error)
-	fold    func(acc *paillier.Accumulator, cts []paillier.Ciphertext) (time.Duration, error)
-	forward func(level int, cts []paillier.Ciphertext)
+	ctx    *Context
+	fanout int
 
 	levels   []*treeLevel
 	levelSim []time.Duration
 
 	leaves   int
-	folds    int64 // HE additions (folds into a non-empty accumulator)
+	folds    int64 // HE additions (folds into a non-empty level)
 	forwards int64
-	live     int64 // ciphertexts currently held across all level accumulators
+	live     int64 // ciphertexts currently held across all levels
 	peak     int64
 }
 
-// treeLevel is one level's running partial: the accumulator and how many
-// children it has absorbed since it last emitted.
+// treeLevel is one level's running partial, a pooled batch of the tree's own
+// (nil while the level is empty), and how many children it has absorbed since
+// it last emitted.
 type treeLevel struct {
-	acc  *paillier.Accumulator
+	sum  []paillier.Ciphertext
 	kids int
 }
 
@@ -65,23 +66,6 @@ type TreeStats struct {
 	LevelSimNs []int64 `json:"level_sim_ns,omitempty"`
 }
 
-// NewAggTree builds an empty aggregation tree. newAcc constructs one level's
-// aggregation context, fold merges a batch into it (returning the modelled
-// HE time) — copying or summing it, never keeping it: a partial folded up a
-// level is released — and forward (optional) observes each partial leaving a
-// level.
-func NewAggTree(fanout int, newAcc func() (*paillier.Accumulator, error),
-	fold func(acc *paillier.Accumulator, cts []paillier.Ciphertext) (time.Duration, error),
-	forward func(level int, cts []paillier.Ciphertext)) (*AggTree, error) {
-	if fanout < 0 || fanout == 1 {
-		return nil, fmt.Errorf("fl: aggregation fan-out %d must be ≥ 2 (or 0 for unbounded)", fanout)
-	}
-	if newAcc == nil || fold == nil {
-		return nil, fmt.Errorf("fl: NewAggTree needs accumulator and fold hooks")
-	}
-	return &AggTree{fanout: fanout, newAcc: newAcc, fold: fold, forward: forward}, nil
-}
-
 // Add folds one client's ciphertext batch into the tree, cascading partials
 // up through any levels the fold fills.
 func (t *AggTree) Add(cts []paillier.Ciphertext) error {
@@ -98,43 +82,54 @@ func (t *AggTree) addAt(level int, cts []paillier.Ciphertext) error {
 		t.levelSim = append(t.levelSim, 0)
 	}
 	lv := t.levels[level]
-	if lv.acc == nil {
-		acc, err := t.newAcc()
-		if err != nil {
-			return err
-		}
-		lv.acc = acc
-	}
 	// The incoming batch is live while it folds; folding into a non-empty
-	// accumulator momentarily holds both it and the running partial.
+	// level momentarily holds both it and the running partial.
 	if cand := t.live + int64(len(cts)); cand > t.peak {
 		t.peak = cand
 	}
-	wasEmpty := lv.kids == 0
-	sim, err := t.fold(lv.acc, cts)
-	if err != nil {
+	if lv.kids == 0 {
+		lv.sum = copyBatch(cts)
+		t.live += int64(len(cts))
+	} else if err := t.fold(level, cts); err != nil {
 		return err
 	}
-	t.levelSim[level] += sim
 	lv.kids++
-	if wasEmpty {
-		t.live += int64(len(cts))
-	} else {
-		t.folds++
-	}
 	if t.fanout == 0 || lv.kids < t.fanout {
 		return nil
 	}
 	return t.emit(level)
 }
 
-// emit flushes one level's partial up a level. The level above copied or
-// summed it, so it dies there.
-func (t *AggTree) emit(level int) error {
-	partial, err := t.flush(level)
+// fold adds cts into a non-empty level's running sum through the context's
+// charged homomorphic addition; the sum it replaces goes back to the pool,
+// and cts stays its caller's.
+func (t *AggTree) fold(level int, cts []paillier.Ciphertext) error {
+	lv := t.levels[level]
+	sum, sim, err := t.ctx.addCiphertexts(lv.sum, cts)
 	if err != nil {
 		return err
 	}
+	paillier.ReleaseBatch(lv.sum)
+	lv.sum = sum
+	t.levelSim[level] += sim
+	t.folds++
+	return nil
+}
+
+// copyBatch adopts a level's first child by copying its limbs into a pooled
+// batch, never by aliasing them: the child is released once folded.
+func copyBatch(cts []paillier.Ciphertext) []paillier.Ciphertext {
+	out := paillier.DrawBatch(len(cts))
+	for i, c := range cts {
+		out[i].C = append(out[i].C, c.C...)
+	}
+	return out
+}
+
+// emit flushes one level's partial up a level. The level above copied or
+// summed it, so it dies there.
+func (t *AggTree) emit(level int) error {
+	partial := t.flush(level)
 	if err := t.addAt(level+1, partial); err != nil {
 		return err
 	}
@@ -142,26 +137,28 @@ func (t *AggTree) emit(level int) error {
 	return nil
 }
 
-// flush takes a level's partial, resets the level, and accounts the forward.
-func (t *AggTree) flush(level int) ([]paillier.Ciphertext, error) {
+// flush takes a level's partial, resets the level, and accounts the forward:
+// a bounded tree frames the partial and charges it to the communication
+// component as interior-link traffic. An unbounded tree (fanout 0) lives at
+// the coordinator, so its root has no link to cross and charges nothing.
+func (t *AggTree) flush(level int) []paillier.Ciphertext {
 	lv := t.levels[level]
-	partial, err := lv.acc.Sum()
-	if err != nil {
-		return nil, err
-	}
-	lv.acc, lv.kids = nil, 0
+	partial := lv.sum
+	lv.sum, lv.kids = nil, 0
 	t.live -= int64(len(partial))
 	t.forwards++
-	if t.forward != nil {
-		t.forward(level, partial)
+	if t.fanout != 0 {
+		payload := flnet.EncodePartialAgg(uint32(level), EncodeCiphertexts(partial))
+		t.ctx.RecordTransfer(int64(len(payload)))
+		t.ctx.metricAdd("tree_partials", 1)
 	}
-	return partial, nil
+	return partial
 }
 
 // Root flushes every partially filled level bottom-up and returns the tree's
 // homomorphic sum. The final partial's forward is the root reaching the
-// coordinator. The tree is spent afterwards, and the root, an accumulator's
-// batch, is the caller's to release.
+// coordinator. The tree is spent afterwards, and the root, a level's batch,
+// is the caller's to release.
 func (t *AggTree) Root() ([]paillier.Ciphertext, error) {
 	var carry []paillier.Ciphertext
 	for level := 0; level < len(t.levels); level++ {
@@ -173,19 +170,12 @@ func (t *AggTree) Root() ([]paillier.Ciphertext, error) {
 			if cand := t.live + int64(len(carry)); cand > t.peak {
 				t.peak = cand
 			}
-			sim, err := t.fold(lv.acc, carry)
-			if err != nil {
+			if err := t.fold(level, carry); err != nil {
 				return nil, err
 			}
-			t.levelSim[level] += sim
-			t.folds++
 			paillier.ReleaseBatch(carry)
 		}
-		partial, err := t.flush(level)
-		if err != nil {
-			return nil, err
-		}
-		carry = partial
+		carry = t.flush(level)
 	}
 	if carry == nil {
 		return nil, fmt.Errorf("fl: root of an empty aggregation tree")

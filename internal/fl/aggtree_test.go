@@ -3,7 +3,6 @@ package fl
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"flbooster/internal/paillier"
 )
@@ -63,6 +62,44 @@ func TestAggTreeRootMatchesFlatFold(t *testing.T) {
 	}
 }
 
+// TestAggTreeAdoptsByCopy: a level copies its first child rather than
+// aliasing it, and two trees — a defended round's groups — never mix. Every
+// batch is released, its limbs zeroed, as soon as its tree has it, the way a
+// streamed round releases each upload; the roots must not notice.
+func TestAggTreeAdoptsByCopy(t *testing.T) {
+	ctx, err := NewContext(testProfile(SystemFLBooster))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := encryptBatches(t, ctx, 3, 6)
+	sumA, err := ctx.AggregateCiphertexts(batches[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]byte{EncodeCiphertexts(sumA), EncodeCiphertexts(batches[2])}
+	trees := make([]*AggTree, 2)
+	for g := range trees {
+		if trees[g], err = ctx.NewAggTree(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, b := range batches {
+		if err := trees[i/2].Add(b); err != nil {
+			t.Fatal(err)
+		}
+		ReleaseCiphertexts(b)
+	}
+	for g, tree := range trees {
+		root, err := tree.Root()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(EncodeCiphertexts(root), want[g]) {
+			t.Fatalf("tree %d's root is not the sum of its own batches", g)
+		}
+	}
+}
+
 // TestAggTreePeakBoundedByFanoutDepth pins the memory claim the refactor
 // exists for: the high-water live-ciphertext count is bounded by one
 // running partial per level plus the batch in flight — (depth+1)·width —
@@ -113,19 +150,7 @@ func TestAggTreeValidation(t *testing.T) {
 	if _, err := ctx.NewAggTree(1); err == nil {
 		t.Fatal("fanout 1 accepted")
 	}
-	newAcc := func() (*paillier.Accumulator, error) {
-		return paillier.NewAccumulator(&ctx.Key.PublicKey, ctx.Backend)
-	}
-	fold := func(acc *paillier.Accumulator, cts []paillier.Ciphertext) (time.Duration, error) {
-		return 0, acc.Add(cts)
-	}
-	if _, err := NewAggTree(2, nil, fold, nil); err == nil {
-		t.Fatal("nil accumulator hook accepted")
-	}
-	if _, err := NewAggTree(2, newAcc, nil, nil); err == nil {
-		t.Fatal("nil fold hook accepted")
-	}
-	tree, err := NewAggTree(2, newAcc, fold, nil)
+	tree, err := ctx.NewAggTree(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,6 +159,13 @@ func TestAggTreeValidation(t *testing.T) {
 	}
 	if _, err := tree.Root(); err == nil {
 		t.Fatal("root of an empty tree succeeded")
+	}
+	batches := encryptBatches(t, ctx, 2, 3)
+	if err := tree.Add(batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Add(batches[1][:2]); err == nil {
+		t.Fatal("width mismatch accepted")
 	}
 }
 

@@ -181,8 +181,8 @@ func (c *Context) nextSeed() uint64 {
 	return c.seed
 }
 
-// simDelta reads the device's modelled time before/after a batch. For CPU
-// profiles the modelled time equals the measured wall time.
+// simBase reads the device's modelled time before a batch; simSince turns
+// it into the batch's modelled time.
 func (c *Context) simBase() time.Duration {
 	if c.DevSet != nil {
 		return c.DevSet.SimTime()
@@ -190,6 +190,9 @@ func (c *Context) simBase() time.Duration {
 	return 0
 }
 
+// simSince is the modelled time of a batch that started at base and took wall
+// on the host: the device clock's advance, or on a CPU profile the measured
+// wall time itself.
 func (c *Context) simSince(base time.Duration, wall time.Duration) time.Duration {
 	if c.DevSet != nil {
 		return c.DevSet.SimTime() - base
@@ -321,7 +324,7 @@ func (c *Context) AggregateCiphertexts(batches [][]paillier.Ciphertext) ([]paill
 		if len(batches[i]) != len(acc) {
 			return nil, fmt.Errorf("fl: batch %d has %d ciphertexts, want %d", i, len(batches[i]), len(acc))
 		}
-		sum, err := c.addCiphertexts(acc, batches[i])
+		sum, _, err := c.addCiphertexts(acc, batches[i])
 		if err != nil {
 			return nil, err
 		}
@@ -333,42 +336,14 @@ func (c *Context) AggregateCiphertexts(batches [][]paillier.Ciphertext) ([]paill
 	return acc, nil
 }
 
-// NewAggTree builds a hierarchical aggregation tree over this context's key
-// and backend, with the cost model wired in: every fold into a non-empty
-// level accumulator is charged to the HE component exactly like the flat
-// AggregateCiphertexts path (the first child of a level is adopted by copy,
-// not HE-added), and every partial forwarded up a level is framed (flnet
-// partial-aggregate framing) and charged to the communication component as
-// interior-link traffic. An unbounded tree (fanout 0) lives at the
-// coordinator, so its root has no link to cross: it forwards and charges
-// nothing.
+// NewAggTree builds an empty hierarchical aggregation tree over this
+// context's key and backend, its folds and forwards charged to the context's
+// cost model (AggTree).
 func (c *Context) NewAggTree(fanout int) (*AggTree, error) {
-	newAcc := func() (*paillier.Accumulator, error) {
-		return paillier.NewAccumulator(&c.Key.PublicKey, c.Backend)
+	if fanout < 0 || fanout == 1 {
+		return nil, fmt.Errorf("fl: aggregation fan-out %d must be ≥ 2 (or 0 for unbounded)", fanout)
 	}
-	fold := func(acc *paillier.Accumulator, cts []paillier.Ciphertext) (time.Duration, error) {
-		if acc.Batches() == 0 {
-			return 0, acc.Add(cts)
-		}
-		base := c.simBase()
-		start := time.Now()
-		if err := acc.Add(cts); err != nil {
-			return 0, err
-		}
-		wall := time.Since(start)
-		sim := c.simSince(base, wall)
-		c.Costs.AddHE(wall, sim, int64(len(cts)), int64(len(cts)))
-		return sim, nil
-	}
-	forward := func(level int, cts []paillier.Ciphertext) {
-		payload := flnet.EncodePartialAgg(uint32(level), EncodeCiphertexts(cts))
-		c.RecordTransfer(int64(len(payload)))
-		c.metricAdd("tree_partials", 1)
-	}
-	if fanout == 0 {
-		forward = nil
-	}
-	return NewAggTree(fanout, newAcc, fold, forward)
+	return &AggTree{ctx: c, fanout: fanout}, nil
 }
 
 // DecryptAggregated runs the decryption phase (steps ⑤–⑨ of Fig. 4) for an

@@ -403,7 +403,7 @@ func (c *Context) maskCrossTerms(cts []paillier.Ciphertext, s int) ([]paillier.C
 		// pool as wide as the ones it is drawn with.
 		masks[i].C = mpint.MulAddWordInto(mpint.Reuse(masks[i].C, len(c.Key.N2)), c.mask, c.Key.N, 1)
 	}
-	masked, err := c.addCiphertexts(cts, masks)
+	masked, _, err := c.addCiphertexts(cts, masks)
 	ReleaseCiphertexts(masks)
 	return masked, err
 }
@@ -472,17 +472,19 @@ func (c *Context) Send(net flnet.Transport, from, to, kind string, payloadBytes 
 	return nil
 }
 
-// addCiphertexts is the charged pairwise homomorphic addition of two batches.
-func (c *Context) addCiphertexts(a, b []paillier.Ciphertext) ([]paillier.Ciphertext, error) {
+// addCiphertexts is the charged pairwise homomorphic addition of two batches;
+// it returns the sums and the modelled time it charged.
+func (c *Context) addCiphertexts(a, b []paillier.Ciphertext) ([]paillier.Ciphertext, time.Duration, error) {
 	base := c.simBase()
 	start := time.Now()
 	sums, err := c.Backend.AddVec(&c.Key.PublicKey, a, b)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	wall := time.Since(start)
-	c.Costs.AddHE(wall, c.simSince(base, wall), int64(len(a)), int64(len(a)))
-	return sums, nil
+	sim := c.simSince(base, wall)
+	c.Costs.AddHE(wall, sim, int64(len(a)), int64(len(a)))
+	return sums, sim, nil
 }
 
 // EncryptNats encrypts caller-prepared plaintexts, charging `instances`

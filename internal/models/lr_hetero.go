@@ -5,7 +5,6 @@ import (
 
 	"flbooster/internal/datasets"
 	"flbooster/internal/fl"
-	"flbooster/internal/flnet"
 	"flbooster/internal/paillier"
 )
 
@@ -35,11 +34,7 @@ import (
 //     host removes the quantization shift with its locally known correction
 //     term ∑ᵢ x̃ᵢⱼ and applies the SGD step.
 type HeteroLR struct {
-	opts  Options
-	ctx   *fl.Context // nil in plaintext-oracle mode
-	net   flnet.Transport
-	parts []*datasets.Dataset
-	full  *datasets.Dataset
+	vertical
 
 	// W holds each party's weight slice; offsets map into the full space.
 	W       [][]float64
@@ -62,29 +57,15 @@ type HeteroLR struct {
 	fixedPoint float64
 }
 
-// Party names for the vertical topology.
-const arbiterName = "arbiter"
-
-func hostName(p int) string { return fmt.Sprintf("party%d", p) }
-
 // NewHeteroLR partitions ds vertically across the context's parties.
 func NewHeteroLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroLR, error) {
-	if err := opts.validate(); err != nil {
+	v, err := newVertical(ctx, ds, opts, "HeteroLR")
+	if err != nil {
 		return nil, err
 	}
-	parties := oracleParties(opts)
-	if ctx != nil {
-		parties = ctx.Profile.Parties
-	}
-	parts, err := datasets.PartitionVertical(ds, parties)
-	if err != nil {
-		return nil, fmt.Errorf("models: HeteroLR partition: %w", err)
-	}
+	parties := len(v.parts)
 	m := &HeteroLR{
-		opts:       opts,
-		ctx:        ctx,
-		parts:      parts,
-		full:       ds,
+		vertical:   v,
 		W:          make([][]float64, parties),
 		offsets:    make([]int, parties),
 		zScale:     8,
@@ -94,7 +75,7 @@ func NewHeteroLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroLR
 	m.opts2 = make([]*Adam, parties)
 	m.weighted = make([]weightedSums, parties)
 	m.optB = NewAdam(opts.LearningRate)
-	for p, part := range parts {
+	for p, part := range v.parts {
 		m.W[p] = make([]float64, part.NumFeatures)
 		m.offsets[p] = off
 		off += part.NumFeatures
@@ -103,18 +84,9 @@ func NewHeteroLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroLR
 			m.hostSums = append(m.hostSums, 2*part.NumFeatures)
 		}
 	}
-	if ctx != nil {
-		names := make([]string, 0, parties+1)
-		for p := 0; p < parties; p++ {
-			names = append(names, hostName(p))
-		}
-		names = append(names, arbiterName)
-		m.net = flnet.NewSimTransport(ctx.Link, names...)
-	}
 	return m, nil
 }
 
-// Name implements Model.
 // fullWeights concatenates per-party slices into the original feature order.
 func (m *HeteroLR) fullWeights() []float64 {
 	w := make([]float64, m.full.NumFeatures)
@@ -152,9 +124,12 @@ func (m *HeteroLR) partialScores(p, lo, hi int) []float64 {
 }
 
 // residuals computes d = σ(z) − y on the guest, clamped to the quantizer's
-// representable interval.
+// representable interval (to [−1, 1] in oracle mode).
 func (m *HeteroLR) residuals(z []float64, lo int) []float64 {
-	bound := trainCtx{m.ctx}.gradBound()
+	bound := 1.0 // the oracle's clamp
+	if m.ctx != nil {
+		bound = m.ctx.Quant.Alpha()
+	}
 	d := make([]float64, len(z))
 	for i := range z {
 		d[i] = clampGrad(datasets.Sigmoid(z[i])-m.parts[0].Examples[lo+i].Label, bound)
@@ -163,84 +138,64 @@ func (m *HeteroLR) residuals(z []float64, lo int) []float64 {
 }
 
 func (m *HeteroLR) trainBatch(lo, hi int) error {
-	if m.ctx == nil {
-		return m.trainBatchPlain(lo, hi)
-	}
 	parties := len(m.parts)
-	n := hi - lo
 
 	// Step 1: local partial scores (model compute).
 	zs := make([][]float64, parties)
-	m.ctx.TrackOther(func() {
-		for p := 0; p < parties; p++ {
+	m.track(func() {
+		for p := range parties {
 			zs[p] = m.partialScores(p, lo, hi)
 		}
 	})
 
-	// Step 2: encrypted score aggregation — the packable flow. Scores are
-	// normalized by zScale to fit the quantizer's interval.
-	batches := make([][]paillier.Ciphertext, parties)
-	for p := 0; p < parties; p++ {
-		norm := make([]float64, n)
-		for i, z := range zs[p] {
-			norm[i] = clampGrad(z/m.zScale, m.ctx.Quant.Alpha())
-		}
-		cts, err := m.ctx.EncryptGradients(norm)
-		if err != nil {
-			return fmt.Errorf("models: party %d score encrypt: %w", p, err)
-		}
-		if p != 0 {
-			if err := m.send(hostName(p), hostName(0), "scores", ciphertextBytes(m.ctx, len(cts))); err != nil {
-				return err
-			}
-		}
-		batches[p] = cts
-	}
-	agg, err := aggregate(m.ctx, batches)
+	// Step 2: score aggregation — the packable flow. Scores are normalized by
+	// zScale to fit the quantizer's interval.
+	z, err := m.secureSum(zs, m.zScale, "scores", "score-agg", "scores-plain")
 	if err != nil {
-		return err
-	}
-	if err := m.send(hostName(0), arbiterName, "score-agg", ciphertextBytes(m.ctx, len(agg))); err != nil {
-		return err
-	}
-	zsum, err := m.ctx.DecryptAggregated(agg, n, parties)
-	if err != nil {
-		return err
-	}
-	fl.ReleaseCiphertexts(agg)
-	for i := range zsum {
-		zsum[i] *= m.zScale
-	}
-	if err := m.send(arbiterName, hostName(0), "scores-plain", int64(8*n)); err != nil {
 		return err
 	}
 
-	// Step 3: guest residuals, encrypted s a ciphertext.
+	// Steps 3–5: guest residuals, the hosts' gradient steps, and the guest's
+	// gradient and bias step from the plaintext residuals it holds.
 	var d []float64
-	m.ctx.TrackOther(func() { d = m.residuals(zsum, lo) })
-	s := m.ctx.BroadcastStride(n, m.hostSums)
+	m.track(func() { d = m.residuals(z, lo) })
+	if err := m.hostSteps(lo, hi, d); err != nil {
+		return err
+	}
+	m.track(func() {
+		m.plainGradientStep(0, lo, hi, d)
+		m.biasStep(d, hi-lo)
+	})
+	return nil
+}
+
+// hostSteps runs steps 3–5 for every host: the guest encrypts the residuals s
+// a ciphertext and sends them to the hosts, each of which takes its
+// homomorphic gradient step. In oracle mode each host steps from the
+// plaintext residuals.
+func (m *HeteroLR) hostSteps(lo, hi int, d []float64) error {
+	if m.ctx == nil {
+		for p := 1; p < len(m.parts); p++ {
+			m.plainGradientStep(p, lo, hi, d)
+		}
+		return nil
+	}
+	s := m.ctx.BroadcastStride(hi-lo, m.hostSums)
 	encD, err := m.ctx.EncryptBroadcast(d, s)
 	if err != nil {
 		return err
 	}
-	for p := 1; p < parties; p++ {
-		if err := m.send(hostName(0), hostName(p), "residuals", ciphertextBytes(m.ctx, len(encD))); err != nil {
+	for p := 1; p < len(m.parts); p++ {
+		if err := m.send(hostName(0), hostName(p), "residuals", m.ctx.CiphertextWireBytes(len(encD))); err != nil {
 			return err
 		}
 	}
-
-	// Steps 4–5: the hosts' homomorphic gradients through the arbiter; the
-	// guest's gradient and bias step from the plaintext residuals it holds.
-	for p := 1; p < parties; p++ {
+	for p := 1; p < len(m.parts); p++ {
 		if err := m.hostGradientStep(p, lo, hi, encD, s); err != nil {
 			return fmt.Errorf("models: party %d gradient: %w", p, err)
 		}
 	}
 	fl.ReleaseCiphertexts(encD)
-	m.ctx.TrackOther(func() {
-		m.plainGradientStep(0, lo, hi, d)
-		m.biasStep(d, n)
-	})
 	return nil
 }
 
@@ -256,7 +211,7 @@ func (m *HeteroLR) biasStep(d []float64, n int) {
 }
 
 // plainGradientStep applies party p's SGD step from plaintext residuals: the
-// oracle's step for every party, and the guest's under every profile.
+// guest's under every profile, and in oracle mode every host's too.
 func (m *HeteroLR) plainGradientStep(p, lo, hi int, d []float64) {
 	part := m.parts[p]
 	n := hi - lo
@@ -303,38 +258,3 @@ func (m *HeteroLR) hostGradientStep(p, lo, hi int, encD []paillier.Ciphertext, s
 	})
 	return nil
 }
-
-// trainBatchPlain is the oracle: exact vertical SGD without encryption.
-func (m *HeteroLR) trainBatchPlain(lo, hi int) error {
-	n := hi - lo
-	z := make([]float64, n)
-	for p := range m.parts {
-		zp := m.partialScores(p, lo, hi)
-		for i := range z {
-			z[i] += zp[i]
-		}
-	}
-	d := m.residuals(z, lo)
-	for p := range m.parts {
-		m.plainGradientStep(p, lo, hi, d)
-	}
-	m.biasStep(d, n)
-	return nil
-}
-
-// send routes a protocol message through the transport, charging the
-// context's communication component.
-func (m *HeteroLR) send(from, to, kind string, payloadBytes int64) error {
-	return m.ctx.Send(m.net, from, to, kind, payloadBytes)
-}
-
-// Close releases the transport.
-func (m *HeteroLR) Close() error {
-	if m.net == nil {
-		return nil
-	}
-	return m.net.Close()
-}
-
-// ciphertextBytes is the wire size of n ciphertexts under ctx's key.
-func ciphertextBytes(ctx *fl.Context, n int) int64 { return ctx.CiphertextWireBytes(n) }

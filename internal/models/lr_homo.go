@@ -51,7 +51,6 @@ func NewHomoLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HomoLR, er
 	}, nil
 }
 
-// Name implements Model.
 // Loss implements Model.
 func (m *HomoLR) Loss() float64 { return logisticLoss(m.Weights, m.Bias, m.full) }
 
@@ -115,7 +114,10 @@ func (m *HomoLR) TrainEpoch() (float64, error) {
 }
 
 func (m *HomoLR) computeLocalGrads(grads [][]float64, r [2]int) {
-	bound := trainCtx{ctxOf(m.fed)}.gradBound()
+	bound := 1.0 // the oracle's clamp
+	if m.fed != nil {
+		bound = m.fed.Ctx.Quant.Alpha()
+	}
 	for p, part := range m.parts {
 		lo, hi := r[0], r[1]
 		if hi > part.Len() {
@@ -155,12 +157,4 @@ func (m *HomoLR) Close() error {
 		return nil
 	}
 	return m.fed.Close()
-}
-
-// ctxOf tolerates the nil-federation oracle mode.
-func ctxOf(fed *fl.Federation) *fl.Context {
-	if fed == nil {
-		return nil
-	}
-	return fed.Ctx
 }

@@ -25,7 +25,6 @@ import (
 	"fmt"
 
 	"flbooster/internal/datasets"
-	"flbooster/internal/fl"
 )
 
 // Model is a trainable federated model.
@@ -35,6 +34,8 @@ type Model interface {
 	TrainEpoch() (float64, error)
 	// Loss computes the current global training loss without updating.
 	Loss() float64
+	// Close releases the model's transport; a plaintext oracle has none.
+	Close() error
 }
 
 // Options configures training shared by all models.
@@ -129,20 +130,6 @@ func ConvergenceBias(baseline, accelerated float64) float64 {
 		d = -d
 	}
 	return d / baseline
-}
-
-// trainCtx bundles what hetero protocols need from the context, tolerating
-// the nil (plaintext-oracle) mode.
-type trainCtx struct {
-	ctx *fl.Context
-}
-
-// gradBound returns the quantizer bound, or a default for oracle mode.
-func (t trainCtx) gradBound() float64 {
-	if t.ctx == nil {
-		return 1
-	}
-	return t.ctx.Quant.Alpha()
 }
 
 // Accuracy computes classification accuracy of a linear scorer over data.

@@ -5,7 +5,6 @@ import (
 
 	"flbooster/internal/datasets"
 	"flbooster/internal/fl"
-	"flbooster/internal/flnet"
 	"flbooster/internal/mpint"
 	"flbooster/internal/paillier"
 )
@@ -28,11 +27,7 @@ import (
 // back to the arbiter on the return path (fl.Context.OpenSums), packed under
 // batch compression.
 type HeteroNN struct {
-	opts  Options
-	ctx   *fl.Context // nil in plaintext-oracle mode
-	net   flnet.Transport
-	parts []*datasets.Dataset
-	full  *datasets.Dataset
+	vertical
 
 	// Hidden is the interactive-layer width.
 	Hidden int
@@ -56,25 +51,16 @@ type HeteroNN struct {
 // NewHeteroNN partitions ds vertically and initializes a two-tower network
 // with the given hidden width.
 func NewHeteroNN(ctx *fl.Context, ds *datasets.Dataset, hidden int, opts Options) (*HeteroNN, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
 	if hidden < 1 {
 		return nil, fmt.Errorf("models: hidden width must be positive, got %d", hidden)
 	}
-	parties := oracleParties(opts)
-	if ctx != nil {
-		parties = ctx.Profile.Parties
-	}
-	parts, err := datasets.PartitionVertical(ds, parties)
+	v, err := newVertical(ctx, ds, opts, "HeteroNN")
 	if err != nil {
-		return nil, fmt.Errorf("models: HeteroNN partition: %w", err)
+		return nil, err
 	}
+	parties := len(v.parts)
 	m := &HeteroNN{
-		opts:       opts,
-		ctx:        ctx,
-		parts:      parts,
-		full:       ds,
+		vertical:   v,
 		Hidden:     hidden,
 		W:          make([][]float64, parties),
 		HiddenBias: make([]float64, hidden),
@@ -86,7 +72,7 @@ func NewHeteroNN(ctx *fl.Context, ds *datasets.Dataset, hidden int, opts Options
 	m.optW = make([]*Adam, parties)
 	m.optTop = NewAdam(opts.LearningRate)
 	m.weighted = make([]weightedSums, parties)
-	for p, part := range parts {
+	for p, part := range v.parts {
 		m.W[p] = make([]float64, hidden*part.NumFeatures)
 		for i := range m.W[p] {
 			m.W[p][i] = rng.NormFloat64() * 0.05
@@ -96,18 +82,9 @@ func NewHeteroNN(ctx *fl.Context, ds *datasets.Dataset, hidden int, opts Options
 	for i := range m.Top {
 		m.Top[i] = rng.NormFloat64() * 0.3
 	}
-	if ctx != nil {
-		names := make([]string, 0, parties+1)
-		for p := 0; p < parties; p++ {
-			names = append(names, hostName(p))
-		}
-		names = append(names, arbiterName)
-		m.net = flnet.NewSimTransport(ctx.Link, names...)
-	}
 	return m, nil
 }
 
-// Name implements Model.
 // bottomForward computes party p's activations for rows [lo, hi):
 // a[i][u] = Σ_j W_p[u,j]·x_ij, flattened sample-major.
 func (m *HeteroNN) bottomForward(p, lo, hi int) []float64 {
@@ -129,17 +106,20 @@ func (m *HeteroNN) bottomForward(p, lo, hi int) []float64 {
 	return out
 }
 
+// bottomForwards computes every party's activations for rows [lo, hi).
+func (m *HeteroNN) bottomForwards(lo, hi int) [][]float64 {
+	acts := make([][]float64, len(m.parts))
+	for p := range m.parts {
+		acts[p] = m.bottomForward(p, lo, hi)
+	}
+	return acts
+}
+
 // forwardPlain runs the full network for rows [lo, hi), returning hidden
 // activations and predictions.
 func (m *HeteroNN) forwardPlain(lo, hi int) (hiddenAct, preds []float64) {
 	n := hi - lo
-	z := make([]float64, n*m.Hidden)
-	for p := range m.parts {
-		a := m.bottomForward(p, lo, hi)
-		for i := range z {
-			z[i] += a[i]
-		}
-	}
+	z := sumVecs(m.bottomForwards(lo, hi))
 	hiddenAct = make([]float64, n*m.Hidden)
 	preds = make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -175,63 +155,24 @@ func (m *HeteroNN) TrainEpoch() (float64, error) {
 }
 
 func (m *HeteroNN) trainBatch(lo, hi int) error {
-	if m.ctx == nil {
-		m.trainBatchPlain(lo, hi)
-		return nil
-	}
-	parties := len(m.parts)
-	n := hi - lo
-
-	// Forward, interactive layer: every party encrypts its activation block
-	// (normalized into the quantizer interval), the guest aggregates
-	// homomorphically, and the arbiter decrypts the merged pre-activations.
-	acts := make([][]float64, parties)
-	m.ctx.TrackOther(func() {
-		for p := 0; p < parties; p++ {
-			acts[p] = m.bottomForward(p, lo, hi)
-		}
-	})
-	batches := make([][]paillier.Ciphertext, parties)
-	for p := 0; p < parties; p++ {
-		norm := make([]float64, len(acts[p]))
-		for i, a := range acts[p] {
-			norm[i] = clampGrad(a/m.actScale, m.ctx.Quant.Alpha())
-		}
-		cts, err := m.ctx.EncryptGradients(norm)
-		if err != nil {
-			return fmt.Errorf("models: party %d activation encrypt: %w", p, err)
-		}
-		if p != 0 {
-			if err := m.send(hostName(p), hostName(0), "acts", ciphertextBytes(m.ctx, len(cts))); err != nil {
-				return err
-			}
-		}
-		batches[p] = cts
-	}
-	agg, err := aggregate(m.ctx, batches)
+	// Forward, interactive layer: the parties' activation blocks merge in the
+	// aggregatable flow, normalized by actScale into the quantizer interval.
+	var acts [][]float64
+	m.track(func() { acts = m.bottomForwards(lo, hi) })
+	z, err := m.secureSum(acts, m.actScale, "acts", "act-agg", "act-plain")
 	if err != nil {
 		return err
-	}
-	if err := m.send(hostName(0), arbiterName, "act-agg", ciphertextBytes(m.ctx, len(agg))); err != nil {
-		return err
-	}
-	z, err := m.ctx.DecryptAggregated(agg, n*m.Hidden, parties)
-	if err != nil {
-		return err
-	}
-	fl.ReleaseCiphertexts(agg)
-	if err := m.send(arbiterName, hostName(0), "act-plain", int64(8*len(z))); err != nil {
-		return err
-	}
-	for i := range z {
-		z[i] *= m.actScale
 	}
 
 	// Guest: top model forward + backward; hidden deltas.
-	deltas := make([]float64, n*m.Hidden) // δ w.r.t. pre-activation z
-	m.ctx.TrackOther(func() {
-		m.topStep(z, deltas, lo, hi)
-	})
+	deltas := make([]float64, (hi-lo)*m.Hidden) // δ w.r.t. pre-activation z
+	m.track(func() { m.topStep(z, deltas, lo, hi) })
+	if m.ctx == nil {
+		for p := range m.parts {
+			m.bottomUpdate(p, deltas, lo, hi)
+		}
+		return nil
+	}
 
 	// Backward to hosts: per-sample encrypted deltas per hidden unit.
 	bound := m.ctx.Quant.Alpha()
@@ -243,20 +184,17 @@ func (m *HeteroNN) trainBatch(lo, hi int) error {
 	if err != nil {
 		return err
 	}
-	for p := 1; p < parties; p++ {
-		if err := m.send(hostName(0), hostName(p), "deltas", ciphertextBytes(m.ctx, len(encD))); err != nil {
+	for p := 1; p < len(m.parts); p++ {
+		if err := m.send(hostName(0), hostName(p), "deltas", m.ctx.CiphertextWireBytes(len(encD))); err != nil {
 			return err
 		}
 	}
 
-	// Every party accumulates its bottom-tower gradient homomorphically and
-	// round-trips the sums through the arbiter (guest computes in plaintext
-	// since it owns the deltas).
-	for p := 0; p < parties; p++ {
-		if p == 0 {
-			m.ctx.TrackOther(func() { m.guestBottomUpdate(deltas, lo, hi) })
-			continue
-		}
+	// Every host accumulates its bottom-tower gradient homomorphically and
+	// round-trips the sums through the arbiter; the guest, which owns the
+	// deltas, computes its own in plaintext.
+	m.track(func() { m.bottomUpdate(0, deltas, lo, hi) })
+	for p := 1; p < len(m.parts); p++ {
 		if err := m.hostBottomUpdate(p, encD, lo, hi); err != nil {
 			return fmt.Errorf("models: party %d bottom update: %w", p, err)
 		}
@@ -311,9 +249,10 @@ func (m *HeteroNN) topStep(z, deltas []float64, lo, hi int) {
 	}
 }
 
-// guestBottomUpdate applies the guest tower's gradient in plaintext.
-func (m *HeteroNN) guestBottomUpdate(deltas []float64, lo, hi int) {
-	part := m.parts[0]
+// bottomUpdate applies party p's tower gradient from plaintext deltas: the
+// guest's under every profile, and in oracle mode every host's too.
+func (m *HeteroNN) bottomUpdate(p int, deltas []float64, lo, hi int) {
+	part := m.parts[p]
 	dim := part.NumFeatures
 	grads := make([]float64, m.Hidden*dim)
 	for i := lo; i < hi; i++ {
@@ -330,9 +269,9 @@ func (m *HeteroNN) guestBottomUpdate(deltas []float64, lo, hi int) {
 		}
 	}
 	for i := range grads {
-		grads[i] += m.opts.L2 * m.W[0][i]
+		grads[i] += m.opts.L2 * m.W[p][i]
 	}
-	m.optW[0].Step(m.W[0], grads)
+	m.optW[p].Step(m.W[p], grads)
 }
 
 // hostBottomUpdate runs the encrypted gradient accumulation for one host:
@@ -366,52 +305,4 @@ func (m *HeteroNN) hostBottomUpdate(p int, encD []paillier.Ciphertext, lo, hi in
 		m.optW[p].Step(m.W[p], grads)
 	})
 	return nil
-}
-
-// trainBatchPlain is the oracle backward pass (identical math, no HE).
-func (m *HeteroNN) trainBatchPlain(lo, hi int) {
-	n := hi - lo
-	z := make([]float64, n*m.Hidden)
-	for p := range m.parts {
-		a := m.bottomForward(p, lo, hi)
-		for i := range z {
-			z[i] += a[i]
-		}
-	}
-	deltas := make([]float64, n*m.Hidden)
-	m.topStep(z, deltas, lo, hi)
-	for p, part := range m.parts {
-		dim := part.NumFeatures
-		grads := make([]float64, m.Hidden*dim)
-		for i := lo; i < hi; i++ {
-			fv := part.Examples[i].Features
-			for u := 0; u < m.Hidden; u++ {
-				d := deltas[(i-lo)*m.Hidden+u]
-				if d == 0 {
-					continue
-				}
-				row := grads[u*dim : (u+1)*dim]
-				for k, j := range fv.Idx {
-					row[j] += d * fv.Val[k]
-				}
-			}
-		}
-		for i := range grads {
-			grads[i] += m.opts.L2 * m.W[p][i]
-		}
-		m.optW[p].Step(m.W[p], grads)
-	}
-}
-
-// send routes a protocol message, charging communication.
-func (m *HeteroNN) send(from, to, kind string, payloadBytes int64) error {
-	return m.ctx.Send(m.net, from, to, kind, payloadBytes)
-}
-
-// Close releases the transport.
-func (m *HeteroNN) Close() error {
-	if m.net == nil {
-		return nil
-	}
-	return m.net.Close()
 }

@@ -1,11 +1,8 @@
 package models
 
 import (
-	"fmt"
-
 	"flbooster/internal/datasets"
 	"flbooster/internal/fl"
-	"flbooster/internal/flnet"
 	"flbooster/internal/mpint"
 	"flbooster/internal/paillier"
 )
@@ -26,11 +23,7 @@ import (
 // to the guest on the return path (fl.Context.OpenSums), which packs one
 // 64-bit pair per slot.
 type HeteroSBT struct {
-	opts  Options
-	ctx   *fl.Context // nil in plaintext-oracle mode
-	net   flnet.Transport
-	parts []*datasets.Dataset
-	full  *datasets.Dataset
+	vertical
 
 	// Trees is the grown ensemble.
 	Trees []*sbtNode
@@ -64,22 +57,12 @@ type sbtNode struct {
 
 // NewHeteroSBT partitions ds vertically and prepares a boosting trainer.
 func NewHeteroSBT(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroSBT, error) {
-	if err := opts.validate(); err != nil {
+	v, err := newVertical(ctx, ds, opts, "HeteroSBT")
+	if err != nil {
 		return nil, err
 	}
-	parties := oracleParties(opts)
-	if ctx != nil {
-		parties = ctx.Profile.Parties
-	}
-	parts, err := datasets.PartitionVertical(ds, parties)
-	if err != nil {
-		return nil, fmt.Errorf("models: HeteroSBT partition: %w", err)
-	}
 	m := &HeteroSBT{
-		opts:     opts,
-		ctx:      ctx,
-		parts:    parts,
-		full:     ds,
+		vertical: v,
 		margins:  make([]float64, ds.Len()),
 		MaxDepth: 3,
 		Bins:     8,
@@ -97,14 +80,6 @@ func NewHeteroSBT(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroS
 	for 2*(m.ghBits+m.headBits) > 62 && m.ghBits > 4 {
 		m.ghBits--
 	}
-	if ctx != nil {
-		names := make([]string, 0, parties+1)
-		for p := 0; p < parties; p++ {
-			names = append(names, hostName(p))
-		}
-		names = append(names, arbiterName)
-		m.net = flnet.NewSimTransport(ctx.Link, names...)
-	}
 	return m, nil
 }
 
@@ -118,7 +93,6 @@ func ceilLog2U(n int) uint {
 	return b
 }
 
-// Name implements Model.
 // Loss implements Model: mean log-loss of the current ensemble margins.
 func (m *HeteroSBT) Loss() float64 {
 	var loss float64
@@ -247,15 +221,9 @@ func (m *HeteroSBT) TrainEpoch() (float64, error) {
 	for i := range all {
 		all[i] = i
 	}
-	var root *sbtNode
-	var err error
-	if m.ctx == nil {
-		root = m.buildPlain(all, g, h, 0)
-	} else {
-		root, err = m.buildEncrypted(all, g, h)
-		if err != nil {
-			return 0, err
-		}
+	root, err := m.buildTree(all, g, h)
+	if err != nil {
+		return 0, err
 	}
 	m.Trees = append(m.Trees, root)
 	for i := range m.margins {
@@ -264,17 +232,21 @@ func (m *HeteroSBT) TrainEpoch() (float64, error) {
 	return m.Loss(), nil
 }
 
-// buildEncrypted runs the SecureBoost protocol for one tree.
-func (m *HeteroSBT) buildEncrypted(samples []int, g, h []float64) (*sbtNode, error) {
+// buildTree runs the SecureBoost protocol for one tree; in oracle mode the
+// hosts' histograms are plaintext and nothing is encrypted or sent.
+func (m *HeteroSBT) buildTree(samples []int, g, h []float64) (*sbtNode, error) {
 	// Round setup: guest encrypts the (g, h) stream and broadcasts it.
 	n := m.full.Len()
-	cts, err := m.encryptGH(g, h)
-	if err != nil {
-		return nil, err
-	}
-	for p := 1; p < len(m.parts); p++ {
-		if err := m.send(hostName(0), hostName(p), "gh", ciphertextBytes(m.ctx, len(cts))); err != nil {
+	var cts []paillier.Ciphertext
+	if m.ctx != nil {
+		var err error
+		if cts, err = m.encryptGH(g, h); err != nil {
 			return nil, err
+		}
+		for p := 1; p < len(m.parts); p++ {
+			if err := m.send(hostName(0), hostName(p), "gh", m.ctx.CiphertextWireBytes(len(cts))); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return m.growNode(samples, g, h, cts, n, 0)
@@ -304,7 +276,7 @@ func (m *HeteroSBT) growNode(samples []int, g, h []float64, cts []paillier.Ciphe
 	}
 	// The split owner announces the instance partition (standard SecureBoost
 	// information flow).
-	if m.ctx != nil && best.party != 0 {
+	if best.party != 0 {
 		if err := m.send(hostName(best.party), hostName(0), "split", int64(8*len(samples))); err != nil {
 			return nil, err
 		}
@@ -496,33 +468,6 @@ func (m *HeteroSBT) partition(c splitCandidate, samples []int) (left, right []in
 	return left, right
 }
 
-// buildPlain is the plaintext oracle of growNode (identical split logic).
-func (m *HeteroSBT) buildPlain(samples []int, g, h []float64, depth int) *sbtNode {
-	gTot, hTot := sumGH(samples, g, h)
-	if depth >= m.MaxDepth || len(samples) < 4 {
-		return m.leaf(gTot, hTot)
-	}
-	best := splitCandidate{feature: -1, gain: m.Gamma}
-	for p := range m.parts {
-		cand, _ := m.partyBestSplit(p, samples, g, h, nil, 0, gTot, hTot)
-		if cand.gain > best.gain {
-			best = cand
-		}
-	}
-	if best.gain <= m.Gamma || best.feature < 0 {
-		return m.leaf(gTot, hTot)
-	}
-	left, right := m.partition(best, samples)
-	if len(left) == 0 || len(right) == 0 {
-		return m.leaf(gTot, hTot)
-	}
-	return &sbtNode{
-		Party: best.party, Feature: best.feature, Threshold: best.threshold,
-		Left:  m.buildPlain(left, g, h, depth+1),
-		Right: m.buildPlain(right, g, h, depth+1),
-	}
-}
-
 // predictTree traverses one tree for sample i.
 func (m *HeteroSBT) predictTree(node *sbtNode, i int) float64 {
 	for !node.Leaf {
@@ -542,21 +487,4 @@ func sumGH(samples []int, g, h []float64) (gs, hs float64) {
 		hs += h[s]
 	}
 	return gs, hs
-}
-
-// send routes a protocol message, charging communication (no-op in oracle
-// mode where m.net is nil — callers guard, but double-check here).
-func (m *HeteroSBT) send(from, to, kind string, payloadBytes int64) error {
-	if m.net == nil {
-		return nil
-	}
-	return m.ctx.Send(m.net, from, to, kind, payloadBytes)
-}
-
-// Close releases the transport.
-func (m *HeteroSBT) Close() error {
-	if m.net == nil {
-		return nil
-	}
-	return m.net.Close()
 }

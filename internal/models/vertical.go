@@ -1,0 +1,153 @@
+package models
+
+import (
+	"fmt"
+
+	"flbooster/internal/datasets"
+	"flbooster/internal/fl"
+	"flbooster/internal/flnet"
+	"flbooster/internal/paillier"
+)
+
+// Party names for the vertical topology: the guest is party0, the hosts
+// party1 … partyN−1, and the arbiter holds the Paillier key.
+const arbiterName = "arbiter"
+
+func hostName(p int) string { return fmt.Sprintf("party%d", p) }
+
+// vertical is the skeleton the three Hetero models share: the options, the
+// feature slices of a vertical partition (party 0, the guest, holds the
+// labels), and in encrypted mode the context and the transport between the
+// parties and the arbiter. With a nil context it is the plaintext oracle's
+// skeleton: the same partition, no transport, send a no-op and secureSum a
+// plaintext sum.
+type vertical struct {
+	opts  Options
+	ctx   *fl.Context     // nil in plaintext-oracle mode
+	net   flnet.Transport // nil in plaintext-oracle mode
+	parts []*datasets.Dataset
+	full  *datasets.Dataset
+}
+
+// newVertical checks opts and partitions ds across the context's parties —
+// opts.Parties in oracle mode — for the named model.
+func newVertical(ctx *fl.Context, ds *datasets.Dataset, opts Options, model string) (vertical, error) {
+	if err := opts.validate(); err != nil {
+		return vertical{}, err
+	}
+	parties := oracleParties(opts)
+	if ctx != nil {
+		parties = ctx.Profile.Parties
+	}
+	parts, err := datasets.PartitionVertical(ds, parties)
+	if err != nil {
+		return vertical{}, fmt.Errorf("models: %s partition: %w", model, err)
+	}
+	v := vertical{opts: opts, ctx: ctx, parts: parts, full: ds}
+	if ctx != nil {
+		names := make([]string, 0, parties+1)
+		for p := range parties {
+			names = append(names, hostName(p))
+		}
+		v.net = flnet.NewSimTransport(ctx.Link, append(names, arbiterName)...)
+	}
+	return v, nil
+}
+
+// send routes one protocol message through the transport, charging the
+// context's communication component; in oracle mode there is no wire.
+func (v *vertical) send(from, to, kind string, payloadBytes int64) error {
+	if v.net == nil {
+		return nil
+	}
+	return v.ctx.Send(v.net, from, to, kind, payloadBytes)
+}
+
+// track runs fn as model computation, timed as the context's "other"
+// component; in oracle mode there is no clock.
+func (v *vertical) track(fn func()) {
+	if v.ctx == nil {
+		fn()
+		return
+	}
+	v.ctx.TrackOther(fn)
+}
+
+// Close releases the transport.
+func (v *vertical) Close() error {
+	if v.net == nil {
+		return nil
+	}
+	return v.net.Close()
+}
+
+// sumVecs is the plaintext elementwise sum of the parties' vectors, party 0
+// first.
+func sumVecs(vecs [][]float64) []float64 {
+	sum := make([]float64, len(vecs[0]))
+	for _, vec := range vecs {
+		for i, x := range vec {
+			sum[i] += x
+		}
+	}
+	return sum
+}
+
+// secureSum is the aggregatable flow (Hetero LR's partial scores, Hetero NN's
+// interactive layer): every party encrypts its vector, divided by scale and
+// clamped into the quantizer's interval — packed under batch compression —
+// the hosts send theirs to the guest (kind), the guest folds them
+// homomorphically and forwards the aggregate to the arbiter (aggKind), and
+// the arbiter decrypts and returns the plaintext sum (replyKind), which comes
+// back multiplied by scale. The guest's batch and each running sum die at the
+// next fold, the hosts' batches once all are folded, the aggregate once
+// decrypted. In oracle mode it is the exact sum, unscaled.
+func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, aggKind, replyKind string) ([]float64, error) {
+	if v.ctx == nil {
+		return sumVecs(vecs), nil
+	}
+	batches := make([][]paillier.Ciphertext, len(vecs))
+	for p, vec := range vecs {
+		norm := make([]float64, len(vec))
+		for i, x := range vec {
+			norm[i] = clampGrad(x/scale, v.ctx.Quant.Alpha())
+		}
+		cts, err := v.ctx.EncryptGradients(norm)
+		if err != nil {
+			return nil, fmt.Errorf("models: party %d %s encrypt: %w", p, kind, err)
+		}
+		if p != 0 {
+			if err := v.send(hostName(p), hostName(0), kind, v.ctx.CiphertextWireBytes(len(cts))); err != nil {
+				return nil, err
+			}
+		}
+		batches[p] = cts
+	}
+	agg := batches[0]
+	for _, b := range batches[1:] {
+		sum, err := v.ctx.AggregateCiphertexts([][]paillier.Ciphertext{agg, b})
+		if err != nil {
+			return nil, err
+		}
+		fl.ReleaseCiphertexts(agg)
+		agg = sum
+	}
+	for _, b := range batches[1:] {
+		fl.ReleaseCiphertexts(b)
+	}
+	if err := v.send(hostName(0), arbiterName, aggKind, v.ctx.CiphertextWireBytes(len(agg))); err != nil {
+		return nil, err
+	}
+	sum, err := v.ctx.DecryptAggregated(agg, len(vecs[0]), len(vecs))
+	if err != nil {
+		return nil, err
+	}
+	fl.ReleaseCiphertexts(agg)
+	if err := v.send(arbiterName, hostName(0), replyKind, int64(8*len(sum))); err != nil {
+		return nil, err
+	}
+	for i := range sum {
+		sum[i] *= scale
+	}
+	return sum, nil
+}

@@ -125,17 +125,3 @@ func (w *weightedSums) open(ctx *fl.Context, route fl.ReturnRoute, encD []pailli
 	}
 	return w.out, nil
 }
-
-// aggregate is fl.Context.AggregateCiphertexts over the parties' batches,
-// which die once folded: each goes back to the pool, unless it is the
-// aggregate itself (a lone party's), which dies with its decryption.
-func aggregate(ctx *fl.Context, batches [][]paillier.Ciphertext) ([]paillier.Ciphertext, error) {
-	agg, err := ctx.AggregateCiphertexts(batches)
-	if err != nil || len(batches) == 1 {
-		return agg, err
-	}
-	for _, b := range batches {
-		fl.ReleaseCiphertexts(b)
-	}
-	return agg, nil
-}

@@ -153,9 +153,8 @@ func TestEncryptVecAllocSlope(t *testing.T) {
 // TestPooledBatchesAllocateNoLimbs: a batch released to the pool is what the
 // next one is written into. A holder's encryption and a homomorphic addition
 // whose result batch follows a released one of its width allocate no value —
-// only the pool's slice bookkeeping, a constant a call — and an accumulator
-// folding batch after batch alternates between two pooled sums, so its folds
-// allocate no ciphertext either.
+// only the pool's slice bookkeeping, a constant a call. The addition row is
+// also an aggregation tree's fold, which releases the sum it replaces.
 func TestPooledBatchesAllocateNoLimbs(t *testing.T) {
 	sk := keyOfSize(t, 1024)
 	cfg := gpu.RTX3090()
@@ -166,15 +165,6 @@ func TestPooledBatchesAllocateNoLimbs(t *testing.T) {
 	cts, err := be.EncryptVec(sk.Holder(), pts, 11)
 	if err != nil {
 		t.Fatal(err)
-	}
-	acc, err := NewAccumulator(&sk.PublicKey, be)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for range 3 { // the first adopts a copy, the next two fill the pool
-		if err := acc.Add(cts); err != nil {
-			t.Fatal(err)
-		}
 	}
 	for _, tc := range []struct {
 		name string
@@ -190,7 +180,6 @@ func TestPooledBatchesAllocateNoLimbs(t *testing.T) {
 			ReleaseBatch(out)
 			return err
 		}},
-		{"Accumulator.Add", func() error { return acc.Add(cts) }},
 	} {
 		got := testing.AllocsPerRun(5, func() {
 			if err := tc.fn(); err != nil {
