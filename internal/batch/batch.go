@@ -9,13 +9,23 @@
 package batch
 
 import (
+	"errors"
 	"fmt"
 
 	"flbooster/internal/mpint"
 	"flbooster/internal/quant"
 )
 
-// Packer packs quantized values into multi-precision plaintexts.
+// ErrKeyTooSmall reports a key whose plaintexts cannot hold one r+b-bit slot
+// below the modulus, so that even one value a plaintext could wrap mod n.
+var ErrKeyTooSmall = errors.New("batch: key too small for one slot")
+
+// ErrTooWide reports a plaintext with bits above the slots it carries. An
+// aggregate comes from another party, so this is outside input, not a bug.
+var ErrTooWide = errors.New("batch: plaintext wider than its slots")
+
+// Packer packs quantized values into multi-precision plaintexts. Batch
+// compression off is a Packer of one slot a plaintext.
 type Packer struct {
 	q     *quant.Quantizer
 	slots int // values per plaintext: ⌊k/(r+b)⌋
@@ -38,9 +48,20 @@ func New(q *quant.Quantizer, keyBits int) (*Packer, error) {
 		slots--
 	}
 	if slots < 1 {
-		return nil, fmt.Errorf("batch: key of %d bits cannot hold one %d-bit slot", keyBits, slotBits)
+		return nil, fmt.Errorf("%w: a key of %d bits cannot hold one %d-bit slot", ErrKeyTooSmall, keyBits, slotBits)
 	}
 	return &Packer{q: q, slots: slots}, nil
+}
+
+// NewSingle is New at one slot a plaintext, the encoding without batch
+// compression: the key must still hold that slot below its modulus.
+func NewSingle(q *quant.Quantizer, keyBits int) (*Packer, error) {
+	p, err := New(q, keyBits)
+	if err != nil {
+		return nil, err
+	}
+	p.slots = 1
+	return p, nil
 }
 
 // Slots returns n, the number of values per plaintext.
@@ -94,6 +115,7 @@ func orBits(words []mpint.Word, bitPos uint, v uint64) {
 // Unpack extracts `count` aggregated slot values from packed plaintexts.
 // After homomorphic aggregation each slot holds a sum that may occupy up to
 // r+b bits; the full slot is returned so quant.DequantizeSum sees the carry.
+// A plaintext with a bit above the slots it carries rejects with ErrTooWide.
 func (p *Packer) Unpack(packed []mpint.Nat, count int) ([]uint64, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("batch: negative count %d", count)
@@ -102,16 +124,15 @@ func (p *Packer) Unpack(packed []mpint.Nat, count int) ([]uint64, error) {
 		return nil, fmt.Errorf("batch: %d values need %d plaintexts, got %d", count, need, len(packed))
 	}
 	slotBits := uint(p.q.SlotBits())
-	mask := uint64(1)<<slotBits - 1
 	out := make([]uint64, 0, count)
 	for pi, pt := range packed {
-		words := pt.Words(p.words())
-		slotsHere := p.slots
-		if remaining := count - pi*p.slots; remaining < slotsHere {
-			slotsHere = remaining
+		slotsHere := min(p.slots, count-pi*p.slots)
+		if width := uint(pt.BitLen()); width > uint(slotsHere)*slotBits {
+			return nil, fmt.Errorf("%w: plaintext %d is %d bits wide, its %d slots hold %d",
+				ErrTooWide, pi, width, slotsHere, uint(slotsHere)*slotBits)
 		}
 		for s := 0; s < slotsHere; s++ {
-			out = append(out, extractBits(words, uint(s)*slotBits, slotBits)&mask)
+			out = append(out, extractBits(pt, uint(s)*slotBits, slotBits))
 		}
 	}
 	return out, nil

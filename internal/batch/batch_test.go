@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"errors"
 	"testing"
 
 	"flbooster/internal/mpint"
@@ -123,6 +124,29 @@ func TestUnpackValidation(t *testing.T) {
 	}
 	if _, err := p.Unpack(packed, 1000); err == nil {
 		t.Error("count/plaintext mismatch should fail")
+	}
+}
+
+// TestUnpackRejectsTooWide: a decrypted plaintext with a bit above the slots
+// it carries is another party's input, so it rejects, typed — neither a panic
+// on a region one word short nor its high bits silently dropped.
+func TestUnpackRejectsTooWide(t *testing.T) {
+	single, err := NewSingle(quant.MustNew(1, 50, 4), 100) // one 52-bit slot, one word
+	if err != nil || single.Slots() != 1 {
+		t.Fatalf("one-slot packer at 100 bits: %v slots, %v", single, err)
+	}
+	for _, c := range []struct {
+		name string
+		p    *Packer
+		pt   mpint.Nat
+	}{
+		{"2^70 in one 52-bit slot", single, mpint.Lsh(mpint.FromUint64(1), 70)},
+		{"2^2040+5 in one used slot of 63", testPacker(t, 30, 4, 2048), mpint.Add(mpint.Lsh(mpint.FromUint64(1), 2040), mpint.FromUint64(5))},
+	} {
+		got, err := c.p.Unpack([]mpint.Nat{c.pt}, 1)
+		if !errors.Is(err, ErrTooWide) || got != nil {
+			t.Errorf("%s: unpacked to %v (%v), want ErrTooWide", c.name, got, err)
+		}
 	}
 }
 

@@ -23,9 +23,9 @@ import (
 // left-fold — how a buffered (Cohort.Fanout == 0) round aggregates.
 //
 // Every fold into a non-empty level is one charged homomorphic addition on
-// the context (Context.addCiphertexts, the flat AggregateCiphertexts path's);
-// every partial forwarded up a level of a bounded tree is framed and charged
-// as interior-link traffic.
+// the context (Context.addCiphertexts, the addition AggregateCiphertexts'
+// reference left-fold makes too); every partial forwarded up a level of a
+// bounded tree is framed and charged as interior-link traffic.
 type AggTree struct {
 	ctx    *Context
 	fanout int

@@ -26,7 +26,9 @@ type Context struct {
 	Key     *paillier.PrivateKey
 	Backend paillier.Backend
 	Quant   *quant.Quantizer
-	Packer  *batch.Packer // nil when batch compression is off
+	// Packer is the batch-compression layer: n slots a plaintext, one when
+	// batch compression is off (Profile.UseBatch).
+	Packer *batch.Packer
 	// DevSet is the GPU profile's device fleet (one member unless
 	// Profile.Devices asks for more) and Checked the engine that runs every
 	// vector HE op over it; both are nil on CPU profiles. Device is DevSet's
@@ -67,12 +69,12 @@ func NewContext(p Profile) (*Context, error) {
 		return nil, err
 	}
 	ctx.Quant = q
+	newPacker := batch.NewSingle
 	if p.UseBatch {
-		pk, err := batch.New(q, p.KeyBits)
-		if err != nil {
-			return nil, err
-		}
-		ctx.Packer = pk
+		newPacker = batch.New
+	}
+	if ctx.Packer, err = newPacker(q, p.KeyBits); err != nil {
+		return nil, err
 	}
 	var keygen func(*mpint.RNG, int) (*paillier.PrivateKey, error)
 	if p.UseGPU {
@@ -200,57 +202,15 @@ func (c *Context) simSince(base time.Duration, wall time.Duration) time.Duration
 	return wall
 }
 
-// EncodePlaintexts converts a gradient vector into HE plaintexts: always
-// quantized (Encoding-Quantization layer); packed n-per-plaintext when batch
-// compression is on, one-per-plaintext otherwise. Packed plaintexts are
-// written into the limbs of a dead plaintext batch where the arena has one.
+// EncodePlaintexts converts a gradient vector into HE plaintexts: quantized
+// (Encoding-Quantization layer) and packed Packer.Slots() a plaintext into the
+// limbs of a dead plaintext batch where the arena has one.
 func (c *Context) EncodePlaintexts(grads []float64) ([]mpint.Nat, error) {
-	if c.Packer != nil {
-		return c.Packer.EncodeGradientsInto(arena.getPlain(c.Packer.NumPlaintexts(len(grads))), grads)
-	}
-	return c.quantizeNats(grads), nil
+	return c.Packer.EncodeGradientsInto(arena.getPlain(c.Packer.NumPlaintexts(len(grads))), grads)
 }
 
-// quantizeNats quantizes one value a plaintext.
-func (c *Context) quantizeNats(vals []float64) []mpint.Nat {
-	out := make([]mpint.Nat, len(vals))
-	for i, v := range vals {
-		out[i] = mpint.FromUint64(c.Quant.Quantize(v))
-	}
-	return out
-}
-
-// DecodeAggregates inverts EncodePlaintexts for aggregated sums over
-// `parties` contributions, producing `count` gradient values.
-func (c *Context) DecodeAggregates(pts []mpint.Nat, count, parties int) ([]float64, error) {
-	if c.Packer != nil {
-		return c.Packer.DecodeAggregated(pts, count, parties)
-	}
-	if len(pts) != count {
-		return nil, fmt.Errorf("fl: %d plaintexts for %d values", len(pts), count)
-	}
-	sums := make([]uint64, count)
-	for i, pt := range pts {
-		v, ok := pt.Uint64()
-		if !ok {
-			return nil, fmt.Errorf("fl: aggregated slot %d overflows 64 bits", i)
-		}
-		sums[i] = v
-	}
-	return c.Quant.DequantizeSumVec(sums, parties)
-}
-
-// PlaintextCount returns how many HE plaintexts carry n gradient values
-// under the context's encoding (packed or one-per-value).
-func (c *Context) PlaintextCount(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	if c.Packer != nil {
-		return c.Packer.NumPlaintexts(n)
-	}
-	return n
-}
+// PlaintextCount returns how many HE plaintexts carry n gradient values.
+func (c *Context) PlaintextCount(n int) int { return c.Packer.NumPlaintexts(n) }
 
 // EncryptGradients runs the full client-side encryption phase (steps ①–④ of
 // Fig. 4): encode, quantize, pack, encrypt. Costs are charged to the HE
@@ -357,7 +317,7 @@ func (c *Context) DecryptAggregated(cts []paillier.Ciphertext, count, parties in
 	}
 	wall := time.Since(start)
 	c.Costs.AddHE(wall, c.simSince(base, wall), int64(len(cts)), int64(count))
-	vals, err := c.DecodeAggregates(pts, count, parties)
+	vals, err := c.Packer.DecodeAggregated(pts, count, parties)
 	arena.putPlain(pts)
 	return vals, err
 }

@@ -19,13 +19,13 @@ type CostSnapshot struct {
 	HEWall time.Duration
 	HESim  time.Duration
 	// HEOps counts HE operations (encrypt/decrypt/hom-add elements). A
-	// WeightedSums batch counts one per non-zero term, a ciphertext-scalar
+	// BroadcastSums batch counts one per non-zero term, a ciphertext-scalar
 	// product, whichever backend ran it and however few multiplies the kernel
 	// spent on it.
 	HEOps int64
 	// Instances counts logical gradient values pushed through HE — the
 	// numerator of Table IV's throughput. With batch compression this is
-	// larger than HEOps. A WeightedSums batch adds its non-zero terms, so on
+	// larger than HEOps. A BroadcastSums batch adds its non-zero terms, so on
 	// the vertical models' host side instances/s keeps meaning
 	// ciphertext-scalar products a second.
 	Instances int64

@@ -129,18 +129,18 @@ func TestWeightedSumsSurviveDeviceFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cts, err := ctx.EncryptValuesUnpacked([]float64{0.5, -0.25, 0.125, 0.75, -0.5, 0.3})
+			cts, err := ctx.EncryptBroadcast([]float64{0.5, -0.25, 0.125, 0.75, -0.5, 0.3}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var out []mpint.Nat
 			for round := 0; round < 3; round++ {
-				sums, err := ctx.WeightedSums(cts, [][]mpint.Term{
+				sums, err := ctx.BroadcastSums(cts, [][]mpint.Term{
 					{{Index: 0, Weight: 700}, {Index: 1, Weight: 3}, {Index: 5, Weight: 1}},
 					{{Index: 2, Weight: 1}, {Index: 3, Weight: 1}, {Index: 4, Weight: 1}},
 					{{Index: 5, Weight: 1023}, {Index: 0, Weight: 512}},
 					{{Index: 1, Weight: 9}},
-				})
+				}, 1)
 				if err != nil {
 					t.Fatalf("Devices=%d round %d: %v", devices, round, err)
 				}

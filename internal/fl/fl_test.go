@@ -1,8 +1,10 @@
 package fl
 
 import (
+	"errors"
 	"testing"
 
+	"flbooster/internal/batch"
 	"flbooster/internal/gpu"
 	"flbooster/internal/paillier"
 )
@@ -100,11 +102,25 @@ func TestNewContextPerSystem(t *testing.T) {
 		if (ctx.DevSet != nil) != ctx.Profile.UseGPU || (ctx.Device != nil) != ctx.Profile.UseGPU || (ctx.Checked != nil) != ctx.Profile.UseGPU {
 			t.Errorf("%s: device presence mismatch", sys)
 		}
-		if (ctx.Packer != nil) != ctx.Profile.UseBatch {
-			t.Errorf("%s: packer presence mismatch", sys)
+		if (ctx.Packer.Slots() == 1) == ctx.Profile.UseBatch {
+			t.Errorf("%s: %d slots a plaintext with batch compression %t", sys, ctx.Packer.Slots(), ctx.Profile.UseBatch)
 		}
 		if ctx.Key.KeyBits() != 128 {
 			t.Errorf("%s: key bits = %d", sys, ctx.Key.KeyBits())
+		}
+	}
+}
+
+// TestNewContextRejectsKeyWithoutASlot: batch compression off is one slot a
+// plaintext, checked against the key like any packing. At 32 bits an r+b =
+// 32-bit slot does not fit below n, so every profile, FATE and HAFLO too,
+// rejects the key instead of opening four clients' 1.0 to a wrapped sum.
+func TestNewContextRejectsKeyWithoutASlot(t *testing.T) {
+	for _, sys := range AllSystems() {
+		p := NewProfile(sys, 32, 4) // r = 30, b = 2
+		p.Device = gpu.SmallTestDevice()
+		if _, err := NewContext(p); !errors.Is(err, batch.ErrKeyTooSmall) {
+			t.Errorf("%s at 32 bits: %v, want batch.ErrKeyTooSmall", sys, err)
 		}
 	}
 }

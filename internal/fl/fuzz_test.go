@@ -11,7 +11,9 @@ import (
 	"sync"
 	"testing"
 
+	"flbooster/internal/batch"
 	"flbooster/internal/flnet"
+	"flbooster/internal/mpint"
 )
 
 // openShape is one configuration FuzzOpenAggregate opens frames under: a
@@ -31,17 +33,23 @@ var (
 	openShapesList []openShape
 )
 
-// openShapes builds the four shapes — plain and grouped, flat and tree — and
-// takes each one's seed frames off the wire of two real first rounds (a full
-// one and one a client's upload was dropped from, so K < parties).
+// openShapes builds the five shapes — plain and grouped, flat and tree, under
+// FLBooster's packing, then plain and flat under HAFLO's one slot a plaintext —
+// and takes each one's seed frames off the wire of two real first rounds (a
+// full one and one a client's upload was dropped from, so K < parties).
 func openShapes(tb testing.TB) []openShape {
 	openShapesOnce.Do(func() {
 		for _, sh := range []struct {
 			name   string
+			sys    System
 			groups int
 			fanout int
-		}{{"plain-flat", 0, 0}, {"plain-tree", 0, 2}, {"grouped-flat", 2, 0}, {"grouped-tree", 2, 2}} {
-			p := quorumProfile(SystemFLBooster)
+		}{
+			{"plain-flat", SystemFLBooster, 0, 0}, {"plain-tree", SystemFLBooster, 0, 2},
+			{"grouped-flat", SystemFLBooster, 2, 0}, {"grouped-tree", SystemFLBooster, 2, 2},
+			{"uncompressed-flat", SystemHAFLO, 0, 0},
+		} {
+			p := quorumProfile(sh.sys)
 			p.Seed = 41
 			p.Defense.Groups = sh.groups
 			p.Cohort.Fanout = sh.fanout
@@ -78,6 +86,33 @@ func openShapes(tb testing.TB) []openShape {
 	return openShapesList
 }
 
+// tooWideFrame is a K = 1 aggregate frame for sh whose first ciphertext holds
+// 2^(|n|−2): a plaintext below n with a bit above every slot it carries.
+func tooWideFrame(tb testing.TB, sh openShape) []byte {
+	ctx := sh.client.Ctx
+	pts := make([]mpint.Nat, ctx.PlaintextCount(openFuzzDim))
+	pts[0] = mpint.Lsh(mpint.FromUint64(1), uint(ctx.Key.N.BitLen()-2))
+	cts, err := ctx.Backend.EncryptVec(&ctx.Key.PublicKey, pts, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(binary.LittleEndian.AppendUint32(nil, 1), EncodeCiphertexts(cts)...)
+}
+
+// TestOpenRejectsTooWidePlaintext: an aggregate whose plaintext has bits
+// above its slots is another party's input, so Open rejects it with
+// ErrBadAggregate, under a packing of several slots (whose high bits were
+// once dropped) and under one slot a plaintext (whose region is one word).
+func TestOpenRejectsTooWidePlaintext(t *testing.T) {
+	shapes := openShapes(t)
+	for _, sh := range []openShape{shapes[0], shapes[4]} {
+		sums, _, _, err := sh.client.Open(tooWideFrame(t, sh), sh.sched, openFuzzDim, nil)
+		if !errors.Is(err, ErrBadAggregate) || !errors.Is(err, batch.ErrTooWide) || sums != nil {
+			t.Errorf("%s: opened to %v (%v), want ErrBadAggregate over batch.ErrTooWide", sh.name, sums, err)
+		}
+	}
+}
+
 // FuzzOpenAggregate feeds arbitrary bytes to the one function every client
 // parses its aggregate frame with — Client.Open: the K prefix, DecodeGroupAgg
 // on grouped shapes, DecodeCiphertexts, Aggregation.Open's coverage and
@@ -102,6 +137,7 @@ func FuzzOpenAggregate(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0}, uint8(1), false)
 	f.Add([]byte{5, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 7}, uint8(0), true)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(2), false)
+	f.Add(tooWideFrame(f, openShapes(f)[4]), uint8(4), false)
 	f.Fuzz(func(t *testing.T, frame []byte, shape uint8, known bool) {
 		shapes := openShapes(t)
 		sh := shapes[int(shape)%len(shapes)]

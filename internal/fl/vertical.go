@@ -21,15 +21,14 @@ import (
 //   - the *per-sample broadcast* (residuals, deltas, gradient/hessian terms)
 //     that feeds per-sample homomorphic multiply-accumulate on the hosts:
 //     EncryptBroadcast, BroadcastSums. At stride s = 1 it is one value a
-//     ciphertext (EncryptValuesUnpacked, WeightedSums), which is what every
-//     profile without batch compression and every model but Hetero LR sends;
-//     with it, Hetero LR packs s residuals a plaintext at the public slot
-//     stride W (BroadcastStride);
+//     ciphertext, which is what every profile without batch compression and
+//     every model but Hetero LR sends; with it, Hetero LR packs s residuals a
+//     plaintext at the public slot stride W (BroadcastStride);
 //   - the *return path*: the final per-feature (or per-bin) sums a party
-//     sends to the key holder to be opened. Nobody computes on those again,
-//     so under batch compression OpenBroadcastSums shifts them
-//     homomorphically into the slots of fewer ciphertexts before they touch
-//     the wire (OpenSums at s = 1).
+//     sends to the key holder to be opened, OpenBroadcastSums at the
+//     broadcast's s. Nobody computes on those again, so under batch
+//     compression it shifts them homomorphically into the slots of fewer
+//     ciphertexts before they touch the wire.
 //
 // A packed broadcast turns a host's E(D)^x̃ into a convolution. Plaintext g is
 // D_g = Σₖ q(d_{gs+k})·2^(kW); for each sum the host raises every D_g to the
@@ -115,7 +114,7 @@ func (l returnLayout) valueAt() int { return (l.stride - 1) * BroadcastSlotBits 
 
 // layout is newReturnLayout under the context's key and profile.
 func (c *Context) layout(stride int) (returnLayout, error) {
-	return newReturnLayout(c.plainBits(), stride, c.Packer != nil)
+	return newReturnLayout(c.plainBits(), stride, c.Profile.UseBatch)
 }
 
 // plainBits is KeyBits−1: n ≥ 2^(KeyBits−1), so every plaintext below
@@ -136,7 +135,7 @@ func (c *Context) ReturnSlots() int {
 // on a tie: 1 without batch compression and under keys with no room for
 // three W-bit slots (256 bits and below).
 func (c *Context) BroadcastStride(rows int, sums []int) int {
-	return broadcastStride(c.plainBits(), c.Packer != nil, rows, sums)
+	return broadcastStride(c.plainBits(), c.Profile.UseBatch, rows, sums)
 }
 
 // broadcastStride is BroadcastStride's rule in plainBits-bit plaintexts.
@@ -153,12 +152,6 @@ func broadcastStride(plainBits int, packed bool, rows int, sums []int) int {
 		}
 	}
 	return best
-}
-
-// EncryptValuesUnpacked encrypts one quantized value per ciphertext
-// regardless of the batch-compression setting: EncryptBroadcast at s = 1.
-func (c *Context) EncryptValuesUnpacked(vals []float64) ([]paillier.Ciphertext, error) {
-	return c.EncryptBroadcast(vals, 1)
 }
 
 // EncryptBroadcast encrypts a per-sample broadcast s values a plaintext:
@@ -220,7 +213,7 @@ func field(x mpint.Nat, off int) uint64 {
 
 // DecryptRaw decrypts ciphertexts to raw unsigned plaintext values (no
 // dequantization), one value per ciphertext — the return path with a single
-// slot, and the reference OpenSums is tested against.
+// slot, and the reference OpenBroadcastSums at s = 1 is tested against.
 func (c *Context) DecryptRaw(cts []paillier.Ciphertext) ([]uint64, error) {
 	return c.decryptSlots(cts, len(cts), returnLayout{1, 1})
 }
@@ -279,7 +272,7 @@ func splitSlots(pts []mpint.Nat, count int, l returnLayout) ([]uint64, error) {
 
 // SumBound is the largest value a weighted sum over quantized ciphertexts can
 // hold when its weights total weightSum: weightSum·(2^r−1). It is what the
-// vertical gradient step passes to OpenSums, and ErrSumBound when the
+// vertical gradient step passes to OpenBroadcastSums, and ErrSumBound when the
 // product does not fit a slot. Under a packed broadcast it bounds every slot
 // of the convolution too: each of a slot's terms pairs one of the sum's
 // weights with one residual.
@@ -302,12 +295,6 @@ type ReturnRoute struct {
 	// the plaintext reply (8 bytes a value); empty when the decryptor is the
 	// one who wants the values and nothing travels back.
 	Kind, ReplyKind string
-}
-
-// OpenSums is the return path of sums over an unpacked broadcast:
-// OpenBroadcastSums at s = 1.
-func (c *Context) OpenSums(route ReturnRoute, cts []paillier.Ciphertext, bounds []uint64) ([]uint64, error) {
-	return c.OpenBroadcastSums(route, cts, bounds, 1)
 }
 
 // OpenBroadcastSums is the return path of the vertical protocols: route.Party
@@ -492,13 +479,6 @@ func (c *Context) addCiphertexts(a, b []paillier.Ciphertext) ([]paillier.Ciphert
 // values per plaintext pass the packed value count).
 func (c *Context) EncryptNats(pts []mpint.Nat, instances int64) ([]paillier.Ciphertext, error) {
 	return c.encrypt(&c.Key.PublicKey, pts, instances)
-}
-
-// WeightedSums computes k sparse non-negative-integer combinations of one
-// ciphertext vector: BroadcastSums over an unpacked broadcast (s = 1), where
-// a term's index is a ciphertext's.
-func (c *Context) WeightedSums(cts []paillier.Ciphertext, sums [][]mpint.Term) ([]paillier.Ciphertext, error) {
-	return c.BroadcastSums(cts, sums, 1)
 }
 
 // BroadcastSums computes k sparse non-negative-integer combinations of the

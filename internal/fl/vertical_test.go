@@ -17,7 +17,7 @@ func TestEncryptValuesUnpackedIgnoresPacker(t *testing.T) {
 		t.Fatal(err)
 	}
 	vals := []float64{-0.5, 0, 0.5, 0.999}
-	cts, err := ctx.EncryptValuesUnpacked(vals)
+	cts, err := ctx.EncryptBroadcast(vals, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestDecryptRawOverflowDetected(t *testing.T) {
 }
 
 // sumsFixture encrypts 1..n under sys, one value a ciphertext, and returns what
-// a test of WeightedSums reads before and after a call: the HE-operation and
+// a test of BroadcastSums reads before and after a call: the HE-operation and
 // instance counters, the nonce-seed cursor, and the device's launch count (0 on
 // a CPU profile).
 func sumsFixture(t *testing.T, sys System, n int) (*Context, []paillier.Ciphertext, func() [4]int64) {
@@ -89,7 +89,7 @@ func unitTerms(idx ...int) []mpint.Term {
 	return out
 }
 
-// TestReduceSum: unit weights turn WeightedSums into the subset sums of a
+// TestReduceSum: unit weights turn BroadcastSums into the subset sums of a
 // histogram — every bin of a node-feature in one batch, charged once, with no
 // nonce drawn — on the serial backend and on the kernel.
 func TestReduceSum(t *testing.T) {
@@ -102,7 +102,7 @@ func TestReduceSum(t *testing.T) {
 			unitTerms(0),
 			unitTerms(8, 0, 4), unitTerms(1, 2, 3), unitTerms(7, 6, 5),
 		}
-		out, err := ctx.WeightedSums(cts, sums)
+		out, err := ctx.BroadcastSums(cts, sums, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", sys, err)
 		}
@@ -127,7 +127,7 @@ func TestReduceSum(t *testing.T) {
 		}
 		// No sums are no work: nothing comes back, nothing is charged.
 		before = read()
-		none, err := ctx.WeightedSums(cts, nil)
+		none, err := ctx.BroadcastSums(cts, nil, 1)
 		if err != nil || len(none) != 0 || read() != before {
 			t.Errorf("%s: no sums returned %d ciphertexts, error %v, counters %v → %v", sys, len(none), err, before, read())
 		}
@@ -142,10 +142,10 @@ func TestWeightedSum(t *testing.T) {
 		ctx, cts, read := sumsFixture(t, sys, 4)
 		before := read()
 		// 2·1 + 0·2 + 1·3 + 10·4 = 45, and the same index twice: 3·2 + 5·2 = 16.
-		out, err := ctx.WeightedSums(cts, [][]mpint.Term{
+		out, err := ctx.BroadcastSums(cts, [][]mpint.Term{
 			{{Index: 0, Weight: 2}, {Index: 1, Weight: 0}, {Index: 2, Weight: 1}, {Index: 3, Weight: 10}},
 			{{Index: 1, Weight: 3}, {Index: 1, Weight: 5}},
-		})
+		}, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", sys, err)
 		}
@@ -165,11 +165,11 @@ func TestWeightedSum(t *testing.T) {
 		// trivial ciphertext 1 and not each other, from one seed drawn after
 		// the batch.
 		before = read()
-		out, err = ctx.WeightedSums(cts, [][]mpint.Term{
+		out, err = ctx.BroadcastSums(cts, [][]mpint.Term{
 			{{Index: 0, Weight: 0}, {Index: 3, Weight: 0}},
 			unitTerms(1, 2),
 			nil,
-		})
+		}, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", sys, err)
 		}
@@ -192,12 +192,12 @@ func TestWeightedSum(t *testing.T) {
 			{{{Index: -1, Weight: 1}}},
 			{nil, {{Index: 9, Weight: 0}}},
 		} {
-			out, err := ctx.WeightedSums(cts, sums)
+			out, err := ctx.BroadcastSums(cts, sums, 1)
 			if !errors.Is(err, mpint.ErrTermIndex) || out != nil {
 				t.Errorf("%s: sums %v returned %d ciphertexts, error %v, want ErrTermIndex", sys, sums, len(out), err)
 			}
 		}
-		if _, err := ctx.WeightedSums(nil, [][]mpint.Term{unitTerms(0)}); !errors.Is(err, mpint.ErrTermIndex) {
+		if _, err := ctx.BroadcastSums(nil, [][]mpint.Term{unitTerms(0)}, 1); !errors.Is(err, mpint.ErrTermIndex) {
 			t.Errorf("%s: a term over no ciphertexts: error %v, want ErrTermIndex", sys, err)
 		}
 		if after := read(); after != before {
@@ -210,7 +210,7 @@ func TestWeightedSum(t *testing.T) {
 // the serial CPU backend, the bare one-attempt engine on one device, the
 // checked engine every GPU profile uses over its default one-device set, and
 // the same over a two-device fleet — all with batch compression on, so
-// OpenSums packs.
+// OpenBroadcastSums packs.
 func returnWirings(t *testing.T, keyBits int) map[string]*Context {
 	t.Helper()
 	build := func(sys System, devices int) *Context {
@@ -302,7 +302,7 @@ func TestOpenSumsMatchesDecryptRaw(t *testing.T) {
 					t.Fatal(err)
 				}
 				before := ctx.Costs.Snapshot()
-				got, err := ctx.OpenSums(route, all[:k], bounds[:k])
+				got, err := ctx.OpenBroadcastSums(route, all[:k], bounds[:k], 1)
 				if err != nil {
 					t.Fatalf("%s/%d bits/%d sums: %v", name, keyBits, k, err)
 				}
@@ -362,7 +362,7 @@ func TestOpenSumsUnpackedWithoutCompression(t *testing.T) {
 		net := flnet.NewSimTransport(ctx.Link, "host", "guest")
 		defer net.Close()
 		before := ctx.Costs.Snapshot()
-		got, err := ctx.OpenSums(ReturnRoute{Net: net, Party: "host", Decryptor: "guest", Kind: "hist"}, cts, bounds)
+		got, err := ctx.OpenBroadcastSums(ReturnRoute{Net: net, Party: "host", Decryptor: "guest", Kind: "hist"}, cts, bounds, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,7 +404,7 @@ func TestOpenSumsRejectsTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := ctx.Costs.Snapshot()
-	if _, err := ctx.OpenSums(route, cts, []uint64{10, 20, 30}); !errors.Is(err, ErrSumBound) {
+	if _, err := ctx.OpenBroadcastSums(route, cts, []uint64{10, 20, 30}, 1); !errors.Is(err, ErrSumBound) {
 		t.Fatalf("missing bound: got %v, want ErrSumBound", err)
 	}
 	if after := ctx.Costs.Snapshot(); after.CommMsgs != before.CommMsgs || after.HEOps != before.HEOps {
@@ -412,10 +412,10 @@ func TestOpenSumsRejectsTyped(t *testing.T) {
 	}
 
 	// A value above the bound its sender proved is slot corruption.
-	if _, err := ctx.OpenSums(route, cts, []uint64{10, 20, 29, 40}); !errors.Is(err, ErrSlotCorrupt) {
+	if _, err := ctx.OpenBroadcastSums(route, cts, []uint64{10, 20, 29, 40}, 1); !errors.Is(err, ErrSlotCorrupt) {
 		t.Fatalf("value above its bound: got %v, want ErrSlotCorrupt", err)
 	}
-	if got, err := ctx.OpenSums(route, cts, []uint64{10, 20, 30, 40}); err != nil || got[2] != 30 {
+	if got, err := ctx.OpenBroadcastSums(route, cts, []uint64{10, 20, 30, 40}, 1); err != nil || got[2] != 30 {
 		t.Fatalf("values at their bounds rejected: %v, %v", got, err)
 	}
 

@@ -325,7 +325,8 @@ func NewCPUEngine() *CPUEngine { return &CPUEngine{vecAPI{runOnHost, new(sync.Po
 
 // runOnHost executes an op on the host: its set-up stage without a launch,
 // then every lane in order, one item at a time — the serial reference, and
-// the host clock behind the CPU profiles' columns.
+// the loop CheckedEngine serves a shard with once no device is left. The CPU
+// profiles do not run it: their backend is paillier.CPUBackend.
 func runOnHost(op vecOp) error {
 	if _, err := op.setup(nil); err != nil {
 		return err

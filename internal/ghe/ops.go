@@ -444,7 +444,7 @@ func (o *decryptOp) slice(lo, hi int, out []mpint.Nat) vecOp {
 // shiftPackOp is Π cs[i·slots+j]^(shiftʲ) mod m over the j the pack has a value
 // for, shift = 2^slotBits: pack i of the result holds the plaintexts of its
 // ciphertexts in slotBits-wide slots, cs[i·slots] lowest — the return path of
-// the vertical protocols (fl.Context.OpenSums) — as one kernel. A lane runs its
+// the vertical protocols (fl.Context.OpenBroadcastSums) — as one kernel. A lane runs its
 // pack's whole Horner chain, acc ← acc^shift·next from the top slot down, on
 // pooled scratch (mpint.Mont.ShiftPack): the shift's schedule is compiled once
 // for the launch, and what a launch a slot (a mod_exp_var_vec and a

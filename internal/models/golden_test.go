@@ -15,11 +15,11 @@ import (
 
 // openedHasher wraps a context's backend and hashes every ciphertext the key
 // holder is asked to open, in order: the score aggregates and everything the
-// return path (fl.Context.OpenSums) carries — without batch compression the
-// very ciphertexts OpenSums was handed, with it their packed image, which is a
-// deterministic function of them. It embeds the interface, as the benchmark's
-// traced backend does, so every other operation runs the wrapped backend's
-// path.
+// return path (fl.Context.OpenBroadcastSums) carries — without batch
+// compression the very ciphertexts it was handed, with it their packed image,
+// which is a deterministic function of them. It embeds the interface, as the
+// benchmark's traced backend does, so every other operation runs the wrapped
+// backend's path.
 type openedHasher struct {
 	paillier.Backend
 	h hash.Hash

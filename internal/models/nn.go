@@ -24,8 +24,8 @@ import (
 // backward per-sample hidden deltas E(δ) travel one ciphertext per value and
 // drive the hosts' homomorphic weight-gradient accumulation, mirroring the
 // Hetero LR gradient step per hidden unit; the per-(unit, feature) sums go
-// back to the arbiter on the return path (fl.Context.OpenSums), packed under
-// batch compression.
+// back to the arbiter on the return path (fl.Context.OpenBroadcastSums at
+// s = 1), packed under batch compression.
 type HeteroNN struct {
 	vertical
 
@@ -180,7 +180,7 @@ func (m *HeteroNN) trainBatch(lo, hi int) error {
 	for i, d := range deltas {
 		clamped[i] = clampGrad(d, bound)
 	}
-	encD, err := m.ctx.EncryptValuesUnpacked(clamped)
+	encD, err := m.ctx.EncryptBroadcast(clamped, 1)
 	if err != nil {
 		return err
 	}

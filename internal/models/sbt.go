@@ -20,8 +20,8 @@ import (
 // flow while keeping subset-sum aggregation valid — multi-sample packing is
 // impossible here because histogram bins select arbitrary sample subsets.
 // The finished per-bin sums are another matter: a host's histogram returns
-// to the guest on the return path (fl.Context.OpenSums), which packs one
-// 64-bit pair per slot.
+// to the guest on the return path (fl.Context.OpenBroadcastSums at s = 1),
+// which packs one 64-bit pair per slot.
 type HeteroSBT struct {
 	vertical
 
@@ -148,7 +148,7 @@ func (m *HeteroSBT) slotWidth() uint { return m.ghBits + m.headBits }
 // each get their own ciphertext, concatenated as [g...; h...].
 func (m *HeteroSBT) encryptGH(g, h []float64) ([]paillier.Ciphertext, error) {
 	n := len(g)
-	packed := m.ctx.Packer != nil
+	packed := m.ctx.Profile.UseBatch
 	var pts []mpint.Nat
 	if packed {
 		pts = make([]mpint.Nat, n)
@@ -179,7 +179,7 @@ func (m *HeteroSBT) ghSums(n int, samples []int) [][]mpint.Term {
 	for k, s := range samples {
 		gs[k] = mpint.Term{Index: s, Weight: 1}
 	}
-	if m.ctx.Packer != nil {
+	if m.ctx.Profile.UseBatch {
 		return [][]mpint.Term{gs}
 	}
 	hs := make([]mpint.Term, len(samples))
@@ -191,7 +191,7 @@ func (m *HeteroSBT) ghSums(n int, samples []int) [][]mpint.Term {
 
 // decodeGH splits a decrypted histogram sum into (G, H) for cnt samples.
 func (m *HeteroSBT) decodeGH(raw []uint64, cnt int) (gSum, hSum float64) {
-	if m.ctx.Packer != nil {
+	if m.ctx.Profile.UseBatch {
 		v := raw[0]
 		mask := uint64(1)<<m.slotWidth() - 1
 		gSum = m.dequantGHSum(v>>m.slotWidth(), cnt)
@@ -205,7 +205,7 @@ func (m *HeteroSBT) decodeGH(raw []uint64, cnt int) (gSum, hSum float64) {
 // sum can hold, in decodeGH's layout; headBits keeps it under 2^62.
 func (m *HeteroSBT) ghSumBounds(cnt int) []uint64 {
 	comp := uint64(cnt) * m.ghMax()
-	if m.ctx.Packer != nil {
+	if m.ctx.Profile.UseBatch {
 		return []uint64{comp<<m.slotWidth() | comp}
 	}
 	return []uint64{comp, comp}
@@ -358,13 +358,13 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 			if len(histSums) == 0 {
 				continue
 			}
-			histCts, err := m.ctx.WeightedSums(cts, histSums)
+			histCts, err := m.ctx.BroadcastSums(cts, histSums, 1)
 			if err != nil {
 				return best, err
 			}
 			// The guest holds the key and keeps the values: no reply.
 			route := fl.ReturnRoute{Net: m.net, Party: hostName(p), Decryptor: hostName(0), Kind: "hist"}
-			raws, err := m.ctx.OpenSums(route, histCts, histBounds)
+			raws, err := m.ctx.OpenBroadcastSums(route, histCts, histBounds, 1)
 			if err != nil {
 				return best, err
 			}
