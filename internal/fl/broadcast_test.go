@@ -8,6 +8,7 @@ import (
 
 	"flbooster/internal/flnet"
 	"flbooster/internal/mpint"
+	"flbooster/internal/paillier"
 )
 
 // toBig is x as a math/big integer, the oracle's arithmetic.
@@ -20,13 +21,16 @@ func slotOf(x *big.Int, k, width int) *big.Int {
 }
 
 // TestBroadcastCarrySafety: with every residual at 2^r−1, every row's weight
-// at the most SumBound admits for a sum over the whole batch and every mask at
-// 2^(64+λ)−1, the packed residual plaintexts, each inner sum, the convolution
-// T and its masked image hold in every W-bit slot exactly its integer sum —
-// so nothing carried — with the target below 2^64, and every plaintext, a
-// return ciphertext's whole pack of blocks included, below 2^(KeyBits−1) ≤ n.
-// It runs over keys of 256–2,048 bits, r of 2–30, batches of 1–64 rows and
-// every stride the rule picks for 1–64 features on one or two hosts.
+// at the most SumBound admits on one sign side for a sum over the whole batch
+// — every row positive, every row negative, and the signs alternating — and
+// every mask draw at its least and at its most, the packed residual
+// plaintexts, each inner sum, the convolution T and its masked image hold in
+// every W-bit slot exactly its integer sum: a cross-term in (−2^63, 2^63)
+// lifted by 2^63 and its mask, the target lifted by O = 2^63 into [1, 2^64) —
+// so nothing borrowed or carried — and every plaintext, a return ciphertext's
+// whole pack of blocks included, below 2^(KeyBits−1) ≤ n. It runs over keys
+// of 256–2,048 bits, r of 2–30, batches of 1–64 rows and every stride the rule
+// picks for 1–64 features on one or two hosts.
 func TestBroadcastCarrySafety(t *testing.T) {
 	keys := []int{256, 384, 512, 768, 1024, 1536, 2048}
 	if testing.Short() {
@@ -37,7 +41,7 @@ func TestBroadcastCarrySafety(t *testing.T) {
 		for rows := 1; rows <= 64; rows++ {
 			picked := map[int]bool{}
 			for f := 1; f <= 64; f++ {
-				for _, sums := range [][]int{{2 * f}, {2 * f, 2 * (65 - f)}} {
+				for _, sums := range [][]int{{f}, {f, 65 - f}} {
 					s := broadcastStride(plainBits, true, rows, sums)
 					if s < 1 || s > maxStride(plainBits, true) {
 						t.Fatalf("%d bits, %d rows, sums %v: the rule picked stride %d", keyBits, rows, sums, s)
@@ -71,7 +75,7 @@ func checkCarry(t *testing.T, l returnLayout, plainBits, rows, r int) {
 		t.Fatalf("%d-bit plaintexts, stride %d, %d rows, r = %d: "+what, append([]any{plainBits, s, rows, r}, args...)...)
 	}
 	qMax := uint64(1)<<r - 1
-	weight := math.MaxUint64 / (qMax * uint64(rows))
+	weight := (1<<63 - 1) / (qMax * uint64(rows))
 	pts := packBroadcast(nil, rows, s, func(int) uint64 { return qMax })
 	if len(pts) != (rows+s-1)/s {
 		fail("%d broadcast plaintexts", len(pts))
@@ -91,84 +95,121 @@ func checkCarry(t *testing.T, l returnLayout, plainBits, rows, r int) {
 			}
 		}
 	}
-	// exact[m] is slot m of T as an integer: the pairs (l, k) with
-	// k − l = m − (s−1), each over the g where rows g·s+l and g·s+k exist.
-	exact := make([]*big.Int, 2*s-1)
-	for m := range exact {
-		exact[m] = new(big.Int)
-	}
-	conv := new(big.Int)
-	for lane := range s {
-		inner := new(big.Int)
-		for g, pt := range pts {
-			if g*s+lane < rows {
-				inner.Add(inner, new(big.Int).Mul(new(big.Int).SetUint64(weight), toBig(pt)))
-			}
+	offset := new(big.Int).SetUint64(ReturnOffset)
+	rho := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), returnSlotBits+maskBits), big.NewInt(1))
+	for _, sign := range []struct {
+		name string
+		neg  func(row int) bool
+	}{
+		{"positive", func(int) bool { return false }},
+		{"negative", func(int) bool { return true }},
+		{"alternating", func(row int) bool { return row%2 == 1 }},
+	} {
+		// exact[m] is slot m of T as a signed integer: the pairs (l, k) with
+		// k − l = m − (s−1), each over the g where rows g·s+l and g·s+k exist,
+		// signed by row g·s+l's weight.
+		exact := make([]*big.Int, 2*s-1)
+		for m := range exact {
+			exact[m] = new(big.Int)
 		}
-		if inner.BitLen() > (s-1)*w+returnSlotBits {
-			fail("inner sum %d is %d bits", lane, inner.BitLen())
-		}
-		for k := range s {
-			var pairs uint64
-			for g := range pts {
-				if g*s+lane < rows && g*s+k < rows {
-					pairs++
+		conv := new(big.Int)
+		for lane := range s {
+			inner := new(big.Int)
+			for g, pt := range pts {
+				if g*s+lane < rows {
+					term := new(big.Int).Mul(new(big.Int).SetUint64(weight), toBig(pt))
+					if sign.neg(g*s + lane) {
+						term.Neg(term)
+					}
+					inner.Add(inner, term)
 				}
 			}
-			want := new(big.Int).SetUint64(weight * qMax * pairs)
-			if got := slotOf(inner, k, w); got.Cmp(want) != 0 {
-				fail("inner sum %d slot %d holds %v, want %v", lane, k, got, want)
+			if inner.BitLen() > (s-1)*w+returnSlotBits {
+				fail("%s: inner sum %d is %d bits", sign.name, lane, inner.BitLen())
 			}
-			exact[k+s-1-lane].Add(exact[k+s-1-lane], want)
+			for k := range s {
+				want := new(big.Int)
+				for g := range pts {
+					if g*s+lane < rows && g*s+k < rows {
+						v := new(big.Int).SetUint64(weight * qMax)
+						if sign.neg(g*s + lane) {
+							v.Neg(v)
+						}
+						want.Add(want, v)
+					}
+				}
+				exact[k+s-1-lane].Add(exact[k+s-1-lane], want)
+			}
+			conv.Add(conv, inner.Lsh(inner, uint((s-1-lane)*w)))
 		}
-		conv.Add(conv, inner.Lsh(inner, uint((s-1-lane)*w)))
-	}
-	masked := new(big.Int).Set(conv)
-	if s > 1 {
-		masked.Add(masked, toBig(crossMask(nil, s, func() uint64 { return math.MaxUint64 })))
-	}
-	rho := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), returnSlotBits+maskBits), big.NewInt(1))
-	for m, want := range exact {
-		if got := slotOf(conv, m, w); got.Cmp(want) != 0 || !want.IsUint64() {
-			fail("T's slot %d holds %v, want %v below 2^64", m, got, want)
+		for m, c := range exact {
+			if c.CmpAbs(offset) >= 0 {
+				fail("%s: T's slot %d is %v, outside (−2^63, 2^63)", sign.name, m, c)
+			}
 		}
-		if m != s-1 {
-			want = new(big.Int).Add(want, rho)
-		}
-		if got := slotOf(masked, m, w); got.Cmp(want) != 0 {
-			fail("masked slot %d holds %v, want %v", m, got, want)
-		}
-	}
-	target := weight * qMax * uint64(rows)
-	if exact[s-1].Uint64() != target || masked.BitLen() > l.blockBits() {
-		fail("target %v (want %d), masked image %d bits in a %d-bit block", exact[s-1], target, masked.BitLen(), l.blockBits())
-	}
-	// A return ciphertext's whole pack: per masked images, one a block.
-	pack := new(big.Int)
-	for b := range l.per {
-		pack.Add(pack, new(big.Int).Lsh(masked, uint(b*l.blockBits())))
-	}
-	if pack.BitLen() > plainBits {
-		fail("a pack of %d blocks is %d bits", l.per, pack.BitLen())
-	}
-	vals, err := splitSlots([]mpint.Nat{mpint.FromBytes(pack.Bytes())}, l.per, l)
-	if err != nil {
-		fail("the pack does not split: %v", err)
-	}
-	for b, v := range vals {
-		if v != target {
-			fail("block %d opens to %d, want %d", b, v, target)
+		for _, draw := range []uint64{0, math.MaxUint64} {
+			masked := new(big.Int).Add(conv, toBig(crossMask(nil, s, ReturnOffset, func() uint64 { return draw })))
+			if masked.Sign() < 0 || masked.BitLen() > l.blockBits() {
+				fail("%s, draws %#x: the masked image is %v, %d bits in a %d-bit block", sign.name, draw, masked.Sign(), masked.BitLen(), l.blockBits())
+			}
+			for m, c := range exact {
+				want := new(big.Int).Add(c, offset)
+				if m != s-1 && draw != 0 {
+					want.Add(want, rho)
+				}
+				if got := slotOf(masked, m, w); got.Cmp(want) != 0 {
+					fail("%s, draws %#x: masked slot %d holds %v, want %v", sign.name, draw, m, got, want)
+				}
+			}
+			target := new(big.Int).Add(exact[s-1], offset)
+			if target.Sign() <= 0 || !target.IsUint64() {
+				fail("%s: the target opens to %v, outside [1, 2^64)", sign.name, target)
+			}
+			// A return ciphertext's whole pack: per masked images, one a block.
+			pack := new(big.Int)
+			for b := range l.per {
+				pack.Add(pack, new(big.Int).Lsh(masked, uint(b*l.blockBits())))
+			}
+			if pack.BitLen() > plainBits {
+				fail("a pack of %d blocks is %d bits", l.per, pack.BitLen())
+			}
+			vals, err := splitSlots([]mpint.Nat{mpint.FromBytes(pack.Bytes())}, l.per, l)
+			if err != nil {
+				fail("%s: the pack does not split: %v", sign.name, err)
+			}
+			for b, v := range vals {
+				if v != target.Uint64() {
+					fail("%s: block %d opens to %d, want %v", sign.name, b, v, target)
+				}
+			}
 		}
 	}
 }
 
+// openedPlaintexts wraps a context's backend and keeps a copy of every
+// plaintext the key holder decrypts, in order: what the arbiter sees.
+type openedPlaintexts struct {
+	paillier.Backend
+	pts []mpint.Nat
+}
+
+func (b *openedPlaintexts) DecryptVec(sk *paillier.PrivateKey, cs []paillier.Ciphertext) ([]mpint.Nat, error) {
+	pts, err := b.Backend.DecryptVec(sk, cs)
+	for _, pt := range pts {
+		b.pts = append(b.pts, pt.Clone())
+	}
+	return pts, err
+}
+
 // TestBroadcastSumsOpenTheUnpackedSums: at every stride the key admits, on
-// every HE substrate, encrypting a broadcast, summing it and opening the sums
-// yields the integers Σ x·q(v) the unpacked protocol opens — residuals at the
-// quantizer's edges and in between, weights up to 20 bits, a sum whose terms
-// all sit in one lane of the convolution and a sum with no term at all — over
-// the messages the layout budgets; the inner sums draw no nonce and a strided
-// return draws one seed, its masks'.
+// every HE substrate, encrypting a broadcast, summing it with signed weights
+// and opening the sums yields the integers O + Σ ±x·q(v) the unpacked
+// protocol opens — residuals at the quantizer's edges and in between,
+// weights up to 20 bits of either sign, an all-negative sum, a sum whose
+// terms all sit in one lane of the convolution and a sum with no term at all
+// — over the messages the layout budgets. The arbiter's plaintexts hold that
+// value in each block's target slot and, above s = 1, in every other slot the
+// cross-term lifted by 2^63 plus a mask below 2^(64+λ).
 func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 	keys := []int{512, 1024}
 	if testing.Short() {
@@ -176,6 +217,8 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 	}
 	for _, keyBits := range keys {
 		for name, ctx := range returnWirings(t, keyBits) {
+			rec := &openedPlaintexts{Backend: ctx.Backend}
+			ctx.Backend = rec
 			rng := mpint.NewRNG(uint64(keyBits))
 			const rows = 23
 			alpha := ctx.Quant.Alpha()
@@ -185,26 +228,39 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 			}
 			vals[0], vals[1], vals[2] = alpha, -alpha, 0
 			var sums [][]mpint.Term
-			for j := 0; j < 6; j++ {
+			for j := 0; j < 7; j++ {
 				var terms []mpint.Term
 				for i := range rows {
 					if rng.Uint64()%3 != 0 {
-						terms = append(terms, mpint.Term{Index: i, Weight: rng.Uint64() % (1 << 20)})
+						terms = append(terms, mpint.Term{Index: i, Weight: rng.Uint64() % (1 << 20), Neg: j == 6 || rng.Uint64()%2 == 0})
 					}
 				}
 				sums = append(sums, terms)
 			}
-			sums = append(sums, []mpint.Term{{Index: 0, Weight: 9}, {Index: 10, Weight: 1 << 19}}, nil)
-			want := make([]uint64, len(sums))
-			bounds := make([]uint64, len(sums))
-			for j, sum := range sums {
-				var total uint64
-				for _, tm := range sum {
-					want[j] += tm.Weight * ctx.Quant.Quantize(vals[tm.Index])
-					total += tm.Weight
+			sums = append(sums, []mpint.Term{{Index: 0, Weight: 9}, {Index: 10, Weight: 1 << 19, Neg: true}}, nil)
+			q := func(i int) int64 { return int64(ctx.Quant.Quantize(vals[i])) }
+			signed := func(tm mpint.Term) int64 {
+				if tm.Neg {
+					return -int64(tm.Weight)
 				}
+				return int64(tm.Weight)
+			}
+			want := make([]uint64, len(sums))
+			bounds := make([]Bound, len(sums))
+			for j, sum := range sums {
+				var total int64
+				var side [2]uint64
+				for _, tm := range sum {
+					total += signed(tm) * q(tm.Index)
+					if tm.Neg {
+						side[0] += tm.Weight
+					} else {
+						side[1] += tm.Weight
+					}
+				}
+				want[j] = uint64(total) + ReturnOffset
 				var err error
-				if bounds[j], err = ctx.SumBound(total); err != nil {
+				if bounds[j], err = ctx.SumBound(side[0], side[1]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -218,11 +274,12 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 				if len(encD) != (rows+s-1)/s {
 					t.Fatalf("%s/%d bits/s = %d: %d broadcast ciphertexts", name, keyBits, s, len(encD))
 				}
-				cts, err := ctx.BroadcastSums(encD, sums, s)
+				cts, err := ctx.BroadcastSums(encD, sums, s, true)
 				if err != nil {
 					t.Fatal(err)
 				}
 				before := ctx.Costs.Snapshot()
+				rec.pts = rec.pts[:0]
 				got, err := ctx.OpenBroadcastSums(route, cts, bounds, s)
 				if err != nil {
 					t.Fatalf("%s/%d bits/s = %d: %v", name, keyBits, s, err)
@@ -246,6 +303,38 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 				if msgs, bytes := after.CommMsgs-before.CommMsgs, after.CommBytes-before.CommBytes; msgs != 2 || bytes != request+reply {
 					t.Fatalf("%s/%d bits/s = %d: %d messages of %d bytes, want 2 of %d", name, keyBits, s, msgs, bytes, request+reply)
 				}
+
+				// What the arbiter saw, block by block and slot by slot.
+				width := returnSlotBits
+				if s > 1 {
+					width = BroadcastSlotBits
+				}
+				lift := new(big.Int).SetUint64(ReturnOffset)
+				maskBound := new(big.Int).Lsh(big.NewInt(1), returnSlotBits+maskBits)
+				for j, sum := range sums {
+					block := new(big.Int).Rsh(toBig(rec.pts[j/l.per]), uint(j%l.per*l.blockBits()))
+					for m := range 2*s - 1 {
+						slot := slotOf(block, m, width)
+						if m == s-1 {
+							if !slot.IsUint64() || slot.Uint64() != want[j] {
+								t.Fatalf("%s/%d bits/s = %d: sum %d's target slot holds %v, want %d", name, keyBits, s, j, slot, want[j])
+							}
+							continue
+						}
+						// The cross-term: row g·s+l's weight against residual g·s+k,
+						// k = l + m − (s−1).
+						var cross int64
+						for _, tm := range sum {
+							if k := tm.Index%s + m - (s - 1); k >= 0 && k < s && tm.Index-tm.Index%s+k < rows {
+								cross += signed(tm) * q(tm.Index-tm.Index%s+k)
+							}
+						}
+						rest := new(big.Int).Sub(slot, new(big.Int).Add(big.NewInt(cross), lift))
+						if rest.Sign() < 0 || rest.Cmp(maskBound) >= 0 || (rest.Sign() == 0 && sum != nil) {
+							t.Fatalf("%s/%d bits/s = %d: sum %d's slot %d holds cross-term %d + 2^63 + %v, want a mask in (0, 2^(64+λ))", name, keyBits, s, j, m, cross, rest)
+						}
+					}
+				}
 				ReleaseCiphertexts(cts)
 				ReleaseCiphertexts(encD)
 			}
@@ -254,9 +343,9 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 	}
 }
 
-// TestBroadcastSeeds pins which strides draw nonce seeds where: the inner
-// sums none — an empty inner sum is the identity, not a fresh zero — and the
-// return one (its masks') above s = 1, none at it.
+// TestBroadcastSeeds pins which strides draw nonce seeds where: the sums one
+// above s = 1 (their masks', which enter their launch) and none at it — an
+// empty inner sum is the identity, not a fresh zero — and the return none.
 func TestBroadcastSeeds(t *testing.T) {
 	p := testProfile(SystemFLBooster)
 	p.KeyBits = 1024
@@ -285,16 +374,20 @@ func TestBroadcastSeeds(t *testing.T) {
 			return n
 		}
 		var cts = encD
-		if n := draws(func() { cts, err = ctx.BroadcastSums(encD, sums, s) }); err != nil || n != 0 {
-			t.Fatalf("s = %d: the sums drew %d seeds (%v)", s, n, err)
+		want := map[int]int{1: 0, 3: 1}[s]
+		if n := draws(func() { cts, err = ctx.BroadcastSums(encD, sums, s, true) }); err != nil || n != want {
+			t.Fatalf("s = %d: the sums drew %d seeds, want %d (%v)", s, n, want, err)
 		}
 		var got []uint64
-		want := map[int]int{1: 0, 3: 1}[s]
-		if n := draws(func() { got, err = ctx.OpenBroadcastSums(route, cts, []uint64{1 << 40}, s) }); err != nil || n != want {
-			t.Fatalf("s = %d: the return drew %d seeds, want %d (%v)", s, n, want, err)
+		bound, err := ctx.SumBound(0, 14)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := draws(func() { got, err = ctx.OpenBroadcastSums(route, cts, []Bound{bound}, s) }); err != nil || n != 0 {
+			t.Fatalf("s = %d: the return drew %d seeds (%v)", s, n, err)
 		}
 		q := ctx.Quant.Quantize
-		if w := 2*q(vals[0]) + 5*q(vals[3]) + 7*q(vals[6]); got[0] != w {
+		if w := ReturnOffset + 2*q(vals[0]) + 5*q(vals[3]) + 7*q(vals[6]); got[0] != w {
 			t.Fatalf("s = %d: opened %d, want %d", s, got[0], w)
 		}
 	}

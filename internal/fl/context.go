@@ -46,10 +46,12 @@ type Context struct {
 	obsPrefix string
 	seed      uint64
 	zeros     []byte // grow-only payload of Send's modelled messages
-	// inner and mask are a packed broadcast's scratch, reused from batch to
-	// batch: BroadcastSums' inner sums and maskCrossTerms' mask plaintext.
+	// inner, mask and bases are BroadcastSums' scratch, reused from batch to
+	// batch: its inner sums, the trivial plaintext crossMask writes, and the
+	// broadcast beside the trivial encryptions.
 	inner [][]mpint.Term
 	mask  mpint.Nat
+	bases []paillier.Ciphertext
 }
 
 // NewContext builds a context from a profile, generating a fresh key pair

@@ -140,7 +140,7 @@ func TestWeightedSumsSurviveDeviceFaults(t *testing.T) {
 					{{Index: 2, Weight: 1}, {Index: 3, Weight: 1}, {Index: 4, Weight: 1}},
 					{{Index: 5, Weight: 1023}, {Index: 0, Weight: 512}},
 					{{Index: 1, Weight: 9}},
-				}, 1)
+				}, 1, false)
 				if err != nil {
 					t.Fatalf("Devices=%d round %d: %v", devices, round, err)
 				}

@@ -30,6 +30,12 @@ func modExpWordOps(k, expBits int) int64 {
 	return int64(float64(expBits)*1.2) * montMulWordOps(k)
 }
 
+// modInverseWordOps is one inverse mod a k-word modulus by a Lehmer walk:
+// about k steps of a word each, every step a 2×2 matrix applied to the
+// remainder pair and to the coefficient pair, eight k-word multiply-adds —
+// 8k² word-ops, ≈4 Montgomery multiplies.
+func modInverseWordOps(k int) int64 { return int64(8 * k * k) }
+
 // montSetupWordOps is building the Montgomery context of a k-word modulus and
 // the schedule of an exponent as long: R² mod n by long division, (k+1)·k
 // multiply-subtracts, and a word-op a word for the recoding.

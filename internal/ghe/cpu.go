@@ -181,9 +181,21 @@ func (f *Frame) ShiftPackVec(cs []mpint.Nat, slots, slotBits int, m *mpint.Mont)
 	if slots < 1 || slotBits < 1 {
 		return nil, fmt.Errorf("ghe: ShiftPackVec needs slots and slot bits of at least 1, got %d and %d", slots, slotBits)
 	}
-	shift := mpint.CompileExpAuto(mpint.Lsh(mpint.One(), uint(slotBits)))
-	f.pack = shiftPackOp{modVec{outVec{f.result((len(cs) + slots - 1) / slots)}, m}, cs, slots, slotBits, shift}
+	f.pack = shiftPackOp{modVec{outVec{f.result((len(cs) + slots - 1) / slots)}, m}, cs, slots, slotBits, shiftSchedule(slotBits)}
 	return f.v.run(&f.pack)
+}
+
+// shiftSchedules holds the compiled 2^bits of every slot width a ShiftPackVec
+// launch has used: read-only once compiled, and the protocols use a handful.
+var shiftSchedules sync.Map // int → *mpint.ExpSchedule
+
+// shiftSchedule is the compiled shift of a bits-wide slot, compiled once.
+func shiftSchedule(bits int) *mpint.ExpSchedule {
+	if s, ok := shiftSchedules.Load(bits); ok {
+		return s.(*mpint.ExpSchedule)
+	}
+	s, _ := shiftSchedules.LoadOrStore(bits, mpint.CompileExpAuto(mpint.Lsh(mpint.One(), uint(bits))))
+	return s.(*mpint.ExpSchedule)
 }
 
 // MillerRabinVec runs one Miller–Rabin round a lane: result i is 1 when ns[i]

@@ -69,7 +69,8 @@ type fuzzVecCase struct {
 // math/big's L(c^λ mod n²)·μ mod n — which is the plaintext — and
 // shift_pack_vec packs the fuzzed residues 1 to 5 to a pack under a 1- to
 // 70-bit shift, the last pack short on most seeds, against math/big's
-// Π cⱼ^(2^(b·j)); miller_rabin_vec runs a round on the fuzzed modulus, alone
+// Π cⱼ^(2^(b·j)); multi_exp_vec weighs the fuzzed residues by either sign
+// against math/big's Exp over its ModInverse; miller_rabin_vec runs a round on the fuzzed modulus, alone
 // and beside candidates of each lane's own, to the fuzzed base, 2 and n − 2
 // among others, against math/big's Exp and squaring chain. Operand errors
 // (length mismatch, underflow, zero divisor, a plaintext at or above n, a
@@ -131,12 +132,15 @@ func FuzzVecOps(f *testing.F) {
 		xs[1], xs[2] = mpint.Zero(), mpint.SubWord(crt.N(), 1)
 		pos := int(seed >> 24 % 1000)
 		// Weighted sums over a: indices drawn with repeats and in any order,
-		// weights the low limb of a fuzzed exponent (the last is zero), one sum
-		// left empty.
+		// weights the low limb of a fuzzed exponent (the last is zero), either
+		// sign over a base with an inverse mod n, one sum left empty.
 		sums := make([][]mpint.Term, items)
 		for j := range sums[1:] {
 			for c := r.Intn(items + 3); c > 0; c-- {
 				tm := mpint.Term{Index: r.Intn(items)}
+				if _, ok := mpint.ModInverse(a[tm.Index], n); ok {
+					tm.Neg = r.Intn(2) == 0
+				}
 				if e := exps[r.Intn(items)]; len(e) > 0 {
 					tm.Weight = e[0]
 				}
@@ -225,7 +229,11 @@ func FuzzVecOps(f *testing.F) {
 				func(i int) *big.Int {
 					prod := big.NewInt(1)
 					for _, tm := range sums[i] {
-						prod.Mul(prod, new(big.Int).Exp(toBig(a[tm.Index]), new(big.Int).SetUint64(tm.Weight), bn))
+						base := toBig(a[tm.Index])
+						if tm.Neg {
+							base.ModInverse(base, bn)
+						}
+						prod.Mul(prod, new(big.Int).Exp(base, new(big.Int).SetUint64(tm.Weight), bn))
 						prod.Mod(prod, bn)
 					}
 					return prod.Mod(prod, bn)

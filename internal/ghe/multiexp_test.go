@@ -2,8 +2,12 @@ package ghe
 
 import (
 	"errors"
+	"fmt"
+	"math/big"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
@@ -116,6 +120,128 @@ func TestMultiExpVecRejectsBeforeUpload(t *testing.T) {
 	}
 	if st := chk.Set().Device(0).Stats(); st.KernelLaunches != 0 || st.BytesHostToDev != 0 || chk.Stats().Ops != 0 {
 		t.Errorf("rejected sums reached the device: %+v", st)
+	}
+}
+
+// TestSignedMultiExpVec holds signed terms to math/big — Exp over ModInverse
+// for a negative one — on the bare engine, the host loop and the executor at
+// D = 1 and 2 with every lane verified: mixed-sign sums, all-negative sums and
+// a base both signs refer to. The table builds one inverted row a base a
+// negative term refers to, and its set-up launch is charged the inversions
+// on top of the rows' multiplies. A negative term over a base with no inverse
+// is mpint.ErrNotInvertible on every engine, and no lane runs.
+func TestSignedMultiExpVec(t *testing.T) {
+	r := mpint.NewRNG(0x51E)
+	p := r.RandPrime(96)
+	n := mpint.Mul(p, r.RandPrime(96))
+	m := mpint.NewMont(n)
+	bases := randVec(r, 10, n)
+	mixed := weightedSums(r, len(bases), 4, 10)
+	for _, sum := range mixed {
+		for i := range sum {
+			sum[i].Neg = r.Intn(2) == 0
+		}
+	}
+	allNeg := weightedSums(r, len(bases), 2, 10)
+	for _, sum := range allNeg {
+		for i := range sum {
+			sum[i].Neg = true
+		}
+	}
+	sums := append(append(mixed, allNeg...),
+		[]mpint.Term{{Index: 3, Weight: 7}, {Index: 3, Weight: 5, Neg: true}, {Index: 5, Weight: 1, Neg: true}})
+	bn := toBig(n)
+	want := make([]mpint.Nat, len(sums))
+	for j, sum := range sums {
+		prod := big.NewInt(1)
+		for _, tm := range sum {
+			base := toBig(bases[tm.Index])
+			if tm.Neg {
+				base.ModInverse(base, bn)
+			}
+			prod.Mod(prod.Mul(prod, new(big.Int).Exp(base, new(big.Int).SetUint64(tm.Weight), bn)), bn)
+		}
+		want[j] = mpint.FromBytes(prod.Bytes())
+	}
+
+	eng := testEngine(t)
+	got, err := eng.MultiExpVec(bases, sums, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameVec(t, "bare engine", got, want)
+	tbl, err := m.NewMultiExpTable(bases, sums)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Base 0 has a zero weight in every sum; the other nine are referred to
+	// by both signs.
+	if tbl.Inversions() != 9 || tbl.Rows() != 18 {
+		t.Errorf("%d inverted rows of %d, want 9 of 18", tbl.Inversions(), tbl.Rows())
+	}
+	tbl.Release()
+	// The same table build, every row inverted and then none: the inversions
+	// are what the modelled clock charges more.
+	pos := make([][]mpint.Term, len(allNeg))
+	for j, sum := range allNeg {
+		pos[j] = slices.Clone(sum)
+		for i := range pos[j] {
+			pos[j][i].Neg = false
+		}
+	}
+	tableSim := func(sums [][]mpint.Term) time.Duration {
+		tbl, err := m.NewMultiExpTable(bases, sums)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tbl.Release()
+		before := eng.Device().Stats().SimComputeTime
+		op := &multiExpOp{modVec: newModVec(len(sums), m), bases: bases, sums: sums, tbl: tbl}
+		if _, err := op.setup(eng.Device()); err != nil {
+			t.Fatal(err)
+		}
+		return eng.Device().Stats().SimComputeTime - before
+	}
+	if inv, plain := tableSim(allNeg), tableSim(pos); inv <= plain {
+		t.Errorf("a table of inverted rows is charged %v, the same rows uninverted %v", inv, plain)
+	}
+
+	got, err = NewCPUEngine().MultiExpVec(bases, sums, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameVec(t, "host loop", got, want)
+	for _, d := range []int{1, 2} {
+		chk := checkedSet(t, d, CheckedConfig{VerifyFraction: 1})
+		got, err := chk.MultiExpVec(bases, sums, m)
+		if err != nil {
+			t.Fatalf("D=%d: %v", d, err)
+		}
+		sameVec(t, fmt.Sprintf("executor at D=%d", d), got, want)
+		if st := chk.Stats(); st.VerifySamples != int64(len(sums)) || st.VerifyFailures != 0 {
+			t.Errorf("D=%d: %d lanes verified, %d failed, want %d and 0", d, st.VerifySamples, st.VerifyFailures, len(sums))
+		}
+
+		// A factor of n has no inverse mod n.
+		bad := append(slices.Clone(bases), p)
+		badSums := [][]mpint.Term{{{Index: 0, Weight: 3}, {Index: len(bad) - 1, Weight: 1, Neg: true}}, {{Index: len(bad) - 1, Weight: 2, Neg: true}}}
+		if _, ok := mpint.ModInverse(bad[len(bad)-1], n); ok {
+			t.Fatal("the planted base is invertible")
+		}
+		lanes := chk.Set().Device(0).Stats().KernelLaunches
+		if got, err := chk.MultiExpVec(bad, badSums, m); !errors.Is(err, mpint.ErrNotInvertible) || got != nil {
+			t.Errorf("D=%d: a base with no inverse gave %d results, error %v, want ErrNotInvertible", d, len(got), err)
+		}
+		if after := chk.Set().Device(0).Stats().KernelLaunches; after > lanes+1 {
+			t.Errorf("D=%d: %d launches after a failed table, want the table's alone", d, after-lanes)
+		}
+		for name, e := range map[string]interface {
+			MultiExpVec([]mpint.Nat, [][]mpint.Term, *mpint.Mont) ([]mpint.Nat, error)
+		}{"bare engine": testEngine(t), "host loop": NewCPUEngine()} {
+			if _, err := e.MultiExpVec(bad, badSums, m); !errors.Is(err, mpint.ErrNotInvertible) {
+				t.Errorf("%s: a base with no inverse: error %v, want ErrNotInvertible", name, err)
+			}
+		}
 	}
 }
 

@@ -148,11 +148,12 @@ func (o *modExpVarOp) slice(lo, hi int, out []mpint.Nat) vecOp {
 	return &modExpVarOp{o.into(out), o.bases[lo:hi], o.exps[lo:hi]}
 }
 
-// multiExpOp is Π bases[t.Index]^t.Weight mod m over the terms t of sums[i]:
-// the weighted sums of one ciphertext vector a vertical model's host computes
-// every minibatch, as one kernel. The sums share their bases, so the set-up
-// stage builds one table for the launch — every base a sum refers to into
-// Montgomery form and, past unit weights, its odd powers — and every lane
+// multiExpOp is Π bases[t.Index]^(±t.Weight) mod m over the terms t of
+// sums[i]: the weighted sums of one ciphertext vector a vertical model's host
+// computes every minibatch, as one kernel. The sums share their bases, so the
+// set-up stage builds one table for the launch — every base a sum refers to
+// (its inverse, for a negative term) into Montgomery form and, past unit
+// weights, its odd powers — and every lane
 // then walks its own weights over it with a single accumulator (interleaved
 // sliding windows, internal/mpint/multiexp.go, DESIGN.md §17): a squaring a
 // bit position and a table multiply a window, where an exponentiation a term
@@ -206,7 +207,10 @@ func (o *multiExpOp) kernel(warp int) gpu.Kernel {
 // its cost lands on the simulated clock (and in the trace as a
 // multi_exp_table span) once for the launch however many sums share it. The
 // table is built on the device from the bases h2d uploads; nothing more is
-// shipped. A retry builds a table of its own and swaps it in complete.
+// shipped. A row is priced at the widest: its multiplies, and a Lehmer walk
+// when any row is built from an inverse. A base a negative term refers to
+// with no inverse fails the op with mpint.ErrNotInvertible before a lane
+// runs. A retry builds a table of its own and swaps it in complete.
 func (o *multiExpOp) setup(dev *gpu.Device) (int, error) {
 	tbl := o.tbl
 	if o.attempts++; o.attempts > 1 {
@@ -218,13 +222,20 @@ func (o *multiExpOp) setup(dev *gpu.Device) (int, error) {
 			tbl.BuildRow(r)
 		}
 	} else {
-		kern := o.kern(tbl.RowMuls() * montMulWordOps(o.m.Limbs()))
+		row := tbl.RowMuls() * montMulWordOps(o.m.Limbs())
+		if tbl.Inversions() > 0 {
+			row += modInverseWordOps(o.m.Limbs())
+		}
+		kern := o.kern(row)
 		kern.Name, kern.Items, kern.Body = "multi_exp_table", rows, gpu.LaneFunc(tbl.BuildRow)
 		if _, err := dev.Launch(kern); err != nil {
 			return 0, fmt.Errorf("table build: %w", err)
 		}
 	}
 	o.tbl = tbl
+	if err := tbl.Err(); err != nil {
+		return 0, err
+	}
 	return tbl.Entries(), nil
 }
 
@@ -250,7 +261,15 @@ func (o *multiExpOp) Lanes(lo, hi int) {
 func (o *multiExpOp) verify(i int) mpint.Nat {
 	n, prod := o.m.N(), mpint.One()
 	for _, t := range o.sums[i] {
-		prod = mpint.ModMul(prod, mpint.ModExp(o.bases[t.Index], mpint.FromUint64(t.Weight), n), n)
+		base := o.bases[t.Index]
+		if t.Neg && t.Weight != 0 {
+			inv, ok := mpint.ModInverse(base, n)
+			if !ok { // set-up rejected the op before any lane ran
+				return mpint.Zero()
+			}
+			base = inv
+		}
+		prod = mpint.ModMul(prod, mpint.ModExp(base, mpint.FromUint64(t.Weight), n), n)
 	}
 	return prod
 }

@@ -24,15 +24,15 @@ import (
 //     ciphertext (the per-sample broadcast; s = 1 without batch compression,
 //     with it the stride fl.Context.BroadcastStride picks from the batch's
 //     public shape) and sends E(d) to the hosts;
-//  4. every host accumulates its encrypted gradient ∑ᵢ E(dᵢ)^{x̃ᵢⱼ} with
-//     fixed-point feature values x̃, sign-split so negative features stay in
-//     the unsigned domain — at s > 1 the convolution whose target slot holds
-//     that sum (fl.Context.BroadcastSums); the guest, who holds d in
-//     plaintext, computes its own slice directly;
+//  4. every host accumulates its encrypted gradient ∑ᵢ E(dᵢ)^{σᵢⱼx̃ᵢⱼ} with
+//     fixed-point feature magnitudes x̃ and their signs σ, one signed sum a
+//     feature opening as that sum plus the public offset 2⁶³ — at s > 1 the
+//     convolution whose target slot holds it (fl.Context.BroadcastSums); the
+//     guest, who holds d in plaintext, computes its own slice directly;
 //  5. the per-feature sums return to the arbiter (the return path — masked
 //     and packed under batch compression, fl.Context.OpenBroadcastSums), each
-//     host removes the quantization shift with its locally known correction
-//     term ∑ᵢ x̃ᵢⱼ and applies the SGD step.
+//     host removes the offset and the quantization shift with its locally
+//     known correction term ∑ᵢ σᵢⱼx̃ᵢⱼ and applies the SGD step.
 type HeteroLR struct {
 	vertical
 
@@ -47,7 +47,7 @@ type HeteroLR struct {
 	// weighted is each party's homomorphic gradient step, kept across
 	// minibatches (only the hosts', p ≥ 1, are used).
 	weighted []weightedSums
-	// hostSums is the sums each host returns a minibatch at most, 2 × its
+	// hostSums is the sums each host returns a minibatch at most, its
 	// feature count: the public shape BroadcastStride reads.
 	hostSums []int
 
@@ -81,7 +81,7 @@ func NewHeteroLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroLR
 		off += part.NumFeatures
 		m.opts2[p] = NewAdam(opts.LearningRate)
 		if p > 0 {
-			m.hostSums = append(m.hostSums, 2*part.NumFeatures)
+			m.hostSums = append(m.hostSums, part.NumFeatures)
 		}
 	}
 	return m, nil
@@ -231,11 +231,11 @@ func (m *HeteroLR) plainGradientStep(p, lo, hi int, d []float64) {
 func (m *HeteroLR) hostGradientStep(p, lo, hi int, encD []paillier.Ciphertext, s int) error {
 	part := m.parts[p]
 	ws := &m.weighted[p]
-	splits := ws.reset(part.NumFeatures)
+	feats := ws.reset(part.NumFeatures)
 	for i := lo; i < hi; i++ {
 		fv := part.Examples[i].Features
 		for k, j := range fv.Idx {
-			if err := splits[j].add(i-lo, fv.Val[k], m.fixedPoint); err != nil {
+			if err := feats[j].add(i-lo, fv.Val[k], m.fixedPoint); err != nil {
 				return err
 			}
 		}

@@ -202,7 +202,7 @@ func TestHeteroLREncryptedMatchesOracle(t *testing.T) {
 }
 
 func TestHeteroLRDenseFeatures(t *testing.T) {
-	// Dense data exercises the negative-feature sign-split path.
+	// Dense data exercises the negative terms of the signed sums.
 	ds := denseData(t, 48, 8)
 	ctx := testCtx(t, fl.SystemFLBooster)
 	opts := testOpts()

@@ -281,12 +281,12 @@ func (m *HeteroNN) hostBottomUpdate(p int, encD []paillier.Ciphertext, lo, hi in
 	part := m.parts[p]
 	dim := part.NumFeatures
 	ws := &m.weighted[p]
-	splits := ws.reset(m.Hidden * dim) // row-major by unit, like W[p]
+	sums := ws.reset(m.Hidden * dim) // row-major by unit, like W[p]
 	for i := lo; i < hi; i++ {
 		fv := part.Examples[i].Features
 		for k, j := range fv.Idx {
 			for u := 0; u < m.Hidden; u++ {
-				if err := splits[u*dim+int(j)].add((i-lo)*m.Hidden+u, fv.Val[k], m.fixedPoint); err != nil {
+				if err := sums[u*dim+int(j)].add((i-lo)*m.Hidden+u, fv.Val[k], m.fixedPoint); err != nil {
 					return err
 				}
 			}

@@ -201,14 +201,15 @@ func (m *HeteroSBT) decodeGH(raw []uint64, cnt int) (gSum, hSum float64) {
 	return m.dequantGHSum(raw[0], cnt), m.dequantGHSum(raw[1], cnt)
 }
 
-// ghSumBounds is the largest value each ciphertext of a cnt-sample histogram
-// sum can hold, in decodeGH's layout; headBits keeps it under 2^62.
-func (m *HeteroSBT) ghSumBounds(cnt int) []uint64 {
+// ghSumBounds is the values each ciphertext of a cnt-sample histogram sum can
+// open to, in decodeGH's layout: an unsigned sum, [0, B]; headBits keeps B
+// under 2^62.
+func (m *HeteroSBT) ghSumBounds(cnt int) []fl.Bound {
 	comp := uint64(cnt) * m.ghMax()
 	if m.ctx.Profile.UseBatch {
-		return []uint64{comp<<m.slotWidth() | comp}
+		return []fl.Bound{{Hi: comp<<m.slotWidth() | comp}}
 	}
-	return []uint64{comp, comp}
+	return []fl.Bound{{Hi: comp}, {Hi: comp}}
 }
 
 // --- training ---------------------------------------------------------------
@@ -344,7 +345,7 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 			// feature's bins in one batch, opened by the guest over the
 			// return path.
 			var histSums [][]mpint.Term
-			var histBounds []uint64
+			var histBounds []fl.Bound
 			var histIdx []int
 			for b, list := range bins {
 				cnts[b] = len(list)
@@ -358,7 +359,7 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 			if len(histSums) == 0 {
 				continue
 			}
-			histCts, err := m.ctx.BroadcastSums(cts, histSums, 1)
+			histCts, err := m.ctx.BroadcastSums(cts, histSums, 1, false)
 			if err != nil {
 				return best, err
 			}

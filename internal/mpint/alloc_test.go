@@ -102,7 +102,7 @@ func TestMultiExpAllocCeilings(t *testing.T) {
 	sums := make([][]Term, 8)
 	for j := range sums {
 		for i := range bases {
-			sums[j] = append(sums[j], Term{i, uint64(r.Intn(1 << 10))})
+			sums[j] = append(sums[j], Term{Index: i, Weight: uint64(r.Intn(1 << 10))})
 		}
 	}
 	forEachBody(t, func() {

@@ -372,10 +372,25 @@ func ModInverse(x, n Nat) (Nat, bool) {
 	if len(n) == 0 || n.IsOne() {
 		return nil, false
 	}
+	inv, ok := modInverseInto(x, n, make([]Word, modInverseWords(len(x), len(n))))
+	if !ok {
+		return nil, false
+	}
+	return inv.Clone(), true
+}
+
+// modInverseWords is the work modInverseInto needs for an lx-limb x modulo a
+// k-limb n: the pair, the two coefficients, a quotient, its product with one,
+// and a division buffer that also takes x's first reduction.
+func modInverseWords(lx, k int) int { return 7*k + 5 + max(lx, k) + k + 1 }
+
+// modInverseInto is ModInverse for trimmed x and n ≥ 2 on caller-held work of
+// modInverseWords limbs, which it zeroes and the result aliases; it allocates
+// nothing.
+func modInverseInto(x, n Nat, w []Word) (Nat, bool) {
 	k := len(n)
-	// The pair, the two coefficients, a quotient, its product with one, and a
-	// division buffer that also takes x's first reduction.
-	w := make([]Word, 7*k+5+max(len(x), k)+k+1)
+	w = w[:modInverseWords(len(x), k)]
+	clear(w)
 	take := func(n int) []Word {
 		s := w[:n:n]
 		w = w[n:]
@@ -395,7 +410,9 @@ func ModInverse(x, n Nat) (Nat, bool) {
 	}
 	inv := trim(e.ua)
 	if e.neg {
-		return Sub(n, inv), true
+		z := e.ub[:k] // free once the walk is done
+		subInto(z, n, inv)
+		return trim(z), true
 	}
-	return inv.Clone(), true
+	return inv, true
 }

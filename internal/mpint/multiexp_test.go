@@ -8,8 +8,8 @@ import (
 )
 
 // multiExp runs a whole launch through the table: plan, every row, every
-// product.
-func multiExp(t testing.TB, m *Mont, bases []Nat, sums [][]Term) []Nat {
+// product — or the table's error once its rows are built.
+func multiExp(t testing.TB, m *Mont, bases []Nat, sums [][]Term) ([]Nat, error) {
 	t.Helper()
 	tbl, err := m.NewMultiExpTable(bases, sums)
 	if err != nil {
@@ -19,28 +19,56 @@ func multiExp(t testing.TB, m *Mont, bases []Nat, sums [][]Term) []Nat {
 	for r := 0; r < tbl.Rows(); r++ {
 		tbl.BuildRow(r)
 	}
+	if err := tbl.Err(); err != nil {
+		return nil, err
+	}
 	out := make([]Nat, len(sums))
 	for j, sum := range sums {
 		out[j] = tbl.Eval(nil, sum)
 	}
-	return out
+	return out, nil
 }
 
-// bigMultiExp is the oracle: every term through math/big's Exp, folded with
-// its Mul and Mod.
-func bigMultiExp(bases []Nat, sum []Term, n Nat) *big.Int {
+// bigMultiExp is the oracle: every term through math/big's Exp — over
+// math/big's inverse for a negative one — folded with its Mul and Mod. It
+// reports false when a negative term's base has no inverse.
+func bigMultiExp(bases []Nat, sum []Term, n Nat) (*big.Int, bool) {
 	bn, prod := toBig(n), big.NewInt(1)
 	for _, tm := range sum {
-		prod.Mul(prod, new(big.Int).Exp(toBig(bases[tm.Index]), new(big.Int).SetUint64(tm.Weight), bn))
+		base := toBig(bases[tm.Index])
+		if tm.Neg && tm.Weight != 0 {
+			if base = new(big.Int).ModInverse(base, bn); base == nil {
+				return nil, false
+			}
+		}
+		prod.Mul(prod, new(big.Int).Exp(base, new(big.Int).SetUint64(tm.Weight), bn))
 		prod.Mod(prod, bn)
 	}
-	return prod.Mod(prod, bn)
+	return prod.Mod(prod, bn), true
 }
 
+// checkMultiExp holds a launch to the oracle: every product when every
+// negative term's base is invertible, ErrNotInvertible when one is not.
 func checkMultiExp(t testing.TB, m *Mont, bases []Nat, sums [][]Term) {
 	t.Helper()
-	for j, got := range multiExp(t, m, bases, sums) {
-		if want := bigMultiExp(bases, sums[j], m.n); toBig(got).Cmp(want) != 0 || len(got) != len(trim(got)) {
+	invertible := true
+	for _, sum := range sums {
+		if _, ok := bigMultiExp(bases, sum, m.n); !ok {
+			invertible = false
+		}
+	}
+	out, err := multiExp(t, m, bases, sums)
+	if !invertible {
+		if !errors.Is(err, ErrNotInvertible) {
+			t.Fatalf("%d limbs, %d bases, sums %v: error %v, want ErrNotInvertible", m.k, len(bases), sums, err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("%d limbs, %d bases: %v", m.k, len(bases), err)
+	}
+	for j, got := range out {
+		if want, _ := bigMultiExp(bases, sums[j], m.n); toBig(got).Cmp(want) != 0 || len(got) != len(trim(got)) {
 			t.Fatalf("%d limbs, %d bases, sum %d of %d (%v): got %s, math/big says %s",
 				m.k, len(bases), j, len(sums), sums[j], got, want)
 		}
@@ -49,8 +77,10 @@ func checkMultiExp(t testing.TB, m *Mont, bases []Nat, sums [][]Term) {
 
 // TestMultiExpAgainstBig holds the kernel to math/big at every kernel modulus
 // size under every body, on the shapes the vertical models launch — dense
-// 10-bit weights over a shared minibatch, unit-weight histograms that
-// partition it — and on the operands a chain is most likely to get wrong.
+// 10-bit weights over a shared minibatch, the same with random signs,
+// unit-weight histograms that partition it — and on the operands a chain is
+// most likely to get wrong: mixed-sign and all-negative sums, a base both
+// signs refer to, and a negative term over a base with no inverse.
 func TestMultiExpAgainstBig(t *testing.T) {
 	r := NewRNG(0x5712A05)
 	for _, limbs := range kernelLimbs {
@@ -60,31 +90,43 @@ func TestMultiExpAgainstBig(t *testing.T) {
 			bases[i] = r.RandBelow(n)
 		}
 		dense := make([][]Term, 5)
+		signed := make([][]Term, 5)
 		for j := range dense {
 			for i := range bases {
-				dense[j] = append(dense[j], Term{i, uint64(r.Intn(1 << 10))})
+				w := uint64(r.Intn(1 << 10))
+				dense[j] = append(dense[j], Term{Index: i, Weight: w})
+				signed[j] = append(signed[j], Term{Index: i, Weight: w, Neg: r.Intn(2) == 0})
 			}
 		}
 		hist := make([][]Term, 6)
 		for i := range bases {
 			b := r.Intn(len(hist) - 1) // the last bin stays empty
-			hist[b] = append(hist[b], Term{i, 1})
+			hist[b] = append(hist[b], Term{Index: i, Weight: 1})
 		}
+		// The bases are below a random odd n, invertible but for a vanishing
+		// share; 0 and n are not.
 		edgeBases := []Nat{Zero(), One(), SubWord(n, 1), n, AddWord(n, 1), AddWord(Lsh(n, 1), 3), r.RandBelow(n)}
 		edge := [][]Term{
 			nil,
-			{{6, 0}, {2, 0}},
-			{{6, 1}},
-			{{2, ^uint64(0)}, {6, ^uint64(0)}, {6, 1}, {2, 3}},
-			{{5, 77}, {4, 1 << 63}, {3, 12345}, {1, 99}},
-			{{0, 5}, {6, 9}},
-			{{6, 3}, {5, 2}, {6, 3}, {1, 0}, {4, 1}},
+			{{6, 0, false}, {2, 0, false}},
+			{{6, 1, false}},
+			{{2, ^uint64(0), false}, {6, ^uint64(0), false}, {6, 1, false}, {2, 3, false}},
+			{{5, 77, false}, {4, 1 << 63, false}, {3, 12345, false}, {1, 99, false}},
+			{{0, 5, false}, {6, 9, false}},
+			{{6, 3, false}, {5, 2, false}, {6, 3, false}, {1, 0, false}, {4, 1, false}},
+			{{6, 5, true}, {2, 9, false}, {6, 5, false}},        // a base both signs refer to: b^5·b^−5 = 1
+			{{6, 3, true}, {2, ^uint64(0), true}, {1, 7, true}}, // all negative
+			{{0, 0, true}, {3, 0, true}, {4, 1, true}},          // zero weights over bases with no inverse are no terms
 		}
 		forEachBody(t, func() {
 			m := NewMont(n)
 			checkMultiExp(t, m, bases, dense)
+			checkMultiExp(t, m, bases, signed)
 			checkMultiExp(t, m, bases, hist)
 			checkMultiExp(t, m, edgeBases, edge)
+			for _, bad := range []int{0, 3} { // 0 and n have no inverse
+				checkMultiExp(t, m, edgeBases, [][]Term{{{6, 2, false}}, {{1, 4, true}, {bad, 1, true}}})
+			}
 			checkMultiExp(t, m, nil, [][]Term{nil, {}})
 			checkMultiExp(t, m, bases, nil)
 		})
@@ -125,9 +167,9 @@ func TestMultiExpWidthRule(t *testing.T) {
 	unit := make([][]Term, 4)
 	weighted := make([][]Term, 8)
 	for i := range bases {
-		unit[i%len(unit)] = append(unit[i%len(unit)], Term{i, 1})
+		unit[i%len(unit)] = append(unit[i%len(unit)], Term{Index: i, Weight: 1})
 		for j := range weighted {
-			weighted[j] = append(weighted[j], Term{i, 1<<9 | uint64(r.Intn(1<<9))})
+			weighted[j] = append(weighted[j], Term{Index: i, Weight: 1<<9 | uint64(r.Intn(1<<9))})
 		}
 	}
 	tbl, err := m.NewMultiExpTable(bases, unit)
@@ -167,9 +209,9 @@ func TestMultiExpRejectsIndexOutOfRange(t *testing.T) {
 	m := NewMont(FromUint64(0xFFFFFFFFFFFFFFC5))
 	bases := []Nat{FromUint64(2), FromUint64(3)}
 	for _, sums := range [][][]Term{
-		{{{2, 1}}},
-		{{{0, 1}}, {{1, 1}, {-1, 1}}},
-		{{{7, 0}}}, // a zero weight is no term, its index is still checked
+		{{{2, 1, false}}},
+		{{{0, 1, false}}, {{1, 1, false}, {-1, 1, true}}},
+		{{{7, 0, true}}}, // a zero weight is no term, its index is still checked
 	} {
 		tbl, err := m.NewMultiExpTable(bases, sums)
 		if !errors.Is(err, ErrTermIndex) || tbl != nil {
@@ -181,8 +223,9 @@ func TestMultiExpRejectsIndexOutOfRange(t *testing.T) {
 // FuzzMultiExp holds the kernel to math/big on fuzzed launches: 0–40 bases
 // (0, 1, n−1, n+1, 2n+3, or drawn from the input, reduced or a limb past the
 // modulus), 0–12 sums of up to 15 terms whose indices repeat and arrive in any
-// order, weights 0, 1, 2⁶⁴−1 or drawn at a fuzzed bit length, under every body
-// the host has.
+// order, weights 0, 1, 2⁶⁴−1 or drawn at a fuzzed bit length, either sign —
+// a negative term over a base with no inverse (0, n, a shared factor of n)
+// must fail the table with ErrNotInvertible — under every body the host has.
 func FuzzMultiExp(f *testing.F) {
 	for _, limbs := range kernelLimbs {
 		f.Add(bytes.Repeat([]byte{0xFF}, 8*limbs), bytes.Repeat([]byte{0xA5, 0x07, 0x3C}, 3*limbs), []byte{3, 0, 9, 1, 10, 2, 11, 3, 200, 7, 0x55, 0xAA}, uint8(12), uint8(4))
@@ -229,7 +272,8 @@ func FuzzMultiExp(f *testing.F) {
 				break
 			}
 			for c := int(next() % 16); c > 0; c-- {
-				tm := Term{Index: int(next()) % len(bases)}
+				at := next()
+				tm := Term{Index: int(at>>1) % len(bases), Neg: at&1 == 1}
 				switch kind := next(); kind % 8 {
 				case 0:
 				case 1:

@@ -23,12 +23,14 @@ type Backend interface {
 	// MulPlainVec raises each ciphertext to the matching plaintext scalar.
 	MulPlainVec(pk *PublicKey, cs []Ciphertext, ks []mpint.Nat) ([]Ciphertext, error)
 	// WeightedSumVec computes, for every sum, the homomorphic weighted sum
-	// E(Σ t.Weight·mᵢ) = Π cs[t.Index]^t.Weight mod n² over its terms t, mᵢ
-	// being the plaintext of cs[t.Index]: k sparse non-negative-integer
-	// combinations of one ciphertext vector — the host side of a vertical
-	// model's gradient or histogram step. Zero weights are no terms, and a sum
-	// without a term is the ciphertext 1, the encryption of zero under nonce 1.
-	// A term that refers outside cs rejects with mpint.ErrTermIndex.
+	// E(Σ ±t.Weight·mᵢ) = Π cs[t.Index]^(±t.Weight) mod n² over its terms t,
+	// mᵢ being the plaintext of cs[t.Index] and the sign t.Neg's: k sparse
+	// integer combinations of one ciphertext vector — the host side of a
+	// vertical model's gradient or histogram step. Zero weights are no terms,
+	// and a sum without a term is the ciphertext 1, the encryption of zero
+	// under nonce 1. A term that refers outside cs rejects with
+	// mpint.ErrTermIndex; a negative term over a ciphertext with no inverse
+	// mod n² with mpint.ErrNotInvertible.
 	WeightedSumVec(pk *PublicKey, cs []Ciphertext, sums [][]mpint.Term) ([]Ciphertext, error)
 	// ShiftPackVec packs the plaintexts of cs, slots to a ciphertext, into
 	// slotBits-wide slots: out[i] = E(Σⱼ m[i·slots+j]·2^(slotBits·j)) =
@@ -105,12 +107,15 @@ func (CPUBackend) MulPlainVec(pk *PublicKey, cs []Ciphertext, ks []mpint.Nat) ([
 }
 
 // WeightedSumVec implements Backend the way FATE computes a weighted sum: one
-// ciphertext-scalar product and one homomorphic addition a term, in order. It
-// is also the oracle the GPU backend's kernel is tested against.
+// ciphertext-scalar product and one homomorphic addition a term, in order, a
+// negative term's product taken over its ciphertext's inverse mod n², one
+// inverse a ciphertext a call. It is also the oracle the GPU backend's kernel
+// is tested against.
 func (CPUBackend) WeightedSumVec(pk *PublicKey, cs []Ciphertext, sums [][]mpint.Term) ([]Ciphertext, error) {
 	if err := mpint.CheckTerms(len(cs), sums); err != nil {
 		return nil, fmt.Errorf("paillier: WeightedSumVec: %w", err)
 	}
+	var inv map[int]mpint.Nat
 	out := make([]Ciphertext, len(sums))
 	for j, sum := range sums {
 		acc, empty := Ciphertext{C: mpint.One()}, true
@@ -119,6 +124,19 @@ func (CPUBackend) WeightedSumVec(pk *PublicKey, cs []Ciphertext, sums [][]mpint.
 				continue
 			}
 			term := cs[t.Index]
+			if t.Neg {
+				c, ok := inv[t.Index]
+				if !ok {
+					if c, ok = mpint.ModInverse(term.C, pk.N2); !ok {
+						return nil, fmt.Errorf("paillier: WeightedSumVec: %w: ciphertext %d", mpint.ErrNotInvertible, t.Index)
+					}
+					if inv == nil {
+						inv = map[int]mpint.Nat{}
+					}
+					inv[t.Index] = c
+				}
+				term = Ciphertext{C: c}
+			}
 			if t.Weight != 1 {
 				term = pk.MulPlain(term, mpint.FromUint64(t.Weight))
 			}

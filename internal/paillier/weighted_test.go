@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"slices"
+	"strings"
 	"testing"
 
 	"flbooster/internal/ghe"
@@ -168,11 +170,101 @@ func TestWeightedSumVecBackendsAgree(t *testing.T) {
 	}
 }
 
+// signedLRSums is lrSums with every other term negative: every ciphertext
+// weighed by both signs, so every base gets an inverted row.
+func signedLRSums(r *mpint.RNG, cts, sums, bits int) [][]mpint.Term {
+	out := lrSums(r, cts, sums, bits)
+	for j := range out {
+		for i := range out[j] {
+			out[j][i].Neg = (i+j)%2 == 1
+		}
+	}
+	return out
+}
+
+// TestSignedWeightedSumVec: signed sums — mixed signs, all negative, one
+// ciphertext weighed by both signs — come out the same ciphertexts on the CPU
+// backend's loop, the kernel on one device and sharded over two with every
+// lane verified, and open to Σ ±w·m mod n. A negative term over a ciphertext
+// with no inverse mod n² is mpint.ErrNotInvertible on both backends.
+func TestSignedWeightedSumVec(t *testing.T) {
+	sk, err := CPUBackend{}.GenerateKey(mpint.NewRNG(41), 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk := &sk.PublicKey
+	r := mpint.NewRNG(42)
+	ms := make([]mpint.Nat, 16)
+	for i := range ms {
+		ms[i] = r.RandBits(30)
+	}
+	cts, err := CPUBackend{}.EncryptVec(pk, ms, 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := signedLRSums(r, len(cts), 4, 10)
+	allNeg := lrSums(r, len(cts), 1, 10)[0]
+	for i := range allNeg {
+		allNeg[i].Neg = true
+	}
+	sums = append(sums, allNeg, []mpint.Term{{Index: 2, Weight: 9}, {Index: 2, Weight: 4, Neg: true}, {Index: 5, Weight: 1, Neg: true}})
+
+	want, err := CPUBackend{}.WeightedSumVec(pk, cts, sums)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := gpu.NewDeviceSet(gpu.SmallTestDevice(), true, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := ghe.NewCheckedEngine(set, ghe.CheckedConfig{VerifyFraction: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := singleBackend(t)
+	for name, be := range map[string]Backend{"gpu": single, "gpu over 2 devices": MustGPUBackend(eng)} {
+		got, err := be.WeightedSumVec(pk, cts, sums)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sameCts(t, name, got, want)
+	}
+	pts, err := CPUBackend{}.DecryptVec(sk, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bn := new(big.Int).SetBytes(pk.N.Bytes())
+	for j, sum := range sums {
+		total := new(big.Int)
+		for _, tm := range sum {
+			v := new(big.Int).Mul(new(big.Int).SetUint64(tm.Weight), new(big.Int).SetBytes(ms[tm.Index].Bytes()))
+			if tm.Neg {
+				v.Neg(v)
+			}
+			total.Add(total, v)
+		}
+		if total.Mod(total, bn); new(big.Int).SetBytes(pts[j].Bytes()).Cmp(total) != 0 {
+			t.Errorf("sum %d opens to %s, want %s", j, pts[j], total)
+		}
+	}
+
+	// A ciphertext that shares n's factor p has no inverse mod n².
+	bad := append(slices.Clone(cts), Ciphertext{C: sk.P})
+	badSums := [][]mpint.Term{{{Index: 0, Weight: 2}, {Index: len(cts), Weight: 3, Neg: true}}}
+	for name, be := range map[string]Backend{"cpu": CPUBackend{}, "gpu": single} {
+		if got, err := be.WeightedSumVec(pk, bad, badSums); !errors.Is(err, mpint.ErrNotInvertible) || got != nil {
+			t.Errorf("%s: %d ciphertexts, error %v, want ErrNotInvertible", name, len(got), err)
+		}
+	}
+}
+
 // BenchmarkWeightedSums measures WeightedSumVec against the tree it replaced,
 // on one modelled RTX 3090, at the shapes the vertical models launch: a
 // Hetero LR host-batch (32 residuals, 8 sums, 10-bit weights) under 1,024- and
-// 2,048-bit keys, and an SBT node-feature (64 samples over 16 bins, unit
-// weights). The bases are random residues mod n², which time like ciphertexts.
+// 2,048-bit keys, the same with every other term negative (its own
+// ciphertexts' inverted rows, kernel only: the tree has no sign), and an SBT
+// node-feature (64 samples over 16 bins, unit weights). The bases are random
+// residues mod n², which time like ciphertexts.
 func BenchmarkWeightedSums(b *testing.B) {
 	for _, bits := range []int{1024, 2048} {
 		sk, err := CPUBackend{}.GenerateKey(mpint.NewRNG(2), bits)
@@ -193,6 +285,7 @@ func BenchmarkWeightedSums(b *testing.B) {
 		}{
 			{"lr-32x8x10bit", 32, lrSums(r, 32, 8, 10)},
 			{"sbt-64x16xunit", 64, histSums(r, 64, 16)},
+			{"lr-32x8x10bit-signed", 32, signedLRSums(r, 32, 8, 10)},
 		} {
 			if bits == 2048 && shape.cts == 64 {
 				continue
@@ -205,6 +298,9 @@ func BenchmarkWeightedSums(b *testing.B) {
 					}
 				}
 			})
+			if strings.HasSuffix(shape.name, "signed") {
+				continue
+			}
 			b.Run(fmt.Sprintf("%d/%s/tree", bits, shape.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
