@@ -20,22 +20,27 @@ type Slices[T any] struct {
 	headers sync.Pool                // *[]T, empty
 }
 
-// Get returns n values: a pooled slice of n's class, extended by zero values
-// where its capacity falls short of n, or fresh ones. Pooled values are as
-// their last owner left them.
+// Get returns n values: a pooled slice of n's class, or fresh ones. A fresh
+// slice, and a pooled one too short for n once extended by zero values, is
+// as wide as the widest request of the class, so that a slice holds every
+// size the class sees and a class shared by batches of several sizes does
+// not shed values at every change of size. Pooled values are as their last
+// owner left them.
 func (p *Slices[T]) Get(n int) []T {
 	if n == 0 {
 		return make([]T, 0)
 	}
-	h, _ := p.classes[class(n)].Get().(*[]T)
+	c := class(n)
+	top := 2<<c - 1
+	h, _ := p.classes[c].Get().(*[]T)
 	if h == nil {
-		return make([]T, n)
+		return make([]T, n, top)
 	}
 	s := *h
 	*h = nil
 	p.headers.Put(h)
 	if cap(s) < n {
-		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+		s = append(s[:cap(s)], make([]T, top-cap(s))...)
 	}
 	return s[:n]
 }
