@@ -171,8 +171,7 @@ func (r *Runner) context(sys fl.System, keyBits int) (*fl.Context, error) {
 	k := ctxKey{sys, keyBits}
 	if ctx, ok := r.ctxs[k]; ok {
 		ctx.Costs.Reset()
-		if ctx.DevSet != nil {
-			ctx.DevSet.ResetStats()
+		if ctx.Checked != nil {
 			ctx.Checked.ResetStats()
 		}
 		return ctx, nil

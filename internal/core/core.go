@@ -73,7 +73,6 @@ func (s *Stack) GenerateKey(rng *mpint.RNG, bits int) (*paillier.PrivateKey, err
 	for i, d := range devs {
 		d.SetFaultInjector(injectors[i])
 	}
-	s.DevSet.ResetStats()
 	s.Checked.ResetStats()
 	return sk, err
 }

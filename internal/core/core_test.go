@@ -43,9 +43,9 @@ func forEachPlatform(t *testing.T, f func(t *testing.T, p *Platform)) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			f(t, p)
-			st := p.st.Checked.Stats()
-			if killed := name == "killed"; killed != st.FellBack || killed != (st.FallbackOps > 0) {
-				t.Fatalf("host-loop ledger %+v on platform %s", st, name)
+			st, set := p.st.Checked.Stats(), p.st.DevSet.Stats()
+			if killed := name == "killed"; killed != st.FellBack || killed != (set.HostShards > 0) {
+				t.Fatalf("host-loop ledger %+v, set %+v on platform %s", st, set, name)
 			}
 		})
 	}
@@ -360,7 +360,7 @@ func TestTableIMatchesHostLoop(t *testing.T) {
 			sameVec(t, op.name, got, want)
 		}
 		// Operand errors reject before the executor sees an op.
-		ops := p.st.Checked.Stats().Ops
+		ops := p.st.DevSet.Stats().Ops
 		if _, err := p.Add(a, b[:3]); err == nil {
 			t.Error("Add length mismatch should fail")
 		}
@@ -373,7 +373,7 @@ func TestTableIMatchesHostLoop(t *testing.T) {
 		if _, err := p.Mod(a, mpint.Zero()); err == nil {
 			t.Error("Mod by zero should fail")
 		}
-		if got := p.st.Checked.Stats().Ops; got != ops {
+		if got := p.st.DevSet.Stats().Ops; got != ops {
 			t.Errorf("rejected operands reached the executor: %d ops, had %d", got, ops)
 		}
 	})
@@ -491,7 +491,7 @@ func TestTableIUnderCorruption(t *testing.T) {
 	if mpint.Cmp(sk.N, want.N) != 0 {
 		t.Fatalf("key under corruption has n = %s, the clean platform drew %s", sk.N, want.N)
 	}
-	if st := p.st.Checked.Stats(); st.VerifyFailures == 0 || st.Retries == 0 || st.FallbackOps != 0 {
-		t.Fatalf("corrupted launches should be caught and retried on the device: %+v", st)
+	if st, set := p.st.Checked.Stats(), p.st.DevSet.Stats(); st.VerifyFailures == 0 || st.Retries == 0 || set.HostShards != 0 {
+		t.Fatalf("corrupted launches should be caught and retried on the device: %+v, set %+v", st, set)
 	}
 }

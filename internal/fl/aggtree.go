@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"flbooster/internal/flnet"
 	"flbooster/internal/paillier"
 )
 
@@ -138,9 +137,11 @@ func (t *AggTree) emit(level int) error {
 }
 
 // flush takes a level's partial, resets the level, and accounts the forward:
-// a bounded tree frames the partial and charges it to the communication
-// component as interior-link traffic. An unbounded tree (fanout 0) lives at
-// the coordinator, so its root has no link to cross and charges nothing.
+// a bounded tree charges the partial to the communication component as
+// interior-link traffic, at its framed size — the 4-byte level it leaves and
+// the encoded batch. The tree's nodes live in one process, so nothing is
+// framed or sent. An unbounded tree (fanout 0) lives at the coordinator, so
+// its root has no link to cross and charges nothing.
 func (t *AggTree) flush(level int) []paillier.Ciphertext {
 	lv := t.levels[level]
 	partial := lv.sum
@@ -148,8 +149,7 @@ func (t *AggTree) flush(level int) []paillier.Ciphertext {
 	t.live -= int64(len(partial))
 	t.forwards++
 	if t.fanout != 0 {
-		payload := flnet.EncodePartialAgg(uint32(level), EncodeCiphertexts(partial))
-		t.ctx.RecordTransfer(int64(len(payload)))
+		t.ctx.RecordTransfer(4 + encodedSize(partial))
 		t.ctx.metricAdd("tree_partials", 1)
 	}
 	return partial

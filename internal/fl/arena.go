@@ -30,10 +30,7 @@ var arena wireArena
 // EncodeCiphertexts frames a ciphertext batch for the wire (flnet.EncodeNats
 // framing). The returned payload is always fresh bytes.
 func EncodeCiphertexts(cts []paillier.Ciphertext) []byte {
-	nats := arena.getNats(len(cts))
-	for _, c := range cts {
-		nats = append(nats, c.C)
-	}
+	nats := natsOf(cts)
 	payload := flnet.EncodeNats(nats)
 	arena.putNats(nats)
 	return payload
@@ -41,13 +38,28 @@ func EncodeCiphertexts(cts []paillier.Ciphertext) []byte {
 
 // appendCiphertexts appends the EncodeCiphertexts framing of cts to dst.
 func appendCiphertexts(dst []byte, cts []paillier.Ciphertext) []byte {
+	nats := natsOf(cts)
+	dst = flnet.AppendNats(dst, nats)
+	arena.putNats(nats)
+	return dst
+}
+
+// encodedSize is the length of cts' EncodeCiphertexts framing, weighed
+// without encoding it.
+func encodedSize(cts []paillier.Ciphertext) int64 {
+	nats := natsOf(cts)
+	size := flnet.NatsSize(nats)
+	arena.putNats(nats)
+	return int64(size)
+}
+
+// natsOf views cts' values in the arena's scratch, handed back by putNats.
+func natsOf(cts []paillier.Ciphertext) []mpint.Nat {
 	nats := arena.getNats(len(cts))
 	for _, c := range cts {
 		nats = append(nats, c.C)
 	}
-	dst = flnet.AppendNats(dst, nats)
-	arena.putNats(nats)
-	return dst
+	return nats
 }
 
 // DecodeCiphertexts parses a batch framed by EncodeCiphertexts into a batch

@@ -264,8 +264,7 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			net := flnet.NewSimTransport(ctx.Link, "host", "arbiter")
-			route := ReturnRoute{Net: net, Party: "host", Decryptor: "arbiter", Kind: "sums", ReplyKind: "plain"}
+			route := ReturnRoute{Party: "host", Decryptor: "arbiter", Kind: "sums", ReplyKind: "plain"}
 			for s := 1; s <= maxStride(ctx.Key.N.BitLen()-1, true); s++ {
 				encD, err := ctx.EncryptBroadcast(vals, s)
 				if err != nil {
@@ -338,7 +337,6 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 				ReleaseCiphertexts(cts)
 				ReleaseCiphertexts(encD)
 			}
-			net.Close()
 		}
 	}
 }
@@ -353,9 +351,7 @@ func TestBroadcastSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := flnet.NewSimTransport(ctx.Link, "host", "arbiter")
-	defer net.Close()
-	route := ReturnRoute{Net: net, Party: "host", Decryptor: "arbiter", Kind: "sums"}
+	route := ReturnRoute{Party: "host", Decryptor: "arbiter", Kind: "sums"}
 	vals := []float64{0.1, -0.2, 0.3, -0.4, 0.5, 0.6, -0.7, 0.8, 0.9}
 	// Every term in lane 0 of stride 3: two of the three inner sums are empty.
 	sums := [][]mpint.Term{{{Index: 0, Weight: 2}, {Index: 3, Weight: 5}, {Index: 6, Weight: 7}}}

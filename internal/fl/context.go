@@ -45,7 +45,6 @@ type Context struct {
 	Obs       *obs.Obs
 	obsPrefix string
 	seed      uint64
-	zeros     []byte // grow-only payload of Send's modelled messages
 	// inner, mask and bases are BroadcastSums' scratch, reused from batch to
 	// batch: its inner sums, the trivial plaintext crossMask writes, and the
 	// broadcast beside the trivial encryptions.
@@ -72,19 +71,19 @@ func NewContext(p Profile) (*Context, error) {
 	}
 	ctx.Quant = q
 	newPacker := batch.NewSingle
-	if p.UseBatch {
+	if p.UseBatch() {
 		newPacker = batch.New
 	}
 	if ctx.Packer, err = newPacker(q, p.KeyBits); err != nil {
 		return nil, err
 	}
 	var keygen func(*mpint.RNG, int) (*paillier.PrivateKey, error)
-	if p.UseGPU {
+	if p.UseGPU() {
 		// All GPU profiles run through the one stack core builds: launch failures
 		// retry with backoff, sampled results are verified, a faulted member's
 		// shards go to its peers, and a fleet with no member left fails over to
 		// bit-exact host execution.
-		st, err := core.NewStack(p.Device, p.FineRM, max(p.Devices, 1), p.Faults.Inject, p.Faults.Check)
+		st, err := core.NewStack(p.Device, p.FineRM(), max(p.Devices, 1), p.Faults.Inject, p.Faults.Check)
 		if err != nil {
 			return nil, err
 		}
@@ -185,23 +184,27 @@ func (c *Context) nextSeed() uint64 {
 	return c.seed
 }
 
-// simBase reads the device's modelled time before a batch; simSince turns
-// it into the batch's modelled time.
-func (c *Context) simBase() time.Duration {
+// chargeHE runs one HE batch and enters it in the HE component: its host
+// time, and its modelled time — the device set's clock advance, or the host
+// time itself on a CPU profile — with the HE operations and logical values
+// batch reports. It returns the modelled time; a failed batch charges nothing.
+func (c *Context) chargeHE(batch func() (ops, instances int64, err error)) (time.Duration, error) {
+	var base time.Duration
 	if c.DevSet != nil {
-		return c.DevSet.SimTime()
+		base = c.DevSet.SimTime()
 	}
-	return 0
-}
-
-// simSince is the modelled time of a batch that started at base and took wall
-// on the host: the device clock's advance, or on a CPU profile the measured
-// wall time itself.
-func (c *Context) simSince(base time.Duration, wall time.Duration) time.Duration {
+	start := time.Now()
+	ops, instances, err := batch()
+	if err != nil {
+		return 0, err
+	}
+	wall := time.Since(start)
+	sim := wall
 	if c.DevSet != nil {
-		return c.DevSet.SimTime() - base
+		sim = c.DevSet.SimTime() - base
 	}
-	return wall
+	c.Costs.AddHE(wall, sim, ops, instances)
+	return sim, nil
 }
 
 // EncodePlaintexts converts a gradient vector into HE plaintexts: quantized
@@ -251,19 +254,24 @@ func (c *Context) EncryptGradientsAs(pk *paillier.PublicKey, grads []float64) ([
 }
 
 // encrypt is one charged encryption batch under a handle of the context's
-// key, on the next nonce seed: the backend's EncryptVec between two readings
-// of the modelled clock, entered in the HE component with `instances` logical
-// values on the throughput counter.
-func (c *Context) encrypt(pk *paillier.PublicKey, pts []mpint.Nat, instances int64) ([]paillier.Ciphertext, error) {
-	base := c.simBase()
-	start := time.Now()
-	cts, err := c.Backend.EncryptVec(pk, pts, c.nextSeed())
-	if err != nil {
-		return nil, err
-	}
-	wall := time.Since(start)
-	c.Costs.AddHE(wall, c.simSince(base, wall), int64(len(cts)), instances)
-	return cts, nil
+// key, on the next nonce seed, with `instances` logical values on the
+// throughput counter.
+func (c *Context) encrypt(pk *paillier.PublicKey, pts []mpint.Nat, instances int64) (cts []paillier.Ciphertext, err error) {
+	_, err = c.chargeHE(func() (int64, int64, error) {
+		cts, err = c.Backend.EncryptVec(pk, pts, c.nextSeed())
+		return int64(len(cts)), instances, err
+	})
+	return cts, err
+}
+
+// decrypt is one charged decryption batch of cts under the context's key,
+// with count logical values on the throughput counter.
+func (c *Context) decrypt(cts []paillier.Ciphertext, count int) (pts []mpint.Nat, err error) {
+	_, err = c.chargeHE(func() (int64, int64, error) {
+		pts, err = c.Backend.DecryptVec(c.Key, cts)
+		return int64(len(cts)), int64(count), err
+	})
+	return pts, err
 }
 
 // checkHandle rejects a key handle that is not one of the context's own key:
@@ -311,14 +319,10 @@ func (c *Context) NewAggTree(fanout int) (*AggTree, error) {
 // DecryptAggregated runs the decryption phase (steps ⑤–⑨ of Fig. 4) for an
 // aggregate of `parties` contributions carrying `count` gradient values.
 func (c *Context) DecryptAggregated(cts []paillier.Ciphertext, count, parties int) ([]float64, error) {
-	base := c.simBase()
-	start := time.Now()
-	pts, err := c.Backend.DecryptVec(c.Key, cts)
+	pts, err := c.decrypt(cts, count)
 	if err != nil {
 		return nil, err
 	}
-	wall := time.Since(start)
-	c.Costs.AddHE(wall, c.simSince(base, wall), int64(len(cts)), int64(count))
 	vals, err := c.Packer.DecodeAggregated(pts, count, parties)
 	arena.putPlain(pts)
 	return vals, err
@@ -365,7 +369,8 @@ type FaultReport struct {
 	// SimFaultTime is the modelled time lost to faults (watchdog windows,
 	// retry backoff, degraded host execution).
 	SimFaultTime time.Duration
-	// Checked is the checked-execution layer's retry/verify/fallback view.
+	// Checked is the checked-execution layer's retry/verify/failover view;
+	// the host ledger is the device set's (gpu.SetStats HostShards, HostSim).
 	Checked ghe.CheckedStats
 }
 

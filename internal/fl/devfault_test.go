@@ -63,15 +63,16 @@ func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 			if rep.Health != gpu.DeviceFailed {
 				t.Fatalf("device health %s, want failed", rep.Health)
 			}
-			if !rep.Checked.FellBack || rep.Checked.FallbackOps == 0 || rep.Checked.FallbackWall <= 0 {
-				t.Fatalf("failover not recorded: %+v", rep.Checked)
+			set := ctx.DevSet.Stats()
+			if !rep.Checked.FellBack || set.HostShards == 0 || set.HostSim <= 0 {
+				t.Fatalf("failover not recorded: %+v, set %+v", rep.Checked, set)
 			}
 			if rep.Injected.Kills == 0 || rep.LaunchFailures == 0 {
 				t.Fatalf("fault counters empty: %+v", rep)
 			}
-			if rep.SimFaultTime < rep.Checked.FallbackWall {
+			if rep.SimFaultTime < set.HostSim {
 				t.Fatalf("degraded-mode time not charged to the modelled clock: fault time %v, host wall %v",
-					rep.SimFaultTime, rep.Checked.FallbackWall)
+					rep.SimFaultTime, set.HostSim)
 			}
 			// Both contexts have drawn the same nonce streams, so one more
 			// encryption — the host loop's on the dead fleet — is the healthy
@@ -165,8 +166,8 @@ func TestWeightedSumsSurviveDeviceFaults(t *testing.T) {
 		killed, ctx := runOnce(FaultPolicy{Inject: gpu.FaultConfig{Seed: 1, KillAtLaunch: 2}})
 		same("after failover", killed, clean)
 		rep := ctx.FaultReport()
-		if rep.Health != gpu.DeviceFailed || !rep.Checked.FellBack || rep.Checked.FallbackOps == 0 || rep.Injected.Kills == 0 {
-			t.Fatalf("Devices=%d: failover not recorded: %+v", devices, rep)
+		if rep.Health != gpu.DeviceFailed || !rep.Checked.FellBack || ctx.DevSet.Stats().HostShards == 0 || rep.Injected.Kills == 0 {
+			t.Fatalf("Devices=%d: failover not recorded: %+v, set %+v", devices, rep, ctx.DevSet.Stats())
 		}
 		corrupted, ctx := runOnce(FaultPolicy{
 			Inject: gpu.FaultConfig{Seed: 3, CorruptProb: 0.4},

@@ -62,8 +62,8 @@ func TestProfileToggles(t *testing.T) {
 	}
 	for _, c := range cases {
 		p := NewProfile(c.sys, 1024, 4)
-		if p.UseGPU != c.useGPU || p.UseBatch != c.useBatch || p.FineRM != c.fine {
-			t.Errorf("%s toggles = %v/%v/%v", c.sys, p.UseGPU, p.UseBatch, p.FineRM)
+		if p.UseGPU() != c.useGPU || p.UseBatch() != c.useBatch || p.FineRM() != c.fine {
+			t.Errorf("%s toggles = %v/%v/%v", c.sys, p.UseGPU(), p.UseBatch(), p.FineRM())
 		}
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s default profile invalid: %v", c.sys, err)
@@ -99,11 +99,11 @@ func TestNewContextPerSystem(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sys, err)
 		}
-		if (ctx.DevSet != nil) != ctx.Profile.UseGPU || (ctx.Device != nil) != ctx.Profile.UseGPU || (ctx.Checked != nil) != ctx.Profile.UseGPU {
+		if (ctx.DevSet != nil) != ctx.Profile.UseGPU() || (ctx.Device != nil) != ctx.Profile.UseGPU() || (ctx.Checked != nil) != ctx.Profile.UseGPU() {
 			t.Errorf("%s: device presence mismatch", sys)
 		}
-		if (ctx.Packer.Slots() == 1) == ctx.Profile.UseBatch {
-			t.Errorf("%s: %d slots a plaintext with batch compression %t", sys, ctx.Packer.Slots(), ctx.Profile.UseBatch)
+		if (ctx.Packer.Slots() == 1) == ctx.Profile.UseBatch() {
+			t.Errorf("%s: %d slots a plaintext with batch compression %t", sys, ctx.Packer.Slots(), ctx.Profile.UseBatch())
 		}
 		if ctx.Key.KeyBits() != 128 {
 			t.Errorf("%s: key bits = %d", sys, ctx.Key.KeyBits())

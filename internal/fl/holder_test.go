@@ -101,7 +101,7 @@ func TestHolderRoundBitExactWithPublic(t *testing.T) {
 					if ownCost.CommBytes != pubCost.CommBytes || ownCost.HEOps != pubCost.HEOps || ownCost.Ciphertexts != pubCost.Ciphertexts {
 						t.Fatalf("counts differ: holder %+v, public %+v", ownCost, pubCost)
 					}
-					if p.UseGPU && ownCost.HESim >= pubCost.HESim {
+					if p.UseGPU() && ownCost.HESim >= pubCost.HESim {
 						t.Errorf("holder HE sim %v should undercut the public path's %v", ownCost.HESim, pubCost.HESim)
 					}
 				})

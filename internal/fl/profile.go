@@ -34,8 +34,8 @@ const (
 )
 
 // Profile is one acceleration configuration. All five systems share every
-// code path except the toggles below, so ablation comparisons isolate
-// exactly the module under study.
+// code path except the three toggles their System decides (UseGPU, UseBatch,
+// FineRM), so ablation comparisons isolate exactly the module under study.
 type Profile struct {
 	// System names the configuration.
 	System System
@@ -49,12 +49,6 @@ type Profile struct {
 	RBits uint
 	// GradBound is the quantizer's α.
 	GradBound float64
-	// UseGPU routes HE batches through the GPU-HE engine.
-	UseGPU bool
-	// UseBatch enables batch compression.
-	UseBatch bool
-	// FineRM selects the fine-grained resource manager.
-	FineRM bool
 	// Device is the GPU model for GPU profiles.
 	Device gpu.Config
 	// Devices is the simulated device count for GPU profiles: every GPU
@@ -115,24 +109,23 @@ func NewProfile(sys System, keyBits, parties int) Profile {
 		Device:    gpu.RTX3090(),
 		Seed:      1,
 	}
-	switch sys {
-	case SystemFATE:
-		// all toggles off
-	case SystemHAFLO:
-		p.UseGPU = true
-	case SystemFLBooster:
-		p.UseGPU, p.UseBatch, p.FineRM = true, true, true
-	case SystemNoGHE:
-		p.UseBatch = true
-	case SystemNoBC:
-		p.UseGPU, p.FineRM = true, true
-	default:
-		// Unknown systems keep every toggle off and are rejected by
-		// Validate, so the error surfaces from NewContext instead of a
-		// constructor panic.
-	}
 	return p
 }
+
+// UseGPU reports whether the system routes HE batches through the GPU-HE
+// engine: HAFLO, FLBooster and w/o BC. An unknown system has every toggle off
+// and is rejected by Validate.
+func (p Profile) UseGPU() bool {
+	return p.System == SystemHAFLO || p.System == SystemFLBooster || p.System == SystemNoBC
+}
+
+// UseBatch reports whether the system compresses batches: FLBooster and
+// w/o GHE.
+func (p Profile) UseBatch() bool { return p.System == SystemFLBooster || p.System == SystemNoGHE }
+
+// FineRM reports whether the system runs the fine-grained resource manager:
+// FLBooster and w/o BC.
+func (p Profile) FineRM() bool { return p.System == SystemFLBooster || p.System == SystemNoBC }
 
 // knownSystem reports whether sys is one of the evaluated configurations.
 func knownSystem(sys System) bool {
@@ -182,7 +175,7 @@ func (p Profile) Validate() error {
 	if p.Cohort.Size > 0 && p.Round.Quorum > p.Cohort.Size {
 		return fmt.Errorf("fl: quorum %d exceeds cohort size %d", p.Round.Quorum, p.Cohort.Size)
 	}
-	if p.UseGPU {
+	if p.UseGPU() {
 		if err := p.Device.Validate(); err != nil {
 			return fmt.Errorf("fl: GPU profile: %w", err)
 		}

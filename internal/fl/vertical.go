@@ -124,7 +124,7 @@ func (l returnLayout) valueAt() int { return (l.stride - 1) * BroadcastSlotBits 
 
 // layout is newReturnLayout under the context's key and profile.
 func (c *Context) layout(stride int) (returnLayout, error) {
-	return newReturnLayout(c.plainBits(), stride, c.Profile.UseBatch)
+	return newReturnLayout(c.plainBits(), stride, c.Profile.UseBatch())
 }
 
 // plainBits is KeyBits−1: n ≥ 2^(KeyBits−1), so every plaintext below
@@ -145,7 +145,7 @@ func (c *Context) ReturnSlots() int {
 // on a tie: 1 without batch compression and under keys with no room for
 // three W-bit slots (256 bits and below).
 func (c *Context) BroadcastStride(rows int, sums []int) int {
-	return broadcastStride(c.plainBits(), c.Profile.UseBatch, rows, sums)
+	return broadcastStride(c.plainBits(), c.Profile.UseBatch(), rows, sums)
 }
 
 // broadcastStride is BroadcastStride's rule in plainBits-bit plaintexts.
@@ -231,14 +231,10 @@ func (c *Context) DecryptRaw(cts []paillier.Ciphertext) ([]uint64, error) {
 // decryptSlots decrypts a return-path request declared to carry count values
 // in layout l and splits the plaintexts back into the values.
 func (c *Context) decryptSlots(cts []paillier.Ciphertext, count int, l returnLayout) ([]uint64, error) {
-	base := c.simBase()
-	start := time.Now()
-	pts, err := c.Backend.DecryptVec(c.Key, cts)
+	pts, err := c.decrypt(cts, count)
 	if err != nil {
 		return nil, err
 	}
-	wall := time.Since(start)
-	c.Costs.AddHE(wall, c.simSince(base, wall), int64(len(cts)), int64(count))
 	vals, err := splitSlots(pts, count, l)
 	paillier.ReleasePlaintexts(pts)
 	return vals, err
@@ -307,7 +303,6 @@ func (c *Context) SumBound(neg, pos uint64) (Bound, error) {
 // ReturnRoute names the two ends of one return-path exchange and the kinds
 // of its messages.
 type ReturnRoute struct {
-	Net flnet.Transport
 	// Party holds the sums; Decryptor holds the private key.
 	Party, Decryptor string
 	// Kind labels the request that carries the ciphertexts. ReplyKind labels
@@ -358,9 +353,7 @@ func (c *Context) OpenBroadcastSums(route ReturnRoute, cts []paillier.Ciphertext
 	if s > 1 {
 		request += 4 // the stride
 	}
-	if err := c.Send(route.Net, route.Party, route.Decryptor, route.Kind, request); err != nil {
-		return nil, err
-	}
+	c.Send(route.Party, route.Decryptor, route.Kind, request)
 	vals, err := c.decryptSlots(packed, len(cts), l)
 	if err != nil {
 		return nil, err
@@ -369,9 +362,7 @@ func (c *Context) OpenBroadcastSums(route ReturnRoute, cts []paillier.Ciphertext
 		ReleaseCiphertexts(packed)
 	}
 	if route.ReplyKind != "" {
-		if err := c.Send(route.Net, route.Decryptor, route.Party, route.ReplyKind, int64(8*len(vals))); err != nil {
-			return nil, err
-		}
+		c.Send(route.Decryptor, route.Party, route.ReplyKind, int64(8*len(vals)))
 	}
 	for i, v := range vals {
 		if v < bounds[i].Lo || v > bounds[i].Hi {
@@ -419,52 +410,30 @@ func (c *Context) packSums(cts []paillier.Ciphertext, l returnLayout) ([]paillie
 // shiftPack is one charged ShiftPackVec batch — one kernel launch on the GPU
 // profiles — charged as the Horner chain it is: a ciphertext-scalar product
 // and a homomorphic addition for every ciphertext past the first of its pack.
-func (c *Context) shiftPack(cts []paillier.Ciphertext, slots, slotBits int) ([]paillier.Ciphertext, error) {
-	base := c.simBase()
-	start := time.Now()
-	packed, err := c.Backend.ShiftPackVec(&c.Key.PublicKey, cts, slots, slotBits)
-	if err != nil {
-		return nil, err
-	}
-	wall := time.Since(start)
-	steps := 2 * int64(len(cts)-len(packed))
-	c.Costs.AddHE(wall, c.simSince(base, wall), steps, steps)
-	return packed, nil
+func (c *Context) shiftPack(cts []paillier.Ciphertext, slots, slotBits int) (packed []paillier.Ciphertext, err error) {
+	_, err = c.chargeHE(func() (int64, int64, error) {
+		packed, err = c.Backend.ShiftPackVec(&c.Key.PublicKey, cts, slots, slotBits)
+		steps := 2 * int64(len(cts)-len(packed))
+		return steps, steps, err
+	})
+	return packed, err
 }
 
-// Send routes one protocol message of payloadBytes through net and charges
-// it to the communication component.
-func (c *Context) Send(net flnet.Transport, from, to, kind string, payloadBytes int64) error {
-	// The modelled messages are weighed, never read: every one is a slice of
-	// the same zero bytes. The transport copies nothing, and the receiver is
-	// the Recv below, so the slice is dropped before the next Send reuses it.
-	if int64(len(c.zeros)) < payloadBytes {
-		c.zeros = make([]byte, payloadBytes)
-	}
-	msg := flnet.Message{From: from, To: to, Kind: kind, Payload: c.zeros[:payloadBytes]}
-	if err := net.Send(msg); err != nil {
-		return err
-	}
-	if _, err := net.Recv(to); err != nil {
-		return err
-	}
-	c.RecordTransfer(msg.WireSize())
-	return nil
+// Send charges one modelled protocol message of payloadBytes from one party
+// to another to the communication component, at its framed size. Nothing
+// travels: the message is weighed, never read.
+func (c *Context) Send(from, to, kind string, payloadBytes int64) {
+	c.RecordTransfer(flnet.Message{From: from, To: to, Kind: kind}.WireSize() + payloadBytes)
 }
 
 // addCiphertexts is the charged pairwise homomorphic addition of two batches;
 // it returns the sums and the modelled time it charged.
-func (c *Context) addCiphertexts(a, b []paillier.Ciphertext) ([]paillier.Ciphertext, time.Duration, error) {
-	base := c.simBase()
-	start := time.Now()
-	sums, err := c.Backend.AddVec(&c.Key.PublicKey, a, b)
-	if err != nil {
-		return nil, 0, err
-	}
-	wall := time.Since(start)
-	sim := c.simSince(base, wall)
-	c.Costs.AddHE(wall, sim, int64(len(a)), int64(len(a)))
-	return sums, sim, nil
+func (c *Context) addCiphertexts(a, b []paillier.Ciphertext) (sums []paillier.Ciphertext, sim time.Duration, err error) {
+	sim, err = c.chargeHE(func() (int64, int64, error) {
+		sums, err = c.Backend.AddVec(&c.Key.PublicKey, a, b)
+		return int64(len(a)), int64(len(a)), err
+	})
+	return sums, sim, err
 }
 
 // EncryptNats encrypts caller-prepared plaintexts, charging `instances`
@@ -563,14 +532,12 @@ func (c *Context) BroadcastSums(cts []paillier.Ciphertext, sums [][]mpint.Term, 
 			bases, inner = c.bases, c.innerSums(sums, s, len(cts))
 			terms += int64(len(sums) - len(empty))
 		}
-		base := c.simBase()
-		start := time.Now()
-		var err error
-		if out, err = c.Backend.WeightedSumVec(&c.Key.PublicKey, bases, inner); err != nil {
+		if _, err := c.chargeHE(func() (_, _ int64, err error) {
+			out, err = c.Backend.WeightedSumVec(&c.Key.PublicKey, bases, inner)
+			return terms, terms, err
+		}); err != nil {
 			return nil, err
 		}
-		wall := time.Since(start)
-		c.Costs.AddHE(wall, c.simSince(base, wall), terms, terms)
 		if s > 1 {
 			conv, err := c.shiftPack(out, s, BroadcastSlotBits)
 			if err != nil {

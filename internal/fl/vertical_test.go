@@ -314,8 +314,7 @@ func TestOpenSumsMatchesDecryptRaw(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			net := flnet.NewSimTransport(ctx.Link, "host", "arbiter")
-			route := ReturnRoute{Net: net, Party: "host", Decryptor: "arbiter", Kind: "sums", ReplyKind: "plain"}
+			route := ReturnRoute{Party: "host", Decryptor: "arbiter", Kind: "sums", ReplyKind: "plain"}
 			for _, k := range counts {
 				want, err := ctx.DecryptRaw(all[:k])
 				if err != nil {
@@ -352,7 +351,6 @@ func TestOpenSumsMatchesDecryptRaw(t *testing.T) {
 					t.Fatalf("%s/%d bits/%d sums: %d messages of %d bytes, want 2 of %d", name, keyBits, k, msgs, bytes, request+reply)
 				}
 			}
-			net.Close()
 		}
 	}
 }
@@ -379,10 +377,8 @@ func TestOpenSumsUnpackedWithoutCompression(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		net := flnet.NewSimTransport(ctx.Link, "host", "guest")
-		defer net.Close()
 		before := ctx.Costs.Snapshot()
-		got, err := ctx.OpenBroadcastSums(ReturnRoute{Net: net, Party: "host", Decryptor: "guest", Kind: "hist"}, cts, bounds, 1)
+		got, err := ctx.OpenBroadcastSums(ReturnRoute{Party: "host", Decryptor: "guest", Kind: "hist"}, cts, bounds, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,9 +403,7 @@ func TestOpenSumsRejectsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := flnet.NewSimTransport(ctx.Link, "host", "arbiter")
-	defer net.Close()
-	route := ReturnRoute{Net: net, Party: "host", Decryptor: "arbiter", Kind: "sums", ReplyKind: "plain"}
+	route := ReturnRoute{Party: "host", Decryptor: "arbiter", Kind: "sums", ReplyKind: "plain"}
 
 	// A bound that does not fit a slot — either sign side at 2^63 — fails
 	// where it is derived, before anything is packed or sent.

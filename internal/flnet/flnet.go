@@ -291,14 +291,20 @@ func (t *SimTransport) Close() error {
 // so a batch's wire size directly reflects key size × element count — the
 // quantity batch compression shrinks.
 
-// EncodeNats frames a batch of multi-precision integers in exactly one
-// allocation, sized from the values' bit lengths.
-func EncodeNats(v []mpint.Nat) []byte {
+// NatsSize is the length of v's EncodeNats framing: the 4-byte count, and a
+// 4-byte length and ⌈bits/8⌉ bytes a value.
+func NatsSize(v []mpint.Nat) int {
 	size := 4
 	for _, x := range v {
 		size += 4 + (x.BitLen()+7)/8
 	}
-	return AppendNats(make([]byte, 0, size), v)
+	return size
+}
+
+// EncodeNats frames a batch of multi-precision integers in exactly one
+// allocation, sized by NatsSize.
+func EncodeNats(v []mpint.Nat) []byte {
+	return AppendNats(make([]byte, 0, NatsSize(v)), v)
 }
 
 // AppendNats appends the EncodeNats framing of v to dst and returns the

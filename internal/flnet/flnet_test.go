@@ -90,6 +90,29 @@ func TestEncodeDecodeNats(t *testing.T) {
 	}
 }
 
+// TestNatsSizeIsTheEncodedLength: the size a batch is priced at is the length
+// of its encoding — zero values, one-byte values, values with zero limbs above
+// their top word and n²-wide values included.
+func TestNatsSizeIsTheEncodedLength(t *testing.T) {
+	r := mpint.NewRNG(3)
+	for name, batch := range map[string][]mpint.Nat{
+		"empty":        nil,
+		"zero":         {nil},
+		"zero limb":    {mpint.Nat{0}},
+		"one byte":     {mpint.One(), mpint.FromUint64(0xFF)},
+		"two bytes":    {mpint.FromUint64(0x100)},
+		"high zeros":   {mpint.Nat{5, 0, 0}},
+		"word":         {mpint.FromUint64(1 << 63)},
+		"n² at 2,048":  {r.RandBits(4096), r.RandBits(4096)},
+		"n² at 4,096":  {r.RandBits(8192)},
+		"mixed widths": {nil, mpint.One(), r.RandBits(100), r.RandBits(2048), mpint.Nat{0, 1, 0}},
+	} {
+		if got, want := NatsSize(batch), len(EncodeNats(batch)); got != want {
+			t.Errorf("%s: NatsSize %d, encoded %d bytes", name, got, want)
+		}
+	}
+}
+
 func TestDecodeNatsErrors(t *testing.T) {
 	cases := [][]byte{
 		nil,

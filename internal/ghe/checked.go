@@ -54,11 +54,12 @@ func (c CheckedConfig) withDefaults() CheckedConfig {
 	return c
 }
 
-// CheckedStats counts the checked layer's activity — the fault, retry, and
-// fallback counters the benchmarks surface next to sim/wall timings.
+// CheckedStats counts the checked layer's activity — the fault and retry
+// counters the benchmarks surface next to sim/wall timings. The ops issued and
+// the host ledger — the ranges the host loop served once no device was left,
+// and their host time — are the device set's (gpu.SetStats Ops, HostShards,
+// HostSim).
 type CheckedStats struct {
-	// Ops is the number of vector operations issued.
-	Ops int64
 	// LaunchFaults counts failed device launch attempts observed.
 	LaunchFaults int64
 	// Retries counts re-executions after a fault or a verification miss.
@@ -67,12 +68,6 @@ type CheckedStats struct {
 	// corruptions they caught.
 	VerifySamples  int64
 	VerifyFailures int64
-	// FallbackOps counts the item ranges the host loop served once no device
-	// was left — a whole op on a dead fleet, one range per stranded shard when
-	// the last device died under it; FallbackWall is the host time they took
-	// (degraded-mode cost, recorded separately).
-	FallbackOps  int64
-	FallbackWall time.Duration
 	// BackoffSim is the simulated retry backoff charged to the device clocks.
 	BackoffSim time.Duration
 	// FellBack reports permanent failover: a member device reached Failed and
@@ -119,9 +114,6 @@ type CheckedEngine struct {
 	flight sync.Mutex
 	op     vecOp
 	sched  gpu.ShardOp
-
-	mu    sync.Mutex
-	stats CheckedStats // Ops and the host ledger; the rest lives on the members
 }
 
 // member is one device of the set under the checked discipline: its bare
@@ -162,21 +154,18 @@ func (c *CheckedEngine) Set() *gpu.DeviceSet { return c.set }
 
 // Stats returns a snapshot of the counters, summed over the members.
 func (c *CheckedEngine) Stats() CheckedStats {
-	c.mu.Lock()
-	agg := c.stats
-	c.mu.Unlock()
+	var agg CheckedStats
 	for _, mb := range c.members {
 		agg.add(mb.snapshot())
 	}
 	return agg
 }
 
-// ResetStats zeroes the counters and restarts every member's verification
-// sampler, so what runs next is sampled and counted as on a fresh engine.
+// ResetStats zeroes the counters, the device set's with them, and restarts
+// every member's verification sampler, so what runs next is sampled and
+// counted as on a fresh engine.
 func (c *CheckedEngine) ResetStats() {
-	c.mu.Lock()
-	c.stats = CheckedStats{}
-	c.mu.Unlock()
+	c.set.ResetStats()
 	for _, mb := range c.members {
 		mb.mu.Lock()
 		mb.stats, mb.rng = CheckedStats{}, mpint.NewRNG(c.cfg.VerifySeed)
@@ -194,13 +183,15 @@ func (mb *member) snapshot() CheckedStats {
 }
 
 // PublishMetrics snapshots the checked-layer counters into a metrics
-// registry (DESIGN.md §9): ops issued, the host ledger and every member
-// counter summed under prefix, each member's share under prefix+".dev<i>".
+// registry (DESIGN.md §9): ops issued and the host ledger, read off the
+// device set, and every member counter summed under prefix, each member's
+// share under prefix+".dev<i>".
 func (c *CheckedEngine) PublishMetrics(reg *obs.Registry, prefix string) {
+	set := c.set.Stats()
+	reg.Set(prefix+".ops", set.Ops)
+	reg.Set(prefix+".fallback_ops", set.HostShards)
+	reg.Set(prefix+".fallback_wall_ns", int64(set.HostSim))
 	agg := c.Stats()
-	reg.Set(prefix+".ops", agg.Ops)
-	reg.Set(prefix+".fallback_ops", agg.FallbackOps)
-	reg.Set(prefix+".fallback_wall_ns", int64(agg.FallbackWall))
 	var tables TableStats
 	for i, mb := range c.members {
 		ts := mb.eng.TableStats()
@@ -235,9 +226,6 @@ func publishShare(reg *obs.Registry, prefix string, s CheckedStats, ts TableStat
 func (c *CheckedEngine) schedule(op vecOp) error {
 	c.flight.Lock()
 	defer c.flight.Unlock()
-	c.mu.Lock()
-	c.stats.Ops++
-	c.mu.Unlock()
 	c.op = op
 	c.sched.Name, c.sched.Items = op.name(), len(op.result())
 	err := c.set.Run(c.sched)
@@ -250,16 +238,10 @@ func (c *CheckedEngine) onMember(dev int, sh gpu.Shard) error {
 	return c.members[dev].serve(shardOf(c.op, sh), &c.cfg)
 }
 
-// onHost serves one range of the op in flight with the host loop and enters
-// it in the host ledger.
+// onHost serves one range of the op in flight with the host loop; the set
+// enters it in its host ledger.
 func (c *CheckedEngine) onHost(sh gpu.Shard) error {
-	start := time.Now()
-	err := runOnHost(shardOf(c.op, sh))
-	c.mu.Lock()
-	c.stats.FallbackOps++
-	c.stats.FallbackWall += time.Since(start)
-	c.mu.Unlock()
-	return err
+	return runOnHost(shardOf(c.op, sh))
 }
 
 // serve runs one shard on the member's device until an attempt both launches

@@ -171,8 +171,8 @@ func TestCheckedCatchesCorruption(t *testing.T) {
 	if st.VerifyFailures == 0 {
 		t.Fatalf("verification did not catch the corruption: %+v", st)
 	}
-	if st.FallbackOps == 0 {
-		t.Fatalf("corrupted op was not served from the host: %+v", st)
+	if set := c.Set().Stats(); set.HostShards == 0 {
+		t.Fatalf("corrupted op was not served from the host: %+v, set %+v", st, set)
 	}
 	// Silent corruption never latches Failed: each poisoned launch reports
 	// success (resetting the streak) before verification reports the miss, so
@@ -290,8 +290,8 @@ func TestCheckedFailoverBitExact(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if !st.FellBack || st.FallbackOps == 0 || st.FallbackWall <= 0 {
-		t.Fatalf("failover latch not recorded: %+v", st)
+	if set := c.Set().Stats(); !st.FellBack || set.HostShards == 0 || set.HostSim <= 0 {
+		t.Fatalf("failover latch not recorded: %+v, set %+v", st, set)
 	}
 	if h := c.Set().Device(0).Health(); h != gpu.DeviceFailed {
 		t.Fatalf("killed device health %s, want failed", h)
@@ -337,9 +337,9 @@ func TestCheckedPassesThroughCallerErrors(t *testing.T) {
 	if _, err := c.ModExpVarVec(bases, bases[:2], m); err == nil {
 		t.Fatal("length mismatch must fail")
 	}
-	st := c.Stats()
-	if st.Retries != 0 || st.LaunchFaults != 0 || st.FallbackOps != 0 {
-		t.Fatalf("caller error consumed fault machinery: %+v", st)
+	st, set := c.Stats(), c.Set().Stats()
+	if st.Retries != 0 || st.LaunchFaults != 0 || set.HostShards != 0 {
+		t.Fatalf("caller error consumed fault machinery: %+v, set %+v", st, set)
 	}
 }
 
@@ -423,8 +423,8 @@ func TestCheckedTableIUnderCorruption(t *testing.T) {
 			t.Fatalf("seed %d: prime %s under corruption, the host loop says %s", round, gotP, wantP)
 		}
 	}
-	if st := c.Stats(); st.VerifyFailures == 0 || st.Retries == 0 || st.FallbackOps != 0 {
-		t.Fatalf("corrupted launches should be caught and retried on the device: %+v", st)
+	if st, set := c.Stats(), c.Set().Stats(); st.VerifyFailures == 0 || st.Retries == 0 || set.HostShards != 0 {
+		t.Fatalf("corrupted launches should be caught and retried on the device: %+v, set %+v", st, set)
 	}
 }
 
@@ -522,9 +522,9 @@ func TestFusedDescriptorsUnderCorruption(t *testing.T) {
 		sameVec(t, "decrypt_crt_vec under corruption", opened, pts)
 		sameVec(t, "shift_pack_vec under corruption", packed, wantPacks)
 	}
-	st := c.Stats()
-	if st.VerifyFailures == 0 || st.Retries == 0 || st.FallbackOps != 0 {
-		t.Fatalf("want corruptions caught and retried on the device, none served by the host: %+v", st)
+	st, set := c.Stats(), c.Set().Stats()
+	if st.VerifyFailures == 0 || st.Retries == 0 || set.HostShards != 0 {
+		t.Fatalf("want corruptions caught and retried on the device, none served by the host: %+v, set %+v", st, set)
 	}
 }
 

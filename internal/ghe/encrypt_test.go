@@ -202,8 +202,8 @@ func TestCheckedEncryptCatchesCorruption(t *testing.T) {
 	if st.VerifyFailures == 0 || st.Retries == 0 {
 		t.Fatalf("the injector corrupted no attempt at this seed: %+v", st)
 	}
-	if st.FallbackOps != 0 {
-		t.Fatalf("the retry budget should have healed the op on the device: %+v", st)
+	if set := c.Set().Stats(); set.HostShards != 0 {
+		t.Fatalf("the retry budget should have healed the op on the device: %+v, set %+v", st, set)
 	}
 }
 
@@ -220,7 +220,7 @@ func TestCheckedEncryptFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameVec(t, "encrypt_vec after failover", got, textbookEncrypt(ms, crt.N(), 8))
-		if st := c.Stats(); st.FallbackOps != 1 {
+		if st := c.Set().Stats(); st.HostShards != 1 {
 			t.Fatalf("expected a host-served op, got %+v", st)
 		}
 	}

@@ -118,7 +118,7 @@ func TestMultiExpVecRejectsBeforeUpload(t *testing.T) {
 			t.Errorf("sums %v: %d results, error %v, want ErrTermIndex", sums, len(got), err)
 		}
 	}
-	if st := chk.Set().Device(0).Stats(); st.KernelLaunches != 0 || st.BytesHostToDev != 0 || chk.Stats().Ops != 0 {
+	if st := chk.Set().Device(0).Stats(); st.KernelLaunches != 0 || st.BytesHostToDev != 0 || chk.Set().Stats().Ops != 0 {
 		t.Errorf("rejected sums reached the device: %+v", st)
 	}
 }

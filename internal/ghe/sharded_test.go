@@ -178,15 +178,15 @@ func TestShardedMidBatchKill(t *testing.T) {
 	// The scheduler owns failover: the dead member's shard went to its peers,
 	// not to the host, and served directly the member surfaces a typed fault —
 	// never a silent host result.
-	if cs.FallbackOps != 0 || st.HostShards != 0 {
+	if st.HostShards != 0 {
 		t.Fatalf("a member served its shard from the host: %+v, set %+v", cs, st)
 	}
 	sh.op = &modExpOp{newModVec(4, m), bases[:4], exp, mpint.CompileExpAuto(exp)}
 	if err := sh.onMember(2, gpu.Shard{Hi: 4}); !gpu.IsKernelError(err) {
 		t.Fatalf("dead member returned %v, want a typed *gpu.KernelError", err)
 	}
-	if cs := sh.Stats(); cs.FallbackOps != 0 {
-		t.Fatalf("the member path must never serve from the host: %+v", cs)
+	if st := sh.Set().Stats(); st.HostShards != 0 {
+		t.Fatalf("the member path must never serve from the host: %+v", st)
 	}
 	// Subsequent ops skip the dead device entirely and still match.
 	got2, err := sh.ModExpVec(bases, exp, m)
@@ -260,7 +260,7 @@ func TestShardedConcurrentCallers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st := sh.Stats(); st.Ops != callers*20 {
+	if st := sh.Set().Stats(); st.Ops != callers*20 {
 		t.Fatalf("%d ops counted, want %d", st.Ops, callers*20)
 	}
 }

@@ -186,9 +186,7 @@ func (m *HeteroLR) hostSteps(lo, hi int, d []float64) error {
 		return err
 	}
 	for p := 1; p < len(m.parts); p++ {
-		if err := m.send(hostName(0), hostName(p), "residuals", m.ctx.CiphertextWireBytes(len(encD))); err != nil {
-			return err
-		}
+		m.send(hostName(0), hostName(p), "residuals", m.ctx.CiphertextWireBytes(len(encD)))
 	}
 	for p := 1; p < len(m.parts); p++ {
 		if err := m.hostGradientStep(p, lo, hi, encD, s); err != nil {
@@ -240,7 +238,7 @@ func (m *HeteroLR) hostGradientStep(p, lo, hi int, encD []paillier.Ciphertext, s
 			}
 		}
 	}
-	route := fl.ReturnRoute{Net: m.net, Party: hostName(p), Decryptor: arbiterName, Kind: "grad-sums", ReplyKind: "grad-plain"}
+	route := fl.ReturnRoute{Party: hostName(p), Decryptor: arbiterName, Kind: "grad-sums", ReplyKind: "grad-plain"}
 	sums, err := ws.open(m.ctx, route, encD, s)
 	if err != nil {
 		return err

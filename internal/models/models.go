@@ -34,7 +34,9 @@ type Model interface {
 	TrainEpoch() (float64, error)
 	// Loss computes the current global training loss without updating.
 	Loss() float64
-	// Close releases the model's transport; a plaintext oracle has none.
+	// Close releases what the model holds: Homo LR's federation transport.
+	// The vertical models charge their messages without a transport, and
+	// theirs, like a plaintext oracle's, releases nothing.
 	Close() error
 }
 

@@ -185,9 +185,7 @@ func (m *HeteroNN) trainBatch(lo, hi int) error {
 		return err
 	}
 	for p := 1; p < len(m.parts); p++ {
-		if err := m.send(hostName(0), hostName(p), "deltas", m.ctx.CiphertextWireBytes(len(encD))); err != nil {
-			return err
-		}
+		m.send(hostName(0), hostName(p), "deltas", m.ctx.CiphertextWireBytes(len(encD)))
 	}
 
 	// Every host accumulates its bottom-tower gradient homomorphically and
@@ -292,7 +290,7 @@ func (m *HeteroNN) hostBottomUpdate(p int, encD []paillier.Ciphertext, lo, hi in
 			}
 		}
 	}
-	route := fl.ReturnRoute{Net: m.net, Party: hostName(p), Decryptor: arbiterName, Kind: "nn-grad", ReplyKind: "nn-grad-plain"}
+	route := fl.ReturnRoute{Party: hostName(p), Decryptor: arbiterName, Kind: "nn-grad", ReplyKind: "nn-grad-plain"}
 	grads, err := ws.open(m.ctx, route, encD, 1)
 	if err != nil || grads == nil {
 		return err

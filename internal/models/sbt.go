@@ -148,7 +148,7 @@ func (m *HeteroSBT) slotWidth() uint { return m.ghBits + m.headBits }
 // each get their own ciphertext, concatenated as [g...; h...].
 func (m *HeteroSBT) encryptGH(g, h []float64) ([]paillier.Ciphertext, error) {
 	n := len(g)
-	packed := m.ctx.Profile.UseBatch
+	packed := m.ctx.Profile.UseBatch()
 	var pts []mpint.Nat
 	if packed {
 		pts = make([]mpint.Nat, n)
@@ -179,7 +179,7 @@ func (m *HeteroSBT) ghSums(n int, samples []int) [][]mpint.Term {
 	for k, s := range samples {
 		gs[k] = mpint.Term{Index: s, Weight: 1}
 	}
-	if m.ctx.Profile.UseBatch {
+	if m.ctx.Profile.UseBatch() {
 		return [][]mpint.Term{gs}
 	}
 	hs := make([]mpint.Term, len(samples))
@@ -191,7 +191,7 @@ func (m *HeteroSBT) ghSums(n int, samples []int) [][]mpint.Term {
 
 // decodeGH splits a decrypted histogram sum into (G, H) for cnt samples.
 func (m *HeteroSBT) decodeGH(raw []uint64, cnt int) (gSum, hSum float64) {
-	if m.ctx.Profile.UseBatch {
+	if m.ctx.Profile.UseBatch() {
 		v := raw[0]
 		mask := uint64(1)<<m.slotWidth() - 1
 		gSum = m.dequantGHSum(v>>m.slotWidth(), cnt)
@@ -206,7 +206,7 @@ func (m *HeteroSBT) decodeGH(raw []uint64, cnt int) (gSum, hSum float64) {
 // under 2^62.
 func (m *HeteroSBT) ghSumBounds(cnt int) []fl.Bound {
 	comp := uint64(cnt) * m.ghMax()
-	if m.ctx.Profile.UseBatch {
+	if m.ctx.Profile.UseBatch() {
 		return []fl.Bound{{Hi: comp<<m.slotWidth() | comp}}
 	}
 	return []fl.Bound{{Hi: comp}, {Hi: comp}}
@@ -245,9 +245,7 @@ func (m *HeteroSBT) buildTree(samples []int, g, h []float64) (*sbtNode, error) {
 			return nil, err
 		}
 		for p := 1; p < len(m.parts); p++ {
-			if err := m.send(hostName(0), hostName(p), "gh", m.ctx.CiphertextWireBytes(len(cts))); err != nil {
-				return nil, err
-			}
+			m.send(hostName(0), hostName(p), "gh", m.ctx.CiphertextWireBytes(len(cts)))
 		}
 	}
 	return m.growNode(samples, g, h, cts, n, 0)
@@ -278,9 +276,7 @@ func (m *HeteroSBT) growNode(samples []int, g, h []float64, cts []paillier.Ciphe
 	// The split owner announces the instance partition (standard SecureBoost
 	// information flow).
 	if best.party != 0 {
-		if err := m.send(hostName(best.party), hostName(0), "split", int64(8*len(samples))); err != nil {
-			return nil, err
-		}
+		m.send(hostName(best.party), hostName(0), "split", int64(8*len(samples)))
 	}
 	l, err := m.growNode(left, g, h, cts, n, depth+1)
 	if err != nil {
@@ -364,7 +360,7 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 				return best, err
 			}
 			// The guest holds the key and keeps the values: no reply.
-			route := fl.ReturnRoute{Net: m.net, Party: hostName(p), Decryptor: hostName(0), Kind: "hist"}
+			route := fl.ReturnRoute{Party: hostName(p), Decryptor: hostName(0), Kind: "hist"}
 			raws, err := m.ctx.OpenBroadcastSums(route, histCts, histBounds, 1)
 			if err != nil {
 				return best, err

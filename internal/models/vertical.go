@@ -5,7 +5,6 @@ import (
 
 	"flbooster/internal/datasets"
 	"flbooster/internal/fl"
-	"flbooster/internal/flnet"
 	"flbooster/internal/paillier"
 )
 
@@ -17,14 +16,13 @@ func hostName(p int) string { return fmt.Sprintf("party%d", p) }
 
 // vertical is the skeleton the three Hetero models share: the options, the
 // feature slices of a vertical partition (party 0, the guest, holds the
-// labels), and in encrypted mode the context and the transport between the
-// parties and the arbiter. With a nil context it is the plaintext oracle's
-// skeleton: the same partition, no transport, send a no-op and secureSum a
+// labels), and in encrypted mode the context that charges every message
+// between the parties and the arbiter. With a nil context it is the plaintext
+// oracle's skeleton: the same partition, send a no-op and secureSum a
 // plaintext sum.
 type vertical struct {
 	opts  Options
-	ctx   *fl.Context     // nil in plaintext-oracle mode
-	net   flnet.Transport // nil in plaintext-oracle mode
+	ctx   *fl.Context // nil in plaintext-oracle mode
 	parts []*datasets.Dataset
 	full  *datasets.Dataset
 }
@@ -43,24 +41,15 @@ func newVertical(ctx *fl.Context, ds *datasets.Dataset, opts Options, model stri
 	if err != nil {
 		return vertical{}, fmt.Errorf("models: %s partition: %w", model, err)
 	}
-	v := vertical{opts: opts, ctx: ctx, parts: parts, full: ds}
-	if ctx != nil {
-		names := make([]string, 0, parties+1)
-		for p := range parties {
-			names = append(names, hostName(p))
-		}
-		v.net = flnet.NewSimTransport(ctx.Link, append(names, arbiterName)...)
-	}
-	return v, nil
+	return vertical{opts: opts, ctx: ctx, parts: parts, full: ds}, nil
 }
 
-// send routes one protocol message through the transport, charging the
-// context's communication component; in oracle mode there is no wire.
-func (v *vertical) send(from, to, kind string, payloadBytes int64) error {
-	if v.net == nil {
-		return nil
+// send charges one protocol message to the context's communication
+// component; in oracle mode there is no wire.
+func (v *vertical) send(from, to, kind string, payloadBytes int64) {
+	if v.ctx != nil {
+		v.ctx.Send(from, to, kind, payloadBytes)
 	}
-	return v.ctx.Send(v.net, from, to, kind, payloadBytes)
 }
 
 // track runs fn as model computation, timed as the context's "other"
@@ -73,13 +62,8 @@ func (v *vertical) track(fn func()) {
 	v.ctx.TrackOther(fn)
 }
 
-// Close releases the transport.
-func (v *vertical) Close() error {
-	if v.net == nil {
-		return nil
-	}
-	return v.net.Close()
-}
+// Close releases nothing: the messages are charged, not sent.
+func (v *vertical) Close() error { return nil }
 
 // sumVecs is the plaintext elementwise sum of the parties' vectors, party 0
 // first.
@@ -97,11 +81,12 @@ func sumVecs(vecs [][]float64) []float64 {
 // interactive layer): every party encrypts its vector, divided by scale and
 // clamped into the quantizer's interval — packed under batch compression —
 // the hosts send theirs to the guest (kind), the guest folds them
-// homomorphically and forwards the aggregate to the arbiter (aggKind), and
-// the arbiter decrypts and returns the plaintext sum (replyKind), which comes
-// back multiplied by scale. The guest's batch and each running sum die at the
-// next fold, the hosts' batches once all are folded, the aggregate once
-// decrypted. In oracle mode it is the exact sum, unscaled.
+// homomorphically, party 0 first (Context.AggregateCiphertexts), and forwards
+// the aggregate to the arbiter (aggKind), and the arbiter decrypts and returns
+// the plaintext sum (replyKind), which comes back multiplied by scale. Each
+// running sum dies at the next fold, the parties' batches once all are
+// folded, the aggregate once decrypted. In oracle mode it is the exact sum,
+// unscaled.
 func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, aggKind, replyKind string) ([]float64, error) {
 	if v.ctx == nil {
 		return sumVecs(vecs), nil
@@ -117,35 +102,26 @@ func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, aggKind, rep
 			return nil, fmt.Errorf("models: party %d %s encrypt: %w", p, kind, err)
 		}
 		if p != 0 {
-			if err := v.send(hostName(p), hostName(0), kind, v.ctx.CiphertextWireBytes(len(cts))); err != nil {
-				return nil, err
-			}
+			v.send(hostName(p), hostName(0), kind, v.ctx.CiphertextWireBytes(len(cts)))
 		}
 		batches[p] = cts
 	}
-	agg := batches[0]
-	for _, b := range batches[1:] {
-		sum, err := v.ctx.AggregateCiphertexts([][]paillier.Ciphertext{agg, b})
-		if err != nil {
-			return nil, err
-		}
-		fl.ReleaseCiphertexts(agg)
-		agg = sum
-	}
-	for _, b := range batches[1:] {
-		fl.ReleaseCiphertexts(b)
-	}
-	if err := v.send(hostName(0), arbiterName, aggKind, v.ctx.CiphertextWireBytes(len(agg))); err != nil {
+	agg, err := v.ctx.AggregateCiphertexts(batches)
+	if err != nil {
 		return nil, err
 	}
+	if len(batches) > 1 { // agg is a batch of the fold's own
+		for _, b := range batches {
+			fl.ReleaseCiphertexts(b)
+		}
+	}
+	v.send(hostName(0), arbiterName, aggKind, v.ctx.CiphertextWireBytes(len(agg)))
 	sum, err := v.ctx.DecryptAggregated(agg, len(vecs[0]), len(vecs))
 	if err != nil {
 		return nil, err
 	}
 	fl.ReleaseCiphertexts(agg)
-	if err := v.send(arbiterName, hostName(0), replyKind, int64(8*len(sum))); err != nil {
-		return nil, err
-	}
+	v.send(arbiterName, hostName(0), replyKind, int64(8*len(sum)))
 	for i := range sum {
 		sum[i] *= scale
 	}
