@@ -15,8 +15,9 @@ const returnKeyBits = 256
 // change bytes and time, never the model. Every plaintext the vertical
 // protocols open is an exact integer sum, so three epochs under the full
 // system, without batch compression and on the serial CPU baseline must end
-// at the same loss to the last bit — at 256 bits, and for Hetero LR at 1,024
-// too, where the full system packs five residuals a broadcast ciphertext.
+// at the same loss to the last bit — at 256 bits, and for Hetero LR and NN at
+// 1,024 too, where the full system packs its broadcast several values a
+// ciphertext.
 func TestHeteroLossIdenticalAcrossProfiles(t *testing.T) {
 	build := map[string]func(ctx *fl.Context, ds *datasets.Dataset) (Model, error){
 		"Hetero LR":  func(ctx *fl.Context, ds *datasets.Dataset) (Model, error) { return NewHeteroLR(ctx, ds, testOpts()) },
@@ -25,7 +26,7 @@ func TestHeteroLossIdenticalAcrossProfiles(t *testing.T) {
 	}
 	for name, newModel := range build {
 		keys := []int{returnKeyBits}
-		if name == "Hetero LR" {
+		if name != "Hetero SBT" {
 			keys = append(keys, 1024)
 		}
 		for _, keyBits := range keys {
