@@ -30,7 +30,11 @@ func slotOf(x *big.Int, k, width int) *big.Int {
 // so nothing borrowed or carried — and every plaintext, a return ciphertext's
 // whole pack of blocks included, below 2^(KeyBits−1) ≤ n. It runs over keys
 // of 256–2,048 bits, r of 2–30, batches of 1–64 rows and every stride the rule
-// picks for 1–64 features on one or two hosts.
+// picks for 1–64 features on one or two hosts; and over Hetero NN's shapes,
+// where a sample is Hidden rows and a host returns Hidden × dim sums, each
+// weighing one unit's rows — every Hidden-th — so that one plaintext's rows
+// span units: Hidden 2–4 over batches of 32 and 64 (96, 128 and 256 rows
+// among them), dim 1–16 on one or three hosts.
 func TestBroadcastCarrySafety(t *testing.T) {
 	keys := []int{256, 384, 512, 768, 1024, 1536, 2048}
 	if testing.Short() {
@@ -39,32 +43,65 @@ func TestBroadcastCarrySafety(t *testing.T) {
 	for _, keyBits := range keys {
 		plainBits := keyBits - 1
 		for rows := 1; rows <= 64; rows++ {
-			picked := map[int]bool{}
+			var shapes [][]int
 			for f := 1; f <= 64; f++ {
-				for _, sums := range [][]int{{f}, {f, 65 - f}} {
-					s := broadcastStride(plainBits, true, rows, sums)
-					if s < 1 || s > maxStride(plainBits, true) {
-						t.Fatalf("%d bits, %d rows, sums %v: the rule picked stride %d", keyBits, rows, sums, s)
-					}
-					picked[s] = true
+				shapes = append(shapes, []int{f}, []int{f, 65 - f})
+			}
+			for _, l := range pickedLayouts(t, plainBits, rows, shapes) {
+				for r := 2; r <= 30; r++ {
+					checkCarry(t, l, plainBits, rows, r, 1, 0)
 				}
 			}
-			for s := range picked {
-				l, err := newReturnLayout(plainBits, s, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for r := 2; r <= 30; r++ {
-					checkCarry(t, l, plainBits, rows, r)
+		}
+	}
+	nn := []struct{ units, batch int }{{2, 32}, {3, 32}, {4, 32}, {2, 64}, {3, 64}, {4, 64}}
+	widths := []int{2, 9, 14, 22, 30}
+	if testing.Short() {
+		nn, widths = nn[1:3], []int{14, 30}
+	}
+	for _, keyBits := range keys {
+		plainBits := keyBits - 1
+		for _, shape := range nn {
+			rows := shape.units * shape.batch
+			var shapes [][]int
+			for dim := 1; dim <= 16; dim++ {
+				k := shape.units * dim
+				shapes = append(shapes, []int{k}, []int{k, k, k})
+			}
+			for _, l := range pickedLayouts(t, plainBits, rows, shapes) {
+				for _, r := range widths {
+					for u := range shape.units {
+						checkCarry(t, l, plainBits, rows, r, shape.units, u)
+					}
 				}
 			}
 		}
 	}
 }
 
+// pickedLayouts is the layout of every stride the rule picks for a batch of
+// rows under each of the hosts' sum counts in shapes.
+func pickedLayouts(t *testing.T, plainBits, rows int, shapes [][]int) map[int]returnLayout {
+	t.Helper()
+	picked := map[int]returnLayout{}
+	for _, sums := range shapes {
+		s := broadcastStride(plainBits, true, rows, sums)
+		if s < 1 || s > maxStride(plainBits, true) {
+			t.Fatalf("%d-bit plaintexts, %d rows, sums %v: the rule picked stride %d", plainBits, rows, sums, s)
+		}
+		l, err := newReturnLayout(plainBits, s, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		picked[s] = l
+	}
+	return picked
+}
+
 // checkCarry is TestBroadcastCarrySafety's check of one layout, batch size
-// and residual width.
-func checkCarry(t *testing.T, l returnLayout, plainBits, rows, r int) {
+// and residual width, for a sum that weighs the rows of unit u of units a
+// sample (every row at units = 1).
+func checkCarry(t *testing.T, l returnLayout, plainBits, rows, r, units, u int) {
 	t.Helper()
 	s, w := l.stride, BroadcastSlotBits
 	if s == 1 {
@@ -72,10 +109,11 @@ func checkCarry(t *testing.T, l returnLayout, plainBits, rows, r int) {
 	}
 	fail := func(what string, args ...any) {
 		t.Helper()
-		t.Fatalf("%d-bit plaintexts, stride %d, %d rows, r = %d: "+what, append([]any{plainBits, s, rows, r}, args...)...)
+		t.Fatalf("%d-bit plaintexts, stride %d, %d rows, r = %d, unit %d of %d: "+what, append([]any{plainBits, s, rows, r, u, units}, args...)...)
 	}
+	weighed := func(row int) bool { return row < rows && row%units == u }
 	qMax := uint64(1)<<r - 1
-	weight := (1<<63 - 1) / (qMax * uint64(rows))
+	weight := (1<<63 - 1) / (qMax * uint64((rows-u+units-1)/units))
 	pts := packBroadcast(nil, rows, s, func(int) uint64 { return qMax })
 	if len(pts) != (rows+s-1)/s {
 		fail("%d broadcast plaintexts", len(pts))
@@ -103,7 +141,7 @@ func checkCarry(t *testing.T, l returnLayout, plainBits, rows, r int) {
 	}{
 		{"positive", func(int) bool { return false }},
 		{"negative", func(int) bool { return true }},
-		{"alternating", func(row int) bool { return row%2 == 1 }},
+		{"alternating", func(row int) bool { return row/units%2 == 1 }},
 	} {
 		// exact[m] is slot m of T as a signed integer: the pairs (l, k) with
 		// k − l = m − (s−1), each over the g where rows g·s+l and g·s+k exist,
@@ -116,7 +154,7 @@ func checkCarry(t *testing.T, l returnLayout, plainBits, rows, r int) {
 		for lane := range s {
 			inner := new(big.Int)
 			for g, pt := range pts {
-				if g*s+lane < rows {
+				if weighed(g*s + lane) {
 					term := new(big.Int).Mul(new(big.Int).SetUint64(weight), toBig(pt))
 					if sign.neg(g*s + lane) {
 						term.Neg(term)
@@ -130,7 +168,7 @@ func checkCarry(t *testing.T, l returnLayout, plainBits, rows, r int) {
 			for k := range s {
 				want := new(big.Int)
 				for g := range pts {
-					if g*s+lane < rows && g*s+k < rows {
+					if weighed(g*s+lane) && g*s+k < rows {
 						v := new(big.Int).SetUint64(weight * qMax)
 						if sign.neg(g*s + lane) {
 							v.Neg(v)

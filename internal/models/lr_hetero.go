@@ -1,11 +1,8 @@
 package models
 
 import (
-	"fmt"
-
 	"flbooster/internal/datasets"
 	"flbooster/internal/fl"
-	"flbooster/internal/paillier"
 )
 
 // HeteroLR is vertically federated logistic regression following the FATE
@@ -44,17 +41,9 @@ type HeteroLR struct {
 
 	opts2 []*Adam // per-party weight optimizers
 	optB  *Adam   // guest bias optimizer
-	// weighted is each party's homomorphic gradient step, kept across
-	// minibatches (only the hosts', p ≥ 1, are used).
-	weighted []weightedSums
-	// hostSums is the sums each host returns a minibatch at most, its
-	// feature count: the public shape BroadcastStride reads.
-	hostSums []int
 
 	// zScale bounds partial scores into the quantizer's interval.
 	zScale float64
-	// fixedPoint is F, the feature fixed-point scale for x̃ = round(|x|·F).
-	fixedPoint float64
 }
 
 // NewHeteroLR partitions ds vertically across the context's parties.
@@ -65,24 +54,19 @@ func NewHeteroLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroLR
 	}
 	parties := len(v.parts)
 	m := &HeteroLR{
-		vertical:   v,
-		W:          make([][]float64, parties),
-		offsets:    make([]int, parties),
-		zScale:     8,
-		fixedPoint: 128,
+		vertical: v,
+		W:        make([][]float64, parties),
+		offsets:  make([]int, parties),
+		zScale:   8,
 	}
 	off := 0
 	m.opts2 = make([]*Adam, parties)
-	m.weighted = make([]weightedSums, parties)
 	m.optB = NewAdam(opts.LearningRate)
 	for p, part := range v.parts {
 		m.W[p] = make([]float64, part.NumFeatures)
 		m.offsets[p] = off
 		off += part.NumFeatures
 		m.opts2[p] = NewAdam(opts.LearningRate)
-		if p > 0 {
-			m.hostSums = append(m.hostSums, part.NumFeatures)
-		}
 	}
 	return m, nil
 }
@@ -155,45 +139,33 @@ func (m *HeteroLR) trainBatch(lo, hi int) error {
 		return err
 	}
 
-	// Steps 3–5: guest residuals, the hosts' gradient steps, and the guest's
-	// gradient and bias step from the plaintext residuals it holds.
+	// Steps 3–5: guest residuals, the hosts' gradient steps — homomorphic,
+	// their sums scaled by 1/(F·n); in oracle mode from the plaintext
+	// residuals — and the guest's gradient and bias step from the plaintext
+	// residuals it holds.
 	var d []float64
 	m.track(func() { d = m.residuals(z, lo) })
-	if err := m.hostSteps(lo, hi, d); err != nil {
+	if m.ctx == nil {
+		for p := 1; p < parties; p++ {
+			m.plainGradientStep(p, lo, hi, d)
+		}
+	} else if err := m.hostSteps(d, 1, lo, hi, "residuals", "grad-sums", "grad-plain", func(p int, sums []float64) {
+		grads := make([]float64, len(m.W[p]))
+		scale := 1 / (fixedPoint * float64(hi-lo))
+		for j, v := range sums {
+			grads[j] = v * scale
+		}
+		for j := range grads {
+			grads[j] += m.opts.L2 * m.W[p][j]
+		}
+		m.opts2[p].Step(m.W[p], grads)
+	}); err != nil {
 		return err
 	}
 	m.track(func() {
 		m.plainGradientStep(0, lo, hi, d)
 		m.biasStep(d, hi-lo)
 	})
-	return nil
-}
-
-// hostSteps runs steps 3–5 for every host: the guest encrypts the residuals s
-// a ciphertext and sends them to the hosts, each of which takes its
-// homomorphic gradient step. In oracle mode each host steps from the
-// plaintext residuals.
-func (m *HeteroLR) hostSteps(lo, hi int, d []float64) error {
-	if m.ctx == nil {
-		for p := 1; p < len(m.parts); p++ {
-			m.plainGradientStep(p, lo, hi, d)
-		}
-		return nil
-	}
-	s := m.ctx.BroadcastStride(hi-lo, m.hostSums)
-	encD, err := m.ctx.EncryptBroadcast(d, s)
-	if err != nil {
-		return err
-	}
-	for p := 1; p < len(m.parts); p++ {
-		m.send(hostName(0), hostName(p), "residuals", m.ctx.CiphertextWireBytes(len(encD)))
-	}
-	for p := 1; p < len(m.parts); p++ {
-		if err := m.hostGradientStep(p, lo, hi, encD, s); err != nil {
-			return fmt.Errorf("models: party %d gradient: %w", p, err)
-		}
-	}
-	fl.ReleaseCiphertexts(encD)
 	return nil
 }
 
@@ -221,38 +193,4 @@ func (m *HeteroLR) plainGradientStep(p, lo, hi int, d []float64) {
 		grads[j] += m.opts.L2 * m.W[p][j]
 	}
 	m.opts2[p].Step(m.W[p], grads)
-}
-
-// hostGradientStep runs steps 4–5 for one host over the stride-s broadcast
-// encD: encrypted weighted sums per feature, arbiter round trip, shift
-// correction, SGD update.
-func (m *HeteroLR) hostGradientStep(p, lo, hi int, encD []paillier.Ciphertext, s int) error {
-	part := m.parts[p]
-	ws := &m.weighted[p]
-	feats := ws.reset(part.NumFeatures)
-	for i := lo; i < hi; i++ {
-		fv := part.Examples[i].Features
-		for k, j := range fv.Idx {
-			if err := feats[j].add(i-lo, fv.Val[k], m.fixedPoint); err != nil {
-				return err
-			}
-		}
-	}
-	route := fl.ReturnRoute{Party: hostName(p), Decryptor: arbiterName, Kind: "grad-sums", ReplyKind: "grad-plain"}
-	sums, err := ws.open(m.ctx, route, encD, s)
-	if err != nil {
-		return err
-	}
-	grads := make([]float64, part.NumFeatures)
-	scale := 1 / (m.fixedPoint * float64(hi-lo))
-	for j, v := range sums {
-		grads[j] = v * scale
-	}
-	m.ctx.TrackOther(func() {
-		for j := range grads {
-			grads[j] += m.opts.L2 * m.W[p][j]
-		}
-		m.opts2[p].Step(m.W[p], grads)
-	})
-	return nil
 }

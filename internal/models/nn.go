@@ -6,7 +6,6 @@ import (
 	"flbooster/internal/datasets"
 	"flbooster/internal/fl"
 	"flbooster/internal/mpint"
-	"flbooster/internal/paillier"
 )
 
 // HeteroNN is a vertically federated neural network with an HE-protected
@@ -20,12 +19,15 @@ import (
 //	m   = σ(z)                           (hidden activation, guest)
 //	ŷ   = σ(w_top · m)                   (top model, guest)
 //
-// Forward activations are an *aggregatable* flow (batch-compressible);
-// backward per-sample hidden deltas E(δ) travel one ciphertext per value and
-// drive the hosts' homomorphic weight-gradient accumulation, mirroring the
-// Hetero LR gradient step per hidden unit; the per-(unit, feature) sums go
-// back to the arbiter on the return path (fl.Context.OpenBroadcastSums at
-// s = 1), packed under batch compression.
+// Forward activations are an *aggregatable* flow (batch-compressible).
+// Backward, the per-sample hidden deltas E(δ), sample by sample and Hidden a
+// sample, drive the hosts' homomorphic weight-gradient accumulation: the
+// Hetero LR gradient step per hidden unit, the same code (vertical.hostSteps).
+// Under batch compression the broadcast carries s deltas a ciphertext, s from
+// fl.Context.BroadcastStride over Hidden × batch rows and Hidden × dim sums a
+// host, and the per-(unit, feature) sums go back to the arbiter packed on the
+// return path (fl.Context.OpenBroadcastSums); without it, one of each a
+// ciphertext.
 type HeteroNN struct {
 	vertical
 
@@ -38,14 +40,10 @@ type HeteroNN struct {
 	Top        []float64
 	TopBias    float64
 
-	actScale   float64 // activation normalization for the quantizer
-	fixedPoint float64 // feature fixed-point scale (as in HeteroLR)
+	actScale float64 // activation normalization for the quantizer
 
 	optW   []*Adam // per-party bottom-tower optimizers
 	optTop *Adam   // guest head: [Top..., HiddenBias..., TopBias]
-	// weighted is each host's homomorphic gradient step, kept across
-	// minibatches.
-	weighted []weightedSums
 }
 
 // NewHeteroNN partitions ds vertically and initializes a two-tower network
@@ -66,12 +64,10 @@ func NewHeteroNN(ctx *fl.Context, ds *datasets.Dataset, hidden int, opts Options
 		HiddenBias: make([]float64, hidden),
 		Top:        make([]float64, hidden),
 		actScale:   8,
-		fixedPoint: 128,
 	}
 	rng := mpint.NewRNG(opts.Seed ^ 0xA5A5)
 	m.optW = make([]*Adam, parties)
 	m.optTop = NewAdam(opts.LearningRate)
-	m.weighted = make([]weightedSums, parties)
 	for p, part := range v.parts {
 		m.W[p] = make([]float64, hidden*part.NumFeatures)
 		for i := range m.W[p] {
@@ -174,31 +170,25 @@ func (m *HeteroNN) trainBatch(lo, hi int) error {
 		return nil
 	}
 
-	// Backward to hosts: per-sample encrypted deltas per hidden unit.
+	// Backward: the guest, which owns the deltas, updates its own tower in
+	// plaintext; every host takes its homomorphic gradient step from the
+	// broadcast deltas, clamped into the quantizer's interval, its sums scaled
+	// by 1/F (the deltas already carry the 1/n).
+	m.track(func() { m.bottomUpdate(0, deltas, lo, hi) })
 	bound := m.ctx.Quant.Alpha()
 	clamped := make([]float64, len(deltas))
 	for i, d := range deltas {
 		clamped[i] = clampGrad(d, bound)
 	}
-	encD, err := m.ctx.EncryptBroadcast(clamped, 1)
-	if err != nil {
-		return err
-	}
-	for p := 1; p < len(m.parts); p++ {
-		m.send(hostName(0), hostName(p), "deltas", m.ctx.CiphertextWireBytes(len(encD)))
-	}
-
-	// Every host accumulates its bottom-tower gradient homomorphically and
-	// round-trips the sums through the arbiter; the guest, which owns the
-	// deltas, computes its own in plaintext.
-	m.track(func() { m.bottomUpdate(0, deltas, lo, hi) })
-	for p := 1; p < len(m.parts); p++ {
-		if err := m.hostBottomUpdate(p, encD, lo, hi); err != nil {
-			return fmt.Errorf("models: party %d bottom update: %w", p, err)
+	return m.hostSteps(clamped, m.Hidden, lo, hi, "deltas", "nn-grad", "nn-grad-plain", func(p int, grads []float64) {
+		if grads == nil {
+			return
 		}
-	}
-	fl.ReleaseCiphertexts(encD)
-	return nil
+		for i := range grads {
+			grads[i] = grads[i]*(1/fixedPoint) + m.opts.L2*m.W[p][i]
+		}
+		m.optW[p].Step(m.W[p], grads)
+	})
 }
 
 // topStep computes the guest-side forward through the top model, updates the
@@ -270,37 +260,4 @@ func (m *HeteroNN) bottomUpdate(p int, deltas []float64, lo, hi int) {
 		grads[i] += m.opts.L2 * m.W[p][i]
 	}
 	m.optW[p].Step(m.W[p], grads)
-}
-
-// hostBottomUpdate runs the encrypted gradient accumulation for one host:
-// for each (hidden unit u, feature j), Σ_i E(δ_iu)^{x̃_ij}, arbiter decrypts,
-// host unshifts and applies SGD — the Hetero LR step per hidden unit.
-func (m *HeteroNN) hostBottomUpdate(p int, encD []paillier.Ciphertext, lo, hi int) error {
-	part := m.parts[p]
-	dim := part.NumFeatures
-	ws := &m.weighted[p]
-	sums := ws.reset(m.Hidden * dim) // row-major by unit, like W[p]
-	for i := lo; i < hi; i++ {
-		fv := part.Examples[i].Features
-		for k, j := range fv.Idx {
-			for u := 0; u < m.Hidden; u++ {
-				if err := sums[u*dim+int(j)].add((i-lo)*m.Hidden+u, fv.Val[k], m.fixedPoint); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	route := fl.ReturnRoute{Party: hostName(p), Decryptor: arbiterName, Kind: "nn-grad", ReplyKind: "nn-grad-plain"}
-	grads, err := ws.open(m.ctx, route, encD, 1)
-	if err != nil || grads == nil {
-		return err
-	}
-	scale := 1 / m.fixedPoint
-	m.ctx.TrackOther(func() {
-		for i := range grads {
-			grads[i] = grads[i]*scale + m.opts.L2*m.W[p][i]
-		}
-		m.optW[p].Step(m.W[p], grads)
-	})
-	return nil
 }

@@ -14,10 +14,10 @@ import (
 // signedSum gathers the terms of one homomorphic weighted sum
 // Σᵢ E(dᵢ)^(σᵢx̃ᵢ): every exponent is the fixed-point |x| of a feature value
 // and its term carries the value's sign, so the key holder opens one signed
-// sum a feature.
+// sum a feature (a hidden unit's feature, for Hetero NN).
 type signedSum struct {
-	// terms pair an offset into the per-sample ciphertexts with the
-	// fixed-point |x| it is weighted by and the sign of x.
+	// terms pair an offset into the broadcast's values with the fixed-point
+	// |x| it is weighted by and the sign of x.
 	terms []mpint.Term
 	// neg and pos are Σx̃ over the negative and the positive terms, exact: the
 	// party's shift correction and, through fl.SumBound, the proof that the
@@ -25,11 +25,11 @@ type signedSum struct {
 	neg, pos uint64
 }
 
-// add records feature value x, in fixed point at the given scale, against the
-// per-sample ciphertext at offset at. Values that round to zero contribute
-// nothing and are skipped.
-func (s *signedSum) add(at int, x, scale float64) error {
-	fp := uint64(math.Abs(x)*scale + 0.5)
+// add records feature value x, in fixed point (fixedPoint), against the
+// broadcast value at offset at. Values that round to zero contribute nothing
+// and are skipped.
+func (s *signedSum) add(at int, x float64) error {
+	fp := uint64(math.Abs(x)*fixedPoint + 0.5)
 	if fp == 0 {
 		return nil
 	}
@@ -47,10 +47,11 @@ func (s *signedSum) add(at int, x, scale float64) error {
 	return nil
 }
 
-// weightedSums is one host's homomorphic gradient step (Hetero LR steps 4–5,
-// Hetero NN per hidden unit), kept by its model across minibatches: the sums
-// a minibatch's terms are gathered in and the batch they are opened as are
-// emptied and refilled, their backing arrays reused, a minibatch at a time.
+// weightedSums is one host's side of the vertical gradient step
+// (vertical.hostSteps: Hetero LR's steps 4–5, Hetero NN's per hidden unit),
+// kept by the skeleton across minibatches: the sums a minibatch's terms are
+// gathered in and the batch they are opened as are emptied and refilled,
+// their backing arrays reused, a minibatch at a time.
 type weightedSums struct {
 	sums   []signedSum
 	batch  [][]mpint.Term
