@@ -21,14 +21,15 @@ func microConfig() bench.Config {
 	return cfg
 }
 
+// benchExperiment times fn on a fresh Runner each iteration: a Runner
+// memoises its runs, so a reused one would time map reads after the first.
 func benchExperiment(b *testing.B, fn func(*bench.Runner, io.Writer) error) {
 	b.Helper()
-	r, err := bench.NewRunner(microConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		r, err := bench.NewRunner(microConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
 		if err := fn(r, io.Discard); err != nil {
 			b.Fatal(err)
 		}

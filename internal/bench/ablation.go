@@ -33,8 +33,8 @@ func (r *Runner) Ablation(w io.Writer) error {
 func (r *Runner) ablationResourceManager(w io.Writer) error {
 	header(w, "Ablation A — resource manager: occupancy at HE register loads")
 	fmt.Fprintf(w, "%6s %8s %14s %14s %14s\n", "Key", "Regs/thr", "Coarse occ.", "Fine occ.", "Fine block")
-	fine := gpu.NewResourceManager(r.cfg.Device, true)
-	coarse := gpu.NewResourceManager(r.cfg.Device, false)
+	fine := gpu.NewResourceManager(gpu.RTX3090(), true)
+	coarse := gpu.NewResourceManager(gpu.RTX3090(), false)
 	for _, keyBits := range r.cfg.KeyBits {
 		limbs := 2 * keyBits / 32 // HE kernels work mod n²
 		regs := 24 + limbs
@@ -178,7 +178,7 @@ func (r *Runner) ablationParMontThreads(w io.Writer) error {
 	header(w, "Ablation D — Algorithm 2 limb-parallel Montgomery, threads per multiplication")
 	fmt.Fprintf(w, "%6s %8s %14s\n", "Key", "Threads", "Wall/mul")
 	rng := mpint.NewRNG(r.cfg.Seed + 1)
-	dev := gpu.MustNew(r.cfg.Device, true)
+	dev := gpu.MustNew(gpu.RTX3090(), true)
 	for _, keyBits := range r.cfg.KeyBits {
 		n := rng.RandBits(keyBits)
 		n[0] |= 1

@@ -18,7 +18,6 @@ import (
 
 	"flbooster/internal/datasets"
 	"flbooster/internal/fl"
-	"flbooster/internal/gpu"
 	"flbooster/internal/models"
 	"flbooster/internal/obs"
 )
@@ -37,10 +36,6 @@ type Config struct {
 	BatchSize int
 	// Seed drives all randomness.
 	Seed uint64
-	// Device is the modelled GPU.
-	Device gpu.Config
-	// NNHidden is the Hetero NN interactive-layer width.
-	NNHidden int
 	// Observe attaches one observability bundle (sim-time span recorder +
 	// metrics registry, seeded from Seed) to every context the runner builds,
 	// so experiments emit traces and publish metrics.
@@ -57,8 +52,6 @@ func Quick() Config {
 		Epochs:    3,
 		BatchSize: 64,
 		Seed:      1,
-		Device:    gpu.RTX3090(),
-		NNHidden:  4,
 	}
 }
 
@@ -86,8 +79,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("bench: need at least one epoch")
 	case c.BatchSize < 1:
 		return fmt.Errorf("bench: batch size must be positive")
-	case c.NNHidden < 1:
-		return fmt.Errorf("bench: NN hidden width must be positive")
 	}
 	return nil
 }
@@ -97,12 +88,20 @@ func ModelNames() []string {
 	return []string{"Homo LR", "Hetero LR", "Hetero SBT", "Hetero NN"}
 }
 
-// Runner caches datasets and HE contexts across experiments (key generation
-// dominates setup cost) and exposes one method per table/figure.
+// nnHidden is the Hetero NN interactive-layer width.
+const nnHidden = 4
+
+// oracle stands for the plaintext baseline in a run key: runEpochs trains it
+// with no HE context.
+const oracle fl.System = "plaintext"
+
+// Runner caches datasets, HE contexts (key generation dominates setup cost)
+// and runs across experiments, and exposes one method per table/figure.
 type Runner struct {
 	cfg  Config
 	data map[string]*datasets.Dataset
 	ctxs map[ctxKey]*fl.Context
+	runs map[runKey]EpochResult
 
 	obs     *obs.Obs      // shared observability bundle (nil unless cfg.Observe)
 	obsCtxs []*fl.Context // every context attached to obs, for PublishMetrics
@@ -111,6 +110,16 @@ type Runner struct {
 type ctxKey struct {
 	sys  fl.System
 	bits int
+}
+
+// runKey names one experiment cell: every table and figure that prints the
+// cell reads the same run.
+type runKey struct {
+	model   string
+	sys     fl.System
+	bits    int
+	dataset string
+	epochs  int
 }
 
 // NewRunner validates the config and prepares caches.
@@ -122,6 +131,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 		cfg:  cfg,
 		data: make(map[string]*datasets.Dataset),
 		ctxs: make(map[ctxKey]*fl.Context),
+		runs: make(map[runKey]EpochResult),
 	}
 	if cfg.Observe {
 		r.obs = obs.New(cfg.Seed)
@@ -188,7 +198,6 @@ func (r *Runner) context(sys fl.System, keyBits int) (*fl.Context, error) {
 // observability bundle under label.
 func (r *Runner) newContext(sys fl.System, keyBits int, label string) (*fl.Context, error) {
 	p := fl.NewProfile(sys, keyBits, r.cfg.Parties)
-	p.Device = r.cfg.Device
 	p.Seed = r.cfg.Seed
 	ctx, err := fl.NewContext(p)
 	if err != nil {
@@ -213,7 +222,7 @@ func (r *Runner) buildModel(name string, ctx *fl.Context, ds *datasets.Dataset) 
 	case "Hetero SBT":
 		return models.NewHeteroSBT(ctx, ds, opts)
 	case "Hetero NN":
-		return models.NewHeteroNN(ctx, ds, r.cfg.NNHidden, opts)
+		return models.NewHeteroNN(ctx, ds, nnHidden, opts)
 	default:
 		return nil, fmt.Errorf("bench: unknown model %q", name)
 	}
@@ -228,42 +237,56 @@ type EpochResult struct {
 	Costs       fl.CostSnapshot
 	Utilization float64
 	Loss        float64
-	WallTotal   time.Duration
+	// Curve holds one point an epoch: the cumulative modelled time and the
+	// loss after it.
+	Curve []Point
 }
 
-// runEpochs trains `epochs` epochs of one model/system/dataset cell and
-// returns the aggregate costs (averaged per epoch by the caller if needed).
+// Point is one epoch of a convergence curve.
+type Point struct {
+	Sim  time.Duration
+	Loss float64
+}
+
+// runEpochs returns the cell of `epochs` epochs of one model/system/dataset,
+// training it on the first call and reading the memo after: a cell is one
+// run however many experiments print it. The oracle system trains the
+// plaintext baseline, with no context and zero costs.
 func (r *Runner) runEpochs(modelName string, sys fl.System, keyBits int, spec datasets.Spec, epochs int) (EpochResult, error) {
+	k := runKey{modelName, sys, keyBits, spec.Name, epochs}
+	if res, ok := r.runs[k]; ok {
+		return res, nil
+	}
 	ds, err := r.dataset(spec)
 	if err != nil {
 		return EpochResult{}, err
 	}
-	ctx, err := r.context(sys, keyBits)
-	if err != nil {
-		return EpochResult{}, err
+	var ctx *fl.Context
+	if sys != oracle {
+		if ctx, err = r.context(sys, keyBits); err != nil {
+			return EpochResult{}, err
+		}
 	}
 	m, err := r.buildModel(modelName, ctx, ds)
 	if err != nil {
 		return EpochResult{}, err
 	}
 	defer m.Close()
-	start := time.Now()
-	var loss float64
+	res := EpochResult{Dataset: spec.Name, Model: modelName, System: sys, KeyBits: keyBits}
 	for e := 0; e < epochs; e++ {
-		if loss, err = m.TrainEpoch(); err != nil {
+		if res.Loss, err = m.TrainEpoch(); err != nil {
 			return EpochResult{}, fmt.Errorf("bench: %s/%s/%s k=%d: %w", modelName, sys, spec.Name, keyBits, err)
 		}
+		if ctx != nil {
+			res.Costs = ctx.Costs.Snapshot()
+		}
+		res.Curve = append(res.Curve, Point{res.Costs.TotalSim(), res.Loss})
 	}
-	return EpochResult{
-		Dataset:     spec.Name,
-		Model:       modelName,
-		System:      sys,
-		KeyBits:     keyBits,
-		Costs:       ctx.Costs.Snapshot(),
-		Utilization: ctx.Utilization(),
-		Loss:        loss,
-		WallTotal:   time.Since(start),
-	}, nil
+	if ctx != nil {
+		res.Utilization = ctx.Utilization()
+	}
+	r.runs[k] = res
+	return res, nil
 }
 
 // fmtDur prints a duration in seconds with adaptive precision, matching the

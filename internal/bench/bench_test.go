@@ -2,24 +2,23 @@ package bench
 
 import (
 	"bytes"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"flbooster/internal/datasets"
 	"flbooster/internal/fl"
-	"flbooster/internal/gpu"
 )
 
-// microConfig keeps unit tests fast: tiny datasets, a 128-bit key, a small
-// simulated device.
+// microConfig keeps unit tests fast: tiny datasets and a 128-bit key.
 func microConfig() Config {
 	cfg := Quick()
 	cfg.Scale = 0.0002
 	cfg.KeyBits = []int{128}
 	cfg.Epochs = 2
 	cfg.BatchSize = 32
-	cfg.Device = gpu.RTX3090()
 	return cfg
 }
 
@@ -37,7 +36,6 @@ func TestConfigValidate(t *testing.T) {
 		func() Config { c := Quick(); c.Parties = 1; return c }(),
 		func() Config { c := Quick(); c.Epochs = 0; return c }(),
 		func() Config { c := Quick(); c.BatchSize = 0; return c }(),
-		func() Config { c := Quick(); c.NNHidden = 0; return c }(),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -183,6 +181,49 @@ func TestAblationOrderingHolds(t *testing.T) {
 		if times[fl.SystemFLBooster] >= times[fl.SystemNoBC] {
 			t.Fatalf("k=%d: removing batch compression should slow the system: %v", tc.keyBits, times)
 		}
+	}
+}
+
+// TestCellsAreRunOnce: a cell two experiments print is one run. Table V's
+// FLBooster column is Table III's digit for digit (a host-clock share makes
+// two trainings differ), and printing Tables III and IV again trains
+// nothing, so the FATE context's nonce stream does not move.
+func TestCellsAreRunOnce(t *testing.T) {
+	r, err := NewRunner(microConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// flbCells maps each row's model, key and dataset to the cell three
+	// columns from the end: FLBooster in both Table III and Table V.
+	flbCells := func(print func(io.Writer) error) map[string]string {
+		var buf bytes.Buffer
+		if err := print(&buf); err != nil {
+			t.Fatal(err)
+		}
+		cells := map[string]string{}
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if f := strings.Fields(line); len(f) > 6 && (f[0] == "Homo" || f[0] == "Hetero") {
+				cells[strings.Join(f[:4], " ")] = f[len(f)-3]
+			}
+		}
+		return cells
+	}
+	t3, t5 := flbCells(r.Table3), flbCells(r.Table5)
+	if len(t3) != len(ModelNames())*len(datasets.AllSpecs()) || !reflect.DeepEqual(t3, t5) {
+		t.Fatalf("Table III FLBooster column %v, Table V's %v", t3, t5)
+	}
+	if err := r.Table4(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	fate := r.ctxs[ctxKey{fl.SystemFATE, 128}]
+	cursor := fate.SeedCursor()
+	for _, print := range []func(io.Writer) error{r.Table3, r.Table4} {
+		if err := print(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fate.SeedCursor(); got != cursor {
+		t.Fatalf("printing Tables III and IV again moved FATE's seed cursor %d → %d", cursor, got)
 	}
 }
 

@@ -23,77 +23,68 @@ func (r *Runner) Fig1(w io.Writer) error {
 			if err != nil {
 				return err
 			}
-			other, he, comm := res.Costs.Shares()
+			_, he, comm := res.Costs.Shares()
 			fmt.Fprintf(w, "%-12s %-10s %12s %12s %12s %12s %7.1f%% %7.1f%%\n",
 				model, spec.Name,
 				fmtDur(res.Costs.TotalSim()), fmtDur(res.Costs.HESim),
 				fmtDur(res.Costs.CommSim), fmtDur(res.Costs.OtherWall),
 				he*100, comm*100)
-			_ = other
 		}
 	}
 	return nil
 }
 
-// Table3 reproduces Table III: average per-epoch running time for FATE,
-// HAFLO, and FLBooster across models, datasets, and key sizes.
-func (r *Runner) Table3(w io.Writer) error {
-	header(w, fmt.Sprintf("Table III — average epoch time (modelled seconds, scale %g)", r.cfg.Scale))
-	systems := []fl.System{fl.SystemFATE, fl.SystemHAFLO, fl.SystemFLBooster}
-	fmt.Fprintf(w, "%-12s %6s  %-10s %12s %12s %12s %10s %10s\n",
-		"Model", "Key", "Dataset", "FATE", "HAFLO", "FLBooster", "vs FATE", "vs HAFLO")
+// grid walks model × key × dataset, the rows of Tables III–V, and hands
+// row the one-epoch cells of systems, in their order.
+func (r *Runner) grid(systems []fl.System, row func(cells []EpochResult)) error {
 	for _, model := range ModelNames() {
 		for _, keyBits := range r.cfg.KeyBits {
 			for _, spec := range datasets.AllSpecs() {
-				times := make(map[fl.System]float64, len(systems))
-				for _, sys := range systems {
-					res, err := r.runEpochs(model, sys, keyBits, spec, 1)
-					if err != nil {
+				cells := make([]EpochResult, len(systems))
+				for i, sys := range systems {
+					var err error
+					if cells[i], err = r.runEpochs(model, sys, keyBits, spec, 1); err != nil {
 						return err
 					}
-					times[sys] = res.Costs.TotalSim().Seconds()
 				}
-				flb := times[fl.SystemFLBooster]
-				speedFATE, speedHAFLO := 0.0, 0.0
-				if flb > 0 {
-					speedFATE = times[fl.SystemFATE] / flb
-					speedHAFLO = times[fl.SystemHAFLO] / flb
-				}
-				fmt.Fprintf(w, "%-12s %6d  %-10s %12.4f %12.4f %12.4f %9.1fx %9.1fx\n",
-					model, keyBits, spec.Name,
-					times[fl.SystemFATE], times[fl.SystemHAFLO], flb,
-					speedFATE, speedHAFLO)
+				row(cells)
 			}
 		}
 	}
 	return nil
+}
+
+// secs is a cell's modelled epoch time in seconds.
+func secs(c EpochResult) float64 { return c.Costs.TotalSim().Seconds() }
+
+// Table3 reproduces Table III: average per-epoch running time for FATE,
+// HAFLO, and FLBooster across models, datasets, and key sizes.
+func (r *Runner) Table3(w io.Writer) error {
+	header(w, fmt.Sprintf("Table III — average epoch time (modelled seconds, scale %g)", r.cfg.Scale))
+	fmt.Fprintf(w, "%-12s %6s  %-10s %12s %12s %12s %10s %10s\n",
+		"Model", "Key", "Dataset", "FATE", "HAFLO", "FLBooster", "vs FATE", "vs HAFLO")
+	return r.grid([]fl.System{fl.SystemFATE, fl.SystemHAFLO, fl.SystemFLBooster}, func(c []EpochResult) {
+		fate, haflo, flb := secs(c[0]), secs(c[1]), secs(c[2])
+		speedFATE, speedHAFLO := 0.0, 0.0
+		if flb > 0 {
+			speedFATE, speedHAFLO = fate/flb, haflo/flb
+		}
+		fmt.Fprintf(w, "%-12s %6d  %-10s %12.4f %12.4f %12.4f %9.1fx %9.1fx\n",
+			c[0].Model, c[0].KeyBits, c[0].Dataset, fate, haflo, flb, speedFATE, speedHAFLO)
+	})
 }
 
 // Table4 reproduces Table IV: HE-operation throughput in gradient instances
 // per second for the three systems.
 func (r *Runner) Table4(w io.Writer) error {
 	header(w, fmt.Sprintf("Table IV — HE throughput (instances/second, scale %g)", r.cfg.Scale))
-	systems := []fl.System{fl.SystemFATE, fl.SystemHAFLO, fl.SystemFLBooster}
 	fmt.Fprintf(w, "%-12s %6s  %-10s %14s %14s %14s\n",
 		"Model", "Key", "Dataset", "FATE", "HAFLO", "FLBooster")
-	for _, model := range ModelNames() {
-		for _, keyBits := range r.cfg.KeyBits {
-			for _, spec := range datasets.AllSpecs() {
-				row := make(map[fl.System]float64, len(systems))
-				for _, sys := range systems {
-					res, err := r.runEpochs(model, sys, keyBits, spec, 1)
-					if err != nil {
-						return err
-					}
-					row[sys] = res.Costs.Throughput()
-				}
-				fmt.Fprintf(w, "%-12s %6d  %-10s %14.0f %14.0f %14.0f\n",
-					model, keyBits, spec.Name,
-					row[fl.SystemFATE], row[fl.SystemHAFLO], row[fl.SystemFLBooster])
-			}
-		}
-	}
-	return nil
+	return r.grid([]fl.System{fl.SystemFATE, fl.SystemHAFLO, fl.SystemFLBooster}, func(c []EpochResult) {
+		fmt.Fprintf(w, "%-12s %6d  %-10s %14.0f %14.0f %14.0f\n",
+			c[0].Model, c[0].KeyBits, c[0].Dataset,
+			c[0].Costs.Throughput(), c[1].Costs.Throughput(), c[2].Costs.Throughput())
+	})
 }
 
 // Fig6 reproduces Figure 6: SM utilization of HAFLO (coarse resource
@@ -124,27 +115,12 @@ func (r *Runner) Fig6(w io.Writer) error {
 // w/o-GHE and w/o-BC variants.
 func (r *Runner) Table5(w io.Writer) error {
 	header(w, fmt.Sprintf("Table V — ablation: module running time (modelled seconds, scale %g)", r.cfg.Scale))
-	systems := []fl.System{fl.SystemFLBooster, fl.SystemNoGHE, fl.SystemNoBC}
 	fmt.Fprintf(w, "%-12s %6s  %-10s %12s %12s %12s\n",
 		"Model", "Key", "Dataset", "FLBooster", "w/o GHE", "w/o BC")
-	for _, model := range ModelNames() {
-		for _, keyBits := range r.cfg.KeyBits {
-			for _, spec := range datasets.AllSpecs() {
-				row := make(map[fl.System]float64, len(systems))
-				for _, sys := range systems {
-					res, err := r.runEpochs(model, sys, keyBits, spec, 1)
-					if err != nil {
-						return err
-					}
-					row[sys] = res.Costs.TotalSim().Seconds()
-				}
-				fmt.Fprintf(w, "%-12s %6d  %-10s %12.4f %12.4f %12.4f\n",
-					model, keyBits, spec.Name,
-					row[fl.SystemFLBooster], row[fl.SystemNoGHE], row[fl.SystemNoBC])
-			}
-		}
-	}
-	return nil
+	return r.grid([]fl.System{fl.SystemFLBooster, fl.SystemNoGHE, fl.SystemNoBC}, func(c []EpochResult) {
+		fmt.Fprintf(w, "%-12s %6d  %-10s %12.4f %12.4f %12.4f\n",
+			c[0].Model, c[0].KeyBits, c[0].Dataset, secs(c[0]), secs(c[1]), secs(c[2]))
+	})
 }
 
 // Fig7 reproduces Figure 7: FLBooster's compression ratio per model and key
@@ -193,7 +169,6 @@ func (r *Runner) Table6(w io.Writer) error {
 func (r *Runner) Fig8(w io.Writer) error {
 	keyBits := r.cfg.KeyBits[0]
 	header(w, fmt.Sprintf("Fig. 8 — convergence on Synthetic at %d-bit keys (cumulative modelled seconds → loss)", keyBits))
-	spec := datasets.SyntheticSpec
 	for _, model := range ModelNames() {
 		fmt.Fprintf(w, "\n%s:\n", model)
 		fmt.Fprintf(w, "  %-12s", "System")
@@ -202,32 +177,15 @@ func (r *Runner) Fig8(w io.Writer) error {
 		}
 		fmt.Fprintln(w)
 		for _, sys := range []fl.System{fl.SystemFATE, fl.SystemHAFLO, fl.SystemFLBooster} {
-			ds, err := r.dataset(spec)
-			if err != nil {
-				return err
-			}
-			ctx, err := r.context(sys, keyBits)
-			if err != nil {
-				return err
-			}
-			m, err := r.buildModel(model, ctx, ds)
+			res, err := r.runEpochs(model, sys, keyBits, datasets.SyntheticSpec, r.cfg.Epochs)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(w, "  %-12s", sys)
-			for e := 0; e < r.cfg.Epochs; e++ {
-				loss, err := m.TrainEpoch()
-				if err != nil {
-					m.Close()
-					return err
-				}
-				t := ctx.Costs.TotalSim().Seconds()
-				fmt.Fprintf(w, "  %18s", fmt.Sprintf("(%.3fs, %.4f)", t, loss))
+			for _, p := range res.Curve {
+				fmt.Fprintf(w, "  %18s", fmt.Sprintf("(%.3fs, %.4f)", p.Sim.Seconds(), p.Loss))
 			}
 			fmt.Fprintln(w)
-			if err := m.Close(); err != nil {
-				return err
-			}
 		}
 	}
 	return nil
@@ -247,29 +205,15 @@ func (r *Runner) Table7(w io.Writer) error {
 	for _, model := range ModelNames() {
 		fmt.Fprintf(w, "%-12s", model)
 		for _, spec := range datasets.AllSpecs() {
-			ds, err := r.dataset(spec)
+			exact, err := r.runEpochs(model, oracle, 0, spec, r.cfg.Epochs)
 			if err != nil {
 				return err
 			}
-			// Plaintext oracle.
-			oracle, err := r.buildModel(model, nil, ds)
-			if err != nil {
-				return err
-			}
-			var lossO float64
-			for e := 0; e < r.cfg.Epochs; e++ {
-				if lossO, err = oracle.TrainEpoch(); err != nil {
-					oracle.Close()
-					return err
-				}
-			}
-			oracle.Close()
-			// FLBooster pipeline.
 			res, err := r.runEpochs(model, fl.SystemFLBooster, keyBits, spec, r.cfg.Epochs)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, " %9.2f%%", models.ConvergenceBias(lossO, res.Loss)*100)
+			fmt.Fprintf(w, " %9.2f%%", models.ConvergenceBias(exact.Loss, res.Loss)*100)
 		}
 		fmt.Fprintln(w)
 	}

@@ -18,6 +18,9 @@ import (
 // check itself stays a two-word reduction. Largest 32-bit prime.
 const verifyPrime = 4294967291
 
+// backoffCap caps a checked op's exponential retry backoff.
+const backoffCap = 64 * time.Millisecond
+
 // CheckedConfig parameterizes a CheckedEngine. The zero value gets sane
 // defaults: 3 retries, 1ms base backoff capped at 64ms, verification off.
 type CheckedConfig struct {
@@ -25,13 +28,11 @@ type CheckedConfig struct {
 	// faults or verification misses. Zero means the default of 3.
 	MaxRetries int
 	// Backoff is the base retry delay; attempt k waits Backoff<<k, capped at
-	// BackoffCap. The wait is charged to the device's modelled clock
+	// backoffCap. The wait is charged to the device's modelled clock
 	// (Stats.SimFaultTime, an Eq. 10 degradation term), not slept on the
 	// host, so degraded experiments report honest timings without running
 	// slower than the faults they simulate.
 	Backoff time.Duration
-	// BackoffCap caps the exponential backoff.
-	BackoffCap time.Duration
 	// VerifyFraction is the fraction of result elements spot-verified per
 	// launch by host residue recomputation, in [0, 1]. Zero disables
 	// verification — corrupted kernels then go undetected.
@@ -47,9 +48,6 @@ func (c CheckedConfig) withDefaults() CheckedConfig {
 	}
 	if c.Backoff <= 0 {
 		c.Backoff = time.Millisecond
-	}
-	if c.BackoffCap <= 0 {
-		c.BackoffCap = 64 * time.Millisecond
 	}
 	return c
 }
@@ -287,10 +285,7 @@ func (mb *member) serve(op vecOp, cfg *CheckedConfig) error {
 		if dev.Health() == gpu.DeviceFailed || attempt >= cfg.MaxRetries {
 			return last
 		}
-		backoff := cfg.Backoff << uint(attempt)
-		if backoff > cfg.BackoffCap {
-			backoff = cfg.BackoffCap
-		}
+		backoff := min(cfg.Backoff<<uint(attempt), backoffCap)
 		dev.ChargeFaultTime(backoff)
 		mb.mu.Lock()
 		mb.stats.Retries++
