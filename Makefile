@@ -63,8 +63,7 @@ reach:
 
 # The chaos/quorum suites and the device fault/watchdog/failover paths
 # exercise goroutines, deadlines, and shared counters — the Table-I platform
-# in core runs on the same executor, and ghe's watchdog test lets abandoned
-# lanes straggle behind their retry — and flserver hosts fl's Coordinator
+# in core runs on the same executor — and flserver hosts fl's Coordinator
 # and Client across real TCP connections (hub, server and client goroutines
 # in one process), as fl's own transport matrix does. mpint's lane-group
 # scratch and paillier's keys are pooled across the executor's workers (about

@@ -109,6 +109,20 @@ func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 			if rep := ctx.FaultReport(); rep.Checked.VerifyFailures == 0 {
 				t.Fatalf("expected verification to catch injected corruption, got %+v", rep.Checked)
 			}
+
+			// A device whose kernels hang: the watchdog gives each stalled launch
+			// up after its modelled window, the checked layer retries it, and
+			// the aggregate is still the healthy run's, bit for bit.
+			stalled, ctx := runOnce(FaultPolicy{
+				Inject: gpu.FaultConfig{Seed: 7, StallProb: 0.25},
+				Check:  ghe.CheckedConfig{MaxRetries: 8},
+			})
+			if !sameBits(stalled, clean) {
+				t.Fatalf("aggregate %v under stall retries, want %v (bit-exact)", stalled, clean)
+			}
+			if rep := ctx.FaultReport(); rep.Injected.Stalls == 0 || rep.WatchdogTrips != rep.Injected.Stalls {
+				t.Fatalf("want every injected stall a watchdog trip, got %d trips for %+v", rep.WatchdogTrips, rep.Injected)
+			}
 		})
 	}
 }

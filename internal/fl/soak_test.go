@@ -177,6 +177,7 @@ func runSoak(cfg soakConfig) (soakSummary, error) {
 		Seed:        cfg.Seed ^ 0xdead,
 		AbortProb:   0.05,
 		CorruptProb: 0.05,
+		StallProb:   0.05,
 		OOMProb:     0.05,
 	}
 	// Full result verification: with silent kernel corruption in the fault

@@ -52,6 +52,16 @@ func (c CheckedConfig) withDefaults() CheckedConfig {
 	return c
 }
 
+// backoff is the wait before retry attempt+1: Backoff<<attempt, saturated at
+// backoffCap. The shift is compared against the cap before it is taken, so no
+// retry count can wrap it negative.
+func (c CheckedConfig) backoff(attempt int) time.Duration {
+	if c.Backoff > backoffCap>>uint(attempt) {
+		return backoffCap
+	}
+	return c.Backoff << uint(attempt)
+}
+
 // CheckedStats counts the checked layer's activity — the fault and retry
 // counters the benchmarks surface next to sim/wall timings. The ops issued and
 // the host ledger — the ranges the host loop served once no device was left,
@@ -135,7 +145,7 @@ func NewCheckedEngine(set *gpu.DeviceSet, cfg CheckedConfig) (*CheckedEngine, er
 	for _, d := range set.Devices() {
 		workers += d.Workers()
 	}
-	c.vecAPI = vecAPI{c.schedule, new(sync.Pool), set.Device(0).Config().KernelDeadline == 0, roundWindow(workers)}
+	c.vecAPI = vecAPI{c.schedule, new(sync.Pool), roundWindow(workers)}
 	c.sched = gpu.ShardOp{Run: c.onMember, Host: c.onHost}
 	for i := range c.members {
 		eng, err := NewEngine(set.Device(i))
@@ -246,25 +256,13 @@ func (c *CheckedEngine) onHost(sh gpu.Shard) error {
 // and verifies. Only typed device failures are retried; anything else is a
 // caller error and surfaces as-is. When the device is declared Failed, or
 // the retry budget is spent without that, the last typed fault goes back to
-// the scheduler, which owns failover.
-//
-// Under a launch watchdog an attempt can be given up with its lanes still
-// running, and they go on writing its result vector after the retry, the host
-// loop or the caller has taken over the shard's elements. So there every
-// attempt writes a vector of its own, copied into the shard's only once the
-// attempt has come back whole and verified: a straggler writes nothing anyone
-// else reads or writes.
+// the scheduler, which owns failover. Every attempt writes the shard's own
+// result elements: a launch returns only once its lanes have.
 func (mb *member) serve(op vecOp, cfg *CheckedConfig) error {
 	dev := mb.eng.dev
-	own := dev.Config().KernelDeadline > 0
 	var last *gpu.KernelError
 	for attempt := 0; ; attempt++ {
-		run := op
-		if own {
-			n := len(op.result())
-			run = op.slice(0, n, make([]mpint.Nat, n))
-		}
-		if err := mb.eng.launch(run); err != nil {
+		if err := mb.eng.launch(op); err != nil {
 			var kerr *gpu.KernelError
 			if !errors.As(err, &kerr) {
 				return err
@@ -273,8 +271,7 @@ func (mb *member) serve(op vecOp, cfg *CheckedConfig) error {
 			mb.mu.Lock()
 			mb.stats.LaunchFaults++
 			mb.mu.Unlock()
-		} else if mb.spotCheck(run, cfg.VerifyFraction) {
-			copy(op.result(), run.result())
+		} else if mb.spotCheck(op, cfg.VerifyFraction) {
 			return nil
 		} else {
 			// The kernel reported success with corrupted contents: feed the
@@ -285,7 +282,7 @@ func (mb *member) serve(op vecOp, cfg *CheckedConfig) error {
 		if dev.Health() == gpu.DeviceFailed || attempt >= cfg.MaxRetries {
 			return last
 		}
-		backoff := min(cfg.Backoff<<uint(attempt), backoffCap)
+		backoff := cfg.backoff(attempt)
 		dev.ChargeFaultTime(backoff)
 		mb.mu.Lock()
 		mb.stats.Retries++

@@ -3,10 +3,10 @@ package ghe
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
+	"flbooster/internal/obs"
 )
 
 // checkedSet builds a CheckedEngine over a fresh set of d small devices.
@@ -142,6 +142,44 @@ func TestCheckedRetriesTransientAborts(t *testing.T) {
 	}
 	if c.Set().Device(0).Stats().SimFaultTime < st.BackoffSim {
 		t.Fatal("retry backoff not charged to the device clock")
+	}
+}
+
+// TestCheckedBackoffSaturates: a retry budget past the width of the backoff's
+// shift still waits a positive backoff no longer than the cap before every
+// retry, and the backoff the stats report is the fault time the device was
+// charged. Every launch aborts and the health machine never fails the device,
+// so the one op spends all 60 retries before the host serves it.
+func TestCheckedBackoffSaturates(t *testing.T) {
+	c := checkedEngine(t, gpu.FaultConfig{Seed: 3, AbortProb: 1}, CheckedConfig{MaxRetries: 60})
+	dev := c.Set().Device(0)
+	dev.SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 1, FailAfter: 1 << 30})
+	rec := obs.NewRecorder(1)
+	dev.SetRecorder(rec, "test")
+	r := mpint.NewRNG(9)
+	m := mpint.NewMont(r.RandPrime(64))
+	a, b := randVec(r, 4, m.N()), randVec(r, 4, m.N())
+	got, err := c.ModMulVec(a, b, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := NewCPUEngine().ModMulVec(a, b, m)
+	sameVec(t, "mod_mul_vec served by the host", got, want)
+	waits := 0
+	for _, sp := range rec.Spans() {
+		if sp.Lane != "gpu.fault" {
+			continue
+		}
+		if waits++; sp.Dur <= 0 || sp.Dur > backoffCap {
+			t.Fatalf("backoff %d waited %v, want (0, 64ms]", waits, sp.Dur)
+		}
+	}
+	st := c.Stats()
+	if waits != 60 || st.Retries != 60 {
+		t.Fatalf("%d backoffs charged for %d retries, want 60 of each", waits, st.Retries)
+	}
+	if fault := dev.Stats().SimFaultTime; st.BackoffSim != fault {
+		t.Fatalf("stats report %v of backoff, the device was charged %v", st.BackoffSim, fault)
 	}
 }
 
@@ -299,30 +337,39 @@ func TestCheckedFailoverBitExact(t *testing.T) {
 }
 
 // TestCheckedStatsDeterministic: identical seeds produce the identical
-// fault/retry/fallback history.
+// fault/retry/fallback history — stalls, their watchdog trips and the modelled
+// time they cost included — and the same results.
 func TestCheckedStatsDeterministic(t *testing.T) {
-	run := func(seed uint64) CheckedStats {
+	run := func(seed uint64) (CheckedStats, gpu.Stats, []mpint.Nat) {
 		c := checkedEngine(t,
-			gpu.FaultConfig{Seed: seed, AbortProb: 0.3, CorruptProb: 0.3},
+			gpu.FaultConfig{Seed: seed, AbortProb: 0.3, CorruptProb: 0.3, StallProb: 0.2},
 			CheckedConfig{VerifyFraction: 1, VerifySeed: seed, MaxRetries: 4})
 		r := mpint.NewRNG(11)
 		n := r.RandPrime(96)
 		m := mpint.NewMont(n)
 		bases := randVec(r, 10, n)
 		exp := r.RandBits(48)
+		var out []mpint.Nat
 		for op := 0; op < 6; op++ {
-			if _, err := c.ModExpVec(bases, exp, m); err != nil {
+			got, err := c.ModExpVec(bases, exp, m)
+			if err != nil {
 				t.Fatal(err)
 			}
+			out = append(out, got...)
 		}
-		return c.Stats()
+		return c.Stats(), c.Set().Device(0).Stats(), out
 	}
-	a, b := run(21), run(21)
+	a, devA, outA := run(21)
+	b, devB, outB := run(21)
 	if a != b {
 		t.Fatalf("checked stats diverged for one seed:\n%+v\n%+v", a, b)
 	}
-	if a.LaunchFaults == 0 && a.VerifyFailures == 0 {
-		t.Fatalf("expected some fault activity: %+v", a)
+	if devA.SimFaultTime != devB.SimFaultTime || devA.WatchdogTrips != devB.WatchdogTrips || devA.FaultStalls != devB.FaultStalls {
+		t.Fatalf("device fault counters diverged for one seed:\n%+v\n%+v", devA, devB)
+	}
+	sameVec(t, "results under one seed", outB, outA)
+	if a.LaunchFaults == 0 || a.VerifyFailures == 0 || devA.WatchdogTrips == 0 {
+		t.Fatalf("expected aborts, corruptions and stalls: %+v, device %+v", a, devA)
 	}
 }
 
@@ -525,38 +572,5 @@ func TestFusedDescriptorsUnderCorruption(t *testing.T) {
 	st, set := c.Stats(), c.Set().Stats()
 	if st.VerifyFailures == 0 || st.Retries == 0 || set.HostShards != 0 {
 		t.Fatalf("want corruptions caught and retried on the device, none served by the host: %+v, set %+v", st, set)
-	}
-}
-
-// TestFramesAreNotPooledUnderAWatchdog: a frame goes back to its engine's pool
-// only where a launch cannot return ahead of its lanes. Over a device with a
-// launch watchdog a released frame is never handed out again and keeps what
-// it staged — an abandoned attempt's lanes may still be reading it.
-func TestFramesAreNotPooledUnderAWatchdog(t *testing.T) {
-	cfg := gpu.SmallTestDevice()
-	cfg.KernelDeadline = time.Second
-	set, err := gpu.NewDeviceSet(cfg, true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	armed, err := NewCheckedEngine(set, CheckedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, eng := range map[string]VectorEngine{"executor": armed, "device": MustEngine(set.Device(0))} {
-		seen := map[*Frame]bool{}
-		for i := 0; i < 50; i++ {
-			f := eng.Frame(4)
-			if seen[f] {
-				t.Fatalf("%s: a released frame came back under a watchdog", name)
-			}
-			seen[f] = true
-			v := f.Vec(4)
-			v[0] = mpint.One()
-			f.Release()
-			if !v[0].IsOne() {
-				t.Fatalf("%s: Release cleared a frame that is not pooled", name)
-			}
-		}
 	}
 }

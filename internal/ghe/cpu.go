@@ -59,10 +59,8 @@ type DecryptKey struct {
 // allocates nothing. One of the seven methods below runs the op; what it returns
 // is carved from the frame, and an op over no items is no op at all.
 //
-// Frames are pooled — unless the engine's devices arm a launch watchdog: a
-// launch it gives up on returns with lanes still running, and they read their
-// descriptor and operands and write their results whenever they get there, so
-// under a watchdog every call works in memory of its own.
+// Frames are pooled: no launch returns ahead of its lanes, so nothing reads
+// a frame once its call has released it.
 type Frame struct {
 	v     vecAPI
 	slots []mpint.Nat // staging, carved up to cap
@@ -90,15 +88,8 @@ func (f *Frame) Vec(n int) []mpint.Nat {
 // modular product, the encryption under either handle, the decryption, the
 // weighted sum, the packing) and they are long enough, and replaces dst[i]
 // otherwise: a caller that hands in a dead batch's
-// values gets its results without allocating limbs. Under a launch watchdog
-// the values are dropped first, so lanes write fresh limbs and an abandoned
-// attempt's stragglers never write limbs the caller reads again.
-func (f *Frame) Into(dst []mpint.Nat) {
-	if !f.v.pooled {
-		clear(dst)
-	}
-	f.into = dst
-}
+// values gets its results without allocating limbs.
+func (f *Frame) Into(dst []mpint.Nat) { f.into = dst }
 
 // result is the next op's result vector of n values: what Into handed in,
 // else staging.
@@ -112,11 +103,9 @@ func (f *Frame) result(n int) []mpint.Nat {
 
 // Release ends the call: nothing of the frame may be used after it.
 func (f *Frame) Release() {
-	if f.v.pooled {
-		clear(f.slots[:f.used]) // a pooled frame must not pin a batch's limbs
-		*f = Frame{v: f.v, slots: f.slots}
-		f.v.frames.Put(f)
-	}
+	clear(f.slots[:f.used]) // a pooled frame must not pin a batch's limbs
+	*f = Frame{v: f.v, slots: f.slots}
+	f.v.frames.Put(f)
 }
 
 // ModExpVarVec computes bases[i]^exps[i] mod m.N() for every i. bases and exps
@@ -138,11 +127,9 @@ func (f *Frame) MultiExpVec(bases []mpint.Nat, sums [][]mpint.Term, m *mpint.Mon
 	if err != nil {
 		return nil, fmt.Errorf("ghe: MultiExpVec: %w", err)
 	}
-	f.multi = multiExpOp{modVec: modVec{outVec{f.result(len(sums))}, m}, bases: bases, sums: sums, tbl: tbl}
+	f.multi = multiExpOp{modVec{outVec{f.result(len(sums))}, m}, bases, sums, tbl}
 	out, err := f.v.run(&f.multi)
-	if err == nil {
-		f.multi.release()
-	}
+	tbl.Release()
 	return out, err
 }
 
@@ -219,7 +206,6 @@ func (f *Frame) MillerRabinVec(ns, as []mpint.Nat) (_ []mpint.Nat, err error) {
 type vecAPI struct {
 	exec   func(op vecOp) error
 	frames *sync.Pool // of *Frame
-	pooled bool       // whether Release fills it: not under a launch watchdog
 	window int        // Miller–Rabin rounds a key-generation launch tests
 }
 
@@ -333,7 +319,7 @@ func (v vecAPI) ModVec(a []mpint.Nat, n mpint.Nat) ([]mpint.Nat, error) {
 type CPUEngine struct{ vecAPI }
 
 // NewCPUEngine returns the host engine.
-func NewCPUEngine() *CPUEngine { return &CPUEngine{vecAPI{runOnHost, new(sync.Pool), true, 1}} }
+func NewCPUEngine() *CPUEngine { return &CPUEngine{vecAPI{runOnHost, new(sync.Pool), 1}} }
 
 // runOnHost executes an op on the host: its set-up stage without a launch,
 // then every lane in order, one item at a time — the serial reference, and

@@ -40,10 +40,8 @@ type vecOp interface {
 	// result is the output vector, one element per item, written in place.
 	result() []mpint.Nat
 	// slice is the op over items [lo, hi): the same arithmetic on the same
-	// elements at the same stream positions, writing out (hi − lo elements) —
-	// result()[lo:hi] for a shard, a vector of its own for an attempt a
-	// watchdog may abandon (checked.go).
-	slice(lo, hi int, out []mpint.Nat) vecOp
+	// elements at the same stream positions, writing result()[lo:hi].
+	slice(lo, hi int) vecOp
 }
 
 // shardOf is op restricted to sh. The shard that covers the op is the op.
@@ -51,7 +49,7 @@ func shardOf(op vecOp, sh gpu.Shard) vecOp {
 	if sh.Len() == len(op.result()) {
 		return op
 	}
-	return op.slice(sh.Lo, sh.Hi, op.result()[sh.Lo:sh.Hi])
+	return op.slice(sh.Lo, sh.Hi)
 }
 
 // natBytes is the device-transfer size of a vector of k-limb values.
@@ -77,6 +75,7 @@ type outVec struct{ out []mpint.Nat }
 
 func (v outVec) result() []mpint.Nat            { return v.out }
 func (v outVec) setup(*gpu.Device) (int, error) { return 0, nil }
+func (v outVec) sub(lo, hi int) outVec          { return outVec{v.out[lo:hi]} }
 
 func (v outVec) Poison(i int) {
 	if v.out[i].Bit(0) == 0 {
@@ -95,8 +94,8 @@ type modVec struct {
 
 func newModVec(n int, m *mpint.Mont) modVec { return modVec{outVec{make([]mpint.Nat, n)}, m} }
 
-func (v modVec) into(out []mpint.Nat) modVec { return modVec{outVec{out}, v.m} }
-func (v modVec) d2h() int64                  { return natBytes(len(v.out), v.m.Limbs()) }
+func (v modVec) sub(lo, hi int) modVec { return modVec{v.outVec.sub(lo, hi), v.m} }
+func (v modVec) d2h() int64            { return natBytes(len(v.out), v.m.Limbs()) }
 func (v modVec) kern(wordOps int64) gpu.Kernel {
 	return gpu.Kernel{RegsPerThread: regsForLimbs(v.m.Limbs()), WordOps: wordOps}
 }
@@ -120,8 +119,8 @@ func (o *modExpOp) kernel(int) gpu.Kernel {
 func (o *modExpOp) h2d() int64             { return natBytes(len(o.bases)+1, o.m.Limbs()) }
 func (o *modExpOp) Lanes(lo, hi int)       { o.m.ExpSchedVec(o.out[lo:hi], o.bases[lo:hi], o.sched) }
 func (o *modExpOp) verify(i int) mpint.Nat { return o.m.Exp(o.bases[i], o.exp) }
-func (o *modExpOp) slice(lo, hi int, out []mpint.Nat) vecOp {
-	return &modExpOp{o.into(out), o.bases[lo:hi], o.exp, o.sched}
+func (o *modExpOp) slice(lo, hi int) vecOp {
+	return &modExpOp{o.sub(lo, hi), o.bases[lo:hi], o.exp, o.sched}
 }
 
 // modExpVarOp is bases[i]^exps[i] mod m, priced at the widest exponent of
@@ -144,8 +143,8 @@ func (o *modExpVarOp) Lanes(lo, hi int) {
 	}
 }
 func (o *modExpVarOp) verify(i int) mpint.Nat { return o.m.Exp(o.bases[i], o.exps[i]) }
-func (o *modExpVarOp) slice(lo, hi int, out []mpint.Nat) vecOp {
-	return &modExpVarOp{o.into(out), o.bases[lo:hi], o.exps[lo:hi]}
+func (o *modExpVarOp) slice(lo, hi int) vecOp {
+	return &modExpVarOp{o.sub(lo, hi), o.bases[lo:hi], o.exps[lo:hi]}
 }
 
 // multiExpOp is Π bases[t.Index]^(±t.Weight) mod m over the terms t of
@@ -161,7 +160,8 @@ func (o *modExpVarOp) slice(lo, hi int, out []mpint.Nat) vecOp {
 // per term. The plan — which bases, which window width — is made when the op
 // is stated, from the launch's shape alone; a shard plans and builds its own
 // table for its own sums, and results are canonical residues either way, so
-// neither the width nor a shard boundary can change a bit. Verification takes
+// neither the width nor a shard boundary can change a bit. A retry rebuilds
+// the rows in place: a row is a function of its base alone. Verification takes
 // every term through the plain exponentiation and folds with the plain
 // product: no table, no shared schedule, a context of its own, so a corrupted
 // table entry (which would skew every sum it feeds) cannot also corrupt the
@@ -171,21 +171,6 @@ type multiExpOp struct {
 	bases []mpint.Nat
 	sums  [][]mpint.Term
 	tbl   *mpint.MultiExpTable // planned over sums; setup builds its rows
-	// attempts counts the set-up stages run. Past the first, lanes of a failed
-	// attempt may still be running behind a watchdog trip (gpu.Device.Launch
-	// returns without them), so a retry never rewrites the table they read and
-	// release never recycles one.
-	attempts int
-}
-
-// replan is a fresh table over sums, a sub-range of the op's own: the indices
-// were checked when the op was stated.
-func (o *multiExpOp) replan(sums [][]mpint.Term) *mpint.MultiExpTable {
-	tbl, err := o.m.NewMultiExpTable(o.bases, sums)
-	if err != nil {
-		panic(err)
-	}
-	return tbl
 }
 
 func (o *multiExpOp) name() string { return "multi_exp_vec" }
@@ -210,42 +195,28 @@ func (o *multiExpOp) kernel(warp int) gpu.Kernel {
 // shipped. A row is priced at the widest: its multiplies, and a Lehmer walk
 // when any row is built from an inverse. A base a negative term refers to
 // with no inverse fails the op with mpint.ErrNotInvertible before a lane
-// runs. A retry builds a table of its own and swaps it in complete.
+// runs.
 func (o *multiExpOp) setup(dev *gpu.Device) (int, error) {
-	tbl := o.tbl
-	if o.attempts++; o.attempts > 1 {
-		tbl = o.replan(o.sums)
-	}
-	rows := tbl.Rows()
+	rows := o.tbl.Rows()
 	if dev == nil {
 		for r := 0; r < rows; r++ {
-			tbl.BuildRow(r)
+			o.tbl.BuildRow(r)
 		}
 	} else {
-		row := tbl.RowMuls() * montMulWordOps(o.m.Limbs())
-		if tbl.Inversions() > 0 {
+		row := o.tbl.RowMuls() * montMulWordOps(o.m.Limbs())
+		if o.tbl.Inversions() > 0 {
 			row += modInverseWordOps(o.m.Limbs())
 		}
 		kern := o.kern(row)
-		kern.Name, kern.Items, kern.Body = "multi_exp_table", rows, gpu.LaneFunc(tbl.BuildRow)
+		kern.Name, kern.Items, kern.Body = "multi_exp_table", rows, gpu.LaneFunc(o.tbl.BuildRow)
 		if _, err := dev.Launch(kern); err != nil {
 			return 0, fmt.Errorf("table build: %w", err)
 		}
 	}
-	o.tbl = tbl
-	if err := tbl.Err(); err != nil {
+	if err := o.tbl.Err(); err != nil {
 		return 0, err
 	}
-	return tbl.Entries(), nil
-}
-
-// release hands the table back to its context's pool when no lane can still
-// be reading it: after a launch that succeeded at its first attempt, or that
-// went to the op's shards and never touched it.
-func (o *multiExpOp) release() {
-	if o.attempts <= 1 {
-		o.tbl.Release()
-	}
+	return o.tbl.Entries(), nil
 }
 
 // h2d is every referenced base once and the sparse weights: a 4-byte index
@@ -273,9 +244,16 @@ func (o *multiExpOp) verify(i int) mpint.Nat {
 	}
 	return prod
 }
-func (o *multiExpOp) slice(lo, hi int, out []mpint.Nat) vecOp {
+
+// slice plans the shard's own table; the indices were checked when the op was
+// stated.
+func (o *multiExpOp) slice(lo, hi int) vecOp {
 	sums := o.sums[lo:hi]
-	return &multiExpOp{modVec: o.into(out), bases: o.bases, sums: sums, tbl: o.replan(sums)}
+	tbl, err := o.m.NewMultiExpTable(o.bases, sums)
+	if err != nil {
+		panic(err)
+	}
+	return &multiExpOp{o.sub(lo, hi), o.bases, sums, tbl}
 }
 
 // modMulOp is a[i]·b[i] mod m in two Montgomery multiplies, (a·R)·b·R⁻¹:
@@ -299,8 +277,8 @@ func (o *modMulOp) Lanes(lo, hi int) {
 	}
 }
 func (o *modMulOp) verify(i int) mpint.Nat { return mpint.ModMul(o.a[i], o.b[i], o.m.N()) }
-func (o *modMulOp) slice(lo, hi int, out []mpint.Nat) vecOp {
-	return &modMulOp{o.into(out), o.a[lo:hi], o.b[lo:hi]}
+func (o *modMulOp) slice(lo, hi int) vecOp {
+	return &modMulOp{o.sub(lo, hi), o.a[lo:hi], o.b[lo:hi]}
 }
 
 // encryptOp is the Paillier encryption E(ms[i]) = gᵐ·rⁿ mod n² under g = n+1,
@@ -333,10 +311,7 @@ func (o *modMulOp) slice(lo, hi int, out []mpint.Nat) vecOp {
 //
 // A lane group's scratch is its own for the length of the call: it is taken
 // from the key's pool when the group starts and handed back when it returns,
-// and the op holds none. Lanes of an attempt a watchdog gave up on may still
-// be running when a retry starts (gpu.Device.Launch returns without them), but
-// they work in the scratch they took and write the attempt's own result vector
-// (member.serve); lanes read nothing but the op's operands.
+// and the op holds none; lanes read nothing but the op's operands.
 type encryptOp struct {
 	modVec // m is key.N2, the width of the ciphertexts
 	ms     []mpint.Nat
@@ -405,8 +380,8 @@ func (o *encryptOp) verify(i int) mpint.Nat {
 	return mpint.ModMul(mpint.AddWord(mpint.Mul(o.ms[i], n), 1), rn, n2)
 }
 
-func (o *encryptOp) slice(lo, hi int, out []mpint.Nat) vecOp {
-	return &encryptOp{o.into(out), o.ms[lo:hi], o.key, o.seed, o.pos + lo}
+func (o *encryptOp) slice(lo, hi int) vecOp {
+	return &encryptOp{o.sub(lo, hi), o.ms[lo:hi], o.key, o.seed, o.pos + lo}
 }
 
 // decryptOp is the Paillier decryption of cs[i] under g = n+1, as one kernel:
@@ -456,8 +431,8 @@ func (o *decryptOp) verify(i int) mpint.Nat {
 	}
 	return mpint.ModMul(mpint.Div(mpint.SubWord(x, 1), n), o.key.Mu, n)
 }
-func (o *decryptOp) slice(lo, hi int, out []mpint.Nat) vecOp {
-	return &decryptOp{outVec{out}, o.cs[lo:hi], o.key}
+func (o *decryptOp) slice(lo, hi int) vecOp {
+	return &decryptOp{o.sub(lo, hi), o.cs[lo:hi], o.key}
 }
 
 // shiftPackOp is Π cs[i·slots+j]^(shiftʲ) mod m over the j the pack has a value
@@ -509,8 +484,8 @@ func (o *shiftPackOp) verify(i int) mpint.Nat {
 	}
 	return prod
 }
-func (o *shiftPackOp) slice(lo, hi int, out []mpint.Nat) vecOp {
-	return &shiftPackOp{o.into(out), o.cs[lo*o.slots : min(hi*o.slots, len(o.cs))], o.slots, o.bits, o.sched}
+func (o *shiftPackOp) slice(lo, hi int) vecOp {
+	return &shiftPackOp{o.sub(lo, hi), o.cs[lo*o.slots : min(hi*o.slots, len(o.cs))], o.slots, o.bits, o.sched}
 }
 
 // elemKind is one of Table I's five arithmetic ops: its kernel name, the
@@ -595,12 +570,12 @@ func (o *elemOp) Lanes(lo, hi int) {
 	}
 }
 func (o *elemOp) verify(i int) mpint.Nat { return o.kind.fn(o.a[i], o.second(i)) }
-func (o *elemOp) slice(lo, hi int, out []mpint.Nat) vecOp {
+func (o *elemOp) slice(lo, hi int) vecOp {
 	b := o.b
 	if !o.kind.shared {
 		b = b[lo:hi]
 	}
-	return &elemOp{outVec{out}, o.kind, o.a[lo:hi], b, o.limbs}
+	return &elemOp{o.sub(lo, hi), o.kind, o.a[lo:hi], b, o.limbs}
 }
 
 // millerRabinOp is one Miller–Rabin round a lane on (ns[i], as[i]) — ns[0] for
@@ -724,12 +699,12 @@ func (o *millerRabinOp) verify(i int) mpint.Nat {
 	return verdict(false)
 }
 
-func (o *millerRabinOp) slice(lo, hi int, out []mpint.Nat) vecOp {
+func (o *millerRabinOp) slice(lo, hi int) vecOp {
 	ns := o.ns
 	if !o.shared() {
 		ns = ns[lo:hi]
 	}
-	return &millerRabinOp{outVec: outVec{out}, ns: ns, as: o.as[lo:hi], limbs: o.limbs}
+	return &millerRabinOp{outVec: o.sub(lo, hi), ns: ns, as: o.as[lo:hi], limbs: o.limbs}
 }
 
 // verdict is a round's result element: 1 when the candidate survived it.

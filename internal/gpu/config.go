@@ -12,10 +12,7 @@
 // their shape. See DESIGN.md §1 for the substitution argument.
 package gpu
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Config describes the modelled device.
 type Config struct {
@@ -45,11 +42,6 @@ type Config struct {
 	// HostWorkers caps the real goroutines used to execute kernels. Zero
 	// means one per host core.
 	HostWorkers int
-	// KernelDeadline arms a per-launch watchdog: a kernel still running after
-	// this long is cancelled and reported as a stall (*KernelError). Zero
-	// disables the watchdog. The deadline bounds real host time, so size it
-	// for the host, not the modelled device.
-	KernelDeadline time.Duration
 }
 
 // Validate reports configuration errors; a zero-valued field that has no
@@ -77,8 +69,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("gpu: config needs TransferBytesPerSec > 0")
 	case c.WordOpsPerSec <= 0:
 		return fmt.Errorf("gpu: config needs WordOpsPerSec > 0")
-	case c.KernelDeadline < 0:
-		return fmt.Errorf("gpu: config needs KernelDeadline >= 0, got %v", c.KernelDeadline)
 	case c.HostWorkers < 0:
 		return fmt.Errorf("gpu: config needs HostWorkers >= 0, got %d", c.HostWorkers)
 	}

@@ -363,15 +363,16 @@ type Kernel struct {
 // distributing items across the host worker pool, and charges the simulated
 // clock with the Eq. 10 compute term. It is the data-parallel path used for
 // "one thread block per ciphertext" kernels. It returns the launch's modelled
-// occupancy. With no watchdog armed and no stall injected a launch allocates
-// nothing (TestLaunchAllocatesNothing; BenchmarkLaunch on the two-core
-// reference box: 250 ns a launch of one chunk, 0.9–1.1 µs one of a chunk a
-// worker, as through the closures this replaced, which took 152 B).
+// occupancy. A launch allocates nothing (TestLaunchAllocatesNothing;
+// BenchmarkLaunch on the two-core reference box: 250 ns a launch of one chunk,
+// 0.9–1.1 µs one of a chunk a worker, as through the closures this replaced,
+// which took 152 B), and it returns only once every lane has.
 //
-// Failure surface: a Failed device refuses the launch outright; an attached
-// FaultInjector may abort, stall, corrupt, or OOM the launch; and when
-// Config.KernelDeadline is set, a watchdog cancels stragglers. All of these
-// return a typed *KernelError and drive the health machine.
+// Failure surface: a Failed device refuses the launch outright, and an
+// attached FaultInjector may abort, stall, corrupt, or OOM it. Every fault but
+// a corruption the body can carry silently is decided before the body runs,
+// returns a typed *KernelError and drives the health machine; a stall also
+// trips the watchdog, which charges WatchdogWindow to the modelled clock.
 func (d *Device) Launch(k Kernel) (float64, error) {
 	if k.Items < 0 {
 		return 0, fmt.Errorf("gpu: kernel %q has negative item count", k.Name)
@@ -400,18 +401,12 @@ func (d *Device) Launch(k Kernel) (float64, error) {
 		fault, poisonItem = injector.decide(k.Items)
 	}
 
-	switch fault {
-	case FaultAbort, FaultOOM:
-		// Both fail before the body runs: an abort yields no results, an OOM
-		// is a working set the device cannot hold.
-		d.failLaunch(fault)
+	if _, ok := k.Body.(Poisoner); fault != "" && (fault != FaultCorrupt || !ok) {
+		// An abort yields no results, an OOM is a working set the device cannot
+		// hold, a stall hangs until the watchdog gives it up, and a corruption
+		// with nothing to poison is visible as a hard fault.
+		d.failLaunch(k.Name, fault)
 		return 0, &KernelError{Kind: fault, Kernel: k.Name, Attempt: attempt}
-	case FaultCorrupt:
-		if _, ok := k.Body.(Poisoner); !ok {
-			// Nothing to poison — the corruption is visible as a hard fault.
-			d.failLaunch(FaultCorrupt)
-			return 0, &KernelError{Kind: FaultCorrupt, Kernel: k.Name, Attempt: attempt}
-		}
 	}
 
 	blockSize := d.rm.PickBlockSize(k.Items, k.RegsPerThread, k.SharedPerBlock)
@@ -424,41 +419,12 @@ func (d *Device) Launch(k Kernel) (float64, error) {
 
 	start := time.Now()
 	st := d.newLaunch(k)
-	deadline := d.cfg.KernelDeadline
-	if fault == FaultStall || deadline > 0 {
-		st.cancel = make(chan struct{})
-		if fault == FaultStall {
-			st.stall = injector
-		}
-	}
-	switch {
-	case st.cancel == nil && st.chunks == 1:
-		// One chunk and nothing that could make the launcher give it up: the
-		// launch never leaves the launching goroutine.
-		st.start(0)
+	if st.chunks == 1 {
+		// One chunk: the launch never leaves the launching goroutine.
 		st.runChunk()
-	case deadline <= 0:
-		// No watchdog; an injected stall merely makes the launch slow.
-		st.start(st.chunks)
+	} else {
+		st.start()
 		<-st.done
-	default:
-		st.start(st.chunks)
-		timer := time.NewTimer(deadline)
-		select {
-		case <-st.done:
-			timer.Stop()
-		case <-timer.C:
-			close(st.cancel)
-			st.release() // its stragglers still read it: the last of them recycles it
-			d.mu.Lock()
-			d.stats.WatchdogTrips++
-			// The watchdog window is real device time lost to the hang.
-			d.recordLocked(k.Name+".watchdog", "gpu.fault", d.stats.SimTime(), deadline)
-			d.stats.SimFaultTime += deadline
-			d.recordFailureLocked(FaultStall)
-			d.mu.Unlock()
-			return 0, &KernelError{Kind: FaultStall, Kernel: k.Name, Attempt: attempt}
-		}
 	}
 	st.release()
 	wall := time.Since(start)
@@ -490,40 +456,38 @@ func (d *Device) Launch(k Kernel) (float64, error) {
 	return occ, nil
 }
 
-// failLaunch records one failed launch under the device mutex.
-func (d *Device) failLaunch(kind FaultKind) {
+// failLaunch records one failed launch under the device mutex. A stall trips
+// the watchdog, whose window is modelled device time lost to the hang.
+func (d *Device) failLaunch(kernel string, kind FaultKind) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if kind == FaultStall {
+		d.stats.WatchdogTrips++
+		d.recordLocked(kernel+".watchdog", "gpu.fault", d.stats.SimTime(), WatchdogWindow)
+		d.stats.SimFaultTime += WatchdogWindow
+	}
 	d.recordFailureLocked(kind)
 }
 
 // launchState is what the goroutines of one launch share: the body, the
 // items cut into contiguous chunks that each goroutine claims one of, and the
-// two counts that end it. A launch of several chunks runs them all on workers
-// and its launcher waits: a launcher that took a chunk itself measured 20%
-// slower a step on epoch_homo_lr_2048 (its lanes ran 1.2–2.4× the CPU time of
-// the same lanes on a worker, on the two-vCPU reference box) for the goroutine
-// start it saved. States are pooled, and a worker is started as
-// `go st.work()` on a func value bound when the state was made — a go
-// statement on a method with arguments allocates a closure for them — so a
-// launch allocates nothing.
-//
-// A launch the watchdog gives up on returns with its lanes still running, so
-// who recycles the state cannot be the launcher: the launcher and every
-// worker hold a reference, and the one that lets the last go puts the state
-// back. An abandoned launch's state therefore stays out of the pool until its
-// last straggler has read it for the last time.
+// count of workers still running that ends it. A launch of several chunks runs
+// them all on workers and its launcher waits: a launcher that took a chunk
+// itself measured 20% slower a step on epoch_homo_lr_2048 (its lanes ran
+// 1.2–2.4× the CPU time of the same lanes on a worker, on the two-vCPU
+// reference box) for the goroutine start it saved. States are pooled: the
+// launcher puts its state back once done has fired, after which no worker
+// reads it. A worker is started as `go st.work()` on a func value bound when
+// the state was made (a go statement on a method with arguments allocates a
+// closure for them), so a launch allocates nothing.
 type launchState struct {
 	body   Body
-	cancel chan struct{}  // closed when the watchdog gives the launch up; nil when none can
-	stall  *FaultInjector // an injected hang every worker sits out first; nil without one
 	items  int
 	chunk  int // items a chunk
 	chunks int
 
 	next atomic.Int32  // the next chunk to claim
 	left atomic.Int32  // workers still running: the one that takes it to zero signals done
-	refs atomic.Int32  // the launcher and the workers: the one that takes it to zero recycles
 	done chan struct{} // buffered, one token a launch
 	work func()        // st.worker
 }
@@ -545,52 +509,32 @@ func (d *Device) newLaunch(k Kernel) *launchState {
 	return st
 }
 
-// start holds the launcher's reference and starts n workers.
-func (st *launchState) start(n int) {
-	st.left.Store(int32(n))
-	st.refs.Store(int32(n) + 1)
-	for ; n > 0; n-- {
+// start starts a worker a chunk.
+func (st *launchState) start() {
+	st.left.Store(int32(st.chunks))
+	for n := st.chunks; n > 0; n-- {
 		go st.work()
 	}
 }
 
-// runChunk claims a chunk and runs its items a lane group at a time. A closed
-// cancel channel (the launch watchdog tripping) stops it at its next group
-// boundary, so a cancelled launch does not keep burning host CPU behind the
-// caller's retry.
+// runChunk claims a chunk and runs its items a lane group at a time.
 func (st *launchState) runChunk() {
 	lo := (int(st.next.Add(1)) - 1) * st.chunk
 	for i, hi := lo, min(lo+st.chunk, st.items); i < hi; i += LaneGroup {
-		select {
-		case <-st.cancel: // nil, and never ready, when no watchdog is armed
-			return
-		default:
-		}
 		st.body.Lanes(i, min(i+LaneGroup, hi))
 	}
 }
 
 func (st *launchState) worker() {
-	if st.stall != nil {
-		st.stall.stall(st.cancel)
-	}
 	st.runChunk()
 	if st.left.Add(-1) == 0 {
 		st.done <- struct{}{}
 	}
-	st.release()
 }
 
-// release lets one reference go; the last one clears the state — an abandoned
-// launch's token is still in done — and pools it.
+// release clears the finished launch's state and pools it.
 func (st *launchState) release() {
-	if st.refs.Add(-1) != 0 {
-		return
-	}
-	if len(st.done) > 0 {
-		<-st.done
-	}
-	st.body, st.cancel, st.stall = nil, nil, nil
+	st.body = nil
 	st.next.Store(0)
 	launchStates.Put(st)
 }

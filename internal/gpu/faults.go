@@ -27,7 +27,9 @@ const (
 	// item's result. The device reports success; only result verification
 	// (ghe.CheckedEngine) detects it.
 	FaultCorrupt FaultKind = "corrupt"
-	// FaultStall is a kernel that hangs past the watchdog deadline.
+	// FaultStall is a kernel that hangs until the device's watchdog gives it
+	// up: decided before the body runs, it costs WatchdogWindow of modelled
+	// time.
 	FaultStall FaultKind = "stall"
 	// FaultOOM is a launch whose working set the device cannot hold: like an
 	// abort, it fails before the kernel runs.
@@ -36,6 +38,12 @@ const (
 	// machine has reached the Failed state.
 	FaultDeviceFailed FaultKind = "device-failed"
 )
+
+// WatchdogWindow is the modelled device time a stalled launch costs: the
+// watchdog deadline the device waits out before it gives the kernel up. It is
+// a constant of the model, charged to Stats.SimFaultTime, never a host timer,
+// so a stall is a function of the seed alone (DESIGN.md §7).
+const WatchdogWindow = 10 * time.Millisecond
 
 // KernelError is the typed failure of one kernel launch.
 type KernelError struct {
@@ -114,8 +122,8 @@ type FaultConfig struct {
 	// CorruptProb is the probability a launch silently corrupts one item's
 	// result through the kernel's Poison callback.
 	CorruptProb float64
-	// StallProb is the probability a launch hangs (until the watchdog
-	// cancels it, or for StallFor when no watchdog is armed).
+	// StallProb is the probability a launch hangs until the watchdog gives
+	// it up, WatchdogWindow later.
 	StallProb float64
 	// OOMProb is the probability a launch fails for want of device memory.
 	OOMProb float64
@@ -124,9 +132,6 @@ type FaultConfig struct {
 	// drives the health machine to Failed. This is the "device dies
 	// mid-round" scenario of the resilience experiment.
 	KillAtLaunch int64
-	// StallFor bounds how long an injected stall blocks when no watchdog
-	// cancels it first. Zero defaults to 50ms.
-	StallFor time.Duration
 }
 
 // Enabled reports whether the config injects any fault at all.
@@ -162,9 +167,6 @@ type FaultInjector struct {
 
 // NewFaultInjector builds an injector from cfg.
 func NewFaultInjector(cfg FaultConfig) *FaultInjector {
-	if cfg.StallFor <= 0 {
-		cfg.StallFor = 50 * time.Millisecond
-	}
 	return &FaultInjector{cfg: cfg, rng: mpint.NewRNG(cfg.Seed)}
 }
 
@@ -212,14 +214,4 @@ func (fi *FaultInjector) decide(items int) (kind FaultKind, poisonItem int) {
 		return FaultOOM, -1
 	}
 	return "", -1
-}
-
-// stall blocks an injected hung kernel until the launch's watchdog cancels
-// it or StallFor elapses, whichever comes first — so stalled goroutines are
-// always reclaimed.
-func (fi *FaultInjector) stall(cancel <-chan struct{}) {
-	select {
-	case <-cancel:
-	case <-time.After(fi.cfg.StallFor):
-	}
 }

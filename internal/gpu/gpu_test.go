@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -52,6 +53,43 @@ func TestLaunchRunsEveryItem(t *testing.T) {
 	}
 	if s.SimComputeTime <= 0 {
 		t.Fatal("simulated compute time not accounted")
+	}
+}
+
+// TestConcurrentLaunchesRunEveryItemOnce: launches from several goroutines at
+// once draw their states from one pool. Each launch runs each of its items
+// exactly once and returns only after every lane has, so a state goes back to
+// the pool only once no worker reads it: the counts are plain ints, read after
+// each launch returns, and the race detector sees any lane still writing.
+func TestConcurrentLaunchesRunEveryItemOnce(t *testing.T) {
+	d := MustNew(SmallTestDevice(), true)
+	const launchers, launches, items = 4, 50, 64
+	errs := make(chan error, launchers)
+	var wg sync.WaitGroup
+	for g := 0; g < launchers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var ran [items]int
+			k := Kernel{Name: "concurrent", Items: items, RegsPerThread: 16, WordOps: 4}.over(func(i int) { ran[i]++ })
+			for l := 1; l <= launches; l++ {
+				if _, err := d.Launch(k); err != nil {
+					errs <- err
+					return
+				}
+				for i, n := range ran {
+					if n != l {
+						errs <- fmt.Errorf("launch %d returned with item %d run %d times", l, i, n)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -219,8 +219,7 @@ func MustGPUBackend(e ghe.VectorEngine) *GPUBackend {
 // (DrawBatch), its values handed to the frame (ghe.Frame.Into) so the lanes
 // write into a dead batch's limbs; what comes back is Fig. 4's convert step
 // on the way down, that batch, the caller's to keep or release. A failed op's
-// batch is dropped, not released: a lane it abandoned may still hold its
-// limbs.
+// batch goes back to the pool: no lane of it runs past the op.
 func (g *GPUBackend) kernel(name string, n, staging int, run func(f *ghe.Frame) ([]mpint.Nat, error)) ([]Ciphertext, error) {
 	f := g.Engine.Frame(staging)
 	defer f.Release()
@@ -228,6 +227,7 @@ func (g *GPUBackend) kernel(name string, n, staging int, run func(f *ghe.Frame) 
 	f.Into(view(f, out))
 	dst, err := run(f)
 	if err != nil {
+		ReleaseBatch(out)
 		return nil, fmt.Errorf("paillier: gpu %s: %w", name, err)
 	}
 	for i, c := range dst {
@@ -321,10 +321,8 @@ func (g *GPUBackend) WeightedSumVec(pk *PublicKey, cs []Ciphertext, sums [][]mpi
 // ShiftPackVec implements Backend as one kernel: a lane a packed ciphertext
 // runs its pack's whole Horner chain.
 func (g *GPUBackend) ShiftPackVec(pk *PublicKey, cs []Ciphertext, slots, slotBits int) ([]Ciphertext, error) {
-	packs := 0
-	if slots > 0 { // else the frame rejects the op
-		packs = (len(cs) + slots - 1) / slots
-	}
+	width := max(slots, 1) // below 1 the frame rejects the op
+	packs := (len(cs) + width - 1) / width
 	return g.kernel("ShiftPackVec", packs, 2*len(cs), func(f *ghe.Frame) ([]mpint.Nat, error) {
 		return f.ShiftPackVec(view(f, cs), slots, slotBits, pk.MontN2())
 	})

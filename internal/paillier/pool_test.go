@@ -2,10 +2,8 @@ package paillier
 
 import (
 	"testing"
-	"time"
 
 	"flbooster/internal/ghe"
-	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
 )
 
@@ -52,45 +50,5 @@ func TestDrawnBatchIsWholeAndEmpty(t *testing.T) {
 			b[i].C = append(c.C, 1, 2, 3)
 		}
 		ReleaseBatch(b)
-	}
-}
-
-// TestKernelUnderWatchdogWritesFreshLimbs: under a launch watchdog an
-// abandoned attempt's lanes may still write their result vector, so there the
-// backend's results are fresh limbs whatever the pool holds, and the batch
-// still decrypts to its sums.
-func TestKernelUnderWatchdogWritesFreshLimbs(t *testing.T) {
-	sk := testKey(t)
-	cfg := gpu.SmallTestDevice()
-	cfg.KernelDeadline = time.Minute
-	be := MustGPUBackend(ghe.MustEngine(gpu.MustNew(cfg, true)))
-	pk := &sk.PublicKey
-	a, err := be.EncryptVec(sk.Holder(), []mpint.Nat{mpint.FromUint64(5), mpint.FromUint64(6)}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := DrawBatch(2)
-	for i := range dead {
-		dead[i].C = append(dead[i].C, make(mpint.Nat, len(sk.N2))...)
-	}
-	released := map[*mpint.Word]bool{&dead[0].C[:1][0]: true, &dead[1].C[:1][0]: true}
-	ReleaseBatch(dead)
-	sum, err := be.AddVec(pk, a, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range sum {
-		if released[&c.C[:1][0]] {
-			t.Fatalf("sum %d was written into a released batch's limbs under a watchdog", i)
-		}
-	}
-	pts, err := be.DecryptVec(sk, sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []uint64{10, 12} {
-		if v, ok := pts[i].Uint64(); !ok || v != want {
-			t.Fatalf("slot %d decrypts to %v, want %d", i, pts[i], want)
-		}
 	}
 }
