@@ -73,6 +73,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -85,6 +86,7 @@ import (
 	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
 	"flbooster/internal/obs"
+	"flbooster/internal/quant"
 )
 
 // demoRound stamps every message of the single demo round so late traffic
@@ -487,6 +489,9 @@ func parseFloats(s string) ([]float64, error) {
 	out := make([]float64, len(parts))
 	for i, p := range parts {
 		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		if err == nil && math.IsNaN(v) {
+			err = quant.ErrNaN
+		}
 		if err != nil {
 			return nil, fmt.Errorf("value %q: %w", p, err)
 		}

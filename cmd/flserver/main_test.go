@@ -14,6 +14,7 @@ import (
 	"flbooster/internal/fl"
 	"flbooster/internal/flnet"
 	"flbooster/internal/obs"
+	"flbooster/internal/quant"
 )
 
 func TestParseFloats(t *testing.T) {
@@ -32,6 +33,16 @@ func TestParseFloats(t *testing.T) {
 	}
 	if _, err := parseFloats("a,b"); err == nil {
 		t.Fatal("non-numeric should fail")
+	}
+	// A NaN has no quantization: it is refused at the flag, not uploaded as +α.
+	for _, s := range []string{"NaN", "0.1,nan", "0, NAN"} {
+		if _, err := parseFloats(s); !errors.Is(err, quant.ErrNaN) {
+			t.Errorf("parseFloats(%q) = %v, want quant.ErrNaN", s, err)
+		}
+	}
+	// ±Inf is a value past the bound and clamps to ±α, as documented.
+	if got, err := parseFloats("Inf,-Inf"); err != nil || !math.IsInf(got[0], 1) || !math.IsInf(got[1], -1) {
+		t.Fatalf("parseFloats(Inf,-Inf) = %v, %v", got, err)
 	}
 }
 

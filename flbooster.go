@@ -51,7 +51,7 @@ type Context = fl.Context
 type Federation = fl.Federation
 
 // RoundPolicy re-exports the fault-tolerance knobs (quorum, phase deadline,
-// retry/backoff) set on Profile.Round; the zero value is strict
+// send retries) set on Profile.Round; the zero value is strict
 // wait-for-all. See DESIGN.md §6.
 type RoundPolicy = fl.RoundPolicy
 

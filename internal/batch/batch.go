@@ -11,6 +11,7 @@ package batch
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"flbooster/internal/mpint"
 	"flbooster/internal/quant"
@@ -159,13 +160,16 @@ func extractBits(words []mpint.Word, bitPos, width uint) uint64 {
 // It appends into dst[:0]: plaintext i is packed into the limbs dst's
 // capacity holds at index i where they are long enough (mpint.Reuse), so a
 // caller that owns a dead batch's values allocates none. Those values are
-// clobbered.
+// clobbered. A NaN gradient fails the whole batch with quant.ErrNaN.
 func (p *Packer) EncodeGradientsInto(dst []mpint.Nat, grads []float64) ([]mpint.Nat, error) {
 	maxV, slotBits := uint64(1)<<p.q.RBits()-1, p.q.SlotBits()
 	out := dst[:0]
 	for base := 0; base < len(grads); base += p.slots {
 		words := mpint.Reuse(mpint.Spare(out), p.words())
 		for s, g := range grads[base:min(base+p.slots, len(grads))] {
+			if math.IsNaN(g) {
+				return nil, fmt.Errorf("batch: gradient %d: %w", base+s, quant.ErrNaN)
+			}
 			v := p.q.Quantize(g)
 			if v > maxV {
 				return nil, fmt.Errorf("batch: value %d at index %d exceeds %d-bit slot", v, base+s, p.q.RBits())

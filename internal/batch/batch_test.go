@@ -2,6 +2,7 @@ package batch
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"flbooster/internal/mpint"
@@ -224,6 +225,28 @@ func TestHomomorphicAggregationThroughPacking(t *testing.T) {
 		if got[i] != wantSums[i] {
 			t.Fatalf("slot %d: aggregated %d, want %d", i, got[i], wantSums[i])
 		}
+	}
+}
+
+// TestEncodeGradientsRejectsNaN: a NaN gradient fails the batch with
+// quant.ErrNaN instead of reaching Quantize's float-to-integer conversion
+// (implementation-defined for NaN: +α on amd64); ±Inf clamps to ±α.
+func TestEncodeGradientsRejectsNaN(t *testing.T) {
+	q := quant.MustNew(0.5, 20, 2)
+	p := mustNew(q, 512)
+	for _, grads := range [][]float64{{math.NaN()}, {0.1, -0.2, math.NaN(), 0.3}} {
+		if _, err := p.EncodeGradientsInto(nil, grads); !errors.Is(err, quant.ErrNaN) {
+			t.Errorf("EncodeGradientsInto(%v) = %v, want quant.ErrNaN", grads, err)
+		}
+	}
+	inf := []float64{math.Inf(1), math.Inf(-1)}
+	got, err := p.EncodeGradientsInto(nil, inf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := p.Pack([]uint64{q.Quantize(0.5), q.Quantize(-0.5)})
+	if err != nil || mpint.Cmp(got[0], want[0]) != 0 {
+		t.Fatalf("±Inf packed as %v, want the ±α clamp %v (%v)", got, want, err)
 	}
 }
 

@@ -84,8 +84,8 @@ func (d DefensePolicy) Validate() error {
 		return fmt.Errorf("fl: negative defense group count %d", d.Groups)
 	case d.Trim < 0:
 		return fmt.Errorf("fl: negative defense trim %d", d.Trim)
-	case d.ClipNorm < 0:
-		return fmt.Errorf("fl: negative defense clip norm %v", d.ClipNorm)
+	case !(d.ClipNorm >= 0) || math.IsInf(d.ClipNorm, 1):
+		return fmt.Errorf("fl: defense clip norm must be finite and non-negative, got %v", d.ClipNorm)
 	}
 	if d.Enabled() && d.Combiner != "" && !knownCombiner(d.Combiner) {
 		return fmt.Errorf("fl: unknown defense combiner %q", d.Combiner)

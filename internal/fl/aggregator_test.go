@@ -24,6 +24,9 @@ func TestDefensePolicyValidation(t *testing.T) {
 		{Groups: -1},
 		{Groups: 3, Trim: -1},
 		{Groups: 3, ClipNorm: -1},
+		{Groups: 3, ClipNorm: math.NaN()}, // NaN would make NormClip never clip
+		{Groups: 3, ClipNorm: math.Inf(1)},
+		{Groups: 3, ClipNorm: math.Inf(-1)},
 		{Groups: 3, Combiner: "bogus"},
 	}
 	for i, d := range bad {

@@ -9,6 +9,7 @@ import (
 	"flbooster/internal/flnet"
 	"flbooster/internal/mpint"
 	"flbooster/internal/paillier"
+	"flbooster/internal/quant"
 )
 
 // toBig is x as a math/big integer, the oracle's arithmetic.
@@ -427,5 +428,12 @@ func TestBroadcastSeeds(t *testing.T) {
 	}
 	if _, err := ctx.EncryptBroadcast(vals, 6); !errors.Is(err, ErrSlotCorrupt) {
 		t.Fatalf("a stride 1,024-bit plaintexts cannot hold: %v, want ErrSlotCorrupt", err)
+	}
+	before := ctx.Costs.Snapshot()
+	if _, err := ctx.EncryptBroadcast([]float64{0.1, math.NaN()}, 1); !errors.Is(err, quant.ErrNaN) {
+		t.Fatalf("a NaN broadcast value: %v, want quant.ErrNaN", err)
+	}
+	if after := ctx.Costs.Snapshot(); after.HEOps != before.HEOps {
+		t.Fatalf("the refused NaN broadcast was charged: %d HE ops, was %d", after.HEOps, before.HEOps)
 	}
 }

@@ -101,10 +101,9 @@ func (c *Client) Upload(tr flnet.Transport, round uint64, grads []float64) (int,
 	}
 	width := len(cts)
 	ReleaseCiphertexts(cts) // framed: the payload is bytes of its own
-	if err := tr.Send(msg); err != nil {
+	if err := c.Ctx.deliver(tr, msg); err != nil {
 		return 0, fmt.Errorf("%w: %w", ErrNotSent, err)
 	}
-	c.Ctx.RecordTransfer(msg.WireSize())
 	return width, nil
 }
 

@@ -213,7 +213,6 @@ func TestTreeRoundSurvivesDroppedUpload(t *testing.T) {
 		Quorum:       8,
 		PhaseTimeout: 200 * time.Millisecond,
 		MaxRetries:   1,
-		Backoff:      time.Millisecond,
 	}
 	ctx, err := NewContext(p)
 	if err != nil {

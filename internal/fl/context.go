@@ -339,6 +339,27 @@ func (c *Context) RecordTransfer(n int64) {
 	c.Costs.AddComm(c.Link.TransferTime(n), n)
 }
 
+// deliver is the round's one real send: a failed send is re-sent at once,
+// up to Profile.Round.MaxRetries times. No transport here has a failure that
+// waiting clears, so a retry costs wire, not wall time: each failed attempt
+// that is followed by a retry is charged as retry traffic through the link
+// model, the delivered message as one transfer. A send that never succeeds
+// returns the last attempt's error.
+func (c *Context) deliver(tr flnet.Transport, msg flnet.Message) error {
+	size := msg.WireSize()
+	for retry := 0; ; retry++ {
+		err := tr.Send(msg)
+		if err == nil {
+			c.RecordTransfer(size)
+			return nil
+		}
+		if retry == c.Profile.Round.MaxRetries {
+			return err
+		}
+		c.Costs.AddRetry(c.Link.TransferTime(size), size)
+	}
+}
+
 // TrackOther measures fn as model-computation ("other") time.
 func (c *Context) TrackOther(fn func()) {
 	start := time.Now()

@@ -15,11 +15,11 @@ import (
 // only as frames on a flnet.Transport: it gathers "grads" uploads, seals them
 // into one aggregate frame, journals it and sends it back. It owns the
 // Aggregation, the drop budget and the typed RoundErrors, the stale /
-// duplicate / not-scheduled discards, the resume-probe replies, the send
-// retries, the journal records and their order, and the broadcast-boundary
-// resume. What differs between the hosts that run it — the in-process
-// Federation, cmd/flserver over TCP — arrives as an argument: which uploads
-// to expect, who receives the broadcast, the drain signal.
+// duplicate / not-scheduled discards, the resume-probe replies, the journal
+// records and their order, and the broadcast-boundary resume. What differs
+// between the hosts that run it — the in-process Federation, cmd/flserver
+// over TCP — arrives as an argument: which uploads to expect, who receives
+// the broadcast, the drain signal.
 //
 // Across rounds it carries the durability state: the (optional) write-ahead
 // journal, the epoch it serves, and the resume position a crash recovery
@@ -80,8 +80,8 @@ type Round struct {
 	quorum  int
 	attempt uint32 // execution count across coordinator restarts
 
-	tr      flnet.Transport       // sends retry per the policy, receives pass through
-	retrier *flnet.RetryTransport // nil when MaxRetries is 0
+	tr       flnet.Transport // the host's; sends go through Context.deliver
+	retries0 int64           // the ledger's RetryMsgs when the round began
 
 	included    []string              // clients delivered to agg, canonical order once gathered
 	waiting     map[string]bool       // Gather's wave: who has yet to upload; cleared a wave
@@ -143,24 +143,12 @@ func (c *Coordinator) Begin(sched Schedule, tr flnet.Transport) (*Round, error) 
 		quorum:        policy.EffectiveQuorum(len(sched.Cohort)),
 		attempt:       attempt,
 		tr:            tr,
+		retries0:      ctx.Costs.Snapshot().RetryMsgs,
 		dropped:       make(map[string]RoundPhase),
 		included:      make([]string, 0, len(sched.Cohort)),
 		waiting:       make(map[string]bool),
 		agg:           ctx.NewAggregation(sched.Round, sched.Cohort),
 		phaseRecorder: phaseRecorder{ctx: ctx, anat: &RoundAnatomy{Round: sched.Round}},
-	}
-	if policy.MaxRetries > 0 {
-		rd.retrier = flnet.NewRetryTransport(tr, flnet.RetryPolicy{
-			MaxRetries: policy.MaxRetries,
-			Backoff:    policy.Backoff,
-			Seed:       ctx.Profile.Seed ^ sched.Round,
-		})
-		// Retransmissions are real wire traffic: charge each re-attempt to
-		// the communication component so the cost model stays honest.
-		rd.retrier.OnRetry = func(msg flnet.Message, attempt int, err error) {
-			ctx.Costs.AddRetry(ctx.Link.TransferTime(msg.WireSize()), msg.WireSize())
-		}
-		rd.tr = rd.retrier
 	}
 	switch {
 	case len(sched.Cohort) == 0:
@@ -186,11 +174,6 @@ func (c *Coordinator) Begin(sched Schedule, tr flnet.Transport) (*Round, error) 
 
 // Schedule is what the round's parties agreed on without a message.
 func (rd *Round) Schedule() Schedule { return rd.sched }
-
-// Transport is the transport the round sends on: the one Begin was given,
-// behind the policy's send retries. A host that also runs clients hands it
-// to them, so one retry budget and one retry count cover the round.
-func (rd *Round) Transport() flnet.Transport { return rd.tr }
 
 // Resumed reports whether Begin rehydrated a journaled aggregate: the round
 // skips the gather and goes straight to Broadcast.
@@ -228,9 +211,7 @@ func (rd *Round) Report() RoundReport {
 		PeakLiveCts: rd.peakLive,
 		Tree:        rd.treeStats,
 		Anatomy:     rd.anat,
-	}
-	if rd.retrier != nil {
-		rep.Retries = rd.retrier.Retries()
+		Retries:     rd.c.ctx.Costs.Snapshot().RetryMsgs - rd.retries0,
 	}
 	if n := len(rd.included); n > 0 {
 		rep.Scale = float64(rd.c.ctx.Profile.Parties) / float64(n)
@@ -382,9 +363,7 @@ func (rd *Round) answerResume(msg flnet.Message) {
 		decision = adm.Decide(tok)
 	}
 	reply := flnet.Message{From: ServerName, To: msg.From, Kind: decision.Kind, Round: id, Payload: decision.Token.Encode()}
-	if err := rd.tr.Send(reply); err == nil {
-		ctx.RecordTransfer(reply.WireSize())
-	}
+	ctx.deliver(rd.tr, reply) // a reply that cannot be sent leaves the probe unanswered
 	if decision.Kind == flnet.KindResumeOK {
 		ctx.metricAdd("rejoin_resumes", 1)
 	} else {
@@ -476,14 +455,13 @@ func (rd *Round) Broadcast(recipients []string) (reached []string, err error) {
 		kind := rd.c.ctx.AggregateKind()
 		for _, name := range recipients {
 			msg := flnet.Message{From: ServerName, To: name, Kind: kind, Round: rd.sched.Round, Payload: rd.frame}
-			if err := rd.tr.Send(msg); err != nil {
+			if err := rd.c.ctx.deliver(rd.tr, msg); err != nil {
 				if rerr := rd.Drop(PhaseBroadcast, name, err); rerr != nil {
 					return rerr
 				}
 				continue
 			}
 			reached = append(reached, name)
-			rd.c.ctx.RecordTransfer(msg.WireSize())
 		}
 		if len(reached) == 0 {
 			return rd.Fail(PhaseBroadcast, "", fmt.Errorf("aggregate reached no client"))

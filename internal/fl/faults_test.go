@@ -81,7 +81,6 @@ func quorumProfile(sys System) Profile {
 		Quorum:       3,
 		PhaseTimeout: 200 * time.Millisecond,
 		MaxRetries:   2,
-		Backoff:      time.Millisecond,
 	}
 	return p
 }
@@ -260,6 +259,76 @@ func TestRetryPolicyAbsorbsTransientSendFailure(t *testing.T) {
 	bound := 4 * ctx.Quant.MaxError()
 	if d := sum[0] - 0.4; d > bound || d < -bound {
 		t.Fatalf("sum = %v, want 0.4", sum[0])
+	}
+}
+
+// failingUploads fails the first n upload sends of one client and records
+// the wire size of the frame it refused.
+type failingUploads struct {
+	flnet.Transport
+	from string
+	n    int
+	size int64
+}
+
+func (f *failingUploads) Send(msg flnet.Message) error {
+	if msg.From == f.from && msg.Kind == "grads" && f.n > 0 {
+		f.n--
+		f.size = msg.WireSize()
+		return errors.New("injected upload failure")
+	}
+	return f.Transport.Send(msg)
+}
+
+// TestRetryPolicyGivesUpWithinQuorum: a client whose upload fails on every
+// one of its 1+MaxRetries attempts is dropped in the upload phase, inside the
+// quorum budget, and each of the MaxRetries re-sends is charged as retry
+// traffic through the link model — over the same round with no retry budget,
+// which drops the client after its one attempt, the ledger grows by exactly
+// MaxRetries frames, and the report counts them.
+func TestRetryPolicyGivesUpWithinQuorum(t *testing.T) {
+	run := func(retries int) (RoundReport, []float64, *Context, int64) {
+		p := quorumProfile(SystemFLBooster)
+		p.Round.MaxRetries = retries
+		ctx, err := NewContext(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fed := NewFederation(ctx)
+		defer fed.Close()
+		ft := &failingUploads{Transport: fed.Transport, from: ClientName(2), n: retries + 1}
+		fed.Transport = ft
+		grads := [][]float64{{0.1, -0.2}, {0.1, -0.2}, {0.1, -0.2}, {0.1, -0.2}}
+		sum, rep, err := fed.SecureAggregateReport(grads)
+		if err != nil {
+			t.Fatalf("MaxRetries %d: a client that gives up must be dropped within the budget: %v", retries, err)
+		}
+		if phase, ok := rep.Dropped[ClientName(2)]; !ok || phase != PhaseUpload || len(rep.Included) != 3 {
+			t.Fatalf("MaxRetries %d: dropped = %v, included = %v; want client2 lost in upload", retries, rep.Dropped, rep.Included)
+		}
+		return rep, sum, ctx, ft.size
+	}
+	_, _, clean, _ := run(0)
+	const maxRetries = 2
+	rep, sum, ctx, size := run(maxRetries)
+	if rep.Retries != maxRetries {
+		t.Fatalf("report counts %d retries, want %d", rep.Retries, maxRetries)
+	}
+	c, b := ctx.Costs.Snapshot(), clean.Costs.Snapshot()
+	if got := c.RetryMsgs - b.RetryMsgs; got != maxRetries {
+		t.Fatalf("ledger charged %d retries, want %d", got, maxRetries)
+	}
+	if got, want := c.CommBytes-b.CommBytes, maxRetries*size; got != want {
+		t.Fatalf("retries added %d wire bytes, want %d × %d", got, maxRetries, size)
+	}
+	if got, want := c.CommSim-b.CommSim, maxRetries*ctx.Link.TransferTime(size); got != want {
+		t.Fatalf("retries added %v of wire time, want %v", got, want)
+	}
+	bound := 4 * rep.Scale * ctx.Quant.MaxError()
+	for i, want := range []float64{0.4, -0.8} {
+		if d := sum[i] - want; d > bound || d < -bound {
+			t.Fatalf("sum[%d] = %v, want the scaled 3-of-4 estimate %v ± %v", i, sum[i], want, bound)
+		}
 	}
 }
 

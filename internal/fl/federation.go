@@ -243,7 +243,7 @@ func (f *Federation) uploadWave(rd *Round, wave []string, grads [][]float64) err
 		if cl == nil {
 			return rd.Fail(PhaseUpload, name, fmt.Errorf("fl: %q is not a client of this federation", name))
 		}
-		_, err := cl.Upload(rd.Transport(), rd.Schedule().Round, grads[cl.Index])
+		_, err := cl.Upload(f.Transport, rd.Schedule().Round, grads[cl.Index])
 		if err == nil {
 			f.sent = append(f.sent, name)
 		} else if !errors.Is(err, ErrNotSent) {
@@ -274,7 +274,7 @@ func (f *Federation) decrypt(rd *Round, reached []string, count int) ([]float64,
 	copies := make([]delivery, 0, len(reached))
 	for _, name := range reached {
 		cl := f.clients[name]
-		frame, stale, err := cl.Receive(rd.Transport(), sched.Round, deadline)
+		frame, stale, err := cl.Receive(f.Transport, sched.Round, deadline)
 		rd.Observe(stale, nil)
 		if err != nil {
 			if rerr := rd.Drop(PhaseDecrypt, name, err); rerr != nil {

@@ -2,11 +2,13 @@ package fl
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"flbooster/internal/batch"
 	"flbooster/internal/gpu"
 	"flbooster/internal/paillier"
+	"flbooster/internal/quant"
 )
 
 // testProfile returns a fast configuration for unit tests: small key, small
@@ -90,6 +92,13 @@ func TestProfileValidation(t *testing.T) {
 	bad.Device = gpu.Config{}
 	if err := bad.Validate(); err == nil {
 		t.Error("GPU profile with bad device should fail")
+	}
+	for _, alpha := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		bad = NewProfile(SystemFATE, 1024, 4)
+		bad.GradBound = alpha
+		if err := bad.Validate(); err == nil {
+			t.Errorf("gradient bound %v should fail", alpha)
+		}
 	}
 }
 
@@ -236,6 +245,15 @@ func TestSecureAggregateValidation(t *testing.T) {
 	grads := [][]float64{{1}, {1}, {1}, {1, 2}}
 	if _, err := fed.SecureAggregate(grads); err == nil {
 		t.Fatal("ragged gradient vectors should fail")
+	}
+	// A NaN has no quantization: it fails the round before anything is
+	// encrypted or charged, instead of uploading as +α.
+	before := ctx.Costs.Snapshot()
+	if sum, err := fed.SecureAggregate([][]float64{{math.NaN()}, {0}, {0}, {0}}); !errors.Is(err, quant.ErrNaN) {
+		t.Fatalf("NaN gradient aggregated to %v, %v; want quant.ErrNaN", sum, err)
+	}
+	if after := ctx.Costs.Snapshot(); after.HEOps != before.HEOps || after.EncodeVals != before.EncodeVals {
+		t.Fatalf("the refused NaN was charged: %+v, was %+v", after, before)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"flbooster/internal/ghe"
 	"flbooster/internal/gpu"
+	"flbooster/internal/quant"
 )
 
 // System identifies which evaluated system a profile reproduces.
@@ -149,14 +150,15 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("fl: key size %d is odd", p.KeyBits)
 	case p.Parties < 1:
 		return fmt.Errorf("fl: need at least one party, got %d", p.Parties)
-	case p.RBits < 2:
-		return fmt.Errorf("fl: r = %d too small", p.RBits)
-	case p.GradBound <= 0:
-		return fmt.Errorf("fl: gradient bound must be positive")
 	case p.Devices < 0:
 		return fmt.Errorf("fl: negative device count %d", p.Devices)
 	case p.Devices > gpu.MaxDevices:
 		return fmt.Errorf("fl: device count %d exceeds %d", p.Devices, gpu.MaxDevices)
+	}
+	// The quantizer owns what a usable α and r are: a finite α > 0, r in
+	// [2, 52], and r plus the parties' overflow bits inside a word.
+	if _, err := quant.New(p.GradBound, p.RBits, p.Parties); err != nil {
+		return err
 	}
 	if err := p.Round.Validate(p.Parties); err != nil {
 		return err

@@ -58,11 +58,9 @@ type RoundPolicy struct {
 	// deadlines. Tolerating *silent* drops (as opposed to failed sends,
 	// which the sender observes) requires a positive PhaseTimeout.
 	PhaseTimeout time.Duration
-	// MaxRetries re-attempts failed sends before dropping the party.
+	// MaxRetries re-sends a failed send at once, up to this many times,
+	// before dropping the party; each retry is charged as wire traffic.
 	MaxRetries int
-	// Backoff is the initial retry backoff (doubled per attempt, jittered);
-	// 0 retries immediately.
-	Backoff time.Duration
 }
 
 // EffectiveQuorum resolves the policy's quorum for a party count.
@@ -84,8 +82,6 @@ func (rp RoundPolicy) Validate(parties int) error {
 		return fmt.Errorf("fl: negative phase timeout %v", rp.PhaseTimeout)
 	case rp.MaxRetries < 0:
 		return fmt.Errorf("fl: negative retry count %d", rp.MaxRetries)
-	case rp.Backoff < 0:
-		return fmt.Errorf("fl: negative backoff %v", rp.Backoff)
 	}
 	return nil
 }
@@ -100,7 +96,8 @@ type RoundReport struct {
 	Included []string
 	// Dropped maps a dropped client to the phase that lost it.
 	Dropped map[string]RoundPhase
-	// Retries counts send re-attempts across all phases.
+	// Retries counts send re-attempts across all phases: the ledger's
+	// RetryMsgs grew by exactly this much since Begin.
 	Retries int64
 	// Stale counts discarded messages from earlier rounds.
 	Stale int

@@ -28,7 +28,7 @@ func TestRoundPolicyValidate(t *testing.T) {
 	if err := (RoundPolicy{}).Validate(4); err != nil {
 		t.Fatalf("zero policy must be valid: %v", err)
 	}
-	ok := RoundPolicy{Quorum: 3, PhaseTimeout: time.Second, MaxRetries: 2, Backoff: time.Millisecond}
+	ok := RoundPolicy{Quorum: 3, PhaseTimeout: time.Second, MaxRetries: 2}
 	if err := ok.Validate(4); err != nil {
 		t.Fatalf("sound policy rejected: %v", err)
 	}
@@ -37,7 +37,6 @@ func TestRoundPolicyValidate(t *testing.T) {
 		{Quorum: 5},
 		{PhaseTimeout: -time.Second},
 		{MaxRetries: -1},
-		{Backoff: -time.Millisecond},
 	}
 	for i, p := range bad {
 		if err := p.Validate(4); err == nil {

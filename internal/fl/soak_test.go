@@ -161,7 +161,6 @@ func runSoak(cfg soakConfig) (soakSummary, error) {
 		Quorum:       cfg.Quorum,
 		PhaseTimeout: cfg.PhaseTimeout,
 		MaxRetries:   2,
-		Backoff:      time.Millisecond,
 	}
 	// Factor 3 keeps boosted uploads inside the quantizer's ±1 bound
 	// (gradients are drawn in [-0.25, 0.25)) so the attack is never masked

@@ -3,6 +3,7 @@ package fl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"flbooster/internal/flnet"
 	"flbooster/internal/mpint"
 	"flbooster/internal/paillier"
+	"flbooster/internal/quant"
 )
 
 // Vertical-protocol helpers. The hetero models exchange three kinds of HE
@@ -168,10 +170,14 @@ func broadcastStride(plainBits int, packed bool, rows int, sums []int) int {
 // plaintext g is Σₖ q(vals[g·s+k])·2^(k·W), each value quantized on its own,
 // and the ⌈len(vals)/s⌉ plaintexts are one charged public-key batch. The
 // plaintexts are written into the limbs of a dead plaintext batch and handed
-// back once encrypted.
+// back once encrypted. A NaN value fails with quant.ErrNaN before anything is
+// encrypted or charged; ±Inf clamps to ±α like any value past the bound.
 func (c *Context) EncryptBroadcast(vals []float64, s int) ([]paillier.Ciphertext, error) {
 	if _, err := c.layout(s); err != nil {
 		return nil, err
+	}
+	if i := slices.IndexFunc(vals, math.IsNaN); i >= 0 {
+		return nil, fmt.Errorf("fl: broadcast value %d: %w", i, quant.ErrNaN)
 	}
 	pts := packBroadcast(arena.getPlain((len(vals)+s-1)/s), len(vals), s,
 		func(i int) uint64 { return c.Quant.Quantize(vals[i]) })

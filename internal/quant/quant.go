@@ -13,7 +13,16 @@
 // the paper's formula at α = ½ and keeps every α usable.
 package quant
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
+
+// ErrNaN rejects a NaN gradient. A NaN has no place in [−α, α], and the
+// float-to-integer conversion Quantize would reach is implementation-defined
+// for it, so it is refused before it is encoded rather than clamped like ±Inf.
+var ErrNaN = errors.New("quant: gradient is NaN")
 
 // Quantizer converts bounded floats to fixed-width unsigned integers and
 // back. The zero value is not usable; construct with New.
@@ -29,8 +38,8 @@ type Quantizer struct {
 // with headroom for summing values from `participants` parties.
 func New(alpha float64, rBits uint, participants int) (*Quantizer, error) {
 	switch {
-	case alpha <= 0:
-		return nil, fmt.Errorf("quant: gradient bound must be positive, got %v", alpha)
+	case !(alpha > 0) || math.IsInf(alpha, 1):
+		return nil, fmt.Errorf("quant: gradient bound must be finite and positive, got %v", alpha)
 	case rBits < 2 || rBits > 52:
 		// Above 52 bits a float64 cannot address individual steps.
 		return nil, fmt.Errorf("quant: r must be in [2, 52], got %d", rBits)
@@ -90,8 +99,9 @@ func (q *Quantizer) Step() float64 { return 2 * q.alpha / float64(q.maxQ) }
 func (q *Quantizer) MaxError() float64 { return q.Step() / 2 }
 
 // Quantize maps m ∈ [−α, α] to an unsigned integer in [0, 2^r−1]. Values
-// outside the bound are clamped — the behaviour gradient clipping gives FL
-// training — never wrapped.
+// outside the bound, ±Inf included, are clamped — the behaviour gradient
+// clipping gives FL training — never wrapped. m must not be NaN (ErrNaN):
+// the encoders reject one before it gets here.
 func (q *Quantizer) Quantize(m float64) uint64 {
 	if m <= -q.alpha {
 		return 0

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -12,6 +13,7 @@ func TestNewValidation(t *testing.T) {
 		p     int
 	}{
 		{0, 32, 4}, {-1, 32, 4}, {1, 1, 4}, {1, 60, 4}, {1, 32, 0}, {1, 62, 4},
+		{math.NaN(), 32, 4}, {math.Inf(1), 32, 4}, {math.Inf(-1), 32, 4},
 	}
 	for _, c := range cases {
 		if _, err := New(c.alpha, c.r, c.p); err == nil {
