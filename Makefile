@@ -95,10 +95,11 @@ fuzz:
 # One iteration of every benchmark in the HE hot-path packages: catches
 # benchmarks that no longer compile or crash without paying for real timing
 # runs. -benchmem puts allocs/op in the CI log, so allocation drift in the
-# mpint/paillier hot paths — and in the launch itself, gpu's BenchmarkLaunch —
-# is visible next to the AllocsPerRun ceilings.
+# mpint/paillier hot paths — in the launch itself, gpu's BenchmarkLaunch, and
+# in an upload wave as one host job, fl's BenchmarkUploadWave — is visible
+# next to the AllocsPerRun ceilings.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/mpint ./internal/gpu ./internal/ghe ./internal/paillier
+	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/mpint ./internal/gpu ./internal/ghe ./internal/paillier ./internal/fl
 
 # The repository benchmark (benchmark/README.md) at its seconds-not-minutes
 # sizing, two full sets on one seed, with -check: a modelled metric

@@ -299,13 +299,17 @@ func generateDense(spec Spec, seed uint64) *Dataset {
 	for i := range truth {
 		truth[i] = rng.NormFloat64() / float64(spec.Features)
 	}
+	// Every row's indices are 0…F−1 and nothing writes Features.Idx, so the
+	// rows share one read-only index vector.
+	idx := make([]int32, spec.Features)
+	for f := range idx {
+		idx[f] = int32(f)
+	}
 	ds := &Dataset{Name: spec.Name, NumFeatures: spec.Features, Examples: make([]Example, spec.Instances)}
 	for i := range ds.Examples {
-		idx := make([]int32, spec.Features)
 		val := make([]float64, spec.Features)
 		var dot float64
 		for f := 0; f < spec.Features; f++ {
-			idx[f] = int32(f)
 			val[f] = rng.NormFloat64()
 			dot += val[f] * truth[f] * float64(spec.Features)
 		}

@@ -86,25 +86,73 @@ func NewClient(ctx *Context, i int) *Client {
 // Upload is the client's first half of a round: apply the armed adversary,
 // encrypt the whole batch under the key handle and send it as one "grads"
 // frame. It returns the ciphertext count. A send that failed wraps
-// ErrNotSent.
+// ErrNotSent. It is an upload wave of one.
 func (c *Client) Upload(tr flnet.Transport, round uint64, grads []float64) (int, error) {
-	if c.Adversary.IsMalicious(c.Index) {
-		c.Ctx.metricAdd("byz_attacks", 1)
-	}
-	cts, err := c.Ctx.EncryptGradientsAs(c.Key, c.Adversary.Apply(round, c.Index, grads))
+	width := 0
+	err := uploadWave(tr, round, []*Client{c}, [][]float64{grads}, func(_ *Client, n int, err error) error {
+		width = n
+		return err
+	})
 	if err != nil {
-		return 0, fmt.Errorf("fl: client %d encrypt: %w", c.Index, err)
-	}
-	msg := flnet.Message{
-		From: c.Name, To: ServerName, Kind: "grads", Round: round,
-		Payload: EncodeCiphertexts(cts),
-	}
-	width := len(cts)
-	ReleaseCiphertexts(cts) // framed: the payload is bytes of its own
-	if err := c.Ctx.deliver(tr, msg); err != nil {
-		return 0, fmt.Errorf("%w: %w", ErrNotSent, err)
+		return 0, err
 	}
 	return width, nil
+}
+
+// uploadWave uploads a wave of clients that share a context, grads[i] being
+// wave[i]'s gradients, in three passes:
+//  1. each member, in cohort order, applies its adversary and encodes its
+//     gradients — stopping at the first that fails;
+//  2. what was encoded is encrypted as one host job (Context.encryptUploads):
+//     each member on its own nonce seed, drawn in cohort order, and its own
+//     modelled launch;
+//  3. each member's ciphertexts are framed and sent, in cohort order, and
+//     settle is told the outcome — the ciphertext count, or the send's error
+//     wrapping ErrNotSent — and ends the wave by returning an error.
+//
+// A member that fails to encrypt ends the wave with its error once the
+// members before it were settled; nothing after it is encrypted. A wave that
+// settle ends has encrypted, and charged, the members after the one it ended
+// at: settle ends a wave only by failing its round.
+func uploadWave(tr flnet.Transport, round uint64, wave []*Client, grads [][]float64, settle func(cl *Client, sent int, err error) error) error {
+	if len(wave) == 0 {
+		return nil
+	}
+	ctx := wave[0].Ctx
+	var failed error
+	for i, cl := range wave {
+		if cl.Adversary.IsMalicious(cl.Index) {
+			ctx.metricAdd("byz_attacks", 1)
+		}
+		if err := ctx.encodeUpload(cl.Key, cl.Adversary.Apply(round, cl.Index, grads[i])); err != nil {
+			failed = fmt.Errorf("fl: client %d encrypt: %w", cl.Index, err)
+			break
+		}
+	}
+	cts, err := ctx.encryptUploads()
+	if err != nil {
+		failed = fmt.Errorf("fl: client %d encrypt: %w", wave[len(cts)].Index, err)
+	}
+	defer clear(cts)
+	for i, batch := range cts {
+		cl := wave[i]
+		msg := flnet.Message{
+			From: cl.Name, To: ServerName, Kind: "grads", Round: round,
+			Payload: EncodeCiphertexts(batch),
+		}
+		ReleaseCiphertexts(batch) // framed: the payload is bytes of its own
+		err := ctx.deliver(tr, msg)
+		if err != nil {
+			err = fmt.Errorf("%w: %w", ErrNotSent, err)
+		}
+		if err = settle(cl, len(batch), err); err != nil {
+			for _, rest := range cts[i+1:] {
+				ReleaseCiphertexts(rest)
+			}
+			return err
+		}
+	}
+	return failed
 }
 
 // Receive waits (until deadline; zero waits forever) for round's aggregate

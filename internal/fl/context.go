@@ -2,6 +2,7 @@ package fl
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -51,6 +52,7 @@ type Context struct {
 	inner [][]mpint.Term
 	mask  mpint.Nat
 	bases []paillier.Ciphertext
+	wave  uploads
 }
 
 // NewContext builds a context from a profile, generating a fresh key pair
@@ -233,24 +235,106 @@ func (c *Context) EncryptGradients(grads []float64) ([]paillier.Ciphertext, erro
 // key, Key.Holder() for the key's owner — every client of the Fig. 2
 // protocol — whose rⁿ terms then go through the factorisation. The
 // ciphertexts are the same bytes either way; the handle decides what the
-// encryption costs, on both clocks.
+// encryption costs, on both clocks. It is an upload wave of one.
 func (c *Context) EncryptGradientsAs(pk *paillier.PublicKey, grads []float64) ([]paillier.Ciphertext, error) {
-	if err := c.checkHandle(pk); err != nil {
+	if err := c.encodeUpload(pk, grads); err != nil {
 		return nil, err
+	}
+	cts, err := c.encryptUploads()
+	if err != nil {
+		return nil, err
+	}
+	out := cts[0]
+	clear(cts)
+	return out, nil
+}
+
+// uploads is the upload wave being encrypted — each upload's handle, encoded
+// plaintexts, gradient count and nonce seed, and then its ciphertexts — kept
+// from wave to wave: encodeUpload adds to it, encryptUploads empties it.
+type uploads struct {
+	keys  []*paillier.PublicKey
+	pts   [][]mpint.Nat
+	vals  []int
+	seeds []uint64
+	cts   [][]paillier.Ciphertext
+}
+
+// encodeUpload is an upload's first step: the handle check, then the encode,
+// charged to the encode component. The plaintexts join the wave.
+func (c *Context) encodeUpload(pk *paillier.PublicKey, grads []float64) error {
+	if err := c.checkHandle(pk); err != nil {
+		return err
 	}
 	encStart := time.Now()
 	pts, err := c.EncodePlaintexts(grads)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	c.Costs.AddEncode(time.Since(encStart), encodeSim(len(grads)), int64(len(grads)))
-	cts, err := c.encrypt(pk, pts, int64(len(grads)))
-	if err != nil {
-		return nil, err
+	w := &c.wave
+	w.keys, w.pts, w.vals = append(w.keys, pk), append(w.pts, pts), append(w.vals, len(grads))
+	return nil
+}
+
+// encryptUploads encrypts the wave's uploads, each on its own next nonce
+// seed, drawn in order. Uploads under one handle are one charged HE batch
+// (paillier.EncryptVecs): a launch an upload and, on a GPU profile, one host
+// job for their lanes. It returns their ciphertexts, upload j's at j, in a
+// slice kept for the next wave, and gives the plaintexts back to the arena.
+// On an error it returns the uploads before the one that failed and leaves
+// the seed cursor after that one's seed, where encrypting them one at a time
+// would have.
+func (c *Context) encryptUploads() ([][]paillier.Ciphertext, error) {
+	w := &c.wave
+	defer func() {
+		clear(w.keys)
+		clear(w.pts)
+		w.keys, w.pts, w.vals, w.seeds = w.keys[:0], w.pts[:0], w.vals[:0], w.seeds[:0]
+	}()
+	for range w.pts {
+		w.seeds = append(w.seeds, c.nextSeed())
 	}
-	arena.putPlain(pts)
-	c.Costs.AddCompression(int64(len(grads)), int64(len(cts)))
-	return cts, nil
+	w.cts = slices.Grow(w.cts[:0], len(w.pts))[:len(w.pts)]
+	for lo := 0; lo < len(w.pts); {
+		hi := lo + 1
+		for hi < len(w.pts) && w.keys[hi] == w.keys[lo] {
+			hi++
+		}
+		done, err := c.encryptRun(lo, hi)
+		if err != nil {
+			c.RestoreSeedCursor(w.seeds[lo+done])
+			return w.cts[:lo+done], err
+		}
+		lo = hi
+	}
+	for _, p := range w.pts {
+		arena.putPlain(p)
+	}
+	return w.cts, nil
+}
+
+// encryptRun is the wave's uploads [lo, hi), under one handle, as one charged
+// HE batch. Uploads encrypted before one that failed are charged, with the
+// device clock's advance up to the failure; a batch that failed whole charges
+// nothing. It returns how many were encrypted.
+func (c *Context) encryptRun(lo, hi int) (done int, err error) {
+	w := &c.wave
+	_, cerr := c.chargeHE(func() (ops, instances int64, _ error) {
+		if done, err = paillier.EncryptVecs(c.Backend, w.cts[lo:hi], w.keys[lo], w.pts[lo:hi], w.seeds[lo:hi]); done == 0 {
+			return 0, 0, err
+		}
+		for j, b := range w.cts[lo : lo+done] {
+			ops += int64(len(b))
+			instances += int64(w.vals[lo+j])
+			c.Costs.AddCompression(int64(w.vals[lo+j]), int64(len(b)))
+		}
+		return ops, instances, nil
+	})
+	if err == nil {
+		err = cerr
+	}
+	return done, err
 }
 
 // encrypt is one charged encryption batch under a handle of the context's

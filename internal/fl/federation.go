@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"errors"
 	"fmt"
 
 	"flbooster/internal/flnet"
@@ -29,6 +28,8 @@ type Federation struct {
 	roster    *Roster
 	adversary *Adversary // nil unless Profile.Byz arms the injector
 	sent      []string   // scratch: the current wave's successful uploaders
+	wave      []*Client  // scratch: the current wave's clients
+	vecs      [][]float64
 }
 
 // NewFederation builds a federation over the context's party count with an
@@ -233,26 +234,33 @@ func (f *Federation) admitWaves(rd *Round, grads [][]float64, span func(string, 
 	return nil
 }
 
-// uploadWave steps one admission wave's clients in cohort order and leaves
-// the names whose upload was sent in f.sent. A send that still fails after
-// the retry policy drops the client (within the quorum budget).
-func (f *Federation) uploadWave(rd *Round, wave []string, grads [][]float64) error {
-	f.sent = f.sent[:0]
-	for _, name := range wave {
+// uploadWave uploads one admission wave's clients as one upload wave
+// (uploadWave in client.go) and leaves the names whose upload was sent in
+// f.sent. A send that still fails after the retry policy drops the client
+// (within the quorum budget).
+func (f *Federation) uploadWave(rd *Round, names []string, grads [][]float64) error {
+	f.sent, f.wave, f.vecs = f.sent[:0], f.wave[:0], f.vecs[:0]
+	var stranger error
+	for _, name := range names {
 		cl := f.clients[name]
 		if cl == nil {
-			return rd.Fail(PhaseUpload, name, fmt.Errorf("fl: %q is not a client of this federation", name))
+			stranger = rd.Fail(PhaseUpload, name, fmt.Errorf("fl: %q is not a client of this federation", name))
+			break
 		}
-		_, err := cl.Upload(f.Transport, rd.Schedule().Round, grads[cl.Index])
+		f.wave, f.vecs = append(f.wave, cl), append(f.vecs, grads[cl.Index])
+	}
+	err := uploadWave(f.Transport, rd.Schedule().Round, f.wave, f.vecs, func(cl *Client, _ int, err error) error {
 		if err == nil {
-			f.sent = append(f.sent, name)
-		} else if !errors.Is(err, ErrNotSent) {
-			return err
-		} else if rerr := rd.Drop(PhaseUpload, name, err); rerr != nil {
+			f.sent = append(f.sent, cl.Name)
+		} else if rerr := rd.Drop(PhaseUpload, cl.Name, err); rerr != nil {
 			return rerr
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	return nil
+	return stranger
 }
 
 // decrypt: each reached client receives its aggregate copy; the first valid

@@ -118,10 +118,18 @@ type CheckedEngine struct {
 
 	// One op is in flight at a time — the set serialises ops anyway, one op
 	// owning every member clock — so the op being served is engine state and
-	// the scheduler's two callbacks are bound once, in sched, not per op.
-	flight sync.Mutex
-	op     vecOp
-	sched  gpu.ShardOp
+	// the scheduler's two callbacks are bound once, in sched, not per op. A
+	// batch holds the flight for all of its ops; job is where their launches
+	// leave their bodies (nil outside a batch and under verification), and
+	// helpers the pool workers its lanes run on: as many as the widest member
+	// cuts a launch for.
+	flight  sync.Mutex
+	op      vecOp
+	sched   gpu.ShardOp
+	job     *gpu.Job
+	batch   gpu.Job
+	packed  encryptJob
+	helpers int
 }
 
 // member is one device of the set under the checked discipline: its bare
@@ -144,8 +152,9 @@ func NewCheckedEngine(set *gpu.DeviceSet, cfg CheckedConfig) (*CheckedEngine, er
 	workers := 0
 	for _, d := range set.Devices() {
 		workers += d.Workers()
+		c.helpers = max(c.helpers, d.Workers())
 	}
-	c.vecAPI = vecAPI{c.schedule, new(sync.Pool), roundWindow(workers)}
+	c.vecAPI = vecAPI{exec: c.schedule, frames: new(sync.Pool), window: roundWindow(workers), batch: c.scheduleBatch}
 	c.sched = gpu.ShardOp{Run: c.onMember, Host: c.onHost}
 	for i := range c.members {
 		eng, err := NewEngine(set.Device(i))
@@ -234,6 +243,36 @@ func publishShare(reg *obs.Registry, prefix string, s CheckedStats, ts TableStat
 func (c *CheckedEngine) schedule(op vecOp) error {
 	c.flight.Lock()
 	defer c.flight.Unlock()
+	return c.serveOp(op)
+}
+
+// scheduleBatch runs a batch of encryptions as one host job. Each op is
+// issued in order, under the one flight, through the unchanged shard, retry
+// and failover path, so each of its launches is decided and charged as it is
+// issued; their bodies wait in the batch's job, whose lanes run together once
+// the last op — or the first that fails — is issued. Under verification the
+// bodies run at once instead, so spot checks read finished results. It
+// returns how many ops completed.
+func (c *CheckedEngine) scheduleBatch(ops []encryptOp) (int, error) {
+	c.flight.Lock()
+	defer c.flight.Unlock()
+	if c.cfg.VerifyFraction <= 0 {
+		c.job = &c.batch
+		defer c.runJob()
+	}
+	for i := range ops {
+		if len(ops[i].out) == 0 {
+			continue
+		}
+		if err := c.serveOp(&ops[i]); err != nil {
+			return i, err
+		}
+	}
+	return len(ops), nil
+}
+
+// serveOp serves op over the set. Callers hold the flight.
+func (c *CheckedEngine) serveOp(op vecOp) error {
 	c.op = op
 	c.sched.Name, c.sched.Items = op.name(), len(op.result())
 	err := c.set.Run(c.sched)
@@ -241,9 +280,23 @@ func (c *CheckedEngine) schedule(op vecOp) error {
 	return err
 }
 
+// runJob runs the lanes the batch's launches left in its job, packed end to
+// end into lane groups, and ends the batch.
+func (c *CheckedEngine) runJob() {
+	c.job = nil
+	b, items := &c.packed, 0
+	for _, p := range c.batch.Parts() {
+		items += p.Items
+		b.parts, b.ends = append(b.parts, p.Body.(*encryptOp)), append(b.ends, items)
+	}
+	c.batch.Run(b, items, c.helpers)
+	clear(b.parts)
+	b.parts, b.ends = b.parts[:0], b.ends[:0]
+}
+
 // onMember serves one shard of the op in flight on member dev.
 func (c *CheckedEngine) onMember(dev int, sh gpu.Shard) error {
-	return c.members[dev].serve(shardOf(c.op, sh), &c.cfg)
+	return c.members[dev].serve(shardOf(c.op, sh), &c.cfg, c.job)
 }
 
 // onHost serves one range of the op in flight with the host loop; the set
@@ -257,12 +310,13 @@ func (c *CheckedEngine) onHost(sh gpu.Shard) error {
 // caller error and surfaces as-is. When the device is declared Failed, or
 // the retry budget is spent without that, the last typed fault goes back to
 // the scheduler, which owns failover. Every attempt writes the shard's own
-// result elements: a launch returns only once its lanes have.
-func (mb *member) serve(op vecOp, cfg *CheckedConfig) error {
+// result elements: a launch returns only once its lanes have, or, with a job,
+// leaves them to it — only then is verification off.
+func (mb *member) serve(op vecOp, cfg *CheckedConfig, job *gpu.Job) error {
 	dev := mb.eng.dev
 	var last *gpu.KernelError
 	for attempt := 0; ; attempt++ {
-		if err := mb.eng.launch(op); err != nil {
+		if err := mb.eng.launch(op, job); err != nil {
 			var kerr *gpu.KernelError
 			if !errors.As(err, &kerr) {
 				return err

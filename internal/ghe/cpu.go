@@ -71,6 +71,7 @@ type Frame struct {
 	multi  multiExpOp
 	mul    modMulOp
 	enc    encryptOp
+	encs   []encryptOp // EncryptVecs' batch, kept with the frame
 	dec    decryptOp
 	pack   shiftPackOp
 	mr     millerRabinOp
@@ -104,7 +105,8 @@ func (f *Frame) result(n int) []mpint.Nat {
 // Release ends the call: nothing of the frame may be used after it.
 func (f *Frame) Release() {
 	clear(f.slots[:f.used]) // a pooled frame must not pin a batch's limbs
-	*f = Frame{v: f.v, slots: f.slots}
+	clear(f.encs)
+	*f = Frame{v: f.v, slots: f.slots, encs: f.encs[:0]}
 	f.v.frames.Put(f)
 }
 
@@ -151,6 +153,39 @@ func (f *Frame) EncryptVec(ms []mpint.Nat, key EncryptKey, seed uint64) (_ []mpi
 		return nil, fmt.Errorf("ghe: EncryptVec: %w", err)
 	}
 	return f.v.run(&f.enc)
+}
+
+// EncryptVecs is EncryptVec over several batches under one key, batch j on
+// the nonce stream of seeds[j], as one job: each batch is its own op — one
+// launch, charged, sharded, retried and failed over as EncryptVec's is — and
+// the engine runs their lanes together. Batch j's ciphertexts are written into
+// dst[o:o+len(ms[j])], o the lengths of the batches before it, in the limbs
+// dst holds there. It returns how many batches were encrypted: all, or those
+// before the first that failed, whose error it returns; nothing after that
+// one is launched. A plaintext not below n fails its batch with ErrPlaintext.
+func (f *Frame) EncryptVecs(dst []mpint.Nat, ms [][]mpint.Nat, key EncryptKey, seeds []uint64) (int, error) {
+	total := 0
+	for _, b := range ms {
+		total += len(b)
+	}
+	if len(seeds) != len(ms) || len(dst) != total {
+		return 0, fmt.Errorf("ghe: EncryptVecs %w: %d batches of %d plaintexts, %d seeds and %d results", ErrLength, len(ms), total, len(seeds), len(dst))
+	}
+	var invalid error
+	for j, b := range ms {
+		op, err := newEncryptOp(dst[:len(b)], b, key, seeds[j])
+		if err != nil {
+			invalid = fmt.Errorf("ghe: EncryptVecs: batch %d: %w", j, err)
+			break
+		}
+		f.encs = append(f.encs, op)
+		dst = dst[len(b):]
+	}
+	done, err := f.v.encrypt(f.encs)
+	if err == nil {
+		err = invalid
+	}
+	return done, err
 }
 
 // DecryptVec computes the Paillier plaintext of every cs[i] < n², through the
@@ -207,6 +242,9 @@ type vecAPI struct {
 	exec   func(op vecOp) error
 	frames *sync.Pool // of *Frame
 	window int        // Miller–Rabin rounds a key-generation launch tests
+	// batch runs encryptions as one job, stopping at the first that fails,
+	// and returns how many completed; nil runs them one exec at a time.
+	batch func(ops []encryptOp) (int, error)
 }
 
 var _ VectorEngine = vecAPI{}
@@ -254,6 +292,20 @@ func (v vecAPI) millerRabin(ns, as []mpint.Nat, passed []bool) error {
 		passed[i] = x.IsOne()
 	}
 	return nil
+}
+
+// encrypt runs a batch of encryptions in order, stopping at the first that
+// fails, and returns how many completed. An empty op is no op, as in run.
+func (v vecAPI) encrypt(ops []encryptOp) (int, error) {
+	if v.batch != nil {
+		return v.batch(ops)
+	}
+	for i := range ops {
+		if _, err := v.run(&ops[i]); err != nil {
+			return i, err
+		}
+	}
+	return len(ops), nil
 }
 
 // run executes op and returns its result vector.
@@ -319,7 +371,9 @@ func (v vecAPI) ModVec(a []mpint.Nat, n mpint.Nat) ([]mpint.Nat, error) {
 type CPUEngine struct{ vecAPI }
 
 // NewCPUEngine returns the host engine.
-func NewCPUEngine() *CPUEngine { return &CPUEngine{vecAPI{runOnHost, new(sync.Pool), 1}} }
+func NewCPUEngine() *CPUEngine {
+	return &CPUEngine{vecAPI{exec: runOnHost, frames: new(sync.Pool), window: 1}}
+}
 
 // runOnHost executes an op on the host: its set-up stage without a launch,
 // then every lane in order, one item at a time — the serial reference, and

@@ -2,6 +2,7 @@ package ghe
 
 import (
 	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -223,5 +224,67 @@ func TestCheckedEncryptFailover(t *testing.T) {
 		if st := c.Set().Stats(); st.HostShards != 1 {
 			t.Fatalf("expected a host-served op, got %+v", st)
 		}
+	}
+}
+
+// TestEncryptVecsIsEncryptVecInOrder: EncryptVecs over batches of uneven
+// widths — one of them empty — writes, batch after batch, the ciphertexts
+// EncryptVec returns for each batch on its own seed, under either handle, on
+// the host engine, the bare device engine and the executor at D = 1 and 2
+// with and without verification: deferred lanes packed across batches or run
+// at once, every value is the textbook's. A plaintext not below n stops the
+// batch at the batch that holds it, whose predecessors are still encrypted.
+func TestEncryptVecsIsEncryptVecInOrder(t *testing.T) {
+	r := mpint.NewRNG(41)
+	crt, n2 := testCRT(t, r, 256)
+	widths, seeds := []int{3, 0, 9, 1, 8}, []uint64{5, 6, 7, 8, 9}
+	batches := make([][]mpint.Nat, len(widths))
+	total := 0
+	for j, w := range widths {
+		for range w {
+			batches[j] = append(batches[j], r.RandBelow(crt.N()))
+		}
+		total += w
+	}
+	engines := map[string]vecEngine{"host": NewCPUEngine(), "device": MustEngine(gpu.MustNew(gpu.SmallTestDevice(), true))}
+	for _, d := range []int{1, 2} {
+		for _, frac := range []float64{0, 1} {
+			set, err := gpu.NewDeviceSet(gpu.SmallTestDevice(), true, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := NewCheckedEngine(set, CheckedConfig{VerifyFraction: frac})
+			if err != nil {
+				t.Fatal(err)
+			}
+			engines[fmt.Sprintf("executor D=%d verify=%v", d, frac)] = c
+		}
+	}
+	for name, eng := range engines {
+		for _, holder := range []bool{true, false} {
+			key := encKey(crt, n2, holder)
+			f := eng.Frame(total)
+			dst := f.Vec(total)
+			done, err := f.EncryptVecs(dst, batches, key, seeds)
+			if err != nil || done != len(batches) {
+				t.Fatalf("%s: %d batches, %v", name, done, err)
+			}
+			for j, b := range batches {
+				for i, c := range textbookEncrypt(b, crt.N(), seeds[j]) {
+					if mpint.Cmp(dst[i], c) != 0 {
+						t.Fatalf("%s, holder %v: batch %d item %d is not EncryptVec's", name, holder, j, i)
+					}
+				}
+				dst = dst[len(b):]
+			}
+			f.Release()
+		}
+		bad := [][]mpint.Nat{batches[0], {crt.N()}, batches[2]}
+		f := eng.Frame(total)
+		done, err := f.EncryptVecs(f.Vec(len(batches[0])+1+len(batches[2])), bad, encKey(crt, n2, true), seeds[:3])
+		if done != 1 || !errors.Is(err, ErrPlaintext) {
+			t.Fatalf("%s: a plaintext of n in batch 1: %d batches, %v", name, done, err)
+		}
+		f.Release()
 	}
 }

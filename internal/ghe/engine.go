@@ -38,7 +38,7 @@ func NewEngine(dev *gpu.Device) (*Engine, error) {
 		return nil, fmt.Errorf("ghe: NewEngine needs a device")
 	}
 	e := &Engine{dev: dev}
-	e.vecAPI = vecAPI{e.launch, new(sync.Pool), roundWindow(dev.Workers())}
+	e.vecAPI = vecAPI{exec: func(op vecOp) error { return e.launch(op, nil) }, frames: new(sync.Pool), window: roundWindow(dev.Workers())}
 	return e, nil
 }
 
@@ -65,7 +65,9 @@ func (e *Engine) TableStats() TableStats {
 // launch runs op once on the device, the pipeline of Fig. 4: account the
 // host→device copy, run the op's set-up stage if it has one, launch a
 // data-parallel kernel (one item per element), account the device→host copy.
-func (e *Engine) launch(op vecOp) error {
+// With a job the kernel's body is left to it (gpu.Kernel.Job): everything
+// else happens here, as it does without one.
+func (e *Engine) launch(op vecOp, job *gpu.Job) error {
 	if n := op.h2d(); n > 0 {
 		e.dev.CopyToDevice(n)
 	}
@@ -74,7 +76,7 @@ func (e *Engine) launch(op vecOp) error {
 		return fmt.Errorf("ghe: %s: %w", op.name(), err)
 	}
 	kern := op.kernel(e.dev.Config().WarpSize)
-	kern.Name, kern.Items, kern.Body = op.name(), len(op.result()), op
+	kern.Name, kern.Items, kern.Body, kern.Job = op.name(), len(op.result()), op, job
 	if _, err := e.dev.Launch(kern); err != nil {
 		return fmt.Errorf("ghe: %s: %w", op.name(), err)
 	}

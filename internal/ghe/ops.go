@@ -2,6 +2,7 @@ package ghe
 
 import (
 	"fmt"
+	"slices"
 
 	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
@@ -367,11 +368,50 @@ func (o *encryptOp) Lanes(lo, hi int) {
 		gens[i-lo] = *nonceRNG(o.seed, o.pos+i)
 		rngs[i-lo] = &gens[i-lo]
 	}
+	o.group(o.out[lo:hi], o.ms[lo:hi], rngs[:hi-lo])
+}
+
+// group encrypts one lane group under the op's key: ms[i] into out[i] on the
+// nonce rngs[i] draws.
+func (o *encryptOp) group(out, ms []mpint.Nat, rngs []*mpint.RNG) {
 	if o.key.CRT != nil {
-		o.key.CRT.EncryptDrawVec(o.out[lo:hi], o.ms[lo:hi], rngs[:hi-lo])
+		o.key.CRT.EncryptDrawVec(out, ms, rngs)
 		return
 	}
-	o.m.EncryptNDrawVec(o.out[lo:hi], o.ms[lo:hi], o.key.N, o.key.Sched, rngs[:hi-lo])
+	o.m.EncryptNDrawVec(out, ms, o.key.N, o.key.Sched, rngs)
+}
+
+// encryptJob is the lanes of a batch's deferred encryptions (gpu.Job) laid
+// end to end — one key, each part on its own nonce stream — so lane groups
+// fill across launches: a wave of 32 four-ciphertext uploads walks 16 full
+// groups where 32 launches walked 64 two-lane ones. Lane i is item
+// i − (ends[p] − len) of part p, at its own stream position and written into
+// that part's result, so every value is the one the part's own lanes compute.
+type encryptJob struct {
+	parts []*encryptOp
+	ends  []int // ends[p]: the items of parts[:p+1]
+}
+
+func (b *encryptJob) Lanes(lo, hi int) {
+	var gens [gpu.LaneGroup]mpint.RNG
+	var rngs [gpu.LaneGroup]*mpint.RNG
+	var out, ms [gpu.LaneGroup]mpint.Nat
+	var of [gpu.LaneGroup]*encryptOp // lane k is item at[k] of part of[k]
+	var at [gpu.LaneGroup]int
+	p, _ := slices.BinarySearch(b.ends, lo+1)
+	for k := range hi - lo {
+		for b.ends[p] <= lo+k {
+			p++
+		}
+		o := b.parts[p]
+		of[k], at[k] = o, lo+k-b.ends[p]+len(o.out)
+		gens[k] = *nonceRNG(o.seed, o.pos+at[k])
+		rngs[k], out[k], ms[k] = &gens[k], o.out[at[k]], o.ms[at[k]]
+	}
+	of[0].group(out[:hi-lo], ms[:hi-lo], rngs[:hi-lo])
+	for k := range hi - lo {
+		of[k].out[at[k]] = out[k]
+	}
 }
 
 func (o *encryptOp) verify(i int) mpint.Nat {

@@ -39,8 +39,9 @@ type Config struct {
 	// WordOpsPerSec is the aggregate 32-bit multiply-add throughput of one
 	// fully occupied SM (β_gpu⁻¹ in Eq. 10, per SM).
 	WordOpsPerSec float64
-	// HostWorkers caps the real goroutines used to execute kernels. Zero
-	// means one per host core.
+	// HostWorkers caps the chunks a launch's lanes are cut into, each run by
+	// one of the process-wide host workers. Zero means one a scheduler
+	// (GOMAXPROCS).
 	HostWorkers int
 }
 

@@ -10,10 +10,10 @@ import (
 	"flbooster/internal/obs"
 )
 
-// Device is a simulated GPU. Kernel bodies run for real on a host goroutine
-// pool (one worker per core by default) while a simulated clock integrates
-// the paper's Eq. 10 cost model so experiments can report device-scale
-// timings independent of the host.
+// Device is a simulated GPU. Kernel bodies run for real on the process-wide
+// host worker pool (cut into one chunk a scheduler by default) while a
+// simulated clock integrates the paper's Eq. 10 cost model so experiments can
+// report device-scale timings independent of the host.
 type Device struct {
 	cfg Config
 	rm  *ResourceManager
@@ -83,7 +83,7 @@ func New(cfg Config, fineRM bool) (*Device, error) {
 	}
 	w := cfg.HostWorkers
 	if w <= 0 {
-		w = runtime.NumCPU()
+		w = runtime.GOMAXPROCS(0) // the schedulers there are to run chunks, as many as the pool holds
 	}
 	d := &Device{
 		cfg:       cfg,
@@ -108,7 +108,7 @@ func MustNew(cfg Config, fineRM bool) *Device {
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 
-// Workers returns how many host goroutines run the device's kernel lanes.
+// Workers returns how many chunks a launch's lanes are cut into at most.
 func (d *Device) Workers() int { return d.workers }
 
 // Stats returns a snapshot of the device counters.
@@ -357,6 +357,11 @@ type Kernel struct {
 	// injected corruption reaches its results: one interface value, so stating
 	// a launch over a descriptor allocates nothing.
 	Body Body
+	// Job, when set, takes the body: the launch is decided, charged and
+	// counted as one that runs at once, and its body (with the item an
+	// injected corruption poisons) is recorded in the job, which runs it
+	// later with the other launches it holds.
+	Job *Job
 }
 
 // Launch executes k.Body.Lanes over every item of the kernel,
@@ -364,9 +369,12 @@ type Kernel struct {
 // clock with the Eq. 10 compute term. It is the data-parallel path used for
 // "one thread block per ciphertext" kernels. It returns the launch's modelled
 // occupancy. A launch allocates nothing (TestLaunchAllocatesNothing;
-// BenchmarkLaunch on the two-core reference box: 250 ns a launch of one chunk,
-// 0.9–1.1 µs one of a chunk a worker, as through the closures this replaced,
-// which took 152 B), and it returns only once every lane has.
+// BenchmarkLaunch on the two-core reference box, an empty body: ≈270 ns a
+// launch of one chunk, ≈1.1–1.3 µs one of a chunk a pool worker, as when each
+// chunk started a goroutine — what the pool saves is the stack a real body
+// grew on every such goroutine), and it returns only once every lane has —
+// unless k.Job is set, when the launch is decided, charged and counted here
+// and its body is left to the job (Job.Run).
 //
 // Failure surface: a Failed device refuses the launch outright, and an
 // attached FaultInjector may abort, stall, corrupt, or OOM it. Every fault but
@@ -417,22 +425,18 @@ func (d *Device) Launch(k Kernel) (float64, error) {
 		occ = d.rm.Occupancy(blockSize, int(float64(k.RegsPerThread)*regFactor), k.SharedPerBlock)
 	}
 
-	start := time.Now()
-	st := d.newLaunch(k)
-	if st.chunks == 1 {
-		// One chunk: the launch never leaves the launching goroutine.
-		st.runChunk()
+	var wall time.Duration
+	if k.Job != nil {
+		k.Job.add(Part{Body: k.Body, Items: k.Items, dev: d, poison: poisonItem})
 	} else {
-		st.start()
-		<-st.done
-	}
-	st.release()
-	wall := time.Since(start)
-
-	if fault == FaultCorrupt {
-		// Silent from the device's point of view: the launch succeeds and the
-		// health machine sees no failure until verification reports one.
-		k.Body.(Poisoner).Poison(poisonItem)
+		start := time.Now()
+		runLanes(k.Body, k.Items, (k.Items+d.workers-1)/d.workers, d.workers)
+		wall = time.Since(start)
+		if fault == FaultCorrupt {
+			// Silent from the device's point of view: the launch succeeds and the
+			// health machine sees no failure until verification reports one.
+			k.Body.(Poisoner).Poison(poisonItem)
+		}
 	}
 
 	d.mu.Lock()
@@ -469,17 +473,16 @@ func (d *Device) failLaunch(kernel string, kind FaultKind) {
 	d.recordFailureLocked(kind)
 }
 
-// launchState is what the goroutines of one launch share: the body, the
-// items cut into contiguous chunks that each goroutine claims one of, and the
-// count of workers still running that ends it. A launch of several chunks runs
-// them all on workers and its launcher waits: a launcher that took a chunk
-// itself measured 20% slower a step on epoch_homo_lr_2048 (its lanes ran
-// 1.2–2.4× the CPU time of the same lanes on a worker, on the two-vCPU
-// reference box) for the goroutine start it saved. States are pooled: the
+// launchState is what the workers of one launch share: the body, the items
+// cut into contiguous chunks that the workers claim one at a time until none
+// is left, and the count of workers still claiming that ends it. A launch of
+// several chunks hands them all to the pool and its launcher waits: a
+// launcher that took a chunk itself measured 20% slower a step on
+// epoch_homo_lr_2048 (its lanes ran 1.2–2.4× the CPU time of the same lanes
+// on a worker, on the two-vCPU reference box). States are pooled: the
 // launcher puts its state back once done has fired, after which no worker
-// reads it. A worker is started as `go st.work()` on a func value bound when
-// the state was made (a go statement on a method with arguments allocates a
-// closure for them), so a launch allocates nothing.
+// reads it, and a worker is handed the state's pointer on a channel, so a
+// launch allocates nothing.
 type launchState struct {
 	body   Body
 	items  int
@@ -487,48 +490,80 @@ type launchState struct {
 	chunks int
 
 	next atomic.Int32  // the next chunk to claim
-	left atomic.Int32  // workers still running: the one that takes it to zero signals done
+	left atomic.Int32  // workers still claiming: the one that takes it to zero signals done
 	done chan struct{} // buffered, one token a launch
-	work func()        // st.worker
 }
 
 var launchStates sync.Pool // *launchState
 
-// newLaunch takes a state from the pool and cuts k's items into at most one
-// chunk a host worker.
-func (d *Device) newLaunch(k Kernel) *launchState {
-	workers := min(d.workers, k.Items)
+// workers is the process-wide host pool every launch's and job's chunks run
+// on: one goroutine a scheduler (GOMAXPROCS when it is first needed), started
+// once and never stopped, so a chunk lands on a goroutine whose stack has
+// already grown — a goroutine started a chunk grew its stack on every launch,
+// runtime.copystack ≈15% of cohort_tree_128's CPU.
+var workers struct {
+	once   sync.Once
+	states chan *launchState // one send a worker a launch needs
+}
+
+// runLanes runs body over items [0, items) in contiguous chunks of `chunk`
+// items, each run a lane group at a time, claimed by at most `helpers` pool
+// workers, and returns once every lane has. One chunk never leaves the
+// calling goroutine.
+func runLanes(body Body, items, chunk, helpers int) {
+	st := newLaunch(body, items, chunk)
+	if helpers = min(helpers, st.chunks); helpers <= 1 {
+		st.claim()
+	} else {
+		workers.once.Do(startWorkers)
+		st.left.Store(int32(helpers))
+		for n := helpers; n > 0; n-- {
+			workers.states <- st
+		}
+		<-st.done
+	}
+	st.release()
+}
+
+func startWorkers() {
+	n := runtime.GOMAXPROCS(0)
+	// A few launches a worker, so a launcher hands its launch over without
+	// waiting on a busy worker for each send.
+	workers.states = make(chan *launchState, 4*n)
+	for ; n > 0; n-- {
+		go func() {
+			for st := range workers.states {
+				st.claim()
+				if st.left.Add(-1) == 0 {
+					st.done <- struct{}{}
+				}
+			}
+		}()
+	}
+}
+
+// newLaunch takes a state from the pool and cuts the items into chunks of at
+// most `chunk` items.
+func newLaunch(body Body, items, chunk int) *launchState {
 	st, _ := launchStates.Get().(*launchState)
 	if st == nil {
 		st = &launchState{done: make(chan struct{}, 1)}
-		st.work = st.worker
 	}
-	st.body, st.items = k.Body, k.Items
-	st.chunk = (k.Items + workers - 1) / workers
-	st.chunks = (k.Items + st.chunk - 1) / st.chunk
+	st.body, st.items, st.chunk = body, items, max(chunk, 1)
+	st.chunks = (items + st.chunk - 1) / st.chunk
 	return st
 }
 
-// start starts a worker a chunk.
-func (st *launchState) start() {
-	st.left.Store(int32(st.chunks))
-	for n := st.chunks; n > 0; n-- {
-		go st.work()
-	}
-}
-
-// runChunk claims a chunk and runs its items a lane group at a time.
-func (st *launchState) runChunk() {
-	lo := (int(st.next.Add(1)) - 1) * st.chunk
-	for i, hi := lo, min(lo+st.chunk, st.items); i < hi; i += LaneGroup {
-		st.body.Lanes(i, min(i+LaneGroup, hi))
-	}
-}
-
-func (st *launchState) worker() {
-	st.runChunk()
-	if st.left.Add(-1) == 0 {
-		st.done <- struct{}{}
+// claim runs chunks, a lane group at a time, until none is left to claim.
+func (st *launchState) claim() {
+	for {
+		lo := (int(st.next.Add(1)) - 1) * st.chunk
+		if lo >= st.items {
+			return
+		}
+		for i, hi := lo, min(lo+st.chunk, st.items); i < hi; i += LaneGroup {
+			st.body.Lanes(i, min(i+LaneGroup, hi))
+		}
 	}
 }
 
@@ -537,6 +572,63 @@ func (st *launchState) release() {
 	st.body = nil
 	st.next.Store(0)
 	launchStates.Put(st)
+}
+
+// Job is the host half of launches issued with Kernel.Job set: each was
+// decided, charged and counted by its device when it was issued, and left its
+// body here. Run then executes them as one host job, so the lanes of many
+// small launches fill lane groups and workers together. A job is for one
+// issuer at a time; launches served on several devices at once may add to it
+// concurrently.
+type Job struct {
+	mu    sync.Mutex
+	parts []Part
+}
+
+// Part is one launch a job holds: its body and item count, and what Run
+// finishes it with — the item an injected corruption poisons once the body
+// ran (−1 for none), and the device whose kernel wall time its share of the
+// job's wall time joins.
+type Part struct {
+	Body   Body
+	Items  int
+	dev    *Device
+	poison int
+}
+
+func (j *Job) add(p Part) {
+	j.mu.Lock()
+	j.parts = append(j.parts, p)
+	j.mu.Unlock()
+}
+
+// Parts returns the launches the job holds, in the order they were issued on
+// each device. The slice is the job's until Run.
+func (j *Job) Parts() []Part { return j.parts }
+
+// Run executes body over items [0, items) on at most `helpers` pool workers
+// — the lanes of every part, laid end to end as the caller's body maps them,
+// in chunks of a lane group, so a worker held up by another process leaves
+// its share to the others, or smaller where that is what gives every helper
+// a chunk — then poisons the items the parts' injected corruptions chose,
+// adds each part's share of the wall time to its device's kernel wall, and
+// empties the job.
+func (j *Job) Run(body Body, items, helpers int) {
+	start := time.Now()
+	if items > 0 {
+		runLanes(body, items, min(LaneGroup, (items+helpers-1)/max(helpers, 1)), helpers)
+	}
+	wall := time.Since(start)
+	for _, p := range j.parts {
+		if p.poison >= 0 {
+			p.Body.(Poisoner).Poison(p.poison)
+		}
+		p.dev.mu.Lock()
+		p.dev.stats.WallKernelTime += wall * time.Duration(p.Items) / time.Duration(max(items, 1))
+		p.dev.mu.Unlock()
+	}
+	clear(j.parts)
+	j.parts = j.parts[:0]
 }
 
 // ThreadCtx is the per-thread view inside a cooperative launch: the thread

@@ -233,3 +233,60 @@ func TestReleaseAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchedWaveAllocCeiling: a wave of encryptions as one job allocates
+// nothing a launch beyond what the launch costs on its own. Sixteen 4-wide
+// batches through EncryptVecs on the executor — deferred lanes, one job,
+// pooled batches released after — against the same batches one EncryptVec at
+// a time, at a 1,024-bit key under the holder's handle: the batched wave's
+// allocations grow by no more a batch than a lone batch's call allocates, and
+// the wave of sixteen allocates no more than the sixteen calls.
+func TestBatchedWaveAllocCeiling(t *testing.T) {
+	sk := keyOfSize(t, 1024)
+	cfg := gpu.RTX3090()
+	cfg.HostWorkers = 1 // AllocsPerRun counts the whole process
+	set, err := gpu.NewDeviceSet(cfg, true, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked, err := ghe.NewCheckedEngine(set, ghe.CheckedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	be := MustGPUBackend(checked)
+	const members, width = 16, 4
+	batches, seeds := make([][]mpint.Nat, members), make([]uint64, members)
+	for j := range batches {
+		batches[j], seeds[j] = plaintexts(width, sk.N), uint64(j+1)
+	}
+	out := make([][]Ciphertext, members)
+	wave := func(n int) func() {
+		return func() {
+			if _, err := be.EncryptVecs(out[:n], sk.Holder(), batches[:n], seeds[:n]); err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range out[:n] {
+				ReleaseBatch(b)
+			}
+		}
+	}
+	each := func() {
+		for j := range batches {
+			b, err := be.EncryptVec(sk.Holder(), batches[j], seeds[j])
+			if err != nil {
+				t.Fatal(err)
+			}
+			ReleaseBatch(b)
+		}
+	}
+	wave(members)() // warm the pools at the wave's width
+	one, eight, sixteen := leastAllocs(wave(1)), leastAllocs(wave(8)), leastAllocs(wave(16))
+	calls := leastAllocs(each)
+	t.Logf("EncryptVecs: %.0f allocs for 1 batch, %.0f for 8, %.0f for 16; 16 EncryptVec calls %.0f", one, eight, sixteen, calls)
+	if per := (sixteen - eight) / 8; per > one {
+		t.Errorf("%.2f allocs a batch in a wave, a lone batch's call allocates %.0f", per, one)
+	}
+	if sixteen > calls {
+		t.Errorf("a wave of %d allocates %.0f, its batches one call at a time %.0f", members, sixteen, calls)
+	}
+}

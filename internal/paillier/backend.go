@@ -69,6 +69,36 @@ func (CPUBackend) EncryptVec(pk *PublicKey, ms []mpint.Nat, seed uint64) ([]Ciph
 	return out, nil
 }
 
+// BatchEncrypter is a Backend that encrypts several batches as one job
+// (GPUBackend), batch j into out[j]: EncryptVec is its one-batch case.
+type BatchEncrypter interface {
+	Backend
+	EncryptVecs(out [][]Ciphertext, pk *PublicKey, batches [][]mpint.Nat, seeds []uint64) (int, error)
+}
+
+// EncryptVecs encrypts every batch under pk into out, batch j on the nonce
+// stream of seeds[j] — out[j] is what EncryptVec(pk, batches[j], seeds[j])
+// returns, the calls made in order — as one job where b is a BatchEncrypter,
+// and a batch after the other where it is not, so a wrapper that knows only
+// Backend sees every batch. It returns how many batches were encrypted: all,
+// or those before the one whose error it returns; nothing after that one was.
+func EncryptVecs(b Backend, out [][]Ciphertext, pk *PublicKey, batches [][]mpint.Nat, seeds []uint64) (int, error) {
+	if len(seeds) != len(batches) || len(out) != len(batches) {
+		return 0, fmt.Errorf("paillier: EncryptVecs has %d seeds and %d results for %d batches", len(seeds), len(out), len(batches))
+	}
+	if be, ok := b.(BatchEncrypter); ok {
+		return be.EncryptVecs(out, pk, batches, seeds)
+	}
+	for j, ms := range batches {
+		cts, err := b.EncryptVec(pk, ms, seeds[j])
+		if err != nil {
+			return j, err
+		}
+		out[j] = cts
+	}
+	return len(batches), nil
+}
+
 // DecryptVec implements Backend.
 func (CPUBackend) DecryptVec(sk *PrivateKey, cs []Ciphertext) ([]mpint.Nat, error) {
 	out := make([]mpint.Nat, len(cs))
@@ -252,15 +282,58 @@ func (g *GPUBackend) GenerateKey(rng *mpint.RNG, bits int) (*PrivateKey, error) 
 	return generateKey(g.Engine.PrimeSearch(), rng, bits)
 }
 
-// EncryptVec implements Backend as a single kernel: every lane draws its
-// nonce, raises it to n and multiplies gᵐ in, through the factorisation when
-// pk is the holder's handle. Only the plaintexts go up and only the
-// ciphertexts come back.
+// EncryptVec implements Backend as EncryptVecs over one batch.
 func (g *GPUBackend) EncryptVec(pk *PublicKey, ms []mpint.Nat, seed uint64) ([]Ciphertext, error) {
+	batch, seeds := [1][]mpint.Nat{ms}, [1]uint64{seed}
+	var out [1][]Ciphertext
+	if _, err := g.EncryptVecs(out[:], pk, batch[:], seeds[:]); err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// EncryptVecs implements BatchEncrypter as one kernel a batch, their lanes run
+// as one job (ghe.Frame.EncryptVecs): every lane draws its nonce, raises it to
+// n and multiplies gᵐ in, through the factorisation when pk is the holder's
+// handle. Only the plaintexts go up and only the ciphertexts come back, into
+// a batch drawn from the pool a plaintext batch, whose values the frame hands
+// the lanes to write into, as kernel's results are. The batches of those not
+// encrypted go back to the pool.
+func (g *GPUBackend) EncryptVecs(out [][]Ciphertext, pk *PublicKey, batches [][]mpint.Nat, seeds []uint64) (int, error) {
+	if len(out) != len(batches) {
+		return 0, fmt.Errorf("paillier: gpu EncryptVecs has %d results for %d batches", len(out), len(batches))
+	}
+	total := 0
+	for _, ms := range batches {
+		total += len(ms)
+	}
+	f := g.Engine.Frame(total)
+	defer f.Release()
+	dst, off := f.Vec(total), 0
+	for j, ms := range batches {
+		out[j] = DrawBatch(len(ms))
+		for i, c := range out[j] {
+			dst[off+i] = c.C
+		}
+		off += len(ms)
+	}
 	key := ghe.EncryptKey{N: pk.N, N2: pk.montN2, Sched: pk.nSched, CRT: pk.own}
-	return g.kernel("EncryptVec", len(ms), len(ms), func(f *ghe.Frame) ([]mpint.Nat, error) {
-		return f.EncryptVec(ms, key, seed)
-	})
+	done, err := f.EncryptVecs(dst, batches, key, seeds)
+	for j := range batches {
+		if j >= done {
+			ReleaseBatch(out[j])
+			out[j] = nil
+			continue
+		}
+		for i := range out[j] {
+			out[j][i] = Ciphertext{C: dst[i]}
+		}
+		dst = dst[len(out[j]):]
+	}
+	if err != nil {
+		return done, fmt.Errorf("paillier: gpu EncryptVec: %w", err)
+	}
+	return done, nil
 }
 
 // DecryptVec implements Backend as a single kernel through the factorisation:
