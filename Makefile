@@ -61,8 +61,8 @@ loc:
 reach:
 	@sh scripts/reach.sh
 
-# The chaos/quorum suites and the device fault/watchdog/failover paths
-# exercise goroutines, deadlines, and shared counters — the Table-I platform
+# The chaos/quorum suites and the device fault/failover paths exercise
+# goroutines and shared counters — the Table-I platform
 # in core runs on the same executor — and flserver hosts fl's Coordinator
 # and Client across real TCP connections (hub, server and client goroutines
 # in one process), as fl's own transport matrix does. mpint's lane-group
@@ -120,8 +120,8 @@ benchmark-smoke:
 # faults + coordinator kills with journal recovery + client churn + a
 # rotating adversary under the defense, every completed round checked
 # against the plaintext oracle, run twice on one seed whose two summaries
-# must be equal, all under -race.
+# must be equal — at the smoke seed and at seeds 1–16 — all under -race.
 soak-smoke:
-	$(GO) test -race -run TestSoakSmoke -timeout 300s -count 1 ./internal/fl
+	$(GO) test -race -run 'TestSoakSmoke|TestSoakSeeds' -timeout 300s -count 1 ./internal/fl
 
 check: build vet test race fuzz bench-smoke benchmark-smoke soak-smoke

@@ -43,7 +43,6 @@ func (r *Roster) Leave(name string) error {
 		return fmt.Errorf("fl: client %q already departed", name)
 	}
 	delete(r.active, name)
-	delete(r.pending, name)
 	return nil
 }
 

@@ -291,7 +291,8 @@ func (rd *Round) recv(deadline time.Time, stop <-chan struct{}) (flnet.Message, 
 // duplicates and uploads from anyone not expected. An upload that does not
 // decode drops its sender, not the round. A deadline that expires, or a
 // drain signal on stop, cuts the stragglers off; the round then fails only
-// through the drop budget or, in Aggregate, the quorum.
+// through the drop budget or, in Aggregate, the quorum. An in-process host
+// passes a nil stop: on a SimTransport its deadline is an empty queue.
 func (rd *Round) Gather(expect []string, stop <-chan struct{}) error {
 	deadline := rd.c.ctx.Profile.Round.phaseDeadline()
 	waiting := rd.waiting

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -242,8 +243,9 @@ func runSoak(cfg soakConfig) (soakSummary, error) {
 					sum.Rejoins++
 				}
 			}
-			if sched.churnDraw[r] && departed == "" {
-				name := fl.ClientName(sched.churnTarget[r])
+			// A client parked for rejoin cannot leave before it is admitted.
+			if name := fl.ClientName(sched.churnTarget[r]); sched.churnDraw[r] && departed == "" &&
+				!slices.Contains(fed.Roster().Pending(), name) {
 				if err := fed.Leave(name); err != nil {
 					return sum, fmt.Errorf("soak departure %s: %w", name, err)
 				}
@@ -488,42 +490,31 @@ func soakBoundViolated(result []float64, groups []fl.GroupUpdate, rep fl.RoundRe
 	return false
 }
 
-// TestSoakSmoke is the CI-sized chaos soak (`make soak-smoke`): a seeded
-// multi-fault run — network chaos, device faults, coordinator kills with
-// journal recovery, client churn, a rotating adversary under the defense —
-// run twice. The two summaries must be equal (the soak is a pure function of
-// the seed, restarts and all), and the run must keep the zero-tolerance
-// invariants: no completed round deviates from the arithmetic oracle, no
-// failure is untyped, no defended aggregate escapes the trimming bound. The
-// seed and the elevated crash/churn probabilities are chosen so the short run
-// still exercises at least one coordinator recovery and one full
-// depart/rejoin cycle.
-func TestSoakSmoke(t *testing.T) {
-	cfg := soakConfig{
-		Seed: 3, Rounds: 12, Parties: 4, KeyBits: 128, Dim: 8,
+// smokeSoak is the CI-sized soak configuration at seed.
+func smokeSoak(seed uint64) soakConfig {
+	return soakConfig{
+		Seed: seed, Rounds: 12, Parties: 4, KeyBits: 128, Dim: 8,
 		Quorum: 3, PhaseTimeout: 200 * time.Millisecond,
 		DropProb: 0.06, DupProb: 0.12, ReorderProb: 0.12,
 		CrashProb: 0.3, ChurnProb: 0.3, RejoinAfter: 2,
 		Adversaries: 1, DefenseGroups: 3, DefenseTrim: 1,
 	}
-	run := func(t *testing.T) soakSummary {
-		t.Helper()
-		start := time.Now()
-		sum, err := runSoak(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if elapsed := time.Since(start); elapsed > 30*time.Second {
-			t.Fatalf("smoke soak took %v, budget 30s", elapsed)
-		}
-		return sum
+}
+
+// soakRun runs cfg and holds its summary to the soak's invariants: no
+// completed round deviating from the arithmetic oracle, no untyped failure,
+// no defended aggregate escaping the trimming bound, every round resolved
+// one way or the other.
+func soakRun(t *testing.T, cfg soakConfig) soakSummary {
+	t.Helper()
+	start := time.Now()
+	sum, err := runSoak(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sum := run(t)
-	t.Run("Deterministic", func(t *testing.T) {
-		if again := run(t); !reflect.DeepEqual(sum, again) {
-			t.Fatalf("soak summaries diverged across identical runs:\n%+v\n%+v", sum, again)
-		}
-	})
+	if elapsed := time.Since(start); elapsed > 30*time.Second {
+		t.Fatalf("soak took %v, budget 30s", elapsed)
+	}
 	if sum.Mismatches != 0 {
 		t.Fatalf("silent corruption in %d rounds: %+v", sum.Mismatches, sum)
 	}
@@ -536,6 +527,29 @@ func TestSoakSmoke(t *testing.T) {
 	if sum.Completed+sum.Failed != cfg.Rounds {
 		t.Fatalf("rounds unaccounted for: %+v", sum)
 	}
+	return sum
+}
+
+// soakRerun runs cfg again and requires the summary of the first run: the
+// soak is a pure function of the seed, restarts and all.
+func soakRerun(t *testing.T, cfg soakConfig, first soakSummary) {
+	t.Helper()
+	if again := soakRun(t, cfg); !reflect.DeepEqual(first, again) {
+		t.Fatalf("soak summaries diverged across identical runs:\n%+v\n%+v", first, again)
+	}
+}
+
+// TestSoakSmoke is the CI-sized chaos soak (`make soak-smoke`): a seeded
+// multi-fault run — network chaos, device faults, coordinator kills with
+// journal recovery, client churn, a rotating adversary under the defense —
+// run twice. The two summaries must be equal, and the run must keep the
+// soak's invariants (soakRun). The seed and the elevated crash/churn
+// probabilities are chosen so the short run still exercises at least one
+// coordinator recovery and one full depart/rejoin cycle.
+func TestSoakSmoke(t *testing.T) {
+	cfg := smokeSoak(3)
+	sum := soakRun(t, cfg)
+	t.Run("Deterministic", func(t *testing.T) { soakRerun(t, cfg, sum) })
 	if sum.Crashes == 0 || sum.Recoveries != sum.Crashes {
 		t.Fatalf("smoke run exercised no coordinator recovery: %+v", sum)
 	}
@@ -550,4 +564,15 @@ func TestSoakSmoke(t *testing.T) {
 	}
 	t.Logf("smoke soak: %d/%d completed, %d crashes, %d departures, %d attacked",
 		sum.Completed, cfg.Rounds, sum.Crashes, sum.Departures, sum.AttackedRounds)
+}
+
+// TestSoakSeeds runs the smoke configuration at seeds 1–16, each twice, and
+// holds every seed to the soak's invariants.
+func TestSoakSeeds(t *testing.T) {
+	for seed := uint64(1); seed <= 16; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			cfg := smokeSoak(seed)
+			soakRerun(t, cfg, soakRun(t, cfg))
+		})
+	}
 }

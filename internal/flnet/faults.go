@@ -105,13 +105,12 @@ type ChaosConfig struct {
 	// ReorderProb is the probability a send is held back and delivered only
 	// after the next message — swapping the arrival order of neighbours.
 	ReorderProb float64
-	// Delay is an added delivery latency applied to every message.
-	Delay time.Duration
-	// StragglerParty, when non-empty, adds StragglerDelay to every message
-	// sent by that party — the slow-client scenario of quorum aggregation.
+	// StragglerParty, when non-empty, makes every message that party sends
+	// late — the slow-client scenario of quorum aggregation. Its frames are
+	// held per recipient and released once that recipient's next deadline
+	// receive has timed out, so they land behind the deadline; a receive
+	// with no deadline releases them first.
 	StragglerParty string
-	// StragglerDelay is the extra latency for the straggler's messages.
-	StragglerDelay time.Duration
 }
 
 // ChaosStats counts the faults a ChaosTransport has injected.
@@ -120,28 +119,30 @@ type ChaosStats struct {
 	Dropped    int64 // silently discarded
 	Duplicated int64 // delivered twice
 	Reordered  int64 // held back behind a later message
-	Delayed    int64 // delivered asynchronously after a latency
+	Delayed    int64 // the straggler's frames held for a deadline
 }
 
 // ChaosTransport wraps a Transport with seeded probabilistic faults: drops,
-// duplication, neighbour reordering, and per-message delivery delay. Delayed
-// messages are delivered from a timer goroutine; delivery errors after the
-// inner transport closes are discarded, mirroring packets in flight when a
-// link goes down.
+// duplication, neighbour reordering, and a straggler whose frames arrive
+// after their recipient's deadline. Nothing waits on a clock: a straggler's
+// frame is late by rule, released into the inner transport by the receive
+// whose deadline it missed (over TCP that is a real send after the wall
+// deadline). Release errors are discarded, mirroring packets in flight when
+// a link goes down.
 type ChaosTransport struct {
 	inner Transport
 	cfg   ChaosConfig
 
-	mu      sync.Mutex
-	rng     *mpint.RNG
-	held    *Message
-	stats   ChaosStats
-	pending sync.WaitGroup
+	mu    sync.Mutex
+	rng   *mpint.RNG
+	held  *Message
+	late  map[string][]Message // the straggler's frames, by recipient
+	stats ChaosStats
 }
 
 // NewChaosTransport wraps inner with the given fault configuration.
 func NewChaosTransport(inner Transport, cfg ChaosConfig) *ChaosTransport {
-	return &ChaosTransport{inner: inner, cfg: cfg, rng: mpint.NewRNG(cfg.Seed)}
+	return &ChaosTransport{inner: inner, cfg: cfg, rng: mpint.NewRNG(cfg.Seed), late: make(map[string][]Message)}
 }
 
 // Send implements Transport with injected chaos.
@@ -175,28 +176,15 @@ func (c *ChaosTransport) Send(msg Message) error {
 		deliver = append(deliver, *c.held)
 		c.held = nil
 	}
-	delay := c.cfg.Delay
 	if c.cfg.StragglerParty != "" && msg.From == c.cfg.StragglerParty {
-		delay += c.cfg.StragglerDelay
-	}
-	if delay > 0 && len(deliver) > 0 {
-		c.stats.Delayed++
+		for _, m := range deliver {
+			c.late[m.To] = append(c.late[m.To], m)
+		}
+		c.stats.Delayed += int64(len(deliver))
+		deliver = nil
 	}
 	c.mu.Unlock()
 
-	if len(deliver) == 0 {
-		return nil
-	}
-	if delay > 0 {
-		c.pending.Add(1)
-		time.AfterFunc(delay, func() {
-			defer c.pending.Done()
-			for _, m := range deliver {
-				_ = c.inner.Send(m) // best effort: the round may have moved on
-			}
-		})
-		return nil
-	}
 	for _, m := range deliver {
 		if err := c.inner.Send(m); err != nil {
 			return err
@@ -205,20 +193,36 @@ func (c *ChaosTransport) Send(msg Message) error {
 	return nil
 }
 
-// Recv implements Transport.
-func (c *ChaosTransport) Recv(party string) (Message, error) { return c.inner.Recv(party) }
+// Recv implements Transport, releasing the frames held for party first.
+func (c *ChaosTransport) Recv(party string) (Message, error) { return c.RecvTimeout(party, 0) }
 
-// RecvTimeout implements Transport.
+// RecvTimeout implements Transport: the frames held for party are released
+// once a deadline receive times out, or first when there is no deadline.
 func (c *ChaosTransport) RecvTimeout(party string, d time.Duration) (Message, error) {
-	return c.inner.RecvTimeout(party, d)
+	if d <= 0 {
+		c.release(party)
+	}
+	msg, err := c.inner.RecvTimeout(party, d)
+	if IsTimeout(err) {
+		c.release(party)
+	}
+	return msg, err
 }
 
-// Close implements Transport. Pending delayed deliveries are abandoned.
-func (c *ChaosTransport) Close() error { return c.inner.Close() }
+// release sends the straggler's frames held for party into the inner
+// transport, best effort: the round may have moved on.
+func (c *ChaosTransport) release(party string) {
+	c.mu.Lock()
+	late := c.late[party]
+	delete(c.late, party)
+	c.mu.Unlock()
+	for _, m := range late {
+		_ = c.inner.Send(m)
+	}
+}
 
-// Flush blocks until all delayed deliveries have been attempted — call in
-// tests before asserting on received traffic.
-func (c *ChaosTransport) Flush() { c.pending.Wait() }
+// Close implements Transport. Frames still held are abandoned.
+func (c *ChaosTransport) Close() error { return c.inner.Close() }
 
 // Stats returns a snapshot of the injected-fault counters.
 func (c *ChaosTransport) Stats() ChaosStats {

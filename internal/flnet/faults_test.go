@@ -106,7 +106,6 @@ func chaosRun(t *testing.T, cfg ChaosConfig, n int) ([]uint64, ChaosStats) {
 			t.Fatal(err)
 		}
 	}
-	ct.Flush()
 	var got []uint64
 	for {
 		msg, err := ct.RecvTimeout("b", 20*time.Millisecond)
@@ -192,29 +191,41 @@ func TestChaosTransportReordersNeighbours(t *testing.T) {
 	}
 }
 
+// TestChaosTransportStragglerDelay pins when a straggler's frame
+// lands: after its recipient's deadline receive has timed out, as the next
+// frame that recipient receives, and at once for a receive with no deadline.
 func TestChaosTransportStragglerDelay(t *testing.T) {
 	inner := NewSimTransport(GigabitEthernet(), "slow", "fast", "dst")
-	ct := NewChaosTransport(inner, ChaosConfig{
-		Seed: 3, StragglerParty: "slow", StragglerDelay: 60 * time.Millisecond,
-	})
+	ct := NewChaosTransport(inner, ChaosConfig{Seed: 3, StragglerParty: "slow"})
 	defer ct.Close()
-	start := time.Now()
-	if err := ct.Send(Message{From: "slow", To: "dst", Kind: "s"}); err != nil {
-		t.Fatal(err)
+	send := func(from, kind string) {
+		t.Helper()
+		if err := ct.Send(Message{From: from, To: "dst", Kind: kind}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := ct.Send(Message{From: "fast", To: "dst", Kind: "f"}); err != nil {
-		t.Fatal(err)
-	}
-	// The fast sender's message arrives first even though it was sent second.
-	first, err := ct.RecvTimeout("dst", time.Second)
-	if err != nil || first.Kind != "f" {
+	send("slow", "s1")
+	send("fast", "f")
+	// The fast sender's frame arrives although it was sent second; the
+	// straggler's does not beat the deadline.
+	if first, err := ct.RecvTimeout("dst", time.Hour); err != nil || first.Kind != "f" {
 		t.Fatalf("first = %+v, %v", first, err)
 	}
-	second, err := ct.RecvTimeout("dst", time.Second)
-	if err != nil || second.Kind != "s" {
-		t.Fatalf("second = %+v, %v", second, err)
+	if msg, err := ct.RecvTimeout("dst", time.Hour); !IsTimeout(err) {
+		t.Fatalf("straggler's frame beat the deadline: %+v, %v", msg, err)
 	}
-	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
-		t.Fatalf("straggler arrived too early: %v", elapsed)
+	send("fast", "f2")
+	if next, err := ct.RecvTimeout("dst", time.Hour); err != nil || next.Kind != "s1" {
+		t.Fatalf("frame after the deadline = %+v, %v; want the straggler's", next, err)
+	}
+	if next, err := ct.RecvTimeout("dst", time.Hour); err != nil || next.Kind != "f2" {
+		t.Fatalf("then = %+v, %v", next, err)
+	}
+	send("slow", "s2")
+	if msg, err := ct.Recv("dst"); err != nil || msg.Kind != "s2" {
+		t.Fatalf("no-deadline receive = %+v, %v; want the held frame", msg, err)
+	}
+	if st := ct.Stats(); st.Sent != 4 || st.Delayed != 2 {
+		t.Fatalf("stats %+v, want 4 sent and 2 held", st)
 	}
 }

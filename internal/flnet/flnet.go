@@ -188,6 +188,12 @@ func (q *simQueue) pop() (Message, bool) {
 // every byte metered through the link model. Closing never closes any
 // channel a sender writes — a broadcast `done` channel unblocks receivers —
 // so Send racing Close cannot panic.
+//
+// A deadline is read off the queue, not a clock: RecvTimeout with d > 0 on
+// an empty queue returns ErrTimeout at once. The in-process round steps every
+// party on one thread and sends a wave's uploads, or the broadcast, before
+// anyone receives them, so an empty queue at a deadline means nothing more
+// will arrive. Recv, and RecvTimeout with d <= 0, block until a message does.
 type SimTransport struct {
 	meter *Meter
 
@@ -231,21 +237,15 @@ func (t *SimTransport) Send(msg Message) error {
 }
 
 // Recv implements Transport.
-func (t *SimTransport) Recv(party string) (Message, error) {
-	return t.recv(party, nil)
-}
+func (t *SimTransport) Recv(party string) (Message, error) { return t.recv(party, false) }
 
-// RecvTimeout implements Transport.
+// RecvTimeout implements Transport: with d > 0 an empty queue is a timeout
+// (see SimTransport).
 func (t *SimTransport) RecvTimeout(party string, d time.Duration) (Message, error) {
-	if d <= 0 {
-		return t.recv(party, nil)
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	return t.recv(party, timer.C)
+	return t.recv(party, d > 0)
 }
 
-func (t *SimTransport) recv(party string, timeout <-chan time.Time) (Message, error) {
+func (t *SimTransport) recv(party string, deadline bool) (Message, error) {
 	t.mu.Lock()
 	q, ok := t.queues[party]
 	t.mu.Unlock()
@@ -257,6 +257,13 @@ func (t *SimTransport) recv(party string, timeout <-chan time.Time) (Message, er
 		if msg, ok := q.pop(); ok {
 			return msg, nil
 		}
+		if deadline {
+			select {
+			case <-t.done: // closed, not quiet: reported below
+			default:
+				return Message{}, fmt.Errorf("%w: party %q", ErrTimeout, party)
+			}
+		}
 		select {
 		case <-q.wake:
 			// Retry the pop; a concurrent receiver may have raced us to the
@@ -266,8 +273,6 @@ func (t *SimTransport) recv(party string, timeout <-chan time.Time) (Message, er
 				return msg, nil
 			}
 			return Message{}, fmt.Errorf("flnet: transport closed")
-		case <-timeout:
-			return Message{}, fmt.Errorf("%w: party %q", ErrTimeout, party)
 		}
 	}
 }

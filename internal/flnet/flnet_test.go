@@ -308,6 +308,11 @@ func TestSimTransportRecvTimeout(t *testing.T) {
 	if err != nil || msg.Kind != "x" {
 		t.Fatalf("RecvTimeout = %+v, %v", msg, err)
 	}
+	// In process an empty queue at a deadline is a timeout at once, however
+	// far off the deadline is.
+	if _, err := tr.RecvTimeout("b", time.Hour); !IsTimeout(err) {
+		t.Fatalf("empty queue with an hour's deadline: want timeout, got %v", err)
+	}
 	// d <= 0 behaves like Recv for a ready message.
 	if err := tr.Send(Message{From: "a", To: "b", Kind: "y"}); err != nil {
 		t.Fatal(err)
@@ -332,6 +337,9 @@ func TestSimTransportDrainsAfterClose(t *testing.T) {
 	}
 	if _, err := tr.Recv("b"); err == nil {
 		t.Fatal("empty queue after close should error")
+	}
+	if _, err := tr.RecvTimeout("b", time.Hour); err == nil || IsTimeout(err) {
+		t.Fatalf("deadline receive on a closed, empty transport = %v, want the close", err)
 	}
 }
 
