@@ -3,7 +3,7 @@
 # vets, runs the full test suite, re-runs the concurrency-sensitive packages
 # (transport + round runtime + device fault layer + the pooled arithmetic
 # under them) under the race detector,
-# smoke-runs the fuzz targets, compiles-and-runs every HE-stack benchmark
+# smoke-runs the fuzz targets, compiles-and-runs every benchmark
 # once so benchmark code cannot bit-rot, runs the repository benchmark at its
 # smoke sizing twice on one seed, failing if the two sets' modelled metrics
 # differ in any digit, and runs the CI-sized multi-fault chaos soak under the
@@ -82,8 +82,9 @@ race:
 # four wire decoders in flnet; two in gpu; three in fl — the return-path
 # splitter, the aggregate frame every client opens and the journal a restarted
 # coordinator replays —
-# and one each on paillier's key decoders and ghe's engine layer), each with
-# its corpus under its package's testdata/fuzz.
+# and one each on paillier's key decoders and ghe's executor — every op's
+# descriptor against math/big, the executor over 1–3 devices against the host
+# loop), each with its corpus under its package's testdata/fuzz.
 fuzz:
 	@for pkg in $$($(GO) list ./...); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
@@ -92,14 +93,20 @@ fuzz:
 		done; \
 	done
 
-# One iteration of every benchmark in the HE hot-path packages: catches
-# benchmarks that no longer compile or crash without paying for real timing
-# runs. -benchmem puts allocs/op in the CI log, so allocation drift in the
-# mpint/paillier hot paths — in the launch itself, gpu's BenchmarkLaunch, and
-# in an upload wave as one host job, fl's BenchmarkUploadWave — is visible
+# One iteration of every benchmark the module has: for each package `go list
+# ./...` reports that `go test -list '^Benchmark'` finds a benchmark in, as
+# `make fuzz` finds its targets, so adding or deleting one needs no edit.
+# Catches benchmarks that no longer compile or crash without paying for real
+# timing runs. -benchmem puts allocs/op in the CI log, so allocation drift in
+# the mpint/paillier hot paths — in the launch itself, gpu's BenchmarkLaunch,
+# and in an upload wave as one host job, fl's BenchmarkUploadWave — is visible
 # next to the AllocsPerRun ceilings.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./internal/mpint ./internal/gpu ./internal/ghe ./internal/paillier ./internal/fl
+	@for pkg in $$($(GO) list ./...); do \
+		list=$$($(GO) test -list '^Benchmark' $$pkg) || { printf '%s\n' "$$list"; exit 1; }; \
+		printf '%s\n' "$$list" | grep -q '^Benchmark' || continue; \
+		$(GO) test $$pkg -run '^$$' -bench . -benchtime 1x -benchmem || exit 1; \
+	done
 
 # The repository benchmark (benchmark/README.md) at its seconds-not-minutes
 # sizing, two full sets on one seed, with -check: a modelled metric

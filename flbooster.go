@@ -85,7 +85,7 @@ type FaultPolicy = fl.FaultPolicy
 type FaultConfig = gpu.FaultConfig
 
 // CheckedConfig re-exports the checked-execution policy
-// (FaultPolicy.Check): retry budget, backoff, verification sampling.
+// (FaultPolicy.Check): retry budget and verification sampling.
 type CheckedConfig = ghe.CheckedConfig
 
 // FaultReport re-exports the fault/retry/fallback counters returned by

@@ -33,6 +33,12 @@ type Stack struct {
 // With injection enabled each member gets its own injector, seeded apart from
 // its peers', so a fault pattern does not kill the whole fleet in lockstep.
 func NewStack(cfg gpu.Config, fineRM bool, devices int, inject gpu.FaultConfig, check ghe.CheckedConfig) (*Stack, error) {
+	if err := inject.Validate(); err != nil {
+		return nil, err
+	}
+	if err := check.Validate(); err != nil {
+		return nil, err
+	}
 	set, err := gpu.NewDeviceSet(cfg, fineRM, devices)
 	if err != nil {
 		return nil, err

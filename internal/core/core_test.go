@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/big"
 	"testing"
 
@@ -65,6 +66,17 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 	if Default(1) == nil {
 		t.Fatal("Default should construct")
+	}
+}
+
+// TestNewStackRejectsOutOfRangePolicy: a fault or checking policy out of
+// range is refused, typed, before anything is built.
+func TestNewStackRejectsOutOfRangePolicy(t *testing.T) {
+	if _, err := NewStack(gpu.SmallTestDevice(), true, 1, gpu.FaultConfig{CorruptProb: math.NaN()}, ghe.CheckedConfig{}); !errors.Is(err, gpu.ErrFaultConfig) {
+		t.Errorf("a NaN corruption probability: %v, want gpu.ErrFaultConfig", err)
+	}
+	if _, err := NewStack(gpu.SmallTestDevice(), true, 1, gpu.FaultConfig{}, ghe.CheckedConfig{VerifyFraction: -1}); !errors.Is(err, ghe.ErrCheckedConfig) {
+		t.Errorf("a negative verification fraction: %v, want ghe.ErrCheckedConfig", err)
 	}
 }
 
@@ -323,15 +335,24 @@ func sameVec(t *testing.T, tag string, got, want []mpint.Nat) {
 	}
 }
 
+// each applies fn to every element of a and the matching one of b: the host
+// loop of mpint's own ops a Table I vector op is held to.
+func each(a, b []mpint.Nat, fn func(x, y mpint.Nat) mpint.Nat) ([]mpint.Nat, error) {
+	out := make([]mpint.Nat, len(a))
+	for i := range a {
+		out[i] = fn(a[i], b[i])
+	}
+	return out, nil
+}
+
 // TestTableIMatchesHostLoop: on every platform shape each vector op of Table I
-// returns what ghe.CPUEngine computes for the same operands — sharded over two
-// devices or served by the host after the device died included.
+// returns what mpint's own op computes for the same operands, one element at
+// a time — sharded over two devices or served by the host after the device
+// died included.
 func TestTableIMatchesHostLoop(t *testing.T) {
 	forEachPlatform(t, func(t *testing.T, p *Platform) {
-		host := ghe.NewCPUEngine()
 		r := mpint.NewRNG(11)
 		n := r.RandPrime(96)
-		m := mpint.NewMont(n)
 		a, b := make([]mpint.Nat, 9), make([]mpint.Nat, 9)
 		for i := range a {
 			a[i], b[i] = r.RandBits(150), mpint.AddWord(r.RandBelow(mpint.SubWord(n, 1)), 1) // b in [1, n)
@@ -341,13 +362,19 @@ func TestTableIMatchesHostLoop(t *testing.T) {
 			name      string
 			got, want func() ([]mpint.Nat, error)
 		}{
-			{"Add", func() ([]mpint.Nat, error) { return p.Add(a, b) }, func() ([]mpint.Nat, error) { return host.AddVec(a, b) }},
-			{"Sub", func() ([]mpint.Nat, error) { return p.Sub(a, b) }, func() ([]mpint.Nat, error) { return host.SubVec(a, b) }},
-			{"Mul", func() ([]mpint.Nat, error) { return p.Mul(a, b) }, func() ([]mpint.Nat, error) { return host.MulVec(a, b) }},
-			{"Div", func() ([]mpint.Nat, error) { return p.Div(a, b) }, func() ([]mpint.Nat, error) { return host.DivVec(a, b) }},
-			{"Mod", func() ([]mpint.Nat, error) { return p.Mod(a, n) }, func() ([]mpint.Nat, error) { return host.ModVec(a, n) }},
-			{"ModMul", func() ([]mpint.Nat, error) { return p.ModMul(b, b, n) }, func() ([]mpint.Nat, error) { return host.ModMulVec(b, b, m) }},
-			{"ModPow", func() ([]mpint.Nat, error) { return p.ModPow(a, e, n) }, func() ([]mpint.Nat, error) { return host.ModExpVec(a, e, m) }},
+			{"Add", func() ([]mpint.Nat, error) { return p.Add(a, b) }, func() ([]mpint.Nat, error) { return each(a, b, mpint.Add) }},
+			{"Sub", func() ([]mpint.Nat, error) { return p.Sub(a, b) }, func() ([]mpint.Nat, error) { return each(a, b, mpint.Sub) }},
+			{"Mul", func() ([]mpint.Nat, error) { return p.Mul(a, b) }, func() ([]mpint.Nat, error) { return each(a, b, mpint.Mul) }},
+			{"Div", func() ([]mpint.Nat, error) { return p.Div(a, b) }, func() ([]mpint.Nat, error) { return each(a, b, mpint.Div) }},
+			{"Mod", func() ([]mpint.Nat, error) { return p.Mod(a, n) }, func() ([]mpint.Nat, error) {
+				return each(a, a, func(x, _ mpint.Nat) mpint.Nat { return mpint.Mod(x, n) })
+			}},
+			{"ModMul", func() ([]mpint.Nat, error) { return p.ModMul(b, b, n) }, func() ([]mpint.Nat, error) {
+				return each(b, b, func(x, y mpint.Nat) mpint.Nat { return mpint.ModMul(x, y, n) })
+			}},
+			{"ModPow", func() ([]mpint.Nat, error) { return p.ModPow(a, e, n) }, func() ([]mpint.Nat, error) {
+				return each(a, a, func(x, _ mpint.Nat) mpint.Nat { return mpint.ModExp(x, e, n) })
+			}},
 		} {
 			got, err := op.got()
 			if err != nil {
@@ -464,7 +491,6 @@ func TestTableIUnderCorruption(t *testing.T) {
 	p := platformOn(t, 1, gpu.FaultConfig{Seed: 5, CorruptProb: 0.5},
 		ghe.CheckedConfig{VerifyFraction: 1, VerifySeed: 5, MaxRetries: 12})
 	p.st.DevSet.SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 1, FailAfter: 1 << 30})
-	host := ghe.NewCPUEngine()
 	r := mpint.NewRNG(13)
 	for round := 0; round < 6; round++ {
 		a, b := []mpint.Nat{r.RandBits(200), r.RandBits(64), r.RandBits(130)}, []mpint.Nat{r.RandBits(90), r.RandBits(64), r.RandBits(7)}
@@ -472,12 +498,12 @@ func TestTableIUnderCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := host.MulVec(a, b)
+		want, _ := each(a, b, mpint.Mul)
 		sameVec(t, "Mul under corruption", got, want)
 		if got, err = p.Div(a, b); err != nil {
 			t.Fatal(err)
 		}
-		want, _ = host.DivVec(a, b)
+		want, _ = each(a, b, mpint.Div)
 		sameVec(t, "Div under corruption", got, want)
 	}
 	sk, err := p.PaillierKeyGen(128)

@@ -1,7 +1,9 @@
 package fl
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"flbooster/internal/mpint"
@@ -89,28 +91,37 @@ func (c AdversaryConfig) Enabled() bool {
 	return c.Kind != AttackNone && (c.Count > 0 || c.Fraction > 0)
 }
 
-// Validate reports configuration errors for a federation of `parties`.
+// ErrAdversaryConfig is what AdversaryConfig.Validate rejects a number out of
+// range with.
+var ErrAdversaryConfig = errors.New("fl: adversary setting out of range")
+
+// Validate reports configuration errors for a federation of `parties`. A
+// fraction, factor, noise or drift that is negative or not finite (a NaN
+// fraction would silently disarm the attack) is an ErrAdversaryConfig.
 func (c AdversaryConfig) Validate(parties int) error {
 	switch {
 	case !knownAttack(c.Kind):
 		return fmt.Errorf("fl: unknown attack kind %q", c.Kind)
-	case c.Fraction < 0 || c.Fraction >= 1:
-		return fmt.Errorf("fl: adversary fraction %v outside [0, 1)", c.Fraction)
+	case !(c.Fraction >= 0 && c.Fraction < 1): // NaN too
+		return fmt.Errorf("%w: fraction %v outside [0, 1)", ErrAdversaryConfig, c.Fraction)
 	case c.Count < 0:
 		return fmt.Errorf("fl: negative adversary count %d", c.Count)
 	case c.Count >= parties && c.Count > 0:
 		return fmt.Errorf("fl: %d adversaries need at least %d parties", c.Count, c.Count+1)
-	case c.Factor < 0:
-		return fmt.Errorf("fl: negative attack factor %v", c.Factor)
-	case c.NoiseStd < 0:
-		return fmt.Errorf("fl: negative attack noise %v", c.NoiseStd)
-	case c.Drift < 0:
-		return fmt.Errorf("fl: negative collusion drift %v", c.Drift)
+	case !finiteNonNegative(c.Factor):
+		return fmt.Errorf("%w: attack factor %v", ErrAdversaryConfig, c.Factor)
+	case !finiteNonNegative(c.NoiseStd):
+		return fmt.Errorf("%w: attack noise %v", ErrAdversaryConfig, c.NoiseStd)
+	case !finiteNonNegative(c.Drift):
+		return fmt.Errorf("%w: collusion drift %v", ErrAdversaryConfig, c.Drift)
 	case c.Kind == AttackNone && (c.Count > 0 || c.Fraction > 0):
 		return fmt.Errorf("fl: adversary cohort configured without an attack kind")
 	}
 	return nil
 }
+
+// finiteNonNegative reports whether x is a finite number of at least 0.
+func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // cohortSize resolves Count/Fraction for a party count. An armed config
 // always compromises at least one client and never all of them.

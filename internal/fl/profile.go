@@ -172,6 +172,12 @@ func (p Profile) Validate() error {
 	if err := p.Cohort.Validate(p.Parties); err != nil {
 		return err
 	}
+	if err := p.Faults.Inject.Validate(); err != nil {
+		return fmt.Errorf("fl: Faults.Inject: %w", err)
+	}
+	if err := p.Faults.Check.Validate(); err != nil {
+		return fmt.Errorf("fl: Faults.Check: %w", err)
+	}
 	// A quorum above the sampled cohort size could never be met: every round
 	// would fail at admission, so reject the combination up front.
 	if p.Cohort.Size > 0 && p.Round.Quorum > p.Cohort.Size {

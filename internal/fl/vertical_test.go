@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"flbooster/internal/flnet"
-	"flbooster/internal/ghe"
+	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
 	"flbooster/internal/paillier"
 )
@@ -227,33 +227,29 @@ func TestWeightedSum(t *testing.T) {
 }
 
 // returnWirings builds one context per HE substrate the return path runs on:
-// the serial CPU backend, the bare one-attempt engine on one device, the
-// checked engine every GPU profile uses over its default one-device set, and
-// the same over a two-device fleet — all with batch compression on, so
-// OpenBroadcastSums packs.
+// the serial CPU backend, the executor every GPU profile uses over its
+// default one-device set, the same over a two-device fleet, and over one
+// device that dies at its first launch after key generation, so the host loop
+// serves every batch — all with batch compression on, so OpenBroadcastSums
+// packs.
 func returnWirings(t *testing.T, keyBits int) map[string]*Context {
 	t.Helper()
-	build := func(sys System, devices int) *Context {
+	build := func(sys System, devices int, inject gpu.FaultConfig) *Context {
 		p := testProfile(sys)
 		p.KeyBits = keyBits
 		p.Devices = devices
+		p.Faults.Inject = inject
 		ctx, err := NewContext(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ctx
 	}
-	raw := build(SystemFLBooster, 0)
-	eng, err := ghe.NewEngine(raw.Device)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw.Backend = paillier.MustGPUBackend(eng)
 	return map[string]*Context{
-		"cpu":           build(SystemNoGHE, 0),
-		"single-device": raw,
-		"checked":       build(SystemFLBooster, 0),
-		"devices=2":     build(SystemFLBooster, 2),
+		"cpu":       build(SystemNoGHE, 0, gpu.FaultConfig{}),
+		"host loop": build(SystemFLBooster, 0, gpu.FaultConfig{Seed: 1, KillAtLaunch: 1}),
+		"checked":   build(SystemFLBooster, 0, gpu.FaultConfig{}),
+		"devices=2": build(SystemFLBooster, 2, gpu.FaultConfig{}),
 	}
 }
 

@@ -19,8 +19,8 @@ import (
 // (a backend's call states its op in a pooled frame and is pinned a value
 // lower, in internal/paillier); the Montgomery form of one operand stays in
 // the pooled scratch, the launch itself allocates nothing and the executor's
-// bookkeeping is engine state — on the device engine, the executor over one
-// device and the host engine.
+// bookkeeping is engine state — on the executor over one device and on the
+// host loop.
 func TestModMulVecAllocCeiling(t *testing.T) {
 	r := mpint.NewRNG(77)
 	n := r.RandBits(2048)
@@ -29,19 +29,8 @@ func TestModMulVecAllocCeiling(t *testing.T) {
 	a, b := randVec(r, 128, n), randVec(r, 128, n)
 	cfg := gpu.RTX3090()
 	cfg.HostWorkers = 1 // AllocsPerRun counts the whole process
-	set, err := gpu.NewDeviceSet(cfg, true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked, err := NewCheckedEngine(set, CheckedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, eng := range map[string]vecEngine{
-		"device":   MustEngine(gpu.MustNew(cfg, true)),
-		"executor": checked,
-		"host":     NewCPUEngine(),
-	} {
+	checked := executorOn(t, cfg, 1, CheckedConfig{})
+	for name, eng := range map[string]vecEngine{"executor": checked, "host": hostLoop{}} {
 		for _, width := range []int{4, 128} {
 			got := testing.AllocsPerRun(5, func() {
 				if _, err := eng.ModMulVec(a[:width], b[:width], m); err != nil {
@@ -69,19 +58,8 @@ func TestMultiExpVecAllocCeiling(t *testing.T) {
 	sums := weightedSums(r, len(bases), 16, 10)
 	cfg := gpu.RTX3090()
 	cfg.HostWorkers = 1 // AllocsPerRun counts the whole process
-	set, err := gpu.NewDeviceSet(cfg, true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked, err := NewCheckedEngine(set, CheckedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, eng := range map[string]vecEngine{
-		"device":   MustEngine(gpu.MustNew(cfg, true)),
-		"executor": checked,
-		"host":     NewCPUEngine(),
-	} {
+	checked := executorOn(t, cfg, 1, CheckedConfig{})
+	for name, eng := range map[string]vecEngine{"executor": checked, "host": hostLoop{}} {
 		allocs := func(width int) float64 {
 			return testing.AllocsPerRun(5, func() {
 				if _, err := eng.MultiExpVec(bases, sums[:width], m); err != nil {
@@ -100,16 +78,17 @@ func TestMultiExpVecAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestCheckedOverheadOverBareEngine pins what the executor costs on top of
-// the launch it schedules: a small op on a one-device set — the default
-// wiring of every GPU profile — may make at most two more allocations and
-// 64 more bytes than the same op on the bare Engine. The bound comes from
+// TestCheckedOverheadOverLaunch pins what the executor costs on top of the
+// launch it schedules: a small op on a one-device set — the default wiring of
+// every GPU profile — may make at most two more allocations and 64 more bytes
+// than the same op stated alone and launched once on the member's device
+// (member.launch: no shard, no verification, no retry). The bound comes from
 // the repository benchmark: cohort_tree_128 runs 1,025 launches a step and
 // allows alloc_mb_per_step 5%, about 71 B an op (2,049 launches and 58 B
 // before an encryption was one launch). Scheduler bookkeeping
 // rebuilt per op (maps, a goroutine and a WaitGroup for a one-device wave, a
 // second output vector copied shard by shard) costs 17 allocations and 784 B.
-func TestCheckedOverheadOverBareEngine(t *testing.T) {
+func TestCheckedOverheadOverLaunch(t *testing.T) {
 	r := mpint.NewRNG(78)
 	n := r.RandBits(256)
 	n[0] |= 1
@@ -117,17 +96,10 @@ func TestCheckedOverheadOverBareEngine(t *testing.T) {
 	a, b := randVec(r, 4, n), randVec(r, 4, n)
 	cfg := gpu.RTX3090()
 	cfg.HostWorkers = 1 // AllocsPerRun counts the whole process
-	set, err := gpu.NewDeviceSet(cfg, true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked, err := NewCheckedEngine(set, CheckedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	measure := func(eng vecEngine) (allocs, bytes float64) {
+	checked := executorOn(t, cfg, 1, CheckedConfig{})
+	measure := func(modMul func() error) (allocs, bytes float64) {
 		op := func() {
-			if _, err := eng.ModMulVec(a, b, m); err != nil {
+			if err := modMul(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -141,12 +113,13 @@ func TestCheckedOverheadOverBareEngine(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return testing.AllocsPerRun(runs, op), float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
-	bareAllocs, bareBytes := measure(MustEngine(gpu.MustNew(cfg, true)))
-	allocs, bytes := measure(checked)
-	t.Logf("bare engine %.0f allocs / %.0f B an op, executor at D=1 %.0f / %.0f", bareAllocs, bareBytes, allocs, bytes)
-	if allocs > bareAllocs+2 || bytes > bareBytes+64 {
-		t.Errorf("executor at D=1: %.0f allocs / %.0f B an op, bare engine %.0f / %.0f: ceiling +2 / +64 B",
-			allocs, bytes, bareAllocs, bareBytes)
+	mb := executorOn(t, cfg, 1, CheckedConfig{}).members[0]
+	launchAllocs, launchBytes := measure(func() error { return mb.launch(&modMulOp{newModVec(len(a), m), a, b}, nil) })
+	allocs, bytes := measure(func() error { _, err := checked.ModMulVec(a, b, m); return err })
+	t.Logf("one launch %.0f allocs / %.0f B an op, executor at D=1 %.0f / %.0f", launchAllocs, launchBytes, allocs, bytes)
+	if allocs > launchAllocs+2 || bytes > launchBytes+64 {
+		t.Errorf("executor at D=1: %.0f allocs / %.0f B an op, one launch %.0f / %.0f: ceiling +2 / +64 B",
+			allocs, bytes, launchAllocs, launchBytes)
 	}
 }
 
@@ -182,57 +155,48 @@ func TestGroupedLaunchAllocCeiling(t *testing.T) {
 	holder, public := encKey(crt, n2, true), encKey(crt, n2, false)
 	cfg := gpu.RTX3090()
 	cfg.HostWorkers = 1 // AllocsPerRun counts the whole process
-	set, err := gpu.NewDeviceSet(cfg, true, 1)
-	if err != nil {
-		t.Fatal(err)
+	eng := executorOn(t, cfg, 1, CheckedConfig{})
+	framed := func(w int, op func(f *Frame) ([]mpint.Nat, error)) func() {
+		return func() {
+			f := eng.Frame(w)
+			defer f.Release()
+			if _, err := op(f); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	checked, err := NewCheckedEngine(set, CheckedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, eng := range map[string]vecEngine{"device": MustEngine(gpu.MustNew(cfg, true)), "executor": checked} {
-		framed := func(w int, op func(f *Frame) ([]mpint.Nat, error)) func() {
+	for _, tc := range []struct {
+		op     string
+		launch func(w int) func()
+		fixed  float64
+	}{
+		{"mod_exp_vec", func(w int) func() {
 			return func() {
-				f := eng.Frame(w)
-				defer f.Release()
-				if _, err := op(f); err != nil {
+				if _, err := eng.ModExpVec(bases[:w], exp, m); err != nil {
 					t.Fatal(err)
 				}
 			}
+		}, 4},
+		{"encrypt_vec", func(w int) func() {
+			return framed(w, func(f *Frame) ([]mpint.Nat, error) { return f.encryptVec(ms[:w], holder, 5) })
+		}, 0},
+		{"encrypt_vec (public)", func(w int) func() {
+			return framed(w, func(f *Frame) ([]mpint.Nat, error) { return f.encryptVec(ms[:w], public, 5) })
+		}, 0},
+		{"decrypt_crt_vec", func(w int) func() {
+			return framed(w, func(f *Frame) ([]mpint.Nat, error) { return f.DecryptVec(cts[:w], key) })
+		}, 0},
+		{"miller_rabin_vec", func(w int) func() {
+			return framed(w, func(f *Frame) ([]mpint.Nat, error) { return f.MillerRabinVec([]mpint.Nat{cand}, as[:w]) })
+		}, 64},
+	} {
+		eight, sixteen := testing.AllocsPerRun(5, tc.launch(8)), testing.AllocsPerRun(5, tc.launch(16))
+		t.Logf("%s: %.0f allocs at 8 items, %.0f at 16", tc.op, eight, sixteen)
+		if per := (sixteen - eight) / 8; per > 1 {
+			t.Errorf("%s: %.2f allocs an item, ceiling 1", tc.op, per)
 		}
-		for _, tc := range []struct {
-			op     string
-			launch func(w int) func()
-			fixed  float64
-		}{
-			{"mod_exp_vec", func(w int) func() {
-				return func() {
-					if _, err := eng.ModExpVec(bases[:w], exp, m); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}, 4},
-			{"encrypt_vec", func(w int) func() {
-				return framed(w, func(f *Frame) ([]mpint.Nat, error) { return f.EncryptVec(ms[:w], holder, 5) })
-			}, 0},
-			{"encrypt_vec (public)", func(w int) func() {
-				return framed(w, func(f *Frame) ([]mpint.Nat, error) { return f.EncryptVec(ms[:w], public, 5) })
-			}, 0},
-			{"decrypt_crt_vec", func(w int) func() {
-				return framed(w, func(f *Frame) ([]mpint.Nat, error) { return f.DecryptVec(cts[:w], key) })
-			}, 0},
-			{"miller_rabin_vec", func(w int) func() {
-				return framed(w, func(f *Frame) ([]mpint.Nat, error) { return f.MillerRabinVec([]mpint.Nat{cand}, as[:w]) })
-			}, 64},
-		} {
-			eight, sixteen := testing.AllocsPerRun(5, tc.launch(8)), testing.AllocsPerRun(5, tc.launch(16))
-			t.Logf("%s %s: %.0f allocs at 8 items, %.0f at 16", name, tc.op, eight, sixteen)
-			if per := (sixteen - eight) / 8; per > 1 {
-				t.Errorf("%s %s: %.2f allocs an item, ceiling 1", name, tc.op, per)
-			}
-			if sixteen > 16+tc.fixed {
-				t.Errorf("%s %s: %.0f allocs for 16 items, ceiling 16 + %.0f", name, tc.op, sixteen, tc.fixed)
-			}
+		if sixteen > 16+tc.fixed {
+			t.Errorf("%s: %.0f allocs for 16 items, ceiling 16 + %.0f", tc.op, sixteen, tc.fixed)
 		}
 	}
 }

@@ -18,21 +18,25 @@ import (
 // check itself stays a two-word reduction. Largest 32-bit prime.
 const verifyPrime = 4294967291
 
-// backoffCap caps a checked op's exponential retry backoff.
-const backoffCap = 64 * time.Millisecond
+// A checked op's retry backoff: the wait before retry attempt+1 is
+// backoffBase<<attempt, capped at backoffCap. The wait is charged to the
+// device's modelled clock (Stats.SimFaultTime, an Eq. 10 degradation term),
+// not slept on the host, so degraded experiments report honest timings
+// without running slower than the faults they simulate.
+const (
+	backoffBase = time.Millisecond
+	backoffCap  = 64 * time.Millisecond
+)
+
+// ErrCheckedConfig is what CheckedConfig.Validate rejects a policy with.
+var ErrCheckedConfig = errors.New("ghe: checked-execution setting out of range")
 
 // CheckedConfig parameterizes a CheckedEngine. The zero value gets sane
-// defaults: 3 retries, 1ms base backoff capped at 64ms, verification off.
+// defaults: 3 retries, verification off.
 type CheckedConfig struct {
 	// MaxRetries bounds re-executions of one shard on one device after device
 	// faults or verification misses. Zero means the default of 3.
 	MaxRetries int
-	// Backoff is the base retry delay; attempt k waits Backoff<<k, capped at
-	// backoffCap. The wait is charged to the device's modelled clock
-	// (Stats.SimFaultTime, an Eq. 10 degradation term), not slept on the
-	// host, so degraded experiments report honest timings without running
-	// slower than the faults they simulate.
-	Backoff time.Duration
 	// VerifyFraction is the fraction of result elements spot-verified per
 	// launch by host residue recomputation, in [0, 1]. Zero disables
 	// verification — corrupted kernels then go undetected.
@@ -41,25 +45,33 @@ type CheckedConfig struct {
 	VerifySeed uint64
 }
 
+// Validate rejects, with ErrCheckedConfig, a negative retry budget and a
+// verification fraction that is not a finite number in [0, 1].
+func (c CheckedConfig) Validate() error {
+	switch {
+	case c.MaxRetries < 0:
+		return fmt.Errorf("%w: negative retry budget %d", ErrCheckedConfig, c.MaxRetries)
+	case !(c.VerifyFraction >= 0 && c.VerifyFraction <= 1): // NaN too
+		return fmt.Errorf("%w: verification fraction %v outside [0, 1]", ErrCheckedConfig, c.VerifyFraction)
+	}
+	return nil
+}
+
 // withDefaults fills unset fields.
 func (c CheckedConfig) withDefaults() CheckedConfig {
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 3
 	}
-	if c.Backoff <= 0 {
-		c.Backoff = time.Millisecond
-	}
 	return c
 }
 
-// backoff is the wait before retry attempt+1: Backoff<<attempt, saturated at
-// backoffCap. The shift is compared against the cap before it is taken, so no
-// retry count can wrap it negative.
-func (c CheckedConfig) backoff(attempt int) time.Duration {
-	if c.Backoff > backoffCap>>uint(attempt) {
+// backoff is the wait before retry attempt+1. The shift is compared against
+// the cap before it is taken, so no retry count can wrap it negative.
+func backoff(attempt int) time.Duration {
+	if backoffBase > backoffCap>>uint(attempt) {
 		return backoffCap
 	}
-	return c.Backoff << uint(attempt)
+	return backoffBase << uint(attempt)
 }
 
 // CheckedStats counts the checked layer's activity — the fault and retry
@@ -97,24 +109,26 @@ func (s *CheckedStats) add(m CheckedStats) {
 // it runs every vector op over a gpu.DeviceSet of D ≥ 1 members with the
 // execution discipline a production deployment needs. The op splits into
 // contiguous shards, one per healthy member; each member launches its shard
-// (the bare Engine's single attempt), spot-verifies the result by host
-// residue checks, and retries typed launch failures and verification misses
-// with capped exponential backoff. A member that cannot serve a shard
-// surfaces its typed *gpu.KernelError to the set's scheduler, never a silent
-// host result: the scheduler excludes it and re-queues its work onto the
-// healthy peers, and only when none is left does the bit-exact host loop
-// serve what remains. Every fault, retry and fallback is counted.
+// (one attempt: member.launch), spot-verifies the result by host residue
+// checks, and retries typed launch failures and verification misses with
+// capped exponential backoff. A member that cannot serve a shard surfaces its
+// typed *gpu.KernelError to the set's scheduler, never a silent host result:
+// the scheduler excludes it and re-queues its work onto the healthy peers, and
+// only when none is left does the bit-exact host loop (runOnHost) serve what
+// remains. Every fault, retry and fallback is counted.
 //
-// Bit-exactness with the bare Engine holds by construction: a shard is the
-// op's own descriptor over a sub-range, so every element is computed by the
-// same lane at the same index of the one output vector and nonce streams stay
-// keyed by global item position; no schedule — mid-batch device death and
-// work stealing included — can change a single output bit.
+// Bit-exactness with a single launch and with the host loop holds by
+// construction: a shard is the op's own descriptor over a sub-range, so every
+// element is computed by the same lane at the same index of the one output
+// vector and nonce streams stay keyed by global item position; no schedule —
+// mid-batch device death and work stealing included — can change a single
+// output bit.
 type CheckedEngine struct {
-	vecAPI
 	set     *gpu.DeviceSet
 	members []*member
 	cfg     CheckedConfig
+	frames  sync.Pool // of *Frame
+	window  int       // Miller–Rabin rounds a key-generation launch tests
 
 	// One op is in flight at a time — the set serialises ops anyway, one op
 	// owning every member clock — so the op being served is engine state and
@@ -132,15 +146,25 @@ type CheckedEngine struct {
 	helpers int
 }
 
-// member is one device of the set under the checked discipline: its bare
-// engine, its own verification sampler (so a member's samples do not depend
-// on its peers' traffic) and its share of the counters.
+// member is one device of the set under the checked discipline: the device,
+// its own verification sampler (so a member's samples do not depend on its
+// peers' traffic), its share of the counters and of the table counters.
 type member struct {
-	eng *Engine
+	dev *gpu.Device
 
 	mu    sync.Mutex
 	rng   *mpint.RNG
 	stats CheckedStats
+	table tableStats
+}
+
+// tableStats counts a member's shared-table precomputation activity: the
+// odd-power tables built for multi_exp_vec launches (DESIGN.md §17) and the
+// elements they served.
+type tableStats struct {
+	builds  int64 // tables constructed, one a launch
+	entries int64 // table entries built: 2^(w−1) a referenced base
+	ops     int64 // elements evaluated through a table
 }
 
 // NewCheckedEngine builds the executor over a device set.
@@ -150,19 +174,13 @@ func NewCheckedEngine(set *gpu.DeviceSet, cfg CheckedConfig) (*CheckedEngine, er
 	}
 	c := &CheckedEngine{set: set, cfg: cfg.withDefaults(), members: make([]*member, set.Size())}
 	workers := 0
-	for _, d := range set.Devices() {
+	for i, d := range set.Devices() {
 		workers += d.Workers()
 		c.helpers = max(c.helpers, d.Workers())
+		c.members[i] = &member{dev: d, rng: mpint.NewRNG(cfg.VerifySeed)}
 	}
-	c.vecAPI = vecAPI{exec: c.schedule, frames: new(sync.Pool), window: roundWindow(workers), batch: c.scheduleBatch}
+	c.window = roundWindow(workers)
 	c.sched = gpu.ShardOp{Run: c.onMember, Host: c.onHost}
-	for i := range c.members {
-		eng, err := NewEngine(set.Device(i))
-		if err != nil {
-			return nil, err
-		}
-		c.members[i] = &member{eng: eng, rng: mpint.NewRNG(cfg.VerifySeed)}
-	}
 	return c, nil
 }
 
@@ -173,7 +191,8 @@ func (c *CheckedEngine) Set() *gpu.DeviceSet { return c.set }
 func (c *CheckedEngine) Stats() CheckedStats {
 	var agg CheckedStats
 	for _, mb := range c.members {
-		agg.add(mb.snapshot())
+		s, _ := mb.snapshot()
+		agg.add(s)
 	}
 	return agg
 }
@@ -190,13 +209,14 @@ func (c *CheckedEngine) ResetStats() {
 	}
 }
 
-// snapshot returns the member's counters, with FellBack read off its device.
-func (mb *member) snapshot() CheckedStats {
+// snapshot returns the member's counters, with FellBack read off its device,
+// and its table counters.
+func (mb *member) snapshot() (CheckedStats, tableStats) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
 	s := mb.stats
-	s.FellBack = mb.eng.dev.Health() == gpu.DeviceFailed
-	return s
+	s.FellBack = mb.dev.Health() == gpu.DeviceFailed
+	return s, mb.table
 }
 
 // PublishMetrics snapshots the checked-layer counters into a metrics
@@ -209,28 +229,28 @@ func (c *CheckedEngine) PublishMetrics(reg *obs.Registry, prefix string) {
 	reg.Set(prefix+".fallback_ops", set.HostShards)
 	reg.Set(prefix+".fallback_wall_ns", int64(set.HostSim))
 	agg := c.Stats()
-	var tables TableStats
+	var tables tableStats
 	for i, mb := range c.members {
-		ts := mb.eng.TableStats()
-		tables.Builds += ts.Builds
-		tables.Entries += ts.Entries
-		tables.Ops += ts.Ops
-		publishShare(reg, fmt.Sprintf("%s.dev%d", prefix, i), mb.snapshot(), ts)
+		s, ts := mb.snapshot()
+		tables.builds += ts.builds
+		tables.entries += ts.entries
+		tables.ops += ts.ops
+		publishShare(reg, fmt.Sprintf("%s.dev%d", prefix, i), s, ts)
 	}
 	publishShare(reg, prefix, agg, tables)
 }
 
 // publishShare writes the counters a member keeps — and the aggregate sums —
 // under one prefix.
-func publishShare(reg *obs.Registry, prefix string, s CheckedStats, ts TableStats) {
+func publishShare(reg *obs.Registry, prefix string, s CheckedStats, ts tableStats) {
 	reg.Set(prefix+".launch_faults", s.LaunchFaults)
 	reg.Set(prefix+".retries", s.Retries)
 	reg.Set(prefix+".verify_samples", s.VerifySamples)
 	reg.Set(prefix+".verify_failures", s.VerifyFailures)
 	reg.Set(prefix+".backoff_sim_ns", int64(s.BackoffSim))
-	reg.Set(prefix+".table_builds", ts.Builds)
-	reg.Set(prefix+".table_entries", ts.Entries)
-	reg.Set(prefix+".table_ops", ts.Ops)
+	reg.Set(prefix+".table_builds", ts.builds)
+	reg.Set(prefix+".table_entries", ts.entries)
+	reg.Set(prefix+".table_ops", ts.ops)
 	fell := 0.0
 	if s.FellBack {
 		fell = 1
@@ -313,10 +333,10 @@ func (c *CheckedEngine) onHost(sh gpu.Shard) error {
 // result elements: a launch returns only once its lanes have, or, with a job,
 // leaves them to it — only then is verification off.
 func (mb *member) serve(op vecOp, cfg *CheckedConfig, job *gpu.Job) error {
-	dev := mb.eng.dev
+	dev := mb.dev
 	var last *gpu.KernelError
 	for attempt := 0; ; attempt++ {
-		if err := mb.eng.launch(op, job); err != nil {
+		if err := mb.launch(op, job); err != nil {
 			var kerr *gpu.KernelError
 			if !errors.As(err, &kerr) {
 				return err
@@ -336,13 +356,43 @@ func (mb *member) serve(op vecOp, cfg *CheckedConfig, job *gpu.Job) error {
 		if dev.Health() == gpu.DeviceFailed || attempt >= cfg.MaxRetries {
 			return last
 		}
-		backoff := cfg.backoff(attempt)
-		dev.ChargeFaultTime(backoff)
+		wait := backoff(attempt)
+		dev.ChargeFaultTime(wait)
 		mb.mu.Lock()
 		mb.stats.Retries++
-		mb.stats.BackoffSim += backoff
+		mb.stats.BackoffSim += wait
 		mb.mu.Unlock()
 	}
+}
+
+// launch runs op once on the member's device, the pipeline of Fig. 4: account
+// the host→device copy, run the op's set-up stage if it has one, launch a
+// data-parallel kernel (one item per element), account the device→host copy.
+// A launch that faults surfaces its typed *gpu.KernelError. With a job the
+// kernel's body is left to it (gpu.Kernel.Job): everything else happens here,
+// as it does without one.
+func (mb *member) launch(op vecOp, job *gpu.Job) error {
+	if n := op.h2d(); n > 0 {
+		mb.dev.CopyToDevice(n)
+	}
+	entries, err := op.setup(mb.dev)
+	if err != nil {
+		return fmt.Errorf("ghe: %s: %w", op.name(), err)
+	}
+	kern := op.kernel(mb.dev.Config().WarpSize)
+	kern.Name, kern.Items, kern.Body, kern.Job = op.name(), len(op.result()), op, job
+	if _, err := mb.dev.Launch(kern); err != nil {
+		return fmt.Errorf("ghe: %s: %w", op.name(), err)
+	}
+	mb.dev.CopyFromDevice(op.d2h())
+	if entries > 0 {
+		mb.mu.Lock()
+		mb.table.builds++
+		mb.table.entries += int64(entries)
+		mb.table.ops += int64(kern.Items)
+		mb.mu.Unlock()
+	}
+	return nil
 }
 
 // spotCheck verifies ceil(frac·n) sampled elements of the shard by residue

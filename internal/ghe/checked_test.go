@@ -9,10 +9,11 @@ import (
 	"flbooster/internal/obs"
 )
 
-// checkedSet builds a CheckedEngine over a fresh set of d small devices.
-func checkedSet(t testing.TB, d int, cfg CheckedConfig) *CheckedEngine {
+// executorOn builds a CheckedEngine over a fresh set of d devices of one
+// configuration.
+func executorOn(t testing.TB, dev gpu.Config, d int, cfg CheckedConfig) *CheckedEngine {
 	t.Helper()
-	set, err := gpu.NewDeviceSet(gpu.SmallTestDevice(), true, d)
+	set, err := gpu.NewDeviceSet(dev, true, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,6 +22,12 @@ func checkedSet(t testing.TB, d int, cfg CheckedConfig) *CheckedEngine {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// checkedSet builds a CheckedEngine over a fresh set of d small devices.
+func checkedSet(t testing.TB, d int, cfg CheckedConfig) *CheckedEngine {
+	t.Helper()
+	return executorOn(t, gpu.SmallTestDevice(), d, cfg)
 }
 
 // checkedEngine builds a CheckedEngine over one fresh small device with the
@@ -34,9 +41,11 @@ func checkedEngine(t testing.TB, inject gpu.FaultConfig, cfg CheckedConfig) *Che
 	return c
 }
 
-func TestCPUEngineParityWithDevice(t *testing.T) {
+// TestHostLoopParityWithExecutor: every op, the prime search included, returns
+// on the host loop the vector the executor at D = 1 returns.
+func TestHostLoopParityWithExecutor(t *testing.T) {
 	eng := testEngine(t)
-	host := NewCPUEngine()
+	var host hostLoop
 	r := mpint.NewRNG(7)
 	n := r.RandPrime(96)
 	m := mpint.NewMont(n)
@@ -81,10 +90,10 @@ func TestCPUEngineParityWithDevice(t *testing.T) {
 			func() ([]mpint.Nat, error) { return host.ModVec(xs, n) }},
 		{"MillerRabinVec",
 			func() ([]mpint.Nat, error) { return eng.Frame(len(wits)).MillerRabinVec(cands, wits) },
-			func() ([]mpint.Nat, error) { return host.Frame(len(wits)).MillerRabinVec(cands, wits) }},
+			func() ([]mpint.Nat, error) { return host.MillerRabinVec(cands, wits) }},
 		{"MillerRabinVec, one candidate",
 			func() ([]mpint.Nat, error) { return eng.Frame(len(wits)).MillerRabinVec(cands[:1], wits) },
-			func() ([]mpint.Nat, error) { return host.Frame(len(wits)).MillerRabinVec(cands[:1], wits) }},
+			func() ([]mpint.Nat, error) { return host.MillerRabinVec(cands[:1], wits) }},
 		{"PrimeSearch",
 			func() ([]mpint.Nat, error) {
 				p, err := eng.PrimeSearch().Prime(mpint.NewRNG(99), 48)
@@ -97,7 +106,7 @@ func TestCPUEngineParityWithDevice(t *testing.T) {
 	} {
 		dv, err := p.dev()
 		if err != nil {
-			t.Fatalf("%s device: %v", p.name, err)
+			t.Fatalf("%s executor: %v", p.name, err)
 		}
 		cv, err := p.cpu()
 		if err != nil {
@@ -105,7 +114,7 @@ func TestCPUEngineParityWithDevice(t *testing.T) {
 		}
 		for i := range dv {
 			if mpint.Cmp(dv[i], cv[i]) != 0 {
-				t.Fatalf("%s[%d]: host fallback not bit-exact with device", p.name, i)
+				t.Fatalf("%s[%d]: host loop not bit-exact with the executor", p.name, i)
 			}
 		}
 	}
@@ -124,7 +133,7 @@ func TestCheckedRetriesTransientAborts(t *testing.T) {
 	m := mpint.NewMont(n)
 	bases := randVec(r, 16, n)
 	exp := r.RandBits(64)
-	want, _ := NewCPUEngine().ModExpVec(bases, exp, m)
+	want, _ := hostLoop{}.ModExpVec(bases, exp, m)
 	for op := 0; op < 10; op++ {
 		got, err := c.ModExpVec(bases, exp, m)
 		if err != nil {
@@ -163,7 +172,7 @@ func TestCheckedBackoffSaturates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := NewCPUEngine().ModMulVec(a, b, m)
+	want, _ := hostLoop{}.ModMulVec(a, b, m)
 	sameVec(t, "mod_mul_vec served by the host", got, want)
 	waits := 0
 	for _, sp := range rec.Spans() {
@@ -195,7 +204,7 @@ func TestCheckedCatchesCorruption(t *testing.T) {
 	m := mpint.NewMont(n)
 	bases := randVec(r, 12, n)
 	exp := r.RandBits(64)
-	want, _ := NewCPUEngine().ModExpVec(bases, exp, m)
+	want, _ := hostLoop{}.ModExpVec(bases, exp, m)
 	got, err := c.ModExpVec(bases, exp, m)
 	if err != nil {
 		t.Fatal(err)
@@ -243,7 +252,7 @@ func TestCheckedFullVerificationNeverMissesCorruption(t *testing.T) {
 	m := mpint.NewMont(n)
 	bases := randVec(r, 8, n)
 	exp := r.RandBits(48)
-	want, _ := NewCPUEngine().ModExpVec(bases, exp, m)
+	want, _ := hostLoop{}.ModExpVec(bases, exp, m)
 	for op := 0; op < 40; op++ {
 		got, err := c.ModExpVec(bases, exp, m)
 		if err != nil {
@@ -394,16 +403,13 @@ func TestCheckedConstructor(t *testing.T) {
 	if _, err := NewCheckedEngine(nil, CheckedConfig{}); err == nil {
 		t.Fatal("nil device set must be rejected")
 	}
-	if _, err := NewEngine(nil); err == nil {
-		t.Fatal("nil device must be rejected")
-	}
 }
 
 // TestGeneratePrimeIsAFunctionOfTheSeed: the prime search is the seeded walk
-// whatever runs its rounds — ten calls in a row, the host loop, the bare
-// engine, the executor over 1, 2 and 3 devices, and over 3 with member 1 killed
-// mid-search: the pair and the generator's state after it are the host walk's,
-// so a generated key depends on the seed and nothing else.
+// whatever runs its rounds — ten calls in a row, the host loop, the executor
+// over 1 device unverified, over 1, 2 and 3 devices verified, and over 3 with
+// member 1 killed mid-search: the pair and the generator's state after it are
+// the host walk's, so a generated key depends on the seed and nothing else.
 func TestGeneratePrimeIsAFunctionOfTheSeed(t *testing.T) {
 	const bits, seed = 64, 7
 	want := mpint.NewRNG(seed)
@@ -414,17 +420,17 @@ func TestGeneratePrimeIsAFunctionOfTheSeed(t *testing.T) {
 	if mpint.Cmp(wantP, wantQ) == 0 || wantP.BitLen() != bits || wantQ.BitLen() != bits {
 		t.Fatalf("pair %s, %s: want two distinct %d-bit primes", wantP, wantQ, bits)
 	}
-	engines := map[string]VectorEngine{"bare": testEngine(t), "host": NewCPUEngine()}
+	engines := map[string]mpint.PrimeSearch{"D=1 unverified": testEngine(t).PrimeSearch(), "host": hostLoop{}.PrimeSearch()}
 	for _, d := range []int{1, 2, 3} {
-		engines[fmt.Sprintf("D=%d", d)] = checkedSet(t, d, CheckedConfig{VerifyFraction: 0.25, VerifySeed: 3})
+		engines[fmt.Sprintf("D=%d", d)] = checkedSet(t, d, CheckedConfig{VerifyFraction: 0.25, VerifySeed: 3}).PrimeSearch()
 	}
 	killed := checkedSet(t, 3, CheckedConfig{})
 	killed.Set().Device(1).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 2}))
-	engines["D=3, member 1 killed"] = killed
-	for name, eng := range engines {
+	engines["D=3, member 1 killed"] = killed.PrimeSearch()
+	for name, search := range engines {
 		for call := 0; call < 10; call++ {
 			r := mpint.NewRNG(seed)
-			p, q, err := eng.PrimeSearch().Pair(r, bits)
+			p, q, err := search.Pair(r, bits)
 			if err != nil {
 				t.Fatalf("%s call %d: %v", name, call, err)
 			}
@@ -451,7 +457,7 @@ func TestCheckedTableIUnderCorruption(t *testing.T) {
 		gpu.FaultConfig{Seed: 23, CorruptProb: 0.5},
 		CheckedConfig{VerifyFraction: 1, VerifySeed: 23, MaxRetries: 12})
 	c.Set().Device(0).SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 1, FailAfter: 1 << 30})
-	host := NewCPUEngine()
+	var host hostLoop
 	r := mpint.NewRNG(24)
 	a, b := randVec(r, 16, r.RandBits(160)), randVec(r, 16, r.RandBits(96))
 	for round := 0; round < 8; round++ {
@@ -548,7 +554,7 @@ func TestFusedDescriptorsUnderCorruption(t *testing.T) {
 	}
 	const slots, slotBits = 3, 64
 	packs := (len(cts) + slots - 1) / slots // the last holds two of three
-	wantPacks, err := NewCPUEngine().ShiftPackVec(cts, slots, slotBits, n2)
+	wantPacks, err := hostLoop{}.ShiftPackVec(cts, slots, slotBits, n2)
 	if err != nil || len(wantPacks) != packs {
 		t.Fatalf("%d packs, error %v", len(wantPacks), err)
 	}

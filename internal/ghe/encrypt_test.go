@@ -95,7 +95,7 @@ func TestEncryptVecOneLaunchUnderThree(t *testing.T) {
 		ms := randVec(r, items, crt.N())
 		want := textbookEncrypt(ms, crt.N(), seed)
 		for _, holder := range []bool{true, false} {
-			fused := MustEngine(gpu.MustNew(gpu.RTX3090(), true))
+			fused := executorOn(t, gpu.RTX3090(), 1, CheckedConfig{})
 			got, err := fused.EncryptVec(ms, encKey(crt, n2, holder), seed)
 			if err != nil {
 				t.Fatal(err)
@@ -103,7 +103,7 @@ func TestEncryptVecOneLaunchUnderThree(t *testing.T) {
 			sameVec(t, "encrypt_vec", got, want)
 			old := gpu.MustNew(gpu.RTX3090(), true)
 			threeLaunches(t, old, items, crt, n2, holder)
-			f, o := fused.Device().Stats(), old.Stats()
+			f, o := fused.Set().Device(0).Stats(), old.Stats()
 			t.Logf("%d bits, holder %v: one launch %v compute, %d B up, %d B down, %v in all; three launches %v, %d, %d, %v",
 				bits, holder, f.SimComputeTime, f.BytesHostToDev, f.BytesDevToHost, f.SimTime(),
 				o.SimComputeTime, o.BytesHostToDev, o.BytesDevToHost, o.SimTime())
@@ -150,7 +150,7 @@ func TestEncryptVecRejectsBeforeUpload(t *testing.T) {
 			}
 		}
 	}
-	if st := eng.Device().Stats(); st.KernelLaunches != 0 || st.BytesHostToDev != 0 {
+	if st := eng.Set().Device(0).Stats(); st.KernelLaunches != 0 || st.BytesHostToDev != 0 {
 		t.Fatalf("rejected batches reached the device: %d launches, %d bytes up", st.KernelLaunches, st.BytesHostToDev)
 	}
 }
@@ -229,10 +229,10 @@ func TestCheckedEncryptFailover(t *testing.T) {
 
 // TestEncryptVecsIsEncryptVecInOrder: EncryptVecs over batches of uneven
 // widths — one of them empty — writes, batch after batch, the ciphertexts
-// EncryptVec returns for each batch on its own seed, under either handle, on
-// the host engine, the bare device engine and the executor at D = 1 and 2
-// with and without verification: deferred lanes packed across batches or run
-// at once, every value is the textbook's. A plaintext not below n stops the
+// a batch of its own on its own seed encrypts to, under either handle, on the
+// executor at D = 1 and 2 with and without verification and on one whose only
+// device is dead, so the host loop serves every batch: deferred lanes packed
+// across batches, run at once or on the host, every value is the textbook's. A plaintext not below n stops the
 // batch at the batch that holds it, whose predecessors are still encrypted.
 func TestEncryptVecsIsEncryptVecInOrder(t *testing.T) {
 	r := mpint.NewRNG(41)
@@ -246,18 +246,10 @@ func TestEncryptVecsIsEncryptVecInOrder(t *testing.T) {
 		}
 		total += w
 	}
-	engines := map[string]vecEngine{"host": NewCPUEngine(), "device": MustEngine(gpu.MustNew(gpu.SmallTestDevice(), true))}
+	engines := map[string]*CheckedEngine{"host": checkedEngine(t, gpu.FaultConfig{Seed: 1, KillAtLaunch: 1}, CheckedConfig{})}
 	for _, d := range []int{1, 2} {
 		for _, frac := range []float64{0, 1} {
-			set, err := gpu.NewDeviceSet(gpu.SmallTestDevice(), true, d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c, err := NewCheckedEngine(set, CheckedConfig{VerifyFraction: frac})
-			if err != nil {
-				t.Fatal(err)
-			}
-			engines[fmt.Sprintf("executor D=%d verify=%v", d, frac)] = c
+			engines[fmt.Sprintf("executor D=%d verify=%v", d, frac)] = checkedSet(t, d, CheckedConfig{VerifyFraction: frac})
 		}
 	}
 	for name, eng := range engines {
@@ -272,7 +264,7 @@ func TestEncryptVecsIsEncryptVecInOrder(t *testing.T) {
 			for j, b := range batches {
 				for i, c := range textbookEncrypt(b, crt.N(), seeds[j]) {
 					if mpint.Cmp(dst[i], c) != 0 {
-						t.Fatalf("%s, holder %v: batch %d item %d is not EncryptVec's", name, holder, j, i)
+						t.Fatalf("%s, holder %v: batch %d item %d is not the textbook's", name, holder, j, i)
 					}
 				}
 				dst = dst[len(b):]
@@ -286,5 +278,8 @@ func TestEncryptVecsIsEncryptVecInOrder(t *testing.T) {
 			t.Fatalf("%s: a plaintext of n in batch 1: %d batches, %v", name, done, err)
 		}
 		f.Release()
+	}
+	if st := engines["host"].Set().Stats(); st.HostShards == 0 {
+		t.Fatalf("the dead device's batches were not served by the host loop: %+v", st)
 	}
 }

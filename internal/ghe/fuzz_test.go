@@ -55,14 +55,14 @@ type fuzzVecCase struct {
 	want func(i int) *big.Int
 }
 
-// FuzzVecOps is the differential target of the whole engine layer. For a
+// FuzzVecOps is the differential target of the whole GPU-HE layer. For a
 // fuzzed odd modulus of 1–40 of the device's 32-bit limbs, fuzzed operands
 // and exponents, and a fuzzed fault schedule, every op's descriptor is held to
 // three agreements: each lane equals the op's own verify path equals
-// math/big, and a poisoned lane fails full verification; the bare Engine
-// returns the vector the host loop does; and the checked executor over 1, 2
-// and 3 devices, one of them killed at its first, second or third launch,
-// returns that vector too — a shard is bit-exact with the unsharded op, which
+// math/big, and a poisoned lane fails full verification; the executor over
+// one healthy device, unverified, returns the vector the host loop (runOnHost)
+// does; and the executor over 1, 2 and 3 devices, one of them killed at its
+// first, second or third launch, returns that vector too — a shard is bit-exact with the unsharded op, which
 // for encrypt_vec (a case a handle kind) is also what holds any split of a
 // batch to the nonces the whole batch draws. decrypt_crt_vec opens the holder's
 // encryptions of the fuzzed plaintexts, the ciphertext 1 among them, against
@@ -338,8 +338,8 @@ func FuzzVecOps(f *testing.F) {
 					}
 				}
 			}
-			bare, err := testEngine(t).run(c.mk())
-			same("the bare engine", bare, err)
+			one, err := testEngine(t).run(c.mk())
+			same("the executor at D = 1", one, err)
 			for _, d := range []int{1, 2, 3} {
 				chk := checkedSet(t, d, CheckedConfig{VerifyFraction: 0.5, VerifySeed: seed})
 				chk.Set().Device(int(seed >> 40 % uint64(d))).SetFaultInjector(
@@ -374,7 +374,7 @@ func FuzzVecOps(f *testing.F) {
 				t.Fatalf("%s: error %v, want %v", name, c.err, c.want)
 			}
 		}
-		if st := eng.Device().Stats(); st.KernelLaunches != 0 || st.BytesHostToDev != 0 {
+		if st := eng.Set().Device(0).Stats(); st.KernelLaunches != 0 || st.BytesHostToDev != 0 {
 			t.Fatalf("operand errors reached the device: %d launches, %d bytes up", st.KernelLaunches, st.BytesHostToDev)
 		}
 	})

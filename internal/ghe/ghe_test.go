@@ -8,9 +8,11 @@ import (
 	"flbooster/internal/mpint"
 )
 
-func testEngine(t testing.TB) *Engine {
+// testEngine is the executor over one small device with verification off:
+// the reference the sharded, faulted and verified executors are held to.
+func testEngine(t testing.TB) *CheckedEngine {
 	t.Helper()
-	return MustEngine(gpu.MustNew(gpu.SmallTestDevice(), true))
+	return checkedSet(t, 1, CheckedConfig{})
 }
 
 func randVec(r *mpint.RNG, n int, below mpint.Nat) []mpint.Nat {
@@ -37,7 +39,7 @@ func TestModExpVecMatchesSerial(t *testing.T) {
 			t.Fatalf("ModExpVec[%d] mismatch", i)
 		}
 	}
-	st := e.Device().Stats()
+	st := e.Set().Device(0).Stats()
 	if st.BytesHostToDev == 0 || st.BytesDevToHost == 0 || st.SimComputeTime <= 0 {
 		t.Fatalf("device accounting missing: %+v", st)
 	}
@@ -335,7 +337,7 @@ func TestCostModelMonotonicity(t *testing.T) {
 }
 
 func BenchmarkModExpVec512(b *testing.B) {
-	e := MustEngine(gpu.MustNew(gpu.RTX3090(), true))
+	e := executorOn(b, gpu.RTX3090(), 1, CheckedConfig{})
 	r := mpint.NewRNG(20)
 	n := r.RandBits(512)
 	n[0] |= 1

@@ -126,16 +126,13 @@ func TestExecutorWalkIsTheHostWalk(t *testing.T) {
 }
 
 // TestRoundWindowFollowsTheWorkers: a launch tests a lane group of rounds a
-// host worker of the engine's devices, and the host engine one at a time.
+// host worker of the executor's devices.
 func TestRoundWindowFollowsTheWorkers(t *testing.T) {
 	for d := 1; d <= 3; d++ {
 		c := checkedSet(t, d, CheckedConfig{})
 		if w, want := c.PrimeSearch().Window, gpu.LaneGroup*d*gpu.SmallTestDevice().HostWorkers; w != want {
 			t.Errorf("D=%d: window %d, want %d", d, w, want)
 		}
-	}
-	if w := NewCPUEngine().PrimeSearch().Window; w != 1 {
-		t.Errorf("host engine window %d, want 1", w)
 	}
 }
 
@@ -158,7 +155,7 @@ func TestMillerRabinVecRejects(t *testing.T) {
 			t.Errorf("%s: error %v, want %v", name, err, c.want)
 		}
 	}
-	if st := eng.Device().Stats(); st.KernelLaunches != 0 {
+	if st := eng.Set().Device(0).Stats(); st.KernelLaunches != 0 {
 		t.Fatalf("rejected rounds launched %d kernels", st.KernelLaunches)
 	}
 }

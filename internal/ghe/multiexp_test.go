@@ -41,9 +41,9 @@ func multiExpOracle(m *mpint.Mont, bases []mpint.Nat, sums [][]mpint.Term) []mpi
 }
 
 // TestMultiExpVecEveryEngine: the kernel equals the term-by-term oracle on the
-// bare engine, the host loop and the executor over 1, 2 and 3 devices with
-// every lane verified; the launch shows up under its two kernel names in the
-// trace and its table in the engine's table counters.
+// executor over one device unverified, the host loop and the executor over 1,
+// 2 and 3 devices with every lane verified; the launch shows up under its two
+// kernel names in the trace and its table in the member's table counters.
 func TestMultiExpVecEveryEngine(t *testing.T) {
 	r := mpint.NewRNG(0x3E)
 	n := r.RandPrime(192)
@@ -53,13 +53,14 @@ func TestMultiExpVecEveryEngine(t *testing.T) {
 	want := multiExpOracle(m, bases, sums)
 
 	eng := testEngine(t)
+	dev := eng.Set().Device(0)
 	rec := obs.NewRecorder(1)
-	eng.Device().SetRecorder(rec, "test.gpu")
+	dev.SetRecorder(rec, "test.gpu")
 	got, err := eng.MultiExpVec(bases, sums, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameVec(t, "bare engine", got, want)
+	sameVec(t, "executor at D=1", got, want)
 	names := map[string]int{}
 	for _, s := range rec.Spans() {
 		names[s.Phase]++
@@ -69,14 +70,14 @@ func TestMultiExpVecEveryEngine(t *testing.T) {
 	}
 	// Base 0 carries a zero weight in every sum and gets no row; the other 11
 	// under 10-bit weights over 7·11 terms run at width 3, four odd powers each.
-	if ts := eng.TableStats(); ts.Builds != 1 || ts.Entries != 11*4 || ts.Ops != int64(len(sums)) {
+	if _, ts := eng.members[0].snapshot(); ts.builds != 1 || ts.entries != 11*4 || ts.ops != int64(len(sums)) {
 		t.Errorf("table stats %+v, want 1 build of 44 entries serving %d sums", ts, len(sums))
 	}
-	if st := eng.Device().Stats(); st.KernelLaunches != 2 {
+	if st := dev.Stats(); st.KernelLaunches != 2 {
 		t.Errorf("%d kernel launches, want the table and the lanes", st.KernelLaunches)
 	}
 
-	got, err = NewCPUEngine().MultiExpVec(bases, sums, m)
+	got, err = hostLoop{}.MultiExpVec(bases, sums, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +95,11 @@ func TestMultiExpVecEveryEngine(t *testing.T) {
 	}
 
 	// No sums: no launch, nothing charged.
-	before := eng.Device().Stats()
+	before := dev.Stats()
 	if got, err := eng.MultiExpVec(bases, nil, m); err != nil || got != nil {
 		t.Errorf("no sums: %d results, error %v", len(got), err)
 	}
-	if after := eng.Device().Stats(); after.KernelLaunches != before.KernelLaunches || after.BytesHostToDev != before.BytesHostToDev {
+	if after := dev.Stats(); after.KernelLaunches != before.KernelLaunches || after.BytesHostToDev != before.BytesHostToDev {
 		t.Error("no sums still reached the device")
 	}
 }
@@ -124,8 +125,8 @@ func TestMultiExpVecRejectsBeforeUpload(t *testing.T) {
 }
 
 // TestSignedMultiExpVec holds signed terms to math/big — Exp over ModInverse
-// for a negative one — on the bare engine, the host loop and the executor at
-// D = 1 and 2 with every lane verified: mixed-sign sums, all-negative sums and
+// for a negative one — on the executor at D = 1 unverified, the host loop and
+// the executor at D = 1 and 2 with every lane verified: mixed-sign sums, all-negative sums and
 // a base both signs refer to. The table builds one inverted row a base a
 // negative term refers to, and its set-up launch is charged the inversions
 // on top of the rows' multiplies. A negative term over a base with no inverse
@@ -165,11 +166,12 @@ func TestSignedMultiExpVec(t *testing.T) {
 	}
 
 	eng := testEngine(t)
+	dev := eng.Set().Device(0)
 	got, err := eng.MultiExpVec(bases, sums, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameVec(t, "bare engine", got, want)
+	sameVec(t, "executor at D=1", got, want)
 	tbl, err := m.NewMultiExpTable(bases, sums)
 	if err != nil {
 		t.Fatal(err)
@@ -195,18 +197,18 @@ func TestSignedMultiExpVec(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer tbl.Release()
-		before := eng.Device().Stats().SimComputeTime
+		before := dev.Stats().SimComputeTime
 		op := &multiExpOp{modVec: newModVec(len(sums), m), bases: bases, sums: sums, tbl: tbl}
-		if _, err := op.setup(eng.Device()); err != nil {
+		if _, err := op.setup(dev); err != nil {
 			t.Fatal(err)
 		}
-		return eng.Device().Stats().SimComputeTime - before
+		return dev.Stats().SimComputeTime - before
 	}
 	if inv, plain := tableSim(allNeg), tableSim(pos); inv <= plain {
 		t.Errorf("a table of inverted rows is charged %v, the same rows uninverted %v", inv, plain)
 	}
 
-	got, err = NewCPUEngine().MultiExpVec(bases, sums, m)
+	got, err = hostLoop{}.MultiExpVec(bases, sums, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,9 +237,7 @@ func TestSignedMultiExpVec(t *testing.T) {
 		if after := chk.Set().Device(0).Stats().KernelLaunches; after > lanes+1 {
 			t.Errorf("D=%d: %d launches after a failed table, want the table's alone", d, after-lanes)
 		}
-		for name, e := range map[string]interface {
-			MultiExpVec([]mpint.Nat, [][]mpint.Term, *mpint.Mont) ([]mpint.Nat, error)
-		}{"bare engine": testEngine(t), "host loop": NewCPUEngine()} {
+		for name, e := range map[string]vecEngine{"executor at D=1": testEngine(t), "host loop": hostLoop{}} {
 			if _, err := e.MultiExpVec(bad, badSums, m); !errors.Is(err, mpint.ErrNotInvertible) {
 				t.Errorf("%s: a base with no inverse: error %v, want ErrNotInvertible", name, err)
 			}
@@ -257,12 +257,12 @@ func TestMultiExpVecCheaperThanTheTree(t *testing.T) {
 	bases := randVec(r, 32, n)
 	sums := weightedSums(r, len(bases), 8, 10)
 
-	kernel := MustEngine(gpu.MustNew(gpu.RTX3090(), true))
+	kernel := executorOn(t, gpu.RTX3090(), 1, CheckedConfig{})
 	got, err := kernel.MultiExpVec(bases, sums, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree := MustEngine(gpu.MustNew(gpu.RTX3090(), true))
+	tree := executorOn(t, gpu.RTX3090(), 1, CheckedConfig{})
 	for j, sum := range sums {
 		var sel, exps []mpint.Nat
 		for _, tm := range sum {
@@ -286,7 +286,7 @@ func TestMultiExpVecCheaperThanTheTree(t *testing.T) {
 			t.Fatalf("sum %d: the kernel and the tree disagree", j)
 		}
 	}
-	k, tr := kernel.Device().Stats(), tree.Device().Stats()
+	k, tr := kernel.Set().Device(0).Stats(), tree.Set().Device(0).Stats()
 	t.Logf("kernel: %d launches, %d B up, %d B down, %v compute, %v transfer; tree: %d launches, %d B up, %d B down, %v compute, %v transfer",
 		k.KernelLaunches, k.BytesHostToDev, k.BytesDevToHost, k.SimComputeTime, k.SimTransferTime,
 		tr.KernelLaunches, tr.BytesHostToDev, tr.BytesDevToHost, tr.SimComputeTime, tr.SimTransferTime)
@@ -304,8 +304,8 @@ func TestMultiExpVecCheaperThanTheTree(t *testing.T) {
 // TestCheckedMultiExpCatchesCorruption: a silently corrupted lane never gets
 // past full verification — the check recomputes every term by plain
 // exponentiation, sharing no table with the lanes — and the retry, which
-// builds a table of its own, heals it. A dead device names the kernel in its
-// typed error and in the fault counters.
+// builds a table of its own, heals it. On a dead device a member's launch names
+// the kernel that died in its typed error.
 func TestCheckedMultiExpCatchesCorruption(t *testing.T) {
 	c := checkedEngine(t,
 		gpu.FaultConfig{Seed: 5, CorruptProb: 0.5},
@@ -328,16 +328,24 @@ func TestCheckedMultiExpCatchesCorruption(t *testing.T) {
 		t.Errorf("injector never corrupted a launch at this seed: %+v", st)
 	}
 
-	dead := MustEngine(gpu.MustNew(gpu.SmallTestDevice(), true))
-	dead.Device().SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 2}))
-	_, err := dead.MultiExpVec(bases, sums, m)
+	// One attempt on a member whose device dies at the lanes' launch, then
+	// on one whose device dies at the table's.
+	launch := func(killAt int64) error {
+		dead := testEngine(t)
+		dead.Set().Device(0).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: killAt}))
+		tbl, err := m.NewMultiExpTable(bases, sums)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tbl.Release()
+		return dead.members[0].launch(&multiExpOp{newModVec(len(sums), m), bases, sums, tbl}, nil)
+	}
+	err := launch(2)
 	var kerr *gpu.KernelError
 	if !errors.As(err, &kerr) || kerr.Kernel != "multi_exp_vec" || !strings.Contains(err.Error(), "multi_exp_vec") {
 		t.Errorf("a device killed at the lanes' launch returned %v, want a KernelError naming multi_exp_vec", err)
 	}
-	dead = MustEngine(gpu.MustNew(gpu.SmallTestDevice(), true))
-	dead.Device().SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 1}))
-	if _, err = dead.MultiExpVec(bases, sums, m); !errors.As(err, &kerr) || kerr.Kernel != "multi_exp_table" {
+	if err = launch(1); !errors.As(err, &kerr) || kerr.Kernel != "multi_exp_table" {
 		t.Errorf("a device killed at the table's launch returned %v, want a KernelError naming multi_exp_table", err)
 	}
 }

@@ -8,17 +8,18 @@ import (
 	"flbooster/internal/mpint"
 )
 
-// vecOp is one vector op with its operands: everything an engine needs to
-// run it, stated once. Engine launches it on a device, CPUEngine loops it on
-// the host, CheckedEngine shards, verifies, retries and fails it over, and
-// none of them knows which op it holds — a new op is one type in this file.
+// vecOp is one vector op with its operands: everything the executor needs to
+// run it, stated once. A member launches it on its device (member.launch),
+// runOnHost loops it on the host, CheckedEngine shards, verifies, retries and
+// fails it over, and none of them knows which op it holds — a new op is one
+// type in this file.
 type vecOp interface {
 	// name is the kernel name: what spans, errors and fault reports call it.
 	name() string
 	// kernel prices the op's launch on a device of the given warp size:
 	// register width, word-ops per item (the Eq. 10 compute term, in the
 	// modelled device's 32-bit words whatever the host multiplies with) and
-	// divergent lanes. The engine fills in the name, the item count and the
+	// divergent lanes. The launch fills in the name, the item count and the
 	// body.
 	kernel(warp int) gpu.Kernel
 	// h2d and d2h are the bytes one launch moves up and down, at the operands'

@@ -20,7 +20,7 @@ import (
 // R = 2^(32·s) — which is the host mpint.Mont's radix only when s is even.
 //
 // This path exists for fidelity (it is differentially tested against
-// math/big at that radix); the throughput-oriented vector kernels in engine.go
+// math/big at that radix); the throughput-oriented vector kernels in ops.go
 // instead parallelize across independent ciphertexts, which is how both the
 // paper's system and this reproduction spend nearly all device time.
 type ParMont struct {

@@ -13,9 +13,9 @@ func nonceRNG(seed uint64, i int) *mpint.RNG {
 	return mpint.NewRNG(seed ^ (uint64(i)+1)*0xD1B54A32D192ED03)
 }
 
-// RandCoprimeAt is the nonce EncryptVec(…, seed) encrypts item i under: the
-// first RandCoprime(n) of the item's own generator — uniform in [1, n) by
-// rejection, coprime with n. It is the definition of the stream, a pure
+// RandCoprimeAt is the nonce item i of a batch on the stream of seed is
+// encrypted under (Frame.EncryptVecs): the first RandCoprime(n) of the item's
+// own generator — uniform in [1, n) by rejection, coprime with n. It is the definition of the stream, a pure
 // function of its arguments; the kernel's lanes and the verifier both draw
 // from it, on no shared state.
 func RandCoprimeAt(seed uint64, i int, n mpint.Nat) mpint.Nat {

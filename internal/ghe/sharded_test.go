@@ -28,8 +28,8 @@ func sameVec(t *testing.T, tag string, got, want []mpint.Nat) {
 }
 
 // TestShardedMatchesSequentialEveryOp: every sharded vector op is bit-exact
-// with the single-device engine across D ∈ {1,2,4,8}, lengths chosen to hit
-// uneven shard splits and D > len.
+// with the unverified executor on one device across D ∈ {1,2,4,8}, lengths
+// chosen to hit uneven shard splits and D > len.
 func TestShardedMatchesSequentialEveryOp(t *testing.T) {
 	r := mpint.NewRNG(5)
 	nmod := r.RandPrime(128)
@@ -142,7 +142,7 @@ func TestShardedMatchesSequentialEveryOp(t *testing.T) {
 }
 
 // TestShardedMidBatchKill: a device that dies mid-batch loses its shards to
-// healthy peers and the result stays bit-exact with the sequential engine.
+// healthy peers and the result stays bit-exact with the one-device executor.
 func TestShardedMidBatchKill(t *testing.T) {
 	r := mpint.NewRNG(6)
 	nmod := r.RandPrime(128)
@@ -197,7 +197,7 @@ func TestShardedMidBatchKill(t *testing.T) {
 }
 
 // TestShardedAllDevicesDeadFallsBackToHost: killing the whole set routes the
-// op through the CPU engine, still bit-exact.
+// op through the host loop, still bit-exact with it.
 func TestShardedAllDevicesDeadFallsBackToHost(t *testing.T) {
 	r := mpint.NewRNG(7)
 	nmod := r.RandPrime(96)
@@ -210,7 +210,7 @@ func TestShardedAllDevicesDeadFallsBackToHost(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		sh.Set().Device(i).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: uint64(i + 1), KillAtLaunch: 1}))
 	}
-	want, err := NewCPUEngine().ModExpVec(bases, exp, m)
+	want, err := hostLoop{}.ModExpVec(bases, exp, m)
 	if err != nil {
 		t.Fatal(err)
 	}

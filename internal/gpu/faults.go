@@ -134,6 +134,26 @@ type FaultConfig struct {
 	KillAtLaunch int64
 }
 
+// ErrFaultConfig is what FaultConfig.Validate rejects a config with.
+var ErrFaultConfig = errors.New("gpu: fault injection setting out of range")
+
+// Validate rejects, with ErrFaultConfig, a fault probability that is not a
+// finite number in [0, 1] and a negative kill ordinal.
+func (c FaultConfig) Validate() error {
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{{"abort", c.AbortProb}, {"corrupt", c.CorruptProb}, {"stall", c.StallProb}, {"OOM", c.OOMProb}} {
+		if !(p.v >= 0 && p.v <= 1) { // NaN too
+			return fmt.Errorf("%w: %s probability %v outside [0, 1]", ErrFaultConfig, p.name, p.v)
+		}
+	}
+	if c.KillAtLaunch < 0 {
+		return fmt.Errorf("%w: negative kill ordinal %d", ErrFaultConfig, c.KillAtLaunch)
+	}
+	return nil
+}
+
 // Enabled reports whether the config injects any fault at all.
 func (c FaultConfig) Enabled() bool {
 	return c.AbortProb > 0 || c.CorruptProb > 0 || c.StallProb > 0 || c.OOMProb > 0 ||

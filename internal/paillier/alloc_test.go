@@ -28,7 +28,7 @@ func TestAllocCeilingsPerCiphertext(t *testing.T) {
 	// worker's scheduling allocations are not the batch's.
 	cfg := gpu.RTX3090()
 	cfg.HostWorkers = 1
-	be := MustGPUBackend(ghe.MustEngine(gpu.MustNew(cfg, true)))
+	be := MustGPUBackend(executor(t, cfg, 1, ghe.CheckedConfig{}))
 	const width = 4
 	r := mpint.NewRNG(3)
 	pts := make([]mpint.Nat, width)
@@ -96,25 +96,17 @@ func leastAllocs(fn func()) float64 {
 
 // TestEncryptVecAllocSlope pins an encryption at one heap allocation — the
 // ciphertext — under either handle, and a decryption at one — the plaintext —
-// on the bare engine, the executor over one device and the host loop: the
-// slope between two widths, which leaves out the per-launch constant.
+// on the executor over one device and on one whose device is dead, so the
+// host loop serves it: the slope between two widths, which leaves out the
+// per-launch constant.
 func TestEncryptVecAllocSlope(t *testing.T) {
 	sk := keyOfSize(t, 1024)
 	cfg := gpu.RTX3090()
 	cfg.HostWorkers = 1 // AllocsPerRun counts the whole process
-	set, err := gpu.NewDeviceSet(cfg, true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked, err := ghe.NewCheckedEngine(set, ghe.CheckedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	pts := plaintexts(128, sk.N)
-	for name, eng := range map[string]ghe.VectorEngine{
-		"device":   ghe.MustEngine(gpu.MustNew(cfg, true)),
-		"executor": checked,
-		"host":     ghe.NewCPUEngine(),
+	for name, eng := range map[string]*ghe.CheckedEngine{
+		"executor": executor(t, cfg, 1, ghe.CheckedConfig{}),
+		"host":     hostExecutor(t, cfg),
 	} {
 		be := MustGPUBackend(eng)
 		for _, h := range handles(sk) {
@@ -159,7 +151,7 @@ func TestPooledBatchesAllocateNoLimbs(t *testing.T) {
 	sk := keyOfSize(t, 1024)
 	cfg := gpu.RTX3090()
 	cfg.HostWorkers = 1 // AllocsPerRun counts the whole process
-	be := MustGPUBackend(ghe.MustEngine(gpu.MustNew(cfg, true)))
+	be := MustGPUBackend(executor(t, cfg, 1, ghe.CheckedConfig{}))
 	const width = 32
 	pts := plaintexts(width, sk.N)
 	cts, err := be.EncryptVec(sk.Holder(), pts, 11)
@@ -245,15 +237,7 @@ func TestBatchedWaveAllocCeiling(t *testing.T) {
 	sk := keyOfSize(t, 1024)
 	cfg := gpu.RTX3090()
 	cfg.HostWorkers = 1 // AllocsPerRun counts the whole process
-	set, err := gpu.NewDeviceSet(cfg, true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked, err := ghe.NewCheckedEngine(set, ghe.CheckedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	be := MustGPUBackend(checked)
+	be := MustGPUBackend(executor(t, cfg, 1, ghe.CheckedConfig{}))
 	const members, width = 16, 4
 	batches, seeds := make([][]mpint.Nat, members), make([]uint64, members)
 	for j := range batches {

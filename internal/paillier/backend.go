@@ -2,7 +2,6 @@ package paillier
 
 import (
 	"fmt"
-	"reflect"
 
 	"flbooster/internal/ghe"
 	"flbooster/internal/mpint"
@@ -203,39 +202,26 @@ func (CPUBackend) ShiftPackVec(pk *PublicKey, cs []Ciphertext, slots, slotBits i
 	return out, nil
 }
 
-// GPUBackend lowers batched operations onto the GPU-HE engine, following the
-// pipeline of Fig. 4: convert, copy to device, compute in parallel, copy
-// back. The engine is any ghe.VectorEngine — the raw device engine, the
-// checked executor over a device set (retry/verify/steal/fallback), or the
-// pure-host engine — so the backend degrades between substrates without code
-// changes.
+// GPUBackend lowers batched operations onto the GPU-HE executor, following
+// the pipeline of Fig. 4: convert, copy to device, compute in parallel, copy
+// back. The executor (ghe.CheckedEngine) runs every op over its device set —
+// verify, retry, steal, fail over to the host loop — so the backend serves
+// whatever the set can.
 type GPUBackend struct {
-	Engine ghe.VectorEngine
+	eng *ghe.CheckedEngine
 }
 
-// NewGPUBackend wraps a GPU-HE vector engine. Typed nils (e.g. a nil
-// *ghe.Engine boxed in the interface) are rejected like bare nil, so the
-// backend cannot be built around an engine that panics on first use.
-func NewGPUBackend(e ghe.VectorEngine) (*GPUBackend, error) {
-	if e == nil || isNilEngine(e) {
+// NewGPUBackend wraps the GPU-HE executor.
+func NewGPUBackend(e *ghe.CheckedEngine) (*GPUBackend, error) {
+	if e == nil {
 		return nil, fmt.Errorf("paillier: NewGPUBackend needs an engine")
 	}
-	return &GPUBackend{Engine: e}, nil
-}
-
-// isNilEngine reports whether the interface boxes a nil pointer value.
-func isNilEngine(e ghe.VectorEngine) bool {
-	v := reflect.ValueOf(e)
-	switch v.Kind() {
-	case reflect.Ptr, reflect.Map, reflect.Slice, reflect.Chan, reflect.Func:
-		return v.IsNil()
-	}
-	return false
+	return &GPUBackend{eng: e}, nil
 }
 
 // MustGPUBackend is NewGPUBackend for known-good engines; it panics on
 // error. Intended for tests.
-func MustGPUBackend(e ghe.VectorEngine) *GPUBackend {
+func MustGPUBackend(e *ghe.CheckedEngine) *GPUBackend {
 	g, err := NewGPUBackend(e)
 	if err != nil {
 		panic(err)
@@ -251,7 +237,7 @@ func MustGPUBackend(e ghe.VectorEngine) *GPUBackend {
 // on the way down, that batch, the caller's to keep or release. A failed op's
 // batch goes back to the pool: no lane of it runs past the op.
 func (g *GPUBackend) kernel(name string, n, staging int, run func(f *ghe.Frame) ([]mpint.Nat, error)) ([]Ciphertext, error) {
-	f := g.Engine.Frame(staging)
+	f := g.eng.Frame(staging)
 	defer f.Release()
 	out := DrawBatch(n)
 	f.Into(view(f, out))
@@ -279,7 +265,7 @@ func view(f *ghe.Frame, cs []Ciphertext) []mpint.Nat {
 // GenerateKey implements Backend with the rounds as miller_rabin_vec launches
 // on the engine, a window of them a launch.
 func (g *GPUBackend) GenerateKey(rng *mpint.RNG, bits int) (*PrivateKey, error) {
-	return generateKey(g.Engine.PrimeSearch(), rng, bits)
+	return generateKey(g.eng.PrimeSearch(), rng, bits)
 }
 
 // EncryptVec implements Backend as EncryptVecs over one batch.
@@ -307,7 +293,7 @@ func (g *GPUBackend) EncryptVecs(out [][]Ciphertext, pk *PublicKey, batches [][]
 	for _, ms := range batches {
 		total += len(ms)
 	}
-	f := g.Engine.Frame(total)
+	f := g.eng.Frame(total)
 	defer f.Release()
 	dst, off := f.Vec(total), 0
 	for j, ms := range batches {
@@ -331,7 +317,7 @@ func (g *GPUBackend) EncryptVecs(out [][]Ciphertext, pk *PublicKey, batches [][]
 		dst = dst[len(out[j]):]
 	}
 	if err != nil {
-		return done, fmt.Errorf("paillier: gpu EncryptVec: %w", err)
+		return done, fmt.Errorf("paillier: gpu EncryptVecs: %w", err)
 	}
 	return done, nil
 }
@@ -348,7 +334,7 @@ func (g *GPUBackend) DecryptVec(sk *PrivateKey, cs []Ciphertext) ([]mpint.Nat, e
 			return nil, fmt.Errorf("paillier: gpu DecryptVec[%d]: ciphertext out of range", i)
 		}
 	}
-	f := g.Engine.Frame(2 * len(cs))
+	f := g.eng.Frame(2 * len(cs))
 	defer f.Release()
 	limbs := DrawBatch(len(cs))
 	f.Into(view(f, limbs))

@@ -4,24 +4,16 @@ import (
 	"testing"
 
 	"flbooster/internal/ghe"
+	"flbooster/internal/gpu"
 )
 
-// TestNewGPUBackendRejectsNilEngines: both a bare nil and a typed nil boxed
-// in the interface must be rejected at construction, not panic on first use.
+// TestNewGPUBackendRejectsNilEngines: a nil executor must be rejected at
+// construction, not panic on first use.
 func TestNewGPUBackendRejectsNilEngines(t *testing.T) {
 	if _, err := NewGPUBackend(nil); err == nil {
 		t.Fatal("nil engine must be rejected")
 	}
-	if _, err := NewGPUBackend((*ghe.Engine)(nil)); err == nil {
-		t.Fatal("typed-nil *ghe.Engine must be rejected")
-	}
-	if _, err := NewGPUBackend((*ghe.CheckedEngine)(nil)); err == nil {
-		t.Fatal("typed-nil *ghe.CheckedEngine must be rejected")
-	}
-	if _, err := NewGPUBackend((*ghe.CPUEngine)(nil)); err == nil {
-		t.Fatal("typed-nil *ghe.CPUEngine must be rejected")
-	}
-	if b, err := NewGPUBackend(ghe.NewCPUEngine()); err != nil || b == nil {
+	if b, err := NewGPUBackend(executor(t, gpu.SmallTestDevice(), 1, ghe.CheckedConfig{})); err != nil || b == nil {
 		t.Fatalf("valid engine rejected: %v", err)
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"flbooster/internal/flnet"
-	"flbooster/internal/ghe"
-	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
 )
 
@@ -26,7 +24,7 @@ func TestGoldenKeyAndCiphertextBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	be := MustGPUBackend(ghe.MustEngine(gpu.MustNew(gpu.SmallTestDevice(), true)))
+	be := singleBackend(t)
 	rng := mpint.NewRNG(99)
 	pts := []mpint.Nat{nil, mpint.One(), mpint.SubWord(sk.N, 1)}
 	for len(pts) < 12 {

@@ -39,15 +39,7 @@ func keyDigest(sk *PrivateKey, rng *mpint.RNG) string {
 // 3090 — the stack of every fl.Context's GPU profile.
 func executorBackend(tb testing.TB) *GPUBackend {
 	tb.Helper()
-	set, err := gpu.NewDeviceSet(gpu.RTX3090(), true, 1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	eng, err := ghe.NewCheckedEngine(set, ghe.CheckedConfig{})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return MustGPUBackend(eng)
+	return MustGPUBackend(executor(tb, gpu.RTX3090(), 1, ghe.CheckedConfig{}))
 }
 
 // TestGenerateKeyDigests: every seeded key — the key of every fl.Context — and

@@ -71,10 +71,10 @@ type PrivateKey struct {
 // Holder returns the public-key handle of the party that owns sk. It is the
 // same key as &sk.PublicKey — same ciphertext for the same plaintext and
 // nonce, byte for byte — but encryptions under it go through the
-// factorisation (mpint.CRT.Encrypt, the holder's lane of the
-// ghe.VectorEngine.EncryptVec kernel). Pass it wherever the encrypting party is
-// the key's owner (the Fig. 2 clients); never share it — it carries the
-// private key. &sk.PublicKey stays the one to hand to anybody else.
+// factorisation (mpint.CRT.Encrypt, the holder's lane of the encrypt_vec
+// kernel ghe.Frame.EncryptVecs launches). Pass it wherever the encrypting
+// party is the key's owner (the Fig. 2 clients); never share it — it carries
+// the private key. &sk.PublicKey stays the one to hand to anybody else.
 func (sk *PrivateKey) Holder() *PublicKey { return sk.holder }
 
 // Ciphertext is a Paillier ciphertext: an element of Z*_{n²}.

@@ -149,8 +149,7 @@ func TestNewKeyFromPrimesValidation(t *testing.T) {
 
 // backends is both backends by the name a report would give them.
 func backends(t testing.TB) map[string]Backend {
-	eng := ghe.MustEngine(gpu.MustNew(gpu.SmallTestDevice(), true))
-	return map[string]Backend{"cpu-serial": CPUBackend{}, "gpu-he": MustGPUBackend(eng)}
+	return map[string]Backend{"cpu-serial": CPUBackend{}, "gpu-he": singleBackend(t)}
 }
 
 func TestBackendsAgree(t *testing.T) {
@@ -228,7 +227,7 @@ func TestBackendErrorPaths(t *testing.T) {
 }
 
 func TestGPUKeyFromDevicePrimes(t *testing.T) {
-	eng := ghe.MustEngine(gpu.MustNew(gpu.SmallTestDevice(), true))
+	eng := executor(t, gpu.SmallTestDevice(), 1, ghe.CheckedConfig{})
 	p, q, err := eng.PrimeSearch().Pair(mpint.NewRNG(123), 64)
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@ package paillier
 import (
 	"testing"
 
-	"flbooster/internal/ghe"
+	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
 )
 
@@ -14,7 +14,7 @@ import (
 // of passing by luck.
 func TestReleaseZeroesWhatItTakesBack(t *testing.T) {
 	sk := testKey(t)
-	be := MustGPUBackend(ghe.NewCPUEngine())
+	be := MustGPUBackend(hostExecutor(t, gpu.SmallTestDevice()))
 	cts, err := be.EncryptVec(sk.Holder(), []mpint.Nat{mpint.FromUint64(7), mpint.FromUint64(9)}, 3)
 	if err != nil {
 		t.Fatal(err)

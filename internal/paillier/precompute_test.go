@@ -30,22 +30,15 @@ func keyOfSize(t testing.TB, bits int) *PrivateKey {
 }
 
 // vectorEngines builds the three substrates the bit-exactness criteria
-// quantify over: raw device, checked device, pure host.
-func vectorEngines(t testing.TB) map[string]ghe.VectorEngine {
+// quantify over: the executor over one device ("gpu"), over two devices with
+// every element verified ("checked"), and over one dead device, so that the
+// host loop serves every op ("cpu").
+func vectorEngines(t testing.TB) map[string]*ghe.CheckedEngine {
 	t.Helper()
-	eng := ghe.MustEngine(gpu.MustNew(gpu.SmallTestDevice(), true))
-	set, err := gpu.NewDeviceSet(gpu.SmallTestDevice(), true, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked, err := ghe.NewCheckedEngine(set, ghe.CheckedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]ghe.VectorEngine{
-		"gpu":     eng,
-		"checked": checked,
-		"cpu":     ghe.NewCPUEngine(),
+	return map[string]*ghe.CheckedEngine{
+		"gpu":     executor(t, gpu.SmallTestDevice(), 1, ghe.CheckedConfig{}),
+		"checked": executor(t, gpu.SmallTestDevice(), 2, ghe.CheckedConfig{VerifyFraction: 1, VerifySeed: 3}),
+		"cpu":     hostExecutor(t, gpu.SmallTestDevice()),
 	}
 }
 
@@ -193,11 +186,11 @@ func TestDecryptVecReducedCheaperSim(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reduced := ghe.MustEngine(gpu.MustNew(gpu.RTX3090(), true))
+		reduced := executor(t, gpu.RTX3090(), 1, ghe.CheckedConfig{})
 		if _, err := MustGPUBackend(reduced).DecryptVec(sk, cs); err != nil {
 			t.Fatal(err)
 		}
-		classic := ghe.MustEngine(gpu.MustNew(gpu.RTX3090(), true))
+		classic := executor(t, gpu.RTX3090(), 1, ghe.CheckedConfig{})
 		bases := make([]mpint.Nat, len(cs))
 		for i := range cs {
 			bases[i] = cs[i].C
@@ -205,7 +198,7 @@ func TestDecryptVecReducedCheaperSim(t *testing.T) {
 		if _, err := classic.ModExpVec(bases, sk.Lambda, sk.MontN2()); err != nil {
 			t.Fatal(err)
 		}
-		rs, cl := reduced.Device().Stats(), classic.Device().Stats()
+		rs, cl := reduced.Set().Device(0).Stats(), classic.Set().Device(0).Stats()
 		t.Logf("%d bits: reduced %v compute / %v in all, full-λ %v / %v", bits, rs.SimComputeTime, rs.SimTime(), cl.SimComputeTime, cl.SimTime())
 		if rs.SimComputeTime >= cl.SimComputeTime {
 			t.Errorf("%d bits: reduced CRT sim compute %v should undercut full-λ %v", bits, rs.SimComputeTime, cl.SimComputeTime)
@@ -296,7 +289,7 @@ func TestShiftPackVecBackendsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backends := map[string]Backend{"one device": singleBackend(t), "host loop": MustGPUBackend(ghe.NewCPUEngine())}
+	backends := map[string]Backend{"one device": singleBackend(t), "host loop": MustGPUBackend(hostExecutor(t, gpu.SmallTestDevice()))}
 	for d := 1; d <= 3; d++ {
 		backends[fmt.Sprintf("executor D=%d", d)], _ = shardedBackend(t, d)
 	}
@@ -384,26 +377,18 @@ func textbookCiphertext(pk *PublicKey, m, r mpint.Nat) mpint.Nat {
 
 // TestEncryptSameBitsEverywhere: at 128, 256, 1,024 and 2,048 bits a batch's
 // ciphertexts are the textbook expression under the stream's nonces whoever
-// computes them — the fused kernel on the bare engine, on the executor over 1,
-// 2 and 3 devices and on the host loop, under the public handle and the
-// holder's — and the serial CPU backend, which draws its nonces from one
+// computes them — the fused kernel on the executor over one device
+// unverified, over 1, 2 and 3 devices verified and over one dead device, so
+// on the host loop, under the public handle and the holder's — and the serial CPU backend, which draws its nonces from one
 // generator in order, is the same expression under those, under either handle.
 func TestEncryptSameBitsEverywhere(t *testing.T) {
 	const seed = 31337
-	engines := map[string]ghe.VectorEngine{
-		"bare": ghe.MustEngine(gpu.MustNew(gpu.RTX3090(), true)),
-		"host": ghe.NewCPUEngine(),
+	engines := map[string]*ghe.CheckedEngine{
+		"executor D=1 unverified": executor(t, gpu.RTX3090(), 1, ghe.CheckedConfig{}),
+		"host":                    hostExecutor(t, gpu.RTX3090()),
 	}
 	for d := 1; d <= 3; d++ {
-		set, err := gpu.NewDeviceSet(gpu.RTX3090(), true, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := ghe.NewCheckedEngine(set, ghe.CheckedConfig{VerifyFraction: 0.25, VerifySeed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines[fmt.Sprintf("executor D=%d", d)] = eng
+		engines[fmt.Sprintf("executor D=%d", d)] = executor(t, gpu.RTX3090(), d, ghe.CheckedConfig{VerifyFraction: 0.25, VerifySeed: 3})
 	}
 	for _, bits := range []int{128, 256, 1024, 2048} {
 		sk := keyOfSize(t, bits)
@@ -429,6 +414,9 @@ func TestEncryptSameBitsEverywhere(t *testing.T) {
 			sameCts(t, fmt.Sprintf("%d bits, serial backend, %s handle", bits, h.name), got, serial)
 		}
 	}
+	if st := engines["host"].Set().Stats(); st.HostShards == 0 {
+		t.Fatalf("the dead device's batches were not served by the host loop: %+v", st)
+	}
 }
 
 // BenchmarkEncryptVec is one party's batch on the benchmark's headline
@@ -439,15 +427,7 @@ func TestEncryptSameBitsEverywhere(t *testing.T) {
 // alloc_mb_per_step: a 512-byte ciphertext and one allocation each.
 func BenchmarkEncryptVec(b *testing.B) {
 	sk := keyOfSize(b, 2048)
-	set, err := gpu.NewDeviceSet(gpu.RTX3090(), true, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	eng, err := ghe.NewCheckedEngine(set, ghe.CheckedConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	be, pts := MustGPUBackend(eng), plaintexts(33, sk.N)
+	be, pts := MustGPUBackend(executor(b, gpu.RTX3090(), 1, ghe.CheckedConfig{})), plaintexts(33, sk.N)
 	for _, h := range handles(sk) {
 		b.Run(h.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -8,33 +8,43 @@ import (
 	"flbooster/internal/mpint"
 )
 
-// shardedBackend builds a GPUBackend over the checked engine of a D-device
-// set.
-func shardedBackend(t testing.TB, d int) (*GPUBackend, *ghe.CheckedEngine) {
+// executor builds the GPU-HE executor over d fresh devices of one
+// configuration.
+func executor(t testing.TB, dev gpu.Config, d int, check ghe.CheckedConfig) *ghe.CheckedEngine {
 	t.Helper()
-	set, err := gpu.NewDeviceSet(gpu.SmallTestDevice(), true, d)
+	set, err := gpu.NewDeviceSet(dev, true, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := ghe.NewCheckedEngine(set, ghe.CheckedConfig{VerifyFraction: 0.1, VerifySeed: 5})
+	eng, err := ghe.NewCheckedEngine(set, check)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewGPUBackend(eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b, eng
+	return eng
 }
 
-// singleBackend is the sequential reference: one device, no sharding.
+// hostExecutor is the executor over one device that dies at its first launch:
+// the host loop serves every op.
+func hostExecutor(t testing.TB, dev gpu.Config) *ghe.CheckedEngine {
+	t.Helper()
+	eng := executor(t, dev, 1, ghe.CheckedConfig{})
+	eng.Set().Device(0).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 1}))
+	return eng
+}
+
+// shardedBackend builds a GPUBackend over the executor of a D-device set, a
+// tenth of every shard verified.
+func shardedBackend(t testing.TB, d int) (*GPUBackend, *ghe.CheckedEngine) {
+	t.Helper()
+	eng := executor(t, gpu.SmallTestDevice(), d, ghe.CheckedConfig{VerifyFraction: 0.1, VerifySeed: 5})
+	return MustGPUBackend(eng), eng
+}
+
+// singleBackend is the sequential reference: the executor over one device,
+// no sharding, no verification.
 func singleBackend(t testing.TB) *GPUBackend {
 	t.Helper()
-	b, err := NewGPUBackend(ghe.MustEngine(gpu.MustNew(gpu.SmallTestDevice(), true)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
+	return MustGPUBackend(executor(t, gpu.SmallTestDevice(), 1, ghe.CheckedConfig{}))
 }
 
 func sameCts(t *testing.T, tag string, got, want []Ciphertext) {

@@ -5,9 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"testing"
-
-	"flbooster/internal/ghe"
-	"flbooster/internal/gpu"
 )
 
 // TestEncryptVecStreamGoldens pins EncryptVec's ciphertexts — and with them the
@@ -20,7 +17,7 @@ import (
 // gᵐ·rⁿ mod n², so any other lowering of the same encryption must reproduce
 // every row; never edit them.
 func TestEncryptVecStreamGoldens(t *testing.T) {
-	be := MustGPUBackend(ghe.MustEngine(gpu.MustNew(gpu.RTX3090(), true)))
+	be := executorBackend(t)
 	for _, g := range []struct {
 		bits, width int
 		holder      bool

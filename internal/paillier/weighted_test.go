@@ -108,22 +108,15 @@ func TestWeightedSumVecBackendsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := singleBackend(t)
+	single, host := singleBackend(t), MustGPUBackend(hostExecutor(t, gpu.SmallTestDevice()))
 	backends := map[string]func() ([]Ciphertext, error){
 		"gpu":           func() ([]Ciphertext, error) { return single.WeightedSumVec(pk, cts, sums) },
-		"gpu host loop": func() ([]Ciphertext, error) { return MustGPUBackend(ghe.NewCPUEngine()).WeightedSumVec(pk, cts, sums) },
+		"gpu host loop": func() ([]Ciphertext, error) { return host.WeightedSumVec(pk, cts, sums) },
 		"tree on cpu":   func() ([]Ciphertext, error) { return treeWeightedSums(CPUBackend{}, pk, cts, sums) },
 		"tree on gpu":   func() ([]Ciphertext, error) { return treeWeightedSums(single, pk, cts, sums) },
 	}
 	for _, d := range []int{2, 3} {
-		set, err := gpu.NewDeviceSet(gpu.SmallTestDevice(), true, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng, err := ghe.NewCheckedEngine(set, ghe.CheckedConfig{VerifyFraction: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		eng := executor(t, gpu.SmallTestDevice(), d, ghe.CheckedConfig{VerifyFraction: 1})
 		backends[fmt.Sprintf("gpu over %d devices", d)] = func() ([]Ciphertext, error) {
 			return MustGPUBackend(eng).WeightedSumVec(pk, cts, sums)
 		}
@@ -213,14 +206,7 @@ func TestSignedWeightedSumVec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := gpu.NewDeviceSet(gpu.SmallTestDevice(), true, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := ghe.NewCheckedEngine(set, ghe.CheckedConfig{VerifyFraction: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := executor(t, gpu.SmallTestDevice(), 2, ghe.CheckedConfig{VerifyFraction: 1})
 	single := singleBackend(t)
 	for name, be := range map[string]Backend{"gpu": single, "gpu over 2 devices": MustGPUBackend(eng)} {
 		got, err := be.WeightedSumVec(pk, cts, sums)
@@ -277,7 +263,7 @@ func BenchmarkWeightedSums(b *testing.B) {
 		for i := range cts {
 			cts[i] = Ciphertext{C: r.RandBelow(pk.N2)}
 		}
-		be := MustGPUBackend(ghe.MustEngine(gpu.MustNew(gpu.RTX3090(), true)))
+		be := executorBackend(b)
 		for _, shape := range []struct {
 			name string
 			cts  int
