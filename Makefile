@@ -6,13 +6,14 @@
 # smoke-runs the fuzz targets, compiles-and-runs every benchmark
 # once so benchmark code cannot bit-rot, runs the repository benchmark at its
 # smoke sizing twice on one seed, failing if the two sets' modelled metrics
-# differ in any digit, and runs the CI-sized multi-fault chaos soak under the
-# race detector.
+# differ in any digit, runs flbench's modelled tables at 128-bit keys twice,
+# failing on any byte of difference, and runs the CI-sized multi-fault chaos
+# soak under the race detector.
 
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: build test vet lint loc reach race fuzz bench-smoke benchmark-smoke soak-smoke check
+.PHONY: build test vet lint loc reach race fuzz bench-smoke benchmark-smoke flbench-smoke soak-smoke check
 
 # mpint's kernels (the addMulVW row, the amm52 digit chain) are assembly on
 # amd64 only; cross-building for arm64 (the standard library cross-compiles
@@ -123,6 +124,20 @@ benchmark-smoke:
 	printf '%s\n' "$$out" | grep -q '^benchmark: ' || { printf '%s\n' "$$out"; exit 1; }; \
 	if printf '%s\n' "$$out" | sed -n 's/^benchmark: //p' | tr ';' '\n' | grep -qv 'sets disagree by more than'; then exit 1; fi
 
+# flbench's modelled tables — Table II, Fig. 6, Fig. 7 and Table VII at
+# 128-bit keys — twice from one build, failing on any byte of difference
+# between the two outputs. They print the modelled clock alone, so they are
+# also the cross-commit check: a change that keeps the clock prints them
+# byte-identical to its parent's (the verify skill). About a second a run.
+FLBENCH_SMOKE = -keys 128 table2 fig6 fig7 table7
+flbench-smoke:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/flbench" ./cmd/flbench && \
+	"$$dir/flbench" $(FLBENCH_SMOKE) > "$$dir/a" && \
+	"$$dir/flbench" $(FLBENCH_SMOKE) > "$$dir/b" && \
+	cmp "$$dir/a" "$$dir/b" && \
+	echo "flbench-smoke: two runs of flbench $(FLBENCH_SMOKE) are byte-identical ($$(wc -c < "$$dir/a") bytes)"
+
 # The CI-sized chaos soak (DESIGN.md §11): seeded network chaos + device
 # faults + coordinator kills with journal recovery + client churn + a
 # rotating adversary under the defense, every completed round checked
@@ -131,4 +146,4 @@ benchmark-smoke:
 soak-smoke:
 	$(GO) test -race -run 'TestSoakSmoke|TestSoakSeeds' -timeout 300s -count 1 ./internal/fl
 
-check: build vet test race fuzz bench-smoke benchmark-smoke soak-smoke
+check: build vet test race fuzz bench-smoke benchmark-smoke flbench-smoke soak-smoke

@@ -5,6 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"flbooster/internal/core"
+	"flbooster/internal/ghe"
+	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
 	"flbooster/internal/paillier"
 	"flbooster/internal/quant"
@@ -173,7 +176,11 @@ func TestHomomorphicAggregationThroughPacking(t *testing.T) {
 	// decrypt, unpack — slot sums are exact, guard bits absorb the carries.
 	const parties = 4
 	q := quant.MustNew(1, 14, parties)
-	sk, err := paillier.CPUBackend{}.GenerateKey(mpint.NewRNG(77), 128)
+	st, err := core.NewStack(gpu.Config{}, false, 0, gpu.FaultConfig{}, ghe.CheckedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := st.GenerateKey(mpint.NewRNG(77), 128)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -181,9 +181,7 @@ func (r *Runner) context(sys fl.System, keyBits int) (*fl.Context, error) {
 	k := ctxKey{sys, keyBits}
 	if ctx, ok := r.ctxs[k]; ok {
 		ctx.Costs.Reset()
-		if ctx.Checked != nil {
-			ctx.Checked.ResetStats()
-		}
+		ctx.Checked.ResetStats()
 		return ctx, nil
 	}
 	ctx, err := r.newContext(sys, keyBits, fmt.Sprintf("%s-%d", sys, keyBits))

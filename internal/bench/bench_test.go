@@ -144,7 +144,8 @@ func TestAblationOrderingHolds(t *testing.T) {
 	// Table V shape: the full system beats both ablations.
 	//
 	// The w/o-GHE leg sets two clocks against each other — a CPU profile's HE
-	// time is host wall time, the GPU profile's is modelled device time — and
+	// time is the host loop's wall time, the GPU profile's is modelled device
+	// time — and
 	// at the micro config's 128-bit key the modelled device is launch-bound
 	// (601 µs an epoch, whatever the key) while this box's host needed
 	// 710–1020 µs for the same epoch before PR 15 and needs 575–680 µs since

@@ -53,7 +53,8 @@ func TestPipelineTraceDeterministicAndReconciled(t *testing.T) {
 // TestCachedContextPublishesOneWindow: every r.context call restarts the
 // counting window of each layer a cached context publishes, so running an
 // experiment twice on one runner publishes what running it once does — the
-// executor's ghe rows included, beside the fl and gpu rows of the same window.
+// device set's scheduler rows included, beside the fl and device rows of the
+// same window.
 func TestCachedContextPublishesOneWindow(t *testing.T) {
 	publish := func(runs int) *obs.Registry {
 		cfg := microConfig()
@@ -71,7 +72,7 @@ func TestCachedContextPublishesOneWindow(t *testing.T) {
 		return r.Obs().Metrics()
 	}
 	once, twice := publish(1), publish(2)
-	for _, name := range []string{"ghe.FLBooster-128.ops", "gpu.FLBooster-128.launches", "fl.FLBooster-128.he_ops"} {
+	for _, name := range []string{"gpu.FLBooster-128.devset_ops", "gpu.FLBooster-128.launches", "fl.FLBooster-128.he_ops"} {
 		if got, want := twice.Counter(name), once.Counter(name); got != want || want == 0 {
 			t.Errorf("%s after two Fig. 7 runs = %d, after one = %d", name, got, want)
 		}

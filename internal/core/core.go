@@ -1,10 +1,10 @@
 // Package core is FLBooster's platform layer. It is the one constructor of the
 // HE stack — device set, checked executor, Paillier backend (NewStack) — which
-// the federation's contexts (fl.NewContext) and the Table-I platform below are
-// both built on, and it assembles that stack and the cryptosystems into the
-// user-facing API surface of Table I: vectorized multi-precision arithmetic
-// (add/sub/mul/div/mod), modular operations (mod_inv, mod_mul, mod_pow), and
-// the Paillier/RSA operation families.
+// the federation's contexts (fl.NewContext, every profile) and the Table-I
+// platform below are both built on, and it assembles that stack and the
+// cryptosystems into the user-facing API surface of Table I: vectorized
+// multi-precision arithmetic (add/sub/mul/div/mod), modular operations
+// (mod_inv, mod_mul, mod_pow), and the Paillier/RSA operation families.
 package core
 
 import (
@@ -22,14 +22,15 @@ import (
 // Stack is the GPU-HE stack of one party: a fleet of simulated devices, the
 // executor that runs every vector op over it (launch → spot-check →
 // retry/backoff → exclude-and-steal → host, DESIGN.md §7, §15), and the
-// Paillier backend lowered onto that executor.
+// Paillier backend lowered onto that executor. A fleet of no device is the
+// CPU profiles' stack: the host loop serves every op.
 type Stack struct {
 	DevSet  *gpu.DeviceSet
 	Checked *ghe.CheckedEngine
 	Backend *paillier.GPUBackend
 }
 
-// NewStack stands the stack up over `devices` members of one configuration.
+// NewStack stands the stack up over `devices` ≥ 0 members of one configuration.
 // With injection enabled each member gets its own injector, seeded apart from
 // its peers', so a fault pattern does not kill the whole fleet in lockstep.
 func NewStack(cfg gpu.Config, fineRM bool, devices int, inject gpu.FaultConfig, check ghe.CheckedConfig) (*Stack, error) {

@@ -18,10 +18,9 @@ import (
 )
 
 // Context is one acceleration configuration instantiated: the Paillier key,
-// the HE backend the profile selects, the encoding-quantization and batch-
-// compression layers, the device set of a GPU profile, the link model, and
-// the cost tracker every operation reports into. It implements the pipelined
-// processing of Fig. 4.
+// the HE stack — device set, executor, backend — the encoding-quantization
+// and batch-compression layers, the link model, and the cost tracker every
+// operation reports into. It implements the pipelined processing of Fig. 4.
 type Context struct {
 	Profile Profile
 	Key     *paillier.PrivateKey
@@ -30,11 +29,12 @@ type Context struct {
 	// Packer is the batch-compression layer: n slots a plaintext, one when
 	// batch compression is off (Profile.UseBatch).
 	Packer *batch.Packer
-	// DevSet is the GPU profile's device fleet (one member unless
-	// Profile.Devices asks for more) and Checked the engine that runs every
-	// vector HE op over it; both are nil on CPU profiles. Device is DevSet's
-	// member 0, kept with Checked because the frozen benchmark/ reads them
-	// (probes.go, measure.go).
+	// DevSet is the profile's device fleet — on a GPU profile one member
+	// unless Profile.Devices asks for more, on a CPU profile none, so the host
+	// loop serves every op — and Checked the executor that runs every vector
+	// HE op over it. Device is DevSet's member 0, nil on a CPU profile, kept
+	// with Checked because the frozen benchmark/ reads them (probes.go,
+	// measure.go).
 	DevSet  *gpu.DeviceSet
 	Checked *ghe.CheckedEngine
 	Device  *gpu.Device
@@ -79,26 +79,25 @@ func NewContext(p Profile) (*Context, error) {
 	if ctx.Packer, err = newPacker(q, p.KeyBits); err != nil {
 		return nil, err
 	}
-	var keygen func(*mpint.RNG, int) (*paillier.PrivateKey, error)
+	// Every profile runs through the one stack core builds: launch failures
+	// retry with backoff, sampled results are verified, a faulted member's
+	// shards go to its peers, and a fleet with no member left — a CPU
+	// profile's from the start — runs the bit-exact host loop.
+	devices := 0
 	if p.UseGPU() {
-		// All GPU profiles run through the one stack core builds: launch failures
-		// retry with backoff, sampled results are verified, a faulted member's
-		// shards go to its peers, and a fleet with no member left fails over to
-		// bit-exact host execution.
-		st, err := core.NewStack(p.Device, p.FineRM(), max(p.Devices, 1), p.Faults.Inject, p.Faults.Check)
-		if err != nil {
-			return nil, err
-		}
-		ctx.DevSet, ctx.Checked, ctx.Device = st.DevSet, st.Checked, st.DevSet.Device(0)
-		ctx.Backend = st.Backend
-		keygen = st.GenerateKey
-	} else {
-		ctx.Backend = paillier.CPUBackend{}
-		keygen = ctx.Backend.GenerateKey
+		devices = max(p.Devices, 1)
+	}
+	st, err := core.NewStack(p.Device, p.FineRM(), devices, p.Faults.Inject, p.Faults.Check)
+	if err != nil {
+		return nil, err
+	}
+	ctx.DevSet, ctx.Checked, ctx.Backend = st.DevSet, st.Checked, st.Backend
+	if devices > 0 {
+		ctx.Device = st.DevSet.Device(0)
 	}
 	// One seeded walk whichever runs its rounds: every profile of a seed has
 	// the same key.
-	if ctx.Key, err = keygen(mpint.NewRNG(p.Seed), p.KeyBits); err != nil {
+	if ctx.Key, err = st.GenerateKey(mpint.NewRNG(p.Seed), p.KeyBits); err != nil {
 		return nil, fmt.Errorf("fl: key generation: %w", err)
 	}
 	return ctx, nil
@@ -111,7 +110,7 @@ func sanitizeLabel(label string) string {
 
 // AttachObs wires the observability bundle into the context and its layers:
 // PublishMetrics writes into o's registry under "<layer>.<label>", and the
-// device set (if any) records sim-time spans under the party "<label>.gpu".
+// device set's members record sim-time spans under the party "<label>.gpu".
 // A nil bundle detaches. Labels distinguish contexts sharing one bundle; an
 // empty label falls back to the profile's system.
 func (c *Context) AttachObs(o *obs.Obs, label string) {
@@ -121,24 +120,19 @@ func (c *Context) AttachObs(o *obs.Obs, label string) {
 	label = sanitizeLabel(label)
 	c.Obs = o
 	c.obsPrefix = label
-	if c.DevSet != nil {
-		c.DevSet.SetRecorder(o.Recorder(), label+".gpu")
-	}
+	c.DevSet.SetRecorder(o.Recorder(), label+".gpu")
 }
 
 // PublishMetrics pulls the current statistics into the attached registry as
-// absolute counters and gauges: the cost snapshot under "fl.<label>" on every
-// profile, the device set and the checked engine under "gpu.<label>" and
-// "ghe.<label>" on a GPU profile. No-op without an attached bundle.
+// absolute counters and gauges: the cost snapshot under "fl.<label>", the
+// device set and the checked engine under "gpu.<label>" and "ghe.<label>".
+// No-op without an attached bundle.
 func (c *Context) PublishMetrics() {
 	if c.Obs == nil {
 		return
 	}
 	reg := c.Obs.Metrics()
 	c.Costs.Snapshot().publish(reg, "fl."+c.obsPrefix)
-	if c.DevSet == nil {
-		return
-	}
 	c.DevSet.PublishMetrics(reg, "gpu."+c.obsPrefix)
 	c.Checked.PublishMetrics(reg, "ghe."+c.obsPrefix)
 }
@@ -187,24 +181,17 @@ func (c *Context) nextSeed() uint64 {
 }
 
 // chargeHE runs one HE batch and enters it in the HE component: its host
-// time, and its modelled time — the device set's clock advance, or the host
-// time itself on a CPU profile — with the HE operations and logical values
-// batch reports. It returns the modelled time; a failed batch charges nothing.
+// time, and its modelled time — the device set's clock advance, which on a
+// set of no member is the host loop's wall time — with the HE operations and
+// logical values batch reports. It returns the modelled time; a failed batch
+// charges nothing.
 func (c *Context) chargeHE(batch func() (ops, instances int64, err error)) (time.Duration, error) {
-	var base time.Duration
-	if c.DevSet != nil {
-		base = c.DevSet.SimTime()
-	}
-	start := time.Now()
+	base, start := c.DevSet.SimTime(), time.Now()
 	ops, instances, err := batch()
 	if err != nil {
 		return 0, err
 	}
-	wall := time.Since(start)
-	sim := wall
-	if c.DevSet != nil {
-		sim = c.DevSet.SimTime() - base
-	}
+	wall, sim := time.Since(start), c.DevSet.SimTime()-base
 	c.Costs.AddHE(wall, sim, ops, instances)
 	return sim, nil
 }
@@ -451,20 +438,15 @@ func (c *Context) TrackOther(fn func()) {
 	c.Costs.AddOther(time.Since(start))
 }
 
-// Utilization reports the device's average SM utilization (0 for CPU
-// profiles) — the Fig. 6 reading.
-func (c *Context) Utilization() float64 {
-	if c.DevSet != nil {
-		return c.DevSet.AvgUtilization()
-	}
-	return 0
-}
+// Utilization reports the devices' average SM utilization (0 for CPU
+// profiles, which have none) — the Fig. 6 reading.
+func (c *Context) Utilization() float64 { return c.DevSet.AvgUtilization() }
 
 // FaultReport aggregates the context's device fault, retry, and fallback
 // counters — the resilience anatomy benchmarks print alongside sim/wall
 // timings. CPU profiles report a healthy zero-valued record.
 type FaultReport struct {
-	// Health is the device health state ("healthy" when no device exists).
+	// Health is the worst member's health state ("healthy" with no member).
 	Health gpu.HealthState
 	// Injected counts the faults the injector decided, by kind.
 	Injected gpu.FaultStats
@@ -482,18 +464,20 @@ type FaultReport struct {
 // FaultReport returns the current fault/resilience counters, summed over the
 // fleet: the worst member health, every member's injector decisions, the
 // checked engine's view, and in SimFaultTime the host time of the shards no
-// member was left to serve beside the members' own fault time.
+// member was left to serve beside the members' own fault time. A set of no
+// member serves its work on the host by design, not as a fallback: a CPU
+// profile reports the healthy zero record.
 func (c *Context) FaultReport() FaultReport {
-	if c.DevSet == nil {
-		return FaultReport{Health: gpu.DeviceHealthy}
-	}
 	ds := c.DevSet.StatsSum()
 	rep := FaultReport{
 		Health:         ds.Health,
 		LaunchFailures: ds.LaunchFailures,
 		WatchdogTrips:  ds.WatchdogTrips,
-		SimFaultTime:   ds.SimFaultTime + c.DevSet.Stats().HostSim,
+		SimFaultTime:   ds.SimFaultTime,
 		Checked:        c.Checked.Stats(),
+	}
+	if c.DevSet.Size() > 0 {
+		rep.SimFaultTime += c.DevSet.Stats().HostSim
 	}
 	for _, dev := range c.DevSet.Devices() {
 		if fi := dev.Injector(); fi != nil {

@@ -15,7 +15,9 @@ import (
 // full-hardware testbed (see DESIGN.md §1, "Wall-clock scale").
 type CostSnapshot struct {
 	// HEWall is host time spent inside HE batches; HESim is the modelled
-	// device time for the same batches (equal to HEWall on CPU profiles).
+	// time for the same batches, the device set's clock advance on every
+	// profile — on a CPU profile's set of no member the host loop's wall
+	// time, HEWall less what the batch spends outside the executor.
 	HEWall time.Duration
 	HESim  time.Duration
 	// HEOps counts HE operations (encrypt/decrypt/hom-add elements). A

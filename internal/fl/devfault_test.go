@@ -194,15 +194,37 @@ func TestWeightedSumsSurviveDeviceFaults(t *testing.T) {
 	}
 }
 
-// TestFaultReportCPUProfile: CPU profiles report a healthy zero record.
+// TestFaultReportCPUProfile: CPU profiles report a healthy zero record — at
+// construction, after a round and after an epoch. The host loop serves all of
+// their HE by design: no fault time, no fallback.
 func TestFaultReportCPUProfile(t *testing.T) {
 	ctx, err := NewContext(testProfile(SystemFATE))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := ctx.FaultReport()
-	if rep.Health != gpu.DeviceHealthy || rep.Checked != (ghe.CheckedStats{}) {
-		t.Fatalf("CPU profile fault report not zero: %+v", rep)
+	check := func(after string) {
+		t.Helper()
+		rep := ctx.FaultReport()
+		if rep != (FaultReport{Health: gpu.DeviceHealthy}) {
+			t.Fatalf("CPU profile fault report %s not zero: %+v", after, rep)
+		}
+	}
+	check("at construction")
+	fed := NewFederation(ctx)
+	defer fed.Close()
+	grads := epochGrads(3, ctx.Profile.Parties, 16)
+	if _, err := fed.SecureAggregate(grads[0]); err != nil {
+		t.Fatal(err)
+	}
+	check("after a round")
+	for _, round := range grads[1:] {
+		if _, err := fed.SecureAggregate(round); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after an epoch of rounds")
+	if ctx.DevSet.Stats().HostSim == 0 {
+		t.Fatal("the host loop served nothing")
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 // generation is charged through one primitive that reads the device set's
 // clock around it, so the HE component's modelled time is that clock to the
 // nanosecond — after a flat round, a cohort-tree round and a Hetero LR epoch,
-// on one device and on two. A backend call outside the primitive advances the
+// on one device and on two, and on FATE's and w/o GHE's set of none, whose
+// clock is the host loop's. A backend call outside the primitive advances the
 // clock without a charge.
 func TestHEChargeIsTheDeviceClock(t *testing.T) {
 	ds, err := datasets.Generate(datasets.Spec{Name: "clock", Instances: 40, Features: 6, AvgActive: 6, Dense: true}, 3)
@@ -29,14 +30,21 @@ func TestHEChargeIsTheDeviceClock(t *testing.T) {
 			grads[i][j] = 0.01 * float64((i*7+j*3)%13-6)
 		}
 	}
-	for _, devices := range []int{1, 2} {
-		p := fl.NewProfile(fl.SystemFLBooster, 256, 4)
+	for _, sys := range []struct {
+		system  fl.System
+		devices int
+	}{{fl.SystemFLBooster, 1}, {fl.SystemFLBooster, 2}, {fl.SystemFATE, 0}, {fl.SystemNoGHE, 0}} {
+		devices := sys.devices
+		p := fl.NewProfile(sys.system, 256, 4)
 		p.Device = gpu.SmallTestDevice()
 		p.RBits = 14
 		p.Devices = devices
 		ctx, err := fl.NewContext(p)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if ctx.DevSet.Size() != devices {
+			t.Fatalf("%s: %d devices, want %d", sys.system, ctx.DevSet.Size(), devices)
 		}
 		var last time.Duration
 		check := func(after string) {

@@ -146,9 +146,10 @@ func TestUnobservedContextIsInert(t *testing.T) {
 }
 
 // TestPublishedEngineMetricNames pins the "ghe.<label>.*" and "gpu.<label>.*"
-// name sets a GPU context publishes, at one device and at two: the aggregate
-// rows a single-device dashboard reads are there at every device count, the
-// host ledger exists only in aggregate, and every additive ".dev<i>" row sums
+// name sets a context publishes, over no device (a CPU profile, the host loop
+// serving every op), one and two: the aggregate rows a single-device
+// dashboard reads are there at every device count, the ops issued and the
+// host ledger are the set's rows alone, and every additive ".dev<i>" row sums
 // to its aggregate.
 func TestPublishedEngineMetricNames(t *testing.T) {
 	gpuAdditive := []string{
@@ -166,11 +167,13 @@ func TestPublishedEngineMetricNames(t *testing.T) {
 		"launch_faults", "retries", "verify_samples", "verify_failures", "backoff_sim_ns",
 		"table_builds", "table_entries", "table_ops",
 	}
-	gheHost := []string{"ops", "fallback_ops", "fallback_wall_ns"}
 
-	for _, d := range []int{1, 2} {
+	for _, d := range []int{0, 1, 2} {
 		t.Run(fmt.Sprintf("D=%d", d), func(t *testing.T) {
 			p := devsetProfile(d)
+			if d == 0 {
+				p.System = SystemNoGHE
+			}
 			// Transient aborts under full verification, so the rows that must
 			// sum are not all zero: at one launch an encryption a round is a
 			// dozen launches, and two in five aborting leaves none of them empty.
@@ -186,19 +189,20 @@ func TestPublishedEngineMetricNames(t *testing.T) {
 			}
 			ctx.PublishMetrics()
 
+			gpuPre, ghePre := "gpu."+ctx.obsPrefix, "ghe."+ctx.obsPrefix
 			want := map[string]bool{}
 			for _, n := range append(gpuRow, gpuSet...) {
-				want["gpu.FLBooster."+n] = true
+				want[gpuPre+"."+n] = true
 			}
-			for _, n := range append(append(gheShare, gheHost...), "fell_back") {
-				want["ghe.FLBooster."+n] = true
+			for _, n := range append(gheShare, "fell_back") {
+				want[ghePre+"."+n] = true
 			}
 			for i := 0; i < d; i++ {
 				for _, n := range gpuRow {
-					want[fmt.Sprintf("gpu.FLBooster.dev%d.%s", i, n)] = true
+					want[fmt.Sprintf("%s.dev%d.%s", gpuPre, i, n)] = true
 				}
 				for _, n := range append(gheShare, "fell_back") {
-					want[fmt.Sprintf("ghe.FLBooster.dev%d.%s", i, n)] = true
+					want[fmt.Sprintf("%s.dev%d.%s", ghePre, i, n)] = true
 				}
 			}
 			var dump bytes.Buffer
@@ -223,24 +227,30 @@ func TestPublishedEngineMetricNames(t *testing.T) {
 			for _, n := range gpuAdditive {
 				var sum int64
 				for i := 0; i < d; i++ {
-					sum += reg.Counter(fmt.Sprintf("gpu.FLBooster.dev%d.%s", i, n))
+					sum += reg.Counter(fmt.Sprintf("%s.dev%d.%s", gpuPre, i, n))
 				}
-				if agg := reg.Counter("gpu.FLBooster." + n); agg != sum {
-					t.Errorf("gpu.FLBooster.%s = %d, per-device rows sum to %d", n, agg, sum)
+				if agg := reg.Counter(gpuPre + "." + n); agg != sum {
+					t.Errorf("%s.%s = %d, per-device rows sum to %d", gpuPre, n, agg, sum)
 				}
 			}
 			for _, n := range gheShare {
 				var sum int64
 				for i := 0; i < d; i++ {
-					sum += reg.Counter(fmt.Sprintf("ghe.FLBooster.dev%d.%s", i, n))
+					sum += reg.Counter(fmt.Sprintf("%s.dev%d.%s", ghePre, i, n))
 				}
-				if agg := reg.Counter("ghe.FLBooster." + n); agg != sum {
-					t.Errorf("ghe.FLBooster.%s = %d, per-device rows sum to %d", n, agg, sum)
+				if agg := reg.Counter(ghePre + "." + n); agg != sum {
+					t.Errorf("%s.%s = %d, per-device rows sum to %d", ghePre, n, agg, sum)
 				}
 			}
-			if reg.Counter("ghe.FLBooster.ops") == 0 || reg.Counter("ghe.FLBooster.launch_faults") == 0 ||
-				reg.Counter("ghe.FLBooster.verify_samples") == 0 ||
-				reg.Counter("gpu.FLBooster.launches") == 0 || reg.Counter("gpu.FLBooster.launch_failures") == 0 {
+			if reg.Counter(gpuPre+".devset_ops") == 0 {
+				t.Error("the round left the set's ops row empty")
+			}
+			if d == 0 {
+				if reg.Counter(gpuPre+".devset_host_shards") != reg.Counter(gpuPre+".devset_ops") || reg.Counter(gpuPre+".devset_host_sim_ns") == 0 {
+					t.Error("the host loop did not serve every op of a set of no member")
+				}
+			} else if reg.Counter(ghePre+".launch_faults") == 0 || reg.Counter(ghePre+".verify_samples") == 0 ||
+				reg.Counter(gpuPre+".launches") == 0 || reg.Counter(gpuPre+".launch_failures") == 0 {
 				t.Error("the round left the engine rows empty")
 			}
 		})

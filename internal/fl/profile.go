@@ -56,7 +56,9 @@ type Profile struct {
 	// context runs over a gpu.DeviceSet of that many Device-configured members
 	// and shards every vector HE op across them (work stealing under faults,
 	// merged max-over-devices clock). 0 and 1 both mean one device. Ignored on
-	// CPU profiles.
+	// CPU profiles, whose set has no member: the same executor serves all
+	// their HE on the host loop, one item at a time, and its wall time is
+	// their HE clock.
 	Devices int
 	// Seed drives every random choice for reproducibility.
 	Seed uint64
@@ -67,7 +69,8 @@ type Profile struct {
 	// Faults governs fault tolerance of the GPU-HE substrate: device fault
 	// injection and the checked-execution policy (retries, verification,
 	// CPU fallback). The zero value injects nothing and checks with
-	// defaults. Ignored on CPU profiles.
+	// defaults. Ignored on CPU profiles: with no member there is no launch to
+	// fault, retry or verify.
 	Faults FaultPolicy
 	// Byz arms the seeded Byzantine-client injector: a fixed compromised
 	// cohort rewrites its gradient uploads per the configured attack model.
@@ -113,9 +116,9 @@ func NewProfile(sys System, keyBits, parties int) Profile {
 	return p
 }
 
-// UseGPU reports whether the system routes HE batches through the GPU-HE
-// engine: HAFLO, FLBooster and w/o BC. An unknown system has every toggle off
-// and is rejected by Validate.
+// UseGPU reports whether the system's device set has members for the HE
+// executor to launch on: HAFLO, FLBooster and w/o BC. An unknown system has
+// every toggle off and is rejected by Validate.
 func (p Profile) UseGPU() bool {
 	return p.System == SystemHAFLO || p.System == SystemFLBooster || p.System == SystemNoBC
 }

@@ -227,8 +227,8 @@ func TestWeightedSum(t *testing.T) {
 }
 
 // returnWirings builds one context per HE substrate the return path runs on:
-// the serial CPU backend, the executor every GPU profile uses over its
-// default one-device set, the same over a two-device fleet, and over one
+// the executor over no device, the CPU profiles' host loop, over the default
+// one-device set every GPU profile uses, over a two-device fleet, and over one
 // device that dies at its first launch after key generation, so the host loop
 // serves every batch — all with batch compression on, so OpenBroadcastSums
 // packs.

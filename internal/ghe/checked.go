@@ -106,7 +106,7 @@ func (s *CheckedStats) add(m CheckedStats) {
 }
 
 // CheckedEngine is the one executor of the GPU-HE layer (DESIGN.md §7, §15):
-// it runs every vector op over a gpu.DeviceSet of D ≥ 1 members with the
+// it runs every vector op over a gpu.DeviceSet of D ≥ 0 members with the
 // execution discipline a production deployment needs. The op splits into
 // contiguous shards, one per healthy member; each member launches its shard
 // (one attempt: member.launch), spot-verifies the result by host residue
@@ -115,7 +115,8 @@ func (s *CheckedStats) add(m CheckedStats) {
 // typed *gpu.KernelError to the set's scheduler, never a silent host result:
 // the scheduler excludes it and re-queues its work onto the healthy peers, and
 // only when none is left does the bit-exact host loop (runOnHost) serve what
-// remains. Every fault, retry and fallback is counted.
+// remains — every op, on a set of no member: the CPU profiles' executor. Every
+// fault, retry and fallback is counted.
 //
 // Bit-exactness with a single launch and with the host loop holds by
 // construction: a shard is the op's own descriptor over a sub-range, so every
@@ -220,14 +221,10 @@ func (mb *member) snapshot() (CheckedStats, tableStats) {
 }
 
 // PublishMetrics snapshots the checked-layer counters into a metrics
-// registry (DESIGN.md §9): ops issued and the host ledger, read off the
-// device set, and every member counter summed under prefix, each member's
-// share under prefix+".dev<i>".
+// registry (DESIGN.md §9): every member counter summed under prefix, each
+// member's share under prefix+".dev<i>". Ops issued and the host ledger are
+// the device set's, published with it (gpu.DeviceSet.PublishMetrics).
 func (c *CheckedEngine) PublishMetrics(reg *obs.Registry, prefix string) {
-	set := c.set.Stats()
-	reg.Set(prefix+".ops", set.Ops)
-	reg.Set(prefix+".fallback_ops", set.HostShards)
-	reg.Set(prefix+".fallback_wall_ns", int64(set.HostSim))
 	agg := c.Stats()
 	var tables tableStats
 	for i, mb := range c.members {

@@ -55,8 +55,8 @@ type SetStats struct {
 	Shards int64
 	// Steals counts shards re-queued from a faulted device onto healthy ones.
 	Steals int64
-	// HostShards counts shards served by the host fallback after every device
-	// was excluded.
+	// HostShards counts shards served by the host loop: every op's one shard
+	// on a set of no member, else what is left once every device was excluded.
 	HostShards int64
 	// RebalanceSim is the modelled time the rework waves added to the
 	// parallel span — the price of migration, included in SimParallelTime.
@@ -68,8 +68,9 @@ type SetStats struct {
 	// every device's delta. SimParallelTime / SimSequentialTime is the
 	// measured scaling efficiency.
 	SimSequentialTime time.Duration
-	// HostSim is the wall time of host-fallback shards, charged to the
-	// set's clock (degraded-mode cost).
+	// HostSim is the wall time of the host-served shards, charged to the
+	// set's clock: the whole clock of a set of no member, degraded-mode cost
+	// on one with members.
 	HostSim time.Duration
 }
 
@@ -101,10 +102,12 @@ type devWave struct {
 // NewDeviceSet builds n devices from one configuration. Each device gets its
 // own resource manager, clock, and health machine, plus a stable device
 // label ("dev0"…) that tags its trace spans. Fault injectors are attached
-// per device by the caller — each device fails independently.
+// per device by the caller — each device fails independently. A set of no
+// member is the host's: Run serves every op with its Host callback, and
+// SimTime is that loop's wall time.
 func NewDeviceSet(cfg Config, fineRM bool, n int) (*DeviceSet, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("gpu: device set needs at least 1 device, got %d", n)
+	if n < 0 {
+		return nil, fmt.Errorf("gpu: negative device count %d", n)
 	}
 	if n > MaxDevices {
 		return nil, fmt.Errorf("gpu: device set of %d exceeds MaxDevices %d", n, MaxDevices)
@@ -138,8 +141,9 @@ func (s *DeviceSet) Stats() SetStats {
 }
 
 // SimTime is the set's modelled online clock: the merged parallel span plus
-// any host-fallback time. It is the multi-device analogue of
-// Device.Stats().SimTime() and what fl's cost accounting reads.
+// the host-served time. It is the multi-device analogue of
+// Device.Stats().SimTime() and what fl's cost accounting reads on every
+// profile.
 func (s *DeviceSet) SimTime() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -338,9 +342,10 @@ func (s *DeviceSet) serve(run func(devID int, sh Shard) error, dev int) {
 	}
 }
 
-// runHostLocked serves the remaining ranges on the host after every device
-// was excluded, charging the wall time as degraded-mode cost. Callers hold
-// s.mu.
+// runHostLocked serves the remaining ranges on the host — all of every op on
+// a set of no member, else what is left after every device was excluded —
+// charging the wall time to the set's clock. It is the one place host wall
+// time enters a modelled HE clock. Callers hold s.mu.
 func (s *DeviceSet) runHostLocked(op ShardOp, pending []Shard, lastErr error) error {
 	if op.Host == nil {
 		if lastErr == nil {

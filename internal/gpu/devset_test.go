@@ -126,12 +126,29 @@ func seqInput(n int) []int64 {
 	return in
 }
 
+// TestDeviceSetValidation: a negative count and one above MaxDevices are
+// rejected; a set of no member builds and serves every op on the host loop,
+// its clock that loop's wall time.
 func TestDeviceSetValidation(t *testing.T) {
-	if _, err := NewDeviceSet(SmallTestDevice(), true, 0); err == nil {
-		t.Fatal("0 devices must be rejected")
+	if _, err := NewDeviceSet(SmallTestDevice(), true, -1); err == nil {
+		t.Fatal("-1 devices must be rejected")
 	}
 	if _, err := NewDeviceSet(SmallTestDevice(), true, MaxDevices+1); err == nil {
 		t.Fatal("MaxDevices+1 must be rejected")
+	}
+	host := testSet(t, 0)
+	in := seqInput(9)
+	out := make([]int64, len(in))
+	if err := host.Run(doubleOp(host, in, out)); err != nil {
+		t.Fatal(err)
+	}
+	for i := range in {
+		if out[i] != in[i]*2 {
+			t.Fatalf("0 devices: item %d = %d, want %d", i, out[i], in[i]*2)
+		}
+	}
+	if st := host.Stats(); host.Size() != 0 || st.HostShards != 1 || st.Shards != 0 || host.SimTime() != st.HostSim {
+		t.Fatalf("0 devices: size %d, stats %+v, clock %v", host.Size(), st, host.SimTime())
 	}
 	s := testSet(t, 3)
 	for i := 0; i < 3; i++ {

@@ -19,7 +19,7 @@ import (
 // do not depend on the machine; seed 2 is simply a quick 2048-bit prime
 // search.
 func TestAllocCeilingsPerCiphertext(t *testing.T) {
-	sk, err := CPUBackend{}.GenerateKey(mpint.NewRNG(2), 2048)
+	sk, err := hostSearchKey(mpint.NewRNG(2), 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,17 +96,18 @@ func leastAllocs(fn func()) float64 {
 
 // TestEncryptVecAllocSlope pins an encryption at one heap allocation — the
 // ciphertext — under either handle, and a decryption at one — the plaintext —
-// on the executor over one device and on one whose device is dead, so the
-// host loop serves it: the slope between two widths, which leaves out the
-// per-launch constant.
+// on the executor over one device, on one whose device is dead and on one
+// with no device, so the host loop serves it: the slope between two widths,
+// which leaves out the per-launch constant.
 func TestEncryptVecAllocSlope(t *testing.T) {
 	sk := keyOfSize(t, 1024)
 	cfg := gpu.RTX3090()
 	cfg.HostWorkers = 1 // AllocsPerRun counts the whole process
 	pts := plaintexts(128, sk.N)
 	for name, eng := range map[string]*ghe.CheckedEngine{
-		"executor": executor(t, cfg, 1, ghe.CheckedConfig{}),
-		"host":     hostExecutor(t, cfg),
+		"executor":  executor(t, cfg, 1, ghe.CheckedConfig{}),
+		"host":      hostExecutor(t, cfg),
+		"no device": executor(t, cfg, 0, ghe.CheckedConfig{}),
 	} {
 		be := MustGPUBackend(eng)
 		for _, h := range handles(sk) {

@@ -7,11 +7,13 @@ import (
 	"flbooster/internal/mpint"
 )
 
-// Backend executes batched Paillier operations. The CPU backend runs every
-// element serially (the FATE baseline); the GPU backend launches the
-// vectorized kernels of internal/ghe (the HAFLO / FLBooster configurations).
-// No result shares limbs with an operand, so a caller may release a result
-// batch (ReleaseBatch) while its operands live on, and the other way round.
+// Backend executes batched Paillier operations. GPUBackend is the one
+// implementation: the vectorized kernels of internal/ghe on the executor's
+// device set — launched on its members on the HAFLO / FLBooster
+// configurations, served item by item by the host loop on FATE's and
+// w/o GHE's set of no member. No result shares limbs with an operand, so a
+// caller may release a result batch (ReleaseBatch) while its operands live
+// on, and the other way round.
 type Backend interface {
 	// EncryptVec encrypts every plaintext under pk.
 	EncryptVec(pk *PublicKey, ms []mpint.Nat, seed uint64) ([]Ciphertext, error)
@@ -44,30 +46,6 @@ type Backend interface {
 	GenerateKey(rng *mpint.RNG, bits int) (*PrivateKey, error)
 }
 
-// CPUBackend performs every HE operation serially on the host, as FATE's
-// Python/CPU implementation does.
-type CPUBackend struct{}
-
-// GenerateKey implements Backend with the rounds on the host loop, one after
-// the other.
-func (CPUBackend) GenerateKey(rng *mpint.RNG, bits int) (*PrivateKey, error) {
-	return generateKey(mpint.HostSearch, rng, bits)
-}
-
-// EncryptVec implements Backend.
-func (CPUBackend) EncryptVec(pk *PublicKey, ms []mpint.Nat, seed uint64) ([]Ciphertext, error) {
-	rng := mpint.NewRNG(seed)
-	out := make([]Ciphertext, len(ms))
-	for i, m := range ms {
-		c, err := pk.Encrypt(m, rng)
-		if err != nil {
-			return nil, fmt.Errorf("paillier: cpu EncryptVec[%d]: %w", i, err)
-		}
-		out[i] = c
-	}
-	return out, nil
-}
-
 // BatchEncrypter is a Backend that encrypts several batches as one job
 // (GPUBackend), batch j into out[j]: EncryptVec is its one-batch case.
 type BatchEncrypter interface {
@@ -78,9 +56,10 @@ type BatchEncrypter interface {
 // EncryptVecs encrypts every batch under pk into out, batch j on the nonce
 // stream of seeds[j] — out[j] is what EncryptVec(pk, batches[j], seeds[j])
 // returns, the calls made in order — as one job where b is a BatchEncrypter,
-// and a batch after the other where it is not, so a wrapper that knows only
-// Backend sees every batch. It returns how many batches were encrypted: all,
-// or those before the one whose error it returns; nothing after that one was.
+// as GPUBackend is on every profile, and a batch after the other where it is
+// not, so a wrapper that knows only Backend sees every batch. It returns how
+// many batches were encrypted: all, or those before the one whose error it
+// returns; nothing after that one was.
 func EncryptVecs(b Backend, out [][]Ciphertext, pk *PublicKey, batches [][]mpint.Nat, seeds []uint64) (int, error) {
 	if len(seeds) != len(batches) || len(out) != len(batches) {
 		return 0, fmt.Errorf("paillier: EncryptVecs has %d seeds and %d results for %d batches", len(seeds), len(out), len(batches))
@@ -98,115 +77,12 @@ func EncryptVecs(b Backend, out [][]Ciphertext, pk *PublicKey, batches [][]mpint
 	return len(batches), nil
 }
 
-// DecryptVec implements Backend.
-func (CPUBackend) DecryptVec(sk *PrivateKey, cs []Ciphertext) ([]mpint.Nat, error) {
-	out := make([]mpint.Nat, len(cs))
-	for i, c := range cs {
-		m, err := sk.Decrypt(c)
-		if err != nil {
-			return nil, fmt.Errorf("paillier: cpu DecryptVec[%d]: %w", i, err)
-		}
-		out[i] = m
-	}
-	return out, nil
-}
-
-// AddVec implements Backend.
-func (CPUBackend) AddVec(pk *PublicKey, a, b []Ciphertext) ([]Ciphertext, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("paillier: AddVec length mismatch %d vs %d", len(a), len(b))
-	}
-	out := make([]Ciphertext, len(a))
-	for i := range a {
-		out[i] = pk.Add(a[i], b[i])
-	}
-	return out, nil
-}
-
-// MulPlainVec implements Backend.
-func (CPUBackend) MulPlainVec(pk *PublicKey, cs []Ciphertext, ks []mpint.Nat) ([]Ciphertext, error) {
-	if len(cs) != len(ks) {
-		return nil, fmt.Errorf("paillier: MulPlainVec length mismatch %d vs %d", len(cs), len(ks))
-	}
-	out := make([]Ciphertext, len(cs))
-	for i := range cs {
-		out[i] = pk.MulPlain(cs[i], ks[i])
-	}
-	return out, nil
-}
-
-// WeightedSumVec implements Backend the way FATE computes a weighted sum: one
-// ciphertext-scalar product and one homomorphic addition a term, in order, a
-// negative term's product taken over its ciphertext's inverse mod n², one
-// inverse a ciphertext a call. It is also the oracle the GPU backend's kernel
-// is tested against.
-func (CPUBackend) WeightedSumVec(pk *PublicKey, cs []Ciphertext, sums [][]mpint.Term) ([]Ciphertext, error) {
-	if err := mpint.CheckTerms(len(cs), sums); err != nil {
-		return nil, fmt.Errorf("paillier: WeightedSumVec: %w", err)
-	}
-	var inv map[int]mpint.Nat
-	out := make([]Ciphertext, len(sums))
-	for j, sum := range sums {
-		acc, empty := Ciphertext{C: mpint.One()}, true
-		for _, t := range sum {
-			if t.Weight == 0 {
-				continue
-			}
-			term := cs[t.Index]
-			if t.Neg {
-				c, ok := inv[t.Index]
-				if !ok {
-					if c, ok = mpint.ModInverse(term.C, pk.N2); !ok {
-						return nil, fmt.Errorf("paillier: WeightedSumVec: %w: ciphertext %d", mpint.ErrNotInvertible, t.Index)
-					}
-					if inv == nil {
-						inv = map[int]mpint.Nat{}
-					}
-					inv[t.Index] = c
-				}
-				term = Ciphertext{C: c}
-			}
-			if t.Weight != 1 {
-				term = pk.MulPlain(term, mpint.FromUint64(t.Weight))
-			}
-			if empty {
-				acc, empty = term, false
-				if t.Weight == 1 { // a result never shares its operand's limbs
-					acc.C = acc.C.Clone()
-				}
-			} else {
-				acc = pk.Add(acc, term)
-			}
-		}
-		out[j] = acc
-	}
-	return out, nil
-}
-
-// ShiftPackVec implements Backend by Horner's rule from each pack's top slot
-// down, one ciphertext-scalar product and one homomorphic addition a step.
-func (CPUBackend) ShiftPackVec(pk *PublicKey, cs []Ciphertext, slots, slotBits int) ([]Ciphertext, error) {
-	if slots < 1 || slotBits < 1 {
-		return nil, fmt.Errorf("paillier: ShiftPackVec needs slots and slot bits of at least 1, got %d and %d", slots, slotBits)
-	}
-	shift := mpint.Lsh(mpint.One(), uint(slotBits))
-	out := make([]Ciphertext, (len(cs)+slots-1)/slots)
-	for i := range out {
-		pack := cs[i*slots : min((i+1)*slots, len(cs))]
-		acc := Ciphertext{C: pack[len(pack)-1].C.Clone()} // a lone value's pack must not share its limbs
-		for j := len(pack) - 2; j >= 0; j-- {
-			acc = pk.Add(pk.MulPlain(acc, shift), pack[j])
-		}
-		out[i] = acc
-	}
-	return out, nil
-}
-
 // GPUBackend lowers batched operations onto the GPU-HE executor, following
 // the pipeline of Fig. 4: convert, copy to device, compute in parallel, copy
 // back. The executor (ghe.CheckedEngine) runs every op over its device set —
 // verify, retry, steal, fail over to the host loop — so the backend serves
-// whatever the set can.
+// whatever the set can, a set of no member included: there the host loop
+// serves every op.
 type GPUBackend struct {
 	eng *ghe.CheckedEngine
 }

@@ -44,11 +44,13 @@ func executorBackend(tb testing.TB) *GPUBackend {
 
 // TestGenerateKeyDigests: every seeded key — the key of every fl.Context — and
 // the stream position after it are what the serial walk drew, whether the
-// walk's rounds run on the host loop or a window a launch on the executor.
+// walk's rounds run on the host loop, a window a launch on the executor, or on
+// the executor over no device, the CPU profiles' stack.
 func TestGenerateKeyDigests(t *testing.T) {
 	keygens := map[string]func(*mpint.RNG, int) (*PrivateKey, error){
-		"host":     CPUBackend{}.GenerateKey,
-		"executor": executorBackend(t).GenerateKey,
+		"host":      hostSearchKey,
+		"executor":  executorBackend(t).GenerateKey,
+		"no device": hostBackend(t).GenerateKey,
 	}
 	for _, seed := range []uint64{1, 2, 7} {
 		for _, bits := range []int{128, 256, 1024, 2048} {
@@ -83,7 +85,7 @@ func lByExp(s, t mpint.Nat) mpint.Nat {
 func TestReducedConstantsClosedForm(t *testing.T) {
 	r := mpint.NewRNG(29)
 	for i := 0; i < 240; i++ {
-		sk, err := CPUBackend{}.GenerateKey(r, 32+2*(i%48))
+		sk, err := hostSearchKey(r, 32+2*(i%48))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +143,7 @@ func BenchmarkGenerateKey(b *testing.B) {
 	keygens := []struct {
 		name   string
 		keygen func(*mpint.RNG, int) (*PrivateKey, error)
-	}{{"host", CPUBackend{}.GenerateKey}, {"executor", executorBackend(b).GenerateKey}}
+	}{{"host", hostSearchKey}, {"executor", executorBackend(b).GenerateKey}}
 	for _, bits := range []int{1024, 2048} {
 		for _, seed := range []uint64{1, 2, 3, 4, 5, 6} {
 			for _, kg := range keygens {

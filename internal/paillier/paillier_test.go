@@ -12,7 +12,7 @@ import (
 // suite fast while exercising multi-limb arithmetic end to end.
 func testKey(t testing.TB) *PrivateKey {
 	t.Helper()
-	sk, err := CPUBackend{}.GenerateKey(mpint.NewRNG(1000), 256)
+	sk, err := hostSearchKey(mpint.NewRNG(1000), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,11 +37,11 @@ func TestKeyGeneration(t *testing.T) {
 }
 
 func TestGenerateKeyRejectsTinySize(t *testing.T) {
-	if _, err := (CPUBackend{}).GenerateKey(mpint.NewRNG(1), 8); err == nil {
+	if _, err := hostSearchKey(mpint.NewRNG(1), 8); err == nil {
 		t.Fatal("8-bit key should be rejected")
 	}
 	// An odd size used to spin forever: two 16-bit primes never make 33 bits.
-	if sk, err := (CPUBackend{}).GenerateKey(mpint.NewRNG(1), 33); err == nil || sk != nil {
+	if sk, err := hostSearchKey(mpint.NewRNG(1), 33); err == nil || sk != nil {
 		t.Fatalf("GenerateKey(33 bits) = %v, %v; want an error", sk, err)
 	}
 }
@@ -147,9 +147,10 @@ func TestNewKeyFromPrimesValidation(t *testing.T) {
 	}
 }
 
-// backends is both backends by the name a report would give them.
+// backends is the stack over no device — serial, on the host — and over one,
+// by the name a report would give them.
 func backends(t testing.TB) map[string]Backend {
-	return map[string]Backend{"cpu-serial": CPUBackend{}, "gpu-he": singleBackend(t)}
+	return map[string]Backend{"cpu-serial": hostBackend(t), "gpu-he": singleBackend(t)}
 }
 
 func TestBackendsAgree(t *testing.T) {

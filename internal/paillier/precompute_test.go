@@ -21,7 +21,7 @@ func keyOfSize(t testing.TB, bits int) *PrivateKey {
 	if sk, ok := keyCache.Load(bits); ok {
 		return sk.(*PrivateKey)
 	}
-	sk, err := CPUBackend{}.GenerateKey(mpint.NewRNG(uint64(bits)), bits)
+	sk, err := hostSearchKey(mpint.NewRNG(uint64(bits)), bits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,16 +29,18 @@ func keyOfSize(t testing.TB, bits int) *PrivateKey {
 	return sk
 }
 
-// vectorEngines builds the three substrates the bit-exactness criteria
+// vectorEngines builds the four substrates the bit-exactness criteria
 // quantify over: the executor over one device ("gpu"), over two devices with
-// every element verified ("checked"), and over one dead device, so that the
-// host loop serves every op ("cpu").
+// every element verified ("checked"), over one dead device, so that the host
+// loop serves every op after a failover ("failover"), and over no device, so
+// that it serves every op from the start, as on the CPU profiles ("cpu").
 func vectorEngines(t testing.TB) map[string]*ghe.CheckedEngine {
 	t.Helper()
 	return map[string]*ghe.CheckedEngine{
-		"gpu":     executor(t, gpu.SmallTestDevice(), 1, ghe.CheckedConfig{}),
-		"checked": executor(t, gpu.SmallTestDevice(), 2, ghe.CheckedConfig{VerifyFraction: 1, VerifySeed: 3}),
-		"cpu":     hostExecutor(t, gpu.SmallTestDevice()),
+		"gpu":      executor(t, gpu.SmallTestDevice(), 1, ghe.CheckedConfig{}),
+		"checked":  executor(t, gpu.SmallTestDevice(), 2, ghe.CheckedConfig{VerifyFraction: 1, VerifySeed: 3}),
+		"failover": hostExecutor(t, gpu.SmallTestDevice()),
+		"cpu":      executor(t, gpu.SmallTestDevice(), 0, ghe.CheckedConfig{}),
 	}
 }
 
@@ -182,7 +184,7 @@ func TestDecryptVecReducedAcrossEngines(t *testing.T) {
 func TestDecryptVecReducedCheaperSim(t *testing.T) {
 	for _, bits := range []int{512, 2048} {
 		sk := keyOfSize(t, bits)
-		cs, err := CPUBackend{}.EncryptVec(sk.Holder(), plaintexts(6, sk.N), 77)
+		cs, err := hostBackend(t).EncryptVec(sk.Holder(), plaintexts(6, sk.N), 77)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,17 +230,18 @@ func TestDecryptVecEqualsDecryptEqualsTextbook(t *testing.T) {
 			small[i] = mpint.FromUint64(r.Uint64() >> (64 - slotBits))
 		}
 		ms := append(plaintexts(4, sk.N), small...)
-		cts, err := CPUBackend{}.EncryptVec(pk, ms[:2], 41)
+		none := hostBackend(t)
+		cts, err := none.EncryptVec(pk, ms[:2], 41)
 		if err != nil {
 			t.Fatal(err)
 		}
-		own, err := CPUBackend{}.EncryptVec(sk.Holder(), ms[2:], 42)
+		own, err := none.EncryptVec(sk.Holder(), ms[2:], 42)
 		if err != nil {
 			t.Fatal(err)
 		}
-		packed, err := CPUBackend{}.ShiftPackVec(pk, own[2:], slots, slotBits)
-		if err != nil || len(packed) != 2 {
-			t.Fatalf("%d bits: %d packs, error %v", bits, len(packed), err)
+		packed := hornerPack(pk, own[2:], slots, slotBits)
+		if len(packed) != 2 {
+			t.Fatalf("%d bits: %d packs", bits, len(packed))
 		}
 		cts = append(append(cts, own[:2]...), pk.Add(cts[0], own[1]), Ciphertext{C: mpint.One()})
 		cts = append(cts, packed...)
@@ -273,10 +276,11 @@ func TestDecryptVecEqualsDecryptEqualsTextbook(t *testing.T) {
 }
 
 // TestShiftPackVecBackendsAgree: the shift_pack_vec kernel — on one device,
-// the executor over 1, 2 and 3 devices, the host loop — returns the very
-// ciphertexts the CPU backend's product-and-add Horner loop returns, packs of
-// one to five with the last pack full, short by one and down to a single
-// value, and they decrypt to their slots.
+// the executor over 1, 2 and 3 devices, the host loop after its device died
+// and over no device — returns the very ciphertexts the product-and-add Horner
+// loop returns, packs of one to five with the last pack full, short by one and
+// down to a single value, and they decrypt to their slots. Every backend
+// rejects packs of no slot and slots of no bit.
 func TestShiftPackVecBackendsAgree(t *testing.T) {
 	sk := keyOfSize(t, 512)
 	pk := &sk.PublicKey
@@ -285,21 +289,19 @@ func TestShiftPackVecBackendsAgree(t *testing.T) {
 	for i := range vals {
 		vals[i] = mpint.FromUint64(r.Uint64())
 	}
-	cts, err := CPUBackend{}.EncryptVec(sk.Holder(), vals, 9)
+	none := hostBackend(t)
+	cts, err := none.EncryptVec(sk.Holder(), vals, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	backends := map[string]Backend{"one device": singleBackend(t), "host loop": MustGPUBackend(hostExecutor(t, gpu.SmallTestDevice()))}
+	backends := map[string]Backend{"one device": singleBackend(t), "host loop": MustGPUBackend(hostExecutor(t, gpu.SmallTestDevice())), "no device": none}
 	for d := 1; d <= 3; d++ {
 		backends[fmt.Sprintf("executor D=%d", d)], _ = shardedBackend(t, d)
 	}
 	for slots := 1; slots <= 5; slots++ {
 		for _, count := range []int{11, 10, 2*slots + 1} {
-			want, err := CPUBackend{}.ShiftPackVec(pk, cts[:count], slots, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pts, err := CPUBackend{}.DecryptVec(sk, want)
+			want := hornerPack(pk, cts[:count], slots, 64)
+			pts, err := none.DecryptVec(sk, want)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -323,15 +325,15 @@ func TestShiftPackVecBackendsAgree(t *testing.T) {
 		if _, err := be.ShiftPackVec(pk, cts, 0, 64); err == nil {
 			t.Errorf("%s: packs of no slots accepted", name)
 		}
-	}
-	if _, err := (CPUBackend{}).ShiftPackVec(pk, cts, 3, 0); err == nil {
-		t.Error("cpu: zero-width slots accepted")
+		if _, err := be.ShiftPackVec(pk, cts, 3, 0); err == nil {
+			t.Errorf("%s: zero-width slots accepted", name)
+		}
 	}
 }
 
 // TestEncryptVecMatchesScalarOnEngineStream: EncryptVec must return exactly
 // the ciphertexts of per-element EncryptWithNonce over the engine's nonce
-// stream, under either handle of the key — on all three engines.
+// stream, under either handle of the key — on all four engines.
 func TestEncryptVecMatchesScalarOnEngineStream(t *testing.T) {
 	const seed = 4242
 	for name, eng := range vectorEngines(t) {
@@ -378,14 +380,14 @@ func textbookCiphertext(pk *PublicKey, m, r mpint.Nat) mpint.Nat {
 // TestEncryptSameBitsEverywhere: at 128, 256, 1,024 and 2,048 bits a batch's
 // ciphertexts are the textbook expression under the stream's nonces whoever
 // computes them — the fused kernel on the executor over one device
-// unverified, over 1, 2 and 3 devices verified and over one dead device, so
-// on the host loop, under the public handle and the holder's — and the serial CPU backend, which draws its nonces from one
-// generator in order, is the same expression under those, under either handle.
+// unverified, over 1, 2 and 3 devices verified, and the host loop over one
+// dead device and over none — under the public handle and the holder's.
 func TestEncryptSameBitsEverywhere(t *testing.T) {
 	const seed = 31337
 	engines := map[string]*ghe.CheckedEngine{
 		"executor D=1 unverified": executor(t, gpu.RTX3090(), 1, ghe.CheckedConfig{}),
 		"host":                    hostExecutor(t, gpu.RTX3090()),
+		"executor D=0":            executor(t, gpu.RTX3090(), 0, ghe.CheckedConfig{}),
 	}
 	for d := 1; d <= 3; d++ {
 		engines[fmt.Sprintf("executor D=%d", d)] = executor(t, gpu.RTX3090(), d, ghe.CheckedConfig{VerifyFraction: 0.25, VerifySeed: 3})
@@ -393,11 +395,9 @@ func TestEncryptSameBitsEverywhere(t *testing.T) {
 	for _, bits := range []int{128, 256, 1024, 2048} {
 		sk := keyOfSize(t, bits)
 		ms := append(plaintexts(7, sk.N), nil, mpint.SubWord(sk.N, 1))
-		want, serial := make([]Ciphertext, len(ms)), make([]Ciphertext, len(ms))
-		rng := mpint.NewRNG(seed)
+		want := make([]Ciphertext, len(ms))
 		for i, m := range ms {
 			want[i].C = textbookCiphertext(&sk.PublicKey, m, ghe.RandCoprimeAt(seed, i, sk.N))
-			serial[i].C = textbookCiphertext(&sk.PublicKey, m, rng.RandCoprime(sk.N))
 		}
 		for _, h := range handles(sk) {
 			for name, eng := range engines {
@@ -407,11 +407,6 @@ func TestEncryptSameBitsEverywhere(t *testing.T) {
 				}
 				sameCts(t, fmt.Sprintf("%d bits, %s, %s handle", bits, name, h.name), got, want)
 			}
-			got, err := CPUBackend{}.EncryptVec(h.pk, ms, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameCts(t, fmt.Sprintf("%d bits, serial backend, %s handle", bits, h.name), got, serial)
 		}
 	}
 	if st := engines["host"].Set().Stats(); st.HostShards == 0 {

@@ -79,11 +79,12 @@ func histSums(r *mpint.RNG, samples, bins int) [][]mpint.Term {
 }
 
 // TestWeightedSumVecBackendsAgree: the GPU backend's kernel — on one device,
-// and sharded over two and three with every lane verified — the CPU backend's
-// serial loop and the old MulPlainVec + AddVec tree on either backend produce
-// the same ciphertexts, which open to Σ w·m mod n.
+// sharded over two and three with every lane verified, on the host loop after
+// its device died and over no device at all — FATE's serial per-term loop and
+// the old MulPlainVec + AddVec tree on one device and on none produce the same
+// ciphertexts, which open to Σ w·m mod n.
 func TestWeightedSumVecBackendsAgree(t *testing.T) {
-	sk, err := CPUBackend{}.GenerateKey(mpint.NewRNG(31), 512)
+	sk, err := hostSearchKey(mpint.NewRNG(31), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,8 @@ func TestWeightedSumVecBackendsAgree(t *testing.T) {
 	for i := range ms {
 		ms[i] = r.RandBits(30)
 	}
-	cts, err := CPUBackend{}.EncryptVec(pk, ms, 33)
+	none := hostBackend(t)
+	cts, err := none.EncryptVec(pk, ms, 33)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,16 +106,17 @@ func TestWeightedSumVecBackendsAgree(t *testing.T) {
 		[]mpint.Term{{Index: 7, Weight: 1}},
 		[]mpint.Term{{Index: 2, Weight: ^uint64(0)}, {Index: 2, Weight: 3}, {Index: 0, Weight: 1 << 40}})
 
-	want, err := CPUBackend{}.WeightedSumVec(pk, cts, sums)
+	want, err := serialWeightedSums(pk, cts, sums)
 	if err != nil {
 		t.Fatal(err)
 	}
 	single, host := singleBackend(t), MustGPUBackend(hostExecutor(t, gpu.SmallTestDevice()))
 	backends := map[string]func() ([]Ciphertext, error){
-		"gpu":           func() ([]Ciphertext, error) { return single.WeightedSumVec(pk, cts, sums) },
-		"gpu host loop": func() ([]Ciphertext, error) { return host.WeightedSumVec(pk, cts, sums) },
-		"tree on cpu":   func() ([]Ciphertext, error) { return treeWeightedSums(CPUBackend{}, pk, cts, sums) },
-		"tree on gpu":   func() ([]Ciphertext, error) { return treeWeightedSums(single, pk, cts, sums) },
+		"gpu":               func() ([]Ciphertext, error) { return single.WeightedSumVec(pk, cts, sums) },
+		"gpu host loop":     func() ([]Ciphertext, error) { return host.WeightedSumVec(pk, cts, sums) },
+		"no device":         func() ([]Ciphertext, error) { return none.WeightedSumVec(pk, cts, sums) },
+		"tree on no device": func() ([]Ciphertext, error) { return treeWeightedSums(none, pk, cts, sums) },
+		"tree on gpu":       func() ([]Ciphertext, error) { return treeWeightedSums(single, pk, cts, sums) },
 	}
 	for _, d := range []int{2, 3} {
 		eng := executor(t, gpu.SmallTestDevice(), d, ghe.CheckedConfig{VerifyFraction: 1})
@@ -129,7 +132,7 @@ func TestWeightedSumVecBackendsAgree(t *testing.T) {
 		sameCts(t, name, got, want)
 	}
 
-	pts, err := CPUBackend{}.DecryptVec(sk, want)
+	pts, err := none.DecryptVec(sk, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +151,7 @@ func TestWeightedSumVecBackendsAgree(t *testing.T) {
 		t.Error("an empty sum is not the trivial encryption of zero")
 	}
 
-	for name, be := range map[string]Backend{"cpu": CPUBackend{}, "gpu": single} {
+	for name, be := range map[string]Backend{"no device": none, "gpu": single} {
 		for _, bad := range [][][]mpint.Term{
 			{{{Index: len(cts), Weight: 1}}},
 			{nil, {{Index: 0, Weight: 2}, {Index: -1, Weight: 0}}},
@@ -176,12 +179,13 @@ func signedLRSums(r *mpint.RNG, cts, sums, bits int) [][]mpint.Term {
 }
 
 // TestSignedWeightedSumVec: signed sums — mixed signs, all negative, one
-// ciphertext weighed by both signs — come out the same ciphertexts on the CPU
-// backend's loop, the kernel on one device and sharded over two with every
-// lane verified, and open to Σ ±w·m mod n. A negative term over a ciphertext
-// with no inverse mod n² is mpint.ErrNotInvertible on both backends.
+// ciphertext weighed by both signs — come out the same ciphertexts on FATE's
+// serial per-term loop, the kernel over no device, on one and sharded over two
+// with every lane verified, and open to Σ ±w·m mod n. A negative term over a
+// ciphertext with no inverse mod n² is mpint.ErrNotInvertible over no device
+// and over one.
 func TestSignedWeightedSumVec(t *testing.T) {
-	sk, err := CPUBackend{}.GenerateKey(mpint.NewRNG(41), 512)
+	sk, err := hostSearchKey(mpint.NewRNG(41), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +195,8 @@ func TestSignedWeightedSumVec(t *testing.T) {
 	for i := range ms {
 		ms[i] = r.RandBits(30)
 	}
-	cts, err := CPUBackend{}.EncryptVec(pk, ms, 43)
+	none := hostBackend(t)
+	cts, err := none.EncryptVec(pk, ms, 43)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,20 +207,20 @@ func TestSignedWeightedSumVec(t *testing.T) {
 	}
 	sums = append(sums, allNeg, []mpint.Term{{Index: 2, Weight: 9}, {Index: 2, Weight: 4, Neg: true}, {Index: 5, Weight: 1, Neg: true}})
 
-	want, err := CPUBackend{}.WeightedSumVec(pk, cts, sums)
+	want, err := serialWeightedSums(pk, cts, sums)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := executor(t, gpu.SmallTestDevice(), 2, ghe.CheckedConfig{VerifyFraction: 1})
 	single := singleBackend(t)
-	for name, be := range map[string]Backend{"gpu": single, "gpu over 2 devices": MustGPUBackend(eng)} {
+	for name, be := range map[string]Backend{"no device": none, "gpu": single, "gpu over 2 devices": MustGPUBackend(eng)} {
 		got, err := be.WeightedSumVec(pk, cts, sums)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		sameCts(t, name, got, want)
 	}
-	pts, err := CPUBackend{}.DecryptVec(sk, want)
+	pts, err := none.DecryptVec(sk, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +242,7 @@ func TestSignedWeightedSumVec(t *testing.T) {
 	// A ciphertext that shares n's factor p has no inverse mod n².
 	bad := append(slices.Clone(cts), Ciphertext{C: sk.P})
 	badSums := [][]mpint.Term{{{Index: 0, Weight: 2}, {Index: len(cts), Weight: 3, Neg: true}}}
-	for name, be := range map[string]Backend{"cpu": CPUBackend{}, "gpu": single} {
+	for name, be := range map[string]Backend{"no device": none, "gpu": single} {
 		if got, err := be.WeightedSumVec(pk, bad, badSums); !errors.Is(err, mpint.ErrNotInvertible) || got != nil {
 			t.Errorf("%s: %d ciphertexts, error %v, want ErrNotInvertible", name, len(got), err)
 		}
@@ -253,7 +258,7 @@ func TestSignedWeightedSumVec(t *testing.T) {
 // residues mod n², which time like ciphertexts.
 func BenchmarkWeightedSums(b *testing.B) {
 	for _, bits := range []int{1024, 2048} {
-		sk, err := CPUBackend{}.GenerateKey(mpint.NewRNG(2), bits)
+		sk, err := hostSearchKey(mpint.NewRNG(2), bits)
 		if err != nil {
 			b.Fatal(err)
 		}
