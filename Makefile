@@ -78,11 +78,11 @@ race:
 # Short fuzz passes over every fuzz target the module has, 10 s each: for each
 # package `go list ./...` reports, every name `go test -list '^Fuzz'` prints,
 # anchored so FuzzDiv cannot also select FuzzDivInto. Nothing here names a
-# target, so adding or deleting one needs no edit; 24 exist today (13 in mpint
+# target, so adding or deleting one needs no edit; 25 exist today (13 in mpint
 # against math/big, the eight-lane kernel's and the Euclid walk's among them;
-# four wire decoders in flnet; two in gpu; three in fl — the return-path
-# splitter, the aggregate frame every client opens and the journal a restarted
-# coordinator replays —
+# four wire decoders in flnet; two in gpu; four in fl — the return-path
+# splitter, the aggregate frame every client opens, the journal a restarted
+# coordinator replays and the client-name parser —
 # and one each on paillier's key decoders and ghe's executor — every op's
 # descriptor against math/big, the executor over 1–3 devices against the host
 # loop), each with its corpus under its package's testdata/fuzz.
@@ -100,8 +100,9 @@ fuzz:
 # Catches benchmarks that no longer compile or crash without paying for real
 # timing runs. -benchmem puts allocs/op in the CI log, so allocation drift in
 # the mpint/paillier hot paths — in the launch itself, gpu's BenchmarkLaunch,
-# and in an upload wave as one host job, fl's BenchmarkUploadWave — is visible
-# next to the AllocsPerRun ceilings.
+# in an upload wave as one host job, fl's BenchmarkUploadWave, and in a whole
+# warm cohort round, fl's BenchmarkCohortRound — is visible next to the
+# AllocsPerRun ceilings.
 bench-smoke:
 	@for pkg in $$($(GO) list ./...); do \
 		list=$$($(GO) test -list '^Benchmark' $$pkg) || { printf '%s\n' "$$list"; exit 1; }; \

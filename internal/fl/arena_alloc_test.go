@@ -46,19 +46,20 @@ func TestArenaCodecAllocs(t *testing.T) {
 // TestWarmRoundBytes pins the heap bytes of a warm round, flat and streamed
 // through a tree, at a 512-bit key: every batch a round drops — plaintexts,
 // uploads, decoded batches, running sums, the aggregate — is drawn from a pool
-// and handed back, so what is left is the payloads, the round's bookkeeping
-// and one batch a round that leaves the ciphertext pool as the decrypted
-// aggregate. Measured 22.5 kB flat and 43.3 kB tree a round (8 parties, 256
-// values); the ceilings sit ~15% above. With every batch allocated afresh the
-// same rounds took 58.9 and 81.1 kB.
+// and handed back, and the round's bookkeeping is scratch its coordinator and
+// federation reuse, so what is left is the payloads and one batch a round that
+// leaves the ciphertext pool as the decrypted aggregate. Measured 19.5 kB flat
+// and 19.0 kB tree a round (8 parties, 256 values); the ceilings sit ~15%
+// above. With every batch allocated afresh the same rounds took 58.9 and
+// 81.1 kB.
 func TestWarmRoundBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		cohort  CohortPolicy
 		ceiling float64
 	}{
-		{"flat", CohortPolicy{}, 26e3},
-		{"tree", CohortPolicy{Fanout: 2, MaxInflight: 4}, 50e3},
+		{"flat", CohortPolicy{}, 22.5e3},
+		{"tree", CohortPolicy{Fanout: 2, MaxInflight: 4}, 22e3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := testProfile(SystemFLBooster)
@@ -97,5 +98,99 @@ func TestWarmRoundBytes(t *testing.T) {
 				t.Errorf("%s: %.1f kB a warm round, ceiling %.1f", tc.name, best/1e3, tc.ceiling/1e3)
 			}
 		})
+	}
+}
+
+// TestCohortRoundAllocsPerMember pins what a warm round allocates for each
+// cohort member, in allocations and in bytes: 128-bit tree rounds (fan-out 8,
+// waves of 32) at cohort 64 and 256, sampled out of a roster four times that
+// size. The slope between the two is the per-member cost — the member's
+// upload frame and its share of the transport's queue and the tree's partial
+// frames. Measured 1.08 allocations and 185 B a member; the ceilings sit 25%
+// above. When the roster, the sampler's pool, the canonical-order index, the
+// broadcast and decrypt lists and the gather's slices were rebuilt every round
+// it was 1.14 allocations and 422 B a member: each of those was one
+// allocation a round, but one that grew with the cohort.
+func TestCohortRoundAllocsPerMember(t *testing.T) {
+	const allocCeiling, byteCeiling = 1.35, 230.0
+	measure := func(cohort int) (allocs, bytes float64) {
+		p := NewProfile(SystemFLBooster, 128, 4*cohort)
+		p.RBits = 16
+		p.Cohort = CohortPolicy{Size: cohort, Fanout: 8, MaxInflight: 32}
+		ctx, err := NewContext(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fed := NewFederation(ctx)
+		defer fed.Close()
+		grads := testGrads(p.Parties, 16)
+		round := func() {
+			if _, err := fed.SecureAggregate(grads); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 3 {
+			round()
+		}
+		// The least of three five-round windows, as in TestWarmRoundBytes.
+		for w := range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range 5 {
+				round()
+			}
+			runtime.ReadMemStats(&after)
+			a := float64(after.Mallocs-before.Mallocs) / 5
+			b := float64(after.TotalAlloc-before.TotalAlloc) / 5
+			if w == 0 || a < allocs {
+				allocs = a
+			}
+			if w == 0 || b < bytes {
+				bytes = b
+			}
+		}
+		return allocs, bytes
+	}
+	smallAllocs, smallBytes := measure(64)
+	largeAllocs, largeBytes := measure(256)
+	allocSlope := (largeAllocs - smallAllocs) / (256 - 64)
+	byteSlope := (largeBytes - smallBytes) / (256 - 64)
+	t.Logf("a round: %.0f allocs, %.1f kB at cohort 64; %.0f allocs, %.1f kB at 256", smallAllocs, smallBytes/1e3, largeAllocs, largeBytes/1e3)
+	t.Logf("a member: %.2f allocs (ceiling %.2f), %.0f B (ceiling %.0f)", allocSlope, allocCeiling, byteSlope, byteCeiling)
+	if allocSlope > allocCeiling {
+		t.Errorf("%.2f allocations a cohort member, ceiling %.2f", allocSlope, allocCeiling)
+	}
+	if byteSlope > byteCeiling {
+		t.Errorf("%.0f B allocated a cohort member, ceiling %.0f", byteSlope, byteCeiling)
+	}
+}
+
+// BenchmarkCohortRound is one warm round of cohort_tree_128's shape: 128-bit
+// keys, 2,048 parties, a sampled cohort of 512 folded through a fan-out-8
+// tree in waves of 32, 16 values a client. allocs/op is what a steady-state
+// round allocates: the payload frames, and bookkeeping that does not grow with
+// the cohort.
+func BenchmarkCohortRound(b *testing.B) {
+	p := NewProfile(SystemFLBooster, 128, 2048)
+	p.RBits = 16
+	p.Cohort = CohortPolicy{Size: 512, Fanout: 8, MaxInflight: 32}
+	ctx, err := NewContext(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fed := NewFederation(ctx)
+	defer fed.Close()
+	grads := testGrads(p.Parties, 16)
+	for range 3 {
+		if _, err := fed.SecureAggregate(grads); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		if _, err := fed.SecureAggregate(grads); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package fl
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -16,6 +15,12 @@ type Roster struct {
 	order   []string
 	active  map[string]bool
 	pending map[string]bool
+
+	// live is Active's answer, cached until membership changes. A change
+	// drops it and the next Active builds a new slice: one that was handed
+	// out (a Schedule's Roster, a journaled Members) is never written again.
+	live   []string
+	cached bool
 }
 
 // NewRoster builds a roster with every named client active.
@@ -43,6 +48,7 @@ func (r *Roster) Leave(name string) error {
 		return fmt.Errorf("fl: client %q already departed", name)
 	}
 	delete(r.active, name)
+	r.cached = false
 	return nil
 }
 
@@ -75,27 +81,32 @@ func (r *Roster) admit() []string {
 			admitted = append(admitted, n)
 		}
 	}
+	r.cached = false
 	return admitted
 }
 
-// Active returns the live clients in canonical (client-index) order.
+// Active returns the live clients in canonical (client-index) order. The
+// slice is shared with every caller until membership changes and must not be
+// written.
 func (r *Roster) Active() []string {
-	out := make([]string, 0, len(r.active))
+	if !r.cached {
+		r.live, r.cached = r.members(r.active), true
+	}
+	return r.live
+}
+
+// Pending returns the clients awaiting round-boundary admission in canonical
+// order.
+func (r *Roster) Pending() []string { return r.members(r.pending) }
+
+// members lists the roster members set holds, in canonical order.
+func (r *Roster) members(set map[string]bool) []string {
+	out := make([]string, 0, len(set))
 	for _, n := range r.order {
-		if r.active[n] {
+		if set[n] {
 			out = append(out, n)
 		}
 	}
-	return out
-}
-
-// Pending returns the clients awaiting round-boundary admission, sorted.
-func (r *Roster) Pending() []string {
-	out := make([]string, 0, len(r.pending))
-	for n := range r.pending {
-		out = append(out, n)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -107,16 +118,20 @@ func (r *Roster) Restore(active []string) {
 	for _, n := range active {
 		r.active[n] = true
 	}
+	r.cached = false
 }
 
-// ClientIndex inverts ClientName: "client3" -> 3.
+// ClientIndex inverts ClientName: "client3" -> 3. The digits must be in the
+// form ClientName writes — ASCII, no sign, no leading zero — so every name it
+// accepts is the one ClientName gives back.
 func ClientIndex(name string) (int, error) {
 	digits, ok := strings.CutPrefix(name, "client")
-	if !ok {
-		return 0, fmt.Errorf("fl: %q is not a client name", name)
+	canonical := ok && digits != "" && (digits[0] != '0' || len(digits) == 1)
+	for i := 0; canonical && i < len(digits); i++ {
+		canonical = '0' <= digits[i] && digits[i] <= '9'
 	}
-	i, err := strconv.Atoi(digits)
-	if err != nil || i < 0 || ClientName(i) != name {
+	i, err := strconv.Atoi(digits) // still fails past the int range
+	if !canonical || err != nil {
 		return 0, fmt.Errorf("fl: %q is not a client name", name)
 	}
 	return i, nil

@@ -23,9 +23,16 @@ type Schedule struct {
 
 // Schedule derives round's schedule over the live roster.
 func (p Profile) Schedule(roster []string, round uint64) Schedule {
+	var pool []int32
+	return p.schedule(roster, round, &pool)
+}
+
+// schedule is Schedule drawing a sampled cohort's positions in *pool, the
+// caller's scratch, grown as needed and kept for its next round.
+func (p Profile) schedule(roster []string, round uint64, pool *[]int32) Schedule {
 	s := Schedule{Round: round, Roster: roster, Cohort: roster}
 	if p.Cohort.Sampling() && p.Cohort.Size < len(roster) {
-		s.Cohort = SampleCohort(roster, p.Cohort.Size, p.Seed, round)
+		s.Cohort, *pool = sampleCohort(roster, p.Cohort.Size, p.Seed, round, *pool)
 	}
 	return s
 }

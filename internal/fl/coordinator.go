@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"flbooster/internal/flnet"
@@ -31,6 +30,12 @@ type Coordinator struct {
 	round       uint64 // the most recently begun round
 	nextAttempt uint32
 	resume      *ResumePoint
+
+	// Round scratch, sized by the first rounds and reused by every later
+	// one: a round's bookkeeping grows nothing in the steady state.
+	arrived []string        // lent to a Round's included until Aggregate or Finish
+	waiting map[string]bool // Gather's wave yet to upload, or ownIncluded's arrivals
+	reached []string        // what Broadcast returns, valid until the next round's
 }
 
 // ServerName is the coordinator's party name on every transport.
@@ -46,7 +51,9 @@ var ErrDrained = errors.New("fl: coordinator drained")
 const drainPoll = 20 * time.Millisecond
 
 // NewCoordinator builds a coordinator on ctx with no journal, at round 0.
-func NewCoordinator(ctx *Context) *Coordinator { return &Coordinator{ctx: ctx} }
+func NewCoordinator(ctx *Context) *Coordinator {
+	return &Coordinator{ctx: ctx, waiting: make(map[string]bool)}
+}
 
 // AttachJournal wires a write-ahead journal in: every round transition is
 // appended durably before the round acts on it. A nil journal detaches.
@@ -84,7 +91,7 @@ type Round struct {
 	retries0 int64           // the ledger's RetryMsgs when the round began
 
 	included    []string              // clients delivered to agg, canonical order once gathered
-	waiting     map[string]bool       // Gather's wave: who has yet to upload; cleared a wave
+	borrowed    bool                  // included is the coordinator's arrival scratch
 	dropped     map[string]RoundPhase // dropped client -> losing phase
 	stale, dups int
 	drained     bool // the drain signal cut a gather short
@@ -145,8 +152,8 @@ func (c *Coordinator) Begin(sched Schedule, tr flnet.Transport) (*Round, error) 
 		tr:            tr,
 		retries0:      ctx.Costs.Snapshot().RetryMsgs,
 		dropped:       make(map[string]RoundPhase),
-		included:      make([]string, 0, len(sched.Cohort)),
-		waiting:       make(map[string]bool),
+		included:      c.arrived[:0],
+		borrowed:      true,
 		agg:           ctx.NewAggregation(sched.Round, sched.Cohort),
 		phaseRecorder: phaseRecorder{ctx: ctx, anat: &RoundAnatomy{Round: sched.Round}},
 	}
@@ -163,7 +170,7 @@ func (c *Coordinator) Begin(sched Schedule, tr flnet.Transport) (*Round, error) 
 		if PayloadDigest(resume.Payload) != resume.Digest {
 			return rd, rd.Fail(PhaseBroadcast, "", fmt.Errorf("journaled aggregate fails its digest"))
 		}
-		rd.included = append([]string(nil), resume.Included...)
+		rd.included, rd.borrowed = append([]string(nil), resume.Included...), false
 		rd.frame = append(newAggFrame(len(resume.Included), len(resume.Payload)), resume.Payload...)
 		rd.digest = resume.Digest
 		rd.resumed = true
@@ -284,8 +291,8 @@ func (rd *Round) recv(deadline time.Time, stop <-chan struct{}) (flnet.Message, 
 }
 
 // Gather waits for the uploads the host says to expect — the wave's clients
-// whose send succeeded in-process, the whole cohort over TCP; a client is
-// expected in one Gather a round — delivering
+// whose send succeeded in-process, the whole cohort over TCP; a cohort member
+// is expected in one Gather a round, anyone else in none — delivering
 // each batch to the aggregation the moment it arrives. Frames of other
 // rounds or kinds are stale artifacts of stragglers and are discarded, as are
 // duplicates and uploads from anyone not expected. An upload that does not
@@ -295,7 +302,7 @@ func (rd *Round) recv(deadline time.Time, stop <-chan struct{}) (flnet.Message, 
 // passes a nil stop: on a SimTransport its deadline is an empty queue.
 func (rd *Round) Gather(expect []string, stop <-chan struct{}) error {
 	deadline := rd.c.ctx.Profile.Round.phaseDeadline()
-	waiting := rd.waiting
+	waiting := rd.c.waiting
 	clear(waiting)
 	for _, name := range expect {
 		waiting[name] = true
@@ -380,11 +387,7 @@ func (rd *Round) answerResume(msg flnet.Message) {
 func (rd *Round) Aggregate() error {
 	// Uploads were delivered in arrival order, but the journal, the report,
 	// and the group partition all speak canonical order.
-	pos := make(map[string]int, len(rd.sched.Cohort))
-	for i, name := range rd.sched.Cohort {
-		pos[name] = i
-	}
-	sort.Slice(rd.included, func(i, j int) bool { return pos[rd.included[i]] < pos[rd.included[j]] })
+	rd.ownIncluded(true)
 	if len(rd.included) < rd.quorum {
 		cause := fmt.Errorf("%d/%d uploads below quorum %d", len(rd.included), len(rd.sched.Cohort), rd.quorum)
 		if rd.drained {
@@ -411,6 +414,38 @@ func (rd *Round) Aggregate() error {
 			Digest: rd.digest, Payload: framePayload(frame),
 		})
 	})
+}
+
+// ownIncluded ends the round's loan of the coordinator's arrival scratch and
+// leaves included a slice of the round's own. In canonical order it is the
+// cohort itself when every member arrived — the cohort is never written — and
+// otherwise the arrivals picked out of the cohort in its order; not in
+// canonical order it is a copy in arrival order.
+func (rd *Round) ownIncluded(canonical bool) {
+	if !rd.borrowed {
+		return
+	}
+	arrived, cohort := rd.included, rd.sched.Cohort
+	rd.c.arrived, rd.borrowed = arrived[:0], false
+	switch {
+	case !canonical:
+		rd.included = append([]string{}, arrived...)
+	case len(arrived) == len(cohort):
+		rd.included = cohort
+	default:
+		in := rd.c.waiting
+		clear(in)
+		for _, name := range arrived {
+			in[name] = true
+		}
+		rd.included = make([]string, 0, len(arrived))
+		for _, name := range cohort {
+			if in[name] {
+				rd.included = append(rd.included, name)
+			}
+		}
+		clear(in)
+	}
 }
 
 // finishTree publishes a streamed round's hierarchy statistics: the report
@@ -449,10 +484,11 @@ func (rd *Round) finishTree(stats TreeStats) {
 // stragglers and unscheduled processes still terminate — under the
 // aggregation's message kind (a resumed round inherits the kind from the
 // unchanged profile, matching the journaled payload's framing). It reports
-// whom the frame reached; a failed send drops the recipient within the
-// budget.
-func (rd *Round) Broadcast(recipients []string) (reached []string, err error) {
-	err = rd.Span("broadcast", func() error {
+// whom the frame reached, in the coordinator's scratch: valid until its next
+// round broadcasts. A failed send drops the recipient within the budget.
+func (rd *Round) Broadcast(recipients []string) ([]string, error) {
+	reached := rd.c.reached[:0]
+	err := rd.Span("broadcast", func() error {
 		kind := rd.c.ctx.AggregateKind()
 		for _, name := range recipients {
 			msg := flnet.Message{From: ServerName, To: name, Kind: kind, Round: rd.sched.Round, Payload: rd.frame}
@@ -469,6 +505,7 @@ func (rd *Round) Broadcast(recipients []string) (reached []string, err error) {
 		}
 		return nil
 	})
+	rd.c.reached = reached
 	return reached, err
 }
 
@@ -494,6 +531,7 @@ func (rd *Round) Serve(recipients []string, stop <-chan struct{}) error {
 // at a durable boundary: nothing after that boundary, a round-failed record
 // included, can have been written.
 func (rd *Round) Finish(err error) error {
+	rd.ownIncluded(false)
 	rec := JournalRecord{Round: rd.sched.Round, Attempt: rd.attempt, Cursor: rd.c.ctx.SeedCursor()}
 	var re *RoundError
 	switch {

@@ -30,6 +30,14 @@ type Federation struct {
 	sent      []string   // scratch: the current wave's successful uploaders
 	wave      []*Client  // scratch: the current wave's clients
 	vecs      [][]float64
+	pool      []int32    // scratch: the cohort sampler's roster positions
+	copies    []delivery // scratch: decrypt's aggregate copies, cleared after use
+}
+
+// delivery is one client's copy of the aggregate frame.
+type delivery struct {
+	to    *Client
+	frame []byte
 }
 
 // NewFederation builds a federation over the context's party count with an
@@ -125,7 +133,7 @@ func (f *Federation) SecureAggregateReport(grads [][]float64) ([]float64, RoundR
 	if len(admitted) > 0 {
 		f.Ctx.metricAdd("rejoins_admitted", int64(len(admitted)))
 	}
-	sched := f.Ctx.Profile.Schedule(f.roster.Active(), f.coord.round+1)
+	sched := f.Ctx.Profile.schedule(f.roster.Active(), f.coord.round+1, &f.pool)
 	rd, err := f.coord.Begin(sched, f.Transport)
 	if rd == nil {
 		return nil, RoundReport{}, err
@@ -275,11 +283,8 @@ func (f *Federation) decrypt(rd *Round, reached []string, count int) ([]float64,
 	// the clock on a client whose message already arrived.
 	deadline := f.Ctx.Profile.Round.phaseDeadline()
 	sched := rd.Schedule()
-	type delivery struct {
-		to    *Client
-		frame []byte
-	}
-	copies := make([]delivery, 0, len(reached))
+	copies := f.copies[:0]
+	defer func() { clear(copies); f.copies = copies[:0] }()
 	for _, name := range reached {
 		cl := f.clients[name]
 		frame, stale, err := cl.Receive(f.Transport, sched.Round, deadline)

@@ -73,13 +73,20 @@ const cohortSeedSalt = 0xc0407
 // the journal-restored roster, and any oracle all derive the identical
 // cohort. k ≤ 0 or k ≥ len(active) schedules everyone.
 func SampleCohort(active []string, k int, seed, round uint64) []string {
+	cohort, _ := sampleCohort(active, k, seed, round, nil)
+	return cohort
+}
+
+// sampleCohort is SampleCohort drawing its positions in pool, grown as
+// needed and returned for the caller's next draw.
+func sampleCohort(active []string, k int, seed, round uint64, pool []int32) ([]string, []int32) {
 	if k <= 0 || k >= len(active) {
-		return append([]string(nil), active...)
+		return append([]string(nil), active...), pool
 	}
 	// Partial Fisher–Yates over roster positions: the first k slots of the
 	// shuffle are a uniform k-subset without paying for the full permutation,
 	// and positions sort back into roster order without a name → position map.
-	pool := make([]int32, len(active))
+	pool = slices.Grow(pool[:0], len(active))[:len(active)]
 	for i := range pool {
 		pool[i] = int32(i)
 	}
@@ -93,5 +100,5 @@ func SampleCohort(active []string, k int, seed, round uint64) []string {
 	for i, p := range pool[:k] {
 		cohort[i] = active[p]
 	}
-	return cohort
+	return cohort, pool
 }

@@ -23,6 +23,13 @@ type HomoLR struct {
 	Bias float64
 
 	opt *Adam
+
+	// Minibatch scratch, reused by every round: each party's local gradient,
+	// the plaintext oracle's sum, and the optimizer step's averaged gradient
+	// and parameter vectors, all [weights..., bias].
+	grads        [][]float64
+	sum          []float64
+	step, params []float64
 }
 
 // NewHomoLR partitions ds horizontally across the context's parties and
@@ -41,6 +48,11 @@ func NewHomoLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HomoLR, er
 	if err != nil {
 		return nil, fmt.Errorf("models: HomoLR partition: %w", err)
 	}
+	width := ds.NumFeatures + 1
+	grads := make([][]float64, len(parts))
+	for p := range grads {
+		grads[p] = make([]float64, width)
+	}
 	return &HomoLR{
 		opts:    opts,
 		fed:     fed,
@@ -48,6 +60,10 @@ func NewHomoLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HomoLR, er
 		full:    ds,
 		Weights: make([]float64, ds.NumFeatures),
 		opt:     NewAdam(opts.LearningRate),
+		grads:   grads,
+		sum:     make([]float64, width),
+		step:    make([]float64, width),
+		params:  make([]float64, width),
 	}, nil
 }
 
@@ -55,13 +71,13 @@ func NewHomoLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HomoLR, er
 func (m *HomoLR) Loss() float64 { return logisticLoss(m.Weights, m.Bias, m.full) }
 
 // localGradient computes one party's minibatch gradient (mean logistic
-// gradient + L2) over rows [lo, hi) of its shard. The bias gradient is
-// appended as the final element so it rides the same encrypted vector.
-func (m *HomoLR) localGradient(part *datasets.Dataset, lo, hi int) []float64 {
-	g := make([]float64, len(m.Weights)+1)
+// gradient + L2) over rows [lo, hi) of its shard into g. The bias gradient is
+// the final element so it rides the same encrypted vector.
+func (m *HomoLR) localGradient(g []float64, part *datasets.Dataset, lo, hi int) {
+	clear(g)
 	n := hi - lo
 	if n == 0 {
-		return g
+		return
 	}
 	for _, ex := range part.Examples[lo:hi] {
 		err := datasets.Sigmoid(ex.Features.Dot(m.Weights)+m.Bias) - ex.Label
@@ -71,7 +87,6 @@ func (m *HomoLR) localGradient(part *datasets.Dataset, lo, hi int) []float64 {
 	for j, w := range m.Weights {
 		g[j] += m.opts.L2 * w
 	}
-	return g
 }
 
 // TrainEpoch implements Model: every party walks its shard in minibatches;
@@ -87,12 +102,11 @@ func (m *HomoLR) TrainEpoch() (float64, error) {
 	}
 	parties := len(m.parts)
 	for _, r := range rounds {
-		grads := make([][]float64, parties)
 		if m.fed != nil {
 			m.fed.Ctx.TrackOther(func() {
-				m.computeLocalGrads(grads, r)
+				m.computeLocalGrads(r)
 			})
-			sum, err := m.fed.SecureAggregate(grads)
+			sum, err := m.fed.SecureAggregate(m.grads)
 			if err != nil {
 				return 0, err
 			}
@@ -100,9 +114,10 @@ func (m *HomoLR) TrainEpoch() (float64, error) {
 				m.apply(sum, parties)
 			})
 		} else {
-			m.computeLocalGrads(grads, r)
-			sum := make([]float64, len(grads[0]))
-			for _, g := range grads {
+			m.computeLocalGrads(r)
+			sum := m.sum
+			clear(sum)
+			for _, g := range m.grads {
 				for j, v := range g {
 					sum[j] += v
 				}
@@ -113,7 +128,9 @@ func (m *HomoLR) TrainEpoch() (float64, error) {
 	return m.Loss(), nil
 }
 
-func (m *HomoLR) computeLocalGrads(grads [][]float64, r [2]int) {
+// computeLocalGrads fills m.grads with every party's clamped gradient over
+// minibatch r.
+func (m *HomoLR) computeLocalGrads(r [2]int) {
 	bound := 1.0 // the oracle's clamp
 	if m.fed != nil {
 		bound = m.fed.Ctx.Quant.Alpha()
@@ -126,11 +143,11 @@ func (m *HomoLR) computeLocalGrads(grads [][]float64, r [2]int) {
 		if lo > hi {
 			lo = hi
 		}
-		g := m.localGradient(part, lo, hi)
+		g := m.grads[p]
+		m.localGradient(g, part, lo, hi)
 		for j := range g {
 			g[j] = clampGrad(g[j], bound)
 		}
-		grads[p] = g
 	}
 }
 
@@ -139,11 +156,10 @@ func (m *HomoLR) computeLocalGrads(grads [][]float64, r [2]int) {
 // state stays index-stable across rounds.
 func (m *HomoLR) apply(sum []float64, parties int) {
 	dim := len(m.Weights)
-	g := make([]float64, dim+1)
+	g, params := m.step, m.params
 	for j := range g {
 		g[j] = sum[j] / float64(parties)
 	}
-	params := make([]float64, dim+1)
 	copy(params, m.Weights)
 	params[dim] = m.Bias
 	m.opt.Step(params, g)
