@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"slices"
 
 	"flbooster/internal/fl"
 	"flbooster/internal/gpu"
@@ -24,17 +25,9 @@ func badFlag(flag, format string, args ...interface{}) *ConfigError {
 	return &ConfigError{Flag: flag, Reason: fmt.Sprintf(format, args...)}
 }
 
-// failpoints maps each -failpoint value to the journal record it fires on:
-// every kind the journal writes, and "aggregate", the older spelling of
-// "aggregated".
-var failpoints = map[string]fl.EventKind{
-	string(fl.EventRoundStart):  fl.EventRoundStart,
-	string(fl.EventAggregated):  fl.EventAggregated,
-	"aggregate":                 fl.EventAggregated,
-	string(fl.EventRoundDone):   fl.EventRoundDone,
-	string(fl.EventRoundFailed): fl.EventRoundFailed,
-	string(fl.EventDrained):     fl.EventDrained,
-}
+// failpoints are the -failpoint values: every kind the journal writes, each
+// firing on the record of that kind.
+var failpoints = []fl.EventKind{fl.EventRoundStart, fl.EventAggregated, fl.EventRoundDone, fl.EventRoundFailed, fl.EventDrained}
 
 // validate rejects out-of-range values and inconsistent flag combinations —
 // a quorum above the sampled cohort, more defense groups than sampled
@@ -68,7 +61,7 @@ func (c opts) validate(cmd string) error {
 	if c.keyBits < 32 || c.keyBits%2 != 0 { // what fl.Profile.Validate enforces
 		return badFlag("bits", "key size must be an even number of bits, at least 32, have %d", c.keyBits)
 	}
-	if _, ok := failpoints[c.failpoint]; c.failpoint != "" && (!ok || c.journal == "") {
+	if c.failpoint != "" && (!slices.Contains(failpoints, fl.EventKind(c.failpoint)) || c.journal == "") {
 		return badFlag("failpoint", "want a journal record (round-start, aggregated, round-done, round-failed, drained) and a -journal to write it to, have %q and -journal %q", c.failpoint, c.journal)
 	}
 	if c.resume && c.journal == "" {

@@ -76,6 +76,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -315,7 +316,7 @@ func runServer(o opts) error {
 			}
 			coord.AttachJournal(jr)
 		}
-		if kind, ok := failpoints[o.failpoint]; ok {
+		if kind := fl.EventKind(o.failpoint); slices.Contains(failpoints, kind) {
 			coord.Journal().Fail = func(rec fl.JournalRecord) error {
 				if rec.Kind != kind {
 					return nil

@@ -159,7 +159,7 @@ func TestServerGroupedCrashResumeBroadcast(t *testing.T) {
 
 	err = runServer(opts{
 		addr: hub.Addr(), clients: len(vals), keyBits: 128, seed: 9,
-		defense: policy, journal: journal, failpoint: "aggregate",
+		defense: policy, journal: journal, failpoint: "aggregated",
 	})
 	if err == nil || !strings.Contains(err.Error(), "failpoint") {
 		t.Fatalf("failpoint run returned %v", err)
@@ -381,7 +381,7 @@ func TestServerCrashResumeBroadcast(t *testing.T) {
 
 	err = runServer(opts{
 		addr: hub.Addr(), clients: 2, keyBits: 128, seed: 9,
-		journal: journal, failpoint: "aggregate",
+		journal: journal, failpoint: "aggregated",
 	})
 	if err == nil || !strings.Contains(err.Error(), "failpoint") {
 		t.Fatalf("failpoint run returned %v", err)

@@ -111,11 +111,3 @@ func NewFederation(ctx *Context) *Federation { return fl.NewFederation(ctx) }
 
 // NewPlatform creates a Table-I API platform on the modelled RTX 3090.
 func NewPlatform(seed uint64) *Platform { return core.Default(seed) }
-
-// NewPlatformOn creates a platform on a custom device configuration.
-func NewPlatformOn(cfg gpu.Config, seed uint64) (*Platform, error) {
-	return core.New(cfg, seed)
-}
-
-// RTX3090 re-exports the paper's evaluation GPU model.
-func RTX3090() gpu.Config { return gpu.RTX3090() }

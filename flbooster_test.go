@@ -49,10 +49,7 @@ func TestFacadeSystems(t *testing.T) {
 
 // TestFacadePlatform exercises the Table-I surface through the facade.
 func TestFacadePlatform(t *testing.T) {
-	plat, err := NewPlatformOn(gpu.SmallTestDevice(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plat := NewPlatform(7)
 	a := []mpint.Nat{mpint.FromUint64(40)}
 	b := []mpint.Nat{mpint.FromUint64(2)}
 	sum, err := plat.Add(a, b)
@@ -62,13 +59,7 @@ func TestFacadePlatform(t *testing.T) {
 	if v, _ := sum[0].Uint64(); v != 42 {
 		t.Fatalf("facade Add = %d", v)
 	}
-	if _, err := NewPlatformOn(gpu.Config{}, 1); err == nil {
-		t.Fatal("invalid device config should fail")
-	}
-	if NewPlatform(1) == nil {
-		t.Fatal("default platform should construct")
-	}
-	if RTX3090().SMs != 82 {
+	if gpu.RTX3090().SMs != 82 {
 		t.Fatal("RTX 3090 model drifted")
 	}
 }

@@ -64,7 +64,7 @@ func TestRunnerCachesContextsAndData(t *testing.T) {
 	if c1 != c2 {
 		t.Fatal("context not cached")
 	}
-	if c2.Costs.TotalSim() != 0 {
+	if c2.Costs.Snapshot().TotalSim() != 0 {
 		t.Fatal("cached context costs not reset")
 	}
 	d1, err := r.dataset(datasets.RCV1Spec)

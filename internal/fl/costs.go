@@ -160,11 +160,9 @@ func (s CostSnapshot) publish(reg *obs.Registry, prefix string) {
 	reg.Set(prefix+".encode_vals", s.EncodeVals)
 }
 
-// TotalSim is the modelled end-to-end time: device-scale HE + wire time +
-// measured model computation. This is the quantity Tables III and V report.
-func (c *Costs) TotalSim() time.Duration { return c.Snapshot().TotalSim() }
-
-// TotalSim is the modelled end-to-end time of the snapshot.
+// TotalSim is the modelled end-to-end time of the snapshot: device-scale HE +
+// wire time + measured model computation. This is the quantity Tables III and
+// V report.
 func (s CostSnapshot) TotalSim() time.Duration {
 	return s.HESim + s.CommSim + s.OtherWall + s.EncodeSim
 }

@@ -17,12 +17,12 @@ func TestSecureAggregateSurfacesTransportFailures(t *testing.T) {
 	// Phases: 4 uploads, 4 server recvs, 4 broadcasts, 4 client recvs.
 	for _, fault := range []struct {
 		name string
-		prep func(*flnet.FaultyTransport)
+		cfg  flnet.ChaosConfig
 	}{
-		{"upload-send", func(f *flnet.FaultyTransport) { f.FailSendAt = 1 }},
-		{"server-recv", func(f *flnet.FaultyTransport) { f.FailRecvAt = 2 }},
-		{"broadcast-send", func(f *flnet.FaultyTransport) { f.FailSendAt = 6 }},
-		{"client-recv", func(f *flnet.FaultyTransport) { f.FailRecvAt = 5 }},
+		{"upload-send", flnet.ChaosConfig{FailSendAt: 1}},
+		{"server-recv", flnet.ChaosConfig{FailRecvAt: 2}},
+		{"broadcast-send", flnet.ChaosConfig{FailSendAt: 6}},
+		{"client-recv", flnet.ChaosConfig{FailRecvAt: 5}},
 	} {
 		fault := fault
 		t.Run(fault.name, func(t *testing.T) {
@@ -32,9 +32,7 @@ func TestSecureAggregateSurfacesTransportFailures(t *testing.T) {
 			}
 			fed := NewFederation(ctx)
 			defer fed.Close()
-			ft := flnet.NewFaultyTransport(fed.Transport)
-			fault.prep(ft)
-			fed.Transport = ft
+			fed.Transport = flnet.NewChaosTransport(fed.Transport, fault.cfg)
 			if _, err := fed.SecureAggregate(grads); err == nil {
 				t.Fatal("injected fault did not surface")
 			}
@@ -52,9 +50,7 @@ func TestSecureAggregateRecoversAfterTransientFault(t *testing.T) {
 	grads := [][]float64{{0.1, 0.2}, {0.1, 0.2}, {0.1, 0.2}, {0.1, 0.2}}
 
 	fed := NewFederation(ctx)
-	ft := flnet.NewFaultyTransport(fed.Transport)
-	ft.FailSendAt = 1
-	fed.Transport = ft
+	fed.Transport = flnet.NewChaosTransport(fed.Transport, flnet.ChaosConfig{FailSendAt: 1})
 	if _, err := fed.SecureAggregate(grads); err == nil {
 		t.Fatal("expected the first round to fail")
 	}
@@ -95,10 +91,7 @@ func TestQuorumRoundSurvivesDroppedUpload(t *testing.T) {
 	}
 	fed := NewFederation(ctx)
 	defer fed.Close()
-	ft := flnet.NewFaultyTransport(fed.Transport)
-	ft.DropFrom = ClientName(2)
-	ft.DropKind = "grads"
-	fed.Transport = ft
+	fed.Transport = flnet.NewChaosTransport(fed.Transport, flnet.ChaosConfig{DropFrom: ClientName(2), DropKind: "grads"})
 
 	// Identical gradients so the scaled 3-of-4 estimate equals the true sum.
 	grads := [][]float64{{0.1, -0.2}, {0.1, -0.2}, {0.1, -0.2}, {0.1, -0.2}}
@@ -212,9 +205,7 @@ func TestRoundErrorTyping(t *testing.T) {
 	}
 	fed := NewFederation(ctx)
 	defer fed.Close()
-	ft := flnet.NewFaultyTransport(fed.Transport)
-	ft.FailSendAt = 1
-	fed.Transport = ft
+	fed.Transport = flnet.NewChaosTransport(fed.Transport, flnet.ChaosConfig{FailSendAt: 1})
 	_, err = fed.SecureAggregate([][]float64{{0.1}, {0.2}, {0.3}, {0.4}})
 	var rerr *RoundError
 	if !errors.As(err, &rerr) {
@@ -238,9 +229,7 @@ func TestRetryPolicyAbsorbsTransientSendFailure(t *testing.T) {
 	}
 	fed := NewFederation(ctx)
 	defer fed.Close()
-	ft := flnet.NewFaultyTransport(fed.Transport)
-	ft.FailSendAt = 1
-	fed.Transport = ft
+	fed.Transport = flnet.NewChaosTransport(fed.Transport, flnet.ChaosConfig{FailSendAt: 1})
 
 	grads := [][]float64{{0.1}, {0.1}, {0.1}, {0.1}}
 	sum, rep, err := fed.SecureAggregateReport(grads)

@@ -361,8 +361,8 @@ func TestCostsShares(t *testing.T) {
 	if o < 0.19 || o > 0.21 || h < 0.19 || h > 0.21 || m < 0.59 || m > 0.61 {
 		t.Fatalf("shares = %v/%v/%v", o, h, m)
 	}
-	if c.TotalSim() != 500 {
-		t.Fatalf("TotalSim = %v", c.TotalSim())
+	if c.Snapshot().TotalSim() != 500 {
+		t.Fatalf("TotalSim = %v", c.Snapshot().TotalSim())
 	}
 	empty := &Costs{}
 	if o, h, m := empty.Snapshot().Shares(); o != 0 || h != 0 || m != 0 {
@@ -372,7 +372,7 @@ func TestCostsShares(t *testing.T) {
 		t.Fatal("empty throughput should be zero")
 	}
 	c.Reset()
-	if c.TotalSim() != 0 {
+	if c.Snapshot().TotalSim() != 0 {
 		t.Fatal("reset failed")
 	}
 }

@@ -61,11 +61,11 @@ func openShapes(tb testing.TB) []openShape {
 				}
 				fed := NewFederation(ctx)
 				log := &wireLog{Transport: fed.Transport}
-				ft := flnet.NewFaultyTransport(log)
+				var cfg flnet.ChaosConfig
 				if drop {
-					ft.DropFrom, ft.DropKind = ClientName(3), "grads"
+					cfg.DropFrom, cfg.DropKind = ClientName(3), "grads"
 				}
-				fed.Transport = ft
+				fed.Transport = flnet.NewChaosTransport(log, cfg)
 				if _, _, err := fed.SecureAggregateReport(testGrads(p.Parties, openFuzzDim)); err != nil {
 					tb.Fatal(err)
 				}

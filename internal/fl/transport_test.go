@@ -183,9 +183,7 @@ var matrixScenarios = []struct {
 	{"quorum-dropped-upload", func(t *testing.T, wire wiring) outcome {
 		store := NewMemStore()
 		fed := journaledFed(t, quorumProfile(SystemFLBooster), wire, store)
-		ft := flnet.NewFaultyTransport(fed.Transport)
-		ft.DropFrom, ft.DropKind = ClientName(2), "grads"
-		fed.Transport = ft
+		fed.Transport = flnet.NewChaosTransport(fed.Transport, flnet.ChaosConfig{DropFrom: ClientName(2), DropKind: "grads"})
 		views := runRounds(t, fed, 2, 5)
 		for _, v := range views {
 			if v.Err != "" || len(v.Included) != 3 || v.Dropped[ClientName(2)] != PhaseGather {
@@ -247,9 +245,7 @@ var matrixScenarios = []struct {
 	{"retry", func(t *testing.T, wire wiring) outcome {
 		store := NewMemStore()
 		fed := journaledFed(t, quorumProfile(SystemFLBooster), wire, store)
-		ft := flnet.NewFaultyTransport(fed.Transport)
-		ft.FailSendAt = 1
-		fed.Transport = ft
+		fed.Transport = flnet.NewChaosTransport(fed.Transport, flnet.ChaosConfig{FailSendAt: 1})
 		views := runRounds(t, fed, 1, 5)
 		if v := views[0]; v.Err != "" || v.Retries != 1 || len(v.Dropped) != 0 {
 			t.Fatalf("one failed send not absorbed by one retry: %+v", v)

@@ -8,93 +8,11 @@ import (
 	"flbooster/internal/mpint"
 )
 
-// FaultyTransport wraps a Transport and injects deterministic failures —
-// used to verify that federated protocols surface transport errors instead
-// of hanging or silently corrupting training state.
-type FaultyTransport struct {
-	inner Transport
-
-	mu        sync.Mutex
-	sendCount int64
-	recvCount int64
-	// FailSendAt and FailRecvAt are 1-based operation indices at which the
-	// corresponding call fails; zero disables the fault.
-	FailSendAt int64
-	FailRecvAt int64
-	// DropKind silently drops (rather than fails) sends of this Kind.
-	DropKind string
-	// DropFrom silently drops sends from this party. When both DropKind and
-	// DropFrom are set, only messages matching both are dropped.
-	DropFrom string
-}
-
-// NewFaultyTransport wraps inner.
-func NewFaultyTransport(inner Transport) *FaultyTransport {
-	return &FaultyTransport{inner: inner}
-}
-
-// Send implements Transport with injected failures.
-func (f *FaultyTransport) Send(msg Message) error {
-	f.mu.Lock()
-	f.sendCount++
-	n := f.sendCount
-	failAt := f.FailSendAt
-	drop := (f.DropKind != "" || f.DropFrom != "") &&
-		(f.DropKind == "" || msg.Kind == f.DropKind) &&
-		(f.DropFrom == "" || msg.From == f.DropFrom)
-	f.mu.Unlock()
-	if failAt != 0 && n == failAt {
-		return fmt.Errorf("flnet: injected send failure at operation %d", n)
-	}
-	if drop {
-		return nil // delivered nowhere
-	}
-	return f.inner.Send(msg)
-}
-
-// Recv implements Transport with injected failures.
-func (f *FaultyTransport) Recv(party string) (Message, error) {
-	if err := f.recvFault(); err != nil {
-		return Message{}, err
-	}
-	return f.inner.Recv(party)
-}
-
-// RecvTimeout implements Transport with injected failures.
-func (f *FaultyTransport) RecvTimeout(party string, d time.Duration) (Message, error) {
-	if err := f.recvFault(); err != nil {
-		return Message{}, err
-	}
-	return f.inner.RecvTimeout(party, d)
-}
-
-func (f *FaultyTransport) recvFault() error {
-	f.mu.Lock()
-	f.recvCount++
-	n := f.recvCount
-	failAt := f.FailRecvAt
-	f.mu.Unlock()
-	if failAt != 0 && n == failAt {
-		return fmt.Errorf("flnet: injected recv failure at operation %d", n)
-	}
-	return nil
-}
-
-// Close implements Transport.
-func (f *FaultyTransport) Close() error { return f.inner.Close() }
-
-// Counts reports how many sends and recvs have passed through.
-func (f *FaultyTransport) Counts() (sends, recvs int64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.sendCount, f.recvCount
-}
-
-// ---- Chaos toolkit -------------------------------------------------------
-
 // ChaosConfig parameterizes ChaosTransport. All probabilistic decisions come
 // from one xoshiro stream seeded by Seed and drawn in send order, so a fixed
-// seed and a fixed send sequence reproduce the exact same fault pattern.
+// seed and a fixed send sequence reproduce the exact same fault pattern. The
+// index and match rules draw nothing, so adding one leaves the seeded pattern
+// of every other send as it was.
 type ChaosConfig struct {
 	// Seed drives every probabilistic decision.
 	Seed uint64
@@ -111,24 +29,38 @@ type ChaosConfig struct {
 	// receive has timed out, so they land behind the deadline; a receive
 	// with no deadline releases them first.
 	StragglerParty string
+	// FailSendAt and FailRecvAt are 1-based operation indices at which the
+	// corresponding call fails; zero disables the fault.
+	FailSendAt int64
+	FailRecvAt int64
+	// DropKind silently drops (rather than fails) sends of this Kind.
+	DropKind string
+	// DropFrom silently drops sends from this party. When both DropKind and
+	// DropFrom are set, only messages matching both are dropped.
+	DropFrom string
 }
 
 // ChaosStats counts the faults a ChaosTransport has injected.
 type ChaosStats struct {
 	Sent       int64 // messages offered to Send
+	Recvs      int64 // Recv and RecvTimeout calls
+	Failed     int64 // sends and receives failed by FailSendAt or FailRecvAt
 	Dropped    int64 // silently discarded
 	Duplicated int64 // delivered twice
 	Reordered  int64 // held back behind a later message
 	Delayed    int64 // the straggler's frames held for a deadline
 }
 
-// ChaosTransport wraps a Transport with seeded probabilistic faults: drops,
+// ChaosTransport wraps a Transport with seeded probabilistic faults — drops,
 // duplication, neighbour reordering, and a straggler whose frames arrive
-// after their recipient's deadline. Nothing waits on a clock: a straggler's
-// frame is late by rule, released into the inner transport by the receive
-// whose deadline it missed (over TCP that is a real send after the wall
-// deadline). Release errors are discarded, mirroring packets in flight when
-// a link goes down.
+// after their recipient's deadline — and with deterministic ones: a send or
+// receive that fails at a given index, and a drop of every send matching a
+// kind and sender. It is how federated protocols are tested to surface
+// transport errors instead of hanging or silently corrupting state. Nothing
+// waits on a clock: a straggler's frame is late by rule, released into the
+// inner transport by the receive whose deadline it missed (over TCP that is
+// a real send after the wall deadline). Release errors are discarded,
+// mirroring packets in flight when a link goes down.
 type ChaosTransport struct {
 	inner Transport
 	cfg   ChaosConfig
@@ -149,16 +81,24 @@ func NewChaosTransport(inner Transport, cfg ChaosConfig) *ChaosTransport {
 func (c *ChaosTransport) Send(msg Message) error {
 	c.mu.Lock()
 	c.stats.Sent++
-	// Draw all three decisions every send, in a fixed order, so the fault
-	// pattern is a pure function of (seed, send index) regardless of which
-	// faults are enabled.
+	// Draw all three decisions every send, in a fixed order and before the
+	// index and match rules, so the fault pattern is a pure function of
+	// (seed, send index) regardless of which faults are enabled.
 	drop := c.rng.Float64() < c.cfg.DropProb
 	dup := c.rng.Float64() < c.cfg.DupProb
 	reorder := c.rng.Float64() < c.cfg.ReorderProb
+	if c.stats.Sent == c.cfg.FailSendAt {
+		c.stats.Failed++
+		c.mu.Unlock()
+		return fmt.Errorf("flnet: injected send failure at operation %d", c.cfg.FailSendAt)
+	}
+	match := (c.cfg.DropKind != "" || c.cfg.DropFrom != "") &&
+		(c.cfg.DropKind == "" || msg.Kind == c.cfg.DropKind) &&
+		(c.cfg.DropFrom == "" || msg.From == c.cfg.DropFrom)
 
 	var deliver []Message
 	switch {
-	case drop:
+	case drop || match:
 		c.stats.Dropped++
 	case reorder && c.held == nil:
 		held := msg
@@ -176,12 +116,19 @@ func (c *ChaosTransport) Send(msg Message) error {
 		deliver = append(deliver, *c.held)
 		c.held = nil
 	}
-	if c.cfg.StragglerParty != "" && msg.From == c.cfg.StragglerParty {
+	// The straggler rule goes by each frame's own sender: a held frame
+	// released behind another party's keeps its own timing.
+	if c.cfg.StragglerParty != "" {
+		onTime := deliver[:0]
 		for _, m := range deliver {
+			if m.From != c.cfg.StragglerParty {
+				onTime = append(onTime, m)
+				continue
+			}
 			c.late[m.To] = append(c.late[m.To], m)
+			c.stats.Delayed++
 		}
-		c.stats.Delayed += int64(len(deliver))
-		deliver = nil
+		deliver = onTime
 	}
 	c.mu.Unlock()
 
@@ -197,8 +144,19 @@ func (c *ChaosTransport) Send(msg Message) error {
 func (c *ChaosTransport) Recv(party string) (Message, error) { return c.RecvTimeout(party, 0) }
 
 // RecvTimeout implements Transport: the frames held for party are released
-// once a deadline receive times out, or first when there is no deadline.
+// once a deadline receive times out, or first when there is no deadline. The
+// receive FailRecvAt names fails before either.
 func (c *ChaosTransport) RecvTimeout(party string, d time.Duration) (Message, error) {
+	c.mu.Lock()
+	c.stats.Recvs++
+	fail := c.stats.Recvs == c.cfg.FailRecvAt
+	if fail {
+		c.stats.Failed++
+	}
+	c.mu.Unlock()
+	if fail {
+		return Message{}, fmt.Errorf("flnet: injected recv failure at operation %d", c.cfg.FailRecvAt)
+	}
 	if d <= 0 {
 		c.release(party)
 	}

@@ -1,6 +1,7 @@
 package flnet
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -8,8 +9,7 @@ import (
 
 func TestFaultyTransportSendFailure(t *testing.T) {
 	inner := NewSimTransport(GigabitEthernet(), "a", "b")
-	ft := NewFaultyTransport(inner)
-	ft.FailSendAt = 2
+	ft := NewChaosTransport(inner, ChaosConfig{FailSendAt: 2})
 	if err := ft.Send(Message{From: "a", To: "b"}); err != nil {
 		t.Fatal(err)
 	}
@@ -21,16 +21,14 @@ func TestFaultyTransportSendFailure(t *testing.T) {
 	if err := ft.Send(Message{From: "a", To: "b"}); err != nil {
 		t.Fatal(err)
 	}
-	sends, _ := ft.Counts()
-	if sends != 3 {
+	if sends := ft.Stats().Sent; sends != 3 {
 		t.Fatalf("send count = %d", sends)
 	}
 }
 
 func TestFaultyTransportRecvFailure(t *testing.T) {
 	inner := NewSimTransport(GigabitEthernet(), "a", "b")
-	ft := NewFaultyTransport(inner)
-	ft.FailRecvAt = 1
+	ft := NewChaosTransport(inner, ChaosConfig{FailRecvAt: 1})
 	if err := ft.Send(Message{From: "a", To: "b", Kind: "x"}); err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +46,7 @@ func TestFaultyTransportRecvFailure(t *testing.T) {
 
 func TestFaultyTransportDropKind(t *testing.T) {
 	inner := NewSimTransport(GigabitEthernet(), "a", "b")
-	ft := NewFaultyTransport(inner)
-	ft.DropKind = "grads"
+	ft := NewChaosTransport(inner, ChaosConfig{DropKind: "grads"})
 	if err := ft.Send(Message{From: "a", To: "b", Kind: "grads"}); err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +70,7 @@ func TestFaultyTransportDropKind(t *testing.T) {
 
 func TestFaultyTransportDropFrom(t *testing.T) {
 	inner := NewSimTransport(GigabitEthernet(), "a", "b", "c")
-	ft := NewFaultyTransport(inner)
-	ft.DropFrom = "a"
-	ft.DropKind = "grads"
+	ft := NewChaosTransport(inner, ChaosConfig{DropFrom: "a", DropKind: "grads"})
 	// Matching both (from a, kind grads): dropped.
 	if err := ft.Send(Message{From: "a", To: "c", Kind: "grads"}); err != nil {
 		t.Fatal(err)
@@ -102,8 +97,9 @@ func chaosRun(t *testing.T, cfg ChaosConfig, n int) ([]uint64, ChaosStats) {
 	inner := NewSimTransport(GigabitEthernet(), "a", "b")
 	ct := NewChaosTransport(inner, cfg)
 	for i := 0; i < n; i++ {
-		if err := ct.Send(Message{From: "a", To: "b", Round: uint64(i + 1)}); err != nil {
-			t.Fatal(err)
+		err := ct.Send(Message{From: "a", To: "b", Round: uint64(i + 1)})
+		if failed := int64(i+1) == cfg.FailSendAt; failed != (err != nil) {
+			t.Fatalf("send %d: %v", i+1, err)
 		}
 	}
 	var got []uint64
@@ -135,6 +131,18 @@ func TestChaosTransportDeterministicUnderSeed(t *testing.T) {
 	}
 	if stats1.Dropped == 0 || stats1.Duplicated == 0 || stats1.Reordered == 0 {
 		t.Fatalf("faults not exercised: %+v", stats1)
+	}
+	// The index rules draw nothing: failing send k leaves every other send's
+	// fate as the seed decided it. Each k is a send the seed neither holds
+	// nor delivers ahead of a held one; it drops send 8 and delivers send 10.
+	for _, k := range []int64{8, 10} {
+		failing := cfg
+		failing.FailSendAt = k
+		got, stats := chaosRun(t, failing, 200)
+		want := slices.DeleteFunc(slices.Clone(got1), func(r uint64) bool { return r == uint64(k) })
+		if !slices.Equal(got, want) || stats.Sent != 200 || stats.Failed != 1 {
+			t.Fatalf("FailSendAt %d: delivered %v, stats %+v; want %v", k, got, stats, want)
+		}
 	}
 	// A different seed produces a different pattern.
 	cfg.Seed = 43
@@ -227,5 +235,35 @@ func TestChaosTransportStragglerDelay(t *testing.T) {
 	}
 	if st := ct.Stats(); st.Sent != 4 || st.Delayed != 2 {
 		t.Fatalf("stats %+v, want 4 sent and 2 held", st)
+	}
+}
+
+// TestChaosTransportStragglerUnderReorder pins that the straggler rule goes
+// by each frame's own sender when a held frame is released behind another
+// party's: the straggler's frame stays late, a punctual one stays on time.
+func TestChaosTransportStragglerUnderReorder(t *testing.T) {
+	for _, order := range [][2]string{{"slow", "fast"}, {"fast", "slow"}} {
+		t.Run(order[0]+"-held", func(t *testing.T) {
+			inner := NewSimTransport(GigabitEthernet(), "slow", "fast", "dst")
+			ct := NewChaosTransport(inner, ChaosConfig{Seed: 3, ReorderProb: 1, StragglerParty: "slow"})
+			defer ct.Close()
+			for _, from := range order {
+				if err := ct.Send(Message{From: from, To: "dst", Kind: from}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if msg, err := ct.RecvTimeout("dst", time.Hour); err != nil || msg.Kind != "fast" {
+				t.Fatalf("before the deadline = %+v, %v; want the punctual frame", msg, err)
+			}
+			if msg, err := ct.RecvTimeout("dst", time.Hour); !IsTimeout(err) {
+				t.Fatalf("straggler's frame beat the deadline: %+v, %v", msg, err)
+			}
+			if msg, err := ct.Recv("dst"); err != nil || msg.Kind != "slow" {
+				t.Fatalf("after the deadline = %+v, %v; want the straggler's", msg, err)
+			}
+			if st := ct.Stats(); st.Reordered != 1 || st.Delayed != 1 {
+				t.Fatalf("stats %+v, want 1 reordered and 1 held", st)
+			}
+		})
 	}
 }

@@ -224,12 +224,12 @@ func TestParMontSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := r.RandBelow(n), r.RandBelow(n)
-	got, err := pm.MulOne(a, b)
+	got, err := pm.MulVec([]mpint.Nat{a}, []mpint.Nat{b})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mpint.Cmp(got, parMontWant(a, b, n, 4)) != 0 {
-		t.Fatal("MulOne mismatch")
+	if mpint.Cmp(got[0], parMontWant(a, b, n, 4)) != 0 {
+		t.Fatal("single-pair MulVec mismatch")
 	}
 }
 
@@ -248,11 +248,11 @@ func TestParMontExercisesFinalSubtraction(t *testing.T) {
 	nm1 := mpint.SubWord(n, 1)
 	for i := 0; i < 50; i++ {
 		a := mpint.Sub(n, mpint.AddWord(mpint.FromUint64(uint64(i)), 1))
-		got, err := pm.MulOne(a, nm1)
+		got, err := pm.MulVec([]mpint.Nat{a}, []mpint.Nat{nm1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if mpint.Cmp(got, parMontWant(a, nm1, n, 4)) != 0 {
+		if mpint.Cmp(got[0], parMontWant(a, nm1, n, 4)) != 0 {
 			t.Fatalf("near-modulus case %d mismatch", i)
 		}
 	}

@@ -55,8 +55,7 @@ const (
 )
 
 // MulVec computes a[i]*b[i]*R⁻¹ mod n with R = 2^(32·s) for each pair, one
-// cooperative block per pair. Inputs must be < n. Use MulOne to run a single
-// multiplication.
+// cooperative block per pair. Inputs must be < n.
 func (p *ParMont) MulVec(a, b []mpint.Nat) ([]mpint.Nat, error) {
 	if len(a) != len(b) {
 		return nil, fmt.Errorf("ghe: ParMont.MulVec length mismatch %d vs %d", len(a), len(b))
@@ -162,15 +161,6 @@ func (p *ParMont) MulVec(a, b []mpint.Nat) ([]mpint.Nat, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// MulOne runs a single cooperative Montgomery multiplication.
-func (p *ParMont) MulOne(a, b mpint.Nat) (mpint.Nat, error) {
-	res, err := p.MulVec([]mpint.Nat{a}, []mpint.Nat{b})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
 }
 
 // rippleCarries adds each segment's carry-out at the next segment's first

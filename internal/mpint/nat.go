@@ -412,18 +412,6 @@ func resize(z Nat, n int) Nat {
 	return z[:n]
 }
 
-// Words returns the little-endian limbs of x padded (or truncated, panicking
-// if information would be lost) to exactly n limbs.
-func (x Nat) Words(n int) []Word {
-	x = trim(x)
-	if len(x) > n {
-		panic(fmt.Sprintf("mpint: value needs %d limbs, requested %d", len(x), n))
-	}
-	w := make([]Word, n)
-	copy(w, x)
-	return w
-}
-
 // FromWords builds a Nat from a little-endian limb slice.
 func FromWords(w []Word) Nat {
 	z := make(Nat, len(w))

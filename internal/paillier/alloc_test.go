@@ -28,7 +28,7 @@ func TestAllocCeilingsPerCiphertext(t *testing.T) {
 	// worker's scheduling allocations are not the batch's.
 	cfg := gpu.RTX3090()
 	cfg.HostWorkers = 1
-	be := MustGPUBackend(executor(t, cfg, 1, ghe.CheckedConfig{}))
+	be := mustGPUBackend(executor(t, cfg, 1, ghe.CheckedConfig{}))
 	const width = 4
 	r := mpint.NewRNG(3)
 	pts := make([]mpint.Nat, width)
@@ -109,7 +109,7 @@ func TestEncryptVecAllocSlope(t *testing.T) {
 		"host":      hostExecutor(t, cfg),
 		"no device": executor(t, cfg, 0, ghe.CheckedConfig{}),
 	} {
-		be := MustGPUBackend(eng)
+		be := mustGPUBackend(eng)
 		for _, h := range handles(sk) {
 			allocs := func(width int) float64 {
 				return leastAllocs(func() {
@@ -152,7 +152,7 @@ func TestPooledBatchesAllocateNoLimbs(t *testing.T) {
 	sk := keyOfSize(t, 1024)
 	cfg := gpu.RTX3090()
 	cfg.HostWorkers = 1 // AllocsPerRun counts the whole process
-	be := MustGPUBackend(executor(t, cfg, 1, ghe.CheckedConfig{}))
+	be := mustGPUBackend(executor(t, cfg, 1, ghe.CheckedConfig{}))
 	const width = 32
 	pts := plaintexts(width, sk.N)
 	cts, err := be.EncryptVec(sk.Holder(), pts, 11)
@@ -238,7 +238,7 @@ func TestBatchedWaveAllocCeiling(t *testing.T) {
 	sk := keyOfSize(t, 1024)
 	cfg := gpu.RTX3090()
 	cfg.HostWorkers = 1 // AllocsPerRun counts the whole process
-	be := MustGPUBackend(executor(t, cfg, 1, ghe.CheckedConfig{}))
+	be := mustGPUBackend(executor(t, cfg, 1, ghe.CheckedConfig{}))
 	const members, width = 16, 4
 	batches, seeds := make([][]mpint.Nat, members), make([]uint64, members)
 	for j := range batches {

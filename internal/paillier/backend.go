@@ -95,16 +95,6 @@ func NewGPUBackend(e *ghe.CheckedEngine) (*GPUBackend, error) {
 	return &GPUBackend{eng: e}, nil
 }
 
-// MustGPUBackend is NewGPUBackend for known-good engines; it panics on
-// error. Intended for tests.
-func MustGPUBackend(e *ghe.CheckedEngine) *GPUBackend {
-	g, err := NewGPUBackend(e)
-	if err != nil {
-		panic(err)
-	}
-	return g
-}
-
 // kernel runs one op of n results in a frame of its own, with staging for the
 // op's results and its ciphertext operands, which run carves and fills (view)
 // as it states the op. The results land in a batch drawn from the pool

@@ -29,7 +29,7 @@ func hostSearchKey(rng *mpint.RNG, bits int) (*PrivateKey, error) {
 // device, so the host loop serves every op, one item at a time.
 func hostBackend(tb testing.TB) *GPUBackend {
 	tb.Helper()
-	return MustGPUBackend(executor(tb, gpu.SmallTestDevice(), 0, ghe.CheckedConfig{}))
+	return mustGPUBackend(executor(tb, gpu.SmallTestDevice(), 0, ghe.CheckedConfig{}))
 }
 
 // serialWeightedSums is a weighted sum the way FATE computes it, and the
@@ -89,4 +89,13 @@ func hornerPack(pk *PublicKey, cs []Ciphertext, slots, slotBits int) []Ciphertex
 		out[i] = acc
 	}
 	return out
+}
+
+// mustGPUBackend is NewGPUBackend for known-good engines; it panics on error.
+func mustGPUBackend(e *ghe.CheckedEngine) *GPUBackend {
+	g, err := NewGPUBackend(e)
+	if err != nil {
+		panic(err)
+	}
+	return g
 }

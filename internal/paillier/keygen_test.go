@@ -39,7 +39,7 @@ func keyDigest(sk *PrivateKey, rng *mpint.RNG) string {
 // 3090 — the stack of every fl.Context's GPU profile.
 func executorBackend(tb testing.TB) *GPUBackend {
 	tb.Helper()
-	return MustGPUBackend(executor(tb, gpu.RTX3090(), 1, ghe.CheckedConfig{}))
+	return mustGPUBackend(executor(tb, gpu.RTX3090(), 1, ghe.CheckedConfig{}))
 }
 
 // TestGenerateKeyDigests: every seeded key — the key of every fl.Context — and

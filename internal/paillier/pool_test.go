@@ -14,7 +14,7 @@ import (
 // of passing by luck.
 func TestReleaseZeroesWhatItTakesBack(t *testing.T) {
 	sk := testKey(t)
-	be := MustGPUBackend(hostExecutor(t, gpu.SmallTestDevice()))
+	be := mustGPUBackend(hostExecutor(t, gpu.SmallTestDevice()))
 	cts, err := be.EncryptVec(sk.Holder(), []mpint.Nat{mpint.FromUint64(7), mpint.FromUint64(9)}, 3)
 	if err != nil {
 		t.Fatal(err)

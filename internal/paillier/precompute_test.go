@@ -152,7 +152,7 @@ func TestDecryptVecReducedAcrossEngines(t *testing.T) {
 	ms := plaintexts(10, sk.N)
 	for name, eng := range vectorEngines(t) {
 		t.Run(name, func(t *testing.T) {
-			b := MustGPUBackend(eng)
+			b := mustGPUBackend(eng)
 			cs, err := b.EncryptVec(&sk.PublicKey, ms, rng.Uint64())
 			if err != nil {
 				t.Fatal(err)
@@ -189,7 +189,7 @@ func TestDecryptVecReducedCheaperSim(t *testing.T) {
 			t.Fatal(err)
 		}
 		reduced := executor(t, gpu.RTX3090(), 1, ghe.CheckedConfig{})
-		if _, err := MustGPUBackend(reduced).DecryptVec(sk, cs); err != nil {
+		if _, err := mustGPUBackend(reduced).DecryptVec(sk, cs); err != nil {
 			t.Fatal(err)
 		}
 		classic := executor(t, gpu.RTX3090(), 1, ghe.CheckedConfig{})
@@ -254,7 +254,7 @@ func TestDecryptVecEqualsDecryptEqualsTextbook(t *testing.T) {
 			want = append(want, pt)
 		}
 		for name, eng := range vectorEngines(t) {
-			got, err := MustGPUBackend(eng).DecryptVec(sk, cts)
+			got, err := mustGPUBackend(eng).DecryptVec(sk, cts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -294,7 +294,7 @@ func TestShiftPackVecBackendsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backends := map[string]Backend{"one device": singleBackend(t), "host loop": MustGPUBackend(hostExecutor(t, gpu.SmallTestDevice())), "no device": none}
+	backends := map[string]Backend{"one device": singleBackend(t), "host loop": mustGPUBackend(hostExecutor(t, gpu.SmallTestDevice())), "no device": none}
 	for d := 1; d <= 3; d++ {
 		backends[fmt.Sprintf("executor D=%d", d)], _ = shardedBackend(t, d)
 	}
@@ -338,7 +338,7 @@ func TestEncryptVecMatchesScalarOnEngineStream(t *testing.T) {
 	const seed = 4242
 	for name, eng := range vectorEngines(t) {
 		t.Run(name, func(t *testing.T) {
-			b := MustGPUBackend(eng)
+			b := mustGPUBackend(eng)
 			for _, sk := range []*PrivateKey{keyOfSize(t, 512), keyOfSize(t, 256)} {
 				ms := plaintexts(12, sk.N)
 				want, err := b.EncryptVec(&sk.PublicKey, ms, seed)
@@ -401,7 +401,7 @@ func TestEncryptSameBitsEverywhere(t *testing.T) {
 		}
 		for _, h := range handles(sk) {
 			for name, eng := range engines {
-				got, err := MustGPUBackend(eng).EncryptVec(h.pk, ms, seed)
+				got, err := mustGPUBackend(eng).EncryptVec(h.pk, ms, seed)
 				if err != nil {
 					t.Fatalf("%d bits, %s, %s handle: %v", bits, name, h.name, err)
 				}
@@ -422,7 +422,7 @@ func TestEncryptSameBitsEverywhere(t *testing.T) {
 // alloc_mb_per_step: a 512-byte ciphertext and one allocation each.
 func BenchmarkEncryptVec(b *testing.B) {
 	sk := keyOfSize(b, 2048)
-	be, pts := MustGPUBackend(executor(b, gpu.RTX3090(), 1, ghe.CheckedConfig{})), plaintexts(33, sk.N)
+	be, pts := mustGPUBackend(executor(b, gpu.RTX3090(), 1, ghe.CheckedConfig{})), plaintexts(33, sk.N)
 	for _, h := range handles(sk) {
 		b.Run(h.name, func(b *testing.B) {
 			b.ReportAllocs()

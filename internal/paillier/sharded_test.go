@@ -37,14 +37,14 @@ func hostExecutor(t testing.TB, dev gpu.Config) *ghe.CheckedEngine {
 func shardedBackend(t testing.TB, d int) (*GPUBackend, *ghe.CheckedEngine) {
 	t.Helper()
 	eng := executor(t, gpu.SmallTestDevice(), d, ghe.CheckedConfig{VerifyFraction: 0.1, VerifySeed: 5})
-	return MustGPUBackend(eng), eng
+	return mustGPUBackend(eng), eng
 }
 
 // singleBackend is the sequential reference: the executor over one device,
 // no sharding, no verification.
 func singleBackend(t testing.TB) *GPUBackend {
 	t.Helper()
-	return MustGPUBackend(executor(t, gpu.SmallTestDevice(), 1, ghe.CheckedConfig{}))
+	return mustGPUBackend(executor(t, gpu.SmallTestDevice(), 1, ghe.CheckedConfig{}))
 }
 
 func sameCts(t *testing.T, tag string, got, want []Ciphertext) {

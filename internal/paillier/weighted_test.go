@@ -110,7 +110,7 @@ func TestWeightedSumVecBackendsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, host := singleBackend(t), MustGPUBackend(hostExecutor(t, gpu.SmallTestDevice()))
+	single, host := singleBackend(t), mustGPUBackend(hostExecutor(t, gpu.SmallTestDevice()))
 	backends := map[string]func() ([]Ciphertext, error){
 		"gpu":               func() ([]Ciphertext, error) { return single.WeightedSumVec(pk, cts, sums) },
 		"gpu host loop":     func() ([]Ciphertext, error) { return host.WeightedSumVec(pk, cts, sums) },
@@ -121,7 +121,7 @@ func TestWeightedSumVecBackendsAgree(t *testing.T) {
 	for _, d := range []int{2, 3} {
 		eng := executor(t, gpu.SmallTestDevice(), d, ghe.CheckedConfig{VerifyFraction: 1})
 		backends[fmt.Sprintf("gpu over %d devices", d)] = func() ([]Ciphertext, error) {
-			return MustGPUBackend(eng).WeightedSumVec(pk, cts, sums)
+			return mustGPUBackend(eng).WeightedSumVec(pk, cts, sums)
 		}
 	}
 	for name, run := range backends {
@@ -213,7 +213,7 @@ func TestSignedWeightedSumVec(t *testing.T) {
 	}
 	eng := executor(t, gpu.SmallTestDevice(), 2, ghe.CheckedConfig{VerifyFraction: 1})
 	single := singleBackend(t)
-	for name, be := range map[string]Backend{"no device": none, "gpu": single, "gpu over 2 devices": MustGPUBackend(eng)} {
+	for name, be := range map[string]Backend{"no device": none, "gpu": single, "gpu over 2 devices": mustGPUBackend(eng)} {
 		got, err := be.WeightedSumVec(pk, cts, sums)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -5,8 +5,21 @@
 # runs each over a fixed matrix with GOCOVERDIR set, and prints the share of
 # statements the matrix reached, the per-package shares and every function it
 # never entered. Standard library only (go tool covdata, go tool cover). Any
-# matrix command that exits other than the way it should fails the script;
-# the share is printed, not gated on. Run from the repository root:
+# matrix command that exits other than the way it should fails the script.
+#
+# Every function the matrix never enters must have a line in
+# scripts/reach_allow.txt:
+#
+#	<path> <func> <tag>: <reason>
+#
+# keyed by the file (relative to the repository root) and the function name,
+# so one line covers every same-named function in that file. The tag is one
+# of table1-api, fault-path, reference, test-seam, platform, frozen or
+# error-path. The script fails on a never-entered function with no line, on
+# a malformed or repeated line, and on a stale line: one whose function no
+# longer exists, or that the matrix entered. A platform line (a body only
+# some CPUs run) is stale only when its function is gone. The share is
+# printed, not gated on. Run from the repository root:
 #
 #	make reach
 set -eu
@@ -44,8 +57,10 @@ step "$b/flbench" -keys 128 -trace "$work/out/flbench.json" -metrics "$work/out/
 step "$b/flbench" -paper -scale 0.0004 -keys 128 -epochs 1 table2 fig7
 
 # The full-size pass is the only one with 2,048-bit keys, where the
-# eight-lane Miller-Rabin walk runs.
-step "$b/benchmark" -smoke -out "$work/out"
+# eight-lane Miller-Rabin walk runs. Two same-seed sets print their spread;
+# a one-workload run ends with its contract line.
+step "$b/benchmark" -smoke -repeat 2 -out "$work/out"
+step "$b/benchmark" -smoke -workload cohort_tree_128 -out "$work/out"
 step "$b/benchmark" -smoke -trace 1 -out "$work/out"
 step "$b/benchmark" -steps 2 -out "$work/out"
 
@@ -64,6 +79,11 @@ done
 step $demo -clients 6 -cohort 4 -fanout 2
 step $demo -devices 3 -trace "$work/out/flserver.json"
 step $demo -quorum 3 -timeout 300ms -straggle 2s
+if $demo -fanout 1 >"$work/log" 2>&1 || ! grep -q 'invalid -fanout' "$work/log"; then
+	cat "$work/log"
+	echo "reach: FAILED: -fanout 1 was not rejected as a flag error" >&2
+	exit 1
+fi
 
 # Split roles over a loopback hub: three clients, a server that crashes right
 # after the aggregate is durable, and its successor resuming from the journal.
@@ -113,3 +133,37 @@ funcs=$(grep -vc '^total:' "$work/func.txt")
 unentered=$(grep -v '^total:' "$work/func.txt" | awk '$NF == "0.0%"' | wc -l)
 echo
 echo "reached $(awk '/^total:/ { print $NF }' "$work/func.txt") of statements; $unentered of $funcs functions never entered"
+
+# Gate the never-entered list on the allowlist. A key is "<path> <func>": the
+# path without the module prefix and the line number. A key is never entered
+# when any function it covers is.
+grep -v '^total:' "$work/func.txt" | awk -v mod="$("$GO" list -m)/" '{
+	path = $1; sub("^" mod, "", path); sub(/:[0-9]+:$/, "", path)
+	key = path " " $2
+	if ($NF == "0.0%") state[key] = "unentered"
+	else if (!(key in state)) state[key] = "entered"
+} END { for (k in state) print k, state[k] }' | sort >"$work/keys.txt"
+echo
+awk -v allow=scripts/reach_allow.txt '
+FNR == NR { key = $1 " " $2; keys[++nkeys] = key; state[key] = $3; next }
+/^#/ || /^[[:space:]]*$/ { next }
+{
+	tag = $3; sub(/:$/, "", tag); key = $1 " " $2
+	if (NF < 4 || $3 !~ /:$/ || tag !~ /^(table1-api|fault-path|reference|test-seam|platform|frozen|error-path)$/) {
+		printf "reach: %s:%d: want \"<path> <func> <tag>: <reason>\" with a known tag\n", allow, FNR; bad++; next
+	}
+	if (key in seen) { printf "reach: %s:%d: %s listed twice\n", allow, FNR, key; bad++; next }
+	seen[key] = 1; count[tag]++; total++
+	if (!(key in state)) { printf "reach: %s:%d: stale: %s no longer exists\n", allow, FNR, key; bad++ }
+	else if (state[key] == "entered" && tag != "platform") { printf "reach: %s:%d: stale: the matrix enters %s\n", allow, FNR, key; bad++ }
+}
+END {
+	for (i = 1; i <= nkeys; i++) if (state[keys[i]] == "unentered" && !(keys[i] in seen)) {
+		printf "reach: never entered and not in %s: %s\n", allow, keys[i]; bad++
+	}
+	printf "allowlist: %d entries:", total
+	n = split("table1-api fault-path reference test-seam platform frozen error-path", order, " ")
+	for (i = 1; i <= n; i++) printf " %s %d", order[i], count[order[i]] + 0
+	printf "\n"
+	exit (bad > 0)
+}' "$work/keys.txt" scripts/reach_allow.txt || { echo "reach: FAILED: the never-entered list and scripts/reach_allow.txt disagree" >&2; exit 1; }
