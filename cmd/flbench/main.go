@@ -63,9 +63,20 @@ func run(args []string) error {
 	if *paper {
 		cfg = bench.Paper()
 	}
-	if *scale > 0 {
-		cfg.Scale = *scale
-	}
+	// Every flag the command line set overrides the profile, so a value
+	// out of range reaches Config.Validate instead of falling back.
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "scale":
+			cfg.Scale = *scale
+		case "parties":
+			cfg.Parties = *parties
+		case "epochs":
+			cfg.Epochs = *epochs
+		case "batch":
+			cfg.BatchSize = *batch
+		}
+	})
 	if *keys != "" {
 		cfg.KeyBits = nil
 		for _, part := range strings.Split(*keys, ",") {
@@ -75,15 +86,6 @@ func run(args []string) error {
 			}
 			cfg.KeyBits = append(cfg.KeyBits, k)
 		}
-	}
-	if *parties > 0 {
-		cfg.Parties = *parties
-	}
-	if *epochs > 0 {
-		cfg.Epochs = *epochs
-	}
-	if *batch > 0 {
-		cfg.BatchSize = *batch
 	}
 	cfg.Seed = *seed
 	cfg.Observe = *trace != "" || *metrics != ""

@@ -22,6 +22,16 @@ func TestRunFlagAndArgErrors(t *testing.T) {
 	if err := run([]string{"-scale", "5", "fig7"}); err == nil {
 		t.Fatal("out-of-range scale should fail")
 	}
+	for _, args := range [][]string{
+		{"-scale", "-1", "table2"}, {"-scale", "0", "table2"},
+		{"-parties", "0", "table2"}, {"-parties", "-2", "table2"},
+		{"-epochs", "0", "table2"}, {"-epochs", "-1", "table2"},
+		{"-batch", "0", "table2"}, {"-batch", "-3", "table2"},
+	} {
+		if err := run(args); err == nil {
+			t.Errorf("flbench %v should fail, not fall back to the default", args)
+		}
+	}
 	if err := run([]string{"-chunk", "2", "table3"}); err == nil {
 		t.Fatal("the retired -chunk flag should fail as unknown")
 	}

@@ -6,15 +6,15 @@ import (
 	"time"
 
 	"flbooster/internal/fl"
-	"flbooster/internal/ghe"
 	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
 )
 
 // Ablation runs micro-ablations over the design decisions DESIGN.md §4
 // calls out, beyond the paper's own Table V: the fine-grained resource
-// manager, the Fig. 4 transfer/compute pipeline, the sliding-window width,
-// and the limb-parallel Montgomery thread count.
+// manager, the Fig. 4 transfer/compute pipeline and the sliding-window width.
+// Algorithm 2's limb axis has no ablation of its own: it runs as amm52's
+// lanes and the cost model prices it in 32-bit word-ops (DESIGN.md §4).
 func (r *Runner) Ablation(w io.Writer) error {
 	if err := r.ablationResourceManager(w); err != nil {
 		return err
@@ -22,10 +22,7 @@ func (r *Runner) Ablation(w io.Writer) error {
 	if err := r.ablationPipeline(w); err != nil {
 		return err
 	}
-	if err := r.ablationWindow(w); err != nil {
-		return err
-	}
-	return r.ablationParMontThreads(w)
+	return r.ablationWindow(w)
 }
 
 // ablationResourceManager compares fine vs coarse block-size selection at
@@ -167,43 +164,6 @@ func (r *Runner) ablationWindow(w io.Writer) error {
 			fmt.Fprintf(w, " %12s", fmtDur(time.Since(start)/reps))
 		}
 		fmt.Fprintln(w)
-	}
-	return nil
-}
-
-// ablationParMontThreads sweeps the thread count of the limb-parallel
-// Montgomery multiplication (Algorithm 2), measuring cooperative-kernel
-// wall time per multiplication.
-func (r *Runner) ablationParMontThreads(w io.Writer) error {
-	header(w, "Ablation D — Algorithm 2 limb-parallel Montgomery, threads per multiplication")
-	fmt.Fprintf(w, "%6s %8s %14s\n", "Key", "Threads", "Wall/mul")
-	rng := mpint.NewRNG(r.cfg.Seed + 1)
-	dev := gpu.MustNew(gpu.RTX3090(), true)
-	for _, keyBits := range r.cfg.KeyBits {
-		n := rng.RandBits(keyBits)
-		n[0] |= 1
-		m := mpint.NewMont(n)
-		limbs := m.Limbs()
-		a := make([]mpint.Nat, 16)
-		b := make([]mpint.Nat, 16)
-		for i := range a {
-			a[i], b[i] = rng.RandBelow(n), rng.RandBelow(n)
-		}
-		for _, threads := range []int{1, 2, 4, 8, 16} {
-			if limbs%threads != 0 {
-				continue
-			}
-			pm, err := ghe.NewParMont(dev, m, threads)
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			if _, err := pm.MulVec(a, b); err != nil {
-				return err
-			}
-			per := time.Since(start) / time.Duration(len(a))
-			fmt.Fprintf(w, "%6d %8d %14s\n", keyBits, threads, per)
-		}
 	}
 	return nil
 }

@@ -198,14 +198,14 @@ func (c *CheckedEngine) Stats() CheckedStats {
 	return agg
 }
 
-// ResetStats zeroes the counters, the device set's with them, and restarts
-// every member's verification sampler, so what runs next is sampled and
-// counted as on a fresh engine.
+// ResetStats zeroes the counters, the table counters and the device set's
+// with them, and restarts every member's verification sampler, so what runs
+// next is sampled and counted as on a fresh engine.
 func (c *CheckedEngine) ResetStats() {
 	c.set.ResetStats()
 	for _, mb := range c.members {
 		mb.mu.Lock()
-		mb.stats, mb.rng = CheckedStats{}, mpint.NewRNG(c.cfg.VerifySeed)
+		mb.stats, mb.table, mb.rng = CheckedStats{}, tableStats{}, mpint.NewRNG(c.cfg.VerifySeed)
 		mb.mu.Unlock()
 	}
 }

@@ -1,9 +1,9 @@
 // Package ghe is the GPU-HE layer of FLBooster (§IV-A of the paper): it
 // lowers multi-precision modular arithmetic onto the gpu substrate as
-// data-parallel kernels (one work item per ciphertext) and provides the
-// faithful limb-parallel Montgomery multiplication of Algorithm 2, where the
-// threads of one block cooperate on a single multiplication through shared
-// memory and barriers.
+// data-parallel kernels (one work item per ciphertext). Algorithm 2's
+// limb-parallel Montgomery multiplication is not a kernel of its own: the
+// word-op counts below price it in 32-bit words, and on the host it runs as
+// mpint's amm52 lanes.
 package ghe
 
 import "flbooster/internal/mpint"

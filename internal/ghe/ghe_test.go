@@ -1,7 +1,6 @@
 package ghe
 
 import (
-	"math/big"
 	"testing"
 
 	"flbooster/internal/gpu"
@@ -162,117 +161,6 @@ func TestVectorAPIErrors(t *testing.T) {
 	}
 	if _, err := e.ModMulVec(one, nil, mpint.NewMont(mpint.FromUint64(13))); err == nil {
 		t.Error("ModMulVec length mismatch should fail")
-	}
-}
-
-// parMontWant is the oracle for ParMont: a·b·R⁻¹ mod n by math/big, at the
-// kernel's own radix R = 2^(32·s) for an s-word modulus. (The host
-// mpint.Mont runs at R = 2^(64·⌈s/2⌉), the same value only for even s.)
-func parMontWant(a, b, n mpint.Nat, s int) mpint.Nat {
-	toBig := func(x mpint.Nat) *big.Int { return new(big.Int).SetBytes(x.Bytes()) }
-	bn := toBig(n)
-	rInv := new(big.Int).ModInverse(new(big.Int).Lsh(big.NewInt(1), uint(32*s)), bn)
-	z := new(big.Int).Mul(toBig(a), toBig(b))
-	return mpint.FromBytes(z.Mul(z, rInv).Mod(z, bn).Bytes())
-}
-
-func TestParMontMatchesSerialCIOS(t *testing.T) {
-	dev := gpu.MustNew(gpu.SmallTestDevice(), true)
-	r := mpint.NewRNG(6)
-	for _, tc := range []struct{ bits, threads int }{
-		{256, 1}, {256, 2}, {256, 4}, {256, 8}, // 8 words
-		{96, 1}, {96, 3}, {160, 5}, {150, 1}, // odd word counts: 3, 3, 5, 5
-	} {
-		n := r.RandBits(tc.bits)
-		n[0] |= 1
-		m := mpint.NewMont(n)
-		pm, err := NewParMont(dev, m, tc.threads)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := make([]mpint.Nat, 16)
-		b := make([]mpint.Nat, 16)
-		for i := range a {
-			a[i] = r.RandBelow(n)
-			b[i] = r.RandBelow(n)
-		}
-		got, err := pm.MulVec(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a {
-			want := parMontWant(a[i], b[i], n, m.Limbs())
-			if mpint.Cmp(got[i], want) != 0 {
-				t.Fatalf("%d bits, T=%d: parallel CIOS[%d] = %s, want %s", tc.bits, tc.threads, i, got[i], want)
-			}
-			// At an even word count the radix is the host kernel's too.
-			if m.Limbs()%2 == 0 && mpint.Cmp(got[i], m.Mul(a[i], b[i])) != 0 {
-				t.Fatalf("%d bits, T=%d: parallel CIOS[%d] differs from the host kernel", tc.bits, tc.threads, i)
-			}
-		}
-	}
-}
-
-func TestParMontSingle(t *testing.T) {
-	dev := gpu.MustNew(gpu.SmallTestDevice(), true)
-	r := mpint.NewRNG(7)
-	n := r.RandBits(128)
-	n[0] |= 1
-	m := mpint.NewMont(n)
-	pm, err := NewParMont(dev, m, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := r.RandBelow(n), r.RandBelow(n)
-	got, err := pm.MulVec([]mpint.Nat{a}, []mpint.Nat{b})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mpint.Cmp(got[0], parMontWant(a, b, n, 4)) != 0 {
-		t.Fatal("single-pair MulVec mismatch")
-	}
-}
-
-func TestParMontExercisesFinalSubtraction(t *testing.T) {
-	// Operands near n make the conditional subtraction path likely; run many
-	// random pairs to cover both branches.
-	dev := gpu.MustNew(gpu.SmallTestDevice(), true)
-	r := mpint.NewRNG(8)
-	n := r.RandBits(128)
-	n[0] |= 1
-	m := mpint.NewMont(n)
-	pm, err := NewParMont(dev, m, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nm1 := mpint.SubWord(n, 1)
-	for i := 0; i < 50; i++ {
-		a := mpint.Sub(n, mpint.AddWord(mpint.FromUint64(uint64(i)), 1))
-		got, err := pm.MulVec([]mpint.Nat{a}, []mpint.Nat{nm1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mpint.Cmp(got[0], parMontWant(a, nm1, n, 4)) != 0 {
-			t.Fatalf("near-modulus case %d mismatch", i)
-		}
-	}
-}
-
-func TestParMontGeometryErrors(t *testing.T) {
-	dev := gpu.MustNew(gpu.SmallTestDevice(), true)
-	m := mpint.NewMont(mpint.NewRNG(9).RandPrime(96)) // 3 limbs
-	if _, err := NewParMont(dev, m, 2); err == nil {
-		t.Fatal("non-divisible thread count should fail")
-	}
-	if _, err := NewParMont(dev, m, 0); err == nil {
-		t.Fatal("zero threads should fail")
-	}
-	pm, err := NewParMont(dev, m, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pm.MulVec([]mpint.Nat{mpint.One()}, nil); err == nil {
-		t.Fatal("length mismatch should fail")
 	}
 }
 

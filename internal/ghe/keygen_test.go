@@ -7,6 +7,7 @@ import (
 
 	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
+	"flbooster/internal/obs"
 )
 
 // mrOperands is n odd bits-wide Miller–Rabin candidates, primes and
@@ -161,16 +162,30 @@ func TestMillerRabinVecRejects(t *testing.T) {
 }
 
 // TestResetStatsRestartsTheSampler: after ResetStats the executor counts from
-// zero and samples the indices a fresh engine would.
+// zero, its table counters included, and samples the indices a fresh engine
+// would.
 func TestResetStatsRestartsTheSampler(t *testing.T) {
 	used, fresh := checkedSet(t, 1, CheckedConfig{VerifyFraction: 0.3, VerifySeed: 4}), checkedSet(t, 1, CheckedConfig{VerifyFraction: 0.3, VerifySeed: 4})
-	a := randVec(mpint.NewRNG(1), 40, mpint.FromUint64(1<<40))
+	r := mpint.NewRNG(1)
+	a := randVec(r, 40, mpint.FromUint64(1<<40))
 	if _, err := used.AddVec(a, a); err != nil {
+		t.Fatal(err)
+	}
+	m := mpint.NewMont(r.RandPrime(64))
+	sums := [][]mpint.Term{{{Index: 0, Weight: 3}, {Index: 1, Weight: 5}}, {{Index: 2, Weight: 7}}}
+	if _, err := used.MultiExpVec(randVec(r, 3, m.N()), sums, m); err != nil {
 		t.Fatal(err)
 	}
 	used.ResetStats()
 	if st := used.Stats(); st != (CheckedStats{}) {
 		t.Fatalf("counters after reset: %+v", st)
+	}
+	reg := obs.NewRegistry()
+	used.PublishMetrics(reg, "ghe")
+	for _, name := range []string{"ghe.table_builds", "ghe.table_entries", "ghe.table_ops"} {
+		if v := reg.Counter(name); v != 0 {
+			t.Errorf("%s = %d after reset", name, v)
+		}
 	}
 	for i := 0; i < 3; i++ {
 		x, y := used.members[0].sampleIndices(40, 12), fresh.members[0].sampleIndices(40, 12)

@@ -19,7 +19,6 @@ type Device struct {
 	rm  *ResourceManager
 
 	workers int
-	sem     chan struct{} // bounds concurrently running blocks
 
 	mu        sync.Mutex
 	stats     Stats
@@ -89,7 +88,6 @@ func New(cfg Config, fineRM bool) (*Device, error) {
 		cfg:       cfg,
 		rm:        NewResourceManager(cfg, fineRM),
 		workers:   w,
-		sem:       make(chan struct{}, w),
 		healthPol: DefaultHealthPolicy(),
 	}
 	d.stats.Health = DeviceHealthy
@@ -629,99 +627,4 @@ func (j *Job) Run(body Body, items, helpers int) {
 	}
 	clear(j.parts)
 	j.parts = j.parts[:0]
-}
-
-// ThreadCtx is the per-thread view inside a cooperative launch: the thread
-// and block index, the block's shared memory, and a barrier for intra-block
-// synchronization (the "inter-thread communication" of the paper's
-// Algorithm 2).
-type ThreadCtx struct {
-	Block   int
-	Thread  int
-	Threads int
-	Shared  []uint32
-	bar     *barrier
-}
-
-// SyncThreads blocks until every thread in the block reaches the barrier.
-func (t *ThreadCtx) SyncThreads() { t.bar.await() }
-
-// LaunchCooperative runs a kernel whose threads within a block cooperate
-// through shared memory and barriers — the execution model of the paper's
-// limb-parallel Montgomery multiplication (Algorithm 2). blocks × threads
-// goroutines are spawned, block-by-block through the worker semaphore.
-// sharedWords is the size of each block's shared memory in 32-bit words.
-func (d *Device) LaunchCooperative(name string, blocks, threads, sharedWords int, fn func(*ThreadCtx)) error {
-	if threads <= 0 || blocks < 0 {
-		return fmt.Errorf("gpu: cooperative kernel %q has invalid geometry %dx%d", name, blocks, threads)
-	}
-	if threads > d.cfg.MaxThreadsPerSM {
-		return fmt.Errorf("gpu: cooperative kernel %q block of %d exceeds SM capacity %d",
-			name, threads, d.cfg.MaxThreadsPerSM)
-	}
-	d.mu.Lock()
-	if d.stats.Health == DeviceFailed {
-		attempt := d.launchSeq + 1
-		d.mu.Unlock()
-		return &KernelError{Kind: FaultDeviceFailed, Kernel: name, Attempt: attempt}
-	}
-	d.launchSeq++
-	d.mu.Unlock()
-	var wg sync.WaitGroup
-	for b := 0; b < blocks; b++ {
-		d.sem <- struct{}{}
-		wg.Add(1)
-		go func(b int) {
-			defer func() { <-d.sem; wg.Done() }()
-			shared := make([]uint32, sharedWords)
-			bar := newBarrier(threads)
-			var tw sync.WaitGroup
-			for t := 0; t < threads; t++ {
-				tw.Add(1)
-				go func(t int) {
-					defer tw.Done()
-					fn(&ThreadCtx{Block: b, Thread: t, Threads: threads, Shared: shared, bar: bar})
-				}(t)
-			}
-			tw.Wait()
-		}(b)
-	}
-	wg.Wait()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stats.KernelLaunches++
-	d.stats.ThreadsExecuted += int64(blocks * threads)
-	d.stats.WarpsExecuted += int64(blocks * ((threads + d.cfg.WarpSize - 1) / d.cfg.WarpSize))
-	return nil
-}
-
-// barrier is a reusable counting barrier for one block's threads.
-type barrier struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	n       int
-	waiting int
-	phase   int
-}
-
-func newBarrier(n int) *barrier {
-	b := &barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *barrier) await() {
-	b.mu.Lock()
-	phase := b.phase
-	b.waiting++
-	if b.waiting == b.n {
-		b.waiting = 0
-		b.phase++
-		b.cond.Broadcast()
-	} else {
-		for b.phase == phase {
-			b.cond.Wait()
-		}
-	}
-	b.mu.Unlock()
 }

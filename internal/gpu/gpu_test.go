@@ -201,45 +201,6 @@ func TestBranchCostPolicies(t *testing.T) {
 	}
 }
 
-func TestLaunchCooperativeBarrier(t *testing.T) {
-	d := MustNew(SmallTestDevice(), true)
-	const blocks, threads = 6, 8
-	// Each thread writes its ID into shared memory, syncs, then verifies it
-	// can read every other thread's value — failing without a real barrier.
-	errs := make(chan string, blocks*threads)
-	err := d.LaunchCooperative("barrier-test", blocks, threads, threads, func(tc *ThreadCtx) {
-		tc.Shared[tc.Thread] = uint32(tc.Thread + 1)
-		tc.SyncThreads()
-		for i := 0; i < tc.Threads; i++ {
-			if tc.Shared[i] != uint32(i+1) {
-				errs <- "missing write after barrier"
-			}
-		}
-		tc.SyncThreads()
-		tc.Shared[tc.Thread] = 0
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	close(errs)
-	for e := range errs {
-		t.Fatal(e)
-	}
-	if got := d.Stats().ThreadsExecuted; got != blocks*threads {
-		t.Fatalf("ThreadsExecuted = %d", got)
-	}
-}
-
-func TestLaunchCooperativeGeometryErrors(t *testing.T) {
-	d := MustNew(SmallTestDevice(), true)
-	if err := d.LaunchCooperative("bad", 1, 0, 0, func(*ThreadCtx) {}); err == nil {
-		t.Fatal("zero threads should fail")
-	}
-	if err := d.LaunchCooperative("bad", 1, 1<<20, 0, func(*ThreadCtx) {}); err == nil {
-		t.Fatal("oversized block should fail")
-	}
-}
-
 func TestPropertyOccupancyBounded(t *testing.T) {
 	rm := NewResourceManager(RTX3090(), true)
 	f := func(bs uint8, regs uint8, shared uint16) bool {

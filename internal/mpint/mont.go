@@ -54,14 +54,10 @@ func (m *Mont) N() Nat { return m.n }
 
 // Limbs returns the size of the modulus in the cost model's unit: 32-bit
 // words, ⌈bitlen/32⌉ — the paper's w = 32 FRNS. ghe/cost.go's word-op
-// counts, natBytes' transfer sizes, regsForLimbs and ParMont's thread
-// geometry are all written in this unit; it says nothing about the host
-// limbs the multiply below runs on.
+// counts, natBytes' transfer sizes and regsForLimbs are all written in this
+// unit, which is where Algorithm 2's one-thread-a-run-of-words layout is
+// priced; it says nothing about the host limbs the multiply below runs on.
 func (m *Mont) Limbs() int { return (m.n.BitLen() + 31) / 32 }
-
-// N0Inv32 returns -n⁻¹ mod 2³², the per-word constant of a CIOS over 32-bit
-// words (ghe.ParMont); it is the low half of the host kernel's 64-bit n'.
-func (m *Mont) N0Inv32() uint32 { return uint32(m.n0inv) }
 
 // ToMont converts x (< n) into Montgomery form: x·R mod n.
 func (m *Mont) ToMont(x Nat) Nat { return m.Mul(x, m.rr) }

@@ -5,11 +5,11 @@
 // ("radix-based multi-precision number system"). The paper fixes w = 32
 // because one simulated GPU thread owns a contiguous run of 32-bit words;
 // that is a property of the *modelled* kernel, and it lives where the model
-// does: internal/ghe/cost.go counts 32-bit word-ops, Mont.Limbs reports the
-// modulus size in 32-bit words, and the limb-parallel fidelity kernel
-// (ghe.ParMont, Algorithm 2) reads its operands through the explicit 32-bit
-// views Words32/FromWords32. The host arithmetic that produces the bits runs
-// on the machine's own 64-bit words (math/bits.Mul64/Add64/Div64), which
+// does: internal/ghe/cost.go counts 32-bit word-ops and Mont.Limbs reports
+// the modulus size in 32-bit words. The host arithmetic that produces the
+// bits runs on the machine's own 64-bit words (math/bits.Mul64/Add64/Div64),
+// and Algorithm 2's limb-parallel Montgomery product runs as amm52's lanes
+// (one multiply spread over a ZMM register's eight 52-bit digits), which
 // changes how long an experiment takes and nothing it reports.
 //
 // The package provides the full arithmetic substrate required by Paillier
@@ -422,29 +422,3 @@ func FromWords(w []Word) Nat {
 // TakeWords is FromWords without the copy: w becomes the limbs of the result,
 // and the caller must not write to it again.
 func TakeWords(w []Word) Nat { return trim(w) }
-
-// Words32 returns x as exactly n little-endian 32-bit words, panicking if x
-// needs more. This is the layout of the modelled device — the unit
-// Mont.Limbs and internal/ghe/cost.go count in — and what the limb-parallel
-// fidelity kernel (ghe.ParMont) computes on.
-func (x Nat) Words32(n int) []uint32 {
-	if need := (x.BitLen() + 31) / 32; need > n {
-		panic(fmt.Sprintf("mpint: value needs %d 32-bit words, requested %d", need, n))
-	}
-	w := make([]uint32, n)
-	for i := range w {
-		if i/2 < len(x) {
-			w[i] = uint32(x[i/2] >> (32 * uint(i%2)))
-		}
-	}
-	return w
-}
-
-// FromWords32 builds a Nat from little-endian 32-bit words.
-func FromWords32(w []uint32) Nat {
-	z := make(Nat, (len(w)+1)/2)
-	for i, wi := range w {
-		z[i/2] |= Word(wi) << (32 * uint(i%2))
-	}
-	return trim(z)
-}

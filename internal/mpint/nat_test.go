@@ -345,20 +345,6 @@ func TestWordsRoundTrip(t *testing.T) {
 	if Cmp(FromWords(w), x) != 0 {
 		t.Fatal("FromWords round trip failed")
 	}
-	// The 32-bit view is the modelled device's layout: low half first.
-	w32 := x.Words32(5)
-	if len(w32) != 5 || w32[0] != 0x55667788 || w32[1] != 0x11223344 || w32[2] != 0x99 || w32[3] != 0 {
-		t.Fatalf("Words32 = %x", w32)
-	}
-	if Cmp(FromWords32(w32), x) != 0 || Cmp(FromWords32(w32[:3]), x) != 0 {
-		t.Fatal("FromWords32 round trip failed")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Words32 should panic when truncating")
-		}
-	}()
-	x.Words32(2)
 }
 
 // Property tests on algebraic invariants.
