@@ -58,8 +58,8 @@
 //	-resume       server: replay -journal on startup and resume the round
 //	              from the last safe boundary (or exit 0 if already done)
 //	-failpoint s  server: crash right after the named journal record is durable
-//	              (testing only): round-start, aggregated (also spelled
-//	              aggregate), round-done, round-failed, drained
+//	              (testing only): round-start, aggregated, round-done,
+//	              round-failed, drained
 //
 // The first SIGINT/SIGTERM starts a graceful drain: a server with quorum
 // met finishes the round; below quorum it journals the abandoned round and

@@ -38,12 +38,12 @@ func (r *Runner) ablationResourceManager(w io.Writer) error {
 		if regs > 255 {
 			regs = 255
 		}
-		cb := coarse.PickBlockSize(1<<20, regs, 0)
-		fb := fine.PickBlockSize(1<<20, regs, 0)
+		cb := coarse.PickBlockSize(1<<20, regs)
+		fb := fine.PickBlockSize(1<<20, regs)
 		fmt.Fprintf(w, "%6d %8d %13.1f%% %13.1f%% %14d\n",
 			keyBits, regs,
-			coarse.Occupancy(cb, regs, 0)*100,
-			fine.Occupancy(fb, regs, 0)*100, fb)
+			coarse.Occupancy(cb, regs)*100,
+			fine.Occupancy(fb, regs)*100, fb)
 	}
 	return nil
 }

@@ -5,8 +5,6 @@ import (
 	"slices"
 	"strconv"
 	"testing"
-
-	"flbooster/internal/flnet"
 )
 
 // TestChurnLeaveRejoinAdmission walks the roster life-cycle across round
@@ -195,72 +193,6 @@ func TestChurnBelowQuorumFailsTyped(t *testing.T) {
 	_, rep, err := fed.SecureAggregateReport(grads)
 	if err != nil || len(rep.Included) != 3 {
 		t.Fatalf("post-rejoin round: rep %+v err %v", rep, err)
-	}
-}
-
-// TestResumeHandshakeMidRound injects session-resume probes from a departed
-// client into the server's queue while a round is in flight: a token naming
-// the in-flight (epoch, round, attempt) gets resume-ok, a stale one gets
-// resume-wait pointing at the next round boundary — and the in-flight round
-// completes unperturbed either way.
-func TestResumeHandshakeMidRound(t *testing.T) {
-	cases := []struct {
-		name     string
-		tok      flnet.SessionToken
-		wantKind string
-	}{
-		{"exact token resumes", flnet.SessionToken{Epoch: 0, Round: 1, Attempt: 1}, flnet.KindResumeOK},
-		{"stale token waits", flnet.SessionToken{Epoch: 0, Round: 0, Attempt: 1}, flnet.KindResumeWait},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			p := quorumProfile(SystemFLBooster)
-			ctx, err := NewContext(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fed := NewFederation(ctx)
-			defer fed.Close()
-			// client3 departed; its probe reaches the server mid-gather.
-			if err := fed.Leave(ClientName(3)); err != nil {
-				t.Fatal(err)
-			}
-			probe := flnet.Message{
-				From: ClientName(3), To: ServerName, Kind: flnet.KindResume,
-				Round: 1, Payload: tc.tok.Encode(),
-			}
-			if err := fed.Transport.Send(probe); err != nil {
-				t.Fatal(err)
-			}
-
-			grads := epochGrads(1, p.Parties, 4)[0]
-			_, rep, err := fed.SecureAggregateReport(grads)
-			if err != nil {
-				t.Fatalf("round with probe in flight: %v", err)
-			}
-			if len(rep.Included) != 3 || rep.Degraded() {
-				t.Fatalf("probe perturbed the round: %+v", rep)
-			}
-
-			// The departed client received exactly one admission reply.
-			reply, err := fed.Transport.Recv(ClientName(3))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if reply.Kind != tc.wantKind {
-				t.Fatalf("reply kind %q, want %q", reply.Kind, tc.wantKind)
-			}
-			tok, err := flnet.DecodeSessionToken(reply.Payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.wantKind == flnet.KindResumeOK && tok != tc.tok {
-				t.Fatalf("resume-ok token %+v", tok)
-			}
-			if tc.wantKind == flnet.KindResumeWait && (tok.Round != 2 || tok.Attempt != 1) {
-				t.Fatalf("resume-wait token %+v, want next boundary round 2", tok)
-			}
-		})
 	}
 }
 

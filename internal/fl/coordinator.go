@@ -14,19 +14,18 @@ import (
 // only as frames on a flnet.Transport: it gathers "grads" uploads, seals them
 // into one aggregate frame, journals it and sends it back. It owns the
 // Aggregation, the drop budget and the typed RoundErrors, the stale /
-// duplicate / not-scheduled discards, the resume-probe replies, the journal
-// records and their order, and the broadcast-boundary resume. What differs
-// between the hosts that run it — the in-process Federation, cmd/flserver
-// over TCP — arrives as an argument: which uploads to expect, who receives
-// the broadcast, the drain signal.
+// duplicate / not-scheduled discards, the journal records and their order,
+// and the broadcast-boundary resume. What differs between the hosts that run
+// it — the in-process Federation, cmd/flserver over TCP — arrives as an
+// argument: which uploads to expect, who receives the broadcast, the drain
+// signal.
 //
 // Across rounds it carries the durability state: the (optional) write-ahead
-// journal, the epoch it serves, and the resume position a crash recovery
-// parked for the next round.
+// journal and the resume position a crash recovery parked for the next
+// round.
 type Coordinator struct {
 	ctx         *Context
 	journal     *Journal
-	epoch       uint64
 	round       uint64 // the most recently begun round
 	nextAttempt uint32
 	resume      *ResumePoint
@@ -62,14 +61,13 @@ func (c *Coordinator) AttachJournal(j *Journal) { c.journal = j }
 // Journal returns the attached journal (nil when durability is off).
 func (c *Coordinator) Journal() *Journal { return c.journal }
 
-// journalAppend stamps the epoch onto rec and appends it durably; a no-op
-// without an attached journal. The returned error is fatal to the round —
-// a transition that cannot be made durable must not be acted on.
+// journalAppend appends rec durably; a no-op without an attached journal.
+// The returned error is fatal to the round — a transition that cannot be
+// made durable must not be acted on.
 func (c *Coordinator) journalAppend(rec JournalRecord) error {
 	if c.journal == nil {
 		return nil
 	}
-	rec.Epoch = c.epoch
 	if err := c.journal.Append(rec); err != nil {
 		return err
 	}
@@ -328,9 +326,6 @@ func (rd *Round) Gather(expect []string, stop <-chan struct{}) error {
 			return nil
 		}
 		switch {
-		case msg.Kind == flnet.KindResume:
-			rd.answerResume(msg)
-			continue
 		case msg.Round != rd.sched.Round || msg.Kind != "grads":
 			rd.stale++
 			continue
@@ -353,30 +348,6 @@ func (rd *Round) Gather(expect []string, stop <-chan struct{}) error {
 		rd.included = append(rd.included, msg.From)
 	}
 	return nil
-}
-
-// answerResume replies to one session-resume probe. Only a token that
-// matches the in-flight (epoch, round, attempt) exactly may keep uploading
-// into this round; anything else — a stale round, a pre-crash attempt, a
-// foreign epoch — is told the next round boundary it may join. Either way
-// the in-flight round's state is untouched.
-func (rd *Round) answerResume(msg flnet.Message) {
-	ctx, id := rd.c.ctx, rd.sched.Round
-	decision := flnet.AdmissionDecision{
-		Kind:  flnet.KindResumeWait,
-		Token: flnet.SessionToken{Epoch: rd.c.epoch, Round: id + 1, Attempt: 1},
-	}
-	if tok, err := flnet.DecodeSessionToken(msg.Payload); err == nil {
-		adm := flnet.Admission{Current: flnet.SessionToken{Epoch: rd.c.epoch, Round: id, Attempt: rd.attempt}}
-		decision = adm.Decide(tok)
-	}
-	reply := flnet.Message{From: ServerName, To: msg.From, Kind: decision.Kind, Round: id, Payload: decision.Token.Encode()}
-	ctx.deliver(rd.tr, reply) // a reply that cannot be sent leaves the probe unanswered
-	if decision.Kind == flnet.KindResumeOK {
-		ctx.metricAdd("rejoin_resumes", 1)
-	} else {
-		ctx.metricAdd("rejoin_waits", 1)
-	}
 }
 
 // Aggregate judges the quorum over the whole cohort, seals the aggregation

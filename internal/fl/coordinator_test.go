@@ -207,8 +207,8 @@ func journalRecords(t *testing.T, store JournalStore) []JournalRecord {
 
 // TestClientReceiveSkipsWhatIsNotTheAggregate: the first frame a client
 // receives is not the aggregate because it is first. Leftovers of an earlier
-// round, a resume reply and a frame of the other aggregate kind are counted
-// and skipped; the round's own frame is returned.
+// round, a frame of a kind the client does not speak and a frame of the other
+// aggregate kind are counted and skipped; the round's own frame is returned.
 func TestClientReceiveSkipsWhatIsNotTheAggregate(t *testing.T) {
 	ctx, err := NewContext(testProfile(SystemFLBooster))
 	if err != nil {
@@ -219,7 +219,7 @@ func TestClientReceiveSkipsWhatIsNotTheAggregate(t *testing.T) {
 	defer tr.Close()
 	for _, msg := range []flnet.Message{
 		{Kind: "agg", Round: 1, Payload: []byte("last round's")},
-		{Kind: flnet.KindResumeWait, Round: 2, Payload: []byte("not an aggregate")},
+		{Kind: "status", Round: 2, Payload: []byte("not an aggregate")},
 		{Kind: flnet.KindGroupAgg, Round: 2, Payload: []byte("other kind")},
 		{Kind: "agg", Round: 2, Payload: []byte("this round's")},
 	} {

@@ -50,9 +50,8 @@ type JournalRecord struct {
 	// Seq is the journal-assigned sequence number, 1-based and contiguous.
 	Seq  uint64    `json:"seq"`
 	Kind EventKind `json:"kind"`
-	// Epoch and Round locate the transition; Attempt counts re-runs of the
-	// same round across coordinator restarts (1 = first execution).
-	Epoch   uint64 `json:"epoch"`
+	// Round locates the transition; Attempt counts re-runs of the same
+	// round across coordinator restarts (1 = first execution).
 	Round   uint64 `json:"round"`
 	Attempt uint32 `json:"attempt,omitempty"`
 	// Cursor is the context's nonce-stream cursor at record time.
@@ -336,7 +335,6 @@ type ResumePoint struct {
 type RecoveryState struct {
 	// Records is how many journal records were replayed.
 	Records int
-	Epoch   uint64
 	// LastRound is the highest round with a terminal record.
 	LastRound uint64
 	// Cursor is the nonce-stream cursor to restore when Resume is nil.
@@ -373,7 +371,6 @@ func Replay(recs []JournalRecord) (RecoveryState, error) {
 				return st, corrupt("round %d started while round %d still open", rec.Round, open.Round)
 			}
 			open, agg = &recs[i], nil
-			st.Epoch = rec.Epoch
 			st.Members = rec.Members
 		case EventAggregated:
 			if open == nil || open.Round != rec.Round {

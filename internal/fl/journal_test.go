@@ -210,16 +210,16 @@ func TestReplayGrammar(t *testing.T) {
 
 	t.Run("terminal rounds", func(t *testing.T) {
 		st, err := Replay(seq([]JournalRecord{
-			{Kind: EventRoundStart, Epoch: 2, Round: 1, Attempt: 1, Cursor: 10, Members: []string{"client0", "client1"}},
+			{Kind: EventRoundStart, Round: 1, Attempt: 1, Cursor: 10, Members: []string{"client0", "client1"}},
 			{Kind: EventAggregated, Round: 1, Attempt: 1, Cursor: 11, Digest: digest, Payload: payload},
 			{Kind: EventRoundDone, Round: 1, Attempt: 1, Cursor: 11, Digest: digest},
-			{Kind: EventRoundStart, Epoch: 2, Round: 2, Attempt: 1, Cursor: 11, Members: []string{"client0"}},
-			{Kind: EventRoundFailed, Epoch: 2, Round: 2, Attempt: 1, Cursor: 13, Phase: PhaseGather, Reason: "below quorum"},
+			{Kind: EventRoundStart, Round: 2, Attempt: 1, Cursor: 11, Members: []string{"client0"}},
+			{Kind: EventRoundFailed, Round: 2, Attempt: 1, Cursor: 13, Phase: PhaseGather, Reason: "below quorum"},
 		}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Resume != nil || st.Completed != 1 || st.Failed != 1 || st.LastRound != 2 || st.Cursor != 13 || st.Epoch != 2 {
+		if st.Resume != nil || st.Completed != 1 || st.Failed != 1 || st.LastRound != 2 || st.Cursor != 13 {
 			t.Fatalf("state %+v", st)
 		}
 		if st.Digests[1] != digest || len(st.Members) != 1 {

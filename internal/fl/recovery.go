@@ -43,7 +43,6 @@ func RecoverCoordinator(ctx *Context, store JournalStore) (*Coordinator, *Recove
 	}
 	c := NewCoordinator(ctx)
 	c.journal = j
-	c.epoch = state.Epoch
 	if rp := state.Resume; rp != nil {
 		c.round = rp.Round - 1
 		c.nextAttempt = rp.Attempt + 1

@@ -255,30 +255,31 @@ var matrixScenarios = []struct {
 		}
 		return outcome{views, journalLines(t, store)}
 	}},
-	{"churn-resume-probe", func(t *testing.T, wire wiring) outcome {
+	{"churn-foreign-kind", func(t *testing.T, wire wiring) outcome {
 		store := NewMemStore()
 		fed := journaledFed(t, quorumProfile(SystemFLBooster), wire, store)
 		if err := fed.Leave(ClientName(3)); err != nil {
 			t.Fatal(err)
 		}
-		tok := flnet.SessionToken{Epoch: 0, Round: 1, Attempt: 1}
+		// A departed client sends a frame of a kind the coordinator does not
+		// speak into the gathering round: it is discarded as stale, unanswered.
 		if err := fed.Transport.Send(flnet.Message{
-			From: ClientName(3), To: ServerName, Kind: flnet.KindResume, Round: 1, Payload: tok.Encode(),
+			From: ClientName(3), To: ServerName, Kind: "resume", Round: 1, Payload: make([]byte, 20),
 		}); err != nil {
 			t.Fatal(err)
 		}
-		// Connections are not ordered against each other: give the probe time
+		// Connections are not ordered against each other: give the frame time
 		// to reach the coordinator's queue before any upload is sent.
 		time.Sleep(100 * time.Millisecond)
-		views := runRounds(t, fed, 1, 5)
-		reply, err := fed.Transport.RecvTimeout(ClientName(3), 5*time.Second)
-		if err != nil || reply.Kind != flnet.KindResumeOK {
-			t.Fatalf("departed client's probe answered %q, %v", reply.Kind, err)
+		sum, rep, err := fed.SecureAggregateReport(epochGrads(1, 4, 5)[0])
+		v := viewRound(sum, rep, err)
+		if v.Err != "" || len(v.Included) != 3 || len(v.Dropped) != 0 || rep.Stale != 1 {
+			t.Fatalf("foreign-kind frame perturbed the round or was not discarded: %+v, %d stale", v, rep.Stale)
 		}
-		if v := views[0]; v.Err != "" || len(v.Included) != 3 || len(v.Dropped) != 0 {
-			t.Fatalf("probe perturbed the round: %+v", v)
+		if reply, err := fed.Transport.RecvTimeout(ClientName(3), 200*time.Millisecond); !flnet.IsTimeout(err) {
+			t.Fatalf("departed client's foreign-kind frame answered %q, %v", reply.Kind, err)
 		}
-		return outcome{views, journalLines(t, store)}
+		return outcome{[]roundView{v}, journalLines(t, store)}
 	}},
 	{"sampled-tree-defended", func(t *testing.T, wire wiring) outcome {
 		store := NewMemStore()

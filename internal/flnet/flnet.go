@@ -22,10 +22,6 @@ import (
 // one with IsTimeout.
 var ErrTimeout = errors.New("flnet: receive timed out")
 
-// ErrMalformed is what DecodeSessionToken rejects a payload with: every
-// reject of its wraps it, whatever was wrong with the bytes.
-var ErrMalformed = errors.New("flnet: malformed payload")
-
 // IsTimeout reports whether err is a receive-deadline expiry.
 func IsTimeout(err error) bool { return errors.Is(err, ErrTimeout) }
 

@@ -2,7 +2,6 @@ package flnet
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 )
 
@@ -90,30 +89,6 @@ func FuzzDecodeGroupAgg(f *testing.F) {
 		again, err := AppendGroupAgg(nil, sizes, blobs)
 		if err != nil || !bytes.Equal(again, b) {
 			t.Fatalf("accepted frame re-encodes to %x (%v), want %x", again, err, b)
-		}
-	})
-}
-
-// FuzzDecodeSessionToken: any bytes either reject with ErrMalformed and the
-// zero token, or decode to a token that Encode turns back into the same bytes;
-// never a panic, and nothing allocated — the token is a value.
-func FuzzDecodeSessionToken(f *testing.F) {
-	f.Add(SessionToken{Epoch: 3, Round: 41, Attempt: 2}.Encode())
-	f.Fuzz(func(t *testing.T, b []byte) {
-		var tok SessionToken
-		var err error
-		grew := allocatedBy(func() { tok, err = DecodeSessionToken(b) })
-		if bound := uint64(len(b) + fuzzAllocSlack); grew > bound {
-			t.Fatalf("DecodeSessionToken allocated %d bytes on a %d-byte payload (bound %d)", grew, len(b), bound)
-		}
-		if err != nil {
-			if !errors.Is(err, ErrMalformed) || tok != (SessionToken{}) {
-				t.Fatalf("reject %v (ErrMalformed: %v) still returned %+v", err, errors.Is(err, ErrMalformed), tok)
-			}
-			return
-		}
-		if again := tok.Encode(); !bytes.Equal(again, b) {
-			t.Fatalf("accepted payload re-encodes to %x, want %x", again, b)
 		}
 	})
 }

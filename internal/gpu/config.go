@@ -16,22 +16,16 @@ import "fmt"
 
 // Config describes the modelled device.
 type Config struct {
-	// Name identifies the device model in reports.
-	Name string
 	// SMs is the number of stream multiprocessors.
 	SMs int
 	// WarpSize is the number of threads that execute in lock-step.
 	WarpSize int
 	// MaxThreadsPerSM bounds resident threads per SM.
 	MaxThreadsPerSM int
-	// MaxWarpsPerSM bounds resident warps per SM.
-	MaxWarpsPerSM int
 	// RegistersPerSM is the size of each SM's register file (32-bit regs).
 	RegistersPerSM int
 	// MaxRegistersPerThread is the hardware cap per thread.
 	MaxRegistersPerThread int
-	// SharedMemPerSM is per-SM shared memory in bytes.
-	SharedMemPerSM int
 	// TransferBytesPerSec models the PCIe link (β_transfer⁻¹ in Eq. 10).
 	TransferBytesPerSec float64
 	// TransferLatencySec is the fixed per-transfer launch cost.
@@ -60,12 +54,8 @@ func (c Config) Validate() error {
 		// would push the one-warp occupancy floor past 1.
 		return fmt.Errorf("gpu: config needs WarpSize <= MaxThreadsPerSM, got %d > %d",
 			c.WarpSize, c.MaxThreadsPerSM)
-	case c.MaxWarpsPerSM <= 0:
-		return fmt.Errorf("gpu: config needs MaxWarpsPerSM > 0")
 	case c.RegistersPerSM <= 0:
 		return fmt.Errorf("gpu: config needs RegistersPerSM > 0")
-	case c.SharedMemPerSM <= 0:
-		return fmt.Errorf("gpu: config needs SharedMemPerSM > 0")
 	case c.TransferBytesPerSec <= 0:
 		return fmt.Errorf("gpu: config needs TransferBytesPerSec > 0")
 	case c.WordOpsPerSec <= 0:
@@ -80,14 +70,11 @@ func (c Config) Validate() error {
 // (82 SMs, 128 threads/warp-scheduler slots, 24 GB, PCIe 4.0 x16).
 func RTX3090() Config {
 	return Config{
-		Name:                  "NVIDIA GeForce RTX 3090 (modelled)",
 		SMs:                   82,
 		WarpSize:              32,
 		MaxThreadsPerSM:       1536,
-		MaxWarpsPerSM:         48,
 		RegistersPerSM:        65536,
 		MaxRegistersPerThread: 255,
-		SharedMemPerSM:        100 << 10,
 		TransferBytesPerSec:   24e9, // ~PCIe 4.0 x16 effective
 		TransferLatencySec:    10e-6,
 		WordOpsPerSec:         18e9, // per-SM 32-bit IMAD throughput
@@ -97,14 +84,11 @@ func RTX3090() Config {
 // SmallTestDevice returns a tiny configuration for fast unit tests.
 func SmallTestDevice() Config {
 	return Config{
-		Name:                  "test-device",
 		SMs:                   4,
 		WarpSize:              8,
 		MaxThreadsPerSM:       64,
-		MaxWarpsPerSM:         8,
 		RegistersPerSM:        4096,
 		MaxRegistersPerThread: 128,
-		SharedMemPerSM:        16 << 10,
 		TransferBytesPerSec:   1e9,
 		TransferLatencySec:    1e-6,
 		WordOpsPerSec:         1e9,

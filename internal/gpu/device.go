@@ -342,8 +342,6 @@ type Kernel struct {
 	Items int
 	// RegsPerThread is the kernel's register demand, which drives occupancy.
 	RegsPerThread int
-	// SharedPerBlock is per-block shared memory in bytes.
-	SharedPerBlock int
 	// WordOps is the modelled 32-bit multiply-add count *per item*, used by
 	// the simulated clock. Callers compute it from the arithmetic they run
 	// (e.g. CIOS cost k²+k per Montgomery multiplication).
@@ -415,12 +413,12 @@ func (d *Device) Launch(k Kernel) (float64, error) {
 		return 0, &KernelError{Kind: fault, Kernel: k.Name, Attempt: attempt}
 	}
 
-	blockSize := d.rm.PickBlockSize(k.Items, k.RegsPerThread, k.SharedPerBlock)
-	occ := d.rm.Occupancy(blockSize, k.RegsPerThread, k.SharedPerBlock)
+	blockSize := d.rm.PickBlockSize(k.Items, k.RegsPerThread)
+	occ := d.rm.Occupancy(blockSize, k.RegsPerThread)
 	execFactor, regFactor := d.rm.BranchCost(k.DivergentLanes)
 	if regFactor > 1 {
 		// Splitting the warp doubles register pressure, reducing occupancy.
-		occ = d.rm.Occupancy(blockSize, int(float64(k.RegsPerThread)*regFactor), k.SharedPerBlock)
+		occ = d.rm.Occupancy(blockSize, int(float64(k.RegsPerThread)*regFactor))
 	}
 
 	var wall time.Duration

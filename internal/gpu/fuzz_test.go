@@ -12,23 +12,18 @@ import (
 // and (bounded) launches stay in range without panicking.
 func FuzzConfigValidate(f *testing.F) {
 	small := SmallTestDevice()
-	f.Add(small.SMs, small.WarpSize, small.MaxThreadsPerSM, small.MaxWarpsPerSM,
-		small.RegistersPerSM, small.MaxRegistersPerThread, small.SharedMemPerSM,
-		int64(0), 64, 16, 0, 8)
-	f.Add(0, 0, 0, 0, 0, 0, 0, int64(-1), -1, -1, -1, -1)
-	f.Add(1, 1, 1, 1, 1, 1, 1, int64(1), 1, 1, 1, 1)
-	f.Fuzz(func(t *testing.T, sms, warp, threadsPerSM, warpsPerSM, regsPerSM,
-		maxRegs, sharedPerSM int, deadlineNs int64,
-		blockSize, regsPerThread, sharedPerBlock, items int) {
+	f.Add(small.SMs, small.WarpSize, small.MaxThreadsPerSM,
+		small.RegistersPerSM, small.MaxRegistersPerThread, 64, 16, 8)
+	f.Add(0, 0, 0, 0, 0, -1, -1, -1)
+	f.Add(1, 1, 1, 1, 1, 1, 1, 1)
+	f.Fuzz(func(t *testing.T, sms, warp, threadsPerSM, regsPerSM, maxRegs,
+		blockSize, regsPerThread, items int) {
 		cfg := Config{
-			Name:                  "fuzz",
 			SMs:                   sms,
 			WarpSize:              warp,
 			MaxThreadsPerSM:       threadsPerSM,
-			MaxWarpsPerSM:         warpsPerSM,
 			RegistersPerSM:        regsPerSM,
 			MaxRegistersPerThread: maxRegs,
-			SharedMemPerSM:        sharedPerSM,
 			TransferBytesPerSec:   1e9,
 			TransferLatencySec:    1e-6,
 			WordOpsPerSec:         1e9,
@@ -42,12 +37,11 @@ func FuzzConfigValidate(f *testing.F) {
 			t.Fatalf("validated config rejected by New: %v", err)
 		}
 		rm := d.rm
-		occ := rm.Occupancy(blockSize, regsPerThread, sharedPerBlock)
+		occ := rm.Occupancy(blockSize, regsPerThread)
 		if occ < 0 || occ > 1 {
-			t.Fatalf("occupancy %v out of [0,1] for block=%d regs=%d shared=%d",
-				occ, blockSize, regsPerThread, sharedPerBlock)
+			t.Fatalf("occupancy %v out of [0,1] for block=%d regs=%d", occ, blockSize, regsPerThread)
 		}
-		if bs := rm.PickBlockSize(items, regsPerThread, sharedPerBlock); bs <= 0 {
+		if bs := rm.PickBlockSize(items, regsPerThread); bs <= 0 {
 			t.Fatalf("PickBlockSize returned %d", bs)
 		}
 		// A bounded launch must either run or fail with an error — never panic.
@@ -55,8 +49,7 @@ func FuzzConfigValidate(f *testing.F) {
 		if n < 0 {
 			n = -n
 		}
-		k := Kernel{Name: "fuzz_kernel", Items: n,
-			RegsPerThread: regsPerThread % 512, SharedPerBlock: sharedPerBlock % (1 << 16), WordOps: 3}
+		k := Kernel{Name: "fuzz_kernel", Items: n, RegsPerThread: regsPerThread % 512, WordOps: 3}
 		var ran int64
 		_, err = d.Launch(k.over(func(int) { atomic.AddInt64(&ran, 1) }))
 		if err == nil && n > 0 && atomic.LoadInt64(&ran) != int64(n) {

@@ -129,24 +129,14 @@ func TestOccupancyMonotoneInRegisters(t *testing.T) {
 	rm := NewResourceManager(RTX3090(), true)
 	prev := 2.0
 	for _, regs := range []int{16, 32, 64, 128, 255} {
-		occ := rm.Occupancy(256, regs, 0)
+		occ := rm.Occupancy(256, regs)
 		if occ > prev {
 			t.Fatalf("occupancy increased with register pressure at %d regs", regs)
 		}
 		prev = occ
 	}
-	if rm.Occupancy(0, 32, 0) != 0 {
+	if rm.Occupancy(0, 32) != 0 {
 		t.Fatal("zero block size should give zero occupancy")
-	}
-}
-
-func TestOccupancySharedMemoryLimit(t *testing.T) {
-	cfg := RTX3090()
-	rm := NewResourceManager(cfg, true)
-	free := rm.Occupancy(256, 32, 0)
-	constrained := rm.Occupancy(256, 32, cfg.SharedMemPerSM) // one block per SM
-	if constrained >= free {
-		t.Fatalf("shared memory pressure should reduce occupancy: %v vs %v", constrained, free)
 	}
 }
 
@@ -154,16 +144,16 @@ func TestPickBlockSizePolicies(t *testing.T) {
 	cfg := RTX3090()
 	fine := NewResourceManager(cfg, true)
 	coarse := NewResourceManager(cfg, false)
-	if got := coarse.PickBlockSize(1<<20, 200, 0); got != 1024 {
+	if got := coarse.PickBlockSize(1<<20, 200); got != 1024 {
 		t.Fatalf("coarse policy should return the fixed size, got %d", got)
 	}
 	// Heavy register demand: fine policy should avoid giant blocks.
-	bs := fine.PickBlockSize(1<<20, 200, 0)
-	if fine.Occupancy(bs, 200, 0) < fine.Occupancy(1024, 200, 0) {
+	bs := fine.PickBlockSize(1<<20, 200)
+	if fine.Occupancy(bs, 200) < fine.Occupancy(1024, 200) {
 		t.Fatalf("fine policy picked %d with worse occupancy than 1024", bs)
 	}
 	// Few tasks: block should shrink so all SMs get work.
-	small := fine.PickBlockSize(cfg.SMs*32, 32, 0)
+	small := fine.PickBlockSize(cfg.SMs*32, 32)
 	if (cfg.SMs*32+small-1)/small < cfg.SMs {
 		t.Fatalf("small task count left SMs idle: block %d", small)
 	}
@@ -176,9 +166,9 @@ func TestFinePolicyBeatsCoarseUtilization(t *testing.T) {
 	fine := NewResourceManager(cfg, true)
 	coarse := NewResourceManager(cfg, false)
 	for _, regs := range []int{40, 80, 120, 200, 255} {
-		fb := fine.PickBlockSize(1<<20, regs, 0)
-		fo := fine.Occupancy(fb, regs, 0)
-		co := coarse.Occupancy(coarse.PickBlockSize(1<<20, regs, 0), regs, 0)
+		fb := fine.PickBlockSize(1<<20, regs)
+		fo := fine.Occupancy(fb, regs)
+		co := coarse.Occupancy(coarse.PickBlockSize(1<<20, regs), regs)
 		if fo < co {
 			t.Fatalf("fine occupancy %v < coarse %v at %d regs", fo, co, regs)
 		}
@@ -203,8 +193,8 @@ func TestBranchCostPolicies(t *testing.T) {
 
 func TestPropertyOccupancyBounded(t *testing.T) {
 	rm := NewResourceManager(RTX3090(), true)
-	f := func(bs uint8, regs uint8, shared uint16) bool {
-		occ := rm.Occupancy(int(bs), int(regs), int(shared))
+	f := func(bs uint8, regs uint8) bool {
+		occ := rm.Occupancy(int(bs), int(regs))
 		return occ >= 0 && occ <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

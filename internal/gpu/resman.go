@@ -2,39 +2,40 @@ package gpu
 
 // ResourceManager implements the paper's GPU resource manager (§IV-A2) as far
 // as the modelled clock needs it: it keeps a table of common block sizes and
-// picks the one that maximizes SM occupancy for a kernel's register and
-// shared-memory demands, and decides how divergent branches execute
-// (combined per warp vs. split, which doubles register pressure). The paper's
-// address-marked memory table has no counterpart: no launch here allocates
-// device memory, so there is nothing to reuse. A manager is immutable after
-// NewResourceManager and safe for concurrent launches.
+// picks the one that maximizes SM occupancy for a kernel's register demand,
+// and decides how divergent branches execute (combined per warp vs. split,
+// which doubles register pressure). The paper's address-marked memory table
+// has no counterpart: no launch here allocates device memory, so there is
+// nothing to reuse. A manager is immutable after NewResourceManager and safe
+// for concurrent launches.
 type ResourceManager struct {
 	cfg        Config
 	blockSizes []int // the "common block sizes" table
 
-	// Policy switches: Fine is the paper's manager; coarse allocation (fixed
-	// block size, no branch combining) models HAFLO's simpler scheme.
-	Fine           bool
-	FixedBlockSize int // used when !Fine
+	// fine is the paper's manager; coarse allocation (fixedBlockSize, no
+	// branch combining) models HAFLO's simpler scheme.
+	fine bool
 }
+
+// fixedBlockSize is the coarse allocator's block size.
+const fixedBlockSize = 1024
 
 // NewResourceManager builds a manager for the device config. fine selects
 // the paper's fine-grained policy; otherwise the manager behaves like a
 // coarse allocator with a fixed block size of 1024 threads.
 func NewResourceManager(cfg Config, fine bool) *ResourceManager {
 	return &ResourceManager{
-		cfg:            cfg,
-		blockSizes:     []int{32, 64, 128, 256, 512, 1024},
-		Fine:           fine,
-		FixedBlockSize: 1024,
+		cfg:        cfg,
+		blockSizes: []int{32, 64, 128, 256, 512, 1024},
+		fine:       fine,
 	}
 }
 
 // Occupancy computes the fraction of an SM's thread slots a kernel with the
-// given per-thread register count, per-block shared memory, and block size
-// can keep resident. This is the standard CUDA occupancy calculation
-// restricted to the three limits the paper's manager balances.
-func (rm *ResourceManager) Occupancy(blockSize, regsPerThread, sharedPerBlock int) float64 {
+// given per-thread register count and block size can keep resident. This is
+// the standard CUDA occupancy calculation restricted to the two limits the
+// paper's manager balances: resident threads and the register file.
+func (rm *ResourceManager) Occupancy(blockSize, regsPerThread int) float64 {
 	if blockSize <= 0 {
 		return 0
 	}
@@ -43,17 +44,7 @@ func (rm *ResourceManager) Occupancy(blockSize, regsPerThread, sharedPerBlock in
 	}
 	blocksByThreads := rm.cfg.MaxThreadsPerSM / blockSize
 	blocksByRegs := rm.cfg.RegistersPerSM / (regsPerThread * blockSize)
-	blocksByShared := rm.cfg.MaxThreadsPerSM // no shared demand → no limit
-	if sharedPerBlock > 0 {
-		blocksByShared = rm.cfg.SharedMemPerSM / sharedPerBlock
-	}
-	blocks := blocksByThreads
-	if blocksByRegs < blocks {
-		blocks = blocksByRegs
-	}
-	if blocksByShared < blocks {
-		blocks = blocksByShared
-	}
+	blocks := min(blocksByThreads, blocksByRegs)
 	if blocks <= 0 {
 		// The block does not fit as a whole; the SM still makes forward
 		// progress one warp at a time, which is the floor utilization.
@@ -70,16 +61,13 @@ func (rm *ResourceManager) Occupancy(blockSize, regsPerThread, sharedPerBlock in
 // work items. The fine policy scans the block-size table for the best
 // occupancy (breaking ties toward larger blocks, then clamps so small task
 // counts still spread across SMs); the coarse policy returns the fixed size.
-func (rm *ResourceManager) PickBlockSize(tasks, regsPerThread, sharedPerBlock int) int {
-	if !rm.Fine {
-		if rm.FixedBlockSize > rm.cfg.MaxThreadsPerSM {
-			return rm.cfg.MaxThreadsPerSM
-		}
-		return rm.FixedBlockSize
+func (rm *ResourceManager) PickBlockSize(tasks, regsPerThread int) int {
+	if !rm.fine {
+		return min(fixedBlockSize, rm.cfg.MaxThreadsPerSM)
 	}
 	best, bestOcc := rm.blockSizes[0], -1.0
 	for _, bs := range rm.blockSizes {
-		occ := rm.Occupancy(bs, regsPerThread, sharedPerBlock)
+		occ := rm.Occupancy(bs, regsPerThread)
 		if occ >= bestOcc {
 			best, bestOcc = bs, occ
 		}
@@ -105,7 +93,7 @@ func (rm *ResourceManager) BranchCost(divergentLanes int) (execFactor, regFactor
 	if divergentLanes <= 0 {
 		return 1, 1
 	}
-	if rm.Fine {
+	if rm.fine {
 		return 2, 1
 	}
 	groups := 2.0

@@ -51,14 +51,14 @@ func TestOccupancyRegisterFloor(t *testing.T) {
 	rm := NewResourceManager(cfg, true)
 	// 128 regs × block of 64 threads = 8192 > 4096: no whole block fits.
 	floor := float64(cfg.WarpSize) / float64(cfg.MaxThreadsPerSM)
-	if occ := rm.Occupancy(64, cfg.MaxRegistersPerThread, 0); occ != floor {
+	if occ := rm.Occupancy(64, cfg.MaxRegistersPerThread); occ != floor {
 		t.Fatalf("occupancy %v, want one-warp floor %v", occ, floor)
 	}
-	if occ := rm.Occupancy(0, 1, 0); occ != 0 {
+	if occ := rm.Occupancy(0, 1); occ != 0 {
 		t.Fatalf("zero block size must report zero occupancy, got %v", occ)
 	}
 	// Occupancy never exceeds 1 even for tiny register demands.
-	if occ := rm.Occupancy(32, 0, 0); occ <= 0 || occ > 1 {
+	if occ := rm.Occupancy(32, 0); occ <= 0 || occ > 1 {
 		t.Fatalf("occupancy out of range: %v", occ)
 	}
 }
@@ -66,12 +66,12 @@ func TestOccupancyRegisterFloor(t *testing.T) {
 func TestPickBlockSizeBounds(t *testing.T) {
 	cfg := SmallTestDevice()
 	fine := NewResourceManager(cfg, true)
-	if bs := fine.PickBlockSize(0, 8, 0); bs < 32 {
+	if bs := fine.PickBlockSize(0, 8); bs < 32 {
 		t.Fatalf("zero tasks must still yield a valid block size, got %d", bs)
 	}
 	coarse := NewResourceManager(cfg, false)
-	if bs := coarse.PickBlockSize(1000, 8, 0); bs != cfg.MaxThreadsPerSM {
-		// FixedBlockSize 1024 clamps to the SM capacity of the test device.
+	if bs := coarse.PickBlockSize(1000, 8); bs != cfg.MaxThreadsPerSM {
+		// The fixed block size of 1024 clamps to the SM capacity of the test device.
 		t.Fatalf("coarse block size %d, want SM clamp %d", bs, cfg.MaxThreadsPerSM)
 	}
 }
