@@ -478,6 +478,7 @@ func runDemo(o opts) error {
 	if o.o != nil {
 		hub.Meter().Publish(o.o.Metrics(), "net.hub")
 		o.o.Metrics().Set("net.hub.spoofed", hub.Spoofed())
+		o.o.Metrics().Set("net.hub.dropped", hub.Dropped())
 	}
 	return nil
 }

@@ -76,8 +76,11 @@ const (
 
 // FaultPolicy re-exports the GPU-HE resilience knobs set on Profile.Faults:
 // device fault injection plus the checked-execution policy (retries,
-// verification, CPU fallback). The zero value injects nothing. See
-// DESIGN.md §7.
+// verification, CPU fallback). The zero value injects nothing. What the faults
+// did is recorded once, where it happened: each member device's Stats
+// (Context.DevSet) holds its health, its faults by kind and the modelled time
+// they cost, the set's Stats its host-served shards, and Context.Checked.Stats
+// the executor's retries and spot checks. See DESIGN.md §7.
 type FaultPolicy = fl.FaultPolicy
 
 // FaultConfig re-exports the seeded device fault injector's configuration
@@ -87,10 +90,6 @@ type FaultConfig = gpu.FaultConfig
 // CheckedConfig re-exports the checked-execution policy
 // (FaultPolicy.Check): retry budget and verification sampling.
 type CheckedConfig = ghe.CheckedConfig
-
-// FaultReport re-exports the fault/retry/fallback counters returned by
-// Context.FaultReport.
-type FaultReport = fl.FaultReport
 
 // Platform re-exports the Table-I API surface.
 type Platform = core.Platform

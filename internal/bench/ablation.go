@@ -105,8 +105,8 @@ type stages struct{ h2d, kernel, d2h time.Duration }
 
 // chunkStages splits the device time between two counter snapshots into
 // stages: the transfer time between the two copy engines by byte share
-// (evenly when no bytes moved), fault time — watchdog windows, retry backoff,
-// degraded host execution — onto the kernel queue. The stages sum to the
+// (evenly when no bytes moved), fault time — watchdog windows and retry
+// backoff — onto the kernel queue. The stages sum to the
 // SimTime delta.
 func chunkStages(before, after gpu.Stats) stages {
 	transfer := after.SimTransferTime - before.SimTransferTime

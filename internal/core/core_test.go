@@ -44,9 +44,9 @@ func forEachPlatform(t *testing.T, f func(t *testing.T, p *Platform)) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			f(t, p)
-			st, set := p.st.Checked.Stats(), p.st.DevSet.Stats()
-			if killed := name == "killed"; killed != st.FellBack || killed != (set.HostShards > 0) {
-				t.Fatalf("host-loop ledger %+v, set %+v on platform %s", st, set, name)
+			health, set := p.st.DevSet.StatsSum().Health, p.st.DevSet.Stats()
+			if killed := name == "killed"; killed != (health == gpu.DeviceFailed) || killed != (set.HostShards > 0) {
+				t.Fatalf("host-loop ledger: health %s, set %+v on platform %s", health, set, name)
 			}
 		})
 	}
@@ -490,7 +490,7 @@ func TestKeyGenSizes(t *testing.T) {
 func TestTableIUnderCorruption(t *testing.T) {
 	p := platformOn(t, 1, gpu.FaultConfig{Seed: 5, CorruptProb: 0.5},
 		ghe.CheckedConfig{VerifyFraction: 1, VerifySeed: 5, MaxRetries: 12})
-	p.st.DevSet.SetHealthPolicy(gpu.HealthPolicy{DegradeAfter: 1, FailAfter: 1 << 30})
+	p.st.DevSet.SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	r := mpint.NewRNG(13)
 	for round := 0; round < 6; round++ {
 		a, b := []mpint.Nat{r.RandBits(200), r.RandBits(64), r.RandBits(130)}, []mpint.Nat{r.RandBits(90), r.RandBits(64), r.RandBits(7)}

@@ -441,54 +441,3 @@ func (c *Context) TrackOther(fn func()) {
 // Utilization reports the devices' average SM utilization (0 for CPU
 // profiles, which have none) — the Fig. 6 reading.
 func (c *Context) Utilization() float64 { return c.DevSet.AvgUtilization() }
-
-// FaultReport aggregates the context's device fault, retry, and fallback
-// counters — the resilience anatomy benchmarks print alongside sim/wall
-// timings. CPU profiles report a healthy zero-valued record.
-type FaultReport struct {
-	// Health is the worst member's health state ("healthy" with no member).
-	Health gpu.HealthState
-	// Injected counts the faults the injector decided, by kind.
-	Injected gpu.FaultStats
-	// LaunchFailures and WatchdogTrips are the device-observed failures.
-	LaunchFailures int64
-	WatchdogTrips  int64
-	// SimFaultTime is the modelled time lost to faults (watchdog windows,
-	// retry backoff, degraded host execution).
-	SimFaultTime time.Duration
-	// Checked is the checked-execution layer's retry/verify/failover view;
-	// the host ledger is the device set's (gpu.SetStats HostShards, HostSim).
-	Checked ghe.CheckedStats
-}
-
-// FaultReport returns the current fault/resilience counters, summed over the
-// fleet: the worst member health, every member's injector decisions, the
-// checked engine's view, and in SimFaultTime the host time of the shards no
-// member was left to serve beside the members' own fault time. A set of no
-// member serves its work on the host by design, not as a fallback: a CPU
-// profile reports the healthy zero record.
-func (c *Context) FaultReport() FaultReport {
-	ds := c.DevSet.StatsSum()
-	rep := FaultReport{
-		Health:         ds.Health,
-		LaunchFailures: ds.LaunchFailures,
-		WatchdogTrips:  ds.WatchdogTrips,
-		SimFaultTime:   ds.SimFaultTime,
-		Checked:        c.Checked.Stats(),
-	}
-	if c.DevSet.Size() > 0 {
-		rep.SimFaultTime += c.DevSet.Stats().HostSim
-	}
-	for _, dev := range c.DevSet.Devices() {
-		if fi := dev.Injector(); fi != nil {
-			fs := fi.Stats()
-			rep.Injected.Launches += fs.Launches
-			rep.Injected.Aborts += fs.Aborts
-			rep.Injected.Corruptions += fs.Corruptions
-			rep.Injected.Stalls += fs.Stalls
-			rep.Injected.OOMs += fs.OOMs
-			rep.Injected.Kills += fs.Kills
-		}
-	}
-	return rep
-}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+	"time"
 
 	"flbooster/internal/ghe"
 	"flbooster/internal/gpu"
@@ -14,8 +15,8 @@ import (
 // after its first kernel launch, at each device count a profile can ask for
 // (0 and 1 are the same one-device set): the round must still complete
 // through the host loop with an aggregate identical to a healthy run, the
-// fault report must show the failover, and the next encryption must be the
-// healthy run's ciphertexts byte for byte. A second leg corrupts results
+// device and set ledgers must show the failover, and the next encryption must
+// be the healthy run's ciphertexts byte for byte. A second leg corrupts results
 // instead of killing the devices.
 func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 	grads := [][]float64{
@@ -59,20 +60,20 @@ func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 					t.Fatalf("aggregate[%d] = %v after failover, want %v (bit-exact)", i, killed[i], clean[i])
 				}
 			}
-			rep := ctx.FaultReport()
-			if rep.Health != gpu.DeviceFailed {
-				t.Fatalf("device health %s, want failed", rep.Health)
+			dev := ctx.DevSet.StatsSum()
+			if dev.Health != gpu.DeviceFailed {
+				t.Fatalf("device health %s, want failed", dev.Health)
 			}
 			set := ctx.DevSet.Stats()
-			if !rep.Checked.FellBack || set.HostShards == 0 || set.HostSim <= 0 {
-				t.Fatalf("failover not recorded: %+v, set %+v", rep.Checked, set)
+			if set.HostShards == 0 || set.HostSim <= 0 {
+				t.Fatalf("failover not recorded: set %+v", set)
 			}
-			if rep.Injected.Kills == 0 || rep.LaunchFailures == 0 {
-				t.Fatalf("fault counters empty: %+v", rep)
+			if dev.FaultAborts == 0 || dev.LaunchFailures == 0 {
+				t.Fatalf("fault counters empty: %+v", dev)
 			}
-			if rep.SimFaultTime < set.HostSim {
-				t.Fatalf("degraded-mode time not charged to the modelled clock: fault time %v, host wall %v",
-					rep.SimFaultTime, set.HostSim)
+			if he := ctx.Costs.Snapshot().HESim; he < set.HostSim {
+				t.Fatalf("degraded-mode time not charged to the modelled clock: HE sim %v, host wall %v",
+					he, set.HostSim)
 			}
 			// Both contexts have drawn the same nonce streams, so one more
 			// encryption — the host loop's on the dead fleet — is the healthy
@@ -106,8 +107,8 @@ func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 			if !sameBits(corrupted, clean) {
 				t.Fatalf("aggregate %v under corruption retries, want %v (bit-exact)", corrupted, clean)
 			}
-			if rep := ctx.FaultReport(); rep.Checked.VerifyFailures == 0 {
-				t.Fatalf("expected verification to catch injected corruption, got %+v", rep.Checked)
+			if st := ctx.Checked.Stats(); st.VerifyFailures == 0 {
+				t.Fatalf("expected verification to catch injected corruption, got %+v", st)
 			}
 
 			// A device whose kernels hang: the watchdog gives each stalled launch
@@ -120,8 +121,8 @@ func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 			if !sameBits(stalled, clean) {
 				t.Fatalf("aggregate %v under stall retries, want %v (bit-exact)", stalled, clean)
 			}
-			if rep := ctx.FaultReport(); rep.Injected.Stalls == 0 || rep.WatchdogTrips != rep.Injected.Stalls {
-				t.Fatalf("want every injected stall a watchdog trip, got %d trips for %+v", rep.WatchdogTrips, rep.Injected)
+			if dev := ctx.DevSet.StatsSum(); dev.FaultStalls == 0 || dev.SimFaultTime < time.Duration(dev.FaultStalls)*gpu.WatchdogWindow {
+				t.Fatalf("want every stall a watchdog window of fault time: %+v", dev)
 			}
 		})
 	}
@@ -131,8 +132,8 @@ func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 // through the executor's whole discipline: a fleet that dies at the kernel's
 // own launches fails over to the host loop, a fleet that corrupts lanes is
 // caught by the term-by-term check and retried, and either way the sums are
-// the healthy run's ciphertexts bit for bit, with the fault report showing
-// what happened.
+// the healthy run's ciphertexts bit for bit, with the device and executor
+// ledgers showing what happened.
 func TestWeightedSumsSurviveDeviceFaults(t *testing.T) {
 	for _, devices := range []int{1, 2} {
 		runOnce := func(pol FaultPolicy) ([]mpint.Nat, *Context) {
@@ -179,34 +180,33 @@ func TestWeightedSumsSurviveDeviceFaults(t *testing.T) {
 		// table build.
 		killed, ctx := runOnce(FaultPolicy{Inject: gpu.FaultConfig{Seed: 1, KillAtLaunch: 2}})
 		same("after failover", killed, clean)
-		rep := ctx.FaultReport()
-		if rep.Health != gpu.DeviceFailed || !rep.Checked.FellBack || ctx.DevSet.Stats().HostShards == 0 || rep.Injected.Kills == 0 {
-			t.Fatalf("Devices=%d: failover not recorded: %+v, set %+v", devices, rep, ctx.DevSet.Stats())
+		if dev := ctx.DevSet.StatsSum(); dev.Health != gpu.DeviceFailed || ctx.DevSet.Stats().HostShards == 0 || dev.FaultAborts == 0 {
+			t.Fatalf("Devices=%d: failover not recorded: %+v, set %+v", devices, dev, ctx.DevSet.Stats())
 		}
 		corrupted, ctx := runOnce(FaultPolicy{
 			Inject: gpu.FaultConfig{Seed: 3, CorruptProb: 0.4},
 			Check:  ghe.CheckedConfig{MaxRetries: 12, VerifyFraction: 1},
 		})
 		same("under corruption", corrupted, clean)
-		if rep := ctx.FaultReport(); rep.Checked.VerifyFailures == 0 || rep.Checked.Retries == 0 {
-			t.Fatalf("Devices=%d: expected verification to catch injected corruption, got %+v", devices, rep.Checked)
+		if st := ctx.Checked.Stats(); st.VerifyFailures == 0 || st.Retries == 0 {
+			t.Fatalf("Devices=%d: expected verification to catch injected corruption, got %+v", devices, st)
 		}
 	}
 }
 
-// TestFaultReportCPUProfile: CPU profiles report a healthy zero record — at
-// construction, after a round and after an epoch. The host loop serves all of
-// their HE by design: no fault time, no fallback.
-func TestFaultReportCPUProfile(t *testing.T) {
+// TestCPUProfileFaultLedgersZero: CPU profiles keep a healthy zero fault
+// record on the device set and the executor — at construction, after a round
+// and after an epoch. The host loop serves all of their HE by design: no
+// fault time, no fallback.
+func TestCPUProfileFaultLedgersZero(t *testing.T) {
 	ctx, err := NewContext(testProfile(SystemFATE))
 	if err != nil {
 		t.Fatal(err)
 	}
 	check := func(after string) {
 		t.Helper()
-		rep := ctx.FaultReport()
-		if rep != (FaultReport{Health: gpu.DeviceHealthy}) {
-			t.Fatalf("CPU profile fault report %s not zero: %+v", after, rep)
+		if dev, st := ctx.DevSet.StatsSum(), ctx.Checked.Stats(); dev != (gpu.Stats{Health: gpu.DeviceHealthy}) || st != (ghe.CheckedStats{}) {
+			t.Fatalf("CPU profile fault ledgers %s not zero: %+v, %+v", after, dev, st)
 		}
 	}
 	check("at construction")

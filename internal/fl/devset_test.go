@@ -107,8 +107,8 @@ func TestShardedBitExactWithSequential(t *testing.T) {
 			} else if st.HostShards == 0 {
 				t.Fatalf("kill at D=1 never fell back to the host: %+v", st)
 			}
-			if rep := ctx.FaultReport(); rep.Health != gpu.DeviceFailed || rep.Injected.Kills == 0 {
-				t.Fatalf("fault report missed the dead member: %+v", rep)
+			if dead := ctx.DevSet.Device(kill).Stats(); dead.Health != gpu.DeviceFailed || dead.FaultAborts == 0 {
+				t.Fatalf("the dead member's ledger missed its death: %+v", dead)
 			}
 		})
 

@@ -155,16 +155,16 @@ func TestPublishedEngineMetricNames(t *testing.T) {
 	gpuAdditive := []string{
 		"launches", "threads", "warps", "bytes_h2d", "bytes_d2h",
 		"sim_transfer_ns", "sim_compute_ns", "sim_fault_ns",
-		"launch_failures", "watchdog_trips",
+		"launch_failures",
 		"fault_aborts", "fault_corruptions", "fault_stalls", "fault_ooms",
 	}
 	gpuRow := append([]string{"avg_utilization", "health"}, gpuAdditive...)
 	gpuSet := []string{
 		"devset_devices", "devset_ops", "devset_shards", "devset_steals", "devset_host_shards",
-		"devset_rebalance_ns", "devset_parallel_ns", "devset_sequential_ns", "devset_host_sim_ns",
+		"devset_rebalance_ns", "devset_parallel_ns", "devset_host_sim_ns",
 	}
 	gheShare := []string{
-		"launch_faults", "retries", "verify_samples", "verify_failures", "backoff_sim_ns",
+		"launch_faults", "retries", "verify_samples", "verify_failures",
 		"table_builds", "table_entries", "table_ops",
 	}
 
@@ -194,14 +194,14 @@ func TestPublishedEngineMetricNames(t *testing.T) {
 			for _, n := range append(gpuRow, gpuSet...) {
 				want[gpuPre+"."+n] = true
 			}
-			for _, n := range append(gheShare, "fell_back") {
+			for _, n := range gheShare {
 				want[ghePre+"."+n] = true
 			}
 			for i := 0; i < d; i++ {
 				for _, n := range gpuRow {
 					want[fmt.Sprintf("%s.dev%d.%s", gpuPre, i, n)] = true
 				}
-				for _, n := range append(gheShare, "fell_back") {
+				for _, n := range gheShare {
 					want[fmt.Sprintf("%s.dev%d.%s", ghePre, i, n)] = true
 				}
 			}

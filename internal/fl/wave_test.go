@@ -27,7 +27,6 @@ type waveRun struct {
 	devs    []gpu.Stats
 	set     gpu.SetStats
 	checked ghe.CheckedStats
-	faults  gpu.FaultStats
 }
 
 // runWaves runs `rounds` rounds of p over grads and reads a waveRun off them.
@@ -69,7 +68,6 @@ func tryWaves(p Profile, grads [][]float64, rounds int) (waveRun, error) {
 	}
 	run.set = ctx.DevSet.Stats()
 	run.checked = ctx.Checked.Stats()
-	run.faults = ctx.FaultReport().Injected
 	return run, nil
 }
 
@@ -119,7 +117,9 @@ func TestWaveBitIdenticalToWavesOfOne(t *testing.T) {
 					}
 					wave.set.HostSim, each.set.HostSim = 0, 0
 					compareWaveRuns(t, wave, each)
-					injected[fc.name] += wave.faults.Aborts + wave.faults.Stalls + wave.faults.OOMs + wave.faults.Corruptions
+					for _, st := range wave.devs {
+						injected[fc.name] += st.FaultAborts + st.FaultStalls + st.FaultOOMs + st.FaultCorruptions
+					}
 				})
 			}
 		}
@@ -151,7 +151,6 @@ func compareWaveRuns(t *testing.T, wave, each waveRun) {
 		{"device counters", wave.devs, each.devs},
 		{"set counters", wave.set, each.set},
 		{"checked counters", wave.checked, each.checked},
-		{"injected faults", wave.faults, each.faults},
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {
 			t.Errorf("%s differ:\none wave:     %+v\nwaves of one: %+v", c.what, c.got, c.want)

@@ -19,16 +19,30 @@ type TCPHub struct {
 	ln      net.Listener
 	meter   *Meter
 	spoofed atomic.Int64 // frames dropped for claiming another party's name
+	dropped atomic.Int64 // frames dropped because the queue for absent parties was full
 
 	mu       sync.Mutex
 	conns    map[string]net.Conn   // the registered connection of each name
 	open     map[net.Conn]struct{} // every connection not yet closed, said hello or not
 	pending  map[string][][]byte   // frames for parties with no live connection
+	queued   int                   // bytes of the frames in pending, at most maxQueued
 	accepted uint64                // connections accepted so far
 	newest   map[string]uint64     // the latest-accepted connection a name has registered
 	closed   bool
 	wg       sync.WaitGroup
 }
+
+// maxQueued caps the bytes the hub holds, over every name, for parties with no
+// live connection, so a party that addresses frames to a name nobody will
+// register costs the hub at most this much. The largest legitimate backlog is
+// a round's uploads queued for a server that dials after every client has
+// uploaded (a resumed server), beside the aggregate queued for a client that
+// crashed and re-dials (TestHubQueuesForACrashedParty: one frame of a few
+// bytes). A packed upload at 2,048-bit keys is a 512-byte ciphertext per 63
+// values, about 8.1 B a parameter, so 64 MiB holds a round of 8 clients each
+// uploading a 10⁶-parameter model, or of 128 clients a 6·10⁴-parameter one;
+// flserver's demo uploads 8 values a client.
+const maxQueued = 64 << 20
 
 // helloTimeout bounds how long a new connection may take to say its name. The
 // hello is read on the connection's own goroutine, so a peer that dials and
@@ -64,6 +78,10 @@ func (h *TCPHub) Meter() *Meter { return h.meter }
 // Spoofed counts the frames routeLoop dropped because their From was not the
 // name their connection said hello with.
 func (h *TCPHub) Spoofed() int64 { return h.spoofed.Load() }
+
+// Dropped counts the frames routeLoop dropped because queueing them for a
+// party with no live connection would have passed maxQueued.
+func (h *TCPHub) Dropped() int64 { return h.dropped.Load() }
 
 func (h *TCPHub) acceptLoop() {
 	defer h.wg.Done()
@@ -118,6 +136,9 @@ func (h *TCPHub) serve(conn net.Conn, seq uint64) {
 	// Deliver anything queued while the party had no connection.
 	queued := h.pending[name]
 	delete(h.pending, name)
+	for _, frame := range queued {
+		h.queued -= len(frame)
+	}
 	h.mu.Unlock()
 	for _, frame := range queued {
 		writeFrame(conn, frame)
@@ -165,8 +186,13 @@ func (h *TCPHub) routeLoop(name string, conn net.Conn) {
 		if !ok {
 			// The destination has no live connection: it has not completed its
 			// hello yet (clients race the server at startup), or its last one
-			// ended. Queue until it registers.
-			h.pending[msg.To] = append(h.pending[msg.To], frame)
+			// ended. Queue until it registers, within maxQueued.
+			if h.queued+len(frame) > maxQueued {
+				h.dropped.Add(1)
+			} else {
+				h.pending[msg.To] = append(h.pending[msg.To], frame)
+				h.queued += len(frame)
+			}
 		}
 		h.mu.Unlock()
 		if ok {

@@ -509,6 +509,76 @@ func TestHubQueuesForACrashedParty(t *testing.T) {
 	}
 }
 
+// TestHubCapsWhatItHoldsForAbsentParties: frames addressed to a name nobody
+// has registered queue only up to maxQueued bytes in all; each frame past the
+// cap is dropped and counted. When the name registers, its queue is handed
+// over and its bytes leave the count, so the cap is free again.
+func TestHubCapsWhatItHoldsForAbsentParties(t *testing.T) {
+	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hub.Close()
+	mallory, err := DialHub(hub.Addr(), "mallory")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mallory.Close()
+	held := func() (queued, frames, size int) {
+		hub.mu.Lock()
+		defer hub.mu.Unlock()
+		for _, q := range hub.pending {
+			frames += len(q)
+			for _, f := range q {
+				size += len(f)
+			}
+		}
+		return hub.queued, frames, size
+	}
+	waitFor := func(what string, cond func() bool) {
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	// Five frames of a quarter of the cap each: three fit beside their
+	// headers, the fourth and fifth do not.
+	payload := make([]byte, maxQueued/4)
+	for i := 0; i < 5; i++ {
+		if err := mallory.Send(Message{From: "mallory", To: "ghost", Kind: "grads", Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor("the hub to route five frames", func() bool {
+		_, frames, _ := held()
+		return frames+int(hub.Dropped()) == 5
+	})
+	if queued, frames, size := held(); frames != 3 || size != queued || queued > maxQueued || hub.Dropped() != 2 {
+		t.Fatalf("hub holds %d frames of %d bytes (counted %d, cap %d) and dropped %d; want 3 held within the cap and 2 dropped",
+			frames, size, queued, maxQueued, hub.Dropped())
+	}
+
+	ghost, err := DialHub(hub.Addr(), "ghost")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ghost.Close()
+	if queued, frames, _ := held(); queued != 0 || frames != 0 {
+		t.Fatalf("after ghost registered the hub still counts %d bytes in %d frames", queued, frames)
+	}
+	if err := mallory.Send(Message{From: "mallory", To: "ghost2", Kind: "grads", Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("the next absent party's frame to queue", func() bool {
+		_, frames, _ := held()
+		return frames == 1
+	})
+	if hub.Dropped() != 2 {
+		t.Fatalf("a frame within the freed cap was dropped: %d drops", hub.Dropped())
+	}
+}
+
 // TestHubSecondHelloKeepsTheName: a party that re-dials before the hub has
 // seen its old connection end keeps the name when the old one does end.
 func TestHubSecondHelloKeepsTheName(t *testing.T) {

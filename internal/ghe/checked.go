@@ -74,25 +74,24 @@ func backoff(attempt int) time.Duration {
 	return backoffBase << uint(attempt)
 }
 
-// CheckedStats counts the checked layer's activity — the fault and retry
-// counters the benchmarks surface next to sim/wall timings. The ops issued and
-// the host ledger — the ranges the host loop served once no device was left,
-// and their host time — are the device set's (gpu.SetStats Ops, HostShards,
-// HostSim).
+// CheckedStats counts what only the checked layer sees: its launch faults,
+// retries and spot checks. A device fault itself is recorded once, on the
+// member's device (gpu.Stats): its health — Failed is permanent failover —
+// its fault kinds, and in SimFaultTime the retry backoff beside the stalls'
+// watchdog windows. The ops issued and the host ledger — the ranges the host
+// loop served once no device was left, and their host time — are the device
+// set's (gpu.SetStats Ops, HostShards, HostSim).
 type CheckedStats struct {
 	// LaunchFaults counts failed device launch attempts observed.
 	LaunchFaults int64
 	// Retries counts re-executions after a fault or a verification miss.
 	Retries int64
 	// VerifySamples and VerifyFailures count residue spot-checks and the
-	// corruptions they caught.
+	// corruptions they caught. The device's FaultCorruptions also counts a
+	// corruption that failed a set-up launch, whose body cannot carry it
+	// silently, so it is no copy of VerifyFailures.
 	VerifySamples  int64
 	VerifyFailures int64
-	// BackoffSim is the simulated retry backoff charged to the device clocks.
-	BackoffSim time.Duration
-	// FellBack reports permanent failover: a member device reached Failed and
-	// its share of every later op goes to its peers, or to the host with none.
-	FellBack bool
 }
 
 // add accumulates a member's share into the aggregate.
@@ -101,8 +100,6 @@ func (s *CheckedStats) add(m CheckedStats) {
 	s.Retries += m.Retries
 	s.VerifySamples += m.VerifySamples
 	s.VerifyFailures += m.VerifyFailures
-	s.BackoffSim += m.BackoffSim
-	s.FellBack = s.FellBack || m.FellBack
 }
 
 // CheckedEngine is the one executor of the GPU-HE layer (DESIGN.md §7, §15):
@@ -210,14 +207,11 @@ func (c *CheckedEngine) ResetStats() {
 	}
 }
 
-// snapshot returns the member's counters, with FellBack read off its device,
-// and its table counters.
+// snapshot returns the member's counters and its table counters.
 func (mb *member) snapshot() (CheckedStats, tableStats) {
 	mb.mu.Lock()
 	defer mb.mu.Unlock()
-	s := mb.stats
-	s.FellBack = mb.dev.Health() == gpu.DeviceFailed
-	return s, mb.table
+	return mb.stats, mb.table
 }
 
 // PublishMetrics snapshots the checked-layer counters into a metrics
@@ -244,15 +238,9 @@ func publishShare(reg *obs.Registry, prefix string, s CheckedStats, ts tableStat
 	reg.Set(prefix+".retries", s.Retries)
 	reg.Set(prefix+".verify_samples", s.VerifySamples)
 	reg.Set(prefix+".verify_failures", s.VerifyFailures)
-	reg.Set(prefix+".backoff_sim_ns", int64(s.BackoffSim))
 	reg.Set(prefix+".table_builds", ts.builds)
 	reg.Set(prefix+".table_entries", ts.entries)
 	reg.Set(prefix+".table_ops", ts.ops)
-	fell := 0.0
-	if s.FellBack {
-		fell = 1
-	}
-	reg.SetGauge(prefix+".fell_back", fell)
 }
 
 // schedule hands one op to the set's scheduler: members serve its shards under
@@ -347,17 +335,15 @@ func (mb *member) serve(op vecOp, cfg *CheckedConfig, job *gpu.Job) error {
 		} else {
 			// The kernel reported success with corrupted contents: feed the
 			// detection back into the device health machine and retry.
-			dev.ReportFailure(op.name(), gpu.FaultCorrupt)
+			dev.ReportFailure(gpu.FaultCorrupt)
 			last = &gpu.KernelError{Kind: gpu.FaultCorrupt, Kernel: op.name()}
 		}
 		if dev.Health() == gpu.DeviceFailed || attempt >= cfg.MaxRetries {
 			return last
 		}
-		wait := backoff(attempt)
-		dev.ChargeFaultTime(wait)
+		dev.ChargeFaultTime(backoff(attempt))
 		mb.mu.Lock()
 		mb.stats.Retries++
-		mb.stats.BackoffSim += wait
 		mb.mu.Unlock()
 	}
 }

@@ -172,7 +172,7 @@ func TestShardedMidBatchKill(t *testing.T) {
 		t.Fatalf("expected stolen shards, set stats %+v", st)
 	}
 	cs := sh.Stats()
-	if cs.LaunchFaults == 0 || !cs.FellBack {
+	if cs.LaunchFaults == 0 || sh.Set().Device(2).Health() != gpu.DeviceFailed {
 		t.Fatalf("checked layer should have observed the faults: %+v", cs)
 	}
 	// The scheduler owns failover: the dead member's shard went to its peers,

@@ -40,16 +40,17 @@ type Stats struct {
 	BytesDevToHost   int64
 	SimTransferTime  time.Duration // modelled PCIe time (Eq. 10 transfer term)
 	SimComputeTime   time.Duration // modelled kernel time (Eq. 10 compute term)
-	SimFaultTime     time.Duration // modelled time lost to faults: watchdog windows, retry backoff, degraded host execution
+	SimFaultTime     time.Duration // modelled time lost to faults: FaultStalls watchdog windows, the rest retry backoff
 	WallKernelTime   time.Duration // real host time spent in kernel bodies
 	UtilizationSum   float64       // Σ occupancy per launch, for averaging
 	UtilizationCount int64
 
-	// Fault/health observability (DESIGN.md §7). Per-kind counters record
-	// *observed* failures: silent corruptions appear only once detected and
-	// reported back via ReportFailure.
+	// Fault/health observability (DESIGN.md §7), the one record of a device
+	// fault. Per-kind counters record *observed* failures: a silent
+	// corruption counts once verification reports it (ReportFailure), one
+	// that a launch's body cannot carry when it fails that launch. Each stall
+	// is one watchdog trip.
 	LaunchFailures      int64
-	WatchdogTrips       int64
 	FaultAborts         int64
 	FaultCorruptions    int64
 	FaultStalls         int64
@@ -171,7 +172,6 @@ func publishDeviceStats(reg *obs.Registry, prefix string, s Stats) {
 	reg.Set(prefix+".sim_compute_ns", int64(s.SimComputeTime))
 	reg.Set(prefix+".sim_fault_ns", int64(s.SimFaultTime))
 	reg.Set(prefix+".launch_failures", s.LaunchFailures)
-	reg.Set(prefix+".watchdog_trips", s.WatchdogTrips)
 	reg.Set(prefix+".fault_aborts", s.FaultAborts)
 	reg.Set(prefix+".fault_corruptions", s.FaultCorruptions)
 	reg.Set(prefix+".fault_stalls", s.FaultStalls)
@@ -181,16 +181,12 @@ func publishDeviceStats(reg *obs.Registry, prefix string, s Stats) {
 }
 
 // healthRank maps the health machine to a numeric gauge: 0 healthy,
-// 1 degraded, 2 failed.
+// 1 failed.
 func healthRank(h HealthState) float64 {
-	switch h {
-	case DeviceDegraded:
+	if h == DeviceFailed {
 		return 1
-	case DeviceFailed:
-		return 2
-	default:
-		return 0
 	}
+	return 0
 }
 
 // SetFaultInjector attaches (or, with nil, detaches) a fault injector.
@@ -207,7 +203,7 @@ func (d *Device) Injector() *FaultInjector {
 	return d.injector
 }
 
-// SetHealthPolicy replaces the consecutive-failure thresholds.
+// SetHealthPolicy replaces the consecutive-failure threshold.
 func (d *Device) SetHealthPolicy(p HealthPolicy) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -224,15 +220,15 @@ func (d *Device) Health() HealthState {
 // ReportFailure feeds an externally detected launch failure — typically a
 // result-verification miss on a kernel that reported success — into the
 // health machine and the per-kind counters.
-func (d *Device) ReportFailure(kernel string, kind FaultKind) {
+func (d *Device) ReportFailure(kind FaultKind) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.recordFailureLocked(kind)
 }
 
-// ChargeFaultTime adds externally incurred fault cost — retry backoff and
-// degraded-mode host execution — to the modelled clock (Eq. 10 terms stay
-// untouched; the loss is reported separately as SimFaultTime).
+// ChargeFaultTime adds externally incurred fault cost — the checked layer's
+// retry backoff — to the modelled clock (Eq. 10 terms stay untouched; the
+// loss is reported separately as SimFaultTime).
 func (d *Device) ChargeFaultTime(dur time.Duration) {
 	if dur <= 0 {
 		return
@@ -261,20 +257,8 @@ func (d *Device) recordFailureLocked(kind FaultKind) {
 		return
 	}
 	d.stats.ConsecutiveFailures++
-	switch {
-	case d.stats.ConsecutiveFailures >= d.healthPol.FailAfter:
+	if d.stats.ConsecutiveFailures >= d.healthPol.FailAfter {
 		d.stats.Health = DeviceFailed
-	case d.stats.ConsecutiveFailures >= d.healthPol.DegradeAfter:
-		d.stats.Health = DeviceDegraded
-	}
-}
-
-// recordSuccessLocked resets the failure streak; a Degraded device
-// recovers, a Failed one never does. Callers hold d.mu.
-func (d *Device) recordSuccessLocked() {
-	d.stats.ConsecutiveFailures = 0
-	if d.stats.Health == DeviceDegraded {
-		d.stats.Health = DeviceHealthy
 	}
 }
 
@@ -437,7 +421,7 @@ func (d *Device) Launch(k Kernel) (float64, error) {
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.recordSuccessLocked()
+	d.stats.ConsecutiveFailures = 0
 	d.stats.KernelLaunches++
 	d.stats.ThreadsExecuted += int64(k.Items)
 	d.stats.WarpsExecuted += int64((k.Items + d.cfg.WarpSize - 1) / d.cfg.WarpSize)
@@ -462,7 +446,6 @@ func (d *Device) failLaunch(kernel string, kind FaultKind) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if kind == FaultStall {
-		d.stats.WatchdogTrips++
 		d.recordLocked(kernel+".watchdog", "gpu.fault", d.stats.SimTime(), WatchdogWindow)
 		d.stats.SimFaultTime += WatchdogWindow
 	}

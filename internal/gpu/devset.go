@@ -14,7 +14,7 @@ import (
 // across the devices, and merge their per-device sim clocks into one
 // measured parallel span: the max over devices per wave, never the sum, so a
 // device idling while its peers finish is not charged.
-// When the fault layer degrades or kills a device mid-batch, its unfinished
+// When the fault layer faults or kills a device mid-batch, its unfinished
 // shards are re-queued onto the healthy devices (work stealing), subdivided
 // so the rework is itself parallel; the rework's launches and copies are
 // charged to the cost model like any others.
@@ -62,12 +62,10 @@ type SetStats struct {
 	// parallel span — the price of migration, included in SimParallelTime.
 	RebalanceSim time.Duration
 	// SimParallelTime is the measured parallel span: per wave, the maximum
-	// modelled-time delta across the participating devices.
+	// modelled-time delta across the participating devices. The same work
+	// priced sequentially is the sum of the members' SimTime(), so
+	// SimParallelTime over that sum is the measured scaling efficiency.
 	SimParallelTime time.Duration
-	// SimSequentialTime is the same work priced sequentially — the sum of
-	// every device's delta. SimParallelTime / SimSequentialTime is the
-	// measured scaling efficiency.
-	SimSequentialTime time.Duration
 	// HostSim is the wall time of the host-served shards, charged to the
 	// set's clock: the whole clock of a set of no member, degraded-mode cost
 	// on one with members.
@@ -218,7 +216,7 @@ type ShardOp struct {
 //
 // Accounting merges the per-device clocks into a measured parallel span:
 // each wave contributes the maximum modelled-time delta across its
-// participants to SimParallelTime and the sum of deltas to SimSequentialTime.
+// participants to SimParallelTime.
 // Rework waves additionally accrue RebalanceSim; a stolen shard pays for
 // its migration through the H2D copy its rerun makes.
 //
@@ -297,13 +295,11 @@ func (s *DeviceSet) Run(op ShardOp) error {
 
 		// Merge the wave's clocks: parallel span is the slowest device's
 		// delta, never the sum — an idle device charges nothing.
-		var span, seq time.Duration
+		var span time.Duration
 		var fatal error
 		for _, dev := range busy {
 			w := &s.wave[dev]
-			delta := max(s.devs[dev].Stats().SimTime()-w.base, 0)
-			seq += delta
-			span = max(span, delta)
+			span = max(span, s.devs[dev].Stats().SimTime()-w.base)
 			switch {
 			case w.err == nil:
 			case !IsKernelError(w.err):
@@ -319,7 +315,6 @@ func (s *DeviceSet) Run(op ShardOp) error {
 			w.shards = w.shards[:0]
 		}
 		s.stats.SimParallelTime += span
-		s.stats.SimSequentialTime += seq
 		if wave > 0 {
 			s.stats.RebalanceSim += span
 		}
@@ -383,7 +378,6 @@ func (s *DeviceSet) PublishMetrics(reg *obs.Registry, prefix string) {
 	reg.Set(prefix+".devset_host_shards", st.HostShards)
 	reg.Set(prefix+".devset_rebalance_ns", int64(st.RebalanceSim))
 	reg.Set(prefix+".devset_parallel_ns", int64(st.SimParallelTime))
-	reg.Set(prefix+".devset_sequential_ns", int64(st.SimSequentialTime))
 	reg.Set(prefix+".devset_host_sim_ns", int64(st.HostSim))
 }
 
@@ -407,7 +401,6 @@ func (s *DeviceSet) StatsSum() Stats {
 		agg.UtilizationSum += st.UtilizationSum
 		agg.UtilizationCount += st.UtilizationCount
 		agg.LaunchFailures += st.LaunchFailures
-		agg.WatchdogTrips += st.WatchdogTrips
 		agg.FaultAborts += st.FaultAborts
 		agg.FaultCorruptions += st.FaultCorruptions
 		agg.FaultStalls += st.FaultStalls

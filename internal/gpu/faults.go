@@ -70,41 +70,30 @@ func IsKernelError(err error) bool {
 // HealthState is the device health machine's state.
 type HealthState string
 
-// Health machine states: Healthy → Degraded → Failed. Failed is terminal —
-// callers fail over to host execution (ghe.CheckedEngine).
+// Health machine states: Healthy → Failed. Failed is terminal — callers fail
+// over to the device's peers, or to host execution with none left
+// (ghe.CheckedEngine).
 const (
-	DeviceHealthy  HealthState = "healthy"
-	DeviceDegraded HealthState = "degraded"
-	DeviceFailed   HealthState = "failed"
+	DeviceHealthy HealthState = "healthy"
+	DeviceFailed  HealthState = "failed"
 )
 
-// HealthPolicy sets the consecutive-failure thresholds of the health
-// machine. A successful launch resets the counter and recovers a Degraded
-// device; a Failed device never recovers.
+// HealthPolicy sets the consecutive-failure threshold of the health machine.
+// A successful launch resets the streak; a Failed device never recovers.
 type HealthPolicy struct {
-	// DegradeAfter is the consecutive-failure count that enters Degraded.
-	DegradeAfter int
 	// FailAfter is the consecutive-failure count that enters Failed.
 	FailAfter int
 }
 
-// DefaultHealthPolicy degrades on the first failure and fails the device on
-// the third consecutive one — tight enough that a dead device is latched
-// within one retry budget, loose enough that a single transient fault never
-// takes the device out.
-func DefaultHealthPolicy() HealthPolicy { return HealthPolicy{DegradeAfter: 1, FailAfter: 3} }
+// DefaultHealthPolicy fails the device on the third consecutive failure —
+// tight enough that a dead device is latched within one retry budget, loose
+// enough that a single transient fault never takes the device out.
+func DefaultHealthPolicy() HealthPolicy { return HealthPolicy{FailAfter: 3} }
 
-// withDefaults fills zero thresholds.
+// withDefaults fills a zero threshold.
 func (p HealthPolicy) withDefaults() HealthPolicy {
-	d := DefaultHealthPolicy()
-	if p.DegradeAfter <= 0 {
-		p.DegradeAfter = d.DegradeAfter
-	}
 	if p.FailAfter <= 0 {
-		p.FailAfter = d.FailAfter
-	}
-	if p.FailAfter < p.DegradeAfter {
-		p.FailAfter = p.DegradeAfter
+		p.FailAfter = DefaultHealthPolicy().FailAfter
 	}
 	return p
 }
@@ -160,41 +149,19 @@ func (c FaultConfig) Enabled() bool {
 		c.KillAtLaunch > 0
 }
 
-// FaultStats counts the faults an injector has decided, by kind.
-type FaultStats struct {
-	Launches    int64 // launches the injector saw
-	Aborts      int64
-	Corruptions int64
-	Stalls      int64
-	OOMs        int64
-	Kills       int64 // launches refused because the kill ordinal passed
-}
-
-// Total is the number of faulted launches.
-func (s FaultStats) Total() int64 {
-	return s.Aborts + s.Corruptions + s.Stalls + s.OOMs + s.Kills
-}
-
 // FaultInjector decides, per launch, whether and how the device misbehaves.
 // Attach one to a device with Device.SetFaultInjector.
 type FaultInjector struct {
 	cfg FaultConfig
 
-	mu    sync.Mutex
-	rng   *mpint.RNG
-	stats FaultStats
+	mu       sync.Mutex
+	rng      *mpint.RNG
+	launches int64 // launches decided so far: the ordinal KillAtLaunch counts
 }
 
 // NewFaultInjector builds an injector from cfg.
 func NewFaultInjector(cfg FaultConfig) *FaultInjector {
 	return &FaultInjector{cfg: cfg, rng: mpint.NewRNG(cfg.Seed)}
-}
-
-// Stats returns a snapshot of the decided-fault counters.
-func (fi *FaultInjector) Stats() FaultStats {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.stats
 }
 
 // decide draws this launch's fault. Every launch consumes exactly five
@@ -204,33 +171,28 @@ func (fi *FaultInjector) Stats() FaultStats {
 func (fi *FaultInjector) decide(items int) (kind FaultKind, poisonItem int) {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
-	fi.stats.Launches++
+	fi.launches++
 	abort := fi.rng.Float64() < fi.cfg.AbortProb
 	corrupt := fi.rng.Float64() < fi.cfg.CorruptProb
 	stall := fi.rng.Float64() < fi.cfg.StallProb
 	oom := fi.rng.Float64() < fi.cfg.OOMProb
 	itemDraw := fi.rng.Float64()
 
-	if fi.cfg.KillAtLaunch > 0 && fi.stats.Launches >= fi.cfg.KillAtLaunch {
-		fi.stats.Kills++
+	if fi.cfg.KillAtLaunch > 0 && fi.launches >= fi.cfg.KillAtLaunch {
 		return FaultAbort, -1
 	}
 	switch {
 	case abort:
-		fi.stats.Aborts++
 		return FaultAbort, -1
 	case corrupt:
-		fi.stats.Corruptions++
 		item := int(itemDraw * float64(items))
 		if item >= items {
 			item = items - 1
 		}
 		return FaultCorrupt, item
 	case stall:
-		fi.stats.Stalls++
 		return FaultStall, -1
 	case oom:
-		fi.stats.OOMs++
 		return FaultOOM, -1
 	}
 	return "", -1
