@@ -7,8 +7,8 @@
 # once so benchmark code cannot bit-rot, runs the repository benchmark at its
 # smoke sizing twice on one seed, failing if the two sets' modelled metrics
 # differ in any digit, runs flbench's modelled tables at 128-bit keys twice,
-# failing on any byte of difference, and runs the CI-sized multi-fault chaos
-# soak under the race detector.
+# failing on any byte of difference in the tables or the metrics registry,
+# and runs the CI-sized multi-fault chaos soak under the race detector.
 
 GO ?= go
 STATICCHECK ?= staticcheck
@@ -128,18 +128,20 @@ benchmark-smoke:
 	if printf '%s\n' "$$out" | sed -n 's/^benchmark: //p' | tr ';' '\n' | grep -qv 'sets disagree by more than'; then exit 1; fi
 
 # flbench's modelled tables — Table II, Fig. 6, Fig. 7 and Table VII at
-# 128-bit keys — twice from one build, failing on any byte of difference
-# between the two outputs. They print the modelled clock alone, so they are
-# also the cross-commit check: a change that keeps the clock prints them
-# byte-identical to its parent's (the verify skill). About a second a run.
+# 128-bit keys — twice from one build, each with its -metrics registry dump,
+# failing on any byte of difference between the two tables or the two
+# registries. Both hold the modelled clock and counts alone, so they are also
+# the cross-commit check: a change that keeps the clock and the counters
+# prints them byte-identical to its parent's (the verify skill). About a
+# second a run.
 FLBENCH_SMOKE = -keys 128 table2 fig6 fig7 table7
 flbench-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) build -o "$$dir/flbench" ./cmd/flbench && \
-	"$$dir/flbench" $(FLBENCH_SMOKE) > "$$dir/a" && \
-	"$$dir/flbench" $(FLBENCH_SMOKE) > "$$dir/b" && \
-	cmp "$$dir/a" "$$dir/b" && \
-	echo "flbench-smoke: two runs of flbench $(FLBENCH_SMOKE) are byte-identical ($$(wc -c < "$$dir/a") bytes)"
+	"$$dir/flbench" -metrics "$$dir/ma" $(FLBENCH_SMOKE) > "$$dir/a" && \
+	"$$dir/flbench" -metrics "$$dir/mb" $(FLBENCH_SMOKE) > "$$dir/b" && \
+	cmp "$$dir/a" "$$dir/b" && cmp "$$dir/ma" "$$dir/mb" && \
+	echo "flbench-smoke: two runs of flbench $(FLBENCH_SMOKE) print byte-identical tables ($$(wc -c < "$$dir/a") bytes) and metrics ($$(wc -l < "$$dir/ma") lines)"
 
 # The CI-sized chaos soak (DESIGN.md §11): seeded network chaos + device
 # faults + coordinator kills with journal recovery + client churn + a

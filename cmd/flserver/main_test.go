@@ -59,6 +59,18 @@ func TestDemoEndToEnd(t *testing.T) {
 	if o.Metrics().Counter("net.hub.msgs") == 0 {
 		t.Fatal("demo published no hub traffic metrics")
 	}
+	// The round's counters are the coordinator's, not the in-process host's:
+	// a server over TCP publishes the same ones fl.Federation does.
+	if got := o.Metrics().Counter("fl.server.rounds"); got != 1 {
+		t.Fatalf("fl.server.rounds = %d, want 1", got)
+	}
+	var text strings.Builder
+	if err := o.Metrics().WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text.String(), "gauge fl.server.round_scale 1\n") {
+		t.Fatalf("no round_scale gauge for the server in:\n%s", text.String())
+	}
 }
 
 func TestDemoMultiDeviceRound(t *testing.T) {

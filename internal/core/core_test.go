@@ -517,7 +517,7 @@ func TestTableIUnderCorruption(t *testing.T) {
 	if mpint.Cmp(sk.N, want.N) != 0 {
 		t.Fatalf("key under corruption has n = %s, the clean platform drew %s", sk.N, want.N)
 	}
-	if st, set := p.st.Checked.Stats(), p.st.DevSet.Stats(); st.VerifyFailures == 0 || st.Retries == 0 || set.HostShards != 0 {
-		t.Fatalf("corrupted launches should be caught and retried on the device: %+v, set %+v", st, set)
+	if st, set, dev := p.st.Checked.Stats(), p.st.DevSet.Stats(), p.st.DevSet.StatsSum(); dev.FaultCorruptions == 0 || st.Retries == 0 || set.HostShards != 0 {
+		t.Fatalf("corrupted launches should be caught and retried on the device: %+v, set %+v, device %+v", st, set, dev)
 	}
 }

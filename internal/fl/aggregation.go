@@ -40,10 +40,6 @@ type Aggregation struct {
 	// ciphertexts: every held batch for a buffered round, the trees'
 	// fanout·depth-bounded peak for a streamed one.
 	peak int64
-
-	// span brackets the robust-combine step so the round runtime can give it
-	// an anatomy row of its own; nil runs it bare.
-	span func(phase string, fn func() error) error
 }
 
 // frameError marks an aggregate copy that failed to parse or contradicts the
@@ -327,18 +323,7 @@ func (a *Aggregation) Open(frame []byte, count int, included []string) ([]float6
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	var combined []float64
-	var stats CombineStats
-	combine := func() error {
-		var cerr error
-		combined, stats, cerr = agg.Combine(groups)
-		return cerr
-	}
-	if a.span != nil {
-		err = a.span("combine", combine)
-	} else {
-		err = combine()
-	}
+	combined, stats, err := agg.Combine(groups)
 	if err != nil {
 		return nil, 0, nil, err
 	}

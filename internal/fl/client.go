@@ -195,15 +195,7 @@ var ErrBadAggregate = errors.New("fl: aggregate does not open")
 // not who, so it passes nil and opens on coverage alone. Every reject is
 // typed: a frame error, or ErrBadAggregate.
 func (c *Client) Open(frame []byte, sched Schedule, count int, contributors []string) ([]float64, int, *DefenseReport, error) {
-	return c.open(frame, sched, count, contributors, nil)
-}
-
-// open is Open for a host that keeps a round anatomy: span brackets the
-// robust-combine step so it gets a row of its own; nil runs it bare.
-func (c *Client) open(frame []byte, sched Schedule, count int, contributors []string, span func(string, func() error) error) ([]float64, int, *DefenseReport, error) {
-	agg := c.Ctx.NewAggregation(sched.Round, sched.Cohort)
-	agg.span = span
-	sums, k, defense, err := agg.Open(frame, count, contributors)
+	sums, k, defense, err := c.Ctx.NewAggregation(sched.Round, sched.Cohort).Open(frame, count, contributors)
 	if err != nil && !isFrameError(err) {
 		err = fmt.Errorf("%w: %w", ErrBadAggregate, err)
 	}

@@ -250,16 +250,19 @@ func (rp RoundPolicy) phaseDeadline() time.Time {
 	return time.Now().Add(rp.PhaseTimeout)
 }
 
-// recvBy performs one transport receive honouring a phase deadline.
+// recvBy performs one transport receive honouring a phase deadline. A
+// deadline already passed is still a receive (d < 0): the transport decides
+// whether a frame has arrived, so a frame queued in process counts however
+// slow the host was to get to it.
 func recvBy(tr flnet.Transport, party string, deadline time.Time) (flnet.Message, error) {
 	if deadline.IsZero() {
 		return tr.Recv(party)
 	}
-	remaining := time.Until(deadline)
-	if remaining <= 0 {
-		return flnet.Message{}, fmt.Errorf("%w: party %q (phase deadline elapsed)", flnet.ErrTimeout, party)
+	d := time.Until(deadline)
+	if d == 0 {
+		d = -1 // passed, not "no deadline"
 	}
-	return tr.RecvTimeout(party, remaining)
+	return tr.RecvTimeout(party, d)
 }
 
 // recv is the gather's one wait: the next frame, the deadline, or — looked at
@@ -498,11 +501,19 @@ func (rd *Round) Serve(recipients []string, stop <-chan struct{}) error {
 // Finish closes the round in the journal with the outcome the host reached —
 // the coordinator's own error, or one from the host's side of the round —
 // and hands that outcome back (or the journal's error, if the record could
-// not be made durable). A simulated coordinator crash means the process died
-// at a durable boundary: nothing after that boundary, a round-failed record
-// included, can have been written.
+// not be made durable), publishing the round's counters for it. A simulated
+// coordinator crash means the process died at a durable boundary: nothing
+// after that boundary, a round-failed record included, can have been
+// written.
 func (rd *Round) Finish(err error) error {
 	rd.ownIncluded(false)
+	err = rd.journalOutcome(err)
+	rd.publish(err)
+	return err
+}
+
+// journalOutcome is Finish's journal record; see Finish.
+func (rd *Round) journalOutcome(err error) error {
 	rec := JournalRecord{Round: rd.sched.Round, Attempt: rd.attempt, Cursor: rd.c.ctx.SeedCursor()}
 	var re *RoundError
 	switch {
@@ -522,4 +533,32 @@ func (rd *Round) Finish(err error) error {
 		return jerr
 	}
 	return err
+}
+
+// publish adds one finished round to the context's protocol counters under
+// "fl.<label>.": the round and its failure, the drop / stale / duplicate
+// tallies, the quorum scale and, for a defended round, what the combiner
+// suppressed. Every host that runs a Coordinator reports the same counters.
+func (rd *Round) publish(err error) {
+	ctx := rd.c.ctx
+	if ctx.Obs == nil {
+		return
+	}
+	rep := rd.Report()
+	ctx.metricAdd("rounds", 1)
+	if err != nil {
+		ctx.metricAdd("round_failures", 1)
+	}
+	ctx.metricAdd("round_drops", int64(len(rep.Dropped)))
+	ctx.metricAdd("round_stale", int64(rep.Stale))
+	ctx.metricAdd("round_dups", int64(rep.Duplicates))
+	reg := ctx.Obs.Metrics()
+	reg.SetGauge("fl."+ctx.obsPrefix+".round_scale", rep.Scale)
+	if d := rep.Defense; d != nil {
+		ctx.metricAdd("defense_rounds", 1)
+		ctx.metricAdd("defense_trimmed", d.Stats.TrimmedCoords)
+		ctx.metricAdd("defense_clips", int64(d.Stats.Clipped))
+		ctx.metricAdd("defense_dropped", int64(d.Stats.GroupsDropped))
+		reg.SetGauge("fl."+ctx.obsPrefix+".defense_suspicion", d.MaxSuspicion())
+	}
 }

@@ -107,8 +107,8 @@ func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 			if !sameBits(corrupted, clean) {
 				t.Fatalf("aggregate %v under corruption retries, want %v (bit-exact)", corrupted, clean)
 			}
-			if st := ctx.Checked.Stats(); st.VerifyFailures == 0 {
-				t.Fatalf("expected verification to catch injected corruption, got %+v", st)
+			if dev := ctx.DevSet.StatsSum(); dev.FaultCorruptions == 0 {
+				t.Fatalf("expected verification to catch injected corruption, got %+v", dev)
 			}
 
 			// A device whose kernels hang: the watchdog gives each stalled launch
@@ -188,8 +188,8 @@ func TestWeightedSumsSurviveDeviceFaults(t *testing.T) {
 			Check:  ghe.CheckedConfig{MaxRetries: 12, VerifyFraction: 1},
 		})
 		same("under corruption", corrupted, clean)
-		if st := ctx.Checked.Stats(); st.VerifyFailures == 0 || st.Retries == 0 {
-			t.Fatalf("Devices=%d: expected verification to catch injected corruption, got %+v", devices, st)
+		if st, dev := ctx.Checked.Stats(), ctx.DevSet.StatsSum(); dev.FaultCorruptions == 0 || st.Retries == 0 {
+			t.Fatalf("Devices=%d: expected verification to catch injected corruption, got %+v, device %+v", devices, st, dev)
 		}
 	}
 }

@@ -344,3 +344,39 @@ func TestQuorumBelowThresholdFails(t *testing.T) {
 		t.Fatalf("failure took %v; deadline not honoured", elapsed)
 	}
 }
+
+// TestPassedDeadlineStillReadsTheQueue: in process a deadline is read off the
+// queue, not the host's clock. With a 1 ns phase deadline every upload, and
+// then the broadcast, is queued before its receiver looks and the deadline
+// has long passed by then; every client must still be included, flat and
+// streamed alike, with the aggregate of the same round without a deadline.
+func TestPassedDeadlineStillReadsTheQueue(t *testing.T) {
+	const parties = 9
+	grads := testGrads(parties, 6)
+	for _, fanout := range []int{0, 3} {
+		run := func(timeout time.Duration) ([]float64, RoundReport) {
+			p := NewProfile(SystemFATE, 128, parties)
+			p.RBits = 14
+			p.Cohort = CohortPolicy{Fanout: fanout}
+			p.Round = RoundPolicy{Quorum: 1, PhaseTimeout: timeout}
+			ctx, err := NewContext(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fed := NewFederation(ctx)
+			defer fed.Close()
+			sum, rep, err := fed.SecureAggregateReport(grads)
+			if err != nil {
+				t.Fatalf("fanout %d, deadline %v: %v", fanout, timeout, err)
+			}
+			return sum, rep
+		}
+		sum, rep := run(time.Nanosecond)
+		if len(rep.Included) != parties || len(rep.Dropped) != 0 {
+			t.Fatalf("fanout %d: included %d, dropped %v; want all %d in", fanout, len(rep.Included), rep.Dropped, parties)
+		}
+		if want, _ := run(0); !sameBits(sum, want) {
+			t.Fatalf("fanout %d: aggregate %v under a passed deadline, %v without one", fanout, sum, want)
+		}
+	}
+}

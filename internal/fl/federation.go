@@ -145,39 +145,10 @@ func (f *Federation) SecureAggregateReport(grads [][]float64) ([]float64, RoundR
 	err = rd.Finish(err)
 	rep := rd.Report()
 	rep.Admitted = admitted
-	f.observeRound(rep, err)
 	if err != nil {
 		return nil, rep, err
 	}
 	return result, rep, nil
-}
-
-// observeRound publishes one completed round's protocol counters into the
-// context's metrics registry and refreshes the transport meter. No-op
-// without an attached observability bundle.
-func (f *Federation) observeRound(rep RoundReport, err error) {
-	c := f.Ctx
-	if c.Obs == nil {
-		return
-	}
-	c.metricAdd("rounds", 1)
-	if err != nil {
-		c.metricAdd("round_failures", 1)
-	}
-	c.metricAdd("round_drops", int64(len(rep.Dropped)))
-	c.metricAdd("round_stale", int64(rep.Stale))
-	c.metricAdd("round_dups", int64(rep.Duplicates))
-	c.Obs.Metrics().SetGauge("fl."+c.obsPrefix+".round_scale", rep.Scale)
-	if d := rep.Defense; d != nil {
-		c.metricAdd("defense_rounds", 1)
-		c.metricAdd("defense_trimmed", d.Stats.TrimmedCoords)
-		c.metricAdd("defense_clips", int64(d.Stats.Clipped))
-		c.metricAdd("defense_dropped", int64(d.Stats.GroupsDropped))
-		c.Obs.Metrics().SetGauge("fl."+c.obsPrefix+".defense_suspicion", d.MaxSuspicion())
-	}
-	if mt, ok := f.Transport.(interface{ Meter() *flnet.Meter }); ok {
-		mt.Meter().Publish(c.Obs.Metrics(), "net."+c.obsPrefix)
-	}
 }
 
 // Close releases the transport.
@@ -298,7 +269,7 @@ func (f *Federation) decrypt(rd *Round, reached []string, count int) ([]float64,
 		copies = append(copies, delivery{cl, frame})
 	}
 	for _, cp := range copies {
-		result, _, report, err := cp.to.open(cp.frame, sched, count, rd.Included(), rd.Span)
+		result, _, report, err := cp.to.Open(cp.frame, sched, count, rd.Included())
 		if isFrameError(err) {
 			if rerr := rd.Drop(PhaseDecrypt, cp.to.Name, err); rerr != nil {
 				return nil, rerr

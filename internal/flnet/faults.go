@@ -144,8 +144,8 @@ func (c *ChaosTransport) Send(msg Message) error {
 func (c *ChaosTransport) Recv(party string) (Message, error) { return c.RecvTimeout(party, 0) }
 
 // RecvTimeout implements Transport: the frames held for party are released
-// once a deadline receive times out, or first when there is no deadline. The
-// receive FailRecvAt names fails before either.
+// once a deadline receive times out, or first when there is no deadline
+// (d == 0). The receive FailRecvAt names fails before either.
 func (c *ChaosTransport) RecvTimeout(party string, d time.Duration) (Message, error) {
 	c.mu.Lock()
 	c.stats.Recvs++
@@ -157,7 +157,7 @@ func (c *ChaosTransport) RecvTimeout(party string, d time.Duration) (Message, er
 	if fail {
 		return Message{}, fmt.Errorf("flnet: injected recv failure at operation %d", c.cfg.FailRecvAt)
 	}
-	if d <= 0 {
+	if d == 0 {
 		c.release(party)
 	}
 	msg, err := c.inner.RecvTimeout(party, d)

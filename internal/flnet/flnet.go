@@ -125,7 +125,9 @@ type Transport interface {
 	// Recv blocks until a message for the named party arrives.
 	Recv(party string) (Message, error)
 	// RecvTimeout blocks like Recv but gives up after d, returning an error
-	// satisfying IsTimeout. d <= 0 means no deadline.
+	// satisfying IsTimeout. d == 0 means no deadline; d < 0 means the
+	// deadline has passed: a message already queued is returned, and
+	// otherwise the timeout at once.
 	RecvTimeout(party string, d time.Duration) (Message, error)
 	// Close releases transport resources; subsequent calls fail.
 	Close() error
@@ -180,29 +182,30 @@ func (q *simQueue) pop() (Message, bool) {
 	return m, true
 }
 
-// SimTransport is the in-process transport: per-party unbounded queues with
-// every byte metered through the link model. Closing never closes any
-// channel a sender writes — a broadcast `done` channel unblocks receivers —
-// so Send racing Close cannot panic.
+// SimTransport is the in-process transport: per-party unbounded queues.
+// It meters nothing: the in-process round sends every frame through
+// fl.Context.deliver, which charges it to the round's cost ledger. Closing
+// never closes any channel a sender writes — a broadcast `done` channel
+// unblocks receivers — so Send racing Close cannot panic.
 //
-// A deadline is read off the queue, not a clock: RecvTimeout with d > 0 on
-// an empty queue returns ErrTimeout at once. The in-process round steps every
-// party on one thread and sends a wave's uploads, or the broadcast, before
-// anyone receives them, so an empty queue at a deadline means nothing more
-// will arrive. Recv, and RecvTimeout with d <= 0, block until a message does.
+// A deadline is read off the queue, not a clock: RecvTimeout with any d != 0
+// returns a queued message, passed deadline or not, and on an empty queue
+// returns ErrTimeout at once. The in-process round steps every party on one
+// thread and sends a wave's uploads, or the broadcast, before anyone receives
+// them, so a queued frame has arrived and an empty queue at a deadline means
+// nothing more will. Recv, and RecvTimeout with d == 0, block until a message
+// does.
 type SimTransport struct {
-	meter *Meter
-
 	mu     sync.Mutex
 	queues map[string]*simQueue
 	done   chan struct{}
 	closed bool
 }
 
-// NewSimTransport creates a transport for the named parties.
-func NewSimTransport(link Link, parties ...string) *SimTransport {
+// NewSimTransport creates a transport for the named parties. The link is
+// unused: the caller's cost ledger prices the frames.
+func NewSimTransport(_ Link, parties ...string) *SimTransport {
 	t := &SimTransport{
-		meter:  NewMeter(link),
 		queues: make(map[string]*simQueue, len(parties)),
 		done:   make(chan struct{}),
 	}
@@ -211,9 +214,6 @@ func NewSimTransport(link Link, parties ...string) *SimTransport {
 	}
 	return t
 }
-
-// Meter exposes the transport's traffic meter.
-func (t *SimTransport) Meter() *Meter { return t.meter }
 
 // Send implements Transport. The queues are unbounded, so Send never blocks.
 func (t *SimTransport) Send(msg Message) error {
@@ -228,17 +228,16 @@ func (t *SimTransport) Send(msg Message) error {
 		return fmt.Errorf("flnet: unknown party %q", msg.To)
 	}
 	q.push(msg)
-	t.meter.Record(msg.WireSize())
 	return nil
 }
 
 // Recv implements Transport.
 func (t *SimTransport) Recv(party string) (Message, error) { return t.recv(party, false) }
 
-// RecvTimeout implements Transport: with d > 0 an empty queue is a timeout
+// RecvTimeout implements Transport: with d != 0 an empty queue is a timeout
 // (see SimTransport).
 func (t *SimTransport) RecvTimeout(party string, d time.Duration) (Message, error) {
-	return t.recv(party, d > 0)
+	return t.recv(party, d != 0)
 }
 
 func (t *SimTransport) recv(party string, deadline bool) (Message, error) {

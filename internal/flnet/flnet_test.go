@@ -44,10 +44,6 @@ func TestSimTransportRoundTrip(t *testing.T) {
 	if got.From != "a" || got.Kind != "test" || string(got.Payload) != "hello" {
 		t.Fatalf("received %+v", got)
 	}
-	bytes, msgs, _ := tr.Meter().Snapshot()
-	if msgs != 1 || bytes != msg.WireSize() {
-		t.Fatalf("meter recorded %d bytes %d msgs", bytes, msgs)
-	}
 }
 
 func TestSimTransportErrors(t *testing.T) {
@@ -313,12 +309,23 @@ func TestSimTransportRecvTimeout(t *testing.T) {
 	if _, err := tr.RecvTimeout("b", time.Hour); !IsTimeout(err) {
 		t.Fatalf("empty queue with an hour's deadline: want timeout, got %v", err)
 	}
-	// d <= 0 behaves like Recv for a ready message.
+	// d == 0 behaves like Recv for a ready message.
 	if err := tr.Send(Message{From: "a", To: "b", Kind: "y"}); err != nil {
 		t.Fatal(err)
 	}
 	if msg, err := tr.RecvTimeout("b", 0); err != nil || msg.Kind != "y" {
 		t.Fatalf("RecvTimeout(0) = %+v, %v", msg, err)
+	}
+	// A passed deadline (d < 0) still returns what is queued, and an empty
+	// queue is then a timeout at once.
+	if err := tr.Send(Message{From: "a", To: "b", Kind: "z"}); err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := tr.RecvTimeout("b", -time.Second); err != nil || msg.Kind != "z" {
+		t.Fatalf("RecvTimeout(-1s) on a queued message = %+v, %v", msg, err)
+	}
+	if _, err := tr.RecvTimeout("b", -time.Second); !IsTimeout(err) {
+		t.Fatalf("RecvTimeout(-1s) on an empty queue: want timeout, got %v", err)
 	}
 }
 

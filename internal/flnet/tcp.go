@@ -304,26 +304,37 @@ func (c *TCPClient) Recv(party string) (Message, error) {
 }
 
 // RecvTimeout implements Transport: it waits for the reader's next whole
-// frame, the deadline or the connection's end, whichever comes first.
+// frame, the deadline or the connection's end, whichever comes first. With
+// d < 0 it takes a frame the reader already holds and does not wait.
 func (c *TCPClient) RecvTimeout(party string, d time.Duration) (Message, error) {
 	if party != c.name {
 		return Message{}, fmt.Errorf("flnet: client %q cannot receive for %q", c.name, party)
 	}
-	var timeout <-chan time.Time
-	if d > 0 {
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		timeout = timer.C
-	}
-	select {
-	case frame, ok := <-c.frames:
-		if !ok {
-			return Message{}, fmt.Errorf("flnet: recv: %w", c.readErr)
+	var frame []byte
+	var ok bool
+	if d < 0 {
+		select {
+		case frame, ok = <-c.frames:
+		default:
+			return Message{}, fmt.Errorf("%w: party %q", ErrTimeout, party)
 		}
-		return decodeMessage(frame)
-	case <-timeout:
-		return Message{}, fmt.Errorf("%w: party %q", ErrTimeout, party)
+	} else {
+		var timeout <-chan time.Time
+		if d > 0 {
+			timer := time.NewTimer(d)
+			defer timer.Stop()
+			timeout = timer.C
+		}
+		select {
+		case frame, ok = <-c.frames:
+		case <-timeout:
+			return Message{}, fmt.Errorf("%w: party %q", ErrTimeout, party)
+		}
 	}
+	if !ok {
+		return Message{}, fmt.Errorf("flnet: recv: %w", c.readErr)
+	}
+	return decodeMessage(frame)
 }
 
 // Close implements Transport and reaps the reader goroutine.

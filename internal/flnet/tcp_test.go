@@ -41,6 +41,26 @@ func TestTCPClientRecvTimeout(t *testing.T) {
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("deadline ignored")
 	}
+	// A passed deadline (d < 0) never waits: a quiet connection times out,
+	// and a frame the reader holds is taken once it has arrived.
+	if _, err := c.RecvTimeout("quiet", -1); !IsTimeout(err) {
+		t.Fatalf("passed deadline on a quiet connection: want timeout, got %v", err)
+	}
+	if err := c.Send(Message{From: "quiet", To: "quiet", Kind: "late"}); err != nil {
+		t.Fatal(err)
+	}
+	for start := time.Now(); ; time.Sleep(time.Millisecond) {
+		msg, err := c.RecvTimeout("quiet", -1)
+		if err == nil {
+			if msg.Kind != "late" {
+				t.Fatalf("passed deadline took %+v", msg)
+			}
+			break
+		}
+		if !IsTimeout(err) || time.Since(start) > 5*time.Second {
+			t.Fatalf("passed deadline never took the arrived frame: %v", err)
+		}
+	}
 }
 
 func TestTCPClientPeerDisconnectMidFrame(t *testing.T) {

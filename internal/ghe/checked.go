@@ -86,12 +86,9 @@ type CheckedStats struct {
 	LaunchFaults int64
 	// Retries counts re-executions after a fault or a verification miss.
 	Retries int64
-	// VerifySamples and VerifyFailures count residue spot-checks and the
-	// corruptions they caught. The device's FaultCorruptions also counts a
-	// corruption that failed a set-up launch, whose body cannot carry it
-	// silently, so it is no copy of VerifyFailures.
-	VerifySamples  int64
-	VerifyFailures int64
+	// VerifySamples counts residue spot-checks; the corruptions they caught
+	// are the devices' FaultCorruptions.
+	VerifySamples int64
 }
 
 // add accumulates a member's share into the aggregate.
@@ -99,7 +96,6 @@ func (s *CheckedStats) add(m CheckedStats) {
 	s.LaunchFaults += m.LaunchFaults
 	s.Retries += m.Retries
 	s.VerifySamples += m.VerifySamples
-	s.VerifyFailures += m.VerifyFailures
 }
 
 // CheckedEngine is the one executor of the GPU-HE layer (DESIGN.md §7, §15):
@@ -237,7 +233,6 @@ func publishShare(reg *obs.Registry, prefix string, s CheckedStats, ts tableStat
 	reg.Set(prefix+".launch_faults", s.LaunchFaults)
 	reg.Set(prefix+".retries", s.Retries)
 	reg.Set(prefix+".verify_samples", s.VerifySamples)
-	reg.Set(prefix+".verify_failures", s.VerifyFailures)
 	reg.Set(prefix+".table_builds", ts.builds)
 	reg.Set(prefix+".table_entries", ts.entries)
 	reg.Set(prefix+".table_ops", ts.ops)
@@ -401,9 +396,6 @@ func (mb *member) spotCheck(op vecOp, frac float64) bool {
 		ok := mpint.Cmp(mpint.Mod(out[i], p), mpint.Mod(op.verify(i), p)) == 0
 		mb.mu.Lock()
 		mb.stats.VerifySamples++
-		if !ok {
-			mb.stats.VerifyFailures++
-		}
 		mb.mu.Unlock()
 		if !ok {
 			return false

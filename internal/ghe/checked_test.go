@@ -282,8 +282,8 @@ func TestCheckedCatchesCorruption(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.VerifyFailures == 0 {
-		t.Fatalf("verification did not catch the corruption: %+v", st)
+	if dev := c.Set().StatsSum(); dev.FaultCorruptions == 0 {
+		t.Fatalf("verification did not catch the corruption: %+v, device %+v", st, dev)
 	}
 	if set := c.Set().Stats(); set.HostShards == 0 {
 		t.Fatalf("corrupted op was not served from the host: %+v, set %+v", st, set)
@@ -328,8 +328,8 @@ func TestCheckedFullVerificationNeverMissesCorruption(t *testing.T) {
 			}
 		}
 	}
-	if st := c.Stats(); st.VerifyFailures == 0 {
-		t.Fatalf("expected corrupted launches to be caught: %+v", st)
+	if dev := c.Set().StatsSum(); dev.FaultCorruptions == 0 {
+		t.Fatalf("expected corrupted launches to be caught: %+v", dev)
 	}
 }
 
@@ -440,7 +440,7 @@ func TestCheckedStatsDeterministic(t *testing.T) {
 		t.Fatalf("device fault counters diverged for one seed:\n%+v\n%+v", devA, devB)
 	}
 	sameVec(t, "results under one seed", outB, outA)
-	if a.LaunchFaults == 0 || a.VerifyFailures == 0 || devA.FaultStalls == 0 {
+	if a.LaunchFaults == 0 || devA.FaultCorruptions == 0 || devA.FaultStalls == 0 {
 		t.Fatalf("expected aborts, corruptions and stalls: %+v, device %+v", a, devA)
 	}
 }
@@ -539,8 +539,8 @@ func TestCheckedTableIUnderCorruption(t *testing.T) {
 			t.Fatalf("seed %d: prime %s under corruption, the host loop says %s", round, gotP, wantP)
 		}
 	}
-	if st, set := c.Stats(), c.Set().Stats(); st.VerifyFailures == 0 || st.Retries == 0 || set.HostShards != 0 {
-		t.Fatalf("corrupted launches should be caught and retried on the device: %+v, set %+v", st, set)
+	if st, set, dev := c.Stats(), c.Set().Stats(), c.Set().StatsSum(); dev.FaultCorruptions == 0 || st.Retries == 0 || set.HostShards != 0 {
+		t.Fatalf("corrupted launches should be caught and retried on the device: %+v, set %+v, device %+v", st, set, dev)
 	}
 }
 
@@ -638,8 +638,8 @@ func TestFusedDescriptorsUnderCorruption(t *testing.T) {
 		sameVec(t, "decrypt_crt_vec under corruption", opened, pts)
 		sameVec(t, "shift_pack_vec under corruption", packed, wantPacks)
 	}
-	st, set := c.Stats(), c.Set().Stats()
-	if st.VerifyFailures == 0 || st.Retries == 0 || set.HostShards != 0 {
-		t.Fatalf("want corruptions caught and retried on the device, none served by the host: %+v, set %+v", st, set)
+	st, set, dev := c.Stats(), c.Set().Stats(), c.Set().StatsSum()
+	if dev.FaultCorruptions == 0 || st.Retries == 0 || set.HostShards != 0 {
+		t.Fatalf("want corruptions caught and retried on the device, none served by the host: %+v, set %+v, device %+v", st, set, dev)
 	}
 }

@@ -200,8 +200,8 @@ func TestCheckedEncryptCatchesCorruption(t *testing.T) {
 	}
 	sameVec(t, "encrypt_vec under corruption", got, want)
 	st := c.Stats()
-	if st.VerifyFailures == 0 || st.Retries == 0 {
-		t.Fatalf("the injector corrupted no attempt at this seed: %+v", st)
+	if dev := c.Set().StatsSum(); dev.FaultCorruptions == 0 || st.Retries == 0 {
+		t.Fatalf("the injector corrupted no attempt at this seed: %+v, device %+v", st, dev)
 	}
 	if set := c.Set().Stats(); set.HostShards != 0 {
 		t.Fatalf("the retry budget should have healed the op on the device: %+v, set %+v", st, set)

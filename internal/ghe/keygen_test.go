@@ -116,8 +116,8 @@ func TestExecutorWalkIsTheHostWalk(t *testing.T) {
 			t.Fatalf("%s: %d pairs", names[i], pairs)
 		}
 	}
-	if st, set := faulty.Stats(), faulty.Set().Stats(); st.VerifyFailures == 0 || st.Retries == 0 || set.HostShards != 0 {
-		t.Fatalf("want poisoned verdicts caught and retried on the device: %+v, set %+v", st, set)
+	if st, set, dev := faulty.Stats(), faulty.Set().Stats(), faulty.Set().StatsSum(); dev.FaultCorruptions == 0 || st.Retries == 0 || set.HostShards != 0 {
+		t.Fatalf("want poisoned verdicts caught and retried on the device: %+v, set %+v, device %+v", st, set, dev)
 	}
 	for i, eng := range engines[:3] {
 		if st := eng.Set().Stats(); st.Ops == 0 || (i > 0 && st.Shards <= st.Ops) {

@@ -89,8 +89,8 @@ func TestMultiExpVecEveryEngine(t *testing.T) {
 			t.Fatalf("D=%d: %v", d, err)
 		}
 		sameVec(t, "executor", got, want)
-		if st := chk.Stats(); st.VerifySamples != int64(len(sums)) || st.VerifyFailures != 0 {
-			t.Errorf("D=%d: %d lanes verified, %d failed, want %d and 0", d, st.VerifySamples, st.VerifyFailures, len(sums))
+		if st, dev := chk.Stats(), chk.Set().StatsSum(); st.VerifySamples != int64(len(sums)) || dev.FaultCorruptions != 0 {
+			t.Errorf("D=%d: %d lanes verified, %d failed, want %d and 0", d, st.VerifySamples, dev.FaultCorruptions, len(sums))
 		}
 	}
 
@@ -220,8 +220,8 @@ func TestSignedMultiExpVec(t *testing.T) {
 			t.Fatalf("D=%d: %v", d, err)
 		}
 		sameVec(t, fmt.Sprintf("executor at D=%d", d), got, want)
-		if st := chk.Stats(); st.VerifySamples != int64(len(sums)) || st.VerifyFailures != 0 {
-			t.Errorf("D=%d: %d lanes verified, %d failed, want %d and 0", d, st.VerifySamples, st.VerifyFailures, len(sums))
+		if st, dev := chk.Stats(), chk.Set().StatsSum(); st.VerifySamples != int64(len(sums)) || dev.FaultCorruptions != 0 {
+			t.Errorf("D=%d: %d lanes verified, %d failed, want %d and 0", d, st.VerifySamples, dev.FaultCorruptions, len(sums))
 		}
 
 		// A factor of n has no inverse mod n.
@@ -324,8 +324,8 @@ func TestCheckedMultiExpCatchesCorruption(t *testing.T) {
 		}
 		sameVec(t, "under corruption", got, want)
 	}
-	if st := c.Stats(); st.VerifyFailures == 0 || st.Retries == 0 {
-		t.Errorf("injector never corrupted a launch at this seed: %+v", st)
+	if st, dev := c.Stats(), c.Set().StatsSum(); dev.FaultCorruptions == 0 || st.Retries == 0 {
+		t.Errorf("injector never corrupted a launch at this seed: %+v, device %+v", st, dev)
 	}
 
 	// One attempt on a member whose device dies at the lanes' launch, then

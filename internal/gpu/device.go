@@ -47,9 +47,10 @@ type Stats struct {
 
 	// Fault/health observability (DESIGN.md §7), the one record of a device
 	// fault. Per-kind counters record *observed* failures: a silent
-	// corruption counts once verification reports it (ReportFailure), one
-	// that a launch's body cannot carry when it fails that launch. Each stall
-	// is one watchdog trip.
+	// corruption counts once verification reports it (ReportFailure), so
+	// FaultCorruptions is what verification caught; a corrupt draw on a body
+	// that cannot carry it fails the launch and counts as an abort. Each
+	// stall is one watchdog trip.
 	LaunchFailures      int64
 	FaultAborts         int64
 	FaultCorruptions    int64
@@ -217,7 +218,7 @@ func (d *Device) Health() HealthState {
 	return d.stats.Health
 }
 
-// ReportFailure feeds an externally detected launch failure — typically a
+// ReportFailure feeds an externally detected launch failure — a
 // result-verification miss on a kernel that reported success — into the
 // health machine and the per-kind counters.
 func (d *Device) ReportFailure(kind FaultKind) {
@@ -302,8 +303,8 @@ const LaneGroup = 8
 // Poisoner is a Body whose results an attached FaultInjector can corrupt
 // after the kernel ran (the transient bit-flip model): Poison perturbs one
 // item's result. The launch still reports success — only downstream
-// verification can catch it. A corrupt fault on a body that is no Poisoner
-// fails visibly instead.
+// verification can catch it. A corrupt draw on a body that is no Poisoner
+// fails the launch as an abort.
 type Poisoner interface {
 	Poison(item int)
 }
@@ -389,10 +390,12 @@ func (d *Device) Launch(k Kernel) (float64, error) {
 		fault, poisonItem = injector.decide(k.Items)
 	}
 
-	if _, ok := k.Body.(Poisoner); fault != "" && (fault != FaultCorrupt || !ok) {
+	if _, ok := k.Body.(Poisoner); fault == FaultCorrupt && !ok {
+		fault = FaultAbort // nothing to poison: what is observed is a failed launch
+	}
+	if fault != "" && fault != FaultCorrupt {
 		// An abort yields no results, an OOM is a working set the device cannot
-		// hold, a stall hangs until the watchdog gives it up, and a corruption
-		// with nothing to poison is visible as a hard fault.
+		// hold, and a stall hangs until the watchdog gives it up.
 		d.failLaunch(k.Name, fault)
 		return 0, &KernelError{Kind: fault, Kernel: k.Name, Attempt: attempt}
 	}

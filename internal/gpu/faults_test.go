@@ -151,7 +151,8 @@ func TestOOMFaultFailsLaunch(t *testing.T) {
 }
 
 // TestCorruptFaultPoisonsSilently: with a Poison callback the launch succeeds
-// and one item is perturbed; without one the corruption is a visible fault.
+// and one item is perturbed; without one the draw fails the launch and is
+// counted once, as the abort it is observed as.
 func TestCorruptFaultPoisonsSilently(t *testing.T) {
 	d := MustNew(SmallTestDevice(), true)
 	d.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 1, CorruptProb: 1}))
@@ -178,12 +179,15 @@ func TestCorruptFaultPoisonsSilently(t *testing.T) {
 	}
 
 	// No Poisoner → the corruption cannot be modelled silently and the
-	// launch fails visibly instead.
+	// launch fails visibly instead, as an abort.
 	k2 := Kernel{Name: "unpoisonable", Items: 4, RegsPerThread: 16}
 	_, err := d.Launch(k2.over(func(int) {}))
 	var kerr *KernelError
-	if !errors.As(err, &kerr) || kerr.Kind != FaultCorrupt {
-		t.Fatalf("want visible corrupt KernelError, got %v", err)
+	if !errors.As(err, &kerr) || kerr.Kind != FaultAbort {
+		t.Fatalf("want an abort KernelError, got %v", err)
+	}
+	if st := d.Stats(); st.FaultAborts != 1 || st.FaultCorruptions != 0 {
+		t.Fatalf("unpoisonable corrupt draw counted as %d aborts and %d corruptions, want 1 and 0", st.FaultAborts, st.FaultCorruptions)
 	}
 }
 
