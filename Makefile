@@ -53,8 +53,8 @@ loc:
 # Which code any command, example or the benchmark enters: builds the four
 # commands and five examples with -cover -coverpkg=./..., runs them over a
 # fixed matrix (every flbench experiment at 128-bit keys, the benchmark at
-# smoke sizing traced and untraced and one full-size pass, every hectl
-# command, a flserver demo per -defense combiner and -byz attack plus cohort,
+# smoke sizing traced and untraced and one full-size pass, hectl keygen and
+# bench, a flserver demo per -defense combiner and -byz attack plus cohort,
 # fan-out, devices and quorum runs, a -fanout 1 run that must be refused, a
 # loopback hub with a server that crashes at its failpoint and resumes, every
 # example) and prints the share of statements reached, the per-package shares

@@ -127,11 +127,13 @@ func TestDemoQuorumBelowThresholdFails(t *testing.T) {
 func TestDemoDefendedRound(t *testing.T) {
 	// The robustness flags end to end over loopback TCP: a seeded scale
 	// adversary poisons one upload, the server aggregates group-wise, and
-	// every client decrypts and robust-combines the grouped aggregate.
+	// every client decrypts and robust-combines the grouped aggregate —
+	// and publishes what its combiner did, as an in-process round's does.
+	o := obs.New(9)
 	done := make(chan error, 1)
 	go func() {
 		done <- runDemo(opts{
-			clients: 4, dim: 4, keyBits: 128, seed: 9,
+			clients: 4, dim: 4, keyBits: 128, seed: 9, o: o,
 			byz:     fl.AttackScale,
 			defense: fl.DefensePolicy{Groups: 2, Combiner: fl.CombineMedian},
 		})
@@ -143,6 +145,15 @@ func TestDemoDefendedRound(t *testing.T) {
 		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("defended demo hung")
+	}
+	var text strings.Builder
+	if err := o.Metrics().WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if want := fmt.Sprintf("counter fl.%s.defense_rounds 1\n", fl.ClientName(i)); !strings.Contains(text.String(), want) {
+			t.Errorf("no %q in:\n%s", want, text.String())
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"flbooster/internal/mpint"
 )
 
 func TestRunKeygen(t *testing.T) {
@@ -63,24 +65,55 @@ func TestKeygenIsAFunctionOfTheSeed(t *testing.T) {
 	}
 }
 
-func TestRunEncryptRoundTrip(t *testing.T) {
-	if err := run([]string{"encrypt", "-bits", "128", "-seed", "7", "12", "3456789"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRunAdd(t *testing.T) {
-	if err := run([]string{"add", "-bits", "128", "-seed", "7", "10", "32"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"add", "-bits", "128", "-seed", "7", "10"}); err == nil {
-		t.Fatal("odd value count should fail")
-	}
-}
-
+// TestRunBench: the table is Table I's 16 ops in one row each, printed only
+// once every element of every op matched the host loop; mod_inv, a host loop
+// itself, is the one op with no device reading.
 func TestRunBench(t *testing.T) {
-	if err := run([]string{"bench", "-bits", "128", "-seed", "7", "-n", "8"}); err != nil {
-		t.Fatal(err)
+	out := stdout(t, "bench", "-bits", "128", "-seed", "7", "-n", "8")
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	want := []string{
+		"paillier key_gen", "paillier encrypt", "paillier decrypt", "paillier add",
+		"rsa key_gen", "rsa encrypt", "rsa decrypt", "rsa mul",
+		"add", "sub", "mul", "div", "mod", "mod_inv", "mod_mul", "mod_pow",
+	}
+	if len(lines) != 2+len(want) || !strings.HasPrefix(lines[0], "Table I at 128-bit keys, 8 operands an op") {
+		t.Fatalf("bench printed:\n%s", out)
+	}
+	for i, name := range want {
+		f := strings.Fields(strings.TrimPrefix(lines[2+i], name))
+		if !strings.HasPrefix(lines[2+i], name+" ") || len(f) != 3 {
+			t.Fatalf("row %d is %q, want op %q", i, lines[2+i], name)
+		}
+		count := "8"
+		if strings.HasSuffix(name, "key_gen") {
+			count = "1"
+		}
+		if f[0] != count || (f[2] == "host") != (name == "mod_inv") {
+			t.Errorf("row %q: want %s results and a device reading unless it is mod_inv", lines[2+i], count)
+		}
+	}
+}
+
+// TestBenchRejectsNonPositiveN: -n sizes the operand vectors, so a negative one
+// used to panic in make and zero printed a table of 0/s rows.
+func TestBenchRejectsNonPositiveN(t *testing.T) {
+	for _, n := range []string{"-1", "0"} {
+		if err := run([]string{"bench", "-bits", "128", "-seed", "7", "-n", n}); err == nil || !strings.Contains(err.Error(), "invalid -n") {
+			t.Errorf("bench -n %s: %v, want a flag error", n, err)
+		}
+	}
+}
+
+// TestCheckNamesOpAndElement: a result that differs from the host loop's is an
+// error naming the op and the first element that differs.
+func TestCheckNamesOpAndElement(t *testing.T) {
+	o := op{name: "add", count: 3, got: at([]mpint.Nat{mpint.FromUint64(0), mpint.FromUint64(1), mpint.FromUint64(3)}),
+		want: func(i int) mpint.Nat { return mpint.FromUint64(uint64(i)) }}
+	if err := o.check(); err == nil || err.Error() != "add: element 2 is 3, the host loop gives 2" {
+		t.Errorf("check = %v, want add's element 2", err)
+	}
+	if o.count = 2; o.check() != nil {
+		t.Errorf("the first two elements match, yet: %v", o.check())
 	}
 }
 
@@ -88,19 +121,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run(nil); err == nil {
 		t.Fatal("no command should fail")
 	}
-	if err := run([]string{"nope"}); err == nil {
-		t.Fatal("unknown command should fail")
-	}
-	if err := run([]string{"encrypt", "-bits", "128", "-seed", "7"}); err == nil {
-		t.Fatal("encrypt with no values should fail")
-	}
-	if err := run([]string{"encrypt", "-bits", "128", "-seed", "7", "xyz"}); err == nil {
-		t.Fatal("non-numeric value should fail")
-	}
-}
-
-func TestPrefix(t *testing.T) {
-	if prefix("abcdef", 3) != "abc" || prefix("ab", 3) != "ab" {
-		t.Fatal("prefix helper broken")
+	for _, cmd := range []string{"nope", "encrypt", "add"} {
+		if err := run([]string{cmd}); err == nil {
+			t.Errorf("unknown command %q should fail", cmd)
+		}
 	}
 }

@@ -239,8 +239,8 @@ func (p *Platform) PaillierAdd(pub *paillier.PublicKey, a, b []paillier.Cipherte
 // --- Table I: RSA family ------------------------------------------------------
 
 // RSAKeyGen generates an RSA key pair with an n of exactly `bits` bits, its
-// primes walked as PaillierKeyGen's are: rsa.GenerateKey's key on the
-// platform's seed stream. Sizes rsa.GenerateKey rejects reject here the same.
+// primes walked as PaillierKeyGen's are: rsa.GenerateKeyWith's key on the
+// platform's seed stream. Sizes rsa.CheckKeyBits rejects reject here the same.
 func (p *Platform) RSAKeyGen(bits int) (*rsa.PrivateKey, error) {
 	if err := rsa.CheckKeyBits(bits); err != nil {
 		return nil, err
@@ -271,7 +271,7 @@ func (p *Platform) RSAEncrypt(pub *rsa.PublicKey, plaintexts []mpint.Nat) ([]rsa
 }
 
 // RSADecrypt decrypts a ciphertext batch (one modexp kernel with the private
-// exponent; per-element CRT is the serial path in internal/rsa).
+// exponent).
 func (p *Platform) RSADecrypt(priv *rsa.PrivateKey, cts []rsa.Ciphertext) ([]mpint.Nat, error) {
 	bases := make([]mpint.Nat, len(cts))
 	for i, c := range cts {

@@ -464,8 +464,8 @@ func TestKeyGenSizes(t *testing.T) {
 				t.Fatalf("seed %d: Paillier key of %d bits (%v), want %d", seed, sk.KeyBits(), err, bits)
 			}
 			rk, err := p.RSAKeyGen(bits)
-			if err != nil || rk.KeyBits() != bits {
-				t.Fatalf("seed %d: RSA key of %d bits (%v), want %d", seed, rk.KeyBits(), err, bits)
+			if err != nil || rk.N.BitLen() != bits {
+				t.Fatalf("seed %d: RSA key of %d bits (%v), want %d", seed, rk.N.BitLen(), err, bits)
 			}
 		}
 	}

@@ -193,11 +193,20 @@ var ErrBadAggregate = errors.New("fl: aggregate does not open")
 // metadata is then cross-checked against the seeded partition of exactly
 // those clients. A TCP client cannot have that check: the wire tells it K,
 // not who, so it passes nil and opens on coverage alone. Every reject is
-// typed: a frame error, or ErrBadAggregate.
+// typed: a frame error, or ErrBadAggregate. A defended round's report is
+// published on the client's context as it is made: what the combiner
+// suppressed, under "fl.<label>.defense_*".
 func (c *Client) Open(frame []byte, sched Schedule, count int, contributors []string) ([]float64, int, *DefenseReport, error) {
 	sums, k, defense, err := c.Ctx.NewAggregation(sched.Round, sched.Cohort).Open(frame, count, contributors)
 	if err != nil && !isFrameError(err) {
 		err = fmt.Errorf("%w: %w", ErrBadAggregate, err)
+	}
+	if ctx := c.Ctx; defense != nil && ctx.Obs != nil {
+		ctx.metricAdd("defense_rounds", 1)
+		ctx.metricAdd("defense_trimmed", defense.Stats.TrimmedCoords)
+		ctx.metricAdd("defense_clips", int64(defense.Stats.Clipped))
+		ctx.metricAdd("defense_dropped", int64(defense.Stats.GroupsDropped))
+		ctx.Obs.Metrics().SetGauge("fl."+ctx.obsPrefix+".defense_suspicion", defense.MaxSuspicion())
 	}
 	return sums, k, defense, err
 }

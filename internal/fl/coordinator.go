@@ -537,8 +537,9 @@ func (rd *Round) journalOutcome(err error) error {
 
 // publish adds one finished round to the context's protocol counters under
 // "fl.<label>.": the round and its failure, the drop / stale / duplicate
-// tallies, the quorum scale and, for a defended round, what the combiner
-// suppressed. Every host that runs a Coordinator reports the same counters.
+// tallies and the quorum scale. Every host that runs a Coordinator reports the
+// same counters; what a defense suppressed is published by the client that
+// opened the aggregate (Client.Open).
 func (rd *Round) publish(err error) {
 	ctx := rd.c.ctx
 	if ctx.Obs == nil {
@@ -552,13 +553,5 @@ func (rd *Round) publish(err error) {
 	ctx.metricAdd("round_drops", int64(len(rep.Dropped)))
 	ctx.metricAdd("round_stale", int64(rep.Stale))
 	ctx.metricAdd("round_dups", int64(rep.Duplicates))
-	reg := ctx.Obs.Metrics()
-	reg.SetGauge("fl."+ctx.obsPrefix+".round_scale", rep.Scale)
-	if d := rep.Defense; d != nil {
-		ctx.metricAdd("defense_rounds", 1)
-		ctx.metricAdd("defense_trimmed", d.Stats.TrimmedCoords)
-		ctx.metricAdd("defense_clips", int64(d.Stats.Clipped))
-		ctx.metricAdd("defense_dropped", int64(d.Stats.GroupsDropped))
-		reg.SetGauge("fl."+ctx.obsPrefix+".defense_suspicion", d.MaxSuspicion())
-	}
+	ctx.Obs.Metrics().SetGauge("fl."+ctx.obsPrefix+".round_scale", rep.Scale)
 }

@@ -325,8 +325,10 @@ func FuzzDivMod(f *testing.F) {
 		if s := Add(x, y); toBig(s).Cmp(new(big.Int).Add(bx, by)) != 0 {
 			t.Fatalf("%s+%s = %s", x, y, s)
 		}
-		if d, sign := CmpSub(x, y); sign != bx.Cmp(by) || toBig(d).Cmp(new(big.Int).Abs(new(big.Int).Sub(bx, by))) != 0 {
-			t.Fatalf("|%s−%s| = %s, sign %d", x, y, d, sign)
+		if bx.Cmp(by) >= 0 {
+			if d := Sub(x, y); toBig(d).Cmp(new(big.Int).Sub(bx, by)) != 0 {
+				t.Fatalf("%s−%s = %s", x, y, d)
+			}
 		}
 		if y.IsZero() {
 			return
@@ -524,9 +526,6 @@ func FuzzBytesRoundTrip(f *testing.F) {
 		}
 		if s := x.String(); s != want.String() {
 			t.Fatalf("String = %s, want %s", s, want)
-		}
-		if back, err := ParseDecimal(want.String()); err != nil || Cmp(back, x) != 0 {
-			t.Fatalf("ParseDecimal(%s) = %s, %v", want, back, err)
 		}
 	})
 }

@@ -643,12 +643,3 @@ func ModMul(a, b, n Nat) Nat { return Mod(Mul(a, b), n) }
 
 // ModAdd returns (a+b) mod n.
 func ModAdd(a, b, n Nat) Nat { return Mod(Add(a, b), n) }
-
-// ModSub returns (a-b) mod n for a, b < n.
-func ModSub(a, b, n Nat) Nat {
-	d, sign := CmpSub(Mod(a, n), Mod(b, n))
-	if sign < 0 {
-		return Sub(n, d)
-	}
-	return d
-}

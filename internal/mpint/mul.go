@@ -55,17 +55,6 @@ func addMulVWGo(z, x []Word, w Word) Word {
 	return c
 }
 
-// mulWord returns x * w.
-func mulWord(x Nat, w Word) Nat {
-	x = trim(x)
-	if len(x) == 0 || w == 0 {
-		return nil
-	}
-	z := make(Nat, len(x)+1)
-	z[len(x)] = mulAddVWW(z[:len(x)], x, w, 0)
-	return trim(z)
-}
-
 // schoolbookInto writes the O(n·m) product of non-empty x and y into z,
 // which must hold exactly len(x)+len(y) limbs and alias neither operand.
 func schoolbookInto(z, x, y []Word) {

@@ -23,10 +23,7 @@
 // uses it only as a differential oracle.
 package mpint
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // Word is a single limb: the host's 64-bit machine word.
 type Word = uint64
@@ -184,7 +181,7 @@ func AddWord(x Nat, w Word) Nat {
 }
 
 // Sub returns x - y. It panics if y > x; unsigned arithmetic has no
-// representation for negative values (use CmpSub when the sign is unknown).
+// representation for negative values.
 func Sub(x, y Nat) Nat {
 	x, y = trim(x), trim(y)
 	if len(y) > len(x) {
@@ -195,18 +192,6 @@ func Sub(x, y Nat) Nat {
 		panic("mpint: Sub underflow")
 	}
 	return trim(z)
-}
-
-// CmpSub returns |x-y| together with the sign of x-y (-1, 0, +1).
-func CmpSub(x, y Nat) (diff Nat, sign int) {
-	switch Cmp(x, y) {
-	case 0:
-		return nil, 0
-	case 1:
-		return Sub(x, y), 1
-	default:
-		return Sub(y, x), -1
-	}
 }
 
 // SubWord returns x - w, panicking on underflow.
@@ -289,7 +274,7 @@ func (x Nat) TrailingZeroBits() uint {
 }
 
 // decimalChunk is the largest power of ten in a limb, and decimalDigits its
-// exponent: decimal I/O moves this many digits per pass over the limbs.
+// exponent: String moves this many digits per pass over the limbs.
 const (
 	decimalChunk  = 10_000_000_000_000_000_000
 	decimalDigits = 19
@@ -316,30 +301,6 @@ func (x Nat) String() string {
 		}
 	}
 	return string(buf[at:])
-}
-
-// ParseDecimal parses a base-10 string into a Nat.
-func ParseDecimal(s string) (Nat, error) {
-	if len(s) == 0 {
-		return nil, fmt.Errorf("mpint: empty decimal string")
-	}
-	var z Nat
-	for i := 0; i < len(s); i += decimalDigits {
-		end := i + decimalDigits
-		if end > len(s) {
-			end = len(s)
-		}
-		var chunk, pow uint64 = 0, 1
-		for _, c := range s[i:end] {
-			if c < '0' || c > '9' {
-				return nil, fmt.Errorf("mpint: invalid digit %q", c)
-			}
-			chunk = chunk*10 + uint64(c-'0')
-			pow *= 10
-		}
-		z = AddWord(mulWord(z, pow), chunk)
-	}
-	return z, nil
 }
 
 // Bytes returns the big-endian byte encoding of x with no leading zeros;

@@ -62,21 +62,6 @@ func TestDecimalRoundTrip(t *testing.T) {
 		if s != toBig(x).String() {
 			t.Fatalf("String() = %s, big says %s", s, toBig(x))
 		}
-		back, err := ParseDecimal(s)
-		if err != nil {
-			t.Fatalf("ParseDecimal(%s): %v", s, err)
-		}
-		if Cmp(back, x) != 0 {
-			t.Fatalf("decimal round trip failed for %s", s)
-		}
-	}
-}
-
-func TestParseDecimalErrors(t *testing.T) {
-	for _, s := range []string{"", "12a3", "-5", " 1"} {
-		if _, err := ParseDecimal(s); err == nil {
-			t.Errorf("ParseDecimal(%q) should fail", s)
-		}
 	}
 }
 
@@ -103,20 +88,6 @@ func TestSubUnderflowPanics(t *testing.T) {
 		}
 	}()
 	Sub(FromUint64(1), FromUint64(2))
-}
-
-func TestCmpSub(t *testing.T) {
-	d, sign := CmpSub(FromUint64(5), FromUint64(9))
-	if sign != -1 || Cmp(d, FromUint64(4)) != 0 {
-		t.Fatalf("CmpSub(5,9) = %s, %d", d, sign)
-	}
-	d, sign = CmpSub(FromUint64(9), FromUint64(5))
-	if sign != 1 || Cmp(d, FromUint64(4)) != 0 {
-		t.Fatalf("CmpSub(9,5) = %s, %d", d, sign)
-	}
-	if _, sign = CmpSub(FromUint64(7), FromUint64(7)); sign != 0 {
-		t.Fatalf("CmpSub(7,7) sign = %d", sign)
-	}
 }
 
 func TestMulDifferential(t *testing.T) {

@@ -14,8 +14,7 @@
 #
 # keyed by the file (relative to the repository root) and the function name,
 # so one line covers every same-named function in that file. The tag is one
-# of table1-api, fault-path, reference, test-seam, platform, frozen or
-# error-path. The script fails on a never-entered function with no line, on
+# of fault-path, reference, test-seam, platform, frozen or error-path. The script fails on a never-entered function with no line, on
 # a malformed or repeated line, and on a stale line: one whose function no
 # longer exists, or that the matrix entered. A platform line (a body only
 # some CPUs run) is stale only when its function is gone. The share is
@@ -65,8 +64,6 @@ step "$b/benchmark" -smoke -trace 1 -out "$work/out"
 step "$b/benchmark" -steps 2 -out "$work/out"
 
 step "$b/hectl" keygen -bits 256 -seed 7
-step "$b/hectl" encrypt -bits 256 -seed 7 12 34 56
-step "$b/hectl" add -bits 256 -seed 7 12 34
 step "$b/hectl" bench -bits 256 -seed 7 -n 64
 
 demo="$b/flserver demo -clients 4 -dim 4 -bits 128"
@@ -149,7 +146,7 @@ FNR == NR { key = $1 " " $2; keys[++nkeys] = key; state[key] = $3; next }
 /^#/ || /^[[:space:]]*$/ { next }
 {
 	tag = $3; sub(/:$/, "", tag); key = $1 " " $2
-	if (NF < 4 || $3 !~ /:$/ || tag !~ /^(table1-api|fault-path|reference|test-seam|platform|frozen|error-path)$/) {
+	if (NF < 4 || $3 !~ /:$/ || tag !~ /^(fault-path|reference|test-seam|platform|frozen|error-path)$/) {
 		printf "reach: %s:%d: want \"<path> <func> <tag>: <reason>\" with a known tag\n", allow, FNR; bad++; next
 	}
 	if (key in seen) { printf "reach: %s:%d: %s listed twice\n", allow, FNR, key; bad++; next }
@@ -162,7 +159,7 @@ END {
 		printf "reach: never entered and not in %s: %s\n", allow, keys[i]; bad++
 	}
 	printf "allowlist: %d entries:", total
-	n = split("table1-api fault-path reference test-seam platform frozen error-path", order, " ")
+	n = split("fault-path reference test-seam platform frozen error-path", order, " ")
 	for (i = 1; i <= n; i++) printf " %s %d", order[i], count[order[i]] + 0
 	printf "\n"
 	exit (bad > 0)
