@@ -65,7 +65,8 @@ reach:
 	@sh scripts/reach.sh
 
 # The chaos/quorum suites and the device fault/failover paths exercise
-# goroutines and shared counters — the Table-I platform
+# goroutines and shared counters — the executor serves a multi-device wave a
+# goroutine a member, under its one lock, and the Table-I platform
 # in core runs on the same executor — and flserver hosts fl's Coordinator
 # and Client across real TCP connections (hub, server and client goroutines
 # in one process), as fl's own transport matrix does. mpint's lane-group
@@ -82,12 +83,13 @@ race:
 # anchored so FuzzDiv cannot also select FuzzDivInto. Nothing here names a
 # target, so adding or deleting one needs no edit; 24 exist today (13 in mpint
 # against math/big, the eight-lane kernel's and the Euclid walk's among them;
-# three wire decoders in flnet; two in gpu; four in fl — the return-path
-# splitter, the aggregate frame every client opens, the journal a restarted
-# coordinator replays and the client-name parser —
-# and one each on paillier's key decoders and ghe's executor — every op's
-# descriptor against math/big, the executor over 1–3 devices against the host
-# loop), each with its corpus under its package's testdata/fuzz.
+# three wire decoders in flnet; one in gpu, on device geometries; four in fl —
+# the return-path splitter, the aggregate frame every client opens, the
+# journal a restarted coordinator replays and the client-name parser —
+# one on paillier's key decoders, and two in ghe: every op's descriptor
+# against math/big and the executor over 1–3 devices against the host loop,
+# and the shard scheduler's cut of a range into pieces), each with its seeds
+# and any corpus under its package's testdata/fuzz.
 fuzz:
 	@for pkg in $$($(GO) list ./...); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \

@@ -29,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -36,6 +37,51 @@ import (
 	"flbooster/internal/bench"
 	"flbooster/internal/mpint"
 )
+
+// experiments is every experiment flbench runs, in the order the usage error
+// lists them.
+var experiments = []struct {
+	name string
+	run  func(*bench.Runner, io.Writer) error
+}{
+	{"table2", (*bench.Runner).Table2},
+	{"fig1", (*bench.Runner).Fig1},
+	{"table3", (*bench.Runner).Table3},
+	{"table4", (*bench.Runner).Table4},
+	{"fig6", (*bench.Runner).Fig6},
+	{"table5", (*bench.Runner).Table5},
+	{"fig7", (*bench.Runner).Fig7},
+	{"table6", (*bench.Runner).Table6},
+	{"fig8", (*bench.Runner).Fig8},
+	{"table7", (*bench.Runner).Table7},
+	{"ablation", (*bench.Runner).Ablation},
+	{"all", (*bench.Runner).All},
+}
+
+// lookup resolves every name to its experiment before any runs, so a typo
+// anywhere in the list fails the command before it prints a table.
+func lookup(names []string) ([]func(*bench.Runner, io.Writer) error, error) {
+	var valid []string
+	for _, e := range experiments {
+		valid = append(valid, e.name)
+	}
+	choose := "choose from " + strings.Join(valid, " ")
+	if len(names) == 0 {
+		return nil, fmt.Errorf("no experiment named; %s", choose)
+	}
+	runs := make([]func(*bench.Runner, io.Writer) error, len(names))
+	for i, name := range names {
+		for _, e := range experiments {
+			if e.name == name {
+				runs[i] = e.run
+			}
+		}
+		if runs[i] == nil {
+			return nil, fmt.Errorf("unknown experiment %q; %s", name, choose)
+		}
+	}
+	return runs, nil
+}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -90,9 +136,9 @@ func run(args []string) error {
 	cfg.Seed = *seed
 	cfg.Observe = *trace != "" || *metrics != ""
 
-	exps := fs.Args()
-	if len(exps) == 0 {
-		return fmt.Errorf("no experiment named; choose from table2 fig1 table3 table4 fig6 table5 fig7 table6 fig8 table7 ablation all")
+	runs, err := lookup(fs.Args())
+	if err != nil {
+		return err
 	}
 	r, err := bench.NewRunner(cfg)
 	if err != nil {
@@ -101,37 +147,8 @@ func run(args []string) error {
 	// Which kernels produced the host-clock columns of what follows; the
 	// modelled columns do not depend on them.
 	fmt.Printf("host arithmetic: %s\n\n", mpint.KernelName())
-	for _, e := range exps {
-		var err error
-		switch e {
-		case "table2":
-			err = r.Table2(os.Stdout)
-		case "fig1":
-			err = r.Fig1(os.Stdout)
-		case "table3":
-			err = r.Table3(os.Stdout)
-		case "table4":
-			err = r.Table4(os.Stdout)
-		case "fig6":
-			err = r.Fig6(os.Stdout)
-		case "table5":
-			err = r.Table5(os.Stdout)
-		case "fig7":
-			err = r.Fig7(os.Stdout)
-		case "table6":
-			err = r.Table6(os.Stdout)
-		case "fig8":
-			err = r.Fig8(os.Stdout)
-		case "table7":
-			err = r.Table7(os.Stdout)
-		case "ablation":
-			err = r.Ablation(os.Stdout)
-		case "all":
-			err = r.All(os.Stdout)
-		default:
-			err = fmt.Errorf("unknown experiment %q", e)
-		}
-		if err != nil {
+	for _, exp := range runs {
+		if err := exp(r, os.Stdout); err != nil {
 			return err
 		}
 		r.PublishMetrics()

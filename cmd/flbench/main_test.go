@@ -52,8 +52,19 @@ func TestRunFig7Micro(t *testing.T) {
 	}
 }
 
-// runCaptured is run with os.Stdout redirected into a string.
+// runCaptured is run with os.Stdout redirected into a string; it fails the
+// test if run does.
 func runCaptured(t *testing.T, args ...string) string {
+	t.Helper()
+	text, err := capture(t, args...)
+	if err != nil {
+		t.Fatalf("flbench %s: %v", strings.Join(args, " "), err)
+	}
+	return text
+}
+
+// capture is run with os.Stdout redirected into a string, and run's error.
+func capture(t *testing.T, args ...string) (string, error) {
 	t.Helper()
 	rd, wr, err := os.Pipe()
 	if err != nil {
@@ -71,11 +82,21 @@ func runCaptured(t *testing.T, args ...string) string {
 	if err := wr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	text := <-out
-	if runErr != nil {
-		t.Fatalf("flbench %s: %v", strings.Join(args, " "), runErr)
+	return <-out, runErr
+}
+
+// TestUnknownExperimentFailsBeforeAnyRuns: every name is checked before the
+// first experiment runs, so a typo after a valid name prints nothing — not
+// the header, not the valid name's table — and the error names the typo and
+// what there is to choose from.
+func TestUnknownExperimentFailsBeforeAnyRuns(t *testing.T) {
+	text, err := capture(t, "-keys", "128", "table2", "tabel7")
+	if err == nil || !strings.Contains(err.Error(), `"tabel7"`) || !strings.Contains(err.Error(), "table7 ablation all") {
+		t.Fatalf("flbench table2 tabel7: error %v, want the unknown name and the choices", err)
 	}
-	return text
+	if text != "" {
+		t.Fatalf("flbench table2 tabel7 printed %q before failing", text)
+	}
 }
 
 // TestHeaderNamesHostKernels: a host-clock figure is only comparable with

@@ -5,7 +5,7 @@ import (
 	"slices"
 
 	"flbooster/internal/fl"
-	"flbooster/internal/gpu"
+	"flbooster/internal/ghe"
 )
 
 // ConfigError reports a flag combination the protocol cannot run: the named
@@ -55,8 +55,8 @@ func (c opts) validate(cmd string) error {
 	if c.fanout < 0 || c.fanout == 1 {
 		return badFlag("fanout", "aggregation fan-out must be at least 2 (or 0 for flat), have %d", c.fanout)
 	}
-	if c.devices < 0 || c.devices > gpu.MaxDevices {
-		return badFlag("devices", "device count must be in [0, %d], the device set limit, have %d", gpu.MaxDevices, c.devices)
+	if c.devices < 0 || c.devices > ghe.MaxDevices {
+		return badFlag("devices", "device count must be in [0, %d], the executor's limit, have %d", ghe.MaxDevices, c.devices)
 	}
 	if c.keyBits < 32 || c.keyBits%2 != 0 { // what fl.Profile.Validate enforces
 		return badFlag("bits", "key size must be an even number of bits, at least 32, have %d", c.keyBits)

@@ -140,8 +140,8 @@ type opts struct {
 	// once quorum uploads are in and the deadline passed (see DESIGN.md).
 	quorum  int
 	timeout time.Duration
-	// devices sizes the simulated device set the party's vector HE ops are
-	// sharded across; 0 and 1 are the same one-device set.
+	// devices sizes the simulated fleet the party's vector HE ops are sharded
+	// across; 0 and 1 are the same one-device fleet.
 	devices int
 	// journal appends the server's round state to this write-ahead file;
 	// resume replays it on startup and picks the round up from the last safe

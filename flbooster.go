@@ -78,9 +78,9 @@ const (
 // device fault injection plus the checked-execution policy (retries,
 // verification, CPU fallback). The zero value injects nothing. What the faults
 // did is recorded once, where it happened: each member device's Stats
-// (Context.DevSet) holds its health, its faults by kind and the modelled time
-// they cost, the set's Stats its host-served shards, and Context.Checked.Stats
-// the executor's retries and spot checks. See DESIGN.md §7.
+// (Context.Checked.Devices) holds its health, its faults by kind and the
+// modelled time they cost, and Context.Checked.Stats the executor's
+// host-served shards, retries and spot checks. See DESIGN.md §7.
 type FaultPolicy = fl.FaultPolicy
 
 // FaultConfig re-exports the seeded device fault injector's configuration

@@ -175,7 +175,7 @@ func (r *Runner) dataset(spec datasets.Spec) (*datasets.Dataset, error) {
 }
 
 // context returns a (cached) HE context for a system at a key size, with
-// every counter it publishes — costs, device set, executor — reset for the
+// every counter it publishes — costs, devices, executor — reset for the
 // caller's experiment.
 func (r *Runner) context(sys fl.System, keyBits int) (*fl.Context, error) {
 	k := ctxKey{sys, keyBits}

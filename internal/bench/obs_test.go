@@ -53,7 +53,7 @@ func TestPipelineTraceDeterministicAndReconciled(t *testing.T) {
 // TestCachedContextPublishesOneWindow: every r.context call restarts the
 // counting window of each layer a cached context publishes, so running an
 // experiment twice on one runner publishes what running it once does — the
-// device set's scheduler rows included, beside the fl and device rows of the
+// executor's scheduler rows included, beside the fl and device rows of the
 // same window.
 func TestCachedContextPublishesOneWindow(t *testing.T) {
 	publish := func(runs int) *obs.Registry {

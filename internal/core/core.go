@@ -1,5 +1,5 @@
 // Package core is FLBooster's platform layer. It is the one constructor of the
-// HE stack — device set, checked executor, Paillier backend (NewStack) — which
+// HE stack — checked executor and its devices, Paillier backend (NewStack) — which
 // the federation's contexts (fl.NewContext, every profile) and the Table-I
 // platform below are both built on, and it assembles that stack and the
 // cryptosystems into the user-facing API surface of Table I: vectorized
@@ -19,13 +19,12 @@ import (
 	"flbooster/internal/rsa"
 )
 
-// Stack is the GPU-HE stack of one party: a fleet of simulated devices, the
-// executor that runs every vector op over it (launch → spot-check →
+// Stack is the GPU-HE stack of one party: the executor that owns a fleet of
+// simulated devices and runs every vector op over it (launch → spot-check →
 // retry/backoff → exclude-and-steal → host, DESIGN.md §7, §15), and the
 // Paillier backend lowered onto that executor. A fleet of no device is the
 // CPU profiles' stack: the host loop serves every op.
 type Stack struct {
-	DevSet  *gpu.DeviceSet
 	Checked *ghe.CheckedEngine
 	Backend *paillier.GPUBackend
 }
@@ -40,37 +39,33 @@ func NewStack(cfg gpu.Config, fineRM bool, devices int, inject gpu.FaultConfig, 
 	if err := check.Validate(); err != nil {
 		return nil, err
 	}
-	set, err := gpu.NewDeviceSet(cfg, fineRM, devices)
+	checked, err := ghe.NewCheckedEngine(cfg, fineRM, devices, check)
 	if err != nil {
 		return nil, err
 	}
 	if inject.Enabled() {
-		for i := 0; i < set.Size(); i++ {
+		for i, d := range checked.Devices() {
 			member := inject
 			member.Seed += uint64(i) * 0x9e3779b97f4a7c15
-			set.Device(i).SetFaultInjector(gpu.NewFaultInjector(member))
+			d.SetFaultInjector(gpu.NewFaultInjector(member))
 		}
-	}
-	checked, err := ghe.NewCheckedEngine(set, check)
-	if err != nil {
-		return nil, err
 	}
 	backend, err := paillier.NewGPUBackend(checked)
 	if err != nil {
 		return nil, err
 	}
-	return &Stack{DevSet: set, Checked: checked, Backend: backend}, nil
+	return &Stack{Checked: checked, Backend: backend}, nil
 }
 
 // GenerateKey generates a party's Paillier key on the stack — the prime
 // walk's Miller–Rabin rounds launched on the executor a window at a time — as
 // set-up rather than as work: the members' fault injectors sit the search out,
-// and every counter the set and the executor keep is zeroed after it. A
+// and every counter the executor and its devices keep is zeroed after it. A
 // context built on the stack therefore starts from the device, executor and
 // fault readings a host-generated key left, and an injected fault schedule —
 // a seeded stream of dice, a launch to die at — meets the launches it did.
 func (s *Stack) GenerateKey(rng *mpint.RNG, bits int) (*paillier.PrivateKey, error) {
-	devs := s.DevSet.Devices()
+	devs := s.Checked.Devices()
 	injectors := make([]*gpu.FaultInjector, len(devs))
 	for i, d := range devs {
 		injectors[i] = d.Injector()
@@ -113,7 +108,7 @@ func Default(seed uint64) *Platform {
 }
 
 // Device exposes the underlying device for stats and utilization readings.
-func (p *Platform) Device() *gpu.Device { return p.st.DevSet.Device(0) }
+func (p *Platform) Device() *gpu.Device { return p.st.Checked.Devices()[0] }
 
 // --- Table I: fundamental vector arithmetic --------------------------------
 

@@ -44,9 +44,9 @@ func forEachPlatform(t *testing.T, f func(t *testing.T, p *Platform)) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			f(t, p)
-			health, set := p.st.DevSet.StatsSum().Health, p.st.DevSet.Stats()
-			if killed := name == "killed"; killed != (health == gpu.DeviceFailed) || killed != (set.HostShards > 0) {
-				t.Fatalf("host-loop ledger: health %s, set %+v on platform %s", health, set, name)
+			health, st := gpu.Sum(p.st.Checked.Devices()).Health, p.st.Checked.Stats()
+			if killed := name == "killed"; killed != (health == gpu.DeviceFailed) || killed != (st.HostShards > 0) {
+				t.Fatalf("host-loop ledger: health %s, executor %+v on platform %s", health, st, name)
 			}
 		})
 	}
@@ -387,7 +387,7 @@ func TestTableIMatchesHostLoop(t *testing.T) {
 			sameVec(t, op.name, got, want)
 		}
 		// Operand errors reject before the executor sees an op.
-		ops := p.st.DevSet.Stats().Ops
+		ops := p.st.Checked.Stats().Ops
 		if _, err := p.Add(a, b[:3]); err == nil {
 			t.Error("Add length mismatch should fail")
 		}
@@ -400,7 +400,7 @@ func TestTableIMatchesHostLoop(t *testing.T) {
 		if _, err := p.Mod(a, mpint.Zero()); err == nil {
 			t.Error("Mod by zero should fail")
 		}
-		if got := p.st.DevSet.Stats().Ops; got != ops {
+		if got := p.st.Checked.Stats().Ops; got != ops {
 			t.Errorf("rejected operands reached the executor: %d ops, had %d", got, ops)
 		}
 	})
@@ -422,7 +422,7 @@ func TestKeyGenIsAFunctionOfTheSeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	dying := platformOn(t, 3, gpu.FaultConfig{}, ghe.CheckedConfig{})
-	dying.st.DevSet.Device(1).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 2}))
+	dying.st.Checked.Devices()[1].SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 2}))
 	for name, p := range map[string]*Platform{
 		"D=1 again":            testPlatform(t),
 		"D=2":                  platformOn(t, 2, gpu.FaultConfig{}, ghe.CheckedConfig{}),
@@ -444,7 +444,7 @@ func TestKeyGenIsAFunctionOfTheSeed(t *testing.T) {
 			t.Errorf("%s: RSA (p, q) = (%s, %s), the reference platform drew (%s, %s)", name, rk.P, rk.Q, wantRSA.P, wantRSA.Q)
 		}
 	}
-	if st := dying.st.DevSet.Stats(); st.Steals == 0 {
+	if st := dying.st.Checked.Stats(); st.Steals == 0 {
 		t.Errorf("member 1 died without its candidates being stolen: %+v", st)
 	}
 }
@@ -490,7 +490,7 @@ func TestKeyGenSizes(t *testing.T) {
 func TestTableIUnderCorruption(t *testing.T) {
 	p := platformOn(t, 1, gpu.FaultConfig{Seed: 5, CorruptProb: 0.5},
 		ghe.CheckedConfig{VerifyFraction: 1, VerifySeed: 5, MaxRetries: 12})
-	p.st.DevSet.SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
+	p.st.Checked.Devices()[0].SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	r := mpint.NewRNG(13)
 	for round := 0; round < 6; round++ {
 		a, b := []mpint.Nat{r.RandBits(200), r.RandBits(64), r.RandBits(130)}, []mpint.Nat{r.RandBits(90), r.RandBits(64), r.RandBits(7)}
@@ -517,7 +517,7 @@ func TestTableIUnderCorruption(t *testing.T) {
 	if mpint.Cmp(sk.N, want.N) != 0 {
 		t.Fatalf("key under corruption has n = %s, the clean platform drew %s", sk.N, want.N)
 	}
-	if st, set, dev := p.st.Checked.Stats(), p.st.DevSet.Stats(), p.st.DevSet.StatsSum(); dev.FaultCorruptions == 0 || st.Retries == 0 || set.HostShards != 0 {
-		t.Fatalf("corrupted launches should be caught and retried on the device: %+v, set %+v, device %+v", st, set, dev)
+	if st, dev := p.st.Checked.Stats(), gpu.Sum(p.st.Checked.Devices()); dev.FaultCorruptions == 0 || st.Retries == 0 || st.HostShards != 0 {
+		t.Fatalf("corrupted launches should be caught and retried on the device: %+v, device %+v", st, dev)
 	}
 }

@@ -18,7 +18,7 @@ import (
 )
 
 // Context is one acceleration configuration instantiated: the Paillier key,
-// the HE stack — device set, executor, backend — the encoding-quantization
+// the HE stack — executor and backend — the encoding-quantization
 // and batch-compression layers, the link model, and the cost tracker every
 // operation reports into. It implements the pipelined processing of Fig. 4.
 type Context struct {
@@ -29,13 +29,11 @@ type Context struct {
 	// Packer is the batch-compression layer: n slots a plaintext, one when
 	// batch compression is off (Profile.UseBatch).
 	Packer *batch.Packer
-	// DevSet is the profile's device fleet — on a GPU profile one member
-	// unless Profile.Devices asks for more, on a CPU profile none, so the host
-	// loop serves every op — and Checked the executor that runs every vector
-	// HE op over it. Device is DevSet's member 0, nil on a CPU profile, kept
-	// with Checked because the frozen benchmark/ reads them (probes.go,
-	// measure.go).
-	DevSet  *gpu.DeviceSet
+	// Checked is the executor that runs every vector HE op over the profile's
+	// device fleet — on a GPU profile one member unless Profile.Devices asks
+	// for more, on a CPU profile none, so the host loop serves every op.
+	// Device is its member 0, nil on a CPU profile, kept because the frozen
+	// benchmark/ reads it (probes.go, measure.go).
 	Checked *ghe.CheckedEngine
 	Device  *gpu.Device
 	Link    flnet.Link
@@ -91,9 +89,9 @@ func NewContext(p Profile) (*Context, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx.DevSet, ctx.Checked, ctx.Backend = st.DevSet, st.Checked, st.Backend
+	ctx.Checked, ctx.Backend = st.Checked, st.Backend
 	if devices > 0 {
-		ctx.Device = st.DevSet.Device(0)
+		ctx.Device = st.Checked.Devices()[0]
 	}
 	// One seeded walk whichever runs its rounds: every profile of a seed has
 	// the same key.
@@ -110,7 +108,7 @@ func sanitizeLabel(label string) string {
 
 // AttachObs wires the observability bundle into the context and its layers:
 // PublishMetrics writes into o's registry under "<layer>.<label>", and the
-// device set's members record sim-time spans under the party "<label>.gpu".
+// executor's devices record sim-time spans under the party "<label>.gpu".
 // A nil bundle detaches. Labels distinguish contexts sharing one bundle; an
 // empty label falls back to the profile's system.
 func (c *Context) AttachObs(o *obs.Obs, label string) {
@@ -120,12 +118,14 @@ func (c *Context) AttachObs(o *obs.Obs, label string) {
 	label = sanitizeLabel(label)
 	c.Obs = o
 	c.obsPrefix = label
-	c.DevSet.SetRecorder(o.Recorder(), label+".gpu")
+	for _, d := range c.Checked.Devices() {
+		d.SetRecorder(o.Recorder(), label+".gpu")
+	}
 }
 
 // PublishMetrics pulls the current statistics into the attached registry as
 // absolute counters and gauges: the cost snapshot under "fl.<label>", the
-// device set and the checked engine under "gpu.<label>" and "ghe.<label>".
+// executor's devices and ledger under "gpu.<label>" and "ghe.<label>".
 // No-op without an attached bundle.
 func (c *Context) PublishMetrics() {
 	if c.Obs == nil {
@@ -133,8 +133,7 @@ func (c *Context) PublishMetrics() {
 	}
 	reg := c.Obs.Metrics()
 	c.Costs.Snapshot().publish(reg, "fl."+c.obsPrefix)
-	c.DevSet.PublishMetrics(reg, "gpu."+c.obsPrefix)
-	c.Checked.PublishMetrics(reg, "ghe."+c.obsPrefix)
+	c.Checked.PublishMetrics(reg, c.obsPrefix)
 }
 
 // SimCost returns the context's sim cost clock: modelled HE, wire and encode
@@ -181,17 +180,17 @@ func (c *Context) nextSeed() uint64 {
 }
 
 // chargeHE runs one HE batch and enters it in the HE component: its host
-// time, and its modelled time — the device set's clock advance, which on a
-// set of no member is the host loop's wall time — with the HE operations and
+// time, and its modelled time — the executor's clock advance, which on a
+// fleet of no member is the host loop's wall time — with the HE operations and
 // logical values batch reports. It returns the modelled time; a failed batch
 // charges nothing.
 func (c *Context) chargeHE(batch func() (ops, instances int64, err error)) (time.Duration, error) {
-	base, start := c.DevSet.SimTime(), time.Now()
+	base, start := c.Checked.SimTime(), time.Now()
 	ops, instances, err := batch()
 	if err != nil {
 		return 0, err
 	}
-	wall, sim := time.Since(start), c.DevSet.SimTime()-base
+	wall, sim := time.Since(start), c.Checked.SimTime()-base
 	c.Costs.AddHE(wall, sim, ops, instances)
 	return sim, nil
 }
@@ -438,6 +437,7 @@ func (c *Context) TrackOther(fn func()) {
 	c.Costs.AddOther(time.Since(start))
 }
 
-// Utilization reports the devices' average SM utilization (0 for CPU
-// profiles, which have none) — the Fig. 6 reading.
-func (c *Context) Utilization() float64 { return c.DevSet.AvgUtilization() }
+// Utilization reports the fleet's average SM utilization, launch-weighted as
+// the published gpu.<label>.avg_utilization gauge is (0 for CPU profiles,
+// which have no device) — the Fig. 6 reading.
+func (c *Context) Utilization() float64 { return gpu.Sum(c.Checked.Devices()).AvgUtilization() }

@@ -15,8 +15,8 @@ import (
 // full-hardware testbed (see DESIGN.md §1, "Wall-clock scale").
 type CostSnapshot struct {
 	// HEWall is host time spent inside HE batches; HESim is the modelled
-	// time for the same batches, the device set's clock advance on every
-	// profile — on a CPU profile's set of no member the host loop's wall
+	// time for the same batches, the executor's clock advance on every
+	// profile — on a CPU profile's fleet of no member the host loop's wall
 	// time, HEWall less what the batch spends outside the executor.
 	HEWall time.Duration
 	HESim  time.Duration

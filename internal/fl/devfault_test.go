@@ -60,20 +60,20 @@ func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 					t.Fatalf("aggregate[%d] = %v after failover, want %v (bit-exact)", i, killed[i], clean[i])
 				}
 			}
-			dev := ctx.DevSet.StatsSum()
+			dev := gpu.Sum(ctx.Checked.Devices())
 			if dev.Health != gpu.DeviceFailed {
 				t.Fatalf("device health %s, want failed", dev.Health)
 			}
-			set := ctx.DevSet.Stats()
-			if set.HostShards == 0 || set.HostSim <= 0 {
-				t.Fatalf("failover not recorded: set %+v", set)
+			st := ctx.Checked.Stats()
+			if st.HostShards == 0 || st.HostSim <= 0 {
+				t.Fatalf("failover not recorded: %+v", st)
 			}
 			if dev.FaultAborts == 0 || dev.LaunchFailures == 0 {
 				t.Fatalf("fault counters empty: %+v", dev)
 			}
-			if he := ctx.Costs.Snapshot().HESim; he < set.HostSim {
+			if he := ctx.Costs.Snapshot().HESim; he < st.HostSim {
 				t.Fatalf("degraded-mode time not charged to the modelled clock: HE sim %v, host wall %v",
-					he, set.HostSim)
+					he, st.HostSim)
 			}
 			// Both contexts have drawn the same nonce streams, so one more
 			// encryption — the host loop's on the dead fleet — is the healthy
@@ -107,7 +107,7 @@ func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 			if !sameBits(corrupted, clean) {
 				t.Fatalf("aggregate %v under corruption retries, want %v (bit-exact)", corrupted, clean)
 			}
-			if dev := ctx.DevSet.StatsSum(); dev.FaultCorruptions == 0 {
+			if dev := gpu.Sum(ctx.Checked.Devices()); dev.FaultCorruptions == 0 {
 				t.Fatalf("expected verification to catch injected corruption, got %+v", dev)
 			}
 
@@ -121,7 +121,7 @@ func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 			if !sameBits(stalled, clean) {
 				t.Fatalf("aggregate %v under stall retries, want %v (bit-exact)", stalled, clean)
 			}
-			if dev := ctx.DevSet.StatsSum(); dev.FaultStalls == 0 || dev.SimFaultTime < time.Duration(dev.FaultStalls)*gpu.WatchdogWindow {
+			if dev := gpu.Sum(ctx.Checked.Devices()); dev.FaultStalls == 0 || dev.SimFaultTime < time.Duration(dev.FaultStalls)*gpu.WatchdogWindow {
 				t.Fatalf("want every stall a watchdog window of fault time: %+v", dev)
 			}
 		})
@@ -180,22 +180,22 @@ func TestWeightedSumsSurviveDeviceFaults(t *testing.T) {
 		// table build.
 		killed, ctx := runOnce(FaultPolicy{Inject: gpu.FaultConfig{Seed: 1, KillAtLaunch: 2}})
 		same("after failover", killed, clean)
-		if dev := ctx.DevSet.StatsSum(); dev.Health != gpu.DeviceFailed || ctx.DevSet.Stats().HostShards == 0 || dev.FaultAborts == 0 {
-			t.Fatalf("Devices=%d: failover not recorded: %+v, set %+v", devices, dev, ctx.DevSet.Stats())
+		if dev := gpu.Sum(ctx.Checked.Devices()); dev.Health != gpu.DeviceFailed || ctx.Checked.Stats().HostShards == 0 || dev.FaultAborts == 0 {
+			t.Fatalf("Devices=%d: failover not recorded: %+v, executor %+v", devices, dev, ctx.Checked.Stats())
 		}
 		corrupted, ctx := runOnce(FaultPolicy{
 			Inject: gpu.FaultConfig{Seed: 3, CorruptProb: 0.4},
 			Check:  ghe.CheckedConfig{MaxRetries: 12, VerifyFraction: 1},
 		})
 		same("under corruption", corrupted, clean)
-		if st, dev := ctx.Checked.Stats(), ctx.DevSet.StatsSum(); dev.FaultCorruptions == 0 || st.Retries == 0 {
+		if st, dev := ctx.Checked.Stats(), gpu.Sum(ctx.Checked.Devices()); dev.FaultCorruptions == 0 || st.Retries == 0 {
 			t.Fatalf("Devices=%d: expected verification to catch injected corruption, got %+v, device %+v", devices, st, dev)
 		}
 	}
 }
 
 // TestCPUProfileFaultLedgersZero: CPU profiles keep a healthy zero fault
-// record on the device set and the executor — at construction, after a round
+// record on the executor and its (absent) devices — at construction, after a round
 // and after an epoch. The host loop serves all of their HE by design: no
 // fault time, no fallback.
 func TestCPUProfileFaultLedgersZero(t *testing.T) {
@@ -205,7 +205,11 @@ func TestCPUProfileFaultLedgersZero(t *testing.T) {
 	}
 	check := func(after string) {
 		t.Helper()
-		if dev, st := ctx.DevSet.StatsSum(), ctx.Checked.Stats(); dev != (gpu.Stats{Health: gpu.DeviceHealthy}) || st != (ghe.CheckedStats{}) {
+		// The ledger's op-level half counts the ops the host loop served;
+		// nothing of it may be a device's shard, a fault, a retry or a check.
+		st := ctx.Checked.Stats()
+		st.Ops, st.HostShards, st.HostSim = 0, 0, 0
+		if dev := gpu.Sum(ctx.Checked.Devices()); dev != (gpu.Stats{Health: gpu.DeviceHealthy}) || st != (ghe.CheckedStats{}) {
 			t.Fatalf("CPU profile fault ledgers %s not zero: %+v, %+v", after, dev, st)
 		}
 	}
@@ -223,7 +227,7 @@ func TestCPUProfileFaultLedgersZero(t *testing.T) {
 		}
 	}
 	check("after an epoch of rounds")
-	if ctx.DevSet.Stats().HostSim == 0 {
+	if ctx.Checked.Stats().HostSim == 0 {
 		t.Fatal("the host loop served nothing")
 	}
 }

@@ -74,11 +74,11 @@ func TestShardedBitExactWithSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if ctx.DevSet == nil || ctx.DevSet.Size() != d || ctx.Device != ctx.DevSet.Device(0) || ctx.Checked.Set() != ctx.DevSet {
-				t.Fatalf("context wiring: DevSet %v Device %v", ctx.DevSet, ctx.Device)
+			if len(ctx.Checked.Devices()) != d || ctx.Device != ctx.Checked.Devices()[0] {
+				t.Fatalf("context wiring: %d members, Device %v", len(ctx.Checked.Devices()), ctx.Device)
 			}
 			checkRef(t, runEpoch(t, ctx))
-			if st := ctx.DevSet.Stats(); st.Shards == 0 || st.SimParallelTime <= 0 {
+			if st := ctx.Checked.Stats(); st.Shards == 0 || st.SimParallelTime <= 0 {
 				t.Fatalf("epoch ran without sharded dispatch: %+v", st)
 			}
 		})
@@ -97,9 +97,9 @@ func TestShardedBitExactWithSequential(t *testing.T) {
 			if kill > 1 {
 				kill = 1
 			}
-			ctx.DevSet.Device(kill).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 7, KillAtLaunch: 3}))
+			ctx.Checked.Devices()[kill].SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 7, KillAtLaunch: 3}))
 			checkRef(t, runEpoch(t, ctx))
-			st := ctx.DevSet.Stats()
+			st := ctx.Checked.Stats()
 			if d > 1 {
 				if st.Steals == 0 || st.RebalanceSim <= 0 {
 					t.Fatalf("kill at D=%d triggered no work stealing: %+v", d, st)
@@ -107,7 +107,7 @@ func TestShardedBitExactWithSequential(t *testing.T) {
 			} else if st.HostShards == 0 {
 				t.Fatalf("kill at D=1 never fell back to the host: %+v", st)
 			}
-			if dead := ctx.DevSet.Device(kill).Stats(); dead.Health != gpu.DeviceFailed || dead.FaultAborts == 0 {
+			if dead := ctx.Checked.Devices()[kill].Stats(); dead.Health != gpu.DeviceFailed || dead.FaultAborts == 0 {
 				t.Fatalf("the dead member's ledger missed its death: %+v", dead)
 			}
 		})

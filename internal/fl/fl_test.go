@@ -153,11 +153,11 @@ func TestNewContextPerSystem(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sys, err)
 		}
-		if ctx.DevSet == nil || ctx.Checked == nil || ctx.Checked.Set() != ctx.DevSet {
+		if ctx.Checked == nil {
 			t.Fatalf("%s: no HE stack", sys)
 		}
-		if (ctx.DevSet.Size() > 0) != ctx.Profile.UseGPU() || (ctx.Device != nil) != ctx.Profile.UseGPU() {
-			t.Errorf("%s: %d devices, member 0 %v, GPU %t", sys, ctx.DevSet.Size(), ctx.Device, ctx.Profile.UseGPU())
+		if (len(ctx.Checked.Devices()) > 0) != ctx.Profile.UseGPU() || (ctx.Device != nil) != ctx.Profile.UseGPU() {
+			t.Errorf("%s: %d devices, member 0 %v, GPU %t", sys, len(ctx.Checked.Devices()), ctx.Device, ctx.Profile.UseGPU())
 		}
 		if (ctx.Packer.Slots() == 1) == ctx.Profile.UseBatch() {
 			t.Errorf("%s: %d slots a plaintext with batch compression %t", sys, ctx.Packer.Slots(), ctx.Profile.UseBatch())

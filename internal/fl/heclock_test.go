@@ -12,7 +12,7 @@ import (
 )
 
 // TestHEChargeIsTheDeviceClock: every HE batch a context runs after key
-// generation is charged through one primitive that reads the device set's
+// generation is charged through one primitive that reads the executor's
 // clock around it, so the HE component's modelled time is that clock to the
 // nanosecond — after a flat round, a cohort-tree round and a Hetero LR epoch,
 // on one device and on two, and on FATE's and w/o GHE's set of none, whose
@@ -43,13 +43,13 @@ func TestHEChargeIsTheDeviceClock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ctx.DevSet.Size() != devices {
-			t.Fatalf("%s: %d devices, want %d", sys.system, ctx.DevSet.Size(), devices)
+		if len(ctx.Checked.Devices()) != devices {
+			t.Fatalf("%s: %d devices, want %d", sys.system, len(ctx.Checked.Devices()), devices)
 		}
 		var last time.Duration
 		check := func(after string) {
 			t.Helper()
-			he, dev := ctx.Costs.Snapshot().HESim, ctx.DevSet.SimTime()
+			he, dev := ctx.Costs.Snapshot().HESim, ctx.Checked.SimTime()
 			if he != dev {
 				t.Fatalf("D = %d, after %s: HESim %v, device clock %v", devices, after, he, dev)
 			}
@@ -58,7 +58,7 @@ func TestHEChargeIsTheDeviceClock(t *testing.T) {
 			}
 			last = he
 		}
-		if he, dev := ctx.Costs.Snapshot().HESim, ctx.DevSet.SimTime(); he != 0 || dev != 0 {
+		if he, dev := ctx.Costs.Snapshot().HESim, ctx.Checked.SimTime(); he != 0 || dev != 0 {
 			t.Fatalf("D = %d, after key generation: HESim %v, device clock %v, want 0", devices, he, dev)
 		}
 		for _, cohort := range []fl.CohortPolicy{{}, {Fanout: 2}} {

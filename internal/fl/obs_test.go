@@ -253,3 +253,48 @@ func TestPublishedEngineMetricNames(t *testing.T) {
 		})
 	}
 }
+
+// TestUtilizationIsThePublishedGauge: Context.Utilization, Fig. 6's reading,
+// is the fleet's launch-weighted mean the gpu.<label>.avg_utilization gauge
+// publishes — also on two members that launched different counts, one killed
+// a few launches into the first round. At 1,024 bits the kernels' register
+// demand makes occupancy depend on a launch's item count, so the members'
+// own means differ and the mean of them is not the fleet's.
+func TestUtilizationIsThePublishedGauge(t *testing.T) {
+	p := testProfile(SystemFLBooster)
+	p.KeyBits = 1024
+	p.Devices = 2
+	ctx := observedContext(t, p)
+	devs := ctx.Checked.Devices()
+	devs[1].SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 7, KillAtLaunch: 3}))
+	fed := NewFederation(ctx)
+	defer fed.Close()
+	for r := 0; r < 2; r++ {
+		if _, err := fed.SecureAggregate(obsGrads(p.Parties, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := devs[0].Stats().UtilizationCount, devs[1].Stats().UtilizationCount; a == b || b == 0 {
+		t.Fatalf("members launched %d and %d times, want two different nonzero counts", a, b)
+	}
+	ctx.PublishMetrics()
+	var text bytes.Buffer
+	if err := ctx.Obs.Metrics().WriteText(&text); err != nil {
+		t.Fatal(err)
+	}
+	name := "gauge gpu." + ctx.obsPrefix + ".avg_utilization "
+	var gauge float64
+	for _, line := range strings.Split(text.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name); ok {
+			if _, err := fmt.Sscan(v, &gauge); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if means := (devs[0].Stats().AvgUtilization() + devs[1].Stats().AvgUtilization()) / 2; means == gauge {
+		t.Fatalf("the members' mean utilizations average to the gauge %v: nothing tells the two definitions apart", gauge)
+	}
+	if got := ctx.Utilization(); got != gauge || got <= 0 {
+		t.Fatalf("Utilization() = %v, the published gauge %v", got, gauge)
+	}
+}

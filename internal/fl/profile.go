@@ -53,10 +53,10 @@ type Profile struct {
 	// Device is the GPU model for GPU profiles.
 	Device gpu.Config
 	// Devices is the simulated device count for GPU profiles: every GPU
-	// context runs over a gpu.DeviceSet of that many Device-configured members
-	// and shards every vector HE op across them (work stealing under faults,
+	// context's executor owns that many Device-configured members and shards
+	// every vector HE op across them (work stealing under faults,
 	// merged max-over-devices clock). 0 and 1 both mean one device. Ignored on
-	// CPU profiles, whose set has no member: the same executor serves all
+	// CPU profiles, whose fleet has no member: the same executor serves all
 	// their HE on the host loop, one item at a time, and its wall time is
 	// their HE clock.
 	Devices int
@@ -116,7 +116,7 @@ func NewProfile(sys System, keyBits, parties int) Profile {
 	return p
 }
 
-// UseGPU reports whether the system's device set has members for the HE
+// UseGPU reports whether the system's fleet has members for the HE
 // executor to launch on: HAFLO, FLBooster and w/o BC. An unknown system has
 // every toggle off and is rejected by Validate.
 func (p Profile) UseGPU() bool {
@@ -155,8 +155,8 @@ func (p Profile) Validate() error {
 		return fmt.Errorf("fl: need at least one party, got %d", p.Parties)
 	case p.Devices < 0:
 		return fmt.Errorf("fl: negative device count %d", p.Devices)
-	case p.Devices > gpu.MaxDevices:
-		return fmt.Errorf("fl: device count %d exceeds %d", p.Devices, gpu.MaxDevices)
+	case p.Devices > ghe.MaxDevices:
+		return fmt.Errorf("fl: device count %d exceeds %d", p.Devices, ghe.MaxDevices)
 	}
 	// The quantizer owns what a usable α and r are: a finite α > 0, r in
 	// [2, 52], and r plus the parties' overflow bits inside a word.

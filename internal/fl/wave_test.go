@@ -18,14 +18,13 @@ import (
 
 // waveRun is everything a run of rounds leaves that a host job may not move:
 // the frames, the aggregates and reports, the cost snapshot without its host
-// clocks, and the device set's modelled counters.
+// clocks, and the executor's and its devices' modelled counters.
 type waveRun struct {
 	frames  []flnet.Message
 	aggs    [][]float64
 	reports []RoundReport
 	costs   CostSnapshot
 	devs    []gpu.Stats
-	set     gpu.SetStats
 	checked ghe.CheckedStats
 }
 
@@ -61,12 +60,11 @@ func tryWaves(p Profile, grads [][]float64, rounds int) (waveRun, error) {
 	run.frames = log.sent
 	run.costs = ctx.Costs.Snapshot()
 	run.costs.HEWall, run.costs.EncodeWall, run.costs.OtherWall = 0, 0, 0
-	for _, d := range ctx.DevSet.Devices() {
+	for _, d := range ctx.Checked.Devices() {
 		st := d.Stats()
 		st.WallKernelTime = 0
 		run.devs = append(run.devs, st)
 	}
-	run.set = ctx.DevSet.Stats()
 	run.checked = ctx.Checked.Stats()
 	return run, nil
 }
@@ -112,10 +110,10 @@ func TestWaveBitIdenticalToWavesOfOne(t *testing.T) {
 					wave := runWaves(t, p, grads, 2)
 					p.Cohort.MaxInflight = 1
 					each := runWaves(t, p, grads, 2)
-					if wave.set.HostShards != 0 {
-						t.Fatalf("%d shards fell back to the host: the host clock would differ", wave.set.HostShards)
+					if wave.checked.HostShards != 0 {
+						t.Fatalf("%d shards fell back to the host: the host clock would differ", wave.checked.HostShards)
 					}
-					wave.set.HostSim, each.set.HostSim = 0, 0
+					wave.checked.HostSim, each.checked.HostSim = 0, 0
 					compareWaveRuns(t, wave, each)
 					for _, st := range wave.devs {
 						injected[fc.name] += st.FaultAborts + st.FaultStalls + st.FaultOOMs + st.FaultCorruptions
@@ -149,7 +147,6 @@ func compareWaveRuns(t *testing.T, wave, each waveRun) {
 		{"round reports", wave.reports, each.reports},
 		{"cost snapshot", wave.costs, each.costs},
 		{"device counters", wave.devs, each.devs},
-		{"set counters", wave.set, each.set},
 		{"checked counters", wave.checked, each.checked},
 	} {
 		if !reflect.DeepEqual(c.got, c.want) {
@@ -222,7 +219,7 @@ func TestUploadWaveStopsAtFailedMember(t *testing.T) {
 			if len(log.sent) != k || log.sent[0].From != "client0" || log.sent[1].From != "client1" {
 				t.Fatalf("sent %d frames, want client0's and client1's", len(log.sent))
 			}
-			if got := ctx.DevSet.StatsSum().KernelLaunches; got != k {
+			if got := gpu.Sum(ctx.Checked.Devices()).KernelLaunches; got != k {
 				t.Fatalf("%d launches, want %d: nothing after member %d may be launched", got, k, k)
 			}
 			ref := NewProfile(SystemFLBooster, 128, 4).Seed

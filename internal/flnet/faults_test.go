@@ -7,7 +7,7 @@ import (
 	"time"
 )
 
-func TestFaultyTransportSendFailure(t *testing.T) {
+func TestChaosTransportSendFailure(t *testing.T) {
 	inner := NewSimTransport(GigabitEthernet(), "a", "b")
 	ft := NewChaosTransport(inner, ChaosConfig{FailSendAt: 2})
 	if err := ft.Send(Message{From: "a", To: "b"}); err != nil {
@@ -26,7 +26,7 @@ func TestFaultyTransportSendFailure(t *testing.T) {
 	}
 }
 
-func TestFaultyTransportRecvFailure(t *testing.T) {
+func TestChaosTransportRecvFailure(t *testing.T) {
 	inner := NewSimTransport(GigabitEthernet(), "a", "b")
 	ft := NewChaosTransport(inner, ChaosConfig{FailRecvAt: 1})
 	if err := ft.Send(Message{From: "a", To: "b", Kind: "x"}); err != nil {
@@ -44,7 +44,7 @@ func TestFaultyTransportRecvFailure(t *testing.T) {
 	}
 }
 
-func TestFaultyTransportDropKind(t *testing.T) {
+func TestChaosTransportDropKind(t *testing.T) {
 	inner := NewSimTransport(GigabitEthernet(), "a", "b")
 	ft := NewChaosTransport(inner, ChaosConfig{DropKind: "grads"})
 	if err := ft.Send(Message{From: "a", To: "b", Kind: "grads"}); err != nil {
@@ -68,7 +68,7 @@ func TestFaultyTransportDropKind(t *testing.T) {
 	}
 }
 
-func TestFaultyTransportDropFrom(t *testing.T) {
+func TestChaosTransportDropFrom(t *testing.T) {
 	inner := NewSimTransport(GigabitEthernet(), "a", "b", "c")
 	ft := NewChaosTransport(inner, ChaosConfig{DropFrom: "a", DropKind: "grads"})
 	// Matching both (from a, kind grads): dropped.

@@ -74,14 +74,36 @@ func backoff(attempt int) time.Duration {
 	return backoffBase << uint(attempt)
 }
 
-// CheckedStats counts what only the checked layer sees: its launch faults,
-// retries and spot checks. A device fault itself is recorded once, on the
-// member's device (gpu.Stats): its health — Failed is permanent failover —
-// its fault kinds, and in SimFaultTime the retry backoff beside the stalls'
-// watchdog windows. The ops issued and the host ledger — the ranges the host
-// loop served once no device was left, and their host time — are the device
-// set's (gpu.SetStats Ops, HostShards, HostSim).
+// CheckedStats is the executor's ledger. The ops it issued and how they were
+// served: shards, steals, the ranges the host loop served once no device was
+// left, and the merged clocks. And what the checked discipline saw on its
+// members: launch faults, retries and spot checks. A device fault itself is
+// recorded once, on the member's device (gpu.Stats): its health — Failed is
+// permanent failover — its fault kinds, and in SimFaultTime the retry backoff
+// beside the stalls' watchdog windows.
 type CheckedStats struct {
+	// Ops counts the vector ops issued.
+	Ops int64
+	// Shards counts shards dispatched to members, rework included.
+	Shards int64
+	// Steals counts shards re-queued from a faulted member onto healthy ones.
+	Steals int64
+	// HostShards counts ranges served by the host loop: every op's one range
+	// on a fleet of no member, else what is left once every member was
+	// excluded.
+	HostShards int64
+	// RebalanceSim is the modelled time the rework waves added to the
+	// parallel span — the price of migration, included in SimParallelTime.
+	RebalanceSim time.Duration
+	// SimParallelTime is the measured parallel span: per wave, the maximum
+	// modelled-time delta across the participating members. The same work
+	// priced sequentially is the sum of the members' SimTime(), so
+	// SimParallelTime over that sum is the measured scaling efficiency.
+	SimParallelTime time.Duration
+	// HostSim is the wall time of the host-served ranges, charged to the
+	// executor's clock: the whole clock of a fleet of no member,
+	// degraded-mode cost on one with members.
+	HostSim time.Duration
 	// LaunchFaults counts failed device launch attempts observed.
 	LaunchFaults int64
 	// Retries counts re-executions after a fault or a verification miss.
@@ -91,7 +113,8 @@ type CheckedStats struct {
 	VerifySamples int64
 }
 
-// add accumulates a member's share into the aggregate.
+// add accumulates a member's share — the counters a member keeps — into the
+// aggregate.
 func (s *CheckedStats) add(m CheckedStats) {
 	s.LaunchFaults += m.LaunchFaults
 	s.Retries += m.Retries
@@ -99,17 +122,17 @@ func (s *CheckedStats) add(m CheckedStats) {
 }
 
 // CheckedEngine is the one executor of the GPU-HE layer (DESIGN.md §7, §15):
-// it runs every vector op over a gpu.DeviceSet of D ≥ 0 members with the
-// execution discipline a production deployment needs. The op splits into
-// contiguous shards, one per healthy member; each member launches its shard
-// (one attempt: member.launch), spot-verifies the result by host residue
+// it owns a fleet of D ≥ 0 simulated devices and runs every vector op over it
+// with the execution discipline a production deployment needs. The op splits
+// into contiguous shards, one per healthy member; each member launches its
+// shard (one attempt: member.launch), spot-verifies the result by host residue
 // checks, and retries typed launch failures and verification misses with
 // capped exponential backoff. A member that cannot serve a shard surfaces its
-// typed *gpu.KernelError to the set's scheduler, never a silent host result:
-// the scheduler excludes it and re-queues its work onto the healthy peers, and
-// only when none is left does the bit-exact host loop (runOnHost) serve what
-// remains — every op, on a set of no member: the CPU profiles' executor. Every
-// fault, retry and fallback is counted.
+// typed *gpu.KernelError to the scheduler (serveOp), never a silent host
+// result: the scheduler excludes it and re-queues its work onto the healthy
+// peers, and only when none is left does the bit-exact host loop (runOnHost)
+// serve what remains — every op, on a fleet of no member: the CPU profiles'
+// executor. Every fault, retry and fallback is counted.
 //
 // Bit-exactness with a single launch and with the host loop holds by
 // construction: a shard is the op's own descriptor over a sub-range, so every
@@ -118,38 +141,51 @@ func (s *CheckedStats) add(m CheckedStats) {
 // mid-batch device death and work stealing included — can change a single
 // output bit.
 type CheckedEngine struct {
-	set     *gpu.DeviceSet
 	members []*member
 	cfg     CheckedConfig
 	frames  sync.Pool // of *Frame
 	window  int       // Miller–Rabin rounds a key-generation launch tests
 
-	// One op is in flight at a time — the set serialises ops anyway, one op
-	// owning every member clock — so the op being served is engine state and
-	// the scheduler's two callbacks are bound once, in sched, not per op. A
-	// batch holds the flight for all of its ops; job is where their launches
-	// leave their bodies (nil outside a batch and under verification), and
-	// helpers the pool workers its lanes run on: as many as the widest member
-	// cuts a launch for.
+	// One op is in flight at a time, owning every member clock and every
+	// counter: flight is the executor's one lock, held by an op from issue to
+	// return and by every reader of the ledger. The op being served is engine
+	// state, as are the scheduler's scratch — the members it may still use
+	// and the item ranges still to run — and stats, the ledger's op-level
+	// half. A batch holds the flight for all of its ops; job is where their
+	// launches leave their bodies (nil outside a batch and under
+	// verification), and helpers the pool workers its lanes run on: as many
+	// as the widest member cuts a launch for.
 	flight  sync.Mutex
 	op      vecOp
-	sched   gpu.ShardOp
+	elig    []*member
+	pending []shard
+	stats   CheckedStats
 	job     *gpu.Job
 	batch   gpu.Job
 	packed  encryptJob
 	helpers int
 }
 
-// member is one device of the set under the checked discipline: the device,
+// member is one device of the fleet under the checked discipline: the device,
 // its own verification sampler (so a member's samples do not depend on its
-// peers' traffic), its share of the counters and of the table counters.
+// peers' traffic), its share of the counters and of the table counters, and
+// its share of the wave in progress. Only the one goroutine serving the member
+// in a wave writes them, under the op's flight.
 type member struct {
-	dev *gpu.Device
+	dev   *gpu.Device
+	label string // "dev<i>", the device's label in spans, errors and metrics
 
-	mu    sync.Mutex
 	rng   *mpint.RNG
 	stats CheckedStats
 	table tableStats
+
+	// The member's share of a wave: the shards queued on it and its clock
+	// before them; then how many shards it finished and the error that
+	// stopped it short.
+	shards []shard
+	base   time.Duration
+	done   int
+	err    error
 }
 
 // tableStats counts a member's shared-table precomputation activity: the
@@ -161,70 +197,110 @@ type tableStats struct {
 	ops     int64 // elements evaluated through a table
 }
 
-// NewCheckedEngine builds the executor over a device set.
-func NewCheckedEngine(set *gpu.DeviceSet, cfg CheckedConfig) (*CheckedEngine, error) {
-	if set == nil {
-		return nil, fmt.Errorf("ghe: NewCheckedEngine needs a device set")
+// MaxDevices bounds the fleet an executor accepts — a sanity rail for the
+// CLI flags, not a simulator limit.
+const MaxDevices = 64
+
+// NewCheckedEngine builds the executor over `devices` ≥ 0 devices of one
+// configuration, each with its own resource manager, clock and health
+// machine, and the stable label ("dev0"…) that tags its trace spans. Fault
+// injectors are attached per device by the caller — each device fails
+// independently. A fleet of no member is the host's: the host loop serves
+// every op, and SimTime is that loop's wall time.
+func NewCheckedEngine(dev gpu.Config, fineRM bool, devices int, cfg CheckedConfig) (*CheckedEngine, error) {
+	if devices < 0 || devices > MaxDevices {
+		return nil, fmt.Errorf("ghe: device count %d outside [0, %d]", devices, MaxDevices)
 	}
-	c := &CheckedEngine{set: set, cfg: cfg.withDefaults(), members: make([]*member, set.Size())}
+	c := &CheckedEngine{cfg: cfg.withDefaults(), members: make([]*member, devices)}
 	workers := 0
-	for i, d := range set.Devices() {
+	for i := range c.members {
+		d, err := gpu.New(dev, fineRM)
+		if err != nil {
+			return nil, err
+		}
+		mb := &member{dev: d, label: fmt.Sprintf("dev%d", i), rng: mpint.NewRNG(cfg.VerifySeed)}
+		d.SetDeviceLabel(mb.label)
 		workers += d.Workers()
 		c.helpers = max(c.helpers, d.Workers())
-		c.members[i] = &member{dev: d, rng: mpint.NewRNG(cfg.VerifySeed)}
+		c.members[i] = mb
 	}
 	c.window = roundWindow(workers)
-	c.sched = gpu.ShardOp{Run: c.onMember, Host: c.onHost}
 	return c, nil
 }
 
-// Set exposes the device set the engine schedules over.
-func (c *CheckedEngine) Set() *gpu.DeviceSet { return c.set }
-
-// Stats returns a snapshot of the counters, summed over the members.
-func (c *CheckedEngine) Stats() CheckedStats {
-	var agg CheckedStats
-	for _, mb := range c.members {
-		s, _ := mb.snapshot()
-		agg.add(s)
-	}
-	return agg
-}
-
-// ResetStats zeroes the counters, the table counters and the device set's
-// with them, and restarts every member's verification sampler, so what runs
-// next is sampled and counted as on a fresh engine.
-func (c *CheckedEngine) ResetStats() {
-	c.set.ResetStats()
-	for _, mb := range c.members {
-		mb.mu.Lock()
-		mb.stats, mb.table, mb.rng = CheckedStats{}, tableStats{}, mpint.NewRNG(c.cfg.VerifySeed)
-		mb.mu.Unlock()
-	}
-}
-
-// snapshot returns the member's counters and its table counters.
-func (mb *member) snapshot() (CheckedStats, tableStats) {
-	mb.mu.Lock()
-	defer mb.mu.Unlock()
-	return mb.stats, mb.table
-}
-
-// PublishMetrics snapshots the checked-layer counters into a metrics
-// registry (DESIGN.md §9): every member counter summed under prefix, each
-// member's share under prefix+".dev<i>". Ops issued and the host ledger are
-// the device set's, published with it (gpu.DeviceSet.PublishMetrics).
-func (c *CheckedEngine) PublishMetrics(reg *obs.Registry, prefix string) {
-	agg := c.Stats()
-	var tables tableStats
+// Devices returns the member devices, in member order.
+func (c *CheckedEngine) Devices() []*gpu.Device {
+	devs := make([]*gpu.Device, len(c.members))
 	for i, mb := range c.members {
-		s, ts := mb.snapshot()
-		tables.builds += ts.builds
-		tables.entries += ts.entries
-		tables.ops += ts.ops
-		publishShare(reg, fmt.Sprintf("%s.dev%d", prefix, i), s, ts)
+		devs[i] = mb.dev
 	}
-	publishShare(reg, prefix, agg, tables)
+	return devs
+}
+
+// Stats returns a snapshot of the ledger, the members' shares summed.
+func (c *CheckedEngine) Stats() CheckedStats {
+	c.flight.Lock()
+	defer c.flight.Unlock()
+	st := c.stats
+	for _, mb := range c.members {
+		st.add(mb.stats)
+	}
+	return st
+}
+
+// SimTime is the executor's modelled online clock: the merged parallel span
+// plus the host-served time. It is the multi-device analogue of
+// gpu.Stats.SimTime and what fl's cost accounting reads on every profile.
+func (c *CheckedEngine) SimTime() time.Duration {
+	c.flight.Lock()
+	defer c.flight.Unlock()
+	return c.stats.SimParallelTime + c.stats.HostSim
+}
+
+// ResetStats zeroes the ledger, the table counters and every member device's
+// counters, and restarts every member's verification sampler, so what runs
+// next is sampled and counted as on a fresh engine. Health states survive,
+// exactly as on a single device.
+func (c *CheckedEngine) ResetStats() {
+	c.flight.Lock()
+	defer c.flight.Unlock()
+	c.stats = CheckedStats{}
+	for _, mb := range c.members {
+		mb.dev.ResetStats()
+		mb.stats, mb.table, mb.rng = CheckedStats{}, tableStats{}, mpint.NewRNG(c.cfg.VerifySeed)
+	}
+}
+
+// PublishMetrics snapshots the fleet and the ledger into a metrics registry
+// (DESIGN.md §9). Under "gpu.<label>": the members' device counters summed
+// (gpu.Sum), each member's under ".dev<i>", and the scheduler's counters
+// (devset_shards, devset_steals, devset_rebalance_ns, the merged clocks).
+// Under "ghe.<label>": the checked-layer counters summed, each member's share
+// under ".dev<i>".
+func (c *CheckedEngine) PublishMetrics(reg *obs.Registry, label string) {
+	c.flight.Lock()
+	defer c.flight.Unlock()
+	gp, hp := "gpu."+label, "ghe."+label
+	st, devs := c.stats, c.Devices()
+	gpu.Sum(devs).Publish(reg, gp)
+	var tables tableStats
+	for _, mb := range c.members {
+		mb.dev.Stats().Publish(reg, gp+"."+mb.label)
+		publishShare(reg, hp+"."+mb.label, mb.stats, mb.table)
+		st.add(mb.stats)
+		tables.builds += mb.table.builds
+		tables.entries += mb.table.entries
+		tables.ops += mb.table.ops
+	}
+	publishShare(reg, hp, st, tables)
+	reg.Set(gp+".devset_devices", int64(len(devs)))
+	reg.Set(gp+".devset_ops", st.Ops)
+	reg.Set(gp+".devset_shards", st.Shards)
+	reg.Set(gp+".devset_steals", st.Steals)
+	reg.Set(gp+".devset_host_shards", st.HostShards)
+	reg.Set(gp+".devset_rebalance_ns", int64(st.RebalanceSim))
+	reg.Set(gp+".devset_parallel_ns", int64(st.SimParallelTime))
+	reg.Set(gp+".devset_host_sim_ns", int64(st.HostSim))
 }
 
 // publishShare writes the counters a member keeps — and the aggregate sums —
@@ -238,8 +314,8 @@ func publishShare(reg *obs.Registry, prefix string, s CheckedStats, ts tableStat
 	reg.Set(prefix+".table_ops", ts.ops)
 }
 
-// schedule hands one op to the set's scheduler: members serve its shards under
-// the checked discipline, the host loop serves what no member could.
+// schedule serves one op under the flight: members serve its shards under the
+// checked discipline, the host loop serves what no member could.
 func (c *CheckedEngine) schedule(op vecOp) error {
 	c.flight.Lock()
 	defer c.flight.Unlock()
@@ -271,15 +347,6 @@ func (c *CheckedEngine) scheduleBatch(ops []encryptOp) (int, error) {
 	return len(ops), nil
 }
 
-// serveOp serves op over the set. Callers hold the flight.
-func (c *CheckedEngine) serveOp(op vecOp) error {
-	c.op = op
-	c.sched.Name, c.sched.Items = op.name(), len(op.result())
-	err := c.set.Run(c.sched)
-	c.op = nil
-	return err
-}
-
 // runJob runs the lanes the batch's launches left in its job, packed end to
 // end into lane groups, and ends the batch.
 func (c *CheckedEngine) runJob() {
@@ -292,17 +359,6 @@ func (c *CheckedEngine) runJob() {
 	c.batch.Run(b, items, c.helpers)
 	clear(b.parts)
 	b.parts, b.ends = b.parts[:0], b.ends[:0]
-}
-
-// onMember serves one shard of the op in flight on member dev.
-func (c *CheckedEngine) onMember(dev int, sh gpu.Shard) error {
-	return c.members[dev].serve(shardOf(c.op, sh), &c.cfg, c.job)
-}
-
-// onHost serves one range of the op in flight with the host loop; the set
-// enters it in its host ledger.
-func (c *CheckedEngine) onHost(sh gpu.Shard) error {
-	return runOnHost(shardOf(c.op, sh))
 }
 
 // serve runs one shard on the member's device until an attempt both launches
@@ -322,9 +378,7 @@ func (mb *member) serve(op vecOp, cfg *CheckedConfig, job *gpu.Job) error {
 				return err
 			}
 			last = kerr
-			mb.mu.Lock()
 			mb.stats.LaunchFaults++
-			mb.mu.Unlock()
 		} else if mb.spotCheck(op, cfg.VerifyFraction) {
 			return nil
 		} else {
@@ -337,9 +391,7 @@ func (mb *member) serve(op vecOp, cfg *CheckedConfig, job *gpu.Job) error {
 			return last
 		}
 		dev.ChargeFaultTime(backoff(attempt))
-		mb.mu.Lock()
 		mb.stats.Retries++
-		mb.mu.Unlock()
 	}
 }
 
@@ -364,11 +416,9 @@ func (mb *member) launch(op vecOp, job *gpu.Job) error {
 	}
 	mb.dev.CopyFromDevice(op.d2h())
 	if entries > 0 {
-		mb.mu.Lock()
 		mb.table.builds++
 		mb.table.entries += int64(entries)
 		mb.table.ops += int64(kern.Items)
-		mb.mu.Unlock()
 	}
 	return nil
 }
@@ -394,9 +444,7 @@ func (mb *member) spotCheck(op vecOp, frac float64) bool {
 	p := mpint.FromUint64(verifyPrime)
 	for _, i := range mb.sampleIndices(n, samples) {
 		ok := mpint.Cmp(mpint.Mod(out[i], p), mpint.Mod(op.verify(i), p)) == 0
-		mb.mu.Lock()
 		mb.stats.VerifySamples++
-		mb.mu.Unlock()
 		if !ok {
 			return false
 		}
@@ -415,11 +463,9 @@ func (mb *member) sampleIndices(n, samples int) []int {
 	if samples >= n {
 		return idx
 	}
-	mb.mu.Lock()
 	for s := 0; s < samples; s++ {
 		j := s + mb.rng.Intn(n-s)
 		idx[s], idx[j] = idx[j], idx[s]
 	}
-	mb.mu.Unlock()
 	return idx[:samples]
 }

@@ -11,22 +11,18 @@ import (
 	"flbooster/internal/obs"
 )
 
-// executorOn builds a CheckedEngine over a fresh set of d devices of one
+// executorOn builds a CheckedEngine over d fresh devices of one
 // configuration.
 func executorOn(t testing.TB, dev gpu.Config, d int, cfg CheckedConfig) *CheckedEngine {
 	t.Helper()
-	set, err := gpu.NewDeviceSet(dev, true, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := NewCheckedEngine(set, cfg)
+	c, err := NewCheckedEngine(dev, true, d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
-// checkedSet builds a CheckedEngine over a fresh set of d small devices.
+// checkedSet builds a CheckedEngine over d fresh small devices.
 func checkedSet(t testing.TB, d int, cfg CheckedConfig) *CheckedEngine {
 	t.Helper()
 	return executorOn(t, gpu.SmallTestDevice(), d, cfg)
@@ -38,7 +34,7 @@ func checkedEngine(t testing.TB, inject gpu.FaultConfig, cfg CheckedConfig) *Che
 	t.Helper()
 	c := checkedSet(t, 1, cfg)
 	if inject.Enabled() {
-		c.Set().Device(0).SetFaultInjector(gpu.NewFaultInjector(inject))
+		c.Devices()[0].SetFaultInjector(gpu.NewFaultInjector(inject))
 	}
 	return c
 }
@@ -129,7 +125,7 @@ func TestCheckedRetriesTransientAborts(t *testing.T) {
 		gpu.FaultConfig{Seed: 5, AbortProb: 0.4},
 		CheckedConfig{MaxRetries: 8})
 	// Keep the device from latching Failed so the retry path is exercised.
-	c.Set().Device(0).SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
+	c.Devices()[0].SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	r := mpint.NewRNG(8)
 	n := r.RandPrime(96)
 	m := mpint.NewMont(n)
@@ -151,7 +147,7 @@ func TestCheckedRetriesTransientAborts(t *testing.T) {
 	if st.LaunchFaults == 0 || st.Retries == 0 {
 		t.Fatalf("expected observed faults and retries: %+v", st)
 	}
-	if ds := c.Set().Device(0).Stats(); ds.SimFaultTime-time.Duration(ds.FaultStalls)*gpu.WatchdogWindow <= 0 {
+	if ds := c.Devices()[0].Stats(); ds.SimFaultTime-time.Duration(ds.FaultStalls)*gpu.WatchdogWindow <= 0 {
 		t.Fatalf("retry backoff not charged to the device clock: %+v", ds)
 	}
 }
@@ -163,7 +159,7 @@ func TestCheckedRetriesTransientAborts(t *testing.T) {
 // so the one op spends all 60 retries before the host serves it.
 func TestCheckedBackoffSaturates(t *testing.T) {
 	c := checkedEngine(t, gpu.FaultConfig{Seed: 3, AbortProb: 1}, CheckedConfig{MaxRetries: 60})
-	dev := c.Set().Device(0)
+	dev := c.Devices()[0]
 	dev.SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	rec := obs.NewRecorder(1)
 	dev.SetRecorder(rec, "test")
@@ -202,13 +198,15 @@ func TestCheckedBackoffSaturates(t *testing.T) {
 // retry backoffs — to the nanosecond.
 func TestFaultTimeLedgerMatchesTrace(t *testing.T) {
 	c := checkedSet(t, 2, CheckedConfig{MaxRetries: 8, VerifyFraction: 1, VerifySeed: 4})
-	c.Set().SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
-	for i, dev := range c.Set().Devices() {
+	for i, dev := range c.Devices() {
+		dev.SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 		dev.SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{
 			Seed: uint64(17 + i), AbortProb: 0.15, CorruptProb: 0.2, StallProb: 0.15, OOMProb: 0.1}))
 	}
 	rec := obs.NewRecorder(1)
-	c.Set().SetRecorder(rec, "test")
+	for _, dev := range c.Devices() {
+		dev.SetRecorder(rec, "test")
+	}
 	r := mpint.NewRNG(12)
 	m := mpint.NewMont(r.RandPrime(96))
 	bases := randVec(r, 12, m.N())
@@ -240,7 +238,7 @@ func TestFaultTimeLedgerMatchesTrace(t *testing.T) {
 		}
 	}
 	var all gpu.Stats
-	for i, dev := range c.Set().Devices() {
+	for i, dev := range c.Devices() {
 		st, label := dev.Stats(), fmt.Sprintf("dev%d", i)
 		if want := time.Duration(st.FaultStalls)*gpu.WatchdogWindow + backoff[label]; st.SimFaultTime != want {
 			t.Errorf("%s: ledger charges %v of fault time, the trace %v (%d stalls, %v of backoff)",
@@ -282,20 +280,20 @@ func TestCheckedCatchesCorruption(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if dev := c.Set().StatsSum(); dev.FaultCorruptions == 0 {
+	if dev := gpu.Sum(c.Devices()); dev.FaultCorruptions == 0 {
 		t.Fatalf("verification did not catch the corruption: %+v, device %+v", st, dev)
 	}
-	if set := c.Set().Stats(); set.HostShards == 0 {
-		t.Fatalf("corrupted op was not served from the host: %+v, set %+v", st, set)
+	if st.HostShards == 0 {
+		t.Fatalf("corrupted op was not served from the host: %+v", st)
 	}
 	// Silent corruption never latches Failed: each poisoned launch reports
 	// success (resetting the streak) before verification reports the miss, so
 	// the streak never passes one and the device stays in rotation — the
 	// retry budget, not the health machine, bounds the damage.
-	if h := c.Set().Device(0).Health(); h == gpu.DeviceFailed {
+	if h := c.Devices()[0].Health(); h == gpu.DeviceFailed {
 		t.Fatal("silent corruption should not latch the device Failed")
 	}
-	if c.Set().Device(0).Stats().FaultCorruptions == 0 {
+	if c.Devices()[0].Stats().FaultCorruptions == 0 {
 		t.Fatal("detected corruptions were not fed back into the device counters")
 	}
 }
@@ -310,7 +308,7 @@ func TestCheckedFullVerificationNeverMissesCorruption(t *testing.T) {
 		gpu.FaultConfig{Seed: 17, CorruptProb: 0.5},
 		CheckedConfig{VerifyFraction: 1, VerifySeed: 17, MaxRetries: 8})
 	// Keep the device in rotation so every op keeps exercising the GPU path.
-	c.Set().Device(0).SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
+	c.Devices()[0].SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	r := mpint.NewRNG(18)
 	n := r.RandPrime(96)
 	m := mpint.NewMont(n)
@@ -328,7 +326,7 @@ func TestCheckedFullVerificationNeverMissesCorruption(t *testing.T) {
 			}
 		}
 	}
-	if dev := c.Set().StatsSum(); dev.FaultCorruptions == 0 {
+	if dev := gpu.Sum(c.Devices()); dev.FaultCorruptions == 0 {
 		t.Fatalf("expected corrupted launches to be caught: %+v", dev)
 	}
 }
@@ -400,10 +398,10 @@ func TestCheckedFailoverBitExact(t *testing.T) {
 			t.Fatalf("EncryptVec[%d] fallback not bit-exact", i)
 		}
 	}
-	if set := c.Set().Stats(); set.HostShards == 0 || set.HostSim <= 0 {
-		t.Fatalf("failover not recorded: set %+v", set)
+	if st := c.Stats(); st.HostShards == 0 || st.HostSim <= 0 {
+		t.Fatalf("failover not recorded: %+v", st)
 	}
-	if h := c.Set().Device(0).Health(); h != gpu.DeviceFailed {
+	if h := c.Devices()[0].Health(); h != gpu.DeviceFailed {
 		t.Fatalf("killed device health %s, want failed", h)
 	}
 }
@@ -429,7 +427,7 @@ func TestCheckedStatsDeterministic(t *testing.T) {
 			}
 			out = append(out, got...)
 		}
-		return c.Stats(), c.Set().Device(0).Stats(), out
+		return c.Stats(), c.Devices()[0].Stats(), out
 	}
 	a, devA, outA := run(21)
 	b, devB, outB := run(21)
@@ -456,15 +454,50 @@ func TestCheckedPassesThroughCallerErrors(t *testing.T) {
 	if _, err := c.ModExpVarVec(bases, bases[:2], m); err == nil {
 		t.Fatal("length mismatch must fail")
 	}
-	st, set := c.Stats(), c.Set().Stats()
-	if st.Retries != 0 || st.LaunchFaults != 0 || set.HostShards != 0 {
-		t.Fatalf("caller error consumed fault machinery: %+v, set %+v", st, set)
+	if st := c.Stats(); st.Retries != 0 || st.LaunchFaults != 0 || st.HostShards != 0 {
+		t.Fatalf("caller error consumed fault machinery: %+v", st)
 	}
 }
 
+// TestCheckedConstructor: a negative device count and one above MaxDevices are
+// rejected; members carry the labels ("dev0"…) their spans are tagged with;
+// a fleet of no member builds and serves every op on the host loop, its clock
+// that loop's wall time.
 func TestCheckedConstructor(t *testing.T) {
-	if _, err := NewCheckedEngine(nil, CheckedConfig{}); err == nil {
-		t.Fatal("nil device set must be rejected")
+	for _, d := range []int{-1, MaxDevices + 1} {
+		if _, err := NewCheckedEngine(gpu.SmallTestDevice(), true, d, CheckedConfig{}); err == nil {
+			t.Fatalf("%d devices must be rejected", d)
+		}
+	}
+	r := mpint.NewRNG(2)
+	m := mpint.NewMont(r.RandPrime(64))
+	a, b := randVec(r, 9, m.N()), randVec(r, 9, m.N())
+	want, _ := hostLoop{}.ModMulVec(a, b, m)
+
+	c := checkedSet(t, 3, CheckedConfig{})
+	rec := obs.NewRecorder(1)
+	for _, dev := range c.Devices() {
+		dev.SetRecorder(rec, "test")
+	}
+	if _, err := c.ModMulVec(a, b, m); err != nil {
+		t.Fatal(err)
+	}
+	labels := map[string]bool{}
+	for _, sp := range rec.Spans() {
+		labels[sp.Device] = true
+	}
+	if len(labels) != 3 || !labels["dev0"] || !labels["dev1"] || !labels["dev2"] {
+		t.Fatalf("span labels %v, want dev0, dev1 and dev2", labels)
+	}
+
+	host := checkedSet(t, 0, CheckedConfig{})
+	got, err := host.ModMulVec(a, b, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameVec(t, "0 devices", got, want)
+	if st := host.Stats(); len(host.Devices()) != 0 || st.HostShards != 1 || st.Shards != 0 || host.SimTime() != st.HostSim {
+		t.Fatalf("0 devices: %d members, stats %+v, clock %v", len(host.Devices()), st, host.SimTime())
 	}
 }
 
@@ -488,7 +521,7 @@ func TestGeneratePrimeIsAFunctionOfTheSeed(t *testing.T) {
 		engines[fmt.Sprintf("D=%d", d)] = checkedSet(t, d, CheckedConfig{VerifyFraction: 0.25, VerifySeed: 3}).PrimeSearch()
 	}
 	killed := checkedSet(t, 3, CheckedConfig{})
-	killed.Set().Device(1).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 2}))
+	killed.Devices()[1].SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 2}))
 	engines["D=3, member 1 killed"] = killed.PrimeSearch()
 	for name, search := range engines {
 		for call := 0; call < 10; call++ {
@@ -502,10 +535,11 @@ func TestGeneratePrimeIsAFunctionOfTheSeed(t *testing.T) {
 			}
 		}
 	}
-	if st := killed.Stats(); killed.Set().Device(1).Health() != gpu.DeviceFailed || st.LaunchFaults == 0 {
+	st := killed.Stats()
+	if killed.Devices()[1].Health() != gpu.DeviceFailed || st.LaunchFaults == 0 {
 		t.Fatalf("member 1 was never killed: %+v", st)
 	}
-	if st := killed.Set().Stats(); st.Steals == 0 {
+	if st.Steals == 0 {
 		t.Fatalf("the dead member's rounds were not stolen: %+v", st)
 	}
 }
@@ -519,7 +553,7 @@ func TestCheckedTableIUnderCorruption(t *testing.T) {
 	c := checkedEngine(t,
 		gpu.FaultConfig{Seed: 23, CorruptProb: 0.5},
 		CheckedConfig{VerifyFraction: 1, VerifySeed: 23, MaxRetries: 12})
-	c.Set().Device(0).SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
+	c.Devices()[0].SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	var host hostLoop
 	r := mpint.NewRNG(24)
 	a, b := randVec(r, 16, r.RandBits(160)), randVec(r, 16, r.RandBits(96))
@@ -539,8 +573,8 @@ func TestCheckedTableIUnderCorruption(t *testing.T) {
 			t.Fatalf("seed %d: prime %s under corruption, the host loop says %s", round, gotP, wantP)
 		}
 	}
-	if st, set, dev := c.Stats(), c.Set().Stats(), c.Set().StatsSum(); dev.FaultCorruptions == 0 || st.Retries == 0 || set.HostShards != 0 {
-		t.Fatalf("corrupted launches should be caught and retried on the device: %+v, set %+v, device %+v", st, set, dev)
+	if st, dev := c.Stats(), gpu.Sum(c.Devices()); dev.FaultCorruptions == 0 || st.Retries == 0 || st.HostShards != 0 {
+		t.Fatalf("corrupted launches should be caught and retried on the device: %+v, device %+v", st, dev)
 	}
 }
 
@@ -625,7 +659,7 @@ func TestFusedDescriptorsUnderCorruption(t *testing.T) {
 	c := checkedEngine(t,
 		gpu.FaultConfig{Seed: 23, CorruptProb: 0.5},
 		CheckedConfig{VerifyFraction: 1, VerifySeed: 23, MaxRetries: 12})
-	c.Set().Device(0).SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
+	c.Devices()[0].SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	for op := 0; op < 40; op++ {
 		opened, err := c.DecryptVec(cts, key)
 		if err != nil {
@@ -638,8 +672,8 @@ func TestFusedDescriptorsUnderCorruption(t *testing.T) {
 		sameVec(t, "decrypt_crt_vec under corruption", opened, pts)
 		sameVec(t, "shift_pack_vec under corruption", packed, wantPacks)
 	}
-	st, set, dev := c.Stats(), c.Set().Stats(), c.Set().StatsSum()
-	if dev.FaultCorruptions == 0 || st.Retries == 0 || set.HostShards != 0 {
-		t.Fatalf("want corruptions caught and retried on the device, none served by the host: %+v, set %+v, device %+v", st, set, dev)
+	st, dev := c.Stats(), gpu.Sum(c.Devices())
+	if dev.FaultCorruptions == 0 || st.Retries == 0 || st.HostShards != 0 {
+		t.Fatalf("want corruptions caught and retried on the device, none served by the host: %+v, device %+v", st, dev)
 	}
 }

@@ -103,7 +103,7 @@ func TestEncryptVecOneLaunchUnderThree(t *testing.T) {
 			sameVec(t, "encrypt_vec", got, want)
 			old := gpu.MustNew(gpu.RTX3090(), true)
 			threeLaunches(t, old, items, crt, n2, holder)
-			f, o := fused.Set().Device(0).Stats(), old.Stats()
+			f, o := fused.Devices()[0].Stats(), old.Stats()
 			t.Logf("%d bits, holder %v: one launch %v compute, %d B up, %d B down, %v in all; three launches %v, %d, %d, %v",
 				bits, holder, f.SimComputeTime, f.BytesHostToDev, f.BytesDevToHost, f.SimTime(),
 				o.SimComputeTime, o.BytesHostToDev, o.BytesDevToHost, o.SimTime())
@@ -150,7 +150,7 @@ func TestEncryptVecRejectsBeforeUpload(t *testing.T) {
 			}
 		}
 	}
-	if st := eng.Set().Device(0).Stats(); st.KernelLaunches != 0 || st.BytesHostToDev != 0 {
+	if st := eng.Devices()[0].Stats(); st.KernelLaunches != 0 || st.BytesHostToDev != 0 {
 		t.Fatalf("rejected batches reached the device: %d launches, %d bytes up", st.KernelLaunches, st.BytesHostToDev)
 	}
 }
@@ -193,18 +193,18 @@ func TestCheckedEncryptCatchesCorruption(t *testing.T) {
 	c := checkedEngine(t,
 		gpu.FaultConfig{Seed: 11, CorruptProb: 0.5},
 		CheckedConfig{MaxRetries: 12, VerifyFraction: 1})
-	c.Set().Device(0).SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
+	c.Devices()[0].SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	got, err := c.EncryptVec(ms, encKey(crt, n2, true), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameVec(t, "encrypt_vec under corruption", got, want)
 	st := c.Stats()
-	if dev := c.Set().StatsSum(); dev.FaultCorruptions == 0 || st.Retries == 0 {
+	if dev := gpu.Sum(c.Devices()); dev.FaultCorruptions == 0 || st.Retries == 0 {
 		t.Fatalf("the injector corrupted no attempt at this seed: %+v, device %+v", st, dev)
 	}
-	if set := c.Set().Stats(); set.HostShards != 0 {
-		t.Fatalf("the retry budget should have healed the op on the device: %+v, set %+v", st, set)
+	if st.HostShards != 0 {
+		t.Fatalf("the retry budget should have healed the op on the device: %+v", st)
 	}
 }
 
@@ -221,7 +221,7 @@ func TestCheckedEncryptFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameVec(t, "encrypt_vec after failover", got, textbookEncrypt(ms, crt.N(), 8))
-		if st := c.Set().Stats(); st.HostShards != 1 {
+		if st := c.Stats(); st.HostShards != 1 {
 			t.Fatalf("expected a host-served op, got %+v", st)
 		}
 	}
@@ -279,7 +279,7 @@ func TestEncryptVecsIsEncryptVecInOrder(t *testing.T) {
 		}
 		f.Release()
 	}
-	if st := engines["host"].Set().Stats(); st.HostShards == 0 {
+	if st := engines["host"].Stats(); st.HostShards == 0 {
 		t.Fatalf("the dead device's batches were not served by the host loop: %+v", st)
 	}
 }

@@ -313,7 +313,7 @@ func (c *CheckedEngine) ModVec(a []mpint.Nat, n mpint.Nat) ([]mpint.Nat, error) 
 // runOnHost executes an op on the host: its set-up stage without a launch,
 // then every lane in order, one item at a time — the serial reference, and
 // the loop the executor serves a shard with once no device is left, so every
-// op of the CPU profiles, whose device set has no member.
+// op of the CPU profiles, whose fleet has no member.
 func runOnHost(op vecOp) error {
 	if _, err := op.setup(nil); err != nil {
 		return err

@@ -342,7 +342,7 @@ func FuzzVecOps(f *testing.F) {
 			same("the executor at D = 1", one, err)
 			for _, d := range []int{1, 2, 3} {
 				chk := checkedSet(t, d, CheckedConfig{VerifyFraction: 0.5, VerifySeed: seed})
-				chk.Set().Device(int(seed >> 40 % uint64(d))).SetFaultInjector(
+				chk.Devices()[seed>>40%uint64(d)].SetFaultInjector(
 					gpu.NewFaultInjector(gpu.FaultConfig{Seed: seed, KillAtLaunch: 1 + int64(seed>>48%3)}))
 				// Two ops, so a kill at the second or third launch lands with
 				// the fleet warm and, at D = 3, with peers to steal for it.
@@ -374,7 +374,7 @@ func FuzzVecOps(f *testing.F) {
 				t.Fatalf("%s: error %v, want %v", name, c.err, c.want)
 			}
 		}
-		if st := eng.Set().Device(0).Stats(); st.KernelLaunches != 0 || st.BytesHostToDev != 0 {
+		if st := eng.Devices()[0].Stats(); st.KernelLaunches != 0 || st.BytesHostToDev != 0 {
 			t.Fatalf("operand errors reached the device: %d launches, %d bytes up", st.KernelLaunches, st.BytesHostToDev)
 		}
 	})

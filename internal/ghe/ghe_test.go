@@ -38,7 +38,7 @@ func TestModExpVecMatchesSerial(t *testing.T) {
 			t.Fatalf("ModExpVec[%d] mismatch", i)
 		}
 	}
-	st := e.Set().Device(0).Stats()
+	st := e.Devices()[0].Stats()
 	if st.BytesHostToDev == 0 || st.BytesDevToHost == 0 || st.SimComputeTime <= 0 {
 		t.Fatalf("device accounting missing: %+v", st)
 	}

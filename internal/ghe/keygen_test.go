@@ -97,7 +97,7 @@ func sameWalk(t *testing.T, tag string, search, host mpint.PrimeSearch, seed uin
 func TestExecutorWalkIsTheHostWalk(t *testing.T) {
 	faulty := checkedEngine(t, gpu.FaultConfig{Seed: 29, CorruptProb: 0.3, AbortProb: 0.1},
 		CheckedConfig{VerifyFraction: 1, VerifySeed: 29, MaxRetries: 12})
-	faulty.Set().Device(0).SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
+	faulty.Devices()[0].SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	engines := []*CheckedEngine{checkedSet(t, 1, CheckedConfig{}), checkedSet(t, 2, CheckedConfig{}), checkedSet(t, 3, CheckedConfig{}), faulty}
 	names := []string{"D=1", "D=2", "D=3", "D=1 under faults"}
 	for i, eng := range engines {
@@ -116,11 +116,11 @@ func TestExecutorWalkIsTheHostWalk(t *testing.T) {
 			t.Fatalf("%s: %d pairs", names[i], pairs)
 		}
 	}
-	if st, set, dev := faulty.Stats(), faulty.Set().Stats(), faulty.Set().StatsSum(); dev.FaultCorruptions == 0 || st.Retries == 0 || set.HostShards != 0 {
-		t.Fatalf("want poisoned verdicts caught and retried on the device: %+v, set %+v, device %+v", st, set, dev)
+	if st, dev := faulty.Stats(), gpu.Sum(faulty.Devices()); dev.FaultCorruptions == 0 || st.Retries == 0 || st.HostShards != 0 {
+		t.Fatalf("want poisoned verdicts caught and retried on the device: %+v, device %+v", st, dev)
 	}
 	for i, eng := range engines[:3] {
-		if st := eng.Set().Stats(); st.Ops == 0 || (i > 0 && st.Shards <= st.Ops) {
+		if st := eng.Stats(); st.Ops == 0 || (i > 0 && st.Shards <= st.Ops) {
 			t.Fatalf("%s: the rounds were not sharded: %+v", names[i], st)
 		}
 	}
@@ -156,7 +156,7 @@ func TestMillerRabinVecRejects(t *testing.T) {
 			t.Errorf("%s: error %v, want %v", name, err, c.want)
 		}
 	}
-	if st := eng.Set().Device(0).Stats(); st.KernelLaunches != 0 {
+	if st := eng.Devices()[0].Stats(); st.KernelLaunches != 0 {
 		t.Fatalf("rejected rounds launched %d kernels", st.KernelLaunches)
 	}
 }

@@ -53,7 +53,7 @@ func TestMultiExpVecEveryEngine(t *testing.T) {
 	want := multiExpOracle(m, bases, sums)
 
 	eng := testEngine(t)
-	dev := eng.Set().Device(0)
+	dev := eng.Devices()[0]
 	rec := obs.NewRecorder(1)
 	dev.SetRecorder(rec, "test.gpu")
 	got, err := eng.MultiExpVec(bases, sums, m)
@@ -70,7 +70,7 @@ func TestMultiExpVecEveryEngine(t *testing.T) {
 	}
 	// Base 0 carries a zero weight in every sum and gets no row; the other 11
 	// under 10-bit weights over 7·11 terms run at width 3, four odd powers each.
-	if _, ts := eng.members[0].snapshot(); ts.builds != 1 || ts.entries != 11*4 || ts.ops != int64(len(sums)) {
+	if ts := eng.members[0].table; ts.builds != 1 || ts.entries != 11*4 || ts.ops != int64(len(sums)) {
 		t.Errorf("table stats %+v, want 1 build of 44 entries serving %d sums", ts, len(sums))
 	}
 	if st := dev.Stats(); st.KernelLaunches != 2 {
@@ -89,7 +89,7 @@ func TestMultiExpVecEveryEngine(t *testing.T) {
 			t.Fatalf("D=%d: %v", d, err)
 		}
 		sameVec(t, "executor", got, want)
-		if st, dev := chk.Stats(), chk.Set().StatsSum(); st.VerifySamples != int64(len(sums)) || dev.FaultCorruptions != 0 {
+		if st, dev := chk.Stats(), gpu.Sum(chk.Devices()); st.VerifySamples != int64(len(sums)) || dev.FaultCorruptions != 0 {
 			t.Errorf("D=%d: %d lanes verified, %d failed, want %d and 0", d, st.VerifySamples, dev.FaultCorruptions, len(sums))
 		}
 	}
@@ -119,7 +119,7 @@ func TestMultiExpVecRejectsBeforeUpload(t *testing.T) {
 			t.Errorf("sums %v: %d results, error %v, want ErrTermIndex", sums, len(got), err)
 		}
 	}
-	if st := chk.Set().Device(0).Stats(); st.KernelLaunches != 0 || st.BytesHostToDev != 0 || chk.Set().Stats().Ops != 0 {
+	if st := chk.Devices()[0].Stats(); st.KernelLaunches != 0 || st.BytesHostToDev != 0 || chk.Stats().Ops != 0 {
 		t.Errorf("rejected sums reached the device: %+v", st)
 	}
 }
@@ -166,7 +166,7 @@ func TestSignedMultiExpVec(t *testing.T) {
 	}
 
 	eng := testEngine(t)
-	dev := eng.Set().Device(0)
+	dev := eng.Devices()[0]
 	got, err := eng.MultiExpVec(bases, sums, m)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestSignedMultiExpVec(t *testing.T) {
 			t.Fatalf("D=%d: %v", d, err)
 		}
 		sameVec(t, fmt.Sprintf("executor at D=%d", d), got, want)
-		if st, dev := chk.Stats(), chk.Set().StatsSum(); st.VerifySamples != int64(len(sums)) || dev.FaultCorruptions != 0 {
+		if st, dev := chk.Stats(), gpu.Sum(chk.Devices()); st.VerifySamples != int64(len(sums)) || dev.FaultCorruptions != 0 {
 			t.Errorf("D=%d: %d lanes verified, %d failed, want %d and 0", d, st.VerifySamples, dev.FaultCorruptions, len(sums))
 		}
 
@@ -230,11 +230,11 @@ func TestSignedMultiExpVec(t *testing.T) {
 		if _, ok := mpint.ModInverse(bad[len(bad)-1], n); ok {
 			t.Fatal("the planted base is invertible")
 		}
-		lanes := chk.Set().Device(0).Stats().KernelLaunches
+		lanes := chk.Devices()[0].Stats().KernelLaunches
 		if got, err := chk.MultiExpVec(bad, badSums, m); !errors.Is(err, mpint.ErrNotInvertible) || got != nil {
 			t.Errorf("D=%d: a base with no inverse gave %d results, error %v, want ErrNotInvertible", d, len(got), err)
 		}
-		if after := chk.Set().Device(0).Stats().KernelLaunches; after > lanes+1 {
+		if after := chk.Devices()[0].Stats().KernelLaunches; after > lanes+1 {
 			t.Errorf("D=%d: %d launches after a failed table, want the table's alone", d, after-lanes)
 		}
 		for name, e := range map[string]vecEngine{"executor at D=1": testEngine(t), "host loop": hostLoop{}} {
@@ -286,7 +286,7 @@ func TestMultiExpVecCheaperThanTheTree(t *testing.T) {
 			t.Fatalf("sum %d: the kernel and the tree disagree", j)
 		}
 	}
-	k, tr := kernel.Set().Device(0).Stats(), tree.Set().Device(0).Stats()
+	k, tr := kernel.Devices()[0].Stats(), tree.Devices()[0].Stats()
 	t.Logf("kernel: %d launches, %d B up, %d B down, %v compute, %v transfer; tree: %d launches, %d B up, %d B down, %v compute, %v transfer",
 		k.KernelLaunches, k.BytesHostToDev, k.BytesDevToHost, k.SimComputeTime, k.SimTransferTime,
 		tr.KernelLaunches, tr.BytesHostToDev, tr.BytesDevToHost, tr.SimComputeTime, tr.SimTransferTime)
@@ -310,7 +310,7 @@ func TestCheckedMultiExpCatchesCorruption(t *testing.T) {
 	c := checkedEngine(t,
 		gpu.FaultConfig{Seed: 5, CorruptProb: 0.5},
 		CheckedConfig{MaxRetries: 12, VerifyFraction: 1})
-	c.Set().Device(0).SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
+	c.Devices()[0].SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	r := mpint.NewRNG(0xC0)
 	n := r.RandPrime(160)
 	m := mpint.NewMont(n)
@@ -324,7 +324,7 @@ func TestCheckedMultiExpCatchesCorruption(t *testing.T) {
 		}
 		sameVec(t, "under corruption", got, want)
 	}
-	if st, dev := c.Stats(), c.Set().StatsSum(); dev.FaultCorruptions == 0 || st.Retries == 0 {
+	if st, dev := c.Stats(), gpu.Sum(c.Devices()); dev.FaultCorruptions == 0 || st.Retries == 0 {
 		t.Errorf("injector never corrupted a launch at this seed: %+v, device %+v", st, dev)
 	}
 
@@ -332,7 +332,7 @@ func TestCheckedMultiExpCatchesCorruption(t *testing.T) {
 	// on one whose device dies at the table's.
 	launch := func(killAt int64) error {
 		dead := testEngine(t)
-		dead.Set().Device(0).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: killAt}))
+		dead.Devices()[0].SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: killAt}))
 		tbl, err := m.NewMultiExpTable(bases, sums)
 		if err != nil {
 			t.Fatal(err)

@@ -47,11 +47,11 @@ type vecOp interface {
 }
 
 // shardOf is op restricted to sh. The shard that covers the op is the op.
-func shardOf(op vecOp, sh gpu.Shard) vecOp {
-	if sh.Len() == len(op.result()) {
+func shardOf(op vecOp, sh shard) vecOp {
+	if sh.len() == len(op.result()) {
 		return op
 	}
-	return op.slice(sh.Lo, sh.Hi)
+	return op.slice(sh.lo, sh.hi)
 }
 
 // natBytes is the device-transfer size of a vector of k-limb values.

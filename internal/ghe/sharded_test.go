@@ -160,32 +160,31 @@ func TestShardedMidBatchKill(t *testing.T) {
 	sh := testExecutor(t, 4)
 	// Short backoff keeps the test fast; the scheduler's correctness must not
 	// depend on the retry budget's timing.
-	sh.Set().Device(2).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 3, KillAtLaunch: 1}))
+	sh.Devices()[2].SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 3, KillAtLaunch: 1}))
 	got, err := sh.ModExpVec(bases, exp, m)
 	if err != nil {
 		t.Fatalf("sharded op with dead device: %v", err)
 	}
 	sameVec(t, "mod_exp_vec under kill", got, want)
 
-	st := sh.Set().Stats()
+	st := sh.Stats()
 	if st.Steals == 0 {
-		t.Fatalf("expected stolen shards, set stats %+v", st)
+		t.Fatalf("expected stolen shards, stats %+v", st)
 	}
-	cs := sh.Stats()
-	if cs.LaunchFaults == 0 || sh.Set().Device(2).Health() != gpu.DeviceFailed {
-		t.Fatalf("checked layer should have observed the faults: %+v", cs)
+	if st.LaunchFaults == 0 || sh.Devices()[2].Health() != gpu.DeviceFailed {
+		t.Fatalf("checked layer should have observed the faults: %+v", st)
 	}
 	// The scheduler owns failover: the dead member's shard went to its peers,
 	// not to the host, and served directly the member surfaces a typed fault —
 	// never a silent host result.
 	if st.HostShards != 0 {
-		t.Fatalf("a member served its shard from the host: %+v, set %+v", cs, st)
+		t.Fatalf("a member served its shard from the host: %+v", st)
 	}
-	sh.op = &modExpOp{newModVec(4, m), bases[:4], exp, mpint.CompileExpAuto(exp)}
-	if err := sh.onMember(2, gpu.Shard{Hi: 4}); !gpu.IsKernelError(err) {
+	op := &modExpOp{newModVec(4, m), bases[:4], exp, mpint.CompileExpAuto(exp)}
+	if err := sh.members[2].serve(op, &sh.cfg, nil); !gpu.IsKernelError(err) {
 		t.Fatalf("dead member returned %v, want a typed *gpu.KernelError", err)
 	}
-	if st := sh.Set().Stats(); st.HostShards != 0 {
+	if st := sh.Stats(); st.HostShards != 0 {
 		t.Fatalf("the member path must never serve from the host: %+v", st)
 	}
 	// Subsequent ops skip the dead device entirely and still match.
@@ -196,8 +195,9 @@ func TestShardedMidBatchKill(t *testing.T) {
 	sameVec(t, "mod_exp_vec after kill", got2, want)
 }
 
-// TestShardedAllDevicesDeadFallsBackToHost: killing the whole set routes the
-// op through the host loop, still bit-exact with it.
+// TestShardedAllDevicesDeadFallsBackToHost: killing the whole fleet routes the
+// op through the host loop, still bit-exact with it, and its wall time onto the
+// executor's clock beside the parallel span the dying members left.
 func TestShardedAllDevicesDeadFallsBackToHost(t *testing.T) {
 	r := mpint.NewRNG(7)
 	nmod := r.RandPrime(96)
@@ -208,7 +208,7 @@ func TestShardedAllDevicesDeadFallsBackToHost(t *testing.T) {
 
 	sh := testExecutor(t, 2)
 	for i := 0; i < 2; i++ {
-		sh.Set().Device(i).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: uint64(i + 1), KillAtLaunch: 1}))
+		sh.Devices()[i].SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: uint64(i + 1), KillAtLaunch: 1}))
 	}
 	want, err := hostLoop{}.ModExpVec(bases, exp, m)
 	if err != nil {
@@ -219,8 +219,12 @@ func TestShardedAllDevicesDeadFallsBackToHost(t *testing.T) {
 		t.Fatalf("host fallback: %v", err)
 	}
 	sameVec(t, "host fallback", got, want)
-	if st := sh.Set().Stats(); st.HostShards == 0 {
-		t.Fatalf("expected host-served shards: %+v", st)
+	st := sh.Stats()
+	if st.HostShards == 0 || st.HostSim <= 0 {
+		t.Fatalf("expected host-served shards with charged time: %+v", st)
+	}
+	if st.SimParallelTime+st.HostSim != sh.SimTime() {
+		t.Fatalf("SimTime %v != parallel %v + host %v", sh.SimTime(), st.SimParallelTime, st.HostSim)
 	}
 }
 
@@ -260,7 +264,7 @@ func TestShardedConcurrentCallers(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st := sh.Set().Stats(); st.Ops != callers*20 {
+	if st := sh.Stats(); st.Ops != callers*20 {
 		t.Fatalf("%d ops counted, want %d", st.Ops, callers*20)
 	}
 }

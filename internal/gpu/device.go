@@ -28,7 +28,7 @@ type Device struct {
 
 	rec      *obs.Recorder // nil when tracing is off: every record is one nil check
 	recParty string        // trace process the device's spans belong to
-	devID    string        // device label inside a DeviceSet ("dev0"…); empty standalone
+	devID    string        // device label inside an executor's fleet ("dev0"…); empty standalone
 }
 
 // Stats aggregates device activity.
@@ -137,7 +137,7 @@ func (d *Device) SetRecorder(rec *obs.Recorder, party string) {
 	d.recParty = party
 }
 
-// SetDeviceLabel names the device inside a multi-device set; the label tags
+// SetDeviceLabel names the device inside an executor's fleet; the label tags
 // every kernel/copy/fault span the device emits.
 func (d *Device) SetDeviceLabel(id string) {
 	d.mu.Lock()
@@ -154,16 +154,41 @@ func (d *Device) recordLocked(phase, lane string, start, dur time.Duration) {
 	d.rec.Record(obs.Span{Phase: phase, Party: d.recParty, Lane: lane, Device: d.devID, Start: start, Dur: dur})
 }
 
-// PublishMetrics snapshots the device counters into a metrics registry
-// under the given prefix — launches, bytes, sim clocks, fault/watchdog
-// events, the DESIGN.md §9 pull-publishing contract.
-func (d *Device) PublishMetrics(reg *obs.Registry, prefix string) {
-	publishDeviceStats(reg, prefix, d.Stats())
+// Sum is a fleet's counters: the additive fields summed — so AvgUtilization
+// is the fleet's launch-weighted mean — Health the worst member's and
+// ConsecutiveFailures the longest streak.
+func Sum(devs []*Device) Stats {
+	agg := Stats{Health: DeviceHealthy}
+	for _, d := range devs {
+		st := d.Stats()
+		agg.KernelLaunches += st.KernelLaunches
+		agg.ThreadsExecuted += st.ThreadsExecuted
+		agg.WarpsExecuted += st.WarpsExecuted
+		agg.BytesHostToDev += st.BytesHostToDev
+		agg.BytesDevToHost += st.BytesDevToHost
+		agg.SimTransferTime += st.SimTransferTime
+		agg.SimComputeTime += st.SimComputeTime
+		agg.SimFaultTime += st.SimFaultTime
+		agg.WallKernelTime += st.WallKernelTime
+		agg.UtilizationSum += st.UtilizationSum
+		agg.UtilizationCount += st.UtilizationCount
+		agg.LaunchFailures += st.LaunchFailures
+		agg.FaultAborts += st.FaultAborts
+		agg.FaultCorruptions += st.FaultCorruptions
+		agg.FaultStalls += st.FaultStalls
+		agg.FaultOOMs += st.FaultOOMs
+		if st.Health == DeviceFailed {
+			agg.Health = DeviceFailed
+		}
+		agg.ConsecutiveFailures = max(agg.ConsecutiveFailures, st.ConsecutiveFailures)
+	}
+	return agg
 }
 
-// publishDeviceStats writes one Stats snapshot under a prefix — shared by
-// standalone devices, DeviceSet members, and the set's aggregate row.
-func publishDeviceStats(reg *obs.Registry, prefix string, s Stats) {
+// Publish writes the counters into a metrics registry under prefix —
+// launches, bytes, sim clocks, fault/watchdog events, the DESIGN.md §9
+// pull-publishing contract — for one device or a fleet's Sum alike.
+func (s Stats) Publish(reg *obs.Registry, prefix string) {
 	reg.Set(prefix+".launches", s.KernelLaunches)
 	reg.Set(prefix+".threads", s.ThreadsExecuted)
 	reg.Set(prefix+".warps", s.WarpsExecuted)

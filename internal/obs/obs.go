@@ -9,7 +9,7 @@
 // the round's phase clock), never host wall time, so two same-seed runs of a
 // GPU-profile experiment produce byte-identical trace exports. Every counter
 // in the registry has one writer: a layer that keeps its own statistics
-// (device set, checked engine, transport meter, fl cost accumulator) is
+// (the checked executor, transport meter, fl cost accumulator) is
 // pulled into it with Set when its owner publishes, and the round's protocol
 // counters, which nothing else keeps, are pushed as they happen (DESIGN.md §9).
 package obs

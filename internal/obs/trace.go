@@ -22,7 +22,7 @@ type Span struct {
 	// Lane is the execution lane within the party: "gpu.kernel", "gpu.h2d",
 	// "gpu.fault", "fl.round", "fl.tree", ...
 	Lane string
-	// Device identifies which member of a device set emitted the span
+	// Device identifies which member of an executor's fleet emitted the span
 	// ("dev0"…). Empty for a standalone device's spans and non-device spans.
 	Device string
 	// Start and Dur locate the span on the simulated clock. Wall time never

@@ -9,9 +9,9 @@ import (
 
 // Backend executes batched Paillier operations. GPUBackend is the one
 // implementation: the vectorized kernels of internal/ghe on the executor's
-// device set — launched on its members on the HAFLO / FLBooster
-// configurations, served item by item by the host loop on FATE's and
-// w/o GHE's set of no member. No result shares limbs with an operand, so a
+// fleet — launched on its members on the HAFLO / FLBooster configurations,
+// served item by item by the host loop on FATE's and w/o GHE's fleet of no
+// member. No result shares limbs with an operand, so a
 // caller may release a result batch (ReleaseBatch) while its operands live
 // on, and the other way round.
 type Backend interface {
@@ -79,9 +79,9 @@ func EncryptVecs(b Backend, out [][]Ciphertext, pk *PublicKey, batches [][]mpint
 
 // GPUBackend lowers batched operations onto the GPU-HE executor, following
 // the pipeline of Fig. 4: convert, copy to device, compute in parallel, copy
-// back. The executor (ghe.CheckedEngine) runs every op over its device set —
+// back. The executor (ghe.CheckedEngine) runs every op over its fleet —
 // verify, retry, steal, fail over to the host loop — so the backend serves
-// whatever the set can, a set of no member included: there the host loop
+// whatever the fleet can, a fleet of no member included: there the host loop
 // serves every op.
 type GPUBackend struct {
 	eng *ghe.CheckedEngine

@@ -200,7 +200,7 @@ func TestDecryptVecReducedCheaperSim(t *testing.T) {
 		if _, err := classic.ModExpVec(bases, sk.Lambda, sk.MontN2()); err != nil {
 			t.Fatal(err)
 		}
-		rs, cl := reduced.Set().Device(0).Stats(), classic.Set().Device(0).Stats()
+		rs, cl := reduced.Devices()[0].Stats(), classic.Devices()[0].Stats()
 		t.Logf("%d bits: reduced %v compute / %v in all, full-λ %v / %v", bits, rs.SimComputeTime, rs.SimTime(), cl.SimComputeTime, cl.SimTime())
 		if rs.SimComputeTime >= cl.SimComputeTime {
 			t.Errorf("%d bits: reduced CRT sim compute %v should undercut full-λ %v", bits, rs.SimComputeTime, cl.SimComputeTime)
@@ -409,7 +409,7 @@ func TestEncryptSameBitsEverywhere(t *testing.T) {
 			}
 		}
 	}
-	if st := engines["host"].Set().Stats(); st.HostShards == 0 {
+	if st := engines["host"].Stats(); st.HostShards == 0 {
 		t.Fatalf("the dead device's batches were not served by the host loop: %+v", st)
 	}
 }

@@ -12,11 +12,7 @@ import (
 // configuration.
 func executor(t testing.TB, dev gpu.Config, d int, check ghe.CheckedConfig) *ghe.CheckedEngine {
 	t.Helper()
-	set, err := gpu.NewDeviceSet(dev, true, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := ghe.NewCheckedEngine(set, check)
+	eng, err := ghe.NewCheckedEngine(dev, true, d, check)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +24,7 @@ func executor(t testing.TB, dev gpu.Config, d int, check ghe.CheckedConfig) *ghe
 func hostExecutor(t testing.TB, dev gpu.Config) *ghe.CheckedEngine {
 	t.Helper()
 	eng := executor(t, dev, 1, ghe.CheckedConfig{})
-	eng.Set().Device(0).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 1}))
+	eng.Devices()[0].SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 1}))
 	return eng
 }
 
@@ -131,13 +127,13 @@ func TestShardedBackendMidBatchKill(t *testing.T) {
 		// The kill lands mid-batch: encryption is one launch a device, so device
 		// 1's share of the batch dies at its first launch (its third, when a
 		// batch was three) while its peers' shares land, and they steal it.
-		eng.Set().Device(1).SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 2, KillAtLaunch: 1}))
+		eng.Devices()[1].SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 2, KillAtLaunch: 1}))
 		got, err := b.EncryptVec(h.pk, ms, 13)
 		if err != nil {
 			t.Fatalf("%s EncryptVec under mid-batch kill: %v", h.name, err)
 		}
 		sameCts(t, h.name+" encrypt under kill", got, want)
-		if eng.Set().Stats().Steals == 0 {
+		if eng.Stats().Steals == 0 {
 			t.Fatalf("%s: the kill stole no shard", h.name)
 		}
 		dec, err := b.DecryptVec(sk, got)
