@@ -7,6 +7,7 @@ import (
 
 	"flbooster/internal/gpu"
 	"flbooster/internal/mpint"
+	"flbooster/internal/obs"
 )
 
 // pieces cuts sh into parts pieces the way the scheduler spreads a pending
@@ -196,6 +197,61 @@ func TestExecutorWorkStealingOnKill(t *testing.T) {
 	// The dead device recorded its failed launch.
 	if dead.Stats().FaultAborts == 0 {
 		t.Fatal("member 1 should have recorded the abort")
+	}
+}
+
+// TestExecutorValidation: members carry the labels ("dev0"…) their spans are
+// tagged with; a fleet of no member builds and serves every op on the host
+// loop, its clock that loop's wall time.
+func TestExecutorValidation(t *testing.T) {
+	a, b, m, want := schedOperands(t, 9)
+	c := checkedSet(t, 3, CheckedConfig{})
+	rec := obs.NewRecorder(1)
+	for _, dev := range c.Devices() {
+		dev.SetRecorder(rec, "test")
+	}
+	if _, err := c.ModMulVec(a, b, m); err != nil {
+		t.Fatal(err)
+	}
+	labels := map[string]bool{}
+	for _, sp := range rec.Spans() {
+		labels[sp.Device] = true
+	}
+	if len(labels) != 3 || !labels["dev0"] || !labels["dev1"] || !labels["dev2"] {
+		t.Fatalf("span labels %v, want dev0, dev1 and dev2", labels)
+	}
+
+	host := checkedSet(t, 0, CheckedConfig{})
+	got, err := host.ModMulVec(a, b, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameVec(t, "0 devices", got, want)
+	if st := host.Stats(); len(host.Devices()) != 0 || st.HostShards != 1 || st.Shards != 0 || host.SimTime() != st.HostSim {
+		t.Fatalf("0 devices: %d members, stats %+v, clock %v", len(host.Devices()), st, host.SimTime())
+	}
+}
+
+// TestExecutorHostFallbackWhenAllDevicesDie: with every member killed the host
+// loop serves the op, still bit-exact with it, and its wall time lands on the
+// executor's clock beside the parallel span the dying members left.
+func TestExecutorHostFallbackWhenAllDevicesDie(t *testing.T) {
+	a, b, m, want := schedOperands(t, 16)
+	c := checkedSet(t, 2, CheckedConfig{})
+	for i, dev := range c.Devices() {
+		dev.SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: uint64(i + 1), KillAtLaunch: 1}))
+	}
+	got, err := c.ModMulVec(a, b, m)
+	if err != nil {
+		t.Fatalf("op with all members dead: %v", err)
+	}
+	sameVec(t, "host fallback", got, want)
+	st := c.Stats()
+	if st.HostShards == 0 || st.HostSim <= 0 {
+		t.Fatalf("expected host-served shards with charged time: %+v", st)
+	}
+	if st.SimParallelTime+st.HostSim != c.SimTime() {
+		t.Fatalf("SimTime %v != parallel %v + host %v", c.SimTime(), st.SimParallelTime, st.HostSim)
 	}
 }
 

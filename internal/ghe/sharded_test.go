@@ -196,8 +196,7 @@ func TestShardedMidBatchKill(t *testing.T) {
 }
 
 // TestShardedAllDevicesDeadFallsBackToHost: killing the whole fleet routes the
-// op through the host loop, still bit-exact with it, and its wall time onto the
-// executor's clock beside the parallel span the dying members left.
+// op through the host loop, still bit-exact with it.
 func TestShardedAllDevicesDeadFallsBackToHost(t *testing.T) {
 	r := mpint.NewRNG(7)
 	nmod := r.RandPrime(96)
@@ -219,12 +218,8 @@ func TestShardedAllDevicesDeadFallsBackToHost(t *testing.T) {
 		t.Fatalf("host fallback: %v", err)
 	}
 	sameVec(t, "host fallback", got, want)
-	st := sh.Stats()
-	if st.HostShards == 0 || st.HostSim <= 0 {
-		t.Fatalf("expected host-served shards with charged time: %+v", st)
-	}
-	if st.SimParallelTime+st.HostSim != sh.SimTime() {
-		t.Fatalf("SimTime %v != parallel %v + host %v", sh.SimTime(), st.SimParallelTime, st.HostSim)
+	if st := sh.Stats(); st.HostShards == 0 {
+		t.Fatalf("expected host-served shards: %+v", st)
 	}
 }
 
