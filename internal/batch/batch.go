@@ -118,25 +118,38 @@ func orBits(words []mpint.Word, bitPos uint, v uint64) {
 // r+b bits; the full slot is returned so quant.DequantizeSum sees the carry.
 // A plaintext with a bit above the slots it carries rejects with ErrTooWide.
 func (p *Packer) Unpack(packed []mpint.Nat, count int) ([]uint64, error) {
-	if count < 0 {
-		return nil, fmt.Errorf("batch: negative count %d", count)
-	}
-	if need := p.NumPlaintexts(count); need != len(packed) {
-		return nil, fmt.Errorf("batch: %d values need %d plaintexts, got %d", count, need, len(packed))
+	if err := p.checkUnpack(packed, count); err != nil {
+		return nil, err
 	}
 	slotBits := uint(p.q.SlotBits())
 	out := make([]uint64, 0, count)
 	for pi, pt := range packed {
-		slotsHere := min(p.slots, count-pi*p.slots)
-		if width := uint(pt.BitLen()); width > uint(slotsHere)*slotBits {
-			return nil, fmt.Errorf("%w: plaintext %d is %d bits wide, its %d slots hold %d",
-				ErrTooWide, pi, width, slotsHere, uint(slotsHere)*slotBits)
-		}
-		for s := 0; s < slotsHere; s++ {
+		for s := 0; s < min(p.slots, count-pi*p.slots); s++ {
 			out = append(out, extractBits(pt, uint(s)*slotBits, slotBits))
 		}
 	}
 	return out, nil
+}
+
+// checkUnpack is Unpack's rejects: a negative count, the wrong number of
+// plaintexts for count, and a plaintext with a bit above the slots it
+// carries (ErrTooWide).
+func (p *Packer) checkUnpack(packed []mpint.Nat, count int) error {
+	if count < 0 {
+		return fmt.Errorf("batch: negative count %d", count)
+	}
+	if need := p.NumPlaintexts(count); need != len(packed) {
+		return fmt.Errorf("batch: %d values need %d plaintexts, got %d", count, need, len(packed))
+	}
+	slotBits := uint(p.q.SlotBits())
+	for pi, pt := range packed {
+		slotsHere := min(p.slots, count-pi*p.slots)
+		if width := uint(pt.BitLen()); width > uint(slotsHere)*slotBits {
+			return fmt.Errorf("%w: plaintext %d is %d bits wide, its %d slots hold %d",
+				ErrTooWide, pi, width, slotsHere, uint(slotsHere)*slotBits)
+		}
+	}
+	return nil
 }
 
 // extractBits reads `width` (≤ 64) bits starting at bitPos, from at most two
@@ -182,11 +195,24 @@ func (p *Packer) EncodeGradientsInto(dst []mpint.Nat, grads []float64) ([]mpint.
 }
 
 // DecodeAggregated is the full server→client path after decryption: unpack
-// `count` slots and dequantize sums of `parties` contributions.
+// `count` slots and dequantize sums of `parties` contributions —
+// Unpack then quant.DequantizeSum a slot, rejects and their texts included,
+// in one pass: each slot is dequantized as it is read, so the sums never
+// exist. The plaintexts' widths are all checked first, as Unpack does.
 func (p *Packer) DecodeAggregated(packed []mpint.Nat, count, parties int) ([]float64, error) {
-	sums, err := p.Unpack(packed, count)
-	if err != nil {
+	if err := p.checkUnpack(packed, count); err != nil {
 		return nil, err
 	}
-	return p.q.DequantizeSumVec(sums, parties)
+	slotBits := uint(p.q.SlotBits())
+	out := make([]float64, 0, count)
+	for pi, pt := range packed {
+		for s := 0; s < min(p.slots, count-pi*p.slots); s++ {
+			v, err := p.q.DequantizeSum(extractBits(pt, uint(s)*slotBits, slotBits), parties)
+			if err != nil {
+				return nil, fmt.Errorf("quant: element %d: %w", len(out), err)
+			}
+			out = append(out, v)
+		}
+	}
+	return out, nil
 }

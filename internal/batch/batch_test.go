@@ -2,6 +2,7 @@ package batch
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -286,6 +287,94 @@ func TestEncodeDecodeGradients(t *testing.T) {
 	}
 	if _, err := p.DecodeAggregated(sums, 1000, parties); err == nil {
 		t.Fatal("mismatched count should fail")
+	}
+}
+
+// TestDecodeAggregatedIsUnpackThenDequantize: the one-pass decode equals
+// Unpack followed by quant.DequantizeSum on each slot, bit for bit, over
+// random widths, slot counts and sums — a slot past parties·(2^r−1), a
+// parties count past the quantizer's capacity, and a plaintext with a bit
+// above its slots (ErrTooWide) included, each reject with the same text.
+func TestDecodeAggregatedIsUnpackThenDequantize(t *testing.T) {
+	rng := mpint.NewRNG(58)
+	var rejects, tooWide, decoded int
+	for trial := range 2000 {
+		capacity := 1 + rng.Intn(16)
+		q := quant.MustNew(0.5+rng.Float64(), uint(2+rng.Intn(40)), capacity)
+		keyBits := []int{128, 256, 512, 1024}[rng.Intn(4)]
+		p, err := New(q, keyBits)
+		if err != nil {
+			continue // the key holds no slot of this width
+		}
+		parties := 1 + rng.Intn(capacity)
+		sumBound := uint64(parties) * (1<<q.RBits() - 1)
+		if rng.Intn(8) == 0 {
+			parties = []int{0, capacity + 1}[rng.Intn(2)] // past the quantizer's capacity
+		}
+		slotBits := q.SlotBits()
+		count := rng.Intn(3*p.Slots() + 1)
+		pts := make([]mpint.Nat, p.NumPlaintexts(count))
+		past, wide := -1, -1 // a slot past every party's sum, a too-wide plaintext
+		if count > 0 && rng.Intn(4) == 0 {
+			past = rng.Intn(count)
+		}
+		if len(pts) > 0 && rng.Intn(8) == 0 {
+			wide = rng.Intn(len(pts))
+		}
+		for pi := range pts {
+			words := make(mpint.Nat, p.words())
+			slotsHere := min(p.Slots(), count-pi*p.Slots())
+			for s := range slotsHere {
+				v := rng.Uint64() % (sumBound + 1)
+				if pi*p.Slots()+s == past {
+					v = 1<<slotBits - 1
+				}
+				orBits(words, uint(s)*slotBits, v)
+			}
+			pts[pi] = mpint.TakeWords(words)
+			if pi == wide {
+				pts[pi] = mpint.Add(pts[pi], mpint.Lsh(mpint.FromUint64(1), uint(slotsHere)*slotBits+uint(rng.Intn(8))))
+			}
+		}
+		var want []float64
+		sums, wantErr := p.Unpack(pts, count)
+		if wantErr == nil {
+			want = make([]float64, 0, len(sums))
+			for i, sum := range sums {
+				v, err := q.DequantizeSum(sum, parties)
+				if err != nil {
+					wantErr = fmt.Errorf("quant: element %d: %w", i, err)
+					want = nil
+					break
+				}
+				want = append(want, v)
+			}
+		}
+		got, err := p.DecodeAggregated(pts, count, parties)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() ||
+			errors.Is(err, ErrTooWide) != errors.Is(wantErr, ErrTooWide) {
+			t.Fatalf("trial %d: error %v, want %v", trial, err, wantErr)
+		}
+		if len(got) != len(want) || (got == nil) != (want == nil) {
+			t.Fatalf("trial %d: %d values, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("trial %d: value %d is %v, want %v", trial, i, got[i], want[i])
+			}
+		}
+		switch {
+		case errors.Is(err, ErrTooWide):
+			tooWide++
+		case err != nil:
+			rejects++
+		default:
+			decoded++
+		}
+	}
+	t.Logf("%d decoded, %d too wide, %d other rejects", decoded, tooWide, rejects)
+	if tooWide == 0 || rejects == 0 || decoded == 0 {
+		t.Fatalf("trials: %d decoded, %d too wide, %d other rejects; want some of each", decoded, tooWide, rejects)
 	}
 }
 

@@ -11,16 +11,26 @@ import (
 
 // wireArena pools what the round path allocates a round and drops inside it
 // (DESIGN §15). Ciphertext batches go to paillier's pool (ReleaseCiphertexts);
-// the arena holds the two kinds of []Nat the round builds:
+// the arena holds the two kinds of []Nat the round builds and its upload
+// frames:
 //   - nats: the wire codec's scratch views, whose values alias live
 //     ciphertexts and are dropped on the way back, never reused;
-//   - plain: plaintext batches, the encoded gradients and the decrypted
-//     aggregate, their values' limbs kept (zeroed) for the next encoding.
+//   - plain: plaintext batches, the encoded gradients, their values' limbs
+//     kept (zeroed) for the next encoding;
+//   - frames: upload frames, drawn by uploadWave and handed back by the
+//     coordinator that decoded them (Round.Gather).
 //
-// Message payload bytes are never pooled: the transport may hold a delivered
-// payload beyond the round.
+// An upload frame has one owner at a time. Send hands an upload's payload to
+// the transport, and the coordinator that decodes it owns it from then on: a
+// transport or wrapper that keeps a payload after delivering it must keep a
+// copy. Gather releases a payload only once DecodeCiphertexts has read it,
+// and never a stale or duplicate frame's, which it judges by header: a
+// duplicate may share its original's bytes. The aggregate frame is not
+// pooled: every recipient of the broadcast shares it, and the journal keeps
+// its payload.
 type wireArena struct {
 	nats, plain pool.Slices[mpint.Nat]
+	frames      pool.Slices[byte]
 }
 
 // arena is shared by every federation and aggregation in the process; the
@@ -34,6 +44,27 @@ func EncodeCiphertexts(cts []paillier.Ciphertext) []byte {
 	payload := flnet.EncodeNats(nats)
 	arena.putNats(nats)
 	return payload
+}
+
+// frameUpload frames an upload's ciphertexts as EncodeCiphertexts does, into
+// a dead frame of the arena's where it has one wide enough and otherwise into
+// fresh bytes of the frame's exact length: a frame that never comes back (a
+// TCP client's) costs what EncodeCiphertexts does.
+func frameUpload(cts []paillier.Ciphertext) []byte {
+	size := int(encodedSize(cts))
+	frame := arena.frames.Reuse(size)[:0]
+	if frame == nil {
+		frame = make([]byte, 0, size)
+	}
+	return appendCiphertexts(frame, cts)
+}
+
+// releaseFrame hands back an upload frame its coordinator has decoded; the
+// next upload is framed into it. Releasing zeroes it, so a read after the
+// release reads zeroes, not the next upload's bytes.
+func releaseFrame(frame []byte) {
+	clear(frame[:cap(frame)])
+	arena.frames.Put(frame)
 }
 
 // appendCiphertexts appends the EncodeCiphertexts framing of cts to dst.

@@ -13,10 +13,11 @@ import (
 
 // TestArenaCodecAllocs is the allocation regression guard for the round
 // path's codec primitives: with a warm arena, encoding a batch costs exactly
-// the payload buffer, decoding into a released batch's limbs costs nothing at
-// all, and neither does a plaintext batch's trip through the arena — the pools
-// recycle the headers they keep slices behind (boxing one afresh at every
-// release cost 2, 2 and 1).
+// the payload buffer, framing an upload into a released frame costs nothing,
+// decoding into a released batch's limbs costs nothing at all, and neither
+// does a plaintext batch's trip through the arena — the pools recycle the
+// headers they keep slices behind (boxing one afresh at every release cost 2,
+// 2 and 1).
 func TestArenaCodecAllocs(t *testing.T) {
 	const n = 16
 	cts := arenaCts(n)
@@ -26,6 +27,12 @@ func TestArenaCodecAllocs(t *testing.T) {
 		EncodeCiphertexts(cts)
 	}); got > 1 {
 		t.Errorf("warm arena encode: %.1f allocs per batch, want <= 1", got)
+	}
+	releaseFrame(frameUpload(cts))
+	if got := testing.AllocsPerRun(100, func() {
+		releaseFrame(frameUpload(cts))
+	}); got > 0 {
+		t.Errorf("warm upload frame: %.1f allocs a framing and release, want 0", got)
 	}
 	if got := testing.AllocsPerRun(100, func() {
 		dec, err := DecodeCiphertexts(payload)
@@ -46,20 +53,22 @@ func TestArenaCodecAllocs(t *testing.T) {
 // TestWarmRoundBytes pins the heap bytes of a warm round, flat and streamed
 // through a tree, at a 512-bit key: every batch a round drops — plaintexts,
 // uploads, decoded batches, running sums, the aggregate — is drawn from a pool
-// and handed back, and the round's bookkeeping is scratch its coordinator and
-// federation reuse, so what is left is the payloads and one batch a round that
-// leaves the ciphertext pool as the decrypted aggregate. Measured 19.5 kB flat
-// and 19.0 kB tree a round (8 parties, 256 values); the ceilings sit ~15%
-// above. With every batch allocated afresh the same rounds took 58.9 and
-// 81.1 kB.
+// and handed back — the upload frames too, by the coordinator that decoded
+// them, and the decrypted aggregate's limbs to the ciphertext pool they came
+// from — and the round's bookkeeping is scratch its coordinator and
+// federation reuse, so what is left is the aggregate frame, the decoded
+// estimate and bookkeeping that does not grow with the round. Measured 5.7 kB
+// flat and 5.3 kB tree a round (8 parties, 256 values); the ceilings sit ~25%
+// above. With every upload frame allocated afresh it was 19.5 and 19.0 kB,
+// and with every batch allocated afresh 58.9 and 81.1 kB.
 func TestWarmRoundBytes(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		cohort  CohortPolicy
 		ceiling float64
 	}{
-		{"flat", CohortPolicy{}, 22.5e3},
-		{"tree", CohortPolicy{Fanout: 2, MaxInflight: 4}, 22e3},
+		{"flat", CohortPolicy{}, 7.1e3},
+		{"tree", CohortPolicy{Fanout: 2, MaxInflight: 4}, 6.6e3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := testProfile(SystemFLBooster)
@@ -105,14 +114,16 @@ func TestWarmRoundBytes(t *testing.T) {
 // cohort member, in allocations and in bytes: 128-bit tree rounds (fan-out 8,
 // waves of 32) at cohort 64 and 256, sampled out of a roster four times that
 // size. The slope between the two is the per-member cost — the member's
-// upload frame and its share of the transport's queue and the tree's partial
-// frames. Measured 1.08 allocations and 185 B a member; the ceilings sit 25%
-// above. When the roster, the sampler's pool, the canonical-order index, the
-// broadcast and decrypt lists and the gather's slices were rebuilt every round
-// it was 1.14 allocations and 422 B a member: each of those was one
-// allocation a round, but one that grew with the cohort.
+// share of the transport's queue and the tree's partial frames; its upload
+// frame is one a gather handed back. Measured 0.08 allocations and 24 B a
+// member; the ceilings sit 25% above. With an upload frame allocated a member
+// it was 1.08 allocations and 185 B. When the roster, the sampler's pool, the
+// canonical-order index, the broadcast and decrypt lists and the gather's
+// slices were rebuilt every round it was 1.14 allocations and 422 B a member:
+// each of those was one allocation a round, but one that grew with the
+// cohort.
 func TestCohortRoundAllocsPerMember(t *testing.T) {
-	const allocCeiling, byteCeiling = 1.35, 230.0
+	const allocCeiling, byteCeiling = 0.10, 30.0
 	measure := func(cohort int) (allocs, bytes float64) {
 		p := NewProfile(SystemFLBooster, 128, 4*cohort)
 		p.RBits = 16
@@ -168,8 +179,8 @@ func TestCohortRoundAllocsPerMember(t *testing.T) {
 // BenchmarkCohortRound is one warm round of cohort_tree_128's shape: 128-bit
 // keys, 2,048 parties, a sampled cohort of 512 folded through a fan-out-8
 // tree in waves of 32, 16 values a client. allocs/op is what a steady-state
-// round allocates: the payload frames, and bookkeeping that does not grow with
-// the cohort.
+// round allocates: the aggregate frame, and bookkeeping that does not grow
+// with the cohort.
 func BenchmarkCohortRound(b *testing.B) {
 	p := NewProfile(SystemFLBooster, 128, 2048)
 	p.RBits = 16

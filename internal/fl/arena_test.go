@@ -2,7 +2,10 @@ package fl
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"flbooster/internal/flnet"
 	"flbooster/internal/mpint"
@@ -45,5 +48,59 @@ func TestArenaCodecRoundtrip(t *testing.T) {
 			}
 		}
 		ReleaseCiphertexts(dec)
+	}
+}
+
+// TestUploadFramesRecycleUnderChaos holds the upload frames' ownership rule
+// (wireArena) under a ChaosTransport that delivers every frame twice — the
+// duplicate shares its original's bytes — and holds half of them back behind
+// the next: three tree rounds of a cohort of 9 admitted in waves of 3, so the
+// frames one wave's gather hands back are what the next wave uploads in, and
+// duplicates of them are still queued. Every round must complete with an
+// aggregate equal, bit for bit, to the same rounds over a ChaosTransport on
+// the same seed that duplicates nothing: it holds back the same frames, so
+// the same uploads miss their wave's cutoff, but no two deliveries share
+// bytes. A coordinator that released a frame before decoding it would decode
+// the zeroes a release leaves, and one that released a duplicate would hand
+// two later uploads one frame.
+func TestUploadFramesRecycleUnderChaos(t *testing.T) {
+	p := cohortProfile(SystemFLBooster)
+	p.Cohort = CohortPolicy{Fanout: 3, MaxInflight: 3}
+	p.Round = RoundPolicy{Quorum: 1, PhaseTimeout: time.Second}
+	grads := testGrads(p.Parties, 24)
+	run := func(cfg flnet.ChaosConfig) ([][]float64, []RoundReport) {
+		ctx, err := NewContext(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fed := NewFederation(ctx)
+		defer fed.Close()
+		fed.Transport = flnet.NewChaosTransport(fed.Transport, cfg)
+		var sums [][]float64
+		var reps []RoundReport
+		for r := range 3 {
+			sum, rep, err := fed.SecureAggregateReport(grads)
+			if err != nil {
+				t.Fatalf("round %d (dup probability %v): %v", r, cfg.DupProb, err)
+			}
+			sums, reps = append(sums, sum), append(reps, rep)
+		}
+		return sums, reps
+	}
+	want, wantReps := run(flnet.ChaosConfig{Seed: 5, ReorderProb: 0.5})
+	got, reps := run(flnet.ChaosConfig{Seed: 5, DupProb: 1, ReorderProb: 0.5})
+	for r := range got {
+		if reps[r].Duplicates == 0 || !slices.Equal(reps[r].Included, wantReps[r].Included) {
+			t.Fatalf("round %d: %d duplicates, included %v; want duplicates and %v",
+				r, reps[r].Duplicates, reps[r].Included, wantReps[r].Included)
+		}
+		if len(got[r]) != len(want[r]) {
+			t.Fatalf("round %d: %d values, want %d", r, len(got[r]), len(want[r]))
+		}
+		for i := range got[r] {
+			if math.Float64bits(got[r][i]) != math.Float64bits(want[r][i]) {
+				t.Fatalf("round %d: value %d is %v, want %v", r, i, got[r][i], want[r][i])
+			}
+		}
 	}
 }

@@ -145,7 +145,7 @@ func uploadWave(tr flnet.Transport, round uint64, wave []*Client, grads [][]floa
 		cl := wave[i]
 		msg := flnet.Message{
 			From: cl.Name, To: ServerName, Kind: "grads", Round: round,
-			Payload: EncodeCiphertexts(batch),
+			Payload: frameUpload(batch),
 		}
 		ReleaseCiphertexts(batch) // framed: the payload is bytes of its own
 		err := ctx.deliver(tr, msg)

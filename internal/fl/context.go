@@ -394,7 +394,7 @@ func (c *Context) DecryptAggregated(cts []paillier.Ciphertext, count, parties in
 		return nil, err
 	}
 	vals, err := c.Packer.DecodeAggregated(pts, count, parties)
-	arena.putPlain(pts)
+	paillier.ReleasePlaintexts(pts)
 	return vals, err
 }
 

@@ -296,11 +296,14 @@ func (rd *Round) recv(deadline time.Time, stop <-chan struct{}) (flnet.Message, 
 // is expected in one Gather a round, anyone else in none — delivering
 // each batch to the aggregation the moment it arrives. Frames of other
 // rounds or kinds are stale artifacts of stragglers and are discarded, as are
-// duplicates and uploads from anyone not expected. An upload that does not
-// decode drops its sender, not the round. A deadline that expires, or a
-// drain signal on stop, cuts the stragglers off; the round then fails only
-// through the drop budget or, in Aggregate, the quorum. An in-process host
-// passes a nil stop: on a SimTransport its deadline is an empty queue.
+// duplicates and uploads from anyone not expected, by header: their payloads
+// are never read. An expected upload's frame goes back to the arena once
+// decoded, whether it decodes or not (wireArena has the ownership rule). An
+// upload that does not decode drops its sender, not the round. A deadline
+// that expires, or a drain signal on stop, cuts the stragglers off; the round
+// then fails only through the drop budget or, in Aggregate, the quorum. An
+// in-process host passes a nil stop: on a SimTransport its deadline is an
+// empty queue.
 func (rd *Round) Gather(expect []string, stop <-chan struct{}) error {
 	deadline := rd.c.ctx.Profile.Round.phaseDeadline()
 	waiting := rd.c.waiting
@@ -338,6 +341,7 @@ func (rd *Round) Gather(expect []string, stop <-chan struct{}) error {
 		}
 		delete(waiting, msg.From)
 		cts, err := DecodeCiphertexts(msg.Payload)
+		releaseFrame(msg.Payload) // read: the next upload is framed into it
 		if err != nil {
 			if rerr := rd.Drop(PhaseGather, msg.From, fmt.Errorf("server decode: %w", err)); rerr != nil {
 				return rerr

@@ -9,7 +9,9 @@ import (
 	"flbooster/internal/flnet"
 )
 
-// wireLog records every message a round sends, in order.
+// wireLog records every message a round sends, in order. It keeps a copy of
+// each payload: an upload's frame belongs to the coordinator that decodes it,
+// which hands it back to be framed into again.
 type wireLog struct {
 	flnet.Transport
 	mu   sync.Mutex
@@ -17,8 +19,10 @@ type wireLog struct {
 }
 
 func (w *wireLog) Send(msg flnet.Message) error {
+	kept := msg
+	kept.Payload = bytes.Clone(msg.Payload)
 	w.mu.Lock()
-	w.sent = append(w.sent, msg)
+	w.sent = append(w.sent, kept)
 	w.mu.Unlock()
 	return w.Transport.Send(msg)
 }

@@ -1,6 +1,6 @@
 // Package pool recycles dead slices — a round's ciphertext batches, its
-// plaintext batches, the codec's views — by capacity, so that what a round
-// drops is what the next one is written into.
+// plaintext batches, the codec's views, its upload frames — by capacity, so
+// that what a round drops is what the next one is written into.
 package pool
 
 import (
@@ -32,17 +32,41 @@ func (p *Slices[T]) Get(n int) []T {
 	}
 	c := class(n)
 	top := 2<<c - 1
-	h, _ := p.classes[c].Get().(*[]T)
-	if h == nil {
+	s := p.take(c)
+	if s == nil {
 		return make([]T, n, top)
 	}
-	s := *h
-	*h = nil
-	p.headers.Put(h)
 	if cap(s) < n {
 		s = append(s[:cap(s)], make([]T, top-cap(s))...)
 	}
 	return s[:n]
+}
+
+// Reuse returns n values of a pooled slice of n's class wide enough for
+// them, as its last owner left them, or nil when the class has none. Unlike
+// Get it never allocates, so a caller whose slices may never come back sizes
+// its fresh ones itself. A pooled slice too short for n is dropped.
+func (p *Slices[T]) Reuse(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if s := p.take(class(n)); cap(s) >= n {
+		return s[:n]
+	}
+	return nil
+}
+
+// take returns a pooled slice of class c, or nil, handing the header it was
+// kept behind to the next Put.
+func (p *Slices[T]) take(c int) []T {
+	h, _ := p.classes[c].Get().(*[]T)
+	if h == nil {
+		return nil
+	}
+	s := *h
+	*h = nil
+	p.headers.Put(h)
+	return s
 }
 
 // Put hands back s, whole: everything up to its capacity is the pool's, and
