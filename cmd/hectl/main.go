@@ -83,7 +83,7 @@ type op struct {
 // device clocks, then checked off the clock, and prints its row once checked.
 // The key generators come first: their keys are the other ops' moduli.
 func bench(p *flbooster.Platform, bits, n int, rng *mpint.RNG) error {
-	if err := paillier.CheckKeyBits(bits); err != nil {
+	if err := mpint.CheckKeyBits(bits); err != nil {
 		return err
 	}
 	// x and y, of bits−1 bits, are below either key's n, whose top bit is set;

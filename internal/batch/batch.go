@@ -81,7 +81,7 @@ func (p *Packer) NumPlaintexts(n int) int {
 // bits; a violation is a programming error upstream and is reported. Each
 // plaintext is assembled in the limbs it is returned in.
 func (p *Packer) Pack(vals []uint64) ([]mpint.Nat, error) {
-	maxV, slotBits := uint64(1)<<p.q.RBits()-1, p.q.SlotBits()
+	maxV, slotBits := uint64(1)<<p.q.RBits()-1, int(p.q.SlotBits())
 	out := make([]mpint.Nat, 0, p.NumPlaintexts(len(vals)))
 	for base := 0; base < len(vals); base += p.slots {
 		words := make(mpint.Nat, p.words())
@@ -89,7 +89,7 @@ func (p *Packer) Pack(vals []uint64) ([]mpint.Nat, error) {
 			if v > maxV {
 				return nil, fmt.Errorf("batch: value %d at index %d exceeds %d-bit slot", v, base+s, p.q.RBits())
 			}
-			orBits(words, uint(s)*slotBits, v)
+			mpint.OrField(words, s*slotBits, v)
 		}
 		out = append(out, mpint.TakeWords(words))
 	}
@@ -101,18 +101,6 @@ func (p *Packer) words() int {
 	return (p.slots*int(p.q.SlotBits()) + mpint.WordBits - 1) / mpint.WordBits
 }
 
-// orBits ORs the low 64 bits of v into the word array starting at bitPos; a
-// slot that straddles a word boundary spills into the next word.
-func orBits(words []mpint.Word, bitPos uint, v uint64) {
-	w, off := bitPos/mpint.WordBits, bitPos%mpint.WordBits
-	words[w] |= v << off
-	if off != 0 {
-		if rest := v >> (mpint.WordBits - off); rest != 0 && int(w+1) < len(words) {
-			words[w+1] |= rest
-		}
-	}
-}
-
 // Unpack extracts `count` aggregated slot values from packed plaintexts.
 // After homomorphic aggregation each slot holds a sum that may occupy up to
 // r+b bits; the full slot is returned so quant.DequantizeSum sees the carry.
@@ -121,11 +109,11 @@ func (p *Packer) Unpack(packed []mpint.Nat, count int) ([]uint64, error) {
 	if err := p.checkUnpack(packed, count); err != nil {
 		return nil, err
 	}
-	slotBits := uint(p.q.SlotBits())
+	slotBits, mask := int(p.q.SlotBits()), uint64(1)<<p.q.SlotBits()-1
 	out := make([]uint64, 0, count)
 	for pi, pt := range packed {
 		for s := 0; s < min(p.slots, count-pi*p.slots); s++ {
-			out = append(out, extractBits(pt, uint(s)*slotBits, slotBits))
+			out = append(out, pt.Field(s*slotBits)&mask)
 		}
 	}
 	return out, nil
@@ -152,20 +140,6 @@ func (p *Packer) checkUnpack(packed []mpint.Nat, count int) error {
 	return nil
 }
 
-// extractBits reads `width` (≤ 64) bits starting at bitPos, from at most two
-// words.
-func extractBits(words []mpint.Word, bitPos, width uint) uint64 {
-	w, off := bitPos/mpint.WordBits, bitPos%mpint.WordBits
-	var v uint64
-	if int(w) < len(words) {
-		v = words[w] >> off
-	}
-	if off+width > mpint.WordBits && int(w+1) < len(words) {
-		v |= words[w+1] << (mpint.WordBits - off)
-	}
-	return v & (uint64(1)<<width - 1)
-}
-
 // EncodeGradientsInto is the full client-side path: quantize a float
 // gradient vector and pack it into plaintexts ready for encryption —
 // Pack(QuantizeVec(grads)) limb for limb, in one pass: each value goes from
@@ -175,7 +149,7 @@ func extractBits(words []mpint.Word, bitPos, width uint) uint64 {
 // caller that owns a dead batch's values allocates none. Those values are
 // clobbered. A NaN gradient fails the whole batch with quant.ErrNaN.
 func (p *Packer) EncodeGradientsInto(dst []mpint.Nat, grads []float64) ([]mpint.Nat, error) {
-	maxV, slotBits := uint64(1)<<p.q.RBits()-1, p.q.SlotBits()
+	maxV, slotBits := uint64(1)<<p.q.RBits()-1, int(p.q.SlotBits())
 	out := dst[:0]
 	for base := 0; base < len(grads); base += p.slots {
 		words := mpint.Reuse(mpint.Spare(out), p.words())
@@ -187,7 +161,7 @@ func (p *Packer) EncodeGradientsInto(dst []mpint.Nat, grads []float64) ([]mpint.
 			if v > maxV {
 				return nil, fmt.Errorf("batch: value %d at index %d exceeds %d-bit slot", v, base+s, p.q.RBits())
 			}
-			orBits(words, uint(s)*slotBits, v)
+			mpint.OrField(words, s*slotBits, v)
 		}
 		out = append(out, mpint.TakeWords(words))
 	}
@@ -203,11 +177,11 @@ func (p *Packer) DecodeAggregated(packed []mpint.Nat, count, parties int) ([]flo
 	if err := p.checkUnpack(packed, count); err != nil {
 		return nil, err
 	}
-	slotBits := uint(p.q.SlotBits())
+	slotBits, mask := int(p.q.SlotBits()), uint64(1)<<p.q.SlotBits()-1
 	out := make([]float64, 0, count)
 	for pi, pt := range packed {
 		for s := 0; s < min(p.slots, count-pi*p.slots); s++ {
-			v, err := p.q.DequantizeSum(extractBits(pt, uint(s)*slotBits, slotBits), parties)
+			v, err := p.q.DequantizeSum(pt.Field(s*slotBits)&mask, parties)
 			if err != nil {
 				return nil, fmt.Errorf("quant: element %d: %w", len(out), err)
 			}

@@ -329,7 +329,7 @@ func TestDecodeAggregatedIsUnpackThenDequantize(t *testing.T) {
 				if pi*p.Slots()+s == past {
 					v = 1<<slotBits - 1
 				}
-				orBits(words, uint(s)*slotBits, v)
+				mpint.OrField(words, s*int(slotBits), v)
 			}
 			pts[pi] = mpint.TakeWords(words)
 			if pi == wide {

@@ -204,11 +204,8 @@ func (p *Platform) ModPow(x []mpint.Nat, e, n mpint.Nat) ([]mpint.Nat, error) {
 // PaillierKeyGen generates a Paillier key pair with an n of exactly `bits`
 // bits, its prime walk's Miller–Rabin rounds launched on the device a window at
 // a time. The key is paillier.GenerateKey's on the platform's seed stream;
-// sizes paillier.GenerateKey rejects reject here the same.
+// a size mpint.CheckKeyBits rejects is refused before any launch.
 func (p *Platform) PaillierKeyGen(bits int) (*paillier.PrivateKey, error) {
-	if err := paillier.CheckKeyBits(bits); err != nil {
-		return nil, err
-	}
 	sk, err := p.st.Backend.GenerateKey(p.rng, bits)
 	if err != nil {
 		return nil, fmt.Errorf("core: PaillierKeyGen: %w", err)
@@ -235,11 +232,8 @@ func (p *Platform) PaillierAdd(pub *paillier.PublicKey, a, b []paillier.Cipherte
 
 // RSAKeyGen generates an RSA key pair with an n of exactly `bits` bits, its
 // primes walked as PaillierKeyGen's are: rsa.GenerateKeyWith's key on the
-// platform's seed stream. Sizes rsa.CheckKeyBits rejects reject here the same.
+// platform's seed stream, a size mpint.CheckKeyBits rejects refused the same.
 func (p *Platform) RSAKeyGen(bits int) (*rsa.PrivateKey, error) {
-	if err := rsa.CheckKeyBits(bits); err != nil {
-		return nil, err
-	}
 	sk, err := rsa.GenerateKeyWith(p.st.Checked.PrimeSearch(), p.rng, bits)
 	if err != nil {
 		return nil, fmt.Errorf("core: RSAKeyGen: %w", err)

@@ -221,33 +221,6 @@ func zipfIndex(rng *mpint.RNG, n int) int32 {
 	return int32(idx)
 }
 
-func lnFloat(x float64) float64 {
-	if x <= 0 {
-		panic("datasets: ln domain")
-	}
-	const ln2 = 0.6931471805599453
-	var shift float64
-	for x < 0.5 {
-		x *= 2
-		shift -= ln2
-	}
-	for x > 1.5 {
-		x /= 2
-		shift += ln2
-	}
-	t := (x - 1) / (x + 1)
-	t2 := t * t
-	term, sum := t, 0.0
-	for k := 1; k < 60; k += 2 {
-		sum += term / float64(k)
-		term *= t2
-		if term < 1e-18 && term > -1e-18 {
-			break
-		}
-	}
-	return 2*sum + shift
-}
-
 func expFloat(x float64) float64 {
 	if x > 700 {
 		x = 700
@@ -288,8 +261,8 @@ func Sigmoid(x float64) float64 { return sigmoid(x) }
 // Exp exposes the dependency-free exponential for the models.
 func Exp(x float64) float64 { return expFloat(x) }
 
-// Log exposes the dependency-free natural logarithm for the models.
-func Log(x float64) float64 { return lnFloat(x) }
+// Log is mpint.Ln, the repository's one natural logarithm, for the models.
+func Log(x float64) float64 { return mpint.Ln(x) }
 
 // generateDense reproduces the LEAF synthetic recipe: x ~ N(0, I),
 // y = 1{w·x + b + ε > 0} with a dense ground-truth w.

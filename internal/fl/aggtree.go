@@ -19,12 +19,12 @@ import (
 // batches regardless of fold order or association.
 //
 // A fan-out of 0 is unbounded: one level that never fills, i.e. the flat
-// left-fold — how a buffered (Cohort.Fanout == 0) round aggregates.
+// left-fold — how a buffered (Cohort.Fanout == 0) round aggregates, and the
+// vertical models' secure sums. It is the repository's one ciphertext fold.
 //
 // Every fold into a non-empty level is one charged homomorphic addition on
-// the context (Context.addCiphertexts, the addition AggregateCiphertexts'
-// reference left-fold makes too); every partial forwarded up a level of a
-// bounded tree is framed and charged as interior-link traffic.
+// the context (Context.addCiphertexts); every partial forwarded up a level of
+// a bounded tree is framed and charged as interior-link traffic.
 type AggTree struct {
 	ctx    *Context
 	fanout int

@@ -25,6 +25,21 @@ func encryptBatches(t *testing.T, ctx *Context, n, width int) [][]paillier.Ciphe
 	return out
 }
 
+// leftFold is the reference the tree is held to: batch 0 plus each next one,
+// one charged addition at a time.
+func leftFold(t *testing.T, ctx *Context, batches [][]paillier.Ciphertext) []paillier.Ciphertext {
+	t.Helper()
+	acc := batches[0]
+	for _, b := range batches[1:] {
+		sum, _, err := ctx.addCiphertexts(acc, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc = sum
+	}
+	return acc
+}
+
 // TestAggTreeRootMatchesFlatFold is the tree's correctness bar: for any
 // leaf count around the fanout boundaries, the tree's root must be
 // byte-identical to the flat left-fold over the same batches.
@@ -35,10 +50,7 @@ func TestAggTreeRootMatchesFlatFold(t *testing.T) {
 	}
 	for _, leaves := range []int{1, 2, 3, 4, 8, 9, 10, 13} {
 		batches := encryptBatches(t, ctx, leaves, 6)
-		flat, err := ctx.AggregateCiphertexts(batches)
-		if err != nil {
-			t.Fatal(err)
-		}
+		flat := leftFold(t, ctx, batches)
 		tree, err := ctx.NewAggTree(3)
 		if err != nil {
 			t.Fatal(err)
@@ -72,10 +84,7 @@ func TestAggTreeAdoptsByCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	batches := encryptBatches(t, ctx, 3, 6)
-	sumA, err := ctx.AggregateCiphertexts(batches[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
+	sumA := leftFold(t, ctx, batches[:2])
 	want := [][]byte{EncodeCiphertexts(sumA), EncodeCiphertexts(batches[2])}
 	trees := make([]*AggTree, 2)
 	for g := range trees {

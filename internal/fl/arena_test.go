@@ -56,13 +56,12 @@ func TestArenaCodecRoundtrip(t *testing.T) {
 // duplicate shares its original's bytes — and holds half of them back behind
 // the next: three tree rounds of a cohort of 9 admitted in waves of 3, so the
 // frames one wave's gather hands back are what the next wave uploads in, and
-// duplicates of them are still queued. Every round must complete with an
-// aggregate equal, bit for bit, to the same rounds over a ChaosTransport on
-// the same seed that duplicates nothing: it holds back the same frames, so
-// the same uploads miss their wave's cutoff, but no two deliveries share
-// bytes. A coordinator that released a frame before decoding it would decode
-// the zeroes a release leaves, and one that released a duplicate would hand
-// two later uploads one frame.
+// duplicates of them are still queued. Every round must include all 9
+// members — a held-back last upload of a wave still makes its cutoff — with
+// an aggregate equal, bit for bit, to the same rounds on the same seed with
+// no chaos at all. A coordinator that released a frame before decoding it
+// would decode the zeroes a release leaves, and one that released a
+// duplicate would hand two later uploads one frame.
 func TestUploadFramesRecycleUnderChaos(t *testing.T) {
 	p := cohortProfile(SystemFLBooster)
 	p.Cohort = CohortPolicy{Fanout: 3, MaxInflight: 3}
@@ -87,11 +86,11 @@ func TestUploadFramesRecycleUnderChaos(t *testing.T) {
 		}
 		return sums, reps
 	}
-	want, wantReps := run(flnet.ChaosConfig{Seed: 5, ReorderProb: 0.5})
+	want, wantReps := run(flnet.ChaosConfig{Seed: 5})
 	got, reps := run(flnet.ChaosConfig{Seed: 5, DupProb: 1, ReorderProb: 0.5})
 	for r := range got {
-		if reps[r].Duplicates == 0 || !slices.Equal(reps[r].Included, wantReps[r].Included) {
-			t.Fatalf("round %d: %d duplicates, included %v; want duplicates and %v",
+		if reps[r].Duplicates == 0 || len(reps[r].Included) != p.Parties || !slices.Equal(reps[r].Included, wantReps[r].Included) {
+			t.Fatalf("round %d: %d duplicates, included %v; want duplicates and all of %v",
 				r, reps[r].Duplicates, reps[r].Included, wantReps[r].Included)
 		}
 		if len(got[r]) != len(want[r]) {

@@ -353,29 +353,6 @@ func (c *Context) checkHandle(pk *paillier.PublicKey) error {
 	return nil
 }
 
-// AggregateCiphertexts homomorphically sums per-party ciphertext batches
-// (the server side of Fig. 2). All batches must have equal length.
-func (c *Context) AggregateCiphertexts(batches [][]paillier.Ciphertext) ([]paillier.Ciphertext, error) {
-	if len(batches) == 0 {
-		return nil, fmt.Errorf("fl: no batches to aggregate")
-	}
-	acc := batches[0]
-	for i := 1; i < len(batches); i++ {
-		if len(batches[i]) != len(acc) {
-			return nil, fmt.Errorf("fl: batch %d has %d ciphertexts, want %d", i, len(batches[i]), len(acc))
-		}
-		sum, _, err := c.addCiphertexts(acc, batches[i])
-		if err != nil {
-			return nil, err
-		}
-		if i > 1 { // a running sum of this fold's own, not the caller's batch
-			ReleaseCiphertexts(acc)
-		}
-		acc = sum
-	}
-	return acc, nil
-}
-
 // NewAggTree builds an empty hierarchical aggregation tree over this
 // context's key and backend, its folds and forwards charged to the context's
 // cost model (AggTree).

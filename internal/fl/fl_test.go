@@ -8,7 +8,6 @@ import (
 	"flbooster/internal/batch"
 	"flbooster/internal/ghe"
 	"flbooster/internal/gpu"
-	"flbooster/internal/paillier"
 	"flbooster/internal/quant"
 )
 
@@ -407,12 +406,19 @@ func TestTrackOtherAndUtilization(t *testing.T) {
 	}
 }
 
+// TestAggregateValidation: the unbounded tree — the flat fold the vertical
+// models' secure sums go through — refuses an empty aggregate and a batch
+// of another width.
 func TestAggregateValidation(t *testing.T) {
 	ctx, err := NewContext(testProfile(SystemFATE))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.AggregateCiphertexts(nil); err == nil {
+	tree, err := ctx.NewAggTree(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tree.Root(); err == nil {
 		t.Fatal("empty aggregation should fail")
 	}
 	a, err := ctx.EncryptGradients([]float64{0.1, 0.2})
@@ -423,7 +429,10 @@ func TestAggregateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.AggregateCiphertexts([][]paillier.Ciphertext{a, b}); err == nil {
+	if err := tree.Add(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Add(b); err == nil {
 		t.Fatal("ragged batches should fail")
 	}
 }

@@ -198,33 +198,11 @@ func packBroadcast(pts []mpint.Nat, n, s int, q func(i int) uint64) []mpint.Nat 
 		k := min(s, n-g*s)
 		pt := mpint.Reuse(mpint.Spare(pts), ((k-1)*BroadcastSlotBits+returnSlotBits+63)/64)
 		for j := range k {
-			orField(pt, j*BroadcastSlotBits, q(g*s+j))
+			mpint.OrField(pt, j*BroadcastSlotBits, q(g*s+j))
 		}
 		pts = append(pts, mpint.TakeWords(pt))
 	}
 	return pts
-}
-
-// orField ors v into z at bit offset off; z must have the limbs.
-func orField(z mpint.Nat, off int, v uint64) {
-	w, sh := off/64, uint(off%64)
-	z[w] |= v << sh
-	if sh != 0 && v>>(64-sh) != 0 {
-		z[w+1] |= v >> (64 - sh)
-	}
-}
-
-// field returns bits [off, off+64) of x.
-func field(x mpint.Nat, off int) uint64 {
-	w, sh := off/64, uint(off%64)
-	var v uint64
-	if w < len(x) {
-		v = x[w] >> sh
-	}
-	if sh != 0 && w+1 < len(x) {
-		v |= x[w+1] << (64 - sh)
-	}
-	return v
 }
 
 // DecryptRaw decrypts ciphertexts to raw unsigned plaintext values (no
@@ -273,8 +251,8 @@ func splitSlots(pts []mpint.Nat, count int, l returnLayout) ([]uint64, error) {
 		}
 		for b := range vals {
 			off := b*block + at
-			vals[b] = field(pt, off)
-			if l.stride > 1 && field(pt, off+returnSlotBits)&(1<<(BroadcastSlotBits-returnSlotBits)-1) != 0 {
+			vals[b] = pt.Field(off)
+			if l.stride > 1 && pt.Field(off+returnSlotBits)&(1<<(BroadcastSlotBits-returnSlotBits)-1) != 0 {
 				return nil, fmt.Errorf("%w: plaintext %d, value %d reaches 2^64 in its target slot", ErrSlotCorrupt, g, b)
 			}
 		}
@@ -389,12 +367,12 @@ func crossMask(z mpint.Nat, s int, offset uint64, draw func() uint64) mpint.Nat 
 	for k := range 2*s - 1 {
 		off := k * BroadcastSlotBits
 		if k == s-1 {
-			orField(z, off, offset)
+			mpint.OrField(z, off, offset)
 			continue
 		}
 		lo, carry := bits.Add64(draw(), 1<<63, 0)
-		orField(z, off, lo)
-		orField(z, off+returnSlotBits, draw()&(1<<maskBits-1)+carry)
+		mpint.OrField(z, off, lo)
+		mpint.OrField(z, off+returnSlotBits, draw()&(1<<maskBits-1)+carry)
 	}
 	return z
 }

@@ -21,7 +21,9 @@ type ChaosConfig struct {
 	// DupProb is the probability a send is delivered twice.
 	DupProb float64
 	// ReorderProb is the probability a send is held back and delivered only
-	// after the next message — swapping the arrival order of neighbours.
+	// after the next message — swapping the arrival order of neighbours — or,
+	// when no message follows, once its recipient's receive would otherwise
+	// block or time out.
 	ReorderProb float64
 	// StragglerParty, when non-empty, makes every message that party sends
 	// late — the slow-client scenario of quorum aggregation. Its frames are
@@ -143,9 +145,12 @@ func (c *ChaosTransport) Send(msg Message) error {
 // Recv implements Transport, releasing the frames held for party first.
 func (c *ChaosTransport) Recv(party string) (Message, error) { return c.RecvTimeout(party, 0) }
 
-// RecvTimeout implements Transport: the frames held for party are released
-// once a deadline receive times out, or first when there is no deadline
-// (d == 0). The receive FailRecvAt names fails before either.
+// RecvTimeout implements Transport: the straggler's frames held for party are
+// released once a deadline receive times out, or first when there is no
+// deadline (d == 0). A frame held back for reordering is delivered before its
+// recipient's receive would block or time out: it may be the last of a wave,
+// with no later send to release it, and a reorder is no drop. The receive
+// FailRecvAt names fails before either.
 func (c *ChaosTransport) RecvTimeout(party string, d time.Duration) (Message, error) {
 	c.mu.Lock()
 	c.stats.Recvs++
@@ -158,13 +163,37 @@ func (c *ChaosTransport) RecvTimeout(party string, d time.Duration) (Message, er
 		return Message{}, fmt.Errorf("flnet: injected recv failure at operation %d", c.cfg.FailRecvAt)
 	}
 	if d == 0 {
+		c.releaseHeld(party)
 		c.release(party)
 	}
 	msg, err := c.inner.RecvTimeout(party, d)
+	if IsTimeout(err) && c.releaseHeld(party) {
+		msg, err = c.inner.RecvTimeout(party, d)
+	}
 	if IsTimeout(err) {
 		c.release(party)
 	}
 	return msg, err
+}
+
+// releaseHeld sends the frame held back for reordering into the inner
+// transport when party is its recipient, reporting whether it did; a frame of
+// the straggler's joins its late frames instead.
+func (c *ChaosTransport) releaseHeld(party string) bool {
+	c.mu.Lock()
+	held := c.held
+	if held == nil || held.To != party {
+		c.mu.Unlock()
+		return false
+	}
+	c.held = nil
+	late := c.cfg.StragglerParty != "" && held.From == c.cfg.StragglerParty
+	if late {
+		c.late[party] = append(c.late[party], *held)
+		c.stats.Delayed++
+	}
+	c.mu.Unlock()
+	return !late && c.inner.Send(*held) == nil
 }
 
 // release sends the straggler's frames held for party into the inner

@@ -199,6 +199,34 @@ func TestChaosTransportReordersNeighbours(t *testing.T) {
 	}
 }
 
+// TestChaosTransportReorderIsNoDrop: with every send held back, the last of
+// three has no later send to release it; the receive that would time out,
+// or block, delivers it instead of losing it.
+func TestChaosTransportReorderIsNoDrop(t *testing.T) {
+	for _, d := range []time.Duration{time.Hour, 0} {
+		inner := NewSimTransport(GigabitEthernet(), "a", "b")
+		ct := NewChaosTransport(inner, ChaosConfig{Seed: 7, ReorderProb: 1})
+		for i := uint64(1); i <= 3; i++ {
+			if err := ct.Send(Message{From: "a", To: "b", Round: i}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, w := range []uint64{2, 1, 3} {
+			msg, err := ct.RecvTimeout("b", d)
+			if err != nil || msg.Round != w {
+				t.Fatalf("deadline %v, delivery %d = round %d, %v; want round %d", d, i, msg.Round, err, w)
+			}
+		}
+		if msg, err := ct.RecvTimeout("b", time.Hour); !IsTimeout(err) {
+			t.Fatalf("deadline %v: a fourth delivery %+v, %v", d, msg, err)
+		}
+		if st := ct.Stats(); st.Reordered != 2 || st.Dropped != 0 {
+			t.Fatalf("deadline %v: stats %+v, want 2 reordered and none dropped", d, st)
+		}
+		ct.Close()
+	}
+}
+
 // TestChaosTransportStragglerDelay pins when a straggler's frame
 // lands: after its recipient's deadline receive has timed out, as the next
 // frame that recipient receives, and at once for a receive with no deadline.

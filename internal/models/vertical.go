@@ -5,7 +5,6 @@ import (
 
 	"flbooster/internal/datasets"
 	"flbooster/internal/fl"
-	"flbooster/internal/paillier"
 )
 
 // Party names for the vertical topology: the guest is party0, the hosts
@@ -89,17 +88,21 @@ func sumVecs(vecs [][]float64) []float64 {
 // interactive layer): every party encrypts its vector, divided by scale and
 // clamped into the quantizer's interval — packed under batch compression —
 // the hosts send theirs to the guest (kind), the guest folds them
-// homomorphically, party 0 first (Context.AggregateCiphertexts), and forwards
-// the aggregate to the arbiter (aggKind), and the arbiter decrypts and returns
-// the plaintext sum (replyKind), which comes back multiplied by scale. Each
-// running sum dies at the next fold, the parties' batches once all are
-// folded, the aggregate once decrypted. In oracle mode it is the exact sum,
-// unscaled.
+// homomorphically, party 0 first, through an unbounded aggregation tree
+// (Context.NewAggTree(0), the flat left fold every round folds through), and
+// forwards the aggregate to the arbiter (aggKind), and the arbiter decrypts
+// and returns the plaintext sum (replyKind), which comes back multiplied by
+// scale. Each party's batch is folded as it arrives and dies once the tree
+// has it, each running sum at the next fold, the aggregate once decrypted.
+// In oracle mode it is the exact sum, unscaled.
 func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, aggKind, replyKind string) ([]float64, error) {
 	if v.ctx == nil {
 		return sumVecs(vecs), nil
 	}
-	batches := make([][]paillier.Ciphertext, len(vecs))
+	tree, err := v.ctx.NewAggTree(0)
+	if err != nil {
+		return nil, err
+	}
 	for p, vec := range vecs {
 		norm := make([]float64, len(vec))
 		for i, x := range vec {
@@ -112,16 +115,15 @@ func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, aggKind, rep
 		if p != 0 {
 			v.send(hostName(p), hostName(0), kind, v.ctx.CiphertextWireBytes(len(cts)))
 		}
-		batches[p] = cts
+		err = tree.Add(cts)
+		fl.ReleaseCiphertexts(cts) // the tree copied or summed it
+		if err != nil {
+			return nil, err
+		}
 	}
-	agg, err := v.ctx.AggregateCiphertexts(batches)
+	agg, err := tree.Root()
 	if err != nil {
 		return nil, err
-	}
-	if len(batches) > 1 { // agg is a batch of the fold's own
-		for _, b := range batches {
-			fl.ReleaseCiphertexts(b)
-		}
 	}
 	v.send(hostName(0), arbiterName, aggKind, v.ctx.CiphertextWireBytes(len(agg)))
 	sum, err := v.ctx.DecryptAggregated(agg, len(vecs[0]), len(vecs))

@@ -6,26 +6,23 @@ import (
 )
 
 // Ablation benchmarks for the arithmetic design choices DESIGN.md §4 calls
-// out: the Karatsuba threshold and the multiplication algorithms behind it.
+// out: the schoolbook product at the widths the HE stack multiplies, and the
+// exponentiation window.
 
-func benchMulAlgo(b *testing.B, bits int, fn func(x, y Nat) Nat) {
+func benchMul(b *testing.B, bits int) {
 	r := NewRNG(70)
 	x := r.RandBits(bits)
 	y := r.RandBits(bits)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fn(x, y)
+		Mul(x, y)
 	}
 }
 
-func BenchmarkMulSchoolbook1024(b *testing.B) { benchMulAlgo(b, 1024, mulSchoolbook) }
-func BenchmarkMulSchoolbook2048(b *testing.B) { benchMulAlgo(b, 2048, mulSchoolbook) }
-func BenchmarkMulSchoolbook4096(b *testing.B) { benchMulAlgo(b, 4096, mulSchoolbook) }
-func BenchmarkMulSchoolbook8192(b *testing.B) { benchMulAlgo(b, 8192, mulSchoolbook) }
-func BenchmarkMulKaratsuba1024(b *testing.B)  { benchMulAlgo(b, 1024, mulKaratsuba) }
-func BenchmarkMulKaratsuba2048(b *testing.B)  { benchMulAlgo(b, 2048, mulKaratsuba) }
-func BenchmarkMulKaratsuba4096(b *testing.B)  { benchMulAlgo(b, 4096, mulKaratsuba) }
-func BenchmarkMulKaratsuba8192(b *testing.B)  { benchMulAlgo(b, 8192, mulKaratsuba) }
+func BenchmarkMulSchoolbook1024(b *testing.B) { benchMul(b, 1024) }
+func BenchmarkMulSchoolbook2048(b *testing.B) { benchMul(b, 2048) }
+func BenchmarkMulSchoolbook4096(b *testing.B) { benchMul(b, 4096) }
+func BenchmarkMulSchoolbook8192(b *testing.B) { benchMul(b, 8192) }
 
 func BenchmarkExpWindow1(b *testing.B) { benchExpWindow(b, 1) }
 func BenchmarkExpWindow3(b *testing.B) { benchExpWindow(b, 3) }

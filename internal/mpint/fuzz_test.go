@@ -311,7 +311,7 @@ func FuzzDivMod(f *testing.F) {
 		f.Add(append(append([]byte{}, xb...), ops[(i+3)%len(ops)]...), ops[(i+1)%len(ops)])
 		f.Add(xb, xb)
 	}
-	f.Add(bytes.Repeat([]byte{0xFF}, 1000), bytes.Repeat([]byte{0xFF}, 8*karatsubaThreshold+40)) // Karatsuba-sized
+	f.Add(bytes.Repeat([]byte{0xFF}, 1000), bytes.Repeat([]byte{0xFF}, 936)) // 125×117 limbs, every bit set
 	f.Add(append([]byte{0x80}, make([]byte, 31)...), []byte{0x7F, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, xb, yb []byte) {
 		if len(xb) > 1024 || len(yb) > 1024 {

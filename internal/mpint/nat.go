@@ -13,7 +13,7 @@
 // changes how long an experiment takes and nothing it reports.
 //
 // The package provides the full arithmetic substrate required by Paillier
-// and RSA: addition, subtraction, multiplication (schoolbook and Karatsuba),
+// and RSA: addition, subtraction, schoolbook multiplication,
 // Knuth Algorithm-D division, Montgomery multiplication (the CIOS method of
 // Algorithm 1 in the paper), sliding-window modular exponentiation, Lehmer's
 // GCD and the modular inverse on the same walk, Miller–Rabin prime generation, and
@@ -110,6 +110,32 @@ func (x Nat) Bit(i int) uint {
 		return 0
 	}
 	return uint(x[w]>>b) & 1
+}
+
+// Field returns bits [off, off+64) of x, from at most two limbs; bits past
+// its last limb read 0. A caller that wants fewer bits masks them off. With
+// OrField it is the one bit-field codec of the slot packings (batch.Packer,
+// the vertical broadcast and return slots).
+func (x Nat) Field(off int) uint64 {
+	w, sh := off/WordBits, uint(off%WordBits)
+	var v uint64
+	if w < len(x) {
+		v = x[w] >> sh
+	}
+	if sh != 0 && w+1 < len(x) {
+		v |= x[w+1] << (WordBits - sh)
+	}
+	return v
+}
+
+// OrField ors v into z at bit offset off, spilling into the next limb when
+// the field straddles one; z must have every limb a set bit of v lands in.
+func OrField(z Nat, off int, v uint64) {
+	w, sh := off/WordBits, uint(off%WordBits)
+	z[w] |= v << sh
+	if sh != 0 && v>>(WordBits-sh) != 0 {
+		z[w+1] |= v >> (WordBits - sh)
+	}
 }
 
 // Cmp compares x and y, returning -1, 0, or +1.

@@ -90,15 +90,32 @@ func TestSubUnderflowPanics(t *testing.T) {
 	Sub(FromUint64(1), FromUint64(2))
 }
 
+// TestMulDifferential: Mul against math/big on random operands up to 600
+// bits, and at 128×128 and 256×128 limbs — a 4,096-bit key's n²-sized
+// operands and wider — random and with every bit set (the longest carry
+// chains).
 func TestMulDifferential(t *testing.T) {
 	r := NewRNG(4)
-	for i := 0; i < 800; i++ {
-		x, y := randNat(r, 600), randNat(r, 600)
-		got := Mul(x, y)
-		want := new(big.Int).Mul(toBig(x), toBig(y))
-		if toBig(got).Cmp(want) != 0 {
-			t.Fatalf("Mul mismatch for %s * %s", x, y)
+	check := func(x, y Nat) {
+		t.Helper()
+		if toBig(Mul(x, y)).Cmp(new(big.Int).Mul(toBig(x), toBig(y))) != 0 {
+			t.Fatalf("Mul mismatch for %d×%d limbs: %s * %s", len(x), len(y), x, y)
 		}
+	}
+	for i := 0; i < 800; i++ {
+		check(randNat(r, 600), randNat(r, 600))
+	}
+	ones := func(limbs int) Nat {
+		x := make(Nat, limbs)
+		for i := range x {
+			x[i] = ^Word(0)
+		}
+		return x
+	}
+	for _, shape := range [][2]int{{128, 128}, {256, 128}} {
+		check(r.RandBits(shape[0]*WordBits), r.RandBits(shape[1]*WordBits-3))
+		check(ones(shape[0]), ones(shape[1]))
+		check(ones(shape[1]), r.RandBits(shape[0]*WordBits))
 	}
 }
 
@@ -130,21 +147,6 @@ func TestMulAddWordInto(t *testing.T) {
 	}
 }
 
-func TestMulKaratsubaLarge(t *testing.T) {
-	r := NewRNG(5)
-	for i := 0; i < 40; i++ {
-		// Force the Karatsuba path (both operands at or past the threshold),
-		// including lopsided operand sizes.
-		x := r.RandBits(karatsubaThreshold*WordBits + r.Intn(2048))
-		y := r.RandBits(karatsubaThreshold*WordBits + r.Intn(8192))
-		got := Mul(x, y)
-		want := new(big.Int).Mul(toBig(x), toBig(y))
-		if toBig(got).Cmp(want) != 0 {
-			t.Fatalf("Karatsuba mismatch at %d x %d bits", x.BitLen(), y.BitLen())
-		}
-	}
-}
-
 func TestShifts(t *testing.T) {
 	r := NewRNG(6)
 	for i := 0; i < 500; i++ {
@@ -169,6 +171,39 @@ func TestBitLenAndBit(t *testing.T) {
 		for _, b := range []int{0, 1, 31, 32, 63, 199} {
 			if x.Bit(b) != toBig(x).Bit(b) {
 				t.Fatalf("Bit(%s, %d) mismatch", x, b)
+			}
+		}
+	}
+}
+
+// TestFieldAgainstBig holds the bit-field pair to math/big's shifts: OrField
+// into zeroed and into random limbs, and Field reads of both, at offsets
+// 0, 63, 64 and 100 with values that straddle a limb, all 64 bits set, and
+// reads that run past the last limb, whose missing bits must read 0.
+func TestFieldAgainstBig(t *testing.T) {
+	r := NewRNG(31)
+	mask := new(big.Int).SetUint64(^uint64(0))
+	field := func(x Nat, off int) uint64 {
+		return new(big.Int).And(new(big.Int).Rsh(toBig(x), uint(off)), mask).Uint64()
+	}
+	for _, off := range []int{0, 1, 63, 64, 100, 127} {
+		for _, v := range []uint64{0, 1, 3, 1 << 63, ^uint64(0), 0x8000_0000_0000_0001, r.Uint64()} {
+			limbs := (off + 2*WordBits - 1) / WordBits // exactly the limbs [off, off+64) touches
+			for _, bg := range []Nat{make(Nat, limbs), r.RandBits(limbs * WordBits)} {
+				z := bg.Clone()
+				OrField(z, off, v)
+				want := new(big.Int).Or(toBig(bg), new(big.Int).Lsh(new(big.Int).SetUint64(v), uint(off)))
+				if toBig(z).Cmp(want) != 0 {
+					t.Fatalf("OrField(%d limbs, off %d, %#x) = %s, want %s", limbs, off, v, z, want)
+				}
+				for _, at := range []int{0, off, off + 1, limbs*WordBits - 64, limbs*WordBits - 1, limbs * WordBits, limbs*WordBits + 70} {
+					if got, want := z.Field(at), field(z, at); got != want {
+						t.Fatalf("Field(off %d) of %s = %#x, want %#x", at, z, got, want)
+					}
+				}
+				if toBig(bg).Sign() == 0 && z.Field(off) != v {
+					t.Fatalf("Field(%d) = %#x after OrField of %#x into zeros", off, z.Field(off), v)
+				}
 			}
 		}
 	}
@@ -276,37 +311,6 @@ func TestModInverseEdges(t *testing.T) {
 	inv, ok := ModInverse(One(), FromUint64(7))
 	if !ok || !inv.IsOne() {
 		t.Errorf("inverse of 1 mod 7 = %s, ok=%v", inv, ok)
-	}
-}
-
-// TestKaratsubaShapes covers what the random sweeps rarely reach: operands
-// at and just past the threshold, several recursion levels deep, lopsided
-// enough to outgrow the sized scratch, and made of all-ones limbs (the
-// largest carries the middle term can produce).
-func TestKaratsubaShapes(t *testing.T) {
-	r := NewRNG(23)
-	ones := func(limbs int) Nat {
-		x := make(Nat, limbs)
-		for i := range x {
-			x[i] = ^Word(0)
-		}
-		return x
-	}
-	const th = karatsubaThreshold
-	for _, shape := range [][2]int{{th, th}, {th + 1, th}, {2*th - 1, 2 * th}, {2*th + 1, 2*th + 1}, {4*th + 44, 4*th + 44}, {700, th + 6}, {1000, 2*th + 2}} {
-		for _, pair := range [][2]Nat{
-			{r.RandBits(shape[0] * WordBits), r.RandBits(shape[1]*WordBits - 3)},
-			{ones(shape[0]), ones(shape[1])},
-		} {
-			x, y := pair[0], pair[1]
-			want := new(big.Int).Mul(toBig(x), toBig(y))
-			if got := mulKaratsuba(x, y); toBig(got).Cmp(want) != 0 {
-				t.Fatalf("mulKaratsuba diverges at %d×%d limbs", shape[0], shape[1])
-			}
-			if got := Mul(y, x); toBig(got).Cmp(want) != 0 {
-				t.Fatalf("Mul diverges at %d×%d limbs", shape[1], shape[0])
-			}
-		}
 	}
 }
 

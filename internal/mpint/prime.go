@@ -357,6 +357,39 @@ func (s PrimeSearch) Pair(r *RNG, bits int) (p, q Nat, err error) {
 	}
 }
 
+// Key walks prime pairs from r until assemble accepts one whose product n has
+// exactly bits bits: the one key walk, Paillier's and RSA's, each family
+// assembling its own key. A short product is passed over before assembly and
+// a pair assemble refuses (its error) is redrawn; no draw depends on either,
+// so neither moves a key. The errors name no family; the caller's do.
+func (s PrimeSearch) Key(r *RNG, bits int, assemble func(p, q Nat) error) error {
+	if err := CheckKeyBits(bits); err != nil {
+		return err
+	}
+	for {
+		p, q, err := s.Pair(r, bits/2)
+		if err != nil {
+			return fmt.Errorf("prime search: %w", err)
+		}
+		if Mul(p, q).BitLen() == bits && assemble(p, q) == nil {
+			return nil
+		}
+	}
+}
+
+// CheckKeyBits rejects the modulus sizes Key cannot produce: too small to
+// hold a plaintext, or odd — two bits/2-bit primes never multiply to an
+// odd-length n, and the redraw loop would spin forever looking for one.
+func CheckKeyBits(bits int) error {
+	if bits < 16 {
+		return fmt.Errorf("key size %d too small", bits)
+	}
+	if bits%2 != 0 {
+		return fmt.Errorf("key size %d is odd; n is the product of two %d-bit primes", bits, bits/2)
+	}
+	return nil
+}
+
 // RandPrime returns a random prime with exactly bits significant bits: the
 // walk on the host loop. It panics when bits < 4.
 func (r *RNG) RandPrime(bits int) Nat {

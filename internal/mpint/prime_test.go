@@ -1,6 +1,7 @@
 package mpint
 
 import (
+	"math"
 	"math/big"
 	"testing"
 )
@@ -162,13 +163,38 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
+// TestLnSqrtHelpers pins Ln bit for bit — the losses, Adam's step and every
+// normal draw hang off it — at inputs that take each range-reduction loop
+// (below 0.5 and above 1.5, down to the smallest subnormal and up to the
+// largest float), both loops' edges and the series alone, and holds
+// sqrtNewton to its tolerance.
 func TestLnSqrtHelpers(t *testing.T) {
-	cases := []struct{ x, want float64 }{
-		{1, 0}, {0.5, -0.6931471805599453}, {0.25, -1.3862943611198906},
-	}
-	for _, c := range cases {
-		if got := lnTaylor(c.x); got < c.want-1e-12 || got > c.want+1e-12 {
-			t.Errorf("lnTaylor(%v) = %v, want %v", c.x, got, c.want)
+	for _, c := range []struct {
+		x    float64
+		bits uint64
+	}{
+		{5e-324, 0xc0874385446d712c},
+		{1e-300, 0xc085963447f87f44},
+		{1e-10, 0xc037069e2aa2aa56},
+		{0.001, 0xc01ba18a998fffa0},
+		{0.3, 0xbff34378fcbda720},
+		{0.49999999999999994, 0xbfe62e42fefa39f0},
+		{0.5, 0xbfe62e42fefa39ed},
+		{0.75, 0xbfd269621134db92},
+		{0.9, 0xbfbaf8e8210a415b},
+		{1, 0x0000000000000000},
+		{1.25, 0x3fcc8ff7c79a9a21},
+		{1.5, 0x3fd9f323ecbf984d},
+		{1.5000000000000002, 0x3fd9f323ecbf984e},
+		{2, 0x3fe62e42fefa39ef},
+		{3, 0x3ff193ea7aad030b},
+		{10, 0x40026bb1bbb55515},
+		{12345.678, 0x4022d79559791e31},
+		{1e300, 0x4085963447f87f44},
+		{math.MaxFloat64, 0x40862e42fefa3970},
+	} {
+		if got := Ln(c.x); math.Float64bits(got) != c.bits {
+			t.Errorf("Ln(%v) = %v (%#016x), want %v (%#016x)", c.x, got, math.Float64bits(got), math.Float64frombits(c.bits), c.bits)
 		}
 	}
 	for _, x := range []float64{0, 1, 2, 4, 100, 0.25} {

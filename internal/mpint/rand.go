@@ -59,7 +59,7 @@ func (r *RNG) NormFloat64() float64 {
 		v := 2*r.Float64() - 1
 		s := u*u + v*v
 		if s > 0 && s < 1 {
-			return u * sqrtNewton(-2*lnTaylor(s)/s)
+			return u * sqrtNewton(-2*Ln(s)/s)
 		}
 	}
 }
@@ -81,11 +81,14 @@ func sqrtNewton(x float64) float64 {
 	return g
 }
 
-// lnTaylor computes ln(x) for x in (0, 1] via atanh series after range
-// reduction by halving toward 1.
-func lnTaylor(x float64) float64 {
+// Ln computes ln(x) for x > 0 via the atanh series after range reduction by
+// halving or doubling toward 1 — the one natural log of the repository
+// (datasets.Log, the models' losses and Adam's square root, NormFloat64), free
+// of math so that no result depends on which FMA body the CPU selects. It
+// panics when x ≤ 0.
+func Ln(x float64) float64 {
 	if x <= 0 {
-		panic("mpint: lnTaylor domain")
+		panic("mpint: Ln domain")
 	}
 	var shift float64
 	const ln2 = 0.6931471805599453

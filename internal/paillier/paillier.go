@@ -92,39 +92,18 @@ func (pk *PublicKey) CiphertextBytes() int { return (pk.N2.BitLen() + 7) / 8 }
 // MontN2 exposes the n² Montgomery context for the vectorized GPU backend.
 func (pk *PublicKey) MontN2() *mpint.Mont { return pk.montN2 }
 
-// generateKey draws prime pairs from rng with search until one makes a key
-// whose n has exactly bits bits. A pair whose product is short is passed over
-// before the key is assembled; no draw depends on the assembly, so that changes
-// no key.
-func generateKey(search mpint.PrimeSearch, rng *mpint.RNG, bits int) (*PrivateKey, error) {
-	if err := CheckKeyBits(bits); err != nil {
-		return nil, err
+// generateKey is the key walk (mpint.PrimeSearch.Key) with search from rng,
+// assembling each pair of the right length into a Paillier key until one
+// makes it: a pair with gcd(n, φ(n)) ≠ 1 is redrawn.
+func generateKey(search mpint.PrimeSearch, rng *mpint.RNG, bits int) (sk *PrivateKey, err error) {
+	err = search.Key(rng, bits, func(p, q mpint.Nat) (err error) {
+		sk, err = NewKeyFromPrimes(p, q)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("paillier: %w", err)
 	}
-	for {
-		p, q, err := search.Pair(rng, bits/2)
-		if err != nil {
-			return nil, fmt.Errorf("paillier: prime search: %w", err)
-		}
-		if mpint.Mul(p, q).BitLen() != bits {
-			continue
-		}
-		if sk, err := NewKeyFromPrimes(p, q); err == nil {
-			return sk, nil
-		} // else e.g. gcd(pq, (p-1)(q-1)) ≠ 1; redraw
-	}
-}
-
-// CheckKeyBits rejects the sizes no generator can produce: too small to hold a
-// plaintext, or odd — two ⌊bits/2⌋-bit primes never multiply to an odd-length
-// n, and a redraw loop would spin forever looking for one.
-func CheckKeyBits(bits int) error {
-	if bits < 16 {
-		return fmt.Errorf("paillier: key size %d too small", bits)
-	}
-	if bits%2 != 0 {
-		return fmt.Errorf("paillier: key size %d is odd; n is the product of two %d-bit primes", bits, bits/2)
-	}
-	return nil
+	return sk, nil
 }
 
 // NewKeyFromPrimes assembles a key pair from primes — the path key generation

@@ -41,37 +41,18 @@ var defaultE = mpint.FromUint64(65537)
 func (pk *PublicKey) Mont() *mpint.Mont { return pk.mont }
 
 // GenerateKeyWith creates an RSA key pair with an n of exactly `bits` bits and
-// e = 65537, the prime walk's Miller–Rabin rounds run by search — the same key
-// whoever runs them.
-func GenerateKeyWith(search mpint.PrimeSearch, rng *mpint.RNG, bits int) (*PrivateKey, error) {
-	if err := CheckKeyBits(bits); err != nil {
-		return nil, err
+// e = 65537 on the key walk (mpint.PrimeSearch.Key), its Miller–Rabin rounds
+// run by search — the same key whoever runs them. A pair with e not
+// invertible mod φ(n) is redrawn.
+func GenerateKeyWith(search mpint.PrimeSearch, rng *mpint.RNG, bits int) (sk *PrivateKey, err error) {
+	err = search.Key(rng, bits, func(p, q mpint.Nat) (err error) {
+		sk, err = NewKeyFromPrimes(p, q)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("rsa: %w", err)
 	}
-	for {
-		p, q, err := search.Pair(rng, bits/2)
-		if err != nil {
-			return nil, fmt.Errorf("rsa: prime search: %w", err)
-		}
-		if mpint.Mul(p, q).BitLen() != bits {
-			continue
-		}
-		if sk, err := NewKeyFromPrimes(p, q); err == nil {
-			return sk, nil
-		} // else e not invertible mod φ(n); redraw
-	}
-}
-
-// CheckKeyBits rejects the sizes no generator can produce: too small, or odd —
-// two ⌊bits/2⌋-bit primes never multiply to an odd-length n, and a redraw loop
-// would not end.
-func CheckKeyBits(bits int) error {
-	if bits < 16 {
-		return fmt.Errorf("rsa: key size %d too small", bits)
-	}
-	if bits%2 != 0 {
-		return fmt.Errorf("rsa: key size %d is odd; n is the product of two %d-bit primes", bits, bits/2)
-	}
-	return nil
+	return sk, nil
 }
 
 // NewKeyFromPrimes assembles a key from two primes.
