@@ -58,8 +58,8 @@ func (c opts) validate(cmd string) error {
 	if c.devices < 0 || c.devices > ghe.MaxDevices {
 		return badFlag("devices", "device count must be in [0, %d], the executor's limit, have %d", ghe.MaxDevices, c.devices)
 	}
-	if c.keyBits < 32 || c.keyBits%2 != 0 { // what fl.Profile.Validate enforces
-		return badFlag("bits", "key size must be an even number of bits, at least 32, have %d", c.keyBits)
+	if err := fl.NewProfile(fl.SystemFLBooster, c.keyBits, c.clients).CheckKeyBits(); err != nil {
+		return badFlag("bits", "%v", err)
 	}
 	if c.failpoint != "" && (!slices.Contains(failpoints, fl.EventKind(c.failpoint)) || c.journal == "") {
 		return badFlag("failpoint", "want a journal record (round-start, aggregated, round-done, round-failed, drained) and a -journal to write it to, have %q and -journal %q", c.failpoint, c.journal)

@@ -75,8 +75,9 @@ const (
 )
 
 // FaultPolicy re-exports the GPU-HE resilience knobs set on Profile.Faults:
-// device fault injection plus the checked-execution policy (retries,
-// verification, CPU fallback). The zero value injects nothing. What the faults
+// device fault injection plus the checked-execution policy (the retry budget
+// that, once a shard spends it, retires the device; verification; CPU
+// fallback). The zero value injects nothing. What the faults
 // did is recorded once, where it happened: each member device's Stats
 // (Context.Checked.Devices) holds its health, its faults by kind and the
 // modelled time they cost, and Context.Checked.Stats the executor's

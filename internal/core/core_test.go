@@ -491,7 +491,6 @@ func TestKeyGenSizes(t *testing.T) {
 func TestTableIUnderCorruption(t *testing.T) {
 	p := platformOn(t, 1, gpu.FaultConfig{Seed: 5, CorruptProb: 0.5},
 		ghe.CheckedConfig{VerifyFraction: 1, VerifySeed: 5, MaxRetries: 12})
-	p.st.Checked.Devices()[0].SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	r := mpint.NewRNG(13)
 	for round := 0; round < 6; round++ {
 		a, b := []mpint.Nat{r.RandBits(200), r.RandBits(64), r.RandBits(130)}, []mpint.Nat{r.RandBits(90), r.RandBits(64), r.RandBits(7)}

@@ -84,6 +84,10 @@ func TestProfileValidation(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("odd key size should fail: no two 16-bit primes make a 33-bit n")
 	}
+	bad = NewProfile(SystemFATE, 32, 4)
+	if err := bad.Validate(); !errors.Is(err, batch.ErrKeyTooSmall) {
+		t.Errorf("32-bit key: %v, want batch.ErrKeyTooSmall: an r+b = 32-bit slot does not fit below n", err)
+	}
 	bad = NewProfile(SystemFATE, 1024, 0)
 	if err := bad.Validate(); err == nil {
 		t.Error("zero parties should fail")

@@ -161,7 +161,7 @@ func TestPublishedEngineMetricNames(t *testing.T) {
 		"devset_rebalance_ns", "devset_parallel_ns", "devset_host_sim_ns",
 	}
 	gheShare := []string{
-		"launch_faults", "retries", "verify_samples",
+		"retries", "verify_samples",
 		"table_builds", "table_entries", "table_ops",
 	}
 
@@ -246,7 +246,7 @@ func TestPublishedEngineMetricNames(t *testing.T) {
 				if reg.Counter(gpuPre+".devset_host_shards") != reg.Counter(gpuPre+".devset_ops") || reg.Counter(gpuPre+".devset_host_sim_ns") == 0 {
 					t.Error("the host loop did not serve every op of a set of no member")
 				}
-			} else if reg.Counter(ghePre+".launch_faults") == 0 || reg.Counter(ghePre+".verify_samples") == 0 ||
+			} else if reg.Counter(ghePre+".retries") == 0 || reg.Counter(ghePre+".verify_samples") == 0 ||
 				reg.Counter(gpuPre+".launches") == 0 || reg.Counter(gpuPre+".launch_failures") == 0 {
 				t.Error("the round left the engine rows empty")
 			}

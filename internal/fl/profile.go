@@ -9,8 +9,10 @@ package fl
 import (
 	"fmt"
 
+	"flbooster/internal/batch"
 	"flbooster/internal/ghe"
 	"flbooster/internal/gpu"
+	"flbooster/internal/mpint"
 	"flbooster/internal/quant"
 )
 
@@ -146,11 +148,6 @@ func (p Profile) Validate() error {
 	switch {
 	case !knownSystem(p.System):
 		return fmt.Errorf("fl: unknown system %q", p.System)
-	case p.KeyBits < 32:
-		return fmt.Errorf("fl: key size %d too small", p.KeyBits)
-	case p.KeyBits%2 != 0:
-		// paillier.GenerateKey multiplies two KeyBits/2-bit primes.
-		return fmt.Errorf("fl: key size %d is odd", p.KeyBits)
 	case p.Parties < 1:
 		return fmt.Errorf("fl: need at least one party, got %d", p.Parties)
 	case p.Devices < 0:
@@ -158,9 +155,7 @@ func (p Profile) Validate() error {
 	case p.Devices > ghe.MaxDevices:
 		return fmt.Errorf("fl: device count %d exceeds %d", p.Devices, ghe.MaxDevices)
 	}
-	// The quantizer owns what a usable α and r are: a finite α > 0, r in
-	// [2, 52], and r plus the parties' overflow bits inside a word.
-	if _, err := quant.New(p.GradBound, p.RBits, p.Parties); err != nil {
+	if err := p.CheckKeyBits(); err != nil {
 		return err
 	}
 	if err := p.Round.Validate(p.Parties); err != nil {
@@ -192,6 +187,24 @@ func (p Profile) Validate() error {
 		}
 	}
 	return nil
+}
+
+// CheckKeyBits is the one key-size rule: KeyBits must be a size key
+// generation can produce (mpint.CheckKeyBits) and hold one slot of the
+// profile's quantizer below the modulus (batch.ErrKeyTooSmall) — with batch
+// compression off too, which packs one slot a plaintext. The quantizer owns
+// what a usable α and r are — a finite α > 0, r in [2, 52], and r plus the
+// parties' overflow bits inside a word — and its error is returned as is.
+func (p Profile) CheckKeyBits() error {
+	if err := mpint.CheckKeyBits(p.KeyBits); err != nil {
+		return fmt.Errorf("fl: %w", err)
+	}
+	q, err := quant.New(p.GradBound, p.RBits, p.Parties)
+	if err != nil {
+		return err
+	}
+	_, err = batch.New(q, p.KeyBits)
+	return err
 }
 
 // AllSystems lists the five configurations in reporting order.

@@ -32,10 +32,12 @@ const (
 var ErrCheckedConfig = errors.New("ghe: checked-execution setting out of range")
 
 // CheckedConfig parameterizes a CheckedEngine. The zero value gets sane
-// defaults: 3 retries, verification off.
+// defaults: 2 retries, verification off.
 type CheckedConfig struct {
 	// MaxRetries bounds re-executions of one shard on one device after device
-	// faults or verification misses. Zero means the default of 3.
+	// faults or verification misses: a member tries a shard at most
+	// 1 + MaxRetries times, and one that spends them all retires its device.
+	// It is the executor's only give-up rule. Zero means the default of 2.
 	MaxRetries int
 	// VerifyFraction is the fraction of result elements spot-verified per
 	// launch by host residue recomputation, in [0, 1]. Zero disables
@@ -60,7 +62,7 @@ func (c CheckedConfig) Validate() error {
 // withDefaults fills unset fields.
 func (c CheckedConfig) withDefaults() CheckedConfig {
 	if c.MaxRetries <= 0 {
-		c.MaxRetries = 3
+		c.MaxRetries = 2
 	}
 	return c
 }
@@ -76,11 +78,11 @@ func backoff(attempt int) time.Duration {
 
 // CheckedStats is the executor's ledger. The ops it issued and how they were
 // served: shards, steals, the ranges the host loop served once no device was
-// left, and the merged clocks. And what the checked discipline saw on its
-// members: launch faults, retries and spot checks. A device fault itself is
-// recorded once, on the member's device (gpu.Stats): its health — Failed is
-// permanent failover — its fault kinds, and in SimFaultTime the retry backoff
-// beside the stalls' watchdog windows.
+// left, and the merged clocks. And what the checked discipline did on its
+// members: retries and spot checks. A device fault itself is recorded once,
+// on the member's device (gpu.Stats): its health — Failed is permanent
+// failover — its fault kinds, and in SimFaultTime the retry backoff beside
+// the stalls' watchdog windows.
 type CheckedStats struct {
 	// Ops counts the vector ops issued.
 	Ops int64
@@ -104,8 +106,6 @@ type CheckedStats struct {
 	// executor's clock: the whole clock of a fleet of no member,
 	// degraded-mode cost on one with members.
 	HostSim time.Duration
-	// LaunchFaults counts failed device launch attempts observed.
-	LaunchFaults int64
 	// Retries counts re-executions after a fault or a verification miss.
 	Retries int64
 	// VerifySamples counts residue spot-checks; the corruptions they caught
@@ -116,7 +116,6 @@ type CheckedStats struct {
 // add accumulates a member's share — the counters a member keeps — into the
 // aggregate.
 func (s *CheckedStats) add(m CheckedStats) {
-	s.LaunchFaults += m.LaunchFaults
 	s.Retries += m.Retries
 	s.VerifySamples += m.VerifySamples
 }
@@ -127,12 +126,13 @@ func (s *CheckedStats) add(m CheckedStats) {
 // into contiguous shards, one per healthy member; each member launches its
 // shard (one attempt: member.launch), spot-verifies the result by host residue
 // checks, and retries typed launch failures and verification misses with
-// capped exponential backoff. A member that cannot serve a shard surfaces its
+// capped exponential backoff. A member that cannot serve a shard — its device
+// died, or it spent its retry budget and retired the device — surfaces its
 // typed *gpu.KernelError to the scheduler (serveOp), never a silent host
-// result: the scheduler excludes it and re-queues its work onto the healthy
-// peers, and only when none is left does the bit-exact host loop (runOnHost)
-// serve what remains — every op, on a fleet of no member: the CPU profiles'
-// executor. Every fault, retry and fallback is counted.
+// result: the scheduler re-queues its work onto the healthy peers, and only
+// when none is left does the bit-exact host loop (runOnHost) serve what
+// remains — every op, on a fleet of no member: the CPU profiles' executor.
+// Every fault, retry and fallback is counted.
 //
 // Bit-exactness with a single launch and with the host loop holds by
 // construction: a shard is the op's own descriptor over a sub-range, so every
@@ -306,7 +306,6 @@ func (c *CheckedEngine) PublishMetrics(reg *obs.Registry, label string) {
 // publishShare writes the counters a member keeps — and the aggregate sums —
 // under one prefix.
 func publishShare(reg *obs.Registry, prefix string, s CheckedStats, ts tableStats) {
-	reg.Set(prefix+".launch_faults", s.LaunchFaults)
 	reg.Set(prefix+".retries", s.Retries)
 	reg.Set(prefix+".verify_samples", s.VerifySamples)
 	reg.Set(prefix+".table_builds", ts.builds)
@@ -362,9 +361,10 @@ func (c *CheckedEngine) runJob() {
 }
 
 // serve runs one shard on the member's device until an attempt both launches
-// and verifies. Only typed device failures are retried; anything else is a
-// caller error and surfaces as-is. When the device is declared Failed, or
-// the retry budget is spent without that, the last typed fault goes back to
+// and verifies. Only typed device failures are retried, a launch fault and a
+// verification miss alike; anything else is a caller error and surfaces
+// as-is. When the device has died, or the shard has spent its 1 + MaxRetries
+// tries, the member retires the device and the last typed fault goes back to
 // the scheduler, which owns failover. Every attempt writes the shard's own
 // result elements: a launch returns only once its lanes have, or, with a job,
 // leaves them to it — only then is verification off.
@@ -378,16 +378,16 @@ func (mb *member) serve(op vecOp, cfg *CheckedConfig, job *gpu.Job) error {
 				return err
 			}
 			last = kerr
-			mb.stats.LaunchFaults++
 		} else if mb.spotCheck(op, cfg.VerifyFraction) {
 			return nil
 		} else {
-			// The kernel reported success with corrupted contents: feed the
-			// detection back into the device health machine and retry.
+			// The kernel reported success with corrupted contents: count the
+			// detection on the device and retry.
 			dev.ReportFailure(gpu.FaultCorrupt)
 			last = &gpu.KernelError{Kind: gpu.FaultCorrupt, Kernel: op.name()}
 		}
-		if dev.Health() == gpu.DeviceFailed || attempt >= cfg.MaxRetries {
+		if attempt >= cfg.MaxRetries || dev.Health() == gpu.DeviceFailed {
+			dev.Retire()
 			return last
 		}
 		dev.ChargeFaultTime(backoff(attempt))

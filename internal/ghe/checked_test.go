@@ -124,8 +124,6 @@ func TestCheckedRetriesTransientAborts(t *testing.T) {
 	c := checkedEngine(t,
 		gpu.FaultConfig{Seed: 5, AbortProb: 0.4},
 		CheckedConfig{MaxRetries: 8})
-	// Keep the device from latching Failed so the retry path is exercised.
-	c.Devices()[0].SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	r := mpint.NewRNG(8)
 	n := r.RandPrime(96)
 	m := mpint.NewMont(n)
@@ -144,7 +142,7 @@ func TestCheckedRetriesTransientAborts(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.LaunchFaults == 0 || st.Retries == 0 {
+	if st.Retries == 0 || c.Devices()[0].Stats().FaultAborts == 0 {
 		t.Fatalf("expected observed faults and retries: %+v", st)
 	}
 	if ds := c.Devices()[0].Stats(); ds.SimFaultTime-time.Duration(ds.FaultStalls)*gpu.WatchdogWindow <= 0 {
@@ -155,12 +153,11 @@ func TestCheckedRetriesTransientAborts(t *testing.T) {
 // TestCheckedBackoffSaturates: a retry budget past the width of the backoff's
 // shift still waits a positive backoff no longer than the cap before every
 // retry, and the backoff the spans show is the fault time the device was
-// charged. Every launch aborts and the health machine never fails the device,
-// so the one op spends all 60 retries before the host serves it.
+// charged. Every launch aborts, so the one op spends all 60 retries before
+// its device retires and the host serves it.
 func TestCheckedBackoffSaturates(t *testing.T) {
 	c := checkedEngine(t, gpu.FaultConfig{Seed: 3, AbortProb: 1}, CheckedConfig{MaxRetries: 60})
 	dev := c.Devices()[0]
-	dev.SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	rec := obs.NewRecorder(1)
 	dev.SetRecorder(rec, "test")
 	r := mpint.NewRNG(9)
@@ -199,7 +196,6 @@ func TestCheckedBackoffSaturates(t *testing.T) {
 func TestFaultTimeLedgerMatchesTrace(t *testing.T) {
 	c := checkedSet(t, 2, CheckedConfig{MaxRetries: 8, VerifyFraction: 1, VerifySeed: 4})
 	for i, dev := range c.Devices() {
-		dev.SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 		dev.SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{
 			Seed: uint64(17 + i), AbortProb: 0.15, CorruptProb: 0.2, StallProb: 0.15, OOMProb: 0.1}))
 	}
@@ -258,8 +254,9 @@ func TestFaultTimeLedgerMatchesTrace(t *testing.T) {
 }
 
 // TestCheckedCatchesCorruption: with every launch silently corrupted and full
-// verification, the residue check catches each attempt, the health machine
-// fails the device, and the op completes correctly on the host.
+// verification, the residue check catches each of the shard's 1 + MaxRetries
+// tries, the member retires its device, and the op completes correctly on
+// the host.
 func TestCheckedCatchesCorruption(t *testing.T) {
 	c := checkedEngine(t,
 		gpu.FaultConfig{Seed: 3, CorruptProb: 1},
@@ -274,27 +271,50 @@ func TestCheckedCatchesCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		if mpint.Cmp(got[i], want[i]) != 0 {
-			t.Fatalf("element %d still corrupted after fallback", i)
+	sameVec(t, "mod_exp_vec after fallback", got, want)
+	st, dev := c.Stats(), c.Devices()[0].Stats()
+	if dev.FaultCorruptions != 3 || dev.KernelLaunches != 3 || st.Retries != 2 {
+		t.Fatalf("want 3 tries, each caught, with 2 retries between: %+v, device %+v", st, dev)
+	}
+	if dev.Health != gpu.DeviceFailed || st.HostShards != 1 {
+		t.Fatalf("the spent budget should retire the device and hand the op to the host: %+v, device %+v", st, dev)
+	}
+}
+
+// TestPersistentCorruptionRetiresDevice: a device that corrupts every launch
+// is retired by the first op that spends its tries on it. The four ops after
+// it go straight to the host loop — no launch, no failure, no fault time
+// added on the device — and every result is bit-exact.
+func TestPersistentCorruptionRetiresDevice(t *testing.T) {
+	c := checkedEngine(t,
+		gpu.FaultConfig{Seed: 3, CorruptProb: 1},
+		CheckedConfig{VerifyFraction: 1, VerifySeed: 3})
+	dev := c.Devices()[0]
+	r := mpint.NewRNG(19)
+	m := mpint.NewMont(r.RandPrime(96))
+	bases := randVec(r, 8, m.N())
+	exp := r.RandBits(48)
+	want, _ := hostLoop{}.ModExpVec(bases, exp, m)
+	var first gpu.Stats
+	for op := 0; op < 5; op++ {
+		got, err := c.ModExpVec(bases, exp, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameVec(t, fmt.Sprintf("op %d", op), got, want)
+		if op == 0 {
+			if first = dev.Stats(); first.Health != gpu.DeviceFailed {
+				t.Fatalf("after op 1 the device is %s, want failed", first.Health)
+			}
 		}
 	}
-	st := c.Stats()
-	if dev := gpu.Sum(c.Devices()); dev.FaultCorruptions == 0 {
-		t.Fatalf("verification did not catch the corruption: %+v, device %+v", st, dev)
+	last := dev.Stats()
+	if last.KernelLaunches != first.KernelLaunches || last.LaunchFailures != first.LaunchFailures || last.SimFaultTime != first.SimFaultTime {
+		t.Fatalf("ops 2–5 reached the retired device: %d → %d launches, %d → %d failures, %v → %v fault time",
+			first.KernelLaunches, last.KernelLaunches, first.LaunchFailures, last.LaunchFailures, first.SimFaultTime, last.SimFaultTime)
 	}
-	if st.HostShards == 0 {
-		t.Fatalf("corrupted op was not served from the host: %+v", st)
-	}
-	// Silent corruption never latches Failed: each poisoned launch reports
-	// success (resetting the streak) before verification reports the miss, so
-	// the streak never passes one and the device stays in rotation — the
-	// retry budget, not the health machine, bounds the damage.
-	if h := c.Devices()[0].Health(); h == gpu.DeviceFailed {
-		t.Fatal("silent corruption should not latch the device Failed")
-	}
-	if c.Devices()[0].Stats().FaultCorruptions == 0 {
-		t.Fatal("detected corruptions were not fed back into the device counters")
+	if st := c.Stats(); st.HostShards != 5 || st.Retries != 2 {
+		t.Fatalf("want every op on the host and only op 1's 2 retries: %+v", st)
 	}
 }
 
@@ -307,8 +327,6 @@ func TestCheckedFullVerificationNeverMissesCorruption(t *testing.T) {
 	c := checkedEngine(t,
 		gpu.FaultConfig{Seed: 17, CorruptProb: 0.5},
 		CheckedConfig{VerifyFraction: 1, VerifySeed: 17, MaxRetries: 8})
-	// Keep the device in rotation so every op keeps exercising the GPU path.
-	c.Devices()[0].SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	r := mpint.NewRNG(18)
 	n := r.RandPrime(96)
 	m := mpint.NewMont(n)
@@ -438,7 +456,7 @@ func TestCheckedStatsDeterministic(t *testing.T) {
 		t.Fatalf("device fault counters diverged for one seed:\n%+v\n%+v", devA, devB)
 	}
 	sameVec(t, "results under one seed", outB, outA)
-	if a.LaunchFaults == 0 || devA.FaultCorruptions == 0 || devA.FaultStalls == 0 {
+	if devA.FaultAborts == 0 || devA.FaultCorruptions == 0 || devA.FaultStalls == 0 {
 		t.Fatalf("expected aborts, corruptions and stalls: %+v, device %+v", a, devA)
 	}
 }
@@ -454,7 +472,7 @@ func TestCheckedPassesThroughCallerErrors(t *testing.T) {
 	if _, err := c.ModExpVarVec(bases, bases[:2], m); err == nil {
 		t.Fatal("length mismatch must fail")
 	}
-	if st := c.Stats(); st.Retries != 0 || st.LaunchFaults != 0 || st.HostShards != 0 {
+	if st, dev := c.Stats(), c.Devices()[0].Stats(); st.Retries != 0 || dev.LaunchFailures != 0 || st.HostShards != 0 {
 		t.Fatalf("caller error consumed fault machinery: %+v", st)
 	}
 }
@@ -504,7 +522,7 @@ func TestGeneratePrimeIsAFunctionOfTheSeed(t *testing.T) {
 		}
 	}
 	st := killed.Stats()
-	if killed.Devices()[1].Health() != gpu.DeviceFailed || st.LaunchFaults == 0 {
+	if dead := killed.Devices()[1].Stats(); dead.Health != gpu.DeviceFailed || dead.FaultAborts == 0 {
 		t.Fatalf("member 1 was never killed: %+v", st)
 	}
 	if st.Steals == 0 {
@@ -521,7 +539,6 @@ func TestCheckedTableIUnderCorruption(t *testing.T) {
 	c := checkedEngine(t,
 		gpu.FaultConfig{Seed: 23, CorruptProb: 0.5},
 		CheckedConfig{VerifyFraction: 1, VerifySeed: 23, MaxRetries: 12})
-	c.Devices()[0].SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	var host hostLoop
 	r := mpint.NewRNG(24)
 	a, b := randVec(r, 16, r.RandBits(160)), randVec(r, 16, r.RandBits(96))
@@ -627,7 +644,6 @@ func TestFusedDescriptorsUnderCorruption(t *testing.T) {
 	c := checkedEngine(t,
 		gpu.FaultConfig{Seed: 23, CorruptProb: 0.5},
 		CheckedConfig{VerifyFraction: 1, VerifySeed: 23, MaxRetries: 12})
-	c.Devices()[0].SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	for op := 0; op < 40; op++ {
 		opened, err := c.DecryptVec(cts, key)
 		if err != nil {

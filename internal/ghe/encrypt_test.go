@@ -193,7 +193,6 @@ func TestCheckedEncryptCatchesCorruption(t *testing.T) {
 	c := checkedEngine(t,
 		gpu.FaultConfig{Seed: 11, CorruptProb: 0.5},
 		CheckedConfig{MaxRetries: 12, VerifyFraction: 1})
-	c.Devices()[0].SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	got, err := c.EncryptVec(ms, encKey(crt, n2, true), 5)
 	if err != nil {
 		t.Fatal(err)

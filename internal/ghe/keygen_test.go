@@ -97,7 +97,6 @@ func sameWalk(t *testing.T, tag string, search, host mpint.PrimeSearch, seed uin
 func TestExecutorWalkIsTheHostWalk(t *testing.T) {
 	faulty := checkedEngine(t, gpu.FaultConfig{Seed: 29, CorruptProb: 0.3, AbortProb: 0.1},
 		CheckedConfig{VerifyFraction: 1, VerifySeed: 29, MaxRetries: 12})
-	faulty.Devices()[0].SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	engines := []*CheckedEngine{checkedSet(t, 1, CheckedConfig{}), checkedSet(t, 2, CheckedConfig{}), checkedSet(t, 3, CheckedConfig{}), faulty}
 	names := []string{"D=1", "D=2", "D=3", "D=1 under faults"}
 	for i, eng := range engines {

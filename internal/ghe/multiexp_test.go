@@ -310,7 +310,6 @@ func TestCheckedMultiExpCatchesCorruption(t *testing.T) {
 	c := checkedEngine(t,
 		gpu.FaultConfig{Seed: 5, CorruptProb: 0.5},
 		CheckedConfig{MaxRetries: 12, VerifyFraction: 1})
-	c.Devices()[0].SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1 << 30})
 	r := mpint.NewRNG(0xC0)
 	n := r.RandPrime(160)
 	m := mpint.NewMont(n)

@@ -59,20 +59,15 @@ func (c *CheckedEngine) serveOp(op vecOp) error {
 	c.op = op
 	defer func() { c.op = nil }()
 	c.stats.Ops++
-	c.elig = c.elig[:0]
-	for _, mb := range c.members {
-		mb.err = nil
-		c.elig = append(c.elig, mb)
-	}
+	c.elig = append(c.elig[:0], c.members...)
 	c.pending = append(c.pending[:0], shard{hi: len(op.result())})
 
 	for wave := 0; len(c.pending) > 0; wave++ {
-		// A member that failed a shard during this op is excluded from its
-		// rework, so a flaky-but-alive device cannot reabsorb work it keeps
-		// failing; a Failed one is excluded from the start.
+		// Device health is the one exclusion rule: a member that failed a
+		// shard retired its device, so it takes no part in the rework.
 		kept := c.elig[:0]
 		for _, mb := range c.elig {
-			if mb.err == nil && mb.dev.Health() != gpu.DeviceFailed {
+			if mb.dev.Health() != gpu.DeviceFailed {
 				kept = append(kept, mb)
 			}
 		}

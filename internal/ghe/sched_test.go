@@ -165,12 +165,10 @@ func TestExecutorWorkStealingOnKill(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := checkedSet(t, d, CheckedConfig{})
-	// Member 1 dies at its first launch and is declared Failed at once, so the
-	// span prices the steal, not the retry backoff a dying device is charged
-	// before its health machine gives up on it.
+	// Member 1 dies at its first launch, which latches its device Failed, so
+	// the span prices the steal and no retry backoff.
 	dead := c.Devices()[1]
 	dead.SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 7, KillAtLaunch: 1}))
-	dead.SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1})
 	got, err := c.ModExpVec(bases, exp, m)
 	if err != nil {
 		t.Fatalf("op with a dead member: %v", err)
@@ -194,9 +192,10 @@ func TestExecutorWorkStealingOnKill(t *testing.T) {
 				lost, bound, par, st.SimParallelTime)
 		}
 	})
-	// The dead device recorded its failed launch.
-	if dead.Stats().FaultAborts == 0 {
-		t.Fatal("member 1 should have recorded the abort")
+	// The dead member made one launch attempt, its kill, and no retry.
+	if ds := dead.Stats(); ds.LaunchFailures != 1 || ds.FaultAborts != 1 || ds.KernelLaunches != 0 || ds.SimFaultTime != 0 || c.members[1].stats.Retries != 0 {
+		t.Fatalf("member 1 made %d launches and %d failed attempts with %d retries and %v of backoff, want one failed attempt and nothing else",
+			ds.KernelLaunches, ds.LaunchFailures, c.members[1].stats.Retries, ds.SimFaultTime)
 	}
 }
 
@@ -321,7 +320,6 @@ func TestExecutorResetStatsKeepsHealth(t *testing.T) {
 	c := checkedSet(t, 2, CheckedConfig{})
 	dead := c.Devices()[1]
 	dead.SetFaultInjector(gpu.NewFaultInjector(gpu.FaultConfig{Seed: 1, KillAtLaunch: 1}))
-	dead.SetHealthPolicy(gpu.HealthPolicy{FailAfter: 1})
 	if _, err := c.ModMulVec(a, b, m); err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ type Device struct {
 	mu        sync.Mutex
 	stats     Stats
 	injector  *FaultInjector
-	healthPol HealthPolicy
 	launchSeq int64 // 1-based launch ordinal, attempted launches included
 
 	rec      *obs.Recorder // nil when tracing is off: every record is one nil check
@@ -51,13 +50,12 @@ type Stats struct {
 	// FaultCorruptions is what verification caught; a corrupt draw on a body
 	// that cannot carry it fails the launch and counts as an abort. Each
 	// stall is one watchdog trip.
-	LaunchFailures      int64
-	FaultAborts         int64
-	FaultCorruptions    int64
-	FaultStalls         int64
-	FaultOOMs           int64
-	Health              HealthState
-	ConsecutiveFailures int
+	LaunchFailures   int64
+	FaultAborts      int64
+	FaultCorruptions int64
+	FaultStalls      int64
+	FaultOOMs        int64
+	Health           HealthState
 }
 
 // SimTime is the total modelled device time with sequential stages:
@@ -87,10 +85,9 @@ func New(cfg Config, fineRM bool) (*Device, error) {
 		w = runtime.GOMAXPROCS(0) // the schedulers there are to run chunks, as many as the pool holds
 	}
 	d := &Device{
-		cfg:       cfg,
-		rm:        NewResourceManager(cfg, fineRM),
-		workers:   w,
-		healthPol: DefaultHealthPolicy(),
+		cfg:     cfg,
+		rm:      NewResourceManager(cfg, fineRM),
+		workers: w,
 	}
 	d.stats.Health = DeviceHealthy
 	return d, nil
@@ -123,8 +120,7 @@ func (d *Device) Stats() Stats {
 func (d *Device) ResetStats() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	health, consec := d.stats.Health, d.stats.ConsecutiveFailures
-	d.stats = Stats{Health: health, ConsecutiveFailures: consec}
+	d.stats = Stats{Health: d.stats.Health}
 }
 
 // SetRecorder attaches (or, with nil, detaches) a span recorder. Every
@@ -155,8 +151,7 @@ func (d *Device) recordLocked(phase, lane string, start, dur time.Duration) {
 }
 
 // Sum is a fleet's counters: the additive fields summed — so AvgUtilization
-// is the fleet's launch-weighted mean — Health the worst member's and
-// ConsecutiveFailures the longest streak.
+// is the fleet's launch-weighted mean — and Health the worst member's.
 func Sum(devs []*Device) Stats {
 	agg := Stats{Health: DeviceHealthy}
 	for _, d := range devs {
@@ -180,7 +175,6 @@ func Sum(devs []*Device) Stats {
 		if st.Health == DeviceFailed {
 			agg.Health = DeviceFailed
 		}
-		agg.ConsecutiveFailures = max(agg.ConsecutiveFailures, st.ConsecutiveFailures)
 	}
 	return agg
 }
@@ -229,13 +223,6 @@ func (d *Device) Injector() *FaultInjector {
 	return d.injector
 }
 
-// SetHealthPolicy replaces the consecutive-failure threshold.
-func (d *Device) SetHealthPolicy(p HealthPolicy) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.healthPol = p.withDefaults()
-}
-
 // Health returns the device health state.
 func (d *Device) Health() HealthState {
 	d.mu.Lock()
@@ -243,9 +230,17 @@ func (d *Device) Health() HealthState {
 	return d.stats.Health
 }
 
-// ReportFailure feeds an externally detected launch failure — a
-// result-verification miss on a kernel that reported success — into the
-// health machine and the per-kind counters.
+// Retire latches the device Failed for good: its executor gave up on it. Every
+// launch from then on is refused with FaultDeviceFailed.
+func (d *Device) Retire() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.stats.Health = DeviceFailed
+}
+
+// ReportFailure counts an externally detected launch failure — a
+// result-verification miss on a kernel that reported success — in the
+// per-kind counters.
 func (d *Device) ReportFailure(kind FaultKind) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -265,8 +260,7 @@ func (d *Device) ChargeFaultTime(dur time.Duration) {
 	d.stats.SimFaultTime += dur
 }
 
-// recordFailureLocked counts one failed launch and advances the health
-// machine. Callers hold d.mu.
+// recordFailureLocked counts one failed launch. Callers hold d.mu.
 func (d *Device) recordFailureLocked(kind FaultKind) {
 	d.stats.LaunchFailures++
 	switch kind {
@@ -278,13 +272,6 @@ func (d *Device) recordFailureLocked(kind FaultKind) {
 		d.stats.FaultStalls++
 	case FaultOOM:
 		d.stats.FaultOOMs++
-	}
-	if d.stats.Health == DeviceFailed {
-		return
-	}
-	d.stats.ConsecutiveFailures++
-	if d.stats.ConsecutiveFailures >= d.healthPol.FailAfter {
-		d.stats.Health = DeviceFailed
 	}
 }
 
@@ -384,9 +371,10 @@ type Kernel struct {
 //
 // Failure surface: a Failed device refuses the launch outright, and an
 // attached FaultInjector may abort, stall, corrupt, or OOM it. Every fault but
-// a corruption the body can carry silently is decided before the body runs,
-// returns a typed *KernelError and drives the health machine; a stall also
-// trips the watchdog, which charges WatchdogWindow to the modelled clock.
+// a corruption the body can carry silently is decided before the body runs
+// and returns a typed *KernelError; a stall also trips the watchdog, which
+// charges WatchdogWindow to the modelled clock, and the kill launch latches
+// the device Failed.
 func (d *Device) Launch(k Kernel) (float64, error) {
 	if k.Items < 0 {
 		return 0, fmt.Errorf("gpu: kernel %q has negative item count", k.Name)
@@ -410,9 +398,9 @@ func (d *Device) Launch(k Kernel) (float64, error) {
 	injector := d.injector
 	d.mu.Unlock()
 
-	fault, poisonItem := FaultKind(""), -1
+	fault, poisonItem, killed := FaultKind(""), -1, false
 	if injector != nil {
-		fault, poisonItem = injector.decide(k.Items)
+		fault, poisonItem, killed = injector.decide(k.Items)
 	}
 
 	if _, ok := k.Body.(Poisoner); fault == FaultCorrupt && !ok {
@@ -421,7 +409,7 @@ func (d *Device) Launch(k Kernel) (float64, error) {
 	if fault != "" && fault != FaultCorrupt {
 		// An abort yields no results, an OOM is a working set the device cannot
 		// hold, and a stall hangs until the watchdog gives it up.
-		d.failLaunch(k.Name, fault)
+		d.failLaunch(k.Name, fault, killed)
 		return 0, &KernelError{Kind: fault, Kernel: k.Name, Attempt: attempt}
 	}
 
@@ -441,15 +429,14 @@ func (d *Device) Launch(k Kernel) (float64, error) {
 		runLanes(k.Body, k.Items, (k.Items+d.workers-1)/d.workers, d.workers)
 		wall = time.Since(start)
 		if fault == FaultCorrupt {
-			// Silent from the device's point of view: the launch succeeds and the
-			// health machine sees no failure until verification reports one.
+			// Silent from the device's point of view: the launch succeeds and
+			// nothing counts a failure until verification reports one.
 			k.Body.(Poisoner).Poison(poisonItem)
 		}
 	}
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.stats.ConsecutiveFailures = 0
 	d.stats.KernelLaunches++
 	d.stats.ThreadsExecuted += int64(k.Items)
 	d.stats.WarpsExecuted += int64((k.Items + d.cfg.WarpSize - 1) / d.cfg.WarpSize)
@@ -469,8 +456,9 @@ func (d *Device) Launch(k Kernel) (float64, error) {
 }
 
 // failLaunch records one failed launch under the device mutex. A stall trips
-// the watchdog, whose window is modelled device time lost to the hang.
-func (d *Device) failLaunch(kernel string, kind FaultKind) {
+// the watchdog, whose window is modelled device time lost to the hang; the
+// kill launch latches the device Failed.
+func (d *Device) failLaunch(kernel string, kind FaultKind, killed bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if kind == FaultStall {
@@ -478,6 +466,9 @@ func (d *Device) failLaunch(kernel string, kind FaultKind) {
 		d.stats.SimFaultTime += WatchdogWindow
 	}
 	d.recordFailureLocked(kind)
+	if killed {
+		d.stats.Health = DeviceFailed
+	}
 }
 
 // launchState is what the workers of one launch share: the body, the items

@@ -13,8 +13,8 @@ import (
 // kernel failures as routine events; this file gives the simulated device
 // the same fault surface so the layers above can be tested against it:
 // a seeded injector producing four transient fault kinds plus permanent
-// device death, a typed launch error, and a health state machine driven by
-// consecutive launch failures.
+// device death, a typed launch error, and a health state that latches Failed
+// when the device dies or its executor retires it (Device.Retire).
 
 // FaultKind classifies a device fault.
 type FaultKind string
@@ -70,33 +70,14 @@ func IsKernelError(err error) bool {
 // HealthState is the device health machine's state.
 type HealthState string
 
-// Health machine states: Healthy → Failed. Failed is terminal — callers fail
-// over to the device's peers, or to host execution with none left
-// (ghe.CheckedEngine).
+// Health machine states: Healthy → Failed, entered at the device's kill
+// launch (FaultConfig.KillAtLaunch) or when its executor retires it
+// (Device.Retire). Failed is terminal — callers fail over to the device's
+// peers, or to host execution with none left (ghe.CheckedEngine).
 const (
 	DeviceHealthy HealthState = "healthy"
 	DeviceFailed  HealthState = "failed"
 )
-
-// HealthPolicy sets the consecutive-failure threshold of the health machine.
-// A successful launch resets the streak; a Failed device never recovers.
-type HealthPolicy struct {
-	// FailAfter is the consecutive-failure count that enters Failed.
-	FailAfter int
-}
-
-// DefaultHealthPolicy fails the device on the third consecutive failure —
-// tight enough that a dead device is latched within one retry budget, loose
-// enough that a single transient fault never takes the device out.
-func DefaultHealthPolicy() HealthPolicy { return HealthPolicy{FailAfter: 3} }
-
-// withDefaults fills a zero threshold.
-func (p HealthPolicy) withDefaults() HealthPolicy {
-	if p.FailAfter <= 0 {
-		p.FailAfter = DefaultHealthPolicy().FailAfter
-	}
-	return p
-}
 
 // FaultConfig parameterizes a FaultInjector. All probabilistic decisions
 // come from one stream seeded by Seed and drawn in launch order with a
@@ -116,10 +97,10 @@ type FaultConfig struct {
 	StallProb float64
 	// OOMProb is the probability a launch fails for want of device memory.
 	OOMProb float64
-	// KillAtLaunch, when positive, permanently kills the device starting at
-	// that 1-based launch ordinal: every launch from then on aborts, which
-	// drives the health machine to Failed. This is the "device dies
-	// mid-round" scenario of the resilience experiment.
+	// KillAtLaunch, when positive, permanently kills the device at that
+	// 1-based launch ordinal: the launch aborts and latches the device
+	// Failed, so it is the last the device attempts. This is the "device
+	// dies mid-round" scenario of the resilience experiment.
 	KillAtLaunch int64
 }
 
@@ -167,8 +148,9 @@ func NewFaultInjector(cfg FaultConfig) *FaultInjector {
 // decide draws this launch's fault. Every launch consumes exactly five
 // draws in a fixed order regardless of which faults are enabled, so the
 // fault pattern is a pure function of (seed, launch index). poisonItem is
-// the item index to corrupt when kind is FaultCorrupt, -1 otherwise.
-func (fi *FaultInjector) decide(items int) (kind FaultKind, poisonItem int) {
+// the item index to corrupt when kind is FaultCorrupt, -1 otherwise; killed
+// reports the abort of the kill launch.
+func (fi *FaultInjector) decide(items int) (kind FaultKind, poisonItem int, killed bool) {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
 	fi.launches++
@@ -179,21 +161,21 @@ func (fi *FaultInjector) decide(items int) (kind FaultKind, poisonItem int) {
 	itemDraw := fi.rng.Float64()
 
 	if fi.cfg.KillAtLaunch > 0 && fi.launches >= fi.cfg.KillAtLaunch {
-		return FaultAbort, -1
+		return FaultAbort, -1, true
 	}
 	switch {
 	case abort:
-		return FaultAbort, -1
+		return FaultAbort, -1, false
 	case corrupt:
 		item := int(itemDraw * float64(items))
 		if item >= items {
 			item = items - 1
 		}
-		return FaultCorrupt, item
+		return FaultCorrupt, item, false
 	case stall:
-		return FaultStall, -1
+		return FaultStall, -1, false
 	case oom:
-		return FaultOOM, -1
+		return FaultOOM, -1, false
 	}
-	return "", -1
+	return "", -1, false
 }

@@ -43,9 +43,8 @@ func noopKernel(items int) (Kernel, func(int)) {
 func faultRun(t *testing.T, seed uint64) Stats {
 	t.Helper()
 	d := MustNew(SmallTestDevice(), true)
-	// Keep the device alive for the whole run so every launch consults the
-	// injector; health transitions are exercised separately below.
-	d.SetHealthPolicy(HealthPolicy{FailAfter: 1 << 30})
+	// No kill and no executor to retire it: the device stays healthy for the
+	// whole run, so every launch consults the injector.
 	d.SetFaultInjector(NewFaultInjector(FaultConfig{
 		Seed:        seed,
 		AbortProb:   0.15,
@@ -123,7 +122,9 @@ func TestWatchdogCancelsInjectedStall(t *testing.T) {
 }
 
 // TestOOMFaultFailsLaunch: an injected OOM fails the launch before its body
-// runs, with a typed FaultOOM, and drives the health machine as an abort does.
+// runs, with a typed FaultOOM, and is counted as an abort is: it leaves the
+// device healthy however often it repeats — only a kill or the executor
+// retires a device.
 func TestOOMFaultFailsLaunch(t *testing.T) {
 	d := MustNew(SmallTestDevice(), true)
 	d.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 1, OOMProb: 1}))
@@ -138,15 +139,14 @@ func TestOOMFaultFailsLaunch(t *testing.T) {
 		t.Fatalf("bad error metadata or the body ran: %+v, ran %v", kerr, ran)
 	}
 	st := d.Stats()
-	if st.LaunchFailures != 1 || st.FaultOOMs != 1 || st.KernelLaunches != 0 || st.Health != DeviceHealthy || st.ConsecutiveFailures != 1 {
+	if st.LaunchFailures != 1 || st.FaultOOMs != 1 || st.KernelLaunches != 0 || st.Health != DeviceHealthy {
 		t.Fatalf("oom accounting wrong: %+v", st)
 	}
-	// Three in a row latch Failed, as three aborts do.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		d.Launch(k.over(func(int) {}))
 	}
-	if d.Health() != DeviceFailed {
-		t.Fatalf("after three OOMs: %s, want failed", d.Health())
+	if st := d.Stats(); st.FaultOOMs != 4 || st.Health != DeviceHealthy {
+		t.Fatalf("after four OOMs: %d counted and %s, want 4 and healthy", st.FaultOOMs, st.Health)
 	}
 }
 
@@ -191,30 +191,25 @@ func TestCorruptFaultPoisonsSilently(t *testing.T) {
 	}
 }
 
+// TestHealthMachine: a device leaves Healthy only for Failed, and only by
+// Retire or at its kill launch — reported failures are counted, never
+// latched. Failed refuses every launch, never recovers and survives a stats
+// reset.
 func TestHealthMachine(t *testing.T) {
 	d := MustNew(SmallTestDevice(), true)
 	if d.Health() != DeviceHealthy {
 		t.Fatalf("new device not healthy: %s", d.Health())
 	}
-	// One reported failure starts a streak and leaves the device in rotation.
-	d.ReportFailure(FaultCorrupt)
-	if st := d.Stats(); st.Health != DeviceHealthy || st.ConsecutiveFailures != 1 {
-		t.Fatalf("after one failure: %s with a streak of %d, want healthy with 1", st.Health, st.ConsecutiveFailures)
+	for i := 0; i < 5; i++ {
+		d.ReportFailure(FaultCorrupt)
 	}
-	// A successful launch resets the streak.
+	if st := d.Stats(); st.Health != DeviceHealthy || st.FaultCorruptions != 5 {
+		t.Fatalf("after five reported failures: %s with %d counted, want healthy with 5", st.Health, st.FaultCorruptions)
+	}
 	k, fn := noopKernel(4)
-	if _, err := d.Launch(k.over(fn)); err != nil {
-		t.Fatal(err)
-	}
-	if st := d.Stats(); st.Health != DeviceHealthy || st.ConsecutiveFailures != 0 {
-		t.Fatalf("success left %s with a streak of %d, want healthy with 0", st.Health, st.ConsecutiveFailures)
-	}
-	// Three consecutive failures latch Failed.
-	for i := 0; i < 3; i++ {
-		d.ReportFailure(FaultAbort)
-	}
+	d.Retire()
 	if d.Health() != DeviceFailed {
-		t.Fatalf("after three failures: %s, want failed", d.Health())
+		t.Fatalf("after Retire: %s, want failed", d.Health())
 	}
 	// A Failed device refuses launches with a typed error…
 	_, err := d.Launch(k.over(fn))
@@ -231,6 +226,26 @@ func TestHealthMachine(t *testing.T) {
 	d.ResetStats()
 	if d.Health() != DeviceFailed {
 		t.Fatalf("ResetStats healed a failed device: %s", d.Health())
+	}
+
+	// The kill launch aborts and latches Failed at once: the launch after it
+	// is refused without reaching the injector.
+	killed := MustNew(SmallTestDevice(), true)
+	killed.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 1, KillAtLaunch: 2}))
+	for launch, want := range []FaultKind{"", FaultAbort, FaultDeviceFailed} {
+		_, err := killed.Launch(k.over(fn))
+		got := FaultKind("")
+		if errors.As(err, &kerr) {
+			got = kerr.Kind
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("launch %d failed with %q, want %q", launch+1, got, want)
+		}
+	}
+	if st := killed.Stats(); st.Health != DeviceFailed || st.KernelLaunches != 1 || st.FaultAborts != 1 || st.LaunchFailures != 1 {
+		t.Fatalf("killed device: %+v, want failed after 1 launch and 1 abort", st)
 	}
 }
 

@@ -50,7 +50,6 @@ func TestJobLaunchChargesAsLaunch(t *testing.T) {
 	const launches, items = 40, 12
 	run := func(job *Job) (Stats, [][]int) {
 		d := MustNew(SmallTestDevice(), true)
-		d.SetHealthPolicy(HealthPolicy{FailAfter: 1 << 30})
 		d.SetFaultInjector(NewFaultInjector(FaultConfig{Seed: 3, AbortProb: 0.1, CorruptProb: 0.2, StallProb: 0.1}))
 		outs := make([][]int, launches)
 		for l := range outs {
