@@ -54,10 +54,9 @@ loc:
 # commands and five examples with -cover -coverpkg=./..., runs them over a
 # fixed matrix (every flbench experiment at 128-bit keys, the benchmark at
 # smoke sizing traced and untraced and one full-size pass, hectl keygen and
-# bench, a flserver demo per -defense combiner and -byz attack plus cohort,
-# fan-out, devices and quorum runs, a -fanout 1 run that must be refused, a
-# loopback hub with a server that crashes at its failpoint and resumes, every
-# example) and prints the share of statements reached, the per-package shares
+# bench, flserver demos of cohort, fan-out, devices and quorum runs, a
+# -fanout 1 run that must be refused, a loopback hub with a server that
+# crashes at its failpoint and resumes, every example) and prints the share of statements reached, the per-package shares
 # and the functions never entered. A matrix command that fails fails the
 # target, and so does a never-entered function with no line in
 # scripts/reach_allow.txt or a stale line there; the share does not gate.
@@ -81,9 +80,9 @@ race:
 # Short fuzz passes over every fuzz target the module has, 10 s each: for each
 # package `go list ./...` reports, every name `go test -list '^Fuzz'` prints,
 # anchored so FuzzDiv cannot also select FuzzDivInto. Nothing here names a
-# target, so adding or deleting one needs no edit; 24 exist today (13 in mpint
+# target, so adding or deleting one needs no edit; 23 exist today (13 in mpint
 # against math/big, the eight-lane kernel's and the Euclid walk's among them;
-# three wire decoders in flnet; one in gpu, on device geometries; four in fl —
+# two wire decoders in flnet; one in gpu, on device geometries; four in fl —
 # the return-path splitter, the aggregate frame every client opens, the
 # journal a restarted coordinator replays and the client-name parser —
 # one on paillier's key decoders, and two in ghe: every op's descriptor
@@ -146,10 +145,10 @@ flbench-smoke:
 	echo "flbench-smoke: two runs of flbench $(FLBENCH_SMOKE) print byte-identical tables ($$(wc -c < "$$dir/a") bytes) and metrics ($$(wc -l < "$$dir/ma") lines)"
 
 # The CI-sized chaos soak (DESIGN.md §11): seeded network chaos + device
-# faults + coordinator kills with journal recovery + client churn + a
-# rotating adversary under the defense, every completed round checked
-# against the plaintext oracle, run twice on one seed whose two summaries
-# must be equal — at the smoke seed and at seeds 1–16 — all under -race.
+# faults + coordinator kills with journal recovery + client churn, every
+# completed round checked against the plaintext oracle, run twice on one seed
+# whose two summaries must be equal — at the smoke seed and at seeds 1–16 —
+# all under -race.
 soak-smoke:
 	$(GO) test -race -run 'TestSoakSmoke|TestSoakSeeds' -timeout 300s -count 1 ./internal/fl
 

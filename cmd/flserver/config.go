@@ -30,12 +30,10 @@ func badFlag(flag, format string, args ...interface{}) *ConfigError {
 var failpoints = []fl.EventKind{fl.EventRoundStart, fl.EventAggregated, fl.EventRoundDone, fl.EventRoundFailed, fl.EventDrained}
 
 // validate rejects out-of-range values and inconsistent flag combinations —
-// a quorum above the sampled cohort, more defense groups than sampled
-// uploads, a fan-out no tree can have, a key size fl.NewContext would
-// refuse, a failpoint or resume with no journal to act on, a failpoint that
-// names no journal record — with a typed ConfigError naming the offending
-// flag, and the defense and adversary policies all parties must agree on
-// with fl's own errors. run calls it before any command dispatches.
+// a quorum above the sampled cohort, a fan-out no tree can have, a key size
+// fl.NewContext would refuse, a failpoint or resume with no journal to act
+// on, a failpoint that names no journal record — with a typed ConfigError
+// naming the offending flag. run calls it before any command dispatches.
 func (c opts) validate(cmd string) error {
 	if c.clients < 1 {
 		return badFlag("clients", "need at least 1 client, have %d", c.clients)
@@ -67,8 +65,8 @@ func (c opts) validate(cmd string) error {
 	if c.resume && c.journal == "" {
 		return badFlag("resume", "resuming replays the -journal, and none is set")
 	}
-	// Quorum and groups are judged against the uploads a round can actually
-	// gather: the sampled cohort when -cohort is set, everyone otherwise.
+	// Quorum is judged against the uploads a round can actually gather: the
+	// sampled cohort when -cohort is set, everyone otherwise.
 	sampled := c.clients
 	if c.cohort > 0 {
 		sampled = c.cohort
@@ -76,20 +74,5 @@ func (c opts) validate(cmd string) error {
 	if c.quorum < 0 || c.quorum > sampled {
 		return badFlag("quorum", "quorum must be in [0, %d], the sampled cohort, have %d", sampled, c.quorum)
 	}
-	if c.defense.Groups > sampled {
-		return badFlag("groups", "%d groups exceed the sampled cohort of %d uploads", c.defense.Groups, sampled)
-	}
-	if err := c.defense.Validate(); err != nil {
-		return err
-	}
-	return c.adversary().Validate(c.clients)
-}
-
-// adversary is the seeded demo adversary -byz arms: one compromised client,
-// picked by the shared seed so every party agrees on who it is.
-func (c opts) adversary() fl.AdversaryConfig {
-	if c.byz == fl.AttackNone {
-		return fl.AdversaryConfig{}
-	}
-	return fl.AdversaryConfig{Seed: c.seed ^ 0xad3, Kind: c.byz, Count: 1}
+	return nil
 }

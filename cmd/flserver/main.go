@@ -25,18 +25,6 @@
 //	              spans on exit, plus a metrics text dump to stdout (demo
 //	              mode shares one trace across the in-process parties)
 //
-// Robustness (see DESIGN.md, "Byzantine-robust aggregation"):
-//
-//	-byz kind     arm the seeded demo adversary: the shared seed picks one
-//	              compromised client whose upload is rewritten by the named
-//	              attack (sign-flip, scale, noise, zero, collude) before
-//	              encryption
-//	-groups g     server aggregates group-wise: g seeded groups are HE-summed
-//	              separately and broadcast as one grouped aggregate
-//	-defense c    clients robust-combine the decrypted group means with this
-//	              combiner (fedavg, trimmed-mean, median, norm-clip, krum;
-//	              default trimmed-mean when -groups > 1)
-//
 // Cross-device scale (see DESIGN.md, "Cross-device scale"):
 //
 //	-cohort k     sample k of -clients for the round; every party derives
@@ -46,11 +34,10 @@
 //	              aggregation tree, bounding its live ciphertexts by the
 //	              tree depth instead of the cohort size (0 = flat)
 //
-// Out-of-range and inconsistent flags (quorum above the sampled cohort, more
-// groups than sampled uploads, a fan-out of 1, a -bits below 32 or odd, a
-// -failpoint or -resume without -journal, a -failpoint that names no journal
-// record) fail at startup with a typed ConfigError naming the flag, not
-// mid-round.
+// Out-of-range and inconsistent flags (quorum above the sampled cohort, a
+// fan-out of 1, a -bits below 32 or odd, a -failpoint or -resume without
+// -journal, a -failpoint that names no journal record) fail at startup with a
+// typed ConfigError naming the flag, not mid-round.
 //
 // Durability (see DESIGN.md, "Durable epochs"):
 //
@@ -122,8 +109,8 @@ func main() {
 
 // opts is one party's configuration, parsed from the flags every role shares;
 // the zero value of each optional field disables it. All parties of a round
-// must be started with the same -clients, -bits, -seed, -groups, -defense,
-// -cohort and -byz: each derives the same fl.Profile from them.
+// must be started with the same -clients, -bits, -seed and -cohort: each
+// derives the same fl.Profile from them.
 type opts struct {
 	addr    string
 	clients int
@@ -150,13 +137,6 @@ type opts struct {
 	journal   string
 	resume    bool
 	failpoint string
-	// byz arms the seeded demo adversary: the shared seed picks one client
-	// whose upload is rewritten by the named attack before encryption.
-	byz fl.AttackKind
-	// defense.Groups > 1 aggregates group-wise: the server HE-sums seeded
-	// groups separately and broadcasts them under the "gagg" kind, and the
-	// clients robust-combine the decrypted group means.
-	defense fl.DefensePolicy
 	// cohort > 0 samples that many of the registered clients for the round
 	// (the same seeded draw every party derives; an unsampled client skips its
 	// upload but still waits for the broadcast); fanout ≥ 2 folds arriving
@@ -193,9 +173,6 @@ func run(args []string, stop <-chan struct{}) error {
 	fs.StringVar(&o.journal, "journal", "", "server: write-ahead round journal file (empty = no journal)")
 	fs.BoolVar(&o.resume, "resume", false, "server: replay -journal and resume from the last safe boundary")
 	fs.StringVar(&o.failpoint, "failpoint", "", "server: crash after this journal record is durable (testing; e.g. \"aggregated\")")
-	fs.StringVar((*string)(&o.byz), "byz", "", "attack kind for the seeded demo adversary (empty = all honest)")
-	fs.IntVar(&o.defense.Groups, "groups", 0, "secure-aggregation group count for the robust defense (0/1 = plain aggregate)")
-	fs.StringVar((*string)(&o.defense.Combiner), "defense", "", "robust combiner over group means (default trimmed-mean when -groups > 1)")
 	fs.IntVar(&o.cohort, "cohort", 0, "sample this many of -clients per round (0 = everyone; derived from -seed)")
 	fs.IntVar(&o.fanout, "fanout", 0, "server: fold uploads through an aggregation tree of this fan-out (0 = flat)")
 	if err := fs.Parse(args[1:]); err != nil {
@@ -266,10 +243,8 @@ func (o opts) context(label string) (*fl.Context, error) {
 	p.Seed = o.seed
 	p.Device = gpu.RTX3090()
 	p.Devices = o.devices
-	p.Defense = o.defense
 	p.Cohort = fl.CohortPolicy{Size: o.cohort, Fanout: o.fanout}
 	p.Round = fl.RoundPolicy{Quorum: o.quorum, PhaseTimeout: o.timeout}
-	p.Byz = o.adversary()
 	ctx, err := fl.NewContext(p)
 	if err != nil {
 		return nil, err
@@ -400,9 +375,6 @@ func clientRound(o opts) ([]float64, error) {
 	if !sched.Scheduled(name) {
 		fmt.Printf("%s not sampled this round: skipping upload, awaiting the broadcast\n", name)
 	} else {
-		if cl.Adversary.IsMalicious(o.id) {
-			fmt.Printf("%s is compromised: applying the %s attack to its upload\n", name, o.byz)
-		}
 		if o.straggle > 0 {
 			fmt.Printf("%s straggling for %v before upload\n", name, o.straggle)
 			time.Sleep(o.straggle)
@@ -415,19 +387,16 @@ func clientRound(o opts) ([]float64, error) {
 	}
 
 	// A remote client learns only K from the frame, not who contributed, so
-	// it opens on coverage alone (no partition cross-check).
+	// it opens without the K cross-check.
 	frame, _, err := cl.Receive(conn, demoRound, time.Time{})
 	if err != nil {
 		return nil, err
 	}
-	sums, k, defense, err := cl.Open(frame, sched, len(o.vals), nil)
+	sums, k, err := cl.Open(frame, len(o.vals), nil)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	switch {
-	case defense != nil:
-		fmt.Printf("%s decrypted defended aggregate (%s over %d groups, %d coords trimmed, %d clipped, %d dropped): %v\n",
-			name, defense.Combiner, defense.Groups, defense.Stats.TrimmedCoords, defense.Stats.Clipped, defense.Stats.GroupsDropped, sums)
 	case k < o.clients:
 		// Quorum aggregate: Open rescaled the K-party sum to a full-federation
 		// estimate, like every fl round.

@@ -124,98 +124,11 @@ func TestDemoQuorumBelowThresholdFails(t *testing.T) {
 	}
 }
 
-func TestDemoDefendedRound(t *testing.T) {
-	// The robustness flags end to end over loopback TCP: a seeded scale
-	// adversary poisons one upload, the server aggregates group-wise, and
-	// every client decrypts and robust-combines the grouped aggregate —
-	// and publishes what its combiner did, as an in-process round's does.
-	o := obs.New(9)
-	done := make(chan error, 1)
-	go func() {
-		done <- runDemo(opts{
-			clients: 4, dim: 4, keyBits: 128, seed: 9, o: o,
-			byz:     fl.AttackScale,
-			defense: fl.DefensePolicy{Groups: 2, Combiner: fl.CombineMedian},
-		})
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("defended demo hung")
-	}
-	var text strings.Builder
-	if err := o.Metrics().WriteText(&text); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if want := fmt.Sprintf("counter fl.%s.defense_rounds 1\n", fl.ClientName(i)); !strings.Contains(text.String(), want) {
-			t.Errorf("no %q in:\n%s", want, text.String())
-		}
-	}
-}
-
-func TestServerGroupedCrashResumeBroadcast(t *testing.T) {
-	// Crash a group-wise server at the aggregate boundary and resume it: the
-	// journaled grouped payload must replay under the "gagg" kind so the
-	// defended clients still decode and combine it.
-	hub, err := flnet.NewTCPHub("127.0.0.1:0", flnet.GigabitEthernet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-	journal := filepath.Join(t.TempDir(), "round.journal")
-	policy := fl.DefensePolicy{Groups: 2}
-
-	vals := [][]float64{{0.1, 0.2}, {-0.05, 0.25}, {0.3, -0.1}}
-	clientErr := make(chan error, len(vals))
-	for i := range vals {
-		go func(id int) {
-			clientErr <- runClient(opts{
-				addr: hub.Addr(), id: id, clients: len(vals), keyBits: 128, seed: 9,
-				vals: vals[id], defense: policy,
-			})
-		}(i)
-	}
-
-	err = runServer(opts{
-		addr: hub.Addr(), clients: len(vals), keyBits: 128, seed: 9,
-		defense: policy, journal: journal, failpoint: "aggregated",
-	})
-	if err == nil || !strings.Contains(err.Error(), "failpoint") {
-		t.Fatalf("failpoint run returned %v", err)
-	}
-	if err := runServer(opts{
-		addr: hub.Addr(), clients: len(vals), keyBits: 128, seed: 9,
-		defense: policy, journal: journal, resume: true,
-	}); err != nil {
-		t.Fatalf("resume run failed: %v", err)
-	}
-	for range vals {
-		select {
-		case err := <-clientErr:
-			if err != nil {
-				t.Fatalf("defended client failed after resume: %v", err)
-			}
-		case <-time.After(30 * time.Second):
-			t.Fatal("defended clients never received the resumed broadcast")
-		}
-	}
-	state := replayJournal(t, journal)
-	if state.Completed != 1 || state.Resume != nil {
-		t.Fatalf("grouped resume journal replayed wrong: %+v", state)
-	}
-}
-
-func TestDefendedGroupsIgnoreArrivalOrder(t *testing.T) {
-	// The seeded group partition must be a function of who contributed, not
-	// of whose packet reached the server first: delay a different client in
-	// each run and demand the same journaled grouped aggregate. The payload
-	// is the per-group HE sums, so equal digests mean equal membership.
+func TestAggregateIgnoresArrivalOrder(t *testing.T) {
+	// The journaled aggregate must be a function of who contributed, not of
+	// whose packet reached the server first: delay a different client in
+	// each run and demand the same journaled payload digest.
 	vals := [][]float64{{0.1, 0.2}, {-0.05, 0.25}, {0.3, -0.1}, {0.15, 0.05}, {-0.2, 0.1}}
-	policy := fl.DefensePolicy{Groups: 2}
 	digests := map[int]uint64{}
 	for _, straggler := range []int{0, 2, 4} {
 		hub, err := flnet.NewTCPHub("127.0.0.1:0", flnet.GigabitEthernet())
@@ -227,7 +140,7 @@ func TestDefendedGroupsIgnoreArrivalOrder(t *testing.T) {
 		go func() {
 			errs <- runServer(opts{
 				addr: hub.Addr(), clients: len(vals), keyBits: 128, seed: 9,
-				defense: policy, journal: journal,
+				journal: journal,
 			})
 		}()
 		for i := range vals {
@@ -238,7 +151,7 @@ func TestDefendedGroupsIgnoreArrivalOrder(t *testing.T) {
 			go func(id int, delay time.Duration) {
 				errs <- runClient(opts{
 					addr: hub.Addr(), id: id, clients: len(vals), keyBits: 128, seed: 9,
-					vals: vals[id], straggle: delay, defense: policy,
+					vals: vals[id], straggle: delay,
 				})
 			}(i, delay)
 		}
@@ -249,7 +162,7 @@ func TestDefendedGroupsIgnoreArrivalOrder(t *testing.T) {
 					t.Fatalf("straggler %d: %v", straggler, err)
 				}
 			case <-time.After(30 * time.Second):
-				t.Fatalf("straggler %d: defended round hung", straggler)
+				t.Fatalf("straggler %d: round hung", straggler)
 			}
 		}
 		hub.Close()
@@ -260,7 +173,7 @@ func TestDefendedGroupsIgnoreArrivalOrder(t *testing.T) {
 		digests[straggler] = state.Digests[demoRound]
 	}
 	if digests[0] != digests[2] || digests[0] != digests[4] {
-		t.Fatalf("grouped aggregate depends on upload arrival order: digests %#x", digests)
+		t.Fatalf("aggregate depends on upload arrival order: digests %#x", digests)
 	}
 }
 
@@ -462,7 +375,6 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"demo", "-quorum", "-1"}, "quorum"},
 		{[]string{"demo", "-clients", "4", "-quorum", "5"}, "quorum"},
 		{[]string{"server", "-clients", "8", "-cohort", "3", "-quorum", "4"}, "quorum"},
-		{[]string{"server", "-clients", "8", "-cohort", "2", "-groups", "3"}, "groups"},
 		{[]string{"server", "-devices", "-1"}, "devices"},
 		{[]string{"demo", "-devices", "65"}, "devices"},
 		{[]string{"demo", "-bits", "16"}, "bits"},
@@ -516,26 +428,6 @@ func TestDemoSampledTreeRound(t *testing.T) {
 	}
 }
 
-func TestDemoDefendedTreeRound(t *testing.T) {
-	// Tree aggregation composed with the group-wise defense: per-group trees
-	// at the server, grouped robust decrypt at the clients.
-	done := make(chan error, 1)
-	go func() {
-		done <- runDemo(opts{
-			clients: 4, dim: 4, keyBits: 128, seed: 9, fanout: 2,
-			defense: fl.DefensePolicy{Groups: 2, Combiner: fl.CombineMedian},
-		})
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(60 * time.Second):
-		t.Fatal("defended tree demo hung")
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	if err := run(nil, nil); err == nil {
 		t.Fatal("no command should fail")
@@ -545,12 +437,6 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"client", "-values", ""}, nil); err == nil {
 		t.Fatal("client without values should fail")
-	}
-	if err := run([]string{"demo", "-groups", "2", "-defense", "nope"}, nil); err == nil {
-		t.Fatal("unknown -defense combiner should fail")
-	}
-	if err := run([]string{"client", "-values", "1", "-byz", "nope"}, nil); err == nil {
-		t.Fatal("unknown -byz attack should fail")
 	}
 }
 
@@ -663,10 +549,8 @@ var sweepVals = [][]float64{{0.1, 0.2, -0.3}, {-0.05, 0.25, 0.1}, {0.3, -0.1, 0.
 // plaintext sums do not.
 func TestTCPRoundEqualsInProcessRound(t *testing.T) {
 	for name, o := range map[string]opts{
-		"plain":         {keyBits: 128, seed: 9},
-		"sampled-tree":  {keyBits: 128, seed: 9, cohort: 3, fanout: 2},
-		"defended":      {keyBits: 128, seed: 9, byz: fl.AttackScale, defense: fl.DefensePolicy{Groups: 2, Combiner: fl.CombineMedian}},
-		"defended-tree": {keyBits: 128, seed: 9, fanout: 2, defense: fl.DefensePolicy{Groups: 2}},
+		"plain":        {keyBits: 128, seed: 9},
+		"sampled-tree": {keyBits: 128, seed: 9, cohort: 3, fanout: 2},
 	} {
 		t.Run(name, func(t *testing.T) {
 			want := inProcessRound(t, o, sweepVals)
@@ -717,51 +601,48 @@ func TestClientSkipsStaleAggregate(t *testing.T) {
 
 // TestServerFailpointSweep kills the TCP-hosted coordinator right after each
 // journal boundary a crash can land on — round-start durable and nothing
-// gathered, aggregate durable and nothing broadcast — plain and defended,
-// flat and through a fan-out-2 tree, restarts it with -resume, and demands
-// what every client decrypts be bit-identical to an uninterrupted run.
+// gathered, aggregate durable and nothing broadcast — flat and through a
+// fan-out-2 tree, restarts it with -resume, and demands what every client
+// decrypts be bit-identical to an uninterrupted run.
 func TestServerFailpointSweep(t *testing.T) {
 	for _, boundary := range []fl.EventKind{fl.EventRoundStart, fl.EventAggregated} {
-		for _, groups := range []int{0, 2} {
-			for _, fanout := range []int{0, 2} {
-				name := fmt.Sprintf("%s/groups%d/fanout%d", boundary, groups, fanout)
-				t.Run(name, func(t *testing.T) {
-					o := opts{keyBits: 128, seed: 9, fanout: fanout, defense: fl.DefensePolicy{Groups: groups}}
-					want := inProcessRound(t, o, sweepVals)
-					o.journal = filepath.Join(t.TempDir(), "round.journal")
-					got := tcpRound(t, o, sweepVals, func(o opts, startClients func()) error {
-						crash, resumed := o, o
-						crash.failpoint, resumed.resume = string(boundary), true
-						// The aggregate boundary needs the uploads: the clients
-						// start with the doomed server and are still waiting for
-						// the broadcast when the resumed one sends it. A server
-						// that dies at round-start has gathered nothing, and
-						// the clients of this test start once its successor is up.
-						if boundary == fl.EventAggregated {
-							startClients()
-						}
-						if err := runServer(crash); !errors.Is(err, fl.ErrCoordinatorCrash) {
-							return fmt.Errorf("failpoint run returned %v", err)
-						}
-						done := make(chan error, 1)
-						go func() { done <- runServer(resumed) }()
-						if err := serverUp(o.journal, 2); err != nil {
-							return err
-						}
+		for _, fanout := range []int{0, 2} {
+			t.Run(fmt.Sprintf("%s/fanout%d", boundary, fanout), func(t *testing.T) {
+				o := opts{keyBits: 128, seed: 9, fanout: fanout}
+				want := inProcessRound(t, o, sweepVals)
+				o.journal = filepath.Join(t.TempDir(), "round.journal")
+				got := tcpRound(t, o, sweepVals, func(o opts, startClients func()) error {
+					crash, resumed := o, o
+					crash.failpoint, resumed.resume = string(boundary), true
+					// The aggregate boundary needs the uploads: the clients
+					// start with the doomed server and are still waiting for
+					// the broadcast when the resumed one sends it. A server
+					// that dies at round-start has gathered nothing, and the
+					// clients of this test start once its successor is up.
+					if boundary == fl.EventAggregated {
 						startClients()
-						return <-done
-					})
-					for id, sums := range got {
-						if !sameBits(sums, want) {
-							t.Fatalf("client%d decrypted %v after recovery, an uninterrupted round %v", id, sums, want)
-						}
 					}
-					state := replayJournal(t, o.journal)
-					if state.Completed != 1 || state.Resume != nil || state.Failed != 0 {
-						t.Fatalf("recovered journal replayed wrong: %+v", state)
+					if err := runServer(crash); !errors.Is(err, fl.ErrCoordinatorCrash) {
+						return fmt.Errorf("failpoint run returned %v", err)
 					}
+					done := make(chan error, 1)
+					go func() { done <- runServer(resumed) }()
+					if err := serverUp(o.journal, 2); err != nil {
+						return err
+					}
+					startClients()
+					return <-done
 				})
-			}
+				for id, sums := range got {
+					if !sameBits(sums, want) {
+						t.Fatalf("client%d decrypted %v after recovery, an uninterrupted round %v", id, sums, want)
+					}
+				}
+				state := replayJournal(t, o.journal)
+				if state.Completed != 1 || state.Resume != nil || state.Failed != 0 {
+					t.Fatalf("recovered journal replayed wrong: %+v", state)
+				}
+			})
 		}
 	}
 }

@@ -201,26 +201,3 @@ func (t *AggTree) Stats() TreeStats {
 	}
 	return st
 }
-
-// merge folds another tree's stats in (defended rounds run one tree per
-// group): depth is the maximum, peaks are summed — the groups' partials are
-// live simultaneously, so the sum is the coordinator's conservative
-// simultaneous-live bound — and per-level times add level by level.
-func (s *TreeStats) merge(o TreeStats) {
-	if s.Fanout == 0 {
-		s.Fanout = o.Fanout
-	}
-	if o.Depth > s.Depth {
-		s.Depth = o.Depth
-	}
-	s.Leaves += o.Leaves
-	s.Folds += o.Folds
-	s.Forwards += o.Forwards
-	s.PeakLiveCts += o.PeakLiveCts
-	for len(s.LevelSimNs) < len(o.LevelSimNs) {
-		s.LevelSimNs = append(s.LevelSimNs, 0)
-	}
-	for i, ns := range o.LevelSimNs {
-		s.LevelSimNs[i] += ns
-	}
-}

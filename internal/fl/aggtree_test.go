@@ -75,7 +75,7 @@ func TestAggTreeRootMatchesFlatFold(t *testing.T) {
 }
 
 // TestAggTreeAdoptsByCopy: a level copies its first child rather than
-// aliasing it, and two trees — a defended round's groups — never mix. Every
+// aliasing it, and two trees never mix. Every
 // batch is released, its limbs zeroed, as soon as its tree has it, the way a
 // streamed round releases each upload; the roots must not notice.
 func TestAggTreeAdoptsByCopy(t *testing.T) {
@@ -175,21 +175,5 @@ func TestAggTreeValidation(t *testing.T) {
 	}
 	if err := tree.Add(batches[1][:2]); err == nil {
 		t.Fatal("width mismatch accepted")
-	}
-}
-
-func TestTreeStatsMerge(t *testing.T) {
-	var s TreeStats
-	s.merge(TreeStats{Fanout: 4, Depth: 2, Leaves: 5, Folds: 3, Forwards: 2, PeakLiveCts: 6, LevelSimNs: []int64{10, 20}})
-	s.merge(TreeStats{Fanout: 4, Depth: 3, Leaves: 4, Folds: 2, Forwards: 3, PeakLiveCts: 4, LevelSimNs: []int64{1, 2, 3}})
-	want := TreeStats{Fanout: 4, Depth: 3, Leaves: 9, Folds: 5, Forwards: 5, PeakLiveCts: 10, LevelSimNs: []int64{11, 22, 3}}
-	if s.Fanout != want.Fanout || s.Depth != want.Depth || s.Leaves != want.Leaves ||
-		s.Folds != want.Folds || s.Forwards != want.Forwards || s.PeakLiveCts != want.PeakLiveCts {
-		t.Fatalf("merged %+v, want %+v", s, want)
-	}
-	for i, ns := range want.LevelSimNs {
-		if s.LevelSimNs[i] != ns {
-			t.Fatalf("level %d time %d, want %d", i, s.LevelSimNs[i], ns)
-		}
 	}
 }

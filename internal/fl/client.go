@@ -74,26 +74,17 @@ type Client struct {
 	// private key in the Fig. 2 layout, so it is the holder's (Key.Holder());
 	// tests point it at the bare public key to hold the two bit-identical.
 	Key *paillier.PublicKey
-	// Adversary is the armed Byzantine injector (nil when all-honest): a
-	// compromised client's vector is rewritten by the attack model before
-	// quantization and encryption, exactly where a real malicious participant
-	// would poison its update.
-	Adversary *Adversary
 }
 
-// NewClient builds client i of ctx's federation, armed per Profile.Byz.
+// NewClient builds client i of ctx's federation.
 func NewClient(ctx *Context, i int) *Client {
-	// Profile.Validate (run by NewContext) already vetted the adversary
-	// config, so construction cannot fail here; a disabled config yields the
-	// nil (honest) injector.
-	adv, _ := NewAdversary(ctx.Profile.Byz, ctx.Profile.Parties)
-	return &Client{Ctx: ctx, Index: i, Name: ClientName(i), Key: ctx.Key.Holder(), Adversary: adv}
+	return &Client{Ctx: ctx, Index: i, Name: ClientName(i), Key: ctx.Key.Holder()}
 }
 
-// Upload is the client's first half of a round: apply the armed adversary,
-// encrypt the whole batch under the key handle and send it as one "grads"
-// frame. It returns the ciphertext count. A send that failed wraps
-// ErrNotSent. It is an upload wave of one.
+// Upload is the client's first half of a round: encrypt the whole batch
+// under the key handle and send it as one "grads" frame. It returns the
+// ciphertext count. A send that failed wraps ErrNotSent. It is an upload wave
+// of one.
 func (c *Client) Upload(tr flnet.Transport, round uint64, grads []float64) (int, error) {
 	width := 0
 	err := uploadWave(tr, round, []*Client{c}, [][]float64{grads}, func(_ *Client, n int, err error) error {
@@ -108,8 +99,8 @@ func (c *Client) Upload(tr flnet.Transport, round uint64, grads []float64) (int,
 
 // uploadWave uploads a wave of clients that share a context, grads[i] being
 // wave[i]'s gradients, in three passes:
-//  1. each member, in cohort order, applies its adversary and encodes its
-//     gradients — stopping at the first that fails;
+//  1. each member, in cohort order, encodes its gradients — stopping at the
+//     first that fails;
 //  2. what was encoded is encrypted as one host job (Context.encryptUploads):
 //     each member on its own nonce seed, drawn in cohort order, and its own
 //     modelled launch;
@@ -128,10 +119,7 @@ func uploadWave(tr flnet.Transport, round uint64, wave []*Client, grads [][]floa
 	ctx := wave[0].Ctx
 	var failed error
 	for i, cl := range wave {
-		if cl.Adversary.IsMalicious(cl.Index) {
-			ctx.metricAdd("byz_attacks", 1)
-		}
-		if err := ctx.encodeUpload(cl.Key, cl.Adversary.Apply(round, cl.Index, grads[i])); err != nil {
+		if err := ctx.encodeUpload(cl.Key, grads[i]); err != nil {
 			failed = fmt.Errorf("fl: client %d encrypt: %w", cl.Index, err)
 			break
 		}
@@ -167,13 +155,12 @@ func uploadWave(tr flnet.Transport, round uint64, wave []*Client, grads [][]floa
 // leftovers of earlier rounds, duplicates of them, other kinds. The first
 // frame to arrive is not taken for the aggregate.
 func (c *Client) Receive(tr flnet.Transport, round uint64, deadline time.Time) (frame []byte, stale int, err error) {
-	kind := c.Ctx.AggregateKind()
 	for {
 		msg, err := recvBy(tr, c.Name, deadline)
 		if err != nil {
 			return nil, stale, err
 		}
-		if msg.Round == round && msg.Kind == kind {
+		if msg.Round == round && msg.Kind == AggregateKind {
 			return msg.Payload, stale, nil
 		}
 		stale++
@@ -181,32 +168,22 @@ func (c *Client) Receive(tr flnet.Transport, round uint64, deadline time.Time) (
 }
 
 // ErrBadAggregate marks an aggregate frame that parsed but did not decrypt
-// and combine to a valid estimate: a ciphertext out of range, a slot past its
+// to a valid estimate: a ciphertext out of range, a slot past its
 // bound, the wrong number of plaintexts. Unlike a frame that fails to parse
 // (another copy may be good) it is fatal to the round.
 var ErrBadAggregate = errors.New("fl: aggregate does not open")
 
 // Open decrypts an aggregate frame into the full-federation estimate of count
-// gradient values (Aggregation.Open: K is read off the frame and checked
+// gradient values (openAggregate: K is read off the frame and checked
 // before anything is decrypted). contributors is who the coordinator sealed,
-// when the host knows — the in-process Federation does, and the frame's group
-// metadata is then cross-checked against the seeded partition of exactly
-// those clients. A TCP client cannot have that check: the wire tells it K,
-// not who, so it passes nil and opens on coverage alone. Every reject is
-// typed: a frame error, or ErrBadAggregate. A defended round's report is
-// published on the client's context as it is made: what the combiner
-// suppressed, under "fl.<label>.defense_*".
-func (c *Client) Open(frame []byte, sched Schedule, count int, contributors []string) ([]float64, int, *DefenseReport, error) {
-	sums, k, defense, err := c.Ctx.NewAggregation(sched.Round, sched.Cohort).Open(frame, count, contributors)
+// when the host knows — the in-process Federation does, and the frame's K is
+// then cross-checked against their number. A TCP client cannot have that
+// check: the wire tells it K, not who, so it passes nil. Every reject is
+// typed: a frame error, or ErrBadAggregate.
+func (c *Client) Open(frame []byte, count int, contributors []string) ([]float64, int, error) {
+	sums, k, err := c.Ctx.openAggregate(frame, count, contributors)
 	if err != nil && !isFrameError(err) {
 		err = fmt.Errorf("%w: %w", ErrBadAggregate, err)
 	}
-	if ctx := c.Ctx; defense != nil && ctx.Obs != nil {
-		ctx.metricAdd("defense_rounds", 1)
-		ctx.metricAdd("defense_trimmed", defense.Stats.TrimmedCoords)
-		ctx.metricAdd("defense_clips", int64(defense.Stats.Clipped))
-		ctx.metricAdd("defense_dropped", int64(defense.Stats.GroupsDropped))
-		ctx.Obs.Metrics().SetGauge("fl."+ctx.obsPrefix+".defense_suspicion", defense.MaxSuspicion())
-	}
-	return sums, k, defense, err
+	return sums, k, err
 }

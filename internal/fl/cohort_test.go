@@ -9,8 +9,7 @@ import (
 	"flbooster/internal/gpu"
 )
 
-// cohortProfile returns a 9-party test profile; mutate Cohort/Defense per
-// case.
+// cohortProfile returns a 9-party test profile; mutate Cohort per case.
 func cohortProfile(sys System) Profile {
 	p := NewProfile(sys, 128, 9)
 	p.Device = gpu.SmallTestDevice()
@@ -55,8 +54,7 @@ func runEpochDigests(t *testing.T, p Profile, rounds int) ([][]float64, map[uint
 // the same profile and seed, every delivery topology — a streamed tree, a
 // tree whose fan-out covers the whole cohort, a buffered round admitted in
 // bounded waves — must journal byte-identical aggregates and decrypt
-// bit-identical sums to the flat single-wave protocol — plain and defended
-// (grouped robust aggregation composed with tree levels) alike.
+// bit-identical sums to the flat single-wave protocol.
 func TestTreeRoundBitExactWithFlat(t *testing.T) {
 	const rounds = 3
 	cases := []struct {
@@ -64,10 +62,6 @@ func TestTreeRoundBitExactWithFlat(t *testing.T) {
 		prep func(*Profile)
 	}{
 		{"plain", func(p *Profile) {}},
-		{"defended", func(p *Profile) { p.Defense = DefensePolicy{Groups: 3} }},
-		{"defended-median", func(p *Profile) {
-			p.Defense = DefensePolicy{Groups: 3, Combiner: CombineMedian}
-		}},
 		{"sampled", func(p *Profile) { p.Cohort.Size = 6 }},
 	}
 	topologies := []struct {

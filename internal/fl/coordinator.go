@@ -97,7 +97,6 @@ type Round struct {
 	agg       *Aggregation
 	treeStats *TreeStats // a streamed round's hierarchy anatomy
 	peakLive  int64      // high-water simultaneously-live aggregate-path ciphertexts
-	defense   *DefenseReport
 
 	frame   []byte // K ‖ sealed payload, built once and shared by every recipient
 	digest  uint64
@@ -152,7 +151,7 @@ func (c *Coordinator) Begin(sched Schedule, tr flnet.Transport) (*Round, error) 
 		dropped:       make(map[string]RoundPhase),
 		included:      c.arrived[:0],
 		borrowed:      true,
-		agg:           ctx.NewAggregation(sched.Round, sched.Cohort),
+		agg:           ctx.NewAggregation(sched.Cohort),
 		phaseRecorder: phaseRecorder{ctx: ctx, anat: &RoundAnatomy{Round: sched.Round}},
 	}
 	switch {
@@ -186,19 +185,15 @@ func (rd *Round) Resumed() bool { return rd.resumed }
 
 // Included lists the clients whose uploads the aggregate holds — canonical
 // order once Aggregate ran. The one party that knows it is the coordinator;
-// a host that also decrypts feeds it to Client.Open's partition cross-check.
+// a host that also decrypts feeds it to Client.Open's K cross-check.
 func (rd *Round) Included() []string { return rd.included }
 
 // Frame is the aggregate frame the round broadcasts: K ‖ sealed payload.
 func (rd *Round) Frame() []byte { return rd.frame }
 
-// Observe folds what the host's clients saw on their side of the wire into
-// the round's report: stale frames they discarded and the defended round's
-// group anatomy.
-func (rd *Round) Observe(stale int, defense *DefenseReport) {
-	rd.stale += stale
-	rd.defense = defense
-}
+// Observe folds the stale frames the host's clients discarded on their side
+// of the wire into the round's report.
+func (rd *Round) Observe(stale int) { rd.stale += stale }
 
 // Report describes how the round went so far.
 func (rd *Round) Report() RoundReport {
@@ -211,7 +206,6 @@ func (rd *Round) Report() RoundReport {
 		Scale:       1,
 		Attempt:     rd.attempt,
 		Resumed:     rd.resumed,
-		Defense:     rd.defense,
 		CohortSize:  len(rd.sched.Cohort),
 		PeakLiveCts: rd.peakLive,
 		Tree:        rd.treeStats,
@@ -361,10 +355,10 @@ func (rd *Round) Gather(expect []string, stop <-chan struct{}) error {
 // over the included clients and journals the payload — the mid-round safe
 // point. Once the aggregated record is durable, a coordinator crash no longer
 // costs the gathered uploads: recovery resumes at the broadcast boundary with
-// this payload, plain and grouped frames alike.
+// this payload.
 func (rd *Round) Aggregate() error {
-	// Uploads were delivered in arrival order, but the journal, the report,
-	// and the group partition all speak canonical order.
+	// Uploads were delivered in arrival order, but the journal and the report
+	// speak canonical order.
 	rd.ownIncluded(true)
 	if len(rd.included) < rd.quorum {
 		cause := fmt.Errorf("%d/%d uploads below quorum %d", len(rd.included), len(rd.sched.Cohort), rd.quorum)
@@ -467,9 +461,8 @@ func (rd *Round) finishTree(stats TreeStats) {
 func (rd *Round) Broadcast(recipients []string) ([]string, error) {
 	reached := rd.c.reached[:0]
 	err := rd.Span("broadcast", func() error {
-		kind := rd.c.ctx.AggregateKind()
 		for _, name := range recipients {
-			msg := flnet.Message{From: ServerName, To: name, Kind: kind, Round: rd.sched.Round, Payload: rd.frame}
+			msg := flnet.Message{From: ServerName, To: name, Kind: AggregateKind, Round: rd.sched.Round, Payload: rd.frame}
 			if err := rd.c.ctx.deliver(rd.tr, msg); err != nil {
 				if rerr := rd.Drop(PhaseBroadcast, name, err); rerr != nil {
 					return rerr
@@ -542,8 +535,7 @@ func (rd *Round) journalOutcome(err error) error {
 // publish adds one finished round to the context's protocol counters under
 // "fl.<label>.": the round and its failure, the drop / stale / duplicate
 // tallies and the quorum scale. Every host that runs a Coordinator reports the
-// same counters; what a defense suppressed is published by the client that
-// opened the aggregate (Client.Open).
+// same counters.
 func (rd *Round) publish(err error) {
 	ctx := rd.c.ctx
 	if ctx.Obs == nil {

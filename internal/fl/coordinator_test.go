@@ -220,7 +220,7 @@ func TestClientReceiveSkipsWhatIsNotTheAggregate(t *testing.T) {
 	for _, msg := range []flnet.Message{
 		{Kind: "agg", Round: 1, Payload: []byte("last round's")},
 		{Kind: "status", Round: 2, Payload: []byte("not an aggregate")},
-		{Kind: flnet.KindGroupAgg, Round: 2, Payload: []byte("other kind")},
+		{Kind: "gagg", Round: 2, Payload: []byte("other kind")},
 		{Kind: "agg", Round: 2, Payload: []byte("this round's")},
 	} {
 		msg.From, msg.To = ServerName, cl.Name

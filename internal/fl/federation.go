@@ -12,7 +12,7 @@ import (
 // record. The protocol itself lives in the two machines, which only exchange
 // frames; cmd/flserver hosts the same two types over TCP. What this host adds
 // are the facts a host has: the live roster, which sends of a wave succeeded,
-// who the coordinator sealed (for Client.Open's partition cross-check), and
+// who the coordinator sealed (for Client.Open's K cross-check), and
 // the order the parties are stepped in — clients encrypt in cohort order,
 // wave by wave, so the nonce-stream cursor advances identically whatever the
 // wave size and across crash-recovered re-runs. Every message carries the
@@ -23,15 +23,14 @@ type Federation struct {
 	Ctx       *Context
 	Transport flnet.Transport
 
-	coord     *Coordinator
-	clients   map[string]*Client
-	roster    *Roster
-	adversary *Adversary // nil unless Profile.Byz arms the injector
-	sent      []string   // scratch: the current wave's successful uploaders
-	wave      []*Client  // scratch: the current wave's clients
-	vecs      [][]float64
-	pool      []int32    // scratch: the cohort sampler's roster positions
-	copies    []delivery // scratch: decrypt's aggregate copies, cleared after use
+	coord   *Coordinator
+	clients map[string]*Client
+	roster  *Roster
+	sent    []string  // scratch: the current wave's successful uploaders
+	wave    []*Client // scratch: the current wave's clients
+	vecs    [][]float64
+	pool    []int32    // scratch: the cohort sampler's roster positions
+	copies  []delivery // scratch: decrypt's aggregate copies, cleared after use
 }
 
 // delivery is one client's copy of the aggregate frame.
@@ -51,19 +50,11 @@ func NewFederation(ctx *Context) *Federation {
 		clients:   make(map[string]*Client, len(names)),
 		roster:    NewRoster(names),
 	}
-	// One injector for the whole federation (the nil, honest one unless
-	// Profile.Byz arms it; Profile.Validate vetted the config): harnesses
-	// rotate its attack model between rounds through Adversary().
-	f.adversary, _ = NewAdversary(ctx.Profile.Byz, ctx.Profile.Parties)
 	for i, name := range names {
-		f.clients[name] = &Client{Ctx: ctx, Index: i, Name: name, Key: ctx.Key.Holder(), Adversary: f.adversary}
+		f.clients[name] = &Client{Ctx: ctx, Index: i, Name: name, Key: ctx.Key.Holder()}
 	}
 	return f
 }
-
-// Adversary returns the armed Byzantine injector (nil when the federation is
-// all-honest). Harnesses use it to rotate the attack model between rounds.
-func (f *Federation) Adversary() *Adversary { return f.adversary }
 
 // Round returns the ID of the most recently started round.
 func (f *Federation) Round() uint64 { return f.coord.round }
@@ -246,8 +237,8 @@ func (f *Federation) uploadWave(rd *Round, names []string, grads [][]float64) er
 // copy is opened once (all clients hold the private key in the Fig. 2
 // layout, so one decryption keeps host time proportional without changing
 // the protocol's traffic). A copy that fails to parse or contradicts the
-// seeded assignment is dropped and the next one tried; decryption and
-// combiner failures are fatal to the round.
+// contributor count is dropped and the next one tried; a decryption failure
+// is fatal to the round.
 func (f *Federation) decrypt(rd *Round, reached []string, count int) ([]float64, error) {
 	// The deadline bounds waiting for traffic only: every copy is drained
 	// before any HE decryption runs, so slow local compute can never expire
@@ -259,7 +250,7 @@ func (f *Federation) decrypt(rd *Round, reached []string, count int) ([]float64,
 	for _, name := range reached {
 		cl := f.clients[name]
 		frame, stale, err := cl.Receive(f.Transport, sched.Round, deadline)
-		rd.Observe(stale, nil)
+		rd.Observe(stale)
 		if err != nil {
 			if rerr := rd.Drop(PhaseDecrypt, name, err); rerr != nil {
 				return nil, rerr
@@ -269,7 +260,7 @@ func (f *Federation) decrypt(rd *Round, reached []string, count int) ([]float64,
 		copies = append(copies, delivery{cl, frame})
 	}
 	for _, cp := range copies {
-		result, _, report, err := cp.to.Open(cp.frame, sched, count, rd.Included())
+		result, _, err := cp.to.Open(cp.frame, count, rd.Included())
 		if isFrameError(err) {
 			if rerr := rd.Drop(PhaseDecrypt, cp.to.Name, err); rerr != nil {
 				return nil, rerr
@@ -279,7 +270,6 @@ func (f *Federation) decrypt(rd *Round, reached []string, count int) ([]float64,
 		if err != nil {
 			return nil, rd.Fail(PhaseDecrypt, cp.to.Name, err)
 		}
-		rd.Observe(0, report)
 		return result, nil
 	}
 	return nil, rd.Fail(PhaseDecrypt, "", fmt.Errorf("no client obtained the aggregate"))

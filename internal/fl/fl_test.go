@@ -107,13 +107,11 @@ func TestProfileValidation(t *testing.T) {
 }
 
 // TestProfileValidateRejectsOutOfRangeFaultsAndAttacks: a fault probability,
-// kill ordinal, retry budget, verification fraction or attack parameter that
-// is out of range or not finite is a typed error from Validate — a NaN
-// adversary fraction, which used to disarm the attack silently, among them —
-// and NewContext refuses the profile.
+// kill ordinal, retry budget or verification fraction that is out of range or
+// not finite is a typed error from Validate, and NewContext refuses the
+// profile.
 func TestProfileValidateRejectsOutOfRangeFaultsAndAttacks(t *testing.T) {
-	nan, inf := math.NaN(), math.Inf(1)
-	scale := AdversaryConfig{Seed: 1, Kind: AttackScale, Fraction: 0.25}
+	nan := math.NaN()
 	for name, c := range map[string]struct {
 		edit func(p *Profile)
 		want error
@@ -125,11 +123,6 @@ func TestProfileValidateRejectsOutOfRangeFaultsAndAttacks(t *testing.T) {
 		"VerifyFraction 3":      {func(p *Profile) { p.Faults.Check.VerifyFraction = 3 }, ghe.ErrCheckedConfig},
 		"VerifyFraction NaN":    {func(p *Profile) { p.Faults.Check.VerifyFraction = nan }, ghe.ErrCheckedConfig},
 		"MaxRetries −1":         {func(p *Profile) { p.Faults.Check.MaxRetries = -1 }, ghe.ErrCheckedConfig},
-		"Byz.Fraction NaN":      {func(p *Profile) { p.Byz = scale; p.Byz.Fraction = nan }, ErrAdversaryConfig},
-		"Byz.Factor +Inf":       {func(p *Profile) { p.Byz = scale; p.Byz.Factor = inf }, ErrAdversaryConfig},
-		"Byz.NoiseStd NaN":      {func(p *Profile) { p.Byz = scale; p.Byz.Kind, p.Byz.NoiseStd = AttackNoise, nan }, ErrAdversaryConfig},
-		"Byz.Drift +Inf":        {func(p *Profile) { p.Byz = scale; p.Byz.Kind, p.Byz.Drift = AttackCollude, inf }, ErrAdversaryConfig},
-		"Byz.Factor NaN, FATE":  {func(p *Profile) { p.System, p.Byz = SystemFATE, scale; p.Byz.Factor = nan }, ErrAdversaryConfig},
 		"AbortProb NaN, on CPU": {func(p *Profile) { p.System, p.Faults.Inject.AbortProb = SystemFATE, nan }, gpu.ErrFaultConfig},
 	} {
 		p := testProfile(SystemFLBooster)
@@ -144,7 +137,6 @@ func TestProfileValidateRejectsOutOfRangeFaultsAndAttacks(t *testing.T) {
 	ok := testProfile(SystemFLBooster)
 	ok.Faults.Inject = gpu.FaultConfig{Seed: 1, AbortProb: 1, KillAtLaunch: 3}
 	ok.Faults.Check = ghe.CheckedConfig{VerifyFraction: 1}
-	ok.Byz = scale
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("a profile at the ends of every range: %v", err)
 	}

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -33,25 +35,22 @@ var (
 	openShapesList []openShape
 )
 
-// openShapes builds the five shapes — plain and grouped, flat and tree, under
-// FLBooster's packing, then plain and flat under HAFLO's one slot a plaintext —
-// and takes each one's seed frames off the wire of two real first rounds (a
-// full one and one a client's upload was dropped from, so K < parties).
+// openShapes builds the three shapes — flat and tree under FLBooster's
+// packing, then flat under HAFLO's one slot a plaintext — and takes each
+// one's seed frames off the wire of two real first rounds (a full one and one
+// a client's upload was dropped from, so K < parties).
 func openShapes(tb testing.TB) []openShape {
 	openShapesOnce.Do(func() {
 		for _, sh := range []struct {
 			name   string
 			sys    System
-			groups int
 			fanout int
 		}{
-			{"plain-flat", SystemFLBooster, 0, 0}, {"plain-tree", SystemFLBooster, 0, 2},
-			{"grouped-flat", SystemFLBooster, 2, 0}, {"grouped-tree", SystemFLBooster, 2, 2},
-			{"uncompressed-flat", SystemHAFLO, 0, 0},
+			{"plain-flat", SystemFLBooster, 0}, {"plain-tree", SystemFLBooster, 2},
+			{"uncompressed-flat", SystemHAFLO, 0},
 		} {
 			p := quorumProfile(sh.sys)
 			p.Seed = 41
-			p.Defense.Groups = sh.groups
 			p.Cohort.Fanout = sh.fanout
 			shape := openShape{name: sh.name, sched: p.Schedule(ClientNames(p.Parties), 1)}
 			for _, drop := range []bool{false, true} {
@@ -70,7 +69,7 @@ func openShapes(tb testing.TB) []openShape {
 					tb.Fatal(err)
 				}
 				for _, msg := range log.sent {
-					if msg.Kind == ctx.AggregateKind() && msg.To == ClientName(0) {
+					if msg.Kind == AggregateKind && msg.To == ClientName(0) {
 						shape.frames = append(shape.frames, msg.Payload)
 					}
 				}
@@ -105,8 +104,8 @@ func tooWideFrame(tb testing.TB, sh openShape) []byte {
 // once dropped) and under one slot a plaintext (whose region is one word).
 func TestOpenRejectsTooWidePlaintext(t *testing.T) {
 	shapes := openShapes(t)
-	for _, sh := range []openShape{shapes[0], shapes[4]} {
-		sums, _, _, err := sh.client.Open(tooWideFrame(t, sh), sh.sched, openFuzzDim, nil)
+	for _, sh := range []openShape{shapes[0], shapes[2]} {
+		sums, _, err := sh.client.Open(tooWideFrame(t, sh), openFuzzDim, nil)
 		if !errors.Is(err, ErrBadAggregate) || !errors.Is(err, batch.ErrTooWide) || sums != nil {
 			t.Errorf("%s: opened to %v (%v), want ErrBadAggregate over batch.ErrTooWide", sh.name, sums, err)
 		}
@@ -114,9 +113,9 @@ func TestOpenRejectsTooWidePlaintext(t *testing.T) {
 }
 
 // FuzzOpenAggregate feeds arbitrary bytes to the one function every client
-// parses its aggregate frame with — Client.Open: the K prefix, DecodeGroupAgg
-// on grouped shapes, DecodeCiphertexts, Aggregation.Open's coverage and
-// partition checks, the decryption and the combiner. It must never panic;
+// parses its aggregate frame with — Client.Open: the K prefix and its
+// cross-check against the contributors, DecodeCiphertexts and the
+// decryption. It must never panic;
 // every reject is typed (a frame error, or ErrBadAggregate once the frame
 // parsed); a K outside [1, parties] is a frame error raised before anything
 // is decrypted; an accepted frame yields exactly the round's dimension at the
@@ -137,7 +136,7 @@ func FuzzOpenAggregate(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0}, uint8(1), false)
 	f.Add([]byte{5, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 7}, uint8(0), true)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(2), false)
-	f.Add(tooWideFrame(f, openShapes(f)[4]), uint8(4), false)
+	f.Add(tooWideFrame(f, openShapes(f)[2]), uint8(2), false)
 	f.Fuzz(func(t *testing.T, frame []byte, shape uint8, known bool) {
 		shapes := openShapes(t)
 		sh := shapes[int(shape)%len(shapes)]
@@ -151,7 +150,7 @@ func FuzzOpenAggregate(f *testing.F) {
 		var sums []float64
 		var k int
 		var err error
-		grew := allocatedBy(func() { sums, k, _, err = sh.client.Open(frame, sh.sched, openFuzzDim, contributors) })
+		grew := allocatedBy(func() { sums, k, err = sh.client.Open(frame, openFuzzDim, contributors) })
 		if bound := uint64(openAllocPerByte*len(frame) + openAllocSlack); grew > bound {
 			t.Fatalf("%s: Open allocated %d bytes on a %d-byte frame (bound %d)", sh.name, grew, len(frame), bound)
 		}
@@ -184,8 +183,8 @@ func FuzzOpenAggregate(f *testing.F) {
 
 // An accepted frame pays for its decryption: at 128 bits a ciphertext is at
 // most 36 bytes of frame and decrypts in a few kilobytes of scratch. The
-// slack covers what a frame of any length costs (the aggregation object, the
-// combiner, size-class rounding) and whatever the test binary's other
+// slack covers what a frame of any length costs (the aggregation object,
+// size-class rounding) and whatever the test binary's other
 // goroutines allocate between the two MemStats readings.
 const (
 	openAllocPerByte = 512
@@ -209,18 +208,70 @@ func TestOpenAggregateSeedFrames(t *testing.T) {
 			wantK := sh.client.Ctx.Profile.Parties - i // the second round lost one upload
 			contributors := sh.sched.Cohort[:wantK]
 			for _, who := range [][]string{nil, contributors} {
-				sums, k, _, err := sh.client.Open(frame, sh.sched, openFuzzDim, who)
+				sums, k, err := sh.client.Open(frame, openFuzzDim, who)
 				if err != nil || k != wantK || len(sums) != openFuzzDim {
 					t.Fatalf("%s frame %d: opened to %d values at K = %d (%v), want %d at %d", sh.name, i, len(sums), k, err, openFuzzDim, wantK)
 				}
 			}
 			for cut := 0; cut < len(frame); cut++ {
-				if _, _, _, err := sh.client.Open(frame[:cut], sh.sched, openFuzzDim, nil); !isFrameError(err) && !errors.Is(err, ErrBadAggregate) {
+				if _, _, err := sh.client.Open(frame[:cut], openFuzzDim, nil); !isFrameError(err) && !errors.Is(err, ErrBadAggregate) {
 					t.Fatalf("%s frame %d cut to %d bytes: %v, want a typed reject", sh.name, i, cut, err)
 				}
 			}
 		}
 	}
+}
+
+// TestRetiredGroupedFramesReject: no shape speaks the retired grouped
+// aggregate frame ("gagg", a group directory ahead of the group sums), so the
+// grouped frames kept in FuzzOpenAggregate's corpus are hostile input. Each
+// opens under every shape, with and without the contributors, to a frame
+// error, and nothing is decrypted.
+func TestRetiredGroupedFramesReject(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzOpenAggregate", "grouped-*"))
+	if err != nil || len(paths) != 8 {
+		t.Fatalf("%d grouped corpus files (%v), want 8", len(paths), err)
+	}
+	for _, path := range paths {
+		frame := corpusBytes(t, path)
+		for _, sh := range openShapes(t) {
+			for _, who := range [][]string{nil, sh.sched.Cohort} {
+				ctx := sh.client.Ctx
+				heBefore := ctx.Costs.Snapshot().HEOps
+				sums, k, err := sh.client.Open(frame, openFuzzDim, who)
+				if !isFrameError(err) || sums != nil {
+					t.Errorf("%s under %s (contributors %v): opened to %d values at K = %d (%v), want a frame error",
+						filepath.Base(path), sh.name, who != nil, len(sums), k, err)
+				}
+				if ops := ctx.Costs.Snapshot().HEOps - heBefore; ops != 0 {
+					t.Errorf("%s under %s: %d HE ops charged before the reject", filepath.Base(path), sh.name, ops)
+				}
+			}
+		}
+	}
+}
+
+// corpusBytes reads the first value of a "go test fuzz v1" corpus file, a
+// []byte literal.
+func corpusBytes(t *testing.T, path string) []byte {
+	t.Helper()
+	blob, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(blob), "\n")
+	if len(lines) < 2 || lines[0] != "go test fuzz v1" {
+		t.Fatalf("%s is not a fuzz corpus file", path)
+	}
+	lit, ok := strings.CutPrefix(lines[1], "[]byte(")
+	if lit, ok = strings.CutSuffix(lit, ")"); !ok {
+		t.Fatalf("%s: first value %q is not a []byte", path, lines[1])
+	}
+	s, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return []byte(s)
 }
 
 // journalSeeds is what FuzzJournalReplay starts from: the journal file of a

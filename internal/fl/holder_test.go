@@ -61,8 +61,8 @@ func holderRound(t *testing.T, p Profile, grads [][]float64, public bool) ([]fln
 // TestHolderRoundBitExactWithPublic: a round whose clients encrypt through
 // the factorisation puts the same bytes on the wire — every upload, partial
 // and aggregate frame — and decrypts to the same estimate as one whose
-// clients use the bare public key: flat and cohort-tree, defended, on one
-// device, on a device set and on the host. Only the modelled HE time
+// clients use the bare public key: flat and cohort-tree, on one device, on a
+// device set and on the host. Only the modelled HE time
 // differs, and only downwards.
 func TestHolderRoundBitExactWithPublic(t *testing.T) {
 	type shape struct {
@@ -73,7 +73,6 @@ func TestHolderRoundBitExactWithPublic(t *testing.T) {
 	shapes := []shape{
 		{"flat", 4, func(*Profile) {}},
 		{"cohort-tree", 24, func(p *Profile) { p.Cohort = CohortPolicy{Size: 8, Fanout: 3, MaxInflight: 4} }},
-		{"defended", 6, func(p *Profile) { p.Defense = DefensePolicy{Groups: 3, Combiner: CombineMedian} }},
 	}
 	for _, sys := range []System{SystemFLBooster, SystemFATE} {
 		for _, devices := range []int{0, 2} {

@@ -84,7 +84,7 @@ func TestSecureAggregationOverTCP(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				sums, k, _, err := cl.Open(frame, ctx.Profile.Schedule(names, 1), dim, nil)
+				sums, k, err := cl.Open(frame, dim, nil)
 				if err != nil {
 					return err
 				}

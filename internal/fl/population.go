@@ -63,8 +63,9 @@ func (cp CohortPolicy) Validate(parties int) error {
 	return nil
 }
 
-// cohortSeedSalt keeps the cohort sampler's RNG stream disjoint from the
-// group-assignment stream (AssignGroups), which mixes the same (seed, round).
+// cohortSeedSalt salts the cohort sampler's RNG stream off the bare
+// (seed, round) mix. Its value fixes every sampled cohort: changing it
+// reshuffles every seeded round's schedule.
 const cohortSeedSalt = 0xc0407
 
 // SampleCohort seeded-samples k of the active clients for one round,

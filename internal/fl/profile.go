@@ -74,15 +74,6 @@ type Profile struct {
 	// defaults. Ignored on CPU profiles: with no member there is no launch to
 	// fault, retry or verify.
 	Faults FaultPolicy
-	// Byz arms the seeded Byzantine-client injector: a fixed compromised
-	// cohort rewrites its gradient uploads per the configured attack model.
-	// The zero value is an all-honest federation.
-	Byz AdversaryConfig
-	// Defense arms group-wise robust aggregation: clients are partitioned
-	// into seeded groups, HE-summed per group, and only the group sums are
-	// decrypted and robustly combined. The zero value is the one-group round:
-	// a single aggregate, byte-identical to the pre-defense protocol.
-	Defense DefensePolicy
 	// Cohort configures cross-device scale: per-round seeded cohort sampling
 	// (Size clients scheduled out of the Parties population), hierarchical
 	// fan-out-bounded tree aggregation with streaming partial folds, and
@@ -159,12 +150,6 @@ func (p Profile) Validate() error {
 		return err
 	}
 	if err := p.Round.Validate(p.Parties); err != nil {
-		return err
-	}
-	if err := p.Byz.Validate(p.Parties); err != nil {
-		return err
-	}
-	if err := p.Defense.Validate(); err != nil {
 		return err
 	}
 	if err := p.Cohort.Validate(p.Parties); err != nil {

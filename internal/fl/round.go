@@ -121,13 +121,9 @@ type RoundReport struct {
 	// live aggregate-path ciphertexts: cohort·width for a flat round, the
 	// tree's fanout·depth-bounded peak for a hierarchical one.
 	PeakLiveCts int64
-	// Tree describes the hierarchical aggregation of a tree round (summed
-	// across groups when the round is also defended). Nil for flat rounds.
+	// Tree describes the hierarchical aggregation of a tree round. Nil for
+	// flat rounds.
 	Tree *TreeStats
-	// Defense describes the group-wise robust aggregation of a defended
-	// round: the partition, the combiner, and what it suppressed. Nil for
-	// plain (undefended) rounds.
-	Defense *DefenseReport
 	// Anatomy is the round's per-phase cost table: deterministic sim-time
 	// per protocol phase, split by cost component.
 	Anatomy *RoundAnatomy

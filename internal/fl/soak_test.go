@@ -22,9 +22,8 @@ import (
 // The soak runs secure-aggregation rounds under every fault class the
 // platform claims to survive at once — seeded network chaos
 // (drop/duplicate/reorder), injected device faults behind the checked engine,
-// coordinator kill-and-recover at journal boundaries, client drop/rejoin
-// churn, and a rotating Byzantine adversary against the trimmed-mean defense.
-// Every completed round's result is checked bit-for-bit against a
+// coordinator kill-and-recover at journal boundaries, and client drop/rejoin
+// churn. Every completed round's result is checked bit-for-bit against a
 // plain-arithmetic oracle (silent corruption is the one unforgivable
 // outcome), and every failed round must surface a typed *fl.RoundError.
 
@@ -53,13 +52,6 @@ type soakConfig struct {
 	// RejoinAfter round boundaries later.
 	ChurnProb   float64
 	RejoinAfter int
-	// Adversaries compromised clients; the attack model rotates per round
-	// through the pre-drawn schedule, composing with every other fault class.
-	Adversaries int
-	// DefenseGroups and DefenseTrim arm group-wise trimmed-mean aggregation
-	// for every round.
-	DefenseGroups int
-	DefenseTrim   int
 }
 
 // soakSummary counts what a run survived. It carries only deterministic
@@ -85,14 +77,6 @@ type soakSummary struct {
 	// FailuresByPhase types every failed round by the phase its RoundError
 	// names — the proof that no failure was untyped.
 	FailuresByPhase map[string]int
-	// Byzantine counters: completed rounds whose included set held at least
-	// one compromised client, completed rounds that ran the group defense,
-	// and — zero tolerance — defended rounds whose aggregate escaped the
-	// trimmed-mean bound (outside the honest groups' coordinate range while
-	// the poisoned-group count was within the trim budget).
-	AttackedRounds  int
-	DefendedRounds  int
-	BoundViolations int
 	// JournalRecords is the final length of the epoch journal.
 	JournalRecords int
 	// The two zero-tolerance counters: completed rounds whose result
@@ -110,7 +94,6 @@ type soakSchedule struct {
 	crash       []fl.EventKind
 	churnDraw   []bool
 	churnTarget []int
-	attack      []fl.AttackKind // per-round attack model rotation
 }
 
 func drawSoakSchedule(cfg soakConfig) soakSchedule {
@@ -120,9 +103,7 @@ func drawSoakSchedule(cfg soakConfig) soakSchedule {
 		crash:       make([]fl.EventKind, cfg.Rounds),
 		churnDraw:   make([]bool, cfg.Rounds),
 		churnTarget: make([]int, cfg.Rounds),
-		attack:      make([]fl.AttackKind, cfg.Rounds),
 	}
-	attacks := fl.KnownAttacks()
 	for r := 0; r < cfg.Rounds; r++ {
 		sched.grads[r] = make([][]float64, cfg.Parties)
 		for c := 0; c < cfg.Parties; c++ {
@@ -140,9 +121,6 @@ func drawSoakSchedule(cfg soakConfig) soakSchedule {
 		}
 		sched.churnDraw[r] = rng.Float64() < cfg.ChurnProb
 		sched.churnTarget[r] = rng.Intn(cfg.Parties)
-		// Pre-drawn like everything else, so crashed re-runs of a round
-		// replay the identical attack.
-		sched.attack[r] = attacks[rng.Intn(len(attacks))]
 	}
 	return sched
 }
@@ -162,16 +140,6 @@ func runSoak(cfg soakConfig) (soakSummary, error) {
 		Quorum:       cfg.Quorum,
 		PhaseTimeout: cfg.PhaseTimeout,
 		MaxRetries:   2,
-	}
-	// Factor 3 keeps boosted uploads inside the quantizer's ±1 bound
-	// (gradients are drawn in [-0.25, 0.25)) so the attack is never masked
-	// by clamping.
-	profile.Byz = fl.AdversaryConfig{
-		Seed: cfg.Seed ^ 0xb42, Kind: fl.AttackSignFlip, Count: cfg.Adversaries,
-		Factor: 3, NoiseStd: 0.5, Drift: 0.5,
-	}
-	profile.Defense = fl.DefensePolicy{
-		Groups: cfg.DefenseGroups, Combiner: fl.CombineTrimmedMean, Trim: cfg.DefenseTrim,
 	}
 	profile.Faults.Inject = gpu.FaultConfig{
 		Seed:        cfg.Seed ^ 0xdead,
@@ -261,13 +229,6 @@ func runSoak(cfg soakConfig) (soakSummary, error) {
 			crashArmed = true
 			sched.crash[r] = ""
 		}
-		// Rotate the attack model per the pre-drawn schedule. Re-set on every
-		// iteration (not just fresh rounds) so a recovered coordinator's fresh
-		// injector replays the same attack.
-		if err := fed.Adversary().SetKind(sched.attack[r]); err != nil {
-			return sum, fmt.Errorf("soak attack rotation: %w", err)
-		}
-
 		result, rep, err := fed.SecureAggregateReport(sched.grads[r])
 		if err != nil {
 			if errors.Is(err, fl.ErrCoordinatorCrash) {
@@ -304,44 +265,17 @@ func runSoak(cfg soakConfig) (soakSummary, error) {
 		sum.Duplicates += rep.Duplicates
 		sum.Retries += rep.Retries
 
-		// The arithmetic oracle: quantize the included clients' uploads (as
-		// attacked — the adversary's rewrites are deterministic and keyed on
-		// the replayed round ID), sum in plain integers per group, dequantize,
-		// and combine exactly the way the protocol does. HE is exact on
-		// quantized values, so a completed round that is not bit-identical to
-		// this is silent corruption — whatever chaos, faults, crashes, churn,
-		// or attacks the round survived.
-		adv := fed.Adversary()
-		uploads := make([][]float64, cfg.Parties)
-		for i := range uploads {
-			uploads[i] = adv.Apply(rep.Round, i, sched.grads[r][i])
+		// The arithmetic oracle: quantize the included clients' uploads, sum
+		// in plain integers, dequantize and scale exactly the way the
+		// protocol does. HE is exact on quantized values, so a completed
+		// round that is not bit-identical to this is silent corruption —
+		// whatever chaos, faults, crashes or churn the round survived.
+		want, oerr := soakOracle(quant, sched.grads[r], rep, cfg.Parties)
+		if oerr != nil {
+			return sum, fmt.Errorf("soak oracle round %d: %w", r+1, oerr)
 		}
-		for _, name := range rep.Included {
-			if i, ierr := fl.ClientIndex(name); ierr == nil && adv.IsMalicious(i) {
-				sum.AttackedRounds++
-				break
-			}
-		}
-		if rep.Defense != nil {
-			sum.DefendedRounds++
-			want, groups, oerr := soakDefendedOracle(quant, uploads, rep, profile.Defense, cfg.Parties)
-			if oerr != nil {
-				return sum, fmt.Errorf("soak defended oracle round %d: %w", r+1, oerr)
-			}
-			if !bitsEqual(result, want) {
-				sum.Mismatches++
-			}
-			if soakBoundViolated(result, groups, rep, profile.Defense, adv, cfg.Parties) {
-				sum.BoundViolations++
-			}
-		} else {
-			want, oerr := soakOracle(quant, uploads, rep, cfg.Parties)
-			if oerr != nil {
-				return sum, fmt.Errorf("soak oracle round %d: %w", r+1, oerr)
-			}
-			if !bitsEqual(result, want) {
-				sum.Mismatches++
-			}
+		if !bitsEqual(result, want) {
+			sum.Mismatches++
 		}
 	}
 
@@ -400,96 +334,6 @@ func soakOracle(q *quant.Quantizer, grads [][]float64, rep fl.RoundReport, parti
 	return want, nil
 }
 
-// soakDefendedOracle recomputes a defended round's expected result in
-// plaintext: per reported group, quantized integer sums over the group's
-// (possibly attacked) uploads, dequantized at group size, reduced to the
-// group mean, combined by the same pure combiner the clients ran, and scaled
-// by the party count. It also returns the plaintext group updates for the
-// trimming-bound check.
-func soakDefendedOracle(q *quant.Quantizer, uploads [][]float64, rep fl.RoundReport, policy fl.DefensePolicy, parties int) ([]float64, []fl.GroupUpdate, error) {
-	d := rep.Defense
-	if len(d.GroupMembers) == 0 {
-		return nil, nil, fmt.Errorf("defended round reported no group members")
-	}
-	groups := make([]fl.GroupUpdate, len(d.GroupMembers))
-	for g, members := range d.GroupMembers {
-		var sums []uint64
-		for _, name := range members {
-			i, err := fl.ClientIndex(name)
-			if err != nil {
-				return nil, nil, err
-			}
-			vals := q.QuantizeVec(uploads[i])
-			if sums == nil {
-				sums = make([]uint64, len(vals))
-			}
-			for j, v := range vals {
-				sums[j] += v
-			}
-		}
-		mean, err := q.DequantizeSumVec(sums, len(members))
-		if err != nil {
-			return nil, nil, err
-		}
-		for j := range mean {
-			mean[j] /= float64(len(members))
-		}
-		groups[g] = fl.GroupUpdate{Mean: mean, Size: len(members)}
-	}
-	agg, err := policy.NewAggregator()
-	if err != nil {
-		return nil, nil, err
-	}
-	combined, _, err := agg.Combine(groups)
-	if err != nil {
-		return nil, nil, err
-	}
-	for j := range combined {
-		combined[j] *= float64(parties)
-	}
-	return combined, groups, nil
-}
-
-// soakBoundViolated checks the trimmed-mean guarantee on a defended round:
-// when the number of groups containing a compromised client is within the
-// trim budget, every coordinate of the defended aggregate (at mean scale)
-// must lie within the honest groups' coordinate range, modulo float
-// rounding. Outside those preconditions the theorem makes no promise and
-// the check passes vacuously.
-func soakBoundViolated(result []float64, groups []fl.GroupUpdate, rep fl.RoundReport, policy fl.DefensePolicy, adv *fl.Adversary, parties int) bool {
-	poisoned := 0
-	honest := make([]fl.GroupUpdate, 0, len(groups))
-	for g, members := range rep.Defense.GroupMembers {
-		mal := false
-		for _, name := range members {
-			if i, err := fl.ClientIndex(name); err == nil && adv.IsMalicious(i) {
-				mal = true
-			}
-		}
-		if mal {
-			poisoned++
-		} else {
-			honest = append(honest, groups[g])
-		}
-	}
-	if poisoned == 0 || poisoned > policy.EffectiveTrim(len(groups)) || len(honest) == 0 {
-		return false
-	}
-	for j := range result {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, gu := range honest {
-			lo = math.Min(lo, gu.Mean[j])
-			hi = math.Max(hi, gu.Mean[j])
-		}
-		v := result[j] / float64(parties)
-		eps := 1e-9 * (1 + math.Abs(lo) + math.Abs(hi))
-		if v < lo-eps || v > hi+eps {
-			return true
-		}
-	}
-	return false
-}
-
 // smokeSoak is the CI-sized soak configuration at seed.
 func smokeSoak(seed uint64) soakConfig {
 	return soakConfig{
@@ -497,14 +341,12 @@ func smokeSoak(seed uint64) soakConfig {
 		Quorum: 3, PhaseTimeout: 200 * time.Millisecond,
 		DropProb: 0.06, DupProb: 0.12, ReorderProb: 0.12,
 		CrashProb: 0.3, ChurnProb: 0.3, RejoinAfter: 2,
-		Adversaries: 1, DefenseGroups: 3, DefenseTrim: 1,
 	}
 }
 
 // soakRun runs cfg and holds its summary to the soak's invariants: no
 // completed round deviating from the arithmetic oracle, no untyped failure,
-// no defended aggregate escaping the trimming bound, every round resolved
-// one way or the other.
+// every round resolved one way or the other.
 func soakRun(t *testing.T, cfg soakConfig) soakSummary {
 	t.Helper()
 	start := time.Now()
@@ -520,9 +362,6 @@ func soakRun(t *testing.T, cfg soakConfig) soakSummary {
 	}
 	if sum.UntypedErrors != 0 {
 		t.Fatalf("%d untyped round failures: %+v", sum.UntypedErrors, sum)
-	}
-	if sum.BoundViolations != 0 {
-		t.Fatalf("defended aggregate escaped the trimming bound %d times: %+v", sum.BoundViolations, sum)
 	}
 	if sum.Completed+sum.Failed != cfg.Rounds {
 		t.Fatalf("rounds unaccounted for: %+v", sum)
@@ -541,8 +380,7 @@ func soakRerun(t *testing.T, cfg soakConfig, first soakSummary) {
 
 // TestSoakSmoke is the CI-sized chaos soak (`make soak-smoke`): a seeded
 // multi-fault run — network chaos, device faults, coordinator kills with
-// journal recovery, client churn, a rotating adversary under the defense —
-// run twice. The two summaries must be equal, and the run must keep the
+// journal recovery, client churn — run twice. The two summaries must be equal, and the run must keep the
 // soak's invariants (soakRun). The seed and the elevated crash/churn
 // probabilities are chosen so the short run still exercises at least one
 // coordinator recovery and one full depart/rejoin cycle.
@@ -559,11 +397,8 @@ func TestSoakSmoke(t *testing.T) {
 	if sum.Completed == 0 {
 		t.Fatalf("no round completed under chaos: %+v", sum)
 	}
-	if sum.AttackedRounds == 0 || sum.DefendedRounds == 0 {
-		t.Fatalf("smoke run exercised no adversary/defense round: %+v", sum)
-	}
-	t.Logf("smoke soak: %d/%d completed, %d crashes, %d departures, %d attacked",
-		sum.Completed, cfg.Rounds, sum.Crashes, sum.Departures, sum.AttackedRounds)
+	t.Logf("smoke soak: %d/%d completed, %d crashes, %d departures",
+		sum.Completed, cfg.Rounds, sum.Crashes, sum.Departures)
 }
 
 // TestSoakSeeds runs the smoke configuration at seeds 1–16, each twice, and

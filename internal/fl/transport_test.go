@@ -174,7 +174,7 @@ func runRounds(t *testing.T, fed *Federation, rounds int, dim int) []roundView {
 	return views
 }
 
-// matrixScenarios are the fault, degraded-mode, cross-device, defended and
+// matrixScenarios are the fault, degraded-mode, cross-device and
 // crash-recovery suites, each as one function of the wiring.
 var matrixScenarios = []struct {
 	name string
@@ -281,26 +281,22 @@ var matrixScenarios = []struct {
 		}
 		return outcome{[]roundView{v}, journalLines(t, store)}
 	}},
-	{"sampled-tree-defended", func(t *testing.T, wire wiring) outcome {
+	{"sampled-tree", func(t *testing.T, wire wiring) outcome {
 		store := NewMemStore()
 		p := cohortProfile(SystemFLBooster)
 		p.Cohort = CohortPolicy{Size: 6, Fanout: 3, MaxInflight: 4}
-		p.Defense = DefensePolicy{Groups: 3, Combiner: CombineMedian}
 		fed := journaledFed(t, p, wire, store)
 		views := runRounds(t, fed, 3, 6)
 		for _, v := range views {
 			if v.Err != "" || len(v.Included) != 6 {
-				t.Fatalf("sampled defended tree round: %+v", v)
+				t.Fatalf("sampled tree round: %+v", v)
 			}
 		}
 		return outcome{views, journalLines(t, store)}
 	}},
 	{"crash-resume/round-start", crashResume(EventRoundStart, func(*Profile) {})},
 	{"crash-resume/aggregated", crashResume(EventAggregated, func(*Profile) {})},
-	{"crash-resume/aggregated-defended-tree", crashResume(EventAggregated, func(p *Profile) {
-		p.Cohort.Fanout = 2
-		p.Defense = DefensePolicy{Groups: 2}
-	})},
+	{"crash-resume/aggregated-tree", crashResume(EventAggregated, func(p *Profile) { p.Cohort.Fanout = 2 })},
 }
 
 // crashResume kills the coordinator the moment `boundary` of round 2 is

@@ -9,8 +9,7 @@ import (
 // bound: size-class rounding of small objects and whatever the test binary's
 // other goroutines allocate between the two MemStats readings. It is far
 // below what any of the declared-length bugs these targets exist for would
-// allocate (a group directory of MaxAggGroups entries is 1 MiB, a frame
-// header can declare 1 GiB).
+// allocate (a frame header can declare 1 GiB).
 const fuzzAllocSlack = 64 << 10
 
 // FuzzReadFrame feeds arbitrary bytes to the TCP receive path — readFrame,
@@ -54,41 +53,6 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		if !bytes.Equal(again.Bytes(), b[:consumed]) {
 			t.Fatalf("accepted message re-encodes to %x, consumed %x", again.Bytes(), b[:consumed])
-		}
-	})
-}
-
-// FuzzDecodeGroupAgg: any bytes either reject with an error and nil outputs,
-// or decode to groups that AppendGroupAgg turns back into the same bytes;
-// never a panic, and never more allocation than the input pays for — the
-// blobs are copies of input bytes and the directory (sizes, lengths, blob
-// headers) is 40 bytes per group the frame really has room for.
-func FuzzDecodeGroupAgg(f *testing.F) {
-	valid, err := AppendGroupAgg(nil, []int{3, 1}, [][]byte{[]byte("first-group"), nil})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Fuzz(func(t *testing.T, b []byte) {
-		var sizes []int
-		var blobs [][]byte
-		var err error
-		grew := allocatedBy(func() { sizes, blobs, err = DecodeGroupAgg(b) })
-		if bound := uint64(8*len(b) + fuzzAllocSlack); grew > bound {
-			t.Fatalf("DecodeGroupAgg allocated %d bytes on a %d-byte frame (bound %d)", grew, len(b), bound)
-		}
-		if err != nil {
-			if sizes != nil || blobs != nil {
-				t.Fatalf("reject (%v) still returned %d sizes, %d blobs", err, len(sizes), len(blobs))
-			}
-			return
-		}
-		if len(sizes) != len(blobs) || 4+8*len(sizes) > len(b) {
-			t.Fatalf("%d-byte frame decoded to %d sizes, %d blobs", len(b), len(sizes), len(blobs))
-		}
-		again, err := AppendGroupAgg(nil, sizes, blobs)
-		if err != nil || !bytes.Equal(again, b) {
-			t.Fatalf("accepted frame re-encodes to %x (%v), want %x", again, err, b)
 		}
 	})
 }

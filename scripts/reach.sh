@@ -67,12 +67,6 @@ step "$b/hectl" keygen -bits 256 -seed 7
 step "$b/hectl" bench -bits 256 -seed 7 -n 64
 
 demo="$b/flserver demo -clients 4 -dim 4 -bits 128"
-for c in fedavg trimmed-mean median norm-clip krum; do
-	step $demo -groups 4 -defense "$c"
-done
-for k in sign-flip scale noise zero collude; do
-	step $demo -groups 4 -byz "$k"
-done
 step $demo -clients 6 -cohort 4 -fanout 2
 step $demo -devices 3 -trace "$work/out/flserver.json"
 step $demo -quorum 3 -timeout 300ms -straggle 2s
