@@ -322,7 +322,7 @@ func TestDecodeAggregatedIsUnpackThenDequantize(t *testing.T) {
 			wide = rng.Intn(len(pts))
 		}
 		for pi := range pts {
-			words := make(mpint.Nat, p.words())
+			words := make(mpint.Nat, (p.Slots()*int(slotBits)+mpint.WordBits-1)/mpint.WordBits)
 			slotsHere := min(p.Slots(), count-pi*p.Slots())
 			for s := range slotsHere {
 				v := rng.Uint64() % (sumBound + 1)

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math"
 	"math/big"
+	"slices"
 	"testing"
 
+	"flbooster/internal/batch"
 	"flbooster/internal/flnet"
 	"flbooster/internal/mpint"
 	"flbooster/internal/paillier"
@@ -80,17 +82,93 @@ func TestBroadcastCarrySafety(t *testing.T) {
 	}
 }
 
+// TestAggregationCarrySafety is the aggregation half of the carry-safety
+// property: for every profile Validate accepts over keys of 128–4,096 bits, r
+// of 2–52, 1–2^12 parties and batch compression on and off, a full plaintext
+// of the context's aggregation layout with every slot at the largest sum
+// Parties·(2^r−1) stays below 2^(KeyBits−1) ≤ n and splits back to that sum
+// in every slot, checked in math/big. Parties runs over the edges of every
+// slot width, 2^b − 1, 2^b and 2^b + 1: the guard is b = ⌈log2 Parties⌉ bits,
+// and inside one width the largest sum grows with Parties. Cohort.Size and
+// Cohort.Fanout are not axes: whatever the tree's shape, a slot sums the
+// uploads of K ≤ Parties contributors, each below 2^r, so no aggregate a
+// cohort or a fan-out opens exceeds this fill.
+func TestAggregationCarrySafety(t *testing.T) {
+	var parties []int
+	for b := range 13 {
+		for _, n := range []int{1<<b - 1, 1 << b, 1<<b + 1} {
+			if n >= 1 && n <= 1<<12 && !slices.Contains(parties, n) {
+				parties = append(parties, n)
+			}
+		}
+	}
+	checked, exact := 0, 0
+	for _, keyBits := range []int{128, 256, 1024, 2048, 4096} {
+		for r := uint(2); r <= 52; r++ {
+			for _, n := range parties {
+				for _, sys := range []System{SystemFLBooster, SystemHAFLO} {
+					p := NewProfile(sys, keyBits, n)
+					p.RBits = r
+					if p.Validate() != nil {
+						continue
+					}
+					_, pk, err := p.packer()
+					if err != nil {
+						t.Fatal(err)
+					}
+					l := pk.Layout()
+					sum := uint64(n) * (1<<r - 1)
+					fail := func(what string, args ...any) {
+						t.Helper()
+						t.Fatalf("%d-bit key, r = %d, %d parties, batch %t, %d slots of %d bits: "+what,
+							append([]any{keyBits, r, n, p.UseBatch(), l.Per(), l.Block()}, args...)...)
+					}
+					pt := l.Pack(nil, l.Per(), func(int) uint64 { return sum })
+					want := new(big.Int)
+					for j := range l.Per() {
+						want.Add(want, new(big.Int).Lsh(new(big.Int).SetUint64(sum), uint(j*l.Block())))
+					}
+					total := toBig(pt[0])
+					if total.Cmp(want) != 0 {
+						fail("the full plaintext is %v, the slots' sums add to %v", total, want)
+					}
+					if total.BitLen() > keyBits-1 {
+						fail("the full plaintext is %d bits, at or above 2^(KeyBits−1)", total.BitLen())
+					}
+					for j := range l.Per() {
+						if got := slotOf(total, j, l.Block()); !got.IsUint64() || got.Uint64() != sum {
+							fail("slot %d holds %v, want %d", j, got, sum)
+						}
+					}
+					vals, err := pk.Unpack(pt, l.Per())
+					if err != nil || len(vals) != l.Per() || slices.ContainsFunc(vals, func(v uint64) bool { return v != sum }) {
+						fail("splits to %v (%v), want %d in every slot", vals, err, sum)
+					}
+					checked++
+					if p.UseBatch() && keyBits%l.Block() == 0 {
+						exact++
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d profiles, %d of them packed with r+b dividing KeyBits, one slot fewer than ⌊KeyBits/(r+b)⌋", checked, exact)
+	if exact == 0 {
+		t.Fatal("no profile at a slot width dividing KeyBits")
+	}
+}
+
 // pickedLayouts is the layout of every stride the rule picks for a batch of
 // rows under each of the hosts' sum counts in shapes.
-func pickedLayouts(t *testing.T, plainBits, rows int, shapes [][]int) map[int]returnLayout {
+func pickedLayouts(t *testing.T, plainBits, rows int, shapes [][]int) map[int]batch.Layout {
 	t.Helper()
-	picked := map[int]returnLayout{}
+	picked := map[int]batch.Layout{}
 	for _, sums := range shapes {
 		s := broadcastStride(plainBits, true, rows, sums)
 		if s < 1 || s > maxStride(plainBits, true) {
 			t.Fatalf("%d-bit plaintexts, %d rows, sums %v: the rule picked stride %d", plainBits, rows, sums, s)
 		}
-		l, err := newReturnLayout(plainBits, s, true)
+		l, err := strideLayout(plainBits, s, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,9 +180,9 @@ func pickedLayouts(t *testing.T, plainBits, rows int, shapes [][]int) map[int]re
 // checkCarry is TestBroadcastCarrySafety's check of one layout, batch size
 // and residual width, for a sum that weighs the rows of unit u of units a
 // sample (every row at units = 1).
-func checkCarry(t *testing.T, l returnLayout, plainBits, rows, r, units, u int) {
+func checkCarry(t *testing.T, l batch.Layout, plainBits, rows, r, units, u int) {
 	t.Helper()
-	s, w := l.stride, BroadcastSlotBits
+	s, w := l.At()/BroadcastSlotBits+1, BroadcastSlotBits
 	if s == 1 {
 		w = returnSlotBits
 	}
@@ -115,7 +193,7 @@ func checkCarry(t *testing.T, l returnLayout, plainBits, rows, r, units, u int) 
 	weighed := func(row int) bool { return row < rows && row%units == u }
 	qMax := uint64(1)<<r - 1
 	weight := (1<<63 - 1) / (qMax * uint64((rows-u+units-1)/units))
-	pts := packBroadcast(nil, rows, s, func(int) uint64 { return qMax })
+	pts := broadcastLayout(s).Pack(nil, rows, func(int) uint64 { return qMax })
 	if len(pts) != (rows+s-1)/s {
 		fail("%d broadcast plaintexts", len(pts))
 	}
@@ -188,8 +266,8 @@ func checkCarry(t *testing.T, l returnLayout, plainBits, rows, r, units, u int) 
 		}
 		for _, draw := range []uint64{0, math.MaxUint64} {
 			masked := new(big.Int).Add(conv, toBig(crossMask(nil, s, ReturnOffset, func() uint64 { return draw })))
-			if masked.Sign() < 0 || masked.BitLen() > l.blockBits() {
-				fail("%s, draws %#x: the masked image is %v, %d bits in a %d-bit block", sign.name, draw, masked.Sign(), masked.BitLen(), l.blockBits())
+			if masked.Sign() < 0 || masked.BitLen() > l.Block() {
+				fail("%s, draws %#x: the masked image is %v, %d bits in a %d-bit block", sign.name, draw, masked.Sign(), masked.BitLen(), l.Block())
 			}
 			for m, c := range exact {
 				want := new(big.Int).Add(c, offset)
@@ -206,13 +284,13 @@ func checkCarry(t *testing.T, l returnLayout, plainBits, rows, r, units, u int) 
 			}
 			// A return ciphertext's whole pack: per masked images, one a block.
 			pack := new(big.Int)
-			for b := range l.per {
-				pack.Add(pack, new(big.Int).Lsh(masked, uint(b*l.blockBits())))
+			for b := range l.Per() {
+				pack.Add(pack, new(big.Int).Lsh(masked, uint(b*l.Block())))
 			}
 			if pack.BitLen() > plainBits {
-				fail("a pack of %d blocks is %d bits", l.per, pack.BitLen())
+				fail("a pack of %d blocks is %d bits", l.Per(), pack.BitLen())
 			}
-			vals, err := splitSlots([]mpint.Nat{mpint.FromBytes(pack.Bytes())}, l.per, l)
+			vals, err := splitReturn([]mpint.Nat{mpint.FromBytes(pack.Bytes())}, l.Per(), l)
 			if err != nil {
 				fail("%s: the pack does not split: %v", sign.name, err)
 			}
@@ -329,8 +407,8 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 				}
 				l, _ := ctx.layout(s)
 				request := flnet.Message{From: "host", To: "arbiter", Kind: "sums"}.WireSize() +
-					ctx.CiphertextWireBytes((len(sums)+l.per-1)/l.per)
-				if l.per > 1 {
+					ctx.CiphertextWireBytes((len(sums)+l.Per()-1)/l.Per())
+				if l.Per() > 1 {
 					request += 4
 				}
 				if s > 1 {
@@ -350,7 +428,7 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 				lift := new(big.Int).SetUint64(ReturnOffset)
 				maskBound := new(big.Int).Lsh(big.NewInt(1), returnSlotBits+maskBits)
 				for j, sum := range sums {
-					block := new(big.Int).Rsh(toBig(rec.pts[j/l.per]), uint(j%l.per*l.blockBits()))
+					block := new(big.Int).Rsh(toBig(rec.pts[j/l.Per()]), uint(j%l.Per()*l.Block()))
 					for m := range 2*s - 1 {
 						slot := slotOf(block, m, width)
 						if m == s-1 {

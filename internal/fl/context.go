@@ -65,16 +65,8 @@ func NewContext(p Profile) (*Context, error) {
 		Costs:   &Costs{},
 		seed:    p.Seed,
 	}
-	q, err := quant.New(p.GradBound, p.RBits, p.Parties)
-	if err != nil {
-		return nil, err
-	}
-	ctx.Quant = q
-	newPacker := batch.NewSingle
-	if p.UseBatch() {
-		newPacker = batch.New
-	}
-	if ctx.Packer, err = newPacker(q, p.KeyBits); err != nil {
+	var err error
+	if ctx.Quant, ctx.Packer, err = p.packer(); err != nil {
 		return nil, err
 	}
 	// Every profile runs through the one stack core builds: launch failures

@@ -106,11 +106,11 @@ func TestProfileValidation(t *testing.T) {
 	}
 }
 
-// TestProfileValidateRejectsOutOfRangeFaultsAndAttacks: a fault probability,
+// TestProfileValidateRejectsOutOfRangeFaults: a fault probability,
 // kill ordinal, retry budget or verification fraction that is out of range or
 // not finite is a typed error from Validate, and NewContext refuses the
 // profile.
-func TestProfileValidateRejectsOutOfRangeFaultsAndAttacks(t *testing.T) {
+func TestProfileValidateRejectsOutOfRangeFaults(t *testing.T) {
 	nan := math.NaN()
 	for name, c := range map[string]struct {
 		edit func(p *Profile)

@@ -184,12 +184,24 @@ func (p Profile) CheckKeyBits() error {
 	if err := mpint.CheckKeyBits(p.KeyBits); err != nil {
 		return fmt.Errorf("fl: %w", err)
 	}
+	_, _, err := p.packer()
+	return err
+}
+
+// packer is the profile's quantizer and batch-compression layer: the
+// aggregation layout of r+b-bit slots below the modulus, one a plaintext
+// without batch compression, which New's key check still covers.
+func (p Profile) packer() (*quant.Quantizer, *batch.Packer, error) {
 	q, err := quant.New(p.GradBound, p.RBits, p.Parties)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	_, err = batch.New(q, p.KeyBits)
-	return err
+	newPacker := batch.NewSingle
+	if p.UseBatch() {
+		newPacker = batch.New
+	}
+	pk, err := newPacker(q, p.KeyBits)
+	return q, pk, err
 }
 
 // AllSystems lists the five configurations in reporting order.

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"time"
 
+	"flbooster/internal/batch"
 	"flbooster/internal/flnet"
 	"flbooster/internal/mpint"
 	"flbooster/internal/paillier"
@@ -37,6 +38,13 @@ import (
 // sign side is capped below 2^63 (SumBound), so the opened value lies in
 // [1, 2^64), one 64-bit slot.
 //
+// Both packed payloads are a batch.Layout, the one the aggregatable vectors'
+// Packer holds: the broadcast is W-bit blocks, s a plaintext, a residual in
+// each block's low 64 bits (broadcastLayout); the return path is 64-bit
+// blocks at s = 1 and blocks of 2s−1 W-bit slots above, the value in slot s−1
+// under a W−64-bit guard that must read zero (strideLayout). Both pack with
+// the layout's Pack, and the decryptor splits with its Split (splitReturn).
+//
 // A packed broadcast turns a host's E(D)^x̃ into a convolution. Plaintext g is
 // D_g = Σₖ q(d_{gs+k})·2^(kW); for each sum the host raises every D_g to the
 // weight of each of its s rows, S_l = Π_g E(D_g)^(σx̃_{gs+l}), and shift-packs
@@ -57,9 +65,9 @@ var ErrSumBound = errors.New("fl: return-path sum bound exceeds its 64-bit slot"
 
 // ErrSlotCorrupt reports a decrypted return-path plaintext that contradicts
 // its declared layout: bits beyond the declared blocks, a target slot at or
-// above 2^64, a plaintext count that does not match the declared value count,
-// a stride the key cannot hold, or a value outside the bounds its sender
-// proved for it.
+// above 2^64 (both over batch.ErrTooWide), a plaintext count that does not
+// match the declared value count (over batch.ErrCount), a stride the key
+// cannot hold, or a value outside the bounds its sender proved for it.
 var ErrSlotCorrupt = errors.New("fl: return-path slot corruption")
 
 const (
@@ -76,31 +84,34 @@ const (
 	BroadcastSlotBits = returnSlotBits + maskBits + 1
 )
 
-// returnLayout is how one return-path request lays its values out: stride is
-// the broadcast's s and per the values a ciphertext. At s = 1 a value's block
-// is the value's 64 bits; above it, the (2s−1)·W bits of a masked
-// convolution, the value in slot s−1.
-type returnLayout struct{ stride, per int }
-
-// newReturnLayout is the layout of stride s in plaintexts of plainBits bits
-// (KeyBits−1: anything below 2^plainBits is below n). At s = 1 a ciphertext
-// carries one value without batch compression and as many 64-bit slots as
-// fit with it (15 at 1,024 bits, 31 at 2,048); above, as many blocks of
-// 2s−1 W-bit slots as fit. A stride outside [1, maxStride] rejects with
+// strideLayout is the return-path layout of stride s in plainBits-bit
+// plaintexts (KeyBits−1: anything below 2^plainBits is below n). At s = 1 a
+// value's block is its 64 bits: one a ciphertext without batch compression,
+// as many as fit with it (15 at 1,024 bits, 31 at 2,048). Above, a block is
+// the 2s−1 W-bit slots of a masked convolution, the value in slot s−1 and the
+// W−64 bits above it clear. A stride outside [1, maxStride] rejects with
 // ErrSlotCorrupt.
-func newReturnLayout(plainBits, stride int, packed bool) (returnLayout, error) {
-	switch {
-	case stride < 1 || stride > maxStride(plainBits, packed):
-		return returnLayout{}, fmt.Errorf("%w: a stride of %d in %d-bit plaintexts (batch compression %t)",
-			ErrSlotCorrupt, stride, plainBits, packed)
-	case stride > 1:
-		l := returnLayout{stride: stride}
-		l.per = plainBits / l.blockBits()
-		return l, nil
-	case packed:
-		return returnLayout{1, max(1, plainBits/returnSlotBits)}, nil
+func strideLayout(plainBits, s int, packed bool) (batch.Layout, error) {
+	if s < 1 || s > maxStride(plainBits, packed) {
+		return batch.Layout{}, fmt.Errorf("%w: a stride of %d in %d-bit plaintexts (batch compression %t)",
+			ErrSlotCorrupt, s, plainBits, packed)
 	}
-	return returnLayout{1, 1}, nil
+	block, at, guard := returnSlotBits, 0, 0
+	if s > 1 {
+		block, at, guard = (2*s-1)*BroadcastSlotBits, (s-1)*BroadcastSlotBits, BroadcastSlotBits-returnSlotBits
+	}
+	if !packed {
+		plainBits = block // one value a plaintext
+	}
+	// By the max, a plaintext holds one block: NewLayout cannot fail.
+	return batch.NewLayout(max(plainBits, block), block, at, returnSlotBits, guard)
+}
+
+// broadcastLayout is the layout of a stride-s broadcast, s ≥ 1: s values a
+// plaintext, value k in the low 64 bits of W-bit slot k.
+func broadcastLayout(s int) batch.Layout {
+	l, _ := batch.NewLayout(s*BroadcastSlotBits, BroadcastSlotBits, 0, returnSlotBits, 0) // s ≥ 1 slots hold one
+	return l
 }
 
 // maxStride is the widest stride plainBits-bit plaintexts hold: the most s
@@ -113,20 +124,9 @@ func maxStride(plainBits int, packed bool) int {
 	return max(1, (plainBits/BroadcastSlotBits+1)/2)
 }
 
-// blockBits is the width of one value's block.
-func (l returnLayout) blockBits() int {
-	if l.stride == 1 {
-		return returnSlotBits
-	}
-	return (2*l.stride - 1) * BroadcastSlotBits
-}
-
-// valueAt is the bit offset of the value inside its block: slot s−1.
-func (l returnLayout) valueAt() int { return (l.stride - 1) * BroadcastSlotBits }
-
-// layout is newReturnLayout under the context's key and profile.
-func (c *Context) layout(stride int) (returnLayout, error) {
-	return newReturnLayout(c.plainBits(), stride, c.Profile.UseBatch())
+// layout is strideLayout under the context's key and profile.
+func (c *Context) layout(stride int) (batch.Layout, error) {
+	return strideLayout(c.plainBits(), stride, c.Profile.UseBatch())
 }
 
 // plainBits is KeyBits−1: n ≥ 2^(KeyBits−1), so every plaintext below
@@ -137,7 +137,7 @@ func (c *Context) plainBits() int { return c.Key.N.BitLen() - 1 }
 // broadcast (s = 1) carries.
 func (c *Context) ReturnSlots() int {
 	l, _ := c.layout(1)
-	return l.per
+	return l.Per()
 }
 
 // BroadcastStride is s for one minibatch: how many of its rows one broadcast
@@ -154,10 +154,10 @@ func (c *Context) BroadcastStride(rows int, sums []int) int {
 func broadcastStride(plainBits int, packed bool, rows int, sums []int) int {
 	best, fewest := 1, -1
 	for s := 1; s <= maxStride(plainBits, packed); s++ {
-		l, _ := newReturnLayout(plainBits, s, packed)
-		cts := 0
+		l, _ := strideLayout(plainBits, s, packed)
+		cts := len(sums) * broadcastLayout(s).Plaintexts(rows)
 		for _, k := range sums {
-			cts += (rows+s-1)/s + (k+l.per-1)/l.per
+			cts += l.Plaintexts(k)
 		}
 		if fewest < 0 || cts < fewest {
 			best, fewest = s, cts
@@ -179,8 +179,8 @@ func (c *Context) EncryptBroadcast(vals []float64, s int) ([]paillier.Ciphertext
 	if i := slices.IndexFunc(vals, math.IsNaN); i >= 0 {
 		return nil, fmt.Errorf("fl: broadcast value %d: %w", i, quant.ErrNaN)
 	}
-	pts := packBroadcast(arena.getPlain((len(vals)+s-1)/s), len(vals), s,
-		func(i int) uint64 { return c.Quant.Quantize(vals[i]) })
+	l := broadcastLayout(s)
+	pts := l.Pack(arena.getPlain(l.Plaintexts(len(vals))), len(vals), func(i int) uint64 { return c.Quant.Quantize(vals[i]) })
 	cts, err := c.encrypt(&c.Key.PublicKey, pts, int64(len(vals)))
 	arena.putPlain(pts)
 	if err != nil {
@@ -190,74 +190,38 @@ func (c *Context) EncryptBroadcast(vals []float64, s int) ([]paillier.Ciphertext
 	return cts, nil
 }
 
-// packBroadcast appends to pts, into the limbs behind it (mpint.Spare), the
-// plaintexts of a stride-s broadcast of n values: plaintext g is
-// Σₖ q(g·s+k)·2^(k·W).
-func packBroadcast(pts []mpint.Nat, n, s int, q func(i int) uint64) []mpint.Nat {
-	for g := 0; g*s < n; g++ {
-		k := min(s, n-g*s)
-		pt := mpint.Reuse(mpint.Spare(pts), ((k-1)*BroadcastSlotBits+returnSlotBits+63)/64)
-		for j := range k {
-			mpint.OrField(pt, j*BroadcastSlotBits, q(g*s+j))
-		}
-		pts = append(pts, mpint.TakeWords(pt))
-	}
-	return pts
-}
-
 // DecryptRaw decrypts ciphertexts to raw unsigned plaintext values (no
 // dequantization), one value per ciphertext — the return path with a single
 // slot, and the reference OpenBroadcastSums at s = 1 is tested against.
 func (c *Context) DecryptRaw(cts []paillier.Ciphertext) ([]uint64, error) {
-	return c.decryptSlots(cts, len(cts), returnLayout{1, 1})
+	l, _ := strideLayout(0, 1, false) // stride 1 unpacked: one value a plaintext
+	return c.decryptSlots(cts, len(cts), l)
 }
 
 // decryptSlots decrypts a return-path request declared to carry count values
 // in layout l and splits the plaintexts back into the values.
-func (c *Context) decryptSlots(cts []paillier.Ciphertext, count int, l returnLayout) ([]uint64, error) {
+func (c *Context) decryptSlots(cts []paillier.Ciphertext, count int, l batch.Layout) ([]uint64, error) {
 	pts, err := c.decrypt(cts, count)
 	if err != nil {
 		return nil, err
 	}
-	vals, err := splitSlots(pts, count, l)
+	vals, err := splitReturn(pts, count, l)
 	paillier.ReleasePlaintexts(pts)
 	return vals, err
 }
 
-// splitSlots is the decryptor side of the return path: pts are the decrypted
-// plaintexts of a request that declared count values in layout l, value b of
-// plaintext g in the 64 bits at l.valueAt() of block b. Both the plaintexts
-// and the declared count and stride come from another party, so a count the
-// plaintexts cannot carry, any bit above the declared blocks and, under a
-// packed broadcast, any bit at or above 2^64 in a target slot reject with
-// ErrSlotCorrupt before or instead of a result; the masked slots around a
-// target are not read. The only allocation is the count values a matching
-// request really holds.
-func splitSlots(pts []mpint.Nat, count int, l returnLayout) ([]uint64, error) {
-	if l.stride < 1 || l.per < 1 || count < 0 {
-		return nil, fmt.Errorf("%w: %d values at stride %d, %d a plaintext", ErrSlotCorrupt, count, l.stride, l.per)
+// splitReturn is the decryptor side of the return path: batch.Split of the
+// count values a request declared in layout l. The plaintexts, the count and
+// the stride come from another party, so every reject — a count the
+// plaintexts cannot carry, a bit above the declared blocks or in a target
+// slot's guard — is ErrSlotCorrupt over the batch sentinel; the masked slots
+// around a target are not read.
+func splitReturn(pts []mpint.Nat, count int, l batch.Layout) ([]uint64, error) {
+	vals, err := batch.Split(l, pts, count, batch.Raw)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrSlotCorrupt, err)
 	}
-	if want := count/l.per + min(count%l.per, 1); want != len(pts) {
-		return nil, fmt.Errorf("%w: %d values declared, %d-value plaintexts received %d, want %d",
-			ErrSlotCorrupt, count, l.per, len(pts), want)
-	}
-	out := make([]uint64, count)
-	block, at := l.blockBits(), l.valueAt()
-	for g, pt := range pts {
-		vals := out[g*l.per : min((g+1)*l.per, count)]
-		if pt.BitLen() > block*len(vals) {
-			return nil, fmt.Errorf("%w: plaintext %d is %d bits wide, its %d declared blocks hold %d",
-				ErrSlotCorrupt, g, pt.BitLen(), len(vals), block*len(vals))
-		}
-		for b := range vals {
-			off := b*block + at
-			vals[b] = pt.Field(off)
-			if l.stride > 1 && pt.Field(off+returnSlotBits)&(1<<(BroadcastSlotBits-returnSlotBits)-1) != 0 {
-				return nil, fmt.Errorf("%w: plaintext %d, value %d reaches 2^64 in its target slot", ErrSlotCorrupt, g, b)
-			}
-		}
-	}
-	return out, nil
+	return vals, nil
 }
 
 // Bound is the interval a return-path value provably opens in, [Lo, Hi]: a
@@ -331,7 +295,7 @@ func (c *Context) OpenBroadcastSums(route ReturnRoute, cts []paillier.Ciphertext
 		return nil, err
 	}
 	request := c.CiphertextWireBytes(len(packed))
-	if l.per > 1 {
+	if l.Per() > 1 {
 		request += 4 // the value count; one value a ciphertext implies it
 	}
 	if s > 1 {
@@ -379,11 +343,11 @@ func crossMask(z mpint.Nat, s int, offset uint64, draw func() uint64) mpint.Nat 
 
 // packSums shifts cts into the layout's per values a ciphertext: packed
 // ciphertext g holds cts[g·per+j] in block j, only the last partly filled.
-func (c *Context) packSums(cts []paillier.Ciphertext, l returnLayout) ([]paillier.Ciphertext, error) {
-	if l.per == 1 || len(cts) == 1 {
+func (c *Context) packSums(cts []paillier.Ciphertext, l batch.Layout) ([]paillier.Ciphertext, error) {
+	if l.Per() == 1 || len(cts) == 1 {
 		return cts, nil
 	}
-	packed, err := c.shiftPack(cts, l.per, l.blockBits())
+	packed, err := c.shiftPack(cts, l.Per(), l.Block())
 	if err != nil {
 		return nil, err
 	}

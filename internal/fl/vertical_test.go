@@ -474,13 +474,14 @@ func TestOpenSumsRejectsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.decryptSlots(wide, 2, returnLayout{1, ctx.ReturnSlots()}); !errors.Is(err, ErrSlotCorrupt) {
+	l, _ := ctx.layout(1)
+	if _, err := ctx.decryptSlots(wide, 2, l); !errors.Is(err, ErrSlotCorrupt) {
 		t.Fatalf("stray bit above the declared slots: got %v, want ErrSlotCorrupt", err)
 	}
-	if got, err := ctx.decryptSlots(wide, 3, returnLayout{1, ctx.ReturnSlots()}); err != nil || got[2] != 1 {
+	if got, err := ctx.decryptSlots(wide, 3, l); err != nil || got[2] != 1 {
 		t.Fatalf("three declared slots hold the same plaintext: %v, %v", got, err)
 	}
-	if _, err := ctx.decryptSlots(wide, 4, returnLayout{1, ctx.ReturnSlots()}); !errors.Is(err, ErrSlotCorrupt) {
+	if _, err := ctx.decryptSlots(wide, 4, l); !errors.Is(err, ErrSlotCorrupt) {
 		t.Fatalf("count needing two plaintexts against one: got %v, want ErrSlotCorrupt", err)
 	}
 }
@@ -526,10 +527,10 @@ func FuzzSplitSlots(f *testing.F) {
 				pts[i] = mpint.FromBytes(data[i*each : (i+1)*each])
 			}
 		}
-		l, err := newReturnLayout(int(keyBits)-1, stride, true)
+		l, err := strideLayout(int(keyBits)-1, stride, true)
 		var got []uint64
 		if err == nil {
-			got, err = splitSlots(pts, count, l)
+			got, err = splitReturn(pts, count, l)
 		}
 		if err != nil {
 			if !errors.Is(err, ErrSlotCorrupt) {
@@ -537,13 +538,13 @@ func FuzzSplitSlots(f *testing.F) {
 			}
 			return
 		}
-		if len(got) != count || cap(got) != count || count > len(pts)*l.per {
-			t.Fatalf("%d values (cap %d) from %d plaintexts of %d values, declared %d", len(got), cap(got), len(pts), l.per, count)
+		if len(got) != count || cap(got) != count || count > len(pts)*l.Per() {
+			t.Fatalf("%d values (cap %d) from %d plaintexts of %d values, declared %d", len(got), cap(got), len(pts), l.Per(), count)
 		}
-		block := l.blockBits()
+		block := l.Block()
 		for g, pt := range pts {
-			vals := got[g*l.per : min((g+1)*l.per, count)]
-			if l.stride == 1 {
+			vals := got[g*l.Per() : min((g+1)*l.Per(), count)]
+			if stride == 1 {
 				if mpint.Cmp(mpint.FromWords(vals), pt) != 0 {
 					t.Fatalf("plaintext %d does not re-pack from its values", g)
 				}
@@ -553,7 +554,7 @@ func FuzzSplitSlots(f *testing.F) {
 				t.Fatalf("plaintext %d: %d bits accepted in %d blocks of %d", g, pt.BitLen(), len(vals), block)
 			}
 			for b, v := range vals {
-				target := mpint.Rsh(pt, uint(b*block+l.valueAt()))
+				target := mpint.Rsh(pt, uint(b*block+l.At()))
 				lo, _ := target.Uint64()
 				if rest := mpint.Rsh(target, returnSlotBits); v != lo || !rest.IsZero() && rest.TrailingZeroBits() < BroadcastSlotBits-returnSlotBits {
 					t.Fatalf("plaintext %d, value %d: %d accepted from a target slot holding %v", g, b, v, target)

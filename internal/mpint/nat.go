@@ -114,8 +114,8 @@ func (x Nat) Bit(i int) uint {
 
 // Field returns bits [off, off+64) of x, from at most two limbs; bits past
 // its last limb read 0. A caller that wants fewer bits masks them off. With
-// OrField it is the one bit-field codec of the slot packings (batch.Packer,
-// the vertical broadcast and return slots).
+// OrField it is the one bit-field codec of the slot packings (batch.Layout,
+// the aggregation slots and the vertical broadcast and return slots).
 func (x Nat) Field(off int) uint64 {
 	w, sh := off/WordBits, uint(off%WordBits)
 	var v uint64
