@@ -80,12 +80,13 @@ race:
 # Short fuzz passes over every fuzz target the module has, 10 s each: for each
 # package `go list ./...` reports, every name `go test -list '^Fuzz'` prints,
 # anchored so FuzzDiv cannot also select FuzzDivInto. Nothing here names a
-# target, so adding or deleting one needs no edit; 24 exist today (13 in mpint
+# target, so adding or deleting one needs no edit; 26 exist today (13 in mpint
 # against math/big, the eight-lane kernel's and the Euclid walk's among them;
-# one in batch, the slot layout against math/big; two wire decoders in flnet;
-# one in gpu, on device geometries; four in fl —
-# the return-path splitter, the aggregate frame every client opens, the
-# journal a restarted coordinator replays and the client-name parser —
+# one in batch, the slot layout against math/big; three wire decoders in
+# flnet, the vertical replies' fixed-width one among them; one in gpu, on
+# device geometries; five in fl — the return-path request header and
+# splitter, the aggregate frame every client opens, the journal a restarted
+# coordinator replays and the client-name parser —
 # one on paillier's key decoders, and two in ghe: every op's descriptor
 # against math/big and the executor over 1–3 devices against the host loop,
 # and the shard scheduler's cut of a range into pieces), each with its seeds

@@ -18,7 +18,8 @@ import (
 //   - plain: plaintext batches, the encoded gradients, their values' limbs
 //     kept (zeroed) for the next encoding;
 //   - frames: upload frames, drawn by uploadWave and handed back by the
-//     coordinator that decoded them (Round.Gather).
+//     coordinator that decoded them (Round.Gather), and every vertical
+//     message's frame, handed back by the party that read it (exchange).
 //
 // An upload frame has one owner at a time. Send hands an upload's payload to
 // the transport, and the coordinator that decodes it owns it from then on: a
@@ -59,9 +60,19 @@ func frameUpload(cts []paillier.Ciphertext) []byte {
 	return appendCiphertexts(frame, cts)
 }
 
-// releaseFrame hands back an upload frame its coordinator has decoded; the
-// next upload is framed into it. Releasing zeroes it, so a read after the
-// release reads zeroes, not the next upload's bytes.
+// frameCiphertexts frames cts behind head as EncodeCiphertexts frames them,
+// into a frame drawn from the arena by pool.Slices.Get — a dead frame of the
+// size's class, or fresh bytes as wide as the class's widest — since a
+// vertical message's frame always comes back, released by the party that
+// read it.
+func frameCiphertexts(head []byte, cts []paillier.Ciphertext) []byte {
+	frame := arena.frames.Get(len(head) + int(encodedSize(cts)))[:0]
+	return appendCiphertexts(append(frame, head...), cts)
+}
+
+// releaseFrame hands back a frame its receiver has decoded; the next message
+// is framed into it. Releasing zeroes it, so a read after the release reads
+// zeroes, not the next message's bytes.
 func releaseFrame(frame []byte) {
 	clear(frame[:cap(frame)])
 	arena.frames.Put(frame)

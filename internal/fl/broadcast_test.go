@@ -109,12 +109,9 @@ func TestAggregationCarrySafety(t *testing.T) {
 				for _, sys := range []System{SystemFLBooster, SystemHAFLO} {
 					p := NewProfile(sys, keyBits, n)
 					p.RBits = r
-					if p.Validate() != nil {
-						continue
-					}
-					_, pk, err := p.packer()
+					_, pk, err := p.validate()
 					if err != nil {
-						t.Fatal(err)
+						continue
 					}
 					l := pk.Layout()
 					sum := uint64(n) * (1<<r - 1)
@@ -304,18 +301,35 @@ func checkCarry(t *testing.T, l batch.Layout, plainBits, rows, r, units, u int) 
 }
 
 // openedPlaintexts wraps a context's backend and keeps a copy of every
-// plaintext the key holder decrypts, in order: what the arbiter sees.
+// plaintext the key holder decrypts, in order: what the arbiter sees. trim
+// adds up what the nat codec left off the ciphertexts it was asked to open
+// (trimmed).
 type openedPlaintexts struct {
 	paillier.Backend
-	pts []mpint.Nat
+	pts  []mpint.Nat
+	trim int64
 }
 
 func (b *openedPlaintexts) DecryptVec(sk *paillier.PrivateKey, cs []paillier.Ciphertext) ([]mpint.Nat, error) {
+	b.trim += int64(len(cs))*int64(sk.CiphertextBytes()+4) + 4 - encodedSize(cs)
 	pts, err := b.Backend.DecryptVec(sk, cs)
 	for _, pt := range pts {
 		b.pts = append(b.pts, pt.Clone())
 	}
 	return pts, err
+}
+
+// trimmed is what a ciphertext batch's frame leaves off against
+// CiphertextWireBytes and its 4-byte count: the codec sends a value's bytes
+// without its leading zero bytes, so a ciphertext below 2^(8·(bytes−1)) is a
+// byte or more shorter on the wire.
+func trimmed(ctx *Context, cts []paillier.Ciphertext) int64 {
+	return ctx.CiphertextWireBytes(len(cts)) + 4 - encodedSize(cts)
+}
+
+// returnNet is the transport a return-path test's parties exchange on.
+func returnNet(ctx *Context) flnet.Transport {
+	return flnet.NewSimTransport(ctx.Link, "host", "arbiter", "guest")
 }
 
 // TestBroadcastSumsOpenTheUnpackedSums: at every stride the key admits, on
@@ -381,7 +395,7 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			route := ReturnRoute{Party: "host", Decryptor: "arbiter", Kind: "sums", ReplyKind: "plain"}
+			route := ReturnRoute{Net: returnNet(ctx), Party: "host", Decryptor: "arbiter", Kind: "sums", ReplyKind: "plain"}
 			for s := 1; s <= maxStride(ctx.Key.N.BitLen()-1, true); s++ {
 				encD, err := ctx.EncryptBroadcast(vals, s)
 				if err != nil {
@@ -395,7 +409,7 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 					t.Fatal(err)
 				}
 				before := ctx.Costs.Snapshot()
-				rec.pts = rec.pts[:0]
+				rec.pts, rec.trim = rec.pts[:0], 0
 				got, err := ctx.OpenBroadcastSums(route, cts, bounds, s)
 				if err != nil {
 					t.Fatalf("%s/%d bits/s = %d: %v", name, keyBits, s, err)
@@ -405,15 +419,12 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 						t.Fatalf("%s/%d bits/s = %d: sum %d opened to %d, want %d", name, keyBits, s, j, got[j], want[j])
 					}
 				}
+				// The request: the ciphertexts, their 4-byte count and the 8-byte
+				// header (stride, value count), less the leading zero bytes the
+				// codec trims off the ciphertexts the arbiter opened.
 				l, _ := ctx.layout(s)
 				request := flnet.Message{From: "host", To: "arbiter", Kind: "sums"}.WireSize() +
-					ctx.CiphertextWireBytes((len(sums)+l.Per()-1)/l.Per())
-				if l.Per() > 1 {
-					request += 4
-				}
-				if s > 1 {
-					request += 4
-				}
+					ctx.CiphertextWireBytes((len(sums)+l.Per()-1)/l.Per()) + 4 + requestHeader - rec.trim
 				reply := flnet.Message{From: "arbiter", To: "host", Kind: "plain"}.WireSize() + int64(8*len(sums))
 				after := ctx.Costs.Snapshot()
 				if msgs, bytes := after.CommMsgs-before.CommMsgs, after.CommBytes-before.CommBytes; msgs != 2 || bytes != request+reply {
@@ -468,7 +479,7 @@ func TestBroadcastSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	route := ReturnRoute{Party: "host", Decryptor: "arbiter", Kind: "sums"}
+	route := ReturnRoute{Net: returnNet(ctx), Party: "host", Decryptor: "arbiter", Kind: "sums"}
 	vals := []float64{0.1, -0.2, 0.3, -0.4, 0.5, 0.6, -0.7, 0.8, 0.9}
 	// Every term in lane 0 of stride 3: two of the three inner sums are empty.
 	sums := [][]mpint.Term{{{Index: 0, Weight: 2}, {Index: 3, Weight: 5}, {Index: 6, Weight: 7}}}

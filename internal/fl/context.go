@@ -56,18 +56,17 @@ type Context struct {
 // NewContext builds a context from a profile, generating a fresh key pair
 // from the profile's seed.
 func NewContext(p Profile) (*Context, error) {
-	if err := p.Validate(); err != nil {
+	q, pk, err := p.validate()
+	if err != nil {
 		return nil, err
 	}
 	ctx := &Context{
 		Profile: p,
+		Quant:   q,
+		Packer:  pk,
 		Link:    flnet.FATEEffectiveLink(),
 		Costs:   &Costs{},
 		seed:    p.Seed,
-	}
-	var err error
-	if ctx.Quant, ctx.Packer, err = p.packer(); err != nil {
-		return nil, err
 	}
 	// Every profile runs through the one stack core builds: launch failures
 	// retry with backoff, sampled results are verified, a faulted member's

@@ -136,42 +136,50 @@ func knownSystem(sys System) bool {
 
 // Validate reports profile configuration errors.
 func (p Profile) Validate() error {
+	_, _, err := p.validate()
+	return err
+}
+
+// validate is Validate returning the quantizer and packer its key check
+// built, so that NewContext builds them once.
+func (p Profile) validate() (*quant.Quantizer, *batch.Packer, error) {
 	switch {
 	case !knownSystem(p.System):
-		return fmt.Errorf("fl: unknown system %q", p.System)
+		return nil, nil, fmt.Errorf("fl: unknown system %q", p.System)
 	case p.Parties < 1:
-		return fmt.Errorf("fl: need at least one party, got %d", p.Parties)
+		return nil, nil, fmt.Errorf("fl: need at least one party, got %d", p.Parties)
 	case p.Devices < 0:
-		return fmt.Errorf("fl: negative device count %d", p.Devices)
+		return nil, nil, fmt.Errorf("fl: negative device count %d", p.Devices)
 	case p.Devices > ghe.MaxDevices:
-		return fmt.Errorf("fl: device count %d exceeds %d", p.Devices, ghe.MaxDevices)
+		return nil, nil, fmt.Errorf("fl: device count %d exceeds %d", p.Devices, ghe.MaxDevices)
 	}
-	if err := p.CheckKeyBits(); err != nil {
-		return err
+	q, pk, err := p.keyLayers()
+	if err != nil {
+		return nil, nil, err
 	}
 	if err := p.Round.Validate(p.Parties); err != nil {
-		return err
+		return nil, nil, err
 	}
 	if err := p.Cohort.Validate(p.Parties); err != nil {
-		return err
+		return nil, nil, err
 	}
 	if err := p.Faults.Inject.Validate(); err != nil {
-		return fmt.Errorf("fl: Faults.Inject: %w", err)
+		return nil, nil, fmt.Errorf("fl: Faults.Inject: %w", err)
 	}
 	if err := p.Faults.Check.Validate(); err != nil {
-		return fmt.Errorf("fl: Faults.Check: %w", err)
+		return nil, nil, fmt.Errorf("fl: Faults.Check: %w", err)
 	}
 	// A quorum above the sampled cohort size could never be met: every round
 	// would fail at admission, so reject the combination up front.
 	if p.Cohort.Size > 0 && p.Round.Quorum > p.Cohort.Size {
-		return fmt.Errorf("fl: quorum %d exceeds cohort size %d", p.Round.Quorum, p.Cohort.Size)
+		return nil, nil, fmt.Errorf("fl: quorum %d exceeds cohort size %d", p.Round.Quorum, p.Cohort.Size)
 	}
 	if p.UseGPU() {
 		if err := p.Device.Validate(); err != nil {
-			return fmt.Errorf("fl: GPU profile: %w", err)
+			return nil, nil, fmt.Errorf("fl: GPU profile: %w", err)
 		}
 	}
-	return nil
+	return q, pk, nil
 }
 
 // CheckKeyBits is the one key-size rule: KeyBits must be a size key
@@ -181,17 +189,18 @@ func (p Profile) Validate() error {
 // what a usable α and r are — a finite α > 0, r in [2, 52], and r plus the
 // parties' overflow bits inside a word — and its error is returned as is.
 func (p Profile) CheckKeyBits() error {
-	if err := mpint.CheckKeyBits(p.KeyBits); err != nil {
-		return fmt.Errorf("fl: %w", err)
-	}
-	_, _, err := p.packer()
+	_, _, err := p.keyLayers()
 	return err
 }
 
-// packer is the profile's quantizer and batch-compression layer: the
-// aggregation layout of r+b-bit slots below the modulus, one a plaintext
-// without batch compression, which New's key check still covers.
-func (p Profile) packer() (*quant.Quantizer, *batch.Packer, error) {
+// keyLayers is CheckKeyBits returning what its slot rule built: the
+// profile's quantizer and batch-compression layer, the aggregation layout of
+// r+b-bit slots below the modulus, one a plaintext without batch
+// compression, which New's key check still covers.
+func (p Profile) keyLayers() (*quant.Quantizer, *batch.Packer, error) {
+	if err := mpint.CheckKeyBits(p.KeyBits); err != nil {
+		return nil, nil, fmt.Errorf("fl: %w", err)
+	}
 	q, err := quant.New(p.GradBound, p.RBits, p.Parties)
 	if err != nil {
 		return nil, nil, err

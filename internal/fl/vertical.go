@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -248,9 +249,11 @@ func (c *Context) SumBound(neg, pos uint64) (Bound, error) {
 	return Bound{ReturnOffset - side[0], ReturnOffset + side[1]}, nil
 }
 
-// ReturnRoute names the two ends of one return-path exchange and the kinds
-// of its messages.
+// ReturnRoute names the two ends of one return-path exchange, the transport
+// its messages cross and their kinds.
 type ReturnRoute struct {
+	// Net carries the request and the reply.
+	Net flnet.Transport
 	// Party holds the sums; Decryptor holds the private key.
 	Party, Decryptor string
 	// Kind labels the request that carries the ciphertexts. ReplyKind labels
@@ -268,10 +271,12 @@ type ReturnRoute struct {
 // With batch compression on the party packs the layout's per values into
 // each ciphertext (acc ← acc^(2^bits)·c, Horner from the top block down, a
 // pack a lane of one ShiftPackVec launch), so ⌈k/per⌉ ciphertexts cross the
-// wire, with a 4-byte value count when a ciphertext carries more than one and
-// a 4-byte stride when s > 1; the decryptor derives the blocks from the
-// stride and its key, and decrypts once per ciphertext. The batches built
-// here go back to the pool once decrypted; cts stay the caller's.
+// wire. The request is one frame on route.Net: the stride and the value
+// count, a little-endian uint32 each, then the ciphertext batch. The
+// decryptor builds the layout from the stride it decoded and its own key
+// (parseRequest), decrypts the ciphertexts it decoded once each, and replies
+// through SendValues. A packed batch built here goes back to the pool once
+// framed; cts stay the caller's.
 //
 // bounds[i] is the exact interval the party can prove sum i opens in, below
 // 2^64, which is what makes the packing carry-safe: no sum can reach into its
@@ -294,23 +299,21 @@ func (c *Context) OpenBroadcastSums(route ReturnRoute, cts []paillier.Ciphertext
 	if err != nil {
 		return nil, err
 	}
-	request := c.CiphertextWireBytes(len(packed))
-	if l.Per() > 1 {
-		request += 4 // the value count; one value a ciphertext implies it
+	var head [requestHeader]byte
+	binary.LittleEndian.PutUint32(head[:], uint32(s))
+	binary.LittleEndian.PutUint32(head[4:], uint32(len(cts)))
+	frame := frameCiphertexts(head[:], packed)
+	if len(packed) != len(cts) { // a batch of this call's own, dead once framed
+		ReleaseCiphertexts(packed)
 	}
-	if s > 1 {
-		request += 4 // the stride
-	}
-	c.Send(route.Party, route.Decryptor, route.Kind, request)
-	vals, err := c.decryptSlots(packed, len(cts), l)
+	vals, err := exchange(c, route.Net, route.Party, route.Decryptor, route.Kind, frame, c.openRequest)
 	if err != nil {
 		return nil, err
 	}
-	if len(packed) != len(cts) { // a batch of this call's own, dead once decrypted
-		ReleaseCiphertexts(packed)
-	}
 	if route.ReplyKind != "" {
-		c.Send(route.Decryptor, route.Party, route.ReplyKind, int64(8*len(vals)))
+		if vals, err = c.SendValues(route.Net, route.Decryptor, route.Party, route.ReplyKind, vals); err != nil {
+			return nil, err
+		}
 	}
 	for i, v := range vals {
 		if v < bounds[i].Lo || v > bounds[i].Hi {
@@ -367,11 +370,96 @@ func (c *Context) shiftPack(cts []paillier.Ciphertext, slots, slotBits int) (pac
 	return packed, err
 }
 
-// Send charges one modelled protocol message of payloadBytes from one party
-// to another to the communication component, at its framed size. Nothing
-// travels: the message is weighed, never read.
-func (c *Context) Send(from, to, kind string, payloadBytes int64) {
-	c.RecordTransfer(flnet.Message{From: from, To: to, Kind: kind}.WireSize() + payloadBytes)
+// requestHeader is what a return-path request carries ahead of its
+// ciphertext batch: the stride and the value count, a little-endian uint32
+// each.
+const requestHeader = 8
+
+// parseRequest is the decryptor's read of a return-path request under its own
+// plaintext width and profile: the layout of the stride the request names,
+// the value count, and the ciphertext batch behind them. A frame too short
+// for the header and the batch's count, a stride outside [1, maxStride], and
+// a value count the batch's ciphertexts cannot carry (over batch.ErrCount)
+// reject with ErrSlotCorrupt.
+func parseRequest(b []byte, plainBits int, packed bool) (l batch.Layout, count int, body []byte, err error) {
+	if len(b) < requestHeader+4 {
+		return batch.Layout{}, 0, nil, fmt.Errorf("%w: a request of %d bytes", ErrSlotCorrupt, len(b))
+	}
+	if l, err = strideLayout(plainBits, int(binary.LittleEndian.Uint32(b)), packed); err != nil {
+		return batch.Layout{}, 0, nil, err
+	}
+	count, body = int(binary.LittleEndian.Uint32(b[4:])), b[requestHeader:]
+	if cts := int(binary.LittleEndian.Uint32(body)); count < 1 || l.Plaintexts(count) != cts {
+		return batch.Layout{}, 0, nil, fmt.Errorf("%w: %w: %d values in %d ciphertexts of %d",
+			ErrSlotCorrupt, batch.ErrCount, count, cts, l.Per())
+	}
+	return l, count, body, nil
+}
+
+// openRequest is the decryptor's side of a return-path request: the
+// ciphertexts it decoded, decrypted once each and split in the layout and
+// value count the request names.
+func (c *Context) openRequest(b []byte) ([]uint64, error) {
+	l, count, body, err := parseRequest(b, c.plainBits(), c.Profile.UseBatch())
+	if err != nil {
+		return nil, err
+	}
+	cts, err := DecodeCiphertexts(body)
+	if err != nil {
+		return nil, fmt.Errorf("fl: return-path request: %w", err)
+	}
+	vals, err := c.decryptSlots(cts, count, l)
+	ReleaseCiphertexts(cts)
+	return vals, err
+}
+
+// ErrMisrouted reports a vertical exchange whose destination received a
+// message from another sender, or of another kind, than the one sent.
+var ErrMisrouted = errors.New("fl: vertical message misrouted")
+
+// exchange is the one path a vertical message takes: payload, a frame of the
+// arena's, is delivered from one party to another on tr (deliver, which
+// charges its WireSize) and received at its destination, which must read it
+// from that sender and of that kind (ErrMisrouted), decodes it and hands the
+// frame back to the arena. It returns what the destination decoded. A frame
+// that was not delivered goes back to the arena here.
+func exchange[T any](c *Context, tr flnet.Transport, from, to, kind string, payload []byte, decode func([]byte) (T, error)) (got T, err error) {
+	if err = c.deliver(tr, flnet.Message{From: from, To: to, Kind: kind, Payload: payload}); err != nil {
+		releaseFrame(payload)
+		return got, fmt.Errorf("fl: %s from %s to %s: %w", kind, from, to, err)
+	}
+	msg, err := tr.RecvTimeout(to, -1) // delivered, so already queued
+	if err != nil {
+		return got, fmt.Errorf("fl: %s at %s: %w", kind, to, err)
+	}
+	if msg.From != from || msg.Kind != kind {
+		return got, fmt.Errorf("%w: %s received %q from %s, sent %q from %s", ErrMisrouted, to, msg.Kind, msg.From, kind, from)
+	}
+	got, err = decode(msg.Payload)
+	releaseFrame(msg.Payload)
+	return got, err
+}
+
+// SendCiphertexts is the ciphertext exchange of the vertical protocols: cts
+// framed as EncodeCiphertexts frames them, exchanged from one party to
+// another on tr, and decoded at the destination into a batch of paillier's
+// pool — the receiver's copy, which it returns and whoever retires it hands
+// back with ReleaseCiphertexts. cts stay the caller's.
+func (c *Context) SendCiphertexts(tr flnet.Transport, from, to, kind string, cts []paillier.Ciphertext) ([]paillier.Ciphertext, error) {
+	return exchange(c, tr, from, to, kind, frameCiphertexts(nil, cts), DecodeCiphertexts)
+}
+
+// SendValues is the plaintext exchange of the vertical protocols: vals as
+// fixed-width little-endian uint64s (flnet.AppendUint64s; a float travels as
+// its math.Float64bits), exchanged from one party to another on tr and
+// decoded at the destination, exactly len(vals) of them, into vals' own
+// array: the sender's copy is dead once framed, so what the caller holds
+// afterwards is the receiver's.
+func (c *Context) SendValues(tr flnet.Transport, from, to, kind string, vals []uint64) ([]uint64, error) {
+	frame := flnet.AppendUint64s(arena.frames.Get(8 * len(vals))[:0], vals)
+	return exchange(c, tr, from, to, kind, frame, func(b []byte) ([]uint64, error) {
+		return flnet.DecodeUint64sInto(vals, b, len(vals))
+	})
 }
 
 // addCiphertexts is the charged pairwise homomorphic addition of two batches;

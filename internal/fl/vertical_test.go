@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"math/big"
@@ -310,13 +311,16 @@ func TestOpenSumsMatchesDecryptRaw(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			route := ReturnRoute{Party: "host", Decryptor: "arbiter", Kind: "sums", ReplyKind: "plain"}
+			rec := &openedPlaintexts{Backend: ctx.Backend}
+			ctx.Backend = rec
+			route := ReturnRoute{Net: returnNet(ctx), Party: "host", Decryptor: "arbiter", Kind: "sums", ReplyKind: "plain"}
 			for _, k := range counts {
 				want, err := ctx.DecryptRaw(all[:k])
 				if err != nil {
 					t.Fatal(err)
 				}
 				before := ctx.Costs.Snapshot()
+				rec.trim = 0
 				got, err := ctx.OpenBroadcastSums(route, all[:k], bounds[:k], 1)
 				if err != nil {
 					t.Fatalf("%s/%d bits/%d sums: %v", name, keyBits, k, err)
@@ -337,11 +341,11 @@ func TestOpenSumsMatchesDecryptRaw(t *testing.T) {
 					}
 					continue
 				}
+				// The ciphertexts, their 4-byte count and the 8-byte header (stride,
+				// value count), less the leading zero bytes the codec trims.
 				packed := (k + slots - 1) / slots
-				request := flnet.Message{From: "host", To: "arbiter", Kind: "sums"}.WireSize() + ctx.CiphertextWireBytes(packed)
-				if slots > 1 {
-					request += 4
-				}
+				request := flnet.Message{From: "host", To: "arbiter", Kind: "sums"}.WireSize() +
+					ctx.CiphertextWireBytes(packed) + 4 + requestHeader - rec.trim
 				reply := flnet.Message{From: "arbiter", To: "host", Kind: "plain"}.WireSize() + int64(8*k)
 				if msgs, bytes := after.CommMsgs-before.CommMsgs, after.CommBytes-before.CommBytes; msgs != 2 || bytes != request+reply {
 					t.Fatalf("%s/%d bits/%d sums: %d messages of %d bytes, want 2 of %d", name, keyBits, k, msgs, bytes, request+reply)
@@ -374,7 +378,7 @@ func TestOpenSumsUnpackedWithoutCompression(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := ctx.Costs.Snapshot()
-		got, err := ctx.OpenBroadcastSums(ReturnRoute{Party: "host", Decryptor: "guest", Kind: "hist"}, cts, bounds, 1)
+		got, err := ctx.OpenBroadcastSums(ReturnRoute{Net: returnNet(ctx), Party: "host", Decryptor: "guest", Kind: "hist"}, cts, bounds, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +388,8 @@ func TestOpenSumsUnpackedWithoutCompression(t *testing.T) {
 			}
 		}
 		after := ctx.Costs.Snapshot()
-		want := flnet.Message{From: "host", To: "guest", Kind: "hist"}.WireSize() + ctx.CiphertextWireBytes(len(cts))
+		want := flnet.Message{From: "host", To: "guest", Kind: "hist"}.WireSize() +
+			ctx.CiphertextWireBytes(len(cts)) + 4 + requestHeader - trimmed(ctx, cts)
 		if after.CommMsgs-before.CommMsgs != 1 || after.CommBytes-before.CommBytes != want {
 			t.Fatalf("%s: %d messages of %d bytes, want one of %d (no reply kind, one ciphertext a sum)",
 				sys, after.CommMsgs-before.CommMsgs, after.CommBytes-before.CommBytes, want)
@@ -399,7 +404,7 @@ func TestOpenSumsRejectsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	route := ReturnRoute{Party: "host", Decryptor: "arbiter", Kind: "sums", ReplyKind: "plain"}
+	route := ReturnRoute{Net: returnNet(ctx), Party: "host", Decryptor: "arbiter", Kind: "sums", ReplyKind: "plain"}
 
 	// A bound that does not fit a slot — either sign side at 2^63 — fails
 	// where it is derived, before anything is packed or sent.
@@ -562,4 +567,88 @@ func FuzzSplitSlots(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzReturnRequest feeds arbitrary bytes to the decryptor's read of a
+// return-path request (parseRequest) under a key size, with batch compression
+// on or off. It never panics and a reject is ErrSlotCorrupt; an accepted
+// request names a stride in [1, maxStride], the layout built from it and a
+// value count its batch's ciphertexts carry, and the batch is the bytes
+// behind the 8-byte header.
+func FuzzReturnRequest(f *testing.F) {
+	request := func(s, count uint32, cts int) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, s)
+		b = binary.LittleEndian.AppendUint32(b, count)
+		nats := make([]mpint.Nat, cts)
+		for i := range nats {
+			nats[i] = mpint.FromUint64(uint64(i) + 1)
+		}
+		return flnet.AppendNats(b, nats)
+	}
+	f.Add(request(1, 3, 1), uint16(256), true)     // s = 1: three 64-bit slots a ciphertext
+	f.Add(request(5, 8, 8), uint16(1024), true)    // s = 5: one 945-bit block a ciphertext
+	f.Add(request(1, 3, 1)[:6], uint16(256), true) // a truncated header
+	f.Add(request(0, 1, 1), uint16(1024), true)
+	f.Add(request(uint32(maxStride(1023, true)+1), 1, 1), uint16(1024), true)
+	f.Add(request(2, 1, 1), uint16(1024), false)    // a stride without batch compression
+	f.Add(request(1, 4, 1), uint16(256), true)      // a count one ciphertext cannot carry
+	f.Add(request(1, 1, 1)[:13], uint16(256), true) // not a multiple of 8
+	f.Fuzz(func(t *testing.T, b []byte, keyBits uint16, packed bool) {
+		plainBits := int(keyBits) - 1
+		l, count, body, err := parseRequest(b, plainBits, packed)
+		if err != nil {
+			if !errors.Is(err, ErrSlotCorrupt) {
+				t.Fatalf("untyped reject: %v", err)
+			}
+			return
+		}
+		s := int(binary.LittleEndian.Uint32(b))
+		if s < 1 || s > maxStride(plainBits, packed) {
+			t.Fatalf("accepted a stride of %d in %d-bit plaintexts (batch compression %t)", s, plainBits, packed)
+		}
+		if want, _ := strideLayout(plainBits, s, packed); l != want {
+			t.Fatalf("stride %d: layout %+v, want %+v", s, l, want)
+		}
+		if count != int(binary.LittleEndian.Uint32(b[4:])) || count < 1 || l.Plaintexts(count) != int(binary.LittleEndian.Uint32(body)) {
+			t.Fatalf("accepted %d values for a batch of %d ciphertexts of %d", count, binary.LittleEndian.Uint32(body), l.Per())
+		}
+		if len(body) != len(b)-requestHeader || &body[0] != &b[requestHeader] {
+			t.Fatalf("the batch is not the %d bytes behind the header", len(b)-requestHeader)
+		}
+	})
+}
+
+// relabel rewrites the sender and kind of every frame it carries.
+type relabel struct {
+	flnet.Transport
+	from, kind string
+}
+
+func (r relabel) Send(msg flnet.Message) error {
+	msg.From, msg.Kind = r.from, r.kind
+	return r.Transport.Send(msg)
+}
+
+// TestExchangeRejectsMisrouted: a vertical message its destination reads
+// from another sender or of another kind is ErrMisrouted, never decoded; one
+// to a party the transport does not know is the transport's error, charged
+// nothing.
+func TestExchangeRejectsMisrouted(t *testing.T) {
+	ctx, err := NewContext(testProfile(SystemFLBooster))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []relabel{{from: "guest", kind: "plain"}, {from: "arbiter", kind: "hist"}} {
+		r.Transport = returnNet(ctx)
+		if _, err := ctx.SendValues(r, "arbiter", "host", "plain", []uint64{1, 2}); !errors.Is(err, ErrMisrouted) {
+			t.Fatalf("a frame relabelled %q from %s: %v, want ErrMisrouted", r.kind, r.from, err)
+		}
+	}
+	before := ctx.Costs.Snapshot()
+	if _, err := ctx.SendValues(returnNet(ctx), "arbiter", "nobody", "plain", []uint64{1}); err == nil {
+		t.Fatal("a frame to an unknown party was delivered")
+	}
+	if after := ctx.Costs.Snapshot(); after.CommMsgs != before.CommMsgs || after.CommBytes != before.CommBytes {
+		t.Fatalf("an undelivered frame was charged: %d messages, %d bytes", after.CommMsgs-before.CommMsgs, after.CommBytes-before.CommBytes)
+	}
 }

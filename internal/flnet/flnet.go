@@ -25,6 +25,10 @@ var ErrTimeout = errors.New("flnet: receive timed out")
 // IsTimeout reports whether err is a receive-deadline expiry.
 func IsTimeout(err error) bool { return errors.Is(err, ErrTimeout) }
 
+// ErrMalformed is returned (wrapped) by DecodeUint64sInto for a payload that
+// is not exactly the values asked for.
+var ErrMalformed = errors.New("flnet: malformed payload")
+
 // Link models one network link.
 type Link struct {
 	// BandwidthBps is the link bandwidth in bits per second.
@@ -358,6 +362,29 @@ func DecodeNatsInto(dst []mpint.Nat, b []byte) ([]mpint.Nat, error) {
 	}
 	if len(b) != 0 {
 		return nil, fmt.Errorf("flnet: %d trailing bytes after nat batch", len(b))
+	}
+	return out, nil
+}
+
+// AppendUint64s appends v to dst as fixed-width little-endian uint64s, 8
+// bytes a value: the count is the payload's length over 8, not a header.
+func AppendUint64s(dst []byte, v []uint64) []byte {
+	for _, x := range v {
+		dst = binary.LittleEndian.AppendUint64(dst, x)
+	}
+	return dst
+}
+
+// DecodeUint64sInto parses exactly n values framed by AppendUint64s into
+// dst[:0], growing it only when its capacity is short. A length that is not
+// a multiple of 8, or that carries other than n values, is ErrMalformed.
+func DecodeUint64sInto(dst []uint64, b []byte, n int) ([]uint64, error) {
+	if len(b)%8 != 0 || len(b)/8 != n {
+		return nil, fmt.Errorf("%w: %d bytes for %d 8-byte values", ErrMalformed, len(b), n)
+	}
+	out := dst[:0]
+	for ; len(b) > 0; b = b[8:] {
+		out = append(out, binary.LittleEndian.Uint64(b))
 	}
 	return out, nil
 }

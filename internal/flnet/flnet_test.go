@@ -1,7 +1,10 @@
 package flnet
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -448,6 +451,36 @@ func FuzzDecodeNats(f *testing.F) {
 		}
 		if slab[len(slab)-1] != guard {
 			t.Fatal("a decode wrote past the last slot")
+		}
+	})
+}
+
+// FuzzDecodeUint64s throws arbitrary bytes and counts at the fixed-width
+// decoder every vertical plaintext reply passes through, DecodeUint64sInto.
+// It never panics; a reject is ErrMalformed carrying no values, and exactly
+// the inputs that are not n 8-byte values are rejected; an accept is n values
+// that re-encode to the input.
+func FuzzDecodeUint64s(f *testing.F) {
+	f.Add(AppendUint64s(nil, []uint64{1<<63 + 5, 1<<63 - 7, 1}), 3) // a reply at s = 1
+	f.Add(AppendUint64s(nil, []uint64{0, 1, 1 << 63, math.MaxUint64, 42, 7, 8, 9}), 8)
+	f.Add([]byte{1, 2, 3}, 1) // truncated
+	f.Add([]byte{}, 0)
+	f.Add(make([]byte, 9), 1) // not a multiple of 8
+	f.Add(make([]byte, 16), 1)
+	f.Add(make([]byte, 8), -1)
+	f.Fuzz(func(t *testing.T, b []byte, n int) {
+		got, err := DecodeUint64sInto(nil, b, n)
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) || got != nil {
+				t.Fatalf("reject (%v) is not ErrMalformed or returned %d values", err, len(got))
+			}
+			if len(b)%8 == 0 && len(b)/8 == n {
+				t.Fatalf("rejected %d well-formed values: %v", n, err)
+			}
+			return
+		}
+		if len(got) != n || !bytes.Equal(AppendUint64s(nil, got), b) {
+			t.Fatalf("%d bytes decoded to %d values, asked for %d, re-encoding to other bytes", len(b), len(got), n)
 		}
 	})
 }

@@ -61,14 +61,21 @@ type verticalGolden struct {
 // one signed integer and one rounding (weightedSums.open), with bytes,
 // messages, opened count and hash unmoved; then their bytes, opened count and
 // hash when the return path began to carry one signed sum a feature, with
-// every loss bit and message unmoved. The SBT rows never moved.
+// every loss bit and message unmoved. The SBT rows never moved until the
+// last re-record: the bytes of every row, when each message became a frame
+// on a transport instead of a declared size, with every loss bit, message,
+// opened count and hash unmoved. Each row's delta is 4 B a ciphertext frame
+// (the batch's count), 8 B a return-path request under batch compression and
+// 12 B one without (the 8-byte stride and value count, less the 4-byte count
+// the packed requests declared), less the leading zero bytes the codec leaves
+// off ciphertexts below 2^(8·(bytes−1)), which the declared sizes counted.
 var verticalGoldens = []verticalGolden{
-	{"Hetero LR", fl.SystemFLBooster, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 33772, 56, 24, "1e827b2298c53814ef0e6523aa6a05b1"},
-	{"Hetero LR", fl.SystemHAFLO, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 66092, 56, 152, "22e8ac141e3ab27b7422aab7677f7d6e"},
-	{"Hetero NN", fl.SystemFLBooster, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 93528, 56, 52, "4f3af6f539324d1f5c7c542eddddaaec"},
-	{"Hetero NN", fl.SystemHAFLO, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 193576, 56, 456, "7f148fb5887b9c88389681a84be7f933"},
-	{"Hetero SBT", fl.SystemFLBooster, [2]uint64{0x3fe1c109591d82ef, 0x3fddaa5913612c52}, 47563, 101, 218, "5f2eb35667f83ee8571543d98e8e914c"},
-	{"Hetero SBT", fl.SystemHAFLO, [2]uint64{0x3fe1c109591d82ef, 0x3fddaa5913612c52}, 137259, 101, 1158, "362fa9090bf20b2510b83d81d7fa250f"},
+	{"Hetero LR", fl.SystemFLBooster, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 33979, 56, 24, "1e827b2298c53814ef0e6523aa6a05b1"},    // 28·4 + 12·8 − 1
+	{"Hetero LR", fl.SystemHAFLO, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 66343, 56, 152, "22e8ac141e3ab27b7422aab7677f7d6e"},       // 28·4 + 12·12 − 5
+	{"Hetero NN", fl.SystemFLBooster, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 93716, 56, 52, "4f3af6f539324d1f5c7c542eddddaaec"},    // 28·4 + 12·8 − 20
+	{"Hetero NN", fl.SystemHAFLO, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 193789, 56, 456, "7f148fb5887b9c88389681a84be7f933"},      // 28·4 + 12·12 − 43
+	{"Hetero SBT", fl.SystemFLBooster, [2]uint64{0x3fe1c109591d82ef, 0x3fddaa5913612c52}, 48245, 101, 218, "5f2eb35667f83ee8571543d98e8e914c"}, // 6·4 + 84·8 − 14
+	{"Hetero SBT", fl.SystemHAFLO, [2]uint64{0x3fe1c109591d82ef, 0x3fddaa5913612c52}, 138280, 101, 1158, "362fa9090bf20b2510b83d81d7fa250f"},   // 6·4 + 84·12 − 11
 }
 
 // packedGoldens are Hetero LR and NN at 1,024 bits, where the packed
@@ -79,12 +86,14 @@ var verticalGoldens = []verticalGolden{
 // one a ciphertext under every profile; the FLBooster row's bytes, opened
 // count and hash were re-recorded once, when the stride rule began to pick
 // NN's broadcast too (s = 5 over its 96-row minibatches), with every loss
-// bit and message unmoved.
+// bit and message unmoved. Every row's bytes were re-recorded with
+// verticalGoldens', by the same rule: a packed request here is s = 5 at one
+// value a ciphertext, which declared its 4-byte stride, so it gains 8 B too.
 var packedGoldens = []verticalGolden{
-	{"Hetero LR", fl.SystemFLBooster, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 35820, 56, 28, "dfb3683087a26e9cdb65dfc32da0c921"},
-	{"Hetero LR", fl.SystemHAFLO, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 242732, 56, 152, "baa97ec5e58484e56896822c1927b97e"},
-	{"Hetero NN", fl.SystemFLBooster, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 95384, 56, 80, "be2f874fd2e0cf5555eda76f79e0b512"},
-	{"Hetero NN", fl.SystemHAFLO, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 723496, 56, 456, "7585c7f8e9fbf309079fde9dae3ec4cc"},
+	{"Hetero LR", fl.SystemFLBooster, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 36028, 56, 28, "dfb3683087a26e9cdb65dfc32da0c921"}, // 28·4 + 12·8
+	{"Hetero LR", fl.SystemHAFLO, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 242982, 56, 152, "baa97ec5e58484e56896822c1927b97e"},   // 28·4 + 12·12 − 6
+	{"Hetero NN", fl.SystemFLBooster, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 95591, 56, 80, "be2f874fd2e0cf5555eda76f79e0b512"}, // 28·4 + 12·8 − 1
+	{"Hetero NN", fl.SystemHAFLO, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 723734, 56, 456, "7585c7f8e9fbf309079fde9dae3ec4cc"},   // 28·4 + 12·12 − 18
 }
 
 // TestVerticalGoldens holds the three vertical models to the recorded rows at

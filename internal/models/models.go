@@ -34,9 +34,9 @@ type Model interface {
 	TrainEpoch() (float64, error)
 	// Loss computes the current global training loss without updating.
 	Loss() float64
-	// Close releases what the model holds: Homo LR's federation transport.
-	// The vertical models charge their messages without a transport, and
-	// theirs, like a plaintext oracle's, releases nothing.
+	// Close releases what the model holds: Homo LR's federation transport,
+	// the transport a vertical model's parties exchange frames on. A
+	// plaintext oracle's releases nothing.
 	Close() error
 }
 

@@ -1,6 +1,7 @@
 package models
 
 import (
+	"bytes"
 	"testing"
 
 	"flbooster/internal/datasets"
@@ -61,16 +62,73 @@ func TestHeteroLossIdenticalAcrossProfiles(t *testing.T) {
 // uploads and one aggregate of PlaintextCount(n) ciphertexts, 8n bytes of
 // plaintext scores, P−1 residual broadcasts of ⌈n/s⌉ ciphertexts, and per
 // host one return-path request of ⌈dim/per⌉ ciphertexts, one signed sum a
-// feature — per the 64-bit
-// slots that fit at s = 1, the blocks of 2s−1 W-bit slots above — plus the
-// 4-byte count when per > 1 and the 4-byte stride when s > 1, answered by 8
-// bytes a sum. The guest sends no gradient at all. If the broadcast or the
-// return path stops packing, or the guest goes back through the arbiter, the
-// byte or message count moves.
+// feature — per the 64-bit slots that fit at s = 1, the blocks of 2s−1 W-bit
+// slots above — behind its 8-byte header (stride and value count), answered
+// by 8 bytes a sum. Every ciphertext batch is framed with its 4-byte count,
+// and the codec leaves off a ciphertext's leading zero bytes, which the
+// frames' log adds up (trimmed). The guest sends no gradient at all. If the
+// broadcast or the return path stops packing, or the guest goes back through
+// the arbiter, the byte or message count moves.
 func TestHeteroLRWireBudget(t *testing.T) {
 	for _, keyBits := range []int{returnKeyBits, 1024} {
 		wireBudget(t, keyBits)
 	}
+}
+
+// frameLog records every frame a vertical model's parties exchange, with a
+// copy of its payload: the receiver hands the frame back to be framed into
+// again.
+type frameLog struct {
+	flnet.Transport
+	sent []flnet.Message
+}
+
+func (w *frameLog) Send(msg flnet.Message) error {
+	kept := msg
+	kept.Payload = bytes.Clone(msg.Payload)
+	w.sent = append(w.sent, kept)
+	return w.Transport.Send(msg)
+}
+
+// logFrames puts a frameLog between the parties of a vertical model.
+func logFrames(t *testing.T, m Model) *frameLog {
+	t.Helper()
+	var v *vertical
+	switch m := m.(type) {
+	case *HeteroLR:
+		v = &m.vertical
+	case *HeteroNN:
+		v = &m.vertical
+	case *HeteroSBT:
+		v = &m.vertical
+	default:
+		t.Fatalf("%T is not a vertical model", m)
+	}
+	log := &frameLog{Transport: v.net}
+	v.net = log
+	return log
+}
+
+// trimmed is what the codec left off the ciphertexts the logged frames of the
+// given kinds carry, against CiphertextWireBytes: the leading zero bytes of
+// each value. at[kind] is where a kind's batch starts in its payload.
+func (w *frameLog) trimmed(t *testing.T, ctx *fl.Context, at map[string]int) int64 {
+	t.Helper()
+	var trim int64
+	for _, msg := range w.sent {
+		off, ok := at[msg.Kind]
+		if !ok {
+			continue
+		}
+		nats, err := flnet.DecodeNatsInto(nil, msg.Payload[off:])
+		if err != nil {
+			t.Fatalf("%s frame: %v", msg.Kind, err)
+		}
+		for _, x := range nats {
+			trim += int64(ctx.Key.CiphertextBytes() - (x.BitLen()+7)/8)
+		}
+	}
+	return trim
 }
 
 func wireBudget(t *testing.T, keyBits int) {
@@ -85,6 +143,7 @@ func wireBudget(t *testing.T, keyBits int) {
 			t.Fatal(err)
 		}
 		defer m.Close()
+		log := logFrames(t, m)
 		plainBits := keyBits - 1
 		if want := map[fl.System]int{fl.SystemFLBooster: plainBits / 64, fl.SystemNoBC: 1}[sys]; ctx.ReturnSlots() != want {
 			t.Fatalf("%s: %d return slots at %d bits, want %d", sys, ctx.ReturnSlots(), keyBits, want)
@@ -113,23 +172,16 @@ func wireBudget(t *testing.T, keyBits int) {
 				t.Fatalf("%s at %d bits: stride %d, want %d", sys, keyBits, s, want)
 			}
 			for p := 1; p < parties; p++ {
-				bytes += header(hostName(p), hostName(0), "scores") + ctx.CiphertextWireBytes(scoreCts)
-				bytes += header(hostName(0), hostName(p), "residuals") + ctx.CiphertextWireBytes((n+s-1)/s)
+				bytes += header(hostName(p), hostName(0), "scores") + ctx.CiphertextWireBytes(scoreCts) + 4
+				bytes += header(hostName(0), hostName(p), "residuals") + ctx.CiphertextWireBytes((n+s-1)/s) + 4
 				// Dense features: every feature has a non-zero value in every
 				// batch (checked below), so a host returns dim sums.
 				sums := m.parts[p].NumFeatures
-				request := ctx.CiphertextWireBytes((sums + per - 1) / per)
-				if per > 1 {
-					request += 4
-				}
-				if s > 1 {
-					request += 4
-				}
-				bytes += header(hostName(p), arbiterName, "grad-sums") + request
+				bytes += header(hostName(p), arbiterName, "grad-sums") + 8 + ctx.CiphertextWireBytes((sums+per-1)/per) + 4
 				bytes += header(arbiterName, hostName(p), "grad-plain") + int64(8*sums)
 				msgs += 4
 			}
-			bytes += header(hostName(0), arbiterName, "score-agg") + ctx.CiphertextWireBytes(scoreCts)
+			bytes += header(hostName(0), arbiterName, "score-agg") + ctx.CiphertextWireBytes(scoreCts) + 4
 			bytes += header(arbiterName, hostName(0), "scores-plain") + int64(8*n)
 			msgs += 2
 			for p := 1; p < parties; p++ {
@@ -149,6 +201,7 @@ func wireBudget(t *testing.T, keyBits int) {
 		if _, err := m.TrainEpoch(); err != nil {
 			t.Fatal(err)
 		}
+		bytes -= log.trimmed(t, ctx, map[string]int{"scores": 0, "score-agg": 0, "residuals": 0, "grad-sums": 8})
 		c := ctx.Costs.Snapshot()
 		if c.CommMsgs != msgs || c.CommBytes != bytes {
 			t.Fatalf("%s at %d bits: epoch sent %d messages / %d bytes, the protocol budgets %d / %d",
@@ -158,5 +211,61 @@ func wireBudget(t *testing.T, keyBits int) {
 	}
 	if perEpoch[0] >= perEpoch[1] {
 		t.Fatalf("%d bits: packed epoch %d B is not below the unpacked %d B", keyBits, perEpoch[0], perEpoch[1])
+	}
+}
+
+// TestVerticalBytesAreTheFrames: every message of a vertical epoch is a frame
+// its transport carries and its destination reads, and the communication
+// component is those frames — one message a frame, their WireSize in bytes —
+// for Hetero LR, NN and SBT at 256 and 1,024 bits, packed (FLBooster) and
+// not (HAFLO).
+func TestVerticalBytesAreTheFrames(t *testing.T) {
+	for _, model := range []string{"Hetero LR", "Hetero NN", "Hetero SBT"} {
+		for _, keyBits := range []int{returnKeyBits, 1024} {
+			for _, sys := range []fl.System{fl.SystemFLBooster, fl.SystemHAFLO} {
+				ctx := testCtxKey(t, sys, keyBits)
+				ds := denseData(t, 64, 8)
+				var (
+					m   Model
+					err error
+				)
+				switch model {
+				case "Hetero LR":
+					m, err = NewHeteroLR(ctx, ds, testOpts())
+				case "Hetero NN":
+					m, err = NewHeteroNN(ctx, ds, 3, testOpts())
+				default:
+					m, err = NewHeteroSBT(ctx, ds, testOpts())
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				log := logFrames(t, m)
+				if _, err := m.TrainEpoch(); err != nil {
+					t.Fatalf("%s on %s at %d bits: %v", model, sys, keyBits, err)
+				}
+				var bytes int64
+				for _, msg := range log.sent {
+					bytes += msg.WireSize()
+				}
+				c := ctx.Costs.Snapshot()
+				if len(log.sent) == 0 || c.CommMsgs != int64(len(log.sent)) || c.CommBytes != bytes {
+					t.Errorf("%s on %s at %d bits: charged %d messages / %d bytes, the transport carried %d frames / %d bytes",
+						model, sys, keyBits, c.CommMsgs, c.CommBytes, len(log.sent), bytes)
+				}
+				for p := range ctx.Profile.Parties + 1 {
+					name := arbiterName
+					if p < ctx.Profile.Parties {
+						name = hostName(p)
+					}
+					if msg, err := log.RecvTimeout(name, -1); !flnet.IsTimeout(err) {
+						t.Errorf("%s on %s at %d bits: %s has an unread %q frame from %s (%v)", model, sys, keyBits, name, msg.Kind, msg.From, err)
+					}
+				}
+				if err := m.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,8 @@
 package models
 
 import (
+	"fmt"
+
 	"flbooster/internal/datasets"
 	"flbooster/internal/fl"
 	"flbooster/internal/mpint"
@@ -234,31 +236,40 @@ func (m *HeteroSBT) TrainEpoch() (float64, error) {
 }
 
 // buildTree runs the SecureBoost protocol for one tree; in oracle mode the
-// hosts' histograms are plaintext and nothing is encrypted or sent.
+// hosts' histograms are plaintext and nothing is encrypted or sent. The guest
+// encrypts the (g, h) stream once a tree and sends it to every host ("gh");
+// host p builds its histograms over its own decoded copy, hostCts[p], which
+// dies with the tree, and the guest's batch once framed.
 func (m *HeteroSBT) buildTree(samples []int, g, h []float64) (*sbtNode, error) {
-	// Round setup: guest encrypts the (g, h) stream and broadcasts it.
 	n := m.full.Len()
-	var cts []paillier.Ciphertext
+	hostCts := make([][]paillier.Ciphertext, len(m.parts))
 	if m.ctx != nil {
-		var err error
-		if cts, err = m.encryptGH(g, h); err != nil {
+		cts, err := m.encryptGH(g, h)
+		if err != nil {
 			return nil, err
 		}
 		for p := 1; p < len(m.parts); p++ {
-			m.send(hostName(0), hostName(p), "gh", m.ctx.CiphertextWireBytes(len(cts)))
+			if hostCts[p], err = m.ctx.SendCiphertexts(m.net, m.names[0], m.names[p], "gh", cts); err != nil {
+				return nil, err
+			}
 		}
+		fl.ReleaseCiphertexts(cts)
 	}
-	return m.growNode(samples, g, h, cts, n, 0)
+	root, err := m.growNode(samples, g, h, hostCts, n, 0)
+	for _, cts := range hostCts {
+		fl.ReleaseCiphertexts(cts)
+	}
+	return root, err
 }
 
-func (m *HeteroSBT) growNode(samples []int, g, h []float64, cts []paillier.Ciphertext, n, depth int) (*sbtNode, error) {
+func (m *HeteroSBT) growNode(samples []int, g, h []float64, hostCts [][]paillier.Ciphertext, n, depth int) (*sbtNode, error) {
 	gTot, hTot := sumGH(samples, g, h)
 	if depth >= m.MaxDepth || len(samples) < 4 {
 		return m.leaf(gTot, hTot), nil
 	}
 	best := splitCandidate{gain: m.Gamma}
 	for p := range m.parts {
-		cand, err := m.partyBestSplit(p, samples, g, h, cts, n, gTot, hTot)
+		cand, err := m.partyBestSplit(p, samples, g, h, hostCts[p], n, gTot, hTot)
 		if err != nil {
 			return nil, err
 		}
@@ -269,20 +280,18 @@ func (m *HeteroSBT) growNode(samples []int, g, h []float64, cts []paillier.Ciphe
 	if best.gain <= m.Gamma || best.feature < 0 {
 		return m.leaf(gTot, hTot), nil
 	}
-	left, right := m.partition(best, samples)
-	if len(left) == 0 || len(right) == 0 {
-		return m.leaf(gTot, hTot), nil
-	}
-	// The split owner announces the instance partition (standard SecureBoost
-	// information flow).
-	if best.party != 0 {
-		m.send(hostName(best.party), hostName(0), "split", int64(8*len(samples)))
-	}
-	l, err := m.growNode(left, g, h, cts, n, depth+1)
+	left, right, err := m.partition(best, samples)
 	if err != nil {
 		return nil, err
 	}
-	r, err := m.growNode(right, g, h, cts, n, depth+1)
+	if len(left) == 0 || len(right) == 0 {
+		return m.leaf(gTot, hTot), nil
+	}
+	l, err := m.growNode(left, g, h, hostCts, n, depth+1)
+	if err != nil {
+		return nil, err
+	}
+	r, err := m.growNode(right, g, h, hostCts, n, depth+1)
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +369,7 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 				return best, err
 			}
 			// The guest holds the key and keeps the values: no reply.
-			route := fl.ReturnRoute{Party: hostName(p), Decryptor: hostName(0), Kind: "hist"}
+			route := fl.ReturnRoute{Net: m.net, Party: m.names[p], Decryptor: m.names[0], Kind: "hist"}
 			raws, err := m.ctx.OpenBroadcastSums(route, histCts, histBounds, 1)
 			if err != nil {
 				return best, err
@@ -452,17 +461,34 @@ func (m *HeteroSBT) featureValue(p, j, s int) float64 {
 	return v
 }
 
-// partition splits node samples by the winning candidate (missing → left).
-func (m *HeteroSBT) partition(c splitCandidate, samples []int) (left, right []int) {
-	for _, s := range samples {
-		v, ok := m.lookup(c.party, c.feature, s)
-		if !ok || v <= c.threshold {
-			left = append(left, s)
-		} else {
-			right = append(right, s)
+// partition splits node samples by the winning candidate (missing → left):
+// the owner's split, one word a sample, 0 left and 1 right. In encrypted mode
+// a host that owns a split which sends samples both ways announces it to the
+// guest (standard SecureBoost information flow), who partitions the node
+// from the split it decoded.
+func (m *HeteroSBT) partition(c splitCandidate, samples []int) (left, right []int, err error) {
+	sides, ones := make([]uint64, len(samples)), 0
+	for k, s := range samples {
+		if v, ok := m.lookup(c.party, c.feature, s); ok && v > c.threshold {
+			sides[k], ones = 1, ones+1
 		}
 	}
-	return left, right
+	if c.party != 0 && m.ctx != nil && ones > 0 && ones < len(samples) {
+		if sides, err = m.ctx.SendValues(m.net, m.names[c.party], m.names[0], "split", sides); err != nil {
+			return nil, nil, err
+		}
+	}
+	for k, s := range samples {
+		switch sides[k] {
+		case 0:
+			left = append(left, s)
+		case 1:
+			right = append(right, s)
+		default:
+			return nil, nil, fmt.Errorf("models: party %d's split puts sample %d on side %d", c.party, s, sides[k])
+		}
+	}
+	return left, right, nil
 }
 
 // predictTree traverses one tree for sample i.

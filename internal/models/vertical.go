@@ -2,9 +2,11 @@ package models
 
 import (
 	"fmt"
+	"math"
 
 	"flbooster/internal/datasets"
 	"flbooster/internal/fl"
+	"flbooster/internal/flnet"
 )
 
 // Party names for the vertical topology: the guest is party0, the hosts
@@ -15,18 +17,24 @@ func hostName(p int) string { return fmt.Sprintf("party%d", p) }
 
 // vertical is the skeleton the three Hetero models share: the options, the
 // feature slices of a vertical partition (party 0, the guest, holds the
-// labels), and in encrypted mode the context that charges every message
-// between the parties and the arbiter. With a nil context it is the plaintext
-// oracle's skeleton: the same partition, send a no-op and secureSum a
-// plaintext sum.
+// labels), and in encrypted mode the context and the transport every message
+// between the parties and the arbiter crosses as a frame. With a nil context
+// it is the plaintext oracle's skeleton: the same partition, no wire, and
+// secureSum a plaintext sum.
 type vertical struct {
 	opts  Options
 	ctx   *fl.Context // nil in plaintext-oracle mode
 	parts []*datasets.Dataset
 	full  *datasets.Dataset
+	// net has one endpoint a party, names[p], and the arbiter's; nil in
+	// oracle mode.
+	net   flnet.Transport
+	names []string
 	// weighted is each host's homomorphic gradient step (hostSteps), kept
-	// across minibatches; the guest's, p = 0, is unused.
+	// across minibatches; the guest's, p = 0, is unused. words is the
+	// plaintext reply secureSum's arbiter frames.
 	weighted []weightedSums
+	words    []uint64
 }
 
 // fixedPoint is F, the fixed-point scale of the feature values that weigh a
@@ -35,7 +43,8 @@ type vertical struct {
 const fixedPoint = 128.0
 
 // newVertical checks opts and partitions ds across the context's parties —
-// opts.Parties in oracle mode — for the named model.
+// opts.Parties in oracle mode — for the named model, and in encrypted mode
+// opens the transport between them and the arbiter.
 func newVertical(ctx *fl.Context, ds *datasets.Dataset, opts Options, model string) (vertical, error) {
 	if err := opts.validate(); err != nil {
 		return vertical{}, err
@@ -48,15 +57,14 @@ func newVertical(ctx *fl.Context, ds *datasets.Dataset, opts Options, model stri
 	if err != nil {
 		return vertical{}, fmt.Errorf("models: %s partition: %w", model, err)
 	}
-	return vertical{opts: opts, ctx: ctx, parts: parts, full: ds, weighted: make([]weightedSums, len(parts))}, nil
-}
-
-// send charges one protocol message to the context's communication
-// component; in oracle mode there is no wire.
-func (v *vertical) send(from, to, kind string, payloadBytes int64) {
-	if v.ctx != nil {
-		v.ctx.Send(from, to, kind, payloadBytes)
+	v := vertical{opts: opts, ctx: ctx, parts: parts, full: ds, weighted: make([]weightedSums, len(parts))}
+	if ctx != nil {
+		for p := range parts {
+			v.names = append(v.names, hostName(p))
+		}
+		v.net = flnet.NewSimTransport(ctx.Link, append(v.names, arbiterName)...)
 	}
+	return v, nil
 }
 
 // track runs fn as model computation, timed as the context's "other"
@@ -69,8 +77,13 @@ func (v *vertical) track(fn func()) {
 	v.ctx.TrackOther(fn)
 }
 
-// Close releases nothing: the messages are charged, not sent.
-func (v *vertical) Close() error { return nil }
+// Close closes the transport; in oracle mode there is none.
+func (v *vertical) Close() error {
+	if v.net == nil {
+		return nil
+	}
+	return v.net.Close()
+}
 
 // sumVecs is the plaintext elementwise sum of the parties' vectors, party 0
 // first.
@@ -87,14 +100,15 @@ func sumVecs(vecs [][]float64) []float64 {
 // secureSum is the aggregatable flow (Hetero LR's partial scores, Hetero NN's
 // interactive layer): every party encrypts its vector, divided by scale and
 // clamped into the quantizer's interval — packed under batch compression —
-// the hosts send theirs to the guest (kind), the guest folds them
-// homomorphically, party 0 first, through an unbounded aggregation tree
-// (Context.NewAggTree(0), the flat left fold every round folds through), and
-// forwards the aggregate to the arbiter (aggKind), and the arbiter decrypts
-// and returns the plaintext sum (replyKind), which comes back multiplied by
-// scale. Each party's batch is folded as it arrives and dies once the tree
-// has it, each running sum at the next fold, the aggregate once decrypted.
-// In oracle mode it is the exact sum, unscaled.
+// the hosts send theirs to the guest (kind), the guest folds the batches it
+// decoded homomorphically, party 0 first, through an unbounded aggregation
+// tree (Context.NewAggTree(0), the flat left fold every round folds through),
+// and forwards the aggregate to the arbiter (aggKind), and the arbiter
+// decrypts what it decoded and returns the plaintext sum (replyKind, a
+// float's bits a value), which comes back multiplied by scale. Each batch
+// dies once framed, or once the tree has it, each running sum at the next
+// fold, the aggregate once decrypted. In oracle mode it is the exact sum,
+// unscaled.
 func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, aggKind, replyKind string) ([]float64, error) {
 	if v.ctx == nil {
 		return sumVecs(vecs), nil
@@ -113,7 +127,12 @@ func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, aggKind, rep
 			return nil, fmt.Errorf("models: party %d %s encrypt: %w", p, kind, err)
 		}
 		if p != 0 {
-			v.send(hostName(p), hostName(0), kind, v.ctx.CiphertextWireBytes(len(cts)))
+			got, err := v.ctx.SendCiphertexts(v.net, v.names[p], v.names[0], kind, cts)
+			fl.ReleaseCiphertexts(cts)
+			if err != nil {
+				return nil, err
+			}
+			cts = got
 		}
 		err = tree.Add(cts)
 		fl.ReleaseCiphertexts(cts) // the tree copied or summed it
@@ -125,15 +144,25 @@ func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, aggKind, rep
 	if err != nil {
 		return nil, err
 	}
-	v.send(hostName(0), arbiterName, aggKind, v.ctx.CiphertextWireBytes(len(agg)))
-	sum, err := v.ctx.DecryptAggregated(agg, len(vecs[0]), len(vecs))
+	got, err := v.ctx.SendCiphertexts(v.net, v.names[0], arbiterName, aggKind, agg)
+	fl.ReleaseCiphertexts(agg)
 	if err != nil {
 		return nil, err
 	}
-	fl.ReleaseCiphertexts(agg)
-	v.send(arbiterName, hostName(0), replyKind, int64(8*len(sum)))
-	for i := range sum {
-		sum[i] *= scale
+	sum, err := v.ctx.DecryptAggregated(got, len(vecs[0]), len(vecs))
+	if err != nil {
+		return nil, err
+	}
+	fl.ReleaseCiphertexts(got)
+	v.words = v.words[:0]
+	for _, x := range sum {
+		v.words = append(v.words, math.Float64bits(x))
+	}
+	if v.words, err = v.ctx.SendValues(v.net, arbiterName, v.names[0], replyKind, v.words); err != nil {
+		return nil, err
+	}
+	for i, w := range v.words { // the guest's copy, into the arbiter's dead slice
+		sum[i] = math.Float64frombits(w) * scale
 	}
 	return sum, nil
 }
@@ -146,7 +175,8 @@ func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, aggKind, rep
 // value count and each host's units × features sums — and sends them to every
 // host (kind). Each host weighs them into one signed sum a (unit, feature),
 // Σᵢ E(v_{iu})^(σᵢⱼx̃ᵢⱼ) laid out unit by unit, and opens the sums through the
-// arbiter (sumKind, replyKind; weightedSums.open). step gets each host's
+// arbiter (sumKind, replyKind; weightedSums.open), each host over its own
+// decoded copy of the broadcast. step gets each host's
 // totals in fixed-point units, nil when no sum had a term, and is timed as
 // model computation.
 func (v *vertical) hostSteps(vals []float64, units, lo, hi int, kind, sumKind, replyKind string, step func(p int, totals []float64)) error {
@@ -161,9 +191,10 @@ func (v *vertical) hostSteps(vals []float64, units, lo, hi int, kind, sumKind, r
 		return err
 	}
 	for p := 1; p < len(v.parts); p++ {
-		v.send(hostName(0), hostName(p), kind, v.ctx.CiphertextWireBytes(len(encV)))
-	}
-	for p := 1; p < len(v.parts); p++ {
+		hostV, err := v.ctx.SendCiphertexts(v.net, v.names[0], v.names[p], kind, encV)
+		if err != nil {
+			return err
+		}
 		part, ws := v.parts[p], &v.weighted[p]
 		dim := part.NumFeatures
 		sums := ws.reset(units * dim)
@@ -177,8 +208,9 @@ func (v *vertical) hostSteps(vals []float64, units, lo, hi int, kind, sumKind, r
 				}
 			}
 		}
-		route := fl.ReturnRoute{Party: hostName(p), Decryptor: arbiterName, Kind: sumKind, ReplyKind: replyKind}
-		totals, err := ws.open(v.ctx, route, encV, s)
+		route := fl.ReturnRoute{Net: v.net, Party: v.names[p], Decryptor: arbiterName, Kind: sumKind, ReplyKind: replyKind}
+		totals, err := ws.open(v.ctx, route, hostV, s)
+		fl.ReleaseCiphertexts(hostV)
 		if err != nil {
 			return fmt.Errorf("models: party %d gradient: %w", p, err)
 		}
