@@ -64,7 +64,7 @@ func TestAggTreeRootMatchesFlatFold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(EncodeCiphertexts(root), EncodeCiphertexts(flat)) {
+		if !bytes.Equal(encodeCiphertexts(root), encodeCiphertexts(flat)) {
 			t.Fatalf("%d leaves: tree root diverged from the flat fold", leaves)
 		}
 		st := tree.Stats()
@@ -85,7 +85,7 @@ func TestAggTreeAdoptsByCopy(t *testing.T) {
 	}
 	batches := encryptBatches(t, ctx, 3, 6)
 	sumA := leftFold(t, ctx, batches[:2])
-	want := [][]byte{EncodeCiphertexts(sumA), EncodeCiphertexts(batches[2])}
+	want := [][]byte{encodeCiphertexts(sumA), encodeCiphertexts(batches[2])}
 	trees := make([]*AggTree, 2)
 	for g := range trees {
 		if trees[g], err = ctx.NewAggTree(0); err != nil {
@@ -103,7 +103,7 @@ func TestAggTreeAdoptsByCopy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(EncodeCiphertexts(root), want[g]) {
+		if !bytes.Equal(encodeCiphertexts(root), want[g]) {
 			t.Fatalf("tree %d's root is not the sum of its own batches", g)
 		}
 	}

@@ -38,19 +38,10 @@ type wireArena struct {
 // pools are safe for concurrent use.
 var arena wireArena
 
-// EncodeCiphertexts frames a ciphertext batch for the wire (flnet.EncodeNats
-// framing). The returned payload is always fresh bytes.
-func EncodeCiphertexts(cts []paillier.Ciphertext) []byte {
-	nats := natsOf(cts)
-	payload := flnet.EncodeNats(nats)
-	arena.putNats(nats)
-	return payload
-}
-
-// frameUpload frames an upload's ciphertexts as EncodeCiphertexts does, into
+// frameUpload frames an upload's ciphertexts as appendCiphertexts does, into
 // a dead frame of the arena's where it has one wide enough and otherwise into
 // fresh bytes of the frame's exact length: a frame that never comes back (a
-// TCP client's) costs what EncodeCiphertexts does.
+// TCP client's) costs that one allocation.
 func frameUpload(cts []paillier.Ciphertext) []byte {
 	size := int(encodedSize(cts))
 	frame := arena.frames.Reuse(size)[:0]
@@ -60,7 +51,7 @@ func frameUpload(cts []paillier.Ciphertext) []byte {
 	return appendCiphertexts(frame, cts)
 }
 
-// frameCiphertexts frames cts behind head as EncodeCiphertexts frames them,
+// frameCiphertexts frames cts behind head as appendCiphertexts frames them,
 // into a frame drawn from the arena by pool.Slices.Get — a dead frame of the
 // size's class, or fresh bytes as wide as the class's widest — since a
 // vertical message's frame always comes back, released by the party that
@@ -78,7 +69,8 @@ func releaseFrame(frame []byte) {
 	arena.frames.Put(frame)
 }
 
-// appendCiphertexts appends the EncodeCiphertexts framing of cts to dst.
+// appendCiphertexts appends the wire framing of cts to dst: flnet.AppendNats
+// of their values.
 func appendCiphertexts(dst []byte, cts []paillier.Ciphertext) []byte {
 	nats := natsOf(cts)
 	dst = flnet.AppendNats(dst, nats)
@@ -86,7 +78,7 @@ func appendCiphertexts(dst []byte, cts []paillier.Ciphertext) []byte {
 	return dst
 }
 
-// encodedSize is the length of cts' EncodeCiphertexts framing, weighed
+// encodedSize is the length of cts' appendCiphertexts framing, weighed
 // without encoding it.
 func encodedSize(cts []paillier.Ciphertext) int64 {
 	nats := natsOf(cts)
@@ -104,7 +96,7 @@ func natsOf(cts []paillier.Ciphertext) []mpint.Nat {
 	return nats
 }
 
-// DecodeCiphertexts parses a batch framed by EncodeCiphertexts into a batch
+// DecodeCiphertexts parses a batch framed by appendCiphertexts into a batch
 // drawn from paillier's pool, each value into a dead one's limbs; whoever
 // retires the batch hands it back with ReleaseCiphertexts.
 func DecodeCiphertexts(b []byte) ([]paillier.Ciphertext, error) {

@@ -21,10 +21,10 @@ import (
 func TestArenaCodecAllocs(t *testing.T) {
 	const n = 16
 	cts := arenaCts(n)
-	payload := EncodeCiphertexts(cts) // warm the nat pool
+	payload := encodeCiphertexts(cts) // warm the nat pool
 
 	if got := testing.AllocsPerRun(100, func() {
-		EncodeCiphertexts(cts)
+		encodeCiphertexts(cts)
 	}); got > 1 {
 		t.Errorf("warm arena encode: %.1f allocs per batch, want <= 1", got)
 	}

@@ -21,6 +21,12 @@ func arenaCts(n int) []paillier.Ciphertext {
 	return cts
 }
 
+// encodeCiphertexts frames cts for the wire into fresh bytes of the frame's
+// exact length: one allocation.
+func encodeCiphertexts(cts []paillier.Ciphertext) []byte {
+	return appendCiphertexts(make([]byte, 0, encodedSize(cts)), cts)
+}
+
 // TestArenaCodecRoundtrip: the arena-backed codec is byte- and value-exact
 // with the plain flnet framing, including across pool reuse cycles.
 func TestArenaCodecRoundtrip(t *testing.T) {
@@ -29,9 +35,9 @@ func TestArenaCodecRoundtrip(t *testing.T) {
 	for i, c := range cts {
 		nats[i] = c.C
 	}
-	want := flnet.EncodeNats(nats)
+	want := flnet.AppendNats(nil, nats)
 	for cycle := 0; cycle < 3; cycle++ {
-		got := EncodeCiphertexts(cts)
+		got := encodeCiphertexts(cts)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("cycle %d: arena encoding differs from plain codec", cycle)
 		}

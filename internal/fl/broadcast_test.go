@@ -262,7 +262,7 @@ func checkCarry(t *testing.T, l batch.Layout, plainBits, rows, r, units, u int) 
 			}
 		}
 		for _, draw := range []uint64{0, math.MaxUint64} {
-			masked := new(big.Int).Add(conv, toBig(crossMask(nil, s, ReturnOffset, func() uint64 { return draw })))
+			masked := new(big.Int).Add(conv, toBig(crossMask(nil, l, ReturnOffset, func() uint64 { return draw })))
 			if masked.Sign() < 0 || masked.BitLen() > l.Block() {
 				fail("%s, draws %#x: the masked image is %v, %d bits in a %d-bit block", sign.name, draw, masked.Sign(), masked.BitLen(), l.Block())
 			}

@@ -44,7 +44,7 @@ func TestSpoofedUploadCannotDisplaceHonestOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := mesh.conns[ClientName(2)].Send(flnet.Message{
-		From: ClientName(0), To: ServerName, Kind: "grads", Round: 1, Payload: EncodeCiphertexts(cts),
+		From: ClientName(0), To: ServerName, Kind: "grads", Round: 1, Payload: encodeCiphertexts(cts),
 	}); err != nil {
 		t.Fatal(err)
 	}

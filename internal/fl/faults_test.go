@@ -176,7 +176,7 @@ func TestStaleRoundMessageDiscarded(t *testing.T) {
 	}
 	stale := flnet.Message{
 		From: ClientName(0), To: ServerName, Kind: "grads", Round: 0,
-		Payload: flnet.EncodeNats(nats),
+		Payload: flnet.AppendNats(nil, nats),
 	}
 	if err := fed.Transport.Send(stale); err != nil {
 		t.Fatal(err)

@@ -95,7 +95,7 @@ func tooWideFrame(tb testing.TB, sh openShape) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return append(binary.LittleEndian.AppendUint32(nil, 1), EncodeCiphertexts(cts)...)
+	return append(binary.LittleEndian.AppendUint32(nil, 1), encodeCiphertexts(cts)...)
 }
 
 // TestOpenRejectsTooWidePlaintext: an aggregate whose plaintext has bits

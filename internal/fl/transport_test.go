@@ -222,7 +222,7 @@ var matrixScenarios = []struct {
 			t.Fatal(err)
 		}
 		if err := fed.Transport.Send(flnet.Message{
-			From: ClientName(0), To: ServerName, Kind: "grads", Round: 0, Payload: EncodeCiphertexts(forged),
+			From: ClientName(0), To: ServerName, Kind: "grads", Round: 0, Payload: encodeCiphertexts(forged),
 		}); err != nil {
 			t.Fatal(err)
 		}

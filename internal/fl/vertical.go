@@ -323,17 +323,20 @@ func (c *Context) OpenBroadcastSums(route ReturnRoute, cts []paillier.Ciphertext
 	return vals, nil
 }
 
-// crossMask writes into z's limbs where they hold it the trivial plaintext
-// P = Σ_{k≠s−1} (ρₖ + 2^63)·2^(k·W) + offset·2^((s−1)·W) of a stride-s return,
-// each ρₖ two draws: 64 low bits and λ high ones. Slot k ≠ s−1 then opens to
-// its cross-term, in (−2^63, 2^63), plus 2^63 + ρₖ: within 2^−λ of uniform and
-// in [0, 2^(64+λ) + 2^64) ⊂ [0, 2^W), so it never borrows or carries. At s = 1
-// P is the offset alone and nothing is drawn.
-func crossMask(z mpint.Nat, s int, offset uint64, draw func() uint64) mpint.Nat {
-	z = mpint.Reuse(z, ((2*s-1)*BroadcastSlotBits+63)/64)
-	for k := range 2*s - 1 {
+// crossMask writes into z's limbs where they hold it the trivial plaintext of
+// one block of return layout l (strideLayout at stride s): P = Σ_{k≠s−1}
+// (ρₖ + 2^63)·2^(k·W) + offset·2^((s−1)·W) over the block's 2s−1 W-bit slots,
+// the target slot s−1 at l.At(), each ρₖ two draws: 64 low bits and λ high
+// ones. Slot k ≠ s−1 then opens to its cross-term, in (−2^63, 2^63), plus
+// 2^63 + ρₖ: within 2^−λ of uniform and in [0, 2^(64+λ) + 2^64) ⊂ [0, 2^W),
+// so it never borrows or carries. At s = 1 P is the offset alone and nothing
+// is drawn. A mask slot is up to 105 bits, above the 64 a Layout value holds,
+// so the slots are written here and not by l.Pack.
+func crossMask(z mpint.Nat, l batch.Layout, offset uint64, draw func() uint64) mpint.Nat {
+	z = mpint.Reuse(z, (l.Block()+63)/64)
+	for k := range 2*l.At()/BroadcastSlotBits + 1 {
 		off := k * BroadcastSlotBits
-		if k == s-1 {
+		if off == l.At() {
 			mpint.OrField(z, off, offset)
 			continue
 		}
@@ -441,7 +444,7 @@ func exchange[T any](c *Context, tr flnet.Transport, from, to, kind string, payl
 }
 
 // SendCiphertexts is the ciphertext exchange of the vertical protocols: cts
-// framed as EncodeCiphertexts frames them, exchanged from one party to
+// framed as flnet.AppendNats frames them, exchanged from one party to
 // another on tr, and decoded at the destination into a batch of paillier's
 // pool — the receiver's copy, which it returns and whoever retires it hands
 // back with ReleaseCiphertexts. cts stay the caller's.
@@ -508,7 +511,8 @@ func (c *Context) EncryptNats(pts []mpint.Nat, instances int64) ([]paillier.Ciph
 // mpint.ErrTermIndex before anything is launched, encrypted or charged; no
 // sums are no work.
 func (c *Context) BroadcastSums(cts []paillier.Ciphertext, sums [][]mpint.Term, s int, signed bool) ([]paillier.Ciphertext, error) {
-	if _, err := c.layout(s); err != nil {
+	l, err := c.layout(s)
+	if err != nil {
 		return nil, err
 	}
 	if err := mpint.CheckTerms(len(cts)*s, sums); err != nil {
@@ -545,7 +549,7 @@ func (c *Context) BroadcastSums(cts []paillier.Ciphertext, sums [][]mpint.Term, 
 		triv = paillier.DrawBatch(n)
 		defer ReleaseCiphertexts(triv)
 		for j := range triv {
-			c.mask = crossMask(c.mask, s, offset, draw)
+			c.mask = crossMask(c.mask, l, offset, draw)
 			// A ciphertext's width of limbs, so that the batch goes back to the
 			// pool as wide as the ones it is drawn with.
 			triv[j].C = mpint.MulAddWordInto(mpint.Reuse(triv[j].C, len(c.Key.N2)), c.mask, c.Key.N, 1)

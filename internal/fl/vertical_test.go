@@ -513,7 +513,11 @@ func FuzzSplitSlots(f *testing.F) {
 	// 2^64 − 1, cross-term slots lifted by 2^63 under the least and the most
 	// mask, one block a plaintext at s = 5 and three at s = 2.
 	block := func(s int, target uint64, draw uint64) *big.Int {
-		return toBig(crossMask(nil, s, target, func() uint64 { return draw }))
+		l, err := strideLayout(1023, s, true)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return toBig(crossMask(nil, l, target, func() uint64 { return draw }))
 	}
 	f.Add(block(5, ReturnOffset+5, math.MaxUint64).Bytes(), uint8(1), 1, 5, uint16(1024))
 	f.Add(block(5, ReturnOffset-7, 0).Bytes(), uint8(1), 1, 5, uint16(1024))

@@ -295,7 +295,7 @@ func (t *SimTransport) Close() error {
 // so a batch's wire size directly reflects key size × element count — the
 // quantity batch compression shrinks.
 
-// NatsSize is the length of v's EncodeNats framing: the 4-byte count, and a
+// NatsSize is the length of v's AppendNats framing: the 4-byte count, and a
 // 4-byte length and ⌈bits/8⌉ bytes a value.
 func NatsSize(v []mpint.Nat) int {
 	size := 4
@@ -305,15 +305,10 @@ func NatsSize(v []mpint.Nat) int {
 	return size
 }
 
-// EncodeNats frames a batch of multi-precision integers in exactly one
-// allocation, sized by NatsSize.
-func EncodeNats(v []mpint.Nat) []byte {
-	return AppendNats(make([]byte, 0, NatsSize(v)), v)
-}
-
-// AppendNats appends the EncodeNats framing of v to dst and returns the
-// extended slice — the zero-extra-allocation form for callers that reuse an
-// encode buffer.
+// AppendNats appends the wire framing of a batch of multi-precision integers
+// to dst — a little-endian uint32 count, then each value as a uint32 length
+// and its big-endian bytes, leading zeros left off — and returns the extended
+// slice; a dst with NatsSize bytes to spare takes no allocation.
 func AppendNats(dst []byte, v []mpint.Nat) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v)))
 	for _, x := range v {
@@ -325,7 +320,7 @@ func AppendNats(dst []byte, v []mpint.Nat) []byte {
 	return dst
 }
 
-// DecodeNatsInto parses a batch framed by EncodeNats, appending into
+// DecodeNatsInto parses a batch framed by AppendNats, appending into
 // dst[:0] — callers with a pooled scratch slice skip the output allocation.
 // Value i is parsed into the limbs dst's capacity holds at index i where they
 // are long enough (mpint.SetBytes), into fresh limbs where they are not or the

@@ -74,7 +74,7 @@ func TestSimTransportErrors(t *testing.T) {
 func TestEncodeDecodeNats(t *testing.T) {
 	r := mpint.NewRNG(1)
 	batch := []mpint.Nat{nil, mpint.One(), r.RandBits(100), r.RandBits(2048)}
-	buf := EncodeNats(batch)
+	buf := AppendNats(nil, batch)
 	got, err := DecodeNatsInto(nil, buf)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestNatsSizeIsTheEncodedLength(t *testing.T) {
 		"n² at 4,096":  {r.RandBits(8192)},
 		"mixed widths": {nil, mpint.One(), r.RandBits(100), r.RandBits(2048), mpint.Nat{0, 1, 0}},
 	} {
-		if got, want := NatsSize(batch), len(EncodeNats(batch)); got != want {
+		if got, want := NatsSize(batch), len(AppendNats(nil, batch)); got != want {
 			t.Errorf("%s: NatsSize %d, encoded %d bytes", name, got, want)
 		}
 	}
@@ -118,7 +118,7 @@ func TestDecodeNatsErrors(t *testing.T) {
 		{1, 0, 0},                // truncated header
 		{1, 0, 0, 0},             // missing element length
 		{1, 0, 0, 0, 5, 0, 0, 0}, // missing body
-		append(EncodeNats([]mpint.Nat{mpint.One()}), 0xFF), // trailing bytes
+		append(AppendNats(nil, []mpint.Nat{mpint.One()}), 0xFF), // trailing bytes
 	}
 	for i, b := range cases {
 		if _, err := DecodeNatsInto(nil, b); err == nil {
@@ -145,7 +145,7 @@ func TestTCPHubRoundTrip(t *testing.T) {
 	}
 	defer bob.Close()
 
-	payload := EncodeNats([]mpint.Nat{mpint.FromUint64(12345), mpint.NewRNG(2).RandBits(512)})
+	payload := AppendNats(nil, []mpint.Nat{mpint.FromUint64(12345), mpint.NewRNG(2).RandBits(512)})
 	if err := alice.Send(Message{From: "alice", To: "bob", Kind: "ct", Payload: payload}); err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestDecodeNatsBoundsCountHeader(t *testing.T) {
 // into a reused scratch slice yields the same values without growing the
 // scratch past that bound.
 func FuzzDecodeNats(f *testing.F) {
-	f.Add(EncodeNats([]mpint.Nat{mpint.FromUint64(1), nil, mpint.FromUint64(1 << 40)}))
+	f.Add(AppendNats(nil, []mpint.Nat{mpint.FromUint64(1), nil, mpint.FromUint64(1 << 40)}))
 	sameNats := func(a, b []mpint.Nat) bool {
 		if len(a) != len(b) {
 			return false
@@ -399,7 +399,7 @@ func FuzzDecodeNats(f *testing.F) {
 		if len(out) > bound || cap(out) > bound {
 			t.Fatalf("%d-byte frame decoded to len %d cap %d, bound %d", len(b), len(out), cap(out), bound)
 		}
-		again, err := DecodeNatsInto(nil, EncodeNats(out))
+		again, err := DecodeNatsInto(nil, AppendNats(nil, out))
 		if err != nil || !sameNats(again, out) {
 			t.Fatalf("re-encoded batch decodes to %v (%v), want %v", again, err, out)
 		}

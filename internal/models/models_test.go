@@ -1,11 +1,14 @@
 package models
 
 import (
+	"errors"
 	"testing"
 
+	"flbooster/internal/batch"
 	"flbooster/internal/datasets"
 	"flbooster/internal/fl"
 	"flbooster/internal/gpu"
+	"flbooster/internal/quant"
 )
 
 // testData builds a small sparse dataset with learnable structure.
@@ -310,25 +313,88 @@ func TestSBTPackingHalvesCiphertexts(t *testing.T) {
 	}
 }
 
-func TestSBTQuantRoundTrip(t *testing.T) {
-	ds := testData(t, 64, 8)
-	m, err := NewHeteroSBT(testCtx(t, fl.SystemFLBooster), ds, testOpts())
+// TestSBTEncodingCarrySafety sweeps ghEncoding over sample counts at 2^k − 1,
+// 2^k and 2^k + 1 up to 2^16, r from 2 to 20 and batch compression on and off:
+// the pair of two n-sample sums at their largest, n·(2^r − 1) each, packs
+// below 2^64, splits back exactly and dequantizes to n·α, and its all-zero
+// twin to −n·α. r is the widest that fits, and n ≤ 1,024 keeps the one asked.
+func TestSBTEncodingCarrySafety(t *testing.T) {
+	cases := 0
+	for k := 1; k <= 16; k++ {
+		for _, n := range []int{1<<k - 1, 1 << k, 1<<k + 1} {
+			for r := uint(2); r <= 20; r++ {
+				for _, packed := range []bool{false, true} {
+					q, l, err := ghEncoding(n, r, packed)
+					if err != nil {
+						t.Fatalf("n %d, r %d, packed %t: %v", n, r, packed, err)
+					}
+					got := q.RBits()
+					if got > r || (got < r && 2*(q.SlotBits()+1) <= 64) || (n <= 1024 && got != r) {
+						t.Fatalf("n %d, r %d, packed %t: r is %d in %d-bit slots", n, r, packed, got, q.SlotBits())
+					}
+					plaintexts := 2
+					if packed {
+						plaintexts = 1
+					}
+					for _, sum := range []uint64{0, uint64(n) * q.Quantize(1)} {
+						pts := l.Pack(nil, 2, func(int) uint64 { return sum })
+						if len(pts) != plaintexts {
+							t.Fatalf("n %d, r %d, packed %t: %d plaintexts a pair", n, r, packed, len(pts))
+						}
+						for _, pt := range pts {
+							if pt.BitLen() > 64 {
+								t.Fatalf("n %d, r %d, packed %t: a %d-bit pair", n, r, packed, pt.BitLen())
+							}
+						}
+						vals, err := batch.Split(l, pts, 2, batch.Raw)
+						if err != nil || vals[0] != sum || vals[1] != sum {
+							t.Fatalf("n %d, r %d, packed %t: split %v, %v, want %d twice", n, r, packed, vals, err, sum)
+						}
+						want := float64(n)
+						if sum == 0 {
+							want = -want
+						}
+						if v, err := q.DequantizeSum(sum, n); err != nil || v != want {
+							t.Fatalf("n %d, r %d, packed %t: %d dequantizes to %v, %v, want %v", n, r, packed, sum, v, err, want)
+						}
+					}
+					cases++
+				}
+			}
+		}
+	}
+	t.Logf("%d encodings", cases)
+}
+
+// TestSBTCorruptHistogramSlotRejects feeds a host (g, h) ciphertexts whose h
+// slot is 2^r, one past the quantizer's range, and g 0: a bin of cnt samples
+// then sums to a word below its pair bound, so the return path opens it, but
+// its h slot is cnt·2^r > cnt·(2^r − 1), which must reject with
+// quant.ErrOverflow rather than decode to a wrong H.
+func TestSBTCorruptHistogramSlotRejects(t *testing.T) {
+	ds := denseData(t, 64, 8)
+	ctx := testCtxKey(t, fl.SystemFLBooster, returnKeyBits)
+	m, err := NewHeteroSBT(ctx, ds, testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	vals := []float64{-1, -0.5, 0, 0.25, 1}
-	for _, v := range vals {
-		q := m.quantGH(v)
-		back := m.dequantGHSum(q, 1)
-		step := 2 / float64(m.ghMax())
-		if d := back - v; d > step || d < -step {
-			t.Fatalf("GH quant round trip of %v: %v", v, back)
-		}
+	n := ds.Len()
+	over := m.quant.Quantize(1) + 1
+	pts := m.layout.Pack(nil, 2*n, func(i int) uint64 { return over * uint64(1-i%2) })
+	cts, err := ctx.EncryptNats(pts, int64(2*n))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Clamping.
-	if m.quantGH(-5) != 0 || m.quantGH(5) != m.ghMax() {
-		t.Fatal("GH quantization should clamp")
+	g, h := m.gradients()
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	gTot, hTot := sumGH(all, g, h)
+	_, err = m.partyBestSplit(1, all, g, h, cts, gTot, hTot)
+	if !errors.Is(err, quant.ErrOverflow) || errors.Is(err, fl.ErrSlotCorrupt) {
+		t.Fatalf("a corrupt h slot: %v, want quant.ErrOverflow from the guest's decode", err)
 	}
 }
 

@@ -3,10 +3,12 @@ package models
 import (
 	"fmt"
 
+	"flbooster/internal/batch"
 	"flbooster/internal/datasets"
 	"flbooster/internal/fl"
 	"flbooster/internal/mpint"
 	"flbooster/internal/paillier"
+	"flbooster/internal/quant"
 )
 
 // HeteroSBT is SecureBoost (Cheng et al.): gradient-boosted decision trees
@@ -16,14 +18,15 @@ import (
 // homomorphic subset sums and return them; the guest decrypts, scores every
 // candidate split with the XGBoost gain, and grows the tree.
 //
-// Batch compression for SBT is SecureBoost+-style ciphertext packing: the
-// (g, h) pair of one sample shares a single plaintext (g in the high slot,
-// h in the low slot), halving ciphertext counts and HE operations on every
-// flow while keeping subset-sum aggregation valid — multi-sample packing is
-// impossible here because histogram bins select arbitrary sample subsets.
-// The finished per-bin sums are another matter: a host's histogram returns
-// to the guest on the return path (fl.Context.OpenBroadcastSums at s = 1),
-// which packs one 64-bit pair per slot.
+// The (g, h) stream is the platform's two layers, built once by ghEncoding:
+// one quant.Quantizer (Eqs. 6–7, α = 1) whose guard spans a sum over every
+// sample, and one batch.Layout of its r+b-bit slots, value 2i sample i's h
+// and 2i+1 its g. Batch compression is the layout's value count: two a
+// plaintext, SecureBoost+-style, so one ciphertext carries a sample's pair
+// (g in the high slot) and a bin's subset sum stays valid; one without it.
+// The finished per-bin sums return to the guest on the return path
+// (fl.Context.OpenBroadcastSums at s = 1), which packs one 64-bit word per
+// slot, and the guest splits each word back with the same layout.
 type HeteroSBT struct {
 	vertical
 
@@ -39,10 +42,10 @@ type HeteroSBT struct {
 	Gamma    float64 // split penalty
 	Eta      float64 // shrinkage
 
-	// ghBits is the per-component quantization width; headBits the guard
-	// width sized for the largest possible node (the full dataset).
-	ghBits   uint
-	headBits uint
+	// quant and layout are the (g, h) encoding (ghEncoding); nil and zero in
+	// oracle mode.
+	quant  *quant.Quantizer
+	layout batch.Layout
 }
 
 // sbtNode is one tree node. Split nodes carry the owning party and its
@@ -72,27 +75,36 @@ func NewHeteroSBT(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroS
 		Gamma:    0,
 		Eta:      0.3,
 	}
-	// Guard bits must absorb a sum over every sample; both packed
-	// components must fit one uint64 after aggregation.
-	m.headBits = ceilLog2U(ds.Len()) + 1
-	m.ghBits = 20
-	if ctx != nil && uint(ctx.Profile.RBits) < m.ghBits {
-		m.ghBits = ctx.Profile.RBits
-	}
-	for 2*(m.ghBits+m.headBits) > 62 && m.ghBits > 4 {
-		m.ghBits--
+	if ctx != nil {
+		if m.quant, m.layout, err = ghEncoding(ds.Len(), uint(ctx.Profile.RBits), ctx.Profile.UseBatch()); err != nil {
+			m.Close()
+			return nil, err
+		}
 	}
 	return m, nil
 }
 
-func ceilLog2U(n int) uint {
-	var b uint
-	v := 1
-	for v < n {
-		v <<= 1
-		b++
+// ghEncoding is the (g, h) encoding of n samples: a quantizer with α = 1 and
+// participants n, since a histogram sum spans up to every sample, so its guard
+// is b = ⌈log₂ n⌉; and the layout of its r+b-bit slots, the value at the
+// bottom and no guard, two values a plaintext when packed and one otherwise.
+// r is the widest value up to min(20, rBits) for which the pair's 2(r+b) bits
+// fit the return path's 64-bit slot, packed or not, so that both profiles
+// quantise alike; an n that leaves no room for r = 2 is quant.New's error.
+func ghEncoding(n int, rBits uint, packed bool) (*quant.Quantizer, batch.Layout, error) {
+	q, err := quant.New(1, min(20, rBits), n)
+	for err == nil && 2*q.SlotBits() > 64 {
+		q, err = quant.New(1, q.RBits()-1, n)
 	}
-	return b
+	if err != nil {
+		return nil, batch.Layout{}, fmt.Errorf("models: the (g, h) encoding of %d samples: %w", n, err)
+	}
+	slot, per := int(q.SlotBits()), 1
+	if packed {
+		per = 2
+	}
+	l, err := batch.NewLayout(per*slot, slot, 0, slot, 0)
+	return q, l, err
 }
 
 // Loss implements Model: mean log-loss of the current ensemble margins.
@@ -120,98 +132,67 @@ func (m *HeteroSBT) gradients() (g, h []float64) {
 	return g, h
 }
 
-// --- GH quantization -------------------------------------------------------
+// --- GH encoding ------------------------------------------------------------
 
-// ghMax is the per-component quantization ceiling.
-func (m *HeteroSBT) ghMax() uint64 { return 1<<m.ghBits - 1 }
-
-// quantGH maps g ∈ [−1, 1] (and h ∈ [0, 1]) to ghBits-wide integers with the
-// Eq. 6/7 shift.
-func (m *HeteroSBT) quantGH(v float64) uint64 {
-	if v < -1 {
-		v = -1
-	}
-	if v > 1 {
-		v = 1
-	}
-	return uint64((v + 1) / 2 * float64(m.ghMax()))
-}
-
-// dequantGHSum decodes a homomorphic sum of cnt quantized components.
-func (m *HeteroSBT) dequantGHSum(sum uint64, cnt int) float64 {
-	return float64(sum)/float64(m.ghMax())*2 - float64(cnt)
-}
-
-// slotWidth is the packed per-component width (value + guard bits).
-func (m *HeteroSBT) slotWidth() uint { return m.ghBits + m.headBits }
-
-// encryptGH encrypts the per-sample gradient/hessian streams. With batch
-// compression, one ciphertext carries the (g, h) pair; otherwise g and h
-// each get their own ciphertext, concatenated as [g...; h...].
+// encryptGH encrypts the per-sample gradient/hessian streams, quantized and
+// packed in the (g, h) layout: value 2i is h[i], 2i+1 is g[i].
 func (m *HeteroSBT) encryptGH(g, h []float64) ([]paillier.Ciphertext, error) {
-	n := len(g)
-	packed := m.ctx.Profile.UseBatch()
-	var pts []mpint.Nat
-	if packed {
-		pts = make([]mpint.Nat, n)
-		for i := range g {
-			v := m.quantGH(g[i])<<m.slotWidth() | m.quantGH(h[i])
-			pts[i] = mpint.FromUint64(v)
+	n := 2 * len(g)
+	pts := m.layout.Pack(nil, n, func(i int) uint64 {
+		if i%2 == 0 {
+			return m.quant.Quantize(h[i/2])
 		}
-	} else {
-		pts = make([]mpint.Nat, 2*n)
-		for i := range g {
-			pts[i] = mpint.FromUint64(m.quantGH(g[i]))
-			pts[n+i] = mpint.FromUint64(m.quantGH(h[i]))
-		}
-	}
-	cts, err := m.ctx.EncryptNats(pts, int64(2*n))
+		return m.quant.Quantize(g[i/2])
+	})
+	cts, err := m.ctx.EncryptNats(pts, int64(n))
 	if err != nil {
 		return nil, err
 	}
-	m.ctx.Costs.AddCompression(int64(2*n), int64(len(cts)))
+	m.ctx.Costs.AddCompression(int64(n), int64(len(cts)))
 	return cts, nil
 }
 
-// ghSums states the subset sum of one histogram bin over the encrypted
-// gradient vector of n samples, as unit-weight terms: one sum over the packed
-// pairs, or the g sum and the h sum apart (sample i's g at i, its h at n+i).
-func (m *HeteroSBT) ghSums(n int, samples []int) [][]mpint.Term {
-	gs := make([]mpint.Term, len(samples))
-	for k, s := range samples {
-		gs[k] = mpint.Term{Index: s, Weight: 1}
+// ghSums states the subset sum of one histogram bin over the encrypted (g, h)
+// stream as unit-weight terms: one sum for each plaintext of a sample's pair,
+// sample s's c-th at plaintext 2s/per + c.
+func (m *HeteroSBT) ghSums(samples []int) [][]mpint.Term {
+	sums := make([][]mpint.Term, m.layout.Plaintexts(2))
+	for c := range sums {
+		sums[c] = make([]mpint.Term, len(samples))
+		for k, s := range samples {
+			sums[c][k] = mpint.Term{Index: 2*s/m.layout.Per() + c, Weight: 1}
+		}
 	}
-	if m.ctx.Profile.UseBatch() {
-		return [][]mpint.Term{gs}
-	}
-	hs := make([]mpint.Term, len(samples))
-	for k, s := range samples {
-		hs[k] = mpint.Term{Index: n + s, Weight: 1}
-	}
-	return [][]mpint.Term{gs, hs}
+	return sums
 }
 
-// decodeGH splits a decrypted histogram sum into (G, H) for cnt samples.
-func (m *HeteroSBT) decodeGH(raw []uint64, cnt int) (gSum, hSum float64) {
-	if m.ctx.Profile.UseBatch() {
-		v := raw[0]
-		mask := uint64(1)<<m.slotWidth() - 1
-		gSum = m.dequantGHSum(v>>m.slotWidth(), cnt)
-		hSum = m.dequantGHSum(v&mask, cnt)
-		return gSum, hSum
+// decodeGH splits a bin's opened words, one plaintext each, back into the
+// (G, H) sums of its cnt samples. A value above cnt·(2^r − 1) is
+// quant.ErrOverflow; a word above its slots is batch.ErrTooWide.
+func (m *HeteroSBT) decodeGH(words []uint64, cnt int) (gSum, hSum float64, err error) {
+	pts := make([]mpint.Nat, len(words))
+	for i := range words {
+		pts[i] = words[i : i+1]
 	}
-	return m.dequantGHSum(raw[0], cnt), m.dequantGHSum(raw[1], cnt)
+	hg, err := batch.Split(m.layout, pts, 2, func(_ int, v uint64) (float64, error) {
+		return m.quant.DequantizeSum(v, cnt)
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	return hg[1], hg[0], nil
 }
 
-// ghSumBounds is the values each ciphertext of a cnt-sample histogram sum can
-// open to, in decodeGH's layout: an unsigned sum, [0, B]; headBits keeps B
-// under 2^62.
+// ghSumBounds is what each ciphertext of a cnt-sample histogram sum can open
+// to, [0, B]: B the pair packed at cnt·(2^r − 1), its largest sum.
 func (m *HeteroSBT) ghSumBounds(cnt int) []fl.Bound {
-	comp := uint64(cnt) * m.ghMax()
-	if m.ctx.Profile.UseBatch() {
-		return []fl.Bound{{Hi: comp<<m.slotWidth() | comp}}
+	top := uint64(cnt) * m.quant.Quantize(1)
+	pts := m.layout.Pack(nil, 2, func(int) uint64 { return top })
+	bounds := make([]fl.Bound, len(pts))
+	for i, pt := range pts {
+		bounds[i].Hi = pt.Field(0)
 	}
-	return []fl.Bound{{Hi: comp}, {Hi: comp}}
+	return bounds
 }
 
 // --- training ---------------------------------------------------------------
@@ -241,7 +222,6 @@ func (m *HeteroSBT) TrainEpoch() (float64, error) {
 // host p builds its histograms over its own decoded copy, hostCts[p], which
 // dies with the tree, and the guest's batch once framed.
 func (m *HeteroSBT) buildTree(samples []int, g, h []float64) (*sbtNode, error) {
-	n := m.full.Len()
 	hostCts := make([][]paillier.Ciphertext, len(m.parts))
 	if m.ctx != nil {
 		cts, err := m.encryptGH(g, h)
@@ -255,21 +235,21 @@ func (m *HeteroSBT) buildTree(samples []int, g, h []float64) (*sbtNode, error) {
 		}
 		fl.ReleaseCiphertexts(cts)
 	}
-	root, err := m.growNode(samples, g, h, hostCts, n, 0)
+	root, err := m.growNode(samples, g, h, hostCts, 0)
 	for _, cts := range hostCts {
 		fl.ReleaseCiphertexts(cts)
 	}
 	return root, err
 }
 
-func (m *HeteroSBT) growNode(samples []int, g, h []float64, hostCts [][]paillier.Ciphertext, n, depth int) (*sbtNode, error) {
+func (m *HeteroSBT) growNode(samples []int, g, h []float64, hostCts [][]paillier.Ciphertext, depth int) (*sbtNode, error) {
 	gTot, hTot := sumGH(samples, g, h)
 	if depth >= m.MaxDepth || len(samples) < 4 {
 		return m.leaf(gTot, hTot), nil
 	}
 	best := splitCandidate{gain: m.Gamma}
 	for p := range m.parts {
-		cand, err := m.partyBestSplit(p, samples, g, h, hostCts[p], n, gTot, hTot)
+		cand, err := m.partyBestSplit(p, samples, g, h, hostCts[p], gTot, hTot)
 		if err != nil {
 			return nil, err
 		}
@@ -287,11 +267,11 @@ func (m *HeteroSBT) growNode(samples []int, g, h []float64, hostCts [][]paillier
 	if len(left) == 0 || len(right) == 0 {
 		return m.leaf(gTot, hTot), nil
 	}
-	l, err := m.growNode(left, g, h, hostCts, n, depth+1)
+	l, err := m.growNode(left, g, h, hostCts, depth+1)
 	if err != nil {
 		return nil, err
 	}
-	r, err := m.growNode(right, g, h, hostCts, n, depth+1)
+	r, err := m.growNode(right, g, h, hostCts, depth+1)
 	if err != nil {
 		return nil, err
 	}
@@ -308,7 +288,7 @@ type splitCandidate struct {
 // partyBestSplit builds party p's histograms for the node and returns its
 // best candidate. The guest (p=0) works in plaintext on its own features;
 // hosts aggregate homomorphically and round-trip through the guest.
-func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []paillier.Ciphertext, n int, gTot, hTot float64) (splitCandidate, error) {
+func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []paillier.Ciphertext, gTot, hTot float64) (splitCandidate, error) {
 	part := m.parts[p]
 	best := splitCandidate{party: p, feature: -1, gain: m.Gamma}
 
@@ -346,7 +326,7 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 			}
 		} else {
 			// Host-side encrypted histograms: one homomorphic subset sum per
-			// non-empty bin (two without packing, g and h apart), all of the
+			// non-empty bin and plaintext of a pair (ghSums), all of the
 			// feature's bins in one batch, opened by the guest over the
 			// return path.
 			var histSums [][]mpint.Term
@@ -357,7 +337,7 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 				if len(list) == 0 {
 					continue
 				}
-				histSums = append(histSums, m.ghSums(n, list)...)
+				histSums = append(histSums, m.ghSums(list)...)
 				histBounds = append(histBounds, m.ghSumBounds(len(list))...)
 				histIdx = append(histIdx, b)
 			}
@@ -374,11 +354,13 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 			if err != nil {
 				return best, err
 			}
-			per := len(histCts) / len(histIdx)
-			for k, b := range histIdx {
-				gBins[b], hBins[b] = m.decodeGH(raws[k*per:(k+1)*per], cnts[b])
-			}
 			fl.ReleaseCiphertexts(histCts)
+			words := m.layout.Plaintexts(2) // a bin's, one a plaintext of its pair
+			for k, b := range histIdx {
+				if gBins[b], hBins[b], err = m.decodeGH(raws[k*words:(k+1)*words], cnts[b]); err != nil {
+					return best, fmt.Errorf("models: party %d's feature %d, bin %d: %w", p, j, b, err)
+				}
+			}
 		}
 
 		// Scan split points left-to-right (zeros/missing stay left of bin 0

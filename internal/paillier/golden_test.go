@@ -38,7 +38,7 @@ func TestGoldenKeyAndCiphertextBytes(t *testing.T) {
 	for i, c := range cts {
 		nats[i] = c.C
 	}
-	wire := flnet.EncodeNats(nats)
+	wire := flnet.AppendNats(nil, nats)
 	back, err := be.DecryptVec(sk, cts)
 	if err != nil {
 		t.Fatal(err)

@@ -24,18 +24,24 @@ import (
 // for it, so it is refused before it is encoded rather than clamped like ±Inf.
 var ErrNaN = errors.New("quant: gradient is NaN")
 
+// ErrOverflow rejects a sum DequantizeSum cannot have been handed honestly: a
+// count outside [1, participants], or a value above count·(2^r − 1). A sum
+// comes from a decrypted slot, so this is corrupt input, not a bug.
+var ErrOverflow = errors.New("quant: sum out of range")
+
 // Quantizer converts bounded floats to fixed-width unsigned integers and
 // back. The zero value is not usable; construct with New.
 type Quantizer struct {
 	alpha        float64 // gradient bound: inputs live in [−α, α]
 	rBits        uint    // quantization bits per value
-	participants int     // p, the number of parties whose values are summed
+	participants int     // p, the most values one sum spans
 	bBits        uint    // overflow headroom ⌈log₂ p⌉
 	maxQ         uint64  // 2^r − 1
 }
 
 // New builds a quantizer for gradients bounded by alpha, quantized to rBits,
-// with headroom for summing values from `participants` parties.
+// with headroom for summing `participants` values: the most values one sum
+// spans — the parties of an aggregate, the samples of a histogram bin.
 func New(alpha float64, rBits uint, participants int) (*Quantizer, error) {
 	switch {
 	case !(alpha > 0) || math.IsInf(alpha, 1):
@@ -124,14 +130,15 @@ func (q *Quantizer) Dequantize(v uint64) float64 {
 
 // DequantizeSum decodes the homomorphic sum of `count` quantized values:
 // Σqᵢ = Σ(mᵢ+α)/(2α)·(2^r−1), so Σmᵢ = sum/(2^r−1)·2α − count·α.
-// count must not exceed the participant capacity declared at construction.
+// count must not exceed the participant capacity declared at construction;
+// either reject is ErrOverflow.
 func (q *Quantizer) DequantizeSum(sum uint64, count int) (float64, error) {
 	if count < 1 || count > q.participants {
-		return 0, fmt.Errorf("quant: sum of %d values exceeds declared capacity %d",
-			count, q.participants)
+		return 0, fmt.Errorf("%w: sum of %d values exceeds declared capacity %d",
+			ErrOverflow, count, q.participants)
 	}
 	if max := uint64(count) * q.maxQ; sum > max {
-		return 0, fmt.Errorf("quant: aggregated value %d exceeds maximum %d — slot corruption", sum, max)
+		return 0, fmt.Errorf("%w: aggregated value %d exceeds maximum %d — slot corruption", ErrOverflow, sum, max)
 	}
 	return float64(sum)/float64(q.maxQ)*(2*q.alpha) - float64(count)*q.alpha, nil
 }

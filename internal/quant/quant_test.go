@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -105,14 +106,14 @@ func TestDequantizeSum(t *testing.T) {
 
 func TestDequantizeSumErrors(t *testing.T) {
 	q := MustNew(1, 16, 2)
-	if _, err := q.DequantizeSum(1, 0); err == nil {
-		t.Error("count 0 should fail")
+	if _, err := q.DequantizeSum(1, 0); !errors.Is(err, ErrOverflow) {
+		t.Errorf("count 0: %v, want ErrOverflow", err)
 	}
-	if _, err := q.DequantizeSum(1, 3); err == nil {
-		t.Error("count above declared capacity should fail")
+	if _, err := q.DequantizeSum(1, 3); !errors.Is(err, ErrOverflow) {
+		t.Errorf("count above declared capacity: %v, want ErrOverflow", err)
 	}
-	if _, err := q.DequantizeSum(3*(1<<16-1), 2); err == nil {
-		t.Error("sum above count*maxQ should be flagged as corruption")
+	if _, err := q.DequantizeSum(3*(1<<16-1), 2); !errors.Is(err, ErrOverflow) {
+		t.Errorf("sum above count*maxQ: %v, want ErrOverflow", err)
 	}
 }
 
