@@ -21,7 +21,9 @@ import (
 //
 //   - *aggregatable* vectors (partial scores, activations) that batch
 //     compression packs because downstream use is slot-wise addition:
-//     EncryptGradients / DecryptAggregated;
+//     EncryptGradients / DecryptSlotSums, the key holder opening the fold
+//     to raw slot sums the guest finishes (its own share added, unless it
+//     sent its batch beside a lone host's);
 //   - the *per-sample broadcast* (residuals, deltas, gradient/hessian terms)
 //     that feeds per-sample homomorphic multiply-accumulate on the hosts:
 //     EncryptBroadcast, BroadcastSums. At stride s = 1 it is one value a
@@ -199,6 +201,14 @@ func (c *Context) DecryptRaw(cts []paillier.Ciphertext) ([]uint64, error) {
 	return c.decryptSlots(cts, len(cts), l)
 }
 
+// DecryptSlotSums decrypts an aggregate of count values to the raw sum in
+// each of its slots, the Packer's layout with no dequantisation: the
+// aggregatable flow's key holder, whose reply the guest finishes
+// (models.vertical.secureSum).
+func (c *Context) DecryptSlotSums(cts []paillier.Ciphertext, count int) ([]uint64, error) {
+	return c.decryptSlots(cts, count, c.Packer.Layout())
+}
+
 // decryptSlots decrypts a return-path request declared to carry count values
 // in layout l and splits the plaintexts back into the values.
 func (c *Context) decryptSlots(cts []paillier.Ciphertext, count int, l batch.Layout) ([]uint64, error) {
@@ -237,10 +247,9 @@ type Bound struct{ Lo, Hi uint64 }
 // the convolution too: each of a slot's terms pairs one of the sum's weights
 // with one residual.
 func (c *Context) SumBound(neg, pos uint64) (Bound, error) {
-	maxQ := uint64(1)<<c.Quant.RBits() - 1
 	var side [2]uint64
 	for i, w := range [2]uint64{neg, pos} {
-		hi, lo := bits.Mul64(w, maxQ)
+		hi, lo := bits.Mul64(w, c.Quant.MaxQ())
 		if hi != 0 || lo >= 1<<63 {
 			return Bound{}, fmt.Errorf("%w: weights totalling %d over %d-bit values reach 2^63", ErrSumBound, w, c.Quant.RBits())
 		}

@@ -14,7 +14,7 @@ import (
 )
 
 // openedHasher wraps a context's backend and hashes every ciphertext the key
-// holder is asked to open, in order: the score aggregates and everything the
+// holder is asked to open, in order: the hosts' score folds and everything the
 // return path (fl.Context.OpenBroadcastSums) carries — without batch
 // compression the very ciphertexts it was handed, with it their packed image,
 // which is a deterministic function of them. It embeds the interface, as the
@@ -75,11 +75,20 @@ type verticalGolden struct {
 // rounds to nearest where SBT's own quantizer truncated, which on a few
 // near-tied nodes swaps a guest split for an equal host one, so one host
 // `split` frame moves between trees, and the other bytes are leading zeros.
+// Then the Hetero LR and NN rows' bytes, messages and hash, with
+// packedGoldens', when the hosts' scores (activations) began to go straight
+// to the arbiter and the guest to add its own quantized share to the hosts'
+// raw slot sums (vertical.secureSum), with every loss bit and opened count
+// unmoved. A minibatch lost one message, the guest's forward of the fold,
+// whose frames are the bytes each row lost, less 1 B a score frame for its
+// longer destination name and give or take the leading zeros the codec
+// trims. The key holder now opens the hosts' fold, not every party's, which
+// moved the hash.
 var verticalGoldens = []verticalGolden{
-	{"Hetero LR", fl.SystemFLBooster, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 33979, 56, 24, "1e827b2298c53814ef0e6523aa6a05b1"},    // 28·4 + 12·8 − 1
-	{"Hetero LR", fl.SystemHAFLO, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 66343, 56, 152, "22e8ac141e3ab27b7422aab7677f7d6e"},       // 28·4 + 12·12 − 5
-	{"Hetero NN", fl.SystemFLBooster, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 93716, 56, 52, "4f3af6f539324d1f5c7c542eddddaaec"},    // 28·4 + 12·8 − 20
-	{"Hetero NN", fl.SystemHAFLO, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 193789, 56, 456, "7f148fb5887b9c88389681a84be7f933"},      // 28·4 + 12·12 − 43
+	{"Hetero LR", fl.SystemFLBooster, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 32986, 52, 24, "15d8a8f3f9ca4e559918a8b429c5a148"},    // 28·4 + 12·8 − 1, then −993
+	{"Hetero LR", fl.SystemHAFLO, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 57461, 52, 152, "03432ececfc595d2176d53e8b1f8aa96"},       // 28·4 + 12·12 − 5, then −8,882
+	{"Hetero NN", fl.SystemFLBooster, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 91653, 52, 52, "51dbfa70d8e9bb4a2d6ba37f47c790d7"},    // 28·4 + 12·8 − 20, then −2,063
+	{"Hetero NN", fl.SystemHAFLO, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 167521, 52, 456, "b34c7b8aa015167cc224bce7363d2ea7"},      // 28·4 + 12·12 − 43, then −26,268
 	{"Hetero SBT", fl.SystemFLBooster, [2]uint64{0x3fe1c109591d82ef, 0x3fddaa5913612c52}, 48220, 101, 218, "e07f56faf587885c03e2b25a5ee1291f"}, // 6·4 + 84·8 − 14, then −25
 	{"Hetero SBT", fl.SystemHAFLO, [2]uint64{0x3fe1c109591d82ef, 0x3fddaa5913612c52}, 138244, 101, 1158, "e3eefa3f0b652ae37bfa3c2b2a67e29f"},   // 6·4 + 84·12 − 11, then −36
 }
@@ -95,11 +104,13 @@ var verticalGoldens = []verticalGolden{
 // bit and message unmoved. Every row's bytes were re-recorded with
 // verticalGoldens', by the same rule: a packed request here is s = 5 at one
 // value a ciphertext, which declared its 4-byte stride, so it gains 8 B too.
+// Their bytes, messages and hash moved again with verticalGoldens' when the
+// hosts' scores (activations) began to go straight to the arbiter.
 var packedGoldens = []verticalGolden{
-	{"Hetero LR", fl.SystemFLBooster, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 36028, 56, 28, "dfb3683087a26e9cdb65dfc32da0c921"}, // 28·4 + 12·8
-	{"Hetero LR", fl.SystemHAFLO, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 242982, 56, 152, "baa97ec5e58484e56896822c1927b97e"},   // 28·4 + 12·12 − 6
-	{"Hetero NN", fl.SystemFLBooster, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 95591, 56, 80, "be2f874fd2e0cf5555eda76f79e0b512"}, // 28·4 + 12·8 − 1
-	{"Hetero NN", fl.SystemHAFLO, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 723734, 56, 456, "7585c7f8e9fbf309079fde9dae3ec4cc"},   // 28·4 + 12·12 − 18
+	{"Hetero LR", fl.SystemFLBooster, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 34816, 52, 28, "1cdc313bb5340bc444068b3fcaba9cb0"}, // 28·4 + 12·8, then −1,212
+	{"Hetero LR", fl.SystemHAFLO, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 209531, 52, 152, "2700f06e7976d4a4609e2e6f91076f50"},   // 28·4 + 12·12 − 6, then −33,451
+	{"Hetero NN", fl.SystemFLBooster, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 93348, 52, 80, "e2fc33b73a9524ecddcc2453214cc15c"}, // 28·4 + 12·8 − 1, then −2,243
+	{"Hetero NN", fl.SystemHAFLO, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 623739, 52, 456, "4795f5debae91e2a0fe6191a5d36e9e8"},   // 28·4 + 12·12 − 18, then −99,995
 }
 
 // TestVerticalGoldens holds the three vertical models to the recorded rows at

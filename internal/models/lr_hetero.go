@@ -13,10 +13,12 @@ import (
 // Per minibatch:
 //
 //  1. every party computes partial scores z_p = w_p·x_p locally;
-//  2. parties encrypt z_p and the guest aggregates the ciphertexts
-//     homomorphically (an *aggregatable* flow — packed under batch
-//     compression), forwarding the encrypted sum to the arbiter, which
-//     decrypts and returns the plaintext scores to the guest;
+//  2. every host encrypts its z_p (an *aggregatable* flow — packed under
+//     batch compression) and sends it to the arbiter, which aggregates the
+//     ciphertexts homomorphically and returns the hosts' raw quantized sums
+//     to the guest; the guest adds its own quantized z_0 and dequantizes the
+//     scores (vertical.secureSum; beside a lone host the guest's encrypted
+//     z_0 goes to the arbiter too, which never opens one party's vector);
 //  3. the guest computes exact residuals d = σ(z) − y, encrypts them s to a
 //     ciphertext (the per-sample broadcast; s = 1 without batch compression,
 //     with it the stride fl.Context.BroadcastStride picks from the batch's
@@ -132,9 +134,9 @@ func (m *HeteroLR) trainBatch(lo, hi int) error {
 		}
 	})
 
-	// Step 2: score aggregation — the packable flow. Scores are normalized by
-	// zScale to fit the quantizer's interval.
-	z, err := m.secureSum(zs, m.zScale, "scores", "score-agg", "scores-plain")
+	// Step 2: score aggregation — the packable flow, the hosts' through the
+	// arbiter. Scores are normalized by zScale to fit the quantizer's interval.
+	z, err := m.secureSum(zs, m.zScale, "scores", "scores-plain")
 	if err != nil {
 		return err
 	}

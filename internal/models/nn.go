@@ -19,7 +19,10 @@ import (
 //	m   = σ(z)                           (hidden activation, guest)
 //	ŷ   = σ(w_top · m)                   (top model, guest)
 //
-// Forward activations are an *aggregatable* flow (batch-compressible).
+// Forward activations are an *aggregatable* flow (batch-compressible): the
+// hosts' go encrypted to the arbiter, which returns their raw quantized sums
+// to the guest, and the guest adds its own (vertical.secureSum; beside a lone
+// host the guest's go to the arbiter too).
 // Backward, the per-sample hidden deltas E(δ), sample by sample and Hidden a
 // sample, drive the hosts' homomorphic weight-gradient accumulation: the
 // Hetero LR gradient step per hidden unit, the same code (vertical.hostSteps).
@@ -155,7 +158,7 @@ func (m *HeteroNN) trainBatch(lo, hi int) error {
 	// aggregatable flow, normalized by actScale into the quantizer interval.
 	var acts [][]float64
 	m.track(func() { acts = m.bottomForwards(lo, hi) })
-	z, err := m.secureSum(acts, m.actScale, "acts", "act-agg", "act-plain")
+	z, err := m.secureSum(acts, m.actScale, "acts", "act-plain")
 	if err != nil {
 		return err
 	}

@@ -2,11 +2,17 @@ package models
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"maps"
+	"math"
 	"testing"
 
 	"flbooster/internal/datasets"
 	"flbooster/internal/fl"
 	"flbooster/internal/flnet"
+	"flbooster/internal/gpu"
+	"flbooster/internal/quant"
 )
 
 // returnKeyBits is a key wide enough for three return-path slots.
@@ -59,16 +65,18 @@ func TestHeteroLossIdenticalAcrossProfiles(t *testing.T) {
 // TestHeteroLRWireBudget pins Hetero LR's traffic per epoch from the protocol
 // description, not from a recorded number: per minibatch of n rows, with s
 // the stride the rule picks from (n, dim per host, the key), P−1 score
-// uploads and one aggregate of PlaintextCount(n) ciphertexts, 8n bytes of
-// plaintext scores, P−1 residual broadcasts of ⌈n/s⌉ ciphertexts, and per
-// host one return-path request of ⌈dim/per⌉ ciphertexts, one signed sum a
-// feature — per the 64-bit slots that fit at s = 1, the blocks of 2s−1 W-bit
-// slots above — behind its 8-byte header (stride and value count), answered
-// by 8 bytes a sum. Every ciphertext batch is framed with its 4-byte count,
-// and the codec leaves off a ciphertext's leading zero bytes, which the
-// frames' log adds up (trimmed). The guest sends no gradient at all. If the
-// broadcast or the return path stops packing, or the guest goes back through
-// the arbiter, the byte or message count moves.
+// uploads of PlaintextCount(n) ciphertexts from the hosts to the arbiter, 8n
+// bytes of the hosts' raw score sums from the arbiter to the guest, P−1
+// residual broadcasts of ⌈n/s⌉ ciphertexts, and per host one return-path
+// request of ⌈dim/per⌉ ciphertexts, one signed sum a feature — per the 64-bit
+// slots that fit at s = 1, the blocks of 2s−1 W-bit slots above — behind its
+// 8-byte header (stride and value count), answered by 8 bytes a sum. Every
+// ciphertext batch is framed with its 4-byte count, and the codec leaves off
+// a ciphertext's leading zero bytes, which the frames' log adds up (trimmed).
+// The guest encrypts no score and sends no gradient: its only frames are the
+// broadcast (checkRoute). If the broadcast or the return path stops packing,
+// or the scores or the guest's gradient go back through the guest or the
+// arbiter, the byte or message count moves.
 func TestHeteroLRWireBudget(t *testing.T) {
 	for _, keyBits := range []int{returnKeyBits, 1024} {
 		wireBudget(t, keyBits)
@@ -90,23 +98,176 @@ func (w *frameLog) Send(msg flnet.Message) error {
 	return w.Transport.Send(msg)
 }
 
+// verticalOf is the skeleton of a vertical model.
+func verticalOf(t *testing.T, m Model) *vertical {
+	t.Helper()
+	switch m := m.(type) {
+	case *HeteroLR:
+		return &m.vertical
+	case *HeteroNN:
+		return &m.vertical
+	case *HeteroSBT:
+		return &m.vertical
+	}
+	t.Fatalf("%T is not a vertical model", m)
+	return nil
+}
+
 // logFrames puts a frameLog between the parties of a vertical model.
 func logFrames(t *testing.T, m Model) *frameLog {
 	t.Helper()
-	var v *vertical
-	switch m := m.(type) {
-	case *HeteroLR:
-		v = &m.vertical
-	case *HeteroNN:
-		v = &m.vertical
-	case *HeteroSBT:
-		v = &m.vertical
-	default:
-		t.Fatalf("%T is not a vertical model", m)
-	}
+	v := verticalOf(t, m)
 	log := &frameLog{Transport: v.net}
 	v.net = log
 	return log
+}
+
+// newSecureSumModel builds Hetero LR or Hetero NN on the golden shape.
+func newSecureSumModel(t *testing.T, model string, ctx *fl.Context) Model {
+	t.Helper()
+	var (
+		m   Model
+		err error
+	)
+	if model == "Hetero LR" {
+		m, err = NewHeteroLR(ctx, denseData(t, 64, 8), testOpts())
+	} else {
+		m, err = NewHeteroNN(ctx, denseData(t, 64, 8), 3, testOpts())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { m.(interface{ Close() error }).Close() })
+	return m
+}
+
+// wordRewriter overwrites the first value of every frame of one kind it
+// carries: a key holder that lies in its reply.
+type wordRewriter struct {
+	flnet.Transport
+	kind string
+	word uint64
+}
+
+func (w *wordRewriter) Send(msg flnet.Message) error {
+	if msg.Kind == w.kind {
+		binary.LittleEndian.PutUint64(msg.Payload, w.word)
+	}
+	return w.Transport.Send(msg)
+}
+
+// secureSumCtx is testCtxKey's context at the return-path key for any
+// number of parties.
+func secureSumCtx(t *testing.T, sys fl.System, parties int) *fl.Context {
+	t.Helper()
+	p := fl.NewProfile(sys, returnKeyBits, parties)
+	p.Device = gpu.SmallTestDevice()
+	p.RBits = 14
+	ctx, err := fl.NewContext(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctx
+}
+
+// TestGuestRejectsHostileScoreReply: the guest holds each raw slot sum the
+// arbiter returns to the most the parties it folded can sum, k·(2^r−1): the
+// P−1 hosts at P = 4, to which the guest adds its own quantized share, and
+// the guest and its lone host at P = 2. A word above it — 2^64−1 would wrap
+// the uint64 add into a plausible total — stops Hetero LR's and Hetero NN's
+// epoch with quant.ErrOverflow and no loss; the bound itself trains.
+func TestGuestRejectsHostileScoreReply(t *testing.T) {
+	for _, model := range []string{"Hetero LR", "Hetero NN"} {
+		for parties, folded := range map[int]uint64{4: 3, 2: 2} {
+			most := folded * (1<<14 - 1) // r = 14 (secureSumCtx)
+			for _, word := range []uint64{math.MaxUint64, most + 1, most} {
+				ctx := secureSumCtx(t, fl.SystemFLBooster, parties)
+				if got := folded * ctx.Quant.MaxQ(); got != most {
+					t.Fatalf("%d parties fold to at most %d, want %d", parties, got, most)
+				}
+				m := newSecureSumModel(t, model, ctx)
+				v := verticalOf(t, m)
+				v.net = &wordRewriter{Transport: v.net, kind: routeKinds[model][1], word: word}
+				loss, err := m.TrainEpoch()
+				if word > most {
+					if !errors.Is(err, quant.ErrOverflow) || loss != 0 {
+						t.Errorf("%s, %d parties, a reply word of %d: loss %v, error %v, want quant.ErrOverflow", model, parties, word, loss, err)
+					}
+				} else if err != nil || math.IsNaN(loss) {
+					t.Errorf("%s, %d parties, a reply word at the bound %d: loss %v, error %v", model, parties, word, loss, err)
+				}
+			}
+		}
+	}
+}
+
+// TestLoneHostSumHoldsTheGuestShare: with one host the hosts' sum is that
+// host's vector, so the guest's batch goes to the arbiter too and the
+// arbiter opens both parties' sum, as it did when the guest folded the
+// host's batch into its own and forwarded the fold. Every minibatch the
+// guest and the host each send the arbiter one batch (two epochs of two
+// minibatches), the epochs send the 24 messages they sent then, and the loss
+// bits are the ones recorded then.
+func TestLoneHostSumHoldsTheGuestShare(t *testing.T) {
+	want := map[string][2]uint64{
+		"Hetero LR": {0x3fe1c9b70e82c69b, 0x3fde3ed9d945af1c},
+		"Hetero NN": {0x3fe548a6e53a829f, 0x3fe3e42cc3e4ffb8},
+	}
+	for model, bits := range want {
+		for _, sys := range []fl.System{fl.SystemFLBooster, fl.SystemHAFLO} {
+			ctx := secureSumCtx(t, sys, 2)
+			m := newSecureSumModel(t, model, ctx)
+			log := logFrames(t, m)
+			var got [2]uint64
+			for e := range got {
+				loss, err := m.TrainEpoch()
+				if err != nil {
+					t.Fatalf("%s on %s, epoch %d: %v", model, sys, e, err)
+				}
+				got[e] = math.Float64bits(loss)
+			}
+			batches := map[string]int{} // a sender's batches to the arbiter
+			for _, msg := range log.sent {
+				if msg.Kind == routeKinds[model][0] && msg.To == arbiterName {
+					batches[msg.From]++
+				}
+			}
+			want := map[string]int{hostName(0): 4, hostName(1): 4}
+			if c := ctx.Costs.Snapshot(); got != bits || c.CommMsgs != 24 || !maps.Equal(batches, want) {
+				t.Errorf("%s on %s with one host: loss bits %#x, %d messages, batches to the arbiter %v; want %#x, 24, %v",
+					model, sys, got, c.CommMsgs, batches, bits, want)
+			}
+		}
+	}
+}
+
+// TestSinglePartySecureSumIsLocal: with no host the guest's scores
+// (activations) are its own sum, so nothing crosses the wire, and it still
+// quantizes and dequantizes them: the loss bits are the ones recorded when it
+// had the arbiter decrypt its own encrypted vector (8 messages over the two
+// epochs).
+func TestSinglePartySecureSumIsLocal(t *testing.T) {
+	want := map[string][2]uint64{
+		"Hetero LR": {0x3fe1c9c41bbcce3d, 0x3fde3ee2fd586e43},
+		"Hetero NN": {0x3fe54614d5000689, 0x3fe3e993fc9f0abc},
+	}
+	for model, bits := range want {
+		for _, sys := range []fl.System{fl.SystemFLBooster, fl.SystemHAFLO} {
+			ctx := secureSumCtx(t, sys, 1)
+			m := newSecureSumModel(t, model, ctx)
+			var got [2]uint64
+			for e := range got {
+				loss, err := m.TrainEpoch()
+				if err != nil {
+					t.Fatalf("%s on %s, epoch %d: %v", model, sys, e, err)
+				}
+				got[e] = math.Float64bits(loss)
+			}
+			if c := ctx.Costs.Snapshot(); got != bits || c.CommMsgs != 0 {
+				t.Errorf("%s on %s at one party: loss bits %#x, %d messages; want %#x, none", model, sys, got, c.CommMsgs, bits)
+			}
+		}
+	}
 }
 
 // trimmed is what the codec left off the ciphertexts the logged frames of the
@@ -129,6 +290,41 @@ func (w *frameLog) trimmed(t *testing.T, ctx *fl.Context, at map[string]int) int
 		}
 	}
 	return trim
+}
+
+// routeKinds are the kinds of a Hetero LR and a Hetero NN epoch's frames: a
+// host's score (activation) batch, the arbiter's reply to the guest, the
+// guest's broadcast, a host's return-path request and the arbiter's reply.
+var routeKinds = map[string][5]string{
+	"Hetero LR": {"scores", "scores-plain", "residuals", "grad-sums", "grad-plain"},
+	"Hetero NN": {"acts", "act-plain", "deltas", "nn-grad", "nn-grad-plain"},
+}
+
+// checkRoute holds every logged frame of a Hetero LR or NN epoch to one of
+// the model's kinds on its route — a host's batch or request to the arbiter,
+// the arbiter's reply to the guest or to a host, the guest's broadcast to a
+// host — so no other kind is sent, and the guest sends nothing but its
+// broadcast: no ciphertext frame ahead of it.
+func (w *frameLog) checkRoute(t *testing.T, model string) {
+	t.Helper()
+	k, guest := routeKinds[model], hostName(0)
+	isHost := func(name string) bool { return name != guest && name != arbiterName }
+	for i, msg := range w.sent {
+		var ok bool
+		switch msg.Kind {
+		case k[0], k[3]:
+			ok = isHost(msg.From) && msg.To == arbiterName
+		case k[1]:
+			ok = msg.From == arbiterName && msg.To == guest
+		case k[2]:
+			ok = msg.From == guest && isHost(msg.To)
+		case k[4]:
+			ok = msg.From == arbiterName && isHost(msg.To)
+		}
+		if !ok {
+			t.Fatalf("%s frame %d: %q from %s to %s is on none of the protocol's routes", model, i, msg.Kind, msg.From, msg.To)
+		}
+	}
 }
 
 func wireBudget(t *testing.T, keyBits int) {
@@ -172,7 +368,7 @@ func wireBudget(t *testing.T, keyBits int) {
 				t.Fatalf("%s at %d bits: stride %d, want %d", sys, keyBits, s, want)
 			}
 			for p := 1; p < parties; p++ {
-				bytes += header(hostName(p), hostName(0), "scores") + ctx.CiphertextWireBytes(scoreCts) + 4
+				bytes += header(hostName(p), arbiterName, "scores") + ctx.CiphertextWireBytes(scoreCts) + 4
 				bytes += header(hostName(0), hostName(p), "residuals") + ctx.CiphertextWireBytes((n+s-1)/s) + 4
 				// Dense features: every feature has a non-zero value in every
 				// batch (checked below), so a host returns dim sums.
@@ -181,9 +377,8 @@ func wireBudget(t *testing.T, keyBits int) {
 				bytes += header(arbiterName, hostName(p), "grad-plain") + int64(8*sums)
 				msgs += 4
 			}
-			bytes += header(hostName(0), arbiterName, "score-agg") + ctx.CiphertextWireBytes(scoreCts) + 4
 			bytes += header(arbiterName, hostName(0), "scores-plain") + int64(8*n)
-			msgs += 2
+			msgs++
 			for p := 1; p < parties; p++ {
 				for j := 0; j < m.parts[p].NumFeatures; j++ {
 					var live bool
@@ -201,7 +396,8 @@ func wireBudget(t *testing.T, keyBits int) {
 		if _, err := m.TrainEpoch(); err != nil {
 			t.Fatal(err)
 		}
-		bytes -= log.trimmed(t, ctx, map[string]int{"scores": 0, "score-agg": 0, "residuals": 0, "grad-sums": 8})
+		log.checkRoute(t, "Hetero LR")
+		bytes -= log.trimmed(t, ctx, map[string]int{"scores": 0, "residuals": 0, "grad-sums": 8})
 		c := ctx.Costs.Snapshot()
 		if c.CommMsgs != msgs || c.CommBytes != bytes {
 			t.Fatalf("%s at %d bits: epoch sent %d messages / %d bytes, the protocol budgets %d / %d",
@@ -243,6 +439,9 @@ func TestVerticalBytesAreTheFrames(t *testing.T) {
 				log := logFrames(t, m)
 				if _, err := m.TrainEpoch(); err != nil {
 					t.Fatalf("%s on %s at %d bits: %v", model, sys, keyBits, err)
+				}
+				if model != "Hetero SBT" {
+					log.checkRoute(t, model)
 				}
 				var bytes int64
 				for _, msg := range log.sent {

@@ -186,7 +186,7 @@ func (m *HeteroSBT) decodeGH(words []uint64, cnt int) (gSum, hSum float64, err e
 // ghSumBounds is what each ciphertext of a cnt-sample histogram sum can open
 // to, [0, B]: B the pair packed at cnt·(2^r − 1), its largest sum.
 func (m *HeteroSBT) ghSumBounds(cnt int) []fl.Bound {
-	top := uint64(cnt) * m.quant.Quantize(1)
+	top := uint64(cnt) * m.quant.MaxQ()
 	pts := m.layout.Pack(nil, 2, func(int) uint64 { return top })
 	bounds := make([]fl.Bound, len(pts))
 	for i, pt := range pts {
@@ -351,10 +351,10 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 			// The guest holds the key and keeps the values: no reply.
 			route := fl.ReturnRoute{Net: m.net, Party: m.names[p], Decryptor: m.names[0], Kind: "hist"}
 			raws, err := m.ctx.OpenBroadcastSums(route, histCts, histBounds, 1)
+			fl.ReleaseCiphertexts(histCts) // OpenBroadcastSums framed a copy and kept none
 			if err != nil {
 				return best, err
 			}
-			fl.ReleaseCiphertexts(histCts)
 			words := m.layout.Plaintexts(2) // a bin's, one a plaintext of its pair
 			for k, b := range histIdx {
 				if gBins[b], hBins[b], err = m.decodeGH(raws[k*words:(k+1)*words], cnts[b]); err != nil {

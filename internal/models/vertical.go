@@ -3,10 +3,12 @@ package models
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"flbooster/internal/datasets"
 	"flbooster/internal/fl"
 	"flbooster/internal/flnet"
+	"flbooster/internal/quant"
 )
 
 // Party names for the vertical topology: the guest is party0, the hosts
@@ -31,10 +33,8 @@ type vertical struct {
 	net   flnet.Transport
 	names []string
 	// weighted is each host's homomorphic gradient step (hostSteps), kept
-	// across minibatches; the guest's, p = 0, is unused. words is the
-	// plaintext reply secureSum's arbiter frames.
+	// across minibatches; the guest's, p = 0, is unused.
 	weighted []weightedSums
-	words    []uint64
 }
 
 // fixedPoint is F, the fixed-point scale of the feature values that weigh a
@@ -98,73 +98,96 @@ func sumVecs(vecs [][]float64) []float64 {
 }
 
 // secureSum is the aggregatable flow (Hetero LR's partial scores, Hetero NN's
-// interactive layer): every party encrypts its vector, divided by scale and
-// clamped into the quantizer's interval — packed under batch compression —
-// the hosts send theirs to the guest (kind), the guest folds the batches it
-// decoded homomorphically, party 0 first, through an unbounded aggregation
-// tree (Context.NewAggTree(0), the flat left fold every round folds through),
-// and forwards the aggregate to the arbiter (aggKind), and the arbiter
-// decrypts what it decoded and returns the plaintext sum (replyKind, a
-// float's bits a value), which comes back multiplied by scale. Each batch
-// dies once framed, or once the tree has it, each running sum at the next
-// fold, the aggregate once decrypted. In oracle mode it is the exact sum,
-// unscaled.
-func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, aggKind, replyKind string) ([]float64, error) {
+// interactive layer) over every party's vector, divided by scale and clamped
+// into the quantizer's interval. Each host encrypts its own — packed under
+// batch compression — and sends it to the arbiter (kind), which folds the
+// batches it decoded homomorphically through an unbounded aggregation tree
+// (Context.NewAggTree(0), the flat left fold every round folds through),
+// decrypts the fold to its raw slot sums (DecryptSlotSums, no
+// dequantisation) and returns them to the guest (replyKind, 8 B a value).
+// The arbiter opens no party's vector alone: with one host the guest's batch
+// goes to it too, folded first, and the reply is every party's sum; with two
+// or more the guest encrypts nothing and adds its own quantized value to the
+// hosts' sums. The guest rejects a sum above the most the folded parties
+// reach, k·(2^r−1), which would wrap the add (quant.ErrOverflow), and
+// dequantizes the total of all P parties — the integer a fold of every
+// party's batch opens to — which comes back multiplied by scale. Without a
+// host nothing crosses the wire. Each batch dies once framed, or once the
+// tree has it, each running sum at the next fold, the fold once decrypted.
+// In oracle mode it is the exact sum, unscaled.
+func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, replyKind string) ([]float64, error) {
 	if v.ctx == nil {
 		return sumVecs(vecs), nil
 	}
-	tree, err := v.ctx.NewAggTree(0)
-	if err != nil {
-		return nil, err
-	}
-	for p, vec := range vecs {
-		norm := make([]float64, len(vec))
+	q, parties := v.ctx.Quant, len(vecs)
+	// norm is one party's vector at a time, normalized, and then the sum.
+	norm := make([]float64, len(vecs[0]))
+	normalize := func(vec []float64) {
 		for i, x := range vec {
-			norm[i] = clampGrad(x/scale, v.ctx.Quant.Alpha())
+			norm[i] = clampGrad(x/scale, q.Alpha())
 		}
-		cts, err := v.ctx.EncryptGradients(norm)
+	}
+	first := 1 // the first party the arbiter folds: the guest beside a lone host
+	if parties == 2 {
+		first = 0
+	}
+	var sums []uint64 // the arbiter's reply, as the guest decoded it
+	if parties == 1 {
+		sums = make([]uint64, len(norm))
+	} else {
+		tree, err := v.ctx.NewAggTree(0)
 		if err != nil {
-			return nil, fmt.Errorf("models: party %d %s encrypt: %w", p, kind, err)
+			return nil, err
 		}
-		if p != 0 {
-			got, err := v.ctx.SendCiphertexts(v.net, v.names[p], v.names[0], kind, cts)
+		for p := first; p < parties; p++ {
+			normalize(vecs[p])
+			cts, err := v.ctx.EncryptGradients(norm)
+			if err != nil {
+				return nil, fmt.Errorf("models: party %d %s encrypt: %w", p, kind, err)
+			}
+			got, err := v.ctx.SendCiphertexts(v.net, v.names[p], arbiterName, kind, cts)
 			fl.ReleaseCiphertexts(cts)
 			if err != nil {
 				return nil, err
 			}
-			cts = got
+			err = tree.Add(got)
+			fl.ReleaseCiphertexts(got) // the tree copied or summed it
+			if err != nil {
+				return nil, err
+			}
 		}
-		err = tree.Add(cts)
-		fl.ReleaseCiphertexts(cts) // the tree copied or summed it
+		agg, err := tree.Root()
 		if err != nil {
 			return nil, err
 		}
+		raw, err := v.ctx.DecryptSlotSums(agg, len(norm))
+		fl.ReleaseCiphertexts(agg)
+		if err != nil {
+			return nil, err
+		}
+		if sums, err = v.ctx.SendValues(v.net, arbiterName, v.names[0], replyKind, raw); err != nil {
+			return nil, err
+		}
 	}
-	agg, err := tree.Root()
-	if err != nil {
-		return nil, err
+	normalize(vecs[0])
+	if i := slices.IndexFunc(norm, math.IsNaN); i >= 0 {
+		return nil, fmt.Errorf("models: party 0 %s value %d: %w", kind, i, quant.ErrNaN)
 	}
-	got, err := v.ctx.SendCiphertexts(v.net, v.names[0], arbiterName, aggKind, agg)
-	fl.ReleaseCiphertexts(agg)
-	if err != nil {
-		return nil, err
+	most := uint64(parties-first) * q.MaxQ()
+	for i, sum := range sums {
+		if sum > most {
+			return nil, fmt.Errorf("models: %s value %d is %d, above the folded parties' most %d: %w", replyKind, i, sum, most, quant.ErrOverflow)
+		}
+		if first == 1 {
+			sum += q.Quantize(norm[i])
+		}
+		total, err := q.DequantizeSum(sum, parties)
+		if err != nil {
+			return nil, err
+		}
+		norm[i] = total * scale
 	}
-	sum, err := v.ctx.DecryptAggregated(got, len(vecs[0]), len(vecs))
-	if err != nil {
-		return nil, err
-	}
-	fl.ReleaseCiphertexts(got)
-	v.words = v.words[:0]
-	for _, x := range sum {
-		v.words = append(v.words, math.Float64bits(x))
-	}
-	if v.words, err = v.ctx.SendValues(v.net, arbiterName, v.names[0], replyKind, v.words); err != nil {
-		return nil, err
-	}
-	for i, w := range v.words { // the guest's copy, into the arbiter's dead slice
-		sum[i] = math.Float64frombits(w) * scale
-	}
-	return sum, nil
+	return norm, nil
 }
 
 // hostSteps is the homomorphic gradient step Hetero LR and Hetero NN share,

@@ -101,11 +101,11 @@ func (w *weightedSums) open(ctx *fl.Context, route fl.ReturnRoute, encD []pailli
 		return nil, err
 	}
 	raws, err := ctx.OpenBroadcastSums(route, cts, w.bounds, s)
+	fl.ReleaseCiphertexts(cts) // OpenBroadcastSums framed a copy and kept none
 	if err != nil {
 		return nil, err
 	}
-	fl.ReleaseCiphertexts(cts)
-	c, alpha := 2*ctx.Quant.Alpha()/float64(uint64(1)<<ctx.Quant.RBits()-1), ctx.Quant.Alpha()
+	c, alpha := ctx.Quant.Step(), ctx.Quant.Alpha()
 	w.out = slices.Grow(w.out[:0], len(w.sums))[:len(w.sums)]
 	clear(w.out)
 	for i, raw := range raws {

@@ -93,6 +93,10 @@ func (q *Quantizer) Alpha() float64 { return q.alpha }
 // RBits returns r, the data bits per value.
 func (q *Quantizer) RBits() uint { return q.rBits }
 
+// MaxQ returns 2^r − 1, the largest quantized value: a sum of k values is
+// at most k·MaxQ().
+func (q *Quantizer) MaxQ() uint64 { return q.maxQ }
+
 // SlotBits returns r+b, the total width of one packed slot (Eq. 8).
 func (q *Quantizer) SlotBits() uint { return q.rBits + q.bBits }
 
