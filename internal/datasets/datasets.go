@@ -222,6 +222,9 @@ func zipfIndex(rng *mpint.RNG, n int) int32 {
 }
 
 func expFloat(x float64) float64 {
+	if x != x {
+		return x // NaN: int(NaN/ln2) below is no exponent to scale by
+	}
 	if x > 700 {
 		x = 700
 	}

@@ -1,7 +1,9 @@
 package datasets
 
 import (
+	"math"
 	"testing"
+	"time"
 )
 
 func TestSpecsMatchTableII(t *testing.T) {
@@ -243,6 +245,23 @@ func TestMathHelpers(t *testing.T) {
 	}
 	if Exp(-800) != 0 {
 		t.Error("Exp underflow should clamp to 0")
+	}
+}
+
+// TestExpOfNaNIsNaN: NaN passes through Exp and Sigmoid. Range reduction
+// would read int(NaN/ln2) as an exponent — MinInt64 on amd64, a halving loop
+// of 2^63 steps — so the calls run under a deadline that fails rather than
+// hangs.
+func TestExpOfNaNIsNaN(t *testing.T) {
+	done := make(chan [2]float64, 1)
+	go func() { done <- [2]float64{Exp(math.NaN()), Sigmoid(math.NaN())} }()
+	select {
+	case got := <-done:
+		if !math.IsNaN(got[0]) || !math.IsNaN(got[1]) {
+			t.Fatalf("Exp(NaN) = %v, Sigmoid(NaN) = %v; want NaN", got[0], got[1])
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Exp(NaN) or Sigmoid(NaN) did not return within 5 s")
 	}
 }
 

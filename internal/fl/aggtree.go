@@ -24,7 +24,8 @@ import (
 //
 // Every fold into a non-empty level is one charged homomorphic addition on
 // the context (Context.addCiphertexts); every partial forwarded up a level of
-// a bounded tree is framed and charged as interior-link traffic.
+// a bounded tree is a frame sent on the context's tree transport, charged at
+// its WireSize like every other message (flush).
 type AggTree struct {
 	ctx    *Context
 	fanout int
@@ -128,31 +129,39 @@ func copyBatch(cts []paillier.Ciphertext) []paillier.Ciphertext {
 // emit flushes one level's partial up a level. The level above copied or
 // summed it, so it dies there.
 func (t *AggTree) emit(level int) error {
-	partial := t.flush(level)
-	if err := t.addAt(level+1, partial); err != nil {
+	partial, err := t.flush(level)
+	if err != nil {
 		return err
 	}
+	err = t.addAt(level+1, partial)
 	paillier.ReleaseBatch(partial)
-	return nil
+	return err
 }
 
-// flush takes a level's partial, resets the level, and accounts the forward:
-// a bounded tree charges the partial to the communication component as
-// interior-link traffic, at its framed size — the 4-byte level it leaves and
-// the encoded batch. The tree's nodes live in one process, so nothing is
-// framed or sent. An unbounded tree (fanout 0) lives at the coordinator, so
-// its root has no link to cross and charges nothing.
-func (t *AggTree) flush(level int) []paillier.Ciphertext {
+// A bounded tree's interior hop on its context's tree transport: a level's
+// partial goes from a kid to the node above it.
+const treeKid, treeNode, treeKind = "kid", "node", "sum"
+
+// flush takes a level's partial, resets the level, and forwards it. On a
+// bounded tree the partial is framed and sent up on the context's tree
+// transport (Context.SendCiphertexts, charged by deliver at the frame's
+// WireSize); the sender's batch dies once framed, and flush returns the
+// parent's decoded copy. An unbounded tree (fanout 0) lives at the
+// coordinator, so its root has no link to cross: it is returned as it is and
+// charges nothing. Either way the batch returned is the caller's to release.
+func (t *AggTree) flush(level int) ([]paillier.Ciphertext, error) {
 	lv := t.levels[level]
 	partial := lv.sum
 	lv.sum, lv.kids = nil, 0
 	t.live -= int64(len(partial))
 	t.forwards++
-	if t.fanout != 0 {
-		t.ctx.RecordTransfer(4 + encodedSize(partial))
-		t.ctx.metricAdd("tree_partials", 1)
+	if t.fanout == 0 {
+		return partial, nil
 	}
-	return partial
+	t.ctx.metricAdd("tree_partials", 1)
+	got, err := t.ctx.SendCiphertexts(t.ctx.tree, treeKid, treeNode, treeKind, partial)
+	paillier.ReleaseBatch(partial)
+	return got, err
 }
 
 // Root flushes every partially filled level bottom-up and returns the tree's
@@ -170,12 +179,16 @@ func (t *AggTree) Root() ([]paillier.Ciphertext, error) {
 			if cand := t.live + int64(len(carry)); cand > t.peak {
 				t.peak = cand
 			}
-			if err := t.fold(level, carry); err != nil {
+			err := t.fold(level, carry)
+			paillier.ReleaseBatch(carry)
+			if err != nil {
 				return nil, err
 			}
-			paillier.ReleaseBatch(carry)
 		}
-		carry = t.flush(level)
+		var err error
+		if carry, err = t.flush(level); err != nil {
+			return nil, err
+		}
 	}
 	if carry == nil {
 		return nil, fmt.Errorf("fl: root of an empty aggregation tree")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"flbooster/internal/flnet"
 	"flbooster/internal/paillier"
 )
 
@@ -148,6 +149,61 @@ func TestAggTreePeakBoundedByFanoutDepth(t *testing.T) {
 	}
 	if len(st.LevelSimNs) != st.Depth {
 		t.Fatalf("level times %v for depth %d", st.LevelSimNs, st.Depth)
+	}
+}
+
+// frameTally counts the frames a transport carries and their WireSize.
+type frameTally struct {
+	flnet.Transport
+	frames, bytes int64
+}
+
+func (f *frameTally) Send(msg flnet.Message) error {
+	f.frames++
+	f.bytes += msg.WireSize()
+	return f.Transport.Send(msg)
+}
+
+// TestAggTreeInteriorTrafficIsItsFrames: a bounded tree's interior traffic is
+// the frames it sends on its context's tree transport, each charged once by
+// Context.deliver at its WireSize — one message a forward, the root's final
+// hop included, and the frames' bytes — and the parent computes on its
+// decoded copy, so the root is still the flat fold's.
+func TestAggTreeInteriorTrafficIsItsFrames(t *testing.T) {
+	ctx, err := NewContext(testProfile(SystemFLBooster))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tally := &frameTally{Transport: ctx.tree}
+	ctx.tree = tally
+	batches := encryptBatches(t, ctx, 13, 6)
+	flat := leftFold(t, ctx, batches)
+	before := ctx.Costs.Snapshot()
+	tree, err := ctx.NewAggTree(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range batches {
+		if err := tree.Add(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root, err := tree.Root()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, after := tree.Stats(), ctx.Costs.Snapshot()
+	if st.Depth < 3 {
+		t.Fatalf("13 leaves at fan-out 3 used %d levels, want at least 3", st.Depth)
+	}
+	if msgs := after.CommMsgs - before.CommMsgs; msgs != st.Forwards || tally.frames != st.Forwards {
+		t.Errorf("%d messages charged and %d frames sent for %d forwards", msgs, tally.frames, st.Forwards)
+	}
+	if b := after.CommBytes - before.CommBytes; b != tally.bytes {
+		t.Errorf("%d bytes charged, the frames' WireSize is %d", b, tally.bytes)
+	}
+	if !bytes.Equal(encodeCiphertexts(root), encodeCiphertexts(flat)) {
+		t.Fatal("the root of decoded forwards diverged from the flat fold")
 	}
 }
 

@@ -51,6 +51,10 @@ type Context struct {
 	mask  mpint.Nat
 	bases []paillier.Ciphertext
 	wave  uploads
+	// tree is the in-process transport a bounded AggTree forwards its
+	// partials on, kept from round to round. A Context's round path runs on
+	// one goroutine, so nothing else uses it at the same time.
+	tree flnet.Transport
 }
 
 // NewContext builds a context from a profile, generating a fresh key pair
@@ -67,6 +71,7 @@ func NewContext(p Profile) (*Context, error) {
 		Link:    flnet.FATEEffectiveLink(),
 		Costs:   &Costs{},
 		seed:    p.Seed,
+		tree:    flnet.NewSimTransport(flnet.Link{}, treeNode),
 	}
 	// Every profile runs through the one stack core builds: launch failures
 	// retry with backoff, sampled results are verified, a faulted member's
@@ -371,24 +376,20 @@ func (c *Context) CiphertextWireBytes(n int) int64 {
 	return int64(n) * (int64(c.Key.CiphertextBytes()) + 4)
 }
 
-// RecordTransfer charges one message of n bytes to the communication
-// component through the link model.
-func (c *Context) RecordTransfer(n int64) {
-	c.Costs.AddComm(c.Link.TransferTime(n), n)
-}
-
-// deliver is the round's one real send: a failed send is re-sent at once,
-// up to Profile.Round.MaxRetries times. No transport here has a failure that
-// waiting clears, so a retry costs wire, not wall time: each failed attempt
-// that is followed by a retry is charged as retry traffic through the link
-// model, the delivered message as one transfer. A send that never succeeds
-// returns the last attempt's error.
+// deliver is the one send every message takes — the round's, the vertical
+// protocols' and a bounded aggregation tree's interior forwards — and the
+// one place a message is charged, at its WireSize through the link model. A
+// failed send is re-sent at once, up to Profile.Round.MaxRetries times. No
+// transport here has a failure that waiting clears, so a retry costs wire,
+// not wall time: each failed attempt that is followed by a retry is charged
+// as retry traffic, the delivered message as one transfer. A send that never
+// succeeds returns the last attempt's error.
 func (c *Context) deliver(tr flnet.Transport, msg flnet.Message) error {
 	size := msg.WireSize()
 	for retry := 0; ; retry++ {
 		err := tr.Send(msg)
 		if err == nil {
-			c.RecordTransfer(size)
+			c.Costs.AddComm(c.Link.TransferTime(size), size)
 			return nil
 		}
 		if retry == c.Profile.Round.MaxRetries {

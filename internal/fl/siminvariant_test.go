@@ -54,7 +54,13 @@ func simFields(s CostSnapshot) string {
 // — CommBytes 16099 → 16115 and 14888 → 14904 on the flat legs' 4
 // broadcasts, 11720 → 11784 on the cohort-tree leg's 16 — and CommSim by
 // exactly those bytes through the link model (+106668, +426669, +106664 ns).
-// Every HE field, every count and every message count stayed.
+// Every HE field, every count and every message count stayed. The cohort-tree
+// leg's 6 interior forwards became real frames sent through Context.deliver
+// and charged at their WireSize, 20 + h + payload with h = 10 the bytes of
+// the hop's From, To and Kind, where the forward had been charged at 4 +
+// payload: CommBytes 11784 → 11784 + 6·(16 + h) = 11940, and CommSim by
+// exactly those bytes through the link model (458559988 → 459599992 ns).
+// Every HE field and every count stayed.
 //
 // The 256-bit legs run on 2- to 8-limb operands, under every threshold of the
 // host kernels; the 1,024-bit flat leg (16-limb p², 32-limb n²) was recorded
@@ -72,7 +78,7 @@ func TestSimInvariantUnderHostKernel(t *testing.T) {
 		{name: "flat", bits: 256, parties: 4, dim: 200,
 			want: "HESim=166769 HEOps=232 Instances=1087 CommSim=187433330 CommBytes=16115 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 Ciphertexts=116 Plainvals=800"},
 		{name: "cohort-tree", bits: 256, parties: 64, cohort: CohortPolicy{Size: 16, Fanout: 4, MaxInflight: 8}, dim: 24,
-			want: "HESim=643497 HEOps=128 Instances=468 CommSim=458559988 CommBytes=11784 CommMsgs=38 RetryMsgs=0 EncodeSim=13440 EncodeVals=384 Ciphertexts=64 Plainvals=384"},
+			want: "HESim=643497 HEOps=128 Instances=468 CommSim=459599992 CommBytes=11940 CommMsgs=38 RetryMsgs=0 EncodeSim=13440 EncodeVals=384 Ciphertexts=64 Plainvals=384"},
 		{name: "flat-1024", bits: 1024, parties: 4, dim: 200,
 			want: "HESim=261351 HEOps=56 Instances=1021 CommSim=179359996 CommBytes=14904 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 Ciphertexts=28 Plainvals=800"},
 	} {

@@ -245,7 +245,8 @@ func TestLoneHostSumHoldsTheGuestShare(t *testing.T) {
 // (activations) are its own sum, so nothing crosses the wire, and it still
 // quantizes and dequantizes them: the loss bits are the ones recorded when it
 // had the arbiter decrypt its own encrypted vector (8 messages over the two
-// epochs).
+// epochs). With no host to take a gradient step either, the guest encrypts no
+// broadcast: the two epochs charge no HE op and no ciphertext.
 func TestSinglePartySecureSumIsLocal(t *testing.T) {
 	want := map[string][2]uint64{
 		"Hetero LR": {0x3fe1c9c41bbcce3d, 0x3fde3ee2fd586e43},
@@ -255,6 +256,7 @@ func TestSinglePartySecureSumIsLocal(t *testing.T) {
 		for _, sys := range []fl.System{fl.SystemFLBooster, fl.SystemHAFLO} {
 			ctx := secureSumCtx(t, sys, 1)
 			m := newSecureSumModel(t, model, ctx)
+			before := ctx.Costs.Snapshot()
 			var got [2]uint64
 			for e := range got {
 				loss, err := m.TrainEpoch()
@@ -265,6 +267,8 @@ func TestSinglePartySecureSumIsLocal(t *testing.T) {
 			}
 			if c := ctx.Costs.Snapshot(); got != bits || c.CommMsgs != 0 {
 				t.Errorf("%s on %s at one party: loss bits %#x, %d messages; want %#x, none", model, sys, got, c.CommMsgs, bits)
+			} else if ops, cts := c.HEOps-before.HEOps, c.Ciphertexts-before.Ciphertexts; ops != 0 || cts != 0 {
+				t.Errorf("%s on %s at one party: %d HE ops and %d ciphertexts charged, want none", model, sys, ops, cts)
 			}
 		}
 	}

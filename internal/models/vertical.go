@@ -201,8 +201,11 @@ func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, replyKind st
 // arbiter (sumKind, replyKind; weightedSums.open), each host over its own
 // decoded copy of the broadcast. step gets each host's
 // totals in fixed-point units, nil when no sum had a term, and is timed as
-// model computation.
+// model computation. With no host there is no step: nothing is encrypted.
 func (v *vertical) hostSteps(vals []float64, units, lo, hi int, kind, sumKind, replyKind string, step func(p int, totals []float64)) error {
+	if len(v.parts) == 1 {
+		return nil
+	}
 	// A constant capacity keeps the counts off the heap for up to 8 hosts.
 	counts := make([]int, 0, 8)
 	for _, part := range v.parts[1:] {
