@@ -30,9 +30,11 @@
 //	-cohort k     sample k of -clients for the round; every party derives
 //	              the same cohort from -seed, and an unsampled client skips
 //	              its upload but still receives the broadcast
-//	-fanout f     server folds arriving uploads through a fan-out-f
-//	              aggregation tree, bounding its live ciphertexts by the
-//	              tree depth instead of the cohort size (0 = flat)
+//	-fanout f     server models a fan-out-f aggregation tree: interior
+//	              aggregators sum their children's uploads and forward one
+//	              partial each, a charged frame (0 = flat: the server folds
+//	              every upload itself; either way an upload is folded as it
+//	              arrives)
 //
 // Out-of-range and inconsistent flags (quorum above the sampled cohort, a
 // fan-out of 1, a -bits below 32 or odd, a -failpoint or -resume without
@@ -139,9 +141,8 @@ type opts struct {
 	failpoint string
 	// cohort > 0 samples that many of the registered clients for the round
 	// (the same seeded draw every party derives; an unsampled client skips its
-	// upload but still waits for the broadcast); fanout ≥ 2 folds arriving
-	// uploads through an aggregation tree so the server's live ciphertexts are
-	// bounded by the tree depth, not the cohort size.
+	// upload but still waits for the broadcast); fanout ≥ 2 models interior
+	// aggregators whose forwards are charged frames, 0 is the flat fold.
 	cohort int
 	fanout int
 	// stop is the graceful-drain signal (SIGINT/SIGTERM in main): with
@@ -174,7 +175,7 @@ func run(args []string, stop <-chan struct{}) error {
 	fs.BoolVar(&o.resume, "resume", false, "server: replay -journal and resume from the last safe boundary")
 	fs.StringVar(&o.failpoint, "failpoint", "", "server: crash after this journal record is durable (testing; e.g. \"aggregated\")")
 	fs.IntVar(&o.cohort, "cohort", 0, "sample this many of -clients per round (0 = everyone; derived from -seed)")
-	fs.IntVar(&o.fanout, "fanout", 0, "server: fold uploads through an aggregation tree of this fan-out (0 = flat)")
+	fs.IntVar(&o.fanout, "fanout", 0, "server: model an aggregation tree of this fan-out, its interior forwards charged frames (0 = flat)")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}

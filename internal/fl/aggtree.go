@@ -7,20 +7,21 @@ import (
 	"flbooster/internal/paillier"
 )
 
-// AggTree is the hierarchical aggregation abstraction behind cross-device
-// rounds: cohort uploads are folded leaf-by-leaf into fan-out-bounded levels,
-// each holding its running sum as a pooled ciphertext batch. When a level has
-// absorbed `fanout` children it emits one partial (its homomorphic sum),
-// forwards it up a level, and resets — so at any instant each level holds at
-// most one running partial and the coordinator's live ciphertext set is
-// bounded by fanout·depth, not by the cohort size. Homomorphic addition is
+// AggTree is the one fold behind every round: cohort uploads are folded
+// leaf-by-leaf into fan-out-bounded levels, each holding its running sum as a
+// pooled ciphertext batch. When a level has absorbed `fanout` children it
+// emits one partial (its homomorphic sum), forwards it up a level, and
+// resets — so at any instant each level holds at most one running partial
+// and the live ciphertext set is bounded by (depth+1)·width, not by the
+// cohort size. Homomorphic addition is
 // commutative and associative and the backend's AddVec is deterministic, so
 // the tree's root is bit-identical to the flat left-fold over the same
 // batches regardless of fold order or association.
 //
 // A fan-out of 0 is unbounded: one level that never fills, i.e. the flat
-// left-fold — how a buffered (Cohort.Fanout == 0) round aggregates, and the
-// vertical models' secure sums. It is the repository's one ciphertext fold.
+// left-fold — how a flat (Cohort.Fanout == 0) round aggregates, and the
+// vertical models' secure sums. It is the repository's one ciphertext fold:
+// Round.Gather folds each upload into its round's tree as it arrives.
 //
 // Every fold into a non-empty level is one charged homomorphic addition on
 // the context (Context.addCiphertexts); every partial forwarded up a level of

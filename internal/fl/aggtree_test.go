@@ -78,7 +78,7 @@ func TestAggTreeRootMatchesFlatFold(t *testing.T) {
 // TestAggTreeAdoptsByCopy: a level copies its first child rather than
 // aliasing it, and two trees never mix. Every
 // batch is released, its limbs zeroed, as soon as its tree has it, the way a
-// streamed round releases each upload; the roots must not notice.
+// round releases each upload; the roots must not notice.
 func TestAggTreeAdoptsByCopy(t *testing.T) {
 	ctx, err := NewContext(testProfile(SystemFLBooster))
 	if err != nil {
@@ -113,7 +113,7 @@ func TestAggTreeAdoptsByCopy(t *testing.T) {
 // TestAggTreePeakBoundedByFanoutDepth pins the memory claim the refactor
 // exists for: the high-water live-ciphertext count is bounded by one
 // running partial per level plus the batch in flight — (depth+1)·width —
-// and stays far below the flat path's leaves·width.
+// and stays far below leaves·width, what holding every batch would take.
 func TestAggTreePeakBoundedByFanoutDepth(t *testing.T) {
 	ctx, err := NewContext(testProfile(SystemFLBooster))
 	if err != nil {

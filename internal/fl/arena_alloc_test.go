@@ -7,6 +7,7 @@
 package fl
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 )
@@ -50,6 +51,31 @@ func TestArenaCodecAllocs(t *testing.T) {
 	}
 }
 
+// TestRejectedOpenAllocs: an aggregate frame that parses but does not open
+// (tooWideFrame, ErrBadAggregate) hands its decoded batch back to the pool
+// like an accepted one, so a rejected Open allocates the same under a
+// 2-ciphertext packing as under a 10-ciphertext one. When the reject leaked
+// the batch it was 11–12 and 19–20 allocations; handed back, 8 and 8.
+func TestRejectedOpenAllocs(t *testing.T) {
+	shapes := openShapes(t)
+	var allocs []float64
+	for _, sh := range []openShape{shapes[0], shapes[2]} {
+		frame := tooWideFrame(t, sh)
+		open := func() {
+			if _, _, err := sh.client.Open(frame, openFuzzDim, nil); !errors.Is(err, ErrBadAggregate) {
+				t.Fatalf("%s: opened with %v, want ErrBadAggregate", sh.name, err)
+			}
+		}
+		open()
+		allocs = append(allocs, testing.AllocsPerRun(50, open))
+		t.Logf("%s: %.0f allocations a rejected open", sh.name, allocs[len(allocs)-1])
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("a rejected open allocates %.0f on %s and %.0f on %s: the decoded batch leaks",
+			allocs[0], shapes[0].name, allocs[1], shapes[2].name)
+	}
+}
+
 // TestWarmRoundBytes pins the heap bytes of a warm round, flat and streamed
 // through a tree, at a 512-bit key: every batch a round drops — plaintexts,
 // uploads, decoded batches, running sums, the aggregate — is drawn from a pool
@@ -57,9 +83,10 @@ func TestArenaCodecAllocs(t *testing.T) {
 // them, and the decrypted aggregate's limbs to the ciphertext pool they came
 // from — and the round's bookkeeping is scratch its coordinator and
 // federation reuse, so what is left is the aggregate frame, the decoded
-// estimate and bookkeeping that does not grow with the round. Measured 5.7 kB
-// flat and 5.3 kB tree a round (8 parties, 256 values); the ceilings sit ~25%
-// above. With every upload frame allocated afresh it was 19.5 and 19.0 kB,
+// estimate and bookkeeping that does not grow with the round. Measured 5.0 kB
+// flat and 5.0 kB tree a round (8 parties, 256 values); the ceilings sit
+// 30–40% above. Flat was 5.6 kB while a flat round held every upload until it
+// sealed. With every upload frame allocated afresh it was 19.5 and 19.0 kB,
 // and with every batch allocated afresh 58.9 and 81.1 kB.
 func TestWarmRoundBytes(t *testing.T) {
 	for _, tc := range []struct {

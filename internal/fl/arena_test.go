@@ -2,6 +2,7 @@ package fl
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -60,52 +61,57 @@ func TestArenaCodecRoundtrip(t *testing.T) {
 // TestUploadFramesRecycleUnderChaos holds the upload frames' ownership rule
 // (wireArena) under a ChaosTransport that delivers every frame twice — the
 // duplicate shares its original's bytes — and holds half of them back behind
-// the next: three tree rounds of a cohort of 9 admitted in waves of 3, so the
-// frames one wave's gather hands back are what the next wave uploads in, and
-// duplicates of them are still queued. Every round must include all 9
-// members — a held-back last upload of a wave still makes its cutoff — with
-// an aggregate equal, bit for bit, to the same rounds on the same seed with
-// no chaos at all. A coordinator that released a frame before decoding it
+// the next: three rounds of a cohort of 9 admitted in waves of 3, through a
+// tree of fan-out 3 and flat, so the frames one wave's gather hands back are
+// what the next wave uploads in, and duplicates of them are still queued.
+// Every round must include all 9 members — a held-back last upload of a wave
+// still makes its cutoff — with an aggregate equal, bit for bit, to the same
+// rounds on the same seed with no chaos at all, whatever order the uploads
+// were folded in. A coordinator that released a frame before decoding it
 // would decode the zeroes a release leaves, and one that released a
 // duplicate would hand two later uploads one frame.
 func TestUploadFramesRecycleUnderChaos(t *testing.T) {
-	p := cohortProfile(SystemFLBooster)
-	p.Cohort = CohortPolicy{Fanout: 3, MaxInflight: 3}
-	p.Round = RoundPolicy{Quorum: 1, PhaseTimeout: time.Second}
-	grads := testGrads(p.Parties, 24)
-	run := func(cfg flnet.ChaosConfig) ([][]float64, []RoundReport) {
-		ctx, err := NewContext(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fed := NewFederation(ctx)
-		defer fed.Close()
-		fed.Transport = flnet.NewChaosTransport(fed.Transport, cfg)
-		var sums [][]float64
-		var reps []RoundReport
-		for r := range 3 {
-			sum, rep, err := fed.SecureAggregateReport(grads)
-			if err != nil {
-				t.Fatalf("round %d (dup probability %v): %v", r, cfg.DupProb, err)
+	for _, fanout := range []int{3, 0} {
+		t.Run(fmt.Sprintf("fanout=%d", fanout), func(t *testing.T) {
+			p := cohortProfile(SystemFLBooster)
+			p.Cohort = CohortPolicy{Fanout: fanout, MaxInflight: 3}
+			p.Round = RoundPolicy{Quorum: 1, PhaseTimeout: time.Second}
+			grads := testGrads(p.Parties, 24)
+			run := func(cfg flnet.ChaosConfig) ([][]float64, []RoundReport) {
+				ctx, err := NewContext(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fed := NewFederation(ctx)
+				defer fed.Close()
+				fed.Transport = flnet.NewChaosTransport(fed.Transport, cfg)
+				var sums [][]float64
+				var reps []RoundReport
+				for r := range 3 {
+					sum, rep, err := fed.SecureAggregateReport(grads)
+					if err != nil {
+						t.Fatalf("round %d (dup probability %v): %v", r, cfg.DupProb, err)
+					}
+					sums, reps = append(sums, sum), append(reps, rep)
+				}
+				return sums, reps
 			}
-			sums, reps = append(sums, sum), append(reps, rep)
-		}
-		return sums, reps
-	}
-	want, wantReps := run(flnet.ChaosConfig{Seed: 5})
-	got, reps := run(flnet.ChaosConfig{Seed: 5, DupProb: 1, ReorderProb: 0.5})
-	for r := range got {
-		if reps[r].Duplicates == 0 || len(reps[r].Included) != p.Parties || !slices.Equal(reps[r].Included, wantReps[r].Included) {
-			t.Fatalf("round %d: %d duplicates, included %v; want duplicates and all of %v",
-				r, reps[r].Duplicates, reps[r].Included, wantReps[r].Included)
-		}
-		if len(got[r]) != len(want[r]) {
-			t.Fatalf("round %d: %d values, want %d", r, len(got[r]), len(want[r]))
-		}
-		for i := range got[r] {
-			if math.Float64bits(got[r][i]) != math.Float64bits(want[r][i]) {
-				t.Fatalf("round %d: value %d is %v, want %v", r, i, got[r][i], want[r][i])
+			want, wantReps := run(flnet.ChaosConfig{Seed: 5})
+			got, reps := run(flnet.ChaosConfig{Seed: 5, DupProb: 1, ReorderProb: 0.5})
+			for r := range got {
+				if reps[r].Duplicates == 0 || len(reps[r].Included) != p.Parties || !slices.Equal(reps[r].Included, wantReps[r].Included) {
+					t.Fatalf("round %d: %d duplicates, included %v; want duplicates and all of %v",
+						r, reps[r].Duplicates, reps[r].Included, wantReps[r].Included)
+				}
+				if len(got[r]) != len(want[r]) {
+					t.Fatalf("round %d: %d values, want %d", r, len(got[r]), len(want[r]))
+				}
+				for i := range got[r] {
+					if math.Float64bits(got[r][i]) != math.Float64bits(want[r][i]) {
+						t.Fatalf("round %d: value %d is %v, want %v", r, i, got[r][i], want[r][i])
+					}
+				}
 			}
-		}
+		})
 	}
 }

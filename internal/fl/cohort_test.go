@@ -51,8 +51,8 @@ func runEpochDigests(t *testing.T, p Profile, rounds int) ([][]float64, map[uint
 }
 
 // TestTreeRoundBitExactWithFlat is the round runtime's acceptance bar: for
-// the same profile and seed, every delivery topology — a streamed tree, a
-// tree whose fan-out covers the whole cohort, a buffered round admitted in
+// the same profile and seed, every delivery topology — a tree, a
+// tree whose fan-out covers the whole cohort, a flat round admitted in
 // bounded waves — must journal byte-identical aggregates and decrypt
 // bit-identical sums to the flat single-wave protocol.
 func TestTreeRoundBitExactWithFlat(t *testing.T) {
@@ -107,39 +107,42 @@ func TestTreeRoundBitExactWithFlat(t *testing.T) {
 	}
 }
 
-// TestTreeRoundBoundsLiveCiphertexts: the report's live-ciphertext
-// high-water mark must be sublinear in the cohort for a tree round and
-// exactly cohort·width for the flat baseline.
+// TestTreeRoundBoundsLiveCiphertexts: a round folds each upload as it
+// arrives, so the report's live-ciphertext high-water mark does not grow with
+// the cohort: exactly 2·width for a flat round — the running sum and the
+// upload being folded — and at most (depth+1)·width for a tree round, a
+// partial a level and the batch being folded.
 func TestTreeRoundBoundsLiveCiphertexts(t *testing.T) {
 	flatP := cohortProfile(SystemFLBooster)
 	treeP := flatP
 	treeP.Cohort.Fanout = 3
 
 	grads := epochGrads(1, flatP.Parties, 6)[0]
+	var width int64
 	run := func(p Profile) RoundReport {
 		ctx, err := NewContext(p)
 		if err != nil {
 			t.Fatal(err)
 		}
+		width = int64(ctx.PlaintextCount(len(grads[0])))
 		fed := NewFederation(ctx)
 		defer fed.Close()
-		if _, rep, err := fed.SecureAggregateReport(grads); err != nil {
+		_, rep, err := fed.SecureAggregateReport(grads)
+		if err != nil {
 			t.Fatal(err)
-		} else {
-			return rep
 		}
-		return RoundReport{}
+		return rep
 	}
 	flat := run(flatP)
 	tree := run(treeP)
-	if flat.PeakLiveCts == 0 || tree.PeakLiveCts == 0 {
-		t.Fatalf("peaks not populated: flat %d tree %d", flat.PeakLiveCts, tree.PeakLiveCts)
+	if flat.PeakLiveCts != 2*width {
+		t.Fatalf("flat peak %d, want 2·width = %d", flat.PeakLiveCts, 2*width)
 	}
-	if tree.PeakLiveCts >= flat.PeakLiveCts {
-		t.Fatalf("tree peak %d not below flat peak %d", tree.PeakLiveCts, flat.PeakLiveCts)
-	}
-	if tree.Tree == nil || tree.Tree.Leaves != flatP.Parties {
+	if tree.Tree == nil || tree.Tree.Leaves != flatP.Parties || tree.Tree.Depth < 2 {
 		t.Fatalf("tree stats %+v", tree.Tree)
+	}
+	if bound := int64(tree.Tree.Depth+1) * width; tree.PeakLiveCts == 0 || tree.PeakLiveCts > bound {
+		t.Fatalf("tree peak %d, want in (0, (depth+1)·width = %d]", tree.PeakLiveCts, bound)
 	}
 	if flat.CohortSize != flatP.Parties || tree.CohortSize != flatP.Parties {
 		t.Fatalf("cohort sizes %d/%d", flat.CohortSize, tree.CohortSize)

@@ -206,20 +206,11 @@ func (c *Context) PlaintextCount(n int) int { return c.Packer.NumPlaintexts(n) }
 // component; the plainval/ciphertext counts feed the compression ratio.
 //
 // The encrypting party is anyone who knows the public key — a vertical
-// model's host encrypting under the arbiter's key. A party that owns the key
-// calls EncryptGradientsAs with its holder handle instead.
+// model's host encrypting under the arbiter's key. A Fig. 2 client, which
+// owns the key, encrypts under its holder handle through Client.Upload
+// instead. It is an upload wave of one.
 func (c *Context) EncryptGradients(grads []float64) ([]paillier.Ciphertext, error) {
-	return c.EncryptGradientsAs(&c.Key.PublicKey, grads)
-}
-
-// EncryptGradientsAs is EncryptGradients under a caller-chosen handle of the
-// context's key: &Key.PublicKey for a party that was only given the public
-// key, Key.Holder() for the key's owner — every client of the Fig. 2
-// protocol — whose rⁿ terms then go through the factorisation. The
-// ciphertexts are the same bytes either way; the handle decides what the
-// encryption costs, on both clocks. It is an upload wave of one.
-func (c *Context) EncryptGradientsAs(pk *paillier.PublicKey, grads []float64) ([]paillier.Ciphertext, error) {
-	if err := c.encodeUpload(pk, grads); err != nil {
+	if err := c.encodeUpload(&c.Key.PublicKey, grads); err != nil {
 		return nil, err
 	}
 	cts, err := c.encryptUploads()
@@ -319,12 +310,12 @@ func (c *Context) encryptRun(lo, hi int) (done int, err error) {
 	return done, err
 }
 
-// encrypt is one charged encryption batch under a handle of the context's
-// key, on the next nonce seed, with `instances` logical values on the
-// throughput counter.
-func (c *Context) encrypt(pk *paillier.PublicKey, pts []mpint.Nat, instances int64) (cts []paillier.Ciphertext, err error) {
+// encrypt is one charged encryption batch under the context's public key, on
+// the next nonce seed, with `instances` logical values on the throughput
+// counter.
+func (c *Context) encrypt(pts []mpint.Nat, instances int64) (cts []paillier.Ciphertext, err error) {
 	_, err = c.chargeHE(func() (int64, int64, error) {
-		cts, err = c.Backend.EncryptVec(pk, pts, c.nextSeed())
+		cts, err = c.Backend.EncryptVec(&c.Key.PublicKey, pts, c.nextSeed())
 		return int64(len(cts)), instances, err
 	})
 	return cts, err

@@ -11,14 +11,14 @@ import (
 )
 
 // Coordinator is the server half of the Fig. 2 round. It knows its clients
-// only as frames on a flnet.Transport: it gathers "grads" uploads, seals them
-// into one aggregate frame, journals it and sends it back. It owns the
-// Aggregation, the drop budget and the typed RoundErrors, the stale /
-// duplicate / not-scheduled discards, the journal records and their order,
-// and the broadcast-boundary resume. What differs between the hosts that run
-// it — the in-process Federation, cmd/flserver over TCP — arrives as an
-// argument: which uploads to expect, who receives the broadcast, the drain
-// signal.
+// only as frames on a flnet.Transport: it gathers "grads" uploads, folding
+// each into the round's AggTree as it arrives, seals the root into one
+// aggregate frame, journals it and sends it back. It owns the fold, the drop
+// budget and the typed RoundErrors, the stale / duplicate / not-scheduled
+// discards, the journal records and their order, and the broadcast-boundary
+// resume. What differs between the hosts that run it — the in-process
+// Federation, cmd/flserver over TCP — arrives as an argument: which uploads to
+// expect, who receives the broadcast, the drain signal.
 //
 // Across rounds it carries the durability state: the (optional) write-ahead
 // journal and the resume position a crash recovery parked for the next
@@ -88,15 +88,15 @@ type Round struct {
 	tr       flnet.Transport // the host's; sends go through Context.deliver
 	retries0 int64           // the ledger's RetryMsgs when the round began
 
-	included    []string              // clients delivered to agg, canonical order once gathered
+	included    []string              // clients folded into tree, canonical order once gathered
 	borrowed    bool                  // included is the coordinator's arrival scratch
 	dropped     map[string]RoundPhase // dropped client -> losing phase
 	stale, dups int
 	drained     bool // the drain signal cut a gather short
 
-	agg       *Aggregation
-	treeStats *TreeStats // a streamed round's hierarchy anatomy
-	peakLive  int64      // high-water simultaneously-live aggregate-path ciphertexts
+	tree      *AggTree   // every delivered upload is folded into it on arrival
+	treeStats *TreeStats // a tree round's hierarchy anatomy
+	peakLive  int64      // the tree's high-water count of live ciphertexts
 
 	frame   []byte // K ‖ sealed payload, built once and shared by every recipient
 	digest  uint64
@@ -110,8 +110,9 @@ type Round struct {
 // round-start record durable before anyone encrypts: its cursor is the
 // position a recovered coordinator rewinds to when it must re-run this round
 // from scratch. A nil Round means nothing was journaled; a Round with an
-// error is a round that cannot run (no quorum among the scheduled, a
-// journaled aggregate that fails its digest) and goes straight to Finish.
+// error is a round that cannot run (no quorum among the scheduled, an invalid
+// fan-out, a journaled aggregate that fails its digest) and goes straight to
+// Finish.
 func (c *Coordinator) Begin(sched Schedule, tr flnet.Transport) (*Round, error) {
 	ctx := c.ctx
 	c.round = sched.Round
@@ -141,6 +142,7 @@ func (c *Coordinator) Begin(sched Schedule, tr flnet.Transport) (*Round, error) 
 	}
 
 	policy := ctx.Profile.Round
+	tree, treeErr := ctx.NewAggTree(ctx.Profile.Cohort.Fanout)
 	rd := &Round{
 		c:             c,
 		sched:         sched,
@@ -151,10 +153,12 @@ func (c *Coordinator) Begin(sched Schedule, tr flnet.Transport) (*Round, error) 
 		dropped:       make(map[string]RoundPhase),
 		included:      c.arrived[:0],
 		borrowed:      true,
-		agg:           ctx.NewAggregation(sched.Cohort),
+		tree:          tree,
 		phaseRecorder: phaseRecorder{ctx: ctx, anat: &RoundAnatomy{Round: sched.Round}},
 	}
 	switch {
+	case treeErr != nil:
+		return rd, rd.Fail(PhaseAdmit, "", treeErr)
 	case len(sched.Cohort) == 0:
 		return rd, rd.Fail(PhaseAdmit, "", fmt.Errorf("no active clients"))
 	case policy.Quorum > 0 && len(sched.Cohort) < policy.Quorum:
@@ -287,17 +291,18 @@ func (rd *Round) recv(deadline time.Time, stop <-chan struct{}) (flnet.Message, 
 
 // Gather waits for the uploads the host says to expect — the wave's clients
 // whose send succeeded in-process, the whole cohort over TCP; a cohort member
-// is expected in one Gather a round, anyone else in none — delivering
-// each batch to the aggregation the moment it arrives. Frames of other
-// rounds or kinds are stale artifacts of stragglers and are discarded, as are
-// duplicates and uploads from anyone not expected, by header: their payloads
-// are never read. An expected upload's frame goes back to the arena once
-// decoded, whether it decodes or not (wireArena has the ownership rule). An
-// upload that does not decode drops its sender, not the round. A deadline
-// that expires, or a drain signal on stop, cuts the stragglers off; the round
-// then fails only through the drop budget or, in Aggregate, the quorum. An
-// in-process host passes a nil stop: on a SimTransport its deadline is an
-// empty queue.
+// is expected in one Gather a round, anyone else in none — folding each batch
+// into the round's tree the moment it arrives, in arrival order: HE addition
+// is commutative and the backend deterministic, so the root is byte-identical
+// whatever the order. Frames of other rounds or kinds are stale artifacts of
+// stragglers and are discarded, as are duplicates and uploads from anyone not
+// expected, by header: their payloads are never read. An expected upload's
+// frame goes back to the arena once decoded, whether it decodes or not
+// (wireArena has the ownership rule). An upload that does not decode drops its
+// sender, not the round. A deadline that expires, or a drain signal on stop,
+// cuts the stragglers off; the round then fails only through the drop budget
+// or, in Aggregate, the quorum. An in-process host passes a nil stop: on a
+// SimTransport its deadline is an empty queue.
 func (rd *Round) Gather(expect []string, stop <-chan struct{}) error {
 	deadline := rd.c.ctx.Profile.Round.phaseDeadline()
 	waiting := rd.c.waiting
@@ -342,22 +347,24 @@ func (rd *Round) Gather(expect []string, stop <-chan struct{}) error {
 			}
 			continue
 		}
-		// Delivered in arrival order; Aggregate restores the canonical one.
-		if err := rd.agg.Add(msg.From, cts); err != nil {
+		err = rd.tree.Add(cts)
+		ReleaseCiphertexts(cts) // the tree copied or summed it
+		if err != nil {
 			return rd.Fail(PhaseGather, msg.From, err)
 		}
+		// Folded in arrival order; Aggregate restores the canonical one.
 		rd.included = append(rd.included, msg.From)
 	}
 	return nil
 }
 
-// Aggregate judges the quorum over the whole cohort, seals the aggregation
-// over the included clients and journals the payload — the mid-round safe
+// Aggregate judges the quorum over the whole cohort, seals the tree's root
+// into the aggregate frame and journals the payload — the mid-round safe
 // point. Once the aggregated record is durable, a coordinator crash no longer
 // costs the gathered uploads: recovery resumes at the broadcast boundary with
 // this payload.
 func (rd *Round) Aggregate() error {
-	// Uploads were delivered in arrival order, but the journal and the report
+	// Uploads were folded in arrival order, but the journal and the report
 	// speak canonical order.
 	rd.ownIncluded(true)
 	if len(rd.included) < rd.quorum {
@@ -369,21 +376,22 @@ func (rd *Round) Aggregate() error {
 	}
 	return rd.Span("aggregate", func() error {
 		ctx := rd.c.ctx
-		frame, err := rd.agg.Seal(rd.included)
+		root, err := rd.tree.Root()
 		if err != nil {
 			return rd.Fail(PhaseGather, "", err)
 		}
-		rd.frame = frame
-		rd.peakLive = rd.agg.peak
+		rd.frame = ctx.sealAggregate(len(rd.included), root)
+		stats := rd.tree.Stats()
+		rd.peakLive = stats.PeakLiveCts
 		ctx.metricMax("live_cts_peak", rd.peakLive)
 		if ctx.Profile.Cohort.Tree() {
-			rd.finishTree(rd.agg.stats)
+			rd.finishTree(stats)
 		}
-		rd.digest = PayloadDigest(framePayload(frame))
+		rd.digest = PayloadDigest(framePayload(rd.frame))
 		return rd.c.journalAppend(JournalRecord{
 			Kind: EventAggregated, Round: rd.sched.Round, Attempt: rd.attempt,
 			Cursor: ctx.SeedCursor(), Members: rd.included,
-			Digest: rd.digest, Payload: framePayload(frame),
+			Digest: rd.digest, Payload: framePayload(rd.frame),
 		})
 	})
 }
@@ -420,7 +428,7 @@ func (rd *Round) ownIncluded(canonical bool) {
 	}
 }
 
-// finishTree publishes a streamed round's hierarchy statistics: the report
+// finishTree publishes a tree round's hierarchy statistics: the report
 // field, the gauges, and the tree's per-level HE time as stacked spans ending
 // at the current sim-cost clock, so traces show where the hierarchy spent its
 // fold time level by level.
@@ -453,11 +461,10 @@ func (rd *Round) finishTree(stats TreeStats) {
 
 // Broadcast returns the aggregate frame to the recipients the host names —
 // the included clients in-process, every registered client over TCP so that
-// stragglers and unscheduled processes still terminate — under the
-// aggregation's message kind (a resumed round inherits the kind from the
-// unchanged profile, matching the journaled payload's framing). It reports
-// whom the frame reached, in the coordinator's scratch: valid until its next
-// round broadcasts. A failed send drops the recipient within the budget.
+// stragglers and unscheduled processes still terminate — under
+// AggregateKind. It reports whom the frame reached, in the coordinator's
+// scratch: valid until its next round broadcasts. A failed send drops the
+// recipient within the budget.
 func (rd *Round) Broadcast(recipients []string) ([]string, error) {
 	reached := rd.c.reached[:0]
 	err := rd.Span("broadcast", func() error {

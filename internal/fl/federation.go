@@ -173,10 +173,9 @@ func (f *Federation) run(rd *Round, grads [][]float64) ([]float64, error) {
 // Cohort.MaxInflight clients (0 admits the whole cohort as one wave): each
 // wave's clients upload, then the coordinator gathers the ones whose send
 // succeeded, cutting off whatever is still unresolved when the wave's
-// deadline expires. A streamed round's waves fold into the aggregation trees
-// on arrival, so coordinator memory is bounded by the admission window plus
-// the trees' fanout·depth live set and the waves report as one "contribute"
-// anatomy row; a buffered round's waves report as "upload" and "gather" rows.
+// deadline expires. Every round folds each upload into its tree as the
+// gather receives it. A tree round's waves report as one "contribute"
+// anatomy row; a flat round's waves report as "upload" and "gather" rows.
 func (f *Federation) contribute(rd *Round, grads [][]float64) error {
 	if f.Ctx.Profile.Cohort.Tree() {
 		bare := func(_ string, fn func() error) error { return fn() }

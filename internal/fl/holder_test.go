@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"flbooster/internal/flnet"
+	"flbooster/internal/paillier"
 )
 
 // wireLog records every message a round sends, in order. It keeps a copy of
@@ -113,9 +114,11 @@ func TestHolderRoundBitExactWithPublic(t *testing.T) {
 	}
 }
 
-// TestEncryptGradientsAsRejectsForeignKey: a handle of some other key is an
-// error, not ciphertexts nobody can aggregate.
-func TestEncryptGradientsAsRejectsForeignKey(t *testing.T) {
+// TestUploadRejectsForeignKey: a client whose handle is not one of the
+// context's key — another key's holder, none, another public key — gets an
+// error from Client.Upload, not ciphertexts nobody can aggregate, and sends
+// no frame.
+func TestUploadRejectsForeignKey(t *testing.T) {
 	ctx, err := NewContext(testProfile(SystemFLBooster))
 	if err != nil {
 		t.Fatal(err)
@@ -127,13 +130,23 @@ func TestEncryptGradientsAsRejectsForeignKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	grads := testGrads(1, 8)[0]
-	if _, err := ctx.EncryptGradientsAs(other.Key.Holder(), grads); err == nil {
-		t.Error("whole-batch path accepted a foreign key")
-	}
-	if _, err := ctx.EncryptGradientsAs(nil, grads); err == nil {
-		t.Error("whole-batch path accepted a nil key")
-	}
-	if _, err := ctx.EncryptGradientsAs(&other.Key.PublicKey, grads); err == nil {
-		t.Error("whole-batch path accepted a foreign public key")
+	for _, tc := range []struct {
+		name string
+		key  *paillier.PublicKey
+	}{
+		{"foreign holder", other.Key.Holder()},
+		{"nil", nil},
+		{"foreign public key", &other.Key.PublicKey},
+	} {
+		cl := NewClient(ctx, 0)
+		cl.Key = tc.key
+		log := &wireLog{Transport: flnet.NewSimTransport(ctx.Link, cl.Name, ServerName)}
+		if _, err := cl.Upload(log, 1, grads); err == nil {
+			t.Errorf("%s: Upload accepted the key", tc.name)
+		}
+		if len(log.sent) != 0 {
+			t.Errorf("%s: %d frames sent", tc.name, len(log.sent))
+		}
+		log.Close()
 	}
 }

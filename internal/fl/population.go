@@ -25,11 +25,10 @@ type CohortPolicy struct {
 	// or above the active roster size) schedules every active client.
 	Size int
 	// Fanout, when ≥ 2, aggregates the cohort through a hierarchical tree of
-	// that fan-out, folding each upload on arrival: interior nodes HE-sum
-	// their children and forward one partial, so coordinator live-set memory
-	// is bounded by the tree depth instead of the cohort size. 0 is the
-	// unbounded fan-out: uploads are buffered and left-folded at aggregate
-	// time — the baseline the tree is measured against (see Aggregation).
+	// that fan-out: interior aggregators HE-sum their children and forward
+	// one partial each, a frame charged on the wire. 0 is the unbounded
+	// fan-out, the flat round: the coordinator folds every upload into one
+	// running sum. Either way each upload is folded as it arrives (AggTree).
 	Fanout int
 	// MaxInflight bounds how many client uploads a round admits at once
 	// (backpressure): the next wave is not asked to upload until the current

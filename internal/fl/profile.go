@@ -76,10 +76,9 @@ type Profile struct {
 	Faults FaultPolicy
 	// Cohort configures cross-device scale: per-round seeded cohort sampling
 	// (Size clients scheduled out of the Parties population), hierarchical
-	// fan-out-bounded tree aggregation with streaming partial folds, and
-	// bounded in-flight uploads. The zero value is the flat all-parties
-	// round — one admission wave, unbounded fan-out — byte-identical to the
-	// pre-cohort protocol.
+	// fan-out-bounded tree aggregation, and bounded in-flight uploads. The
+	// zero value is the flat all-parties round — one admission wave,
+	// unbounded fan-out — byte-identical to the pre-cohort protocol.
 	Cohort CohortPolicy
 }
 

@@ -117,9 +117,10 @@ type RoundReport struct {
 	// CohortSize is how many clients the round scheduled: the sampled cohort
 	// size, or the full active roster when sampling is off.
 	CohortSize int
-	// PeakLiveCts is the coordinator's high-water count of simultaneously
-	// live aggregate-path ciphertexts: cohort·width for a flat round, the
-	// tree's fanout·depth-bounded peak for a hierarchical one.
+	// PeakLiveCts is the round tree's high-water count of simultaneously
+	// live ciphertexts (TreeStats.PeakLiveCts): 2·width for a flat round —
+	// the running sum and the upload being folded — and at most
+	// (depth+1)·width for a hierarchical one.
 	PeakLiveCts int64
 	// Tree describes the hierarchical aggregation of a tree round. Nil for
 	// flat rounds.

@@ -50,7 +50,7 @@ func simFields(s CostSnapshot) string {
 //
 // The other thing is a change to the protocol's frames, stated to the byte:
 // PR 25 put the contributor count K in front of every aggregate frame (the
-// frame cmd/flserver always sent; see Aggregation.Seal), 4 bytes a broadcast
+// frame cmd/flserver always sent; see sealAggregate), 4 bytes a broadcast
 // — CommBytes 16099 → 16115 and 14888 → 14904 on the flat legs' 4
 // broadcasts, 11720 → 11784 on the cohort-tree leg's 16 — and CommSim by
 // exactly those bytes through the link model (+106668, +426669, +106664 ns).

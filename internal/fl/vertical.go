@@ -184,7 +184,7 @@ func (c *Context) EncryptBroadcast(vals []float64, s int) ([]paillier.Ciphertext
 	}
 	l := broadcastLayout(s)
 	pts := l.Pack(arena.getPlain(l.Plaintexts(len(vals))), len(vals), func(i int) uint64 { return c.Quant.Quantize(vals[i]) })
-	cts, err := c.encrypt(&c.Key.PublicKey, pts, int64(len(vals)))
+	cts, err := c.encrypt(pts, int64(len(vals)))
 	arena.putPlain(pts)
 	if err != nil {
 		return nil, err
@@ -488,7 +488,7 @@ func (c *Context) addCiphertexts(a, b []paillier.Ciphertext) (sums []paillier.Ci
 // logical values to the throughput counter (callers that pack several
 // values per plaintext pass the packed value count).
 func (c *Context) EncryptNats(pts []mpint.Nat, instances int64) ([]paillier.Ciphertext, error) {
-	return c.encrypt(&c.Key.PublicKey, pts, instances)
+	return c.encrypt(pts, instances)
 }
 
 // BroadcastSums computes k sparse integer combinations of the values a
