@@ -11,15 +11,15 @@ import (
 
 // wireArena pools what the round path allocates a round and drops inside it
 // (DESIGN §15). Ciphertext batches go to paillier's pool (ReleaseCiphertexts);
-// the arena holds the two kinds of []Nat the round builds and its upload
+// the arena holds the two kinds of []Nat the round builds and its ciphertext
 // frames:
 //   - nats: the wire codec's scratch views, whose values alias live
 //     ciphertexts and are dropped on the way back, never reused;
 //   - plain: plaintext batches, the encoded gradients, their values' limbs
 //     kept (zeroed) for the next encoding;
-//   - frames: upload frames, drawn by uploadWave and handed back by the
-//     coordinator that decoded them (Round.Gather), and every vertical
-//     message's frame, handed back by the party that read it (exchange).
+//   - frames: every ciphertext frame, drawn by frameCiphertexts: an upload's,
+//     handed back by the coordinator that decoded it (Round.Gather), and a
+//     vertical message's, handed back by the party that read it (exchange).
 //
 // An upload frame has one owner at a time. Send hands an upload's payload to
 // the transport, and the coordinator that decodes it owns it from then on: a
@@ -38,24 +38,13 @@ type wireArena struct {
 // pools are safe for concurrent use.
 var arena wireArena
 
-// frameUpload frames an upload's ciphertexts as appendCiphertexts does, into
-// a dead frame of the arena's where it has one wide enough and otherwise into
-// fresh bytes of the frame's exact length: a frame that never comes back (a
-// TCP client's) costs that one allocation.
-func frameUpload(cts []paillier.Ciphertext) []byte {
-	size := int(encodedSize(cts))
-	frame := arena.frames.Reuse(size)[:0]
-	if frame == nil {
-		frame = make([]byte, 0, size)
-	}
-	return appendCiphertexts(frame, cts)
-}
-
 // frameCiphertexts frames cts behind head as appendCiphertexts frames them,
-// into a frame drawn from the arena by pool.Slices.Get — a dead frame of the
-// size's class, or fresh bytes as wide as the class's widest — since a
-// vertical message's frame always comes back, released by the party that
-// read it.
+// into a frame drawn from the arena by pool.Slices.Get: a dead frame of the
+// size's class, or fresh bytes as wide as the class's widest. Every
+// ciphertext frame — an upload, a vertical message — is framed here. A frame
+// that comes back (Round.Gather's, exchange's) is framed into again; one that
+// never does (a TCP client's upload, a frame a chaos transport drops) costs
+// one class-wide allocation, under twice its length.
 func frameCiphertexts(head []byte, cts []paillier.Ciphertext) []byte {
 	frame := arena.frames.Get(len(head) + int(encodedSize(cts)))[:0]
 	return appendCiphertexts(append(frame, head...), cts)

@@ -14,11 +14,11 @@ import (
 
 // TestArenaCodecAllocs is the allocation regression guard for the round
 // path's codec primitives: with a warm arena, encoding a batch costs exactly
-// the payload buffer, framing an upload into a released frame costs nothing,
-// decoding into a released batch's limbs costs nothing at all, and neither
-// does a plaintext batch's trip through the arena — the pools recycle the
-// headers they keep slices behind (boxing one afresh at every release cost 2,
-// 2 and 1).
+// the payload buffer, framing an upload (frameCiphertexts) into a released
+// frame costs nothing, decoding into a released batch's limbs costs nothing
+// at all, and neither does a plaintext batch's trip through the arena — the
+// pools recycle the headers they keep slices behind (boxing one afresh at
+// every release cost 2, 2 and 1).
 func TestArenaCodecAllocs(t *testing.T) {
 	const n = 16
 	cts := arenaCts(n)
@@ -29,9 +29,9 @@ func TestArenaCodecAllocs(t *testing.T) {
 	}); got > 1 {
 		t.Errorf("warm arena encode: %.1f allocs per batch, want <= 1", got)
 	}
-	releaseFrame(frameUpload(cts))
+	releaseFrame(frameCiphertexts(nil, cts))
 	if got := testing.AllocsPerRun(100, func() {
-		releaseFrame(frameUpload(cts))
+		releaseFrame(frameCiphertexts(nil, cts))
 	}); got > 0 {
 		t.Errorf("warm upload frame: %.1f allocs a framing and release, want 0", got)
 	}

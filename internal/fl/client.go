@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"flbooster/internal/flnet"
-	"flbooster/internal/paillier"
 )
 
 // Schedule is what every party of a round agrees on without a message: the
@@ -63,28 +62,27 @@ var ErrNotSent = errors.New("fl: upload not sent")
 
 // Client is the client half of the Fig. 2 round. It knows the coordinator
 // only as frames on a flnet.Transport: it uploads one "grads" frame, later
-// receives the aggregate frame, reads K off it and opens it. The in-process
-// Federation hosts one per party on a shared Context; cmd/flserver's client
-// role hosts one on its own.
+// receives the aggregate frame, reads K off it and opens it. Every client
+// holds the private key in the Fig. 2 layout, so it encrypts as the key's
+// holder (Context.Key.Holder()): the handle follows from the role. The
+// in-process Federation hosts one per party on a shared Context;
+// cmd/flserver's client role hosts one on its own.
 type Client struct {
 	Ctx   *Context
 	Index int
 	Name  string
-	// Key is the handle the client encrypts under. Every client holds the
-	// private key in the Fig. 2 layout, so it is the holder's (Key.Holder());
-	// tests point it at the bare public key to hold the two bit-identical.
-	Key *paillier.PublicKey
 }
 
-// NewClient builds client i of ctx's federation.
+// NewClient builds client i of ctx's federation, named ClientName(i); the
+// Federation and cmd/flserver's client role build theirs with it.
 func NewClient(ctx *Context, i int) *Client {
-	return &Client{Ctx: ctx, Index: i, Name: ClientName(i), Key: ctx.Key.Holder()}
+	return &Client{Ctx: ctx, Index: i, Name: ClientName(i)}
 }
 
 // Upload is the client's first half of a round: encrypt the whole batch
-// under the key handle and send it as one "grads" frame. It returns the
-// ciphertext count. A send that failed wraps ErrNotSent. It is an upload wave
-// of one.
+// under the key holder's handle and send it as one "grads" frame. It returns
+// the ciphertext count. A send that failed wraps ErrNotSent. It is an upload
+// wave of one.
 func (c *Client) Upload(tr flnet.Transport, round uint64, grads []float64) (int, error) {
 	width := 0
 	err := uploadWave(tr, round, []*Client{c}, [][]float64{grads}, func(_ *Client, n int, err error) error {
@@ -102,11 +100,12 @@ func (c *Client) Upload(tr flnet.Transport, round uint64, grads []float64) (int,
 //  1. each member, in cohort order, encodes its gradients — stopping at the
 //     first that fails;
 //  2. what was encoded is encrypted as one host job (Context.encryptUploads):
-//     each member on its own nonce seed, drawn in cohort order, and its own
-//     modelled launch;
-//  3. each member's ciphertexts are framed and sent, in cohort order, and
-//     settle is told the outcome — the ciphertext count, or the send's error
-//     wrapping ErrNotSent — and ends the wave by returning an error.
+//     one paillier.EncryptVecs under the key holder's handle, each member on
+//     its own nonce seed, drawn in cohort order, and its own modelled launch;
+//  3. each member's ciphertexts are framed (frameCiphertexts, as every
+//     vertical message is) and sent, in cohort order, and settle is told the
+//     outcome — the ciphertext count, or the send's error wrapping
+//     ErrNotSent — and ends the wave by returning an error.
 //
 // A member that fails to encrypt ends the wave with its error once the
 // members before it were settled; nothing after it is encrypted. A wave that
@@ -118,11 +117,14 @@ func uploadWave(tr flnet.Transport, round uint64, wave []*Client, grads [][]floa
 	}
 	ctx := wave[0].Ctx
 	var failed error
+	w := &ctx.wave
 	for i, cl := range wave {
-		if err := ctx.encodeUpload(cl.Key, grads[i]); err != nil {
+		pts, err := ctx.encode(grads[i])
+		if err != nil {
 			failed = fmt.Errorf("fl: client %d encrypt: %w", cl.Index, err)
 			break
 		}
+		w.pts, w.vals = append(w.pts, pts), append(w.vals, len(grads[i]))
 	}
 	cts, err := ctx.encryptUploads()
 	if err != nil {
@@ -133,7 +135,7 @@ func uploadWave(tr flnet.Transport, round uint64, wave []*Client, grads [][]floa
 		cl := wave[i]
 		msg := flnet.Message{
 			From: cl.Name, To: ServerName, Kind: "grads", Round: round,
-			Payload: frameUpload(batch),
+			Payload: frameCiphertexts(nil, batch),
 		}
 		ReleaseCiphertexts(batch) // framed: the payload is bytes of its own
 		err := ctx.deliver(tr, msg)

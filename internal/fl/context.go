@@ -206,119 +206,90 @@ func (c *Context) PlaintextCount(n int) int { return c.Packer.NumPlaintexts(n) }
 // component; the plainval/ciphertext counts feed the compression ratio.
 //
 // The encrypting party is anyone who knows the public key — a vertical
-// model's host encrypting under the arbiter's key. A Fig. 2 client, which
-// owns the key, encrypts under its holder handle through Client.Upload
-// instead. It is an upload wave of one.
+// model's host encrypting under the arbiter's key — so the batch is a
+// public-key one (EncryptNats), shaped like EncryptBroadcast. A Fig. 2
+// client, which owns the key, encrypts under its holder handle through
+// Client.Upload instead.
 func (c *Context) EncryptGradients(grads []float64) ([]paillier.Ciphertext, error) {
-	if err := c.encodeUpload(&c.Key.PublicKey, grads); err != nil {
-		return nil, err
-	}
-	cts, err := c.encryptUploads()
+	pts, err := c.encode(grads)
 	if err != nil {
 		return nil, err
 	}
-	out := cts[0]
-	clear(cts)
-	return out, nil
+	cts, err := c.EncryptNats(pts, int64(len(grads)))
+	arena.putPlain(pts)
+	if err != nil {
+		return nil, err
+	}
+	c.Costs.AddCompression(int64(len(grads)), int64(len(cts)))
+	return cts, nil
 }
 
-// uploads is the upload wave being encrypted — each upload's handle, encoded
+// uploads is the upload wave being encrypted — each upload's encoded
 // plaintexts, gradient count and nonce seed, and then its ciphertexts — kept
-// from wave to wave: encodeUpload adds to it, encryptUploads empties it.
+// from wave to wave: uploadWave adds to it, encryptUploads empties it.
 type uploads struct {
-	keys  []*paillier.PublicKey
 	pts   [][]mpint.Nat
 	vals  []int
 	seeds []uint64
 	cts   [][]paillier.Ciphertext
 }
 
-// encodeUpload is an upload's first step: the handle check, then the encode,
-// charged to the encode component. The plaintexts join the wave.
-func (c *Context) encodeUpload(pk *paillier.PublicKey, grads []float64) error {
-	if err := c.checkHandle(pk); err != nil {
-		return err
-	}
-	encStart := time.Now()
+// encode is the first step of a gradient upload: the encode
+// (EncodePlaintexts), charged to the encode component.
+func (c *Context) encode(grads []float64) ([]mpint.Nat, error) {
+	start := time.Now()
 	pts, err := c.EncodePlaintexts(grads)
-	if err != nil {
-		return err
+	if err == nil {
+		c.Costs.AddEncode(time.Since(start), encodeSim(len(grads)), int64(len(grads)))
 	}
-	c.Costs.AddEncode(time.Since(encStart), encodeSim(len(grads)), int64(len(grads)))
-	w := &c.wave
-	w.keys, w.pts, w.vals = append(w.keys, pk), append(w.pts, pts), append(w.vals, len(grads))
-	return nil
+	return pts, err
 }
 
-// encryptUploads encrypts the wave's uploads, each on its own next nonce
-// seed, drawn in order. Uploads under one handle are one charged HE batch
-// (paillier.EncryptVecs): a launch an upload and, on a GPU profile, one host
-// job for their lanes. It returns their ciphertexts, upload j's at j, in a
-// slice kept for the next wave, and gives the plaintexts back to the arena.
-// On an error it returns the uploads before the one that failed and leaves
-// the seed cursor after that one's seed, where encrypting them one at a time
-// would have.
+// encryptUploads encrypts the wave's uploads under the key holder's handle —
+// every Fig. 2 client holds the private key — as one charged HE batch
+// (paillier.EncryptVecs): a launch an upload, each on its own next nonce
+// seed, drawn in order, and on a GPU profile one host job for their lanes.
+// It returns their ciphertexts, upload j's at j, in a slice kept for the next
+// wave, and gives the plaintexts back to the arena. On an error it returns
+// the uploads before the one that failed, charged with the device clock's
+// advance up to the failure (a batch that failed whole charges nothing), and
+// leaves the seed cursor after the failed one's seed, where encrypting them
+// one at a time would have.
 func (c *Context) encryptUploads() ([][]paillier.Ciphertext, error) {
 	w := &c.wave
+	if len(w.pts) == 0 {
+		return nil, nil
+	}
 	defer func() {
-		clear(w.keys)
 		clear(w.pts)
-		w.keys, w.pts, w.vals, w.seeds = w.keys[:0], w.pts[:0], w.vals[:0], w.seeds[:0]
+		w.pts, w.vals, w.seeds = w.pts[:0], w.vals[:0], w.seeds[:0]
 	}()
 	for range w.pts {
 		w.seeds = append(w.seeds, c.nextSeed())
 	}
 	w.cts = slices.Grow(w.cts[:0], len(w.pts))[:len(w.pts)]
-	for lo := 0; lo < len(w.pts); {
-		hi := lo + 1
-		for hi < len(w.pts) && w.keys[hi] == w.keys[lo] {
-			hi++
+	var done int
+	var err error
+	// chargeHE fails only with the batch's own error, which err keeps.
+	_, _ = c.chargeHE(func() (ops, instances int64, _ error) {
+		if done, err = paillier.EncryptVecs(c.Backend, w.cts, c.Key.Holder(), w.pts, w.seeds); done == 0 {
+			return 0, 0, err // charges nothing
 		}
-		done, err := c.encryptRun(lo, hi)
-		if err != nil {
-			c.RestoreSeedCursor(w.seeds[lo+done])
-			return w.cts[:lo+done], err
+		for j, b := range w.cts[:done] {
+			ops += int64(len(b))
+			instances += int64(w.vals[j])
+			c.Costs.AddCompression(int64(w.vals[j]), int64(len(b)))
 		}
-		lo = hi
+		return ops, instances, nil
+	})
+	if err != nil {
+		c.RestoreSeedCursor(w.seeds[done])
+		return w.cts[:done], err
 	}
 	for _, p := range w.pts {
 		arena.putPlain(p)
 	}
 	return w.cts, nil
-}
-
-// encryptRun is the wave's uploads [lo, hi), under one handle, as one charged
-// HE batch. Uploads encrypted before one that failed are charged, with the
-// device clock's advance up to the failure; a batch that failed whole charges
-// nothing. It returns how many were encrypted.
-func (c *Context) encryptRun(lo, hi int) (done int, err error) {
-	w := &c.wave
-	_, cerr := c.chargeHE(func() (ops, instances int64, _ error) {
-		if done, err = paillier.EncryptVecs(c.Backend, w.cts[lo:hi], w.keys[lo], w.pts[lo:hi], w.seeds[lo:hi]); done == 0 {
-			return 0, 0, err
-		}
-		for j, b := range w.cts[lo : lo+done] {
-			ops += int64(len(b))
-			instances += int64(w.vals[lo+j])
-			c.Costs.AddCompression(int64(w.vals[lo+j]), int64(len(b)))
-		}
-		return ops, instances, nil
-	})
-	if err == nil {
-		err = cerr
-	}
-	return done, err
-}
-
-// encrypt is one charged encryption batch under the context's public key, on
-// the next nonce seed, with `instances` logical values on the throughput
-// counter.
-func (c *Context) encrypt(pts []mpint.Nat, instances int64) (cts []paillier.Ciphertext, err error) {
-	_, err = c.chargeHE(func() (int64, int64, error) {
-		cts, err = c.Backend.EncryptVec(&c.Key.PublicKey, pts, c.nextSeed())
-		return int64(len(cts)), instances, err
-	})
-	return cts, err
 }
 
 // decrypt is one charged decryption batch of cts under the context's key,
@@ -329,15 +300,6 @@ func (c *Context) decrypt(cts []paillier.Ciphertext, count int) (pts []mpint.Nat
 		return int64(len(cts)), int64(count), err
 	})
 	return pts, err
-}
-
-// checkHandle rejects a key handle that is not one of the context's own key:
-// ciphertexts under any other key would aggregate and decrypt to noise.
-func (c *Context) checkHandle(pk *paillier.PublicKey) error {
-	if pk == nil || mpint.Cmp(pk.N, c.Key.N) != 0 {
-		return fmt.Errorf("fl: encryption key is not a handle of the context's key")
-	}
-	return nil
 }
 
 // NewAggTree builds an empty hierarchical aggregation tree over this

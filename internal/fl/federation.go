@@ -51,7 +51,7 @@ func NewFederation(ctx *Context) *Federation {
 		roster:    NewRoster(names),
 	}
 	for i, name := range names {
-		f.clients[name] = &Client{Ctx: ctx, Index: i, Name: name, Key: ctx.Key.Holder()}
+		f.clients[name] = NewClient(ctx, i)
 	}
 	return f
 }

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"flbooster/internal/flnet"
+	"flbooster/internal/ghe"
+	"flbooster/internal/mpint"
 	"flbooster/internal/paillier"
 )
 
@@ -28,43 +31,30 @@ func (w *wireLog) Send(msg flnet.Message) error {
 	return w.Transport.Send(msg)
 }
 
-// holderRound runs two rounds of p and returns every message they sent, the
-// last aggregate and the cost snapshot. With public set the clients are
-// forced onto the bare public key — the path a party that was only given
-// the key takes — instead of their own holder handle.
-func holderRound(t *testing.T, p Profile, grads [][]float64, public bool) ([]flnet.Message, []float64, CostSnapshot) {
-	t.Helper()
-	ctx, err := NewContext(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed := NewFederation(ctx)
-	defer fed.Close()
-	for _, cl := range fed.clients {
-		if cl.Key != ctx.Key.Holder() {
-			t.Fatal("Fig. 2 clients should encrypt under the key holder's handle")
-		}
-		if public {
-			cl.Key = &ctx.Key.PublicKey
-		}
-	}
-	log := &wireLog{Transport: fed.Transport}
-	fed.Transport = log
-	var agg []float64
-	for r := 0; r < 2; r++ {
-		if agg, _, err = fed.SecureAggregateReport(grads); err != nil {
-			t.Fatalf("round %d: %v", r, err)
-		}
-	}
-	return log.sent, agg, ctx.Costs.Snapshot()
+// uploadClock is a context's backend that keeps the device clock its upload
+// waves advanced: every EncryptVecs call is one wave's charged batch.
+type uploadClock struct {
+	paillier.BatchEncrypter
+	checked *ghe.CheckedEngine
+	sim     time.Duration
 }
 
-// TestHolderRoundBitExactWithPublic: a round whose clients encrypt through
-// the factorisation puts the same bytes on the wire — every upload, partial
-// and aggregate frame — and decrypts to the same estimate as one whose
-// clients use the bare public key: flat and cohort-tree, on one device, on a
-// device set and on the host. Only the modelled HE time
-// differs, and only downwards.
+func (u *uploadClock) EncryptVecs(out [][]paillier.Ciphertext, pk *paillier.PublicKey, batches [][]mpint.Nat, seeds []uint64) (int, error) {
+	base := u.checked.SimTime()
+	n, err := u.BatchEncrypter.EncryptVecs(out, pk, batches, seeds)
+	u.sim += u.checked.SimTime() - base
+	return n, err
+}
+
+// TestHolderRoundBitExactWithPublic: a round's clients encrypt through the
+// factorisation, as the key's holder, and every upload puts on the wire the
+// bytes a party that was only given the public key would send. A twin
+// context of the same profile re-encrypts each logged upload's gradients
+// under the bare public key at that upload's seed — the round-start cursor,
+// advanced once an upload in cohort order — and the payloads must be equal;
+// what the round sends after the uploads is a function of them. Flat and
+// cohort-tree, on one device, on a device set and on the host, two rounds
+// each. Only the modelled HE time differs, and only downwards.
 func TestHolderRoundBitExactWithPublic(t *testing.T) {
 	type shape struct {
 		name    string
@@ -88,65 +78,59 @@ func TestHolderRoundBitExactWithPublic(t *testing.T) {
 					p.Seed = 29
 					sh.set(&p)
 					grads := testGrads(sh.parties, 23)
-					own, ownAgg, ownCost := holderRound(t, p, grads, false)
-					pub, pubAgg, pubCost := holderRound(t, p, grads, true)
-					if !sameBits(ownAgg, pubAgg) {
-						t.Fatalf("estimates differ: holder %v, public %v", ownAgg, pubAgg)
+					ctx, err := NewContext(p)
+					if err != nil {
+						t.Fatal(err)
 					}
-					if len(own) != len(pub) || len(own) == 0 {
-						t.Fatalf("%d messages with the holder handle, %d with the public key", len(own), len(pub))
+					twin, err := NewContext(p)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for i := range own {
-						a, b := own[i], pub[i]
-						if a.From != b.From || a.To != b.To || a.Kind != b.Kind || !bytes.Equal(a.Payload, b.Payload) {
-							t.Fatalf("message %d (%s %s→%s) differs between the handles", i, a.Kind, a.From, a.To)
+					clock := &uploadClock{BatchEncrypter: ctx.Backend.(paillier.BatchEncrypter), checked: ctx.Checked}
+					ctx.Backend = clock
+					fed := NewFederation(ctx)
+					defer fed.Close()
+					log := &wireLog{Transport: fed.Transport}
+					fed.Transport = log
+					for r := 0; r < 2; r++ {
+						start := ctx.SeedCursor()
+						log.sent = log.sent[:0]
+						_, rep, err := fed.SecureAggregateReport(grads)
+						if err != nil {
+							t.Fatalf("round %d: %v", r, err)
+						}
+						twin.RestoreSeedCursor(start)
+						uploads := 0
+						for _, msg := range log.sent {
+							if msg.Kind != "grads" {
+								continue
+							}
+							var i int
+							if _, err := fmt.Sscanf(msg.From, "client%d", &i); err != nil {
+								t.Fatal(err)
+							}
+							cts, err := twin.EncryptGradients(grads[i])
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !bytes.Equal(msg.Payload, encodeCiphertexts(cts)) {
+								t.Fatalf("round %d: %s's upload differs from its public-key encryption", r, msg.From)
+							}
+							uploads++
+						}
+						if uploads == 0 || uploads != len(rep.Included) {
+							t.Fatalf("round %d: %d uploads on the wire, %d included", r, uploads, len(rep.Included))
 						}
 					}
-					if ownCost.CommBytes != pubCost.CommBytes || ownCost.HEOps != pubCost.HEOps || ownCost.Ciphertexts != pubCost.Ciphertexts {
-						t.Fatalf("counts differ: holder %+v, public %+v", ownCost, pubCost)
+					own, pub := ctx.Costs.Snapshot(), twin.Costs.Snapshot()
+					if own.Ciphertexts != pub.Ciphertexts || own.Ciphertexts != pub.HEOps || own.EncodeSim != pub.EncodeSim {
+						t.Fatalf("counts differ: holder %+v, public %+v", own, pub)
 					}
-					if p.UseGPU() && ownCost.HESim >= pubCost.HESim {
-						t.Errorf("holder HE sim %v should undercut the public path's %v", ownCost.HESim, pubCost.HESim)
+					if p.UseGPU() && clock.sim >= pub.HESim {
+						t.Errorf("holder upload HE sim %v should undercut the public path's %v", clock.sim, pub.HESim)
 					}
 				})
 			}
 		}
-	}
-}
-
-// TestUploadRejectsForeignKey: a client whose handle is not one of the
-// context's key — another key's holder, none, another public key — gets an
-// error from Client.Upload, not ciphertexts nobody can aggregate, and sends
-// no frame.
-func TestUploadRejectsForeignKey(t *testing.T) {
-	ctx, err := NewContext(testProfile(SystemFLBooster))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := testProfile(SystemFLBooster)
-	p.Seed = 99
-	other, err := NewContext(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	grads := testGrads(1, 8)[0]
-	for _, tc := range []struct {
-		name string
-		key  *paillier.PublicKey
-	}{
-		{"foreign holder", other.Key.Holder()},
-		{"nil", nil},
-		{"foreign public key", &other.Key.PublicKey},
-	} {
-		cl := NewClient(ctx, 0)
-		cl.Key = tc.key
-		log := &wireLog{Transport: flnet.NewSimTransport(ctx.Link, cl.Name, ServerName)}
-		if _, err := cl.Upload(log, 1, grads); err == nil {
-			t.Errorf("%s: Upload accepted the key", tc.name)
-		}
-		if len(log.sent) != 0 {
-			t.Errorf("%s: %d frames sent", tc.name, len(log.sent))
-		}
-		log.Close()
 	}
 }

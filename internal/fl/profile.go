@@ -50,8 +50,6 @@ type Profile struct {
 	// RBits is the quantization width; the paper uses r+b = 32 with two
 	// overflow bits at p = 4 (so r = 30).
 	RBits uint
-	// GradBound is the quantizer's α.
-	GradBound float64
 	// Device is the GPU model for GPU profiles.
 	Device gpu.Config
 	// Devices is the simulated device count for GPU profiles: every GPU
@@ -97,13 +95,12 @@ type FaultPolicy struct {
 // key size and party count.
 func NewProfile(sys System, keyBits, parties int) Profile {
 	p := Profile{
-		System:    sys,
-		KeyBits:   keyBits,
-		Parties:   parties,
-		RBits:     30, // r + b = 32 at p ≤ 4, the paper's setting
-		GradBound: 1,
-		Device:    gpu.RTX3090(),
-		Seed:      1,
+		System:  sys,
+		KeyBits: keyBits,
+		Parties: parties,
+		RBits:   30, // r + b = 32 at p ≤ 4, the paper's setting
+		Device:  gpu.RTX3090(),
+		Seed:    1,
 	}
 	return p
 }
@@ -185,12 +182,16 @@ func (p Profile) validate() (*quant.Quantizer, *batch.Packer, error) {
 // generation can produce (mpint.CheckKeyBits) and hold one slot of the
 // profile's quantizer below the modulus (batch.ErrKeyTooSmall) — with batch
 // compression off too, which packs one slot a plaintext. The quantizer owns
-// what a usable α and r are — a finite α > 0, r in [2, 52], and r plus the
-// parties' overflow bits inside a word — and its error is returned as is.
+// what a usable r is — r in [2, 52], and r plus the parties' overflow bits
+// inside a word — and its error is returned as is.
 func (p Profile) CheckKeyBits() error {
 	_, _, err := p.keyLayers()
 	return err
 }
+
+// gradBound is the quantizer's α: every profile quantizes values in
+// [−1, 1], clamping the rest (quant.Quantizer.Quantize).
+const gradBound = 1
 
 // keyLayers is CheckKeyBits returning what its slot rule built: the
 // profile's quantizer and batch-compression layer, the aggregation layout of
@@ -200,7 +201,7 @@ func (p Profile) keyLayers() (*quant.Quantizer, *batch.Packer, error) {
 	if err := mpint.CheckKeyBits(p.KeyBits); err != nil {
 		return nil, nil, fmt.Errorf("fl: %w", err)
 	}
-	q, err := quant.New(p.GradBound, p.RBits, p.Parties)
+	q, err := quant.New(gradBound, p.RBits, p.Parties)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -184,7 +184,7 @@ func (c *Context) EncryptBroadcast(vals []float64, s int) ([]paillier.Ciphertext
 	}
 	l := broadcastLayout(s)
 	pts := l.Pack(arena.getPlain(l.Plaintexts(len(vals))), len(vals), func(i int) uint64 { return c.Quant.Quantize(vals[i]) })
-	cts, err := c.encrypt(pts, int64(len(vals)))
+	cts, err := c.EncryptNats(pts, int64(len(vals)))
 	arena.putPlain(pts)
 	if err != nil {
 		return nil, err
@@ -484,11 +484,18 @@ func (c *Context) addCiphertexts(a, b []paillier.Ciphertext) (sums []paillier.Ci
 	return sums, sim, err
 }
 
-// EncryptNats encrypts caller-prepared plaintexts, charging `instances`
-// logical values to the throughput counter (callers that pack several
-// values per plaintext pass the packed value count).
-func (c *Context) EncryptNats(pts []mpint.Nat, instances int64) ([]paillier.Ciphertext, error) {
-	return c.encrypt(pts, instances)
+// EncryptNats is the one public-key encryption batch: caller-prepared
+// plaintexts encrypted under the context's public key, on the next nonce
+// seed, as one charged HE batch with `instances` logical values on the
+// throughput counter (callers that pack several values per plaintext pass
+// the packed value count). EncryptGradients, EncryptBroadcast and
+// BroadcastSums' empty sums all encrypt through it.
+func (c *Context) EncryptNats(pts []mpint.Nat, instances int64) (cts []paillier.Ciphertext, err error) {
+	_, err = c.chargeHE(func() (int64, int64, error) {
+		cts, err = c.Backend.EncryptVec(&c.Key.PublicKey, pts, c.nextSeed())
+		return int64(len(cts)), instances, err
+	})
+	return cts, err
 }
 
 // BroadcastSums computes k sparse integer combinations of the values a

@@ -2,6 +2,8 @@ package models
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"flbooster/internal/batch"
@@ -448,6 +450,52 @@ func TestHeteroNNEncryptedMatchesOracle(t *testing.T) {
 	c := ctx.Costs.Snapshot()
 	if c.HEOps == 0 || c.CommBytes == 0 {
 		t.Fatalf("cost anatomy incomplete: %+v", c)
+	}
+}
+
+// TestHeteroNNBlankHostSteps: a host whose minibatch holds no non-zero
+// feature has no weighted sum to open, yet it still takes its optimizer step
+// (L2 and Adam over a zero gradient), as the plaintext oracle's host does —
+// its encrypted tower stays bit-identical to the oracle's. Skipping the step
+// left the weights at their initial values.
+func TestHeteroNNBlankHostSteps(t *testing.T) {
+	ds := testData(t, 64, 16)
+	for i, ex := range ds.Examples {
+		k := 0
+		for k < len(ex.Features.Idx) && ex.Features.Idx[k] < 8 { // party 1 holds features 8–15
+			k++
+		}
+		ds.Examples[i].Features = datasets.SparseVec{Idx: ex.Features.Idx[:k], Val: ex.Features.Val[:k]}
+	}
+	opts := testOpts()
+	opts.Parties = 2
+	p := fl.NewProfile(fl.SystemFLBooster, 128, 2)
+	p.Device = gpu.SmallTestDevice()
+	p.RBits = 14
+	ctx, err := fl.NewContext(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := NewHeteroNN(ctx, ds, 4, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer enc.Close()
+	oracle, err := NewHeteroNN(nil, ds, 4, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := slices.Clone(enc.W[1])
+	if _, err := enc.TrainEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := oracle.TrainEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range enc.W[1] {
+		if math.Float64bits(w) != math.Float64bits(oracle.W[1][i]) {
+			t.Fatalf("host W[1][%d] = %v encrypted (initially %v), %v in the oracle", i, w, initial[i], oracle.W[1][i])
+		}
 	}
 }
 

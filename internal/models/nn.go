@@ -184,9 +184,6 @@ func (m *HeteroNN) trainBatch(lo, hi int) error {
 		clamped[i] = clampGrad(d, bound)
 	}
 	return m.hostSteps(clamped, m.Hidden, lo, hi, "deltas", "nn-grad", "nn-grad-plain", func(p int, grads []float64) {
-		if grads == nil {
-			return
-		}
 		for i := range grads {
 			grads[i] = grads[i]*(1/fixedPoint) + m.opts.L2*m.W[p][i]
 		}

@@ -200,7 +200,7 @@ func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, replyKind st
 // Σᵢ E(v_{iu})^(σᵢⱼx̃ᵢⱼ) laid out unit by unit, and opens the sums through the
 // arbiter (sumKind, replyKind; weightedSums.open), each host over its own
 // decoded copy of the broadcast. step gets each host's
-// totals in fixed-point units, nil when no sum had a term, and is timed as
+// totals in fixed-point units, zero where a sum had no term, and is timed as
 // model computation. With no host there is no step: nothing is encrypted.
 func (v *vertical) hostSteps(vals []float64, units, lo, hi int, kind, sumKind, replyKind string, step func(p int, totals []float64)) error {
 	if len(v.parts) == 1 {

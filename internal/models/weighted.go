@@ -75,9 +75,9 @@ func (w *weightedSums) reset(n int) []signedSum {
 // fl.Context.BroadcastSums batch — the return path through the key holder,
 // which opens S + O, and the decode of each as one signed integer,
 // Σ dᵢ·σᵢx̃ᵢ = (2α/M)·S − α·(Σx̃⁺ − Σx̃⁻): one rounding. It returns each sum's
-// signed total in fixed-point units, valid until the next reset, or nil when
-// no sum had a term to send. The sum ciphertexts die here and go back to the
-// pool.
+// signed total in fixed-point units, valid until the next reset: zero for a
+// sum with no term, all zeros with no HE op and no message when no sum has
+// one. The sum ciphertexts die here and go back to the pool.
 func (w *weightedSums) open(ctx *fl.Context, route fl.ReturnRoute, encD []paillier.Ciphertext, s int) ([]float64, error) {
 	w.batch, w.bounds, w.sent = w.batch[:0], w.bounds[:0], w.sent[:0]
 	for k := range w.sums {
@@ -93,8 +93,10 @@ func (w *weightedSums) open(ctx *fl.Context, route fl.ReturnRoute, encD []pailli
 		w.bounds = append(w.bounds, bound)
 		w.sent = append(w.sent, k)
 	}
+	w.out = slices.Grow(w.out[:0], len(w.sums))[:len(w.sums)]
+	clear(w.out)
 	if len(w.batch) == 0 {
-		return nil, nil
+		return w.out, nil
 	}
 	cts, err := ctx.BroadcastSums(encD, w.batch, s, true)
 	if err != nil {
@@ -106,8 +108,6 @@ func (w *weightedSums) open(ctx *fl.Context, route fl.ReturnRoute, encD []pailli
 		return nil, err
 	}
 	c, alpha := ctx.Quant.Step(), ctx.Quant.Alpha()
-	w.out = slices.Grow(w.out[:0], len(w.sums))[:len(w.sums)]
-	clear(w.out)
 	for i, raw := range raws {
 		sum := &w.sums[w.sent[i]]
 		// Each side is below 2⁶³ (SumBound), so S = raw − O is exact in int64.

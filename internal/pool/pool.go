@@ -32,41 +32,17 @@ func (p *Slices[T]) Get(n int) []T {
 	}
 	c := class(n)
 	top := 2<<c - 1
-	s := p.take(c)
-	if s == nil {
-		return make([]T, n, top)
-	}
-	if cap(s) < n {
-		s = append(s[:cap(s)], make([]T, top-cap(s))...)
-	}
-	return s[:n]
-}
-
-// Reuse returns n values of a pooled slice of n's class wide enough for
-// them, as its last owner left them, or nil when the class has none. Unlike
-// Get it never allocates, so a caller whose slices may never come back sizes
-// its fresh ones itself. A pooled slice too short for n is dropped.
-func (p *Slices[T]) Reuse(n int) []T {
-	if n == 0 {
-		return nil
-	}
-	if s := p.take(class(n)); cap(s) >= n {
-		return s[:n]
-	}
-	return nil
-}
-
-// take returns a pooled slice of class c, or nil, handing the header it was
-// kept behind to the next Put.
-func (p *Slices[T]) take(c int) []T {
 	h, _ := p.classes[c].Get().(*[]T)
 	if h == nil {
-		return nil
+		return make([]T, n, top)
 	}
 	s := *h
 	*h = nil
 	p.headers.Put(h)
-	return s
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, top-cap(s))...)
+	}
+	return s[:n]
 }
 
 // Put hands back s, whole: everything up to its capacity is the pool's, and

@@ -30,30 +30,3 @@ func TestSliceServesItsWholeClass(t *testing.T) {
 		t.Fatal("a 5-wide request did not get the class's slice back")
 	}
 }
-
-// TestReuseNeverAllocates: Reuse hands back a pooled slice of the request's
-// class that holds it, and otherwise nil — never a fresh one — dropping a
-// pooled slice too short for the request.
-func TestReuseNeverAllocates(t *testing.T) {
-	var p Slices[byte]
-	if s := p.Reuse(5); s != nil {
-		t.Fatalf("Reuse on an empty pool: %d-wide slice, want nil", cap(s))
-	}
-	p.Put(make([]byte, 5))
-	if s := p.Reuse(6); s != nil {
-		t.Fatalf("Reuse(6) got a %d-wide slice", cap(s))
-	}
-	if s := p.Reuse(5); s != nil {
-		t.Fatal("the too-short slice Reuse(6) found went back to the pool")
-	}
-	wide := make([]byte, 7)
-	wide[0] = 9
-	p.Put(wide)
-	got := p.Reuse(5)
-	if len(got) != 5 || &got[0] != &wide[0] || got[0] != 9 {
-		t.Fatalf("Reuse(5) did not get the pooled 7-wide slice back as it was left: len %d", len(got))
-	}
-	if n := testing.AllocsPerRun(100, func() { p.Put(p.Reuse(5)) }); n > 0 {
-		t.Errorf("a warm Reuse and Put: %.1f allocs, want 0", n)
-	}
-}
