@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"flbooster/internal/flnet"
 	"flbooster/internal/paillier"
 )
 
@@ -21,12 +22,11 @@ func (e *frameError) Unwrap() error { return e.error }
 const AggregateKind = "agg"
 
 // sealAggregate frames a round's root for every recipient: the contributor
-// count K as a little-endian uint32, then the root's ciphertext vector — the
+// count K as a minimal uvarint, then the root's ciphertext vector — the
 // sealed payload (framePayload). The root dies framed: the frame is bytes of
 // its own.
 func (c *Context) sealAggregate(k int, root []paillier.Ciphertext) []byte {
-	room := 4 + int(c.CiphertextWireBytes(len(root)))
-	frame := appendCiphertexts(newAggFrame(k, room), root)
+	frame := appendCiphertexts(newAggFrame(k, int(c.CiphertextWireBytes(len(root)))), root)
 	ReleaseCiphertexts(root)
 	return frame
 }
@@ -36,12 +36,16 @@ func (c *Context) sealAggregate(k int, root []paillier.Ciphertext) []byte {
 // frames and the frame a resumed coordinator rebuilds around its journaled
 // payload both start here.
 func newAggFrame(k, room int) []byte {
-	return binary.LittleEndian.AppendUint32(make([]byte, 0, 4+room), uint32(k))
+	return binary.AppendUvarint(make([]byte, 0, flnet.UvarintLen(uint64(k))+room), uint64(k))
 }
 
-// framePayload is the sealed payload of an aggregate frame: what the journal
-// holds and digests. K is not part of it — on replay it is len(Members).
-func framePayload(frame []byte) []byte { return frame[4:] }
+// framePayload is the sealed payload of an aggregate frame the round built:
+// what the journal holds and digests. K is not part of it — on replay it is
+// len(Members).
+func framePayload(frame []byte) []byte {
+	_, n := binary.Uvarint(frame)
+	return frame[n:]
+}
 
 // openAggregate is sealAggregate's inverse at a decrypting client: it reads K
 // off the frame, decrypts the sum of K contributions and returns the
@@ -56,17 +60,18 @@ func (c *Context) openAggregate(frame []byte, count int, included []string) ([]f
 	reject := func(format string, args ...any) ([]float64, int, error) {
 		return nil, 0, &frameError{fmt.Errorf(format, args...)}
 	}
-	if len(frame) < 4 {
-		return reject("fl: aggregate frame of %d bytes has no contributor count", len(frame))
+	claimed, payload, err := flnet.ReadUvarint(frame)
+	if err != nil {
+		return reject("fl: aggregate frame's contributor count: %w", err)
 	}
-	k := int(binary.LittleEndian.Uint32(frame))
-	if k < 1 || k > c.Profile.Parties {
-		return reject("fl: aggregate frame claims %d contributors of %d parties", k, c.Profile.Parties)
+	if claimed < 1 || claimed > uint64(c.Profile.Parties) {
+		return reject("fl: aggregate frame claims %d contributors of %d parties", claimed, c.Profile.Parties)
 	}
+	k := int(claimed)
 	if included != nil && len(included) != k {
 		return reject("fl: frame claims %d contributors, round included %d", k, len(included))
 	}
-	cts, err := DecodeCiphertexts(framePayload(frame))
+	cts, err := c.DecodeCiphertexts(payload)
 	if err != nil {
 		return reject("%w", err)
 	}

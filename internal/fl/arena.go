@@ -1,7 +1,8 @@
 package fl
 
 import (
-	"encoding/binary"
+	"errors"
+	"fmt"
 
 	"flbooster/internal/flnet"
 	"flbooster/internal/mpint"
@@ -46,8 +47,11 @@ var arena wireArena
 // never does (a TCP client's upload, a frame a chaos transport drops) costs
 // one class-wide allocation, under twice its length.
 func frameCiphertexts(head []byte, cts []paillier.Ciphertext) []byte {
-	frame := arena.frames.Get(len(head) + int(encodedSize(cts)))[:0]
-	return appendCiphertexts(append(frame, head...), cts)
+	nats := natsOf(cts)
+	frame := arena.frames.Get(len(head) + flnet.NatsSize(nats))[:0]
+	frame = flnet.AppendNats(append(frame, head...), nats)
+	arena.putNats(nats)
+	return frame
 }
 
 // releaseFrame hands back a frame its receiver has decoded; the next message
@@ -67,15 +71,6 @@ func appendCiphertexts(dst []byte, cts []paillier.Ciphertext) []byte {
 	return dst
 }
 
-// encodedSize is the length of cts' appendCiphertexts framing, weighed
-// without encoding it.
-func encodedSize(cts []paillier.Ciphertext) int64 {
-	nats := natsOf(cts)
-	size := flnet.NatsSize(nats)
-	arena.putNats(nats)
-	return int64(size)
-}
-
 // natsOf views cts' values in the arena's scratch, handed back by putNats.
 func natsOf(cts []paillier.Ciphertext) []mpint.Nat {
 	nats := arena.getNats(len(cts))
@@ -85,25 +80,33 @@ func natsOf(cts []paillier.Ciphertext) []mpint.Nat {
 	return nats
 }
 
+// ErrBadCiphertext rejects a batch with a value no ciphertext of the
+// context's key can be: wider than n², 0, or n² and above. Every batch a
+// party decodes is another party's bytes, and the HE kernels take residues
+// mod n² on trust.
+var ErrBadCiphertext = errors.New("fl: not a ciphertext of the key")
+
 // DecodeCiphertexts parses a batch framed by appendCiphertexts into a batch
 // drawn from paillier's pool, each value into a dead one's limbs; whoever
-// retires the batch hands it back with ReleaseCiphertexts.
-func DecodeCiphertexts(b []byte) ([]paillier.Ciphertext, error) {
-	n := 0
-	if len(b) >= 4 {
-		// A size hint only: DecodeNatsInto checks the count it reads.
-		n = min(int(binary.LittleEndian.Uint32(b)), len(b)/4)
-	}
-	cts := paillier.DrawBatch(n)
-	scratch := arena.nats.Get(n)
-	for i, c := range cts {
-		scratch[i] = c.C
+// retires the batch hands it back with ReleaseCiphertexts. A value outside
+// [1, n²) is ErrBadCiphertext, and so is any batch wider than the key's
+// ciphertexts: its widest value is as wide as the batch, so at least n². A
+// malformed batch is flnet.ErrMalformed.
+func (c *Context) DecodeCiphertexts(b []byte) ([]paillier.Ciphertext, error) {
+	// A size hint only: DecodeNatsInto checks the count against the body.
+	n, rest, _ := flnet.ReadUvarint(b)
+	cts := paillier.DrawBatch(int(min(n, uint64(len(rest))/4)))
+	scratch := arena.nats.Get(len(cts))
+	for i, ct := range cts {
+		scratch[i] = ct.C
 	}
 	nats, err := flnet.DecodeNatsInto(scratch, b)
-	if err == nil {
-		for i, x := range nats { // a valid count is the hint
-			cts[i].C = x
+	for i, x := range nats { // a valid count is the hint
+		if x.IsZero() || mpint.Cmp(x, c.Key.N2) >= 0 {
+			err = fmt.Errorf("%w: value %d is 0 or at least n²", ErrBadCiphertext, i)
+			break
 		}
+		cts[i].C = x
 	}
 	arena.putNats(scratch)
 	if err != nil {

@@ -21,6 +21,10 @@ import (
 // every release cost 2, 2 and 1).
 func TestArenaCodecAllocs(t *testing.T) {
 	const n = 16
+	ctx, err := NewContext(testProfile(SystemFLBooster))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cts := arenaCts(n)
 	payload := encodeCiphertexts(cts) // warm the nat pool
 
@@ -36,7 +40,7 @@ func TestArenaCodecAllocs(t *testing.T) {
 		t.Errorf("warm upload frame: %.1f allocs a framing and release, want 0", got)
 	}
 	if got := testing.AllocsPerRun(100, func() {
-		dec, err := DecodeCiphertexts(payload)
+		dec, err := ctx.DecodeCiphertexts(payload)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,11 +13,13 @@ import (
 	"flbooster/internal/paillier"
 )
 
+// arenaCts draws n values in [1, 2^254]: ciphertexts to the
+// DecodeCiphertexts of a testProfile context, whose 128-bit n has n² > 2^254.
 func arenaCts(n int) []paillier.Ciphertext {
 	rng := mpint.NewRNG(31)
 	cts := make([]paillier.Ciphertext, n)
 	for i := range cts {
-		cts[i] = paillier.Ciphertext{C: rng.RandBits(256)}
+		cts[i] = paillier.Ciphertext{C: mpint.AddWord(rng.RandBits(254), 1)}
 	}
 	return cts
 }
@@ -25,12 +27,19 @@ func arenaCts(n int) []paillier.Ciphertext {
 // encodeCiphertexts frames cts for the wire into fresh bytes of the frame's
 // exact length: one allocation.
 func encodeCiphertexts(cts []paillier.Ciphertext) []byte {
-	return appendCiphertexts(make([]byte, 0, encodedSize(cts)), cts)
+	nats := natsOf(cts)
+	size := flnet.NatsSize(nats)
+	arena.putNats(nats)
+	return appendCiphertexts(make([]byte, 0, size), cts)
 }
 
 // TestArenaCodecRoundtrip: the arena-backed codec is byte- and value-exact
 // with the plain flnet framing, including across pool reuse cycles.
 func TestArenaCodecRoundtrip(t *testing.T) {
+	ctx, err := NewContext(testProfile(SystemFLBooster))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cts := arenaCts(9)
 	nats := make([]mpint.Nat, len(cts))
 	for i, c := range cts {
@@ -42,7 +51,7 @@ func TestArenaCodecRoundtrip(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("cycle %d: arena encoding differs from plain codec", cycle)
 		}
-		dec, err := DecodeCiphertexts(got)
+		dec, err := ctx.DecodeCiphertexts(got)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -302,8 +302,8 @@ func checkCarry(t *testing.T, l batch.Layout, plainBits, rows, r, units, u int) 
 
 // openedPlaintexts wraps a context's backend and keeps a copy of every
 // plaintext the key holder decrypts, in order: what the arbiter sees. trim
-// adds up what the nat codec left off the ciphertexts it was asked to open
-// (trimmed).
+// adds up what the batches it was asked to open saved on the wire against
+// CiphertextWireBytes (trimmed).
 type openedPlaintexts struct {
 	paillier.Backend
 	pts  []mpint.Nat
@@ -311,7 +311,7 @@ type openedPlaintexts struct {
 }
 
 func (b *openedPlaintexts) DecryptVec(sk *paillier.PrivateKey, cs []paillier.Ciphertext) ([]mpint.Nat, error) {
-	b.trim += int64(len(cs))*int64(sk.CiphertextBytes()+4) + 4 - encodedSize(cs)
+	b.trim += trimmed(sk.CiphertextBytes(), cs)
 	pts, err := b.Backend.DecryptVec(sk, cs)
 	for _, pt := range pts {
 		b.pts = append(b.pts, pt.Clone())
@@ -319,12 +319,23 @@ func (b *openedPlaintexts) DecryptVec(sk *paillier.PrivateKey, cs []paillier.Cip
 	return pts, err
 }
 
-// trimmed is what a ciphertext batch's frame leaves off against
-// CiphertextWireBytes and its 4-byte count: the codec sends a value's bytes
-// without its leading zero bytes, so a ciphertext below 2^(8·(bytes−1)) is a
-// byte or more shorter on the wire.
-func trimmed(ctx *Context, cts []paillier.Ciphertext) int64 {
-	return ctx.CiphertextWireBytes(len(cts)) + 4 - encodedSize(cts)
+// trimmed is what the frame of a batch of ciphertexts ctBytes wide saves
+// against CiphertextWireBytes: the batch's width is its widest value's byte
+// length (at least 4), so a batch whose every value is below 2^(8·(ctBytes−1))
+// is a byte or more narrower a value, and its width's varint may be a byte
+// shorter.
+func trimmed(ctBytes int, cts []paillier.Ciphertext) int64 {
+	w := 4
+	for _, c := range cts {
+		w = max(w, (c.C.BitLen()+7)/8)
+	}
+	return int64(flnet.BatchSize(len(cts), ctBytes) - flnet.BatchSize(len(cts), w))
+}
+
+// requestHead is a return-path request's header at stride s over count
+// values: a minimal uvarint each.
+func requestHead(s, count int) int64 {
+	return int64(flnet.UvarintLen(uint64(s)) + flnet.UvarintLen(uint64(count)))
 }
 
 // returnNet is the transport a return-path test's parties exchange on.
@@ -419,12 +430,11 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 						t.Fatalf("%s/%d bits/s = %d: sum %d opened to %d, want %d", name, keyBits, s, j, got[j], want[j])
 					}
 				}
-				// The request: the ciphertexts, their 4-byte count and the 8-byte
-				// header (stride, value count), less the leading zero bytes the
-				// codec trims off the ciphertexts the arbiter opened.
+				// The request: the header (stride, value count) and the batch, less
+				// what the width of the batches the arbiter opened saves.
 				l, _ := ctx.layout(s)
 				request := flnet.Message{From: "host", To: "arbiter", Kind: "sums"}.WireSize() +
-					ctx.CiphertextWireBytes((len(sums)+l.Per()-1)/l.Per()) + 4 + requestHeader - rec.trim
+					ctx.CiphertextWireBytes((len(sums)+l.Per()-1)/l.Per()) + requestHead(s, len(sums)) - rec.trim
 				reply := flnet.Message{From: "arbiter", To: "host", Kind: "plain"}.WireSize() + int64(8*len(sums))
 				after := ctx.Costs.Snapshot()
 				if msgs, bytes := after.CommMsgs-before.CommMsgs, after.CommBytes-before.CommBytes; msgs != 2 || bytes != request+reply {

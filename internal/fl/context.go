@@ -324,9 +324,11 @@ func (c *Context) DecryptAggregated(cts []paillier.Ciphertext, count, parties in
 	return vals, err
 }
 
-// CiphertextWireBytes is the encoded size of a ciphertext batch on the wire.
+// CiphertextWireBytes is the encoded size of a batch of n ciphertexts on the
+// wire when one of them is as wide as n² (flnet.BatchSize at that width). A
+// batch whose every value has a leading zero byte is a byte a value narrower.
 func (c *Context) CiphertextWireBytes(n int) int64 {
-	return int64(n) * (int64(c.Key.CiphertextBytes()) + 4)
+	return int64(flnet.BatchSize(n, c.Key.CiphertextBytes()))
 }
 
 // deliver is the one send every message takes — the round's, the vertical

@@ -339,7 +339,7 @@ func (rd *Round) Gather(expect []string, stop <-chan struct{}) error {
 			continue
 		}
 		delete(waiting, msg.From)
-		cts, err := DecodeCiphertexts(msg.Payload)
+		cts, err := rd.c.ctx.DecodeCiphertexts(msg.Payload)
 		releaseFrame(msg.Payload) // read: the next upload is framed into it
 		if err != nil {
 			if rerr := rd.Drop(PhaseGather, msg.From, fmt.Errorf("server decode: %w", err)); rerr != nil {

@@ -2,10 +2,13 @@ package fl
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"flbooster/internal/flnet"
+	"flbooster/internal/mpint"
+	"flbooster/internal/paillier"
 )
 
 // TestSpoofedUploadCannotDisplaceHonestOne: client 2 uploads a "grads" frame
@@ -126,6 +129,78 @@ func (g *garbler) Send(msg flnet.Message) error {
 		msg.Payload = msg.Payload[:len(msg.Payload)/2]
 	}
 	return g.Transport.Send(msg)
+}
+
+// hostileUpload replaces the first ciphertext of every "grads" payload one
+// party sends with a value of its own, re-framed by the wire codec.
+type hostileUpload struct {
+	flnet.Transport
+	from  string
+	value mpint.Nat
+	sent  []byte // a copy of the last payload it forged: the gather zeroes its own
+}
+
+func (h *hostileUpload) Send(msg flnet.Message) error {
+	if msg.From == h.from && msg.Kind == "grads" {
+		nats, err := flnet.DecodeNatsInto(nil, msg.Payload)
+		if err != nil {
+			return err
+		}
+		nats[0] = h.value
+		msg.Payload = flnet.AppendNats(nil, nats)
+		h.sent = slices.Clone(msg.Payload)
+	}
+	return h.Transport.Send(msg)
+}
+
+// TestHostileUploadDropsItsSender: an upload holding a value that is no
+// ciphertext of the key — one byte wider than n², n² itself, or 0 — is its
+// sender's problem, typed, like an upload that does not parse: the gather
+// drops the client and the round completes without it, under FLBooster and
+// FATE, and a vertical message's receiver rejects the same batch. The wider
+// value used to reach the fold's AddVec and panic the coordinator, and n² and
+// 0 were folded in and failed the whole round at decrypt.
+func TestHostileUploadDropsItsSender(t *testing.T) {
+	grads := [][]float64{{0.1, -0.2}, {0.1, -0.2}, {0.1, -0.2}, {0.1, -0.2}}
+	for _, sys := range []System{SystemFLBooster, SystemFATE} {
+		ctx, err := NewContext(quorumProfile(sys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name  string
+			value mpint.Nat
+		}{
+			{"wider than n²", mpint.Lsh(mpint.One(), uint(8*ctx.Key.CiphertextBytes()))},
+			{"n²", ctx.Key.N2.Clone()},
+			{"zero", nil},
+		} {
+			fed := NewFederation(ctx)
+			hostile := &hostileUpload{Transport: fed.Transport, from: ClientName(1), value: tc.value}
+			fed.Transport = hostile
+			sum, rep, err := fed.SecureAggregateReport(grads)
+			fed.Close()
+			if err != nil {
+				t.Fatalf("%s, %s: a quorum round should survive one hostile upload: %v", sys, tc.name, err)
+			}
+			if len(rep.Included) != 3 || rep.Dropped[ClientName(1)] != PhaseGather {
+				t.Fatalf("%s, %s: report %+v, want client1 dropped in gather", sys, tc.name, rep)
+			}
+			bound := 4 * rep.Scale * ctx.Quant.MaxError()
+			for i, want := range []float64{0.4, -0.8} {
+				if d := sum[i] - want; d > bound || d < -bound {
+					t.Fatalf("%s, %s: sum[%d] = %v, want %v ± %v", sys, tc.name, i, sum[i], want, bound)
+				}
+			}
+			if cts, err := ctx.DecodeCiphertexts(hostile.sent); !errors.Is(err, ErrBadCiphertext) || cts != nil {
+				t.Fatalf("%s, %s: decoded to %d ciphertexts (%v), want ErrBadCiphertext", sys, tc.name, len(cts), err)
+			}
+			// A vertical message's receiver decodes it the same way.
+			if _, err := ctx.SendCiphertexts(returnNet(ctx), "host", "arbiter", "sums", []paillier.Ciphertext{{C: tc.value}}); !errors.Is(err, ErrBadCiphertext) {
+				t.Fatalf("%s, %s: a vertical batch received with %v, want ErrBadCiphertext", sys, tc.name, err)
+			}
+		}
+	}
 }
 
 // TestCoordinatorDrain drives the Coordinator in-process over a SimTransport

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -95,7 +96,7 @@ func tooWideFrame(tb testing.TB, sh openShape) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return append(binary.LittleEndian.AppendUint32(nil, 1), encodeCiphertexts(cts)...)
+	return append(binary.AppendUvarint(nil, 1), encodeCiphertexts(cts)...)
 }
 
 // TestOpenRejectsTooWidePlaintext: an aggregate whose plaintext has bits
@@ -129,12 +130,13 @@ func FuzzOpenAggregate(f *testing.F) {
 				f.Add(frame, uint8(s), known)
 				f.Add(frame[:len(frame)/2], uint8(s), known)
 				f.Add(frame[:5], uint8(s), known)
+				f.Add(append([]byte{frame[0] | 0x80, 0}, frame[1:]...), uint8(s), known) // K < 128 as a non-minimal varint
 			}
 		}
 	}
 	f.Add([]byte{}, uint8(0), false)
-	f.Add([]byte{0, 0, 0, 0}, uint8(1), false)
-	f.Add([]byte{5, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 7}, uint8(0), true)
+	f.Add([]byte{0, 1, 4, 0, 0, 0, 7}, uint8(1), false) // K = 0
+	f.Add([]byte{5, 1, 4, 0, 0, 0, 7}, uint8(0), true)  // K above the parties
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, uint8(2), false)
 	f.Add(tooWideFrame(f, openShapes(f)[2]), uint8(2), false)
 	f.Fuzz(func(t *testing.T, frame []byte, shape uint8, known bool) {
@@ -155,8 +157,8 @@ func FuzzOpenAggregate(f *testing.F) {
 			t.Fatalf("%s: Open allocated %d bytes on a %d-byte frame (bound %d)", sh.name, grew, len(frame), bound)
 		}
 		claimed := -1
-		if len(frame) >= 4 {
-			claimed = int(binary.LittleEndian.Uint32(frame))
+		if k, _, err := flnet.ReadUvarint(frame); err == nil {
+			claimed = int(min(k, math.MaxInt32))
 		}
 		if claimed < 1 || claimed > parties {
 			if !isFrameError(err) {

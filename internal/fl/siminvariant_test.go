@@ -60,7 +60,17 @@ func simFields(s CostSnapshot) string {
 // the hop's From, To and Kind, where the forward had been charged at 4 +
 // payload: CommBytes 11784 → 11784 + 6·(16 + h) = 11940, and CommSim by
 // exactly those bytes through the link model (458559988 → 459599992 ns).
-// Every HE field and every count stayed.
+// Every HE field and every count stayed. Then the framing became varints and
+// one width a ciphertext batch: 16 B a message (the 8-byte round stamp and
+// three 4-byte string lengths became four 1-byte varints), 3 B a broadcast's
+// K, 2 B a batch at 256 bits and 1 B at 1,024 (the 4-byte count became a
+// 1-byte varint beside the width's 1 or 2) and 4 B a ciphertext (its length
+// prefix), plus the leading zero bytes the old codec left off a ciphertext,
+// which its batch's width now pads back: CommBytes 16115 − 8·16 − 4·3 − 8·2
+// − 232·4 + 5 = 15036, 11940 − 38·16 − 16·3 − 38·2 − 152·4 + 2 = 10602 and
+// 14904 − 8·16 − 4·3 − 8·1 − 56·4 = 14532, and CommSim by exactly those
+// bytes through the link model (−7193334, −8920009, −2480000 ns). Every HE
+// field and every count stayed.
 //
 // The 256-bit legs run on 2- to 8-limb operands, under every threshold of the
 // host kernels; the 1,024-bit flat leg (16-limb p², 32-limb n²) was recorded
@@ -76,11 +86,11 @@ func TestSimInvariantUnderHostKernel(t *testing.T) {
 		want    string
 	}{
 		{name: "flat", bits: 256, parties: 4, dim: 200,
-			want: "HESim=166769 HEOps=232 Instances=1087 CommSim=187433330 CommBytes=16115 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 Ciphertexts=116 Plainvals=800"},
+			want: "HESim=166769 HEOps=232 Instances=1087 CommSim=180239996 CommBytes=15036 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 Ciphertexts=116 Plainvals=800"},
 		{name: "cohort-tree", bits: 256, parties: 64, cohort: CohortPolicy{Size: 16, Fanout: 4, MaxInflight: 8}, dim: 24,
-			want: "HESim=643497 HEOps=128 Instances=468 CommSim=459599992 CommBytes=11940 CommMsgs=38 RetryMsgs=0 EncodeSim=13440 EncodeVals=384 Ciphertexts=64 Plainvals=384"},
+			want: "HESim=643497 HEOps=128 Instances=468 CommSim=450679983 CommBytes=10602 CommMsgs=38 RetryMsgs=0 EncodeSim=13440 EncodeVals=384 Ciphertexts=64 Plainvals=384"},
 		{name: "flat-1024", bits: 1024, parties: 4, dim: 200,
-			want: "HESim=261351 HEOps=56 Instances=1021 CommSim=179359996 CommBytes=14904 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 Ciphertexts=28 Plainvals=800"},
+			want: "HESim=261351 HEOps=56 Instances=1021 CommSim=176879996 CommBytes=14532 CommMsgs=8 RetryMsgs=0 EncodeSim=28000 EncodeVals=800 Ciphertexts=28 Plainvals=800"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := NewProfile(SystemFLBooster, tc.bits, tc.parties)

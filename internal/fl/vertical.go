@@ -281,7 +281,7 @@ type ReturnRoute struct {
 // each ciphertext (acc ← acc^(2^bits)·c, Horner from the top block down, a
 // pack a lane of one ShiftPackVec launch), so ⌈k/per⌉ ciphertexts cross the
 // wire. The request is one frame on route.Net: the stride and the value
-// count, a little-endian uint32 each, then the ciphertext batch. The
+// count, a minimal uvarint each, then the ciphertext batch. The
 // decryptor builds the layout from the stride it decoded and its own key
 // (parseRequest), decrypts the ciphertexts it decoded once each, and replies
 // through SendValues. A packed batch built here goes back to the pool once
@@ -308,10 +308,8 @@ func (c *Context) OpenBroadcastSums(route ReturnRoute, cts []paillier.Ciphertext
 	if err != nil {
 		return nil, err
 	}
-	var head [requestHeader]byte
-	binary.LittleEndian.PutUint32(head[:], uint32(s))
-	binary.LittleEndian.PutUint32(head[4:], uint32(len(cts)))
-	frame := frameCiphertexts(head[:], packed)
+	var head [2 * binary.MaxVarintLen64]byte
+	frame := frameCiphertexts(binary.AppendUvarint(binary.AppendUvarint(head[:0], uint64(s)), uint64(len(cts))), packed)
 	if len(packed) != len(cts) { // a batch of this call's own, dead once framed
 		ReleaseCiphertexts(packed)
 	}
@@ -382,30 +380,31 @@ func (c *Context) shiftPack(cts []paillier.Ciphertext, slots, slotBits int) (pac
 	return packed, err
 }
 
-// requestHeader is what a return-path request carries ahead of its
-// ciphertext batch: the stride and the value count, a little-endian uint32
-// each.
-const requestHeader = 8
-
 // parseRequest is the decryptor's read of a return-path request under its own
 // plaintext width and profile: the layout of the stride the request names,
-// the value count, and the ciphertext batch behind them. A frame too short
-// for the header and the batch's count, a stride outside [1, maxStride], and
-// a value count the batch's ciphertexts cannot carry (over batch.ErrCount)
-// reject with ErrSlotCorrupt.
+// the value count, and the ciphertext batch behind them. A header that is not
+// two minimal uvarints ahead of the batch's count, a stride outside
+// [1, maxStride], and a value count the batch's ciphertexts cannot carry
+// (over batch.ErrCount) reject with ErrSlotCorrupt.
 func parseRequest(b []byte, plainBits int, packed bool) (l batch.Layout, count int, body []byte, err error) {
-	if len(b) < requestHeader+4 {
-		return batch.Layout{}, 0, nil, fmt.Errorf("%w: a request of %d bytes", ErrSlotCorrupt, len(b))
+	var s, n, cts uint64
+	if s, b, err = flnet.ReadUvarint(b); err == nil {
+		if n, body, err = flnet.ReadUvarint(b); err == nil {
+			cts, _, err = flnet.ReadUvarint(body)
+		}
 	}
-	if l, err = strideLayout(plainBits, int(binary.LittleEndian.Uint32(b)), packed); err != nil {
+	if err != nil {
+		return batch.Layout{}, 0, nil, fmt.Errorf("%w: request header: %w", ErrSlotCorrupt, err)
+	}
+	if l, err = strideLayout(plainBits, int(min(s, math.MaxInt32)), packed); err != nil {
 		return batch.Layout{}, 0, nil, err
 	}
-	count, body = int(binary.LittleEndian.Uint32(b[4:])), b[requestHeader:]
-	if cts := int(binary.LittleEndian.Uint32(body)); count < 1 || l.Plaintexts(count) != cts {
+	// A count past len(body)·per can be no batch's; below it int(n) is exact.
+	if n < 1 || n > uint64(len(body)*l.Per()) || uint64(l.Plaintexts(int(n))) != cts {
 		return batch.Layout{}, 0, nil, fmt.Errorf("%w: %w: %d values in %d ciphertexts of %d",
-			ErrSlotCorrupt, batch.ErrCount, count, cts, l.Per())
+			ErrSlotCorrupt, batch.ErrCount, n, cts, l.Per())
 	}
-	return l, count, body, nil
+	return l, int(n), body, nil
 }
 
 // openRequest is the decryptor's side of a return-path request: the
@@ -416,7 +415,7 @@ func (c *Context) openRequest(b []byte) ([]uint64, error) {
 	if err != nil {
 		return nil, err
 	}
-	cts, err := DecodeCiphertexts(body)
+	cts, err := c.DecodeCiphertexts(body)
 	if err != nil {
 		return nil, fmt.Errorf("fl: return-path request: %w", err)
 	}
@@ -458,7 +457,7 @@ func exchange[T any](c *Context, tr flnet.Transport, from, to, kind string, payl
 // pool — the receiver's copy, which it returns and whoever retires it hands
 // back with ReleaseCiphertexts. cts stay the caller's.
 func (c *Context) SendCiphertexts(tr flnet.Transport, from, to, kind string, cts []paillier.Ciphertext) ([]paillier.Ciphertext, error) {
-	return exchange(c, tr, from, to, kind, frameCiphertexts(nil, cts), DecodeCiphertexts)
+	return exchange(c, tr, from, to, kind, frameCiphertexts(nil, cts), c.DecodeCiphertexts)
 }
 
 // SendValues is the plaintext exchange of the vertical protocols: vals as

@@ -341,11 +341,11 @@ func TestOpenSumsMatchesDecryptRaw(t *testing.T) {
 					}
 					continue
 				}
-				// The ciphertexts, their 4-byte count and the 8-byte header (stride,
-				// value count), less the leading zero bytes the codec trims.
+				// The header (stride, value count) and the batch, less what its
+				// width saves.
 				packed := (k + slots - 1) / slots
 				request := flnet.Message{From: "host", To: "arbiter", Kind: "sums"}.WireSize() +
-					ctx.CiphertextWireBytes(packed) + 4 + requestHeader - rec.trim
+					ctx.CiphertextWireBytes(packed) + requestHead(1, k) - rec.trim
 				reply := flnet.Message{From: "arbiter", To: "host", Kind: "plain"}.WireSize() + int64(8*k)
 				if msgs, bytes := after.CommMsgs-before.CommMsgs, after.CommBytes-before.CommBytes; msgs != 2 || bytes != request+reply {
 					t.Fatalf("%s/%d bits/%d sums: %d messages of %d bytes, want 2 of %d", name, keyBits, k, msgs, bytes, request+reply)
@@ -389,7 +389,7 @@ func TestOpenSumsUnpackedWithoutCompression(t *testing.T) {
 		}
 		after := ctx.Costs.Snapshot()
 		want := flnet.Message{From: "host", To: "guest", Kind: "hist"}.WireSize() +
-			ctx.CiphertextWireBytes(len(cts)) + 4 + requestHeader - trimmed(ctx, cts)
+			ctx.CiphertextWireBytes(len(cts)) + requestHead(1, len(cts)) - trimmed(ctx.Key.CiphertextBytes(), cts)
 		if after.CommMsgs-before.CommMsgs != 1 || after.CommBytes-before.CommBytes != want {
 			t.Fatalf("%s: %d messages of %d bytes, want one of %d (no reply kind, one ciphertext a sum)",
 				sys, after.CommMsgs-before.CommMsgs, after.CommBytes-before.CommBytes, want)
@@ -578,11 +578,10 @@ func FuzzSplitSlots(f *testing.F) {
 // on or off. It never panics and a reject is ErrSlotCorrupt; an accepted
 // request names a stride in [1, maxStride], the layout built from it and a
 // value count its batch's ciphertexts carry, and the batch is the bytes
-// behind the 8-byte header.
+// behind the header's two minimal uvarints.
 func FuzzReturnRequest(f *testing.F) {
-	request := func(s, count uint32, cts int) []byte {
-		b := binary.LittleEndian.AppendUint32(nil, s)
-		b = binary.LittleEndian.AppendUint32(b, count)
+	request := func(s, count uint64, cts int) []byte {
+		b := binary.AppendUvarint(binary.AppendUvarint(nil, s), count)
 		nats := make([]mpint.Nat, cts)
 		for i := range nats {
 			nats[i] = mpint.FromUint64(uint64(i) + 1)
@@ -591,12 +590,13 @@ func FuzzReturnRequest(f *testing.F) {
 	}
 	f.Add(request(1, 3, 1), uint16(256), true)     // s = 1: three 64-bit slots a ciphertext
 	f.Add(request(5, 8, 8), uint16(1024), true)    // s = 5: one 945-bit block a ciphertext
-	f.Add(request(1, 3, 1)[:6], uint16(256), true) // a truncated header
+	f.Add(request(1, 3, 1)[:1], uint16(256), true) // a truncated header
 	f.Add(request(0, 1, 1), uint16(1024), true)
-	f.Add(request(uint32(maxStride(1023, true)+1), 1, 1), uint16(1024), true)
-	f.Add(request(2, 1, 1), uint16(1024), false)    // a stride without batch compression
-	f.Add(request(1, 4, 1), uint16(256), true)      // a count one ciphertext cannot carry
-	f.Add(request(1, 1, 1)[:13], uint16(256), true) // not a multiple of 8
+	f.Add(request(uint64(maxStride(1023, true)+1), 1, 1), uint16(1024), true)
+	f.Add(request(2, 1, 1), uint16(1024), false)                                  // a stride without batch compression
+	f.Add(request(1, 4, 1), uint16(256), true)                                    // a count one ciphertext cannot carry
+	f.Add(append([]byte{0x81, 0x00}, request(1, 1, 1)[1:]...), uint16(256), true) // a non-minimal stride
+	f.Add(request(1, 1<<63, 1), uint16(256), true)                                // a count past any int32
 	f.Fuzz(func(t *testing.T, b []byte, keyBits uint16, packed bool) {
 		plainBits := int(keyBits) - 1
 		l, count, body, err := parseRequest(b, plainBits, packed)
@@ -606,18 +606,20 @@ func FuzzReturnRequest(f *testing.F) {
 			}
 			return
 		}
-		s := int(binary.LittleEndian.Uint32(b))
-		if s < 1 || s > maxStride(plainBits, packed) {
+		s, rest, _ := flnet.ReadUvarint(b)
+		if s < 1 || s > uint64(maxStride(plainBits, packed)) {
 			t.Fatalf("accepted a stride of %d in %d-bit plaintexts (batch compression %t)", s, plainBits, packed)
 		}
-		if want, _ := strideLayout(plainBits, s, packed); l != want {
+		if want, _ := strideLayout(plainBits, int(s), packed); l != want {
 			t.Fatalf("stride %d: layout %+v, want %+v", s, l, want)
 		}
-		if count != int(binary.LittleEndian.Uint32(b[4:])) || count < 1 || l.Plaintexts(count) != int(binary.LittleEndian.Uint32(body)) {
-			t.Fatalf("accepted %d values for a batch of %d ciphertexts of %d", count, binary.LittleEndian.Uint32(body), l.Per())
+		n, rest, _ := flnet.ReadUvarint(rest)
+		cts, _, _ := flnet.ReadUvarint(rest)
+		if uint64(count) != n || count < 1 || uint64(l.Plaintexts(count)) != cts {
+			t.Fatalf("accepted %d values for a batch of %d ciphertexts of %d", count, cts, l.Per())
 		}
-		if len(body) != len(b)-requestHeader || &body[0] != &b[requestHeader] {
-			t.Fatalf("the batch is not the %d bytes behind the header", len(b)-requestHeader)
+		if head := len(b) - len(rest); len(body) != len(rest) || &body[0] != &b[head] {
+			t.Fatalf("the batch is not the %d bytes behind the header", len(rest))
 		}
 	})
 }

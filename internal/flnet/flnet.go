@@ -10,6 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -25,8 +26,9 @@ var ErrTimeout = errors.New("flnet: receive timed out")
 // IsTimeout reports whether err is a receive-deadline expiry.
 func IsTimeout(err error) bool { return errors.Is(err, ErrTimeout) }
 
-// ErrMalformed is returned (wrapped) by DecodeUint64sInto for a payload that
-// is not exactly the values asked for.
+// ErrMalformed is returned (wrapped) by every decoder here for bytes that are
+// not exactly one encoding of what was asked for: a frame header, a nat
+// batch, a varint, a payload of fixed-width values.
 var ErrMalformed = errors.New("flnet: malformed payload")
 
 // Link models one network link.
@@ -116,10 +118,15 @@ type Message struct {
 	Payload []byte
 }
 
-// WireSize is the framed size of the message on the wire: three length
-// prefixes, the 8-byte round stamp, strings, and payload.
+// WireSize is the framed size of the message on the wire, exactly what
+// encodeMessage writes: the round stamp, the three strings each behind its
+// length, all minimal uvarints, and the payload.
 func (msg Message) WireSize() int64 {
-	return int64(20 + len(msg.From) + len(msg.To) + len(msg.Kind) + len(msg.Payload))
+	size := UvarintLen(msg.Round) + len(msg.Payload)
+	for _, s := range [3]string{msg.From, msg.To, msg.Kind} {
+		size += UvarintLen(uint64(len(s))) + len(s)
+	}
+	return int64(size)
 }
 
 // Transport moves messages between named parties.
@@ -290,32 +297,61 @@ func (t *SimTransport) Close() error {
 
 // ---- Payload codec -------------------------------------------------------
 //
-// Length-prefixed little-endian framing. Ciphertext batches are the dominant
-// payload; the codec writes a count followed by per-element length + bytes,
-// so a batch's wire size directly reflects key size × element count — the
-// quantity batch compression shrinks.
+// Every integer header is a minimal unsigned varint (binary.AppendUvarint;
+// ReadUvarint rejects a longer one), so a frame has exactly one encoding.
+// Ciphertext batches are the dominant payload: a batch is its count, one
+// width w and count values of exactly w big-endian bytes. All ciphertexts of
+// a key are about as wide as n², so one width serves the batch, and its wire
+// size directly reflects key size × element count — the quantity batch
+// compression shrinks.
 
-// NatsSize is the length of v's AppendNats framing: the 4-byte count, and a
-// 4-byte length and ⌈bits/8⌉ bytes a value.
-func NatsSize(v []mpint.Nat) int {
-	size := 4
-	for _, x := range v {
-		size += 4 + (x.BitLen()+7)/8
+// minNatWidth is the narrowest a batch's width may be: it keeps a batch's
+// value count within a quarter of its length, which bounds what a decoder
+// allocates for a hostile count.
+const minNatWidth = 4
+
+// UvarintLen is the length of x's minimal uvarint.
+func UvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// ReadUvarint reads the minimal uvarint at the front of b and returns it with
+// the bytes behind it. A truncated varint, one past 64 bits and one longer
+// than its value needs are ErrMalformed.
+func ReadUvarint(b []byte) (uint64, []byte, error) {
+	x, n := binary.Uvarint(b)
+	if n <= 0 || n != UvarintLen(x) {
+		return 0, nil, fmt.Errorf("%w: no minimal varint in %d bytes", ErrMalformed, len(b))
 	}
-	return size
+	return x, b[n:], nil
+}
+
+// natWidth is the width AppendNats writes v at: its widest value's byte
+// length, at least minNatWidth.
+func natWidth(v []mpint.Nat) int {
+	w := minNatWidth
+	for _, x := range v {
+		w = max(w, (x.BitLen()+7)/8)
+	}
+	return w
+}
+
+// NatsSize is the length of v's AppendNats framing: BatchSize at its width.
+func NatsSize(v []mpint.Nat) int { return BatchSize(len(v), natWidth(v)) }
+
+// BatchSize is the length of a batch of count values framed at width w: the
+// count's and the width's varints and w bytes a value.
+func BatchSize(count, w int) int {
+	return UvarintLen(uint64(count)) + UvarintLen(uint64(w)) + count*w
 }
 
 // AppendNats appends the wire framing of a batch of multi-precision integers
-// to dst — a little-endian uint32 count, then each value as a uint32 length
-// and its big-endian bytes, leading zeros left off — and returns the extended
-// slice; a dst with NatsSize bytes to spare takes no allocation.
+// to dst — the count, the width w (natWidth) and each value as exactly w
+// big-endian bytes — and returns the extended slice; a dst with NatsSize
+// bytes to spare takes no allocation.
 func AppendNats(dst []byte, v []mpint.Nat) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(v)))
+	w := natWidth(v)
+	dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(len(v))), uint64(w))
 	for _, x := range v {
-		at := len(dst)
-		dst = append(dst, 0, 0, 0, 0)
-		dst = x.AppendBytes(dst)
-		binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+		dst = x.AppendBytes(append(dst, make([]byte, w-(x.BitLen()+7)/8)...))
 	}
 	return dst
 }
@@ -326,37 +362,34 @@ func AppendNats(dst []byte, v []mpint.Nat) []byte {
 // are long enough (mpint.SetBytes), into fresh limbs where they are not or the
 // slot is nil, so a caller that owns a dead batch's values allocates nothing
 // more. Those values are clobbered: dst's capacity must hold no value anybody
-// still reads.
+// still reads. Only AppendNats' own encoding is accepted: a non-minimal
+// varint, a width below minNatWidth or wider than the widest value needs, and
+// a body that is not count values of that width are ErrMalformed.
 func DecodeNatsInto(dst []mpint.Nat, b []byte) ([]mpint.Nat, error) {
-	if len(b) < 4 {
-		return nil, fmt.Errorf("flnet: nat batch truncated header")
+	n, b, err := ReadUvarint(b)
+	if err != nil {
+		return nil, fmt.Errorf("flnet: nat batch count: %w", err)
 	}
-	n := binary.LittleEndian.Uint32(b)
-	b = b[4:]
-	// The count header is untrusted: every element needs at least a 4-byte
-	// length prefix, so a count beyond len(b)/4 is corrupt. Checking before
-	// the allocation stops a truncated frame from demanding gigabytes.
-	if uint64(n) > uint64(len(b))/4 {
-		return nil, fmt.Errorf("flnet: nat batch count %d exceeds %d-byte body", n, len(b))
+	w, b, err := ReadUvarint(b)
+	if err != nil {
+		return nil, fmt.Errorf("flnet: nat batch width: %w", err)
+	}
+	// Both headers are untrusted: checking count × width against the body
+	// before the allocation stops a short frame from demanding gigabytes.
+	if w < minNatWidth || uint64(len(b))%w != 0 || uint64(len(b))/w != n {
+		return nil, fmt.Errorf("%w: %d values of width %d in a %d-byte body", ErrMalformed, n, w, len(b))
 	}
 	out := dst[:0]
 	if cap(out) < int(n) {
 		out = make([]mpint.Nat, 0, n)
 	}
-	for i := uint32(0); i < n; i++ {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("flnet: nat %d truncated length", i)
-		}
-		l := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint32(len(b)) < l {
-			return nil, fmt.Errorf("flnet: nat %d truncated body (%d < %d)", i, len(b), l)
-		}
-		out = append(out, mpint.SetBytes(mpint.Spare(out), b[:l]))
-		b = b[l:]
+	top := w == minNatWidth
+	for ; len(b) > 0; b = b[w:] {
+		top = top || b[0] != 0
+		out = append(out, mpint.SetBytes(mpint.Spare(out), b[:w]))
 	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("flnet: %d trailing bytes after nat batch", len(b))
+	if !top {
+		return nil, fmt.Errorf("%w: width %d is wider than every value of the batch", ErrMalformed, w)
 	}
 	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -112,17 +113,24 @@ func TestNatsSizeIsTheEncodedLength(t *testing.T) {
 	}
 }
 
+// TestDecodeNatsErrors: everything but AppendNats' one encoding of a batch
+// is ErrMalformed.
 func TestDecodeNatsErrors(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{1, 0, 0},                // truncated header
-		{1, 0, 0, 0},             // missing element length
-		{1, 0, 0, 0, 5, 0, 0, 0}, // missing body
-		append(AppendNats(nil, []mpint.Nat{mpint.One()}), 0xFF), // trailing bytes
-	}
-	for i, b := range cases {
-		if _, err := DecodeNatsInto(nil, b); err == nil {
-			t.Errorf("case %d should fail", i)
+	for name, b := range map[string][]byte{
+		"empty":                 nil,
+		"no width":              {1},
+		"truncated varint":      {0x80},
+		"non-minimal count":     {0x81, 0x00, 4, 0, 0, 0, 1},
+		"non-minimal width":     {1, 0x84, 0x00, 0, 0, 0, 1},
+		"missing body":          {1, 4, 0, 0, 1},
+		"width 0":               {1, 0},
+		"width 3":               {1, 3, 0, 0, 1},
+		"width past its values": {1, 5, 0, 0, 0, 0, 1},
+		"empty batch of 5":      {0, 5},
+		"trailing byte":         append(AppendNats(nil, []mpint.Nat{mpint.One()}), 0xFF),
+	} {
+		if out, err := DecodeNatsInto(nil, b); !errors.Is(err, ErrMalformed) || out != nil {
+			t.Errorf("%s: decoded %v (%v), want ErrMalformed", name, out, err)
 		}
 	}
 }
@@ -209,18 +217,36 @@ func TestTCPClientClose(t *testing.T) {
 	}
 }
 
+// TestMessageWireSize: WireSize is the length of encodeMessage's bytes at
+// every varint length of the round stamp and the string lengths (1 byte up
+// to 127, 2 from 128, 3 from 16,384, 10 at 2^64 − 1), and the frame decodes
+// back to the message.
 func TestMessageWireSize(t *testing.T) {
-	m := Message{From: "ab", To: "cde", Kind: "f", Round: 7, Payload: []byte{1, 2, 3, 4}}
-	if got := m.WireSize(); got != 20+2+3+1+4 {
-		t.Fatalf("WireSize = %d", got)
-	}
-	// encode/decode agreement
-	dec, err := decodeMessage(encodeMessage(m))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.From != m.From || dec.To != m.To || dec.Kind != m.Kind || dec.Round != 7 || len(dec.Payload) != 4 {
-		t.Fatalf("codec mismatch: %+v", dec)
+	for _, tc := range []struct {
+		round  uint64
+		strlen int
+		want   int64 // the header's four varints, the strings and a 4-byte payload
+	}{
+		{0, 0, 4 + 4},
+		{127, 0, 4 + 4},
+		{128, 0, 5 + 4},
+		{16383, 0, 5 + 4},
+		{16384, 0, 6 + 4},
+		{math.MaxUint64, 0, 13 + 4},
+		{7, 127, 4 + 3*127 + 4},
+		{7, 128, 7 + 3*128 + 4},
+		{16384, 128, 9 + 3*128 + 4},
+	} {
+		str := strings.Repeat("x", tc.strlen)
+		m := Message{From: str, To: str, Kind: str, Round: tc.round, Payload: []byte{1, 2, 3, 4}}
+		frame := encodeMessage(m)
+		if got := m.WireSize(); got != int64(len(frame)) || got != tc.want {
+			t.Errorf("round %d, %d-byte strings: WireSize %d, encoded %d bytes, want %d", tc.round, tc.strlen, got, len(frame), tc.want)
+		}
+		dec, err := decodeMessage(frame)
+		if err != nil || dec.From != str || dec.To != str || dec.Kind != str || dec.Round != tc.round || !bytes.Equal(dec.Payload, m.Payload) {
+			t.Errorf("round %d, %d-byte strings: decoded %+v (%v)", tc.round, tc.strlen, dec, err)
+		}
 	}
 }
 
@@ -354,28 +380,37 @@ func TestSimTransportDrainsAfterClose(t *testing.T) {
 }
 
 func TestDecodeNatsBoundsCountHeader(t *testing.T) {
-	// A corrupt frame claiming 2^32-1 elements must fail the header check,
+	// A corrupt frame claiming 2^64-1 elements must fail the header check,
 	// not attempt a multi-GB slice allocation.
-	b := []byte{0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := DecodeNatsInto(nil, b); err == nil {
+	b := append(binary.AppendUvarint(nil, math.MaxUint64), 4)
+	if _, err := DecodeNatsInto(nil, append(b, make([]byte, 16)...)); err == nil {
 		t.Fatal("absurd count header should fail fast")
 	}
 	// Count that exceeds what the body could possibly hold.
-	b = append([]byte{100, 0, 0, 0}, make([]byte, 16)...)
-	if _, err := DecodeNatsInto(nil, b); err == nil {
+	if _, err := DecodeNatsInto(nil, append([]byte{100, 4}, make([]byte, 16)...)); err == nil {
 		t.Fatal("count beyond body capacity should fail")
+	}
+	// A count and width whose product wraps 64 bits to the body's length.
+	b = binary.AppendUvarint(binary.AppendUvarint(nil, 1<<61), 8)
+	if _, err := DecodeNatsInto(nil, b); err == nil {
+		t.Fatal("a count × width that wraps to an empty body should fail")
 	}
 }
 
 // FuzzDecodeNats throws arbitrary bytes at the nat-batch decoder every
-// upload and aggregate passes through (fl.DecodeCiphertexts), DecodeNatsInto. It
-// never panics; a reject is an error carrying no values; an accept holds at
-// most len(b)/4 values — the count header cannot buy more slice than the
-// body pays for — that survive an encode/decode round trip; and decoding
+// upload and aggregate passes through (fl.Context.DecodeCiphertexts),
+// DecodeNatsInto. It never panics; a reject is ErrMalformed carrying no
+// values; an accept holds at most len(b)/4 values — the count header cannot
+// buy more slice than the body pays for — that survive an encode/decode round
+// trip and re-encode to exactly the input, its one encoding; and decoding
 // into a reused scratch slice yields the same values without growing the
 // scratch past that bound.
 func FuzzDecodeNats(f *testing.F) {
 	f.Add(AppendNats(nil, []mpint.Nat{mpint.FromUint64(1), nil, mpint.FromUint64(1 << 40)}))
+	f.Add([]byte{1, 0})                                              // width 0
+	f.Add([]byte{1, 3, 0, 0, 1})                                     // width 3
+	f.Add([]byte{2, 6, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 2})          // wider than its widest value
+	f.Add(binary.AppendUvarint(binary.AppendUvarint(nil, 1<<61), 8)) // count × width wraps to 0
 	sameNats := func(a, b []mpint.Nat) bool {
 		if len(a) != len(b) {
 			return false
@@ -390,10 +425,13 @@ func FuzzDecodeNats(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		out, err := DecodeNatsInto(nil, b)
 		if err != nil {
-			if out != nil {
-				t.Fatalf("reject (%v) still returned %d values", err, len(out))
+			if !errors.Is(err, ErrMalformed) || out != nil {
+				t.Fatalf("reject (%v) is not ErrMalformed or still returned %d values", err, len(out))
 			}
 			return
+		}
+		if again := AppendNats(nil, out); !bytes.Equal(again, b) {
+			t.Fatalf("accepted %x re-encodes to %x", b, again)
 		}
 		bound := len(b) / 4
 		if len(out) > bound || cap(out) > bound {
@@ -432,14 +470,13 @@ func FuzzDecodeNats(f *testing.F) {
 		if err != nil || !sameNats(dead, out) {
 			t.Fatalf("decode into a dead batch gave %v (%v), want %v", dead, err, out)
 		}
-		body := b[4:]
+		_, rest, _ := ReadUvarint(b)
+		w, _, _ := ReadUvarint(rest)
+		need := (int(w) + 7) / 8 // the limbs every value of the batch is parsed into
 		for i, region := range regions {
 			fits := false
 			if i < len(dead) {
-				l := binary.LittleEndian.Uint32(body)
-				need := (int(l) + 7) / 8
-				body = body[4+l:]
-				if fits = need > 0 && need <= len(region); fits && &dead[i][:1][0] != &region[0] {
+				if fits = need <= len(region); fits && &dead[i][:1][0] != &region[0] {
 					t.Fatalf("value %d (%d limbs) did not go into its %d-limb slot", i, need, len(region))
 				}
 			}

@@ -412,34 +412,31 @@ func readFrame(r io.Reader) ([]byte, error) {
 }
 
 func encodeMessage(m Message) []byte {
-	buf := make([]byte, 0, m.WireSize())
-	buf = binary.LittleEndian.AppendUint64(buf, m.Round)
-	for _, s := range []string{m.From, m.To, m.Kind} {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-		buf = append(buf, s...)
+	buf := binary.AppendUvarint(make([]byte, 0, m.WireSize()), m.Round)
+	for _, s := range [3]string{m.From, m.To, m.Kind} {
+		buf = append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 	}
-	buf = append(buf, m.Payload...)
-	return buf
+	return append(buf, m.Payload...)
 }
 
+// decodeMessage is encodeMessage's inverse; a frame that is not one of its
+// encodings (ReadUvarint's rejects, a string longer than the frame) is
+// ErrMalformed.
 func decodeMessage(b []byte) (Message, error) {
-	if len(b) < 8 {
-		return Message{}, fmt.Errorf("flnet: message truncated")
+	round, b, err := ReadUvarint(b)
+	if err != nil {
+		return Message{}, fmt.Errorf("flnet: message round: %w", err)
 	}
-	round := binary.LittleEndian.Uint64(b)
-	b = b[8:]
 	var fields [3]string
 	for i := range fields {
-		if len(b) < 4 {
-			return Message{}, fmt.Errorf("flnet: message truncated")
+		var l uint64
+		if l, b, err = ReadUvarint(b); err != nil {
+			return Message{}, fmt.Errorf("flnet: message field: %w", err)
 		}
-		l := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint32(len(b)) < l {
-			return Message{}, fmt.Errorf("flnet: message field truncated")
+		if l > uint64(len(b)) {
+			return Message{}, fmt.Errorf("%w: a %d-byte field in %d bytes", ErrMalformed, l, len(b))
 		}
-		fields[i] = string(b[:l])
-		b = b[l:]
+		fields[i], b = string(b[:l]), b[l:]
 	}
 	return Message{From: fields[0], To: fields[1], Kind: fields[2], Round: round, Payload: b}, nil
 }

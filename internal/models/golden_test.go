@@ -83,14 +83,24 @@ type verticalGolden struct {
 // whose frames are the bytes each row lost, less 1 B a score frame for its
 // longer destination name and give or take the leading zeros the codec
 // trims. The key holder now opens the hosts' fold, not every party's, which
-// moved the hash.
+// moved the hash. Then every row's bytes, with packedGoldens', when the wire
+// framing became varints and one width a batch, with every loss bit, message,
+// opened count and hash unmoved: a row's delta is 16 B a message (the 8-byte
+// round stamp and three 4-byte string lengths became 4 one-byte varints), 2 B
+// a ciphertext batch at 256 bits and 1 B at 1,024 (the 4-byte count became a
+// 1-byte varint, beside a width varint of 1 B for 64-byte ciphertexts and 2
+// for 256-byte ones; a count of 128 or more takes 2 B), 4 B a value (its
+// length prefix) and 6 B a return-path request (the 8-byte stride and value
+// count became two 1-byte varints), plus the leading zero bytes the old codec
+// left off a value, which the batch's width now pads back (no batch here had
+// every value below n²'s top byte).
 var verticalGoldens = []verticalGolden{
-	{"Hetero LR", fl.SystemFLBooster, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 32986, 52, 24, "15d8a8f3f9ca4e559918a8b429c5a148"},    // 28·4 + 12·8 − 1, then −993
-	{"Hetero LR", fl.SystemHAFLO, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 57461, 52, 152, "03432ececfc595d2176d53e8b1f8aa96"},       // 28·4 + 12·12 − 5, then −8,882
-	{"Hetero NN", fl.SystemFLBooster, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 91653, 52, 52, "51dbfa70d8e9bb4a2d6ba37f47c790d7"},    // 28·4 + 12·8 − 20, then −2,063
-	{"Hetero NN", fl.SystemHAFLO, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 167521, 52, 456, "b34c7b8aa015167cc224bce7363d2ea7"},      // 28·4 + 12·12 − 43, then −26,268
-	{"Hetero SBT", fl.SystemFLBooster, [2]uint64{0x3fe1c109591d82ef, 0x3fddaa5913612c52}, 48220, 101, 218, "e07f56faf587885c03e2b25a5ee1291f"}, // 6·4 + 84·8 − 14, then −25
-	{"Hetero SBT", fl.SystemHAFLO, [2]uint64{0x3fe1c109591d82ef, 0x3fddaa5913612c52}, 138244, 101, 1158, "e3eefa3f0b652ae37bfa3c2b2a67e29f"},   // 6·4 + 84·12 − 11, then −36
+	{"Hetero LR", fl.SystemFLBooster, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 30288, 52, 24, "15d8a8f3f9ca4e559918a8b429c5a148"},    // 28·4 + 12·8 − 1, then −993, then −16·52 − 2·36 − 4·432 − 6·12 + 6
+	{"Hetero LR", fl.SystemHAFLO, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 53328, 52, 152, "03432ececfc595d2176d53e8b1f8aa96"},       // 28·4 + 12·12 − 5, then −8,882, then −16·52 − 2·36 − 4·792 − 6·12 + 11
+	{"Hetero NN", fl.SystemFLBooster, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 85652, 52, 52, "51dbfa70d8e9bb4a2d6ba37f47c790d7"},    // 28·4 + 12·8 − 20, then −2,063, then −16·52 − 2·36 − 4·1,260 − 6·12 + 15
+	{"Hetero NN", fl.SystemHAFLO, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 157076, 52, 456, "b34c7b8aa015167cc224bce7363d2ea7"},      // 28·4 + 12·12 − 43, then −26,268, then −16·52 − 2·36 − 4·2,376 − 6·12 + 35
+	{"Hetero SBT", fl.SystemFLBooster, [2]uint64{0x3fe1c109591d82ef, 0x3fddaa5913612c52}, 43527, 101, 218, "e07f56faf587885c03e2b25a5ee1291f"}, // 6·4 + 84·8 − 14, then −25, then −16·101 − 2·90 − 4·602 − 6·84 + 15
+	{"Hetero SBT", fl.SystemHAFLO, [2]uint64{0x3fe1c109591d82ef, 0x3fddaa5913612c52}, 128269, 101, 1158, "e3eefa3f0b652ae37bfa3c2b2a67e29f"},   // 6·4 + 84·12 − 11, then −36, then −16·101 − (2·90 − 6) − 4·1,926 − 6·84 + 23
 }
 
 // packedGoldens are Hetero LR and NN at 1,024 bits, where the packed
@@ -105,12 +115,13 @@ var verticalGoldens = []verticalGolden{
 // verticalGoldens', by the same rule: a packed request here is s = 5 at one
 // value a ciphertext, which declared its 4-byte stride, so it gains 8 B too.
 // Their bytes, messages and hash moved again with verticalGoldens' when the
-// hosts' scores (activations) began to go straight to the arbiter.
+// hosts' scores (activations) began to go straight to the arbiter, and their
+// bytes alone when the framing became varints, by verticalGoldens' rule.
 var packedGoldens = []verticalGolden{
-	{"Hetero LR", fl.SystemFLBooster, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 34816, 52, 28, "1cdc313bb5340bc444068b3fcaba9cb0"}, // 28·4 + 12·8, then −1,212
-	{"Hetero LR", fl.SystemHAFLO, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 209531, 52, 152, "2700f06e7976d4a4609e2e6f91076f50"},   // 28·4 + 12·12 − 6, then −33,451
-	{"Hetero NN", fl.SystemFLBooster, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 93348, 52, 80, "e2fc33b73a9524ecddcc2453214cc15c"}, // 28·4 + 12·8 − 1, then −2,243
-	{"Hetero NN", fl.SystemHAFLO, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 623739, 52, 456, "4795f5debae91e2a0fe6191a5d36e9e8"},   // 28·4 + 12·12 − 18, then −99,995
+	{"Hetero LR", fl.SystemFLBooster, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 33396, 52, 28, "1cdc313bb5340bc444068b3fcaba9cb0"}, // 28·4 + 12·8, then −1,212, then −16·52 − 36 − 4·120 − 6·12
+	{"Hetero LR", fl.SystemHAFLO, [2]uint64{0x3fe1c9b99e3c3157, 0x3fde3ecd3940a0f5}, 205428, 52, 152, "2700f06e7976d4a4609e2e6f91076f50"},   // 28·4 + 12·12 − 6, then −33,451, then −16·52 − 36 − 4·792 − 6·12 + 5
+	{"Hetero NN", fl.SystemFLBooster, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 91064, 52, 80, "e2fc33b73a9524ecddcc2453214cc15c"}, // 28·4 + 12·8 − 1, then −2,243, then −16·52 − 36 − 4·336 − 6·12
+	{"Hetero NN", fl.SystemHAFLO, [2]uint64{0x3fe51d8135d8e38f, 0x3fe3b7a91a690608}, 613304, 52, 456, "4795f5debae91e2a0fe6191a5d36e9e8"},   // 28·4 + 12·12 − 18, then −99,995, then −16·52 − 36 − 4·2,376 − 6·12 + 9
 }
 
 // TestVerticalGoldens holds the three vertical models to the recorded rows at

@@ -70,9 +70,10 @@ func TestHeteroLossIdenticalAcrossProfiles(t *testing.T) {
 // residual broadcasts of ⌈n/s⌉ ciphertexts, and per host one return-path
 // request of ⌈dim/per⌉ ciphertexts, one signed sum a feature — per the 64-bit
 // slots that fit at s = 1, the blocks of 2s−1 W-bit slots above — behind its
-// 8-byte header (stride and value count), answered by 8 bytes a sum. Every
-// ciphertext batch is framed with its 4-byte count, and the codec leaves off
-// a ciphertext's leading zero bytes, which the frames' log adds up (trimmed).
+// header (stride and value count, a minimal uvarint each), answered by 8
+// bytes a sum. Every ciphertext batch is priced at CiphertextWireBytes, less
+// what a batch narrower than n² saves, which the frames' log adds up
+// (trimmed).
 // The guest encrypts no score and sends no gradient: its only frames are the
 // broadcast (checkRoute). If the broadcast or the return path stops packing,
 // or the scores or the guest's gradient go back through the guest or the
@@ -274,24 +275,35 @@ func TestSinglePartySecureSumIsLocal(t *testing.T) {
 	}
 }
 
-// trimmed is what the codec left off the ciphertexts the logged frames of the
-// given kinds carry, against CiphertextWireBytes: the leading zero bytes of
-// each value. at[kind] is where a kind's batch starts in its payload.
-func (w *frameLog) trimmed(t *testing.T, ctx *fl.Context, at map[string]int) int64 {
+// trimmed is what the batches the logged frames of the given kinds carry save
+// against CiphertextWireBytes: a batch is as wide as its widest value (at
+// least 4 bytes), so one whose every value has a leading zero byte is a byte
+// or more narrower a value, and its width's varint may be a byte shorter.
+// skip[kind] is how many varints a kind's payload carries ahead of its batch.
+func (w *frameLog) trimmed(t *testing.T, ctx *fl.Context, skip map[string]int) int64 {
 	t.Helper()
+	full := ctx.Key.CiphertextBytes()
 	var trim int64
 	for _, msg := range w.sent {
-		off, ok := at[msg.Kind]
+		n, ok := skip[msg.Kind]
 		if !ok {
 			continue
 		}
-		nats, err := flnet.DecodeNatsInto(nil, msg.Payload[off:])
+		b, err := msg.Payload, error(nil)
+		for range n {
+			if _, b, err = flnet.ReadUvarint(b); err != nil {
+				t.Fatalf("%s frame header: %v", msg.Kind, err)
+			}
+		}
+		nats, err := flnet.DecodeNatsInto(nil, b)
 		if err != nil {
 			t.Fatalf("%s frame: %v", msg.Kind, err)
 		}
+		width := 4
 		for _, x := range nats {
-			trim += int64(ctx.Key.CiphertextBytes() - (x.BitLen()+7)/8)
+			width = max(width, (x.BitLen()+7)/8)
 		}
+		trim += int64(flnet.BatchSize(len(nats), full) - flnet.BatchSize(len(nats), width))
 	}
 	return trim
 }
@@ -372,12 +384,13 @@ func wireBudget(t *testing.T, keyBits int) {
 				t.Fatalf("%s at %d bits: stride %d, want %d", sys, keyBits, s, want)
 			}
 			for p := 1; p < parties; p++ {
-				bytes += header(hostName(p), arbiterName, "scores") + ctx.CiphertextWireBytes(scoreCts) + 4
-				bytes += header(hostName(0), hostName(p), "residuals") + ctx.CiphertextWireBytes((n+s-1)/s) + 4
+				bytes += header(hostName(p), arbiterName, "scores") + ctx.CiphertextWireBytes(scoreCts)
+				bytes += header(hostName(0), hostName(p), "residuals") + ctx.CiphertextWireBytes((n+s-1)/s)
 				// Dense features: every feature has a non-zero value in every
 				// batch (checked below), so a host returns dim sums.
 				sums := m.parts[p].NumFeatures
-				bytes += header(hostName(p), arbiterName, "grad-sums") + 8 + ctx.CiphertextWireBytes((sums+per-1)/per) + 4
+				head := flnet.UvarintLen(uint64(s)) + flnet.UvarintLen(uint64(sums))
+				bytes += header(hostName(p), arbiterName, "grad-sums") + int64(head) + ctx.CiphertextWireBytes((sums+per-1)/per)
 				bytes += header(arbiterName, hostName(p), "grad-plain") + int64(8*sums)
 				msgs += 4
 			}
@@ -401,7 +414,7 @@ func wireBudget(t *testing.T, keyBits int) {
 			t.Fatal(err)
 		}
 		log.checkRoute(t, "Hetero LR")
-		bytes -= log.trimmed(t, ctx, map[string]int{"scores": 0, "residuals": 0, "grad-sums": 8})
+		bytes -= log.trimmed(t, ctx, map[string]int{"scores": 0, "residuals": 0, "grad-sums": 2})
 		c := ctx.Costs.Snapshot()
 		if c.CommMsgs != msgs || c.CommBytes != bytes {
 			t.Fatalf("%s at %d bits: epoch sent %d messages / %d bytes, the protocol budgets %d / %d",
