@@ -30,10 +30,11 @@ func badFlag(flag, format string, args ...interface{}) *ConfigError {
 var failpoints = []fl.EventKind{fl.EventRoundStart, fl.EventAggregated, fl.EventRoundDone, fl.EventRoundFailed, fl.EventDrained}
 
 // validate rejects out-of-range values and inconsistent flag combinations —
-// a quorum above the sampled cohort, a fan-out no tree can have, a key size
-// fl.NewContext would refuse, a failpoint or resume with no journal to act
-// on, a failpoint that names no journal record — with a typed ConfigError
-// naming the offending flag. run calls it before any command dispatches.
+// a negative duration, a quorum above the sampled cohort, a fan-out no tree
+// can have, a key size fl.NewContext would refuse, a failpoint or resume with
+// no journal to act on, a failpoint that names no journal record — with a
+// typed ConfigError naming the offending flag. run calls it before any
+// command dispatches.
 func (c opts) validate(cmd string) error {
 	if c.clients < 1 {
 		return badFlag("clients", "need at least 1 client, have %d", c.clients)
@@ -52,6 +53,12 @@ func (c opts) validate(cmd string) error {
 	}
 	if c.fanout < 0 || c.fanout == 1 {
 		return badFlag("fanout", "aggregation fan-out must be at least 2 (or 0 for flat), have %d", c.fanout)
+	}
+	if c.timeout < 0 {
+		return badFlag("timeout", "the gather deadline cannot be negative, have %v", c.timeout)
+	}
+	if c.straggle < 0 {
+		return badFlag("straggle", "the upload delay cannot be negative, have %v", c.straggle)
 	}
 	if c.devices < 0 || c.devices > ghe.MaxDevices {
 		return badFlag("devices", "device count must be in [0, %d], the executor's limit, have %d", ghe.MaxDevices, c.devices)

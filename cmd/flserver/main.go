@@ -36,10 +36,11 @@
 //	              every upload itself; either way an upload is folded as it
 //	              arrives)
 //
-// Out-of-range and inconsistent flags (quorum above the sampled cohort, a
-// fan-out of 1, a -bits below 32 or odd, a -failpoint or -resume without
-// -journal, a -failpoint that names no journal record) fail at startup with a
-// typed ConfigError naming the flag, not mid-round.
+// Out-of-range and inconsistent flags (a negative -timeout or -straggle, a
+// quorum above the sampled cohort, a fan-out of 1, a -bits below 32 or odd, a
+// -failpoint or -resume without -journal, a -failpoint that names no journal
+// record) fail at startup with a typed ConfigError naming the flag, not
+// mid-round.
 //
 // Durability (see DESIGN.md, "Durable epochs"):
 //

@@ -374,6 +374,8 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"server", "-fanout", "-2"}, "fanout"},
 		{[]string{"demo", "-quorum", "-1"}, "quorum"},
 		{[]string{"demo", "-clients", "4", "-quorum", "5"}, "quorum"},
+		{[]string{"server", "-timeout", "-1s"}, "timeout"},
+		{[]string{"client", "-straggle", "-5s", "-values", "0.1"}, "straggle"},
 		{[]string{"server", "-clients", "8", "-cohort", "3", "-quorum", "4"}, "quorum"},
 		{[]string{"server", "-devices", "-1"}, "devices"},
 		{[]string{"demo", "-devices", "65"}, "devices"},

@@ -216,14 +216,14 @@ func TestCellsAreRunOnce(t *testing.T) {
 	if err := r.Table4(io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	fate := r.ctxs[ctxKey{fl.SystemFATE, 128}]
-	cursor := fate.SeedCursor()
+	fate := r.ctxs[ctxKey{fl.SystemFATE, 128}].NewParty("probe") // reads the context's one nonce stream
+	cursor := fate.Cursor()
 	for _, print := range []func(io.Writer) error{r.Table3, r.Table4} {
 		if err := print(io.Discard); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := fate.SeedCursor(); got != cursor {
+	if got := fate.Cursor(); got != cursor {
 		t.Fatalf("printing Tables III and IV again moved FATE's seed cursor %d → %d", cursor, got)
 	}
 }

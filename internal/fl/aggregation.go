@@ -56,7 +56,8 @@ func framePayload(frame []byte) []byte {
 // and a decryptor that knows who contributed passes included and rejects a
 // frame whose K is not len(included). A remote one that only has the frame
 // passes nil.
-func (c *Context) openAggregate(frame []byte, count int, included []string) ([]float64, int, error) {
+func (h *Holder) openAggregate(frame []byte, count int, included []string) ([]float64, int, error) {
+	c := h.ctx
 	reject := func(format string, args ...any) ([]float64, int, error) {
 		return nil, 0, &frameError{fmt.Errorf(format, args...)}
 	}
@@ -75,7 +76,7 @@ func (c *Context) openAggregate(frame []byte, count int, included []string) ([]f
 	if err != nil {
 		return reject("%w", err)
 	}
-	sums, err := c.DecryptAggregated(cts, count, k)
+	sums, err := h.DecryptAggregated(cts, count, k)
 	ReleaseCiphertexts(cts) // decrypted or not, the batch is dead
 	if err != nil {
 		return nil, 0, err

@@ -145,7 +145,7 @@ const treeKid, treeNode, treeKind = "kid", "node", "sum"
 
 // flush takes a level's partial, resets the level, and forwards it. On a
 // bounded tree the partial is framed and sent up on the context's tree
-// transport (Context.SendCiphertexts, charged by deliver at the frame's
+// transport (exchange, charged by deliver at the frame's
 // WireSize); the sender's batch dies once framed, and flush returns the
 // parent's decoded copy. An unbounded tree (fanout 0) lives at the
 // coordinator, so its root has no link to cross: it is returned as it is and
@@ -160,7 +160,7 @@ func (t *AggTree) flush(level int) ([]paillier.Ciphertext, error) {
 		return partial, nil
 	}
 	t.ctx.metricAdd("tree_partials", 1)
-	got, err := t.ctx.SendCiphertexts(t.ctx.tree, treeKid, treeNode, treeKind, partial)
+	got, err := exchange(t.ctx, t.ctx.tree, treeKid, treeNode, treeKind, frameCiphertexts(nil, partial), t.ctx.DecodeCiphertexts)
 	paillier.ReleaseBatch(partial)
 	return got, err
 }

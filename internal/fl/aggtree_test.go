@@ -12,12 +12,13 @@ import (
 func encryptBatches(t *testing.T, ctx *Context, n, width int) [][]paillier.Ciphertext {
 	t.Helper()
 	out := make([][]paillier.Ciphertext, n)
+	host := ctx.NewParty("host")
 	for i := range out {
 		g := make([]float64, width)
 		for j := range g {
 			g[j] = 0.01*float64(i+1) + 0.001*float64(j)
 		}
-		cts, err := ctx.EncryptGradients(g)
+		cts, err := host.EncryptGradients(g)
 		if err != nil {
 			t.Fatal(err)
 		}

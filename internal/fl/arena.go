@@ -102,7 +102,7 @@ func (c *Context) DecodeCiphertexts(b []byte) ([]paillier.Ciphertext, error) {
 	}
 	nats, err := flnet.DecodeNatsInto(scratch, b)
 	for i, x := range nats { // a valid count is the hint
-		if x.IsZero() || mpint.Cmp(x, c.Key.N2) >= 0 {
+		if x.IsZero() || mpint.Cmp(x, c.pub.N2) >= 0 {
 			err = fmt.Errorf("%w: value %d is 0 or at least n²", ErrBadCiphertext, i)
 			break
 		}

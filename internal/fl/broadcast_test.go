@@ -359,6 +359,8 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 	}
 	for _, keyBits := range keys {
 		for name, ctx := range returnWirings(t, keyBits) {
+			host := ctx.NewParty("host")
+			arbiter := ctx.NewHolder("arbiter")
 			rec := &openedPlaintexts{Backend: ctx.Backend}
 			ctx.Backend = rec
 			rng := mpint.NewRNG(uint64(keyBits))
@@ -406,22 +408,22 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			route := ReturnRoute{Net: returnNet(ctx), Party: "host", Decryptor: "arbiter", Kind: "sums", ReplyKind: "plain"}
+			route := ReturnRoute{Net: returnNet(ctx), Decryptor: arbiter, Kind: "sums", ReplyKind: "plain"}
 			for s := 1; s <= maxStride(ctx.Key.N.BitLen()-1, true); s++ {
-				encD, err := ctx.EncryptBroadcast(vals, s)
+				encD, err := host.EncryptBroadcast(vals, s)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if len(encD) != (rows+s-1)/s {
 					t.Fatalf("%s/%d bits/s = %d: %d broadcast ciphertexts", name, keyBits, s, len(encD))
 				}
-				cts, err := ctx.BroadcastSums(encD, sums, s, true)
+				cts, err := host.BroadcastSums(encD, sums, s, true)
 				if err != nil {
 					t.Fatal(err)
 				}
 				before := ctx.Costs.Snapshot()
 				rec.pts, rec.trim = rec.pts[:0], 0
-				got, err := ctx.OpenBroadcastSums(route, cts, bounds, s)
+				got, err := host.OpenBroadcastSums(route, cts, bounds, s)
 				if err != nil {
 					t.Fatalf("%s/%d bits/s = %d: %v", name, keyBits, s, err)
 				}
@@ -489,27 +491,29 @@ func TestBroadcastSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	route := ReturnRoute{Net: returnNet(ctx), Party: "host", Decryptor: "arbiter", Kind: "sums"}
+	host := ctx.NewParty("host")
+	arbiter := ctx.NewHolder("arbiter")
+	route := ReturnRoute{Net: returnNet(ctx), Decryptor: arbiter, Kind: "sums"}
 	vals := []float64{0.1, -0.2, 0.3, -0.4, 0.5, 0.6, -0.7, 0.8, 0.9}
 	// Every term in lane 0 of stride 3: two of the three inner sums are empty.
 	sums := [][]mpint.Term{{{Index: 0, Weight: 2}, {Index: 3, Weight: 5}, {Index: 6, Weight: 7}}}
 	for _, s := range []int{1, 3} {
-		encD, err := ctx.EncryptBroadcast(vals, s)
+		encD, err := host.EncryptBroadcast(vals, s)
 		if err != nil {
 			t.Fatal(err)
 		}
 		draws := func(fn func()) int {
-			start := ctx.SeedCursor()
+			start := ctx.nonces.cursor
 			fn()
 			n := 0
-			for probe := start; probe != ctx.SeedCursor() && n < 8; n++ {
+			for probe := start; probe != ctx.nonces.cursor && n < 8; n++ {
 				probe = probe*6364136223846793005 + 1442695040888963407
 			}
 			return n
 		}
 		var cts = encD
 		want := map[int]int{1: 0, 3: 1}[s]
-		if n := draws(func() { cts, err = ctx.BroadcastSums(encD, sums, s, true) }); err != nil || n != want {
+		if n := draws(func() { cts, err = host.BroadcastSums(encD, sums, s, true) }); err != nil || n != want {
 			t.Fatalf("s = %d: the sums drew %d seeds, want %d (%v)", s, n, want, err)
 		}
 		var got []uint64
@@ -517,7 +521,7 @@ func TestBroadcastSeeds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := draws(func() { got, err = ctx.OpenBroadcastSums(route, cts, []Bound{bound}, s) }); err != nil || n != 0 {
+		if n := draws(func() { got, err = host.OpenBroadcastSums(route, cts, []Bound{bound}, s) }); err != nil || n != 0 {
 			t.Fatalf("s = %d: the return drew %d seeds (%v)", s, n, err)
 		}
 		q := ctx.Quant.Quantize
@@ -525,11 +529,11 @@ func TestBroadcastSeeds(t *testing.T) {
 			t.Fatalf("s = %d: opened %d, want %d", s, got[0], w)
 		}
 	}
-	if _, err := ctx.EncryptBroadcast(vals, 6); !errors.Is(err, ErrSlotCorrupt) {
+	if _, err := host.EncryptBroadcast(vals, 6); !errors.Is(err, ErrSlotCorrupt) {
 		t.Fatalf("a stride 1,024-bit plaintexts cannot hold: %v, want ErrSlotCorrupt", err)
 	}
 	before := ctx.Costs.Snapshot()
-	if _, err := ctx.EncryptBroadcast([]float64{0.1, math.NaN()}, 1); !errors.Is(err, quant.ErrNaN) {
+	if _, err := host.EncryptBroadcast([]float64{0.1, math.NaN()}, 1); !errors.Is(err, quant.ErrNaN) {
 		t.Fatalf("a NaN broadcast value: %v, want quant.ErrNaN", err)
 	}
 	if after := ctx.Costs.Snapshot(); after.HEOps != before.HEOps {

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"flbooster/internal/flnet"
+	"flbooster/internal/mpint"
+	"flbooster/internal/paillier"
 )
 
 // Schedule is what every party of a round agrees on without a message: the
@@ -63,20 +65,19 @@ var ErrNotSent = errors.New("fl: upload not sent")
 // Client is the client half of the Fig. 2 round. It knows the coordinator
 // only as frames on a flnet.Transport: it uploads one "grads" frame, later
 // receives the aggregate frame, reads K off it and opens it. Every client
-// holds the private key in the Fig. 2 layout, so it encrypts as the key's
-// holder (Context.Key.Holder()): the handle follows from the role. The
-// in-process Federation hosts one per party on a shared Context;
-// cmd/flserver's client role hosts one on its own.
+// holds the private key in the Fig. 2 layout, so it is a Holder: it encrypts
+// under the key's holder handle and opens the aggregate. The in-process
+// Federation hosts one per party on a shared Context; cmd/flserver's client
+// role hosts one on its own.
 type Client struct {
-	Ctx   *Context
+	Holder
 	Index int
-	Name  string
 }
 
 // NewClient builds client i of ctx's federation, named ClientName(i); the
 // Federation and cmd/flserver's client role build theirs with it.
 func NewClient(ctx *Context, i int) *Client {
-	return &Client{Ctx: ctx, Index: i, Name: ClientName(i)}
+	return &Client{Holder: *ctx.NewHolder(ClientName(i)), Index: i}
 }
 
 // Upload is the client's first half of a round: encrypt the whole batch
@@ -99,9 +100,10 @@ func (c *Client) Upload(tr flnet.Transport, round uint64, grads []float64) (int,
 // wave[i]'s gradients, in three passes:
 //  1. each member, in cohort order, encodes its gradients — stopping at the
 //     first that fails;
-//  2. what was encoded is encrypted as one host job (Context.encryptUploads):
+//  2. what was encoded is encrypted as one host job (Holder.encryptUploads):
 //     one paillier.EncryptVecs under the key holder's handle, each member on
-//     its own nonce seed, drawn in cohort order, and its own modelled launch;
+//     its own nonce seed, drawn in cohort order from the context's stream,
+//     and its own modelled launch;
 //  3. each member's ciphertexts are framed (frameCiphertexts, as every
 //     vertical message is) and sent, in cohort order, and settle is told the
 //     outcome — the ciphertext count, or the send's error wrapping
@@ -115,7 +117,8 @@ func uploadWave(tr flnet.Transport, round uint64, wave []*Client, grads [][]floa
 	if len(wave) == 0 {
 		return nil
 	}
-	ctx := wave[0].Ctx
+	h := &wave[0].Holder // every member holds the context's one key
+	ctx := h.ctx
 	var failed error
 	w := &ctx.wave
 	for i, cl := range wave {
@@ -126,7 +129,7 @@ func uploadWave(tr flnet.Transport, round uint64, wave []*Client, grads [][]floa
 		}
 		w.pts, w.vals = append(w.pts, pts), append(w.vals, len(grads[i]))
 	}
-	cts, err := ctx.encryptUploads()
+	cts, err := h.encryptUploads()
 	if err != nil {
 		failed = fmt.Errorf("fl: client %d encrypt: %w", wave[len(cts)].Index, err)
 	}
@@ -150,6 +153,63 @@ func uploadWave(tr flnet.Transport, round uint64, wave []*Client, grads [][]floa
 		}
 	}
 	return failed
+}
+
+// uploads is the upload wave being encrypted — each upload's encoded
+// plaintexts, gradient count and nonce seed, and then its ciphertexts — kept
+// from wave to wave: uploadWave adds to it, encryptUploads empties it.
+type uploads struct {
+	pts   [][]mpint.Nat
+	vals  []int
+	seeds []uint64
+	cts   [][]paillier.Ciphertext
+}
+
+// encryptUploads encrypts the wave's uploads under the key's holder handle —
+// every Fig. 2 client holds the private key — as one charged HE batch
+// (paillier.EncryptVecs): a launch an upload, each on its own next nonce
+// seed, drawn in order, and on a GPU profile one host job for their lanes.
+// It returns their ciphertexts, upload j's at j, in a slice kept for the next
+// wave, and gives the plaintexts back to the arena. On an error it returns
+// the uploads before the one that failed, charged with the device clock's
+// advance up to the failure (a batch that failed whole charges nothing), and
+// leaves the seed cursor after the failed one's seed, where encrypting them
+// one at a time would have.
+func (h *Holder) encryptUploads() ([][]paillier.Ciphertext, error) {
+	c, w := h.ctx, &h.ctx.wave
+	if len(w.pts) == 0 {
+		return nil, nil
+	}
+	defer func() {
+		clear(w.pts)
+		w.pts, w.vals, w.seeds = w.pts[:0], w.vals[:0], w.seeds[:0]
+	}()
+	for range w.pts {
+		w.seeds = append(w.seeds, h.nonces.next())
+	}
+	w.cts = slices.Grow(w.cts[:0], len(w.pts))[:len(w.pts)]
+	var done int
+	var err error
+	// chargeHE fails only with the batch's own error, which err keeps.
+	_, _ = c.chargeHE(func() (ops, instances int64, _ error) {
+		if done, err = paillier.EncryptVecs(c.Backend, w.cts, h.key.Holder(), w.pts, w.seeds); done == 0 {
+			return 0, 0, err // charges nothing
+		}
+		for j, b := range w.cts[:done] {
+			ops += int64(len(b))
+			instances += int64(w.vals[j])
+			c.Costs.AddCompression(int64(w.vals[j]), int64(len(b)))
+		}
+		return ops, instances, nil
+	})
+	if err != nil {
+		h.RestoreCursor(w.seeds[done])
+		return w.cts[:done], err
+	}
+	for _, p := range w.pts {
+		arena.putPlain(p)
+	}
+	return w.cts, nil
 }
 
 // Receive waits (until deadline; zero waits forever) for round's aggregate
@@ -183,7 +243,7 @@ var ErrBadAggregate = errors.New("fl: aggregate does not open")
 // check: the wire tells it K, not who, so it passes nil. Every reject is
 // typed: a frame error, or ErrBadAggregate.
 func (c *Client) Open(frame []byte, count int, contributors []string) ([]float64, int, error) {
-	sums, k, err := c.Ctx.openAggregate(frame, count, contributors)
+	sums, k, err := c.openAggregate(frame, count, contributors)
 	if err != nil && !isFrameError(err) {
 		err = fmt.Errorf("%w: %w", ErrBadAggregate, err)
 	}

@@ -2,7 +2,6 @@ package fl
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -21,9 +20,15 @@ import (
 // the HE stack — executor and backend — the encoding-quantization
 // and batch-compression layers, the link model, and the cost tracker every
 // operation reports into. It implements the pipelined processing of Fig. 4.
+// It has no identity: what encrypts, sends or decrypts is a Party or a
+// Holder built on it (NewParty, NewHolder).
 type Context struct {
 	Profile Profile
+	// Key is the key pair, kept for the frozen benchmark/; in fl only a
+	// Holder's construction reads it. pub is its public half, the one every
+	// shared operation uses.
 	Key     *paillier.PrivateKey
+	pub     *paillier.PublicKey
 	Backend paillier.Backend
 	Quant   *quant.Quantizer
 	// Packer is the batch-compression layer: n slots a plaintext, one when
@@ -43,7 +48,8 @@ type Context struct {
 	// instrumentation call is a no-op.
 	Obs       *obs.Obs
 	obsPrefix string
-	seed      uint64
+	// nonces is the one nonce stream every party of the context draws from.
+	nonces nonceStream
 	// inner, mask and bases are BroadcastSums' scratch, reused from batch to
 	// batch: its inner sums, the trivial plaintext crossMask writes, and the
 	// broadcast beside the trivial encryptions.
@@ -70,7 +76,7 @@ func NewContext(p Profile) (*Context, error) {
 		Packer:  pk,
 		Link:    flnet.FATEEffectiveLink(),
 		Costs:   &Costs{},
-		seed:    p.Seed,
+		nonces:  nonceStream{p.Seed},
 		tree:    flnet.NewSimTransport(flnet.Link{}, treeNode),
 	}
 	// Every profile runs through the one stack core builds: launch failures
@@ -94,6 +100,7 @@ func NewContext(p Profile) (*Context, error) {
 	if ctx.Key, err = st.GenerateKey(mpint.NewRNG(p.Seed), p.KeyBits); err != nil {
 		return nil, fmt.Errorf("fl: key generation: %w", err)
 	}
+	ctx.pub = &ctx.Key.PublicKey
 	return ctx, nil
 }
 
@@ -159,22 +166,6 @@ func (c *Context) metricMax(name string, v int64) {
 	c.Obs.Metrics().SetMax("fl."+c.obsPrefix+"."+name, v)
 }
 
-// SeedCursor returns the nonce-stream cursor: the state nextSeed advances
-// once per HE batch. Journaling it at round boundaries is what makes crash
-// recovery bit-exact — a recovered coordinator restores the cursor and every
-// re-encrypted batch draws the same nonce stream the lost attempt would have.
-func (c *Context) SeedCursor() uint64 { return c.seed }
-
-// RestoreSeedCursor rewinds (or fast-forwards) the nonce-stream cursor to a
-// journaled position.
-func (c *Context) RestoreSeedCursor(cursor uint64) { c.seed = cursor }
-
-// nextSeed derives a fresh nonce-stream seed per HE batch.
-func (c *Context) nextSeed() uint64 {
-	c.seed = c.seed*6364136223846793005 + 1442695040888963407
-	return c.seed
-}
-
 // chargeHE runs one HE batch and enters it in the HE component: its host
 // time, and its modelled time — the executor's clock advance, which on a
 // fleet of no member is the host loop's wall time — with the HE operations and
@@ -205,33 +196,22 @@ func (c *Context) PlaintextCount(n int) int { return c.Packer.NumPlaintexts(n) }
 // Fig. 4): encode, quantize, pack, encrypt. Costs are charged to the HE
 // component; the plainval/ciphertext counts feed the compression ratio.
 //
-// The encrypting party is anyone who knows the public key — a vertical
-// model's host encrypting under the arbiter's key — so the batch is a
-// public-key one (EncryptNats), shaped like EncryptBroadcast. A Fig. 2
-// client, which owns the key, encrypts under its holder handle through
-// Client.Upload instead.
-func (c *Context) EncryptGradients(grads []float64) ([]paillier.Ciphertext, error) {
-	pts, err := c.encode(grads)
+// The batch is a public-key one (EncryptNats), shaped like EncryptBroadcast,
+// whatever the party: a vertical model's host encrypting under the arbiter's
+// key. A Fig. 2 client encrypts under its holder handle through Client.Upload
+// instead.
+func (p *Party) EncryptGradients(grads []float64) ([]paillier.Ciphertext, error) {
+	pts, err := p.ctx.encode(grads)
 	if err != nil {
 		return nil, err
 	}
-	cts, err := c.EncryptNats(pts, int64(len(grads)))
+	cts, err := p.EncryptNats(pts, int64(len(grads)))
 	arena.putPlain(pts)
 	if err != nil {
 		return nil, err
 	}
-	c.Costs.AddCompression(int64(len(grads)), int64(len(cts)))
+	p.ctx.Costs.AddCompression(int64(len(grads)), int64(len(cts)))
 	return cts, nil
-}
-
-// uploads is the upload wave being encrypted — each upload's encoded
-// plaintexts, gradient count and nonce seed, and then its ciphertexts — kept
-// from wave to wave: uploadWave adds to it, encryptUploads empties it.
-type uploads struct {
-	pts   [][]mpint.Nat
-	vals  []int
-	seeds []uint64
-	cts   [][]paillier.Ciphertext
 }
 
 // encode is the first step of a gradient upload: the encode
@@ -245,63 +225,6 @@ func (c *Context) encode(grads []float64) ([]mpint.Nat, error) {
 	return pts, err
 }
 
-// encryptUploads encrypts the wave's uploads under the key holder's handle —
-// every Fig. 2 client holds the private key — as one charged HE batch
-// (paillier.EncryptVecs): a launch an upload, each on its own next nonce
-// seed, drawn in order, and on a GPU profile one host job for their lanes.
-// It returns their ciphertexts, upload j's at j, in a slice kept for the next
-// wave, and gives the plaintexts back to the arena. On an error it returns
-// the uploads before the one that failed, charged with the device clock's
-// advance up to the failure (a batch that failed whole charges nothing), and
-// leaves the seed cursor after the failed one's seed, where encrypting them
-// one at a time would have.
-func (c *Context) encryptUploads() ([][]paillier.Ciphertext, error) {
-	w := &c.wave
-	if len(w.pts) == 0 {
-		return nil, nil
-	}
-	defer func() {
-		clear(w.pts)
-		w.pts, w.vals, w.seeds = w.pts[:0], w.vals[:0], w.seeds[:0]
-	}()
-	for range w.pts {
-		w.seeds = append(w.seeds, c.nextSeed())
-	}
-	w.cts = slices.Grow(w.cts[:0], len(w.pts))[:len(w.pts)]
-	var done int
-	var err error
-	// chargeHE fails only with the batch's own error, which err keeps.
-	_, _ = c.chargeHE(func() (ops, instances int64, _ error) {
-		if done, err = paillier.EncryptVecs(c.Backend, w.cts, c.Key.Holder(), w.pts, w.seeds); done == 0 {
-			return 0, 0, err // charges nothing
-		}
-		for j, b := range w.cts[:done] {
-			ops += int64(len(b))
-			instances += int64(w.vals[j])
-			c.Costs.AddCompression(int64(w.vals[j]), int64(len(b)))
-		}
-		return ops, instances, nil
-	})
-	if err != nil {
-		c.RestoreSeedCursor(w.seeds[done])
-		return w.cts[:done], err
-	}
-	for _, p := range w.pts {
-		arena.putPlain(p)
-	}
-	return w.cts, nil
-}
-
-// decrypt is one charged decryption batch of cts under the context's key,
-// with count logical values on the throughput counter.
-func (c *Context) decrypt(cts []paillier.Ciphertext, count int) (pts []mpint.Nat, err error) {
-	_, err = c.chargeHE(func() (int64, int64, error) {
-		pts, err = c.Backend.DecryptVec(c.Key, cts)
-		return int64(len(cts)), int64(count), err
-	})
-	return pts, err
-}
-
 // NewAggTree builds an empty hierarchical aggregation tree over this
 // context's key and backend, its folds and forwards charged to the context's
 // cost model (AggTree).
@@ -312,23 +235,11 @@ func (c *Context) NewAggTree(fanout int) (*AggTree, error) {
 	return &AggTree{ctx: c, fanout: fanout}, nil
 }
 
-// DecryptAggregated runs the decryption phase (steps ⑤–⑨ of Fig. 4) for an
-// aggregate of `parties` contributions carrying `count` gradient values.
-func (c *Context) DecryptAggregated(cts []paillier.Ciphertext, count, parties int) ([]float64, error) {
-	pts, err := c.decrypt(cts, count)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := c.Packer.DecodeAggregated(pts, count, parties)
-	paillier.ReleasePlaintexts(pts)
-	return vals, err
-}
-
 // CiphertextWireBytes is the encoded size of a batch of n ciphertexts on the
 // wire when one of them is as wide as n² (flnet.BatchSize at that width). A
 // batch whose every value has a leading zero byte is a byte a value narrower.
 func (c *Context) CiphertextWireBytes(n int) int64 {
-	return int64(flnet.BatchSize(n, c.Key.CiphertextBytes()))
+	return int64(flnet.BatchSize(n, c.pub.CiphertextBytes()))
 }
 
 // deliver is the one send every message takes — the round's, the vertical

@@ -24,7 +24,9 @@ import (
 // journal and the resume position a crash recovery parked for the next
 // round.
 type Coordinator struct {
-	ctx         *Context
+	// party is the coordinator's identity, ServerName: it folds and sends but
+	// never decrypts, and the cursor it journals is its party's.
+	party       *Party
 	journal     *Journal
 	round       uint64 // the most recently begun round
 	nextAttempt uint32
@@ -51,7 +53,7 @@ const drainPoll = 20 * time.Millisecond
 
 // NewCoordinator builds a coordinator on ctx with no journal, at round 0.
 func NewCoordinator(ctx *Context) *Coordinator {
-	return &Coordinator{ctx: ctx, waiting: make(map[string]bool)}
+	return &Coordinator{party: ctx.NewParty(ServerName), waiting: make(map[string]bool)}
 }
 
 // AttachJournal wires a write-ahead journal in: every round transition is
@@ -71,8 +73,8 @@ func (c *Coordinator) journalAppend(rec JournalRecord) error {
 	if err := c.journal.Append(rec); err != nil {
 		return err
 	}
-	c.ctx.metricAdd("journal_records", 1)
-	c.ctx.metricMax("journal_round", int64(rec.Round))
+	c.party.ctx.metricAdd("journal_records", 1)
+	c.party.ctx.metricMax("journal_round", int64(rec.Round))
 	return nil
 }
 
@@ -114,7 +116,7 @@ type Round struct {
 // fan-out, a journaled aggregate that fails its digest) and goes straight to
 // Finish.
 func (c *Coordinator) Begin(sched Schedule, tr flnet.Transport) (*Round, error) {
-	ctx := c.ctx
+	ctx := c.party.ctx
 	c.round = sched.Round
 	attempt, resume := max(c.nextAttempt, 1), c.resume
 	c.nextAttempt, c.resume = 0, nil
@@ -136,7 +138,7 @@ func (c *Coordinator) Begin(sched Schedule, tr flnet.Transport) (*Round, error) 
 	}
 	if err := c.journalAppend(JournalRecord{
 		Kind: EventRoundStart, Round: sched.Round, Attempt: attempt,
-		Cursor: ctx.SeedCursor(), Members: sched.Roster, Cohort: sampled,
+		Cursor: c.party.Cursor(), Members: sched.Roster, Cohort: sampled,
 	}); err != nil {
 		return nil, err
 	}
@@ -214,10 +216,10 @@ func (rd *Round) Report() RoundReport {
 		PeakLiveCts: rd.peakLive,
 		Tree:        rd.treeStats,
 		Anatomy:     rd.anat,
-		Retries:     rd.c.ctx.Costs.Snapshot().RetryMsgs - rd.retries0,
+		Retries:     rd.c.party.ctx.Costs.Snapshot().RetryMsgs - rd.retries0,
 	}
 	if n := len(rd.included); n > 0 {
-		rep.Scale = float64(rd.c.ctx.Profile.Parties) / float64(n)
+		rep.Scale = float64(rd.c.party.ctx.Profile.Parties) / float64(n)
 	}
 	return rep
 }
@@ -279,7 +281,7 @@ func (rd *Round) recv(deadline time.Time, stop <-chan struct{}) (flnet.Message, 
 		if poll := time.Now().Add(drainPoll); stop != nil && (deadline.IsZero() || poll.Before(deadline)) {
 			until, final = poll, false
 		}
-		msg, err := recvBy(rd.tr, ServerName, until)
+		msg, err := recvBy(rd.tr, rd.c.party.Name, until)
 		if final || !flnet.IsTimeout(err) {
 			return msg, err
 		}
@@ -304,7 +306,7 @@ func (rd *Round) recv(deadline time.Time, stop <-chan struct{}) (flnet.Message, 
 // or, in Aggregate, the quorum. An in-process host passes a nil stop: on a
 // SimTransport its deadline is an empty queue.
 func (rd *Round) Gather(expect []string, stop <-chan struct{}) error {
-	deadline := rd.c.ctx.Profile.Round.phaseDeadline()
+	deadline := rd.c.party.ctx.Profile.Round.phaseDeadline()
 	waiting := rd.c.waiting
 	clear(waiting)
 	for _, name := range expect {
@@ -339,7 +341,7 @@ func (rd *Round) Gather(expect []string, stop <-chan struct{}) error {
 			continue
 		}
 		delete(waiting, msg.From)
-		cts, err := rd.c.ctx.DecodeCiphertexts(msg.Payload)
+		cts, err := rd.c.party.ctx.DecodeCiphertexts(msg.Payload)
 		releaseFrame(msg.Payload) // read: the next upload is framed into it
 		if err != nil {
 			if rerr := rd.Drop(PhaseGather, msg.From, fmt.Errorf("server decode: %w", err)); rerr != nil {
@@ -375,7 +377,7 @@ func (rd *Round) Aggregate() error {
 		return rd.Fail(PhaseGather, "", cause)
 	}
 	return rd.Span("aggregate", func() error {
-		ctx := rd.c.ctx
+		ctx := rd.c.party.ctx
 		root, err := rd.tree.Root()
 		if err != nil {
 			return rd.Fail(PhaseGather, "", err)
@@ -390,7 +392,7 @@ func (rd *Round) Aggregate() error {
 		rd.digest = PayloadDigest(framePayload(rd.frame))
 		return rd.c.journalAppend(JournalRecord{
 			Kind: EventAggregated, Round: rd.sched.Round, Attempt: rd.attempt,
-			Cursor: ctx.SeedCursor(), Members: rd.included,
+			Cursor: rd.c.party.Cursor(), Members: rd.included,
 			Digest: rd.digest, Payload: framePayload(rd.frame),
 		})
 	})
@@ -433,7 +435,7 @@ func (rd *Round) ownIncluded(canonical bool) {
 // at the current sim-cost clock, so traces show where the hierarchy spent its
 // fold time level by level.
 func (rd *Round) finishTree(stats TreeStats) {
-	ctx := rd.c.ctx
+	ctx := rd.c.party.ctx
 	rd.treeStats = &stats
 	ctx.metricAdd("tree_folds", stats.Folds)
 	ctx.metricMax("tree_depth", int64(stats.Depth))
@@ -469,8 +471,8 @@ func (rd *Round) Broadcast(recipients []string) ([]string, error) {
 	reached := rd.c.reached[:0]
 	err := rd.Span("broadcast", func() error {
 		for _, name := range recipients {
-			msg := flnet.Message{From: ServerName, To: name, Kind: AggregateKind, Round: rd.sched.Round, Payload: rd.frame}
-			if err := rd.c.ctx.deliver(rd.tr, msg); err != nil {
+			msg := flnet.Message{From: rd.c.party.Name, To: name, Kind: AggregateKind, Round: rd.sched.Round, Payload: rd.frame}
+			if err := rd.c.party.ctx.deliver(rd.tr, msg); err != nil {
 				if rerr := rd.Drop(PhaseBroadcast, name, err); rerr != nil {
 					return rerr
 				}
@@ -518,7 +520,7 @@ func (rd *Round) Finish(err error) error {
 
 // journalOutcome is Finish's journal record; see Finish.
 func (rd *Round) journalOutcome(err error) error {
-	rec := JournalRecord{Round: rd.sched.Round, Attempt: rd.attempt, Cursor: rd.c.ctx.SeedCursor()}
+	rec := JournalRecord{Round: rd.sched.Round, Attempt: rd.attempt, Cursor: rd.c.party.Cursor()}
 	var re *RoundError
 	switch {
 	case err == nil:
@@ -544,7 +546,7 @@ func (rd *Round) journalOutcome(err error) error {
 // tallies and the quorum scale. Every host that runs a Coordinator reports the
 // same counters.
 func (rd *Round) publish(err error) {
-	ctx := rd.c.ctx
+	ctx := rd.c.party.ctx
 	if ctx.Obs == nil {
 		return
 	}

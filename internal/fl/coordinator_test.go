@@ -42,7 +42,7 @@ func TestSpoofedUploadCannotDisplaceHonestOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cts, err := forger.EncryptGradients([]float64{0.9, -0.9, 0.9, -0.9, 0.9, -0.9})
+	cts, err := forger.NewParty(ClientName(0)).EncryptGradients([]float64{0.9, -0.9, 0.9, -0.9, 0.9, -0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestHostileUploadDropsItsSender(t *testing.T) {
 				t.Fatalf("%s, %s: decoded to %d ciphertexts (%v), want ErrBadCiphertext", sys, tc.name, len(cts), err)
 			}
 			// A vertical message's receiver decodes it the same way.
-			if _, err := ctx.SendCiphertexts(returnNet(ctx), "host", "arbiter", "sums", []paillier.Ciphertext{{C: tc.value}}); !errors.Is(err, ErrBadCiphertext) {
+			if _, err := ctx.NewParty("host").SendCiphertexts(returnNet(ctx), "arbiter", "sums", []paillier.Ciphertext{{C: tc.value}}); !errors.Is(err, ErrBadCiphertext) {
 				t.Fatalf("%s, %s: a vertical batch received with %v, want ErrBadCiphertext", sys, tc.name, err)
 			}
 		}

@@ -79,11 +79,11 @@ func TestSecureAggregateSurvivesDeviceDeath(t *testing.T) {
 			// encryption — the host loop's on the dead fleet — is the healthy
 			// device's, byte for byte.
 			t.Run("PostFailoverCiphertexts", func(t *testing.T) {
-				want, err := cleanCtx.EncryptGradients(grads[0])
+				want, err := cleanCtx.NewParty("host").EncryptGradients(grads[0])
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := ctx.EncryptGradients(grads[0])
+				got, err := ctx.NewParty("host").EncryptGradients(grads[0])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -145,13 +145,14 @@ func TestWeightedSumsSurviveDeviceFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cts, err := ctx.EncryptBroadcast([]float64{0.5, -0.25, 0.125, 0.75, -0.5, 0.3}, 1)
+			h := ctx.NewHolder("arbiter")
+			cts, err := h.EncryptBroadcast([]float64{0.5, -0.25, 0.125, 0.75, -0.5, 0.3}, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			var out []mpint.Nat
 			for round := 0; round < 3; round++ {
-				sums, err := ctx.BroadcastSums(cts, [][]mpint.Term{
+				sums, err := h.BroadcastSums(cts, [][]mpint.Term{
 					{{Index: 0, Weight: 700}, {Index: 1, Weight: 3}, {Index: 5, Weight: 1}},
 					{{Index: 2, Weight: 1}, {Index: 3, Weight: 1}, {Index: 4, Weight: 1}},
 					{{Index: 5, Weight: 1023}, {Index: 0, Weight: 512}},

@@ -161,12 +161,13 @@ func TestStaleRoundMessageDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := ctx.NewHolder("arbiter")
 	fed := NewFederation(ctx)
 	defer fed.Close()
 
 	// A forged "grads" message from a past round (Round 0 < current 1), with
 	// a payload that would double client0's contribution if aggregated.
-	cts, err := ctx.EncryptGradients([]float64{0.9})
+	cts, err := h.EncryptGradients([]float64{0.9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,11 +179,12 @@ func TestEncryptDecryptRoundTripAllSystems(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cts, err := ctx.EncryptGradients(grads)
+			h := ctx.NewHolder("arbiter")
+			cts, err := h.EncryptGradients(grads)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ctx.DecryptAggregated(cts, len(grads), 1)
+			got, err := h.DecryptAggregated(cts, len(grads), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -207,11 +208,11 @@ func TestBatchCompressionReducesCiphertexts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctsNo, err := noBC.EncryptGradients(grads)
+	ctsNo, err := noBC.NewParty("host").EncryptGradients(grads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctsYes, err := withBC.EncryptGradients(grads)
+	ctsYes, err := withBC.NewParty("host").EncryptGradients(grads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +331,7 @@ func TestFasterSystemsOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ctx.EncryptGradients(grads); err != nil {
+		if _, err := ctx.NewParty("host").EncryptGradients(grads); err != nil {
 			t.Fatal(err)
 		}
 		times[sys] = ctx.Costs.Snapshot().HESim.Seconds()
@@ -380,7 +381,7 @@ func TestTrackOtherAndUtilization(t *testing.T) {
 	if ctx.Costs.Snapshot().OtherWall <= 0 {
 		t.Fatal("TrackOther did not record time")
 	}
-	if _, err := ctx.EncryptGradients([]float64{0.1}); err != nil {
+	if _, err := ctx.NewParty("host").EncryptGradients([]float64{0.1}); err != nil {
 		t.Fatal(err)
 	}
 	if u := ctx.Utilization(); u <= 0 || u > 1 {
@@ -403,6 +404,7 @@ func TestAggregateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := ctx.NewParty("host")
 	tree, err := ctx.NewAggTree(0)
 	if err != nil {
 		t.Fatal(err)
@@ -410,11 +412,11 @@ func TestAggregateValidation(t *testing.T) {
 	if _, err := tree.Root(); err == nil {
 		t.Fatal("empty aggregation should fail")
 	}
-	a, err := ctx.EncryptGradients([]float64{0.1, 0.2})
+	a, err := h.EncryptGradients([]float64{0.1, 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ctx.EncryptGradients([]float64{0.1})
+	b, err := h.EncryptGradients([]float64{0.1})
 	if err != nil {
 		t.Fatal(err)
 	}

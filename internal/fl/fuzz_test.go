@@ -89,7 +89,7 @@ func openShapes(tb testing.TB) []openShape {
 // tooWideFrame is a K = 1 aggregate frame for sh whose first ciphertext holds
 // 2^(|n|−2): a plaintext below n with a bit above every slot it carries.
 func tooWideFrame(tb testing.TB, sh openShape) []byte {
-	ctx := sh.client.Ctx
+	ctx := sh.client.ctx
 	pts := make([]mpint.Nat, ctx.PlaintextCount(openFuzzDim))
 	pts[0] = mpint.Lsh(mpint.FromUint64(1), uint(ctx.Key.N.BitLen()-2))
 	cts, err := ctx.Backend.EncryptVec(&ctx.Key.PublicKey, pts, 1)
@@ -142,7 +142,7 @@ func FuzzOpenAggregate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte, shape uint8, known bool) {
 		shapes := openShapes(t)
 		sh := shapes[int(shape)%len(shapes)]
-		ctx := sh.client.Ctx
+		ctx := sh.client.ctx
 		parties := ctx.Profile.Parties
 		var contributors []string
 		if known {
@@ -207,7 +207,7 @@ func allocatedBy(fn func()) uint64 {
 func TestOpenAggregateSeedFrames(t *testing.T) {
 	for _, sh := range openShapes(t) {
 		for i, frame := range sh.frames {
-			wantK := sh.client.Ctx.Profile.Parties - i // the second round lost one upload
+			wantK := sh.client.ctx.Profile.Parties - i // the second round lost one upload
 			contributors := sh.sched.Cohort[:wantK]
 			for _, who := range [][]string{nil, contributors} {
 				sums, k, err := sh.client.Open(frame, openFuzzDim, who)
@@ -238,7 +238,7 @@ func TestRetiredGroupedFramesReject(t *testing.T) {
 		frame := corpusBytes(t, path)
 		for _, sh := range openShapes(t) {
 			for _, who := range [][]string{nil, sh.sched.Cohort} {
-				ctx := sh.client.Ctx
+				ctx := sh.client.ctx
 				heBefore := ctx.Costs.Snapshot().HEOps
 				sums, k, err := sh.client.Open(frame, openFuzzDim, who)
 				if !isFrameError(err) || sums != nil {

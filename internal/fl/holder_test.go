@@ -86,6 +86,7 @@ func TestHolderRoundBitExactWithPublic(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					public := twin.NewParty("host") // encrypts under the public key
 					clock := &uploadClock{BatchEncrypter: ctx.Backend.(paillier.BatchEncrypter), checked: ctx.Checked}
 					ctx.Backend = clock
 					fed := NewFederation(ctx)
@@ -93,13 +94,13 @@ func TestHolderRoundBitExactWithPublic(t *testing.T) {
 					log := &wireLog{Transport: fed.Transport}
 					fed.Transport = log
 					for r := 0; r < 2; r++ {
-						start := ctx.SeedCursor()
+						start := ctx.nonces.cursor
 						log.sent = log.sent[:0]
 						_, rep, err := fed.SecureAggregateReport(grads)
 						if err != nil {
 							t.Fatalf("round %d: %v", r, err)
 						}
-						twin.RestoreSeedCursor(start)
+						public.RestoreCursor(start)
 						uploads := 0
 						for _, msg := range log.sent {
 							if msg.Kind != "grads" {
@@ -109,7 +110,7 @@ func TestHolderRoundBitExactWithPublic(t *testing.T) {
 							if _, err := fmt.Sscanf(msg.From, "client%d", &i); err != nil {
 								t.Fatal(err)
 							}
-							cts, err := twin.EncryptGradients(grads[i])
+							cts, err := public.EncryptGradients(grads[i])
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -47,11 +47,11 @@ func RecoverCoordinator(ctx *Context, store JournalStore) (*Coordinator, *Recove
 		c.round = rp.Round - 1
 		c.nextAttempt = rp.Attempt + 1
 		c.resume = rp
-		ctx.RestoreSeedCursor(rp.Cursor)
+		c.party.RestoreCursor(rp.Cursor)
 	} else {
 		c.round = state.LastRound
 		if state.Records > 0 {
-			ctx.RestoreSeedCursor(state.Cursor)
+			c.party.RestoreCursor(state.Cursor)
 		}
 	}
 	ctx.metricAdd("recoveries", 1)

@@ -217,7 +217,7 @@ var matrixScenarios = []struct {
 		fed := journaledFed(t, quorumProfile(SystemFLBooster), wire, store)
 		// A forged upload from a past round that would double client0's
 		// contribution if aggregated, then every frame delivered twice.
-		forged, err := fed.Ctx.EncryptGradients([]float64{0.9, 0.9, 0.9, 0.9, 0.9})
+		forged, err := fed.Ctx.NewParty(ClientName(0)).EncryptGradients([]float64{0.9, 0.9, 0.9, 0.9, 0.9})
 		if err != nil {
 			t.Fatal(err)
 		}

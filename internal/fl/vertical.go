@@ -134,7 +134,7 @@ func (c *Context) layout(stride int) (batch.Layout, error) {
 
 // plainBits is KeyBits−1: n ≥ 2^(KeyBits−1), so every plaintext below
 // 2^plainBits is below n.
-func (c *Context) plainBits() int { return c.Key.N.BitLen() - 1 }
+func (c *Context) plainBits() int { return c.pub.N.BitLen() - 1 }
 
 // ReturnSlots is how many sums one return-path ciphertext of the unpacked
 // broadcast (s = 1) carries.
@@ -175,7 +175,8 @@ func broadcastStride(plainBits int, packed bool, rows int, sums []int) int {
 // plaintexts are written into the limbs of a dead plaintext batch and handed
 // back once encrypted. A NaN value fails with quant.ErrNaN before anything is
 // encrypted or charged; ±Inf clamps to ±α like any value past the bound.
-func (c *Context) EncryptBroadcast(vals []float64, s int) ([]paillier.Ciphertext, error) {
+func (p *Party) EncryptBroadcast(vals []float64, s int) ([]paillier.Ciphertext, error) {
+	c := p.ctx
 	if _, err := c.layout(s); err != nil {
 		return nil, err
 	}
@@ -184,41 +185,13 @@ func (c *Context) EncryptBroadcast(vals []float64, s int) ([]paillier.Ciphertext
 	}
 	l := broadcastLayout(s)
 	pts := l.Pack(arena.getPlain(l.Plaintexts(len(vals))), len(vals), func(i int) uint64 { return c.Quant.Quantize(vals[i]) })
-	cts, err := c.EncryptNats(pts, int64(len(vals)))
+	cts, err := p.EncryptNats(pts, int64(len(vals)))
 	arena.putPlain(pts)
 	if err != nil {
 		return nil, err
 	}
 	c.Costs.AddCompression(int64(len(vals)), int64(len(cts)))
 	return cts, nil
-}
-
-// DecryptRaw decrypts ciphertexts to raw unsigned plaintext values (no
-// dequantization), one value per ciphertext — the return path with a single
-// slot, and the reference OpenBroadcastSums at s = 1 is tested against.
-func (c *Context) DecryptRaw(cts []paillier.Ciphertext) ([]uint64, error) {
-	l, _ := strideLayout(0, 1, false) // stride 1 unpacked: one value a plaintext
-	return c.decryptSlots(cts, len(cts), l)
-}
-
-// DecryptSlotSums decrypts an aggregate of count values to the raw sum in
-// each of its slots, the Packer's layout with no dequantisation: the
-// aggregatable flow's key holder, whose reply the guest finishes
-// (models.vertical.secureSum).
-func (c *Context) DecryptSlotSums(cts []paillier.Ciphertext, count int) ([]uint64, error) {
-	return c.decryptSlots(cts, count, c.Packer.Layout())
-}
-
-// decryptSlots decrypts a return-path request declared to carry count values
-// in layout l and splits the plaintexts back into the values.
-func (c *Context) decryptSlots(cts []paillier.Ciphertext, count int, l batch.Layout) ([]uint64, error) {
-	pts, err := c.decrypt(cts, count)
-	if err != nil {
-		return nil, err
-	}
-	vals, err := splitReturn(pts, count, l)
-	paillier.ReleasePlaintexts(pts)
-	return vals, err
 }
 
 // splitReturn is the decryptor side of the return path: batch.Split of the
@@ -258,21 +231,22 @@ func (c *Context) SumBound(neg, pos uint64) (Bound, error) {
 	return Bound{ReturnOffset - side[0], ReturnOffset + side[1]}, nil
 }
 
-// ReturnRoute names the two ends of one return-path exchange, the transport
-// its messages cross and their kinds.
+// ReturnRoute names the decrypting end of one return-path exchange, the
+// transport its messages cross and their kinds; the other end is the party
+// that holds the sums.
 type ReturnRoute struct {
 	// Net carries the request and the reply.
 	Net flnet.Transport
-	// Party holds the sums; Decryptor holds the private key.
-	Party, Decryptor string
+	// Decryptor holds the private key and opens the sums.
+	Decryptor *Holder
 	// Kind labels the request that carries the ciphertexts. ReplyKind labels
 	// the plaintext reply (8 bytes a value); empty when the decryptor is the
 	// one who wants the values and nothing travels back.
 	Kind, ReplyKind string
 }
 
-// OpenBroadcastSums is the return path of the vertical protocols: route.Party
-// holds the final sum ciphertexts cts that BroadcastSums built over a stride-s
+// OpenBroadcastSums is the return path of the vertical protocols: p holds the
+// final sum ciphertexts cts that BroadcastSums built over a stride-s
 // broadcast, and gets their plaintexts opened by route.Decryptor — at s = 1
 // the same []uint64, bit for bit, that DecryptRaw returns, and at any s the
 // same values the unpacked protocol opens.
@@ -284,7 +258,7 @@ type ReturnRoute struct {
 // count, a minimal uvarint each, then the ciphertext batch. The
 // decryptor builds the layout from the stride it decoded and its own key
 // (parseRequest), decrypts the ciphertexts it decoded once each, and replies
-// through SendValues. A packed batch built here goes back to the pool once
+// through its SendValues. A packed batch built here goes back to the pool once
 // framed; cts stay the caller's.
 //
 // bounds[i] is the exact interval the party can prove sum i opens in, below
@@ -293,7 +267,8 @@ type ReturnRoute struct {
 // and fixed — and an opened value outside its bounds rejects with
 // ErrSlotCorrupt. Callers derive bounds with overflow-checked arithmetic
 // (SumBound) and fail with ErrSumBound before anything is packed.
-func (c *Context) OpenBroadcastSums(route ReturnRoute, cts []paillier.Ciphertext, bounds []Bound, s int) ([]uint64, error) {
+func (p *Party) OpenBroadcastSums(route ReturnRoute, cts []paillier.Ciphertext, bounds []Bound, s int) ([]uint64, error) {
+	c, d := p.ctx, route.Decryptor
 	if len(bounds) != len(cts) {
 		return nil, fmt.Errorf("%w: %d sums with %d bounds", ErrSumBound, len(cts), len(bounds))
 	}
@@ -313,12 +288,12 @@ func (c *Context) OpenBroadcastSums(route ReturnRoute, cts []paillier.Ciphertext
 	if len(packed) != len(cts) { // a batch of this call's own, dead once framed
 		ReleaseCiphertexts(packed)
 	}
-	vals, err := exchange(c, route.Net, route.Party, route.Decryptor, route.Kind, frame, c.openRequest)
+	vals, err := exchange(c, route.Net, p.Name, d.Name, route.Kind, frame, d.openRequest)
 	if err != nil {
 		return nil, err
 	}
 	if route.ReplyKind != "" {
-		if vals, err = c.SendValues(route.Net, route.Decryptor, route.Party, route.ReplyKind, vals); err != nil {
+		if vals, err = d.SendValues(route.Net, p.Name, route.ReplyKind, vals); err != nil {
 			return nil, err
 		}
 	}
@@ -373,7 +348,7 @@ func (c *Context) packSums(cts []paillier.Ciphertext, l batch.Layout) ([]paillie
 // and a homomorphic addition for every ciphertext past the first of its pack.
 func (c *Context) shiftPack(cts []paillier.Ciphertext, slots, slotBits int) (packed []paillier.Ciphertext, err error) {
 	_, err = c.chargeHE(func() (int64, int64, error) {
-		packed, err = c.Backend.ShiftPackVec(&c.Key.PublicKey, cts, slots, slotBits)
+		packed, err = c.Backend.ShiftPackVec(c.pub, cts, slots, slotBits)
 		steps := 2 * int64(len(cts)-len(packed))
 		return steps, steps, err
 	})
@@ -410,7 +385,8 @@ func parseRequest(b []byte, plainBits int, packed bool) (l batch.Layout, count i
 // openRequest is the decryptor's side of a return-path request: the
 // ciphertexts it decoded, decrypted once each and split in the layout and
 // value count the request names.
-func (c *Context) openRequest(b []byte) ([]uint64, error) {
+func (h *Holder) openRequest(b []byte) ([]uint64, error) {
+	c := h.ctx
 	l, count, body, err := parseRequest(b, c.plainBits(), c.Profile.UseBatch())
 	if err != nil {
 		return nil, err
@@ -419,7 +395,7 @@ func (c *Context) openRequest(b []byte) ([]uint64, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fl: return-path request: %w", err)
 	}
-	vals, err := c.decryptSlots(cts, count, l)
+	vals, err := h.decryptSlots(cts, count, l)
 	ReleaseCiphertexts(cts)
 	return vals, err
 }
@@ -452,23 +428,23 @@ func exchange[T any](c *Context, tr flnet.Transport, from, to, kind string, payl
 }
 
 // SendCiphertexts is the ciphertext exchange of the vertical protocols: cts
-// framed as flnet.AppendNats frames them, exchanged from one party to
-// another on tr, and decoded at the destination into a batch of paillier's
-// pool — the receiver's copy, which it returns and whoever retires it hands
-// back with ReleaseCiphertexts. cts stay the caller's.
-func (c *Context) SendCiphertexts(tr flnet.Transport, from, to, kind string, cts []paillier.Ciphertext) ([]paillier.Ciphertext, error) {
-	return exchange(c, tr, from, to, kind, frameCiphertexts(nil, cts), c.DecodeCiphertexts)
+// framed as flnet.AppendNats frames them, exchanged from p to party `to` on
+// tr, and decoded at the destination into a batch of paillier's pool — the
+// receiver's copy, which it returns and whoever retires it hands back with
+// ReleaseCiphertexts. cts stay the caller's.
+func (p *Party) SendCiphertexts(tr flnet.Transport, to, kind string, cts []paillier.Ciphertext) ([]paillier.Ciphertext, error) {
+	return exchange(p.ctx, tr, p.Name, to, kind, frameCiphertexts(nil, cts), p.ctx.DecodeCiphertexts)
 }
 
 // SendValues is the plaintext exchange of the vertical protocols: vals as
 // fixed-width little-endian uint64s (flnet.AppendUint64s; a float travels as
-// its math.Float64bits), exchanged from one party to another on tr and
-// decoded at the destination, exactly len(vals) of them, into vals' own
-// array: the sender's copy is dead once framed, so what the caller holds
-// afterwards is the receiver's.
-func (c *Context) SendValues(tr flnet.Transport, from, to, kind string, vals []uint64) ([]uint64, error) {
+// its math.Float64bits), exchanged from p to party `to` on tr and decoded at
+// the destination, exactly len(vals) of them, into vals' own array: the
+// sender's copy is dead once framed, so what the caller holds afterwards is
+// the receiver's.
+func (p *Party) SendValues(tr flnet.Transport, to, kind string, vals []uint64) ([]uint64, error) {
 	frame := flnet.AppendUint64s(arena.frames.Get(8 * len(vals))[:0], vals)
-	return exchange(c, tr, from, to, kind, frame, func(b []byte) ([]uint64, error) {
+	return exchange(p.ctx, tr, p.Name, to, kind, frame, func(b []byte) ([]uint64, error) {
 		return flnet.DecodeUint64sInto(vals, b, len(vals))
 	})
 }
@@ -477,21 +453,22 @@ func (c *Context) SendValues(tr flnet.Transport, from, to, kind string, vals []u
 // it returns the sums and the modelled time it charged.
 func (c *Context) addCiphertexts(a, b []paillier.Ciphertext) (sums []paillier.Ciphertext, sim time.Duration, err error) {
 	sim, err = c.chargeHE(func() (int64, int64, error) {
-		sums, err = c.Backend.AddVec(&c.Key.PublicKey, a, b)
+		sums, err = c.Backend.AddVec(c.pub, a, b)
 		return int64(len(a)), int64(len(a)), err
 	})
 	return sums, sim, err
 }
 
 // EncryptNats is the one public-key encryption batch: caller-prepared
-// plaintexts encrypted under the context's public key, on the next nonce
-// seed, as one charged HE batch with `instances` logical values on the
+// plaintexts encrypted under the context's public key, on the party's next
+// nonce seed, as one charged HE batch with `instances` logical values on the
 // throughput counter (callers that pack several values per plaintext pass
 // the packed value count). EncryptGradients, EncryptBroadcast and
 // BroadcastSums' empty sums all encrypt through it.
-func (c *Context) EncryptNats(pts []mpint.Nat, instances int64) (cts []paillier.Ciphertext, err error) {
+func (p *Party) EncryptNats(pts []mpint.Nat, instances int64) (cts []paillier.Ciphertext, err error) {
+	c := p.ctx
 	_, err = c.chargeHE(func() (int64, int64, error) {
-		cts, err = c.Backend.EncryptVec(&c.Key.PublicKey, pts, c.nextSeed())
+		cts, err = c.Backend.EncryptVec(c.pub, pts, p.nonces.next())
 		return int64(len(cts)), instances, err
 	})
 	return cts, err
@@ -525,7 +502,8 @@ func (c *Context) EncryptNats(pts []mpint.Nat, instances int64) (cts []paillier.
 // empty bins). A term that refers outside the broadcast rejects with
 // mpint.ErrTermIndex before anything is launched, encrypted or charged; no
 // sums are no work.
-func (c *Context) BroadcastSums(cts []paillier.Ciphertext, sums [][]mpint.Term, s int, signed bool) ([]paillier.Ciphertext, error) {
+func (p *Party) BroadcastSums(cts []paillier.Ciphertext, sums [][]mpint.Term, s int, signed bool) ([]paillier.Ciphertext, error) {
+	c := p.ctx
 	l, err := c.layout(s)
 	if err != nil {
 		return nil, err
@@ -559,7 +537,7 @@ func (c *Context) BroadcastSums(cts []paillier.Ciphertext, sums [][]mpint.Term, 
 		var draw func() uint64
 		n := 1
 		if s > 1 {
-			draw, n = mpint.NewRNG(c.nextSeed()).Word, len(sums)
+			draw, n = mpint.NewRNG(p.nonces.next()).Word, len(sums)
 		}
 		triv = paillier.DrawBatch(n)
 		defer ReleaseCiphertexts(triv)
@@ -567,7 +545,7 @@ func (c *Context) BroadcastSums(cts []paillier.Ciphertext, sums [][]mpint.Term, 
 			c.mask = crossMask(c.mask, l, offset, draw)
 			// A ciphertext's width of limbs, so that the batch goes back to the
 			// pool as wide as the ones it is drawn with.
-			triv[j].C = mpint.MulAddWordInto(mpint.Reuse(triv[j].C, len(c.Key.N2)), c.mask, c.Key.N, 1)
+			triv[j].C = mpint.MulAddWordInto(mpint.Reuse(triv[j].C, len(c.pub.N2)), c.mask, c.pub.N, 1)
 			if s > 1 && slices.Contains(empty, j) {
 				emptyPts = append(emptyPts, c.mask.Clone())
 			}
@@ -588,7 +566,7 @@ func (c *Context) BroadcastSums(cts []paillier.Ciphertext, sums [][]mpint.Term, 
 			terms += int64(len(sums) - len(empty))
 		}
 		if _, err := c.chargeHE(func() (_, _ int64, err error) {
-			out, err = c.Backend.WeightedSumVec(&c.Key.PublicKey, bases, inner)
+			out, err = c.Backend.WeightedSumVec(c.pub, bases, inner)
 			return terms, terms, err
 		}); err != nil {
 			return nil, err
@@ -608,7 +586,7 @@ func (c *Context) BroadcastSums(cts []paillier.Ciphertext, sums [][]mpint.Term, 
 		if emptyPts == nil {
 			emptyPts = make([]mpint.Nat, len(empty))
 		}
-		fresh, err := c.EncryptNats(emptyPts, int64(len(empty)))
+		fresh, err := p.EncryptNats(emptyPts, int64(len(empty)))
 		if err != nil {
 			return nil, err
 		}

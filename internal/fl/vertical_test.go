@@ -18,8 +18,9 @@ func TestEncryptValuesUnpackedIgnoresPacker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := ctx.NewHolder("arbiter")
 	vals := []float64{-0.5, 0, 0.5, 0.999}
-	cts, err := ctx.EncryptBroadcast(vals, 1)
+	cts, err := h.EncryptBroadcast(vals, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func TestEncryptValuesUnpackedIgnoresPacker(t *testing.T) {
 		t.Fatalf("unpacked encryption produced %d ciphertexts for %d values", len(cts), len(vals))
 	}
 	// Round trip through DecryptRaw + manual dequantization.
-	raws, err := ctx.DecryptRaw(cts)
+	raws, err := h.DecryptRaw(cts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,12 +45,13 @@ func TestDecryptRawOverflowDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := ctx.NewHolder("arbiter")
 	big := mpint.NewRNG(1).RandBits(100) // wider than 64 bits
-	cts, err := ctx.EncryptNats([]mpint.Nat{big}, 1)
+	cts, err := h.EncryptNats([]mpint.Nat{big}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctx.DecryptRaw(cts); err == nil {
+	if _, err := h.DecryptRaw(cts); err == nil {
 		t.Fatal("overflowing raw plaintext should be reported")
 	}
 }
@@ -64,11 +66,12 @@ func sumsFixture(t *testing.T, sys System, n int) (*Context, []paillier.Cipherte
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := ctx.NewHolder("arbiter")
 	pts := make([]mpint.Nat, n)
 	for i := range pts {
 		pts[i] = mpint.FromUint64(uint64(i + 1))
 	}
-	cts, err := ctx.EncryptNats(pts, int64(n))
+	cts, err := h.EncryptNats(pts, int64(n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +81,7 @@ func sumsFixture(t *testing.T, sys System, n int) (*Context, []paillier.Cipherte
 		if ctx.Device != nil {
 			launches = ctx.Device.Stats().KernelLaunches
 		}
-		return [4]int64{c.HEOps, c.Instances, int64(ctx.SeedCursor()), launches}
+		return [4]int64{c.HEOps, c.Instances, int64(ctx.nonces.cursor), launches}
 	}
 	return ctx, cts, read
 }
@@ -97,6 +100,7 @@ func unitTerms(idx ...int) []mpint.Term {
 func TestReduceSum(t *testing.T) {
 	for _, sys := range []System{SystemFATE, SystemFLBooster} {
 		ctx, cts, read := sumsFixture(t, sys, 9)
+		h := ctx.NewHolder("arbiter")
 		before := read()
 		// 1..9 in one bin; a single element; a partition into three bins.
 		sums := [][]mpint.Term{
@@ -104,7 +108,7 @@ func TestReduceSum(t *testing.T) {
 			unitTerms(0),
 			unitTerms(8, 0, 4), unitTerms(1, 2, 3), unitTerms(7, 6, 5),
 		}
-		out, err := ctx.BroadcastSums(cts, sums, 1, false)
+		out, err := h.BroadcastSums(cts, sums, 1, false)
 		if err != nil {
 			t.Fatalf("%s: %v", sys, err)
 		}
@@ -118,7 +122,7 @@ func TestReduceSum(t *testing.T) {
 		if after != want {
 			t.Errorf("%s: ops, instances, seed cursor, launches went %v → %v, want %v", sys, before, after, want)
 		}
-		raws, err := ctx.DecryptRaw(out)
+		raws, err := h.DecryptRaw(out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +133,7 @@ func TestReduceSum(t *testing.T) {
 		}
 		// No sums are no work: nothing comes back, nothing is charged.
 		before = read()
-		none, err := ctx.BroadcastSums(cts, nil, 1, false)
+		none, err := h.BroadcastSums(cts, nil, 1, false)
 		if err != nil || len(none) != 0 || read() != before {
 			t.Errorf("%s: no sums returned %d ciphertexts, error %v, counters %v → %v", sys, len(none), err, before, read())
 		}
@@ -142,9 +146,10 @@ func TestReduceSum(t *testing.T) {
 func TestWeightedSum(t *testing.T) {
 	for _, sys := range []System{SystemFATE, SystemFLBooster} {
 		ctx, cts, read := sumsFixture(t, sys, 4)
+		h := ctx.NewHolder("arbiter")
 		before := read()
 		// 2·1 + 0·2 + 1·3 + 10·4 = 45, and the same index twice: 3·2 + 5·2 = 16.
-		out, err := ctx.BroadcastSums(cts, [][]mpint.Term{
+		out, err := h.BroadcastSums(cts, [][]mpint.Term{
 			{{Index: 0, Weight: 2}, {Index: 1, Weight: 0}, {Index: 2, Weight: 1}, {Index: 3, Weight: 10}},
 			{{Index: 1, Weight: 3}, {Index: 1, Weight: 5}},
 		}, 1, false)
@@ -155,7 +160,7 @@ func TestWeightedSum(t *testing.T) {
 		if after[0] != before[0]+5 || after[1] != before[1]+5 || after[2] != before[2] {
 			t.Errorf("%s: ops, instances, seed cursor went %v → %v, want 5 products and no seed", sys, before, after)
 		}
-		raws, err := ctx.DecryptRaw(out)
+		raws, err := h.DecryptRaw(out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +172,7 @@ func TestWeightedSum(t *testing.T) {
 		// one more product a sum over a shared trivial encryption: 2·1 − 3 − 40
 		// and 5·2 − 3·2, and an empty signed sum is a fresh E(O).
 		before = read()
-		out, err = ctx.BroadcastSums(cts, [][]mpint.Term{
+		out, err = h.BroadcastSums(cts, [][]mpint.Term{
 			{{Index: 0, Weight: 2}, {Index: 2, Weight: 1, Neg: true}, {Index: 3, Weight: 10, Neg: true}},
 			{{Index: 1, Weight: 5}, {Index: 1, Weight: 3, Neg: true}},
 			nil,
@@ -178,7 +183,7 @@ func TestWeightedSum(t *testing.T) {
 		if after := read(); after[0] != before[0]+8 || after[1] != before[1]+8 || after[2] == before[2] {
 			t.Errorf("%s: ops, instances, seed cursor went %v → %v, want 5 products, 2 offsets and the empty sum's encryption", sys, before, after)
 		}
-		if raws, err = ctx.DecryptRaw(out); err != nil || raws[0] != ReturnOffset-41 || raws[1] != ReturnOffset+4 || raws[2] != ReturnOffset {
+		if raws, err = h.DecryptRaw(out); err != nil || raws[0] != ReturnOffset-41 || raws[1] != ReturnOffset+4 || raws[2] != ReturnOffset {
 			t.Errorf("%s: signed sums opened to %v (%v), want [O−41 O+4 O]", sys, raws, err)
 		}
 
@@ -186,7 +191,7 @@ func TestWeightedSum(t *testing.T) {
 		// trivial ciphertext 1 and not each other, from one seed drawn after
 		// the batch.
 		before = read()
-		out, err = ctx.BroadcastSums(cts, [][]mpint.Term{
+		out, err = h.BroadcastSums(cts, [][]mpint.Term{
 			{{Index: 0, Weight: 0}, {Index: 3, Weight: 0}},
 			unitTerms(1, 2),
 			nil,
@@ -194,15 +199,15 @@ func TestWeightedSum(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sys, err)
 		}
-		if raws, err = ctx.DecryptRaw(out); err != nil || raws[0] != 0 || raws[1] != 5 || raws[2] != 0 {
+		if raws, err = h.DecryptRaw(out); err != nil || raws[0] != 0 || raws[1] != 5 || raws[2] != 0 {
 			t.Errorf("%s: sums opened to %v (%v), want [0 5 0]", sys, raws, err)
 		}
 		if out[0].C.IsOne() || out[2].C.IsOne() || mpint.Cmp(out[0].C, out[2].C) == 0 {
 			t.Errorf("%s: empty sums are not fresh encryptions of zero", sys)
 		}
-		cursor := ctx.SeedCursor()
-		ctx.RestoreSeedCursor(uint64(before[2]))
-		if ctx.nextSeed(); ctx.SeedCursor() != cursor {
+		cursor := ctx.nonces.cursor
+		ctx.nonces.cursor = uint64(before[2])
+		if ctx.nonces.next(); ctx.nonces.cursor != cursor {
 			t.Errorf("%s: two empty sums moved the seed cursor by other than one draw", sys)
 		}
 
@@ -213,12 +218,12 @@ func TestWeightedSum(t *testing.T) {
 			{{{Index: -1, Weight: 1}}},
 			{nil, {{Index: 9, Weight: 0}}},
 		} {
-			out, err := ctx.BroadcastSums(cts, sums, 1, false)
+			out, err := h.BroadcastSums(cts, sums, 1, false)
 			if !errors.Is(err, mpint.ErrTermIndex) || out != nil {
 				t.Errorf("%s: sums %v returned %d ciphertexts, error %v, want ErrTermIndex", sys, sums, len(out), err)
 			}
 		}
-		if _, err := ctx.BroadcastSums(nil, [][]mpint.Term{unitTerms(0)}, 1, false); !errors.Is(err, mpint.ErrTermIndex) {
+		if _, err := h.BroadcastSums(nil, [][]mpint.Term{unitTerms(0)}, 1, false); !errors.Is(err, mpint.ErrTermIndex) {
 			t.Errorf("%s: a term over no ciphertexts: error %v, want ErrTermIndex", sys, err)
 		}
 		if after := read(); after != before {
@@ -289,6 +294,8 @@ func TestOpenSumsMatchesDecryptRaw(t *testing.T) {
 	}
 	for _, keyBits := range keys {
 		for name, ctx := range returnWirings(t, keyBits) {
+			host := ctx.NewParty("host")
+			arbiter := ctx.NewHolder("arbiter")
 			slots := ctx.ReturnSlots()
 			if want := (keyBits - 1) / 64; slots != want {
 				t.Fatalf("%d-bit key: %d return slots, want %d", keyBits, slots, want)
@@ -307,21 +314,21 @@ func TestOpenSumsMatchesDecryptRaw(t *testing.T) {
 			for i, v := range vals {
 				pts[i] = mpint.FromUint64(v)
 			}
-			all, err := ctx.EncryptNats(pts, int64(maxCount))
+			all, err := host.EncryptNats(pts, int64(maxCount))
 			if err != nil {
 				t.Fatal(err)
 			}
 			rec := &openedPlaintexts{Backend: ctx.Backend}
 			ctx.Backend = rec
-			route := ReturnRoute{Net: returnNet(ctx), Party: "host", Decryptor: "arbiter", Kind: "sums", ReplyKind: "plain"}
+			route := ReturnRoute{Net: returnNet(ctx), Decryptor: arbiter, Kind: "sums", ReplyKind: "plain"}
 			for _, k := range counts {
-				want, err := ctx.DecryptRaw(all[:k])
+				want, err := arbiter.DecryptRaw(all[:k])
 				if err != nil {
 					t.Fatal(err)
 				}
 				before := ctx.Costs.Snapshot()
 				rec.trim = 0
-				got, err := ctx.OpenBroadcastSums(route, all[:k], bounds[:k], 1)
+				got, err := host.OpenBroadcastSums(route, all[:k], bounds[:k], 1)
 				if err != nil {
 					t.Fatalf("%s/%d bits/%d sums: %v", name, keyBits, k, err)
 				}
@@ -365,6 +372,7 @@ func TestOpenSumsUnpackedWithoutCompression(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		host := ctx.NewParty("host")
 		if ctx.ReturnSlots() != 1 {
 			t.Fatalf("%s: %d return slots without batch compression", sys, ctx.ReturnSlots())
 		}
@@ -373,12 +381,12 @@ func TestOpenSumsUnpackedWithoutCompression(t *testing.T) {
 		for i, v := range vals {
 			pts[i] = mpint.FromUint64(v)
 		}
-		cts, err := ctx.EncryptNats(pts, int64(len(pts)))
+		cts, err := host.EncryptNats(pts, int64(len(pts)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		before := ctx.Costs.Snapshot()
-		got, err := ctx.OpenBroadcastSums(ReturnRoute{Net: returnNet(ctx), Party: "host", Decryptor: "guest", Kind: "hist"}, cts, bounds, 1)
+		got, err := host.OpenBroadcastSums(ReturnRoute{Net: returnNet(ctx), Decryptor: ctx.NewHolder("guest"), Kind: "hist"}, cts, bounds, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -404,7 +412,9 @@ func TestOpenSumsRejectsTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	route := ReturnRoute{Net: returnNet(ctx), Party: "host", Decryptor: "arbiter", Kind: "sums", ReplyKind: "plain"}
+	host := ctx.NewParty("host")
+	arbiter := ctx.NewHolder("arbiter")
+	route := ReturnRoute{Net: returnNet(ctx), Decryptor: arbiter, Kind: "sums", ReplyKind: "plain"}
 
 	// A bound that does not fit a slot — either sign side at 2^63 — fails
 	// where it is derived, before anything is packed or sent.
@@ -418,7 +428,7 @@ func TestOpenSumsRejectsTyped(t *testing.T) {
 	if b, err := ctx.SumBound(1<<(63-r), 1<<(63-r)); err != nil || b != (Bound{ReturnOffset - side, ReturnOffset + side}) {
 		t.Fatalf("sides one bit narrower: %+v, %v, want [O − %d, O + %d]", b, err, side, side)
 	}
-	cts, err := ctx.EncryptNats([]mpint.Nat{mpint.FromUint64(10), mpint.FromUint64(20), mpint.FromUint64(30), mpint.FromUint64(40)}, 4)
+	cts, err := host.EncryptNats([]mpint.Nat{mpint.FromUint64(10), mpint.FromUint64(20), mpint.FromUint64(30), mpint.FromUint64(40)}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +440,7 @@ func TestOpenSumsRejectsTyped(t *testing.T) {
 		return bounds
 	}
 	before := ctx.Costs.Snapshot()
-	if _, err := ctx.OpenBroadcastSums(route, cts, upTo(10, 20, 30), 1); !errors.Is(err, ErrSumBound) {
+	if _, err := host.OpenBroadcastSums(route, cts, upTo(10, 20, 30), 1); !errors.Is(err, ErrSumBound) {
 		t.Fatalf("missing bound: got %v, want ErrSumBound", err)
 	}
 	if after := ctx.Costs.Snapshot(); after.CommMsgs != before.CommMsgs || after.HEOps != before.HEOps {
@@ -439,16 +449,16 @@ func TestOpenSumsRejectsTyped(t *testing.T) {
 
 	// A value outside the bounds its sender proved is slot corruption: above
 	// the upper one, below the lower one.
-	if _, err := ctx.OpenBroadcastSums(route, cts, upTo(10, 20, 29, 40), 1); !errors.Is(err, ErrSlotCorrupt) {
+	if _, err := host.OpenBroadcastSums(route, cts, upTo(10, 20, 29, 40), 1); !errors.Is(err, ErrSlotCorrupt) {
 		t.Fatalf("value above its bound: got %v, want ErrSlotCorrupt", err)
 	}
 	bounds := upTo(10, 20, 30, 40)
 	bounds[1].Lo = 21
-	if _, err := ctx.OpenBroadcastSums(route, cts, bounds, 1); !errors.Is(err, ErrSlotCorrupt) {
+	if _, err := host.OpenBroadcastSums(route, cts, bounds, 1); !errors.Is(err, ErrSlotCorrupt) {
 		t.Fatalf("value below its bound: got %v, want ErrSlotCorrupt", err)
 	}
 	bounds[1].Lo = 20
-	if got, err := ctx.OpenBroadcastSums(route, cts, bounds, 1); err != nil || got[1] != 20 || got[2] != 30 {
+	if got, err := host.OpenBroadcastSums(route, cts, bounds, 1); err != nil || got[1] != 20 || got[2] != 30 {
 		t.Fatalf("values at their bounds rejected: %v, %v", got, err)
 	}
 
@@ -462,12 +472,12 @@ func TestOpenSumsRejectsTyped(t *testing.T) {
 	if b.Lo != ReturnOffset-3*maxQ || b.Hi != ReturnOffset+5*maxQ {
 		t.Fatalf("SumBound(3, 5) = [%d, %d], want [O − 3M, O + 5M]", b.Lo, b.Hi)
 	}
-	edges, err := ctx.EncryptNats([]mpint.Nat{mpint.FromUint64(b.Lo - 1), mpint.FromUint64(b.Lo), mpint.FromUint64(b.Hi), mpint.FromUint64(b.Hi + 1)}, 4)
+	edges, err := host.EncryptNats([]mpint.Nat{mpint.FromUint64(b.Lo - 1), mpint.FromUint64(b.Lo), mpint.FromUint64(b.Hi), mpint.FromUint64(b.Hi + 1)}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range []uint64{b.Lo - 1, b.Lo, b.Hi, b.Hi + 1} {
-		got, err := ctx.OpenBroadcastSums(route, edges[i:i+1], []Bound{b}, 1)
+		got, err := host.OpenBroadcastSums(route, edges[i:i+1], []Bound{b}, 1)
 		if inside := i == 1 || i == 2; inside && (err != nil || got[0] != v) || !inside && !errors.Is(err, ErrSlotCorrupt) {
 			t.Fatalf("opened %d against [%d, %d]: %v, %v", v, b.Lo, b.Hi, got, err)
 		}
@@ -475,18 +485,18 @@ func TestOpenSumsRejectsTyped(t *testing.T) {
 
 	// A plaintext wider than its declared slots — a sum that carried, or a
 	// request that lies about its count — is slot corruption at the decryptor.
-	wide, err := ctx.EncryptNats([]mpint.Nat{mpint.Lsh(mpint.One(), 64*2)}, 1)
+	wide, err := host.EncryptNats([]mpint.Nat{mpint.Lsh(mpint.One(), 64*2)}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	l, _ := ctx.layout(1)
-	if _, err := ctx.decryptSlots(wide, 2, l); !errors.Is(err, ErrSlotCorrupt) {
+	if _, err := arbiter.decryptSlots(wide, 2, l); !errors.Is(err, ErrSlotCorrupt) {
 		t.Fatalf("stray bit above the declared slots: got %v, want ErrSlotCorrupt", err)
 	}
-	if got, err := ctx.decryptSlots(wide, 3, l); err != nil || got[2] != 1 {
+	if got, err := arbiter.decryptSlots(wide, 3, l); err != nil || got[2] != 1 {
 		t.Fatalf("three declared slots hold the same plaintext: %v, %v", got, err)
 	}
-	if _, err := ctx.decryptSlots(wide, 4, l); !errors.Is(err, ErrSlotCorrupt) {
+	if _, err := arbiter.decryptSlots(wide, 4, l); !errors.Is(err, ErrSlotCorrupt) {
 		t.Fatalf("count needing two plaintexts against one: got %v, want ErrSlotCorrupt", err)
 	}
 }
@@ -644,14 +654,15 @@ func TestExchangeRejectsMisrouted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	arbiter := ctx.NewParty("arbiter")
 	for _, r := range []relabel{{from: "guest", kind: "plain"}, {from: "arbiter", kind: "hist"}} {
 		r.Transport = returnNet(ctx)
-		if _, err := ctx.SendValues(r, "arbiter", "host", "plain", []uint64{1, 2}); !errors.Is(err, ErrMisrouted) {
+		if _, err := arbiter.SendValues(r, "host", "plain", []uint64{1, 2}); !errors.Is(err, ErrMisrouted) {
 			t.Fatalf("a frame relabelled %q from %s: %v, want ErrMisrouted", r.kind, r.from, err)
 		}
 	}
 	before := ctx.Costs.Snapshot()
-	if _, err := ctx.SendValues(returnNet(ctx), "arbiter", "nobody", "plain", []uint64{1}); err == nil {
+	if _, err := arbiter.SendValues(returnNet(ctx), "nobody", "plain", []uint64{1}); err == nil {
 		t.Fatal("a frame to an unknown party was delivered")
 	}
 	if after := ctx.Costs.Snapshot(); after.CommMsgs != before.CommMsgs || after.CommBytes != before.CommBytes {

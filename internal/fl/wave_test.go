@@ -295,7 +295,7 @@ func TestUploadWaveStopsAtFailedMember(t *testing.T) {
 			for range tc.seeds {
 				ref = ref*6364136223846793005 + 1442695040888963407
 			}
-			if got := ctx.SeedCursor(); got != ref {
+			if got := ctx.nonces.cursor; got != ref {
 				t.Fatalf("seed cursor %#x, want %#x: %d seeds drawn", got, ref, tc.seeds)
 			}
 			if got := ctx.Costs.Snapshot(); got.Ciphertexts == 0 || got.HEOps != got.Ciphertexts {

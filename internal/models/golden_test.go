@@ -15,7 +15,7 @@ import (
 
 // openedHasher wraps a context's backend and hashes every ciphertext the key
 // holder is asked to open, in order: the hosts' score folds and everything the
-// return path (fl.Context.OpenBroadcastSums) carries — without batch
+// return path (fl.Party.OpenBroadcastSums) carries — without batch
 // compression the very ciphertexts it was handed, with it their packed image,
 // which is a deterministic function of them. It embeds the interface, as the
 // benchmark's traced backend does, so every other operation runs the wrapped

@@ -26,10 +26,10 @@ import (
 //  4. every host accumulates its encrypted gradient ∑ᵢ E(dᵢ)^{σᵢⱼx̃ᵢⱼ} with
 //     fixed-point feature magnitudes x̃ and their signs σ, one signed sum a
 //     feature opening as that sum plus the public offset 2⁶³ — at s > 1 the
-//     convolution whose target slot holds it (fl.Context.BroadcastSums); the
+//     convolution whose target slot holds it (fl.Party.BroadcastSums); the
 //     guest, who holds d in plaintext, computes its own slice directly;
 //  5. the per-feature sums return to the arbiter (the return path — masked
-//     and packed under batch compression, fl.Context.OpenBroadcastSums), each
+//     and packed under batch compression, fl.Party.OpenBroadcastSums), each
 //     host removes the offset and the quantization shift with its locally
 //     known correction term ∑ᵢ σᵢⱼx̃ᵢⱼ and applies the SGD step.
 type HeteroLR struct {
@@ -50,7 +50,7 @@ type HeteroLR struct {
 
 // NewHeteroLR partitions ds vertically across the context's parties.
 func NewHeteroLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroLR, error) {
-	v, err := newVertical(ctx, ds, opts, "HeteroLR")
+	v, err := newVertical(ctx, ds, opts, "HeteroLR", arbiterName)
 	if err != nil {
 		return nil, err
 	}

@@ -384,7 +384,7 @@ func TestSBTCorruptHistogramSlotRejects(t *testing.T) {
 	n := ds.Len()
 	over := m.quant.Quantize(1) + 1
 	pts := m.layout.Pack(nil, 2*n, func(i int) uint64 { return over * uint64(1-i%2) })
-	cts, err := ctx.EncryptNats(pts, int64(2*n))
+	cts, err := m.holder.EncryptNats(pts, int64(2*n))
 	if err != nil {
 		t.Fatal(err)
 	}

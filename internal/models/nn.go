@@ -29,7 +29,7 @@ import (
 // Under batch compression the broadcast carries s deltas a ciphertext, s from
 // fl.Context.BroadcastStride over Hidden × batch rows and Hidden × dim sums a
 // host, and the per-(unit, feature) sums go back to the arbiter packed on the
-// return path (fl.Context.OpenBroadcastSums); without it, one of each a
+// return path (fl.Party.OpenBroadcastSums); without it, one of each a
 // ciphertext.
 type HeteroNN struct {
 	vertical
@@ -55,7 +55,7 @@ func NewHeteroNN(ctx *fl.Context, ds *datasets.Dataset, hidden int, opts Options
 	if hidden < 1 {
 		return nil, fmt.Errorf("models: hidden width must be positive, got %d", hidden)
 	}
-	v, err := newVertical(ctx, ds, opts, "HeteroNN")
+	v, err := newVertical(ctx, ds, opts, "HeteroNN", arbiterName)
 	if err != nil {
 		return nil, err
 	}

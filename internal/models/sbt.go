@@ -25,7 +25,7 @@ import (
 // plaintext, SecureBoost+-style, so one ciphertext carries a sample's pair
 // (g in the high slot) and a bin's subset sum stays valid; one without it.
 // The finished per-bin sums return to the guest on the return path
-// (fl.Context.OpenBroadcastSums at s = 1), which packs one 64-bit word per
+// (fl.Party.OpenBroadcastSums at s = 1), which packs one 64-bit word per
 // slot, and the guest splits each word back with the same layout.
 type HeteroSBT struct {
 	vertical
@@ -62,7 +62,7 @@ type sbtNode struct {
 
 // NewHeteroSBT partitions ds vertically and prepares a boosting trainer.
 func NewHeteroSBT(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroSBT, error) {
-	v, err := newVertical(ctx, ds, opts, "HeteroSBT")
+	v, err := newVertical(ctx, ds, opts, "HeteroSBT", hostName(0))
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +144,7 @@ func (m *HeteroSBT) encryptGH(g, h []float64) ([]paillier.Ciphertext, error) {
 		}
 		return m.quant.Quantize(g[i/2])
 	})
-	cts, err := m.ctx.EncryptNats(pts, int64(n))
+	cts, err := m.holder.EncryptNats(pts, int64(n)) // the public key: holder-side encryption is parked
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +229,7 @@ func (m *HeteroSBT) buildTree(samples []int, g, h []float64) (*sbtNode, error) {
 			return nil, err
 		}
 		for p := 1; p < len(m.parts); p++ {
-			if hostCts[p], err = m.ctx.SendCiphertexts(m.net, m.names[0], m.names[p], "gh", cts); err != nil {
+			if hostCts[p], err = m.holder.SendCiphertexts(m.net, m.parties[p].Name, "gh", cts); err != nil {
 				return nil, err
 			}
 		}
@@ -344,13 +344,13 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 			if len(histSums) == 0 {
 				continue
 			}
-			histCts, err := m.ctx.BroadcastSums(cts, histSums, 1, false)
+			histCts, err := m.parties[p].BroadcastSums(cts, histSums, 1, false)
 			if err != nil {
 				return best, err
 			}
 			// The guest holds the key and keeps the values: no reply.
-			route := fl.ReturnRoute{Net: m.net, Party: m.names[p], Decryptor: m.names[0], Kind: "hist"}
-			raws, err := m.ctx.OpenBroadcastSums(route, histCts, histBounds, 1)
+			route := fl.ReturnRoute{Net: m.net, Decryptor: m.holder, Kind: "hist"}
+			raws, err := m.parties[p].OpenBroadcastSums(route, histCts, histBounds, 1)
 			fl.ReleaseCiphertexts(histCts) // OpenBroadcastSums framed a copy and kept none
 			if err != nil {
 				return best, err
@@ -456,7 +456,7 @@ func (m *HeteroSBT) partition(c splitCandidate, samples []int) (left, right []in
 		}
 	}
 	if c.party != 0 && m.ctx != nil && ones > 0 && ones < len(samples) {
-		if sides, err = m.ctx.SendValues(m.net, m.names[c.party], m.names[0], "split", sides); err != nil {
+		if sides, err = m.parties[c.party].SendValues(m.net, m.holder.Name, "split", sides); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // Party names for the vertical topology: the guest is party0, the hosts
-// party1 … partyN−1, and the arbiter holds the Paillier key.
+// party1 … partyN−1, and the arbiter, Hetero LR's and NN's key holder.
 const arbiterName = "arbiter"
 
 func hostName(p int) string { return fmt.Sprintf("party%d", p) }
@@ -28,10 +28,13 @@ type vertical struct {
 	ctx   *fl.Context // nil in plaintext-oracle mode
 	parts []*datasets.Dataset
 	full  *datasets.Dataset
-	// net has one endpoint a party, names[p], and the arbiter's; nil in
-	// oracle mode.
-	net   flnet.Transport
-	names []string
+	// net has one endpoint a party and the arbiter's; nil in oracle mode.
+	net flnet.Transport
+	// parties[p] is party p, the guest at 0; holder decrypts: the arbiter
+	// for Hetero LR and NN, the guest (parties[0]'s Holder) for SBT. Both nil
+	// in oracle mode.
+	parties []*fl.Party
+	holder  *fl.Holder
 	// weighted is each host's homomorphic gradient step (hostSteps), kept
 	// across minibatches; the guest's, p = 0, is unused.
 	weighted []weightedSums
@@ -44,8 +47,9 @@ const fixedPoint = 128.0
 
 // newVertical checks opts and partitions ds across the context's parties —
 // opts.Parties in oracle mode — for the named model, and in encrypted mode
-// opens the transport between them and the arbiter.
-func newVertical(ctx *fl.Context, ds *datasets.Dataset, opts Options, model string) (vertical, error) {
+// builds them, the key holder — the party named holder, the guest or the
+// arbiter — and the transport between them and the arbiter.
+func newVertical(ctx *fl.Context, ds *datasets.Dataset, opts Options, model, holder string) (vertical, error) {
 	if err := opts.validate(); err != nil {
 		return vertical{}, err
 	}
@@ -59,10 +63,16 @@ func newVertical(ctx *fl.Context, ds *datasets.Dataset, opts Options, model stri
 	}
 	v := vertical{opts: opts, ctx: ctx, parts: parts, full: ds, weighted: make([]weightedSums, len(parts))}
 	if ctx != nil {
+		names := []string{arbiterName}
+		v.holder = ctx.NewHolder(holder)
 		for p := range parts {
-			v.names = append(v.names, hostName(p))
+			party := ctx.NewParty(hostName(p))
+			if party.Name == holder {
+				party = &v.holder.Party
+			}
+			v.parties, names = append(v.parties, party), append(names, party.Name)
 		}
-		v.net = flnet.NewSimTransport(ctx.Link, append(v.names, arbiterName)...)
+		v.net = flnet.NewSimTransport(ctx.Link, names...)
 	}
 	return v, nil
 }
@@ -141,11 +151,11 @@ func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, replyKind st
 		}
 		for p := first; p < parties; p++ {
 			normalize(vecs[p])
-			cts, err := v.ctx.EncryptGradients(norm)
+			cts, err := v.parties[p].EncryptGradients(norm)
 			if err != nil {
 				return nil, fmt.Errorf("models: party %d %s encrypt: %w", p, kind, err)
 			}
-			got, err := v.ctx.SendCiphertexts(v.net, v.names[p], arbiterName, kind, cts)
+			got, err := v.parties[p].SendCiphertexts(v.net, v.holder.Name, kind, cts)
 			fl.ReleaseCiphertexts(cts)
 			if err != nil {
 				return nil, err
@@ -160,12 +170,12 @@ func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, replyKind st
 		if err != nil {
 			return nil, err
 		}
-		raw, err := v.ctx.DecryptSlotSums(agg, len(norm))
+		raw, err := v.holder.DecryptSlotSums(agg, len(norm))
 		fl.ReleaseCiphertexts(agg)
 		if err != nil {
 			return nil, err
 		}
-		if sums, err = v.ctx.SendValues(v.net, arbiterName, v.names[0], replyKind, raw); err != nil {
+		if sums, err = v.holder.SendValues(v.net, v.parties[0].Name, replyKind, raw); err != nil {
 			return nil, err
 		}
 	}
@@ -212,12 +222,12 @@ func (v *vertical) hostSteps(vals []float64, units, lo, hi int, kind, sumKind, r
 		counts = append(counts, units*part.NumFeatures)
 	}
 	s := v.ctx.BroadcastStride(len(vals), counts)
-	encV, err := v.ctx.EncryptBroadcast(vals, s)
+	encV, err := v.parties[0].EncryptBroadcast(vals, s)
 	if err != nil {
 		return err
 	}
 	for p := 1; p < len(v.parts); p++ {
-		hostV, err := v.ctx.SendCiphertexts(v.net, v.names[0], v.names[p], kind, encV)
+		hostV, err := v.parties[0].SendCiphertexts(v.net, v.parties[p].Name, kind, encV)
 		if err != nil {
 			return err
 		}
@@ -234,8 +244,8 @@ func (v *vertical) hostSteps(vals []float64, units, lo, hi int, kind, sumKind, r
 				}
 			}
 		}
-		route := fl.ReturnRoute{Net: v.net, Party: v.names[p], Decryptor: arbiterName, Kind: sumKind, ReplyKind: replyKind}
-		totals, err := ws.open(v.ctx, route, hostV, s)
+		route := fl.ReturnRoute{Net: v.net, Decryptor: v.holder, Kind: sumKind, ReplyKind: replyKind}
+		totals, err := ws.open(v.ctx, v.parties[p], route, hostV, s)
 		fl.ReleaseCiphertexts(hostV)
 		if err != nil {
 			return fmt.Errorf("models: party %d gradient: %w", p, err)

@@ -69,16 +69,16 @@ func (w *weightedSums) reset(n int) []signedSum {
 	return w.sums
 }
 
-// open is the host side of the step over the sums reset handed out: the
+// open is host's side of the step over the sums reset handed out: the
 // homomorphic multiply-accumulate over the per-sample values the stride-s
 // broadcast encD carries for every sum with a term — all of them in one
-// fl.Context.BroadcastSums batch — the return path through the key holder,
+// fl.Party.BroadcastSums batch — the return path through the key holder,
 // which opens S + O, and the decode of each as one signed integer,
 // Σ dᵢ·σᵢx̃ᵢ = (2α/M)·S − α·(Σx̃⁺ − Σx̃⁻): one rounding. It returns each sum's
 // signed total in fixed-point units, valid until the next reset: zero for a
 // sum with no term, all zeros with no HE op and no message when no sum has
 // one. The sum ciphertexts die here and go back to the pool.
-func (w *weightedSums) open(ctx *fl.Context, route fl.ReturnRoute, encD []paillier.Ciphertext, s int) ([]float64, error) {
+func (w *weightedSums) open(ctx *fl.Context, host *fl.Party, route fl.ReturnRoute, encD []paillier.Ciphertext, s int) ([]float64, error) {
 	w.batch, w.bounds, w.sent = w.batch[:0], w.bounds[:0], w.sent[:0]
 	for k := range w.sums {
 		sum := &w.sums[k]
@@ -98,11 +98,11 @@ func (w *weightedSums) open(ctx *fl.Context, route fl.ReturnRoute, encD []pailli
 	if len(w.batch) == 0 {
 		return w.out, nil
 	}
-	cts, err := ctx.BroadcastSums(encD, w.batch, s, true)
+	cts, err := host.BroadcastSums(encD, w.batch, s, true)
 	if err != nil {
 		return nil, err
 	}
-	raws, err := ctx.OpenBroadcastSums(route, cts, w.bounds, s)
+	raws, err := host.OpenBroadcastSums(route, cts, w.bounds, s)
 	fl.ReleaseCiphertexts(cts) // OpenBroadcastSums framed a copy and kept none
 	if err != nil {
 		return nil, err
