@@ -105,9 +105,10 @@ fuzz:
 # Catches benchmarks that no longer compile or crash without paying for real
 # timing runs. -benchmem puts allocs/op in the CI log, so allocation drift in
 # the mpint/paillier hot paths — in the launch itself, gpu's BenchmarkLaunch,
-# in an upload wave as one host job, fl's BenchmarkUploadWave, and in a whole
-# warm cohort round, fl's BenchmarkCohortRound — is visible next to the
-# AllocsPerRun ceilings.
+# in an upload wave as one host job, fl's BenchmarkUploadWave, in a whole
+# warm cohort round, fl's BenchmarkCohortRound, and in a warm Hetero LR and NN
+# epoch with its plaintext oracle, models' BenchmarkVerticalEpoch — is visible
+# next to the AllocsPerRun ceilings.
 bench-smoke:
 	@for pkg in $$($(GO) list ./...); do \
 		list=$$($(GO) test -list '^Benchmark' $$pkg) || { printf '%s\n' "$$list"; exit 1; }; \

@@ -46,6 +46,12 @@ type HeteroLR struct {
 
 	// zScale bounds partial scores into the quantizer's interval.
 	zScale float64
+
+	// Minibatch scratch (vertical's lifetime rule): each party's partial
+	// scores, the guest's residuals, one party's gradient at a time, and
+	// Loss's concatenated weights.
+	zs             [][]float64
+	resid, grad, w []float64
 }
 
 // NewHeteroLR partitions ds vertically across the context's parties.
@@ -60,6 +66,7 @@ func NewHeteroLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroLR
 		W:        make([][]float64, parties),
 		offsets:  make([]int, parties),
 		zScale:   8,
+		zs:       make([][]float64, parties),
 	}
 	off := 0
 	m.opts2 = make([]*Adam, parties)
@@ -75,7 +82,7 @@ func NewHeteroLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroLR
 
 // fullWeights concatenates per-party slices into the original feature order.
 func (m *HeteroLR) fullWeights() []float64 {
-	w := make([]float64, m.full.NumFeatures)
+	w := zeroed(&m.w, m.full.NumFeatures)
 	for p, wp := range m.W {
 		copy(w[m.offsets[p]:], wp)
 	}
@@ -87,7 +94,7 @@ func (m *HeteroLR) Loss() float64 { return logisticLoss(m.fullWeights(), m.Bias,
 
 // TrainEpoch implements Model.
 func (m *HeteroLR) TrainEpoch() (float64, error) {
-	for _, r := range m.full.Batches(m.opts.BatchSize) {
+	for _, r := range m.batches {
 		if err := m.trainBatch(r[0], r[1]); err != nil {
 			return 0, err
 		}
@@ -95,9 +102,9 @@ func (m *HeteroLR) TrainEpoch() (float64, error) {
 	return m.Loss(), nil
 }
 
-// partialScores computes z_p for rows [lo, hi) of party p.
-func (m *HeteroLR) partialScores(p, lo, hi int) []float64 {
-	z := make([]float64, hi-lo)
+// partialScores computes z_p for rows [lo, hi) of party p into m.zs[p].
+func (m *HeteroLR) partialScores(p, lo, hi int) {
+	z := zeroed(&m.zs[p], hi-lo)
 	for i := lo; i < hi; i++ {
 		z[i-lo] = m.parts[p].Examples[i].Features.Dot(m.W[p])
 	}
@@ -106,7 +113,6 @@ func (m *HeteroLR) partialScores(p, lo, hi int) []float64 {
 			z[i] += m.Bias
 		}
 	}
-	return z
 }
 
 // residuals computes d = σ(z) − y on the guest, clamped to the quantizer's
@@ -116,7 +122,7 @@ func (m *HeteroLR) residuals(z []float64, lo int) []float64 {
 	if m.ctx != nil {
 		bound = m.ctx.Quant.Alpha()
 	}
-	d := make([]float64, len(z))
+	d := zeroed(&m.resid, len(z))
 	for i := range z {
 		d[i] = clampGrad(datasets.Sigmoid(z[i])-m.parts[0].Examples[lo+i].Label, bound)
 	}
@@ -127,16 +133,15 @@ func (m *HeteroLR) trainBatch(lo, hi int) error {
 	parties := len(m.parts)
 
 	// Step 1: local partial scores (model compute).
-	zs := make([][]float64, parties)
 	m.track(func() {
 		for p := range parties {
-			zs[p] = m.partialScores(p, lo, hi)
+			m.partialScores(p, lo, hi)
 		}
 	})
 
 	// Step 2: score aggregation — the packable flow, the hosts' through the
 	// arbiter. Scores are normalized by zScale to fit the quantizer's interval.
-	z, err := m.secureSum(zs, m.zScale, "scores", "scores-plain")
+	z, err := m.secureSum(m.zs, m.zScale, "scores", "scores-plain")
 	if err != nil {
 		return err
 	}
@@ -152,7 +157,7 @@ func (m *HeteroLR) trainBatch(lo, hi int) error {
 			m.plainGradientStep(p, lo, hi, d)
 		}
 	} else if err := m.hostSteps(d, 1, lo, hi, "residuals", "grad-sums", "grad-plain", func(p int, sums []float64) {
-		grads := make([]float64, len(m.W[p]))
+		grads := zeroed(&m.grad, len(m.W[p]))
 		scale := 1 / (fixedPoint * float64(hi-lo))
 		for j, v := range sums {
 			grads[j] = v * scale
@@ -187,7 +192,7 @@ func (m *HeteroLR) biasStep(d []float64, n int) {
 func (m *HeteroLR) plainGradientStep(p, lo, hi int, d []float64) {
 	part := m.parts[p]
 	n := hi - lo
-	grads := make([]float64, part.NumFeatures)
+	grads := zeroed(&m.grad, part.NumFeatures)
 	for i := lo; i < hi; i++ {
 		part.Examples[i].Features.AddScaledInto(grads, d[i-lo]/float64(n))
 	}

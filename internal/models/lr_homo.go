@@ -23,6 +23,9 @@ type HomoLR struct {
 	Bias float64
 
 	opt *Adam
+	// rounds are the minibatch ranges every epoch walks: the smallest shard's,
+	// so every round has all parties; computed once.
+	rounds [][2]int
 
 	// Minibatch scratch, reused by every round: each party's local gradient,
 	// the plaintext oracle's sum, and the optimizer step's averaged gradient
@@ -48,6 +51,12 @@ func NewHomoLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HomoLR, er
 	if err != nil {
 		return nil, fmt.Errorf("models: HomoLR partition: %w", err)
 	}
+	rounds := parts[0].Batches(opts.BatchSize)
+	for _, p := range parts[1:] {
+		if b := p.Batches(opts.BatchSize); len(b) < len(rounds) {
+			rounds = b
+		}
+	}
 	width := ds.NumFeatures + 1
 	grads := make([][]float64, len(parts))
 	for p := range grads {
@@ -60,6 +69,7 @@ func NewHomoLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HomoLR, er
 		full:    ds,
 		Weights: make([]float64, ds.NumFeatures),
 		opt:     NewAdam(opts.LearningRate),
+		rounds:  rounds,
 		grads:   grads,
 		sum:     make([]float64, width),
 		step:    make([]float64, width),
@@ -93,15 +103,8 @@ func (m *HomoLR) localGradient(g []float64, part *datasets.Dataset, lo, hi int) 
 // each round aggregates the per-party gradients securely and applies the
 // averaged update.
 func (m *HomoLR) TrainEpoch() (float64, error) {
-	// Use the smallest shard's batch count so every round has all parties.
-	rounds := m.parts[0].Batches(m.opts.BatchSize)
-	for _, p := range m.parts[1:] {
-		if b := p.Batches(m.opts.BatchSize); len(b) < len(rounds) {
-			rounds = b
-		}
-	}
 	parties := len(m.parts)
-	for _, r := range rounds {
+	for _, r := range m.rounds {
 		if m.fed != nil {
 			m.fed.Ctx.TrackOther(func() {
 				m.computeLocalGrads(r)

@@ -47,6 +47,14 @@ type HeteroNN struct {
 
 	optW   []*Adam // per-party bottom-tower optimizers
 	optTop *Adam   // guest head: [Top..., HiddenBias..., TopBias]
+
+	// Minibatch scratch (vertical's lifetime rule): each party's bottom
+	// activations, the hidden deltas, one party's tower gradient at a time,
+	// one row's hidden activations in topStep, and the guest head's
+	// parameters and gradients.
+	acts                 [][]float64
+	deltas, grad, hAct   []float64
+	headParams, headGrad []float64
 }
 
 // NewHeteroNN partitions ds vertically and initializes a two-tower network
@@ -67,6 +75,7 @@ func NewHeteroNN(ctx *fl.Context, ds *datasets.Dataset, hidden int, opts Options
 		HiddenBias: make([]float64, hidden),
 		Top:        make([]float64, hidden),
 		actScale:   8,
+		acts:       make([][]float64, parties),
 	}
 	rng := mpint.NewRNG(opts.Seed ^ 0xA5A5)
 	m.optW = make([]*Adam, parties)
@@ -84,12 +93,12 @@ func NewHeteroNN(ctx *fl.Context, ds *datasets.Dataset, hidden int, opts Options
 	return m, nil
 }
 
-// bottomForward computes party p's activations for rows [lo, hi):
-// a[i][u] = Σ_j W_p[u,j]·x_ij, flattened sample-major.
-func (m *HeteroNN) bottomForward(p, lo, hi int) []float64 {
+// bottomForward computes party p's activations for rows [lo, hi) into
+// m.acts[p]: a[i][u] = Σ_j W_p[u,j]·x_ij, flattened sample-major.
+func (m *HeteroNN) bottomForward(p, lo, hi int) {
 	part := m.parts[p]
 	dim := part.NumFeatures
-	out := make([]float64, (hi-lo)*m.Hidden)
+	out := zeroed(&m.acts[p], (hi-lo)*m.Hidden)
 	for i := lo; i < hi; i++ {
 		fv := part.Examples[i].Features
 		row := out[(i-lo)*m.Hidden:]
@@ -102,50 +111,35 @@ func (m *HeteroNN) bottomForward(p, lo, hi int) []float64 {
 			row[u] = s
 		}
 	}
-	return out
 }
 
-// bottomForwards computes every party's activations for rows [lo, hi).
+// bottomForwards computes every party's activations for rows [lo, hi) into
+// m.acts.
 func (m *HeteroNN) bottomForwards(lo, hi int) [][]float64 {
-	acts := make([][]float64, len(m.parts))
 	for p := range m.parts {
-		acts[p] = m.bottomForward(p, lo, hi)
+		m.bottomForward(p, lo, hi)
 	}
-	return acts
+	return m.acts
 }
 
-// forwardPlain runs the full network for rows [lo, hi), returning hidden
-// activations and predictions.
-func (m *HeteroNN) forwardPlain(lo, hi int) (hiddenAct, preds []float64) {
-	n := hi - lo
-	z := sumVecs(m.bottomForwards(lo, hi))
-	hiddenAct = make([]float64, n*m.Hidden)
-	preds = make([]float64, n)
-	for i := 0; i < n; i++ {
-		var logit float64
-		for u := 0; u < m.Hidden; u++ {
-			h := datasets.Sigmoid(z[i*m.Hidden+u] + m.HiddenBias[u])
-			hiddenAct[i*m.Hidden+u] = h
-			logit += h * m.Top[u]
-		}
-		preds[i] = datasets.Sigmoid(logit + m.TopBias)
-	}
-	return hiddenAct, preds
-}
-
-// Loss implements Model.
+// Loss implements Model: the full network's plaintext forward pass over every
+// row.
 func (m *HeteroNN) Loss() float64 {
-	_, preds := m.forwardPlain(0, m.full.Len())
+	z := m.sumVecs(m.bottomForwards(0, m.full.Len()))
 	var loss float64
 	for i, ex := range m.full.Examples {
-		loss += crossEntropy(preds[i], ex.Label)
+		var logit float64
+		for u := 0; u < m.Hidden; u++ {
+			logit += datasets.Sigmoid(z[i*m.Hidden+u]+m.HiddenBias[u]) * m.Top[u]
+		}
+		loss += crossEntropy(datasets.Sigmoid(logit+m.TopBias), ex.Label)
 	}
 	return loss / float64(m.full.Len())
 }
 
 // TrainEpoch implements Model.
 func (m *HeteroNN) TrainEpoch() (float64, error) {
-	for _, r := range m.full.Batches(m.opts.BatchSize) {
+	for _, r := range m.batches {
 		if err := m.trainBatch(r[0], r[1]); err != nil {
 			return 0, err
 		}
@@ -164,7 +158,7 @@ func (m *HeteroNN) trainBatch(lo, hi int) error {
 	}
 
 	// Guest: top model forward + backward; hidden deltas.
-	deltas := make([]float64, (hi-lo)*m.Hidden) // δ w.r.t. pre-activation z
+	deltas := zeroed(&m.deltas, (hi-lo)*m.Hidden) // δ w.r.t. pre-activation z
 	m.track(func() { m.topStep(z, deltas, lo, hi) })
 	if m.ctx == nil {
 		for p := range m.parts {
@@ -175,15 +169,14 @@ func (m *HeteroNN) trainBatch(lo, hi int) error {
 
 	// Backward: the guest, which owns the deltas, updates its own tower in
 	// plaintext; every host takes its homomorphic gradient step from the
-	// broadcast deltas, clamped into the quantizer's interval, its sums scaled
-	// by 1/F (the deltas already carry the 1/n).
+	// broadcast deltas, clamped in place into the quantizer's interval, its
+	// sums scaled by 1/F (the deltas already carry the 1/n).
 	m.track(func() { m.bottomUpdate(0, deltas, lo, hi) })
 	bound := m.ctx.Quant.Alpha()
-	clamped := make([]float64, len(deltas))
 	for i, d := range deltas {
-		clamped[i] = clampGrad(d, bound)
+		deltas[i] = clampGrad(d, bound)
 	}
-	return m.hostSteps(clamped, m.Hidden, lo, hi, "deltas", "nn-grad", "nn-grad-plain", func(p int, grads []float64) {
+	return m.hostSteps(deltas, m.Hidden, lo, hi, "deltas", "nn-grad", "nn-grad-plain", func(p int, grads []float64) {
 		for i := range grads {
 			grads[i] = grads[i]*(1/fixedPoint) + m.opts.L2*m.W[p][i]
 		}
@@ -195,12 +188,12 @@ func (m *HeteroNN) trainBatch(lo, hi int) error {
 // top weights, and fills the hidden-layer deltas.
 func (m *HeteroNN) topStep(z, deltas []float64, lo, hi int) {
 	n := hi - lo
-	gradTop := make([]float64, m.Hidden)
-	var gradTopBias float64
-	hb := make([]float64, m.Hidden)
+	// One optimizer step over the guest head [Top..., HiddenBias..., TopBias]:
+	// grads gathers Top's gradient, the hidden biases' and the top bias'.
+	grads := zeroed(&m.headGrad, 2*m.Hidden+1)
+	hAct := zeroed(&m.hAct, m.Hidden)
 	for i := 0; i < n; i++ {
 		var logit float64
-		hAct := make([]float64, m.Hidden)
 		for u := 0; u < m.Hidden; u++ {
 			h := datasets.Sigmoid(z[i*m.Hidden+u] + m.HiddenBias[u])
 			hAct[u] = h
@@ -208,25 +201,21 @@ func (m *HeteroNN) topStep(z, deltas []float64, lo, hi int) {
 		}
 		p := datasets.Sigmoid(logit + m.TopBias)
 		dOut := (p - m.full.Examples[lo+i].Label) / float64(n)
-		gradTopBias += dOut
+		grads[2*m.Hidden] += dOut
 		for u := 0; u < m.Hidden; u++ {
-			gradTop[u] += dOut * hAct[u]
+			grads[u] += dOut * hAct[u]
 			d := dOut * m.Top[u] * hAct[u] * (1 - hAct[u])
 			deltas[i*m.Hidden+u] = d * float64(n) // per-sample (mean applied later)
-			hb[u] += d
+			grads[m.Hidden+u] += d
 		}
 	}
-	// One optimizer step over the guest head [Top..., HiddenBias..., TopBias].
-	params := make([]float64, 2*m.Hidden+1)
-	grads := make([]float64, 2*m.Hidden+1)
+	params := zeroed(&m.headParams, 2*m.Hidden+1)
 	copy(params, m.Top)
 	copy(params[m.Hidden:], m.HiddenBias)
 	params[2*m.Hidden] = m.TopBias
 	for u := 0; u < m.Hidden; u++ {
-		grads[u] = gradTop[u] + m.opts.L2*m.Top[u]
-		grads[m.Hidden+u] = hb[u]
+		grads[u] += m.opts.L2 * m.Top[u]
 	}
-	grads[2*m.Hidden] = gradTopBias
 	m.optTop.Step(params, grads)
 	copy(m.Top, params[:m.Hidden])
 	copy(m.HiddenBias, params[m.Hidden:2*m.Hidden])
@@ -242,7 +231,7 @@ func (m *HeteroNN) topStep(z, deltas []float64, lo, hi int) {
 func (m *HeteroNN) bottomUpdate(p int, deltas []float64, lo, hi int) {
 	part := m.parts[p]
 	dim := part.NumFeatures
-	grads := make([]float64, m.Hidden*dim)
+	grads := zeroed(&m.grad, m.Hidden*dim)
 	for i := lo; i < hi; i++ {
 		fv := part.Examples[i].Features
 		for u := 0; u < m.Hidden; u++ {

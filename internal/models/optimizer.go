@@ -1,6 +1,10 @@
 package models
 
-import "flbooster/internal/datasets"
+import (
+	"math"
+
+	"flbooster/internal/datasets"
+)
 
 // Adam implements Kingma & Ba's optimizer with bias correction: the paper's
 // experiments train every model with it (§VI-B, "Adam optimizer is used to
@@ -51,10 +55,14 @@ func powInt(b float64, t int) float64 {
 	return r
 }
 
-// sqrtF is √x via the dependency-free Newton helper.
+// sqrtF is √x via the dependency-free Newton helper; +Inf (a squared
+// gradient that overflowed) is its own root, where Newton's x/g is Inf/Inf.
 func sqrtF(x float64) float64 {
 	if x <= 0 {
 		return 0
+	}
+	if math.IsInf(x, 1) {
+		return x
 	}
 	// Seed from Exp/Log keeps convergence fast across magnitudes.
 	g := datasets.Exp(0.5 * datasets.Log(x))

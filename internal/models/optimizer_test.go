@@ -1,6 +1,12 @@
 package models
 
-import "testing"
+import (
+	"math"
+	"testing"
+	"time"
+
+	"flbooster/internal/mpint"
+)
 
 func TestAdamConvergesOnQuadratic(t *testing.T) {
 	// Minimize f(x) = (x−3)², starting far away; Adam must close the gap.
@@ -46,6 +52,39 @@ func TestSqrtF(t *testing.T) {
 		got := sqrtF(x)
 		if d := got*got - x; d > 1e-9*(x+1) || d < -1e-9*(x+1) {
 			t.Fatalf("sqrtF(%v) = %v", x, got)
+		}
+	}
+}
+
+// TestOverflowedSquareReturns holds the path an overflowed squared gradient
+// takes through Adam to returning: mpint.Ln(+Inf) halved +Inf forever and
+// sqrtF(+Inf) was Inf/Inf = NaN. Each call runs under a deadline, so a hang
+// fails the test instead of stalling the suite; a gradient of 1e300 leaves
+// its parameter finite.
+func TestOverflowedSquareReturns(t *testing.T) {
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		name string
+		f    func() float64
+		want float64
+	}{
+		{"mpint.Ln(+Inf)", func() float64 { return mpint.Ln(inf) }, inf},
+		{"sqrtF(+Inf)", func() float64 { return sqrtF(inf) }, inf},
+		{"Adam step at gradient 1e300", func() float64 {
+			params := []float64{1}
+			NewAdam(0.1).Step(params, []float64{1e300})
+			return params[0]
+		}, 1},
+	} {
+		done := make(chan float64, 1)
+		go func() { done <- c.f() }()
+		select {
+		case got := <-done:
+			if got != c.want {
+				t.Errorf("%s = %v, want %v", c.name, got, c.want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return within 5 s", c.name)
 		}
 	}
 }

@@ -19,15 +19,19 @@ func hostName(p int) string { return fmt.Sprintf("party%d", p) }
 
 // vertical is the skeleton the three Hetero models share: the options, the
 // feature slices of a vertical partition (party 0, the guest, holds the
-// labels), and in encrypted mode the context and the transport every message
-// between the parties and the arbiter crosses as a frame. With a nil context
-// it is the plaintext oracle's skeleton: the same partition, no wire, and
-// secureSum a plaintext sum.
+// labels), the minibatch ranges of every epoch, and in encrypted mode the
+// context and the transport every message between the parties and the arbiter
+// crosses as a frame. With a nil context it is the plaintext oracle's
+// skeleton: the same partition, no wire, and secureSum a plaintext sum. It
+// and the models on it keep their minibatch vectors as scratch that lives as
+// long as the model, filled in place (zeroed), so a warm epoch's float
+// vectors allocate nothing, oracle or encrypted.
 type vertical struct {
-	opts  Options
-	ctx   *fl.Context // nil in plaintext-oracle mode
-	parts []*datasets.Dataset
-	full  *datasets.Dataset
+	opts    Options
+	ctx     *fl.Context // nil in plaintext-oracle mode
+	parts   []*datasets.Dataset
+	full    *datasets.Dataset
+	batches [][2]int // full's minibatch ranges [lo, hi), computed once
 	// net has one endpoint a party and the arbiter's; nil in oracle mode.
 	net flnet.Transport
 	// parties[p] is party p, the guest at 0; holder decrypts: the arbiter
@@ -36,8 +40,22 @@ type vertical struct {
 	parties []*fl.Party
 	holder  *fl.Holder
 	// weighted is each host's homomorphic gradient step (hostSteps), kept
-	// across minibatches; the guest's, p = 0, is unused.
+	// across minibatches; the guest's, p = 0, is unused. sum is secureSum's
+	// score buffer and the oracle's sum (sumVecs). The lifetime rule of all
+	// such scratch: a slice that secureSum, hostSteps or a model helper
+	// returns is valid until the next minibatch, as weightedSums.open's is
+	// until the next reset.
 	weighted []weightedSums
+	sum      []float64
+}
+
+// zeroed returns *buf resized to n zeros, its backing array reused once it
+// has grown to the largest n asked for: the minibatch scratch of vertical and
+// the models on it.
+func zeroed(buf *[]float64, n int) []float64 {
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	clear(*buf)
+	return *buf
 }
 
 // fixedPoint is F, the fixed-point scale of the feature values that weigh a
@@ -61,7 +79,7 @@ func newVertical(ctx *fl.Context, ds *datasets.Dataset, opts Options, model, hol
 	if err != nil {
 		return vertical{}, fmt.Errorf("models: %s partition: %w", model, err)
 	}
-	v := vertical{opts: opts, ctx: ctx, parts: parts, full: ds, weighted: make([]weightedSums, len(parts))}
+	v := vertical{opts: opts, ctx: ctx, parts: parts, full: ds, batches: ds.Batches(opts.BatchSize), weighted: make([]weightedSums, len(parts))}
 	if ctx != nil {
 		names := []string{arbiterName}
 		v.holder = ctx.NewHolder(holder)
@@ -96,9 +114,9 @@ func (v *vertical) Close() error {
 }
 
 // sumVecs is the plaintext elementwise sum of the parties' vectors, party 0
-// first.
-func sumVecs(vecs [][]float64) []float64 {
-	sum := make([]float64, len(vecs[0]))
+// first, into v.sum.
+func (v *vertical) sumVecs(vecs [][]float64) []float64 {
+	sum := zeroed(&v.sum, len(vecs[0]))
 	for _, vec := range vecs {
 		for i, x := range vec {
 			sum[i] += x
@@ -127,11 +145,11 @@ func sumVecs(vecs [][]float64) []float64 {
 // In oracle mode it is the exact sum, unscaled.
 func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, replyKind string) ([]float64, error) {
 	if v.ctx == nil {
-		return sumVecs(vecs), nil
+		return v.sumVecs(vecs), nil
 	}
 	q, parties := v.ctx.Quant, len(vecs)
 	// norm is one party's vector at a time, normalized, and then the sum.
-	norm := make([]float64, len(vecs[0]))
+	norm := zeroed(&v.sum, len(vecs[0]))
 	normalize := func(vec []float64) {
 		for i, x := range vec {
 			norm[i] = clampGrad(x/scale, q.Alpha())
@@ -141,10 +159,8 @@ func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, replyKind st
 	if parties == 2 {
 		first = 0
 	}
-	var sums []uint64 // the arbiter's reply, as the guest decoded it
-	if parties == 1 {
-		sums = make([]uint64, len(norm))
-	} else {
+	var sums []uint64 // the arbiter's reply, as the guest decoded it; nil without a host
+	if parties > 1 {
 		tree, err := v.ctx.NewAggTree(0)
 		if err != nil {
 			return nil, err
@@ -184,9 +200,12 @@ func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, replyKind st
 		return nil, fmt.Errorf("models: party 0 %s value %d: %w", kind, i, quant.ErrNaN)
 	}
 	most := uint64(parties-first) * q.MaxQ()
-	for i, sum := range sums {
-		if sum > most {
-			return nil, fmt.Errorf("models: %s value %d is %d, above the folded parties' most %d: %w", replyKind, i, sum, most, quant.ErrOverflow)
+	for i := range norm {
+		var sum uint64
+		if sums != nil {
+			if sum = sums[i]; sum > most {
+				return nil, fmt.Errorf("models: %s value %d is %d, above the folded parties' most %d: %w", replyKind, i, sum, most, quant.ErrOverflow)
+			}
 		}
 		if first == 1 {
 			sum += q.Quantize(norm[i])

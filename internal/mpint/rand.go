@@ -81,14 +81,21 @@ func sqrtNewton(x float64) float64 {
 	return g
 }
 
+// maxFloat64 is the largest finite float64, math.MaxFloat64.
+const maxFloat64 = 0x1p1023 * (1 + (1 - 0x1p-52))
+
 // Ln computes ln(x) for x > 0 via the atanh series after range reduction by
 // halving or doubling toward 1 — the one natural log of the repository
 // (datasets.Log, the models' losses and Adam's square root, NormFloat64), free
 // of math so that no result depends on which FMA body the CPU selects. It
-// panics when x ≤ 0.
+// panics when x ≤ 0 and returns +Inf at +Inf, which halving never brings
+// toward 1.
 func Ln(x float64) float64 {
 	if x <= 0 {
 		panic("mpint: Ln domain")
+	}
+	if x > maxFloat64 {
+		return x
 	}
 	var shift float64
 	const ln2 = 0.6931471805599453
