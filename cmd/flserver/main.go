@@ -190,7 +190,7 @@ func run(args []string, stop <-chan struct{}) error {
 	var err error
 	switch cmd {
 	case "hub":
-		hub, herr := flnet.NewTCPHub(o.addr, flnet.GigabitEthernet())
+		hub, herr := flnet.NewTCPHub(o.addr)
 		if herr != nil {
 			return herr
 		}
@@ -413,7 +413,7 @@ func clientRound(o opts) ([]float64, error) {
 // With straggle > 0, client 0 delays its upload; combined with -quorum and
 // -timeout this demonstrates the round completing without it.
 func runDemo(o opts) error {
-	hub, err := flnet.NewTCPHub("127.0.0.1:0", flnet.GigabitEthernet())
+	hub, err := flnet.NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		return err
 	}

@@ -131,7 +131,7 @@ func TestAggregateIgnoresArrivalOrder(t *testing.T) {
 	vals := [][]float64{{0.1, 0.2}, {-0.05, 0.25}, {0.3, -0.1}, {0.15, 0.05}, {-0.2, 0.1}}
 	digests := map[int]uint64{}
 	for _, straggler := range []int{0, 2, 4} {
-		hub, err := flnet.NewTCPHub("127.0.0.1:0", flnet.GigabitEthernet())
+		hub, err := flnet.NewTCPHub("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestServerGracefulDrainAborts(t *testing.T) {
 	// A drain signal with zero uploads (below quorum) must exit cleanly —
 	// nil error, so main exits zero — leaving the abandoned round journaled
 	// as drained with no open resume point.
-	hub, err := flnet.NewTCPHub("127.0.0.1:0", flnet.GigabitEthernet())
+	hub, err := flnet.NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestServerGracefulDrainAborts(t *testing.T) {
 func TestServerDrainFinishesWithQuorum(t *testing.T) {
 	// A drain signal after quorum is met must finish the round — aggregate,
 	// broadcast, journal round-done — not abandon the connected client.
-	hub, err := flnet.NewTCPHub("127.0.0.1:0", flnet.GigabitEthernet())
+	hub, err := flnet.NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestServerCrashResumeBroadcast(t *testing.T) {
 	// with -resume: it must broadcast the journaled payload to the still-
 	// waiting clients without re-gathering, and a further -resume restart
 	// must be a no-op because the journal shows the round complete.
-	hub, err := flnet.NewTCPHub("127.0.0.1:0", flnet.GigabitEthernet())
+	hub, err := flnet.NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestRunErrors(t *testing.T) {
 // clients start; nil starts them and runs the server once.
 func tcpRound(t *testing.T, o opts, vals [][]float64, serve func(o opts, startClients func()) error) [][]float64 {
 	t.Helper()
-	hub, err := flnet.NewTCPHub("127.0.0.1:0", flnet.GigabitEthernet())
+	hub, err := flnet.NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,14 +25,14 @@ func mustNew(q *quant.Quantizer, keyBits int) *Packer {
 
 func testPacker(t testing.TB, rBits uint, parties, keyBits int) *Packer {
 	t.Helper()
-	return mustNew(quant.MustNew(1, rBits, parties), keyBits)
+	return mustNew(quant.MustNew(rBits, parties), keyBits)
 }
 
 func TestSlotsMatchEq9(t *testing.T) {
 	// r+b = 32 ⇒ ~32 slots at 1024-bit keys, ~64 at 2048, ~128 at 4096 — the
 	// headline §IV-C numbers, minus the one slot the aggregation-overflow
 	// safety bound costs when r+b divides k exactly (see New).
-	q := quant.MustNew(1, 30, 4) // r=30, b=2 ⇒ 32-bit slots
+	q := quant.MustNew(30, 4) // r=30, b=2 ⇒ 32-bit slots
 	for _, c := range []struct{ key, want int }{{1024, 31}, {2048, 63}, {4096, 127}} {
 		p := mustNew(q, c.key)
 		if p.Slots() != c.want {
@@ -40,7 +40,7 @@ func TestSlotsMatchEq9(t *testing.T) {
 		}
 	}
 	// With a non-divisor slot width, the paper formula is already safe.
-	q2 := quant.MustNew(1, 28, 4) // 30-bit slots
+	q2 := quant.MustNew(28, 4) // 30-bit slots
 	if p := mustNew(q2, 1024); p.Slots() != 1024/30 {
 		t.Errorf("non-divisor Slots = %d, want %d", p.Slots(), 1024/30)
 	}
@@ -51,7 +51,7 @@ func TestAggregatedPackingNeverExceedsModulusBits(t *testing.T) {
 	// must stay below 2^(k−1) ≤ n for every slot geometry.
 	for _, r := range []uint{14, 22, 30} {
 		for _, key := range []int{128, 256, 512, 1024} {
-			q := quant.MustNew(1, r, 4)
+			q := quant.MustNew(r, 4)
 			p, err := New(q, key)
 			if err != nil {
 				continue
@@ -82,7 +82,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, 1024); err == nil {
 		t.Error("nil quantizer should fail")
 	}
-	if _, err := New(quant.MustNew(1, 40, 4), 16); err == nil {
+	if _, err := New(quant.MustNew(40, 4), 16); err == nil {
 		t.Error("key too small for one slot should fail")
 	}
 }
@@ -136,7 +136,7 @@ func TestUnpackValidation(t *testing.T) {
 // it carries is another party's input, so it rejects, typed — neither a panic
 // on a region one word short nor its high bits silently dropped.
 func TestUnpackRejectsTooWide(t *testing.T) {
-	single, err := NewSingle(quant.MustNew(1, 50, 4), 100) // one 52-bit slot, one word
+	single, err := NewSingle(quant.MustNew(50, 4), 100) // one 52-bit slot, one word
 	if err != nil || single.Slots() != 1 {
 		t.Fatalf("one-slot packer at 100 bits: %v slots, %v", single, err)
 	}
@@ -176,7 +176,7 @@ func TestHomomorphicAggregationThroughPacking(t *testing.T) {
 	// The core §IV-C claim: pack, encrypt, homomorphically add p ciphertexts,
 	// decrypt, unpack — slot sums are exact, guard bits absorb the carries.
 	const parties = 4
-	q := quant.MustNew(1, 14, parties)
+	q := quant.MustNew(14, parties)
 	st, err := core.NewStack(gpu.Config{}, false, 0, gpu.FaultConfig{}, ghe.CheckedConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestHomomorphicAggregationThroughPacking(t *testing.T) {
 // quant.ErrNaN instead of reaching Quantize's float-to-integer conversion
 // (implementation-defined for NaN: +α on amd64); ±Inf clamps to ±α.
 func TestEncodeGradientsRejectsNaN(t *testing.T) {
-	q := quant.MustNew(0.5, 20, 2)
+	q := quant.MustNew(20, 2)
 	p := mustNew(q, 512)
 	for _, grads := range [][]float64{{math.NaN()}, {0.1, -0.2, math.NaN(), 0.3}} {
 		if _, err := p.EncodeGradientsInto(nil, grads); !errors.Is(err, quant.ErrNaN) {
@@ -252,7 +252,7 @@ func TestEncodeGradientsRejectsNaN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := p.Pack([]uint64{q.Quantize(0.5), q.Quantize(-0.5)})
+	want, err := p.Pack([]uint64{q.Quantize(quant.Alpha), q.Quantize(-quant.Alpha)})
 	if err != nil || mpint.Cmp(got[0], want[0]) != 0 {
 		t.Fatalf("±Inf packed as %v, want the ±α clamp %v (%v)", got, want, err)
 	}
@@ -260,9 +260,9 @@ func TestEncodeGradientsRejectsNaN(t *testing.T) {
 
 func TestEncodeDecodeGradients(t *testing.T) {
 	const parties = 2
-	q := quant.MustNew(0.5, 20, parties)
+	q := quant.MustNew(20, parties)
 	p := mustNew(q, 512)
-	grads := []float64{-0.5, -0.25, 0, 0.125, 0.49, 0.0001, -0.3}
+	grads := []float64{-quant.Alpha, -0.5, 0, 0.25, 0.98, 0.0002, -0.6}
 
 	packed, err := p.EncodeGradientsInto(nil, grads)
 	if err != nil {
@@ -300,7 +300,7 @@ func TestDecodeAggregatedIsUnpackThenDequantize(t *testing.T) {
 	var rejects, tooWide, decoded int
 	for trial := range 2000 {
 		capacity := 1 + rng.Intn(16)
-		q := quant.MustNew(0.5+rng.Float64(), uint(2+rng.Intn(40)), capacity)
+		q := quant.MustNew(uint(2+rng.Intn(40)), capacity)
 		keyBits := []int{128, 256, 512, 1024}[rng.Intn(4)]
 		p, err := New(q, keyBits)
 		if err != nil {
@@ -382,7 +382,7 @@ func TestSlotBoundaryBitPatterns(t *testing.T) {
 	// Slot widths that do not divide 32 exercise the cross-word OR/extract
 	// paths: every slot boundary lands at a different bit offset.
 	for _, r := range []uint{7, 13, 17, 23, 29, 37, 45} {
-		q := quant.MustNew(1, r, 3) // b=2
+		q := quant.MustNew(r, 3) // b=2
 		p := mustNew(q, 512)
 		n := p.Slots() * 3
 		vals := make([]uint64, n)

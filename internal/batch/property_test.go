@@ -13,7 +13,7 @@ import (
 func TestPropertyPackUnpackIdentity(t *testing.T) {
 	f := func(seed uint32, rBitsRaw uint8, nRaw uint16) bool {
 		r := uint(rBitsRaw)%30 + 4 // r ∈ [4, 33]
-		q, err := quant.New(1, r, 4)
+		q, err := quant.New(r, 4)
 		if err != nil {
 			return true // invalid geometry, skip
 		}
@@ -51,7 +51,7 @@ func TestPropertyPackUnpackIdentity(t *testing.T) {
 // equals slot-wise addition of the values, for any sum that respects the
 // guard bits — the algebraic fact batch compression rests on.
 func TestPropertyPackedAdditionIsSlotwise(t *testing.T) {
-	q := quant.MustNew(1, 12, 8) // b = 3 guard bits: up to 8 addends
+	q := quant.MustNew(12, 8) // b = 3 guard bits: up to 8 addends
 	p := mustNew(q, 256)
 	rng := mpint.NewRNG(2)
 	for trial := 0; trial < 100; trial++ {
@@ -100,14 +100,14 @@ func TestPropertyEncodeGradientsIsPackOfQuantizeVec(t *testing.T) {
 		rBits            uint
 		parties, keyBits int
 	}{{30, 4, 2048}, {30, 4, 1024}, {30, 4, 256}, {16, 2048, 128}, {16, 100, 256}, {14, 8, 256}, {52, 2, 512}, {2, 1, 128}} {
-		q := quant.MustNew(0.5, g.rBits, g.parties)
+		q := quant.MustNew(g.rBits, g.parties)
 		p := mustNew(q, g.keyBits)
 		rng := mpint.NewRNG(uint64(g.rBits)<<16 | uint64(g.keyBits))
-		edge := []float64{0, 0.5, -0.5, 0.5000001, -0.5000001, 7, -7, q.Step() / 2, -q.Step() / 2, 0.5 - q.Step()/2}
+		edge := []float64{0, quant.Alpha, -quant.Alpha, quant.Alpha + 1e-7, -quant.Alpha - 1e-7, 7, -7, q.Step() / 2, -q.Step() / 2, quant.Alpha - q.Step()/2}
 		for _, n := range []int{0, 1, p.Slots() - 1, p.Slots(), p.Slots() + 1, 3*p.Slots() + 2, 1 + rng.Intn(500)} {
 			grads := make([]float64, n)
 			for i := range grads {
-				if grads[i] = 1.2 * (rng.Float64() - 0.5); rng.Intn(4) == 0 {
+				if grads[i] = 2.4 * quant.Alpha * (rng.Float64() - 0.5); rng.Intn(4) == 0 {
 					grads[i] = edge[rng.Intn(len(edge))]
 				}
 			}
@@ -137,12 +137,12 @@ func TestPropertyEncodeGradientsIsPackOfQuantizeVec(t *testing.T) {
 // TestEncodeAllocCeiling pins both packing paths at the plaintexts they return
 // and the slice that holds them: no quantized vector, no staging limbs.
 func TestEncodeAllocCeiling(t *testing.T) {
-	q := quant.MustNew(0.5, 30, 4)
+	q := quant.MustNew(30, 4)
 	p := mustNew(q, 2048)
 	grads := make([]float64, 2048)
 	rng := mpint.NewRNG(9)
 	for i := range grads {
-		grads[i] = rng.Float64() - 0.5
+		grads[i] = 2 * quant.Alpha * (rng.Float64() - 0.5)
 	}
 	vals := q.QuantizeVec(grads)
 	ceiling := float64(p.NumPlaintexts(len(grads)) + 1)

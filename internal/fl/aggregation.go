@@ -27,7 +27,7 @@ const AggregateKind = "agg"
 // its own.
 func (c *Context) sealAggregate(k int, root []paillier.Ciphertext) []byte {
 	frame := appendCiphertexts(newAggFrame(k, int(c.CiphertextWireBytes(len(root)))), root)
-	ReleaseCiphertexts(root)
+	paillier.ReleaseBatch(root)
 	return frame
 }
 
@@ -77,7 +77,7 @@ func (h *Holder) openAggregate(frame []byte, count int, included []string) ([]fl
 		return reject("%w", err)
 	}
 	sums, err := h.DecryptAggregated(cts, count, k)
-	ReleaseCiphertexts(cts) // decrypted or not, the batch is dead
+	paillier.ReleaseBatch(cts) // decrypted or not, the batch is dead
 	if err != nil {
 		return nil, 0, err
 	}

@@ -98,7 +98,7 @@ func TestAggTreeAdoptsByCopy(t *testing.T) {
 		if err := trees[i/2].Add(b); err != nil {
 			t.Fatal(err)
 		}
-		ReleaseCiphertexts(b)
+		paillier.ReleaseBatch(b)
 	}
 	for g, tree := range trees {
 		root, err := tree.Root()

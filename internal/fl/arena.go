@@ -11,7 +11,7 @@ import (
 )
 
 // wireArena pools what the round path allocates a round and drops inside it
-// (DESIGN §15). Ciphertext batches go to paillier's pool (ReleaseCiphertexts);
+// (DESIGN §15). Ciphertext batches go to paillier's pool (paillier.ReleaseBatch);
 // the arena holds the two kinds of []Nat the round builds and its ciphertext
 // frames:
 //   - nats: the wire codec's scratch views, whose values alias live
@@ -88,7 +88,7 @@ var ErrBadCiphertext = errors.New("fl: not a ciphertext of the key")
 
 // DecodeCiphertexts parses a batch framed by appendCiphertexts into a batch
 // drawn from paillier's pool, each value into a dead one's limbs; whoever
-// retires the batch hands it back with ReleaseCiphertexts. A value outside
+// retires the batch hands it back with paillier.ReleaseBatch. A value outside
 // [1, n²) is ErrBadCiphertext, and so is any batch wider than the key's
 // ciphertexts: its widest value is as wide as the batch, so at least n². A
 // malformed batch is flnet.ErrMalformed.
@@ -115,12 +115,6 @@ func (c *Context) DecodeCiphertexts(b []byte) ([]paillier.Ciphertext, error) {
 	}
 	return cts, nil
 }
-
-// ReleaseCiphertexts hands a dead batch back to paillier's pool
-// (paillier.ReleaseBatch): its values' limbs are zeroed and written by the
-// next batch drawn. The caller must hold the only reference to the batch and
-// to every value in it.
-func ReleaseCiphertexts(cts []paillier.Ciphertext) { paillier.ReleaseBatch(cts) }
 
 // putPlain takes back a dead plaintext batch, its values' limbs zeroed and
 // kept for the next encoding.

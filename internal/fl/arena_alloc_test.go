@@ -10,6 +10,8 @@ import (
 	"errors"
 	"runtime"
 	"testing"
+
+	"flbooster/internal/paillier"
 )
 
 // TestArenaCodecAllocs is the allocation regression guard for the round
@@ -44,7 +46,7 @@ func TestArenaCodecAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ReleaseCiphertexts(dec)
+		paillier.ReleaseBatch(dec)
 	}); got > 0 {
 		t.Errorf("warm arena decode: %.1f allocs per batch of %d, want 0", got, n)
 	}

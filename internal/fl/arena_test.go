@@ -63,7 +63,7 @@ func TestArenaCodecRoundtrip(t *testing.T) {
 				t.Fatalf("cycle %d: ciphertext %d corrupted by pooling", cycle, i)
 			}
 		}
-		ReleaseCiphertexts(dec)
+		paillier.ReleaseBatch(dec)
 	}
 }
 

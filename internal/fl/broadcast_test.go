@@ -347,9 +347,9 @@ func returnNet(ctx *Context) flnet.Transport {
 // every HE substrate, encrypting a broadcast, summing it with signed weights
 // and opening the sums yields the integers O + Σ ±x·q(v) the unpacked
 // protocol opens — residuals at the quantizer's edges and in between,
-// weights up to 20 bits of either sign, an all-negative sum, a sum whose
-// terms all sit in one lane of the convolution and a sum with no term at all
-// — over the messages the layout budgets. The arbiter's plaintexts hold that
+// weights up to 20 bits of either sign, an all-negative sum and a sum whose
+// terms all sit in one lane of the convolution — over the messages the layout
+// budgets. The arbiter's plaintexts hold that
 // value in each block's target slot and, above s = 1, in every other slot the
 // cross-term lifted by 2^63 plus a mask below 2^(64+λ).
 func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
@@ -365,12 +365,11 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 			ctx.Backend = rec
 			rng := mpint.NewRNG(uint64(keyBits))
 			const rows = 23
-			alpha := ctx.Quant.Alpha()
 			vals := make([]float64, rows)
 			for i := range vals {
-				vals[i] = (2*rng.Float64() - 1) * alpha
+				vals[i] = (2*rng.Float64() - 1) * quant.Alpha
 			}
-			vals[0], vals[1], vals[2] = alpha, -alpha, 0
+			vals[0], vals[1], vals[2] = quant.Alpha, -quant.Alpha, 0
 			var sums [][]mpint.Term
 			for j := 0; j < 7; j++ {
 				var terms []mpint.Term
@@ -381,7 +380,7 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 				}
 				sums = append(sums, terms)
 			}
-			sums = append(sums, []mpint.Term{{Index: 0, Weight: 9}, {Index: 10, Weight: 1 << 19, Neg: true}}, nil)
+			sums = append(sums, []mpint.Term{{Index: 0, Weight: 9}, {Index: 10, Weight: 1 << 19, Neg: true}})
 			q := func(i int) int64 { return int64(ctx.Quant.Quantize(vals[i])) }
 			signed := func(tm mpint.Term) int64 {
 				if tm.Neg {
@@ -469,13 +468,13 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 							}
 						}
 						rest := new(big.Int).Sub(slot, new(big.Int).Add(big.NewInt(cross), lift))
-						if rest.Sign() < 0 || rest.Cmp(maskBound) >= 0 || (rest.Sign() == 0 && sum != nil) {
+						if rest.Sign() <= 0 || rest.Cmp(maskBound) >= 0 {
 							t.Fatalf("%s/%d bits/s = %d: sum %d's slot %d holds cross-term %d + 2^63 + %v, want a mask in (0, 2^(64+λ))", name, keyBits, s, j, m, cross, rest)
 						}
 					}
 				}
-				ReleaseCiphertexts(cts)
-				ReleaseCiphertexts(encD)
+				paillier.ReleaseBatch(cts)
+				paillier.ReleaseBatch(encD)
 			}
 		}
 	}

@@ -140,14 +140,14 @@ func uploadWave(tr flnet.Transport, round uint64, wave []*Client, grads [][]floa
 			From: cl.Name, To: ServerName, Kind: "grads", Round: round,
 			Payload: frameCiphertexts(nil, batch),
 		}
-		ReleaseCiphertexts(batch) // framed: the payload is bytes of its own
+		paillier.ReleaseBatch(batch) // framed: the payload is bytes of its own
 		err := ctx.deliver(tr, msg)
 		if err != nil {
 			err = fmt.Errorf("%w: %w", ErrNotSent, err)
 		}
 		if err = settle(cl, len(batch), err); err != nil {
 			for _, rest := range cts[i+1:] {
-				ReleaseCiphertexts(rest)
+				paillier.ReleaseBatch(rest)
 			}
 			return err
 		}

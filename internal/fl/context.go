@@ -207,11 +207,7 @@ func (p *Party) EncryptGradients(grads []float64) ([]paillier.Ciphertext, error)
 	}
 	cts, err := p.EncryptNats(pts, int64(len(grads)))
 	arena.putPlain(pts)
-	if err != nil {
-		return nil, err
-	}
-	p.ctx.Costs.AddCompression(int64(len(grads)), int64(len(cts)))
-	return cts, nil
+	return cts, err
 }
 
 // encode is the first step of a gradient upload: the encode

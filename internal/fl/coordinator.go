@@ -8,6 +8,7 @@ import (
 
 	"flbooster/internal/flnet"
 	"flbooster/internal/obs"
+	"flbooster/internal/paillier"
 )
 
 // Coordinator is the server half of the Fig. 2 round. It knows its clients
@@ -350,7 +351,7 @@ func (rd *Round) Gather(expect []string, stop <-chan struct{}) error {
 			continue
 		}
 		err = rd.tree.Add(cts)
-		ReleaseCiphertexts(cts) // the tree copied or summed it
+		paillier.ReleaseBatch(cts) // the tree copied or summed it
 		if err != nil {
 			return rd.Fail(PhaseGather, msg.From, err)
 		}

@@ -27,7 +27,7 @@ func TestSpoofedUploadCannotDisplaceHonestOne(t *testing.T) {
 	}
 	fed := NewFederation(ctx)
 	defer fed.Close()
-	hub, err := flnet.NewTCPHub("127.0.0.1:0", flnet.GigabitEthernet())
+	hub, err := flnet.NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestSecureAggregationOverTCP(t *testing.T) {
 
 	p := NewProfile(SystemFLBooster, 128, parties)
 	p.RBits = 14
-	hub, err := flnet.NewTCPHub("127.0.0.1:0", flnet.GigabitEthernet())
+	hub, err := flnet.NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

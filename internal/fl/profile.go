@@ -189,10 +189,6 @@ func (p Profile) CheckKeyBits() error {
 	return err
 }
 
-// gradBound is the quantizer's α: every profile quantizes values in
-// [−1, 1], clamping the rest (quant.Quantizer.Quantize).
-const gradBound = 1
-
 // keyLayers is CheckKeyBits returning what its slot rule built: the
 // profile's quantizer and batch-compression layer, the aggregation layout of
 // r+b-bit slots below the modulus, one a plaintext without batch
@@ -201,7 +197,7 @@ func (p Profile) keyLayers() (*quant.Quantizer, *batch.Packer, error) {
 	if err := mpint.CheckKeyBits(p.KeyBits); err != nil {
 		return nil, nil, fmt.Errorf("fl: %w", err)
 	}
-	q, err := quant.New(gradBound, p.RBits, p.Parties)
+	q, err := quant.New(p.RBits, p.Parties)
 	if err != nil {
 		return nil, nil, err
 	}

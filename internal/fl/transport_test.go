@@ -87,7 +87,7 @@ var transportKinds = []struct {
 		}
 	}},
 	{"tcp", func(t *testing.T) wiring {
-		hub, err := flnet.NewTCPHub("127.0.0.1:0", flnet.GigabitEthernet())
+		hub, err := flnet.NewTCPHub("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}

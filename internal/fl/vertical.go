@@ -66,6 +66,10 @@ const ReturnOffset = 1 << 63
 // sent.
 var ErrSumBound = errors.New("fl: return-path sum bound exceeds its 64-bit slot")
 
+// ErrEmptySum rejects a BroadcastSums sum with no non-zero term: nothing to
+// weigh, so there is no product for its offset and mask to join.
+var ErrEmptySum = errors.New("fl: weighted sum has no non-zero term")
+
 // ErrSlotCorrupt reports a decrypted return-path plaintext that contradicts
 // its declared layout: bits beyond the declared blocks, a target slot at or
 // above 2^64 (both over batch.ErrTooWide), a plaintext count that does not
@@ -187,11 +191,7 @@ func (p *Party) EncryptBroadcast(vals []float64, s int) ([]paillier.Ciphertext, 
 	pts := l.Pack(arena.getPlain(l.Plaintexts(len(vals))), len(vals), func(i int) uint64 { return c.Quant.Quantize(vals[i]) })
 	cts, err := p.EncryptNats(pts, int64(len(vals)))
 	arena.putPlain(pts)
-	if err != nil {
-		return nil, err
-	}
-	c.Costs.AddCompression(int64(len(vals)), int64(len(cts)))
-	return cts, nil
+	return cts, err
 }
 
 // splitReturn is the decryptor side of the return path: batch.Split of the
@@ -286,7 +286,7 @@ func (p *Party) OpenBroadcastSums(route ReturnRoute, cts []paillier.Ciphertext, 
 	var head [2 * binary.MaxVarintLen64]byte
 	frame := frameCiphertexts(binary.AppendUvarint(binary.AppendUvarint(head[:0], uint64(s)), uint64(len(cts))), packed)
 	if len(packed) != len(cts) { // a batch of this call's own, dead once framed
-		ReleaseCiphertexts(packed)
+		paillier.ReleaseBatch(packed)
 	}
 	vals, err := exchange(c, route.Net, p.Name, d.Name, route.Kind, frame, d.openRequest)
 	if err != nil {
@@ -396,7 +396,7 @@ func (h *Holder) openRequest(b []byte) ([]uint64, error) {
 		return nil, fmt.Errorf("fl: return-path request: %w", err)
 	}
 	vals, err := h.decryptSlots(cts, count, l)
-	ReleaseCiphertexts(cts)
+	paillier.ReleaseBatch(cts)
 	return vals, err
 }
 
@@ -431,7 +431,7 @@ func exchange[T any](c *Context, tr flnet.Transport, from, to, kind string, payl
 // framed as flnet.AppendNats frames them, exchanged from p to party `to` on
 // tr, and decoded at the destination into a batch of paillier's pool — the
 // receiver's copy, which it returns and whoever retires it hands back with
-// ReleaseCiphertexts. cts stay the caller's.
+// paillier.ReleaseBatch. cts stay the caller's.
 func (p *Party) SendCiphertexts(tr flnet.Transport, to, kind string, cts []paillier.Ciphertext) ([]paillier.Ciphertext, error) {
 	return exchange(p.ctx, tr, p.Name, to, kind, frameCiphertexts(nil, cts), p.ctx.DecodeCiphertexts)
 }
@@ -463,15 +463,19 @@ func (c *Context) addCiphertexts(a, b []paillier.Ciphertext) (sums []paillier.Ci
 // plaintexts encrypted under the context's public key, on the party's next
 // nonce seed, as one charged HE batch with `instances` logical values on the
 // throughput counter (callers that pack several values per plaintext pass
-// the packed value count). EncryptGradients, EncryptBroadcast and
-// BroadcastSums' empty sums all encrypt through it.
+// the packed value count), and `instances` values in for its ciphertexts out
+// on the compression counter. EncryptGradients, EncryptBroadcast and
+// SecureBoost's (g, h) stream all encrypt through it.
 func (p *Party) EncryptNats(pts []mpint.Nat, instances int64) (cts []paillier.Ciphertext, err error) {
 	c := p.ctx
-	_, err = c.chargeHE(func() (int64, int64, error) {
+	if _, err = c.chargeHE(func() (int64, int64, error) {
 		cts, err = c.Backend.EncryptVec(c.pub, pts, p.nonces.next())
 		return int64(len(cts)), instances, err
-	})
-	return cts, err
+	}); err != nil {
+		return nil, err
+	}
+	c.Costs.AddCompression(instances, int64(len(cts)))
+	return cts, nil
 }
 
 // BroadcastSums computes k sparse integer combinations of the values a
@@ -495,13 +499,10 @@ func (p *Party) EncryptNats(pts []mpint.Nat, instances int64) (cts []paillier.Ci
 // it joins carries its terms' nonces. At s = 1 a signed call's offset enters
 // the same way, one base for all its sums.
 //
-// A sum without a non-zero term comes back as a fresh encryption of what it
-// would open to, its mask and offset, so an empty sum on the wire looks like
-// any other; those are encrypted together after the batch and draw one nonce
-// seed, which no sum the models build reaches (they skip empty features and
-// empty bins). A term that refers outside the broadcast rejects with
-// mpint.ErrTermIndex before anything is launched, encrypted or charged; no
-// sums are no work.
+// Every sum needs a non-zero term — the models skip empty features and empty
+// bins — and one without rejects with ErrEmptySum, as a term that refers
+// outside the broadcast does with mpint.ErrTermIndex, before anything is
+// launched, encrypted, charged or drawn; no sums are no work.
 func (p *Party) BroadcastSums(cts []paillier.Ciphertext, sums [][]mpint.Term, s int, signed bool) ([]paillier.Ciphertext, error) {
 	c := p.ctx
 	l, err := c.layout(s)
@@ -511,12 +512,10 @@ func (p *Party) BroadcastSums(cts []paillier.Ciphertext, sums [][]mpint.Term, s 
 	if err := mpint.CheckTerms(len(cts)*s, sums); err != nil {
 		return nil, fmt.Errorf("fl: BroadcastSums: %w", err)
 	}
-	var offset uint64
-	if signed {
-		offset = ReturnOffset
+	if len(sums) == 0 {
+		return nil, nil
 	}
 	var terms int64
-	var empty []int
 	for j, sum := range sums {
 		before := terms
 		for _, t := range sum {
@@ -525,104 +524,75 @@ func (p *Party) BroadcastSums(cts []paillier.Ciphertext, sums [][]mpint.Term, s 
 			}
 		}
 		if terms == before {
-			empty = append(empty, j)
+			return nil, fmt.Errorf("fl: BroadcastSums: sum %d: %w", j, ErrEmptySum)
 		}
 	}
-	// triv are the trivial encryptions 1 + P·n, a batch of the pool's: a
-	// sum's own at s > 1, one shared at s = 1 when signed, none otherwise;
-	// emptyPts the P of each empty sum.
-	var triv []paillier.Ciphertext
-	var emptyPts []mpint.Nat
+	bases, inner := cts, sums
 	if s > 1 || signed {
+		// triv are the trivial encryptions 1 + P·n, a batch of the pool's: a
+		// sum's own at s > 1, one shared at s = 1.
+		var offset uint64
+		if signed {
+			offset = ReturnOffset
+		}
 		var draw func() uint64
 		n := 1
 		if s > 1 {
 			draw, n = mpint.NewRNG(p.nonces.next()).Word, len(sums)
 		}
-		triv = paillier.DrawBatch(n)
-		defer ReleaseCiphertexts(triv)
+		triv := paillier.DrawBatch(n)
+		defer paillier.ReleaseBatch(triv)
 		for j := range triv {
 			c.mask = crossMask(c.mask, l, offset, draw)
 			// A ciphertext's width of limbs, so that the batch goes back to the
 			// pool as wide as the ones it is drawn with.
 			triv[j].C = mpint.MulAddWordInto(mpint.Reuse(triv[j].C, len(c.pub.N2)), c.mask, c.pub.N, 1)
-			if s > 1 && slices.Contains(empty, j) {
-				emptyPts = append(emptyPts, c.mask.Clone())
-			}
 		}
-		if s == 1 {
-			for range empty {
-				emptyPts = append(emptyPts, mpint.FromUint64(offset))
-			}
-		}
+		c.bases = append(append(c.bases[:0], cts...), triv...)
+		defer clear(c.bases)
+		bases, inner = c.bases, c.innerSums(sums, s, len(cts))
+		terms += int64(len(sums))
 	}
 	var out []paillier.Ciphertext
-	if terms > 0 {
-		bases, inner := cts, sums
-		if triv != nil {
-			c.bases = append(append(c.bases[:0], cts...), triv...)
-			defer clear(c.bases)
-			bases, inner = c.bases, c.innerSums(sums, s, len(cts))
-			terms += int64(len(sums) - len(empty))
-		}
-		if _, err := c.chargeHE(func() (_, _ int64, err error) {
-			out, err = c.Backend.WeightedSumVec(c.pub, bases, inner)
-			return terms, terms, err
-		}); err != nil {
-			return nil, err
-		}
-		if s > 1 {
-			conv, err := c.shiftPack(out, s, BroadcastSlotBits)
-			if err != nil {
-				return nil, err
-			}
-			ReleaseCiphertexts(out)
-			out = conv
-		}
-	} else {
-		out = make([]paillier.Ciphertext, len(sums))
+	if _, err := c.chargeHE(func() (_, _ int64, err error) {
+		out, err = c.Backend.WeightedSumVec(c.pub, bases, inner)
+		return terms, terms, err
+	}); err != nil {
+		return nil, err
 	}
-	if len(empty) > 0 {
-		if emptyPts == nil {
-			emptyPts = make([]mpint.Nat, len(empty))
-		}
-		fresh, err := p.EncryptNats(emptyPts, int64(len(empty)))
-		if err != nil {
-			return nil, err
-		}
-		for i, j := range empty {
-			out[j] = fresh[i]
-		}
+	if s == 1 {
+		return out, nil
 	}
-	return out, nil
+	conv, err := c.shiftPack(out, s, BroadcastSlotBits)
+	if err != nil {
+		return nil, err
+	}
+	paillier.ReleaseBatch(out)
+	return conv, nil
 }
 
 // innerSums splits sums over a stride-s broadcast into the k·s sums over its
 // ciphertexts: term (i, x) of sum j becomes term (⌊i/s⌋, x) of j's inner sum
 // S_l, l = i mod s, and j's inner sums are laid out S_{s−1} … S_0, the order
-// ShiftPackVec's Horner puts S_l in slot s−1−l. Every sum with a non-zero term
-// also gets its trivial encryption — base triv + j at s > 1, the shared base
-// triv at s = 1 — as a weight-1 term of S_{s−1}, the inner sum the fold leaves
-// unshifted. The lists are the context's, reused from call to call.
+// ShiftPackVec's Horner puts S_l in slot s−1−l. Every sum also gets its
+// trivial encryption — base triv + j at s > 1, the shared base triv at s = 1 —
+// as a weight-1 term of S_{s−1}, the inner sum the fold leaves unshifted. The
+// lists are the context's, reused from call to call.
 func (c *Context) innerSums(sums [][]mpint.Term, s, triv int) [][]mpint.Term {
 	c.inner = slices.Grow(c.inner[:0], len(sums)*s)[:len(sums)*s]
 	for i := range c.inner {
 		c.inner[i] = c.inner[i][:0]
 	}
 	for j, sum := range sums {
-		live := false
 		for _, t := range sum {
 			at := j*s + s - 1 - t.Index%s
 			c.inner[at] = append(c.inner[at], mpint.Term{Index: t.Index / s, Weight: t.Weight, Neg: t.Neg})
-			live = live || t.Weight != 0
 		}
-		if live {
-			at := triv
-			if s > 1 {
-				at += j
-			}
-			c.inner[j*s] = append(c.inner[j*s], mpint.Term{Index: at, Weight: 1})
+		at := triv
+		if s > 1 {
+			at += j
 		}
+		c.inner[j*s] = append(c.inner[j*s], mpint.Term{Index: at, Weight: 1})
 	}
 	return c.inner
 }

@@ -141,8 +141,8 @@ func TestReduceSum(t *testing.T) {
 }
 
 // TestWeightedSum: integer weights, the zero ones skipped; a sum with nothing
-// left is a fresh encryption of zero, drawn after the batch; a term outside the
-// vector rejects typed before anything is launched, encrypted or charged.
+// left, and a term outside the vector, reject typed before anything is
+// launched, encrypted or charged.
 func TestWeightedSum(t *testing.T) {
 	for _, sys := range []System{SystemFATE, SystemFLBooster} {
 		ctx, cts, read := sumsFixture(t, sys, 4)
@@ -170,57 +170,40 @@ func TestWeightedSum(t *testing.T) {
 
 		// Signed sums open lifted by ReturnOffset, which enters the launch as
 		// one more product a sum over a shared trivial encryption: 2·1 − 3 − 40
-		// and 5·2 − 3·2, and an empty signed sum is a fresh E(O).
+		// and 5·2 − 3·2.
 		before = read()
 		out, err = h.BroadcastSums(cts, [][]mpint.Term{
 			{{Index: 0, Weight: 2}, {Index: 2, Weight: 1, Neg: true}, {Index: 3, Weight: 10, Neg: true}},
 			{{Index: 1, Weight: 5}, {Index: 1, Weight: 3, Neg: true}},
-			nil,
 		}, 1, true)
 		if err != nil {
 			t.Fatalf("%s: %v", sys, err)
 		}
-		if after := read(); after[0] != before[0]+8 || after[1] != before[1]+8 || after[2] == before[2] {
-			t.Errorf("%s: ops, instances, seed cursor went %v → %v, want 5 products, 2 offsets and the empty sum's encryption", sys, before, after)
+		if after := read(); after[0] != before[0]+7 || after[1] != before[1]+7 || after[2] != before[2] {
+			t.Errorf("%s: ops, instances, seed cursor went %v → %v, want 5 products, 2 offsets and no seed", sys, before, after)
 		}
-		if raws, err = h.DecryptRaw(out); err != nil || raws[0] != ReturnOffset-41 || raws[1] != ReturnOffset+4 || raws[2] != ReturnOffset {
-			t.Errorf("%s: signed sums opened to %v (%v), want [O−41 O+4 O]", sys, raws, err)
-		}
-
-		// All-zero and empty sums beside a real one: each a fresh E(0), not the
-		// trivial ciphertext 1 and not each other, from one seed drawn after
-		// the batch.
-		before = read()
-		out, err = h.BroadcastSums(cts, [][]mpint.Term{
-			{{Index: 0, Weight: 0}, {Index: 3, Weight: 0}},
-			unitTerms(1, 2),
-			nil,
-		}, 1, false)
-		if err != nil {
-			t.Fatalf("%s: %v", sys, err)
-		}
-		if raws, err = h.DecryptRaw(out); err != nil || raws[0] != 0 || raws[1] != 5 || raws[2] != 0 {
-			t.Errorf("%s: sums opened to %v (%v), want [0 5 0]", sys, raws, err)
-		}
-		if out[0].C.IsOne() || out[2].C.IsOne() || mpint.Cmp(out[0].C, out[2].C) == 0 {
-			t.Errorf("%s: empty sums are not fresh encryptions of zero", sys)
-		}
-		cursor := ctx.nonces.cursor
-		ctx.nonces.cursor = uint64(before[2])
-		if ctx.nonces.next(); ctx.nonces.cursor != cursor {
-			t.Errorf("%s: two empty sums moved the seed cursor by other than one draw", sys)
+		if raws, err = h.DecryptRaw(out); err != nil || raws[0] != ReturnOffset-41 || raws[1] != ReturnOffset+4 {
+			t.Errorf("%s: signed sums opened to %v (%v), want [O−41 O+4]", sys, raws, err)
 		}
 
-		// Out of range, either side, in any sum — even under a zero weight.
+		// Empty and all-zero sums beside real ones, signed or not, and out of
+		// range, either side, in any sum — even under a zero weight.
 		before = read()
-		for _, sums := range [][][]mpint.Term{
-			{unitTerms(0), {{Index: 4, Weight: 2}}},
-			{{{Index: -1, Weight: 1}}},
-			{nil, {{Index: 9, Weight: 0}}},
+		for _, c := range []struct {
+			sums   [][]mpint.Term
+			signed bool
+			want   error
+		}{
+			{[][]mpint.Term{unitTerms(0), nil}, true, ErrEmptySum},
+			{[][]mpint.Term{{{Index: 0, Weight: 0}, {Index: 3, Weight: 0}}, unitTerms(1, 2)}, false, ErrEmptySum},
+			{[][]mpint.Term{unitTerms(1, 2), nil}, false, ErrEmptySum},
+			{[][]mpint.Term{unitTerms(0), {{Index: 4, Weight: 2}}}, false, mpint.ErrTermIndex},
+			{[][]mpint.Term{{{Index: -1, Weight: 1}}}, false, mpint.ErrTermIndex},
+			{[][]mpint.Term{nil, {{Index: 9, Weight: 0}}}, false, mpint.ErrTermIndex},
 		} {
-			out, err := h.BroadcastSums(cts, sums, 1, false)
-			if !errors.Is(err, mpint.ErrTermIndex) || out != nil {
-				t.Errorf("%s: sums %v returned %d ciphertexts, error %v, want ErrTermIndex", sys, sums, len(out), err)
+			out, err := h.BroadcastSums(cts, c.sums, 1, c.signed)
+			if !errors.Is(err, c.want) || out != nil {
+				t.Errorf("%s: sums %v returned %d ciphertexts, error %v, want %v", sys, c.sums, len(out), err, c.want)
 			}
 		}
 		if _, err := h.BroadcastSums(nil, [][]mpint.Term{unitTerms(0)}, 1, false); !errors.Is(err, mpint.ErrTermIndex) {
@@ -229,6 +212,47 @@ func TestWeightedSum(t *testing.T) {
 		if after := read(); after != before {
 			t.Errorf("%s: rejected sums moved ops, instances, seed cursor, launches %v → %v", sys, before, after)
 		}
+	}
+}
+
+// TestBroadcastSumsRejectsEmptySum: a sum with no non-zero term — nil, or
+// only zero weights — among real ones rejects with ErrEmptySum and a nil
+// result, unsigned and signed at s = 1 and above it, where the sums' masks
+// would draw a seed, before anything is launched, encrypted, charged or
+// drawn: HE operations, instances, the seed cursor, launches and the
+// compression counters stay where they were.
+func TestBroadcastSumsRejectsEmptySum(t *testing.T) {
+	p := testProfile(SystemFLBooster)
+	p.KeyBits = 1024
+	ctx, err := NewContext(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := ctx.NewParty("host")
+	read := func() [6]int64 {
+		c := ctx.Costs.Snapshot()
+		return [6]int64{c.HEOps, c.Instances, int64(ctx.nonces.cursor), ctx.Device.Stats().KernelLaunches, c.Plainvals, c.Ciphertexts}
+	}
+	vals := []float64{0.1, -0.2, 0.3, -0.4, 0.5, 0.6, -0.7, 0.8, 0.9}
+	for _, c := range []struct {
+		s      int
+		signed bool
+	}{{1, false}, {1, true}, {3, false}, {3, true}} {
+		encD, err := host.EncryptBroadcast(vals, c.s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, empty := range [][]mpint.Term{nil, {}, {{Index: 4, Weight: 0}, {Index: 8, Weight: 0, Neg: true}}} {
+			before := read()
+			out, err := host.BroadcastSums(encD, [][]mpint.Term{unitTerms(0, 3), empty, unitTerms(7)}, c.s, c.signed)
+			if !errors.Is(err, ErrEmptySum) || out != nil {
+				t.Errorf("s = %d, signed %t, empty sum %v: %d ciphertexts, error %v, want ErrEmptySum", c.s, c.signed, empty, len(out), err)
+			}
+			if after := read(); after != before {
+				t.Errorf("s = %d, signed %t, empty sum %v: ops, instances, seed cursor, launches, plainvals, ciphertexts went %v → %v", c.s, c.signed, empty, before, after)
+			}
+		}
+		paillier.ReleaseBatch(encD)
 	}
 }
 

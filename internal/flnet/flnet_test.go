@@ -136,7 +136,7 @@ func TestDecodeNatsErrors(t *testing.T) {
 }
 
 func TestTCPHubRoundTrip(t *testing.T) {
-	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestTCPHubRoundTrip(t *testing.T) {
 }
 
 func TestTCPHubMetersTraffic(t *testing.T) {
-	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestTCPHubMetersTraffic(t *testing.T) {
 }
 
 func TestTCPClientClose(t *testing.T) {
-	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestTCPHubBuffersEarlyMessages(t *testing.T) {
 	// Regression: a message sent before its destination completes the hello
 	// handshake must be queued and delivered, not dropped (clients race the
 	// server at startup in the demo topology).
-	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

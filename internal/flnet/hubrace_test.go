@@ -12,7 +12,7 @@ import (
 // A frame must reach the wire whole — header and body in one write — or two
 // frames interleave and the receiver's stream is garbage from then on.
 func TestHubConcurrentSendersKeepFraming(t *testing.T) {
-	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

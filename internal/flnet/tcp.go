@@ -50,15 +50,15 @@ const maxQueued = 64 << 20
 const helloTimeout = 10 * time.Second
 
 // NewTCPHub listens on addr (e.g. "127.0.0.1:0") and routes messages among
-// `parties` expected participants.
-func NewTCPHub(addr string, link Link) (*TCPHub, error) {
+// the parties that dial it, metering them on the paper's GigabitEthernet link.
+func NewTCPHub(addr string) (*TCPHub, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("flnet: hub listen: %w", err)
 	}
 	h := &TCPHub{
 		ln:      ln,
-		meter:   NewMeter(link),
+		meter:   NewMeter(GigabitEthernet()),
 		conns:   make(map[string]net.Conn),
 		open:    make(map[net.Conn]struct{}),
 		pending: make(map[string][][]byte),

@@ -23,7 +23,7 @@ func TestDialHubFailure(t *testing.T) {
 }
 
 func TestTCPClientRecvTimeout(t *testing.T) {
-	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestTCPClientPeerDisconnectMidFrame(t *testing.T) {
 }
 
 func TestTCPClientCloseUnblocksRecv(t *testing.T) {
-	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestTCPClientCloseUnblocksRecv(t *testing.T) {
 
 func TestTCPHubCloseUnblocksClientRecv(t *testing.T) {
 	// The hub going down mid-round must error out blocked receivers.
-	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestTCPHubCloseUnblocksClientRecv(t *testing.T) {
 }
 
 func TestTCPRoundStampSurvivesTheWire(t *testing.T) {
-	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestLargeFrameRoundTrips(t *testing.T) {
 		t.Fatalf("readFrame returned %d bytes, %v; want the %d written", len(got), err, len(body))
 	}
 
-	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestRecvTimeoutMidFrameKeepsTheStream(t *testing.T) {
 // TestDialTimeoutCloseLeavesNoGoroutine: Close reaps the reader goroutine,
 // whether it was blocked in a read or holding a frame nobody received.
 func TestDialTimeoutCloseLeavesNoGoroutine(t *testing.T) {
-	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestDialTimeoutCloseLeavesNoGoroutine(t *testing.T) {
 // TestHubDropsSpoofedFrom: a connection speaks for the name it said hello
 // with; a frame claiming another From is dropped and counted, not relayed.
 func TestHubDropsSpoofedFrom(t *testing.T) {
-	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestHubSilentDialerDelaysNobody(t *testing.T) {
 		return n
 	}
 	before := settle()
-	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestHubSilentDialerDelaysNobody(t *testing.T) {
 // is delivered, exactly once, when it dials again — not written to the dead
 // socket and lost.
 func TestHubQueuesForACrashedParty(t *testing.T) {
-	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,7 +534,7 @@ func TestHubQueuesForACrashedParty(t *testing.T) {
 // cap is dropped and counted. When the name registers, its queue is handed
 // over and its bytes leave the count, so the cap is free again.
 func TestHubCapsWhatItHoldsForAbsentParties(t *testing.T) {
-	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +602,7 @@ func TestHubCapsWhatItHoldsForAbsentParties(t *testing.T) {
 // TestHubSecondHelloKeepsTheName: a party that re-dials before the hub has
 // seen its old connection end keeps the name when the old one does end.
 func TestHubSecondHelloKeepsTheName(t *testing.T) {
-	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -655,7 +655,7 @@ func TestHubSecondHelloKeepsTheName(t *testing.T) {
 // says hello again. DialHub returns with the name registered, and the hub
 // refuses a hello from a connection accepted before the name's holder.
 func TestHubRefusesAStaleHello(t *testing.T) {
-	hub, err := NewTCPHub("127.0.0.1:0", GigabitEthernet())
+	hub, err := NewTCPHub("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

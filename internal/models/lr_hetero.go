@@ -116,15 +116,11 @@ func (m *HeteroLR) partialScores(p, lo, hi int) {
 }
 
 // residuals computes d = σ(z) − y on the guest, clamped to the quantizer's
-// representable interval (to [−1, 1] in oracle mode).
+// interval (clampGrad).
 func (m *HeteroLR) residuals(z []float64, lo int) []float64 {
-	bound := 1.0 // the oracle's clamp
-	if m.ctx != nil {
-		bound = m.ctx.Quant.Alpha()
-	}
 	d := zeroed(&m.resid, len(z))
 	for i := range z {
-		d[i] = clampGrad(datasets.Sigmoid(z[i])-m.parts[0].Examples[lo+i].Label, bound)
+		d[i] = clampGrad(datasets.Sigmoid(z[i]) - m.parts[0].Examples[lo+i].Label)
 	}
 	return d
 }

@@ -134,10 +134,6 @@ func (m *HomoLR) TrainEpoch() (float64, error) {
 // computeLocalGrads fills m.grads with every party's clamped gradient over
 // minibatch r.
 func (m *HomoLR) computeLocalGrads(r [2]int) {
-	bound := 1.0 // the oracle's clamp
-	if m.fed != nil {
-		bound = m.fed.Ctx.Quant.Alpha()
-	}
 	for p, part := range m.parts {
 		lo, hi := r[0], r[1]
 		if hi > part.Len() {
@@ -149,7 +145,7 @@ func (m *HomoLR) computeLocalGrads(r [2]int) {
 		g := m.grads[p]
 		m.localGradient(g, part, lo, hi)
 		for j := range g {
-			g[j] = clampGrad(g[j], bound)
+			g[j] = clampGrad(g[j])
 		}
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"fmt"
 
 	"flbooster/internal/datasets"
+	"flbooster/internal/quant"
 )
 
 // Model is a trainable federated model.
@@ -110,15 +111,10 @@ func crossEntropy(p, y float64) float64 {
 	return -datasets.Log(1 - p)
 }
 
-// clampGrad clips a gradient into the quantizer's representable interval.
-func clampGrad(g, bound float64) float64 {
-	if g > bound {
-		return bound
-	}
-	if g < -bound {
-		return -bound
-	}
-	return g
+// clampGrad clips a gradient into the quantizer's interval [−α, α], in
+// oracle and encrypted mode alike.
+func clampGrad(g float64) float64 {
+	return max(-quant.Alpha, min(g, quant.Alpha))
 }
 
 // ConvergenceBias is Eq. 15: |L − L_FLBooster| / L, the relative loss error

@@ -169,13 +169,9 @@ func (m *HeteroNN) trainBatch(lo, hi int) error {
 
 	// Backward: the guest, which owns the deltas, updates its own tower in
 	// plaintext; every host takes its homomorphic gradient step from the
-	// broadcast deltas, clamped in place into the quantizer's interval, its
+	// broadcast deltas, which the quantizer clamps into its interval, its
 	// sums scaled by 1/F (the deltas already carry the 1/n).
 	m.track(func() { m.bottomUpdate(0, deltas, lo, hi) })
-	bound := m.ctx.Quant.Alpha()
-	for i, d := range deltas {
-		deltas[i] = clampGrad(d, bound)
-	}
 	return m.hostSteps(deltas, m.Hidden, lo, hi, "deltas", "nn-grad", "nn-grad-plain", func(p int, grads []float64) {
 		for i := range grads {
 			grads[i] = grads[i]*(1/fixedPoint) + m.opts.L2*m.W[p][i]

@@ -35,18 +35,22 @@ type HeteroSBT struct {
 	// margins holds the ensemble's raw scores per training sample.
 	margins []float64
 
-	// Tuning knobs (XGBoost-standard).
-	MaxDepth int
-	Bins     int
-	Lambda   float64 // leaf L2
-	Gamma    float64 // split penalty
-	Eta      float64 // shrinkage
+	// Eta is the shrinkage a tree's weights are added to the margins at.
+	Eta float64
 
 	// quant and layout are the (g, h) encoding (ghEncoding); nil and zero in
 	// oracle mode.
 	quant  *quant.Quantizer
 	layout batch.Layout
 }
+
+// The XGBoost-standard tree shape and regularisation every HeteroSBT grows with.
+const (
+	sbtMaxDepth = 3
+	sbtBins     = 8
+	sbtLambda   = 1 // leaf L2
+	sbtGamma    = 0 // split penalty
+)
 
 // sbtNode is one tree node. Split nodes carry the owning party and its
 // local feature/threshold; leaves carry the output weight.
@@ -69,10 +73,6 @@ func NewHeteroSBT(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroS
 	m := &HeteroSBT{
 		vertical: v,
 		margins:  make([]float64, ds.Len()),
-		MaxDepth: 3,
-		Bins:     8,
-		Lambda:   1,
-		Gamma:    0,
 		Eta:      0.3,
 	}
 	if ctx != nil {
@@ -92,9 +92,9 @@ func NewHeteroSBT(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroS
 // fit the return path's 64-bit slot, packed or not, so that both profiles
 // quantise alike; an n that leaves no room for r = 2 is quant.New's error.
 func ghEncoding(n int, rBits uint, packed bool) (*quant.Quantizer, batch.Layout, error) {
-	q, err := quant.New(1, min(20, rBits), n)
+	q, err := quant.New(min(20, rBits), n)
 	for err == nil && 2*q.SlotBits() > 64 {
-		q, err = quant.New(1, q.RBits()-1, n)
+		q, err = quant.New(q.RBits()-1, n)
 	}
 	if err != nil {
 		return nil, batch.Layout{}, fmt.Errorf("models: the (g, h) encoding of %d samples: %w", n, err)
@@ -144,12 +144,7 @@ func (m *HeteroSBT) encryptGH(g, h []float64) ([]paillier.Ciphertext, error) {
 		}
 		return m.quant.Quantize(g[i/2])
 	})
-	cts, err := m.holder.EncryptNats(pts, int64(n)) // the public key: holder-side encryption is parked
-	if err != nil {
-		return nil, err
-	}
-	m.ctx.Costs.AddCompression(int64(n), int64(len(cts)))
-	return cts, nil
+	return m.holder.EncryptNats(pts, int64(n)) // the public key: holder-side encryption is parked
 }
 
 // ghSums states the subset sum of one histogram bin over the encrypted (g, h)
@@ -233,21 +228,21 @@ func (m *HeteroSBT) buildTree(samples []int, g, h []float64) (*sbtNode, error) {
 				return nil, err
 			}
 		}
-		fl.ReleaseCiphertexts(cts)
+		paillier.ReleaseBatch(cts)
 	}
 	root, err := m.growNode(samples, g, h, hostCts, 0)
 	for _, cts := range hostCts {
-		fl.ReleaseCiphertexts(cts)
+		paillier.ReleaseBatch(cts)
 	}
 	return root, err
 }
 
 func (m *HeteroSBT) growNode(samples []int, g, h []float64, hostCts [][]paillier.Ciphertext, depth int) (*sbtNode, error) {
 	gTot, hTot := sumGH(samples, g, h)
-	if depth >= m.MaxDepth || len(samples) < 4 {
+	if depth >= sbtMaxDepth || len(samples) < 4 {
 		return m.leaf(gTot, hTot), nil
 	}
-	best := splitCandidate{gain: m.Gamma}
+	best := splitCandidate{gain: sbtGamma}
 	for p := range m.parts {
 		cand, err := m.partyBestSplit(p, samples, g, h, hostCts[p], gTot, hTot)
 		if err != nil {
@@ -257,7 +252,7 @@ func (m *HeteroSBT) growNode(samples []int, g, h []float64, hostCts [][]paillier
 			best = cand
 		}
 	}
-	if best.gain <= m.Gamma || best.feature < 0 {
+	if best.gain <= sbtGamma || best.feature < 0 {
 		return m.leaf(gTot, hTot), nil
 	}
 	left, right, err := m.partition(best, samples)
@@ -290,18 +285,18 @@ type splitCandidate struct {
 // hosts aggregate homomorphically and round-trip through the guest.
 func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []paillier.Ciphertext, gTot, hTot float64) (splitCandidate, error) {
 	part := m.parts[p]
-	best := splitCandidate{party: p, feature: -1, gain: m.Gamma}
+	best := splitCandidate{party: p, feature: -1, gain: sbtGamma}
 
 	for j := 0; j < part.NumFeatures; j++ {
 		lo, hi, present := m.featureRange(p, j, samples)
 		if len(present) < 2 || lo == hi {
 			continue
 		}
-		width := (hi - lo) / float64(m.Bins)
+		width := (hi - lo) / sbtBins
 		binOf := func(x float64) int {
 			b := int((x - lo) / width)
-			if b >= m.Bins {
-				b = m.Bins - 1
+			if b >= sbtBins {
+				b = sbtBins - 1
 			}
 			if b < 0 {
 				b = 0
@@ -309,15 +304,15 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 			return b
 		}
 		// Per-bin sample lists.
-		bins := make([][]int, m.Bins)
+		bins := make([][]int, sbtBins)
 		for _, s := range present {
 			b := binOf(m.featureValue(p, j, s))
 			bins[b] = append(bins[b], s)
 		}
 
-		gBins := make([]float64, m.Bins)
-		hBins := make([]float64, m.Bins)
-		cnts := make([]int, m.Bins)
+		gBins := make([]float64, sbtBins)
+		hBins := make([]float64, sbtBins)
+		cnts := make([]int, sbtBins)
 		if p == 0 || m.ctx == nil {
 			// Guest-side plaintext histograms.
 			for b, list := range bins {
@@ -351,7 +346,7 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 			// The guest holds the key and keeps the values: no reply.
 			route := fl.ReturnRoute{Net: m.net, Decryptor: m.holder, Kind: "hist"}
 			raws, err := m.parties[p].OpenBroadcastSums(route, histCts, histBounds, 1)
-			fl.ReleaseCiphertexts(histCts) // OpenBroadcastSums framed a copy and kept none
+			paillier.ReleaseBatch(histCts) // OpenBroadcastSums framed a copy and kept none
 			if err != nil {
 				return best, err
 			}
@@ -366,13 +361,13 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 		// Scan split points left-to-right (zeros/missing stay left of bin 0
 		// implicitly via the node totals).
 		gPresent, hPresent := 0.0, 0.0
-		for b := 0; b < m.Bins; b++ {
+		for b := 0; b < sbtBins; b++ {
 			gPresent += gBins[b]
 			hPresent += hBins[b]
 		}
 		gMissing, hMissing := gTot-gPresent, hTot-hPresent
 		gl, hl := gMissing, hMissing // missing values go left
-		for b := 0; b < m.Bins-1; b++ {
+		for b := 0; b < sbtBins-1; b++ {
 			gl += gBins[b]
 			hl += hBins[b]
 			gr, hr := gTot-gl, hTot-hl
@@ -392,11 +387,11 @@ func (m *HeteroSBT) partyBestSplit(p int, samples []int, g, h []float64, cts []p
 
 // gain is the XGBoost split score.
 func (m *HeteroSBT) gain(gl, hl, gr, hr, gTot, hTot float64) float64 {
-	return 0.5 * (gl*gl/(hl+m.Lambda) + gr*gr/(hr+m.Lambda) - gTot*gTot/(hTot+m.Lambda))
+	return 0.5 * (gl*gl/(hl+sbtLambda) + gr*gr/(hr+sbtLambda) - gTot*gTot/(hTot+sbtLambda))
 }
 
 func (m *HeteroSBT) leaf(gSum, hSum float64) *sbtNode {
-	return &sbtNode{Leaf: true, Weight: -gSum / (hSum + m.Lambda)}
+	return &sbtNode{Leaf: true, Weight: -gSum / (hSum + sbtLambda)}
 }
 
 // featureRange returns the min/max of feature j among node samples where it

@@ -8,6 +8,7 @@ import (
 	"flbooster/internal/datasets"
 	"flbooster/internal/fl"
 	"flbooster/internal/flnet"
+	"flbooster/internal/paillier"
 	"flbooster/internal/quant"
 )
 
@@ -126,13 +127,14 @@ func (v *vertical) sumVecs(vecs [][]float64) []float64 {
 }
 
 // secureSum is the aggregatable flow (Hetero LR's partial scores, Hetero NN's
-// interactive layer) over every party's vector, divided by scale and clamped
-// into the quantizer's interval. Each host encrypts its own — packed under
-// batch compression — and sends it to the arbiter (kind), which folds the
-// batches it decoded homomorphically through an unbounded aggregation tree
-// (Context.NewAggTree(0), the flat left fold every round folds through),
-// decrypts the fold to its raw slot sums (DecryptSlotSums, no
-// dequantisation) and returns them to the guest (replyKind, 8 B a value).
+// interactive layer) over every party's vector, divided by scale and
+// quantized, which clamps it into the quantizer's interval. Each host
+// encrypts its own — packed under batch compression — and sends it to the
+// arbiter (kind), which folds the batches it decoded homomorphically through
+// an unbounded aggregation tree (Context.NewAggTree(0), the flat left fold
+// every round folds through), decrypts the fold to its raw slot sums
+// (DecryptSlotSums, no dequantisation) and returns them to the guest
+// (replyKind, 8 B a value).
 // The arbiter opens no party's vector alone: with one host the guest's batch
 // goes to it too, folded first, and the reply is every party's sum; with two
 // or more the guest encrypts nothing and adds its own quantized value to the
@@ -152,7 +154,7 @@ func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, replyKind st
 	norm := zeroed(&v.sum, len(vecs[0]))
 	normalize := func(vec []float64) {
 		for i, x := range vec {
-			norm[i] = clampGrad(x/scale, q.Alpha())
+			norm[i] = x / scale
 		}
 	}
 	first := 1 // the first party the arbiter folds: the guest beside a lone host
@@ -172,12 +174,12 @@ func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, replyKind st
 				return nil, fmt.Errorf("models: party %d %s encrypt: %w", p, kind, err)
 			}
 			got, err := v.parties[p].SendCiphertexts(v.net, v.holder.Name, kind, cts)
-			fl.ReleaseCiphertexts(cts)
+			paillier.ReleaseBatch(cts)
 			if err != nil {
 				return nil, err
 			}
 			err = tree.Add(got)
-			fl.ReleaseCiphertexts(got) // the tree copied or summed it
+			paillier.ReleaseBatch(got) // the tree copied or summed it
 			if err != nil {
 				return nil, err
 			}
@@ -187,7 +189,7 @@ func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, replyKind st
 			return nil, err
 		}
 		raw, err := v.holder.DecryptSlotSums(agg, len(norm))
-		fl.ReleaseCiphertexts(agg)
+		paillier.ReleaseBatch(agg)
 		if err != nil {
 			return nil, err
 		}
@@ -222,7 +224,7 @@ func (v *vertical) secureSum(vecs [][]float64, scale float64, kind, replyKind st
 // hostSteps is the homomorphic gradient step Hetero LR and Hetero NN share,
 // over rows [lo, hi). vals are the guest's values, units a row, row after row
 // (Hetero LR's residuals, one a row; Hetero NN's hidden deltas, Hidden a
-// row), already clamped into the quantizer's interval. The guest encrypts
+// row); EncryptBroadcast quantizes them, clamping past ±α. The guest encrypts
 // them s a ciphertext — s the stride fl.Context.BroadcastStride picks from the
 // value count and each host's units × features sums — and sends them to every
 // host (kind). Each host weighs them into one signed sum a (unit, feature),
@@ -265,12 +267,12 @@ func (v *vertical) hostSteps(vals []float64, units, lo, hi int, kind, sumKind, r
 		}
 		route := fl.ReturnRoute{Net: v.net, Decryptor: v.holder, Kind: sumKind, ReplyKind: replyKind}
 		totals, err := ws.open(v.ctx, v.parties[p], route, hostV, s)
-		fl.ReleaseCiphertexts(hostV)
+		paillier.ReleaseBatch(hostV)
 		if err != nil {
 			return fmt.Errorf("models: party %d gradient: %w", p, err)
 		}
 		v.track(func() { step(p, totals) })
 	}
-	fl.ReleaseCiphertexts(encV)
+	paillier.ReleaseBatch(encV)
 	return nil
 }

@@ -9,6 +9,7 @@ import (
 	"flbooster/internal/fl"
 	"flbooster/internal/mpint"
 	"flbooster/internal/paillier"
+	"flbooster/internal/quant"
 )
 
 // signedSum gathers the terms of one homomorphic weighted sum
@@ -103,15 +104,15 @@ func (w *weightedSums) open(ctx *fl.Context, host *fl.Party, route fl.ReturnRout
 		return nil, err
 	}
 	raws, err := host.OpenBroadcastSums(route, cts, w.bounds, s)
-	fl.ReleaseCiphertexts(cts) // OpenBroadcastSums framed a copy and kept none
+	paillier.ReleaseBatch(cts) // OpenBroadcastSums framed a copy and kept none
 	if err != nil {
 		return nil, err
 	}
-	c, alpha := ctx.Quant.Step(), ctx.Quant.Alpha()
+	c := ctx.Quant.Step()
 	for i, raw := range raws {
 		sum := &w.sums[w.sent[i]]
 		// Each side is below 2⁶³ (SumBound), so S = raw − O is exact in int64.
-		w.out[w.sent[i]] = c*float64(int64(raw-fl.ReturnOffset)) - alpha*float64(int64(sum.pos)-int64(sum.neg))
+		w.out[w.sent[i]] = c*float64(int64(raw-fl.ReturnOffset)) - quant.Alpha*float64(int64(sum.pos)-int64(sum.neg))
 	}
 	return w.out, nil
 }

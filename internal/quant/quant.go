@@ -8,16 +8,19 @@
 // reserves b = ⌈log₂ p⌉ zero "overflow bits" above the value (Eq. 8) so the
 // homomorphic sum of p participants cannot spill into the neighbouring slot.
 //
-// Eq. 7 as printed assumes e ∈ [0, 1], i.e. α = ½; this implementation
-// normalizes by the interval width (q = e/(2α)·(2^r − 1)), which reduces to
-// the paper's formula at α = ½ and keeps every α usable.
+// α is the constant Alpha = 1: every profile's gradients and SecureBoost's
+// (g, h) stream quantize in [−1, 1]. Eq. 7 as printed assumes e ∈ [0, 1],
+// i.e. α = ½; at α = 1 e spans [0, 2], so this implementation normalizes by
+// the interval width, q = e/(2α)·(2^r − 1), the paper's formula at α = ½.
 package quant
 
 import (
 	"errors"
 	"fmt"
-	"math"
 )
+
+// Alpha is α, the gradient bound: Quantize maps [−α, α] onto [0, 2^r − 1].
+const Alpha = 1
 
 // ErrNaN rejects a NaN gradient. A NaN has no place in [−α, α], and the
 // float-to-integer conversion Quantize would reach is implementation-defined
@@ -32,20 +35,17 @@ var ErrOverflow = errors.New("quant: sum out of range")
 // Quantizer converts bounded floats to fixed-width unsigned integers and
 // back. The zero value is not usable; construct with New.
 type Quantizer struct {
-	alpha        float64 // gradient bound: inputs live in [−α, α]
-	rBits        uint    // quantization bits per value
-	participants int     // p, the most values one sum spans
-	bBits        uint    // overflow headroom ⌈log₂ p⌉
-	maxQ         uint64  // 2^r − 1
+	rBits        uint   // quantization bits per value
+	participants int    // p, the most values one sum spans
+	bBits        uint   // overflow headroom ⌈log₂ p⌉
+	maxQ         uint64 // 2^r − 1
 }
 
-// New builds a quantizer for gradients bounded by alpha, quantized to rBits,
-// with headroom for summing `participants` values: the most values one sum
-// spans — the parties of an aggregate, the samples of a histogram bin.
-func New(alpha float64, rBits uint, participants int) (*Quantizer, error) {
+// New builds a quantizer for gradients in [−Alpha, Alpha], quantized to
+// rBits, with headroom for summing `participants` values: the most values one
+// sum spans — the parties of an aggregate, the samples of a histogram bin.
+func New(rBits uint, participants int) (*Quantizer, error) {
 	switch {
-	case !(alpha > 0) || math.IsInf(alpha, 1):
-		return nil, fmt.Errorf("quant: gradient bound must be finite and positive, got %v", alpha)
 	case rBits < 2 || rBits > 52:
 		// Above 52 bits a float64 cannot address individual steps.
 		return nil, fmt.Errorf("quant: r must be in [2, 52], got %d", rBits)
@@ -60,7 +60,6 @@ func New(alpha float64, rBits uint, participants int) (*Quantizer, error) {
 		return nil, fmt.Errorf("quant: r+b = %d exceeds 63 bits", rBits+b)
 	}
 	return &Quantizer{
-		alpha:        alpha,
 		rBits:        rBits,
 		participants: participants,
 		bBits:        b,
@@ -69,8 +68,8 @@ func New(alpha float64, rBits uint, participants int) (*Quantizer, error) {
 }
 
 // MustNew is New for known-good parameters.
-func MustNew(alpha float64, rBits uint, participants int) *Quantizer {
-	q, err := New(alpha, rBits, participants)
+func MustNew(rBits uint, participants int) *Quantizer {
+	q, err := New(rBits, participants)
 	if err != nil {
 		panic(err)
 	}
@@ -87,9 +86,6 @@ func ceilLog2(n int) uint {
 	return b
 }
 
-// Alpha returns the gradient bound α.
-func (q *Quantizer) Alpha() float64 { return q.alpha }
-
 // RBits returns r, the data bits per value.
 func (q *Quantizer) RBits() uint { return q.rBits }
 
@@ -102,7 +98,7 @@ func (q *Quantizer) SlotBits() uint { return q.rBits + q.bBits }
 
 // Step returns the quantization step 2α/(2^r − 1); the worst-case error of
 // one value is Step()/2.
-func (q *Quantizer) Step() float64 { return 2 * q.alpha / float64(q.maxQ) }
+func (q *Quantizer) Step() float64 { return 2 * Alpha / float64(q.maxQ) }
 
 // MaxError returns the worst-case absolute error introduced by quantizing a
 // single in-range value.
@@ -113,14 +109,14 @@ func (q *Quantizer) MaxError() float64 { return q.Step() / 2 }
 // clipping gives FL training — never wrapped. m must not be NaN (ErrNaN):
 // the encoders reject one before it gets here.
 func (q *Quantizer) Quantize(m float64) uint64 {
-	if m <= -q.alpha {
+	if m <= -Alpha {
 		return 0
 	}
-	if m >= q.alpha {
+	if m >= Alpha {
 		return q.maxQ
 	}
-	e := m + q.alpha                                 // Eq. 6
-	v := uint64(e/(2*q.alpha)*float64(q.maxQ) + 0.5) // Eq. 7, normalized
+	e := m + Alpha                                 // Eq. 6
+	v := uint64(e/(2*Alpha)*float64(q.maxQ) + 0.5) // Eq. 7, normalized
 	if v > q.maxQ {
 		v = q.maxQ
 	}
@@ -129,7 +125,7 @@ func (q *Quantizer) Quantize(m float64) uint64 {
 
 // Dequantize inverts Quantize for a single value.
 func (q *Quantizer) Dequantize(v uint64) float64 {
-	return float64(v)/float64(q.maxQ)*(2*q.alpha) - q.alpha
+	return float64(v)/float64(q.maxQ)*(2*Alpha) - Alpha
 }
 
 // DequantizeSum decodes the homomorphic sum of `count` quantized values:
@@ -144,7 +140,7 @@ func (q *Quantizer) DequantizeSum(sum uint64, count int) (float64, error) {
 	if max := uint64(count) * q.maxQ; sum > max {
 		return 0, fmt.Errorf("%w: aggregated value %d exceeds maximum %d — slot corruption", ErrOverflow, sum, max)
 	}
-	return float64(sum)/float64(q.maxQ)*(2*q.alpha) - float64(count)*q.alpha, nil
+	return float64(sum)/float64(q.maxQ)*(2*Alpha) - float64(count)*Alpha, nil
 }
 
 // QuantizeVec quantizes a gradient vector.

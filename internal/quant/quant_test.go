@@ -2,26 +2,21 @@ package quant
 
 import (
 	"errors"
-	"math"
 	"testing"
 	"testing/quick"
 )
 
 func TestNewValidation(t *testing.T) {
 	cases := []struct {
-		alpha float64
-		r     uint
-		p     int
-	}{
-		{0, 32, 4}, {-1, 32, 4}, {1, 1, 4}, {1, 60, 4}, {1, 32, 0}, {1, 62, 4},
-		{math.NaN(), 32, 4}, {math.Inf(1), 32, 4}, {math.Inf(-1), 32, 4},
-	}
+		r uint
+		p int
+	}{{1, 4}, {60, 4}, {32, 0}, {62, 4}}
 	for _, c := range cases {
-		if _, err := New(c.alpha, c.r, c.p); err == nil {
-			t.Errorf("New(%v, %d, %d) should fail", c.alpha, c.r, c.p)
+		if _, err := New(c.r, c.p); err == nil {
+			t.Errorf("New(%d, %d) should fail", c.r, c.p)
 		}
 	}
-	if _, err := New(1, 30, 64); err != nil {
+	if _, err := New(30, 64); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 }
@@ -32,7 +27,7 @@ func TestOverflowBits(t *testing.T) {
 		want uint
 	}{{1, 1}, {2, 1}, {3, 2}, {4, 2}, {5, 3}, {64, 6}, {65, 7}, {1024, 10}}
 	for _, c := range cases {
-		q := MustNew(1, 20, c.p)
+		q := MustNew(20, c.p)
 		if q.bBits != c.want {
 			t.Errorf("guard bits (p=%d) = %d, want %d", c.p, q.bBits, c.want)
 		}
@@ -43,7 +38,7 @@ func TestOverflowBits(t *testing.T) {
 }
 
 func TestQuantizeEndpoints(t *testing.T) {
-	q := MustNew(1, 16, 4)
+	q := MustNew(16, 4)
 	if q.Quantize(-1) != 0 {
 		t.Errorf("Quantize(-α) = %d, want 0", q.Quantize(-1))
 	}
@@ -60,9 +55,9 @@ func TestQuantizeEndpoints(t *testing.T) {
 }
 
 func TestRoundTripErrorBound(t *testing.T) {
-	q := MustNew(0.5, 24, 8)
+	q := MustNew(24, 8)
 	bound := q.MaxError()
-	vals := []float64{-0.5, -0.499, -0.25, -0.1, 0, 1e-6, 0.123456, 0.25, 0.4999, 0.5}
+	vals := []float64{-Alpha, -0.998, -0.5, -0.2, 0, 2e-6, 0.246912, 0.5, 0.9998, Alpha}
 	for _, m := range vals {
 		got := q.Dequantize(q.Quantize(m))
 		if d := got - m; d > bound+1e-12 || d < -bound-1e-12 {
@@ -72,7 +67,7 @@ func TestRoundTripErrorBound(t *testing.T) {
 }
 
 func TestPropertyRoundTripWithinStep(t *testing.T) {
-	q := MustNew(1, 32, 16)
+	q := MustNew(32, 16)
 	f := func(raw int32) bool {
 		m := float64(raw) / float64(1<<31) // in (−1, 1)
 		got := q.Dequantize(q.Quantize(m))
@@ -85,7 +80,7 @@ func TestPropertyRoundTripWithinStep(t *testing.T) {
 }
 
 func TestDequantizeSum(t *testing.T) {
-	q := MustNew(1, 30, 4)
+	q := MustNew(30, 4)
 	// Simulate 4 participants quantizing values; homomorphic sum = Σ qᵢ.
 	ms := []float64{0.25, -0.75, 0.5, -0.125}
 	var sum uint64
@@ -105,7 +100,7 @@ func TestDequantizeSum(t *testing.T) {
 }
 
 func TestDequantizeSumErrors(t *testing.T) {
-	q := MustNew(1, 16, 2)
+	q := MustNew(16, 2)
 	if _, err := q.DequantizeSum(1, 0); !errors.Is(err, ErrOverflow) {
 		t.Errorf("count 0: %v, want ErrOverflow", err)
 	}
@@ -118,7 +113,7 @@ func TestDequantizeSumErrors(t *testing.T) {
 }
 
 func TestVecHelpers(t *testing.T) {
-	q := MustNew(1, 20, 2)
+	q := MustNew(20, 2)
 	ms := []float64{-1, -0.5, 0, 0.5, 1}
 	vs := q.QuantizeVec(ms)
 	if len(vs) != len(ms) {
@@ -145,9 +140,9 @@ func TestVecHelpers(t *testing.T) {
 }
 
 func TestStepShrinksWithRBits(t *testing.T) {
-	prev := MustNew(1, 8, 2).Step()
+	prev := MustNew(8, 2).Step()
 	for _, r := range []uint{16, 24, 32, 40} {
-		s := MustNew(1, r, 2).Step()
+		s := MustNew(r, 2).Step()
 		if s >= prev {
 			t.Fatalf("step did not shrink at r=%d", r)
 		}
@@ -159,7 +154,7 @@ func TestNoExponentLeakage(t *testing.T) {
 	// The encoding is a single unsigned integer — no (significand, exponent)
 	// split. Two values with very different magnitudes must produce outputs
 	// in the same integer domain, indistinguishable in format.
-	q := MustNew(1, 32, 2)
+	q := MustNew(32, 2)
 	small, large := q.Quantize(1e-9), q.Quantize(0.9)
 	if small>>uint(q.RBits()) != 0 || large>>uint(q.RBits()) != 0 {
 		t.Fatal("quantized values must fit in r bits with zero guard bits")
@@ -171,7 +166,7 @@ func TestNoExponentLeakage(t *testing.T) {
 // party clipped at +α (sum = count·maxQ). That decodes to exactly count·α;
 // one past it in either dimension is rejected.
 func TestDequantizeSumDeclaredCapacityBoundary(t *testing.T) {
-	q := MustNew(1, 8, 4)
+	q := MustNew(8, 4)
 	maxQ := uint64(1<<8 - 1)
 	got, err := q.DequantizeSum(4*maxQ, 4)
 	if err != nil {
