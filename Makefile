@@ -6,14 +6,16 @@
 # smoke-runs the fuzz targets, compiles-and-runs every benchmark
 # once so benchmark code cannot bit-rot, runs the repository benchmark at its
 # smoke sizing twice on one seed, failing if the two sets' modelled metrics
-# differ in any digit, runs flbench's modelled tables at 128-bit keys twice,
-# failing on any byte of difference in the tables or the metrics registry,
-# and runs the CI-sized multi-fault chaos soak under the race detector.
+# differ in any digit, and runs flbench's modelled tables at 128-bit keys
+# twice, failing on any byte of difference in the tables or the metrics
+# registry. The crash sweep (fl's TestCrashSweep: every journal boundary ×
+# every round × churn, chaos-free and under the fault mix) runs in `test` and
+# again under `race`.
 
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: build test vet lint loc reach race fuzz bench-smoke benchmark-smoke flbench-smoke soak-smoke check
+.PHONY: build test vet lint loc reach race fuzz bench-smoke benchmark-smoke flbench-smoke check
 
 # mpint's kernels (the addMulVW row, the amm52 digit chain) are assembly on
 # amd64 only; cross-building for arm64 (the standard library cross-compiles
@@ -147,12 +149,4 @@ flbench-smoke:
 	cmp "$$dir/a" "$$dir/b" && cmp "$$dir/ma" "$$dir/mb" && \
 	echo "flbench-smoke: two runs of flbench $(FLBENCH_SMOKE) print byte-identical tables ($$(wc -c < "$$dir/a") bytes) and metrics ($$(wc -l < "$$dir/ma") lines)"
 
-# The CI-sized chaos soak (DESIGN.md §11): seeded network chaos + device
-# faults + coordinator kills with journal recovery + client churn, every
-# completed round checked against the plaintext oracle, run twice on one seed
-# whose two summaries must be equal — at the smoke seed and at seeds 1–16 —
-# all under -race.
-soak-smoke:
-	$(GO) test -race -run 'TestSoakSmoke|TestSoakSeeds' -timeout 300s -count 1 ./internal/fl
-
-check: build vet test race fuzz bench-smoke benchmark-smoke flbench-smoke soak-smoke
+check: build vet test race fuzz bench-smoke benchmark-smoke flbench-smoke

@@ -23,7 +23,7 @@ func TestRunFlagAndArgErrors(t *testing.T) {
 		t.Fatal("out-of-range scale should fail")
 	}
 	for _, args := range [][]string{
-		{"-scale", "-1", "table2"}, {"-scale", "0", "table2"},
+		{"-scale", "-1", "table2"}, {"-scale", "0", "table2"}, {"-scale", "NaN", "-keys", "128", "table2"},
 		{"-parties", "0", "table2"}, {"-parties", "-2", "table2"},
 		{"-epochs", "0", "table2"}, {"-epochs", "-1", "table2"},
 		{"-batch", "0", "table2"}, {"-batch", "-3", "table2"},

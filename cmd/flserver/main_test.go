@@ -603,11 +603,12 @@ func TestClientSkipsStaleAggregate(t *testing.T) {
 
 // TestServerFailpointSweep kills the TCP-hosted coordinator right after each
 // journal boundary a crash can land on — round-start durable and nothing
-// gathered, aggregate durable and nothing broadcast — flat and through a
-// fan-out-2 tree, restarts it with -resume, and demands what every client
-// decrypts be bit-identical to an uninterrupted run.
+// gathered, aggregate durable and nothing broadcast, round-done durable and
+// the round over — flat and through a fan-out-2 tree, restarts it with
+// -resume, and demands what every client decrypts be bit-identical to an
+// uninterrupted run.
 func TestServerFailpointSweep(t *testing.T) {
-	for _, boundary := range []fl.EventKind{fl.EventRoundStart, fl.EventAggregated} {
+	for _, boundary := range []fl.EventKind{fl.EventRoundStart, fl.EventAggregated, fl.EventRoundDone} {
 		for _, fanout := range []int{0, 2} {
 			t.Run(fmt.Sprintf("%s/fanout%d", boundary, fanout), func(t *testing.T) {
 				o := opts{keyBits: 128, seed: 9, fanout: fanout}
@@ -616,12 +617,14 @@ func TestServerFailpointSweep(t *testing.T) {
 				got := tcpRound(t, o, sweepVals, func(o opts, startClients func()) error {
 					crash, resumed := o, o
 					crash.failpoint, resumed.resume = string(boundary), true
-					// The aggregate boundary needs the uploads: the clients
-					// start with the doomed server and are still waiting for
-					// the broadcast when the resumed one sends it. A server
-					// that dies at round-start has gathered nothing, and the
-					// clients of this test start once its successor is up.
-					if boundary == fl.EventAggregated {
+					// The later boundaries need the uploads: the clients start
+					// with the doomed server, and after an aggregate they are
+					// still waiting for the broadcast when the resumed one
+					// sends it; after round-done they have it, and the resumed
+					// server finds the round complete. A server that dies at
+					// round-start has gathered nothing, and the clients of
+					// this test start once its successor is up.
+					if boundary != fl.EventRoundStart {
 						startClients()
 					}
 					if err := runServer(crash); !errors.Is(err, fl.ErrCoordinatorCrash) {

@@ -94,7 +94,7 @@ func TestPropertyPackedAdditionIsSlotwise(t *testing.T) {
 // a plaintext, exactly one, one over), values inside the bound, on it, beyond
 // it (clamped) and half a step either side of a rounding edge, and every quantization width a profile or a
 // benchmark configures (30: the default; 16: cohort_tree_128 and the scale
-// sweep; 14: the soak), at the key sizes those run on.
+// sweep; 14: fl's test profile), at the key sizes those run on.
 func TestPropertyEncodeGradientsIsPackOfQuantizeVec(t *testing.T) {
 	for _, g := range []struct {
 		rBits            uint

@@ -69,7 +69,7 @@ func Paper() Config {
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {
-	case c.Scale <= 0 || c.Scale > 1:
+	case !(c.Scale > 0 && c.Scale <= 1): // NaN too
 		return fmt.Errorf("bench: scale must be in (0, 1], got %v", c.Scale)
 	case len(c.KeyBits) == 0:
 		return fmt.Errorf("bench: need at least one key size")

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"io"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -32,6 +33,7 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{},
 		func() Config { c := Quick(); c.Scale = 2; return c }(),
+		func() Config { c := Quick(); c.Scale = math.NaN(); return c }(),
 		func() Config { c := Quick(); c.KeyBits = nil; return c }(),
 		func() Config { c := Quick(); c.Parties = 1; return c }(),
 		func() Config { c := Quick(); c.Epochs = 0; return c }(),

@@ -161,11 +161,11 @@ func pickedLayouts(t *testing.T, plainBits, rows int, shapes [][]int) map[int]ba
 	t.Helper()
 	picked := map[int]batch.Layout{}
 	for _, sums := range shapes {
-		s := broadcastStride(plainBits, true, rows, sums)
-		if s < 1 || s > maxStride(plainBits, true) {
+		s := broadcastStride(plainBits, rows, sums)
+		if s < 1 || s > maxStride(plainBits) {
 			t.Fatalf("%d-bit plaintexts, %d rows, sums %v: the rule picked stride %d", plainBits, rows, sums, s)
 		}
-		l, err := strideLayout(plainBits, s, true)
+		l, err := strideLayout(plainBits, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,7 +408,7 @@ func TestBroadcastSumsOpenTheUnpackedSums(t *testing.T) {
 				}
 			}
 			route := ReturnRoute{Net: returnNet(ctx), Decryptor: arbiter, Kind: "sums", ReplyKind: "plain"}
-			for s := 1; s <= maxStride(ctx.Key.N.BitLen()-1, true); s++ {
+			for s := 1; s <= maxStride(ctx.returnBits()); s++ {
 				encD, err := host.EncryptBroadcast(vals, s)
 				if err != nil {
 					t.Fatal(err)

@@ -71,7 +71,8 @@ func (f *Federation) Journal() *Journal { return f.coord.Journal() }
 func (f *Federation) Roster() *Roster { return f.roster }
 
 // Leave marks a client departed: it stops being scheduled from the next
-// round on. The in-flight round (if any) is unaffected.
+// round on. The in-flight round (if any) is unaffected, and so is a round a
+// recovered coordinator resumes.
 func (f *Federation) Leave(name string) error {
 	if err := f.roster.Leave(name); err != nil {
 		return err
@@ -81,7 +82,8 @@ func (f *Federation) Leave(name string) error {
 }
 
 // Rejoin parks a departed client for admission at the next round boundary —
-// never mid-round, so a returning client cannot perturb the current round.
+// never mid-round nor into a resumed round, so a returning client cannot
+// perturb the current round.
 func (f *Federation) Rejoin(name string) error {
 	if err := f.roster.Rejoin(name); err != nil {
 		return err
@@ -119,12 +121,18 @@ func (f *Federation) SecureAggregateReport(grads [][]float64) ([]float64, RoundR
 		return nil, RoundReport{}, err
 	}
 
-	// Round boundary: departed clients are out, rejoiners come back in.
-	admitted := f.roster.admit()
-	if len(admitted) > 0 {
+	// Round boundary: departed clients are out, rejoiners come back in —
+	// except into a round that resumes a journaled one, which runs over the
+	// roster its round-start journaled and admits nobody: churn requested
+	// while the coordinator was down takes effect at the next boundary.
+	roster, admitted := f.roster.Active(), []string(nil)
+	if rp := f.coord.resume; rp != nil {
+		roster = rp.Roster
+	} else if admitted = f.roster.admit(); admitted != nil {
 		f.Ctx.metricAdd("rejoins_admitted", int64(len(admitted)))
+		roster = f.roster.Active()
 	}
-	sched := f.Ctx.Profile.schedule(f.roster.Active(), f.coord.round+1, &f.pool)
+	sched := f.Ctx.Profile.schedule(roster, f.coord.round+1, &f.pool)
 	rd, err := f.coord.Begin(sched, f.Transport)
 	if rd == nil {
 		return nil, RoundReport{}, err

@@ -96,7 +96,7 @@ type JournalStore interface {
 
 // MemStore is the in-memory JournalStore: durable for the life of the
 // process, shared between a "crashed" federation and its recovered
-// successor in tests and the soak harness.
+// successor in tests.
 type MemStore struct {
 	mu   sync.Mutex
 	recs []JournalRecord
@@ -255,9 +255,9 @@ func corrupt(format string, args ...any) error {
 
 // ErrCoordinatorCrash is the sentinel a Journal.Fail hook returns to
 // simulate the coordinator process dying at a durable boundary: the record
-// it fired on IS durable, but nothing after it happens. The soak harness
-// and the recovery tests use it to kill a coordinator at chosen boundaries
-// without leaving the test process.
+// it fired on IS durable, but nothing after it happens. The crash sweep
+// uses it to kill a coordinator at every boundary without leaving the test
+// process.
 var ErrCoordinatorCrash = errors.New("fl: simulated coordinator crash")
 
 // Journal sequences records into a store.
@@ -324,10 +324,14 @@ type ResumePoint struct {
 	Included []string
 	Payload  []byte
 	Digest   uint64
+	// Roster is the live roster the crashed attempt's round-start journaled:
+	// the re-run is scheduled over it, whatever churn the host requested
+	// while the coordinator was down.
+	Roster []string
 	// Cohort is the crashed attempt's sampled cohort (nil when the round
 	// scheduled the whole roster). The re-run cross-checks its own sample
-	// against it: a mismatch means the roster or profile diverged and the
-	// replay would not be bit-exact.
+	// against it: a mismatch means the profile diverged and the replay would
+	// not be bit-exact.
 	Cohort []string
 }
 
@@ -407,7 +411,7 @@ func Replay(recs []JournalRecord) (RecoveryState, error) {
 	}
 	if open != nil {
 		rp := &ResumePoint{Round: open.Round, Attempt: open.Attempt, Phase: PhaseUpload,
-			Cursor: open.Cursor, Cohort: open.Cohort}
+			Cursor: open.Cursor, Roster: open.Members, Cohort: open.Cohort}
 		if agg != nil {
 			rp.Phase = PhaseBroadcast
 			rp.Cursor = agg.Cursor

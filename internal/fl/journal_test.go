@@ -4,7 +4,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 )
 
@@ -290,103 +289,6 @@ func TestReplayGrammar(t *testing.T) {
 			}
 		}
 	})
-}
-
-// TestCrashRecoveryReplaysSampledCohort is the cross-device durability
-// test: a sampling + tree-aggregating coordinator is killed between
-// round-start and aggregated (the round-start record is durable, nothing
-// after it is), recovered from the journal, and the replayed round must
-// sample the identical cohort and journal a byte-identical aggregate — at
-// the aggregated boundary too, where recovery replays the journaled payload
-// instead of re-running the round.
-func TestCrashRecoveryReplaysSampledCohort(t *testing.T) {
-	const rounds, crashRound = 4, 2
-	profile := testProfile(SystemFLBooster)
-	profile.Parties = 7
-	profile.Cohort = CohortPolicy{Size: 4, Fanout: 2, MaxInflight: 2}
-	grads := epochGrads(rounds, profile.Parties, 5)
-
-	runEpoch := func(store JournalStore, boundary EventKind) map[uint64]uint64 {
-		t.Helper()
-		j := mustJournal(t, store)
-		if boundary != "" {
-			j.Fail = func(rec JournalRecord) error {
-				if rec.Kind == boundary && rec.Round == crashRound && rec.Attempt == 1 {
-					return ErrCoordinatorCrash
-				}
-				return nil
-			}
-		}
-		ctx, err := NewContext(profile)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fed := NewFederation(ctx)
-		fed.AttachJournal(j)
-		for r := 0; r < rounds; r++ {
-			if _, err := fed.SecureAggregate(grads[r]); err != nil {
-				if boundary == "" || !errors.Is(err, ErrCoordinatorCrash) {
-					t.Fatalf("round %d: %v", r+1, err)
-				}
-				fed.Close()
-				ctx2, err := NewContext(profile)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fed, _, err = Recover(ctx2, store)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r-- // re-run the crashed round on the recovered coordinator
-			}
-		}
-		defer fed.Close()
-		recs, err := fed.Journal().Records()
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		// The crashed round's round-start records — one per attempt — must
-		// carry the identical sampled cohort, and it must match what the
-		// sampler derives from the journaled roster.
-		var cohorts [][]string
-		for _, rec := range recs {
-			if rec.Kind == EventRoundStart && rec.Round == crashRound {
-				cohorts = append(cohorts, rec.Cohort)
-			}
-		}
-		if len(cohorts) == 0 {
-			t.Fatal("no round-start record journaled a cohort")
-		}
-		for _, cohort := range cohorts {
-			if len(cohort) != profile.Cohort.Size {
-				t.Fatalf("journaled cohort %v, want size %d", cohort, profile.Cohort.Size)
-			}
-			if !slices.Equal(cohort, cohorts[0]) {
-				t.Fatalf("attempts sampled different cohorts: %v vs %v", cohort, cohorts[0])
-			}
-		}
-		state, err := Replay(recs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if state.Completed != rounds {
-			t.Fatalf("epoch completed %d/%d rounds", state.Completed, rounds)
-		}
-		return state.Digests
-	}
-
-	clean := runEpoch(NewMemStore(), "")
-	for _, boundary := range []EventKind{EventRoundStart, EventAggregated} {
-		t.Run(string(boundary), func(t *testing.T) {
-			crashed := runEpoch(NewMemStore(), boundary)
-			for r := uint64(1); r <= rounds; r++ {
-				if clean[r] != crashed[r] {
-					t.Fatalf("round %d digest %#x after recovery, want %#x", r, crashed[r], clean[r])
-				}
-			}
-		})
-	}
 }
 
 // TestJournalFailHook verifies the crash-simulation contract: the record the

@@ -83,7 +83,7 @@ func (h *Holder) DecryptAggregated(cts []paillier.Ciphertext, count, parties int
 // dequantization), one value per ciphertext — the return path with a single
 // slot, and the reference OpenBroadcastSums at s = 1 is tested against.
 func (h *Holder) DecryptRaw(cts []paillier.Ciphertext) ([]uint64, error) {
-	l, _ := strideLayout(0, 1, false) // stride 1 unpacked: one value a plaintext
+	l, _ := strideLayout(returnSlotBits, 1) // one value a plaintext
 	return h.decryptSlots(cts, len(cts), l)
 }
 

@@ -92,23 +92,19 @@ const (
 )
 
 // strideLayout is the return-path layout of stride s in plainBits-bit
-// plaintexts (KeyBits−1: anything below 2^plainBits is below n). At s = 1 a
-// value's block is its 64 bits: one a ciphertext without batch compression,
-// as many as fit with it (15 at 1,024 bits, 31 at 2,048). Above, a block is
-// the 2s−1 W-bit slots of a masked convolution, the value in slot s−1 and the
-// W−64 bits above it clear. A stride outside [1, maxStride] rejects with
+// plaintexts (returnBits). At s = 1 a value's block is its 64 bits: one a
+// plaintext at 64 bits, the width without batch compression, as many as fit
+// above (15 at 1,024-bit keys, 31 at 2,048). Above, a block is the 2s−1 W-bit
+// slots of a masked convolution, the value in slot s−1 and the W−64 bits
+// above it clear. A stride outside [1, maxStride] rejects with
 // ErrSlotCorrupt.
-func strideLayout(plainBits, s int, packed bool) (batch.Layout, error) {
-	if s < 1 || s > maxStride(plainBits, packed) {
-		return batch.Layout{}, fmt.Errorf("%w: a stride of %d in %d-bit plaintexts (batch compression %t)",
-			ErrSlotCorrupt, s, plainBits, packed)
+func strideLayout(plainBits, s int) (batch.Layout, error) {
+	if s < 1 || s > maxStride(plainBits) {
+		return batch.Layout{}, fmt.Errorf("%w: a stride of %d in %d-bit plaintexts", ErrSlotCorrupt, s, plainBits)
 	}
 	block, at, guard := returnSlotBits, 0, 0
 	if s > 1 {
 		block, at, guard = (2*s-1)*BroadcastSlotBits, (s-1)*BroadcastSlotBits, BroadcastSlotBits-returnSlotBits
-	}
-	if !packed {
-		plainBits = block // one value a plaintext
 	}
 	// By the max, a plaintext holds one block: NewLayout cannot fail.
 	return batch.NewLayout(max(plainBits, block), block, at, returnSlotBits, guard)
@@ -122,23 +118,23 @@ func broadcastLayout(s int) batch.Layout {
 }
 
 // maxStride is the widest stride plainBits-bit plaintexts hold: the most s
-// with (2s−1)·W ≤ plainBits under batch compression, 1 without it or when
-// not even three slots fit.
-func maxStride(plainBits int, packed bool) int {
-	if !packed {
-		return 1
-	}
-	return max(1, (plainBits/BroadcastSlotBits+1)/2)
-}
+// with (2s−1)·W ≤ plainBits, 1 when not even three slots fit.
+func maxStride(plainBits int) int { return max(1, (plainBits/BroadcastSlotBits+1)/2) }
 
 // layout is strideLayout under the context's key and profile.
 func (c *Context) layout(stride int) (batch.Layout, error) {
-	return strideLayout(c.plainBits(), stride, c.Profile.UseBatch())
+	return strideLayout(c.returnBits(), stride)
 }
 
-// plainBits is KeyBits−1: n ≥ 2^(KeyBits−1), so every plaintext below
-// 2^plainBits is below n.
-func (c *Context) plainBits() int { return c.pub.N.BitLen() - 1 }
+// returnBits is the return path's plaintext width: KeyBits−1 under batch
+// compression (n ≥ 2^(KeyBits−1), so every plaintext below 2^returnBits is
+// below n), returnSlotBits — one value a plaintext — without it.
+func (c *Context) returnBits() int {
+	if !c.Profile.UseBatch() {
+		return returnSlotBits
+	}
+	return c.pub.N.BitLen() - 1
+}
 
 // ReturnSlots is how many sums one return-path ciphertext of the unpacked
 // broadcast (s = 1) carries.
@@ -154,14 +150,14 @@ func (c *Context) ReturnSlots() int {
 // on a tie: 1 without batch compression and under keys with no room for
 // three W-bit slots (256 bits and below).
 func (c *Context) BroadcastStride(rows int, sums []int) int {
-	return broadcastStride(c.plainBits(), c.Profile.UseBatch(), rows, sums)
+	return broadcastStride(c.returnBits(), rows, sums)
 }
 
 // broadcastStride is BroadcastStride's rule in plainBits-bit plaintexts.
-func broadcastStride(plainBits int, packed bool, rows int, sums []int) int {
+func broadcastStride(plainBits, rows int, sums []int) int {
 	best, fewest := 1, -1
-	for s := 1; s <= maxStride(plainBits, packed); s++ {
-		l, _ := strideLayout(plainBits, s, packed)
+	for s := 1; s <= maxStride(plainBits); s++ {
+		l, _ := strideLayout(plainBits, s)
 		cts := len(sums) * broadcastLayout(s).Plaintexts(rows)
 		for _, k := range sums {
 			cts += l.Plaintexts(k)
@@ -356,12 +352,12 @@ func (c *Context) shiftPack(cts []paillier.Ciphertext, slots, slotBits int) (pac
 }
 
 // parseRequest is the decryptor's read of a return-path request under its own
-// plaintext width and profile: the layout of the stride the request names,
+// return-path width: the layout of the stride the request names,
 // the value count, and the ciphertext batch behind them. A header that is not
 // two minimal uvarints ahead of the batch's count, a stride outside
 // [1, maxStride], and a value count the batch's ciphertexts cannot carry
 // (over batch.ErrCount) reject with ErrSlotCorrupt.
-func parseRequest(b []byte, plainBits int, packed bool) (l batch.Layout, count int, body []byte, err error) {
+func parseRequest(b []byte, plainBits int) (l batch.Layout, count int, body []byte, err error) {
 	var s, n, cts uint64
 	if s, b, err = flnet.ReadUvarint(b); err == nil {
 		if n, body, err = flnet.ReadUvarint(b); err == nil {
@@ -371,7 +367,7 @@ func parseRequest(b []byte, plainBits int, packed bool) (l batch.Layout, count i
 	if err != nil {
 		return batch.Layout{}, 0, nil, fmt.Errorf("%w: request header: %w", ErrSlotCorrupt, err)
 	}
-	if l, err = strideLayout(plainBits, int(min(s, math.MaxInt32)), packed); err != nil {
+	if l, err = strideLayout(plainBits, int(min(s, math.MaxInt32))); err != nil {
 		return batch.Layout{}, 0, nil, err
 	}
 	// A count past len(body)·per can be no batch's; below it int(n) is exact.
@@ -387,7 +383,7 @@ func parseRequest(b []byte, plainBits int, packed bool) (l batch.Layout, count i
 // value count the request names.
 func (h *Holder) openRequest(b []byte) ([]uint64, error) {
 	c := h.ctx
-	l, count, body, err := parseRequest(b, c.plainBits(), c.Profile.UseBatch())
+	l, count, body, err := parseRequest(b, c.returnBits())
 	if err != nil {
 		return nil, err
 	}

@@ -547,7 +547,7 @@ func FuzzSplitSlots(f *testing.F) {
 	// 2^64 − 1, cross-term slots lifted by 2^63 under the least and the most
 	// mask, one block a plaintext at s = 5 and three at s = 2.
 	block := func(s int, target uint64, draw uint64) *big.Int {
-		l, err := strideLayout(1023, s, true)
+		l, err := strideLayout(1023, s)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -570,7 +570,7 @@ func FuzzSplitSlots(f *testing.F) {
 				pts[i] = mpint.FromBytes(data[i*each : (i+1)*each])
 			}
 		}
-		l, err := strideLayout(int(keyBits)-1, stride, true)
+		l, err := strideLayout(int(keyBits)-1, stride)
 		var got []uint64
 		if err == nil {
 			got, err = splitReturn(pts, count, l)
@@ -608,11 +608,11 @@ func FuzzSplitSlots(f *testing.F) {
 }
 
 // FuzzReturnRequest feeds arbitrary bytes to the decryptor's read of a
-// return-path request (parseRequest) under a key size, with batch compression
-// on or off. It never panics and a reject is ErrSlotCorrupt; an accepted
-// request names a stride in [1, maxStride], the layout built from it and a
-// value count its batch's ciphertexts carry, and the batch is the bytes
-// behind the header's two minimal uvarints.
+// return-path request (parseRequest) under a return-path width: KeyBits−1
+// with batch compression, 64 bits without it. It never panics and a reject is
+// ErrSlotCorrupt; an accepted request names a stride in [1, maxStride], the
+// layout built from it and a value count its batch's ciphertexts carry, and
+// the batch is the bytes behind the header's two minimal uvarints.
 func FuzzReturnRequest(f *testing.F) {
 	request := func(s, count uint64, cts int) []byte {
 		b := binary.AppendUvarint(binary.AppendUvarint(nil, s), count)
@@ -622,18 +622,18 @@ func FuzzReturnRequest(f *testing.F) {
 		}
 		return flnet.AppendNats(b, nats)
 	}
-	f.Add(request(1, 3, 1), uint16(256), true)     // s = 1: three 64-bit slots a ciphertext
-	f.Add(request(5, 8, 8), uint16(1024), true)    // s = 5: one 945-bit block a ciphertext
-	f.Add(request(1, 3, 1)[:1], uint16(256), true) // a truncated header
-	f.Add(request(0, 1, 1), uint16(1024), true)
-	f.Add(request(uint64(maxStride(1023, true)+1), 1, 1), uint16(1024), true)
-	f.Add(request(2, 1, 1), uint16(1024), false)                                  // a stride without batch compression
-	f.Add(request(1, 4, 1), uint16(256), true)                                    // a count one ciphertext cannot carry
-	f.Add(append([]byte{0x81, 0x00}, request(1, 1, 1)[1:]...), uint16(256), true) // a non-minimal stride
-	f.Add(request(1, 1<<63, 1), uint16(256), true)                                // a count past any int32
-	f.Fuzz(func(t *testing.T, b []byte, keyBits uint16, packed bool) {
-		plainBits := int(keyBits) - 1
-		l, count, body, err := parseRequest(b, plainBits, packed)
+	f.Add(request(1, 3, 1), uint16(255))     // s = 1: three 64-bit slots a ciphertext
+	f.Add(request(5, 8, 8), uint16(1023))    // s = 5: one 945-bit block a ciphertext
+	f.Add(request(1, 3, 1)[:1], uint16(255)) // a truncated header
+	f.Add(request(0, 1, 1), uint16(1023))
+	f.Add(request(uint64(maxStride(1023)+1), 1, 1), uint16(1023))
+	f.Add(request(2, 1, 1), uint16(returnSlotBits))                         // a stride without batch compression
+	f.Add(request(1, 4, 1), uint16(255))                                    // a count one ciphertext cannot carry
+	f.Add(append([]byte{0x81, 0x00}, request(1, 1, 1)[1:]...), uint16(255)) // a non-minimal stride
+	f.Add(request(1, 1<<63, 1), uint16(255))                                // a count past any int32
+	f.Fuzz(func(t *testing.T, b []byte, width uint16) {
+		plainBits := int(width)
+		l, count, body, err := parseRequest(b, plainBits)
 		if err != nil {
 			if !errors.Is(err, ErrSlotCorrupt) {
 				t.Fatalf("untyped reject: %v", err)
@@ -641,10 +641,10 @@ func FuzzReturnRequest(f *testing.F) {
 			return
 		}
 		s, rest, _ := flnet.ReadUvarint(b)
-		if s < 1 || s > uint64(maxStride(plainBits, packed)) {
-			t.Fatalf("accepted a stride of %d in %d-bit plaintexts (batch compression %t)", s, plainBits, packed)
+		if s < 1 || s > uint64(maxStride(plainBits)) {
+			t.Fatalf("accepted a stride of %d in %d-bit plaintexts", s, plainBits)
 		}
-		if want, _ := strideLayout(plainBits, int(s), packed); l != want {
+		if want, _ := strideLayout(plainBits, int(s)); l != want {
 			t.Fatalf("stride %d: layout %+v, want %+v", s, l, want)
 		}
 		n, rest, _ := flnet.ReadUvarint(rest)

@@ -44,15 +44,15 @@ type HeteroLR struct {
 	opts2 []*Adam // per-party weight optimizers
 	optB  *Adam   // guest bias optimizer
 
-	// zScale bounds partial scores into the quantizer's interval.
-	zScale float64
-
 	// Minibatch scratch (vertical's lifetime rule): each party's partial
 	// scores, the guest's residuals, one party's gradient at a time, and
 	// Loss's concatenated weights.
 	zs             [][]float64
 	resid, grad, w []float64
 }
+
+// zScale bounds partial scores into the quantizer's interval.
+const zScale = 8
 
 // NewHeteroLR partitions ds vertically across the context's parties.
 func NewHeteroLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroLR, error) {
@@ -65,7 +65,6 @@ func NewHeteroLR(ctx *fl.Context, ds *datasets.Dataset, opts Options) (*HeteroLR
 		vertical: v,
 		W:        make([][]float64, parties),
 		offsets:  make([]int, parties),
-		zScale:   8,
 		zs:       make([][]float64, parties),
 	}
 	off := 0
@@ -137,7 +136,7 @@ func (m *HeteroLR) trainBatch(lo, hi int) error {
 
 	// Step 2: score aggregation — the packable flow, the hosts' through the
 	// arbiter. Scores are normalized by zScale to fit the quantizer's interval.
-	z, err := m.secureSum(m.zs, m.zScale, "scores", "scores-plain")
+	z, err := m.secureSum(m.zs, zScale, "scores", "scores-plain")
 	if err != nil {
 		return err
 	}

@@ -43,8 +43,6 @@ type HeteroNN struct {
 	Top        []float64
 	TopBias    float64
 
-	actScale float64 // activation normalization for the quantizer
-
 	optW   []*Adam // per-party bottom-tower optimizers
 	optTop *Adam   // guest head: [Top..., HiddenBias..., TopBias]
 
@@ -56,6 +54,9 @@ type HeteroNN struct {
 	deltas, grad, hAct   []float64
 	headParams, headGrad []float64
 }
+
+// actScale normalizes activations into the quantizer's interval.
+const actScale = 8
 
 // NewHeteroNN partitions ds vertically and initializes a two-tower network
 // with the given hidden width.
@@ -74,7 +75,6 @@ func NewHeteroNN(ctx *fl.Context, ds *datasets.Dataset, hidden int, opts Options
 		W:          make([][]float64, parties),
 		HiddenBias: make([]float64, hidden),
 		Top:        make([]float64, hidden),
-		actScale:   8,
 		acts:       make([][]float64, parties),
 	}
 	rng := mpint.NewRNG(opts.Seed ^ 0xA5A5)
@@ -152,7 +152,7 @@ func (m *HeteroNN) trainBatch(lo, hi int) error {
 	// aggregatable flow, normalized by actScale into the quantizer interval.
 	var acts [][]float64
 	m.track(func() { acts = m.bottomForwards(lo, hi) })
-	z, err := m.secureSum(acts, m.actScale, "acts", "act-plain")
+	z, err := m.secureSum(acts, actScale, "acts", "act-plain")
 	if err != nil {
 		return err
 	}

@@ -151,16 +151,3 @@ func (q *Quantizer) QuantizeVec(ms []float64) []uint64 {
 	}
 	return out
 }
-
-// DequantizeSumVec decodes a vector of aggregated sums.
-func (q *Quantizer) DequantizeSumVec(sums []uint64, count int) ([]float64, error) {
-	out := make([]float64, len(sums))
-	for i, s := range sums {
-		v, err := q.DequantizeSum(s, count)
-		if err != nil {
-			return nil, fmt.Errorf("quant: element %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
-}

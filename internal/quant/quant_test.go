@@ -119,23 +119,10 @@ func TestVecHelpers(t *testing.T) {
 	if len(vs) != len(ms) {
 		t.Fatal("length mismatch")
 	}
-	// Sum of two identical client vectors.
-	sums := make([]uint64, len(vs))
-	for i := range vs {
-		sums[i] = 2 * vs[i]
-	}
-	got, err := q.DequantizeSumVec(sums, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ms {
-		want := 2 * ms[i]
-		if d := got[i] - want; d > 2*q.MaxError() || d < -2*q.MaxError() {
-			t.Errorf("element %d error %v", i, d)
+	for i, m := range ms {
+		if vs[i] != q.Quantize(m) {
+			t.Errorf("element %d: %d, Quantize gives %d", i, vs[i], q.Quantize(m))
 		}
-	}
-	if _, err := q.DequantizeSumVec(sums, 5); err == nil {
-		t.Error("over-capacity vector decode should fail")
 	}
 }
 
