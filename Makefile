@@ -9,8 +9,10 @@
 # differ in any digit, and runs flbench's modelled tables at 128-bit keys
 # twice, failing on any byte of difference in the tables or the metrics
 # registry. The crash sweep (fl's TestCrashSweep: every journal boundary ×
-# every round × churn, chaos-free and under the fault mix) runs in `test` and
-# again under `race`.
+# every round × churn, chaos-free and under the fault mix) and the fault
+# checker (fl's TestFaultCheck: 200 seeded epochs of drawn profiles, network
+# and device faults and churn, held to the plaintext oracle and to the
+# outcomes the schedule predicts) run in `test` and again under `race`.
 
 GO ?= go
 STATICCHECK ?= staticcheck
@@ -65,12 +67,13 @@ loc:
 reach:
 	@sh scripts/reach.sh
 
-# The chaos/quorum suites and the device fault/failover paths exercise
+# The fault checker and the crash sweep drive the chaos, quorum, churn and
+# device fault/failover paths, which exercise
 # goroutines and shared counters — the executor serves a multi-device wave a
 # goroutine a member, under its one lock, and the Table-I platform
 # in core runs on the same executor — and flserver hosts fl's Coordinator
 # and Client across real TCP connections (hub, server and client goroutines
-# in one process), as fl's own transport matrix does. mpint's lane-group
+# in one process), as fl's TCP draws and transport matrix do. mpint's lane-group
 # scratch and paillier's keys are pooled across the executor's workers (about
 # 21 s and 5 s of this target on the two-core reference box), and the vertical
 # models' batches recycle through paillier's pool from one launch to the next.

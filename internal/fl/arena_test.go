@@ -82,7 +82,7 @@ func TestArenaCodecRoundtrip(t *testing.T) {
 func TestUploadFramesRecycleUnderChaos(t *testing.T) {
 	for _, fanout := range []int{3, 0} {
 		t.Run(fmt.Sprintf("fanout=%d", fanout), func(t *testing.T) {
-			p := cohortProfile(SystemFLBooster)
+			p := cohortDraw(SystemFLBooster, 1, CohortPolicy{}, RoundPolicy{}).p
 			p.Cohort = CohortPolicy{Fanout: fanout, MaxInflight: 3}
 			p.Round = RoundPolicy{Quorum: 1, PhaseTimeout: time.Second}
 			grads := testGrads(p.Parties, 24)

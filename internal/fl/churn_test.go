@@ -7,134 +7,6 @@ import (
 	"testing"
 )
 
-// TestChurnLeaveRejoinAdmission walks the roster life-cycle across round
-// boundaries: a departed client stops contributing (with the scale
-// compensating), a rejoin parks it as pending, and the next round boundary
-// admits it — reported in RoundReport.Admitted.
-func TestChurnLeaveRejoinAdmission(t *testing.T) {
-	p := quorumProfile(SystemFLBooster)
-	ctx, err := NewContext(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed := NewFederation(ctx)
-	defer fed.Close()
-	grads := epochGrads(1, p.Parties, 4)[0]
-
-	// Round 1: full federation.
-	_, rep, err := fed.SecureAggregateReport(grads)
-	if err != nil || len(rep.Included) != 4 || rep.Scale != 1 {
-		t.Fatalf("round 1: rep %+v err %v", rep, err)
-	}
-
-	// client1 departs; round 2 runs with the remaining three at scale 4/3.
-	if err := fed.Leave(ClientName(1)); err != nil {
-		t.Fatal(err)
-	}
-	_, rep, err = fed.SecureAggregateReport(grads)
-	if err != nil {
-		t.Fatalf("round 2: %v", err)
-	}
-	if len(rep.Included) != 3 || rep.Scale != 4.0/3.0 {
-		t.Fatalf("round 2: rep %+v", rep)
-	}
-	for _, name := range rep.Included {
-		if name == ClientName(1) {
-			t.Fatalf("departed client included: %+v", rep)
-		}
-	}
-
-	// Rejoin parks the client: it is pending, not active, until the boundary.
-	if err := fed.Rejoin(ClientName(1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := fed.Roster().Pending(); len(got) != 1 || got[0] != ClientName(1) {
-		t.Fatalf("pending %v", got)
-	}
-	if got := fed.Roster().Active(); len(got) != 3 {
-		t.Fatalf("active %v before the boundary", got)
-	}
-
-	// Round 3 admits it at the boundary and runs full again.
-	_, rep, err = fed.SecureAggregateReport(grads)
-	if err != nil {
-		t.Fatalf("round 3: %v", err)
-	}
-	if len(rep.Admitted) != 1 || rep.Admitted[0] != ClientName(1) {
-		t.Fatalf("round 3 admitted %v", rep.Admitted)
-	}
-	if len(rep.Included) != 4 || rep.Scale != 1 {
-		t.Fatalf("round 3: rep %+v", rep)
-	}
-}
-
-// TestChurnLeaveRejoinSameRound is the regression for the tightest churn
-// window: a client that leaves and rejoins between the same two round
-// boundaries must be admitted exactly once, contribute normally, and burn
-// none of the round's drop budget. Repeated rejoin requests in the window
-// must be rejected rather than queueing a double admission.
-func TestChurnLeaveRejoinSameRound(t *testing.T) {
-	p := quorumProfile(SystemFLBooster) // quorum 3 of 4
-	ctx, err := NewContext(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed := NewFederation(ctx)
-	defer fed.Close()
-	grads := epochGrads(1, p.Parties, 4)[0]
-
-	// Leave and rejoin with no round in between: the client is pending, and
-	// every further rejoin in the same window is a rejected double-admit.
-	if err := fed.Leave(ClientName(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.Rejoin(ClientName(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.Rejoin(ClientName(2)); err == nil {
-		t.Fatal("double rejoin within the same round window accepted")
-	}
-	if got := fed.Roster().Pending(); len(got) != 1 || got[0] != ClientName(2) {
-		t.Fatalf("pending %v, want just %s", got, ClientName(2))
-	}
-
-	// The next boundary admits it exactly once; the round runs full, with no
-	// drop recorded — the leave/rejoin cycle must not count against the
-	// quorum budget.
-	_, rep, err := fed.SecureAggregateReport(grads)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Admitted) != 1 || rep.Admitted[0] != ClientName(2) {
-		t.Fatalf("admitted %v, want exactly one %s", rep.Admitted, ClientName(2))
-	}
-	if len(rep.Included) != p.Parties || rep.Scale != 1 {
-		t.Fatalf("round after same-window churn degraded: %+v", rep)
-	}
-	if len(rep.Dropped) != 0 {
-		t.Fatalf("same-window churn burned drop budget: %+v", rep.Dropped)
-	}
-	if got := len(fed.Roster().Active()); got != p.Parties {
-		t.Fatalf("active %d after admission, want %d", got, p.Parties)
-	}
-	if got := fed.Roster().Pending(); len(got) != 0 {
-		t.Fatalf("client still pending after admission: %v", got)
-	}
-
-	// A second run of the cycle ending below the boundary: the pending
-	// client is not active, so it cannot leave again — the departed state is
-	// single-entry, not a counter.
-	if err := fed.Leave(ClientName(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.Rejoin(ClientName(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := fed.Leave(ClientName(2)); err == nil {
-		t.Fatal("pending client accepted a second departure")
-	}
-}
-
 // TestChurnRosterErrors: the roster rejects invalid transitions.
 func TestChurnRosterErrors(t *testing.T) {
 	ctx, err := NewContext(testProfile(SystemFATE))
@@ -163,36 +35,6 @@ func TestChurnRosterErrors(t *testing.T) {
 	}
 	if err := fed.Rejoin(ClientName(0)); err == nil {
 		t.Fatal("double rejoin accepted")
-	}
-}
-
-// TestChurnBelowQuorumFailsTyped: once departures push the active roster
-// below an explicit quorum, rounds fail with a typed admit-phase error until
-// someone rejoins.
-func TestChurnBelowQuorumFailsTyped(t *testing.T) {
-	p := quorumProfile(SystemFATE) // quorum 3 of 4
-	ctx, err := NewContext(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed := NewFederation(ctx)
-	defer fed.Close()
-	grads := epochGrads(1, p.Parties, 3)[0]
-	for _, name := range []string{ClientName(0), ClientName(1)} {
-		if err := fed.Leave(name); err != nil {
-			t.Fatal(err)
-		}
-	}
-	_, _, err = fed.SecureAggregateReport(grads)
-	asRoundError(t, err, PhaseAdmit)
-
-	// A rejoin at the boundary restores quorum and the next round runs.
-	if err := fed.Rejoin(ClientName(0)); err != nil {
-		t.Fatal(err)
-	}
-	_, rep, err := fed.SecureAggregateReport(grads)
-	if err != nil || len(rep.Included) != 3 {
-		t.Fatalf("post-rejoin round: rep %+v err %v", rep, err)
 	}
 }
 

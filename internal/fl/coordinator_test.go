@@ -84,7 +84,7 @@ func TestBadUploadDropsItsSenderNotTheRound(t *testing.T) {
 	}
 	grads := [][]float64{{0.1, -0.2}, {0.1, -0.2}, {0.1, -0.2}, {0.1, -0.2}}
 
-	ctx, err := NewContext(quorumProfile(SystemFLBooster))
+	ctx, err := NewContext(pinnedDraw(SystemFLBooster, 1, quorumPolicy).p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func (h *hostileUpload) Send(msg flnet.Message) error {
 func TestHostileUploadDropsItsSender(t *testing.T) {
 	grads := [][]float64{{0.1, -0.2}, {0.1, -0.2}, {0.1, -0.2}, {0.1, -0.2}}
 	for _, sys := range []System{SystemFLBooster, SystemFATE} {
-		ctx, err := NewContext(quorumProfile(sys))
+		ctx, err := NewContext(pinnedDraw(sys, 1, quorumPolicy).p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestHostileUploadDropsItsSender(t *testing.T) {
 // resume point (flserver's TestServerGracefulDrainAborts is the same thing
 // through a process's flags). With quorum already met it finishes the round.
 func TestCoordinatorDrain(t *testing.T) {
-	p := quorumProfile(SystemFLBooster)
+	p := pinnedDraw(SystemFLBooster, 1, quorumPolicy).p
 	p.Round.PhaseTimeout = 0 // no deadline: only the drain can end the gather
 	names := ClientNames(p.Parties)
 	stop := make(chan struct{})

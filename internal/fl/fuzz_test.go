@@ -50,7 +50,7 @@ func openShapes(tb testing.TB) []openShape {
 			{"plain-flat", SystemFLBooster, 0}, {"plain-tree", SystemFLBooster, 2},
 			{"uncompressed-flat", SystemHAFLO, 0},
 		} {
-			p := quorumProfile(sh.sys)
+			p := pinnedDraw(sh.sys, 1, quorumPolicy).p
 			p.Seed = 41
 			p.Cohort.Fanout = sh.fanout
 			shape := openShape{name: sh.name, sched: p.Schedule(ClientNames(p.Parties), 1)}
@@ -296,7 +296,7 @@ func journalSeeds(tb testing.TB) [][]byte {
 		}
 		return nil
 	}
-	p := quorumProfile(SystemFLBooster)
+	p := pinnedDraw(SystemFLBooster, 1, quorumPolicy).p
 	ctx, err := NewContext(p)
 	if err != nil {
 		tb.Fatal(err)

@@ -61,7 +61,8 @@ const sweepRounds = 4
 type sweepProfile struct {
 	name string
 	p    Profile
-	file bool // a FileStore; a MemStore otherwise
+	file bool          // a FileStore; a MemStore otherwise
+	hub  *flnet.TCPHub // each incarnation dials it as a loopback TCP mesh
 }
 
 func sweepProfiles() []sweepProfile {
@@ -72,7 +73,7 @@ func sweepProfiles() []sweepProfile {
 	for _, p := range []*Profile{&flat, &tree} {
 		p.Round = RoundPolicy{Quorum: 3, PhaseTimeout: 200 * time.Millisecond, MaxRetries: 2}
 	}
-	return []sweepProfile{{"flat", flat, true}, {"sampled-tree", tree, false}}
+	return []sweepProfile{{"flat", flat, true, nil}, {"sampled-tree", tree, false, nil}}
 }
 
 // sweepCase is one crash point: the record kind and the round the
@@ -189,6 +190,10 @@ func runSweep(t *testing.T, sp sweepProfile, c sweepCase, crash, faults bool) sw
 		if err != nil {
 			t.Fatal(err)
 		}
+		if sp.hub != nil {
+			fed.Transport.Close()
+			fed.Transport = newTCPMesh(t, sp.hub, append(ClientNames(p.Parties), ServerName))
+		}
 		if faults { // each incarnation draws its own chaos stream
 			fed.Transport = flnet.NewChaosTransport(fed.Transport, flnet.ChaosConfig{
 				Seed: 3 ^ boots*0x9E3779B97F4A7C15, DropProb: 0.06, DupProb: 0.12, ReorderProb: 0.12})
@@ -293,7 +298,7 @@ func checkBitExact(t *testing.T, c sweepCase, ref, got sweepRun) {
 func checkOracle(t *testing.T, run sweepRun) {
 	t.Helper()
 	q, parties := run.ctx.Quant, run.ctx.Profile.Parties
-	for r := range sweepRounds {
+	for r := range run.errs {
 		var rerr *RoundError
 		switch err, rep := run.errs[r], run.reports[r]; {
 		case errors.Is(err, ErrCoordinatorCrash):
@@ -324,7 +329,7 @@ func checkOracle(t *testing.T, run sweepRun) {
 			}
 		}
 	}
-	if st := replayed(t, run.recs); st.Resume != nil || st.Completed+st.Failed != sweepRounds {
+	if st := replayed(t, run.recs); st.Resume != nil || st.Completed+st.Failed != len(run.errs) {
 		t.Fatalf("rounds left unresolved: %+v", st)
 	}
 }

@@ -52,7 +52,8 @@ type RoundPolicy struct {
 	// Quorum is the minimum number of client contributions a round needs;
 	// 0 (or Parties) means all clients are required. With Quorum K < N the
 	// server proceeds once K uploads arrive and the deadline expires, and
-	// the aggregate is scaled by N/K to stay an unbiased estimate.
+	// the aggregate is scaled by Parties / len(Included) to stay an unbiased
+	// estimate.
 	Quorum int
 	// PhaseTimeout bounds each phase's blocking receives; 0 disables
 	// deadlines. Tolerating *silent* drops (as opposed to failed sends,
@@ -94,7 +95,9 @@ type RoundReport struct {
 	Round uint64
 	// Included lists clients whose gradients made it into the aggregate.
 	Included []string
-	// Dropped maps a dropped client to the phase that lost it.
+	// Dropped maps a dropped client to the phase that lost it. A client
+	// dropped in upload or gather is never in Included; one dropped in
+	// broadcast or decrypt had its upload folded and stays in it.
 	Dropped map[string]RoundPhase
 	// Retries counts send re-attempts across all phases: the ledger's
 	// RetryMsgs grew by exactly this much since Begin.
